@@ -12,6 +12,14 @@ test:
 	go build ./...
 	go vet ./...
 	go test ./...
+	$(MAKE) bench-smoke
+
+.PHONY: bench-smoke
+# bench-smoke keeps the request-path benchmark (the nested module bench/,
+# which `go test ./...` from the root does not reach) compiling against
+# this tree and passing its own unit tests and 2 s correctness-gated run.
+bench-smoke:
+	(cd bench && go test ./...)
 
 .PHONY: race
 # race is the concurrency-bug hunt CI runs: the full suite under the race

@@ -230,7 +230,7 @@ func BenchmarkE12_OfflineInterpretation(b *testing.B) {
 	b.ResetTimer()
 	var msgs int64
 	for i := 0; i < b.N; i++ {
-		it := interpret.New(brb.Protocol{}, 4, 1, nil, interpret.WithoutInBufferRecording())
+		it := interpret.New(brb.Protocol{}, 4, 1, nil)
 		if err := it.InterpretDAG(h.DAG); err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func BenchmarkE14_Throughput(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c, err := cluster.New(cluster.Options{
 					N: 4, Protocol: courier.Protocol{}, Seed: 4,
-					MaxBatch: batch + 1, DisableInBufferRecording: true,
+					MaxBatch: batch + 1,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -566,7 +566,7 @@ func BenchmarkE12_DeepDAG(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					opts := []interpret.Option{interpret.WithoutInBufferRecording()}
+					var opts []interpret.Option
 					if mode == "implicit" {
 						opts = append(opts, interpret.WithImplicitInclusion())
 					}

@@ -148,8 +148,6 @@ type Options struct {
 	CompressReferences bool
 	// RetireInstances enables the interpreter GC extension.
 	RetireInstances bool
-	// DisableInBufferRecording trades inspectability for memory.
-	DisableInBufferRecording bool
 
 	// StoreDir, if non-empty, gives every correct server a durable block
 	// store under StoreDir/s<i>: each inserted block is journaled before
@@ -344,9 +342,8 @@ func New(opts Options) (*Cluster, error) {
 				})
 				broker.Publish(label, value)
 			},
-			RetireInstances:          opts.RetireInstances,
-			DisableInBufferRecording: opts.DisableInBufferRecording,
-			CompressReferences:       opts.CompressReferences,
+			RetireInstances:    opts.RetireInstances,
+			CompressReferences: opts.CompressReferences,
 		}
 		if st != nil {
 			cfg.OnPersist = st.PersistSink(id)

@@ -112,10 +112,6 @@ type Config struct {
 	// RetireInstances enables the instance-GC extension (see
 	// interpret.WithRetirement).
 	RetireInstances bool
-	// DisableInBufferRecording stops the interpreter from retaining
-	// per-block in-buffers (saves memory on long runs; buffers are only
-	// needed for inspection).
-	DisableInBufferRecording bool
 	// CompressReferences enables the paper's Section 7 implicit-block-
 	// inclusion extension on both halves of the stack: gossip references
 	// only DAG tips, and interpretation consumes the implicit ancestry
@@ -185,9 +181,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.RetireInstances {
 		interpOpts = append(interpOpts, interpret.WithRetirement())
-	}
-	if cfg.DisableInBufferRecording {
-		interpOpts = append(interpOpts, interpret.WithoutInBufferRecording())
 	}
 	if cfg.CompressReferences {
 		interpOpts = append(interpOpts, interpret.WithImplicitInclusion())

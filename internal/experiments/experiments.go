@@ -357,8 +357,6 @@ func E14Throughput() (*Table, error) {
 			Protocol: courier.Protocol{},
 			Seed:     4,
 			MaxBatch: batch + 1,
-			// Drop in-buffer records to keep memory flat at high rates.
-			DisableInBufferRecording: true,
 		})
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package interpret
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"blockdag/internal/block"
@@ -28,7 +29,7 @@ func BenchmarkInterpretPerBlock(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := New(brb.Protocol{}, 4, 1, nil, WithoutInBufferRecording())
+		it := New(brb.Protocol{}, 4, 1, nil)
 		for _, blk := range blocks {
 			if err := it.AddBlock(blk); err != nil {
 				b.Fatal(err)
@@ -40,7 +41,7 @@ func BenchmarkInterpretPerBlock(b *testing.B) {
 
 // BenchmarkInterpretManyLabels measures the cost of one block carrying
 // requests for many instances at once — the per-label overhead of the
-// copy-on-write process map.
+// instance table.
 func BenchmarkInterpretManyLabels(b *testing.B) {
 	for _, labels := range []int{8, 64, 512} {
 		b.Run(fmt.Sprintf("labels=%d", labels), func(b *testing.B) {
@@ -57,7 +58,7 @@ func BenchmarkInterpretManyLabels(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				it := New(brb.Protocol{}, 4, 1, nil, WithoutInBufferRecording())
+				it := New(brb.Protocol{}, 4, 1, nil)
 				for _, blk := range blocks {
 					if err := it.AddBlock(blk); err != nil {
 						b.Fatal(err)
@@ -77,7 +78,7 @@ func BenchmarkImplicitVsExplicit(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				opts := []Option{WithoutInBufferRecording()}
+				var opts []Option
 				if mode == "implicit" {
 					opts = append(opts, WithImplicitInclusion())
 				}
@@ -103,8 +104,7 @@ func BenchmarkImplicitDeep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				it := New(brb.Protocol{}, 4, 1, nil,
-					WithoutInBufferRecording(), WithImplicitInclusion())
+				it := New(brb.Protocol{}, 4, 1, nil, WithImplicitInclusion())
 				if err := it.InterpretDAG(h.DAG); err != nil {
 					b.Fatal(err)
 				}
@@ -113,4 +113,55 @@ func BenchmarkImplicitDeep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(blocks), "ns/block")
 		})
 	}
+}
+
+// BenchmarkFreshLabelAtDepth pins that interpretation cost and retained
+// memory do not depend on how long the chains already are: every block of
+// an all-to-all DAG carries one request for a label nobody has seen, so
+// each AddBlock starts a fresh instance on top of a deeper chain. ns/block
+// and B/req (live heap retained per request once the DAG is interpreted)
+// must stay flat from depth 128 to 8192; a per-block copy of the parent's
+// instances, or a search of the chain for an earlier run of the label,
+// shows as growth.
+func BenchmarkFreshLabelAtDepth(b *testing.B) {
+	for _, depth := range []int{128, 1024, 8192} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			h := dagtest.NewHarness(4)
+			for r := 0; r < depth; r++ {
+				reqs := make(map[int][]block.Request, 4)
+				for s := 0; s < 4; s++ {
+					reqs[s] = []block.Request{{Label: types.Label(fmt.Sprintf("l/%d/%d", r, s)), Data: []byte("v")}}
+				}
+				h.Round(reqs)
+			}
+			blocks := h.DAG.Len()
+			var retained uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				before := liveHeap()
+				b.StartTimer()
+				it := New(brb.Protocol{}, 4, 1, nil)
+				if err := it.InterpretDAG(h.DAG); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				retained = liveHeap() - before
+				runtime.KeepAlive(it)
+				b.StartTimer()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(blocks), "ns/block")
+			b.ReportMetric(float64(retained)/float64(blocks), "B/req")
+		})
+	}
+}
+
+// liveHeap returns the bytes of reachable heap objects.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -22,12 +22,28 @@
 // Interpretation is fully decoupled from building the DAG (Algorithm 1):
 // an Interpreter only ever reads blocks, so it can run online — fed by the
 // DAG's insert callback — or offline over a stored DAG.
+//
+// Memory model. Algorithm 2 line 4 copies the parent's instances into
+// every block; this package keeps B.PIs only at the tip of each builder's
+// chain and advances it in place, so live state is proportional to live
+// instances, not to history. What every block retains is its out-buffers
+// (future blocks read them), links to its parent and source blocks and,
+// in implicit-inclusion mode, its watermarks. That is enough to recompute
+// anything else: by Lemma 4.2 a block's instances and in-buffers are a
+// pure function of the DAG, so a block whose instances have moved on down
+// the chain — the parent of an equivocating block, or a historic block
+// asked for its StateDigest — gets them rebuilt by replaying its
+// builder's chain (rebuild), and InMessages re-derives B.Ms[in, ℓ] from
+// the sources' out-buffers on demand. docs/ARCHITECTURE.md, "Interpreter
+// memory model", has the full account.
 package interpret
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
@@ -69,13 +85,6 @@ func WithRetirement() Option {
 	return func(it *Interpreter) { it.retire = true }
 }
 
-// WithoutInBufferRecording stops retaining per-block in-buffers, which are
-// needed only for inspection (tests, figures, the dagviz tool). Out-buffers
-// are always retained: they are load-bearing — future blocks read them.
-func WithoutInBufferRecording() Option {
-	return func(it *Interpreter) { it.recordIn = false }
-}
-
 // WithImplicitInclusion switches message collection to the paper's
 // Section 7 "implicit block inclusion" semantics: referencing a block
 // implicitly includes its whole ancestry, so a block receives the messages
@@ -93,29 +102,31 @@ func WithImplicitInclusion() Option {
 	return func(it *Interpreter) { it.implicit = true }
 }
 
+// instances is B.PIs: every process instance a builder's chain has started
+// up to block B, by label. A nil entry is the tombstone of an instance
+// dropped by the retirement extension.
+type instances map[types.Label]protocol.Process
+
 // blockState is the interpretation state attached to one block.
 type blockState struct {
 	blk    *block.Block
 	parent *blockState // state of blk.parent; nil for genesis blocks
 
-	// pis holds the process instances advanced at this block — the
-	// overlay over the parent chain implementing "PIs := copy
-	// parent.PIs" (Algorithm 2 line 4) without copying: lookups walk
-	// the parent chain; instances are cloned on first advance at each
-	// block, so forked chains (equivocation) evolve independently.
-	pis map[types.Label]protocol.Process
+	// pis is B.PIs while this block is the tip of its chain, nil once a
+	// child has taken the table over to advance it in place ("PIs := copy
+	// parent.PIs", Algorithm 2 line 4, without the copy). A second child
+	// — an equivocation — finds nil here and rebuilds.
+	pis instances
 
-	// retired marks labels whose instance was dropped by the
-	// retirement extension at or before this block.
-	retired map[types.Label]struct{}
+	// sources are the blocks whose out-buffers feed this one (Algorithm 2
+	// lines 7–9), kept so that a replay reads exactly what the first
+	// interpretation read.
+	sources []*blockState
 
 	// out is B.Ms[out, ℓ]: messages emitted at this block, in emission
-	// order. Future blocks referencing this one read from here.
+	// order. Future blocks referencing this one read from here, and the
+	// rebuild path replays them as inputs.
 	out map[types.Label][]protocol.Message
-
-	// in is B.Ms[in, ℓ]: messages received at this block in <M order.
-	// Retained only for inspection (recordIn).
-	in map[types.Label][]protocol.Message
 
 	// coveredSeq (implicit-inclusion mode only) is the consumption
 	// watermark of this block's chain: for each builder, the highest
@@ -156,7 +167,6 @@ type Interpreter struct {
 	onInd    func(Indication)
 	metrics  *metrics.Metrics
 	retire   bool
-	recordIn bool
 	implicit bool
 
 	states map[block.Ref]*blockState
@@ -178,12 +188,11 @@ type Interpreter struct {
 // (Algorithm 3 line 8).
 func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Option) *Interpreter {
 	it := &Interpreter{
-		proto:    proto,
-		n:        n,
-		f:        f,
-		onInd:    onInd,
-		recordIn: true,
-		states:   make(map[block.Ref]*blockState),
+		proto:  proto,
+		n:      n,
+		f:      f,
+		onInd:  onInd,
+		states: make(map[block.Ref]*blockState),
 	}
 	for _, opt := range opts {
 		opt(it)
@@ -288,104 +297,175 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 		}
 	}
 
-	// pis, out, and in are allocated lazily on first use: most blocks of
-	// a busy DAG carry no requests and receive messages for few labels,
-	// so eager maps are pure allocation overhead on the hot path.
-	st := &blockState{
-		blk:    b,
-		parent: parent,
-	}
+	// Lines 7–9 read the out-buffers of the source blocks: the direct
+	// predecessors (explicit mode), or the whole not-yet-consumed
+	// ancestry (implicit-inclusion mode).
+	st := &blockState{blk: b, parent: parent, sources: preds}
 	if it.implicit {
 		it.indexChain(st, preds)
+		st.sources = it.uncoveredAncestry(st, preds, parent)
+		st.coveredSeq = advanceWatermark(parent, st.sources)
 	}
 
-	// Lines 5–6: feed the requests carried in B.rs to B.n's instances,
-	// in the order the block lists them.
-	for _, rq := range b.Requests {
-		proc := it.ownProcess(st, rq.Label)
-		if proc == nil {
-			continue // label retired
+	// Line 4: B.PIs starts as the parent's. Every honest block is the
+	// only child of its parent and takes the table over; a chain root
+	// (genesis, or the first block above a pruned-history stand-in)
+	// starts an empty one.
+	switch {
+	case parent == nil || parent.seeded:
+		st.pis = make(instances)
+	case parent.pis != nil:
+		st.pis, parent.pis = parent.pis, nil
+	default:
+		st.pis = it.rebuild(parent, nil)
+	}
+	it.advance(st, st.pis, true, nil)
+
+	it.states[ref] = st // line 12: I[B] := true
+	it.metrics.AddBlocksInterpreted(1)
+	return nil
+}
+
+// byLabel orders messages by label and, within a label, by <M.
+func byLabel(a, b protocol.Message) int {
+	if c := strings.Compare(string(a.Label), string(b.Label)); c != 0 {
+		return c
+	}
+	return protocol.Compare(a, b)
+}
+
+// inMessages collects B.Ms[in, ℓ] (Algorithm 2 lines 7–9) for every label,
+// or for only one: the messages addressed to receiver in the out-buffers of
+// sources, grouped by label and each label's in <M order. The paper's
+// in-buffer is a set: identical messages materialized via two sources
+// (e.g. across an equivocator's forks) collapse to one.
+func inMessages(receiver types.ServerID, sources []*blockState, only *types.Label) []protocol.Message {
+	var in []protocol.Message
+	collect := func(out []protocol.Message) {
+		for _, m := range out {
+			if m.Receiver == receiver {
+				in = append(in, m)
+			}
 		}
-		it.emit(st, rq.Label, proc.Request(rq.Data))
 	}
-
-	// Lines 7–9: collect B.Ms[in, ℓ] — messages addressed to B.n in the
-	// out-buffers of the source blocks: the direct predecessors
-	// (explicit mode), or the whole not-yet-consumed ancestry
-	// (implicit-inclusion mode). The paper's in-buffer is a set:
-	// identical messages materialized via two predecessors (e.g. across
-	// an equivocator's forks) collapse to one.
-	sources := preds
-	if it.implicit {
-		sources = it.uncoveredAncestry(st, preds, parent)
-		st.coveredSeq = advanceWatermark(parent, sources)
-	}
-	var inbox map[types.Label]map[string]protocol.Message
 	for _, ps := range sources {
-		for label, msgs := range ps.out {
-			for _, m := range msgs {
-				if m.Receiver != b.Builder {
-					continue
-				}
-				if inbox == nil {
-					inbox = make(map[types.Label]map[string]protocol.Message)
-				}
-				set := inbox[label]
-				if set == nil {
-					set = make(map[string]protocol.Message)
-					inbox[label] = set
-				}
-				set[m.Key()] = m
-			}
+		if only != nil {
+			collect(ps.out[*only])
+			continue
+		}
+		for _, out := range ps.out {
+			collect(out)
 		}
 	}
+	slices.SortFunc(in, byLabel)
+	return slices.CompactFunc(in, func(a, b protocol.Message) bool { return byLabel(a, b) == 0 })
+}
 
-	// Lines 10–11: feed in-messages to B.n's instances in <M order,
-	// label by label (labels are independent instances; sorted label
-	// order keeps the trace canonical).
-	for _, label := range sortedLabels(inbox) {
-		msgs := make([]protocol.Message, 0, len(inbox[label]))
-		for _, m := range inbox[label] {
-			msgs = append(msgs, m)
+// advance runs Algorithm 2 lines 5–14 for block st on pis, its chain's
+// instance table as the parent left it. Labels are independent instances,
+// so it takes them one at a time, in sorted order to keep the trace
+// canonical: the requests B.rs carries for ℓ in the order the block lists
+// them (lines 5–6), then B.Ms[in, ℓ] in <M order (lines 10–11), then ℓ's
+// indications, attributed to B.n (lines 13–14).
+//
+// AddBlock calls it live, once per block: emitted messages are recorded in
+// st.out and indications surfaced. rebuild calls it again for a block
+// already interpreted, possibly for only one label: the steps are the
+// same, but the out-buffers are already recorded and the indications
+// already surfaced, so neither is repeated.
+func (it *Interpreter) advance(st *blockState, pis instances, live bool, only *types.Label) {
+	b := st.blk
+	ref := b.Ref()
+	reqs := make([]block.Request, 0, len(b.Requests))
+	for _, rq := range b.Requests {
+		if only == nil || rq.Label == *only {
+			reqs = append(reqs, rq)
 		}
-		protocol.Sort(msgs)
-		if it.recordIn {
-			if st.in == nil {
-				st.in = make(map[types.Label][]protocol.Message)
+	}
+	slices.SortStableFunc(reqs, func(a, b block.Request) int {
+		return strings.Compare(string(a.Label), string(b.Label))
+	})
+	in := inMessages(b.Builder, st.sources, only)
+
+	for len(reqs) > 0 || len(in) > 0 {
+		var label types.Label
+		if len(in) == 0 || len(reqs) > 0 && reqs[0].Label <= in[0].Label {
+			label = reqs[0].Label
+		} else {
+			label = in[0].Label
+		}
+		proc, started := pis[label]
+		if !started {
+			// No ancestor ran this instance. The paper assumes instances
+			// running from the genesis block onwards; we create them
+			// lazily on first request or message, as its Section 4
+			// suggests for implementations.
+			proc = it.proto.NewProcess(protocol.Config{Self: b.Builder, Label: label, N: it.n, F: it.f})
+			pis[label] = proc
+		}
+		// EntropyAware instances receive a deterministic per-(block,
+		// label) seed — the Section 7 de-randomization extension.
+		if ea, ok := proc.(protocol.EntropyAware); ok {
+			ea.SetEntropy(crypto.Hash(ref[:], []byte(label)))
+		}
+
+		// A nil proc is the tombstone of a retired instance: its inputs
+		// are consumed and ignored.
+		var out []protocol.Message
+		for ; len(reqs) > 0 && reqs[0].Label == label; reqs = reqs[1:] {
+			if proc != nil {
+				out = append(out, proc.Request(reqs[0].Data)...)
 			}
-			st.in[label] = msgs
 		}
-		proc := it.ownProcess(st, label)
+		for ; len(in) > 0 && in[0].Label == label; in = in[1:] {
+			if proc != nil {
+				out = append(out, proc.Receive(in[0])...)
+			}
+		}
 		if proc == nil {
-			continue // label retired
+			continue
 		}
-		for _, m := range msgs {
-			it.emit(st, label, proc.Receive(m))
+		inds := proc.Indications()
+		if it.retire && proc.Done() {
+			pis[label] = nil
 		}
-	}
-
-	// Lines 13–14: surface indications from the instances advanced at
-	// this block, attributed to B.n.
-	for _, label := range sortedOwned(st) {
-		proc := st.pis[label]
-		for _, value := range proc.Indications() {
+		if !live {
+			continue
+		}
+		if len(out) > 0 {
+			// B.Ms[out, ℓ]: materialized, never sent.
+			if st.out == nil {
+				st.out = make(map[types.Label][]protocol.Message)
+			}
+			st.out[label] = out
+			it.metrics.AddMsgsMaterialized(int64(len(out)))
+		}
+		for _, value := range inds {
 			it.metrics.AddIndications(1)
 			if it.onInd != nil {
 				it.onInd(Indication{Label: label, Value: value, Server: b.Builder, Block: ref})
 			}
 		}
-		if it.retire && proc.Done() {
-			if st.retired == nil {
-				st.retired = make(map[types.Label]struct{})
-			}
-			st.retired[label] = struct{}{}
-			delete(st.pis, label)
-		}
 	}
+}
 
-	it.states[ref] = st // line 12: I[B] := true
-	it.metrics.AddBlocksInterpreted(1)
-	return nil
+// rebuild recomputes st's B.PIs — for every label, or for only one — after
+// the table has moved on down the chain, by replaying the builder's chain
+// from its root through advance. The retained out-buffers of each block's
+// sources are the inputs, so the replay feeds every instance exactly what
+// it was fed the first time and, P being deterministic, arrives at
+// exactly the state it had (Lemma 4.2). The cost is one pass over the
+// chain; only an equivocating block or an inspection query pays it.
+func (it *Interpreter) rebuild(st *blockState, only *types.Label) instances {
+	var chain []*blockState
+	for s := st; s != nil && !s.seeded; s = s.parent {
+		chain = append(chain, s)
+	}
+	pis := make(instances)
+	for _, s := range slices.Backward(chain) {
+		it.advance(s, pis, false, only)
+	}
+	return pis
 }
 
 // indexChain computes st's ancestry watermark from its predecessors' —
@@ -544,71 +624,6 @@ func advanceWatermark(parent *blockState, consumed []*blockState) map[types.Serv
 	return wm
 }
 
-// emit appends messages emitted by an instance at this block to
-// B.Ms[out, ℓ] and counts them as materialized (never sent) messages.
-func (it *Interpreter) emit(st *blockState, label types.Label, msgs []protocol.Message) {
-	if len(msgs) == 0 {
-		return
-	}
-	if st.out == nil {
-		st.out = make(map[types.Label][]protocol.Message)
-	}
-	st.out[label] = append(st.out[label], msgs...)
-	it.metrics.AddMsgsMaterialized(int64(len(msgs)))
-}
-
-// ownProcess returns the process instance for label owned by this block,
-// cloning the nearest ancestor's instance — or creating a fresh one at the
-// chain root — on first use (copy-on-write realization of Algorithm 2
-// line 4). It returns nil if the label was retired on this chain.
-//
-// EntropyAware instances receive a deterministic per-(block, label) seed
-// on first use at each block — the Section 7 de-randomization extension.
-func (it *Interpreter) ownProcess(st *blockState, label types.Label) protocol.Process {
-	if proc, ok := st.pis[label]; ok {
-		return proc
-	}
-	if _, dead := st.retired[label]; dead {
-		return nil
-	}
-	var proc protocol.Process
-	for anc := st.parent; anc != nil; anc = anc.parent {
-		if _, dead := anc.retired[label]; dead {
-			// Propagate the tombstone so future lookups stop early.
-			if st.retired == nil {
-				st.retired = make(map[types.Label]struct{})
-			}
-			st.retired[label] = struct{}{}
-			return nil
-		}
-		if p, ok := anc.pis[label]; ok {
-			proc = p.Clone()
-			break
-		}
-	}
-	if proc == nil {
-		// Base case: no ancestor ran this instance. The paper assumes
-		// instances running from the genesis block onwards; we create
-		// them lazily on first request or message, as its Section 4
-		// suggests for implementations.
-		proc = it.proto.NewProcess(protocol.Config{
-			Self:  st.blk.Builder,
-			Label: label,
-			N:     it.n,
-			F:     it.f,
-		})
-	}
-	if ea, ok := proc.(protocol.EntropyAware); ok {
-		ref := st.blk.Ref()
-		ea.SetEntropy(crypto.Hash(ref[:], []byte(label)))
-	}
-	if st.pis == nil {
-		st.pis = make(map[types.Label]protocol.Process)
-	}
-	st.pis[label] = proc
-	return proc
-}
-
 // smallRefs bounds the linear-scan dedup; larger (byzantine-sized) lists
 // keep the map-backed path so quadratic scans cannot be provoked.
 const smallRefs = 16
@@ -661,24 +676,6 @@ func dedupRefs(refs []block.Ref) []block.Ref {
 	return out
 }
 
-func sortedLabels(m map[types.Label]map[string]protocol.Message) []types.Label {
-	labels := make([]types.Label, 0, len(m))
-	for l := range m {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	return labels
-}
-
-func sortedOwned(st *blockState) []types.Label {
-	labels := make([]types.Label, 0, len(st.pis))
-	for l := range st.pis {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	return labels
-}
-
 // InterpretDAG interprets every block of d not yet interpreted, in d's
 // insertion order (a topological order). This is the offline path: a
 // stored DAG can be replayed at any time, independent of gossip. The DAG
@@ -701,14 +698,14 @@ func (it *Interpreter) OutMessages(ref block.Ref, label types.Label) []protocol.
 	return append([]protocol.Message(nil), st.out[label]...)
 }
 
-// InMessages returns B.Ms[in, ℓ] in <M order. It returns nil if in-buffer
-// recording was disabled.
+// InMessages returns B.Ms[in, ℓ] in <M order, derived from the out-buffers
+// of the block's sources — exactly what the instance was fed.
 func (it *Interpreter) InMessages(ref block.Ref, label types.Label) []protocol.Message {
 	st, ok := it.states[ref]
-	if !ok || st.in == nil {
+	if !ok || st.seeded {
 		return nil
 	}
-	return append([]protocol.Message(nil), st.in[label]...)
+	return inMessages(st.blk.Builder, st.sources, &label)
 }
 
 // OutLabels returns the labels with a non-empty out-buffer at the block,
@@ -718,30 +715,25 @@ func (it *Interpreter) OutLabels(ref block.Ref) []types.Label {
 	if !ok {
 		return nil
 	}
-	labels := make([]types.Label, 0, len(st.out))
-	for l := range st.out {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	return labels
+	return slices.Sorted(maps.Keys(st.out))
 }
 
 // StateDigest returns the deterministic digest of B.PIs[ℓ] — the state of
 // the simulated instance ℓ of B's builder after interpreting B. The second
-// result is false if the block is uninterpreted or no ancestor of the
-// block ever ran the instance.
+// result is false if the block is uninterpreted, no ancestor of the block
+// ever ran the instance, or it was retired. Asking about a block that is
+// no longer the tip of its chain replays the chain for ℓ.
 func (it *Interpreter) StateDigest(ref block.Ref, label types.Label) ([]byte, bool) {
 	st, ok := it.states[ref]
 	if !ok {
 		return nil, false
 	}
-	for s := st; s != nil; s = s.parent {
-		if _, dead := s.retired[label]; dead {
-			return nil, false
-		}
-		if p, ok := s.pis[label]; ok {
-			return p.StateDigest(), true
-		}
+	pis := st.pis
+	if pis == nil {
+		pis = it.rebuild(st, &label)
+	}
+	if proc := pis[label]; proc != nil {
+		return proc.StateDigest(), true
 	}
 	return nil, false
 }

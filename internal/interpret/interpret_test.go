@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"blockdag/internal/block"
@@ -167,33 +168,36 @@ func TestMessagesNeverLeaveInterpreter(t *testing.T) {
 	}
 }
 
-// randomTopoOrder returns a random topological order of d's blocks.
-func randomTopoOrder(d *dag.DAG, rng *rand.Rand) []*block.Block {
-	blocks := d.Blocks()
-	present := make(map[block.Ref]bool, len(blocks))
+// topoOrder returns a topological order of d: at each step choose picks
+// the next block among the eligible ones, given in insertion order.
+func topoOrder(d *dag.DAG, choose func(eligible []*block.Block) *block.Block) []*block.Block {
+	remaining := append([]*block.Block(nil), d.Blocks()...)
+	present := make(map[block.Ref]bool, len(remaining))
 	var order []*block.Block
-	remaining := append([]*block.Block(nil), blocks...)
 	for len(remaining) > 0 {
-		var ready []int
-		for i, b := range remaining {
+		var eligible []*block.Block
+		for _, b := range remaining {
 			ok := true
 			for _, p := range b.Preds {
-				if !present[p] {
-					ok = false
-					break
-				}
+				ok = ok && present[p]
 			}
 			if ok {
-				ready = append(ready, i)
+				eligible = append(eligible, b)
 			}
 		}
-		pick := ready[rng.Intn(len(ready))]
-		b := remaining[pick]
+		b := choose(eligible)
 		order = append(order, b)
 		present[b.Ref()] = true
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
+		remaining = slices.DeleteFunc(remaining, func(r *block.Block) bool { return r == b })
 	}
 	return order
+}
+
+// randomTopoOrder returns a random topological order of d's blocks.
+func randomTopoOrder(d *dag.DAG, rng *rand.Rand) []*block.Block {
+	return topoOrder(d, func(eligible []*block.Block) *block.Block {
+		return eligible[rng.Intn(len(eligible))]
+	})
 }
 
 // buildContentiousDAG builds a DAG with multiple labels, an equivocating
@@ -594,30 +598,5 @@ func TestGenesisWithPredsInterprets(t *testing.T) {
 	}
 	if len(*inds) != 1 || (*inds)[0].Server != 1 {
 		t.Fatalf("indications = %v, want delivery at s1's genesis", *inds)
-	}
-}
-
-func TestWithoutInBufferRecording(t *testing.T) {
-	h := dagtest.NewHarness(4)
-	it := New(brb.Protocol{}, 4, 1, nil, WithoutInBufferRecording())
-	h.Round(map[int][]block.Request{0: {{Label: "ℓ", Data: []byte("v")}}})
-	h.Round(nil)
-	if err := it.InterpretDAG(h.DAG); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range h.DAG.Blocks() {
-		if got := it.InMessages(b.Ref(), "ℓ"); got != nil {
-			t.Fatalf("in-buffer recorded despite option: %v", got)
-		}
-	}
-	// Out-buffers are still live.
-	found := false
-	for _, b := range h.DAG.Blocks() {
-		if len(it.OutMessages(b.Ref(), "ℓ")) > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no out-buffers materialized")
 	}
 }

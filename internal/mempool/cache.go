@@ -23,7 +23,9 @@ func requestKey(label types.Label, data []byte) [32]byte {
 // prefix of the eviction queue compacted once it dominates the backing
 // array. Eviction order is deterministic — purely insertion order,
 // independent of map iteration — so tests and replays observe identical
-// dedup decisions. Not safe for concurrent use; Pool's lock guards it.
+// dedup decisions. The map grows with the keys actually seen — the window
+// bounds it, it is not preallocated. Not safe for concurrent use; Pool's
+// lock guards it.
 type seenCache struct {
 	window  int
 	members map[[32]byte]struct{}
@@ -34,7 +36,7 @@ type seenCache struct {
 func newSeenCache(window int) *seenCache {
 	return &seenCache{
 		window:  window,
-		members: make(map[[32]byte]struct{}, window),
+		members: make(map[[32]byte]struct{}),
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"blockdag/internal/types"
@@ -119,20 +119,13 @@ func compareUvarint(x, y uint64) int {
 	return bytes.Compare(bx[:nx], by[:ny])
 }
 
-// Sort orders messages by <M in place. The interpreter feeds in-buffer
-// messages to process instances in this order (Algorithm 2 line 10) so
-// that every server executes exactly the same steps.
-func Sort(msgs []Message) {
-	sort.Slice(msgs, func(i, j int) bool { return Compare(msgs[i], msgs[j]) < 0 })
-}
+// Sort orders messages by <M in place: the order in which the interpreter
+// feeds each instance its in-buffer (Algorithm 2 line 10), so that every
+// server executes exactly the same steps.
+func Sort(msgs []Message) { slices.SortFunc(msgs, Compare) }
 
-// Key returns a map key identifying the message's full content. The
-// interpreter's in-buffers are sets (Algorithm 2 line 9); identical
-// messages materialized from equivocating forks collapse to one entry.
-// Key serializes (once per message at in-buffer admission — unlike
-// Compare, which runs O(n log n) times per sort and is field-wise); a
-// cached key has nowhere to live on a value type, and the map insert
-// needs the string anyway.
+// Key returns a map key identifying the message's full content: two
+// messages have equal keys exactly when Compare reports 0.
 func (m Message) Key() string { return string(m.Encode()) }
 
 // Config parameterizes one process instance of P: which server it
@@ -175,9 +168,10 @@ type Process interface {
 	// instance silently ignores further inputs after retirement.
 	Done() bool
 
-	// Clone returns a deep copy. The interpreter clones an instance
-	// before advancing it on a new block, so forked chains (Figure 3)
-	// evolve independent state.
+	// Clone returns a deep copy that evolves independently of the
+	// original. The interpreter no longer calls it — it advances
+	// instances in place and gives a forked chain (Figure 3) its own
+	// state by replay — but tools and tests that branch a run do.
 	Clone() Process
 
 	// StateDigest returns a deterministic digest of the full instance

@@ -13,10 +13,16 @@
 //
 // The protocol is deterministic: state plus received message sequence
 // fully determine behaviour, as the embedding requires.
+//
+// An instance is small on purpose: the interpreter keeps one per live
+// (chain, label) pair for as long as the label lives, so quorum counting
+// uses one bitset of senders per value seen — in the honest case a single
+// tally holding two machine words — instead of a map of maps.
 package brb
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"blockdag/internal/crypto"
@@ -42,11 +48,7 @@ func (Protocol) Name() string { return "brb" }
 
 // NewProcess implements protocol.Protocol.
 func (Protocol) NewProcess(cfg protocol.Config) protocol.Process {
-	return &process{
-		cfg:     cfg,
-		echoes:  make(map[string]map[types.ServerID]struct{}),
-		readies: make(map[string]map[types.ServerID]struct{}),
-	}
+	return &process{cfg: cfg}
 }
 
 // process is one BRB process instance (Algorithm 4 state): the flags
@@ -57,15 +59,75 @@ type process struct {
 	readied   bool
 	delivered bool
 
-	// echoes[v] and readies[v] record the distinct senders from which an
-	// ECHO v / READY v has been received (quorums count distinct servers).
-	echoes  map[string]map[types.ServerID]struct{}
-	readies map[string]map[types.ServerID]struct{}
+	// tallies holds one entry per distinct value seen, in first-seen
+	// order: correct servers agree on one value, and every further value
+	// costs a byzantine server an equivocating block.
+	tallies []tally
 
 	pending [][]byte // delivered values not yet drained by Indications
 }
 
 var _ protocol.Process = (*process)(nil)
+
+// tally records the distinct senders from which an ECHO v / READY v has
+// been received (quorums count distinct servers).
+type tally struct {
+	value   string
+	echoes  senderSet
+	readies senderSet
+}
+
+// senderSet is a bitset over server ids: ids below 64 live in lo, so
+// systems of up to 64 servers never allocate; hi grows on demand.
+type senderSet struct {
+	lo uint64
+	hi []uint64
+}
+
+func (s *senderSet) add(id types.ServerID) {
+	if id < 64 {
+		s.lo |= 1 << id
+		return
+	}
+	word := int(id)/64 - 1
+	for len(s.hi) <= word {
+		s.hi = append(s.hi, 0)
+	}
+	s.hi[word] |= 1 << (id % 64)
+}
+
+func (s senderSet) count() int {
+	n := bits.OnesCount64(s.lo)
+	for _, w := range s.hi {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// ids appends the members in ascending order.
+func (s senderSet) ids(dst []types.ServerID) []types.ServerID {
+	word := func(base int, w uint64) {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, types.ServerID(base+bits.TrailingZeros64(w)))
+		}
+	}
+	word(0, s.lo)
+	for i, w := range s.hi {
+		word(64*(i+1), w)
+	}
+	return dst
+}
+
+// tallyFor returns the tally of value, adding it on first sight.
+func (p *process) tallyFor(value []byte) *tally {
+	for i := range p.tallies {
+		if p.tallies[i].value == string(value) {
+			return &p.tallies[i]
+		}
+	}
+	p.tallies = append(p.tallies, tally{value: string(value)})
+	return &p.tallies[len(p.tallies)-1]
+}
 
 func encodePayload(kind byte, value []byte) []byte {
 	w := wire.NewWriter(1 + len(value))
@@ -108,47 +170,48 @@ func (p *process) Receive(m protocol.Message) []protocol.Message {
 		return nil
 	}
 	var out []protocol.Message
-	key := string(value)
+	t := p.tallyFor(value)
 	switch kind {
 	case msgEcho:
 		// Record the echo (distinct senders only).
-		set := p.echoes[key]
-		if set == nil {
-			set = make(map[types.ServerID]struct{})
-			p.echoes[key] = set
-		}
-		set[m.Sender] = struct{}{}
+		t.echoes.add(m.Sender)
 
 		// Lines 6–8: first ECHO triggers our own echo.
 		if !p.echoed {
 			p.echoed = true
-			out = append(out, protocol.FanOut(p.cfg, encodePayload(msgEcho, value))...)
+			out = p.send(out, msgEcho, value)
 		}
 		// Lines 9–11: 2f+1 echoes for v trigger READY v.
-		if len(set) >= p.cfg.Quorum() && !p.readied {
+		if !p.readied && t.echoes.count() >= p.cfg.Quorum() {
 			p.readied = true
-			out = append(out, protocol.FanOut(p.cfg, encodePayload(msgReady, value))...)
+			out = p.send(out, msgReady, value)
 		}
 	case msgReady:
-		set := p.readies[key]
-		if set == nil {
-			set = make(map[types.ServerID]struct{})
-			p.readies[key] = set
-		}
-		set[m.Sender] = struct{}{}
+		t.readies.add(m.Sender)
+		readies := t.readies.count()
 
 		// Lines 12–14: f+1 readies amplify to our own READY.
-		if len(set) >= p.cfg.F+1 && !p.readied {
+		if readies >= p.cfg.F+1 && !p.readied {
 			p.readied = true
-			out = append(out, protocol.FanOut(p.cfg, encodePayload(msgReady, value))...)
+			out = p.send(out, msgReady, value)
 		}
 		// Lines 15–17: 2f+1 readies deliver v.
-		if len(set) >= p.cfg.Quorum() && !p.delivered {
+		if readies >= p.cfg.Quorum() && !p.delivered {
 			p.delivered = true
 			p.pending = append(p.pending, append([]byte(nil), value...))
 		}
 	}
 	return out
+}
+
+// send adds kind(value), addressed to every server, to the messages a
+// step emits.
+func (p *process) send(out []protocol.Message, kind byte, value []byte) []protocol.Message {
+	msgs := protocol.FanOut(p.cfg, encodePayload(kind, value))
+	if out == nil {
+		return msgs
+	}
+	return append(out, msgs...)
 }
 
 // Indications implements protocol.Process.
@@ -166,44 +229,32 @@ func (p *process) Done() bool { return p.delivered }
 
 // Clone implements protocol.Process with a deep copy.
 func (p *process) Clone() protocol.Process {
-	cp := &process{
-		cfg:       p.cfg,
-		echoed:    p.echoed,
-		readied:   p.readied,
-		delivered: p.delivered,
-		echoes:    cloneSets(p.echoes),
-		readies:   cloneSets(p.readies),
+	cp := *p
+	cp.tallies = append([]tally(nil), p.tallies...)
+	for i := range cp.tallies {
+		t := &cp.tallies[i]
+		t.echoes.hi = append([]uint64(nil), t.echoes.hi...)
+		t.readies.hi = append([]uint64(nil), t.readies.hi...)
 	}
-	if len(p.pending) > 0 {
-		cp.pending = make([][]byte, len(p.pending))
-		for i, v := range p.pending {
-			cp.pending[i] = append([]byte(nil), v...)
-		}
+	cp.pending = nil
+	for _, v := range p.pending {
+		cp.pending = append(cp.pending, append([]byte(nil), v...))
 	}
-	return cp
-}
-
-func cloneSets(in map[string]map[types.ServerID]struct{}) map[string]map[types.ServerID]struct{} {
-	out := make(map[string]map[types.ServerID]struct{}, len(in))
-	for k, set := range in {
-		cp := make(map[types.ServerID]struct{}, len(set))
-		for id := range set {
-			cp[id] = struct{}{}
-		}
-		out[k] = cp
-	}
-	return out
+	return &cp
 }
 
 // StateDigest implements protocol.Process with a canonical serialization:
-// map contents are emitted in sorted order so equal states hash equally.
+// per-value sender sets are emitted in sorted order so equal states hash
+// equally.
 func (p *process) StateDigest() []byte {
 	w := wire.NewWriter(64)
 	w.Bool(p.echoed)
 	w.Bool(p.readied)
 	w.Bool(p.delivered)
-	digestSets(w, p.echoes)
-	digestSets(w, p.readies)
+	sorted := append([]tally(nil), p.tallies...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].value < sorted[j].value })
+	digestSets(w, sorted, func(t tally) senderSet { return t.echoes })
+	digestSets(w, sorted, func(t tally) senderSet { return t.readies })
 	w.Uvarint(uint64(len(p.pending)))
 	for _, v := range p.pending {
 		w.VarBytes(v)
@@ -212,20 +263,23 @@ func (p *process) StateDigest() []byte {
 	return sum[:]
 }
 
-func digestSets(w *wire.Writer, sets map[string]map[types.ServerID]struct{}) {
-	keys := make([]string, 0, len(sets))
-	for k := range sets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		ids := make([]int, 0, len(sets[k]))
-		for id := range sets[k] {
-			ids = append(ids, int(id))
+// digestSets writes one kind's sets: the values with at least one sender
+// of that kind, each followed by its sender ids in ascending order.
+func digestSets(w *wire.Writer, sorted []tally, set func(tally) senderSet) {
+	nonEmpty := 0
+	for _, t := range sorted {
+		if set(t).count() > 0 {
+			nonEmpty++
 		}
-		sort.Ints(ids)
+	}
+	w.Uvarint(uint64(nonEmpty))
+	var ids []types.ServerID
+	for _, t := range sorted {
+		ids = set(t).ids(ids[:0])
+		if len(ids) == 0 {
+			continue
+		}
+		w.String(t.value)
 		w.Uvarint(uint64(len(ids)))
 		for _, id := range ids {
 			w.Uint16(uint16(id))

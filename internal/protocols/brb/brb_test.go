@@ -2,10 +2,14 @@ package brb
 
 import (
 	"bytes"
+	"math/rand"
+	"sort"
 	"testing"
 
+	"blockdag/internal/crypto"
 	"blockdag/internal/protocol"
 	"blockdag/internal/types"
+	"blockdag/internal/wire"
 )
 
 // cluster builds one BRB process per server for a single label and wires
@@ -58,7 +62,8 @@ func (c *cluster) delivered(server int) [][]byte {
 }
 
 func TestBroadcastDeliversEverywhere(t *testing.T) {
-	for _, n := range []int{1, 4, 7, 10} {
+	// n = 100 needs quorums of 67: sender sets beyond one machine word.
+	for _, n := range []int{1, 4, 7, 10, 100} {
 		c := newCluster(t, n)
 		c.request(0, []byte("42"))
 		for i := 0; i < n; i++ {
@@ -280,5 +285,157 @@ func TestF0SingleServer(t *testing.T) {
 	inds := c.delivered(0)
 	if len(inds) != 1 || !bytes.Equal(inds[0], []byte("solo")) {
 		t.Fatalf("delivered %q", inds)
+	}
+}
+
+// TestQuorumsBeyondOneWord: with n = 100 (f = 33) quorums are counted over
+// senders the first bitset word cannot hold. Distinct high senders each
+// count once, repeats do not, and the thresholds trip exactly at 2f+1.
+func TestQuorumsBeyondOneWord(t *testing.T) {
+	cfg := protocol.Config{Self: 0, Label: "ℓ", N: 100, F: 33}
+	p := Protocol{}.NewProcess(cfg).(*process)
+	ready := func(sender int) {
+		p.Receive(protocol.Message{Label: "ℓ", Sender: types.ServerID(sender), Receiver: 0,
+			Payload: encodePayload(msgReady, []byte("v"))})
+	}
+	for sender := 99; sender > 99-66; sender-- { // 66 distinct senders, 34…99
+		ready(sender)
+		ready(sender)
+	}
+	if !p.readied {
+		t.Fatal("f+1 readies from senders ≥ 64 did not amplify")
+	}
+	if p.delivered {
+		t.Fatal("delivered on 66 readies, quorum is 67")
+	}
+	ready(70) // a repeat, not a 67th sender
+	if p.delivered {
+		t.Fatal("a repeated high sender inflated the quorum")
+	}
+	ready(3)
+	if !p.delivered {
+		t.Fatal("67 distinct readies did not deliver")
+	}
+}
+
+// mapProcess is the map-of-sets state this package used before the bitset
+// tallies, kept as the reference for StateDigest: the digest bytes are a
+// cross-version contract (Lemma 4.2 tests and audits compare them), so the
+// compact state must serialize exactly as the maps did.
+type mapProcess struct {
+	cfg                        protocol.Config
+	echoed, readied, delivered bool
+	echoes, readies            map[string]map[types.ServerID]struct{}
+	pending                    [][]byte
+}
+
+func (p *mapProcess) receive(m protocol.Message) {
+	kind, value, err := decodePayload(m.Payload)
+	if err != nil {
+		return
+	}
+	record := func(sets map[string]map[types.ServerID]struct{}) int {
+		if sets[string(value)] == nil {
+			sets[string(value)] = make(map[types.ServerID]struct{})
+		}
+		sets[string(value)][m.Sender] = struct{}{}
+		return len(sets[string(value)])
+	}
+	switch kind {
+	case msgEcho:
+		n := record(p.echoes)
+		p.echoed = true
+		if n >= p.cfg.Quorum() {
+			p.readied = true
+		}
+	case msgReady:
+		n := record(p.readies)
+		if n >= p.cfg.F+1 {
+			p.readied = true
+		}
+		if n >= p.cfg.Quorum() && !p.delivered {
+			p.delivered = true
+			p.pending = append(p.pending, value)
+		}
+	}
+}
+
+func (p *mapProcess) stateDigest() []byte {
+	w := wire.NewWriter(64)
+	w.Bool(p.echoed)
+	w.Bool(p.readied)
+	w.Bool(p.delivered)
+	for _, sets := range []map[string]map[types.ServerID]struct{}{p.echoes, p.readies} {
+		keys := make([]string, 0, len(sets))
+		for k := range sets {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		w.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			w.String(k)
+			ids := make([]int, 0, len(sets[k]))
+			for id := range sets[k] {
+				ids = append(ids, int(id))
+			}
+			sort.Ints(ids)
+			w.Uvarint(uint64(len(ids)))
+			for _, id := range ids {
+				w.Uint16(uint16(id))
+			}
+		}
+	}
+	w.Uvarint(uint64(len(p.pending)))
+	for _, v := range p.pending {
+		w.VarBytes(v)
+	}
+	sum := crypto.Hash(w.Bytes())
+	return sum[:]
+}
+
+// TestStateDigestMatchesMapState replays seeded message schedules — several
+// values, echoes and readies interleaved, repeats, senders on both sides of
+// the word boundary, values seen only as READY — into the bitset process
+// and the map reference, comparing digests after every step and on a clone.
+func TestStateDigestMatchesMapState(t *testing.T) {
+	for _, n := range []int{4, 7, 100} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		cfg := protocol.Config{Self: 0, Label: "ℓ", N: n, F: (n - 1) / 3}
+		p := Protocol{}.NewProcess(cfg)
+		ref := &mapProcess{
+			cfg:     cfg,
+			echoes:  make(map[string]map[types.ServerID]struct{}),
+			readies: make(map[string]map[types.ServerID]struct{}),
+		}
+		values := [][]byte{[]byte("v"), []byte("w"), {}, []byte("a longer value")}
+		for step := 0; step < 40*n; step++ {
+			kind := msgEcho
+			if rng.Intn(2) == 0 {
+				kind = msgReady
+			}
+			value := values[0]
+			if rng.Intn(4) == 0 {
+				value = values[rng.Intn(len(values))]
+			}
+			m := protocol.Message{Label: "ℓ", Sender: types.ServerID(rng.Intn(n)), Receiver: 0,
+				Payload: encodePayload(kind, value)}
+			p.Receive(m)
+			ref.receive(m)
+			if step == 10*n {
+				// Leave the delivery undrained on neither side or both:
+				// pending is part of the digest.
+				p.Indications()
+				ref.pending = nil
+			}
+			if !bytes.Equal(p.StateDigest(), ref.stateDigest()) {
+				t.Fatalf("n=%d step %d: digest diverges from the map-state reference", n, step)
+			}
+		}
+		if !ref.delivered {
+			t.Fatalf("n=%d: schedule never delivered", n)
+		}
+		if !bytes.Equal(p.Clone().StateDigest(), ref.stateDigest()) {
+			t.Fatalf("n=%d: clone digest diverges", n)
+		}
 	}
 }

@@ -376,6 +376,16 @@ func (t *Transport) runCall(ctx context.Context, cancel context.CancelFunc, to t
 	deadline := func() { _ = conn.SetDeadline(time.Now().Add(t.cfg.CallTimeout)) }
 	deadline()
 	if err := wire.WriteFrame(conn, req); err != nil {
+		// The dialer's proof is checked after handshake returns here: a
+		// listener that refuses it answers with a tagged error and
+		// closes, and a request written into the closed connection fails
+		// with EPIPE. The verdict was sent before the close and is
+		// waiting in the receive queue; it is the cause, the write
+		// error only its symptom.
+		if frame, rerr := wire.ReadFrame(conn); rerr == nil && len(frame) > 0 && frame[0] == tagError {
+			sink.OnDone(decodeCallError(frame[1:]))
+			return
+		}
 		sink.OnDone(fmt.Errorf("%w: request: %v", transport.ErrStreamLost, err))
 		return
 	}
