@@ -197,7 +197,9 @@ bench:
 # -hot matching). BenchmarkEncodeOnce and BenchmarkStoreAppendBatch guard
 # the encode-once invariant: a sealed block's Encode must stay 0
 # allocs/op and batched journaling must not regress to per-block writes.
-HOT_BENCH ?= BenchmarkReaches,BenchmarkTipRetirement,BenchmarkE12_DeepDAG,BenchmarkCatchUp,BenchmarkLiveFollow,BenchmarkStoreAppend,BenchmarkStoreAppendBatch,BenchmarkEncodeOnce,BenchmarkIngest,BenchmarkVerifyBatch,BenchmarkSnapshotSync
+# BenchmarkInterpretLargeValue guards the once-per-node request bytes: a
+# copy of the value per message shows as allocs/op (and as KB/req).
+HOT_BENCH ?= BenchmarkReaches,BenchmarkTipRetirement,BenchmarkE12_DeepDAG,BenchmarkCatchUp,BenchmarkLiveFollow,BenchmarkStoreAppend,BenchmarkStoreAppendBatch,BenchmarkEncodeOnce,BenchmarkIngest,BenchmarkVerifyBatch,BenchmarkSnapshotSync,BenchmarkInterpretLargeValue
 
 .PHONY: bench-compare
 # bench-compare diffs a fresh benchmark document (BENCH_OUT) against the

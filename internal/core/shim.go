@@ -53,7 +53,9 @@ type Config struct {
 	// Clock supplies the current time for retry bookkeeping. Required.
 	Clock func() time.Duration
 	// OnIndication receives every indication (ℓ, i) of this server's own
-	// simulated instance — Algorithm 3 lines 8–9. Optional.
+	// simulated instance — Algorithm 3 lines 8–9. The value may be a view
+	// of a message the interpreter retains: read it or keep it, but copy
+	// before writing to it. Optional.
 	OnIndication func(label types.Label, value []byte)
 	// OnPersist, if non-nil, journals every block inserted into the DAG
 	// (own and received alike) before the block is interpreted — i.e.

@@ -109,16 +109,19 @@ func (s *Server) process(label types.Label) protocol.Process {
 	return proc
 }
 
-// dispatch signs and transmits emitted messages; self-addressed messages
-// loop back locally (they never cross the network in either deployment,
-// keeping the baseline comparison fair).
+// dispatch signs and transmits emitted messages, a broadcast as the n
+// messages it stands for; self-addressed messages loop back locally (they
+// never cross the network in either deployment, keeping the baseline
+// comparison fair).
 func (s *Server) dispatch(msgs []protocol.Message) {
+	n := s.cfg.Roster.N()
+	msgs = protocol.Expand(msgs, n)
 	for len(msgs) > 0 {
 		m := msgs[0]
 		msgs = msgs[1:]
 		if m.Receiver == s.self {
 			proc := s.process(m.Label)
-			msgs = append(msgs, proc.Receive(m)...)
+			msgs = append(msgs, protocol.Expand(proc.Receive(m), n)...)
 			s.drainIndications(m.Label, proc)
 			continue
 		}

@@ -52,14 +52,16 @@ func TestDirectMaterializesAllMessages(t *testing.T) {
 	c.Servers[0].Request("ℓ", []byte("42"))
 	net.Run()
 
-	var wireMsgs int64
+	var wireMsgs, materialized int64
 	for _, m := range c.Metrics {
 		wireMsgs += m.Snapshot().WireMessages
+		materialized += m.Snapshot().MsgsMaterialized
 	}
 	// Every server fans out ECHO (3 remote) and READY (3 remote): 4
-	// servers × 6 = 24 remote messages.
-	if wireMsgs != 24 {
-		t.Fatalf("wire messages = %d, want 24", wireMsgs)
+	// servers × 6 = 24 remote messages — each broadcast record a process
+	// emits is dispatched as the n messages it stands for.
+	if wireMsgs != 24 || materialized != 24 {
+		t.Fatalf("wire messages = %d, materialized = %d, want 24 each", wireMsgs, materialized)
 	}
 	if got := sigs.Verified(); got != 24 {
 		t.Fatalf("signature verifications = %d, want 24 (one per wire message)", got)

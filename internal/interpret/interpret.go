@@ -27,15 +27,16 @@
 // every block; this package keeps B.PIs only at the tip of each builder's
 // chain and advances it in place, so live state is proportional to live
 // instances, not to history. What every block retains is its out-buffers
-// (future blocks read them), links to its parent and source blocks and,
-// in implicit-inclusion mode, its watermarks. That is enough to recompute
-// anything else: by Lemma 4.2 a block's instances and in-buffers are a
-// pure function of the DAG, so a block whose instances have moved on down
-// the chain — the parent of an equivocating block, or a historic block
-// asked for its StateDigest — gets them rebuilt by replaying its
-// builder's chain (rebuild), and InMessages re-derives B.Ms[in, ℓ] from
-// the sources' out-buffers on demand. docs/ARCHITECTURE.md, "Interpreter
-// memory model", has the full account.
+// (future blocks read them; a broadcast is one record in them, and the
+// payloads are immutable and shared — package protocol), links to its
+// parent and source blocks and, in implicit-inclusion mode, its
+// watermarks. That is enough to recompute anything else: by Lemma 4.2 a
+// block's instances and in-buffers are a pure function of the DAG, so a
+// block whose instances have moved on down the chain — the parent of an
+// equivocating block, or a historic block asked for its StateDigest — gets
+// them rebuilt by replaying its builder's chain (rebuild), and InMessages
+// re-derives B.Ms[in, ℓ] from the sources' out-buffers on demand.
+// docs/ARCHITECTURE.md, "Interpreter memory model", has the full account.
 package interpret
 
 import (
@@ -124,8 +125,9 @@ type blockState struct {
 	sources []*blockState
 
 	// out is B.Ms[out, ℓ]: messages emitted at this block, in emission
-	// order. Future blocks referencing this one read from here, and the
-	// rebuild path replays them as inputs.
+	// order, a broadcast held as the one record the instance emitted.
+	// Future blocks referencing this one read from here, and the rebuild
+	// path replays them as inputs.
 	out map[types.Label][]protocol.Message
 
 	// coveredSeq (implicit-inclusion mode only) is the consumption
@@ -336,14 +338,18 @@ func byLabel(a, b protocol.Message) int {
 
 // inMessages collects B.Ms[in, ℓ] (Algorithm 2 lines 7–9) for every label,
 // or for only one: the messages addressed to receiver in the out-buffers of
-// sources, grouped by label and each label's in <M order. The paper's
-// in-buffer is a set: identical messages materialized via two sources
-// (e.g. across an equivocator's forks) collapse to one.
+// sources, grouped by label and each label's in <M order. A broadcast
+// record is addressed to every receiver and is taken as the message to
+// this one, so order and set semantics are those of the n messages it
+// stands for. The paper's in-buffer is a set: identical messages
+// materialized via two sources (e.g. across an equivocator's forks)
+// collapse to one.
 func inMessages(receiver types.ServerID, sources []*blockState, only *types.Label) []protocol.Message {
 	var in []protocol.Message
 	collect := func(out []protocol.Message) {
 		for _, m := range out {
-			if m.Receiver == receiver {
+			if m.Receiver == receiver || m.Receiver == protocol.Everyone {
+				m.Receiver = receiver
 				in = append(in, m)
 			}
 		}
@@ -438,7 +444,7 @@ func (it *Interpreter) advance(st *blockState, pis instances, live bool, only *t
 				st.out = make(map[types.Label][]protocol.Message)
 			}
 			st.out[label] = out
-			it.metrics.AddMsgsMaterialized(int64(len(out)))
+			it.metrics.AddMsgsMaterialized(int64(protocol.Count(out, it.n)))
 		}
 		for _, value := range inds {
 			it.metrics.AddIndications(1)
@@ -689,13 +695,14 @@ func (it *Interpreter) InterpretDAG(d *dag.DAG) error {
 	return nil
 }
 
-// OutMessages returns B.Ms[out, ℓ] in emission order.
+// OutMessages returns B.Ms[out, ℓ] in emission order, broadcasts spelled
+// out receiver by receiver.
 func (it *Interpreter) OutMessages(ref block.Ref, label types.Label) []protocol.Message {
 	st, ok := it.states[ref]
-	if !ok {
+	if !ok || len(st.out[label]) == 0 {
 		return nil
 	}
-	return append([]protocol.Message(nil), st.out[label]...)
+	return protocol.Expand(st.out[label], it.n)
 }
 
 // InMessages returns B.Ms[in, ℓ] in <M order, derived from the out-buffers

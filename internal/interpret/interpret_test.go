@@ -75,11 +75,12 @@ func TestFigure4(t *testing.T) {
 	if len(out) != 4 {
 		t.Fatalf("B1 out has %d messages, want ECHO to all 4", len(out))
 	}
-	for _, m := range out {
-		if m.Sender != 0 {
-			t.Fatalf("B1 out message sender %v, want s0", m.Sender)
+	for i, m := range out {
+		if m.Sender != 0 || m.Receiver != types.ServerID(i) {
+			t.Fatalf("B1 out[%d] is %v -> %v, want s0 -> s%d", i, m.Sender, m.Receiver, i)
 		}
 	}
+	echo := out[0].Payload
 	// Other genesis blocks materialize nothing.
 	for i := 1; i < 4; i++ {
 		if got := it.OutMessages(round0[i].Ref(), "ℓ1"); len(got) != 0 {
@@ -98,6 +99,12 @@ func TestFigure4(t *testing.T) {
 		out := it.OutMessages(round1[i].Ref(), "ℓ1")
 		if len(out) != 4 {
 			t.Fatalf("round1[%d] out has %d messages, want ECHO to all", i, len(out))
+		}
+		// The echo is the message they were handed, not a copy of it.
+		for _, m := range out {
+			if &m.Payload[0] != &echo[0] {
+				t.Fatalf("round1[%d] echoes a copy of B1's ECHO payload", i)
+			}
 		}
 	}
 	if got := senders(it.InMessages(round1[0].Ref(), "ℓ1")); got != "s0" {

@@ -3,6 +3,7 @@ package interpret
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -46,6 +47,14 @@ func topoOrderPreferring(d *dag.DAG, prefer func(*block.Block) bool) []*block.Bl
 		}
 		return eligible[0]
 	})
+}
+
+// interpretModes are the four configurations every equivalence holds in.
+var interpretModes = map[string][]Option{
+	"explicit":        nil,
+	"explicit/retire": {WithRetirement()},
+	"implicit":        {WithImplicitInclusion()},
+	"implicit/retire": {WithImplicitInclusion(), WithRetirement()},
 }
 
 // forkAfterAdvanceDAG builds the scenario the in-place advance must
@@ -129,13 +138,7 @@ func TestForkAfterAdvance(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		orders[fmt.Sprintf("random-%d", seed)] = randomTopoOrder(d, rand.New(rand.NewSource(seed)))
 	}
-	modes := map[string][]Option{
-		"explicit":        nil,
-		"explicit/retire": {WithRetirement()},
-		"implicit":        {WithImplicitInclusion()},
-		"implicit/retire": {WithImplicitInclusion(), WithRetirement()},
-	}
-	for mode, opts := range modes {
+	for mode, opts := range interpretModes {
 		run := func(order []*block.Block) (*Interpreter, []string) {
 			onInd, inds := collectInds()
 			it := New(brb.Protocol{}, 4, 1, onInd, opts...)
@@ -221,6 +224,33 @@ func TestInstancesHeldPerChainNotPerBlock(t *testing.T) {
 	}
 }
 
+// TestValueBytesHeldPerLabel: the interpreter holds a request's bytes n+1
+// times per label — the ECHO payload encoded where the request is
+// interpreted, which every other chain's ECHO re-emits, and one READY
+// payload per chain — not once per message, tally and delivery. 32 labels of
+// 64 KiB through four chains; one more |v| of slack covers everything that
+// is not payload.
+func TestValueBytesHeldPerLabel(t *testing.T) {
+	const n, labels, size = 4, 32, 64 << 10
+	d := largeValueDAG(labels, size)
+	delivered := 0
+	before := liveHeap()
+	it := New(brb.Protocol{}, n, 1, func(Indication) { delivered++ })
+	if err := it.InterpretDAG(d); err != nil {
+		t.Fatal(err)
+	}
+	retained := liveHeap() - before
+	runtime.KeepAlive(it)
+	if delivered != n*labels {
+		t.Fatalf("%d deliveries, want %d", delivered, n*labels)
+	}
+	if held := float64(retained) / (labels * size); held > n+2 {
+		t.Fatalf("interpreter holds %.1f×|v| per label, want at most n+2 = %d", held, n+2)
+	} else {
+		t.Logf("interpreter holds %.2f×|v| per label", held)
+	}
+}
+
 // tapProtocol wraps a protocol and logs every message fed to any of its
 // instances.
 type tapProtocol struct {
@@ -240,10 +270,6 @@ type tapProcess struct {
 func (p *tapProcess) Receive(m protocol.Message) []protocol.Message {
 	*p.fed = append(*p.fed, m)
 	return p.Process.Receive(m)
-}
-
-func (p *tapProcess) Clone() protocol.Process {
-	return &tapProcess{Process: p.Process.Clone(), fed: p.fed}
 }
 
 // TestInMessagesAreWhatInstancesWereFed: B.Ms[in, ℓ] is no longer recorded

@@ -192,6 +192,7 @@ func (p *Pool) Next(max int) []block.Request {
 		delete(p.queued, requestKey(rq.Label, rq.Data))
 		p.bytes -= payloadBytes(rq)
 	}
+	clear(live[:n]) // the dead prefix must not pin the drained requests' data
 	p.head += n
 	p.compact()
 	p.stats.Drained += int64(n)

@@ -37,6 +37,13 @@ func TestSubmitDrainOrder(t *testing.T) {
 			t.Fatalf("drain[%d] = %s/%q, want %s/%q", i, rq.Label, rq.Data, wantL, wantD)
 		}
 	}
+	// The drained slots sit in the queue's dead prefix until it is
+	// compacted; they must not keep the drained data reachable.
+	for i, dead := range p.queue[:p.head] {
+		if dead.Label != "" || dead.Data != nil {
+			t.Fatalf("drained slot %d still holds %s/%q", i, dead.Label, dead.Data)
+		}
+	}
 	out = p.Next(100)
 	if len(out) != 6 {
 		t.Fatalf("second drain returned %d requests, want 6", len(out))

@@ -86,6 +86,7 @@ func (b *IndicationBroker) Publish(label types.Label, value []byte) {
 	if _, seen := b.recent[label]; !seen {
 		if len(b.order) >= b.maxLabel {
 			delete(b.recent, b.order[0])
+			b.order[0] = "" // the dead prefix must not pin the evicted label
 			b.order = b.order[1:]
 		}
 		b.order = append(b.order, label)

@@ -19,10 +19,15 @@ func TestBrokerLookupAndEviction(t *testing.T) {
 	if ind, ok := b.Lookup("b"); !ok || string(ind.Value) != "2" {
 		t.Fatalf("b evicted by re-publish of a: %v, %v", ind, ok)
 	}
-	// A third distinct label evicts the oldest (a).
+	// A third distinct label evicts the oldest (a), and the slot left
+	// behind in the eviction queue lets go of the label.
+	order := b.order
 	b.Publish("c", []byte("3"))
 	if _, ok := b.Lookup("a"); ok {
 		t.Fatal("a survived eviction at maxLabels=2")
+	}
+	if order[0] != "" {
+		t.Fatalf("evicted label %q still held by the eviction queue", order[0])
 	}
 	for _, want := range []struct {
 		label types.Label

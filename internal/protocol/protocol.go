@@ -11,6 +11,21 @@
 // messages must determine the next state and emitted messages, with no
 // randomness. Every server interpreting the block DAG replays the same
 // deterministic steps and reaches identical conclusions (Lemma 4.2).
+//
+// Two contracts keep a request's bytes from being copied once per
+// message, which is the point of materializing messages locally:
+//
+//   - Payloads are immutable once emitted. Nobody — process, interpreter,
+//     direct runner, observer — writes to a Message.Payload, to the data of
+//     a request, or to an indicated value after handing it over. A process
+//     may therefore keep sub-slices of what it was given in its state, emit
+//     a payload it received again as (part of) its own output, and indicate
+//     a value that is a view of a payload; whoever needs bytes of its own
+//     copies them at its boundary.
+//   - A broadcast is one emission. "Send m to every server" is a single
+//     Message addressed to Everyone (FanOut), not n messages. It stands for
+//     the n point-to-point messages Expand spells out; a process only ever
+//     receives messages addressed to itself.
 package protocol
 
 import (
@@ -25,9 +40,10 @@ import (
 )
 
 // Message is one protocol message m ∈ M_P with m.sender and m.receiver
-// (paper Section 2). The payload is the protocol's own canonical encoding.
-// In the embedding, messages are never transmitted: they are materialized
-// locally from DAG edges by the interpreter.
+// (paper Section 2). The payload is the protocol's own canonical encoding,
+// immutable once the message is emitted. In the embedding, messages are
+// never transmitted: they are materialized locally from DAG edges by the
+// interpreter.
 type Message struct {
 	Label    types.Label
 	Sender   types.ServerID
@@ -159,7 +175,8 @@ type Process interface {
 	Receive(m Message) []Message
 
 	// Indications drains the indications i ∈ Inds_P emitted since the
-	// last call, in emission order.
+	// last call, in emission order. A value may be a view of a payload
+	// and is as immutable as one.
 	Indications() [][]byte
 
 	// Done reports that the instance has reached a terminal state and
@@ -167,12 +184,6 @@ type Process interface {
 	// paper's unbounded-memory limitation; see DESIGN.md). A Done
 	// instance silently ignores further inputs after retirement.
 	Done() bool
-
-	// Clone returns a deep copy that evolves independently of the
-	// original. The interpreter no longer calls it — it advances
-	// instances in place and gives a forked chain (Figure 3) its own
-	// state by replay — but tools and tests that branch a run do.
-	Clone() Process
 
 	// StateDigest returns a deterministic digest of the full instance
 	// state. Lemma 4.2 tests compare digests across interpreters.
@@ -212,21 +223,48 @@ type Protocol interface {
 	NewProcess(cfg Config) Process
 }
 
-// FanOut builds one message carrying payload from cfg.Self to every server
+// Everyone is the receiver of a broadcast: one Message standing for the
+// same payload sent to each of the n servers, the sender included. It
+// appears only in what a process emits; a message handed to Receive names
+// its concrete receiver. The value is the one ServerID no roster assigns.
+const Everyone = types.NilServer
+
+// FanOut builds the message carrying payload from cfg.Self to every server
 // in the system, including Self — "send to every s' ∈ Srvrs" in protocol
 // pseudocode. Self-addressed messages loop back through the DAG like any
 // other (received at the builder's next block via its parent edge).
-func FanOut(cfg Config, payload []byte) []Message {
-	msgs := make([]Message, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		msgs[i] = Message{
-			Label:    cfg.Label,
-			Sender:   cfg.Self,
-			Receiver: types.ServerID(i),
-			Payload:  payload,
+func FanOut(cfg Config, payload []byte) Message {
+	return Unicast(cfg, Everyone, payload)
+}
+
+// Count returns how many point-to-point messages msgs stands for in a
+// system of n servers: n per broadcast, one per unicast.
+func Count(msgs []Message, n int) int {
+	count := len(msgs)
+	for _, m := range msgs {
+		if m.Receiver == Everyone {
+			count += n - 1
 		}
 	}
-	return msgs
+	return count
+}
+
+// Expand returns msgs with every broadcast spelled out as its n unicasts,
+// receivers ascending, in place of the broadcast. The result is a new
+// slice; the payloads are shared.
+func Expand(msgs []Message, n int) []Message {
+	out := make([]Message, 0, Count(msgs, n))
+	for _, m := range msgs {
+		if m.Receiver != Everyone {
+			out = append(out, m)
+			continue
+		}
+		for i := 0; i < n; i++ {
+			m.Receiver = types.ServerID(i)
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // Unicast builds a single message from cfg.Self to the given receiver.

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -174,24 +173,35 @@ func TestSortIsDeterministic(t *testing.T) {
 	rec(len(perm))
 }
 
+// TestFanOut: a broadcast is one record addressed to Everyone, and Expand
+// spells it out as one message per server — each exactly once, receivers
+// ascending, sharing the payload — leaving unicasts where they were.
 func TestFanOut(t *testing.T) {
 	cfg := Config{Self: 1, Label: "ℓ", N: 4, F: 1}
-	msgs := FanOut(cfg, []byte("echo"))
-	if len(msgs) != 4 {
-		t.Fatalf("FanOut produced %d messages, want 4", len(msgs))
+	payload := []byte("echo")
+	m := FanOut(cfg, payload)
+	if m.Sender != 1 || m.Receiver != Everyone || m.Label != "ℓ" || &m.Payload[0] != &payload[0] {
+		t.Fatalf("FanOut = %+v, want one record to Everyone carrying the payload itself", m)
 	}
-	receivers := make([]int, 0, 4)
-	for _, m := range msgs {
-		if m.Sender != 1 || m.Label != "ℓ" || !bytes.Equal(m.Payload, []byte("echo")) {
-			t.Fatalf("bad message %+v", m)
-		}
-		receivers = append(receivers, int(m.Receiver))
+	before, after := Unicast(cfg, 3, []byte("a")), Unicast(cfg, 0, []byte("b"))
+	emitted := []Message{before, m, after}
+	if got := Count(emitted, cfg.N); got != 6 {
+		t.Fatalf("Count = %d, want 6", got)
 	}
-	sort.Ints(receivers)
-	for i, r := range receivers {
-		if r != i {
-			t.Fatalf("receivers = %v, want each server exactly once", receivers)
+	msgs := Expand(emitted, cfg.N)
+	if len(msgs) != 6 || cap(msgs) != 6 {
+		t.Fatalf("Expand produced %d messages (cap %d), want exactly 6", len(msgs), cap(msgs))
+	}
+	if Compare(msgs[0], before) != 0 || Compare(msgs[5], after) != 0 {
+		t.Fatalf("Expand moved the unicasts: %+v", msgs)
+	}
+	for i, got := range msgs[1:5] {
+		if got.Sender != 1 || got.Label != "ℓ" || int(got.Receiver) != i || &got.Payload[0] != &payload[0] {
+			t.Fatalf("expanded[%d] = %+v, want the payload to server %d", i, got, i)
 		}
+	}
+	if emitted[1].Receiver != Everyone {
+		t.Fatal("Expand wrote to its input")
 	}
 }
 

@@ -17,10 +17,15 @@
 // An instance is small on purpose: the interpreter keeps one per live
 // (chain, label) pair for as long as the label lives, so quorum counting
 // uses one bitset of senders per value seen — in the honest case a single
-// tally holding two machine words — instead of a map of maps.
+// tally holding two machine words — instead of a map of maps. It holds no
+// copy of the value either: payloads are immutable (package protocol), so a
+// tally's value and a delivered value are views of a received payload, and
+// an ECHO v or READY v answered with the same message re-emits the payload
+// it was handed.
 package brb
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -72,7 +77,7 @@ var _ protocol.Process = (*process)(nil)
 // tally records the distinct senders from which an ECHO v / READY v has
 // been received (quorums count distinct servers).
 type tally struct {
-	value   string
+	value   []byte // view of the first payload that carried it
 	echoes  senderSet
 	readies senderSet
 }
@@ -121,25 +126,26 @@ func (s senderSet) ids(dst []types.ServerID) []types.ServerID {
 // tallyFor returns the tally of value, adding it on first sight.
 func (p *process) tallyFor(value []byte) *tally {
 	for i := range p.tallies {
-		if p.tallies[i].value == string(value) {
+		if bytes.Equal(p.tallies[i].value, value) {
 			return &p.tallies[i]
 		}
 	}
-	p.tallies = append(p.tallies, tally{value: string(value)})
+	p.tallies = append(p.tallies, tally{value: value})
 	return &p.tallies[len(p.tallies)-1]
 }
 
 func encodePayload(kind byte, value []byte) []byte {
-	w := wire.NewWriter(1 + len(value))
+	w := wire.NewWriter(1 + wire.VarBytesLen(len(value)))
 	w.Byte(kind)
 	w.VarBytes(value)
 	return w.Bytes()
 }
 
+// decodePayload parses a payload; value is a view of data.
 func decodePayload(data []byte) (kind byte, value []byte, err error) {
 	r := wire.NewReader(data)
 	kind = r.Byte()
-	value = r.VarBytes()
+	value = r.VarBytesView()
 	if err := r.Close(); err != nil {
 		return 0, nil, fmt.Errorf("brb: decode payload: %w", err)
 	}
@@ -158,7 +164,7 @@ func (p *process) Request(data []byte) []protocol.Message {
 		return nil
 	}
 	p.echoed = true
-	return protocol.FanOut(p.cfg, encodePayload(msgEcho, data))
+	return []protocol.Message{protocol.FanOut(p.cfg, encodePayload(msgEcho, data))}
 }
 
 // Receive implements the three message handlers of Algorithm 4 lines 6–17.
@@ -169,7 +175,19 @@ func (p *process) Receive(m protocol.Message) []protocol.Message {
 	if err != nil {
 		return nil
 	}
+	// send adds k(value), addressed to every server, to the messages this
+	// step emits. Answering in kind, the message to send is the one just
+	// received: its payload is emitted again instead of a copy — unless a
+	// (byzantine) sender padded the length prefix, which the size gives
+	// away.
 	var out []protocol.Message
+	send := func(k byte) {
+		payload := m.Payload
+		if k != kind || len(payload) != 1+wire.VarBytesLen(len(value)) {
+			payload = encodePayload(k, value)
+		}
+		out = append(out, protocol.FanOut(p.cfg, payload))
+	}
 	t := p.tallyFor(value)
 	switch kind {
 	case msgEcho:
@@ -179,12 +197,12 @@ func (p *process) Receive(m protocol.Message) []protocol.Message {
 		// Lines 6–8: first ECHO triggers our own echo.
 		if !p.echoed {
 			p.echoed = true
-			out = p.send(out, msgEcho, value)
+			send(msgEcho)
 		}
 		// Lines 9–11: 2f+1 echoes for v trigger READY v.
 		if !p.readied && t.echoes.count() >= p.cfg.Quorum() {
 			p.readied = true
-			out = p.send(out, msgReady, value)
+			send(msgReady)
 		}
 	case msgReady:
 		t.readies.add(m.Sender)
@@ -193,25 +211,15 @@ func (p *process) Receive(m protocol.Message) []protocol.Message {
 		// Lines 12–14: f+1 readies amplify to our own READY.
 		if readies >= p.cfg.F+1 && !p.readied {
 			p.readied = true
-			out = p.send(out, msgReady, value)
+			send(msgReady)
 		}
 		// Lines 15–17: 2f+1 readies deliver v.
 		if readies >= p.cfg.Quorum() && !p.delivered {
 			p.delivered = true
-			p.pending = append(p.pending, append([]byte(nil), value...))
+			p.pending = append(p.pending, value)
 		}
 	}
 	return out
-}
-
-// send adds kind(value), addressed to every server, to the messages a
-// step emits.
-func (p *process) send(out []protocol.Message, kind byte, value []byte) []protocol.Message {
-	msgs := protocol.FanOut(p.cfg, encodePayload(kind, value))
-	if out == nil {
-		return msgs
-	}
-	return append(out, msgs...)
 }
 
 // Indications implements protocol.Process.
@@ -227,22 +235,6 @@ func (p *process) Indications() [][]byte {
 // their own quorums, which exist in the DAG independently of this state).
 func (p *process) Done() bool { return p.delivered }
 
-// Clone implements protocol.Process with a deep copy.
-func (p *process) Clone() protocol.Process {
-	cp := *p
-	cp.tallies = append([]tally(nil), p.tallies...)
-	for i := range cp.tallies {
-		t := &cp.tallies[i]
-		t.echoes.hi = append([]uint64(nil), t.echoes.hi...)
-		t.readies.hi = append([]uint64(nil), t.readies.hi...)
-	}
-	cp.pending = nil
-	for _, v := range p.pending {
-		cp.pending = append(cp.pending, append([]byte(nil), v...))
-	}
-	return &cp
-}
-
 // StateDigest implements protocol.Process with a canonical serialization:
 // per-value sender sets are emitted in sorted order so equal states hash
 // equally.
@@ -252,7 +244,7 @@ func (p *process) StateDigest() []byte {
 	w.Bool(p.readied)
 	w.Bool(p.delivered)
 	sorted := append([]tally(nil), p.tallies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].value < sorted[j].value })
+	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i].value, sorted[j].value) < 0 })
 	digestSets(w, sorted, func(t tally) senderSet { return t.echoes })
 	digestSets(w, sorted, func(t tally) senderSet { return t.readies })
 	w.Uvarint(uint64(len(p.pending)))
@@ -279,7 +271,7 @@ func digestSets(w *wire.Writer, sorted []tally, set func(tally) senderSet) {
 		if len(ids) == 0 {
 			continue
 		}
-		w.String(t.value)
+		w.VarBytes(t.value)
 		w.Uvarint(uint64(len(ids)))
 		for _, id := range ids {
 			w.Uint16(uint16(id))

@@ -35,7 +35,7 @@ func (Protocol) NewProcess(cfg protocol.Config) protocol.Process {
 // EncodeRequest builds a courier request payload: deliver data to the
 // given receiver.
 func EncodeRequest(to types.ServerID, data []byte) []byte {
-	w := wire.NewWriter(4 + len(data))
+	w := wire.NewWriter(2 + wire.VarBytesLen(len(data)))
 	w.Uint16(uint16(to))
 	w.VarBytes(data)
 	return w.Bytes()
@@ -67,7 +67,7 @@ var _ protocol.Process = (*process)(nil)
 func (p *process) Request(data []byte) []protocol.Message {
 	r := wire.NewReader(data)
 	to := types.ServerID(r.Uint16())
-	payload := r.VarBytes()
+	payload := r.VarBytesView() // the message is a view of the request
 	if r.Close() != nil || int(to) >= p.cfg.N {
 		return nil
 	}
@@ -78,7 +78,7 @@ func (p *process) Request(data []byte) []protocol.Message {
 // Receive implements protocol.Process: indicate (sender, payload).
 func (p *process) Receive(m protocol.Message) []protocol.Message {
 	p.recvd++
-	w := wire.NewWriter(4 + len(m.Payload))
+	w := wire.NewWriter(2 + wire.VarBytesLen(len(m.Payload)))
 	w.Uint16(uint16(m.Sender))
 	w.VarBytes(m.Payload)
 	p.pending = append(p.pending, w.Bytes())
@@ -94,18 +94,6 @@ func (p *process) Indications() [][]byte {
 
 // Done implements protocol.Process; a courier instance never retires.
 func (p *process) Done() bool { return false }
-
-// Clone implements protocol.Process.
-func (p *process) Clone() protocol.Process {
-	cp := &process{cfg: p.cfg, sent: p.sent, recvd: p.recvd}
-	if len(p.pending) > 0 {
-		cp.pending = make([][]byte, len(p.pending))
-		for i, v := range p.pending {
-			cp.pending[i] = append([]byte(nil), v...)
-		}
-	}
-	return cp
-}
 
 // StateDigest implements protocol.Process.
 func (p *process) StateDigest() []byte {

@@ -54,19 +54,6 @@ func TestMalformedRequestIgnored(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	p := Protocol{}.NewProcess(cfg(0))
-	p.Receive(protocol.Message{Label: "c", Sender: 1, Receiver: 0, Payload: []byte("a")})
-	cp := p.Clone()
-	if !bytes.Equal(cp.StateDigest(), p.StateDigest()) {
-		t.Fatal("clone digest differs")
-	}
-	cp.Receive(protocol.Message{Label: "c", Sender: 2, Receiver: 0, Payload: []byte("b")})
-	if bytes.Equal(cp.StateDigest(), p.StateDigest()) {
-		t.Fatal("clone shares state with original")
-	}
-}
-
 func TestNeverDone(t *testing.T) {
 	p := Protocol{}.NewProcess(cfg(0))
 	p.Receive(protocol.Message{Label: "c", Sender: 1, Receiver: 0, Payload: []byte("a")})

@@ -78,16 +78,18 @@ type process struct {
 var _ protocol.Process = (*process)(nil)
 
 func encodePayload(kind byte, value []byte) []byte {
-	w := wire.NewWriter(1 + len(value))
+	w := wire.NewWriter(1 + wire.VarBytesLen(len(value)))
 	w.Byte(kind)
 	w.VarBytes(value)
 	return w.Bytes()
 }
 
+// decodePayload parses a payload; value is a view of data, which is
+// immutable (package protocol).
 func decodePayload(data []byte) (kind byte, value []byte, err error) {
 	r := wire.NewReader(data)
 	kind = r.Byte()
-	value = r.VarBytes()
+	value = r.VarBytesView()
 	if err := r.Close(); err != nil {
 		return 0, nil, fmt.Errorf("pbft: decode payload: %w", err)
 	}
@@ -143,16 +145,16 @@ func (p *process) handlePrePrepare(from types.ServerID, value []byte) []protocol
 	if p.prePrepared != nil {
 		return nil
 	}
-	p.prePrepared = append([]byte(nil), value...)
+	p.prePrepared = value
 	var out []protocol.Message
 	if from == p.cfg.Self {
 		// The leader's own pre-prepare is sent to everyone else and
 		// processed locally as an implicit prepare vote.
-		out = append(out, protocol.FanOut(p.cfg, encodePayload(msgPrePrepare, value))...)
+		out = append(out, protocol.FanOut(p.cfg, encodePayload(msgPrePrepare, value)))
 	}
 	if !p.prepared {
 		p.prepared = true
-		out = append(out, protocol.FanOut(p.cfg, encodePayload(msgPrepare, value))...)
+		out = append(out, protocol.FanOut(p.cfg, encodePayload(msgPrepare, value)))
 	}
 	return out
 }
@@ -163,7 +165,7 @@ func (p *process) phasePrepared(value []byte) []protocol.Message {
 		return nil
 	}
 	p.committed = true
-	return protocol.FanOut(p.cfg, encodePayload(msgCommit, value))
+	return []protocol.Message{protocol.FanOut(p.cfg, encodePayload(msgCommit, value))}
 }
 
 // phaseCommitted fires when 2f+1 COMMITs for one digest are collected.
@@ -172,7 +174,7 @@ func (p *process) phaseCommitted(value []byte) []protocol.Message {
 		return nil
 	}
 	p.decided = true
-	p.pending = append(p.pending, append([]byte(nil), value...))
+	p.pending = append(p.pending, value)
 	return nil
 }
 
@@ -205,40 +207,6 @@ func (p *process) Indications() [][]byte {
 
 // Done implements protocol.Process.
 func (p *process) Done() bool { return p.decided }
-
-// Clone implements protocol.Process with a deep copy.
-func (p *process) Clone() protocol.Process {
-	cp := &process{
-		cfg:       p.cfg,
-		prepared:  p.prepared,
-		committed: p.committed,
-		decided:   p.decided,
-		prepares:  cloneVotes(p.prepares),
-		commits:   cloneVotes(p.commits),
-	}
-	if p.prePrepared != nil {
-		cp.prePrepared = append([]byte(nil), p.prePrepared...)
-	}
-	if len(p.pending) > 0 {
-		cp.pending = make([][]byte, len(p.pending))
-		for i, v := range p.pending {
-			cp.pending[i] = append([]byte(nil), v...)
-		}
-	}
-	return cp
-}
-
-func cloneVotes(in map[string]map[types.ServerID]struct{}) map[string]map[types.ServerID]struct{} {
-	out := make(map[string]map[types.ServerID]struct{}, len(in))
-	for k, set := range in {
-		cp := make(map[types.ServerID]struct{}, len(set))
-		for id := range set {
-			cp[id] = struct{}{}
-		}
-		out[k] = cp
-	}
-	return out
-}
 
 // StateDigest implements protocol.Process with canonical (sorted)
 // serialization of all state.

@@ -155,29 +155,6 @@ func (p *process) Indications() [][]byte {
 // Done implements protocol.Process.
 func (p *process) Done() bool { return p.done }
 
-// Clone implements protocol.Process.
-func (p *process) Clone() protocol.Process {
-	cp := &process{
-		cfg:     p.cfg,
-		entropy: p.entropy,
-		done:    p.done,
-		acks:    make(map[types.ServerID]struct{}, len(p.acks)),
-	}
-	if p.sampled != nil {
-		cp.sampled = append([]types.ServerID(nil), p.sampled...)
-	}
-	for id := range p.acks {
-		cp.acks[id] = struct{}{}
-	}
-	if len(p.pending) > 0 {
-		cp.pending = make([][]byte, len(p.pending))
-		for i, v := range p.pending {
-			cp.pending[i] = append([]byte(nil), v...)
-		}
-	}
-	return cp
-}
-
 // StateDigest implements protocol.Process. The entropy is part of the
 // digest: it is state the interpreter installed deterministically.
 func (p *process) StateDigest() []byte {

@@ -1,7 +1,6 @@
 package sampler
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -159,22 +158,5 @@ func TestDifferentLabelsSampleDifferently(t *testing.T) {
 	}
 	if len(samples) < 2 {
 		t.Fatal("eight labels all drew the identical sample; entropy not label-bound")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	cfg := protocol.Config{Self: 0, Label: "s", N: 4, F: 1}
-	p := Protocol{}.NewProcess(cfg)
-	if ea, ok := p.(protocol.EntropyAware); ok {
-		ea.SetEntropy([32]byte{5})
-	}
-	p.Request(EncodeRequest(2))
-	cp := p.Clone()
-	if !bytes.Equal(cp.StateDigest(), p.StateDigest()) {
-		t.Fatal("clone digest differs")
-	}
-	cp.Receive(protocol.Message{Label: "s", Sender: 1, Receiver: 0, Payload: []byte{msgAck}})
-	if bytes.Equal(cp.StateDigest(), p.StateDigest()) {
-		t.Fatal("clone shares state")
 	}
 }

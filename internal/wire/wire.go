@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Encoding errors returned by Reader and the framing helpers.
@@ -94,6 +95,10 @@ func (w *Writer) Uvarint(v uint64) {
 // Bytes32 appends a fixed 32-byte value with no length prefix.
 func (w *Writer) Bytes32(v [32]byte) { w.buf = append(w.buf, v[:]...) }
 
+// VarBytesLen returns the encoded size of an n-byte value written by
+// VarBytes or String: the uvarint length prefix plus the bytes.
+func VarBytesLen(n int) int { return (bits.Len64(uint64(n)|1)+6)/7 + n }
+
 // VarBytes appends a uvarint length prefix followed by the bytes.
 func (w *Writer) VarBytes(b []byte) {
 	w.Uvarint(uint64(len(b)))
@@ -117,7 +122,8 @@ type Reader struct {
 }
 
 // NewReader returns a Reader over buf. The Reader does not copy buf;
-// decoded byte slices are copied out so the caller may reuse buf afterward.
+// decoded byte slices are copied out so the caller may reuse buf afterward
+// — except those returned by VarBytesView, which alias it.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // Err returns the first decoding error encountered, if any.
@@ -235,6 +241,20 @@ func (r *Reader) Bytes32() [32]byte {
 // slice. A zero-length value decodes to nil so that encode/decode round
 // trips preserve reflect.DeepEqual equality of nil slices.
 func (r *Reader) VarBytes() []byte {
+	b := r.VarBytesView()
+	if b == nil {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
+}
+
+// VarBytesView decodes like VarBytes without copying: the result is a
+// sub-slice of the Reader's input, capped at its own length so that an
+// append cannot reach the bytes behind it. For input that is never written
+// again, such as an immutable protocol payload.
+func (r *Reader) VarBytesView() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
 		return nil
@@ -247,12 +267,7 @@ func (r *Reader) VarBytes() []byte {
 		return nil
 	}
 	b := r.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return b[:len(b):len(b)]
 }
 
 // String decodes a uvarint-length-prefixed string.

@@ -205,3 +205,41 @@ func TestNilVarBytesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVarBytesView: the view decodes what VarBytes decodes — including nil
+// for an empty value and the same errors — as a sub-slice of the input whose
+// capacity stops at its own end, and VarBytesLen is the exact encoded size
+// on both sides of every uvarint width boundary.
+func TestVarBytesView(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384, 1 << 21} {
+		value := bytes.Repeat([]byte{0xab}, n)
+		w := NewWriter(0)
+		w.VarBytes(value)
+		w.Byte(0xcd)
+		enc := w.Bytes()
+		if got := VarBytesLen(n); got != len(enc)-1 {
+			t.Fatalf("VarBytesLen(%d) = %d, encoding takes %d", n, got, len(enc)-1)
+		}
+		r := NewReader(enc)
+		view := r.VarBytesView()
+		if !bytes.Equal(view, value) || (n == 0) != (view == nil) {
+			t.Fatalf("n=%d: view decoded %d bytes", n, len(view))
+		}
+		if r.Byte() != 0xcd || r.Close() != nil {
+			t.Fatalf("n=%d: view left the reader misplaced", n)
+		}
+		if n == 0 {
+			continue
+		}
+		if &view[0] != &enc[len(enc)-1-n] || cap(view) != n {
+			t.Fatalf("n=%d: view is not a capped sub-slice of the input (cap %d)", n, cap(view))
+		}
+		if copied := NewReader(enc).VarBytes(); &copied[0] == &view[0] {
+			t.Fatalf("n=%d: VarBytes aliases the input", n)
+		}
+	}
+	r := NewReader([]byte{5, 1, 2})
+	if r.VarBytesView() != nil || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("truncated view: err = %v", r.Err())
+	}
+}
