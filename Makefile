@@ -21,6 +21,28 @@ test:
 bench-smoke:
 	(cd bench && go test ./...)
 
+# FUZZTIME is how long fuzz-smoke mutates each target.
+FUZZTIME ?= 3s
+
+.PHONY: fuzz-smoke
+# fuzz-smoke runs every fuzz target for a few seconds: each decoder a
+# byzantine or unauthenticated peer can reach (blocks, gossip messages,
+# evidence, state proofs and snapshot chunks, the snapshot meta frame,
+# the wire reader and stream framing). `go test` without -fuzz only
+# replays the seed corpus; this also proves the targets still mutate,
+# and a crasher it finds lands in the package's testdata/fuzz to be
+# checked in as a regression seed. -fuzz takes one target and one
+# package at a time, hence the loop.
+fuzz-smoke:
+	@set -e; \
+	for pkg in $$(go list ./...); do \
+		for target in $$(go test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz $$pkg $$target"; \
+			go test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done; \
+	echo "fuzz-smoke OK"
+
 .PHONY: race
 # race is the concurrency-bug hunt CI runs: the full suite under the race
 # detector (tcpnet handshakes, node runtime, syncsvc admission control).
@@ -90,7 +112,7 @@ gateway-smoke:
 	curl -sf -H 'Authorization: Bearer smoke' $$base/v1/status > $$d/status.json; \
 	grep -q '"healthy":true' $$d/status.json || { echo "gateway-smoke FAILED: node not healthy" >&2; cat $$d/status.json >&2; exit 1; }; \
 	curl -sf $$base/metrics > $$d/metrics.txt; \
-	for family in dag_blocks_built_total tcpnet_ mempool_accepted_total crypto_signed_total gateway_responses_total; do \
+	for family in dag_blocks_built_total interpret_instances_live tcpnet_ mempool_accepted_total crypto_signed_total gateway_responses_total; do \
 		grep -q "$$family" $$d/metrics.txt || { echo "gateway-smoke FAILED: scrape missing $$family" >&2; cat $$d/metrics.txt >&2; exit 1; }; \
 	done; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST $$base/v1/submit -d '{"label":"x","data":"y"}'); \

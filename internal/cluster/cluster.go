@@ -146,8 +146,6 @@ type Options struct {
 	// CompressReferences enables the Section 7 implicit-inclusion
 	// extension on every server (experiment E16 ablation).
 	CompressReferences bool
-	// RetireInstances enables the interpreter GC extension.
-	RetireInstances bool
 
 	// StoreDir, if non-empty, gives every correct server a durable block
 	// store under StoreDir/s<i>: each inserted block is journaled before
@@ -320,7 +318,6 @@ func New(opts Options) (*Cluster, error) {
 		}
 		id := types.ServerID(i)
 		m := &metrics.Metrics{}
-		idx := i
 		st, err := c.openStore(i)
 		if err != nil {
 			return nil, err
@@ -337,12 +334,11 @@ func New(opts Options) (*Cluster, error) {
 			VerifyWorkers: opts.VerifyWorkers,
 			Mempool:       c.newPool(i),
 			OnIndication: func(label types.Label, value []byte) {
-				c.inds[idx] = append(c.inds[idx], Indication{
+				c.inds[i] = append(c.inds[i], Indication{
 					Server: id, Label: label, Value: value,
 				})
 				broker.Publish(label, value)
 			},
-			RetireInstances:    opts.RetireInstances,
 			CompressReferences: opts.CompressReferences,
 		}
 		if st != nil {
@@ -590,19 +586,17 @@ func (c *Cluster) RunRounds(rounds int) error {
 			if srv == nil {
 				continue
 			}
-			srv := srv
-			slot := i
 			stagger := time.Duration(i) * time.Millisecond
 			c.Net.After(at+stagger, func() {
-				c.injectLoad(slot)
+				c.injectLoad(i)
 				srv.Tick(c.Net.Now())
 				if err := srv.Disseminate(); err != nil {
 					// Recorded by Health below; dissemination
 					// of a correct server cannot fail.
 					_ = err
 				}
-				c.maybeCheckpoint(slot)
-				c.maybeFollow(slot)
+				c.maybeCheckpoint(i)
+				c.maybeFollow(i)
 			})
 		}
 	}

@@ -13,7 +13,11 @@
 // Theorem 5.1: this composition preserves P's interface and all safety and
 // liveness properties whose proofs rely on the authenticated perfect
 // point-to-point link abstraction. The integration tests in this package
-// check the theorem's claims for byzantine reliable broadcast and PBFT.
+// check the theorem's claims for byzantine reliable broadcast and PBFT, and
+// internal/direct holds shim(P)'s indications against a direct run of P.
+// An instance of P is kept until it reports Done (protocol.Process.Done),
+// always: a Server's memory follows the labels in flight plus a small
+// residue per finished one (docs/ARCHITECTURE.md, "Interpreter memory model").
 //
 // A Server is a deterministic state machine: Deliver, Request,
 // Disseminate, and Tick must be called from one goroutine at a time
@@ -111,9 +115,6 @@ type Config struct {
 	// FwdFallbackAfter is the FWD broadcast fallback threshold
 	// (0 = gossip default, negative disables).
 	FwdFallbackAfter int
-	// RetireInstances enables the instance-GC extension (see
-	// interpret.WithRetirement).
-	RetireInstances bool
 	// CompressReferences enables the paper's Section 7 implicit-block-
 	// inclusion extension on both halves of the stack: gossip references
 	// only DAG tips, and interpretation consumes the implicit ancestry
@@ -177,13 +178,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.rqsts = &requestQueue{}
 	}
 
-	var interpOpts []interpret.Option
-	if cfg.Metrics != nil {
-		interpOpts = append(interpOpts, interpret.WithMetrics(cfg.Metrics))
-	}
-	if cfg.RetireInstances {
-		interpOpts = append(interpOpts, interpret.WithRetirement())
-	}
+	interpOpts := []interpret.Option{interpret.WithMetrics(cfg.Metrics)}
 	if cfg.CompressReferences {
 		interpOpts = append(interpOpts, interpret.WithImplicitInclusion())
 	}

@@ -21,6 +21,11 @@ func counter(emit func(Metric), name, help string, v int64) {
 	emit(Metric{Name: name, Help: help, Type: Counter, Value: float64(v)})
 }
 
+// gauge is shorthand for a labelless gauge sample.
+func gauge(emit func(Metric), name, help string, v int64) {
+	emit(Metric{Name: name, Help: help, Type: Gauge, Value: float64(v)})
+}
+
 // CollectMetrics folds the core metrics.Snapshot — the counters behind
 // the paper's quantitative claims — into the scrape.
 func CollectMetrics(m *metrics.Metrics) Collector {
@@ -47,6 +52,9 @@ func CollectMetrics(m *metrics.Metrics) Collector {
 		counter(emit, "dag_evidence_relayed_total", "Evidence messages forwarded to peers.", s.EvidenceRelayed)
 		counter(emit, "dag_peers_banned_total", "Peers put in the terminal banned state.", s.PeersBanned)
 		counter(emit, "dag_banned_blocks_dropped_total", "Fresh blocks refused because their builder is banned.", s.BannedBlocksDropped)
+		gauge(emit, "interpret_instances_live", "Protocol instances still running, over all chain tips.", s.InstancesLive)
+		gauge(emit, "interpret_instances_retired", "Tombstones of instances retired after reporting Done.", s.InstancesRetired)
+		gauge(emit, "interpret_out_messages_held", "Message records retained in the blocks' out-buffers.", s.OutMessagesHeld)
 	}
 }
 
@@ -95,8 +103,8 @@ func CollectMempool(p *mempool.Pool) Collector {
 		counter(emit, "mempool_overflow_total", "Submissions refused with ErrFull.", s.Overflow)
 		counter(emit, "mempool_drained_total", "Requests handed to block production.", s.Drained)
 		counter(emit, "mempool_requeued_total", "Requests returned after a withheld broadcast.", s.Requeued)
-		emit(Metric{Name: "mempool_depth", Help: "Current queue length.", Type: Gauge, Value: float64(s.Depth)})
-		emit(Metric{Name: "mempool_peak_depth", Help: "Maximum queue length so far.", Type: Gauge, Value: float64(s.PeakDepth)})
+		gauge(emit, "mempool_depth", "Current queue length.", int64(s.Depth))
+		gauge(emit, "mempool_peak_depth", "Maximum queue length so far.", int64(s.PeakDepth))
 	}
 }
 

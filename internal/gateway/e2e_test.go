@@ -221,6 +221,19 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 	if strings.Contains(scrape, "dag_blocks_built_total 0\n") {
 		t.Fatalf("dag_blocks_built_total stayed zero:\n%s", scrape)
 	}
+	// So must the interpreter's gauges: the awaited indication means this
+	// node's own chain finished the instance and retired it, and the ECHOs
+	// and READYs that got it there sit in out-buffers.
+	for _, gauge := range []string{"interpret_instances_live", "interpret_instances_retired", "interpret_out_messages_held"} {
+		if !strings.Contains(scrape, "# TYPE "+gauge+" gauge\n") {
+			t.Fatalf("scrape missing gauge %s:\n%s", gauge, scrape)
+		}
+	}
+	for _, zero := range []string{"interpret_instances_retired 0\n", "interpret_out_messages_held 0\n"} {
+		if strings.Contains(scrape, zero) {
+			t.Fatalf("scrape has %q after a delivery:\n%s", zero, scrape)
+		}
+	}
 }
 
 // TestGatewayRateLimitIsolation: one client hammering into its 429 must

@@ -24,8 +24,10 @@
 package gossip
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"blockdag/internal/block"
@@ -930,12 +932,19 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 
 // Tick re-issues FWD requests for references still missing after
 // ResendAfter (the Δ_B' timer the paper assumes). After FwdFallbackAfter
-// unanswered attempts the request is broadcast to every server.
+// unanswered attempts the request is broadcast to every server. Retries
+// go out in reference order, not in the map's: a seeded run must send the
+// same sequence every time.
 func (g *Gossip) Tick(now time.Duration) {
+	var due []block.Ref
 	for ref, ms := range g.missing {
-		if now-ms.lastAsk < g.cfg.ResendAfter {
-			continue
+		if now-ms.lastAsk >= g.cfg.ResendAfter {
+			due = append(due, ref)
 		}
+	}
+	slices.SortFunc(due, func(a, b block.Ref) int { return bytes.Compare(a[:], b[:]) })
+	for _, ref := range due {
+		ms := g.missing[ref]
 		ms.lastAsk = now
 		ms.attempts++
 		if g.cfg.FwdFallbackAfter > 0 && ms.attempts >= g.cfg.FwdFallbackAfter {

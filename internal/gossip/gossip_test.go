@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -483,6 +484,75 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&bad)
 		if _, err := New(bad); err == nil {
 			t.Errorf("config without %s accepted", name)
+		}
+	}
+}
+
+// sendLog is a transport that records every send, in order.
+type sendLog struct {
+	transport.Transport
+	sends []string
+}
+
+func (l *sendLog) Send(to types.ServerID, ch transport.Channel, payload []byte) {
+	l.sends = append(l.sends, fmt.Sprintf("%v %d %x", to, ch, payload))
+	l.Transport.Send(to, ch, payload)
+}
+
+// TestTickRetriesInReferenceOrder: two identically seeded runs send
+// byte-identical sequences while several FWD requests are outstanding,
+// through the unicast retries and the broadcast fallback alike — the
+// retries must not go out in the order the missing map happens to iterate.
+func TestTickRetriesInReferenceOrder(t *testing.T) {
+	run := func() []string {
+		roster, signers, err := crypto.LocalRoster(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := simnet.New(simnet.WithSeed(99))
+		log := &sendLog{Transport: net.Transport(0)}
+		g, err := New(Config{
+			Signer:    signers[0],
+			Roster:    roster,
+			DAG:       dag.New(roster),
+			Requests:  &queueSource{},
+			Transport: log,
+			Clock:     net.Now,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Servers 2 and 3 send a block with two and three predecessors
+		// nobody will ever supply: five references stay outstanding.
+		for builder := 2; builder <= 3; builder++ {
+			refs := make([]block.Ref, builder)
+			for i := range refs {
+				refs[i] = block.Ref(crypto.Hash([]byte{byte(builder), byte(i)}))
+			}
+			b := block.New(types.ServerID(builder), 0, refs, nil)
+			if err := b.Seal(signers[builder]); err != nil {
+				t.Fatal(err)
+			}
+			g.HandleMessage(types.ServerID(builder), EncodeBlockMsg(b))
+		}
+		if g.MissingRefs() != 5 {
+			t.Fatalf("%d references outstanding, want 5", g.MissingRefs())
+		}
+		log.sends = nil // the first asks follow arrival order, not the map
+		for i := 0; i < DefaultFwdFallbackAfter+2; i++ {
+			net.RunFor(DefaultResendAfter + time.Millisecond)
+			g.Tick(net.Now())
+		}
+		return log.sends
+	}
+	first := run()
+	// Two unicast rounds of five, then broadcast rounds of five to three peers.
+	if want := 2*5 + 3*5*3; len(first) != want {
+		t.Fatalf("%d retries sent, want %d", len(first), want)
+	}
+	for i := 0; i < 5; i++ {
+		if again := run(); !slices.Equal(first, again) {
+			t.Fatalf("run %d sent a different sequence than the first", i+1)
 		}
 	}
 }

@@ -167,8 +167,9 @@ func largeValueDAG(labels, size int) *dag.DAG {
 // dominate: 64 labels of 16 KiB each. B/op is what one node allocates to
 // interpret them and KB/req what it still holds afterwards — per request,
 // (n+1)·|v| = 80 KB of payload (the one ECHO every chain re-emits and the
-// READY each chain encodes) is the floor the BRB instances set; every
-// further copy of the value per message, tally or delivery adds |v| to it.
+// READY each chain encodes, none having seen another's in lock-step
+// rounds) is what these rounds cost; every further copy of the value per
+// message, tally or delivery adds |v| to it.
 func BenchmarkInterpretLargeValue(b *testing.B) {
 	const labels, size = 64, 16 << 10
 	retained := benchRetained(b, largeValueDAG(labels, size))

@@ -108,8 +108,8 @@ func forkedDAGs() (dags []*dag.DAG, labels [][]types.Label) {
 // and with every broadcast emitted as n unicasts gives the same out-buffers
 // (as OutMessages reports them), in-buffers, state digests and the same
 // indications in the same order — over forked DAGs, in arrival orders that
-// make either side rebuild, in both inclusion modes, with and without
-// retirement, for BRB and for a protocol that mixes both forms.
+// make either side rebuild, in both inclusion modes, for BRB and for a
+// protocol that mixes both forms.
 func TestBroadcastEquivalence(t *testing.T) {
 	dags, labelSets := forkedDAGs()
 	for _, proto := range []protocol.Protocol{brb.Protocol{}, chatter{}} {
@@ -149,7 +149,7 @@ func TestBroadcastEquivalence(t *testing.T) {
 						if !equalMessages(records.InMessages(b.Ref(), label), unicasts.InMessages(b.Ref(), label)) {
 							t.Fatalf("%s: in-buffer of %v / %s differs", ctx, b.Ref(), label)
 						}
-						for _, m := range records.states[b.Ref()].out[label] {
+						for _, m := range outFor(records.states[b.Ref()].out, label) {
 							if m.Receiver == protocol.Everyone {
 								broadcasts++
 							}
@@ -248,13 +248,11 @@ func TestPayloadsImmutable(t *testing.T) {
 			ctx := fmt.Sprintf("%s dag %d", mode, i)
 			retained := 0
 			for _, st := range it.states {
-				for _, out := range st.out {
-					for _, m := range out {
-						if _, ok := proto.seals[&m.Payload[0]]; !ok {
-							t.Fatalf("%s: a retained payload was never emitted", ctx)
-						}
-						retained++
+				for _, m := range st.out {
+					if _, ok := proto.seals[&m.Payload[0]]; !ok {
+						t.Fatalf("%s: a retained payload was never emitted", ctx)
 					}
+					retained++
 				}
 			}
 			if retained == 0 || len(proto.seals) <= len(requests) {

@@ -25,21 +25,22 @@
 //
 // Memory model. Algorithm 2 line 4 copies the parent's instances into
 // every block; this package keeps B.PIs only at the tip of each builder's
-// chain and advances it in place, so live state is proportional to live
-// instances, not to history. What every block retains is its out-buffers
-// (future blocks read them; a broadcast is one record in them, and the
-// payloads are immutable and shared — package protocol), links to its
-// parent and source blocks and, in implicit-inclusion mode, its
-// watermarks. That is enough to recompute anything else: by Lemma 4.2 a
-// block's instances and in-buffers are a pure function of the DAG, so a
-// block whose instances have moved on down the chain — the parent of an
-// equivocating block, or a historic block asked for its StateDigest — gets
-// them rebuilt by replaying its builder's chain (rebuild), and InMessages
-// re-derives B.Ms[in, ℓ] from the sources' out-buffers on demand.
+// chain, advances it in place and drops an instance the moment it reports
+// Done, so live state is proportional to the instances still running, not
+// to history. What every block retains is its out-buffer (future blocks
+// read it: one slice ordered by label, a broadcast one record in it, the
+// payloads immutable and shared — package protocol), links to its parent
+// and source blocks and, in implicit-inclusion mode, its watermarks. By
+// Lemma 4.2 everything else is a pure function of the DAG and recomputed
+// when asked for: a block whose instances have moved on down the chain —
+// an equivocating block's parent, a historic block asked for its
+// StateDigest — gets them by replaying its builder's chain (rebuild), and
+// InMessages re-derives B.Ms[in, ℓ] from the sources' out-buffers.
 // docs/ARCHITECTURE.md, "Interpreter memory model", has the full account.
 package interpret
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -77,15 +78,6 @@ func WithMetrics(m *metrics.Metrics) Option {
 	return func(it *Interpreter) { it.metrics = m }
 }
 
-// WithRetirement enables the instance-GC extension: once a process
-// instance reports Done, its successors drop the state and ignore further
-// inputs for that label. This addresses the unbounded-memory limitation
-// the paper discusses in Section 7; it is off by default to match the
-// paper's semantics exactly.
-func WithRetirement() Option {
-	return func(it *Interpreter) { it.retire = true }
-}
-
 // WithImplicitInclusion switches message collection to the paper's
 // Section 7 "implicit block inclusion" semantics: referencing a block
 // implicitly includes its whole ancestry, so a block receives the messages
@@ -104,8 +96,9 @@ func WithImplicitInclusion() Option {
 }
 
 // instances is B.PIs: every process instance a builder's chain has started
-// up to block B, by label. A nil entry is the tombstone of an instance
-// dropped by the retirement extension.
+// up to block B, by label. A nil entry is the tombstone of an instance that
+// reported Done: its state is dropped and what the label is sent from then
+// on discarded (protocol.Process.Done; the paper's Section 7 memory limit).
 type instances map[types.Label]protocol.Process
 
 // blockState is the interpretation state attached to one block.
@@ -124,11 +117,11 @@ type blockState struct {
 	// interpretation read.
 	sources []*blockState
 
-	// out is B.Ms[out, ℓ]: messages emitted at this block, in emission
-	// order, a broadcast held as the one record the instance emitted.
-	// Future blocks referencing this one read from here, and the rebuild
-	// path replays them as inputs.
-	out map[types.Label][]protocol.Message
+	// out is B.Ms[out, ·]: messages emitted at this block, ordered by label
+	// and in emission order within one, a broadcast held as the one record
+	// the instance emitted. Future blocks referencing this one read from
+	// here, and the rebuild path replays them as inputs.
+	out []protocol.Message
 
 	// coveredSeq (implicit-inclusion mode only) is the consumption
 	// watermark of this block's chain: for each builder, the highest
@@ -168,10 +161,10 @@ type Interpreter struct {
 	n, f     int
 	onInd    func(Indication)
 	metrics  *metrics.Metrics
-	retire   bool
 	implicit bool
 
 	states map[block.Ref]*blockState
+	stats  Stats
 
 	// slots and anyFork (implicit-inclusion mode only) back the
 	// uncoveredAncestry fast path: slots finds a builder's block by
@@ -266,6 +259,18 @@ func (it *Interpreter) Interpreted(ref block.Ref) bool {
 // Blocks returns the number of blocks interpreted so far.
 func (it *Interpreter) Blocks() int { return len(it.states) }
 
+// Stats counts what the interpreter holds beyond the blocks themselves:
+// LiveInstances follows the labels still running, the other two every label
+// ever run. WithMetrics publishes them as gauges after every block.
+type Stats struct {
+	LiveInstances int // process instances in the chain-tip tables
+	Tombstones    int // table entries of instances retired after Done
+	OutMessages   int // records in the blocks' out-buffers, a broadcast being one
+}
+
+// Stats returns the current counts.
+func (it *Interpreter) Stats() Stats { return it.stats }
+
 // AddBlock interprets block b (Algorithm 2 lines 4–12). Every predecessor
 // must have been interpreted already — feeding blocks in any topological
 // order of the DAG satisfies this, and by Lemma 4.2 all such orders yield
@@ -319,12 +324,13 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 	case parent.pis != nil:
 		st.pis, parent.pis = parent.pis, nil
 	default:
-		st.pis = it.rebuild(parent, nil)
+		st.pis = it.rebuild(parent, nil) // a second table: its instances count
 	}
 	it.advance(st, st.pis, true, nil)
 
 	it.states[ref] = st // line 12: I[B] := true
 	it.metrics.AddBlocksInterpreted(1)
+	it.metrics.SetInterpreterState(it.stats.LiveInstances, it.stats.Tombstones, it.stats.OutMessages)
 	return nil
 }
 
@@ -334,6 +340,18 @@ func byLabel(a, b protocol.Message) int {
 		return c
 	}
 	return protocol.Compare(a, b)
+}
+
+// outFor returns one label's run of a block's out-buffer.
+func outFor(out []protocol.Message, label types.Label) []protocol.Message {
+	lo, _ := slices.BinarySearchFunc(out, label, func(m protocol.Message, l types.Label) int {
+		return strings.Compare(string(m.Label), string(l))
+	})
+	hi := lo
+	for hi < len(out) && out[hi].Label == label {
+		hi++
+	}
+	return out[lo:hi]
 }
 
 // inMessages collects B.Ms[in, ℓ] (Algorithm 2 lines 7–9) for every label,
@@ -346,7 +364,11 @@ func byLabel(a, b protocol.Message) int {
 // collapse to one.
 func inMessages(receiver types.ServerID, sources []*blockState, only *types.Label) []protocol.Message {
 	var in []protocol.Message
-	collect := func(out []protocol.Message) {
+	for _, ps := range sources {
+		out := ps.out
+		if only != nil {
+			out = outFor(out, *only)
+		}
 		for _, m := range out {
 			if m.Receiver == receiver || m.Receiver == protocol.Everyone {
 				m.Receiver = receiver
@@ -354,17 +376,22 @@ func inMessages(receiver types.ServerID, sources []*blockState, only *types.Labe
 			}
 		}
 	}
-	for _, ps := range sources {
-		if only != nil {
-			collect(ps.out[*only])
-			continue
-		}
-		for _, out := range ps.out {
-			collect(out)
-		}
-	}
 	slices.SortFunc(in, byLabel)
 	return slices.CompactFunc(in, func(a, b protocol.Message) bool { return byLabel(a, b) == 0 })
+}
+
+// sharePayloads stores an emitted payload whose bytes equal a payload the
+// same step was fed as that slice — payloads are immutable, so nobody can
+// tell — and a label's READY v is held once, not once per chain.
+func sharePayloads(emitted, fed []protocol.Message) {
+	for i := range emitted {
+		for _, m := range fed {
+			if bytes.Equal(emitted[i].Payload, m.Payload) {
+				emitted[i].Payload = m.Payload
+				break
+			}
+		}
+	}
 }
 
 // advance runs Algorithm 2 lines 5–14 for block st on pis, its chain's
@@ -372,12 +399,13 @@ func inMessages(receiver types.ServerID, sources []*blockState, only *types.Labe
 // so it takes them one at a time, in sorted order to keep the trace
 // canonical: the requests B.rs carries for ℓ in the order the block lists
 // them (lines 5–6), then B.Ms[in, ℓ] in <M order (lines 10–11), then ℓ's
-// indications, attributed to B.n (lines 13–14).
+// indications, attributed to B.n (lines 13–14), and a tombstone in the
+// table if ℓ's instance is Done.
 //
 // AddBlock calls it live, once per block: emitted messages are recorded in
 // st.out and indications surfaced. rebuild calls it again for a block
 // already interpreted, possibly for only one label: the steps are the
-// same, but the out-buffers are already recorded and the indications
+// same, but the out-buffer is already recorded and the indications
 // already surfaced, so neither is repeated.
 func (it *Interpreter) advance(st *blockState, pis instances, live bool, only *types.Label) {
 	b := st.blk
@@ -393,6 +421,7 @@ func (it *Interpreter) advance(st *blockState, pis instances, live bool, only *t
 	})
 	in := inMessages(b.Builder, st.sources, only)
 
+	var emitted []protocol.Message
 	for len(reqs) > 0 || len(in) > 0 {
 		var label types.Label
 		if len(in) == 0 || len(reqs) > 0 && reqs[0].Label <= in[0].Label {
@@ -408,6 +437,7 @@ func (it *Interpreter) advance(st *blockState, pis instances, live bool, only *t
 			// suggests for implementations.
 			proc = it.proto.NewProcess(protocol.Config{Self: b.Builder, Label: label, N: it.n, F: it.f})
 			pis[label] = proc
+			it.stats.LiveInstances++
 		}
 		// EntropyAware instances receive a deterministic per-(block,
 		// label) seed — the Section 7 de-randomization extension.
@@ -415,43 +445,44 @@ func (it *Interpreter) advance(st *blockState, pis instances, live bool, only *t
 			ea.SetEntropy(crypto.Hash(ref[:], []byte(label)))
 		}
 
-		// A nil proc is the tombstone of a retired instance: its inputs
-		// are consumed and ignored.
-		var out []protocol.Message
+		// A nil proc is a tombstone: inputs after Done are discarded.
+		mark, fed := len(emitted), in
 		for ; len(reqs) > 0 && reqs[0].Label == label; reqs = reqs[1:] {
 			if proc != nil {
-				out = append(out, proc.Request(reqs[0].Data)...)
+				emitted = append(emitted, proc.Request(reqs[0].Data)...)
 			}
 		}
 		for ; len(in) > 0 && in[0].Label == label; in = in[1:] {
 			if proc != nil {
-				out = append(out, proc.Receive(in[0])...)
+				emitted = append(emitted, proc.Receive(in[0])...)
 			}
 		}
 		if proc == nil {
 			continue
 		}
 		inds := proc.Indications()
-		if it.retire && proc.Done() {
+		if proc.Done() {
 			pis[label] = nil
+			it.stats.LiveInstances--
+			it.stats.Tombstones++
 		}
 		if !live {
+			emitted = emitted[:mark]
 			continue
 		}
-		if len(out) > 0 {
-			// B.Ms[out, ℓ]: materialized, never sent.
-			if st.out == nil {
-				st.out = make(map[types.Label][]protocol.Message)
-			}
-			st.out[label] = out
-			it.metrics.AddMsgsMaterialized(int64(protocol.Count(out, it.n)))
-		}
+		sharePayloads(emitted[mark:], fed[:len(fed)-len(in)])
 		for _, value := range inds {
 			it.metrics.AddIndications(1)
 			if it.onInd != nil {
 				it.onInd(Indication{Label: label, Value: value, Server: b.Builder, Block: ref})
 			}
 		}
+	}
+	if len(emitted) > 0 {
+		// B.Ms[out, ·]: materialized, never sent. Kept at its exact size.
+		st.out = slices.Clone(emitted)
+		it.stats.OutMessages += len(emitted)
+		it.metrics.AddMsgsMaterialized(int64(protocol.Count(emitted, it.n)))
 	}
 }
 
@@ -615,9 +646,7 @@ func (it *Interpreter) enumerateUncovered(st *blockState, base map[types.ServerI
 func advanceWatermark(parent *blockState, consumed []*blockState) map[types.ServerID]uint64 {
 	wm := make(map[types.ServerID]uint64, len(consumed))
 	if parent != nil {
-		for id, seq := range parent.coveredSeq {
-			wm[id] = seq
-		}
+		maps.Copy(wm, parent.coveredSeq)
 	}
 	for _, s := range consumed {
 		if s.blk == nil {
@@ -630,45 +659,21 @@ func advanceWatermark(parent *blockState, consumed []*blockState) map[types.Serv
 	return wm
 }
 
-// smallRefs bounds the linear-scan dedup; larger (byzantine-sized) lists
-// keep the map-backed path so quadratic scans cannot be provoked.
+// smallRefs bounds the linear duplicate scan; larger (byzantine-sized)
+// lists go straight to the map so quadratic scans cannot be provoked.
 const smallRefs = 16
 
+// dedupRefs returns refs without repeats, first occurrences in order; a
+// short duplicate-free list — the common case — as it is, unallocated.
 func dedupRefs(refs []block.Ref) []block.Ref {
-	if len(refs) <= 1 {
-		return refs
-	}
 	if len(refs) <= smallRefs {
-		// Duplicate-free lists — the overwhelmingly common case — are
-		// returned as-is without allocating.
-		firstDup := -1
-	scan:
-		for i := 1; i < len(refs); i++ {
-			for _, prior := range refs[:i] {
-				if prior == refs[i] {
-					firstDup = i
-					break scan
-				}
-			}
+		clean := true
+		for i := 1; i < len(refs) && clean; i++ {
+			clean = !slices.Contains(refs[:i], refs[i])
 		}
-		if firstDup < 0 {
+		if clean {
 			return refs
 		}
-		out := make([]block.Ref, firstDup, len(refs)-1)
-		copy(out, refs[:firstDup])
-		for i := firstDup + 1; i < len(refs); i++ {
-			dup := false
-			for _, prior := range out {
-				if prior == refs[i] {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, refs[i])
-			}
-		}
-		return out
 	}
 	seen := make(map[block.Ref]struct{}, len(refs))
 	out := make([]block.Ref, 0, len(refs))
@@ -698,11 +703,12 @@ func (it *Interpreter) InterpretDAG(d *dag.DAG) error {
 // OutMessages returns B.Ms[out, ℓ] in emission order, broadcasts spelled
 // out receiver by receiver.
 func (it *Interpreter) OutMessages(ref block.Ref, label types.Label) []protocol.Message {
-	st, ok := it.states[ref]
-	if !ok || len(st.out[label]) == 0 {
-		return nil
+	if st, ok := it.states[ref]; ok {
+		if out := outFor(st.out, label); len(out) > 0 {
+			return protocol.Expand(out, it.n)
+		}
 	}
-	return protocol.Expand(st.out[label], it.n)
+	return nil
 }
 
 // InMessages returns B.Ms[in, ℓ] in <M order, derived from the out-buffers
@@ -718,18 +724,20 @@ func (it *Interpreter) InMessages(ref block.Ref, label types.Label) []protocol.M
 // OutLabels returns the labels with a non-empty out-buffer at the block,
 // sorted.
 func (it *Interpreter) OutLabels(ref block.Ref) []types.Label {
-	st, ok := it.states[ref]
-	if !ok {
-		return nil
+	var labels []types.Label
+	if st, ok := it.states[ref]; ok {
+		for _, m := range st.out {
+			labels = append(labels, m.Label)
+		}
 	}
-	return slices.Sorted(maps.Keys(st.out))
+	return slices.Compact(labels)
 }
 
 // StateDigest returns the deterministic digest of B.PIs[ℓ] — the state of
 // the simulated instance ℓ of B's builder after interpreting B. The second
 // result is false if the block is uninterpreted, no ancestor of the block
-// ever ran the instance, or it was retired. Asking about a block that is
-// no longer the tip of its chain replays the chain for ℓ.
+// ever ran the instance, or it was Done by then. Asking about a block that
+// is no longer the tip of its chain replays the chain for ℓ.
 func (it *Interpreter) StateDigest(ref block.Ref, label types.Label) ([]byte, bool) {
 	st, ok := it.states[ref]
 	if !ok {
@@ -737,7 +745,9 @@ func (it *Interpreter) StateDigest(ref block.Ref, label types.Label) ([]byte, bo
 	}
 	pis := st.pis
 	if pis == nil {
+		held := it.stats
 		pis = it.rebuild(st, &label)
+		it.stats = held // the replayed table is dropped again
 	}
 	if proc := pis[label]; proc != nil {
 		return proc.StateDigest(), true

@@ -34,9 +34,14 @@ type Metrics struct {
 	evidenceRelayed     atomic.Int64
 	peersBanned         atomic.Int64
 	bannedBlocksDropped atomic.Int64
+
+	// Gauges: what the interpreter holds now (SetInterpreterState).
+	instancesLive    atomic.Int64
+	instancesRetired atomic.Int64
+	outMessagesHeld  atomic.Int64
 }
 
-// Snapshot is a point-in-time copy of all counters.
+// Snapshot is a point-in-time copy of all counters and gauges.
 type Snapshot struct {
 	BlocksBuilt       int64 // blocks this server built and disseminated
 	BlocksReceived    int64 // blocks received from the network
@@ -57,6 +62,10 @@ type Snapshot struct {
 	EvidenceRelayed     int64 // evidence messages sent on to peers
 	PeersBanned         int64 // peers put in the terminal banned state
 	BannedBlocksDropped int64 // fresh blocks refused because their builder is banned
+
+	InstancesLive    int64 // gauge: protocol instances still running, over all chain tips
+	InstancesRetired int64 // gauge: tombstones of instances retired after Done
+	OutMessagesHeld  int64 // gauge: message records retained in out-buffers
 }
 
 // String formats the snapshot compactly for CLI output.
@@ -97,6 +106,10 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		EvidenceRelayed:     s.EvidenceRelayed - prev.EvidenceRelayed,
 		PeersBanned:         s.PeersBanned - prev.PeersBanned,
 		BannedBlocksDropped: s.BannedBlocksDropped - prev.BannedBlocksDropped,
+
+		InstancesLive:    s.InstancesLive - prev.InstancesLive,
+		InstancesRetired: s.InstancesRetired - prev.InstancesRetired,
+		OutMessagesHeld:  s.OutMessagesHeld - prev.OutMessagesHeld,
 	}
 }
 
@@ -125,6 +138,10 @@ func (m *Metrics) Snapshot() Snapshot {
 		EvidenceRelayed:     m.evidenceRelayed.Load(),
 		PeersBanned:         m.peersBanned.Load(),
 		BannedBlocksDropped: m.bannedBlocksDropped.Load(),
+
+		InstancesLive:    m.instancesLive.Load(),
+		InstancesRetired: m.instancesRetired.Load(),
+		OutMessagesHeld:  m.outMessagesHeld.Load(),
 	}
 }
 
@@ -211,6 +228,16 @@ func (m *Metrics) AddBlocksInterpreted(n int64) {
 func (m *Metrics) AddIndications(n int64) {
 	if m != nil {
 		m.indications.Add(n)
+	}
+}
+
+// SetInterpreterState publishes the interpreter's gauges: instances still
+// running, tombstones of retired ones, and out-buffer records held.
+func (m *Metrics) SetInterpreterState(live, retired, outMessages int) {
+	if m != nil {
+		m.instancesLive.Store(int64(live))
+		m.instancesRetired.Store(int64(retired))
+		m.outMessagesHeld.Store(int64(outMessages))
 	}
 }
 

@@ -179,10 +179,18 @@ type Process interface {
 	// and is as immutable as one.
 	Indications() [][]byte
 
-	// Done reports that the instance has reached a terminal state and
-	// its state may be retired (framework extension addressing the
-	// paper's unbounded-memory limitation; see DESIGN.md). A Done
-	// instance silently ignores further inputs after retirement.
+	// Done reports that the instance has reached a terminal state: it
+	// will indicate nothing further, and nothing it would still emit is
+	// needed for any other correct server's instance to indicate. Done
+	// is stable — once true, true after every later input. The
+	// interpreter asks after every step and, on true, drops the
+	// instance for good: its state is gone (StateDigest reports
+	// absence) and every request or message the label receives on that
+	// chain from then on is discarded. This is the framework's answer
+	// to the unbounded-memory limitation the paper discusses in
+	// Section 7, and it is unconditional, so an implementation must
+	// return true only when the above holds; one that never finishes
+	// returns false and is kept.
 	Done() bool
 
 	// StateDigest returns a deterministic digest of the full instance

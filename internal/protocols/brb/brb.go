@@ -15,7 +15,7 @@
 // fully determine behaviour, as the embedding requires.
 //
 // An instance is small on purpose: the interpreter keeps one per live
-// (chain, label) pair for as long as the label lives, so quorum counting
+// (chain, label) pair until that chain delivers (Done), so quorum counting
 // uses one bitset of senders per value seen — in the honest case a single
 // tally holding two machine words — instead of a map of maps. It holds no
 // copy of the value either: payloads are immutable (package protocol), so a
@@ -229,10 +229,14 @@ func (p *process) Indications() [][]byte {
 	return out
 }
 
-// Done reports whether the instance has delivered; a delivered BRB
-// instance never emits again except to help laggards, so retiring it is
-// safe for the GC extension (totality for other correct servers relies on
-// their own quorums, which exist in the DAG independently of this state).
+// Done reports whether the instance has delivered, which is when the
+// interpreter drops it. The contract of protocol.Process.Done holds: a
+// delivered instance indicates nothing more, it has sent its READY (2f+1
+// readies for v include the f+1 that make it amplify), and the one thing
+// it might still emit — its ECHO, had the readies overtaken every echo —
+// no correct server needs: the 2f+1 servers whose READY it counted
+// include f+1 correct ones, whose READY reaches everyone, makes every
+// correct server amplify, and so gives each its own 2f+1.
 func (p *process) Done() bool { return p.delivered }
 
 // StateDigest implements protocol.Process with a canonical serialization:

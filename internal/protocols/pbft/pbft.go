@@ -205,7 +205,10 @@ func (p *process) Indications() [][]byte {
 	return out
 }
 
-// Done implements protocol.Process.
+// Done implements protocol.Process: a decided instance is dropped. It
+// indicates nothing more, and the 2f+1 COMMITs it counted were each sent to
+// every server, so no other server's decision waits for anything this one
+// might still have emitted.
 func (p *process) Done() bool { return p.decided }
 
 // StateDigest implements protocol.Process with canonical (sorted)

@@ -152,8 +152,10 @@ func (p *process) Indications() [][]byte {
 	return out
 }
 
-// Done implements protocol.Process.
-func (p *process) Done() bool { return p.done }
+// Done implements protocol.Process; a sampler instance never retires:
+// having indicated its own sample it still owes an ACK to whichever server
+// probes it under the same label later.
+func (p *process) Done() bool { return false }
 
 // StateDigest implements protocol.Process. The entropy is part of the
 // digest: it is state the interpreter installed deterministically.

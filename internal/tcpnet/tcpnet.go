@@ -38,6 +38,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -389,9 +390,10 @@ func (t *Transport) runCall(ctx context.Context, cancel context.CancelFunc, to t
 		sink.OnDone(fmt.Errorf("%w: request: %v", transport.ErrStreamLost, err))
 		return
 	}
+	responses := bufio.NewReader(conn)
 	for {
 		deadline()
-		frame, err := wire.ReadFrame(conn)
+		frame, err := wire.ReadFrame(responses)
 		if err != nil {
 			// EOF before an end/error tag: the peer died mid-stream
 			// or rejected the handshake (version mismatch closes the
@@ -733,8 +735,11 @@ func (t *Transport) runReader(conn net.Conn) {
 // serveStream demultiplexes channel-tagged payload frames to the
 // registered endpoints.
 func (t *Transport) serveStream(conn net.Conn, from types.ServerID) {
+	// The handshake read its frames byte-exactly, so nothing of the stream
+	// was consumed before this reader exists.
+	payloads := bufio.NewReader(conn)
 	for {
-		frame, err := wire.ReadFrame(conn)
+		frame, err := wire.ReadFrame(payloads)
 		if err != nil {
 			return
 		}

@@ -1,7 +1,9 @@
 package tcpnet
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"sync"
@@ -586,5 +588,55 @@ func TestCallCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close wedged on a canceled call")
+	}
+}
+
+// countingConn counts the Write calls that reach the connection: on a TCP
+// socket each is a system call and, with TCP_NODELAY, a segment.
+type countingConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
+// TestOneWritePerFrame: a frame leaves in exactly one Write — header, tag
+// and payload together — and arrives intact at a peer reading the stream
+// through a bufio.Reader, as serveStream and runCall do.
+func TestOneWritePerFrame(t *testing.T) {
+	local, remote := net.Pipe()
+	defer local.Close()
+	defer remote.Close()
+	conn := &countingConn{Conn: local}
+	frames := [][]byte{[]byte("a"), bytes.Repeat([]byte("block"), 100), make([]byte, 64<<10)}
+
+	sent := make(chan error, 1)
+	go func() {
+		st := &connStream{conn: conn, ctx: context.Background()}
+		var err error
+		for _, frame := range frames {
+			err = errors.Join(err, st.Send(frame))
+		}
+		st.Close(nil)
+		sent <- err
+	}()
+	r := bufio.NewReader(remote)
+	for i, want := range frames {
+		got, err := wire.ReadFrame(r)
+		if err != nil || len(got) == 0 || got[0] != tagData || !bytes.Equal(got[1:], want) {
+			t.Fatalf("frame %d arrived as %d bytes, %v", i, len(got), err)
+		}
+	}
+	if end, err := wire.ReadFrame(r); err != nil || !bytes.Equal(end, []byte{tagEnd}) {
+		t.Fatalf("end frame arrived as %v, %v", end, err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if want := len(frames) + 1; conn.writes != want {
+		t.Fatalf("%d frames took %d writes", want, conn.writes)
 	}
 }

@@ -302,24 +302,26 @@ func (r *Reader) Count(limit int) int {
 	return int(n)
 }
 
-// WriteFrame writes a 4-byte big-endian length prefix followed by payload.
+// WriteFrame writes a 4-byte big-endian length prefix followed by payload,
+// in one Write: on a socket that is one system call, and with TCP_NODELAY
+// one segment where the header alone used to travel ahead of its payload.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, len(payload))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: write frame payload: %w", err)
+	frame := make([]byte, 4+len(payload))
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	copy(frame[4:], payload)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
 
 // ReadFrame reads one length-prefixed frame written by WriteFrame. It
 // returns io.EOF unwrapped when the stream ends cleanly before a header.
+// Header and payload are read separately, so a caller reading frame after
+// frame from a socket should hand in a bufio.Reader.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -182,6 +182,36 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// writeCounter counts the Write calls that reach it.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameIsOneWrite: header and payload leave in a single Write —
+// on an unbuffered socket each Write is a system call and, with
+// TCP_NODELAY, a segment of its own.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	for _, size := range []int{0, 1, 300, 64 << 10} {
+		var w writeCounter
+		payload := bytes.Repeat([]byte{0xab}, size)
+		if err := WriteFrame(&w, payload); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Fatalf("frame of %d bytes took %d writes, want 1", size, w.writes)
+		}
+		if got, err := ReadFrame(&w.Buffer); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("frame of %d bytes read back as %d bytes, %v", size, len(got), err)
+		}
+	}
+}
+
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
