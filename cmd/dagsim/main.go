@@ -21,6 +21,7 @@ import (
 	"blockdag/internal/chaos"
 	"blockdag/internal/cluster"
 	"blockdag/internal/crypto"
+	"blockdag/internal/node"
 	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/courier"
@@ -210,7 +211,7 @@ func run() error {
 			magg.submitted, magg.accepted, magg.drained, magg.dups, magg.invalid, magg.overflow)
 	}
 	if *follow > 0 {
-		var fagg cluster.FollowStats
+		var fagg node.FollowReport
 		for _, i := range c.CorrectServers() {
 			fs := c.FollowStats(i)
 			fagg.Polls += fs.Polls

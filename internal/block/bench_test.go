@@ -59,11 +59,11 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeOnce is the encode-once regression gate (HOT_BENCH):
-// Encode on a sealed block must return the cached canonical frame with 0
-// allocs/op — any allocation here means the cache regressed to
-// re-serialization. TestSealedEncodeZeroAllocs asserts the same bound as
-// a plain test, so the regression also fails `go test`.
+// BenchmarkEncodeOnce shows the encode-once invariant: Encode on a
+// sealed block returns the cached canonical frame with 0 allocs/op — any
+// allocation here means the cache regressed to re-serialization.
+// TestSealedEncodeZeroAllocs asserts the bound, so the regression fails
+// `go test`.
 func BenchmarkEncodeOnce(b *testing.B) {
 	_, _, blk := benchFixture(b)
 	b.SetBytes(int64(blk.EncodedSize()))

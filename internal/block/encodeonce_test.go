@@ -181,8 +181,8 @@ func TestAppendEncodeCopies(t *testing.T) {
 
 // TestSealedEncodeZeroAllocs pins the whole point of the cache: reading
 // a sealed block's encoding allocates nothing. BenchmarkEncodeOnce
-// reports the same number on the bench-compare gate; this fails plain
-// `go test` immediately if the cache regresses.
+// reports the same number for a reader; this is the gate — plain
+// `go test` fails immediately if the cache regresses.
 func TestSealedEncodeZeroAllocs(t *testing.T) {
 	_, shapes := encodeOnceFixtures(t)
 	b := shapes[3]

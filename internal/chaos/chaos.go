@@ -26,6 +26,8 @@ package chaos
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -200,6 +202,13 @@ type Result struct {
 	BanSurvival        bool // bans intact after an honest crash/restart (when checked)
 	BanSurvivalChecked bool
 
+	// Digest fingerprints the run's trace: a hash over every correct
+	// server's sorted block refs and its per-label indication sequence,
+	// taken once the run is over. Same scenario, same seed ⇒ same digest;
+	// the pinned values in chaos_test.go hold a runtime refactor to the
+	// schedule it replaced.
+	Digest string
+
 	Violations []string
 }
 
@@ -209,7 +218,7 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 }
 // Summary renders the verdict compactly for CLI output.
 func (r *Result) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos %s: seed=%d rounds=%d", r.Scenario, r.Seed, r.Rounds)
+	fmt.Fprintf(&b, "chaos %s: seed=%d rounds=%d digest=%s", r.Scenario, r.Seed, r.Rounds, r.Digest)
 	fmt.Fprintf(&b, "\n  converged=%v agreement=%v", r.Converged, r.Agreement)
 	if len(r.Equivocators) > 0 {
 		fmt.Fprintf(&b, "\n  equivocators=%v evidence-everywhere=%v same-proof=%v banned-everywhere=%v",
@@ -301,7 +310,43 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	r.result.Digest = r.digest()
 	return r.result, nil
+}
+
+// digest hashes what the run left behind at every correct server: its
+// DAG as sorted block refs, and its indications as one value sequence per
+// label (labels sorted). Grouping by label keeps the digest a statement
+// about the trace the paper's properties quantify over — which blocks
+// exist and what each instance indicated, in order — rather than about
+// how two unrelated instances happened to interleave.
+func (r *runner) digest() string {
+	h := sha256.New()
+	for _, i := range r.c.CorrectServers() {
+		fmt.Fprintf(h, "s%d\n", i)
+		refs := r.c.Servers[i].DAG().Refs() // a copy, ours to sort
+		sort.Slice(refs, func(a, b int) bool { return bytes.Compare(refs[a][:], refs[b][:]) < 0 })
+		for _, ref := range refs {
+			h.Write(ref[:])
+		}
+		byLabel := make(map[types.Label][][]byte)
+		for _, ind := range r.c.Indications(i) {
+			byLabel[ind.Label] = append(byLabel[ind.Label], ind.Value)
+		}
+		labels := make([]string, 0, len(byLabel))
+		for l := range byLabel {
+			labels = append(labels, string(l))
+		}
+		sort.Strings(labels)
+		for _, l := range labels {
+			fmt.Fprintf(h, "%q", l)
+			for _, v := range byLabel[types.Label(l)] {
+				fmt.Fprintf(h, " %q", v)
+			}
+			h.Write([]byte{'\n'})
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 func (r *runner) logf(format string, args ...any) {
@@ -506,7 +551,7 @@ func (r *runner) converge() error {
 				return false
 			}
 			for _, i := range r.c.CorrectServers() {
-				if r.c.EvidencePools[i] == nil || !r.c.EvidencePools[i].Has(id) {
+				if !r.c.Servers[i].Evidence().Has(id) {
 					return false
 				}
 			}
@@ -572,11 +617,7 @@ func (r *runner) checkAccountability() {
 	for _, id := range res.Equivocators {
 		var canonical []byte
 		for _, i := range r.c.CorrectServers() {
-			pool := r.c.EvidencePools[i]
-			if pool == nil {
-				continue
-			}
-			p, ok := pool.Get(id)
+			p, ok := r.c.Servers[i].Evidence().Get(id)
 			if !ok {
 				res.EvidenceEverywhere = false
 				res.Violations = append(res.Violations, fmt.Sprintf("s%d holds no proof against s%d", i, id))
@@ -616,12 +657,12 @@ func (r *runner) checkBanSurvival() error {
 	}
 	res.BanSurvival = true
 	for _, id := range res.Equivocators {
-		if r.c.Scorers[victim] == nil || !r.c.Scorers[victim].Banned(id) {
+		if !r.c.Servers[victim].Scores().Banned(id) {
 			res.BanSurvival = false
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("ban of s%d did not survive s%d's restart", id, victim))
 		}
-		if pool := r.c.EvidencePools[victim]; pool == nil || !pool.Has(id) {
+		if !r.c.Servers[victim].Evidence().Has(id) {
 			res.BanSurvival = false
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("proof against s%d did not survive s%d's restart", id, victim))

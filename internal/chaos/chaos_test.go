@@ -32,6 +32,21 @@ func TestPartitionEquivocators(t *testing.T) {
 	if !res.BanSurvivalChecked || !res.BanSurvival {
 		t.Fatalf("ban survival not verified:\n%s", res.Summary())
 	}
+	checkTrace(t, res, 20, "19b1922ca871513761674e2cf3431bc0")
+}
+
+// checkTrace pins a seeded run's round count and Result.Digest to the
+// values recorded on the tree whose cluster package still carried its own
+// copy of the runtime (before PR 16): the simulator now steps the real
+// node.Node, and a seed must still produce the trace it produced then.
+// A change here is a change in what some server decided and when — find
+// the decision before re-pinning.
+func checkTrace(t *testing.T, res *Result, rounds int, digest string) {
+	t.Helper()
+	if res.Rounds != rounds || res.Digest != digest {
+		t.Fatalf("trace moved: rounds=%d digest=%s, pinned rounds=%d digest=%s",
+			res.Rounds, res.Digest, rounds, digest)
+	}
 }
 
 // TestCrashStorm exercises the crash/recover durability path under
@@ -51,6 +66,7 @@ func TestCrashStorm(t *testing.T) {
 	if !res.Converged || !res.Agreement {
 		t.Fatalf("verdict fields inconsistent with OK():\n%s", res.Summary())
 	}
+	checkTrace(t, res, 26, "1e470796304bd807760898447cece325")
 }
 
 // TestDeterminism runs the acceptance scenario twice with the same seed
@@ -67,8 +83,8 @@ func TestDeterminism(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different results:\n%s\nvs\n%s", a.Summary(), b.Summary())
+	if !reflect.DeepEqual(a, b) || a.Digest == "" {
+		t.Fatalf("same seed, different results (digest included):\n%s\nvs\n%s", a.Summary(), b.Summary())
 	}
 	// A different seed must still pass the invariants (the verdict is
 	// seed-independent even though the trace is not).
@@ -78,6 +94,9 @@ func TestDeterminism(t *testing.T) {
 	}
 	if !res.OK() {
 		t.Fatalf("seed 43 violated invariants:\n%s", res.Summary())
+	}
+	if res.Digest == a.Digest {
+		t.Fatalf("seeds 42 and 43 share digest %s: the digest does not see the trace", res.Digest)
 	}
 }
 

@@ -1,7 +1,15 @@
 // Package cluster runs complete shim(P) clusters on the deterministic
-// network simulator: n core.Servers, each with its own DAG, gossip, and
-// interpreter, exchanging blocks over simnet with configurable latency,
+// network simulator: n correct slots, each a production runtime — a
+// node.Node built by node.New around its own core.Server, DAG, gossip and
+// interpreter — exchanging blocks over simnet with configurable latency,
 // jitter, and loss.
+//
+// The cluster is the simulator's shell around that runtime, and nothing
+// more: it never starts a node's goroutine; it steps the node's turns
+// (Tick, Disseminate, FollowIfDue, DeliverBurst) from simnet events on
+// the virtual clock, so a run is a deterministic function of its seed.
+// Follow polls, checkpoint policy, store recovery, evidence replay and
+// gateway wiring are the node's own code, the same a deployed node runs.
 //
 // It is the shared harness behind the integration tests of Theorem 5.1,
 // every benchmark in EXPERIMENTS.md, the experiments CLI, and the
@@ -11,7 +19,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -73,17 +80,13 @@ type Options struct {
 	SyncEvery time.Duration
 	SyncBurst int
 
-	// FollowEvery enables the live-follower loop on every correct slot:
-	// each server periodically (per the simulated clock) sends a
-	// watermark-exchange query to a rotating peer on the sync channel
-	// and, when the peer's vector advertises blocks the local DAG lacks,
-	// pulls exactly the missing suffix through the validated delta
-	// stream — converging a laggard without waiting for per-block FWD
-	// round trips. Polls, streams, and absorptions all ride the
-	// simulator's event loop, so runs stay deterministic. With
-	// FollowEvery set, every correct slot also serves the sync channel
-	// (from its store when durable, else straight from its DAG), so
-	// non-durable clusters can follow too. 0 disables.
+	// FollowEvery enables the live follower on every correct slot
+	// (node.Config.FollowEvery, paced on the simulated clock): polls,
+	// streams, and absorptions all ride the simulator's event loop, so
+	// runs stay deterministic. With FollowEvery set, every correct slot
+	// also serves the sync channel (from its store when durable, else
+	// straight from its DAG), so non-durable clusters can follow too.
+	// 0 disables.
 	FollowEvery time.Duration
 
 	// Accountability equips every correct slot with the evidence and
@@ -92,10 +95,10 @@ type Options struct {
 	// built by banned servers are refused unless a chain needs them), the
 	// simulated network (links to and from banned peers are torn down),
 	// the sync service (throttle refusals feed the scorer), and — on
-	// durable clusters — the store (proofs persist in the evidence
-	// sidecar, and recovery re-seeds pool and bans from disk). Off by
-	// default: tests that deliberately drive equivocations to observe
-	// paper semantics see zero behavior change.
+	// durable clusters, by node.New — the store (proofs persist in the
+	// evidence sidecar, and recovery re-seeds pool and bans from disk).
+	// Off by default: tests that deliberately drive equivocations to
+	// observe paper semantics see zero behavior change.
 	Accountability bool
 
 	// Seed fixes the simulation (default 1).
@@ -117,15 +120,15 @@ type Options struct {
 	// fresh pool (a mempool is volatile state; queued requests do not
 	// survive a crash).
 	MempoolCapacity int
-	// GatewayPerSlot binds a client gateway (package gateway) to every
-	// correct slot on an ephemeral loopback port, so deterministic tests
-	// drive the real HTTP front door against simulated consensus. Requires
-	// MempoolCapacity > 0: the pool is the only concurrency-safe admission
-	// path into an event-loop-driven server, and the gateway's HTTP
-	// goroutines must not touch server state directly. Indications reach
-	// the gateways through per-slot brokers (Brokers), published from the
-	// simulator's event loop. Crashing a slot closes its gateway; recovery
-	// opens a fresh one on a new port.
+	// GatewayPerSlot binds a client gateway (gateway.Config{Node: …}) to
+	// every correct slot on an ephemeral loopback port, so deterministic
+	// tests drive the real HTTP front door against simulated consensus.
+	// Requires MempoolCapacity > 0: the pool is the only concurrency-safe
+	// admission path into an event-loop-driven server, and the gateway's
+	// HTTP goroutines must not touch server state directly. Indications
+	// reach the gateway through the slot node's broker, published from
+	// the simulator's event loop. Crashing a slot closes its gateway;
+	// recovery opens a fresh one on a new port.
 	GatewayPerSlot bool
 
 	// LoadPerRound, if > 0, submits that many synthetic client requests
@@ -148,10 +151,10 @@ type Options struct {
 	CompressReferences bool
 
 	// StoreDir, if non-empty, gives every correct server a durable block
-	// store under StoreDir/s<i>: each inserted block is journaled before
-	// interpretation (through store.Store.PersistSink, so own blocks are
-	// synced before dissemination exactly as in production), and servers
-	// with pre-existing store contents restore from them on construction.
+	// store under StoreDir/s<i>, handed to node.New (node.Config.Store):
+	// each inserted block is journaled before interpretation, own blocks
+	// before dissemination, exactly as in production, and servers with
+	// pre-existing store contents restore from them on construction.
 	// Stores otherwise run with SyncNever (the simulation models power
 	// cuts by truncation, not by fsync) and the simulated clock.
 	StoreDir string
@@ -159,11 +162,10 @@ type Options struct {
 	// (0 = store default). Tests use small segments to exercise
 	// rotation and compaction.
 	StoreSegmentSize int64
-	// CheckpointEverySegments, with StoreDir set, applies the automatic
-	// checkpoint policy after every dissemination round: a server whose
-	// WAL has at least this many segments snapshots and compacts its
-	// store — mirroring node.Config.CheckpointEverySegments on the
-	// simulator, so catch-up servers have a fresh snapshot to stream.
+	// CheckpointEverySegments, with StoreDir set, is every slot's
+	// node.Config.CheckpointEverySegments: a server whose WAL has at least
+	// this many segments snapshots and compacts its store on its next
+	// Tick, so catch-up servers have a fresh snapshot to stream.
 	// 0 disables.
 	CheckpointEverySegments int
 }
@@ -175,7 +177,14 @@ type Cluster struct {
 	Fixture *roster.Fixture
 	Roster  *crypto.Roster
 	Signers []*crypto.Signer
-	// Servers holds the correct servers; byzantine slots are nil.
+	// Nodes holds each correct slot's runtime, built by node.New and
+	// never started: the cluster steps it. Byzantine and crashed slots
+	// are nil.
+	Nodes []*node.Node
+	// Servers holds Nodes[i].Server() for every live correct slot (nil
+	// otherwise): the state machine most tests talk to. A slot's mempool,
+	// evidence pool and scorer are the server's (Mempool, Evidence,
+	// Scores).
 	Servers []*core.Server
 	// Metrics holds each correct server's counters (nil for byzantine
 	// slots).
@@ -184,54 +193,14 @@ type Cluster struct {
 	// Options.StoreDir was set (nil otherwise, and for byzantine and
 	// crashed slots).
 	Stores []*store.Store
-	// Pools holds each correct server's ingestion pool when
-	// Options.MempoolCapacity was set (nil otherwise, and for byzantine
-	// and crashed slots until recovery).
-	Pools []*mempool.Pool
-	// EvidencePools and Scorers hold each correct server's accountability
-	// state when Options.Accountability was set (nil otherwise, and for
-	// byzantine and crashed slots until recovery).
-	EvidencePools []*evidence.Pool
-	Scorers       []*peerscore.Scorer
-	// Gateways and Brokers hold each correct slot's client gateway and the
-	// indication broker feeding it when Options.GatewayPerSlot was set
-	// (nil otherwise, and for byzantine and crashed slots until recovery).
-	Gateways []*gateway.Gateway
-	Brokers  []*node.IndicationBroker
 
 	opts     Options
 	interval time.Duration
 	inds     [][]Indication
-	follow   []followState
+	gateways []*gateway.Gateway
 	// loadSeq numbers each slot's synthetic requests across rounds and
 	// recoveries, keeping LoadPerRound traffic unique and reproducible.
 	loadSeq []uint64
-}
-
-// followState is one slot's live-follower bookkeeping.
-type followState struct {
-	// lastPoll is the virtual time of the last poll; the zero value
-	// means never polled, so the first poll fires once FollowEvery of
-	// virtual time has elapsed from the simulation's start.
-	lastPoll time.Duration
-	nextPeer int  // rotation cursor over the other slots
-	inFlight bool // a poll (query or delta) is outstanding
-	stats    FollowStats
-}
-
-// FollowStats counts one slot's live-follower activity.
-type FollowStats struct {
-	// Polls is the number of watermark-exchange queries issued.
-	Polls int
-	// Deltas is the number of delta pulls opened (peer was ahead).
-	Deltas int
-	// Blocks is the number of validated blocks absorbed via pulls.
-	Blocks int
-	// Throttled counts polls refused by a peer's admission policy.
-	Throttled int
-	// Errors counts polls and pulls that failed for any other reason
-	// (unreachable peer, no handler, validation rejection, ...).
-	Errors int
 }
 
 // New builds a cluster per the options.
@@ -296,186 +265,161 @@ func New(opts Options) (*Cluster, error) {
 		Fixture: fixture,
 		Roster:  cryptoRoster,
 		Signers: signers,
+		Nodes:   make([]*node.Node, opts.N),
 		Servers: make([]*core.Server, opts.N),
 		Metrics: make([]*metrics.Metrics, opts.N),
 		Stores:  make([]*store.Store, opts.N),
-		Pools:   make([]*mempool.Pool, opts.N),
-
-		EvidencePools: make([]*evidence.Pool, opts.N),
-		Scorers:       make([]*peerscore.Scorer, opts.N),
-		Gateways:      make([]*gateway.Gateway, opts.N),
-		Brokers:       make([]*node.IndicationBroker, opts.N),
 
 		opts:     opts,
 		interval: opts.Interval,
 		inds:     make([][]Indication, opts.N),
-		follow:   make([]followState, opts.N),
+		gateways: make([]*gateway.Gateway, opts.N),
 		loadSeq:  make([]uint64, opts.N),
 	}
 	for i := 0; i < opts.N; i++ {
 		if byz[i] {
 			continue
 		}
-		id := types.ServerID(i)
-		m := &metrics.Metrics{}
 		st, err := c.openStore(i)
 		if err != nil {
 			return nil, err
 		}
-		broker := c.newBroker(i)
-		cfg := core.Config{
-			Roster:        cryptoRoster,
-			Signer:        signers[i],
-			Protocol:      opts.Protocol,
-			Transport:     net.Transport(id),
-			Clock:         net.Now,
-			Metrics:       m,
-			MaxBatch:      opts.MaxBatch,
-			VerifyWorkers: opts.VerifyWorkers,
-			Mempool:       c.newPool(i),
-			OnIndication: func(label types.Label, value []byte) {
-				c.inds[i] = append(c.inds[i], Indication{
-					Server: id, Label: label, Value: value,
-				})
-				broker.Publish(label, value)
-			},
-			CompressReferences: opts.CompressReferences,
-		}
-		if st != nil {
-			cfg.OnPersist = st.PersistSink(id)
-		}
-		c.wireAccountability(i, &cfg, st)
-		srv, err := core.NewServer(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
-		}
-		if st != nil {
-			// A pruned store stands on a base table: seed it before the
-			// replay so chains resume above the horizon.
-			if base := st.Base(); len(base) > 0 {
-				if err := srv.SeedBase(base); err != nil {
-					return nil, fmt.Errorf("cluster: server %d: %w", i, err)
-				}
-			}
-			if err := srv.Restore(st.Blocks()); err != nil {
-				return nil, fmt.Errorf("cluster: server %d: %w", i, err)
-			}
-			srv.SeedEvidence(st.Evidence())
-		}
-		c.register(i, srv, st)
-		c.Servers[i] = srv
-		c.Metrics[i] = m
-		c.Stores[i] = st
-		if err := c.openGateway(i); err != nil {
+		if err := c.buildSlot(i, opts.Protocol, opts.CompressReferences, st, nil); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
-// newBroker builds (and records) one slot's indication broker when
-// Options.GatewayPerSlot asks for one; nil otherwise (a nil broker's
-// Publish is a no-op, so indication closures call it unconditionally).
-func (c *Cluster) newBroker(slot int) *node.IndicationBroker {
-	if !c.opts.GatewayPerSlot {
-		return nil
-	}
-	c.Brokers[slot] = node.NewIndicationBroker(0)
-	return c.Brokers[slot]
-}
-
-// openGateway binds one slot's client gateway on an ephemeral loopback
-// port. Everything the gateway's HTTP goroutines touch is captured here as
-// concurrency-safe values (pool, metrics, scorer, broker) — never the
-// cluster's slices, which the test goroutine mutates on crash/recovery.
-func (c *Cluster) openGateway(slot int) error {
-	if !c.opts.GatewayPerSlot {
-		return nil
-	}
-	pool := c.Pools[slot]
-	m := c.Metrics[slot]
-	sc := c.Scorers[slot]
-	reg := gateway.NewRegistry()
-	reg.Register(gateway.CollectMetrics(m))
-	reg.Register(gateway.CollectMempool(pool))
-	reg.Register(gateway.CollectPeerScore(sc))
-	gw, err := gateway.Listen("127.0.0.1:0", gateway.Config{
-		Submit:      pool.Submit,
-		Indications: c.Brokers[slot],
-		Registry:    reg,
-		Status: func() gateway.Status {
-			stats := pool.Stats()
-			snap := m.Snapshot()
-			return gateway.Status{
-				Server:   slot,
-				Healthy:  true,
-				Mempool:  &stats,
-				Counters: &snap,
-			}
+// buildSlot brings one correct slot up — at New and at every recovery,
+// the one construction path: a fresh core.Server wired per the options,
+// handed to node.New, which replays st (blocks, pruned-history base,
+// evidence sidecar), installs the persistence sinks and sets up the
+// follower, checkpoint policy and indication broker exactly as for a
+// deployed node. stored is the storeless recovery's log: blocks the
+// caller held, restored once the runtime's observers are in place.
+// Accountability state and the mempool are volatile — fresh per build, as
+// after a real restart; bans come back from the sidecar.
+func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, compress bool, st *store.Store, stored []*block.Block) error {
+	id := types.ServerID(slot)
+	m := &metrics.Metrics{}
+	cfg := core.Config{
+		Roster:             c.Roster,
+		Signer:             c.Signers[slot],
+		Protocol:           proto,
+		Transport:          c.Net.Transport(id),
+		Clock:              c.Net.Now,
+		Metrics:            m,
+		MaxBatch:           c.opts.MaxBatch,
+		VerifyWorkers:      c.opts.VerifyWorkers,
+		CompressReferences: compress,
+		OnIndication: func(label types.Label, value []byte) {
+			c.inds[slot] = append(c.inds[slot], Indication{Server: id, Label: label, Value: value})
 		},
+	}
+	if c.opts.MempoolCapacity > 0 {
+		cfg.Mempool = mempool.New(mempool.Options{Capacity: c.opts.MempoolCapacity})
+	}
+	if c.opts.Accountability {
+		cfg.Evidence = evidence.NewPool()
+		cfg.Scores = peerscore.New(peerscore.Options{Clock: c.Net.Now})
+	}
+	fail := func(err error) error {
+		if st != nil {
+			st.Abandon()
+		}
+		return fmt.Errorf("cluster: server %d: %w", slot, err)
+	}
+	srv, err := core.NewServer(cfg)
+	if err != nil {
+		return fail(err)
+	}
+	nd, err := node.New(node.Config{
+		Server:                  srv,
+		Store:                   st,
+		CheckpointEverySegments: c.opts.CheckpointEverySegments,
+		FollowEvery:             c.opts.FollowEvery,
 	})
 	if err != nil {
-		return fmt.Errorf("cluster: gateway for server %d: %w", slot, err)
+		return fail(err)
 	}
-	c.Gateways[slot] = gw
+	if len(stored) > 0 {
+		if err := srv.Restore(stored); err != nil {
+			return fail(err)
+		}
+	}
+	if c.opts.GatewayPerSlot {
+		// The gateway's HTTP goroutines reach the slot only through
+		// concurrency-safe values: the pool, the broker, the counters.
+		reg := gateway.NewRegistry()
+		reg.Register(gateway.CollectMetrics(m))
+		reg.Register(gateway.CollectMempool(cfg.Mempool))
+		reg.Register(gateway.CollectPeerScore(cfg.Scores))
+		gw, err := gateway.Listen("127.0.0.1:0", gateway.Config{Node: nd, Registry: reg})
+		if err != nil {
+			return fail(fmt.Errorf("gateway: %w", err))
+		}
+		c.gateways[slot] = gw
+	}
+	c.Net.RegisterScorer(id, cfg.Scores)
+	c.register(slot, nd, st)
+	c.Nodes[slot], c.Servers[slot], c.Metrics[slot], c.Stores[slot] = nd, srv, m, st
 	return nil
 }
 
 // GatewayAddr returns one slot's gateway address (host:port), "" when the
 // slot has none (no GatewayPerSlot, byzantine, or crashed).
 func (c *Cluster) GatewayAddr(slot int) string {
-	if c.Gateways[slot] == nil {
+	if c.gateways[slot] == nil {
 		return ""
 	}
-	return c.Gateways[slot].Addr()
+	return c.gateways[slot].Addr()
 }
 
-// Close tears down the client plane: every live gateway drains and every
-// broker wakes its subscribers with the terminal signal. The simulation
-// itself holds no other external resources (stores are caller-closed).
+// Close ends the simulation's client plane: every live slot's node is
+// stopped, which drains its gateway and wakes its broker's subscribers
+// with the terminal signal. The simulation itself holds no other
+// external resources (stores are caller-closed).
 func (c *Cluster) Close() {
-	for i := range c.Gateways {
-		c.closeGateway(i)
+	for i, nd := range c.Nodes {
+		if nd != nil {
+			nd.Stop()
+			c.gateways[i] = nil
+		}
 	}
 }
 
-// closeGateway shuts one slot's gateway and broker down (idempotent).
-func (c *Cluster) closeGateway(slot int) {
-	if gw := c.Gateways[slot]; gw != nil {
-		_ = gw.Close()
-		c.Gateways[slot] = nil
-	}
-	if br := c.Brokers[slot]; br != nil {
-		br.Close()
-		c.Brokers[slot] = nil
-	}
+// inline is a stepped slot's gossip endpoint: every network delivery is
+// one delivery turn of the slot's runtime, run on the event loop.
+type inline struct{ nd *node.Node }
+
+func (e inline) Deliver(from types.ServerID, payload []byte) {
+	e.nd.DeliverBurst([]gossip.Message{{From: from, Payload: payload}})
 }
 
-// register attaches one slot's consumers to the network: the server on
+// register attaches one slot's consumers to the network: the runtime on
 // the gossip channel and — when the slot is durable, or the cluster runs
-// the live-follower loop — a catch-up server on the sync channel, so any
-// peer can bulk-sync or follow from this slot. Durable slots stream
-// their store; follower-only slots stream straight from the DAG (both
-// safe on the event loop). Watermark queries are answered from the DAG
-// in either case, the simulator's stand-in for the node runtime's
-// incrementally tracked vector. The catch-up server runs under the
-// hardening policy (in-flight cap, optional token bucket on the
-// simulated clock), exactly as a production node would.
-func (c *Cluster) register(slot int, srv *core.Server, st *store.Store) {
+// the live follower — a catch-up server on the sync channel, so any peer
+// can bulk-sync or follow from this slot. Durable slots stream their
+// store and answer watermark queries from the node's tracked vector;
+// follower-only slots stream, and are scanned, straight from the DAG
+// (safe on the event loop). The catch-up server runs under the hardening
+// policy (in-flight cap, optional token bucket on the simulated clock),
+// exactly as a production node would.
+func (c *Cluster) register(slot int, nd *node.Node, st *store.Store) {
 	id := types.ServerID(slot)
-	c.Net.Register(id, transport.ChanGossip, srv)
+	c.Net.Register(id, transport.ChanGossip, inline{nd})
 	if st == nil && c.opts.FollowEvery <= 0 {
 		return
 	}
+	srv := nd.Server()
 	sync := &syncsvc.Server{
-		Store:  st,
-		Every:  c.opts.SyncEvery,
-		Burst:  c.opts.SyncBurst,
-		Clock:  c.Net.Now,
-		Scores: c.Scorers[slot],
-		Watermarks: func() []syncsvc.Watermark {
-			return syncsvc.DAGWatermarks(srv.DAG())
-		},
+		Store:      st,
+		Every:      c.opts.SyncEvery,
+		Burst:      c.opts.SyncBurst,
+		Clock:      c.Net.Now,
+		Scores:     srv.Scores(),
+		Watermarks: nd.Watermarks,
 	}
 	if st == nil {
 		sync.Source = func() ([]*block.Block, error) {
@@ -503,39 +447,6 @@ func (c *Cluster) openStore(slot int) (*store.Store, error) {
 	return st, nil
 }
 
-// wireAccountability equips one slot's core.Config with a fresh evidence
-// pool and peer scorer when Options.Accountability is set: gossip gains
-// the proof/ban machinery, the simulated network tears down links the
-// scorer bans, and — durable slots only — accepted proofs persist in the
-// store's evidence sidecar. Scores are volatile (a restart forgets
-// quarantine standing, as a real process would); bans are not, because
-// recovery re-seeds them from the sidecar via core.Server.SeedEvidence.
-func (c *Cluster) wireAccountability(slot int, cfg *core.Config, st *store.Store) {
-	if !c.opts.Accountability {
-		return
-	}
-	pool := evidence.NewPool()
-	sc := peerscore.New(peerscore.Options{Clock: c.Net.Now})
-	c.EvidencePools[slot] = pool
-	c.Scorers[slot] = sc
-	c.Net.RegisterScorer(types.ServerID(slot), sc)
-	cfg.Evidence = pool
-	cfg.Scores = sc
-	if st != nil {
-		cfg.OnEvidence = st.AppendEvidence
-	}
-}
-
-// newPool builds (and records) one slot's ingestion pool when
-// Options.MempoolCapacity asks for one; nil otherwise.
-func (c *Cluster) newPool(slot int) *mempool.Pool {
-	if c.opts.MempoolCapacity <= 0 {
-		return nil
-	}
-	c.Pools[slot] = mempool.New(mempool.Options{Capacity: c.opts.MempoolCapacity})
-	return c.Pools[slot]
-}
-
 // Request submits a user request at the given correct server.
 func (c *Cluster) Request(server int, label types.Label, data []byte) {
 	c.Servers[server].Request(label, data)
@@ -552,10 +463,10 @@ func (c *Cluster) Submit(server int, label types.Label, data []byte) error {
 // MempoolStats returns one slot's pool counters; the zero value when the
 // cluster runs without mempools (or the slot is down).
 func (c *Cluster) MempoolStats(slot int) mempool.Stats {
-	if c.Pools[slot] == nil {
+	if c.Servers[slot] == nil || c.Servers[slot].Mempool() == nil {
 		return mempool.Stats{}
 	}
-	return c.Pools[slot].Stats()
+	return c.Servers[slot].Mempool().Stats()
 }
 
 // injectLoad submits one round's synthetic client requests at a slot:
@@ -576,27 +487,22 @@ func (c *Cluster) injectLoad(slot int) {
 	}
 }
 
-// RunRounds schedules `rounds` dissemination rounds — every correct server
-// ticks its timers and disseminates once per round, staggered to break
-// symmetry — then runs the network to quiescence.
+// RunRounds schedules `rounds` dissemination rounds — every correct slot
+// takes its housekeeping, block and follow turns once per round,
+// staggered to break symmetry — then runs the network to quiescence.
 func (c *Cluster) RunRounds(rounds int) error {
 	for r := 0; r < rounds; r++ {
 		at := time.Duration(r) * c.interval
-		for i, srv := range c.Servers {
-			if srv == nil {
+		for i, nd := range c.Nodes {
+			if nd == nil {
 				continue
 			}
 			stagger := time.Duration(i) * time.Millisecond
 			c.Net.After(at+stagger, func() {
 				c.injectLoad(i)
-				srv.Tick(c.Net.Now())
-				if err := srv.Disseminate(); err != nil {
-					// Recorded by Health below; dissemination
-					// of a correct server cannot fail.
-					_ = err
-				}
-				c.maybeCheckpoint(i)
-				c.maybeFollow(i)
+				nd.Tick()
+				nd.Disseminate()
+				nd.FollowIfDue()
 			})
 		}
 	}
@@ -618,39 +524,13 @@ func (c *Cluster) RunUntil(maxRounds int, cond func() bool) (bool, error) {
 	return cond(), nil
 }
 
-// maybeCheckpoint applies the automatic checkpoint policy to one slot —
-// the simulator's mirror of the node runtime's segment-count trigger.
-func (c *Cluster) maybeCheckpoint(slot int) {
-	if c.opts.CheckpointEverySegments <= 0 {
-		return
+// FollowStats returns one slot's live-follower counters (zero for a slot
+// that is down).
+func (c *Cluster) FollowStats(slot int) node.FollowReport {
+	if c.Nodes[slot] == nil {
+		return node.FollowReport{}
 	}
-	st, srv := c.Stores[slot], c.Servers[slot]
-	if st == nil || srv == nil || st.WALSegments() < c.opts.CheckpointEverySegments {
-		return
-	}
-	// A checkpoint failure would surface on the next append or the
-	// test's own store assertions; the simulation keeps running.
-	_, _ = st.Checkpoint(srv.DAG())
-}
-
-// FollowStats returns one slot's live-follower counters.
-func (c *Cluster) FollowStats(slot int) FollowStats { return c.follow[slot].stats }
-
-// maybeFollow runs one slot's live-follower policy: when the poll period
-// has elapsed and no poll is outstanding, send a watermark-exchange
-// query to the next peer in rotation; if the answer advertises blocks
-// the local DAG lacks, pull the missing suffix through the validated
-// delta stream and absorb it into the running server. The whole chain —
-// query, decision, stream, absorption — runs as simulator events, so it
-// is deterministic and interleaves with gossip exactly as the node
-// runtime's follower loop interleaves with its event channels.
-func (c *Cluster) maybeFollow(slot int) {
-	if c.opts.FollowEvery <= 0 {
-		return
-	}
-	if now := c.Net.Now(); now-c.follow[slot].lastPoll >= c.opts.FollowEvery {
-		c.followPoll(slot)
-	}
+	return c.Nodes[slot].FollowReport()
 }
 
 // FollowOnce schedules one immediate follow poll at the given slot,
@@ -660,122 +540,19 @@ func (c *Cluster) maybeFollow(slot int) {
 // else scheduled, running the network to quiescence isolates exactly the
 // follow path's traffic.
 func (c *Cluster) FollowOnce(slot int) {
-	c.Net.After(0, func() { c.followPoll(slot) })
+	if nd := c.Nodes[slot]; nd != nil {
+		c.Net.After(0, nd.FollowPoll)
+	}
 }
 
-// followPoll opens one watermark-exchange query at the slot against the
-// next peer in rotation.
-func (c *Cluster) followPoll(slot int) {
-	fs := &c.follow[slot]
-	srv := c.Servers[slot]
-	if srv == nil || fs.inFlight || c.opts.FollowEvery <= 0 {
-		return
-	}
-	peers := c.followPeers(slot)
-	if len(peers) == 0 {
-		return
-	}
-	// Score-weighted rotation: with accountability on, quarantined peers
-	// are polled only when no clean peer remains and banned peers never;
-	// without a scorer this is the plain round-robin it always was.
-	peer, ok := c.Scorers[slot].Pick(peers, fs.nextPeer)
-	fs.nextPeer++
-	if !ok {
-		return // every peer is banned; FWD gossip remains the fallback
-	}
-	fs.lastPoll = c.Net.Now()
-	fs.inFlight = true
-	fs.stats.Polls++
-	query := syncsvc.NewWatermarkQuery(func(wms []syncsvc.Watermark, err error) {
-		c.followDecide(slot, srv, peer, wms, err)
-	})
-	c.Net.Transport(types.ServerID(slot)).Call(peer, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), query)
-}
-
-// followPeers lists the slots a follower polls: every other roster slot,
-// in ServerID order. Crashed or byzantine peers simply fail the call;
-// rotation reaches a live one within a round-trip's worth of polls.
-func (c *Cluster) followPeers(slot int) []types.ServerID {
-	peers := make([]types.ServerID, 0, c.opts.N-1)
-	for i := 0; i < c.opts.N; i++ {
-		if i != slot {
-			peers = append(peers, types.ServerID(i))
-		}
-	}
-	return peers
-}
-
-// followDecide consumes a watermark answer on the event loop: drop stale
-// polls (the slot crashed or was rebuilt mid-flight), count failures,
-// and open the delta pull when the peer is ahead. The decision core is
-// syncsvc.DeltaIfBehind, shared with the node runtime's follower.
-func (c *Cluster) followDecide(slot int, srv *core.Server, peer types.ServerID, wms []syncsvc.Watermark, err error) {
-	fs := &c.follow[slot]
-	if c.Servers[slot] != srv {
-		fs.inFlight = false
-		return
-	}
-	if err != nil {
-		c.followFail(slot, peer, err)
-		return
-	}
-	pull, perr := syncsvc.DeltaIfBehind(c.Roster, srv.DAG(), nil, wms, 0)
-	if perr != nil {
-		c.followFail(slot, peer, perr)
-		return
-	}
-	if pull == nil {
-		fs.inFlight = false // in sync with this peer; nothing to pull
-		return
-	}
-	fs.stats.Deltas++
-	sink := syncsvc.PullDone(pull, func() { c.followAbsorb(slot, srv, peer, pull) })
-	c.Net.Transport(types.ServerID(slot)).Call(peer, transport.ChanSync, pull.Request(), sink)
-}
-
-// followAbsorb feeds a finished delta pull's validated blocks to the
-// running server (syncsvc.AbsorbPull, shared with the node runtime).
-// Every absorbed block passed full validation whatever the stream's
-// terminal error, so a truncated or lying stream still yields its
-// genuine prefix; the rest arrives on a later poll or via FWD. An
-// absorb error is latched in srv.Health.
-func (c *Cluster) followAbsorb(slot int, srv *core.Server, peer types.ServerID, pull *syncsvc.Pull) {
-	fs := &c.follow[slot]
-	if c.Servers[slot] != srv {
-		fs.inFlight = false
-		return
-	}
-	absorbed, _, streamErr := syncsvc.AbsorbPull(pull, srv.AbsorbVerified)
-	fs.stats.Blocks += absorbed
-	if streamErr != nil {
-		c.followFail(slot, peer, streamErr)
-		return
-	}
-	fs.inFlight = false
-}
-
-// followFail settles a failed poll, classifying throttles separately (the
-// follower's cue that rotation, which the next poll does anyway, is the
-// right response; with accountability on, a throttling peer additionally
-// loses standing in the score-weighted rotation).
-func (c *Cluster) followFail(slot int, peer types.ServerID, err error) {
-	fs := &c.follow[slot]
-	if errors.Is(err, syncsvc.ErrThrottled) {
-		fs.stats.Throttled++
-		c.Scorers[slot].Penalize(peer, peerscore.Throttled)
-	} else {
-		fs.stats.Errors++
-	}
-	fs.inFlight = false
-}
-
-// Health surfaces the first internal error of any correct server.
+// Health surfaces the first runtime or internal error of any correct
+// slot.
 func (c *Cluster) Health() error {
-	for i, srv := range c.Servers {
-		if srv == nil {
+	for i, nd := range c.Nodes {
+		if nd == nil {
 			continue
 		}
-		if err := srv.Health(); err != nil {
+		if err := nd.Err(); err != nil {
 			return fmt.Errorf("cluster: server %d: %w", i, err)
 		}
 	}
@@ -815,33 +592,29 @@ func (c *Cluster) Converged() bool {
 	return true
 }
 
-// Crash simulates a full stop of the given server: it stops disseminating
-// (its slot becomes nil) and it is deregistered from the network, so
-// future traffic to it is dropped and any catch-up stream it was serving
-// aborts with transport.ErrStreamLost at the client. A store attached to
-// the slot is abandoned (store.Store.Abandon) without sealing or fsyncing
-// the live segment — the power-cut model — releasing its file handle so
+// Crash simulates a full stop of the given server: its runtime is stopped
+// (it takes no more turns, completions still in flight are dropped, its
+// gateway closes and in-flight clients get the broker's terminal signal)
+// and it is deregistered from the network, so future traffic to it is
+// dropped and any catch-up stream it was serving aborts with
+// transport.ErrStreamLost at the client. A store attached to the slot is
+// abandoned (store.Store.Abandon) without sealing or fsyncing the live
+// segment — the power-cut model — releasing its file handle so
 // crash/recover loops do not leak descriptors; reopen the directory via
-// RecoverServerFromStore (or store.Open for offline work). Recover the
-// slot with RecoverServer, RecoverServerFromStore, or — to exercise the
-// bulk sync path — RecoverServerViaSync.
+// RecoverServerFromStore (or store.Open for offline work). Mempool,
+// evidence pool and scorer die with the server: recovery builds fresh
+// ones and re-seeds the bans from the store's evidence sidecar, which is
+// the whole point of it. Recover the slot with RecoverServer,
+// RecoverServerFromStore, or — to exercise the bulk sync path —
+// RecoverServerViaSync.
 func (c *Cluster) Crash(slot int) {
-	c.Servers[slot] = nil
+	if nd := c.Nodes[slot]; nd != nil {
+		nd.Stop()
+	}
 	if st := c.Stores[slot]; st != nil {
 		st.Abandon()
 	}
-	c.Stores[slot] = nil
-	// The mempool is volatile state: queued requests die with the
-	// process, exactly as in production. Recovery builds a fresh pool.
-	c.Pools[slot] = nil
-	// So are the evidence pool and scorer: recovery re-seeds bans from
-	// the store's evidence sidecar, which is the whole point of it.
-	c.EvidencePools[slot] = nil
-	c.Scorers[slot] = nil
-	// The gateway dies with the process: in-flight clients get the clean
-	// terminal signal (closed broker), new connections are refused until
-	// recovery opens a fresh gateway on a fresh port.
-	c.closeGateway(slot)
+	c.Nodes[slot], c.Servers[slot], c.Stores[slot], c.gateways[slot] = nil, nil, nil, nil
 	c.Net.RegisterScorer(types.ServerID(slot), nil)
 	c.Net.Deregister(types.ServerID(slot))
 }
@@ -855,7 +628,7 @@ func (c *Cluster) BannedEverywhere(id types.ServerID) bool {
 		if srv == nil || types.ServerID(i) == id {
 			continue
 		}
-		if c.Scorers[i] == nil || !c.Scorers[i].Banned(id) {
+		if !srv.Scores().Banned(id) {
 			return false
 		}
 		any = true
@@ -864,11 +637,11 @@ func (c *Cluster) BannedEverywhere(id types.ServerID) bool {
 }
 
 // RecoverServer restarts a crashed slot from persisted blocks: a fresh
-// core.Server is built, Restore replays the blocks (re-validating and
-// re-interpreting them), the gossip chain state resumes the old chain, and
-// the endpoint is re-registered. Replayed indications are appended to the
-// slot's indication record, so callers observe at-least-once delivery
-// across the crash.
+// server and runtime are built, Restore replays the blocks (re-validating
+// and re-interpreting them), the gossip chain state resumes the old
+// chain, and the endpoint is re-registered. Replayed indications are
+// appended to the slot's indication record, so callers observe
+// at-least-once delivery across the crash.
 func (c *Cluster) RecoverServer(slot int, proto protocol.Protocol, stored []*block.Block) error {
 	return c.RecoverServerWith(slot, proto, stored, false)
 }
@@ -886,14 +659,14 @@ func (c *Cluster) RecoverServerWith(slot int, proto protocol.Protocol, stored []
 	if c.opts.StoreDir != "" {
 		return fmt.Errorf("cluster: recover server %d: cluster has durable stores, use RecoverServerFromStore", slot)
 	}
-	return c.recoverServer(slot, proto, stored, compress, nil)
+	return c.buildSlot(slot, proto, compress, nil, stored)
 }
 
 // RecoverServerFromStore restarts a crashed slot from its on-disk store:
 // the store directory under Options.StoreDir is reopened (replaying the
-// WAL, truncating any torn tail, revalidating every block), the recovered
-// blocks are restored into a fresh server, and journaling resumes on the
-// same store — the full production crash-recovery path, in simulation.
+// WAL, truncating any torn tail, revalidating every block) and node.New
+// restores a fresh server from it and resumes journaling on the same
+// store — the full production crash-recovery path, in simulation.
 func (c *Cluster) RecoverServerFromStore(slot int, proto protocol.Protocol) error {
 	if c.opts.StoreDir == "" {
 		return fmt.Errorf("cluster: recover server %d from store: cluster has no StoreDir", slot)
@@ -902,7 +675,7 @@ func (c *Cluster) RecoverServerFromStore(slot int, proto protocol.Protocol) erro
 	if err != nil {
 		return err
 	}
-	return c.recoverServer(slot, proto, st.Blocks(), c.opts.CompressReferences, st)
+	return c.buildSlot(slot, proto, c.opts.CompressReferences, st, nil)
 }
 
 // RecoverServerViaSync restarts a crashed slot through bulk catch-up: the
@@ -910,8 +683,10 @@ func (c *Cluster) RecoverServerFromStore(slot int, proto protocol.Protocol) erro
 // catch-up stream is pulled from the given peer's store over
 // transport.ChanSync, every streamed block is validated against the
 // roster and the DAG rules, the validated blocks are journaled, and the
-// server restores store plus stream in one replay. The network is driven
-// until the stream terminates, so the call is deterministic.
+// slot then restarts from its store like any other. The pull is driven
+// here, on the network's event loop until the stream terminates, because
+// the runtime's own startup catch-up (syncsvc.Fetch) waits on wall time;
+// the call is deterministic.
 //
 // The serving peer is untrusted: a stream carrying a tampered or
 // ill-ordered block aborts with its validation error, the slot stays
@@ -926,91 +701,31 @@ func (c *Cluster) RecoverServerViaSync(slot int, proto protocol.Protocol, from i
 	if err != nil {
 		return err
 	}
-	seed := st.Blocks()
-	pull, err := syncsvc.NewPull(c.Roster, seed, 0)
-	if err != nil {
+	fail := func(err error) error {
 		st.Abandon()
-		return fmt.Errorf("cluster: recover server %d via sync: %w", slot, err)
+		return fmt.Errorf("cluster: recover server %d via sync from %d: %w", slot, from, err)
+	}
+	pull, err := syncsvc.NewPull(c.Roster, st.Blocks(), 0)
+	if err != nil {
+		return fail(err)
 	}
 	tr := c.Net.Transport(types.ServerID(slot))
 	cancel := tr.Call(types.ServerID(from), transport.ChanSync, pull.Request(), pull)
 	if !c.Net.RunUntil(pull.Done) {
 		cancel()
-		st.Abandon()
-		return fmt.Errorf("cluster: recover server %d via sync: network quiesced before the stream ended", slot)
+		return fail(fmt.Errorf("network quiesced before the stream ended"))
 	}
-	fetched, perr := pull.Result()
-	if perr != nil {
-		st.Abandon()
-		return fmt.Errorf("cluster: recover server %d via sync from %d: %w", slot, from, perr)
+	fetched, err := pull.Result()
+	if err != nil {
+		return fail(err)
 	}
-	for _, b := range fetched {
-		if err := st.Append(b); err != nil {
-			st.Abandon()
-			return fmt.Errorf("cluster: recover server %d via sync: journal: %w", slot, err)
-		}
+	if err := st.AppendBatch(fetched); err != nil {
+		return fail(fmt.Errorf("journal: %w", err))
 	}
-	if err := st.Sync(); err != nil {
-		st.Abandon()
+	if err := st.Close(); err != nil {
 		return fmt.Errorf("cluster: recover server %d via sync: %w", slot, err)
 	}
-	replay := append(append([]*block.Block(nil), seed...), fetched...)
-	return c.recoverServer(slot, proto, replay, c.opts.CompressReferences, st)
-}
-
-// recoverServer rebuilds one slot from persisted blocks, optionally
-// resuming journaling on st.
-func (c *Cluster) recoverServer(slot int, proto protocol.Protocol, stored []*block.Block, compress bool, st *store.Store) error {
-	id := types.ServerID(slot)
-	m := &metrics.Metrics{}
-	broker := c.newBroker(slot)
-	cfg := core.Config{
-		Roster:             c.Roster,
-		Signer:             c.Signers[slot],
-		Protocol:           proto,
-		Transport:          c.Net.Transport(id),
-		Clock:              c.Net.Now,
-		Metrics:            m,
-		VerifyWorkers:      c.opts.VerifyWorkers,
-		Mempool:            c.newPool(slot),
-		CompressReferences: compress,
-		OnIndication: func(label types.Label, value []byte) {
-			c.inds[slot] = append(c.inds[slot], Indication{
-				Server: id, Label: label, Value: value,
-			})
-			broker.Publish(label, value)
-		},
-	}
-	if st != nil {
-		cfg.OnPersist = st.PersistSink(id)
-	}
-	c.wireAccountability(slot, &cfg, st)
-	srv, err := core.NewServer(cfg)
-	if err != nil {
-		return fmt.Errorf("cluster: recover server %d: %w", slot, err)
-	}
-	if st != nil {
-		// A pruned store stands on a base table: seed it before the
-		// replay so chains resume above the horizon.
-		if base := st.Base(); len(base) > 0 {
-			if err := srv.SeedBase(base); err != nil {
-				return fmt.Errorf("cluster: recover server %d: %w", slot, err)
-			}
-		}
-	}
-	if err := srv.Restore(stored); err != nil {
-		return fmt.Errorf("cluster: recover server %d: %w", slot, err)
-	}
-	if st != nil {
-		// Replay the evidence sidecar: bans survive the crash even when
-		// the proof's blocks never made it into the replayable DAG.
-		srv.SeedEvidence(st.Evidence())
-	}
-	c.register(slot, srv, st)
-	c.Servers[slot] = srv
-	c.Metrics[slot] = m
-	c.Stores[slot] = st
-	return c.openGateway(slot)
+	return c.RecoverServerFromStore(slot, proto)
 }
 
 // Seal builds and signs a block on behalf of the given server — the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -125,5 +126,57 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	}
 	if calls > 10 {
 		t.Fatalf("RunUntil kept running: %d checks", calls)
+	}
+}
+
+// TestEverySlotIsASteppedNode: every correct slot is a node.Node built by
+// node.New — at New and after each kind of recovery — and a simulated run
+// over durable, following, accountable slots starts no goroutine: the
+// runtime's waiting half never runs here.
+func TestEverySlotIsASteppedNode(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c, err := New(Options{
+		N: 4, Protocol: brb.Protocol{}, Byzantine: []int{3},
+		StoreDir: t.TempDir(), FollowEvery: 100 * time.Millisecond, Accountability: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			if c.Nodes[i] == nil || c.Nodes[i].Server() != c.Servers[i] {
+				t.Fatalf("slot %d is not backed by its node", i)
+			}
+		}
+	}
+	live()
+	if c.Nodes[3] != nil {
+		t.Fatal("byzantine slot has a runtime")
+	}
+	c.Request(0, "ℓ", []byte("v"))
+	if err := c.RunRounds(8); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(1)
+	if c.Nodes[1] != nil || c.Servers[1] != nil {
+		t.Fatal("crashed slot still has a runtime")
+	}
+	if err := c.RecoverServerFromStore(1, brb.Protocol{}); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(2)
+	if err := c.RecoverServerViaSync(2, brb.Protocol{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	live()
+	if err := c.RunRounds(8); err != nil {
+		t.Fatal(err)
+	}
+	if polls := c.FollowStats(0).Polls; polls == 0 {
+		t.Fatal("the run never took a follow turn")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("simulated run left %d goroutine(s) behind", after-before)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
+	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/transport"
@@ -115,7 +116,7 @@ func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
 // TestClusterLiveFollowerDeterministic: identical seeds give identical
 // follow traces — polls, deltas, pulled blocks, and network counters.
 func TestClusterLiveFollowerDeterministic(t *testing.T) {
-	run := func() (cluster.FollowStats, int64, int64) {
+	run := func() (node.FollowReport, int64, int64) {
 		c, err := cluster.New(cluster.Options{
 			N:           4,
 			Protocol:    brb.Protocol{},
@@ -135,7 +136,9 @@ func TestClusterLiveFollowerDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := c.Net.Stats()
-		return c.FollowStats(2), s.Calls, s.CallBytes
+		rep := c.FollowStats(2)
+		rep.LastErr = nil // an error value, not a count: compared by identity
+		return rep, s.Calls, s.CallBytes
 	}
 	s1, c1, b1 := run()
 	s2, c2, b2 := run()

@@ -95,11 +95,6 @@ type Config struct {
 	// state. Share one scorer between the server, its transport, and the
 	// sync service so every layer sees the same verdicts. Optional.
 	Scores *peerscore.Scorer
-	// OnEvidence observes every proof newly accepted into Evidence —
-	// the persistence hook (store.Store.AppendEvidence) that makes bans
-	// survive restarts. A persist error is latched in Health; the proof
-	// stays accepted. Optional.
-	OnEvidence func(*evidence.Proof) error
 
 	// Metrics, optional.
 	Metrics *metrics.Metrics
@@ -144,6 +139,10 @@ type Server struct {
 	// batcher, when set, group-commits each DeliverBatch burst's journal
 	// writes (SetPersistBatcher).
 	batcher BatchPersister
+
+	// evidenceSink, when set, journals every proof newly accepted into
+	// Config.Evidence (PersistEvidence).
+	evidenceSink func(*evidence.Proof) error
 
 	// firstErr records the first internal invariant violation (never
 	// expected; exposed for diagnosis rather than panicking).
@@ -217,6 +216,16 @@ func NewServer(cfg Config) (*Server, error) {
 
 // ID returns this server's identity.
 func (s *Server) ID() types.ServerID { return s.self }
+
+// Now reads Config.Clock — the one clock a runtime driving this server
+// paces its timers on, so retry bookkeeping and the caller's schedule
+// cannot disagree about what time it is.
+func (s *Server) Now() time.Duration { return s.cfg.Clock() }
+
+// Roster and Transport expose the server's wiring to the runtime, whose
+// live follower polls the same peers over the same links.
+func (s *Server) Roster() *crypto.Roster         { return s.cfg.Roster }
+func (s *Server) Transport() transport.Transport { return s.cfg.Transport }
 
 // Request implements Algorithm 3 lines 6–7: buffer (ℓ, r) for inclusion in
 // the next block. The request's journey: rqsts → block (Algorithm 1
@@ -343,10 +352,10 @@ func (s *Server) onInsert(b *block.Block) error {
 // durability for a ban matters (a restart would forget it), but the
 // in-memory conviction and its relay proceed regardless.
 func (s *Server) onEvidence(p *evidence.Proof) error {
-	if s.cfg.OnEvidence == nil {
+	if s.evidenceSink == nil {
 		return nil
 	}
-	if err := s.cfg.OnEvidence(p); err != nil {
+	if err := s.evidenceSink(p); err != nil {
 		err = fmt.Errorf("core: persist evidence against %v: %w", p.Equivocator(), err)
 		if s.firstErr == nil {
 			s.firstErr = err
@@ -356,17 +365,20 @@ func (s *Server) onEvidence(p *evidence.Proof) error {
 	return nil
 }
 
-// SeedEvidence replays persisted equivocation proofs into the
-// accountability layer — pool and ban, but no re-persist and no relay —
-// the recovery path that makes a ban survive a crash/restart (the proofs
-// come from store.Store.Evidence). Proofs are assumed verified by the
-// caller (the store re-verifies on load). A no-op when accountability
-// is off.
-func (s *Server) SeedEvidence(proofs []*evidence.Proof) {
+// PersistEvidence makes convictions durable — the SetPersist of the
+// accountability layer, wired by node.Config.Store: stored (the proofs
+// store.Store.Evidence recovered, re-verified on load) is replayed into
+// pool and scorer — ban, but no re-persist and no relay — and sink
+// (store.Store.AppendEvidence) then journals every proof newly accepted.
+// A ban thus survives a crash/restart even when the proof's blocks never
+// made it into the replayable DAG. A sink error is latched in Health; the
+// proof stays accepted. A no-op when accountability is off.
+func (s *Server) PersistEvidence(stored []*evidence.Proof, sink func(*evidence.Proof) error) {
 	if s.cfg.Evidence == nil {
 		return
 	}
-	for _, p := range proofs {
+	s.evidenceSink = sink
+	for _, p := range stored {
 		if !s.cfg.Evidence.Add(p) {
 			continue
 		}

@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
+	"blockdag/internal/simnet"
 	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/tcpnet"
@@ -16,150 +18,134 @@ import (
 	"blockdag/internal/types"
 )
 
-// TestNodeLiveFollower: a running node whose gossip link to the cluster
-// is effectively dead still converges on new history through the
-// follower loop — watermark poll, delta pull, absorption into the live
-// server — with every pulled block journaled and the node's own
-// watermark tracker advancing.
-func TestNodeLiveFollower(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test with real sockets")
+// steppedNode builds a node that is never started: server, transport and
+// clock all ride net, and the test steps the turns itself — the shell the
+// cluster simulator uses, without the cluster.
+func steppedNode(t *testing.T, net *simnet.Network, roster *crypto.Roster, signer *crypto.Signer, ccfg core.Config, ncfg node.Config) *node.Node {
+	t.Helper()
+	ccfg.Roster, ccfg.Signer, ccfg.Protocol = roster, signer, brb.Protocol{}
+	ccfg.Transport, ccfg.Clock = net.Transport(signer.ID()), net.Now
+	srv, err := core.NewServer(ccfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ncfg.Server = srv
+	nd, err := node.New(ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nd.Stop)
+	return nd
+}
+
+// extendChain appends n sealed blocks to signer's chain in st, on top of
+// parent (nil starts the chain), and returns the new tip.
+func extendChain(t *testing.T, st *store.Store, signer *crypto.Signer, parent *block.Block, n int) *block.Block {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		b := block.New(signer.ID(), 0, nil, nil)
+		if parent != nil {
+			b = block.New(signer.ID(), parent.Seq+1, []block.Ref{parent.Ref()}, nil)
+		}
+		if err := b.Seal(signer); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		parent = b
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return parent
+}
+
+// TestNodeLiveFollower: a node with no gossip link to its peer at all
+// converges on the peer's history through the follower alone — poll at
+// FollowEvery on the server's clock and not before, delta pull,
+// absorption into the live server — with every pulled block journaled
+// and the node's own watermark tracker advancing. The runtime is stepped
+// on the simulator's clock: no goroutine, no sleep, no retry deadline.
+func TestNodeLiveFollower(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := simnet.New()
+	goroutines := runtime.NumGoroutine()
 
 	// The peer: a store with history, served statically on the sync
-	// channel (no gossip toward the follower at all — the lag never
-	// heals by itself).
-	peerDir := t.TempDir()
-	chainLen := runDurableNode(t, peerDir, roster, signers[0])
-	peerStore, err := store.Open(peerDir, store.Options{Roster: roster})
+	// channel (nothing gossips toward the follower — the lag never heals
+	// by itself).
+	peerStore, err := store.Open(t.TempDir(), store.Options{Roster: roster})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = peerStore.Close() }()
-	peerTr, err := tcpnet.Listen(tcpnet.Config{
-		Self: 0, ListenAddr: "127.0.0.1:0",
-		Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: &transport.LateBound{}},
-		Handlers: map[transport.Channel]transport.Handler{
-			transport.ChanSync: &syncsvc.Server{Store: peerStore},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = peerTr.Close() }()
+	const chainLen, extra = 4, 5
+	tip := extendChain(t, peerStore, signers[0], nil, chainLen)
+	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: peerStore, Clock: net.Now})
 
-	// The follower: empty store, startup catch-up, and a follower loop
-	// driven by an injected tick channel.
-	myTr, err := tcpnet.Listen(tcpnet.Config{
-		Self: 1, ListenAddr: "127.0.0.1:0",
-		Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: &transport.LateBound{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = myTr.Close() }()
-	if err := myTr.Connect(0, peerTr.Addr()); err != nil {
-		t.Fatal(err)
-	}
 	myStore, err := store.Open(t.TempDir(), store.Options{Roster: roster})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = myStore.Close() }()
-	srv, err := core.NewServer(core.Config{
-		Roster:    roster,
-		Signer:    signers[1],
-		Protocol:  brb.Protocol{},
-		Transport: myTr,
-		Clock:     node.Clock(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	const every = 200 * time.Millisecond
+	nd := steppedNode(t, net, roster, signers[1], core.Config{}, node.Config{Store: myStore, FollowEvery: every})
+
+	// Not due one tick short of the period; due at it.
+	net.RunFor(every - time.Millisecond)
+	if wait := nd.FollowIfDue(); wait != time.Millisecond || nd.FollowReport().Polls != 0 {
+		t.Fatalf("before the period: wait %v, report %+v", wait, nd.FollowReport())
 	}
-	followTick := make(chan time.Time)
-	nd, err := node.New(node.Config{
-		Server: srv,
-		Store:  myStore,
-		CatchUp: &syncsvc.FetchConfig{
-			Transport: myTr,
-			Roster:    roster,
-			Peers:     []types.ServerID{0},
-			Timeout:   10 * time.Second,
-		},
-		FollowEvery: time.Hour, // period irrelevant: ticks are injected
-		FollowTick:  followTick,
-	})
-	if err != nil {
-		t.Fatal(err)
+	net.RunFor(time.Millisecond)
+	if wait := nd.FollowIfDue(); wait != every {
+		t.Fatalf("at the period: wait %v, want %v", wait, every)
 	}
-	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Blocks != chainLen {
-		t.Fatalf("startup catch-up = %+v, want %d blocks", rep, chainLen)
-	}
-	if err := nd.Start(); err != nil {
-		t.Fatal(err)
+	// A second turn while the first poll is in flight stacks nothing.
+	nd.FollowPoll()
+	net.Run()
+	if rep := nd.FollowReport(); rep.Polls != 1 || rep.Deltas != 1 || rep.Blocks != chainLen || rep.Errors != 0 {
+		t.Fatalf("first poll: %+v, want one delta of %d blocks", rep, chainLen)
 	}
 
-	// The peer's history grows while the follower runs; only the sync
-	// channel can tell it.
-	const extra = 5
-	parent := lastByBuilder(t, peerStore.Blocks(), 0)
-	for i := 0; i < extra; i++ {
-		b := block.New(0, parent.Seq+1, []block.Ref{parent.Ref()}, nil)
-		if err := b.Seal(signers[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := peerStore.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		parent = b
-	}
-	if err := peerStore.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	// One injected tick = one poll; repeat until the delta lands (the
-	// first poll races the Append above only in the test, never in the
-	// protocol, so a retry loop is the honest harness).
-	deadline := time.Now().Add(15 * time.Second)
-	for nd.FollowReport().Blocks < extra {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never pulled the %d-block suffix: %+v (node err: %v)", extra, nd.FollowReport(), nd.Err())
-		}
-		select {
-		case followTick <- time.Now():
-		default: // loop busy mid-poll; let it finish
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// The peer's history grows; only the sync channel can tell.
+	extendChain(t, peerStore, signers[0], tip, extra)
+	net.RunFor(every)
+	nd.FollowIfDue()
+	net.Run()
+	// In sync now: a forced poll costs a query and pulls nothing.
+	nd.FollowPoll()
+	net.Run()
 	rep := nd.FollowReport()
-	nd.Stop()
+	if rep.Polls != 3 || rep.Deltas != 2 || rep.Blocks != chainLen+extra || rep.Errors != 0 {
+		t.Fatalf("follow report %+v, want 3 polls, 2 deltas, %d blocks", rep, chainLen+extra)
+	}
 	if err := nd.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Deltas == 0 {
-		t.Fatalf("follow report %+v: blocks arrived without a delta pull?", rep)
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Fatalf("a stepped runtime started %d goroutine(s)", got-goroutines)
 	}
 
 	// The live server absorbed the suffix...
-	if got := len(srv.DAG().ByBuilder(0)); got != chainLen+extra {
+	if got := len(nd.Server().DAG().ByBuilder(0)); got != chainLen+extra {
 		t.Fatalf("follower holds %d of the peer's blocks, want %d", got, chainLen+extra)
 	}
 	// ...the tracker advertises it...
-	wms := nd.Watermarks()
 	found := false
-	for _, wm := range wms {
-		if wm.Builder == 0 && wm.NextSeq == uint64(chainLen+extra) {
+	for _, wm := range nd.Watermarks() {
+		if wm.Builder == 0 && wm.NextSeq == chainLen+extra {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("tracker vector %v does not advertise builder 0 at %d", wms, chainLen+extra)
+		t.Fatalf("tracker vector %v does not advertise builder 0 at %d", nd.Watermarks(), chainLen+extra)
 	}
 	// ...and every pulled block was journaled: a reopen replays them.
+	nd.Stop()
 	if err := myStore.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,17 +165,108 @@ func TestNodeLiveFollower(t *testing.T) {
 	}
 }
 
-// lastByBuilder returns the highest-seq block of one builder.
-func lastByBuilder(t *testing.T, blocks []*block.Block, builder types.ServerID) *block.Block {
-	t.Helper()
-	var last *block.Block
-	for _, b := range blocks {
-		if b.Builder == builder && (last == nil || b.Seq > last.Seq) {
-			last = b
+// TestNodeFollowerStopDropsLateCompletion: Stop makes a stepped node
+// inert — the post hook drops what comes home afterwards.
+func TestNodeFollowerStopDropsLateCompletion(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New()
+	peerStore, err := store.Open(t.TempDir(), store.Options{Roster: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = peerStore.Close() }()
+	extendChain(t, peerStore, signers[0], nil, 3)
+	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: peerStore, Clock: net.Now})
+	nd := steppedNode(t, net, roster, signers[1], core.Config{}, node.Config{FollowEvery: time.Second})
+
+	// The poll goes out, the node stops (the simulator's crash), and the
+	// answer arrives at a dead runtime: nothing may touch the server.
+	nd.FollowPoll()
+	nd.Stop()
+	net.Run()
+	if rep := nd.FollowReport(); rep.Polls != 1 || rep.Deltas != 0 || rep.Blocks != 0 {
+		t.Fatalf("stopped node acted on a late completion: %+v", rep)
+	}
+	if got := nd.Server().DAG().Len(); got != 0 {
+		t.Fatalf("stopped node absorbed %d blocks", got)
+	}
+	if err := nd.Start(); err == nil {
+		t.Fatal("Start after Stop succeeded")
+	}
+}
+
+// TestNodeLiveFollowerStarted covers the other shell: on a started node
+// the follow timer fires on the loop goroutine and completions come home
+// through its channel, over real TCP — startup catch-up first, then the
+// follower pulls what the peer appended afterwards.
+func TestNodeLiveFollowerStarted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test with real sockets")
+	}
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerStore, err := store.Open(t.TempDir(), store.Options{Roster: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = peerStore.Close() }()
+	const chainLen, extra = 4, 5
+	tip := extendChain(t, peerStore, signers[0], nil, chainLen)
+	listen := func(self types.ServerID, handlers map[transport.Channel]transport.Handler) *tcpnet.Transport {
+		tr, err := tcpnet.Listen(tcpnet.Config{
+			Self: self, ListenAddr: "127.0.0.1:0",
+			Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: &transport.LateBound{}},
+			Handlers:  handlers,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { _ = tr.Close() })
+		return tr
 	}
-	if last == nil {
-		t.Fatalf("no blocks by builder %d", builder)
+	peerTr := listen(0, map[transport.Channel]transport.Handler{transport.ChanSync: &syncsvc.Server{Store: peerStore}})
+	myTr := listen(1, nil)
+	if err := myTr.Connect(0, peerTr.Addr()); err != nil {
+		t.Fatal(err)
 	}
-	return last
+	srv, err := core.NewServer(core.Config{
+		Roster: roster, Signer: signers[1], Protocol: brb.Protocol{},
+		Transport: myTr, Clock: node.Clock(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := node.New(node.Config{
+		Server: srv,
+		CatchUp: &syncsvc.FetchConfig{
+			Transport: myTr, Roster: roster, Peers: []types.ServerID{0}, Timeout: 10 * time.Second,
+		},
+		FollowEvery: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Blocks != chainLen {
+		t.Fatalf("startup catch-up = %+v, want %d blocks", rep, chainLen)
+	}
+	if err := nd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Stop()
+	extendChain(t, peerStore, signers[0], tip, extra)
+	waitFor(t, 15*time.Second, "the follower to pull the appended suffix", func() bool {
+		return nd.FollowReport().Blocks >= extra
+	})
+	nd.Stop()
+	if err := nd.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(srv.DAG().ByBuilder(0)); got != chainLen+extra {
+		t.Fatalf("follower holds %d of the peer's blocks, want %d", got, chainLen+extra)
+	}
 }

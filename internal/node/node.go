@@ -1,27 +1,34 @@
-// Package node is the concurrent runtime for a core.Server: it owns the
-// single goroutine that drives the deterministic state machine and feeds
-// it network deliveries, user requests, and the periodic disseminate and
-// FWD-retry timers (Algorithm 3's "repeatedly gssp.disseminate()").
+// Package node is the runtime of a core.Server: one runtime, two shells.
 //
-// The split keeps all protocol logic deterministic and single-threaded —
-// testable on the simulator — while this package confines the concurrency:
-// channels in, one loop goroutine, explicit shutdown, no fire-and-forget.
+// The runtime proper is a set of turns — synchronous methods that each
+// run one event to completion against the deterministic state machine:
+// DeliverBurst, the server's own Request, Disseminate (Algorithm 3's
+// "repeatedly gssp.disseminate()"), Tick (FWD retries, interval fsync,
+// state seal, checkpoint policy) and FollowIfDue (the live follower).
+// Turns read time from the server's clock only (core.Server.Now) and
+// never wait; what cannot finish inside one — a peer's watermark answer,
+// a settled delta pull — comes home through one internal hook, post, as a
+// turn of its own. Whoever calls the turns owns the server: one caller
+// at a time.
 //
-// Around the loop the runtime wires the operational services: durable
-// persistence (Config.Store, with the own-block externalization barrier
-// the store package documents), startup bulk catch-up (Config.CatchUp),
-// automatic checkpointing (Config.CheckpointEverySegments/-Bytes), and
-// the live-follower loop (Config.FollowEvery) that keeps a running node
-// converged by polling peers' watermarks and pulling missing suffixes
-// over the sync channel. The follower's transport callbacks never touch
-// server state: results come home through a channel and are applied on
-// the loop goroutine, like every other input. Follower and checkpoint
-// scheduling compose without coordination — absorbed blocks are
-// journaled through the same persistence sink as gossiped ones, so they
-// count toward the same segment/byte thresholds and appear in the
-// snapshots served to other catch-up clients; the node's own watermark
-// vector (Watermarks, backed by a tracker the sink advances) stays
-// consistent with the store across checkpoints, restarts, and pulls.
+// The goroutine shell (Start/Stop) is the part that waits: it owns the
+// loop goroutine, the ingestion channels and the timers, runs a turn per
+// event, and makes post a send to that loop. The other shell is the
+// simulator (package cluster): it never calls Start, steps the same turns
+// from simnet events on its virtual clock, and post runs inline, the
+// transport's callback being on the event loop already. A Node that is
+// never started starts no goroutine.
+//
+// New wires the operational services around the server, the same for
+// both shells: durable persistence with the own-block externalization
+// barrier and the evidence sidecar (Config.Store), startup bulk catch-up
+// (Config.CatchUp), the checkpoint policy, the live follower
+// (Config.FollowEvery) and the indication broker. Follower and checkpoint
+// compose without coordination — absorbed blocks are journaled through
+// the same sink as gossiped ones, so they count toward the same
+// thresholds and appear in the snapshots served to catch-up clients, and
+// the node's own watermark vector (Watermarks) stays consistent with the
+// store across checkpoints, restarts, and pulls.
 package node
 
 import (
@@ -39,7 +46,6 @@ import (
 	"blockdag/internal/roster"
 	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
-	"blockdag/internal/transport"
 	"blockdag/internal/types"
 )
 
@@ -62,13 +68,15 @@ type Config struct {
 	TickEvery time.Duration
 	// Store, if non-nil, makes the server durable: New replays the
 	// store's recovered blocks through core.Server.Restore (resuming the
-	// pre-crash chain), installs the store's persistence sink
+	// pre-crash chain) and its evidence sidecar through
+	// core.Server.PersistEvidence (a ban survives the restart, and new
+	// convictions are journaled), installs the store's persistence sink
 	// (store.Store.PersistSink, which force-syncs own blocks before
-	// gossip broadcasts them), and the loop drives interval fsync
-	// alongside the FWD timer. The store must be freshly opened (store.Open) and the
+	// gossip broadcasts them), and Tick drives interval fsync alongside
+	// the FWD timer. The store must be freshly opened (store.Open) and the
 	// server freshly built; the caller keeps ownership and closes the
-	// store after Stop. On a clean shutdown Stop leaves the WAL fully
-	// synced.
+	// store after Stop. On a clean shutdown a started node's Stop leaves
+	// the WAL fully synced.
 	Store *store.Store
 	// CatchUp, if non-nil, bulk-syncs the server before the loop starts:
 	// New asks the configured peers for every block the store does not
@@ -92,16 +100,13 @@ type Config struct {
 	// pause, flapping link, asymmetric partition — thus reconverges in
 	// one streamed round trip instead of re-fetching the gap one FWD
 	// round trip at a time; FWD stays armed as the fallback for anything
-	// the follower has not pulled yet. Requires Config.CatchUp (the
-	// follower reuses its Transport, Roster, Peers, and MaxBlocks).
+	// the follower has not pulled yet. The follower reuses CatchUp's
+	// Transport, Roster, Peers, and MaxBlocks; without CatchUp it polls
+	// every other roster member over the server's own transport.
 	// A throttled or failing peer costs one poll period: the next poll
 	// rotates to the next peer. 0 disables.
 	FollowEvery time.Duration
-	// FollowTick overrides the follower loop's timer — tests and
-	// deterministic harnesses inject their own tick channel; nil runs a
-	// time.Ticker at FollowEvery.
-	FollowTick <-chan time.Time
-	// CheckpointEverySegments, with Store set, makes the loop call
+	// CheckpointEverySegments, with Store set, makes Tick call
 	// Store.Checkpoint whenever the WAL has accumulated that many
 	// segments since the last snapshot — bounding disk, recovery time,
 	// and the stream a catch-up server sends, and keeping a fresh
@@ -165,19 +170,8 @@ func Clock() func() time.Duration {
 	return func() time.Duration { return time.Since(start) }
 }
 
-// inbound is one network delivery awaiting the loop.
-type inbound struct {
-	from    types.ServerID
-	payload []byte
-}
-
-// request is one user request awaiting the loop.
-type request struct {
-	label types.Label
-	data  []byte
-}
-
-// Node runs a core.Server on its own goroutine.
+// Node is the runtime of one core.Server: stepped turn by turn by its
+// owner, or run on its own goroutine after Start.
 type Node struct {
 	cfg Config
 
@@ -185,8 +179,12 @@ type Node struct {
 	// guideline deliberately: they absorb network bursts while the loop
 	// is mid-block; senders (transport read goroutines) block when the
 	// buffer fills, which is the desired backpressure.
-	in   chan inbound
-	reqs chan request
+	in   chan gossip.Message
+	reqs chan block.Request
+	// posted carries async completions to the loop of a started node
+	// (looping); see post.
+	posted  chan func()
+	looping bool
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -213,49 +211,42 @@ type Node struct {
 	// served is the current sealed snapshot offered on the sync
 	// channel's snapshot tier (immutable value, swapped under mu).
 	served *syncsvc.ServedSnapshot
-	// lastSeal/lastSealedSlot pace the seal cycle. Loop-goroutine only.
-	lastSeal       time.Time
+	// lastSeal/lastSealedSlot pace the seal cycle. Owner only.
+	lastSeal       time.Duration
 	lastSealedSlot uint64
 
 	catchUp CatchUpReport
 	// ckptFloor is the store's on-disk size after the last checkpoint
 	// (or at startup): the baseline CheckpointEveryBytes growth is
-	// measured from. Loop-goroutine only.
+	// measured from. Owner only.
 	ckptFloor int64
 
 	// tracker maintains this node's own watermark vector (durable nodes
-	// only): the loop observes every block as it persists, and the sync
-	// service answers watermark queries from the snapshot instead of
-	// scanning the store. Thread-safe.
+	// only): the persistence sink observes every block as it persists,
+	// and the sync service answers watermark queries from the snapshot
+	// instead of scanning the store. Thread-safe.
 	tracker *syncsvc.WatermarkTracker
 
-	// followC hands async follow results (watermark answers, settled
-	// delta pulls) back to the loop goroutine, which owns all server
-	// state. Loop-goroutine fields below it.
-	followC chan followResult
-	// followInFlight tracks the outstanding poll (at most one);
-	// followPeer is the rotation cursor over CatchUp.Peers.
+	// followVia is whom and how the follower polls (Transport, Roster,
+	// Peers, MaxBlocks). lastFollow is when the last poll was issued,
+	// followInFlight tracks the outstanding poll (at most one), followPeer
+	// is the rotation cursor over the peers. Owner only.
+	followVia      syncsvc.FetchConfig
+	lastFollow     time.Duration
 	followInFlight bool
 	followPeer     int
 }
 
-// followResult is one async follower event awaiting the loop: a
-// watermark answer (pull nil) or a settled delta pull.
-type followResult struct {
-	peer types.ServerID
-	wms  []syncsvc.Watermark
-	pull *syncsvc.Pull
-	err  error
-}
-
 // New validates the config and prepares a node. With Config.Store set,
-// New performs the recover-resume handshake: the store's recovered log is
-// replayed so the server continues its pre-crash chain, then the store's
-// persistence sink is installed — before any other block can be inserted,
-// and only once the replay has succeeded, so a failed New leaves the
-// caller-owned server without a sink and free to retry. With
-// Config.CatchUp additionally set, the bulk sync runs between recovery
-// and replay, so the server restores store and stream in one pass.
+// New performs the recover-resume handshake: the evidence sidecar is
+// replayed (bans are in force before the first delivery), the store's
+// recovered log is replayed so the server continues its pre-crash chain,
+// then the store's persistence sink is installed — before any other block
+// can be inserted, and only once the replay has succeeded, so a failed
+// New leaves the caller-owned server without a sink and free to retry.
+// With Config.CatchUp additionally set, the bulk sync runs between
+// recovery and replay, so the server restores store and stream in one
+// pass.
 func New(cfg Config) (*Node, error) {
 	if cfg.Server == nil {
 		return nil, errors.New("node: config needs a Server")
@@ -274,14 +265,6 @@ func New(cfg Config) (*Node, error) {
 			cfg.CatchUp = &catchUp
 		}
 	}
-	if cfg.FollowEvery > 0 {
-		switch {
-		case cfg.CatchUp == nil:
-			return nil, errors.New("node: FollowEvery needs Config.CatchUp (the follower reuses its transport, roster, and peers)")
-		case cfg.CatchUp.Transport == nil || cfg.CatchUp.Roster == nil || len(cfg.CatchUp.Peers) == 0:
-			return nil, errors.New("node: FollowEvery needs CatchUp's Transport, Roster, and Peers")
-		}
-	}
 	if cfg.DisseminateEvery <= 0 {
 		cfg.DisseminateEvery = 50 * time.Millisecond
 	}
@@ -289,12 +272,30 @@ func New(cfg Config) (*Node, error) {
 		cfg.TickEvery = 100 * time.Millisecond
 	}
 	n := &Node{
-		cfg:     cfg,
-		in:      make(chan inbound, 256),
-		reqs:    make(chan request, 256),
-		done:    make(chan struct{}),
-		followC: make(chan followResult, 4),
-		broker:  NewIndicationBroker(cfg.RecentIndications),
+		cfg:    cfg,
+		in:     make(chan gossip.Message, 256),
+		reqs:   make(chan block.Request, 256),
+		posted: make(chan func(), 4),
+		done:   make(chan struct{}),
+		broker: NewIndicationBroker(cfg.RecentIndications),
+	}
+	if cfg.FollowEvery > 0 {
+		// The follower polls over CatchUp's wiring when there is one,
+		// otherwise every other roster member over the server's transport.
+		if c := cfg.CatchUp; c != nil {
+			if c.Transport == nil || c.Roster == nil || len(c.Peers) == 0 {
+				return nil, errors.New("node: FollowEvery needs CatchUp's Transport, Roster, and Peers")
+			}
+			n.followVia = *c
+		} else {
+			srv := cfg.Server
+			n.followVia = syncsvc.FetchConfig{Transport: srv.Transport(), Roster: srv.Roster()}
+			for _, id := range srv.Roster().IDs() {
+				if id != srv.ID() {
+					n.followVia.Peers = append(n.followVia.Peers, id)
+				}
+			}
+		}
 	}
 	// The broker observes before the replay below runs, so indications of
 	// restored blocks land in its replay index: a gateway await for a
@@ -315,6 +316,10 @@ func New(cfg Config) (*Node, error) {
 				return nil, fmt.Errorf("node: seed pruned-history base: %w", err)
 			}
 		}
+		// Convictions first: the sidecar's bans hold from the first
+		// delivery on, and an equivocation the block replay re-detects is
+		// already pooled instead of being relayed afresh on every restart.
+		cfg.Server.PersistEvidence(cfg.Store.Evidence(), cfg.Store.AppendEvidence)
 		if cfg.State != nil {
 			// Rebuild the machine from the journaled checkpoint (and
 			// fast-forward the smr frontier) before the Restore replay
@@ -392,6 +397,10 @@ func New(cfg Config) (*Node, error) {
 			n.ckptFloor = floor
 		}
 	}
+	// The follow and seal periods count from here, not from the clock's
+	// origin: a long catch-up above must not make the first turn overdue.
+	n.lastFollow = cfg.Server.Now()
+	n.lastSeal = n.lastFollow
 	return n, nil
 }
 
@@ -399,8 +408,8 @@ func New(cfg Config) (*Node, error) {
 // Config.CatchUp was nil).
 func (n *Node) CatchUpReport() CatchUpReport { return n.catchUp }
 
-// FollowReport returns the live-follower loop's counters so far (zero
-// value when Config.FollowEvery was 0). Safe for concurrent use.
+// FollowReport returns the live follower's counters so far (zero value
+// when Config.FollowEvery was 0). Safe for concurrent use.
 func (n *Node) FollowReport() FollowReport {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -450,14 +459,17 @@ func (n *Node) StoreDiskSize() (int64, bool) {
 	return size, true
 }
 
-// Start launches the loop goroutine. It is an error to start twice.
+// Start launches the loop goroutine, which from then on owns the server:
+// the caller must not step turns itself any more. It is an error to start
+// twice, or after Stop.
 func (n *Node) Start() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.started {
-		return errors.New("node: already started")
+		return errors.New("node: already started or stopped")
 	}
 	n.started = true
+	n.looping = true
 	ctx, cancel := context.WithCancel(context.Background())
 	n.cancel = cancel
 	n.wg.Add(1)
@@ -471,12 +483,18 @@ func (n *Node) Start() error {
 // hooks run — the gateway's hook waits for its in-flight HTTP requests to
 // finish — and only then is the loop cancelled and awaited. A slow client
 // request thus completes against a live server and gets a real response,
-// not a connection reset. Idempotent.
+// not a connection reset. A node that was never started has no loop to
+// await: Stop then only makes it inert (late completions are dropped).
+// Idempotent.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		n.broker.Close()
 		n.mu.Lock()
 		hooks := append([]func(){}, n.stopHooks...)
+		if !n.started {
+			n.started = true
+			close(n.done)
+		}
 		n.mu.Unlock()
 		for _, h := range hooks {
 			h()
@@ -513,16 +531,16 @@ func (n *Node) Indications() *IndicationBroker { return n.broker }
 // Deliveries after Stop are discarded.
 func (n *Node) Deliver(from types.ServerID, payload []byte) {
 	select {
-	case n.in <- inbound{from: from, payload: append([]byte(nil), payload...)}:
+	case n.in <- gossip.Message{From: from, Payload: append([]byte(nil), payload...)}:
 	case <-n.done:
 	}
 }
 
-// Request queues a user request (shim interface request(ℓ, r)). Requests
-// after Stop are discarded.
+// Request queues a user request (shim interface request(ℓ, r)) for the
+// loop. Requests after Stop are discarded.
 func (n *Node) Request(label types.Label, data []byte) {
 	select {
-	case n.reqs <- request{label: label, data: append([]byte(nil), data...)}:
+	case n.reqs <- block.Request{Label: label, Data: append([]byte(nil), data...)}:
 	case <-n.done:
 	}
 }
@@ -542,7 +560,7 @@ func (n *Node) Submit(label types.Label, data []byte) error {
 	return nil
 }
 
-// Err returns the first runtime error observed by the loop, combined with
+// Err returns the first runtime error observed by a turn, combined with
 // the server's own health.
 func (n *Node) Err() error {
 	n.mu.Lock()
@@ -565,10 +583,12 @@ func (n *Node) recordErr(err error) {
 }
 
 // Server exposes the underlying shim (read-only access such as DAG() and
-// Metrics() is safe only after Stop, or from the indication callback which
-// runs on the loop goroutine).
+// Metrics() is safe only from the server's owner: after Stop, between
+// stepped turns, or from the indication callback).
 func (n *Node) Server() *core.Server { return n.cfg.Server }
 
+// loop is the goroutine shell: it waits — on the channels, the two
+// tickers, the follow timer — and runs one turn per event.
 func (n *Node) loop(ctx context.Context) {
 	defer n.wg.Done()
 	defer close(n.done)
@@ -576,212 +596,73 @@ func (n *Node) loop(ctx context.Context) {
 		// Clean shutdowns leave no unsynced tail, whatever the policy.
 		defer func() { n.recordErr(n.cfg.Store.Sync()) }()
 	}
-	srv := n.cfg.Server
 	disseminate := time.NewTicker(n.cfg.DisseminateEvery)
 	defer disseminate.Stop()
 	tick := time.NewTicker(n.cfg.TickEvery)
 	defer tick.Stop()
-	followTick := n.cfg.FollowTick
-	if n.cfg.FollowEvery > 0 && followTick == nil {
-		ft := time.NewTicker(n.cfg.FollowEvery)
-		defer ft.Stop()
-		followTick = ft.C
-	}
-	start := time.Now()
+	follow := time.NewTimer(n.FollowIfDue())
+	defer follow.Stop()
 
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case msg := <-n.in:
-			n.deliverBurst(srv, msg)
+			n.DeliverBurst(n.drainBurst(msg))
 		case rq := <-n.reqs:
-			srv.Request(rq.label, rq.data)
+			n.cfg.Server.Request(rq.Label, rq.Data)
 		case <-disseminate.C:
-			// A failed disseminate means the block could not be
-			// persisted (broadcast withheld, server unhealthy) or
-			// an internal invariant broke; record for Err(). The
-			// loop keeps running: delivery, interpretation, and
-			// FWD service stay up on an unhealthy server.
-			n.recordErr(srv.Disseminate())
+			n.Disseminate()
 		case <-tick.C:
-			srv.Tick(time.Since(start))
-			if n.cfg.Store != nil {
-				n.recordErr(n.cfg.Store.Tick())
-				n.maybeSealState()
-				n.maybeCheckpoint()
-			}
-		case <-followTick:
-			n.startFollowPoll()
-		case r := <-n.followC:
-			n.handleFollowResult(r)
+			n.Tick()
+		case <-follow.C:
+			follow.Reset(n.FollowIfDue())
+		case turn := <-n.posted:
+			turn()
 		}
 	}
 }
 
 // ingestBurst bounds how many queued deliveries one loop iteration
-// drains into a single DeliverBatch. It caps the latency the timers (and
+// drains into a single DeliverBurst. It caps the latency the timers (and
 // user requests) can accrue behind a network burst while still giving
 // the batch verifier enough signatures to amortize across cores.
 const ingestBurst = 64
 
-// deliverBurst hands the first queued delivery plus everything else
-// already waiting (up to ingestBurst) to the server in one batch, so a
-// backlog pays one parallel signature-verification pass instead of one
-// serial verify per message. With nothing else queued this degenerates
-// to exactly the old per-message Deliver.
-func (n *Node) deliverBurst(srv *core.Server, first inbound) {
-	batch := make([]gossip.Message, 1, ingestBurst)
-	batch[0] = gossip.Message{From: first.from, Payload: first.payload}
+// drainBurst gathers the first queued delivery plus everything else
+// already waiting (up to ingestBurst), so a backlog pays one parallel
+// signature-verification pass instead of one serial verify per message.
+// With nothing else queued the burst is that one message.
+func (n *Node) drainBurst(first gossip.Message) []gossip.Message {
+	batch := append(make([]gossip.Message, 0, ingestBurst), first)
 	for len(batch) < ingestBurst {
 		select {
 		case msg := <-n.in:
-			batch = append(batch, gossip.Message{From: msg.from, Payload: msg.payload})
+			batch = append(batch, msg)
 		default:
-			srv.DeliverBatch(batch)
-			return
+			return batch
 		}
 	}
-	srv.DeliverBatch(batch)
+	return batch
 }
 
-// startFollowPoll opens one watermark-exchange query against the next
-// peer in rotation. Runs on the loop goroutine; at most one poll (query
-// or delta pull) is in flight at a time, so a slow peer stretches the
-// period instead of stacking requests.
-func (n *Node) startFollowPoll() {
-	if n.followInFlight || n.cfg.FollowEvery <= 0 {
-		return
-	}
-	// Score-weighted rotation: with a scorer configured (core.Config.Scores)
-	// the poll prefers peers outside quarantine and never targets a banned
-	// one; without, this is the plain round-robin it always was.
-	peers := n.cfg.CatchUp.Peers
-	peer, ok := n.cfg.Server.Scores().Pick(peers, n.followPeer)
-	n.followPeer++
-	if !ok {
-		return // every sync peer is banned; FWD gossip remains the fallback
-	}
-	n.followInFlight = true
-	n.noteFollow(func(r *FollowReport) { r.Polls++ })
-	query := syncsvc.NewWatermarkQuery(func(wms []syncsvc.Watermark, err error) {
-		n.postFollow(followResult{peer: peer, wms: wms, err: err})
-	})
-	n.cfg.CatchUp.Transport.Call(peer, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), query)
-}
-
-// handleFollowResult consumes one async follower event on the loop
-// goroutine: decide on a watermark answer, or absorb a settled pull.
-// The decision and absorption cores live in syncsvc (DeltaIfBehind,
-// AbsorbPull), shared with the cluster simulator's driver.
-func (n *Node) handleFollowResult(r followResult) {
-	srv := n.cfg.Server
-	if r.pull != nil { // a delta pull settled
-		// Every absorbed block passed full validation whatever the
-		// stream's terminal error; a truncated or lying stream still
-		// yields its genuine prefix. Persist trouble is latched in
-		// Health (and recorded here). The absorption is bracketed in one
-		// store group commit — the pulled suffix journals with one write
-		// per segment run instead of one per block.
-		if n.cfg.Store != nil {
-			n.cfg.Store.BeginBatch()
-		}
-		absorbed, absorbErr, streamErr := syncsvc.AbsorbPull(r.pull, srv.AbsorbVerified)
-		if n.cfg.Store != nil {
-			n.recordErr(n.cfg.Store.FlushBatch())
-		}
-		n.recordErr(absorbErr)
-		n.noteFollow(func(rep *FollowReport) { rep.Blocks += absorbed })
-		n.settleFollow(r.peer, streamErr)
-		return
-	}
-	if r.err != nil {
-		n.settleFollow(r.peer, r.err)
-		return
-	}
-	// Durable nodes pass the tracker's O(#builders) horizon; a
-	// storeless node (nil horizon) falls back to a DAG scan inside
-	// DeltaIfBehind.
-	var horizon map[types.ServerID]uint64
-	if n.tracker != nil {
-		horizon = n.tracker.Horizon()
-	}
-	pull, err := syncsvc.DeltaIfBehind(n.cfg.CatchUp.Roster, srv.DAG(), horizon, r.wms, n.cfg.CatchUp.MaxBlocks)
-	if err != nil {
-		n.settleFollow(r.peer, err)
-		return
-	}
-	if pull == nil {
-		n.settleFollow(r.peer, nil) // in sync with this peer; nothing to pull
-		return
-	}
-	n.noteFollow(func(rep *FollowReport) { rep.Deltas++ })
-	sink := syncsvc.PullDone(pull, func() {
-		n.postFollow(followResult{peer: r.peer, pull: pull})
-	})
-	n.cfg.CatchUp.Transport.Call(r.peer, transport.ChanSync, pull.Request(), sink)
-}
-
-// settleFollow finishes the in-flight poll, classifying its outcome.
-// A throttled or failed peer costs nothing beyond the poll period — the
-// next tick rotates to the next peer; with a scorer configured, a
-// throttling peer additionally loses standing in the rotation.
-func (n *Node) settleFollow(peer types.ServerID, err error) {
-	n.followInFlight = false
-	if err == nil {
-		return
-	}
-	n.noteFollow(func(rep *FollowReport) {
-		if errors.Is(err, syncsvc.ErrThrottled) {
-			rep.Throttled++
-			n.cfg.Server.Scores().Penalize(peer, peerscore.Throttled)
-		} else {
-			rep.Errors++
-		}
-		rep.LastErr = err
-	})
-}
-
-// noteFollow applies one mutation to the follow counters under the lock
-// (FollowReport readers are concurrent).
-func (n *Node) noteFollow(fn func(*FollowReport)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	fn(&n.follow)
-}
-
-// postFollow hands an async follower event to the loop, dropping it if
-// the node has stopped.
-func (n *Node) postFollow(r followResult) {
+// post hands an async completion (a watermark answer, a settled delta
+// pull) to the server's owner as a turn of its own, or drops it if the
+// node has stopped since the call went out. A stepped node's transport
+// calls back on its owner's goroutine, so the turn runs right there; a
+// started node's loop is the owner, and receives it on posted.
+func (n *Node) post(turn func()) {
 	select {
-	case n.followC <- r:
+	case <-n.done:
+		return
+	default:
+	}
+	if !n.looping {
+		turn()
+		return
+	}
+	select {
+	case n.posted <- turn:
 	case <-n.done:
 	}
-}
-
-// maybeCheckpoint runs the automatic checkpoint policy: snapshot and
-// compact the store once the WAL segment count, or the growth in on-disk
-// bytes since the last compaction, crosses its configured threshold. It
-// runs on the loop goroutine, which owns both the server's DAG and the
-// store, so the snapshot is taken at a consistent point between events.
-func (n *Node) maybeCheckpoint() {
-	st := n.cfg.Store
-	trigger := n.cfg.CheckpointEverySegments > 0 &&
-		st.WALSegments() >= n.cfg.CheckpointEverySegments
-	if !trigger && n.cfg.CheckpointEveryBytes > 0 {
-		size, err := st.DiskSize()
-		if err != nil {
-			n.recordErr(err)
-			return
-		}
-		trigger = size >= n.ckptFloor+n.cfg.CheckpointEveryBytes
-	}
-	if !trigger {
-		return
-	}
-	stats, err := st.Checkpoint(n.cfg.Server.DAG())
-	if err == nil {
-		n.ckptFloor = stats.BytesAfter
-	}
-	n.recordErr(err)
 }

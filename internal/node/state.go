@@ -133,12 +133,7 @@ func (n *Node) restoreState(sc *StateSyncConfig, st *store.Store) error {
 		sc.Log.ResumeAt(commit.Slot)
 	}
 	n.lastSealedSlot = commit.Slot
-	n.setServed(&syncsvc.ServedSnapshot{
-		Signed:  state.SignCommit(commit, sc.Signer),
-		Chunks:  ckpt.Chunks,
-		Base:    st.Base(),
-		Horizon: st.Horizon(),
-	})
+	n.serve(state.SignCommit(commit, sc.Signer), ckpt.Chunks)
 	return nil
 }
 
@@ -152,28 +147,31 @@ func (n *Node) ServedSnapshot() *syncsvc.ServedSnapshot {
 	return n.served
 }
 
-// setServed publishes a new immutable served snapshot.
-func (n *Node) setServed(ss *syncsvc.ServedSnapshot) {
+// serve publishes a new immutable served snapshot: a signed commit and
+// its chunks, over the store's current base and horizon.
+func (n *Node) serve(signed state.SignedCommit, chunks [][]byte) {
+	ss := &syncsvc.ServedSnapshot{Signed: signed, Chunks: chunks, Base: n.cfg.Store.Base(), Horizon: n.cfg.Store.Horizon()}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.served = ss
 }
 
-// maybeSealState runs the seal/serve/prune cycle on the loop goroutine:
-// when the cadence has elapsed and the machine's applied frontier moved
-// since the last seal, pin a commit at the current tree, export and sign
-// it, hand it to the store as the next durable checkpoint, publish it on
-// the snapshot tier, and — with pruning enabled — cut journaled history
-// PruneKeepSeqs below the tips.
+// maybeSealState runs the seal/serve/prune cycle inside Tick: when the
+// cadence has elapsed on the server's clock and the machine's applied
+// frontier moved since the last seal, pin a commit at the current tree,
+// export and sign it, hand it to the store as the next durable
+// checkpoint, publish it on the snapshot tier, and — with pruning
+// enabled — cut journaled history PruneKeepSeqs below the tips.
 func (n *Node) maybeSealState() {
 	sc := n.cfg.State
 	if sc == nil {
 		return
 	}
-	if time.Since(n.lastSeal) < sc.sealEvery() {
+	now := n.cfg.Server.Now()
+	if now-n.lastSeal < sc.sealEvery() {
 		return
 	}
-	n.lastSeal = time.Now()
+	n.lastSeal = now
 	m := sc.Machine
 	if m.NextSlot() == 0 || m.NextSlot() == n.lastSealedSlot {
 		// Nothing applied since the last seal — but the chains keep
@@ -183,12 +181,7 @@ func (n *Node) maybeSealState() {
 		// a horizon whose successors we still hold.
 		if n.maybePruneState() {
 			if cur := n.ServedSnapshot(); cur != nil {
-				n.setServed(&syncsvc.ServedSnapshot{
-					Signed:  cur.Signed,
-					Chunks:  cur.Chunks,
-					Base:    n.cfg.Store.Base(),
-					Horizon: n.cfg.Store.Horizon(),
-				})
+				n.serve(cur.Signed, cur.Chunks)
 			}
 		}
 		return
@@ -205,12 +198,7 @@ func (n *Node) maybeSealState() {
 	})
 	n.maybePruneState()
 	// Publish after the prune so the served base/horizon reflect it.
-	n.setServed(&syncsvc.ServedSnapshot{
-		Signed:  state.SignCommit(commit, sc.Signer),
-		Chunks:  chunks,
-		Base:    n.cfg.Store.Base(),
-		Horizon: n.cfg.Store.Horizon(),
-	})
+	n.serve(state.SignCommit(commit, sc.Signer), chunks)
 }
 
 // maybePruneState cuts journaled history PruneKeepSeqs below every

@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"testing"
 	"time"
@@ -8,8 +9,11 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
+	"blockdag/internal/evidence"
+	"blockdag/internal/gossip"
 	"blockdag/internal/metrics"
 	"blockdag/internal/node"
+	"blockdag/internal/peerscore"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
 	"blockdag/internal/store"
@@ -209,5 +213,71 @@ func TestNodeStoreRetryAfterFailedRestore(t *testing.T) {
 	defer func() { _ = good.Close() }()
 	if _, err := node.New(node.Config{Server: srv, Store: good}); err != nil {
 		t.Fatalf("retry after failed restore: %v", err)
+	}
+}
+
+// TestNodeBanSurvivesRestart: a conviction outlives the process. A node
+// with accountability on and a store accepts a gossiped equivocation
+// proof (the fork's blocks never enter its DAG, so no block replay could
+// re-derive it), stops, and a fresh node over the reopened store has the
+// equivocator pooled and banned before its first delivery — node.New
+// wires the evidence sidecar both ways, without the cluster harness.
+func TestNodeBanSurvivesRestart(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const equivocator = 2
+	fork := func(data string) *block.Block {
+		b := block.New(equivocator, 0, nil, []block.Request{{Label: "ℓ", Data: []byte(data)}})
+		if err := b.Seal(signers[equivocator]); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	proof := evidence.New(fork("a"), fork("b"))
+	dir := t.TempDir()
+	boot := func() (*node.Node, *store.Store) {
+		st, err := store.Open(dir, store.Options{Roster: roster})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := simnet.New()
+		nd := steppedNode(t, net, roster, signers[0], core.Config{
+			Evidence: evidence.NewPool(),
+			Scores:   peerscore.New(peerscore.Options{Clock: net.Now}),
+		}, node.Config{Store: st})
+		return nd, st
+	}
+
+	nd, st := boot()
+	if nd.Server().Scores().Banned(equivocator) {
+		t.Fatal("banned before any evidence")
+	}
+	nd.DeliverBurst([]gossip.Message{{From: 1, Payload: gossip.EncodeEvidenceMsg(proof)}})
+	if !nd.Server().Scores().Banned(equivocator) || !nd.Server().Evidence().Has(equivocator) {
+		t.Fatal("gossiped proof did not convict")
+	}
+	if got := nd.Server().DAG().Len(); got != 0 {
+		t.Fatalf("the fork entered the DAG (%d blocks); the test would not isolate the sidecar", got)
+	}
+	nd.Stop()
+	if err := nd.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	nd, st = boot()
+	defer func() { _ = st.Close() }()
+	if !nd.Server().Scores().Banned(equivocator) {
+		t.Fatal("ban did not survive the restart")
+	}
+	if p, ok := nd.Server().Evidence().Get(equivocator); !ok || !bytes.Equal(p.Encode(), proof.Encode()) {
+		t.Fatal("proof did not survive the restart byte for byte")
+	}
+	if rep := nd.AccountabilityReport(); len(rep.Banned) != 1 || rep.Banned[0] != equivocator {
+		t.Fatalf("accountability report %+v, want [%d] banned", rep, equivocator)
 	}
 }

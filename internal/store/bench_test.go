@@ -55,7 +55,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAppendBatch measures group-commit journaling (HOT_BENCH):
+// BenchmarkStoreAppendBatch measures group-commit journaling:
 // the same workload as BenchmarkStoreAppend but appended through
 // AppendBatch in ingest-burst-sized groups, so a burst costs one write
 // syscall pair and one fsync decision instead of one per block. The

@@ -46,12 +46,17 @@
 // so they need no per-record tear tolerance; a single CRC32 trailer
 // covers the segment body.
 //
+// There is one snapshot format. It opens with the prune horizon, the
+// pruned-history base table and the state checkpoint — all empty on a
+// store that never pruned and journals no state — and then lays out the
+// retained blocks.
+//
 // Snapshots also store blocks more compactly than the WAL: blocks are
 // laid out in topological order and each predecessor reference — a
 // 32-byte hash on the wire and in the WAL — is replaced by a uvarint
-// index into the snapshot itself (typically 1–2 bytes). Decoding
-// re-derives the canonical block encoding, and with it ref(B), so
-// signatures still verify end to end; compaction never weakens the
+// index into the snapshot's base ∪ block table (typically 1–2 bytes).
+// Decoding re-derives the canonical block encoding, and with it ref(B),
+// so signatures still verify end to end; compaction never weakens the
 // Definition 3.3 revalidation that Open performs.
 //
 // # Fsync policy

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"blockdag/internal/block"
-	"blockdag/internal/types"
 	"blockdag/internal/wire"
 )
 
@@ -21,14 +20,13 @@ const (
 	segMagic   = "BDSTOR1\n"
 	headerSize = len(segMagic) + 1 // magic + kind byte
 
-	kindWAL  byte = 1
-	kindSnap byte = 2
-	// kindSnap2 is the extended snapshot segment (same .snap extension):
-	// prune horizon, pruned-history base table, state commitment and its
-	// snapshot chunks, then the retained blocks. Written whenever the
-	// store carries a horizon or a state checkpoint; plain stores keep
-	// writing kindSnap, byte-compatible with every earlier release.
-	kindSnap2 byte = 3
+	kindWAL byte = 1
+	// kindSnap is the snapshot segment: prune horizon, pruned-history
+	// base table, state commitment and its snapshot chunks (all possibly
+	// empty), then the retained blocks. Kind 2 was a blocks-only
+	// predecessor no release ever shipped; it is neither written nor
+	// read, and the number stays retired.
+	kindSnap byte = 3
 
 	// recHeaderSize frames one WAL record: length + CRC32.
 	recHeaderSize = 4 + 4
@@ -131,7 +129,7 @@ func checkHeader(data []byte, path string) (byte, error) {
 		return 0, fmt.Errorf("%w: %s: bad header", ErrCorrupt, path)
 	}
 	kind := data[len(segMagic)]
-	if kind != kindWAL && kind != kindSnap && kind != kindSnap2 {
+	if kind != kindWAL && kind != kindSnap {
 		return 0, fmt.Errorf("%w: %s: unknown kind %d", ErrCorrupt, path, kind)
 	}
 	return kind, nil
@@ -255,13 +253,7 @@ func ScanDir(dir string) ([]*block.Block, error) {
 		}
 		switch kind {
 		case kindSnap:
-			bs, err := decodeSnapshot(data, sf.path)
-			if err != nil {
-				return nil, err
-			}
-			admit(bs)
-		case kindSnap2:
-			sv, err := decodeSnapshotV2(data, sf.path)
+			sv, err := decodeSnapshot(data, sf.path)
 			if err != nil {
 				return nil, err
 			}
@@ -271,105 +263,4 @@ func ScanDir(dir string) ([]*block.Block, error) {
 		}
 	}
 	return blocks, nil
-}
-
-// encodeSnapshot renders blocks (a topological order: every predecessor
-// that is itself in the snapshot appears earlier) as a snapshot segment,
-// header and CRC trailer included. Predecessor references are encoded as
-// uvarint indexes into the snapshot, shrinking each from 32 bytes to
-// typically 1–2.
-func encodeSnapshot(blocks []*block.Block) ([]byte, error) {
-	w := wire.NewWriter(headerSize + len(blocks)*128)
-	for _, c := range segHeader(kindSnap) {
-		w.Byte(c)
-	}
-	w.Uvarint(uint64(len(blocks)))
-	pos := make(map[block.Ref]int, len(blocks))
-	for i, b := range blocks {
-		w.Uint16(uint16(b.Builder))
-		w.Uvarint(b.Seq)
-		w.Uvarint(uint64(len(b.Preds)))
-		for _, p := range b.Preds {
-			j, ok := pos[p]
-			if !ok {
-				return nil, fmt.Errorf("store: snapshot block %v references %v outside the snapshot", b.Ref(), p)
-			}
-			w.Uvarint(uint64(j))
-		}
-		w.Uvarint(uint64(len(b.Requests)))
-		for _, rq := range b.Requests {
-			w.String(string(rq.Label))
-			w.VarBytes(rq.Data)
-		}
-		w.VarBytes(b.Sig)
-		pos[b.Ref()] = i
-	}
-	body := w.Bytes()
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(body[headerSize:]))
-	return append(body, trailer[:]...), nil
-}
-
-// decodeSnapshot inverts encodeSnapshot. Each block is reconstructed
-// through the canonical wire encoding, so ref(B) is re-derived from the
-// decoded fields and signatures verify exactly as for a WAL block.
-func decodeSnapshot(data []byte, path string) ([]*block.Block, error) {
-	if len(data) < headerSize+4 {
-		return nil, fmt.Errorf("%w: %s: snapshot too short", ErrCorrupt, path)
-	}
-	body, trailer := data[headerSize:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("%w: %s: snapshot checksum mismatch", ErrCorrupt, path)
-	}
-	r := wire.NewReader(body)
-	count := r.Count(1 << 31)
-	blocks := make([]*block.Block, 0, count)
-	for i := 0; i < count; i++ {
-		builder := types.ServerID(r.Uint16())
-		seq := r.Uvarint()
-		nPreds := r.Count(block.MaxPreds)
-		preds := make([]block.Ref, 0, nPreds)
-		for k := 0; k < nPreds; k++ {
-			j := r.Uvarint()
-			if r.Err() != nil {
-				break
-			}
-			if j >= uint64(i) {
-				return nil, fmt.Errorf("%w: %s: block %d references forward index %d", ErrCorrupt, path, i, j)
-			}
-			preds = append(preds, blocks[j].Ref())
-		}
-		nReqs := r.Count(block.MaxRequests)
-		reqs := make([]block.Request, 0, nReqs)
-		for k := 0; k < nReqs; k++ {
-			reqs = append(reqs, block.Request{
-				Label: types.Label(r.String()),
-				Data:  r.VarBytes(),
-			})
-		}
-		sig := r.VarBytes()
-		if r.Err() != nil {
-			break
-		}
-		b, err := reassemble(builder, seq, preds, reqs, sig)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: block %d: %v", ErrCorrupt, path, i, err)
-		}
-		blocks = append(blocks, b)
-	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-	}
-	return blocks, nil
-}
-
-// reassemble rebuilds a sealed block from its decomposed fields by
-// re-encoding them canonically and running the untrusted-decode path, so
-// the reconstructed block carries a freshly computed ref(B).
-func reassemble(builder types.ServerID, seq uint64, preds []block.Ref, reqs []block.Request, sig []byte) (*block.Block, error) {
-	body := block.New(builder, seq, preds, reqs).SigningBytes()
-	w := wire.NewWriter(len(body) + len(sig) + 4)
-	w.VarBytes(body)
-	w.VarBytes(sig)
-	return block.Decode(w.Bytes())
 }

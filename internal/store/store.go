@@ -121,7 +121,7 @@ type Store struct {
 	present   map[block.Ref]struct{}
 	report    OpenReport
 
-	// Pruned-history state, journaled in kindSnap2 snapshots. horizon is
+	// Pruned-history state, journaled in snapshot segments. horizon is
 	// the sticky per-builder prune floor: once PruneTo raises it, every
 	// later Checkpoint retains only blocks at seq >= horizon[builder], so
 	// an ordinary checkpoint can never resurrect pruned history. base is
@@ -294,20 +294,7 @@ func (s *Store) recover() error {
 			if !sf.snap {
 				return fmt.Errorf("%w: %s: kind/extension mismatch", ErrCorrupt, sf.path)
 			}
-			blocks, err := decodeSnapshot(data, sf.path)
-			if err != nil {
-				return err
-			}
-			if err := s.admit(d, blocks); err != nil {
-				return err
-			}
-			s.report.HasSnapshot = true
-			s.report.SnapshotIndex = sf.index
-		case kindSnap2:
-			if !sf.snap {
-				return fmt.Errorf("%w: %s: kind/extension mismatch", ErrCorrupt, sf.path)
-			}
-			sv, err := decodeSnapshotV2(data, sf.path)
+			sv, err := decodeSnapshot(data, sf.path)
 			if err != nil {
 				return err
 			}
@@ -823,23 +810,15 @@ func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 	}
 	stats.BytesBefore = before
 
-	blocks := d.Blocks()
-	var enc []byte
-	var base []dag.Base
-	if len(s.horizon) == 0 && s.stateCkpt == nil {
-		// Plain store: keep writing the v1 format, byte-compatible with
-		// every earlier release.
-		enc, err = encodeSnapshot(blocks)
-	} else {
-		// The horizon is sticky: filter d at write time, so a checkpoint
-		// from a DAG that still holds full history in memory (prune while
-		// running) cannot resurrect segments PruneTo already deleted.
-		blocks, base, err = pruneSet(d, s.horizon)
-		if err != nil {
-			return stats, err
-		}
-		enc, err = encodeSnapshotV2(blocks, base, s.horizon, s.stateCkpt)
+	// The horizon is sticky: filter d at write time, so a checkpoint
+	// from a DAG that still holds full history in memory (prune while
+	// running) cannot resurrect segments PruneTo already deleted. An
+	// unpruned store's horizon is empty and retains everything.
+	blocks, base, err := pruneSet(d, s.horizon)
+	if err != nil {
+		return stats, err
 	}
+	enc, err := encodeSnapshot(blocks, base, s.horizon, s.stateCkpt)
 	if err != nil {
 		return stats, err
 	}
@@ -1048,7 +1027,7 @@ func InstallSnapshot(dir string, horizon map[types.ServerID]uint64, base []dag.B
 	if len(segs) > 0 {
 		return fmt.Errorf("store: InstallSnapshot into non-empty store %s", dir)
 	}
-	enc, err := encodeSnapshotV2(nil, base, horizon, sc)
+	enc, err := encodeSnapshot(nil, base, horizon, sc)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -352,6 +353,49 @@ func TestCorruptEarlySegmentFails(t *testing.T) {
 	}
 	if _, err := store.Open(dir, store.Options{Roster: roster}); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("Open on corrupt early segment: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRetiredSnapshotKindIsCorrupt: the blocks-only snapshot format
+// (kind 2) is gone from reader and writer alike. A plain store's
+// checkpoint is written as the one snapshot kind, and a kind-2 segment
+// on disk fails Open as corruption, naming the kind.
+func TestRetiredSnapshotKindIsCorrupt(t *testing.T) {
+	roster, blocks := chain(t, 8)
+	dir := t.TempDir()
+	st := openStore(t, dir, roster, store.Options{})
+	appendAll(t, st, blocks)
+	d := dag.New(roster)
+	for _, b := range blocks {
+		if err := d.Insert(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Checkpoint(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots on disk: %v (err %v), want one", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kindAt = len("BDSTOR1\n")
+	if data[kindAt] != 3 {
+		t.Fatalf("plain checkpoint written as kind %d, want 3", data[kindAt])
+	}
+	data[kindAt] = 2
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = store.Open(dir, store.Options{Roster: roster})
+	if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "kind 2") {
+		t.Fatalf("Open on a kind-2 snapshot: err = %v, want ErrCorrupt naming kind 2", err)
 	}
 }
 
