@@ -46,6 +46,16 @@ fuzz-smoke:
 race:
 	go test -race ./...
 
+.PHONY: flake-smoke
+# flake-smoke repeats the socket and timing tests of the catch-up path
+# ten times under the race detector, so a test that fails one run in five
+# (as TestAuthWrongKeyRejected did until PR 12) is caught in the PR that
+# introduces it rather than blocking unrelated work later. The -run
+# filter keeps it under a minute.
+flake-smoke:
+	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth' \
+		./internal/node ./internal/syncsvc ./internal/tcpnet
+
 .PHONY: roster-demo
 # roster-demo exercises the production identity path end to end with no
 # shared seed anywhere: dagroster generates a roster file plus four fresh

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
+	"blockdag/internal/dag"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/transport"
@@ -107,12 +109,32 @@ func TestClusterCatchUpAfterDiskLoss(t *testing.T) {
 		t.Fatalf("recovered store journals %d blocks, want ≥ %d", got, backlog)
 	}
 
+	// The wiped slot re-learned its own chain from the peer and resumes
+	// on top of it: the next block it builds is one past the last own
+	// block any peer holds — never a sequence number already seen.
+	ownBefore := c.Servers[0].DAG().ByBuilder(2)
+	lastOwn := ownBefore[len(ownBefore)-1].Seq
+
 	// Phase 4: the recovered server participates again and converges to
 	// the same interpretation as the live nodes.
 	c.Request(2, "post", []byte("after recovery"))
 	ok, err = c.RunUntil(30, func() bool { return allDelivered(c, "post") && c.Converged() })
 	if err != nil || !ok {
 		t.Fatalf("phase 4: ok=%v err=%v converged=%v", ok, err, c.Converged())
+	}
+	refs := make(map[block.Ref]int)
+	for i, b := range c.Servers[0].DAG().ByBuilder(2) {
+		if b.Seq != uint64(i) {
+			t.Fatalf("slot 2's chain at a peer: position %d holds seq %d (last pre-wipe seq %d)", i, b.Seq, lastOwn)
+		}
+		for _, p := range b.Preds {
+			if refs[p]++; refs[p] > 1 {
+				t.Fatalf("slot 2 referenced block %v twice across the wipe (Lemma A.6)", p)
+			}
+		}
+	}
+	if len(c.Servers[0].DAG().Equivocations()) != 0 {
+		t.Fatal("the wiped slot forked its own chain")
 	}
 	for i := 0; i < pre; i++ {
 		label := types.Label(fmt.Sprintf("pre/%d", i))
@@ -171,9 +193,11 @@ func TestClusterCatchUpDeterministic(t *testing.T) {
 }
 
 // TestClusterCatchUpRejectsMaliciousServer: a byzantine catch-up server
-// streaming tampered blocks is rejected outright — the recovering client
-// keeps nothing from it, stays down, and a subsequent sync from an honest
-// peer succeeds cleanly.
+// streaming a tampered block is caught at that block. The simulator runs
+// production's rule, because it runs production's pull: the honest prefix
+// before the forgery is kept — in the recovering slot's DAG and on its
+// disk — nothing at or after it is, the error names the rejection, and a
+// pull from an honest peer completes the recovery.
 func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 	dir := t.TempDir()
 	c, err := cluster.New(cluster.Options{
@@ -220,19 +244,23 @@ func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 
 	err = c.RecoverServerViaSync(2, brb.Protocol{}, 3)
 	if err == nil {
-		t.Fatal("tampered stream recovered a server")
+		t.Fatal("tampered stream reported a clean recovery")
 	}
-	if !strings.Contains(err.Error(), "rejected") {
-		t.Fatalf("err = %v, want a validation rejection", err)
+	if !errors.Is(err, dag.ErrBadSignature) || !strings.Contains(err.Error(), "rejected") {
+		t.Fatalf("err = %v, want a signature rejection", err)
 	}
-	if c.Servers[2] != nil {
-		t.Fatal("slot 2 came up despite the failed sync")
+	// The slot is up on the genuine prefix: everything before the forged
+	// block, nothing from it on — in the DAG and on disk alike.
+	if c.Servers[2] == nil {
+		t.Fatal("slot 2 stayed down; production keeps the prefix and carries on")
 	}
-	// Nothing from the malicious stream reached the slot's disk: a
-	// fresh open must see an empty store.
-	if entries, err := os.ReadDir(filepath.Join(dir, "s2")); err == nil {
-		for _, e := range entries {
-			t.Fatalf("failed sync left %s on disk", e.Name())
+	d, st := c.Servers[2].DAG(), c.Stores[2]
+	if d.Len() != mid || st.Len() != mid {
+		t.Fatalf("kept %d blocks in the DAG and %d on disk, want the %d before the forgery", d.Len(), st.Len(), mid)
+	}
+	for i, b := range honest {
+		if held := d.Contains(b.Ref()); held != (i < mid) || st.Contains(b.Ref()) != held {
+			t.Fatalf("block %d of the stream: in DAG %v, on disk %v (forgery at %d)", i, held, st.Contains(b.Ref()), mid)
 		}
 	}
 

@@ -8,8 +8,9 @@
 // more: it never starts a node's goroutine; it steps the node's turns
 // (Tick, Disseminate, FollowIfDue, DeliverBurst) from simnet events on
 // the virtual clock, so a run is a deterministic function of its seed.
-// Follow polls, checkpoint policy, store recovery, evidence replay and
-// gateway wiring are the node's own code, the same a deployed node runs.
+// Follow polls, catch-up pulls, checkpoint policy, store recovery, evidence
+// replay and gateway wiring are the node's own code, the same a deployed
+// node runs.
 //
 // It is the shared harness behind the integration tests of Theorem 5.1,
 // every benchmark in EXPERIMENTS.md, the experiments CLI, and the
@@ -400,12 +401,11 @@ func (e inline) Deliver(from types.ServerID, payload []byte) {
 // register attaches one slot's consumers to the network: the runtime on
 // the gossip channel and — when the slot is durable, or the cluster runs
 // the live follower — a catch-up server on the sync channel, so any peer
-// can bulk-sync or follow from this slot. Durable slots stream their
-// store and answer watermark queries from the node's tracked vector;
-// follower-only slots stream, and are scanned, straight from the DAG
-// (safe on the event loop). The catch-up server runs under the hardening
-// policy (in-flight cap, optional token bucket on the simulated clock),
-// exactly as a production node would.
+// can bulk-sync or follow from this slot. Watermark queries are answered
+// from the node's tracked vector; durable slots stream their store,
+// follower-only slots straight from the DAG (safe on the event loop). The
+// catch-up server runs under the hardening policy (in-flight cap, optional
+// token bucket on the simulated clock), exactly as a production node would.
 func (c *Cluster) register(slot int, nd *node.Node, st *store.Store) {
 	id := types.ServerID(slot)
 	c.Net.Register(id, transport.ChanGossip, inline{nd})
@@ -679,53 +679,36 @@ func (c *Cluster) RecoverServerFromStore(slot int, proto protocol.Protocol) erro
 }
 
 // RecoverServerViaSync restarts a crashed slot through bulk catch-up: the
-// slot's store is reopened (possibly empty — the disk-loss model), a
-// catch-up stream is pulled from the given peer's store over
-// transport.ChanSync, every streamed block is validated against the
-// roster and the DAG rules, the validated blocks are journaled, and the
-// slot then restarts from its store like any other. The pull is driven
-// here, on the network's event loop until the stream terminates, because
-// the runtime's own startup catch-up (syncsvc.Fetch) waits on wall time;
-// the call is deterministic.
+// slot is rebuilt over its store (possibly empty — the disk-loss model)
+// like any other recovery and then takes the runtime's own pull
+// (node.Node.PullFrom) from the given peer as a stepped turn, the network
+// run until the stream has settled: what a deployed node's startup
+// catch-up and live follower run, deterministically.
 //
-// The serving peer is untrusted: a stream carrying a tampered or
-// ill-ordered block aborts with its validation error, the slot stays
-// down, and nothing invalid touches the slot's store or server — the
-// caller retries against another peer or falls back to
-// RecoverServerFromStore (per-block FWD then fills any gap).
+// The serving peer is untrusted: a tampered or ill-ordered stream ends
+// with that rejection as the returned error. Production's rule holds —
+// the genuine prefix before the bad block stays absorbed and journaled,
+// nothing after it is, and the slot stays up — so the caller pulls again
+// from another peer (on a live slot this only pulls) or leaves the rest
+// to FWD.
 func (c *Cluster) RecoverServerViaSync(slot int, proto protocol.Protocol, from int) error {
-	if c.opts.StoreDir == "" {
-		return fmt.Errorf("cluster: recover server %d via sync: cluster has no StoreDir", slot)
+	if c.Nodes[slot] == nil {
+		if err := c.RecoverServerFromStore(slot, proto); err != nil {
+			return err
+		}
 	}
-	st, err := c.openStore(slot)
-	if err != nil {
-		return err
+	settled := false
+	var pullErr error
+	abandon := c.Nodes[slot].PullFrom(types.ServerID(from), func(_ int, err error) {
+		settled, pullErr = true, err
+	})
+	if !c.Net.RunUntil(func() bool { return settled }) {
+		abandon()
 	}
-	fail := func(err error) error {
-		st.Abandon()
-		return fmt.Errorf("cluster: recover server %d via sync from %d: %w", slot, from, err)
+	if pullErr != nil {
+		return fmt.Errorf("cluster: recover server %d via sync: %w", slot, pullErr)
 	}
-	pull, err := syncsvc.NewPull(c.Roster, st.Blocks(), 0)
-	if err != nil {
-		return fail(err)
-	}
-	tr := c.Net.Transport(types.ServerID(slot))
-	cancel := tr.Call(types.ServerID(from), transport.ChanSync, pull.Request(), pull)
-	if !c.Net.RunUntil(pull.Done) {
-		cancel()
-		return fail(fmt.Errorf("network quiesced before the stream ended"))
-	}
-	fetched, err := pull.Result()
-	if err != nil {
-		return fail(err)
-	}
-	if err := st.AppendBatch(fetched); err != nil {
-		return fail(fmt.Errorf("journal: %w", err))
-	}
-	if err := st.Close(); err != nil {
-		return fmt.Errorf("cluster: recover server %d via sync: %w", slot, err)
-	}
-	return c.RecoverServerFromStore(slot, proto)
+	return nil
 }
 
 // Seal builds and signs a block on behalf of the given server — the

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"blockdag/internal/cluster"
 	"blockdag/internal/protocols/brb"
@@ -20,6 +21,7 @@ func TestGatewayPerSlot(t *testing.T) {
 		Protocol:        brb.Protocol{},
 		MempoolCapacity: 64,
 		GatewayPerSlot:  true,
+		FollowEvery:     100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +29,18 @@ func TestGatewayPerSlot(t *testing.T) {
 	defer c.Close()
 
 	base := "http://" + c.GatewayAddr(0)
-	resp, err := http.Post(base+"/v1/submit", "application/json",
+	// A configured follower reports its state from the start, not only
+	// once it has polled.
+	resp, err := http.Get(base + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, _ := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if !strings.Contains(string(status), `"follow":{"state":"idle","behind_by":0,"polls":0`) {
+		t.Fatalf("status before the first poll lacks the follower's state:\n%s", status)
+	}
+	resp, err = http.Post(base+"/v1/submit", "application/json",
 		strings.NewReader(`{"label":"http/req","data":"via gateway"}`))
 	if err != nil {
 		t.Fatal(err)

@@ -529,25 +529,39 @@ func (s *Server) Restore(blocks []*block.Block) error {
 }
 
 // AbsorbVerified feeds the server one block obtained outside the gossip
-// exchange and already validated in full by the caller — the live
-// follower path (node.Config.FollowEvery): package syncsvc pulls a
-// lagging suffix from a peer, validates every block against the roster
-// and the DAG rules, and the runtime absorbs the result here. The block
-// is journaled through Config.OnPersist, referenced by the next own
-// block, interpreted, and any gossip-buffered blocks waiting on it are
-// released — identical to receiving it over the network, minus the
-// already-paid signature verification and the FWD round trips.
+// exchange whose builder and signature the caller has already checked
+// against the roster — the sync channel's one way in (package node pulls a
+// peer's delta stream, syncsvc.Pull checks the signatures; startup
+// catch-up, live follower and simulated recovery alike). The block takes
+// the path a gossiped block takes once its signature verified: the DAG's
+// structural checks, the journal through Config.OnPersist, a reference in
+// the next own block, interpretation, and the release of gossip-buffered
+// blocks waiting on it — minus the FWD round trips.
 //
-// Like every other mutating entry point, AbsorbVerified must be called
-// from the single goroutine driving this server. Blocks must arrive in
-// an order with predecessors first (a validated stream suffix has this
-// shape); already-held blocks are no-ops. A persist failure is latched
-// in Health and returned, but — as with received blocks — the block
-// stays interpreted: its builder externalized it, so the embedded
-// protocol's state must advance.
+// Call it from the goroutine driving this server. An already-held block
+// is a no-op. The error is one of two failures. The DAG refused the block
+// (a predecessor missing, the parent rule broken): the serving peer's
+// fault, nothing changed, and the block is not in the DAG afterwards —
+// which is how the caller tells. Or the block went in and persisting it
+// failed: local trouble, latched in Health, and — as with received blocks
+// — the block stays interpreted, since its builder externalized it.
 func (s *Server) AbsorbVerified(b *block.Block) error {
 	return s.gsp.InsertVerified(b)
 }
+
+// ResumeOwnChain re-derives the block-building state from the DAG as it
+// now stands (gossip.Recover, as Restore ends). The runtime calls it after
+// absorbing own blocks it did not hold — a node that lost its disk
+// re-learns its chain 0..k from a peer — so the next block built is k+1,
+// referencing exactly the blocks no own block references yet: no sequence
+// number is reused (no self-equivocation), no block referenced twice
+// (Lemma A.6).
+func (s *Server) ResumeOwnChain() { s.gsp.Recover() }
+
+// ObserveInserts registers fn to see every block that enters the DAG, in
+// insertion order, whichever way it came — Restore replay, gossip, a
+// pulled stream. The runtime keeps its watermark vector this way.
+func (s *Server) ObserveInserts(fn func(*block.Block)) { s.dag.SetOnInsert(fn) }
 
 // SetPersist installs the persistence sink after construction — the hook
 // node.Config.Store uses, since the node receives an already-built

@@ -142,9 +142,7 @@ func New(roster *crypto.Roster) *DAG {
 }
 
 // SetOnInsert installs a callback invoked after every successful insert,
-// in insertion order. The interpreter subscribes here so that
-// interpretation (Algorithm 2) stays decoupled from building (Algorithm 1)
-// while observing blocks in an eligible order.
+// in insertion order (core.Server.ObserveInserts).
 func (d *DAG) SetOnInsert(fn func(*block.Block)) { d.onInsert = fn }
 
 // SetOnEquivocation installs a callback invoked when a (builder, seq)

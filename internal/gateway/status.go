@@ -42,21 +42,27 @@ type Status struct {
 	Gateway *GatewayStatus `json:"gateway,omitempty"`
 }
 
-// CatchUpStatus mirrors node.CatchUpReport with a JSON-friendly error.
+// CatchUpStatus mirrors node.CatchUpReport with a JSON-friendly error;
+// Peer is absent when no startup stream ended clean.
 type CatchUpStatus struct {
-	Ran    bool   `json:"ran"`
-	Blocks int    `json:"blocks"`
-	Error  string `json:"error,omitempty"`
+	Ran    bool            `json:"ran"`
+	Blocks int             `json:"blocks"`
+	Peer   *types.ServerID `json:"peer,omitempty"`
+	Error  string          `json:"error,omitempty"`
 }
 
-// FollowStatus mirrors node.FollowReport with a JSON-friendly error.
+// FollowStatus mirrors node.FollowReport with a JSON-friendly error;
+// Peer is absent when idle. Present whenever the follower is on.
 type FollowStatus struct {
-	Polls     int    `json:"polls"`
-	Deltas    int    `json:"deltas"`
-	Blocks    int    `json:"blocks"`
-	Throttled int    `json:"throttled"`
-	Errors    int    `json:"errors"`
-	LastError string `json:"last_error,omitempty"`
+	State     string          `json:"state"`
+	Peer      *types.ServerID `json:"peer,omitempty"`
+	BehindBy  uint64          `json:"behind_by"`
+	Polls     int             `json:"polls"`
+	Deltas    int             `json:"deltas"`
+	Blocks    int             `json:"blocks"`
+	Throttled int             `json:"throttled"`
+	Errors    int             `json:"errors"`
+	LastError string          `json:"last_error,omitempty"`
 }
 
 // AccountabilityStatus mirrors node.AccountabilityReport.
@@ -105,13 +111,19 @@ func NodeStatus(nd *node.Node) func() Status {
 			cs := &CatchUpStatus{Ran: true, Blocks: rep.Blocks}
 			if rep.Err != nil {
 				cs.Error = rep.Err.Error()
+			} else {
+				cs.Peer = &rep.Peer
 			}
 			st.CatchUp = cs
 		}
-		if rep := nd.FollowReport(); rep.Polls > 0 {
+		if rep := nd.FollowReport(); rep.State != "" {
 			fs := &FollowStatus{
+				State: rep.State, BehindBy: rep.BehindBy,
 				Polls: rep.Polls, Deltas: rep.Deltas, Blocks: rep.Blocks,
 				Throttled: rep.Throttled, Errors: rep.Errors,
+			}
+			if rep.State != node.FollowIdle {
+				fs.Peer = &rep.Peer
 			}
 			if rep.LastErr != nil {
 				fs.LastError = rep.LastErr.Error()

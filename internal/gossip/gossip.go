@@ -753,32 +753,32 @@ func (g *Gossip) rememberInvalid(ref block.Ref) {
 }
 
 // InsertVerified inserts a block that arrived outside the gossip
-// exchange and was already fully validated by the caller — the live
-// follower's delta pulls (package syncsvc validates every streamed block
-// against the roster and the DAG rules before handing it over). The
-// block takes exactly the path a gossiped block takes after validation:
-// structural insertion into the DAG, a reference in the next own block,
-// the OnInsert hook (persistence, interpretation), and waking any
+// exchange with its builder and signature already checked by the caller —
+// the sync channel's pulls (syncsvc.Pull verifies every streamed block
+// against the roster before handing it over). The block takes exactly the
+// path a gossiped block takes after its signature check: structural
+// validation and insertion into the DAG, a reference in the next own
+// block, the OnInsert hook (persistence, interpretation), and waking any
 // pending blocks that were waiting on it. Outstanding FWD retry state
-// for the block is dropped — the point of the follower: the backlog
-// arrives in bulk before the per-block retry timers burn round trips.
+// for the block is dropped — the point of pulling: the backlog arrives in
+// bulk before the per-block retry timers burn round trips.
 //
-// The caller must supply blocks whose predecessors are all present (a
-// validated stream suffix in topological order has this shape); a block
-// already in the DAG is a no-op. The returned error is the OnInsert
-// hook's (a persist failure), mirroring received-block semantics: the
-// block stays inserted and interpreted, and the shim latches the health
-// problem.
+// A block already in the DAG is a no-op. A block the DAG refuses (a
+// predecessor missing — a stream is expected in topological order — or
+// the parent rule broken) is returned as the error and leaves everything
+// untouched. Otherwise the returned error is the OnInsert hook's (a
+// persist failure), mirroring received-block semantics: the block stays
+// inserted and interpreted, and the shim latches the health problem.
 func (g *Gossip) InsertVerified(b *block.Block) error {
 	ref := b.Ref()
 	if g.cfg.DAG.Contains(ref) {
 		return nil
 	}
-	delete(g.missing, ref)
-	delete(g.pending, ref)
 	if err := g.cfg.DAG.InsertVerified(b); err != nil {
 		return fmt.Errorf("gossip: insert verified block %v: %w", ref, err)
 	}
+	delete(g.missing, ref)
+	delete(g.pending, ref)
 	return g.noteInserted(b)
 }
 

@@ -11,6 +11,16 @@
 // turn of its own. Whoever calls the turns owns the server: one caller
 // at a time.
 //
+// Catch-up is one primitive, PullFrom — ask a peer for whatever this
+// node's watermark vector lacks and absorb the stream into the live DAG
+// inside one store group commit — with three triggers: New's startup
+// catch-up, the live follower, and the simulator's recovery. A pulled
+// block is validated where a gossiped one is (core.Server.AbsorbVerified)
+// and journaled by the same persistence sink. A node that lost its disk
+// re-learns its own blocks 0..k this way; PullFrom then re-anchors the own
+// chain (core.Server.ResumeOwnChain) before anything is built, so the
+// first block after New is k+1: no self-equivocation.
+//
 // The goroutine shell (Start/Stop) is the part that waits: it owns the
 // loop goroutine, the ingestion channels and the timers, runs a turn per
 // event, and makes post a send to that loop. The other shell is the
@@ -40,7 +50,6 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/core"
-	"blockdag/internal/dag"
 	"blockdag/internal/gossip"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/roster"
@@ -58,9 +67,7 @@ type Config struct {
 	// (roster file plus key file, package roster). New cross-checks it
 	// against the Server: a node keyed as the wrong roster member fails
 	// at startup instead of producing blocks every peer discards and
-	// failing every transport handshake. It also defaults
-	// CatchUp.Roster, so callers wiring a node from files state the
-	// roster exactly once.
+	// failing every transport handshake.
 	Identity *roster.Identity
 	// DisseminateEvery is the block production period (default 50ms).
 	DisseminateEvery time.Duration
@@ -78,33 +85,30 @@ type Config struct {
 	// store after Stop. On a clean shutdown a started node's Stop leaves
 	// the WAL fully synced.
 	Store *store.Store
-	// CatchUp, if non-nil, bulk-syncs the server before the loop starts:
-	// New asks the configured peers for every block the store does not
-	// already hold (transport.ChanSync, package syncsvc), validates the
-	// stream against the roster, journals the result, and restores the
-	// server from store plus stream in one replay. A node with an empty
-	// or stale store thus starts within one streamed round trip of the
-	// cluster instead of re-fetching the backlog one FWD request at a
-	// time. Catch-up failure is not fatal — the fetched prefix is kept
-	// and gossip's FWD path fills the remainder; CatchUpReport records
-	// what happened.
+	// CatchUp, if non-nil, is whom the node pulls from (Transport, Peers;
+	// Roster defaults to the server's) and turns startup catch-up on: once
+	// the store is replayed and the persistence sinks are in place, New
+	// pulls from the peers in order (PullFrom) until one stream ends clean,
+	// each attempt bounded by Timeout. A node with an empty or stale store
+	// thus starts within one streamed round trip of the cluster instead of
+	// re-fetching the backlog one FWD request at a time, with every pulled
+	// block already journaled. A stream that dies or lies part-way costs
+	// nothing already absorbed: the next peer is asked only for the rest.
+	// Catch-up failure is not fatal — the genuine prefix is kept and FWD
+	// fills the remainder; CatchUpReport records what happened.
 	CatchUp *syncsvc.FetchConfig
 	// FollowEvery enables the live-follower loop: every FollowEvery the
 	// node sends a watermark-exchange query to the next of CatchUp's
 	// peers in rotation (transport.ChanSync, one small frame each way)
-	// and, when the peer's vector advertises blocks the local DAG lacks,
-	// pulls exactly the missing suffix through the same validated delta
-	// stream startup catch-up uses, absorbing the result into the
-	// running server (journaled through the store's persistence sink,
-	// referenced, interpreted). A node that falls behind — long GC
-	// pause, flapping link, asymmetric partition — thus reconverges in
-	// one streamed round trip instead of re-fetching the gap one FWD
-	// round trip at a time; FWD stays armed as the fallback for anything
-	// the follower has not pulled yet. The follower reuses CatchUp's
-	// Transport, Roster, Peers, and MaxBlocks; without CatchUp it polls
-	// every other roster member over the server's own transport.
-	// A throttled or failing peer costs one poll period: the next poll
-	// rotates to the next peer. 0 disables.
+	// and, when the answer advertises blocks the local DAG lacks, runs the
+	// same PullFrom startup catch-up runs. A node that falls behind — long
+	// GC pause, flapping link, asymmetric partition — thus reconverges in
+	// one streamed round trip; FWD stays armed as the fallback for
+	// anything not pulled yet. Without CatchUp the follower polls every
+	// other roster member over the server's own transport. A throttled or
+	// failing peer costs one poll period: the next poll rotates on, and a
+	// peer that served garbage loses standing in that rotation
+	// (core.Config.Scores). 0 disables.
 	FollowEvery time.Duration
 	// CheckpointEverySegments, with Store set, makes Tick call
 	// Store.Checkpoint whenever the WAL has accumulated that many
@@ -137,29 +141,49 @@ type Config struct {
 type CatchUpReport struct {
 	// Ran reports that catch-up was configured and attempted.
 	Ran bool
-	// Blocks is the number of validated blocks received in bulk.
+	// Blocks is the number of blocks pulled in bulk and absorbed.
 	Blocks int
-	// Err is the terminal fetch error, nil after a clean stream. A
+	// Peer is the peer whose stream ended clean (meaningful when Err is
+	// nil).
+	Peer types.ServerID
+	// Err is the last attempt's error, nil once a stream ended clean. A
 	// non-nil Err still leaves the node fully functional: the remainder
 	// arrives via FWD.
 	Err error
 }
 
-// FollowReport counts the live-follower loop's activity so far.
+// The live follower is in exactly one of these states.
+const (
+	FollowIdle    = "idle"    // between polls
+	FollowProbing = "probing" // a watermark query is out
+	FollowPulling = "pulling" // the peer was ahead; its delta stream is open
+)
+
+// FollowReport is the live follower's state and its counters so far.
 type FollowReport struct {
+	// State is FollowIdle, FollowProbing or FollowPulling; empty when the
+	// follower is off.
+	State string
+	// Peer is the peer being probed or pulled from (meaningful unless
+	// State is FollowIdle).
+	Peer types.ServerID
+	// BehindBy is how many blocks the last answered probe advertised
+	// beyond what this node held, summed over builders (syncsvc.Lag).
+	BehindBy uint64
 	// Polls is the number of watermark-exchange queries issued.
 	Polls int
 	// Deltas is the number of delta pulls opened (a peer was ahead).
 	Deltas int
-	// Blocks is the number of validated blocks absorbed via pulls.
+	// Blocks is the number of blocks absorbed via those pulls.
 	Blocks int
 	// Throttled counts polls refused by a peer's admission policy —
 	// the cue (already acted on) to rotate to the next peer.
 	Throttled int
 	// Errors counts polls and pulls that failed any other way.
 	Errors int
-	// LastErr is the most recent failure, nil if none (diagnostics; a
-	// follower riding a healthy cluster keeps working through it).
+	// LastErr is the last poll's failure, nil when it ended clean
+	// (diagnostics; a follower riding a healthy cluster keeps working
+	// through it).
 	LastErr error
 }
 
@@ -221,17 +245,17 @@ type Node struct {
 	// measured from. Owner only.
 	ckptFloor int64
 
-	// tracker maintains this node's own watermark vector (durable nodes
-	// only): the persistence sink observes every block as it persists,
-	// and the sync service answers watermark queries from the snapshot
-	// instead of scanning the store. Thread-safe.
+	// tracker maintains this node's own watermark vector, one Observe per
+	// block the DAG takes in: the sync service answers watermark queries
+	// from it instead of scanning the store, and pulls state what they
+	// hold from it. Thread-safe.
 	tracker *syncsvc.WatermarkTracker
 
-	// followVia is whom and how the follower polls (Transport, Roster,
-	// Peers, MaxBlocks). lastFollow is when the last poll was issued,
-	// followInFlight tracks the outstanding poll (at most one), followPeer
-	// is the rotation cursor over the peers. Owner only.
-	followVia      syncsvc.FetchConfig
+	// via is whom and how the node pulls (startup catch-up and follower
+	// alike). lastFollow is when the last poll was issued, followInFlight
+	// tracks the outstanding poll (at most one), followPeer is the rotation
+	// cursor over the peers. Owner only.
+	via            syncsvc.FetchConfig
 	lastFollow     time.Duration
 	followInFlight bool
 	followPeer     int
@@ -244,9 +268,9 @@ type Node struct {
 // then the store's persistence sink is installed — before any other block
 // can be inserted, and only once the replay has succeeded, so a failed
 // New leaves the caller-owned server without a sink and free to retry.
-// With Config.CatchUp additionally set, the bulk sync runs between
-// recovery and replay, so the server restores store and stream in one
-// pass.
+// With Config.CatchUp additionally set, startup catch-up runs last — the
+// follower's first pull, taken before there is a loop — and New returns
+// with it settled.
 func New(cfg Config) (*Node, error) {
 	if cfg.Server == nil {
 		return nil, errors.New("node: config needs a Server")
@@ -254,16 +278,8 @@ func New(cfg Config) (*Node, error) {
 	if err := validateState(&cfg); err != nil {
 		return nil, err
 	}
-	if cfg.Identity != nil {
-		if cfg.Identity.ID() != cfg.Server.ID() {
-			return nil, fmt.Errorf("node: identity is server %d, core server is %d", cfg.Identity.ID(), cfg.Server.ID())
-		}
-		if cfg.CatchUp != nil && cfg.CatchUp.Roster == nil {
-			// Copy before defaulting: the FetchConfig is caller-owned.
-			catchUp := *cfg.CatchUp
-			catchUp.Roster = cfg.Identity.Roster
-			cfg.CatchUp = &catchUp
-		}
+	if cfg.Identity != nil && cfg.Identity.ID() != cfg.Server.ID() {
+		return nil, fmt.Errorf("node: identity is server %d, core server is %d", cfg.Identity.ID(), cfg.Server.ID())
 	}
 	if cfg.DisseminateEvery <= 0 {
 		cfg.DisseminateEvery = 50 * time.Millisecond
@@ -278,128 +294,102 @@ func New(cfg Config) (*Node, error) {
 		posted: make(chan func(), 4),
 		done:   make(chan struct{}),
 		broker: NewIndicationBroker(cfg.RecentIndications),
+
+		tracker: syncsvc.NewWatermarkTracker(),
 	}
-	if cfg.FollowEvery > 0 {
-		// The follower polls over CatchUp's wiring when there is one,
-		// otherwise every other roster member over the server's transport.
-		if c := cfg.CatchUp; c != nil {
-			if c.Transport == nil || c.Roster == nil || len(c.Peers) == 0 {
-				return nil, errors.New("node: FollowEvery needs CatchUp's Transport, Roster, and Peers")
-			}
-			n.followVia = *c
-		} else {
-			srv := cfg.Server
-			n.followVia = syncsvc.FetchConfig{Transport: srv.Transport(), Roster: srv.Roster()}
-			for _, id := range srv.Roster().IDs() {
-				if id != srv.ID() {
-					n.followVia.Peers = append(n.followVia.Peers, id)
-				}
+	srv := cfg.Server
+	// Pulls go over CatchUp's wiring when there is one, otherwise to every
+	// other roster member over the server's transport.
+	n.via = syncsvc.FetchConfig{Transport: srv.Transport()}
+	if c := cfg.CatchUp; c != nil {
+		if c.Transport == nil || len(c.Peers) == 0 {
+			return nil, errors.New("node: CatchUp needs a Transport and at least one peer")
+		}
+		n.via = *c
+	} else {
+		for _, id := range srv.Roster().IDs() {
+			if id != srv.ID() {
+				n.via.Peers = append(n.via.Peers, id)
 			}
 		}
+	}
+	if n.via.Roster == nil {
+		n.via.Roster = srv.Roster()
+	}
+	if n.via.Timeout <= 0 {
+		n.via.Timeout = 30 * time.Second
+	}
+	if cfg.FollowEvery > 0 {
+		n.follow.State = FollowIdle
 	}
 	// The broker observes before the replay below runs, so indications of
 	// restored blocks land in its replay index: a gateway await for a
 	// label delivered before the crash answers immediately after restart.
-	if err := cfg.Server.AddIndicationObserver(n.broker.Publish); err != nil {
+	if err := srv.AddIndicationObserver(n.broker.Publish); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
-	var replay []*block.Block
-	var base []dag.Base
-	if cfg.Store != nil {
-		replay = cfg.Store.Blocks()
+	// The watermark tracker sees every block the DAG takes in, replay
+	// included: peers' probes are answered from it, and this node's pulls
+	// say from it what not to send. A pre-seeded base starts the vector.
+	srv.ObserveInserts(n.tracker.Observe)
+	n.tracker.SeedHorizon(srv.DAG().BaseHorizon())
+	if st := cfg.Store; st != nil {
 		// A pruned (or snapshot-installed) store stands on a base table:
 		// seed the server's DAG with it before any block is replayed, so
 		// chains resume above the horizon without their pruned prefixes.
-		base = cfg.Store.Base()
-		if len(base) > 0 {
-			if err := cfg.Server.SeedBase(base); err != nil {
+		if base := st.Base(); len(base) > 0 {
+			if err := srv.SeedBase(base); err != nil {
 				return nil, fmt.Errorf("node: seed pruned-history base: %w", err)
 			}
 		}
 		// Convictions first: the sidecar's bans hold from the first
 		// delivery on, and an equivocation the block replay re-detects is
 		// already pooled instead of being relayed afresh on every restart.
-		cfg.Server.PersistEvidence(cfg.Store.Evidence(), cfg.Store.AppendEvidence)
+		srv.PersistEvidence(st.Evidence(), st.AppendEvidence)
 		if cfg.State != nil {
 			// Rebuild the machine from the journaled checkpoint (and
 			// fast-forward the smr frontier) before the Restore replay
 			// below fires indications for the slots above it.
-			if err := n.restoreState(cfg.State, cfg.Store); err != nil {
+			if err := n.restoreState(cfg.State, st); err != nil {
 				return nil, err
 			}
 		}
-	}
-	if cfg.CatchUp != nil {
-		catchUp := *cfg.CatchUp
-		if len(base) > 0 && len(catchUp.Base) == 0 {
-			catchUp.Base = base
-		}
-		fetched, err := syncsvc.Fetch(catchUp, replay)
-		n.catchUp = CatchUpReport{Ran: true, Blocks: len(fetched), Err: err}
-		if len(fetched) > 0 {
-			replay = append(append([]*block.Block(nil), replay...), fetched...)
-			if cfg.Store != nil {
-				// Journal the bulk stream so the next restart replays
-				// it from disk instead of re-syncing — as one group
-				// commit: the whole fetched backlog costs one write
-				// per segment run, and the final Sync forces it out.
-				if err := cfg.Store.AppendBatch(fetched); err != nil {
-					return nil, fmt.Errorf("node: journal catch-up blocks: %w", err)
-				}
-				if err := cfg.Store.Sync(); err != nil {
-					return nil, fmt.Errorf("node: sync catch-up blocks: %w", err)
-				}
+		// A pruned store's vector starts at the horizon: it claims the
+		// pruned prefix (covered by the certified snapshot) without ever
+		// observing it.
+		n.tracker.SeedHorizon(st.Horizon())
+		if replay := st.Blocks(); len(replay) > 0 {
+			if err := srv.Restore(replay); err != nil {
+				return nil, fmt.Errorf("node: restore from store: %w", err)
 			}
-		}
-	}
-	if len(replay) > 0 {
-		if err := cfg.Server.Restore(replay); err != nil {
-			return nil, fmt.Errorf("node: restore from store: %w", err)
-		}
-	}
-	if cfg.Store != nil {
-		// The watermark tracker mirrors the store: seeded from the
-		// replay, advanced by the persistence sink below, snapshotted by
-		// the sync service when peers ask how far this node is.
-		n.tracker = syncsvc.NewWatermarkTracker()
-		// A pruned store's tracker starts at the horizon: the vector
-		// claims the pruned prefix (covered by the certified snapshot)
-		// without ever observing it.
-		n.tracker.SeedHorizon(cfg.Store.Horizon())
-		for _, b := range replay {
-			n.tracker.Observe(b)
 		}
 		// PersistSink, not a bare Append: own blocks must be durable
 		// before gossip broadcasts them, or a power cut sets up a
 		// post-crash self-equivocation (see the store package docs).
-		sink := cfg.Store.PersistSink(cfg.Server.ID())
-		if err := cfg.Server.SetPersist(func(b *block.Block) error {
-			if err := sink(b); err != nil {
-				return err
-			}
-			n.tracker.Observe(b)
-			return nil
-		}); err != nil {
+		if err := srv.SetPersist(st.PersistSink(srv.ID())); err != nil {
 			return nil, fmt.Errorf("node: %w", err)
 		}
 		// Group-commit ingest bursts: DeliverBatch brackets its burst in
 		// one store batch, so 64 received blocks cost one write syscall
 		// and one fsync decision instead of 64 (see core.DeliverBatch for
 		// why the own-block durability barrier is unaffected).
-		if err := cfg.Server.SetPersistBatcher(cfg.Store); err != nil {
+		if err := srv.SetPersistBatcher(st); err != nil {
 			return nil, fmt.Errorf("node: %w", err)
 		}
 		if cfg.CheckpointEveryBytes > 0 {
-			floor, err := cfg.Store.DiskSize()
+			floor, err := st.DiskSize()
 			if err != nil {
 				return nil, fmt.Errorf("node: %w", err)
 			}
 			n.ckptFloor = floor
 		}
 	}
+	if cfg.CatchUp != nil {
+		n.startupCatchUp()
+	}
 	// The follow and seal periods count from here, not from the clock's
 	// origin: a long catch-up above must not make the first turn overdue.
-	n.lastFollow = cfg.Server.Now()
+	n.lastFollow = srv.Now()
 	n.lastSeal = n.lastFollow
 	return n, nil
 }
@@ -433,16 +423,9 @@ func (n *Node) AccountabilityReport() AccountabilityReport {
 
 // Watermarks returns this node's own watermark vector — the live source
 // deployments hand to syncsvc.Server.Watermarks, so answering a peer's
-// poll costs a few counters instead of a store scan. Nil when the node
-// has no store (the sync service then falls back to scanning its block
-// source). Safe for concurrent use; transports call it from connection
-// goroutines.
-func (n *Node) Watermarks() []syncsvc.Watermark {
-	if n.tracker == nil {
-		return nil
-	}
-	return n.tracker.Snapshot()
-}
+// poll costs a few counters instead of a store scan. Safe for concurrent
+// use; transports call it from connection goroutines.
+func (n *Node) Watermarks() []syncsvc.Watermark { return n.tracker.Snapshot() }
 
 // StoreDiskSize reports the durable store's current on-disk size in
 // bytes, false when the node runs without a store. Safe for concurrent

@@ -2,9 +2,11 @@ package node
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
+	"blockdag/internal/dag"
 	"blockdag/internal/gossip"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/syncsvc"
@@ -70,83 +72,57 @@ func (n *Node) FollowPoll() {
 	// Score-weighted rotation: with a scorer configured (core.Config.Scores)
 	// the poll prefers peers outside quarantine and never targets a banned
 	// one; without, this is the plain round-robin it always was.
-	peer, ok := n.cfg.Server.Scores().Pick(n.followVia.Peers, n.followPeer)
+	peer, ok := n.cfg.Server.Scores().Pick(n.via.Peers, n.followPeer)
 	n.followPeer++
 	if !ok {
 		return // no peer, or every one is banned; FWD gossip remains the fallback
 	}
 	n.lastFollow = n.cfg.Server.Now()
 	n.followInFlight = true
-	n.noteFollow(func(r *FollowReport) { r.Polls++ })
-	query := syncsvc.NewWatermarkQuery(func(wms []syncsvc.Watermark, err error) {
-		n.post(func() { n.followDecide(peer, wms, err) })
+	n.noteFollow(func(r *FollowReport) { r.Polls++; r.State, r.Peer = FollowProbing, peer })
+	var query *syncsvc.WatermarkQuery
+	query = syncsvc.NewWatermarkQuery(func() {
+		n.post(func() { n.followDecide(peer, query) })
 	})
-	n.followVia.Transport.Call(peer, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), query)
+	n.via.Transport.Call(peer, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), query)
 }
 
 // followDecide consumes a watermark answer: settle when the poll failed
-// or the peer holds nothing new, otherwise open the delta pull.
-func (n *Node) followDecide(peer types.ServerID, wms []syncsvc.Watermark, err error) {
+// or the peer holds nothing new, otherwise pull.
+func (n *Node) followDecide(peer types.ServerID, query *syncsvc.WatermarkQuery) {
+	wms, err := query.Result()
 	if err != nil {
-		n.settleFollow(peer, err)
+		n.charge(peer, err)
+		n.settleFollow(err)
 		return
 	}
-	// Durable nodes pass the tracker's O(#builders) horizon; a
-	// storeless node (nil horizon) falls back to a DAG scan inside
-	// DeltaIfBehind.
-	var horizon map[types.ServerID]uint64
-	if n.tracker != nil {
-		horizon = n.tracker.Horizon()
-	}
-	pull, err := syncsvc.DeltaIfBehind(n.followVia.Roster, n.cfg.Server.DAG(), horizon, wms, n.followVia.MaxBlocks)
-	if err != nil || pull == nil { // nil pull: in sync with this peer
-		n.settleFollow(peer, err)
+	lag := syncsvc.Lag(n.tracker.Horizon(), wms)
+	n.noteFollow(func(rep *FollowReport) { rep.BehindBy = lag })
+	if lag == 0 { // in sync with this peer
+		n.settleFollow(nil)
 		return
 	}
-	n.noteFollow(func(rep *FollowReport) { rep.Deltas++ })
-	sink := syncsvc.PullDone(pull, func() {
-		n.post(func() { n.followAbsorb(peer, pull) })
+	n.noteFollow(func(rep *FollowReport) { rep.Deltas++; rep.State = FollowPulling })
+	n.PullFrom(peer, func(absorbed int, err error) {
+		n.noteFollow(func(rep *FollowReport) { rep.Blocks += absorbed })
+		n.settleFollow(err)
 	})
-	n.followVia.Transport.Call(peer, transport.ChanSync, pull.Request(), sink)
 }
 
-// followAbsorb feeds a settled pull's validated blocks to the running
-// server. Every absorbed block passed full validation whatever the
-// stream's terminal error; a truncated or lying stream still yields its
-// genuine prefix. Persist trouble is latched in Health (and recorded
-// here). The absorption is bracketed in one store group commit — the
-// pulled suffix journals with one write per segment run instead of one
-// per block.
-func (n *Node) followAbsorb(peer types.ServerID, pull *syncsvc.Pull) {
-	if n.cfg.Store != nil {
-		n.cfg.Store.BeginBatch()
-	}
-	absorbed, absorbErr, streamErr := syncsvc.AbsorbPull(pull, n.cfg.Server.AbsorbVerified)
-	if n.cfg.Store != nil {
-		n.recordErr(n.cfg.Store.FlushBatch())
-	}
-	n.recordErr(absorbErr)
-	n.noteFollow(func(rep *FollowReport) { rep.Blocks += absorbed })
-	n.settleFollow(peer, streamErr)
-}
-
-// settleFollow finishes the in-flight poll, classifying its outcome.
-// A throttled or failed peer costs nothing beyond the poll period — the
-// next poll rotates to the next peer; with a scorer configured, a
-// throttling peer additionally loses standing in the rotation.
-func (n *Node) settleFollow(peer types.ServerID, err error) {
+// settleFollow finishes the in-flight poll. A throttled or failed peer
+// costs nothing beyond the poll period — the next poll rotates to the next
+// peer.
+func (n *Node) settleFollow(err error) {
 	n.followInFlight = false
-	if err == nil {
-		return
-	}
 	n.noteFollow(func(rep *FollowReport) {
-		if errors.Is(err, syncsvc.ErrThrottled) {
+		switch {
+		case err == nil:
+		case errors.Is(err, syncsvc.ErrThrottled):
 			rep.Throttled++
-			n.cfg.Server.Scores().Penalize(peer, peerscore.Throttled)
-		} else {
+		default:
 			rep.Errors++
 		}
-		rep.LastErr = err
+		rep.State, rep.LastErr = FollowIdle, err
 	})
 }
 
@@ -156,6 +132,113 @@ func (n *Node) noteFollow(fn func(*FollowReport)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	fn(&n.follow)
+}
+
+// PullFrom is the one catch-up primitive behind all three triggers
+// (startup catch-up, the live follower, the simulator's recovery): ask
+// peer for every block this node's watermark vector lacks and, when the
+// stream settles, absorb it as a turn of its own (post) and tell settled
+// how many blocks that added and what went wrong, if anything. The
+// returned function abandons a stream the caller has waited long enough
+// for: it settles at once with what has arrived.
+//
+// The stream's blocks come signature-checked (syncsvc.Pull) and enter
+// the live DAG through core.Server.AbsorbVerified in stream order, inside
+// one store group commit: structure is checked where gossip's is, and the
+// first block the DAG refuses ends the absorb and becomes the stream's
+// error. Whatever the error, the blocks before it are genuine and
+// journaled like any others, and the next pull asks only for the rest. A
+// peer that served garbage is charged for it. Own blocks this node did
+// not hold (disk loss) re-anchor its chain before anything else is built.
+func (n *Node) PullFrom(peer types.ServerID, settled func(absorbed int, err error)) (abandon func()) {
+	var pull *syncsvc.Pull
+	pull = syncsvc.NewPull(n.via.Roster, n.tracker.Snapshot(), 0, func() {
+		n.post(func() { settled(n.absorb(peer, pull)) })
+	})
+	cancel := n.via.Transport.Call(peer, transport.ChanSync, pull.Request(), pull)
+	return func() {
+		cancel()
+		pull.OnDone(errors.New("node: pull abandoned before the stream ended"))
+	}
+}
+
+// absorb is PullFrom's second half, run by the server's owner.
+func (n *Node) absorb(peer types.ServerID, pull *syncsvc.Pull) (absorbed int, err error) {
+	blocks, err := pull.Result()
+	srv, st := n.cfg.Server, n.cfg.Store
+	if st != nil {
+		st.BeginBatch()
+	}
+	ownChain := false
+	for _, b := range blocks {
+		if srv.DAG().Contains(b.Ref()) {
+			continue // a forked builder's chain is re-sent whole
+		}
+		if aerr := srv.AbsorbVerified(b); aerr != nil {
+			if srv.DAG().Contains(b.Ref()) {
+				n.recordErr(aerr) // inserted, not journaled: ours to fix, not the peer's
+			} else {
+				err = fmt.Errorf("%w: block %v rejected: %w", syncsvc.ErrBadStream, b.Ref(), aerr)
+			}
+			break
+		}
+		absorbed++
+		ownChain = ownChain || b.Builder == srv.ID()
+	}
+	if st != nil {
+		n.recordErr(st.FlushBatch())
+	}
+	if ownChain {
+		srv.ResumeOwnChain()
+	}
+	if err != nil {
+		err = fmt.Errorf("peer %v: %w", peer, err)
+		n.charge(peer, err)
+	}
+	return absorbed, err
+}
+
+// charge maps a failed exchange with a sync peer onto the peer's score:
+// refusal by admission control, a block that fails its signature check,
+// or anything else no correct server sends (ErrBadStream). A stream that
+// merely stopped — link death, timeout — costs nothing: the peer may be
+// as much a victim as we are.
+func (n *Node) charge(peer types.ServerID, err error) {
+	scores := n.cfg.Server.Scores()
+	switch {
+	case errors.Is(err, syncsvc.ErrThrottled):
+		scores.Penalize(peer, peerscore.Throttled)
+	case errors.Is(err, dag.ErrBadSignature), errors.Is(err, dag.ErrBuilderUnknown):
+		scores.Penalize(peer, peerscore.BadSignature)
+	case errors.Is(err, syncsvc.ErrBadStream):
+		scores.Penalize(peer, peerscore.MalformedFrame)
+	}
+}
+
+// startupCatchUp is New's pull: the peers in order until one stream ends
+// clean, each bounded by the configured timeout. There is no loop yet, so
+// post runs the absorb turn on whichever goroutine settles the stream —
+// the transport's, or this one abandoning it — while this one does nothing
+// but wait for exactly that.
+func (n *Node) startupCatchUp() {
+	n.catchUp.Ran = true
+	for _, peer := range n.via.Peers {
+		done := make(chan struct{})
+		abandon := n.PullFrom(peer, func(absorbed int, err error) {
+			n.catchUp.Blocks += absorbed
+			n.catchUp.Peer, n.catchUp.Err = peer, err
+			close(done)
+		})
+		select {
+		case <-done:
+		case <-time.After(n.via.Timeout):
+			abandon()
+			<-done
+		}
+		if n.catchUp.Err == nil {
+			return
+		}
+	}
 }
 
 // maybeCheckpoint runs the automatic checkpoint policy: snapshot and

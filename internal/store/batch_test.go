@@ -29,6 +29,22 @@ func readDirBytes(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// appendBatch journals blocks as one group commit, the way the runtime
+// brackets an ingest burst or a pulled stream.
+func appendBatch(st *store.Store, blocks []*block.Block) error {
+	st.BeginBatch()
+	var firstErr error
+	for _, b := range blocks {
+		if firstErr = st.Append(b); firstErr != nil {
+			break
+		}
+	}
+	if err := st.FlushBatch(); firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
+}
+
 // TestAppendBatchByteIdenticalToSequential is the group-commit safety
 // property: batching changes how many syscalls produce the journal, not
 // one byte of it. The same blocks appended one by one and as one batch —
@@ -47,7 +63,7 @@ func TestAppendBatchByteIdenticalToSequential(t *testing.T) {
 	}
 
 	batch := openStore(t, batchDir, roster, opts)
-	if err := batch.AppendBatch(blocks); err != nil {
+	if err := appendBatch(batch, blocks); err != nil {
 		t.Fatal(err)
 	}
 	if err := batch.Close(); err != nil {
@@ -83,7 +99,7 @@ func TestAppendBatchRecovers(t *testing.T) {
 	// journal the rest once.
 	appendAll(t, st, blocks[:10])
 	withDup := append(append([]*block.Block(nil), blocks...), blocks[20])
-	if err := st.AppendBatch(withDup); err != nil {
+	if err := appendBatch(st, withDup); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -164,7 +180,7 @@ func TestAppendBatchOversizedRecord(t *testing.T) {
 	roster, blocks := chain(t, 3)
 	dir := t.TempDir()
 	st := openStore(t, dir, roster, store.Options{SegmentSize: 16})
-	if err := st.AppendBatch(blocks); err != nil {
+	if err := appendBatch(st, blocks); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

@@ -57,7 +57,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 
 // BenchmarkStoreAppendBatch measures group-commit journaling:
 // the same workload as BenchmarkStoreAppend but appended through
-// AppendBatch in ingest-burst-sized groups, so a burst costs one write
+// appendBatch in ingest-burst-sized groups, so a burst costs one write
 // syscall pair and one fsync decision instead of one per block. The
 // per-op unit stays one block, directly comparable to BenchmarkStoreAppend.
 func BenchmarkStoreAppendBatch(b *testing.B) {
@@ -85,7 +85,7 @@ func BenchmarkStoreAppendBatch(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if err := st.AppendBatch(blocks[i : i+burst]); err != nil {
+				if err := appendBatch(st, blocks[i:i+burst]); err != nil {
 					b.Fatal(err)
 				}
 				i += burst

@@ -531,10 +531,9 @@ func (s *Store) Append(b *block.Block) error {
 }
 
 // BeginBatch opens a group-commit window: until FlushBatch, Append
-// buffers records in memory instead of writing them. Use it (or the
-// AppendBatch convenience wrapper) around a burst of appends so the whole
-// burst costs one write syscall and one fsync decision instead of one
-// pair per block. Nested BeginBatch calls are no-ops — the window is a
+// buffers records in memory instead of writing them. Use it around a
+// burst of appends so the whole burst costs one write syscall and one
+// fsync decision instead of one pair per block. Nested BeginBatch calls are no-ops — the window is a
 // flag, not a stack. Batches do not change what ends up on disk, only
 // how many syscalls produce it: the byte stream is identical to the same
 // appends issued individually (property-tested in batch_test.go).
@@ -571,26 +570,6 @@ func (s *Store) FlushBatch() error {
 		}
 	}
 	return nil
-}
-
-// AppendBatch journals blocks as one group commit: BeginBatch, Append
-// each block (stopping at the first error), FlushBatch. It returns the
-// first error encountered. Callers with a natural burst in hand (catch-up
-// absorption, recovery replay) use this; the live ingest path brackets
-// core's delivery batches with BeginBatch/FlushBatch directly.
-func (s *Store) AppendBatch(blocks []*block.Block) error {
-	s.BeginBatch()
-	var firstErr error
-	for _, b := range blocks {
-		if err := s.Append(b); err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if err := s.FlushBatch(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
 }
 
 // flushPending writes the buffered batch records and resets the buffer,

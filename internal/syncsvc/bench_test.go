@@ -27,7 +27,8 @@ func (n gossipNode) Deliver(from types.ServerID, payload []byte) {
 // rebuild a 2000-block backlog from one peer:
 //
 //   - bulk: one syncsvc stream over the sync channel (chunked frames,
-//     client-side validation)
+//     signatures checked on the stream; the absorbing DAG's structural
+//     checks are BenchmarkPullValidate's to price)
 //   - fwd: the gossip layer's per-block FWD path — receive the tip,
 //     discover one missing predecessor per round trip
 //
@@ -52,10 +53,7 @@ func BenchmarkCatchUp(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			net := simnet.New(simnet.WithSeed(1))
 			net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})
-			pull, err := syncsvc.NewPull(roster, nil, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
+			pull := syncsvc.NewPull(roster, nil, 0, nil)
 			net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
 			if !net.RunUntil(pull.Done) {
 				b.Fatal("stream did not finish")

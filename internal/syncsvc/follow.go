@@ -1,23 +1,19 @@
 // Live-follower support: the watermark-exchange side of the sync
 // protocol. A running node periodically asks a rotating peer for its
 // watermark vector (one cheap call, one small frame) and opens a delta
-// stream — the same validated bulk pull startup catch-up uses — only
-// when the peer actually holds blocks the local DAG does not. See the
-// package comment for the protocol and threat model.
+// stream — the same pull startup catch-up uses — only when the peer
+// actually holds blocks the local DAG does not. See the package comment
+// for the protocol and threat model.
 
 package syncsvc
 
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
-	"time"
 
 	"blockdag/internal/block"
-	"blockdag/internal/crypto"
-	"blockdag/internal/dag"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
@@ -51,120 +47,73 @@ func DecodeWatermarkFrame(frame []byte) ([]Watermark, error) {
 	return wms, nil
 }
 
-// Horizon returns, per builder, the maximum held sequence number plus
-// one — over every held block, forked chains included. This is the
-// vector Behind compares a peer's claims against: unlike Watermarks it
-// never omits an equivocating builder, so a follower that already holds
-// a forked builder's blocks is not re-pulled every poll. (Equivocation
-// variants beyond the horizon cannot be expressed in either vector;
-// their repair rides the FWD path, which stays armed regardless.)
-func Horizon(blocks iter.Seq[*block.Block]) map[types.ServerID]uint64 {
-	horizon := make(map[types.ServerID]uint64)
-	for b := range blocks {
-		if next := b.Seq + 1; next > horizon[b.Builder] {
-			horizon[b.Builder] = next
+// Lag counts the blocks a peer's advertised watermark vector names
+// outside the local horizon, summed over builders: how far behind that
+// peer the local node is, by the peer's own account. The horizon
+// (WatermarkTracker.Horizon) never omits an equivocating builder, so a
+// follower already holding a forked builder's blocks is not re-pulled
+// every poll; variants beyond it ride the FWD path.
+func Lag(local map[types.ServerID]uint64, peer []Watermark) uint64 {
+	var lag uint64
+	for _, wm := range peer {
+		if have := local[wm.Builder]; wm.NextSeq > have {
+			lag += wm.NextSeq - have
 		}
 	}
-	return horizon
+	return lag
 }
 
 // Behind reports whether a peer's advertised watermark vector names any
 // block outside the local horizon — the trigger for a delta pull. A
 // peer can lie here in either direction: claiming too little makes the
 // follower skip a pull (no worse than not polling that peer), claiming
-// too much makes it open one delta stream whose blocks are then fully
-// validated — so a lying peer wastes one round trip, never poisons
+// too much makes it open one delta stream whose blocks are then checked
+// like any other — so a lying peer wastes one round trip, never poisons
 // state.
 func Behind(local map[types.ServerID]uint64, peer []Watermark) bool {
-	for _, wm := range peer {
-		if wm.NextSeq > local[wm.Builder] {
-			return true
-		}
-	}
-	return false
+	return Lag(local, peer) > 0
 }
 
 // WatermarkQuery is the client side of one watermark-exchange call: a
 // transport.CallSink that collects the peer's vector. Safe for
 // concurrent sink invocation and inspection.
 type WatermarkQuery struct {
-	mu     sync.Mutex
-	wms    []Watermark
-	got    bool
-	err    error
-	done   bool
-	notify chan struct{}
-	onDone func([]Watermark, error)
+	settled
+	wms []Watermark
+	got bool
 }
 
 var _ transport.CallSink = (*WatermarkQuery)(nil)
 
-// NewWatermarkQuery prepares a query. onDone, if non-nil, is invoked
-// exactly once when the call terminates — from the transport's sink
-// goroutine (or the simulator's event loop), so it must either be safe
-// there or hand off to the owning loop, as the node runtime does.
-func NewWatermarkQuery(onDone func([]Watermark, error)) *WatermarkQuery {
-	return &WatermarkQuery{notify: make(chan struct{}), onDone: onDone}
+// NewWatermarkQuery prepares a query. onDone, if non-nil, runs exactly
+// once when the call terminates, under NewPull's conditions.
+func NewWatermarkQuery(onDone func()) *WatermarkQuery {
+	return &WatermarkQuery{settled: newSettled(onDone)}
 }
 
 // OnFrame implements transport.CallSink.
 func (q *WatermarkQuery) OnFrame(frame []byte) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.done || q.err != nil {
-		return
-	}
-	if q.got {
-		q.err = errors.New("syncsvc: second frame on a watermark query")
-		return
-	}
-	wms, err := DecodeWatermarkFrame(frame)
-	if err != nil {
-		q.err = err
-		return
-	}
-	q.wms, q.got = wms, true
+	q.frame(func() error {
+		if q.got {
+			return fmt.Errorf("%w: second frame on a watermark query", ErrBadStream)
+		}
+		wms, err := DecodeWatermarkFrame(frame)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrBadStream, err)
+		}
+		q.wms, q.got = wms, true
+		return nil
+	})
 }
 
 // OnDone implements transport.CallSink.
 func (q *WatermarkQuery) OnDone(err error) {
-	q.mu.Lock()
-	if q.done {
-		q.mu.Unlock()
-		return
-	}
-	if q.err == nil && err != nil {
-		q.err = normalizeRemoteErr(err)
-	}
-	if q.err == nil && !q.got {
-		q.err = errors.New("syncsvc: watermark query ended without a vector")
-	}
-	q.done = true
-	wms, qerr, onDone := q.wms, q.err, q.onDone
-	close(q.notify)
-	q.mu.Unlock()
-	if onDone != nil {
-		onDone(wms, qerr)
-	}
-}
-
-// Done reports whether the query has terminated — the condition
-// simulator-driven clients run the network until.
-func (q *WatermarkQuery) Done() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.done
-}
-
-// Wait blocks until the query terminates or the timeout passes,
-// reporting false on timeout — for real-transport clients.
-func (q *WatermarkQuery) Wait(timeout time.Duration) bool {
-	select {
-	case <-q.notify:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
+	q.settle(err, func() error {
+		if !q.got {
+			return errors.New("syncsvc: watermark query ended without a vector")
+		}
+		return nil
+	})
 }
 
 // Result returns the peer's vector and the query's terminal error.
@@ -172,70 +121,6 @@ func (q *WatermarkQuery) Result() ([]Watermark, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.wms, q.err
-}
-
-// DeltaIfBehind is the decision core of one follow poll, shared by the
-// node runtime and the cluster simulator so the two drivers cannot
-// diverge: given the peer's advertised vector, return nil when the peer
-// holds nothing outside the local horizon, otherwise a delta pull
-// seeded (trusted, no signature re-verification) from the local DAG.
-// horizon may be nil, in which case it is computed from the DAG — pass
-// a tracker-maintained horizon to keep the in-sync fast path O(#builders)
-// instead of O(DAG).
-func DeltaIfBehind(roster *crypto.Roster, d *dag.DAG, horizon map[types.ServerID]uint64, peer []Watermark, maxBlocks int) (*Pull, error) {
-	if horizon == nil {
-		horizon = Horizon(d.All())
-		// A pruned DAG holds nothing below its base horizon, but is not
-		// behind there either: the certified snapshot covers it.
-		for builder, h := range d.BaseHorizon() {
-			if h > horizon[builder] {
-				horizon[builder] = h
-			}
-		}
-	}
-	if !Behind(horizon, peer) {
-		return nil, nil
-	}
-	return NewPullFrom(roster, d.Base(), d.Blocks(), maxBlocks)
-}
-
-// AbsorbPull feeds every validated block of a settled pull to absorb
-// (the server's verified-insert entry point), in stream order, stopping
-// at the first absorb error. The two returned errors are distinct
-// failures: absorbErr is local trouble (persist or invariant, already
-// latched in the server's health), streamErr is the pull's terminal
-// error (the peer misbehaved or the link broke) — the absorbed prefix
-// is genuine either way.
-func AbsorbPull(p *Pull, absorb func(*block.Block) error) (absorbed int, absorbErr, streamErr error) {
-	blocks, streamErr := p.Result()
-	for _, b := range blocks {
-		if absorbErr = absorb(b); absorbErr != nil {
-			break
-		}
-		absorbed++
-	}
-	return absorbed, absorbErr, streamErr
-}
-
-// PullDone wraps a Pull as the sink for its own call, running fn once
-// the stream settles (after the Pull recorded its terminal state). Both
-// follower drivers — the node runtime handing results back to its loop
-// and the cluster simulator absorbing on the event loop — hang their
-// continuation here.
-func PullDone(p *Pull, fn func()) transport.CallSink {
-	return &pullDoneSink{pull: p, fn: fn}
-}
-
-type pullDoneSink struct {
-	pull *Pull
-	fn   func()
-}
-
-func (s *pullDoneSink) OnFrame(frame []byte) { s.pull.OnFrame(frame) }
-
-func (s *pullDoneSink) OnDone(err error) {
-	s.pull.OnDone(err)
-	s.fn()
 }
 
 // WatermarkTracker maintains a server's own watermark vector
@@ -265,7 +150,7 @@ func NewWatermarkTracker() *WatermarkTracker {
 	return &WatermarkTracker{chains: make(map[types.ServerID]*trackedChain)}
 }
 
-// SeedHorizon primes the tracker at a pruned store's horizon: each
+// SeedHorizon primes the tracker at a pruned store's (or DAG's) horizon: each
 // builder's counter starts at its first retained sequence number, so
 // the advertised vector claims the pruned prefix (covered by the
 // certified snapshot) without ever having observed it. Call once,
@@ -308,9 +193,8 @@ func (t *WatermarkTracker) Observe(b *block.Block) {
 }
 
 // Horizon returns the tracker's per-builder horizon — next sequence
-// number per builder, forked builders included — the O(#builders)
-// equivalent of Horizon over the tracked block set, for the follower's
-// Behind check.
+// number per builder, forked builders included: what Lag and Behind
+// compare a peer's claims against, in O(#builders).
 func (t *WatermarkTracker) Horizon() map[types.ServerID]uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

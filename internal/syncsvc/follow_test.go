@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"blockdag/internal/block"
-	"blockdag/internal/dag"
 	"blockdag/internal/simnet"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/transport"
@@ -137,32 +136,30 @@ func (f handlerFunc) ServeCall(from types.ServerID, req []byte, st transport.Ser
 }
 
 // TestHorizonAndBehind: the pull trigger fires exactly when a peer
-// advertises blocks outside the local horizon.
+// advertises blocks outside the local horizon, and Lag says by how many.
 func TestHorizonAndBehind(t *testing.T) {
-	roster, blocks := buildChain(t, 4) // builder 0, seqs 0..3
-	d := dag.New(roster)
+	_, blocks := buildChain(t, 4) // builder 0, seqs 0..3
+	tr := syncsvc.NewWatermarkTracker()
 	for _, b := range blocks {
-		if err := d.Insert(b); err != nil {
-			t.Fatal(err)
-		}
+		tr.Observe(b)
 	}
-	local := syncsvc.Horizon(d.All())
+	local := tr.Horizon()
 	if local[0] != 4 {
 		t.Fatalf("horizon = %v, want builder 0 at 4", local)
 	}
 	cases := []struct {
 		peer []syncsvc.Watermark
-		want bool
+		want uint64
 	}{
-		{nil, false},
-		{[]syncsvc.Watermark{{Builder: 0, NextSeq: 4}}, false}, // equal
-		{[]syncsvc.Watermark{{Builder: 0, NextSeq: 2}}, false}, // peer behind
-		{[]syncsvc.Watermark{{Builder: 0, NextSeq: 5}}, true},  // peer ahead
-		{[]syncsvc.Watermark{{Builder: 1, NextSeq: 1}}, true},  // unknown builder
+		{nil, 0},
+		{[]syncsvc.Watermark{{Builder: 0, NextSeq: 4}}, 0},                           // equal
+		{[]syncsvc.Watermark{{Builder: 0, NextSeq: 2}}, 0},                           // peer behind
+		{[]syncsvc.Watermark{{Builder: 0, NextSeq: 5}}, 1},                           // peer ahead
+		{[]syncsvc.Watermark{{Builder: 0, NextSeq: 6}, {Builder: 1, NextSeq: 3}}, 5}, // and an unknown builder
 	}
 	for i, tc := range cases {
-		if got := syncsvc.Behind(local, tc.peer); got != tc.want {
-			t.Fatalf("case %d: Behind = %v, want %v", i, got, tc.want)
+		if got := syncsvc.Lag(local, tc.peer); got != tc.want || syncsvc.Behind(local, tc.peer) != (tc.want > 0) {
+			t.Fatalf("case %d: Lag = %d (Behind %v), want %d", i, got, syncsvc.Behind(local, tc.peer), tc.want)
 		}
 	}
 }
@@ -187,54 +184,5 @@ func TestWatermarkTracker(t *testing.T) {
 	tr.Observe(variant)
 	if wms := tr.Snapshot(); len(wms) != 0 {
 		t.Fatalf("forked builder still advertised: %v", wms)
-	}
-}
-
-// TestDAGWatermarksMatchesBatch: the DAG-backed vector equals the
-// slice-based one over the same blocks.
-func TestDAGWatermarksMatchesBatch(t *testing.T) {
-	roster, blocks := buildChain(t, 12)
-	d := dag.New(roster)
-	for _, b := range blocks {
-		if err := d.Insert(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := syncsvc.Watermarks(blocks)
-	got := syncsvc.DAGWatermarks(d)
-	if len(got) != len(want) || got[0] != want[0] {
-		t.Fatalf("DAGWatermarks = %v, want %v", got, want)
-	}
-}
-
-// TestPullTrustedSeed: a trusted-seed pull resumes from the seed's
-// watermarks and still validates the streamed remainder.
-func TestPullTrustedSeed(t *testing.T) {
-	roster, blocks := buildChain(t, 40)
-	st := storeWith(t, t.TempDir(), roster, blocks)
-	defer func() { _ = st.Close() }()
-
-	net := simnet.New(simnet.WithSeed(6))
-	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})
-
-	pull, err := syncsvc.NewPullTrusted(roster, blocks[:15], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
-	if !net.RunUntil(pull.Done) {
-		t.Fatal("stream never finished")
-	}
-	got, err := pull.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 25 {
-		t.Fatalf("pulled %d blocks, want the 25-block suffix", len(got))
-	}
-	for i, b := range got {
-		if b.Seq != uint64(15+i) {
-			t.Fatalf("suffix block %d has seq %d", i, b.Seq)
-		}
 	}
 }

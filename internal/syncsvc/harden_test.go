@@ -173,10 +173,7 @@ func TestThrottledStreamKeepsClientClean(t *testing.T) {
 		Clock:  func() time.Duration { return 0 },
 	}
 	run := func() ([]*block.Block, error) {
-		pull, err := syncsvc.NewPull(roster, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pull := syncsvc.NewPull(roster, nil, 0, nil)
 		st := newPullStream(pull)
 		srv.ServeCall(1, pull.Request(), st)
 		return pull.Result()
@@ -200,10 +197,7 @@ func TestThrottledStreamKeepsClientClean(t *testing.T) {
 // unimplementable over the real network.
 func TestThrottledSentinelSurvivesTransport(t *testing.T) {
 	roster, _ := buildChain(t, 1)
-	pull, err := syncsvc.NewPull(roster, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pull := syncsvc.NewPull(roster, nil, 0, nil)
 	// What tcpnet's decodeCallError yields for a non-transport error.
 	pull.OnDone(fmt.Errorf("transport: remote error: %v", syncsvc.ErrThrottled))
 	if _, err := pull.Result(); !errors.Is(err, syncsvc.ErrThrottled) {

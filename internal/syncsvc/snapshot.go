@@ -23,7 +23,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
+	"maps"
+	"slices"
 	"time"
 
 	"blockdag/internal/crypto"
@@ -92,16 +93,7 @@ func EncodeSnapMetaFrame(ss *ServedSnapshot) []byte {
 // sortedIDs returns the map's keys in ascending order, for a canonical
 // encoding.
 func sortedIDs(m map[types.ServerID]uint64) []types.ServerID {
-	ids := make([]types.ServerID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
+	return slices.Sorted(maps.Keys(m))
 }
 
 // DecodeSnapMetaFrame inverts EncodeSnapMetaFrame.
@@ -238,71 +230,40 @@ func (s *Server) serveSnapChunks(req []byte, st transport.ServerStream) {
 
 // SnapMetaQuery is the client side of one snapshot-meta call.
 type SnapMetaQuery struct {
-	mu     sync.Mutex
-	meta   *SnapMeta
-	err    error
-	done   bool
-	notify chan struct{}
+	settled
+	meta *SnapMeta
 }
 
 var _ transport.CallSink = (*SnapMetaQuery)(nil)
 
 // NewSnapMetaQuery prepares a snapshot-meta query.
 func NewSnapMetaQuery() *SnapMetaQuery {
-	return &SnapMetaQuery{notify: make(chan struct{})}
+	return &SnapMetaQuery{settled: newSettled(nil)}
 }
 
 // OnFrame implements transport.CallSink.
 func (q *SnapMetaQuery) OnFrame(frame []byte) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.done || q.err != nil {
-		return
-	}
-	if q.meta != nil {
-		q.err = errors.New("syncsvc: second frame on a snapshot-meta query")
-		return
-	}
-	m, err := DecodeSnapMetaFrame(frame)
-	if err != nil {
-		q.err = err
-		return
-	}
-	q.meta = m
+	q.frame(func() error {
+		if q.meta != nil {
+			return errors.New("syncsvc: second frame on a snapshot-meta query")
+		}
+		m, err := DecodeSnapMetaFrame(frame)
+		if err != nil {
+			return err
+		}
+		q.meta = m
+		return nil
+	})
 }
 
 // OnDone implements transport.CallSink.
 func (q *SnapMetaQuery) OnDone(err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.done {
-		return
-	}
-	if q.err == nil && err != nil {
-		q.err = normalizeRemoteErr(err)
-	}
-	if q.err == nil && q.meta == nil {
-		q.err = errors.New("syncsvc: snapshot-meta query ended without an answer")
-	}
-	q.done = true
-	close(q.notify)
-}
-
-// Done reports whether the query has terminated.
-func (q *SnapMetaQuery) Done() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.done
-}
-
-// Wait blocks until the query terminates or the timeout passes.
-func (q *SnapMetaQuery) Wait(timeout time.Duration) bool {
-	select {
-	case <-q.notify:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
+	q.settle(err, func() error {
+		if q.meta == nil {
+			return errors.New("syncsvc: snapshot-meta query ended without an answer")
+		}
+		return nil
+	})
 }
 
 // Result returns the peer's snapshot meta and the terminal error.
@@ -320,15 +281,12 @@ func (q *SnapMetaQuery) Result() (*SnapMeta, error) {
 // builder against another. The final root check is the caller's
 // Builder.Finish.
 type SnapChunkPull struct {
-	mu       sync.Mutex
+	settled
 	builder  *state.Builder
 	accepted [][]byte
 	streamed uint64
 	claimed  uint64
 	sawDone  bool
-	err      error
-	done     bool
-	notify   chan struct{}
 }
 
 var _ transport.CallSink = (*SnapChunkPull)(nil)
@@ -337,7 +295,7 @@ var _ transport.CallSink = (*SnapChunkPull)(nil)
 // is shared across attempts (that is what makes resume work); the
 // caller must not touch it until the pull is Done.
 func NewSnapChunkPull(b *state.Builder) *SnapChunkPull {
-	return &SnapChunkPull{builder: b, notify: make(chan struct{})}
+	return &SnapChunkPull{settled: newSettled(nil), builder: b}
 }
 
 // Request encodes the chunk request resuming at the builder's position.
@@ -349,80 +307,54 @@ func (p *SnapChunkPull) Request(root [32]byte) []byte {
 
 // OnFrame implements transport.CallSink.
 func (p *SnapChunkPull) OnFrame(frame []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.done || p.err != nil {
-		return
-	}
+	p.frame(func() error { return p.consume(frame) })
+}
+
+// consume processes one stream frame under the lock.
+func (p *SnapChunkPull) consume(frame []byte) error {
 	r := wire.NewReader(frame)
 	switch r.Byte() {
 	case frameSnapChunk:
 		chunk := r.VarBytes()
 		if err := r.Close(); err != nil {
-			p.err = fmt.Errorf("syncsvc: bad chunk frame: %w", err)
-			return
+			return fmt.Errorf("syncsvc: bad chunk frame: %w", err)
 		}
 		p.streamed++
 		if p.streamed > maxSnapChunks {
-			p.err = fmt.Errorf("syncsvc: stream exceeds %d chunks", maxSnapChunks)
-			return
+			return fmt.Errorf("syncsvc: stream exceeds %d chunks", maxSnapChunks)
 		}
 		// The builder verifies the chunk before applying it; a tampered,
 		// truncated, or out-of-order chunk fails here, explicitly, with
 		// the builder's tree untouched — the stream never applies
 		// partially.
 		if err := p.builder.Add(chunk); err != nil {
-			p.err = fmt.Errorf("syncsvc: chunk %d rejected: %w", p.builder.NextChunk(), err)
-			return
+			return fmt.Errorf("syncsvc: chunk %d rejected: %w", p.builder.NextChunk(), err)
 		}
 		p.accepted = append(p.accepted, bytes.Clone(chunk))
+		return nil
 	case frameDone:
 		p.claimed = r.Uvarint()
 		if err := r.Close(); err != nil {
-			p.err = fmt.Errorf("syncsvc: bad done frame: %w", err)
-			return
+			return fmt.Errorf("syncsvc: bad done frame: %w", err)
 		}
 		p.sawDone = true
+		return nil
 	default:
-		p.err = errors.New("syncsvc: unknown stream frame")
+		return errors.New("syncsvc: unknown stream frame")
 	}
 }
 
 // OnDone implements transport.CallSink.
 func (p *SnapChunkPull) OnDone(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.done {
-		return
-	}
-	if p.err == nil && err != nil {
-		p.err = normalizeRemoteErr(err)
-	}
-	if p.err == nil && !p.sawDone {
-		p.err = errors.New("syncsvc: chunk stream ended without done frame")
-	}
-	if p.err == nil && p.claimed != p.streamed {
-		p.err = fmt.Errorf("syncsvc: server claimed %d chunks, streamed %d", p.claimed, p.streamed)
-	}
-	p.done = true
-	close(p.notify)
-}
-
-// Done reports whether the stream has terminated.
-func (p *SnapChunkPull) Done() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.done
-}
-
-// Wait blocks until the stream terminates or the timeout passes.
-func (p *SnapChunkPull) Wait(timeout time.Duration) bool {
-	select {
-	case <-p.notify:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
+	p.settle(err, func() error {
+		if !p.sawDone {
+			return errors.New("syncsvc: chunk stream ended without done frame")
+		}
+		if p.claimed != p.streamed {
+			return fmt.Errorf("syncsvc: server claimed %d chunks, streamed %d", p.claimed, p.streamed)
+		}
+		return nil
+	})
 }
 
 // Result returns the chunks the builder accepted during this pull (in
@@ -599,16 +531,7 @@ func certifiedGroup(metas map[types.ServerID]*SnapMeta, roster *crypto.Roster) (
 		}
 		if !found || k.slot > best.Slot {
 			best = state.Commit{Slot: k.slot, Root: k.root}
-			peers := make([]types.ServerID, 0, len(g))
-			for p := range g {
-				peers = append(peers, p)
-			}
-			for i := 1; i < len(peers); i++ {
-				for j := i; j > 0 && peers[j] < peers[j-1]; j-- {
-					peers[j], peers[j-1] = peers[j-1], peers[j]
-				}
-			}
-			bestPeer = peers
+			bestPeer = slices.Sorted(maps.Keys(g))
 			found = true
 		}
 	}

@@ -312,38 +312,29 @@ func TestServeSnapChunksWrongRoot(t *testing.T) {
 	}
 }
 
-// TestDAGWatermarksPruned: a base-seeded DAG advertises watermarks that
-// count the pruned prefix as held — from the base alone, and from base
-// plus live blocks above it.
-func TestDAGWatermarksPruned(t *testing.T) {
-	roster, blocks := buildChain(t, 10)
-	base := []dag.Base{{Builder: 0, Seq: 4, Ref: blocks[4].Ref()}}
-
-	d := dag.New(roster)
-	if err := d.SeedBase(base); err != nil {
-		t.Fatal(err)
+// TestTrackerSeededAtHorizon: a tracker primed at a prune horizon
+// advertises watermarks that start there: the prefix below it is claimed
+// as held (covered by the certified snapshot), and live blocks above it
+// extend the claim contiguously.
+func TestTrackerSeededAtHorizon(t *testing.T) {
+	_, blocks := buildChain(t, 10)
+	tr := syncsvc.NewWatermarkTracker()
+	tr.SeedHorizon(map[types.ServerID]uint64{0: 5})
+	if wms := tr.Snapshot(); len(wms) != 1 || wms[0] != (syncsvc.Watermark{Builder: 0, NextSeq: 5}) {
+		t.Fatalf("watermarks = %+v", wms)
 	}
-	// Base alone: the builder's chain is claimed up to the horizon.
-	wms := syncsvc.DAGWatermarks(d)
-	if len(wms) != 1 || wms[0] != (syncsvc.Watermark{Builder: 0, NextSeq: 5}) {
-		t.Fatalf("base-only watermarks = %+v", wms)
-	}
-	// Live blocks above the base extend the claim contiguously.
 	for _, b := range blocks[5:] {
-		if err := d.Insert(b); err != nil {
-			t.Fatal(err)
-		}
+		tr.Observe(b)
 	}
-	wms = syncsvc.DAGWatermarks(d)
-	if len(wms) != 1 || wms[0] != (syncsvc.Watermark{Builder: 0, NextSeq: 10}) {
+	if wms := tr.Snapshot(); len(wms) != 1 || wms[0] != (syncsvc.Watermark{Builder: 0, NextSeq: 10}) {
 		t.Fatalf("watermarks = %+v", wms)
 	}
 }
 
-// TestPullFromBaseSeeded: a pruned joiner's delta pull advertises its
-// base horizon, receives only the blocks above it, and validates them
-// against the base-seeded scratch DAG.
-func TestPullFromBaseSeeded(t *testing.T) {
+// TestPullAboveBase: a pruned joiner's delta pull advertises its base
+// horizon and receives only the blocks above it, which its base-seeded
+// DAG — the one that will hold them — accepts.
+func TestPullAboveBase(t *testing.T) {
 	roster, blocks := buildChain(t, 10)
 	st := storeWith(t, t.TempDir(), roster, blocks)
 	defer func() { _ = st.Close() }()
@@ -351,16 +342,11 @@ func TestPullFromBaseSeeded(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(4))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})
 
-	base := []dag.Base{{Builder: 0, Seq: 4, Ref: blocks[4].Ref()}}
-	pull, err := syncsvc.NewPullFrom(roster, base, nil, 0)
-	if err != nil {
+	d := dag.New(roster)
+	if err := d.SeedBase([]dag.Base{{Builder: 0, Seq: 4, Ref: blocks[4].Ref()}}); err != nil {
 		t.Fatal(err)
 	}
-	net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
-	if !net.RunUntil(pull.Done) {
-		t.Fatal("delta stream did not finish")
-	}
-	got, perr := pull.Result()
+	got, perr := runPull(t, net, syncsvc.NewPull(roster, []syncsvc.Watermark{{Builder: 0, NextSeq: 5}}, 0, nil))
 	if perr != nil {
 		t.Fatal(perr)
 	}
@@ -371,15 +357,8 @@ func TestPullFromBaseSeeded(t *testing.T) {
 		if b.Seq != uint64(5+i) {
 			t.Fatalf("block %d has seq %d", i, b.Seq)
 		}
-	}
-	// The delta must insert into a base-seeded DAG — the joiner's state.
-	d := dag.New(roster)
-	if err := d.SeedBase(base); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range got {
-		if err := d.Insert(b); err != nil {
-			t.Fatalf("replay onto base: %v", err)
+		if err := d.InsertVerified(b); err != nil {
+			t.Fatalf("insert onto base: %v", err)
 		}
 	}
 }

@@ -11,10 +11,10 @@
 //     hold every block by this builder below NextSeq" — and the server
 //     streams every block on disk the vector does not cover, snapshot
 //     first, then WAL order, chunked into batches under wire.MaxFrame,
-//     closed by a done summary carrying the total count. Startup
-//     catch-up (Fetch) pulls with an empty or store-derived vector; the
-//     live follower pulls with its DAG's vector, so only the missing
-//     suffix crosses the wire.
+//     closed by a done summary carrying the total count. Every trigger
+//     — startup catch-up, the live follower, a simulated recovery — pulls
+//     with the node's own current vector (package node), so only the
+//     missing suffix crosses the wire.
 //
 //   - Watermark exchange: the client asks the server for the server's
 //     own vector, answered in one small frame. This is the live
@@ -34,27 +34,31 @@
 //
 // # Threat model
 //
-// The serving peer is untrusted: the client revalidates every streamed
-// block (roster signature, parent rule, predecessor closure) by inserting
-// it into a scratch DAG seeded with the blocks it already holds, exactly
-// the validation a block must pass to enter the live DAG. A tampered,
-// forged, or ill-ordered stream aborts the pull with an error; blocks
-// validated before the abort are genuine (their signatures verified) and
-// may be kept, so a malicious server can at worst serve less than it
-// promised — never corrupt the client. The done summary catches silent
-// truncation. A peer lying in a watermark answer is equally bounded:
-// claiming too little makes the client skip one pull, claiming too much
-// costs the client one delta round trip whose blocks are then fully
-// validated. Requesters are untrusted too: both calls pass the same
-// admission policy (per-peer in-flight cap, optional token bucket),
-// refused with ErrThrottled before any disk is touched, so the cheap
-// call cannot be used to sidestep the throttle on the expensive one.
+// The serving peer is untrusted, and what it sends is checked in two
+// places, each once. On the stream (Pull): frames must decode, every
+// block's builder must be a roster member and its signature must verify,
+// the block count stays under a cap, and the done summary must match what
+// was streamed, so silent truncation is caught. In the DAG that will hold
+// the block (core.Server.AbsorbVerified, the insert a gossiped block
+// takes): parent rule, predecessor closure, duplicates — there is no
+// second copy of Definition 3.3 here. A forged, ill-ordered or over-long
+// stream aborts with an error (ErrBadStream, or the DAG's own sentinel)
+// and costs the peer its standing; the blocks accepted before the abort
+// are genuine and are kept, so a malicious server can at worst serve less
+// than it promised — never corrupt the client. A stream that just stops
+// (link death) is an error too, but nobody's fault. A peer lying in a
+// watermark answer is equally bounded: claiming too little makes the
+// client skip one pull, claiming too much costs it one delta round trip
+// whose blocks are then checked as above. Requesters are untrusted too:
+// both calls pass the same admission policy (per-peer in-flight cap,
+// optional token bucket), refused with ErrThrottled before any disk is
+// touched, so the cheap call cannot be used to sidestep the throttle on
+// the expensive one.
 package syncsvc
 
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 	"strings"
 	"sync"
@@ -171,45 +175,15 @@ func DecodeRequest(data []byte) ([]Watermark, error) {
 	return wms, nil
 }
 
-// Watermarks summarizes the blocks a requester already holds, per
-// builder: the watermark for a builder is max seq + 1 when its held
-// blocks form a single unbroken chain from 0, and is omitted (ask for
-// everything) when the builder is absent, forked, or gappy — watermarks
-// are a bandwidth optimization, and only an exact chain prefix can be
-// skipped safely. The vector is sorted by builder, so equal block sets
-// encode identically.
+// Watermarks summarizes a block list, per builder: the watermark for a
+// builder is max seq + 1 when its blocks (duplicates aside) form a single
+// unbroken chain from 0, and is omitted (ask for everything) when the
+// builder is absent, forked, or gappy — watermarks are a bandwidth
+// optimization, and only an exact chain prefix can be skipped safely. The
+// vector is sorted by builder, so equal block sets encode identically.
+// This is the scan a Server without a live source answers probes with; a
+// node keeps its own vector incrementally (WatermarkTracker).
 func Watermarks(blocks []*block.Block) []Watermark {
-	seen := make(map[block.Ref]struct{}, len(blocks))
-	return watermarksSeq(func(yield func(*block.Block) bool) {
-		for _, b := range blocks {
-			if _, dup := seen[b.Ref()]; dup {
-				continue
-			}
-			seen[b.Ref()] = struct{}{}
-			if !yield(b) {
-				return
-			}
-		}
-	}, nil)
-}
-
-// DAGWatermarks is Watermarks over a DAG's blocks, without materializing
-// them: the vector a live follower sends with its delta pulls. A DAG
-// never holds a gappy chain (the parent rule forces prefix closure), so
-// only equivocating builders are omitted. On a pruned DAG the vector is
-// base-aware: each builder's chain is judged from the prune horizon
-// instead of zero, and a builder whose history is entirely below the
-// horizon still advertises it — a snapshot-restored node does not need
-// (and must not be re-sent) blocks the certified state already covers.
-func DAGWatermarks(d *dag.DAG) []Watermark {
-	return watermarksSeq(d.All(), d.BaseHorizon())
-}
-
-// watermarksSeq computes the watermark vector over a deduplicated block
-// sequence. base, when non-nil, is a per-builder prune horizon: a
-// builder's held blocks are an unbroken chain when they run contiguously
-// from base[builder] (instead of 0) to their max.
-func watermarksSeq(blocks iter.Seq[*block.Block], base map[types.ServerID]uint64) []Watermark {
 	type chain struct {
 		count  int
 		maxSeq uint64
@@ -217,7 +191,12 @@ func watermarksSeq(blocks iter.Seq[*block.Block], base map[types.ServerID]uint64
 	}
 	chains := make(map[types.ServerID]*chain)
 	slots := make(map[[2]uint64]struct{})
-	for b := range blocks {
+	seen := make(map[block.Ref]struct{}, len(blocks))
+	for _, b := range blocks {
+		if _, dup := seen[b.Ref()]; dup {
+			continue
+		}
+		seen[b.Ref()] = struct{}{}
 		c := chains[b.Builder]
 		if c == nil {
 			c = &chain{}
@@ -235,24 +214,11 @@ func watermarksSeq(blocks iter.Seq[*block.Block], base map[types.ServerID]uint64
 	}
 	// Non-nil even when empty: an empty vector is a real answer ("I
 	// hold nothing skippable"), distinct from a nil "no source".
-	wms := make([]Watermark, 0, len(chains)+len(base))
+	wms := make([]Watermark, 0, len(chains))
 	for builder, c := range chains {
-		start := base[builder]
-		if c.forked || c.maxSeq < start || uint64(c.count) != c.maxSeq+1-start {
-			continue
+		if !c.forked && uint64(c.count) == c.maxSeq+1 {
+			wms = append(wms, Watermark{Builder: builder, NextSeq: c.maxSeq + 1})
 		}
-		wms = append(wms, Watermark{Builder: builder, NextSeq: c.maxSeq + 1})
-	}
-	// Builders pruned below the horizon with no live blocks yet: the
-	// horizon itself is the watermark.
-	for builder, start := range base {
-		if start == 0 {
-			continue
-		}
-		if _, live := chains[builder]; live {
-			continue
-		}
-		wms = append(wms, Watermark{Builder: builder, NextSeq: start})
 	}
 	slices.SortFunc(wms, func(a, b Watermark) int {
 		return int(a.Builder) - int(b.Builder)
@@ -341,13 +307,12 @@ type Server struct {
 	Source func() ([]*block.Block, error)
 	// Watermarks, if non-nil, answers watermark-exchange queries without
 	// touching the block source — the cheap live path (package node wires
-	// its incrementally maintained WatermarkTracker; the cluster
-	// simulator reads the slot's DAG). When the field is nil, or the
-	// function returns a nil slice (meaning "no live source yet", as a
-	// late-bound runtime does during startup — distinct from an empty,
-	// non-nil vector), the vector is computed from the block source,
-	// which costs a full scan; admission control gates that exactly like
-	// a delta stream. The function must be safe for concurrent use when
+	// its incrementally maintained WatermarkTracker). When the field is
+	// nil, or the function returns a nil slice (meaning "no live source
+	// yet", as a late-bound runtime does during startup — distinct from
+	// an empty, non-nil vector), the vector is computed from the block
+	// source, which costs a full scan; admission control gates that
+	// exactly like a delta stream. The function must be safe for concurrent use when
 	// the transport serves handlers concurrently (tcpnet does).
 	Watermarks func() []Watermark
 	// ChunkBytes is the target batch frame size (default
@@ -600,184 +565,81 @@ func (s *Server) load() ([]*block.Block, error) {
 	return store.ScanDir(s.Store.Dir())
 }
 
-// Pull is the client side of one catch-up stream: a transport.CallSink
-// that validates every received block against the roster and the DAG
-// rules before accepting it. Safe for concurrent sink invocation and
-// inspection (tcpnet drives it from a connection goroutine).
-type Pull struct {
-	mu       sync.Mutex
-	roster   *crypto.Roster
-	scratch  *dag.DAG
-	got      []*block.Block
-	limit    int
-	streamed uint64 // blocks decoded off the stream (duplicates included)
-	claimed  uint64 // server's frameDone count
-	sawDone  bool   // saw a frameDone frame
-	err      error
-	done     bool
-	notify   chan struct{}
+// ErrBadStream reports that the serving peer sent something no correct
+// server sends: an undecodable frame or block, more blocks than the cap, a
+// done count that disagrees with the stream, or — reported by the absorbing
+// node — a block the live DAG refuses. A stream that merely ends early is
+// not one (link death looks the same); callers charge the peer for this.
+var ErrBadStream = errors.New("syncsvc: peer served a bad stream")
+
+// settled is what every client sink of this package shares: the call's
+// first error, its exactly-once settlement, and the ways to wait for it.
+// The embedding sink keeps its own payload fields under mu.
+type settled struct {
+	mu     sync.Mutex
+	err    error
+	done   bool
+	notify chan struct{}
+	// then, if non-nil, runs once after settlement, outside the lock, on
+	// the goroutine that settled the call.
+	then func()
 }
 
-var _ transport.CallSink = (*Pull)(nil)
-
-// NewPull prepares a pull for a client already holding the given blocks
-// (topological order, as recovered from a store; nil for a fresh
-// replica). maxBlocks caps accepted blocks; 0 means DefaultMaxBlocks.
-func NewPull(roster *crypto.Roster, have []*block.Block, maxBlocks int) (*Pull, error) {
-	return newPull(roster, nil, have, maxBlocks, false)
+func newSettled(then func()) settled {
+	return settled{notify: make(chan struct{}), then: then}
 }
 
-// NewPullTrusted is NewPull for a seed the caller already validated in
-// full — blocks read back from its own DAG or store. Seeding skips the
-// per-block Ed25519 verification (structural checks still run), which is
-// what keeps a frequent follower's delta pulls O(delta) in signature
-// work instead of O(DAG). Blocks received from the peer are validated
-// exactly as in NewPull; only the seed is trusted.
-func NewPullTrusted(roster *crypto.Roster, have []*block.Block, maxBlocks int) (*Pull, error) {
-	return newPull(roster, nil, have, maxBlocks, true)
-}
-
-// NewPullFrom is NewPullTrusted for a client resuming above pruned
-// history: the scratch DAG is seeded with the base stand-ins before the
-// held blocks, so streamed blocks whose predecessors were pruned locally
-// still validate (parent rule against the base, predecessor closure via
-// the snapshot certificate's vouching) and the request's watermarks
-// start at the horizon instead of zero.
-func NewPullFrom(roster *crypto.Roster, base []dag.Base, have []*block.Block, maxBlocks int) (*Pull, error) {
-	return newPull(roster, base, have, maxBlocks, true)
-}
-
-func newPull(roster *crypto.Roster, base []dag.Base, have []*block.Block, maxBlocks int, trustSeed bool) (*Pull, error) {
-	if roster == nil {
-		return nil, errors.New("syncsvc: pull needs a roster")
+// frame runs consume on one response frame under the lock — unless the
+// call already failed or settled, in which case the rest of the stream
+// drains silently. consume's error becomes the call's.
+func (s *settled) frame(consume func() error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.done || s.err != nil {
+		return
 	}
-	scratch := dag.New(roster)
-	if err := scratch.SeedBase(base); err != nil {
-		return nil, fmt.Errorf("syncsvc: seed base: %w", err)
-	}
-	for _, b := range have {
-		var err error
-		if trustSeed {
-			err = scratch.InsertVerified(b)
-		} else {
-			err = scratch.Insert(b)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("syncsvc: seed block %v: %w", b.Ref(), err)
-		}
-	}
-	if maxBlocks <= 0 {
-		maxBlocks = DefaultMaxBlocks
-	}
-	return &Pull{
-		roster:  roster,
-		scratch: scratch,
-		limit:   maxBlocks,
-		notify:  make(chan struct{}),
-	}, nil
+	s.err = consume()
 }
 
-// Request encodes the catch-up request matching the seeded blocks (and
-// the seeded base horizon, for a pull resuming above pruned history).
-func (p *Pull) Request() []byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return EncodeRequest(DAGWatermarks(p.scratch))
-}
-
-// OnFrame implements transport.CallSink: decode and validate one batch.
-func (p *Pull) OnFrame(frame []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.done || p.err != nil {
-		return // already failed; drain silently
+// settle records the terminal state, once: a frame error wins, then the
+// transport's, then complete's verdict on a stream the transport closed
+// cleanly (was the protocol's own terminator there?).
+func (s *settled) settle(err error, complete func() error) {
+	s.mu.Lock()
+	if s.done {
+		s.mu.Unlock()
+		return
 	}
-	if err := p.consume(frame); err != nil {
-		p.err = err
+	if s.err == nil {
+		s.err = normalizeRemoteErr(err)
+	}
+	if s.err == nil {
+		s.err = complete()
+	}
+	s.done = true
+	close(s.notify)
+	s.mu.Unlock()
+	if s.then != nil {
+		s.then()
 	}
 }
 
-// consume processes one stream frame under the lock.
-func (p *Pull) consume(frame []byte) error {
-	r := wire.NewReader(frame)
-	switch r.Byte() {
-	case frameBlocks:
-		// Decode the whole frame first, then pay the Ed25519 checks for
-		// the unseen blocks in one parallel batch, then apply serially in
-		// stream order. The outcome — accepted prefix, first error, every
-		// counter — is identical to the old one-block-at-a-time loop;
-		// only the signature work is amortized across cores.
-		n := r.Count(maxBatch)
-		blocks := make([]*block.Block, 0, n)
-		var decodeErr error
-		for i := 0; i < n; i++ {
-			enc := r.VarBytes()
-			if r.Err() != nil {
-				break
-			}
-			b, err := block.Decode(enc)
-			if err != nil {
-				// The decoded prefix is still applied below before the
-				// error surfaces, matching the serial loop's behavior.
-				decodeErr = fmt.Errorf("syncsvc: stream block: %w", err)
-				break
-			}
-			blocks = append(blocks, b)
-		}
-		var candidates []*block.Block
-		for _, b := range blocks {
-			if !p.scratch.Contains(b.Ref()) && p.roster.Contains(b.Builder) {
-				candidates = append(candidates, b)
-			}
-		}
-		verdicts := make(map[block.Ref]bool, len(candidates))
-		if len(candidates) > 0 {
-			ok := block.VerifyBatch(p.roster, candidates, 0)
-			for i, b := range candidates {
-				verdicts[b.Ref()] = ok[i]
-			}
-		}
-		for _, b := range blocks {
-			p.streamed++
-			if p.scratch.Contains(b.Ref()) {
-				continue // duplicate of a held or earlier block
-			}
-			if len(p.got) >= p.limit {
-				return fmt.Errorf("syncsvc: stream exceeds %d blocks", p.limit)
-			}
-			// Full validation — signature (prechecked above), parent
-			// rule, predecessor closure — exactly what the live DAG
-			// would demand. The serving peer is untrusted; nothing it
-			// sends is accepted on faith. A block that failed the batch
-			// precheck retakes the serial path so the rejection carries
-			// the same error the old loop produced.
-			var err error
-			if verdicts[b.Ref()] {
-				err = p.scratch.InsertVerified(b)
-			} else {
-				err = p.scratch.Insert(b)
-			}
-			if err != nil {
-				return fmt.Errorf("syncsvc: stream block %v rejected: %w", b.Ref(), err)
-			}
-			p.got = append(p.got, b)
-		}
-		if decodeErr != nil {
-			return decodeErr
-		}
-		if err := r.Close(); err != nil {
-			return fmt.Errorf("syncsvc: bad batch frame: %w", err)
-		}
-		return nil
-	case frameDone:
-		p.claimed = r.Uvarint()
-		if err := r.Close(); err != nil {
-			return fmt.Errorf("syncsvc: bad done frame: %w", err)
-		}
-		p.sawDone = true
-		return nil
-	default:
-		return errors.New("syncsvc: unknown stream frame")
+// Done reports whether the call has terminated (cleanly or not) — the
+// condition simulator-driven clients run the network until.
+func (s *settled) Done() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.done
+}
+
+// Wait blocks until the call terminates or the timeout passes, reporting
+// false on timeout — for real-transport clients.
+func (s *settled) Wait(timeout time.Duration) bool {
+	select {
+	case <-s.notify:
+		return true
+	case <-time.After(timeout):
+		return false
 	}
 }
 
@@ -795,158 +657,158 @@ func normalizeRemoteErr(err error) error {
 	return err
 }
 
+// Pull is the client end of one delta stream: a transport.CallSink that
+// decodes the frames, checks every block's builder and signature against
+// the roster (one block.VerifyBatch per frame), enforces the block cap and
+// holds the server to its done count. It keeps no DAG: whether a block's
+// predecessors are present and its parent rule holds is decided once, by
+// the DAG that will hold it, when the node absorbs the result
+// (core.Server.AbsorbVerified). Safe for concurrent sink invocation and
+// inspection (tcpnet drives it from a connection goroutine).
+type Pull struct {
+	settled
+	roster   *crypto.Roster
+	req      []byte
+	got      []*block.Block
+	limit    int
+	streamed uint64 // blocks decoded off the stream
+	claimed  uint64 // server's frameDone count
+	sawDone  bool   // saw a frameDone frame
+}
+
+var _ transport.CallSink = (*Pull)(nil)
+
+// NewPull prepares a pull for a requester holding what the watermark
+// vector have states (nil for a fresh replica: ask for everything).
+// maxBlocks caps the blocks accepted from the stream; 0 means
+// DefaultMaxBlocks. onDone, if non-nil, runs exactly once when the stream
+// settles — on the transport's sink goroutine (or the simulator's event
+// loop), so it must be safe there or hand off to the owning loop, as the
+// node runtime does.
+func NewPull(roster *crypto.Roster, have []Watermark, maxBlocks int, onDone func()) *Pull {
+	if maxBlocks <= 0 {
+		maxBlocks = DefaultMaxBlocks
+	}
+	return &Pull{
+		settled: newSettled(onDone),
+		roster:  roster,
+		req:     EncodeRequest(have),
+		limit:   maxBlocks,
+	}
+}
+
+// Request returns the encoded delta request for the requester's vector.
+func (p *Pull) Request() []byte { return p.req }
+
+// OnFrame implements transport.CallSink: decode and check one frame.
+func (p *Pull) OnFrame(frame []byte) {
+	p.frame(func() error { return p.consume(frame) })
+}
+
+// consume processes one stream frame under the lock.
+func (p *Pull) consume(frame []byte) error {
+	r := wire.NewReader(frame)
+	switch r.Byte() {
+	case frameBlocks:
+		// Decode the whole frame, pay its Ed25519 checks in one parallel
+		// batch, then accept in stream order up to the first block that
+		// fails: the accepted prefix is genuine whatever comes after it.
+		n := r.Count(maxBatch)
+		blocks := make([]*block.Block, 0, n)
+		var decodeErr error
+		for i := 0; i < n; i++ {
+			enc := r.VarBytes()
+			if r.Err() != nil {
+				break
+			}
+			b, err := block.Decode(enc)
+			if err != nil {
+				// The decoded prefix is still accepted below before the
+				// error surfaces.
+				decodeErr = fmt.Errorf("%w: stream block: %v", ErrBadStream, err)
+				break
+			}
+			blocks = append(blocks, b)
+		}
+		p.streamed += uint64(len(blocks))
+		over := len(p.got)+len(blocks) > p.limit
+		if over {
+			blocks = blocks[:p.limit-len(p.got)]
+		}
+		for i, ok := range block.VerifyBatch(p.roster, blocks, 0) {
+			if ok {
+				continue
+			}
+			p.got = append(p.got, blocks[:i]...)
+			cause := dag.ErrBadSignature
+			if !p.roster.Contains(blocks[i].Builder) {
+				cause = dag.ErrBuilderUnknown
+			}
+			return fmt.Errorf("syncsvc: stream block %v rejected: %w", blocks[i].Ref(), cause)
+		}
+		p.got = append(p.got, blocks...)
+		if over {
+			return fmt.Errorf("%w: stream exceeds %d blocks", ErrBadStream, p.limit)
+		}
+		if decodeErr != nil {
+			return decodeErr
+		}
+		if err := r.Close(); err != nil {
+			return fmt.Errorf("%w: batch frame: %v", ErrBadStream, err)
+		}
+		return nil
+	case frameDone:
+		p.claimed = r.Uvarint()
+		if err := r.Close(); err != nil {
+			return fmt.Errorf("%w: done frame: %v", ErrBadStream, err)
+		}
+		p.sawDone = true
+		return nil
+	default:
+		return fmt.Errorf("%w: unknown stream frame", ErrBadStream)
+	}
+}
+
 // OnDone implements transport.CallSink.
 func (p *Pull) OnDone(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.done {
-		return
-	}
-	if p.err == nil && err != nil {
-		p.err = normalizeRemoteErr(err)
-	}
-	if p.err == nil && !p.sawDone {
-		// A clean transport close without the protocol's own done
-		// frame means the server (or something in between) truncated
-		// the stream.
-		p.err = errors.New("syncsvc: stream ended without done frame")
-	}
-	if p.err == nil && p.claimed != p.streamed {
-		// The summary exists so a quietly truncating server is caught:
-		// claiming more (or fewer) blocks than it actually streamed is
-		// not a clean sync, and the caller should try another peer.
-		p.err = fmt.Errorf("syncsvc: server claimed %d blocks, streamed %d", p.claimed, p.streamed)
-	}
-	p.done = true
-	close(p.notify)
+	p.settle(err, func() error {
+		if !p.sawDone {
+			// A clean transport close without the protocol's own done
+			// frame means the server (or something in between) truncated
+			// the stream.
+			return errors.New("syncsvc: stream ended without done frame")
+		}
+		if p.claimed != p.streamed {
+			// The summary exists so a quietly truncating server is caught:
+			// claiming more (or fewer) blocks than it actually streamed is
+			// not a clean sync, and the caller should try another peer.
+			return fmt.Errorf("%w: server claimed %d blocks, streamed %d", ErrBadStream, p.claimed, p.streamed)
+		}
+		return nil
+	})
 }
 
-// Done reports whether the stream has terminated (cleanly or not) — the
-// condition simulator-driven clients run the network until.
-func (p *Pull) Done() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.done
-}
-
-// Wait blocks until the stream terminates or the timeout passes,
-// reporting false on timeout — for real-transport clients.
-func (p *Pull) Wait(timeout time.Duration) bool {
-	select {
-	case <-p.notify:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
-}
-
-// Result returns the validated blocks received so far (in a topological
-// order extending the seed) and the stream's terminal error, if any. The
-// blocks are genuine whatever the error: each passed full validation, so
-// a partial pull is safely usable and the remainder can arrive via FWD.
+// Result returns the blocks accepted so far, in stream order, and the
+// stream's terminal error, if any. Every returned block was built by a
+// roster member and carries that member's signature whatever the error;
+// nothing else about it has been checked.
 func (p *Pull) Result() ([]*block.Block, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.got, p.err
 }
 
-// FetchConfig parameterizes the blocking catch-up helper.
+// FetchConfig says whom a node pulls from and how: node.Config.CatchUp.
 type FetchConfig struct {
 	// Transport issues the calls. Required.
 	Transport transport.Transport
-	// Roster validates every streamed block. Required.
+	// Roster checks every streamed block's builder and signature
+	// (default: the node's server's roster).
 	Roster *crypto.Roster
-	// Peers are tried in order; a peer that fails or truncates is
-	// retried (resuming from what was already validated) before moving
-	// on. Required, at least one.
+	// Peers are the serving peers: startup catch-up tries them in order
+	// until one stream ends clean, the live follower rotates over them.
+	// Required, at least one.
 	Peers []types.ServerID
-	// AttemptsPerPeer bounds retries against one peer (default 2).
-	AttemptsPerPeer int
-	// Timeout bounds one attempt (default 30s).
+	// Timeout bounds one startup attempt (default 30s).
 	Timeout time.Duration
-	// MaxBlocks caps accepted blocks per pull (0 = DefaultMaxBlocks).
-	MaxBlocks int
-	// Base, if non-empty, seeds every pull's validation DAG with a
-	// pruned-history stand-in table (dag.Base): a node restored from a
-	// certified snapshot fetches only the delta above its horizon, and
-	// streamed blocks whose parents live below it still validate. The
-	// have blocks must sit above this base.
-	Base []dag.Base
-}
-
-// Fetch runs bulk catch-up to completion against the configured peers,
-// blocking the caller (node runtime startup uses it; simulator code
-// drives Pull directly instead). It returns every block validated across
-// all attempts — resuming, not restarting, after a mid-stream failure:
-// each retry advances the watermarks past what earlier attempts already
-// delivered. A non-nil error reports that no peer completed a clean
-// stream; the returned blocks are still valid and the caller should fall
-// back to FWD for the remainder.
-func Fetch(cfg FetchConfig, have []*block.Block) ([]*block.Block, error) {
-	switch {
-	case cfg.Transport == nil:
-		return nil, errors.New("syncsvc: fetch needs a Transport")
-	case cfg.Roster == nil:
-		return nil, errors.New("syncsvc: fetch needs a Roster")
-	case len(cfg.Peers) == 0:
-		return nil, errors.New("syncsvc: fetch needs at least one peer")
-	}
-	attempts := cfg.AttemptsPerPeer
-	if attempts <= 0 {
-		attempts = 2
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-
-	var (
-		all     []*block.Block
-		lastErr error
-	)
-	// Copy: resuming appends to the seed, and the caller's slice (often
-	// store.Store.Blocks()) is shared.
-	seed := append([]*block.Block(nil), have...)
-	for _, peer := range cfg.Peers {
-		for a := 0; a < attempts; a++ {
-			var (
-				pull *Pull
-				err  error
-			)
-			if len(cfg.Base) > 0 {
-				// Base-seeded joins trust the seed: the store already
-				// revalidated the have blocks against the roster on
-				// recovery, and the base itself is covered by the
-				// certified snapshot.
-				pull, err = NewPullFrom(cfg.Roster, cfg.Base, seed, cfg.MaxBlocks)
-			} else {
-				pull, err = NewPull(cfg.Roster, seed, cfg.MaxBlocks)
-			}
-			if err != nil {
-				return all, err
-			}
-			cancel := cfg.Transport.Call(peer, transport.ChanSync, pull.Request(), pull)
-			timedOut := !pull.Wait(timeout)
-			if timedOut {
-				cancel()
-			}
-			// Harvest even after a timeout or failure: every block in
-			// Result passed full validation, and keeping it is what
-			// makes the next attempt a resume (advanced watermarks)
-			// instead of a from-zero restart — a slow link that can
-			// move 90% of the backlog per attempt still converges.
-			got, err := pull.Result()
-			all = append(all, got...)
-			seed = append(seed, got...)
-			if timedOut {
-				lastErr = fmt.Errorf("syncsvc: peer %v: attempt timed out after %d blocks", peer, len(got))
-				continue
-			}
-			if err == nil {
-				return all, nil
-			}
-			lastErr = fmt.Errorf("syncsvc: peer %v: %w", peer, err)
-		}
-	}
-	return all, lastErr
 }

@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -406,5 +407,77 @@ func TestAuthSelfMismatchRefused(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Listen accepted an authenticator for the wrong identity")
+	}
+}
+
+// TestAuthOversizedHelloRefusedOnHeader: before a connection has proven
+// anything, four bytes must not buy wire.MaxFrame of this process's
+// memory for HandshakeTimeout. A raw connection that sends only a frame
+// header announcing MaxFrame is refused on that header — no payload
+// awaited, no deadline needed (the listener's is far away) — counted, and
+// closed.
+func TestAuthOversizedHelloRefusedOnHeader(t *testing.T) {
+	fx := authFixture(t, 2)
+	tb, err := Listen(Config{
+		Self: 1, ListenAddr: "127.0.0.1:0",
+		Endpoints:        gossipEndpoints(&sink{}),
+		Auth:             fixtureAuth(t, fx, 1),
+		HandshakeTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tb.Close() }()
+
+	conn, err := net.Dial("tcp", tb.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if _, err := conn.Write([]byte{0x01, 0x00, 0x00, 0x00}); err != nil { // 16 MiB = wire.MaxFrame
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return tb.Rejections() == 1 })
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("listener kept the connection open waiting for the payload (read err %v)", err)
+	}
+
+	// The dialer's side of the same hole: a listener answering the hello
+	// with an oversized header fails the handshake at once.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = c.Close() }()
+		if _, err := wire.ReadFrame(c); err != nil {
+			return
+		}
+		_, _ = c.Write([]byte{0x01, 0x00, 0x00, 0x00})
+		_, _ = c.Read(make([]byte, 1)) // hold the connection until the dialer gives up
+	}()
+	ta, err := Listen(Config{
+		Self: 0, ListenAddr: "127.0.0.1:0",
+		Endpoints:        gossipEndpoints(&sink{}),
+		Auth:             fixtureAuth(t, fx, 0),
+		HandshakeTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ta.Close() }()
+	if err := ta.Connect(1, ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	cs := newCallSink()
+	ta.Call(1, transport.ChanSync, []byte("req"), cs)
+	if res := cs.wait(t, 2*time.Second); !errors.Is(res.err, transport.ErrAuthFailed) {
+		t.Fatalf("call against an oversized challenge: %v, want ErrAuthFailed at once", res.err)
 	}
 }

@@ -73,6 +73,12 @@ const (
 	tagAuthProof byte = 5
 )
 
+// maxHandshakeFrame caps the frames read before a connection has
+// authenticated (identification, challenge, proof, or a refusal: tens of
+// bytes each), so a stranger's header can make this process allocate a
+// kilobyte, not wire.MaxFrame.
+const maxHandshakeFrame = 1 << 10
+
 // Config parameterizes a TCP transport.
 type Config struct {
 	// Self is this server's identity. Required.
@@ -551,7 +557,7 @@ func (t *Transport) handshake(conn net.Conn, peer types.ServerID, kind byte, ch 
 		return nil
 	}
 
-	frame, err := wire.ReadFrame(conn)
+	frame, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
 	if err != nil {
 		// The listener closed without answering: it refused us (version
 		// mismatch, failed proof, or no auth configured) or died.
@@ -625,7 +631,7 @@ func (t *Transport) serveHandshake(conn net.Conn, from types.ServerID, kind byte
 	if err := wire.WriteFrame(conn, w.Bytes()); err != nil {
 		return fmt.Errorf("tcpnet: challenge write: %w", err)
 	}
-	frame, err := wire.ReadFrame(conn)
+	frame, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
 	if err != nil {
 		return fmt.Errorf("tcpnet: no proof answer: %w", err)
 	}
@@ -655,8 +661,11 @@ func (t *Transport) runReader(conn net.Conn) {
 	// The whole handshake runs under a deadline: a peer that connects
 	// and stalls cannot pin this goroutine until shutdown.
 	_ = conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
-	hello, err := wire.ReadFrame(conn)
+	hello, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
 	if err != nil {
+		if errors.Is(err, wire.ErrTooLarge) {
+			t.reject()
+		}
 		return
 	}
 	r := wire.NewReader(hello)

@@ -323,6 +323,14 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // Header and payload are read separately, so a caller reading frame after
 // frame from a socket should hand in a bufio.Reader.
 func ReadFrame(r io.Reader) ([]byte, error) {
+	return ReadFrameLimit(r, MaxFrame)
+}
+
+// ReadFrameLimit is ReadFrame for a reader that knows how large a frame
+// can legitimately be at this point of its protocol: a header claiming
+// more than limit bytes fails with ErrTooLarge before anything is
+// allocated or any payload byte is awaited (tcpnet's pre-auth handshake).
+func ReadFrameLimit(r io.Reader, limit int) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -331,7 +339,7 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("wire: read frame header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
+	if int64(n) > int64(min(limit, MaxFrame)) {
 		return nil, fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, n)
 	}
 	payload := make([]byte, n)

@@ -182,6 +182,28 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameLimit: a frame within the caller's cap reads as usual; a
+// header over it is refused on the header — the payload behind it is
+// never awaited — and a cap above MaxFrame buys nothing.
+func TestReadFrameLimit(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, bytes.Repeat([]byte("z"), 64)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadFrameLimit(bytes.NewReader(buf.Bytes()), 64); err != nil || len(got) != 64 {
+		t.Fatalf("frame at the cap: %d bytes, err %v", len(got), err)
+	}
+	// Header only: with the payload missing, anything but ErrTooLarge
+	// means the reader went on to wait for it.
+	if _, err := ReadFrameLimit(bytes.NewReader(buf.Bytes()[:4]), 63); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("frame over the cap: %v, want ErrTooLarge", err)
+	}
+	huge := []byte{0x01, 0x00, 0x00, 0x01} // MaxFrame + 1
+	if _, err := ReadFrameLimit(bytes.NewReader(huge), 1<<30); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("frame over MaxFrame under a larger cap: %v, want ErrTooLarge", err)
+	}
+}
+
 // writeCounter counts the Write calls that reach it.
 type writeCounter struct {
 	bytes.Buffer
