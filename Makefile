@@ -119,7 +119,7 @@ gateway-smoke:
 	curl -sf -H 'Authorization: Bearer smoke' $$base/v1/status > $$d/status.json; \
 	grep -q '"healthy":true' $$d/status.json || { echo "gateway-smoke FAILED: node not healthy" >&2; cat $$d/status.json >&2; exit 1; }; \
 	curl -sf $$base/metrics > $$d/metrics.txt; \
-	for family in dag_blocks_built_total interpret_instances_live tcpnet_ mempool_accepted_total crypto_signed_total gateway_responses_total; do \
+	for family in dag_blocks_built_total dag_own_block_refs_total dag_tips interpret_instances_live tcpnet_ mempool_accepted_total crypto_signed_total gateway_responses_total; do \
 		grep -q "$$family" $$d/metrics.txt || { echo "gateway-smoke FAILED: scrape missing $$family" >&2; cat $$d/metrics.txt >&2; exit 1; }; \
 	done; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST $$base/v1/submit -d '{"label":"x","data":"y"}'); \

@@ -20,6 +20,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/dagtest"
 	"blockdag/internal/direct"
+	"blockdag/internal/experiments"
 	"blockdag/internal/interpret"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/courier"
@@ -350,53 +351,14 @@ func BenchmarkE15_PBFTEmbedding(b *testing.B) {
 	}
 }
 
-// BenchmarkE16_ReferenceCompression compares per-block reference counts
-// with and without the Section 7 implicit-inclusion extension under
-// heterogeneous dissemination rates (Table E16).
-func BenchmarkE16_ReferenceCompression(b *testing.B) {
-	for _, compress := range []bool{false, true} {
-		name := "explicit"
-		if compress {
-			name = "compressed"
+// BenchmarkE16_ReferencesPerBlock regenerates Table E16: references per
+// block against the blocks each one brings into its chain, over n and rate
+// skew.
+func BenchmarkE16_ReferencesPerBlock(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.E16ReferencesPerBlock(); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			var refsPerBlock float64
-			for i := 0; i < b.N; i++ {
-				c, err := cluster.New(cluster.Options{
-					N: 4, Protocol: brb.Protocol{}, Seed: 16,
-					Latency: 5 * time.Millisecond, Jitter: 5 * time.Millisecond,
-					CompressReferences: compress,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				const horizon = 2 * time.Second
-				for j, srv := range c.Servers {
-					srv := srv
-					every := time.Duration(20*(j+1)) * time.Millisecond
-					var loop func()
-					loop = func() {
-						if c.Net.Now() >= horizon {
-							return
-						}
-						srv.Tick(c.Net.Now())
-						if err := srv.Disseminate(); err != nil {
-							return
-						}
-						c.Net.After(every, loop)
-					}
-					c.Net.After(every, loop)
-				}
-				c.Net.Run()
-				var refs, blocks int64
-				for _, blk := range c.Servers[0].DAG().ByBuilder(3) {
-					refs += int64(len(blk.Preds))
-					blocks++
-				}
-				refsPerBlock = float64(refs) / float64(blocks)
-			}
-			b.ReportMetric(refsPerBlock, "refs/block")
-		})
 	}
 }
 
@@ -554,31 +516,23 @@ func BenchmarkLiveFollow(b *testing.B) {
 
 // BenchmarkE12_DeepDAG extends E12 to deep DAGs (hundreds of all-to-all
 // rounds) under a fixed request load: per-block interpretation cost must
-// stay flat in DAG depth. Run in both inclusion modes — implicit mode
-// exercises the ancestry-watermark collection on top of the explicit-mode
-// baseline.
+// stay flat in DAG depth.
 func BenchmarkE12_DeepDAG(b *testing.B) {
-	for _, mode := range []string{"explicit", "implicit"} {
-		for _, rounds := range []int{40, 160, 480} {
-			b.Run(fmt.Sprintf("%s/rounds=%d", mode, rounds), func(b *testing.B) {
-				h := buildDeepFixedLoadDAG(rounds)
-				blocks := h.DAG.Len()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var opts []interpret.Option
-					if mode == "implicit" {
-						opts = append(opts, interpret.WithImplicitInclusion())
-					}
-					it := interpret.New(brb.Protocol{}, 4, 1, nil, opts...)
-					if err := it.InterpretDAG(h.DAG); err != nil {
-						b.Fatal(err)
-					}
+	for _, rounds := range []int{40, 160, 480} {
+		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
+			h := buildDeepFixedLoadDAG(rounds)
+			blocks := h.DAG.Len()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it := interpret.New(brb.Protocol{}, 4, 1, nil)
+				if err := it.InterpretDAG(h.DAG); err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(blocks), "ns/block")
-				b.ReportMetric(float64(blocks)*float64(b.N)/b.Elapsed().Seconds(), "blocks/s")
-			})
-		}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(blocks), "ns/block")
+			b.ReportMetric(float64(blocks)*float64(b.N)/b.Elapsed().Seconds(), "blocks/s")
+		})
 	}
 }

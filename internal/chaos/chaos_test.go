@@ -32,15 +32,19 @@ func TestPartitionEquivocators(t *testing.T) {
 	if !res.BanSurvivalChecked || !res.BanSurvival {
 		t.Fatalf("ban survival not verified:\n%s", res.Summary())
 	}
-	checkTrace(t, res, 20, "19b1922ca871513761674e2cf3431bc0")
+	checkTrace(t, res, 20, "7e33fe22d7c2d8a9f79b7886e070b65c")
 }
 
-// checkTrace pins a seeded run's round count and Result.Digest to the
-// values recorded on the tree whose cluster package still carried its own
-// copy of the runtime (before PR 16): the simulator now steps the real
-// node.Node, and a seed must still produce the trace it produced then.
-// A change here is a change in what some server decided and when — find
-// the decision before re-pinning.
+// checkTrace pins a seeded run's round count and Result.Digest. The round
+// counts are the ones recorded before PR 16, when the cluster package still
+// carried its own copy of the runtime. The digests were re-pinned once, in
+// PR 18: blocks cite their parent and the DAG's tips instead of every
+// inserted block, so every block from the second round on has another
+// reference list and another ref, and the digest hashes the refs. Its other
+// half did not move — hashed alone, the per-label indication sequences give
+// fcbd6240… and b7e80576… on both sides of that change.
+// A change here is a change in what some server built or decided and when —
+// find the decision before re-pinning.
 func checkTrace(t *testing.T, res *Result, rounds int, digest string) {
 	t.Helper()
 	if res.Rounds != rounds || res.Digest != digest {
@@ -66,7 +70,7 @@ func TestCrashStorm(t *testing.T) {
 	if !res.Converged || !res.Agreement {
 		t.Fatalf("verdict fields inconsistent with OK():\n%s", res.Summary())
 	}
-	checkTrace(t, res, 26, "1e470796304bd807760898447cece325")
+	checkTrace(t, res, 26, "f9da88da2dca4b52bf05ad92445bb663")
 }
 
 // TestDeterminism runs the acceptance scenario twice with the same seed

@@ -147,10 +147,6 @@ type Options struct {
 	// SigCounters, if non-nil, tallies every signature operation of
 	// every server (experiment E10).
 	SigCounters *crypto.Counters
-	// CompressReferences enables the Section 7 implicit-inclusion
-	// extension on every server (experiment E16 ablation).
-	CompressReferences bool
-
 	// StoreDir, if non-empty, gives every correct server a durable block
 	// store under StoreDir/s<i>, handed to node.New (node.Config.Store):
 	// each inserted block is journaled before interpretation, own blocks
@@ -285,7 +281,7 @@ func New(opts Options) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.buildSlot(i, opts.Protocol, opts.CompressReferences, st, nil); err != nil {
+		if err := c.buildSlot(i, opts.Protocol, st, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -301,19 +297,18 @@ func New(opts Options) (*Cluster, error) {
 // caller held, restored once the runtime's observers are in place.
 // Accountability state and the mempool are volatile — fresh per build, as
 // after a real restart; bans come back from the sidecar.
-func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, compress bool, st *store.Store, stored []*block.Block) error {
+func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, stored []*block.Block) error {
 	id := types.ServerID(slot)
 	m := &metrics.Metrics{}
 	cfg := core.Config{
-		Roster:             c.Roster,
-		Signer:             c.Signers[slot],
-		Protocol:           proto,
-		Transport:          c.Net.Transport(id),
-		Clock:              c.Net.Now,
-		Metrics:            m,
-		MaxBatch:           c.opts.MaxBatch,
-		VerifyWorkers:      c.opts.VerifyWorkers,
-		CompressReferences: compress,
+		Roster:        c.Roster,
+		Signer:        c.Signers[slot],
+		Protocol:      proto,
+		Transport:     c.Net.Transport(id),
+		Clock:         c.Net.Now,
+		Metrics:       m,
+		MaxBatch:      c.opts.MaxBatch,
+		VerifyWorkers: c.opts.VerifyWorkers,
 		OnIndication: func(label types.Label, value []byte) {
 			c.inds[slot] = append(c.inds[slot], Indication{Server: id, Label: label, Value: value})
 		},
@@ -642,24 +637,17 @@ func (c *Cluster) BannedEverywhere(id types.ServerID) bool {
 // chain, and the endpoint is re-registered. Replayed indications are
 // appended to the slot's indication record, so callers observe
 // at-least-once delivery across the crash.
-func (c *Cluster) RecoverServer(slot int, proto protocol.Protocol, stored []*block.Block) error {
-	return c.RecoverServerWith(slot, proto, stored, false)
-}
-
-// RecoverServerWith is RecoverServer with the compression extension
-// toggled explicitly; the recovered server's mode must match the rest of
-// the deployment.
 //
-// On a cluster with Options.StoreDir both variants refuse: rebuilding the
-// slot without its store would journal nothing from then on, so a second
-// crash would restore a stale prefix and re-use published sequence
-// numbers — the self-equivocation the store exists to prevent. Use
+// On a cluster with Options.StoreDir it refuses: rebuilding the slot
+// without its store would journal nothing from then on, so a second crash
+// would restore a stale prefix and re-use published sequence numbers — the
+// self-equivocation the store exists to prevent. Use
 // RecoverServerFromStore there.
-func (c *Cluster) RecoverServerWith(slot int, proto protocol.Protocol, stored []*block.Block, compress bool) error {
+func (c *Cluster) RecoverServer(slot int, proto protocol.Protocol, stored []*block.Block) error {
 	if c.opts.StoreDir != "" {
 		return fmt.Errorf("cluster: recover server %d: cluster has durable stores, use RecoverServerFromStore", slot)
 	}
-	return c.buildSlot(slot, proto, compress, nil, stored)
+	return c.buildSlot(slot, proto, nil, stored)
 }
 
 // RecoverServerFromStore restarts a crashed slot from its on-disk store:
@@ -675,7 +663,7 @@ func (c *Cluster) RecoverServerFromStore(slot int, proto protocol.Protocol) erro
 	if err != nil {
 		return err
 	}
-	return c.buildSlot(slot, proto, c.opts.CompressReferences, st, nil)
+	return c.buildSlot(slot, proto, st, nil)
 }
 
 // RecoverServerViaSync restarts a crashed slot through bulk catch-up: the

@@ -110,10 +110,13 @@ type Config struct {
 	// FwdFallbackAfter is the FWD broadcast fallback threshold
 	// (0 = gossip default, negative disables).
 	FwdFallbackAfter int
-	// CompressReferences enables the paper's Section 7 implicit-block-
-	// inclusion extension on both halves of the stack: gossip references
-	// only DAG tips, and interpretation consumes the implicit ancestry
-	// closure. All servers of a deployment must agree on this setting.
+	// CompressReferences is ignored.
+	//
+	// Deprecated: a reference always includes its ancestry (gossip cites
+	// parent and tips, interpret reads the ancestry a block adds); there is
+	// no other mode to select. The field exists only because the frozen
+	// bench/cluster.go assigns it, and goes when bench/ drops that line
+	// and dagbench's -compress flag.
 	CompressReferences bool
 }
 
@@ -177,35 +180,30 @@ func NewServer(cfg Config) (*Server, error) {
 		s.rqsts = &requestQueue{}
 	}
 
-	interpOpts := []interpret.Option{interpret.WithMetrics(cfg.Metrics)}
-	if cfg.CompressReferences {
-		interpOpts = append(interpOpts, interpret.WithImplicitInclusion())
-	}
 	s.interp = interpret.New(
 		cfg.Protocol,
 		cfg.Roster.N(),
 		cfg.Roster.F(),
 		s.onIndication,
-		interpOpts...,
+		interpret.WithMetrics(cfg.Metrics),
 	)
 
 	gsp, err := gossip.New(gossip.Config{
-		Signer:             cfg.Signer,
-		Roster:             cfg.Roster,
-		DAG:                s.dag,
-		Requests:           s.rqsts,
-		Transport:          cfg.Transport,
-		OnInsert:           s.onInsert,
-		Clock:              cfg.Clock,
-		Metrics:            cfg.Metrics,
-		Evidence:           cfg.Evidence,
-		Scores:             cfg.Scores,
-		OnEvidence:         s.onEvidence,
-		MaxBatch:           cfg.MaxBatch,
-		ResendAfter:        cfg.ResendAfter,
-		FwdFallbackAfter:   cfg.FwdFallbackAfter,
-		VerifyWorkers:      cfg.VerifyWorkers,
-		CompressReferences: cfg.CompressReferences,
+		Signer:           cfg.Signer,
+		Roster:           cfg.Roster,
+		DAG:              s.dag,
+		Requests:         s.rqsts,
+		Transport:        cfg.Transport,
+		OnInsert:         s.onInsert,
+		Clock:            cfg.Clock,
+		Metrics:          cfg.Metrics,
+		Evidence:         cfg.Evidence,
+		Scores:           cfg.Scores,
+		OnEvidence:       s.onEvidence,
+		MaxBatch:         cfg.MaxBatch,
+		ResendAfter:      cfg.ResendAfter,
+		FwdFallbackAfter: cfg.FwdFallbackAfter,
+		VerifyWorkers:    cfg.VerifyWorkers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -433,8 +431,8 @@ func (s *Server) AddIndicationObserver(fn func(label types.Label, value []byte))
 // package store's recovered log. Blocks are fully revalidated
 // (Definition 3.3), interpreted, and all of gossip's volatile state is
 // re-derived deterministically from the restored DAG (Gossip.Recover):
-// the next disseminated block continues the old chain and references
-// exactly the blocks no pre-crash block referenced, while the FWD/retry
+// the next disseminated block continues the old chain and cites the tips
+// of what no pre-crash own block reaches, while the FWD/retry
 // bookkeeping restarts empty, so any block that was in flight (or lost
 // with an unsynced WAL tail) is simply re-received or re-requested from
 // peers.
@@ -534,8 +532,8 @@ func (s *Server) Restore(blocks []*block.Block) error {
 // peer's delta stream, syncsvc.Pull checks the signatures; startup
 // catch-up, live follower and simulated recovery alike). The block takes
 // the path a gossiped block takes once its signature verified: the DAG's
-// structural checks, the journal through Config.OnPersist, a reference in
-// the next own block, interpretation, and the release of gossip-buffered
+// structural checks, the journal through Config.OnPersist, a place among
+// the next own block's tips, interpretation, and the release of gossip-buffered
 // blocks waiting on it — minus the FWD round trips.
 //
 // Call it from the goroutine driving this server. An already-held block
@@ -548,15 +546,6 @@ func (s *Server) Restore(blocks []*block.Block) error {
 func (s *Server) AbsorbVerified(b *block.Block) error {
 	return s.gsp.InsertVerified(b)
 }
-
-// ResumeOwnChain re-derives the block-building state from the DAG as it
-// now stands (gossip.Recover, as Restore ends). The runtime calls it after
-// absorbing own blocks it did not hold — a node that lost its disk
-// re-learns its chain 0..k from a peer — so the next block built is k+1,
-// referencing exactly the blocks no own block references yet: no sequence
-// number is reused (no self-equivocation), no block referenced twice
-// (Lemma A.6).
-func (s *Server) ResumeOwnChain() { s.gsp.Recover() }
 
 // ObserveInserts registers fn to see every block that enters the DAG, in
 // insertion order, whichever way it came — Restore replay, gossip, a

@@ -108,44 +108,3 @@ func TestSoakTheorem51AtScale(t *testing.T) {
 		}
 	}
 }
-
-// TestSoakCompressedAtScale repeats the scale test with the Section 7
-// compression extension enabled.
-func TestSoakCompressedAtScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test")
-	}
-	const instances = 12
-	c, err := cluster.New(cluster.Options{
-		N:                  7,
-		Protocol:           brb.Protocol{},
-		Byzantine:          []int{6},
-		Drop:               0.05,
-		Seed:               103,
-		MaxBatch:           instances + 4,
-		CompressReferences: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := make([]types.Label, instances)
-	for i := 0; i < instances; i++ {
-		labels[i] = types.Label(fmt.Sprintf("csoak/%d", i))
-		c.Request(i%6, labels[i], []byte(fmt.Sprintf("v%d", i)))
-	}
-	ok, err := c.RunUntil(120, func() bool { return allDelivered(c, labels...) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("compressed soak incomplete after 120 rounds")
-	}
-	for i, label := range labels {
-		want := []byte(fmt.Sprintf("v%d", i))
-		for srv, values := range delivered(c, label) {
-			if len(values) != 1 || !bytes.Equal(values[0], want) {
-				t.Fatalf("server %d delivered %q on %s", srv, values, label)
-			}
-		}
-	}
-}

@@ -245,10 +245,10 @@ func (d *DAG) Get(ref block.Ref) (*block.Block, bool) {
 }
 
 // smallPreds is the predecessor-list size below which dedup runs as an
-// allocation-free linear scan. Honest blocks stay below it (≤ roster
-// size + 1 references in compress mode, ≤ recent-block count otherwise);
-// oversized byzantine lists keep the map-backed O(k) path so quadratic
-// scans cannot be provoked.
+// allocation-free linear scan. Honest blocks stay below it (parent plus
+// tips: rarely more than roster size + 1 references; blocks journaled
+// before the tip rule, the recent-block count); oversized byzantine lists
+// keep the map-backed O(k) path so quadratic scans cannot be provoked.
 const smallPreds = 16
 
 // MissingPreds returns the references in b.Preds not yet in the DAG, in

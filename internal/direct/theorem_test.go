@@ -96,11 +96,11 @@ func runDirect(t *testing.T, proto protocol.Protocol, n int, schedule []request,
 // runShim runs shim(P): the same schedule submitted to n servers that
 // gossip blocks over a network that delays, reorders and drops them, and
 // interpret the DAG — retiring every instance that reports Done.
-func runShim(t *testing.T, proto protocol.Protocol, n int, schedule []request, seed int64, compress bool, rounds int, interval time.Duration, pairs int) indicated {
+func runShim(t *testing.T, proto protocol.Protocol, n int, schedule []request, seed int64, rounds int, interval time.Duration, pairs int) indicated {
 	c, err := cluster.New(cluster.Options{
 		N: n, Protocol: proto, Seed: seed,
 		Latency: 2 * time.Millisecond, Jitter: 3 * interval, Drop: 0.05,
-		Interval: interval, CompressReferences: compress,
+		Interval: interval,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,8 +138,8 @@ func runShim(t *testing.T, proto protocol.Protocol, n int, schedule []request, s
 // shim(P) over the block DAG indicates exactly what a direct run of P over
 // point-to-point links indicates — per server and instance, the same
 // values in the same order — across random request schedules, random
-// arrival orders on both sides (and lost blocks on the DAG side), and both
-// inclusion modes. The direct run keeps every instance for ever and
+// arrival orders on both sides (and lost blocks on the DAG side). The
+// direct run keeps every instance for ever and
 // delivers it every message; the interpreter drops an instance the moment
 // it reports Done and discards what it is sent afterwards, so this is also
 // the test that retiring changes no indication.
@@ -157,20 +157,18 @@ func TestTheorem51Differential(t *testing.T) {
 			if len(want) != n*labels {
 				t.Fatalf("%s seed %d: direct run indicated at %d (server, label) pairs, want %d", proto.Name(), seed, len(want), n*labels)
 			}
-			for _, compress := range []bool{false, true} {
-				got := runShim(t, proto, n, schedule, seed+100, compress, rounds, interval, len(want))
-				ctx := fmt.Sprintf("%s seed %d compress=%v", proto.Name(), seed, compress)
-				if len(got) != len(want) {
-					t.Fatalf("%s: shim(P) indicated at %d (server, label) pairs, the direct run at %d", ctx, len(got), len(want))
+			got := runShim(t, proto, n, schedule, seed+100, rounds, interval, len(want))
+			ctx := fmt.Sprintf("%s seed %d", proto.Name(), seed)
+			if len(got) != len(want) {
+				t.Fatalf("%s: shim(P) indicated at %d (server, label) pairs, the direct run at %d", ctx, len(got), len(want))
+			}
+			for key, values := range want {
+				if len(got[key]) != len(values) {
+					t.Fatalf("%s: %s indicated %d values, the direct run %d", ctx, key, len(got[key]), len(values))
 				}
-				for key, values := range want {
-					if len(got[key]) != len(values) {
-						t.Fatalf("%s: %s indicated %d values, the direct run %d", ctx, key, len(got[key]), len(values))
-					}
-					for i := range values {
-						if !bytes.Equal(got[key][i], values[i]) {
-							t.Fatalf("%s: %s indication %d is %q, the direct run's %q", ctx, key, i, got[key][i], values[i])
-						}
+				for i := range values {
+					if !bytes.Equal(got[key][i], values[i]) {
+						t.Fatalf("%s: %s indication %d is %q, the direct run's %q", ctx, key, i, got[key][i], values[i])
 					}
 				}
 			}

@@ -39,7 +39,8 @@ func TestRegistryIDsUnique(t *testing.T) {
 	}
 }
 
-// TestE13Shape validates the O(n²) claim's shape: refs/block ≈ n.
+// TestE13Shape validates the O(n²) claim's shape: refs/block ≈ n while a
+// round's blocks are all tips, and never more.
 func TestE13Shape(t *testing.T) {
 	tbl, err := E13ReferenceOverhead()
 	if err != nil {
@@ -54,8 +55,8 @@ func TestE13Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if refs < float64(n)-0.5 || refs > float64(n)+0.5 {
-			t.Fatalf("n=%d: refs/block = %.2f, want ≈ n", n, refs)
+		if refs > float64(n) || n <= 10 && refs < float64(n)-0.5 {
+			t.Fatalf("n=%d: refs/block = %.2f, want ≈ n and at most n", n, refs)
 		}
 	}
 }
@@ -88,27 +89,28 @@ func TestE9Shape(t *testing.T) {
 	}
 }
 
-// TestE16Shape validates the ablation's shape: compressed mode uses
-// strictly fewer references per block.
+// TestE16Shape validates the table's shape: a block never cites more
+// blocks than it brings into its chain's ancestry, and under rate skew it
+// cites strictly fewer.
 func TestE16Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cluster experiment")
 	}
-	tbl, err := E16ReferenceCompression()
+	tbl, err := E16ReferencesPerBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range tbl.Rows {
-		explicit, err := strconv.ParseFloat(row[1], 64)
+		refs, err := strconv.ParseFloat(row[2], 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compressed, err := strconv.ParseFloat(row[2], 64)
+		seen, err := strconv.ParseFloat(row[3], 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if compressed >= explicit {
-			t.Fatalf("n=%s: compression did not reduce refs (%.1f vs %.1f)", row[0], compressed, explicit)
+		if refs > seen || row[1] != "0" && refs >= seen {
+			t.Fatalf("n=%s skew=%s: %.1f refs/block for %.1f blocks seen", row[0], row[1], refs, seen)
 		}
 	}
 }

@@ -35,6 +35,8 @@ func CollectMetrics(m *metrics.Metrics) Collector {
 	return func(emit func(Metric)) {
 		s := m.Snapshot()
 		counter(emit, "dag_blocks_built_total", "Blocks this server built and disseminated.", s.BlocksBuilt)
+		counter(emit, "dag_own_block_refs_total", "References cited by own blocks; divide by dag_blocks_built_total for references per block.", s.OwnBlockRefs)
+		gauge(emit, "dag_tips", "Uncited DAG tips: the references the next own block adds to its parent.", s.Tips)
 		counter(emit, "dag_blocks_received_total", "Blocks received from the network.", s.BlocksReceived)
 		counter(emit, "dag_blocks_inserted_total", "Blocks inserted into the local DAG.", s.BlocksInserted)
 		counter(emit, "dag_blocks_duplicate_total", "Received blocks already known.", s.BlocksDuplicate)

@@ -189,7 +189,8 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 			Accepted int64 `json:"Accepted"`
 		} `json:"mempool"`
 		Counters *struct {
-			BlocksBuilt int64
+			BlocksBuilt, OwnBlockRefs int64
+			Tips                      *int64
 		} `json:"counters"`
 	}
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
@@ -197,6 +198,11 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 	}
 	if !st.Healthy || st.Mempool == nil || st.Mempool.Accepted != 1 || st.Counters == nil || st.Counters.BlocksBuilt == 0 {
 		t.Fatalf("status body = %s", body)
+	}
+	// DAG shape: every block after the genesis cites at least its parent,
+	// and the tip gauge is reported.
+	if st.Counters.OwnBlockRefs < st.Counters.BlocksBuilt-1 || st.Counters.Tips == nil {
+		t.Fatalf("status body lacks the references-per-block counter or the tip gauge: %s", body)
 	}
 
 	resp = get(t, c.base+"/metrics", nil)
@@ -207,6 +213,8 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 	// Live counters from four subsystems plus the gateway's own.
 	for _, family := range []string{
 		"dag_blocks_built_total",
+		"dag_own_block_refs_total",
+		"# TYPE dag_tips gauge\n",
 		"tcpnet_calls_opened_total",
 		"syncsvc_drops_total",
 		"mempool_accepted_total 1",

@@ -184,10 +184,9 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkTipRetirement measures compress-mode ingest across DAG depths:
-// every insert retires covered tips via DAG reachability, so per-block
-// cost must stay flat in depth now that retirement is an O(1) watermark
-// compare instead of a per-insert backwards BFS.
+// BenchmarkTipRetirement measures ingest across DAG depths: every insert
+// retires the tips it reaches via DAG reachability, an O(1) watermark
+// compare, so per-block cost must stay flat in depth.
 func BenchmarkTipRetirement(b *testing.B) {
 	for _, rounds := range []int{64, 256, 512} {
 		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
@@ -202,12 +201,11 @@ func BenchmarkTipRetirement(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d := dag.New(roster)
 				g, err := New(Config{
-					Signer:             signers[0],
-					Roster:             roster,
-					DAG:                d,
-					Transport:          net.Transport(0),
-					Clock:              net.Now,
-					CompressReferences: true,
+					Signer:    signers[0],
+					Roster:    roster,
+					DAG:       d,
+					Transport: net.Transport(0),
+					Clock:     net.Now,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -225,10 +223,10 @@ func BenchmarkTipRetirement(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoverCompressed measures crash-recovery chain-state
-// reconstruction in compress mode — coverage checks ride the causal
-// summary instead of materializing the own tip's ancestry.
-func BenchmarkRecoverCompressed(b *testing.B) {
+// BenchmarkRecover measures crash-recovery chain-state reconstruction —
+// coverage checks ride the causal summary instead of materializing the own
+// tip's ancestry.
+func BenchmarkRecover(b *testing.B) {
 	for _, rounds := range []int{64, 512} {
 		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
 			payloads, roster := benchBlocks(b, rounds)
@@ -239,12 +237,11 @@ func BenchmarkRecoverCompressed(b *testing.B) {
 			net := simnet.New()
 			d := dag.New(roster)
 			g, err := New(Config{
-				Signer:             signers[0],
-				Roster:             roster,
-				DAG:                d,
-				Transport:          net.Transport(0),
-				Clock:              net.Now,
-				CompressReferences: true,
+				Signer:    signers[0],
+				Roster:    roster,
+				DAG:       d,
+				Transport: net.Transport(0),
+				Clock:     net.Now,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -2,10 +2,16 @@
 // block DAG by exchanging only blocks.
 //
 // Each server continuously (i) builds its block DAG G from received valid
-// blocks, and (ii) builds its current block B by accumulating references
-// to every block it inserts plus the user requests handed to it, sealing
-// and disseminating B whenever Disseminate fires (Algorithm 3 drives the
-// pacing).
+// blocks, and (ii) builds its current block B from references to the blocks
+// it inserts plus the user requests handed to it, sealing and disseminating
+// B whenever Disseminate fires (Algorithm 3 drives the pacing).
+//
+// A reference includes its ancestry (paper Section 7, implicit block
+// inclusion), so B cites its parent and the tips of what was inserted since
+// — a block is dropped from the list as soon as a later one reaches it —
+// not every block: O(tips) references instead of O(blocks seen), a handful
+// after a restart instead of the whole backlog. Package interpret reads
+// references the same way; docs/ARCHITECTURE.md, "What a reference means".
 //
 // There is a single core message type — the block — plus the FWD request
 // used to pull a missing predecessor from the server whose block
@@ -167,17 +173,6 @@ type Config struct {
 	// evicted reference that resurfaces fails validation again. 0 means
 	// DefaultInvalidCache; negative means unbounded (tests only).
 	InvalidCacheSize int
-
-	// CompressReferences enables the paper's Section 7 "implicit block
-	// inclusion" extension: blocks reference only the current DAG tips
-	// (plus the parent) instead of every block seen since the last
-	// dissemination; referencing a block implicitly includes its whole
-	// ancestry. This reduces the per-block reference overhead from
-	// O(n) to O(tips) — typically far fewer after bursts — at no
-	// correctness cost, but every server in the deployment must agree
-	// on the mode: the interpreter must run with matching
-	// ImplicitInclusion semantics (core wires both together).
-	CompressReferences bool
 }
 
 // Defaults for Config's tunables.
@@ -217,12 +212,11 @@ type Gossip struct {
 	invalidFIFO []block.Ref
 	invalidHead int
 
-	// Current block B under construction (lines 2, 14–18).
-	curSeq   uint64
-	curPreds []block.Ref
-	// Compress-mode state: the parent reference (own previous block, if
-	// any) kept separate so tip retirement can never drop it, and the
-	// current tip set. curPreds is unused in this mode.
+	// Current block B under construction (lines 2, 14–18): its sequence
+	// number, the parent reference (own previous block, if any — kept apart
+	// so tip retirement can never drop it), and the tips: the blocks
+	// inserted since the parent that no later inserted block reaches.
+	curSeq    uint64
 	curParent *block.Ref
 	curTips   []block.Ref
 }
@@ -277,10 +271,11 @@ func (g *Gossip) Self() types.ServerID { return g.self }
 // Recover initializes the block-building state from a restored DAG after
 // a crash — the crash-recovery path the paper discusses in Section 7.
 // The next block continues the own chain (curSeq = last own seq + 1,
-// parent = own tip) and references exactly the blocks no earlier own
-// block referenced, preserving the at-most-once reference discipline of
-// Lemma A.6 across the restart (and with it no-duplication,
-// Lemma 4.3(2)).
+// parent = own tip) and cites the tips a server that had inserted the same
+// blocks live would hold: the blocks outside the own tip's ancestry that no
+// other block outside it reaches. What the own chain already covers is not
+// cited again, and a backlog of any length costs as many references as it
+// has tips.
 //
 // All volatile bookkeeping — the pending-block buffer, FWD waiters, the
 // outstanding-request table with its retry clocks and attempt counters,
@@ -303,92 +298,37 @@ func (g *Gossip) Recover() {
 	g.invalid = make(map[block.Ref]struct{})
 	g.invalidFIFO = nil
 	g.invalidHead = 0
+	g.curSeq, g.curParent, g.curTips = 0, nil, nil
+
 	var ownTip *block.Block
-	referenced := make(map[block.Ref]struct{})
 	for b := range g.cfg.DAG.All() {
-		if b.Builder != g.self {
-			continue
-		}
-		if ownTip == nil || b.Seq >= ownTip.Seq {
+		if b.Builder == g.self && (ownTip == nil || b.Seq >= ownTip.Seq) {
 			ownTip = b
 		}
-		for _, p := range b.Preds {
-			referenced[p] = struct{}{}
-		}
-	}
-	g.curPreds = nil
-	g.curParent = nil
-	g.curTips = nil
-	g.curSeq = 0
-	if g.cfg.CompressReferences {
-		g.recoverCompressed(ownTip)
-		return
 	}
 	if ownTip != nil {
-		g.curSeq = ownTip.Seq + 1
-		g.curPreds = append(g.curPreds, ownTip.Ref())
-		referenced[ownTip.Ref()] = struct{}{}
+		parent := ownTip.Ref()
+		g.curSeq, g.curParent = ownTip.Seq+1, &parent
 	} else if e, ok := g.selfBase(); ok {
 		// All own blocks were pruned below the snapshot horizon: the
 		// chain continues from the base stand-in, so a rejoined node
 		// never reuses a published sequence number (no
 		// self-equivocation), exactly as when recovering from a full
 		// log.
-		g.curSeq = e.Seq + 1
-		g.curPreds = append(g.curPreds, e.Ref)
-		referenced[e.Ref] = struct{}{}
+		g.curSeq, g.curParent = e.Seq+1, &e.Ref
 	}
-	for b := range g.cfg.DAG.All() {
-		if b.Builder == g.self {
-			continue
-		}
-		if _, ok := referenced[b.Ref()]; ok {
-			continue
-		}
-		g.curPreds = append(g.curPreds, b.Ref())
-	}
-}
-
-// recoverCompressed rebuilds compress-mode chain state: the parent is the
-// own tip, and the tip set is the blocks outside the own tip's ancestry
-// closure with no successors outside it either. Coverage is decided with
-// the DAG's causal summary (B ⇀* ownTip), a per-block O(1) check — no
-// ancestry materialization.
-func (g *Gossip) recoverCompressed(ownTip *block.Block) {
-	var ownRef block.Ref
-	hasOwn := false
-	if ownTip != nil {
-		g.curSeq = ownTip.Seq + 1
-		ownRef = ownTip.Ref()
-		g.curParent = &ownRef
-		hasOwn = true
-	} else if e, ok := g.selfBase(); ok {
-		// Own chain fully pruned: continue from the base stand-in (see
-		// Recover).
-		g.curSeq = e.Seq + 1
-		ownRef = e.Ref
-		g.curParent = &ownRef
-		hasOwn = true
-	}
+	// Coverage is decided with the DAG's causal summary (B ⇀* parent), a
+	// per-block O(1) check — no ancestry materialization.
 	covered := func(ref block.Ref) bool {
-		return hasOwn && g.cfg.DAG.ReachesReflexive(ref, ownRef)
+		return g.curParent != nil && g.cfg.DAG.ReachesReflexive(ref, *g.curParent)
 	}
 	for b := range g.cfg.DAG.All() {
 		ref := b.Ref()
-		if covered(ref) {
-			continue
-		}
-		tip := true
-		for _, succ := range g.cfg.DAG.Succs(ref) {
-			if !covered(succ) {
-				tip = false
-				break
-			}
-		}
-		if tip {
+		if !covered(ref) && !slices.ContainsFunc(g.cfg.DAG.Succs(ref), func(succ block.Ref) bool { return !covered(succ) }) {
 			g.curTips = append(g.curTips, ref)
 		}
 	}
+	g.cfg.Metrics.SetTips(len(g.curTips))
 }
 
 // selfBase returns the highest-seq pruned-history stand-in for the own
@@ -642,30 +582,32 @@ func (g *Gossip) tryInsert(b *block.Block) bool {
 	return true
 }
 
-// noteInserted runs the post-insert duties for a block now in G: add a
-// reference to the current block (line 8, at most once per block —
-// Lemma A.6, guaranteed because insertion happens once), notify the
-// interpreter, and wake blocks waiting on it. It returns the OnInsert
-// hook's error so Disseminate can gate externalization of own blocks.
+// noteInserted runs the post-insert duties for a block now in G: put it
+// among the current block's references (line 8 — once, because insertion
+// happens once, and by reference or by ancestry at most once in the own
+// chain, which is Lemma A.6's discipline), notify the interpreter, and wake
+// blocks waiting on it. It returns the OnInsert hook's error so Disseminate
+// can gate externalization of own blocks.
 func (g *Gossip) noteInserted(b *block.Block) error {
 	ref := b.Ref()
 	g.cfg.Metrics.AddBlocksInserted(1)
-	if b.Builder != g.self {
-		if g.cfg.CompressReferences {
-			// Tip maintenance: retire every tip the new block
-			// covers (reaches backwards), then add the block as a
-			// tip. Referencing it implicitly includes its whole
-			// ancestry (Section 7 extension).
-			kept := g.curTips[:0]
-			for _, p := range g.curTips {
-				if !g.cfg.DAG.Reaches(p, ref) {
-					kept = append(kept, p)
-				}
-			}
-			g.curTips = append(kept, ref)
+	if b.Builder != g.self || b.Seq >= g.curSeq {
+		// Retire every tip the new block reaches — citing it includes
+		// them. A peer's block then becomes a tip. An own block becomes the
+		// parent: the one Disseminate just built, or one a previous
+		// incarnation of this server published before its disk was lost,
+		// coming back from a peer — its sequence number is taken, and the
+		// chain continues above it.
+		g.curTips = slices.DeleteFunc(g.curTips, func(p block.Ref) bool {
+			return g.cfg.DAG.Reaches(p, ref)
+		})
+		if b.Builder != g.self {
+			g.curTips = append(g.curTips, ref)
 		} else {
-			g.curPreds = append(g.curPreds, ref)
+			parent := ref // its own variable: ref must not escape on every insert
+			g.curSeq, g.curParent = b.Seq+1, &parent
 		}
+		g.cfg.Metrics.SetTips(len(g.curTips))
 	}
 	var hookErr error
 	if g.cfg.OnInsert != nil {
@@ -873,14 +815,11 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 	if g.cfg.Requests != nil {
 		reqs = g.cfg.Requests.Next(g.cfg.MaxBatch)
 	}
-	preds := g.curPreds
-	if g.cfg.CompressReferences {
-		preds = nil
-		if g.curParent != nil {
-			preds = append(preds, *g.curParent)
-		}
-		preds = append(preds, g.curTips...)
+	preds := make([]block.Ref, 0, 1+len(g.curTips))
+	if g.curParent != nil {
+		preds = append(preds, *g.curParent)
 	}
+	preds = append(preds, g.curTips...)
 	b := block.New(g.self, g.curSeq, preds, reqs)
 	if err := b.Seal(g.cfg.Signer); err != nil {
 		return nil, fmt.Errorf("gossip: seal block: %w", err)
@@ -891,6 +830,7 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 		return nil, fmt.Errorf("gossip: insert own block: %w", err)
 	}
 	g.cfg.Metrics.AddBlocksBuilt(1)
+	g.cfg.Metrics.AddOwnBlockRefs(int64(len(preds)))
 	hookErr := g.noteInserted(b)
 
 	if hookErr == nil {
@@ -909,18 +849,10 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 		g.cfg.Requests.Requeue(reqs)
 	}
 
-	// Chain state advances even when the broadcast is withheld: the block
-	// is in the local DAG, so the next own block — if the owner ever
-	// disseminates again — must not reuse its sequence number.
-	g.curSeq++
-	if g.cfg.CompressReferences {
-		parent := b.Ref()
-		g.curParent = &parent
-		// The new block covers all previous tips; clear them.
-		g.curTips = nil
-	} else {
-		g.curPreds = []block.Ref{b.Ref()}
-	}
+	// Chain state has advanced (noteInserted) even when the broadcast is
+	// withheld: the block is in the local DAG, so the next own block — if
+	// the owner ever disseminates again — must not reuse its sequence
+	// number.
 	if hookErr != nil {
 		// The own block failed to persist, so it was not broadcast: no
 		// peer can ever see this sequence number, and a post-crash

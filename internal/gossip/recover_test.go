@@ -1,26 +1,30 @@
 package gossip
 
 import (
+	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/simnet"
+	"blockdag/internal/types"
 )
 
 // recoveredGossip builds a gossip instance over a pre-populated DAG and
 // calls Recover, returning the first block it then disseminates.
-func recoveredGossip(t *testing.T, d *dag.DAG, signers []*crypto.Signer, roster *crypto.Roster, compress bool) *block.Block {
+func recoveredGossip(t *testing.T, d *dag.DAG, signers []*crypto.Signer, roster *crypto.Roster) *block.Block {
 	t.Helper()
 	net := simnet.New()
 	g, err := New(Config{
-		Signer:             signers[0],
-		Roster:             roster,
-		DAG:                d,
-		Transport:          net.Transport(0),
-		Clock:              net.Now,
-		CompressReferences: compress,
+		Signer:    signers[0],
+		Roster:    roster,
+		DAG:       d,
+		Transport: net.Transport(0),
+		Clock:     net.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +48,9 @@ func seal(t *testing.T, signer *crypto.Signer, seq uint64, preds []block.Ref, re
 }
 
 // TestRecoverContinuesChain: after recovery, the next block has the right
-// sequence number, parents the old tip, and references exactly the blocks
-// no pre-crash block referenced (Lemma A.6 across restarts).
+// sequence number, parents the old tip, and references what no pre-crash
+// block covered and nothing a pre-crash block did (Lemma A.6 across
+// restarts).
 func TestRecoverContinuesChain(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(3)
 	if err != nil {
@@ -65,7 +70,7 @@ func TestRecoverContinuesChain(t *testing.T) {
 		}
 	}
 
-	next := recoveredGossip(t, d, signers, roster, false)
+	next := recoveredGossip(t, d, signers, roster)
 	if next.Seq != 2 {
 		t.Fatalf("recovered block has seq %d, want 2", next.Seq)
 	}
@@ -92,7 +97,7 @@ func TestRecoverFreshServer(t *testing.T) {
 	if err := d.Insert(g1); err != nil {
 		t.Fatal(err)
 	}
-	next := recoveredGossip(t, d, signers, roster, false)
+	next := recoveredGossip(t, d, signers, roster)
 	if next.Seq != 0 {
 		t.Fatalf("fresh recovery built seq %d, want genesis", next.Seq)
 	}
@@ -101,10 +106,9 @@ func TestRecoverFreshServer(t *testing.T) {
 	}
 }
 
-// TestRecoverCompressedReferencesTipsOnly: compressed recovery references
-// the own tip plus the DAG tips outside the own ancestry — not the whole
-// backlog.
-func TestRecoverCompressedReferencesTipsOnly(t *testing.T) {
+// TestRecoverReferencesTipsOnly: recovery references the own tip plus the
+// DAG tips outside the own ancestry — not the whole backlog.
+func TestRecoverReferencesTipsOnly(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(3)
 	if err != nil {
 		t.Fatal(err)
@@ -120,24 +124,24 @@ func TestRecoverCompressedReferencesTipsOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	next := recoveredGossip(t, d, signers, roster, true)
+	next := recoveredGossip(t, d, signers, roster)
 	if next.Preds[0] != g0.Ref() {
-		t.Fatal("compressed recovery does not parent the own tip")
+		t.Fatal("recovery does not parent the own tip")
 	}
 	if !next.HasPred(b12.Ref()) {
-		t.Fatal("compressed recovery misses the chain tip")
+		t.Fatal("recovery misses the chain tip")
 	}
 	if next.HasPred(b10.Ref()) || next.HasPred(b11.Ref()) {
-		t.Fatal("compressed recovery references covered ancestors")
+		t.Fatal("recovery references covered ancestors")
 	}
 	if len(next.Preds) != 2 {
-		t.Fatalf("compressed recovery has %d preds, want 2", len(next.Preds))
+		t.Fatalf("recovery has %d preds, want 2", len(next.Preds))
 	}
 }
 
-// TestCompressedDisseminationReferencesTips: in compress mode, a block
-// built after receiving a peer's chain references only the chain tip.
-func TestCompressedDisseminationReferencesTips(t *testing.T) {
+// TestDisseminationReferencesTips: a block built after receiving a peer's
+// chain references only the chain tip.
+func TestDisseminationReferencesTips(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(2)
 	if err != nil {
 		t.Fatal(err)
@@ -145,12 +149,11 @@ func TestCompressedDisseminationReferencesTips(t *testing.T) {
 	net := simnet.New()
 	d := dag.New(roster)
 	g, err := New(Config{
-		Signer:             signers[0],
-		Roster:             roster,
-		DAG:                d,
-		Transport:          net.Transport(0),
-		Clock:              net.Now,
-		CompressReferences: true,
+		Signer:    signers[0],
+		Roster:    roster,
+		DAG:       d,
+		Transport: net.Transport(0),
+		Clock:     net.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +167,7 @@ func TestCompressedDisseminationReferencesTips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !own.HasPred(b11.Ref()) || own.HasPred(b10.Ref()) {
-		t.Fatalf("compressed block preds = %v, want only the tip", own.Preds)
+		t.Fatalf("block preds = %v, want only the tip", own.Preds)
 	}
 	// The next own block references only its parent (tips cleared).
 	own2, err := g.Disseminate()
@@ -173,5 +176,94 @@ func TestCompressedDisseminationReferencesTips(t *testing.T) {
 	}
 	if len(own2.Preds) != 1 || own2.Preds[0] != own.Ref() {
 		t.Fatalf("second block preds = %v, want [parent]", own2.Preds)
+	}
+}
+
+// TestRecoverRebuildsLiveTips: whatever a server has inserted and built,
+// Recover over its DAG arrives at the chain state the live instance holds —
+// same sequence number, same parent, same tip set — so the first block after
+// a crash is the block the server would have built without one. Peers'
+// blocks cite random earlier blocks (the server's own among them) and reach
+// it late and out of order. So does an instance that builds nothing and is
+// handed the same blocks, the server's own included, in the same order: a
+// server that lost its disk and re-learns its chain from its peers.
+func TestRecoverRebuildsLiveTips(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := dagtest.NewHarness(4)
+		net := simnet.New()
+		cfg := Config{
+			Signer: h.Signers[0], Roster: h.Roster, DAG: dag.New(h.Roster),
+			Transport: net.Transport(0), Clock: net.Now,
+		}
+		live, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relearnCfg := cfg
+		relearnCfg.DAG = dag.New(h.Roster)
+		relearning, err := New(relearnCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refs []block.Ref        // every block built so far, the server's own too
+		var inFlight []*block.Block // peers' blocks not yet delivered
+		sorted := func(tips []block.Ref) []block.Ref {
+			tips = slices.Clone(tips)
+			slices.SortFunc(tips, func(a, b block.Ref) int { return bytes.Compare(a[:], b[:]) })
+			return tips
+		}
+		multiTip := 0
+		for step := 0; step < 200; step++ {
+			switch peer := rng.Intn(5); {
+			case peer == 0:
+				own, err := live.Disseminate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Insert(own)
+				refs = append(refs, own.Ref())
+				relearning.HandleMessage(1, EncodeBlockMsg(own))
+			case len(h.DAG.ByBuilder(types.ServerID(peer%3+1))) == 0:
+				b := h.Genesis(peer%3 + 1)
+				refs, inFlight = append(refs, b.Ref()), append(inFlight, b)
+			default:
+				var cites []block.Ref
+				for _, r := range refs[max(0, len(refs)-8):] {
+					if b, _ := h.DAG.Get(r); int(b.Builder) != peer%3+1 && rng.Intn(3) == 0 {
+						cites = append(cites, r)
+					}
+				}
+				b := h.Next(peer%3+1, cites)
+				refs, inFlight = append(refs, b.Ref()), append(inFlight, b)
+			}
+			rng.Shuffle(len(inFlight), func(i, j int) { inFlight[i], inFlight[j] = inFlight[j], inFlight[i] })
+			for len(inFlight) > 0 && rng.Intn(3) > 0 {
+				live.HandleMessage(inFlight[0].Builder, EncodeBlockMsg(inFlight[0]))
+				relearning.HandleMessage(inFlight[0].Builder, EncodeBlockMsg(inFlight[0]))
+				inFlight = inFlight[1:]
+			}
+
+			recovered, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recovered.Recover()
+			for name, other := range map[string]*Gossip{"recovered": recovered, "relearning": relearning} {
+				if other.curSeq != live.curSeq || (other.curParent == nil) != (live.curParent == nil) ||
+					live.curParent != nil && *other.curParent != *live.curParent {
+					t.Fatalf("seed %d step %d: %s chain position differs", seed, step, name)
+				}
+				if !slices.Equal(sorted(other.curTips), sorted(live.curTips)) {
+					t.Fatalf("seed %d step %d: %s tips %v, live tips %v", seed, step, name, sorted(other.curTips), sorted(live.curTips))
+				}
+			}
+			if len(live.curTips) > 1 {
+				multiTip++
+			}
+		}
+		if multiTip == 0 {
+			t.Fatalf("seed %d: the live server never held more than one tip", seed)
+		}
 	}
 }

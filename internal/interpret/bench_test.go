@@ -71,34 +71,10 @@ func BenchmarkInterpretManyLabels(b *testing.B) {
 	}
 }
 
-// BenchmarkImplicitVsExplicit compares interpretation cost of the two
-// inclusion semantics on the same dense DAG.
-func BenchmarkImplicitVsExplicit(b *testing.B) {
-	h := benchDAG(32)
-	blocks := h.DAG.Blocks()
-	for _, mode := range []string{"explicit", "implicit"} {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var opts []Option
-				if mode == "implicit" {
-					opts = append(opts, WithImplicitInclusion())
-				}
-				it := New(brb.Protocol{}, 4, 1, nil, opts...)
-				for _, blk := range blocks {
-					if err := it.AddBlock(blk); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkImplicitDeep measures implicit-inclusion interpretation over
-// deep DAGs (hundreds of all-to-all rounds): with the ancestry-watermark
-// enumeration the per-block collection cost must stay flat in depth.
-func BenchmarkImplicitDeep(b *testing.B) {
+// BenchmarkInterpretDeep measures interpretation over deep DAGs (hundreds
+// of all-to-all rounds): the ancestry walk is bounded by the blocks new to
+// a chain, so the per-block collection cost must stay flat in depth.
+func BenchmarkInterpretDeep(b *testing.B) {
 	for _, rounds := range []int{64, 256, 512} {
 		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
 			h := benchDAG(rounds)
@@ -106,7 +82,7 @@ func BenchmarkImplicitDeep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				it := New(brb.Protocol{}, 4, 1, nil, WithImplicitInclusion())
+				it := New(brb.Protocol{}, 4, 1, nil)
 				if err := it.InterpretDAG(h.DAG); err != nil {
 					b.Fatal(err)
 				}

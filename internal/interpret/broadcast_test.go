@@ -108,62 +108,60 @@ func forkedDAGs() (dags []*dag.DAG, labels [][]types.Label) {
 // and with every broadcast emitted as n unicasts gives the same out-buffers
 // (as OutMessages reports them), in-buffers, state digests and the same
 // indications in the same order — over forked DAGs, in arrival orders that
-// make either side rebuild, in both inclusion modes, for BRB and for a
+// make either side rebuild, for BRB and for a
 // protocol that mixes both forms.
 func TestBroadcastEquivalence(t *testing.T) {
 	dags, labelSets := forkedDAGs()
 	for _, proto := range []protocol.Protocol{brb.Protocol{}, chatter{}} {
-		for mode, opts := range interpretModes {
-			for i, d := range dags {
-				labels := labelSets[i]
-				order := randomTopoOrder(d, rand.New(rand.NewSource(int64(i))))
-				run := func(p protocol.Protocol) (*Interpreter, []Indication) {
-					onInd, inds := collectInds()
-					it := New(p, 4, 1, onInd, opts...)
-					for _, b := range order {
-						if err := it.AddBlock(b); err != nil {
-							t.Fatal(err)
-						}
-					}
-					return it, *inds
-				}
-				ctx := fmt.Sprintf("%s %s dag %d", proto.Name(), mode, i)
-				records, recordInds := run(proto)
-				unicasts, unicastInds := run(unicastOnly{proto})
-				if len(recordInds) == 0 {
-					t.Fatalf("%s: nothing was indicated", ctx)
-				}
-				if len(recordInds) != len(unicastInds) {
-					t.Fatalf("%s: %d indications vs %d", ctx, len(recordInds), len(unicastInds))
-				}
-				for j, a := range recordInds {
-					b := unicastInds[j]
-					if a.Label != b.Label || a.Server != b.Server || a.Block != b.Block || !bytes.Equal(a.Value, b.Value) {
-						t.Fatalf("%s: indication %d differs: %+v vs %+v", ctx, j, a, b)
+		for i, d := range dags {
+			labels := labelSets[i]
+			order := randomTopoOrder(d, rand.New(rand.NewSource(int64(i))))
+			run := func(p protocol.Protocol) (*Interpreter, []Indication) {
+				onInd, inds := collectInds()
+				it := New(p, 4, 1, onInd)
+				for _, b := range order {
+					if err := it.AddBlock(b); err != nil {
+						t.Fatal(err)
 					}
 				}
-				agreeOn(t, d, labels, records, unicasts, ctx)
-				broadcasts := 0
-				for b := range d.All() {
-					for _, label := range labels {
-						if !equalMessages(records.InMessages(b.Ref(), label), unicasts.InMessages(b.Ref(), label)) {
-							t.Fatalf("%s: in-buffer of %v / %s differs", ctx, b.Ref(), label)
+				return it, *inds
+			}
+			ctx := fmt.Sprintf("%s dag %d", proto.Name(), i)
+			records, recordInds := run(proto)
+			unicasts, unicastInds := run(unicastOnly{proto})
+			if len(recordInds) == 0 {
+				t.Fatalf("%s: nothing was indicated", ctx)
+			}
+			if len(recordInds) != len(unicastInds) {
+				t.Fatalf("%s: %d indications vs %d", ctx, len(recordInds), len(unicastInds))
+			}
+			for j, a := range recordInds {
+				b := unicastInds[j]
+				if a.Label != b.Label || a.Server != b.Server || a.Block != b.Block || !bytes.Equal(a.Value, b.Value) {
+					t.Fatalf("%s: indication %d differs: %+v vs %+v", ctx, j, a, b)
+				}
+			}
+			agreeOn(t, d, labels, records, unicasts, ctx)
+			broadcasts := 0
+			for b := range d.All() {
+				for _, label := range labels {
+					if !equalMessages(records.InMessages(b.Ref(), label), unicasts.InMessages(b.Ref(), label)) {
+						t.Fatalf("%s: in-buffer of %v / %s differs", ctx, b.Ref(), label)
+					}
+					for _, m := range outFor(records.states[b.Ref()].out, label) {
+						if m.Receiver == protocol.Everyone {
+							broadcasts++
 						}
-						for _, m := range outFor(records.states[b.Ref()].out, label) {
-							if m.Receiver == protocol.Everyone {
-								broadcasts++
-							}
-						}
-						for _, m := range records.OutMessages(b.Ref(), label) {
-							if m.Receiver == protocol.Everyone {
-								t.Fatalf("%s: OutMessages of %v / %s reports a broadcast record", ctx, b.Ref(), label)
-							}
+					}
+					for _, m := range records.OutMessages(b.Ref(), label) {
+						if m.Receiver == protocol.Everyone {
+							t.Fatalf("%s: OutMessages of %v / %s reports a broadcast record", ctx, b.Ref(), label)
 						}
 					}
 				}
-				if broadcasts == 0 {
-					t.Fatalf("%s: no broadcast record was retained", ctx)
-				}
+			}
+			if broadcasts == 0 {
+				t.Fatalf("%s: no broadcast record was retained", ctx)
 			}
 		}
 	}
@@ -221,48 +219,46 @@ func (p *sealingProcess) Receive(m protocol.Message) []protocol.Message {
 // those still hashes as it did.
 func TestPayloadsImmutable(t *testing.T) {
 	dags, labelSets := forkedDAGs()
-	for mode, opts := range interpretModes {
-		for i, d := range dags {
-			labels := labelSets[i]
-			proto := sealingProtocol{Protocol: brb.Protocol{}, seals: make(map[*byte]sealed)}
-			requests := make(map[*byte]sealed)
-			for b := range d.All() {
-				for _, rq := range b.Requests {
-					requests[&rq.Data[0]] = sealed{bytes: rq.Data, sum: crypto.Hash(rq.Data)}
-				}
+	for i, d := range dags {
+		labels := labelSets[i]
+		proto := sealingProtocol{Protocol: brb.Protocol{}, seals: make(map[*byte]sealed)}
+		requests := make(map[*byte]sealed)
+		for b := range d.All() {
+			for _, rq := range b.Requests {
+				requests[&rq.Data[0]] = sealed{bytes: rq.Data, sum: crypto.Hash(rq.Data)}
 			}
-			it := New(proto, 4, 1, func(Indication) {}, opts...)
-			for _, b := range randomTopoOrder(d, rand.New(rand.NewSource(int64(i)))) {
-				if err := it.AddBlock(b); err != nil {
-					t.Fatal(err)
-				}
+		}
+		it := New(proto, 4, 1, func(Indication) {})
+		for _, b := range randomTopoOrder(d, rand.New(rand.NewSource(int64(i)))) {
+			if err := it.AddBlock(b); err != nil {
+				t.Fatal(err)
 			}
-			for b := range d.All() {
-				for _, label := range labels {
-					it.StateDigest(b.Ref(), label)
-					it.InMessages(b.Ref(), label)
-					it.OutMessages(b.Ref(), label)
-				}
+		}
+		for b := range d.All() {
+			for _, label := range labels {
+				it.StateDigest(b.Ref(), label)
+				it.InMessages(b.Ref(), label)
+				it.OutMessages(b.Ref(), label)
 			}
+		}
 
-			ctx := fmt.Sprintf("%s dag %d", mode, i)
-			retained := 0
-			for _, st := range it.states {
-				for _, m := range st.out {
-					if _, ok := proto.seals[&m.Payload[0]]; !ok {
-						t.Fatalf("%s: a retained payload was never emitted", ctx)
-					}
-					retained++
+		ctx := fmt.Sprintf("dag %d", i)
+		retained := 0
+		for _, st := range it.states {
+			for _, m := range st.out {
+				if _, ok := proto.seals[&m.Payload[0]]; !ok {
+					t.Fatalf("%s: a retained payload was never emitted", ctx)
 				}
+				retained++
 			}
-			if retained == 0 || len(proto.seals) <= len(requests) {
-				t.Fatalf("%s: %d payloads retained, %d slices sealed", ctx, retained, len(proto.seals))
-			}
-			for _, group := range []map[*byte]sealed{proto.seals, requests} {
-				for _, s := range group {
-					if crypto.Hash(s.bytes) != s.sum {
-						t.Fatalf("%s: bytes handed over were written to afterwards", ctx)
-					}
+		}
+		if retained == 0 || len(proto.seals) <= len(requests) {
+			t.Fatalf("%s: %d payloads retained, %d slices sealed", ctx, retained, len(proto.seals))
+		}
+		for _, group := range []map[*byte]sealed{proto.seals, requests} {
+			for _, s := range group {
+				if crypto.Hash(s.bytes) != s.sum {
+					t.Fatalf("%s: bytes handed over were written to afterwards", ctx)
 				}
 			}
 		}

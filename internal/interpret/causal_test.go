@@ -102,14 +102,11 @@ func agreeOn(t *testing.T, d *dag.DAG, labels []types.Label, a, b *Interpreter, 
 	}
 }
 
-// TestImplicitOrderIndependenceUnderForks is Lemma 4.2 for the
-// implicit-inclusion mode on deep forked DAGs: whatever topological order
-// blocks arrive in — and hence whenever the interpreter learns of the
-// equivocation and switches off the watermark fast path — every per-block
-// digest and out-buffer is identical. This pins the fast-path/walk
-// agreement: one order interprets most blocks before seeing a fork (fast
-// enumeration), another sees the fork early (pruned walk).
-func TestImplicitOrderIndependenceUnderForks(t *testing.T) {
+// TestOrderIndependenceUnderForks is Lemma 4.2 on deep forked DAGs:
+// whatever topological order blocks arrive in — and hence whichever branch
+// of an equivocation is interpreted first — every per-block digest and
+// out-buffer is identical.
+func TestOrderIndependenceUnderForks(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4
@@ -117,15 +114,15 @@ func TestImplicitOrderIndependenceUnderForks(t *testing.T) {
 		if len(labels) == 0 {
 			continue
 		}
-		reference := New(brb.Protocol{}, n, 1, nil, WithImplicitInclusion())
+		reference := New(brb.Protocol{}, n, 1, nil)
 		if err := reference.InterpretDAG(d); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !reference.anyFork {
+		if len(d.Equivocators()) == 0 {
 			t.Fatalf("seed %d: generator produced no equivocation", seed)
 		}
 		for trial := 0; trial < 3; trial++ {
-			other := New(brb.Protocol{}, n, 1, nil, WithImplicitInclusion())
+			other := New(brb.Protocol{}, n, 1, nil)
 			for _, b := range randomTopoOrder(d, rng) {
 				if err := other.AddBlock(b); err != nil {
 					t.Fatalf("seed %d trial %d: %v", seed, trial, err)
@@ -136,23 +133,23 @@ func TestImplicitOrderIndependenceUnderForks(t *testing.T) {
 	}
 }
 
-// TestImplicitIncrementalMatchesFresh feeds a deep forked DAG once
+// TestIncrementalMatchesFresh feeds a deep forked DAG once
 // incrementally (online, via the insert callback) and once from scratch
 // (offline InterpretDAG over the finished DAG) and requires identical
 // results — the replay-equivalence crash recovery relies on.
-func TestImplicitIncrementalMatchesFresh(t *testing.T) {
+func TestIncrementalMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := 4
 	// Rebuild the same DAG twice with the same seed: once wired to an
 	// online interpreter, once bare for offline replay.
-	online := New(brb.Protocol{}, n, 1, nil, WithImplicitInclusion())
+	online := New(brb.Protocol{}, n, 1, nil)
 	d, labels := buildDeepForkedDAG(rng, n, 200)
 	for b := range d.All() {
 		if err := online.AddBlock(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fresh := New(brb.Protocol{}, n, 1, nil, WithImplicitInclusion())
+	fresh := New(brb.Protocol{}, n, 1, nil)
 	if err := fresh.InterpretDAG(d); err != nil {
 		t.Fatal(err)
 	}
@@ -160,30 +157,4 @@ func TestImplicitIncrementalMatchesFresh(t *testing.T) {
 		t.Fatalf("interpreted %d vs %d blocks", online.Blocks(), fresh.Blocks())
 	}
 	agreeOn(t, d, labels, online, fresh, "incremental-vs-fresh")
-}
-
-// TestFastPathMatchesWalkOnHonestDAGs compares the two collection paths
-// directly on fork-free DAGs: an interpreter with the fast path available
-// (anyFork false) against one forced onto the pruned walk.
-func TestFastPathMatchesWalkOnHonestDAGs(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(300 + seed))
-		h, labels := buildRandomDAG(rng, 4, 80)
-		if len(labels) == 0 {
-			continue
-		}
-		fast := New(brb.Protocol{}, 4, 1, nil, WithImplicitInclusion())
-		if err := fast.InterpretDAG(h.DAG); err != nil {
-			t.Fatal(err)
-		}
-		if fast.anyFork {
-			t.Fatalf("seed %d: honest DAG latched a fork", seed)
-		}
-		walk := New(brb.Protocol{}, 4, 1, nil, WithImplicitInclusion())
-		walk.anyFork = true // force the pruned-walk path
-		if err := walk.InterpretDAG(h.DAG); err != nil {
-			t.Fatal(err)
-		}
-		agreeOn(t, h.DAG, labels, fast, walk, fmt.Sprintf("seed %d", seed))
-	}
 }

@@ -9,8 +9,18 @@
 //     built B, advanced from B.parent's instance, and
 //   - B.Ms[in/out,ℓ] — the messages materialized at B: out-going messages
 //     emitted by B's instances, and in-going messages
-//     collected from the out-buffers of B's direct
-//     predecessors addressed to B.n.
+//     collected from the out-buffers of the blocks B
+//     brings into its chain's ancestry, addressed to B.n.
+//
+// A reference includes its ancestry (paper Section 7, implicit block
+// inclusion): B reads every block below it that no earlier block of its
+// builder's chain had below it — its predecessors and whatever they cite
+// that the chain has not consumed yet. Builders therefore cite their
+// parent and the DAG's tips, not every block they have seen (package
+// gossip), and a block that cites each block its builder inserted exactly
+// once — the paper's Algorithm 1, and every journal written before this
+// rule — reads exactly its predecessors. docs/ARCHITECTURE.md, "What a
+// reference means".
 //
 // None of these messages is ever sent over a network: they are locally
 // computed, functional results of P's determinism and the DAG structure
@@ -29,13 +39,14 @@
 // Done, so live state is proportional to the instances still running, not
 // to history. What every block retains is its out-buffer (future blocks
 // read it: one slice ordered by label, a broadcast one record in it, the
-// payloads immutable and shared — package protocol), links to its parent
-// and source blocks and, in implicit-inclusion mode, its watermarks. By
-// Lemma 4.2 everything else is a pure function of the DAG and recomputed
-// when asked for: a block whose instances have moved on down the chain —
-// an equivocating block's parent, a historic block asked for its
-// StateDigest — gets them by replaying its builder's chain (rebuild), and
-// InMessages re-derives B.Ms[in, ℓ] from the sources' out-buffers.
+// payloads immutable and shared — package protocol), a link to its parent
+// and its ancestry watermark. By Lemma 4.2 everything else is a pure
+// function of the DAG and recomputed when asked for: a block whose
+// instances have moved on down the chain — an equivocating block's parent,
+// a historic block asked for its StateDigest — gets them by replaying its
+// builder's chain (rebuild), and a replay or InMessages re-derives
+// B.Ms[in, ℓ] by walking to the block's sources again (newAncestry) and
+// reading their out-buffers.
 // docs/ARCHITECTURE.md, "Interpreter memory model", has the full account.
 package interpret
 
@@ -43,7 +54,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
@@ -78,23 +88,6 @@ func WithMetrics(m *metrics.Metrics) Option {
 	return func(it *Interpreter) { it.metrics = m }
 }
 
-// WithImplicitInclusion switches message collection to the paper's
-// Section 7 "implicit block inclusion" semantics: referencing a block
-// implicitly includes its whole ancestry, so a block receives the messages
-// of every ancestor not yet consumed on its own chain — not only its
-// direct predecessors. Consumption is tracked with per-builder sequence
-// watermarks, preserving exactly-once delivery between correct servers
-// across restarts and sparse (tip-only) references.
-//
-// Must match the gossip side's CompressReferences (core wires both). One
-// semantic difference to the explicit mode, tolerated by any BFT protocol
-// P: when an equivocator's forks are first consumed, only branches visible
-// at that point deliver; later-referenced duplicate-seq branches are
-// skipped by the watermark.
-func WithImplicitInclusion() Option {
-	return func(it *Interpreter) { it.implicit = true }
-}
-
 // instances is B.PIs: every process instance a builder's chain has started
 // up to block B, by label. A nil entry is the tombstone of an instance that
 // reported Done: its state is dropped and what the label is sent from then
@@ -112,21 +105,20 @@ type blockState struct {
 	// — an equivocation — finds nil here and rebuilds.
 	pis instances
 
-	// sources are the blocks whose out-buffers feed this one (Algorithm 2
-	// lines 7–9), kept so that a replay reads exactly what the first
-	// interpretation read.
-	sources []*blockState
-
 	// out is B.Ms[out, ·]: messages emitted at this block, ordered by label
 	// and in emission order within one, a broadcast held as the one record
 	// the instance emitted. Future blocks referencing this one read from
 	// here, and the rebuild path replays them as inputs.
 	out []protocol.Message
 
-	// coveredSeq (implicit-inclusion mode only) is the consumption
-	// watermark of this block's chain: for each builder, the highest
-	// sequence number whose out-messages this chain has received.
-	coveredSeq map[types.ServerID]uint64
+	// anc is the ancestry watermark of this block: anc[builder] holds 1 +
+	// the highest sequence number of that builder found in the block's
+	// ancestry (itself included), 0 for none — the per-builder join of the
+	// predecessors' vectors, the same causal summary the DAG keeps. It is
+	// also what the chain has consumed: every block at or above the
+	// parent's anc is new to the chain, every block of a correct builder
+	// below it was read at an earlier chain block.
+	anc []uint64
 
 	// seeded marks a pruned-history stand-in (SeedBase): blk is nil,
 	// seedBuilder/seedSeq anchor its chain position so the first live
@@ -135,46 +127,26 @@ type blockState struct {
 	seedBuilder types.ServerID
 	seedSeq     uint64
 
-	// anc (implicit-inclusion mode only) is the ancestry watermark of
-	// this block: anc[builder] holds 1 + the highest sequence number of
-	// that builder found in the block's ancestry (itself included), 0
-	// for none. Joined from the predecessors' vectors at AddBlock — the
-	// same incremental causal summary the DAG keeps — it lets
-	// uncoveredAncestry enumerate the genuinely-uncovered blocks
-	// chain-by-chain instead of walking the graph, as long as no
-	// equivocation has been observed.
-	anc []uint64
-}
-
-// chainSlot addresses one (builder, seq) position across the interpreted
-// blocks; two states in one slot expose an equivocation.
-type chainSlot struct {
-	builder types.ServerID
-	seq     uint64
+	// visit stamps the newAncestry walk that last reached this state.
+	visit uint64
 }
 
 // Interpreter executes Algorithm 2 incrementally: AddBlock interprets one
 // eligible block. It is a deterministic state machine — not safe for
 // concurrent use; the owning server serializes access.
 type Interpreter struct {
-	proto    protocol.Protocol
-	n, f     int
-	onInd    func(Indication)
-	metrics  *metrics.Metrics
-	implicit bool
+	proto   protocol.Protocol
+	n, f    int
+	onInd   func(Indication)
+	metrics *metrics.Metrics
 
 	states map[block.Ref]*blockState
 	stats  Stats
 
-	// slots and anyFork (implicit-inclusion mode only) back the
-	// uncoveredAncestry fast path: slots finds a builder's block by
-	// sequence number; anyFork latches once two interpreted blocks
-	// claim the same slot (or a parent-chain gap appears), after which
-	// collection falls back to the exact pruned walk — the fast
-	// enumeration and the walk provably agree only on fork-free
-	// ancestries.
-	slots   map[chainSlot]*blockState
-	anyFork bool
+	// visits numbers the newAncestry walks; sources and stack are their
+	// scratch space, so a walk allocates nothing.
+	visits         uint64
+	sources, stack []*blockState
 }
 
 // New creates an interpreter for protocol P in a system of n servers
@@ -200,9 +172,9 @@ func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Opti
 // entry gets an empty block state: eligible as a predecessor, carrying
 // no messages and no instances — the effects of pruned blocks live in
 // the restored application state, not in re-interpretation. horizon is
-// the per-builder first live sequence number; in implicit-inclusion
-// mode it seeds the ancestry and consumption watermarks so message
-// collection never reaches below the prune line.
+// the per-builder first live sequence number; it seeds the stand-ins'
+// ancestry watermarks so message collection never reaches below the prune
+// line.
 //
 // Instances whose delivery straddles the horizon do not resume: a
 // fresh instance starts at the first live chain block. The deployment
@@ -212,42 +184,26 @@ func (it *Interpreter) SeedBase(entries []dag.Base, horizon map[types.ServerID]u
 	if len(it.states) > 0 {
 		return errors.New("interpret: SeedBase on a non-empty interpreter")
 	}
-	if len(entries) == 0 {
-		return nil
-	}
-	width := 0
+	var below []uint64
 	for id, seq := range horizon {
-		if seq > 0 && int(id)+1 > width {
-			width = int(id) + 1
-		}
+		below = raise(below, id, seq)
 	}
 	for _, e := range entries {
-		st := &blockState{seeded: true, seedBuilder: e.Builder, seedSeq: e.Seq}
-		if it.implicit {
-			anc := make([]uint64, width)
-			for id, seq := range horizon {
-				if int(id) < width {
-					anc[id] = seq
-				}
-			}
-			if int(e.Builder) < width && e.Seq+1 > anc[e.Builder] {
-				anc[e.Builder] = e.Seq + 1
-			}
-			st.anc = anc
-			st.coveredSeq = make(map[types.ServerID]uint64, len(horizon))
-			for id, seq := range horizon {
-				if seq > 0 {
-					st.coveredSeq[id] = seq - 1
-				}
-			}
-			if it.slots == nil {
-				it.slots = make(map[chainSlot]*blockState)
-			}
-			it.slots[chainSlot{builder: e.Builder, seq: e.Seq}] = st
+		it.states[e.Ref] = &blockState{
+			seeded: true, seedBuilder: e.Builder, seedSeq: e.Seq,
+			anc: raise(slices.Clone(below), e.Builder, e.Seq+1),
 		}
-		it.states[e.Ref] = st
 	}
 	return nil
+}
+
+// raise lifts anc[builder] to at least to, widening the vector to reach it.
+func raise(anc []uint64, builder types.ServerID, to uint64) []uint64 {
+	if int(builder) >= len(anc) {
+		anc = append(anc, make([]uint64, int(builder)+1-len(anc))...)
+	}
+	anc[builder] = max(anc[builder], to)
+	return anc
 }
 
 // Interpreted reports I[B]: whether the block was already interpreted.
@@ -281,38 +237,30 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 		return nil
 	}
 
-	// Resolve predecessor states and locate the parent (same builder,
-	// seq-1) among them; DAG validity guarantees exactly one for
-	// non-genesis blocks.
-	predRefs := dedupRefs(b.Preds)
-	preds := make([]*blockState, 0, len(predRefs))
+	// Locate the parent (same builder, seq-1) among the predecessors —
+	// DAG validity guarantees exactly one for non-genesis blocks — and join
+	// their ancestry watermarks into this block's.
+	anc := make([]uint64, int(b.Builder)+1, max(int(b.Builder)+1, it.n))
 	var parent *blockState
-	for _, p := range predRefs {
+	for _, p := range b.Preds {
 		ps, ok := it.states[p]
 		if !ok {
 			return fmt.Errorf("%w: block %v missing pred %v", ErrNotEligible, ref, p)
 		}
-		preds = append(preds, ps)
 		if ps.blk != nil && b.ParentOf(ps.blk) {
 			parent = ps
 		} else if ps.seeded && ps.seedBuilder == b.Builder && b.Seq == ps.seedSeq+1 {
 			// The parent is a pruned-history stand-in: it anchors the
-			// chain (and, in implicit mode, the consumption watermark)
-			// but carries no instances — P restarts fresh above the
-			// horizon.
+			// chain and its consumption watermark but carries no
+			// instances — P restarts fresh above the horizon.
 			parent = ps
+		}
+		for c, w := range ps.anc {
+			anc = raise(anc, types.ServerID(c), w)
 		}
 	}
 
-	// Lines 7–9 read the out-buffers of the source blocks: the direct
-	// predecessors (explicit mode), or the whole not-yet-consumed
-	// ancestry (implicit-inclusion mode).
-	st := &blockState{blk: b, parent: parent, sources: preds}
-	if it.implicit {
-		it.indexChain(st, preds)
-		st.sources = it.uncoveredAncestry(st, preds, parent)
-		st.coveredSeq = advanceWatermark(parent, st.sources)
-	}
+	st := &blockState{blk: b, parent: parent, anc: raise(anc, b.Builder, b.Seq+1)}
 
 	// Line 4: B.PIs starts as the parent's. Every honest block is the
 	// only child of its parent and takes the table over; a chain root
@@ -419,7 +367,7 @@ func (it *Interpreter) advance(st *blockState, pis instances, live bool, only *t
 	slices.SortStableFunc(reqs, func(a, b block.Request) int {
 		return strings.Compare(string(a.Label), string(b.Label))
 	})
-	in := inMessages(b.Builder, st.sources, only)
+	in := inMessages(b.Builder, it.newAncestry(st), only)
 
 	var emitted []protocol.Message
 	for len(reqs) > 0 || len(in) > 0 {
@@ -505,186 +453,62 @@ func (it *Interpreter) rebuild(st *blockState, only *types.Label) instances {
 	return pis
 }
 
-// indexChain computes st's ancestry watermark from its predecessors' —
-// the per-builder join that mirrors the DAG's causal summary — and
-// registers the block in the slot index, latching anyFork on an observed
-// equivocation (duplicate slot) or parent-chain gap.
-func (it *Interpreter) indexChain(st *blockState, preds []*blockState) {
-	b := st.blk
-	width := int(b.Builder) + 1
-	for _, ps := range preds {
-		if len(ps.anc) > width {
-			width = len(ps.anc)
-		}
-	}
-	anc := make([]uint64, width)
-	for _, ps := range preds {
-		for c, w := range ps.anc {
-			if w > anc[c] {
-				anc[c] = w
-			}
-		}
-	}
-	// For a well-formed chain the joined own-builder entry is exactly
-	// Seq: the parent contributes Seq ((Seq-1)+1), a genesis block sees
-	// nothing, and no higher own-chain block can already be an ancestor
-	// of the newest one. Anything else is a fork (or a feed that skipped
-	// the parent rule) — drop to the exact walk from here on.
-	if anc[b.Builder] != b.Seq {
-		it.anyFork = true
-	}
-	if anc[b.Builder] < b.Seq+1 {
-		anc[b.Builder] = b.Seq + 1
-	}
-	st.anc = anc
-
-	if it.slots == nil {
-		it.slots = make(map[chainSlot]*blockState)
-	}
-	slot := chainSlot{builder: b.Builder, seq: b.Seq}
-	if prior, taken := it.slots[slot]; taken {
-		if prior != st {
-			it.anyFork = true
-		}
-	} else {
-		it.slots[slot] = st
-	}
-}
-
-// uncoveredAncestry collects every ancestor block (direct predecessors
-// included) not yet consumed by this block's chain, per the parent's
-// watermark. Eligibility guarantees all ancestor states exist.
+// newAncestry collects the sources of block st (Algorithm 2 lines 7–9
+// read their out-buffers): every block in its ancestry that its chain has
+// not consumed yet. The chain has consumed what lies below the parent,
+// which the parent's ancestry watermark summarizes: a block at or above it
+// is new (and is read now, exactly once — no later chain block finds it
+// above its own parent's watermark), the parent itself is read by its
+// child, and a block below it is either in the parent's ancestry or, if
+// its builder equivocated, a duplicate of a sequence number the chain has
+// read already and is skipped. Skipped is not stopped at: a fork block can
+// be the only path to a correct builder's new block, so the walk descends
+// through anything whose own watermark is not dominated by the parent's —
+// which no block in the parent's ancestry is, so the walk visits only
+// blocks new to the chain and their predecessors. Every ancestor's state
+// exists: a block is interpreted after its predecessors.
 //
-// While no equivocation has been observed, the ancestry watermark makes
-// this a pure enumeration: for each builder, the uncovered blocks are
-// exactly the sequence numbers between the consumption watermark and the
-// ancestry watermark, found by slot lookup — no traversal, no visited
-// set. Once a fork is known, collection falls back to the pruned
-// backwards walk, which is the defining semantics. The two agree on every
-// fork-free ancestry (a block's own parent chain is connected by
-// Definition 3.3, so the consumed set stays ancestry-closed and
-// chain-contiguous), which also makes the choice of path insert-order
-// independent: a fork elsewhere in the DAG cannot change the result for a
-// block whose own ancestry is clean.
-func (it *Interpreter) uncoveredAncestry(st *blockState, preds []*blockState, parent *blockState) []*blockState {
-	var base map[types.ServerID]uint64
-	if parent != nil {
-		base = parent.coveredSeq
+// The result is a function of the block's ancestry alone, so every
+// interpretation order — and a replay, which is why it is not stored —
+// computes the same sources (Lemma 4.2). For a builder that cites each
+// block it inserts exactly once the new blocks are the direct
+// predecessors. The slice is scratch space, valid until the next call.
+func (it *Interpreter) newAncestry(st *blockState) []*blockState {
+	var consumed []uint64
+	if st.parent != nil {
+		consumed = st.parent.anc
 	}
-	if !it.anyFork {
-		if collected, ok := it.enumerateUncovered(st, base); ok {
-			return collected
-		}
-	}
-	covered := func(s *blockState) bool {
-		w, ok := base[s.blk.Builder]
-		return ok && s.blk.Seq <= w
-	}
-	var collected []*blockState
-	seen := make(map[block.Ref]struct{}, len(preds))
-	stack := append([]*blockState(nil), preds...)
+	it.visits++
+	sources, stack := it.sources[:0], append(it.stack[:0], st)
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if s.blk == nil {
-			continue // pruned-history stand-in: consumed by construction
-		}
-		ref := s.blk.Ref()
-		if _, dup := seen[ref]; dup {
-			continue
-		}
-		seen[ref] = struct{}{}
-		if covered(s) {
-			continue
-		}
-		collected = append(collected, s)
-		for _, pr := range dedupRefs(s.blk.Preds) {
-			if ps, ok := it.states[pr]; ok {
-				stack = append(stack, ps)
+		for _, p := range s.blk.Preds {
+			ps := it.states[p]
+			if ps.visit == it.visits || ps.seeded {
+				continue // seen, or a pruned-history stand-in: consumed by construction
+			}
+			ps.visit = it.visits
+			if b := ps.blk; ps == st.parent || int(b.Builder) >= len(consumed) || b.Seq >= consumed[b.Builder] {
+				sources = append(sources, ps)
+			}
+			if !dominated(ps.anc, consumed) {
+				stack = append(stack, ps) // something below ps is new
 			}
 		}
 	}
-	return collected
+	it.sources, it.stack = sources, stack
+	return sources
 }
 
-// enumerateUncovered is the fork-free fast path: list the blocks between
-// the consumption and ancestry watermarks builder by builder. ok is false
-// if a slot lookup comes up empty (an invariant break — never expected
-// from a valid DAG feed); the caller then uses the walk.
-func (it *Interpreter) enumerateUncovered(st *blockState, base map[types.ServerID]uint64) ([]*blockState, bool) {
-	var collected []*blockState
-	for c, hi := range st.anc {
-		if hi == 0 {
-			continue // no ancestor on this builder's chain
-		}
-		builder := types.ServerID(c)
-		lo := uint64(0)
-		if w, ok := base[builder]; ok {
-			lo = w + 1
-		}
-		if builder == st.blk.Builder && hi == st.blk.Seq+1 {
-			// The own entry includes the block itself; only its
-			// ancestors are sources.
-			hi--
-		}
-		for s := lo; s < hi; s++ {
-			ps := it.slots[chainSlot{builder: builder, seq: s}]
-			if ps == nil {
-				return nil, false
-			}
-			if ps.seeded {
-				continue // pruned-history stand-in: consumed by construction
-			}
-			collected = append(collected, ps)
+// dominated reports whether watermark a is at most b in every entry.
+func dominated(a, b []uint64) bool {
+	for c, w := range a {
+		if w > 0 && (c >= len(b) || w > b[c]) {
+			return false
 		}
 	}
-	return collected, true
-}
-
-// advanceWatermark derives a block's consumption watermark from its
-// parent's and the newly consumed blocks.
-func advanceWatermark(parent *blockState, consumed []*blockState) map[types.ServerID]uint64 {
-	wm := make(map[types.ServerID]uint64, len(consumed))
-	if parent != nil {
-		maps.Copy(wm, parent.coveredSeq)
-	}
-	for _, s := range consumed {
-		if s.blk == nil {
-			continue // seeded stand-in: its coverage is already in the parent's map
-		}
-		if cur, ok := wm[s.blk.Builder]; !ok || s.blk.Seq > cur {
-			wm[s.blk.Builder] = s.blk.Seq
-		}
-	}
-	return wm
-}
-
-// smallRefs bounds the linear duplicate scan; larger (byzantine-sized)
-// lists go straight to the map so quadratic scans cannot be provoked.
-const smallRefs = 16
-
-// dedupRefs returns refs without repeats, first occurrences in order; a
-// short duplicate-free list — the common case — as it is, unallocated.
-func dedupRefs(refs []block.Ref) []block.Ref {
-	if len(refs) <= smallRefs {
-		clean := true
-		for i := 1; i < len(refs) && clean; i++ {
-			clean = !slices.Contains(refs[:i], refs[i])
-		}
-		if clean {
-			return refs
-		}
-	}
-	seen := make(map[block.Ref]struct{}, len(refs))
-	out := make([]block.Ref, 0, len(refs))
-	for _, r := range refs {
-		if _, dup := seen[r]; dup {
-			continue
-		}
-		seen[r] = struct{}{}
-		out = append(out, r)
-	}
-	return out
+	return true
 }
 
 // InterpretDAG interprets every block of d not yet interpreted, in d's
@@ -718,7 +542,7 @@ func (it *Interpreter) InMessages(ref block.Ref, label types.Label) []protocol.M
 	if !ok || st.seeded {
 		return nil
 	}
-	return inMessages(st.blk.Builder, st.sources, &label)
+	return inMessages(st.blk.Builder, it.newAncestry(st), &label)
 }
 
 // OutLabels returns the labels with a non-empty out-buffer at the block,

@@ -53,12 +53,6 @@ func topoOrderPreferring(d *dag.DAG, prefer func(*block.Block) bool) []*block.Bl
 	})
 }
 
-// interpretModes are the two configurations every equivalence holds in.
-var interpretModes = map[string][]Option{
-	"explicit": nil,
-	"implicit": {WithImplicitInclusion()},
-}
-
 // forkAfterAdvanceDAG builds the scenario the in-place advance must
 // survive: server 3's chain B0→B1→B2→… runs live instances ("ℓ" from its
 // genesis, "m" from server 0's), and server 3 equivocates twice — a branch
@@ -128,7 +122,7 @@ func sortedIndications(inds []Indication) []string {
 // replay, so feeding the branches in every arrival order cross-checks
 // rebuild against in-place advance on every block of both branches —
 // out-buffers, in-buffers, state digests (absent once the instance has
-// retired, on either path) and indications — in both inclusion modes.
+// retired, on either path) and indications.
 func TestForkAfterAdvance(t *testing.T) {
 	h, labels, branch := forkAfterAdvanceDAG()
 	d := h.DAG
@@ -140,35 +134,33 @@ func TestForkAfterAdvance(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		orders[fmt.Sprintf("random-%d", seed)] = randomTopoOrder(d, rand.New(rand.NewSource(seed)))
 	}
-	for mode, opts := range interpretModes {
-		run := func(order []*block.Block) (*Interpreter, []string) {
-			onInd, inds := collectInds()
-			it := New(brb.Protocol{}, 4, 1, onInd, opts...)
-			for _, b := range order {
-				if err := it.AddBlock(b); err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
+	run := func(order []*block.Block) (*Interpreter, []string) {
+		onInd, inds := collectInds()
+		it := New(brb.Protocol{}, 4, 1, onInd)
+		for _, b := range order {
+			if err := it.AddBlock(b); err != nil {
+				t.Fatal(err)
 			}
-			return it, sortedIndications(*inds)
 		}
-		reference, refInds := run(orders["main-first"])
-		if len(refInds) == 0 {
-			t.Fatalf("%s: scenario delivered nothing", mode)
+		return it, sortedIndications(*inds)
+	}
+	reference, refInds := run(orders["main-first"])
+	if len(refInds) == 0 {
+		t.Fatal("scenario delivered nothing")
+	}
+	for name, order := range orders {
+		other, inds := run(order)
+		ctx := name
+		if fmt.Sprint(inds) != fmt.Sprint(refInds) {
+			t.Fatalf("%s: indications differ:\n%v\n%v", ctx, inds, refInds)
 		}
-		for name, order := range orders {
-			other, inds := run(order)
-			ctx := mode + " " + name
-			if fmt.Sprint(inds) != fmt.Sprint(refInds) {
-				t.Fatalf("%s: indications differ:\n%v\n%v", ctx, inds, refInds)
-			}
-			agreeOn(t, d, labels, reference, other, ctx)
-			for b := range d.All() {
-				for _, label := range labels {
-					in1 := reference.InMessages(b.Ref(), label)
-					in2 := other.InMessages(b.Ref(), label)
-					if !equalMessages(in1, in2) {
-						t.Fatalf("%s: in-buffer of %v / %s differs", ctx, b.Ref(), label)
-					}
+		agreeOn(t, d, labels, reference, other, ctx)
+		for b := range d.All() {
+			for _, label := range labels {
+				in1 := reference.InMessages(b.Ref(), label)
+				in2 := other.InMessages(b.Ref(), label)
+				if !equalMessages(in1, in2) {
+					t.Fatalf("%s: in-buffer of %v / %s differs", ctx, b.Ref(), label)
 				}
 			}
 		}
@@ -394,42 +386,40 @@ func (p *tapProcess) Done() bool {
 // an earlier block of the chain, the messages it discarded. Fork-free
 // DAGs, so nothing is fed twice by a replay.
 func TestInMessagesAreWhatInstancesWereFed(t *testing.T) {
-	for _, opts := range [][]Option{nil, {WithImplicitInclusion()}} {
-		discarded := 0
-		for seed := int64(1); seed <= 4; seed++ {
-			h, labels := buildRandomDAG(rand.New(rand.NewSource(seed)), 4, 60)
-			var fed []protocol.Message
-			tap := tapProtocol{Protocol: brb.Protocol{}, fed: &fed, done: make(map[protocol.Config]bool)}
-			it := New(tap, 4, 1, nil, opts...)
-			total := 0
-			for b := range h.DAG.All() {
-				fed = fed[:0]
-				retired := maps.Clone(tap.done)
-				if err := it.AddBlock(b); err != nil {
-					t.Fatal(err)
-				}
-				var derived []protocol.Message
-				for _, label := range labels {
-					in := it.InMessages(b.Ref(), label)
-					if retired[protocol.Config{Self: b.Builder, Label: label, N: 4, F: 1}] {
-						discarded += len(in)
-						continue
-					}
-					derived = append(derived, in...)
-				}
-				sort.SliceStable(derived, func(i, j int) bool { return derived[i].Label < derived[j].Label })
-				if !equalMessages(derived, fed) {
-					t.Fatalf("seed %d block %v: derived in-buffer has %d messages, instances were fed %d",
-						seed, b.Ref(), len(derived), len(fed))
-				}
-				total += len(fed)
+	discarded := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		h, labels := buildRandomDAG(rand.New(rand.NewSource(seed)), 4, 60)
+		var fed []protocol.Message
+		tap := tapProtocol{Protocol: brb.Protocol{}, fed: &fed, done: make(map[protocol.Config]bool)}
+		it := New(tap, 4, 1, nil)
+		total := 0
+		for b := range h.DAG.All() {
+			fed = fed[:0]
+			retired := maps.Clone(tap.done)
+			if err := it.AddBlock(b); err != nil {
+				t.Fatal(err)
 			}
-			if total == 0 {
-				t.Fatalf("seed %d: nothing was fed", seed)
+			var derived []protocol.Message
+			for _, label := range labels {
+				in := it.InMessages(b.Ref(), label)
+				if retired[protocol.Config{Self: b.Builder, Label: label, N: 4, F: 1}] {
+					discarded += len(in)
+					continue
+				}
+				derived = append(derived, in...)
 			}
+			sort.SliceStable(derived, func(i, j int) bool { return derived[i].Label < derived[j].Label })
+			if !equalMessages(derived, fed) {
+				t.Fatalf("seed %d block %v: derived in-buffer has %d messages, instances were fed %d",
+					seed, b.Ref(), len(derived), len(fed))
+			}
+			total += len(fed)
 		}
-		if discarded == 0 {
-			t.Fatal("no message reached a retired instance")
+		if total == 0 {
+			t.Fatalf("seed %d: nothing was fed", seed)
 		}
+	}
+	if discarded == 0 {
+		t.Fatal("no message reached a retired instance")
 	}
 }

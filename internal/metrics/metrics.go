@@ -28,6 +28,7 @@ type Metrics struct {
 	msgsMaterialized  atomic.Int64
 	blocksInterpreted atomic.Int64
 	indications       atomic.Int64
+	ownBlockRefs      atomic.Int64
 
 	equivocationsSeen   atomic.Int64
 	evidenceReceived    atomic.Int64
@@ -39,6 +40,10 @@ type Metrics struct {
 	instancesLive    atomic.Int64
 	instancesRetired atomic.Int64
 	outMessagesHeld  atomic.Int64
+
+	// Gauge: what gossip's next own block would cite beyond its parent
+	// (SetTips).
+	tips atomic.Int64
 }
 
 // Snapshot is a point-in-time copy of all counters and gauges.
@@ -56,6 +61,7 @@ type Snapshot struct {
 	MsgsMaterialized  int64 // protocol messages simulated, never sent
 	BlocksInterpreted int64 // blocks processed by Algorithm 2
 	Indications       int64 // indications surfaced by interpretation
+	OwnBlockRefs      int64 // references cited by own blocks; ÷ BlocksBuilt = references per block
 
 	EquivocationsSeen   int64 // forked (builder, seq) slots detected locally
 	EvidenceReceived    int64 // equivocation proofs accepted (local or gossiped)
@@ -66,6 +72,7 @@ type Snapshot struct {
 	InstancesLive    int64 // gauge: protocol instances still running, over all chain tips
 	InstancesRetired int64 // gauge: tombstones of instances retired after Done
 	OutMessagesHeld  int64 // gauge: message records retained in out-buffers
+	Tips             int64 // gauge: uncited DAG tips, the references the next own block adds to its parent
 }
 
 // String formats the snapshot compactly for CLI output.
@@ -100,6 +107,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		MsgsMaterialized:  s.MsgsMaterialized - prev.MsgsMaterialized,
 		BlocksInterpreted: s.BlocksInterpreted - prev.BlocksInterpreted,
 		Indications:       s.Indications - prev.Indications,
+		OwnBlockRefs:      s.OwnBlockRefs - prev.OwnBlockRefs,
 
 		EquivocationsSeen:   s.EquivocationsSeen - prev.EquivocationsSeen,
 		EvidenceReceived:    s.EvidenceReceived - prev.EvidenceReceived,
@@ -110,6 +118,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		InstancesLive:    s.InstancesLive - prev.InstancesLive,
 		InstancesRetired: s.InstancesRetired - prev.InstancesRetired,
 		OutMessagesHeld:  s.OutMessagesHeld - prev.OutMessagesHeld,
+		Tips:             s.Tips - prev.Tips,
 	}
 }
 
@@ -132,6 +141,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		MsgsMaterialized:  m.msgsMaterialized.Load(),
 		BlocksInterpreted: m.blocksInterpreted.Load(),
 		Indications:       m.indications.Load(),
+		OwnBlockRefs:      m.ownBlockRefs.Load(),
 
 		EquivocationsSeen:   m.equivocationsSeen.Load(),
 		EvidenceReceived:    m.evidenceReceived.Load(),
@@ -142,6 +152,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		InstancesLive:    m.instancesLive.Load(),
 		InstancesRetired: m.instancesRetired.Load(),
 		OutMessagesHeld:  m.outMessagesHeld.Load(),
+		Tips:             m.tips.Load(),
 	}
 }
 
@@ -149,6 +160,23 @@ func (m *Metrics) Snapshot() Snapshot {
 func (m *Metrics) AddBlocksBuilt(n int64) {
 	if m != nil {
 		m.blocksBuilt.Add(n)
+	}
+}
+
+// AddOwnBlockRefs counts the references an own block cites — with
+// AddBlocksBuilt, the mean references per block this server pays for on the
+// wire and on disk.
+func (m *Metrics) AddOwnBlockRefs(n int64) {
+	if m != nil {
+		m.ownBlockRefs.Add(n)
+	}
+}
+
+// SetTips publishes gossip's tip gauge: the blocks inserted since the last
+// own block that no later one reaches.
+func (m *Metrics) SetTips(n int) {
+	if m != nil {
+		m.tips.Store(int64(n))
 	}
 }
 

@@ -17,9 +17,11 @@
 // catch-up, the live follower, and the simulator's recovery. A pulled
 // block is validated where a gossiped one is (core.Server.AbsorbVerified)
 // and journaled by the same persistence sink. A node that lost its disk
-// re-learns its own blocks 0..k this way; PullFrom then re-anchors the own
-// chain (core.Server.ResumeOwnChain) before anything is built, so the
-// first block after New is k+1: no self-equivocation.
+// re-learns its own blocks 0..k this way; gossip continues the chain from
+// an own block it did not build wherever it comes from, so the first block
+// after New is k+1. Should the stream show own blocks and break off before
+// they are in the DAG, the node builds nothing until they are (Disseminate):
+// no self-equivocation.
 //
 // The goroutine shell (Start/Stop) is the part that waits: it owns the
 // loop goroutine, the ingestion channels and the timers, runs a turn per
@@ -240,6 +242,13 @@ type Node struct {
 	lastSealedSlot uint64
 
 	catchUp CatchUpReport
+	// ownHeld is 1 + the highest own sequence number in the DAG, ownSeen the
+	// same over the own blocks a peer's stream has shown this node, held or
+	// not. They differ only on a node that lost its disk, while its old
+	// blocks are on their way back — by a later pull, or by FWD behind the
+	// gossiped blocks that cite them; gossip continues the chain from them
+	// as they arrive, and until then Disseminate builds nothing. Owner only.
+	ownHeld, ownSeen uint64
 	// ckptFloor is the store's on-disk size after the last checkpoint
 	// (or at startup): the baseline CheckpointEveryBytes growth is
 	// measured from. Owner only.
@@ -331,13 +340,19 @@ func New(cfg Config) (*Node, error) {
 	// The watermark tracker sees every block the DAG takes in, replay
 	// included: peers' probes are answered from it, and this node's pulls
 	// say from it what not to send. A pre-seeded base starts the vector.
-	srv.ObserveInserts(n.tracker.Observe)
+	srv.ObserveInserts(func(b *block.Block) {
+		n.tracker.Observe(b)
+		if b.Builder == srv.ID() {
+			n.ownHeld = max(n.ownHeld, b.Seq+1)
+		}
+	})
 	n.tracker.SeedHorizon(srv.DAG().BaseHorizon())
 	if st := cfg.Store; st != nil {
 		// A pruned (or snapshot-installed) store stands on a base table:
 		// seed the server's DAG with it before any block is replayed, so
 		// chains resume above the horizon without their pruned prefixes.
-		if base := st.Base(); len(base) > 0 {
+		base := st.Base()
+		if len(base) > 0 {
 			if err := srv.SeedBase(base); err != nil {
 				return nil, fmt.Errorf("node: seed pruned-history base: %w", err)
 			}
@@ -358,7 +373,11 @@ func New(cfg Config) (*Node, error) {
 		// pruned prefix (covered by the certified snapshot) without ever
 		// observing it.
 		n.tracker.SeedHorizon(st.Horizon())
-		if replay := st.Blocks(); len(replay) > 0 {
+		// A snapshot-installed store holds a base and no block yet; Restore
+		// still runs, because it is what anchors the own chain on the base
+		// stand-in — the next own block continues above the horizon instead
+		// of reusing sequence number 0.
+		if replay := st.Blocks(); len(replay) > 0 || len(base) > 0 {
 			if err := srv.Restore(replay); err != nil {
 				return nil, fmt.Errorf("node: restore from store: %w", err)
 			}

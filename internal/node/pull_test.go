@@ -328,6 +328,47 @@ func TestPullFromIllOrderedStream(t *testing.T) {
 	}
 }
 
+// TestOwnBlocksSeenNotHeldSilenceTheNode: a node that lost its disk is
+// shown its own old blocks by a stream that cannot connect — the serving
+// peer has pruned what lies between — and must not build: the sequence
+// numbers are taken. The old blocks then arrive the way the gap fills in
+// practice, by gossip, the chain continues from them, and the first block
+// built is the next one on top of the old tip.
+func TestOwnBlocksSeenNotHeldSilenceTheNode(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := sealChain(t, signers[1], nil, 6)
+	net := simnet.New()
+	net.RegisterHandler(0, transport.ChanSync, serve(old[3:])) // 0..2 pruned at the peer
+	nd := steppedNode(t, net, roster, signers[1], core.Config{}, node.Config{})
+	d := nd.Server().DAG()
+
+	if absorbed, perr := pullNow(t, net, nd, 0); absorbed != 0 || !errors.Is(perr, dag.ErrMissingPreds) {
+		t.Fatalf("pull across the peer's horizon: absorbed %d, err %v", absorbed, perr)
+	}
+	nd.Disseminate()
+	if d.Len() != 0 || nd.Err() != nil {
+		t.Fatalf("node built %d blocks while peers hold own blocks it lacks (err %v)", d.Len(), nd.Err())
+	}
+	for i, b := range old {
+		nd.DeliverBurst([]gossip.Message{{From: 0, Payload: gossip.EncodeBlockMsg(b)}})
+		if i < len(old)-1 {
+			nd.Disseminate()
+		}
+	}
+	if d.Len() != len(old) {
+		t.Fatalf("node holds %d blocks, want the %d old ones and nothing built in between", d.Len(), len(old))
+	}
+	nd.Disseminate()
+	own := d.ByBuilder(1)
+	if next := own[len(own)-1]; len(own) != len(old)+1 || !next.ParentOf(old[5]) || len(d.Equivocations()) != 0 || nd.Err() != nil {
+		t.Fatalf("after the old chain came back: %d own blocks, tip seq %d, equivocations %d, err %v",
+			len(own), next.Seq, len(d.Equivocations()), nd.Err())
+	}
+}
+
 // TestPullFromAboveBase: a node standing on a pruned-history base asks
 // from its horizon and absorbs the suffix onto the base stand-ins.
 func TestPullFromAboveBase(t *testing.T) {
@@ -364,6 +405,50 @@ func TestPullFromAboveBase(t *testing.T) {
 	}
 	if srv.DAG().Len() != 5 || !srv.DAG().Contains(chain[9].Ref()) {
 		t.Fatalf("DAG holds %d blocks above the base", srv.DAG().Len())
+	}
+}
+
+// TestSnapshotInstalledStoreAnchorsOwnChain: a store that holds a
+// snapshot's base and no block yet — a wiped node just after SnapshotJoin —
+// anchors the own chain on the base stand-in, whether or not startup
+// catch-up then brings an own block: the first block built is horizon seq
+// on top of the stand-in, never a second genesis the peers would hold
+// against the node as an equivocation.
+func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := sealChain(t, signers[1], nil, 5)
+	dir := t.TempDir()
+	base := []dag.Base{{Builder: 1, Seq: 4, Ref: pruned[4].Ref()}}
+	ckpt := &store.StateCheckpoint{Slot: 1, Root: [32]byte{1}, Chunks: [][]byte{{0xAA}}}
+	if err := store.InstallSnapshot(dir, map[types.ServerID]uint64{1: 5}, base, ckpt); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{Roster: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Close() }()
+	srv, err := core.NewServer(core.Config{
+		Roster: roster, Signer: signers[1], Protocol: brb.Protocol{},
+		Transport: simnet.New().Transport(1), Clock: node.Clock(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := node.New(node.Config{Server: srv, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Disseminate()
+	if err := nd.Err(); err != nil {
+		t.Fatal(err)
+	}
+	own := srv.DAG().ByBuilder(1)
+	if len(own) != 1 || own[0].Seq != 5 || !own[0].HasPred(pruned[4].Ref()) || len(srv.DAG().Equivocations()) != 0 {
+		t.Fatalf("first block on an installed snapshot: %d own blocks, first seq %d, want seq 5 on the base stand-in", len(own), own[0].Seq)
 	}
 }
 
@@ -473,7 +558,8 @@ func TestCatchUpOverTCPResumesAfterMidStreamDeath(t *testing.T) {
 // re-learns its own blocks 0..k from a peer at startup, and the first
 // block it builds after New is k+1 on top of k — no sequence number a
 // peer has seen is reused — referencing every foreign block at most once
-// across the whole own chain (Lemma A.6).
+// across the whole own chain (Lemma A.6), and the peer blocks it never got
+// to reference through their tip alone.
 func TestCatchUpAfterDiskLossResumesOwnChain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -538,10 +624,8 @@ func TestCatchUpAfterDiskLossResumesOwnChain(t *testing.T) {
 			t.Fatalf("block %v referenced %d times across the own chain", ref, n)
 		}
 	}
-	for _, b := range unreferenced {
-		if seen[b.Ref()] != 1 {
-			t.Fatalf("unreferenced peer block %v not picked up by the first new block", b.Ref())
-		}
+	if tail := unreferenced[len(unreferenced)-1]; len(first.Preds) != 2 || !first.HasPred(tail.Ref()) {
+		t.Fatalf("first new block cites %d blocks, want its parent and the tip of the unreferenced peer blocks", len(first.Preds))
 	}
 	nd.Stop()
 	if got := len(journaled(t, st, roster)); got != len(held)+1 {

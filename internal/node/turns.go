@@ -26,7 +26,14 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 // server unhealthy) or an internal invariant broke; it is recorded for
 // Err, and the other turns keep running: delivery, interpretation, and
 // FWD service stay up on an unhealthy server.
+//
+// A node that has been shown own blocks it does not hold (absorb) builds
+// nothing until it does: it lost its disk, and a block built now would reuse
+// a sequence number its peers already hold.
 func (n *Node) Disseminate() {
+	if n.ownHeld < n.ownSeen {
+		return
+	}
 	n.recordErr(n.cfg.Server.Disseminate())
 }
 
@@ -149,7 +156,9 @@ func (n *Node) noteFollow(fn func(*FollowReport)) {
 // error. Whatever the error, the blocks before it are genuine and
 // journaled like any others, and the next pull asks only for the rest. A
 // peer that served garbage is charged for it. Own blocks this node did
-// not hold (disk loss) re-anchor its chain before anything else is built.
+// not hold (disk loss) continue its chain as they are inserted, and hold
+// block building back while the stream has shown more of them than it
+// delivered.
 func (n *Node) PullFrom(peer types.ServerID, settled func(absorbed int, err error)) (abandon func()) {
 	var pull *syncsvc.Pull
 	pull = syncsvc.NewPull(n.via.Roster, n.tracker.Snapshot(), 0, func() {
@@ -169,7 +178,14 @@ func (n *Node) absorb(peer types.ServerID, pull *syncsvc.Pull) (absorbed int, er
 	if st != nil {
 		st.BeginBatch()
 	}
-	ownChain := false
+	for _, b := range blocks {
+		if b.Builder == srv.ID() {
+			// Signed by this server: if the DAG lacks it, it was published
+			// before a disk loss, and whether or not this stream gets as far
+			// as inserting it, its sequence number is taken (Disseminate).
+			n.ownSeen = max(n.ownSeen, b.Seq+1)
+		}
+	}
 	for _, b := range blocks {
 		if srv.DAG().Contains(b.Ref()) {
 			continue // a forked builder's chain is re-sent whole
@@ -183,13 +199,9 @@ func (n *Node) absorb(peer types.ServerID, pull *syncsvc.Pull) (absorbed int, er
 			break
 		}
 		absorbed++
-		ownChain = ownChain || b.Builder == srv.ID()
 	}
 	if st != nil {
 		n.recordErr(st.FlushBatch())
-	}
-	if ownChain {
-		srv.ResumeOwnChain()
 	}
 	if err != nil {
 		err = fmt.Errorf("peer %v: %w", peer, err)

@@ -17,7 +17,16 @@ import (
 // Version 2 extended the identification frame with the authentication
 // flag and handshake nonce (see Authenticator); version 1 binaries are
 // refused at the handshake.
-const Version uint16 = 2
+//
+// Version 3 changed no byte of any frame. It changed what a block's
+// references mean: a reference includes its ancestry, so builders cite
+// parent and tips and interpreters read the ancestry a block adds to its
+// chain (packages gossip and interpret). A version 2 binary reads only the
+// blocks cited by name; fed version 3 blocks it would validate every one of
+// them and then interpret the same DAG differently — the one divergence the
+// handshake can still prevent, so it is refused there like any other
+// mismatch.
+const Version uint16 = 3
 
 // Channel identifies one logical stream of payloads multiplexed over a
 // single peer link.
