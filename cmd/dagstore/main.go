@@ -9,7 +9,10 @@
 //	dagstore compact -dir path/to/s0 -n 4    # checkpoint + drop history
 //
 // inspect and verify open the store read-only: they never repair,
-// truncate, or delete anything. verify exits non-zero if the store is
+// truncate, or delete anything. store.Open only reads (framing and
+// checksums); every command then validates the blocks itself, signatures
+// included, by inserting them into a DAG of its own — what a restarting
+// node does in its live one. verify exits non-zero if the store is
 // corrupt, holds equivocating blocks, or carries a torn tail or stale
 // segments (conditions inspect merely reports). compact rewrites the
 // store as a single snapshot segment, bounding it to O(live DAG) bytes.
@@ -92,6 +95,22 @@ func loadRoster(path string, n int) (*crypto.Roster, error) {
 	return r, err
 }
 
+// rebuild validates the store's blocks (Definition 3.3, signatures
+// included) by inserting them, in file order, into a fresh DAG standing on
+// the store's pruned-history base.
+func rebuild(st *store.Store, roster *crypto.Roster) (*dag.DAG, error) {
+	d := dag.New(roster)
+	if err := d.SeedBase(st.Base()); err != nil {
+		return nil, fmt.Errorf("seed base: %w", err)
+	}
+	for _, b := range st.Blocks() {
+		if err := d.Insert(b); err != nil {
+			return nil, fmt.Errorf("block %v failed validation: %w", b.Ref(), err)
+		}
+	}
+	return d, nil
+}
+
 // inspect opens the store read-only and prints its health; in strict mode
 // every repairable or suspicious condition becomes an error.
 func inspect(dir string, roster *crypto.Roster, strict bool) error {
@@ -100,6 +119,10 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 		return err
 	}
 	defer func() { _ = st.Close() }()
+	d, err := rebuild(st, roster)
+	if err != nil {
+		return err
+	}
 	rep := st.Report()
 	size, err := st.DiskSize()
 	if err != nil {
@@ -161,21 +184,7 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 		}
 	}
 
-	// Rebuild the DAG to summarize chains and expose equivocations.
-	// Open already verified every signature; InsertVerified keeps the
-	// structural checks without paying Ed25519 twice. A pruned store's
-	// blocks stand on its base table.
-	d := dag.New(roster)
-	if base := st.Base(); len(base) > 0 {
-		if err := d.SeedBase(base); err != nil {
-			return fmt.Errorf("seed base: %w", err)
-		}
-	}
-	for _, b := range st.Blocks() {
-		if err := d.InsertVerified(b); err != nil {
-			return fmt.Errorf("reinsert %v: %w", b.Ref(), err)
-		}
-	}
+	// Summarize chains and expose equivocations.
 	builders := make(map[types.ServerID]int)
 	for _, b := range st.Blocks() {
 		builders[b.Builder]++
@@ -220,19 +229,11 @@ func compact(dir string, roster *crypto.Roster) error {
 		return err
 	}
 	defer func() { _ = st.Close() }()
-	d := dag.New(roster)
-	if base := st.Base(); len(base) > 0 {
-		// A pruned store's checkpoint re-journals the base table; the
-		// sticky horizon keeps pruned history pruned.
-		if err := d.SeedBase(base); err != nil {
-			return fmt.Errorf("seed base: %w", err)
-		}
-	}
-	for _, b := range st.Blocks() {
-		// Open already verified signatures (Definition 3.3).
-		if err := d.InsertVerified(b); err != nil {
-			return fmt.Errorf("reinsert %v: %w", b.Ref(), err)
-		}
+	// A pruned store's checkpoint re-journals the base table; the sticky
+	// horizon keeps pruned history pruned.
+	d, err := rebuild(st, roster)
+	if err != nil {
+		return err
 	}
 	stats, err := st.Checkpoint(d)
 	if err != nil {

@@ -290,8 +290,8 @@ func New(opts Options) (*Cluster, error) {
 
 // buildSlot brings one correct slot up — at New and at every recovery,
 // the one construction path: a fresh core.Server wired per the options,
-// handed to node.New, which replays st (blocks, pruned-history base,
-// evidence sidecar), installs the persistence sinks and sets up the
+// handed to node.New, which installs the persistence sinks, replays st
+// (pruned-history base, evidence sidecar, blocks) and sets up the
 // follower, checkpoint policy and indication broker exactly as for a
 // deployed node. stored is the storeless recovery's log: blocks the
 // caller held, restored once the runtime's observers are in place.
@@ -632,9 +632,9 @@ func (c *Cluster) BannedEverywhere(id types.ServerID) bool {
 }
 
 // RecoverServer restarts a crashed slot from persisted blocks: a fresh
-// server and runtime are built, Restore replays the blocks (re-validating
-// and re-interpreting them), the gossip chain state resumes the old
-// chain, and the endpoint is re-registered. Replayed indications are
+// server and runtime are built, Restore absorbs the blocks into the live
+// DAG (validating and interpreting them, gossip resuming the old chain as
+// they go in), and the endpoint is re-registered. Replayed indications are
 // appended to the slot's indication record, so callers observe
 // at-least-once delivery across the crash.
 //
@@ -651,10 +651,10 @@ func (c *Cluster) RecoverServer(slot int, proto protocol.Protocol, stored []*blo
 }
 
 // RecoverServerFromStore restarts a crashed slot from its on-disk store:
-// the store directory under Options.StoreDir is reopened (replaying the
-// WAL, truncating any torn tail, revalidating every block) and node.New
-// restores a fresh server from it and resumes journaling on the same
-// store — the full production crash-recovery path, in simulation.
+// the store directory under Options.StoreDir is reopened (reading the
+// WAL, truncating any torn tail) and node.New replays it into a fresh
+// server's live DAG and resumes journaling on the same store — the full
+// production crash-recovery path, in simulation.
 func (c *Cluster) RecoverServerFromStore(slot int, proto protocol.Protocol) error {
 	if c.opts.StoreDir == "" {
 		return fmt.Errorf("cluster: recover server %d from store: cluster has no StoreDir", slot)

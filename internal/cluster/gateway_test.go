@@ -40,6 +40,10 @@ func TestGatewayPerSlot(t *testing.T) {
 	if !strings.Contains(string(status), `"follow":{"state":"idle","behind_by":0,"polls":0`) {
 		t.Fatalf("status before the first poll lacks the follower's state:\n%s", status)
 	}
+	// So does the recovery report: nothing replayed, no own block yet.
+	if !strings.Contains(string(status), `"recovery":{"blocks":0,"replay_ms":0,"torn_bytes":0,"duplicates":0,"own_chain":{"held":0,"seen":0}}`) {
+		t.Fatalf("status of a fresh storeless slot lacks the recovery report:\n%s", status)
+	}
 	resp, err = http.Post(base+"/v1/submit", "application/json",
 		strings.NewReader(`{"label":"http/req","data":"via gateway"}`))
 	if err != nil {
@@ -85,6 +89,18 @@ func TestGatewayPerSlot(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "via gateway") {
 			t.Fatalf("slot %d await = %d %s", s, resp.StatusCode, body)
 		}
+	}
+
+	// The own chain has grown; nothing was seen that is not held.
+	resp, err = http.Get(base + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, _ = io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	held := fmt.Sprintf(`"own_chain":{"held":%d,"seen":0}`, len(c.Servers[0].DAG().ByBuilder(0)))
+	if !strings.Contains(string(status), held) {
+		t.Fatalf("status after the run lacks %s:\n%s", held, status)
 	}
 
 	// The scrape shows live counters from the simulated run.

@@ -103,10 +103,11 @@ func TestPersistFailureWithholdsBroadcast(t *testing.T) {
 	}
 }
 
-// TestRestoreFailureLeavesServerFresh: a restore rejected during
-// validation must not touch the server — same-server retry with repaired
-// input succeeds, and the persistence sink can still be installed.
-func TestRestoreFailureLeavesServerFresh(t *testing.T) {
+// TestRestoreStopsAtFirstRefusal: Restore is an absorb into the live DAG,
+// not a validation pass ahead of one. The first refused block is the
+// error, the blocks before it stay in, and the server is no longer fresh —
+// a retry needs a new one.
+func TestRestoreStopsAtFirstRefusal(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(1)
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +122,7 @@ func TestRestoreFailureLeavesServerFresh(t *testing.T) {
 		good[k] = b
 		preds = []block.Ref{b.Ref()}
 	}
-	// Tamper with the second block only: the first replays fine, so a
-	// non-atomic restore would leave it behind in the DAG.
+	// Tamper with the second block only: the first replays fine.
 	enc := good[1].Encode()
 	enc[len(enc)-1] ^= 0xff
 	bad, err := block.Decode(enc)
@@ -140,20 +140,17 @@ func TestRestoreFailureLeavesServerFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Restore([]*block.Block{good[0], bad}); err == nil {
-		t.Fatal("restore accepted a tampered block")
+	if err := srv.Restore([]*block.Block{good[0], bad}); !errors.Is(err, dag.ErrBadSignature) {
+		t.Fatalf("Restore(tampered block) = %v, want dag.ErrBadSignature", err)
 	}
-	if got := srv.DAG().Len(); got != 0 {
-		t.Fatalf("failed restore left %d blocks in the DAG", got)
+	if !srv.DAG().Contains(good[0].Ref()) || srv.DAG().Len() != 1 {
+		t.Fatalf("failed restore left %d blocks in the DAG, want the one before the refusal", srv.DAG().Len())
 	}
-	if err := srv.Restore(good); err != nil {
-		t.Fatalf("retry after failed restore: %v", err)
+	if err := srv.Restore(good); err == nil {
+		t.Fatal("a second Restore on the same server was accepted")
 	}
-	if err := srv.SetPersist(func(*block.Block) error { return nil }); err != nil {
-		t.Fatalf("SetPersist after successful restore: %v", err)
-	}
-	if got := len(srv.DAG().ByBuilder(0)); got != 2 {
-		t.Fatalf("restored chain has %d blocks, want 2", got)
+	if err := srv.SetPersist(func(*block.Block) error { return nil }); err == nil {
+		t.Fatal("SetPersist accepted after blocks were inserted")
 	}
 }
 

@@ -105,11 +105,6 @@ type Config struct {
 	// (0 = GOMAXPROCS, 1 = serial). Verdicts are independent of the
 	// setting.
 	VerifyWorkers int
-	// ResendAfter is the FWD retry interval (0 = gossip default).
-	ResendAfter time.Duration
-	// FwdFallbackAfter is the FWD broadcast fallback threshold
-	// (0 = gossip default, negative disables).
-	FwdFallbackAfter int
 	// CompressReferences is ignored.
 	//
 	// Deprecated: a reference always includes its ancestry (gossip cites
@@ -128,11 +123,6 @@ type Server struct {
 	rqsts  requestBuffer
 	gsp    *gossip.Gossip
 	interp *interpret.Interpreter
-
-	// restored is the number of blocks replayed by Restore. They came
-	// from the store, so SetPersist tolerates them when checking that no
-	// insertion slipped past the journal.
-	restored int
 
 	// indObservers fan the own-simulation indication stream out beyond
 	// Config.OnIndication — the seam the node runtime's indication broker
@@ -189,21 +179,19 @@ func NewServer(cfg Config) (*Server, error) {
 	)
 
 	gsp, err := gossip.New(gossip.Config{
-		Signer:           cfg.Signer,
-		Roster:           cfg.Roster,
-		DAG:              s.dag,
-		Requests:         s.rqsts,
-		Transport:        cfg.Transport,
-		OnInsert:         s.onInsert,
-		Clock:            cfg.Clock,
-		Metrics:          cfg.Metrics,
-		Evidence:         cfg.Evidence,
-		Scores:           cfg.Scores,
-		OnEvidence:       s.onEvidence,
-		MaxBatch:         cfg.MaxBatch,
-		ResendAfter:      cfg.ResendAfter,
-		FwdFallbackAfter: cfg.FwdFallbackAfter,
-		VerifyWorkers:    cfg.VerifyWorkers,
+		Signer:        cfg.Signer,
+		Roster:        cfg.Roster,
+		DAG:           s.dag,
+		Requests:      s.rqsts,
+		Transport:     cfg.Transport,
+		OnInsert:      s.onInsert,
+		Clock:         cfg.Clock,
+		Metrics:       cfg.Metrics,
+		Evidence:      cfg.Evidence,
+		Scores:        cfg.Scores,
+		OnEvidence:    s.onEvidence,
+		MaxBatch:      cfg.MaxBatch,
+		VerifyWorkers: cfg.VerifyWorkers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -426,42 +414,12 @@ func (s *Server) AddIndicationObserver(fn func(label types.Label, value []byte))
 	return nil
 }
 
-// Restore replays persisted blocks into a freshly constructed server —
-// the crash-recovery path of the paper's Section 7 discussion, fed by
-// package store's recovered log. Blocks are fully revalidated
-// (Definition 3.3), interpreted, and all of gossip's volatile state is
-// re-derived deterministically from the restored DAG (Gossip.Recover):
-// the next disseminated block continues the old chain and cites the tips
-// of what no pre-crash own block reaches, while the FWD/retry
-// bookkeeping restarts empty, so any block that was in flight (or lost
-// with an unsynced WAL tail) is simply re-received or re-requested from
-// peers.
-//
-// No-self-equivocation has a precondition: the replayed blocks must
-// include every own block any peer may have seen, since the resumed
-// chain continues from the highest replayed own sequence number. The
-// store guarantees this when the pre-crash server journaled through
-// store.Store.PersistSink, which makes own blocks durable before gossip
-// broadcasts them; only received blocks can be lost with an unsynced
-// tail, and those are refetched.
-//
-// Restore must be called on a fresh server, before any network traffic,
-// request, or dissemination; calling it later returns an error. The
-// blocks are validated in full before any server state is touched, so a
-// rejected restore leaves the server fresh and retryable. Blocks
-// replayed here do not pass through Config.OnPersist — they came from
-// the store — and store.Store.Append ignores re-journaled blocks anyway.
-//
-// This is the authoritative statement of the recovery delivery contract:
-// interpretation replays all indications of the stored DAG, so users see
-// pre-crash deliveries again. Indications are therefore at-least-once
-// across crashes, exactly-once only between them; applications
-// deduplicate by instance label (as examples/payments does).
-// SeedBase installs pruned-history stand-ins (dag.SeedBase) into a
-// fresh server — both the DAG and the interpreter — so a later Restore
-// or snapshot-followed catch-up can validate and interpret blocks above
-// the prune horizon without the pruned prefix. It must run before
-// Restore and before any network traffic.
+// SeedBase installs pruned-history stand-ins (dag.SeedBase) into a fresh
+// server — the DAG, the interpreter and gossip — so a later Restore or
+// snapshot-followed catch-up can validate and interpret blocks above the
+// prune horizon without the pruned prefix, and the own chain continues
+// above its stand-in even when every own block lies below the horizon. It
+// must run before Restore and before any network traffic.
 func (s *Server) SeedBase(base []dag.Base) error {
 	if s.dag.Len() > 0 || len(s.dag.Base()) > 0 {
 		return errors.New("core: seed base on a server that already has state")
@@ -472,58 +430,64 @@ func (s *Server) SeedBase(base []dag.Base) error {
 	if err := s.interp.SeedBase(base, s.dag.BaseHorizon()); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	s.gsp.SeedBase(base)
 	return nil
 }
 
+// Restore replays persisted blocks into a freshly constructed server —
+// the crash-recovery path of the paper's Section 7 discussion, fed by
+// package store's log. It is the server's first absorb, with the disk as
+// the peer: one batch signature check over the log, then every block
+// enters the live DAG the way a pulled one does (AbsorbVerified) — the
+// structural checks of Definition 3.3, the persistence sink if one is
+// installed (store.Store.Append ignores a block it holds), a place among
+// the next own block's parent and tips, interpretation. There is no
+// second validator and no state re-derived afterwards: the next
+// disseminated block continues the old chain and cites the tips no
+// pre-crash own block reaches because gossip advanced both per block, as
+// it does live. FWD and retry bookkeeping start empty, so any block that
+// was in flight (or lost with an unsynced WAL tail) is simply re-received
+// or re-requested from peers.
+//
+// No-self-equivocation has a precondition: the replayed blocks must
+// include every own block any peer may have seen, since the resumed
+// chain continues from the highest replayed own sequence number. The
+// store guarantees this when the pre-crash server journaled through
+// store.Store.PersistSink, which makes own blocks durable before gossip
+// broadcasts them; only received blocks can be lost with an unsynced
+// tail, and those are refetched.
+//
+// Restore must be called on a fresh server, before any network traffic,
+// request, or dissemination. The first block refused — builder outside
+// the roster (dag.ErrBuilderUnknown: the wrong roster for this log), bad
+// signature (dag.ErrBadSignature: a damaged log), a predecessor missing —
+// is the error, and the blocks before it stay absorbed and interpreted: a
+// failed Restore is not retryable on the same server; build a new one.
+//
+// This is the authoritative statement of the recovery delivery contract:
+// interpretation replays all indications of the stored DAG, so users see
+// pre-crash deliveries again. Indications are therefore at-least-once
+// across crashes, exactly-once only between them; applications
+// deduplicate by instance label (as examples/payments does).
 func (s *Server) Restore(blocks []*block.Block) error {
 	if s.dag.Len() > 0 {
 		return errors.New("core: restore on a server that already has blocks")
 	}
-	// Validate the whole replay against a scratch DAG first, so a bad
-	// block (wrong roster, broken closure, bad signature) rejects the
-	// restore without touching the server: no partially populated DAG, no
-	// half-emitted indications, and the caller is free to retry on the
-	// same server with repaired input. The signatures — the expensive
-	// part of replaying a long log — are checked in one parallel batch;
-	// the structural checks then run serially in replay order via
-	// InsertVerified, so the first offending block is still reported
-	// deterministically.
 	sigOK := block.VerifyBatch(s.cfg.Roster, blocks, s.cfg.VerifyWorkers)
-	scratch := dag.New(s.cfg.Roster)
-	if err := scratch.SeedBase(s.dag.Base()); err != nil {
-		return fmt.Errorf("core: restore scratch seed: %w", err)
-	}
 	for i, b := range blocks {
-		if !s.cfg.Roster.Contains(b.Builder) {
-			// Report membership ahead of the signature verdict:
-			// VerifyBatch fails non-members too, but callers distinguish
-			// a wrong-roster restore (ErrBuilderUnknown) from a corrupted
-			// log (ErrBadSignature), matching the serial insert path.
-			return fmt.Errorf("core: restore block %v: %w: %v",
-				b.Ref(), dag.ErrBuilderUnknown, b.Builder)
+		// VerifyBatch fails a builder outside the roster too; that one is
+		// left to the DAG, which reports the membership failure.
+		var err error
+		if !sigOK[i] && s.cfg.Roster.Contains(b.Builder) {
+			err = dag.ErrBadSignature
+		} else {
+			err = s.gsp.InsertVerified(b)
 		}
-		if !sigOK[i] {
-			return fmt.Errorf("core: restore block %v: %w", b.Ref(), dag.ErrBadSignature)
-		}
-		if err := scratch.InsertVerified(b); err != nil {
+		if err != nil {
 			return fmt.Errorf("core: restore block %v: %w", b.Ref(), err)
 		}
 	}
-	for _, b := range blocks {
-		// InsertVerified: the scratch pass already paid the Ed25519
-		// verification; the structural checks of Definition 3.3 still
-		// run, and validation is deterministic, so an error here is an
-		// invariant break, not bad input.
-		if err := s.dag.InsertVerified(b); err != nil {
-			return fmt.Errorf("core: restore block %v: %w", b.Ref(), err)
-		}
-		if err := s.interp.AddBlock(b); err != nil {
-			return fmt.Errorf("core: restore interpret %v: %w", b.Ref(), err)
-		}
-	}
-	s.restored = s.dag.Len()
-	s.gsp.Recover()
-	return nil
+	return s.firstErr
 }
 
 // AbsorbVerified feeds the server one block obtained outside the gossip
@@ -548,21 +512,20 @@ func (s *Server) AbsorbVerified(b *block.Block) error {
 }
 
 // ObserveInserts registers fn to see every block that enters the DAG, in
-// insertion order, whichever way it came — Restore replay, gossip, a
+// insertion order, whichever way it came — the store's replay, gossip, a
 // pulled stream. The runtime keeps its watermark vector this way.
 func (s *Server) ObserveInserts(fn func(*block.Block)) { s.dag.SetOnInsert(fn) }
 
 // SetPersist installs the persistence sink after construction — the hook
 // node.Config.Store uses, since the node receives an already-built
-// Server. It must be called before any block is inserted through gossip,
-// so no insertion can slip past the journal; blocks replayed by Restore
-// are exempt (they came from the store), which lets callers restore
-// first and install the sink only once the replay has succeeded.
+// Server. It must be called before any block is inserted, Restore's
+// replay included, so no insertion can slip past the journal; the store's
+// sink ignores the blocks replayed from it.
 func (s *Server) SetPersist(sink func(*block.Block) error) error {
 	if s.cfg.OnPersist != nil {
 		return errors.New("core: persistence sink already set")
 	}
-	if s.dag.Len() > s.restored {
+	if s.dag.Len() > 0 {
 		return errors.New("core: persistence sink set after blocks were inserted")
 	}
 	s.cfg.OnPersist = sink
@@ -581,13 +544,13 @@ type BatchPersister interface {
 // SetPersistBatcher installs the group-commit window DeliverBatch
 // brackets its bursts with. The batcher must be the same backend the
 // SetPersist sink writes to, installed under the same conditions (before
-// any non-restored insertion); it is optional — without it DeliverBatch
-// persists block by block.
+// any insertion); it is optional — without it DeliverBatch persists block
+// by block.
 func (s *Server) SetPersistBatcher(pb BatchPersister) error {
 	if s.batcher != nil {
 		return errors.New("core: persist batcher already set")
 	}
-	if s.dag.Len() > s.restored {
+	if s.dag.Len() > 0 {
 		return errors.New("core: persist batcher set after blocks were inserted")
 	}
 	s.batcher = pb

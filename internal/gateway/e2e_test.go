@@ -192,6 +192,12 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 			BlocksBuilt, OwnBlockRefs int64
 			Tips                      *int64
 		} `json:"counters"`
+		Recovery *struct {
+			Blocks   *int `json:"blocks"`
+			OwnChain struct {
+				Held, Seen uint64
+			} `json:"own_chain"`
+		} `json:"recovery"`
 	}
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
@@ -203,6 +209,13 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 	// and the tip gauge is reported.
 	if st.Counters.OwnBlockRefs < st.Counters.BlocksBuilt-1 || st.Counters.Tips == nil {
 		t.Fatalf("status body lacks the references-per-block counter or the tip gauge: %s", body)
+	}
+
+	// Recovery: a first start replays nothing, and the own chain the node
+	// holds is the one it built — nothing seen that is not held.
+	if r := st.Recovery; r == nil || r.Blocks == nil || *r.Blocks != 0 ||
+		r.OwnChain.Held == 0 || int64(r.OwnChain.Held) > st.Counters.BlocksBuilt || r.OwnChain.Seen != 0 {
+		t.Fatalf("status body lacks the recovery report or its own-chain position: %s", body)
 	}
 
 	resp = get(t, c.base+"/metrics", nil)

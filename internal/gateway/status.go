@@ -23,6 +23,7 @@ type Status struct {
 	// number — this node's durable coverage vector (durable nodes only).
 	Watermarks map[types.ServerID]uint64 `json:"watermarks,omitempty"`
 
+	Recovery       RecoveryStatus        `json:"recovery"`
 	CatchUp        *CatchUpStatus        `json:"catch_up,omitempty"`
 	Follow         *FollowStatus         `json:"follow,omitempty"`
 	Accountability *AccountabilityStatus `json:"accountability,omitempty"`
@@ -40,6 +41,26 @@ type Status struct {
 	// Gateway carries the front door's own counters; the serving gateway
 	// fills it in.
 	Gateway *GatewayStatus `json:"gateway,omitempty"`
+}
+
+// RecoveryStatus mirrors node.RecoveryReport: what the last start
+// replayed from the store (zeros without one) and where the own chain
+// stands. A replica that builds nothing has own_chain.held below
+// own_chain.seen: it lost its disk, peers hold own blocks it does not, and
+// it stays silent until they are back rather than reuse their numbers.
+type RecoveryStatus struct {
+	Blocks     int            `json:"blocks"`
+	ReplayMs   float64        `json:"replay_ms"`
+	TornBytes  int64          `json:"torn_bytes"`
+	Duplicates int            `json:"duplicates"`
+	OwnChain   OwnChainStatus `json:"own_chain"`
+}
+
+// OwnChainStatus is 1 + the highest own sequence number the DAG holds,
+// and the same over the own blocks peers' streams have shown.
+type OwnChainStatus struct {
+	Held uint64 `json:"held"`
+	Seen uint64 `json:"seen"`
 }
 
 // CatchUpStatus mirrors node.CatchUpReport with a JSON-friendly error;
@@ -106,6 +127,12 @@ func NodeStatus(nd *node.Node) func() Status {
 			for _, wm := range wms {
 				st.Watermarks[wm.Builder] = wm.NextSeq
 			}
+		}
+		rec := nd.RecoveryReport()
+		st.Recovery = RecoveryStatus{
+			Blocks: rec.Store.Blocks, ReplayMs: float64(rec.Took) / float64(time.Millisecond),
+			TornBytes: rec.Store.TornBytes, Duplicates: rec.Store.Duplicates,
+			OwnChain: OwnChainStatus{Held: rec.OwnHeld, Seen: rec.OwnSeen},
 		}
 		if rep := nd.CatchUpReport(); rep.Ran {
 			cs := &CatchUpStatus{Ran: true, Blocks: rep.Blocks}

@@ -222,38 +222,3 @@ func BenchmarkTipRetirement(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkRecover measures crash-recovery chain-state reconstruction —
-// coverage checks ride the causal summary instead of materializing the own
-// tip's ancestry.
-func BenchmarkRecover(b *testing.B) {
-	for _, rounds := range []int{64, 512} {
-		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
-			payloads, roster := benchBlocks(b, rounds)
-			_, signers, err := crypto.LocalRoster(4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			net := simnet.New()
-			d := dag.New(roster)
-			g, err := New(Config{
-				Signer:    signers[0],
-				Roster:    roster,
-				DAG:       d,
-				Transport: net.Transport(0),
-				Clock:     net.Now,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, p := range payloads {
-				g.HandleMessage(1, p)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.Recover()
-			}
-		})
-	}
-}

@@ -150,16 +150,6 @@ type Config struct {
 
 	// MaxBatch bounds requests per block; 0 means DefaultMaxBatch.
 	MaxBatch int
-	// ResendAfter is the Δ_B' wait before re-issuing a FWD request for
-	// a still-missing block; 0 means DefaultResendAfter.
-	ResendAfter time.Duration
-	// FwdFallbackAfter is the number of unanswered FWD retries to the
-	// referencing block's builder after which the request is broadcast
-	// to all servers — a liveness extension for crashed or byzantine
-	// builders (the paper notes asking others is "not necessary" for
-	// correctness; it is useful in practice). 0 means
-	// DefaultFwdFallbackAfter; negative disables fallback.
-	FwdFallbackAfter int
 	// VerifyWorkers sets the goroutine count HandleMessages uses to
 	// batch-verify block signatures: 0 means GOMAXPROCS, 1 forces serial
 	// verification. Verdicts are independent of the setting; it only
@@ -177,10 +167,22 @@ type Config struct {
 
 // Defaults for Config's tunables.
 const (
-	DefaultMaxBatch         = 256
-	DefaultResendAfter      = 200 * time.Millisecond
-	DefaultFwdFallbackAfter = 3
-	DefaultInvalidCache     = 4096
+	DefaultMaxBatch     = 256
+	DefaultInvalidCache = 4096
+)
+
+// The FWD timers: constants, not Config fields — no caller needs another
+// value.
+const (
+	// ResendAfter is the Δ_B' wait before re-issuing a FWD request for a
+	// still-missing block.
+	ResendAfter = 200 * time.Millisecond
+	// FwdFallbackAfter is the number of unanswered FWD retries to the
+	// referencing block's builder after which the request is broadcast to
+	// all servers — a liveness extension for crashed or byzantine builders
+	// (the paper notes asking others is "not necessary" for correctness;
+	// it is useful in practice).
+	FwdFallbackAfter = 3
 )
 
 // missingState tracks one outstanding FWD request.
@@ -238,12 +240,6 @@ func New(cfg Config) (*Gossip, error) {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	if cfg.ResendAfter == 0 {
-		cfg.ResendAfter = DefaultResendAfter
-	}
-	if cfg.FwdFallbackAfter == 0 {
-		cfg.FwdFallbackAfter = DefaultFwdFallbackAfter
-	}
 	if cfg.InvalidCacheSize == 0 {
 		cfg.InvalidCacheSize = DefaultInvalidCache
 	}
@@ -268,83 +264,18 @@ func New(cfg Config) (*Gossip, error) {
 // Self returns this server's identity.
 func (g *Gossip) Self() types.ServerID { return g.self }
 
-// Recover initializes the block-building state from a restored DAG after
-// a crash — the crash-recovery path the paper discusses in Section 7.
-// The next block continues the own chain (curSeq = last own seq + 1,
-// parent = own tip) and cites the tips a server that had inserted the same
-// blocks live would hold: the blocks outside the own tip's ancestry that no
-// other block outside it reaches. What the own chain already covers is not
-// cited again, and a backlog of any length costs as many references as it
-// has tips.
-//
-// All volatile bookkeeping — the pending-block buffer, FWD waiters, the
-// outstanding-request table with its retry clocks and attempt counters,
-// and the invalid-reference cache — restarts empty. This is the only
-// deterministic choice: none of it survives a crash, it is all derivable
-// from future traffic, and re-arming FWD from a clean slate means a
-// block lost with an unsynced WAL tail is simply re-requested as soon as
-// some peer references it (delivery semantics are documented at
-// core.Server.Restore).
-//
-// Resuming at "last own seq + 1" is only equivocation-free if the DAG
-// being recovered from holds every own block a peer may have seen — the
-// persistence layer must make own blocks durable before they are
-// broadcast (store.Store.PersistSink's externalization barrier); received
-// blocks may be lost freely.
-func (g *Gossip) Recover() {
-	g.pending = make(map[block.Ref]*block.Block)
-	g.waiters = make(map[block.Ref][]block.Ref)
-	g.missing = make(map[block.Ref]*missingState)
-	g.invalid = make(map[block.Ref]struct{})
-	g.invalidFIFO = nil
-	g.invalidHead = 0
-	g.curSeq, g.curParent, g.curTips = 0, nil, nil
-
-	var ownTip *block.Block
-	for b := range g.cfg.DAG.All() {
-		if b.Builder == g.self && (ownTip == nil || b.Seq >= ownTip.Seq) {
-			ownTip = b
+// SeedBase anchors the own chain on its highest pruned-history stand-in,
+// for a DAG seeded with one (dag.SeedBase): with every own block below
+// the snapshot horizon the next block still continues the chain, so a
+// rejoined node never reuses a published sequence number (no
+// self-equivocation). Own blocks above the horizon then advance the chain
+// as they are inserted, like any others (noteInserted).
+func (g *Gossip) SeedBase(base []dag.Base) {
+	for _, e := range base {
+		if e.Builder == g.self && e.Seq >= g.curSeq {
+			g.curSeq, g.curParent = e.Seq+1, &e.Ref
 		}
 	}
-	if ownTip != nil {
-		parent := ownTip.Ref()
-		g.curSeq, g.curParent = ownTip.Seq+1, &parent
-	} else if e, ok := g.selfBase(); ok {
-		// All own blocks were pruned below the snapshot horizon: the
-		// chain continues from the base stand-in, so a rejoined node
-		// never reuses a published sequence number (no
-		// self-equivocation), exactly as when recovering from a full
-		// log.
-		g.curSeq, g.curParent = e.Seq+1, &e.Ref
-	}
-	// Coverage is decided with the DAG's causal summary (B ⇀* parent), a
-	// per-block O(1) check — no ancestry materialization.
-	covered := func(ref block.Ref) bool {
-		return g.curParent != nil && g.cfg.DAG.ReachesReflexive(ref, *g.curParent)
-	}
-	for b := range g.cfg.DAG.All() {
-		ref := b.Ref()
-		if !covered(ref) && !slices.ContainsFunc(g.cfg.DAG.Succs(ref), func(succ block.Ref) bool { return !covered(succ) }) {
-			g.curTips = append(g.curTips, ref)
-		}
-	}
-	g.cfg.Metrics.SetTips(len(g.curTips))
-}
-
-// selfBase returns the highest-seq pruned-history stand-in for the own
-// chain, if the restored DAG was seeded with one (dag.SeedBase).
-func (g *Gossip) selfBase() (dag.Base, bool) {
-	var best dag.Base
-	found := false
-	for _, e := range g.cfg.DAG.Base() {
-		if e.Builder != g.self {
-			continue
-		}
-		if !found || e.Seq > best.Seq {
-			best, found = e, true
-		}
-	}
-	return best, found
 }
 
 // PendingBlocks returns the size of the blks buffer (diagnostics).
@@ -870,7 +801,7 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 func (g *Gossip) Tick(now time.Duration) {
 	var due []block.Ref
 	for ref, ms := range g.missing {
-		if now-ms.lastAsk >= g.cfg.ResendAfter {
+		if now-ms.lastAsk >= ResendAfter {
 			due = append(due, ref)
 		}
 	}
@@ -879,7 +810,7 @@ func (g *Gossip) Tick(now time.Duration) {
 		ms := g.missing[ref]
 		ms.lastAsk = now
 		ms.attempts++
-		if g.cfg.FwdFallbackAfter > 0 && ms.attempts >= g.cfg.FwdFallbackAfter {
+		if ms.attempts >= FwdFallbackAfter {
 			// Broadcast fallback: frame the FWD request once per ref, not
 			// once per peer — the payload is identical for every recipient.
 			enc := EncodeFwdMsg(ref)

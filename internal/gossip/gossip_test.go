@@ -305,8 +305,8 @@ func TestFwdFallbackAfterRetries(t *testing.T) {
 	c.nodes[2].g.HandleMessage(1, EncodeBlockMsg(b1))
 	// Server 2 now FWD-requests b0 from server 1 — blocked. Tick past
 	// the fallback threshold; server 0 serves the broadcast FWD.
-	for i := 0; i < DefaultFwdFallbackAfter+1; i++ {
-		c.net.RunFor(DefaultResendAfter + time.Millisecond)
+	for i := 0; i < FwdFallbackAfter+1; i++ {
+		c.net.RunFor(ResendAfter + time.Millisecond)
 		c.nodes[2].g.Tick(c.net.Now())
 	}
 	c.net.Run()
@@ -539,8 +539,8 @@ func TestTickRetriesInReferenceOrder(t *testing.T) {
 			t.Fatalf("%d references outstanding, want 5", g.MissingRefs())
 		}
 		log.sends = nil // the first asks follow arrival order, not the map
-		for i := 0; i < DefaultFwdFallbackAfter+2; i++ {
-			net.RunFor(DefaultResendAfter + time.Millisecond)
+		for i := 0; i < FwdFallbackAfter+2; i++ {
+			net.RunFor(ResendAfter + time.Millisecond)
 			g.Tick(net.Now())
 		}
 		return log.sends

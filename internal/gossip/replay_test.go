@@ -14,22 +14,36 @@ import (
 	"blockdag/internal/types"
 )
 
-// recoveredGossip builds a gossip instance over a pre-populated DAG and
-// calls Recover, returning the first block it then disseminates.
-func recoveredGossip(t *testing.T, d *dag.DAG, signers []*crypto.Signer, roster *crypto.Roster) *block.Block {
+// replay feeds blocks, in order, to a fresh gossip instance over a fresh
+// DAG the way core.Server.Restore feeds it a journal: InsertVerified per
+// block. There is no recovery step: the chain state after the last block
+// is the state a restarted server builds from.
+func replay(t *testing.T, cfg Config, blocks []*block.Block) *Gossip {
 	t.Helper()
-	net := simnet.New()
-	g, err := New(Config{
-		Signer:    signers[0],
-		Roster:    roster,
-		DAG:       d,
-		Transport: net.Transport(0),
-		Clock:     net.Now,
-	})
+	cfg.DAG = dag.New(cfg.Roster)
+	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Recover()
+	for _, b := range blocks {
+		if err := g.InsertVerified(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// recoveredGossip replays a pre-crash DAG into a fresh gossip instance and
+// returns the first block it then disseminates.
+func recoveredGossip(t *testing.T, d *dag.DAG, signers []*crypto.Signer, roster *crypto.Roster) *block.Block {
+	t.Helper()
+	net := simnet.New()
+	g := replay(t, Config{
+		Signer:    signers[0],
+		Roster:    roster,
+		Transport: net.Transport(0),
+		Clock:     net.Now,
+	}, d.Blocks())
 	b, err := g.Disseminate()
 	if err != nil {
 		t.Fatal(err)
@@ -179,15 +193,15 @@ func TestDisseminationReferencesTips(t *testing.T) {
 	}
 }
 
-// TestRecoverRebuildsLiveTips: whatever a server has inserted and built,
-// Recover over its DAG arrives at the chain state the live instance holds —
+// TestReplayRebuildsLiveTips: whatever a server has inserted and built,
+// replaying its DAG arrives at the chain state the live instance holds —
 // same sequence number, same parent, same tip set — so the first block after
 // a crash is the block the server would have built without one. Peers'
 // blocks cite random earlier blocks (the server's own among them) and reach
 // it late and out of order. So does an instance that builds nothing and is
 // handed the same blocks, the server's own included, in the same order: a
 // server that lost its disk and re-learns its chain from its peers.
-func TestRecoverRebuildsLiveTips(t *testing.T) {
+func TestReplayRebuildsLiveTips(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := dagtest.NewHarness(4)
@@ -244,12 +258,8 @@ func TestRecoverRebuildsLiveTips(t *testing.T) {
 				inFlight = inFlight[1:]
 			}
 
-			recovered, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recovered.Recover()
-			for name, other := range map[string]*Gossip{"recovered": recovered, "relearning": relearning} {
+			replayed := replay(t, cfg, cfg.DAG.Blocks())
+			for name, other := range map[string]*Gossip{"replayed": replayed, "relearning": relearning} {
 				if other.curSeq != live.curSeq || (other.curParent == nil) != (live.curParent == nil) ||
 					live.curParent != nil && *other.curParent != *live.curParent {
 					t.Fatalf("seed %d step %d: %s chain position differs", seed, step, name)

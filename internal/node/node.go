@@ -48,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"blockdag/internal/block"
@@ -75,15 +76,15 @@ type Config struct {
 	DisseminateEvery time.Duration
 	// TickEvery is the FWD retry-timer period (default 100ms).
 	TickEvery time.Duration
-	// Store, if non-nil, makes the server durable: New replays the
-	// store's recovered blocks through core.Server.Restore (resuming the
-	// pre-crash chain) and its evidence sidecar through
-	// core.Server.PersistEvidence (a ban survives the restart, and new
-	// convictions are journaled), installs the store's persistence sink
-	// (store.Store.PersistSink, which force-syncs own blocks before
-	// gossip broadcasts them), and Tick drives interval fsync alongside
-	// the FWD timer. The store must be freshly opened (store.Open) and the
-	// server freshly built; the caller keeps ownership and closes the
+	// Store, if non-nil, makes the server durable: New replays its
+	// evidence sidecar through core.Server.PersistEvidence (a ban survives
+	// the restart, and new convictions are journaled), installs the
+	// store's persistence sink (store.Store.PersistSink, which force-syncs
+	// own blocks before gossip broadcasts them), replays the store's
+	// blocks through core.Server.Restore (validating them in the live DAG
+	// and resuming the pre-crash chain; RecoveryReport), and Tick drives
+	// interval fsync alongside the FWD timer. The store must be freshly
+	// opened (store.Open) and the server freshly built; the caller keeps ownership and closes the
 	// store after Stop. On a clean shutdown a started node's Stop leaves
 	// the WAL fully synced.
 	Store *store.Store
@@ -152,6 +153,22 @@ type CatchUpReport struct {
 	// non-nil Err still leaves the node fully functional: the remainder
 	// arrives via FWD.
 	Err error
+}
+
+// RecoveryReport records what New replayed from Config.Store, and where
+// the own chain stands now.
+type RecoveryReport struct {
+	// Store is what store.Open read and repaired; its Blocks were replayed
+	// into the live DAG. Took is how long that replay (signature batch,
+	// insertion, interpretation) ran.
+	Store store.OpenReport
+	Took  time.Duration
+	// OwnHeld is 1 + the highest own sequence number in the DAG, OwnSeen
+	// the same over the own blocks a peer's stream has shown this node,
+	// held or not. While OwnHeld < OwnSeen the node builds nothing
+	// (Disseminate): it lost its disk and its old blocks are on their way
+	// back.
+	OwnHeld, OwnSeen uint64
 }
 
 // The live follower is in exactly one of these states.
@@ -241,14 +258,15 @@ type Node struct {
 	lastSeal       time.Duration
 	lastSealedSlot uint64
 
-	catchUp CatchUpReport
-	// ownHeld is 1 + the highest own sequence number in the DAG, ownSeen the
-	// same over the own blocks a peer's stream has shown this node, held or
-	// not. They differ only on a node that lost its disk, while its old
-	// blocks are on their way back — by a later pull, or by FWD behind the
-	// gossiped blocks that cite them; gossip continues the chain from them
-	// as they arrive, and until then Disseminate builds nothing. Owner only.
-	ownHeld, ownSeen uint64
+	catchUp  CatchUpReport
+	recovery RecoveryReport
+	// ownHeld and ownSeen are RecoveryReport's OwnHeld and OwnSeen. They
+	// differ only on a node that lost its disk, while its old blocks are on
+	// their way back — by a later pull, or by FWD behind the gossiped
+	// blocks that cite them; gossip continues the chain from them as they
+	// arrive, and until then Disseminate builds nothing. Written by the
+	// owner only; atomic for RecoveryReport's readers.
+	ownHeld, ownSeen atomic.Uint64
 	// ckptFloor is the store's on-disk size after the last checkpoint
 	// (or at startup): the baseline CheckpointEveryBytes growth is
 	// measured from. Owner only.
@@ -273,10 +291,11 @@ type Node struct {
 // New validates the config and prepares a node. With Config.Store set,
 // New performs the recover-resume handshake: the evidence sidecar is
 // replayed (bans are in force before the first delivery), the store's
-// recovered log is replayed so the server continues its pre-crash chain,
-// then the store's persistence sink is installed — before any other block
-// can be inserted, and only once the replay has succeeded, so a failed
-// New leaves the caller-owned server without a sink and free to retry.
+// persistence sink is installed — before any block can be inserted — and
+// the store's log is absorbed into the live DAG, the follower's zeroth
+// pull with the disk as the peer, so the server continues its pre-crash
+// chain. A log the DAG refuses fails New and leaves the caller's server
+// holding the blocks before the refusal: build a fresh one to retry.
 // With Config.CatchUp additionally set, startup catch-up runs last — the
 // follower's first pull, taken before there is a loop — and New returns
 // with it settled.
@@ -343,16 +362,16 @@ func New(cfg Config) (*Node, error) {
 	srv.ObserveInserts(func(b *block.Block) {
 		n.tracker.Observe(b)
 		if b.Builder == srv.ID() {
-			n.ownHeld = max(n.ownHeld, b.Seq+1)
+			n.ownHeld.Store(max(n.ownHeld.Load(), b.Seq+1))
 		}
 	})
 	n.tracker.SeedHorizon(srv.DAG().BaseHorizon())
 	if st := cfg.Store; st != nil {
 		// A pruned (or snapshot-installed) store stands on a base table:
-		// seed the server's DAG with it before any block is replayed, so
-		// chains resume above the horizon without their pruned prefixes.
-		base := st.Base()
-		if len(base) > 0 {
+		// seed the server with it before any block is replayed, so chains
+		// — the own one too — resume above the horizon without their
+		// pruned prefixes.
+		if base := st.Base(); len(base) > 0 {
 			if err := srv.SeedBase(base); err != nil {
 				return nil, fmt.Errorf("node: seed pruned-history base: %w", err)
 			}
@@ -373,18 +392,11 @@ func New(cfg Config) (*Node, error) {
 		// pruned prefix (covered by the certified snapshot) without ever
 		// observing it.
 		n.tracker.SeedHorizon(st.Horizon())
-		// A snapshot-installed store holds a base and no block yet; Restore
-		// still runs, because it is what anchors the own chain on the base
-		// stand-in — the next own block continues above the horizon instead
-		// of reusing sequence number 0.
-		if replay := st.Blocks(); len(replay) > 0 || len(base) > 0 {
-			if err := srv.Restore(replay); err != nil {
-				return nil, fmt.Errorf("node: restore from store: %w", err)
-			}
-		}
 		// PersistSink, not a bare Append: own blocks must be durable
 		// before gossip broadcasts them, or a power cut sets up a
-		// post-crash self-equivocation (see the store package docs).
+		// post-crash self-equivocation (see the store package docs). The
+		// sinks go in ahead of the replay: no insertion bypasses them, and
+		// the store ignores a block it holds.
 		if err := srv.SetPersist(st.PersistSink(srv.ID())); err != nil {
 			return nil, fmt.Errorf("node: %w", err)
 		}
@@ -395,6 +407,11 @@ func New(cfg Config) (*Node, error) {
 		if err := srv.SetPersistBatcher(st); err != nil {
 			return nil, fmt.Errorf("node: %w", err)
 		}
+		began := time.Now()
+		if err := srv.Restore(st.Blocks()); err != nil {
+			return nil, fmt.Errorf("node: restore from store: %w", err)
+		}
+		n.recovery = RecoveryReport{Store: st.Report(), Took: time.Since(began)}
 		if cfg.CheckpointEveryBytes > 0 {
 			floor, err := st.DiskSize()
 			if err != nil {
@@ -416,6 +433,14 @@ func New(cfg Config) (*Node, error) {
 // CatchUpReport returns what startup catch-up did (zero value when
 // Config.CatchUp was nil).
 func (n *Node) CatchUpReport() CatchUpReport { return n.catchUp }
+
+// RecoveryReport returns what New replayed from the store (zeros without
+// one) and the own chain's current position. Safe for concurrent use.
+func (n *Node) RecoveryReport() RecoveryReport {
+	rep := n.recovery
+	rep.OwnHeld, rep.OwnSeen = n.ownHeld.Load(), n.ownSeen.Load()
+	return rep
+}
 
 // FollowReport returns the live follower's counters so far (zero value
 // when Config.FollowEvery was 0). Safe for concurrent use.

@@ -2,7 +2,6 @@ package node_test
 
 import (
 	"bytes"
-	"crypto/ed25519"
 	"testing"
 	"time"
 
@@ -144,75 +143,6 @@ func TestNodeStoreRejectsPrewiredServer(t *testing.T) {
 	}
 	if _, err := node.New(node.Config{Server: srv, Store: st}); err == nil {
 		t.Fatal("node.New accepted a server with a pre-wired persistence sink")
-	}
-}
-
-// TestNodeStoreRetryAfterFailedRestore: a New that fails during Restore
-// must leave the caller-owned server clean — no persistence sink half
-// installed — so a retry against a compatible store succeeds.
-func TestNodeStoreRetryAfterFailedRestore(t *testing.T) {
-	// A store journaled under a foreign roster (distinct keys —
-	// LocalRoster's are deterministic, so derive one explicitly): its
-	// blocks recover fine against that roster but fail revalidation on
-	// our server.
-	var seed [32]byte
-	copy(seed[:], "foreign roster seed")
-	pair := crypto.KeyPairFromSeed(seed)
-	foreignRoster, err := crypto.NewRoster([]ed25519.PublicKey{pair.Public})
-	if err != nil {
-		t.Fatal(err)
-	}
-	foreignSigner, err := crypto.NewSigner(0, pair, foreignRoster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foreignSigners := []*crypto.Signer{foreignSigner}
-	foreignDir := t.TempDir()
-	writer, err := store.Open(foreignDir, store.Options{Roster: foreignRoster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := block.New(0, 0, nil, nil)
-	if err := b.Seal(foreignSigners[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := writer.Append(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := writer.Close(); err != nil {
-		t.Fatal(err)
-	}
-	foreign, err := store.Open(foreignDir, store.Options{Roster: foreignRoster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = foreign.Close() }()
-
-	roster, signers, err := crypto.LocalRoster(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := core.NewServer(core.Config{
-		Roster:    roster,
-		Signer:    signers[0],
-		Protocol:  brb.Protocol{},
-		Transport: simnet.New().Transport(0),
-		Clock:     node.Clock(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := node.New(node.Config{Server: srv, Store: foreign}); err == nil {
-		t.Fatal("node.New restored blocks signed by a foreign roster")
-	}
-
-	good, err := store.Open(t.TempDir(), store.Options{Roster: roster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = good.Close() }()
-	if _, err := node.New(node.Config{Server: srv, Store: good}); err != nil {
-		t.Fatalf("retry after failed restore: %v", err)
 	}
 }
 

@@ -31,7 +31,7 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 // nothing until it does: it lost its disk, and a block built now would reuse
 // a sequence number its peers already hold.
 func (n *Node) Disseminate() {
-	if n.ownHeld < n.ownSeen {
+	if n.ownHeld.Load() < n.ownSeen.Load() {
 		return
 	}
 	n.recordErr(n.cfg.Server.Disseminate())
@@ -183,7 +183,7 @@ func (n *Node) absorb(peer types.ServerID, pull *syncsvc.Pull) (absorbed int, er
 			// Signed by this server: if the DAG lacks it, it was published
 			// before a disk loss, and whether or not this stream gets as far
 			// as inserting it, its sequence number is taken (Disseminate).
-			n.ownSeen = max(n.ownSeen, b.Seq+1)
+			n.ownSeen.Store(max(n.ownSeen.Load(), b.Seq+1))
 		}
 	}
 	for _, b := range blocks {

@@ -3,6 +3,16 @@
 // server the persisted DAG that core.Server.Restore replays after a crash
 // (the paper's Section 7 crash-recovery discussion made operational).
 //
+// The store keeps bytes, not validity. Open answers for framing and
+// checksums — it reads the files in order, truncates a torn tail, sweeps a
+// crashed checkpoint's leftovers, drops duplicate records — and returns
+// the blocks in file order, which is a topological order: WAL order is
+// insertion order, and a snapshot is written in DAG order. It builds no
+// DAG and checks no signature. Definition 3.3 is checked once, in the live
+// DAG, when core.Server.Restore absorbs the blocks the way a pulled stream
+// is absorbed: the disk is one more untrusted peer. Offline tools that
+// want validity insert the blocks into a DAG of their own (cmd/dagstore).
+//
 // # On-disk layout
 //
 // A store is a directory of segment files named by a monotonically
@@ -57,7 +67,7 @@
 // index into the snapshot's base ∪ block table (typically 1–2 bytes).
 // Decoding re-derives the canonical block encoding, and with it ref(B),
 // so signatures still verify end to end; compaction never weakens the
-// Definition 3.3 revalidation that Open performs.
+// Definition 3.3 validation the replay performs.
 //
 // # Fsync policy
 //
@@ -83,9 +93,9 @@
 //     costs re-download.
 //   - Own blocks are different. The server broadcasts its own block the
 //     moment it is built; if the block is then lost with an unsynced WAL
-//     tail, recovery resumes the own chain at the highest *recovered* own
-//     sequence number (gossip.Recover) and re-signs a different block at
-//     a number peers have already seen — self-equivocation by a correct
+//     tail, the replay continues the own chain from the highest *replayed*
+//     own sequence number and re-signs a different block at a number
+//     peers have already seen — self-equivocation by a correct
 //     server, a safety violation no refetch can repair.
 //
 // PersistSink is therefore the required hook for a store backing a live
@@ -100,8 +110,8 @@
 //
 // Losing recent unsynced received blocks is safe in every policy because
 // the WAL holds only blocks that are (or were about to be) in the
-// cluster's joint DAG: recovery yields a valid prefix of the pre-crash
-// DAG, Restore resumes the own chain without equivocating (durable up to
+// cluster's joint DAG: recovery yields a prefix of the pre-crash DAG,
+// Restore validates it and resumes the own chain without equivocating (durable up to
 // the published head by the barrier), and anything lost is refetched.
 // Indications replayed from the store repeat pre-crash deliveries — the
 // at-least-once indication semantics documented at core.Server.Restore,

@@ -1,16 +1,13 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
 	"blockdag/internal/evidence"
 	"blockdag/internal/types"
-	"blockdag/internal/wire"
 )
 
 // Evidence sidecar file. Equivocation proofs live outside the block WAL
@@ -53,27 +50,12 @@ func (s *Store) loadEvidence() error {
 		return fmt.Errorf("%w: %s: bad header", ErrCorrupt, path)
 	}
 	off := len(evidenceMagic)
-	good := off
-	torn := false
 	for off < len(data) {
-		if len(data)-off < recHeaderSize {
-			torn = true
+		payload, next, ok := nextRecord(data, off)
+		if !ok {
 			break
 		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		sum := binary.BigEndian.Uint32(data[off+4 : off+8])
-		body := data[off+recHeaderSize:]
-		if n > wire.MaxFrame || n > len(body) {
-			torn = true
-			break
-		}
-		payload := body[:n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			torn = true
-			break
-		}
-		off += recHeaderSize + n
-		good = off
+		off = next
 		p, err := evidence.Decode(payload)
 		if err != nil {
 			// Whole, checksummed record that is not a proof: a buggy
@@ -90,8 +72,8 @@ func (s *Store) loadEvidence() error {
 		s.evHave[p.Equivocator()] = struct{}{}
 		s.evidence = append(s.evidence, p)
 	}
-	if torn && !s.opts.ReadOnly {
-		if err := os.Truncate(path, int64(good)); err != nil {
+	if off < len(data) && !s.opts.ReadOnly {
+		if err := os.Truncate(path, int64(off)); err != nil {
 			return fmt.Errorf("store: truncate torn evidence tail: %w", err)
 		}
 	}

@@ -144,40 +144,48 @@ func appendRecord(dst []byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// walScan is the result of scanning one WAL segment body.
-type walScan struct {
+// segment is the decoded content of one segment file.
+type segment struct {
+	// snap is the snapshot's tables (horizon, base, state); nil for a WAL.
+	snap *snapshot
+	// blocks are the segment's blocks in file order.
 	blocks []*block.Block
 	// goodLen is the byte offset (within the whole file) just past the
 	// last whole, checksummed record.
 	goodLen int64
 	// torn reports that bytes past goodLen exist but do not form a valid
-	// record — a torn tail write if this is the final segment.
+	// record — a torn tail write if this is the final WAL segment.
 	torn bool
+}
+
+// nextRecord returns the payload of the length- and CRC-framed record at
+// data[off:] and the offset just past it; ok is false when the bytes there
+// are not a whole record with a matching checksum. The WAL and the
+// evidence sidecar share the framing.
+func nextRecord(data []byte, off int) (payload []byte, next int, ok bool) {
+	if len(data)-off < recHeaderSize {
+		return nil, off, false
+	}
+	n := int(binary.BigEndian.Uint32(data[off : off+4]))
+	sum := binary.BigEndian.Uint32(data[off+4 : off+8])
+	body := data[off+recHeaderSize:]
+	if n > wire.MaxFrame || n > len(body) || crc32.ChecksumIEEE(body[:n]) != sum {
+		return nil, off, false
+	}
+	return body[:n], off + recHeaderSize + n, true
 }
 
 // scanWAL decodes the records of a WAL segment (data includes the
 // header, already validated). Scanning stops at the first incomplete or
 // corrupt record; the caller decides whether that is a tolerable torn
 // tail (final segment) or corruption (any earlier segment).
-func scanWAL(data []byte) walScan {
-	res := walScan{goodLen: int64(headerSize)}
-	off := headerSize
-	for off < len(data) {
-		if len(data)-off < recHeaderSize {
-			res.torn = true
-			return res
-		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		sum := binary.BigEndian.Uint32(data[off+4 : off+8])
-		body := data[off+recHeaderSize:]
-		if n > wire.MaxFrame || n > len(body) {
-			res.torn = true
-			return res
-		}
-		payload := body[:n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			res.torn = true
-			return res
+func scanWAL(data []byte) segment {
+	seg := segment{goodLen: int64(headerSize)}
+	for off := headerSize; off < len(data); {
+		payload, next, ok := nextRecord(data, off)
+		if !ok {
+			seg.torn = true
+			break
 		}
 		// Decode retains payload as the block's cached canonical frame
 		// (encode-once invariant), so every scanned block carries its WAL
@@ -189,25 +197,64 @@ func scanWAL(data []byte) walScan {
 			// The checksum matched, so these bytes were written
 			// whole: a malformed block is corruption (or a buggy
 			// writer), not a tear.
-			res.torn = true
-			return res
+			seg.torn = true
+			break
 		}
-		res.blocks = append(res.blocks, b)
-		off += recHeaderSize + n
-		res.goodLen = int64(off)
+		seg.blocks = append(seg.blocks, b)
+		off = next
+		seg.goodLen = int64(off)
 	}
-	return res
+	return seg
+}
+
+// readSegment reads one segment file and decodes it by kind: a snapshot
+// whole (its trailer checksum covers it), a WAL up to the first record
+// that is not. Framing and checksums only — no block is validated here.
+func readSegment(sf segFile) (segment, error) {
+	data, err := os.ReadFile(sf.path)
+	if err != nil {
+		return segment{}, fmt.Errorf("store: read segment: %w", err)
+	}
+	kind, err := checkHeader(data, sf.path)
+	if err != nil {
+		return segment{}, err
+	}
+	if (kind == kindSnap) != sf.snap {
+		return segment{}, fmt.Errorf("%w: %s: kind/extension mismatch", ErrCorrupt, sf.path)
+	}
+	if kind == kindWAL {
+		return scanWAL(data), nil
+	}
+	sv, err := decodeSnapshot(data, sf.path)
+	if err != nil {
+		return segment{}, err
+	}
+	return segment{snap: sv, blocks: sv.blocks, goodLen: int64(len(data))}, nil
+}
+
+// newestSnapshot splits a sorted segment listing at its newest snapshot:
+// recovery reads live (the snapshot, if any, and the WAL segments after
+// it); stale is what a checkpoint that crashed mid-cleanup left behind.
+func newestSnapshot(segs []segFile) (stale, live []segFile) {
+	start := 0
+	for i, sf := range segs {
+		if sf.snap {
+			start = i
+		}
+	}
+	return segs[:start], segs[start:]
 }
 
 // ScanDir reads the blocks currently on disk in dir without opening the
 // store: the newest snapshot first, then the WAL segments in index order,
-// duplicates dropped — a topological order, exactly what recovery replays.
-// This is the serving side of bulk catch-up (package syncsvc): decode-only
-// and CRC-checked, but signatures are NOT verified — the receiving client
-// must revalidate every block, which it does anyway because it treats the
-// serving peer as untrusted. Every returned block carries its on-disk
-// record payload as its cached canonical encoding (block.Decode retains
-// the frame), so serving a stream from these blocks never re-serializes.
+// duplicates dropped — file order, which is a topological order (WAL
+// order is insertion order, a snapshot is written in DAG order), exactly
+// what Open returns. This is the serving side of bulk catch-up (package
+// syncsvc): decode-only and CRC-checked, signatures are NOT verified — the
+// receiving client validates every block in its live DAG, as a restarting
+// node validates Open's. Every returned block carries its on-disk record
+// payload as its cached canonical encoding (block.Decode retains the
+// frame), so serving a stream from these blocks never re-serializes.
 //
 // ScanDir may run concurrently with a live writer on the same directory:
 // a partial record at the tail of a segment (an append in progress, or a
@@ -220,46 +267,22 @@ func ScanDir(dir string) ([]*block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := 0
-	for i, sf := range segs {
-		if sf.snap {
-			start = i
-		}
-	}
-	var (
-		blocks []*block.Block
-		seen   = make(map[block.Ref]struct{})
-	)
-	admit := func(bs []*block.Block) {
-		for _, b := range bs {
-			if _, dup := seen[b.Ref()]; dup {
-				continue
-			}
-			seen[b.Ref()] = struct{}{}
-			blocks = append(blocks, b)
-		}
-	}
-	for _, sf := range segs[start:] {
-		data, err := os.ReadFile(sf.path)
-		if err != nil {
-			return nil, fmt.Errorf("store: scan segment: %w", err)
-		}
-		if len(data) < headerSize {
+	var blocks []*block.Block
+	seen := make(map[block.Ref]struct{})
+	_, live := newestSnapshot(segs)
+	for _, sf := range live {
+		if sf.size < int64(headerSize) {
 			continue // segment creation in progress (or torn header)
 		}
-		kind, err := checkHeader(data, sf.path)
+		seg, err := readSegment(sf)
 		if err != nil {
 			return nil, err
 		}
-		switch kind {
-		case kindSnap:
-			sv, err := decodeSnapshot(data, sf.path)
-			if err != nil {
-				return nil, err
+		for _, b := range seg.blocks {
+			if _, dup := seen[b.Ref()]; !dup {
+				seen[b.Ref()] = struct{}{}
+				blocks = append(blocks, b)
 			}
-			admit(sv.blocks)
-		case kindWAL:
-			admit(scanWAL(data).blocks)
 		}
 	}
 	return blocks, nil

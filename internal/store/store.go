@@ -65,8 +65,9 @@ const (
 
 // Options configures Open.
 type Options struct {
-	// Roster revalidates every recovered block (Definition 3.3) before
-	// it is handed back. Required.
+	// Roster verifies the evidence sidecar's proofs on load: one that no
+	// longer verifies must not resurrect a ban. Required. Blocks are not
+	// checked against it — Open reads, the live DAG validates (see Open).
 	Roster *crypto.Roster
 	// SegmentSize is the rotation threshold for WAL segments in bytes
 	// (default DefaultSegmentSize). Records are never split: a segment
@@ -95,7 +96,7 @@ type OpenReport struct {
 	// HasSnapshot.
 	SnapshotIndex uint64
 	HasSnapshot   bool
-	// Blocks is the number of distinct blocks recovered.
+	// Blocks is the number of distinct blocks read.
 	Blocks int
 	// Duplicates counts WAL records dropped because an identical block
 	// was already recovered (e.g. re-journaled around a checkpoint).
@@ -174,12 +175,14 @@ type Store struct {
 	failed error
 }
 
-// Open creates or recovers the store in dir. It scans segments in index
+// Open creates or recovers the store in dir. It reads segments in index
 // order — the newest snapshot first, then the WAL tail — truncates a torn
-// final record instead of failing, revalidates every block against the
-// roster by replaying into a fresh DAG, and leaves the store ready to
-// Append. The recovered blocks (in a topological order, ready for
-// core.Server.Restore) are available from Blocks.
+// final record instead of failing, sweeps what a crashed checkpoint left
+// behind, drops duplicate records, and leaves the store ready to Append.
+// That is framing and checksums only: Open builds no DAG and checks no
+// signature. The blocks it read are available from Blocks in file order,
+// and Definition 3.3 is checked once, where every other block's is — in
+// the live DAG, by core.Server.Restore.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Roster == nil {
 		return nil, errors.New("store: options need a Roster")
@@ -216,7 +219,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// recover scans the directory and rebuilds in-memory state.
+// recover reads the directory, repairs it, and rebuilds in-memory state.
 func (s *Store) recover() error {
 	// A checkpoint that crashed between writing its temp file and the
 	// rename leaves an orphan no segment listing will ever see; sweep
@@ -241,13 +244,8 @@ func (s *Store) recover() error {
 	}
 	// Recovery starts at the newest snapshot; anything older is
 	// unreachable garbage from a checkpoint that crashed mid-cleanup.
-	start := 0
-	for i, sf := range segs {
-		if sf.snap {
-			start = i
-		}
-	}
-	for _, sf := range segs[:start] {
+	stale, segs := newestSnapshot(segs)
+	for _, sf := range stale {
 		if !s.opts.ReadOnly {
 			if err := os.Remove(sf.path); err != nil {
 				return fmt.Errorf("store: remove stale segment: %w", err)
@@ -255,11 +253,10 @@ func (s *Store) recover() error {
 		}
 		s.report.StaleSegments++
 	}
-	segs = segs[start:]
 
 	// A power cut during segment creation can tear even the header; for
 	// the final WAL segment that is a torn tail (drop the file), anywhere
-	// else it is corruption, surfaced by checkHeader below.
+	// else it is corruption, surfaced by readSegment below.
 	if n := len(segs); n > 0 && !segs[n-1].snap && segs[n-1].size < int64(headerSize) {
 		last := segs[n-1]
 		if !s.opts.ReadOnly {
@@ -268,119 +265,61 @@ func (s *Store) recover() error {
 			}
 		}
 		s.report.TornBytes += last.size
-		if last.index >= s.nextIdx {
-			s.nextIdx = last.index + 1
-		}
+		s.nextIdx = max(s.nextIdx, last.index+1)
 		segs = segs[:n-1]
 	}
 
-	// Replaying into a fresh DAG revalidates every block (signature,
-	// parent rule, predecessor closure — Definition 3.3) and yields the
-	// recovered blocks in a topological order.
-	d := dag.New(s.opts.Roster)
-	lastWalGood := int64(-1) // good-bytes offset of the final WAL segment
 	for i, sf := range segs {
-		data, err := os.ReadFile(sf.path)
-		if err != nil {
-			return fmt.Errorf("store: read segment: %w", err)
-		}
-		kind, err := checkHeader(data, sf.path)
+		seg, err := readSegment(sf)
 		if err != nil {
 			return err
 		}
 		s.report.Segments++
-		switch kind {
-		case kindSnap:
-			if !sf.snap {
-				return fmt.Errorf("%w: %s: kind/extension mismatch", ErrCorrupt, sf.path)
-			}
-			sv, err := decodeSnapshot(data, sf.path)
-			if err != nil {
-				return err
-			}
-			// Seed the validation DAG with the pruned-history base first:
-			// the retained blocks reference it, and revalidation needs the
-			// stand-ins in place before the first admit. The snapshot is
-			// always the first segment replayed, so the DAG is empty here.
-			if err := d.SeedBase(sv.base); err != nil {
-				return fmt.Errorf("store: seed recovered base: %w", err)
-			}
-			if err := s.admit(d, sv.blocks); err != nil {
-				return err
-			}
-			s.horizon = sv.horizon
-			s.base = sv.base
-			s.stateCkpt = sv.state
+		s.nextIdx = max(s.nextIdx, sf.index+1)
+		if seg.torn && i != len(segs)-1 {
+			return fmt.Errorf("%w: %s: bad record before final segment", ErrCorrupt, sf.path)
+		}
+		s.admit(seg.blocks)
+		if seg.snap != nil {
+			s.horizon, s.base, s.stateCkpt = seg.snap.horizon, seg.snap.base, seg.snap.state
 			s.report.HasSnapshot = true
 			s.report.SnapshotIndex = sf.index
-		case kindWAL:
-			if sf.snap {
-				return fmt.Errorf("%w: %s: kind/extension mismatch", ErrCorrupt, sf.path)
-			}
-			scan := scanWAL(data)
-			if scan.torn && i != len(segs)-1 {
-				return fmt.Errorf("%w: %s: bad record before final segment", ErrCorrupt, sf.path)
-			}
-			if err := s.admit(d, scan.blocks); err != nil {
-				return err
-			}
-			if scan.torn {
-				s.report.TornBytes += int64(len(data)) - scan.goodLen
-				if !s.opts.ReadOnly {
-					if err := os.Truncate(sf.path, scan.goodLen); err != nil {
-						return fmt.Errorf("store: truncate torn tail: %w", err)
-					}
+			continue
+		}
+		s.walSegs++
+		if seg.torn {
+			s.report.TornBytes += sf.size - seg.goodLen
+			if !s.opts.ReadOnly {
+				if err := os.Truncate(sf.path, seg.goodLen); err != nil {
+					return fmt.Errorf("store: truncate torn tail: %w", err)
 				}
 			}
-			lastWalGood = scan.goodLen
 		}
-		if sf.index >= s.nextIdx {
-			s.nextIdx = sf.index + 1
-		}
-	}
-	s.recovered = d.Blocks()
-	s.report.Blocks = len(s.recovered)
-	for _, sf := range segs {
-		if !sf.snap {
-			s.walSegs++
-		}
-	}
-
-	// Resume the final WAL segment if it has room, else start fresh.
-	// Its post-truncation size is the segment's own scan result, not the
-	// report's TornBytes total (which may include bytes from a removed
-	// torn-header segment).
-	if n := len(segs); !s.opts.ReadOnly && n > 0 && !segs[n-1].snap && lastWalGood >= 0 {
-		last := segs[n-1]
-		size := lastWalGood
-		if size < s.opts.SegmentSize {
-			f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		// Resume the final WAL segment if it has room, else start fresh.
+		if i == len(segs)-1 && !s.opts.ReadOnly && seg.goodLen < s.opts.SegmentSize {
+			f, err := os.OpenFile(sf.path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return fmt.Errorf("store: reopen segment: %w", err)
 			}
-			s.cur = f
-			s.curIndex = last.index
-			s.curSize = size
+			s.cur, s.curIndex, s.curSize = f, sf.index, seg.goodLen
 		}
 	}
+	s.report.Blocks = len(s.recovered)
 	s.lastSync = s.opts.Clock()
 	return nil
 }
 
-// admit inserts recovered blocks into the validation DAG and the present
-// set, dropping duplicates.
-func (s *Store) admit(d *dag.DAG, blocks []*block.Block) error {
+// admit appends one segment's blocks to the recovered list, in file
+// order, dropping records of a block already held.
+func (s *Store) admit(blocks []*block.Block) {
 	for _, b := range blocks {
 		if _, dup := s.present[b.Ref()]; dup {
 			s.report.Duplicates++
 			continue
 		}
-		if err := d.Insert(b); err != nil {
-			return fmt.Errorf("store: recovered block %v failed revalidation: %w", b.Ref(), err)
-		}
 		s.present[b.Ref()] = struct{}{}
+		s.recovered = append(s.recovered, b)
 	}
-	return nil
 }
 
 // Dir returns the store's directory.
@@ -389,9 +328,10 @@ func (s *Store) Dir() string { return s.dir }
 // Report returns what Open found and repaired.
 func (s *Store) Report() OpenReport { return s.report }
 
-// Blocks returns the blocks recovered by Open, in a topological order
-// suitable for core.Server.Restore. The slice is shared; treat it as
-// read-only.
+// Blocks returns the blocks Open read, unvalidated, in file order — a
+// topological order when a correct server wrote the files (WAL order is
+// insertion order; a snapshot is written in DAG order) — for
+// core.Server.Restore. The slice is shared; treat it as read-only.
 func (s *Store) Blocks() []*block.Block { return s.recovered }
 
 // Base returns the pruned-history base table recovered from the newest
@@ -518,14 +458,15 @@ func (s *Store) Append(b *block.Block) error {
 	s.curSize += int64(len(rec))
 	s.present[ref] = struct{}{}
 	s.dirty = true
+	return s.syncByPolicy()
+}
 
-	switch s.opts.Sync {
-	case SyncAlways:
+// syncByPolicy is the fsync decision after a write: always, or once the
+// interval has passed since the last one, or never.
+func (s *Store) syncByPolicy() error {
+	if s.opts.Sync == SyncAlways ||
+		s.opts.Sync == SyncInterval && s.opts.Clock()-s.lastSync >= s.opts.SyncEvery {
 		return s.Sync()
-	case SyncInterval:
-		if now := s.opts.Clock(); now-s.lastSync >= s.opts.SyncEvery {
-			return s.Sync()
-		}
 	}
 	return nil
 }
@@ -561,15 +502,7 @@ func (s *Store) FlushBatch() error {
 	if err := s.flushPending(); err != nil {
 		return err
 	}
-	switch s.opts.Sync {
-	case SyncAlways:
-		return s.Sync()
-	case SyncInterval:
-		if now := s.opts.Clock(); now-s.lastSync >= s.opts.SyncEvery {
-			return s.Sync()
-		}
-	}
-	return nil
+	return s.syncByPolicy()
 }
 
 // flushPending writes the buffered batch records and resets the buffer,
@@ -701,10 +634,7 @@ func (s *Store) Tick() error {
 	if s.opts.Sync != SyncInterval || !s.dirty {
 		return nil
 	}
-	if s.opts.Clock()-s.lastSync < s.opts.SyncEvery {
-		return nil
-	}
-	return s.Sync()
+	return s.syncByPolicy()
 }
 
 // newSegment starts WAL segment nextIdx. O_APPEND keeps every write at

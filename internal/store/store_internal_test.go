@@ -8,8 +8,7 @@ import (
 )
 
 // sealedPair returns a two-server roster and one sealed genesis block per
-// server. Append does not validate, but recovery does, so the blocks are
-// honestly signed.
+// server, honestly signed.
 func sealedPair(t *testing.T) (*crypto.Roster, *block.Block, *block.Block) {
 	t.Helper()
 	roster, signers, err := crypto.LocalRoster(2)
