@@ -50,13 +50,14 @@ race:
 .PHONY: flake-smoke
 # flake-smoke repeats the socket and timing tests of the catch-up path —
 # the store's replay included: it is the same absorb with the disk as the
-# peer — ten times under the race detector, so a test that fails one run
+# peer, and the assembly's snapshot rejoin: every tier over one listener —
+# ten times under the race detector, so a test that fails one run
 # in five (as TestAuthWrongKeyRejected did until PR 12) is caught in the
 # PR that introduces it rather than blocking unrelated work later. The
 # -run filter keeps it around a minute.
 flake-smoke:
-	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn' \
-		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store
+	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release' \
+		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy
 
 .PHONY: restart-smoke
 # restart-smoke is the README's restart walkthrough as a target: the
@@ -219,7 +220,12 @@ chaos-smoke:
 # exists under internal/ or cmd/ that README.md's package map (or, for
 # internal/, docs/ARCHITECTURE.md) does not mention, when either file
 # names a package that no longer exists, or when the tree (godoc
-# examples included) stops vetting/building. CI runs it on every push.
+# examples included) stops vetting/building. It also keeps "a deployed
+# node is assembled in internal/deploy" true: non-test Go outside that
+# package (and outside bench/, frozen until the next benchmark PR) may not
+# bind a tcpnet listener, late-bind an endpoint or construct a sync server
+# — the simulator's, which serves a storeless slot from its DAG on the
+# virtual clock, excepted. CI runs it on every push.
 docs-check:
 	@missing=0; \
 	for p in $$(ls internal); do \
@@ -236,6 +242,10 @@ docs-check:
 		[ -d "$$m" ] || { echo "docs name $$m, which does not exist" >&2; missing=1; }; \
 	done; \
 	[ $$missing -eq 0 ] || { echo "docs-check FAILED: package map out of sync" >&2; exit 1; }
+	@wired=$$( { grep -rnE 'tcpnet\.Listen\(|transport\.LateBound' --include='*.go' internal cmd examples; \
+			grep -rn 'syncsvc\.Server{' --include='*.go' internal cmd examples | grep -v '^internal/cluster/'; } \
+		| grep -v '_test\.go:' | grep -v '^internal/deploy/' || true); \
+	[ -z "$$wired" ] || { echo "docs-check FAILED: a node is assembled by hand outside internal/deploy:" >&2; echo "$$wired" >&2; exit 1; }
 	go vet ./...
 	go build ./...
 	go test -run Example ./...

@@ -164,17 +164,7 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 	if ckpt := st.StateCheckpoint(); ckpt != nil {
 		fmt.Printf("state    commit at slot %d, root %x, %d chunks\n",
 			ckpt.Slot, ckpt.Root[:8], len(ckpt.Chunks))
-		b := state.NewBuilder(ckpt.Root)
-		rebuildErr := func() error {
-			for _, chunk := range ckpt.Chunks {
-				if err := b.Add(chunk); err != nil {
-					return err
-				}
-			}
-			_, err := b.Finish()
-			return err
-		}()
-		if rebuildErr != nil {
+		if _, rebuildErr := state.Import(ckpt.Root, ckpt.Chunks); rebuildErr != nil {
 			if strict {
 				return fmt.Errorf("verify: state checkpoint does not rebuild its root: %w", rebuildErr)
 			}

@@ -1,8 +1,8 @@
 // Package cluster runs complete shim(P) clusters on the deterministic
 // network simulator: n correct slots, each a production runtime — a
-// node.Node built by node.New around its own core.Server, DAG, gossip and
-// interpreter — exchanging blocks over simnet with configurable latency,
-// jitter, and loss.
+// node.Node around its own core.Server, DAG, gossip and interpreter, built
+// by the step a deployed node is built by (deploy.Build) — exchanging
+// blocks over simnet with configurable latency, jitter, and loss.
 //
 // The cluster is the simulator's shell around that runtime, and nothing
 // more: it never starts a node's goroutine; it steps the node's turns
@@ -27,6 +27,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
+	"blockdag/internal/deploy"
 	"blockdag/internal/evidence"
 	"blockdag/internal/gateway"
 	"blockdag/internal/gossip"
@@ -289,14 +290,15 @@ func New(opts Options) (*Cluster, error) {
 }
 
 // buildSlot brings one correct slot up — at New and at every recovery,
-// the one construction path: a fresh core.Server wired per the options,
-// handed to node.New, which installs the persistence sinks, replays st
+// the one construction path: a core.Config per the options over simnet's
+// transport and clock, handed to deploy.Build, the step a deployed node's
+// Boot runs. There node.New installs the persistence sinks, replays st
 // (pruned-history base, evidence sidecar, blocks) and sets up the
-// follower, checkpoint policy and indication broker exactly as for a
-// deployed node. stored is the storeless recovery's log: blocks the
-// caller held, restored once the runtime's observers are in place.
-// Accountability state and the mempool are volatile — fresh per build, as
-// after a real restart; bans come back from the sidecar.
+// follower, checkpoint policy and indication broker. stored is the
+// storeless recovery's log: blocks the caller held, restored once the
+// runtime's observers are in place. Accountability state and the mempool
+// are volatile — fresh per build, as after a real restart; bans come back
+// from the sidecar.
 func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, stored []*block.Block) error {
 	id := types.ServerID(slot)
 	m := &metrics.Metrics{}
@@ -326,12 +328,7 @@ func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, 
 		}
 		return fmt.Errorf("cluster: server %d: %w", slot, err)
 	}
-	srv, err := core.NewServer(cfg)
-	if err != nil {
-		return fail(err)
-	}
-	nd, err := node.New(node.Config{
-		Server:                  srv,
+	nd, reg, err := deploy.Build(cfg, node.Config{
 		Store:                   st,
 		CheckpointEverySegments: c.opts.CheckpointEverySegments,
 		FollowEvery:             c.opts.FollowEvery,
@@ -339,6 +336,7 @@ func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, 
 	if err != nil {
 		return fail(err)
 	}
+	srv := nd.Server()
 	if len(stored) > 0 {
 		if err := srv.Restore(stored); err != nil {
 			return fail(err)
@@ -347,10 +345,6 @@ func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, 
 	if c.opts.GatewayPerSlot {
 		// The gateway's HTTP goroutines reach the slot only through
 		// concurrency-safe values: the pool, the broker, the counters.
-		reg := gateway.NewRegistry()
-		reg.Register(gateway.CollectMetrics(m))
-		reg.Register(gateway.CollectMempool(cfg.Mempool))
-		reg.Register(gateway.CollectPeerScore(cfg.Scores))
 		gw, err := gateway.Listen("127.0.0.1:0", gateway.Config{Node: nd, Registry: reg})
 		if err != nil {
 			return fail(fmt.Errorf("gateway: %w", err))

@@ -267,7 +267,7 @@ func (s *Server) Deliver(from types.ServerID, payload []byte) {
 // A flush failure is latched into Health, exactly like a per-block
 // persist failure.
 func (s *Server) DeliverBatch(msgs []gossip.Message) {
-	if s.batcher == nil || len(msgs) < 2 {
+	if s.batcher == nil {
 		s.gsp.HandleMessages(msgs)
 		return
 	}

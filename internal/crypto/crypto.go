@@ -145,6 +145,10 @@ func NewRoster(keys []ed25519.PublicKey) (*Roster, error) {
 // Signers derived from it afterwards). Pass nil to disable counting.
 func (r *Roster) SetCounters(c *Counters) { r.counters = c }
 
+// Counters returns the installed signature-operation counters, nil when
+// counting is off — what a metrics scrape of this roster's owner reads.
+func (r *Roster) Counters() *Counters { return r.counters }
+
 // N returns the number of servers.
 func (r *Roster) N() int { return len(r.keys) }
 

@@ -1,0 +1,339 @@
+// Package deploy assembles a deployed node — the one place that orders
+// store, sync service, transport, core server, runtime and gateway.
+//
+//	Listen   store.Open → syncsvc.Server → late-bound gossip endpoint →
+//	         tcpnet.Listen
+//	Boot     mesh → snapshot join → Build (core.NewServer → node.New) →
+//	         bind gossip → Start → registry → gateway
+//	Close    the reverse: gateway (by the runtime's stop hook), runtime,
+//	         transport, store
+//
+// Two phases, because a cluster comes up in two: every member must be
+// listening, and answering sync calls, before any member's startup
+// catch-up dials it. docs/ARCHITECTURE.md ("The assembly") gives the
+// reason for each edge. Build is the step that does not care what carries
+// the bytes or tells the time; the simulator (package cluster) calls it
+// too, with simnet's transport and virtual clock.
+package deploy
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"blockdag/internal/core"
+	"blockdag/internal/gateway"
+	"blockdag/internal/mempool"
+	"blockdag/internal/metrics"
+	"blockdag/internal/node"
+	"blockdag/internal/protocol"
+	"blockdag/internal/roster"
+	"blockdag/internal/state"
+	"blockdag/internal/store"
+	"blockdag/internal/syncsvc"
+	"blockdag/internal/tcpnet"
+	"blockdag/internal/transport"
+	"blockdag/internal/types"
+)
+
+// What every deployment so far has run with; none has needed another value.
+const (
+	disseminateEvery = 20 * time.Millisecond
+	// The sync server's per-peer token bucket, on top of its in-flight
+	// cap: a byzantine peer cannot force repeated full-store scans.
+	syncEvery, syncBurst = time.Second, 8
+	catchUpTimeout       = 5 * time.Second
+	snapshotTimeout      = 10 * time.Second
+	sealEvery            = 500 * time.Millisecond
+	stateChunkBytes      = 32 << 10
+)
+
+// Config declares one node.
+type Config struct {
+	// Identity is who the node is: roster, key, signer, authenticator.
+	// Counters installed on its roster appear in the /metrics scrape.
+	// Required.
+	Identity *roster.Identity
+	// ListenAddr is the bind address (default: the identity's roster address).
+	ListenAddr string
+	// Protocol is the embedded protocol P. Required (Boot checks).
+	Protocol protocol.Protocol
+	// OnIndication receives P's indications on the loop goroutine.
+	OnIndication func(label types.Label, value []byte)
+
+	// StoreDir, if non-empty, makes the node durable: blocks are journaled
+	// there under the Fsync policy and replayed at Boot, the store
+	// checkpoints per the two thresholds (node.Config), and peers are
+	// served catch-up streams from it.
+	StoreDir                string
+	Fsync                   store.SyncPolicy
+	CheckpointEverySegments int
+	CheckpointEveryBytes    int64
+	// CatchUp makes Boot pull what the store lacks from the peers before
+	// the node starts; FollowEvery > 0 keeps polling a rotating peer while
+	// it runs (node.Config.CatchUp, FollowEvery). Independent of each other.
+	CatchUp     bool
+	FollowEvery time.Duration
+	// MempoolCapacity > 0 puts an ingestion pool of that capacity in front
+	// of block production (0 = plain FIFO).
+	MempoolCapacity int
+
+	// State, if non-nil, is the Merkle-committed machine the caller feeds
+	// from OnIndication: the runtime seals, signs, journals and serves it
+	// (node.StateSyncConfig; needs StoreDir). PruneKeepSeqs > 0 prunes
+	// journaled history that far below each chain's tip after every seal.
+	// SnapshotJoin makes a node whose store holds nothing install a
+	// roster-certified snapshot from its peers at Boot.
+	State         *state.Machine
+	PruneKeepSeqs uint64
+	SnapshotJoin  bool
+
+	// GatewayAddr, if non-empty, serves the client gateway there;
+	// GatewayToken puts its API behind that bearer token.
+	GatewayAddr  string
+	GatewayToken string
+}
+
+// Assembly is one node being brought up, running, or closed. The exported
+// fields are for reading: each is nil until the phase that sets it.
+type Assembly struct {
+	// Set by Listen; Store only with Config.StoreDir.
+	Store     *store.Store
+	Transport *tcpnet.Transport
+	// Set by Boot; Joined only if a snapshot join ran, Gateway only with
+	// Config.GatewayAddr.
+	Joined   *syncsvc.FetchedSnapshot
+	Node     *node.Node
+	Registry *gateway.Registry
+	Gateway  *gateway.Gateway
+
+	cfg     Config
+	syncSrv *syncsvc.Server
+	gossip  transport.LateBound
+	// running late-binds the runtime for the sync service's live sources:
+	// the listener, and its handler goroutines, exist before the node does.
+	running atomic.Pointer[node.Node]
+
+	closeOnce sync.Once
+	closeErr  error
+}
+
+// Listen opens the store, if one is configured, and binds the listener with
+// the sync handler and the gossip endpoint in place: the node is reachable
+// and serves catch-up from its store; it runs nothing yet.
+func Listen(cfg Config) (*Assembly, error) {
+	id := cfg.Identity
+	switch {
+	case id == nil:
+		return nil, errors.New("deploy: config needs an Identity")
+	case cfg.State == nil && (cfg.PruneKeepSeqs > 0 || cfg.SnapshotJoin):
+		return nil, errors.New("deploy: PruneKeepSeqs and SnapshotJoin need State")
+	}
+	if cfg.ListenAddr == "" {
+		cfg.ListenAddr = id.File.Addr(id.ID())
+	}
+	a := &Assembly{cfg: cfg}
+	tcfg := tcpnet.Config{
+		Self:       id.ID(),
+		ListenAddr: cfg.ListenAddr,
+		Auth:       id.Auth(),
+		Endpoints:  map[transport.Channel]transport.Endpoint{transport.ChanGossip: &a.gossip},
+	}
+	if cfg.StoreDir != "" {
+		st, err := store.Open(cfg.StoreDir, store.Options{Roster: id.Roster, Sync: cfg.Fsync})
+		if err != nil {
+			return nil, err
+		}
+		a.Store = st
+		// Nil until the runtime is up: the server then falls back to a
+		// store scan, behind the same admission policy.
+		a.syncSrv = &syncsvc.Server{
+			Store: st, Every: syncEvery, Burst: syncBurst,
+			Watermarks: func() []syncsvc.Watermark {
+				if nd := a.running.Load(); nd != nil {
+					return nd.Watermarks()
+				}
+				return nil
+			},
+			Snapshot: func() *syncsvc.ServedSnapshot {
+				if nd := a.running.Load(); nd != nil {
+					return nd.ServedSnapshot()
+				}
+				return nil
+			},
+		}
+		tcfg.Handlers = map[transport.Channel]transport.Handler{transport.ChanSync: a.syncSrv}
+	}
+	tr, err := tcpnet.Listen(tcfg)
+	if err != nil {
+		_ = a.Close()
+		return nil, err
+	}
+	a.Transport = tr
+	return a, nil
+}
+
+// Addr returns the bound listen address (the port chosen, for ":0").
+func (a *Assembly) Addr() string { return a.Transport.Addr() }
+
+// Boot connects the mesh — addrOf gives every other roster member's dial
+// address — joins by snapshot if configured and the store holds nothing,
+// builds and starts the runtime, and opens the gateway. Call it once, when
+// every member has Listened. A Boot that fails has closed the assembly.
+func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
+	defer func() {
+		if err != nil {
+			_ = a.Close()
+		}
+	}()
+	cfg, id := a.cfg, a.cfg.Identity
+	var peers []types.ServerID
+	for _, peer := range id.Roster.IDs() {
+		if peer == id.ID() {
+			continue
+		}
+		addr := addrOf(peer)
+		if addr == "" {
+			return fmt.Errorf("deploy: s%d: no dial address for peer s%d", id.ID(), peer)
+		}
+		if err := a.Transport.Connect(peer, addr); err != nil {
+			return err
+		}
+		peers = append(peers, peer)
+	}
+	if cfg.SnapshotJoin && a.Store != nil && a.Store.Len() == 0 && len(a.Store.Base()) == 0 {
+		if err := a.snapshotJoin(peers); err != nil {
+			return fmt.Errorf("deploy: s%d snapshot join: %w", id.ID(), err)
+		}
+		// The anchor first: it provably holds the blocks above the horizon
+		// just installed.
+		peers = anchorFirst(peers, a.Joined.Anchor)
+	}
+
+	ccfg := core.Config{
+		Roster:       id.Roster,
+		Signer:       id.Signer,
+		Protocol:     cfg.Protocol,
+		Transport:    a.Transport,
+		Clock:        node.Clock(),
+		Metrics:      &metrics.Metrics{},
+		OnIndication: cfg.OnIndication,
+	}
+	if cfg.MempoolCapacity > 0 {
+		ccfg.Mempool = mempool.New(mempool.Options{Capacity: cfg.MempoolCapacity})
+	}
+	ncfg := node.Config{
+		Identity:                id,
+		DisseminateEvery:        disseminateEvery,
+		Store:                   a.Store,
+		CheckpointEverySegments: cfg.CheckpointEverySegments,
+		CheckpointEveryBytes:    cfg.CheckpointEveryBytes,
+		FollowEvery:             cfg.FollowEvery,
+	}
+	if cfg.CatchUp && a.Store != nil && len(peers) > 0 {
+		ncfg.CatchUp = &syncsvc.FetchConfig{Transport: a.Transport, Peers: peers, Timeout: catchUpTimeout}
+	}
+	if cfg.State != nil {
+		ncfg.State = &node.StateSyncConfig{
+			Machine:       cfg.State,
+			Signer:        id.Signer,
+			SealEvery:     sealEvery,
+			ChunkBytes:    stateChunkBytes,
+			PruneKeepSeqs: cfg.PruneKeepSeqs,
+		}
+	}
+	if a.Node, a.Registry, err = Build(ccfg, ncfg); err != nil {
+		return err
+	}
+	a.gossip.Bind(a.Node)
+	a.running.Store(a.Node)
+	if err := a.Node.Start(); err != nil {
+		return err
+	}
+
+	a.Registry.Register(gateway.CollectTCPNet(a.Transport))
+	a.Registry.Register(gateway.CollectSync(a.syncSrv))
+	a.Registry.Register(gateway.CollectCrypto(id.Roster.Counters()))
+	if cfg.GatewayAddr != "" {
+		gcfg := gateway.Config{Node: a.Node, Registry: a.Registry}
+		if cfg.GatewayToken != "" {
+			gcfg.Tokens = []string{cfg.GatewayToken}
+		}
+		if a.Gateway, err = gateway.Listen(cfg.GatewayAddr, gcfg); err != nil {
+			return fmt.Errorf("deploy: s%d gateway: %w", id.ID(), err)
+		}
+	}
+	return nil
+}
+
+// Build makes the runtime both shells run: a core server per ccfg — whose
+// Transport and Clock are the shell's — the node around it per ncfg (Server
+// is filled in here), and the registry folding their counters. node.New
+// does the ordered part: sinks before replay, replay before catch-up.
+func Build(ccfg core.Config, ncfg node.Config) (*node.Node, *gateway.Registry, error) {
+	srv, err := core.NewServer(ccfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	ncfg.Server = srv
+	nd, err := node.New(ncfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	reg := gateway.NewRegistry()
+	reg.Register(gateway.CollectMetrics(ccfg.Metrics))
+	reg.Register(gateway.CollectMempool(ccfg.Mempool))
+	reg.Register(gateway.CollectPeerScore(ccfg.Scores))
+	return nd, reg, nil
+}
+
+// snapshotJoin is the wiped-node path of the snapshot tier: fetch a
+// roster-certified state snapshot from the peers, every chunk verified
+// against the certified root, and install it for node.New to restore from.
+func (a *Assembly) snapshotJoin(peers []types.ServerID) error {
+	fetched, err := syncsvc.FetchSnapshot(syncsvc.SnapshotFetchConfig{
+		Transport: a.Transport,
+		Roster:    a.cfg.Identity.Roster,
+		Peers:     peers,
+		Timeout:   snapshotTimeout,
+	})
+	if err != nil {
+		return err
+	}
+	a.Joined = fetched
+	return a.Store.InstallSnapshot(fetched.Horizon, fetched.Base, &store.StateCheckpoint{
+		Slot:   fetched.Commit.Slot,
+		Root:   fetched.Commit.Root,
+		Chunks: fetched.Chunks,
+	})
+}
+
+// anchorFirst moves anchor to the head of peers, the rest keeping their
+// order.
+func anchorFirst(peers []types.ServerID, anchor types.ServerID) []types.ServerID {
+	rest := slices.DeleteFunc(slices.Clone(peers), func(id types.ServerID) bool { return id == anchor })
+	return append([]types.ServerID{anchor}, rest...)
+}
+
+// Close releases whatever Listen and Boot acquired, in reverse: the runtime
+// stops — its stop hook, registered by the gateway, drains and closes that
+// first, so awaits and streams get their terminal response before the loop
+// dies — then transport and store close. It reports the transport's or the
+// store's close error. Idempotent.
+func (a *Assembly) Close() error {
+	a.closeOnce.Do(func() {
+		if a.Node != nil {
+			a.Node.Stop()
+		}
+		if a.Transport != nil {
+			a.closeErr = a.Transport.Close()
+		}
+		if a.Store != nil {
+			a.closeErr = errors.Join(a.closeErr, a.Store.Close())
+		}
+	})
+	return a.closeErr
+}

@@ -1,0 +1,383 @@
+package deploy
+
+import (
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"blockdag/internal/block"
+	"blockdag/internal/protocols/brb"
+	"blockdag/internal/roster"
+	"blockdag/internal/state"
+	"blockdag/internal/store"
+	"blockdag/internal/types"
+)
+
+// member is one node of a loopback test cluster: its assembly and what it
+// has been indicated.
+type member struct {
+	*Assembly
+
+	mu        sync.Mutex
+	delivered map[types.Label][]byte
+}
+
+// listen brings member i of fx to its Listen phase on loopback per cfg,
+// with the delivery log — and cfg.State, when set, the way examples/tcp
+// feeds it: one entry per label, slot = number of labels — as indication
+// sink.
+func listen(t *testing.T, fx *roster.Fixture, i int, cfg Config) *member {
+	t.Helper()
+	identity, err := fx.Identity(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &member{delivered: make(map[types.Label][]byte)}
+	cfg.Identity, cfg.Protocol = identity, brb.Protocol{}
+	if cfg.ListenAddr == "" {
+		cfg.ListenAddr = "127.0.0.1:0"
+	}
+	machine := cfg.State
+	cfg.OnIndication = func(label types.Label, value []byte) {
+		m.mu.Lock()
+		m.delivered[label] = value
+		m.mu.Unlock()
+		if machine != nil {
+			machine.Tree().Put([]byte(label), value)
+			machine.SealAt(uint64(machine.Tree().Len()))
+		}
+	}
+	if m.Assembly, err = Listen(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	return m
+}
+
+func (m *member) has(label types.Label) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.delivered[label]
+	return ok
+}
+
+// addrs is Boot's addrOf for a cluster in one process: member id's bound
+// address, read when Boot dials — a replaced member's is its new one.
+func addrs(members []*member) func(types.ServerID) string {
+	return func(id types.ServerID) string { return members[id].Addr() }
+}
+
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWipedNodeRejoinsBySnapshotOverItsOwnListener is the acceptance path
+// of the snapshot tier over real TCP: a 4-node durable cluster seals Merkle
+// state commitments and prunes history; one node is stopped and its store
+// wiped; its replacement binds the same address, and from that one
+// listener fetches a roster-certified snapshot, installs it into its open
+// store, pulls the delta from the snapshot's anchor, reconverges with live
+// traffic and commits the same root as everyone else.
+func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test with real sockets")
+	}
+	const n = 4
+	fx, err := roster.Dev(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("s%d", i))
+	}
+	durable := func(i int) Config {
+		return Config{StoreDir: dirs[i], CatchUp: true, State: state.NewMachine(0), PruneKeepSeqs: 4}
+	}
+	members := make([]*member, n)
+	for i := range members {
+		members[i] = listen(t, fx, i, durable(i))
+	}
+	for _, m := range members {
+		if err := m.Boot(addrs(members)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The workload: one broadcast per member.
+	label := func(i int) types.Label { return types.Label(fmt.Sprintf("greet/s%d", i)) }
+	value := func(i int) []byte { return []byte(fmt.Sprintf("hello from s%d", i)) }
+	for i, m := range members {
+		m.Node.Request(label(i), value(i))
+	}
+	waitFor(t, 20*time.Second, "all deliveries", func() bool {
+		for _, m := range members {
+			for i := 0; i < n; i++ {
+				if !m.has(label(i)) {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	// Every survivor must have sealed the quiescent state (slot n) and
+	// pruned history below it before the wiped node tries to join.
+	waitFor(t, 20*time.Second, "peers sealed and pruned", func() bool {
+		for _, m := range members[1:] {
+			served := m.Node.ServedSnapshot()
+			if served == nil || served.Signed.Commit.Slot != n || len(served.Horizon) == 0 {
+				return false
+			}
+		}
+		return true
+	})
+	want := members[1].Node.ServedSnapshot().Signed.Commit
+
+	// Kill node 0 and wipe its store: its history below the survivors'
+	// horizons now exists nowhere. The replacement rebinds the same address
+	// — in a deployment the node's stable roster address, which the
+	// survivors' senders keep redialing.
+	addr0 := members[0].Addr()
+	if err := members[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dirs[0]); err != nil {
+		t.Fatal(err)
+	}
+	servedBefore := make([]int64, n)
+	for i, m := range members[1:] {
+		servedBefore[i+1] = m.Transport.CallsServed()
+	}
+
+	cfg := durable(0)
+	cfg.ListenAddr, cfg.SnapshotJoin = addr0, true
+	rn := listen(t, fx, 0, cfg)
+	members[0] = rn
+	if err := rn.Boot(addrs(members)); err != nil {
+		t.Fatal(err)
+	}
+	joined := rn.Joined
+	if joined == nil {
+		t.Fatal("no snapshot join on an empty store")
+	}
+	if joined.Commit != want {
+		t.Fatalf("joined commit (%d, %x), want (%d, %x)", joined.Commit.Slot, joined.Commit.Root[:8], want.Slot, want.Root[:8])
+	}
+	verifier, err := fx.File.Roster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !state.CertifiedBy(joined.Cert, verifier) {
+		t.Fatal("fetched certificate does not certify the commit")
+	}
+	// The open store took the install: certified checkpoint, base
+	// stand-ins, a horizon.
+	if ckpt := rn.Store.StateCheckpoint(); ckpt == nil || ckpt.Root != want.Root {
+		t.Fatalf("installed store checkpoint = %+v, want root %x", ckpt, want.Root[:8])
+	}
+	horizon := rn.Store.Horizon()
+	if len(rn.Store.Base()) == 0 || len(horizon) == 0 {
+		t.Fatalf("installed store has %d base stand-ins, horizon %v", len(rn.Store.Base()), horizon)
+	}
+	// The runtime restored the machine from it (and serves it on), without
+	// any indication: the history that produced it is gone.
+	restored := rn.Node.ServedSnapshot()
+	if restored == nil || restored.Signed.Commit != want {
+		t.Fatalf("rejoined node serves %+v, want the installed commit", restored)
+	}
+	tree, err := state.Import(want.Root, restored.Chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if got, ok := tree.Get([]byte(label(i))); !ok || string(got) != string(value(i)) {
+			t.Fatalf("restored state missing %s (got %q)", label(i), got)
+		}
+	}
+	// The delta came anchor-first: the anchor served the snapshot's meta,
+	// its chunk stream and a pull, all over the replacement's one transport.
+	if rep := rn.Node.CatchUpReport(); !rep.Ran {
+		t.Fatal("no startup catch-up after the join")
+	}
+	if got := members[joined.Anchor].Transport.CallsServed() - servedBefore[joined.Anchor]; got < 3 {
+		t.Fatalf("anchor s%d served %d calls since the wipe, want meta + chunks + pull", joined.Anchor, got)
+	}
+
+	// Live reconvergence: a fresh broadcast submitted at the rejoined node
+	// must deliver everywhere, and every node — the rejoined one included —
+	// must then seal the same advanced root.
+	rn.Node.Request("post/rejoin", []byte("back from the dead"))
+	waitFor(t, 20*time.Second, "post-rejoin delivery", func() bool {
+		for _, m := range members {
+			if !m.has("post/rejoin") {
+				return false
+			}
+		}
+		return true
+	})
+	waitFor(t, 20*time.Second, "roots converge after rejoin", func() bool {
+		for _, m := range members {
+			served := m.Node.ServedSnapshot()
+			if served == nil || served.Signed.Commit.Slot != n+1 ||
+				served.Signed.Commit.Root != members[0].Node.ServedSnapshot().Signed.Commit.Root {
+				return false
+			}
+		}
+		return true
+	})
+	for i, m := range members {
+		if err := m.Node.Err(); err != nil {
+			t.Fatalf("node %d unhealthy after rejoin: %v", i, err)
+		}
+	}
+
+	// Nothing below the installed horizon was ever journaled: the store
+	// holds the delta and what came after, in WAL segments behind the
+	// installed snapshot.
+	if err := rn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := store.ScanDir(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) == 0 {
+		t.Fatal("rejoined store journaled no block")
+	}
+	for _, b := range blocks {
+		if b.Seq < horizon[b.Builder] {
+			t.Fatalf("rejoined store holds pruned history: s%d seq %d < horizon %d", b.Builder, b.Seq, horizon[b.Builder])
+		}
+	}
+}
+
+// TestFailedPhasesReleaseEverything: whichever step of Listen or Boot
+// fails, the listen port is free and the store is closed when the error
+// returns, and Close after it is a no-op.
+func TestFailedPhasesReleaseEverything(t *testing.T) {
+	fx, err := roster.Dev(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freePort := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	// A journal the live DAG refuses: a chain without its first block.
+	orphaned := t.TempDir()
+	{
+		id, err := fx.Identity(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(orphaned, store.Options{Roster: id.Roster})
+		if err != nil {
+			t.Fatal(err)
+		}
+		genesis := block.New(0, 0, nil, nil)
+		child := block.New(0, 1, []block.Ref{genesis.Ref()}, nil)
+		if err := child.Seal(id.Signer); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(child); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corrupt := t.TempDir()
+	if err := os.WriteFile(filepath.Join(corrupt, "0000000000000001.snap"), []byte("not a snapshot segment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	peerAddr := func(types.ServerID) string { return taken.Addr().String() }
+
+	cases := []struct {
+		name   string
+		cfg    Config
+		addrOf func(types.ServerID) string
+		listen bool // the failure is Listen's
+	}{
+		{name: "corrupt store dir", cfg: Config{StoreDir: corrupt}, listen: true},
+		{name: "listen port taken", cfg: Config{StoreDir: t.TempDir(), ListenAddr: taken.Addr().String()}, listen: true},
+		{name: "peer without an address", cfg: Config{StoreDir: t.TempDir()}, addrOf: func(types.ServerID) string { return "" }},
+		{name: "node.New refuses the log", cfg: Config{StoreDir: orphaned}, addrOf: peerAddr},
+		{name: "gateway port taken", cfg: Config{StoreDir: t.TempDir(), GatewayAddr: taken.Addr().String()}, addrOf: peerAddr},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			if cfg.ListenAddr == "" {
+				cfg.ListenAddr = freePort()
+			}
+			id, err := fx.Identity(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Identity, cfg.Protocol = id, brb.Protocol{}
+			a, err := Listen(cfg)
+			if tc.listen != (err != nil) {
+				t.Fatalf("Listen: %v", err)
+			}
+			if err == nil {
+				if err := a.Boot(tc.addrOf); err == nil {
+					t.Fatal("Boot succeeded")
+				}
+				if err := a.Store.Append(block.New(0, 0, nil, nil)); err == nil {
+					t.Fatal("store still open after a failed Boot")
+				}
+				if err := a.Close(); err != nil {
+					t.Fatalf("Close after a failed Boot: %v", err)
+				}
+				_ = a.Close()
+			}
+			if cfg.ListenAddr != taken.Addr().String() {
+				ln, err := net.Listen("tcp", cfg.ListenAddr)
+				if err != nil {
+					t.Fatalf("listen port still held: %v", err)
+				}
+				_ = ln.Close()
+			}
+			if cfg.StoreDir != corrupt {
+				st, err := store.Open(cfg.StoreDir, store.Options{Roster: id.Roster})
+				if err != nil {
+					t.Fatalf("store not reopenable: %v", err)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func TestAnchorFirst(t *testing.T) {
+	peers := []types.ServerID{0, 1, 3}
+	if got := anchorFirst(peers, 3); !slices.Equal(got, []types.ServerID{3, 0, 1}) {
+		t.Fatalf("anchorFirst = %v, want the anchor, then the rest in order", got)
+	}
+	if !slices.Equal(peers, []types.ServerID{0, 1, 3}) {
+		t.Fatalf("anchorFirst reordered its argument: %v", peers)
+	}
+}

@@ -9,144 +9,59 @@ import (
 	"testing"
 	"time"
 
-	"blockdag/internal/core"
-	"blockdag/internal/crypto"
+	"blockdag/internal/deploy"
 	"blockdag/internal/gateway"
-	"blockdag/internal/mempool"
-	"blockdag/internal/metrics"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
-	"blockdag/internal/store"
-	"blockdag/internal/syncsvc"
-	"blockdag/internal/tcpnet"
-	"blockdag/internal/transport"
+	"blockdag/internal/roster"
 	"blockdag/internal/types"
 )
 
 // gwCluster stands up n full nodes over real TCP on loopback — the
-// production wiring path — with the client plane on node 0: mempool,
-// durable store, catch-up server, metrics, and the gateway folding them
-// all into one registry.
+// production assembly (package deploy) — with the client plane on node 0:
+// mempool, durable store, catch-up server, and the gateway under test over
+// the registry the assembly folded them all into.
 type gwCluster struct {
-	nodes      []*node.Node
-	transports []*tcpnet.Transport
-	gw         *gateway.Gateway
-	base       string
-
-	pool    *mempool.Pool
-	mets    *metrics.Metrics
-	syncSrv *syncsvc.Server
-	st      *store.Store
+	nodes []*node.Node
+	base  string
 }
 
 func newGWCluster(t *testing.T, n int, gwCfg gateway.Config) *gwCluster {
 	t.Helper()
-	roster, signers, err := crypto.LocalRoster(n)
+	fx, err := roster.Dev(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &gwCluster{mets: &metrics.Metrics{}}
-
-	c.st, err = store.Open(t.TempDir(), store.Options{Roster: roster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.st.Close() })
-	c.syncSrv = &syncsvc.Server{Store: c.st, Every: time.Second, Burst: 8}
-
-	lbs := make([]*transport.LateBound, n)
-	for i := 0; i < n; i++ {
-		lbs[i] = &transport.LateBound{}
-		cfg := tcpnet.Config{
-			Self:       types.ServerID(i),
-			ListenAddr: "127.0.0.1:0",
-			Endpoints: map[transport.Channel]transport.Endpoint{
-				transport.ChanGossip: lbs[i],
-			},
-			DialBackoff: 5 * time.Millisecond,
+	c := &gwCluster{}
+	members := make([]*deploy.Assembly, n)
+	for i := range members {
+		cfg := deploy.Config{ListenAddr: "127.0.0.1:0", Protocol: brb.Protocol{}}
+		if cfg.Identity, err = fx.Identity(i); err != nil {
+			t.Fatal(err)
 		}
 		if i == 0 {
-			cfg.Handlers = map[transport.Channel]transport.Handler{
-				transport.ChanSync: c.syncSrv,
-			}
+			cfg.StoreDir, cfg.MempoolCapacity = t.TempDir(), 256
 		}
-		tr, err := tcpnet.Listen(cfg)
-		if err != nil {
+		if members[i], err = deploy.Listen(cfg); err != nil {
 			t.Fatal(err)
 		}
-		c.transports = append(c.transports, tr)
+		t.Cleanup(func() { _ = members[i].Close() })
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if err := c.transports[i].Connect(types.ServerID(j), c.transports[j].Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		ccfg := core.Config{
-			Roster:    roster,
-			Signer:    signers[i],
-			Protocol:  brb.Protocol{},
-			Transport: c.transports[i],
-			Clock:     node.Clock(),
-		}
-		ncfg := node.Config{
-			Server:           nil, // set below
-			DisseminateEvery: 10 * time.Millisecond,
-			TickEvery:        20 * time.Millisecond,
-		}
-		if i == 0 {
-			c.pool = mempool.New(mempool.Options{Capacity: 256})
-			ccfg.Mempool = c.pool
-			ccfg.Metrics = c.mets
-		}
-		srv, err := core.NewServer(ccfg)
-		if err != nil {
+	for _, m := range members {
+		if err := m.Boot(func(id types.ServerID) string { return members[id].Addr() }); err != nil {
 			t.Fatal(err)
 		}
-		ncfg.Server = srv
-		if i == 0 {
-			ncfg.Store = c.st
-		}
-		nd, err := node.New(ncfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lbs[i].Bind(nd)
-		c.nodes = append(c.nodes, nd)
-	}
-	for _, nd := range c.nodes {
-		if err := nd.Start(); err != nil {
-			t.Fatal(err)
-		}
+		c.nodes = append(c.nodes, m.Node)
 	}
 
-	reg := gateway.NewRegistry()
-	reg.Register(gateway.CollectMetrics(c.mets))
-	reg.Register(gateway.CollectTCPNet(c.transports[0]))
-	reg.Register(gateway.CollectSync(c.syncSrv))
-	reg.Register(gateway.CollectMempool(c.pool))
 	gwCfg.Node = c.nodes[0]
-	gwCfg.Registry = reg
-	c.gw, err = gateway.Listen("127.0.0.1:0", gwCfg)
+	gwCfg.Registry = members[0].Registry
+	gw, err := gateway.Listen("127.0.0.1:0", gwCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.base = "http://" + c.gw.Addr()
-
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			nd.Stop()
-		}
-		for _, tr := range c.transports {
-			_ = tr.Close()
-		}
-		_ = c.gw.Close()
-	})
+	t.Cleanup(func() { _ = gw.Close() })
+	c.base = "http://" + gw.Addr()
 	return c
 }
 

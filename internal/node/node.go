@@ -126,11 +126,6 @@ type Config struct {
 	// absolute size: a DAG whose snapshot alone exceeds the threshold
 	// must not re-snapshot on every tick. 0 disables the size trigger.
 	CheckpointEveryBytes int64
-	// RecentIndications bounds the indication broker's replay index (how
-	// many distinct labels keep their latest indication available to
-	// late Lookup callers; see IndicationBroker). 0 uses
-	// DefaultRecentLabels.
-	RecentIndications int
 	// State, if non-nil, wires a Merkle-committed state machine into the
 	// runtime: periodic sealed commitments journaled through the store's
 	// checkpoint path, a served snapshot for joining peers
@@ -321,7 +316,7 @@ func New(cfg Config) (*Node, error) {
 		reqs:   make(chan block.Request, 256),
 		posted: make(chan func(), 4),
 		done:   make(chan struct{}),
-		broker: NewIndicationBroker(cfg.RecentIndications),
+		broker: NewIndicationBroker(DefaultRecentLabels),
 
 		tracker: syncsvc.NewWatermarkTracker(),
 	}

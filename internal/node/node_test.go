@@ -9,18 +9,18 @@ import (
 
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
+	"blockdag/internal/deploy"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
-	"blockdag/internal/tcpnet"
-	"blockdag/internal/transport"
+	"blockdag/internal/roster"
+	"blockdag/internal/simnet"
 	"blockdag/internal/types"
 )
 
 // tcpCluster stands up n full nodes over real TCP on loopback: the
-// production wiring path (tcpnet → node → core.Server).
+// production assembly (package deploy), dev-fixture identities.
 type tcpCluster struct {
-	nodes      []*node.Node
-	transports []*tcpnet.Transport
+	nodes []*node.Node
 
 	mu   sync.Mutex
 	inds map[int]map[types.Label][][]byte
@@ -28,83 +28,39 @@ type tcpCluster struct {
 
 func newTCPCluster(t *testing.T, n int) *tcpCluster {
 	t.Helper()
-	roster, signers, err := crypto.LocalRoster(n)
+	fx, err := roster.Dev(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := &tcpCluster{inds: make(map[int]map[types.Label][][]byte)}
-
-	// Phase 1: listeners with late-bound handlers.
-	lbs := make([]*transport.LateBound, n)
-	for i := 0; i < n; i++ {
-		lbs[i] = &transport.LateBound{}
-		tr, err := tcpnet.Listen(tcpnet.Config{
-			Self:       types.ServerID(i),
-			ListenAddr: "127.0.0.1:0",
-			Endpoints: map[transport.Channel]transport.Endpoint{
-				transport.ChanGossip: lbs[i],
-			},
-			DialBackoff: 5 * time.Millisecond,
-		})
+	members := make([]*deploy.Assembly, n)
+	for i := range members {
+		identity, err := fx.Identity(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.transports = append(c.transports, tr)
-	}
-	// Phase 2: full mesh.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if err := c.transports[i].Connect(types.ServerID(j), c.transports[j].Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Phase 3: servers and runtimes.
-	for i := 0; i < n; i++ {
-		idx := i
 		c.inds[i] = make(map[types.Label][][]byte)
-		srv, err := core.NewServer(core.Config{
-			Roster:    roster,
-			Signer:    signers[i],
-			Protocol:  brb.Protocol{},
-			Transport: c.transports[i],
-			Clock:     node.Clock(),
+		members[i], err = deploy.Listen(deploy.Config{
+			Identity:   identity,
+			ListenAddr: "127.0.0.1:0",
+			Protocol:   brb.Protocol{},
 			OnIndication: func(label types.Label, value []byte) {
 				c.mu.Lock()
 				defer c.mu.Unlock()
-				c.inds[idx][label] = append(c.inds[idx][label], value)
+				c.inds[i][label] = append(c.inds[i][label], value)
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd, err := node.New(node.Config{
-			Server:           srv,
-			DisseminateEvery: 10 * time.Millisecond,
-			TickEvery:        20 * time.Millisecond,
-		})
-		if err != nil {
+		t.Cleanup(func() { _ = members[i].Close() })
+	}
+	for _, m := range members {
+		if err := m.Boot(func(id types.ServerID) string { return members[id].Addr() }); err != nil {
 			t.Fatal(err)
 		}
-		lbs[i].Bind(nd)
-		c.nodes = append(c.nodes, nd)
+		c.nodes = append(c.nodes, m.Node)
 	}
-	for _, nd := range c.nodes {
-		if err := nd.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			nd.Stop()
-		}
-		for _, tr := range c.transports {
-			_ = tr.Close()
-		}
-	})
 	return c
 }
 
@@ -195,19 +151,13 @@ func TestManyInstancesOverTCP(t *testing.T) {
 }
 
 func TestNodeLifecycle(t *testing.T) {
-	roster, signers, err := crypto.LocalRoster(1)
+	members, signers, err := crypto.LocalRoster(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := &transport.LateBound{}
-	tr, err := tcpnet.Listen(tcpnet.Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: lb}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
 	srv, err := core.NewServer(core.Config{
-		Roster: roster, Signer: signers[0], Protocol: brb.Protocol{},
-		Transport: tr, Clock: node.Clock(),
+		Roster: members, Signer: signers[0], Protocol: brb.Protocol{},
+		Transport: simnet.New().Transport(0), Clock: node.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +166,6 @@ func TestNodeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb.Bind(nd)
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}

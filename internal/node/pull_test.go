@@ -409,7 +409,7 @@ func TestPullFromAboveBase(t *testing.T) {
 }
 
 // TestSnapshotInstalledStoreAnchorsOwnChain: a store that holds a
-// snapshot's base and no block yet — a wiped node just after SnapshotJoin —
+// snapshot's base and no block yet — a wiped node just after its snapshot join —
 // anchors the own chain on the base stand-in, whether or not startup
 // catch-up then brings an own block: the first block built is horizon seq
 // on top of the stand-in, never a second genesis the peers would hold
@@ -423,14 +423,14 @@ func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
 	dir := t.TempDir()
 	base := []dag.Base{{Builder: 1, Seq: 4, Ref: pruned[4].Ref()}}
 	ckpt := &store.StateCheckpoint{Slot: 1, Root: [32]byte{1}, Chunks: [][]byte{{0xAA}}}
-	if err := store.InstallSnapshot(dir, map[types.ServerID]uint64{1: 5}, base, ckpt); err != nil {
-		t.Fatal(err)
-	}
 	st, err := store.Open(dir, store.Options{Roster: roster})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = st.Close() }()
+	if err := st.InstallSnapshot(map[types.ServerID]uint64{1: 5}, base, ckpt); err != nil {
+		t.Fatal(err)
+	}
 	srv, err := core.NewServer(core.Config{
 		Roster: roster, Signer: signers[1], Protocol: brb.Protocol{},
 		Transport: simnet.New().Transport(1), Clock: node.Clock(),

@@ -261,7 +261,14 @@ func TestReplayEqualsLive(t *testing.T) {
 		dir := t.TempDir()
 		base := []dag.Base{{Builder: 0, Seq: 4, Ref: pruned[4].Ref()}}
 		ckpt := &store.StateCheckpoint{Slot: 1, Root: [32]byte{1}, Chunks: [][]byte{{0xAA}}}
-		if err := store.InstallSnapshot(dir, map[types.ServerID]uint64{0: 5}, base, ckpt); err != nil {
+		st, err := store.Open(dir, store.Options{Roster: roster})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.InstallSnapshot(map[types.ServerID]uint64{0: 5}, base, ckpt); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 		live := durableNode(t, dir, roster, signers[0])

@@ -4,15 +4,14 @@
 // the store's checkpoint path, serves it to joining peers over the sync
 // channel's snapshot tier, and (optionally) prunes journaled history the
 // sealed state has made redundant. On startup the same wiring rebuilds
-// the machine from the journaled checkpoint — or, for a brand-new node,
-// SnapshotJoin installs a roster-certified snapshot fetched from peers
-// before the store ever opens.
+// the machine from the journaled checkpoint — which, for a wiped node, is
+// the roster-certified snapshot package deploy fetched from its peers and
+// installed into the empty store just before.
 package node
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"blockdag/internal/crypto"
@@ -68,43 +67,11 @@ func (c *StateSyncConfig) chunkBytes() int {
 	return c.ChunkBytes
 }
 
-// SnapshotJoin is the wiped-node entry point to the snapshot tier, run
-// before store.Open: if dir already holds a store it does nothing
-// (normal recovery applies); otherwise it fetches a roster-certified
-// state snapshot from the configured peers — every chunk verified
-// against the certified root before anything lands — and installs it as
-// the new store's first segment. Returns the fetched snapshot (nil when
-// dir was non-empty) so the caller can put its Anchor first in the
-// catch-up peer order; Config.Store/State then restore from the
-// installed checkpoint exactly as after a prune-surviving restart.
-func SnapshotJoin(dir string, cfg syncsvc.SnapshotFetchConfig) (*syncsvc.FetchedSnapshot, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("node: snapshot join: %w", err)
-	}
-	if len(entries) > 0 {
-		return nil, nil
-	}
-	fetched, err := syncsvc.FetchSnapshot(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("node: snapshot join: %w", err)
-	}
-	sc := &store.StateCheckpoint{
-		Slot:   fetched.Commit.Slot,
-		Root:   fetched.Commit.Root,
-		Chunks: fetched.Chunks,
-	}
-	if err := store.InstallSnapshot(dir, fetched.Horizon, fetched.Base, sc); err != nil {
-		return nil, fmt.Errorf("node: snapshot join: %w", err)
-	}
-	return fetched, nil
-}
-
 // restoreState rebuilds the machine from the store's journaled state
-// checkpoint: replay the chunks through a Builder (every chunk verified,
-// the whole content hashed against the journaled root — a corrupted
-// checkpoint fails loudly instead of installing garbage), install the
-// tree, and fast-forward the smr commit frontier past the restored slot.
+// checkpoint: import the chunks (every chunk verified, the whole content
+// hashed against the journaled root — a corrupted checkpoint fails loudly
+// instead of installing garbage), install the tree, and fast-forward the
+// smr commit frontier past the restored slot.
 // The restored commitment is also published on the snapshot tier right
 // away: a restarted node serves joiners even if its state never moves
 // again. A store without a checkpoint leaves the machine empty: full
@@ -115,13 +82,7 @@ func (n *Node) restoreState(sc *StateSyncConfig, st *store.Store) error {
 	if ckpt == nil {
 		return nil
 	}
-	b := state.NewBuilder(ckpt.Root)
-	for _, chunk := range ckpt.Chunks {
-		if err := b.Add(chunk); err != nil {
-			return fmt.Errorf("node: restore state checkpoint: %w", err)
-		}
-	}
-	tree, err := b.Finish()
+	tree, err := state.Import(ckpt.Root, ckpt.Chunks)
 	if err != nil {
 		return fmt.Errorf("node: restore state checkpoint: %w", err)
 	}

@@ -65,6 +65,19 @@ func Export(t *Tree, chunkBytes int) [][]byte {
 	return chunks
 }
 
+// Import is Export's inverse for chunks held whole — a journaled
+// checkpoint, a served snapshot: the tree they encode, checked chunk by
+// chunk and against root as a Builder does.
+func Import(root [32]byte, chunks [][]byte) (*Tree, error) {
+	b := NewBuilder(root)
+	for _, chunk := range chunks {
+		if err := b.Add(chunk); err != nil {
+			return nil, err
+		}
+	}
+	return b.Finish()
+}
+
 // Builder reassembles a snapshot from chunks, enforcing the canonical
 // order as it goes: chunk indexes must be contiguous from 0 and keys
 // strictly increasing by key hash across the whole stream, so a

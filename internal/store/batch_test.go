@@ -88,6 +88,28 @@ func TestAppendBatchByteIdenticalToSequential(t *testing.T) {
 	}
 }
 
+// TestSingleAppendAllocatesNothing: an append outside a group-commit
+// window is a batch of one through the same reused buffers, so steady
+// journaling allocates nothing per block.
+func TestSingleAppendAllocatesNothing(t *testing.T) {
+	roster, blocks := chain(t, 420)
+	st := openStore(t, t.TempDir(), roster, store.Options{Sync: store.SyncNever})
+	defer st.Close()
+	// Grow the record buffer and the presence index past what the measured
+	// appends need.
+	appendAll(t, st, blocks[:210])
+	next := 210
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := st.Append(blocks[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("a single append allocates %v times, want 0", allocs)
+	}
+}
+
 // TestAppendBatchRecovers: a flushed batch is exactly as recoverable as
 // individual appends, duplicates inside and across batches included.
 func TestAppendBatchRecovers(t *testing.T) {

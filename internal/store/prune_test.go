@@ -246,8 +246,10 @@ func TestPruneCrashBeforeCleanup(t *testing.T) {
 }
 
 // TestInstallSnapshotLifecycle exercises the snapshot-apply install
-// path: a wiped node persists a verified snapshot, recovers from it,
-// and follows with live blocks above the horizon.
+// path on the open store a wiped node already serves from: it persists a
+// verified snapshot, keeps journaling live blocks above the horizon into
+// the same store — in a fresh WAL segment after the snapshot — and a
+// reopen recovers both. A store with history of its own refuses.
 func TestInstallSnapshotLifecycle(t *testing.T) {
 	roster, blocks := chain(t, 9)
 	dir := t.TempDir()
@@ -255,19 +257,15 @@ func TestInstallSnapshotLifecycle(t *testing.T) {
 	base := []dag.Base{{Builder: 0, Seq: 4, Ref: blocks[4].Ref()}}
 	horizon := map[types.ServerID]uint64{0: 5}
 	sc := testStateCkpt(99)
-	if err := store.InstallSnapshot(dir, horizon, base, sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.InstallSnapshot(dir, horizon, base, sc); err == nil {
-		t.Fatal("InstallSnapshot into a non-empty store succeeded")
-	}
-	if err := store.InstallSnapshot(t.TempDir(), horizon, base, nil); err == nil {
+	st := openStore(t, dir, roster, store.Options{})
+	if err := st.InstallSnapshot(horizon, base, nil); err == nil {
 		t.Fatal("InstallSnapshot without a state checkpoint succeeded")
 	}
-
-	st := openStore(t, dir, roster, store.Options{})
-	if got := len(st.Blocks()); got != 0 {
-		t.Fatalf("installed store recovered %d blocks, want 0", got)
+	if err := st.InstallSnapshot(horizon, base, sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.InstallSnapshot(horizon, base, sc); err == nil {
+		t.Fatal("InstallSnapshot into a store that holds a base succeeded")
 	}
 	if h := st.Horizon(); h[0] != 5 {
 		t.Fatalf("installed horizon %v, want 5", h)
@@ -276,27 +274,45 @@ func TestInstallSnapshotLifecycle(t *testing.T) {
 		t.Fatalf("installed state checkpoint %+v", got)
 	}
 
-	// Delta follow: live blocks above the horizon journal and recover.
-	d := dag.New(roster)
-	if err := d.SeedBase(st.Base()); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range blocks[5:] {
-		if err := d.Insert(b); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Delta follow: live blocks above the horizon journal into the store
+	// that took the install, and recover.
+	appendAll(t, st, blocks[5:])
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	wals, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
+	snaps, _ := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if len(wals) != 1 || len(snaps) != 1 || filepath.Base(wals[0]) <= filepath.Base(snaps[0]) {
+		t.Fatalf("after install + appends: snapshots %v, WAL %v, want one of each, the WAL newer", snaps, wals)
+	}
 
-	re := openStore(t, dir, roster, store.Options{})
+	// What dagstore verify demands: a read-only open that found nothing to
+	// repair, and blocks that validate on top of the installed base.
+	re := openStore(t, dir, roster, store.Options{ReadOnly: true})
 	defer re.Close()
-	if got := len(re.Blocks()); got != 4 {
-		t.Fatalf("recovered %d delta blocks, want 4", got)
+	rep := re.Report()
+	if rep.Blocks != 4 || rep.TornBytes != 0 || rep.StaleSegments != 0 || rep.Duplicates != 0 || !rep.HasSnapshot {
+		t.Fatalf("reopened installed store: %+v", rep)
+	}
+	if h := re.Horizon(); h[0] != 5 || re.StateCheckpoint() == nil || re.StateCheckpoint().Slot != 99 {
+		t.Fatalf("reopened installed store: horizon %v, checkpoint %+v", h, re.StateCheckpoint())
+	}
+	d := dag.New(roster)
+	if err := d.SeedBase(re.Base()); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range re.Blocks() {
+		if err := d.Insert(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A store that holds a block is nobody's empty store.
+	held := openStore(t, t.TempDir(), roster, store.Options{})
+	defer held.Close()
+	appendAll(t, held, blocks[:1])
+	if err := held.InstallSnapshot(horizon, base, sc); err == nil {
+		t.Fatal("InstallSnapshot into a store that holds a block succeeded")
 	}
 }
 
@@ -319,14 +335,13 @@ func TestInstallSnapshotCrashMidApply(t *testing.T) {
 	if st.Horizon() != nil || st.StateCheckpoint() != nil {
 		t.Fatal("torn install leaked horizon or state")
 	}
-	if err := st.Close(); err != nil {
+
+	// Retry the install on the store that swept the orphan.
+	base := []dag.Base{{Builder: 0, Seq: 2, Ref: blocks[2].Ref()}}
+	if err := st.InstallSnapshot(map[types.ServerID]uint64{0: 3}, base, testStateCkpt(5)); err != nil {
 		t.Fatal(err)
 	}
-
-	// Retry the install on the same directory (the sweep removed the
-	// orphan, so the directory is empty again).
-	base := []dag.Base{{Builder: 0, Seq: 2, Ref: blocks[2].Ref()}}
-	if err := store.InstallSnapshot(dir, map[types.ServerID]uint64{0: 3}, base, testStateCkpt(5)); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	re := openStore(t, dir, roster, store.Options{})

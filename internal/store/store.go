@@ -147,12 +147,11 @@ type Store struct {
 	// on (node.Config.CheckpointEverySegments).
 	walSegs int
 
-	// Group-commit state (BeginBatch / FlushBatch). While batching,
-	// Append frames records into scratch instead of issuing a write;
-	// FlushBatch writes the whole buffer with one syscall per segment run
-	// and makes one fsync-policy decision for the burst. scratch is
-	// reused across batches (and by the non-batch Append for its single
-	// record), so steady-state journaling allocates nothing. pendingRefs
+	// Group-commit state (BeginBatch / FlushBatch). Append frames records
+	// into scratch; FlushBatch writes the whole buffer with one syscall per
+	// segment run and makes one fsync-policy decision for the burst — a
+	// burst of one outside a window. scratch is reused across flushes, so
+	// steady-state journaling allocates nothing. pendingRefs
 	// remembers which refs were optimistically marked present at buffer
 	// time, in record order, so a failed flush can unmark exactly the
 	// records that never reached the disk.
@@ -418,47 +417,17 @@ func (s *Store) Append(b *block.Block) error {
 	if _, dup := s.present[ref]; dup {
 		return nil
 	}
+	// One write path: frame into the group-commit buffer and mark present
+	// (keeping intra-batch dedup exact; a failed flush unmarks the records
+	// that never hit the disk). Inside a window the write waits for
+	// FlushBatch; outside one, this record is a batch of one.
+	s.scratch = appendRecord(s.scratch, b.Encode())
+	s.pendingRefs = append(s.pendingRefs, ref)
+	s.present[ref] = struct{}{}
 	if s.batching {
-		// Group commit: frame into the shared buffer, defer the write to
-		// FlushBatch. Marking present now keeps intra-batch dedup exact;
-		// a failed flush unmarks the records that never hit the disk.
-		s.scratch = appendRecord(s.scratch, b.Encode())
-		s.pendingRefs = append(s.pendingRefs, ref)
-		s.present[ref] = struct{}{}
 		return nil
 	}
-	// Non-batch path: frame into the same reused scratch buffer (empty
-	// outside a batch) so steady single appends allocate nothing either.
-	rec := appendRecord(s.scratch[:0], b.Encode())
-	if s.cur != nil && s.curSize+int64(len(rec)) > s.opts.SegmentSize && s.curSize > int64(headerSize) {
-		if err := s.rotate(); err != nil {
-			return err
-		}
-	}
-	if s.cur == nil {
-		if err := s.newSegment(); err != nil {
-			return err
-		}
-	}
-	if _, err := s.cur.Write(rec); err != nil {
-		// The segment may now end in a partial record. Truncate back to
-		// the last good offset so a later append cannot bury torn bytes
-		// mid-segment (recovery would then stop there and silently drop
-		// everything after, or fail the whole segment). Segments are
-		// opened O_APPEND, so the next write lands at the truncated EOF
-		// rather than the stale offset past it, which would leave a
-		// zero-filled gap recovery stops at. If the repair also fails,
-		// latch: refusing further appends keeps every record recovery
-		// does return trustworthy.
-		if terr := s.cur.Truncate(s.curSize); terr != nil {
-			s.failed = err
-		}
-		return fmt.Errorf("store: append block %v: %w", ref, err)
-	}
-	s.curSize += int64(len(rec))
-	s.present[ref] = struct{}{}
-	s.dirty = true
-	return s.syncByPolicy()
+	return s.FlushBatch()
 }
 
 // syncByPolicy is the fsync decision after a write: always, or once the
@@ -489,11 +458,11 @@ func (s *Store) BeginBatch() {
 
 // FlushBatch closes the group-commit window and writes every buffered
 // record: one write syscall per contiguous run that fits the live
-// segment (rotation between runs follows the same rule as Append), then
-// a single fsync-policy decision for the whole burst. A flush with
-// nothing buffered is a no-op. On a write error the unwritten records
-// are unmarked from the presence index and the same torn-tail repair as
-// Append applies; the error reports the first block that was lost.
+// segment (rotating between runs), then a single fsync-policy decision
+// for the whole burst. A flush with nothing buffered is a no-op. On a
+// write error the unwritten records are unmarked from the presence index
+// and the torn tail is repaired (flushPending); the error reports the
+// first block that was lost.
 func (s *Store) FlushBatch() error {
 	s.batching = false
 	if len(s.scratch) == 0 {
@@ -526,10 +495,10 @@ func (s *Store) flushPending() error {
 			}
 		}
 		// Grow the largest run starting at off that the live segment
-		// accepts under Append's rotation rule: rotate before a record
-		// that would overflow, unless the segment holds nothing but its
-		// header (records are never split; a segment may exceed the
-		// threshold by one record).
+		// accepts under the rotation rule: rotate before a record that
+		// would overflow, unless the segment holds nothing but its header
+		// (records are never split; a segment may exceed the threshold by
+		// one record).
 		end, recs := off, 0
 		for end < len(buf) {
 			recLen := recHeaderSize + int(binary.BigEndian.Uint32(buf[end:end+4]))
@@ -548,13 +517,20 @@ func (s *Store) flushPending() error {
 			continue
 		}
 		if _, err := s.cur.Write(buf[off:end]); err != nil {
-			// Same repair as Append: truncate the possibly-partial tail
-			// back to the last good offset; latch if the repair fails.
+			// The segment may now end in a partial record. Truncate back to
+			// the last good offset so a later append cannot bury torn bytes
+			// mid-segment (recovery would then stop there and silently drop
+			// everything after, or fail the whole segment). Segments are
+			// opened O_APPEND, so the next write lands at the truncated EOF
+			// rather than the stale offset past it, which would leave a
+			// zero-filled gap recovery stops at. If the repair also fails,
+			// latch: refusing further appends keeps every record recovery
+			// does return trustworthy.
 			if terr := s.cur.Truncate(s.curSize); terr != nil {
 				s.failed = err
 			}
 			s.unmarkPending(refs[written:])
-			return fmt.Errorf("store: append batch block %v: %w", refs[written], err)
+			return fmt.Errorf("store: append block %v: %w", refs[written], err)
 		}
 		s.curSize += int64(end - off)
 		s.dirty = true
@@ -638,8 +614,8 @@ func (s *Store) Tick() error {
 }
 
 // newSegment starts WAL segment nextIdx. O_APPEND keeps every write at
-// EOF, so the torn-write repair in Append (truncate back to the last good
-// record) composes with later appends without gaps.
+// EOF, so the torn-write repair in flushPending (truncate back to the last
+// good record) composes with later appends without gaps.
 func (s *Store) newSegment() error {
 	path := filepath.Join(s.dir, segName(s.nextIdx, false))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
@@ -731,41 +707,8 @@ func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	// Drain any open group-commit buffer, then seal the live WAL segment,
-	// so the snapshot index is strictly newer than every record written
-	// so far and no buffered record is stranded behind the checkpoint.
-	if err := s.flushPending(); err != nil {
+	if stats.SegmentsRemoved, err = s.publishSnapshot(enc); err != nil {
 		return stats, err
-	}
-	if err := s.rotate(); err != nil {
-		return stats, err
-	}
-	index := s.nextIdx
-	s.nextIdx++
-	path := filepath.Join(s.dir, segName(index, true))
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, enc); err != nil {
-		return stats, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return stats, fmt.Errorf("store: publish snapshot: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return stats, err
-	}
-
-	segs, err := listSegments(s.dir)
-	if err != nil {
-		return stats, err
-	}
-	for _, sf := range segs {
-		if sf.index >= index {
-			continue
-		}
-		if err := os.Remove(sf.path); err != nil {
-			return stats, fmt.Errorf("store: remove compacted segment: %w", err)
-		}
-		stats.SegmentsRemoved++
 	}
 	s.present = make(map[block.Ref]struct{}, len(blocks))
 	for _, b := range blocks {
@@ -774,7 +717,6 @@ func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 	if base != nil {
 		s.base = base
 	}
-	s.walSegs = 0
 	after, err := s.DiskSize()
 	if err != nil {
 		return stats, err
@@ -782,6 +724,49 @@ func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 	stats.BytesAfter = after
 	stats.Blocks = len(blocks)
 	return stats, nil
+}
+
+// publishSnapshot makes enc the store's newest snapshot segment and
+// deletes every older segment, reporting how many. It first drains any open
+// group-commit buffer and seals the live WAL segment, so the snapshot index
+// is strictly newer than every record written so far. The temp-file rename
+// is the commit point; Open finishes the sweep if a crash interrupts it.
+func (s *Store) publishSnapshot(enc []byte) (int, error) {
+	if err := s.flushPending(); err != nil {
+		return 0, err
+	}
+	if err := s.rotate(); err != nil {
+		return 0, err
+	}
+	index := s.nextIdx
+	s.nextIdx++
+	path := filepath.Join(s.dir, segName(index, true))
+	tmp := path + ".tmp"
+	if err := writeFileSync(tmp, enc); err != nil {
+		return 0, err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return 0, fmt.Errorf("store: publish snapshot: %w", err)
+	}
+	if err := syncDir(s.dir); err != nil {
+		return 0, err
+	}
+	segs, err := listSegments(s.dir)
+	if err != nil {
+		return 0, err
+	}
+	removed := 0
+	for _, sf := range segs {
+		if sf.index >= index {
+			continue
+		}
+		if err := os.Remove(sf.path); err != nil {
+			return removed, fmt.Errorf("store: remove compacted segment: %w", err)
+		}
+		removed++
+	}
+	s.walSegs = 0
+	return removed, nil
 }
 
 // pruneSet splits d's blocks at the horizon: the retained blocks (seq >=
@@ -914,41 +899,34 @@ func (s *Store) PruneTo(d *dag.DAG, horizon map[types.ServerID]uint64) (CompactS
 	return stats, nil
 }
 
-// InstallSnapshot writes a brand-new pruned store at dir holding no
-// blocks: just the horizon, the base table the first live blocks will
-// hang off, and the certified state checkpoint. This is the install
-// step of snapshot catch-up — a joining node verified the fetched state
-// against a roster-certified root, and persists it before switching to
-// delta follow. dir must not already contain a store; the snapshot is
-// written to a temp file, fsynced and renamed, so a crash mid-install
-// leaves either no store or a complete one.
-func InstallSnapshot(dir string, horizon map[types.ServerID]uint64, base []dag.Base, sc *StateCheckpoint) error {
-	if sc == nil {
+// InstallSnapshot makes an empty open store a pruned one holding no
+// blocks: just the horizon, the base table the first live blocks will hang
+// off, and the certified state checkpoint — the install step of snapshot
+// catch-up, after which the delta journals into this same store, in a WAL
+// segment behind the snapshot. A store that already holds a block or a
+// base is refused: its history is its own. The snapshot is published the
+// way a checkpoint is, so a crash mid-install leaves either an empty store
+// or a complete one.
+func (s *Store) InstallSnapshot(horizon map[types.ServerID]uint64, base []dag.Base, sc *StateCheckpoint) error {
+	switch {
+	case s.closed:
+		return errors.New("store: install snapshot after Close")
+	case s.opts.ReadOnly:
+		return errors.New("store: install snapshot on read-only store")
+	case sc == nil:
 		return errors.New("store: InstallSnapshot needs a state checkpoint")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	if len(segs) > 0 {
-		return fmt.Errorf("store: InstallSnapshot into non-empty store %s", dir)
+	case len(s.present) > 0 || len(s.base) > 0:
+		return fmt.Errorf("store: InstallSnapshot into non-empty store %s", s.dir)
 	}
 	enc, err := encodeSnapshot(nil, base, horizon, sc)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, segName(1, true))
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, enc); err != nil {
+	if _, err := s.publishSnapshot(enc); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: publish installed snapshot: %w", err)
-	}
-	return syncDir(dir)
+	s.horizon, s.base, s.stateCkpt = horizon, base, sc
+	return nil
 }
 
 // Close seals the live segment, fsyncing unless the policy is SyncNever.

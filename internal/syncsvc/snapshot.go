@@ -366,6 +366,10 @@ func (p *SnapChunkPull) Result() ([][]byte, error) {
 	return p.accepted, p.err
 }
 
+// chunkAttemptsPerPeer bounds chunk-stream attempts against one peer; a
+// retry resumes from the builder's position.
+const chunkAttemptsPerPeer = 2
+
 // SnapshotFetchConfig parameterizes the blocking snapshot-join helper.
 type SnapshotFetchConfig struct {
 	// Transport issues the calls. Required.
@@ -376,9 +380,6 @@ type SnapshotFetchConfig struct {
 	// Peers to query. Required; a certificate needs at least f+1 of them
 	// to answer with the same (slot, root).
 	Peers []types.ServerID
-	// AttemptsPerPeer bounds chunk-stream retries against one peer
-	// (default 2). Retries resume from the builder's position.
-	AttemptsPerPeer int
 	// Timeout bounds one call (default 30s).
 	Timeout time.Duration
 }
@@ -425,10 +426,6 @@ func FetchSnapshot(cfg SnapshotFetchConfig) (*FetchedSnapshot, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	attempts := cfg.AttemptsPerPeer
-	if attempts <= 0 {
-		attempts = 2
-	}
 
 	metas := make(map[types.ServerID]*SnapMeta)
 	for _, peer := range cfg.Peers {
@@ -458,7 +455,7 @@ func FetchSnapshot(cfg SnapshotFetchConfig) (*FetchedSnapshot, error) {
 		builder := state.NewBuilder(commit.Root)
 		var chunks [][]byte
 		ok := true
-		for a := 0; a < attempts && uint64(builder.NextChunk()) < meta.NumChunks; a++ {
+		for a := 0; a < chunkAttemptsPerPeer && uint64(builder.NextChunk()) < meta.NumChunks; a++ {
 			pull := NewSnapChunkPull(builder)
 			cancel := cfg.Transport.Call(peer, transport.ChanSync, pull.Request(commit.Root), pull)
 			if !pull.Wait(timeout) {

@@ -203,26 +203,21 @@ type Transport interface {
 	Call(to types.ServerID, ch Channel, req []byte, sink CallSink) (cancel func())
 }
 
-// DefaultLateBoundBuffer is the number of pre-Bind deliveries a LateBound
-// endpoint retains per instance.
-const DefaultLateBoundBuffer = 256
+// LateBoundBuffer is the number of pre-Bind deliveries a LateBound
+// endpoint retains.
+const LateBoundBuffer = 256
 
 // LateBound is an Endpoint whose target is attached after construction,
 // breaking the wiring cycle transport → server → runtime → handler when a
 // transport must be listening before the consumer exists. Instantiate one
 // per channel.
 //
-// Deliveries before Bind are buffered (up to Buffer frames, oldest
-// dropped first) and flushed, in order, when Bind attaches the target.
-// Gossip tolerates pre-Bind loss — a dropped block is re-fetched via FWD
-// once referenced — but other channels may not, so buffering is the
-// default for all of them.
+// Deliveries before Bind are buffered (up to LateBoundBuffer frames,
+// oldest dropped first) and flushed, in order, when Bind attaches the
+// target. Gossip tolerates pre-Bind loss — a dropped block is re-fetched
+// via FWD once referenced — but other channels may not, so every channel
+// is buffered.
 type LateBound struct {
-	// Buffer overrides the pre-Bind buffer capacity; 0 means
-	// DefaultLateBoundBuffer, negative disables buffering (drop).
-	// Set before the first Deliver.
-	Buffer int
-
 	mu      sync.Mutex
 	ep      Endpoint
 	pending []pendingDelivery
@@ -264,24 +259,15 @@ func (l *LateBound) Deliver(from types.ServerID, payload []byte) {
 	l.mu.Lock()
 	ep := l.ep
 	if ep == nil {
-		if l.Buffer >= 0 {
-			limit := l.Buffer
-			if limit == 0 {
-				limit = DefaultLateBoundBuffer
-			}
-			// The endpoint contract lets the caller reuse payload;
-			// buffering must copy.
-			l.pending = append(l.pending, pendingDelivery{
-				from:    from,
-				payload: append([]byte(nil), payload...),
-			})
-			if len(l.pending) > limit {
-				drop := len(l.pending) - limit
-				l.pending = append(l.pending[:0], l.pending[drop:]...)
-				l.dropped += drop
-			}
-		} else {
-			l.dropped++
+		// The endpoint contract lets the caller reuse payload; buffering
+		// must copy.
+		l.pending = append(l.pending, pendingDelivery{
+			from:    from,
+			payload: append([]byte(nil), payload...),
+		})
+		if drop := len(l.pending) - LateBoundBuffer; drop > 0 {
+			l.pending = append(l.pending[:0], l.pending[drop:]...)
+			l.dropped += drop
 		}
 		l.mu.Unlock()
 		return

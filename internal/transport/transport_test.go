@@ -64,38 +64,17 @@ func TestLateBoundBufferCopiesPayload(t *testing.T) {
 // TestLateBoundBufferCapDropsOldest: the buffer is bounded; overflow
 // drops the oldest frames and counts them.
 func TestLateBoundBufferCapDropsOldest(t *testing.T) {
-	lb := &LateBound{Buffer: 3}
-	for i := 0; i < 5; i++ {
-		lb.Deliver(0, []byte{byte('a' + i)})
+	lb := &LateBound{}
+	for i := 0; i < LateBoundBuffer+2; i++ {
+		lb.Deliver(0, []byte{byte(i)})
 	}
 	r := &recorder{}
 	lb.Bind(r)
-	want := []string{"s0:c", "s0:d", "s0:e"}
-	if len(r.got) != len(want) {
-		t.Fatalf("flushed = %v", r.got)
-	}
-	for i := range want {
-		if r.got[i] != want[i] {
-			t.Fatalf("flushed = %v, want newest three", r.got)
-		}
+	if len(r.got) != LateBoundBuffer || r.got[0] != "s0:\x02" || r.got[len(r.got)-1] != "s0:\x01" {
+		t.Fatalf("flushed %d frames, first %q last %q, want the newest %d", len(r.got), r.got[0], r.got[len(r.got)-1], LateBoundBuffer)
 	}
 	if lb.Dropped() != 2 {
 		t.Fatalf("Dropped = %d, want 2", lb.Dropped())
-	}
-}
-
-// TestLateBoundNegativeBufferDrops: the legacy drop behaviour stays
-// available for consumers that prefer it.
-func TestLateBoundNegativeBufferDrops(t *testing.T) {
-	lb := &LateBound{Buffer: -1}
-	lb.Deliver(0, []byte("lost"))
-	r := &recorder{}
-	lb.Bind(r)
-	if len(r.got) != 0 {
-		t.Fatalf("got %v, want nothing", r.got)
-	}
-	if lb.Dropped() != 1 {
-		t.Fatalf("Dropped = %d", lb.Dropped())
 	}
 }
 
