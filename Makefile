@@ -50,8 +50,9 @@ race:
 .PHONY: flake-smoke
 # flake-smoke repeats the socket and timing tests of the catch-up path —
 # the store's replay included: it is the same absorb with the disk as the
-# peer, and the assembly's snapshot rejoin: every tier over one listener —
-# ten times under the race detector, so a test that fails one run
+# peer, the assembly's snapshot rejoin: every tier over one listener, and
+# its accountability run (an equivocator banned over TCP and across a
+# Restart) — ten times under the race detector, so a test that fails one run
 # in five (as TestAuthWrongKeyRejected did until PR 12) is caught in the
 # PR that introduces it rather than blocking unrelated work later. The
 # -run filter keeps it around a minute.
@@ -225,7 +226,11 @@ chaos-smoke:
 # package (and outside bench/, frozen until the next benchmark PR) may not
 # bind a tcpnet listener, late-bind an endpoint or construct a sync server
 # — the simulator's, which serves a storeless slot from its DAG on the
-# virtual clock, excepted. CI runs it on every push.
+# virtual clock, excepted. And it fails when non-test Go or a document
+# (ROADMAP.md and CHANGES.md, which are history, and the retrieved ISSUE,
+# SNIPPETS and PAPERS files excepted) cites a top-level ALLCAPS.md that is
+# not in the tree, as four packages cited EXPERIMENTS.md and DESIGN.md for
+# twenty PRs. CI runs it on every push.
 docs-check:
 	@missing=0; \
 	for p in $$(ls internal); do \
@@ -246,6 +251,11 @@ docs-check:
 			grep -rn 'syncsvc\.Server{' --include='*.go' internal cmd examples | grep -v '^internal/cluster/'; } \
 		| grep -v '_test\.go:' | grep -v '^internal/deploy/' || true); \
 	[ -z "$$wired" ] || { echo "docs-check FAILED: a node is assembled by hand outside internal/deploy:" >&2; echo "$$wired" >&2; exit 1; }
+	@gone=$$(grep -rnoP '(?<![/\w.-])[A-Z][A-Z0-9_]+\.md\b' --include='*.go' --include='*.md' \
+			--exclude='*_test.go' --exclude-dir=.bench_build . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE|SNIPPETS|PAPERS)\.md:' \
+		| while IFS= read -r hit; do [ -e "$${hit##*:}" ] || echo "$$hit"; done); \
+	[ -z "$$gone" ] || { echo "docs-check FAILED: citation of a top-level document that does not exist:" >&2; echo "$$gone" >&2; exit 1; }
 	go vet ./...
 	go build ./...
 	go test -run Example ./...

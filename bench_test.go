@@ -1,13 +1,14 @@
-// Package blockdag's root benchmark suite: one benchmark per experiment in
-// EXPERIMENTS.md (E-numbers match DESIGN.md's experiment index). Each
-// benchmark regenerates its table's series and reports the load-bearing
-// quantities via b.ReportMetric, so
+// Package blockdag's root benchmark suite: one benchmark per quantitative
+// experiment of internal/experiments (the E-numbers are its index;
+// `go run ./cmd/experiments -list` prints it). Each benchmark regenerates
+// its table's series and reports the load-bearing quantities via
+// b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the measured columns of EXPERIMENTS.md. Structural figure
-// checks (E1–E4, E6–E8) live in the package test suites listed in
-// DESIGN.md; the benchmarks here cover the quantitative claims.
+// reproduces the tables' measured columns. The structural figure checks
+// (E1–E4, E6–E8) are ordinary tests in the package suites; the benchmarks
+// here cover the quantitative claims.
 package blockdag
 
 import (

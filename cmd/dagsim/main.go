@@ -54,9 +54,8 @@ func run() error {
 		storeDir  = flag.String("store-dir", "", "journal every server's blocks to a durable store under this directory (inspect with dagstore)")
 		ckptSegs  = flag.Int("checkpoint-segments", 0, "with -store-dir: checkpoint a server's store after a round leaves it with at least N WAL segments (0 disables)")
 		follow    = flag.Duration("follow", 0, "run the live-follower loop on every server: poll a rotating peer's watermarks this often (simulated time) and pull missing suffixes over the sync channel (0 disables)")
-		mpoolCap  = flag.Int("mempool-cap", 0, "give every server a real ingestion mempool with this capacity: dedup, validation, backpressure (0 = plain FIFO)")
+		mpoolCap  = flag.Int("mempool-cap", 0, "capacity of every server's ingestion mempool: dedup, validation, backpressure (0 = the pool's default)")
 		loadRound = flag.Int("load-per-round", 0, "submit this many synthetic client requests per server before every round (deterministic labels load/s<i>/<seq>)")
-		verifyWrk = flag.Int("verify-workers", 0, "batched signature-verification goroutines per server (0 = GOMAXPROCS, 1 = serial)")
 		batch     = flag.Int("max-batch", 0, "max requests per block (0 = instances+1)")
 		chaosName = flag.String("chaos", "", "run a named chaos scenario instead of the workload simulation (see -chaos list); honors -seed, -protocol, -store-dir, -v")
 		verbose   = flag.Bool("v", false, "print per-server metrics")
@@ -103,7 +102,6 @@ func run() error {
 		FollowEvery:             *follow,
 		MempoolCapacity:         *mpoolCap,
 		LoadPerRound:            *loadRound,
-		VerifyWorkers:           *verifyWrk,
 	})
 	if err != nil {
 		return err
@@ -194,22 +192,20 @@ func run() error {
 	if eqs := c.Servers[c.CorrectServers()[0]].DAG().Equivocations(); len(eqs) > 0 {
 		fmt.Printf("equivocations          %d\n", len(eqs))
 	}
-	if *mpoolCap > 0 {
-		var magg struct {
-			submitted, accepted, dups, invalid, overflow, drained int64
-		}
-		for _, i := range c.CorrectServers() {
-			ms := c.MempoolStats(i)
-			magg.submitted += ms.Submitted
-			magg.accepted += ms.Accepted
-			magg.dups += ms.Duplicates
-			magg.invalid += ms.Invalid
-			magg.overflow += ms.Overflow
-			magg.drained += ms.Drained
-		}
-		fmt.Printf("mempool                %d submitted / %d accepted / %d drained into blocks (%d dup, %d invalid, %d overflow)\n",
-			magg.submitted, magg.accepted, magg.drained, magg.dups, magg.invalid, magg.overflow)
+	var magg struct {
+		submitted, accepted, dups, invalid, overflow, drained int64
 	}
+	for _, i := range c.CorrectServers() {
+		ms := c.MempoolStats(i)
+		magg.submitted += ms.Submitted
+		magg.accepted += ms.Accepted
+		magg.dups += ms.Duplicates
+		magg.invalid += ms.Invalid
+		magg.overflow += ms.Overflow
+		magg.drained += ms.Drained
+	}
+	fmt.Printf("mempool                %d submitted / %d accepted / %d drained into blocks (%d dup, %d invalid, %d overflow)\n",
+		magg.submitted, magg.accepted, magg.drained, magg.dups, magg.invalid, magg.overflow)
 	if *follow > 0 {
 		var fagg node.FollowReport
 		for _, i := range c.CorrectServers() {

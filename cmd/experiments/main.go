@@ -8,8 +8,6 @@
 //	experiments            # run everything
 //	experiments -e E9,E11  # run selected experiments
 //	experiments -list      # list experiment IDs
-//
-// The output is the source of EXPERIMENTS.md's measured columns.
 package main
 
 import (

@@ -3,14 +3,17 @@
 // blocks with the same sequence number, showing conflicting broadcast
 // requests to different halves of the cluster.
 //
-// Three things are on display:
+// Four things are on display:
 //
 //  1. both forks are individually valid and enter every correct DAG
 //     (Definition 3.3 does not forbid equivocation),
 //  2. the fork is detected and attributable (the two signed blocks are a
-//     cryptographic equivocation proof), and
+//     cryptographic equivocation proof),
 //  3. the embedded BRB absorbs the attack: no two correct servers deliver
-//     different values (Theorem 5.1 preserves BRB consistency).
+//     different values (Theorem 5.1 preserves BRB consistency), and
+//  4. the proof convicts: every correct server bans s3, so what s3 sends
+//     next is refused by the ban, at the link — the last step's join block
+//     never gets as far as the parent rule that would refuse it too.
 package main
 
 import (
@@ -20,6 +23,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
+	"blockdag/internal/dag"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/trace"
 )
@@ -104,8 +108,16 @@ func run() error {
 		}
 	}
 
+	// The proof convicts: every correct server has banned s3.
+	if !c.BannedEverywhere(3) {
+		return fmt.Errorf("s3 equivocated and is not banned everywhere")
+	}
+	fmt.Println("\ns3 is banned at every correct server")
+
 	// The forks remain split forever: no later s3 block can reference
-	// both (it would have two parents and fail Definition 3.3).
+	// both (it would have two parents and fail Definition 3.3). Sent now,
+	// such a join block is refused earlier than that, by the ban: no
+	// correct server takes anything from s3 any more.
 	join, err := c.Seal(3, 1, []block.Ref{forkA.Ref(), forkB.Ref()})
 	if err != nil {
 		return err
@@ -116,10 +128,18 @@ func run() error {
 	}
 	for _, i := range c.CorrectServers() {
 		if c.Servers[i].DAG().Contains(join.Ref()) {
-			return fmt.Errorf("join block was accepted; parent rule broken")
+			return fmt.Errorf("join block was accepted; ban and parent rule both broken")
 		}
 	}
-	fmt.Println("\njoin block referencing both forks was rejected everywhere (two parents)")
+	fmt.Println("join block referencing both forks was refused everywhere by the ban")
+	// The parent rule on its own, in a DAG that bans nobody.
+	d := dag.New(c.Roster)
+	for _, b := range []*block.Block{forkA, forkB} {
+		if err := d.Insert(b); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("the parent rule alone refuses it too: %v\n", d.Insert(join))
 
 	fmt.Println("\ns0's DAG:")
 	fmt.Print(trace.ASCII(c.Servers[0].DAG()))

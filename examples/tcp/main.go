@@ -60,7 +60,7 @@ func run() error {
 	flag.DurationVar(&cfg.FollowEvery, "follow", 0, "with -store-dir: poll a rotating peer's watermarks this often and pull any missing suffix live (0 disables)")
 	flag.IntVar(&cfg.CheckpointEverySegments, "checkpoint-segments", 4, "with -store-dir: checkpoint the store every N WAL segments (0 disables)")
 	flag.Int64Var(&cfg.CheckpointEveryBytes, "checkpoint-bytes", 0, "with -store-dir: checkpoint the store when it grows N bytes (0 disables)")
-	flag.IntVar(&cfg.MempoolCapacity, "mempool", 0, "ingestion mempool capacity: requests deduplicate, validate, and hit backpressure before block inclusion (0 = plain FIFO)")
+	flag.IntVar(&cfg.MempoolCapacity, "mempool", 0, "ingestion mempool capacity: requests deduplicate, validate, and hit backpressure before block inclusion (0 = the pool's default)")
 	flag.BoolVar(&opts.state, "state", false, "with -store-dir: maintain a Merkle state commitment over delivered broadcasts; seal, sign, journal, and serve it on the snapshot tier")
 	flag.Uint64Var(&cfg.PruneKeepSeqs, "prune-keep", 0, "with -state: prune journaled history this many seqs below each chain tip after every seal (0 keeps full history)")
 	flag.BoolVar(&cfg.SnapshotJoin, "snapshot-join", false, "with -roster and -state: a server whose store is empty installs a roster-certified snapshot from its peers (the third catch-up tier)")
@@ -201,18 +201,16 @@ func awaitDeliveries(servers []*server, want int, timeout time.Duration) bool {
 	}
 }
 
-// report prints the follower's, the mempool's and the state cycle's
-// counters, each when its flag turned it on.
+// report prints the mempool's counters and — each when its flag turned it
+// on — the follower's and the state cycle's.
 func (s *server) report() {
 	if rep := s.Node.FollowReport(); rep.State != "" {
 		fmt.Printf("s%d follow: %d polls, %d deltas, %d blocks pulled, %d throttled (sync calls: %d out / %d served)\n",
 			s.id, rep.Polls, rep.Deltas, rep.Blocks, rep.Throttled, s.Transport.CallsOpened(), s.Transport.CallsServed())
 	}
-	if pool := s.Node.Server().Mempool(); pool != nil {
-		ms := pool.Stats()
-		fmt.Printf("s%d mempool: %d submitted, %d accepted, %d drained into blocks (%d dup, %d invalid, %d overflow)\n",
-			s.id, ms.Submitted, ms.Accepted, ms.Drained, ms.Duplicates, ms.Invalid, ms.Overflow)
-	}
+	ms := s.Node.Server().Mempool().Stats()
+	fmt.Printf("s%d mempool: %d submitted, %d accepted, %d drained into blocks (%d dup, %d invalid, %d overflow)\n",
+		s.id, ms.Submitted, ms.Accepted, ms.Drained, ms.Duplicates, ms.Invalid, ms.Overflow)
 	if served := s.Node.ServedSnapshot(); served != nil {
 		var maxSeq uint64
 		for _, h := range served.Horizon {
@@ -310,8 +308,8 @@ func runAllInOne(opts runOpts) error {
 		}
 	}
 
-	// The workload: two broadcasts submitted at different servers (with
-	// -mempool, through its admission verdict).
+	// The workload: two broadcasts submitted at different servers, through
+	// the mempool's admission verdict.
 	if err := servers[0].Node.Submit("greeting", []byte("hello over TCP")); err != nil {
 		return fmt.Errorf("s0 submit: %w", err)
 	}

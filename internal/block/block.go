@@ -56,9 +56,8 @@ const (
 	// MaxProducerPayloadBytes is the producer-side drain budget: the most
 	// request payload a correct builder packs into one block. It leaves
 	// headroom under MaxPayloadBytes so a sealed block always decodes on
-	// every peer. Both request sources — mempool.Pool and the core shim's
-	// plain FIFO — cap their drains against it and refuse single requests
-	// that could never fit.
+	// every peer. The request source — mempool.Pool — caps its drains
+	// against it and refuses single requests that could never fit.
 	MaxProducerPayloadBytes = MaxPayloadBytes - (64 << 10)
 )
 

@@ -274,14 +274,13 @@ func Run(cfg Config) (*Result, error) {
 		cfg.ConvergeRounds = 60
 	}
 	c, err := cluster.New(cluster.Options{
-		N:              s.N,
-		Protocol:       cfg.Protocol,
-		Byzantine:      s.Byzantine,
-		Seed:           cfg.Seed,
-		Interval:       cfg.Interval,
-		Accountability: true,
-		StoreDir:       cfg.StoreDir,
-		LoadPerRound:   s.LoadPerRound,
+		N:            s.N,
+		Protocol:     cfg.Protocol,
+		Byzantine:    s.Byzantine,
+		Seed:         cfg.Seed,
+		Interval:     cfg.Interval,
+		StoreDir:     cfg.StoreDir,
+		LoadPerRound: s.LoadPerRound,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)

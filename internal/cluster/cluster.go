@@ -13,10 +13,10 @@
 // node runs.
 //
 // It is the shared harness behind the integration tests of Theorem 5.1,
-// every benchmark in EXPERIMENTS.md, the experiments CLI, and the
-// examples. Byzantine servers are modeled by leaving their slot without a
-// correct server and driving hand-crafted (but validly signed) blocks
-// through the test's own logic via Seal and Send.
+// the root benchmarks, the experiments CLI, and the examples. Byzantine
+// servers are modeled by leaving their slot without a correct server and
+// driving hand-crafted (but validly signed) blocks through the test's own
+// logic via Seal and Send.
 package cluster
 
 import (
@@ -28,13 +28,11 @@ import (
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
 	"blockdag/internal/deploy"
-	"blockdag/internal/evidence"
 	"blockdag/internal/gateway"
 	"blockdag/internal/gossip"
 	"blockdag/internal/mempool"
 	"blockdag/internal/metrics"
 	"blockdag/internal/node"
-	"blockdag/internal/peerscore"
 	"blockdag/internal/protocol"
 	"blockdag/internal/roster"
 	"blockdag/internal/simnet"
@@ -91,18 +89,6 @@ type Options struct {
 	// 0 disables.
 	FollowEvery time.Duration
 
-	// Accountability equips every correct slot with the evidence and
-	// quarantine machinery: an evidence pool and peer scorer wired into
-	// gossip (equivocation proofs are built, gossiped, and relayed; blocks
-	// built by banned servers are refused unless a chain needs them), the
-	// simulated network (links to and from banned peers are torn down),
-	// the sync service (throttle refusals feed the scorer), and — on
-	// durable clusters, by node.New — the store (proofs persist in the
-	// evidence sidecar, and recovery re-seeds pool and bans from disk).
-	// Off by default: tests that deliberately drive equivocations to
-	// observe paper semantics see zero behavior change.
-	Accountability bool
-
 	// Seed fixes the simulation (default 1).
 	Seed int64
 	// Latency and Jitter configure the link delay model (defaults
@@ -115,36 +101,28 @@ type Options struct {
 
 	// MaxBatch caps requests per block (0 = gossip default).
 	MaxBatch int
-	// MempoolCapacity, if > 0, gives every correct server a real
-	// ingestion pool (core.Config.Mempool) with that capacity instead of
-	// the plain rqsts FIFO: submissions deduplicate, validate, and hit
-	// backpressure exactly as in production. Recovered servers get a
-	// fresh pool (a mempool is volatile state; queued requests do not
-	// survive a crash).
+	// MempoolCapacity is the capacity of every correct server's ingestion
+	// pool (core.Config.Mempool; 0 = the pool's default): submissions
+	// deduplicate, validate, and hit backpressure exactly as in
+	// production. Recovered servers get a fresh pool (a mempool is
+	// volatile state; queued requests do not survive a crash).
 	MempoolCapacity int
 	// GatewayPerSlot binds a client gateway (gateway.Config{Node: …}) to
 	// every correct slot on an ephemeral loopback port, so deterministic
 	// tests drive the real HTTP front door against simulated consensus.
-	// Requires MempoolCapacity > 0: the pool is the only concurrency-safe
-	// admission path into an event-loop-driven server, and the gateway's
-	// HTTP goroutines must not touch server state directly. Indications
-	// reach the gateway through the slot node's broker, published from
-	// the simulator's event loop. Crashing a slot closes its gateway;
-	// recovery opens a fresh one on a new port.
+	// The pool is the concurrency-safe admission path into the
+	// event-loop-driven server; the gateway's HTTP goroutines touch no
+	// other server state. Indications reach the gateway through the slot
+	// node's broker, published from the simulator's event loop. Crashing a
+	// slot closes its gateway; recovery opens a fresh one on a new port.
 	GatewayPerSlot bool
 
 	// LoadPerRound, if > 0, submits that many synthetic client requests
 	// at every correct server before each dissemination round — a
 	// deterministic stand-in for client traffic, labeled
 	// "load/s<slot>/<seq>" with the sequence number as payload so every
-	// request is unique and runs reproduce exactly. Works with or
-	// without a mempool.
+	// request is unique and runs reproduce exactly.
 	LoadPerRound int
-	// VerifyWorkers sets the batched signature-verification parallelism
-	// of every server (core.Config.VerifyWorkers): 0 = GOMAXPROCS,
-	// 1 = serial. Verdicts are worker-count independent, so simulation
-	// determinism is unaffected.
-	VerifyWorkers int
 	// SigCounters, if non-nil, tallies every signature operation of
 	// every server (experiment E10).
 	SigCounters *crypto.Counters
@@ -220,9 +198,6 @@ func New(opts Options) (*Cluster, error) {
 	}
 	if opts.Interval == 0 {
 		opts.Interval = 50 * time.Millisecond
-	}
-	if opts.GatewayPerSlot && opts.MempoolCapacity <= 0 {
-		return nil, fmt.Errorf("cluster: GatewayPerSlot needs MempoolCapacity > 0 (the pool is the gateway's concurrency-safe admission path)")
 	}
 
 	fixture := opts.Fixture
@@ -303,24 +278,17 @@ func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, 
 	id := types.ServerID(slot)
 	m := &metrics.Metrics{}
 	cfg := core.Config{
-		Roster:        c.Roster,
-		Signer:        c.Signers[slot],
-		Protocol:      proto,
-		Transport:     c.Net.Transport(id),
-		Clock:         c.Net.Now,
-		Metrics:       m,
-		MaxBatch:      c.opts.MaxBatch,
-		VerifyWorkers: c.opts.VerifyWorkers,
+		Roster:    c.Roster,
+		Signer:    c.Signers[slot],
+		Protocol:  proto,
+		Transport: c.Net.Transport(id),
+		Clock:     c.Net.Now,
+		Metrics:   m,
+		MaxBatch:  c.opts.MaxBatch,
+		Mempool:   mempool.New(mempool.Options{Capacity: c.opts.MempoolCapacity}),
 		OnIndication: func(label types.Label, value []byte) {
 			c.inds[slot] = append(c.inds[slot], Indication{Server: id, Label: label, Value: value})
 		},
-	}
-	if c.opts.MempoolCapacity > 0 {
-		cfg.Mempool = mempool.New(mempool.Options{Capacity: c.opts.MempoolCapacity})
-	}
-	if c.opts.Accountability {
-		cfg.Evidence = evidence.NewPool()
-		cfg.Scores = peerscore.New(peerscore.Options{Clock: c.Net.Now})
 	}
 	fail := func(err error) error {
 		if st != nil {
@@ -351,7 +319,7 @@ func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, 
 		}
 		c.gateways[slot] = gw
 	}
-	c.Net.RegisterScorer(id, cfg.Scores)
+	c.Net.RegisterScorer(id, srv.Scores())
 	c.register(slot, nd, st)
 	c.Nodes[slot], c.Servers[slot], c.Metrics[slot], c.Stores[slot] = nd, srv, m, st
 	return nil
@@ -441,18 +409,17 @@ func (c *Cluster) Request(server int, label types.Label, data []byte) {
 	c.Servers[server].Request(label, data)
 }
 
-// Submit is the backpressure-aware form of Request: on a cluster with
-// mempools it returns the admission verdict (mempool.ErrFull,
-// mempool.ErrDuplicate, a validation error); without them it always
-// accepts.
+// Submit is the backpressure-aware form of Request: it returns the
+// mempool's admission verdict (mempool.ErrFull, mempool.ErrDuplicate, a
+// validation error).
 func (c *Cluster) Submit(server int, label types.Label, data []byte) error {
 	return c.Servers[server].Submit(label, data)
 }
 
 // MempoolStats returns one slot's pool counters; the zero value when the
-// cluster runs without mempools (or the slot is down).
+// slot is down.
 func (c *Cluster) MempoolStats(slot int) mempool.Stats {
-	if c.Servers[slot] == nil || c.Servers[slot].Mempool() == nil {
+	if c.Servers[slot] == nil {
 		return mempool.Stats{}
 	}
 	return c.Servers[slot].Mempool().Stats()
@@ -609,8 +576,7 @@ func (c *Cluster) Crash(slot int) {
 }
 
 // BannedEverywhere reports whether every correct server's scorer has the
-// given server in the terminal banned state. False on clusters without
-// Options.Accountability.
+// given server in the terminal banned state.
 func (c *Cluster) BannedEverywhere(id types.ServerID) bool {
 	any := false
 	for i, srv := range c.Servers {

@@ -137,7 +137,7 @@ func TestEverySlotIsASteppedNode(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c, err := New(Options{
 		N: 4, Protocol: brb.Protocol{}, Byzantine: []int{3},
-		StoreDir: t.TempDir(), FollowEvery: 100 * time.Millisecond, Accountability: true,
+		StoreDir: t.TempDir(), FollowEvery: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/evidence"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
@@ -31,6 +32,17 @@ func (r *recordingTransport) Call(_ types.ServerID, _ transport.Channel, _ []byt
 	return func() {}
 }
 
+// flakyJournal is a core.Journal whose block sink fails on demand.
+type flakyJournal struct{ fail error }
+
+func (j *flakyJournal) PersistSink(types.ServerID) func(*block.Block) error {
+	return func(*block.Block) error { return j.fail }
+}
+func (*flakyJournal) BeginBatch()                          {}
+func (*flakyJournal) FlushBatch() error                    { return nil }
+func (*flakyJournal) Evidence() []*evidence.Proof          { return nil }
+func (*flakyJournal) AppendEvidence(*evidence.Proof) error { return nil }
+
 // TestPersistFailureWithholdsBroadcast: once the persistence sink fails,
 // the own block it failed on must not reach the network — a non-durable
 // own block that peers have seen is a post-crash self-equivocation waiting
@@ -43,21 +55,18 @@ func TestPersistFailureWithholdsBroadcast(t *testing.T) {
 	}
 	tr := &recordingTransport{self: 0}
 	diskFull := errors.New("disk full")
-	healthy := true
+	disk := &flakyJournal{}
 	srv, err := core.NewServer(core.Config{
 		Roster:    roster,
 		Signer:    signers[0],
 		Protocol:  brb.Protocol{},
 		Transport: tr,
 		Clock:     func() time.Duration { return 0 },
-		OnPersist: func(*block.Block) error {
-			if healthy {
-				return nil
-			}
-			return diskFull
-		},
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SetJournal(disk); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,7 +78,7 @@ func TestPersistFailureWithholdsBroadcast(t *testing.T) {
 		t.Fatal("healthy disseminate sent nothing")
 	}
 
-	healthy = false
+	disk.fail = diskFull
 	srv.Request("lost?", []byte("payload"))
 	if err := srv.Disseminate(); !errors.Is(err, diskFull) {
 		t.Fatalf("disseminate over a failing sink returned %v, want the persist error", err)
@@ -79,7 +88,7 @@ func TestPersistFailureWithholdsBroadcast(t *testing.T) {
 	}
 	// The requests drained into the withheld block are requeued, not
 	// silently lost with it.
-	if got := srv.PendingRequests(); got != 1 {
+	if got := srv.Mempool().Len(); got != 1 {
 		t.Fatalf("withheld block's request not requeued: %d pending", got)
 	}
 	if srv.Health() == nil {
@@ -93,7 +102,7 @@ func TestPersistFailureWithholdsBroadcast(t *testing.T) {
 
 	// Further dissemination refuses outright, even if the disk recovers:
 	// the operator must restart over a working store.
-	healthy = true
+	disk.fail = nil
 	err = srv.Disseminate()
 	if err == nil || !strings.Contains(err.Error(), "unhealthy") {
 		t.Fatalf("unhealthy server disseminated: %v", err)
@@ -149,8 +158,8 @@ func TestRestoreStopsAtFirstRefusal(t *testing.T) {
 	if err := srv.Restore(good); err == nil {
 		t.Fatal("a second Restore on the same server was accepted")
 	}
-	if err := srv.SetPersist(func(*block.Block) error { return nil }); err == nil {
-		t.Fatal("SetPersist accepted after blocks were inserted")
+	if err := srv.SetJournal(&flakyJournal{}); err == nil {
+		t.Fatal("SetJournal accepted after blocks were inserted")
 	}
 }
 

@@ -61,50 +61,25 @@ type Config struct {
 	// of a message the interpreter retains: read it or keep it, but copy
 	// before writing to it. Optional.
 	OnIndication func(label types.Label, value []byte)
-	// OnPersist, if non-nil, journals every block inserted into the DAG
-	// (own and received alike) before the block is interpreted — i.e.
-	// before any indication it causes becomes user-visible, and, for own
-	// blocks, before gossip broadcasts them — the write-ahead discipline
-	// crash recovery relies on. package store's Store.PersistSink is the
-	// intended sink (it makes own blocks durable before they are
-	// externalized, so a post-crash restart cannot self-equivocate);
-	// node.Config.Store wires it.
-	// A persist error marks the server unhealthy (Health), withholds the
-	// broadcast of the own block it failed on, and stops further
-	// dissemination (Disseminate refuses on an unhealthy server) — but
-	// it does not stop interpretation: the embedded protocol's state
-	// must advance identically on every correct server regardless of
-	// local disk trouble.
-	OnPersist func(*block.Block) error
 
-	// Mempool, if non-nil, replaces the plain rqsts FIFO of Algorithm 3
-	// line 2 with a production ingestion pool: deduplication, per-request
-	// validation, and backpressure on Submit. Requests still reach blocks
-	// through the same gossip.RequestSource drain; only admission
-	// changes. With a mempool installed, Submit is the intended entry
-	// point (it surfaces admission errors); Request still works but
-	// swallows them.
+	// Mempool is the rqsts buffer of Algorithm 3 line 2, as a production
+	// ingestion pool: deduplication, per-request validation, backpressure
+	// on Submit, and byte-budgeted FIFO drains into blocks
+	// (gossip.RequestSource). Nil means a pool with the default limits
+	// (mempool.Options{}). The pool is volatile: queued requests do not
+	// survive a restart.
 	Mempool *mempool.Pool
-
-	// Evidence, if non-nil, switches the byzantine-accountability layer
-	// on (see gossip.Config.Evidence): equivocation proofs are pooled,
-	// gossiped, and convicted builders are banned through Scores. Leave
-	// nil for the paper's pure detection semantics.
-	Evidence *evidence.Pool
 	// Scores carries per-peer misbehaviour scores and the terminal ban
-	// state. Share one scorer between the server, its transport, and the
-	// sync service so every layer sees the same verdicts. Optional.
+	// state equivocation proofs feed. A deployment shares one scorer
+	// between the server, its transport and its sync service, so every
+	// layer sees the same verdicts (package deploy does); nil means a
+	// scorer of the server's own, on Clock.
 	Scores *peerscore.Scorer
 
 	// Metrics, optional.
 	Metrics *metrics.Metrics
 	// MaxBatch bounds requests per block (0 = gossip default).
 	MaxBatch int
-	// VerifyWorkers is the goroutine count for batched signature
-	// verification — DeliverBatch ingest and the Restore replay
-	// (0 = GOMAXPROCS, 1 = serial). Verdicts are independent of the
-	// setting.
-	VerifyWorkers int
 	// CompressReferences is ignored.
 	//
 	// Deprecated: a reference always includes its ancestry (gossip cites
@@ -120,7 +95,6 @@ type Server struct {
 	self   types.ServerID
 	cfg    Config
 	dag    *dag.DAG
-	rqsts  requestBuffer
 	gsp    *gossip.Gossip
 	interp *interpret.Interpreter
 
@@ -129,13 +103,11 @@ type Server struct {
 	// (and through it, the client gateway) hooks into.
 	indObservers []func(label types.Label, value []byte)
 
-	// batcher, when set, group-commits each DeliverBatch burst's journal
-	// writes (SetPersistBatcher).
-	batcher BatchPersister
-
-	// evidenceSink, when set, journals every proof newly accepted into
-	// Config.Evidence (PersistEvidence).
-	evidenceSink func(*evidence.Proof) error
+	// journal makes blocks and convictions durable (SetJournal; nothing is
+	// kept until then). persist is journal.PersistSink(self), made once
+	// rather than per inserted block.
+	journal Journal
+	persist func(*block.Block) error
 
 	// firstErr records the first internal invariant violation (never
 	// expected; exposed for diagnosis rather than panicking).
@@ -145,7 +117,9 @@ type Server struct {
 var _ transport.Endpoint = (*Server)(nil)
 
 // NewServer wires gossip and interpret around a shared DAG and request
-// buffer (Algorithm 3 lines 2–5).
+// buffer (Algorithm 3 lines 2–5). Every server has the same shape: a
+// mempool, a peer scorer and an evidence pool are always there (Mempool,
+// Scores, Evidence), defaulted when the config leaves them out.
 func NewServer(cfg Config) (*Server, error) {
 	switch {
 	case cfg.Roster == nil:
@@ -159,16 +133,19 @@ func NewServer(cfg Config) (*Server, error) {
 	case cfg.Clock == nil:
 		return nil, errors.New("core: config needs a Clock")
 	}
+	if cfg.Mempool == nil {
+		cfg.Mempool = mempool.New(mempool.Options{})
+	}
+	if cfg.Scores == nil {
+		cfg.Scores = peerscore.New(peerscore.Options{Clock: cfg.Clock})
+	}
 	s := &Server{
-		self: cfg.Signer.ID(),
-		cfg:  cfg,
-		dag:  dag.New(cfg.Roster),
+		self:    cfg.Signer.ID(),
+		cfg:     cfg,
+		dag:     dag.New(cfg.Roster),
+		journal: volatile{},
 	}
-	if cfg.Mempool != nil {
-		s.rqsts = cfg.Mempool
-	} else {
-		s.rqsts = &requestQueue{}
-	}
+	s.persist = s.journal.PersistSink(s.self)
 
 	s.interp = interpret.New(
 		cfg.Protocol,
@@ -179,19 +156,17 @@ func NewServer(cfg Config) (*Server, error) {
 	)
 
 	gsp, err := gossip.New(gossip.Config{
-		Signer:        cfg.Signer,
-		Roster:        cfg.Roster,
-		DAG:           s.dag,
-		Requests:      s.rqsts,
-		Transport:     cfg.Transport,
-		OnInsert:      s.onInsert,
-		Clock:         cfg.Clock,
-		Metrics:       cfg.Metrics,
-		Evidence:      cfg.Evidence,
-		Scores:        cfg.Scores,
-		OnEvidence:    s.onEvidence,
-		MaxBatch:      cfg.MaxBatch,
-		VerifyWorkers: cfg.VerifyWorkers,
+		Signer:     cfg.Signer,
+		Roster:     cfg.Roster,
+		DAG:        s.dag,
+		Requests:   cfg.Mempool,
+		Transport:  cfg.Transport,
+		OnInsert:   s.onInsert,
+		Clock:      cfg.Clock,
+		Metrics:    cfg.Metrics,
+		Scores:     cfg.Scores,
+		OnEvidence: s.onEvidence,
+		MaxBatch:   cfg.MaxBatch,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -218,33 +193,25 @@ func (s *Server) Transport() transport.Transport { return s.cfg.Transport }
 // line 15) → every server's DAG → every server's interpretation
 // (Algorithm 2 line 6) → indications.
 //
-// Admission can fail — with a mempool installed: duplicate, invalid, or
-// pool full; without one: a request too large to ever fit a block —
-// and Request keeps Algorithm 3's fire-and-forget signature and discards
-// the error. Client-facing callers should use Submit instead.
+// Request keeps Algorithm 3's fire-and-forget signature: it is Submit with
+// the admission verdict dropped. Client-facing callers use Submit.
 func (s *Server) Request(label types.Label, data []byte) {
-	_ = s.rqsts.Submit(label, data)
+	_ = s.Submit(label, data)
 }
 
-// Submit is the backpressure-aware form of Request: it reports whether
-// the request was admitted to the buffer. Without a mempool the plain
-// FIFO accepts everything that can fit a block — only a request whose
-// payload exceeds the per-block budget (block.MaxProducerPayloadBytes)
-// fails, with mempool.ErrTooLarge. With a mempool, the error is the
-// mempool's admission verdict (mempool.ErrFull, mempool.ErrDuplicate,
-// a validation error) for the gateway to surface to its client.
+// Submit admits one request to the mempool and reports the verdict — nil,
+// mempool.ErrFull, mempool.ErrDuplicate or a validation error
+// (mempool.ErrTooLarge, mempool.ErrEmptyLabel) — for the gateway to surface
+// to its client. The pool is safe for concurrent use, so unlike the rest of
+// the server Submit and Request may be called from any goroutine.
 func (s *Server) Submit(label types.Label, data []byte) error {
-	return s.rqsts.Submit(label, data)
+	return s.cfg.Mempool.Submit(label, data)
 }
 
-// Mempool returns the installed ingestion pool, or nil when the server
-// runs on the plain FIFO. The pool is safe for concurrent use, so
-// gateways may call Submit/Stats on it directly from client goroutines.
+// Mempool returns the server's ingestion pool; never nil. The pool is safe
+// for concurrent use, so gateways may call Submit/Stats on it directly from
+// client goroutines.
 func (s *Server) Mempool() *mempool.Pool { return s.cfg.Mempool }
-
-// PendingRequests returns the number of buffered, not yet embedded
-// requests.
-func (s *Server) PendingRequests() int { return s.rqsts.Len() }
 
 // Deliver implements transport.Endpoint by feeding gossip.
 func (s *Server) Deliver(from types.ServerID, payload []byte) {
@@ -252,28 +219,23 @@ func (s *Server) Deliver(from types.ServerID, payload []byte) {
 }
 
 // DeliverBatch feeds gossip a burst of wire payloads with the signature
-// checks amortized across Config.VerifyWorkers goroutines
-// (gossip.HandleMessages). State transitions are identical to calling
-// Deliver once per message in order; the node runtime uses this to drain
-// its inbound queue when delivery outpaces handling.
+// checks amortized across cores (gossip.HandleMessages). State transitions
+// are identical to calling Deliver once per message in order; the node
+// runtime uses this to drain its inbound queue when delivery outpaces
+// handling.
 //
-// When a BatchPersister is installed (SetPersistBatcher), the burst is
-// bracketed in one group-commit window: every block the burst inserts is
-// journaled with one write and one fsync decision instead of one pair
-// per block. Own blocks never ride a delivery batch (only Disseminate
-// builds them), so the own-block durability barrier in the persist sink
-// is unaffected; deferring received blocks' writes to the end of the
-// burst is the same durability class as the store's interval-fsync lag.
-// A flush failure is latched into Health, exactly like a per-block
-// persist failure.
+// The burst is bracketed in one group-commit window of the journal
+// (SetJournal): every block the burst inserts is journaled with one write
+// and one fsync decision instead of one pair per block. Own blocks never
+// ride a delivery batch (only Disseminate builds them), so the own-block
+// durability barrier in the persist sink is unaffected; deferring received
+// blocks' writes to the end of the burst is the same durability class as
+// the store's interval-fsync lag. A flush failure is latched into Health,
+// exactly like a per-block persist failure.
 func (s *Server) DeliverBatch(msgs []gossip.Message) {
-	if s.batcher == nil {
-		s.gsp.HandleMessages(msgs)
-		return
-	}
-	s.batcher.BeginBatch()
+	s.journal.BeginBatch()
 	s.gsp.HandleMessages(msgs)
-	if err := s.batcher.FlushBatch(); err != nil && s.firstErr == nil {
+	if err := s.journal.FlushBatch(); err != nil && s.firstErr == nil {
 		s.firstErr = fmt.Errorf("core: flush persist batch: %w", err)
 	}
 }
@@ -313,16 +275,14 @@ func (s *Server) Tick(now time.Duration) { s.gsp.Tick(now) }
 // own chain halts with the latched error), so the interpreter's feed
 // stays a valid topological order without it.
 func (s *Server) onInsert(b *block.Block) error {
-	var perr error
-	if s.cfg.OnPersist != nil {
-		if perr = s.cfg.OnPersist(b); perr != nil {
-			perr = fmt.Errorf("core: persist block %v: %w", b.Ref(), perr)
-			if s.firstErr == nil {
-				s.firstErr = perr
-			}
-			if b.Builder == s.self {
-				return perr
-			}
+	perr := s.persist(b)
+	if perr != nil {
+		perr = fmt.Errorf("core: persist block %v: %w", b.Ref(), perr)
+		if s.firstErr == nil {
+			s.firstErr = perr
+		}
+		if b.Builder == s.self {
+			return perr
 		}
 	}
 	if err := s.interp.AddBlock(b); err != nil && s.firstErr == nil {
@@ -333,15 +293,12 @@ func (s *Server) onInsert(b *block.Block) error {
 	return perr
 }
 
-// onEvidence is gossip's evidence-persistence hook: forward the proof to
-// the configured sink and latch a failure as a health problem — losing
-// durability for a ban matters (a restart would forget it), but the
-// in-memory conviction and its relay proceed regardless.
+// onEvidence is gossip's evidence-persistence hook: journal the proof and
+// latch a failure as a health problem — losing durability for a ban matters
+// (a restart would forget it), but the in-memory conviction and its relay
+// proceed regardless.
 func (s *Server) onEvidence(p *evidence.Proof) error {
-	if s.evidenceSink == nil {
-		return nil
-	}
-	if err := s.evidenceSink(p); err != nil {
+	if err := s.journal.AppendEvidence(p); err != nil {
 		err = fmt.Errorf("core: persist evidence against %v: %w", p.Equivocator(), err)
 		if s.firstErr == nil {
 			s.firstErr = err
@@ -351,35 +308,11 @@ func (s *Server) onEvidence(p *evidence.Proof) error {
 	return nil
 }
 
-// PersistEvidence makes convictions durable — the SetPersist of the
-// accountability layer, wired by node.Config.Store: stored (the proofs
-// store.Store.Evidence recovered, re-verified on load) is replayed into
-// pool and scorer — ban, but no re-persist and no relay — and sink
-// (store.Store.AppendEvidence) then journals every proof newly accepted.
-// A ban thus survives a crash/restart even when the proof's blocks never
-// made it into the replayable DAG. A sink error is latched in Health; the
-// proof stays accepted. A no-op when accountability is off.
-func (s *Server) PersistEvidence(stored []*evidence.Proof, sink func(*evidence.Proof) error) {
-	if s.cfg.Evidence == nil {
-		return
-	}
-	s.evidenceSink = sink
-	for _, p := range stored {
-		if !s.cfg.Evidence.Add(p) {
-			continue
-		}
-		s.cfg.Metrics.AddEvidenceReceived(1)
-		if s.cfg.Scores.Ban(p.Equivocator()) {
-			s.cfg.Metrics.AddPeersBanned(1)
-		}
-	}
-}
+// Evidence exposes the pool of equivocation proofs this server holds, one
+// per convicted builder. Treat as read-only.
+func (s *Server) Evidence() *evidence.Pool { return s.gsp.Evidence() }
 
-// Evidence exposes the evidence pool (nil when accountability is off).
-// Treat as read-only.
-func (s *Server) Evidence() *evidence.Pool { return s.cfg.Evidence }
-
-// Scores exposes the peer scorer (nil when none was configured).
+// Scores exposes the peer scorer: Config.Scores, or the server's own.
 func (s *Server) Scores() *peerscore.Scorer { return s.cfg.Scores }
 
 // onIndication filters interpretation indications down to this server's
@@ -398,7 +331,7 @@ func (s *Server) onIndication(ind interpret.Indication) {
 
 // AddIndicationObserver registers an additional observer of this server's
 // own indication stream, called after Config.OnIndication on the same
-// (single driving) goroutine. Like SetPersist it must be installed before
+// (single driving) goroutine. Like SetJournal it must be installed before
 // any block enters the server, so no indication can slip past the
 // observer — and unlike Config.OnIndication it may be installed before
 // Restore, so replayed indications are observed too (the node runtime
@@ -439,10 +372,9 @@ func (s *Server) SeedBase(base []dag.Base) error {
 // package store's log. It is the server's first absorb, with the disk as
 // the peer: one batch signature check over the log, then every block
 // enters the live DAG the way a pulled one does (AbsorbVerified) — the
-// structural checks of Definition 3.3, the persistence sink if one is
-// installed (store.Store.Append ignores a block it holds), a place among
-// the next own block's parent and tips, interpretation. There is no
-// second validator and no state re-derived afterwards: the next
+// structural checks of Definition 3.3, the journal (store.Store.Append
+// ignores a block it holds), a place among the next own block's parent and
+// tips, interpretation. There is no second validator and no state re-derived afterwards: the next
 // disseminated block continues the old chain and cites the tips no
 // pre-crash own block reaches because gossip advanced both per block, as
 // it does live. FWD and retry bookkeeping start empty, so any block that
@@ -473,7 +405,7 @@ func (s *Server) Restore(blocks []*block.Block) error {
 	if s.dag.Len() > 0 {
 		return errors.New("core: restore on a server that already has blocks")
 	}
-	sigOK := block.VerifyBatch(s.cfg.Roster, blocks, s.cfg.VerifyWorkers)
+	sigOK := block.VerifyBatch(s.cfg.Roster, blocks, 0)
 	for i, b := range blocks {
 		// VerifyBatch fails a builder outside the roster too; that one is
 		// left to the DAG, which reports the membership failure.
@@ -496,9 +428,9 @@ func (s *Server) Restore(blocks []*block.Block) error {
 // peer's delta stream, syncsvc.Pull checks the signatures; startup
 // catch-up, live follower and simulated recovery alike). The block takes
 // the path a gossiped block takes once its signature verified: the DAG's
-// structural checks, the journal through Config.OnPersist, a place among
-// the next own block's tips, interpretation, and the release of gossip-buffered
-// blocks waiting on it — minus the FWD round trips.
+// structural checks, the journal (SetJournal), a place among the next own
+// block's tips, interpretation, and the release of gossip-buffered blocks
+// waiting on it — minus the FWD round trips.
 //
 // Call it from the goroutine driving this server. An already-held block
 // is a no-op. The error is one of two failures. The DAG refused the block
@@ -516,44 +448,60 @@ func (s *Server) AbsorbVerified(b *block.Block) error {
 // pulled stream. The runtime keeps its watermark vector this way.
 func (s *Server) ObserveInserts(fn func(*block.Block)) { s.dag.SetOnInsert(fn) }
 
-// SetPersist installs the persistence sink after construction — the hook
-// node.Config.Store uses, since the node receives an already-built
-// Server. It must be called before any block is inserted, Restore's
-// replay included, so no insertion can slip past the journal; the store's
-// sink ignores the blocks replayed from it.
-func (s *Server) SetPersist(sink func(*block.Block) error) error {
-	if s.cfg.OnPersist != nil {
-		return errors.New("core: persistence sink already set")
-	}
-	if s.dag.Len() > 0 {
-		return errors.New("core: persistence sink set after blocks were inserted")
-	}
-	s.cfg.OnPersist = sink
-	return nil
-}
-
-// BatchPersister is the group-commit window of a persistence backend:
-// BeginBatch makes subsequent sink calls buffer their journal records,
-// FlushBatch writes the buffer with one syscall pair. store.Store
-// implements it; see store.BeginBatch for the durability contract.
-type BatchPersister interface {
+// Journal is the durable backend behind a server; store.Store implements
+// it. PersistSink(self) journals every block inserted into the DAG (own and
+// received alike) before the block is interpreted — before any indication
+// it causes becomes user-visible, and, for own blocks, durably before gossip
+// broadcasts them: the write-ahead discipline that keeps a post-crash
+// restart from self-equivocating. BeginBatch/FlushBatch are the group-commit
+// window DeliverBatch brackets its bursts with (see store.BeginBatch for the
+// durability contract). Evidence returns the proofs journaled so far,
+// verified on load; AppendEvidence journals a newly accepted one.
+type Journal interface {
+	PersistSink(self types.ServerID) func(*block.Block) error
 	BeginBatch()
 	FlushBatch() error
+	Evidence() []*evidence.Proof
+	AppendEvidence(*evidence.Proof) error
 }
 
-// SetPersistBatcher installs the group-commit window DeliverBatch
-// brackets its bursts with. The batcher must be the same backend the
-// SetPersist sink writes to, installed under the same conditions (before
-// any insertion); it is optional — without it DeliverBatch persists block
-// by block.
-func (s *Server) SetPersistBatcher(pb BatchPersister) error {
-	if s.batcher != nil {
-		return errors.New("core: persist batcher already set")
+// volatile is the Journal of a server nobody gave one: it keeps nothing.
+type volatile struct{}
+
+func (volatile) PersistSink(types.ServerID) func(*block.Block) error {
+	return func(*block.Block) error { return nil }
+}
+func (volatile) BeginBatch()                          {}
+func (volatile) FlushBatch() error                    { return nil }
+func (volatile) Evidence() []*evidence.Proof          { return nil }
+func (volatile) AppendEvidence(*evidence.Proof) error { return nil }
+
+// SetJournal makes the server durable — the one hook node.Config.Store
+// uses, since the node receives an already-built Server. It must be called
+// before any block is inserted, Restore's replay included, so no insertion
+// can slip past the journal; the store's sink ignores the blocks replayed
+// from it. The proofs the journal already holds are replayed into pool and
+// scorer — ban, but no re-persist and no relay — so a ban survives a
+// crash/restart even when the proof's blocks never made it into the
+// replayable DAG, and holds from the first delivery on.
+//
+// A persist error marks the server unhealthy (Health), withholds the
+// broadcast of the own block it failed on, and stops further dissemination
+// (Disseminate refuses on an unhealthy server) — but it does not stop
+// interpretation: the embedded protocol's state must advance identically
+// on every correct server regardless of local disk trouble. A proof that
+// fails to journal is latched the same way and stays accepted.
+func (s *Server) SetJournal(j Journal) error {
+	if s.journal != (volatile{}) {
+		return errors.New("core: journal already set")
 	}
 	if s.dag.Len() > 0 {
-		return errors.New("core: persist batcher set after blocks were inserted")
+		return errors.New("core: journal set after blocks were inserted")
 	}
-	s.batcher = pb
+	s.journal, s.persist = j, j.PersistSink(s.self)
+	for _, p := range j.Evidence() {
+		s.gsp.Convict(p)
+	}
 	return nil
 }
 
@@ -597,74 +545,3 @@ func OfflineInterpreter(
 	}, opts...)
 	return it, d, nil
 }
-
-// requestBuffer is the rqsts seam: what the shim needs from its request
-// buffer. The plain requestQueue and mempool.Pool both satisfy it, so
-// Config.Mempool swaps the ingestion policy without touching the drain
-// path gossip sees.
-type requestBuffer interface {
-	gossip.RequestSource
-	// Submit admits one request, reporting the admission verdict.
-	Submit(label types.Label, data []byte) error
-	// Len is the number of buffered, not yet drained requests.
-	Len() int
-}
-
-// requestQueue is the rqsts buffer of Algorithm 3 line 2. It is a plain
-// FIFO; the owning state machine serializes access.
-type requestQueue struct {
-	items []block.Request
-}
-
-// Submit implements rqsts.put(ℓ, r). The plain FIFO admits everything
-// that can ever be embedded: a request whose payload alone exceeds the
-// per-block producer budget could only be sealed into a block every
-// correct peer rejects at decode time (block.ErrPayloadTooLarge), which
-// would partition this builder — so it is refused up front instead.
-func (q *requestQueue) Submit(label types.Label, data []byte) error {
-	if len(label)+len(data) > block.MaxProducerPayloadBytes {
-		return fmt.Errorf("%w: %d payload bytes exceed the %d per-block budget",
-			mempool.ErrTooLarge, len(label)+len(data), block.MaxProducerPayloadBytes)
-	}
-	q.items = append(q.items, block.Request{
-		Label: label,
-		Data:  append([]byte(nil), data...),
-	})
-	return nil
-}
-
-// Requeue returns drained requests to the front of the buffer in their
-// original order, ahead of anything buffered since — the path gossip
-// takes when a built block is withheld from the network.
-func (q *requestQueue) Requeue(reqs []block.Request) {
-	q.items = append(append([]block.Request(nil), reqs...), q.items...)
-}
-
-// Next implements rqsts.get(): remove and return up to max requests,
-// stopping early when the cumulative payload (label + data bytes) would
-// exceed the per-block producer budget — the same cap mempool drains
-// enforce, so blocks built from the plain FIFO also stay under
-// block.MaxPayloadBytes and decode on every correct peer. At least one
-// request is returned whenever the queue is non-empty (Submit bounds
-// every single request under the budget).
-func (q *requestQueue) Next(max int) []block.Request {
-	if len(q.items) == 0 || max <= 0 {
-		return nil
-	}
-	n, budget := 0, block.MaxProducerPayloadBytes
-	for n < len(q.items) && n < max {
-		cost := len(q.items[n].Label) + len(q.items[n].Data)
-		if n > 0 && cost > budget {
-			break
-		}
-		budget -= cost
-		n++
-	}
-	out := q.items[:n:n]
-	rest := q.items[n:]
-	q.items = append([]block.Request(nil), rest...)
-	return out
-}
-
-// Len returns the number of buffered requests.
-func (q *requestQueue) Len() int { return len(q.items) }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -9,6 +10,8 @@ import (
 	"blockdag/internal/cluster"
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
+	"blockdag/internal/gossip"
+	"blockdag/internal/mempool"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/pbft"
 	"blockdag/internal/simnet"
@@ -385,6 +388,48 @@ func TestServerConfigValidation(t *testing.T) {
 		if _, err := core.NewServer(bad); err == nil {
 			t.Errorf("config without %s accepted", name)
 		}
+	}
+}
+
+// TestMinimalConfigIsTheWholeServer: there is one server shape. A config
+// with only the required fields yields a server with a mempool (a repeated
+// request is refused as a duplicate, not buffered twice), a scorer and an
+// evidence pool (a fork shown to it convicts and bans its builder).
+func TestMinimalConfigIsTheWholeServer(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New()
+	srv, err := core.NewServer(core.Config{
+		Roster: roster, Signer: signers[0], Protocol: brb.Protocol{},
+		Transport: net.Transport(0), Clock: net.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.Mempool() == nil || srv.Scores() == nil || srv.Evidence() == nil {
+		t.Fatalf("minimal server lacks a part: mempool %v, scorer %v, evidence pool %v",
+			srv.Mempool(), srv.Scores(), srv.Evidence())
+	}
+	if err := srv.Submit("ℓ", []byte("r")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Submit("ℓ", []byte("r")); !errors.Is(err, mempool.ErrDuplicate) {
+		t.Fatalf("repeated Submit = %v, want mempool.ErrDuplicate", err)
+	}
+	if got := srv.Mempool().Len(); got != 1 {
+		t.Fatalf("%d requests pending, want 1", got)
+	}
+	for _, data := range []string{"a", "b"} {
+		fork := block.New(3, 0, nil, []block.Request{{Label: "fork", Data: []byte(data)}})
+		if err := fork.Seal(signers[3]); err != nil {
+			t.Fatal(err)
+		}
+		srv.Deliver(3, gossip.EncodeBlockMsg(fork))
+	}
+	if !srv.Evidence().Has(3) || !srv.Scores().Banned(3) {
+		t.Fatalf("fork by s3: proof held %v, banned %v; want both", srv.Evidence().Has(3), srv.Scores().Banned(3))
 	}
 }
 

@@ -114,6 +114,23 @@ func Refs(blocks ...*block.Block) []block.Ref {
 	return out
 }
 
+// Forge returns b with the last byte of its signature flipped — what a
+// compromised server injecting into a stream looks like. The flip happens
+// in the wire frame (its last byte is the signature's last byte) and the
+// forgery is rebuilt via Decode, because a sealed block streams its cached
+// canonical frame: tampering with struct fields would never reach the wire.
+// The reference covers the body only, so the forgery claims the genuine
+// block's reference.
+func Forge(b *block.Block) *block.Block {
+	enc := append([]byte(nil), b.Encode()...)
+	enc[len(enc)-1] ^= 0x01
+	forged, err := block.Decode(enc)
+	if err != nil {
+		panic(fmt.Sprintf("dagtest: forged block does not decode: %v", err))
+	}
+	return forged
+}
+
 // Round has every server produce its next block referencing every other
 // server's previous tip — the all-to-all communication round that gossip
 // converges to under prompt delivery. Servers without a chain get a

@@ -1,8 +1,8 @@
 // Package deploy assembles a deployed node — the one place that orders
 // store, sync service, transport, core server, runtime and gateway.
 //
-//	Listen   store.Open → syncsvc.Server → late-bound gossip endpoint →
-//	         tcpnet.Listen
+//	Listen   clock + scorer → store.Open → syncsvc.Server → late-bound
+//	         gossip endpoint → tcpnet.Listen
 //	Boot     mesh → snapshot join → Build (core.NewServer → node.New) →
 //	         bind gossip → Start → registry → gateway
 //	Close    the reverse: gateway (by the runtime's stop hook), runtime,
@@ -29,6 +29,7 @@ import (
 	"blockdag/internal/mempool"
 	"blockdag/internal/metrics"
 	"blockdag/internal/node"
+	"blockdag/internal/peerscore"
 	"blockdag/internal/protocol"
 	"blockdag/internal/roster"
 	"blockdag/internal/state"
@@ -77,8 +78,8 @@ type Config struct {
 	// it runs (node.Config.CatchUp, FollowEvery). Independent of each other.
 	CatchUp     bool
 	FollowEvery time.Duration
-	// MempoolCapacity > 0 puts an ingestion pool of that capacity in front
-	// of block production (0 = plain FIFO).
+	// MempoolCapacity is the capacity of the ingestion pool in front of
+	// block production (0 = the pool's default, mempool.DefaultCapacity).
 	MempoolCapacity int
 
 	// State, if non-nil, is the Merkle-committed machine the caller feeds
@@ -110,7 +111,13 @@ type Assembly struct {
 	Registry *gateway.Registry
 	Gateway  *gateway.Gateway
 
-	cfg     Config
+	cfg Config
+	// clock and scores are the node's one clock and one peer scorer: made
+	// by Listen, because the transport's ban gates and the sync server's
+	// throttle signal exist before the core server does, and handed to all
+	// three so a conviction in gossip closes the sockets too.
+	clock   func() time.Duration
+	scores  *peerscore.Scorer
 	syncSrv *syncsvc.Server
 	gossip  transport.LateBound
 	// running late-binds the runtime for the sync service's live sources:
@@ -135,12 +142,14 @@ func Listen(cfg Config) (*Assembly, error) {
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = id.File.Addr(id.ID())
 	}
-	a := &Assembly{cfg: cfg}
+	a := &Assembly{cfg: cfg, clock: node.Clock()}
+	a.scores = peerscore.New(peerscore.Options{Clock: a.clock})
 	tcfg := tcpnet.Config{
 		Self:       id.ID(),
 		ListenAddr: cfg.ListenAddr,
 		Auth:       id.Auth(),
 		Endpoints:  map[transport.Channel]transport.Endpoint{transport.ChanGossip: &a.gossip},
+		Scores:     a.scores,
 	}
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir, store.Options{Roster: id.Roster, Sync: cfg.Fsync})
@@ -148,10 +157,16 @@ func Listen(cfg Config) (*Assembly, error) {
 			return nil, err
 		}
 		a.Store = st
+		// The convictions the sidecar holds close the sockets from the first
+		// accepted connection on — through a snapshot join too — not from
+		// Boot, where the server replays the same proofs into its pool.
+		for _, p := range st.Evidence() {
+			a.scores.Ban(p.Equivocator())
+		}
 		// Nil until the runtime is up: the server then falls back to a
 		// store scan, behind the same admission policy.
 		a.syncSrv = &syncsvc.Server{
-			Store: st, Every: syncEvery, Burst: syncBurst,
+			Store: st, Every: syncEvery, Burst: syncBurst, Scores: a.scores,
 			Watermarks: func() []syncsvc.Watermark {
 				if nd := a.running.Load(); nd != nil {
 					return nd.Watermarks()
@@ -218,12 +233,11 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		Signer:       id.Signer,
 		Protocol:     cfg.Protocol,
 		Transport:    a.Transport,
-		Clock:        node.Clock(),
+		Clock:        a.clock,
 		Metrics:      &metrics.Metrics{},
 		OnIndication: cfg.OnIndication,
-	}
-	if cfg.MempoolCapacity > 0 {
-		ccfg.Mempool = mempool.New(mempool.Options{Capacity: cfg.MempoolCapacity})
+		Mempool:      mempool.New(mempool.Options{Capacity: cfg.MempoolCapacity}),
+		Scores:       a.scores,
 	}
 	ncfg := node.Config{
 		Identity:                id,
@@ -285,8 +299,8 @@ func Build(ccfg core.Config, ncfg node.Config) (*node.Node, *gateway.Registry, e
 	}
 	reg := gateway.NewRegistry()
 	reg.Register(gateway.CollectMetrics(ccfg.Metrics))
-	reg.Register(gateway.CollectMempool(ccfg.Mempool))
-	reg.Register(gateway.CollectPeerScore(ccfg.Scores))
+	reg.Register(gateway.CollectMempool(srv.Mempool()))
+	reg.Register(gateway.CollectPeerScore(srv.Scores()))
 	return nd, reg, nil
 }
 

@@ -1,20 +1,29 @@
 package deploy
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"blockdag/internal/block"
+	"blockdag/internal/gateway"
+	"blockdag/internal/gossip"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/roster"
 	"blockdag/internal/state"
 	"blockdag/internal/store"
+	"blockdag/internal/syncsvc"
+	"blockdag/internal/tcpnet"
+	"blockdag/internal/transport"
 	"blockdag/internal/types"
 )
 
@@ -260,6 +269,183 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 		if b.Seq < horizon[b.Builder] {
 			t.Fatalf("rejoined store holds pruned history: s%d seq %d < horizon %d", b.Builder, b.Seq, horizon[b.Builder])
 		}
+	}
+}
+
+// doneSink is a transport.CallSink that keeps how its call ended.
+type doneSink chan error
+
+func (doneSink) OnFrame([]byte)     {}
+func (d doneSink) OnDone(err error) { d <- err }
+
+// TestEquivocatorIsBannedOverTCPAndAcrossRestart: deployed nodes run the
+// accountability layer. Three durable nodes on loopback and a fourth roster
+// member driven by hand, which shows half the cluster one genesis block and
+// the other half another. Every deployed node comes to hold both forks,
+// convicts and bans it — visible on /v1/status and /metrics; the banned
+// member, which still holds its key and still passes the handshake, is
+// refused after it; and a node restarted over its directory finds the proof
+// in the store's sidecar and holds the ban when Boot returns.
+func TestEquivocatorIsBannedOverTCPAndAcrossRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test with real sockets")
+	}
+	const n, byz = 4, 3
+	fx, err := roster.Dev(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := make([]string, byz)
+	members := make([]*member, byz)
+	for i := range members {
+		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("s%d", i))
+		cfg := Config{StoreDir: dirs[i]}
+		if i == 0 {
+			cfg.GatewayAddr = "127.0.0.1:0"
+		}
+		members[i] = listen(t, fx, i, cfg)
+	}
+	evil, err := fx.Identity(byz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tcpnet.Listen(tcpnet.Config{
+		Self:       byz,
+		ListenAddr: "127.0.0.1:0",
+		Auth:       evil.Auth(),
+		Endpoints:  map[transport.Channel]transport.Endpoint{transport.ChanGossip: &transport.LateBound{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	addrOf := func(id types.ServerID) string {
+		if id == byz {
+			return tr.Addr()
+		}
+		return members[id].Addr()
+	}
+	for i, m := range members {
+		if err := m.Boot(addrOf); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Connect(types.ServerID(i), m.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The equivocation: two signed blocks for slot (s3, 0), each shown to a
+	// different part of the cluster. The correct nodes' next blocks cite the
+	// fork they hold, and FWD brings everyone the other one.
+	fork := func(data string, to ...types.ServerID) {
+		b := block.New(byz, 0, nil, []block.Request{{Label: "split", Data: []byte(data)}})
+		if err := b.Seal(evil.Signer); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range to {
+			tr.Send(id, transport.ChanGossip, gossip.EncodeBlockMsg(b))
+		}
+	}
+	fork("a", 0, 1)
+	fork("b", 2)
+	waitFor(t, 20*time.Second, "every deployed node to ban the equivocator", func() bool {
+		for _, m := range members {
+			if !m.Node.Server().Scores().Banned(byz) {
+				return false
+			}
+		}
+		return true
+	})
+
+	// The client plane shows it.
+	get := func(path string) string {
+		resp, err := http.Get("http://" + members[0].Gateway.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, err %v", path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	var status gateway.Status
+	if err := json.Unmarshal([]byte(get("/v1/status")), &status); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(status.Accountability.Banned, []types.ServerID{byz}) {
+		t.Fatalf("/v1/status accountability.banned = %v, want [%d]", status.Accountability.Banned, byz)
+	}
+	scrape := get("/metrics")
+	for _, want := range []string{`peerscore_banned{peer="3"} 1`, "dag_evidence_received_total 1", "dag_peers_banned_total 1"} {
+		if !strings.Contains(scrape, want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, scrape)
+		}
+	}
+
+	// The ban over TCP: s3 proves who it is, and is refused for it.
+	refused := members[0].Transport.BanRejections()
+	done := make(doneSink, 1)
+	tr.Call(0, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), done)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), transport.ErrUnreachable.Error()) {
+		t.Fatalf("banned member's call ended with %v, want the listener's %q", err, transport.ErrUnreachable)
+	}
+	if got := members[0].Transport.BanRejections(); got <= refused {
+		t.Fatalf("ban rejections stayed at %d across the banned member's call", got)
+	}
+	if got := members[0].Transport.AuthRejections(); got != 0 {
+		t.Fatalf("%d handshakes rejected; the banned member holds its key and must pass", got)
+	}
+
+	// A restart: the conviction was journaled beside the blocks, and comes
+	// back with them.
+	for i, m := range members {
+		if err := m.Node.Err(); err != nil {
+			t.Fatalf("node %d unhealthy: %v", i, err)
+		}
+	}
+	if err := members[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	rn := listen(t, fx, 1, Config{StoreDir: dirs[1]})
+	if proofs := rn.Store.Evidence(); len(proofs) != 1 || proofs[0].Equivocator() != byz {
+		t.Fatalf("reopened store holds %d proofs, want the one against s%d", len(proofs), byz)
+	}
+	members[1] = rn
+	// The listener is up and the runtime is not: the ban already holds.
+	if !rn.scores.Banned(byz) {
+		t.Fatal("the listener serves the convicted member until Boot")
+	}
+	if err := rn.Boot(addrOf); err != nil {
+		t.Fatal(err)
+	}
+	if !rn.Node.Server().Scores().Banned(byz) || len(rn.Node.Server().Evidence().Equivocators()) != 1 {
+		t.Fatal("the ban did not survive the restart")
+	}
+}
+
+// TestOneScorerPerNode: the transport's ban gates, the sync server's
+// throttle signal and the core server read and write one scorer, made in
+// Listen — a verdict reached in gossip closes the sockets too.
+func TestOneScorerPerNode(t *testing.T) {
+	fx, err := roster.Dev(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := listen(t, fx, 0, Config{StoreDir: t.TempDir()})
+	if err := m.Boot(func(types.ServerID) string { return "127.0.0.1:1" }); err != nil {
+		t.Fatal(err)
+	}
+	scores := m.Node.Server().Scores()
+	if scores == nil || m.syncSrv.Scores != scores {
+		t.Fatalf("sync server scores into %p, core server into %p", m.syncSrv.Scores, scores)
+	}
+	// The transport keeps its config to itself: ask it by what it does.
+	scores.Ban(1)
+	m.Transport.Send(1, transport.ChanGossip, []byte("x"))
+	if got := m.Transport.BanRejections(); got != 1 {
+		t.Fatalf("transport refused %d sends to a peer the core server's scorer bans, want 1", got)
 	}
 }
 

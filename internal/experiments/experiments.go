@@ -1,8 +1,7 @@
 // Package experiments regenerates every figure and quantitative claim of
-// the paper as a table (the experiment index in DESIGN.md, recorded in
-// EXPERIMENTS.md). Each experiment is a pure function returning a Table;
-// cmd/experiments prints them and the root benchmarks drive the same code
-// under testing.B.
+// the paper as a table (Registry is the experiment index). Each experiment
+// is a pure function returning a Table; cmd/experiments prints them and the
+// root benchmarks drive the same code under testing.B.
 //
 // The paper reports no absolute numbers of its own (it is a PODC theory
 // paper), so the tables record the *shape* of each claim — who wins, how

@@ -12,9 +12,9 @@ import (
 )
 
 // The constructors below adapt each subsystem's existing concurrency-safe
-// counters to the Registry seam. Every one tolerates a nil subsystem (the
-// collector then emits nothing), so callers can wire the full set and let
-// deployment flags decide which subsystems exist.
+// counters to the Registry seam. Those over a subsystem a deployment may
+// lack (core metrics, transport, sync server, signature tally) tolerate nil
+// — the collector then emits nothing; every node has a mempool and a scorer.
 
 // counter is shorthand for a labelless counter sample.
 func counter(emit func(Metric), name, help string, v int64) {
@@ -93,9 +93,6 @@ func CollectSync(s *syncsvc.Server) Collector {
 // CollectMempool folds the ingestion pool's admission counters and depth
 // gauges in.
 func CollectMempool(p *mempool.Pool) Collector {
-	if p == nil {
-		return nil
-	}
 	return func(emit func(Metric)) {
 		s := p.Stats()
 		counter(emit, "mempool_submitted_total", "Submission attempts, accepted or not.", s.Submitted)
@@ -112,9 +109,6 @@ func CollectMempool(p *mempool.Pool) Collector {
 
 // CollectPeerScore folds the accountability scorer's per-peer standing in.
 func CollectPeerScore(s *peerscore.Scorer) Collector {
-	if s == nil {
-		return nil
-	}
 	return func(emit func(Metric)) {
 		for _, ps := range s.Snapshot() {
 			peer := strconv.Itoa(int(ps.Peer))

@@ -40,7 +40,7 @@ func newGWCluster(t *testing.T, n int, gwCfg gateway.Config) *gwCluster {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			cfg.StoreDir, cfg.MempoolCapacity = t.TempDir(), 256
+			cfg.StoreDir = t.TempDir() // MempoolCapacity 0: the pool's default
 		}
 		if members[i], err = deploy.Listen(cfg); err != nil {
 			t.Fatal(err)
@@ -75,6 +75,12 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 	body := drainClose(t, resp)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d %s", resp.StatusCode, body)
+	}
+	// Every node has a mempool, whatever capacity it was configured with: a
+	// client's retry is answered as the duplicate it is.
+	resp = postJSON(t, c.base+"/v1/submit", `{"label":"gw/hello","data":"over http"}`, nil)
+	if body := drainClose(t, resp); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("repeated submit = %d %s, want 409", resp.StatusCode, body)
 	}
 
 	resp = get(t, c.base+"/v1/await/gw/hello?timeout=10s", nil)

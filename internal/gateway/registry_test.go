@@ -60,12 +60,10 @@ func TestRegistryRendersExpositionFormat(t *testing.T) {
 
 func TestCollectorsTolerateNilSubsystems(t *testing.T) {
 	for name, c := range map[string]Collector{
-		"metrics":   CollectMetrics(nil),
-		"tcpnet":    CollectTCPNet(nil),
-		"sync":      CollectSync(nil),
-		"mempool":   CollectMempool(nil),
-		"peerscore": CollectPeerScore(nil),
-		"crypto":    CollectCrypto(nil),
+		"metrics": CollectMetrics(nil),
+		"tcpnet":  CollectTCPNet(nil),
+		"sync":    CollectSync(nil),
+		"crypto":  CollectCrypto(nil),
 	} {
 		if c != nil {
 			t.Fatalf("Collect for nil %s subsystem != nil", name)

@@ -23,11 +23,11 @@ type Status struct {
 	// number — this node's durable coverage vector (durable nodes only).
 	Watermarks map[types.ServerID]uint64 `json:"watermarks,omitempty"`
 
-	Recovery       RecoveryStatus        `json:"recovery"`
-	CatchUp        *CatchUpStatus        `json:"catch_up,omitempty"`
-	Follow         *FollowStatus         `json:"follow,omitempty"`
-	Accountability *AccountabilityStatus `json:"accountability,omitempty"`
-	Mempool        *mempool.Stats        `json:"mempool,omitempty"`
+	Recovery       RecoveryStatus       `json:"recovery"`
+	CatchUp        *CatchUpStatus       `json:"catch_up,omitempty"`
+	Follow         *FollowStatus        `json:"follow,omitempty"`
+	Accountability AccountabilityStatus `json:"accountability"`
+	Mempool        mempool.Stats        `json:"mempool"`
 	// StoreBytes is the durable store's on-disk size (omitted without a
 	// store).
 	StoreBytes int64 `json:"store_bytes,omitempty"`
@@ -157,13 +157,9 @@ func NodeStatus(nd *node.Node) func() Status {
 			}
 			st.Follow = fs
 		}
-		if rep := nd.AccountabilityReport(); len(rep.Banned) > 0 || len(rep.Peers) > 0 {
-			st.Accountability = &AccountabilityStatus{Banned: rep.Banned, Peers: rep.Peers}
-		}
-		if pool := nd.Server().Mempool(); pool != nil {
-			ms := pool.Stats()
-			st.Mempool = &ms
-		}
+		acc := nd.AccountabilityReport()
+		st.Accountability = AccountabilityStatus{Banned: acc.Banned, Peers: acc.Peers}
+		st.Mempool = nd.Server().Mempool().Stats()
 		if size, ok := nd.StoreDiskSize(); ok {
 			st.StoreBytes = size
 		}

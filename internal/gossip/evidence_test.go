@@ -22,8 +22,8 @@ type accountableNode struct {
 	scores *peerscore.Scorer
 }
 
-// newAccountableCluster mirrors newCluster with Evidence/Scores wired on
-// every node, so detection, relay, and bans are all live.
+// newAccountableCluster mirrors newCluster with a scorer wired on every
+// node, so detection, relay, and bans are all live.
 func newAccountableCluster(t *testing.T, n int) (*cluster, []*accountableNode) {
 	t.Helper()
 	roster, signers, err := crypto.LocalRoster(n)
@@ -37,29 +37,31 @@ func newAccountableCluster(t *testing.T, n int) (*cluster, []*accountableNode) {
 		d := dag.New(roster)
 		m := &metrics.Metrics{}
 		src := &queueSource{}
-		pool := evidence.NewPool()
 		scores := peerscore.New(peerscore.Options{Clock: net.Now})
 		g, err := New(Config{
-			Signer:    signers[i],
-			Roster:    roster,
-			DAG:       d,
-			Requests:  src,
-			Transport: net.Transport(types.ServerID(i)),
-			Clock:     net.Now,
-			Metrics:   m,
-			Evidence:  pool,
-			Scores:    scores,
+			Signer:     signers[i],
+			Roster:     roster,
+			DAG:        d,
+			Requests:   src,
+			Transport:  net.Transport(types.ServerID(i)),
+			Clock:      net.Now,
+			Metrics:    m,
+			Scores:     scores,
+			OnEvidence: discardEvidence,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		node := &testNode{g: g, d: d, m: m, src: src, metrics: m}
 		c.nodes = append(c.nodes, node)
-		acc = append(acc, &accountableNode{testNode: node, pool: pool, scores: scores})
+		acc = append(acc, &accountableNode{testNode: node, pool: g.Evidence(), scores: scores})
 		net.Register(types.ServerID(i), transport.ChanGossip, node)
 	}
 	return c, acc
 }
+
+// discardEvidence is the OnEvidence hook of a node with no journal.
+func discardEvidence(*evidence.Proof) error { return nil }
 
 // fork seals two conflicting blocks by the given builder at seq 0.
 func forkPair(t *testing.T, c *cluster, builder int) (*block.Block, *block.Block) {
@@ -215,10 +217,11 @@ func TestBannedBuilderWantedBlockAdmitted(t *testing.T) {
 	}
 }
 
-// TestAccountabilityOffUnchanged: without Evidence/Scores the paper's
-// permissive semantics hold — forks are flagged, nothing is banned, and
-// the equivocator's blocks keep flowing.
-func TestAccountabilityOffUnchanged(t *testing.T) {
+// TestNilScorerBansNothing: a gossip instance handed no scorer (newCluster;
+// peerscore's nil receiver) keeps the paper's permissive semantics — forks
+// are flagged and proven, nothing is banned, and the equivocator's blocks
+// keep flowing.
+func TestNilScorerBansNothing(t *testing.T) {
 	c := newCluster(t, 3)
 	forkA, forkB := forkPair(t, c, 2)
 	c.nodes[0].g.HandleMessage(2, EncodeBlockMsg(forkA))
@@ -231,7 +234,10 @@ func TestAccountabilityOffUnchanged(t *testing.T) {
 	c.net.Run()
 	n0 := c.nodes[0]
 	if !n0.d.Contains(forkA.Ref()) || !n0.d.Contains(forkB.Ref()) || !n0.d.Contains(next.Ref()) {
-		t.Fatal("accountability-off node refused the equivocator's blocks")
+		t.Fatal("scorerless node refused the equivocator's blocks")
+	}
+	if !n0.g.Evidence().Has(2) {
+		t.Fatal("the fork was not exported as a proof")
 	}
 	if got := n0.d.Equivocators(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("Equivocators = %v", got)

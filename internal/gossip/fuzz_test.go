@@ -6,6 +6,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/evidence"
 	"blockdag/internal/simnet"
 )
 
@@ -22,8 +23,13 @@ func FuzzHandleMessage(f *testing.F) {
 	if err := b.Seal(signers[1]); err != nil {
 		f.Fatal(err)
 	}
+	fork := block.New(1, 0, nil, []block.Request{{Label: "ℓ", Data: []byte("y")}})
+	if err := fork.Seal(signers[1]); err != nil {
+		f.Fatal(err)
+	}
 	f.Add(EncodeBlockMsg(b))
 	f.Add(EncodeFwdMsg(b.Ref()))
+	f.Add(EncodeEvidenceMsg(evidence.New(b, fork)))
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add([]byte{0x02, 1, 2, 3})
@@ -37,6 +43,8 @@ func FuzzHandleMessage(f *testing.F) {
 			DAG:       d,
 			Transport: net.Transport(0),
 			Clock:     net.Now,
+
+			OnEvidence: discardEvidence,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -124,14 +124,6 @@ type Config struct {
 	// Metrics, optional.
 	Metrics *metrics.Metrics
 
-	// Evidence, if non-nil, switches the accountability layer on: the
-	// DAG's equivocation detection is exported as transferable proofs
-	// into this pool, proofs are gossiped to all peers (kindEvidence)
-	// and accepted from them after verification, and proven
-	// equivocators are banned through Scores. Nil keeps the paper's
-	// pure detection semantics — required by tests that deliberately
-	// drive both forks of an equivocation into every server.
-	Evidence *evidence.Pool
 	// Scores records misbehaviour signals (bad signature, malformed
 	// frame, bad evidence) against sending peers and carries the
 	// terminal ban state evidence convictions feed. Once a builder is
@@ -139,37 +131,30 @@ type Config struct {
 	// by it — except blocks some pending honest block already waits on,
 	// which are still admitted so honest chains referencing pre-ban
 	// blocks can complete (the ban must not break Lemma 3.7 for blocks
-	// already externalized). Optional; nil disables scoring and bans.
+	// already externalized). The shim always supplies one; a nil scorer
+	// (peerscore's methods are nil-receiver safe) records and bans nothing.
 	Scores *peerscore.Scorer
-	// OnEvidence, if non-nil, observes every proof newly accepted into
-	// Evidence (locally detected or learned from a peer) — the
-	// persistence hook that makes bans survive restarts. Its error is
-	// latched by the shim as a health problem; the proof stays accepted
-	// and relayed either way.
+	// OnEvidence observes every proof newly accepted into the evidence
+	// pool (locally detected or learned from a peer) — the persistence
+	// hook that makes bans survive restarts. Its error is latched by the
+	// shim as a health problem; the proof stays accepted and relayed
+	// either way. Required: any peer can send an evidence frame, and any
+	// fork the DAG observes becomes a proof.
 	OnEvidence func(*evidence.Proof) error
 
 	// MaxBatch bounds requests per block; 0 means DefaultMaxBatch.
 	MaxBatch int
-	// VerifyWorkers sets the goroutine count HandleMessages uses to
-	// batch-verify block signatures: 0 means GOMAXPROCS, 1 forces serial
-	// verification. Verdicts are independent of the setting; it only
-	// moves wall-clock time. HandleMessage (single message) always
-	// verifies inline.
-	VerifyWorkers int
-	// InvalidCacheSize bounds the remembered-invalid reference set, which
-	// would otherwise grow without bound under a byzantine flood of
-	// garbage blocks. The cache is an optimization — it only saves
-	// re-validating a resent invalid block — so FIFO eviction is safe: an
-	// evicted reference that resurfaces fails validation again. 0 means
-	// DefaultInvalidCache; negative means unbounded (tests only).
-	InvalidCacheSize int
 }
 
-// Defaults for Config's tunables.
-const (
-	DefaultMaxBatch     = 256
-	DefaultInvalidCache = 4096
-)
+// DefaultMaxBatch is Config.MaxBatch's default.
+const DefaultMaxBatch = 256
+
+// invalidCacheSize bounds the remembered-invalid reference set, which would
+// otherwise grow without bound under a byzantine flood of garbage blocks.
+// The cache is an optimization — it only saves re-validating a resent
+// invalid block — so FIFO eviction is safe: an evicted reference that
+// resurfaces fails validation again.
+const invalidCacheSize = 4096
 
 // The FWD timers: constants, not Config fields — no caller needs another
 // value.
@@ -207,12 +192,16 @@ type Gossip struct {
 	missing map[block.Ref]*missingState
 	// invalid remembers references of blocks that failed validation;
 	// anything referencing them can never become valid (Def. 3.3(iii)).
-	// Bounded by Config.InvalidCacheSize: invalidFIFO holds the same
-	// references in remember order (from invalidHead on), and the oldest
-	// is evicted when the cache overflows.
+	// Bounded by invalidCacheSize: invalidFIFO holds the same references in
+	// remember order (from invalidHead on), and the oldest is evicted when
+	// the cache overflows.
 	invalid     map[block.Ref]struct{}
 	invalidFIFO []block.Ref
 	invalidHead int
+
+	// convicted holds one transferable proof per equivocator this server
+	// has detected or been shown (Evidence).
+	convicted *evidence.Pool
 
 	// Current block B under construction (lines 2, 14–18): its sequence
 	// number, the parent reference (own previous block, if any — kept apart
@@ -236,33 +225,33 @@ func New(cfg Config) (*Gossip, error) {
 		return nil, errors.New("gossip: config needs a Transport")
 	case cfg.Clock == nil:
 		return nil, errors.New("gossip: config needs a Clock")
+	case cfg.OnEvidence == nil:
+		return nil, errors.New("gossip: config needs an OnEvidence hook")
 	}
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	if cfg.InvalidCacheSize == 0 {
-		cfg.InvalidCacheSize = DefaultInvalidCache
-	}
 	g := &Gossip{
-		cfg:     cfg,
-		self:    cfg.Signer.ID(),
-		pending: make(map[block.Ref]*block.Block),
-		waiters: make(map[block.Ref][]block.Ref),
-		missing: make(map[block.Ref]*missingState),
-		invalid: make(map[block.Ref]struct{}),
+		cfg:       cfg,
+		self:      cfg.Signer.ID(),
+		pending:   make(map[block.Ref]*block.Block),
+		waiters:   make(map[block.Ref][]block.Ref),
+		missing:   make(map[block.Ref]*missingState),
+		invalid:   make(map[block.Ref]struct{}),
+		convicted: evidence.NewPool(),
 	}
-	// With accountability on, subscribe to the DAG's fork detection:
-	// the moment a slot is observed forked — live traffic, follower
-	// absorption, or restore replay alike — the pair is exported as a
-	// transferable proof, persisted, and relayed.
-	if cfg.Evidence != nil {
-		cfg.DAG.SetOnEquivocation(g.onEquivocation)
-	}
+	// Subscribe to the DAG's fork detection: the moment a slot is observed
+	// forked — live traffic, follower absorption, or restore replay alike —
+	// the pair is exported as a transferable proof, persisted, and relayed.
+	cfg.DAG.SetOnEquivocation(g.onEquivocation)
 	return g, nil
 }
 
 // Self returns this server's identity.
 func (g *Gossip) Self() types.ServerID { return g.self }
+
+// Evidence exposes the pool of equivocation proofs. Treat as read-only.
+func (g *Gossip) Evidence() *evidence.Pool { return g.convicted }
 
 // SeedBase anchors the own chain on its highest pruned-history stand-in,
 // for a DAG seeded with one (dag.SeedBase): with every own block below
@@ -334,13 +323,12 @@ type Message struct {
 
 // HandleMessages consumes a burst of wire payloads with the signature
 // checks amortized: block payloads are decoded up front, the blocks not
-// already known are batch-verified across Config.VerifyWorkers
-// goroutines, and then every message is applied serially in arrival
-// order. The state transitions are exactly those of calling
-// HandleMessage once per message, in order — only the Ed25519 work is
-// parallelized — so determinism is preserved and the node runtime can
-// drain its inbound queue in bursts whenever delivery outpaces the
-// handler.
+// already known are batch-verified across GOMAXPROCS goroutines, and then
+// every message is applied serially in arrival order. The state
+// transitions are exactly those of calling HandleMessage once per message,
+// in order — only the Ed25519 work is parallelized — so determinism is
+// preserved and the node runtime can drain its inbound queue in bursts
+// whenever delivery outpaces the handler.
 func (g *Gossip) HandleMessages(msgs []Message) {
 	if len(msgs) == 1 {
 		g.HandleMessage(msgs[0].From, msgs[0].Payload)
@@ -390,7 +378,7 @@ func (g *Gossip) HandleMessages(msgs []Message) {
 	}
 	var verdicts map[block.Ref]bool
 	if len(candidates) > 0 {
-		ok := block.VerifyBatch(g.cfg.Roster, candidates, g.cfg.VerifyWorkers)
+		ok := block.VerifyBatch(g.cfg.Roster, candidates, 0)
 		verdicts = make(map[block.Ref]bool, len(candidates))
 		for i, b := range candidates {
 			verdicts[b.Ref()] = ok[i]
@@ -609,11 +597,8 @@ func (g *Gossip) rememberInvalid(ref block.Ref) {
 		return
 	}
 	g.invalid[ref] = struct{}{}
-	if g.cfg.InvalidCacheSize < 0 {
-		return // unbounded
-	}
 	g.invalidFIFO = append(g.invalidFIFO, ref)
-	for len(g.invalid) > g.cfg.InvalidCacheSize {
+	for len(g.invalid) > invalidCacheSize {
 		delete(g.invalid, g.invalidFIFO[g.invalidHead])
 		g.invalidHead++
 	}
@@ -667,9 +652,9 @@ func (g *Gossip) handleFwd(from types.ServerID, ref block.Ref) {
 	g.send(from, EncodeBlockMsg(b))
 }
 
-// onEquivocation is the DAG's fork-detection callback (installed by New
-// when accountability is on): export the pair as a transferable proof
-// and run the acceptance pipeline — pool, ban, persist, relay.
+// onEquivocation is the DAG's fork-detection callback (installed by New):
+// export the pair as a transferable proof and run the acceptance pipeline
+// — pool, ban, persist, relay.
 func (g *Gossip) onEquivocation(e dag.Equivocation) {
 	g.cfg.Metrics.AddEquivocationsSeen(1)
 	b1, b2, ok := g.cfg.DAG.EquivocationBlocks(e)
@@ -686,15 +671,12 @@ func (g *Gossip) onEquivocation(e dag.Equivocation) {
 // the roster (the proof is self-authenticating — two validly signed
 // blocks in one slot), then accept. Peers pushing garbage pay for it.
 func (g *Gossip) handleEvidence(from types.ServerID, enc []byte) {
-	if g.cfg.Evidence == nil {
-		return // accountability off: ignore, like an unknown kind
-	}
 	p, err := evidence.Decode(enc)
 	if err != nil {
 		g.cfg.Scores.Penalize(from, peerscore.MalformedFrame)
 		return
 	}
-	if g.cfg.Evidence.Has(p.Equivocator()) {
+	if g.convicted.Has(p.Equivocator()) {
 		return // already convicted; skip the two signature verifications
 	}
 	if p.Verify(g.cfg.Roster) != nil {
@@ -704,6 +686,21 @@ func (g *Gossip) handleEvidence(from types.ServerID, enc []byte) {
 	g.acceptEvidence(p, from)
 }
 
+// Convict retains a verified proof and bans its equivocator, reporting
+// whether the conviction is new. It neither persists nor relays: it is the
+// whole of replaying a journaled proof at startup, and the first half of
+// acceptEvidence.
+func (g *Gossip) Convict(p *evidence.Proof) bool {
+	if !g.convicted.Add(p) {
+		return false
+	}
+	g.cfg.Metrics.AddEvidenceReceived(1)
+	if g.cfg.Scores.Ban(p.Equivocator()) {
+		g.cfg.Metrics.AddPeersBanned(1)
+	}
+	return true
+}
+
 // acceptEvidence runs the accountability pipeline for a verified proof:
 // retain it (one per equivocator — a duplicate conviction ends here,
 // which is what terminates the relay flood), ban the equivocator,
@@ -711,19 +708,13 @@ func (g *Gossip) handleEvidence(from types.ServerID, enc []byte) {
 // not know — everyone but self, the peer it came from, the equivocator,
 // and the already-banned.
 func (g *Gossip) acceptEvidence(p *evidence.Proof, from types.ServerID) {
-	if !g.cfg.Evidence.Add(p) {
+	if !g.Convict(p) {
 		return
 	}
 	id := p.Equivocator()
-	g.cfg.Metrics.AddEvidenceReceived(1)
-	if g.cfg.Scores.Ban(id) {
-		g.cfg.Metrics.AddPeersBanned(1)
-	}
-	if g.cfg.OnEvidence != nil {
-		// The hook's error is latched by the shim (a persist failure is
-		// a health problem, not a reason to drop a verified proof).
-		_ = g.cfg.OnEvidence(p)
-	}
+	// The hook's error is latched by the shim (a persist failure is a
+	// health problem, not a reason to drop a verified proof).
+	_ = g.cfg.OnEvidence(p)
 	enc := EncodeEvidenceMsg(p)
 	for _, to := range g.cfg.Roster.IDs() {
 		if to == g.self || to == from || to == id || g.cfg.Scores.Banned(to) {
@@ -773,10 +764,9 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 			}
 			g.send(id, enc)
 		}
-	} else if g.cfg.Requests != nil && len(reqs) > 0 {
-		// The block carrying these requests will never reach a peer;
-		// put them back so they are still observable (PendingRequests)
-		// rather than silently gone.
+	} else if len(reqs) > 0 {
+		// The block carrying these requests will never reach a peer; put
+		// them back in the buffer they came from rather than lose them.
 		g.cfg.Requests.Requeue(reqs)
 	}
 

@@ -78,6 +78,8 @@ func newCluster(t *testing.T, n int, opts ...simnet.Option) *cluster {
 			Transport: net.Transport(types.ServerID(i)),
 			Clock:     net.Now,
 			Metrics:   m,
+
+			OnEvidence: discardEvidence,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -215,6 +217,7 @@ func TestMaxBatchSplitsRequests(t *testing.T) {
 	g, err := New(Config{
 		Signer: signers[0], Roster: roster, DAG: d, Requests: src,
 		Transport: net.Transport(0), Clock: net.Now, MaxBatch: 2,
+		OnEvidence: discardEvidence,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -469,6 +472,7 @@ func TestConfigValidation(t *testing.T) {
 	good := Config{
 		Signer: signers[0], Roster: roster, DAG: dag.New(roster),
 		Transport: net.Transport(0), Clock: net.Now,
+		OnEvidence: discardEvidence,
 	}
 	if _, err := New(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -479,6 +483,7 @@ func TestConfigValidation(t *testing.T) {
 		"dag":       func(c *Config) { c.DAG = nil },
 		"transport": func(c *Config) { c.Transport = nil },
 		"clock":     func(c *Config) { c.Clock = nil },
+		"evidence":  func(c *Config) { c.OnEvidence = nil },
 	} {
 		bad := good
 		mutate(&bad)
@@ -512,12 +517,13 @@ func TestTickRetriesInReferenceOrder(t *testing.T) {
 		net := simnet.New(simnet.WithSeed(99))
 		log := &sendLog{Transport: net.Transport(0)}
 		g, err := New(Config{
-			Signer:    signers[0],
-			Roster:    roster,
-			DAG:       dag.New(roster),
-			Requests:  &queueSource{},
-			Transport: log,
-			Clock:     net.Now,
+			Signer:     signers[0],
+			Roster:     roster,
+			DAG:        dag.New(roster),
+			Requests:   &queueSource{},
+			Transport:  log,
+			Clock:      net.Now,
+			OnEvidence: discardEvidence,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package gossip
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"blockdag/internal/block"
@@ -12,6 +13,7 @@ import (
 	"blockdag/internal/metrics"
 	"blockdag/internal/simnet"
 	"blockdag/internal/types"
+	"blockdag/internal/wire"
 )
 
 // TestDisseminateWithholdRequeueNoDuplicates is the bounded-requeue
@@ -29,14 +31,15 @@ func TestDisseminateWithholdRequeueNoDuplicates(t *testing.T) {
 	persistFails := 3
 	persistErr := errors.New("disk on fire")
 	g, err := New(Config{
-		Signer:    signers[0],
-		Roster:    roster,
-		DAG:       dag.New(roster),
-		Requests:  pool,
-		Transport: net.Transport(0),
-		Clock:     net.Now,
-		Metrics:   &metrics.Metrics{},
-		MaxBatch:  32,
+		Signer:     signers[0],
+		Roster:     roster,
+		DAG:        dag.New(roster),
+		Requests:   pool,
+		Transport:  net.Transport(0),
+		Clock:      net.Now,
+		OnEvidence: discardEvidence,
+		Metrics:    &metrics.Metrics{},
+		MaxBatch:   32,
 		OnInsert: func(*block.Block) error {
 			if persistFails > 0 {
 				persistFails--
@@ -151,7 +154,7 @@ func ingestFixture(t testing.TB, rounds int) (msgs []Message, roster *crypto.Ros
 
 // ingestInto replays the schedule into a fresh gossip node, batched or
 // one message at a time, and returns the DAG and metrics.
-func ingestInto(t testing.TB, msgs []Message, roster *crypto.Roster, batch, workers int) (*dag.DAG, *metrics.Metrics) {
+func ingestInto(t testing.TB, msgs []Message, roster *crypto.Roster, batch int) (*dag.DAG, *metrics.Metrics) {
 	t.Helper()
 	_, signers, err := crypto.LocalRoster(4)
 	if err != nil {
@@ -161,13 +164,13 @@ func ingestInto(t testing.TB, msgs []Message, roster *crypto.Roster, batch, work
 	d := dag.New(roster)
 	m := &metrics.Metrics{}
 	g, err := New(Config{
-		Signer:        signers[0],
-		Roster:        roster,
-		DAG:           d,
-		Transport:     net.Transport(0),
-		Clock:         net.Now,
-		Metrics:       m,
-		VerifyWorkers: workers,
+		Signer:     signers[0],
+		Roster:     roster,
+		DAG:        d,
+		Transport:  net.Transport(0),
+		Clock:      net.Now,
+		OnEvidence: discardEvidence,
+		Metrics:    m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,11 +193,12 @@ func ingestInto(t testing.TB, msgs []Message, roster *crypto.Roster, batch, work
 
 // TestHandleMessagesMatchesSerial: batched ingest with parallel
 // verification must produce exactly the DAG and rejection counts of the
-// serial one-message-at-a-time path, for any batch size and worker count
-// — determinism is the whole point of the two-pass design.
+// serial one-message-at-a-time path, for any batch size — determinism is
+// the whole point of the two-pass design — and the batch verdicts it rests
+// on must not depend on how many goroutines computed them.
 func TestHandleMessagesMatchesSerial(t *testing.T) {
 	msgs, roster, wantBlocks := ingestFixture(t, 4)
-	refD, refM := ingestInto(t, msgs, roster, 1, 1)
+	refD, refM := ingestInto(t, msgs, roster, 1)
 	if refD.Len() != wantBlocks {
 		t.Fatalf("serial path inserted %d blocks, want %d", refD.Len(), wantBlocks)
 	}
@@ -202,17 +206,9 @@ func TestHandleMessagesMatchesSerial(t *testing.T) {
 	if refSnap.BlocksRejected != 3 { // tampered sig + non-member + malformed
 		t.Fatalf("serial path rejected %d blocks, want 3", refSnap.BlocksRejected)
 	}
-	for _, tc := range []struct {
-		name           string
-		batch, workers int
-	}{
-		{"batch=all/parallel", len(msgs), 0},
-		{"batch=all/serial-verify", len(msgs), 1},
-		{"batch=7/parallel", 7, 0},
-		{"batch=2/parallel", 2, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d, m := ingestInto(t, msgs, roster, tc.batch, tc.workers)
+	for _, batch := range []int{len(msgs), 7, 2} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			d, m := ingestInto(t, msgs, roster, batch)
 			if d.Len() != refD.Len() || !d.Leq(refD) || !refD.Leq(d) {
 				t.Fatalf("batched DAG differs from serial: %d vs %d blocks", d.Len(), refD.Len())
 			}
@@ -224,5 +220,19 @@ func TestHandleMessagesMatchesSerial(t *testing.T) {
 				t.Fatalf("received %d, serial path received %d", snap.BlocksReceived, refSnap.BlocksReceived)
 			}
 		})
+	}
+	var blocks []*block.Block
+	for _, m := range msgs {
+		r := wire.NewReader(m.Payload)
+		r.Byte()
+		if b, err := block.Decode(r.VarBytes()); err == nil {
+			blocks = append(blocks, b)
+		}
+	}
+	serial := block.VerifyBatch(roster, blocks, 1)
+	for _, workers := range []int{0, 3} {
+		if got := block.VerifyBatch(roster, blocks, workers); !slices.Equal(got, serial) {
+			t.Fatalf("VerifyBatch with %d workers = %v, serial says %v", workers, got, serial)
+		}
 	}
 }

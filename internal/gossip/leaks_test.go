@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -134,8 +135,11 @@ func TestMarkInvalidKeepsLiveWaiters(t *testing.T) {
 }
 
 // TestInvalidCacheBounded: under a flood of garbage blocks the invalid
-// set stays within its configured cap, evicting oldest-first, and the
-// FIFO's backing array is compacted.
+// set stays within invalidCacheSize, evicting oldest-first, and the FIFO's
+// backing array is compacted. The first few references arrive as corrupt
+// blocks on the wire; the rest of the flood (three times the cap, so the
+// dead prefix must be compacted away at least once) is fed to
+// rememberInvalid directly, which spares twelve thousand signatures.
 func TestInvalidCacheBounded(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(2)
 	if err != nil {
@@ -144,18 +148,18 @@ func TestInvalidCacheBounded(t *testing.T) {
 	net := simnet.New()
 	d := dag.New(roster)
 	g, err := New(Config{
-		Signer:           signers[0],
-		Roster:           roster,
-		DAG:              d,
-		Transport:        net.Transport(0),
-		Clock:            net.Now,
-		InvalidCacheSize: 8,
+		Signer:     signers[0],
+		Roster:     roster,
+		DAG:        d,
+		Transport:  net.Transport(0),
+		Clock:      net.Now,
+		OnEvidence: discardEvidence,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var refs []block.Ref
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 10; i++ {
 		b := block.New(1, uint64(i), nil, []block.Request{
 			{Label: types.Label(fmt.Sprintf("x/%d", i)), Data: []byte{byte(i)}},
 		})
@@ -165,21 +169,32 @@ func TestInvalidCacheBounded(t *testing.T) {
 		g.HandleMessage(1, corruptSig(b))
 		refs = append(refs, b.Ref())
 	}
-	if got := len(g.invalid); got > 8 {
-		t.Fatalf("invalid cache = %d entries, cap 8", got)
+	if len(g.invalid) != len(refs) {
+		t.Fatalf("invalid cache = %d entries after %d corrupt blocks", len(g.invalid), len(refs))
 	}
-	// The newest entries survive, the oldest were evicted.
-	if _, ok := g.invalid[refs[len(refs)-1]]; !ok {
-		t.Fatal("newest invalid ref evicted")
+	maxFIFO := 0
+	for i := 0; i < 3*invalidCacheSize; i++ {
+		var ref block.Ref
+		binary.BigEndian.PutUint64(ref[:], uint64(i)+1)
+		g.rememberInvalid(ref)
+		refs = append(refs, ref)
+		maxFIFO = max(maxFIFO, len(g.invalidFIFO))
 	}
-	if _, ok := g.invalid[refs[0]]; ok {
-		t.Fatal("oldest invalid ref not evicted")
+	if got := len(g.invalid); got != invalidCacheSize {
+		t.Fatalf("invalid cache = %d entries, cap %d", got, invalidCacheSize)
+	}
+	// Exactly the newest invalidCacheSize entries survive.
+	for i, ref := range refs {
+		_, ok := g.invalid[ref]
+		if want := i >= len(refs)-invalidCacheSize; ok != want {
+			t.Fatalf("ref %d of %d: cached = %v, want %v", i, len(refs), ok, want)
+		}
 	}
 	if len(g.invalidFIFO)-g.invalidHead != len(g.invalid) {
 		t.Fatalf("FIFO bookkeeping diverged: len %d head %d live %d",
 			len(g.invalidFIFO), g.invalidHead, len(g.invalid))
 	}
-	if len(g.invalidFIFO) > 64 {
-		t.Fatalf("FIFO backing array grew to %d despite compaction", len(g.invalidFIFO))
+	if maxFIFO > 2*invalidCacheSize+2 {
+		t.Fatalf("FIFO backing array grew to %d despite compaction", maxFIFO)
 	}
 }

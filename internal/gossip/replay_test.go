@@ -39,10 +39,11 @@ func recoveredGossip(t *testing.T, d *dag.DAG, signers []*crypto.Signer, roster 
 	t.Helper()
 	net := simnet.New()
 	g := replay(t, Config{
-		Signer:    signers[0],
-		Roster:    roster,
-		Transport: net.Transport(0),
-		Clock:     net.Now,
+		Signer:     signers[0],
+		Roster:     roster,
+		Transport:  net.Transport(0),
+		Clock:      net.Now,
+		OnEvidence: discardEvidence,
 	}, d.Blocks())
 	b, err := g.Disseminate()
 	if err != nil {
@@ -163,11 +164,12 @@ func TestDisseminationReferencesTips(t *testing.T) {
 	net := simnet.New()
 	d := dag.New(roster)
 	g, err := New(Config{
-		Signer:    signers[0],
-		Roster:    roster,
-		DAG:       d,
-		Transport: net.Transport(0),
-		Clock:     net.Now,
+		Signer:     signers[0],
+		Roster:     roster,
+		DAG:        d,
+		Transport:  net.Transport(0),
+		Clock:      net.Now,
+		OnEvidence: discardEvidence,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +211,7 @@ func TestReplayRebuildsLiveTips(t *testing.T) {
 		cfg := Config{
 			Signer: h.Signers[0], Roster: h.Roster, DAG: dag.New(h.Roster),
 			Transport: net.Transport(0), Clock: net.Now,
+			OnEvidence: discardEvidence,
 		}
 		live, err := New(cfg)
 		if err != nil {

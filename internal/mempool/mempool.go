@@ -109,32 +109,6 @@ func (p *Pool) Submit(label types.Label, data []byte) error {
 	return p.submit(block.Request{Label: label, Data: data})
 }
 
-// SubmitBatch admits many requests in order, returning how many were
-// accepted and the first error encountered. Later requests are still
-// attempted after a per-request rejection — a duplicate in the middle of
-// a client's batch must not shadow the fresh requests behind it — but an
-// ErrFull stops the batch: the pool stays full for the rest too.
-func (p *Pool) SubmitBatch(reqs []block.Request) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	accepted := 0
-	var firstErr error
-	for _, rq := range reqs {
-		err := p.submit(rq)
-		switch {
-		case err == nil:
-			accepted++
-			continue
-		case firstErr == nil:
-			firstErr = err
-		}
-		if errors.Is(err, ErrFull) {
-			break
-		}
-	}
-	return accepted, firstErr
-}
-
 // submit admits one request under the lock. The request's data is copied
 // at the boundary; callers may reuse their buffers.
 func (p *Pool) submit(rq block.Request) error {
@@ -247,14 +221,6 @@ func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.depth()
-}
-
-// Saturation returns the fill fraction of the pool's capacity in [0, 1+]
-// (requeues can push it past 1).
-func (p *Pool) Saturation() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return float64(p.depth()) / float64(p.opts.Capacity)
 }
 
 // Pressured reports whether the queue has crossed the soft watermark —

@@ -3,6 +3,7 @@ package mempool
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -197,23 +198,69 @@ func TestValidation(t *testing.T) {
 }
 
 // TestDrainByteBudget: Next stops before the cumulative payload exceeds
-// the drain budget, but always yields at least one request.
+// the drain budget, but always yields at least one request — and a block
+// built from any drain survives the decode-side payload check of every
+// correct peer (block.MaxPayloadBytes): a builder that sealed a bigger one
+// would be partitioned for good. The last three cases run at the default
+// budget, block.MaxProducerPayloadBytes — the one every server's pool
+// drains against.
 func TestDrainByteBudget(t *testing.T) {
-	// Keep the per-request limits below DrainBytes or applyDefaults
-	// clamps them so a single max-size request still fits one drain.
-	p := New(Options{DrainBytes: 100, MaxRequestBytes: 95, MaxLabelBytes: 4})
-	big := make([]byte, 90)
-	for i := 0; i < 3; i++ {
-		if err := p.Submit(types.Label(fmt.Sprintf("b/%d", i)), append(big, byte(i))); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
+	// big lifts the per-request limit to the drain budget (applyDefaults
+	// clamps it there), so requests near the budget are admitted.
+	big := Options{MaxRequestBytes: block.MaxPayloadBytes}
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		sizes  []int // data bytes per submitted request; labels are "r/<i>"
+		drains []int // requests each successive Next(256) must return
+	}{
+		// Each request costs 3 (label) + 91 (data) = 94 bytes; two exceed 100.
+		{"tiny budget", Options{DrainBytes: 100, MaxRequestBytes: 95, MaxLabelBytes: 4}, slices.Repeat([]int{91}, 3), []int{1, 1, 1}},
+		// Three requests of ~1/2 budget each: any two fit, three do not.
+		{"half-budget requests", big, slices.Repeat([]int{block.MaxProducerPayloadBytes/2 - 64}, 3), []int{2, 1}},
+		// The largest request the pool admits — the budget less the room
+		// reserved for a maximal label — is still embeddable.
+		{"one request at the limit", big, []int{block.MaxProducerPayloadBytes - DefaultMaxLabelBytes}, []int{1}},
+		// 8 MiB queued, twice the decode budget.
+		{"maximal drain", big, slices.Repeat([]int{1 << 20}, 8), []int{3, 3, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(tc.opts)
+			for i, size := range tc.sizes {
+				if err := p.Submit(types.Label(fmt.Sprintf("r/%d", i)), make([]byte, size)); err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+			}
+			next := 0
+			for k, want := range tc.drains {
+				out := p.Next(256)
+				if len(out) != want {
+					t.Fatalf("drain %d returned %d requests, want %d", k, len(out), want)
+				}
+				if out[0].Label != types.Label(fmt.Sprintf("r/%d", next)) {
+					t.Fatalf("drain %d starts at %s, want r/%d (FIFO)", k, out[0].Label, next)
+				}
+				next += len(out)
+				// Decode enforces the payload budget structurally and does
+				// not verify signatures, so an unsealed block exercises it.
+				if _, err := block.Decode(block.New(0, 0, nil, out).Encode()); err != nil {
+					t.Fatalf("block built from drain %d does not decode: %v", k, err)
+				}
+			}
+			if p.Len() != 0 {
+				t.Fatalf("%d requests left after the expected drains", p.Len())
+			}
+		})
 	}
-	// Each request costs 3 (label) + 91 (data) = 94 bytes; two exceed 100.
-	if out := p.Next(10); len(out) != 1 {
-		t.Fatalf("Next drained %d oversized requests, want 1", len(out))
+	// One byte more might not fit a drain beside its label: it is refused
+	// at Submit, so the queue head always fits and Next's at-least-one
+	// guarantee cannot blow the budget.
+	p := New(big)
+	if err := p.Submit("r/0", make([]byte, block.MaxProducerPayloadBytes-DefaultMaxLabelBytes+1)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Submit(over the limit) = %v, want ErrTooLarge", err)
 	}
-	if out := p.Next(10); len(out) != 1 {
-		t.Fatalf("second Next drained %d, want 1", len(out))
+	if p.Len() != 0 {
+		t.Fatal("oversized request was queued")
 	}
 }
 
@@ -298,34 +345,6 @@ func TestRequeueOverCapacity(t *testing.T) {
 	}
 	if l, d := reqN(7); !errors.Is(p.Submit(l, d), ErrFull) {
 		t.Fatal("fresh submission above capacity should see ErrFull")
-	}
-}
-
-// TestSubmitBatch: per-request rejections don't shadow later requests;
-// ErrFull stops the batch; the accepted count and first error report.
-func TestSubmitBatch(t *testing.T) {
-	p := New(Options{Capacity: 4})
-	l0, d0 := reqN(0)
-	if err := p.Submit(l0, d0); err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]block.Request, 0, 6)
-	batch = append(batch, block.Request{Label: l0, Data: d0}) // duplicate
-	for i := 1; i < 6; i++ {
-		l, d := reqN(i)
-		batch = append(batch, block.Request{Label: l, Data: d})
-	}
-	accepted, err := p.SubmitBatch(batch)
-	// Capacity 4, one slot used: requests 1,2,3 fit; 4 hits ErrFull and
-	// stops the batch; the leading duplicate was the first error.
-	if accepted != 3 {
-		t.Fatalf("accepted = %d, want 3", accepted)
-	}
-	if !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("first error = %v, want ErrDuplicate", err)
-	}
-	if s := p.Stats(); s.Overflow != 1 {
-		t.Fatalf("Overflow = %d, want 1 (batch stopped at full)", s.Overflow)
 	}
 }
 

@@ -51,7 +51,6 @@ func TestNodeAutomaticCheckpointing(t *testing.T) {
 	nd, err := node.New(node.Config{
 		Server:           srv,
 		DisseminateEvery: 2 * time.Millisecond,
-		TickEvery:        2 * time.Millisecond,
 		Store:            st,
 
 		CheckpointEverySegments: 2,

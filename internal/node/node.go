@@ -2,8 +2,9 @@
 //
 // The runtime proper is a set of turns — synchronous methods that each
 // run one event to completion against the deterministic state machine:
-// DeliverBurst, the server's own Request, Disseminate (Algorithm 3's
-// "repeatedly gssp.disseminate()"), Tick (FWD retries, interval fsync,
+// DeliverBurst, Disseminate (Algorithm 3's "repeatedly
+// gssp.disseminate()"; requests need no turn, the mempool it drains is
+// safe for concurrent use — Submit), Tick (FWD retries, interval fsync,
 // state seal, checkpoint policy) and FollowIfDue (the live follower).
 // Turns read time from the server's clock only (core.Server.Now) and
 // never wait; what cannot finish inside one — a peer's watermark answer,
@@ -24,7 +25,7 @@
 // no self-equivocation.
 //
 // The goroutine shell (Start/Stop) is the part that waits: it owns the
-// loop goroutine, the ingestion channels and the timers, runs a turn per
+// loop goroutine, the ingestion channel and the timers, runs a turn per
 // event, and makes post a send to that loop. The other shell is the
 // simulator (package cluster): it never calls Start, steps the same turns
 // from simnet events on its virtual clock, and post runs inline, the
@@ -74,23 +75,21 @@ type Config struct {
 	Identity *roster.Identity
 	// DisseminateEvery is the block production period (default 50ms).
 	DisseminateEvery time.Duration
-	// TickEvery is the FWD retry-timer period (default 100ms).
-	TickEvery time.Duration
-	// Store, if non-nil, makes the server durable: New replays its
-	// evidence sidecar through core.Server.PersistEvidence (a ban survives
-	// the restart, and new convictions are journaled), installs the
-	// store's persistence sink (store.Store.PersistSink, which force-syncs
-	// own blocks before gossip broadcasts them), replays the store's
-	// blocks through core.Server.Restore (validating them in the live DAG
-	// and resuming the pre-crash chain; RecoveryReport), and Tick drives
-	// interval fsync alongside the FWD timer. The store must be freshly
-	// opened (store.Open) and the server freshly built; the caller keeps ownership and closes the
-	// store after Stop. On a clean shutdown a started node's Stop leaves
-	// the WAL fully synced.
+	// Store, if non-nil, makes the server durable: New installs it as the
+	// server's journal (core.Server.SetJournal: the evidence sidecar is
+	// replayed, so a ban survives the restart, new convictions are
+	// journaled, and the persistence sink force-syncs own blocks before
+	// gossip broadcasts them), replays the store's blocks through
+	// core.Server.Restore (validating them in the live DAG and resuming
+	// the pre-crash chain; RecoveryReport), and Tick drives interval fsync
+	// alongside the FWD timer. The store must be freshly opened
+	// (store.Open) and the server freshly built; the caller keeps
+	// ownership and closes the store after Stop. On a clean shutdown a
+	// started node's Stop leaves the WAL fully synced.
 	Store *store.Store
 	// CatchUp, if non-nil, is whom the node pulls from (Transport, Peers;
 	// Roster defaults to the server's) and turns startup catch-up on: once
-	// the store is replayed and the persistence sinks are in place, New
+	// the store is replayed and the journal is in place, New
 	// pulls from the peers in order (PullFrom) until one stream ends clean,
 	// each attempt bounded by Timeout. A node with an empty or stale store
 	// thus starts within one streamed round trip of the cluster instead of
@@ -213,12 +212,11 @@ func Clock() func() time.Duration {
 type Node struct {
 	cfg Config
 
-	// The ingestion channels are buffered beyond the usual one-or-none
-	// guideline deliberately: they absorb network bursts while the loop
+	// The ingestion channel is buffered beyond the usual one-or-none
+	// guideline deliberately: it absorbs network bursts while the loop
 	// is mid-block; senders (transport read goroutines) block when the
 	// buffer fills, which is the desired backpressure.
-	in   chan gossip.Message
-	reqs chan block.Request
+	in chan gossip.Message
 	// posted carries async completions to the loop of a started node
 	// (looping); see post.
 	posted  chan func()
@@ -307,13 +305,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.DisseminateEvery <= 0 {
 		cfg.DisseminateEvery = 50 * time.Millisecond
 	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = 100 * time.Millisecond
-	}
 	n := &Node{
 		cfg:    cfg,
 		in:     make(chan gossip.Message, 256),
-		reqs:   make(chan block.Request, 256),
 		posted: make(chan func(), 4),
 		done:   make(chan struct{}),
 		broker: NewIndicationBroker(DefaultRecentLabels),
@@ -371,10 +365,6 @@ func New(cfg Config) (*Node, error) {
 				return nil, fmt.Errorf("node: seed pruned-history base: %w", err)
 			}
 		}
-		// Convictions first: the sidecar's bans hold from the first
-		// delivery on, and an equivocation the block replay re-detects is
-		// already pooled instead of being relayed afresh on every restart.
-		srv.PersistEvidence(st.Evidence(), st.AppendEvidence)
 		if cfg.State != nil {
 			// Rebuild the machine from the journaled checkpoint (and
 			// fast-forward the smr frontier) before the Restore replay
@@ -387,19 +377,17 @@ func New(cfg Config) (*Node, error) {
 		// pruned prefix (covered by the certified snapshot) without ever
 		// observing it.
 		n.tracker.SeedHorizon(st.Horizon())
-		// PersistSink, not a bare Append: own blocks must be durable
-		// before gossip broadcasts them, or a power cut sets up a
-		// post-crash self-equivocation (see the store package docs). The
-		// sinks go in ahead of the replay: no insertion bypasses them, and
-		// the store ignores a block it holds.
-		if err := srv.SetPersist(st.PersistSink(srv.ID())); err != nil {
-			return nil, fmt.Errorf("node: %w", err)
-		}
-		// Group-commit ingest bursts: DeliverBatch brackets its burst in
-		// one store batch, so 64 received blocks cost one write syscall
-		// and one fsync decision instead of 64 (see core.DeliverBatch for
-		// why the own-block durability barrier is unaffected).
-		if err := srv.SetPersistBatcher(st); err != nil {
+		// The journal goes in ahead of the replay: no insertion bypasses
+		// it, and the store ignores a block it holds. Convictions come back
+		// with it: the sidecar's bans hold from the first delivery on, and
+		// an equivocation the block replay re-detects is already pooled
+		// instead of being relayed afresh on every restart. Its sink is
+		// PersistSink, not a bare Append: own blocks must be durable before
+		// gossip broadcasts them, or a power cut sets up a post-crash
+		// self-equivocation (see the store package docs). And DeliverBatch
+		// brackets its burst in one store batch, so 64 received blocks cost
+		// one write syscall and one fsync decision instead of 64.
+		if err := srv.SetJournal(st); err != nil {
 			return nil, fmt.Errorf("node: %w", err)
 		}
 		began := time.Now()
@@ -453,8 +441,8 @@ type AccountabilityReport struct {
 	Peers  []peerscore.PeerStat
 }
 
-// AccountabilityReport snapshots the server's peer scorer. Zero value
-// when accountability is off (no scorer wired). Safe for concurrent use.
+// AccountabilityReport snapshots the server's peer scorer. Safe for
+// concurrent use.
 func (n *Node) AccountabilityReport() AccountabilityReport {
 	s := n.cfg.Server.Scores()
 	return AccountabilityReport{Banned: s.BannedPeers(), Peers: s.Snapshot()}
@@ -558,28 +546,19 @@ func (n *Node) Deliver(from types.ServerID, payload []byte) {
 	}
 }
 
-// Request queues a user request (shim interface request(ℓ, r)) for the
-// loop. Requests after Stop are discarded.
-func (n *Node) Request(label types.Label, data []byte) {
-	select {
-	case n.reqs <- block.Request{Label: label, Data: append([]byte(nil), data...)}:
-	case <-n.done:
-	}
+// Submit admits a user request (shim interface request(ℓ, r)) to the
+// server's mempool, synchronously — the pool is safe for concurrent use, so
+// this needs no turn of the loop — and returns the admission verdict
+// (mempool.ErrFull, mempool.ErrDuplicate, a validation error, or nil), which
+// gateways surface to their clients.
+func (n *Node) Submit(label types.Label, data []byte) error {
+	return n.cfg.Server.Submit(label, data)
 }
 
-// Submit is the backpressure-aware request entry point. On a server with
-// a mempool (core.Config.Mempool) it admits the request synchronously —
-// the pool is safe for concurrent use, so this bypasses the request
-// channel entirely — and returns the admission verdict (mempool.ErrFull,
-// mempool.ErrDuplicate, a validation error, or nil), which gateways
-// surface to their clients. Without a mempool it falls back to the
-// fire-and-forget Request queue and reports nil.
-func (n *Node) Submit(label types.Label, data []byte) error {
-	if pool := n.cfg.Server.Mempool(); pool != nil {
-		return pool.Submit(label, data)
-	}
-	n.Request(label, data)
-	return nil
+// Request is Submit with the verdict dropped: Algorithm 3's fire-and-forget
+// signature.
+func (n *Node) Request(label types.Label, data []byte) {
+	_ = n.Submit(label, data)
 }
 
 // Err returns the first runtime error observed by a turn, combined with
@@ -609,6 +588,10 @@ func (n *Node) recordErr(err error) {
 // stepped turns, or from the indication callback).
 func (n *Node) Server() *core.Server { return n.cfg.Server }
 
+// tickEvery is the housekeeping period of a started node: FWD retries, the
+// store's interval fsync, the seal and checkpoint policies (Tick).
+const tickEvery = 100 * time.Millisecond
+
 // loop is the goroutine shell: it waits — on the channels, the two
 // tickers, the follow timer — and runs one turn per event.
 func (n *Node) loop(ctx context.Context) {
@@ -620,7 +603,7 @@ func (n *Node) loop(ctx context.Context) {
 	}
 	disseminate := time.NewTicker(n.cfg.DisseminateEvery)
 	defer disseminate.Stop()
-	tick := time.NewTicker(n.cfg.TickEvery)
+	tick := time.NewTicker(tickEvery)
 	defer tick.Stop()
 	follow := time.NewTimer(n.FollowIfDue())
 	defer follow.Stop()
@@ -631,8 +614,6 @@ func (n *Node) loop(ctx context.Context) {
 			return
 		case msg := <-n.in:
 			n.DeliverBurst(n.drainBurst(msg))
-		case rq := <-n.reqs:
-			n.cfg.Server.Request(rq.Label, rq.Data)
 		case <-disseminate.C:
 			n.Disseminate()
 		case <-tick.C:
@@ -647,7 +628,7 @@ func (n *Node) loop(ctx context.Context) {
 
 // ingestBurst bounds how many queued deliveries one loop iteration
 // drains into a single DeliverBurst. It caps the latency the timers (and
-// user requests) can accrue behind a network burst while still giving
+// block timer) can accrue behind a network burst while still giving
 // the batch verifier enough signatures to amortize across cores.
 const ingestBurst = 64
 

@@ -17,6 +17,7 @@ import (
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/gossip"
 	"blockdag/internal/node"
 	"blockdag/internal/peerscore"
@@ -46,21 +47,6 @@ func sealChain(t *testing.T, signer *crypto.Signer, parent *block.Block, n int) 
 		parent = b
 	}
 	return blocks
-}
-
-// forge returns b with its signature's last byte flipped, rebuilt through
-// Decode so the forgery is what travels (a sealed block streams its cached
-// frame). The reference covers the body only, so the forgery claims the
-// genuine block's reference.
-func forge(t *testing.T, b *block.Block) *block.Block {
-	t.Helper()
-	enc := append([]byte(nil), b.Encode()...)
-	enc[len(enc)-1] ^= 0x01
-	forged, err := block.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return forged
 }
 
 // served is a sync handler streaming a fixed block list through the real
@@ -163,7 +149,7 @@ func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
 	net := simnet.New()
 	chain := sealChain(t, signers[0], nil, 50)
 	tampered := append([]*block.Block(nil), chain...)
-	tampered[30] = forge(t, chain[30])
+	tampered[30] = dagtest.Forge(chain[30])
 	net.RegisterHandler(0, transport.ChanSync, serve(tampered))
 	net.RegisterHandler(1, transport.ChanSync, serve(chain))
 

@@ -16,6 +16,7 @@ import (
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/gossip"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
@@ -403,7 +404,7 @@ func TestReplayRejectsBadJournal(t *testing.T) {
 		want    error
 	}{
 		"foreign roster": {append(chain, sealChain(t, bigSigners[1], nil, 1)...), dag.ErrBuilderUnknown},
-		"bad signature":  {[]*block.Block{chain[0], forge(t, chain[1])}, dag.ErrBadSignature},
+		"bad signature":  {[]*block.Block{chain[0], dagtest.Forge(chain[1])}, dag.ErrBadSignature},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

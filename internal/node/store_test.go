@@ -12,7 +12,6 @@ import (
 	"blockdag/internal/gossip"
 	"blockdag/internal/metrics"
 	"blockdag/internal/node"
-	"blockdag/internal/peerscore"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
 	"blockdag/internal/store"
@@ -44,7 +43,6 @@ func runDurableNode(t *testing.T, dir string, roster *crypto.Roster, signer *cry
 	nd, err := node.New(node.Config{
 		Server:           srv,
 		DisseminateEvery: 5 * time.Millisecond,
-		TickEvery:        5 * time.Millisecond,
 		Store:            st,
 	})
 	if err != nil {
@@ -117,9 +115,9 @@ func TestNodeStoreRecoverResume(t *testing.T) {
 	}
 }
 
-// TestNodeStoreRejectsPrewiredServer: Config.Store must own the
-// persistence sink; a server that already has one is refused rather than
-// silently double-journaled.
+// TestNodeStoreRejectsPrewiredServer: Config.Store must be the server's
+// journal; a server that already has one is refused rather than silently
+// double-journaled.
 func TestNodeStoreRejectsPrewiredServer(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(1)
 	if err != nil {
@@ -136,18 +134,20 @@ func TestNodeStoreRejectsPrewiredServer(t *testing.T) {
 		Protocol:  brb.Protocol{},
 		Transport: simnet.New().Transport(0),
 		Clock:     node.Clock(),
-		OnPersist: st.Append,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := srv.SetJournal(st); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := node.New(node.Config{Server: srv, Store: st}); err == nil {
-		t.Fatal("node.New accepted a server with a pre-wired persistence sink")
+		t.Fatal("node.New accepted a server with a pre-wired journal")
 	}
 }
 
 // TestNodeBanSurvivesRestart: a conviction outlives the process. A node
-// with accountability on and a store accepts a gossiped equivocation
+// with a store accepts a gossiped equivocation
 // proof (the fork's blocks never enter its DAG, so no block replay could
 // re-derive it), stops, and a fresh node over the reopened store has the
 // equivocator pooled and banned before its first delivery — node.New
@@ -173,10 +173,7 @@ func TestNodeBanSurvivesRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		net := simnet.New()
-		nd := steppedNode(t, net, roster, signers[0], core.Config{
-			Evidence: evidence.NewPool(),
-			Scores:   peerscore.New(peerscore.Options{Clock: net.Now}),
-		}, node.Config{Store: st})
+		nd := steppedNode(t, net, roster, signers[0], core.Config{}, node.Config{Store: st})
 		return nd, st
 	}
 

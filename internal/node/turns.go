@@ -76,9 +76,8 @@ func (n *Node) FollowPoll() {
 	if n.followInFlight || n.cfg.FollowEvery <= 0 {
 		return
 	}
-	// Score-weighted rotation: with a scorer configured (core.Config.Scores)
-	// the poll prefers peers outside quarantine and never targets a banned
-	// one; without, this is the plain round-robin it always was.
+	// Score-weighted rotation: the poll prefers peers outside quarantine
+	// and never targets a banned one; among equals it is round-robin.
 	peer, ok := n.cfg.Server.Scores().Pick(n.via.Peers, n.followPeer)
 	n.followPeer++
 	if !ok {

@@ -8,9 +8,11 @@
 // The scorer is the one concurrency-tolerant piece of the
 // accountability layer: it is consulted from the deterministic state
 // machines (gossip, cluster) and from transport goroutines (tcpnet
-// readers/senders), so it carries its own mutex. All methods are
-// nil-receiver safe — a nil *Scorer means "accountability off" and
-// reports every peer clean — so call sites need no wiring guards.
+// readers/senders), so it carries its own mutex. Every core.Server has
+// one, and a deployed node shares it with its transport and sync server
+// (package deploy). All methods are nil-receiver safe — a nil *Scorer
+// records nothing and reports every peer clean — for the callers that
+// stand a transport or a gossip instance up alone (tests, bench/).
 package peerscore
 
 import (

@@ -1,6 +1,6 @@
 // Package simnet is a deterministic discrete-event network simulator.
 //
-// Every experiment in EXPERIMENTS.md runs on simnet: it provides the
+// Every experiment of internal/experiments runs on simnet: it provides the
 // paper's Assumption 1 (eventual delivery between correct servers) while
 // letting tests and benchmarks control latency, jitter, reordering, drops,
 // and partitions — reproducibly, from a seed. Virtual time advances only

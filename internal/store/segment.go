@@ -278,12 +278,23 @@ func ScanDir(dir string) ([]*block.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range seg.blocks {
-			if _, dup := seen[b.Ref()]; !dup {
-				seen[b.Ref()] = struct{}{}
-				blocks = append(blocks, b)
-			}
-		}
+		blocks, _ = appendUnseen(blocks, seen, seg.blocks)
 	}
 	return blocks, nil
+}
+
+// appendUnseen appends one segment's blocks to dst in file order, dropping
+// — and counting — records of a block seen already holds, and marks the
+// rest seen: the one dedup both readers of a store directory apply (Open,
+// ScanDir).
+func appendUnseen(dst []*block.Block, seen map[block.Ref]struct{}, blocks []*block.Block) (_ []*block.Block, dups int) {
+	for _, b := range blocks {
+		if _, dup := seen[b.Ref()]; dup {
+			dups++
+			continue
+		}
+		seen[b.Ref()] = struct{}{}
+		dst = append(dst, b)
+	}
+	return dst, dups
 }

@@ -278,7 +278,9 @@ func (s *Store) recover() error {
 		if seg.torn && i != len(segs)-1 {
 			return fmt.Errorf("%w: %s: bad record before final segment", ErrCorrupt, sf.path)
 		}
-		s.admit(seg.blocks)
+		var dups int
+		s.recovered, dups = appendUnseen(s.recovered, s.present, seg.blocks)
+		s.report.Duplicates += dups
 		if seg.snap != nil {
 			s.horizon, s.base, s.stateCkpt = seg.snap.horizon, seg.snap.base, seg.snap.state
 			s.report.HasSnapshot = true
@@ -306,19 +308,6 @@ func (s *Store) recover() error {
 	s.report.Blocks = len(s.recovered)
 	s.lastSync = s.opts.Clock()
 	return nil
-}
-
-// admit appends one segment's blocks to the recovered list, in file
-// order, dropping records of a block already held.
-func (s *Store) admit(blocks []*block.Block) {
-	for _, b := range blocks {
-		if _, dup := s.present[b.Ref()]; dup {
-			s.report.Duplicates++
-			continue
-		}
-		s.present[b.Ref()] = struct{}{}
-		s.recovered = append(s.recovered, b)
-	}
 }
 
 // Dir returns the store's directory.
@@ -549,10 +538,10 @@ func (s *Store) unmarkPending(refs []block.Ref) {
 	}
 }
 
-// PersistSink returns the persistence hook (core.Config.OnPersist) for
-// the server owning this store: it journals every inserted block and, for
-// blocks built by self, forces the WAL durable before returning —
-// whatever the fsync policy. The hook runs before gossip broadcasts an
+// PersistSink returns the persistence hook (core.Journal) for the server
+// owning this store: it journals every inserted block and, for blocks
+// built by self, forces the WAL durable before returning — whatever the
+// fsync policy. The hook runs before gossip broadcasts an
 // own block, so by the time any peer can observe one of our sequence
 // numbers the block is on disk: a power cut can never make a restarted
 // server re-sign a different block at an already-published sequence

@@ -8,6 +8,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/evidence"
 	"blockdag/internal/gossip"
 	"blockdag/internal/simnet"
 	"blockdag/internal/state"
@@ -91,22 +92,24 @@ func BenchmarkCatchUp(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			net := simnet.New(simnet.WithSeed(1))
 			server, err := gossip.New(gossip.Config{
-				Signer:    signers[0],
-				Roster:    roster,
-				DAG:       servedDAG,
-				Transport: net.Transport(0),
-				Clock:     net.Now,
+				Signer:     signers[0],
+				Roster:     roster,
+				DAG:        servedDAG,
+				Transport:  net.Transport(0),
+				Clock:      net.Now,
+				OnEvidence: func(*evidence.Proof) error { return nil },
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			recoveringDAG := dag.New(roster)
 			client, err := gossip.New(gossip.Config{
-				Signer:    signers[1],
-				Roster:    roster,
-				DAG:       recoveringDAG,
-				Transport: net.Transport(1),
-				Clock:     net.Now,
+				Signer:     signers[1],
+				Roster:     roster,
+				DAG:        recoveringDAG,
+				Transport:  net.Transport(1),
+				Clock:      net.Now,
+				OnEvidence: func(*evidence.Proof) error { return nil },
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"blockdag/internal/block"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/wire"
 )
@@ -33,7 +34,7 @@ func FuzzPullFrames(f *testing.F) {
 	batch := syncsvc.EncodeBatchFrame(blocks[:3])
 	f.Add(framed(f, batch, syncsvc.EncodeDoneFrame(3)))
 	f.Add(framed(f, batch, syncsvc.EncodeBatchFrame(blocks[3:]), syncsvc.EncodeDoneFrame(6))) // over the cap
-	f.Add(framed(f, syncsvc.EncodeBatchFrame([]*block.Block{forge(f, blocks[0])}), syncsvc.EncodeDoneFrame(1)))
+	f.Add(framed(f, syncsvc.EncodeBatchFrame([]*block.Block{dagtest.Forge(blocks[0])}), syncsvc.EncodeDoneFrame(1)))
 	f.Add(framed(f, batch, syncsvc.EncodeDoneFrame(2))) // lying summary
 	f.Add(framed(f, batch))                             // truncated
 	f.Add(framed(f, batch[:len(batch)/2]))

@@ -8,6 +8,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/simnet"
 	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
@@ -78,23 +79,6 @@ func serving(seed int64, blocks []*block.Block) *simnet.Network {
 	return net
 }
 
-// forge returns b with the last signature byte flipped — what a
-// compromised server injecting into the stream looks like. The flip
-// happens in the wire frame (its last byte is the signature's last byte)
-// and the forgery is rebuilt via Decode, because a sealed block streams
-// its cached canonical frame: tampering with struct fields would never
-// reach the wire.
-func forge(t testing.TB, b *block.Block) *block.Block {
-	t.Helper()
-	enc := append([]byte(nil), b.Encode()...)
-	enc[len(enc)-1] ^= 0x01
-	forged, err := block.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return forged
-}
-
 // TestPullOverSimnet: a fresh client pulls a served store in bulk and
 // ends with the full chain, signature-checked, in an order a DAG accepts.
 func TestPullOverSimnet(t *testing.T) {
@@ -160,7 +144,7 @@ func TestPullSkipsHeldPrefix(t *testing.T) {
 func TestPullRejectsTamperedBlock(t *testing.T) {
 	roster, blocks := buildChain(t, 50)
 	tampered := append([]*block.Block(nil), blocks...)
-	tampered[30] = forge(t, blocks[30])
+	tampered[30] = dagtest.Forge(blocks[30])
 
 	got, perr := runPull(t, serving(9, tampered), syncsvc.NewPull(roster, nil, 0, nil))
 	if !errors.Is(perr, dag.ErrBadSignature) || !strings.Contains(perr.Error(), "rejected") {

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"net"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
 	"blockdag/internal/crypto"
+	"blockdag/internal/peerscore"
 	"blockdag/internal/roster"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
@@ -479,5 +481,155 @@ func TestAuthOversizedHelloRefusedOnHeader(t *testing.T) {
 	ta.Call(1, transport.ChanSync, []byte("req"), cs)
 	if res := cs.wait(t, 2*time.Second); !errors.Is(res.err, transport.ErrAuthFailed) {
 		t.Fatalf("call against an oversized challenge: %v, want ErrAuthFailed at once", res.err)
+	}
+}
+
+// TestAuthForgedHelloChargesNobody: the identity in an inbound hello is a claim
+// until the proof verifies, so a handshake that fails charges nobody — or
+// anyone who can reach the port could push an honest member into quarantine
+// and steer every follower's poll rotation (peerscore.Pick) away from it.
+// The rejection is still counted. Outbound is different: a listener at the
+// roster address we dialled that cannot prove itself is charged.
+func TestAuthForgedHelloChargesNobody(t *testing.T) {
+	fx := authFixture(t, 4)
+	const framed = 2
+	scores := peerscore.New(peerscore.Options{})
+	victim, err := Listen(Config{
+		Self:        0,
+		ListenAddr:  "127.0.0.1:0",
+		Endpoints:   gossipEndpoints(&sink{}),
+		DialBackoff: 5 * time.Millisecond,
+		Auth:        fixtureAuth(t, fx, 0),
+		Scores:      scores,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = victim.Close() }()
+	rotation := func() (picks []types.ServerID) {
+		for cursor := 0; cursor < 6; cursor++ {
+			p, _ := scores.Pick([]types.ServerID{1, 2, 3}, cursor)
+			picks = append(picks, p)
+		}
+		return picks
+	}
+	clean := rotation()
+
+	// forge claims to be the framed member and answers the challenge with a
+	// signature it cannot have.
+	forge := func() {
+		conn, err := net.Dial("tcp", victim.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = conn.Close() }()
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		hello := wire.NewWriter(16 + transport.NonceSize)
+		hello.Uint16(transport.Version)
+		hello.Uint16(framed)
+		hello.Byte(kindStream)
+		hello.Byte(1)
+		hello.VarBytes(make([]byte, transport.NonceSize))
+		if err := wire.WriteFrame(conn, hello.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wire.ReadFrame(conn); err != nil {
+			t.Fatal(err)
+		}
+		proof := wire.NewWriter(80)
+		proof.Byte(tagAuthProof)
+		proof.VarBytes(make([]byte, 64))
+		if err := wire.WriteFrame(conn, proof.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = conn.Read(make([]byte, 1)) // the listener hangs up
+	}
+	for i := 0; i < 100; i++ {
+		forge()
+	}
+	waitFor(t, 5*time.Second, func() bool { return victim.AuthRejections() == 100 })
+	if got := scores.Score(framed); got != 0 {
+		t.Fatalf("100 forged hellos claiming s%d raised its score to %v", framed, got)
+	}
+	if got := rotation(); !slices.Equal(got, clean) {
+		t.Fatalf("poll rotation after the forgeries = %v, want %v", got, clean)
+	}
+
+	// An impostor squatting on the framed member's address: this time we
+	// chose whom to talk to, and it could not prove it.
+	imposter, err := Listen(Config{
+		Self:       framed,
+		ListenAddr: "127.0.0.1:0",
+		Endpoints:  gossipEndpoints(&sink{}),
+		Auth:       newEvilAuth(t, fx, framed),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = imposter.Close() }()
+	if err := victim.Connect(framed, imposter.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	victim.Send(framed, transport.ChanGossip, []byte("secret"))
+	waitFor(t, 5*time.Second, func() bool { return victim.AuthFailures() >= 1 && scores.Score(framed) > 0 })
+}
+
+// TestAuthUnansweredHandshakeChargesNobody: an outbound handshake fails as
+// an authentication failure in two ways that accuse nobody: the listener
+// closes after the hello (it restarted, or died), or it refuses us with an explicit error frame (it has not learned a rotated roster
+// yet). Both are counted; neither is charged to the roster member whose
+// address we dialled. Only a listener that answers and cannot prove itself
+// is (TestAuthForgedHelloChargesNobody's last step).
+func TestAuthUnansweredHandshakeChargesNobody(t *testing.T) {
+	fx := authFixture(t, 2)
+	for name, answer := range map[string][]byte{
+		"closes":  nil,
+		"refuses": append([]byte{tagError}, transport.ErrAuthFailed.Error()...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = ln.Close() }()
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					if _, err := wire.ReadFrame(conn); err == nil && answer != nil {
+						_ = wire.WriteFrame(conn, answer)
+					}
+					_ = conn.Close()
+				}
+			}()
+			scores := peerscore.New(peerscore.Options{})
+			dialer, err := Listen(Config{
+				Self:        0,
+				ListenAddr:  "127.0.0.1:0",
+				Endpoints:   gossipEndpoints(&sink{}),
+				DialBackoff: 5 * time.Millisecond,
+				Auth:        fixtureAuth(t, fx, 0),
+				Scores:      scores,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = dialer.Close() }()
+			if err := dialer.Connect(1, ln.Addr().String()); err != nil {
+				t.Fatal(err)
+			}
+			cs := newCallSink()
+			dialer.Call(1, transport.ChanSync, []byte("req"), cs)
+			if res := cs.wait(t, 5*time.Second); !errors.Is(res.err, transport.ErrAuthFailed) {
+				t.Fatalf("call error = %v, want ErrAuthFailed", res.err)
+			}
+			dialer.Send(1, transport.ChanGossip, []byte("hello"))
+			waitFor(t, 5*time.Second, func() bool { return dialer.AuthFailures() >= 3 })
+			if got := scores.Score(1); got != 0 {
+				t.Fatalf("a listener that %s raised s1's score to %v", name, got)
+			}
+		})
 	}
 }

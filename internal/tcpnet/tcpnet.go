@@ -117,9 +117,12 @@ type Config struct {
 	// Scores, if non-nil, is consulted on every connection and payload:
 	// traffic to and from a banned peer is refused (sends dropped, calls
 	// fail with transport.ErrUnreachable, inbound connections closed
-	// after identification), and handshake authentication failures feed
-	// back into the scorer as peerscore.AuthFailure signals. A nil scorer
-	// disables accountability entirely.
+	// after the handshake has proven who they are), and a peer we dialled
+	// at its roster address that answers and cannot prove itself is charged
+	// a peerscore.AuthFailure (one that closes without answering, or
+	// refuses us, is not). An inbound connection that fails the
+	// handshake charges nobody: its claimed identity is unproven. A nil
+	// scorer bans and charges nothing.
 	Scores *peerscore.Scorer
 
 	// version overrides the advertised protocol version; tests use it to
@@ -366,10 +369,7 @@ func (t *Transport) runCall(ctx context.Context, cancel context.CancelFunc, to t
 	defer stop()
 
 	if err := t.handshake(conn, to, kindCall, ch); err != nil {
-		if errors.Is(err, transport.ErrAuthFailed) {
-			t.failAuth()
-			t.cfg.Scores.Penalize(to, peerscore.AuthFailure)
-		}
+		t.failAuth(to, err)
 		switch {
 		case errors.Is(err, transport.ErrAuthFailed),
 			errors.Is(err, transport.ErrVersionMismatch),
@@ -427,6 +427,13 @@ func (t *Transport) runCall(ctx context.Context, cancel context.CancelFunc, to t
 		}
 	}
 }
+
+// errUnproven is the authentication failure of a listener that answered
+// the hello and could not prove the identity dialled (wrong identity, bad
+// proof, malformed challenge) — the only outbound failure charged to that
+// identity. One that closes without answering (it restarted) or refuses us
+// (it has not learned a rotated roster yet) is not accused.
+var errUnproven = fmt.Errorf("%w: listener unproven", transport.ErrAuthFailed)
 
 // decodeCallError maps a remote error frame back onto the sentinel errors
 // of package transport where possible.
@@ -499,10 +506,20 @@ func (t *Transport) rejectAuth() {
 	t.mu.Unlock()
 }
 
-func (t *Transport) failAuth() {
+// failAuth accounts for a failed outbound handshake to peer. Only genuine
+// authentication failures count — an ordinary reset mid-identification is
+// reconnect noise — and only a listener that answered and could not prove
+// it is peer (errUnproven) is charged.
+func (t *Transport) failAuth(peer types.ServerID, err error) {
+	if !errors.Is(err, transport.ErrAuthFailed) {
+		return
+	}
 	t.mu.Lock()
 	t.authFails++
 	t.mu.Unlock()
+	if errors.Is(err, errUnproven) {
+		t.cfg.Scores.Penalize(peer, peerscore.AuthFailure)
+	}
 }
 
 // newNonce draws a fresh handshake challenge.
@@ -569,23 +586,23 @@ func (t *Transport) handshake(conn net.Conn, peer types.ServerID, kind byte, ch 
 	}
 	r := wire.NewReader(frame)
 	if r.Byte() != tagAuthChallenge {
-		return fmt.Errorf("%w: unexpected frame during handshake", transport.ErrAuthFailed)
+		return fmt.Errorf("%w: unexpected frame during handshake", errUnproven)
 	}
 	peerID := types.ServerID(r.Uint16())
 	peerNonce := r.VarBytes()
 	proof := r.VarBytes()
 	if err := r.Close(); err != nil {
-		return fmt.Errorf("%w: malformed challenge: %v", transport.ErrAuthFailed, err)
+		return fmt.Errorf("%w: malformed challenge: %v", errUnproven, err)
 	}
 	if peerID != peer {
-		return fmt.Errorf("%w: listener identifies as %v, dialed %v", transport.ErrAuthFailed, peerID, peer)
+		return fmt.Errorf("%w: listener identifies as %v, dialed %v", errUnproven, peerID, peer)
 	}
 	if len(peerNonce) != transport.NonceSize {
-		return fmt.Errorf("%w: challenge nonce of %d bytes", transport.ErrAuthFailed, len(peerNonce))
+		return fmt.Errorf("%w: challenge nonce of %d bytes", errUnproven, len(peerNonce))
 	}
 	ctx := transport.AuthContext(t.cfg.version, kind, ch, nonce, peerID, t.cfg.Self)
 	if !t.cfg.Auth.Verify(peerID, ctx, proof) {
-		return fmt.Errorf("%w: listener could not prove it is %v", transport.ErrAuthFailed, peerID)
+		return fmt.Errorf("%w: listener could not prove it is %v", errUnproven, peerID)
 	}
 	w := wire.NewWriter(80)
 	w.Byte(tagAuthProof)
@@ -710,11 +727,10 @@ func (t *Transport) runReader(conn net.Conn) {
 		return
 	}
 	if err := t.serveHandshake(conn, from, kind, callCh, authFlag, dialerNonce); err != nil {
+		// Counted, and nobody is charged: from is whatever the hello
+		// claimed, and a score a stranger can raise against a member of its
+		// choosing would let it steer every follower away from that member.
 		t.rejectAuth()
-		// A failed proof from this claimed identity feeds the scorer; the
-		// claim itself is unproven, but repeated failures from a roster
-		// address are exactly the signal quarantine exists for.
-		t.cfg.Scores.Penalize(from, peerscore.AuthFailure)
 		if kind == kindCall {
 			// The call client is in a read loop; tell it explicitly so
 			// it fails fast instead of timing out.
@@ -928,13 +944,7 @@ func (t *Transport) runSender(p *peer) {
 			// — or an impostor that cannot prove it is p.id — must not
 			// be hammered in a tight reconnect loop.
 			if err := t.handshake(c, p.id, kindStream, 0); err != nil {
-				// Only genuine authentication failures count — an
-				// ordinary reset mid-identification is reconnect
-				// noise, not an impostor (mirrors runCall).
-				if errors.Is(err, transport.ErrAuthFailed) {
-					t.failAuth()
-					t.cfg.Scores.Penalize(p.id, peerscore.AuthFailure)
-				}
+				t.failAuth(p.id, err)
 				_ = c.Close()
 				if !wait() {
 					return
