@@ -60,6 +60,27 @@ flake-smoke:
 	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release' \
 		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy
 
+.PHONY: experiments-smoke
+# experiments-smoke runs cmd/experiments — the paper's quantitative claims as
+# tables (E5–E16: compression, signature batching, instances for free,
+# reference overhead), seeded and deterministic, about 5 s — and fails on a
+# non-zero exit, on a table without a data row, or on fewer tables than
+# registered experiments. Nothing else runs the command, and a change to
+# gossip or to the interpreter that moves a message count moves a table.
+experiments-smoke:
+	@set -e; \
+	d=$$(mktemp -d); \
+	trap 'rm -rf $$d' EXIT; \
+	go build -o $$d/experiments ./cmd/experiments; \
+	$$d/experiments > $$d/tables.txt \
+		|| { echo "experiments-smoke FAILED: cmd/experiments exited non-zero" >&2; cat $$d/tables.txt >&2; exit 1; }; \
+	want=$$($$d/experiments -list | wc -l); \
+	awk -v want=$$want ' \
+		/^-+$$/ { tables++; if ((getline row) <= 0 || row ~ /^ *$$/ || row ~ /^ *note:/) { print "table " tables " has no data row" > "/dev/stderr"; bad = 1 } } \
+		END { if (tables != want) { print tables " tables for " want " experiments" > "/dev/stderr"; bad = 1 }; exit bad }' $$d/tables.txt \
+		|| { echo "experiments-smoke FAILED" >&2; cat $$d/tables.txt >&2; exit 1; }; \
+	echo "experiments-smoke OK: $$want experiments, every table has rows"
+
 .PHONY: restart-smoke
 # restart-smoke is the README's restart walkthrough as a target: the
 # 4-server TCP example runs twice over one -store-dir. The second run must

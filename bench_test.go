@@ -23,6 +23,7 @@ import (
 	"blockdag/internal/direct"
 	"blockdag/internal/experiments"
 	"blockdag/internal/interpret"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/courier"
 	"blockdag/internal/protocols/pbft"
@@ -232,16 +233,12 @@ func BenchmarkE12_OfflineInterpretation(b *testing.B) {
 	b.ResetTimer()
 	var msgs int64
 	for i := 0; i < b.N; i++ {
-		it := interpret.New(brb.Protocol{}, 4, 1, nil)
+		m := &metrics.Metrics{}
+		it := interpret.New(brb.Protocol{}, 4, 1, nil, interpret.WithMetrics(m))
 		if err := it.InterpretDAG(h.DAG); err != nil {
 			b.Fatal(err)
 		}
-		msgs = 0
-		for _, blk := range h.DAG.Blocks() {
-			for _, l := range it.OutLabels(blk.Ref()) {
-				msgs += int64(len(it.OutMessages(blk.Ref(), l)))
-			}
-		}
+		msgs = m.Snapshot().MsgsMaterialized
 	}
 	b.ReportMetric(float64(blocks)*float64(b.N)/b.Elapsed().Seconds(), "blocks/s")
 	b.ReportMetric(float64(msgs)*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")

@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"blockdag/internal/crypto"
-	"blockdag/internal/interpret"
 	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/courier"
@@ -81,11 +80,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		it := interpret.New(proto, r.N(), r.F(), nil)
-		if err := it.InterpretDAG(d); err != nil {
+		buffers, err := trace.InterpretBuffers(d, proto, r.N(), r.F(), types.Label(*label))
+		if err != nil {
 			return err
 		}
-		annotate = trace.BufferAnnotator(it, types.Label(*label))
+		annotate = trace.BufferAnnotator(buffers)
 	}
 
 	switch *format {

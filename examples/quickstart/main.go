@@ -15,7 +15,6 @@ import (
 	"blockdag/internal/cluster"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/trace"
-	"blockdag/internal/types"
 )
 
 func main() {
@@ -72,29 +71,33 @@ func run() error {
 	fmt.Printf("\nnetwork: %d block/FWD sends, %d bytes\n", wireMsgs, wireBytes)
 	fmt.Printf("interpretation: %d protocol messages materialized, 0 sent\n\n", simulated)
 
-	// Reproduce Figure 4: the per-block message buffers for ℓ1, read
-	// from s0's interpreter.
+	// Reproduce Figure 4: the per-block message buffers for ℓ1, by
+	// interpreting s0's DAG once more and collecting them block by block.
+	// (s0's own interpreter answers the same, but it has released what
+	// every chain has read and would replay history for each block.)
 	srv := c.Servers[0]
-	it := srv.Interpreter()
+	buffers, err := trace.InterpretBuffers(srv.DAG(), brb.Protocol{}, 4, 1, "ℓ1")
+	if err != nil {
+		return err
+	}
 	fmt.Println("figure 4 — message buffers for ℓ1 at each block of s0's DAG:")
 	for _, b := range srv.DAG().Blocks() {
-		in := it.InMessages(b.Ref(), "ℓ1")
-		out := it.OutMessages(b.Ref(), "ℓ1")
-		if len(in) == 0 && len(out) == 0 {
+		bufs, ok := buffers[b.Ref()]
+		if !ok {
 			continue
 		}
 		fmt.Printf("  block s%d/k%d:\n", b.Builder, b.Seq)
-		for _, m := range in {
+		for _, m := range bufs.In {
 			fmt.Printf("    in : %s -> %s  (%d bytes)\n", m.Sender, m.Receiver, len(m.Payload))
 		}
-		for _, m := range out {
+		for _, m := range bufs.Out {
 			fmt.Printf("    out: %s -> %s  (%d bytes)\n", m.Sender, m.Receiver, len(m.Payload))
 		}
 	}
 
 	// And the DAG itself, as Graphviz for the curious:
 	// dot -Tsvg dag.dot -o dag.svg
-	dot := trace.DOT(srv.DAG(), trace.BufferAnnotator(it, types.Label("ℓ1")))
+	dot := trace.DOT(srv.DAG(), trace.BufferAnnotator(buffers))
 	if err := os.WriteFile("quickstart-dag.dot", []byte(dot), 0o644); err != nil {
 		return err
 	}

@@ -517,6 +517,12 @@ func (s *Server) Interpreter() *interpret.Interpreter { return s.interp }
 // metrics were configured).
 func (s *Server) Metrics() metrics.Snapshot { return s.cfg.Metrics.Snapshot() }
 
+// ChainUnread returns, per builder, how many blocks of the other chains that
+// builder's chain has not read as far as this server's interpreter knows —
+// the replica that is behind, and what holds interpreter memory (nil
+// without metrics). Safe from any goroutine, like Metrics.
+func (s *Server) ChainUnread() []int64 { return s.cfg.Metrics.ChainUnread() }
+
 // Health returns the first internal invariant violation, if any.
 func (s *Server) Health() error { return s.firstErr }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -73,6 +74,21 @@ func (m *member) has(label types.Label) bool {
 	defer m.mu.Unlock()
 	_, ok := m.delivered[label]
 	return ok
+}
+
+// get returns the body of a 200 answer of the member's gateway.
+func (m *member) get(t *testing.T, path string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + m.Gateway.Addr() + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, err %v", path, resp.StatusCode, err)
+	}
+	return string(body)
 }
 
 // addrs is Boot's addrOf for a cluster in one process: member id's bound
@@ -272,6 +288,120 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 	}
 }
 
+// TestInterpreterGaugesFollowTheLoad: what the interpreter holds follows the
+// load and names the replica that is behind, as seen from outside. On a
+// 4-node durable cluster, /metrics of node 0 shows interpret_out_messages_held
+// rise with a burst of broadcasts and fall back to nothing once every chain
+// has read them, the delivered labels retired; with node 3 stopped,
+// interpret_chain_unread_blocks{builder="3"} climbs and what the others
+// broadcast meanwhile stays held — s3's chain has not read it; after its
+// restart over the same directory the gauge returns to a round's worth and
+// the held buffers go. /v1/status.interpret carries the same numbers.
+func TestInterpreterGaugesFollowTheLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test with real sockets")
+	}
+	const n, burst = 4, 24
+	fx, err := roster.Dev(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := make([]string, n)
+	members := make([]*member, n)
+	for i := range members {
+		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("s%d", i))
+		cfg := Config{StoreDir: dirs[i], CatchUp: true, FollowEvery: 50 * time.Millisecond}
+		if i == 0 {
+			cfg.GatewayAddr = "127.0.0.1:0"
+		}
+		members[i] = listen(t, fx, i, cfg)
+	}
+	for _, m := range members {
+		if err := m.Boot(addrs(members)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// gauge reads one sample of node 0's scrape.
+	gauge := func(sample string) int {
+		body := members[0].get(t, "/metrics")
+		for _, line := range strings.Split(body, "\n") {
+			if name, value, ok := strings.Cut(line, " "); ok && name == sample {
+				v, err := strconv.Atoi(value)
+				if err != nil {
+					t.Fatalf("sample %q: %v", line, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("/metrics lacks %s:\n%s", sample, body)
+		return 0
+	}
+	const held, unread3 = "interpret_out_messages_held", `interpret_chain_unread_blocks{builder="3"}`
+	broadcast := func(wave string, count int, among []*member) (peak int) {
+		for i := 0; i < count; i++ {
+			among[i%len(among)].Node.Request(types.Label(fmt.Sprintf("%s/%d", wave, i)), []byte(wave))
+		}
+		waitFor(t, 20*time.Second, wave+" deliveries", func() bool {
+			peak = max(peak, gauge(held))
+			for _, m := range among {
+				for i := 0; i < count; i++ {
+					if !m.has(types.Label(fmt.Sprintf("%s/%d", wave, i))) {
+						return false
+					}
+				}
+			}
+			return true
+		})
+		return peak
+	}
+
+	// A burst, and back.
+	if peak := broadcast("burst", burst, members); peak < n {
+		t.Fatalf("%s peaked at %d during a burst of %d broadcasts", held, peak, burst)
+	}
+	waitFor(t, 20*time.Second, "the burst's out-buffers to be released", func() bool {
+		return gauge(held) == 0 && gauge("interpret_labels_retired") == burst && gauge("interpret_instances_retired") == 0
+	})
+	if got := gauge(unread3); got > 3*n {
+		t.Fatalf("%s = %d with every node running", unread3, got)
+	}
+
+	// Node 3 stops: its chain falls behind, and what is broadcast meanwhile
+	// is held for it.
+	addr3 := members[3].Addr()
+	if err := members[3].Close(); err != nil {
+		t.Fatal(err)
+	}
+	broadcast("meanwhile", n, members[:3])
+	waitFor(t, 20*time.Second, "the stopped member's lag to show", func() bool { return gauge(unread3) > 10*n })
+	heldFor3 := gauge(held)
+	if heldFor3 < 2*n {
+		t.Fatalf("%s = %d with a member stopped and %d broadcasts it has not read", held, heldFor3, n)
+	}
+	var status gateway.Status
+	if err := json.Unmarshal([]byte(members[0].get(t, "/v1/status")), &status); err != nil {
+		t.Fatal(err)
+	}
+	if i := status.Interpret; len(i.ChainUnreadBlocks) != n || i.ChainUnreadBlocks[3] <= 10*n || i.OutMessagesHeld < int64(heldFor3) {
+		t.Fatalf("/v1/status.interpret = %+v, /metrics had %s = %d", i, held, heldFor3)
+	}
+
+	// It restarts over its directory and catches up: its chain reads the
+	// backlog, the lag is gone and so is what was held for it.
+	members[3] = listen(t, fx, 3, Config{StoreDir: dirs[3], CatchUp: true, FollowEvery: 50 * time.Millisecond, ListenAddr: addr3})
+	if err := members[3].Boot(addrs(members)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 20*time.Second, "the lag and the held buffers to go", func() bool {
+		return gauge(unread3) <= 3*n && gauge(held) == 0 && gauge("interpret_labels_retired") == burst+n
+	})
+	for i, m := range members {
+		if err := m.Node.Err(); err != nil {
+			t.Fatalf("node %d unhealthy: %v", i, err)
+		}
+	}
+}
+
 // doneSink is a transport.CallSink that keeps how its call ended.
 type doneSink chan error
 
@@ -358,18 +488,7 @@ func TestEquivocatorIsBannedOverTCPAndAcrossRestart(t *testing.T) {
 	})
 
 	// The client plane shows it.
-	get := func(path string) string {
-		resp, err := http.Get("http://" + members[0].Gateway.Addr() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d, err %v", path, resp.StatusCode, err)
-		}
-		return string(body)
-	}
+	get := func(path string) string { return members[0].get(t, path) }
 	var status gateway.Status
 	if err := json.Unmarshal([]byte(get("/v1/status")), &status); err != nil {
 		t.Fatal(err)

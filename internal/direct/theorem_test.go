@@ -26,12 +26,18 @@ type request struct {
 	data   []byte
 }
 
+// longAfter is when a schedule's last requests are due: long after every
+// server has indicated for every label and every run has gone quiet.
+const longAfter = time.Hour
+
 // randomSchedule draws a request schedule whose outcome P fixes whatever
 // the network does, so two runs of it are comparable: every label has one
 // requester (for pbft the instance's leader, or nothing would terminate),
 // which now and then asks again with another value (ignored: an instance
-// broadcasts or proposes once), and for pbft other servers put in requests
-// of their own (ignored: only the leader's counts).
+// broadcasts or proposes once) and, for every other label, once more
+// longAfter (ignored: by then the interpreter holds nothing of the instance
+// but the label in its retired set), and for pbft other servers put in
+// requests of their own (ignored: only the leader's counts).
 func randomSchedule(rng *rand.Rand, proto protocol.Protocol, n, labels int, span time.Duration) []request {
 	var schedule []request
 	add := func(at time.Duration, server int, label types.Label, tag string) {
@@ -50,6 +56,9 @@ func randomSchedule(rng *rand.Rand, proto protocol.Protocol, n, labels int, span
 		add(at, requester, label, "first")
 		if rng.Intn(3) == 0 {
 			add(at+time.Duration(1+rng.Int63n(int64(span))), requester, label, "again")
+		}
+		if i%2 == 0 {
+			add(longAfter, requester, label, "long-after")
 		}
 	}
 	return schedule
@@ -95,7 +104,8 @@ func runDirect(t *testing.T, proto protocol.Protocol, n int, schedule []request,
 
 // runShim runs shim(P): the same schedule submitted to n servers that
 // gossip blocks over a network that delays, reorders and drops them, and
-// interpret the DAG — retiring every instance that reports Done.
+// interpret the DAG — retiring every instance that reports Done, and
+// replacing a label's tombstones by one retired entry once all n chains have.
 func runShim(t *testing.T, proto protocol.Protocol, n int, schedule []request, seed int64, rounds int, interval time.Duration, pairs int) indicated {
 	c, err := cluster.New(cluster.Options{
 		N: n, Protocol: proto, Seed: seed,
@@ -105,8 +115,12 @@ func runShim(t *testing.T, proto protocol.Protocol, n int, schedule []request, s
 	if err != nil {
 		t.Fatal(err)
 	}
+	labels := make(map[types.Label]bool)
 	for _, rq := range schedule {
-		c.Net.After(rq.at, func() { c.Request(rq.server, rq.label, rq.data) })
+		labels[rq.label] = true
+		if rq.at < longAfter {
+			c.Net.After(rq.at, func() { c.Request(rq.server, rq.label, rq.data) })
+		}
 	}
 	collect := func() indicated {
 		out := make(indicated)
@@ -127,6 +141,28 @@ func runShim(t *testing.T, proto protocol.Protocol, n int, schedule []request, s
 	}
 	if _, err := c.RunUntil(100, func() bool { return len(collect()) >= pairs }); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.RunRounds(8); err != nil {
+		t.Fatal(err)
+	}
+	// Run on until, at every server, every chain has finished every label:
+	// no instance and no tombstone is left to refuse the requests that come
+	// now, only the retired set.
+	collapsed := func() bool {
+		for s := 0; s < n; s++ {
+			if st := c.Servers[s].Interpreter().Stats(); st.LiveInstances != 0 || st.Tombstones != 0 || st.RetiredLabels != len(labels) {
+				return false
+			}
+		}
+		return true
+	}
+	if ok, err := c.RunUntil(100, collapsed); err != nil || !ok {
+		t.Fatalf("tombstones did not collapse at every server (err: %v): s0 holds %+v", err, c.Servers[0].Interpreter().Stats())
+	}
+	for _, rq := range schedule {
+		if rq.at >= longAfter {
+			c.Request(rq.server, rq.label, rq.data)
+		}
 	}
 	if err := c.RunRounds(8); err != nil {
 		t.Fatal(err)

@@ -55,8 +55,14 @@ func CollectMetrics(m *metrics.Metrics) Collector {
 		counter(emit, "dag_peers_banned_total", "Peers put in the terminal banned state.", s.PeersBanned)
 		counter(emit, "dag_banned_blocks_dropped_total", "Fresh blocks refused because their builder is banned.", s.BannedBlocksDropped)
 		gauge(emit, "interpret_instances_live", "Protocol instances still running, over all chain tips.", s.InstancesLive)
-		gauge(emit, "interpret_instances_retired", "Tombstones of instances retired after reporting Done.", s.InstancesRetired)
-		gauge(emit, "interpret_out_messages_held", "Message records retained in the blocks' out-buffers.", s.OutMessagesHeld)
+		gauge(emit, "interpret_instances_retired", "Tombstones of instances Done on their chain; they go when every chain is Done.", s.InstancesRetired)
+		gauge(emit, "interpret_labels_retired", "Labels every chain has finished: the retired set.", s.LabelsRetired)
+		gauge(emit, "interpret_out_messages_held", "Message records in out-buffers some chain has not read yet.", s.OutMessagesHeld)
+		gauge(emit, "interpret_blocks_holding_buffers", "Blocks holding an out-buffer some chain has not read yet.", s.BlocksHolding)
+		for builder, unread := range m.ChainUnread() {
+			emit(Metric{Name: "interpret_chain_unread_blocks", Help: "Blocks of other chains this builder's chain, as known here, has not read: what holds out-buffers, and who is behind.",
+				Type: Gauge, Labels: [][2]string{{"builder", strconv.Itoa(builder)}}, Value: float64(unread)})
+		}
 	}
 }
 

@@ -119,9 +119,19 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 				Held, Seen uint64
 			} `json:"own_chain"`
 		} `json:"recovery"`
+		Interpret *struct {
+			InstancesRetired  int64   `json:"instances_retired"`
+			LabelsRetired     int64   `json:"labels_retired"`
+			ChainUnreadBlocks []int64 `json:"chain_unread_blocks"`
+		} `json:"interpret"`
 	}
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
+	}
+	// The interpreter's holdings: the delivered label left a tombstone or,
+	// once every chain had it, a retired label; one lag entry per builder.
+	if i := st.Interpret; i == nil || i.InstancesRetired+i.LabelsRetired == 0 || len(i.ChainUnreadBlocks) != 4 {
+		t.Fatalf("status body lacks the interpreter report: %s", body)
 	}
 	if !st.Healthy || st.Mempool == nil || st.Mempool.Accepted != 1 || st.Counters == nil || st.Counters.BlocksBuilt == 0 {
 		t.Fatalf("status body = %s", body)
@@ -164,17 +174,20 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 		t.Fatalf("dag_blocks_built_total stayed zero:\n%s", scrape)
 	}
 	// So must the interpreter's gauges: the awaited indication means this
-	// node's own chain finished the instance and retired it, and the ECHOs
-	// and READYs that got it there sit in out-buffers.
-	for _, gauge := range []string{"interpret_instances_live", "interpret_instances_retired", "interpret_out_messages_held"} {
+	// node's own chain finished the instance — a tombstone until every
+	// chain has, a retired label from then on. (That the out-buffer gauges
+	// fall back again is deploy's TestInterpreterGaugesFollowTheLoad.)
+	for _, gauge := range []string{"interpret_instances_live", "interpret_instances_retired", "interpret_labels_retired",
+		"interpret_out_messages_held", "interpret_blocks_holding_buffers", "interpret_chain_unread_blocks"} {
 		if !strings.Contains(scrape, "# TYPE "+gauge+" gauge\n") {
 			t.Fatalf("scrape missing gauge %s:\n%s", gauge, scrape)
 		}
 	}
-	for _, zero := range []string{"interpret_instances_retired 0\n", "interpret_out_messages_held 0\n"} {
-		if strings.Contains(scrape, zero) {
-			t.Fatalf("scrape has %q after a delivery:\n%s", zero, scrape)
-		}
+	if strings.Contains(scrape, "interpret_instances_retired 0\n") && strings.Contains(scrape, "interpret_labels_retired 0\n") {
+		t.Fatalf("no tombstone and no retired label after a delivery:\n%s", scrape)
+	}
+	if !strings.Contains(scrape, `interpret_chain_unread_blocks{builder="3"}`) {
+		t.Fatalf("no per-builder unread gauge:\n%s", scrape)
 	}
 }
 

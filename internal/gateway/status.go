@@ -28,6 +28,7 @@ type Status struct {
 	Follow         *FollowStatus        `json:"follow,omitempty"`
 	Accountability AccountabilityStatus `json:"accountability"`
 	Mempool        mempool.Stats        `json:"mempool"`
+	Interpret      InterpretStatus      `json:"interpret"`
 	// StoreBytes is the durable store's on-disk size (omitted without a
 	// store).
 	StoreBytes int64 `json:"store_bytes,omitempty"`
@@ -90,6 +91,20 @@ type FollowStatus struct {
 type AccountabilityStatus struct {
 	Banned []types.ServerID     `json:"banned,omitempty"`
 	Peers  []peerscore.PeerStat `json:"peers,omitempty"`
+}
+
+// InterpretStatus is what the interpreter holds now beyond a watermark per
+// block — the interpret_* gauges of /metrics. All but LabelsRetired fall
+// back when load does; ChainUnreadBlocks, by builder, says whose chain has
+// not read how many blocks of the others, which is what keeps out-buffers
+// held and names the replica that is behind.
+type InterpretStatus struct {
+	InstancesLive        int64   `json:"instances_live"`
+	InstancesRetired     int64   `json:"instances_retired"`
+	LabelsRetired        int64   `json:"labels_retired"`
+	OutMessagesHeld      int64   `json:"out_messages_held"`
+	BlocksHoldingBuffers int64   `json:"blocks_holding_buffers"`
+	ChainUnreadBlocks    []int64 `json:"chain_unread_blocks"`
 }
 
 // RateWindow is the counter delta since the previous status call.
@@ -165,6 +180,11 @@ func NodeStatus(nd *node.Node) func() Status {
 		}
 		snap := nd.Server().Metrics()
 		st.Counters = &snap
+		st.Interpret = InterpretStatus{
+			InstancesLive: snap.InstancesLive, InstancesRetired: snap.InstancesRetired, LabelsRetired: snap.LabelsRetired,
+			OutMessagesHeld: snap.OutMessagesHeld, BlocksHoldingBuffers: snap.BlocksHolding,
+			ChainUnreadBlocks: nd.Server().ChainUnread(),
+		}
 		mu.Lock()
 		now := time.Now()
 		if !prevAt.IsZero() {

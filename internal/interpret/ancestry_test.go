@@ -221,7 +221,8 @@ func TestExplicitRuleBlocksReadTheirPredecessors(t *testing.T) {
 		skipped := 0
 		for b := range h.DAG.All() {
 			var sources []block.Ref
-			for _, s := range it.newAncestry(it.states[b.Ref()]) {
+			read, _ := it.newAncestry(it.states[b.Ref()])
+			for _, s := range read {
 				sources = append(sources, s.blk.Ref())
 			}
 			preds := slices.Clone(b.Preds)
@@ -319,7 +320,8 @@ func TestCorrectBlocksReadOnceUnderForks(t *testing.T) {
 				for _, p := range c.Preds {
 					skipped[p] = true
 				}
-				for _, s := range it.newAncestry(st) {
+				read, _ := it.newAncestry(st)
+				for _, s := range read {
 					x := s.blk
 					delete(skipped, x.Ref())
 					if x.Builder == 0 {

@@ -141,11 +141,12 @@ func largeValueDAG(labels, size int) *dag.DAG {
 
 // BenchmarkInterpretLargeValue is interpretation when the request's bytes
 // dominate: 64 labels of 16 KiB each. B/op is what one node allocates to
-// interpret them and KB/req what it still holds afterwards — per request,
-// (n+1)·|v| = 80 KB of payload (the one ECHO every chain re-emits and the
-// READY each chain encodes, none having seen another's in lock-step
-// rounds) is what these rounds cost; every further copy of the value per
-// message, tally or delivery adds |v| to it.
+// interpret them — per request, (n+1)·|v| = 80 KB of payload (the one ECHO
+// every chain re-emits and the READY each chain encodes, none having seen
+// another's in lock-step rounds) is what these rounds cost, and every
+// further copy of the value per message, tally or delivery adds |v| to it —
+// and KB/req what it still holds afterwards: the last rounds' buffers, the
+// rest having been released.
 func BenchmarkInterpretLargeValue(b *testing.B) {
 	const labels, size = 64, 16 << 10
 	retained := benchRetained(b, largeValueDAG(labels, size))
@@ -175,8 +176,11 @@ func benchRetained(b *testing.B, d *dag.DAG) (retained uint64) {
 	return retained
 }
 
-// liveHeap returns the bytes of reachable heap objects.
+// liveHeap returns the bytes of reachable heap objects. Two collections: a
+// sync.Pool gives up what it holds over two, and what an earlier step pooled
+// would otherwise be freed between two readings and count as a saving.
 func liveHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)

@@ -108,7 +108,7 @@ func forkedDAGs() (dags []*dag.DAG, labels [][]types.Label) {
 // and with every broadcast emitted as n unicasts gives the same out-buffers
 // (as OutMessages reports them), in-buffers, state digests and the same
 // indications in the same order — over forked DAGs, in arrival orders that
-// make either side rebuild, for BRB and for a
+// make either side replay, for BRB and for a
 // protocol that mixes both forms.
 func TestBroadcastEquivalence(t *testing.T) {
 	dags, labelSets := forkedDAGs()
@@ -148,7 +148,8 @@ func TestBroadcastEquivalence(t *testing.T) {
 					if !equalMessages(records.InMessages(b.Ref(), label), unicasts.InMessages(b.Ref(), label)) {
 						t.Fatalf("%s: in-buffer of %v / %s differs", ctx, b.Ref(), label)
 					}
-					for _, m := range outFor(records.states[b.Ref()].out, label) {
+					_, st := records.at(b.Ref(), false) // its out-buffer as held, from the cache or a replay
+					for _, m := range outFor(st.out, label) {
 						if m.Receiver == protocol.Everyone {
 							broadcasts++
 						}
@@ -213,10 +214,10 @@ func (p *sealingProcess) Receive(m protocol.Message) []protocol.Message {
 
 // TestPayloadsImmutable: every payload and every request is hashed when it
 // is emitted; after a run that aliases them freely — BRB answering in kind,
-// tallies and deliveries that are views, forks that replay retained
-// out-buffers into fresh instances, digest queries that replay whole chains
-// — every payload the interpreter retains is one of those, and every one of
-// those still hashes as it did.
+// tallies and deliveries that are views, forks and inspection queries that
+// replay history into fresh instances — every payload an out-buffer holds,
+// cached or recomputed, is one of those, and every one of those still
+// hashes as it did.
 func TestPayloadsImmutable(t *testing.T) {
 	dags, labelSets := forkedDAGs()
 	for i, d := range dags {
@@ -244,7 +245,8 @@ func TestPayloadsImmutable(t *testing.T) {
 
 		ctx := fmt.Sprintf("dag %d", i)
 		retained := 0
-		for _, st := range it.states {
+		for b := range d.All() {
+			_, st := it.at(b.Ref(), false) // held, or recomputed by a replay: emitted through proto either way
 			for _, m := range st.out {
 				if _, ok := proto.seals[&m.Payload[0]]; !ok {
 					t.Fatalf("%s: a retained payload was never emitted", ctx)

@@ -7,47 +7,38 @@
 //
 //   - B.PIs[ℓ]      — the process instance of P(ℓ) of the server which
 //     built B, advanced from B.parent's instance, and
-//   - B.Ms[in/out,ℓ] — the messages materialized at B: out-going messages
-//     emitted by B's instances, and in-going messages
-//     collected from the out-buffers of the blocks B
-//     brings into its chain's ancestry, addressed to B.n.
+//   - B.Ms[in/out,ℓ] — the messages materialized at B: those B's instances
+//     emit, and those addressed to B.n in the out-buffers of the blocks B
+//     brings into its chain's ancestry.
 //
 // A reference includes its ancestry (paper Section 7, implicit block
 // inclusion): B reads every block below it that no earlier block of its
-// builder's chain had below it — its predecessors and whatever they cite
-// that the chain has not consumed yet. Builders therefore cite their
-// parent and the DAG's tips, not every block they have seen (package
-// gossip), and a block that cites each block its builder inserted exactly
-// once — the paper's Algorithm 1, and every journal written before this
-// rule — reads exactly its predecessors. docs/ARCHITECTURE.md, "What a
-// reference means".
+// builder's chain had below it, so builders cite their parent and the DAG's
+// tips (package gossip), and a block that cites each block its builder
+// inserted exactly once — the paper's Algorithm 1 — reads exactly its
+// predecessors. docs/ARCHITECTURE.md, "What a reference means".
 //
 // None of these messages is ever sent over a network: they are locally
 // computed, functional results of P's determinism and the DAG structure
 // (paper Section 4, "message compression"). Interpreting the DAG this way
 // implements an authenticated perfect point-to-point link (Lemma 4.3),
 // and every server interpreting the same DAG prefix reaches the identical
-// state (Lemma 4.2) — properties the tests in this package verify.
+// state (Lemma 4.2) — properties the tests in this package verify. An
+// Interpreter only ever reads blocks, so it runs online, fed by the DAG's
+// insert callback, or offline over a stored DAG.
 //
-// Interpretation is fully decoupled from building the DAG (Algorithm 1):
-// an Interpreter only ever reads blocks, so it can run online — fed by the
-// DAG's insert callback — or offline over a stored DAG.
-//
-// Memory model. Algorithm 2 line 4 copies the parent's instances into
-// every block; this package keeps B.PIs only at the tip of each builder's
-// chain, advances it in place and drops an instance the moment it reports
-// Done, so live state is proportional to the instances still running, not
-// to history. What every block retains is its out-buffer (future blocks
-// read it: one slice ordered by label, a broadcast one record in it, the
-// payloads immutable and shared — package protocol), a link to its parent
-// and its ancestry watermark. By Lemma 4.2 everything else is a pure
-// function of the DAG and recomputed when asked for: a block whose
-// instances have moved on down the chain — an equivocating block's parent,
-// a historic block asked for its StateDigest — gets them by replaying its
-// builder's chain (rebuild), and a replay or InMessages re-derives
-// B.Ms[in, ℓ] by walking to the block's sources again (newAncestry) and
-// reading their out-buffers.
-// docs/ARCHITECTURE.md, "Interpreter memory model", has the full account.
+// Memory model. Algorithm 2 keeps B.PIs and B.Ms[out, ·] at every block for
+// ever. Here a block keeps the link to its parent and its ancestry
+// watermark; the rest is a cache of a pure function of the DAG (Lemma 4.2).
+// B.PIs lives at the tip of each builder's chain, is advanced in place and
+// drops an instance the moment it reports Done; once every chain has, one
+// entry of a retired set replaces the n tombstones. An out-buffer is read
+// once per chain, by the first block of that chain that has it in its
+// ancestry, and is dropped when the n chain tips have passed it (release).
+// A reader that finds the cache empty — a block extending an equivocator's
+// fork, an inspection of a block long passed — interprets the blocks afresh
+// in a scratch interpreter (replay): the one miss path. docs/ARCHITECTURE.md,
+// "Interpreter memory model", has the full account.
 package interpret
 
 import (
@@ -66,13 +57,11 @@ import (
 )
 
 // ErrNotEligible reports an attempt to interpret a block before all of its
-// predecessors were interpreted. Algorithm 2 only picks eligible blocks:
-// I[B_i] must hold for every B_i ∈ B.preds.
+// predecessors: Algorithm 2 only picks eligible blocks.
 var ErrNotEligible = errors.New("interpret: block has uninterpreted predecessors")
 
-// Indication is one indication i ∈ Inds_P surfaced during interpretation:
-// the simulated process instance of Server for instance Label indicated
-// Value while interpreting block Block (Algorithm 2 lines 13–14).
+// Indication is one indication i ∈ Inds_P: the simulated instance Label of
+// Server indicated Value while interpreting Block (Algorithm 2 lines 13–14).
 type Indication struct {
 	Label  types.Label
 	Value  []byte
@@ -92,74 +81,94 @@ func WithMetrics(m *metrics.Metrics) Option {
 // up to block B, by label. A nil entry is the tombstone of an instance that
 // reported Done: its state is dropped and what the label is sent from then
 // on discarded (protocol.Process.Done; the paper's Section 7 memory limit).
+// A label in the retired set stands for one in every chain tip's table.
 type instances map[types.Label]protocol.Process
 
-// blockState is the interpretation state attached to one block.
+// blockState is the interpretation state attached to one block: its chain
+// position, parent and anc for good, pis and out while they are cached.
 type blockState struct {
-	blk    *block.Block
-	parent *blockState // state of blk.parent; nil for genesis blocks
-
+	blk    *block.Block // nil for a pruned-history stand-in (SeedBase)
+	seq    uint64       // with builder, below: the chain position
+	parent *blockState  // state of blk.parent; nil for genesis blocks
 	// pis is B.PIs while this block is the tip of its chain, nil once a
-	// child has taken the table over to advance it in place ("PIs := copy
-	// parent.PIs", Algorithm 2 line 4, without the copy). A second child
-	// — an equivocation — finds nil here and rebuilds.
+	// child has taken the table over to advance it in place (Algorithm 2
+	// line 4 without the copy). A second child — a fork — replays.
 	pis instances
-
 	// out is B.Ms[out, ·]: messages emitted at this block, ordered by label
 	// and in emission order within one, a broadcast held as the one record
-	// the instance emitted. Future blocks referencing this one read from
-	// here, and the rebuild path replays them as inputs.
-	out []protocol.Message
-
+	// the instance emitted. released: every chain has read it, it is gone.
+	out      []protocol.Message
+	released bool
+	builder  types.ServerID
 	// anc is the ancestry watermark of this block: anc[builder] holds 1 +
 	// the highest sequence number of that builder found in the block's
 	// ancestry (itself included), 0 for none — the per-builder join of the
-	// predecessors' vectors, the same causal summary the DAG keeps. It is
-	// also what the chain has consumed: every block at or above the
-	// parent's anc is new to the chain, every block of a correct builder
-	// below it was read at an earlier chain block.
-	anc []uint64
+	// predecessors' vectors. It is also what the chain has consumed: every
+	// block at or above the parent's anc is new to the chain, every block
+	// of a correct builder below it was read at an earlier chain block.
+	anc   []uint64
+	visit uint64 // stamps the newAncestry walk that last reached this state
+}
 
-	// seeded marks a pruned-history stand-in (SeedBase): blk is nil,
-	// seedBuilder/seedSeq anchor its chain position so the first live
-	// block above the horizon finds its parent.
-	seeded      bool
-	seedBuilder types.ServerID
-	seedSeq     uint64
+// chain is one builder's chain: its tip — on the branch interpreted first,
+// should the builder equivocate — whose anc is what the chain has read, and
+// the builder's blocks that hold an out-buffer, in interpretation order.
+type chain struct {
+	tip  *blockState
+	held []*blockState
+}
 
-	// visit stamps the newAncestry walk that last reached this state.
-	visit uint64
+// read returns the tip's watermark for builder x.
+func (c *chain) read(x int) uint64 {
+	if c.tip == nil || x >= len(c.tip.anc) {
+		return 0
+	}
+	return c.tip.anc[x]
 }
 
 // Interpreter executes Algorithm 2 incrementally: AddBlock interprets one
-// eligible block. It is a deterministic state machine — not safe for
-// concurrent use; the owning server serializes access.
+// eligible block. Not safe for concurrent use; the owning server serializes.
 type Interpreter struct {
 	proto   protocol.Protocol
 	n, f    int
 	onInd   func(Indication)
 	metrics *metrics.Metrics
+	states  map[block.Ref]*blockState
+	order   []*blockState // the blocks, as interpreted: what a replay is fed
+	chains  []chain       // by builder
+	unread  []int         // by builder: blocks of other chains its chain has not read
+	stats   Stats
 
-	states map[block.Ref]*blockState
-	stats  Stats
+	done    map[types.Label]int      // chains that finished a label not every chain has
+	retired map[types.Label]struct{} // labels every chain has finished
 
-	// visits numbers the newAncestry walks; sources and stack are their
-	// scratch space, so a walk allocates nothing.
-	visits         uint64
-	sources, stack []*blockState
+	// asked is the replay the last inspection query made, for askedAt:
+	// queries about one block share it, the next AddBlock drops it.
+	asked   *Interpreter
+	askedAt *blockState
+
+	// spine is non-nil in a scratch interpreter (replay): the chain of the
+	// block it was made for, whose table no other branch may take.
+	spine map[*block.Block]bool
+
+	visits         uint64        // numbers the newAncestry walks
+	sources, stack []*blockState // their scratch space
 }
 
 // New creates an interpreter for protocol P in a system of n servers
-// tolerating f byzantine ones. onInd, if non-nil, receives every
-// indication of every simulated server — the shim filters for its own
-// (Algorithm 3 line 8).
+// tolerating f byzantine ones. onInd, if non-nil, receives every indication
+// of every simulated server — the shim filters for its own (Algorithm 3).
 func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Option) *Interpreter {
 	it := &Interpreter{
-		proto:  proto,
-		n:      n,
-		f:      f,
-		onInd:  onInd,
-		states: make(map[block.Ref]*blockState),
+		proto:   proto,
+		n:       n,
+		f:       f,
+		onInd:   onInd,
+		states:  make(map[block.Ref]*blockState),
+		chains:  make([]chain, n),
+		unread:  make([]int, n),
+		done:    make(map[types.Label]int),
+		retired: make(map[types.Label]struct{}),
 	}
 	for _, opt := range opts {
 		opt(it)
@@ -171,15 +180,12 @@ func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Opti
 // interpreter accepts blocks whose predecessors were pruned. Each base
 // entry gets an empty block state: eligible as a predecessor, carrying
 // no messages and no instances — the effects of pruned blocks live in
-// the restored application state, not in re-interpretation. horizon is
-// the per-builder first live sequence number; it seeds the stand-ins'
-// ancestry watermarks so message collection never reaches below the prune
-// line.
-//
-// Instances whose delivery straddles the horizon do not resume: a
-// fresh instance starts at the first live chain block. The deployment
-// contract (prune only behind quiescent points) makes that safe.
-// SeedBase must run before any AddBlock.
+// the restored application state. horizon, the per-builder first live
+// sequence number, seeds the stand-ins' watermarks so message collection
+// never reaches below the prune line. Instances whose delivery straddles
+// the horizon start fresh at the first live chain block (safe by the
+// deployment contract: prune only behind quiescent points). SeedBase must
+// run before any AddBlock.
 func (it *Interpreter) SeedBase(entries []dag.Base, horizon map[types.ServerID]uint64) error {
 	if len(it.states) > 0 {
 		return errors.New("interpret: SeedBase on a non-empty interpreter")
@@ -189,9 +195,10 @@ func (it *Interpreter) SeedBase(entries []dag.Base, horizon map[types.ServerID]u
 		below = raise(below, id, seq)
 	}
 	for _, e := range entries {
-		it.states[e.Ref] = &blockState{
-			seeded: true, seedBuilder: e.Builder, seedSeq: e.Seq,
-			anc: raise(slices.Clone(below), e.Builder, e.Seq+1),
+		st := &blockState{builder: e.Builder, seq: e.Seq, anc: raise(slices.Clone(below), e.Builder, e.Seq+1)}
+		it.states[e.Ref] = st
+		if ch := &it.chains[e.Builder]; ch.tip == nil || ch.tip.seq < e.Seq {
+			ch.tip = st // the parent of the first live block
 		}
 	}
 	return nil
@@ -215,44 +222,37 @@ func (it *Interpreter) Interpreted(ref block.Ref) bool {
 // Blocks returns the number of blocks interpreted so far.
 func (it *Interpreter) Blocks() int { return len(it.states) }
 
-// Stats counts what the interpreter holds beyond the blocks themselves:
-// LiveInstances follows the labels still running, the other two every label
-// ever run. WithMetrics publishes them as gauges after every block.
-type Stats struct {
-	LiveInstances int // process instances in the chain-tip tables
-	Tombstones    int // table entries of instances retired after Done
-	OutMessages   int // records in the blocks' out-buffers, a broadcast being one
-}
+// Stats counts what the interpreter holds beyond a watermark and a chain
+// link per block. All but RetiredLabels follow the load while every chain
+// advances, not the history; WithMetrics publishes them as gauges.
+type Stats = metrics.InterpreterState
 
 // Stats returns the current counts.
 func (it *Interpreter) Stats() Stats { return it.stats }
 
 // AddBlock interprets block b (Algorithm 2 lines 4–12). Every predecessor
-// must have been interpreted already — feeding blocks in any topological
-// order of the DAG satisfies this, and by Lemma 4.2 all such orders yield
-// the same states. Re-adding an interpreted block is a no-op.
+// must have been interpreted already; by Lemma 4.2 every topological order
+// of the DAG yields the same states. Re-adding a block is a no-op.
 func (it *Interpreter) AddBlock(b *block.Block) error {
 	ref := b.Ref()
 	if it.Interpreted(ref) {
 		return nil
 	}
+	if int(b.Builder) >= it.n {
+		return fmt.Errorf("interpret: block %v built by %v in a system of %d servers", ref, b.Builder, it.n)
+	}
 
-	// Locate the parent (same builder, seq-1) among the predecessors —
-	// DAG validity guarantees exactly one for non-genesis blocks — and join
-	// their ancestry watermarks into this block's.
-	anc := make([]uint64, int(b.Builder)+1, max(int(b.Builder)+1, it.n))
+	// Locate the parent (same builder, seq-1; a stand-in above a prune
+	// horizon) among the predecessors — DAG validity guarantees exactly one
+	// for non-genesis blocks — and join their watermarks into this block's.
+	anc := make([]uint64, int(b.Builder)+1, it.n)
 	var parent *blockState
 	for _, p := range b.Preds {
 		ps, ok := it.states[p]
 		if !ok {
 			return fmt.Errorf("%w: block %v missing pred %v", ErrNotEligible, ref, p)
 		}
-		if ps.blk != nil && b.ParentOf(ps.blk) {
-			parent = ps
-		} else if ps.seeded && ps.seedBuilder == b.Builder && b.Seq == ps.seedSeq+1 {
-			// The parent is a pruned-history stand-in: it anchors the
-			// chain and its consumption watermark but carries no
-			// instances — P restarts fresh above the horizon.
+		if ps.builder == b.Builder && ps.seq+1 == b.Seq {
 			parent = ps
 		}
 		for c, w := range ps.anc {
@@ -260,26 +260,118 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 		}
 	}
 
-	st := &blockState{blk: b, parent: parent, anc: raise(anc, b.Builder, b.Seq+1)}
+	it.release() // not after the last block: inspecting that one never replays
+	st := &blockState{blk: b, builder: b.Builder, seq: b.Seq, parent: parent, anc: raise(anc, b.Builder, b.Seq+1)}
+	it.order = append(it.order, st)
+	ch := &it.chains[b.Builder]
+	primary := it.spine == nil && ch.tip == parent
+	if primary {
+		ch.tip = st
+	}
 
 	// Line 4: B.PIs starts as the parent's. Every honest block is the
 	// only child of its parent and takes the table over; a chain root
-	// (genesis, or the first block above a pruned-history stand-in)
-	// starts an empty one.
+	// (genesis, or the first block above a stand-in) starts an empty one;
+	// a block that finds a source released or the table gone replays.
+	sources, held := it.newAncestry(st)
 	switch {
-	case parent == nil || parent.seeded:
+	case !held:
+	case parent == nil || parent.blk == nil:
 		st.pis = make(instances)
-	case parent.pis != nil:
+	case parent.pis != nil && (!it.spine[parent.blk] || it.spine[b]):
 		st.pis, parent.pis = parent.pis, nil
-	default:
-		st.pis = it.rebuild(parent, nil) // a second table: its instances count
 	}
-	it.advance(st, st.pis, true, nil)
+	if st.pis != nil {
+		it.advance(st, sources, primary)
+	} else {
+		// The replay's table is a second one for this chain: it counts.
+		got := it.replay(st, func(ind Indication) {
+			if ind.Block == ref {
+				it.indicate(ind)
+			}
+		}).states[ref]
+		st.pis, st.out = got.pis, got.out
+		for _, proc := range st.pis {
+			if proc != nil {
+				it.stats.LiveInstances++
+			} else {
+				it.stats.Tombstones++
+			}
+		}
+	}
+	if len(st.out) > 0 {
+		ch.held = append(ch.held, st)
+		it.stats.OutMessages += len(st.out)
+		it.stats.HoldingBlocks++
+		it.metrics.AddMsgsMaterialized(int64(protocol.Count(st.out, it.n)))
+	}
 
 	it.states[ref] = st // line 12: I[B] := true
 	it.metrics.AddBlocksInterpreted(1)
-	it.metrics.SetInterpreterState(it.stats.LiveInstances, it.stats.Tombstones, it.stats.OutMessages)
+	it.metrics.SetInterpreterState(it.stats, it.unread)
 	return nil
+}
+
+// release drops the out-buffers every chain has read. Chain c has read the
+// blocks of builder x below its tip's anc[x], x's own chain those below its
+// tip (its next block reads the tip), and no block that extends one of the
+// n tips reads below the least of these, x's frontier. It only rises, and a
+// builder that stops building stops every frontier: what a silent peer has
+// not read stays held. Only a block that extends no tip — a fork — can find
+// a source released. The same pass counts what each chain has not read.
+func (it *Interpreter) release() {
+	it.asked, it.askedAt = nil, nil
+	clear(it.unread)
+	for x := range it.chains {
+		own := &it.chains[x]
+		top := own.read(x)
+		frontier := max(top, 1) - 1
+		for c := range it.chains {
+			if c != x {
+				read := it.chains[c].read(x)
+				frontier = min(frontier, read)
+				it.unread[c] += int(max(top, read) - read)
+			}
+		}
+		for ; len(own.held) > 0 && own.held[0].seq < frontier; own.held = own.held[1:] {
+			st := own.held[0]
+			it.stats.OutMessages -= len(st.out)
+			it.stats.HoldingBlocks--
+			st.out, st.released = nil, true
+		}
+	}
+}
+
+// replay is the one miss path: it interprets the blocks up to st afresh, in
+// the order they were interpreted in, in a scratch interpreter, and returns
+// it. A block's state is a function of its ancestry alone (Lemma 4.2; the
+// blocks beside it change nothing), so there st holds the table and the
+// out-buffer it has, or had, here, and so do its sources: a scratch
+// interpreter follows no chain tip, so it releases and retires nothing, and
+// st's chain (spine) keeps its table to the end. A fork off it replays in
+// turn, cheaply: in a scratch interpreter every out-buffer is held, which is
+// all a replay needs of the blocks beside its spine, so it shares their
+// states. The cost is one pass over history, and a chain's length per fork.
+func (it *Interpreter) replay(st *blockState, onInd func(Indication)) *Interpreter {
+	sc := New(it.proto, it.n, it.f, onInd)
+	sc.spine, sc.visits = make(map[*block.Block]bool), it.visits
+	for s := st; s != nil && s.blk != nil; s = s.parent {
+		sc.spine[s.blk] = true
+	}
+	for ref, s := range it.states {
+		if s.blk == nil {
+			sc.states[ref] = s // stand-ins are read-only: shared
+		}
+	}
+	for _, s := range it.order[:slices.Index(it.order, st)+1] {
+		if it.spine != nil && !sc.spine[s.blk] {
+			sc.states[s.blk.Ref()] = s
+		} else {
+			_ = sc.AddBlock(s.blk) // eligible here, so eligible there
+		}
+	}
+	it.visits = sc.visits // shared states carry its stamps
+	return sc
 }
 
 // byLabel orders messages by label and, within a label, by <M.
@@ -305,11 +397,10 @@ func outFor(out []protocol.Message, label types.Label) []protocol.Message {
 // inMessages collects B.Ms[in, ℓ] (Algorithm 2 lines 7–9) for every label,
 // or for only one: the messages addressed to receiver in the out-buffers of
 // sources, grouped by label and each label's in <M order. A broadcast
-// record is addressed to every receiver and is taken as the message to
-// this one, so order and set semantics are those of the n messages it
-// stands for. The paper's in-buffer is a set: identical messages
-// materialized via two sources (e.g. across an equivocator's forks)
-// collapse to one.
+// record is taken as the message to this receiver, so order and set
+// semantics are those of the n messages it stands for. The in-buffer is a
+// set: identical messages materialized via two sources (e.g. across an
+// equivocator's forks) collapse to one.
 func inMessages(receiver types.ServerID, sources []*blockState, only *types.Label) []protocol.Message {
 	var in []protocol.Message
 	for _, ps := range sources {
@@ -342,32 +433,21 @@ func sharePayloads(emitted, fed []protocol.Message) {
 	}
 }
 
-// advance runs Algorithm 2 lines 5–14 for block st on pis, its chain's
+// advance runs Algorithm 2 lines 5–14 for block st on st.pis, its chain's
 // instance table as the parent left it. Labels are independent instances,
 // so it takes them one at a time, in sorted order to keep the trace
-// canonical: the requests B.rs carries for ℓ in the order the block lists
-// them (lines 5–6), then B.Ms[in, ℓ] in <M order (lines 10–11), then ℓ's
-// indications, attributed to B.n (lines 13–14), and a tombstone in the
-// table if ℓ's instance is Done.
-//
-// AddBlock calls it live, once per block: emitted messages are recorded in
-// st.out and indications surfaced. rebuild calls it again for a block
-// already interpreted, possibly for only one label: the steps are the
-// same, but the out-buffer is already recorded and the indications
-// already surfaced, so neither is repeated.
-func (it *Interpreter) advance(st *blockState, pis instances, live bool, only *types.Label) {
+// canonical: the requests B.rs carries for ℓ in block order (lines 5–6),
+// then B.Ms[in, ℓ] in <M order (lines 10–11), then ℓ's indications,
+// attributed to B.n (lines 13–14), and a tombstone if ℓ's instance is Done.
+// primary: st is its chain's tip, whose table the retired set speaks for.
+func (it *Interpreter) advance(st *blockState, sources []*blockState, primary bool) {
 	b := st.blk
 	ref := b.Ref()
-	reqs := make([]block.Request, 0, len(b.Requests))
-	for _, rq := range b.Requests {
-		if only == nil || rq.Label == *only {
-			reqs = append(reqs, rq)
-		}
-	}
+	reqs := slices.Clone(b.Requests)
 	slices.SortStableFunc(reqs, func(a, b block.Request) int {
 		return strings.Compare(string(a.Label), string(b.Label))
 	})
-	in := inMessages(b.Builder, it.newAncestry(st), only)
+	in := inMessages(b.Builder, sources, nil)
 
 	var emitted []protocol.Message
 	for len(reqs) > 0 || len(in) > 0 {
@@ -377,18 +457,18 @@ func (it *Interpreter) advance(st *blockState, pis instances, live bool, only *t
 		} else {
 			label = in[0].Label
 		}
-		proc, started := pis[label]
+		proc, started := st.pis[label]
+		if !started && primary {
+			_, started = it.retired[label]
+		}
 		if !started {
-			// No ancestor ran this instance. The paper assumes instances
-			// running from the genesis block onwards; we create them
-			// lazily on first request or message, as its Section 4
-			// suggests for implementations.
+			// No ancestor ran this instance: created lazily on first request
+			// or message, as the paper's Section 4 suggests.
 			proc = it.proto.NewProcess(protocol.Config{Self: b.Builder, Label: label, N: it.n, F: it.f})
-			pis[label] = proc
+			st.pis[label] = proc
 			it.stats.LiveInstances++
 		}
-		// EntropyAware instances receive a deterministic per-(block,
-		// label) seed — the Section 7 de-randomization extension.
+		// A deterministic per-(block, label) seed: Section 7's de-randomization.
 		if ea, ok := proc.(protocol.EntropyAware); ok {
 			ea.SetEntropy(crypto.Hash(ref[:], []byte(label)))
 		}
@@ -408,89 +488,82 @@ func (it *Interpreter) advance(st *blockState, pis instances, live bool, only *t
 		if proc == nil {
 			continue
 		}
-		inds := proc.Indications()
+		sharePayloads(emitted[mark:], fed[:len(fed)-len(in)])
+		for _, value := range proc.Indications() {
+			it.indicate(Indication{Label: label, Value: value, Server: b.Builder, Block: ref})
+		}
 		if proc.Done() {
-			pis[label] = nil
+			st.pis[label] = nil
 			it.stats.LiveInstances--
 			it.stats.Tombstones++
-		}
-		if !live {
-			emitted = emitted[:mark]
-			continue
-		}
-		sharePayloads(emitted[mark:], fed[:len(fed)-len(in)])
-		for _, value := range inds {
-			it.metrics.AddIndications(1)
-			if it.onInd != nil {
-				it.onInd(Indication{Label: label, Value: value, Server: b.Builder, Block: ref})
+			if primary {
+				it.retire(label)
 			}
 		}
 	}
 	if len(emitted) > 0 {
-		// B.Ms[out, ·]: materialized, never sent. Kept at its exact size.
-		st.out = slices.Clone(emitted)
-		it.stats.OutMessages += len(emitted)
-		it.metrics.AddMsgsMaterialized(int64(protocol.Count(emitted, it.n)))
+		st.out = slices.Clone(emitted) // kept at its exact size
 	}
 }
 
-// rebuild recomputes st's B.PIs — for every label, or for only one — after
-// the table has moved on down the chain, by replaying the builder's chain
-// from its root through advance. The retained out-buffers of each block's
-// sources are the inputs, so the replay feeds every instance exactly what
-// it was fed the first time and, P being deterministic, arrives at
-// exactly the state it had (Lemma 4.2). The cost is one pass over the
-// chain; only an equivocating block or an inspection query pays it.
-func (it *Interpreter) rebuild(st *blockState, only *types.Label) instances {
-	var chain []*blockState
-	for s := st; s != nil && !s.seeded; s = s.parent {
-		chain = append(chain, s)
+// indicate surfaces one indication.
+func (it *Interpreter) indicate(ind Indication) {
+	it.metrics.AddIndications(1)
+	if it.onInd != nil {
+		it.onInd(ind)
 	}
-	pis := make(instances)
-	for _, s := range slices.Backward(chain) {
-		it.advance(s, pis, false, only)
+}
+
+// retire notes that one more chain has finished label. When all n have,
+// their tombstones become one entry of the retired set — exact, not a
+// filter: it stands for a tombstone in the n chain tips' tables and in no
+// other (a table a replay made holds its own).
+func (it *Interpreter) retire(label types.Label) {
+	if it.done[label]++; it.done[label] < it.n {
+		return
 	}
-	return pis
+	delete(it.done, label)
+	it.retired[label] = struct{}{}
+	for _, ch := range it.chains {
+		delete(ch.tip.pis, label)
+	}
+	it.stats.Tombstones -= it.n
+	it.stats.RetiredLabels++
 }
 
 // newAncestry collects the sources of block st (Algorithm 2 lines 7–9
 // read their out-buffers): every block in its ancestry that its chain has
 // not consumed yet. The chain has consumed what lies below the parent,
-// which the parent's ancestry watermark summarizes: a block at or above it
-// is new (and is read now, exactly once — no later chain block finds it
-// above its own parent's watermark), the parent itself is read by its
-// child, and a block below it is either in the parent's ancestry or, if
-// its builder equivocated, a duplicate of a sequence number the chain has
-// read already and is skipped. Skipped is not stopped at: a fork block can
-// be the only path to a correct builder's new block, so the walk descends
-// through anything whose own watermark is not dominated by the parent's —
-// which no block in the parent's ancestry is, so the walk visits only
-// blocks new to the chain and their predecessors. Every ancestor's state
-// exists: a block is interpreted after its predecessors.
-//
-// The result is a function of the block's ancestry alone, so every
-// interpretation order — and a replay, which is why it is not stored —
-// computes the same sources (Lemma 4.2). For a builder that cites each
-// block it inserts exactly once the new blocks are the direct
-// predecessors. The slice is scratch space, valid until the next call.
-func (it *Interpreter) newAncestry(st *blockState) []*blockState {
+// which the parent's watermark summarizes: a block at or above it is new
+// (and is read now, exactly once — no later chain block finds it above its
+// own parent's watermark), the parent itself is read by its child, and a
+// block below it is either in the parent's ancestry or, if its builder
+// equivocated, a duplicate of a sequence number the chain has read already
+// and is skipped. Skipped is not stopped at: a fork block can be the only
+// path to a correct builder's new block, so the walk descends through
+// anything whose own watermark is not dominated by the parent's — which no
+// block in the parent's ancestry is, so it visits only blocks new to the
+// chain and their predecessors. The result is a function of the block's
+// ancestry alone (Lemma 4.2), so it is not stored. The slice is scratch
+// space, valid until the next call; held: no source has been released.
+func (it *Interpreter) newAncestry(st *blockState) (sources []*blockState, held bool) {
 	var consumed []uint64
 	if st.parent != nil {
 		consumed = st.parent.anc
 	}
 	it.visits++
-	sources, stack := it.sources[:0], append(it.stack[:0], st)
+	sources, stack, held := it.sources[:0], append(it.stack[:0], st), true
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, p := range s.blk.Preds {
 			ps := it.states[p]
-			if ps.visit == it.visits || ps.seeded {
+			if ps.visit == it.visits || ps.blk == nil {
 				continue // seen, or a pruned-history stand-in: consumed by construction
 			}
 			ps.visit = it.visits
-			if b := ps.blk; ps == st.parent || int(b.Builder) >= len(consumed) || b.Seq >= consumed[b.Builder] {
-				sources = append(sources, ps)
+			if ps == st.parent || int(ps.builder) >= len(consumed) || ps.seq >= consumed[ps.builder] {
+				sources, held = append(sources, ps), held && !ps.released
 			}
 			if !dominated(ps.anc, consumed) {
 				stack = append(stack, ps) // something below ps is new
@@ -498,7 +571,7 @@ func (it *Interpreter) newAncestry(st *blockState) []*blockState {
 		}
 	}
 	it.sources, it.stack = sources, stack
-	return sources
+	return sources, held
 }
 
 // dominated reports whether watermark a is at most b in every entry.
@@ -513,8 +586,7 @@ func dominated(a, b []uint64) bool {
 
 // InterpretDAG interprets every block of d not yet interpreted, in d's
 // insertion order (a topological order). This is the offline path: a
-// stored DAG can be replayed at any time, independent of gossip. The DAG
-// is iterated in place (dag.DAG.All) — no block-slice copy per call.
+// stored DAG can be replayed at any time, independent of gossip.
 func (it *Interpreter) InterpretDAG(d *dag.DAG) error {
 	for b := range d.All() {
 		if err := it.AddBlock(b); err != nil {
@@ -524,10 +596,29 @@ func (it *Interpreter) InterpretDAG(d *dag.DAG) error {
 	return nil
 }
 
+// at returns an interpreter in which the block has its out-buffer, the
+// out-buffers it read and, if asked for, its instance table, and its state
+// there (nil if not interpreted): it itself if they are cached, else a replay.
+func (it *Interpreter) at(ref block.Ref, table bool) (*Interpreter, *blockState) {
+	st, ok := it.states[ref]
+	if !ok || st.blk == nil {
+		return it, nil
+	}
+	if _, held := it.newAncestry(st); st.released || !held || table && st.pis == nil {
+		if it.askedAt != st {
+			it.askedAt, it.asked = st, it.replay(st, nil)
+		}
+		it = it.asked
+		st = it.states[ref]
+	}
+	return it, st
+}
+
 // OutMessages returns B.Ms[out, ℓ] in emission order, broadcasts spelled
-// out receiver by receiver.
+// out receiver by receiver. Like the three queries below it answers for any
+// interpreted block, from the cache or by a replay.
 func (it *Interpreter) OutMessages(ref block.Ref, label types.Label) []protocol.Message {
-	if st, ok := it.states[ref]; ok {
+	if _, st := it.at(ref, false); st != nil {
 		if out := outFor(st.out, label); len(out) > 0 {
 			return protocol.Expand(out, it.n)
 		}
@@ -538,18 +629,17 @@ func (it *Interpreter) OutMessages(ref block.Ref, label types.Label) []protocol.
 // InMessages returns B.Ms[in, ℓ] in <M order, derived from the out-buffers
 // of the block's sources — exactly what the instance was fed.
 func (it *Interpreter) InMessages(ref block.Ref, label types.Label) []protocol.Message {
-	st, ok := it.states[ref]
-	if !ok || st.seeded {
-		return nil
+	if it, st := it.at(ref, false); st != nil {
+		sources, _ := it.newAncestry(st)
+		return inMessages(st.builder, sources, &label)
 	}
-	return inMessages(st.blk.Builder, it.newAncestry(st), &label)
+	return nil
 }
 
-// OutLabels returns the labels with a non-empty out-buffer at the block,
-// sorted.
+// OutLabels returns the labels with a non-empty out-buffer at the block, sorted.
 func (it *Interpreter) OutLabels(ref block.Ref) []types.Label {
 	var labels []types.Label
-	if st, ok := it.states[ref]; ok {
+	if _, st := it.at(ref, false); st != nil {
 		for _, m := range st.out {
 			labels = append(labels, m.Label)
 		}
@@ -558,23 +648,11 @@ func (it *Interpreter) OutLabels(ref block.Ref) []types.Label {
 }
 
 // StateDigest returns the deterministic digest of B.PIs[ℓ] — the state of
-// the simulated instance ℓ of B's builder after interpreting B. The second
-// result is false if the block is uninterpreted, no ancestor of the block
-// ever ran the instance, or it was Done by then. Asking about a block that
-// is no longer the tip of its chain replays the chain for ℓ.
+// the simulated instance ℓ of B's builder after interpreting B — or false if
+// the block is uninterpreted, no ancestor ran the instance, or it was Done.
 func (it *Interpreter) StateDigest(ref block.Ref, label types.Label) ([]byte, bool) {
-	st, ok := it.states[ref]
-	if !ok {
-		return nil, false
-	}
-	pis := st.pis
-	if pis == nil {
-		held := it.stats
-		pis = it.rebuild(st, &label)
-		it.stats = held // the replayed table is dropped again
-	}
-	if proc := pis[label]; proc != nil {
-		return proc.StateDigest(), true
+	if _, st := it.at(ref, true); st != nil && st.pis[label] != nil {
+		return st.pis[label].StateDigest(), true
 	}
 	return nil, false
 }

@@ -17,6 +17,16 @@ import (
 	"blockdag/internal/types"
 )
 
+// newHolding returns an interpreter that follows no chain tip, as every
+// replay is: it releases no out-buffer and retires no label, so it holds
+// what Algorithm 2 keeps — for the tests that look at all of it, and as the
+// reference an interpreter that releases is held against.
+func newHolding(proto protocol.Protocol, n, f int, onInd func(Indication)) *Interpreter {
+	it := New(proto, n, f, onInd)
+	it.spine = map[*block.Block]bool{}
+	return it
+}
+
 // collectInds returns an indication sink and the slice it fills.
 func collectInds() (func(Indication), *[]Indication) {
 	var inds []Indication
@@ -52,7 +62,7 @@ func senders(msgs []protocol.Message) string {
 func TestFigure4(t *testing.T) {
 	h := dagtest.NewHarness(4)
 	onInd, inds := collectInds()
-	it := New(brb.Protocol{}, 4, 1, onInd)
+	it := newHolding(brb.Protocol{}, 4, 1, onInd) // a replay would answer with its own arrays
 
 	val := []byte("42")
 	round0 := h.Round(map[int][]block.Request{
@@ -173,12 +183,22 @@ func TestMessagesNeverLeaveInterpreter(t *testing.T) {
 	if snap.WireMessages != 0 || snap.WireBytes != 0 {
 		t.Fatal("interpretation touched the wire")
 	}
-	// What it holds on to is published as gauges: four chains delivered
-	// and retired the instance, leaving an ECHO and a READY record each.
+	// What it holds on to is published as gauges: four chains delivered,
+	// their four tombstones became one retired label, and of the ECHO and
+	// READY records only the READYs of round 2 are left — the last block
+	// of round 3 read them, and the next block releases them.
 	st := it.Stats()
-	if st != (Stats{Tombstones: 4, OutMessages: 8}) ||
-		snap.InstancesLive != 0 || snap.InstancesRetired != 4 || snap.OutMessagesHeld != 8 {
-		t.Fatalf("stats %+v, gauges live=%d retired=%d out=%d", st, snap.InstancesLive, snap.InstancesRetired, snap.OutMessagesHeld)
+	if st != (Stats{RetiredLabels: 1, OutMessages: 4, HoldingBlocks: 4}) ||
+		snap.InstancesLive != 0 || snap.InstancesRetired != 0 || snap.LabelsRetired != 1 ||
+		snap.OutMessagesHeld != 4 || snap.BlocksHolding != 4 {
+		t.Fatalf("stats %+v, gauges %+v", st, snap)
+	}
+	// Counted with the release, as the last block (s3's of round 3) came in:
+	// the other chains, at round 3, had read all of s3's and not one
+	// another's round-3 blocks; s3's, at round 2, had rounds 2 and 3 of the
+	// three others to read.
+	if unread := m.ChainUnread(); !slices.Equal(unread, []int64{2, 2, 2, 6}) {
+		t.Fatalf("unread per chain %v, want [2 2 2 6]", unread)
 	}
 }
 

@@ -36,10 +36,14 @@ type Metrics struct {
 	peersBanned         atomic.Int64
 	bannedBlocksDropped atomic.Int64
 
-	// Gauges: what the interpreter holds now (SetInterpreterState).
+	// Gauges: what the interpreter holds now (SetInterpreterState), and per
+	// builder how many blocks of other chains its chain has not read.
 	instancesLive    atomic.Int64
 	instancesRetired atomic.Int64
+	labelsRetired    atomic.Int64
 	outMessagesHeld  atomic.Int64
+	blocksHolding    atomic.Int64
+	chainUnread      atomic.Pointer[[]atomic.Int64]
 
 	// Gauge: what gossip's next own block would cite beyond its parent
 	// (SetTips).
@@ -70,8 +74,10 @@ type Snapshot struct {
 	BannedBlocksDropped int64 // fresh blocks refused because their builder is banned
 
 	InstancesLive    int64 // gauge: protocol instances still running, over all chain tips
-	InstancesRetired int64 // gauge: tombstones of instances retired after Done
-	OutMessagesHeld  int64 // gauge: message records retained in out-buffers
+	InstancesRetired int64 // gauge: tombstones of instances Done on their chain, not yet on every chain
+	LabelsRetired    int64 // gauge: labels every chain has finished (the retired set)
+	OutMessagesHeld  int64 // gauge: message records in the out-buffers still held
+	BlocksHolding    int64 // gauge: blocks holding an out-buffer some chain has not read
 	Tips             int64 // gauge: uncited DAG tips, the references the next own block adds to its parent
 }
 
@@ -117,7 +123,9 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 
 		InstancesLive:    s.InstancesLive - prev.InstancesLive,
 		InstancesRetired: s.InstancesRetired - prev.InstancesRetired,
+		LabelsRetired:    s.LabelsRetired - prev.LabelsRetired,
 		OutMessagesHeld:  s.OutMessagesHeld - prev.OutMessagesHeld,
+		BlocksHolding:    s.BlocksHolding - prev.BlocksHolding,
 		Tips:             s.Tips - prev.Tips,
 	}
 }
@@ -151,7 +159,9 @@ func (m *Metrics) Snapshot() Snapshot {
 
 		InstancesLive:    m.instancesLive.Load(),
 		InstancesRetired: m.instancesRetired.Load(),
+		LabelsRetired:    m.labelsRetired.Load(),
 		OutMessagesHeld:  m.outMessagesHeld.Load(),
+		BlocksHolding:    m.blocksHolding.Load(),
 		Tips:             m.tips.Load(),
 	}
 }
@@ -259,14 +269,55 @@ func (m *Metrics) AddIndications(n int64) {
 	}
 }
 
-// SetInterpreterState publishes the interpreter's gauges: instances still
-// running, tombstones of retired ones, and out-buffer records held.
-func (m *Metrics) SetInterpreterState(live, retired, outMessages int) {
-	if m != nil {
-		m.instancesLive.Store(int64(live))
-		m.instancesRetired.Store(int64(retired))
-		m.outMessagesHeld.Store(int64(outMessages))
+// InterpreterState counts what an interpreter holds now beyond a watermark
+// and a chain link per block (interpret.Stats is this type).
+type InterpreterState struct {
+	LiveInstances int // process instances in the chain-tip tables
+	Tombstones    int // table entries of instances Done on their chain, not yet on every chain
+	RetiredLabels int // labels every chain has finished: the retired set
+	OutMessages   int // records in the out-buffers held, a broadcast being one
+	HoldingBlocks int // blocks holding an out-buffer some chain has not read
+}
+
+// SetInterpreterState publishes the interpreter's gauges: what it holds, and
+// per builder the blocks of other chains its chain has not read.
+func (m *Metrics) SetInterpreterState(s InterpreterState, unread []int) {
+	if m == nil {
+		return
 	}
+	m.instancesLive.Store(int64(s.LiveInstances))
+	m.instancesRetired.Store(int64(s.Tombstones))
+	m.labelsRetired.Store(int64(s.RetiredLabels))
+	m.outMessagesHeld.Store(int64(s.OutMessages))
+	m.blocksHolding.Store(int64(s.HoldingBlocks))
+	gauges := m.chainUnread.Load()
+	if gauges == nil || len(*gauges) != len(unread) {
+		fresh := make([]atomic.Int64, len(unread))
+		gauges = &fresh
+		m.chainUnread.Store(gauges)
+	}
+	for i, v := range unread {
+		(*gauges)[i].Store(int64(v))
+	}
+}
+
+// ChainUnread returns, per builder, how many blocks of the other chains that
+// builder's chain has not read, as far as this server knows: the chain that
+// is behind, and what holds the interpreter's out-buffers. Nil before the
+// first block is interpreted and on a nil receiver.
+func (m *Metrics) ChainUnread() []int64 {
+	if m == nil {
+		return nil
+	}
+	gauges := m.chainUnread.Load()
+	if gauges == nil {
+		return nil
+	}
+	out := make([]int64, len(*gauges))
+	for i := range *gauges {
+		out[i] = (*gauges)[i].Load()
+	}
+	return out
 }
 
 // AddEquivocationsSeen counts forked slots detected by the local DAG.

@@ -103,3 +103,22 @@ func TestSnapshotDeltaZero(t *testing.T) {
 		t.Fatalf("self-delta not zero: %+v", d)
 	}
 }
+
+// TestInterpreterGauges: SetInterpreterState stores, it does not add — the
+// gauges fall when the interpreter lets go — and the per-builder gauge is
+// sized by the first call.
+func TestInterpreterGauges(t *testing.T) {
+	m := &Metrics{}
+	if m.ChainUnread() != nil || (*Metrics)(nil).ChainUnread() != nil {
+		t.Fatal("unread gauges before any block was interpreted")
+	}
+	m.SetInterpreterState(InterpreterState{LiveInstances: 5, Tombstones: 3, OutMessages: 40, HoldingBlocks: 9}, []int{0, 7, 2, 1})
+	m.SetInterpreterState(InterpreterState{RetiredLabels: 2, OutMessages: 4, HoldingBlocks: 1}, []int{1, 0, 0, 1})
+	s := m.Snapshot()
+	if s.InstancesLive != 0 || s.InstancesRetired != 0 || s.LabelsRetired != 2 || s.OutMessagesHeld != 4 || s.BlocksHolding != 1 {
+		t.Fatalf("gauges after the second publish: %+v", s)
+	}
+	if got := m.ChainUnread(); !reflect.DeepEqual(got, []int64{1, 0, 0, 1}) {
+		t.Fatalf("ChainUnread = %v", got)
+	}
+}

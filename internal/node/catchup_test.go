@@ -2,6 +2,7 @@ package node_test
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -50,7 +51,7 @@ func TestNodeAutomaticCheckpointing(t *testing.T) {
 	}
 	nd, err := node.New(node.Config{
 		Server:           srv,
-		DisseminateEvery: 2 * time.Millisecond,
+		DisseminateEvery: time.Hour, // never: the turns are stepped
 		Store:            st,
 
 		CheckpointEverySegments: 2,
@@ -58,22 +59,23 @@ func TestNodeAutomaticCheckpointing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// Run long enough that, without checkpointing, far more than two
-	// segments would pile up; then verify a snapshot appeared and the
-	// WAL stayed bounded.
-	deadline := time.Now().Add(10 * time.Second)
-	for m.Snapshot().BlocksBuilt < 60 {
-		if time.Now().After(deadline) {
-			t.Fatal("node built too few blocks")
+	// Step the turns a started node's loop would run — sixty blocks, the
+	// housekeeping tick (where the checkpoint policy lives) after every
+	// sixteenth — so that what is left behind depends on no timer: without
+	// checkpointing fifteen segments would pile up.
+	const blocks, tickEvery, wantWALs = 60, 16, 3
+	for i := 1; i <= blocks; i++ {
+		nd.Disseminate()
+		if i%tickEvery == 0 {
+			nd.Tick()
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	nd.Stop()
 	if err := nd.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if built := m.Snapshot().BlocksBuilt; built != blocks {
+		t.Fatalf("built %d blocks, want %d", built, blocks)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -81,19 +83,17 @@ func TestNodeAutomaticCheckpointing(t *testing.T) {
 	}
 	snaps, wals := 0, 0
 	for _, e := range entries {
-		switch {
-		case len(e.Name()) > 5 && e.Name()[len(e.Name())-5:] == ".snap":
+		switch filepath.Ext(e.Name()) {
+		case ".snap":
 			snaps++
-		case len(e.Name()) > 4 && e.Name()[len(e.Name())-4:] == ".wal":
+		case ".wal":
 			wals++
 		}
 	}
-	if snaps == 0 {
-		t.Fatal("automatic checkpointing never wrote a snapshot")
-	}
-	// Bounded: the post-checkpoint residue, not the whole history.
-	if wals > 4 {
-		t.Fatalf("%d WAL segments survived; checkpoint policy not bounding disk", wals)
+	// One snapshot — each checkpoint replaces the last — and the residue of
+	// the twelve blocks built since the last tick, four to a segment.
+	if snaps != 1 || wals != wantWALs {
+		t.Fatalf("%d snapshots and %d WAL segments survived, want 1 and %d", snaps, wals, wantWALs)
 	}
 	// And the compacted store must still recover.
 	reopened, err := store.Open(dir, store.Options{Roster: roster})

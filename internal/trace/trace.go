@@ -30,19 +30,44 @@ import (
 )
 
 // Annotator supplies per-block annotation lines for DOT rendering; the
-// interpreter-backed annotator below shows message buffers.
+// annotator below shows message buffers.
 type Annotator func(b *block.Block) []string
+
+// Buffers is Ms[in, ℓ] and Ms[out, ℓ] as materialized at one block.
+type Buffers struct {
+	In, Out []protocol.Message
+}
+
+// InterpretBuffers interprets d for protocol proto in an interpreter of its
+// own and returns one instance's message buffers at every block that has
+// any. It asks for a block's buffers right after interpreting it, while the
+// interpreter still holds everything the block read and wrote, so the pass
+// is linear; an interpreter that has moved on — a running server's — answers
+// the same for any block, but by replaying history for each.
+func InterpretBuffers(d *dag.DAG, proto protocol.Protocol, n, f int, label types.Label) (map[block.Ref]Buffers, error) {
+	it := interpret.New(proto, n, f, nil)
+	buffers := make(map[block.Ref]Buffers)
+	for b := range d.All() {
+		if err := it.AddBlock(b); err != nil {
+			return nil, fmt.Errorf("trace: interpret block %v: %w", b.Ref(), err)
+		}
+		if bufs := (Buffers{In: it.InMessages(b.Ref(), label), Out: it.OutMessages(b.Ref(), label)}); len(bufs.In)+len(bufs.Out) > 0 {
+			buffers[b.Ref()] = bufs
+		}
+	}
+	return buffers, nil
+}
 
 // BufferAnnotator annotates each block with its materialized in/out
 // message buffers for one protocol instance, reproducing the Figure 4
 // presentation.
-func BufferAnnotator(it *interpret.Interpreter, label types.Label) Annotator {
+func BufferAnnotator(buffers map[block.Ref]Buffers) Annotator {
 	return func(b *block.Block) []string {
 		var lines []string
-		if in := it.InMessages(b.Ref(), label); len(in) > 0 {
+		if in := buffers[b.Ref()].In; len(in) > 0 {
 			lines = append(lines, "in: "+summarize(in, true))
 		}
-		if out := it.OutMessages(b.Ref(), label); len(out) > 0 {
+		if out := buffers[b.Ref()].Out; len(out) > 0 {
 			lines = append(lines, "out: "+summarize(out, false))
 		}
 		return lines

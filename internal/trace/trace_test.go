@@ -7,22 +7,22 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/dagtest"
-	"blockdag/internal/interpret"
+	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 )
 
-func figure4Harness(t *testing.T) (*dagtest.Harness, *interpret.Interpreter) {
+func figure4Harness(t *testing.T) (*dagtest.Harness, map[block.Ref]Buffers) {
 	t.Helper()
 	h := dagtest.NewHarness(4)
-	it := interpret.New(brb.Protocol{}, 4, 1, nil)
 	h.Round(map[int][]block.Request{0: {{Label: "ℓ1", Data: []byte("42")}}})
 	for r := 0; r < 3; r++ {
 		h.Round(nil)
 	}
-	if err := it.InterpretDAG(h.DAG); err != nil {
+	buffers, err := InterpretBuffers(h.DAG, brb.Protocol{}, 4, 1, "ℓ1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return h, it
+	return h, buffers
 }
 
 func TestDOTStructure(t *testing.T) {
@@ -43,8 +43,8 @@ func TestDOTStructure(t *testing.T) {
 }
 
 func TestDOTWithBufferAnnotations(t *testing.T) {
-	h, it := figure4Harness(t)
-	dot := DOT(h.DAG, BufferAnnotator(it, "ℓ1"))
+	h, buffers := figure4Harness(t)
+	dot := DOT(h.DAG, BufferAnnotator(buffers))
 	// The request block fans ECHO out to all four servers.
 	if !strings.Contains(dot, "out: 4 msgs to {s0,s1,s2,s3}") {
 		t.Fatalf("annotation for the broadcast block missing:\n%s", dot)
@@ -56,6 +56,37 @@ func TestDOTWithBufferAnnotations(t *testing.T) {
 	// Quorum blocks collected echoes from s1,s2,s3.
 	if !strings.Contains(dot, "in: 3 msgs from {s1,s2,s3}") {
 		t.Fatal("quorum annotation missing")
+	}
+}
+
+// countingProtocol counts the process instances it creates.
+type countingProtocol struct {
+	protocol.Protocol
+	created *int
+}
+
+func (p countingProtocol) NewProcess(cfg protocol.Config) protocol.Process {
+	*p.created++
+	return p.Protocol.NewProcess(cfg)
+}
+
+// TestInterpretBuffersIsOnePass: the buffers are collected while the
+// interpreter still holds them. A query that found them released would
+// replay history into fresh instances; over twenty rounds none is made
+// beyond the one per chain that ran ℓ1.
+func TestInterpretBuffersIsOnePass(t *testing.T) {
+	h := dagtest.NewHarness(4)
+	h.Round(map[int][]block.Request{0: {{Label: "ℓ1", Data: []byte("42")}}})
+	for r := 0; r < 20; r++ {
+		h.Round(nil)
+	}
+	created := 0
+	buffers, err := InterpretBuffers(h.DAG, countingProtocol{brb.Protocol{}, &created}, 4, 1, "ℓ1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if created != 4 || len(buffers) == 0 {
+		t.Fatalf("%d instances created for one label on four chains, %d blocks with buffers", created, len(buffers))
 	}
 }
 
@@ -85,7 +116,7 @@ func TestASCIIShowsEquivocation(t *testing.T) {
 }
 
 func TestDumpRoundTrip(t *testing.T) {
-	h, _ := figure4Harness(t)
+	h, buffers := figure4Harness(t)
 	var buf bytes.Buffer
 	if err := WriteDAG(&buf, h.DAG); err != nil {
 		t.Fatal(err)
@@ -101,9 +132,12 @@ func TestDumpRoundTrip(t *testing.T) {
 		t.Fatal("round-tripped DAG differs")
 	}
 	// The reloaded DAG interprets identically.
-	it := interpret.New(brb.Protocol{}, 4, 1, nil)
-	if err := it.InterpretDAG(loaded); err != nil {
+	reloaded, err := InterpretBuffers(loaded, brb.Protocol{}, 4, 1, "ℓ1")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if DOT(loaded, BufferAnnotator(reloaded)) != DOT(h.DAG, BufferAnnotator(buffers)) {
+		t.Fatal("round-tripped DAG materializes different buffers")
 	}
 }
 
