@@ -52,12 +52,13 @@ race:
 # the store's replay included: it is the same absorb with the disk as the
 # peer, the assembly's snapshot rejoin: every tier over one listener, and
 # its accountability run (an equivocator banned over TCP and across a
-# Restart) — ten times under the race detector, so a test that fails one run
-# in five (as TestAuthWrongKeyRejected did until PR 12) is caught in the
-# PR that introduces it rather than blocking unrelated work later. The
-# -run filter keeps it around a minute.
+# Restart), and the checkpoint tests (TestNodeAutomaticCheckpointing was the
+# timing flake PR 23 fixed) — ten times under the race detector, so a test
+# that fails one run in five (as TestAuthWrongKeyRejected did until PR 12)
+# is caught in the PR that introduces it rather than blocking unrelated
+# work later. The -run filter keeps it around a minute.
 flake-smoke:
-	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release' \
+	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint' \
 		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy
 
 .PHONY: experiments-smoke
@@ -175,7 +176,7 @@ gateway-smoke:
 	curl -sf -H 'Authorization: Bearer smoke' $$base/v1/status > $$d/status.json; \
 	grep -q '"healthy":true' $$d/status.json || { echo "gateway-smoke FAILED: node not healthy" >&2; cat $$d/status.json >&2; exit 1; }; \
 	curl -sf $$base/metrics > $$d/metrics.txt; \
-	for family in dag_blocks_built_total dag_own_block_refs_total dag_tips interpret_instances_live tcpnet_ mempool_accepted_total crypto_signed_total gateway_responses_total; do \
+	for family in dag_blocks_built_total dag_own_block_refs_total dag_tips gossip_pending_blocks gossip_missing_refs interpret_instances_live tcpnet_ mempool_accepted_total crypto_signed_total gateway_responses_total; do \
 		grep -q "$$family" $$d/metrics.txt || { echo "gateway-smoke FAILED: scrape missing $$family" >&2; cat $$d/metrics.txt >&2; exit 1; }; \
 	done; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST $$base/v1/submit -d '{"label":"x","data":"y"}'); \

@@ -22,13 +22,24 @@
 // queries starting from a flagged builder's block fall back to the
 // backwards BFS, so byzantine forks cost their own queries — not everyone
 // else's.
+//
+// # A block is one row
+//
+// The graph numbers every vertex once, by insertion order, and keeps the
+// only ref-keyed map there is (ref → number). This package holds no second
+// index: the block of vertex i is a slot of one slice, a pruned-history
+// stand-in is a seeded vertex with no block (the first rows of a seeded
+// DAG), and "which block holds (builder, seq)" is the graph's slot column.
+// A node therefore pays one map entry per block across both layers, and a
+// prefix of the rows is all a horizon cut would have to drop.
 package dag
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
+	"slices"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
@@ -90,17 +101,18 @@ func VerifyEquivocationProof(roster *crypto.Roster, b1, b2 *block.Block) error {
 type DAG struct {
 	roster *crypto.Roster
 	g      *graph.DAG[block.Ref]
-	blocks map[block.Ref]*block.Block
-	order  []*block.Block // insertion order: a topological order
+	// order holds the blocks in insertion order, a topological order:
+	// the block of graph vertex i is order[i-len(base)].
+	order []*block.Block
 
 	// base holds stand-in entries for pruned blocks (SeedBase): their
 	// refs satisfy predecessor and parent checks, but the blocks
-	// themselves are gone. Empty on an unpruned DAG.
-	base        map[block.Ref]Base
-	baseSorted  []Base
+	// themselves are gone. They are graph vertices 0..len(base)-1, in
+	// that order. Empty on an unpruned DAG.
+	base        []Base
 	baseHorizon map[types.ServerID]uint64
 
-	bySlot         map[slot][]block.Ref // (builder, seq) -> refs, detects equivocation
+	proven         map[slot]struct{} // forked slots whose proof pair went out
 	equivocations  []Equivocation
 	onInsert       func(*block.Block)
 	onEquivocation func(Equivocation)
@@ -133,12 +145,7 @@ type slot struct {
 
 // New returns an empty block DAG for a server in the given roster.
 func New(roster *crypto.Roster) *DAG {
-	return &DAG{
-		roster: roster,
-		g:      graph.New[block.Ref](),
-		blocks: make(map[block.Ref]*block.Block),
-		bySlot: make(map[slot][]block.Ref),
-	}
+	return &DAG{roster: roster, g: graph.New[block.Ref](), proven: make(map[slot]struct{})}
 }
 
 // SetOnInsert installs a callback invoked after every successful insert,
@@ -161,51 +168,61 @@ func (d *DAG) SetOnEquivocation(fn func(Equivocation)) { d.onEquivocation = fn }
 // slot are still flagged as equivocation. It must run before any
 // insert; a non-empty DAG is refused.
 func (d *DAG) SeedBase(entries []Base) error {
-	if len(d.order) > 0 || len(d.base) > 0 {
+	if d.g.Len() > 0 {
 		return errors.New("dag: SeedBase on a non-empty DAG")
 	}
 	if len(entries) == 0 {
 		return nil
 	}
-	d.base = make(map[block.Ref]Base, len(entries))
 	d.baseHorizon = make(map[types.ServerID]uint64, len(entries))
 	for _, e := range entries {
 		if !d.roster.Contains(e.Builder) {
 			return fmt.Errorf("%w: base entry %v", ErrBuilderUnknown, e.Builder)
 		}
-		if _, dup := d.base[e.Ref]; dup {
+		if d.g.Contains(e.Ref) {
 			continue
 		}
+		// The seeded vertex takes its slot: a later live block in it is an
+		// equivocation against pruned history (detected, though the proof
+		// pair cannot be exported — one half is gone).
 		if err := d.g.InsertSeeded(e.Ref, int(e.Builder), e.Seq); err != nil {
 			return fmt.Errorf("dag: seed base: %w", err)
 		}
-		d.base[e.Ref] = e
-		d.baseSorted = append(d.baseSorted, e)
-		// The slot is taken: a later live block in it is an equivocation
-		// against pruned history (detected, though the proof pair cannot
-		// be exported — one half is gone).
-		d.bySlot[slot{builder: e.Builder, seq: e.Seq}] = append(d.bySlot[slot{builder: e.Builder, seq: e.Seq}], e.Ref)
-		if e.Seq+1 > d.baseHorizon[e.Builder] {
-			d.baseHorizon[e.Builder] = e.Seq + 1
-		}
+		d.base = append(d.base, e)
+		d.baseHorizon[e.Builder] = max(d.baseHorizon[e.Builder], e.Seq+1)
 	}
-	sort.Slice(d.baseSorted, func(i, j int) bool {
-		if d.baseSorted[i].Builder != d.baseSorted[j].Builder {
-			return d.baseSorted[i].Builder < d.baseSorted[j].Builder
-		}
-		return d.baseSorted[i].Seq < d.baseSorted[j].Seq
-	})
 	return nil
 }
 
 // Base returns the seeded pruned-history stand-ins, ordered by
 // (builder, seq); nil for an unpruned DAG.
-func (d *DAG) Base() []Base { return append([]Base(nil), d.baseSorted...) }
+func (d *DAG) Base() []Base {
+	out := slices.Clone(d.base)
+	slices.SortFunc(out, func(a, b Base) int {
+		return cmp.Or(cmp.Compare(a.Builder, b.Builder), cmp.Compare(a.Seq, b.Seq))
+	})
+	return out
+}
 
 // BaseRef resolves a reference to its base entry, if it is one.
 func (d *DAG) BaseRef(ref block.Ref) (Base, bool) {
-	e, ok := d.base[ref]
-	return e, ok
+	if i, ok := d.g.Index(ref); ok && i < len(d.base) {
+		return d.base[i], true
+	}
+	return Base{}, false
+}
+
+// lookup resolves a reference to its row: the block, or the base entry
+// standing in for it (b is nil then). ok is false for an unknown ref.
+func (d *DAG) lookup(ref block.Ref) (b *block.Block, e Base, ok bool) {
+	i, ok := d.g.Index(ref)
+	switch {
+	case !ok:
+		return nil, Base{}, false
+	case i < len(d.base):
+		return nil, d.base[i], true
+	}
+	return d.order[i-len(d.base)], Base{}, true
 }
 
 // BaseHorizon returns, per builder with pruned history, the first
@@ -230,18 +247,12 @@ func (d *DAG) Len() int { return len(d.order) }
 // Contains reports whether the block with the given reference is in G.
 // Base stand-ins count as contained: their blocks are pruned, but the
 // DAG vouches for them (predecessor closure, Definition 3.3(iii)).
-func (d *DAG) Contains(ref block.Ref) bool {
-	if _, ok := d.blocks[ref]; ok {
-		return true
-	}
-	_, ok := d.base[ref]
-	return ok
-}
+func (d *DAG) Contains(ref block.Ref) bool { return d.g.Contains(ref) }
 
 // Get returns the block with the given reference, if present.
 func (d *DAG) Get(ref block.Ref) (*block.Block, bool) {
-	b, ok := d.blocks[ref]
-	return b, ok
+	b, _, _ := d.lookup(ref)
+	return b, b != nil
 }
 
 // smallPreds is the predecessor-list size below which dedup runs as an
@@ -251,46 +262,41 @@ func (d *DAG) Get(ref block.Ref) (*block.Block, bool) {
 // keep the map-backed O(k) path so quadratic scans cannot be provoked.
 const smallPreds = 16
 
+// distinctPreds yields b's references in block order, each once.
+func distinctPreds(b *block.Block) iter.Seq[block.Ref] {
+	return func(yield func(block.Ref) bool) {
+		var seen map[block.Ref]struct{}
+		if len(b.Preds) > smallPreds {
+			seen = make(map[block.Ref]struct{}, len(b.Preds))
+		}
+		for i, p := range b.Preds {
+			if seen != nil {
+				if _, dup := seen[p]; dup {
+					continue
+				}
+				seen[p] = struct{}{}
+			} else if slices.Contains(b.Preds[:i], p) {
+				continue
+			}
+			if !yield(p) {
+				return
+			}
+		}
+	}
+}
+
 // MissingPreds returns the references in b.Preds not yet in the DAG, in
 // block order without duplicates. Gossip uses this to issue FWD requests.
 // It returns nil — without allocating — when nothing is missing, the hot
 // case on the insert path.
 func (d *DAG) MissingPreds(b *block.Block) []block.Ref {
 	var missing []block.Ref
-	if len(b.Preds) <= smallPreds {
-		for i, p := range b.Preds {
-			if d.Contains(p) {
-				continue
-			}
-			if dupRef(b.Preds[:i], p) {
-				continue
-			}
-			missing = append(missing, p)
-		}
-		return missing
-	}
-	seen := make(map[block.Ref]struct{}, len(b.Preds))
-	for _, p := range b.Preds {
-		if _, dup := seen[p]; dup {
-			continue
-		}
-		seen[p] = struct{}{}
+	for p := range distinctPreds(b) {
 		if !d.Contains(p) {
 			missing = append(missing, p)
 		}
 	}
 	return missing
-}
-
-// dupRef reports whether ref occurs in refs — the allocation-free dedup
-// for predecessor-sized lists.
-func dupRef(refs []block.Ref, ref block.Ref) bool {
-	for _, r := range refs {
-		if r == ref {
-			return true
-		}
-	}
-	return false
 }
 
 // Validate implements valid(s, B) of Definition 3.3 for a block whose
@@ -310,43 +316,28 @@ func (d *DAG) validate(b *block.Block, checkSig bool) error {
 	if checkSig && !b.VerifySignature(d.roster) {
 		return fmt.Errorf("%w: block %v by %v", ErrBadSignature, b.Ref(), b.Builder)
 	}
-	if missing := d.MissingPreds(b); len(missing) > 0 {
-		return fmt.Errorf("%w: %d missing for block %v", ErrMissingPreds, len(missing), b.Ref())
-	}
 	return d.checkParentRule(b)
 }
 
-// checkParentRule verifies Definition 3.3 (ii) with all preds resolvable:
-// genesis blocks have no parent; other blocks have exactly one pred by the
-// same builder with sequence number Seq-1.
+// checkParentRule verifies Definition 3.3 (ii), one index lookup per
+// reference: every pred resolves to a block or a stand-in (else
+// ErrMissingPreds, before any verdict on parents); genesis blocks have no
+// parent; other blocks have exactly one pred by the same builder with
+// sequence number Seq-1.
 func (d *DAG) checkParentRule(b *block.Block) error {
 	parents := 0
-	var seen map[block.Ref]struct{}
-	if len(b.Preds) > smallPreds {
-		seen = make(map[block.Ref]struct{}, len(b.Preds))
-	}
-	for i, p := range b.Preds {
-		if seen != nil {
-			if _, dup := seen[p]; dup {
-				continue
-			}
-			seen[p] = struct{}{}
-		} else if dupRef(b.Preds[:i], p) {
-			continue
-		}
-		pb, ok := d.blocks[p]
-		if !ok {
-			if e, isBase := d.base[p]; isBase {
-				// A base stand-in can be the parent: same builder,
-				// directly preceding sequence number.
-				if e.Builder == b.Builder && b.Seq == e.Seq+1 {
-					parents++
-				}
-				continue
-			}
+	for p := range distinctPreds(b) {
+		pb, e, ok := d.lookup(p)
+		switch {
+		case !ok:
 			return fmt.Errorf("%w: pred %v of block %v", ErrMissingPreds, p, b.Ref())
-		}
-		if b.ParentOf(pb) {
+		case pb == nil:
+			// A base stand-in can be the parent: same builder, directly
+			// preceding sequence number.
+			if e.Builder == b.Builder && b.Seq == e.Seq+1 {
+				parents++
+			}
+		case b.ParentOf(pb):
 			parents++
 		}
 	}
@@ -386,12 +377,12 @@ func (d *DAG) insert(b *block.Block, checkSig bool) error {
 	if err := d.validate(b, checkSig); err != nil {
 		return err
 	}
+	first, forked := d.g.Slot(int(b.Builder), b.Seq) // who held the slot before b
 	if err := d.g.InsertChained(b.Ref(), b.Preds, int(b.Builder), b.Seq); err != nil {
 		// Preds were just validated as present; failure means the
 		// graph and block store diverged.
 		return fmt.Errorf("dag: graph insert: %w", err)
 	}
-	d.blocks[b.Ref()] = b
 	d.order = append(d.order, b)
 
 	// Record one proof per forked slot — on the first duplicate only.
@@ -399,11 +390,12 @@ func (d *DAG) insert(b *block.Block, checkSig bool) error {
 	// redundant proofs; one pair convicts it just as hard, and the
 	// global cap bounds retention against many-slot forking.
 	s := slot{builder: b.Builder, seq: b.Seq}
-	if prior := d.bySlot[s]; len(prior) == 1 {
+	if _, done := d.proven[s]; forked && !done {
+		d.proven[s] = struct{}{}
 		e := Equivocation{
 			Builder: b.Builder,
 			Seq:     b.Seq,
-			Refs:    [2]block.Ref{prior[0], b.Ref()},
+			Refs:    [2]block.Ref{d.g.At(first), b.Ref()},
 		}
 		if len(d.equivocations) < maxEquivocations {
 			d.equivocations = append(d.equivocations, e)
@@ -412,7 +404,6 @@ func (d *DAG) insert(b *block.Block, checkSig bool) error {
 			d.onEquivocation(e)
 		}
 	}
-	d.bySlot[s] = append(d.bySlot[s], b.Ref())
 
 	if d.onInsert != nil {
 		d.onInsert(b)
@@ -481,15 +472,16 @@ func (d *DAG) Concurrent(a, b block.Ref) bool {
 }
 
 // ByBuilder returns the blocks built by the given server ordered by
-// sequence number (then by insertion for equivocating duplicates).
+// sequence number (then by insertion for equivocating duplicates): a walk
+// of the builder's slot column, stand-ins skipped.
 func (d *DAG) ByBuilder(id types.ServerID) []*block.Block {
-	var out []*block.Block
-	for _, b := range d.order {
-		if b.Builder == id {
-			out = append(out, b)
+	chain := d.g.Chain(int(id))
+	out := make([]*block.Block, 0, len(chain))
+	for _, i := range chain {
+		if i >= len(d.base) {
+			out = append(out, d.order[i-len(d.base)])
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
@@ -514,16 +506,12 @@ func (d *DAG) EquivocationBlocks(e Equivocation) (*block.Block, *block.Block, bo
 // Equivocators returns the distinct servers with at least one equivocation
 // proof, in ascending ID order.
 func (d *DAG) Equivocators() []types.ServerID {
-	set := make(map[types.ServerID]struct{})
+	var out []types.ServerID
 	for _, e := range d.equivocations {
-		set[e.Builder] = struct{}{}
+		out = append(out, e.Builder)
 	}
-	out := make([]types.ServerID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Leq reports whether d ⩽ other as graphs (paper Section 2). For block
@@ -547,7 +535,7 @@ func (d *DAG) Merge(other *DAG) error {
 // blocks. Callbacks are not copied; a seeded base is.
 func (d *DAG) Clone() *DAG {
 	cp := New(d.roster)
-	if err := cp.SeedBase(d.baseSorted); err != nil {
+	if err := cp.SeedBase(d.base); err != nil {
 		panic(fmt.Sprintf("dag: clone seed: %v", err))
 	}
 	for _, b := range d.order {

@@ -2,6 +2,8 @@ package dag
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 
 	"blockdag/internal/block"
@@ -299,4 +301,101 @@ func TestDecodedBlockValidation(t *testing.T) {
 	if types.ServerID(0) != dec.Builder {
 		t.Fatal("builder mismatch")
 	}
+}
+
+// TestSeededRowsBehindTheAPI drives a seeded DAG with a forked slot through
+// every accessor that used to have a map of its own: stand-ins are
+// contained but carry no block, positions count blocks only, a slot is
+// proven forked once, and ByBuilder is what a scan of all blocks sorted by
+// seq gives — also on a clone.
+func TestSeededRowsBehindTheAPI(t *testing.T) {
+	roster, signers := fixture(t, 2)
+	// Pruned history: builder 0 up to seq 4, builder 1 up to seq 2.
+	p0 := sealed(t, signers[0], 4, nil, nil)
+	p1 := sealed(t, signers[1], 2, nil, nil)
+	base := []Base{{Builder: 1, Seq: 2, Ref: p1.Ref()}, {Builder: 0, Seq: 4, Ref: p0.Ref()}}
+	d := New(roster)
+	if err := d.SeedBase(append(base, base[0])); err != nil { // a repeated entry is dropped
+		t.Fatal(err)
+	}
+	a5 := sealed(t, signers[0], 5, []block.Ref{p0.Ref(), p1.Ref()}, nil)
+	b3 := sealed(t, signers[1], 3, []block.Ref{p1.Ref(), a5.Ref()}, nil)
+	a6 := sealed(t, signers[0], 6, []block.Ref{a5.Ref(), b3.Ref()}, nil)
+	fork := func(data string) *block.Block {
+		return sealed(t, signers[0], 5, []block.Ref{p0.Ref()}, []block.Request{{Label: "l", Data: []byte(data)}})
+	}
+	a5x, a5y := fork("x"), fork("y")
+	live := []*block.Block{a5, b3, a6, a5x, a5y}
+	mustInsert(t, d, live...)
+
+	check := func(d *DAG) {
+		t.Helper()
+		if d.Len() != len(live) || d.BlockAt(0) != a5 || d.BlockAt(4) != a5y {
+			t.Fatalf("Len %d, BlockAt(0) %v: stand-ins must not count", d.Len(), d.BlockAt(0).Ref())
+		}
+		for _, e := range base {
+			if got, ok := d.BaseRef(e.Ref); !ok || got != e || !d.Contains(e.Ref) {
+				t.Fatalf("base entry %v not resolved", e)
+			}
+			if b, ok := d.Get(e.Ref); ok || b != nil {
+				t.Fatalf("Get(stand-in) = %v, %v", b, ok)
+			}
+		}
+		if got := d.Base(); len(got) != 2 || got[0] != base[1] || got[1] != base[0] {
+			t.Fatalf("Base() = %v, want (builder, seq) order", got)
+		}
+		for i, b := range live {
+			if got, ok := d.Get(b.Ref()); !ok || got != b || d.Blocks()[i] != b {
+				t.Fatalf("block %d not at its position", i)
+			}
+			if _, ok := d.BaseRef(b.Ref()); ok {
+				t.Fatalf("block %d resolved as a stand-in", i)
+			}
+		}
+		if refs := d.Refs(); len(refs) != 7 || refs[0] != p1.Ref() || refs[2] != a5.Ref() {
+			t.Fatalf("Refs() = %v: stand-ins first, in seeding order", refs)
+		}
+		if tips := d.Tips(); len(tips) != 3 || tips[0] != a6.Ref() || tips[2] != a5y.Ref() {
+			t.Fatalf("Tips() = %v", tips)
+		}
+		eqs := d.Equivocations()
+		if len(eqs) != 1 || eqs[0].Seq != 5 || eqs[0].Refs != [2]block.Ref{a5.Ref(), a5x.Ref()} {
+			t.Fatalf("Equivocations = %v, want one proof: the slot's first two blocks", eqs)
+		}
+		for id := types.ServerID(0); id < 2; id++ {
+			var want []*block.Block
+			for _, b := range d.Blocks() {
+				if b.Builder == id {
+					want = append(want, b)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Seq < want[j].Seq })
+			if got := d.ByBuilder(id); !slices.Equal(got, want) {
+				t.Fatalf("ByBuilder(%v) = %v, want %v", id, dagRefs(got), dagRefs(want))
+			}
+		}
+		if got := d.ByBuilder(0); len(got) != 4 || got[1] != a5x || got[3] != a6 {
+			t.Fatalf("ByBuilder(0) = %v: seq order, insertion order within the forked slot", dagRefs(got))
+		}
+	}
+	check(d)
+	check(d.Clone())
+
+	// A block whose parent is neither a block nor a stand-in is refused.
+	orphan := sealed(t, signers[1], 2, []block.Ref{sealed(t, signers[1], 1, nil, nil).Ref()}, nil)
+	if err := d.Insert(orphan); !errors.Is(err, ErrMissingPreds) {
+		t.Fatalf("orphan insert: %v", err)
+	}
+	// A stand-in that is not the parent does not count as one.
+	if err := d.Insert(sealed(t, signers[1], 4, []block.Ref{p1.Ref()}, nil)); !errors.Is(err, ErrParentRule) {
+		t.Fatalf("block two above its stand-in: %v", err)
+	}
+}
+
+func dagRefs(blocks []*block.Block) []block.Ref {
+	out := make([]block.Ref, len(blocks))
+	for i, b := range blocks {
+		out[i] = b.Ref()
+	}
+	return out
 }

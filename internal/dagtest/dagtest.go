@@ -7,6 +7,7 @@ package dagtest
 
 import (
 	"fmt"
+	"runtime"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
@@ -167,4 +168,16 @@ func (h *Harness) Round(reqs map[int][]block.Request) []*block.Block {
 		}
 	}
 	return out
+}
+
+// LiveHeap returns the bytes of reachable heap objects, for tests that pin
+// what a structure retains. Two collections: a sync.Pool gives up what it
+// holds over two, and what an earlier step pooled would otherwise be freed
+// between two readings and count as a saving.
+func LiveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -37,6 +37,8 @@ func CollectMetrics(m *metrics.Metrics) Collector {
 		counter(emit, "dag_blocks_built_total", "Blocks this server built and disseminated.", s.BlocksBuilt)
 		counter(emit, "dag_own_block_refs_total", "References cited by own blocks; divide by dag_blocks_built_total for references per block.", s.OwnBlockRefs)
 		gauge(emit, "dag_tips", "Uncited DAG tips: the references the next own block adds to its parent.", s.Tips)
+		gauge(emit, "gossip_pending_blocks", "Received blocks buffered until their predecessors arrive.", s.PendingBlocks)
+		gauge(emit, "gossip_missing_refs", "References with a FWD request outstanding.", s.MissingRefs)
 		counter(emit, "dag_blocks_received_total", "Blocks received from the network.", s.BlocksReceived)
 		counter(emit, "dag_blocks_inserted_total", "Blocks inserted into the local DAG.", s.BlocksInserted)
 		counter(emit, "dag_blocks_duplicate_total", "Received blocks already known.", s.BlocksDuplicate)

@@ -110,8 +110,8 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 			Accepted int64 `json:"Accepted"`
 		} `json:"mempool"`
 		Counters *struct {
-			BlocksBuilt, OwnBlockRefs int64
-			Tips                      *int64
+			BlocksBuilt, OwnBlockRefs        int64
+			Tips, PendingBlocks, MissingRefs *int64
 		} `json:"counters"`
 		Recovery *struct {
 			Blocks   *int `json:"blocks"`
@@ -137,9 +137,13 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 		t.Fatalf("status body = %s", body)
 	}
 	// DAG shape: every block after the genesis cites at least its parent,
-	// and the tip gauge is reported.
+	// and the tip gauge is reported — with the two queues behind it, which
+	// a cluster that delivers over loopback has no reason to fill.
 	if st.Counters.OwnBlockRefs < st.Counters.BlocksBuilt-1 || st.Counters.Tips == nil {
 		t.Fatalf("status body lacks the references-per-block counter or the tip gauge: %s", body)
+	}
+	if p, m := st.Counters.PendingBlocks, st.Counters.MissingRefs; p == nil || m == nil || *p < 0 || *m < 0 {
+		t.Fatalf("status body lacks the pending-block or missing-reference gauge: %s", body)
 	}
 
 	// Recovery: a first start replays nothing, and the own chain the node
@@ -159,6 +163,8 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 		"dag_blocks_built_total",
 		"dag_own_block_refs_total",
 		"# TYPE dag_tips gauge\n",
+		"# TYPE gossip_pending_blocks gauge\n",
+		"# TYPE gossip_missing_refs gauge\n",
 		"tcpnet_calls_opened_total",
 		"syncsvc_drops_total",
 		"mempool_accepted_total 1",

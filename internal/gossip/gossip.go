@@ -406,6 +406,7 @@ func (g *Gossip) handleBlock(from types.ServerID, b *block.Block) {
 // block without an entry is verified inline.
 func (g *Gossip) handleBlockWith(from types.ServerID, b *block.Block, verdicts map[block.Ref]bool) {
 	g.cfg.Metrics.AddBlocksReceived(1)
+	defer g.publishState() // a block buffered or poisoned changes the queues without an insert
 	ref := b.Ref()
 	if g.cfg.DAG.Contains(ref) || g.pending[ref] != nil {
 		g.cfg.Metrics.AddBlocksDuplicate(1)
@@ -469,6 +470,12 @@ func (g *Gossip) handleBlockWith(from types.ServerID, b *block.Block, verdicts m
 	}
 }
 
+// publishState sets the gauges an operator reads the DAG's health from:
+// tips, blocks waiting for a predecessor, references waiting for a FWD.
+func (g *Gossip) publishState() {
+	g.cfg.Metrics.SetGossipState(len(g.curTips), len(g.pending), len(g.missing))
+}
+
 // tryInsert inserts b if all predecessors are present, then cascades to
 // any pending blocks waiting on b (line 6's "when valid" loop). It
 // reports whether b was resolved (inserted or found invalid).
@@ -526,8 +533,8 @@ func (g *Gossip) noteInserted(b *block.Block) error {
 			parent := ref // its own variable: ref must not escape on every insert
 			g.curSeq, g.curParent = b.Seq+1, &parent
 		}
-		g.cfg.Metrics.SetTips(len(g.curTips))
 	}
+	g.publishState()
 	var hookErr error
 	if g.cfg.OnInsert != nil {
 		hookErr = g.cfg.OnInsert(b)

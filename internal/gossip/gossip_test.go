@@ -9,6 +9,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/metrics"
 	"blockdag/internal/simnet"
 	"blockdag/internal/transport"
@@ -560,5 +561,63 @@ func TestTickRetriesInReferenceOrder(t *testing.T) {
 		if again := run(); !slices.Equal(first, again) {
 			t.Fatalf("run %d sent a different sequence than the first", i+1)
 		}
+	}
+}
+
+// TestQueueGaugesFollowTheBuffers: the pending-block and missing-reference
+// gauges read what the buffers hold — also after a block that was only
+// buffered, when no insert follows to report it — and fall back to zero
+// once the chain arrives, or proves unvalidatable.
+func TestQueueGaugesFollowTheBuffers(t *testing.T) {
+	c := newCluster(t, 2)
+	n0 := c.nodes[0]
+	chain := make([]*block.Block, 3)
+	for i := range chain {
+		var preds []block.Ref
+		if i > 0 {
+			preds = []block.Ref{chain[i-1].Ref()}
+		}
+		chain[i] = block.New(1, uint64(i), preds, nil)
+		if err := chain[i].Seal(c.signers[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gauges := func() [3]int64 {
+		s := n0.m.Snapshot()
+		if s.PendingBlocks != int64(n0.g.PendingBlocks()) || s.MissingRefs != int64(n0.g.MissingRefs()) {
+			t.Fatalf("gauges %d/%d, buffers %d/%d", s.PendingBlocks, s.MissingRefs, n0.g.PendingBlocks(), n0.g.MissingRefs())
+		}
+		return [3]int64{s.Tips, s.PendingBlocks, s.MissingRefs}
+	}
+	n0.g.HandleMessage(1, EncodeBlockMsg(chain[2]))
+	if got := gauges(); got != [3]int64{0, 1, 1} {
+		t.Fatalf("after the chain's third block alone: tips/pending/missing = %v", got)
+	}
+	n0.g.HandleMessage(1, EncodeBlockMsg(chain[1]))
+	if got := gauges(); got != [3]int64{0, 2, 1} {
+		t.Fatalf("after its second: tips/pending/missing = %v", got)
+	}
+	n0.g.HandleMessage(1, EncodeBlockMsg(chain[0]))
+	if got := gauges(); got != [3]int64{1, 0, 0} {
+		t.Fatalf("after its first: tips/pending/missing = %v", got)
+	}
+	// A block citing one whose signature is bad is buffered, then poisoned
+	// with it: nothing stays behind.
+	forged := block.New(1, 3, []block.Ref{chain[2].Ref()}, nil)
+	if err := forged.Seal(c.signers[1]); err != nil {
+		t.Fatal(err)
+	}
+	forged = dagtest.Forge(forged)
+	orphan := block.New(1, 4, []block.Ref{forged.Ref()}, nil)
+	if err := orphan.Seal(c.signers[1]); err != nil {
+		t.Fatal(err)
+	}
+	n0.g.HandleMessage(1, EncodeBlockMsg(orphan))
+	if got := gauges(); got != [3]int64{1, 1, 1} {
+		t.Fatalf("after an orphan: tips/pending/missing = %v", got)
+	}
+	n0.g.HandleMessage(1, EncodeBlockMsg(forged))
+	if got := gauges(); got != [3]int64{1, 0, 0} {
+		t.Fatalf("after its forged predecessor: tips/pending/missing = %v", got)
 	}
 }

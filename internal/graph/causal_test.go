@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// chainPos is a vertex annotation: position seq on chain chain.
+type chainPos struct {
+	chain int
+	seq   uint64
+}
+
 // oracleReaches is the index-free reference: forward DFS over succs.
 func oracleReaches(preds map[int][]int, u, v int) bool {
 	seen := map[int]struct{}{v: {}}

@@ -36,11 +36,25 @@
 // given: a query answered via the summary before a chain was flagged is the
 // same answer the BFS gives, because at that moment the chain's vertices in
 // the graph still formed a path.
+//
+// # Row layout
+//
+// A vertex is numbered once, by its position in insertion order — the
+// number At takes and Index returns — and that number is the only key:
+// one map takes a vertex key to its number, and everything the graph knows
+// about the vertex (key, edge lists, chain position, summary vector) is
+// one row of one slice, its edges held as the numbers of other rows. The
+// tip set and each chain's slot column are short lists of numbers. A
+// predecessor always has a smaller number than its successor, so the rows
+// are a topological order and any prefix of them is a ⩽-smaller graph.
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 )
 
 // Insert errors.
@@ -58,52 +72,59 @@ var (
 // predecessor lists are almost always below it (≤ roster size in practice).
 const smallLen = 16
 
-// chainPos is a vertex annotation: position seq on chain chain.
-type chainPos struct {
-	chain int
-	seq   uint64
+// vertex is one row: everything the graph holds about the vertex with
+// this number.
+type vertex[K comparable] struct {
+	key   K
+	preds []int32 // direct predecessors (u with u ⇀ v), insert order
+	succs []int32 // direct successors (w with v ⇀ w), insert order
+	// summary[c] holds 1 + the highest chain-c seq in the vertex's
+	// ancestry-or-self, 0 for none, so the zero value of a short vector
+	// means "no such ancestor"; nil when all-zero.
+	summary []uint64
+	seq     uint64
+	chain   int32 // -1: not annotated
 }
 
 // DAG is a directed acyclic graph over comparable vertex keys. The zero
 // value is not ready to use; construct with New. A DAG is not safe for
 // concurrent mutation.
 type DAG[K comparable] struct {
-	index map[K]int // vertex -> position in order
-	order []K       // insertion order; a topological order by construction
-	preds map[K][]K // v -> direct predecessors (u with u ⇀ v), insert order
-	succs map[K][]K // v -> direct successors (w with v ⇀ w), insert order
+	index map[K]int32 // vertex -> its number, the position of its row
+	rows  []vertex[K] // insertion order; a topological order by construction
+	tips  []int32     // vertices with no successors, ascending
 
-	// Incremental tip set: vertices with no successors, in insertion
-	// order, maintained at insert instead of scanning all of order.
-	tips   []K
-	tipIdx map[K]int // vertex -> position in tips
+	chains []column // by chain identifier
+	dups   []int32  // vertices inserted into a taken slot: the forks
+}
 
-	// Causal summary index (see package doc). summary[v][c] holds
-	// 1 + the highest chain-c seq in v's ancestry-or-self, 0 for none,
-	// so the zero value of a short vector means "no such ancestor".
-	chains  map[K]chainPos // annotated vertices
-	summary map[K][]uint64 // watermark vectors; nil when all-zero
-	slots   map[chainPos]K // first vertex per (chain, seq): fork detection
-	forked  map[int]struct{}
+// column is what the graph keeps per chain: its slot column — the first
+// vertex inserted at each seq, ordered by seq — and whether the chain
+// stopped being well-formed.
+type column struct {
+	slots  []int32
+	forked bool
 }
 
 // New returns an empty DAG.
 func New[K comparable]() *DAG[K] {
-	return &DAG[K]{
-		index:  make(map[K]int),
-		preds:  make(map[K][]K),
-		succs:  make(map[K][]K),
-		tipIdx: make(map[K]int),
-	}
+	return &DAG[K]{index: make(map[K]int32)}
 }
 
 // Len returns the number of vertices.
-func (g *DAG[K]) Len() int { return len(g.order) }
+func (g *DAG[K]) Len() int { return len(g.rows) }
 
 // Contains reports whether v is a vertex of g.
 func (g *DAG[K]) Contains(v K) bool {
 	_, ok := g.index[v]
 	return ok
+}
+
+// Index returns v's number: its position in insertion order, the i with
+// At(i) == v.
+func (g *DAG[K]) Index(v K) (int, bool) {
+	i, ok := g.index[v]
+	return int(i), ok
 }
 
 // Insert adds vertex v with edges from each vertex in preds to v,
@@ -116,7 +137,7 @@ func (g *DAG[K]) Contains(v K) bool {
 // unchanged. Because edges only ever point at the new vertex, g remains
 // acyclic (Lemma 2.2(3)).
 func (g *DAG[K]) Insert(v K, preds []K) error {
-	return g.insert(v, preds, false, false, 0, 0)
+	return g.insert(v, preds, -1, 0, false)
 }
 
 // InsertChained is Insert for a vertex annotated with a chain position:
@@ -127,10 +148,7 @@ func (g *DAG[K]) Insert(v K, preds []K) error {
 // non-negative integers (they index the watermark vectors); a negative
 // chain inserts the vertex unannotated.
 func (g *DAG[K]) InsertChained(v K, preds []K, chain int, seq uint64) error {
-	if chain < 0 {
-		return g.insert(v, preds, false, false, 0, 0)
-	}
-	return g.insert(v, preds, true, false, chain, seq)
+	return g.insert(v, preds, max(chain, -1), seq, false)
 }
 
 // InsertSeeded adds v as a root vertex standing in for a pruned prefix
@@ -146,121 +164,155 @@ func (g *DAG[K]) InsertSeeded(v K, chain int, seq uint64) error {
 	if chain < 0 {
 		return fmt.Errorf("%w: seeded vertex needs a chain", ErrEdgeMismatch)
 	}
-	return g.insert(v, nil, true, true, chain, seq)
+	return g.insert(v, nil, chain, seq, true)
 }
 
-func (g *DAG[K]) insert(v K, preds []K, annotated, seeded bool, chain int, seq uint64) error {
-	uniq := dedup(preds)
-	if g.Contains(v) {
-		if sameSet(g.preds[v], uniq) {
+func (g *DAG[K]) insert(v K, predKeys []K, chain int, seq uint64, seeded bool) error {
+	preds, absent := g.resolve(predKeys)
+	if at, exists := g.index[v]; exists {
+		if absent < 0 && sameSet(g.rows[at].preds, preds) {
 			return nil
 		}
 		return fmt.Errorf("%w: %v", ErrEdgeMismatch, v)
 	}
-	for _, p := range uniq {
-		if !g.Contains(p) {
-			return fmt.Errorf("%w: %v", ErrMissingPred, p)
+	if absent >= 0 {
+		return fmt.Errorf("%w: %v", ErrMissingPred, predKeys[absent])
+	}
+	n := int32(len(g.rows))
+	g.index[v] = n
+	// Every predecessor stops being a tip; v starts as one.
+	for _, p := range preds {
+		if len(g.rows[p].succs) == 0 {
+			at, _ := slices.BinarySearch(g.tips, p)
+			g.tips = slices.Delete(g.tips, at, at+1)
 		}
-		if p == v {
-			// Cannot happen given !Contains(v), but guard the
-			// self-loop explicitly for clarity.
-			return fmt.Errorf("%w: self edge %v", ErrEdgeMismatch, v)
-		}
+		g.rows[p].succs = append(g.rows[p].succs, n)
 	}
-	g.index[v] = len(g.order)
-	g.order = append(g.order, v)
-	g.preds[v] = uniq
-	for _, p := range uniq {
-		g.succs[p] = append(g.succs[p], v)
-	}
-	// Tip maintenance: every predecessor stops being a tip; v starts as
-	// one. Removal preserves insertion order.
-	for _, p := range uniq {
-		g.removeTip(p)
-	}
-	g.tipIdx[v] = len(g.tips)
-	g.tips = append(g.tips, v)
-
-	g.indexVertex(v, uniq, annotated, seeded, chain, seq)
+	g.tips = append(g.tips, n)
+	g.rows = append(g.rows, vertex[K]{key: v, preds: preds, seq: seq, chain: int32(chain)})
+	g.rows[n].summary = g.summarize(n, seeded)
 	return nil
 }
 
-// removeTip deletes p from the ordered tip set if present, shifting later
-// tips left. The tip set is small (bounded by the graph's width), so the
-// shift is cheap.
-func (g *DAG[K]) removeTip(p K) {
-	idx, ok := g.tipIdx[p]
-	if !ok {
-		return
+// resolve turns an edge set into vertex numbers, duplicates collapsed and
+// order kept. absent is the position of the first key that is not a
+// vertex, -1 when all are.
+func (g *DAG[K]) resolve(keys []K) (nums []int32, absent int) {
+	if len(keys) == 0 {
+		return nil, -1
 	}
-	delete(g.tipIdx, p)
-	copy(g.tips[idx:], g.tips[idx+1:])
-	g.tips = g.tips[:len(g.tips)-1]
-	for i := idx; i < len(g.tips); i++ {
-		g.tipIdx[g.tips[i]] = i
+	nums = make([]int32, 0, len(keys))
+	var seen map[int32]struct{}
+	if len(keys) > smallLen {
+		seen = make(map[int32]struct{}, len(keys))
 	}
+	for i, k := range keys {
+		n, ok := g.index[k]
+		if !ok {
+			return nil, i
+		}
+		if seen != nil {
+			if _, dup := seen[n]; dup {
+				continue
+			}
+			seen[n] = struct{}{}
+		} else if slices.Contains(nums, n) {
+			continue
+		}
+		nums = append(nums, n)
+	}
+	return nums, -1
 }
 
-// indexVertex computes v's causal summary from its predecessors' and
-// records the chain annotation, flagging chains that stop being
-// well-formed (duplicate slot or broken connectivity).
-func (g *DAG[K]) indexVertex(v K, preds []K, annotated, seeded bool, chain int, seq uint64) {
-	width := 0
-	if annotated {
-		width = chain + 1
-	}
-	for _, p := range preds {
-		if pv := g.summary[p]; len(pv) > width {
-			width = len(pv)
-		}
+// summarize computes the causal summary of the newest vertex n from its
+// predecessors' and files its chain annotation in the slot column,
+// flagging chains that stop being well-formed (duplicate slot or broken
+// connectivity).
+func (g *DAG[K]) summarize(n int32, seeded bool) []uint64 {
+	v := &g.rows[n]
+	width := int(v.chain) + 1
+	for _, p := range v.preds {
+		width = max(width, len(g.rows[p].summary))
 	}
 	if width == 0 {
-		return // no annotations anywhere in the ancestry
+		return nil // no annotations anywhere in the ancestry
 	}
 	vec := make([]uint64, width)
-	for _, p := range preds {
-		for c, w := range g.summary[p] {
-			if w > vec[c] {
-				vec[c] = w
-			}
+	for _, p := range v.preds {
+		for c, w := range g.rows[p].summary {
+			vec[c] = max(vec[c], w)
 		}
 	}
-	if annotated {
-		if g.chains == nil {
-			g.chains = make(map[K]chainPos)
-			g.slots = make(map[chainPos]K)
-		}
-		pos := chainPos{chain: chain, seq: seq}
-		g.chains[v] = pos
-		if first, taken := g.slots[pos]; taken && first != v {
-			g.markForked(chain)
-		} else {
-			g.slots[pos] = v
-		}
-		// Connectivity check: after the join, the chain watermark of a
-		// well-formed chain is exactly seq — the parent (c, seq-1)
-		// contributes seq, and no higher chain element can already be
-		// an ancestor of the newest one. Genesis (seq 0) must see no
-		// prior chain element at all. A seeded vertex is exempt: its
-		// parent is pruned history by construction.
-		if vec[chain] != seq && !seeded {
-			g.markForked(chain)
-		}
-		if seq+1 > vec[chain] {
-			vec[chain] = seq + 1
-		}
+	if v.chain < 0 {
+		return vec
 	}
-	if g.summary == nil {
-		g.summary = make(map[K][]uint64)
+	if int(v.chain) >= len(g.chains) {
+		g.chains = append(g.chains, make([]column, int(v.chain)+1-len(g.chains))...)
 	}
-	g.summary[v] = vec
+	col := &g.chains[v.chain]
+	if at, taken := g.slot(int(v.chain), v.seq); taken {
+		g.dups = append(g.dups, n)
+		col.forked = true
+	} else {
+		col.slots = slices.Insert(col.slots, at, n)
+	}
+	// Connectivity check: after the join, the chain watermark of a
+	// well-formed chain is exactly seq — the parent (c, seq-1)
+	// contributes seq, and no higher chain element can already be
+	// an ancestor of the newest one. Genesis (seq 0) must see no
+	// prior chain element at all. A seeded vertex is exempt: its
+	// parent is pruned history by construction.
+	if vec[v.chain] != v.seq && !seeded {
+		col.forked = true
+	}
+	vec[v.chain] = max(vec[v.chain], v.seq+1)
+	return vec
 }
 
-func (g *DAG[K]) markForked(chain int) {
-	if g.forked == nil {
-		g.forked = make(map[int]struct{})
+// slot finds seq in chain's slot column: its position — where it is, or
+// where it would go — and whether a vertex holds it.
+func (g *DAG[K]) slot(chain int, seq uint64) (at int, taken bool) {
+	if chain < 0 || chain >= len(g.chains) {
+		return 0, false
 	}
-	g.forked[chain] = struct{}{}
+	return slices.BinarySearchFunc(g.chains[chain].slots, seq, func(n int32, seq uint64) int {
+		return cmp.Compare(g.rows[n].seq, seq)
+	})
+}
+
+// Slot returns the number of the first vertex inserted as element seq of
+// the chain, if there is one. Later vertices claiming the slot fork the
+// chain and are not found here.
+func (g *DAG[K]) Slot(chain int, seq uint64) (int, bool) {
+	at, taken := g.slot(chain, seq)
+	if !taken {
+		return 0, false
+	}
+	return int(g.chains[chain].slots[at]), true
+}
+
+// Chain returns the numbers of the vertices annotated with the chain,
+// ordered by seq, then by insertion where a slot was claimed twice.
+func (g *DAG[K]) Chain(chain int) []int {
+	if chain < 0 || chain >= len(g.chains) {
+		return nil
+	}
+	out := make([]int, 0, len(g.chains[chain].slots))
+	for _, n := range g.chains[chain].slots {
+		out = append(out, int(n))
+	}
+	sorted := len(out)
+	for _, n := range g.dups {
+		if int(g.rows[n].chain) == chain {
+			out = append(out, int(n))
+		}
+	}
+	if len(out) > sorted {
+		// The column is in seq order and precedes the duplicates, which
+		// are in insertion order: a stable sort by seq does the rest.
+		slices.SortStableFunc(out, func(a, b int) int { return cmp.Compare(g.rows[a].seq, g.rows[b].seq) })
+	}
+	return out
 }
 
 // ChainForked reports whether the chain lost its O(1) reachability fast
@@ -268,111 +320,89 @@ func (g *DAG[K]) markForked(chain int) {
 // violation was observed. Queries from vertices of a forked chain use the
 // backwards BFS.
 func (g *DAG[K]) ChainForked(chain int) bool {
-	_, bad := g.forked[chain]
-	return bad
+	return chain >= 0 && chain < len(g.chains) && g.chains[chain].forked
 }
 
 // Watermark returns the causal summary entry of v for the given chain: the
 // highest chain seq in v's ancestry-or-self. ok is false if v has no
 // ancestor on the chain (or is not a vertex).
 func (g *DAG[K]) Watermark(v K, chain int) (seq uint64, ok bool) {
-	vec := g.summary[v]
-	if chain < 0 || chain >= len(vec) || vec[chain] == 0 {
+	n, ok := g.index[v]
+	if !ok || chain < 0 || chain >= len(g.rows[n].summary) || g.rows[n].summary[chain] == 0 {
 		return 0, false
 	}
-	return vec[chain] - 1, true
+	return g.rows[n].summary[chain] - 1, true
 }
 
-func dedup[K comparable](in []K) []K {
-	if len(in) <= 1 {
-		return append([]K(nil), in...)
-	}
-	if len(in) <= smallLen {
-		out := make([]K, 0, len(in))
-		for _, k := range in {
-			dup := false
-			for _, seen := range out {
-				if seen == k {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, k)
-			}
-		}
-		return out
-	}
-	seen := make(map[K]struct{}, len(in))
-	out := make([]K, 0, len(in))
-	for _, k := range in {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, k)
-	}
-	return out
-}
-
-// sameSet compares two duplicate-free lists as sets. All callers pass
-// dedup'd slices, so equal length plus one-way containment suffices.
-func sameSet[K comparable](a, b []K) bool {
+// sameSet compares two duplicate-free lists of vertex numbers as sets.
+func sameSet(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	if len(a) <= smallLen {
-		for _, k := range a {
-			found := false
-			for _, o := range b {
-				if o == k {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
+	if len(a) > smallLen {
+		a, b = slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b))
+		return slices.Equal(a, b)
 	}
-	set := make(map[K]struct{}, len(a))
-	for _, k := range a {
-		set[k] = struct{}{}
-	}
-	for _, k := range b {
-		if _, ok := set[k]; !ok {
+	for _, n := range a {
+		if !slices.Contains(b, n) {
 			return false
 		}
 	}
 	return true
 }
 
+// keys returns the keys of the numbered vertices, in the order given; nil
+// for none. The result is fresh.
+func (g *DAG[K]) keys(nums []int32) []K {
+	if len(nums) == 0 {
+		return nil
+	}
+	out := make([]K, len(nums))
+	for i, n := range nums {
+		out[i] = g.rows[n].key
+	}
+	return out
+}
+
 // Preds returns the direct predecessors of v (vertices u with u ⇀ v) in
 // insertion order. The result is a copy.
-func (g *DAG[K]) Preds(v K) []K { return append([]K(nil), g.preds[v]...) }
+func (g *DAG[K]) Preds(v K) []K {
+	if n, ok := g.index[v]; ok {
+		return g.keys(g.rows[n].preds)
+	}
+	return nil
+}
 
 // Succs returns the direct successors of v (vertices w with v ⇀ w) in
 // insertion order. The result is a copy.
-func (g *DAG[K]) Succs(v K) []K { return append([]K(nil), g.succs[v]...) }
+func (g *DAG[K]) Succs(v K) []K {
+	if n, ok := g.index[v]; ok {
+		return g.keys(g.rows[n].succs)
+	}
+	return nil
+}
 
 // Order returns all vertices in insertion order, which is a valid
 // topological order (every vertex follows all of its predecessors). The
 // result is a copy.
-func (g *DAG[K]) Order() []K { return append([]K(nil), g.order...) }
+func (g *DAG[K]) Order() []K {
+	if len(g.rows) == 0 {
+		return nil
+	}
+	out := make([]K, len(g.rows))
+	for i := range g.rows {
+		out[i] = g.rows[i].key
+	}
+	return out
+}
 
 // At returns the i-th inserted vertex (no-copy indexed access; pair with
 // Len to iterate without materializing Order).
-func (g *DAG[K]) At(i int) K { return g.order[i] }
+func (g *DAG[K]) At(i int) K { return g.rows[i].key }
 
 // Tips returns the vertices with no successors, in insertion order. The
 // tip set is maintained incrementally at insert; this call only copies it.
-func (g *DAG[K]) Tips() []K {
-	if len(g.tips) == 0 {
-		return nil
-	}
-	return append([]K(nil), g.tips...)
-}
+func (g *DAG[K]) Tips() []K { return g.keys(g.tips) }
 
 // NumTips returns the number of tips without copying.
 func (g *DAG[K]) NumTips() int { return len(g.tips) }
@@ -385,36 +415,39 @@ func (g *DAG[K]) NumTips() int { return len(g.tips) }
 // allocation-free. Vertices of flagged (equivocating) chains and
 // unannotated vertices fall back to a backwards BFS from v.
 func (g *DAG[K]) Reaches(u, v K) bool {
-	if u == v {
+	from, okU := g.index[u]
+	to, okV := g.index[v]
+	if !okU || !okV || from == to {
 		return false
 	}
-	if pos, ok := g.chains[u]; ok && !g.ChainForked(pos.chain) {
-		vec := g.summary[v]
-		return pos.chain < len(vec) && vec[pos.chain] > pos.seq
+	if src := &g.rows[from]; src.chain >= 0 && !g.ChainForked(int(src.chain)) {
+		vec := g.rows[to].summary
+		return int(src.chain) < len(vec) && vec[src.chain] > src.seq
 	}
-	return g.reachesBFS(u, v)
+	return g.reachesBFS(from, to)
 }
 
-// reachesBFS is the traversal fallback: walk backwards from v — the
+// reachesBFS is the traversal fallback: walk backwards from `to` — the
 // predecessor closure is typically smaller than the successor closure in
-// an append-only DAG.
-func (g *DAG[K]) reachesBFS(u, v K) bool {
-	if !g.Contains(u) || !g.Contains(v) {
+// an append-only DAG — and never below `from`: an ancestor has a smaller
+// number than its descendant.
+func (g *DAG[K]) reachesBFS(from, to int32) bool {
+	if from > to {
 		return false
 	}
-	seen := map[K]struct{}{v: {}}
-	stack := []K{v}
+	seen := make([]bool, to-from)
+	stack := []int32{to}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range g.preds[cur] {
-			if p == u {
+		for _, p := range g.rows[cur].preds {
+			if p == from {
 				return true
 			}
-			if _, ok := seen[p]; ok {
+			if p < from || seen[p-from] {
 				continue
 			}
-			seen[p] = struct{}{}
+			seen[p-from] = true
 			stack = append(stack, p)
 		}
 	}
@@ -433,22 +466,36 @@ func (g *DAG[K]) ReachesReflexive(u, v K) bool {
 // Ancestry returns every vertex reachable backwards from v, including v
 // itself (the causal past of v), in unspecified order.
 func (g *DAG[K]) Ancestry(v K) []K {
-	if !g.Contains(v) {
+	n, ok := g.index[v]
+	if !ok {
 		return nil
 	}
-	seen := map[K]struct{}{v: {}}
+	seen := make([]bool, n+1)
+	seen[n] = true
 	out := []K{v}
-	stack := []K{v}
+	stack := []int32{n}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range g.preds[cur] {
-			if _, ok := seen[p]; ok {
+		for _, p := range g.rows[cur].preds {
+			if seen[p] {
 				continue
 			}
-			seen[p] = struct{}{}
-			out = append(out, p)
+			seen[p] = true
+			out = append(out, g.rows[p].key)
 			stack = append(stack, p)
+		}
+	}
+	return out
+}
+
+// predsIn returns the predecessors of g's vertex n that are vertices of h,
+// as h's numbers.
+func (g *DAG[K]) predsIn(n int32, h *DAG[K]) []int32 {
+	var out []int32
+	for _, p := range g.rows[n].preds {
+		if m, ok := h.index[g.rows[p].key]; ok {
+			out = append(out, m)
 		}
 	}
 	return out
@@ -458,20 +505,12 @@ func (g *DAG[K]) Ancestry(v K) []K {
 // E_g = E_h ∩ (V_g × V_g). Note the equality: h must not contain extra
 // edges between vertices already in g.
 func (g *DAG[K]) Leq(h *DAG[K]) bool {
-	for _, v := range g.order {
-		if !h.Contains(v) {
-			return false
-		}
+	for n := range g.rows {
+		m, ok := h.index[g.rows[n].key]
 		// E_g ⊆ E_h restricted to V_g is equivalent to comparing
 		// predecessor sets filtered to V_g, because all edges point
 		// into their endpoint vertex.
-		var hPredsInG []K
-		for _, p := range h.preds[v] {
-			if g.Contains(p) {
-				hPredsInG = append(hPredsInG, p)
-			}
-		}
-		if !sameSet(g.preds[v], hPredsInG) {
+		if !ok || !sameSet(g.rows[n].preds, h.predsIn(m, g)) {
 			return false
 		}
 	}
@@ -486,72 +525,41 @@ func (g *DAG[K]) Leq(h *DAG[K]) bool {
 // over (g's takes precedence on shared vertices).
 func (g *DAG[K]) Union(h *DAG[K]) (*DAG[K], error) {
 	merged := New[K]()
-	mergedPreds := func(v K) ([]K, error) {
-		inG, inH := g.Contains(v), h.Contains(v)
-		switch {
-		case inG && inH:
-			if !sameSet(g.preds[v], h.preds[v]) {
-				return nil, fmt.Errorf("%w: %v", ErrEdgeMismatch, v)
-			}
-			return g.preds[v], nil
-		case inG:
-			return g.preds[v], nil
-		default:
-			return h.preds[v], nil
-		}
+	// g's rows, then h's that g lacks; a shared vertex must have all of
+	// its h-edges in g and as many in g as in h.
+	var pending []*vertex[K]
+	for n := range g.rows {
+		pending = append(pending, &g.rows[n])
 	}
-	annotation := func(v K) (chainPos, bool) {
-		if pos, ok := g.chains[v]; ok {
-			return pos, true
+	for m := range h.rows {
+		v := &h.rows[m]
+		n, shared := g.index[v.key]
+		if !shared {
+			pending = append(pending, v)
+		} else if in := h.predsIn(int32(m), g); len(in) != len(v.preds) || !sameSet(g.rows[n].preds, in) {
+			return nil, fmt.Errorf("%w: %v", ErrEdgeMismatch, v.key)
 		}
-		pos, ok := h.chains[v]
-		return pos, ok
 	}
 	// Kahn-style repeated passes: insert any vertex whose predecessors
 	// are all present. Both inputs are acyclic, so this terminates.
-	pendingSet := make(map[K]struct{}, g.Len()+h.Len())
-	var pending []K
-	for _, v := range g.order {
-		pendingSet[v] = struct{}{}
-		pending = append(pending, v)
-	}
-	for _, v := range h.order {
-		if _, ok := pendingSet[v]; !ok {
-			pendingSet[v] = struct{}{}
-			pending = append(pending, v)
-		}
-	}
 	for len(pending) > 0 {
-		progressed := false
-		var next []K
+		var next []*vertex[K]
 		for _, v := range pending {
-			preds, err := mergedPreds(v)
-			if err != nil {
-				return nil, err
-			}
-			ready := true
-			for _, p := range preds {
-				if !merged.Contains(p) {
-					ready = false
-					break
+			src, pos := h, v
+			if g.Contains(v.key) {
+				src = g
+				if m, shared := h.index[v.key]; shared && v.chain < 0 {
+					pos = &h.rows[m] // annotated in h only
 				}
 			}
-			if !ready {
+			preds := src.keys(v.preds)
+			if slices.ContainsFunc(preds, func(p K) bool { return !merged.Contains(p) }) {
 				next = append(next, v)
-				continue
+			} else if err := merged.InsertChained(v.key, preds, int(pos.chain), pos.seq); err != nil {
+				return nil, err
 			}
-			var ierr error
-			if pos, ok := annotation(v); ok {
-				ierr = merged.InsertChained(v, preds, pos.chain, pos.seq)
-			} else {
-				ierr = merged.Insert(v, preds)
-			}
-			if ierr != nil {
-				return nil, ierr
-			}
-			progressed = true
 		}
-		if !progressed {
+		if len(next) == len(pending) {
 			// Unreachable for acyclic inputs; report rather than
 			// spin forever if an invariant was broken upstream.
 			return nil, errors.New("graph: union did not converge; inputs not acyclic?")
@@ -561,21 +569,20 @@ func (g *DAG[K]) Union(h *DAG[K]) (*DAG[K], error) {
 	return merged, nil
 }
 
-// Clone returns a deep copy of g, chain annotations included.
+// Clone returns a deep copy of g, chain annotations included: the rows are
+// copied as they are, so the copy answers every query as g does (a seeded
+// root stays one).
 func (g *DAG[K]) Clone() *DAG[K] {
-	cp := New[K]()
-	for _, v := range g.order {
-		var err error
-		if pos, ok := g.chains[v]; ok {
-			err = cp.InsertChained(v, g.preds[v], pos.chain, pos.seq)
-		} else {
-			err = cp.Insert(v, g.preds[v])
-		}
-		if err != nil {
-			// Inserting in topological order from a valid DAG
-			// cannot fail; a failure means g's invariants broke.
-			panic(fmt.Sprintf("graph: clone insert: %v", err))
-		}
+	cp := &DAG[K]{
+		index: maps.Clone(g.index), rows: slices.Clone(g.rows), tips: slices.Clone(g.tips),
+		chains: slices.Clone(g.chains), dups: slices.Clone(g.dups),
+	}
+	for n := range cp.rows {
+		// preds and summary never change once written and stay shared.
+		cp.rows[n].succs = slices.Clone(cp.rows[n].succs)
+	}
+	for c := range cp.chains {
+		cp.chains[c].slots = slices.Clone(cp.chains[c].slots)
 	}
 	return cp
 }

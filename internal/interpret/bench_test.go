@@ -161,28 +161,17 @@ func benchRetained(b *testing.B, d *dag.DAG) (retained uint64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		before := liveHeap()
+		before := dagtest.LiveHeap()
 		b.StartTimer()
 		it := New(brb.Protocol{}, 4, 1, nil)
 		if err := it.InterpretDAG(d); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		retained = liveHeap() - before
+		retained = dagtest.LiveHeap() - before
 		runtime.KeepAlive(it)
 		b.StartTimer()
 	}
 	b.StopTimer()
 	return retained
-}
-
-// liveHeap returns the bytes of reachable heap objects. Two collections: a
-// sync.Pool gives up what it holds over two, and what an earlier step pooled
-// would otherwise be freed between two readings and count as a saving.
-func liveHeap() uint64 {
-	runtime.GC()
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
 }

@@ -317,12 +317,12 @@ func TestRetainedPerDeliveredLabel(t *testing.T) {
 	for _, size := range []int{32, 64 << 10} {
 		d := staggeredDAG(labels, size)
 		delivered := 0
-		before := liveHeap()
+		before := dagtest.LiveHeap()
 		it := New(brb.Protocol{}, n, 1, func(Indication) { delivered++ })
 		if err := it.InterpretDAG(d); err != nil {
 			t.Fatal(err)
 		}
-		retained := liveHeap() - before
+		retained := dagtest.LiveHeap() - before
 		runtime.KeepAlive(it)
 		runtime.KeepAlive(d) // or its index is collected and counts against the interpreter
 		if delivered != n*labels {
@@ -350,7 +350,7 @@ func TestHeldFollowsTheLoadNotTheRun(t *testing.T) {
 	d := staggeredWaves(waves, labels, 32)
 	blocks := d.Blocks()
 	perWave := len(blocks) / waves
-	before := liveHeap()
+	before := dagtest.LiveHeap()
 	it := New(brb.Protocol{}, n, 1, nil)
 	var heap [waves]uint64
 	peak := 0
@@ -364,7 +364,7 @@ func TestHeldFollowsTheLoadNotTheRun(t *testing.T) {
 		if want := (Stats{RetiredLabels: (w + 1) * labels}); it.Stats() != want {
 			t.Fatalf("after wave %d: stats %+v, want %+v", w, it.Stats(), want)
 		}
-		heap[w] = liveHeap() - before
+		heap[w] = dagtest.LiveHeap() - before
 	}
 	runtime.KeepAlive(it)
 	runtime.KeepAlive(d)
@@ -497,12 +497,12 @@ func TestValueBytesHeldPerLabel(t *testing.T) {
 	const n, labels, size = 4, 32, 64 << 10
 	d := largeValueDAG(labels, size)
 	delivered := 0
-	before := liveHeap()
+	before := dagtest.LiveHeap()
 	it := newHolding(brb.Protocol{}, n, 1, func(Indication) { delivered++ })
 	if err := it.InterpretDAG(d); err != nil {
 		t.Fatal(err)
 	}
-	retained := liveHeap() - before
+	retained := dagtest.LiveHeap() - before
 	runtime.KeepAlive(it)
 	if delivered != n*labels {
 		t.Fatalf("%d deliveries, want %d", delivered, n*labels)

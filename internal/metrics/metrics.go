@@ -45,9 +45,12 @@ type Metrics struct {
 	blocksHolding    atomic.Int64
 	chainUnread      atomic.Pointer[[]atomic.Int64]
 
-	// Gauge: what gossip's next own block would cite beyond its parent
-	// (SetTips).
-	tips atomic.Int64
+	// Gauges of gossip's view of the DAG (SetGossipState): what its next
+	// own block would cite beyond its parent, the received blocks buffered
+	// until a predecessor arrives, and the references asked for by FWD.
+	tips          atomic.Int64
+	pendingBlocks atomic.Int64
+	missingRefs   atomic.Int64
 }
 
 // Snapshot is a point-in-time copy of all counters and gauges.
@@ -79,6 +82,8 @@ type Snapshot struct {
 	OutMessagesHeld  int64 // gauge: message records in the out-buffers still held
 	BlocksHolding    int64 // gauge: blocks holding an out-buffer some chain has not read
 	Tips             int64 // gauge: uncited DAG tips, the references the next own block adds to its parent
+	PendingBlocks    int64 // gauge: received blocks buffered until their predecessors arrive
+	MissingRefs      int64 // gauge: references with a FWD request outstanding
 }
 
 // String formats the snapshot compactly for CLI output.
@@ -127,6 +132,8 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		OutMessagesHeld:  s.OutMessagesHeld - prev.OutMessagesHeld,
 		BlocksHolding:    s.BlocksHolding - prev.BlocksHolding,
 		Tips:             s.Tips - prev.Tips,
+		PendingBlocks:    s.PendingBlocks - prev.PendingBlocks,
+		MissingRefs:      s.MissingRefs - prev.MissingRefs,
 	}
 }
 
@@ -163,6 +170,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		OutMessagesHeld:  m.outMessagesHeld.Load(),
 		BlocksHolding:    m.blocksHolding.Load(),
 		Tips:             m.tips.Load(),
+		PendingBlocks:    m.pendingBlocks.Load(),
+		MissingRefs:      m.missingRefs.Load(),
 	}
 }
 
@@ -182,11 +191,14 @@ func (m *Metrics) AddOwnBlockRefs(n int64) {
 	}
 }
 
-// SetTips publishes gossip's tip gauge: the blocks inserted since the last
-// own block that no later one reaches.
-func (m *Metrics) SetTips(n int) {
+// SetGossipState publishes gossip's gauges: the tips (blocks inserted since
+// the last own block that no later one reaches), the blocks buffered for
+// want of a predecessor, and the references asked for and not yet here.
+func (m *Metrics) SetGossipState(tips, pending, missing int) {
 	if m != nil {
-		m.tips.Store(int64(n))
+		m.tips.Store(int64(tips))
+		m.pendingBlocks.Store(int64(pending))
+		m.missingRefs.Store(int64(missing))
 	}
 }
 
