@@ -142,8 +142,10 @@ roster-demo:
 # roster-file cluster roster-demo uses: s0 opens the gateway behind a
 # bearer token and lingers, an HTTP client submits a request through it,
 # long-polls /v1/await until consensus delivers the indication back,
-# reads /v1/status, and scrapes /metrics expecting live counter families
-# from four different subsystems in the one registry.
+# reads /v1/status, and scrapes /metrics expecting every family a table
+# declares (deploy's TestFamilies lists them) in the one registry — but
+# for the scorer's, which have a sample per peer with a record, and the
+# sync server's, which these storeless nodes do not run.
 gateway-smoke:
 	@set -e; \
 	d=$$(mktemp -d); \
@@ -176,8 +178,10 @@ gateway-smoke:
 	curl -sf -H 'Authorization: Bearer smoke' $$base/v1/status > $$d/status.json; \
 	grep -q '"healthy":true' $$d/status.json || { echo "gateway-smoke FAILED: node not healthy" >&2; cat $$d/status.json >&2; exit 1; }; \
 	curl -sf $$base/metrics > $$d/metrics.txt; \
-	for family in dag_blocks_built_total dag_own_block_refs_total dag_tips gossip_pending_blocks gossip_missing_refs interpret_instances_live tcpnet_ mempool_accepted_total crypto_signed_total gateway_responses_total; do \
-		grep -q "$$family" $$d/metrics.txt || { echo "gateway-smoke FAILED: scrape missing $$family" >&2; cat $$d/metrics.txt >&2; exit 1; }; \
+	families=$$(go test -run '^TestFamilies$$' -v ./internal/deploy | sed -n 's/^family //p' | grep -v '^peerscore_\|^syncsvc_'); \
+	[ -n "$$families" ] || { echo "gateway-smoke FAILED: deploy's TestFamilies listed no family" >&2; exit 1; }; \
+	for family in $$families; do \
+		grep -q "^# TYPE $$family " $$d/metrics.txt || { echo "gateway-smoke FAILED: scrape missing $$family" >&2; cat $$d/metrics.txt >&2; exit 1; }; \
 	done; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST $$base/v1/submit -d '{"label":"x","data":"y"}'); \
 	[ "$$code" = 401 ] || { echo "gateway-smoke FAILED: tokenless submit = $$code, want 401" >&2; exit 1; }; \
@@ -252,7 +256,10 @@ chaos-smoke:
 # (ROADMAP.md and CHANGES.md, which are history, and the retrieved ISSUE,
 # SNIPPETS and PAPERS files excepted) cites a top-level ALLCAPS.md that is
 # not in the tree, as four packages cited EXPERIMENTS.md and DESIGN.md for
-# twenty PRs. CI runs it on every push.
+# twenty PRs. And it keeps "a metric is declared once" true: the name of
+# every family deploy's TestFamilies lists occurs in non-test Go exactly
+# once, on a row of a metrics.Table (Families.Counter / Families.Gauge).
+# CI runs it on every push.
 docs-check:
 	@missing=0; \
 	for p in $$(ls internal); do \
@@ -278,10 +285,17 @@ docs-check:
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE|SNIPPETS|PAPERS)\.md:' \
 		| while IFS= read -r hit; do [ -e "$${hit##*:}" ] || echo "$$hit"; done); \
 	[ -z "$$gone" ] || { echo "docs-check FAILED: citation of a top-level document that does not exist:" >&2; echo "$$gone" >&2; exit 1; }
+	@families=$$(go test -run '^TestFamilies$$' -v ./internal/deploy | sed -n 's/^family //p'); \
+	[ -n "$$families" ] || { echo "docs-check FAILED: deploy's TestFamilies listed no family" >&2; exit 1; }; \
+	for f in $$families; do \
+		hits=$$(grep -rn "\"$$f\"" --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . || true); \
+		[ "$$(printf '%s\n' "$$hits" | grep -c .)" -eq 1 ] && printf '%s\n' "$$hits" | grep -qE 'Families\.(Counter|Gauge)\(' \
+			|| { echo "docs-check FAILED: family $$f is not declared exactly once, as a row of a metrics.Table:" >&2; echo "$$hits" >&2; exit 1; }; \
+	done
 	go vet ./...
 	go build ./...
 	go test -run Example ./...
-	@echo "docs-check OK: package map in sync; examples vet and build"
+	@echo "docs-check OK: package map in sync; every metric family declared once; examples vet and build"
 
 .PHONY: bench
 # bench runs the Go microbenchmarks with allocation counts, for a human

@@ -21,6 +21,7 @@ import (
 	"blockdag/internal/chaos"
 	"blockdag/internal/cluster"
 	"blockdag/internal/crypto"
+	"blockdag/internal/metrics"
 	"blockdag/internal/node"
 	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
@@ -162,15 +163,14 @@ func run() error {
 		if m == nil {
 			continue
 		}
-		s := m.Snapshot()
-		agg.blocks += s.BlocksBuilt
-		agg.wireMsgs += s.WireMessages
-		agg.wireBytes += s.WireBytes
-		agg.sim += s.MsgsMaterialized
-		agg.inds += s.Indications
-		agg.fwd += s.FwdRequestsSent
+		agg.blocks += m.Get(metrics.BlocksBuilt)
+		agg.wireMsgs += m.Get(metrics.WireMessages)
+		agg.wireBytes += m.Get(metrics.WireBytes)
+		agg.sim += m.Get(metrics.MsgsMaterialized)
+		agg.inds += m.Get(metrics.Indications)
+		agg.fwd += m.Get(metrics.FwdRequestsSent)
 		if *verbose {
-			fmt.Printf("s%d: %s\n", i, s)
+			fmt.Printf("s%d: %s\n", i, metrics.Families.Snapshot(m))
 		}
 	}
 	if *verbose {
@@ -181,7 +181,7 @@ func run() error {
 	fmt.Printf("messages materialized  %d (never sent: compression %0.1f msgs per wire send)\n",
 		agg.sim, safeDiv(agg.sim, agg.wireMsgs))
 	fmt.Printf("signatures             %d signed / %d verified (vs %d messages had each been signed)\n",
-		sigs.Signed(), sigs.Verified(), agg.sim)
+		sigs.Get(crypto.Signed), sigs.Get(crypto.Verified), agg.sim)
 	fmt.Printf("indications            %d across all servers\n", agg.inds)
 	if stats := c.Net.Stats(); stats.Dropped > 0 {
 		fmt.Printf("network drops          %d (recovered via FWD)\n", stats.Dropped)

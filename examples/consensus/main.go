@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"blockdag/internal/cluster"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/pbft"
 	"blockdag/internal/smr"
 )
@@ -95,9 +96,8 @@ func run() error {
 
 	var wireMsgs, simulated int64
 	for _, m := range c.Metrics {
-		s := m.Snapshot()
-		wireMsgs += s.WireMessages
-		simulated += s.MsgsMaterialized
+		wireMsgs += m.Get(metrics.WireMessages)
+		simulated += m.Get(metrics.MsgsMaterialized)
 	}
 	fmt.Printf("%d slots of three-phase PBFT: %d simulated protocol messages, %d wire sends (blocks + FWD only)\n",
 		slots, simulated, wireMsgs)

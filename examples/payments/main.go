@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"blockdag/internal/cluster"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/state"
 	"blockdag/internal/types"
@@ -211,11 +212,10 @@ func run() error {
 	// The punchline: message compression across parallel instances.
 	var wireMsgs, wireBytes, simulated, blocks int64
 	for _, m := range c.Metrics {
-		s := m.Snapshot()
-		wireMsgs += s.WireMessages
-		wireBytes += s.WireBytes
-		simulated += s.MsgsMaterialized
-		blocks += s.BlocksBuilt
+		wireMsgs += m.Get(metrics.WireMessages)
+		wireBytes += m.Get(metrics.WireBytes)
+		simulated += m.Get(metrics.MsgsMaterialized)
+		blocks += m.Get(metrics.BlocksBuilt)
 	}
 	fmt.Printf("\n%d payments × BRB over %d blocks: %d wire sends (%d bytes) carried %d simulated protocol messages\n",
 		len(transfers), blocks, wireMsgs, wireBytes, simulated)

@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"blockdag/internal/cluster"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/trace"
 )
@@ -63,10 +64,9 @@ func run() error {
 	// What actually happened on the wire vs. in interpretation.
 	var wireMsgs, wireBytes, simulated int64
 	for _, m := range c.Metrics {
-		s := m.Snapshot()
-		wireMsgs += s.WireMessages
-		wireBytes += s.WireBytes
-		simulated += s.MsgsMaterialized
+		wireMsgs += m.Get(metrics.WireMessages)
+		wireBytes += m.Get(metrics.WireBytes)
+		simulated += m.Get(metrics.MsgsMaterialized)
 	}
 	fmt.Printf("\nnetwork: %d block/FWD sends, %d bytes\n", wireMsgs, wireBytes)
 	fmt.Printf("interpretation: %d protocol messages materialized, 0 sent\n\n", simulated)

@@ -27,6 +27,7 @@ import (
 	"blockdag/internal/roster"
 	"blockdag/internal/state"
 	"blockdag/internal/store"
+	"blockdag/internal/tcpnet"
 	"blockdag/internal/types"
 )
 
@@ -206,7 +207,7 @@ func awaitDeliveries(servers []*server, want int, timeout time.Duration) bool {
 func (s *server) report() {
 	if rep := s.Node.FollowReport(); rep.State != "" {
 		fmt.Printf("s%d follow: %d polls, %d deltas, %d blocks pulled, %d throttled (sync calls: %d out / %d served)\n",
-			s.id, rep.Polls, rep.Deltas, rep.Blocks, rep.Throttled, s.Transport.CallsOpened(), s.Transport.CallsServed())
+			s.id, rep.Polls, rep.Deltas, rep.Blocks, rep.Throttled, s.Transport.Counts().Get(tcpnet.CallsOpened), s.Transport.Counts().Get(tcpnet.CallsServed))
 	}
 	ms := s.Node.Server().Mempool().Stats()
 	fmt.Printf("s%d mempool: %d submitted, %d accepted, %d drained into blocks (%d dup, %d invalid, %d overflow)\n",
@@ -256,7 +257,7 @@ func runOne(rosterPath, keyPath, addr string, opts runOpts) error {
 	}
 	if !awaitDeliveries([]*server{s}, file.N(), opts.timeout) {
 		return fmt.Errorf("s%d delivered %d/%d broadcasts within %v (peer rejections: %d, auth failures: %d)",
-			s.id, s.deliveredCount(), file.N(), opts.timeout, s.Transport.Rejections(), s.Transport.AuthFailures())
+			s.id, s.deliveredCount(), file.N(), opts.timeout, s.Transport.Counts().Get(tcpnet.Rejections), s.Transport.Counts().Get(tcpnet.AuthFailures))
 	}
 	// Keep serving past our own finish line: a straggler (a late joiner
 	// whose broadcast is still mid-flow) may need our final blocks, or a

@@ -296,7 +296,7 @@ func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, 
 		}
 		return fmt.Errorf("cluster: server %d: %w", slot, err)
 	}
-	nd, reg, err := deploy.Build(cfg, node.Config{
+	nd, err := deploy.Build(cfg, node.Config{
 		Store:                   st,
 		CheckpointEverySegments: c.opts.CheckpointEverySegments,
 		FollowEvery:             c.opts.FollowEvery,
@@ -313,7 +313,7 @@ func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, 
 	if c.opts.GatewayPerSlot {
 		// The gateway's HTTP goroutines reach the slot only through
 		// concurrency-safe values: the pool, the broker, the counters.
-		gw, err := gateway.Listen("127.0.0.1:0", gateway.Config{Node: nd, Registry: reg})
+		gw, err := gateway.Listen("127.0.0.1:0", gateway.Config{Node: nd, Registry: deploy.Registry(srv, nil, nil, nil)})
 		if err != nil {
 			return fail(fmt.Errorf("gateway: %w", err))
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"blockdag/internal/crypto"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 )
 
@@ -69,7 +70,7 @@ func TestDeterministicRuns(t *testing.T) {
 		}
 		var wire int64
 		for _, m := range c.Metrics {
-			wire += m.Snapshot().WireBytes
+			wire += m.Get(metrics.WireBytes)
 		}
 		return wire
 	}
@@ -103,8 +104,8 @@ func TestSigCountersWired(t *testing.T) {
 	if err := c.RunRounds(1); err != nil {
 		t.Fatal(err)
 	}
-	if sigs.Signed() == 0 || sigs.Verified() == 0 {
-		t.Fatalf("counters not wired: signed=%d verified=%d", sigs.Signed(), sigs.Verified())
+	if sigs.Get(crypto.Signed) == 0 || sigs.Get(crypto.Verified) == 0 {
+		t.Fatalf("counters not wired: signed=%d verified=%d", sigs.Get(crypto.Signed), sigs.Get(crypto.Verified))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
+	"blockdag/internal/metrics"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/syncsvc"
@@ -65,10 +66,10 @@ func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
 	// laggard — no dissemination rounds scheduled, so any FWD traffic
 	// would be the follower's own.
 	c.Net.SetPartition(nil)
-	fwdBefore := c.Metrics[3].Snapshot().FwdRequestsSent
+	fwdBefore := c.Metrics[3].Get(metrics.FwdRequestsSent)
 	c.FollowOnce(3)
 	c.Net.Run()
-	if fwd := c.Metrics[3].Snapshot().FwdRequestsSent - fwdBefore; fwd != 0 {
+	if fwd := c.Metrics[3].Get(metrics.FwdRequestsSent) - fwdBefore; fwd != 0 {
 		t.Fatalf("follow convergence cost %d FWD requests, want 0", fwd)
 	}
 	stats := c.FollowStats(3)
@@ -90,7 +91,7 @@ func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
 	if err := c.RunRounds(2); err != nil {
 		t.Fatal(err)
 	}
-	if fwd := c.Metrics[3].Snapshot().FwdRequestsSent - fwdBefore; fwd != 0 {
+	if fwd := c.Metrics[3].Get(metrics.FwdRequestsSent) - fwdBefore; fwd != 0 {
 		t.Fatalf("post-follow rounds cost the follower %d FWD requests, want 0", fwd)
 	}
 	for i := 0; i < during; i++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"blockdag/internal/cluster"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/types"
 )
@@ -39,9 +40,8 @@ func Example() {
 	}
 	var wire, simulated int64
 	for _, m := range c.Metrics {
-		s := m.Snapshot()
-		wire += s.WireMessages
-		simulated += s.MsgsMaterialized
+		wire += m.Get(metrics.WireMessages)
+		simulated += m.Get(metrics.MsgsMaterialized)
 	}
 	fmt.Printf("protocol messages sent over the network: %d (of %d materialized)\n",
 		0, simulated)

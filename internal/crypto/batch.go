@@ -120,7 +120,7 @@ func (r *Roster) verifyBatchBackend(fn BatchVerifier, items []BatchItem, ok []bo
 		if !member {
 			continue
 		}
-		r.counters.addVerified()
+		r.counters.Add(Verified, 1)
 		keys = append(keys, key)
 		msgs = append(msgs, it.Msg)
 		sigs = append(sigs, it.Sig)

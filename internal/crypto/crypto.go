@@ -16,8 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 
+	"blockdag/internal/metrics"
 	"blockdag/internal/types"
 )
 
@@ -41,42 +41,19 @@ func Hash(parts ...[]byte) [HashSize]byte {
 // SignatureSize is the size in bytes of a signature.
 const SignatureSize = ed25519.SignatureSize
 
-// Counters tallies signature operations. The embedding's "batch signature"
-// claim (paper Sections 4–5) is quantified by comparing these counts
-// between the block DAG path and the direct-messaging baseline.
-// Counters is safe for concurrent use; a nil *Counters discards counts.
-type Counters struct {
-	signed   atomic.Int64
-	verified atomic.Int64
-}
+// Counters tallies signature operations, counted over Families. The
+// embedding's "batch signature" claim (paper Sections 4–5) is quantified by
+// comparing these counts between the block DAG path and the direct-messaging
+// baseline. The zero value is ready; a nil *Counters discards counts.
+type Counters = metrics.Metrics
 
-// Signed returns the number of Sign operations counted.
-func (c *Counters) Signed() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.signed.Load()
-}
+// Families declares what a Counters counts.
+var Families metrics.Table
 
-// Verified returns the number of Verify operations counted.
-func (c *Counters) Verified() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.verified.Load()
-}
-
-func (c *Counters) addSigned() {
-	if c != nil {
-		c.signed.Add(1)
-	}
-}
-
-func (c *Counters) addVerified() {
-	if c != nil {
-		c.verified.Add(1)
-	}
-}
+var (
+	Signed   = Families.Counter("", "crypto_signed_total", "Ed25519 sign operations.")
+	Verified = Families.Counter("", "crypto_verified_total", "Ed25519 verify operations.")
+)
 
 // KeyPair is an Ed25519 key pair.
 type KeyPair struct {
@@ -185,7 +162,7 @@ func (r *Roster) Verify(id types.ServerID, msg, sig []byte) bool {
 	if !ok {
 		return false
 	}
-	r.counters.addVerified()
+	r.counters.Add(Verified, 1)
 	return ed25519.Verify(key, msg, sig)
 }
 
@@ -223,7 +200,7 @@ func (s *Signer) ID() types.ServerID { return s.id }
 
 // Sign returns the signature sign(s, msg).
 func (s *Signer) Sign(msg []byte) []byte {
-	s.counters.addSigned()
+	s.counters.Add(Signed, 1)
 	return ed25519.Sign(s.priv, msg)
 }
 

@@ -142,10 +142,10 @@ func TestCounters(t *testing.T) {
 	signer.Sign(msg)
 	roster.Verify(0, msg, sig)
 
-	if got := c.Signed(); got != 2 {
+	if got := c.Get(Signed); got != 2 {
 		t.Errorf("Signed = %d, want 2", got)
 	}
-	if got := c.Verified(); got != 1 {
+	if got := c.Get(Verified); got != 1 {
 		t.Errorf("Verified = %d, want 1", got)
 	}
 }
@@ -182,11 +182,11 @@ func TestNewSignerRejectsMismatchedKey(t *testing.T) {
 
 func TestNilCountersSafe(t *testing.T) {
 	var c *Counters
-	if c.Signed() != 0 || c.Verified() != 0 {
+	if c.Get(Signed) != 0 || c.Get(Verified) != 0 {
 		t.Fatal("nil counters returned nonzero")
 	}
-	c.addSigned() // must not panic
-	c.addVerified()
+	c.Add(Signed, 1) // must not panic
+	c.Add(Verified, 1)
 }
 
 func TestSignVerifyProperty(t *testing.T) {

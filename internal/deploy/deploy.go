@@ -25,7 +25,9 @@ import (
 	"time"
 
 	"blockdag/internal/core"
+	"blockdag/internal/crypto"
 	"blockdag/internal/gateway"
+	"blockdag/internal/interpret"
 	"blockdag/internal/mempool"
 	"blockdag/internal/metrics"
 	"blockdag/internal/node"
@@ -108,7 +110,7 @@ type Assembly struct {
 	// Config.GatewayAddr.
 	Joined   *syncsvc.FetchedSnapshot
 	Node     *node.Node
-	Registry *gateway.Registry
+	Registry *metrics.Registry
 	Gateway  *gateway.Gateway
 
 	cfg Config
@@ -259,7 +261,7 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 			PruneKeepSeqs: cfg.PruneKeepSeqs,
 		}
 	}
-	if a.Node, a.Registry, err = Build(ccfg, ncfg); err != nil {
+	if a.Node, err = Build(ccfg, ncfg); err != nil {
 		return err
 	}
 	a.gossip.Bind(a.Node)
@@ -268,9 +270,7 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		return err
 	}
 
-	a.Registry.Register(gateway.CollectTCPNet(a.Transport))
-	a.Registry.Register(gateway.CollectSync(a.syncSrv))
-	a.Registry.Register(gateway.CollectCrypto(id.Roster.Counters()))
+	a.Registry = Registry(a.Node.Server(), a.Transport.Counts(), a.syncSrv.Counts(), id.Roster.Counters())
 	if cfg.GatewayAddr != "" {
 		gcfg := gateway.Config{Node: a.Node, Registry: a.Registry}
 		if cfg.GatewayToken != "" {
@@ -284,31 +284,56 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 }
 
 // Build makes the runtime both shells run: a core server per ccfg — whose
-// Transport and Clock are the shell's — the node around it per ncfg (Server
-// is filled in here), and the registry folding their counters. node.New
-// does the ordered part: sinks before replay, replay before catch-up.
-func Build(ccfg core.Config, ncfg node.Config) (*node.Node, *gateway.Registry, error) {
+// Transport and Clock are the shell's — and the node around it per ncfg
+// (Server is filled in here). node.New does the ordered part: sinks before
+// replay, replay before catch-up.
+func Build(ccfg core.Config, ncfg node.Config) (*node.Node, error) {
 	srv, err := core.NewServer(ccfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ncfg.Server = srv
-	nd, err := node.New(ncfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	reg := gateway.NewRegistry()
-	reg.Register(gateway.CollectMetrics(ccfg.Metrics))
-	reg.Register(gateway.CollectMempool(srv.Mempool()))
-	reg.Register(gateway.CollectPeerScore(srv.Scores()))
-	return nd, reg, nil
+	return node.New(ncfg)
+}
+
+// Tables lists every declaration table of the tree, by the package that
+// counts its families: the scrape of a deployed node is these.
+var Tables = []struct {
+	Owner string
+	metrics.Table
+}{
+	{"gossip, interpret, core", metrics.Families},
+	{"interpret", interpret.Families},
+	{"mempool", mempool.Families},
+	{"peerscore", peerscore.Families},
+	{"tcpnet", tcpnet.Families},
+	{"syncsvc", syncsvc.Families},
+	{"crypto", crypto.Families},
+	{"gateway", gateway.Families},
+}
+
+// Registry is the one place a node's scrape is put together: the server's
+// counters, its interpreter's per-chain lag, its mempool and its scorer,
+// and — nil where the shell has none, which collects nothing — the
+// transport's, the sync server's and the signature counters. A gateway
+// serving the registry adds its own.
+func Registry(srv *core.Server, transport, sync, sigs *metrics.Metrics) *metrics.Registry {
+	reg := metrics.NewRegistry()
+	reg.Register(metrics.Families.Collector(srv.Counts()))
+	reg.Register(interpret.CollectChainUnread(srv.ChainUnread))
+	reg.Register(srv.Mempool().Collect)
+	reg.Register(srv.Scores().Collect)
+	reg.Register(tcpnet.Families.Collector(transport))
+	reg.Register(syncsvc.Families.Collector(sync))
+	reg.Register(crypto.Families.Collector(sigs))
+	return reg
 }
 
 // snapshotJoin is the wiped-node path of the snapshot tier: fetch a
 // roster-certified state snapshot from the peers, every chunk verified
 // against the certified root, and install it for node.New to restore from.
 func (a *Assembly) snapshotJoin(peers []types.ServerID) error {
-	fetched, err := syncsvc.FetchSnapshot(syncsvc.SnapshotFetchConfig{
+	fetched, err := syncsvc.FetchSnapshot(syncsvc.FetchConfig{
 		Transport: a.Transport,
 		Roster:    a.cfg.Identity.Roster,
 		Peers:     peers,

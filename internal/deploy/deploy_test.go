@@ -183,7 +183,7 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 	}
 	servedBefore := make([]int64, n)
 	for i, m := range members[1:] {
-		servedBefore[i+1] = m.Transport.CallsServed()
+		servedBefore[i+1] = m.Transport.Counts().Get(tcpnet.CallsServed)
 	}
 
 	cfg := durable(0)
@@ -236,7 +236,7 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 	if rep := rn.Node.CatchUpReport(); !rep.Ran {
 		t.Fatal("no startup catch-up after the join")
 	}
-	if got := members[joined.Anchor].Transport.CallsServed() - servedBefore[joined.Anchor]; got < 3 {
+	if got := members[joined.Anchor].Transport.Counts().Get(tcpnet.CallsServed) - servedBefore[joined.Anchor]; got < 3 {
 		t.Fatalf("anchor s%d served %d calls since the wipe, want meta + chunks + pull", joined.Anchor, got)
 	}
 
@@ -378,7 +378,12 @@ func TestInterpreterGaugesFollowTheLoad(t *testing.T) {
 	if heldFor3 < 2*n {
 		t.Fatalf("%s = %d with a member stopped and %d broadcasts it has not read", held, heldFor3, n)
 	}
-	var status gateway.Status
+	var status struct {
+		Interpret struct {
+			ChainUnreadBlocks []int `json:"chain_unread_blocks"`
+			OutMessagesHeld   int64 `json:"out_messages_held"`
+		} `json:"interpret"`
+	}
 	if err := json.Unmarshal([]byte(members[0].get(t, "/v1/status")), &status); err != nil {
 		t.Fatal(err)
 	}
@@ -504,16 +509,16 @@ func TestEquivocatorIsBannedOverTCPAndAcrossRestart(t *testing.T) {
 	}
 
 	// The ban over TCP: s3 proves who it is, and is refused for it.
-	refused := members[0].Transport.BanRejections()
+	refused := members[0].Transport.Counts().Get(tcpnet.BanRejections)
 	done := make(doneSink, 1)
 	tr.Call(0, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), done)
 	if err := <-done; err == nil || !strings.Contains(err.Error(), transport.ErrUnreachable.Error()) {
 		t.Fatalf("banned member's call ended with %v, want the listener's %q", err, transport.ErrUnreachable)
 	}
-	if got := members[0].Transport.BanRejections(); got <= refused {
+	if got := members[0].Transport.Counts().Get(tcpnet.BanRejections); got <= refused {
 		t.Fatalf("ban rejections stayed at %d across the banned member's call", got)
 	}
-	if got := members[0].Transport.AuthRejections(); got != 0 {
+	if got := members[0].Transport.Counts().Get(tcpnet.AuthRejections); got != 0 {
 		t.Fatalf("%d handshakes rejected; the banned member holds its key and must pass", got)
 	}
 
@@ -563,7 +568,7 @@ func TestOneScorerPerNode(t *testing.T) {
 	// The transport keeps its config to itself: ask it by what it does.
 	scores.Ban(1)
 	m.Transport.Send(1, transport.ChanGossip, []byte("x"))
-	if got := m.Transport.BanRejections(); got != 1 {
+	if got := m.Transport.Counts().Get(tcpnet.BanRejections); got != 1 {
 		t.Fatalf("transport refused %d sends to a peer the core server's scorer bans, want 1", got)
 	}
 }

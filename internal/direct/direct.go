@@ -126,8 +126,9 @@ func (s *Server) dispatch(msgs []protocol.Message) {
 			continue
 		}
 		payload := s.seal(m)
-		s.cfg.Metrics.AddWireSend(int64(len(payload)))
-		s.cfg.Metrics.AddMsgsMaterialized(1)
+		s.cfg.Metrics.Add(metrics.WireMessages, 1)
+		s.cfg.Metrics.Add(metrics.WireBytes, int64(len(payload)))
+		s.cfg.Metrics.Add(metrics.MsgsMaterialized, 1)
 		// The baseline's materialized messages are its protocol
 		// traffic, so they ride the same channel gossip blocks would.
 		s.cfg.Transport.Send(m.Receiver, transport.ChanGossip, payload)
@@ -165,7 +166,7 @@ func (s *Server) authenticate(payload []byte) (protocol.Message, bool) {
 
 func (s *Server) drainIndications(label types.Label, proc protocol.Process) {
 	for _, value := range proc.Indications() {
-		s.cfg.Metrics.AddIndications(1)
+		s.cfg.Metrics.Add(metrics.Indications, 1)
 		if s.cfg.OnIndication != nil {
 			s.cfg.OnIndication(label, value)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"blockdag/internal/crypto"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
@@ -54,8 +55,8 @@ func TestDirectMaterializesAllMessages(t *testing.T) {
 
 	var wireMsgs, materialized int64
 	for _, m := range c.Metrics {
-		wireMsgs += m.Snapshot().WireMessages
-		materialized += m.Snapshot().MsgsMaterialized
+		wireMsgs += m.Get(metrics.WireMessages)
+		materialized += m.Get(metrics.MsgsMaterialized)
 	}
 	// Every server fans out ECHO (3 remote) and READY (3 remote): 4
 	// servers × 6 = 24 remote messages — each broadcast record a process
@@ -63,7 +64,7 @@ func TestDirectMaterializesAllMessages(t *testing.T) {
 	if wireMsgs != 24 || materialized != 24 {
 		t.Fatalf("wire messages = %d, materialized = %d, want 24 each", wireMsgs, materialized)
 	}
-	if got := sigs.Verified(); got != 24 {
+	if got := sigs.Get(crypto.Verified); got != 24 {
 		t.Fatalf("signature verifications = %d, want 24 (one per wire message)", got)
 	}
 }

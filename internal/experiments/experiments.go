@@ -17,6 +17,7 @@ import (
 	"blockdag/internal/cluster"
 	"blockdag/internal/crypto"
 	"blockdag/internal/direct"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/courier"
 	"blockdag/internal/simnet"
@@ -184,10 +185,9 @@ func E9MessageCompression() (*Table, error) {
 			if m == nil {
 				continue
 			}
-			s := m.Snapshot()
-			dagMsgs += s.WireMessages
-			dagBytes += s.WireBytes
-			dagSim += s.MsgsMaterialized
+			dagMsgs += m.Get(metrics.WireMessages)
+			dagBytes += m.Get(metrics.WireBytes)
+			dagSim += m.Get(metrics.MsgsMaterialized)
 		}
 		dirC, _, err := directWorkload(n, broadcasts, nil)
 		if err != nil {
@@ -195,9 +195,8 @@ func E9MessageCompression() (*Table, error) {
 		}
 		var dirMsgs, dirBytes int64
 		for _, m := range dirC.Metrics {
-			s := m.Snapshot()
-			dirMsgs += s.WireMessages
-			dirBytes += s.WireBytes
+			dirMsgs += m.Get(metrics.WireMessages)
+			dirBytes += m.Get(metrics.WireBytes)
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
@@ -240,11 +239,11 @@ func E10SignatureBatching() (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", dagSigs.Signed()),
-			fmt.Sprintf("%d", dagSigs.Verified()),
-			fmt.Sprintf("%d", dirSigs.Signed()),
-			fmt.Sprintf("%d", dirSigs.Verified()),
-			fmt.Sprintf("%.1fx", float64(dirSigs.Verified())/float64(max64(dagSigs.Verified(), 1))),
+			fmt.Sprintf("%d", dagSigs.Get(crypto.Signed)),
+			fmt.Sprintf("%d", dagSigs.Get(crypto.Verified)),
+			fmt.Sprintf("%d", dirSigs.Get(crypto.Signed)),
+			fmt.Sprintf("%d", dirSigs.Get(crypto.Verified)),
+			fmt.Sprintf("%.1fx", float64(dirSigs.Get(crypto.Verified))/float64(max64(dagSigs.Get(crypto.Verified), 1))),
 		})
 	}
 	return t, nil
@@ -273,10 +272,9 @@ func E11ParallelInstances() (*Table, error) {
 		}
 		var wireMsgs, wireBytes, sim int64
 		for _, m := range c.Metrics {
-			s := m.Snapshot()
-			wireMsgs += s.WireMessages
-			wireBytes += s.WireBytes
-			sim += s.MsgsMaterialized
+			wireMsgs += m.Get(metrics.WireMessages)
+			wireBytes += m.Get(metrics.WireBytes)
+			sim += m.Get(metrics.MsgsMaterialized)
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", instances),
@@ -449,7 +447,7 @@ func E5GossipConvergence() (*Table, error) {
 		}
 		var fwds int64
 		for _, m := range c.Metrics {
-			fwds += m.Snapshot().FwdRequestsSent
+			fwds += m.Get(metrics.FwdRequestsSent)
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0f%%", drop*100),

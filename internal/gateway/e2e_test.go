@@ -158,20 +158,20 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics = %d", resp.StatusCode)
 	}
-	// Live counters from four subsystems plus the gateway's own.
-	for _, family := range []string{
-		"dag_blocks_built_total",
-		"dag_own_block_refs_total",
-		"# TYPE dag_tips gauge\n",
-		"# TYPE gossip_pending_blocks gauge\n",
-		"# TYPE gossip_missing_refs gauge\n",
-		"tcpnet_calls_opened_total",
-		"syncsvc_drops_total",
-		"mempool_accepted_total 1",
-		`gateway_responses_total{class="2xx"}`,
-	} {
-		if !strings.Contains(scrape, family) {
-			t.Fatalf("scrape missing %q:\n%s", family, scrape)
+	// Every declared family, from every subsystem's table plus the
+	// gateway's own, with its declared type — but for the scorer's, which
+	// has a sample per peer with a record and no peer has one here, and the
+	// signature counters, which the dev fixture's identities do not install.
+	for _, tab := range deploy.Tables {
+		for _, f := range tab.Table {
+			if tab.Owner != "peerscore" && tab.Owner != "crypto" && !strings.Contains(scrape, "# TYPE "+f.Name+" "+string(f.Kind)+"\n"+f.Name) {
+				t.Fatalf("scrape missing %s's %s %s:\n%s", tab.Owner, f.Kind, f.Name, scrape)
+			}
+		}
+	}
+	for _, sample := range []string{"mempool_accepted_total 1", `gateway_responses_total{class="2xx"}`} {
+		if !strings.Contains(scrape, sample) {
+			t.Fatalf("scrape missing %q:\n%s", sample, scrape)
 		}
 	}
 	// The dag counters must be live, not zero: blocks were built and
@@ -183,12 +183,6 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 	// node's own chain finished the instance — a tombstone until every
 	// chain has, a retired label from then on. (That the out-buffer gauges
 	// fall back again is deploy's TestInterpreterGaugesFollowTheLoad.)
-	for _, gauge := range []string{"interpret_instances_live", "interpret_instances_retired", "interpret_labels_retired",
-		"interpret_out_messages_held", "interpret_blocks_holding_buffers", "interpret_chain_unread_blocks"} {
-		if !strings.Contains(scrape, "# TYPE "+gauge+" gauge\n") {
-			t.Fatalf("scrape missing gauge %s:\n%s", gauge, scrape)
-		}
-	}
 	if strings.Contains(scrape, "interpret_instances_retired 0\n") && strings.Contains(scrape, "interpret_labels_retired 0\n") {
 		t.Fatalf("no tombstone and no retired label after a delivery:\n%s", scrape)
 	}

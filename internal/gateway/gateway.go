@@ -45,6 +45,7 @@ import (
 
 	"blockdag/internal/crypto"
 	"blockdag/internal/mempool"
+	"blockdag/internal/metrics"
 	"blockdag/internal/node"
 	"blockdag/internal/types"
 )
@@ -70,7 +71,7 @@ type Config struct {
 
 	// Registry is the observability fold /metrics renders. Optional; a
 	// nil registry serves only the gateway's own counters.
-	Registry *Registry
+	Registry *metrics.Registry
 
 	// Tokens lists accepted bearer tokens; AuthRoster additionally (or
 	// instead) accepts Ed25519 request signatures by roster members
@@ -117,13 +118,24 @@ type Gateway struct {
 
 	// Self-observability: the gateway is a subsystem of the plane it
 	// serves.
-	ok2xx, err4xx, err5xx     atomic.Int64
-	authFailures, rateLimited atomic.Int64
-	shed                      atomic.Int64
-	inFlightNow               atomic.Int64
+	counts metrics.Metrics // over Families
 
 	closed atomic.Bool
 }
+
+// Families declares the front door's own counters: its part of the scrape
+// and, by key, the "gateway" object of /v1/status.
+var Families metrics.Table
+
+var (
+	inFlight     = Families.Gauge("in_flight", "gateway_in_flight", "Requests currently being served.")
+	responses2xx = Families.Counter("responses_2xx", "gateway_responses_total", "Responses served by status class.", "class", "2xx")
+	responses4xx = Families.With(responses2xx, "responses_4xx", "4xx")
+	responses5xx = Families.With(responses2xx, "responses_5xx", "5xx")
+	authFailures = Families.Counter("auth_failures", "gateway_auth_failures_total", "Requests refused by authentication.")
+	rateLimited  = Families.Counter("rate_limited", "gateway_rate_limited_total", "Requests refused by the per-client rate limit.")
+	shed         = Families.Counter("shed", "gateway_shed_total", "Requests shed at the in-flight concurrency cap.")
+)
 
 // Listen binds addr and serves the gateway on it.
 func Listen(addr string, cfg Config) (*Gateway, error) {
@@ -178,6 +190,9 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	if cfg.Registry == nil {
+		cfg.Registry = metrics.NewRegistry()
+	}
 
 	g := &Gateway{
 		cfg:      cfg,
@@ -186,9 +201,7 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 		nonces:   newNonceCache(4096),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 	}
-	if cfg.Registry != nil {
-		cfg.Registry.Register(g.selfCollector())
-	}
+	cfg.Registry.Register(Families.Collector(&g.counts))
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/submit", g.wrap(true, g.handleSubmit))
@@ -239,28 +252,11 @@ func (g *Gateway) wallNow() time.Time { return g.cfg.Now() }
 func (g *Gateway) countResponse(code int) {
 	switch {
 	case code < 400:
-		g.ok2xx.Add(1)
+		g.counts.Add(responses2xx, 1)
 	case code < 500:
-		g.err4xx.Add(1)
+		g.counts.Add(responses4xx, 1)
 	default:
-		g.err5xx.Add(1)
-	}
-}
-
-// selfCollector folds the gateway's own counters into the registry.
-func (g *Gateway) selfCollector() Collector {
-	return func(emit func(Metric)) {
-		emit(Metric{Name: "gateway_responses_total", Help: "Responses served by status class.",
-			Type: Counter, Labels: [][2]string{{"class", "2xx"}}, Value: float64(g.ok2xx.Load())})
-		emit(Metric{Name: "gateway_responses_total", Help: "Responses served by status class.",
-			Type: Counter, Labels: [][2]string{{"class", "4xx"}}, Value: float64(g.err4xx.Load())})
-		emit(Metric{Name: "gateway_responses_total", Help: "Responses served by status class.",
-			Type: Counter, Labels: [][2]string{{"class", "5xx"}}, Value: float64(g.err5xx.Load())})
-		counter(emit, "gateway_auth_failures_total", "Requests refused by authentication.", g.authFailures.Load())
-		counter(emit, "gateway_rate_limited_total", "Requests refused by the per-client rate limit.", g.rateLimited.Load())
-		counter(emit, "gateway_shed_total", "Requests shed at the in-flight concurrency cap.", g.shed.Load())
-		emit(Metric{Name: "gateway_in_flight", Help: "Requests currently being served.",
-			Type: Gauge, Value: float64(g.inFlightNow.Load())})
+		g.counts.Add(responses5xx, 1)
 	}
 }
 
@@ -441,26 +437,14 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if g.cfg.Status != nil {
 		st = g.cfg.Status()
 	}
-	st.Gateway = &GatewayStatus{
-		InFlight:     g.inFlightNow.Load(),
-		Responses2xx: g.ok2xx.Load(),
-		Responses4xx: g.err4xx.Load(),
-		Responses5xx: g.err5xx.Load(),
-		AuthFailures: g.authFailures.Load(),
-		RateLimited:  g.rateLimited.Load(),
-		Shed:         g.shed.Load(),
-	}
+	self := Families.Snapshot(&g.counts)
+	st.Gateway = &self
 	writeJSON(w, st)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg := g.cfg.Registry
-	if reg == nil {
-		reg = NewRegistry()
-		reg.Register(g.selfCollector())
-	}
-	_, _ = reg.WriteTo(w)
+	_, _ = g.cfg.Registry.WriteTo(w)
 }
 
 // ---- JSON helpers ----------------------------------------------------

@@ -73,7 +73,7 @@ func (g *Gateway) wrap(authed bool, h http.HandlerFunc) http.HandlerFunc {
 // serve applies shedding, auth, and rate limiting, then runs the handler.
 func (g *Gateway) serve(w http.ResponseWriter, r *http.Request, authed bool, h http.HandlerFunc) {
 	if !g.acquire() {
-		g.shed.Add(1)
+		g.counts.Add(shed, 1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "gateway at capacity")
 		return
@@ -84,7 +84,7 @@ func (g *Gateway) serve(w http.ResponseWriter, r *http.Request, authed bool, h h
 	if authed {
 		principal, err := g.authenticate(r)
 		if err != nil {
-			g.authFailures.Add(1)
+			g.counts.Add(authFailures, 1)
 			w.Header().Set("WWW-Authenticate", `Bearer realm="dagrpc"`)
 			writeError(w, http.StatusUnauthorized, err.Error())
 			return
@@ -94,7 +94,7 @@ func (g *Gateway) serve(w http.ResponseWriter, r *http.Request, authed bool, h h
 		}
 		if g.limiter != nil {
 			if ok, retry := g.limiter.allow(client); !ok {
-				g.rateLimited.Add(1)
+				g.counts.Add(rateLimited, 1)
 				w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retry)))
 				writeError(w, http.StatusTooManyRequests, "rate limit exceeded")
 				return
@@ -109,7 +109,7 @@ func (g *Gateway) serve(w http.ResponseWriter, r *http.Request, authed bool, h h
 func (g *Gateway) acquire() bool {
 	select {
 	case g.inflight <- struct{}{}:
-		g.inFlightNow.Add(1)
+		g.counts.Add(inFlight, 1)
 		return true
 	default:
 		return false
@@ -117,7 +117,7 @@ func (g *Gateway) acquire() bool {
 }
 
 func (g *Gateway) release() {
-	g.inFlightNow.Add(-1)
+	g.counts.Add(inFlight, -1)
 	<-g.inflight
 }
 

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"strings"
 	"sync"
 	"time"
 
@@ -28,20 +29,27 @@ type Status struct {
 	Follow         *FollowStatus        `json:"follow,omitempty"`
 	Accountability AccountabilityStatus `json:"accountability"`
 	Mempool        mempool.Stats        `json:"mempool"`
-	Interpret      InterpretStatus      `json:"interpret"`
+	// Interpret is what the interpreter holds now beyond a watermark per
+	// block: the interpret_* gauges of /metrics under their names less that
+	// prefix. All but labels_retired fall back when load does;
+	// chain_unread_blocks, by builder, says whose chain has not read how
+	// many blocks of the others, which is what keeps out-buffers held and
+	// names the replica that is behind.
+	Interpret map[string]any `json:"interpret"`
 	// StoreBytes is the durable store's on-disk size (omitted without a
 	// store).
 	StoreBytes int64 `json:"store_bytes,omitempty"`
 
-	// Counters is the cumulative metrics snapshot; Window reports the
-	// delta since the previous /v1/status call (metrics.Snapshot.Delta),
-	// the poor operator's rate() for deployments without a scraper.
+	// Counters is the cumulative metrics snapshot, by status key; Window
+	// reports the delta since the previous /v1/status call
+	// (metrics.Snapshot.Delta), the poor operator's rate() for deployments
+	// without a scraper.
 	Counters *metrics.Snapshot `json:"counters,omitempty"`
 	Window   *RateWindow       `json:"window,omitempty"`
 
-	// Gateway carries the front door's own counters; the serving gateway
-	// fills it in.
-	Gateway *GatewayStatus `json:"gateway,omitempty"`
+	// Gateway carries the front door's own counters (Families, by key); the
+	// serving gateway fills it in.
+	Gateway *metrics.Snapshot `json:"gateway,omitempty"`
 }
 
 // RecoveryStatus mirrors node.RecoveryReport: what the last start
@@ -93,35 +101,10 @@ type AccountabilityStatus struct {
 	Peers  []peerscore.PeerStat `json:"peers,omitempty"`
 }
 
-// InterpretStatus is what the interpreter holds now beyond a watermark per
-// block — the interpret_* gauges of /metrics. All but LabelsRetired fall
-// back when load does; ChainUnreadBlocks, by builder, says whose chain has
-// not read how many blocks of the others, which is what keeps out-buffers
-// held and names the replica that is behind.
-type InterpretStatus struct {
-	InstancesLive        int64   `json:"instances_live"`
-	InstancesRetired     int64   `json:"instances_retired"`
-	LabelsRetired        int64   `json:"labels_retired"`
-	OutMessagesHeld      int64   `json:"out_messages_held"`
-	BlocksHoldingBuffers int64   `json:"blocks_holding_buffers"`
-	ChainUnreadBlocks    []int64 `json:"chain_unread_blocks"`
-}
-
 // RateWindow is the counter delta since the previous status call.
 type RateWindow struct {
 	Seconds float64          `json:"seconds"`
-	Delta   metrics.Snapshot `json:"delta"`
-}
-
-// GatewayStatus is the front door's self-report.
-type GatewayStatus struct {
-	InFlight     int64 `json:"in_flight"`
-	Responses2xx int64 `json:"responses_2xx"`
-	Responses4xx int64 `json:"responses_4xx"`
-	Responses5xx int64 `json:"responses_5xx"`
-	AuthFailures int64 `json:"auth_failures"`
-	RateLimited  int64 `json:"rate_limited"`
-	Shed         int64 `json:"shed"`
+	Delta   map[string]int64 `json:"delta"`
 }
 
 // NodeStatus builds the standard Status producer for a node runtime. The
@@ -180,10 +163,11 @@ func NodeStatus(nd *node.Node) func() Status {
 		}
 		snap := nd.Server().Metrics()
 		st.Counters = &snap
-		st.Interpret = InterpretStatus{
-			InstancesLive: snap.InstancesLive, InstancesRetired: snap.InstancesRetired, LabelsRetired: snap.LabelsRetired,
-			OutMessagesHeld: snap.OutMessagesHeld, BlocksHoldingBuffers: snap.BlocksHolding,
-			ChainUnreadBlocks: nd.Server().ChainUnread(),
+		st.Interpret = map[string]any{"chain_unread_blocks": nd.Server().ChainUnread()}
+		for id, f := range metrics.Families {
+			if name, ok := strings.CutPrefix(f.Name, "interpret_"); ok {
+				st.Interpret[name] = snap.Get(metrics.ID(id))
+			}
 		}
 		mu.Lock()
 		now := time.Now()

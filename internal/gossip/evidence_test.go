@@ -105,16 +105,16 @@ func TestEvidenceFlow(t *testing.T) {
 			t.Fatalf("node %d did not ban the equivocator", i)
 		}
 	}
-	snap0 := acc[0].m.Snapshot()
-	if snap0.EquivocationsSeen != 1 || snap0.EvidenceReceived != 1 || snap0.PeersBanned != 1 {
+	snap0 := metrics.Families.Snapshot(acc[0].m)
+	if snap0.Get(metrics.EquivocationsSeen) != 1 || snap0.Get(metrics.EvidenceReceived) != 1 || snap0.Get(metrics.PeersBanned) != 1 {
 		t.Fatalf("detector metrics wrong: %+v", snap0)
 	}
-	if snap0.EvidenceRelayed == 0 {
+	if snap0.Get(metrics.EvidenceRelayed) == 0 {
 		t.Fatal("detector relayed no evidence")
 	}
 	// Learners accept via gossip, not local detection.
-	snap1 := acc[1].m.Snapshot()
-	if snap1.EquivocationsSeen != 0 || snap1.EvidenceReceived != 1 || snap1.PeersBanned != 1 {
+	snap1 := metrics.Families.Snapshot(acc[1].m)
+	if snap1.Get(metrics.EquivocationsSeen) != 0 || snap1.Get(metrics.EvidenceReceived) != 1 || snap1.Get(metrics.PeersBanned) != 1 {
 		t.Fatalf("learner metrics wrong: %+v", snap1)
 	}
 
@@ -128,7 +128,7 @@ func TestEvidenceFlow(t *testing.T) {
 	if c.nodes[1].d.Contains(fresh.Ref()) {
 		t.Fatal("banned builder's fresh block entered the DAG")
 	}
-	if got := acc[1].m.Snapshot().BannedBlocksDropped; got != 1 {
+	if got := acc[1].m.Get(metrics.BannedBlocksDropped); got != 1 {
 		t.Fatalf("BannedBlocksDropped = %d", got)
 	}
 }
@@ -144,14 +144,14 @@ func TestEvidenceRelayTerminates(t *testing.T) {
 		c.nodes[0].g.HandleMessage(1, enc)
 	}
 	c.net.Run()
-	snap := acc[0].m.Snapshot()
-	if snap.EvidenceReceived != 1 {
-		t.Fatalf("EvidenceReceived = %d, want 1 (dedup)", snap.EvidenceReceived)
+	snap := metrics.Families.Snapshot(acc[0].m)
+	if snap.Get(metrics.EvidenceReceived) != 1 {
+		t.Fatalf("EvidenceReceived = %d, want 1 (dedup)", snap.Get(metrics.EvidenceReceived))
 	}
 	// Relays go to peers other than self, the sender, and the convicted
 	// equivocator: exactly one eligible peer here, exactly once.
-	if snap.EvidenceRelayed != 1 {
-		t.Fatalf("EvidenceRelayed = %d, want 1", snap.EvidenceRelayed)
+	if snap.Get(metrics.EvidenceRelayed) != 1 {
+		t.Fatalf("EvidenceRelayed = %d, want 1", snap.Get(metrics.EvidenceRelayed))
 	}
 }
 
@@ -173,7 +173,7 @@ func TestBadEvidencePenalized(t *testing.T) {
 	if acc[0].scores.Score(1) == 0 {
 		t.Fatal("frame-up sender not penalized")
 	}
-	if got := acc[0].m.Snapshot().EvidenceReceived; got != 0 {
+	if got := acc[0].m.Get(metrics.EvidenceReceived); got != 0 {
 		t.Fatalf("EvidenceReceived = %d", got)
 	}
 }
@@ -203,7 +203,7 @@ func TestBannedBuilderWantedBlockAdmitted(t *testing.T) {
 	}
 	// A never-referenced fresh block by the banned builder: dropped.
 	n1.g.HandleMessage(3, EncodeBlockMsg(preBan))
-	if n1.g.PendingBlocks() != 0 {
+	if len(n1.g.pending) != 0 {
 		t.Fatal("unwanted banned-builder block pended")
 	}
 	// Now the honest block arrives, pending on preBan — which makes

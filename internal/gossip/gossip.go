@@ -267,94 +267,78 @@ func (g *Gossip) SeedBase(base []dag.Base) {
 	}
 }
 
-// PendingBlocks returns the size of the blks buffer (diagnostics).
-func (g *Gossip) PendingBlocks() int { return len(g.pending) }
-
-// MissingRefs returns the number of outstanding FWD requests
-// (diagnostics).
-func (g *Gossip) MissingRefs() int { return len(g.missing) }
-
-// HandleMessage consumes one wire payload from the network: either a
-// block (lines 4–5) or a FWD request (lines 12–13). Malformed payloads
-// from byzantine servers are counted and dropped.
+// HandleMessage consumes one wire payload from the network — a block
+// (lines 4–5), a FWD request (lines 12–13) or evidence: HandleMessages of
+// one message.
 func (g *Gossip) HandleMessage(from types.ServerID, payload []byte) {
-	r := wire.NewReader(payload)
-	switch r.Byte() {
-	case kindBlock:
-		enc := r.VarBytes()
-		if r.Close() != nil {
-			g.cfg.Metrics.AddBlocksRejected(1)
-			g.cfg.Scores.Penalize(from, peerscore.MalformedFrame)
-			return
-		}
-		b, err := block.Decode(enc)
-		if err != nil {
-			g.cfg.Metrics.AddBlocksRejected(1)
-			g.cfg.Scores.Penalize(from, peerscore.MalformedFrame)
-			return
-		}
-		g.handleBlock(from, b)
-	case kindFwd:
-		ref := block.Ref(r.Bytes32())
-		if r.Close() != nil {
-			g.cfg.Scores.Penalize(from, peerscore.MalformedFrame)
-			return
-		}
-		g.handleFwd(from, ref)
-	case kindEvidence:
-		enc := r.VarBytes()
-		if r.Close() != nil {
-			g.cfg.Scores.Penalize(from, peerscore.MalformedFrame)
-			return
-		}
-		g.handleEvidence(from, enc)
-	default:
-		g.cfg.Metrics.AddBlocksRejected(1)
-		g.cfg.Scores.Penalize(from, peerscore.MalformedFrame)
-	}
+	g.HandleMessages([]Message{{From: from, Payload: payload}})
 }
 
 // Message is one wire payload tagged with its sender, the unit of the
-// batched ingest path HandleMessages.
+// ingest path HandleMessages.
 type Message struct {
 	From    types.ServerID
 	Payload []byte
 }
 
+// inbound is one payload decoded: a block, the reference a FWD asks for, or
+// an encoded proof. Kind 0 is a payload that does not decode; rejected says
+// it counts as a rejected block (a block's frame, or no known kind at all).
+type inbound struct {
+	kind     byte
+	blk      *block.Block
+	ref      block.Ref
+	evidence []byte
+	rejected bool
+}
+
+// decode classifies one wire payload.
+func decode(payload []byte) inbound {
+	r := wire.NewReader(payload)
+	switch r.Byte() {
+	case kindBlock:
+		enc := r.VarBytes()
+		if r.Close() == nil {
+			if b, err := block.Decode(enc); err == nil {
+				return inbound{kind: kindBlock, blk: b}
+			}
+		}
+		return inbound{rejected: true}
+	case kindFwd:
+		if ref := block.Ref(r.Bytes32()); r.Close() == nil {
+			return inbound{kind: kindFwd, ref: ref}
+		}
+		return inbound{}
+	case kindEvidence:
+		if enc := r.VarBytes(); r.Close() == nil {
+			return inbound{kind: kindEvidence, evidence: enc}
+		}
+		return inbound{}
+	}
+	return inbound{rejected: true}
+}
+
 // HandleMessages consumes a burst of wire payloads with the signature
-// checks amortized: block payloads are decoded up front, the blocks not
-// already known are batch-verified across GOMAXPROCS goroutines, and then
-// every message is applied serially in arrival order. The state
-// transitions are exactly those of calling HandleMessage once per message,
-// in order — only the Ed25519 work is parallelized — so determinism is
-// preserved and the node runtime can drain its inbound queue in bursts
+// checks amortized: every payload is decoded once, up front; of the blocks
+// not already known, two or more are batch-verified across GOMAXPROCS
+// goroutines; and then every message is applied serially in arrival order.
+// Malformed payloads from byzantine servers are counted and dropped. The
+// state transitions are exactly those of handling the messages one burst
+// each, in order — only the Ed25519 work is parallelized — so determinism
+// is preserved and the node runtime can drain its inbound queue in bursts
 // whenever delivery outpaces the handler.
 func (g *Gossip) HandleMessages(msgs []Message) {
-	if len(msgs) == 1 {
-		g.HandleMessage(msgs[0].From, msgs[0].Payload)
-		return
-	}
-	// Pass 1: decode block payloads and collect verification candidates —
-	// blocks we do not already hold (or know to be invalid), deduplicated
-	// within the burst. Non-block and malformed payloads fall through to
-	// the serial handler in pass 2.
-	blocks := make([]*block.Block, len(msgs))
+	// Pass 1: decode, and collect verification candidates — blocks we do
+	// not already hold (or know to be invalid), deduplicated within the
+	// burst. A lone block is verified where it is applied.
+	in := make([]inbound, len(msgs))
 	var candidates []*block.Block
-	seen := make(map[block.Ref]struct{})
 	for i, m := range msgs {
-		r := wire.NewReader(m.Payload)
-		if r.Byte() != kindBlock {
+		in[i] = decode(m.Payload)
+		b := in[i].blk
+		if b == nil || len(msgs) == 1 {
 			continue
 		}
-		enc := r.VarBytes()
-		if r.Close() != nil {
-			continue
-		}
-		b, err := block.Decode(enc)
-		if err != nil {
-			continue
-		}
-		blocks[i] = b
 		ref := b.Ref()
 		if g.cfg.DAG.Contains(ref) || g.pending[ref] != nil {
 			continue
@@ -362,10 +346,9 @@ func (g *Gossip) HandleMessages(msgs []Message) {
 		if _, bad := g.invalid[ref]; bad {
 			continue
 		}
-		if _, dup := seen[ref]; dup {
+		if slices.ContainsFunc(candidates, func(c *block.Block) bool { return c.Ref() == ref }) {
 			continue
 		}
-		seen[ref] = struct{}{}
 		if !g.cfg.Roster.Contains(b.Builder) {
 			continue // pass 2 rejects it on the inline path
 		}
@@ -385,35 +368,38 @@ func (g *Gossip) HandleMessages(msgs []Message) {
 		}
 	}
 	// Pass 2: apply in arrival order. Duplicate-within-burst blocks hit
-	// the DAG/pending re-check inside handleBlockWith, exactly as they
-	// would on the serial path.
+	// the DAG/pending re-check inside handleBlock, exactly as they would
+	// one burst each.
 	for i, m := range msgs {
-		if blocks[i] != nil {
-			g.handleBlockWith(m.From, blocks[i], verdicts)
-			continue
+		switch in[i].kind {
+		case kindBlock:
+			g.handleBlock(m.From, in[i].blk, verdicts)
+		case kindFwd:
+			g.handleFwd(m.From, in[i].ref)
+		case kindEvidence:
+			g.handleEvidence(m.From, in[i].evidence)
+		default:
+			if in[i].rejected {
+				g.cfg.Metrics.Add(metrics.BlocksRejected, 1)
+			}
+			g.cfg.Scores.Penalize(m.From, peerscore.MalformedFrame)
 		}
-		g.HandleMessage(m.From, m.Payload)
 	}
 }
 
-// handleBlock implements lines 4–11 for one received block.
-func (g *Gossip) handleBlock(from types.ServerID, b *block.Block) {
-	g.handleBlockWith(from, b, nil)
-}
-
-// handleBlockWith is handleBlock with an optional table of precomputed
-// signature verdicts (from HandleMessages' batch-verification pass); a
-// block without an entry is verified inline.
-func (g *Gossip) handleBlockWith(from types.ServerID, b *block.Block, verdicts map[block.Ref]bool) {
-	g.cfg.Metrics.AddBlocksReceived(1)
+// handleBlock implements lines 4–11 for one received block. verdicts, if
+// it has an entry for the block, is its signature check done ahead
+// (HandleMessages' batch pass); a block without one is verified inline.
+func (g *Gossip) handleBlock(from types.ServerID, b *block.Block, verdicts map[block.Ref]bool) {
+	g.cfg.Metrics.Add(metrics.BlocksReceived, 1)
 	defer g.publishState() // a block buffered or poisoned changes the queues without an insert
 	ref := b.Ref()
 	if g.cfg.DAG.Contains(ref) || g.pending[ref] != nil {
-		g.cfg.Metrics.AddBlocksDuplicate(1)
+		g.cfg.Metrics.Add(metrics.BlocksDuplicate, 1)
 		return
 	}
 	if _, bad := g.invalid[ref]; bad {
-		g.cfg.Metrics.AddBlocksDuplicate(1)
+		g.cfg.Metrics.Add(metrics.BlocksDuplicate, 1)
 		return
 	}
 	// Quarantine a proven equivocator's output: fresh blocks built by a
@@ -430,7 +416,7 @@ func (g *Gossip) handleBlockWith(from types.ServerID, b *block.Block, verdicts m
 			_, wanted = g.missing[ref]
 		}
 		if !wanted {
-			g.cfg.Metrics.AddBannedBlocksDropped(1)
+			g.cfg.Metrics.Add(metrics.BannedBlocksDropped, 1)
 			return
 		}
 	}
@@ -441,7 +427,7 @@ func (g *Gossip) handleBlockWith(from types.ServerID, b *block.Block, verdicts m
 		valid = g.cfg.Roster.Contains(b.Builder) && b.VerifySignature(g.cfg.Roster)
 	}
 	if !valid {
-		g.cfg.Metrics.AddBlocksRejected(1)
+		g.cfg.Metrics.Add(metrics.BlocksRejected, 1)
 		g.cfg.Scores.Penalize(from, peerscore.BadSignature)
 		g.markInvalid(ref)
 		return
@@ -473,7 +459,9 @@ func (g *Gossip) handleBlockWith(from types.ServerID, b *block.Block, verdicts m
 // publishState sets the gauges an operator reads the DAG's health from:
 // tips, blocks waiting for a predecessor, references waiting for a FWD.
 func (g *Gossip) publishState() {
-	g.cfg.Metrics.SetGossipState(len(g.curTips), len(g.pending), len(g.missing))
+	g.cfg.Metrics.Set(metrics.Tips, int64(len(g.curTips)))
+	g.cfg.Metrics.Set(metrics.PendingBlocks, int64(len(g.pending)))
+	g.cfg.Metrics.Set(metrics.MissingRefs, int64(len(g.missing)))
 }
 
 // tryInsert inserts b if all predecessors are present, then cascades to
@@ -488,7 +476,7 @@ func (g *Gossip) tryInsert(b *block.Block) bool {
 				// can this block (Definition 3.3(iii)); markInvalid
 				// drops it from pending and clears its waiter
 				// registrations.
-				g.cfg.Metrics.AddBlocksRejected(1)
+				g.cfg.Metrics.Add(metrics.BlocksRejected, 1)
 				g.markInvalid(ref)
 				return true
 			}
@@ -497,7 +485,7 @@ func (g *Gossip) tryInsert(b *block.Block) bool {
 	}
 	delete(g.pending, ref)
 	if err := g.cfg.DAG.InsertVerified(b); err != nil {
-		g.cfg.Metrics.AddBlocksRejected(1)
+		g.cfg.Metrics.Add(metrics.BlocksRejected, 1)
 		g.markInvalid(ref)
 		return true
 	}
@@ -516,7 +504,7 @@ func (g *Gossip) tryInsert(b *block.Block) bool {
 // can gate externalization of own blocks.
 func (g *Gossip) noteInserted(b *block.Block) error {
 	ref := b.Ref()
-	g.cfg.Metrics.AddBlocksInserted(1)
+	g.cfg.Metrics.Add(metrics.BlocksInserted, 1)
 	if b.Builder != g.self || b.Seq >= g.curSeq {
 		// Retire every tip the new block reaches — citing it includes
 		// them. A peer's block then becomes a tip. An own block becomes the
@@ -566,7 +554,7 @@ func (g *Gossip) markInvalid(ref block.Ref) {
 	delete(g.waiters, ref)
 	for _, wref := range waiting {
 		if g.pending[wref] != nil {
-			g.cfg.Metrics.AddBlocksRejected(1)
+			g.cfg.Metrics.Add(metrics.BlocksRejected, 1)
 			g.markInvalid(wref)
 		}
 	}
@@ -655,7 +643,7 @@ func (g *Gossip) handleFwd(from types.ServerID, ref block.Ref) {
 	if !ok {
 		return
 	}
-	g.cfg.Metrics.AddFwdRequestsServed(1)
+	g.cfg.Metrics.Add(metrics.FwdRequestsServed, 1)
 	g.send(from, EncodeBlockMsg(b))
 }
 
@@ -663,7 +651,7 @@ func (g *Gossip) handleFwd(from types.ServerID, ref block.Ref) {
 // export the pair as a transferable proof and run the acceptance pipeline
 // — pool, ban, persist, relay.
 func (g *Gossip) onEquivocation(e dag.Equivocation) {
-	g.cfg.Metrics.AddEquivocationsSeen(1)
+	g.cfg.Metrics.Add(metrics.EquivocationsSeen, 1)
 	b1, b2, ok := g.cfg.DAG.EquivocationBlocks(e)
 	if !ok {
 		// The pair is recorded at insert time, so both blocks are held;
@@ -701,9 +689,9 @@ func (g *Gossip) Convict(p *evidence.Proof) bool {
 	if !g.convicted.Add(p) {
 		return false
 	}
-	g.cfg.Metrics.AddEvidenceReceived(1)
+	g.cfg.Metrics.Add(metrics.EvidenceReceived, 1)
 	if g.cfg.Scores.Ban(p.Equivocator()) {
-		g.cfg.Metrics.AddPeersBanned(1)
+		g.cfg.Metrics.Add(metrics.PeersBanned, 1)
 	}
 	return true
 }
@@ -727,7 +715,7 @@ func (g *Gossip) acceptEvidence(p *evidence.Proof, from types.ServerID) {
 		if to == g.self || to == from || to == id || g.cfg.Scores.Banned(to) {
 			continue
 		}
-		g.cfg.Metrics.AddEvidenceRelayed(1)
+		g.cfg.Metrics.Add(metrics.EvidenceRelayed, 1)
 		g.send(to, enc)
 	}
 }
@@ -758,12 +746,12 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 		// was mutated behind our back): surface loudly.
 		return nil, fmt.Errorf("gossip: insert own block: %w", err)
 	}
-	g.cfg.Metrics.AddBlocksBuilt(1)
-	g.cfg.Metrics.AddOwnBlockRefs(int64(len(preds)))
+	g.cfg.Metrics.Add(metrics.BlocksBuilt, 1)
+	g.cfg.Metrics.Add(metrics.OwnBlockRefs, int64(len(preds)))
 	hookErr := g.noteInserted(b)
 
 	if hookErr == nil {
-		g.cfg.Metrics.AddRequestsEmbedded(int64(len(reqs)))
+		g.cfg.Metrics.Add(metrics.RequestsEmbedded, int64(len(reqs)))
 		enc := EncodeBlockMsg(b)
 		for _, id := range g.cfg.Roster.IDs() {
 			if id == g.self {
@@ -815,7 +803,7 @@ func (g *Gossip) Tick(now time.Duration) {
 				if id == g.self {
 					continue
 				}
-				g.cfg.Metrics.AddFwdRequestsSent(1)
+				g.cfg.Metrics.Add(metrics.FwdRequestsSent, 1)
 				g.send(id, enc)
 			}
 			continue
@@ -828,7 +816,7 @@ func (g *Gossip) sendFwd(to types.ServerID, ref block.Ref) {
 	if to == g.self {
 		return
 	}
-	g.cfg.Metrics.AddFwdRequestsSent(1)
+	g.cfg.Metrics.Add(metrics.FwdRequestsSent, 1)
 	g.send(to, EncodeFwdMsg(ref))
 }
 
@@ -842,6 +830,7 @@ func (g *Gossip) send(to types.ServerID, payload []byte) {
 	if g.cfg.Scores.Banned(to) {
 		return
 	}
-	g.cfg.Metrics.AddWireSend(int64(len(payload)))
+	g.cfg.Metrics.Add(metrics.WireMessages, 1)
+	g.cfg.Metrics.Add(metrics.WireBytes, int64(len(payload)))
 	g.cfg.Transport.Send(to, transport.ChanGossip, payload)
 }

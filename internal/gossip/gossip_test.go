@@ -168,7 +168,7 @@ func TestConvergenceUnderDrops(t *testing.T) {
 	}
 	var fwds int64
 	for _, n := range c.nodes {
-		fwds += n.m.Snapshot().FwdRequestsSent
+		fwds += n.m.Get(metrics.FwdRequestsSent)
 	}
 	if fwds == 0 {
 		t.Fatal("no FWD requests under 30% drop; recovery path untested")
@@ -197,7 +197,7 @@ func TestRequestsTravel(t *testing.T) {
 			t.Fatalf("server %d's DAG lacks the embedded request", i)
 		}
 	}
-	if got := c.nodes[2].m.Snapshot().RequestsEmbedded; got != 1 {
+	if got := c.nodes[2].m.Get(metrics.RequestsEmbedded); got != 1 {
 		t.Fatalf("RequestsEmbedded = %d", got)
 	}
 }
@@ -335,7 +335,7 @@ func TestBadSignatureRejected(t *testing.T) {
 	if c.nodes[0].d.Len() != 0 {
 		t.Fatal("bad-signature block entered the DAG")
 	}
-	if got := c.nodes[0].m.Snapshot().BlocksRejected; got != 1 {
+	if got := c.nodes[0].m.Get(metrics.BlocksRejected); got != 1 {
 		t.Fatalf("BlocksRejected = %d", got)
 	}
 }
@@ -399,8 +399,8 @@ func TestInvalidParentPoisonsDescendants(t *testing.T) {
 	if !n0.d.Contains(forkA.Ref()) || !n0.d.Contains(forkB.Ref()) {
 		t.Fatal("valid fork blocks were rejected")
 	}
-	if n0.g.PendingBlocks() != 0 {
-		t.Fatalf("pending buffer leaks %d blocks", n0.g.PendingBlocks())
+	if len(n0.g.pending) != 0 {
+		t.Fatalf("pending buffer leaks %d blocks", len(n0.g.pending))
 	}
 	if got := n0.d.Equivocators(); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("Equivocators = %v", got)
@@ -420,7 +420,7 @@ func TestDuplicateDeliveryCounted(t *testing.T) {
 	if c.nodes[0].d.Len() != 1 {
 		t.Fatalf("DAG has %d blocks", c.nodes[0].d.Len())
 	}
-	if got := c.nodes[0].m.Snapshot().BlocksDuplicate; got != 2 {
+	if got := c.nodes[0].m.Get(metrics.BlocksDuplicate); got != 2 {
 		t.Fatalf("BlocksDuplicate = %d", got)
 	}
 }
@@ -432,7 +432,7 @@ func TestMalformedPayloadsIgnored(t *testing.T) {
 	for _, p := range payloads {
 		c.nodes[0].g.HandleMessage(1, p)
 	}
-	if c.nodes[0].d.Len() != 0 || c.nodes[0].g.PendingBlocks() != 0 {
+	if c.nodes[0].d.Len() != 0 || len(c.nodes[0].g.pending) != 0 {
 		t.Fatal("malformed payload mutated state")
 	}
 }
@@ -542,8 +542,8 @@ func TestTickRetriesInReferenceOrder(t *testing.T) {
 			}
 			g.HandleMessage(types.ServerID(builder), EncodeBlockMsg(b))
 		}
-		if g.MissingRefs() != 5 {
-			t.Fatalf("%d references outstanding, want 5", g.MissingRefs())
+		if len(g.missing) != 5 {
+			t.Fatalf("%d references outstanding, want 5", len(g.missing))
 		}
 		log.sends = nil // the first asks follow arrival order, not the map
 		for i := 0; i < FwdFallbackAfter+2; i++ {
@@ -583,11 +583,11 @@ func TestQueueGaugesFollowTheBuffers(t *testing.T) {
 		}
 	}
 	gauges := func() [3]int64 {
-		s := n0.m.Snapshot()
-		if s.PendingBlocks != int64(n0.g.PendingBlocks()) || s.MissingRefs != int64(n0.g.MissingRefs()) {
-			t.Fatalf("gauges %d/%d, buffers %d/%d", s.PendingBlocks, s.MissingRefs, n0.g.PendingBlocks(), n0.g.MissingRefs())
+		s := metrics.Families.Snapshot(n0.m)
+		if s.Get(metrics.PendingBlocks) != int64(len(n0.g.pending)) || s.Get(metrics.MissingRefs) != int64(len(n0.g.missing)) {
+			t.Fatalf("gauges %d/%d, buffers %d/%d", s.Get(metrics.PendingBlocks), s.Get(metrics.MissingRefs), len(n0.g.pending), len(n0.g.missing))
 		}
-		return [3]int64{s.Tips, s.PendingBlocks, s.MissingRefs}
+		return [3]int64{s.Get(metrics.Tips), s.Get(metrics.PendingBlocks), s.Get(metrics.MissingRefs)}
 	}
 	n0.g.HandleMessage(1, EncodeBlockMsg(chain[2]))
 	if got := gauges(); got != [3]int64{0, 1, 1} {

@@ -202,9 +202,9 @@ func TestHandleMessagesMatchesSerial(t *testing.T) {
 	if refD.Len() != wantBlocks {
 		t.Fatalf("serial path inserted %d blocks, want %d", refD.Len(), wantBlocks)
 	}
-	refSnap := refM.Snapshot()
-	if refSnap.BlocksRejected != 3 { // tampered sig + non-member + malformed
-		t.Fatalf("serial path rejected %d blocks, want 3", refSnap.BlocksRejected)
+	refSnap := metrics.Families.Snapshot(refM)
+	if refSnap.Get(metrics.BlocksRejected) != 3 { // tampered sig + non-member + malformed
+		t.Fatalf("serial path rejected %d blocks, want 3", refSnap.Get(metrics.BlocksRejected))
 	}
 	for _, batch := range []int{len(msgs), 7, 2} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
@@ -212,12 +212,12 @@ func TestHandleMessagesMatchesSerial(t *testing.T) {
 			if d.Len() != refD.Len() || !d.Leq(refD) || !refD.Leq(d) {
 				t.Fatalf("batched DAG differs from serial: %d vs %d blocks", d.Len(), refD.Len())
 			}
-			snap := m.Snapshot()
-			if snap.BlocksRejected != refSnap.BlocksRejected {
-				t.Fatalf("rejected %d, serial path rejected %d", snap.BlocksRejected, refSnap.BlocksRejected)
+			snap := metrics.Families.Snapshot(m)
+			if snap.Get(metrics.BlocksRejected) != refSnap.Get(metrics.BlocksRejected) {
+				t.Fatalf("rejected %d, serial path rejected %d", snap.Get(metrics.BlocksRejected), refSnap.Get(metrics.BlocksRejected))
 			}
-			if snap.BlocksReceived != refSnap.BlocksReceived {
-				t.Fatalf("received %d, serial path received %d", snap.BlocksReceived, refSnap.BlocksReceived)
+			if snap.Get(metrics.BlocksReceived) != refSnap.Get(metrics.BlocksReceived) {
+				t.Fatalf("received %d, serial path received %d", snap.Get(metrics.BlocksReceived), refSnap.Get(metrics.BlocksReceived))
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/dag"
 	"blockdag/internal/dagtest"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/types"
 )
@@ -174,4 +175,113 @@ func benchRetained(b *testing.B, d *dag.DAG) (retained uint64) {
 	}
 	b.StopTimer()
 	return retained
+}
+
+// The interpretation microbenchmarks of the experiment index: E3 (Figure 4)
+// and E12 (offline interpretation), which cmd/experiments has no table for.
+
+// BenchmarkE3_Figure4Interpretation interprets the exact Figure 4 scenario
+// (16 blocks, one BRB instance) — the paper's worked example as a
+// microbenchmark.
+func BenchmarkE3_Figure4Interpretation(b *testing.B) {
+	h := dagtest.NewHarness(4)
+	h.Round(map[int][]block.Request{0: {{Label: "ℓ1", Data: []byte("42")}}})
+	for r := 0; r < 3; r++ {
+		h.Round(nil)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it := New(brb.Protocol{}, 4, 1, nil)
+		if err := it.InterpretDAG(h.DAG); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// buildOfflineDAG constructs a DAG with `rounds` all-to-all rounds and
+// labelsPerRound fresh BRB instances per round — the offline
+// interpretation corpus for E12.
+func buildOfflineDAG(rounds, labelsPerRound int) *dagtest.Harness {
+	h := dagtest.NewHarness(4)
+	label := 0
+	for r := 0; r < rounds; r++ {
+		reqs := make(map[int][]block.Request)
+		for k := 0; k < labelsPerRound; k++ {
+			srv := label % 4
+			reqs[srv] = append(reqs[srv], block.Request{
+				Label: types.Label(fmt.Sprintf("l/%d", label)),
+				Data:  []byte("v"),
+			})
+			label++
+		}
+		h.Round(reqs)
+	}
+	return h
+}
+
+// BenchmarkE12_OfflineInterpretation measures pure interpretation speed
+// over a prebuilt 160-block, 160-instance DAG: blocks/s and materialized
+// messages/s with zero network involvement.
+func BenchmarkE12_OfflineInterpretation(b *testing.B) {
+	h := buildOfflineDAG(40, 4)
+	blocks := h.DAG.Len()
+	b.ResetTimer()
+	var msgs int64
+	for i := 0; i < b.N; i++ {
+		m := &metrics.Metrics{}
+		it := New(brb.Protocol{}, 4, 1, nil, WithMetrics(m))
+		if err := it.InterpretDAG(h.DAG); err != nil {
+			b.Fatal(err)
+		}
+		msgs = m.Get(metrics.MsgsMaterialized)
+	}
+	b.ReportMetric(float64(blocks)*float64(b.N)/b.Elapsed().Seconds(), "blocks/s")
+	b.ReportMetric(float64(msgs)*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+}
+
+// buildDeepFixedLoadDAG builds a DAG `rounds` all-to-all rounds deep with
+// a fixed request load (32 BRB instances, all injected in the first eight
+// rounds): varying depth varies only DAG structure, so per-block
+// interpretation cost across the variants isolates the collection
+// machinery from protocol work.
+func buildDeepFixedLoadDAG(rounds int) *dagtest.Harness {
+	h := dagtest.NewHarness(4)
+	label := 0
+	for r := 0; r < rounds; r++ {
+		reqs := make(map[int][]block.Request)
+		if r < 8 {
+			for k := 0; k < 4; k++ {
+				reqs[label%4] = append(reqs[label%4], block.Request{
+					Label: types.Label(fmt.Sprintf("l/%d", label)),
+					Data:  []byte("v"),
+				})
+				label++
+			}
+		}
+		h.Round(reqs)
+	}
+	return h
+}
+
+// BenchmarkE12_DeepDAG extends E12 to deep DAGs (hundreds of all-to-all
+// rounds) under a fixed request load: per-block interpretation cost must
+// stay flat in DAG depth.
+func BenchmarkE12_DeepDAG(b *testing.B) {
+	for _, rounds := range []int{40, 160, 480} {
+		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
+			h := buildDeepFixedLoadDAG(rounds)
+			blocks := h.DAG.Len()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it := New(brb.Protocol{}, 4, 1, nil)
+				if err := it.InterpretDAG(h.DAG); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(blocks), "ns/block")
+			b.ReportMetric(float64(blocks)*float64(b.N)/b.Elapsed().Seconds(), "blocks/s")
+		})
+	}
 }

@@ -46,7 +46,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
@@ -72,7 +74,7 @@ type Indication struct {
 // Option configures an Interpreter.
 type Option func(*Interpreter)
 
-// WithMetrics attaches metric counters.
+// WithMetrics attaches metric counters (over metrics.Families).
 func WithMetrics(m *metrics.Metrics) Option {
 	return func(it *Interpreter) { it.metrics = m }
 }
@@ -134,9 +136,10 @@ type Interpreter struct {
 	onInd   func(Indication)
 	metrics *metrics.Metrics
 	states  map[block.Ref]*blockState
-	order   []*blockState // the blocks, as interpreted: what a replay is fed
-	chains  []chain       // by builder
-	unread  []int         // by builder: blocks of other chains its chain has not read
+	order   []*blockState  // the blocks, as interpreted: what a replay is fed
+	chains  []chain        // by builder
+	unread  []int          // by builder: blocks of other chains its chain has not read
+	lag     []atomic.Int64 // unread as of the last block interpreted, for ChainUnread
 	stats   Stats
 
 	done    map[types.Label]int      // chains that finished a label not every chain has
@@ -167,6 +170,7 @@ func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Opti
 		states:  make(map[block.Ref]*blockState),
 		chains:  make([]chain, n),
 		unread:  make([]int, n),
+		lag:     make([]atomic.Int64, n),
 		done:    make(map[types.Label]int),
 		retired: make(map[types.Label]struct{}),
 	}
@@ -225,7 +229,13 @@ func (it *Interpreter) Blocks() int { return len(it.states) }
 // Stats counts what the interpreter holds beyond a watermark and a chain
 // link per block. All but RetiredLabels follow the load while every chain
 // advances, not the history; WithMetrics publishes them as gauges.
-type Stats = metrics.InterpreterState
+type Stats struct {
+	LiveInstances int // process instances in the chain-tip tables
+	Tombstones    int // table entries of instances Done on their chain, not yet on every chain
+	RetiredLabels int // labels every chain has finished: the retired set
+	OutMessages   int // records in the out-buffers held, a broadcast being one
+	HoldingBlocks int // blocks holding an out-buffer some chain has not read
+}
 
 // Stats returns the current counts.
 func (it *Interpreter) Stats() Stats { return it.stats }
@@ -303,13 +313,55 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 		ch.held = append(ch.held, st)
 		it.stats.OutMessages += len(st.out)
 		it.stats.HoldingBlocks++
-		it.metrics.AddMsgsMaterialized(int64(protocol.Count(st.out, it.n)))
+		it.metrics.Add(metrics.MsgsMaterialized, int64(protocol.Count(st.out, it.n)))
 	}
 
 	it.states[ref] = st // line 12: I[B] := true
-	it.metrics.AddBlocksInterpreted(1)
-	it.metrics.SetInterpreterState(it.stats, it.unread)
+	it.metrics.Add(metrics.BlocksInterpreted, 1)
+	it.publish()
 	return nil
+}
+
+// publish sets the gauges: what the interpreter holds, and each chain's lag.
+func (it *Interpreter) publish() {
+	if it.metrics == nil {
+		return
+	}
+	it.metrics.Set(metrics.InstancesLive, int64(it.stats.LiveInstances))
+	it.metrics.Set(metrics.InstancesRetired, int64(it.stats.Tombstones))
+	it.metrics.Set(metrics.LabelsRetired, int64(it.stats.RetiredLabels))
+	it.metrics.Set(metrics.OutMessagesHeld, int64(it.stats.OutMessages))
+	it.metrics.Set(metrics.BlocksHolding, int64(it.stats.HoldingBlocks))
+	for c, v := range it.unread {
+		it.lag[c].Store(int64(v))
+	}
+}
+
+// Families declares the gauge the interpreter keeps outside its Metrics: a
+// sample per builder (CollectChainUnread).
+var Families metrics.Table
+
+var chainUnread = Families.Gauge("", "interpret_chain_unread_blocks", "Blocks of other chains this builder's chain, as known here, has not read: what holds out-buffers, and who is behind.")
+
+// ChainUnread returns, per builder, how many blocks of the other chains that
+// builder's chain has not read, as far as this interpreter knows: the chain
+// that is behind, and what holds the out-buffers. Published with the gauges
+// (zeros without WithMetrics); safe from any goroutine.
+func (it *Interpreter) ChainUnread() []int64 {
+	out := make([]int64, len(it.lag))
+	for c := range it.lag {
+		out[c] = it.lag[c].Load()
+	}
+	return out
+}
+
+// CollectChainUnread samples read, a ChainUnread, once per builder.
+func CollectChainUnread(read func() []int64) metrics.Collector {
+	return func(emit func(metrics.Metric)) {
+		for builder, unread := range read() {
+			emit(Families.Sample(chainUnread, float64(unread), "builder", strconv.Itoa(builder)))
+		}
+	}
 }
 
 // release drops the out-buffers every chain has read. Chain c has read the
@@ -508,7 +560,7 @@ func (it *Interpreter) advance(st *blockState, sources []*blockState, primary bo
 
 // indicate surfaces one indication.
 func (it *Interpreter) indicate(ind Indication) {
-	it.metrics.AddIndications(1)
+	it.metrics.Add(metrics.Indications, 1)
 	if it.onInd != nil {
 		it.onInd(ind)
 	}

@@ -2,6 +2,7 @@ package interpret
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -173,14 +174,14 @@ func TestMessagesNeverLeaveInterpreter(t *testing.T) {
 	if err := it.InterpretDAG(h.DAG); err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Snapshot()
-	if snap.MsgsMaterialized == 0 {
+	snap := metrics.Families.Snapshot(m)
+	if snap.Get(metrics.MsgsMaterialized) == 0 {
 		t.Fatal("no messages materialized")
 	}
-	if snap.BlocksInterpreted != int64(h.DAG.Len()) {
-		t.Fatalf("interpreted %d blocks, DAG has %d", snap.BlocksInterpreted, h.DAG.Len())
+	if snap.Get(metrics.BlocksInterpreted) != int64(h.DAG.Len()) {
+		t.Fatalf("interpreted %d blocks, DAG has %d", snap.Get(metrics.BlocksInterpreted), h.DAG.Len())
 	}
-	if snap.WireMessages != 0 || snap.WireBytes != 0 {
+	if snap.Get(metrics.WireMessages) != 0 || snap.Get(metrics.WireBytes) != 0 {
 		t.Fatal("interpretation touched the wire")
 	}
 	// What it holds on to is published as gauges: four chains delivered,
@@ -189,16 +190,62 @@ func TestMessagesNeverLeaveInterpreter(t *testing.T) {
 	// of round 3 read them, and the next block releases them.
 	st := it.Stats()
 	if st != (Stats{RetiredLabels: 1, OutMessages: 4, HoldingBlocks: 4}) ||
-		snap.InstancesLive != 0 || snap.InstancesRetired != 0 || snap.LabelsRetired != 1 ||
-		snap.OutMessagesHeld != 4 || snap.BlocksHolding != 4 {
+		snap.Get(metrics.InstancesLive) != 0 || snap.Get(metrics.InstancesRetired) != 0 || snap.Get(metrics.LabelsRetired) != 1 ||
+		snap.Get(metrics.OutMessagesHeld) != 4 || snap.Get(metrics.BlocksHolding) != 4 {
 		t.Fatalf("stats %+v, gauges %+v", st, snap)
 	}
 	// Counted with the release, as the last block (s3's of round 3) came in:
 	// the other chains, at round 3, had read all of s3's and not one
 	// another's round-3 blocks; s3's, at round 2, had rounds 2 and 3 of the
 	// three others to read.
-	if unread := m.ChainUnread(); !slices.Equal(unread, []int64{2, 2, 2, 6}) {
+	if unread := it.ChainUnread(); !slices.Equal(unread, []int64{2, 2, 2, 6}) {
 		t.Fatalf("unread per chain %v, want [2 2 2 6]", unread)
+	}
+}
+
+// TestInterpreterGauges: the gauges are stored, not added — after every
+// block they equal Stats, and they fall when the interpreter lets go — and
+// the per-builder lag is one sample per builder: zeros before a block is
+// interpreted, and always without metrics.
+func TestInterpreterGauges(t *testing.T) {
+	h := dagtest.NewHarness(4)
+	h.Round(map[int][]block.Request{0: {{Label: "ℓ1", Data: []byte("v")}}})
+	for r := 0; r < 5; r++ {
+		h.Round(nil)
+	}
+	m := &metrics.Metrics{}
+	it, plain := New(brb.Protocol{}, 4, 1, nil, WithMetrics(m)), New(brb.Protocol{}, 4, 1, nil)
+	if !slices.Equal(it.ChainUnread(), []int64{0, 0, 0, 0}) {
+		t.Fatalf("lag before any block was interpreted: %v", it.ChainUnread())
+	}
+	var peak int64
+	for _, b := range h.DAG.Blocks() {
+		if err := errors.Join(it.AddBlock(b), plain.AddBlock(b)); err != nil {
+			t.Fatal(err)
+		}
+		st := it.Stats()
+		got := Stats{
+			LiveInstances: int(m.Get(metrics.InstancesLive)), Tombstones: int(m.Get(metrics.InstancesRetired)),
+			RetiredLabels: int(m.Get(metrics.LabelsRetired)), OutMessages: int(m.Get(metrics.OutMessagesHeld)),
+			HoldingBlocks: int(m.Get(metrics.BlocksHolding)),
+		}
+		if got != st {
+			t.Fatalf("gauges %+v, stats %+v", got, st)
+		}
+		peak = max(peak, m.Get(metrics.OutMessagesHeld))
+	}
+	if held := m.Get(metrics.OutMessagesHeld); held != 0 || peak < 4 {
+		t.Fatalf("out-messages held: %d at the end, %d at the peak", held, peak)
+	}
+	var samples []string
+	CollectChainUnread(it.ChainUnread)(func(s metrics.Metric) {
+		samples = append(samples, fmt.Sprintf("%s%v=%v", s.Name, s.Labels, s.Value))
+	})
+	if len(samples) != 4 || samples[3] != "interpret_chain_unread_blocks[[builder 3]]=6" {
+		t.Fatalf("lag samples %v of %v", samples, it.ChainUnread())
+	}
+	if !slices.Equal(plain.ChainUnread(), []int64{0, 0, 0, 0}) {
+		t.Fatalf("an interpreter without metrics published %v", plain.ChainUnread())
 	}
 }
 
@@ -506,7 +553,7 @@ func TestAddBlockIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.Snapshot().BlocksInterpreted; got != 1 {
+	if got := m.Get(metrics.BlocksInterpreted); got != 1 {
 		t.Fatalf("block interpreted %d times", got)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"sync"
 
 	"blockdag/internal/block"
+	"blockdag/internal/metrics"
 	"blockdag/internal/types"
 )
 
@@ -240,6 +241,34 @@ func (p *Pool) Stats() Stats {
 	s.Depth = p.depth()
 	s.DepthBytes = p.bytes
 	return s
+}
+
+// Families declares what Collect samples from Stats.
+var Families metrics.Table
+
+var (
+	submitted  = Families.Counter("", "mempool_submitted_total", "Submission attempts, accepted or not.")
+	accepted   = Families.Counter("", "mempool_accepted_total", "Requests admitted to the queue.")
+	duplicates = Families.Counter("", "mempool_duplicates_total", "Submissions dropped as duplicates.")
+	invalid    = Families.Counter("", "mempool_invalid_total", "Submissions rejected by validation.")
+	overflow   = Families.Counter("", "mempool_overflow_total", "Submissions refused with ErrFull.")
+	drained    = Families.Counter("", "mempool_drained_total", "Requests handed to block production.")
+	requeued   = Families.Counter("", "mempool_requeued_total", "Requests returned after a withheld broadcast.")
+	depth      = Families.Gauge("", "mempool_depth", "Current queue length.")
+	peakDepth  = Families.Gauge("", "mempool_peak_depth", "Maximum queue length so far.")
+)
+
+// Collect is the pool's metrics.Collector: the admission counters and the
+// depth gauges of one Stats.
+func (p *Pool) Collect(emit func(metrics.Metric)) {
+	s := p.Stats()
+	for id, v := range map[metrics.ID]int64{
+		submitted: s.Submitted, accepted: s.Accepted, duplicates: s.Duplicates, invalid: s.Invalid,
+		overflow: s.Overflow, drained: s.Drained, requeued: s.Requeued,
+		depth: int64(s.Depth), peakDepth: int64(s.PeakDepth),
+	} {
+		emit(Families.Sample(id, float64(v)))
+	}
 }
 
 // depth is the live queue length; callers hold the lock.

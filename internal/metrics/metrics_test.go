@@ -1,46 +1,45 @@
 package metrics
 
 import (
-	"reflect"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// TestNilMetricsSafe: a nil *Metrics discards every update of every row and
+// reads as zeros.
 func TestNilMetricsSafe(t *testing.T) {
 	var m *Metrics
-	m.AddBlocksBuilt(1)
-	m.AddBlocksReceived(1)
-	m.AddBlocksInserted(1)
-	m.AddBlocksDuplicate(1)
-	m.AddBlocksRejected(1)
-	m.AddFwdRequestsSent(1)
-	m.AddFwdRequestsServed(1)
-	m.AddWireSend(10)
-	m.AddRequestsEmbedded(1)
-	m.AddMsgsMaterialized(1)
-	m.AddBlocksInterpreted(1)
-	m.AddIndications(1)
-	if m.Snapshot() != (Snapshot{}) {
-		t.Fatal("nil metrics returned nonzero snapshot")
+	for id := range Families {
+		m.Add(ID(id), 1)
+		m.Set(ID(id), 1)
+		if m.Get(ID(id)) != 0 {
+			t.Fatal("nil metrics returned a nonzero value")
+		}
+	}
+	if Families.Collector(m) != nil {
+		t.Fatal("collector over nil metrics")
+	}
+	s := Families.Snapshot(m)
+	for id := range Families {
+		if s.Get(ID(id)) != 0 {
+			t.Fatal("nil metrics returned nonzero snapshot")
+		}
 	}
 }
 
 func TestCountersAccumulate(t *testing.T) {
 	m := &Metrics{}
-	m.AddBlocksBuilt(2)
-	m.AddWireSend(100)
-	m.AddWireSend(50)
-	m.AddMsgsMaterialized(7)
-	s := m.Snapshot()
-	if s.BlocksBuilt != 2 {
-		t.Errorf("BlocksBuilt = %d", s.BlocksBuilt)
-	}
-	if s.WireMessages != 2 || s.WireBytes != 150 {
-		t.Errorf("wire = %d msgs %d bytes", s.WireMessages, s.WireBytes)
-	}
-	if s.MsgsMaterialized != 7 {
-		t.Errorf("MsgsMaterialized = %d", s.MsgsMaterialized)
+	m.Add(BlocksBuilt, 2)
+	m.Add(WireBytes, 100)
+	m.Add(WireBytes, 50)
+	m.Set(Tips, 9)
+	m.Set(Tips, 3)
+	s := Families.Snapshot(m)
+	if s.Get(BlocksBuilt) != 2 || s.Get(WireBytes) != 150 || s.Get(Tips) != 3 || s.Get(WireMessages) != 0 {
+		t.Fatalf("snapshot = %v, tips %d", s, s.Get(Tips))
 	}
 }
 
@@ -52,73 +51,146 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				m.AddWireSend(1)
-				m.AddIndications(1)
+				m.Add(WireMessages, 1)
+				m.Add(Indications, 1)
 			}
 		}()
 	}
 	wg.Wait()
-	s := m.Snapshot()
-	if s.WireMessages != 8000 || s.WireBytes != 8000 || s.Indications != 8000 {
-		t.Fatalf("lost updates: %+v", s)
+	if s := Families.Snapshot(m); s.Get(WireMessages) != 8000 || s.Get(Indications) != 8000 {
+		t.Fatalf("lost updates: %v", s)
 	}
 }
 
-func TestSnapshotString(t *testing.T) {
+// TestUpdatesDoNotAllocate: counting is free of the heap on both receivers.
+func TestUpdatesDoNotAllocate(t *testing.T) {
+	m, none := &Metrics{}, (*Metrics)(nil)
+	if n := testing.AllocsPerRun(100, func() {
+		m.Add(BlocksBuilt, 1)
+		m.Set(Tips, 4)
+		none.Add(BlocksBuilt, 1)
+		none.Set(Tips, 4)
+	}); n != 0 {
+		t.Fatalf("Add/Set allocate %v times per run", n)
+	}
+}
+
+// filled has row id at 100+10·id, prev at 3·id.
+func filled(t Table) (cur, prev Snapshot) {
+	a, b := &Metrics{}, &Metrics{}
+	for id := range t {
+		a.Set(ID(id), int64(100+10*id))
+		b.Set(ID(id), int64(3*id))
+	}
+	return t.Snapshot(a), t.Snapshot(b)
+}
+
+// TestEveryRowIsRendered walks the table, so a row added to it cannot be
+// missing from a rendering: every counter is in String and in Delta, no
+// gauge is in Delta (a level has no rate), every keyed row is in the JSON,
+// and every row is one sample of the scrape. At PR 24 it fails twice: Delta
+// subtracted the eight gauges and String did not know OwnBlockRefs.
+func TestEveryRowIsRendered(t *testing.T) {
+	cur, prev := filled(Families)
+	str, delta := cur.String(), cur.Delta(prev)
+	raw, err := json.Marshal(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]int64
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
 	m := &Metrics{}
-	m.AddBlocksBuilt(3)
-	out := m.Snapshot().String()
-	if !strings.Contains(out, "built=3") {
-		t.Fatalf("String() = %q", out)
+	var scrape strings.Builder
+	reg := NewRegistry()
+	reg.Register(Families.Collector(m))
+	if _, err := reg.WriteTo(&scrape); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestSnapshotDelta uses reflection so a new counter added to Snapshot
-// without a matching line in Delta fails here instead of silently
-// reporting a zero rate.
-func TestSnapshotDelta(t *testing.T) {
-	var cur, prev Snapshot
-	cv := reflect.ValueOf(&cur).Elem()
-	pv := reflect.ValueOf(&prev).Elem()
-	for i := 0; i < cv.NumField(); i++ {
-		cv.Field(i).SetInt(int64(100 + 10*i))
-		pv.Field(i).SetInt(int64(3 * i))
-	}
-	d := cur.Delta(prev)
-	dv := reflect.ValueOf(d)
-	for i := 0; i < dv.NumField(); i++ {
-		want := int64(100+10*i) - int64(3*i)
-		if got := dv.Field(i).Int(); got != want {
-			t.Fatalf("Delta field %s = %d, want %d",
-				dv.Type().Field(i).Name, got, want)
+	counters := 0
+	for id, f := range Families {
+		want := int64(100 + 10*id)
+		if got, ok := doc[f.Key]; !ok || got != want {
+			t.Errorf("JSON %s = %d (present %v), want %d", f.Key, got, ok, want)
 		}
+		if !strings.Contains(scrape.String(), "# TYPE "+f.Name+" "+string(f.Kind)+"\n"+f.Name+" 0\n") {
+			t.Errorf("scrape lacks %s %s", f.Kind, f.Name)
+		}
+		d, inDelta := delta[f.Key]
+		if f.Kind == Gauge {
+			if inDelta {
+				t.Errorf("Delta lists gauge %s", f.Key)
+			}
+			continue
+		}
+		counters++
+		if !inDelta || d != want-int64(3*id) {
+			t.Errorf("Delta %s = %d (present %v), want %d", f.Key, d, inDelta, want-int64(3*id))
+		}
+		if !strings.Contains(" "+str+" ", fmt.Sprintf(" %s=%d ", f.Key, want)) {
+			t.Errorf("String lacks counter %s: %q", f.Key, str)
+		}
+	}
+	if len(doc) != len(Families) || len(delta) != counters {
+		t.Fatalf("JSON has %d keys for %d rows, Delta %d for %d counters", len(doc), len(Families), len(delta), counters)
 	}
 }
 
 func TestSnapshotDeltaZero(t *testing.T) {
 	m := &Metrics{}
-	m.AddBlocksBuilt(7)
-	s := m.Snapshot()
-	if d := s.Delta(s); d != (Snapshot{}) {
-		t.Fatalf("self-delta not zero: %+v", d)
+	m.Add(BlocksBuilt, 7)
+	s := Families.Snapshot(m)
+	for key, d := range s.Delta(s) {
+		if d != 0 {
+			t.Fatalf("self-delta of %s = %d", key, d)
+		}
+	}
+	// A first poll's window is measured from the zero Snapshot.
+	if d := s.Delta(Snapshot{}); d["BlocksBuilt"] != 7 {
+		t.Fatalf("delta from nothing = %v", d)
 	}
 }
 
-// TestInterpreterGauges: SetInterpreterState stores, it does not add — the
-// gauges fall when the interpreter lets go — and the per-builder gauge is
-// sized by the first call.
-func TestInterpreterGauges(t *testing.T) {
-	m := &Metrics{}
-	if m.ChainUnread() != nil || (*Metrics)(nil).ChainUnread() != nil {
-		t.Fatal("unread gauges before any block was interpreted")
+// TestTableDeclaration: rows get consecutive IDs, With shares its family's
+// metadata, and Sample adds the caller's labels after the fixed ones
+// without touching the row.
+func TestTableDeclaration(t *testing.T) {
+	var tab Table
+	a := tab.Counter("a", "x_total", "X.")
+	b := tab.Counter("b2", "y_total", "Y by class.", "class", "2xx")
+	c := tab.With(b, "b4", "4xx")
+	d := tab.Gauge("", "z", "Z.")
+	if a != 0 || b != 1 || c != 2 || d != 3 || len(tab) != 4 {
+		t.Fatalf("ids %d %d %d %d over %d rows", a, b, c, d, len(tab))
 	}
-	m.SetInterpreterState(InterpreterState{LiveInstances: 5, Tombstones: 3, OutMessages: 40, HoldingBlocks: 9}, []int{0, 7, 2, 1})
-	m.SetInterpreterState(InterpreterState{RetiredLabels: 2, OutMessages: 4, HoldingBlocks: 1}, []int{1, 0, 0, 1})
-	s := m.Snapshot()
-	if s.InstancesLive != 0 || s.InstancesRetired != 0 || s.LabelsRetired != 2 || s.OutMessagesHeld != 4 || s.BlocksHolding != 1 {
-		t.Fatalf("gauges after the second publish: %+v", s)
+	if f := tab[c]; f.Name != "y_total" || f.Help != "Y by class." || f.Kind != Counter || f.Key != "b4" ||
+		len(f.Labels) != 1 || f.Labels[0] != [2]string{"class", "4xx"} || tab[b].Labels[0][1] != "2xx" {
+		t.Fatalf("With row = %+v after %+v", f, tab[b])
 	}
-	if got := m.ChainUnread(); !reflect.DeepEqual(got, []int64{1, 0, 0, 1}) {
-		t.Fatalf("ChainUnread = %v", got)
+	s := tab.Sample(b, 2, "peer", "7")
+	if len(s.Labels) != 2 || s.Labels[0] != [2]string{"class", "2xx"} || s.Labels[1] != [2]string{"peer", "7"} || len(tab[b].Labels) != 1 {
+		t.Fatalf("sample labels %v, row labels %v", s.Labels, tab[b].Labels)
+	}
+	if s := tab.Sample(d, 1.5); s.Kind != Gauge || s.Value != 1.5 || s.Labels != nil {
+		t.Fatalf("sample = %+v", s)
+	}
+}
+
+// TestFamilyNamesUnique: within the core table no Prometheus name and no
+// status key is declared twice (With rows aside, which it has none of).
+func TestFamilyNamesUnique(t *testing.T) {
+	names, keys := map[string]bool{}, map[string]bool{}
+	for _, f := range Families {
+		if names[f.Name] || keys[f.Key] || f.Name == "" || f.Key == "" || f.Help == "" {
+			t.Fatalf("row %+v repeats a name or a key, or lacks one", f)
+		}
+		names[f.Name], keys[f.Key] = true, true
+		if (f.Kind == Counter) != strings.HasSuffix(f.Name, "_total") {
+			t.Fatalf("%s is a %s", f.Name, f.Kind)
+		}
+	}
+	if len(Families) > maxFamilies {
+		t.Fatalf("%d rows over %d slots", len(Families), maxFamilies)
 	}
 }

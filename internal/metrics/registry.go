@@ -1,40 +1,28 @@
-package gateway
+package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
 
-// MetricType distinguishes the two Prometheus families the registry
-// renders.
-type MetricType string
-
-const (
-	// Counter is a monotonically increasing total.
-	Counter MetricType = "counter"
-	// Gauge is a point-in-time level.
-	Gauge MetricType = "gauge"
-)
-
-// Metric is one sample a collector emits: a family name (Prometheus
-// conventions: snake_case, counters end in _total), optional label pairs,
-// and the current value. Help and Type describe the family; the first
-// collector to emit a family wins on metadata.
+// Metric is one sample a collector emits: a family name, label pairs and
+// the current value. Help and Kind describe the family; a family's first
+// sample in label order speaks for it. Table.Sample builds one from a row.
 type Metric struct {
 	Name   string
 	Help   string
-	Type   MetricType
+	Kind   Kind
 	Labels [][2]string
 	Value  float64
 }
 
 // Collector contributes the current samples of one subsystem to a scrape.
 // Collectors run on the scrape handler's goroutine and must only read
-// concurrency-safe state (atomic counters, mutex-guarded snapshots) —
-// every constructor in this package does.
+// concurrency-safe state (a Metrics, a mutex-guarded snapshot).
 type Collector func(emit func(Metric))
 
 // Registry is the observability plane's fold point: each subsystem plugs
@@ -63,17 +51,14 @@ func (r *Registry) Register(c Collector) {
 // name, names sorted, samples within a family in label order.
 func (r *Registry) Gather() []Metric {
 	r.mu.Lock()
-	collectors := append([]Collector(nil), r.collectors...)
+	collectors := slices.Clone(r.collectors)
 	r.mu.Unlock()
 	var all []Metric
 	for _, c := range collectors {
 		c(func(m Metric) { all = append(all, m) })
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Name != all[j].Name {
-			return all[i].Name < all[j].Name
-		}
-		return labelKey(all[i].Labels) < labelKey(all[j].Labels)
+	slices.SortStableFunc(all, func(a, b Metric) int {
+		return cmp.Or(cmp.Compare(a.Name, b.Name), cmp.Compare(labelKey(a.Labels), labelKey(b.Labels)))
 	})
 	return all
 }
@@ -82,32 +67,13 @@ func (r *Registry) Gather() []Metric {
 // format (version 0.0.4): one # HELP and # TYPE line per family, then its
 // samples. It implements io.WriterTo.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	samples := r.Gather()
-	// Family metadata may sit on any one sample of the family (collectors
-	// often spell Help out once); take the first non-empty.
-	help := make(map[string]string)
-	typ := make(map[string]MetricType)
-	for _, m := range samples {
-		if m.Help != "" && help[m.Name] == "" {
-			help[m.Name] = m.Help
-		}
-		if m.Type != "" && typ[m.Name] == "" {
-			typ[m.Name] = m.Type
-		}
-	}
 	var b strings.Builder
 	lastFamily := ""
-	for _, m := range samples {
+	for _, m := range r.Gather() {
 		if m.Name != lastFamily {
 			lastFamily = m.Name
-			if h := help[m.Name]; h != "" {
-				fmt.Fprintf(&b, "# HELP %s %s\n", m.Name, escapeHelp(h))
-			}
-			ft := typ[m.Name]
-			if ft == "" {
-				ft = Gauge
-			}
-			fmt.Fprintf(&b, "# TYPE %s %s\n", m.Name, ft)
+			help := strings.ReplaceAll(strings.ReplaceAll(m.Help, `\`, `\\`), "\n", `\n`)
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.Name, help, m.Name, m.Kind)
 		}
 		b.WriteString(m.Name)
 		if len(m.Labels) > 0 {
@@ -130,16 +96,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 func labelKey(labels [][2]string) string {
 	var b strings.Builder
 	for _, kv := range labels {
-		b.WriteString(kv[0])
-		b.WriteByte('=')
-		b.WriteString(kv[1])
-		b.WriteByte(';')
+		b.WriteString(kv[0] + "=" + kv[1] + ";")
 	}
 	return b.String()
-}
-
-// escapeHelp escapes backslashes and newlines per the exposition format.
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
 }

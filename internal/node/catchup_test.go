@@ -74,7 +74,7 @@ func TestNodeAutomaticCheckpointing(t *testing.T) {
 	if err := nd.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if built := m.Snapshot().BlocksBuilt; built != blocks {
+	if built := m.Get(metrics.BlocksBuilt); built != blocks {
 		t.Fatalf("built %d blocks, want %d", built, blocks)
 	}
 	entries, err := os.ReadDir(dir)

@@ -378,7 +378,7 @@ func TestRestartVerifiesEachBlockOnce(t *testing.T) {
 	if got := r.nd.Server().DAG().Len(); got != len(set) {
 		t.Fatalf("restart replayed %d blocks, want %d", got, len(set))
 	}
-	if got := sigs.Verified(); got != int64(len(set)) {
+	if got := sigs.Get(crypto.Verified); got != int64(len(set)) {
 		t.Fatalf("store.Open + node.New verified %d signatures over a %d-block journal, want one each", got, len(set))
 	}
 }

@@ -54,7 +54,7 @@ func runDurableNode(t *testing.T, dir string, roster *crypto.Roster, signer *cry
 	// Metrics counters are atomic, so polling them does not race with
 	// the loop goroutine.
 	deadline := time.Now().Add(10 * time.Second)
-	for m.Snapshot().BlocksBuilt < 3 {
+	for m.Get(metrics.BlocksBuilt) < 3 {
 		if time.Now().After(deadline) {
 			t.Fatal("node disseminated no blocks")
 		}

@@ -18,9 +18,11 @@ package peerscore
 import (
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
+	"blockdag/internal/metrics"
 	"blockdag/internal/types"
 )
 
@@ -322,4 +324,29 @@ func (s *Scorer) Snapshot() []PeerStat {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
+}
+
+// Families declares what Collect samples from Snapshot, per peer.
+var Families metrics.Table
+
+var (
+	score   = Families.Gauge("", "peerscore_score", "Decaying misbehaviour score per peer.")
+	banned  = Families.Gauge("", "peerscore_banned", "1 when the peer is terminally banned.")
+	signals = Families.Counter("", "peerscore_signals_total", "Misbehaviour signals recorded per peer and kind.")
+)
+
+// Collect is the scorer's metrics.Collector: every known peer's standing.
+func (s *Scorer) Collect(emit func(metrics.Metric)) {
+	for _, ps := range s.Snapshot() {
+		peer := strconv.Itoa(int(ps.Peer))
+		emit(Families.Sample(score, ps.Score, "peer", peer))
+		isBanned := 0.0
+		if ps.Banned {
+			isBanned = 1
+		}
+		emit(Families.Sample(banned, isBanned, "peer", peer))
+		for sig, n := range ps.Signals {
+			emit(Families.Sample(signals, float64(n), "peer", peer, "signal", sig))
+		}
+	}
 }

@@ -213,14 +213,14 @@ func TestAuthProvesAndVerifies(t *testing.T) {
 	if !id1.Auth().Member(3) || id1.Auth().Member(4) {
 		t.Fatal("membership check wrong")
 	}
-	if counters.Signed() != 0 || counters.Verified() != 0 {
+	if counters.Get(crypto.Signed) != 0 || counters.Get(crypto.Verified) != 0 {
 		t.Fatalf("handshake ops leaked into protocol counters: %d/%d",
-			counters.Signed(), counters.Verified())
+			counters.Get(crypto.Signed), counters.Get(crypto.Verified))
 	}
 	// The counted signer still counts.
 	id0.Signer.Sign([]byte("block"))
-	if counters.Signed() != 1 {
-		t.Fatalf("Signed = %d, want 1", counters.Signed())
+	if counters.Get(crypto.Signed) != 1 {
+		t.Fatalf("Signed = %d, want 1", counters.Get(crypto.Signed))
 	}
 }
 

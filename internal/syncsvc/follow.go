@@ -133,7 +133,8 @@ func (q *WatermarkQuery) Result() ([]Watermark, error) {
 // guarantees per-builder sequence numbers arrive contiguously from 0 —
 // so one next-seq counter per builder suffices; a repeated or
 // out-of-order sequence number marks the builder forked (equivocation),
-// which drops it from the vector exactly as Watermarks would.
+// which drops it from the vector. Watermarks is this rule folded over a
+// block list.
 type WatermarkTracker struct {
 	mu     sync.Mutex
 	chains map[types.ServerID]*trackedChain

@@ -87,8 +87,8 @@ func TestServerInFlightCap(t *testing.T) {
 	if err := over.closeErr(); !errors.Is(err, syncsvc.ErrThrottled) {
 		t.Fatalf("overflow stream closed with %v, want ErrThrottled", err)
 	}
-	if d := srv.DropCounts(); d.InFlight != 1 {
-		t.Fatalf("InFlight drops = %d, want 1", d.InFlight)
+	if d := srv.Counts().Get(syncsvc.DropInFlight); d != 1 {
+		t.Fatalf("InFlight drops = %d, want 1", d)
 	}
 	// A different peer is not affected by peer 1's slots.
 	other := newRecStream()
@@ -135,8 +135,8 @@ func TestServerTokenBucket(t *testing.T) {
 	if err := serve(); !errors.Is(err, syncsvc.ErrThrottled) {
 		t.Fatalf("drained bucket served anyway: %v", err)
 	}
-	if d := srv.DropCounts(); d.Rate != 1 {
-		t.Fatalf("Rate drops = %d, want 1", d.Rate)
+	if d := srv.Counts().Get(syncsvc.DropRate); d != 1 {
+		t.Fatalf("Rate drops = %d, want 1", d)
 	}
 	// One refill period later, exactly one more request passes.
 	now += time.Second
@@ -156,8 +156,8 @@ func TestServerTokenBucket(t *testing.T) {
 	if err := serve(); !errors.Is(err, syncsvc.ErrThrottled) {
 		t.Fatalf("idle time overfilled the bucket: %v", err)
 	}
-	if d := srv.DropCounts(); d.Rate != 3 {
-		t.Fatalf("Rate drops = %d, want 3", d.Rate)
+	if d := srv.Counts().Get(syncsvc.DropRate); d != 3 {
+		t.Fatalf("Rate drops = %d, want 3", d)
 	}
 }
 

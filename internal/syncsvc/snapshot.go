@@ -370,20 +370,6 @@ func (p *SnapChunkPull) Result() ([][]byte, error) {
 // retry resumes from the builder's position.
 const chunkAttemptsPerPeer = 2
 
-// SnapshotFetchConfig parameterizes the blocking snapshot-join helper.
-type SnapshotFetchConfig struct {
-	// Transport issues the calls. Required.
-	Transport transport.Transport
-	// Roster validates commit signatures and sizes the certificate
-	// threshold (f+1 distinct signers). Required.
-	Roster *crypto.Roster
-	// Peers to query. Required; a certificate needs at least f+1 of them
-	// to answer with the same (slot, root).
-	Peers []types.ServerID
-	// Timeout bounds one call (default 30s).
-	Timeout time.Duration
-}
-
 // FetchedSnapshot is a verified, certified snapshot ready to install:
 // store.InstallSnapshot journals Horizon/Base/Chunks, the DAG seeds
 // from Base, and the state machine installs Tree at Commit.
@@ -413,7 +399,7 @@ type FetchedSnapshot struct {
 // signers, then stream and verify the chunks from the certified peers
 // (resuming within a peer, restarting the builder across peers). A nil
 // error guarantees Tree's root equals the certified Commit.Root.
-func FetchSnapshot(cfg SnapshotFetchConfig) (*FetchedSnapshot, error) {
+func FetchSnapshot(cfg FetchConfig) (*FetchedSnapshot, error) {
 	switch {
 	case cfg.Transport == nil:
 		return nil, errors.New("syncsvc: snapshot fetch needs a Transport")

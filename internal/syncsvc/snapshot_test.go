@@ -425,7 +425,7 @@ func TestFetchSnapshotOverTCP(t *testing.T) {
 		}
 	}
 
-	got, err := syncsvc.FetchSnapshot(syncsvc.SnapshotFetchConfig{
+	got, err := syncsvc.FetchSnapshot(syncsvc.FetchConfig{
 		Transport: client,
 		Roster:    roster,
 		Peers:     []types.ServerID{0, 1, 2},
@@ -495,7 +495,7 @@ func TestFetchSnapshotNoQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ferr := syncsvc.FetchSnapshot(syncsvc.SnapshotFetchConfig{
+	_, ferr := syncsvc.FetchSnapshot(syncsvc.FetchConfig{
 		Transport: client,
 		Roster:    roster,
 		Peers:     []types.ServerID{0},

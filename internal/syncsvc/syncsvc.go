@@ -57,6 +57,7 @@
 package syncsvc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -67,6 +68,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/metrics"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/store"
 	"blockdag/internal/transport"
@@ -180,50 +182,27 @@ func DecodeRequest(data []byte) ([]Watermark, error) {
 // unbroken chain from 0, and is omitted (ask for everything) when the
 // builder is absent, forked, or gappy — watermarks are a bandwidth
 // optimization, and only an exact chain prefix can be skipped safely. The
-// vector is sorted by builder, so equal block sets encode identically.
-// This is the scan a Server without a live source answers probes with; a
-// node keeps its own vector incrementally (WatermarkTracker).
+// vector is sorted by builder, so equal block sets encode identically, and
+// non-nil even when empty: "I hold nothing skippable" is a real answer,
+// distinct from a nil "no source". This is the scan a Server without a live
+// source answers probes with: the list, each block once and each chain in
+// sequence order, fed to the WatermarkTracker a node keeps incrementally —
+// the rule is the tracker's.
 func Watermarks(blocks []*block.Block) []Watermark {
-	type chain struct {
-		count  int
-		maxSeq uint64
-		forked bool
-	}
-	chains := make(map[types.ServerID]*chain)
-	slots := make(map[[2]uint64]struct{})
 	seen := make(map[block.Ref]struct{}, len(blocks))
+	chains := make([]*block.Block, 0, len(blocks))
 	for _, b := range blocks {
-		if _, dup := seen[b.Ref()]; dup {
-			continue
-		}
-		seen[b.Ref()] = struct{}{}
-		c := chains[b.Builder]
-		if c == nil {
-			c = &chain{}
-			chains[b.Builder] = c
-		}
-		slot := [2]uint64{uint64(b.Builder), b.Seq}
-		if _, dup := slots[slot]; dup {
-			c.forked = true
-		}
-		slots[slot] = struct{}{}
-		c.count++
-		if b.Seq > c.maxSeq {
-			c.maxSeq = b.Seq
+		if _, dup := seen[b.Ref()]; !dup {
+			seen[b.Ref()] = struct{}{}
+			chains = append(chains, b)
 		}
 	}
-	// Non-nil even when empty: an empty vector is a real answer ("I
-	// hold nothing skippable"), distinct from a nil "no source".
-	wms := make([]Watermark, 0, len(chains))
-	for builder, c := range chains {
-		if !c.forked && uint64(c.count) == c.maxSeq+1 {
-			wms = append(wms, Watermark{Builder: builder, NextSeq: c.maxSeq + 1})
-		}
+	slices.SortStableFunc(chains, func(a, b *block.Block) int { return cmp.Compare(a.Seq, b.Seq) })
+	t := NewWatermarkTracker()
+	for _, b := range chains {
+		t.Observe(b)
 	}
-	slices.SortFunc(wms, func(a, b Watermark) int {
-		return int(a.Builder) - int(b.Builder)
-	})
-	return wms
+	return t.Snapshot()
 }
 
 // EncodeBatchFrame renders one stream frame carrying a batch of blocks —
@@ -276,14 +255,15 @@ const DefaultMaxInFlightPerPeer = 2
 // switch peers — the block data itself is unaffected.
 var ErrThrottled = errors.New("syncsvc: request throttled")
 
-// Drops counts requests refused by the admission policy, per cause.
-type Drops struct {
-	// InFlight is the number of requests refused because the peer
-	// already had MaxInFlightPerPeer streams being served.
-	InFlight int64
-	// Rate is the number of requests refused by the token bucket.
-	Rate int64
-}
+// Families declares what a Server counts (Server.Counts): the requests the
+// admission policy refused, per cause — the peer already had
+// MaxInFlightPerPeer streams being served, or its token bucket was empty.
+var Families metrics.Table
+
+var (
+	DropInFlight = Families.Counter("", "syncsvc_drops_total", "Sync-channel requests refused by admission control.", "cause", "inflight")
+	DropRate     = Families.With(DropInFlight, "", "rate")
+)
 
 // Server serves the sync channel's calls — delta (catch-up) streams and
 // watermark-exchange queries — on transport.ChanSync. It is safe for
@@ -296,7 +276,7 @@ type Drops struct {
 // that: a per-peer in-flight cap (always on) and an optional per-peer
 // token bucket (Every/Burst) refuse excess requests with ErrThrottled
 // before any disk is touched; refusals are tallied per cause in
-// DropCounts. Watermark queries pass the same gate, so the cheap call
+// Counts. Watermark queries pass the same gate, so the cheap call
 // cannot be used to sidestep the throttle on the expensive one.
 type Server struct {
 	// Store is the durable store to stream (its directory is re-scanned
@@ -350,7 +330,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	peers    map[types.ServerID]*peerState
-	drops    Drops
+	drops    metrics.Metrics // over Families
 	clockRef func() time.Duration
 }
 
@@ -363,11 +343,13 @@ type peerState struct {
 
 var _ transport.Handler = (*Server)(nil)
 
-// DropCounts returns how many requests the admission policy refused.
-func (s *Server) DropCounts() Drops {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drops
+// Counts returns the server's counters, read over Families (nil for a nil
+// server: a node without a store serves no sync channel).
+func (s *Server) Counts() *metrics.Metrics {
+	if s == nil {
+		return nil
+	}
+	return &s.drops
 }
 
 // now reads the configured clock, defaulting to a wall clock anchored at
@@ -405,7 +387,7 @@ func (s *Server) admit(from types.ServerID) bool {
 		maxInFlight = DefaultMaxInFlightPerPeer
 	}
 	if maxInFlight > 0 && p.inFlight >= maxInFlight {
-		s.drops.InFlight++
+		s.drops.Add(DropInFlight, 1)
 		return false
 	}
 	if s.Every > 0 {
@@ -416,7 +398,7 @@ func (s *Server) admit(from types.ServerID) bool {
 			p.tokens = burst
 		}
 		if p.tokens < 1 {
-			s.drops.Rate++
+			s.drops.Add(DropRate, 1)
 			return false
 		}
 		p.tokens--
@@ -798,17 +780,20 @@ func (p *Pull) Result() ([]*block.Block, error) {
 	return p.got, p.err
 }
 
-// FetchConfig says whom a node pulls from and how: node.Config.CatchUp.
+// FetchConfig says whom a node pulls from and how: node.Config.CatchUp, and
+// what FetchSnapshot takes.
 type FetchConfig struct {
 	// Transport issues the calls. Required.
 	Transport transport.Transport
-	// Roster checks every streamed block's builder and signature
-	// (default: the node's server's roster).
+	// Roster checks every streamed block's builder and signature (default:
+	// the node's server's roster). FetchSnapshot requires it: it validates
+	// commit signatures and sizes the certificate threshold (f+1 signers).
 	Roster *crypto.Roster
 	// Peers are the serving peers: startup catch-up tries them in order
-	// until one stream ends clean, the live follower rotates over them.
-	// Required, at least one.
+	// until one stream ends clean, the live follower rotates over them, and
+	// a snapshot certificate needs f+1 of them to answer with the same
+	// (slot, root). Required, at least one.
 	Peers []types.ServerID
-	// Timeout bounds one startup attempt (default 30s).
+	// Timeout bounds one startup attempt, or one snapshot call (default 30s).
 	Timeout time.Duration
 }

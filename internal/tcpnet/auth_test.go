@@ -112,9 +112,9 @@ func TestAuthHandshakeAccepts(t *testing.T) {
 	if res.err != nil || len(res.frames) != 3 {
 		t.Fatalf("call: err=%v frames=%q", res.err, res.frames)
 	}
-	if tb.Rejections() != 0 || tb.AuthRejections() != 0 || ta.AuthFailures() != 0 {
+	if tb.Counts().Get(Rejections) != 0 || tb.Counts().Get(AuthRejections) != 0 || ta.Counts().Get(AuthFailures) != 0 {
 		t.Fatalf("healthy handshakes counted: rej=%d auth=%d fail=%d",
-			tb.Rejections(), tb.AuthRejections(), ta.AuthFailures())
+			tb.Counts().Get(Rejections), tb.Counts().Get(AuthRejections), ta.Counts().Get(AuthFailures))
 	}
 }
 
@@ -143,11 +143,11 @@ func TestAuthWrongKeyRejected(t *testing.T) {
 	}
 
 	evil.Send(1, transport.ChanGossip, []byte("forged"))
-	waitFor(t, 5*time.Second, func() bool { return tb.AuthRejections() >= 1 })
+	waitFor(t, 5*time.Second, func() bool { return tb.Counts().Get(AuthRejections) >= 1 })
 	if sb.count() != 0 {
 		t.Fatalf("forged payload delivered: %d", sb.count())
 	}
-	if tb.Rejections() < tb.AuthRejections() {
+	if tb.Counts().Get(Rejections) < tb.Counts().Get(AuthRejections) {
 		t.Fatal("auth rejections not counted alongside Rejections")
 	}
 
@@ -180,7 +180,7 @@ func TestAuthNonRosterRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	outside.Send(1, transport.ChanGossip, []byte("outsider"))
-	waitFor(t, 5*time.Second, func() bool { return tb.AuthRejections() >= 1 })
+	waitFor(t, 5*time.Second, func() bool { return tb.Counts().Get(AuthRejections) >= 1 })
 	if sb.count() != 0 {
 		t.Fatalf("non-roster payload delivered: %d", sb.count())
 	}
@@ -208,7 +208,7 @@ func TestAuthUnauthenticatedPeerRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain.Send(1, transport.ChanGossip, []byte("unproven"))
-	waitFor(t, 5*time.Second, func() bool { return tb.AuthRejections() >= 1 })
+	waitFor(t, 5*time.Second, func() bool { return tb.Counts().Get(AuthRejections) >= 1 })
 	if sb.count() != 0 {
 		t.Fatalf("unauthenticated payload delivered: %d", sb.count())
 	}
@@ -256,7 +256,7 @@ func TestAuthImpostorListenerRejected(t *testing.T) {
 	}
 
 	honest.Send(1, transport.ChanGossip, []byte("secret"))
-	waitFor(t, 5*time.Second, func() bool { return honest.AuthFailures() >= 1 })
+	waitFor(t, 5*time.Second, func() bool { return honest.Counts().Get(AuthFailures) >= 1 })
 
 	cs := newCallSink()
 	honest.Call(1, transport.ChanSync, []byte("req"), cs)
@@ -347,14 +347,14 @@ func TestAuthStaleNonceRejected(t *testing.T) {
 	if !ok {
 		t.Fatal("genuine handshake rejected")
 	}
-	before := tb.AuthRejections()
+	before := tb.Counts().Get(AuthRejections)
 	// The same identity re-proving over the PREVIOUS connection's nonce
 	// — a recorded handshake replayed verbatim — must be refused: the
 	// listener issued a fresh nonce this time.
 	if _, ok := handshake(staleNonce); ok {
 		t.Fatal("stale-nonce proof accepted — handshake is replayable")
 	}
-	if tb.AuthRejections() <= before {
+	if tb.Counts().Get(AuthRejections) <= before {
 		t.Fatal("stale-nonce rejection not counted")
 	}
 }
@@ -388,10 +388,10 @@ func TestAuthVersionMismatchBeforeAuth(t *testing.T) {
 	if !errors.Is(res.err, transport.ErrVersionMismatch) {
 		t.Fatalf("call error = %v, want ErrVersionMismatch (before auth)", res.err)
 	}
-	if tb.Rejections() < 1 {
+	if tb.Counts().Get(Rejections) < 1 {
 		t.Fatal("version mismatch not counted")
 	}
-	if tb.AuthRejections() != 0 {
+	if tb.Counts().Get(AuthRejections) != 0 {
 		t.Fatal("version mismatch reached the authentication stage")
 	}
 }
@@ -439,7 +439,7 @@ func TestAuthOversizedHelloRefusedOnHeader(t *testing.T) {
 	if _, err := conn.Write([]byte{0x01, 0x00, 0x00, 0x00}); err != nil { // 16 MiB = wire.MaxFrame
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return tb.Rejections() == 1 })
+	waitFor(t, 2*time.Second, func() bool { return tb.Counts().Get(Rejections) == 1 })
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("listener kept the connection open waiting for the payload (read err %v)", err)
@@ -547,7 +547,7 @@ func TestAuthForgedHelloChargesNobody(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		forge()
 	}
-	waitFor(t, 5*time.Second, func() bool { return victim.AuthRejections() == 100 })
+	waitFor(t, 5*time.Second, func() bool { return victim.Counts().Get(AuthRejections) == 100 })
 	if got := scores.Score(framed); got != 0 {
 		t.Fatalf("100 forged hellos claiming s%d raised its score to %v", framed, got)
 	}
@@ -571,7 +571,7 @@ func TestAuthForgedHelloChargesNobody(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim.Send(framed, transport.ChanGossip, []byte("secret"))
-	waitFor(t, 5*time.Second, func() bool { return victim.AuthFailures() >= 1 && scores.Score(framed) > 0 })
+	waitFor(t, 5*time.Second, func() bool { return victim.Counts().Get(AuthFailures) >= 1 && scores.Score(framed) > 0 })
 }
 
 // TestAuthUnansweredHandshakeChargesNobody: an outbound handshake fails as
@@ -626,7 +626,7 @@ func TestAuthUnansweredHandshakeChargesNobody(t *testing.T) {
 				t.Fatalf("call error = %v, want ErrAuthFailed", res.err)
 			}
 			dialer.Send(1, transport.ChanGossip, []byte("hello"))
-			waitFor(t, 5*time.Second, func() bool { return dialer.AuthFailures() >= 3 })
+			waitFor(t, 5*time.Second, func() bool { return dialer.Counts().Get(AuthFailures) >= 3 })
 			if got := scores.Score(1); got != 0 {
 				t.Fatalf("a listener that %s raised s1's score to %v", name, got)
 			}

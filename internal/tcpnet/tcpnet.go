@@ -47,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"blockdag/internal/metrics"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
@@ -143,13 +144,31 @@ type Transport struct {
 	conns []net.Conn // accepted connections, closed on shutdown
 	peers map[types.ServerID]*peer
 
-	rejects     int64 // handshake rejections (version mismatch, bad frame, auth)
-	authRejects int64 // the subset of rejects where peer authentication failed
-	banRejects  int64 // connections and payloads refused because the peer is banned
-	authFails   int64 // outbound handshakes where the listener failed to prove itself
-	callsOpened int64 // Call invocations issued toward peers
-	callsServed int64 // inbound calls dispatched to a handler
+	counts metrics.Metrics // over Families
 }
+
+// Families declares what a Transport counts (Transport.Counts).
+var Families metrics.Table
+
+var (
+	// Inbound connections refused at the handshake: version mismatch,
+	// malformed identification frame, or failed authentication.
+	Rejections = Families.Counter("", "tcpnet_rejections_total", "Inbound connections rejected before payload parse (all causes).")
+	// The subset where the peer failed the challenge–response: an unproven
+	// claimed identity, a non-roster member, a stale or malformed proof, or
+	// no attempt at authentication at all.
+	AuthRejections = Families.Counter("", "tcpnet_auth_rejections_total", "Inbound connections rejected by the challenge-response handshake.")
+	// Outbound sends and calls toward a peer the configured scorer has
+	// banned, plus inbound connections identified as one.
+	BanRejections = Families.Counter("", "tcpnet_ban_rejections_total", "Connections refused because the proven peer is banned.")
+	// The dialer-side mirror of AuthRejections: the listener could not prove
+	// the identity we dialed (an impostor squatting on a member's address).
+	AuthFailures = Families.Counter("", "tcpnet_auth_failures_total", "Outbound handshakes that failed against a peer.")
+	// Watermark polls, delta pulls, bulk catch-up — successful or not — and
+	// the inbound calls dispatched to a channel handler.
+	CallsOpened = Families.Counter("", "tcpnet_calls_opened_total", "Request/response calls opened to peers.")
+	CallsServed = Families.Counter("", "tcpnet_calls_served_total", "Request/response calls served for peers.")
+)
 
 var _ transport.Transport = (*Transport)(nil)
 
@@ -235,67 +254,8 @@ func (t *Transport) Addr() string { return t.listener.Addr().String() }
 // Self implements transport.Transport.
 func (t *Transport) Self() types.ServerID { return t.cfg.Self }
 
-// Rejections returns the number of inbound connections refused at the
-// handshake (version mismatch, malformed identification frame, or failed
-// authentication).
-func (t *Transport) Rejections() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rejects
-}
-
-// AuthRejections returns the subset of Rejections where the peer failed
-// the challenge–response: an unproven claimed identity, a non-roster
-// member, a stale or malformed proof, or a peer that did not attempt
-// authentication at all.
-func (t *Transport) AuthRejections() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.authRejects
-}
-
-// BanRejections returns the number of connections and payloads this
-// transport refused because the counterpart peer is banned by the
-// configured scorer — outbound sends and calls toward a banned peer plus
-// inbound connections identified as one.
-func (t *Transport) BanRejections() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.banRejects
-}
-
-func (t *Transport) rejectBan() {
-	t.mu.Lock()
-	t.banRejects++
-	t.mu.Unlock()
-}
-
-// AuthFailures returns the number of outbound handshakes this transport
-// abandoned because the listener could not prove the identity we dialed
-// — the dialer-side mirror of AuthRejections (an impostor squatting on a
-// roster member's address surfaces here).
-func (t *Transport) AuthFailures() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.authFails
-}
-
-// CallsOpened returns the number of request/response calls this
-// transport has issued toward peers (watermark polls, delta pulls, bulk
-// catch-up) — successful or not.
-func (t *Transport) CallsOpened() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.callsOpened
-}
-
-// CallsServed returns the number of inbound calls dispatched to a
-// channel handler — the serving-side mirror of CallsOpened.
-func (t *Transport) CallsServed() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.callsServed
-}
+// Counts returns the transport's counters, read over Families.
+func (t *Transport) Counts() *metrics.Metrics { return &t.counts }
 
 // Send implements transport.Transport: enqueue for the peer's sender
 // goroutine, envelope (channel byte) included. Unknown destinations are
@@ -309,7 +269,7 @@ func (t *Transport) Send(to types.ServerID, ch transport.Channel, payload []byte
 		return
 	}
 	if t.cfg.Scores.Banned(to) {
-		t.rejectBan()
+		t.counts.Add(BanRejections, 1)
 		return
 	}
 	data := make([]byte, 0, 1+len(payload))
@@ -329,11 +289,11 @@ func (t *Transport) Send(to types.ServerID, ch transport.Channel, payload []byte
 func (t *Transport) Call(to types.ServerID, ch transport.Channel, req []byte, sink transport.CallSink) func() {
 	t.mu.Lock()
 	p, ok := t.peers[to]
-	t.callsOpened++
 	t.mu.Unlock()
+	t.counts.Add(CallsOpened, 1)
 	ctx, cancel := context.WithCancel(t.ctx)
 	if ok && t.cfg.Scores.Banned(to) {
-		t.rejectBan()
+		t.counts.Add(BanRejections, 1)
 		ok = false
 	}
 	if !ok || !ch.Valid() {
@@ -493,19 +453,6 @@ func (t *Transport) track(conn net.Conn) {
 	t.mu.Unlock()
 }
 
-func (t *Transport) reject() {
-	t.mu.Lock()
-	t.rejects++
-	t.mu.Unlock()
-}
-
-func (t *Transport) rejectAuth() {
-	t.mu.Lock()
-	t.rejects++
-	t.authRejects++
-	t.mu.Unlock()
-}
-
 // failAuth accounts for a failed outbound handshake to peer. Only genuine
 // authentication failures count — an ordinary reset mid-identification is
 // reconnect noise — and only a listener that answered and could not prove
@@ -514,9 +461,7 @@ func (t *Transport) failAuth(peer types.ServerID, err error) {
 	if !errors.Is(err, transport.ErrAuthFailed) {
 		return
 	}
-	t.mu.Lock()
-	t.authFails++
-	t.mu.Unlock()
+	t.counts.Add(AuthFailures, 1)
 	if errors.Is(err, errUnproven) {
 		t.cfg.Scores.Penalize(peer, peerscore.AuthFailure)
 	}
@@ -681,14 +626,14 @@ func (t *Transport) runReader(conn net.Conn) {
 	hello, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
 	if err != nil {
 		if errors.Is(err, wire.ErrTooLarge) {
-			t.reject()
+			t.counts.Add(Rejections, 1)
 		}
 		return
 	}
 	r := wire.NewReader(hello)
 	version := r.Uint16()
 	if r.Err() != nil {
-		t.reject()
+		t.counts.Add(Rejections, 1)
 		return
 	}
 	if version != t.cfg.version {
@@ -704,7 +649,7 @@ func (t *Transport) runReader(conn net.Conn) {
 		// reading, and its hello prefix through the kind byte is
 		// stable); stream senders observe the close and back off into
 		// their reconnect loop.
-		t.reject()
+		t.counts.Add(Rejections, 1)
 		_ = r.Uint16() // self
 		if r.Byte() == kindCall && r.Err() == nil {
 			t.writeCallError(conn, transport.ErrVersionMismatch)
@@ -723,14 +668,15 @@ func (t *Transport) runReader(conn net.Conn) {
 		dialerNonce = r.VarBytes()
 	}
 	if r.Close() != nil || authFlag > 1 || (kind != kindStream && kind != kindCall) {
-		t.reject()
+		t.counts.Add(Rejections, 1)
 		return
 	}
 	if err := t.serveHandshake(conn, from, kind, callCh, authFlag, dialerNonce); err != nil {
 		// Counted, and nobody is charged: from is whatever the hello
 		// claimed, and a score a stranger can raise against a member of its
 		// choosing would let it steer every follower away from that member.
-		t.rejectAuth()
+		t.counts.Add(Rejections, 1)
+		t.counts.Add(AuthRejections, 1)
 		if kind == kindCall {
 			// The call client is in a read loop; tell it explicitly so
 			// it fails fast instead of timing out.
@@ -742,7 +688,7 @@ func (t *Transport) runReader(conn net.Conn) {
 		// The peer proved who it is — and who it is is banned. Refuse
 		// after the handshake so the verdict applies to the proven
 		// identity, not a spoofable claim.
-		t.rejectBan()
+		t.counts.Add(BanRejections, 1)
 		if kind == kindCall {
 			t.writeCallError(conn, transport.ErrUnreachable)
 		}
@@ -801,9 +747,7 @@ func (t *Transport) serveCall(conn net.Conn, from types.ServerID, ch transport.C
 		t.writeCallError(conn, transport.ErrNoHandler)
 		return
 	}
-	t.mu.Lock()
-	t.callsServed++
-	t.mu.Unlock()
+	t.counts.Add(CallsServed, 1)
 	st := &connStream{conn: conn, ctx: t.ctx, writeTimeout: t.cfg.CallTimeout}
 	h.ServeCall(from, req, st)
 	// A handler that returns without closing leaves the caller waiting.
@@ -922,7 +866,7 @@ func (t *Transport) runSender(p *peer) {
 			// The peer was banned while payloads were queued (or a
 			// retransmission was pending). Discard instead of dialing a
 			// peer we would refuse to hear from anyway.
-			t.rejectBan()
+			t.counts.Add(BanRejections, 1)
 			pending = nil
 			if conn != nil {
 				_ = conn.Close()

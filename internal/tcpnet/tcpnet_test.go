@@ -302,7 +302,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 
 	ta.Send(1, transport.ChanGossip, []byte("from the future"))
-	waitFor(t, 2*time.Second, func() bool { return tb.Rejections() >= 1 })
+	waitFor(t, 2*time.Second, func() bool { return tb.Counts().Get(Rejections) >= 1 })
 	if sb.count() != 0 {
 		t.Fatalf("mismatched-version payload delivered: %d", sb.count())
 	}
