@@ -259,6 +259,10 @@ chaos-smoke:
 # twenty PRs. And it keeps "a metric is declared once" true: the name of
 # every family deploy's TestFamilies lists occurs in non-test Go exactly
 # once, on a row of a metrics.Table (Families.Counter / Families.Gauge).
+# And "one ref -> number map per node" (docs/ARCHITECTURE.md, "What a block
+# costs a node"): no struct field in non-test Go is a map keyed by block.Ref,
+# gossip's four in-flight sets excepted — they hold what is pending, not the
+# run. The map the rule protects, graph.index, is generic and does not match.
 # CI runs it on every push.
 docs-check:
 	@missing=0; \
@@ -292,10 +296,14 @@ docs-check:
 		[ "$$(printf '%s\n' "$$hits" | grep -c .)" -eq 1 ] && printf '%s\n' "$$hits" | grep -qE 'Families\.(Counter|Gauge)\(' \
 			|| { echo "docs-check FAILED: family $$f is not declared exactly once, as a row of a metrics.Table:" >&2; echo "$$hits" >&2; exit 1; }; \
 	done
+	@indexes=$$(grep -rnE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*(, [A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+map\[block\.Ref\]' --include='*.go' --exclude='*_test.go' \
+			--exclude-dir=bench --exclude-dir=.bench_build . \
+		| grep -vE '^\./internal/gossip/gossip\.go:[0-9]+:[[:space:]]+(pending|waiters|missing|invalid)[[:space:]]' || true); \
+	[ -z "$$indexes" ] || { echo "docs-check FAILED: a struct field keyed by block.Ref; number the block once (dag.Index) and keep a column or a count:" >&2; echo "$$indexes" >&2; exit 1; }
 	go vet ./...
 	go build ./...
 	go test -run Example ./...
-	@echo "docs-check OK: package map in sync; every metric family declared once; examples vet and build"
+	@echo "docs-check OK: package map in sync; every metric family declared once; one ref-keyed index; examples vet and build"
 
 .PHONY: bench
 # bench runs the Go microbenchmarks with allocation counts, for a human

@@ -1,0 +1,78 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"blockdag/internal/block"
+	"blockdag/internal/core"
+	"blockdag/internal/dagtest"
+	"blockdag/internal/protocols/brb"
+	"blockdag/internal/store"
+)
+
+// retainedPerBlockBound is what a server may keep per block beyond the block
+// and its frame, through every layer that sees each block: the DAG's index
+// entry and row (≈ 280 B, pinned alone by dag.TestRetainedPerBlock), the
+// interpreter's state and its slot (≈ 90 B), gossip's tips (nothing a
+// block), the journal (nothing: a count). 374 B measured; 598 B while
+// interpret and store each kept a ref-keyed map of their own beside the
+// DAG's, where a second one would show first now.
+const retainedPerBlockBound = 420
+
+// TestRetainedPerBlock is dag.TestRetainedPerBlock one level up: 4 096 empty
+// blocks on four staggered chains (each cites its parent and the block built
+// just before it), built and encoded before the first reading, through a
+// whole server — DAG, gossip, interpreter — journaling to a real store.
+func TestRetainedPerBlock(t *testing.T) {
+	const count = 4096
+	h := dagtest.NewHarness(4)
+	blocks := make([]*block.Block, 0, count)
+	for i := 0; i < count; i++ {
+		var last []block.Ref
+		if i > 0 {
+			last = dagtest.Refs(blocks[i-1])
+		}
+		if i < 4 {
+			blocks = append(blocks, h.GenesisWithPreds(i, last))
+		} else {
+			blocks = append(blocks, h.Next(i%4, last))
+		}
+		blocks[i].Encode()
+	}
+	signers := h.Signers
+	st, err := store.Open(t.TempDir(), store.Options{Roster: h.Roster, Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	before := dagtest.LiveHeap()
+	srv, err := core.NewServer(core.Config{
+		Roster: h.Roster, Signer: signers[0], Protocol: brb.Protocol{},
+		Transport: &recordingTransport{self: 0}, Clock: func() time.Duration { return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SetJournal(st); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		if err := srv.AbsorbVerified(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perBlock := float64(dagtest.LiveHeap()-before) / count
+	runtime.KeepAlive(srv)
+	runtime.KeepAlive(blocks)
+	runtime.KeepAlive(h)
+	if srv.DAG().Len() != count || srv.Interpreter().Blocks() != count || st.Len() != count || srv.Health() != nil {
+		t.Fatalf("%d blocks in the DAG, %d interpreted, %d journaled (health: %v), want %d", srv.DAG().Len(), srv.Interpreter().Blocks(), st.Len(), srv.Health(), count)
+	}
+	t.Logf("%.0f B retained per block", perBlock)
+	if perBlock > retainedPerBlockBound {
+		t.Fatalf("a server retains %.0f B per block, bound %d", perBlock, retainedPerBlockBound)
+	}
+}

@@ -147,12 +147,14 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.persist = s.journal.PersistSink(s.self)
 
+	// One numbering a server: the interpreter keeps its states by the DAG's.
 	s.interp = interpret.New(
 		cfg.Protocol,
 		cfg.Roster.N(),
 		cfg.Roster.F(),
 		s.onIndication,
 		interpret.WithMetrics(cfg.Metrics),
+		interpret.Over(s.dag),
 	)
 
 	gsp, err := gossip.New(gossip.Config{
@@ -360,7 +362,7 @@ func (s *Server) SeedBase(base []dag.Base) error {
 	if err := s.dag.SeedBase(base); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := s.interp.SeedBase(base, s.dag.BaseHorizon()); err != nil {
+	if err := s.interp.SeedBase(base); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	s.gsp.SeedBase(base)
@@ -372,14 +374,14 @@ func (s *Server) SeedBase(base []dag.Base) error {
 // package store's log. It is the server's first absorb, with the disk as
 // the peer: one batch signature check over the log, then every block
 // enters the live DAG the way a pulled one does (AbsorbVerified) — the
-// structural checks of Definition 3.3, the journal (store.Store.Append
-// ignores a block it holds), a place among the next own block's parent and
-// tips, interpretation. There is no second validator and no state re-derived afterwards: the next
-// disseminated block continues the old chain and cites the tips no
-// pre-crash own block reaches because gossip advanced both per block, as
-// it does live. FWD and retry bookkeeping start empty, so any block that
-// was in flight (or lost with an unsynced WAL tail) is simply re-received
-// or re-requested from peers.
+// structural checks of Definition 3.3, the journal (which knows the blocks
+// it read from disk by their place in this order), a place among the next
+// own block's parent and tips, interpretation. There is no second validator
+// and no state re-derived afterwards: the next disseminated block continues
+// the old chain and cites the tips no pre-crash own block reaches because
+// gossip advanced both per block, as it does live. FWD and retry bookkeeping
+// start empty, so any block that was in flight (or lost with an unsynced WAL
+// tail) is simply re-received or re-requested from peers.
 //
 // No-self-equivocation has a precondition: the replayed blocks must
 // include every own block any peer may have seen, since the resumed
@@ -453,10 +455,13 @@ func (s *Server) ObserveInserts(fn func(*block.Block)) { s.dag.SetOnInsert(fn) }
 // received alike) before the block is interpreted — before any indication
 // it causes becomes user-visible, and, for own blocks, durably before gossip
 // broadcasts them: the write-ahead discipline that keeps a post-crash
-// restart from self-equivocating. BeginBatch/FlushBatch are the group-commit
-// window DeliverBatch brackets its bursts with (see store.BeginBatch for the
-// durability contract). Evidence returns the proofs journaled so far,
-// verified on load; AppendEvidence journals a newly accepted one.
+// restart from self-equivocating. The sink is handed every block once, in the
+// DAG's order from its first (call k is dag.BlockAt(k)): all a journal needs
+// to tell the blocks it holds, back through Restore, from new ones.
+// BeginBatch/FlushBatch are the group-commit window DeliverBatch brackets its
+// bursts with (see store.BeginBatch for the durability contract). Evidence
+// returns the proofs journaled so far, verified on load; AppendEvidence
+// journals a newly accepted one.
 type Journal interface {
 	PersistSink(self types.ServerID) func(*block.Block) error
 	BeginBatch()
@@ -479,7 +484,7 @@ func (volatile) AppendEvidence(*evidence.Proof) error { return nil }
 // SetJournal makes the server durable — the one hook node.Config.Store
 // uses, since the node receives an already-built Server. It must be called
 // before any block is inserted, Restore's replay included, so no insertion
-// can slip past the journal; the store's sink ignores the blocks replayed
+// can slip past the journal; the store's sink skips the blocks replayed
 // from it. The proofs the journal already holds are replayed into pool and
 // scorer — ban, but no re-persist and no relay — so a ban survives a
 // crash/restart even when the proof's blocks never made it into the
@@ -550,6 +555,6 @@ func OfflineInterpreter(
 		if onInd != nil {
 			onInd(ind.Server, ind.Label, ind.Value)
 		}
-	}, opts...)
+	}, append(opts, interpret.Over(d))...)
 	return it, d, nil
 }

@@ -174,22 +174,28 @@ func (d *DAG) SeedBase(entries []Base) error {
 	if len(entries) == 0 {
 		return nil
 	}
+	// What was pruned lies below every stand-in, whatever its chain: each gets
+	// the whole horizon as its causal summary (package interpret reads it).
 	d.baseHorizon = make(map[types.ServerID]uint64, len(entries))
+	below := make([]uint64, d.roster.N())
 	for _, e := range entries {
 		if !d.roster.Contains(e.Builder) {
 			return fmt.Errorf("%w: base entry %v", ErrBuilderUnknown, e.Builder)
 		}
+		below[e.Builder] = max(below[e.Builder], e.Seq+1)
+		d.baseHorizon[e.Builder] = below[e.Builder]
+	}
+	for _, e := range entries {
 		if d.g.Contains(e.Ref) {
 			continue
 		}
 		// The seeded vertex takes its slot: a later live block in it is an
 		// equivocation against pruned history (detected, though the proof
 		// pair cannot be exported — one half is gone).
-		if err := d.g.InsertSeeded(e.Ref, int(e.Builder), e.Seq); err != nil {
+		if err := d.g.InsertSeeded(e.Ref, int(e.Builder), e.Seq, below); err != nil {
 			return fmt.Errorf("dag: seed base: %w", err)
 		}
 		d.base = append(d.base, e)
-		d.baseHorizon[e.Builder] = max(d.baseHorizon[e.Builder], e.Seq+1)
 	}
 	return nil
 }
@@ -203,6 +209,13 @@ func (d *DAG) Base() []Base {
 	})
 	return out
 }
+
+// Index returns the number of ref's row (stand-ins first, then the blocks in
+// insertion order) and Summary that row's causal summary (graph.Summary),
+// read-only. This is the node's one ref → number map: what sits above the
+// DAG keeps a column over the number (interpret) or a count (store).
+func (d *DAG) Index(ref block.Ref) (int, bool) { return d.g.Index(ref) }
+func (d *DAG) Summary(i int) []uint64          { return d.g.Summary(i) }
 
 // BaseRef resolves a reference to its base entry, if it is one.
 func (d *DAG) BaseRef(ref block.Ref) (Base, bool) {

@@ -392,7 +392,7 @@ func (g *Gossip) HandleMessages(msgs []Message) {
 // (HandleMessages' batch pass); a block without one is verified inline.
 func (g *Gossip) handleBlock(from types.ServerID, b *block.Block, verdicts map[block.Ref]bool) {
 	g.cfg.Metrics.Add(metrics.BlocksReceived, 1)
-	defer g.publishState() // a block buffered or poisoned changes the queues without an insert
+	defer g.publishState() // once a block: inserted (with whatever waited on it), buffered or poisoned
 	ref := b.Ref()
 	if g.cfg.DAG.Contains(ref) || g.pending[ref] != nil {
 		g.cfg.Metrics.Add(metrics.BlocksDuplicate, 1)
@@ -501,7 +501,8 @@ func (g *Gossip) tryInsert(b *block.Block) bool {
 // happens once, and by reference or by ancestry at most once in the own
 // chain, which is Lemma A.6's discipline), notify the interpreter, and wake
 // blocks waiting on it. It returns the OnInsert hook's error so Disseminate
-// can gate externalization of own blocks.
+// can gate externalization of own blocks. The gauges are its caller's to
+// publish (publishState), once for the block and all it woke.
 func (g *Gossip) noteInserted(b *block.Block) error {
 	ref := b.Ref()
 	g.cfg.Metrics.Add(metrics.BlocksInserted, 1)
@@ -522,7 +523,6 @@ func (g *Gossip) noteInserted(b *block.Block) error {
 			g.curSeq, g.curParent = b.Seq+1, &parent
 		}
 	}
-	g.publishState()
 	var hookErr error
 	if g.cfg.OnInsert != nil {
 		hookErr = g.cfg.OnInsert(b)
@@ -632,6 +632,7 @@ func (g *Gossip) InsertVerified(b *block.Block) error {
 	}
 	delete(g.missing, ref)
 	delete(g.pending, ref)
+	defer g.publishState()
 	return g.noteInserted(b)
 }
 
@@ -749,6 +750,7 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 	g.cfg.Metrics.Add(metrics.BlocksBuilt, 1)
 	g.cfg.Metrics.Add(metrics.OwnBlockRefs, int64(len(preds)))
 	hookErr := g.noteInserted(b)
+	g.publishState()
 
 	if hookErr == nil {
 		g.cfg.Metrics.Add(metrics.RequestsEmbedded, int64(len(reqs)))

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -199,8 +200,8 @@ func TestIncrementalTips(t *testing.T) {
 	}
 }
 
-// TestWatermark checks the summary accessor on a small shape.
-func TestWatermark(t *testing.T) {
+// TestSummary checks the summary accessor on a small shape.
+func TestSummary(t *testing.T) {
 	g := New[string]()
 	if err := g.InsertChained("a0", nil, 0, 0); err != nil {
 		t.Fatal(err)
@@ -211,17 +212,13 @@ func TestWatermark(t *testing.T) {
 	if err := g.InsertChained("b0", []string{"a1"}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if w, ok := g.Watermark("b0", 0); !ok || w != 1 {
-		t.Fatalf("Watermark(b0, 0) = %d, %v; want 1, true", w, ok)
+	// b0 has a1 (chain 0, seq 1) and itself (chain 1, seq 0) in its
+	// ancestry-or-self; a0 has no chain-1 ancestor, and no entry for one.
+	if got := g.Summary(2); !slices.Equal(got, []uint64{2, 1}) {
+		t.Fatalf("Summary(b0) = %v, want [2 1]", got)
 	}
-	if w, ok := g.Watermark("b0", 1); !ok || w != 0 {
-		t.Fatalf("Watermark(b0, 1) = %d, %v; want 0, true", w, ok)
-	}
-	if _, ok := g.Watermark("a0", 1); ok {
-		t.Fatal("a0 has no chain-1 ancestor")
-	}
-	if _, ok := g.Watermark("missing", 0); ok {
-		t.Fatal("absent vertex has no watermark")
+	if got := g.Summary(0); !slices.Equal(got, []uint64{1}) {
+		t.Fatalf("Summary(a0) = %v, want [1]", got)
 	}
 }
 

@@ -44,7 +44,7 @@ func refSameSet(a, b []int) bool {
 	return len(a) == len(b)
 }
 
-func (r *refDAG) insert(v int, preds []int, annotated, seeded bool, chain int, seq uint64) error {
+func (r *refDAG) insert(v int, preds []int, annotated, seeded bool, chain int, seq uint64, below []uint64) error {
 	var uniq []int
 	for _, p := range preds {
 		if !slices.Contains(uniq, p) {
@@ -65,9 +65,9 @@ func (r *refDAG) insert(v int, preds []int, annotated, seeded bool, chain int, s
 	r.index[v] = len(r.order)
 	r.order = append(r.order, v)
 	r.preds[v] = uniq
-	width := 0
+	width := len(below)
 	if annotated {
-		width = chain + 1
+		width = max(width, chain+1)
 	}
 	for _, p := range uniq {
 		r.succs[p] = append(r.succs[p], v)
@@ -77,6 +77,7 @@ func (r *refDAG) insert(v int, preds []int, annotated, seeded bool, chain int, s
 		return nil
 	}
 	vec := make([]uint64, width)
+	copy(vec, below)
 	for _, p := range uniq {
 		for c, w := range r.summary[p] {
 			vec[c] = max(vec[c], w)
@@ -187,7 +188,7 @@ func (r *refDAG) union(h *refDAG) (*refDAG, error) {
 			if !annotated {
 				pos, annotated = h.chains[v]
 			}
-			if err := merged.insert(v, preds, annotated, false, pos.chain, pos.seq); err != nil {
+			if err := merged.insert(v, preds, annotated, false, pos.chain, pos.seq, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -206,10 +207,12 @@ type spec struct {
 	chain  int   // -1: not annotated
 	seq    uint64
 	seeded bool
+	below  []uint64 // a seeded root's: the summary of what was pruned
 }
 
 // randomSpecs draws a DAG in creation order: per chain an optional seeded
-// root, then vertices that extend a branch, fork one (a second vertex in a
+// root — every other time all of them above one pruned prefix, as a block
+// DAG seeds them — then vertices that extend a branch, fork one (a second vertex in a
 // taken slot), skip a seq or leave the parent out (a connectivity
 // violation), or carry no annotation at all — each with random extra
 // predecessors, now and then listed twice.
@@ -225,6 +228,15 @@ func randomSpecs(rng *rand.Rand, chains, size int) []spec {
 			seq := uint64(1 + rng.Intn(50))
 			branches[c] = []tip{{v: len(specs), seq: seq}}
 			specs = append(specs, spec{v: len(specs), chain: c, seq: seq, seeded: true})
+		}
+	}
+	if rng.Intn(2) == 0 {
+		below := make([]uint64, chains)
+		for _, s := range specs {
+			below[s.chain] = s.seq + 1
+		}
+		for i := range specs {
+			specs[i].below = below
 		}
 	}
 	for len(specs) < size {
@@ -300,13 +312,13 @@ func insertBoth(t *testing.T, g *DAG[int], r *refDAG, s spec) {
 	var got error
 	switch {
 	case s.seeded:
-		got = g.InsertSeeded(s.v, s.chain, s.seq)
+		got = g.InsertSeeded(s.v, s.chain, s.seq, s.below)
 	case s.chain < 0 && s.v%2 == 0:
 		got = g.Insert(s.v, s.preds)
 	default:
 		got = g.InsertChained(s.v, s.preds, s.chain, s.seq)
 	}
-	want := r.insert(s.v, s.preds, s.chain >= 0, s.seeded, s.chain, s.seq)
+	want := r.insert(s.v, s.preds, s.chain >= 0, s.seeded, s.chain, s.seq, s.below)
 	if !errors.Is(got, want) {
 		t.Fatalf("insert %+v: got %v, reference %v", s, got, want)
 	}
@@ -343,19 +355,12 @@ func requireSame(t *testing.T, g *DAG[int], r *refDAG, chains int) {
 		if !slices.Equal(g.Preds(v), r.preds[v]) || !slices.Equal(g.Succs(v), r.succs[v]) {
 			t.Fatalf("vertex %d: preds %v succs %v, reference %v %v", v, g.Preds(v), g.Succs(v), r.preds[v], r.succs[v])
 		}
+		if ok && !slices.Equal(g.Summary(at), r.summary[v]) {
+			t.Fatalf("Summary(%d) of vertex %d = %v, reference %v", at, v, g.Summary(at), r.summary[v])
+		}
 		anc, want := g.Ancestry(v), r.ancestry(v)
 		if len(anc) != len(want) || slices.ContainsFunc(anc, func(a int) bool { return !want[a] }) {
 			t.Fatalf("Ancestry(%d) = %v, reference %v", v, anc, want)
-		}
-		for c := -1; c <= chains; c++ {
-			seq, ok := g.Watermark(v, c)
-			var want uint64
-			if vec := r.summary[v]; c >= 0 && c < len(vec) {
-				want = vec[c]
-			}
-			if ok != (want > 0) || ok && seq != want-1 {
-				t.Fatalf("Watermark(%d, %d) = %d, %v; reference vector entry %d", v, c, seq, ok, want)
-			}
 		}
 		for _, u := range probes {
 			if got, want := g.Reaches(u, v), r.reaches(u, v); got != want {
@@ -413,7 +418,7 @@ func TestRowsMatchMapReference(t *testing.T) {
 				// set (refused), and a vertex citing one that is not there
 				// (refused, nothing changes).
 				again := order[rng.Intn(i+1)]
-				again.seeded = false // InsertSeeded takes no edge list
+				again.seeded, again.below = false, nil // InsertSeeded takes no edge list
 				switch rng.Intn(4) {
 				case 0:
 					again.preds = append(slices.Clone(again.preds), again.preds...)

@@ -137,7 +137,7 @@ func (g *DAG[K]) Index(v K) (int, bool) {
 // unchanged. Because edges only ever point at the new vertex, g remains
 // acyclic (Lemma 2.2(3)).
 func (g *DAG[K]) Insert(v K, preds []K) error {
-	return g.insert(v, preds, -1, 0, false)
+	return g.insert(v, preds, -1, 0, nil, false)
 }
 
 // InsertChained is Insert for a vertex annotated with a chain position:
@@ -148,7 +148,7 @@ func (g *DAG[K]) Insert(v K, preds []K) error {
 // non-negative integers (they index the watermark vectors); a negative
 // chain inserts the vertex unannotated.
 func (g *DAG[K]) InsertChained(v K, preds []K, chain int, seq uint64) error {
-	return g.insert(v, preds, max(chain, -1), seq, false)
+	return g.insert(v, preds, max(chain, -1), seq, nil, false)
 }
 
 // InsertSeeded adds v as a root vertex standing in for a pruned prefix
@@ -156,18 +156,19 @@ func (g *DAG[K]) InsertChained(v K, preds []K, chain int, seq uint64) error {
 // discarded. It participates in the causal summary as if the prefix
 // were present — the chain watermark below it reads seq — but the
 // connectivity check is waived for the seeded vertex itself, since its
-// parent (chain, seq-1) is exactly what was pruned. Only sensible on a
-// graph that never saw the pruned prefix; the caller (the block DAG's
-// snapshot restore) guarantees one seed per chain, before any regular
-// insert.
-func (g *DAG[K]) InsertSeeded(v K, chain int, seq uint64) error {
+// parent (chain, seq-1) is exactly what was pruned. below is the summary of
+// that discarded ancestry (see Summary; nil: of the vertex's own chain only):
+// what was pruned of any chain lies below every seeded root, so the caller
+// hands each the same vector. Only sensible on a graph that never saw the
+// pruned prefix; the caller (the block DAG) seeds before any regular insert.
+func (g *DAG[K]) InsertSeeded(v K, chain int, seq uint64, below []uint64) error {
 	if chain < 0 {
 		return fmt.Errorf("%w: seeded vertex needs a chain", ErrEdgeMismatch)
 	}
-	return g.insert(v, nil, chain, seq, true)
+	return g.insert(v, nil, chain, seq, below, true)
 }
 
-func (g *DAG[K]) insert(v K, predKeys []K, chain int, seq uint64, seeded bool) error {
+func (g *DAG[K]) insert(v K, predKeys []K, chain int, seq uint64, below []uint64, seeded bool) error {
 	preds, absent := g.resolve(predKeys)
 	if at, exists := g.index[v]; exists {
 		if absent < 0 && sameSet(g.rows[at].preds, preds) {
@@ -190,7 +191,7 @@ func (g *DAG[K]) insert(v K, predKeys []K, chain int, seq uint64, seeded bool) e
 	}
 	g.tips = append(g.tips, n)
 	g.rows = append(g.rows, vertex[K]{key: v, preds: preds, seq: seq, chain: int32(chain)})
-	g.rows[n].summary = g.summarize(n, seeded)
+	g.rows[n].summary = g.summarize(n, below, seeded)
 	return nil
 }
 
@@ -225,12 +226,12 @@ func (g *DAG[K]) resolve(keys []K) (nums []int32, absent int) {
 }
 
 // summarize computes the causal summary of the newest vertex n from its
-// predecessors' and files its chain annotation in the slot column,
-// flagging chains that stop being well-formed (duplicate slot or broken
-// connectivity).
-func (g *DAG[K]) summarize(n int32, seeded bool) []uint64 {
+// predecessors' (a seeded root's: from below) and files its chain
+// annotation in the slot column, flagging chains that stop being
+// well-formed (duplicate slot or broken connectivity).
+func (g *DAG[K]) summarize(n int32, below []uint64, seeded bool) []uint64 {
 	v := &g.rows[n]
-	width := int(v.chain) + 1
+	width := max(int(v.chain)+1, len(below))
 	for _, p := range v.preds {
 		width = max(width, len(g.rows[p].summary))
 	}
@@ -238,6 +239,7 @@ func (g *DAG[K]) summarize(n int32, seeded bool) []uint64 {
 		return nil // no annotations anywhere in the ancestry
 	}
 	vec := make([]uint64, width)
+	copy(vec, below)
 	for _, p := range v.preds {
 		for c, w := range g.rows[p].summary {
 			vec[c] = max(vec[c], w)
@@ -323,16 +325,9 @@ func (g *DAG[K]) ChainForked(chain int) bool {
 	return chain >= 0 && chain < len(g.chains) && g.chains[chain].forked
 }
 
-// Watermark returns the causal summary entry of v for the given chain: the
-// highest chain seq in v's ancestry-or-self. ok is false if v has no
-// ancestor on the chain (or is not a vertex).
-func (g *DAG[K]) Watermark(v K, chain int) (seq uint64, ok bool) {
-	n, ok := g.index[v]
-	if !ok || chain < 0 || chain >= len(g.rows[n].summary) || g.rows[n].summary[chain] == 0 {
-		return 0, false
-	}
-	return g.rows[n].summary[chain] - 1, true
-}
+// Summary returns the causal summary of vertex number i, read-only: entry c
+// is 1 + the highest chain-c seq in its ancestry-or-self, 0 or none for none.
+func (g *DAG[K]) Summary(i int) []uint64 { return g.rows[i].summary }
 
 // sameSet compares two duplicate-free lists of vertex numbers as sets.
 func sameSet(a, b []int32) bool {

@@ -221,7 +221,7 @@ func TestExplicitRuleBlocksReadTheirPredecessors(t *testing.T) {
 		skipped := 0
 		for b := range h.DAG.All() {
 			var sources []block.Ref
-			read, _ := it.newAncestry(it.states[b.Ref()])
+			read, _ := it.newAncestry(it.state(b.Ref()))
 			for _, s := range read {
 				sources = append(sources, s.blk.Ref())
 			}
@@ -315,7 +315,7 @@ func TestCorrectBlocksReadOnceUnderForks(t *testing.T) {
 		for reader := types.ServerID(1); reader < n; reader++ {
 			readAt := make(map[block.Ref]block.Ref)
 			for _, c := range d.ByBuilder(reader) { // ascending seq: the chain
-				st := it.states[c.Ref()]
+				st := it.state(c.Ref())
 				skipped := make(map[block.Ref]bool) // cited, not read: duplicates of a consumed seq
 				for _, p := range c.Preds {
 					skipped[p] = true

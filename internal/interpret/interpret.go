@@ -27,18 +27,16 @@
 // Interpreter only ever reads blocks, so it runs online, fed by the DAG's
 // insert callback, or offline over a stored DAG.
 //
-// Memory model. Algorithm 2 keeps B.PIs and B.Ms[out, ·] at every block for
-// ever. Here a block keeps the link to its parent and its ancestry
-// watermark; the rest is a cache of a pure function of the DAG (Lemma 4.2).
-// B.PIs lives at the tip of each builder's chain, is advanced in place and
-// drops an instance the moment it reports Done; once every chain has, one
-// entry of a retired set replaces the n tombstones. An out-buffer is read
-// once per chain, by the first block of that chain that has it in its
-// ancestry, and is dropped when the n chain tips have passed it (release).
-// A reader that finds the cache empty — a block extending an equivocator's
-// fork, an inspection of a block long passed — interprets the blocks afresh
-// in a scratch interpreter (replay): the one miss path. docs/ARCHITECTURE.md,
-// "Interpreter memory model", has the full account.
+// Memory model (docs/ARCHITECTURE.md, "Interpreter memory model"). Algorithm 2
+// keeps B.PIs and B.Ms[out, ·] at every block for ever. Here a block keeps the
+// link to its parent, in a slice addressed by the number the DAG gave it, and
+// reads the DAG's ancestry watermark (Rows); the rest is a cache of a pure
+// function of the DAG (Lemma 4.2). B.PIs lives at the tip of each chain, is
+// advanced in place and drops an instance when it reports Done; once every
+// chain has, one entry of a retired set replaces the n tombstones. An
+// out-buffer is dropped when the n chain tips have read it (release). A reader
+// that finds the cache empty — a block extending a fork, an inspection of a
+// block long passed — interprets the blocks afresh (replay): the one miss path.
 package interpret
 
 import (
@@ -53,6 +51,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/graph"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocol"
 	"blockdag/internal/types"
@@ -75,9 +74,21 @@ type Indication struct {
 type Option func(*Interpreter)
 
 // WithMetrics attaches metric counters (over metrics.Families).
-func WithMetrics(m *metrics.Metrics) Option {
-	return func(it *Interpreter) { it.metrics = m }
+func WithMetrics(m *metrics.Metrics) Option { return func(it *Interpreter) { it.metrics = m } }
+
+// Rows is what an interpreter reads of a DAG besides its blocks: the number
+// of a block's row and the row's ancestry watermark — entry x is 1 + the
+// highest sequence number of builder x in the ancestry, the block included,
+// 0 or absent for none. *dag.DAG is one.
+type Rows interface {
+	Index(ref block.Ref) (int, bool)
+	Summary(i int) []uint64
 }
+
+// Over makes the interpreter one of d's blocks (AddBlock takes no others): it
+// keeps its states by d's numbers and reads d's watermarks. Without it the
+// interpreter numbers the blocks itself, as handed them, in a graph of its own.
+func Over(d Rows) Option { return func(it *Interpreter) { it.rows = d } }
 
 // instances is B.PIs: every process instance a builder's chain has started
 // up to block B, by label. A nil entry is the tombstone of an instance that
@@ -86,8 +97,8 @@ func WithMetrics(m *metrics.Metrics) Option {
 // A label in the retired set stands for one in every chain tip's table.
 type instances map[types.Label]protocol.Process
 
-// blockState is the interpretation state attached to one block: its chain
-// position, parent and anc for good, pis and out while they are cached.
+// blockState is the interpretation state attached to one block: its row,
+// chain position and parent for good, pis and out while they are cached.
 type blockState struct {
 	blk    *block.Block // nil for a pruned-history stand-in (SeedBase)
 	seq    uint64       // with builder, below: the chain position
@@ -102,13 +113,9 @@ type blockState struct {
 	out      []protocol.Message
 	released bool
 	builder  types.ServerID
-	// anc is the ancestry watermark of this block: anc[builder] holds 1 +
-	// the highest sequence number of that builder found in the block's
-	// ancestry (itself included), 0 for none — the per-builder join of the
-	// predecessors' vectors. It is also what the chain has consumed: every
-	// block at or above the parent's anc is new to the chain, every block
-	// of a correct builder below it was read at an earlier chain block.
-	anc   []uint64
+	// num is the block's row. Its watermark (anc) is what the chain has read:
+	// a block at or above the parent's is new to it, a correct builder's below.
+	num   int32
 	visit uint64 // stamps the newAncestry walk that last reached this state
 }
 
@@ -120,12 +127,19 @@ type chain struct {
 	held []*blockState
 }
 
-// read returns the tip's watermark for builder x.
-func (c *chain) read(x int) uint64 {
-	if c.tip == nil || x >= len(c.tip.anc) {
-		return 0
+// anc returns the ancestry watermark of st's block, nil for no block; read,
+// its entry for builder x at chain c's tip.
+func (it *Interpreter) anc(st *blockState) []uint64 {
+	if st == nil {
+		return nil
 	}
-	return c.tip.anc[x]
+	return it.rows.Summary(int(st.num))
+}
+func (it *Interpreter) read(c, x int) uint64 {
+	if anc := it.anc(it.chains[c].tip); x < len(anc) {
+		return anc[x]
+	}
+	return 0
 }
 
 // Interpreter executes Algorithm 2 incrementally: AddBlock interprets one
@@ -135,11 +149,13 @@ type Interpreter struct {
 	n, f    int
 	onInd   func(Indication)
 	metrics *metrics.Metrics
-	states  map[block.Ref]*blockState
-	order   []*blockState  // the blocks, as interpreted: what a replay is fed
-	chains  []chain        // by builder
-	unread  []int          // by builder: blocks of other chains its chain has not read
-	lag     []atomic.Int64 // unread as of the last block interpreted, for ChainUnread
+	rows    Rows                  // numbers and watermarks of the DAG interpreted
+	own     *graph.DAG[block.Ref] // rows, if none was given (Over)
+	states  []*blockState         // by row; nil: not interpreted
+	blocks  int                   // states of blocks: stand-ins not counted
+	chains  []chain               // by builder
+	unread  []int                 // by builder: blocks of other chains its chain has not read
+	lag     []atomic.Int64        // unread as of the last block interpreted, for ChainUnread
 	stats   Stats
 
 	done    map[types.Label]int      // chains that finished a label not every chain has
@@ -163,44 +179,56 @@ type Interpreter struct {
 // of every simulated server — the shim filters for its own (Algorithm 3).
 func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Option) *Interpreter {
 	it := &Interpreter{
-		proto:   proto,
-		n:       n,
-		f:       f,
-		onInd:   onInd,
-		states:  make(map[block.Ref]*blockState),
-		chains:  make([]chain, n),
-		unread:  make([]int, n),
-		lag:     make([]atomic.Int64, n),
-		done:    make(map[types.Label]int),
-		retired: make(map[types.Label]struct{}),
+		proto: proto, n: n, f: f, onInd: onInd,
+		chains: make([]chain, n), unread: make([]int, n), lag: make([]atomic.Int64, n),
+		done: make(map[types.Label]int), retired: make(map[types.Label]struct{}),
 	}
 	for _, opt := range opts {
 		opt(it)
 	}
+	if it.rows == nil {
+		it.own = graph.New[block.Ref]()
+		it.rows = it.own
+	}
 	return it
 }
 
-// SeedBase registers pruned-history stand-ins so a snapshot-restored
-// interpreter accepts blocks whose predecessors were pruned. Each base
-// entry gets an empty block state: eligible as a predecessor, carrying
-// no messages and no instances — the effects of pruned blocks live in
-// the restored application state. horizon, the per-builder first live
-// sequence number, seeds the stand-ins' watermarks so message collection
-// never reaches below the prune line. Instances whose delivery straddles
-// the horizon start fresh at the first live chain block (safe by the
-// deployment contract: prune only behind quiescent points). SeedBase must
-// run before any AddBlock.
-func (it *Interpreter) SeedBase(entries []dag.Base, horizon map[types.ServerID]uint64) error {
+// state returns the state filed under ref's row, nil for none.
+func (it *Interpreter) state(ref block.Ref) *blockState {
+	if i, ok := it.rows.Index(ref); ok && i < len(it.states) {
+		return it.states[i]
+	}
+	return nil
+}
+
+// put files st under its row.
+func (it *Interpreter) put(st *blockState) {
+	if grow := int(st.num) + 1 - len(it.states); grow > 0 {
+		it.states = slices.Grow(it.states, grow)[:len(it.states)+grow]
+	}
+	it.states[st.num] = st
+}
+
+// SeedBase registers the pruned-history stand-ins of the seeded DAG the
+// interpreter is over (Over, dag.SeedBase), so it accepts blocks whose
+// predecessors were pruned. Each gets an empty block state: eligible as a
+// predecessor, carrying no messages and no instances — the effects of pruned
+// blocks live in the restored application state — and the DAG's watermark for
+// it is the whole prune horizon, so message collection never reaches below
+// the prune line. Instances whose delivery straddles the horizon start fresh
+// at the first live chain block (safe by the deployment contract: prune only
+// behind quiescent points). Run it before any AddBlock.
+func (it *Interpreter) SeedBase(entries []dag.Base) error {
 	if len(it.states) > 0 {
 		return errors.New("interpret: SeedBase on a non-empty interpreter")
 	}
-	var below []uint64
-	for id, seq := range horizon {
-		below = raise(below, id, seq)
-	}
 	for _, e := range entries {
-		st := &blockState{builder: e.Builder, seq: e.Seq, anc: raise(slices.Clone(below), e.Builder, e.Seq+1)}
-		it.states[e.Ref] = st
+		num, ok := it.rows.Index(e.Ref)
+		if !ok {
+			return fmt.Errorf("interpret: base entry %v is not in the DAG interpreted", e.Ref)
+		}
+		st := &blockState{builder: e.Builder, seq: e.Seq, num: int32(num)}
+		it.put(st)
 		if ch := &it.chains[e.Builder]; ch.tip == nil || ch.tip.seq < e.Seq {
 			ch.tip = st // the parent of the first live block
 		}
@@ -208,27 +236,14 @@ func (it *Interpreter) SeedBase(entries []dag.Base, horizon map[types.ServerID]u
 	return nil
 }
 
-// raise lifts anc[builder] to at least to, widening the vector to reach it.
-func raise(anc []uint64, builder types.ServerID, to uint64) []uint64 {
-	if int(builder) >= len(anc) {
-		anc = append(anc, make([]uint64, int(builder)+1-len(anc))...)
-	}
-	anc[builder] = max(anc[builder], to)
-	return anc
-}
+// Interpreted reports I[B]: whether the block was already interpreted (or
+// stands in for one that was); Blocks, how many were, stand-ins not counted.
+func (it *Interpreter) Interpreted(ref block.Ref) bool { return it.state(ref) != nil }
+func (it *Interpreter) Blocks() int                    { return it.blocks }
 
-// Interpreted reports I[B]: whether the block was already interpreted.
-func (it *Interpreter) Interpreted(ref block.Ref) bool {
-	_, ok := it.states[ref]
-	return ok
-}
-
-// Blocks returns the number of blocks interpreted so far.
-func (it *Interpreter) Blocks() int { return len(it.states) }
-
-// Stats counts what the interpreter holds beyond a watermark and a chain
-// link per block. All but RetiredLabels follow the load while every chain
-// advances, not the history; WithMetrics publishes them as gauges.
+// Stats counts what the interpreter holds beyond a chain link per block. All
+// but RetiredLabels follow the load while every chain advances, not the
+// history; WithMetrics publishes them as gauges.
 type Stats struct {
 	LiveInstances int // process instances in the chain-tip tables
 	Tombstones    int // table entries of instances Done on their chain, not yet on every chain
@@ -252,27 +267,28 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 		return fmt.Errorf("interpret: block %v built by %v in a system of %d servers", ref, b.Builder, it.n)
 	}
 
-	// Locate the parent (same builder, seq-1; a stand-in above a prune
-	// horizon) among the predecessors — DAG validity guarantees exactly one
-	// for non-genesis blocks — and join their watermarks into this block's.
-	anc := make([]uint64, int(b.Builder)+1, it.n)
+	// Locate the parent (same builder, seq-1; a stand-in above a prune horizon)
+	// among the predecessors: DAG validity guarantees one but for genesis.
 	var parent *blockState
 	for _, p := range b.Preds {
-		ps, ok := it.states[p]
-		if !ok {
+		ps := it.state(p)
+		if ps == nil {
 			return fmt.Errorf("%w: block %v missing pred %v", ErrNotEligible, ref, p)
 		}
 		if ps.builder == b.Builder && ps.seq+1 == b.Seq {
 			parent = ps
 		}
-		for c, w := range ps.anc {
-			anc = raise(anc, types.ServerID(c), w)
-		}
+	}
+	if it.own != nil { // number it: every predecessor is a row, so this cannot fail
+		_ = it.own.InsertChained(ref, b.Preds, int(b.Builder), b.Seq)
+	}
+	num, ok := it.rows.Index(ref)
+	if !ok {
+		return fmt.Errorf("interpret: block %v is not in the DAG interpreted", ref)
 	}
 
 	it.release() // not after the last block: inspecting that one never replays
-	st := &blockState{blk: b, builder: b.Builder, seq: b.Seq, parent: parent, anc: raise(anc, b.Builder, b.Seq+1)}
-	it.order = append(it.order, st)
+	st := &blockState{blk: b, builder: b.Builder, seq: b.Seq, parent: parent, num: int32(num)}
 	ch := &it.chains[b.Builder]
 	primary := it.spine == nil && ch.tip == parent
 	if primary {
@@ -299,7 +315,7 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 			if ind.Block == ref {
 				it.indicate(ind)
 			}
-		}).states[ref]
+		}).states[num]
 		st.pis, st.out = got.pis, got.out
 		for _, proc := range st.pis {
 			if proc != nil {
@@ -316,7 +332,8 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 		it.metrics.Add(metrics.MsgsMaterialized, int64(protocol.Count(st.out, it.n)))
 	}
 
-	it.states[ref] = st // line 12: I[B] := true
+	it.put(st) // line 12: I[B] := true
+	it.blocks++
 	it.metrics.Add(metrics.BlocksInterpreted, 1)
 	it.publish()
 	return nil
@@ -376,11 +393,11 @@ func (it *Interpreter) release() {
 	clear(it.unread)
 	for x := range it.chains {
 		own := &it.chains[x]
-		top := own.read(x)
+		top := it.read(x, x)
 		frontier := max(top, 1) - 1
 		for c := range it.chains {
 			if c != x {
-				read := it.chains[c].read(x)
+				read := it.read(c, x)
 				frontier = min(frontier, read)
 				it.unread[c] += int(max(top, read) - read)
 			}
@@ -395,33 +412,31 @@ func (it *Interpreter) release() {
 }
 
 // replay is the one miss path: it interprets the blocks up to st afresh, in
-// the order they were interpreted in, in a scratch interpreter, and returns
-// it. A block's state is a function of its ancestry alone (Lemma 4.2; the
-// blocks beside it change nothing), so there st holds the table and the
-// out-buffer it has, or had, here, and so do its sources: a scratch
-// interpreter follows no chain tip, so it releases and retires nothing, and
-// st's chain (spine) keeps its table to the end. A fork off it replays in
-// turn, cheaply: in a scratch interpreter every out-buffer is held, which is
-// all a replay needs of the blocks beside its spine, so it shares their
-// states. The cost is one pass over history, and a chain's length per fork.
+// row order (a topological order), in a scratch interpreter over the same
+// rows, and returns it. A block's state is a function of its ancestry alone
+// (Lemma 4.2), so there st and its sources hold the tables and out-buffers
+// they have, or had, here: a scratch interpreter follows no chain tip, so it
+// releases and retires nothing, and st's chain (spine) keeps its table to the
+// end. A fork off it replays in turn, sharing the states beside its spine —
+// every out-buffer is held there. The cost is one pass over history, and a
+// chain's length per fork.
 func (it *Interpreter) replay(st *blockState, onInd func(Indication)) *Interpreter {
-	sc := New(it.proto, it.n, it.f, onInd)
+	sc := New(it.proto, it.n, it.f, onInd, Over(it.rows))
 	sc.spine, sc.visits = make(map[*block.Block]bool), it.visits
 	for s := st; s != nil && s.blk != nil; s = s.parent {
 		sc.spine[s.blk] = true
 	}
-	for ref, s := range it.states {
-		if s.blk == nil {
-			sc.states[ref] = s // stand-ins are read-only: shared
-		}
-	}
-	for _, s := range it.order[:slices.Index(it.order, st)+1] {
-		if it.spine != nil && !sc.spine[s.blk] {
-			sc.states[s.blk.Ref()] = s
-		} else {
+	sc.states = make([]*blockState, st.num+1)
+	for _, s := range it.states[:min(int(st.num), len(it.states))] {
+		switch {
+		case s == nil:
+		case s.blk == nil || it.spine != nil && !sc.spine[s.blk]:
+			sc.states[s.num] = s // a stand-in, or beside both spines: read-only, shared
+		default:
 			_ = sc.AddBlock(s.blk) // eligible here, so eligible there
 		}
 	}
+	_ = sc.AddBlock(st.blk)
 	it.visits = sc.visits // shared states carry its stamps
 	return sc
 }
@@ -587,29 +602,25 @@ func (it *Interpreter) retire(label types.Label) {
 // read their out-buffers): every block in its ancestry that its chain has
 // not consumed yet. The chain has consumed what lies below the parent,
 // which the parent's watermark summarizes: a block at or above it is new
-// (and is read now, exactly once — no later chain block finds it above its
-// own parent's watermark), the parent itself is read by its child, and a
-// block below it is either in the parent's ancestry or, if its builder
-// equivocated, a duplicate of a sequence number the chain has read already
-// and is skipped. Skipped is not stopped at: a fork block can be the only
-// path to a correct builder's new block, so the walk descends through
-// anything whose own watermark is not dominated by the parent's — which no
-// block in the parent's ancestry is, so it visits only blocks new to the
-// chain and their predecessors. The result is a function of the block's
-// ancestry alone (Lemma 4.2), so it is not stored. The slice is scratch
-// space, valid until the next call; held: no source has been released.
+// (and read now, once: no later chain block finds it above its own parent's
+// watermark), the parent itself is read by its child, and a block below it
+// is either in the parent's ancestry or, if its builder equivocated, a
+// duplicate of a sequence number the chain has read already and is skipped.
+// Skipped is not stopped at: a fork block can be the only path to a correct
+// builder's new block, so the walk descends through anything whose own
+// watermark is not dominated by the parent's — which no block in the
+// parent's ancestry is, so it visits only blocks new to the chain and their
+// predecessors. The slice is scratch space, valid until the next call; held:
+// no source has been released.
 func (it *Interpreter) newAncestry(st *blockState) (sources []*blockState, held bool) {
-	var consumed []uint64
-	if st.parent != nil {
-		consumed = st.parent.anc
-	}
+	consumed := it.anc(st.parent)
 	it.visits++
 	sources, stack, held := it.sources[:0], append(it.stack[:0], st), true
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, p := range s.blk.Preds {
-			ps := it.states[p]
+			ps := it.state(p)
 			if ps.visit == it.visits || ps.blk == nil {
 				continue // seen, or a pruned-history stand-in: consumed by construction
 			}
@@ -617,7 +628,7 @@ func (it *Interpreter) newAncestry(st *blockState) (sources []*blockState, held 
 			if ps == st.parent || int(ps.builder) >= len(consumed) || ps.seq >= consumed[ps.builder] {
 				sources, held = append(sources, ps), held && !ps.released
 			}
-			if !dominated(ps.anc, consumed) {
+			if !dominated(it.anc(ps), consumed) {
 				stack = append(stack, ps) // something below ps is new
 			}
 		}
@@ -652,16 +663,15 @@ func (it *Interpreter) InterpretDAG(d *dag.DAG) error {
 // out-buffers it read and, if asked for, its instance table, and its state
 // there (nil if not interpreted): it itself if they are cached, else a replay.
 func (it *Interpreter) at(ref block.Ref, table bool) (*Interpreter, *blockState) {
-	st, ok := it.states[ref]
-	if !ok || st.blk == nil {
+	st := it.state(ref)
+	if st == nil || st.blk == nil {
 		return it, nil
 	}
 	if _, held := it.newAncestry(st); st.released || !held || table && st.pis == nil {
 		if it.askedAt != st {
 			it.askedAt, it.asked = st, it.replay(st, nil)
 		}
-		it = it.asked
-		st = it.states[ref]
+		it, st = it.asked, it.asked.states[st.num]
 	}
 	return it, st
 }
@@ -686,17 +696,6 @@ func (it *Interpreter) InMessages(ref block.Ref, label types.Label) []protocol.M
 		return inMessages(st.builder, sources, &label)
 	}
 	return nil
-}
-
-// OutLabels returns the labels with a non-empty out-buffer at the block, sorted.
-func (it *Interpreter) OutLabels(ref block.Ref) []types.Label {
-	var labels []types.Label
-	if _, st := it.at(ref, false); st != nil {
-		for _, m := range st.out {
-			labels = append(labels, m.Label)
-		}
-	}
-	return slices.Compact(labels)
 }
 
 // StateDigest returns the deterministic digest of B.PIs[ℓ] — the state of

@@ -254,6 +254,9 @@ func TestInterpreterGauges(t *testing.T) {
 func topoOrder(d *dag.DAG, choose func(eligible []*block.Block) *block.Block) []*block.Block {
 	remaining := append([]*block.Block(nil), d.Blocks()...)
 	present := make(map[block.Ref]bool, len(remaining))
+	for _, e := range d.Base() {
+		present[e.Ref] = true
+	}
 	var order []*block.Block
 	for len(remaining) > 0 {
 		var eligible []*block.Block
@@ -632,7 +635,7 @@ func TestDoneInstancesRetire(t *testing.T) {
 	}
 	// The READYs of round 3 reached tombstones and were answered by nothing.
 	for s := 0; s < 4; s++ {
-		if out := it.OutLabels(h.Tip(s)); len(out) != 0 {
+		if out := it.OutMessages(h.Tip(s), "ℓ"); len(out) != 0 {
 			t.Fatalf("server %d emitted for %v after delivering", s, out)
 		}
 	}

@@ -95,8 +95,7 @@ func TestSingleAppendAllocatesNothing(t *testing.T) {
 	roster, blocks := chain(t, 420)
 	st := openStore(t, t.TempDir(), roster, store.Options{Sync: store.SyncNever})
 	defer st.Close()
-	// Grow the record buffer and the presence index past what the measured
-	// appends need.
+	// Grow the record buffer past what the measured appends need.
 	appendAll(t, st, blocks[:210])
 	next := 210
 	allocs := testing.AllocsPerRun(200, func() {
@@ -111,14 +110,15 @@ func TestSingleAppendAllocatesNothing(t *testing.T) {
 }
 
 // TestAppendBatchRecovers: a flushed batch is exactly as recoverable as
-// individual appends, duplicates inside and across batches included.
+// individual appends, records written twice — inside a batch and across
+// batches — included: Append keeps no index to refuse them by, Open drops
+// them.
 func TestAppendBatchRecovers(t *testing.T) {
 	roster, blocks := chain(t, 64)
 	dir := t.TempDir()
 	st := openStore(t, dir, roster, store.Options{})
 	// Pre-journal a prefix, then batch the whole chain with an internal
-	// duplicate: the batch must skip what the store already holds and
-	// journal the rest once.
+	// duplicate: eleven records the store holds already.
 	appendAll(t, st, blocks[:10])
 	withDup := append(append([]*block.Block(nil), blocks...), blocks[20])
 	if err := appendBatch(st, withDup); err != nil {
@@ -133,8 +133,8 @@ func TestAppendBatchRecovers(t *testing.T) {
 	if got := len(re.Blocks()); got != len(blocks) {
 		t.Fatalf("recovered %d blocks, want %d", got, len(blocks))
 	}
-	if re.Report().Duplicates != 0 {
-		t.Fatalf("batch journaled %d duplicate records", re.Report().Duplicates)
+	if re.Report().Duplicates != 11 {
+		t.Fatalf("Open dropped %d duplicate records, want 11", re.Report().Duplicates)
 	}
 	if !sameRefs(re.Blocks(), blocks) {
 		t.Fatal("recovered blocks differ from the appended chain")

@@ -13,6 +13,14 @@
 // is absorbed: the disk is one more untrusted peer. Offline tools that
 // want validity insert the blocks into a DAG of their own (cmd/dagstore).
 //
+// Nor does it keep an index: Len is a count, the journaled frontier. The
+// server's DAG numbers each block once and hands each to PersistSink once, in
+// that order, so a block below the frontier Open found is one coming back
+// through Restore's replay, skipped, and every other is appended. A failed
+// write takes its records back out of the count and core latches the server
+// unhealthy; if the torn tail could not be cut off either, the store is
+// failed and refuses every later append — never a journal with a hole.
+//
 // # On-disk layout
 //
 // A store is a directory of segment files named by a monotonically
@@ -98,21 +106,20 @@
 //     peers have already seen — self-equivocation by a correct
 //     server, a safety violation no refetch can repair.
 //
-// PersistSink is therefore the required hook for a store backing a live
-// server: it force-syncs own blocks before the persistence hook returns,
-// and since core runs the hook before gossip's broadcast loop, an own
-// block is durable before it is externalized under every policy. Wired
-// that way (node.Config.Store and package cluster do it automatically),
-// unsynced-tail loss is confined to received blocks and costs re-download,
-// never safety. A bare Append sink does not provide this barrier: under
-// SyncInterval or SyncNever it risks exactly the post-crash
-// self-equivocation above.
+// PersistSink is therefore the required hook for a store backing a live server:
+// it force-syncs own blocks before returning, and since core runs the hook
+// before gossip's broadcast loop, an own block is durable before it is
+// externalized under every policy. Wired that way (node.Config.Store and
+// package cluster do it automatically), unsynced-tail loss is confined to
+// received blocks and costs re-download, never safety. A bare Append sink
+// does not provide this barrier: under SyncInterval or SyncNever it risks
+// exactly the post-crash self-equivocation above.
 //
-// Losing recent unsynced received blocks is safe in every policy because
-// the WAL holds only blocks that are (or were about to be) in the
-// cluster's joint DAG: recovery yields a prefix of the pre-crash DAG,
-// Restore validates it and resumes the own chain without equivocating (durable up to
-// the published head by the barrier), and anything lost is refetched.
+// Losing recent unsynced received blocks is safe in every policy because the
+// WAL holds only blocks that are (or were about to be) in the cluster's joint
+// DAG: recovery yields a prefix of the pre-crash DAG, Restore validates it
+// and resumes the own chain without equivocating (durable up to the published
+// head by the barrier), and anything lost is refetched.
 // Indications replayed from the store repeat pre-crash deliveries — the
 // at-least-once indication semantics documented at core.Server.Restore,
 // which is the authoritative statement of the recovery contract.

@@ -118,8 +118,11 @@ type Store struct {
 	dir  string
 	opts Options
 
+	// recovered is what Open read, in file order; blocks counts those and the
+	// appended: the journaled frontier. There is no index of them: the
+	// server's DAG numbers each block once, and the sink counts along.
 	recovered []*block.Block
-	present   map[block.Ref]struct{}
+	blocks    int
 	report    OpenReport
 
 	// Pruned-history state, journaled in snapshot segments. horizon is
@@ -151,10 +154,9 @@ type Store struct {
 	// into scratch; FlushBatch writes the whole buffer with one syscall per
 	// segment run and makes one fsync-policy decision for the burst — a
 	// burst of one outside a window. scratch is reused across flushes, so
-	// steady-state journaling allocates nothing. pendingRefs
-	// remembers which refs were optimistically marked present at buffer
-	// time, in record order, so a failed flush can unmark exactly the
-	// records that never reached the disk.
+	// steady-state journaling allocates nothing. pendingRefs names the
+	// buffered records, counted into blocks at buffer time, so a failed
+	// flush can take back exactly those that never reached the disk.
 	batching    bool
 	scratch     []byte
 	pendingRefs []block.Ref
@@ -203,12 +205,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:     dir,
-		opts:    opts,
-		present: make(map[block.Ref]struct{}),
-		nextIdx: 1,
-	}
+	s := &Store{dir: dir, opts: opts, nextIdx: 1}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -268,6 +265,7 @@ func (s *Store) recover() error {
 		segs = segs[:n-1]
 	}
 
+	seen := make(map[block.Ref]struct{}) // of this read only: duplicate records are dropped here
 	for i, sf := range segs {
 		seg, err := readSegment(sf)
 		if err != nil {
@@ -279,7 +277,7 @@ func (s *Store) recover() error {
 			return fmt.Errorf("%w: %s: bad record before final segment", ErrCorrupt, sf.path)
 		}
 		var dups int
-		s.recovered, dups = appendUnseen(s.recovered, s.present, seg.blocks)
+		s.recovered, dups = appendUnseen(s.recovered, seen, seg.blocks)
 		s.report.Duplicates += dups
 		if seg.snap != nil {
 			s.horizon, s.base, s.stateCkpt = seg.snap.horizon, seg.snap.base, seg.snap.state
@@ -305,7 +303,8 @@ func (s *Store) recover() error {
 			s.cur, s.curIndex, s.curSize = f, sf.index, seg.goodLen
 		}
 	}
-	s.report.Blocks = len(s.recovered)
+	s.blocks = len(s.recovered)
+	s.report.Blocks = s.blocks
 	s.lastSync = s.opts.Clock()
 	return nil
 }
@@ -354,15 +353,9 @@ func (s *Store) StateCheckpoint() *StateCheckpoint { return s.stateCkpt }
 // the journal, so nothing is lost in a crash.
 func (s *Store) SetStateCheckpoint(sc *StateCheckpoint) { s.stateCkpt = sc }
 
-// Len returns the number of distinct blocks the store holds (recovered
-// plus appended).
-func (s *Store) Len() int { return len(s.present) }
-
-// Contains reports whether the block is already journaled.
-func (s *Store) Contains(ref block.Ref) bool {
-	_, ok := s.present[ref]
-	return ok
-}
+// Len returns the number of blocks the store holds — recovered plus
+// appended, or what the last Checkpoint retained: the journaled frontier.
+func (s *Store) Len() int { return s.blocks }
 
 // WALSegments returns the number of WAL segments written since the last
 // snapshot (live segment included). Automatic checkpoint scheduling
@@ -385,10 +378,10 @@ func (s *Store) DiskSize() (int64, error) {
 	return total, nil
 }
 
-// Append journals one block. Appending a block the store already holds is
-// a no-op, so the core persistence hook and Restore replay compose
-// without double-journaling. Durability follows the configured fsync
-// policy; use Sync to force the strongest point.
+// Append journals one block, whatever the store holds: telling a journaled
+// block from a new one is the caller's (PersistSink does; a record written
+// twice costs its bytes until Open or a Checkpoint drops it). Durability
+// follows the configured fsync policy; use Sync to force the strongest point.
 //
 // Between BeginBatch and FlushBatch, Append only frames the record into
 // the group-commit buffer; see FlushBatch for when the bytes hit the disk.
@@ -402,17 +395,12 @@ func (s *Store) Append(b *block.Block) error {
 	if s.failed != nil {
 		return fmt.Errorf("store: unusable after write failure: %w", s.failed)
 	}
-	ref := b.Ref()
-	if _, dup := s.present[ref]; dup {
-		return nil
-	}
-	// One write path: frame into the group-commit buffer and mark present
-	// (keeping intra-batch dedup exact; a failed flush unmarks the records
-	// that never hit the disk). Inside a window the write waits for
-	// FlushBatch; outside one, this record is a batch of one.
+	// One write path: frame into the group-commit buffer and count the
+	// block (a failed flush takes it back out). Inside a window the write
+	// waits for FlushBatch; outside one, this record is a batch of one.
 	s.scratch = appendRecord(s.scratch, b.Encode())
-	s.pendingRefs = append(s.pendingRefs, ref)
-	s.present[ref] = struct{}{}
+	s.pendingRefs = append(s.pendingRefs, b.Ref())
+	s.blocks++
 	if s.batching {
 		return nil
 	}
@@ -449,9 +437,9 @@ func (s *Store) BeginBatch() {
 // record: one write syscall per contiguous run that fits the live
 // segment (rotating between runs), then a single fsync-policy decision
 // for the whole burst. A flush with nothing buffered is a no-op. On a
-// write error the unwritten records are unmarked from the presence index
-// and the torn tail is repaired (flushPending); the error reports the
-// first block that was lost.
+// write error the frontier is rolled back by the unwritten records and
+// the torn tail is repaired (flushPending); the error reports the first
+// block that was lost.
 func (s *Store) FlushBatch() error {
 	s.batching = false
 	if len(s.scratch) == 0 {
@@ -529,14 +517,9 @@ func (s *Store) flushPending() error {
 	return nil
 }
 
-// unmarkPending removes presence marks for batch records that never
-// reached the disk, so a later append (or refetch from a peer) can
-// journal them again.
-func (s *Store) unmarkPending(refs []block.Ref) {
-	for _, ref := range refs {
-		delete(s.present, ref)
-	}
-}
+// unmarkPending rolls the frontier back by the batch records that never
+// reached the disk: Len counts what is journaled.
+func (s *Store) unmarkPending(refs []block.Ref) { s.blocks -= len(refs) }
 
 // PersistSink returns the persistence hook (core.Journal) for the server
 // owning this store: it journals every inserted block and, for blocks
@@ -549,10 +532,22 @@ func (s *Store) unmarkPending(refs []block.Ref) {
 // never commit). Received blocks stay on the configured policy — losing
 // an unsynced tail of them only costs refetching from peers.
 //
+// The sink numbers the blocks as the server's DAG does: it is handed each
+// once, in the DAG's order from its first (core.Journal). A row below the
+// frontier Open found is a block Open read, coming back through the replay
+// of Blocks, and is skipped — if it is that block: a DAG built from anything
+// else journals it again, a duplicate record and nothing lost. Every later
+// row is new, whatever a failed write or a pruning Checkpoint did to Len.
+//
 // Use this, not a bare Append, whenever the store backs a live server;
 // node.Config.Store and package cluster wire it automatically.
 func (s *Store) PersistSink(self types.ServerID) func(*block.Block) error {
+	row := 0
 	return func(b *block.Block) error {
+		row++
+		if row <= len(s.recovered) && s.recovered[row-1].Ref() == b.Ref() {
+			return nil
+		}
 		if err := s.Append(b); err != nil {
 			return err
 		}
@@ -699,10 +694,7 @@ func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 	if stats.SegmentsRemoved, err = s.publishSnapshot(enc); err != nil {
 		return stats, err
 	}
-	s.present = make(map[block.Ref]struct{}, len(blocks))
-	for _, b := range blocks {
-		s.present[b.Ref()] = struct{}{}
-	}
+	s.blocks = len(blocks)
 	if base != nil {
 		s.base = base
 	}
@@ -904,7 +896,7 @@ func (s *Store) InstallSnapshot(horizon map[types.ServerID]uint64, base []dag.Ba
 		return errors.New("store: install snapshot on read-only store")
 	case sc == nil:
 		return errors.New("store: InstallSnapshot needs a state checkpoint")
-	case len(s.present) > 0 || len(s.base) > 0:
+	case s.blocks > 0 || len(s.base) > 0:
 		return fmt.Errorf("store: InstallSnapshot into non-empty store %s", s.dir)
 	}
 	enc, err := encodeSnapshot(nil, base, horizon, sc)

@@ -70,6 +70,34 @@ func TestAppendAfterTornWriteRepair(t *testing.T) {
 	}
 }
 
+// TestFailedWriteRollsTheFrontierBack: Len counts what is journaled. A write
+// that fails takes its records back out of the count, and — the segment's
+// tail being beyond repair here: the handle is dead — latches the store, so
+// the frontier cannot move again and the core server above reports the
+// store, not a hole in it.
+func TestFailedWriteRollsTheFrontierBack(t *testing.T) {
+	roster, b0, b1 := sealedPair(t)
+	st, err := Open(t.TempDir(), Options{Roster: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Abandon()
+	sink := st.PersistSink(0)
+	if err := sink(b0); err != nil {
+		t.Fatal(err)
+	}
+	_ = st.cur.Close() // the disk goes away under the store
+	if err := sink(b1); err == nil {
+		t.Fatal("a write to a closed segment succeeded")
+	}
+	if st.Len() != 1 || st.failed == nil {
+		t.Fatalf("after the failed write: Len %d, latched %v; want the one journaled block and a latched store", st.Len(), st.failed)
+	}
+	if err := sink(b1); err == nil || st.Len() != 1 {
+		t.Fatalf("the latched store took the block again (err %v, Len %d)", err, st.Len())
+	}
+}
+
 // TestPersistSinkSyncsOwnBlocks: the sink must force own blocks durable
 // before returning — the externalization barrier that prevents post-crash
 // self-equivocation — while received blocks stay on the configured policy

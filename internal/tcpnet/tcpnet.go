@@ -96,8 +96,9 @@ type Config struct {
 	// DialBackoff is the initial reconnect backoff (default 50ms,
 	// doubling to a 2s cap).
 	DialBackoff time.Duration
-	// QueueSize bounds each peer's outbound queue (default 4096);
-	// sends beyond it block, applying backpressure.
+	// QueueSize bounds each peer's outbound queue, in frames (default
+	// 4096); sends beyond it block, applying backpressure. A bound, not an
+	// allocation: a queue's memory is its backlog's, released as it drains.
 	QueueSize int
 	// CallTimeout bounds a call's dial+handshake and each subsequent
 	// frame read (default 10s): a peer that stops mid-stream surfaces
@@ -172,11 +173,36 @@ var (
 
 var _ transport.Transport = (*Transport)(nil)
 
-// peer is one outbound connection manager.
+// peer is one outbound connection manager and its send queue: a FIFO whose
+// memory follows the backlog. Send takes a slot, blocking at the bound, and
+// appends; the sender reads the backlog where it lies, writes it out, and
+// only then pops it and gives the slots back.
 type peer struct {
-	id    types.ServerID
-	addr  string
-	queue chan []byte
+	id   types.ServerID
+	addr string
+
+	mu     sync.Mutex
+	frames []frame       // the backlog, oldest first
+	slots  chan struct{} // a token a queued frame, Config.QueueSize at most (of size zero: no buffer)
+	ready  chan struct{} // capacity 1: a frame was queued
+}
+
+// frame is one queued payload and its channel. The payload is the caller's
+// slice, not a copy (transport.Transport.Send: read-only from the call on).
+type frame struct {
+	ch      transport.Channel
+	payload []byte
+}
+
+// pop drops the n oldest frames — written, or discarded — with their array:
+// what queued up behind them, mostly nothing, moves to one of its own.
+func (p *peer) pop(n int) {
+	p.mu.Lock()
+	p.frames = append([]frame(nil), p.frames[n:]...)
+	p.mu.Unlock()
+	for ; n > 0; n-- {
+		<-p.slots
+	}
 }
 
 // Listen starts the transport: it binds the listen address and starts the
@@ -241,7 +267,7 @@ func (t *Transport) Connect(id types.ServerID, addr string) error {
 	if _, dup := t.peers[id]; dup {
 		return fmt.Errorf("tcpnet: peer %v already connected", id)
 	}
-	p := &peer{id: id, addr: addr, queue: make(chan []byte, t.cfg.QueueSize)}
+	p := &peer{id: id, addr: addr, slots: make(chan struct{}, t.cfg.QueueSize), ready: make(chan struct{}, 1)}
 	t.peers[id] = p
 	t.wg.Add(1)
 	go t.runSender(p)
@@ -257,27 +283,33 @@ func (t *Transport) Self() types.ServerID { return t.cfg.Self }
 // Counts returns the transport's counters, read over Families.
 func (t *Transport) Counts() *metrics.Metrics { return &t.counts }
 
-// Send implements transport.Transport: enqueue for the peer's sender
-// goroutine, envelope (channel byte) included. Unknown destinations are
-// dropped (they cannot be correct servers: the peer table covers the
-// roster).
+// Send implements transport.Transport: enqueue the payload, as it is, for
+// the peer's sender goroutine, which frames it (length, channel byte) on the
+// way out; it blocks while that queue is at Config.QueueSize. Unknown
+// destinations are dropped (they cannot be correct servers: the peer table
+// covers the roster), as is a payload that fits no frame.
 func (t *Transport) Send(to types.ServerID, ch transport.Channel, payload []byte) {
 	t.mu.Lock()
 	p, ok := t.peers[to]
 	t.mu.Unlock()
-	if !ok || !ch.Valid() {
+	if !ok || !ch.Valid() || len(payload) >= wire.MaxFrame {
 		return
 	}
 	if t.cfg.Scores.Banned(to) {
 		t.counts.Add(BanRejections, 1)
 		return
 	}
-	data := make([]byte, 0, 1+len(payload))
-	data = append(data, byte(ch))
-	data = append(data, payload...)
 	select {
-	case p.queue <- data:
+	case p.slots <- struct{}{}:
 	case <-t.ctx.Done():
+		return
+	}
+	p.mu.Lock()
+	p.frames = append(p.frames, frame{ch: ch, payload: payload})
+	p.mu.Unlock()
+	select {
+	case p.ready <- struct{}{}:
+	default: // the sender has not looked since the last one
 	}
 }
 
@@ -759,11 +791,7 @@ func (t *Transport) serveCall(conn net.Conn, from types.ServerID, ch transport.C
 
 // writeCallError best-effort sends a tagged error frame.
 func (t *Transport) writeCallError(conn net.Conn, err error) {
-	msg := err.Error()
-	buf := make([]byte, 0, 1+len(msg))
-	buf = append(buf, tagError)
-	buf = append(buf, msg...)
-	_ = wire.WriteFrame(conn, buf)
+	_, _ = conn.Write(wire.AppendTagged(nil, tagError, []byte(err.Error())))
 }
 
 // connStream implements transport.ServerStream over one call connection.
@@ -794,13 +822,10 @@ func (s *connStream) Send(frame []byte) error {
 	if len(frame) >= wire.MaxFrame {
 		return fmt.Errorf("%w: stream frame of %d bytes", wire.ErrTooLarge, len(frame))
 	}
-	buf := make([]byte, 0, 1+len(frame))
-	buf = append(buf, tagData)
-	buf = append(buf, frame...)
 	if s.writeTimeout > 0 {
 		_ = s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 	}
-	if err := wire.WriteFrame(s.conn, buf); err != nil {
+	if _, err := s.conn.Write(wire.AppendTagged(nil, tagData, frame)); err != nil {
 		s.failed = true
 		return fmt.Errorf("%w: %v", transport.ErrStreamLost, err)
 	}
@@ -816,21 +841,18 @@ func (s *connStream) Close(err error) {
 	if s.failed {
 		return
 	}
-	if err == nil {
-		_ = wire.WriteFrame(s.conn, []byte{tagEnd})
-		return
+	tag, msg := tagEnd, ""
+	if err != nil {
+		tag, msg = tagError, err.Error()
 	}
-	msg := err.Error()
-	buf := make([]byte, 0, 1+len(msg))
-	buf = append(buf, tagError)
-	buf = append(buf, msg...)
-	_ = wire.WriteFrame(s.conn, buf)
+	_, _ = s.conn.Write(wire.AppendTagged(nil, tag, []byte(msg)))
 }
 
 // runSender owns one peer's outbound stream connection: dial with backoff,
-// identify and authenticate, then drain the queue. A payload is only
-// dequeued after a successful write; on write failure it is retransmitted
-// on the next connection (at-least-once).
+// identify and authenticate, then drain the queue. What is queued when the
+// sender turns to it leaves in one write, a frame a payload, and is dequeued
+// only after that write succeeded; on failure it is retransmitted, with what
+// queued up behind it, on the next connection (at-least-once).
 func (t *Transport) runSender(p *peer) {
 	defer t.wg.Done()
 	var conn net.Conn
@@ -853,21 +875,24 @@ func (t *Transport) runSender(p *peer) {
 		return true
 	}
 
-	var pending []byte // channel-tagged payload awaiting a successful write
 	for {
-		if pending == nil {
+		p.mu.Lock()
+		backlog := p.frames // a view, this goroutine's until its next pop
+		p.mu.Unlock()
+		if len(backlog) == 0 {
 			select {
 			case <-t.ctx.Done():
 				return
-			case pending = <-p.queue:
+			case <-p.ready:
+				continue
 			}
 		}
 		if t.cfg.Scores.Banned(p.id) {
 			// The peer was banned while payloads were queued (or a
 			// retransmission was pending). Discard instead of dialing a
 			// peer we would refuse to hear from anyway.
-			t.counts.Add(BanRejections, 1)
-			pending = nil
+			t.counts.Add(BanRejections, int64(len(backlog)))
+			p.pop(len(backlog))
 			if conn != nil {
 				_ = conn.Close()
 				conn = nil
@@ -898,11 +923,16 @@ func (t *Transport) runSender(p *peer) {
 			conn = c
 			backoff = t.cfg.DialBackoff
 		}
-		if err := wire.WriteFrame(conn, pending); err != nil {
+		var out []byte // the backlog framed, a megabyte or a frame at a time
+		sent := 0
+		for ; sent < len(backlog) && len(out) < 1<<20; sent++ {
+			out = wire.AppendTagged(out, byte(backlog[sent].ch), backlog[sent].payload)
+		}
+		if _, err := conn.Write(out); err != nil {
 			_ = conn.Close()
 			conn = nil
-			continue // retransmit pending on the next connection
+			continue // retransmit the backlog on the next connection
 		}
-		pending = nil
+		p.pop(sent)
 	}
 }

@@ -45,7 +45,7 @@ type Buffers struct {
 // is linear; an interpreter that has moved on — a running server's — answers
 // the same for any block, but by replaying history for each.
 func InterpretBuffers(d *dag.DAG, proto protocol.Protocol, n, f int, label types.Label) (map[block.Ref]Buffers, error) {
-	it := interpret.New(proto, n, f, nil)
+	it := interpret.New(proto, n, f, nil, interpret.Over(d))
 	buffers := make(map[block.Ref]Buffers)
 	for b := range d.All() {
 		if err := it.AddBlock(b); err != nil {

@@ -193,7 +193,11 @@ type Transport interface {
 	// Send transmits payload to the given server on the given channel,
 	// best effort with eventual delivery between correct servers
 	// (Assumption 1). Send must not block on the receiver;
-	// implementations queue internally.
+	// implementations queue internally — the slice itself, not a copy:
+	// from the call on payload is read-only, for the caller and whoever
+	// else holds it, and the transport may keep it as long as it likes
+	// (a queue, a retransmission). Callers hand in frames they built for
+	// sending and never write to again; one frame may go to many peers.
 	Send(to types.ServerID, ch Channel, payload []byte)
 	// Call opens a request/response stream to the given server's
 	// handler on the given channel. It returns immediately; the sink

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 )
 
 // Encoding errors returned by Reader and the framing helpers.
@@ -316,6 +317,13 @@ func WriteFrame(w io.Writer, payload []byte) error {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
+}
+
+// AppendTagged appends to dst the frame WriteFrame writes for tag followed by
+// body, which the caller need not build. len(body) must be below MaxFrame.
+func AppendTagged(dst []byte, tag byte, body []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(slices.Grow(dst, 5+len(body)), uint32(1+len(body)))
+	return append(append(dst, tag), body...)
 }
 
 // ReadFrame reads one length-prefixed frame written by WriteFrame. It

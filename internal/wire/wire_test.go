@@ -234,6 +234,23 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 	}
 }
 
+// TestAppendTaggedIsWriteFrame: byte for byte the frame WriteFrame writes for
+// tag and body concatenated.
+func TestAppendTaggedIsWriteFrame(t *testing.T) {
+	var want bytes.Buffer
+	var got []byte
+	for _, size := range []int{0, 1, 300, 64 << 10} {
+		body := bytes.Repeat([]byte{0xcd}, size)
+		if err := WriteFrame(&want, append([]byte{9}, body...)); err != nil {
+			t.Fatal(err)
+		}
+		got = AppendTagged(got, 9, body)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("AppendTagged differs from WriteFrame's frame")
+	}
+}
+
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
