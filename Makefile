@@ -261,7 +261,7 @@ chaos-smoke:
 # once, on a row of a metrics.Table (Families.Counter / Families.Gauge).
 # And "one ref -> number map per node" (docs/ARCHITECTURE.md, "What a block
 # costs a node"): no struct field in non-test Go is a map keyed by block.Ref,
-# gossip's four in-flight sets excepted — they hold what is pending, not the
+# gossip's three in-flight sets excepted — they hold what is pending, not the
 # run. The map the rule protects, graph.index, is generic and does not match.
 # CI runs it on every push.
 docs-check:
@@ -298,7 +298,7 @@ docs-check:
 	done
 	@indexes=$$(grep -rnE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*(, [A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+map\[block\.Ref\]' --include='*.go' --exclude='*_test.go' \
 			--exclude-dir=bench --exclude-dir=.bench_build . \
-		| grep -vE '^\./internal/gossip/gossip\.go:[0-9]+:[[:space:]]+(pending|waiters|missing|invalid)[[:space:]]' || true); \
+		| grep -vE '^\./internal/gossip/gossip\.go:[0-9]+:[[:space:]]+(pending|waiters|invalid)[[:space:]]' || true); \
 	[ -z "$$indexes" ] || { echo "docs-check FAILED: a struct field keyed by block.Ref; number the block once (dag.Index) and keep a column or a count:" >&2; echo "$$indexes" >&2; exit 1; }
 	go vet ./...
 	go build ./...

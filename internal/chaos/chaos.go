@@ -202,12 +202,15 @@ type Result struct {
 	BanSurvival        bool // bans intact after an honest crash/restart (when checked)
 	BanSurvivalChecked bool
 
-	// Digest fingerprints the run's trace: a hash over every correct
-	// server's sorted block refs and its per-label indication sequence,
-	// taken once the run is over. Same scenario, same seed ⇒ same digest;
-	// the pinned values in chaos_test.go hold a runtime refactor to the
-	// schedule it replaced.
-	Digest string
+	// BlocksDigest and IndicationsDigest fingerprint the run's trace, taken
+	// once the run is over: a hash over every correct server's sorted
+	// block refs, and one over its per-label indication sequences. Same
+	// scenario, same seed ⇒ same digests; the pinned values in
+	// chaos_test.go hold a runtime refactor to the schedule it replaced. A
+	// change to what blocks cite or to when they arrive moves the first
+	// and must leave the second alone.
+	BlocksDigest      string
+	IndicationsDigest string
 
 	Violations []string
 }
@@ -218,7 +221,7 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 }
 // Summary renders the verdict compactly for CLI output.
 func (r *Result) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos %s: seed=%d rounds=%d digest=%s", r.Scenario, r.Seed, r.Rounds, r.Digest)
+	fmt.Fprintf(&b, "chaos %s: seed=%d rounds=%d blocks=%s indications=%s", r.Scenario, r.Seed, r.Rounds, r.BlocksDigest, r.IndicationsDigest)
 	fmt.Fprintf(&b, "\n  converged=%v agreement=%v", r.Converged, r.Agreement)
 	if len(r.Equivocators) > 0 {
 		fmt.Fprintf(&b, "\n  equivocators=%v evidence-everywhere=%v same-proof=%v banned-everywhere=%v",
@@ -309,24 +312,25 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	r.result.Digest = r.digest()
+	r.result.BlocksDigest, r.result.IndicationsDigest = r.digests()
 	return r.result, nil
 }
 
-// digest hashes what the run left behind at every correct server: its
+// digests hashes what the run left behind at every correct server: its
 // DAG as sorted block refs, and its indications as one value sequence per
-// label (labels sorted). Grouping by label keeps the digest a statement
-// about the trace the paper's properties quantify over — which blocks
-// exist and what each instance indicated, in order — rather than about
-// how two unrelated instances happened to interleave.
-func (r *runner) digest() string {
-	h := sha256.New()
+// label (labels sorted). Grouping by label keeps the second a statement
+// about the trace the paper's properties quantify over — what each
+// instance indicated, in order — rather than about how two unrelated
+// instances happened to interleave.
+func (r *runner) digests() (blocks, indications string) {
+	hb, hi := sha256.New(), sha256.New()
 	for _, i := range r.c.CorrectServers() {
-		fmt.Fprintf(h, "s%d\n", i)
+		fmt.Fprintf(hb, "s%d\n", i)
+		fmt.Fprintf(hi, "s%d\n", i)
 		refs := r.c.Servers[i].DAG().Refs() // a copy, ours to sort
 		sort.Slice(refs, func(a, b int) bool { return bytes.Compare(refs[a][:], refs[b][:]) < 0 })
 		for _, ref := range refs {
-			h.Write(ref[:])
+			hb.Write(ref[:])
 		}
 		byLabel := make(map[types.Label][][]byte)
 		for _, ind := range r.c.Indications(i) {
@@ -338,14 +342,14 @@ func (r *runner) digest() string {
 		}
 		sort.Strings(labels)
 		for _, l := range labels {
-			fmt.Fprintf(h, "%q", l)
+			fmt.Fprintf(hi, "%q", l)
 			for _, v := range byLabel[types.Label(l)] {
-				fmt.Fprintf(h, " %q", v)
+				fmt.Fprintf(hi, " %q", v)
 			}
-			h.Write([]byte{'\n'})
+			hi.Write([]byte{'\n'})
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return hex.EncodeToString(hb.Sum(nil)[:16]), hex.EncodeToString(hi.Sum(nil)[:16])
 }
 
 func (r *runner) logf(format string, args ...any) {

@@ -32,24 +32,25 @@ func TestPartitionEquivocators(t *testing.T) {
 	if !res.BanSurvivalChecked || !res.BanSurvival {
 		t.Fatalf("ban survival not verified:\n%s", res.Summary())
 	}
-	checkTrace(t, res, 20, "7e33fe22d7c2d8a9f79b7886e070b65c")
+	checkTrace(t, res, 20, "ad2c2db329fe68350610d7330b2ddbe4", "fcbd62402f5538f911639d007705d2ae")
 }
 
-// checkTrace pins a seeded run's round count and Result.Digest. The round
+// checkTrace pins a seeded run's round count and its two digests. The round
 // counts are the ones recorded before PR 16, when the cluster package still
-// carried its own copy of the runtime. The digests were re-pinned once, in
-// PR 18: blocks cite their parent and the DAG's tips instead of every
-// inserted block, so every block from the second round on has another
-// reference list and another ref, and the digest hashes the refs. Its other
-// half did not move — hashed alone, the per-label indication sequences give
-// fcbd6240… and b7e80576… on both sides of that change.
-// A change here is a change in what some server built or decided and when —
-// find the decision before re-pinning.
-func checkTrace(t *testing.T, res *Result, rounds int, digest string) {
+// carried its own copy of the runtime. The indication digests have never
+// moved. The block digests were re-pinned twice, each time with the
+// indication digests proven equal by this test: in PR 18, when blocks began
+// to cite their parent and the DAG's tips instead of every inserted block,
+// and in PR 28, when a missing predecessor began to be asked of the peer
+// that sent the citing block — it arrives at another moment, so it is a tip
+// of another own block.
+// A moved indication digest, or a moved round count, is a change in what
+// some server decided — find the decision before re-pinning.
+func checkTrace(t *testing.T, res *Result, rounds int, blocks, indications string) {
 	t.Helper()
-	if res.Rounds != rounds || res.Digest != digest {
-		t.Fatalf("trace moved: rounds=%d digest=%s, pinned rounds=%d digest=%s",
-			res.Rounds, res.Digest, rounds, digest)
+	if res.Rounds != rounds || res.BlocksDigest != blocks || res.IndicationsDigest != indications {
+		t.Fatalf("trace moved: rounds=%d blocks=%s indications=%s, pinned rounds=%d blocks=%s indications=%s",
+			res.Rounds, res.BlocksDigest, res.IndicationsDigest, rounds, blocks, indications)
 	}
 }
 
@@ -70,7 +71,7 @@ func TestCrashStorm(t *testing.T) {
 	if !res.Converged || !res.Agreement {
 		t.Fatalf("verdict fields inconsistent with OK():\n%s", res.Summary())
 	}
-	checkTrace(t, res, 26, "f9da88da2dca4b52bf05ad92445bb663")
+	checkTrace(t, res, 26, "4b81852fdce7f8dea355f9851b6a5729", "b7e805765e9b507003129a3936496522")
 }
 
 // TestDeterminism runs the acceptance scenario twice with the same seed
@@ -87,7 +88,7 @@ func TestDeterminism(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) || a.Digest == "" {
+	if !reflect.DeepEqual(a, b) || a.BlocksDigest == "" || a.IndicationsDigest == "" {
 		t.Fatalf("same seed, different results (digest included):\n%s\nvs\n%s", a.Summary(), b.Summary())
 	}
 	// A different seed must still pass the invariants (the verdict is
@@ -99,8 +100,10 @@ func TestDeterminism(t *testing.T) {
 	if !res.OK() {
 		t.Fatalf("seed 43 violated invariants:\n%s", res.Summary())
 	}
-	if res.Digest == a.Digest {
-		t.Fatalf("seeds 42 and 43 share digest %s: the digest does not see the trace", res.Digest)
+	// Only the block digest can tell the seeds apart: what this scenario
+	// indicates per label is the same under every schedule.
+	if res.BlocksDigest == a.BlocksDigest {
+		t.Fatalf("seeds 42 and 43 share block digest %s: the digest does not see the trace", res.BlocksDigest)
 	}
 }
 

@@ -370,6 +370,8 @@ func (c *Cluster) register(slot int, nd *node.Node, st *store.Store) {
 		return
 	}
 	srv := nd.Server()
+	// Built here, not by deploy: a slot may be storeless (Source, below) and
+	// simnet takes a handler once the node exists — nothing to late-bind.
 	sync := &syncsvc.Server{
 		Store:      st,
 		Every:      c.opts.SyncEvery,

@@ -259,8 +259,8 @@ func (s *Server) Disseminate() error {
 	return err
 }
 
-// Tick drives FWD retransmission timers.
-func (s *Server) Tick(now time.Duration) { s.gsp.Tick(now) }
+// Tick re-asks for what buffered blocks still miss, on Config.Clock.
+func (s *Server) Tick() { s.gsp.Tick() }
 
 // onInsert chains every inserted block into the interpreter: building the
 // DAG and interpreting it stay logically decoupled (the dotted line in the

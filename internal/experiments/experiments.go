@@ -503,7 +503,7 @@ func E16ReferencesPerBlock() (*Table, error) {
 				if c.Net.Now() >= horizon {
 					return
 				}
-				srv.Tick(c.Net.Now())
+				srv.Tick()
 				if err := srv.Disseminate(); err != nil {
 					return
 				}

@@ -62,7 +62,7 @@ func BenchmarkHandleBlockIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := dag.New(roster)
-		g, err := New(Config{
+		g := newGossip(b, Config{
 			Signer:     signers[0],
 			Roster:     roster,
 			DAG:        d,
@@ -70,9 +70,6 @@ func BenchmarkHandleBlockIngest(b *testing.B) {
 			Clock:      net.Now,
 			OnEvidence: discardEvidence,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 		for _, p := range payloads {
 			g.HandleMessage(1, p)
 		}
@@ -144,7 +141,7 @@ func BenchmarkIngest(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := dag.New(roster)
-				g, err := New(Config{
+				g := newGossip(b, Config{
 					Signer:     signers[0],
 					Roster:     roster,
 					DAG:        d,
@@ -152,9 +149,6 @@ func BenchmarkIngest(b *testing.B) {
 					Clock:      net.Now,
 					OnEvidence: discardEvidence,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
 				if batch <= 1 {
 					for _, m := range msgs {
 						g.HandleMessage(m.From, m.Payload)
@@ -193,7 +187,7 @@ func BenchmarkTipRetirement(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := dag.New(roster)
-				g, err := New(Config{
+				g := newGossip(b, Config{
 					Signer:     signers[0],
 					Roster:     roster,
 					DAG:        d,
@@ -201,9 +195,6 @@ func BenchmarkTipRetirement(b *testing.B) {
 					Clock:      net.Now,
 					OnEvidence: discardEvidence,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
 				for _, p := range payloads {
 					g.HandleMessage(1, p)
 				}

@@ -38,7 +38,7 @@ func newAccountableCluster(t *testing.T, n int) (*cluster, []*accountableNode) {
 		m := &metrics.Metrics{}
 		src := &queueSource{}
 		scores := peerscore.New(peerscore.Options{Clock: net.Now})
-		g, err := New(Config{
+		g := newGossip(t, Config{
 			Signer:     signers[i],
 			Roster:     roster,
 			DAG:        d,
@@ -49,9 +49,6 @@ func newAccountableCluster(t *testing.T, n int) (*cluster, []*accountableNode) {
 			Scores:     scores,
 			OnEvidence: discardEvidence,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		node := &testNode{g: g, d: d, m: m, src: src, metrics: m}
 		c.nodes = append(c.nodes, node)
 		acc = append(acc, &accountableNode{testNode: node, pool: g.Evidence(), scores: scores})

@@ -37,7 +37,7 @@ func FuzzHandleMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net := simnet.New()
 		d := dag.New(roster)
-		g, err := New(Config{
+		g := newGossip(t, Config{
 			Signer:    signers[0],
 			Roster:    roster,
 			DAG:       d,
@@ -46,9 +46,6 @@ func FuzzHandleMessage(f *testing.F) {
 
 			OnEvidence: discardEvidence,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		g.HandleMessage(1, data)
 		// Whatever was inserted must be fully valid: revalidate.
 		check := dag.New(roster)

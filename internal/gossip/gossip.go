@@ -14,11 +14,23 @@
 // references the same way; docs/ARCHITECTURE.md, "What a reference means".
 //
 // There is a single core message type — the block — plus the FWD request
-// used to pull a missing predecessor from the server whose block
-// referenced it (Algorithm 1 lines 10–13). Together with Assumption 1
-// (reliable delivery) this yields Lemma 3.6: every block a correct server
-// considers valid is eventually valid at every correct server — and hence
-// Lemma 3.7, the eventually joint block DAG.
+// that pulls a missing predecessor (Algorithm 1 lines 10–13). The blks
+// buffer is the only FWD state: a buffered block remembers the peers that
+// handed it over — its builder for a disseminated block, the paper's rule
+// — or handed over a block citing it, and what it misses is asked of them
+// in turn, at once and again every ResendAfter. Lemma 3.6 (a block valid at
+// one correct server is eventually valid at every correct server) is the
+// paper's argument with "references" read as "reaches": correct s holding B
+// builds a block that reaches B through its parent and tips and sends it to
+// correct s'. Whatever s hands over — a block it built, or a FWD answer,
+// served from its DAG only — it holds with all its ancestry. A predecessor
+// s' lacks is asked of s and arrives (Assumption 1), buffered as handed
+// over by s; one s' had buffered from others counts s among its peers from
+// then on, and no peer, silent or loud, is asked twice before s is asked
+// again. Either way its own predecessors are asked of s in turn: by
+// induction on depth s' comes to hold B. Hence Lemma 3.7, the eventually
+// joint block DAG. No peer is asked for a reference unless a block it
+// handed over reaches it.
 //
 // Gossip is a deterministic state machine: all inputs arrive through
 // HandleMessage (or its batched form HandleMessages), Disseminate, and
@@ -104,22 +116,21 @@ type Config struct {
 	// DAG is this server's block DAG, shared read-only with the
 	// interpreter.
 	DAG *dag.DAG
-	// Requests supplies requests for the next block. May be nil for
-	// pure relays.
+	// Requests supplies requests for the next block. Required.
 	Requests RequestSource
 	// Transport sends wire messages. Required.
 	Transport transport.Transport
-	// OnInsert, if non-nil, observes every block inserted into the DAG
-	// in insertion order; the shim chains the interpreter and the
-	// persistence hook here. A non-nil error means the block was not
+	// OnInsert observes every block inserted into the DAG in insertion
+	// order; the shim chains the interpreter and the persistence hook
+	// here. Required. A non-nil error means the block was not
 	// safely persisted: Disseminate then withholds the broadcast of the
 	// own block it just built — an own block must never be externalized
 	// before it is durable, or a crash re-signs its sequence number
 	// (self-equivocation). Received blocks are unaffected; they are
 	// already externalized by their builders.
 	OnInsert func(*block.Block) error
-	// Clock supplies the current time for FWD retry bookkeeping. The
-	// simulator injects virtual time. Required.
+	// Clock supplies the current time — the only one Tick and the buffer
+	// read. The simulator injects virtual time. Required.
 	Clock func() time.Duration
 	// Metrics, optional.
 	Metrics *metrics.Metrics
@@ -128,7 +139,7 @@ type Config struct {
 	// frame, bad evidence) against sending peers and carries the
 	// terminal ban state evidence convictions feed. Once a builder is
 	// banned, gossip stops sending to it and refuses fresh blocks built
-	// by it — except blocks some pending honest block already waits on,
+	// by it — except blocks some buffered honest block already waits on,
 	// which are still admitted so honest chains referencing pre-ban
 	// blocks can complete (the ban must not break Lemma 3.7 for blocks
 	// already externalized). The shim always supplies one; a nil scorer
@@ -156,25 +167,30 @@ const DefaultMaxBatch = 256
 // resurfaces fails validation again.
 const invalidCacheSize = 4096
 
-// The FWD timers: constants, not Config fields — no caller needs another
-// value.
-const (
-	// ResendAfter is the Δ_B' wait before re-issuing a FWD request for a
-	// still-missing block.
-	ResendAfter = 200 * time.Millisecond
-	// FwdFallbackAfter is the number of unanswered FWD retries to the
-	// referencing block's builder after which the request is broadcast to
-	// all servers — a liveness extension for crashed or byzantine builders
-	// (the paper notes asking others is "not necessary" for correctness;
-	// it is useful in practice).
-	FwdFallbackAfter = 3
-)
+// ResendAfter is the Δ_B' wait before a buffered block's missing
+// predecessors are asked for again. No caller needs another value.
+const ResendAfter = 200 * time.Millisecond
 
-// missingState tracks one outstanding FWD request.
-type missingState struct {
-	askFrom  types.ServerID // builder of the block that referenced it
-	lastAsk  time.Duration
-	attempts int
+// maxBuffered caps one builder's blocks in the blks buffer: blocks citing
+// references nobody holds are never insertable and never invalid, and a
+// roster member can sign them for ever. A gap this deep in one chain is the
+// sync channel's to fill, not FWD's.
+const maxBuffered = 4096
+
+// buffered is one entry of the blks buffer: the block, the authenticated
+// peers that handed it, or a block citing it, over — asked in turn, so a
+// silent one cannot keep the asks to itself — and when ask last ran for it.
+type buffered struct {
+	blk   *block.Block
+	from  []types.ServerID
+	asks  int
+	asked time.Duration
+}
+
+// fwd is one FWD request: a reference asked of a peer.
+type fwd struct {
+	to  types.ServerID
+	ref block.Ref
 }
 
 // Gossip is one server's instance of Algorithm 1.
@@ -184,20 +200,22 @@ type Gossip struct {
 
 	// pending is the blks buffer (line 3): received blocks not yet
 	// insertable, keyed by reference.
-	pending map[block.Ref]*block.Block
-	// waiters maps a missing reference to the pending blocks waiting
-	// for it.
-	waiters map[block.Ref][]block.Ref
-	// missing tracks FWD-requested references not yet received.
-	missing map[block.Ref]*missingState
+	pending map[block.Ref]*buffered
+	// waiters maps a missing reference to the buffered blocks waiting
+	// for it; outstanding counts its keys that are not buffered themselves.
+	waiters     map[block.Ref][]block.Ref
+	outstanding int
+	// held counts, per builder, its buffered blocks; arrivals lists them
+	// oldest first, the order maxBuffered evicts in, among references that
+	// have left the buffer since and are skipped.
+	held     []int
+	arrivals [][]block.Ref
 	// invalid remembers references of blocks that failed validation;
 	// anything referencing them can never become valid (Def. 3.3(iii)).
-	// Bounded by invalidCacheSize: invalidFIFO holds the same references in
-	// remember order (from invalidHead on), and the oldest is evicted when
-	// the cache overflows.
+	// Bounded by invalidCacheSize: invalidFIFO holds the same references,
+	// oldest first, the order they are forgotten in.
 	invalid     map[block.Ref]struct{}
 	invalidFIFO []block.Ref
-	invalidHead int
 
 	// convicted holds one transferable proof per equivocator this server
 	// has detected or been shown (Evidence).
@@ -221,8 +239,12 @@ func New(cfg Config) (*Gossip, error) {
 		return nil, errors.New("gossip: config needs a Roster")
 	case cfg.DAG == nil:
 		return nil, errors.New("gossip: config needs a DAG")
+	case cfg.Requests == nil:
+		return nil, errors.New("gossip: config needs a Requests source")
 	case cfg.Transport == nil:
 		return nil, errors.New("gossip: config needs a Transport")
+	case cfg.OnInsert == nil:
+		return nil, errors.New("gossip: config needs an OnInsert hook")
 	case cfg.Clock == nil:
 		return nil, errors.New("gossip: config needs a Clock")
 	case cfg.OnEvidence == nil:
@@ -234,9 +256,10 @@ func New(cfg Config) (*Gossip, error) {
 	g := &Gossip{
 		cfg:       cfg,
 		self:      cfg.Signer.ID(),
-		pending:   make(map[block.Ref]*block.Block),
+		pending:   make(map[block.Ref]*buffered),
 		waiters:   make(map[block.Ref][]block.Ref),
-		missing:   make(map[block.Ref]*missingState),
+		held:      make([]int, cfg.Roster.N()),
+		arrivals:  make([][]block.Ref, cfg.Roster.N()),
 		invalid:   make(map[block.Ref]struct{}),
 		convicted: evidence.NewPool(),
 	}
@@ -340,22 +363,11 @@ func (g *Gossip) HandleMessages(msgs []Message) {
 			continue
 		}
 		ref := b.Ref()
-		if g.cfg.DAG.Contains(ref) || g.pending[ref] != nil {
-			continue
-		}
-		if _, bad := g.invalid[ref]; bad {
-			continue
-		}
-		if slices.ContainsFunc(candidates, func(c *block.Block) bool { return c.Ref() == ref }) {
-			continue
-		}
-		if !g.cfg.Roster.Contains(b.Builder) {
-			continue // pass 2 rejects it on the inline path
-		}
-		if g.cfg.Scores.Banned(b.Builder) {
-			// Pass 2 drops it (or, if a pending block waits on it,
-			// verifies inline) — either way batch work is wasted.
-			continue
+		_, bad := g.invalid[ref]
+		if bad || g.cfg.DAG.Contains(ref) || g.pending[ref] != nil ||
+			!g.cfg.Roster.Contains(b.Builder) || g.cfg.Scores.Banned(b.Builder) ||
+			slices.ContainsFunc(candidates, func(c *block.Block) bool { return c.Ref() == ref }) {
+			continue // pass 2 counts it a duplicate, rejects it, drops it, or verifies it inline
 		}
 		candidates = append(candidates, b)
 	}
@@ -385,6 +397,7 @@ func (g *Gossip) HandleMessages(msgs []Message) {
 			g.cfg.Scores.Penalize(m.From, peerscore.MalformedFrame)
 		}
 	}
+	g.publishState() // once a burst: whatever it inserted, buffered or poisoned
 }
 
 // handleBlock implements lines 4–11 for one received block. verdicts, if
@@ -392,30 +405,22 @@ func (g *Gossip) HandleMessages(msgs []Message) {
 // (HandleMessages' batch pass); a block without one is verified inline.
 func (g *Gossip) handleBlock(from types.ServerID, b *block.Block, verdicts map[block.Ref]bool) {
 	g.cfg.Metrics.Add(metrics.BlocksReceived, 1)
-	defer g.publishState() // once a block: inserted (with whatever waited on it), buffered or poisoned
 	ref := b.Ref()
-	if g.cfg.DAG.Contains(ref) || g.pending[ref] != nil {
-		g.cfg.Metrics.Add(metrics.BlocksDuplicate, 1)
-		return
+	e := g.pending[ref]
+	if e != nil {
+		g.heldBy(e, from)
 	}
-	if _, bad := g.invalid[ref]; bad {
+	if _, bad := g.invalid[ref]; bad || e != nil || g.cfg.DAG.Contains(ref) {
 		g.cfg.Metrics.Add(metrics.BlocksDuplicate, 1)
 		return
 	}
 	// Quarantine a proven equivocator's output: fresh blocks built by a
-	// banned server are refused before we even pay for a signature
-	// check. The one exception is a block some pending honest block
-	// already references (a waiter or outstanding FWD exists): honest
-	// pre-ban chains must stay completable, or the ban would wedge
-	// Lemma 3.7 convergence for everyone who referenced the equivocator
-	// before conviction. Already-inserted blocks are untouched — flagged
-	// chains still interpret, per the paper.
+	// banned server are refused before we even pay for a signature check —
+	// except one some buffered block already waits on: chains that cited
+	// the equivocator before its conviction must stay completable (Lemma
+	// 3.7). Inserted blocks are untouched: flagged chains still interpret.
 	if b.Builder != g.self && g.cfg.Scores.Banned(b.Builder) {
-		_, wanted := g.waiters[ref]
-		if !wanted {
-			_, wanted = g.missing[ref]
-		}
-		if !wanted {
+		if _, wanted := g.waiters[ref]; !wanted {
 			g.cfg.Metrics.Add(metrics.BannedBlocksDropped, 1)
 			return
 		}
@@ -432,26 +437,69 @@ func (g *Gossip) handleBlock(from types.ServerID, b *block.Block, verdicts map[b
 		g.markInvalid(ref)
 		return
 	}
-	// The block has arrived; stop FWD retries for it.
-	delete(g.missing, ref)
+	if g.tryInsert(b) {
+		return
+	}
+	e = &buffered{blk: b, from: []types.ServerID{from}}
+	if _, awaited := g.waiters[ref]; awaited {
+		g.outstanding--
+	}
+	g.pending[ref] = e
+	for _, p := range g.cfg.DAG.MissingPreds(b) {
+		if g.waiters[p] == nil && g.pending[p] == nil {
+			g.outstanding++
+		}
+		g.waiters[p] = append(g.waiters[p], ref)
+	}
+	g.ask(e, map[fwd]struct{}{})
+	// Bound the builder's share of the buffer, oldest out first, at the
+	// charge of whoever handed that one over. Whatever still cites an
+	// evicted block asks for it again.
+	q := append(g.arrivals[b.Builder], ref)
+	if len(q) > 2*maxBuffered {
+		q = slices.DeleteFunc(q, func(r block.Ref) bool { return g.pending[r] == nil })
+	}
+	if g.held[b.Builder]++; g.held[b.Builder] > maxBuffered {
+		for g.pending[q[0]] == nil {
+			q = q[1:]
+		}
+		g.cfg.Scores.Penalize(g.pending[q[0]].from[0], peerscore.Throttled)
+		g.unbuffer(q[0])
+		q = q[1:]
+	}
+	g.arrivals[b.Builder] = q
+}
 
-	g.pending[ref] = b
-	if !g.tryInsert(b) {
-		// Request whichever predecessors we neither hold nor asked
-		// for yet (lines 10–11), from the builder of this block.
-		for _, p := range g.cfg.DAG.MissingPreds(b) {
-			if _, bad := g.invalid[p]; bad {
-				continue
-			}
-			g.waiters[p] = append(g.waiters[p], ref)
-			if g.pending[p] != nil {
-				continue // already buffered, just not insertable yet
-			}
-			if _, asked := g.missing[p]; asked {
-				continue
-			}
-			g.missing[p] = &missingState{askFrom: b.Builder, lastAsk: g.cfg.Clock()}
-			g.sendFwd(b.Builder, p)
+// heldBy notes that peer handed over e's block, or a block citing it, and so
+// holds it and what it cites: the same goes for its buffered predecessors.
+// A banned peer is sent nothing, so asking it would be a turn wasted.
+func (g *Gossip) heldBy(e *buffered, peer types.ServerID) {
+	if slices.Contains(e.from, peer) || g.cfg.Scores.Banned(peer) {
+		return
+	}
+	e.from = append(e.from, peer)
+	for _, p := range e.blk.Preds {
+		if pe := g.pending[p]; pe != nil {
+			g.heldBy(pe, peer)
+		}
+	}
+}
+
+// ask is lines 10–11 for one buffered block: request every predecessor
+// that is neither in the DAG nor in the buffer from the next of the block's
+// peers, and count that peer among a buffered predecessor's. asked is what
+// this round has sent already: many blocks may cite one reference.
+func (g *Gossip) ask(e *buffered, asked map[fwd]struct{}) {
+	e.asked = g.cfg.Clock()
+	peer := e.from[e.asks%len(e.from)]
+	e.asks++
+	for _, p := range g.cfg.DAG.MissingPreds(e.blk) {
+		if pe := g.pending[p]; pe != nil {
+			g.heldBy(pe, peer)
+		} else if _, dup := asked[fwd{peer, p}]; !dup {
+			asked[fwd{peer, p}] = struct{}{}
+			g.cfg.Metrics.Add(metrics.FwdRequestsSent, 1)
+			g.send(peer, EncodeFwdMsg(p))
 		}
 	}
 }
@@ -461,7 +509,7 @@ func (g *Gossip) handleBlock(from types.ServerID, b *block.Block, verdicts map[b
 func (g *Gossip) publishState() {
 	g.cfg.Metrics.Set(metrics.Tips, int64(len(g.curTips)))
 	g.cfg.Metrics.Set(metrics.PendingBlocks, int64(len(g.pending)))
-	g.cfg.Metrics.Set(metrics.MissingRefs, int64(len(g.missing)))
+	g.cfg.Metrics.Set(metrics.MissingRefs, int64(g.outstanding))
 }
 
 // tryInsert inserts b if all predecessors are present, then cascades to
@@ -472,10 +520,8 @@ func (g *Gossip) tryInsert(b *block.Block) bool {
 	if len(g.cfg.DAG.MissingPreds(b)) > 0 {
 		for _, p := range b.Preds {
 			if _, bad := g.invalid[p]; bad {
-				// A predecessor can never validate, so neither
-				// can this block (Definition 3.3(iii)); markInvalid
-				// drops it from pending and clears its waiter
-				// registrations.
+				// A predecessor can never validate, so neither can this
+				// block (Definition 3.3(iii)).
 				g.cfg.Metrics.Add(metrics.BlocksRejected, 1)
 				g.markInvalid(ref)
 				return true
@@ -483,16 +529,15 @@ func (g *Gossip) tryInsert(b *block.Block) bool {
 		}
 		return false
 	}
-	delete(g.pending, ref)
 	if err := g.cfg.DAG.InsertVerified(b); err != nil {
 		g.cfg.Metrics.Add(metrics.BlocksRejected, 1)
 		g.markInvalid(ref)
 		return true
 	}
-	// A persist error on a received block never stops insertion (the
-	// builder already externalized it); the shim records it as a health
-	// problem.
+	// A persist error on a received block never stops insertion (its
+	// builder already externalized it); the shim latches it.
 	_ = g.noteInserted(b)
+	g.unbuffer(ref)
 	return true
 }
 
@@ -500,9 +545,8 @@ func (g *Gossip) tryInsert(b *block.Block) bool {
 // among the current block's references (line 8 — once, because insertion
 // happens once, and by reference or by ancestry at most once in the own
 // chain, which is Lemma A.6's discipline), notify the interpreter, and wake
-// blocks waiting on it. It returns the OnInsert hook's error so Disseminate
-// can gate externalization of own blocks. The gauges are its caller's to
-// publish (publishState), once for the block and all it woke.
+// blocks waiting on it. It returns the OnInsert hook's error, which gates
+// Disseminate's broadcast. The gauges are its caller's to publish.
 func (g *Gossip) noteInserted(b *block.Block) error {
 	ref := b.Ref()
 	g.cfg.Metrics.Add(metrics.BlocksInserted, 1)
@@ -523,35 +567,32 @@ func (g *Gossip) noteInserted(b *block.Block) error {
 			g.curSeq, g.curParent = b.Seq+1, &parent
 		}
 	}
-	var hookErr error
-	if g.cfg.OnInsert != nil {
-		hookErr = g.cfg.OnInsert(b)
-	}
-	waiting := g.waiters[ref]
-	delete(g.waiters, ref)
-	for _, wref := range waiting {
-		if wb := g.pending[wref]; wb != nil {
-			g.tryInsert(wb)
+	hookErr := g.cfg.OnInsert(b)
+	for _, wref := range g.settle(ref) {
+		if e := g.pending[wref]; e != nil {
+			g.tryInsert(e.blk)
 		}
 	}
 	return hookErr
 }
 
+// settle ends the wait for ref — it is inserted, or never will be, or nothing
+// buffered cites it any more — and returns the blocks that waited for it.
+func (g *Gossip) settle(ref block.Ref) []block.Ref {
+	waiting, awaited := g.waiters[ref]
+	if awaited && g.pending[ref] == nil {
+		g.outstanding--
+	}
+	delete(g.waiters, ref)
+	return waiting
+}
+
 // markInvalid records an unvalidatable reference and transitively poisons
-// pending blocks that reference it. A poisoned block is removed from the
-// pending buffer and from every waiter list it registered on — its other
-// missing predecessors may never arrive, and without the purge those
-// entries (and the FWD retry state for predecessors nobody else waits on)
-// would leak under a byzantine flood.
+// the buffered blocks that reference it.
 func (g *Gossip) markInvalid(ref block.Ref) {
 	g.rememberInvalid(ref)
-	delete(g.missing, ref)
-	if wb := g.pending[ref]; wb != nil {
-		delete(g.pending, ref)
-		g.purgeWaiterEntries(wb, ref)
-	}
-	waiting := g.waiters[ref]
-	delete(g.waiters, ref)
+	waiting := g.settle(ref)
+	g.unbuffer(ref)
 	for _, wref := range waiting {
 		if g.pending[wref] != nil {
 			g.cfg.Metrics.Add(metrics.BlocksRejected, 1)
@@ -560,27 +601,26 @@ func (g *Gossip) markInvalid(ref block.Ref) {
 	}
 }
 
-// purgeWaiterEntries removes wref from the waiter list of every
-// predecessor of wb. A predecessor left with no waiters also loses its
-// FWD retry state: nobody needs it anymore, so re-requesting it would be
-// wasted traffic (it is re-armed if a future block references it).
-func (g *Gossip) purgeWaiterEntries(wb *block.Block, wref block.Ref) {
-	for _, p := range wb.Preds {
-		ws, ok := g.waiters[p]
-		if !ok {
-			continue
-		}
-		kept := ws[:0]
-		for _, w := range ws {
-			if w != wref {
-				kept = append(kept, w)
+// unbuffer removes a block, if buffered, from the buffer — an evicted one
+// that is still cited is outstanding again — and from the waiter list of
+// each predecessor, which may never arrive: the lists would leak.
+func (g *Gossip) unbuffer(ref block.Ref) {
+	e := g.pending[ref]
+	if e == nil {
+		return
+	}
+	delete(g.pending, ref)
+	g.held[e.blk.Builder]--
+	if _, awaited := g.waiters[ref]; awaited {
+		g.outstanding++
+	}
+	for _, p := range e.blk.Preds {
+		if ws, ok := g.waiters[p]; ok {
+			if ws = slices.DeleteFunc(ws, func(w block.Ref) bool { return w == ref }); len(ws) > 0 {
+				g.waiters[p] = ws
+			} else {
+				g.settle(p)
 			}
-		}
-		if len(kept) == 0 {
-			delete(g.waiters, p)
-			delete(g.missing, p)
-		} else {
-			g.waiters[p] = kept
 		}
 	}
 }
@@ -592,16 +632,11 @@ func (g *Gossip) rememberInvalid(ref block.Ref) {
 		return
 	}
 	g.invalid[ref] = struct{}{}
-	g.invalidFIFO = append(g.invalidFIFO, ref)
-	for len(g.invalid) > invalidCacheSize {
-		delete(g.invalid, g.invalidFIFO[g.invalidHead])
-		g.invalidHead++
-	}
-	// Compact the FIFO once the dead prefix dominates, so the backing
-	// array does not grow without bound either.
-	if g.invalidHead > len(g.invalidFIFO)/2 && g.invalidHead > 0 {
-		g.invalidFIFO = append(g.invalidFIFO[:0:0], g.invalidFIFO[g.invalidHead:]...)
-		g.invalidHead = 0
+	// Sliced off the front, grown at the back: when append runs out of room
+	// it copies what is left, so the backing array stays bounded too.
+	if g.invalidFIFO = append(g.invalidFIFO, ref); len(g.invalidFIFO) > invalidCacheSize {
+		delete(g.invalid, g.invalidFIFO[0])
+		g.invalidFIFO = g.invalidFIFO[1:]
 	}
 }
 
@@ -609,19 +644,17 @@ func (g *Gossip) rememberInvalid(ref block.Ref) {
 // exchange with its builder and signature already checked by the caller —
 // the sync channel's pulls (syncsvc.Pull verifies every streamed block
 // against the roster before handing it over). The block takes exactly the
-// path a gossiped block takes after its signature check: structural
-// validation and insertion into the DAG, a reference in the next own
-// block, the OnInsert hook (persistence, interpretation), and waking any
-// pending blocks that were waiting on it. Outstanding FWD retry state
-// for the block is dropped — the point of pulling: the backlog arrives in
-// bulk before the per-block retry timers burn round trips.
+// path a gossiped block takes after its signature check: validation and
+// insertion into the DAG, a reference in the next own block, the OnInsert
+// hook, and waking the buffered blocks that waited for it, which are then
+// no longer asked after — the backlog arrives in bulk before the per-block
+// retries burn round trips.
 //
 // A block already in the DAG is a no-op. A block the DAG refuses (a
-// predecessor missing — a stream is expected in topological order — or
-// the parent rule broken) is returned as the error and leaves everything
-// untouched. Otherwise the returned error is the OnInsert hook's (a
-// persist failure), mirroring received-block semantics: the block stays
-// inserted and interpreted, and the shim latches the health problem.
+// predecessor missing — a stream comes in topological order — or the
+// parent rule broken) is returned as the error and changes nothing.
+// Otherwise the error is the OnInsert hook's, as for a received block: the
+// block stays inserted and the shim latches the health problem.
 func (g *Gossip) InsertVerified(b *block.Block) error {
 	ref := b.Ref()
 	if g.cfg.DAG.Contains(ref) {
@@ -630,8 +663,6 @@ func (g *Gossip) InsertVerified(b *block.Block) error {
 	if err := g.cfg.DAG.InsertVerified(b); err != nil {
 		return fmt.Errorf("gossip: insert verified block %v: %w", ref, err)
 	}
-	delete(g.missing, ref)
-	delete(g.pending, ref)
 	defer g.publishState()
 	return g.noteInserted(b)
 }
@@ -640,12 +671,10 @@ func (g *Gossip) InsertVerified(b *block.Block) error {
 // block, send it to the requester. Requests from banned peers die at the
 // send gate.
 func (g *Gossip) handleFwd(from types.ServerID, ref block.Ref) {
-	b, ok := g.cfg.DAG.Get(ref)
-	if !ok {
-		return
+	if b, ok := g.cfg.DAG.Get(ref); ok {
+		g.cfg.Metrics.Add(metrics.FwdRequestsServed, 1)
+		g.send(from, EncodeBlockMsg(b))
 	}
-	g.cfg.Metrics.Add(metrics.FwdRequestsServed, 1)
-	g.send(from, EncodeBlockMsg(b))
 }
 
 // onEquivocation is the DAG's fork-detection callback (installed by New):
@@ -655,9 +684,8 @@ func (g *Gossip) onEquivocation(e dag.Equivocation) {
 	g.cfg.Metrics.Add(metrics.EquivocationsSeen, 1)
 	b1, b2, ok := g.cfg.DAG.EquivocationBlocks(e)
 	if !ok {
-		// The pair is recorded at insert time, so both blocks are held;
-		// only a capped-out proof list could lose one. The builder's
-		// conviction then already happened.
+		// Both blocks are held from insert time on; only a capped-out proof
+		// list loses one, and then the builder is convicted already.
 		return
 	}
 	g.acceptEvidence(evidence.New(b1, b2), g.self)
@@ -724,15 +752,11 @@ func (g *Gossip) acceptEvidence(p *evidence.Proof, from types.ServerID) {
 // Disseminate implements lines 14–18: seal the current block with the
 // buffered requests, insert it into the local DAG, send it to every other
 // server, and start the next block with the parent reference. It returns
-// the disseminated block. If the OnInsert hook reports the block was not
-// safely persisted, the broadcast is withheld (the block must not be
-// externalized before it is durable) and an error is returned; chain
-// state still advances past the block, which remains local-only.
+// the disseminated block — or, if the OnInsert hook reports it was not
+// safely persisted, an error: a block is not externalized before it is
+// durable, and this one stays local.
 func (g *Gossip) Disseminate() (*block.Block, error) {
-	var reqs []block.Request
-	if g.cfg.Requests != nil {
-		reqs = g.cfg.Requests.Next(g.cfg.MaxBatch)
-	}
+	reqs := g.cfg.Requests.Next(g.cfg.MaxBatch)
 	preds := make([]block.Ref, 0, 1+len(g.curTips))
 	if g.curParent != nil {
 		preds = append(preds, *g.curParent)
@@ -743,91 +767,59 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 		return nil, fmt.Errorf("gossip: seal block: %w", err)
 	}
 	if err := g.cfg.DAG.InsertVerified(b); err != nil {
-		// Only possible if our own bookkeeping broke (e.g. the DAG
-		// was mutated behind our back): surface loudly.
+		// Our own bookkeeping broke (the DAG mutated behind our back?).
 		return nil, fmt.Errorf("gossip: insert own block: %w", err)
 	}
 	g.cfg.Metrics.Add(metrics.BlocksBuilt, 1)
 	g.cfg.Metrics.Add(metrics.OwnBlockRefs, int64(len(preds)))
 	hookErr := g.noteInserted(b)
 	g.publishState()
-
-	if hookErr == nil {
-		g.cfg.Metrics.Add(metrics.RequestsEmbedded, int64(len(reqs)))
-		enc := EncodeBlockMsg(b)
-		for _, id := range g.cfg.Roster.IDs() {
-			if id == g.self {
-				continue
-			}
+	if hookErr != nil {
+		// The own block failed to persist, so it is not broadcast: no peer
+		// can ever see this sequence number, and a post-crash restart that
+		// lost the block cannot equivocate by reusing it. Chain state has
+		// advanced all the same (noteInserted) — the block is in the local
+		// DAG, and the next own block must not reuse its number. Its
+		// requests will never reach a peer; they go back where they came from.
+		if len(reqs) > 0 {
+			g.cfg.Requests.Requeue(reqs)
+		}
+		return nil, fmt.Errorf("gossip: block %v withheld, not safely persisted: %w", b.Ref(), hookErr)
+	}
+	g.cfg.Metrics.Add(metrics.RequestsEmbedded, int64(len(reqs)))
+	enc := EncodeBlockMsg(b)
+	for _, id := range g.cfg.Roster.IDs() {
+		if id != g.self {
 			g.send(id, enc)
 		}
-	} else if len(reqs) > 0 {
-		// The block carrying these requests will never reach a peer; put
-		// them back in the buffer they came from rather than lose them.
-		g.cfg.Requests.Requeue(reqs)
-	}
-
-	// Chain state has advanced (noteInserted) even when the broadcast is
-	// withheld: the block is in the local DAG, so the next own block — if
-	// the owner ever disseminates again — must not reuse its sequence
-	// number.
-	if hookErr != nil {
-		// The own block failed to persist, so it was not broadcast: no
-		// peer can ever see this sequence number, and a post-crash
-		// restart that lost the block cannot equivocate by reusing it.
-		return nil, fmt.Errorf("gossip: block %v withheld, not safely persisted: %w", b.Ref(), hookErr)
 	}
 	return b, nil
 }
 
-// Tick re-issues FWD requests for references still missing after
-// ResendAfter (the Δ_B' timer the paper assumes). After FwdFallbackAfter
-// unanswered attempts the request is broadcast to every server. Retries
-// go out in reference order, not in the map's: a seeded run must send the
-// same sequence every time.
-func (g *Gossip) Tick(now time.Duration) {
+// Tick re-runs ask for every block that has sat in the buffer for
+// ResendAfter since it last asked (the Δ_B' timer the paper assumes), in
+// reference order, not in the map's: a seeded run must send the same
+// sequence every time.
+func (g *Gossip) Tick() {
+	now := g.cfg.Clock()
 	var due []block.Ref
-	for ref, ms := range g.missing {
-		if now-ms.lastAsk >= ResendAfter {
+	for ref, e := range g.pending {
+		if now-e.asked >= ResendAfter {
 			due = append(due, ref)
 		}
 	}
 	slices.SortFunc(due, func(a, b block.Ref) int { return bytes.Compare(a[:], b[:]) })
+	asked := make(map[fwd]struct{})
 	for _, ref := range due {
-		ms := g.missing[ref]
-		ms.lastAsk = now
-		ms.attempts++
-		if ms.attempts >= FwdFallbackAfter {
-			// Broadcast fallback: frame the FWD request once per ref, not
-			// once per peer — the payload is identical for every recipient.
-			enc := EncodeFwdMsg(ref)
-			for _, id := range g.cfg.Roster.IDs() {
-				if id == g.self {
-					continue
-				}
-				g.cfg.Metrics.Add(metrics.FwdRequestsSent, 1)
-				g.send(id, enc)
-			}
-			continue
-		}
-		g.sendFwd(ms.askFrom, ref)
+		g.ask(g.pending[ref], asked)
 	}
-}
-
-func (g *Gossip) sendFwd(to types.ServerID, ref block.Ref) {
-	if to == g.self {
-		return
-	}
-	g.cfg.Metrics.Add(metrics.FwdRequestsSent, 1)
-	g.send(to, EncodeFwdMsg(ref))
 }
 
 // send transmits one gossip payload. All of Algorithm 1's traffic rides
 // transport.ChanGossip, whose fire-and-forget Send carries exactly the
 // Assumption 1 semantics the algorithm's proofs rely on — for correct
 // servers. Banned peers forfeit that service: every path (dissemination,
-// FWD service, FWD requests, retry fallback, evidence relay) dies here,
-// so a proven equivocator gets nothing further from this server.
+// FWD service, FWD requests, evidence relay) dies here for them.
 func (g *Gossip) send(to types.ServerID, payload []byte) {
 	if g.cfg.Scores.Banned(to) {
 		return

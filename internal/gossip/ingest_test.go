@@ -30,7 +30,7 @@ func TestDisseminateWithholdRequeueNoDuplicates(t *testing.T) {
 	pool := mempool.New(mempool.Options{Capacity: 64})
 	persistFails := 3
 	persistErr := errors.New("disk on fire")
-	g, err := New(Config{
+	g := newGossip(t, Config{
 		Signer:     signers[0],
 		Roster:     roster,
 		DAG:        dag.New(roster),
@@ -48,9 +48,6 @@ func TestDisseminateWithholdRequeueNoDuplicates(t *testing.T) {
 			return nil
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -163,7 +160,7 @@ func ingestInto(t testing.TB, msgs []Message, roster *crypto.Roster, batch int) 
 	net := simnet.New()
 	d := dag.New(roster)
 	m := &metrics.Metrics{}
-	g, err := New(Config{
+	g := newGossip(t, Config{
 		Signer:     signers[0],
 		Roster:     roster,
 		DAG:        d,
@@ -172,9 +169,6 @@ func ingestInto(t testing.TB, msgs []Message, roster *crypto.Roster, batch int) 
 		OnEvidence: discardEvidence,
 		Metrics:    m,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if batch <= 1 {
 		for _, msg := range msgs {
 			g.HandleMessage(msg.From, msg.Payload)

@@ -3,12 +3,15 @@ package gossip
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/peerscore"
 	"blockdag/internal/simnet"
+	"blockdag/internal/transport"
 	"blockdag/internal/types"
 )
 
@@ -60,7 +63,7 @@ func TestMarkInvalidPurgesWaiters(t *testing.T) {
 	if got := len(n0.g.pending); got != 2 {
 		t.Fatalf("pending = %d, want 2", got)
 	}
-	if got := len(n0.g.missing); got != 2 {
+	if got := missingRefs(t, n0.g); got != 2 {
 		// bad.Ref() and never; x1 is buffered, so x2's wait on it
 		// needs no FWD.
 		t.Fatalf("missing = %d, want 2", got)
@@ -76,7 +79,7 @@ func TestMarkInvalidPurgesWaiters(t *testing.T) {
 	if got := len(n0.g.waiters); got != 0 {
 		t.Fatalf("waiters = %d after poisoning, want 0 (stale entries leak)", got)
 	}
-	if got := len(n0.g.missing); got != 0 {
+	if got := missingRefs(t, n0.g); got != 0 {
 		t.Fatalf("missing = %d after poisoning, want 0 (FWD retries for unwanted refs)", got)
 	}
 	for _, ref := range []block.Ref{bad.Ref(), x1.Ref(), x2.Ref()} {
@@ -124,8 +127,8 @@ func TestMarkInvalidKeepsLiveWaiters(t *testing.T) {
 	if got := len(n0.g.waiters[missing.Ref()]); got != 1 {
 		t.Fatalf("waiters[missing] = %d, want 1 (healthy only)", got)
 	}
-	if _, ok := n0.g.missing[missing.Ref()]; !ok {
-		t.Fatal("FWD state for still-wanted ref dropped")
+	if got := missingRefs(t, n0.g); got != 1 {
+		t.Fatalf("missing = %d, want 1 (the still-wanted ref)", got)
 	}
 	// The missing block finally arrives; healthy must cascade in.
 	n0.g.HandleMessage(1, EncodeBlockMsg(missing))
@@ -134,12 +137,164 @@ func TestMarkInvalidKeepsLiveWaiters(t *testing.T) {
 	}
 }
 
+// TestBufferBoundedPerBuilder: a roster member signs ten thousand blocks,
+// each citing a reference nobody holds — never insertable, never invalid.
+// The buffer keeps the newest maxBuffered of them, every waiter list names
+// only blocks still buffered, the sender is charged for each eviction, and
+// an evicted block that is cited again is asked for again.
+func TestBufferBoundedPerBuilder(t *testing.T) {
+	const flood = 10000
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New()
+	log := &sendLog{Transport: net.Transport(0)}
+	scores := peerscore.New(peerscore.Options{Clock: net.Now})
+	g := newGossip(t, Config{
+		Signer: signers[0], Roster: roster, DAG: dag.New(roster),
+		Transport: log, Clock: net.Now, Scores: scores, OnEvidence: discardEvidence,
+	})
+	// The flood's signatures are junk and its verdicts handed to handleBlock
+	// as checked, which spares twenty thousand signature operations.
+	unplaceable := func(seq uint64, pred block.Ref) *block.Block {
+		b := block.New(1, seq, []block.Ref{pred}, nil)
+		b.Sig = make([]byte, 64)
+		b, err := block.Decode(b.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.handleBlock(1, b, map[block.Ref]bool{b.Ref(): true})
+		return b
+	}
+	var first block.Ref
+	for i := 0; i < flood; i++ {
+		var never block.Ref
+		binary.BigEndian.PutUint64(never[:], uint64(i)+1)
+		if b := unplaceable(uint64(i), never); i == 0 {
+			first = b.Ref()
+		}
+	}
+	if got := len(g.pending); got != maxBuffered {
+		t.Fatalf("%d blocks buffered after a flood of %d, cap %d", got, flood, maxBuffered)
+	}
+	if got := len(g.arrivals[1]); got != maxBuffered {
+		t.Fatalf("arrival queue holds %d references, cap %d", got, maxBuffered)
+	}
+	if got := len(g.waiters); got != maxBuffered {
+		t.Fatalf("%d references awaited by %d buffered blocks", got, maxBuffered)
+	}
+	for p, ws := range g.waiters {
+		for _, w := range ws {
+			if e := g.pending[w]; e == nil || !slices.Contains(e.blk.Preds, p) {
+				t.Fatalf("waiters[%v] names %v, which is not buffered waiting for it", p, w)
+			}
+		}
+	}
+	if got := scores.Snapshot()[0].Signals[peerscore.Throttled.String()]; got != flood-maxBuffered {
+		t.Fatalf("sender charged %d times, want %d", got, flood-maxBuffered)
+	}
+	// The oldest went first: citing it again asks for it again.
+	log.sends = nil
+	unplaceable(flood, first)
+	if want := fmt.Sprintf("%v %d %x", types.ServerID(1), transport.ChanGossip, EncodeFwdMsg(first)); !slices.Contains(log.sends, want) {
+		t.Fatalf("the evicted block was not asked for again: sent %v", log.sends)
+	}
+}
+
+// TestBufferBoundCountsTheBuffered: blocks that were buffered for a moment
+// and inserted leave the arrival queue as they leave the buffer. Behind one
+// unanswerable block at its head, three times maxBuffered of the builder's
+// blocks pass through out of order: nothing is evicted, nobody is charged,
+// and the queue does not grow with them.
+func TestBufferBoundCountsTheBuffered(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New()
+	scores := peerscore.New(peerscore.Options{Clock: net.Now})
+	g := newGossip(t, Config{
+		Signer: signers[0], Roster: roster, DAG: dag.New(roster),
+		Transport: net.Transport(0), Clock: net.Now, Scores: scores, OnEvidence: discardEvidence,
+	})
+	// Signatures are junk and handed to handleBlock as checked, as above.
+	build := func(seq uint64, preds ...block.Ref) *block.Block {
+		b := block.New(1, seq, preds, nil)
+		b.Sig = make([]byte, 64)
+		b, err := block.Decode(b.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	handle := func(b *block.Block) { g.handleBlock(1, b, map[block.Ref]bool{b.Ref(): true}) }
+	handle(build(1<<40, block.Ref{1}))
+	var parent []block.Ref
+	for seq := uint64(0); seq < 6*maxBuffered; seq += 2 {
+		first := build(seq, parent...)
+		second := build(seq+1, first.Ref())
+		handle(second) // buffered: its parent is not here yet
+		handle(first)
+		parent = []block.Ref{second.Ref()}
+	}
+	if got := g.cfg.DAG.Len(); got != 6*maxBuffered {
+		t.Fatalf("%d blocks inserted, want %d", got, 6*maxBuffered)
+	}
+	if got := missingRefs(t, g); got != 1 || len(g.pending) != 1 {
+		t.Fatalf("%d references outstanding, %d blocks buffered; want the one unanswerable block", got, len(g.pending))
+	}
+	if stats := scores.Snapshot(); len(stats) != 0 {
+		t.Fatalf("charged for blocks that had left the buffer: %+v", stats)
+	}
+	if got := len(g.arrivals[1]); got > 2*maxBuffered {
+		t.Fatalf("arrival queue holds %d references for one buffered block", got)
+	}
+}
+
+// TestFwdAskedOncePerTick: fifty buffered blocks of one builder cite the same
+// twenty references nobody holds. A tick asks the sender for each reference
+// once, not once per block.
+func TestFwdAskedOncePerTick(t *testing.T) {
+	const blocks, k = 50, 20
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New()
+	log := &sendLog{Transport: net.Transport(0)}
+	g := newGossip(t, Config{
+		Signer: signers[0], Roster: roster, DAG: dag.New(roster),
+		Transport: log, Clock: net.Now, OnEvidence: discardEvidence,
+	})
+	refs := make([]block.Ref, k)
+	for i := range refs {
+		refs[i] = block.Ref{1, byte(i)}
+	}
+	for seq := uint64(0); seq < blocks; seq++ {
+		b := block.New(1, seq, refs, nil)
+		if err := b.Seal(signers[1]); err != nil {
+			t.Fatal(err)
+		}
+		g.HandleMessage(1, EncodeBlockMsg(b))
+	}
+	if got := missingRefs(t, g); got != k {
+		t.Fatalf("%d references outstanding, want %d", got, k)
+	}
+	log.fwds = nil
+	net.RunFor(ResendAfter)
+	g.Tick()
+	if got := log.fwds[1]; got != k {
+		t.Fatalf("one tick sent %d FWD requests for %d references", got, k)
+	}
+}
+
 // TestInvalidCacheBounded: under a flood of garbage blocks the invalid
 // set stays within invalidCacheSize, evicting oldest-first, and the FIFO's
-// backing array is compacted. The first few references arrive as corrupt
-// blocks on the wire; the rest of the flood (three times the cap, so the
-// dead prefix must be compacted away at least once) is fed to
-// rememberInvalid directly, which spares twelve thousand signatures.
+// backing array stays bounded with it. The first few references arrive as
+// corrupt blocks on the wire; the rest of the flood (three times the cap, so
+// the dead prefix must be dropped at least once) is fed to rememberInvalid
+// directly, which spares twelve thousand signatures.
 func TestInvalidCacheBounded(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(2)
 	if err != nil {
@@ -147,7 +302,7 @@ func TestInvalidCacheBounded(t *testing.T) {
 	}
 	net := simnet.New()
 	d := dag.New(roster)
-	g, err := New(Config{
+	g := newGossip(t, Config{
 		Signer:     signers[0],
 		Roster:     roster,
 		DAG:        d,
@@ -155,9 +310,6 @@ func TestInvalidCacheBounded(t *testing.T) {
 		Clock:      net.Now,
 		OnEvidence: discardEvidence,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var refs []block.Ref
 	for i := 0; i < 10; i++ {
 		b := block.New(1, uint64(i), nil, []block.Request{
@@ -178,7 +330,7 @@ func TestInvalidCacheBounded(t *testing.T) {
 		binary.BigEndian.PutUint64(ref[:], uint64(i)+1)
 		g.rememberInvalid(ref)
 		refs = append(refs, ref)
-		maxFIFO = max(maxFIFO, len(g.invalidFIFO))
+		maxFIFO = max(maxFIFO, cap(g.invalidFIFO))
 	}
 	if got := len(g.invalid); got != invalidCacheSize {
 		t.Fatalf("invalid cache = %d entries, cap %d", got, invalidCacheSize)
@@ -190,11 +342,10 @@ func TestInvalidCacheBounded(t *testing.T) {
 			t.Fatalf("ref %d of %d: cached = %v, want %v", i, len(refs), ok, want)
 		}
 	}
-	if len(g.invalidFIFO)-g.invalidHead != len(g.invalid) {
-		t.Fatalf("FIFO bookkeeping diverged: len %d head %d live %d",
-			len(g.invalidFIFO), g.invalidHead, len(g.invalid))
+	if len(g.invalidFIFO) != len(g.invalid) {
+		t.Fatalf("FIFO bookkeeping diverged: %d queued, %d cached", len(g.invalidFIFO), len(g.invalid))
 	}
-	if maxFIFO > 2*invalidCacheSize+2 {
-		t.Fatalf("FIFO backing array grew to %d despite compaction", maxFIFO)
+	if maxFIFO > 3*invalidCacheSize {
+		t.Fatalf("FIFO backing array grew to %d for a cache of %d", maxFIFO, invalidCacheSize)
 	}
 }

@@ -21,10 +21,7 @@ import (
 func replay(t *testing.T, cfg Config, blocks []*block.Block) *Gossip {
 	t.Helper()
 	cfg.DAG = dag.New(cfg.Roster)
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGossip(t, cfg)
 	for _, b := range blocks {
 		if err := g.InsertVerified(b); err != nil {
 			t.Fatal(err)
@@ -163,7 +160,7 @@ func TestDisseminationReferencesTips(t *testing.T) {
 	}
 	net := simnet.New()
 	d := dag.New(roster)
-	g, err := New(Config{
+	g := newGossip(t, Config{
 		Signer:     signers[0],
 		Roster:     roster,
 		DAG:        d,
@@ -171,9 +168,6 @@ func TestDisseminationReferencesTips(t *testing.T) {
 		Clock:      net.Now,
 		OnEvidence: discardEvidence,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	b10 := seal(t, signers[1], 0, nil)
 	b11 := seal(t, signers[1], 1, []block.Ref{b10.Ref()})
 	g.HandleMessage(1, EncodeBlockMsg(b10))
@@ -213,16 +207,10 @@ func TestReplayRebuildsLiveTips(t *testing.T) {
 			Transport: net.Transport(0), Clock: net.Now,
 			OnEvidence: discardEvidence,
 		}
-		live, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		live := newGossip(t, cfg)
 		relearnCfg := cfg
 		relearnCfg.DAG = dag.New(h.Roster)
-		relearning, err := New(relearnCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		relearning := newGossip(t, relearnCfg)
 		var refs []block.Ref        // every block built so far, the server's own too
 		var inFlight []*block.Block // peers' blocks not yet delivered
 		sorted := func(tips []block.Ref) []block.Ref {

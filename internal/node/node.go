@@ -105,12 +105,12 @@ type Config struct {
 	// and, when the answer advertises blocks the local DAG lacks, runs the
 	// same PullFrom startup catch-up runs. A node that falls behind — long
 	// GC pause, flapping link, asymmetric partition — thus reconverges in
-	// one streamed round trip; FWD stays armed as the fallback for
-	// anything not pulled yet. Without CatchUp the follower polls every
-	// other roster member over the server's own transport. A throttled or
-	// failing peer costs one poll period: the next poll rotates on, and a
-	// peer that served garbage loses standing in that rotation
-	// (core.Config.Scores). 0 disables.
+	// one streamed round trip; beneath it gossip keeps asking the senders
+	// of each buffered block for what that block still misses. Without
+	// CatchUp the follower polls every other roster member over the
+	// server's own transport. A throttled or failing peer costs one poll
+	// period: the next poll rotates on, and a peer that served garbage
+	// loses standing in that rotation (core.Config.Scores). 0 disables.
 	FollowEvery time.Duration
 	// CheckpointEverySegments, with Store set, makes Tick call
 	// Store.Checkpoint whenever the WAL has accumulated that many

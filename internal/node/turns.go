@@ -37,13 +37,12 @@ func (n *Node) Disseminate() {
 	n.recordErr(n.cfg.Server.Disseminate())
 }
 
-// Tick is the housekeeping turn: FWD retries and, on a durable node,
+// Tick is the housekeeping turn: gossip's re-asks and, on a durable node,
 // the store's interval fsync, the state seal cycle and the checkpoint
 // policy — each paced on the server's clock, so calling Tick more often
 // only makes them more punctual.
 func (n *Node) Tick() {
-	srv := n.cfg.Server
-	srv.Tick(srv.Now())
+	n.cfg.Server.Tick()
 	if n.cfg.Store != nil {
 		n.recordErr(n.cfg.Store.Tick())
 		n.maybeSealState()
@@ -81,7 +80,7 @@ func (n *Node) FollowPoll() {
 	peer, ok := n.cfg.Server.Scores().Pick(n.via.Peers, n.followPeer)
 	n.followPeer++
 	if !ok {
-		return // no peer, or every one is banned; FWD gossip remains the fallback
+		return // no peer, or every one is banned; gossip still asks blocks' senders
 	}
 	n.lastFollow = n.cfg.Server.Now()
 	n.followInFlight = true

@@ -44,7 +44,8 @@ const (
 	BadEvidence
 	// AuthFailure: the peer failed the transport's mutual handshake.
 	AuthFailure
-	// Throttled: the peer hit sync-channel admission control. Weakest
+	// Throttled: the peer hit sync-channel admission control, or pushed a
+	// builder's share of gossip's block buffer over its bound. Weakest
 	// signal; flapping honest followers trip it too.
 	Throttled
 )

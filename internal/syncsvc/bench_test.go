@@ -10,6 +10,7 @@ import (
 	"blockdag/internal/dag"
 	"blockdag/internal/evidence"
 	"blockdag/internal/gossip"
+	"blockdag/internal/mempool"
 	"blockdag/internal/simnet"
 	"blockdag/internal/state"
 	"blockdag/internal/syncsvc"
@@ -95,7 +96,9 @@ func BenchmarkCatchUp(b *testing.B) {
 				Signer:     signers[0],
 				Roster:     roster,
 				DAG:        servedDAG,
+				Requests:   mempool.New(mempool.Options{}),
 				Transport:  net.Transport(0),
+				OnInsert:   func(*block.Block) error { return nil },
 				Clock:      net.Now,
 				OnEvidence: func(*evidence.Proof) error { return nil },
 			})
@@ -107,7 +110,9 @@ func BenchmarkCatchUp(b *testing.B) {
 				Signer:     signers[1],
 				Roster:     roster,
 				DAG:        recoveringDAG,
+				Requests:   mempool.New(mempool.Options{}),
 				Transport:  net.Transport(1),
+				OnInsert:   func(*block.Block) error { return nil },
 				Clock:      net.Now,
 				OnEvidence: func(*evidence.Proof) error { return nil },
 			})
