@@ -11,12 +11,23 @@
 // Because a block's reference covers the references of its predecessors,
 // reference cycles between blocks are computationally infeasible
 // (Lemma 3.2): a secure-timeline / happened-before ordering.
+//
+// A block is its frame: Preds, every Requests[i].Data and Sig of a sealed or
+// decoded block are capped sub-slices of the bytes Encode returns, so a
+// request's bytes are held once per node. Hence the rule for whoever hands
+// bytes to Decode: a buffer private to one block is viewed (a gossip
+// payload, the frame Seal wrote); out of a buffer shared by several (a sync
+// batch, an evidence pair) the block's frame is copied once and the fields
+// view that copy; and whoever holds such bytes copies before writing.
 package block
 
 import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
+	"unsafe"
 
 	"blockdag/internal/crypto"
 	"blockdag/internal/types"
@@ -62,13 +73,13 @@ const (
 )
 
 // ErrPayloadTooLarge reports a decoded block whose cumulative request
-// payload exceeds MaxPayloadBytes. Decoding aborts before the oversized
-// request data is retained.
+// payload exceeds MaxPayloadBytes.
 var ErrPayloadTooLarge = errors.New("block: request payload exceeds budget")
 
 // Block is one block of Definition 3.1. Blocks are immutable once sealed
 // (signed); all mutation happens through the Builder in package gossip
-// before sealing. Use the exported fields read-only.
+// before sealing. Use the exported fields read-only: on a sealed or decoded
+// block Preds, Requests[i].Data and Sig are the frame's own bytes.
 type Block struct {
 	// Builder is n: the identifier of the server which built the block.
 	Builder types.ServerID
@@ -82,11 +93,12 @@ type Block struct {
 	Sig []byte
 
 	ref Ref    // cached ref(B), computed at seal/decode time
-	enc []byte // cached canonical wire frame, set at seal/decode time
+	enc []byte // the canonical wire frame the fields view, set at seal/decode time
 }
 
-// New assembles an unsealed block. Slices are copied at the boundary. The
-// block has no signature and no cached reference until Seal is called.
+// New assembles an unsealed block. Slices are copied at the boundary; the
+// copies live until Seal moves the fields into the frame. The block has no
+// signature and no cached reference until Seal is called.
 func New(builder types.ServerID, seq uint64, preds []Ref, requests []Request) *Block {
 	b := &Block{
 		Builder:  builder,
@@ -100,10 +112,17 @@ func New(builder types.ServerID, seq uint64, preds []Ref, requests []Request) *B
 	return b
 }
 
-// SigningBytes returns the canonical encoding of (n, k, preds, rs) — the
-// preimage of ref(B). The signature is deliberately excluded.
-func (b *Block) SigningBytes() []byte {
-	w := wire.NewWriter(64 + len(b.Preds)*crypto.HashSize)
+// open serializes the fields into a buffer of exactly the frame's size —
+// the length-prefixed body, room for a signature of sigLen bytes — and
+// returns the body's bytes inside it.
+func (b *Block) open(sigLen int) (w *wire.Writer, body []byte) {
+	n := 2 + 8 + wire.UvarintLen(uint64(len(b.Preds))) + len(b.Preds)*crypto.HashSize +
+		wire.UvarintLen(uint64(len(b.Requests)))
+	for _, rq := range b.Requests {
+		n += wire.VarBytesLen(len(rq.Label)) + wire.VarBytesLen(len(rq.Data))
+	}
+	w = wire.NewWriter(wire.VarBytesLen(n) + wire.VarBytesLen(sigLen))
+	w.Uvarint(uint64(n))
 	w.Uint16(uint16(b.Builder))
 	w.Uint64(b.Seq)
 	w.Uvarint(uint64(len(b.Preds)))
@@ -115,27 +134,35 @@ func (b *Block) SigningBytes() []byte {
 		w.String(string(rq.Label))
 		w.VarBytes(rq.Data)
 	}
-	return w.Bytes()
+	return w, w.Bytes()[w.Len()-n : w.Len() : w.Len()]
+}
+
+// SigningBytes returns the canonical encoding of (n, k, preds, rs) — the
+// preimage of ref(B) — serialized from the fields. The signature is
+// deliberately excluded.
+func (b *Block) SigningBytes() []byte {
+	_, body := b.open(0)
+	return body
 }
 
 // Seal computes ref(B) and signs it with the builder's signer, completing
 // the block per Definition 3.1: σ = sign(n, ref(B)).
 //
-// Seal also caches the block's canonical wire frame: it already had to
-// build the signing body for hashing, so assembling the full frame here
-// costs one small copy and makes every later Encode free (the encode-once
-// invariant; see Encode).
+// Seal writes the block's one frame: body and signature go into a buffer
+// sized for both, the body is hashed where it lies, and the fields are
+// re-pointed into it, which releases the copies New made (see Encode).
 func (b *Block) Seal(signer *crypto.Signer) error {
 	if signer.ID() != b.Builder {
 		return fmt.Errorf("block: signer %v cannot seal block built by %v", signer.ID(), b.Builder)
 	}
-	body := b.SigningBytes()
-	b.ref = Ref(crypto.Hash(body))
-	b.Sig = signer.Sign(b.ref[:])
-	w := wire.NewWriter(len(body) + len(b.Sig) + 4)
-	w.VarBytes(body)
-	w.VarBytes(b.Sig)
-	b.enc = w.Bytes()
+	w, body := b.open(crypto.SignatureSize)
+	ref := Ref(crypto.Hash(body))
+	w.VarBytes(signer.Sign(ref[:]))
+	// No payload budget: an over-budget block seals, and no peer decodes it.
+	if _, err := b.view(w.Bytes(), w.Len()); err != nil {
+		return fmt.Errorf("block: seal: %w", err)
+	}
+	b.ref = ref
 	return nil
 }
 
@@ -154,66 +181,33 @@ func (b *Block) VerifySignature(roster *crypto.Roster) bool {
 }
 
 // HasPred reports whether ref appears in b.Preds.
-func (b *Block) HasPred(ref Ref) bool {
-	for _, p := range b.Preds {
-		if p == ref {
-			return true
-		}
-	}
-	return false
-}
+func (b *Block) HasPred(ref Ref) bool { return slices.Contains(b.Preds, ref) }
 
 // Encode returns the canonical wire encoding of the sealed block,
 // including the signature.
 //
 // Encode-once invariant: for a sealed or decoded block the frame was
-// computed exactly once (at Seal or Decode) and Encode returns the cached
-// slice with zero allocation. The returned bytes are therefore SHARED —
-// callers must treat them as read-only and never write into them. The
-// block's logical identity is immune to such writes regardless (its
-// fields, reference and signature never alias the frame: Decode copies
-// every field out of the frame, and Seal computes ref and Sig before the
-// frame exists), but a caller that scribbles on the returned slice would
-// corrupt what every other consumer of the encoding observes. The
-// alias-safety contract is property-tested in encodeonce_test.go.
-//
-// An unsealed block (no Seal/Decode yet) serializes freshly on every
-// call and nothing is cached, since its fields may still change.
+// written exactly once (by Seal, or by whoever filled the buffer Decode was
+// handed) and Encode returns it with zero allocation. The returned bytes
+// ARE the block and are shared with every other consumer of the encoding:
+// read-only; AppendEncode hands out a copy. An unsealed block serializes
+// freshly on every call, since its fields may still change.
 func (b *Block) Encode() []byte {
 	if b.enc != nil {
 		return b.enc
 	}
-	return b.encode()
-}
-
-func (b *Block) encode() []byte {
-	body := b.SigningBytes()
-	w := wire.NewWriter(len(body) + len(b.Sig) + 4)
-	w.VarBytes(body)
+	w, _ := b.open(len(b.Sig))
 	w.VarBytes(b.Sig)
 	return w.Bytes()
 }
 
-// EncodedSize returns len(Encode()) — for a sealed or decoded block
-// without serializing anything. Callers use it to presize composite
+// EncodedSize returns len(Encode()). Callers use it to presize composite
 // frames (gossip envelopes, evidence proofs, sync batches).
-func (b *Block) EncodedSize() int {
-	if b.enc != nil {
-		return len(b.enc)
-	}
-	return len(b.encode())
-}
+func (b *Block) EncodedSize() int { return len(b.Encode()) }
 
 // AppendEncode appends the canonical wire encoding to dst and returns the
-// extended slice, copying from the cached frame when present. It never
-// retains dst and never hands out the cache itself, so the result is
-// freely mutable by the caller.
-func (b *Block) AppendEncode(dst []byte) []byte {
-	if b.enc != nil {
-		return append(dst, b.enc...)
-	}
-	return append(dst, b.encode()...)
-}
+// extended slice: a copy, freely mutable by the caller.
+func (b *Block) AppendEncode(dst []byte) []byte { return append(dst, b.Encode()...) }
 
 // ErrMalformed reports a block that failed structural decoding.
 var ErrMalformed = errors.New("block: malformed encoding")
@@ -222,57 +216,75 @@ var ErrMalformed = errors.New("block: malformed encoding")
 // limits against untrusted input, and computes its reference. It does not
 // verify the signature; callers validate via Definition 3.3 checks.
 //
-// Decode takes ownership of data: on success the slice is retained as the
-// block's cached canonical frame, so later Encode calls return it without
-// re-serializing (and the byte-for-byte wire form is stable across hops
-// even if the sender used a non-minimal varint somewhere). Callers must
-// not mutate data after a successful Decode. The block's fields never
-// alias data — every field is copied out by the wire reader — so decoding
-// from a buffer that is later overwritten corrupts only the cached frame,
-// never the block's identity; still, pass a slice you are done writing.
+// Decode takes ownership of data: on success the slice is the block. Encode
+// returns it and the fields view it, so a decoded block costs at most three
+// allocations whatever its request count (the block, its request table, one
+// string holding every label). Hand in a buffer nobody writes again and no
+// other block is decoded from (package doc). Only the canonical encoding
+// decodes (wire.ErrNonMinimal), so Hash(SigningBytes()) is Ref().
 func Decode(data []byte) (*Block, error) {
-	outer := wire.NewReader(data)
-	body := outer.VarBytes()
-	sig := outer.VarBytes()
+	b := new(Block)
+	body, err := b.view(data, MaxPayloadBytes)
+	if err != nil {
+		return nil, err
+	}
+	b.ref = Ref(crypto.Hash(body))
+	return b, nil
+}
+
+// view points b's fields into frame, refusing more than budget bytes of
+// request payload, and returns the body inside it. On error b is unchanged.
+func (b *Block) view(frame []byte, budget int) (body []byte, err error) {
+	outer := wire.NewReader(frame)
+	body = outer.VarBytesView()
+	sig := outer.VarBytesView()
 	if err := outer.Close(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 
 	r := wire.NewReader(body)
-	b := &Block{
-		Builder: types.ServerID(r.Uint16()),
-		Seq:     r.Uint64(),
-	}
-	nPreds := r.Count(MaxPreds)
-	if r.Err() == nil && nPreds > 0 {
-		b.Preds = make([]Ref, nPreds)
-		for i := 0; i < nPreds; i++ {
-			b.Preds[i] = r.Bytes32()
-		}
-	}
-	nReqs := r.Count(MaxRequests)
-	if r.Err() == nil && nReqs > 0 {
-		b.Requests = make([]Request, nReqs)
-		payload := 0
-		for i := 0; i < nReqs; i++ {
-			b.Requests[i] = Request{
-				Label: types.Label(r.String()),
-				Data:  r.VarBytes(),
-			}
-			payload += len(b.Requests[i].Label) + len(b.Requests[i].Data)
-			if payload > MaxPayloadBytes {
+	builder, seq := types.ServerID(r.Uint16()), r.Uint64()
+	preds := refsView(r.View(r.Count(MaxPreds) * crypto.HashSize))
+	var reqs []Request
+	if n := r.Count(MaxRequests); n > 0 {
+		reqs = make([]Request, n)
+		again := *r // the labels are read twice: measured, then copied into one string
+		labelBytes, payload := 0, 0
+		for i := range reqs {
+			l := len(r.VarBytesView())
+			reqs[i].Data = r.VarBytesView()
+			labelBytes += l
+			if payload += l + len(reqs[i].Data); payload > budget {
 				return nil, fmt.Errorf("%w: %d bytes after %d requests, budget %d",
-					ErrPayloadTooLarge, payload, i+1, MaxPayloadBytes)
+					ErrPayloadTooLarge, payload, i+1, budget)
+			}
+		}
+		if r.Err() == nil {
+			var labels strings.Builder
+			labels.Grow(labelBytes)
+			for i := range reqs {
+				off := labels.Len()
+				labels.Write(again.VarBytesView())
+				again.VarBytesView() // the data
+				reqs[i].Label = types.Label(labels.String()[off:])
 			}
 		}
 	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	b.Sig = sig
-	b.ref = Ref(crypto.Hash(body))
-	b.enc = data
-	return b, nil
+	b.Builder, b.Seq, b.Preds, b.Requests, b.Sig, b.enc = builder, seq, preds, reqs, sig, frame
+	return body, nil
+}
+
+// refsView returns raw, a run of whole references, as a []Ref over the same
+// memory — the package's one use of unsafe. Ref is a byte array: every
+// address is aligned for it, and the result spans exactly raw's bytes.
+func refsView(raw []byte) []Ref {
+	if len(raw) < crypto.HashSize {
+		return nil
+	}
+	return unsafe.Slice((*Ref)(raw), len(raw)/crypto.HashSize)
 }
 
 // ParentOf reports whether candidate is the parent of b: same builder and

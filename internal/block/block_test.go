@@ -74,8 +74,8 @@ func TestForgedBuilderRejected(t *testing.T) {
 func TestTamperedBlockRejected(t *testing.T) {
 	roster, signers := fixture(t)
 	b := sealed(t, signers[0], 0, nil, []Request{{Label: "l", Data: []byte("x")}})
-	enc := b.Encode()
-	// Flip a byte inside the body (label/request area).
+	enc := b.AppendEncode(nil) // a copy: the frame itself is the block
+	// Flip a byte of the frame.
 	enc[len(enc)-10] ^= 0xff
 	dec, err := Decode(enc)
 	if err != nil {

@@ -2,7 +2,10 @@ package block
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
+	"testing/quick"
 
 	"blockdag/internal/crypto"
 	"blockdag/internal/types"
@@ -109,60 +112,172 @@ func TestEncodeRoundTripStable(t *testing.T) {
 	}
 }
 
-// TestFrameMutationCannotCorruptBlock is the alias-safety contract: the
-// frame Encode returns is shared and documented read-only, but a caller
-// (or an attacker holding the buffer a block was decoded from) who
-// scribbles on it corrupts only those bytes — never the block's logical
-// identity. Fields, reference, and signature verification all come from
-// memory that does not alias the frame.
-func TestFrameMutationCannotCorruptBlock(t *testing.T) {
+// frameCursor walks a frame front to back and finds fields in it by
+// address — pointer equality only, so the test needs no unsafe. Fields are
+// asked for in frame order.
+type frameCursor struct {
+	frame []byte
+	at    int
+}
+
+// holds reports whether field lies wholly inside the frame at or after the
+// cursor and is capped at its own length, and moves the cursor past it.
+func (c *frameCursor) holds(field []byte) bool {
+	if len(field) == 0 {
+		return true // nothing to hold: a zero-length value decodes to nil
+	}
+	for ; c.at < len(c.frame); c.at++ {
+		if &c.frame[c.at] == &field[0] {
+			c.at += len(field)
+			return c.at <= len(c.frame) && cap(field) == len(field)
+		}
+	}
+	return false
+}
+
+// fieldsAreTheFrame is the layout a sealed or decoded block must have:
+// Preds, every Data and Sig are capped sub-slices of Encode(), in frame
+// order, so the block holds its payload once and an append to a field
+// reallocates instead of reaching the next one. Shared with FuzzDecode.
+func fieldsAreTheFrame(t *testing.T, b *Block) {
+	t.Helper()
+	c := frameCursor{frame: b.Encode()}
+	if len(b.Preds) > 0 {
+		if cap(b.Preds) != len(b.Preds) || !c.holds(b.Preds[0][:]) {
+			t.Fatalf("block %v: Preds are not a capped view of the frame", b.Ref())
+		}
+		c.at += (len(b.Preds) - 1) * len(Ref{})
+	}
+	for i, rq := range b.Requests {
+		if !c.holds(rq.Data) {
+			t.Fatalf("block %v: request %d's Data is not a capped view of the frame", b.Ref(), i)
+		}
+	}
+	if !c.holds(b.Sig) || c.at != len(c.frame) {
+		t.Fatalf("block %v: Sig is not the capped tail of the frame", b.Ref())
+	}
+}
+
+// TestFieldsAreTheFrame: a block is its frame, decoded and sealed alike —
+// and what the fields say is what the frame says.
+func TestFieldsAreTheFrame(t *testing.T) {
 	roster, shapes := encodeOnceFixtures(t)
 	for _, b := range shapes {
-		data := append([]byte(nil), b.Encode()...)
-		dec, err := Decode(data)
+		dec, err := Decode(append([]byte(nil), b.Encode()...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, builder, seq := dec.Ref(), dec.Builder, dec.Seq
-		preds := append([]Ref(nil), dec.Preds...)
-		var reqs []Request
-		for _, rq := range dec.Requests {
-			reqs = append(reqs, Request{Label: rq.Label, Data: append([]byte(nil), rq.Data...)})
-		}
-		sig := append([]byte(nil), dec.Sig...)
-
-		for i := range data { // clobber every byte of the decoded input
-			data[i] ^= 0xff
-		}
-		enc := dec.Encode()
-		for i := range enc { // and every byte of the returned frame
-			enc[i] = 0
-		}
-
-		if dec.Ref() != ref || dec.Builder != builder || dec.Seq != seq {
-			t.Fatalf("block %v: frame mutation corrupted identity", ref)
-		}
-		for i, p := range dec.Preds {
-			if p != preds[i] {
-				t.Fatalf("block %v: frame mutation corrupted pred %d", ref, i)
+		for _, blk := range []*Block{b, dec} {
+			fieldsAreTheFrame(t, blk)
+			want := append([]byte(nil), blk.Encode()...)
+			for _, rq := range blk.Requests {
+				_ = append(rq.Data, 0xff)
 			}
-		}
-		for i, rq := range dec.Requests {
-			if rq.Label != types.Label(reqs[i].Label) || !bytes.Equal(rq.Data, reqs[i].Data) {
-				t.Fatalf("block %v: frame mutation corrupted request %d", ref, i)
+			_ = append(blk.Sig, 0xff)
+			_ = append(blk.Preds, Ref{0xff})
+			if !bytes.Equal(blk.Encode(), want) {
+				t.Fatalf("block %v: an append to a field wrote into the frame", blk.Ref())
 			}
-		}
-		if !bytes.Equal(dec.Sig, sig) {
-			t.Fatalf("block %v: frame mutation corrupted signature bytes", ref)
-		}
-		if !dec.VerifySignature(roster) {
-			t.Fatalf("block %v: frame mutation broke signature verification", ref)
+			if !bytes.Equal(freshEncode(blk), want) || Ref(crypto.Hash(blk.SigningBytes())) != blk.Ref() {
+				t.Fatalf("block %v: fields and frame disagree", blk.Ref())
+			}
+			if !blk.VerifySignature(roster) {
+				t.Fatalf("block %v: signature does not verify", blk.Ref())
+			}
 		}
 	}
 }
 
+// paddedPreds returns b's frame with the predecessor count of its body
+// written in two bytes instead of one (0 as 0x80 0x00) and the body's
+// length prefix adjusted: the same fields in other bytes.
+func paddedPreds(t *testing.T, b *Block) []byte {
+	t.Helper()
+	if len(b.Preds) != 0 || len(b.SigningBytes()) >= 0x7f {
+		t.Fatal("fixture: want no preds and a one-byte body length")
+	}
+	body := b.SigningBytes()
+	padded := append(append(append([]byte{byte(len(body) + 1)}, body[:10]...), 0x80, 0x00), body[11:]...)
+	return append(append(padded, byte(len(b.Sig))), b.Sig...)
+}
+
+// TestDecodeRejectsPaddedVarint: the body is hashed and signed as sent, so
+// a second encoding of the same fields would be a second block with the
+// same fields — one whose reference changes when a snapshot re-encodes it
+// canonically. Only the minimal encoding decodes.
+func TestDecodeRejectsPaddedVarint(t *testing.T) {
+	_, shapes := encodeOnceFixtures(t)
+	padded := paddedPreds(t, shapes[0])
+	if _, err := Decode(padded); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Decode of a padded predecessor count: err = %v, want ErrMalformed", err)
+	}
+	// The canonical bytes of the same fields decode.
+	if _, err := Decode(append([]byte(nil), shapes[0].Encode()...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodedRefIsHashOfFields: for every block Decode accepts, the
+// reference it computed over the body as sent is the hash of the fields'
+// canonical encoding — what store's snapshot reassembly relies on.
+func TestDecodedRefIsHashOfFields(t *testing.T) {
+	_, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(seq uint64, labels []string, data [][]byte, nPreds uint8) bool {
+		preds := make([]Ref, nPreds)
+		for i := range preds {
+			preds[i] = Ref{byte(i), byte(seq)}
+		}
+		reqs := make([]Request, min(len(labels), len(data)))
+		for i := range reqs {
+			reqs[i] = Request{Label: types.Label(labels[i]), Data: data[i]}
+		}
+		b := New(1, seq, preds, reqs)
+		if err := b.Seal(signers[1]); err != nil {
+			return false
+		}
+		dec, err := Decode(append([]byte(nil), b.Encode()...))
+		return err == nil && dec.Ref() == b.Ref() && Ref(crypto.Hash(dec.SigningBytes())) == dec.Ref()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeAllocs: what Decode allocates does not grow with the request
+// count — the block, its request table, one string of labels — and nothing
+// is allocated per request or per payload byte.
+func TestDecodeAllocs(t *testing.T) {
+	_, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(r int) float64 {
+		reqs := make([]Request, r)
+		for i := range reqs {
+			reqs[i] = Request{Label: types.Label(fmt.Sprintf("pay/%d", i)), Data: make([]byte, 256)}
+		}
+		b := New(0, 1, []Ref{{1}, {2}}, reqs)
+		if err := b.Seal(signers[0]); err != nil {
+			t.Fatal(err)
+		}
+		frame := b.Encode()
+		return testing.AllocsPerRun(100, func() {
+			if _, err := Decode(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(1), allocs(256)
+	if one != many || one > 3 {
+		t.Fatalf("Decode allocates %v times for 1 request, %v for 256; want the same, at most 3", one, many)
+	}
+}
+
 // TestAppendEncodeCopies: AppendEncode hands out a copy — mutating the
-// result must not touch the cache, and existing dst content survives.
+// result must not touch the frame, and existing dst content survives.
 func TestAppendEncodeCopies(t *testing.T) {
 	_, shapes := encodeOnceFixtures(t)
 	b := shapes[3]

@@ -36,6 +36,9 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(oversized.Encode())
+	// Builder 0, seq 0, a predecessor count of 0 padded to two bytes, no
+	// requests, no signature: refused, and in the corpus from the start.
+	f.Add(append(append([]byte{13}, make([]byte, 10)...), 0x80, 0x00, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := Decode(data)
@@ -51,12 +54,17 @@ func FuzzDecode(f *testing.F) {
 		if payload > MaxPayloadBytes {
 			t.Fatalf("accepted block carries %d payload bytes, budget %d", payload, MaxPayloadBytes)
 		}
-		// Encode-once invariant: Decode retains the accepted frame
-		// verbatim, so the wire form is byte-stable across hops — even
-		// when the input used a non-minimal varint Decode tolerates but
-		// a fresh serialization would never emit.
+		// Encode-once invariant: the accepted frame is the block — Encode
+		// returns it, the fields view it — and it is the one encoding of
+		// those fields: a padded varint does not decode, so the reference
+		// computed over the body as sent is the hash of what the fields
+		// re-encode to.
 		if !bytes.Equal(b.Encode(), data) {
 			t.Fatal("decoded block's Encode is not the decoded input")
+		}
+		fieldsAreTheFrame(t, b)
+		if Ref(crypto.Hash(b.SigningBytes())) != b.Ref() {
+			t.Fatal("accepted block's reference is not the hash of its fields' encoding")
 		}
 		re, err := Decode(b.Encode())
 		if err != nil {

@@ -132,7 +132,7 @@ func TestRestoreStopsAtFirstRefusal(t *testing.T) {
 		preds = []block.Ref{b.Ref()}
 	}
 	// Tamper with the second block only: the first replays fine.
-	enc := good[1].Encode()
+	enc := good[1].AppendEncode(nil) // a copy: Encode's bytes are the good block
 	enc[len(enc)-1] ^= 0xff
 	bad, err := block.Decode(enc)
 	if err != nil {

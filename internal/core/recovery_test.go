@@ -144,7 +144,7 @@ func TestRestoreRejectsCorruptLog(t *testing.T) {
 	}
 	stored := c.Servers[3].DAG().Blocks()
 	// Tamper: re-decode one block and corrupt its signature.
-	enc := stored[0].Encode()
+	enc := stored[0].AppendEncode(nil) // a copy: Encode's bytes are the stored block
 	enc[len(enc)-1] ^= 0xff
 	bad, err := block.Decode(enc)
 	if err != nil {

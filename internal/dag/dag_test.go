@@ -118,6 +118,7 @@ func TestValidateRejectsBadSignature(t *testing.T) {
 	if err := b.Seal(signers[0]); err != nil {
 		t.Fatal(err)
 	}
+	b.Sig = append([]byte(nil), b.Sig...) // a sealed block's Sig is its frame's: copy, then write
 	b.Sig[0] ^= 0xff
 	if err := d.Insert(b); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("Insert = %v, want ErrBadSignature", err)

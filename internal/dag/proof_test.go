@@ -67,7 +67,7 @@ func TestEquivocationProofRejectsForgeries(t *testing.T) {
 	}
 
 	// Tampered signature invalidates the proof.
-	bad, err := block.Decode(g0b.Encode())
+	bad, err := block.Decode(g0b.AppendEncode(nil)) // a copy: bad.Sig is a view of what it decodes
 	if err != nil {
 		t.Fatal(err)
 	}

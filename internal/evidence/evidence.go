@@ -77,6 +77,8 @@ func (p *Proof) Encode() []byte {
 // the way in, so even a frame produced by a non-canonical encoder
 // decodes to the canonical proof. Decode performs structural checks
 // only; Verify establishes that the pair actually convicts anyone.
+// data is shared by the two blocks and stays the caller's: each block's
+// frame is copied out of it once, and the block's fields view that copy.
 func Decode(data []byte) (*Proof, error) {
 	r := wire.NewReader(data)
 	e1 := r.VarBytes()

@@ -315,12 +315,13 @@ type inbound struct {
 	rejected bool
 }
 
-// decode classifies one wire payload.
+// decode classifies one wire payload, which is ours for good
+// (transport.Endpoint): a block is viewed out of it and keeps it as its frame.
 func decode(payload []byte) inbound {
 	r := wire.NewReader(payload)
 	switch r.Byte() {
 	case kindBlock:
-		enc := r.VarBytes()
+		enc := r.VarBytesView()
 		if r.Close() == nil {
 			if b, err := block.Decode(enc); err == nil {
 				return inbound{kind: kindBlock, blk: b}
@@ -333,7 +334,7 @@ func decode(payload []byte) inbound {
 		}
 		return inbound{}
 	case kindEvidence:
-		if enc := r.VarBytes(); r.Close() == nil {
+		if enc := r.VarBytesView(); r.Close() == nil {
 			return inbound{kind: kindEvidence, evidence: enc}
 		}
 		return inbound{}

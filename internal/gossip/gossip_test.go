@@ -558,6 +558,28 @@ func TestDuplicateDeliveryCounted(t *testing.T) {
 	}
 }
 
+// TestReceivedBlockIsItsPayload: the payload the transport hands over is
+// the received block's frame — viewed, not copied, between the socket's
+// buffer and the DAG, for a block inserted at once and for one buffered
+// first.
+func TestReceivedBlockIsItsPayload(t *testing.T) {
+	c := newCluster(t, 2)
+	chain := chainOf(t, c.signers[1], 2)
+	payloads := [][]byte{EncodeBlockMsg(chain[0]), EncodeBlockMsg(chain[1])}
+	c.nodes[0].g.HandleMessage(1, payloads[1]) // waits for its parent
+	c.nodes[0].g.HandleMessage(1, payloads[0])
+	for i, p := range payloads {
+		got, ok := c.nodes[0].d.Get(chain[i].Ref())
+		if !ok {
+			t.Fatalf("block %d not inserted", i)
+		}
+		frame := got.Encode()
+		if &frame[len(frame)-1] != &p[len(p)-1] || &got.Sig[len(got.Sig)-1] != &p[len(p)-1] {
+			t.Fatalf("block %d was copied out of its payload", i)
+		}
+	}
+}
+
 // TestMalformedPayloadsIgnored: garbage from the network is dropped.
 func TestMalformedPayloadsIgnored(t *testing.T) {
 	c := newCluster(t, 2)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/protocol"
@@ -218,18 +219,32 @@ func (p *sealingProcess) Receive(m protocol.Message) []protocol.Message {
 // replay history into fresh instances — every payload an out-buffer holds,
 // cached or recomputed, is one of those, and every one of those still
 // hashes as it did.
+//
+// The same holds one layer down and one up, frame → block → broker: a
+// block's fields are views of its frame and an indicated value is a view of
+// a payload, so every frame is hashed at insertion and every value where
+// the broker would be handed it — in the run and in a restore, which
+// decodes every block again out of one buffer shared by all of them (as
+// store.scanWAL does) and interprets those — and all still hash as they did.
 func TestPayloadsImmutable(t *testing.T) {
 	dags, labelSets := forkedDAGs()
 	for i, d := range dags {
 		labels := labelSets[i]
 		proto := sealingProtocol{Protocol: brb.Protocol{}, seals: make(map[*byte]sealed)}
 		requests := make(map[*byte]sealed)
+		var handed []sealed
+		seal := func(b []byte) { handed = append(handed, sealed{bytes: b, sum: crypto.Hash(b)}) }
+		toBroker := func(ind Indication) { seal(ind.Value) }
+		var segment []byte
 		for b := range d.All() {
+			seal(b.Encode())
+			segment = b.AppendEncode(segment)
 			for _, rq := range b.Requests {
 				requests[&rq.Data[0]] = sealed{bytes: rq.Data, sum: crypto.Hash(rq.Data)}
 			}
 		}
-		it := New(proto, 4, 1, func(Indication) {})
+		seal(segment)
+		it := New(proto, 4, 1, toBroker)
 		for _, b := range randomTopoOrder(d, rand.New(rand.NewSource(int64(i)))) {
 			if err := it.AddBlock(b); err != nil {
 				t.Fatal(err)
@@ -244,6 +259,21 @@ func TestPayloadsImmutable(t *testing.T) {
 		}
 
 		ctx := fmt.Sprintf("dag %d", i)
+		restored, delivered := New(proto, 4, 1, toBroker), len(handed)
+		for b := range d.All() {
+			n := b.EncodedSize()
+			again, err := block.Decode(segment[:n:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			segment = segment[n:]
+			if err := restored.AddBlock(again); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(handed) == delivered {
+			t.Fatalf("%s: the restore indicated nothing", ctx)
+		}
 		retained := 0
 		for b := range d.All() {
 			_, st := it.at(b.Ref(), false) // held, or recomputed by a replay: emitted through proto either way
@@ -259,9 +289,12 @@ func TestPayloadsImmutable(t *testing.T) {
 		}
 		for _, group := range []map[*byte]sealed{proto.seals, requests} {
 			for _, s := range group {
-				if crypto.Hash(s.bytes) != s.sum {
-					t.Fatalf("%s: bytes handed over were written to afterwards", ctx)
-				}
+				handed = append(handed, s)
+			}
+		}
+		for _, s := range handed {
+			if crypto.Hash(s.bytes) != s.sum {
+				t.Fatalf("%s: bytes handed over were written to afterwards", ctx)
 			}
 		}
 	}

@@ -70,8 +70,10 @@ func NewIndicationBroker(maxLabels int) *IndicationBroker {
 }
 
 // Publish records one indication and fans it out to every subscriber.
-// The value is copied once; subscribers must treat it as read-only.
-// Never blocks; a no-op after Close.
+// The value is copied once; subscribers must treat it as read-only. It
+// views a READY payload the interpreter releases: keeping the view would
+// hold that payload in the copy's place, and what outlives a block, as the
+// index does, must not view its frame. Never blocks; a no-op after Close.
 func (b *IndicationBroker) Publish(label types.Label, value []byte) {
 	if b == nil {
 		return

@@ -537,11 +537,11 @@ func (n *Node) OnStop(hook func()) {
 func (n *Node) Indications() *IndicationBroker { return n.broker }
 
 // Deliver implements transport.Endpoint: queue a network payload for the
-// loop. The payload is copied; transports may reuse their buffers.
-// Deliveries after Stop are discarded.
+// loop. The payload is the node's from here on — a block's becomes that
+// block's frame. Deliveries after Stop are discarded.
 func (n *Node) Deliver(from types.ServerID, payload []byte) {
 	select {
-	case n.in <- gossip.Message{From: from, Payload: append([]byte(nil), payload...)}:
+	case n.in <- gossip.Message{From: from, Payload: payload}:
 	case <-n.done:
 	}
 }

@@ -177,13 +177,12 @@ func (p *process) Receive(m protocol.Message) []protocol.Message {
 	}
 	// send adds k(value), addressed to every server, to the messages this
 	// step emits. Answering in kind, the message to send is the one just
-	// received: its payload is emitted again instead of a copy — unless a
-	// (byzantine) sender padded the length prefix, which the size gives
-	// away.
+	// received: its payload is emitted again instead of a copy (a payload
+	// that decodes is the one encoding of its value; wire.ErrNonMinimal).
 	var out []protocol.Message
 	send := func(k byte) {
 		payload := m.Payload
-		if k != kind || len(payload) != 1+wire.VarBytesLen(len(value)) {
+		if k != kind {
 			payload = encodePayload(k, value)
 		}
 		out = append(out, protocol.FanOut(p.cfg, payload))

@@ -379,7 +379,9 @@ func (h *handle) Send(to types.ServerID, ch transport.Channel, payload []byte) {
 		return
 	}
 	from := h.id
-	// Copy at the boundary: the sender may reuse its buffer.
+	// Copy at the boundary, as a socket does: one frame goes to many peers
+	// and each receiver owns what it is delivered (transport.Endpoint) —
+	// without the copy every server's DAG would alias the sender's frame.
 	data := append([]byte(nil), payload...)
 	n.schedule(n.linkDelay(), func() {
 		reg, ok := n.nodes[to]

@@ -1,7 +1,6 @@
 package state
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -160,11 +159,6 @@ func DecodeProof(data []byte) (*Proof, error) {
 	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProof, err)
-	}
-	// One proof, one encoding: wire.Reader takes a padded branch count
-	// (3 as 0x83 0x00) for the canonical one.
-	if !bytes.Equal(p.Encode(), data) {
-		return nil, fmt.Errorf("%w: non-canonical encoding", ErrBadProof)
 	}
 	return p, nil
 }

@@ -187,11 +187,11 @@ func scanWAL(data []byte) segment {
 			seg.torn = true
 			break
 		}
-		// Decode retains payload as the block's cached canonical frame
-		// (encode-once invariant), so every scanned block carries its WAL
-		// record bytes: downstream consumers — syncsvc streaming above
-		// all — re-serve the on-disk encoding verbatim, zero-copy. The
-		// cost is that a live block pins its segment's read buffer.
+		// The segment's read buffer is viewed by every block in it: payload
+		// is the block's frame and its fields are sub-slices of it
+		// (block.Decode), so a scanned block copies nothing and downstream
+		// consumers — syncsvc streaming above all — re-serve the on-disk
+		// encoding verbatim. The cost: a live block pins the whole buffer.
 		b, err := block.Decode(payload)
 		if err != nil {
 			// The checksum matched, so these bytes were written

@@ -169,14 +169,19 @@ func decodeSnapshot(data []byte, path string) (*snapshot, error) {
 		for k := 0; k < nReqs; k++ {
 			reqs = append(reqs, block.Request{
 				Label: types.Label(r.String()),
-				Data:  r.VarBytes(),
+				Data:  r.VarBytesView(),
 			})
 		}
-		sig := r.VarBytes()
+		sig := r.VarBytesView()
 		if r.Err() != nil {
 			break
 		}
-		b, err := reassemble(builder, seq, preds, reqs, sig)
+		// Re-encode the fields canonically — the one encoding Decode accepts,
+		// so byte for byte the frame the snapshot was taken of — and decode
+		// that: the block views a frame of its own, not the file, and
+		// carries a freshly computed ref(B).
+		fields := block.Block{Builder: builder, Seq: seq, Preds: preds, Requests: reqs, Sig: sig}
+		b, err := block.Decode(fields.Encode())
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: block %d: %v", ErrCorrupt, path, i, err)
 		}
@@ -187,15 +192,4 @@ func decodeSnapshot(data []byte, path string) (*snapshot, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}
 	return sv, nil
-}
-
-// reassemble rebuilds a sealed block from its decomposed fields by
-// re-encoding them canonically and running the untrusted-decode path, so
-// the reconstructed block carries a freshly computed ref(B).
-func reassemble(builder types.ServerID, seq uint64, preds []block.Ref, reqs []block.Request, sig []byte) (*block.Block, error) {
-	body := block.New(builder, seq, preds, reqs).SigningBytes()
-	w := wire.NewWriter(len(body) + len(sig) + 4)
-	w.VarBytes(body)
-	w.VarBytes(sig)
-	return block.Decode(w.Bytes())
 }

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -477,6 +478,41 @@ func TestCheckpointCompaction(t *testing.T) {
 	rep := st2.Report()
 	if !rep.HasSnapshot {
 		t.Fatalf("report misses snapshot: %+v", rep)
+	}
+}
+
+// TestCheckpointKeepsEveryFrame: a snapshot stores fields, not frames, and
+// a restored block is re-encoded from them. Only the canonical encoding
+// decodes (wire.ErrNonMinimal), so that is the frame the block was
+// journaled with: every reference, and with it every descendant's
+// predecessor index and signature, survives the round trip.
+func TestCheckpointKeepsEveryFrame(t *testing.T) {
+	roster, blocks := chain(t, 40)
+	dir := t.TempDir()
+	st := openStore(t, dir, roster, store.Options{SegmentSize: 1024})
+	appendAll(t, st, blocks)
+	d := dag.New(roster)
+	for _, b := range blocks {
+		if err := d.Insert(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Checkpoint(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openStore(t, dir, roster, store.Options{})
+	defer func() { _ = st2.Close() }()
+	restored := st2.Blocks()
+	if !st2.Report().HasSnapshot || len(restored) != len(blocks) {
+		t.Fatalf("restored %d blocks of %d from %+v", len(restored), len(blocks), st2.Report())
+	}
+	for i, b := range restored {
+		if b.Ref() != blocks[i].Ref() || !bytes.Equal(b.Encode(), blocks[i].Encode()) || !b.VerifySignature(roster) {
+			t.Fatalf("block %d: %v restored as %v", i, blocks[i].Ref(), b.Ref())
+		}
 	}
 }
 

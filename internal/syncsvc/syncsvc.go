@@ -699,6 +699,8 @@ func (p *Pull) consume(frame []byte) error {
 		blocks := make([]*block.Block, 0, n)
 		var decodeErr error
 		for i := 0; i < n; i++ {
+			// The batch frame is shared by its blocks and not ours to keep:
+			// each block's frame is copied out once and its fields view that.
 			enc := r.VarBytes()
 			if r.Err() != nil {
 				break

@@ -196,7 +196,7 @@ func ReadDAG(r io.Reader, roster *crypto.Roster) (*dag.DAG, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: read dump: %w", err)
 		}
-		b, err := block.Decode(frame)
+		b, err := block.Decode(frame) // ReadFrame copied it out of the dump: the block's own
 		if err != nil {
 			return nil, fmt.Errorf("trace: decode block: %w", err)
 		}

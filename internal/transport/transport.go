@@ -139,8 +139,10 @@ type Authenticator interface {
 // channel. Implementations are driven by a single goroutine (or the
 // simulator loop) at a time.
 type Endpoint interface {
-	// Deliver hands one payload received from the given server to the
-	// protocol stack. The callee must not retain the slice.
+	// Deliver hands one payload received from the given server over to
+	// the protocol stack, for good: the transport never touches the slice
+	// again nor hands it to anyone else, and the callee may keep it (a
+	// received block's fields view it).
 	Deliver(from types.ServerID, payload []byte)
 }
 
@@ -263,12 +265,7 @@ func (l *LateBound) Deliver(from types.ServerID, payload []byte) {
 	l.mu.Lock()
 	ep := l.ep
 	if ep == nil {
-		// The endpoint contract lets the caller reuse payload; buffering
-		// must copy.
-		l.pending = append(l.pending, pendingDelivery{
-			from:    from,
-			payload: append([]byte(nil), payload...),
-		})
+		l.pending = append(l.pending, pendingDelivery{from: from, payload: payload})
 		if drop := len(l.pending) - LateBoundBuffer; drop > 0 {
 			l.pending = append(l.pending[:0], l.pending[drop:]...)
 			l.dropped += drop

@@ -47,17 +47,25 @@ func TestLateBoundBuffersPreBindDeliveries(t *testing.T) {
 	}
 }
 
-// TestLateBoundBufferCopiesPayload: the endpoint contract lets senders
-// reuse their buffer after Deliver; buffering must copy.
-func TestLateBoundBufferCopiesPayload(t *testing.T) {
-	lb := &LateBound{}
-	buf := []byte("orig")
-	lb.Deliver(1, buf)
-	copy(buf, "XXXX")
-	r := &recorder{}
-	lb.Bind(r)
-	if len(r.got) != 1 || r.got[0] != "s1:orig" {
-		t.Fatalf("got %v, want buffered copy of original payload", r.got)
+// keeper keeps the last payload it was delivered.
+type keeper struct{ payload []byte }
+
+func (k *keeper) Deliver(_ types.ServerID, payload []byte) { k.payload = payload }
+
+// TestLateBoundHandsPayloadOver: Deliver hands the payload over for good,
+// so buffering keeps the slice it was given and the bound endpoint receives
+// that slice, before and after Bind — no copy on the way.
+func TestLateBoundHandsPayloadOver(t *testing.T) {
+	lb, k := &LateBound{}, &keeper{}
+	early, late := []byte("early"), []byte("late")
+	lb.Deliver(1, early)
+	lb.Bind(k)
+	if &k.payload[0] != &early[0] {
+		t.Fatal("a buffered delivery reached the endpoint as a copy")
+	}
+	lb.Deliver(1, late)
+	if &k.payload[0] != &late[0] {
+		t.Fatal("a forwarded delivery reached the endpoint as a copy")
 	}
 }
 

@@ -29,6 +29,7 @@ func FuzzReader(f *testing.F) {
 	w.Uvarint(3)
 	f.Add(w.Bytes(), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, []byte{5, 7, 10})
+	f.Add([]byte{0x80, 0x00, 1, 2, 3}, []byte{5, 11})
 	f.Add([]byte{2}, []byte{1})
 	f.Add([]byte{}, []byte{0, 9})
 
@@ -39,7 +40,7 @@ func FuzzReader(f *testing.F) {
 		for _, op := range ops {
 			before := r.Remaining()
 			var zero bool // the accessor returned its zero value
-			switch op % 11 {
+			switch op % 12 {
 			case 0:
 				zero = r.Byte() == 0
 			case 1:
@@ -51,7 +52,11 @@ func FuzzReader(f *testing.F) {
 			case 4:
 				zero = r.Uint64() == 0
 			case 5:
-				zero = r.Uvarint() == 0
+				v := r.Uvarint()
+				zero = v == 0
+				if r.Err() == nil && before-r.Remaining() != UvarintLen(v) {
+					t.Fatalf("Uvarint took %d bytes for %d, which Writer.Uvarint writes in %d", before-r.Remaining(), v, UvarintLen(v))
+				}
 			case 6:
 				zero = r.Bytes32() == [32]byte{}
 			case 7:
@@ -79,6 +84,12 @@ func FuzzReader(f *testing.F) {
 				zero = n == 0
 				if n > 1<<10 || n > before {
 					t.Fatalf("Count returned %d with limit %d and %d bytes remaining", n, 1<<10, before)
+				}
+			case 11:
+				b := r.View(3)
+				zero = len(b) == 0
+				if len(b) > 0 && (len(b) != 3 || cap(b) != 3 || &b[0] != &data[len(data)-r.Remaining()-3]) {
+					t.Fatal("View returned bytes that are not a capped run of the input's")
 				}
 			}
 			if after := r.Remaining(); after < 0 || after > before {

@@ -33,6 +33,10 @@ var (
 	// ErrTooLarge reports a length prefix exceeding the configured or
 	// implicit maximum, guarding against hostile allocations.
 	ErrTooLarge = errors.New("wire: length exceeds limit")
+	// ErrNonMinimal reports a varint written in more bytes than its value
+	// needs: what is hashed or signed as it was sent must be what its
+	// decoded fields re-encode to.
+	ErrNonMinimal = errors.New("wire: non-minimal varint")
 )
 
 // MaxFrame is the largest frame the stream framing helpers accept. It
@@ -96,9 +100,12 @@ func (w *Writer) Uvarint(v uint64) {
 // Bytes32 appends a fixed 32-byte value with no length prefix.
 func (w *Writer) Bytes32(v [32]byte) { w.buf = append(w.buf, v[:]...) }
 
+// UvarintLen returns the number of bytes Uvarint writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // VarBytesLen returns the encoded size of an n-byte value written by
 // VarBytes or String: the uvarint length prefix plus the bytes.
-func VarBytesLen(n int) int { return (bits.Len64(uint64(n)|1)+6)/7 + n }
+func VarBytesLen(n int) int { return UvarintLen(uint64(n)) + n }
 
 // VarBytes appends a uvarint length prefix followed by the bytes.
 func (w *Writer) VarBytes(b []byte) {
@@ -124,7 +131,7 @@ type Reader struct {
 
 // NewReader returns a Reader over buf. The Reader does not copy buf;
 // decoded byte slices are copied out so the caller may reuse buf afterward
-// — except those returned by VarBytesView, which alias it.
+// — except those returned by View and VarBytesView, which alias it.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // Err returns the first decoding error encountered, if any.
@@ -214,7 +221,8 @@ func (r *Reader) Uint64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// Uvarint decodes a varint-encoded unsigned integer.
+// Uvarint decodes a varint-encoded unsigned integer, in the one encoding
+// Writer.Uvarint produces: a padded one (0 as 0x80 0x00) is ErrNonMinimal.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
@@ -224,32 +232,31 @@ func (r *Reader) Uvarint() uint64 {
 		r.fail(ErrTruncated)
 		return 0
 	}
+	if n > 1 && r.buf[r.off+n-1] == 0 {
+		r.fail(ErrNonMinimal)
+		return 0
+	}
 	r.off += n
 	return v
 }
 
+// View decodes n raw bytes without copying: a sub-slice of the Reader's
+// input, capped like VarBytesView's.
+func (r *Reader) View(n int) []byte {
+	b := r.take(n)
+	return b[:len(b):len(b)]
+}
+
 // Bytes32 decodes a fixed 32-byte value.
-func (r *Reader) Bytes32() [32]byte {
-	var v [32]byte
-	b := r.take(32)
-	if b != nil {
-		copy(v[:], b)
-	}
+func (r *Reader) Bytes32() (v [32]byte) {
+	copy(v[:], r.take(32))
 	return v
 }
 
 // VarBytes decodes a uvarint-length-prefixed byte string into a fresh
 // slice. A zero-length value decodes to nil so that encode/decode round
 // trips preserve reflect.DeepEqual equality of nil slices.
-func (r *Reader) VarBytes() []byte {
-	b := r.VarBytesView()
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
+func (r *Reader) VarBytes() []byte { return append([]byte(nil), r.VarBytesView()...) }
 
 // VarBytesView decodes like VarBytes without copying: the result is a
 // sub-slice of the Reader's input, capped at its own length so that an
@@ -267,26 +274,11 @@ func (r *Reader) VarBytesView() []byte {
 	if n == 0 {
 		return nil
 	}
-	b := r.take(int(n))
-	return b[:len(b):len(b)]
+	return r.View(int(n))
 }
 
 // String decodes a uvarint-length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > maxValue {
-		r.fail(ErrTooLarge)
-		return ""
-	}
-	b := r.take(int(n))
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
+func (r *Reader) String() string { return string(r.VarBytesView()) }
 
 // Count decodes a uvarint sequence-length prefix and validates it against
 // both limit and the remaining input (each element occupies at least one

@@ -128,6 +128,43 @@ func TestNonCanonicalBool(t *testing.T) {
 	}
 }
 
+// TestNonMinimalUvarint: one value, one encoding. A padded varint — in a
+// length prefix, a count or on its own — is refused, so bytes that decode
+// are the bytes the decoded fields re-encode to.
+func TestNonMinimalUvarint(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<64 - 1} {
+		w := NewWriter(0)
+		w.Uvarint(v)
+		if got := UvarintLen(v); got != w.Len() {
+			t.Fatalf("UvarintLen(%d) = %d, encoding takes %d", v, got, w.Len())
+		}
+		r := NewReader(w.Bytes())
+		if got := r.Uvarint(); got != v || r.Close() != nil {
+			t.Fatalf("minimal %d decoded as %d, err %v", v, got, r.Err())
+		}
+		if w.Len() == 10 {
+			continue // no room to pad: an eleventh byte overflows
+		}
+		enc := w.Bytes()
+		padded := append(append([]byte(nil), enc[:len(enc)-1]...), enc[len(enc)-1]|0x80, 0x00)
+		r = NewReader(padded)
+		if got := r.Uvarint(); got != 0 || !errors.Is(r.Err(), ErrNonMinimal) || r.Remaining() != len(padded) {
+			t.Fatalf("padded %d decoded as %d, err %v", v, got, r.Err())
+		}
+	}
+	for name, read := range map[string]func(*Reader){
+		"VarBytes":     func(r *Reader) { r.VarBytes() },
+		"VarBytesView": func(r *Reader) { r.VarBytesView() },
+		"String":       func(r *Reader) { _ = r.String() },
+		"Count":        func(r *Reader) { r.Count(8) },
+	} {
+		r := NewReader([]byte{0x82, 0x00, 'a', 'b'})
+		if read(r); !errors.Is(r.Err(), ErrNonMinimal) {
+			t.Fatalf("%s took a padded length: err = %v", name, r.Err())
+		}
+	}
+}
+
 func TestVarBytesHostileLength(t *testing.T) {
 	w := NewWriter(0)
 	w.Uvarint(1 << 40) // absurd length, no data
