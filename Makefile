@@ -25,8 +25,10 @@ FUZZTIME ?= 3s
 # fuzz-smoke runs every fuzz target for a few seconds: each decoder a
 # byzantine or unauthenticated peer can reach (blocks, gossip messages,
 # evidence, state proofs and snapshot chunks, the snapshot meta frame,
-# the wire reader and stream framing, the sync streams) and the two a
-# failing disk can (store WAL records, snapshot segments). `go test`
+# the wire reader and stream framing, the sync channel's delta request
+# and stream — its watermark answer has had no decoder, so no target,
+# since PR 30) and the two a failing disk can (store WAL records, snapshot
+# segments). `go test`
 # without -fuzz only replays the seed corpus; this also proves the targets
 # still mutate, and a crasher it finds lands in the package's
 # testdata/fuzz to be checked in as a regression seed. -fuzz takes one
@@ -314,6 +316,32 @@ docs-check:
 # brb.TestReceiveAllocations, protocol_test.go's AllocsPerRun).
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./...
+
+# KNOBS are the tree's configuration structs, as package.Type.
+KNOBS = core.Config gossip.Config node.Config node.StateSyncConfig store.Options \
+	tcpnet.Config syncsvc.Server mempool.Options peerscore.Options gateway.Config \
+	deploy.Config cluster.Options
+
+.PHONY: knobs
+# knobs lists the options nobody sets: for every exported field of a
+# configuration struct it counts the `Field:` / `.Field = ` assignments
+# (and `&cfg.Field` flag bindings) in Go that names the struct (or shares
+# its package) outside the declaring file — non-test code (bench/ included) and tests apart — and prints the
+# fields non-test code never assigns: one value in use, so a constant
+# (ROADMAP aim 2), and the next subtraction's input. A name two structs
+# share is counted for both, so the list errs towards "set". CI prints it
+# next to `make loc`, never failing.
+knobs:
+	@for t in $(KNOBS); do \
+		pkg=$${t%.*}; typ=$${t#*.}; \
+		decl=$$(grep -lE "^type $$typ struct" internal/$$pkg/*.go); \
+		users=$$(grep -rlE --include='*.go' --exclude-dir=.bench_build "\b$$pkg\.$$typ\b|^package $$pkg(_test)?$$" . | grep -vx "./$$decl"); \
+		for f in $$(go doc ./internal/$$pkg $$typ | sed -n '/^type /,/^}/p' | grep -oE '^	[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)*' | tr -d '	,'); do \
+			grep -cE "\b$$f:|&[A-Za-z_.]+\.$$f\b|\.$$f(, [A-Za-z_.]+)* = " $$users /dev/null | awk -F: -v k="$$t.$$f" \
+				'{ if ($$1 ~ /_test\.go$$/) t += $$2; else n += $$2 } END { print k, n + 0, t + 0 }'; \
+		done; \
+	done | awk '{ fields++ } $$2 == 0 { unset++; printf "%-44s set by no code, by %d test line(s)\n", $$1, $$3 } \
+		END { printf "%d of %d configuration fields are assigned by no non-test code\n", unset, fields }'
 
 .PHONY: loc
 # loc prints non-test Go lines per package outside bench/, smallest

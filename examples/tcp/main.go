@@ -56,9 +56,7 @@ func run() error {
 	)
 	cfg := &opts.node
 	flag.DurationVar(&opts.timeout, "timeout", 10*time.Second, "how long to wait for all broadcasts to deliver")
-	flag.StringVar(&cfg.StoreDir, "store-dir", "", "journal blocks under this directory and restore on startup")
-	flag.BoolVar(&cfg.CatchUp, "catchup", true, "with -store-dir: bulk-sync missing blocks from peers at startup")
-	flag.DurationVar(&cfg.FollowEvery, "follow", 0, "with -store-dir: poll a rotating peer's watermarks this often and pull any missing suffix live (0 disables)")
+	flag.StringVar(&cfg.StoreDir, "store-dir", "", "journal blocks under this directory, restore on startup, bulk-sync what is missing from the peers and keep following them")
 	flag.IntVar(&cfg.CheckpointEverySegments, "checkpoint-segments", 4, "with -store-dir: checkpoint the store every N WAL segments (0 disables)")
 	flag.Int64Var(&cfg.CheckpointEveryBytes, "checkpoint-bytes", 0, "with -store-dir: checkpoint the store when it grows N bytes (0 disables)")
 	flag.IntVar(&cfg.MempoolCapacity, "mempool", 0, "ingestion mempool capacity: requests deduplicate, validate, and hit backpressure before block inclusion (0 = the pool's default)")
@@ -75,8 +73,6 @@ func run() error {
 		return err
 	}
 	switch {
-	case cfg.FollowEvery > 0 && cfg.StoreDir == "":
-		return fmt.Errorf("-follow needs -store-dir (peers serve the follower from their stores)")
 	case cfg.GatewayToken != "" && cfg.GatewayAddr == "":
 		return fmt.Errorf("-gateway-token needs -gateway")
 	case opts.state && cfg.StoreDir == "":
@@ -202,8 +198,8 @@ func awaitDeliveries(servers []*server, want int, timeout time.Duration) bool {
 	}
 }
 
-// report prints the mempool's counters and — each when its flag turned it
-// on — the follower's and the state cycle's.
+// report prints the mempool's counters and — with a store — the
+// follower's, with -state the state cycle's.
 func (s *server) report() {
 	if rep := s.Node.FollowReport(); rep.State != "" {
 		fmt.Printf("s%d follow: %d polls, %d deltas, %d blocks pulled, %d throttled (sync calls: %d out / %d served)\n",

@@ -14,8 +14,8 @@ import (
 // BenchmarkLiveFollow compares how a running follower that lagged behind
 // a live cluster reconverges once its partition heals:
 //
-//   - follow: the live-follower loop — one watermark poll plus one
-//     validated delta stream on the sync channel
+//   - follow: the live-follower loop — one validated delta stream on the
+//     sync channel (request, one batch, done)
 //   - fwd: the gossip layer's per-block FWD path, one sequential round
 //     trip per missing ancestor
 //

@@ -358,8 +358,8 @@ func (e inline) Deliver(from types.ServerID, payload []byte) {
 // register attaches one slot's consumers to the network: the runtime on
 // the gossip channel and — when the slot is durable, or the cluster runs
 // the live follower — a catch-up server on the sync channel, so any peer
-// can bulk-sync or follow from this slot. Watermark queries are answered
-// from the node's tracked vector; durable slots stream their store,
+// can bulk-sync or follow from this slot. A request that lacks nothing is
+// answered from the node's tracked vector; durable slots stream their store,
 // follower-only slots straight from the DAG (safe on the event loop). The
 // catch-up server runs under the hardening policy (in-flight cap, optional
 // token bucket on the simulated clock), exactly as a production node would.

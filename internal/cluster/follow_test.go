@@ -27,7 +27,7 @@ func partitionSlot(c *cluster.Cluster, slot int) {
 // TestClusterLiveFollowerPartitionHeal is the acceptance test for the
 // live-follower loop: server 3 is partitioned while the others make
 // progress, the partition heals, and the follower converges to the same
-// interpretation through the watermark/delta path with ZERO FWD traffic
+// interpretation through one delta pull with ZERO FWD traffic
 // — the deterministic isolation FollowOnce provides — then rejoins the
 // running cluster cleanly.
 func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
@@ -207,11 +207,12 @@ func TestClusterFollowerThrottledRotates(t *testing.T) {
 	}
 }
 
-// TestClusterFollowerLyingWatermarks: a malicious peer advertising
-// inflated watermarks, then serving a tampered delta stream, wastes one
-// round trip — the follower rejects the stream, keeps its state intact,
-// and converges through an honest peer.
-func TestClusterFollowerLyingWatermarks(t *testing.T) {
+// TestClusterFollowerLyingPeer: with no watermark answer to inflate, what
+// is left of a sync peer's lie is the stream itself — tampered, or short.
+// A forged block costs the liar the poll and its standing, a stream that
+// claims to be complete and is not costs the follower nothing it held; its
+// state stays intact and it converges through the honest peers.
+func TestClusterFollowerLyingPeer(t *testing.T) {
 	c, err := cluster.New(cluster.Options{
 		N:           4,
 		Protocol:    brb.Protocol{},
@@ -227,47 +228,49 @@ func TestClusterFollowerLyingWatermarks(t *testing.T) {
 		t.Fatalf("setup: ok=%v err=%v", ok, err)
 	}
 
-	// Peer 0 turns malicious on the sync channel: it claims a chain far
-	// beyond reality and answers the resulting delta pull with a
-	// signature-flipped block.
+	// Peer 0 turns malicious on the sync channel: it answers every pull
+	// with a signature-flipped block. Peer 1 serves short: "you lack
+	// nothing", whatever it holds.
 	honest := c.Servers[1].DAG().Blocks()
 	// Build the forgery as a fresh unsealed block (no cached frame, so
 	// EncodeBatchFrame serializes the doctored fields — copying a sealed
 	// block and editing it would stream the original cached frame): the
 	// honest block's fields with the sequence number pushed beyond every
-	// watermark, so the filter keeps it, under a stale signature that
-	// cannot verify for the new contents.
+	// horizon, under a stale signature that cannot verify for the new
+	// contents.
 	h := honest[len(honest)/2]
 	forged := block.New(h.Builder, 1<<20, h.Preds, h.Requests)
 	forged.Sig = append([]byte(nil), h.Sig...)
 	c.Net.RegisterHandler(0, transport.ChanSync, handlerFunc(func(from types.ServerID, req []byte, st transport.ServerStream) {
-		if len(req) == 1 {
-			lie := []syncsvc.Watermark{{Builder: 0, NextSeq: 1 << 21}}
-			_ = st.Send(syncsvc.EncodeWatermarkFrame(lie))
-			st.Close(nil)
-			return
-		}
 		_ = st.Send(syncsvc.EncodeBatchFrame([]*block.Block{forged}))
 		_ = st.Send(syncsvc.EncodeDoneFrame(1))
+		st.Close(nil)
+	}))
+	c.Net.RegisterHandler(1, transport.ChanSync, handlerFunc(func(from types.ServerID, req []byte, st transport.ServerStream) {
+		_ = st.Send(syncsvc.EncodeDoneFrame(0))
 		st.Close(nil)
 	}))
 
 	before := c.Servers[3].DAG().Len()
 	// Three forced polls cover the full rotation, so one of them hits
-	// the liar; the honest peers are in sync (no pull, no effect).
+	// each liar; honest peer 2 is in sync (an empty stream, no effect).
 	for i := 0; i < 3; i++ {
 		c.FollowOnce(3)
 		c.Net.Run()
 	}
 	stats := c.FollowStats(3)
-	if stats.Errors == 0 {
-		t.Fatalf("follow stats %+v; the tampered stream should have failed", stats)
+	if stats.Polls != 3 || stats.Errors != 1 || stats.Deltas != 1 || stats.Blocks != 0 {
+		t.Fatalf("follow stats %+v; want three polls, of which the tampered stream failed and nothing was absorbed", stats)
+	}
+	if c.Servers[3].Scores().Score(0) == 0 || c.Servers[3].Scores().Score(1) != 0 {
+		t.Fatalf("scores: forger %.1f, short server %.1f; want only the forger charged",
+			c.Servers[3].Scores().Score(0), c.Servers[3].Scores().Score(1))
 	}
 	if got := c.Servers[3].DAG().Len(); got != before {
-		t.Fatalf("lying peer changed the follower's DAG: %d -> %d blocks", before, got)
+		t.Fatalf("lying peers changed the follower's DAG: %d -> %d blocks", before, got)
 	}
 	if err := c.Servers[3].Health(); err != nil {
-		t.Fatalf("lying peer poisoned the follower: %v", err)
+		t.Fatalf("lying peers poisoned the follower: %v", err)
 	}
 
 	// The periodic policy keeps rotating; the cluster stays live and
@@ -279,6 +282,61 @@ func TestClusterFollowerLyingWatermarks(t *testing.T) {
 	}
 	if err := c.Health(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterFollowerHoldingAForkIsNotRestreamed keeps the one-call poll's
+// trap closed. Slot 3 holds both variants of an equivocator's block; slot 0
+// (and 1) hold one, and no evidence, so their vectors advertise that chain.
+// A request that just left the forked builder out — what the follower may
+// safely skip — would read there as "holds none of it" and be streamed the
+// chain again on every poll; the request states the horizon and marks it,
+// and three forced polls stream no block at all.
+func TestClusterFollowerHoldingAForkIsNotRestreamed(t *testing.T) {
+	const equivocator = 2
+	c, err := cluster.New(cluster.Options{
+		N:           4,
+		Protocol:    brb.Protocol{},
+		Byzantine:   []int{equivocator},
+		Seed:        5,
+		FollowEvery: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Request(0, "pre", []byte("v"))
+	ok, err := c.RunUntil(20, func() bool { return allDelivered(c, "pre") })
+	if err != nil || !ok {
+		t.Fatalf("setup: ok=%v err=%v", ok, err)
+	}
+
+	a, err := c.Seal(equivocator, 0, nil, block.Request{Label: "fork", Data: []byte("a")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Seal(equivocator, 0, nil, block.Request{Label: "fork", Data: []byte("b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slot 3 hears both and convicts; its evidence relay is lost on the
+	// way, so slots 0 and 1 go on holding one innocent-looking block.
+	c.Net.SetPartition(func(from, to types.ServerID) bool { return from == 3 })
+	c.Send(equivocator, a, 0, 1, 3)
+	c.Send(equivocator, b, 3)
+	c.Net.Run()
+	c.Net.SetPartition(nil)
+	if len(c.Servers[3].DAG().Equivocations()) != 1 || len(c.Servers[0].DAG().Equivocations()) != 0 ||
+		!c.Servers[0].DAG().Contains(a.Ref()) || c.Servers[0].Evidence().Len() != 0 {
+		t.Fatalf("setup: slot 3 sees %d equivocations, slot 0 sees %d and holds %d proofs",
+			len(c.Servers[3].DAG().Equivocations()), len(c.Servers[0].DAG().Equivocations()), c.Servers[0].Evidence().Len())
+	}
+
+	for i := 1; i <= 3; i++ {
+		c.FollowOnce(3)
+		c.Net.Run()
+		if rep := c.FollowStats(3); rep.Polls != i || rep.BehindBy != 0 || rep.Deltas != 0 || rep.Errors != 0 {
+			t.Fatalf("poll %d re-streamed a chain the follower holds: %+v", i, rep)
+		}
 	}
 }
 

@@ -240,8 +240,8 @@ func (d *DAG) lookup(ref block.Ref) (b *block.Block, e Base, ok bool) {
 
 // BaseHorizon returns, per builder with pruned history, the first
 // sequence number at or above the prune horizon — the chain positions
-// where live blocks resume. Catch-up watermark exchanges start from
-// these instead of zero on a pruned DAG.
+// where live blocks resume. Catch-up horizons start from these instead
+// of zero on a pruned DAG.
 func (d *DAG) BaseHorizon() map[types.ServerID]uint64 {
 	if len(d.baseHorizon) == 0 {
 		return nil

@@ -3,8 +3,9 @@
 //
 //	Listen   clock + scorer → store.Open → syncsvc.Server → late-bound
 //	         gossip endpoint → tcpnet.Listen
-//	Boot     mesh → snapshot join → Build (core.NewServer → node.New) →
-//	         bind gossip → Start → registry → gateway
+//	Boot     mesh → snapshot join → Build (core.NewServer → node.New, with
+//	         a store: replay, catch-up, follower) → bind gossip → Start →
+//	         registry → gateway
 //	Close    the reverse: gateway (by the runtime's stop hook), runtime,
 //	         transport, store
 //
@@ -45,9 +46,12 @@ import (
 // What every deployment so far has run with; none has needed another value.
 const (
 	disseminateEvery = 20 * time.Millisecond
+	// A durable node's live follower period (node.Config.FollowEvery).
+	followEvery = 200 * time.Millisecond
 	// The sync server's per-peer token bucket, on top of its in-flight
-	// cap: a byzantine peer cannot force repeated full-store scans.
-	syncEvery, syncBurst = time.Second, 8
+	// cap: a byzantine peer cannot force repeated full-store scans. One
+	// request a follow period: an honest follower is never refused.
+	syncEvery, syncBurst = followEvery, 8
 	catchUpTimeout       = 5 * time.Second
 	snapshotTimeout      = 10 * time.Second
 	sealEvery            = 500 * time.Millisecond
@@ -70,16 +74,14 @@ type Config struct {
 	// StoreDir, if non-empty, makes the node durable: blocks are journaled
 	// there under the Fsync policy and replayed at Boot, the store
 	// checkpoints per the two thresholds (node.Config), and peers are
-	// served catch-up streams from it.
+	// served catch-up streams from it. A durable node catches up: Boot
+	// pulls what the store lacks from the peers before the node starts, and
+	// the node keeps pulling from a rotating peer while it runs
+	// (node.Config.CatchUp, FollowEvery).
 	StoreDir                string
 	Fsync                   store.SyncPolicy
 	CheckpointEverySegments int
 	CheckpointEveryBytes    int64
-	// CatchUp makes Boot pull what the store lacks from the peers before
-	// the node starts; FollowEvery > 0 keeps polling a rotating peer while
-	// it runs (node.Config.CatchUp, FollowEvery). Independent of each other.
-	CatchUp     bool
-	FollowEvery time.Duration
 	// MempoolCapacity is the capacity of the ingestion pool in front of
 	// block production (0 = the pool's default, mempool.DefaultCapacity).
 	MempoolCapacity int
@@ -165,8 +167,8 @@ func Listen(cfg Config) (*Assembly, error) {
 		for _, p := range st.Evidence() {
 			a.scores.Ban(p.Equivocator())
 		}
-		// Nil until the runtime is up: the server then falls back to a
-		// store scan, behind the same admission policy.
+		// Nil until the runtime is up: the server then serves every
+		// request by store scan, behind the same admission policy.
 		a.syncSrv = &syncsvc.Server{
 			Store: st, Every: syncEvery, Burst: syncBurst, Scores: a.scores,
 			Watermarks: func() []syncsvc.Watermark {
@@ -247,10 +249,10 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		Store:                   a.Store,
 		CheckpointEverySegments: cfg.CheckpointEverySegments,
 		CheckpointEveryBytes:    cfg.CheckpointEveryBytes,
-		FollowEvery:             cfg.FollowEvery,
 	}
-	if cfg.CatchUp && a.Store != nil && len(peers) > 0 {
+	if a.Store != nil && len(peers) > 0 {
 		ncfg.CatchUp = &syncsvc.FetchConfig{Transport: a.Transport, Peers: peers, Timeout: catchUpTimeout}
+		ncfg.FollowEvery = followEvery
 	}
 	if cfg.State != nil {
 		ncfg.State = &node.StateSyncConfig{

@@ -129,7 +129,7 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("s%d", i))
 	}
 	durable := func(i int) Config {
-		return Config{StoreDir: dirs[i], CatchUp: true, State: state.NewMachine(0), PruneKeepSeqs: 4}
+		return Config{StoreDir: dirs[i], State: state.NewMachine(0), PruneKeepSeqs: 4}
 	}
 	members := make([]*member, n)
 	for i := range members {
@@ -310,7 +310,7 @@ func TestInterpreterGaugesFollowTheLoad(t *testing.T) {
 	members := make([]*member, n)
 	for i := range members {
 		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("s%d", i))
-		cfg := Config{StoreDir: dirs[i], CatchUp: true, FollowEvery: 50 * time.Millisecond}
+		cfg := Config{StoreDir: dirs[i]}
 		if i == 0 {
 			cfg.GatewayAddr = "127.0.0.1:0"
 		}
@@ -393,7 +393,7 @@ func TestInterpreterGaugesFollowTheLoad(t *testing.T) {
 
 	// It restarts over its directory and catches up: its chain reads the
 	// backlog, the lag is gone and so is what was held for it.
-	members[3] = listen(t, fx, 3, Config{StoreDir: dirs[3], CatchUp: true, FollowEvery: 50 * time.Millisecond, ListenAddr: addr3})
+	members[3] = listen(t, fx, 3, Config{StoreDir: dirs[3], ListenAddr: addr3})
 	if err := members[3].Boot(addrs(members)); err != nil {
 		t.Fatal(err)
 	}
@@ -404,6 +404,75 @@ func TestInterpreterGaugesFollowTheLoad(t *testing.T) {
 		if err := m.Node.Err(); err != nil {
 			t.Fatalf("node %d unhealthy: %v", i, err)
 		}
+	}
+}
+
+// TestFollowerConvergesALaggardOneCallPerPoll: the follower's poll is the
+// delta pull, one call on the sync channel whether or not it finds anything.
+// Member 3 restarts on an address nobody redials — an asymmetric partition:
+// it reaches its peers (its gossip, its sync calls), they do not reach it,
+// and only its follower brings it their blocks. It delivers what they
+// broadcast meanwhile, and its transport opened one call for startup
+// catch-up and one per poll — not two for a poll that found a lag.
+func TestFollowerConvergesALaggardOneCallPerPoll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test with real sockets")
+	}
+	const n = 4
+	fx, err := roster.Dev(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := make([]string, n)
+	members := make([]*member, n)
+	for i := range members {
+		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("s%d", i))
+		members[i] = listen(t, fx, i, Config{StoreDir: dirs[i]})
+	}
+	for _, m := range members {
+		if err := m.Boot(addrs(members)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := members[3].Close(); err != nil {
+		t.Fatal(err)
+	}
+	laggard := listen(t, fx, 3, Config{StoreDir: dirs[3]})
+	members[3] = laggard
+	if err := laggard.Boot(addrs(members)); err != nil {
+		t.Fatal(err)
+	}
+	if rep := laggard.Node.CatchUpReport(); !rep.Ran || rep.Err != nil || rep.Peer != 0 {
+		t.Fatalf("startup catch-up = %+v, want one clean stream from the first peer", rep)
+	}
+
+	// Two waves, the second submitted once the first is delivered: at
+	// least two polls find a lag.
+	for wave := 0; wave < 2; wave++ {
+		label := func(i int) types.Label { return types.Label(fmt.Sprintf("meanwhile/%d/%d", wave, i)) }
+		for i := 0; i < n; i++ {
+			members[i%3].Node.Request(label(i), []byte("unheard by gossip"))
+		}
+		waitFor(t, 30*time.Second, "the laggard to deliver what only its follower can bring it", func() bool {
+			for i := 0; i < n; i++ {
+				if !laggard.has(label(i)) {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	laggard.Node.Stop()
+	rep := laggard.Node.FollowReport()
+	if rep.Deltas < 2 || rep.Blocks == 0 || rep.Errors != 0 || rep.Throttled != 0 {
+		t.Fatalf("follow report %+v, want pulls that carried blocks and none that failed", rep)
+	}
+	if opened := laggard.Transport.Counts().Get(tcpnet.CallsOpened); opened != int64(1+rep.Polls) {
+		t.Fatalf("%d sync calls opened for startup catch-up and %d polls (%d of which found a lag), want one each",
+			opened, rep.Polls, rep.Deltas)
+	}
+	if err := laggard.Node.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -511,7 +580,7 @@ func TestEquivocatorIsBannedOverTCPAndAcrossRestart(t *testing.T) {
 	// The ban over TCP: s3 proves who it is, and is refused for it.
 	refused := members[0].Transport.Counts().Get(tcpnet.BanRejections)
 	done := make(doneSink, 1)
-	tr.Call(0, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), done)
+	tr.Call(0, transport.ChanSync, syncsvc.EncodeRequest(nil), done)
 	if err := <-done; err == nil || !strings.Contains(err.Error(), transport.ErrUnreachable.Error()) {
 		t.Fatalf("banned member's call ended with %v, want the listener's %q", err, transport.ErrUnreachable)
 	}

@@ -15,7 +15,7 @@
 //	                         503 (pool full, Retry-After), 409 (duplicate),
 //	                         413 (too large), 400 (invalid)
 //	GET  /v1/await/{label}   long-poll one label's indication
-//	                         (?timeout=10s, capped by Config.MaxAwait)
+//	                         (?timeout=10s, capped at 30s)
 //	GET  /v1/indications     chunked NDJSON stream of indications
 //	GET  /v1/status          node status: health, watermarks, reports
 //	GET  /metrics            Prometheus text format (the Registry fold)
@@ -53,9 +53,10 @@ import (
 // Config parameterizes a gateway.
 type Config struct {
 	// Node, if non-nil, binds the gateway to a running node runtime:
-	// Submit, Indications, and Status default to the node's, and the
-	// gateway registers a graceful-drain hook with node.Node.OnStop so a
-	// stopping node finishes in-flight requests before the loop dies.
+	// Submit and Indications default to the node's, /v1/status describes
+	// it, and the gateway registers a graceful-drain hook with
+	// node.Node.OnStop so a stopping node finishes in-flight requests
+	// before the loop dies.
 	Node *node.Node
 
 	// Submit admits one client request (required unless Node is set).
@@ -65,9 +66,6 @@ type Config struct {
 	// Indications is the broker await and streaming reads ride on
 	// (required unless Node is set).
 	Indications *node.IndicationBroker
-	// Status produces the /v1/status document. Optional; NodeStatus
-	// builds one from a node runtime.
-	Status func() Status
 
 	// Registry is the observability fold /metrics renders. Optional; a
 	// nil registry serves only the gateway's own counters.
@@ -91,11 +89,6 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies, enforced before any decoding
 	// or mempool admission. Default 1 MiB.
 	MaxBodyBytes int64
-	// MaxAwait caps (and defaults) the long-poll timeout. Default 30s.
-	MaxAwait time.Duration
-	// DrainTimeout bounds the graceful drain on Close / node stop.
-	// Default 5s.
-	DrainTimeout time.Duration
 
 	// Clock is the rate limiter's time base (injectable for tests);
 	// default wall-clock monotonic. Now is the auth freshness clock;
@@ -107,9 +100,18 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// maxAwait caps (and defaults) the long-poll timeout.
+	maxAwait = 30 * time.Second
+	// drainTimeout bounds the graceful drain on Close / node stop.
+	drainTimeout = 5 * time.Second
+)
+
 // Gateway is a running front door.
 type Gateway struct {
-	cfg      Config
+	cfg Config
+	// status builds the /v1/status document of Config.Node; nil without one.
+	status   func() Status
 	srv      *http.Server
 	ln       net.Listener
 	limiter  *rateLimiter
@@ -161,9 +163,6 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 		if cfg.Indications == nil {
 			cfg.Indications = cfg.Node.Indications()
 		}
-		if cfg.Status == nil {
-			cfg.Status = NodeStatus(cfg.Node)
-		}
 	}
 	if cfg.Submit == nil {
 		return nil, errors.New("gateway: config needs Submit (or Node)")
@@ -176,12 +175,6 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.MaxAwait <= 0 {
-		cfg.MaxAwait = 30 * time.Second
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 5 * time.Second
 	}
 	if cfg.Clock == nil {
 		start := time.Now()
@@ -217,6 +210,7 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 		}
 	}()
 	if cfg.Node != nil {
+		g.status = nodeStatus(cfg.Node)
 		cfg.Node.OnStop(func() { _ = g.Close() })
 	}
 	return g, nil
@@ -226,13 +220,13 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 func (g *Gateway) Addr() string { return g.ln.Addr().String() }
 
 // Close drains the gateway: no new connections, in-flight requests get up
-// to Config.DrainTimeout to finish (long-polls finish immediately once
+// to drainTimeout to finish (long-polls finish immediately once
 // the indication broker closes), then the server closes hard. Idempotent.
 func (g *Gateway) Close() error {
 	if !g.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.DrainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := g.srv.Shutdown(ctx); err != nil {
 		return g.srv.Close()
@@ -344,7 +338,7 @@ func (g *Gateway) handleAwait(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "label required")
 		return
 	}
-	timeout := g.cfg.MaxAwait
+	timeout := maxAwait
 	if tq := r.URL.Query().Get("timeout"); tq != "" {
 		d, err := time.ParseDuration(tq)
 		if err != nil || d <= 0 {
@@ -434,8 +428,8 @@ func (g *Gateway) handleIndications(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	var st Status
-	if g.cfg.Status != nil {
-		st = g.cfg.Status()
+	if g.status != nil {
+		st = g.status()
 	}
 	self := Families.Snapshot(&g.counts)
 	st.Gateway = &self

@@ -107,10 +107,10 @@ type RateWindow struct {
 	Delta   map[string]int64 `json:"delta"`
 }
 
-// NodeStatus builds the standard Status producer for a node runtime. The
-// closure keeps the previous metrics snapshot, so consecutive calls see
-// the rate window between them (metrics.Snapshot.Delta).
-func NodeStatus(nd *node.Node) func() Status {
+// nodeStatus builds the Status producer for a node runtime. The closure
+// keeps the previous metrics snapshot, so consecutive calls see the rate
+// window between them (metrics.Snapshot.Delta).
+func nodeStatus(nd *node.Node) func() Status {
 	var mu sync.Mutex
 	var prev metrics.Snapshot
 	var prevAt time.Time

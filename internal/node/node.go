@@ -7,14 +7,13 @@
 // safe for concurrent use — Submit), Tick (FWD retries, interval fsync,
 // state seal, checkpoint policy) and FollowIfDue (the live follower).
 // Turns read time from the server's clock only (core.Server.Now) and
-// never wait; what cannot finish inside one — a peer's watermark answer,
-// a settled delta pull — comes home through one internal hook, post, as a
-// turn of its own. Whoever calls the turns owns the server: one caller
+// never wait; what cannot finish inside one — a settled delta pull —
+// comes home through one internal hook, post, as a turn of its own. Whoever calls the turns owns the server: one caller
 // at a time.
 //
-// Catch-up is one primitive, PullFrom — ask a peer for whatever this
-// node's watermark vector lacks and absorb the stream into the live DAG
-// inside one store group commit — with three triggers: New's startup
+// Catch-up is one primitive, PullFrom — tell a peer what this node holds,
+// get what it lacks and absorb the stream into the live DAG inside one
+// store group commit — with three triggers: New's startup
 // catch-up, the live follower, and the simulator's recovery. A pulled
 // block is validated where a gossiped one is (core.Server.AbsorbVerified)
 // and journaled by the same persistence sink. A node that lost its disk
@@ -100,12 +99,11 @@ type Config struct {
 	// fills the remainder; CatchUpReport records what happened.
 	CatchUp *syncsvc.FetchConfig
 	// FollowEvery enables the live-follower loop: every FollowEvery the
-	// node sends a watermark-exchange query to the next of CatchUp's
-	// peers in rotation (transport.ChanSync, one small frame each way)
-	// and, when the answer advertises blocks the local DAG lacks, runs the
-	// same PullFrom startup catch-up runs. A node that falls behind — long
-	// GC pause, flapping link, asymmetric partition — thus reconverges in
-	// one streamed round trip; beneath it gossip keeps asking the senders
+	// node runs the same PullFrom startup catch-up runs against the next of
+	// CatchUp's peers in rotation (transport.ChanSync); a peer that holds
+	// nothing new answers from its counters with an empty stream. A node
+	// that falls behind — long GC pause, flapping link, asymmetric
+	// partition — thus reconverges in one streamed round trip; beneath it gossip keeps asking the senders
 	// of each buffered block for what that block still misses. Without
 	// CatchUp the follower polls every other roster member over the
 	// server's own transport. A throttled or failing peer costs one poll
@@ -168,31 +166,31 @@ type RecoveryReport struct {
 // The live follower is in exactly one of these states.
 const (
 	FollowIdle    = "idle"    // between polls
-	FollowProbing = "probing" // a watermark query is out
-	FollowPulling = "pulling" // the peer was ahead; its delta stream is open
+	FollowPulling = "pulling" // a delta pull is out
 )
 
 // FollowReport is the live follower's state and its counters so far.
 type FollowReport struct {
-	// State is FollowIdle, FollowProbing or FollowPulling; empty when the
-	// follower is off.
+	// State is FollowIdle or FollowPulling; empty when the follower is
+	// off.
 	State string
-	// Peer is the peer being probed or pulled from (meaningful unless
-	// State is FollowIdle).
+	// Peer is the peer being pulled from (meaningful unless State is
+	// FollowIdle).
 	Peer types.ServerID
-	// BehindBy is how many blocks the last answered probe advertised
-	// beyond what this node held, summed over builders (syncsvc.Lag).
+	// BehindBy is how many blocks the last poll's stream carried: what
+	// that peer held beyond this node's horizon.
 	BehindBy uint64
-	// Polls is the number of watermark-exchange queries issued.
+	// Polls is the number of pulls issued.
 	Polls int
-	// Deltas is the number of delta pulls opened (a peer was ahead).
+	// Deltas is the number of those that carried at least one block (the
+	// peer was ahead).
 	Deltas int
 	// Blocks is the number of blocks absorbed via those pulls.
 	Blocks int
 	// Throttled counts polls refused by a peer's admission policy —
 	// the cue (already acted on) to rotate to the next peer.
 	Throttled int
-	// Errors counts polls and pulls that failed any other way.
+	// Errors counts polls that failed any other way.
 	Errors int
 	// LastErr is the last poll's failure, nil when it ended clean
 	// (diagnostics; a follower riding a healthy cluster keeps working
@@ -266,9 +264,9 @@ type Node struct {
 	ckptFloor int64
 
 	// tracker maintains this node's own watermark vector, one Observe per
-	// block the DAG takes in: the sync service answers watermark queries
-	// from it instead of scanning the store, and pulls state what they
-	// hold from it. Thread-safe.
+	// block the DAG takes in: the sync service compares delta requests
+	// with it before scanning the store, and pulls state what they hold
+	// from it. Thread-safe.
 	tracker *syncsvc.WatermarkTracker
 
 	// via is whom and how the node pulls (startup catch-up and follower
@@ -346,7 +344,7 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 	// The watermark tracker sees every block the DAG takes in, replay
-	// included: peers' probes are answered from it, and this node's pulls
+	// included: peers' requests are compared with it, and this node's pulls
 	// say from it what not to send. A pre-seeded base starts the vector.
 	srv.ObserveInserts(func(b *block.Block) {
 		n.tracker.Observe(b)
@@ -366,9 +364,8 @@ func New(cfg Config) (*Node, error) {
 			}
 		}
 		if cfg.State != nil {
-			// Rebuild the machine from the journaled checkpoint (and
-			// fast-forward the smr frontier) before the Restore replay
-			// below fires indications for the slots above it.
+			// Rebuild the machine from the journaled checkpoint before the
+			// Restore replay below fires indications for the slots above it.
 			if err := n.restoreState(cfg.State, st); err != nil {
 				return nil, err
 			}
@@ -449,8 +446,8 @@ func (n *Node) AccountabilityReport() AccountabilityReport {
 }
 
 // Watermarks returns this node's own watermark vector — the live source
-// deployments hand to syncsvc.Server.Watermarks, so answering a peer's
-// poll costs a few counters instead of a store scan. Safe for concurrent
+// deployments hand to syncsvc.Server.Watermarks, so answering a poll that
+// has nothing coming costs a few counters instead of a store scan. Safe for concurrent
 // use; transports call it from connection goroutines.
 func (n *Node) Watermarks() []syncsvc.Watermark { return n.tracker.Snapshot() }
 
@@ -649,8 +646,8 @@ func (n *Node) drainBurst(first gossip.Message) []gossip.Message {
 	return batch
 }
 
-// post hands an async completion (a watermark answer, a settled delta
-// pull) to the server's owner as a turn of its own, or drops it if the
+// post hands an async completion (a settled delta pull) to the server's
+// owner as a turn of its own, or drops it if the
 // node has stopped since the call went out. A stepped node's transport
 // calls back on its owner's goroutine, so the turn runs right there; a
 // started node's loop is the owner, and receives it on posted.

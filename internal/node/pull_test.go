@@ -96,13 +96,7 @@ func (s *served) lastAsk(t *testing.T) map[types.ServerID]uint64 {
 // frame — a server dying mid-stream, whatever it was asked.
 type truncating []*block.Block
 
-func (h truncating) ServeCall(_ types.ServerID, req []byte, st transport.ServerStream) {
-	if _, err := syncsvc.DecodeRequest(req); err != nil {
-		// A watermark probe: answer honestly, so a follower still pulls.
-		_ = st.Send(syncsvc.EncodeWatermarkFrame(syncsvc.Watermarks(h)))
-		st.Close(nil)
-		return
-	}
+func (h truncating) ServeCall(_ types.ServerID, _ []byte, st transport.ServerStream) {
 	_ = st.Send(syncsvc.EncodeBatchFrame(h))
 	st.Close(nil)
 }
@@ -167,7 +161,7 @@ func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
 	}
 
 	nd.FollowPoll() // rotation starts at peer 0, the liar
-	if rep := nd.FollowReport(); rep.State != node.FollowProbing || rep.Peer != 0 {
+	if rep := nd.FollowReport(); rep.State != node.FollowPulling || rep.Peer != 0 {
 		t.Fatalf("poll in flight reported as %+v", rep)
 	}
 	net.Run()

@@ -33,12 +33,6 @@ type StateSyncConfig struct {
 	// Signer signs sealed commits; peers assemble f+1 of these into the
 	// certificate that authorizes a snapshot join. Required.
 	Signer *crypto.Signer
-	// Log, if non-nil, is fast-forwarded (ResumeAt) past the restored
-	// commit's slot on startup, so the commit frontier does not wait
-	// forever for slots whose history was pruned away. *smr.Log
-	// satisfies this; it is an interface only to keep internal/node
-	// importable from smr's own tests via internal/cluster.
-	Log interface{ ResumeAt(slot uint64) }
 	// SealEvery is the seal cadence (default 2s). Each seal exports the
 	// tree — O(state) — so this trades snapshot freshness for CPU.
 	SealEvery time.Duration
@@ -70,8 +64,7 @@ func (c *StateSyncConfig) chunkBytes() int {
 // restoreState rebuilds the machine from the store's journaled state
 // checkpoint: import the chunks (every chunk verified, the whole content
 // hashed against the journaled root — a corrupted checkpoint fails loudly
-// instead of installing garbage), install the tree, and fast-forward the
-// smr commit frontier past the restored slot.
+// instead of installing garbage) and install the tree.
 // The restored commitment is also published on the snapshot tier right
 // away: a restarted node serves joiners even if its state never moves
 // again. A store without a checkpoint leaves the machine empty: full
@@ -89,9 +82,6 @@ func (n *Node) restoreState(sc *StateSyncConfig, st *store.Store) error {
 	commit := state.Commit{Slot: ckpt.Slot, Root: ckpt.Root}
 	if err := sc.Machine.Install(tree, commit); err != nil {
 		return fmt.Errorf("node: restore state checkpoint: %w", err)
-	}
-	if sc.Log != nil {
-		sc.Log.ResumeAt(commit.Slot)
 	}
 	n.lastSealedSlot = commit.Slot
 	n.serve(state.SignCommit(commit, sc.Signer), ckpt.Chunks)
@@ -181,12 +171,12 @@ func (n *Node) maybePruneState() bool {
 	}
 	current := n.cfg.Store.Horizon()
 	horizon := make(map[types.ServerID]uint64)
-	for builder, next := range n.tracker.Horizon() {
-		if next <= sc.PruneKeepSeqs {
+	for _, wm := range n.tracker.Horizon() {
+		if wm.NextSeq <= sc.PruneKeepSeqs {
 			continue
 		}
-		if h := next - sc.PruneKeepSeqs; h > current[builder] {
-			horizon[builder] = h
+		if h := wm.NextSeq - sc.PruneKeepSeqs; h > current[wm.Builder] {
+			horizon[wm.Builder] = h
 		}
 	}
 	if len(horizon) == 0 {

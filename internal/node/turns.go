@@ -51,7 +51,7 @@ func (n *Node) Tick() {
 }
 
 // FollowIfDue is the follower's turn: once FollowEvery has passed since
-// the last poll went out, poll the next peer (FollowPoll). It returns how
+// the last poll went out, pull from the next peer (FollowPoll). It returns how
 // long until a poll can next be due — what the goroutine shell sleeps; a
 // stepped owner simply calls it every round. Never, with the follower
 // off.
@@ -67,10 +67,12 @@ func (n *Node) FollowIfDue() time.Duration {
 	return every
 }
 
-// FollowPoll opens one watermark-exchange query against the next peer in
-// rotation, whatever the period says — unless a poll (query or delta
-// pull) is still in flight: at most one is, so a slow peer stretches the
-// period instead of stacking requests.
+// FollowPoll pulls from the next peer in rotation, whatever the period
+// says — unless a poll is still in flight: at most one is, so a slow peer
+// stretches the period instead of stacking requests. A peer that holds
+// nothing new answers with an empty stream, from its counters; a throttled
+// or failed peer costs nothing beyond the poll period — the next poll
+// rotates to the next peer.
 func (n *Node) FollowPoll() {
 	if n.followInFlight || n.cfg.FollowEvery <= 0 {
 		return
@@ -84,50 +86,24 @@ func (n *Node) FollowPoll() {
 	}
 	n.lastFollow = n.cfg.Server.Now()
 	n.followInFlight = true
-	n.noteFollow(func(r *FollowReport) { r.Polls++; r.State, r.Peer = FollowProbing, peer })
-	var query *syncsvc.WatermarkQuery
-	query = syncsvc.NewWatermarkQuery(func() {
-		n.post(func() { n.followDecide(peer, query) })
-	})
-	n.via.Transport.Call(peer, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), query)
-}
-
-// followDecide consumes a watermark answer: settle when the poll failed
-// or the peer holds nothing new, otherwise pull.
-func (n *Node) followDecide(peer types.ServerID, query *syncsvc.WatermarkQuery) {
-	wms, err := query.Result()
-	if err != nil {
-		n.charge(peer, err)
-		n.settleFollow(err)
-		return
-	}
-	lag := syncsvc.Lag(n.tracker.Horizon(), wms)
-	n.noteFollow(func(rep *FollowReport) { rep.BehindBy = lag })
-	if lag == 0 { // in sync with this peer
-		n.settleFollow(nil)
-		return
-	}
-	n.noteFollow(func(rep *FollowReport) { rep.Deltas++; rep.State = FollowPulling })
-	n.PullFrom(peer, func(absorbed int, err error) {
-		n.noteFollow(func(rep *FollowReport) { rep.Blocks += absorbed })
-		n.settleFollow(err)
-	})
-}
-
-// settleFollow finishes the in-flight poll. A throttled or failed peer
-// costs nothing beyond the poll period — the next poll rotates to the next
-// peer.
-func (n *Node) settleFollow(err error) {
-	n.followInFlight = false
-	n.noteFollow(func(rep *FollowReport) {
-		switch {
-		case err == nil:
-		case errors.Is(err, syncsvc.ErrThrottled):
-			rep.Throttled++
-		default:
-			rep.Errors++
-		}
-		rep.State, rep.LastErr = FollowIdle, err
+	n.noteFollow(func(r *FollowReport) { r.Polls++; r.State, r.Peer = FollowPulling, peer })
+	n.pull(peer, func(streamed uint64, absorbed int, err error) {
+		n.followInFlight = false
+		n.noteFollow(func(rep *FollowReport) {
+			rep.BehindBy = streamed
+			if streamed > 0 {
+				rep.Deltas++
+			}
+			rep.Blocks += absorbed
+			switch {
+			case err == nil:
+			case errors.Is(err, syncsvc.ErrThrottled):
+				rep.Throttled++
+			default:
+				rep.Errors++
+			}
+			rep.State, rep.LastErr = FollowIdle, err
+		})
 	})
 }
 
@@ -140,8 +116,8 @@ func (n *Node) noteFollow(fn func(*FollowReport)) {
 }
 
 // PullFrom is the one catch-up primitive behind all three triggers
-// (startup catch-up, the live follower, the simulator's recovery): ask
-// peer for every block this node's watermark vector lacks and, when the
+// (startup catch-up, the live follower, the simulator's recovery): tell
+// peer what this node holds, get every block it lacks and, when the
 // stream settles, absorb it as a turn of its own (post) and tell settled
 // how many blocks that added and what went wrong, if anything. The
 // returned function abandons a stream the caller has waited long enough
@@ -158,9 +134,17 @@ func (n *Node) noteFollow(fn func(*FollowReport)) {
 // block building back while the stream has shown more of them than it
 // delivered.
 func (n *Node) PullFrom(peer types.ServerID, settled func(absorbed int, err error)) (abandon func()) {
+	return n.pull(peer, func(_ uint64, absorbed int, err error) { settled(absorbed, err) })
+}
+
+// pull is PullFrom, also telling settled how many blocks the stream carried.
+func (n *Node) pull(peer types.ServerID, settled func(streamed uint64, absorbed int, err error)) (abandon func()) {
 	var pull *syncsvc.Pull
-	pull = syncsvc.NewPull(n.via.Roster, n.tracker.Snapshot(), 0, func() {
-		n.post(func() { settled(n.absorb(peer, pull)) })
+	pull = syncsvc.NewPull(n.via.Roster, n.tracker.Horizon(), 0, func() {
+		n.post(func() {
+			absorbed, err := n.absorb(peer, pull)
+			settled(pull.Streamed(), absorbed, err)
+		})
 	})
 	cancel := n.via.Transport.Call(peer, transport.ChanSync, pull.Request(), pull)
 	return func() {

@@ -1,58 +1,26 @@
-// Live-follower support: the watermark-exchange side of the sync
-// protocol. A running node periodically asks a rotating peer for its
-// watermark vector (one cheap call, one small frame) and opens a delta
-// stream — the same pull startup catch-up uses — only when the peer
-// actually holds blocks the local DAG does not. See the package comment
-// for the protocol and threat model.
+// What a node holds, as the sync channel states it: the watermark
+// tracker a node keeps per block inserted, the horizon it asks with, and
+// the comparison (Lag) by which a server decides whether a delta request
+// has anything coming. See the package comment for the protocol and threat
+// model.
 
 package syncsvc
 
 import (
-	"errors"
-	"fmt"
 	"slices"
 	"sync"
 
 	"blockdag/internal/block"
-	"blockdag/internal/transport"
 	"blockdag/internal/types"
-	"blockdag/internal/wire"
 )
 
-// EncodeWatermarkRequest renders a watermark-exchange query — the probe
-// a live follower sends every poll period.
-func EncodeWatermarkRequest() []byte {
-	return []byte{reqWatermarks}
-}
-
-// EncodeWatermarkFrame renders the server's answer to a watermark query:
-// its own vector in one frame.
-func EncodeWatermarkFrame(wms []Watermark) []byte {
-	w := wire.NewWriter(2 + len(wms)*6)
-	w.Byte(frameWatermarks)
-	encodeWatermarkList(w, wms)
-	return w.Bytes()
-}
-
-// DecodeWatermarkFrame inverts EncodeWatermarkFrame.
-func DecodeWatermarkFrame(frame []byte) ([]Watermark, error) {
-	r := wire.NewReader(frame)
-	if k := r.Byte(); r.Err() == nil && k != frameWatermarks {
-		return nil, fmt.Errorf("syncsvc: unexpected frame kind %d, want watermarks", k)
-	}
-	wms := decodeWatermarkList(r)
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("syncsvc: bad watermark frame: %w", err)
-	}
-	return wms, nil
-}
-
-// Lag counts the blocks a peer's advertised watermark vector names
-// outside the local horizon, summed over builders: how far behind that
-// peer the local node is, by the peer's own account. The horizon
-// (WatermarkTracker.Horizon) never omits an equivocating builder, so a
-// follower already holding a forked builder's blocks is not re-pulled
-// every poll; variants beyond it ride the FWD path.
+// Lag counts the blocks a watermark vector names outside the local
+// horizon, summed over builders: how far behind the vector's holder the
+// local node is. A server decides with it whether a delta request gets a
+// stream — local is then the requester's horizon, which never omits an
+// equivocating builder, so a follower already holding a forked builder's
+// blocks is not re-streamed them every poll; variants beyond it ride the
+// FWD path.
 func Lag(local map[types.ServerID]uint64, peer []Watermark) uint64 {
 	var lag uint64
 	for _, wm := range peer {
@@ -63,78 +31,24 @@ func Lag(local map[types.ServerID]uint64, peer []Watermark) uint64 {
 	return lag
 }
 
-// Behind reports whether a peer's advertised watermark vector names any
-// block outside the local horizon — the trigger for a delta pull. A
-// peer can lie here in either direction: claiming too little makes the
-// follower skip a pull (no worse than not polling that peer), claiming
-// too much makes it open one delta stream whose blocks are then checked
-// like any other — so a lying peer wastes one round trip, never poisons
-// state.
+// Behind reports whether a watermark vector names any block outside the
+// local horizon (Lag > 0).
 func Behind(local map[types.ServerID]uint64, peer []Watermark) bool {
 	return Lag(local, peer) > 0
 }
 
-// WatermarkQuery is the client side of one watermark-exchange call: a
-// transport.CallSink that collects the peer's vector. Safe for
-// concurrent sink invocation and inspection.
-type WatermarkQuery struct {
-	settled
-	wms []Watermark
-	got bool
-}
-
-var _ transport.CallSink = (*WatermarkQuery)(nil)
-
-// NewWatermarkQuery prepares a query. onDone, if non-nil, runs exactly
-// once when the call terminates, under NewPull's conditions.
-func NewWatermarkQuery(onDone func()) *WatermarkQuery {
-	return &WatermarkQuery{settled: newSettled(onDone)}
-}
-
-// OnFrame implements transport.CallSink.
-func (q *WatermarkQuery) OnFrame(frame []byte) {
-	q.frame(func() error {
-		if q.got {
-			return fmt.Errorf("%w: second frame on a watermark query", ErrBadStream)
-		}
-		wms, err := DecodeWatermarkFrame(frame)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadStream, err)
-		}
-		q.wms, q.got = wms, true
-		return nil
-	})
-}
-
-// OnDone implements transport.CallSink.
-func (q *WatermarkQuery) OnDone(err error) {
-	q.settle(err, func() error {
-		if !q.got {
-			return errors.New("syncsvc: watermark query ended without a vector")
-		}
-		return nil
-	})
-}
-
-// Result returns the peer's vector and the query's terminal error.
-func (q *WatermarkQuery) Result() ([]Watermark, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.wms, q.err
-}
-
 // WatermarkTracker maintains a server's own watermark vector
-// incrementally, so watermark queries are answered from a few counters
-// instead of a store scan. It is safe for concurrent use: the node loop
-// observes blocks as they persist while transport goroutines snapshot
+// incrementally, so a delta request that has nothing coming is answered
+// from a few counters instead of a store scan, and the node's own requests
+// state what it holds without one. It is safe for concurrent use: the node
+// loop observes blocks as they persist while transport goroutines snapshot
 // the vector for peers.
 //
 // Observation order is the DAG insertion order, whose parent rule
 // guarantees per-builder sequence numbers arrive contiguously from 0 —
 // so one next-seq counter per builder suffices; a repeated or
 // out-of-order sequence number marks the builder forked (equivocation),
-// which drops it from the vector. Watermarks is this rule folded over a
-// block list.
+// which drops it from the vector (Snapshot) and marks it in the horizon.
 type WatermarkTracker struct {
 	mu     sync.Mutex
 	chains map[types.ServerID]*trackedChain
@@ -193,34 +107,26 @@ func (t *WatermarkTracker) Observe(b *block.Block) {
 	}
 }
 
-// Horizon returns the tracker's per-builder horizon — next sequence
-// number per builder, forked builders included: what Lag and Behind
-// compare a peer's claims against, in O(#builders).
-func (t *WatermarkTracker) Horizon() map[types.ServerID]uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	horizon := make(map[types.ServerID]uint64, len(t.chains))
-	for builder, c := range t.chains {
-		if c.next > 0 {
-			horizon[builder] = c.next
-		}
-	}
-	return horizon
-}
-
-// Snapshot returns the current vector, sorted by builder.
-func (t *WatermarkTracker) Snapshot() []Watermark {
+// Horizon returns what the node holds, per builder and sorted by builder,
+// forked builders included and marked: what a delta request states
+// (EncodeRequest), in O(#builders).
+func (t *WatermarkTracker) Horizon() []Watermark {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	wms := make([]Watermark, 0, len(t.chains))
 	for builder, c := range t.chains {
-		if c.forked || c.next == 0 {
-			continue
+		if c.next > 0 {
+			wms = append(wms, Watermark{Builder: builder, NextSeq: c.next, Forked: c.forked})
 		}
-		wms = append(wms, Watermark{Builder: builder, NextSeq: c.next})
 	}
 	slices.SortFunc(wms, func(a, b Watermark) int {
 		return int(a.Builder) - int(b.Builder)
 	})
 	return wms
+}
+
+// Snapshot returns the current vector — the horizon less the forked
+// builders: what a server compares requests with. Never nil.
+func (t *WatermarkTracker) Snapshot() []Watermark {
+	return slices.DeleteFunc(t.Horizon(), func(wm Watermark) bool { return wm.Forked })
 }

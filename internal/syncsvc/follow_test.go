@@ -1,150 +1,196 @@
 package syncsvc_test
 
 import (
-	"errors"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"blockdag/internal/block"
 	"blockdag/internal/simnet"
 	"blockdag/internal/syncsvc"
+	"blockdag/internal/tcpnet"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
 )
 
-// TestWatermarkFrameRoundTrip: the watermark-exchange frame codec
-// inverts cleanly, including the empty vector.
-func TestWatermarkFrameRoundTrip(t *testing.T) {
-	for _, wms := range [][]syncsvc.Watermark{
-		{},
-		{{Builder: 0, NextSeq: 7}},
-		{{Builder: 1, NextSeq: 3}, {Builder: 2, NextSeq: 0}, {Builder: 9, NextSeq: 1 << 40}},
+// held folds blocks through a tracker: the horizon of a node holding them.
+func held(blocks []*block.Block) []syncsvc.Watermark {
+	tr := syncsvc.NewWatermarkTracker()
+	for _, b := range blocks {
+		tr.Observe(b)
+	}
+	return tr.Horizon()
+}
+
+// frameCounter is a pull that counts the frames the transport hands it.
+type frameCounter struct {
+	*syncsvc.Pull
+	frames atomic.Int32
+}
+
+func (c *frameCounter) OnFrame(frame []byte) {
+	c.frames.Add(1)
+	c.Pull.OnFrame(frame)
+}
+
+// TestDeltaEarlyAnswer: a request whose horizon covers the server's live
+// vector is answered by exactly one frame, done(0), and the block source is
+// never read — over simnet and over real sockets. Without a live vector
+// (none wired, or a runtime not up yet) the same request is served by scan
+// and still streams nothing.
+func TestDeltaEarlyAnswer(t *testing.T) {
+	roster, blocks := buildChain(t, 25)
+	live := held(blocks)
+	for name, tc := range map[string]struct {
+		watermarks func() []syncsvc.Watermark
+		scans      int32
+	}{
+		"live":     {func() []syncsvc.Watermark { return live }, 0},
+		"unwired":  {nil, 1},
+		"not-up":   {func() []syncsvc.Watermark { return nil }, 1},
+		"holds-no": {func() []syncsvc.Watermark { return []syncsvc.Watermark{} }, 0},
 	} {
-		got, err := syncsvc.DecodeWatermarkFrame(syncsvc.EncodeWatermarkFrame(wms))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(wms) {
-			t.Fatalf("round trip %v -> %v", wms, got)
-		}
-		for i := range wms {
-			if got[i] != wms[i] {
-				t.Fatalf("round trip %v -> %v", wms, got)
+		var scans atomic.Int32
+		srv := func() *syncsvc.Server {
+			return &syncsvc.Server{
+				Source:     func() ([]*block.Block, error) { scans.Add(1); return blocks, nil },
+				Watermarks: tc.watermarks,
 			}
 		}
-	}
-	if _, err := syncsvc.DecodeWatermarkFrame([]byte{0xEE, 0}); err == nil {
-		t.Fatal("decoded a frame of the wrong kind")
-	}
-}
-
-// TestWatermarkQueryOverSimnet: a watermark-exchange call against a
-// store-backed server returns the vector describing the store, both via
-// the scan fallback and via a configured live source.
-func TestWatermarkQueryOverSimnet(t *testing.T) {
-	roster, blocks := buildChain(t, 25)
-	st := storeWith(t, t.TempDir(), roster, blocks)
-	defer func() { _ = st.Close() }()
-
-	run := func(srv *syncsvc.Server) []syncsvc.Watermark {
-		net := simnet.New(simnet.WithSeed(9))
-		net.RegisterHandler(0, transport.ChanSync, srv)
-		q := syncsvc.NewWatermarkQuery(nil)
-		net.Transport(1).Call(0, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), q)
-		if !net.RunUntil(q.Done) {
-			t.Fatal("query never finished")
+		check := func(via string, pull *frameCounter) {
+			t.Helper()
+			got, err := pull.Result()
+			if err != nil || len(got) != 0 || pull.Streamed() != 0 {
+				t.Fatalf("%s over %s: %d blocks (%d streamed), err %v", name, via, len(got), pull.Streamed(), err)
+			}
+			if f := pull.frames.Load(); f != 1 {
+				t.Fatalf("%s over %s: answered in %d frames, want the one done frame", name, via, f)
+			}
+			if n := scans.Swap(0); n != tc.scans {
+				t.Fatalf("%s over %s: block source read %d times, want %d", name, via, n, tc.scans)
+			}
 		}
-		wms, err := q.Result()
+
+		net := simnet.New(simnet.WithSeed(9))
+		net.RegisterHandler(0, transport.ChanSync, srv())
+		pull := &frameCounter{Pull: syncsvc.NewPull(roster, live, 0, nil)}
+		net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
+		if !net.RunUntil(pull.Done) {
+			t.Fatal("stream did not finish")
+		}
+		check("simnet", pull)
+
+		ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
+		server, err := tcpnet.Listen(tcpnet.Config{
+			Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: ep,
+			Handlers: map[transport.Channel]transport.Handler{transport.ChanSync: srv()},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return wms
+		client, err := tcpnet.Listen(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: ep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Connect(0, server.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		pull = &frameCounter{Pull: syncsvc.NewPull(roster, live, 0, nil)}
+		client.Call(0, transport.ChanSync, pull.Request(), pull)
+		if !pull.Wait(5 * time.Second) {
+			t.Fatal("stream did not finish over tcpnet")
+		}
+		check("tcpnet", pull)
+		_ = client.Close()
+		_ = server.Close()
 	}
+}
 
-	want := syncsvc.Watermarks(blocks)
-	for name, srv := range map[string]*syncsvc.Server{
-		"scan-fallback": {Store: st},
-		"live-source":   {Store: st, Watermarks: func() []syncsvc.Watermark { return want }},
-		// A live source that is not bound yet answers nil, which must
-		// fall back to the scan — not read as "holds nothing".
-		"nil-live-source": {Store: st, Watermarks: func() []syncsvc.Watermark { return nil }},
-	} {
-		got := run(srv)
-		if len(got) != 1 || got[0] != want[0] {
-			t.Fatalf("%s: watermarks = %v, want %v", name, got, want)
+// TestDeltaForkedBuilder: a builder the requester marks Forked is compared
+// — a server that is not ahead of the requester's horizon streams nothing
+// of it — but never skipped: once anything makes the server stream, that
+// builder's chain goes whole.
+func TestDeltaForkedBuilder(t *testing.T) {
+	roster, blocks := buildChain(t, 10)
+	ask := func(live []syncsvc.Watermark, have ...syncsvc.Watermark) int {
+		net := simnet.New()
+		net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
+			Source:     func() ([]*block.Block, error) { return blocks, nil },
+			Watermarks: func() []syncsvc.Watermark { return live },
+		})
+		got, err := runPull(t, net, syncsvc.NewPull(roster, have, 0, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(got)
+	}
+	forked := syncsvc.Watermark{Builder: 0, NextSeq: 10, Forked: true}
+	// The server never saw the fork and advertises the chain: nothing new.
+	if n := ask(held(blocks), forked); n != 0 {
+		t.Fatalf("forked builder at the server's horizon re-streamed: %d blocks", n)
+	}
+	// The server is ahead on another builder: the forked chain is not
+	// skipped, the plain one is.
+	ahead := append(held(blocks), syncsvc.Watermark{Builder: 1, NextSeq: 3})
+	if n := ask(ahead, forked); n != 10 {
+		t.Fatalf("forked builder's chain skipped: %d blocks streamed, want 10", n)
+	}
+	if n := ask(ahead, syncsvc.Watermark{Builder: 0, NextSeq: 10}); n != 0 {
+		t.Fatalf("held prefix streamed: %d blocks", n)
+	}
+}
+
+// TestRequestCodec: the request encoding inverts, marks included, and is
+// canonical — one request, one encoding.
+func TestRequestCodec(t *testing.T) {
+	have := []syncsvc.Watermark{{Builder: 0, NextSeq: 7}, {Builder: 2, NextSeq: 1 << 40, Forked: true}, {Builder: 9}}
+	got, err := syncsvc.DecodeRequest(syncsvc.EncodeRequest(have))
+	if err != nil || !slices.Equal(got, have) {
+		t.Fatalf("round trip %v -> %v (err %v)", have, got, err)
+	}
+	if got, err := syncsvc.DecodeRequest(syncsvc.EncodeRequest(nil)); err != nil || len(got) != 0 {
+		t.Fatalf("empty request -> %v (err %v)", got, err)
+	}
+	for name, req := range refusedRequests() {
+		if got, err := syncsvc.DecodeRequest(req); err == nil {
+			t.Fatalf("%s decoded as %v", name, got)
 		}
 	}
 }
 
-// TestWatermarkQueryThrottled: watermark queries pass the same admission
-// policy as delta streams, and the throttle sentinel survives to the
-// client.
-func TestWatermarkQueryThrottled(t *testing.T) {
-	roster, blocks := buildChain(t, 5)
-	st := storeWith(t, t.TempDir(), roster, blocks)
-	defer func() { _ = st.Close() }()
-
-	net := simnet.New(simnet.WithSeed(2))
-	clock := net.Now
-	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
-		Store: st,
-		Every: time.Hour, // one token replenished per hour...
-		Burst: 1,         // ...and the bucket holds just one
-		Clock: clock,
-	})
-
-	issue := func() error {
-		q := syncsvc.NewWatermarkQuery(nil)
-		net.Transport(1).Call(0, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), q)
-		if !net.RunUntil(q.Done) {
-			t.Fatal("query never finished")
-		}
-		_, err := q.Result()
-		return err
-	}
-	if err := issue(); err != nil {
-		t.Fatalf("first query: %v", err)
-	}
-	err := issue()
-	if !errors.Is(err, syncsvc.ErrThrottled) {
-		t.Fatalf("second query err = %v, want ErrThrottled", err)
+// refusedRequests are encodings DecodeRequest must refuse.
+func refusedRequests() map[string][]byte {
+	two := syncsvc.EncodeRequest([]syncsvc.Watermark{{Builder: 1, NextSeq: 4}, {Builder: 3, NextSeq: 2, Forked: true}})
+	entry := (len(two) - 2) / 2
+	a, b := two[2:2+entry], two[2+entry:]
+	join := func(parts ...[]byte) []byte { return append([]byte{two[0], two[1]}, slices.Concat(parts...)...) }
+	marked := slices.Clone(two)
+	marked[len(marked)-1] = 2
+	return map[string][]byte{
+		"the v1 request":         {1, 1, 0, 0, 7},
+		"the PR 5 probe":         {2},
+		"truncated":              two[:len(two)-1],
+		"trailing byte":          append(slices.Clone(two), 0),
+		"a builder listed twice": join(a, a),
+		"builders out of order":  join(b, a),
+		"a mark that is no bool": marked,
 	}
 }
 
-// TestWatermarkQueryTruncated: a transport-clean close without the
-// vector frame is an explicit error, not an empty answer.
-func TestWatermarkQueryTruncated(t *testing.T) {
-	net := simnet.New()
-	net.RegisterHandler(0, transport.ChanSync, handlerFunc(func(from types.ServerID, req []byte, st transport.ServerStream) {
-		st.Close(nil) // "done", but never answered
-	}))
-	q := syncsvc.NewWatermarkQuery(nil)
-	net.Transport(1).Call(0, transport.ChanSync, syncsvc.EncodeWatermarkRequest(), q)
-	if !net.RunUntil(q.Done) {
-		t.Fatal("query never finished")
-	}
-	if _, err := q.Result(); err == nil {
-		t.Fatal("truncated watermark answer accepted")
-	}
-}
-
-// handlerFunc adapts a function to transport.Handler.
-type handlerFunc func(types.ServerID, []byte, transport.ServerStream)
-
-func (f handlerFunc) ServeCall(from types.ServerID, req []byte, st transport.ServerStream) {
-	f(from, req, st)
-}
-
-// TestHorizonAndBehind: the pull trigger fires exactly when a peer
-// advertises blocks outside the local horizon, and Lag says by how many.
+// TestHorizonAndBehind: a vector is ahead exactly when it names blocks
+// outside the local horizon, and Lag says by how many.
 func TestHorizonAndBehind(t *testing.T) {
 	_, blocks := buildChain(t, 4) // builder 0, seqs 0..3
 	tr := syncsvc.NewWatermarkTracker()
 	for _, b := range blocks {
 		tr.Observe(b)
 	}
-	local := tr.Horizon()
-	if local[0] != 4 {
+	local := map[types.ServerID]uint64{}
+	for _, wm := range tr.Horizon() {
+		local[wm.Builder] = wm.NextSeq
+	}
+	if len(local) != 1 || local[0] != 4 {
 		t.Fatalf("horizon = %v, want builder 0 at 4", local)
 	}
 	cases := []struct {
@@ -164,25 +210,35 @@ func TestHorizonAndBehind(t *testing.T) {
 	}
 }
 
-// TestWatermarkTracker: incremental observation matches the batch
-// computation, and an equivocating builder drops out of the vector.
+// TestWatermarkTracker: incremental observation matches a fold over the
+// block list, and an equivocating builder drops out of the vector but not
+// out of the horizon.
 func TestWatermarkTracker(t *testing.T) {
 	_, blocks := buildChain(t, 10)
 	tr := syncsvc.NewWatermarkTracker()
+	next := map[types.ServerID]uint64{}
 	for _, b := range blocks {
 		tr.Observe(b)
+		next[b.Builder] = max(next[b.Builder], b.Seq+1)
 	}
-	want := syncsvc.Watermarks(blocks)
-	got := tr.Snapshot()
-	if len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("tracker = %v, batch = %v", got, want)
+	want := syncsvc.Watermark{Builder: 0, NextSeq: next[0]}
+	if got := tr.Snapshot(); len(got) != 1 || got[0] != want {
+		t.Fatalf("tracker = %v, fold = %v", got, want)
+	}
+	if got := tr.Horizon(); len(got) != 1 || got[0] != want {
+		t.Fatalf("horizon = %v, fold = %v", got, want)
 	}
 
 	// An equivocation variant revisits a sequence slot: the builder must
-	// leave the vector (only an exact chain prefix is skippable).
+	// leave the vector (only an exact chain prefix is skippable) and stay,
+	// marked, in the horizon (what the node holds is still comparable).
 	variant := block.New(0, 4, []block.Ref{blocks[3].Ref()}, nil)
 	tr.Observe(variant)
-	if wms := tr.Snapshot(); len(wms) != 0 {
-		t.Fatalf("forked builder still advertised: %v", wms)
+	if wms := tr.Snapshot(); wms == nil || len(wms) != 0 {
+		t.Fatalf("forked builder still advertised (or a nil vector): %v", wms)
+	}
+	want.Forked = true
+	if got := tr.Horizon(); len(got) != 1 || got[0] != want {
+		t.Fatalf("horizon after the fork = %v, want %v", got, want)
 	}
 }

@@ -38,7 +38,7 @@ func FuzzPullFrames(f *testing.F) {
 	f.Add(framed(f, batch, syncsvc.EncodeDoneFrame(2))) // lying summary
 	f.Add(framed(f, batch))                             // truncated
 	f.Add(framed(f, batch[:len(batch)/2]))
-	f.Add(framed(f, []byte{}, []byte{0xEE}, syncsvc.EncodeWatermarkFrame(nil)))
+	f.Add(framed(f, []byte{}, []byte{0xEE}, []byte{0x03, 0x00})) // 3 was the watermark answer
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		pull := syncsvc.NewPull(roster, nil, limit, nil)
@@ -69,60 +69,32 @@ func FuzzPullFrames(f *testing.F) {
 }
 
 // FuzzDecodeRequest: the delta request decoder — reached by any peer that
-// can open a call — never panics, and what it accepts is a vector that
-// re-encodes to a request decoding to the same vector.
+// can open a call — never panics, and what it accepts is canonical: a
+// horizon of strictly ascending builders whose encoding is the input.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(syncsvc.EncodeRequest(nil))
-	f.Add(syncsvc.EncodeRequest([]syncsvc.Watermark{{Builder: 0, NextSeq: 7}, {Builder: 3, NextSeq: 1 << 40}}))
-	f.Add(syncsvc.EncodeWatermarkRequest())
+	f.Add(syncsvc.EncodeRequest([]syncsvc.Watermark{{Builder: 0, NextSeq: 7}, {Builder: 3, NextSeq: 1 << 40, Forked: true}}))
+	for _, req := range refusedRequests() {
+		f.Add(req)
+	}
 	f.Add([]byte{})
-	f.Add([]byte{0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	f.Add([]byte{0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wms, err := syncsvc.DecodeRequest(data)
+		have, err := syncsvc.DecodeRequest(data)
 		if err != nil {
 			return
 		}
-		sameVector(t, wms, func() ([]syncsvc.Watermark, error) {
-			return syncsvc.DecodeRequest(syncsvc.EncodeRequest(wms))
-		})
-	})
-}
-
-// FuzzDecodeWatermarkFrame: the watermark answer decoder — fed by
-// whichever peer the follower polled — never panics and round-trips what
-// it accepts.
-func FuzzDecodeWatermarkFrame(f *testing.F) {
-	f.Add(syncsvc.EncodeWatermarkFrame(nil))
-	f.Add(syncsvc.EncodeWatermarkFrame([]syncsvc.Watermark{{Builder: 1, NextSeq: 3}, {Builder: 2, NextSeq: 0}}))
-	f.Add(syncsvc.EncodeDoneFrame(3))
-	f.Add([]byte{})
-	f.Add([]byte{0x03, 0xFF, 0xFF, 0x03})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		wms, err := syncsvc.DecodeWatermarkFrame(data)
-		if err != nil {
-			return
+		if len(have) > 1<<16 {
+			t.Fatalf("decoder accepted a %d-entry horizon", len(have))
 		}
-		sameVector(t, wms, func() ([]syncsvc.Watermark, error) {
-			return syncsvc.DecodeWatermarkFrame(syncsvc.EncodeWatermarkFrame(wms))
-		})
-	})
-}
-
-// sameVector checks that an accepted vector survives its own codec.
-func sameVector(t *testing.T, wms []syncsvc.Watermark, again func() ([]syncsvc.Watermark, error)) {
-	t.Helper()
-	if len(wms) > 1<<16 {
-		t.Fatalf("decoder accepted a %d-entry vector", len(wms))
-	}
-	back, err := again()
-	if err != nil || len(back) != len(wms) {
-		t.Fatalf("accepted vector does not round-trip: %d entries, then %d, err %v", len(wms), len(back), err)
-	}
-	for i := range wms {
-		if back[i] != wms[i] {
-			t.Fatalf("entry %d round-trips %v -> %v", i, wms[i], back[i])
+		for i := 1; i < len(have); i++ {
+			if have[i].Builder <= have[i-1].Builder {
+				t.Fatalf("accepted builders out of order: %v", have)
+			}
 		}
-	}
+		if again := syncsvc.EncodeRequest(have); !bytes.Equal(again, data) {
+			t.Fatalf("accepted request %x is not the encoding of what it decodes to (%x)", data, again)
+		}
+	})
 }

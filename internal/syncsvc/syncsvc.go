@@ -2,35 +2,37 @@
 // the non-gossip protocol surface a replica uses to converge in bulk
 // instead of one FWD round trip per block.
 //
-// # Two calls
+// # The delta call
 //
-// The first byte of a request selects the call:
+// The first byte of a request selects the call; the snapshot tier's two
+// are in snapshot.go, and the one every trigger — startup catch-up, the
+// live follower, a simulated recovery — makes is the delta (bulk pull).
+// The client states what it already holds as a per-builder horizon —
+// NextSeq per builder, meaning "I hold every block by this builder below
+// NextSeq" — and the server streams every block on disk the horizon does
+// not cover, snapshot first, then WAL order, chunked into batches under
+// wire.MaxFrame, closed by a done summary carrying the total count. A
+// node always asks with its own current horizon (package node), so only
+// the missing suffix crosses the wire.
 //
-//   - Delta (bulk pull): the client states what it already holds as a
-//     per-builder watermark vector — NextSeq per builder, meaning "I
-//     hold every block by this builder below NextSeq" — and the server
-//     streams every block on disk the vector does not cover, snapshot
-//     first, then WAL order, chunked into batches under wire.MaxFrame,
-//     closed by a done summary carrying the total count. Every trigger
-//     — startup catch-up, the live follower, a simulated recovery — pulls
-//     with the node's own current vector (package node), so only the
-//     missing suffix crosses the wire.
-//
-//   - Watermark exchange: the client asks the server for the server's
-//     own vector, answered in one small frame. This is the live
-//     follower's periodic probe (node.Config.FollowEvery): a delta
-//     stream is opened only when the answer advertises blocks the local
-//     DAG lacks (Behind). Servers answer from an incrementally
-//     maintained WatermarkTracker (or any live source) when wired, a
-//     block-source scan otherwise.
+// The early answer: a server with a live vector of its own
+// (Server.Watermarks; a node keeps one incrementally, WatermarkTracker)
+// first compares the two by Lag, and when the requester lacks nothing it
+// closes the stream with done(0) before touching its disk. That is the
+// live follower's periodic poll (node.Config.FollowEvery): one call, and
+// a stream only when there is something to stream.
 //
 // Watermarks can express exactly the honest shape — the DAG's parent
 // rule forces every builder's held blocks into a prefix-closed chain —
-// so a forked (equivocating) builder is simply omitted from the vector:
-// the requester asks for everything of that builder and deduplicates,
-// and equivocation variants beyond a horizon travel via gossip's FWD
-// path, which stays armed as the fallback for whatever bulk transfer
-// has not delivered.
+// so a builder the requester holds an equivocation of is marked Forked:
+// its NextSeq still says whether the server is ahead (a node that holds
+// the fork is not re-streamed that chain every poll, even by a peer that
+// never saw it), but no prefix of it is skipped once a stream is served —
+// the requester gets everything of that builder and deduplicates, and
+// equivocation variants beyond a horizon travel via gossip's FWD path,
+// which stays armed as the fallback for whatever bulk transfer has not
+// delivered. A server leaves the builders it knows forked out of its own
+// vector, so they never make a requester lag.
 //
 // # Threat model
 //
@@ -45,22 +47,17 @@
 // stream aborts with an error (ErrBadStream, or the DAG's own sentinel)
 // and costs the peer its standing; the blocks accepted before the abort
 // are genuine and are kept, so a malicious server can at worst serve less
-// than it promised — never corrupt the client. A stream that just stops
-// (link death) is an error too, but nobody's fault. A peer lying in a
-// watermark answer is equally bounded: claiming too little makes the
-// client skip one pull, claiming too much costs it one delta round trip
-// whose blocks are then checked as above. Requesters are untrusted too:
-// both calls pass the same admission policy (per-peer in-flight cap,
-// optional token bucket), refused with ErrThrottled before any disk is
-// touched, so the cheap call cannot be used to sidestep the throttle on
-// the expensive one.
+// than it holds — an early done(0) included, which is no worse than not
+// asking that peer — never claim more, and never corrupt the client. A
+// stream that just stops (link death) is an error too, but nobody's
+// fault. Requesters are untrusted too: every call passes the admission
+// policy (per-peer in-flight cap, optional token bucket) and is refused
+// with ErrThrottled before a byte of it is decoded or any disk is touched.
 package syncsvc
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -77,17 +74,13 @@ import (
 )
 
 // Wire constants of the sync protocol (inside transport call frames).
-// The first byte of a request selects the call: reqVersion opens a bulk
-// delta stream, reqWatermarks a watermark exchange.
+// The first byte of a request selects the call.
 const (
-	// reqVersion versions the delta (bulk pull) request encoding,
-	// independently of the transport version.
-	reqVersion byte = 1
-	// reqWatermarks asks the server for its own per-builder watermark
-	// vector — the cheap "how far are you?" probe the live follower
-	// sends every period, so a delta stream is only opened when the
-	// peer actually holds something new.
-	reqWatermarks byte = 2
+	// reqVersion opens a delta (bulk pull) stream and versions its request
+	// encoding, independently of the transport version. Version 1 had no
+	// Forked mark; 2 was also the first byte of the one-byte watermark
+	// probe PR 5 to 29 spoke, which no longer decodes.
+	reqVersion byte = 2
 	// reqSnapMeta asks for the server's sealed state snapshot meta: its
 	// signed (slot, root) commit, chunk count, and pruned-history
 	// position — the first leg of the snapshot tier (see snapshot.go).
@@ -101,9 +94,6 @@ const (
 	// frameDone ends the stream with the total number of blocks sent,
 	// letting the client flag a server that closed early.
 	frameDone byte = 2
-	// frameWatermarks answers a reqWatermarks call: the server's own
-	// watermark vector in one frame.
-	frameWatermarks byte = 3
 	// frameSnapMeta answers a reqSnapMeta call.
 	frameSnapMeta byte = 4
 	// frameSnapChunk carries one snapshot chunk of a reqSnapChunks
@@ -125,84 +115,52 @@ const DefaultChunkBytes = 512 << 10
 // before aborting (a hostile server must not stream forever).
 const DefaultMaxBlocks = 1 << 20
 
-// Watermark states that the requester holds every block by Builder with
+// Watermark states that its holder has every block by Builder with
 // Seq < NextSeq.
 type Watermark struct {
 	Builder types.ServerID
 	NextSeq uint64
+	// Forked, in a delta request, says the requester holds an equivocation
+	// by Builder: NextSeq is compared with the server's own (is there
+	// anything new?) but skips nothing — two chains share those numbers.
+	Forked bool
 }
 
-// encodeWatermarkList renders one watermark vector (shared by the delta
-// request and the watermark-exchange frame).
-func encodeWatermarkList(w *wire.Writer, wms []Watermark) {
-	w.Uvarint(uint64(len(wms)))
-	for _, wm := range wms {
+// EncodeRequest renders a delta request: the requester's horizon, one
+// entry per builder it holds blocks of, ascending by builder.
+func EncodeRequest(have []Watermark) []byte {
+	w := wire.NewWriter(2 + len(have)*7)
+	w.Byte(reqVersion)
+	w.Uvarint(uint64(len(have)))
+	for _, wm := range have {
 		w.Uint16(uint16(wm.Builder))
 		w.Uvarint(wm.NextSeq)
+		w.Bool(wm.Forked)
 	}
-}
-
-// decodeWatermarkList inverts encodeWatermarkList; the caller closes the
-// reader.
-func decodeWatermarkList(r *wire.Reader) []Watermark {
-	n := r.Count(maxWatermarks)
-	wms := make([]Watermark, 0, n)
-	for i := 0; i < n; i++ {
-		wms = append(wms, Watermark{
-			Builder: types.ServerID(r.Uint16()),
-			NextSeq: r.Uvarint(),
-		})
-	}
-	return wms
-}
-
-// EncodeRequest renders a catch-up (delta) request.
-func EncodeRequest(wms []Watermark) []byte {
-	w := wire.NewWriter(2 + len(wms)*6)
-	w.Byte(reqVersion)
-	encodeWatermarkList(w, wms)
 	return w.Bytes()
 }
 
-// DecodeRequest inverts EncodeRequest.
+// DecodeRequest inverts EncodeRequest. Builders must ascend strictly: a
+// builder listed twice, or a permutation of the same entries, is not a
+// second encoding of one request.
 func DecodeRequest(data []byte) ([]Watermark, error) {
 	r := wire.NewReader(data)
 	if v := r.Byte(); r.Err() == nil && v != reqVersion {
 		return nil, fmt.Errorf("syncsvc: unknown request version %d", v)
 	}
-	wms := decodeWatermarkList(r)
+	n := r.Count(maxWatermarks)
+	have := make([]Watermark, 0, n)
+	for i := 0; i < n; i++ {
+		wm := Watermark{Builder: types.ServerID(r.Uint16()), NextSeq: r.Uvarint(), Forked: r.Bool()}
+		if i > 0 && wm.Builder <= have[i-1].Builder && r.Err() == nil {
+			return nil, fmt.Errorf("syncsvc: bad request: builder %d out of order", wm.Builder)
+		}
+		have = append(have, wm)
+	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("syncsvc: bad request: %w", err)
 	}
-	return wms, nil
-}
-
-// Watermarks summarizes a block list, per builder: the watermark for a
-// builder is max seq + 1 when its blocks (duplicates aside) form a single
-// unbroken chain from 0, and is omitted (ask for everything) when the
-// builder is absent, forked, or gappy — watermarks are a bandwidth
-// optimization, and only an exact chain prefix can be skipped safely. The
-// vector is sorted by builder, so equal block sets encode identically, and
-// non-nil even when empty: "I hold nothing skippable" is a real answer,
-// distinct from a nil "no source". This is the scan a Server without a live
-// source answers probes with: the list, each block once and each chain in
-// sequence order, fed to the WatermarkTracker a node keeps incrementally —
-// the rule is the tracker's.
-func Watermarks(blocks []*block.Block) []Watermark {
-	seen := make(map[block.Ref]struct{}, len(blocks))
-	chains := make([]*block.Block, 0, len(blocks))
-	for _, b := range blocks {
-		if _, dup := seen[b.Ref()]; !dup {
-			seen[b.Ref()] = struct{}{}
-			chains = append(chains, b)
-		}
-	}
-	slices.SortStableFunc(chains, func(a, b *block.Block) int { return cmp.Compare(a.Seq, b.Seq) })
-	t := NewWatermarkTracker()
-	for _, b := range chains {
-		t.Observe(b)
-	}
-	return t.Snapshot()
+	return have, nil
 }
 
 // EncodeBatchFrame renders one stream frame carrying a batch of blocks —
@@ -266,18 +224,17 @@ var (
 )
 
 // Server serves the sync channel's calls — delta (catch-up) streams and
-// watermark-exchange queries — on transport.ChanSync. It is safe for
-// concurrent use (tcpnet invokes handlers on per-connection goroutines):
-// serving reads segment files from disk (or the Watermarks live source),
-// never the owning Store's mutable state.
+// the snapshot tier — on transport.ChanSync. It is safe for concurrent use
+// (tcpnet invokes handlers on per-connection goroutines): serving reads
+// segment files from disk (or the Watermarks live source), never the
+// owning Store's mutable state.
 //
-// Serving one delta request costs a full store scan plus its encoding —
-// work a byzantine peer could demand in a loop. Admission control bounds
-// that: a per-peer in-flight cap (always on) and an optional per-peer
-// token bucket (Every/Burst) refuse excess requests with ErrThrottled
-// before any disk is touched; refusals are tallied per cause in
-// Counts. Watermark queries pass the same gate, so the cheap call
-// cannot be used to sidestep the throttle on the expensive one.
+// Serving one delta request the live vector cannot answer costs a full
+// store scan plus its encoding — work a byzantine peer could demand in a
+// loop by understating what it holds. Admission control bounds that: a
+// per-peer in-flight cap (always on) and an optional per-peer token bucket
+// (Every/Burst) refuse excess requests with ErrThrottled before any disk
+// is touched; refusals are tallied per cause in Counts.
 type Server struct {
 	// Store is the durable store to stream (its directory is re-scanned
 	// per request, so the stream reflects the disk at request time).
@@ -285,15 +242,15 @@ type Server struct {
 	// Source overrides the block source when non-nil — tests and
 	// memory-backed deployments. Called once per request.
 	Source func() ([]*block.Block, error)
-	// Watermarks, if non-nil, answers watermark-exchange queries without
-	// touching the block source — the cheap live path (package node wires
-	// its incrementally maintained WatermarkTracker). When the field is
-	// nil, or the function returns a nil slice (meaning "no live source
-	// yet", as a late-bound runtime does during startup — distinct from
-	// an empty, non-nil vector), the vector is computed from the block
-	// source, which costs a full scan; admission control gates that
-	// exactly like a delta stream. The function must be safe for concurrent use when
-	// the transport serves handlers concurrently (tcpnet does).
+	// Watermarks, if non-nil, is the server's own live vector (package
+	// node wires its incrementally maintained WatermarkTracker): a delta
+	// request whose horizon it does not exceed (Lag) is answered done(0)
+	// without touching the block source. When the field is nil, or the
+	// function returns a nil slice (meaning "no live source yet", as a
+	// late-bound runtime does during startup — distinct from an empty,
+	// non-nil vector), every request is served by scan. The function must
+	// be safe for concurrent use when the transport serves handlers
+	// concurrently (tcpnet does).
 	Watermarks func() []Watermark
 	// ChunkBytes is the target batch frame size (default
 	// DefaultChunkBytes, capped under wire.MaxFrame).
@@ -425,12 +382,10 @@ func (s *Server) burst() int {
 }
 
 // ServeCall implements transport.Handler: admit the request, then
-// dispatch on its kind — answer a watermark-exchange query with this
-// server's own vector in one frame, or decode the delta request's
-// watermarks and stream every block on disk they do not cover, closing
-// with a done summary. Both kinds pass the same admission policy, so a
-// byzantine peer cannot sidestep the throttle by hammering the cheaper
-// call.
+// dispatch on its kind. A delta request is compared with the live vector
+// first: a requester that lacks nothing costs no disk read and gets the
+// empty stream, done(0); otherwise every block on disk its horizon does not
+// cover is streamed, closed by a done summary.
 func (s *Server) ServeCall(from types.ServerID, req []byte, st transport.ServerStream) {
 	if !s.admit(from) {
 		// Refused before any disk read or decode: admission is the
@@ -440,10 +395,6 @@ func (s *Server) ServeCall(from types.ServerID, req []byte, st transport.ServerS
 		return
 	}
 	defer s.release(from)
-	if len(req) == 1 && req[0] == reqWatermarks {
-		s.serveWatermarks(st)
-		return
-	}
 	if len(req) == 1 && req[0] == reqSnapMeta {
 		s.serveSnapMeta(st)
 		return
@@ -452,19 +403,34 @@ func (s *Server) ServeCall(from types.ServerID, req []byte, st transport.ServerS
 		s.serveSnapChunks(req, st)
 		return
 	}
-	wms, err := DecodeRequest(req)
+	have, err := DecodeRequest(req)
 	if err != nil {
 		st.Close(err)
 		return
 	}
-	blocks, err := s.load()
-	if err != nil {
-		st.Close(fmt.Errorf("syncsvc: load store: %w", err))
-		return
-	}
-	next := make(map[types.ServerID]uint64, len(wms))
-	for _, wm := range wms {
+	next := make(map[types.ServerID]uint64, len(have))
+	for _, wm := range have {
 		next[wm.Builder] = wm.NextSeq
+	}
+	// The early answer: a requester the live vector is not ahead of has
+	// nothing coming — the stream below is empty, and no disk is read.
+	var live []Watermark
+	if s.Watermarks != nil {
+		live = s.Watermarks()
+	}
+	var blocks []*block.Block
+	if live == nil || Lag(next, live) > 0 {
+		if blocks, err = s.load(); err != nil {
+			st.Close(fmt.Errorf("syncsvc: load store: %w", err))
+			return
+		}
+	}
+	// Compared, and now the forked builders' entries go: no prefix of a
+	// chain the requester holds two of is skipped.
+	for _, wm := range have {
+		if wm.Forked {
+			delete(next, wm.Builder)
+		}
 	}
 	chunk := s.ChunkBytes
 	if chunk <= 0 {
@@ -510,28 +476,6 @@ func (s *Server) ServeCall(from types.ServerID, req []byte, st transport.ServerS
 	}
 	if err := st.Send(EncodeDoneFrame(total)); err != nil {
 		return
-	}
-	st.Close(nil)
-}
-
-// serveWatermarks answers one watermark-exchange query: the configured
-// live vector when available, otherwise one computed from the block
-// source (a full scan — the admission policy already charged for it).
-func (s *Server) serveWatermarks(st transport.ServerStream) {
-	var wms []Watermark
-	if s.Watermarks != nil {
-		wms = s.Watermarks()
-	}
-	if wms == nil {
-		blocks, err := s.load()
-		if err != nil {
-			st.Close(fmt.Errorf("syncsvc: load store: %w", err))
-			return
-		}
-		wms = Watermarks(blocks)
-	}
-	if err := st.Send(EncodeWatermarkFrame(wms)); err != nil {
-		return // stream lost; nothing left to tell anyone
 	}
 	st.Close(nil)
 }
@@ -660,8 +604,9 @@ type Pull struct {
 
 var _ transport.CallSink = (*Pull)(nil)
 
-// NewPull prepares a pull for a requester holding what the watermark
-// vector have states (nil for a fresh replica: ask for everything).
+// NewPull prepares a pull for a requester holding what the horizon have
+// states (WatermarkTracker.Held; nil for a fresh replica: ask for
+// everything).
 // maxBlocks caps the blocks accepted from the stream; 0 means
 // DefaultMaxBlocks. onDone, if non-nil, runs exactly once when the stream
 // settles — on the transport's sink goroutine (or the simulator's event
@@ -679,8 +624,17 @@ func NewPull(roster *crypto.Roster, have []Watermark, maxBlocks int, onDone func
 	}
 }
 
-// Request returns the encoded delta request for the requester's vector.
+// Request returns the encoded delta request for the requester's horizon.
 func (p *Pull) Request() []byte { return p.req }
+
+// Streamed returns how many blocks the stream has carried so far, accepted
+// (Result) or not: what the serving peer held that the request did not
+// cover, by that peer's account.
+func (p *Pull) Streamed() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.streamed
+}
 
 // OnFrame implements transport.CallSink: decode and check one frame.
 func (p *Pull) OnFrame(frame []byte) {

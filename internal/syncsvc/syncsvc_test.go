@@ -123,7 +123,7 @@ func TestPullSkipsHeldPrefix(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(4))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})
 
-	got, err := runPull(t, net, syncsvc.NewPull(roster, syncsvc.Watermarks(blocks[:60]), 0, nil))
+	got, err := runPull(t, net, syncsvc.NewPull(roster, held(blocks[:60]), 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,31 +267,6 @@ func mustRoster(t *testing.T) *crypto.Roster {
 		t.Fatal(err)
 	}
 	return roster
-}
-
-// TestWatermarks: exact chain prefixes are summarized; forks and gaps
-// are not.
-func TestWatermarks(t *testing.T) {
-	roster, blocks := buildChain(t, 5)
-	_ = roster
-	wms := syncsvc.Watermarks(blocks)
-	if len(wms) != 1 || wms[0].Builder != 0 || wms[0].NextSeq != 5 {
-		t.Fatalf("watermarks = %+v", wms)
-	}
-	// A gap (missing seq 2) must drop the builder from the summary.
-	gappy := append(append([]*block.Block(nil), blocks[:2]...), blocks[3:]...)
-	if wms := syncsvc.Watermarks(gappy); len(wms) != 0 {
-		t.Fatalf("gappy chain summarized: %+v", wms)
-	}
-	// Round trip through the request encoding.
-	wms = syncsvc.Watermarks(blocks)
-	decoded, err := syncsvc.DecodeRequest(syncsvc.EncodeRequest(wms))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 1 || decoded[0] != wms[0] {
-		t.Fatalf("round trip = %+v", decoded)
-	}
 }
 
 type nopEndpoint struct{}

@@ -165,7 +165,7 @@ var (
 	// The dialer-side mirror of AuthRejections: the listener could not prove
 	// the identity we dialed (an impostor squatting on a member's address).
 	AuthFailures = Families.Counter("", "tcpnet_auth_failures_total", "Outbound handshakes that failed against a peer.")
-	// Watermark polls, delta pulls, bulk catch-up — successful or not — and
+	// Delta pulls (follower polls, bulk catch-up), snapshot calls — successful or not — and
 	// the inbound calls dispatched to a channel handler.
 	CallsOpened = Families.Counter("", "tcpnet_calls_opened_total", "Request/response calls opened to peers.")
 	CallsServed = Families.Counter("", "tcpnet_calls_served_total", "Request/response calls served for peers.")

@@ -38,7 +38,7 @@ const (
 	// under Assumption 1 (fire-and-forget, eventual delivery).
 	ChanGossip Channel = 1
 	// ChanSync carries the state-transfer service (bulk catch-up
-	// streams and the live follower's watermark exchange):
+	// streams, the live follower's polls, the snapshot tier):
 	// request/response streams with explicit failure semantics.
 	ChanSync Channel = 2
 )
