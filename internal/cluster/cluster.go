@@ -66,19 +66,6 @@ type Options struct {
 	// identities, still routed through the roster codec, so simulation
 	// and deployment can never diverge. Must have N members when set.
 	Fixture *roster.Fixture
-	// DisableAuth skips registering each server's transport
-	// authenticator on the simulated network. By default every slot
-	// (byzantine ones included — tests drive their traffic with valid
-	// identities) authenticates, so cluster runs exercise the same
-	// Authenticator seam tcpnet enforces in production.
-	DisableAuth bool
-
-	// SyncEvery/SyncBurst enable the catch-up server's per-peer token
-	// bucket on every durable slot (see syncsvc.Server.Every/Burst);
-	// zero leaves rate limiting off. The per-peer in-flight cap is
-	// always on at the syncsvc default.
-	SyncEvery time.Duration
-	SyncBurst int
 
 	// FollowEvery enables the live follower on every correct slot
 	// (node.Config.FollowEvery, paced on the simulated clock): polls,
@@ -219,14 +206,15 @@ func New(opts Options) (*Cluster, error) {
 		simnet.WithLatency(opts.Latency, opts.Jitter),
 		simnet.WithDrop(opts.Drop),
 	)
-	if !opts.DisableAuth {
-		auths, err := fixture.Auths()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		for i, a := range auths {
-			net.RegisterAuth(types.ServerID(i), a)
-		}
+	// Every slot (byzantine ones included — tests drive their traffic with
+	// valid identities) authenticates, so cluster runs exercise the same
+	// Authenticator seam tcpnet enforces in production.
+	auths, err := fixture.Auths()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	for i, a := range auths {
+		net.RegisterAuth(types.ServerID(i), a)
 	}
 	byz := make(map[int]bool, len(opts.Byzantine))
 	for _, i := range opts.Byzantine {
@@ -361,8 +349,7 @@ func (e inline) Deliver(from types.ServerID, payload []byte) {
 // can bulk-sync or follow from this slot. A request that lacks nothing is
 // answered from the node's tracked vector; durable slots stream their store,
 // follower-only slots straight from the DAG (safe on the event loop). The
-// catch-up server runs under the hardening policy (in-flight cap, optional
-// token bucket on the simulated clock), exactly as a production node would.
+// catch-up server runs under the syncsvc default in-flight cap.
 func (c *Cluster) register(slot int, nd *node.Node, st *store.Store) {
 	id := types.ServerID(slot)
 	c.Net.Register(id, transport.ChanGossip, inline{nd})
@@ -374,9 +361,6 @@ func (c *Cluster) register(slot int, nd *node.Node, st *store.Store) {
 	// simnet takes a handler once the node exists — nothing to late-bind.
 	sync := &syncsvc.Server{
 		Store:      st,
-		Every:      c.opts.SyncEvery,
-		Burst:      c.opts.SyncBurst,
-		Clock:      c.Net.Now,
 		Scores:     srv.Scores(),
 		Watermarks: nd.Watermarks,
 	}

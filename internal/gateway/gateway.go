@@ -95,9 +95,6 @@ type Config struct {
 	// default time.Now.
 	Clock func() time.Duration
 	Now   func() time.Time
-
-	// Logf receives one line per request (nil = silent).
-	Logf func(format string, args ...any)
 }
 
 const (
@@ -204,11 +201,9 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 	mux.HandleFunc("GET /metrics", g.wrap(false, g.handleMetrics))
 
 	g.srv = &http.Server{Handler: mux}
-	go func() {
-		if err := g.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			g.logf("gateway: serve: %v", err)
-		}
-	}()
+	// Serve returns ErrServerClosed once Close has run, or the listener's
+	// error, which clients meet as refused connections; nobody else awaits it.
+	go func() { _ = g.srv.Serve(ln) }()
 	if cfg.Node != nil {
 		g.status = nodeStatus(cfg.Node)
 		cfg.Node.OnStop(func() { _ = g.Close() })
@@ -232,12 +227,6 @@ func (g *Gateway) Close() error {
 		return g.srv.Close()
 	}
 	return nil
-}
-
-func (g *Gateway) logf(format string, args ...any) {
-	if g.cfg.Logf != nil {
-		g.cfg.Logf(format, args...)
-	}
 }
 
 // wallNow is the auth freshness clock.

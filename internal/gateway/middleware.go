@@ -59,14 +59,12 @@ func (w *statusWriter) Flush() {
 func (g *Gateway) wrap(authed bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
 		g.serve(sw, r, authed, h)
 		code := sw.code
 		if code == 0 {
 			code = http.StatusOK
 		}
 		g.countResponse(code)
-		g.logf("gateway: %s %s -> %d (%s, %v)", r.Method, r.URL.Path, code, clientHost(r), time.Since(start).Round(time.Millisecond))
 	}
 }
 

@@ -224,8 +224,9 @@ func (p *sealingProcess) Receive(m protocol.Message) []protocol.Message {
 // block's fields are views of its frame and an indicated value is a view of
 // a payload, so every frame is hashed at insertion and every value where
 // the broker would be handed it — in the run and in a restore, which
-// decodes every block again out of one buffer shared by all of them (as
-// store.scanWAL does) and interprets those — and all still hash as they did.
+// decodes every block again out of one buffer shared by all of them (the
+// most aliasing a reader could do; the store's gives each block a frame of
+// its own) and interprets those — and all still hash as they did.
 func TestPayloadsImmutable(t *testing.T) {
 	dags, labelSets := forkedDAGs()
 	for i, d := range dags {

@@ -91,7 +91,7 @@ func TestNodeAutomaticCheckpointing(t *testing.T) {
 		}
 	}
 	// One snapshot — each checkpoint replaces the last — and the residue of
-	// the twelve blocks built since the last tick, four to a segment.
+	// the twelve blocks built since the last tick, five to a segment.
 	if snaps != 1 || wals != wantWALs {
 		t.Fatalf("%d snapshots and %d WAL segments survived, want 1 and %d", snaps, wals, wantWALs)
 	}

@@ -3,6 +3,7 @@ package node_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -340,13 +341,13 @@ func TestReplayAtEveryCrashPoint(t *testing.T) {
 		}
 	}
 
-	// The segment header is 9 bytes, a record 8 bytes of framing around the
-	// block's encoding (store/doc.go).
+	// The segment header is 9 bytes; a record is its payload's length
+	// (4 bytes, big endian), its CRC (4) and the payload (store/doc.go).
 	off := 9
-	for i, b := range order {
+	for i := range order {
 		restartAt(off, i)   // the boundary before record i
 		restartAt(off+5, i) // inside its framing
-		off += 8 + b.EncodedSize()
+		off += 8 + int(binary.BigEndian.Uint32(journal[off:]))
 		restartAt(off-1, i) // one byte short of whole
 	}
 	if off != len(journal) {

@@ -17,9 +17,11 @@
 // server's DAG numbers each block once and hands each to PersistSink once, in
 // that order, so a block below the frontier Open found is one coming back
 // through Restore's replay, skipped, and every other is appended. A failed
-// write takes its records back out of the count and core latches the server
-// unhealthy; if the torn tail could not be cut off either, the store is
-// failed and refuses every later append — never a journal with a hole.
+// write takes its records back out of the count, cuts the live segment back
+// to its last whole record and ends it — the next append opens a fresh one —
+// and core latches the server unhealthy; if the torn tail could not be cut
+// off, the store is failed and refuses every later append — never a journal
+// with a hole.
 //
 // # On-disk layout
 //
@@ -39,17 +41,46 @@
 //
 // # WAL segments
 //
-// A WAL segment is a sequence of records, each framed as
+// A WAL segment (kind 4) is a sequence of records, each framed as
 //
 //	[length uint32 BE][crc32(IEEE) of payload uint32 BE][payload]
 //
-// where the payload is the canonical block encoding (block.Encode). The
-// per-record CRC exists because WAL tails are written incrementally and a
-// power cut can tear the last record: Open scans forward and, when the
+// where the payload lays one block out as a snapshot does:
+//
+//	builder uint16 BE, seq uvarint,
+//	predecessor count uvarint, per predecessor: k uvarint [ref 32 bytes if k = 0],
+//	request count uvarint, per request: label, data (each uvarint length + bytes),
+//	signature (uvarint length + bytes)
+//
+// A predecessor k ≥ 1 is the block of the k-th most recent record of the
+// same segment (k = 1 the record just before); k = 0 is followed by the
+// 32-byte ref. The writer names a predecessor by the distance to its
+// latest record among the segment's last 64 (the window, walWindow) and
+// writes the ref only when the window holds none — the one way a record
+// is written, and the only one the reader accepts. A block cites its
+// parent and the tips its builder saw since, which every server journals
+// moments before, so a near-empty block's two to n references cost a byte
+// each instead of 32. The window starts empty in every segment, so a
+// segment reads alone, and the writer frames a record only once it knows
+// which segment the record lands in: a rotation in the middle of a batch
+// cannot leave a reference into the previous file. Readers rebuild each
+// block's canonical frame from the fields, as they do a snapshot's, so
+// ref(B) is re-derived and the signature verifies end to end.
+//
+// The per-record CRC exists because WAL tails are written incrementally and
+// a power cut can tear the last record: Open scans forward and, when the
 // final segment ends in a truncated or corrupt record, truncates the file
 // back to the last whole record instead of failing — the torn-tail
 // property tested exhaustively in TestOpenTornTail. A corrupt record in
 // any non-final position is not a torn write and surfaces as ErrCorrupt.
+// Open resumes a final segment with room, its window rebuilt from the
+// scan.
+//
+// Kind 1 is the WAL segment stores wrote before: the same framing around
+// the block's frame (block.Encode) itself. It is read, and never written
+// again: a store whose final segment is kind 1 appends into a new kind-4
+// segment behind it. A checkpoint (Checkpoint, or dagstore compact)
+// retires kind-1 segments with every other segment below its snapshot.
 //
 // WAL segments rotate when they exceed Options.SegmentSize, so deleting
 // history (compaction) is cheap file removal, never rewriting.
@@ -69,13 +100,14 @@
 // store that never pruned and journals no state — and then lays out the
 // retained blocks.
 //
-// Snapshots also store blocks more compactly than the WAL: blocks are
-// laid out in topological order and each predecessor reference — a
-// 32-byte hash on the wire and in the WAL — is replaced by a uvarint
-// index into the snapshot's base ∪ block table (typically 1–2 bytes).
-// Decoding re-derives the canonical block encoding, and with it ref(B),
-// so signatures still verify end to end; compaction never weakens the
-// Definition 3.3 validation the replay performs.
+// The store has one block codec (putBlock, getBlock) with two ways to name
+// a predecessor: a WAL record names it by distance back into its segment
+// or by ref, a snapshot by a uvarint index into its base ∪ block table
+// (base entries first, then the blocks in the topological order they are
+// laid out in; typically 1–2 bytes). Decoding re-derives the canonical
+// block encoding, and with it ref(B), so signatures still verify end to
+// end; compaction never weakens the Definition 3.3 validation the replay
+// performs.
 //
 // # Fsync policy
 //

@@ -12,6 +12,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/dagtest"
 	"blockdag/internal/types"
+	"blockdag/internal/wire"
 )
 
 // realSegments writes three all-to-all rounds of a 3-server DAG (requests
@@ -77,11 +78,82 @@ func allocated(fn func()) uint64 {
 // failure this guards against — allocates by the prefix, not by n.
 func allocBound(n int) uint64 { return 512*uint64(n) + 1<<16 }
 
+// rec frames a hand-laid kind-4 record: builder 0, seq as given (its
+// uvarint bytes), the predecessor names, no requests and an empty
+// signature — well-formed as far as the scanner looks, which checks no
+// signature.
+func rec(seq []byte, preds ...[]byte) []byte {
+	p := append([]byte{0, 0}, seq...)
+	p = append(p, byte(len(preds)))
+	for _, name := range preds {
+		p = append(p, name...)
+	}
+	return appendRecord(nil, append(p, 0, 0))
+}
+
+// literal and back are the two ways a kind-4 record names a predecessor.
+func literal(ref block.Ref) []byte { return append([]byte{0}, ref[:]...) }
+func back(k byte) []byte           { return []byte{k} }
+
+// walOf lays records out as a kind-4 segment.
+func walOf(records ...[]byte) []byte {
+	return bytes.Join(append([][]byte{segHeader(kindWAL)}, records...), nil)
+}
+
+// handSegment is a hand-laid kind-4 segment whose last record the scanner
+// takes (whole) or refuses.
+type handSegment struct {
+	name  string
+	data  []byte
+	whole bool
+}
+
+// handSegments are the names a kind-4 record can give a predecessor, one
+// segment each: those putPred writes, and those it never would.
+func handSegments(t testing.TB) []handSegment {
+	g := scanWAL(walOf(rec([]byte{0})))
+	if g.torn {
+		t.Fatal("a hand-laid genesis record does not scan")
+	}
+	g0 := g.blocks[0].Ref()
+	var full [][]byte // one record more than the window holds
+	for seq := byte(0); seq <= walWindow; seq++ {
+		full = append(full, rec([]byte{seq}))
+	}
+	return []handSegment{
+		{"a literal", walOf(rec([]byte{1}, literal(g0))), true},
+		{"a back-reference", walOf(rec([]byte{0}), rec([]byte{1}, back(1))), true},
+		{"k past the records seen", walOf(rec([]byte{0}), rec([]byte{1}, back(2))), false},
+		{"a literal the window names", walOf(rec([]byte{0}), rec([]byte{1}, literal(g0))), false},
+		{"a truncated literal", walOf(rec([]byte{1}, literal(g0)[:20])), false},
+		{"a padded seq", walOf(rec([]byte{0x80, 0x00})), false},
+		{"the latest of two records", walOf(rec([]byte{0}), rec([]byte{0}), rec([]byte{1}, back(1))), true},
+		{"past the latest of two records", walOf(rec([]byte{0}), rec([]byte{0}), rec([]byte{1}, back(2))), false},
+		{"the oldest the window holds", walOf(append(full, rec([]byte{100}, back(walWindow)))...), true},
+		{"k past the window", walOf(append(full, rec([]byte{100}, back(walWindow+1)))...), false},
+	}
+}
+
+// TestScanWALNamesOneWay: a kind-4 record names each predecessor the one way
+// the writer does — by its distance to the ref's latest record in the
+// window, or by the literal ref when the window holds none — and the scanner
+// refuses every other name as a bad record.
+func TestScanWALNamesOneWay(t *testing.T) {
+	for _, hs := range handSegments(t) {
+		if seg := scanWAL(hs.data); seg.torn == hs.whole {
+			t.Errorf("%s: scanned %d records, torn %v; want the last one taken: %v", hs.name, len(seg.blocks), seg.torn, hs.whole)
+		}
+	}
+}
+
 // FuzzScanWAL: the WAL record scanner Open and ScanDir read every journal
 // through — whatever a failing disk or a foreign writer left in the file —
 // never panics, never allocates out of proportion to its input, never
 // claims more good bytes than it was given, and hands back only blocks
-// whose records re-frame to exactly the bytes it called good.
+// whose records re-frame to exactly the bytes it called good: for kind 1
+// the blocks' frames, for kind 4 the blocks written afresh through a new
+// window. One encoding per record, so the scanner refuses a literal the
+// window could have named and a distance past the ref's latest record.
 func FuzzScanWAL(f *testing.F) {
 	wal, _ := realSegments(f)
 	f.Add(wal)
@@ -93,9 +165,22 @@ func FuzzScanWAL(f *testing.F) {
 	f.Add(flipped)
 	f.Add(append(segHeader(kindWAL), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0)) // 4 GiB length prefix
 
+	frames := segHeader(kindFrameWAL) // the same blocks as a kind-1 segment
+	for _, b := range scanWAL(wal).blocks {
+		frames = appendRecord(frames, b.Encode())
+	}
+	f.Add(frames)
+	for _, hs := range handSegments(f) {
+		f.Add(hs.data)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < headerSize {
 			return // Open and ScanDir never scan a segment without its header
+		}
+		kind := data[len(segMagic)]
+		if kind != kindWAL && kind != kindFrameWAL {
+			return // checkHeader refuses it before any scan
 		}
 		var seg segment
 		if got, limit := allocated(func() { seg = scanWAL(data) }), allocBound(len(data)); got > limit {
@@ -105,8 +190,17 @@ func FuzzScanWAL(f *testing.F) {
 			t.Fatalf("goodLen %d torn %v for a %d-byte segment", seg.goodLen, seg.torn, len(data))
 		}
 		rebuilt := bytes.Clone(data[:headerSize])
+		var w wire.Writer
+		var win window
 		for _, b := range seg.blocks {
-			rebuilt = appendRecord(rebuilt, b.Encode())
+			if kind == kindFrameWAL {
+				rebuilt = appendRecord(rebuilt, b.Encode())
+				continue
+			}
+			w.Truncate(0)
+			putRecord(&w, b, &win)
+			win.push(b.Ref())
+			rebuilt = append(rebuilt, w.Bytes()...)
 		}
 		if !bytes.Equal(rebuilt, data[:seg.goodLen]) {
 			t.Fatalf("%d scanned blocks re-frame to %d bytes, not the %d good ones", len(seg.blocks), len(rebuilt), seg.goodLen)

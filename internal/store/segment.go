@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,13 +21,20 @@ const (
 	segMagic   = "BDSTOR1\n"
 	headerSize = len(segMagic) + 1 // magic + kind byte
 
-	kindWAL byte = 1
+	// kindFrameWAL is the WAL segment stores wrote before kindWAL: each
+	// record's payload is the block's frame. It is read and never written;
+	// a checkpoint retires it.
+	kindFrameWAL byte = 1
 	// kindSnap is the snapshot segment: prune horizon, pruned-history
 	// base table, state commitment and its snapshot chunks (all possibly
 	// empty), then the retained blocks. Kind 2 was a blocks-only
 	// predecessor no release ever shipped; it is neither written nor
 	// read, and the number stays retired.
 	kindSnap byte = 3
+	// kindWAL is the WAL segment: each record lays its block out as a
+	// snapshot does (putBlock), a predecessor named by its distance back
+	// into the segment (window) or, failing that, by its ref.
+	kindWAL byte = 4
 
 	// recHeaderSize frames one WAL record: length + CRC32.
 	recHeaderSize = 4 + 4
@@ -129,13 +137,14 @@ func checkHeader(data []byte, path string) (byte, error) {
 		return 0, fmt.Errorf("%w: %s: bad header", ErrCorrupt, path)
 	}
 	kind := data[len(segMagic)]
-	if kind != kindWAL && kind != kindSnap {
+	if kind != kindWAL && kind != kindFrameWAL && kind != kindSnap {
 		return 0, fmt.Errorf("%w: %s: unknown kind %d", ErrCorrupt, path, kind)
 	}
 	return kind, nil
 }
 
-// appendRecord frames one block payload as a WAL record.
+// appendRecord frames one payload as a record: the evidence sidecar's, and
+// a kind-1 WAL segment's.
 func appendRecord(dst []byte, payload []byte) []byte {
 	var hdr [recHeaderSize]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
@@ -146,6 +155,7 @@ func appendRecord(dst []byte, payload []byte) []byte {
 
 // segment is the decoded content of one segment file.
 type segment struct {
+	kind byte
 	// snap is the snapshot's tables (horizon, base, state); nil for a WAL.
 	snap *snapshot
 	// blocks are the segment's blocks in file order.
@@ -175,24 +185,32 @@ func nextRecord(data []byte, off int) (payload []byte, next int, ok bool) {
 	return body[:n], off + recHeaderSize + n, true
 }
 
-// scanWAL decodes the records of a WAL segment (data includes the
-// header, already validated). Scanning stops at the first incomplete or
-// corrupt record; the caller decides whether that is a tolerable torn
-// tail (final segment) or corruption (any earlier segment).
+// scanWAL decodes the records of a WAL segment of either kind (data
+// includes the header, already validated). Scanning stops at the first
+// incomplete or corrupt record; the caller decides whether that is a
+// tolerable torn tail (final segment) or corruption (any earlier segment).
+//
+// Every block gets a frame of its own, so none pins the segment's read
+// buffer: a kind-4 record's frame is rebuilt from its fields, predecessors
+// resolved against the segment's window (getRecord) — one encode per block
+// read, as a snapshot's blocks have always cost — and a kind-1 record's,
+// which is the frame, is copied out.
 func scanWAL(data []byte) segment {
-	seg := segment{goodLen: int64(headerSize)}
+	seg := segment{kind: data[len(segMagic)], goodLen: int64(headerSize)}
+	var win window
 	for off := headerSize; off < len(data); {
 		payload, next, ok := nextRecord(data, off)
 		if !ok {
 			seg.torn = true
 			break
 		}
-		// The segment's read buffer is viewed by every block in it: payload
-		// is the block's frame and its fields are sub-slices of it
-		// (block.Decode), so a scanned block copies nothing and downstream
-		// consumers — syncsvc streaming above all — re-serve the on-disk
-		// encoding verbatim. The cost: a live block pins the whole buffer.
-		b, err := block.Decode(payload)
+		var b *block.Block
+		var err error
+		if seg.kind == kindFrameWAL {
+			b, err = block.Decode(bytes.Clone(payload))
+		} else {
+			b, err = getRecord(payload, &win)
+		}
 		if err != nil {
 			// The checksum matched, so these bytes were written
 			// whole: a malformed block is corruption (or a buggy
@@ -222,14 +240,14 @@ func readSegment(sf segFile) (segment, error) {
 	if (kind == kindSnap) != sf.snap {
 		return segment{}, fmt.Errorf("%w: %s: kind/extension mismatch", ErrCorrupt, sf.path)
 	}
-	if kind == kindWAL {
+	if kind != kindSnap {
 		return scanWAL(data), nil
 	}
 	sv, err := decodeSnapshot(data, sf.path)
 	if err != nil {
 		return segment{}, err
 	}
-	return segment{snap: sv, blocks: sv.blocks, goodLen: int64(len(data))}, nil
+	return segment{kind: kind, snap: sv, blocks: sv.blocks, goodLen: int64(len(data))}, nil
 }
 
 // newestSnapshot splits a sorted segment listing at its newest snapshot:
@@ -252,9 +270,9 @@ func newestSnapshot(segs []segFile) (stale, live []segFile) {
 // what Open returns. This is the serving side of bulk catch-up (package
 // syncsvc): decode-only and CRC-checked, signatures are NOT verified — the
 // receiving client validates every block in its live DAG, as a restarting
-// node validates Open's. Every returned block carries its on-disk record
-// payload as its cached canonical encoding (block.Decode retains the
-// frame), so serving a stream from these blocks never re-serializes.
+// node validates Open's. Every returned block carries the canonical frame
+// the reader rebuilt once from its record (scanWAL) as its cached
+// encoding, so serving a stream from these blocks encodes nothing again.
 //
 // ScanDir may run concurrently with a live writer on the same directory:
 // a partial record at the tail of a segment (an append in progress, or a

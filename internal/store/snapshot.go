@@ -85,22 +85,17 @@ func encodeSnapshot(blocks []*block.Block, base []dag.Base, horizon map[types.Se
 	}
 	w.Uvarint(uint64(len(blocks)))
 	for i, b := range blocks {
-		w.Uint16(uint16(b.Builder))
-		w.Uvarint(b.Seq)
-		w.Uvarint(uint64(len(b.Preds)))
-		for _, p := range b.Preds {
+		err := putBlock(w, b, func(w *wire.Writer, p block.Ref) error {
 			j, ok := pos[p]
 			if !ok {
-				return nil, fmt.Errorf("store: snapshot block %v references %v outside the snapshot and base", b.Ref(), p)
+				return fmt.Errorf("store: snapshot block %v references %v outside the snapshot and base", b.Ref(), p)
 			}
 			w.Uvarint(uint64(j))
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		w.Uvarint(uint64(len(b.Requests)))
-		for _, rq := range b.Requests {
-			w.String(string(rq.Label))
-			w.VarBytes(rq.Data)
-		}
-		w.VarBytes(b.Sig)
 		pos[b.Ref()] = len(base) + i
 	}
 	body := w.Bytes()
@@ -150,38 +145,16 @@ func decodeSnapshot(data []byte, path string) (*snapshot, error) {
 	count := r.Count(1 << 31)
 	sv.blocks = make([]*block.Block, 0, count)
 	for i := 0; i < count; i++ {
-		builder := types.ServerID(r.Uint16())
-		seq := r.Uvarint()
-		nPreds := r.Count(block.MaxPreds)
-		preds := make([]block.Ref, 0, nPreds)
-		for k := 0; k < nPreds; k++ {
+		b, err := getBlock(r, func(r *wire.Reader) (block.Ref, error) {
 			j := r.Uvarint()
 			if r.Err() != nil {
-				break
+				return block.Ref{}, nil
 			}
 			if j >= uint64(len(refs)) {
-				return nil, fmt.Errorf("%w: %s: block %d references forward index %d", ErrCorrupt, path, i, j)
+				return block.Ref{}, fmt.Errorf("references forward index %d", j)
 			}
-			preds = append(preds, refs[j])
-		}
-		nReqs := r.Count(block.MaxRequests)
-		reqs := make([]block.Request, 0, nReqs)
-		for k := 0; k < nReqs; k++ {
-			reqs = append(reqs, block.Request{
-				Label: types.Label(r.String()),
-				Data:  r.VarBytesView(),
-			})
-		}
-		sig := r.VarBytesView()
-		if r.Err() != nil {
-			break
-		}
-		// Re-encode the fields canonically — the one encoding Decode accepts,
-		// so byte for byte the frame the snapshot was taken of — and decode
-		// that: the block views a frame of its own, not the file, and
-		// carries a freshly computed ref(B).
-		fields := block.Block{Builder: builder, Seq: seq, Preds: preds, Requests: reqs, Sig: sig}
-		b, err := block.Decode(fields.Encode())
+			return refs[j], nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: block %d: %v", ErrCorrupt, path, i, err)
 		}

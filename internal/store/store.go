@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -14,6 +13,7 @@ import (
 	"blockdag/internal/dag"
 	"blockdag/internal/evidence"
 	"blockdag/internal/types"
+	"blockdag/internal/wire"
 )
 
 // SyncPolicy selects when Append fsyncs the live WAL segment. See the
@@ -144,22 +144,26 @@ type Store struct {
 	cur      *os.File
 	curIndex uint64
 	curSize  int64
-	nextIdx  uint64
+	// win names the live segment's latest records, the ones a record
+	// written next can cite by distance: only records on disk, since a
+	// failed write ends the segment (flushPending).
+	win     window
+	nextIdx uint64
 	// walSegs counts the WAL segments on disk newer than the last
 	// snapshot — the quantity automatic checkpoint scheduling thresholds
 	// on (node.Config.CheckpointEverySegments).
 	walSegs int
 
-	// Group-commit state (BeginBatch / FlushBatch). Append frames records
-	// into scratch; FlushBatch writes the whole buffer with one syscall per
-	// segment run and makes one fsync-policy decision for the burst — a
-	// burst of one outside a window. scratch is reused across flushes, so
-	// steady-state journaling allocates nothing. pendingRefs names the
-	// buffered records, counted into blocks at buffer time, so a failed
-	// flush can take back exactly those that never reached the disk.
-	batching    bool
-	scratch     []byte
-	pendingRefs []block.Ref
+	// Group-commit state (BeginBatch / FlushBatch). Append holds the block
+	// in batch, counted into blocks; FlushBatch frames the records into rec
+	// and writes them with one syscall per segment run, then makes one
+	// fsync-policy decision for the burst — a burst of one outside a
+	// window. A record's bytes depend on the segment it lands in (win), so
+	// they are fixed only there. batch and rec are reused across flushes, so
+	// steady-state journaling allocates nothing.
+	batching bool
+	batch    []*block.Block
+	rec      wire.Writer
 
 	dirty bool
 	// dirDirty records that the live segment's directory entry is not
@@ -294,13 +298,18 @@ func (s *Store) recover() error {
 				}
 			}
 		}
-		// Resume the final WAL segment if it has room, else start fresh.
-		if i == len(segs)-1 && !s.opts.ReadOnly && seg.goodLen < s.opts.SegmentSize {
+		// Resume the final WAL segment if it has room, with its window as the
+		// scan left it; else start fresh. A kind-1 segment is never written
+		// to again: the next append opens a kind-4 one behind it.
+		if i == len(segs)-1 && !s.opts.ReadOnly && seg.kind == kindWAL && seg.goodLen < s.opts.SegmentSize {
 			f, err := os.OpenFile(sf.path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return fmt.Errorf("store: reopen segment: %w", err)
 			}
 			s.cur, s.curIndex, s.curSize = f, sf.index, seg.goodLen
+			for _, b := range seg.blocks[max(0, len(seg.blocks)-walWindow):] {
+				s.win.push(b.Ref())
+			}
 		}
 	}
 	s.blocks = len(s.recovered)
@@ -383,8 +392,8 @@ func (s *Store) DiskSize() (int64, error) {
 // twice costs its bytes until Open or a Checkpoint drops it). Durability
 // follows the configured fsync policy; use Sync to force the strongest point.
 //
-// Between BeginBatch and FlushBatch, Append only frames the record into
-// the group-commit buffer; see FlushBatch for when the bytes hit the disk.
+// Between BeginBatch and FlushBatch, Append only adds the block to the
+// group-commit batch; see FlushBatch for when its record hits the disk.
 func (s *Store) Append(b *block.Block) error {
 	if s.closed {
 		return errors.New("store: append after Close")
@@ -395,11 +404,10 @@ func (s *Store) Append(b *block.Block) error {
 	if s.failed != nil {
 		return fmt.Errorf("store: unusable after write failure: %w", s.failed)
 	}
-	// One write path: frame into the group-commit buffer and count the
-	// block (a failed flush takes it back out). Inside a window the write
-	// waits for FlushBatch; outside one, this record is a batch of one.
-	s.scratch = appendRecord(s.scratch, b.Encode())
-	s.pendingRefs = append(s.pendingRefs, b.Ref())
+	// One write path: batch the block and count it (a failed flush takes it
+	// back out). Inside a window the write waits for FlushBatch; outside
+	// one, this block is a batch of one.
+	s.batch = append(s.batch, b)
 	s.blocks++
 	if s.batching {
 		return nil
@@ -433,16 +441,16 @@ func (s *Store) BeginBatch() {
 	s.batching = true
 }
 
-// FlushBatch closes the group-commit window and writes every buffered
-// record: one write syscall per contiguous run that fits the live
+// FlushBatch closes the group-commit window and writes every batched
+// block's record: one write syscall per contiguous run that fits the live
 // segment (rotating between runs), then a single fsync-policy decision
-// for the whole burst. A flush with nothing buffered is a no-op. On a
+// for the whole burst. A flush with nothing batched is a no-op. On a
 // write error the frontier is rolled back by the unwritten records and
-// the torn tail is repaired (flushPending); the error reports the first
-// block that was lost.
+// the live segment is cut back and ended (flushPending); the error
+// reports the first block that was lost.
 func (s *Store) FlushBatch() error {
 	s.batching = false
-	if len(s.scratch) == 0 {
+	if len(s.batch) == 0 {
 		return nil
 	}
 	if err := s.flushPending(); err != nil {
@@ -451,75 +459,81 @@ func (s *Store) FlushBatch() error {
 	return s.syncByPolicy()
 }
 
-// flushPending writes the buffered batch records and resets the buffer,
+// flushPending writes the batched blocks' records and empties the batch,
 // leaving the batching flag alone (Sync drains mid-batch without closing
 // the window). The fsync decision is the caller's.
 func (s *Store) flushPending() error {
-	buf, refs := s.scratch, s.pendingRefs
-	s.scratch, s.pendingRefs = s.scratch[:0], s.pendingRefs[:0]
+	batch := s.batch
+	s.batch = batch[:0]
+	defer clear(batch) // the batch keeps no flushed block alive
 	if s.closed || s.opts.ReadOnly {
-		// Append refused these before buffering anything; nothing can be
+		// Append refused these before batching anything; nothing can be
 		// pending. Guard anyway so a misuse cannot write to a dead store.
 		return nil
 	}
-	written := 0 // records durably handed to the kernel so far
-	off := 0
-	for off < len(buf) {
+	for i := 0; i < len(batch); {
 		if s.cur == nil {
 			if err := s.newSegment(); err != nil {
-				s.unmarkPending(refs[written:])
+				s.blocks -= len(batch) - i
 				return err
 			}
 		}
-		// Grow the largest run starting at off that the live segment
-		// accepts under the rotation rule: rotate before a record that
-		// would overflow, unless the segment holds nothing but its header
-		// (records are never split; a segment may exceed the threshold by
-		// one record).
-		end, recs := off, 0
-		for end < len(buf) {
-			recLen := recHeaderSize + int(binary.BigEndian.Uint32(buf[end:end+4]))
-			used := s.curSize + int64(end-off)
-			if used+int64(recLen) > s.opts.SegmentSize && used > int64(headerSize) {
+		// Frame the longest run from i that the live segment accepts under
+		// the rotation rule: rotate before a record that would overflow,
+		// unless the segment holds nothing but its header (records are
+		// never split; a segment may exceed the threshold by one record).
+		// A record is framed against the live segment's window and kept
+		// only if it fits; otherwise the next segment frames it afresh.
+		run := i
+		s.rec.Truncate(0)
+		for ; i < len(batch); i++ {
+			mark := s.rec.Len()
+			used := s.curSize + int64(mark)
+			putRecord(&s.rec, batch[i], &s.win)
+			if used+int64(s.rec.Len()-mark) > s.opts.SegmentSize && used > int64(headerSize) {
+				s.rec.Truncate(mark)
 				break
 			}
-			end += recLen
-			recs++
+			s.win.push(batch[i].Ref())
 		}
-		if recs == 0 {
+		if i == run {
 			if err := s.rotate(); err != nil {
-				s.unmarkPending(refs[written:])
+				s.blocks -= len(batch) - i
 				return err
 			}
 			continue
 		}
-		if _, err := s.cur.Write(buf[off:end]); err != nil {
-			// The segment may now end in a partial record. Truncate back to
-			// the last good offset so a later append cannot bury torn bytes
-			// mid-segment (recovery would then stop there and silently drop
-			// everything after, or fail the whole segment). Segments are
-			// opened O_APPEND, so the next write lands at the truncated EOF
-			// rather than the stale offset past it, which would leave a
-			// zero-filled gap recovery stops at. If the repair also fails,
-			// latch: refusing further appends keeps every record recovery
-			// does return trustworthy.
-			if terr := s.cur.Truncate(s.curSize); terr != nil {
-				s.failed = err
-			}
-			s.unmarkPending(refs[written:])
-			return fmt.Errorf("store: append block %v: %w", refs[written], err)
+		if _, err := s.cur.Write(s.rec.Bytes()); err != nil {
+			s.blocks -= len(batch) - run
+			s.endFailedSegment(err)
+			return fmt.Errorf("store: append block %v: %w", batch[run].Ref(), err)
 		}
-		s.curSize += int64(end - off)
+		s.curSize += int64(s.rec.Len())
 		s.dirty = true
-		off = end
-		written += recs
 	}
 	return nil
 }
 
-// unmarkPending rolls the frontier back by the batch records that never
-// reached the disk: Len counts what is journaled.
-func (s *Store) unmarkPending(refs []block.Ref) { s.blocks -= len(refs) }
+// endFailedSegment ends the live segment after a failed write. The segment
+// may end in a partial record: it is truncated back to the last good
+// offset, so no later reader meets torn bytes before the next segment's
+// records (recovery would stop there and silently drop everything after,
+// or fail the whole segment), and closed, so the next append opens a fresh
+// segment whose window names only records on disk. Like a rotation it
+// fsyncs first unless the policy is SyncNever, best effort: a power cut
+// must not keep the next segment and tear this one's unsynced tail, which
+// recovery would find mid-journal. If the repair fails, the store latches:
+// refusing further appends keeps every record recovery does return
+// trustworthy.
+func (s *Store) endFailedSegment(err error) {
+	if terr := s.cur.Truncate(s.curSize); terr != nil {
+		s.failed = err
+	} else if s.dirty && s.opts.Sync != SyncNever {
+		_ = s.cur.Sync() // the write already failed; that error is the one reported
+	}
+	_ = s.cur.Close()
+	s.cur, s.curSize, s.dirty = nil, 0, false
+}
 
 // PersistSink returns the persistence hook (core.Journal) for the server
 // owning this store: it journals every inserted block and, for blocks
@@ -565,7 +579,7 @@ func (s *Store) PersistSink(self types.ServerID) func(*block.Block) error {
 // first — Sync means "everything appended so far is durable", batched or
 // not — without closing the window.
 func (s *Store) Sync() error {
-	if len(s.scratch) > 0 {
+	if len(s.batch) > 0 {
 		if err := s.flushPending(); err != nil {
 			return err
 		}
@@ -597,9 +611,10 @@ func (s *Store) Tick() error {
 	return s.syncByPolicy()
 }
 
-// newSegment starts WAL segment nextIdx. O_APPEND keeps every write at
-// EOF, so the torn-write repair in flushPending (truncate back to the last
-// good record) composes with later appends without gaps.
+// newSegment starts WAL segment nextIdx, with an empty window: a segment's
+// records name predecessors only among its own. O_APPEND keeps every write
+// at EOF, so a truncation of the live segment composes with later appends
+// without gaps.
 func (s *Store) newSegment() error {
 	path := filepath.Join(s.dir, segName(s.nextIdx, false))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
@@ -616,6 +631,7 @@ func (s *Store) newSegment() error {
 	s.cur = f
 	s.curIndex = s.nextIdx
 	s.curSize = int64(headerSize)
+	s.win.reset()
 	s.nextIdx++
 	s.walSegs++
 	s.dirDirty = true
@@ -655,9 +671,9 @@ type CompactStats struct {
 
 // Checkpoint writes d's blocks as a snapshot segment and deletes every
 // strictly older segment, bounding the store to O(live DAG) bytes: WAL
-// framing overhead, duplicate records, torn garbage, and blocks absent
-// from d are all dropped, and predecessor references are stored as
-// snapshot-internal indexes instead of 32-byte hashes.
+// framing overhead, duplicate records, torn garbage, blocks absent from d
+// and kind-1 segments are all dropped, and every predecessor is named by a
+// snapshot-internal index, never by its 32-byte hash.
 //
 // The snapshot becomes durable (written to a temp file, fsynced, renamed)
 // before any old segment is deleted, so a crash at any point leaves a

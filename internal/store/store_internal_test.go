@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"testing"
 
 	"blockdag/internal/block"
@@ -67,6 +68,55 @@ func TestAppendAfterTornWriteRepair(t *testing.T) {
 	}
 	if tb := re.Report().TornBytes; tb != 0 {
 		t.Fatalf("recovery found %d torn bytes in a repaired log", tb)
+	}
+}
+
+// TestFailedWriteEndsTheSegment: a write that fails partway leaves torn bytes
+// (written by hand here) and the repair flushPending runs; it cuts them off
+// and closes the segment, and the next append opens a fresh one, whose window
+// names nothing in the old: a block citing one there names it by ref, and a
+// reopen reads both segments whole.
+func TestFailedWriteEndsTheSegment(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b0 := block.New(0, 0, nil, nil)
+	if err := b0.Seal(signers[0]); err != nil {
+		t.Fatal(err)
+	}
+	b1 := block.New(1, 0, []block.Ref{b0.Ref()}, nil)
+	if err := b1.Seal(signers[1]); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Roster: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(b0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.cur.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
+		t.Fatal(err)
+	}
+	st.endFailedSegment(errors.New("no space left on device"))
+	if st.cur != nil || st.failed != nil {
+		t.Fatalf("after the repair: live segment %v, latched %v; want none and none", st.cur, st.failed)
+	}
+	if err := st.Append(b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{Roster: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = re.Close() }()
+	if rep := re.Report(); len(re.Blocks()) != 2 || rep.Segments != 2 || rep.TornBytes != 0 {
+		t.Fatalf("reopened: %d blocks in %d segments, %d torn bytes; want 2 in 2, none", len(re.Blocks()), rep.Segments, rep.TornBytes)
 	}
 }
 

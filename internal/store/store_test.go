@@ -2,7 +2,9 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -621,6 +623,80 @@ func TestTornHeaderSegmentResume(t *testing.T) {
 	}
 	if rep := st3.Report(); rep.TornBytes != 0 {
 		t.Fatalf("reopen after repair reports %d torn bytes", rep.TornBytes)
+	}
+}
+
+// TestReopenResumesTheLiveSegment: a reopened store appends to its half-full
+// final segment with the back-reference window its scan rebuilt, so the
+// segment ends byte for byte as if the store had never closed, and a
+// further reopen finds one segment and every block.
+func TestReopenResumesTheLiveSegment(t *testing.T) {
+	roster, blocks := chain(t, 40)
+	oneGo, twoGoes := t.TempDir(), t.TempDir()
+	st := openStore(t, oneGo, roster, store.Options{})
+	appendAll(t, st, blocks)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range [][]*block.Block{blocks[:25], blocks[25:]} {
+		st := openStore(t, twoGoes, roster, store.Options{})
+		appendAll(t, st, part)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, got := readDirBytes(t, oneGo), readDirBytes(t, twoGoes)
+	if len(got) != 1 || len(want) != 1 {
+		t.Fatalf("%d segments after a reopen, %d without; want one each", len(got), len(want))
+	}
+	for name, data := range want {
+		if !bytes.Equal(got[name], data) {
+			t.Fatalf("segment %s differs when the store was reopened halfway", name)
+		}
+	}
+	re := openStore(t, twoGoes, roster, store.Options{})
+	defer re.Close()
+	if rep := re.Report(); rep.Segments != 1 || !sameRefs(re.Blocks(), blocks) {
+		t.Fatalf("reopened: %d segments, %d blocks; want 1 and %d", rep.Segments, len(re.Blocks()), len(blocks))
+	}
+}
+
+// TestFrameSegmentIsNeverWritten: a store whose final segment is kind 1 —
+// raw frames, as every store wrote before kind 4 — opens, keeps those bytes
+// untouched, and journals what comes next into a new kind-4 segment behind
+// it; a reopen reads both.
+func TestFrameSegmentIsNeverWritten(t *testing.T) {
+	roster, blocks := chain(t, 20)
+	dir := t.TempDir()
+	frames := []byte("BDSTOR1\n\x01")
+	for _, b := range blocks[:10] {
+		frames = binary.BigEndian.AppendUint32(frames, uint32(b.EncodedSize()))
+		frames = binary.BigEndian.AppendUint32(frames, crc32.ChecksumIEEE(b.Encode()))
+		frames = append(frames, b.Encode()...)
+	}
+	old := filepath.Join(dir, "0000000000000001.wal")
+	if err := os.WriteFile(old, frames, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir, roster, store.Options{})
+	if got := len(st.Blocks()); got != 10 {
+		t.Fatalf("kind-1 segment read as %d blocks, want 10", got)
+	}
+	appendAll(t, st, blocks[10:])
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := readDirBytes(t, dir)
+	if !bytes.Equal(files[filepath.Base(old)], frames) {
+		t.Fatal("appending changed the kind-1 segment")
+	}
+	if next := files["0000000000000002.wal"]; len(next) < 9 || next[8] != 4 {
+		t.Fatalf("the next appends went to %d files, not a kind-4 segment behind the old one", len(files))
+	}
+	re := openStore(t, dir, roster, store.Options{})
+	defer re.Close()
+	if rep := re.Report(); rep.Segments != 2 || !sameRefs(re.Blocks(), blocks) {
+		t.Fatalf("reopened: %d segments, %d blocks; want 2 and %d", rep.Segments, len(re.Blocks()), len(blocks))
 	}
 }
 

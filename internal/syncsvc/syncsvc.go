@@ -167,8 +167,8 @@ func DecodeRequest(data []byte) ([]Watermark, error) {
 // exposed for alternative servers and for tests that hand-craft streams
 // (including hostile ones). Each b.Encode() is the block's cached
 // canonical frame (encode-once invariant): blocks loaded from the store
-// carry the WAL record payload verbatim, so streaming is zero-copy from
-// disk bytes to wire frame — nothing is re-serialized here.
+// carry the frame the store's reader rebuilt from their records, so
+// nothing is re-serialized here.
 func EncodeBatchFrame(blocks []*block.Block) []byte {
 	encs := make([][]byte, len(blocks))
 	for i, b := range blocks {
@@ -442,9 +442,9 @@ func (s *Server) ServeCall(from types.ServerID, req []byte, st transport.ServerS
 
 	var (
 		// Each entry is the block's cached canonical frame — for
-		// store-loaded blocks the raw WAL record payload (encode-once
-		// invariant), so the serve path is zero-copy: disk record bytes
-		// flow into the stream frame without re-serialization.
+		// store-loaded blocks the one the store's reader rebuilt from the
+		// record (encode-once invariant), so the serve path encodes
+		// nothing again.
 		batch      [][]byte
 		batchBytes int
 		total      uint64

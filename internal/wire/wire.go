@@ -65,6 +65,10 @@ func (w *Writer) Bytes() []byte { return w.buf }
 // Len returns the number of bytes encoded so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
+// Truncate discards all but the first n encoded bytes, keeping the buffer's
+// capacity: a Writer reused across encodings allocates only to grow.
+func (w *Writer) Truncate(n int) { w.buf = w.buf[:n] }
+
 // Byte appends a single raw byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
 
