@@ -22,12 +22,13 @@ bench-smoke:
 FUZZTIME ?= 3s
 
 .PHONY: fuzz-smoke
-# fuzz-smoke runs every fuzz target for a few seconds: each decoder a
-# byzantine or unauthenticated peer can reach (blocks, gossip messages,
-# evidence, state proofs and snapshot chunks, the snapshot meta frame,
-# the wire reader and stream framing, the sync channel's delta request
-# and stream — its watermark answer has had no decoder, so no target,
-# since PR 30) and the two a failing disk can (store WAL records, snapshot
+# fuzz-smoke runs every fuzz target for a few seconds — 16 of them: each
+# decoder a byzantine or unauthenticated peer can reach (blocks, gossip
+# messages, evidence, state proofs and snapshot chunks, the snapshot meta
+# frame, the wire reader and stream framing, the sync channel's delta
+# request and stream — its watermark answer has had no decoder, so no
+# target, since PR 30 — and the gateway's submit body, which any client
+# writes) and the two a failing disk can (store WAL records, snapshot
 # segments). `go test`
 # without -fuzz only replays the seed corpus; this also proves the targets
 # still mutate, and a crasher it finds lands in the package's
@@ -54,13 +55,15 @@ race:
 # the store's replay included: it is the same absorb with the disk as the
 # peer, the assembly's snapshot rejoin: every tier over one listener, and
 # its accountability run (an equivocator banned over TCP and across a
-# Restart), and the checkpoint tests (TestNodeAutomaticCheckpointing was the
-# timing flake PR 23 fixed) — ten times under the race detector, so a test
+# Restart), the checkpoint tests (TestNodeAutomaticCheckpointing was the
+# timing flake PR 23 fixed) and the store's read-back of released blocks
+# (the location column a checkpoint rewrites under the DAG's feet) — ten
+# times under the race detector, so a test
 # that fails one run in five (as TestAuthWrongKeyRejected did until PR 12)
 # is caught in the PR that introduces it rather than blocking unrelated
 # work later. The -run filter keeps it around a minute.
 flake-smoke:
-	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint' \
+	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|RowBack' \
 		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy
 
 .PHONY: experiments-smoke
@@ -324,7 +327,7 @@ KNOBS = core.Config gossip.Config node.Config node.StateSyncConfig store.Options
 
 # KNOBS_MAX is the ceiling on fields no non-test code assigns. It only
 # falls: a PR that turns a knob into a constant lowers it to the new count.
-KNOBS_MAX = 22
+KNOBS_MAX = 21
 
 .PHONY: knobs
 # knobs lists the options nobody sets: for every exported field of a

@@ -76,3 +76,70 @@ func TestRetainedPerBlock(t *testing.T) {
 		t.Fatalf("a server retains %.0f B per block, bound %d", perBlock, retainedPerBlockBound)
 	}
 }
+
+// TestRetainedPerReleasedBlock is TestRetainedPerBlock with the bytes in:
+// 4 096 blocks carrying two 1 KiB requests each (two labels, so the
+// instances are two and the rest of the requests a retired label's), built
+// one at a time and dropped by the test once the server has them. Over a
+// store every block every chain has read leaves RAM and the store answers
+// for it, so what a block leaves behind is its row — the bound of a block
+// without bytes. Over the volatile journal, the simulator's, the bytes stay.
+func TestRetainedPerReleasedBlock(t *testing.T) {
+	const count, size = 4096, 1 << 10
+	for _, durable := range []bool{true, false} {
+		h := dagtest.NewHarness(4)
+		st, err := store.Open(t.TempDir(), store.Options{Roster: h.Roster, Sync: store.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := dagtest.LiveHeap()
+		srv, err := core.NewServer(core.Config{
+			Roster: h.Roster, Signer: h.Signers[0], Protocol: brb.Protocol{},
+			Transport: &recordingTransport{self: 0}, Clock: func() time.Duration { return 0 },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if durable {
+			if err := srv.SetJournal(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Four staggered chains, each block citing its parent and the block
+		// built just before it.
+		data := make([]byte, size)
+		var last block.Ref
+		parents := make([]*block.Ref, 4)
+		for i := 0; i < count; i++ {
+			builder := i % 4
+			var preds []block.Ref
+			if p := parents[builder]; p != nil {
+				preds = append(preds, *p)
+			}
+			if i > 0 {
+				preds = append(preds, last)
+			}
+			data[0], data[1] = byte(i), byte(i>>8)
+			reqs := []block.Request{{Label: "retained/a", Data: data}, {Label: "retained/b", Data: data}}
+			b := h.Seal(builder, uint64(i/4), preds, reqs...)
+			if err := srv.AbsorbVerified(b); err != nil {
+				t.Fatal(err)
+			}
+			ref := b.Ref()
+			last, parents[builder] = ref, &ref
+		}
+		perBlock := float64(dagtest.LiveHeap()-before) / count
+		runtime.KeepAlive(srv)
+		if srv.DAG().Len() != count || srv.Interpreter().Blocks() != count || srv.Health() != nil {
+			t.Fatalf("%d blocks in the DAG, %d interpreted (health: %v), want %d", srv.DAG().Len(), srv.Interpreter().Blocks(), srv.Health(), count)
+		}
+		_ = st.Close()
+		t.Logf("durable %v: %.0f B retained per block of %d B of requests", durable, perBlock, 2*size)
+		switch {
+		case durable && perBlock > retainedPerBlockBound:
+			t.Fatalf("a server over a store retains %.0f B per block, bound %d", perBlock, retainedPerBlockBound)
+		case !durable && perBlock < 2*size:
+			t.Fatalf("a server over the volatile journal retains %.0f B per block, less than its %d B of requests", perBlock, 2*size)
+		}
+	}
+}

@@ -103,11 +103,13 @@ type Server struct {
 	// (and through it, the client gateway) hooks into.
 	indObservers []func(label types.Label, value []byte)
 
-	// journal makes blocks and convictions durable (SetJournal; nothing is
-	// kept until then). persist is journal.PersistSink(self), made once
-	// rather than per inserted block.
-	journal Journal
-	persist func(*block.Block) error
+	// journal makes blocks and convictions durable (SetJournal, which sets
+	// journalSet; until then the volatile journal keeps the blocks in RAM)
+	// and answers for the blocks the DAG releases. persist is
+	// journal.PersistSink(self), made once rather than per inserted block.
+	journal    Journal
+	journalSet bool
+	persist    func(*block.Block) error
 
 	// firstErr records the first internal invariant violation (never
 	// expected; exposed for diagnosis rather than panicking).
@@ -139,13 +141,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Scores == nil {
 		cfg.Scores = peerscore.New(peerscore.Options{Clock: cfg.Clock})
 	}
-	s := &Server{
-		self:    cfg.Signer.ID(),
-		cfg:     cfg,
-		dag:     dag.New(cfg.Roster),
-		journal: volatile{},
-	}
-	s.persist = s.journal.PersistSink(s.self)
+	s := &Server{self: cfg.Signer.ID(), cfg: cfg, dag: dag.New(cfg.Roster)}
+	s.useJournal(&volatile{})
 
 	// One numbering a server: the interpreter keeps its states by the DAG's.
 	s.interp = interpret.New(
@@ -291,6 +288,11 @@ func (s *Server) onInsert(b *block.Block) error {
 		// Insertion order guarantees eligibility; an error here means
 		// an invariant was broken, not a runtime condition.
 		s.firstErr = fmt.Errorf("core: interpret block %v: %w", b.Ref(), err)
+	}
+	if s.firstErr == nil {
+		// What every chain has read leaves RAM — for as long as the
+		// journal has taken every block so far.
+		s.dag.Release(s.interp.Frontier())
 	}
 	return perr
 }
@@ -450,36 +452,52 @@ func (s *Server) AbsorbVerified(b *block.Block) error {
 // pulled stream. The runtime keeps its watermark vector this way.
 func (s *Server) ObserveInserts(fn func(*block.Block)) { s.dag.SetOnInsert(fn) }
 
-// Journal is the durable backend behind a server; store.Store implements
+// Journal is the backend behind a server's blocks; store.Store implements
 // it. PersistSink(self) journals every block inserted into the DAG (own and
 // received alike) before the block is interpreted — before any indication
 // it causes becomes user-visible, and, for own blocks, durably before gossip
 // broadcasts them: the write-ahead discipline that keeps a post-crash
 // restart from self-equivocating. The sink is handed every block once, in the
 // DAG's order from its first (call k is dag.BlockAt(k)): all a journal needs
-// to tell the blocks it holds, back through Restore, from new ones.
-// BeginBatch/FlushBatch are the group-commit window DeliverBatch brackets its
-// bursts with (see store.BeginBatch for the durability contract). Evidence
-// returns the proofs journaled so far, verified on load; AppendEvidence
-// journals a newly accepted one.
+// to tell the blocks it holds, back through Restore, from new ones. Block(k)
+// reads that block back (dag.Journal): the DAG releases a block every chain
+// has read and the journal answers for it from then on; Rows hands the
+// journal the DAG's references by the same numbers, which it reads its
+// records back against. BeginBatch/FlushBatch are the group-commit window
+// DeliverBatch brackets its bursts with (see store.BeginBatch for the
+// durability contract). Evidence returns the proofs journaled so far,
+// verified on load; AppendEvidence journals a newly accepted one.
 type Journal interface {
 	PersistSink(self types.ServerID) func(*block.Block) error
+	Block(row int) (*block.Block, error)
+	Rows(ref func(row int) block.Ref)
 	BeginBatch()
 	FlushBatch() error
 	Evidence() []*evidence.Proof
 	AppendEvidence(*evidence.Proof) error
 }
 
-// volatile is the Journal of a server nobody gave one: it keeps nothing.
-type volatile struct{}
+// volatile is the Journal of a server nobody gave one: it keeps every block
+// the DAG releases — all of them, in RAM — and no evidence.
+type volatile struct{ blocks []*block.Block }
 
-func (volatile) PersistSink(types.ServerID) func(*block.Block) error {
-	return func(*block.Block) error { return nil }
+func (v *volatile) PersistSink(types.ServerID) func(*block.Block) error {
+	return func(b *block.Block) error {
+		v.blocks = append(v.blocks, b)
+		return nil
+	}
 }
-func (volatile) BeginBatch()                          {}
-func (volatile) FlushBatch() error                    { return nil }
-func (volatile) Evidence() []*evidence.Proof          { return nil }
-func (volatile) AppendEvidence(*evidence.Proof) error { return nil }
+func (v *volatile) Block(row int) (*block.Block, error) {
+	if row >= len(v.blocks) {
+		return nil, fmt.Errorf("core: no block %d", row)
+	}
+	return v.blocks[row], nil
+}
+func (*volatile) Rows(func(int) block.Ref)             {}
+func (*volatile) BeginBatch()                          {}
+func (*volatile) FlushBatch() error                    { return nil }
+func (*volatile) Evidence() []*evidence.Proof          { return nil }
+func (*volatile) AppendEvidence(*evidence.Proof) error { return nil }
 
 // SetJournal makes the server durable — the one hook node.Config.Store
 // uses, since the node receives an already-built Server. It must be called
@@ -497,17 +515,26 @@ func (volatile) AppendEvidence(*evidence.Proof) error { return nil }
 // on every correct server regardless of local disk trouble. A proof that
 // fails to journal is latched the same way and stays accepted.
 func (s *Server) SetJournal(j Journal) error {
-	if s.journal != (volatile{}) {
+	if s.journalSet {
 		return errors.New("core: journal already set")
 	}
 	if s.dag.Len() > 0 {
 		return errors.New("core: journal set after blocks were inserted")
 	}
-	s.journal, s.persist = j, j.PersistSink(s.self)
+	s.useJournal(j)
+	s.journalSet = true
 	for _, p := range j.Evidence() {
 		s.gsp.Convict(p)
 	}
 	return nil
+}
+
+// useJournal makes j the server's journal: the persist sink, and what
+// answers for the blocks the DAG releases.
+func (s *Server) useJournal(j Journal) {
+	s.journal, s.persist = j, j.PersistSink(s.self)
+	j.Rows(s.dag.BlockRef)
+	s.dag.SetJournal(j)
 }
 
 // DAG exposes the server's block DAG for offline interpretation,

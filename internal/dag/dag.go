@@ -32,6 +32,17 @@
 // DAG), and "which block holds (builder, seq)" is the graph's slot column.
 // A node therefore pays one map entry per block across both layers, and a
 // prefix of the rows is all a horizon cut would have to drop.
+//
+// # Rows are never removed; bytes leave RAM
+//
+// A row — vertex, index entry, chain position, summary — stays for good.
+// A block's bytes (its frame, request table and labels) leave once every
+// chain has read it (Release, at the frontier package interpret computes)
+// and the journal (SetJournal) answers for them: every reader below — Get,
+// BlockAt, All, Blocks, ByBuilder, EquivocationBlocks, ReadRow — goes
+// through one accessor that reads a released block back from the journal.
+// Validation, insertion and reachability read rows only, so the fork-free
+// path never reads a block back.
 package dag
 
 import (
@@ -44,6 +55,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/graph"
+	"blockdag/internal/metrics"
 	"blockdag/internal/types"
 )
 
@@ -94,16 +106,34 @@ func VerifyEquivocationProof(roster *crypto.Roster, b1, b2 *block.Block) error {
 	return nil
 }
 
-// DAG is one server's local block DAG G ∈ Dags. It is an append-only
-// store: blocks are validated before insertion and never removed. DAG is
-// not safe for concurrent mutation; the owning state machine serializes
-// access.
+// Journal answers for the blocks a DAG has released: Block returns the
+// row-th inserted block (stand-ins not counted), read back. core.Journal is
+// one — the store a server journals to, or the volatile journal that keeps
+// every block of a server without one. A block it held and no longer does
+// (history pruned below a horizon) is ErrPruned.
+type Journal interface {
+	Block(row int) (*block.Block, error)
+}
+
+// ErrPruned is a journal's answer for a block it no longer holds.
+var ErrPruned = errors.New("dag: block pruned from the journal")
+
+// DAG is one server's local block DAG G ∈ Dags: blocks are validated before
+// insertion and their rows never removed, though a released block's bytes
+// are the journal's to hold (package doc). DAG is not safe for concurrent
+// use; the owning state machine serializes access.
 type DAG struct {
 	roster *crypto.Roster
 	g      *graph.DAG[block.Ref]
 	// order holds the blocks in insertion order, a topological order:
-	// the block of graph vertex i is order[i-len(base)].
-	order []*block.Block
+	// the block of graph vertex i is order[i-len(base)]; nil once released,
+	// when journal answers for it. below is, by builder, the sequence number
+	// its released blocks lie under; held counts the blocks order holds.
+	order   []*block.Block
+	journal Journal
+	below   []uint64
+	held    int
+	counts  metrics.Metrics // over Families
 
 	// base holds stand-in entries for pruned blocks (SeedBase): their
 	// refs satisfy predecessor and parent checks, but the blocks
@@ -145,8 +175,79 @@ type slot struct {
 
 // New returns an empty block DAG for a server in the given roster.
 func New(roster *crypto.Roster) *DAG {
-	return &DAG{roster: roster, g: graph.New[block.Ref](), proven: make(map[slot]struct{})}
+	return &DAG{roster: roster, g: graph.New[block.Ref](), below: make([]uint64, roster.N()), proven: make(map[slot]struct{})}
 }
+
+// SetJournal installs what answers for released blocks (Release).
+func (d *DAG) SetJournal(j Journal) { d.journal = j }
+
+// Families declares what a DAG counts of where its blocks' bytes are (Counts,
+// safe from any goroutine): held, or read back from the journal. They stay
+// out of the status document.
+var Families metrics.Table
+
+var (
+	blocksHeld   = Families.Gauge("", "dag_blocks_held", "Blocks whose bytes the DAG holds; the journal answers for the others.")
+	journalReads = Families.Counter("", "journal_block_reads_total", "Released blocks read back from the journal.")
+)
+
+// Counts returns the DAG's counters, read over Families.
+func (d *DAG) Counts() *metrics.Metrics { return &d.counts }
+
+// Release lets go of the bytes of builder x's blocks below frontier[x] —
+// what every chain has read (interpret.Interpreter.Frontier) — for the
+// journal to answer for from then on; their rows stay. A forked slot's later
+// blocks stay held. The caller releases only blocks its journal holds (core
+// stops at the journal's first error); without a journal nothing goes.
+func (d *DAG) Release(frontier []uint64) {
+	if d.journal == nil {
+		return
+	}
+	for x, f := range frontier[:min(len(frontier), len(d.below))] {
+		if f <= d.below[x] {
+			continue
+		}
+		for _, v := range d.g.Slots(x, d.below[x], f) {
+			if i := int(v) - len(d.base); i >= 0 && d.order[i] != nil {
+				d.order[i] = nil
+				d.held--
+			}
+		}
+		d.below[x] = f
+	}
+	d.counts.Set(blocksHeld, int64(d.held))
+}
+
+// read is the one accessor: the i-th inserted block, held or read back from
+// the journal.
+func (d *DAG) read(i int) (*block.Block, error) {
+	if b := d.order[i]; b != nil {
+		return b, nil
+	}
+	d.counts.Add(journalReads, 1)
+	b, err := d.journal.Block(i)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("dag: read block %d back: %w", i, err)
+	case b.Ref() != d.BlockRef(i):
+		return nil, fmt.Errorf("dag: block %d read back as %v, want %v", i, b.Ref(), d.BlockRef(i))
+	}
+	return b, nil
+}
+
+// ReadRow returns the block of row v (stand-ins first, as Index numbers
+// them), or why it cannot be had. The readers that return no error (Get,
+// BlockAt, All, …) treat a block that cannot be read back as absent.
+func (d *DAG) ReadRow(v int) (*block.Block, error) {
+	if v < len(d.base) {
+		return nil, fmt.Errorf("dag: row %d is a pruned-history stand-in", v)
+	}
+	return d.read(v - len(d.base))
+}
+
+// BlockRef returns the reference of the i-th inserted block, which its row
+// keeps for good: the references a journal reads its records back against.
+func (d *DAG) BlockRef(i int) block.Ref { return d.RefAt(len(d.base) + i) }
 
 // SetOnInsert installs a callback invoked after every successful insert,
 // in insertion order (core.Server.ObserveInserts).
@@ -214,8 +315,16 @@ func (d *DAG) Base() []Base {
 // insertion order) and Summary that row's causal summary (graph.Summary),
 // read-only. This is the node's one ref → number map: what sits above the
 // DAG keeps a column over the number (interpret) or a count (store).
+// PredsAt, RefAt and Pos are the rest of a row, read-only: its
+// predecessors' rows, its reference and its chain position.
 func (d *DAG) Index(ref block.Ref) (int, bool) { return d.g.Index(ref) }
 func (d *DAG) Summary(i int) []uint64          { return d.g.Summary(i) }
+func (d *DAG) PredsAt(i int) []int32           { return d.g.PredsAt(i) }
+func (d *DAG) RefAt(i int) block.Ref           { return d.g.At(i) }
+func (d *DAG) Pos(i int) (types.ServerID, uint64) {
+	chain, seq := d.g.Pos(i)
+	return types.ServerID(chain), seq
+}
 
 // BaseRef resolves a reference to its base entry, if it is one.
 func (d *DAG) BaseRef(ref block.Ref) (Base, bool) {
@@ -223,19 +332,6 @@ func (d *DAG) BaseRef(ref block.Ref) (Base, bool) {
 		return d.base[i], true
 	}
 	return Base{}, false
-}
-
-// lookup resolves a reference to its row: the block, or the base entry
-// standing in for it (b is nil then). ok is false for an unknown ref.
-func (d *DAG) lookup(ref block.Ref) (b *block.Block, e Base, ok bool) {
-	i, ok := d.g.Index(ref)
-	switch {
-	case !ok:
-		return nil, Base{}, false
-	case i < len(d.base):
-		return nil, d.base[i], true
-	}
-	return d.order[i-len(d.base)], Base{}, true
 }
 
 // BaseHorizon returns, per builder with pruned history, the first
@@ -264,8 +360,12 @@ func (d *DAG) Contains(ref block.Ref) bool { return d.g.Contains(ref) }
 
 // Get returns the block with the given reference, if present.
 func (d *DAG) Get(ref block.Ref) (*block.Block, bool) {
-	b, _, _ := d.lookup(ref)
-	return b, b != nil
+	i, ok := d.g.Index(ref)
+	if !ok || i < len(d.base) {
+		return nil, false
+	}
+	b, err := d.read(i - len(d.base))
+	return b, err == nil
 }
 
 // smallPreds is the predecessor-list size below which dedup runs as an
@@ -333,31 +433,25 @@ func (d *DAG) validate(b *block.Block, checkSig bool) error {
 }
 
 // checkParentRule verifies Definition 3.3 (ii), one index lookup per
-// reference: every pred resolves to a block or a stand-in (else
-// ErrMissingPreds, before any verdict on parents); genesis blocks have no
-// parent; other blocks have exactly one pred by the same builder with
-// sequence number Seq-1.
+// reference and the rows alone: every pred resolves to a block or a stand-in
+// (else ErrMissingPreds, before any verdict on parents); genesis blocks have
+// no parent; other blocks have exactly one pred — a block or a stand-in — by
+// the same builder with sequence number Seq-1.
 func (d *DAG) checkParentRule(b *block.Block) error {
 	parents := 0
 	for p := range distinctPreds(b) {
-		pb, e, ok := d.lookup(p)
-		switch {
-		case !ok:
+		i, ok := d.g.Index(p)
+		if !ok {
 			return fmt.Errorf("%w: pred %v of block %v", ErrMissingPreds, p, b.Ref())
-		case pb == nil:
-			// A base stand-in can be the parent: same builder, directly
-			// preceding sequence number.
-			if e.Builder == b.Builder && b.Seq == e.Seq+1 {
-				parents++
-			}
-		case b.ParentOf(pb):
+		}
+		if builder, seq := d.Pos(i); builder == b.Builder && !b.IsGenesis() && seq == b.Seq-1 {
 			parents++
 		}
 	}
 	switch {
 	case b.IsGenesis() && parents != 0:
-		// Unreachable: ParentOf never matches for genesis. Kept as a
-		// defensive check mirroring the definition.
+		// Unreachable: no pred counts as a genesis block's parent. Kept
+		// as a defensive check mirroring the definition.
 		return fmt.Errorf("%w: genesis block %v has a parent", ErrParentRule, b.Ref())
 	case !b.IsGenesis() && parents != 1:
 		return fmt.Errorf("%w: block %v (builder %v, seq %d) has %d parents, want 1",
@@ -397,6 +491,8 @@ func (d *DAG) insert(b *block.Block, checkSig bool) error {
 		return fmt.Errorf("dag: graph insert: %w", err)
 	}
 	d.order = append(d.order, b)
+	d.held++
+	d.counts.Set(blocksHeld, int64(d.held))
 
 	// Record one proof per forked slot — on the first duplicate only.
 	// A builder spraying k blocks into one slot used to append k-1
@@ -429,25 +525,29 @@ func (d *DAG) insert(b *block.Block, checkSig bool) error {
 // reorder it freely; the blocks themselves are shared and must be treated
 // as immutable. Hot paths that only iterate should use All (no copy)
 // instead.
-func (d *DAG) Blocks() []*block.Block { return append([]*block.Block(nil), d.order...) }
+func (d *DAG) Blocks() []*block.Block { return slices.Collect(d.All()) }
 
-// All returns a no-copy iterator over the blocks in insertion order (a
-// topological order). The DAG must not be mutated during iteration; the
-// yielded blocks are shared and immutable. This is the allocation-free
-// counterpart of Blocks for the interpreter, recovery, and convergence
-// scans that walk the whole DAG.
+// All returns an iterator over the blocks in insertion order (a topological
+// order), released ones read back one at a time: the interpreter's,
+// recovery's and the convergence scans' walk of the whole DAG. It stops at a
+// block that cannot be read back (ReadRow says why). The DAG must not be
+// mutated during iteration; the yielded blocks are shared and immutable.
 func (d *DAG) All() iter.Seq[*block.Block] {
 	return func(yield func(*block.Block) bool) {
-		for _, b := range d.order {
-			if !yield(b) {
+		for i := range d.order {
+			b, err := d.read(i)
+			if err != nil || !yield(b) {
 				return
 			}
 		}
 	}
 }
 
-// BlockAt returns the i-th inserted block.
-func (d *DAG) BlockAt(i int) *block.Block { return d.order[i] }
+// BlockAt returns the i-th inserted block, nil if it cannot be read back.
+func (d *DAG) BlockAt(i int) *block.Block {
+	b, _ := d.read(i)
+	return b
+}
 
 // Refs returns all block references in insertion order.
 func (d *DAG) Refs() []block.Ref { return d.g.Order() }
@@ -486,14 +586,20 @@ func (d *DAG) Concurrent(a, b block.Ref) bool {
 
 // ByBuilder returns the blocks built by the given server ordered by
 // sequence number (then by insertion for equivocating duplicates): a walk
-// of the builder's slot column, stand-ins skipped.
+// of the builder's slot column, stand-ins skipped, stopping — like All — at
+// a block that cannot be read back.
 func (d *DAG) ByBuilder(id types.ServerID) []*block.Block {
 	chain := d.g.Chain(int(id))
 	out := make([]*block.Block, 0, len(chain))
 	for _, i := range chain {
-		if i >= len(d.base) {
-			out = append(out, d.order[i-len(d.base)])
+		if i < len(d.base) {
+			continue
 		}
+		b, err := d.read(i - len(d.base))
+		if err != nil {
+			break
+		}
+		out = append(out, b)
 	}
 	return out
 }
@@ -536,7 +642,11 @@ func (d *DAG) Leq(other *DAG) bool { return d.g.Leq(other.g) }
 // producing a joint block DAG G' ⩾ G_d ∪ G_other (Lemma A.7). Blocks of
 // other are revalidated against d's roster on the way in.
 func (d *DAG) Merge(other *DAG) error {
-	for _, b := range other.order {
+	for i := range other.order {
+		b, err := other.read(i)
+		if err != nil {
+			return fmt.Errorf("dag: merge: %w", err)
+		}
 		if err := d.Insert(b); err != nil {
 			return fmt.Errorf("dag: merge block %v: %w", b.Ref(), err)
 		}
@@ -545,17 +655,23 @@ func (d *DAG) Merge(other *DAG) error {
 }
 
 // Clone returns an independent copy of the DAG sharing the immutable
-// blocks. Callbacks are not copied; a seeded base is.
+// blocks, the released ones read back and held by the copy. Callbacks and
+// the journal are not copied; a seeded base is.
 func (d *DAG) Clone() *DAG {
 	cp := New(d.roster)
 	if err := cp.SeedBase(d.base); err != nil {
 		panic(fmt.Sprintf("dag: clone seed: %v", err))
 	}
-	for _, b := range d.order {
-		if err := cp.Insert(b); err != nil {
+	for i := range d.order {
+		b, err := d.read(i)
+		if err == nil {
+			err = cp.Insert(b)
+		}
+		if err != nil {
 			// Re-inserting a valid DAG in topological order cannot
-			// fail; a failure means d's invariants were broken.
-			panic(fmt.Sprintf("dag: clone insert: %v", err))
+			// fail; a failure means d's invariants were broken, or its
+			// journal lost a block it answered for.
+			panic(fmt.Sprintf("dag: clone: %v", err))
 		}
 	}
 	return cp

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"blockdag/internal/crypto"
+	"blockdag/internal/dag"
 	"blockdag/internal/gateway"
 	"blockdag/internal/interpret"
 	"blockdag/internal/mempool"
@@ -32,7 +33,7 @@ type nopEndpoint struct{}
 func (nopEndpoint) Deliver(types.ServerID, []byte) {}
 
 // TestGoldenExposition renders one registry over every subsystem's collector
-// — a core Metrics with row i at i+1, four chains' lag, a transport and a
+// — a core Metrics with row i at i+1, an empty DAG's, four chains' lag, a transport and a
 // sync server that counted nothing, two signatures, a pool and a scorer with
 // a known history, a gateway — and compares it with testdata/metrics.golden:
 // every # HELP, # TYPE and sample line. As committed by PR 25 the file is
@@ -49,7 +50,7 @@ func TestGoldenExposition(t *testing.T) {
 	}
 	defer tr.Close()
 	var sigs crypto.Counters
-	_, signers, err := crypto.LocalRosterWithCounters(4, &sigs)
+	rost, signers, err := crypto.LocalRosterWithCounters(4, &sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +69,7 @@ func TestGoldenExposition(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	reg.Register(metrics.Families.Collector(m))
+	reg.Register(dag.Families.Collector(dag.New(rost).Counts()))
 	reg.Register(interpret.CollectChainUnread(func() []int64 { return []int64{3, 0, 5, 1} }))
 	reg.Register(pool.Collect)
 	reg.Register(scores.Collect)
@@ -121,7 +123,7 @@ func golden(t *testing.T, path, got string) {
 		return
 	}
 	if !*update {
-		t.Fatalf("differs from %s (a declared change: go test -update ./internal/deploy):\n%s", path, lineDiff(string(want), got))
+		t.Fatalf("differs from %s (a declared change: go test ./internal/deploy -update):\n%s", path, lineDiff(string(want), got))
 	}
 	if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 		t.Fatal(err)

@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -273,16 +274,16 @@ func toResponse(ind node.Indication) indicationResponse {
 
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The body cap runs before any decoding, so an oversized payload is
-	// rejected here — it never reaches mempool admission.
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
+	// rejected here — it never reaches mempool admission — however early a
+	// JSON value inside it ends: the body is one value, nothing behind it.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
-		}
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	if err != nil || json.Unmarshal(body, &req) != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON body")
 		return
 	}

@@ -177,14 +177,27 @@ const ResendAfter = 200 * time.Millisecond
 // sync channel's to fill, not FWD's.
 const maxBuffered = 4096
 
+// maxAwaited caps the references one builder's buffered blocks wait on,
+// counted as each block registered them: every one is a waiters key and a
+// FWD frame per ask, and one signed block may cite block.MaxPreds unknown
+// references. A correct block cites its parent and the tips its builder
+// inserted since — a few references, of which a block handed over early
+// misses one or two — so a full buffer of them stays below four a block on
+// average, and one block citing a quarter of MaxPreds or more is evicted
+// before it asks for anything.
+const maxAwaited = 4 * maxBuffered
+
 // buffered is one entry of the blks buffer: the block, the authenticated
 // peers that handed it, or a block citing it, over — asked in turn, so a
-// silent one cannot keep the asks to itself — and when ask last ran for it.
+// silent one cannot keep the asks to itself — when ask last ran for it, and
+// how many references it awaited when it was buffered (charged to its
+// builder against maxAwaited until it leaves the buffer).
 type buffered struct {
-	blk   *block.Block
-	from  []types.ServerID
-	asks  int
-	asked time.Duration
+	blk    *block.Block
+	from   []types.ServerID
+	asks   int
+	asked  time.Duration
+	awaits int
 }
 
 // fwd is one FWD request: a reference asked of a peer.
@@ -205,10 +218,12 @@ type Gossip struct {
 	// for it; outstanding counts its keys that are not buffered themselves.
 	waiters     map[block.Ref][]block.Ref
 	outstanding int
-	// held counts, per builder, its buffered blocks; arrivals lists them
-	// oldest first, the order maxBuffered evicts in, among references that
-	// have left the buffer since and are skipped.
+	// held counts, per builder, its buffered blocks and awaiting the
+	// references they wait on; arrivals lists them oldest first, the order
+	// maxBuffered and maxAwaited evict in, among references that have left
+	// the buffer since and are skipped.
 	held     []int
+	awaiting []int
 	arrivals [][]block.Ref
 	// invalid remembers references of blocks that failed validation;
 	// anything referencing them can never become valid (Def. 3.3(iii)).
@@ -259,6 +274,7 @@ func New(cfg Config) (*Gossip, error) {
 		pending:   make(map[block.Ref]*buffered),
 		waiters:   make(map[block.Ref][]block.Ref),
 		held:      make([]int, cfg.Roster.N()),
+		awaiting:  make([]int, cfg.Roster.N()),
 		arrivals:  make([][]block.Ref, cfg.Roster.N()),
 		invalid:   make(map[block.Ref]struct{}),
 		convicted: evidence.NewPool(),
@@ -451,16 +467,19 @@ func (g *Gossip) handleBlock(from types.ServerID, b *block.Block, verdicts map[b
 			g.outstanding++
 		}
 		g.waiters[p] = append(g.waiters[p], ref)
+		e.awaits++
 	}
-	g.ask(e, map[fwd]struct{}{})
-	// Bound the builder's share of the buffer, oldest out first, at the
-	// charge of whoever handed that one over. Whatever still cites an
-	// evicted block asks for it again.
+	// Bound the builder's share of the buffer, in blocks and in the
+	// references they await, oldest out first — this one too, if it alone
+	// awaits too many — at the charge of whoever handed that one over.
+	// Whatever still cites an evicted block asks for it again.
 	q := append(g.arrivals[b.Builder], ref)
 	if len(q) > 2*maxBuffered {
 		q = slices.DeleteFunc(q, func(r block.Ref) bool { return g.pending[r] == nil })
 	}
-	if g.held[b.Builder]++; g.held[b.Builder] > maxBuffered {
+	g.held[b.Builder]++
+	g.awaiting[b.Builder] += e.awaits
+	for g.held[b.Builder] > maxBuffered || g.awaiting[b.Builder] > maxAwaited {
 		for g.pending[q[0]] == nil {
 			q = q[1:]
 		}
@@ -469,6 +488,9 @@ func (g *Gossip) handleBlock(from types.ServerID, b *block.Block, verdicts map[b
 		q = q[1:]
 	}
 	g.arrivals[b.Builder] = q
+	if g.pending[ref] == e {
+		g.ask(e, map[fwd]struct{}{})
+	}
 }
 
 // heldBy notes that peer handed over e's block, or a block citing it, and so
@@ -612,6 +634,7 @@ func (g *Gossip) unbuffer(ref block.Ref) {
 	}
 	delete(g.pending, ref)
 	g.held[e.blk.Builder]--
+	g.awaiting[e.blk.Builder] -= e.awaits
 	if _, awaited := g.waiters[ref]; awaited {
 		g.outstanding++
 	}
@@ -669,7 +692,9 @@ func (g *Gossip) InsertVerified(b *block.Block) error {
 }
 
 // handleFwd answers a forwarding request (lines 12–13): if we hold the
-// block, send it to the requester. Requests from banned peers die at the
+// block, send it to the requester — read back from the journal if every
+// chain has read it and the DAG has released it, which a correct peer never
+// asks for but a recovering one may. Requests from banned peers die at the
 // send gate.
 func (g *Gossip) handleFwd(from types.ServerID, ref block.Ref) {
 	if b, ok := g.cfg.DAG.Get(ref); ok {
@@ -685,8 +710,10 @@ func (g *Gossip) onEquivocation(e dag.Equivocation) {
 	g.cfg.Metrics.Add(metrics.EquivocationsSeen, 1)
 	b1, b2, ok := g.cfg.DAG.EquivocationBlocks(e)
 	if !ok {
-		// Both blocks are held from insert time on; only a capped-out proof
-		// list loses one, and then the builder is convicted already.
+		// The second block is the one just inserted, and the first, if the
+		// DAG released it, is read back from the journal; only one pruned
+		// below a horizon (or a journal that fails to read) is missing, and
+		// then the fork stays detected without a transferable proof.
 		return
 	}
 	g.acceptEvidence(evidence.New(b1, b2), g.self)

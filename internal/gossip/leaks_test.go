@@ -9,6 +9,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/metrics"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/simnet"
 	"blockdag/internal/transport"
@@ -199,6 +200,61 @@ func TestBufferBoundedPerBuilder(t *testing.T) {
 	unplaceable(flood, first)
 	if want := fmt.Sprintf("%v %d %x", types.ServerID(1), transport.ChanGossip, EncodeFwdMsg(first)); !slices.Contains(log.sends, want) {
 		t.Fatalf("the evicted block was not asked for again: sent %v", log.sends)
+	}
+}
+
+// TestAwaitedReferencesBoundedPerBuilder: the buffer's bound counts the
+// references it waits on as well as the blocks. One signed block citing
+// block.MaxPreds references nobody holds would be that many waiters keys
+// and FWD frames per ask; it leaves at most maxAwaited of either (none: it
+// is evicted before it asks), and its sender is charged. A flood of blocks
+// citing a hundred unknown references each keeps the builder at the bound.
+func TestAwaitedReferencesBoundedPerBuilder(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New()
+	log := &sendLog{Transport: net.Transport(0)}
+	scores := peerscore.New(peerscore.Options{Clock: net.Now})
+	m := &metrics.Metrics{}
+	g := newGossip(t, Config{
+		Signer: signers[0], Roster: roster, DAG: dag.New(roster),
+		Transport: log, Clock: net.Now, Scores: scores, OnEvidence: discardEvidence, Metrics: m,
+	})
+	unknown := 0
+	citing := func(seq uint64, refs int) {
+		preds := make([]block.Ref, refs)
+		for i := range preds {
+			unknown++
+			binary.BigEndian.PutUint64(preds[i][:], uint64(unknown))
+		}
+		b := block.New(1, seq, preds, nil)
+		b.Sig = make([]byte, 64) // junk, handed over as checked
+		b, err := block.Decode(b.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.handleBlock(1, b, map[block.Ref]bool{b.Ref(): true})
+		g.publishState()
+	}
+
+	citing(0, block.MaxPreds)
+	if got, missing := len(g.waiters), m.Get(metrics.MissingRefs); got > maxAwaited || missing > maxAwaited {
+		t.Fatalf("one block citing %d unknown references left %d waiters keys, %d missing refs; bound %d", block.MaxPreds, got, missing, maxAwaited)
+	}
+	if got := log.fwds[1]; got > maxAwaited {
+		t.Fatalf("one block citing %d unknown references cost %d FWD frames; bound %d", block.MaxPreds, got, maxAwaited)
+	}
+	if got := scores.Snapshot()[0].Signals[peerscore.Throttled.String()]; got != 1 {
+		t.Fatalf("sender charged %d times, want once", got)
+	}
+
+	for seq := uint64(1); seq <= 2*maxAwaited/100; seq++ {
+		citing(seq, 100)
+	}
+	if got := len(g.waiters); got > maxAwaited || g.awaiting[1] > maxAwaited || len(g.pending) != maxAwaited/100 {
+		t.Fatalf("%d waiters keys, %d awaited, %d blocks buffered; want at most %d, and %d blocks", got, g.awaiting[1], len(g.pending), maxAwaited, maxAwaited/100)
 	}
 }
 

@@ -329,6 +329,24 @@ func (g *DAG[K]) ChainForked(chain int) bool {
 // is 1 + the highest chain-c seq in its ancestry-or-self, 0 or none for none.
 func (g *DAG[K]) Summary(i int) []uint64 { return g.rows[i].summary }
 
+// PredsAt returns the numbers of vertex i's direct predecessors, read-only,
+// and Pos its chain annotation (chain -1: none).
+func (g *DAG[K]) PredsAt(i int) []int32 { return g.rows[i].preds }
+func (g *DAG[K]) Pos(i int) (chain int, seq uint64) {
+	return int(g.rows[i].chain), g.rows[i].seq
+}
+
+// Slots returns, read-only, the chain's slot column between two sequence
+// numbers: the first vertex inserted at each seq in [from, to), by seq.
+func (g *DAG[K]) Slots(chain int, from, to uint64) []int32 {
+	lo, _ := g.slot(chain, from)
+	hi, _ := g.slot(chain, to)
+	if hi <= lo {
+		return nil
+	}
+	return g.chains[chain].slots[lo:hi]
+}
+
 // sameSet compares two duplicate-free lists of vertex numbers as sets.
 func sameSet(a, b []int32) bool {
 	if len(a) != len(b) {

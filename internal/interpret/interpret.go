@@ -34,9 +34,13 @@
 // function of the DAG (Lemma 4.2). B.PIs lives at the tip of each chain, is
 // advanced in place and drops an instance when it reports Done; once every
 // chain has, one entry of a retired set replaces the n tombstones. An
-// out-buffer is dropped when the n chain tips have read it (release). A reader
-// that finds the cache empty — a block extending a fork, an inspection of a
-// block long passed — interprets the blocks afresh (replay): the one miss path.
+// out-buffer is dropped when the n chain tips have read it (release), and the
+// same frontier tells the DAG which blocks' bytes it may let go (Frontier). A
+// reader that finds the cache empty — a block extending a fork, an inspection
+// of a block long passed — interprets the blocks afresh (replay): the one miss
+// path, and the one that reads blocks back. Over a DAG the interpreter holds
+// no block: a block's predecessors are rows, and a replay reads the blocks
+// from the DAG, the released ones from its journal.
 package interpret
 
 import (
@@ -76,19 +80,33 @@ type Option func(*Interpreter)
 // WithMetrics attaches metric counters (over metrics.Families).
 func WithMetrics(m *metrics.Metrics) Option { return func(it *Interpreter) { it.metrics = m } }
 
-// Rows is what an interpreter reads of a DAG besides its blocks: the number
-// of a block's row and the row's ancestry watermark — entry x is 1 + the
-// highest sequence number of builder x in the ancestry, the block included,
-// 0 or absent for none. *dag.DAG is one.
+// Rows is what an interpreter reads of a DAG: the number of a block's row,
+// the row's ancestry watermark — entry x is 1 + the highest sequence number
+// of builder x in the ancestry, the block included, 0 or absent for none —
+// and its predecessors' rows; and, for a replay, the row's block (ReadRow),
+// which the DAG may have to read back. *dag.DAG is one.
 type Rows interface {
 	Index(ref block.Ref) (int, bool)
 	Summary(i int) []uint64
+	PredsAt(i int) []int32
+	ReadRow(i int) (*block.Block, error)
 }
 
 // Over makes the interpreter one of d's blocks (AddBlock takes no others): it
-// keeps its states by d's numbers and reads d's watermarks. Without it the
-// interpreter numbers the blocks itself, as handed them, in a graph of its own.
+// keeps its states by d's numbers, reads d's watermarks and predecessors, and
+// holds no block — a replay reads them from d. Without it the interpreter
+// numbers the blocks itself, as handed them, in a graph of its own, and keeps
+// the blocks: nothing else does.
 func Over(d Rows) Option { return func(it *Interpreter) { it.rows = d } }
+
+// ownRows are the rows of an interpreter over no DAG: a graph of its own,
+// and the blocks its states keep.
+type ownRows struct {
+	*graph.DAG[block.Ref]
+	states *[]*blockState
+}
+
+func (o ownRows) ReadRow(i int) (*block.Block, error) { return (*o.states)[i].blk, nil }
 
 // instances is B.PIs: every process instance a builder's chain has started
 // up to block B, by label. A nil entry is the tombstone of an instance that
@@ -100,9 +118,12 @@ type instances map[types.Label]protocol.Process
 // blockState is the interpretation state attached to one block: its row,
 // chain position and parent for good, pis and out while they are cached.
 type blockState struct {
-	blk    *block.Block // nil for a pruned-history stand-in (SeedBase)
-	seq    uint64       // with builder, below: the chain position
-	parent *blockState  // state of blk.parent; nil for genesis blocks
+	// blk is the block while AddBlock interprets it, and after only in an
+	// interpreter with rows of its own: over a DAG the block is the DAG's to
+	// hold or release, and a replay reads it back (Rows.ReadRow).
+	blk    *block.Block
+	seq    uint64      // with builder, below: the chain position
+	parent *blockState // state of the block's parent; nil for genesis blocks
 	// pis is B.PIs while this block is the tip of its chain, nil once a
 	// child has taken the table over to advance it in place (Algorithm 2
 	// line 4 without the copy). A second child — a fork — replays.
@@ -112,7 +133,11 @@ type blockState struct {
 	// the instance emitted. released: every chain has read it, it is gone.
 	out      []protocol.Message
 	released bool
-	builder  types.ServerID
+	// stand marks a stand-in: a pruned-history one (SeedBase), or in a
+	// replay a block its DAG's journal no longer holds. It carries no
+	// messages and no instances; its chain's next block starts afresh.
+	stand   bool
+	builder types.ServerID
 	// num is the block's row. Its watermark (anc) is what the chain has read:
 	// a block at or above the parent's is new to it, a correct builder's below.
 	num   int32
@@ -145,18 +170,19 @@ func (it *Interpreter) read(c, x int) uint64 {
 // Interpreter executes Algorithm 2 incrementally: AddBlock interprets one
 // eligible block. Not safe for concurrent use; the owning server serializes.
 type Interpreter struct {
-	proto   protocol.Protocol
-	n, f    int
-	onInd   func(Indication)
-	metrics *metrics.Metrics
-	rows    Rows                  // numbers and watermarks of the DAG interpreted
-	own     *graph.DAG[block.Ref] // rows, if none was given (Over)
-	states  []*blockState         // by row; nil: not interpreted
-	blocks  int                   // states of blocks: stand-ins not counted
-	chains  []chain               // by builder
-	unread  []int                 // by builder: blocks of other chains its chain has not read
-	lag     []atomic.Int64        // unread as of the last block interpreted, for ChainUnread
-	stats   Stats
+	proto    protocol.Protocol
+	n, f     int
+	onInd    func(Indication)
+	metrics  *metrics.Metrics
+	rows     Rows                  // numbers, watermarks and blocks of the DAG interpreted
+	own      *graph.DAG[block.Ref] // rows, if none was given (Over)
+	states   []*blockState         // by row; nil: not interpreted
+	blocks   int                   // states of blocks: stand-ins not counted
+	chains   []chain               // by builder
+	unread   []int                 // by builder: blocks of other chains its chain has not read
+	frontier []uint64              // by builder: its blocks below it every chain has read (release)
+	lag      []atomic.Int64        // unread as of the last block interpreted, for ChainUnread
+	stats    Stats
 
 	done    map[types.Label]int      // chains that finished a label not every chain has
 	retired map[types.Label]struct{} // labels every chain has finished
@@ -166,9 +192,10 @@ type Interpreter struct {
 	asked   *Interpreter
 	askedAt *blockState
 
-	// spine is non-nil in a scratch interpreter (replay): the chain of the
-	// block it was made for, whose table no other branch may take.
-	spine map[*block.Block]bool
+	// spine is non-nil in a scratch interpreter (replay): the rows of the
+	// chain of the block it was made for, whose table no other branch may
+	// take.
+	spine map[int32]bool
 
 	visits         uint64        // numbers the newAncestry walks
 	sources, stack []*blockState // their scratch space
@@ -180,7 +207,7 @@ type Interpreter struct {
 func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Option) *Interpreter {
 	it := &Interpreter{
 		proto: proto, n: n, f: f, onInd: onInd,
-		chains: make([]chain, n), unread: make([]int, n), lag: make([]atomic.Int64, n),
+		chains: make([]chain, n), unread: make([]int, n), frontier: make([]uint64, n), lag: make([]atomic.Int64, n),
 		done: make(map[types.Label]int), retired: make(map[types.Label]struct{}),
 	}
 	for _, opt := range opts {
@@ -188,9 +215,17 @@ func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Opti
 	}
 	if it.rows == nil {
 		it.own = graph.New[block.Ref]()
-		it.rows = it.own
+		it.rows = ownRows{it.own, &it.states}
 	}
 	return it
+}
+
+// block returns st's block: the one it keeps, or its DAG's.
+func (it *Interpreter) block(st *blockState) (*block.Block, error) {
+	if st.blk != nil {
+		return st.blk, nil
+	}
+	return it.rows.ReadRow(int(st.num))
 }
 
 // state returns the state filed under ref's row, nil for none.
@@ -227,7 +262,7 @@ func (it *Interpreter) SeedBase(entries []dag.Base) error {
 		if !ok {
 			return fmt.Errorf("interpret: base entry %v is not in the DAG interpreted", e.Ref)
 		}
-		st := &blockState{builder: e.Builder, seq: e.Seq, num: int32(num)}
+		st := &blockState{builder: e.Builder, seq: e.Seq, num: int32(num), stand: true}
 		it.put(st)
 		if ch := &it.chains[e.Builder]; ch.tip == nil || ch.tip.seq < e.Seq {
 			ch.tip = st // the parent of the first live block
@@ -289,6 +324,9 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 
 	it.release() // not after the last block: inspecting that one never replays
 	st := &blockState{blk: b, builder: b.Builder, seq: b.Seq, parent: parent, num: int32(num)}
+	if it.own == nil {
+		defer func() { st.blk = nil }() // the DAG's to hold
+	}
 	ch := &it.chains[b.Builder]
 	primary := it.spine == nil && ch.tip == parent
 	if primary {
@@ -302,20 +340,24 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 	sources, held := it.newAncestry(st)
 	switch {
 	case !held:
-	case parent == nil || parent.blk == nil:
+	case parent == nil || parent.stand:
 		st.pis = make(instances)
-	case parent.pis != nil && (!it.spine[parent.blk] || it.spine[b]):
+	case parent.pis != nil && (!it.spine[parent.num] || it.spine[st.num]):
 		st.pis, parent.pis = parent.pis, nil
 	}
 	if st.pis != nil {
 		it.advance(st, sources, primary)
 	} else {
 		// The replay's table is a second one for this chain: it counts.
-		got := it.replay(st, func(ind Indication) {
+		sc, err := it.replay(st, func(ind Indication) {
 			if ind.Block == ref {
 				it.indicate(ind)
 			}
-		}).states[num]
+		})
+		if err != nil {
+			return fmt.Errorf("interpret: block %v: %w", ref, err)
+		}
+		got := sc.states[num]
 		st.pis, st.out = got.pis, got.out
 		for _, proc := range st.pis {
 			if proc != nil {
@@ -408,8 +450,14 @@ func (it *Interpreter) release() {
 			it.stats.HoldingBlocks--
 			st.out, st.released = nil, true
 		}
+		it.frontier[x] = frontier
 	}
 }
+
+// Frontier returns, by builder, the sequence number below which every chain
+// has read that builder's blocks, as of the last AddBlock: what the DAG may
+// release (dag.DAG.Release). Read-only; it only rises.
+func (it *Interpreter) Frontier() []uint64 { return it.frontier }
 
 // replay is the one miss path: it interprets the blocks up to st afresh, in
 // row order (a topological order), in a scratch interpreter over the same
@@ -420,25 +468,48 @@ func (it *Interpreter) release() {
 // end. A fork off it replays in turn, sharing the states beside its spine —
 // every out-buffer is held there. The cost is one pass over history, and a
 // chain's length per fork.
-func (it *Interpreter) replay(st *blockState, onInd func(Indication)) *Interpreter {
+//
+// Over a DAG the blocks are read from it, released ones back from its
+// journal. A block the journal no longer holds — history pruned below a
+// horizon — replays as a stand-in, as on a node restored from that prune's
+// snapshot; any other failure to read one is the replay's error.
+func (it *Interpreter) replay(st *blockState, onInd func(Indication)) (*Interpreter, error) {
 	sc := New(it.proto, it.n, it.f, onInd, Over(it.rows))
-	sc.spine, sc.visits = make(map[*block.Block]bool), it.visits
-	for s := st; s != nil && s.blk != nil; s = s.parent {
-		sc.spine[s.blk] = true
+	sc.spine, sc.visits = make(map[int32]bool), it.visits
+	for s := st; s != nil && !s.stand; s = s.parent {
+		sc.spine[s.num] = true
 	}
 	sc.states = make([]*blockState, st.num+1)
 	for _, s := range it.states[:min(int(st.num), len(it.states))] {
 		switch {
 		case s == nil:
-		case s.blk == nil || it.spine != nil && !sc.spine[s.blk]:
+		case s.stand || it.spine != nil && !sc.spine[s.num]:
 			sc.states[s.num] = s // a stand-in, or beside both spines: read-only, shared
 		default:
-			_ = sc.AddBlock(s.blk) // eligible here, so eligible there
+			if err := sc.readd(s, it.block); err != nil {
+				return nil, err
+			}
 		}
 	}
-	_ = sc.AddBlock(st.blk)
+	if err := sc.readd(st, it.block); err != nil {
+		return nil, err
+	}
 	it.visits = sc.visits // shared states carry its stamps
-	return sc
+	return sc, nil
+}
+
+// readd interprets s's block again in scratch interpreter sc, or — the block
+// pruned from the journal — files a stand-in for it.
+func (sc *Interpreter) readd(s *blockState, read func(*blockState) (*block.Block, error)) error {
+	b, err := read(s)
+	switch {
+	case errors.Is(err, dag.ErrPruned):
+		sc.states[s.num] = &blockState{builder: s.builder, seq: s.seq, num: s.num, stand: true}
+		return nil
+	case err != nil:
+		return err
+	}
+	return sc.AddBlock(b) // eligible here, so eligible there
 }
 
 // byLabel orders messages by label and, within a label, by <M.
@@ -619,10 +690,10 @@ func (it *Interpreter) newAncestry(st *blockState) (sources []*blockState, held 
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range s.blk.Preds {
-			ps := it.state(p)
-			if ps.visit == it.visits || ps.blk == nil {
-				continue // seen, or a pruned-history stand-in: consumed by construction
+		for _, p := range it.rows.PredsAt(int(s.num)) {
+			ps := it.states[p]
+			if ps.visit == it.visits || ps.stand {
+				continue // seen, or a stand-in: consumed by construction
 			}
 			ps.visit = it.visits
 			if ps == st.parent || int(ps.builder) >= len(consumed) || ps.seq >= consumed[ps.builder] {
@@ -661,17 +732,24 @@ func (it *Interpreter) InterpretDAG(d *dag.DAG) error {
 
 // at returns an interpreter in which the block has its out-buffer, the
 // out-buffers it read and, if asked for, its instance table, and its state
-// there (nil if not interpreted): it itself if they are cached, else a replay.
+// there (nil if not interpreted, or if a replay cannot read its blocks): it
+// itself if they are cached, else a replay.
 func (it *Interpreter) at(ref block.Ref, table bool) (*Interpreter, *blockState) {
 	st := it.state(ref)
-	if st == nil || st.blk == nil {
+	if st == nil || st.stand {
 		return it, nil
 	}
 	if _, held := it.newAncestry(st); st.released || !held || table && st.pis == nil {
 		if it.askedAt != st {
-			it.askedAt, it.asked = st, it.replay(st, nil)
+			sc, err := it.replay(st, nil)
+			if err != nil {
+				return it, nil
+			}
+			it.askedAt, it.asked = st, sc
 		}
-		it, st = it.asked, it.asked.states[st.num]
+		if it, st = it.asked, it.asked.states[st.num]; st.stand {
+			return it, nil // pruned from the journal
+		}
 	}
 	return it, st
 }

@@ -24,7 +24,7 @@ import (
 // reference an interpreter that releases is held against.
 func newHolding(proto protocol.Protocol, n, f int, onInd func(Indication)) *Interpreter {
 	it := New(proto, n, f, onInd)
-	it.spine = map[*block.Block]bool{}
+	it.spine = map[int32]bool{}
 	return it
 }
 

@@ -16,7 +16,7 @@
 // — and call m.Add(metrics.ForksHealed, 1) where it happens. Nothing else
 // is written: the scrape, the status document, the rate window, the CLI
 // summary and the smoke targets' family lists read the table, and
-// `go test -update ./internal/deploy` regenerates what is checked in of it
+// `go test ./internal/deploy -update` regenerates what is checked in of it
 // (the golden scrape, the golden status keys, the family reference in
 // docs/ARCHITECTURE.md).
 // A family whose samples are not a fixed set (a label per peer) is declared

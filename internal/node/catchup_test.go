@@ -27,11 +27,12 @@ func TestNodeAutomaticCheckpointing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ticks time.Duration
 	st, err := store.Open(dir, store.Options{
 		Roster:      roster,
 		Sync:        store.SyncInterval,
-		SyncEvery:   time.Millisecond,
-		SegmentSize: 512, // rotate every couple of blocks
+		Clock:       func() time.Duration { ticks += time.Second; return ticks }, // every fsync due
+		SegmentSize: 512,                                                         // rotate every couple of blocks
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,9 @@ import (
 // only the runtime, the shim, and the store are under test.
 func runDurableNode(t *testing.T, dir string, roster *crypto.Roster, signer *crypto.Signer) int {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{Roster: roster, Sync: store.SyncInterval, SyncEvery: 5 * time.Millisecond})
+	var ticks time.Duration // every fsync due
+	st, err := store.Open(dir, store.Options{Roster: roster, Sync: store.SyncInterval,
+		Clock: func() time.Duration { ticks += time.Second; return ticks }})
 	if err != nil {
 		t.Fatal(err)
 	}

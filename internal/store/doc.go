@@ -13,10 +13,13 @@
 // is absorbed: the disk is one more untrusted peer. Offline tools that
 // want validity insert the blocks into a DAG of their own (cmd/dagstore).
 //
-// Nor does it keep an index: Len is a count, the journaled frontier. The
-// server's DAG numbers each block once and hands each to PersistSink once, in
-// that order, so a block below the frontier Open found is one coming back
-// through Restore's replay, skipped, and every other is appended. A failed
+// Nor does it keep an index: Len is a count, the journaled frontier, and
+// the location column (below) is by row, the DAG's number. The server's DAG
+// numbers each block once and hands each to PersistSink once, in that
+// order, so a block below the frontier Open found is one coming back
+// through Restore's replay — told by the references of what Open read, the
+// one thing the store keeps of those blocks once the replay has them —
+// skipped, and every other is appended. A failed
 // write takes its records back out of the count, cuts the live segment back
 // to its last whole record and ends it — the next append opens a fresh one —
 // and core latches the server unhealthy; if the torn tail could not be cut
@@ -109,14 +112,44 @@
 // end; compaction never weakens the Definition 3.3 validation the replay
 // performs.
 //
+// A checkpoint streams: it reads the DAG's blocks one at a time — those
+// the DAG has released back from this store, before the old segments go —
+// and writes each to the snapshot file as it comes, so it holds one block's
+// bytes at a time, not the history's. Which rows it keeps and which pruned
+// rows become base entries it decides from the DAG's rows alone.
+//
+// # Reading a block back
+//
+// The DAG lets go of a block's bytes once every chain has read it, and the
+// journal answers for them from then on (Block, core.Journal): RAM holds
+// the window, the store the history. The store keeps no reference of what
+// it appends; it keeps a location column — one word a row, the segment and
+// the record's offset, written when the record is, rebuilt by Open for
+// what it reads and by Checkpoint for what it rewrites — and reads the
+// record back with the codec Open reads with. A back-reference is an
+// earlier record of the same segment, a snapshot's table index a base entry
+// or an earlier block of the snapshot; each segment knows whom its records
+// name — a row, for a record written since Open, whose reference the DAG
+// lends the store (Rows); for a record Open read, its place among what Open
+// read, whose reference the store kept. A record that does not rebuild the
+// row's reference is an error, and a row PruneTo cut is dag.ErrPruned.
+//
+// A row still in the open group-commit batch is answered from the batch,
+// and one whose write failed from memory: the DAG may have released it on
+// the strength of the append (the server stops releasing at the journal's
+// first error). Nothing read back is verified again: this process checked
+// every block's signature before journaling it, or Restore checked it when
+// Open read it, and the record's checksum and the rebuilt reference stand
+// between the disk and a different block.
+//
 // # Fsync policy
 //
 // Options.Sync picks the durability/latency trade-off for Append:
 //
 //   - SyncInterval (default): appends are flushed to the OS immediately
-//     but fsynced at most once per Options.SyncEvery (driven by Append
-//     and by Tick from the node runtime). A power cut can lose up to the
-//     last interval of appends.
+//     but fsynced at most once per 200 ms on Options.Clock (syncEvery,
+//     driven by Append and by Tick from the node runtime). A power cut can
+//     lose up to the last interval of appends.
 //   - SyncAlways: fsync after every append. The block is durable before
 //     the interpreter can emit its indications — the strongest guarantee,
 //     and the slowest (see BenchmarkStoreAppend).

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"blockdag/internal/block"
+	"blockdag/internal/dag"
 	"blockdag/internal/dagtest"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
@@ -59,6 +61,33 @@ func realSegments(f *testing.F) (wal, snap []byte) {
 		f.Fatal(err)
 	}
 	return wal, snap
+}
+
+// encodeSnapshot lays blocks out as a whole snapshot segment, naming each
+// predecessor by its index into base ∪ blocks.
+func encodeSnapshot(blocks []*block.Block, base []dag.Base, horizon map[types.ServerID]uint64, st *StateCheckpoint) ([]byte, error) {
+	var out bytes.Buffer
+	sw := newSnapshotWriter(&out)
+	sw.head(horizon, base, st, len(blocks))
+	pos := make(map[block.Ref]int, len(base)+len(blocks))
+	for i, e := range base {
+		pos[e.Ref] = i
+	}
+	for i, b := range blocks {
+		if _, err := sw.put(b, func(w *wire.Writer, p block.Ref) error {
+			j, ok := pos[p]
+			if !ok {
+				return fmt.Errorf("block %v references %v outside the snapshot", b.Ref(), p)
+			}
+			w.Uvarint(uint64(j))
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		pos[b.Ref()] = len(base) + i
+	}
+	err := sw.end()
+	return out.Bytes(), err
 }
 
 // allocated returns the bytes fn allocated, collected or not.

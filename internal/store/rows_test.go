@@ -1,0 +1,171 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"blockdag/internal/block"
+	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
+	"blockdag/internal/types"
+)
+
+// readsBack checks that st answers every row of want with the block's frame,
+// byte for byte, and every row of pruned with dag.ErrPruned.
+func readsBack(t *testing.T, when string, st *Store, want []*block.Block, pruned ...int) {
+	t.Helper()
+	for row, b := range want {
+		got, err := st.Block(row)
+		switch {
+		case b == nil && !errors.Is(err, dag.ErrPruned):
+			t.Fatalf("%s: row %d was pruned, read back as %v (%v)", when, row, got, err)
+		case b == nil:
+		case err != nil:
+			t.Fatalf("%s: row %d: %v", when, row, err)
+		case !bytes.Equal(got.Encode(), b.Encode()):
+			t.Fatalf("%s: row %d read back as another frame", when, row)
+		}
+	}
+}
+
+// rowsOf hands st the references of blocks by row, as the DAG does.
+func rowsOf(st *Store, blocks []*block.Block) {
+	st.Rows(func(row int) block.Ref { return blocks[row].Ref() })
+}
+
+// TestBlockReadsEveryRowBack: Store.Block answers for every row the sink
+// numbered with the very frame that was appended — while it sits in the
+// group-commit batch, from a kind-4 WAL segment (back-references resolved
+// against the rows written since Open, and after a reopen against what
+// Open read), from a snapshot after a Checkpoint, from a WAL segment behind
+// it, from a kind-1 segment — and answers a row PruneTo cut with
+// dag.ErrPruned. A record that does not rebuild the row's reference is an
+// error, not another block.
+func TestBlockReadsEveryRowBack(t *testing.T) {
+	h := dagtest.NewHarness(3)
+	for r := 0; r < 6; r++ {
+		h.Round(map[int][]block.Request{r % 3: {{Label: "row", Data: []byte{byte(r), 1, 2, 3}}}})
+	}
+	blocks := h.DAG.Blocks()
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Roster: h.Roster, Sync: SyncNever, SegmentSize: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOf(st, blocks)
+	half := len(blocks) / 2
+	st.BeginBatch()
+	for _, b := range blocks[:half] {
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readsBack(t, "in the batch", st, blocks[:half])
+	if err := st.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks[half:] {
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.WALSegments() < 2 {
+		t.Fatalf("%d WAL segments: want the rows spread over several", st.WALSegments())
+	}
+	readsBack(t, "kind-4 segments", st, blocks)
+
+	// A record whose rebuilt reference is not the row's is an error: row 4's
+	// own, and that of any record naming row 4 by back-reference.
+	lie := func(row int) block.Ref {
+		if row == 4 {
+			return block.Ref{4}
+		}
+		return blocks[row].Ref()
+	}
+	st.Rows(lie)
+	for row := range blocks {
+		_, err := st.Block(row)
+		if cites := slicesContains(blocks[row].Preds, blocks[4].Ref()); (row == 4 || cites) != (err != nil) {
+			t.Fatalf("row %d (cites row 4: %v) read back with err %v", row, cites, err)
+		}
+	}
+	rowsOf(st, blocks)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = Open(dir, Options{Roster: h.Roster, Sync: SyncNever, SegmentSize: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readsBack(t, "after a reopen", st, blocks) // against what Open read: no Rows yet
+	rowsOf(st, blocks)
+	if _, err := st.Checkpoint(h.DAG); err != nil {
+		t.Fatal(err)
+	}
+	readsBack(t, "from a snapshot", st, blocks)
+	more := h.Round(nil)
+	for _, b := range more {
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks = append(blocks, more...)
+	rowsOf(st, blocks)
+	readsBack(t, "behind a snapshot", st, blocks)
+
+	st.SetStateCheckpoint(&StateCheckpoint{Slot: 1})
+	horizon := map[types.ServerID]uint64{0: 3, 1: 2}
+	if _, err := st.PruneTo(h.DAG, horizon); err != nil {
+		t.Fatal(err)
+	}
+	var kept, cut []*block.Block
+	for _, b := range blocks {
+		if b.Seq >= horizon[b.Builder] {
+			kept = append(kept, b)
+			cut = append(cut, b)
+		} else {
+			cut = append(cut, nil)
+		}
+	}
+	readsBack(t, "after a prune", st, cut)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir, Options{Roster: h.Roster, Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readsBack(t, "a pruned store reopened", st, kept)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A kind-1 segment: records holding the frames themselves.
+	frames := t.TempDir()
+	seg := segHeader(kindFrameWAL)
+	for _, b := range blocks {
+		seg = appendRecord(seg, b.Encode())
+	}
+	if err := os.WriteFile(filepath.Join(frames, segName(1, false)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(frames, Options{Roster: h.Roster, Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	readsBack(t, "a kind-1 segment", st, blocks)
+}
+
+func slicesContains(refs []block.Ref, ref block.Ref) bool {
+	for _, r := range refs {
+		if r == ref {
+			return true
+		}
+	}
+	return false
+}

@@ -158,8 +158,10 @@ type segment struct {
 	kind byte
 	// snap is the snapshot's tables (horizon, base, state); nil for a WAL.
 	snap *snapshot
-	// blocks are the segment's blocks in file order.
+	// blocks are the segment's blocks in file order, and offs where each
+	// one's record starts in the file.
 	blocks []*block.Block
+	offs   []int64
 	// goodLen is the byte offset (within the whole file) just past the
 	// last whole, checksummed record.
 	goodLen int64
@@ -219,6 +221,7 @@ func scanWAL(data []byte) segment {
 			break
 		}
 		seg.blocks = append(seg.blocks, b)
+		seg.offs = append(seg.offs, int64(off))
 		off = next
 		seg.goodLen = int64(off)
 	}
@@ -247,7 +250,7 @@ func readSegment(sf segFile) (segment, error) {
 	if err != nil {
 		return segment{}, err
 	}
-	return segment{kind: kind, snap: sv, blocks: sv.blocks, goodLen: int64(len(data))}, nil
+	return segment{kind: kind, snap: sv, blocks: sv.blocks, offs: sv.offs, goodLen: int64(len(data))}, nil
 }
 
 // newestSnapshot splits a sorted segment listing at its newest snapshot:
@@ -296,23 +299,12 @@ func ScanDir(dir string) ([]*block.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		blocks, _ = appendUnseen(blocks, seen, seg.blocks)
+		for _, b := range seg.blocks { // the first record of a block is the one Open keeps too
+			if _, dup := seen[b.Ref()]; !dup {
+				seen[b.Ref()] = struct{}{}
+				blocks = append(blocks, b)
+			}
+		}
 	}
 	return blocks, nil
-}
-
-// appendUnseen appends one segment's blocks to dst in file order, dropping
-// — and counting — records of a block seen already holds, and marks the
-// rest seen: the one dedup both readers of a store directory apply (Open,
-// ScanDir).
-func appendUnseen(dst []*block.Block, seen map[block.Ref]struct{}, blocks []*block.Block) (_ []*block.Block, dups int) {
-	for _, b := range blocks {
-		if _, dup := seen[b.Ref()]; dup {
-			dups++
-			continue
-		}
-		seen[b.Ref()] = struct{}{}
-		dst = append(dst, b)
-	}
-	return dst, dups
 }

@@ -3,7 +3,11 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
+	"io"
+	"maps"
+	"slices"
 
 	"blockdag/internal/block"
 	"blockdag/internal/dag"
@@ -29,6 +33,7 @@ type snapshot struct {
 	base    []dag.Base
 	state   *StateCheckpoint
 	blocks  []*block.Block
+	offs    []int64 // where each block starts in the segment
 }
 
 // maxHorizonEntries bounds the horizon and base tables a decoder will
@@ -40,39 +45,53 @@ const (
 	maxStateChunks    = 1 << 20
 )
 
-// encodeSnapshot renders a snapshot segment, header and CRC trailer
-// included: horizon table, base table, optional state checkpoint, then
-// the retained blocks (a topological order) with predecessor references
-// as uvarint indexes into base ∪ blocks (base entries occupy indexes
-// 0..len(base)-1), shrinking each from 32 bytes to typically 1–2. Every
-// retained block's predecessors must resolve within that combined table.
-// An unpruned, stateless store writes the same format with empty tables.
-func encodeSnapshot(blocks []*block.Block, base []dag.Base, horizon map[types.ServerID]uint64, st *StateCheckpoint) ([]byte, error) {
-	w := wire.NewWriter(headerSize + len(blocks)*128)
-	for _, c := range segHeader(kindSnap) {
-		w.Byte(c)
+// snapshotWriter lays a snapshot segment out on out a piece at a time: the
+// header, then head — horizon table, base table, optional state checkpoint,
+// block count — then each retained block (put, a topological order), then
+// the CRC trailer (end). A block names each predecessor by a uvarint index
+// into base ∪ blocks (base entries occupy indexes 0..len(base)-1),
+// shrinking it from 32 bytes to typically 1–2. An unpruned, stateless store
+// writes the same format with empty tables. One block's bytes are held at a
+// time, whatever the history.
+type snapshotWriter struct {
+	out io.Writer
+	crc hash.Hash32
+	n   int64       // bytes written: where the next piece starts in the segment
+	w   wire.Writer // the piece being laid out
+	err error
+}
+
+func newSnapshotWriter(out io.Writer) *snapshotWriter {
+	sw := &snapshotWriter{out: out, crc: crc32.NewIEEE()}
+	_, sw.err = out.Write(segHeader(kindSnap))
+	sw.n = int64(headerSize)
+	return sw
+}
+
+// flush writes the piece laid out and counts it into the checksum.
+func (sw *snapshotWriter) flush() {
+	if sw.err == nil {
+		_, sw.err = sw.out.Write(sw.w.Bytes())
 	}
-	ids := make([]types.ServerID, 0, len(horizon))
-	for id := range horizon {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ { // insertion sort: tiny, deterministic order
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	sw.crc.Write(sw.w.Bytes())
+	sw.n += int64(sw.w.Len())
+	sw.w.Truncate(0)
+}
+
+// head lays out the tables and the number of blocks that follow.
+func (sw *snapshotWriter) head(horizon map[types.ServerID]uint64, base []dag.Base, st *StateCheckpoint, blocks int) {
+	w := &sw.w
+	ids := slices.Sorted(maps.Keys(horizon))
 	w.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
 		w.Uint16(uint16(id))
 		w.Uvarint(horizon[id])
 	}
 	w.Uvarint(uint64(len(base)))
-	pos := make(map[block.Ref]int, len(base)+len(blocks))
-	for i, e := range base {
+	for _, e := range base {
 		w.Uint16(uint16(e.Builder))
 		w.Uvarint(e.Seq)
 		w.Bytes32(e.Ref)
-		pos[e.Ref] = i
 	}
 	w.Bool(st != nil)
 	if st != nil {
@@ -83,28 +102,31 @@ func encodeSnapshot(blocks []*block.Block, base []dag.Base, horizon map[types.Se
 			w.VarBytes(c)
 		}
 	}
-	w.Uvarint(uint64(len(blocks)))
-	for i, b := range blocks {
-		err := putBlock(w, b, func(w *wire.Writer, p block.Ref) error {
-			j, ok := pos[p]
-			if !ok {
-				return fmt.Errorf("store: snapshot block %v references %v outside the snapshot and base", b.Ref(), p)
-			}
-			w.Uvarint(uint64(j))
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		pos[b.Ref()] = len(base) + i
-	}
-	body := w.Bytes()
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(body[headerSize:]))
-	return append(body, trailer[:]...), nil
+	w.Uvarint(uint64(blocks))
+	sw.flush()
 }
 
-// decodeSnapshot inverts encodeSnapshot. Each block is reconstructed
+// put lays out one block, its predecessors named by pred, and returns where
+// it starts in the segment.
+func (sw *snapshotWriter) put(b *block.Block, pred func(*wire.Writer, block.Ref) error) (int64, error) {
+	at := sw.n
+	if err := putBlock(&sw.w, b, pred); err != nil {
+		return 0, err
+	}
+	sw.flush()
+	return at, sw.err
+}
+
+// end writes the trailer: the checksum of everything after the header.
+func (sw *snapshotWriter) end() error {
+	if sw.err == nil {
+		_, sw.err = sw.out.Write(sw.crc.Sum(nil))
+		sw.n += int64(sw.crc.Size())
+	}
+	return sw.err
+}
+
+// decodeSnapshot inverts snapshotWriter. Each block is reconstructed
 // through the canonical wire encoding, so ref(B) is re-derived from the
 // decoded fields and signatures verify exactly as for a WAL block.
 func decodeSnapshot(data []byte, path string) (*snapshot, error) {
@@ -145,6 +167,7 @@ func decodeSnapshot(data []byte, path string) (*snapshot, error) {
 	count := r.Count(1 << 31)
 	sv.blocks = make([]*block.Block, 0, count)
 	for i := 0; i < count; i++ {
+		sv.offs = append(sv.offs, int64(headerSize+len(body)-r.Remaining()))
 		b, err := getBlock(r, func(r *wire.Reader) (block.Ref, error) {
 			j := r.Uvarint()
 			if r.Err() != nil {

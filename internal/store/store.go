@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -21,7 +22,7 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncInterval fsyncs at most once per Options.SyncEvery (default).
+	// SyncInterval fsyncs at most once per syncEvery (default).
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs after every appended block.
 	SyncAlways
@@ -57,11 +58,15 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// Defaults for Options.
-const (
-	DefaultSegmentSize = 8 << 20 // 8 MiB per WAL segment
-	DefaultSyncEvery   = 200 * time.Millisecond
-)
+// DefaultSegmentSize is Options.SegmentSize's default: 8 MiB per WAL segment.
+const DefaultSegmentSize = 8 << 20
+
+// syncEvery bounds the fsync lag under SyncInterval. It only decides how
+// many received blocks a power cut can take with it — own blocks are synced
+// before they leave (PersistSink), and a lost received block is fetched
+// again — so no deployment has needed another value: at 200 ms a burst of
+// blocks shares an fsync, and the tail at risk is a block period or two.
+const syncEvery = 200 * time.Millisecond
 
 // Options configures Open.
 type Options struct {
@@ -75,9 +80,6 @@ type Options struct {
 	SegmentSize int64
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
-	// SyncEvery bounds the fsync lag under SyncInterval (default
-	// DefaultSyncEvery).
-	SyncEvery time.Duration
 	// Clock supplies the current time for SyncInterval bookkeeping. The
 	// node runtime injects its clock; nil defaults to wall time.
 	Clock func() time.Duration
@@ -118,12 +120,31 @@ type Store struct {
 	dir  string
 	opts Options
 
-	// recovered is what Open read, in file order; blocks counts those and the
-	// appended: the journaled frontier. There is no index of them: the
-	// server's DAG numbers each block once, and the sink counts along.
-	recovered []*block.Block
+	// opened is what Open read, in file order, until a sink has been handed
+	// all of it back (Blocks); recovered their references, for good: the
+	// sink tells a block it replays from a new one by them, and the records
+	// Open read are read back against them. blocks counts the blocks on
+	// disk: the journaled frontier. There is no index of them: the server's
+	// DAG numbers each block once, and the sink counts along.
+	opened    []*block.Block
+	recovered []block.Ref
 	blocks    int
 	report    OpenReport
+
+	// The location column (Block): where the record of each row — the DAG's
+	// numbering, as the sink counts it — lies, one word a row; segs is the
+	// segments it points into, live the live WAL segment's entry (nil while
+	// none is open) at liveSlot, rowRef the DAG's references (Rows). stray
+	// holds, by row, the blocks a failed write left on no disk, and rd is
+	// the file Block read last, kept open for the next.
+	locs     []loc
+	segs     []*segMeta
+	live     *segMeta
+	liveSlot int
+	rowRef   func(row int) block.Ref
+	stray    map[int]*block.Block
+	rd       *os.File
+	rdIndex  uint64
 
 	// Pruned-history state, journaled in snapshot segments. horizon is
 	// the sticky per-builder prune floor: once PruneTo raises it, every
@@ -162,7 +183,7 @@ type Store struct {
 	// they are fixed only there. batch and rec are reused across flushes, so
 	// steady-state journaling allocates nothing.
 	batching bool
-	batch    []*block.Block
+	batch    []pending
 	rec      wire.Writer
 
 	dirty bool
@@ -194,9 +215,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
-	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = DefaultSyncEvery
 	}
 	if opts.Clock == nil {
 		start := time.Now()
@@ -269,7 +287,7 @@ func (s *Store) recover() error {
 		segs = segs[:n-1]
 	}
 
-	seen := make(map[block.Ref]struct{}) // of this read only: duplicate records are dropped here
+	seen := make(map[block.Ref]int) // of this read only: duplicate records are dropped here
 	for i, sf := range segs {
 		seg, err := readSegment(sf)
 		if err != nil {
@@ -280,9 +298,24 @@ func (s *Store) recover() error {
 		if seg.torn && i != len(segs)-1 {
 			return fmt.Errorf("%w: %s: bad record before final segment", ErrCorrupt, sf.path)
 		}
-		var dups int
-		s.recovered, dups = appendUnseen(s.recovered, seen, seg.blocks)
-		s.report.Duplicates += dups
+		// Every block read is a row, in file order, at its first record; a
+		// record names the block it holds by its place among them.
+		m := &segMeta{index: sf.index, kind: seg.kind, size: sf.size}
+		for j, b := range seg.blocks {
+			k, dup := seen[b.Ref()]
+			if dup {
+				s.report.Duplicates++
+			} else {
+				k = len(s.recovered)
+				seen[b.Ref()] = k
+				s.recovered = append(s.recovered, b.Ref())
+				s.opened = append(s.opened, b)
+				s.locs = append(s.locs, locOf(len(s.segs), seg.offs[j]))
+			}
+			m.add(k)
+		}
+		m.opened = m.n
+		s.segs = append(s.segs, m)
 		if seg.snap != nil {
 			s.horizon, s.base, s.stateCkpt = seg.snap.horizon, seg.snap.base, seg.snap.state
 			s.report.HasSnapshot = true
@@ -307,6 +340,7 @@ func (s *Store) recover() error {
 				return fmt.Errorf("store: reopen segment: %w", err)
 			}
 			s.cur, s.curIndex, s.curSize = f, sf.index, seg.goodLen
+			s.live, s.liveSlot = m, len(s.segs)-1
 			for _, b := range seg.blocks[max(0, len(seg.blocks)-walWindow):] {
 				s.win.push(b.Ref())
 			}
@@ -327,8 +361,11 @@ func (s *Store) Report() OpenReport { return s.report }
 // Blocks returns the blocks Open read, unvalidated, in file order — a
 // topological order when a correct server wrote the files (WAL order is
 // insertion order; a snapshot is written in DAG order) — for
-// core.Server.Restore. The slice is shared; treat it as read-only.
-func (s *Store) Blocks() []*block.Block { return s.recovered }
+// core.Server.Restore. The slice is shared; treat it as read-only. A
+// writable store lets go of it once a sink has been handed all of it back
+// (Restore's replay), so the blocks are the DAG's to keep or release, and
+// returns nil from then on; a read-only store keeps it.
+func (s *Store) Blocks() []*block.Block { return s.opened }
 
 // Base returns the pruned-history base table recovered from the newest
 // snapshot, ordered by (builder, seq); nil for an unpruned store. A
@@ -394,7 +431,17 @@ func (s *Store) DiskSize() (int64, error) {
 //
 // Between BeginBatch and FlushBatch, Append only adds the block to the
 // group-commit batch; see FlushBatch for when its record hits the disk.
-func (s *Store) Append(b *block.Block) error {
+func (s *Store) Append(b *block.Block) error { return s.append(b, len(s.locs)) }
+
+// pending is a block in the group-commit batch: its row, and where its
+// record starts in the frames being written.
+type pending struct {
+	b        *block.Block
+	row, off int
+}
+
+// append journals b as row: Append's next row, or the sink's.
+func (s *Store) append(b *block.Block, row int) error {
 	if s.closed {
 		return errors.New("store: append after Close")
 	}
@@ -407,7 +454,11 @@ func (s *Store) Append(b *block.Block) error {
 	// One write path: batch the block and count it (a failed flush takes it
 	// back out). Inside a window the write waits for FlushBatch; outside
 	// one, this block is a batch of one.
-	s.batch = append(s.batch, b)
+	for len(s.locs) <= row {
+		s.locs = append(s.locs, noLoc)
+	}
+	s.locs[row] = noLoc // a record of another block the sink found here is not the row's
+	s.batch = append(s.batch, pending{b: b, row: row})
 	s.blocks++
 	if s.batching {
 		return nil
@@ -419,7 +470,7 @@ func (s *Store) Append(b *block.Block) error {
 // interval has passed since the last one, or never.
 func (s *Store) syncByPolicy() error {
 	if s.opts.Sync == SyncAlways ||
-		s.opts.Sync == SyncInterval && s.opts.Clock()-s.lastSync >= s.opts.SyncEvery {
+		s.opts.Sync == SyncInterval && s.opts.Clock()-s.lastSync >= syncEvery {
 		return s.Sync()
 	}
 	return nil
@@ -474,7 +525,7 @@ func (s *Store) flushPending() error {
 	for i := 0; i < len(batch); {
 		if s.cur == nil {
 			if err := s.newSegment(); err != nil {
-				s.blocks -= len(batch) - i
+				s.lose(batch[i:])
 				return err
 			}
 		}
@@ -489,29 +540,47 @@ func (s *Store) flushPending() error {
 		for ; i < len(batch); i++ {
 			mark := s.rec.Len()
 			used := s.curSize + int64(mark)
-			putRecord(&s.rec, batch[i], &s.win)
+			putRecord(&s.rec, batch[i].b, &s.win)
 			if used+int64(s.rec.Len()-mark) > s.opts.SegmentSize && used > int64(headerSize) {
 				s.rec.Truncate(mark)
 				break
 			}
-			s.win.push(batch[i].Ref())
+			s.win.push(batch[i].b.Ref())
+			batch[i].off = mark
 		}
 		if i == run {
 			if err := s.rotate(); err != nil {
-				s.blocks -= len(batch) - i
+				s.lose(batch[i:])
 				return err
 			}
 			continue
 		}
 		if _, err := s.cur.Write(s.rec.Bytes()); err != nil {
-			s.blocks -= len(batch) - run
+			s.lose(batch[run:])
 			s.endFailedSegment(err)
-			return fmt.Errorf("store: append block %v: %w", batch[run].Ref(), err)
+			return fmt.Errorf("store: append block %v: %w", batch[run].b.Ref(), err)
+		}
+		for _, p := range batch[run:i] {
+			s.locs[p.row] = locOf(s.liveSlot, s.curSize+int64(p.off))
+			s.live.add(p.row)
 		}
 		s.curSize += int64(s.rec.Len())
 		s.dirty = true
 	}
 	return nil
+}
+
+// lose takes batched blocks a write could not put on disk back out of the
+// count, and keeps them for Block: their rows may have left the DAG's RAM
+// already, on the strength of the append.
+func (s *Store) lose(lost []pending) {
+	s.blocks -= len(lost)
+	if s.stray == nil {
+		s.stray = make(map[int]*block.Block)
+	}
+	for _, p := range lost {
+		s.stray[p.row] = p.b
+	}
 }
 
 // endFailedSegment ends the live segment after a failed write. The segment
@@ -532,7 +601,7 @@ func (s *Store) endFailedSegment(err error) {
 		_ = s.cur.Sync() // the write already failed; that error is the one reported
 	}
 	_ = s.cur.Close()
-	s.cur, s.curSize, s.dirty = nil, 0, false
+	s.cur, s.curSize, s.dirty, s.live = nil, 0, false, nil
 }
 
 // PersistSink returns the persistence hook (core.Journal) for the server
@@ -547,22 +616,35 @@ func (s *Store) endFailedSegment(err error) {
 // an unsynced tail of them only costs refetching from peers.
 //
 // The sink numbers the blocks as the server's DAG does: it is handed each
-// once, in the DAG's order from its first (core.Journal). A row below the
-// frontier Open found is a block Open read, coming back through the replay
-// of Blocks, and is skipped — if it is that block: a DAG built from anything
-// else journals it again, a duplicate record and nothing lost. Every later
-// row is new, whatever a failed write or a pruning Checkpoint did to Len.
+// once, in the DAG's order from its first (core.Journal), and that number is
+// the block's row in the location column (Block). A row below the frontier
+// Open found is a block Open read, coming back through the replay of Blocks,
+// and is skipped — if it is that block: a DAG built from anything else
+// journals it again, a duplicate record and nothing lost, in a segment of
+// its own (the records Open read are named by what Open read, those written
+// since by row). Every later row is new, whatever a failed write or a
+// pruning Checkpoint did to Len.
 //
 // Use this, not a bare Append, whenever the store backs a live server;
 // node.Config.Store and package cluster wire it automatically.
 func (s *Store) PersistSink(self types.ServerID) func(*block.Block) error {
-	row := 0
+	row := -1
 	return func(b *block.Block) error {
 		row++
-		if row <= len(s.recovered) && s.recovered[row-1].Ref() == b.Ref() {
-			return nil
+		if row < len(s.recovered) {
+			if row == len(s.recovered)-1 {
+				s.opened = nil // replayed: the DAG's now
+			}
+			if s.recovered[row] == b.Ref() {
+				return nil
+			}
+			if s.live != nil && s.live.opened > 0 {
+				if err := s.rotate(); err != nil {
+					return err
+				}
+			}
 		}
-		if err := s.Append(b); err != nil {
+		if err := s.append(b, row); err != nil {
 			return err
 		}
 		if b.Builder == self {
@@ -631,6 +713,8 @@ func (s *Store) newSegment() error {
 	s.cur = f
 	s.curIndex = s.nextIdx
 	s.curSize = int64(headerSize)
+	s.live, s.liveSlot = &segMeta{index: s.nextIdx, kind: kindWAL}, len(s.segs)
+	s.segs = append(s.segs, s.live)
 	s.win.reset()
 	s.nextIdx++
 	s.walSegs++
@@ -652,7 +736,7 @@ func (s *Store) rotate() error {
 	if err := s.cur.Close(); err != nil {
 		return fmt.Errorf("store: close segment: %w", err)
 	}
-	s.cur = nil
+	s.cur, s.live = nil, nil
 	s.dirty = false
 	s.curSize = 0
 	return nil
@@ -673,14 +757,17 @@ type CompactStats struct {
 // strictly older segment, bounding the store to O(live DAG) bytes: WAL
 // framing overhead, duplicate records, torn garbage, blocks absent from d
 // and kind-1 segments are all dropped, and every predecessor is named by a
-// snapshot-internal index, never by its 32-byte hash.
+// snapshot-internal index, never by its 32-byte hash. The blocks are read
+// one at a time — released ones back through d from this store, before its
+// old segments go — and streamed to the file, so a checkpoint holds one
+// block's bytes at a time, not the history's.
 //
 // The snapshot becomes durable (written to a temp file, fsynced, renamed)
 // before any old segment is deleted, so a crash at any point leaves a
 // recoverable store: either the old segments still rule, or the snapshot
 // does and Open sweeps the leftovers. After Checkpoint the store holds
-// exactly d's blocks; callers pass the server's live DAG (or a verified
-// copy of it).
+// exactly d's blocks, row for row; callers pass the server's live DAG (or a
+// verified copy of it).
 func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 	if s.closed {
 		return CompactStats{}, errors.New("store: checkpoint after Close")
@@ -699,62 +786,113 @@ func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 	// from a DAG that still holds full history in memory (prune while
 	// running) cannot resurrect segments PruneTo already deleted. An
 	// unpruned store's horizon is empty and retains everything.
-	blocks, base, err := pruneSet(d, s.horizon)
+	c, err := pruneSet(d, s.horizon)
 	if err != nil {
 		return stats, err
 	}
-	enc, err := encodeSnapshot(blocks, base, s.horizon, s.stateCkpt)
+	pos := make(map[block.Ref]int, len(c.base))
+	for i, e := range c.base {
+		pos[e.Ref] = i
+	}
+	snap := &segMeta{kind: kindSnap}
+	locs := make([]loc, d.Len())
+	stats.SegmentsRemoved, err = s.publishSnapshot(snap, func(sw *snapshotWriter) error {
+		sw.head(s.horizon, c.base, s.stateCkpt, c.retained)
+		for i := range locs {
+			if !c.kept(i) {
+				locs[i] = pruned
+				continue
+			}
+			b, err := d.ReadRow(c.stand + i)
+			if err != nil {
+				return err
+			}
+			off, err := sw.put(b, func(w *wire.Writer, p block.Ref) error {
+				j, ok := pos[p]
+				if v, in := d.Index(p); !ok && in {
+					if k := snap.record(v - c.stand); k >= 0 {
+						j, ok = len(c.base)+k, true
+					}
+				}
+				if !ok {
+					return fmt.Errorf("store: snapshot block %v references %v outside the snapshot and base", b.Ref(), p)
+				}
+				w.Uvarint(uint64(j))
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			locs[i] = locOf(0, off)
+			snap.add(i)
+		}
+		return nil
+	})
 	if err != nil {
 		return stats, err
 	}
-	if stats.SegmentsRemoved, err = s.publishSnapshot(enc); err != nil {
-		return stats, err
-	}
-	s.blocks = len(blocks)
-	if base != nil {
-		s.base = base
-	}
+	s.segs, s.locs, s.stray = []*segMeta{snap}, locs, nil
+	s.blocks, s.base = c.retained, c.base
 	after, err := s.DiskSize()
 	if err != nil {
 		return stats, err
 	}
 	stats.BytesAfter = after
-	stats.Blocks = len(blocks)
+	stats.Blocks = c.retained
 	return stats, nil
 }
 
-// publishSnapshot makes enc the store's newest snapshot segment and
-// deletes every older segment, reporting how many. It first drains any open
-// group-commit buffer and seals the live WAL segment, so the snapshot index
-// is strictly newer than every record written so far. The temp-file rename
-// is the commit point; Open finishes the sweep if a crash interrupts it.
-func (s *Store) publishSnapshot(enc []byte) (int, error) {
+// publishSnapshot makes the snapshot segment write lays out the store's
+// newest — snap its entry — and deletes every older segment, reporting how
+// many. It first drains any open group-commit buffer and seals the live WAL
+// segment, so the snapshot index is strictly newer than every record written
+// so far. The segment goes to a temp file, fsynced, and its rename is the
+// commit point; Open finishes the sweep if a crash interrupts it.
+func (s *Store) publishSnapshot(snap *segMeta, write func(*snapshotWriter) error) (int, error) {
 	if err := s.flushPending(); err != nil {
 		return 0, err
 	}
 	if err := s.rotate(); err != nil {
 		return 0, err
 	}
-	index := s.nextIdx
+	snap.index = s.nextIdx
 	s.nextIdx++
-	path := filepath.Join(s.dir, segName(index, true))
+	path := filepath.Join(s.dir, segName(snap.index, true))
 	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, enc); err != nil {
-		return 0, err
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, fmt.Errorf("store: create %s: %w", filepath.Base(tmp), err)
 	}
+	out := bufio.NewWriterSize(f, 64<<10)
+	sw := newSnapshotWriter(out)
+	err = write(sw)
+	for _, step := range []func() error{sw.end, out.Flush, f.Sync} {
+		if err == nil {
+			err = step()
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+		return 0, fmt.Errorf("store: write snapshot: %w", err)
+	}
+	snap.size = sw.n
 	if err := os.Rename(tmp, path); err != nil {
 		return 0, fmt.Errorf("store: publish snapshot: %w", err)
 	}
 	if err := syncDir(s.dir); err != nil {
 		return 0, err
 	}
+	s.closeReader() // its segment is about to go
 	segs, err := listSegments(s.dir)
 	if err != nil {
 		return 0, err
 	}
 	removed := 0
 	for _, sf := range segs {
-		if sf.index >= index {
+		if sf.index >= snap.index {
 			continue
 		}
 		if err := os.Remove(sf.path); err != nil {
@@ -766,25 +904,45 @@ func (s *Store) publishSnapshot(enc []byte) (int, error) {
 	return removed, nil
 }
 
-// pruneSet splits d's blocks at the horizon: the retained blocks (seq >=
-// horizon[builder], in topological order) plus the base table — every
-// pruned or already-base reference a retained block carries, and the
-// per-builder frontier at horizon-1 so each chain's first live block
-// above the horizon finds its parent even before anything references it.
-func pruneSet(d *dag.DAG, horizon map[types.ServerID]uint64) ([]*block.Block, []dag.Base, error) {
-	all := d.Blocks()
-	retained := make([]*block.Block, 0, len(all))
+// cut is d's rows split at a prune horizon: the blocks kept (seq >=
+// horizon[builder]), counted, and the base table — every pruned or
+// stand-in row a kept block cites, and per builder the row at horizon-1,
+// so each chain's first live block above the horizon finds its parent even
+// before anything cites it. Blocks are numbered as d inserted them;
+// stand is where they start among d's rows.
+type cut struct {
+	d        *dag.DAG
+	horizon  map[types.ServerID]uint64
+	stand    int
+	retained int
+	base     []dag.Base
+}
+
+// kept reports whether d's i-th inserted block lies at or above the horizon.
+func (c *cut) kept(i int) bool {
+	builder, seq := c.d.Pos(c.stand + i)
+	return seq >= c.horizon[builder]
+}
+
+// pruneSet cuts d at the horizon from its rows alone: no block is read.
+func pruneSet(d *dag.DAG, horizon map[types.ServerID]uint64) (*cut, error) {
+	c := &cut{d: d, horizon: horizon, stand: len(d.Base())}
+	entry := func(v int) dag.Base {
+		builder, seq := d.Pos(v)
+		return dag.Base{Builder: builder, Seq: seq, Ref: d.RefAt(v)}
+	}
 	baseSet := make(map[block.Ref]dag.Base)
 	frontier := make(map[types.ServerID]bool, len(horizon))
-	for _, b := range all {
-		h := horizon[b.Builder]
-		if b.Seq >= h {
-			retained = append(retained, b)
+	for i := 0; i < d.Len(); i++ {
+		e := entry(c.stand + i)
+		h := horizon[e.Builder]
+		if e.Seq >= h {
+			c.retained++
 			continue
 		}
-		if h > 0 && b.Seq == h-1 {
-			baseSet[b.Ref()] = dag.Base{Builder: b.Builder, Seq: b.Seq, Ref: b.Ref()}
-			frontier[b.Builder] = true
+		if h > 0 && e.Seq == h-1 {
+			baseSet[e.Ref] = e
+			frontier[e.Builder] = true
 		}
 	}
 	for _, e := range d.Base() {
@@ -805,42 +963,36 @@ func pruneSet(d *dag.DAG, horizon map[types.ServerID]uint64) ([]*block.Block, []
 	}
 	for id, h := range horizon {
 		if h > 0 && !frontier[id] {
-			return nil, nil, fmt.Errorf("store: prune horizon %d for builder %v but no block at seq %d", h, id, h-1)
+			return nil, fmt.Errorf("store: prune horizon %d for builder %v but no block at seq %d", h, id, h-1)
 		}
 	}
-	for _, b := range retained {
-		for _, p := range b.Preds {
-			if _, done := baseSet[p]; done {
-				continue
+	for i := 0; i < d.Len(); i++ {
+		if !c.kept(i) {
+			continue
+		}
+		for _, p := range d.PredsAt(c.stand + i) {
+			if int(p) >= c.stand && c.kept(int(p)-c.stand) {
+				continue // retained itself
 			}
-			if pb, ok := d.Get(p); ok {
-				if pb.Seq >= horizon[pb.Builder] {
-					continue // retained itself
-				}
-				baseSet[p] = dag.Base{Builder: pb.Builder, Seq: pb.Seq, Ref: p}
-				continue
-			}
-			if e, ok := d.BaseRef(p); ok {
-				baseSet[p] = e
-				continue
-			}
-			return nil, nil, fmt.Errorf("store: retained block %v references unknown predecessor %v", b.Ref(), p)
+			e := entry(int(p)) // a pruned block, or a stand-in
+			baseSet[e.Ref] = e
 		}
 	}
-	base := make([]dag.Base, 0, len(baseSet))
+	c.base = make([]dag.Base, 0, len(baseSet))
 	for _, e := range baseSet {
-		base = append(base, e)
+		c.base = append(c.base, e)
 	}
-	sort.Slice(base, func(i, j int) bool {
-		if base[i].Builder != base[j].Builder {
-			return base[i].Builder < base[j].Builder
+	sort.Slice(c.base, func(i, j int) bool {
+		a, b := c.base[i], c.base[j]
+		if a.Builder != b.Builder {
+			return a.Builder < b.Builder
 		}
-		if base[i].Seq != base[j].Seq {
-			return base[i].Seq < base[j].Seq
+		if a.Seq != b.Seq {
+			return a.Seq < b.Seq
 		}
-		return bytesLess(base[i].Ref, base[j].Ref)
+		return bytesLess(a.Ref, b.Ref)
 	})
-	return retained, base, nil
+	return c, nil
 }
 
 // bytesLess orders two refs lexicographically, a deterministic
@@ -915,13 +1067,14 @@ func (s *Store) InstallSnapshot(horizon map[types.ServerID]uint64, base []dag.Ba
 	case s.blocks > 0 || len(s.base) > 0:
 		return fmt.Errorf("store: InstallSnapshot into non-empty store %s", s.dir)
 	}
-	enc, err := encodeSnapshot(nil, base, horizon, sc)
-	if err != nil {
+	snap := &segMeta{kind: kindSnap}
+	if _, err := s.publishSnapshot(snap, func(sw *snapshotWriter) error {
+		sw.head(horizon, base, sc, 0)
+		return nil
+	}); err != nil {
 		return err
 	}
-	if _, err := s.publishSnapshot(enc); err != nil {
-		return err
-	}
+	s.segs = []*segMeta{snap}
 	s.horizon, s.base, s.stateCkpt = horizon, base, sc
 	return nil
 }
@@ -939,6 +1092,7 @@ func (s *Store) Close() error {
 	}
 	s.batching = false
 	s.closed = true
+	s.closeReader()
 	if s.evFile != nil {
 		// AppendEvidence syncs after every record; only the descriptor
 		// needs releasing here.
@@ -962,6 +1116,7 @@ func (s *Store) Abandon() {
 		return
 	}
 	s.closed = true
+	s.closeReader()
 	if s.cur != nil {
 		_ = s.cur.Close()
 		s.cur = nil
@@ -971,26 +1126,6 @@ func (s *Store) Abandon() {
 		_ = s.evFile.Close()
 		s.evFile = nil
 	}
-}
-
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: create %s: %w", filepath.Base(path), err)
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("store: write %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("store: fsync %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: close %s: %w", filepath.Base(path), err)
-	}
-	return nil
 }
 
 // syncDir fsyncs a directory so renames and removals within it are

@@ -790,15 +790,14 @@ func TestSyncPolicies(t *testing.T) {
 			now := time.Duration(0)
 			dir := t.TempDir()
 			st := openStore(t, dir, roster, store.Options{
-				Sync:      policy,
-				SyncEvery: 100 * time.Millisecond,
-				Clock:     func() time.Duration { return now },
+				Sync:  policy,
+				Clock: func() time.Duration { return now },
 			})
 			for _, b := range blocks {
 				if err := st.Append(b); err != nil {
 					t.Fatal(err)
 				}
-				now += 30 * time.Millisecond
+				now += 70 * time.Millisecond
 				if err := st.Tick(); err != nil {
 					t.Fatal(err)
 				}
