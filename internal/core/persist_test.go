@@ -38,10 +38,9 @@ type flakyJournal struct{ fail error }
 func (j *flakyJournal) PersistSink(types.ServerID) func(*block.Block) error {
 	return func(*block.Block) error { return j.fail }
 }
-func (*flakyJournal) Block(int) (*block.Block, error) {
+func (*flakyJournal) Block(int, []block.Ref) (*block.Block, error) {
 	return nil, errors.New("the flaky journal reads nothing back")
 }
-func (*flakyJournal) Rows(func(int) block.Ref)             {}
 func (*flakyJournal) BeginBatch()                          {}
 func (*flakyJournal) FlushBatch() error                    { return nil }
 func (*flakyJournal) Evidence() []*evidence.Proof          { return nil }

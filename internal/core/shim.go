@@ -459,18 +459,16 @@ func (s *Server) ObserveInserts(fn func(*block.Block)) { s.dag.SetOnInsert(fn) }
 // broadcasts them: the write-ahead discipline that keeps a post-crash
 // restart from self-equivocating. The sink is handed every block once, in the
 // DAG's order from its first (call k is dag.BlockAt(k)): all a journal needs
-// to tell the blocks it holds, back through Restore, from new ones. Block(k)
-// reads that block back (dag.Journal): the DAG releases a block every chain
-// has read and the journal answers for it from then on; Rows hands the
-// journal the DAG's references by the same numbers, which it reads its
-// records back against. BeginBatch/FlushBatch are the group-commit window
-// DeliverBatch brackets its bursts with (see store.BeginBatch for the
-// durability contract). Evidence returns the proofs journaled so far,
+// to tell the blocks it holds, back through Restore, from new ones. Block(k,
+// preds) reads that block back (dag.Journal): the DAG releases a block every
+// chain has read and the journal answers for its bytes from then on, handed
+// the predecessors the block's row keeps; the DAG checks the reference.
+// BeginBatch/FlushBatch are the group-commit window DeliverBatch brackets
+// its bursts with (see store.BeginBatch for the durability contract). Evidence returns the proofs journaled so far,
 // verified on load; AppendEvidence journals a newly accepted one.
 type Journal interface {
 	PersistSink(self types.ServerID) func(*block.Block) error
-	Block(row int) (*block.Block, error)
-	Rows(ref func(row int) block.Ref)
+	Block(row int, preds []block.Ref) (*block.Block, error)
 	BeginBatch()
 	FlushBatch() error
 	Evidence() []*evidence.Proof
@@ -487,13 +485,12 @@ func (v *volatile) PersistSink(types.ServerID) func(*block.Block) error {
 		return nil
 	}
 }
-func (v *volatile) Block(row int) (*block.Block, error) {
+func (v *volatile) Block(row int, _ []block.Ref) (*block.Block, error) {
 	if row >= len(v.blocks) {
 		return nil, fmt.Errorf("core: no block %d", row)
 	}
 	return v.blocks[row], nil
 }
-func (*volatile) Rows(func(int) block.Ref)             {}
 func (*volatile) BeginBatch()                          {}
 func (*volatile) FlushBatch() error                    { return nil }
 func (*volatile) Evidence() []*evidence.Proof          { return nil }
@@ -533,7 +530,6 @@ func (s *Server) SetJournal(j Journal) error {
 // answers for the blocks the DAG releases.
 func (s *Server) useJournal(j Journal) {
 	s.journal, s.persist = j, j.PersistSink(s.self)
-	j.Rows(s.dag.BlockRef)
 	s.dag.SetJournal(j)
 }
 

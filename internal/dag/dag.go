@@ -40,9 +40,11 @@
 // chain has read it (Release, at the frontier package interpret computes)
 // and the journal (SetJournal) answers for them: every reader below — Get,
 // BlockAt, All, Blocks, ByBuilder, EquivocationBlocks, ReadRow — goes
-// through one accessor that reads a released block back from the journal.
-// Validation, insertion and reachability read rows only, so the fork-free
-// path never reads a block back.
+// through one accessor that reads a released block back from the journal,
+// handing it the row's predecessors: the row answers for a block's edges,
+// the journal for the rest of its bytes, and the accessor checks that the
+// two rebuild the row's reference. Validation, insertion and reachability
+// read rows only, so the fork-free path never reads a block back.
 package dag
 
 import (
@@ -106,13 +108,16 @@ func VerifyEquivocationProof(roster *crypto.Roster, b1, b2 *block.Block) error {
 	return nil
 }
 
-// Journal answers for the blocks a DAG has released: Block returns the
-// row-th inserted block (stand-ins not counted), read back. core.Journal is
-// one — the store a server journals to, or the volatile journal that keeps
-// every block of a server without one. A block it held and no longer does
-// (history pruned below a horizon) is ErrPruned.
+// Journal answers for the bytes of the blocks a DAG has released: Block
+// returns the row-th inserted block (stand-ins not counted), read back, given
+// its predecessors' references — the edges its row keeps for good, so a
+// journal need not name them again. The DAG checks that the block rebuilds
+// the row's reference. core.Journal is one — the store a server journals to,
+// or the volatile journal that keeps every block of a server without one. A
+// block it held and no longer does (history pruned below a horizon) is
+// ErrPruned.
 type Journal interface {
-	Block(row int) (*block.Block, error)
+	Block(row int, preds []block.Ref) (*block.Block, error)
 }
 
 // ErrPruned is a journal's answer for a block it no longer holds.
@@ -197,8 +202,10 @@ func (d *DAG) Counts() *metrics.Metrics { return &d.counts }
 // Release lets go of the bytes of builder x's blocks below frontier[x] —
 // what every chain has read (interpret.Interpreter.Frontier) — for the
 // journal to answer for from then on; their rows stay. A forked slot's later
-// blocks stay held. The caller releases only blocks its journal holds (core
-// stops at the journal's first error); without a journal nothing goes.
+// blocks stay held, and so does a block that cites one predecessor twice:
+// its row keeps each edge once, so the references read hands the journal
+// could not rebuild it. The caller releases only blocks its journal holds
+// (core stops at the journal's first error); without a journal nothing goes.
 func (d *DAG) Release(frontier []uint64) {
 	if d.journal == nil {
 		return
@@ -208,10 +215,12 @@ func (d *DAG) Release(frontier []uint64) {
 			continue
 		}
 		for _, v := range d.g.Slots(x, d.below[x], f) {
-			if i := int(v) - len(d.base); i >= 0 && d.order[i] != nil {
-				d.order[i] = nil
-				d.held--
+			i := int(v) - len(d.base)
+			if i < 0 || d.order[i] == nil || len(d.order[i].Preds) != len(d.g.PredsAt(int(v))) {
+				continue
 			}
+			d.order[i] = nil
+			d.held--
 		}
 		d.below[x] = f
 	}
@@ -219,18 +228,25 @@ func (d *DAG) Release(frontier []uint64) {
 }
 
 // read is the one accessor: the i-th inserted block, held or read back from
-// the journal.
+// the journal over its row's predecessors (stand-ins included), and checked
+// against the row's reference — the one check a read-back block passes.
 func (d *DAG) read(i int) (*block.Block, error) {
 	if b := d.order[i]; b != nil {
 		return b, nil
 	}
 	d.counts.Add(journalReads, 1)
-	b, err := d.journal.Block(i)
+	v := len(d.base) + i
+	rows := d.g.PredsAt(v)
+	preds := make([]block.Ref, len(rows))
+	for k, p := range rows {
+		preds[k] = d.RefAt(int(p))
+	}
+	b, err := d.journal.Block(i, preds)
 	switch {
 	case err != nil:
 		return nil, fmt.Errorf("dag: read block %d back: %w", i, err)
-	case b.Ref() != d.BlockRef(i):
-		return nil, fmt.Errorf("dag: block %d read back as %v, want %v", i, b.Ref(), d.BlockRef(i))
+	case b.Ref() != d.RefAt(v):
+		return nil, fmt.Errorf("dag: block %d read back as %v, want %v", i, b.Ref(), d.RefAt(v))
 	}
 	return b, nil
 }
@@ -244,10 +260,6 @@ func (d *DAG) ReadRow(v int) (*block.Block, error) {
 	}
 	return d.read(v - len(d.base))
 }
-
-// BlockRef returns the reference of the i-th inserted block, which its row
-// keeps for good: the references a journal reads its records back against.
-func (d *DAG) BlockRef(i int) block.Ref { return d.RefAt(len(d.base) + i) }
 
 // SetOnInsert installs a callback invoked after every successful insert,
 // in insertion order (core.Server.ObserveInserts).

@@ -5,8 +5,8 @@
 // pushed in is embedded in the next block, unconditionally. That shape
 // cannot face real clients. Pool upgrades the buffer into a subsystem:
 //
-//   - admission: per-request validation (label and size limits, optional
-//     application hook) rejects garbage before it costs a block slot;
+//   - admission: per-request validation (label and size limits) rejects
+//     garbage before it costs a block slot;
 //   - dedup: a bounded, hash-keyed recently-seen cache drops client
 //     retries and byzantine replays, FIFO-evicted so memory stays capped;
 //   - backpressure: a hard capacity returns ErrFull to submitters, and a
@@ -73,8 +73,7 @@ type Stats struct {
 	// Duplicates counts submissions dropped by the dedup cache or
 	// because an identical request is still queued.
 	Duplicates int64
-	// Invalid counts submissions rejected by validation (size, label,
-	// or the application hook).
+	// Invalid counts submissions rejected by validation (size or label).
 	Invalid int64
 	// Overflow counts submissions refused with ErrFull.
 	Overflow int64

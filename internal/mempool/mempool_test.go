@@ -161,20 +161,10 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestValidation: built-in size/label checks and the application hook
-// reject before admission.
+// TestValidation: the built-in size and label checks reject before
+// admission.
 func TestValidation(t *testing.T) {
-	hookErr := errors.New("vetoed")
-	p := New(Options{
-		MaxRequestBytes: 8,
-		MaxLabelBytes:   4,
-		Validate: func(rq block.Request) error {
-			if string(rq.Data) == "veto" {
-				return hookErr
-			}
-			return nil
-		},
-	})
+	p := New(Options{MaxRequestBytes: 8, MaxLabelBytes: 4})
 	cases := []struct {
 		label types.Label
 		data  []byte
@@ -183,7 +173,6 @@ func TestValidation(t *testing.T) {
 		{"", []byte("x"), ErrEmptyLabel},
 		{"toolong", []byte("x"), ErrTooLarge},
 		{"ok", []byte("123456789"), ErrTooLarge},
-		{"ok", []byte("veto"), hookErr},
 		{"ok", []byte("fine"), nil},
 	}
 	for _, tc := range cases {
@@ -192,8 +181,8 @@ func TestValidation(t *testing.T) {
 			t.Errorf("Submit(%q, %q) = %v, want %v", tc.label, tc.data, err, tc.want)
 		}
 	}
-	if s := p.Stats(); s.Invalid != 4 || s.Accepted != 1 {
-		t.Fatalf("stats = %+v, want 4 invalid / 1 accepted", s)
+	if s := p.Stats(); s.Invalid != 3 || s.Accepted != 1 {
+		t.Fatalf("stats = %+v, want 3 invalid / 1 accepted", s)
 	}
 }
 

@@ -51,11 +51,6 @@ type Options struct {
 	MaxRequestBytes int
 	// MaxLabelBytes bounds a single request's label.
 	MaxLabelBytes int
-	// Validate, when set, runs after the built-in size checks and can
-	// veto admission with an application error (malformed command,
-	// unauthorized sender, ...). It must be pure and fast: it runs under
-	// the pool lock on every submission.
-	Validate func(rq block.Request) error
 	// DrainBytes bounds the cumulative payload (label + data) of one
 	// Next drain, keeping built blocks under the decode-side budget.
 	// The default is block.MaxProducerPayloadBytes; larger settings are
@@ -104,8 +99,7 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// validate applies the built-in structural checks and the optional
-// application hook.
+// validate applies the built-in structural checks.
 func (o *Options) validate(rq block.Request) error {
 	if len(rq.Label) == 0 {
 		return ErrEmptyLabel
@@ -115,9 +109,6 @@ func (o *Options) validate(rq block.Request) error {
 	}
 	if len(rq.Data) > o.MaxRequestBytes {
 		return fmt.Errorf("%w: %s carries %d bytes, limit %d", ErrTooLarge, rq.Label, len(rq.Data), o.MaxRequestBytes)
-	}
-	if o.Validate != nil {
-		return o.Validate(rq)
 	}
 	return nil
 }

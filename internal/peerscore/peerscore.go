@@ -88,21 +88,22 @@ func (s Signal) String() string {
 // Options configures a Scorer. The zero value is usable: defaults
 // below apply.
 type Options struct {
-	// HalfLife is the score decay half-life. Default 30s.
-	HalfLife time.Duration
 	// QuarantineAt is the decayed score at which a peer is considered
 	// quarantined (deprioritized, not banned). Default 20 — e.g. two
-	// bad signatures within a half-life.
+	// bad signatures within a half-life (halfLife).
 	QuarantineAt float64
 	// Clock supplies monotonic time. Inject the simulator's clock for
 	// deterministic tests; default is wall time since construction.
 	Clock func() time.Duration
 }
 
-const (
-	defaultHalfLife     = 30 * time.Second
-	defaultQuarantineAt = 20
-)
+// halfLife is the score decay half-life: long enough that a peer
+// misbehaving every few seconds stays quarantined, short enough that an old
+// fault stops counting within a few minutes. No deployment has set another
+// value.
+const halfLife = 30 * time.Second
+
+const defaultQuarantineAt = 20
 
 type peerState struct {
 	score   float64
@@ -122,9 +123,6 @@ type Scorer struct {
 
 // New returns a scorer with the given options (zero fields defaulted).
 func New(opts Options) *Scorer {
-	if opts.HalfLife <= 0 {
-		opts.HalfLife = defaultHalfLife
-	}
 	if opts.QuarantineAt <= 0 {
 		opts.QuarantineAt = defaultQuarantineAt
 	}
@@ -148,7 +146,7 @@ func (s *Scorer) state(id types.ServerID) *peerState {
 // decay brings ps.score forward to now. Callers hold s.mu.
 func (s *Scorer) decay(ps *peerState, now time.Duration) {
 	if elapsed := now - ps.at; elapsed > 0 && ps.score > 0 {
-		ps.score *= math.Exp2(-float64(elapsed) / float64(s.opts.HalfLife))
+		ps.score *= math.Exp2(-float64(elapsed) / float64(halfLife))
 	}
 	ps.at = now
 }

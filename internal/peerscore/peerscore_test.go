@@ -14,7 +14,7 @@ type clock struct{ now time.Duration }
 func (c *clock) fn() func() time.Duration { return func() time.Duration { return c.now } }
 
 func newTest(c *clock) *Scorer {
-	return New(Options{HalfLife: 10 * time.Second, QuarantineAt: 20, Clock: c.fn()})
+	return New(Options{QuarantineAt: 20, Clock: c.fn()})
 }
 
 func TestDecay(t *testing.T) {
@@ -28,14 +28,14 @@ func TestDecay(t *testing.T) {
 	if !s.Quarantined(1) {
 		t.Fatal("peer at threshold not quarantined")
 	}
-	c.now = 10 * time.Second // one half-life
+	c.now = halfLife
 	if got := s.Score(1); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("after one half-life score = %v, want 10", got)
 	}
 	if s.Quarantined(1) {
 		t.Fatal("decayed peer still quarantined")
 	}
-	c.now = 100 * time.Second
+	c.now = 10 * halfLife
 	if got := s.Score(1); got > 0.05 {
 		t.Fatalf("after ten half-lives score = %v, want ≈0", got)
 	}

@@ -122,25 +122,26 @@
 //
 // The DAG lets go of a block's bytes once every chain has read it, and the
 // journal answers for them from then on (Block, core.Journal): RAM holds
-// the window, the store the history. The store keeps no reference of what
-// it appends; it keeps a location column — one word a row, the segment and
-// the record's offset, written when the record is, rebuilt by Open for
-// what it reads and by Checkpoint for what it rewrites — and reads the
-// record back with the codec Open reads with. A back-reference is an
-// earlier record of the same segment, a snapshot's table index a base entry
-// or an earlier block of the snapshot; each segment knows whom its records
-// name — a row, for a record written since Open, whose reference the DAG
-// lends the store (Rows); for a record Open read, its place among what Open
-// read, whose reference the store kept. A record that does not rebuild the
-// row's reference is an error, and a row PruneTo cut is dag.ErrPruned.
+// the window, the store the history. The row gives the predecessors: the
+// DAG keeps a row's edges for good and hands Block their references. The
+// record gives the rest: the store keeps a location column — one word a
+// row, the segment and the record's offset, written when the record is,
+// rebuilt by Open for what it reads and by Checkpoint for what it rewrites
+// — and reads the record back with the codec Open reads with, each name it
+// gives a predecessor (a back-reference, a literal ref, a snapshot's table
+// index) consumed and standing for the row's. A record naming another
+// number of predecessors is an error, and a row PruneTo cut is
+// dag.ErrPruned. The DAG checks that the block rebuilds the row's
+// reference: the store keeps no reference of what it appends or reads, so
+// a record means the same whatever lies beside it.
 //
 // A row still in the open group-commit batch is answered from the batch,
 // and one whose write failed from memory: the DAG may have released it on
 // the strength of the append (the server stops releasing at the journal's
 // first error). Nothing read back is verified again: this process checked
 // every block's signature before journaling it, or Restore checked it when
-// Open read it, and the record's checksum and the rebuilt reference stand
-// between the disk and a different block.
+// Open read it, and the record's checksum and the DAG's reference check
+// stand between the disk and a different block.
 //
 // # Fsync policy
 //

@@ -2,12 +2,10 @@ package store
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"blockdag/internal/block"
 	"blockdag/internal/dag"
@@ -30,96 +28,26 @@ func locOf(seg int, off int64) loc { return loc(uint64(seg+1)<<locShift | uint64
 func (l loc) seg() int             { return int(l>>locShift) - 1 }
 func (l loc) off() int64           { return int64(uint64(l) & offMask) }
 
-// segMeta is what reading a record back needs of its segment: the file, the
-// kind, and whom each record names. Record j — a snapshot's block j — is
-// named first+j while the names run on, names[j] once they stop (a
-// duplicate record Open dropped, a row the sink skipped, a pruned row). The
-// first opened records are those Open read, named by their index into
-// Store.recovered; the rest were written since, named by their row.
+// segMeta is what reading a record back needs of its segment: the file, its
+// kind, and a snapshot's size. A record names nothing the reader resolves:
+// the row's predecessors come with the request (Block).
 type segMeta struct {
-	index  uint64
-	kind   byte
-	opened int
-	first  int
-	n      int
-	names  []int32
-	sorted bool  // names ascend: record finds one by binary search
-	size   int64 // a snapshot's, in bytes: its blocks are not framed
-}
-
-// name returns the name of record j.
-func (m *segMeta) name(j int) int {
-	if m.names == nil {
-		return m.first + j
-	}
-	return int(m.names[j])
-}
-
-// add names the segment's next record.
-func (m *segMeta) add(name int) {
-	switch {
-	case m.names == nil && m.n == 0:
-		m.first = name
-	case m.names == nil && name != m.first+m.n:
-		m.names = make([]int32, m.n, m.n+1)
-		for j := range m.names {
-			m.names[j] = int32(m.first + j)
-		}
-		m.sorted = name > m.first+m.n-1
-	case m.names != nil:
-		m.sorted = m.sorted && int32(name) > m.names[m.n-1]
-	}
-	if m.names != nil {
-		m.names = append(m.names, int32(name))
-	}
-	m.n++
-}
-
-// record returns the first record named name, -1 for none.
-func (m *segMeta) record(name int) int {
-	switch {
-	case m.names == nil:
-		if j := name - m.first; j >= 0 && j < m.n {
-			return j
-		}
-	case m.sorted:
-		if j, ok := slices.BinarySearch(m.names, int32(name)); ok {
-			return j
-		}
-	default:
-		return slices.Index(m.names, int32(name))
-	}
-	return -1
-}
-
-// Rows hands the store the reference of each row its sink numbers — the
-// DAG's (core.Server.SetJournal hands it the server's). Block reads the
-// records written since Open back against them: the store keeps no
-// reference of a block it appends, only where the record lies.
-func (s *Store) Rows(ref func(row int) block.Ref) { s.rowRef = ref }
-
-// refAt returns the reference record j of m names.
-func (s *Store) refAt(m *segMeta, j int) (block.Ref, error) {
-	switch name := m.name(j); {
-	case j < m.opened:
-		return s.recovered[name], nil
-	case s.rowRef == nil:
-		return block.Ref{}, errors.New("no references to read the record back against (Rows)")
-	default:
-		return s.rowRef(name), nil
-	}
+	index uint64
+	kind  byte
+	size  int64 // a snapshot's, in bytes: its blocks are not framed
 }
 
 // Block returns the block of row — the row-th block the sink was handed,
-// Open's first — read back: from the group-commit batch while it is there,
+// Open's first — read back over preds, the references of the row's
+// predecessors the DAG keeps: from the group-commit batch while it is there,
 // else from its record, the canonical frame rebuilt by the codec Open reads
-// with and its predecessors named again from the location column (a
-// back-reference is an earlier record of the same segment, a snapshot's
-// table index a base entry or an earlier block of it). Signatures are not
-// checked again: this process checked every block before journaling it,
-// or before Restore absorbed it. A record that does not rebuild the row's
-// reference is an error; a row PruneTo deleted is dag.ErrPruned.
-func (s *Store) Block(row int) (*block.Block, error) {
+// with, each predecessor the record names standing for the row's (a kind-1
+// record is the frame itself). Signatures are not checked again: this
+// process checked every block before journaling it, or before Restore
+// absorbed it; whether the block is the row's is the DAG's check. A record
+// naming another number of predecessors than preds is an error; a row PruneTo
+// deleted is dag.ErrPruned.
+func (s *Store) Block(row int, preds []block.Ref) (*block.Block, error) {
 	for _, p := range s.batch {
 		if p.row == row {
 			return p.b, nil
@@ -138,23 +66,15 @@ func (s *Store) Block(row int) (*block.Block, error) {
 	case pruned:
 		return nil, fmt.Errorf("store: row %d: %w", row, dag.ErrPruned)
 	}
-	m := s.segs[l.seg()]
-	j := m.record(row)
-	if j < 0 {
-		return nil, fmt.Errorf("store: row %d is no record of segment %d", row, m.index)
-	}
-	b, err := s.readBlock(m, j, l.off())
+	b, err := s.readBlock(s.segs[l.seg()], l.off(), preds)
 	if err != nil {
 		return nil, fmt.Errorf("store: read row %d back: %w", row, err)
-	}
-	if want, err := s.refAt(m, j); err != nil || b.Ref() != want {
-		return nil, fmt.Errorf("store: row %d read back as %v, want %v (%v)", row, b.Ref(), want, err)
 	}
 	return b, nil
 }
 
-// readBlock decodes record j of m, which starts at off.
-func (s *Store) readBlock(m *segMeta, j int, off int64) (*block.Block, error) {
+// readBlock decodes the record of m that starts at off over preds.
+func (s *Store) readBlock(m *segMeta, off int64, preds []block.Ref) (*block.Block, error) {
 	f, err := s.reader(m)
 	if err != nil {
 		return nil, err
@@ -168,18 +88,7 @@ func (s *Store) readBlock(m *segMeta, j int, off int64) (*block.Block, error) {
 			return block.Decode(payload)
 		}
 		r := wire.NewReader(payload)
-		b, err := getBlock(r, func(r *wire.Reader) (block.Ref, error) {
-			k := int(r.Uvarint())
-			switch {
-			case r.Err() != nil:
-				return block.Ref{}, nil
-			case k == 0:
-				return r.Bytes32(), nil
-			case k > j:
-				return block.Ref{}, fmt.Errorf("back-reference %d past the %d records before it", k, j)
-			}
-			return s.refAt(m, j-k)
-		})
+		b, err := getRow(r, false, preds)
 		if err == nil {
 			err = r.Close()
 		}
@@ -191,22 +100,33 @@ func (s *Store) readBlock(m *segMeta, j int, off int64) (*block.Block, error) {
 		if _, err := f.ReadAt(buf, off); err != nil {
 			return nil, err
 		}
-		b, err := getBlock(wire.NewReader(buf), func(r *wire.Reader) (block.Ref, error) {
-			i := int(r.Uvarint())
-			switch {
-			case r.Err() != nil:
-				return block.Ref{}, nil
-			case i < len(s.base):
-				return s.base[i].Ref, nil
-			case i-len(s.base) >= j:
-				return block.Ref{}, fmt.Errorf("references forward index %d", i)
-			}
-			return s.refAt(m, i-len(s.base))
-		})
+		b, err := getRow(wire.NewReader(buf), true, preds)
 		if err == nil || off+n >= m.size {
 			return b, err
 		}
 	}
+}
+
+// getRow reads a block laid out by putBlock over preds: it consumes the name
+// of each predecessor — a snapshot's table index, or a WAL record's distance
+// back, followed by the 32-byte ref when that is 0 — and takes preds[i] for
+// it.
+func getRow(r *wire.Reader, snap bool, preds []block.Ref) (*block.Block, error) {
+	i := 0
+	b, err := getBlock(r, func(r *wire.Reader) (block.Ref, error) {
+		if k := r.Uvarint(); k == 0 && !snap {
+			r.Bytes32()
+		}
+		if i == len(preds) {
+			return block.Ref{}, fmt.Errorf("record names more predecessors than the row's %d", len(preds))
+		}
+		i++
+		return preds[i-1], nil
+	})
+	if err == nil && i != len(preds) {
+		return nil, fmt.Errorf("record names %d predecessors, the row %d", i, len(preds))
+	}
+	return b, err
 }
 
 // readRecord reads the payload of the record at off, checksum checked.

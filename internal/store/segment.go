@@ -143,8 +143,8 @@ func checkHeader(data []byte, path string) (byte, error) {
 	return kind, nil
 }
 
-// appendRecord frames one payload as a record: the evidence sidecar's, and
-// a kind-1 WAL segment's.
+// appendRecord frames one payload as a record: the evidence sidecar's (WAL
+// records are framed in place, putRecord).
 func appendRecord(dst []byte, payload []byte) []byte {
 	var hdr [recHeaderSize]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))

@@ -120,28 +120,23 @@ type Store struct {
 	dir  string
 	opts Options
 
-	// opened is what Open read, in file order, until a sink has been handed
-	// all of it back (Blocks); recovered their references, for good: the
-	// sink tells a block it replays from a new one by them, and the records
-	// Open read are read back against them. blocks counts the blocks on
+	// opened is what Open read, in file order — report.Blocks of them —
+	// until a sink has been handed all of it back (Blocks): the sink tells a
+	// block it replays from a new one by them. blocks counts the blocks on
 	// disk: the journaled frontier. There is no index of them: the server's
 	// DAG numbers each block once, and the sink counts along.
-	opened    []*block.Block
-	recovered []block.Ref
-	blocks    int
-	report    OpenReport
+	opened []*block.Block
+	blocks int
+	report OpenReport
 
 	// The location column (Block): where the record of each row — the DAG's
 	// numbering, as the sink counts it — lies, one word a row; segs is the
-	// segments it points into, live the live WAL segment's entry (nil while
-	// none is open) at liveSlot, rowRef the DAG's references (Rows). stray
+	// segments it points into, the live WAL segment's at liveSlot. stray
 	// holds, by row, the blocks a failed write left on no disk, and rd is
 	// the file Block read last, kept open for the next.
 	locs     []loc
 	segs     []*segMeta
-	live     *segMeta
 	liveSlot int
-	rowRef   func(row int) block.Ref
 	stray    map[int]*block.Block
 	rd       *os.File
 	rdIndex  uint64
@@ -287,7 +282,7 @@ func (s *Store) recover() error {
 		segs = segs[:n-1]
 	}
 
-	seen := make(map[block.Ref]int) // of this read only: duplicate records are dropped here
+	seen := make(map[block.Ref]struct{}) // of this read only: duplicate records are dropped here
 	for i, sf := range segs {
 		seg, err := readSegment(sf)
 		if err != nil {
@@ -298,24 +293,17 @@ func (s *Store) recover() error {
 		if seg.torn && i != len(segs)-1 {
 			return fmt.Errorf("%w: %s: bad record before final segment", ErrCorrupt, sf.path)
 		}
-		// Every block read is a row, in file order, at its first record; a
-		// record names the block it holds by its place among them.
-		m := &segMeta{index: sf.index, kind: seg.kind, size: sf.size}
+		// Every block read is a row, in file order, at its first record.
 		for j, b := range seg.blocks {
-			k, dup := seen[b.Ref()]
-			if dup {
+			if _, dup := seen[b.Ref()]; dup {
 				s.report.Duplicates++
-			} else {
-				k = len(s.recovered)
-				seen[b.Ref()] = k
-				s.recovered = append(s.recovered, b.Ref())
-				s.opened = append(s.opened, b)
-				s.locs = append(s.locs, locOf(len(s.segs), seg.offs[j]))
+				continue
 			}
-			m.add(k)
+			seen[b.Ref()] = struct{}{}
+			s.opened = append(s.opened, b)
+			s.locs = append(s.locs, locOf(len(s.segs), seg.offs[j]))
 		}
-		m.opened = m.n
-		s.segs = append(s.segs, m)
+		s.segs = append(s.segs, &segMeta{index: sf.index, kind: seg.kind, size: sf.size})
 		if seg.snap != nil {
 			s.horizon, s.base, s.stateCkpt = seg.snap.horizon, seg.snap.base, seg.snap.state
 			s.report.HasSnapshot = true
@@ -340,13 +328,13 @@ func (s *Store) recover() error {
 				return fmt.Errorf("store: reopen segment: %w", err)
 			}
 			s.cur, s.curIndex, s.curSize = f, sf.index, seg.goodLen
-			s.live, s.liveSlot = m, len(s.segs)-1
+			s.liveSlot = len(s.segs) - 1
 			for _, b := range seg.blocks[max(0, len(seg.blocks)-walWindow):] {
 				s.win.push(b.Ref())
 			}
 		}
 	}
-	s.blocks = len(s.recovered)
+	s.blocks = len(s.opened)
 	s.report.Blocks = s.blocks
 	s.lastSync = s.opts.Clock()
 	return nil
@@ -562,7 +550,6 @@ func (s *Store) flushPending() error {
 		}
 		for _, p := range batch[run:i] {
 			s.locs[p.row] = locOf(s.liveSlot, s.curSize+int64(p.off))
-			s.live.add(p.row)
 		}
 		s.curSize += int64(s.rec.Len())
 		s.dirty = true
@@ -601,7 +588,7 @@ func (s *Store) endFailedSegment(err error) {
 		_ = s.cur.Sync() // the write already failed; that error is the one reported
 	}
 	_ = s.cur.Close()
-	s.cur, s.curSize, s.dirty, s.live = nil, 0, false, nil
+	s.cur, s.curSize, s.dirty = nil, 0, false
 }
 
 // PersistSink returns the persistence hook (core.Journal) for the server
@@ -620,10 +607,8 @@ func (s *Store) endFailedSegment(err error) {
 // the block's row in the location column (Block). A row below the frontier
 // Open found is a block Open read, coming back through the replay of Blocks,
 // and is skipped — if it is that block: a DAG built from anything else
-// journals it again, a duplicate record and nothing lost, in a segment of
-// its own (the records Open read are named by what Open read, those written
-// since by row). Every later row is new, whatever a failed write or a
-// pruning Checkpoint did to Len.
+// journals it again, a duplicate record and nothing lost. Every later row is
+// new, whatever a failed write or a pruning Checkpoint did to Len.
 //
 // Use this, not a bare Append, whenever the store backs a live server;
 // node.Config.Store and package cluster wire it automatically.
@@ -631,18 +616,8 @@ func (s *Store) PersistSink(self types.ServerID) func(*block.Block) error {
 	row := -1
 	return func(b *block.Block) error {
 		row++
-		if row < len(s.recovered) {
-			if row == len(s.recovered)-1 {
-				s.opened = nil // replayed: the DAG's now
-			}
-			if s.recovered[row] == b.Ref() {
-				return nil
-			}
-			if s.live != nil && s.live.opened > 0 {
-				if err := s.rotate(); err != nil {
-					return err
-				}
-			}
+		if row < s.report.Blocks && s.holds(row, b) {
+			return nil
 		}
 		if err := s.append(b, row); err != nil {
 			return err
@@ -652,6 +627,21 @@ func (s *Store) PersistSink(self types.ServerID) func(*block.Block) error {
 		}
 		return nil
 	}
+}
+
+// holds reports whether row, one Open read, is b: compared with what Open
+// read until the replay has been handed all of it — and lets go of it then —
+// and with the row's record, read back over b's predecessors, after.
+func (s *Store) holds(row int, b *block.Block) bool {
+	if s.opened != nil {
+		same := s.opened[row].Ref() == b.Ref()
+		if row == len(s.opened)-1 {
+			s.opened = nil // replayed: the DAG's now
+		}
+		return same
+	}
+	got, err := s.Block(row, b.Preds)
+	return err == nil && got.Ref() == b.Ref()
 }
 
 // Sync fsyncs the live WAL segment if it has unsynced appends, and the
@@ -684,7 +674,7 @@ func (s *Store) Sync() error {
 }
 
 // Tick drives interval fsync from the owner's timer loop, so blocks
-// appended during a lull still become durable within SyncEvery. Time
+// appended during a lull still become durable within syncEvery. Time
 // comes from Options.Clock, keeping Append and Tick on one timeline.
 func (s *Store) Tick() error {
 	if s.opts.Sync != SyncInterval || !s.dirty {
@@ -713,8 +703,8 @@ func (s *Store) newSegment() error {
 	s.cur = f
 	s.curIndex = s.nextIdx
 	s.curSize = int64(headerSize)
-	s.live, s.liveSlot = &segMeta{index: s.nextIdx, kind: kindWAL}, len(s.segs)
-	s.segs = append(s.segs, s.live)
+	s.liveSlot = len(s.segs)
+	s.segs = append(s.segs, &segMeta{index: s.nextIdx, kind: kindWAL})
 	s.win.reset()
 	s.nextIdx++
 	s.walSegs++
@@ -736,9 +726,7 @@ func (s *Store) rotate() error {
 	if err := s.cur.Close(); err != nil {
 		return fmt.Errorf("store: close segment: %w", err)
 	}
-	s.cur, s.live = nil, nil
-	s.dirty = false
-	s.curSize = 0
+	s.cur, s.dirty, s.curSize = nil, false, 0
 	return nil
 }
 
@@ -796,11 +784,13 @@ func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 	}
 	snap := &segMeta{kind: kindSnap}
 	locs := make([]loc, d.Len())
+	rank := make([]int32, d.Len()) // a kept row's place among the snapshot's blocks, -1 for none
+	written := int32(0)
 	stats.SegmentsRemoved, err = s.publishSnapshot(snap, func(sw *snapshotWriter) error {
 		sw.head(s.horizon, c.base, s.stateCkpt, c.retained)
 		for i := range locs {
 			if !c.kept(i) {
-				locs[i] = pruned
+				locs[i], rank[i] = pruned, -1
 				continue
 			}
 			b, err := d.ReadRow(c.stand + i)
@@ -809,10 +799,8 @@ func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 			}
 			off, err := sw.put(b, func(w *wire.Writer, p block.Ref) error {
 				j, ok := pos[p]
-				if v, in := d.Index(p); !ok && in {
-					if k := snap.record(v - c.stand); k >= 0 {
-						j, ok = len(c.base)+k, true
-					}
+				if v, in := d.Index(p); !ok && in && v >= c.stand && rank[v-c.stand] >= 0 {
+					j, ok = len(c.base)+int(rank[v-c.stand]), true
 				}
 				if !ok {
 					return fmt.Errorf("store: snapshot block %v references %v outside the snapshot and base", b.Ref(), p)
@@ -823,8 +811,8 @@ func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
 			if err != nil {
 				return err
 			}
-			locs[i] = locOf(0, off)
-			snap.add(i)
+			locs[i], rank[i] = locOf(0, off), written
+			written++
 		}
 		return nil
 	})

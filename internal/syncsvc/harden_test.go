@@ -48,7 +48,7 @@ func (s *recStream) closeErr() error {
 	return s.err
 }
 
-// TestServerInFlightCap: a peer holding MaxInFlightPerPeer streams open
+// TestServerInFlightCap: a peer holding two streams open (the cap)
 // has further requests refused with ErrThrottled — before the store is
 // scanned — while another peer is admitted; the refusal is counted.
 func TestServerInFlightCap(t *testing.T) {
@@ -56,7 +56,6 @@ func TestServerInFlightCap(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	var scans sync.WaitGroup
 	srv := &syncsvc.Server{
-		MaxInFlightPerPeer: 2,
 		Source: func() ([]*block.Block, error) {
 			entered <- struct{}{}
 			<-release

@@ -201,11 +201,11 @@ func EncodeDoneFrame(total uint64) []byte {
 	return w.Bytes()
 }
 
-// DefaultMaxInFlightPerPeer caps concurrently served streams per
-// requesting peer: one resume after a genuinely broken stream plus
-// headroom, but nowhere near enough connections to pin a goroutine and a
-// full-store scan per socket a byzantine peer opens.
-const DefaultMaxInFlightPerPeer = 2
+// maxInFlightPerPeer caps concurrently served streams per requesting peer:
+// one resume after a genuinely broken stream plus headroom, but nowhere near
+// enough connections to pin a goroutine and a full-store scan per socket a
+// byzantine peer opens. No deployment has set another value.
+const maxInFlightPerPeer = 2
 
 // ErrThrottled reports that the server refused a catch-up request under
 // its per-peer admission policy (in-flight cap or token bucket). The
@@ -215,7 +215,7 @@ var ErrThrottled = errors.New("syncsvc: request throttled")
 
 // Families declares what a Server counts (Server.Counts): the requests the
 // admission policy refused, per cause — the peer already had
-// MaxInFlightPerPeer streams being served, or its token bucket was empty.
+// maxInFlightPerPeer streams being served, or its token bucket was empty.
 var Families metrics.Table
 
 var (
@@ -255,9 +255,6 @@ type Server struct {
 	// ChunkBytes is the target batch frame size (default
 	// DefaultChunkBytes, capped under wire.MaxFrame).
 	ChunkBytes int
-	// MaxInFlightPerPeer caps concurrently served streams per requesting
-	// peer (default DefaultMaxInFlightPerPeer; negative disables).
-	MaxInFlightPerPeer int
 	// Every enables the per-peer token bucket: a peer accrues one
 	// request token per Every elapsed, holding at most Burst. 0 disables
 	// rate limiting (the in-flight cap still applies).
@@ -339,11 +336,7 @@ func (s *Server) admit(from types.ServerID) bool {
 		}
 		s.peers[from] = p
 	}
-	maxInFlight := s.MaxInFlightPerPeer
-	if maxInFlight == 0 {
-		maxInFlight = DefaultMaxInFlightPerPeer
-	}
-	if maxInFlight > 0 && p.inFlight >= maxInFlight {
+	if p.inFlight >= maxInFlightPerPeer {
 		s.drops.Add(DropInFlight, 1)
 		return false
 	}
