@@ -310,6 +310,20 @@ docs-check:
 	go test -run Example ./...
 	@echo "docs-check OK: package map in sync; every metric family declared once; one ref-keyed index; examples vet and build"
 
+# WORKLOAD and SECONDS pick heap-profile's dagbench run.
+WORKLOAD ?= sparse
+SECONDS ?= 20
+
+.PHONY: heap-profile
+# heap-profile shows where the heap goes at the moment dagbench reads
+# heap_mb_end (docs/ARCHITECTURE.md, "What a block costs a node"): one
+# workload through bench.Run under GOGC=off, heap_mb_end and the top in-use
+# sites of the heap profile taken at that reading. The scratch module it
+# builds lives in .bench_build/heapprof; bench/ is not touched. CI runs it
+# once, at SECONDS=2, so the recipe cannot rot.
+heap-profile:
+	bash scripts/heap-profile.sh $(WORKLOAD) $(SECONDS)
+
 .PHONY: bench
 # bench runs the Go microbenchmarks with allocation counts, for a human
 # to read. Nothing gates on them: the ruler for a performance claim is

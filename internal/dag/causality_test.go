@@ -131,10 +131,16 @@ func TestCausalIndexUnderEquivocation(t *testing.T) {
 			}
 		}
 
-		// Tips oracle: refs with no successors, in insertion order.
+		// Tips oracle: refs no block cites, in insertion order.
+		cited := make(map[block.Ref]bool)
+		for _, b := range d.Blocks() {
+			for _, p := range b.Preds {
+				cited[p] = true
+			}
+		}
 		var wantTips []block.Ref
 		for _, r := range d.Refs() {
-			if len(d.Succs(r)) == 0 {
+			if !cited[r] {
 				wantTips = append(wantTips, r)
 			}
 		}

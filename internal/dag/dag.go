@@ -577,9 +577,6 @@ func (d *DAG) Reaches(from, to block.Ref) bool { return d.g.Reaches(from, to) }
 // ReachesReflexive reports B ⇀* B' (zero or more steps).
 func (d *DAG) ReachesReflexive(from, to block.Ref) bool { return d.g.ReachesReflexive(from, to) }
 
-// Succs returns the direct successors of the given block.
-func (d *DAG) Succs(ref block.Ref) []block.Ref { return d.g.Succs(ref) }
-
 // Ancestry returns the causal past of the given block, itself included.
 func (d *DAG) Ancestry(ref block.Ref) []block.Ref { return d.g.Ancestry(ref) }
 

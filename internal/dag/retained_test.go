@@ -30,12 +30,12 @@ func staggeredBlocks(count int) (*dagtest.Harness, []*block.Block) {
 }
 
 // retainedPerBlockBound is what a DAG may keep per inserted block beyond the
-// block itself: one ref → number map entry, one graph row, two short edge
-// lists, a four-entry summary vector, a slot cell and a slot of the block
-// slice, slice and map slack included: 279 B measured (254–285 B between
-// 2 500 and 6 000 blocks, as the slack comes and goes). A second ref-keyed
-// map with an entry per block costs ≈ 100 B and breaks it.
-const retainedPerBlockBound = 330
+// block itself: one ref → number map entry, one graph row, a short
+// predecessor list, a four-entry summary vector, a slot cell and a slot of
+// the block slice, slice and map slack included: 257 B measured (279 B while
+// a row also kept its successors). A second ref-keyed map with an entry per
+// block costs ≈ 100 B and breaks it.
+const retainedPerBlockBound = 290
 
 // TestRetainedPerBlock pins the index a node pays per block in the DAG
 // layers (graph + dag), blocks excluded: they are built before the first

@@ -383,7 +383,9 @@ func (g *Gateway) handleAwait(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIndications streams indications as NDJSON chunks until the client
-// disconnects or the node stops. An optional ?prefix= filters labels.
+// disconnects or the node stops. An optional ?prefix= filters labels. A
+// block's indications are published in one turn, so the stream writes what
+// is queued and flushes once: one chunk per burst, not per indication.
 func (g *Gateway) handleIndications(w http.ResponseWriter, r *http.Request) {
 	prefix := r.URL.Query().Get("prefix")
 	flusher, _ := w.(http.Flusher)
@@ -396,22 +398,30 @@ func (g *Gateway) handleIndications(w http.ResponseWriter, r *http.Request) {
 	}
 	enc := json.NewEncoder(w)
 	for {
+		var ind node.Indication
+		var open bool
 		select {
-		case ind, open := <-sub.C():
+		case ind, open = <-sub.C():
+		case <-r.Context().Done():
+			return
+		}
+		for queued := true; queued; {
 			if !open {
 				return // node stopping: the chunked body ends cleanly
 			}
-			if prefix != "" && !strings.HasPrefix(string(ind.Label), prefix) {
-				continue
+			if prefix == "" || strings.HasPrefix(string(ind.Label), prefix) {
+				if err := enc.Encode(toResponse(ind)); err != nil {
+					return
+				}
 			}
-			if err := enc.Encode(toResponse(ind)); err != nil {
-				return
+			select {
+			case ind, open = <-sub.C():
+			default:
+				queued = false
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case <-r.Context().Done():
-			return
+		}
+		if flusher != nil {
+			flusher.Flush()
 		}
 	}
 }

@@ -13,7 +13,7 @@ type chainPos struct {
 	seq   uint64
 }
 
-// oracleReaches is the index-free reference: forward DFS over succs.
+// oracleReaches is the index-free reference: backward DFS over preds.
 func oracleReaches(preds map[int][]int, u, v int) bool {
 	seen := map[int]struct{}{v: {}}
 	stack := []int{v}

@@ -42,11 +42,14 @@
 // A vertex is numbered once, by its position in insertion order — the
 // number At takes and Index returns — and that number is the only key:
 // one map takes a vertex key to its number, and everything the graph knows
-// about the vertex (key, edge lists, chain position, summary vector) is
-// one row of one slice, its edges held as the numbers of other rows. The
-// tip set and each chain's slot column are short lists of numbers. A
-// predecessor always has a smaller number than its successor, so the rows
-// are a topological order and any prefix of them is a ⩽-smaller graph.
+// about the vertex (key, predecessor list, chain position, summary vector,
+// whether anything cites it) is one row of one slice, its predecessors held
+// as the numbers of other rows. Edges are kept at their head only: a vertex
+// is a tip until something first cites it, which one bit records, and no
+// query walks forwards. The tip set and each chain's slot column are short
+// lists of numbers. A predecessor always has a smaller number than its
+// successor, so the rows are a topological order and any prefix of them is a
+// ⩽-smaller graph.
 package graph
 
 import (
@@ -77,13 +80,13 @@ const smallLen = 16
 type vertex[K comparable] struct {
 	key   K
 	preds []int32 // direct predecessors (u with u ⇀ v), insert order
-	succs []int32 // direct successors (w with v ⇀ w), insert order
 	// summary[c] holds 1 + the highest chain-c seq in the vertex's
 	// ancestry-or-self, 0 for none, so the zero value of a short vector
 	// means "no such ancestor"; nil when all-zero.
 	summary []uint64
 	seq     uint64
 	chain   int32 // -1: not annotated
+	cited   bool  // some vertex has it as a predecessor: not a tip
 }
 
 // DAG is a directed acyclic graph over comparable vertex keys. The zero
@@ -92,7 +95,7 @@ type vertex[K comparable] struct {
 type DAG[K comparable] struct {
 	index map[K]int32 // vertex -> its number, the position of its row
 	rows  []vertex[K] // insertion order; a topological order by construction
-	tips  []int32     // vertices with no successors, ascending
+	tips  []int32     // vertices nothing cites, ascending
 
 	chains []column // by chain identifier
 	dups   []int32  // vertices inserted into a taken slot: the forks
@@ -183,11 +186,11 @@ func (g *DAG[K]) insert(v K, predKeys []K, chain int, seq uint64, below []uint64
 	g.index[v] = n
 	// Every predecessor stops being a tip; v starts as one.
 	for _, p := range preds {
-		if len(g.rows[p].succs) == 0 {
+		if !g.rows[p].cited {
+			g.rows[p].cited = true
 			at, _ := slices.BinarySearch(g.tips, p)
 			g.tips = slices.Delete(g.tips, at, at+1)
 		}
-		g.rows[p].succs = append(g.rows[p].succs, n)
 	}
 	g.tips = append(g.tips, n)
 	g.rows = append(g.rows, vertex[K]{key: v, preds: preds, seq: seq, chain: int32(chain)})
@@ -386,15 +389,6 @@ func (g *DAG[K]) Preds(v K) []K {
 	return nil
 }
 
-// Succs returns the direct successors of v (vertices w with v ⇀ w) in
-// insertion order. The result is a copy.
-func (g *DAG[K]) Succs(v K) []K {
-	if n, ok := g.index[v]; ok {
-		return g.keys(g.rows[n].succs)
-	}
-	return nil
-}
-
 // Order returns all vertices in insertion order, which is a valid
 // topological order (every vertex follows all of its predecessors). The
 // result is a copy.
@@ -413,8 +407,8 @@ func (g *DAG[K]) Order() []K {
 // Len to iterate without materializing Order).
 func (g *DAG[K]) At(i int) K { return g.rows[i].key }
 
-// Tips returns the vertices with no successors, in insertion order. The
-// tip set is maintained incrementally at insert; this call only copies it.
+// Tips returns the vertices no vertex cites, in insertion order. The tip
+// set is maintained incrementally at insert; this call only copies it.
 func (g *DAG[K]) Tips() []K { return g.keys(g.tips) }
 
 // NumTips returns the number of tips without copying.
@@ -586,13 +580,10 @@ func (g *DAG[K]) Union(h *DAG[K]) (*DAG[K], error) {
 // copied as they are, so the copy answers every query as g does (a seeded
 // root stays one).
 func (g *DAG[K]) Clone() *DAG[K] {
+	// A row's preds and summary never change once written and stay shared.
 	cp := &DAG[K]{
 		index: maps.Clone(g.index), rows: slices.Clone(g.rows), tips: slices.Clone(g.tips),
 		chains: slices.Clone(g.chains), dups: slices.Clone(g.dups),
-	}
-	for n := range cp.rows {
-		// preds and summary never change once written and stay shared.
-		cp.rows[n].succs = slices.Clone(cp.rows[n].succs)
 	}
 	for c := range cp.chains {
 		cp.chains[c].slots = slices.Clone(cp.chains[c].slots)

@@ -37,8 +37,8 @@ func TestInsertBasics(t *testing.T) {
 	if got := g.Preds("b"); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("Preds(b) = %v", got)
 	}
-	if got := g.Succs("a"); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("Succs(a) = %v", got)
+	if got := g.Tips(); len(got) != 1 || got[0] != "b" {
+		t.Fatalf("Tips() = %v, want b alone: a is cited", got)
 	}
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d", g.Len())
@@ -57,8 +57,11 @@ func TestInsertIdempotent(t *testing.T) {
 	if len(before) != len(after) {
 		t.Fatalf("idempotent insert changed vertex count: %v -> %v", before, after)
 	}
-	if got := g.Succs(0); len(got) != 1 {
-		t.Fatalf("idempotent insert duplicated edges: %v", got)
+	if got := g.Preds(1); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("idempotent insert changed edges: Preds(1) = %v", got)
+	}
+	if got := g.Tips(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("idempotent insert changed the tips: %v", got)
 	}
 }
 
@@ -135,8 +138,8 @@ func TestDedupPreds(t *testing.T) {
 	if got := g.Preds(1); len(got) != 1 {
 		t.Fatalf("duplicate preds not collapsed: %v", got)
 	}
-	if got := g.Succs(0); len(got) != 1 {
-		t.Fatalf("duplicate succs not collapsed: %v", got)
+	if got := g.Tips(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("tips after a thrice-cited vertex: %v, want 1 alone", got)
 	}
 }
 

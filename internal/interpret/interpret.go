@@ -28,19 +28,20 @@
 // insert callback, or offline over a stored DAG.
 //
 // Memory model (docs/ARCHITECTURE.md, "Interpreter memory model"). Algorithm 2
-// keeps B.PIs and B.Ms[out, ·] at every block for ever. Here a block keeps the
-// link to its parent, in a slice addressed by the number the DAG gave it, and
-// reads the DAG's ancestry watermark (Rows); the rest is a cache of a pure
-// function of the DAG (Lemma 4.2). B.PIs lives at the tip of each chain, is
-// advanced in place and drops an instance when it reports Done; once every
-// chain has, one entry of a retired set replaces the n tombstones. An
-// out-buffer is dropped when the n chain tips have read it (release), and the
-// same frontier tells the DAG which blocks' bytes it may let go (Frontier). A
-// reader that finds the cache empty — a block extending a fork, an inspection
-// of a block long passed — interprets the blocks afresh (replay): the one miss
-// path, and the one that reads blocks back. Over a DAG the interpreter holds
-// no block: a block's predecessors are rows, and a replay reads the blocks
-// from the DAG, the released ones from its journal.
+// keeps B.PIs and B.Ms[out, ·] at every block for ever. Here everything is a
+// cache of a pure function of the DAG (Lemma 4.2), kept in a slice addressed by
+// the number the DAG gave each block; a block's parent, predecessors and
+// ancestry watermark are the DAG's rows (Rows). B.PIs lives at the tip of each
+// chain, is advanced in place and drops an instance when it reports Done; once
+// every chain has, one entry of a retired set replaces the n tombstones. When
+// the n chain tips have read a block (release) its out-buffer goes, and over a
+// DAG its state too: its slot keeps one shared marker, and the same frontier
+// tells the DAG which blocks' bytes it may let go (Frontier). A reader that
+// finds the cache empty — a block extending a fork, an inspection of a block
+// long passed — interprets the blocks afresh (replay): the one miss path, and
+// the one that reads blocks back. Over a DAG the interpreter holds no block
+// and, below the frontier, no state: a replay reads the blocks from the DAG,
+// the released ones from its journal.
 package interpret
 
 import (
@@ -83,20 +84,22 @@ func WithMetrics(m *metrics.Metrics) Option { return func(it *Interpreter) { it.
 // Rows is what an interpreter reads of a DAG: the number of a block's row,
 // the row's ancestry watermark — entry x is 1 + the highest sequence number
 // of builder x in the ancestry, the block included, 0 or absent for none —
-// and its predecessors' rows; and, for a replay, the row's block (ReadRow),
-// which the DAG may have to read back. *dag.DAG is one.
+// its predecessors' rows and its chain position; and, for a replay, the row's
+// block (ReadRow), which the DAG may have to read back. *dag.DAG is one.
 type Rows interface {
 	Index(ref block.Ref) (int, bool)
 	Summary(i int) []uint64
 	PredsAt(i int) []int32
+	Pos(i int) (types.ServerID, uint64)
 	ReadRow(i int) (*block.Block, error)
 }
 
 // Over makes the interpreter one of d's blocks (AddBlock takes no others): it
 // keeps its states by d's numbers, reads d's watermarks and predecessors, and
-// holds no block — a replay reads them from d. Without it the interpreter
-// numbers the blocks itself, as handed them, in a graph of its own, and keeps
-// the blocks: nothing else does.
+// holds no block — a replay reads them from d — nor, once every chain has
+// read a block, its state. Without it the interpreter numbers the blocks
+// itself, as handed them, in a graph of its own, and keeps the blocks and
+// their states: nothing else does.
 func Over(d Rows) Option { return func(it *Interpreter) { it.rows = d } }
 
 // ownRows are the rows of an interpreter over no DAG: a graph of its own,
@@ -107,6 +110,10 @@ type ownRows struct {
 }
 
 func (o ownRows) ReadRow(i int) (*block.Block, error) { return (*o.states)[i].blk, nil }
+func (o ownRows) Pos(i int) (types.ServerID, uint64) {
+	chain, seq := o.DAG.Pos(i)
+	return types.ServerID(chain), seq
+}
 
 // instances is B.PIs: every process instance a builder's chain has started
 // up to block B, by label. A nil entry is the tombstone of an instance that
@@ -115,15 +122,19 @@ func (o ownRows) ReadRow(i int) (*block.Block, error) { return (*o.states)[i].bl
 // A label in the retired set stands for one in every chain tip's table.
 type instances map[types.Label]protocol.Process
 
-// blockState is the interpretation state attached to one block: its row,
-// chain position and parent for good, pis and out while they are cached.
+// blockState is the interpretation state attached to one block: its row and
+// chain position, pis and out while they are cached. Over a DAG it lasts until
+// every chain has read the block (release), and gone takes its slot.
 type blockState struct {
 	// blk is the block while AddBlock interprets it, and after only in an
 	// interpreter with rows of its own: over a DAG the block is the DAG's to
 	// hold or release, and a replay reads it back (Rows.ReadRow).
-	blk    *block.Block
-	seq    uint64      // with builder, below: the chain position
-	parent *blockState // state of the block's parent; nil for genesis blocks
+	blk *block.Block
+	seq uint64 // with builder, below: the chain position
+	// parent is the state of the block's parent while AddBlock interprets it,
+	// for the table it takes over. No state points at another after: release
+	// could not let one go. A parent is its row (parentRow).
+	parent *blockState
 	// pis is B.PIs while this block is the tip of its chain, nil once a
 	// child has taken the table over to advance it in place (Algorithm 2
 	// line 4 without the copy). A second child — a fork — replays.
@@ -144,12 +155,24 @@ type blockState struct {
 	visit uint64 // stamps the newAncestry walk that last reached this state
 }
 
+// gone takes the slot of a block whose state an interpreter over a DAG has
+// released: gone[1] if the state held an out-buffer, released with it. The
+// block is interpreted, and what its state held is a replay away. Shared by
+// every interpreter of the process, so never written: a walk stamps no visit
+// on it (newAncestry).
+var gone = [2]*blockState{{}, {released: true}}
+
+func (st *blockState) isGone() bool { return st == gone[0] || st == gone[1] }
+
 // chain is one builder's chain: its tip — on the branch interpreted first,
-// should the builder equivocate — whose anc is what the chain has read, and
-// the builder's blocks that hold an out-buffer, in interpretation order.
+// should the builder equivocate — whose anc is what the chain has read; the
+// builder's blocks release has still to pass, in interpretation order: those
+// holding an out-buffer and, over a DAG until the builder forks, every one;
+// and whether a block of it was interpreted off its chain's tip, a fork.
 type chain struct {
-	tip  *blockState
-	held []*blockState
+	tip    *blockState
+	held   []*blockState
+	forked bool
 }
 
 // anc returns the ancestry watermark of st's block, nil for no block; read,
@@ -176,8 +199,8 @@ type Interpreter struct {
 	metrics  *metrics.Metrics
 	rows     Rows                  // numbers, watermarks and blocks of the DAG interpreted
 	own      *graph.DAG[block.Ref] // rows, if none was given (Over)
-	states   []*blockState         // by row; nil: not interpreted
-	blocks   int                   // states of blocks: stand-ins not counted
+	states   []*blockState         // by row; nil: not interpreted; gone: released
+	blocks   int                   // blocks interpreted: stand-ins not counted
 	chains   []chain               // by builder
 	unread   []int                 // by builder: blocks of other chains its chain has not read
 	frontier []uint64              // by builder: its blocks below it every chain has read (release)
@@ -187,18 +210,20 @@ type Interpreter struct {
 	done    map[types.Label]int      // chains that finished a label not every chain has
 	retired map[types.Label]struct{} // labels every chain has finished
 
-	// asked is the replay the last inspection query made, for askedAt:
+	// asked is the replay the last inspection query made, for row askedAt:
 	// queries about one block share it, the next AddBlock drops it.
 	asked   *Interpreter
-	askedAt *blockState
+	askedAt int32
 
 	// spine is non-nil in a scratch interpreter (replay): the rows of the
 	// chain of the block it was made for, whose table no other branch may
 	// take.
 	spine map[int32]bool
 
-	visits         uint64        // numbers the newAncestry walks
-	sources, stack []*blockState // their scratch space
+	visits  uint64             // numbers the newAncestry walks
+	sources []*blockState      // their scratch space
+	stack   []int32            // also theirs: rows
+	in      []protocol.Message // advance's: the in-buffer it feeds
 }
 
 // New creates an interpreter for protocol P in a system of n servers
@@ -220,12 +245,16 @@ func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Opti
 	return it
 }
 
-// block returns st's block: the one it keeps, or its DAG's.
-func (it *Interpreter) block(st *blockState) (*block.Block, error) {
-	if st.blk != nil {
-		return st.blk, nil
+// parentRow returns the row of row i's parent — the predecessor one below it
+// on its builder's chain — or -1 for a block without one (genesis).
+func (it *Interpreter) parentRow(i int32) int32 {
+	x, seq := it.rows.Pos(int(i))
+	for _, p := range it.rows.PredsAt(int(i)) {
+		if px, pseq := it.rows.Pos(int(p)); px == x && pseq+1 == seq {
+			return p
+		}
 	}
-	return it.rows.ReadRow(int(st.num))
+	return -1
 }
 
 // state returns the state filed under ref's row, nil for none.
@@ -276,7 +305,7 @@ func (it *Interpreter) SeedBase(entries []dag.Base) error {
 func (it *Interpreter) Interpreted(ref block.Ref) bool { return it.state(ref) != nil }
 func (it *Interpreter) Blocks() int                    { return it.blocks }
 
-// Stats counts what the interpreter holds beyond a chain link per block. All
+// Stats counts what the interpreter holds beyond a slot per block. All
 // but RetiredLabels follow the load while every chain advances, not the
 // history; WithMetrics publishes them as gauges.
 type Stats struct {
@@ -302,16 +331,9 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 		return fmt.Errorf("interpret: block %v built by %v in a system of %d servers", ref, b.Builder, it.n)
 	}
 
-	// Locate the parent (same builder, seq-1; a stand-in above a prune horizon)
-	// among the predecessors: DAG validity guarantees one but for genesis.
-	var parent *blockState
 	for _, p := range b.Preds {
-		ps := it.state(p)
-		if ps == nil {
+		if it.state(p) == nil {
 			return fmt.Errorf("%w: block %v missing pred %v", ErrNotEligible, ref, p)
-		}
-		if ps.builder == b.Builder && ps.seq+1 == b.Seq {
-			parent = ps
 		}
 	}
 	if it.own != nil { // number it: every predecessor is a row, so this cannot fail
@@ -323,14 +345,28 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 	}
 
 	it.release() // not after the last block: inspecting that one never replays
-	st := &blockState{blk: b, builder: b.Builder, seq: b.Seq, parent: parent, num: int32(num)}
-	if it.own == nil {
-		defer func() { st.blk = nil }() // the DAG's to hold
+	// The parent: same builder, seq-1 (a stand-in above a prune horizon); DAG
+	// validity guarantees one but for genesis.
+	prow := it.parentRow(int32(num))
+	st := &blockState{blk: b, builder: b.Builder, seq: b.Seq, num: int32(num)}
+	if prow >= 0 {
+		st.parent = it.states[prow]
 	}
+	defer func() {
+		st.parent = nil
+		if it.own == nil {
+			st.blk = nil // the DAG's to hold
+		}
+	}()
 	ch := &it.chains[b.Builder]
-	primary := it.spine == nil && ch.tip == parent
-	if primary {
+	primary := it.spine == nil && ch.tip == st.parent
+	switch {
+	case primary:
 		ch.tip = st
+	case it.spine == nil && !ch.forked:
+		// From now on the builder keeps its states: only out-buffers wait.
+		ch.forked = true
+		ch.held = slices.DeleteFunc(ch.held, func(s *blockState) bool { return len(s.out) == 0 })
 	}
 
 	// Line 4: B.PIs starts as the parent's. Every honest block is the
@@ -338,18 +374,19 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 	// (genesis, or the first block above a stand-in) starts an empty one;
 	// a block that finds a source released or the table gone replays.
 	sources, held := it.newAncestry(st)
-	switch {
+	switch parent := st.parent; {
 	case !held:
 	case parent == nil || parent.stand:
 		st.pis = make(instances)
-	case parent.pis != nil && (!it.spine[parent.num] || it.spine[st.num]):
+	case parent.pis != nil && (!it.spine[prow] || it.spine[st.num]):
 		st.pis, parent.pis = parent.pis, nil
 	}
+	it.put(st) // line 12, I[B] := true, early: a replay reads the block by its row
 	if st.pis != nil {
 		it.advance(st, sources, primary)
 	} else {
 		// The replay's table is a second one for this chain: it counts.
-		sc, err := it.replay(st, func(ind Indication) {
+		sc, err := it.replay(st.num, func(ind Indication) {
 			if ind.Block == ref {
 				it.indicate(ind)
 			}
@@ -367,14 +404,14 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 			}
 		}
 	}
-	if len(st.out) > 0 {
+	if len(st.out) > 0 || it.own == nil && !ch.forked {
 		ch.held = append(ch.held, st)
+	}
+	if len(st.out) > 0 {
 		it.stats.OutMessages += len(st.out)
 		it.stats.HoldingBlocks++
 		it.metrics.Add(metrics.MsgsMaterialized, int64(protocol.Count(st.out, it.n)))
 	}
-
-	it.put(st) // line 12: I[B] := true
 	it.blocks++
 	it.metrics.Add(metrics.BlocksInterpreted, 1)
 	it.publish()
@@ -423,15 +460,18 @@ func CollectChainUnread(read func() []int64) metrics.Collector {
 	}
 }
 
-// release drops the out-buffers every chain has read. Chain c has read the
-// blocks of builder x below its tip's anc[x], x's own chain those below its
-// tip (its next block reads the tip), and no block that extends one of the
-// n tips reads below the least of these, x's frontier. It only rises, and a
-// builder that stops building stops every frontier: what a silent peer has
-// not read stays held. Only a block that extends no tip — a fork — can find
-// a source released. The same pass counts what each chain has not read.
+// release drops the out-buffers every chain has read and, over a DAG, the
+// states: gone takes their slots. Chain c has read the blocks of builder x
+// below its tip's anc[x], x's own chain those below its tip (its next block
+// reads the tip), and no block that extends one of the n tips reads below the
+// least of these, x's frontier. It only rises, and a builder that stops
+// building stops every frontier: what a silent peer has not read stays held.
+// Only a block that extends no tip — a fork — can find a source released. A
+// builder that forked keeps its states, so a branch extended below the
+// frontier takes its parent's table over rather than replaying per block.
+// The same pass counts what each chain has not read.
 func (it *Interpreter) release() {
-	it.asked, it.askedAt = nil, nil
+	it.asked = nil
 	clear(it.unread)
 	for x := range it.chains {
 		own := &it.chains[x]
@@ -445,10 +485,16 @@ func (it *Interpreter) release() {
 			}
 		}
 		for ; len(own.held) > 0 && own.held[0].seq < frontier; own.held = own.held[1:] {
-			st := own.held[0]
-			it.stats.OutMessages -= len(st.out)
-			it.stats.HoldingBlocks--
-			st.out, st.released = nil, true
+			st, marker := own.held[0], gone[0]
+			own.held[0] = nil
+			if len(st.out) > 0 {
+				it.stats.OutMessages -= len(st.out)
+				it.stats.HoldingBlocks--
+				st.out, st.released, marker = nil, true, gone[1]
+			}
+			if it.own == nil && !own.forked {
+				it.states[st.num] = marker
+			}
 		}
 		it.frontier[x] = frontier
 	}
@@ -459,52 +505,50 @@ func (it *Interpreter) release() {
 // release (dag.DAG.Release). Read-only; it only rises.
 func (it *Interpreter) Frontier() []uint64 { return it.frontier }
 
-// replay is the one miss path: it interprets the blocks up to st afresh, in
-// row order (a topological order), in a scratch interpreter over the same
+// replay is the one miss path: it interprets the blocks up to row num afresh,
+// in row order (a topological order), in a scratch interpreter over the same
 // rows, and returns it. A block's state is a function of its ancestry alone
-// (Lemma 4.2), so there st and its sources hold the tables and out-buffers
-// they have, or had, here: a scratch interpreter follows no chain tip, so it
-// releases and retires nothing, and st's chain (spine) keeps its table to the
-// end. A fork off it replays in turn, sharing the states beside its spine —
-// every out-buffer is held there. The cost is one pass over history, and a
-// chain's length per fork.
+// (Lemma 4.2), so there the block and its sources hold the tables and
+// out-buffers they have, or had, here: a scratch interpreter follows no chain
+// tip, so it releases and retires nothing, and the block's chain (spine, its
+// parents' rows) keeps its table to the end. A fork off it replays in turn,
+// sharing the states beside its spine — every out-buffer is held there. The
+// cost is one pass over history, and a chain's length per fork.
 //
 // Over a DAG the blocks are read from it, released ones back from its
 // journal. A block the journal no longer holds — history pruned below a
 // horizon — replays as a stand-in, as on a node restored from that prune's
 // snapshot; any other failure to read one is the replay's error.
-func (it *Interpreter) replay(st *blockState, onInd func(Indication)) (*Interpreter, error) {
+func (it *Interpreter) replay(num int32, onInd func(Indication)) (*Interpreter, error) {
 	sc := New(it.proto, it.n, it.f, onInd, Over(it.rows))
 	sc.spine, sc.visits = make(map[int32]bool), it.visits
-	for s := st; s != nil && !s.stand; s = s.parent {
-		sc.spine[s.num] = true
+	for s := num; s >= 0 && !it.states[s].stand; s = it.parentRow(s) {
+		sc.spine[s] = true
 	}
-	sc.states = make([]*blockState, st.num+1)
-	for _, s := range it.states[:min(int(st.num), len(it.states))] {
+	sc.states = make([]*blockState, num+1)
+	for i, s := range it.states[:num+1] {
 		switch {
 		case s == nil:
-		case s.stand || it.spine != nil && !sc.spine[s.num]:
-			sc.states[s.num] = s // a stand-in, or beside both spines: read-only, shared
+		case s.stand || it.spine != nil && !sc.spine[int32(i)]:
+			sc.states[i] = s // a stand-in, or beside both spines: read-only, shared
 		default:
-			if err := sc.readd(s, it.block); err != nil {
+			if err := sc.readd(int32(i)); err != nil {
 				return nil, err
 			}
 		}
-	}
-	if err := sc.readd(st, it.block); err != nil {
-		return nil, err
 	}
 	it.visits = sc.visits // shared states carry its stamps
 	return sc, nil
 }
 
-// readd interprets s's block again in scratch interpreter sc, or — the block
-// pruned from the journal — files a stand-in for it.
-func (sc *Interpreter) readd(s *blockState, read func(*blockState) (*block.Block, error)) error {
-	b, err := read(s)
+// readd interprets row i's block again in scratch interpreter sc, or — the
+// block pruned from the journal — files a stand-in for it.
+func (sc *Interpreter) readd(i int32) error {
+	b, err := sc.rows.ReadRow(int(i))
 	switch {
 	case errors.Is(err, dag.ErrPruned):
-		sc.states[s.num] = &blockState{builder: s.builder, seq: s.seq, num: s.num, stand: true}
+		builder, seq := sc.rows.Pos(int(i))
+		sc.states[i] = &blockState{builder: builder, seq: seq, num: i, stand: true}
 		return nil
 	case err != nil:
 		return err
@@ -538,9 +582,15 @@ func outFor(out []protocol.Message, label types.Label) []protocol.Message {
 // record is taken as the message to this receiver, so order and set
 // semantics are those of the n messages it stands for. The in-buffer is a
 // set: identical messages materialized via two sources (e.g. across an
-// equivocator's forks) collapse to one.
+// equivocator's forks) collapse to one. The result is fresh.
 func inMessages(receiver types.ServerID, sources []*blockState, only *types.Label) []protocol.Message {
-	var in []protocol.Message
+	return collectIn(nil, receiver, sources, only)
+}
+
+// collectIn is inMessages into buf's array, which advance reuses block after
+// block.
+func collectIn(buf []protocol.Message, receiver types.ServerID, sources []*blockState, only *types.Label) []protocol.Message {
+	in := buf[:0]
 	for _, ps := range sources {
 		out := ps.out
 		if only != nil {
@@ -585,7 +635,8 @@ func (it *Interpreter) advance(st *blockState, sources []*blockState, primary bo
 	slices.SortStableFunc(reqs, func(a, b block.Request) int {
 		return strings.Compare(string(a.Label), string(b.Label))
 	})
-	in := inMessages(b.Builder, sources, nil)
+	it.in = collectIn(it.in, b.Builder, sources, nil)
+	in := it.in
 
 	var emitted []protocol.Message
 	for len(reqs) > 0 || len(in) > 0 {
@@ -642,6 +693,21 @@ func (it *Interpreter) advance(st *blockState, sources []*blockState, primary bo
 	if len(emitted) > 0 {
 		st.out = slices.Clone(emitted) // kept at its exact size
 	}
+	clear(it.in) // its payloads are the sources', which release drops
+	it.in = trim(it.in)
+}
+
+// maxScratch is the most entries a scratch buffer keeps from one block to
+// the next. A chain back from silence reads the whole backlog in one block,
+// on every node, and its buffers must not stay that size.
+const maxScratch = 1024
+
+// trim empties a scratch buffer for reuse, or lets it go past maxScratch.
+func trim[T any](s []T) []T {
+	if cap(s) > maxScratch {
+		return nil
+	}
+	return s[:0]
 }
 
 // indicate surfaces one indication.
@@ -683,24 +749,44 @@ func (it *Interpreter) retire(label types.Label) {
 // parent's ancestry is, so it visits only blocks new to the chain and their
 // predecessors. The slice is scratch space, valid until the next call; held:
 // no source has been released.
+//
+// The walk goes by rows, so a block whose state is gone is walked as any
+// other — its position and watermark are its row's, and its out-buffer, had
+// it one, is released — but takes no stamp: a block that extends its chain's
+// tip meets only gone blocks its parent has consumed, and the few a fork's
+// walk descends through are remembered in a set of their own.
 func (it *Interpreter) newAncestry(st *blockState) (sources []*blockState, held bool) {
-	consumed := it.anc(st.parent)
+	parent := it.parentRow(st.num)
+	var consumed []uint64
+	if parent >= 0 {
+		consumed = it.rows.Summary(int(parent))
+	}
 	it.visits++
-	sources, stack, held := it.sources[:0], append(it.stack[:0], st), true
+	var through map[int32]bool // gone blocks the walk descended through
+	sources, stack, held := trim(it.sources), append(trim(it.stack), st.num), true
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range it.rows.PredsAt(int(s.num)) {
+		for _, p := range it.rows.PredsAt(int(s)) {
 			ps := it.states[p]
-			if ps.visit == it.visits || ps.stand {
+			gone := ps.isGone()
+			if ps.visit == it.visits || ps.stand || gone && through[p] {
 				continue // seen, or a stand-in: consumed by construction
 			}
-			ps.visit = it.visits
-			if ps == st.parent || int(ps.builder) >= len(consumed) || ps.seq >= consumed[ps.builder] {
+			if !gone {
+				ps.visit = it.visits
+			}
+			if x, seq := it.rows.Pos(int(p)); p == parent || int(x) >= len(consumed) || seq >= consumed[x] {
 				sources, held = append(sources, ps), held && !ps.released
 			}
-			if !dominated(it.anc(ps), consumed) {
-				stack = append(stack, ps) // something below ps is new
+			if !dominated(it.rows.Summary(int(p)), consumed) {
+				stack = append(stack, p) // something below p is new
+				if gone {
+					if through == nil {
+						through = make(map[int32]bool)
+					}
+					through[p] = true
+				}
 			}
 		}
 	}
@@ -735,23 +821,26 @@ func (it *Interpreter) InterpretDAG(d *dag.DAG) error {
 // there (nil if not interpreted, or if a replay cannot read its blocks): it
 // itself if they are cached, else a replay.
 func (it *Interpreter) at(ref block.Ref, table bool) (*Interpreter, *blockState) {
-	st := it.state(ref)
-	if st == nil || st.stand {
+	num, ok := it.rows.Index(ref)
+	if !ok || num >= len(it.states) || it.states[num] == nil || it.states[num].stand {
 		return it, nil
 	}
-	if _, held := it.newAncestry(st); st.released || !held || table && st.pis == nil {
-		if it.askedAt != st {
-			sc, err := it.replay(st, nil)
-			if err != nil {
-				return it, nil
-			}
-			it.askedAt, it.asked = st, sc
-		}
-		if it, st = it.asked, it.asked.states[st.num]; st.stand {
-			return it, nil // pruned from the journal
+	if st := it.states[num]; !st.isGone() {
+		if _, held := it.newAncestry(st); held && !st.released && (!table || st.pis != nil) {
+			return it, st
 		}
 	}
-	return it, st
+	if it.asked == nil || it.askedAt != int32(num) {
+		sc, err := it.replay(int32(num), nil)
+		if err != nil {
+			return it, nil
+		}
+		it.askedAt, it.asked = int32(num), sc
+	}
+	if st := it.asked.states[num]; !st.stand {
+		return it.asked, st
+	}
+	return it, nil // pruned from the journal
 }
 
 // OutMessages returns B.Ms[out, ℓ] in emission order, broadcasts spelled
