@@ -21,7 +21,7 @@
 //	GET  /metrics            Prometheus text format (the Registry fold)
 //
 // Every client-plane route runs behind the middleware chain — in-flight
-// concurrency cap with explicit shedding, roster-or-token auth,
+// concurrency cap with explicit shedding, bearer-token auth,
 // per-client token-bucket rate limits, request logging — while /metrics
 // skips auth (scrape convention) but not the in-flight cap.
 //
@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blockdag/internal/crypto"
 	"blockdag/internal/mempool"
 	"blockdag/internal/metrics"
 	"blockdag/internal/node"
@@ -72,11 +71,8 @@ type Config struct {
 	// nil registry serves only the gateway's own counters.
 	Registry *metrics.Registry
 
-	// Tokens lists accepted bearer tokens; AuthRoster additionally (or
-	// instead) accepts Ed25519 request signatures by roster members
-	// (see RosterAuthMessage). With both empty/nil the gateway is open.
-	Tokens     []string
-	AuthRoster *crypto.Roster
+	// Tokens lists accepted bearer tokens. Empty, the gateway is open.
+	Tokens []string
 
 	// RateEvery enables the per-client token bucket: one request token
 	// accrues per RateEvery, holding at most RateBurst (default 4).
@@ -92,10 +88,8 @@ type Config struct {
 	MaxBodyBytes int64
 
 	// Clock is the rate limiter's time base (injectable for tests);
-	// default wall-clock monotonic. Now is the auth freshness clock;
-	// default time.Now.
+	// default wall-clock monotonic.
 	Clock func() time.Duration
-	Now   func() time.Time
 }
 
 const (
@@ -113,7 +107,6 @@ type Gateway struct {
 	srv      *http.Server
 	ln       net.Listener
 	limiter  *rateLimiter
-	nonces   *nonceCache
 	inflight chan struct{}
 
 	// Self-observability: the gateway is a subsystem of the plane it
@@ -178,9 +171,6 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 		start := time.Now()
 		cfg.Clock = func() time.Duration { return time.Since(start) }
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
@@ -189,7 +179,6 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 		cfg:      cfg,
 		ln:       ln,
 		limiter:  newRateLimiter(cfg.RateEvery, cfg.RateBurst, cfg.Clock),
-		nonces:   newNonceCache(4096),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 	}
 	cfg.Registry.Register(Families.Collector(&g.counts))
@@ -229,9 +218,6 @@ func (g *Gateway) Close() error {
 	}
 	return nil
 }
-
-// wallNow is the auth freshness clock.
-func (g *Gateway) wallNow() time.Time { return g.cfg.Now() }
 
 func (g *Gateway) countResponse(code int) {
 	switch {

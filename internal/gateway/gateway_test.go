@@ -3,7 +3,6 @@ package gateway_test
 import (
 	"bufio"
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"blockdag/internal/crypto"
 	"blockdag/internal/gateway"
 	"blockdag/internal/mempool"
 	"blockdag/internal/node"
@@ -270,55 +268,6 @@ func TestBearerTokenAuth(t *testing.T) {
 	drainClose(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unauthenticated /metrics = %d, want 200", resp.StatusCode)
-	}
-}
-
-func TestRosterSignatureAuth(t *testing.T) {
-	roster, signers, err := crypto.LocalRoster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1_700_000_000, 0)
-	_, base, _ := start(t, gateway.Config{
-		AuthRoster: roster,
-		Now:        func() time.Time { return now },
-	})
-
-	sign := func(method, path, nonce string, ts int64, signer *crypto.Signer) map[string]string {
-		sig := signer.Sign(gateway.RosterAuthMessage(method, path, nonce, ts))
-		return map[string]string{
-			"X-DAG-Server": fmt.Sprint(int(signer.ID())),
-			"X-DAG-Nonce":  nonce,
-			"X-DAG-TS":     fmt.Sprint(ts),
-			"X-DAG-Sig":    hex.EncodeToString(sig),
-		}
-	}
-
-	hdr := sign("GET", "/v1/status", "0123456789abcdef", now.Unix(), signers[1])
-	resp := get(t, base+"/v1/status", hdr)
-	drainClose(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("roster-signed = %d, want 200", resp.StatusCode)
-	}
-	// Replaying the same nonce is refused.
-	resp = get(t, base+"/v1/status", hdr)
-	drainClose(t, resp)
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("replayed nonce = %d, want 401", resp.StatusCode)
-	}
-	// A stale timestamp is refused even with a fresh nonce.
-	stale := sign("GET", "/v1/status", "fedcba9876543210", now.Add(-10*time.Minute).Unix(), signers[1])
-	resp = get(t, base+"/v1/status", stale)
-	drainClose(t, resp)
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("stale timestamp = %d, want 401", resp.StatusCode)
-	}
-	// A signature over the wrong path is refused.
-	wrong := sign("GET", "/v1/other", "00112233445566aa", now.Unix(), signers[1])
-	resp = get(t, base+"/v1/status", wrong)
-	drainClose(t, resp)
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("wrong-path signature = %d, want 401", resp.StatusCode)
 	}
 }
 

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"crypto/subtle"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"net"
@@ -10,9 +9,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"blockdag/internal/crypto"
-	"blockdag/internal/types"
 )
 
 // The middleware chain wraps every route in this order (outermost first):
@@ -20,8 +16,7 @@ import (
 //	logging → in-flight cap → auth → per-client rate limit → handler
 //
 // Shedding happens before authentication on purpose: under overload the
-// gateway refuses cheaply, without paying a signature verification per
-// refused request. /metrics skips auth and rate limiting (scrapers run
+// gateway refuses cheaply, without authenticating a refused request. /metrics skips auth and rate limiting (scrapers run
 // unauthenticated by convention) but still counts against the in-flight
 // cap, so a scrape storm cannot starve consensus clients.
 
@@ -139,119 +134,27 @@ func retryAfterSeconds(d time.Duration) int {
 
 // ---- authentication -------------------------------------------------
 
-// authMaxSkew bounds how far a roster-signed request's timestamp may lie
-// from the gateway's clock — the freshness window that, together with the
-// nonce cache, defeats replay.
-const authMaxSkew = 60 * time.Second
-
-// authenticate applies roster-or-token auth: a bearer token from
-// Config.Tokens, or an Ed25519 request signature by a roster member
-// (Config.AuthRoster). With neither configured the gateway is open. The
-// returned principal keys the per-client rate limiter ("" = fall back to
-// the remote IP).
+// authenticate applies bearer-token auth: a token from Config.Tokens. With
+// none configured the gateway is open. The returned principal keys the
+// per-client rate limiter ("" = fall back to the remote IP).
 func (g *Gateway) authenticate(r *http.Request) (string, error) {
-	if len(g.cfg.Tokens) == 0 && g.cfg.AuthRoster == nil {
+	if len(g.cfg.Tokens) == 0 {
 		return "", nil
 	}
-	if auth := r.Header.Get("Authorization"); auth != "" {
-		const prefix = "Bearer "
-		if len(auth) > len(prefix) && auth[:len(prefix)] == prefix {
-			tok := auth[len(prefix):]
-			for i, want := range g.cfg.Tokens {
-				if subtle.ConstantTimeCompare([]byte(tok), []byte(want)) == 1 {
-					return fmt.Sprintf("token/%d", i), nil
-				}
+	auth := r.Header.Get("Authorization")
+	if auth == "" {
+		return "", fmt.Errorf("authentication required (bearer token)")
+	}
+	const prefix = "Bearer "
+	if len(auth) > len(prefix) && auth[:len(prefix)] == prefix {
+		tok := auth[len(prefix):]
+		for i, want := range g.cfg.Tokens {
+			if subtle.ConstantTimeCompare([]byte(tok), []byte(want)) == 1 {
+				return fmt.Sprintf("token/%d", i), nil
 			}
 		}
-		return "", fmt.Errorf("invalid bearer token")
 	}
-	if g.cfg.AuthRoster != nil && r.Header.Get("X-DAG-Sig") != "" {
-		id, err := g.verifyRosterAuth(r)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("s%d", id), nil
-	}
-	return "", fmt.Errorf("authentication required (bearer token or roster signature)")
-}
-
-// verifyRosterAuth checks the roster-signature scheme: the client signs
-//
-//	dagrpc|v1|<METHOD>|<path>|<nonce-hex>|<unix-seconds>
-//
-// with its roster key and sends server id, nonce, timestamp, and
-// signature in X-DAG-* headers. The timestamp must be within authMaxSkew
-// of the gateway's clock and the nonce unseen within the replay window.
-func (g *Gateway) verifyRosterAuth(r *http.Request) (types.ServerID, error) {
-	idStr := r.Header.Get("X-DAG-Server")
-	nonce := r.Header.Get("X-DAG-Nonce")
-	tsStr := r.Header.Get("X-DAG-TS")
-	sigHex := r.Header.Get("X-DAG-Sig")
-	idNum, err := strconv.Atoi(idStr)
-	if err != nil {
-		return 0, fmt.Errorf("bad X-DAG-Server")
-	}
-	id := types.ServerID(idNum)
-	if !g.cfg.AuthRoster.Contains(id) {
-		return 0, fmt.Errorf("server %d not in roster", idNum)
-	}
-	if len(nonce) < 16 || len(nonce) > 128 {
-		return 0, fmt.Errorf("bad X-DAG-Nonce")
-	}
-	ts, err := strconv.ParseInt(tsStr, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad X-DAG-TS")
-	}
-	now := g.wallNow().Unix()
-	if ts < now-int64(authMaxSkew.Seconds()) || ts > now+int64(authMaxSkew.Seconds()) {
-		return 0, fmt.Errorf("request timestamp outside freshness window")
-	}
-	sig, err := hex.DecodeString(sigHex)
-	if err != nil || len(sig) != crypto.SignatureSize {
-		return 0, fmt.Errorf("bad X-DAG-Sig")
-	}
-	msg := RosterAuthMessage(r.Method, r.URL.Path, nonce, ts)
-	if !g.cfg.AuthRoster.Verify(id, msg, sig) {
-		return 0, fmt.Errorf("roster signature verification failed")
-	}
-	if !g.nonces.admit(nonce) {
-		return 0, fmt.Errorf("replayed nonce")
-	}
-	return id, nil
-}
-
-// RosterAuthMessage is the canonical byte string a roster-authenticated
-// client signs — exported so clients and tests build it identically.
-func RosterAuthMessage(method, path, nonce string, unixTS int64) []byte {
-	return []byte(fmt.Sprintf("dagrpc|v1|%s|%s|%s|%d", method, path, nonce, unixTS))
-}
-
-// nonceCache remembers recently admitted nonces, bounded FIFO.
-type nonceCache struct {
-	mu    sync.Mutex
-	seen  map[string]struct{}
-	order []string
-	cap   int
-}
-
-func newNonceCache(capacity int) *nonceCache {
-	return &nonceCache{seen: make(map[string]struct{}), cap: capacity}
-}
-
-// admit records the nonce, reporting false when it was already seen.
-func (c *nonceCache) admit(nonce string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.seen[nonce]; dup {
-		return false
-	}
-	if len(c.order) >= c.cap {
-		delete(c.seen, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.seen[nonce] = struct{}{}
-	c.order = append(c.order, nonce)
-	return true
+	return "", fmt.Errorf("invalid bearer token")
 }
 
 // ---- per-client rate limiting ---------------------------------------

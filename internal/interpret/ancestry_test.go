@@ -205,6 +205,32 @@ func explicitRuleDAG(rng *rand.Rand, n, steps int) (*dagtest.Harness, []types.La
 	return h, labels
 }
 
+// sourcesByBlock returns, by block, the blocks it read (its sources, Algorithm
+// 2 lines 7–9), from one replay of everything it interpreted: a replay keeps
+// every state, it itself only those some chain has not read.
+func sourcesByBlock(t *testing.T, it *Interpreter) map[block.Ref][]block.Ref {
+	t.Helper()
+	sc, err := it.replay(int32(len(it.states)-1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := func(row int32) block.Ref {
+		b, err := sc.rows.ReadRow(int(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Ref()
+	}
+	read := make(map[block.Ref][]block.Ref, len(sc.states))
+	for _, st := range sc.states {
+		sources, _ := sc.newAncestry(st)
+		for _, s := range sources {
+			read[ref(st.num)] = append(read[ref(st.num)], ref(s.num))
+		}
+	}
+	return read
+}
+
 // TestExplicitRuleBlocksReadTheirPredecessors: in a DAG built by the rule
 // the paper states — cite every block you insert, once — the ancestry a
 // block adds to its chain is its predecessor list, so such a block reads
@@ -219,12 +245,9 @@ func TestExplicitRuleBlocksReadTheirPredecessors(t *testing.T) {
 			t.Fatal(err)
 		}
 		skipped := 0
+		read := sourcesByBlock(t, it)
 		for b := range h.DAG.All() {
-			var sources []block.Ref
-			read, _ := it.newAncestry(it.state(b.Ref()))
-			for _, s := range read {
-				sources = append(sources, s.blk.Ref())
-			}
+			sources := read[b.Ref()]
 			preds := slices.Clone(b.Preds)
 			for _, refs := range [][]block.Ref{sources, preds} {
 				slices.SortFunc(refs, func(a, b block.Ref) int { return bytes.Compare(a[:], b[:]) })
@@ -312,25 +335,23 @@ func TestCorrectBlocksReadOnceUnderForks(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		read := sourcesByBlock(t, it)
 		for reader := types.ServerID(1); reader < n; reader++ {
 			readAt := make(map[block.Ref]block.Ref)
 			for _, c := range d.ByBuilder(reader) { // ascending seq: the chain
-				st := it.state(c.Ref())
 				skipped := make(map[block.Ref]bool) // cited, not read: duplicates of a consumed seq
 				for _, p := range c.Preds {
 					skipped[p] = true
 				}
-				read, _ := it.newAncestry(st)
-				for _, s := range read {
-					x := s.blk
-					delete(skipped, x.Ref())
-					if x.Builder == 0 {
+				for _, x := range read[c.Ref()] {
+					delete(skipped, x)
+					if xb, _ := d.Get(x); xb.Builder == 0 {
 						continue
 					}
-					if at, twice := readAt[x.Ref()]; twice {
-						t.Fatalf("seed %d: s%d reads %v at %v and again at %v", seed, reader, x.Ref(), at, c.Ref())
+					if at, twice := readAt[x]; twice {
+						t.Fatalf("seed %d: s%d reads %v at %v and again at %v", seed, reader, x, at, c.Ref())
 					}
-					readAt[x.Ref()] = c.Ref()
+					readAt[x] = c.Ref()
 				}
 				for x := range d.All() {
 					if x.Builder == 0 || x.Ref() == c.Ref() || !d.Reaches(x.Ref(), c.Ref()) {

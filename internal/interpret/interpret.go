@@ -34,14 +34,14 @@
 // ancestry watermark are the DAG's rows (Rows). B.PIs lives at the tip of each
 // chain, is advanced in place and drops an instance when it reports Done; once
 // every chain has, one entry of a retired set replaces the n tombstones. When
-// the n chain tips have read a block (release) its out-buffer goes, and over a
-// DAG its state too: its slot keeps one shared marker, and the same frontier
-// tells the DAG which blocks' bytes it may let go (Frontier). A reader that
-// finds the cache empty — a block extending a fork, an inspection of a block
-// long passed — interprets the blocks afresh (replay): the one miss path, and
-// the one that reads blocks back. Over a DAG the interpreter holds no block
-// and, below the frontier, no state: a replay reads the blocks from the DAG,
-// the released ones from its journal.
+// the n chain tips have read a block (release) its out-buffer and its state
+// go: its slot keeps one shared marker, and the same frontier tells the DAG
+// which blocks' bytes it may let go (Frontier). A reader that finds the cache
+// empty — a block extending a fork, an inspection of a block long passed —
+// interprets the blocks afresh (replay): the one miss path, and the one that
+// reads blocks back. A state holds no block, and below the frontier only a
+// builder that forked keeps states: a replay reads the blocks from the rows —
+// a DAG's, the released ones from its journal, or the interpreter's own (Over).
 package interpret
 
 import (
@@ -96,21 +96,20 @@ type Rows interface {
 
 // Over makes the interpreter one of d's blocks (AddBlock takes no others): it
 // keeps its states by d's numbers, reads d's watermarks and predecessors, and
-// holds no block — a replay reads them from d — nor, once every chain has
-// read a block, its state. Without it the interpreter numbers the blocks
-// itself, as handed them, in a graph of its own, and keeps the blocks and
-// their states: nothing else does.
+// holds no block — a replay reads them from d. Without it the interpreter
+// numbers the blocks itself, as handed them, in rows of its own (ownRows).
+// Either way release lets a block's state go once every chain has read it.
 func Over(d Rows) Option { return func(it *Interpreter) { it.rows = d } }
 
-// ownRows are the rows of an interpreter over no DAG: a graph of its own,
-// and the blocks its states keep.
+// ownRows are the rows of an interpreter over no DAG: a graph of its own and
+// the blocks it numbered, by row, which a replay reads — what a DAG keeps.
 type ownRows struct {
 	*graph.DAG[block.Ref]
-	states *[]*blockState
+	blocks []*block.Block
 }
 
-func (o ownRows) ReadRow(i int) (*block.Block, error) { return (*o.states)[i].blk, nil }
-func (o ownRows) Pos(i int) (types.ServerID, uint64) {
+func (o *ownRows) ReadRow(i int) (*block.Block, error) { return o.blocks[i], nil }
+func (o *ownRows) Pos(i int) (types.ServerID, uint64) {
 	chain, seq := o.DAG.Pos(i)
 	return types.ServerID(chain), seq
 }
@@ -123,18 +122,11 @@ func (o ownRows) Pos(i int) (types.ServerID, uint64) {
 type instances map[types.Label]protocol.Process
 
 // blockState is the interpretation state attached to one block: its row and
-// chain position, pis and out while they are cached. Over a DAG it lasts until
-// every chain has read the block (release), and gone takes its slot.
+// chain position, pis and out while they are cached. It holds no block (the
+// rows do) and points at no other state: release lets it go once every chain
+// has read the block, and gone takes its slot.
 type blockState struct {
-	// blk is the block while AddBlock interprets it, and after only in an
-	// interpreter with rows of its own: over a DAG the block is the DAG's to
-	// hold or release, and a replay reads it back (Rows.ReadRow).
-	blk *block.Block
 	seq uint64 // with builder, below: the chain position
-	// parent is the state of the block's parent while AddBlock interprets it,
-	// for the table it takes over. No state points at another after: release
-	// could not let one go. A parent is its row (parentRow).
-	parent *blockState
 	// pis is B.PIs while this block is the tip of its chain, nil once a
 	// child has taken the table over to advance it in place (Algorithm 2
 	// line 4 without the copy). A second child — a fork — replays.
@@ -155,11 +147,11 @@ type blockState struct {
 	visit uint64 // stamps the newAncestry walk that last reached this state
 }
 
-// gone takes the slot of a block whose state an interpreter over a DAG has
-// released: gone[1] if the state held an out-buffer, released with it. The
-// block is interpreted, and what its state held is a replay away. Shared by
-// every interpreter of the process, so never written: a walk stamps no visit
-// on it (newAncestry).
+// gone takes the slot of a block whose state the interpreter has released:
+// gone[1] if the state held an out-buffer, released with it. The block is
+// interpreted, and what its state held is a replay away. Shared by every
+// interpreter of the process, so never written: a walk stamps no visit on it
+// (newAncestry).
 var gone = [2]*blockState{{}, {released: true}}
 
 func (st *blockState) isGone() bool { return st == gone[0] || st == gone[1] }
@@ -167,8 +159,8 @@ func (st *blockState) isGone() bool { return st == gone[0] || st == gone[1] }
 // chain is one builder's chain: its tip — on the branch interpreted first,
 // should the builder equivocate — whose anc is what the chain has read; the
 // builder's blocks release has still to pass, in interpretation order: those
-// holding an out-buffer and, over a DAG until the builder forks, every one;
-// and whether a block of it was interpreted off its chain's tip, a fork.
+// holding an out-buffer and, until the builder forks, every one; and whether
+// a block of it was interpreted off its chain's tip, a fork.
 type chain struct {
 	tip    *blockState
 	held   []*blockState
@@ -197,14 +189,14 @@ type Interpreter struct {
 	n, f     int
 	onInd    func(Indication)
 	metrics  *metrics.Metrics
-	rows     Rows                  // numbers, watermarks and blocks of the DAG interpreted
-	own      *graph.DAG[block.Ref] // rows, if none was given (Over)
-	states   []*blockState         // by row; nil: not interpreted; gone: released
-	blocks   int                   // blocks interpreted: stand-ins not counted
-	chains   []chain               // by builder
-	unread   []int                 // by builder: blocks of other chains its chain has not read
-	frontier []uint64              // by builder: its blocks below it every chain has read (release)
-	lag      []atomic.Int64        // unread as of the last block interpreted, for ChainUnread
+	rows     Rows           // numbers, watermarks and blocks of the DAG interpreted
+	own      *ownRows       // rows, if none was given (Over)
+	states   []*blockState  // by row; nil: not interpreted; gone: released
+	blocks   int            // blocks interpreted: stand-ins not counted
+	chains   []chain        // by builder
+	unread   []int          // by builder: blocks of other chains its chain has not read
+	frontier []uint64       // by builder: its blocks below it every chain has read (release)
+	lag      []atomic.Int64 // unread as of the last block interpreted, for ChainUnread
 	stats    Stats
 
 	done    map[types.Label]int      // chains that finished a label not every chain has
@@ -239,8 +231,8 @@ func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Opti
 		opt(it)
 	}
 	if it.rows == nil {
-		it.own = graph.New[block.Ref]()
-		it.rows = ownRows{it.own, &it.states}
+		it.own = &ownRows{DAG: graph.New[block.Ref]()}
+		it.rows = it.own
 	}
 	return it
 }
@@ -338,6 +330,7 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 	}
 	if it.own != nil { // number it: every predecessor is a row, so this cannot fail
 		_ = it.own.InsertChained(ref, b.Preds, int(b.Builder), b.Seq)
+		it.own.blocks = append(it.own.blocks, b)
 	}
 	num, ok := it.rows.Index(ref)
 	if !ok {
@@ -348,18 +341,13 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 	// The parent: same builder, seq-1 (a stand-in above a prune horizon); DAG
 	// validity guarantees one but for genesis.
 	prow := it.parentRow(int32(num))
-	st := &blockState{blk: b, builder: b.Builder, seq: b.Seq, num: int32(num)}
+	var parent *blockState
 	if prow >= 0 {
-		st.parent = it.states[prow]
+		parent = it.states[prow]
 	}
-	defer func() {
-		st.parent = nil
-		if it.own == nil {
-			st.blk = nil // the DAG's to hold
-		}
-	}()
+	st := &blockState{builder: b.Builder, seq: b.Seq, num: int32(num)}
 	ch := &it.chains[b.Builder]
-	primary := it.spine == nil && ch.tip == st.parent
+	primary := it.spine == nil && ch.tip == parent
 	switch {
 	case primary:
 		ch.tip = st
@@ -374,7 +362,7 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 	// (genesis, or the first block above a stand-in) starts an empty one;
 	// a block that finds a source released or the table gone replays.
 	sources, held := it.newAncestry(st)
-	switch parent := st.parent; {
+	switch {
 	case !held:
 	case parent == nil || parent.stand:
 		st.pis = make(instances)
@@ -383,7 +371,7 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 	}
 	it.put(st) // line 12, I[B] := true, early: a replay reads the block by its row
 	if st.pis != nil {
-		it.advance(st, sources, primary)
+		it.advance(st, b, sources, primary)
 	} else {
 		// The replay's table is a second one for this chain: it counts.
 		sc, err := it.replay(st.num, func(ind Indication) {
@@ -404,7 +392,7 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 			}
 		}
 	}
-	if len(st.out) > 0 || it.own == nil && !ch.forked {
+	if len(st.out) > 0 || !ch.forked {
 		ch.held = append(ch.held, st)
 	}
 	if len(st.out) > 0 {
@@ -460,16 +448,16 @@ func CollectChainUnread(read func() []int64) metrics.Collector {
 	}
 }
 
-// release drops the out-buffers every chain has read and, over a DAG, the
-// states: gone takes their slots. Chain c has read the blocks of builder x
-// below its tip's anc[x], x's own chain those below its tip (its next block
-// reads the tip), and no block that extends one of the n tips reads below the
-// least of these, x's frontier. It only rises, and a builder that stops
-// building stops every frontier: what a silent peer has not read stays held.
-// Only a block that extends no tip — a fork — can find a source released. A
-// builder that forked keeps its states, so a branch extended below the
-// frontier takes its parent's table over rather than replaying per block.
-// The same pass counts what each chain has not read.
+// release drops the out-buffers and the states every chain has read: gone
+// takes their slots. Chain c has read the blocks of builder x below its tip's
+// anc[x], x's own chain those below its tip (its next block reads the tip),
+// and no block that extends one of the n tips reads below the least of these,
+// x's frontier. It only rises, and a builder that stops building stops every
+// frontier: what a silent peer has not read stays held. Only a block that
+// extends no tip — a fork — can find a source released. A builder that forked
+// keeps its states, so a branch extended below the frontier takes its
+// parent's table over rather than replaying per block. The same pass counts
+// what each chain has not read.
 func (it *Interpreter) release() {
 	it.asked = nil
 	clear(it.unread)
@@ -492,7 +480,7 @@ func (it *Interpreter) release() {
 				it.stats.HoldingBlocks--
 				st.out, st.released, marker = nil, true, gone[1]
 			}
-			if it.own == nil && !own.forked {
+			if !own.forked {
 				it.states[st.num] = marker
 			}
 		}
@@ -515,7 +503,7 @@ func (it *Interpreter) Frontier() []uint64 { return it.frontier }
 // sharing the states beside its spine — every out-buffer is held there. The
 // cost is one pass over history, and a chain's length per fork.
 //
-// Over a DAG the blocks are read from it, released ones back from its
+// The blocks are read from the rows, a DAG's released ones back from its
 // journal. A block the journal no longer holds — history pruned below a
 // horizon — replays as a stand-in, as on a node restored from that prune's
 // snapshot; any other failure to read one is the replay's error.
@@ -577,19 +565,14 @@ func outFor(out []protocol.Message, label types.Label) []protocol.Message {
 }
 
 // inMessages collects B.Ms[in, ℓ] (Algorithm 2 lines 7–9) for every label,
-// or for only one: the messages addressed to receiver in the out-buffers of
-// sources, grouped by label and each label's in <M order. A broadcast
-// record is taken as the message to this receiver, so order and set
-// semantics are those of the n messages it stands for. The in-buffer is a
-// set: identical messages materialized via two sources (e.g. across an
-// equivocator's forks) collapse to one. The result is fresh.
-func inMessages(receiver types.ServerID, sources []*blockState, only *types.Label) []protocol.Message {
-	return collectIn(nil, receiver, sources, only)
-}
-
-// collectIn is inMessages into buf's array, which advance reuses block after
-// block.
-func collectIn(buf []protocol.Message, receiver types.ServerID, sources []*blockState, only *types.Label) []protocol.Message {
+// or for only one, into buf's array (advance reuses one; nil for a fresh
+// result): the messages addressed to receiver in the out-buffers of sources,
+// grouped by label and each label's in <M order. A broadcast record is taken
+// as the message to this receiver, so order and set semantics are those of
+// the n messages it stands for. The in-buffer is a set: identical messages
+// materialized via two sources (e.g. across an equivocator's forks) collapse
+// to one.
+func inMessages(buf []protocol.Message, receiver types.ServerID, sources []*blockState, only *types.Label) []protocol.Message {
 	in := buf[:0]
 	for _, ps := range sources {
 		out := ps.out
@@ -621,21 +604,21 @@ func sharePayloads(emitted, fed []protocol.Message) {
 	}
 }
 
-// advance runs Algorithm 2 lines 5–14 for block st on st.pis, its chain's
-// instance table as the parent left it. Labels are independent instances,
-// so it takes them one at a time, in sorted order to keep the trace
-// canonical: the requests B.rs carries for ℓ in block order (lines 5–6),
-// then B.Ms[in, ℓ] in <M order (lines 10–11), then ℓ's indications,
-// attributed to B.n (lines 13–14), and a tombstone if ℓ's instance is Done.
+// advance runs Algorithm 2 lines 5–14 for block b, whose state is st, on
+// st.pis, its chain's instance table as the parent left it. Labels are
+// independent instances, so it takes them one at a time, in sorted order to
+// keep the trace canonical: the requests B.rs carries for ℓ in block order
+// (lines 5–6), then B.Ms[in, ℓ] in <M order (lines 10–11), then ℓ's
+// indications, attributed to B.n (lines 13–14), and a tombstone if ℓ's
+// instance is Done.
 // primary: st is its chain's tip, whose table the retired set speaks for.
-func (it *Interpreter) advance(st *blockState, sources []*blockState, primary bool) {
-	b := st.blk
+func (it *Interpreter) advance(st *blockState, b *block.Block, sources []*blockState, primary bool) {
 	ref := b.Ref()
 	reqs := slices.Clone(b.Requests)
 	slices.SortStableFunc(reqs, func(a, b block.Request) int {
 		return strings.Compare(string(a.Label), string(b.Label))
 	})
-	it.in = collectIn(it.in, b.Builder, sources, nil)
+	it.in = inMessages(it.in, b.Builder, sources, nil)
 	in := it.in
 
 	var emitted []protocol.Message
@@ -806,9 +789,14 @@ func dominated(a, b []uint64) bool {
 
 // InterpretDAG interprets every block of d not yet interpreted, in d's
 // insertion order (a topological order). This is the offline path: a
-// stored DAG can be replayed at any time, independent of gossip.
+// stored DAG can be replayed at any time, independent of gossip. A block
+// that cannot be read back is the error.
 func (it *Interpreter) InterpretDAG(d *dag.DAG) error {
-	for b := range d.All() {
+	for i, base := 0, len(d.Base()); i < d.Len(); i++ {
+		b, err := d.ReadRow(base + i)
+		if err != nil {
+			return err
+		}
 		if err := it.AddBlock(b); err != nil {
 			return err
 		}
@@ -860,7 +848,7 @@ func (it *Interpreter) OutMessages(ref block.Ref, label types.Label) []protocol.
 func (it *Interpreter) InMessages(ref block.Ref, label types.Label) []protocol.Message {
 	if it, st := it.at(ref, false); st != nil {
 		sources, _ := it.newAncestry(st)
-		return inMessages(st.builder, sources, &label)
+		return inMessages(nil, st.builder, sources, &label)
 	}
 	return nil
 }

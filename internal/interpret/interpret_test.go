@@ -384,6 +384,48 @@ func TestPrefixExtension(t *testing.T) {
 	}
 }
 
+// failingJournal answers for released rows from blocks, the DAG's rows in
+// insertion order, except row fail, which it cannot read back.
+type failingJournal struct {
+	blocks []*block.Block
+	fail   int
+}
+
+var errUnreadable = errors.New("unreadable record")
+
+func (j failingJournal) Block(row int, _ []block.Ref) (*block.Block, error) {
+	if row == j.fail {
+		return nil, errUnreadable
+	}
+	return j.blocks[row], nil
+}
+
+// TestInterpretDAGFailsOnAnUnreadableRow: a released block the journal cannot
+// read back is InterpretDAG's error — not the end of the DAG, which would
+// leave every block after it uninterpreted and say nothing.
+func TestInterpretDAGFailsOnAnUnreadableRow(t *testing.T) {
+	const n, fail = 4, 5
+	h := dagtest.NewHarness(n)
+	h.Round(map[int][]block.Request{0: {{Label: "x", Data: []byte("v")}}})
+	for r := 0; r < 5; r++ {
+		h.Round(nil)
+	}
+	blocks := h.DAG.Blocks()
+	d := dag.New(h.Roster)
+	d.SetJournal(failingJournal{blocks: blocks, fail: fail})
+	for _, b := range blocks {
+		if err := d.InsertVerified(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Release(slices.Repeat([]uint64{1 << 20}, n))
+	it := New(brb.Protocol{}, n, 1, nil, Over(d))
+	if err := it.InterpretDAG(d); !errors.Is(err, errUnreadable) || it.Blocks() != fail {
+		t.Fatalf("InterpretDAG returned %v with %d of %d blocks interpreted, want the journal's error after %d",
+			err, it.Blocks(), len(blocks), fail)
+	}
+}
+
 // --- Lemma 4.3: the interpreted DAG is an authenticated perfect link ---
 
 // linkFixture embeds courier and runs rounds until quiescence.

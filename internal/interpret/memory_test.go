@@ -19,7 +19,7 @@ import (
 
 // The tests in this file pin the interpreter's memory model: instances
 // live only at chain tips and are advanced in place, out-buffers, tombstones
-// and, over a DAG, block states go once every chain has passed them, whoever
+// and block states go once every chain has passed them, whoever
 // finds the cache empty replays, and in-buffers are derived on demand.
 
 // recount walks the interpreter's states for what Stats keeps a running
@@ -159,12 +159,14 @@ func TestForkAfterAdvance(t *testing.T) {
 			orders[fmt.Sprintf("random-%d", seed)] = randomTopoOrder(d, rand.New(rand.NewSource(seed)))
 		}
 		// run also counts the blocks that arrived to a cold cache: a source
-		// released, or a parent whose table a sibling had taken.
+		// released, or a parent whose table a sibling had taken or whose
+		// state release had let go.
 		run := func(it *Interpreter, inds *[]Indication, order []*block.Block) (_ []string, cold int) {
 			for _, b := range order {
 				for _, p := range b.Preds {
 					ps := it.state(p)
-					if ps.released || ps.builder == b.Builder && ps.seq+1 == b.Seq && ps.blk != nil && ps.pis == nil {
+					pb, _ := d.Get(p)
+					if ps.released || pb.Builder == b.Builder && pb.Seq+1 == b.Seq && ps.pis == nil {
 						cold++
 						break
 					}
@@ -327,12 +329,25 @@ func quietStaggered(count int) *dag.DAG {
 	return h.DAG
 }
 
-// TestStatesAreAWindow: over a DAG the interpreter keeps the states of the
-// blocks some chain has not read, not of the run. Interpreting 16 384
+// heldStates counts the slots that hold a state rather than gone.
+func (it *Interpreter) heldStates() int {
+	held := 0
+	for _, st := range it.states {
+		if st != nil && !st.isGone() {
+			held++
+		}
+	}
+	return held
+}
+
+// TestStatesAreAWindow: the interpreter keeps the states of the blocks some
+// chain has not read, not of the run. Over a DAG, interpreting 16 384
 // request-free blocks on four staggered chains may leave at most 24 B a block
 // more on the live heap than interpreting 4 096: a slot of the state slice,
 // slack included. (While every block kept its state for good it was ≈ 90 B.)
-// Each DAG is built before the first reading.
+// An interpreter that numbers the blocks itself holds the very same states —
+// its rows keep the blocks, as a DAG does, and nothing else: the same few at
+// either count. Each DAG is built before the first reading.
 func TestStatesAreAWindow(t *testing.T) {
 	const n, perBlockBound = 4, 24
 	counts := []int{4096, 16384}
@@ -347,8 +362,16 @@ func TestStatesAreAWindow(t *testing.T) {
 		heap[i] = float64(dagtest.LiveHeap()) - float64(before)
 		runtime.KeepAlive(it)
 		runtime.KeepAlive(d)
-		if it.Blocks() != count {
-			t.Fatalf("%d blocks interpreted, want %d", it.Blocks(), count)
+		own := New(brb.Protocol{}, n, 1, nil)
+		if err := own.InterpretDAG(d); err != nil {
+			t.Fatal(err)
+		}
+		if it.Blocks() != count || own.Blocks() != count {
+			t.Fatalf("%d and %d blocks interpreted, want %d", it.Blocks(), own.Blocks(), count)
+		}
+		if held, ownHeld := it.heldStates(), own.heldStates(); held != ownHeld || held > 2*n {
+			t.Fatalf("%d blocks: %d states held over the DAG, %d with rows of its own; want the same, at most %d",
+				count, held, ownHeld, 2*n)
 		}
 	}
 	perBlock := (heap[1] - heap[0]) / float64(counts[1]-counts[0])
@@ -484,14 +507,18 @@ func TestSilentChainHoldsEverything(t *testing.T) {
 	}
 
 	// Server 3 returns: its first block cites the three tips, so its
-	// sources are the whole backlog.
+	// sources are the whole backlog, held when it reads them.
 	back := h.Next(3, []block.Ref{h.Tip(0), h.Tip(1), h.Tip(2)})
+	feed()
+	if sources, held := it.newAncestry(it.state(back.Ref())); len(sources) < h.DAG.Len()-2*n || !held {
+		t.Fatalf("first block back read %d sources (held: %v), want the backlog", len(sources), held)
+	}
 	for r := 0; r < 4; r++ {
 		h.Round(nil)
 	}
 	feed()
-	if sources, held := it.newAncestry(it.state(back.Ref())); len(sources) < h.DAG.Len()-6*n || held {
-		t.Fatalf("first block back read %d sources (held now: %v), want the backlog, since released", len(sources), held)
+	if !it.state(back.Ref()).isGone() {
+		t.Fatal("first block back still held after every chain read it")
 	}
 	if fmt.Sprint(sortedIndications(*inds)) != fmt.Sprint(sortedIndications(*refInds)) {
 		t.Fatal("indications differ from an interpreter that releases nothing")
@@ -531,7 +558,7 @@ func TestBacklogKeepsNoScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources, _ := holding.newAncestry(holding.state(back.Ref()))
-	if read := len(inMessages(back.Builder, sources, nil)); read <= maxScratch || len(sources) <= maxScratch {
+	if read := len(inMessages(nil, back.Builder, sources, nil)); read <= maxScratch || len(sources) <= maxScratch {
 		t.Fatalf("the block back read %d messages from %d sources: no backlog past %d", read, len(sources), maxScratch)
 	}
 	it := New(brb.Protocol{}, n, 1, nil, Over(h.DAG))

@@ -24,14 +24,18 @@ import (
 // states in a map keyed by reference, an ancestry watermark computed per
 // block from the predecessors' (anc), a stand-in's seeded with the whole
 // prune horizon, the interpretation order kept for replays — under the same
-// release, replay and inspection rules. Stepping the protocol (advance,
-// retire, the counters and chain tips they touch) is not what changed and is
-// borrowed from an Interpreter that is used for nothing else: its own rows
-// and states stay empty.
+// release, replay and inspection rules, each state's block and parent kept
+// beside it. Stepping the protocol (advance, retire, the counters and chain
+// tips they touch) is not what changed and is borrowed from an Interpreter
+// that is used for nothing else: its own rows and states stay empty.
 type refInterp struct {
 	in     *Interpreter
 	states map[block.Ref]*blockState
-	anc    map[*blockState][]uint64 // shared with the replays: they share states
+	// anc, blk and parent are each state's watermark, block (none for a
+	// stand-in) and parent's state; shared with the replays: they share states.
+	anc    map[*blockState][]uint64
+	blk    map[*blockState]*block.Block
+	parent map[*blockState]*blockState
 	order  []*blockState
 	unread []int
 	spine  map[*block.Block]bool
@@ -48,6 +52,8 @@ func newRef(proto protocol.Protocol, n, f int, onInd func(Indication)) *refInter
 		in:     New(proto, n, f, onInd),
 		states: make(map[block.Ref]*blockState),
 		anc:    make(map[*blockState][]uint64),
+		blk:    make(map[*blockState]*block.Block),
+		parent: make(map[*blockState]*blockState),
 		unread: make([]int, n),
 	}
 }
@@ -118,8 +124,9 @@ func (r *refInterp) AddBlock(b *block.Block) error {
 	}
 
 	r.release()
-	st := &blockState{blk: b, builder: b.Builder, seq: b.Seq, parent: parent}
+	st := &blockState{builder: b.Builder, seq: b.Seq}
 	r.anc[st] = refRaise(anc, b.Builder, b.Seq+1)
+	r.blk[st], r.parent[st] = b, parent
 	r.order = append(r.order, st)
 	ch := &r.in.chains[b.Builder]
 	primary := r.spine == nil && ch.tip == parent
@@ -130,13 +137,13 @@ func (r *refInterp) AddBlock(b *block.Block) error {
 	sources, held := r.newAncestry(st)
 	switch {
 	case !held:
-	case parent == nil || parent.blk == nil:
+	case parent == nil || r.blk[parent] == nil:
 		st.pis = make(instances)
-	case parent.pis != nil && (!r.spine[parent.blk] || r.spine[b]):
+	case parent.pis != nil && (!r.spine[r.blk[parent]] || r.spine[b]):
 		st.pis, parent.pis = parent.pis, nil
 	}
 	if st.pis != nil {
-		r.in.advance(st, sources, primary)
+		r.in.advance(st, b, sources, primary)
 	} else {
 		got := r.replay(st, func(ind Indication) {
 			if ind.Block == ref {
@@ -186,21 +193,21 @@ func (r *refInterp) release() {
 
 func (r *refInterp) replay(st *blockState, onInd func(Indication)) *refInterp {
 	sc := newRef(r.in.proto, r.in.n, r.in.f, onInd)
-	sc.anc = r.anc
+	sc.anc, sc.blk, sc.parent = r.anc, r.blk, r.parent
 	sc.spine, sc.visits = make(map[*block.Block]bool), r.visits
-	for s := st; s != nil && s.blk != nil; s = s.parent {
-		sc.spine[s.blk] = true
+	for s := st; s != nil && r.blk[s] != nil; s = r.parent[s] {
+		sc.spine[r.blk[s]] = true
 	}
 	for ref, s := range r.states {
-		if s.blk == nil {
+		if r.blk[s] == nil {
 			sc.states[ref] = s
 		}
 	}
 	for _, s := range r.order[:slices.Index(r.order, st)+1] {
-		if r.spine != nil && !sc.spine[s.blk] {
-			sc.states[s.blk.Ref()] = s
+		if b := r.blk[s]; r.spine != nil && !sc.spine[b] {
+			sc.states[b.Ref()] = s
 		} else {
-			_ = sc.AddBlock(s.blk)
+			_ = sc.AddBlock(b)
 		}
 	}
 	r.visits = sc.visits
@@ -209,21 +216,21 @@ func (r *refInterp) replay(st *blockState, onInd func(Indication)) *refInterp {
 
 func (r *refInterp) newAncestry(st *blockState) (sources []*blockState, held bool) {
 	var consumed []uint64
-	if st.parent != nil {
-		consumed = r.anc[st.parent]
+	if parent := r.parent[st]; parent != nil {
+		consumed = r.anc[parent]
 	}
 	r.visits++
 	sources, stack, held := r.sources[:0], append(r.stack[:0], st), true
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range s.blk.Preds {
+		for _, p := range r.blk[s].Preds {
 			ps := r.states[p]
-			if ps.visit == r.visits || ps.blk == nil {
+			if ps.visit == r.visits || r.blk[ps] == nil {
 				continue
 			}
 			ps.visit = r.visits
-			if ps == st.parent || int(ps.builder) >= len(consumed) || ps.seq >= consumed[ps.builder] {
+			if ps == r.parent[st] || int(ps.builder) >= len(consumed) || ps.seq >= consumed[ps.builder] {
 				sources, held = append(sources, ps), held && !ps.released
 			}
 			if !dominated(r.anc[ps], consumed) {
@@ -237,7 +244,7 @@ func (r *refInterp) newAncestry(st *blockState) (sources []*blockState, held boo
 
 func (r *refInterp) at(ref block.Ref, table bool) (*refInterp, *blockState) {
 	st, ok := r.states[ref]
-	if !ok || st.blk == nil {
+	if !ok || r.blk[st] == nil {
 		return r, nil
 	}
 	if _, held := r.newAncestry(st); st.released || !held || table && st.pis == nil {
@@ -262,7 +269,7 @@ func (r *refInterp) OutMessages(ref block.Ref, label types.Label) []protocol.Mes
 func (r *refInterp) InMessages(ref block.Ref, label types.Label) []protocol.Message {
 	if r, st := r.at(ref, false); st != nil {
 		sources, _ := r.newAncestry(st)
-		return inMessages(st.builder, sources, &label)
+		return inMessages(nil, st.builder, sources, &label)
 	}
 	return nil
 }

@@ -9,9 +9,9 @@
 //     garbage before it costs a block slot;
 //   - dedup: a bounded, hash-keyed recently-seen cache drops client
 //     retries and byzantine replays, FIFO-evicted so memory stays capped;
-//   - backpressure: a hard capacity returns ErrFull to submitters, and a
-//     soft watermark (Pressured) lets gateways shed load before the hard
-//     wall — the pool never silently discards an accepted request;
+//   - backpressure: a hard capacity returns ErrFull to submitters (the
+//     gateway answers 503) — the pool never silently discards an accepted
+//     request;
 //   - ordering: drains are deterministic FIFO in admission order, capped
 //     by both a count and a byte budget so built blocks stay under the
 //     decode-side payload budget (block.MaxPayloadBytes);
@@ -221,15 +221,6 @@ func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.depth()
-}
-
-// Pressured reports whether the queue has crossed the soft watermark —
-// the gateway's cue to shed or defer load before submissions start
-// failing with ErrFull.
-func (p *Pool) Pressured() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return float64(p.depth()) >= p.opts.PressureAt*float64(p.opts.Capacity)
 }
 
 // Stats returns a snapshot of the pool's counters.

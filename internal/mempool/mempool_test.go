@@ -135,15 +135,12 @@ func TestDedupEvictionBounded(t *testing.T) {
 	}
 }
 
-// TestBackpressure: a full pool refuses with ErrFull, Pressured fires at
-// the soft watermark first, and draining reopens admission.
+// TestBackpressure: a full pool refuses with ErrFull, and draining reopens
+// admission.
 func TestBackpressure(t *testing.T) {
-	p := New(Options{Capacity: 8, PressureAt: 0.5})
+	p := New(Options{Capacity: 8})
 	for i := 0; i < 8; i++ {
 		l, d := reqN(i)
-		if i == 4 && !p.Pressured() {
-			t.Fatal("Pressured() = false at watermark")
-		}
 		if err := p.Submit(l, d); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -31,9 +31,6 @@ const (
 	DefaultMaxRequestBytes = 64 << 10
 	// DefaultMaxLabelBytes is the default per-request label limit.
 	DefaultMaxLabelBytes = 256
-	// DefaultPressureAt is the default soft-watermark fraction of
-	// capacity above which Pressured reports true.
-	DefaultPressureAt = 0.75
 )
 
 // Options configures a Pool. The zero value selects the defaults above.
@@ -57,9 +54,6 @@ type Options struct {
 	// clamped to it — a drain over the network-wide decode budget would
 	// build blocks every correct peer discards.
 	DrainBytes int
-	// PressureAt is the fraction of Capacity at which Pressured starts
-	// reporting true.
-	PressureAt float64
 }
 
 // applyDefaults fills zero-valued fields in place.
@@ -83,9 +77,6 @@ func (o *Options) applyDefaults() {
 	// honored.
 	if o.DrainBytes <= 0 || o.DrainBytes > block.MaxProducerPayloadBytes {
 		o.DrainBytes = block.MaxProducerPayloadBytes
-	}
-	if o.PressureAt <= 0 || o.PressureAt > 1 {
-		o.PressureAt = DefaultPressureAt
 	}
 	// A single admitted request must fit in one drain, or Next could
 	// never emit it without blowing the budget. The per-request limits

@@ -43,11 +43,16 @@ type Buffers struct {
 // any. It asks for a block's buffers right after interpreting it, while the
 // interpreter still holds everything the block read and wrote, so the pass
 // is linear; an interpreter that has moved on — a running server's — answers
-// the same for any block, but by replaying history for each.
+// the same for any block, but by replaying history for each. A block that
+// cannot be read back is the error.
 func InterpretBuffers(d *dag.DAG, proto protocol.Protocol, n, f int, label types.Label) (map[block.Ref]Buffers, error) {
 	it := interpret.New(proto, n, f, nil, interpret.Over(d))
 	buffers := make(map[block.Ref]Buffers)
-	for b := range d.All() {
+	for i, base := 0, len(d.Base()); i < d.Len(); i++ {
+		b, err := d.ReadRow(base + i)
+		if err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
 		if err := it.AddBlock(b); err != nil {
 			return nil, fmt.Errorf("trace: interpret block %v: %w", b.Ref(), err)
 		}

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"blockdag/internal/block"
+	"blockdag/internal/dag"
 	"blockdag/internal/dagtest"
 	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
@@ -87,6 +90,40 @@ func TestInterpretBuffersIsOnePass(t *testing.T) {
 	}
 	if created != 4 || len(buffers) == 0 {
 		t.Fatalf("%d instances created for one label on four chains, %d blocks with buffers", created, len(buffers))
+	}
+}
+
+// failingJournal answers for released rows from blocks, the DAG's rows in
+// insertion order, except row fail, which it cannot read back.
+type failingJournal struct {
+	blocks []*block.Block
+	fail   int
+}
+
+var errUnreadable = errors.New("unreadable record")
+
+func (j failingJournal) Block(row int, _ []block.Ref) (*block.Block, error) {
+	if row == j.fail {
+		return nil, errUnreadable
+	}
+	return j.blocks[row], nil
+}
+
+// TestInterpretBuffersFailsOnAnUnreadableRow: a released block the journal
+// cannot read back is the error, not the end of the DAG.
+func TestInterpretBuffersFailsOnAnUnreadableRow(t *testing.T) {
+	h, _ := figure4Harness(t)
+	blocks := h.DAG.Blocks()
+	d := dag.New(h.Roster)
+	d.SetJournal(failingJournal{blocks: blocks, fail: 5})
+	for _, b := range blocks {
+		if err := d.InsertVerified(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Release(slices.Repeat([]uint64{1 << 20}, 4))
+	if _, err := InterpretBuffers(d, brb.Protocol{}, 4, 1, "ℓ1"); !errors.Is(err, errUnreadable) {
+		t.Fatalf("InterpretBuffers returned %v, want the journal's error", err)
 	}
 }
 
