@@ -293,20 +293,23 @@ func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, 
 		return fail(err)
 	}
 	srv := nd.Server()
+	var gw *gateway.Gateway
+	if c.opts.GatewayPerSlot {
+		// The gateway's HTTP goroutines reach the slot only through
+		// concurrency-safe values: the pool, the broker, the counters. It
+		// claims the broker's replay index before the restore below
+		// publishes, as deploy.Boot's gateway does before the node starts.
+		if gw, err = gateway.Listen("127.0.0.1:0", gateway.Config{Node: nd, Registry: deploy.Registry(srv, nil, nil, nil)}); err != nil {
+			return fail(fmt.Errorf("gateway: %w", err))
+		}
+	}
 	if len(stored) > 0 {
 		if err := srv.Restore(stored); err != nil {
+			nd.Stop() // and with it the gateway
 			return fail(err)
 		}
 	}
-	if c.opts.GatewayPerSlot {
-		// The gateway's HTTP goroutines reach the slot only through
-		// concurrency-safe values: the pool, the broker, the counters.
-		gw, err := gateway.Listen("127.0.0.1:0", gateway.Config{Node: nd, Registry: deploy.Registry(srv, nil, nil, nil)})
-		if err != nil {
-			return fail(fmt.Errorf("gateway: %w", err))
-		}
-		c.gateways[slot] = gw
-	}
+	c.gateways[slot] = gw
 	c.Net.RegisterScorer(id, srv.Scores())
 	c.register(slot, nd, st)
 	c.Nodes[slot], c.Servers[slot], c.Metrics[slot], c.Stores[slot] = nd, srv, m, st

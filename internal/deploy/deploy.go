@@ -4,8 +4,8 @@
 //	Listen   clock + scorer → store.Open → syncsvc.Server → late-bound
 //	         gossip endpoint → tcpnet.Listen
 //	Boot     mesh → snapshot join → Build (core.NewServer → node.New, with
-//	         a store: replay, catch-up, follower) → bind gossip → Start →
-//	         registry → gateway
+//	         a store: replay, catch-up, follower) → bind gossip → registry
+//	         → gateway → Start
 //	Close    the reverse: gateway (by the runtime's stop hook), runtime,
 //	         transport, store
 //
@@ -201,8 +201,9 @@ func (a *Assembly) Addr() string { return a.Transport.Addr() }
 
 // Boot connects the mesh — addrOf gives every other roster member's dial
 // address — joins by snapshot if configured and the store holds nothing,
-// builds and starts the runtime, and opens the gateway. Call it once, when
-// every member has Listened. A Boot that fails has closed the assembly.
+// builds the runtime, opens the gateway and starts the runtime. Call it
+// once, when every member has Listened. A Boot that fails has closed the
+// assembly.
 func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 	defer func() {
 		if err != nil {
@@ -269,10 +270,9 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 	}
 	a.gossip.Bind(a.Node)
 	a.running.Store(a.Node)
-	if err := a.Node.Start(); err != nil {
-		return err
-	}
 
+	// The gateway opens before the loop publishes anything: it claims the
+	// broker's replay index while that still holds what the store replayed.
 	a.Registry = Registry(a.Node.Server(), a.Transport.Counts(), a.syncSrv.Counts(), id.Roster.Counters())
 	if cfg.GatewayAddr != "" {
 		gcfg := gateway.Config{Node: a.Node, Registry: a.Registry}
@@ -283,7 +283,7 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 			return fmt.Errorf("deploy: s%d gateway: %w", id.ID(), err)
 		}
 	}
-	return nil
+	return a.Node.Start()
 }
 
 // Build makes the runtime both shells run: a core server per ccfg — whose

@@ -592,7 +592,17 @@ func TestEquivocatorIsBannedOverTCPAndAcrossRestart(t *testing.T) {
 	}
 
 	// A restart: the conviction was journaled beside the blocks, and comes
-	// back with them.
+	// back with them — and so does a label indicated before it, which the
+	// restarted node's gateway answers an await for.
+	members[0].Node.Request("pre/restart", []byte("kept"))
+	waitFor(t, 20*time.Second, "the pre-restart label everywhere", func() bool {
+		for _, m := range members {
+			if !m.has("pre/restart") {
+				return false
+			}
+		}
+		return true
+	})
 	for i, m := range members {
 		if err := m.Node.Err(); err != nil {
 			t.Fatalf("node %d unhealthy: %v", i, err)
@@ -601,7 +611,7 @@ func TestEquivocatorIsBannedOverTCPAndAcrossRestart(t *testing.T) {
 	if err := members[1].Close(); err != nil {
 		t.Fatal(err)
 	}
-	rn := listen(t, fx, 1, Config{StoreDir: dirs[1]})
+	rn := listen(t, fx, 1, Config{StoreDir: dirs[1], GatewayAddr: "127.0.0.1:0"})
 	if proofs := rn.Store.Evidence(); len(proofs) != 1 || proofs[0].Equivocator() != byz {
 		t.Fatalf("reopened store holds %d proofs, want the one against s%d", len(proofs), byz)
 	}
@@ -616,6 +626,19 @@ func TestEquivocatorIsBannedOverTCPAndAcrossRestart(t *testing.T) {
 	if !rn.Node.Server().Scores().Banned(byz) || len(rn.Node.Server().Evidence().Equivocators()) != 1 {
 		t.Fatal("the ban did not survive the restart")
 	}
+	// Boot opens the gateway before the node starts, so it claims the replay
+	// index while that holds what the store replayed; the claim outlasts the
+	// node's later indications.
+	await := func() {
+		t.Helper()
+		if body := rn.get(t, "/v1/await/pre/restart?timeout=5s"); !strings.Contains(body, "kept") {
+			t.Fatalf("await of a label indicated before the restart answered %s", body)
+		}
+	}
+	await()
+	members[0].Node.Request("post/restart", []byte("later"))
+	waitFor(t, 20*time.Second, "the post-restart label at the restarted node", func() bool { return rn.has("post/restart") })
+	await()
 }
 
 // TestOneScorerPerNode: the transport's ban gates, the sync server's

@@ -8,6 +8,14 @@
 // broker, the subscription seam that fans the loop goroutine's
 // OnIndication stream out to any number of concurrent HTTP clients.
 //
+// The broker's replay index, which answers an await for a label
+// indicated before the client asked, is the gateway's: Serve claims it
+// (node.IndicationBroker.ClaimIndex), and a node no gateway serves keeps
+// none. A gateway opened before its node starts — deploy.Boot's order —
+// claims within the replay window, so it also answers for what the node
+// restored from its store; one opened later answers for what is
+// indicated from then on. gateway_await_index_bytes is the window's size.
+//
 // # API (version 1)
 //
 //	POST /v1/submit          {"label": "...", "data": "..."} — enqueue a
@@ -64,7 +72,7 @@ type Config struct {
 	// validation error) to drive the HTTP status mapping.
 	Submit func(label types.Label, data []byte) error
 	// Indications is the broker await and streaming reads ride on
-	// (required unless Node is set).
+	// (required unless Node is set). Serve claims its replay index.
 	Indications *node.IndicationBroker
 
 	// Registry is the observability fold /metrics renders. Optional; a
@@ -128,6 +136,7 @@ var (
 	authFailures = Families.Counter("auth_failures", "gateway_auth_failures_total", "Requests refused by authentication.")
 	rateLimited  = Families.Counter("rate_limited", "gateway_rate_limited_total", "Requests refused by the per-client rate limit.")
 	shed         = Families.Counter("shed", "gateway_shed_total", "Requests shed at the in-flight concurrency cap.")
+	indexBytes   = Families.Gauge("await_index_bytes", "gateway_await_index_bytes", "Label and value bytes the await replay index holds.")
 )
 
 // Listen binds addr and serves the gateway on it.
@@ -161,6 +170,8 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 	if cfg.Indications == nil {
 		return nil, errors.New("gateway: config needs Indications (or Node)")
 	}
+	// The replay index is await's: a node keeps it only for a gateway.
+	cfg.Indications.ClaimIndex()
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256
 	}
@@ -417,12 +428,14 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if g.status != nil {
 		st = g.status()
 	}
+	g.counts.Set(indexBytes, g.cfg.Indications.IndexBytes())
 	self := Families.Snapshot(&g.counts)
 	st.Gateway = &self
 	writeJSON(w, st)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	g.counts.Set(indexBytes, g.cfg.Indications.IndexBytes())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = g.cfg.Registry.WriteTo(w)
 }

@@ -188,6 +188,26 @@ func TestAwaitLookupAndLongPoll(t *testing.T) {
 	}
 }
 
+// TestAwaitIndexBytesRendered: /metrics and /v1/status report the label and
+// value bytes the replay index holds as of the request.
+func TestAwaitIndexBytesRendered(t *testing.T) {
+	_, base, broker := start(t, gateway.Config{})
+	broker.Publish("ab", []byte("xyz"))
+	if body := drainClose(t, get(t, base+"/metrics", nil)); !strings.Contains(body, "\ngateway_await_index_bytes 5\n") {
+		t.Fatalf("/metrics lacks the index's 5 B:\n%s", body)
+	}
+	broker.Publish("ab", []byte("x"))
+	var st struct {
+		Gateway map[string]int64 `json:"gateway"`
+	}
+	if err := json.Unmarshal([]byte(drainClose(t, get(t, base+"/v1/status", nil))), &st); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Gateway["await_index_bytes"]; got != 3 {
+		t.Fatalf("/v1/status gateway.await_index_bytes = %d, want 3", got)
+	}
+}
+
 func TestAwaitTimeout(t *testing.T) {
 	_, base, _ := start(t, gateway.Config{})
 	resp := get(t, base+"/v1/await/never?timeout=50ms", nil)

@@ -32,10 +32,17 @@ const DefaultRecentLabels = 4096
 //
 //   - Publish never blocks: a slow subscriber loses the overflowing
 //     indications (counted in Dropped) instead of stalling consensus.
-//   - A bounded index of the most recent indication per label survives
-//     for late readers: Lookup answers for labels interpreted before the
-//     reader arrived, which makes await race-free (subscribe first, then
-//     Lookup, then drain the subscription).
+//   - Once a gateway claims it (ClaimIndex), a bounded index of the most
+//     recent indication per label survives for late readers: Lookup
+//     answers for labels interpreted before the reader arrived, which
+//     makes await race-free (subscribe first, then Lookup, then drain the
+//     subscription). Unclaimed, with no subscriber, the broker keeps
+//     nothing: Algorithm 3 hands each indication to the user and is done.
+//
+// New's restore indexes provisionally, and the node's first publication
+// after New drops the index unless it was claimed by then: a gateway opened
+// before the node starts answers an await for a label indicated before a
+// crash. A broker built by NewIndicationBroker is born claimed.
 //
 // Close tears every subscription down with a closed channel — the clean
 // terminal signal gateway handlers turn into a proper response instead of
@@ -46,34 +53,75 @@ type IndicationBroker struct {
 	nextSeq uint64
 	closed  bool
 
-	recent   map[types.Label]Indication
-	order    []types.Label // FIFO eviction order over recent's keys
-	maxLabel int
+	index      indexState
+	recent     map[types.Label]Indication
+	order      []types.Label // FIFO eviction order over recent's keys
+	maxLabel   int
+	indexBytes int64 // label and value bytes in recent
 
 	subs map[*IndicationSub]struct{}
 }
 
+// indexState is where a broker's replay index stands.
+type indexState uint8
+
+const (
+	indexOff     indexState = iota // unclaimed, window closed: nothing kept
+	indexReplay                    // New is restoring: kept provisionally
+	indexWindow                    // New has returned: the next Publish drops it unless claimed
+	indexClaimed                   // a gateway claimed it: kept for the broker's life
+)
+
 // NewIndicationBroker builds a broker whose replay index keeps the most
 // recent indication for up to maxLabels distinct labels (0 uses
-// DefaultRecentLabels). Wire Publish as (or into) the server's
-// OnIndication callback — node.New does this via
-// core.Server.AddIndicationObserver.
+// DefaultRecentLabels), claimed from the start. Wire Publish as (or into)
+// the server's OnIndication callback — node.New does this, with a broker
+// of its own in the replay state, via core.Server.AddIndicationObserver.
 func NewIndicationBroker(maxLabels int) *IndicationBroker {
 	if maxLabels <= 0 {
 		maxLabels = DefaultRecentLabels
 	}
 	return &IndicationBroker{
+		index:    indexClaimed,
 		recent:   make(map[types.Label]Indication),
 		maxLabel: maxLabels,
 		subs:     make(map[*IndicationSub]struct{}),
 	}
 }
 
+// endReplay is New's last act: what the restore indexed stays until the
+// next publication, for a gateway to claim.
+func (b *IndicationBroker) endReplay() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.index == indexReplay {
+		b.index = indexWindow
+	}
+}
+
+// ClaimIndex keeps the replay index for the broker's life: every later
+// publication is indexed, and a claim before the node's first publication
+// after New keeps what its restore indexed. Idempotent.
+func (b *IndicationBroker) ClaimIndex() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.index = indexClaimed
+}
+
+// IndexBytes reports the label and value bytes the replay index holds.
+func (b *IndicationBroker) IndexBytes() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.indexBytes
+}
+
 // Publish records one indication and fans it out to every subscriber.
-// The value is copied once; subscribers must treat it as read-only. It
-// views a READY payload the interpreter releases: keeping the view would
-// hold that payload in the copy's place, and what outlives a block, as the
-// index does, must not view its frame. Never blocks; a no-op after Close.
+// Every publication takes a sequence number; with no subscriber and no
+// index, that is all it does. Otherwise the value is copied once, and
+// subscribers must treat the copy as read-only. The value views a READY
+// payload the interpreter releases: keeping the view would hold that
+// payload in the copy's place, and what outlives a block, as the index
+// does, must not view its frame. Never blocks; a no-op after Close.
 func (b *IndicationBroker) Publish(label types.Label, value []byte) {
 	if b == nil {
 		return
@@ -83,17 +131,19 @@ func (b *IndicationBroker) Publish(label types.Label, value []byte) {
 	if b.closed {
 		return
 	}
-	ind := Indication{Label: label, Value: append([]byte(nil), value...), Seq: b.nextSeq}
+	seq := b.nextSeq
 	b.nextSeq++
-	if _, seen := b.recent[label]; !seen {
-		if len(b.order) >= b.maxLabel {
-			delete(b.recent, b.order[0])
-			b.order[0] = "" // the dead prefix must not pin the evicted label
-			b.order = b.order[1:]
-		}
-		b.order = append(b.order, label)
+	if b.index == indexWindow {
+		b.index = indexOff
+		b.recent, b.order, b.indexBytes = nil, nil, 0
 	}
-	b.recent[label] = ind
+	if b.index == indexOff && len(b.subs) == 0 {
+		return
+	}
+	ind := Indication{Label: label, Value: append([]byte(nil), value...), Seq: seq}
+	if b.index != indexOff {
+		b.remember(ind)
+	}
 	for s := range b.subs {
 		select {
 		case s.ch <- ind:
@@ -101,6 +151,29 @@ func (b *IndicationBroker) Publish(label types.Label, value []byte) {
 			s.dropped++
 		}
 	}
+}
+
+// remember indexes ind as its label's most recent indication, evicting the
+// oldest label past maxLabel.
+func (b *IndicationBroker) remember(ind Indication) {
+	if b.recent == nil {
+		b.recent = make(map[types.Label]Indication)
+	}
+	if old, seen := b.recent[ind.Label]; seen {
+		b.indexBytes -= int64(len(old.Value))
+	} else {
+		if len(b.order) >= b.maxLabel {
+			evicted := b.order[0]
+			b.indexBytes -= int64(len(evicted) + len(b.recent[evicted].Value))
+			delete(b.recent, evicted)
+			b.order[0] = "" // the dead prefix must not pin the evicted label
+			b.order = b.order[1:]
+		}
+		b.order = append(b.order, ind.Label)
+		b.indexBytes += int64(len(ind.Label))
+	}
+	b.indexBytes += int64(len(ind.Value))
+	b.recent[ind.Label] = ind
 }
 
 // Lookup returns the most recent indication published for label, if the

@@ -39,6 +39,34 @@ func TestBrokerLookupAndEviction(t *testing.T) {
 	}
 }
 
+// TestBrokerIndexBytes: IndexBytes is the label and value bytes of what the
+// index holds, through replacement, eviction and the replay window's close.
+func TestBrokerIndexBytes(t *testing.T) {
+	b := NewIndicationBroker(2)
+	b.Publish("a", []byte("12"))
+	b.Publish("bb", []byte("3"))
+	b.Publish("a", []byte("4567")) // replaces a's value
+	if got := b.IndexBytes(); got != 1+4+2+1 {
+		t.Fatalf("IndexBytes = %d, want 8", got)
+	}
+	b.Publish("c", nil) // evicts a
+	if got := b.IndexBytes(); got != 2+1+1 {
+		t.Fatalf("IndexBytes after eviction = %d, want 4", got)
+	}
+
+	nb := NewIndicationBroker(0)
+	nb.index = indexReplay // as New builds it
+	nb.Publish("replayed", []byte("v"))
+	nb.endReplay()
+	if got := nb.IndexBytes(); got != 9 {
+		t.Fatalf("replay window holds %d B, want 9", got)
+	}
+	nb.Publish("live", []byte("w"))
+	if got := nb.IndexBytes(); got != 0 {
+		t.Fatalf("unclaimed index holds %d B after the window closed", got)
+	}
+}
+
 func TestBrokerSeqMonotonic(t *testing.T) {
 	b := NewIndicationBroker(0)
 	sub := b.Subscribe(8)

@@ -35,12 +35,13 @@
 // both shells: durable persistence with the own-block externalization
 // barrier and the evidence sidecar (Config.Store), startup bulk catch-up
 // (Config.CatchUp), the checkpoint policy, the live follower
-// (Config.FollowEvery) and the indication broker. Follower and checkpoint
-// compose without coordination — absorbed blocks are journaled through
-// the same sink as gossiped ones, so they count toward the same
-// thresholds and appear in the snapshots served to catch-up clients, and
-// the node's own watermark vector (Watermarks) stays consistent with the
-// store across checkpoints, restarts, and pulls.
+// (Config.FollowEvery) and the indication broker, whose replay index is a
+// gateway's to claim: a node nobody awaits on keeps no copy of what it
+// indicated. Follower and checkpoint compose without coordination —
+// absorbed blocks are journaled through the same sink as gossiped ones, so
+// they count toward the same thresholds and appear in the snapshots served
+// to catch-up clients, and the node's own watermark vector (Watermarks)
+// stays consistent with the store across checkpoints, restarts, and pulls.
 package node
 
 import (
@@ -239,7 +240,8 @@ type Node struct {
 	// broker fans the server's indication stream out to concurrent
 	// subscribers (Indications). Installed as an indication observer
 	// before the Restore replay, so its replay index covers pre-crash
-	// indications too.
+	// indications too — for a gateway that claims it before the node's
+	// first publication after New.
 	broker *IndicationBroker
 
 	// served is the current sealed snapshot offered on the sync
@@ -312,6 +314,7 @@ func New(cfg Config) (*Node, error) {
 
 		tracker: syncsvc.NewWatermarkTracker(),
 	}
+	n.broker.index = indexReplay // until endReplay, below
 	srv := cfg.Server
 	// Pulls go over CatchUp's wiring when there is one, otherwise to every
 	// other roster member over the server's transport.
@@ -338,8 +341,9 @@ func New(cfg Config) (*Node, error) {
 		n.follow.State = FollowIdle
 	}
 	// The broker observes before the replay below runs, so indications of
-	// restored blocks land in its replay index: a gateway await for a
-	// label delivered before the crash answers immediately after restart.
+	// restored blocks land in its replay index: a gateway that claims it
+	// before the node's first publication after New answers an await for a
+	// label delivered before the crash immediately.
 	if err := srv.AddIndicationObserver(n.broker.Publish); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
@@ -407,6 +411,7 @@ func New(cfg Config) (*Node, error) {
 	// origin: a long catch-up above must not make the first turn overdue.
 	n.lastFollow = srv.Now()
 	n.lastSeal = n.lastFollow
+	n.broker.endReplay()
 	return n, nil
 }
 
@@ -530,7 +535,9 @@ func (n *Node) OnStop(hook func()) {
 }
 
 // Indications returns the node's indication broker: the concurrency-safe
-// subscription seam over the server's OnIndication stream. Never nil.
+// subscription seam over the server's OnIndication stream. Never nil. Its
+// replay index outlives New's replay window only if claimed
+// (IndicationBroker.ClaimIndex), as a gateway does.
 func (n *Node) Indications() *IndicationBroker { return n.broker }
 
 // Deliver implements transport.Endpoint: queue a network payload for the

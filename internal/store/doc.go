@@ -36,7 +36,9 @@
 //	0000000000000008.wal    WAL tail written after the checkpoint
 //
 // Every segment starts with a 9-byte header: the 8-byte magic "BDSTOR1\n"
-// and a kind byte. Segments sort by index; recovery reads the
+// and a kind byte, 4 for a WAL segment and 3 for a snapshot; any other kind
+// fails Open as ErrCorrupt (kind 1, the raw-frame WAL written before kind 4,
+// among them). Segments sort by index; recovery reads the
 // highest-index snapshot (if any) followed by all WAL segments with a
 // higher index. Stale segments left behind by a checkpoint that crashed
 // between rename and cleanup are deleted on Open (read-only opens report
@@ -78,12 +80,6 @@
 // any non-final position is not a torn write and surfaces as ErrCorrupt.
 // Open resumes a final segment with room, its window rebuilt from the
 // scan.
-//
-// Kind 1 is the WAL segment stores wrote before: the same framing around
-// the block's frame (block.Encode) itself. It is read, and never written
-// again: a store whose final segment is kind 1 appends into a new kind-4
-// segment behind it. A checkpoint (Checkpoint, or dagstore compact)
-// retires kind-1 segments with every other segment below its snapshot.
 //
 // WAL segments rotate when they exceed Options.SegmentSize, so deleting
 // history (compaction) is cheap file removal, never rewriting.

@@ -179,10 +179,10 @@ func TestScanWALNamesOneWay(t *testing.T) {
 // through — whatever a failing disk or a foreign writer left in the file —
 // never panics, never allocates out of proportion to its input, never
 // claims more good bytes than it was given, and hands back only blocks
-// whose records re-frame to exactly the bytes it called good: for kind 1
-// the blocks' frames, for kind 4 the blocks written afresh through a new
-// window. One encoding per record, so the scanner refuses a literal the
-// window could have named and a distance past the ref's latest record.
+// whose records re-frame to exactly the bytes it called good: the blocks
+// written afresh through a new window. One encoding per record, so the
+// scanner refuses a literal the window could have named and a distance past
+// the ref's latest record.
 func FuzzScanWAL(f *testing.F) {
 	wal, _ := realSegments(f)
 	f.Add(wal)
@@ -193,12 +193,6 @@ func FuzzScanWAL(f *testing.F) {
 	flipped[headerSize+20] ^= 1
 	f.Add(flipped)
 	f.Add(append(segHeader(kindWAL), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0)) // 4 GiB length prefix
-
-	frames := segHeader(kindFrameWAL) // the same blocks as a kind-1 segment
-	for _, b := range scanWAL(wal).blocks {
-		frames = appendRecord(frames, b.Encode())
-	}
-	f.Add(frames)
 	for _, hs := range handSegments(f) {
 		f.Add(hs.data)
 	}
@@ -207,8 +201,7 @@ func FuzzScanWAL(f *testing.F) {
 		if len(data) < headerSize {
 			return // Open and ScanDir never scan a segment without its header
 		}
-		kind := data[len(segMagic)]
-		if kind != kindWAL && kind != kindFrameWAL {
+		if data[len(segMagic)] != kindWAL {
 			return // checkHeader refuses it before any scan
 		}
 		var seg segment
@@ -222,10 +215,6 @@ func FuzzScanWAL(f *testing.F) {
 		var w wire.Writer
 		var win window
 		for _, b := range seg.blocks {
-			if kind == kindFrameWAL {
-				rebuilt = appendRecord(rebuilt, b.Encode())
-				continue
-			}
 			w.Truncate(0)
 			putRecord(&w, b, &win)
 			win.push(b.Ref())

@@ -41,12 +41,11 @@ type segMeta struct {
 // Open's first — read back over preds, the references of the row's
 // predecessors the DAG keeps: from the group-commit batch while it is there,
 // else from its record, the canonical frame rebuilt by the codec Open reads
-// with, each predecessor the record names standing for the row's (a kind-1
-// record is the frame itself). Signatures are not checked again: this
-// process checked every block before journaling it, or before Restore
-// absorbed it; whether the block is the row's is the DAG's check. A record
-// naming another number of predecessors than preds is an error; a row PruneTo
-// deleted is dag.ErrPruned.
+// with, each predecessor the record names standing for the row's. Signatures
+// are not checked again: this process checked every block before journaling
+// it, or before Restore absorbed it; whether the block is the row's is the
+// DAG's check. A record naming another number of predecessors than preds is
+// an error; a row PruneTo deleted is dag.ErrPruned.
 func (s *Store) Block(row int, preds []block.Ref) (*block.Block, error) {
 	for _, p := range s.batch {
 		if p.row == row {
@@ -81,11 +80,8 @@ func (s *Store) readBlock(m *segMeta, off int64, preds []block.Ref) (*block.Bloc
 	}
 	if m.kind != kindSnap {
 		payload, err := readRecord(f, off)
-		switch {
-		case err != nil:
+		if err != nil {
 			return nil, err
-		case m.kind == kindFrameWAL:
-			return block.Decode(payload)
 		}
 		r := wire.NewReader(payload)
 		b, err := getRow(r, false, preds)

@@ -3,8 +3,6 @@ package store
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"blockdag/internal/block"
@@ -40,9 +38,9 @@ func readsBack(t *testing.T, when string, st *Store, want []*block.Block) {
 // answers for every row the sink numbered with the very frame that was
 // appended — while it sits in the group-commit batch, from a kind-4 WAL
 // segment (and after a reopen), from a snapshot after a Checkpoint, from a
-// WAL segment behind it, from a kind-1 segment — and answers a row PruneTo
-// cut with dag.ErrPruned. Whether a record rebuilds the row's reference is
-// the DAG's check (dag's TestReadBackIsChecked).
+// WAL segment behind it — and answers a row PruneTo cut with dag.ErrPruned.
+// Whether a record rebuilds the row's reference is the DAG's check (dag's
+// TestReadBackIsChecked).
 func TestBlockReadsEveryRowBack(t *testing.T) {
 	h := dagtest.NewHarness(3)
 	for r := 0; r < 6; r++ {
@@ -122,20 +120,4 @@ func TestBlockReadsEveryRowBack(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// A kind-1 segment: records holding the frames themselves.
-	frames := t.TempDir()
-	seg := segHeader(kindFrameWAL)
-	for _, b := range blocks {
-		seg = appendRecord(seg, b.Encode())
-	}
-	if err := os.WriteFile(filepath.Join(frames, segName(1, false)), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err = Open(frames, Options{Roster: h.Roster, Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	readsBack(t, "a kind-1 segment", st, blocks)
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,15 +20,11 @@ const (
 	segMagic   = "BDSTOR1\n"
 	headerSize = len(segMagic) + 1 // magic + kind byte
 
-	// kindFrameWAL is the WAL segment stores wrote before kindWAL: each
-	// record's payload is the block's frame. It is read and never written;
-	// a checkpoint retires it.
-	kindFrameWAL byte = 1
 	// kindSnap is the snapshot segment: prune horizon, pruned-history
 	// base table, state commitment and its snapshot chunks (all possibly
-	// empty), then the retained blocks. Kind 2 was a blocks-only
-	// predecessor no release ever shipped; it is neither written nor
-	// read, and the number stays retired.
+	// empty), then the retained blocks. Kind 1 was a WAL segment of raw
+	// frames and kind 2 a blocks-only snapshot; neither is written nor
+	// read any more, and both numbers stay retired.
 	kindSnap byte = 3
 	// kindWAL is the WAL segment: each record lays its block out as a
 	// snapshot does (putBlock), a predecessor named by its distance back
@@ -137,7 +132,7 @@ func checkHeader(data []byte, path string) (byte, error) {
 		return 0, fmt.Errorf("%w: %s: bad header", ErrCorrupt, path)
 	}
 	kind := data[len(segMagic)]
-	if kind != kindWAL && kind != kindFrameWAL && kind != kindSnap {
+	if kind != kindWAL && kind != kindSnap {
 		return 0, fmt.Errorf("%w: %s: unknown kind %d", ErrCorrupt, path, kind)
 	}
 	return kind, nil
@@ -187,18 +182,17 @@ func nextRecord(data []byte, off int) (payload []byte, next int, ok bool) {
 	return body[:n], off + recHeaderSize + n, true
 }
 
-// scanWAL decodes the records of a WAL segment of either kind (data
-// includes the header, already validated). Scanning stops at the first
-// incomplete or corrupt record; the caller decides whether that is a
-// tolerable torn tail (final segment) or corruption (any earlier segment).
+// scanWAL decodes the records of a WAL segment (data includes the header,
+// already validated). Scanning stops at the first incomplete or corrupt
+// record; the caller decides whether that is a tolerable torn tail (final
+// segment) or corruption (any earlier segment).
 //
-// Every block gets a frame of its own, so none pins the segment's read
-// buffer: a kind-4 record's frame is rebuilt from its fields, predecessors
-// resolved against the segment's window (getRecord) — one encode per block
-// read, as a snapshot's blocks have always cost — and a kind-1 record's,
-// which is the frame, is copied out.
+// Every block gets a frame of its own, rebuilt from the record's fields with
+// predecessors resolved against the segment's window (getRecord) — one
+// encode per block read, as a snapshot's blocks have always cost — so none
+// pins the segment's read buffer.
 func scanWAL(data []byte) segment {
-	seg := segment{kind: data[len(segMagic)], goodLen: int64(headerSize)}
+	seg := segment{kind: kindWAL, goodLen: int64(headerSize)}
 	var win window
 	for off := headerSize; off < len(data); {
 		payload, next, ok := nextRecord(data, off)
@@ -206,13 +200,7 @@ func scanWAL(data []byte) segment {
 			seg.torn = true
 			break
 		}
-		var b *block.Block
-		var err error
-		if seg.kind == kindFrameWAL {
-			b, err = block.Decode(bytes.Clone(payload))
-		} else {
-			b, err = getRecord(payload, &win)
-		}
+		b, err := getRecord(payload, &win)
 		if err != nil {
 			// The checksum matched, so these bytes were written
 			// whole: a malformed block is corruption (or a buggy

@@ -320,9 +320,8 @@ func (s *Store) recover() error {
 			}
 		}
 		// Resume the final WAL segment if it has room, with its window as the
-		// scan left it; else start fresh. A kind-1 segment is never written
-		// to again: the next append opens a kind-4 one behind it.
-		if i == len(segs)-1 && !s.opts.ReadOnly && seg.kind == kindWAL && seg.goodLen < s.opts.SegmentSize {
+		// scan left it; else start fresh.
+		if i == len(segs)-1 && !s.opts.ReadOnly && seg.goodLen < s.opts.SegmentSize {
 			f, err := os.OpenFile(sf.path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return fmt.Errorf("store: reopen segment: %w", err)
@@ -743,12 +742,12 @@ type CompactStats struct {
 
 // Checkpoint writes d's blocks as a snapshot segment and deletes every
 // strictly older segment, bounding the store to O(live DAG) bytes: WAL
-// framing overhead, duplicate records, torn garbage, blocks absent from d
-// and kind-1 segments are all dropped, and every predecessor is named by a
-// snapshot-internal index, never by its 32-byte hash. The blocks are read
-// one at a time — released ones back through d from this store, before its
-// old segments go — and streamed to the file, so a checkpoint holds one
-// block's bytes at a time, not the history's.
+// framing overhead, duplicate records, torn garbage and blocks absent from d
+// are all dropped, and every predecessor is named by a snapshot-internal
+// index, never by its 32-byte hash. The blocks are read one at a time —
+// released ones back through d from this store, before its old segments go
+// — and streamed to the file, so a checkpoint holds one block's bytes at a
+// time, not the history's.
 //
 // The snapshot becomes durable (written to a temp file, fsynced, renamed)
 // before any old segment is deleted, so a crash at any point leaves a

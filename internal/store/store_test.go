@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -385,12 +386,20 @@ func TestCorruptEarlySegmentFails(t *testing.T) {
 	}
 }
 
-// TestRetiredSnapshotKindIsCorrupt: the blocks-only snapshot format
-// (kind 2) is gone from reader and writer alike. A plain store's
-// checkpoint is written as the one snapshot kind, and a kind-2 segment
-// on disk fails Open as corruption, naming the kind.
-func TestRetiredSnapshotKindIsCorrupt(t *testing.T) {
+// TestRetiredSegmentKindsAreCorrupt: the blocks-only snapshot format
+// (kind 2) and the WAL of raw frames (kind 1) are gone from reader and
+// writer alike. A plain store's checkpoint is written as the one snapshot
+// kind, and a kind-2 or kind-1 segment on disk fails Open as corruption,
+// naming the kind.
+func TestRetiredSegmentKindsAreCorrupt(t *testing.T) {
 	roster, blocks := chain(t, 8)
+	retired := func(dir string, kind int) {
+		t.Helper()
+		_, err := store.Open(dir, store.Options{Roster: roster})
+		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("kind %d", kind)) {
+			t.Fatalf("Open on a kind-%d segment: err = %v, want ErrCorrupt naming kind %d", kind, err, kind)
+		}
+	}
 	dir := t.TempDir()
 	st := openStore(t, dir, roster, store.Options{})
 	appendAll(t, st, blocks)
@@ -422,10 +431,20 @@ func TestRetiredSnapshotKindIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = store.Open(dir, store.Options{Roster: roster})
-	if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "kind 2") {
-		t.Fatalf("Open on a kind-2 snapshot: err = %v, want ErrCorrupt naming kind 2", err)
+	retired(dir, 2)
+
+	// The same blocks as a kind-1 segment: each record's payload the frame.
+	frames := []byte("BDSTOR1\n\x01")
+	for _, b := range blocks {
+		frames = binary.BigEndian.AppendUint32(frames, uint32(b.EncodedSize()))
+		frames = binary.BigEndian.AppendUint32(frames, crc32.ChecksumIEEE(b.Encode()))
+		frames = append(frames, b.Encode()...)
 	}
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "0000000000000001.wal"), frames, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	retired(dir, 1)
 }
 
 func TestCheckpointCompaction(t *testing.T) {
@@ -658,45 +677,6 @@ func TestReopenResumesTheLiveSegment(t *testing.T) {
 	defer re.Close()
 	if rep := re.Report(); rep.Segments != 1 || !sameRefs(re.Blocks(), blocks) {
 		t.Fatalf("reopened: %d segments, %d blocks; want 1 and %d", rep.Segments, len(re.Blocks()), len(blocks))
-	}
-}
-
-// TestFrameSegmentIsNeverWritten: a store whose final segment is kind 1 —
-// raw frames, as every store wrote before kind 4 — opens, keeps those bytes
-// untouched, and journals what comes next into a new kind-4 segment behind
-// it; a reopen reads both.
-func TestFrameSegmentIsNeverWritten(t *testing.T) {
-	roster, blocks := chain(t, 20)
-	dir := t.TempDir()
-	frames := []byte("BDSTOR1\n\x01")
-	for _, b := range blocks[:10] {
-		frames = binary.BigEndian.AppendUint32(frames, uint32(b.EncodedSize()))
-		frames = binary.BigEndian.AppendUint32(frames, crc32.ChecksumIEEE(b.Encode()))
-		frames = append(frames, b.Encode()...)
-	}
-	old := filepath.Join(dir, "0000000000000001.wal")
-	if err := os.WriteFile(old, frames, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st := openStore(t, dir, roster, store.Options{})
-	if got := len(st.Blocks()); got != 10 {
-		t.Fatalf("kind-1 segment read as %d blocks, want 10", got)
-	}
-	appendAll(t, st, blocks[10:])
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	files := readDirBytes(t, dir)
-	if !bytes.Equal(files[filepath.Base(old)], frames) {
-		t.Fatal("appending changed the kind-1 segment")
-	}
-	if next := files["0000000000000002.wal"]; len(next) < 9 || next[8] != 4 {
-		t.Fatalf("the next appends went to %d files, not a kind-4 segment behind the old one", len(files))
-	}
-	re := openStore(t, dir, roster, store.Options{})
-	defer re.Close()
-	if rep := re.Report(); rep.Segments != 2 || !sameRefs(re.Blocks(), blocks) {
-		t.Fatalf("reopened: %d segments, %d blocks; want 2 and %d", rep.Segments, len(re.Blocks()), len(blocks))
 	}
 }
 
