@@ -310,7 +310,7 @@ docs-check:
 	go test -run Example ./...
 	@echo "docs-check OK: package map in sync; every metric family declared once; one ref-keyed index; examples vet and build"
 
-# WORKLOAD and SECONDS pick heap-profile's dagbench run.
+# WORKLOAD and SECONDS pick heap-profile's and cpu-profile's dagbench run.
 WORKLOAD ?= sparse
 SECONDS ?= 20
 
@@ -323,6 +323,15 @@ SECONDS ?= 20
 # once, at SECONDS=2, so the recipe cannot rot.
 heap-profile:
 	bash scripts/heap-profile.sh $(WORKLOAD) $(SECONDS)
+
+.PHONY: cpu-profile
+# cpu-profile shows where a dagbench run's CPU goes: one workload through
+# bench.Run under pprof.StartCPUProfile, its cpu_user_ms_per_req, and the
+# profile's top sites by cumulative time. The scratch module it builds
+# lives in .bench_build/cpuprof, with the profile for -list; bench/ is not
+# touched. CI runs it once, at SECONDS=2.
+cpu-profile:
+	bash scripts/cpu-profile.sh $(WORKLOAD) $(SECONDS)
 
 .PHONY: bench
 # bench runs the Go microbenchmarks with allocation counts, for a human
@@ -341,7 +350,7 @@ KNOBS = core.Config gossip.Config node.Config node.StateSyncConfig store.Options
 
 # KNOBS_MAX is the ceiling on fields no non-test code assigns. It only
 # falls: a PR that turns a knob into a constant lowers it to the new count.
-KNOBS_MAX = 15
+KNOBS_MAX = 14
 
 .PHONY: knobs
 # knobs lists the options nobody sets: for every exported field of a

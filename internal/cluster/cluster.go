@@ -433,8 +433,9 @@ func (c *Cluster) injectLoad(slot int) {
 }
 
 // RunRounds schedules `rounds` dissemination rounds — every correct slot
-// takes its housekeeping, block and follow turns once per round,
-// staggered to break symmetry — then runs the network to quiescence.
+// takes its housekeeping, block, full-block and follow turns once per
+// round, staggered to break symmetry — then runs the network to
+// quiescence.
 func (c *Cluster) RunRounds(rounds int) error {
 	for r := 0; r < rounds; r++ {
 		at := time.Duration(r) * c.interval
@@ -447,6 +448,7 @@ func (c *Cluster) RunRounds(rounds int) error {
 				c.injectLoad(i)
 				nd.Tick()
 				nd.Disseminate()
+				nd.DisseminateIfFull()
 				nd.FollowIfDue()
 			})
 		}

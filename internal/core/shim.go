@@ -141,6 +141,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Scores == nil {
 		cfg.Scores = peerscore.New(peerscore.Options{Clock: cfg.Clock})
 	}
+	if cfg.MaxBatch == 0 {
+		cfg.MaxBatch = gossip.DefaultMaxBatch
+	}
 	s := &Server{self: cfg.Signer.ID(), cfg: cfg, dag: dag.New(cfg.Roster)}
 	s.useJournal(&volatile{})
 
@@ -212,6 +215,9 @@ func (s *Server) Submit(label types.Label, data []byte) error {
 // client goroutines.
 func (s *Server) Mempool() *mempool.Pool { return s.cfg.Mempool }
 
+// MaxBatch is the most requests one block carries (Config.MaxBatch).
+func (s *Server) MaxBatch() int { return s.cfg.MaxBatch }
+
 // Deliver implements transport.Endpoint by feeding gossip.
 func (s *Server) Deliver(from types.ServerID, payload []byte) {
 	s.gsp.HandleMessage(from, payload)
@@ -240,8 +246,10 @@ func (s *Server) DeliverBatch(msgs []gossip.Message) {
 }
 
 // Disseminate implements Algorithm 3 lines 10–11: seal and broadcast the
-// current block. The caller controls pacing (timer, payload pressure, or
-// falling behind — the paper leaves this to the implementation).
+// current block. The caller controls pacing — the paper leaves it to the
+// implementation. Package node builds on two triggers: its period's tick,
+// and payload pressure (a mempool holding a full block seals early,
+// node.DisseminateIfFull).
 //
 // An unhealthy server refuses to disseminate: once a persist (or other
 // internal) error is latched, building further blocks that could not be

@@ -305,7 +305,7 @@ var Tables = []struct {
 	Owner string
 	metrics.Table
 }{
-	{"gossip, interpret, core", metrics.Families},
+	{"gossip, interpret, core, node", metrics.Families},
 	{"dag", dag.Families},
 	{"interpret", interpret.Families},
 	{"mempool", mempool.Families},

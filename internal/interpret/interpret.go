@@ -48,6 +48,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -160,11 +161,13 @@ func (st *blockState) isGone() bool { return st == gone[0] || st == gone[1] }
 // should the builder equivocate — whose anc is what the chain has read; the
 // builder's blocks release has still to pass, in interpretation order: those
 // holding an out-buffer and, until the builder forks, every one; and whether
-// a block of it was interpreted off its chain's tip, a fork.
+// a block of it was interpreted off its chain's tip, a fork; and the most
+// entries its tip's table has held since the table was made (shrunk).
 type chain struct {
 	tip    *blockState
 	held   []*blockState
 	forked bool
+	peak   int
 }
 
 // anc returns the ancestry watermark of st's block, nil for no block; read,
@@ -199,8 +202,9 @@ type Interpreter struct {
 	lag      []atomic.Int64 // unread as of the last block interpreted, for ChainUnread
 	stats    Stats
 
-	done    map[types.Label]int      // chains that finished a label not every chain has
-	retired map[types.Label]struct{} // labels every chain has finished
+	done     map[types.Label]int      // chains that finished a label not every chain has
+	donePeak int                      // the most entries done has held since it was made (shrunk)
+	retired  map[types.Label]struct{} // labels every chain has finished
 
 	// asked is the replay the last inspection query made, for row askedAt:
 	// queries about one block share it, the next AddBlock drops it.
@@ -484,6 +488,11 @@ func (it *Interpreter) release() {
 				it.states[st.num] = marker
 			}
 		}
+		if cap(own.held) > max(minShrink, 4*len(own.held)) {
+			// The queue is popped at the front: what a silent chain let pile
+			// up would stay allocated behind the few blocks left.
+			own.held = slices.Clone(own.held)
+		}
 		it.frontier[x] = frontier
 	}
 }
@@ -676,6 +685,10 @@ func (it *Interpreter) advance(st *blockState, b *block.Block, sources []*blockS
 	if len(emitted) > 0 {
 		st.out = slices.Clone(emitted) // kept at its exact size
 	}
+	if primary {
+		ch := &it.chains[b.Builder]
+		ch.peak = max(ch.peak, len(st.pis))
+	}
 	clear(it.in) // its payloads are the sources', which release drops
 	it.in = trim(it.in)
 }
@@ -707,15 +720,40 @@ func (it *Interpreter) indicate(ind Indication) {
 // other (a table a replay made holds its own).
 func (it *Interpreter) retire(label types.Label) {
 	if it.done[label]++; it.done[label] < it.n {
+		it.donePeak = max(it.donePeak, len(it.done))
 		return
 	}
 	delete(it.done, label)
+	it.done = shrunk(it.done, &it.donePeak)
 	it.retired[label] = struct{}{}
-	for _, ch := range it.chains {
+	for c := range it.chains {
+		ch := &it.chains[c]
 		delete(ch.tip.pis, label)
+		ch.tip.pis = shrunk(ch.tip.pis, &ch.peak)
 	}
 	it.stats.Tombstones -= it.n
 	it.stats.RetiredLabels++
+}
+
+// minShrink is the most entries a map may have peaked at and still not be
+// re-made: a Go map that never held more than one group of slots has nothing
+// to give back.
+const minShrink = 8
+
+// shrunk re-makes m once retirements have left it under a quarter of its
+// peak — empty included — and resets peak to what it holds. A Go map never
+// gives back the buckets it grew, and a chain back from silence retires a
+// whole backlog's labels at once, on every node: without this, the chain
+// tips' tables and done keep the outage's size (what trim does for scratch
+// slices). The copy is paid for by the three quarters of peak retired since.
+func shrunk[M ~map[types.Label]V, V any](m M, peak *int) M {
+	if m == nil || *peak <= minShrink || len(m) >= *peak/4 {
+		return m
+	}
+	*peak = len(m)
+	fresh := make(M, len(m))
+	maps.Copy(fresh, m)
+	return fresh
 }
 
 // newAncestry collects the sources of block st (Algorithm 2 lines 7–9

@@ -571,6 +571,59 @@ func TestBacklogKeepsNoScratch(t *testing.T) {
 	}
 }
 
+// TestBacklogKeepsNoPeak: a chain back from silence retires the whole
+// backlog's labels at once, which leaves the chain tips' tables and the done
+// counts empty — and, Go maps never shrinking, holding the buckets the outage
+// grew (a crash-recover run saw 301 kB a node kept that way) — and releases
+// the backlog's blocks from the front of each chain's queue, whose array
+// stays behind the few blocks left. Once the
+// backlog has drained, the interpreter must hold what one holds that was fed
+// the same labels with no chain silent, within 10 %.
+func TestBacklogKeepsNoPeak(t *testing.T) {
+	const n, labels = 4, 1024
+	build := func(silent bool) *dag.DAG {
+		h := dagtest.NewHarness(n)
+		for s := 0; s < n; s++ {
+			h.Genesis(s)
+		}
+		for turn := 0; turn < labels; turn++ {
+			s := turn % (n - 1)
+			preds := []block.Ref{h.Tip((s + 1) % (n - 1)), h.Tip((s + 2) % (n - 1))}
+			if !silent {
+				preds = append(preds, h.Tip(3))
+			}
+			h.Next(s, preds, block.Request{Label: types.Label(fmt.Sprintf("peak/%d", turn)), Data: []byte{byte(turn)}})
+			if !silent && s == n-2 {
+				h.Next(3, []block.Ref{h.Tip(0), h.Tip(1), h.Tip(2)})
+			}
+		}
+		h.Next(3, []block.Ref{h.Tip(0), h.Tip(1), h.Tip(2)})
+		for r := 0; r < 4; r++ {
+			h.Round(nil)
+		}
+		return h.DAG
+	}
+	held := func(silent bool) uint64 {
+		d := build(silent)
+		before := dagtest.LiveHeap()
+		it := New(brb.Protocol{}, n, 1, nil, Over(d))
+		if err := it.InterpretDAG(d); err != nil {
+			t.Fatal(err)
+		}
+		if got := it.Stats(); got.RetiredLabels != labels || got.LiveInstances != 0 || got.Tombstones != 0 || len(it.done) != 0 {
+			t.Fatalf("silent %v: stats %+v, %d labels counted done; want every label retired", silent, got, len(it.done))
+		}
+		retained := dagtest.LiveHeap() - before
+		runtime.KeepAlive(it)
+		return retained
+	}
+	silent, steady := held(true), held(false)
+	t.Logf("after the backlog drained the interpreter holds %d B; fed the same labels with no chain silent, %d B", silent, steady)
+	if float64(silent) > 1.1*float64(steady) {
+		t.Fatalf("the interpreter keeps %d B after the backlog drained, %d B without the outage: the outage's peak stayed", silent, steady)
+	}
+}
+
 // TestReadyPayloadsShareOneArray: a chain that sends READY v in a step in
 // which it was fed another chain's READY v stores that chain's payload, not
 // its own encoding of the same bytes, so the READYs of a label at one node

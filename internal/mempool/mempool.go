@@ -151,7 +151,7 @@ func (p *Pool) Next(max int) []block.Request {
 	if len(live) == 0 || max <= 0 {
 		return nil
 	}
-	n, budget := 0, p.opts.DrainBytes
+	n, budget := 0, drainBytes
 	for n < len(live) && n < max {
 		cost := payloadBytes(live[n])
 		if n > 0 && cost > budget {
@@ -221,6 +221,14 @@ func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.depth()
+}
+
+// Bytes returns the cumulative payload (label + data) of the queued
+// requests: what the next block would carry, up to the drain budget. O(1).
+func (p *Pool) Bytes() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.bytes
 }
 
 // Stats returns a snapshot of the pool's counters.

@@ -200,8 +200,6 @@ func TestDrainByteBudget(t *testing.T) {
 		sizes  []int // data bytes per submitted request; labels are "r/<i>"
 		drains []int // requests each successive Next(256) must return
 	}{
-		// Each request costs 3 (label) + 91 (data) = 94 bytes; two exceed 100.
-		{"tiny budget", Options{DrainBytes: 100, MaxRequestBytes: 95, MaxLabelBytes: 4}, slices.Repeat([]int{91}, 3), []int{1, 1, 1}},
 		// Three requests of ~1/2 budget each: any two fit, three do not.
 		{"half-budget requests", big, slices.Repeat([]int{block.MaxProducerPayloadBytes/2 - 64}, 3), []int{2, 1}},
 		// The largest request the pool admits — the budget less the room
@@ -260,11 +258,21 @@ func TestRequeueFront(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	full := p.Bytes()
 	drained := p.Next(2) // 0, 1
+	if got, want := p.Bytes(), full-payloadBytes(drained[0])-payloadBytes(drained[1]); got != want {
+		t.Fatalf("Bytes after a drain = %d, want %d", got, want)
+	}
 	p.Requeue(drained)
+	if got := p.Bytes(); got != full {
+		t.Fatalf("Bytes after the requeue = %d, want %d", got, full)
+	}
 	out := p.Next(10)
 	if len(out) != 4 {
 		t.Fatalf("drained %d, want 4", len(out))
+	}
+	if got := p.Bytes(); got != 0 {
+		t.Fatalf("Bytes of an empty pool = %d", got)
 	}
 	for i, rq := range out {
 		if want, _ := reqN(i); rq.Label != want {
@@ -424,8 +432,8 @@ func TestConcurrentStress(t *testing.T) {
 }
 
 // TestOptionsClampedToDecodeBudget is the regression for misconfigured
-// deployments: DrainBytes and the per-request limits must never exceed
-// the network-wide decode budget, or Next would feed Disseminate a block
+// deployments: the per-request limits must never exceed the drain budget,
+// which sits under the network-wide decode budget, or Next would feed Disseminate a block
 // every correct peer discards (block.ErrPayloadTooLarge) — permanently
 // partitioning the builder.
 func TestOptionsClampedToDecodeBudget(t *testing.T) {
@@ -433,11 +441,10 @@ func TestOptionsClampedToDecodeBudget(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"drain over budget", Options{DrainBytes: 2 * block.MaxPayloadBytes}},
+		{"defaults", Options{}},
 		{"request over budget", Options{MaxRequestBytes: block.MaxPayloadBytes + 1}},
 		{"label over budget", Options{MaxLabelBytes: 2 * block.MaxPayloadBytes}},
 		{"both over budget", Options{
-			DrainBytes:      3 * block.MaxPayloadBytes,
 			MaxRequestBytes: 2 * block.MaxPayloadBytes,
 			MaxLabelBytes:   block.MaxPayloadBytes,
 		}},
@@ -446,13 +453,9 @@ func TestOptionsClampedToDecodeBudget(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := tc.opts
 			o.applyDefaults()
-			if o.DrainBytes > block.MaxProducerPayloadBytes {
-				t.Errorf("DrainBytes = %d, exceeds producer budget %d",
-					o.DrainBytes, block.MaxProducerPayloadBytes)
-			}
-			if max := o.MaxLabelBytes + o.MaxRequestBytes; max > o.DrainBytes {
-				t.Errorf("MaxLabelBytes+MaxRequestBytes = %d, exceeds DrainBytes %d — "+
-					"a single admitted request cannot fit a drain", max, o.DrainBytes)
+			if max := o.MaxLabelBytes + o.MaxRequestBytes; max > drainBytes {
+				t.Errorf("MaxLabelBytes+MaxRequestBytes = %d, exceeds the drain budget %d — "+
+					"a single admitted request cannot fit a drain", max, drainBytes)
 			}
 			// The pool built from these options must reject any request
 			// it could not embed in a decodable block.

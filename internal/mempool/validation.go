@@ -48,13 +48,14 @@ type Options struct {
 	MaxRequestBytes int
 	// MaxLabelBytes bounds a single request's label.
 	MaxLabelBytes int
-	// DrainBytes bounds the cumulative payload (label + data) of one
-	// Next drain, keeping built blocks under the decode-side budget.
-	// The default is block.MaxProducerPayloadBytes; larger settings are
-	// clamped to it — a drain over the network-wide decode budget would
-	// build blocks every correct peer discards.
-	DrainBytes int
 }
+
+// drainBytes bounds the cumulative payload (label + data) of one Next drain:
+// the producer-side budget, which keeps every built block under the
+// network-wide decode budget — a block past it is discarded by every correct
+// peer, and since later own blocks chain to it, its builder would be
+// partitioned.
+const drainBytes = block.MaxProducerPayloadBytes
 
 // applyDefaults fills zero-valued fields in place.
 func (o *Options) applyDefaults() {
@@ -70,23 +71,14 @@ func (o *Options) applyDefaults() {
 	if o.MaxLabelBytes <= 0 {
 		o.MaxLabelBytes = DefaultMaxLabelBytes
 	}
-	// The drain budget must never exceed the network-wide decode budget:
-	// a block built past block.MaxPayloadBytes is discarded by every
-	// correct peer, and since later own blocks chain to it, the builder
-	// would be partitioned. Oversized configurations are clamped, not
-	// honored.
-	if o.DrainBytes <= 0 || o.DrainBytes > block.MaxProducerPayloadBytes {
-		o.DrainBytes = block.MaxProducerPayloadBytes
-	}
 	// A single admitted request must fit in one drain, or Next could
 	// never emit it without blowing the budget. The per-request limits
-	// are clamped down to the drain budget — never the budget up past
-	// the decode bound.
-	if o.MaxLabelBytes > o.DrainBytes/2 {
-		o.MaxLabelBytes = o.DrainBytes / 2
+	// are clamped down to the drain budget.
+	if o.MaxLabelBytes > drainBytes/2 {
+		o.MaxLabelBytes = drainBytes / 2
 	}
-	if o.MaxLabelBytes+o.MaxRequestBytes > o.DrainBytes {
-		o.MaxRequestBytes = o.DrainBytes - o.MaxLabelBytes
+	if o.MaxLabelBytes+o.MaxRequestBytes > drainBytes {
+		o.MaxRequestBytes = drainBytes - o.MaxLabelBytes
 	}
 }
 

@@ -202,7 +202,8 @@ func (s Snapshot) MarshalJSON() ([]byte, error) {
 }
 
 // Families is the table a core server's Metrics (core.Config.Metrics) is
-// counted over: gossip, the interpreter and the accountability layer.
+// counted over: gossip, the interpreter, the accountability layer and the
+// node runtime that drives the server.
 var Families Table
 
 var (
@@ -220,6 +221,7 @@ var (
 	BlocksInterpreted = Families.Counter("BlocksInterpreted", "dag_blocks_interpreted_total", "Blocks processed by the interpreter.")
 	Indications       = Families.Counter("Indications", "dag_indications_total", "Indications surfaced by interpretation.")
 	OwnBlockRefs      = Families.Counter("OwnBlockRefs", "dag_own_block_refs_total", "References cited by own blocks; divide by dag_blocks_built_total for references per block.")
+	BlocksSealedFull  = Families.Counter("BlocksSealedFull", "dag_blocks_sealed_full_total", "Own blocks sealed before their tick because the mempool held a full block.")
 
 	EquivocationsSeen   = Families.Counter("EquivocationsSeen", "dag_equivocations_seen_total", "Forked (builder, seq) slots detected locally.")
 	EvidenceReceived    = Families.Counter("EvidenceReceived", "dag_evidence_received_total", "Equivocation proofs accepted into the pool.")

@@ -4,12 +4,21 @@
 // run one event to completion against the deterministic state machine:
 // DeliverBurst, Disseminate (Algorithm 3's "repeatedly
 // gssp.disseminate()"; requests need no turn, the mempool it drains is
-// safe for concurrent use — Submit), Tick (FWD retries, interval fsync,
+// safe for concurrent use — Submit), DisseminateIfFull (the same, early,
+// when the mempool holds a full block), Tick (FWD retries, interval fsync,
 // state seal, checkpoint policy) and FollowIfDue (the live follower).
 // Turns read time from the server's clock only (core.Server.Now) and
 // never wait; what cannot finish inside one — a settled delta pull —
 // comes home through one internal hook, post, as a turn of its own. Whoever calls the turns owns the server: one caller
 // at a time.
+//
+// A node builds a block for one of two reasons: its period's tick
+// (Config.DisseminateEvery), or a mempool holding a full block — pending
+// payload of fullBlockRatio times a block's fixed bytes, or MaxBatch
+// requests. The second trigger only fires under load, and every block it
+// adds pays for itself: it adds at most 1/16 to wire and disk. Its gain is
+// latency: a loaded builder embeds sooner and collects its quorums in
+// more, shorter own blocks.
 //
 // Catch-up is one primitive, PullFrom — tell a peer what this node holds,
 // get what it lacks and absorb the stream into the live DAG inside one
@@ -24,9 +33,10 @@
 // no self-equivocation.
 //
 // The goroutine shell (Start/Stop) is the part that waits: it owns the
-// loop goroutine, the ingestion channel and the timers, runs a turn per
-// event, and makes post a send to that loop. The other shell is the
-// simulator (package cluster): it never calls Start, steps the same turns
+// loop goroutine, the ingestion channel, the full-block wake Submit leaves
+// and the timers, runs a turn per event, and makes post a send to that
+// loop. The other shell is the simulator (package cluster): it never calls
+// Start, steps the same turns — DisseminateIfFull included, every round —
 // from simnet events on its virtual clock, and post runs inline, the
 // transport's callback being on the event loop already. A Node that is
 // never started starts no goroutine.
@@ -73,7 +83,10 @@ type Config struct {
 	// at startup instead of producing blocks every peer discards and
 	// failing every transport handshake.
 	Identity *roster.Identity
-	// DisseminateEvery is the block production period (default 50ms).
+	// DisseminateEvery is the block production period (default 50ms): the
+	// tick that builds a block whatever the mempool holds. A mempool holding
+	// a full block seals one sooner (DisseminateIfFull), and the tick keeps
+	// its phase.
 	DisseminateEvery time.Duration
 	// Store, if non-nil, makes the server durable: New installs it as the
 	// server's journal (core.Server.SetJournal: the evidence sidecar is
@@ -220,6 +233,12 @@ type Node struct {
 	// (looping); see post.
 	posted  chan func()
 	looping bool
+	// full is the full-block wake: Submit, having admitted a request into a
+	// mempool that now holds a full block, leaves a token here for the loop
+	// (DisseminateIfFull). One slot, never waited on: a flood coalesces into
+	// one token. fullBytes is the pending payload that makes a block full.
+	full      chan struct{}
+	fullBytes int
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -309,10 +328,12 @@ func New(cfg Config) (*Node, error) {
 		cfg:    cfg,
 		in:     make(chan gossip.Message, 256),
 		posted: make(chan func(), 4),
+		full:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 		broker: NewIndicationBroker(DefaultRecentLabels),
 
-		tracker: syncsvc.NewWatermarkTracker(),
+		fullBytes: fullBlockRatio * blockFixedBytes(cfg.Server.Roster().N()),
+		tracker:   syncsvc.NewWatermarkTracker(),
 	}
 	n.broker.index = indexReplay // until endReplay, below
 	srv := cfg.Server
@@ -554,9 +575,16 @@ func (n *Node) Deliver(from types.ServerID, payload []byte) {
 // server's mempool, synchronously — the pool is safe for concurrent use, so
 // this needs no turn of the loop — and returns the admission verdict
 // (mempool.ErrFull, mempool.ErrDuplicate, a validation error, or nil), which
-// gateways surface to their clients.
+// gateways surface to their clients. A request that leaves the pool holding
+// a full block wakes the loop to seal it before the tick (DisseminateIfFull).
 func (n *Node) Submit(label types.Label, data []byte) error {
-	return n.cfg.Server.Submit(label, data)
+	if err := n.cfg.Server.Submit(label, data); err != nil {
+		return err
+	}
+	if n.poolFull() {
+		n.wakeFull()
+	}
+	return nil
 }
 
 // Request is Submit with the verdict dropped: Algorithm 3's fire-and-forget
@@ -596,8 +624,9 @@ func (n *Node) Server() *core.Server { return n.cfg.Server }
 // store's interval fsync, the seal and checkpoint policies (Tick).
 const tickEvery = 100 * time.Millisecond
 
-// loop is the goroutine shell: it waits — on the channels, the two
-// tickers, the follow timer — and runs one turn per event.
+// loop is the goroutine shell: it waits — on the channels, the full-block
+// wake, the two tickers, the follow timer — and runs one turn per event. An
+// early seal leaves the block ticker alone: it keeps its period and phase.
 func (n *Node) loop(ctx context.Context) {
 	defer n.wg.Done()
 	defer close(n.done)
@@ -620,6 +649,8 @@ func (n *Node) loop(ctx context.Context) {
 			n.DeliverBurst(n.drainBurst(msg))
 		case <-disseminate.C:
 			n.Disseminate()
+		case <-n.full:
+			n.DisseminateIfFull()
 		case <-tick.C:
 			n.Tick()
 		case <-follow.C:

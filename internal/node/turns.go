@@ -6,8 +6,10 @@ import (
 	"math"
 	"time"
 
+	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/gossip"
+	"blockdag/internal/metrics"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/transport"
@@ -30,11 +32,62 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 // A node that has been shown own blocks it does not hold (absorb) builds
 // nothing until it does: it lost its disk, and a block built now would reuse
 // a sequence number its peers already hold.
-func (n *Node) Disseminate() {
+func (n *Node) Disseminate() { n.disseminate() }
+
+// disseminate is Disseminate, reporting whether a block went out.
+func (n *Node) disseminate() bool {
 	if n.ownHeld.Load() < n.ownSeen.Load() {
-		return
+		return false
 	}
-	n.recordErr(n.cfg.Server.Disseminate())
+	err := n.cfg.Server.Disseminate()
+	n.recordErr(err)
+	return err == nil
+}
+
+// fullBlockRatio is how many times a block's fixed bytes (blockFixedBytes)
+// of pending payload make the mempool hold a full block, which the node seals
+// before its tick (DisseminateIfFull). Those early blocks are the only ones
+// the trigger adds, and each carries at least 16 times what it costs beyond
+// its payload: the trigger adds at most 1/16 to wire and disk, whatever the
+// load.
+const fullBlockRatio = 16
+
+// blockFixedBytes is what a block costs beyond its payload in a roster of n:
+// the signature, the header (builder, sequence number, length prefixes) and
+// n + 1 references — 240 B at n = 4, so a block is full at 3 840 B.
+func blockFixedBytes(n int) int { return crypto.SignatureSize + 16 + crypto.HashSize*(n+1) }
+
+// DisseminateIfFull is the full-block turn: if the mempool holds a full
+// block — fullBlockRatio times its fixed bytes of payload, or the server's
+// MaxBatch requests — seal it now through Disseminate, under the same
+// guards, instead of waiting for the tick. If the pool still holds one, it
+// wakes the loop again, so a backlog drains one block per loop iteration,
+// between deliveries. It reports whether it sealed. The goroutine shell runs
+// it when Submit wakes it; a stepped owner calls it every round.
+func (n *Node) DisseminateIfFull() bool {
+	if !n.poolFull() || !n.disseminate() {
+		return false
+	}
+	n.cfg.Server.Counts().Add(metrics.BlocksSealedFull, 1)
+	if n.poolFull() {
+		n.wakeFull()
+	}
+	return true
+}
+
+// poolFull reports whether the mempool holds a full block. Safe for
+// concurrent use: Submit asks outside the turns.
+func (n *Node) poolFull() bool {
+	pool := n.cfg.Server.Mempool()
+	return pool.Bytes() >= n.fullBytes || pool.Len() >= n.cfg.Server.MaxBatch()
+}
+
+// wakeFull leaves the loop a full-block token, unless one is waiting.
+func (n *Node) wakeFull() {
+	select {
+	case n.full <- struct{}{}:
+	default:
+	}
 }
 
 // Tick is the housekeeping turn: gossip's re-asks and, on a durable node,
