@@ -360,11 +360,12 @@ func (s *Server) AddIndicationObserver(fn func(label types.Label, value []byte))
 }
 
 // SeedBase installs pruned-history stand-ins (dag.SeedBase) into a fresh
-// server — the DAG, the interpreter and gossip — so a later Restore or
+// server — the DAG and the interpreter — so a later Restore or
 // snapshot-followed catch-up can validate and interpret blocks above the
 // prune horizon without the pruned prefix, and the own chain continues
-// above its stand-in even when every own block lies below the horizon. It
-// must run before Restore and before any network traffic.
+// above its stand-in (the DAG's own chain head) even when every own block
+// lies below the horizon. It must run before Restore and before any network
+// traffic.
 func (s *Server) SeedBase(base []dag.Base) error {
 	if s.dag.Len() > 0 || len(s.dag.Base()) > 0 {
 		return errors.New("core: seed base on a server that already has state")
@@ -375,7 +376,6 @@ func (s *Server) SeedBase(base []dag.Base) error {
 	if err := s.interp.SeedBase(base); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	s.gsp.SeedBase(base)
 	return nil
 }
 
@@ -454,11 +454,6 @@ func (s *Server) Restore(blocks []*block.Block) error {
 func (s *Server) AbsorbVerified(b *block.Block) error {
 	return s.gsp.InsertVerified(b)
 }
-
-// ObserveInserts registers fn to see every block that enters the DAG, in
-// insertion order, whichever way it came — the store's replay, gossip, a
-// pulled stream. The runtime keeps its watermark vector this way.
-func (s *Server) ObserveInserts(fn func(*block.Block)) { s.dag.SetOnInsert(fn) }
 
 // Journal is the backend behind a server's blocks; store.Store implements
 // it. PersistSink(self) journals every block inserted into the DAG (own and

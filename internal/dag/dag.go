@@ -45,6 +45,17 @@
 // the journal for the rest of its bytes, and the accessor checks that the
 // two rebuild the row's reference. Validation, insertion and reachability
 // read rows only, so the fork-free path never reads a block back.
+//
+// # What a DAG holds, from any goroutine
+//
+// The DAG belongs to its owner's goroutine, with two exceptions: its
+// counters (Counts, Collect) and its chain heads (Head, Heads). A head is
+// what the DAG holds of one builder's chain — the slot above its highest
+// row, and whether the chain forked — one word per builder, written at
+// insert and read without a lock. It is the node's watermark vector: what a
+// delta pull states, what a sync server compares a request with on the
+// transport's goroutine, and where a node's own chain stands — gossip's next
+// own block included. Nothing above the DAG keeps a second copy.
 package dag
 
 import (
@@ -53,6 +64,8 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"strconv"
+	"sync/atomic"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
@@ -126,7 +139,8 @@ var ErrPruned = errors.New("dag: block pruned from the journal")
 // DAG is one server's local block DAG G ∈ Dags: blocks are validated before
 // insertion and their rows never removed, though a released block's bytes
 // are the journal's to hold (package doc). DAG is not safe for concurrent
-// use; the owning state machine serializes access.
+// use — the owning state machine serializes access — except Counts, Collect,
+// Head and Heads, which answer from any goroutine.
 type DAG struct {
 	roster *crypto.Roster
 	g      *graph.DAG[block.Ref]
@@ -139,18 +153,32 @@ type DAG struct {
 	below   []uint64
 	held    int
 	counts  metrics.Metrics // over Families
+	// heads is, by builder, its chain head (Head) in one word: Next shifted
+	// left by one, the low bit Forked. Sized at New and never resized, so a
+	// reader on another goroutine needs no lock.
+	heads []atomic.Uint64
 
 	// base holds stand-in entries for pruned blocks (SeedBase): their
 	// refs satisfy predecessor and parent checks, but the blocks
 	// themselves are gone. They are graph vertices 0..len(base)-1, in
 	// that order. Empty on an unpruned DAG.
-	base        []Base
-	baseHorizon map[types.ServerID]uint64
+	base []Base
 
 	proven         map[slot]struct{} // forked slots whose proof pair went out
 	equivocations  []Equivocation
-	onInsert       func(*block.Block)
 	onEquivocation func(Equivocation)
+}
+
+// Head is what a DAG holds of one builder's chain. Next is 1 + the highest
+// sequence number among the chain's rows, stand-ins included, and 0 for a
+// chain with none: the parent rule makes a chain prefix-closed above its
+// stand-ins, so every slot below Next is held (or pruned under the base).
+// Forked reports that two blocks claimed one slot of the chain (Figure 3):
+// Next still says how far the chain reaches, but no longer which blocks it
+// holds.
+type Head struct {
+	Next   uint64
+	Forked bool
 }
 
 // Base is one pruned-history stand-in: the reference and chain position
@@ -180,24 +208,87 @@ type slot struct {
 
 // New returns an empty block DAG for a server in the given roster.
 func New(roster *crypto.Roster) *DAG {
-	return &DAG{roster: roster, g: graph.New[block.Ref](), below: make([]uint64, roster.N()), proven: make(map[slot]struct{})}
+	return &DAG{roster: roster, g: graph.New[block.Ref](), below: make([]uint64, roster.N()),
+		heads: make([]atomic.Uint64, roster.N()), proven: make(map[slot]struct{})}
+}
+
+// Head returns what the DAG holds of builder id's chain, the zero Head for a
+// builder outside the roster. Safe from any goroutine, while the owner
+// inserts: a reader sees each chain's head as of some insert, never a torn
+// one.
+func (d *DAG) Head(id types.ServerID) Head {
+	if int(id) >= len(d.heads) {
+		return Head{}
+	}
+	w := d.heads[id].Load()
+	return Head{Next: w >> 1, Forked: w&1 == 1}
+}
+
+// Heads returns every builder's Head, indexed by builder. Safe from any
+// goroutine, like Head; the heads are read one at a time, so a concurrent
+// insert may show in some and not in others.
+func (d *DAG) Heads() []Head {
+	out := make([]Head, len(d.heads))
+	for id := range out {
+		out[id] = d.Head(types.ServerID(id))
+	}
+	return out
+}
+
+// HeadRef returns the reference of the row at the top of builder id's chain —
+// the first inserted at Head(id).Next-1, a block or a stand-in: what the
+// builder's next block cites as its parent. False for a chain with no row.
+// Unlike Head, for the owner only.
+func (d *DAG) HeadRef(id types.ServerID) (block.Ref, bool) {
+	next := d.Head(id).Next
+	if next == 0 {
+		return block.Ref{}, false
+	}
+	v, _ := d.g.Slot(int(id), next-1) // taken: the first row at the top seq holds it
+	return d.g.At(v), true
+}
+
+// maxSeq bounds the sequence number a stand-in may claim: a head packs
+// 1 + seq into 63 bits, and chains grow from their stand-ins one block at a
+// time, so no block comes near it.
+const maxSeq = 1 << 62
+
+// raise records a row at (id, seq), inserted or seeded: the head moves up to
+// it, and takes the graph's verdict on whether the chain forked.
+func (d *DAG) raise(id types.ServerID, seq uint64) {
+	w := max(d.heads[id].Load()>>1, seq+1) << 1
+	if d.g.ChainForked(int(id)) {
+		w |= 1
+	}
+	d.heads[id].Store(w)
 }
 
 // SetJournal installs what answers for released blocks (Release).
 func (d *DAG) SetJournal(j Journal) { d.journal = j }
 
 // Families declares what a DAG counts of where its blocks' bytes are (Counts,
-// safe from any goroutine): held, or read back from the journal. They stay
-// out of the status document.
+// safe from any goroutine) — held, or read back from the journal — and its
+// chain heads, one sample per builder. They stay out of the status document.
 var Families metrics.Table
 
 var (
 	blocksHeld   = Families.Gauge("", "dag_blocks_held", "Blocks whose bytes the DAG holds; the journal answers for the others.")
 	journalReads = Families.Counter("", "journal_block_reads_total", "Released blocks read back from the journal.")
+	chainNext    = Families.Gauge("", "dag_chain_next_seq", "1 + the highest sequence number held of the builder's chain, stand-ins included: what this node's sync vector states, and, beside a peer's, which chain it lacks.")
 )
 
 // Counts returns the DAG's counters, read over Families.
 func (d *DAG) Counts() *metrics.Metrics { return &d.counts }
+
+// Collect samples Families: the counters, and the chain heads once per
+// builder. Safe from any goroutine, as Counts and Head are.
+func (d *DAG) Collect(emit func(metrics.Metric)) {
+	emit(Families.Sample(blocksHeld, float64(d.counts.Get(blocksHeld))))
+	emit(Families.Sample(journalReads, float64(d.counts.Get(journalReads))))
+	for id, h := range d.Heads() {
+		emit(Families.Sample(chainNext, float64(h.Next), "builder", strconv.Itoa(id)))
+	}
+}
 
 // Release lets go of the bytes of builder x's blocks below frontier[x] —
 // what every chain has read (interpret.Interpreter.Frontier) — for the
@@ -261,10 +352,6 @@ func (d *DAG) ReadRow(v int) (*block.Block, error) {
 	return d.read(v - len(d.base))
 }
 
-// SetOnInsert installs a callback invoked after every successful insert,
-// in insertion order (core.Server.ObserveInserts).
-func (d *DAG) SetOnInsert(fn func(*block.Block)) { d.onInsert = fn }
-
 // SetOnEquivocation installs a callback invoked when a (builder, seq)
 // slot is first observed forked — at most once per slot, with the
 // recorded proof pair. The accountability layer subscribes here to
@@ -289,14 +376,15 @@ func (d *DAG) SeedBase(entries []Base) error {
 	}
 	// What was pruned lies below every stand-in, whatever its chain: each gets
 	// the whole horizon as its causal summary (package interpret reads it).
-	d.baseHorizon = make(map[types.ServerID]uint64, len(entries))
 	below := make([]uint64, d.roster.N())
 	for _, e := range entries {
 		if !d.roster.Contains(e.Builder) {
 			return fmt.Errorf("%w: base entry %v", ErrBuilderUnknown, e.Builder)
 		}
+		if e.Seq >= maxSeq {
+			return fmt.Errorf("dag: base entry %v at seq %d, past any chain", e.Builder, e.Seq)
+		}
 		below[e.Builder] = max(below[e.Builder], e.Seq+1)
-		d.baseHorizon[e.Builder] = below[e.Builder]
 	}
 	for _, e := range entries {
 		if d.g.Contains(e.Ref) {
@@ -309,6 +397,7 @@ func (d *DAG) SeedBase(entries []Base) error {
 			return fmt.Errorf("dag: seed base: %w", err)
 		}
 		d.base = append(d.base, e)
+		d.raise(e.Builder, e.Seq)
 	}
 	return nil
 }
@@ -351,12 +440,12 @@ func (d *DAG) BaseRef(ref block.Ref) (Base, bool) {
 // where live blocks resume. Catch-up horizons start from these instead
 // of zero on a pruned DAG.
 func (d *DAG) BaseHorizon() map[types.ServerID]uint64 {
-	if len(d.baseHorizon) == 0 {
+	if len(d.base) == 0 {
 		return nil
 	}
-	out := make(map[types.ServerID]uint64, len(d.baseHorizon))
-	for id, seq := range d.baseHorizon {
-		out[id] = seq
+	out := make(map[types.ServerID]uint64)
+	for _, e := range d.base {
+		out[e.Builder] = max(out[e.Builder], e.Seq+1)
 	}
 	return out
 }
@@ -505,6 +594,7 @@ func (d *DAG) insert(b *block.Block, checkSig bool) error {
 	d.order = append(d.order, b)
 	d.held++
 	d.counts.Set(blocksHeld, int64(d.held))
+	d.raise(b.Builder, b.Seq)
 
 	// Record one proof per forked slot — on the first duplicate only.
 	// A builder spraying k blocks into one slot used to append k-1
@@ -524,10 +614,6 @@ func (d *DAG) insert(b *block.Block, checkSig bool) error {
 		if d.onEquivocation != nil {
 			d.onEquivocation(e)
 		}
-	}
-
-	if d.onInsert != nil {
-		d.onInsert(b)
 	}
 	return nil
 }

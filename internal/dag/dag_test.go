@@ -2,12 +2,15 @@ package dag
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"testing"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
+	"blockdag/internal/metrics"
 	"blockdag/internal/types"
 )
 
@@ -185,25 +188,105 @@ func TestReinsertIsNoOp(t *testing.T) {
 	}
 }
 
-func TestOnInsertCallbackOrder(t *testing.T) {
-	roster, signers := fixture(t, 2)
+// chainOf seals builder signer's chain of k blocks, each on its parent.
+func chainOf(t *testing.T, signer *crypto.Signer, k int) []*block.Block {
+	t.Helper()
+	var chain []*block.Block
+	var preds []block.Ref
+	for seq := range uint64(k) {
+		b := sealed(t, signer, seq, preds, nil)
+		chain = append(chain, b)
+		preds = []block.Ref{b.Ref()}
+	}
+	return chain
+}
+
+// TestChainHeads: a head is the slot above the chain's highest row —
+// stand-ins counted, so a seeded DAG starts at its base — and a second block
+// in a slot marks the chain forked without moving it.
+func TestChainHeads(t *testing.T) {
+	roster, signers := fixture(t, 3)
+	zero := make([]Head, 3)
+	if got := New(roster).Heads(); !slices.Equal(got, zero) {
+		t.Fatalf("empty DAG heads = %v", got)
+	}
+	chain := chainOf(t, signers[0], 6)
 	d := New(roster)
-	var got []uint64
-	d.SetOnInsert(func(b *block.Block) { got = append(got, b.Seq) })
-	prev := sealed(t, signers[0], 0, nil, nil)
-	mustInsert(t, d, prev)
-	for seq := uint64(1); seq < 4; seq++ {
-		b := sealed(t, signers[0], seq, []block.Ref{prev.Ref()}, nil)
-		mustInsert(t, d, b)
-		prev = b
+	mustInsert(t, d, chain[:4]...)
+	mustInsert(t, d, sealed(t, signers[1], 0, nil, nil))
+	if got, want := d.Heads(), []Head{{Next: 4}, {Next: 1}, {}}; !slices.Equal(got, want) {
+		t.Fatalf("heads = %v, want %v", got, want)
 	}
-	for i, seq := range got {
-		if uint64(i) != seq {
-			t.Fatalf("callback order %v", got)
+	if h := d.Head(7); h != (Head{}) {
+		t.Fatalf("head of a builder outside the roster = %v", h)
+	}
+	scraped := map[string]float64{}
+	d.Collect(func(m metrics.Metric) {
+		if m.Name == "dag_chain_next_seq" {
+			scraped[m.Labels[0][1]] = m.Value
 		}
+	})
+	if want := map[string]float64{"0": 4, "1": 1, "2": 0}; !maps.Equal(scraped, want) {
+		t.Fatalf("scraped heads %v, want %v", scraped, want)
 	}
-	if len(got) != 4 {
-		t.Fatalf("callback count = %d", len(got))
+
+	variant := sealed(t, signers[0], 2, []block.Ref{chain[1].Ref()}, []block.Request{{Label: "x", Data: []byte("fork")}})
+	mustInsert(t, d, variant)
+	if h := d.Head(0); h != (Head{Next: 4, Forked: true}) {
+		t.Fatalf("head after a fork at seq 2 = %v, want {4 true}", h)
+	}
+
+	seeded := New(roster)
+	if err := seeded.SeedBase([]Base{{Builder: 0, Seq: 4, Ref: chain[4].Ref()}, {Builder: 2, Seq: 1, Ref: block.Ref{2}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := seeded.Heads(), []Head{{Next: 5}, {}, {Next: 2}}; !slices.Equal(got, want) {
+		t.Fatalf("seeded heads = %v, want %v", got, want)
+	}
+	mustInsert(t, seeded, chain[5])
+	if h := seeded.Head(0); h != (Head{Next: 6}) {
+		t.Fatalf("head above the base = %v, want {6 false}", h)
+	}
+	if err := New(roster).SeedBase([]Base{{Builder: 1, Seq: maxSeq, Ref: block.Ref{1}}}); err == nil {
+		t.Fatal("a stand-in past any chain was seeded")
+	}
+}
+
+// TestHeadsFromAnyGoroutine: a reader on another goroutine watches the heads
+// while the owner inserts — race-free under -race, each head only rising,
+// and the last read, after the owner stops, the owner's own.
+func TestHeadsFromAnyGoroutine(t *testing.T) {
+	roster, signers := fixture(t, 2)
+	chains := [][]*block.Block{chainOf(t, signers[0], 200), chainOf(t, signers[1], 200)}
+	d := New(roster)
+	stop, failed := make(chan struct{}), make(chan error, 1)
+	go func() {
+		defer close(failed)
+		last := make([]Head, 2)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for id, h := range d.Heads() {
+				if h.Next < last[id].Next || h.Forked {
+					failed <- fmt.Errorf("builder %d: head %v after %v", id, h, last[id])
+					return
+				}
+				last[id] = h
+			}
+		}
+	}()
+	for i := range 200 {
+		mustInsert(t, d, chains[0][i], chains[1][i])
+	}
+	close(stop)
+	if err := <-failed; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.Heads(), []Head{{Next: 200}, {Next: 200}}; !slices.Equal(got, want) {
+		t.Fatalf("heads = %v, want %v", got, want)
 	}
 }
 

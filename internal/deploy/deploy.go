@@ -317,14 +317,15 @@ var Tables = []struct {
 }
 
 // Registry is the one place a node's scrape is put together: the server's
-// counters, where its DAG's block bytes are, its interpreter's per-chain lag, its mempool and its scorer,
+// counters, where its DAG's block bytes are and its chain heads, its
+// interpreter's per-chain lag, its mempool and its scorer,
 // and — nil where the shell has none, which collects nothing — the
 // transport's, the sync server's and the signature counters. A gateway
 // serving the registry adds its own.
 func Registry(srv *core.Server, transport, sync, sigs *metrics.Metrics) *metrics.Registry {
 	reg := metrics.NewRegistry()
 	reg.Register(metrics.Families.Collector(srv.Counts()))
-	reg.Register(dag.Families.Collector(srv.DAG().Counts()))
+	reg.Register(srv.DAG().Collect)
 	reg.Register(interpret.CollectChainUnread(srv.ChainUnread))
 	reg.Register(srv.Mempool().Collect)
 	reg.Register(srv.Scores().Collect)

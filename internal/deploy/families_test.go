@@ -69,7 +69,7 @@ func TestGoldenExposition(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	reg.Register(metrics.Families.Collector(m))
-	reg.Register(dag.Families.Collector(dag.New(rost).Counts()))
+	reg.Register(dag.New(rost).Collect)
 	reg.Register(interpret.CollectChainUnread(func() []int64 { return []int64{3, 0, 5, 1} }))
 	reg.Register(pool.Collect)
 	reg.Register(scores.Collect)

@@ -236,13 +236,12 @@ type Gossip struct {
 	// has detected or been shown (Evidence).
 	convicted *evidence.Pool
 
-	// Current block B under construction (lines 2, 14–18): its sequence
-	// number, the parent reference (own previous block, if any — kept apart
-	// so tip retirement can never drop it), and the tips: the blocks
-	// inserted since the parent that no later inserted block reaches.
-	curSeq    uint64
-	curParent *block.Ref
-	curTips   []block.Ref
+	// Current block B under construction (lines 2, 14–18): the tips, the
+	// blocks inserted since the parent that no later inserted block reaches.
+	// Its sequence number and parent are the DAG's own chain head
+	// (dag.DAG.Head, HeadRef) — the parent kept apart from the tips, so tip
+	// retirement can never drop it.
+	curTips []block.Ref
 }
 
 // New validates the configuration and returns a ready gossip instance.
@@ -291,20 +290,6 @@ func (g *Gossip) Self() types.ServerID { return g.self }
 
 // Evidence exposes the pool of equivocation proofs. Treat as read-only.
 func (g *Gossip) Evidence() *evidence.Pool { return g.convicted }
-
-// SeedBase anchors the own chain on its highest pruned-history stand-in,
-// for a DAG seeded with one (dag.SeedBase): with every own block below
-// the snapshot horizon the next block still continues the chain, so a
-// rejoined node never reuses a published sequence number (no
-// self-equivocation). Own blocks above the horizon then advance the chain
-// as they are inserted, like any others (noteInserted).
-func (g *Gossip) SeedBase(base []dag.Base) {
-	for _, e := range base {
-		if e.Builder == g.self && e.Seq >= g.curSeq {
-			g.curSeq, g.curParent = e.Seq+1, &e.Ref
-		}
-	}
-}
 
 // HandleMessage consumes one wire payload from the network — a block
 // (lines 4–5), a FWD request (lines 12–13) or evidence: HandleMessages of
@@ -573,21 +558,19 @@ func (g *Gossip) tryInsert(b *block.Block) bool {
 func (g *Gossip) noteInserted(b *block.Block) error {
 	ref := b.Ref()
 	g.cfg.Metrics.Add(metrics.BlocksInserted, 1)
-	if b.Builder != g.self || b.Seq >= g.curSeq {
+	if b.Builder != g.self || g.ownHead(ref) {
 		// Retire every tip the new block reaches — citing it includes
-		// them. A peer's block then becomes a tip. An own block becomes the
-		// parent: the one Disseminate just built, or one a previous
-		// incarnation of this server published before its disk was lost,
-		// coming back from a peer — its sequence number is taken, and the
-		// chain continues above it.
+		// them. A peer's block then becomes a tip. An own block at the top
+		// of the own chain is the parent now (the DAG's head): the one
+		// Disseminate just built, or one a previous incarnation of this
+		// server published before its disk was lost, coming back from a
+		// peer — its sequence number is taken, and the chain continues
+		// above it.
 		g.curTips = slices.DeleteFunc(g.curTips, func(p block.Ref) bool {
 			return g.cfg.DAG.Reaches(p, ref)
 		})
 		if b.Builder != g.self {
 			g.curTips = append(g.curTips, ref)
-		} else {
-			parent := ref // its own variable: ref must not escape on every insert
-			g.curSeq, g.curParent = b.Seq+1, &parent
 		}
 	}
 	hookErr := g.cfg.OnInsert(b)
@@ -597,6 +580,13 @@ func (g *Gossip) noteInserted(b *block.Block) error {
 		}
 	}
 	return hookErr
+}
+
+// ownHead reports whether ref is the top of the own chain in the DAG: the
+// next own block's parent.
+func (g *Gossip) ownHead(ref block.Ref) bool {
+	head, ok := g.cfg.DAG.HeadRef(g.self)
+	return ok && head == ref
 }
 
 // settle ends the wait for ref — it is inserted, or never will be, or nothing
@@ -785,12 +775,15 @@ func (g *Gossip) acceptEvidence(p *evidence.Proof, from types.ServerID) {
 // durable, and this one stays local.
 func (g *Gossip) Disseminate() (*block.Block, error) {
 	reqs := g.cfg.Requests.Next(g.cfg.MaxBatch)
+	// The own chain's head is the parent — a stand-in on a DAG seeded below
+	// a snapshot horizon — so a rejoined node never reuses a published
+	// sequence number (no self-equivocation).
 	preds := make([]block.Ref, 0, 1+len(g.curTips))
-	if g.curParent != nil {
-		preds = append(preds, *g.curParent)
+	if parent, ok := g.cfg.DAG.HeadRef(g.self); ok {
+		preds = append(preds, parent)
 	}
 	preds = append(preds, g.curTips...)
-	b := block.New(g.self, g.curSeq, preds, reqs)
+	b := block.New(g.self, g.cfg.DAG.Head(g.self).Next, preds, reqs)
 	if err := b.Seal(g.cfg.Signer); err != nil {
 		return nil, fmt.Errorf("gossip: seal block: %w", err)
 	}

@@ -251,8 +251,9 @@ func TestReplayRebuildsLiveTips(t *testing.T) {
 
 			replayed := replay(t, cfg, cfg.DAG.Blocks())
 			for name, other := range map[string]*Gossip{"replayed": replayed, "relearning": relearning} {
-				if other.curSeq != live.curSeq || (other.curParent == nil) != (live.curParent == nil) ||
-					live.curParent != nil && *other.curParent != *live.curParent {
+				otherRef, otherOK := other.cfg.DAG.HeadRef(other.self)
+				liveRef, liveOK := live.cfg.DAG.HeadRef(live.self)
+				if other.cfg.DAG.Head(other.self) != live.cfg.DAG.Head(live.self) || otherOK != liveOK || otherRef != liveRef {
 					t.Fatalf("seed %d step %d: %s chain position differs", seed, step, name)
 				}
 				if !slices.Equal(sorted(other.curTips), sorted(live.curTips)) {

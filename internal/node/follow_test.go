@@ -65,7 +65,7 @@ func extendChain(t *testing.T, st *store.Store, signer *crypto.Signer, parent *b
 // converges on the peer's history through the follower alone — poll at
 // FollowEvery on the server's clock and not before, delta pull,
 // absorption into the live server — with every pulled block journaled
-// and the node's own watermark tracker advancing. The runtime is stepped
+// and the node's own watermark vector advancing. The runtime is stepped
 // on the simulator's clock: no goroutine, no sleep, no retry deadline.
 func TestNodeLiveFollower(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(2)
@@ -137,7 +137,7 @@ func TestNodeLiveFollower(t *testing.T) {
 	if got := len(nd.Server().DAG().ByBuilder(0)); got != chainLen+extra {
 		t.Fatalf("follower holds %d of the peer's blocks, want %d", got, chainLen+extra)
 	}
-	// ...the tracker advertises it...
+	// ...the vector advertises it...
 	found := false
 	for _, wm := range nd.Watermarks() {
 		if wm.Builder == 0 && wm.NextSeq == chainLen+extra {
@@ -145,7 +145,7 @@ func TestNodeLiveFollower(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("tracker vector %v does not advertise builder 0 at %d", nd.Watermarks(), chainLen+extra)
+		t.Fatalf("vector %v does not advertise builder 0 at %d", nd.Watermarks(), chainLen+extra)
 	}
 	// ...and every pulled block was journaled: a reopen replays them.
 	nd.Stop()

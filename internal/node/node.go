@@ -50,8 +50,11 @@
 // indicated. Follower and checkpoint compose without coordination —
 // absorbed blocks are journaled through the same sink as gossiped ones, so
 // they count toward the same thresholds and appear in the snapshots served
-// to catch-up clients, and the node's own watermark vector (Watermarks)
-// stays consistent with the store across checkpoints, restarts, and pulls.
+// to catch-up clients. What the node holds is its DAG's to say: the
+// watermark vector (Watermarks), the horizon a pull states and the own
+// chain's position (RecoveryReport.OwnHeld) are the DAG's chain heads
+// (dag.DAG.Head), which any goroutine may read, so they cannot drift from
+// the DAG across checkpoints, restarts and pulls.
 package node
 
 import (
@@ -62,7 +65,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blockdag/internal/block"
 	"blockdag/internal/core"
 	"blockdag/internal/gossip"
 	"blockdag/internal/peerscore"
@@ -169,7 +171,8 @@ type RecoveryReport struct {
 	// insertion, interpretation) ran.
 	Store store.OpenReport
 	Took  time.Duration
-	// OwnHeld is 1 + the highest own sequence number in the DAG, OwnSeen
+	// OwnHeld is 1 + the highest own sequence number in the DAG, a
+	// pruned-history stand-in included (its own chain head), OwnSeen
 	// the same over the own blocks a peer's stream has shown this node,
 	// held or not. While OwnHeld < OwnSeen the node builds nothing
 	// (Disseminate): it lost its disk and its old blocks are on their way
@@ -272,23 +275,17 @@ type Node struct {
 
 	catchUp  CatchUpReport
 	recovery RecoveryReport
-	// ownHeld and ownSeen are RecoveryReport's OwnHeld and OwnSeen. They
-	// differ only on a node that lost its disk, while its old blocks are on
-	// their way back — by a later pull, or by FWD behind the gossiped
-	// blocks that cite them; gossip continues the chain from them as they
-	// arrive, and until then Disseminate builds nothing. Written by the
-	// owner only; atomic for RecoveryReport's readers.
-	ownHeld, ownSeen atomic.Uint64
+	// ownSeen is RecoveryReport's OwnSeen; OwnHeld is the DAG's own chain
+	// head (ownHeld). They differ only on a node that lost its disk, while
+	// its old blocks are on their way back — by a later pull, or by FWD
+	// behind the gossiped blocks that cite them; gossip continues the chain
+	// from them as they arrive, and until then Disseminate builds nothing.
+	// Written by the owner only; atomic for RecoveryReport's readers.
+	ownSeen atomic.Uint64
 	// ckptFloor is the store's on-disk size after the last checkpoint
 	// (or at startup): the baseline CheckpointEveryBytes growth is
 	// measured from. Owner only.
 	ckptFloor int64
-
-	// tracker maintains this node's own watermark vector, one Observe per
-	// block the DAG takes in: the sync service compares delta requests
-	// with it before scanning the store, and pulls state what they hold
-	// from it. Thread-safe.
-	tracker *syncsvc.WatermarkTracker
 
 	// via is whom and how the node pulls (startup catch-up and follower
 	// alike). lastFollow is when the last poll was issued, followInFlight
@@ -333,7 +330,6 @@ func New(cfg Config) (*Node, error) {
 		broker: NewIndicationBroker(DefaultRecentLabels),
 
 		fullBytes: fullBlockRatio * blockFixedBytes(cfg.Server.Roster().N()),
-		tracker:   syncsvc.NewWatermarkTracker(),
 	}
 	n.broker.index = indexReplay // until endReplay, below
 	srv := cfg.Server
@@ -368,16 +364,6 @@ func New(cfg Config) (*Node, error) {
 	if err := srv.AddIndicationObserver(n.broker.Publish); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
-	// The watermark tracker sees every block the DAG takes in, replay
-	// included: peers' requests are compared with it, and this node's pulls
-	// say from it what not to send. A pre-seeded base starts the vector.
-	srv.ObserveInserts(func(b *block.Block) {
-		n.tracker.Observe(b)
-		if b.Builder == srv.ID() {
-			n.ownHeld.Store(max(n.ownHeld.Load(), b.Seq+1))
-		}
-	})
-	n.tracker.SeedHorizon(srv.DAG().BaseHorizon())
 	if st := cfg.Store; st != nil {
 		// A pruned (or snapshot-installed) store stands on a base table:
 		// seed the server with it before any block is replayed, so chains
@@ -395,10 +381,6 @@ func New(cfg Config) (*Node, error) {
 				return nil, err
 			}
 		}
-		// A pruned store's vector starts at the horizon: it claims the
-		// pruned prefix (covered by the certified snapshot) without ever
-		// observing it.
-		n.tracker.SeedHorizon(st.Horizon())
 		// The journal goes in ahead of the replay: no insertion bypasses
 		// it, and the store ignores a block it holds. Convictions come back
 		// with it: the sidecar's bans hold from the first delivery on, and
@@ -444,8 +426,14 @@ func (n *Node) CatchUpReport() CatchUpReport { return n.catchUp }
 // one) and the own chain's current position. Safe for concurrent use.
 func (n *Node) RecoveryReport() RecoveryReport {
 	rep := n.recovery
-	rep.OwnHeld, rep.OwnSeen = n.ownHeld.Load(), n.ownSeen.Load()
+	rep.OwnHeld, rep.OwnSeen = n.ownHeld(), n.ownSeen.Load()
 	return rep
+}
+
+// ownHeld is 1 + the highest own sequence number in the DAG: its own chain
+// head, stand-ins included. Safe for concurrent use.
+func (n *Node) ownHeld() uint64 {
+	return n.cfg.Server.DAG().Head(n.cfg.Server.ID()).Next
 }
 
 // FollowReport returns the live follower's counters so far (zero value
@@ -471,11 +459,12 @@ func (n *Node) AccountabilityReport() AccountabilityReport {
 	return AccountabilityReport{Banned: s.BannedPeers(), Peers: s.Snapshot()}
 }
 
-// Watermarks returns this node's own watermark vector — the live source
-// deployments hand to syncsvc.Server.Watermarks, so answering a poll that
-// has nothing coming costs a few counters instead of a store scan. Safe for concurrent
-// use; transports call it from connection goroutines.
-func (n *Node) Watermarks() []syncsvc.Watermark { return n.tracker.Snapshot() }
+// Watermarks returns this node's own watermark vector, its DAG's chain heads
+// (syncsvc.Vector) — the live source deployments hand to
+// syncsvc.Server.Watermarks, so answering a poll that has nothing coming
+// costs a few atomic loads instead of a store scan. Safe for concurrent use;
+// transports call it from connection goroutines.
+func (n *Node) Watermarks() []syncsvc.Watermark { return syncsvc.Vector(n.cfg.Server.DAG()) }
 
 // StoreDiskSize reports the durable store's current on-disk size in
 // bytes, false when the node runs without a store. Safe for concurrent

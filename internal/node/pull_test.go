@@ -151,9 +151,12 @@ func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One strike quarantines: the point is the rotation, not the
-	// threshold.
-	scores := peerscore.New(peerscore.Options{Clock: net.Now, QuarantineAt: 5})
+	// The liar has a record already, under the quarantine threshold, so the
+	// forgery's one strike quarantines it: the point is the rotation, not
+	// the threshold.
+	scores := peerscore.New(peerscore.Options{Clock: net.Now})
+	scores.Penalize(0, peerscore.BadSignature)
+	scores.Penalize(0, peerscore.MalformedFrame)
 	nd := steppedNode(t, net, roster, signers[2], core.Config{Scores: scores},
 		node.Config{Store: st, FollowEvery: time.Second})
 	if rep := nd.FollowReport(); rep.State != node.FollowIdle {
@@ -393,7 +396,8 @@ func TestPullFromAboveBase(t *testing.T) {
 // anchors the own chain on the base stand-in, whether or not startup
 // catch-up then brings an own block: the first block built is horizon seq
 // on top of the stand-in, never a second genesis the peers would hold
-// against the node as an equivocation.
+// against the node as an equivocation. The node reports the chain it stands
+// on: its vector and RecoveryReport.OwnHeld start at the horizon, not at 0.
 func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(2)
 	if err != nil {
@@ -422,9 +426,15 @@ func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if wms, held := nd.Watermarks(), nd.RecoveryReport().OwnHeld; len(wms) != 1 || wms[0] != (syncsvc.Watermark{Builder: 1, NextSeq: 5}) || held != 5 {
+		t.Fatalf("on the installed snapshot: vector %v, own chain held %d, want builder 1 at 5", wms, held)
+	}
 	nd.Disseminate()
 	if err := nd.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if held := nd.RecoveryReport().OwnHeld; held != 6 {
+		t.Fatalf("own chain held %d after the first block, want 6", held)
 	}
 	own := srv.DAG().ByBuilder(1)
 	if len(own) != 1 || own[0].Seq != 5 || !own[0].HasPred(pruned[4].Ref()) || len(srv.DAG().Equivocations()) != 0 {

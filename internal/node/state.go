@@ -153,7 +153,7 @@ func (n *Node) maybeSealState() {
 }
 
 // maybePruneState cuts journaled history PruneKeepSeqs below every
-// builder's tip, keyed off the watermark tracker's O(#builders) horizon.
+// builder's tip, keyed off the DAG's O(#builders) chain heads.
 // Reports whether the store's horizon actually advanced. Prune failure
 // is recorded, not fatal: the store stays valid at its old horizon
 // (PruneTo is crash-atomic) and the next seal retries.
@@ -171,12 +171,13 @@ func (n *Node) maybePruneState() bool {
 	}
 	current := n.cfg.Store.Horizon()
 	horizon := make(map[types.ServerID]uint64)
-	for _, wm := range n.tracker.Horizon() {
-		if wm.NextSeq <= sc.PruneKeepSeqs {
+	for id, head := range n.cfg.Server.DAG().Heads() {
+		builder := types.ServerID(id)
+		if head.Next <= sc.PruneKeepSeqs {
 			continue
 		}
-		if h := wm.NextSeq - sc.PruneKeepSeqs; h > current[wm.Builder] {
-			horizon[wm.Builder] = h
+		if h := head.Next - sc.PruneKeepSeqs; h > current[builder] {
+			horizon[builder] = h
 		}
 	}
 	if len(horizon) == 0 {

@@ -36,7 +36,7 @@ func (n *Node) Disseminate() { n.disseminate() }
 
 // disseminate is Disseminate, reporting whether a block went out.
 func (n *Node) disseminate() bool {
-	if n.ownHeld.Load() < n.ownSeen.Load() {
+	if n.ownHeld() < n.ownSeen.Load() {
 		return false
 	}
 	err := n.cfg.Server.Disseminate()
@@ -193,7 +193,7 @@ func (n *Node) PullFrom(peer types.ServerID, settled func(absorbed int, err erro
 // pull is PullFrom, also telling settled how many blocks the stream carried.
 func (n *Node) pull(peer types.ServerID, settled func(streamed uint64, absorbed int, err error)) (abandon func()) {
 	var pull *syncsvc.Pull
-	pull = syncsvc.NewPull(n.via.Roster, n.tracker.Horizon(), 0, func() {
+	pull = syncsvc.NewPull(n.via.Roster, syncsvc.Held(n.cfg.Server.DAG()), 0, func() {
 		n.post(func() {
 			absorbed, err := n.absorb(peer, pull)
 			settled(pull.Streamed(), absorbed, err)

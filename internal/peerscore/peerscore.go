@@ -88,10 +88,6 @@ func (s Signal) String() string {
 // Options configures a Scorer. The zero value is usable: defaults
 // below apply.
 type Options struct {
-	// QuarantineAt is the decayed score at which a peer is considered
-	// quarantined (deprioritized, not banned). Default 20 — e.g. two
-	// bad signatures within a half-life (halfLife).
-	QuarantineAt float64
 	// Clock supplies monotonic time. Inject the simulator's clock for
 	// deterministic tests; default is wall time since construction.
 	Clock func() time.Duration
@@ -103,7 +99,10 @@ type Options struct {
 // value.
 const halfLife = 30 * time.Second
 
-const defaultQuarantineAt = 20
+// quarantineAt is the decayed score at which a peer is quarantined
+// (deprioritized, not banned): two bad signatures within a half-life, or
+// twenty throttled requests. No deployment has set another value.
+const quarantineAt = 20
 
 type peerState struct {
 	score   float64
@@ -123,9 +122,6 @@ type Scorer struct {
 
 // New returns a scorer with the given options (zero fields defaulted).
 func New(opts Options) *Scorer {
-	if opts.QuarantineAt <= 0 {
-		opts.QuarantineAt = defaultQuarantineAt
-	}
 	s := &Scorer{opts: opts, peers: make(map[types.ServerID]*peerState)}
 	if s.opts.Clock == nil {
 		s.start = time.Now()
@@ -224,7 +220,7 @@ func (s *Scorer) Quarantined(id types.ServerID) bool {
 		return true
 	}
 	s.decay(ps, s.opts.Clock())
-	return ps.score >= s.opts.QuarantineAt
+	return ps.score >= quarantineAt
 }
 
 // BannedPeers returns the banned peers in ascending ID order.
@@ -274,7 +270,7 @@ func (s *Scorer) Pick(candidates []types.ServerID, cursor int) (types.ServerID, 
 			continue
 		}
 		s.decay(ps, now)
-		if ps.score >= s.opts.QuarantineAt {
+		if ps.score >= quarantineAt {
 			shaky = append(shaky, id)
 		} else {
 			clean = append(clean, id)

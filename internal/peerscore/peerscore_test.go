@@ -14,7 +14,7 @@ type clock struct{ now time.Duration }
 func (c *clock) fn() func() time.Duration { return func() time.Duration { return c.now } }
 
 func newTest(c *clock) *Scorer {
-	return New(Options{QuarantineAt: 20, Clock: c.fn()})
+	return New(Options{Clock: c.fn()})
 }
 
 func TestDecay(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"blockdag/internal/block"
+	"blockdag/internal/crypto"
+	"blockdag/internal/dag"
 	"blockdag/internal/simnet"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/tcpnet"
@@ -14,13 +16,21 @@ import (
 	"blockdag/internal/types"
 )
 
-// held folds blocks through a tracker: the horizon of a node holding them.
-func held(blocks []*block.Block) []syncsvc.Watermark {
-	tr := syncsvc.NewWatermarkTracker()
+// holding inserts blocks into a fresh DAG over roster: a node holding them.
+func holding(t testing.TB, roster *crypto.Roster, blocks []*block.Block) *dag.DAG {
+	t.Helper()
+	d := dag.New(roster)
 	for _, b := range blocks {
-		tr.Observe(b)
+		if err := d.InsertVerified(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return tr.Horizon()
+	return d
+}
+
+// held is the horizon of a node holding blocks.
+func held(t testing.TB, roster *crypto.Roster, blocks []*block.Block) []syncsvc.Watermark {
+	return syncsvc.Held(holding(t, roster, blocks))
 }
 
 // frameCounter is a pull that counts the frames the transport hands it.
@@ -41,7 +51,7 @@ func (c *frameCounter) OnFrame(frame []byte) {
 // and still streams nothing.
 func TestDeltaEarlyAnswer(t *testing.T) {
 	roster, blocks := buildChain(t, 25)
-	live := held(blocks)
+	live := held(t, roster, blocks)
 	for name, tc := range map[string]struct {
 		watermarks func() []syncsvc.Watermark
 		scans      int32
@@ -127,12 +137,12 @@ func TestDeltaForkedBuilder(t *testing.T) {
 	}
 	forked := syncsvc.Watermark{Builder: 0, NextSeq: 10, Forked: true}
 	// The server never saw the fork and advertises the chain: nothing new.
-	if n := ask(held(blocks), forked); n != 0 {
+	if n := ask(held(t, roster, blocks), forked); n != 0 {
 		t.Fatalf("forked builder at the server's horizon re-streamed: %d blocks", n)
 	}
 	// The server is ahead on another builder: the forked chain is not
 	// skipped, the plain one is.
-	ahead := append(held(blocks), syncsvc.Watermark{Builder: 1, NextSeq: 3})
+	ahead := append(held(t, roster, blocks), syncsvc.Watermark{Builder: 1, NextSeq: 3})
 	if n := ask(ahead, forked); n != 10 {
 		t.Fatalf("forked builder's chain skipped: %d blocks streamed, want 10", n)
 	}
@@ -181,13 +191,9 @@ func refusedRequests() map[string][]byte {
 // TestHorizonAndBehind: a vector is ahead exactly when it names blocks
 // outside the local horizon, and Lag says by how many.
 func TestHorizonAndBehind(t *testing.T) {
-	_, blocks := buildChain(t, 4) // builder 0, seqs 0..3
-	tr := syncsvc.NewWatermarkTracker()
-	for _, b := range blocks {
-		tr.Observe(b)
-	}
+	roster, blocks := buildChain(t, 4) // builder 0, seqs 0..3
 	local := map[types.ServerID]uint64{}
-	for _, wm := range tr.Horizon() {
+	for _, wm := range held(t, roster, blocks) {
 		local[wm.Builder] = wm.NextSeq
 	}
 	if len(local) != 1 || local[0] != 4 {
@@ -210,22 +216,21 @@ func TestHorizonAndBehind(t *testing.T) {
 	}
 }
 
-// TestWatermarkTracker: incremental observation matches a fold over the
-// block list, and an equivocating builder drops out of the vector but not
-// out of the horizon.
-func TestWatermarkTracker(t *testing.T) {
-	_, blocks := buildChain(t, 10)
-	tr := syncsvc.NewWatermarkTracker()
+// TestHeldIsTheDAGs: the horizon and the vector are the DAG's chain heads
+// — a fold over what it holds — and an equivocating builder drops out of
+// the vector but not out of the horizon.
+func TestHeldIsTheDAGs(t *testing.T) {
+	roster, blocks := buildChain(t, 10)
+	d := holding(t, roster, blocks)
 	next := map[types.ServerID]uint64{}
 	for _, b := range blocks {
-		tr.Observe(b)
 		next[b.Builder] = max(next[b.Builder], b.Seq+1)
 	}
 	want := syncsvc.Watermark{Builder: 0, NextSeq: next[0]}
-	if got := tr.Snapshot(); len(got) != 1 || got[0] != want {
-		t.Fatalf("tracker = %v, fold = %v", got, want)
+	if got := syncsvc.Vector(d); len(got) != 1 || got[0] != want {
+		t.Fatalf("vector = %v, fold = %v", got, want)
 	}
-	if got := tr.Horizon(); len(got) != 1 || got[0] != want {
+	if got := syncsvc.Held(d); len(got) != 1 || got[0] != want {
 		t.Fatalf("horizon = %v, fold = %v", got, want)
 	}
 
@@ -233,12 +238,14 @@ func TestWatermarkTracker(t *testing.T) {
 	// leave the vector (only an exact chain prefix is skippable) and stay,
 	// marked, in the horizon (what the node holds is still comparable).
 	variant := block.New(0, 4, []block.Ref{blocks[3].Ref()}, nil)
-	tr.Observe(variant)
-	if wms := tr.Snapshot(); wms == nil || len(wms) != 0 {
+	if err := d.InsertVerified(variant); err != nil {
+		t.Fatal(err)
+	}
+	if wms := syncsvc.Vector(d); wms == nil || len(wms) != 0 {
 		t.Fatalf("forked builder still advertised (or a nil vector): %v", wms)
 	}
 	want.Forked = true
-	if got := tr.Horizon(); len(got) != 1 || got[0] != want {
+	if got := syncsvc.Held(d); len(got) != 1 || got[0] != want {
 		t.Fatalf("horizon after the fork = %v, want %v", got, want)
 	}
 }

@@ -312,21 +312,25 @@ func TestServeSnapChunksWrongRoot(t *testing.T) {
 	}
 }
 
-// TestTrackerSeededAtHorizon: a tracker primed at a prune horizon
-// advertises watermarks that start there: the prefix below it is claimed
-// as held (covered by the certified snapshot), and live blocks above it
-// extend the claim contiguously.
-func TestTrackerSeededAtHorizon(t *testing.T) {
-	_, blocks := buildChain(t, 10)
-	tr := syncsvc.NewWatermarkTracker()
-	tr.SeedHorizon(map[types.ServerID]uint64{0: 5})
-	if wms := tr.Snapshot(); len(wms) != 1 || wms[0] != (syncsvc.Watermark{Builder: 0, NextSeq: 5}) {
+// TestHeldStartsAtTheBase: a DAG seeded at a prune horizon states a horizon
+// that starts there — the prefix below it is claimed as held (covered by the
+// certified snapshot) — and live blocks above it extend the claim
+// contiguously.
+func TestHeldStartsAtTheBase(t *testing.T) {
+	roster, blocks := buildChain(t, 10)
+	d := dag.New(roster)
+	if err := d.SeedBase([]dag.Base{{Builder: 0, Seq: 4, Ref: blocks[4].Ref()}}); err != nil {
+		t.Fatal(err)
+	}
+	if wms := syncsvc.Vector(d); len(wms) != 1 || wms[0] != (syncsvc.Watermark{Builder: 0, NextSeq: 5}) {
 		t.Fatalf("watermarks = %+v", wms)
 	}
 	for _, b := range blocks[5:] {
-		tr.Observe(b)
+		if err := d.InsertVerified(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if wms := tr.Snapshot(); len(wms) != 1 || wms[0] != (syncsvc.Watermark{Builder: 0, NextSeq: 10}) {
+	if wms := syncsvc.Vector(d); len(wms) != 1 || wms[0] != (syncsvc.Watermark{Builder: 0, NextSeq: 10}) {
 		t.Fatalf("watermarks = %+v", wms)
 	}
 }

@@ -16,7 +16,7 @@
 // the missing suffix crosses the wire.
 //
 // The early answer: a server with a live vector of its own
-// (Server.Watermarks; a node keeps one incrementally, WatermarkTracker)
+// (Server.Watermarks; a node's is its DAG's chain heads, Vector)
 // first compares the two by Lag, and when the requester lacks nothing it
 // closes the stream with done(0) before touching its disk. That is the
 // live follower's periodic poll (node.Config.FollowEvery): one call, and
@@ -243,7 +243,7 @@ type Server struct {
 	// memory-backed deployments. Called once per request.
 	Source func() ([]*block.Block, error)
 	// Watermarks, if non-nil, is the server's own live vector (package
-	// node wires its incrementally maintained WatermarkTracker): a delta
+	// node wires its DAG's chain heads, Vector): a delta
 	// request whose horizon it does not exceed (Lag) is answered done(0)
 	// without touching the block source. When the field is nil, or the
 	// function returns a nil slice (meaning "no live source yet", as a
@@ -598,8 +598,7 @@ type Pull struct {
 var _ transport.CallSink = (*Pull)(nil)
 
 // NewPull prepares a pull for a requester holding what the horizon have
-// states (WatermarkTracker.Held; nil for a fresh replica: ask for
-// everything).
+// states (Held; nil for a fresh replica: ask for everything).
 // maxBlocks caps the blocks accepted from the stream; 0 means
 // DefaultMaxBlocks. onDone, if non-nil, runs exactly once when the stream
 // settles — on the transport's sink goroutine (or the simulator's event

@@ -123,7 +123,7 @@ func TestPullSkipsHeldPrefix(t *testing.T) {
 	net := simnet.New(simnet.WithSeed(4))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})
 
-	got, err := runPull(t, net, syncsvc.NewPull(roster, held(blocks[:60]), 0, nil))
+	got, err := runPull(t, net, syncsvc.NewPull(roster, held(t, roster, blocks[:60]), 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
