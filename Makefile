@@ -57,13 +57,14 @@ race:
 # its accountability run (an equivocator banned over TCP and across a
 # Restart), the checkpoint tests (TestNodeAutomaticCheckpointing was the
 # timing flake PR 23 fixed) and the store's read-back of released blocks
-# (the location column a checkpoint rewrites under the DAG's feet) — ten
-# times under the race detector, so a test
+# (the location column a checkpoint rewrites under the DAG's feet) and the
+# serving side of a pull (a started node's reads in its loop's turns, while
+# that loop inserts) — ten times under the race detector, so a test
 # that fails one run in five (as TestAuthWrongKeyRejected did until PR 12)
 # is caught in the PR that introduces it rather than blocking unrelated
-# work later. The -run filter keeps it around a minute.
+# work later. The -run filter keeps it to a few minutes.
 flake-smoke:
-	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|RowBack' \
+	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|RowBack|Serve' \
 		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy
 
 .PHONY: experiments-smoke

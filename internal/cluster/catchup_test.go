@@ -19,6 +19,14 @@ import (
 	"blockdag/internal/types"
 )
 
+// fixed is a block list as a sync server's block source (syncsvc.Source,
+// the one a node implements): a hostile server's stream, in list order.
+type fixed []*block.Block
+
+func (f fixed) Stream(_ map[types.ServerID]uint64, _ int, send func([]*block.Block) error) error {
+	return send(f)
+}
+
 // deliveredValue returns the first value delivered for a label at one
 // server, nil if none.
 func deliveredValue(c *cluster.Cluster, server int, label types.Label) []byte {
@@ -239,9 +247,7 @@ func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tampered[mid] = forged
-	c.Net.RegisterHandler(3, transport.ChanSync, &syncsvc.Server{
-		Source: func() ([]*block.Block, error) { return tampered, nil },
-	})
+	c.Net.RegisterHandler(3, transport.ChanSync, &syncsvc.Server{Rows: fixed(tampered)})
 
 	err = c.RecoverServerViaSync(2, brb.Protocol{}, 3)
 	if err == nil {
@@ -259,8 +265,12 @@ func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 	if d.Len() != mid || st.Len() != mid {
 		t.Fatalf("kept %d blocks in the DAG and %d on disk, want the %d before the forgery", d.Len(), st.Len(), mid)
 	}
-	journaled, err := store.ScanDir(st.Dir())
-	if err != nil || len(journaled) != mid {
+	ro, err := store.Open(st.Dir(), store.Options{Roster: c.Roster, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := ro.Blocks()
+	if err := ro.Close(); err != nil || len(journaled) != mid {
 		t.Fatalf("read %d blocks back from disk (err %v), want %d", len(journaled), err, mid)
 	}
 	for i, b := range honest {

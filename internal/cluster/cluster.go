@@ -71,8 +71,8 @@ type Options struct {
 	// (node.Config.FollowEvery, paced on the simulated clock): polls,
 	// streams, and absorptions all ride the simulator's event loop, so
 	// runs stay deterministic. With FollowEvery set, every correct slot
-	// also serves the sync channel (from its store when durable, else
-	// straight from its DAG), so non-durable clusters can follow too.
+	// also serves the sync channel from its DAG, durable or not, so
+	// non-durable clusters can follow too.
 	// 0 disables.
 	FollowEvery time.Duration
 
@@ -350,27 +350,22 @@ func (e inline) Deliver(from types.ServerID, payload []byte) {
 // the gossip channel and — when the slot is durable, or the cluster runs
 // the live follower — a catch-up server on the sync channel, so any peer
 // can bulk-sync or follow from this slot. A request that lacks nothing is
-// answered from the node's tracked vector; durable slots stream their store,
-// follower-only slots straight from the DAG (safe on the event loop). The
-// catch-up server runs under the syncsvc default in-flight cap.
+// answered from the node's chain heads; any other streams from the node's
+// DAG in the node's turns, inline on the event loop. The catch-up server
+// runs under the syncsvc default in-flight cap.
 func (c *Cluster) register(slot int, nd *node.Node, st *store.Store) {
 	id := types.ServerID(slot)
 	c.Net.Register(id, transport.ChanGossip, inline{nd})
 	if st == nil && c.opts.FollowEvery <= 0 {
 		return
 	}
-	srv := nd.Server()
-	// Built here, not by deploy: a slot may be storeless (Source, below) and
-	// simnet takes a handler once the node exists — nothing to late-bind.
-	sync := &syncsvc.Server{
-		Store:      st,
-		Scores:     srv.Scores(),
-		Watermarks: nd.Watermarks,
-	}
+	// Built here, not by deploy: simnet takes a handler once the node
+	// exists — nothing to late-bind.
+	sync := &syncsvc.Server{Store: st, Scores: nd.Server().Scores(), Watermarks: nd.Watermarks}
 	if st == nil {
-		sync.Source = func() ([]*block.Block, error) {
-			return srv.DAG().Blocks(), nil
-		}
+		sync.Rows = nd
+	} else {
+		st.SetRuntime(nd) // as Start would: the event loop owns the stepped node
 	}
 	c.Net.RegisterHandler(id, transport.ChanSync, sync)
 }

@@ -352,6 +352,26 @@ func (d *DAG) ReadRow(v int) (*block.Block, error) {
 	return d.read(v - len(d.base))
 }
 
+// RowsBeyond returns, in row order — insertion order, so a row's
+// predecessors come before it or lie under the horizon — the block rows a
+// holder of the horizon next lacks: each builder's slot column from next[id]
+// to its head, a chain forked here whole. O(rows returned), a fork aside.
+func (d *DAG) RowsBeyond(next map[types.ServerID]uint64) []int32 {
+	var rows []int32
+	for id := range d.heads {
+		if h := d.Head(types.ServerID(id)); !h.Forked {
+			rows = append(rows, d.g.Slots(id, next[types.ServerID(id)], h.Next)...)
+			continue
+		}
+		for _, v := range d.g.Chain(id) {
+			rows = append(rows, int32(v))
+		}
+	}
+	rows = slices.DeleteFunc(rows, func(v int32) bool { return int(v) < len(d.base) })
+	slices.Sort(rows)
+	return rows
+}
+
 // SetOnEquivocation installs a callback invoked when a (builder, seq)
 // slot is first observed forked — at most once per slot, with the
 // recorded proof pair. The accountability layer subscribes here to

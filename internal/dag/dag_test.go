@@ -461,6 +461,21 @@ func TestSeededRowsBehindTheAPI(t *testing.T) {
 		if got := d.ByBuilder(0); len(got) != 4 || got[1] != a5x || got[3] != a6 {
 			t.Fatalf("ByBuilder(0) = %v: seq order, insertion order within the forked slot", dagRefs(got))
 		}
+		// What a delta serves, in row order: builder 1's slot column from the
+		// horizon on, forked builder 0 whole whatever the horizon says, and
+		// no stand-in (rows 0 and 1).
+		for _, tc := range []struct {
+			next map[types.ServerID]uint64
+			want []int32
+		}{
+			{nil, []int32{2, 3, 4, 5, 6}},
+			{map[types.ServerID]uint64{0: 7, 1: 4}, []int32{2, 4, 5, 6}},
+			{map[types.ServerID]uint64{0: 7, 1: 3}, []int32{2, 3, 4, 5, 6}},
+		} {
+			if got := d.RowsBeyond(tc.next); !slices.Equal(got, tc.want) {
+				t.Fatalf("RowsBeyond(%v) = %v, want %v", tc.next, got, tc.want)
+			}
+		}
 	}
 	check(d)
 	check(d.Clone())

@@ -5,14 +5,15 @@
 //	         gossip endpoint → tcpnet.Listen
 //	Boot     mesh → snapshot join → Build (core.NewServer → node.New, with
 //	         a store: replay, catch-up, follower) → bind gossip → registry
-//	         → gateway → Start
+//	         → gateway → Start (the runtime registers on its store, and
+//	         pulls are served from its DAG)
 //	Close    the reverse: gateway (by the runtime's stop hook), runtime,
 //	         transport, store
 //
 // Two phases, because a cluster comes up in two: every member must be
-// listening, and answering sync calls, before any member's startup
-// catch-up dials it. docs/ARCHITECTURE.md ("The assembly") gives the
-// reason for each edge. Build is the step that does not care what carries
+// listening, and answering sync calls — if only with a refusal — before any
+// member's startup catch-up dials it. docs/ARCHITECTURE.md ("The assembly")
+// gives the reason for each edge. Build is the step that does not care what carries
 // the bytes or tells the time; the simulator (package cluster) calls it
 // too, with simnet's transport and virtual clock.
 package deploy
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"blockdag/internal/core"
@@ -50,8 +50,9 @@ const (
 	// A durable node's live follower period (node.Config.FollowEvery).
 	followEvery = 200 * time.Millisecond
 	// The sync server's per-peer token bucket, on top of its in-flight
-	// cap: a byzantine peer cannot force repeated full-store scans. One
-	// request a follow period: an honest follower is never refused.
+	// cap: a byzantine peer cannot make the node read and stream the rows
+	// it names back to back. One request a follow period: an honest
+	// follower is never refused.
 	syncEvery, syncBurst = followEvery, 8
 	catchUpTimeout       = 5 * time.Second
 	snapshotTimeout      = 10 * time.Second
@@ -74,8 +75,8 @@ type Config struct {
 
 	// StoreDir, if non-empty, makes the node durable: blocks are journaled
 	// there under the Fsync policy and replayed at Boot, the store
-	// checkpoints per the two thresholds (node.Config), and peers are
-	// served catch-up streams from it. A durable node catches up: Boot
+	// checkpoints per the two thresholds (node.Config), and the sync server
+	// reaches the runtime through it. A durable node catches up: Boot
 	// pulls what the store lacks from the peers before the node starts, and
 	// the node keeps pulling from a rotating peer while it runs
 	// (node.Config.CatchUp, FollowEvery).
@@ -125,9 +126,6 @@ type Assembly struct {
 	scores  *peerscore.Scorer
 	syncSrv *syncsvc.Server
 	gossip  transport.LateBound
-	// running late-binds the runtime for the sync service's live sources:
-	// the listener, and its handler goroutines, exist before the node does.
-	running atomic.Pointer[node.Node]
 
 	closeOnce sync.Once
 	closeErr  error
@@ -135,7 +133,8 @@ type Assembly struct {
 
 // Listen opens the store, if one is configured, and binds the listener with
 // the sync handler and the gossip endpoint in place: the node is reachable
-// and serves catch-up from its store; it runs nothing yet.
+// and runs nothing yet, so the handler refuses pulls (syncsvc.ErrNotServing)
+// until Boot has started the runtime.
 func Listen(cfg Config) (*Assembly, error) {
 	id := cfg.Identity
 	switch {
@@ -168,18 +167,18 @@ func Listen(cfg Config) (*Assembly, error) {
 		for _, p := range st.Evidence() {
 			a.scores.Ban(p.Equivocator())
 		}
-		// Nil until the runtime is up: the server then serves every
-		// request by store scan, behind the same admission policy.
+		// The runtime is the store's while it runs (node.Node.Start); without
+		// it there is no live vector, no snapshot and no pull served.
 		a.syncSrv = &syncsvc.Server{
 			Store: st, Every: syncEvery, Burst: syncBurst, Scores: a.scores,
 			Watermarks: func() []syncsvc.Watermark {
-				if nd := a.running.Load(); nd != nil {
+				if nd, _ := st.Runtime().(*node.Node); nd != nil {
 					return nd.Watermarks()
 				}
 				return nil
 			},
 			Snapshot: func() *syncsvc.ServedSnapshot {
-				if nd := a.running.Load(); nd != nil {
+				if nd, _ := st.Runtime().(*node.Node); nd != nil {
 					return nd.ServedSnapshot()
 				}
 				return nil
@@ -269,7 +268,6 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		return err
 	}
 	a.gossip.Bind(a.Node)
-	a.running.Store(a.Node)
 
 	// The gateway opens before the loop publishes anything: it claims the
 	// broker's replay index while that still holds what the store replayed.

@@ -274,10 +274,12 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 	if err := rn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := store.ScanDir(dirs[0])
+	ro, err := store.Open(dirs[0], store.Options{Roster: verifier, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() { _ = ro.Close() }()
+	blocks := ro.Blocks()
 	if len(blocks) == 0 {
 		t.Fatal("rejoined store journaled no block")
 	}

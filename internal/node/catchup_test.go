@@ -107,10 +107,10 @@ func TestNodeAutomaticCheckpointing(t *testing.T) {
 	}
 }
 
-// TestNodeCatchUpFromPeerStore: a node with an empty store bulk-syncs a
-// peer's store at startup over TCP and restores the full chain before its
-// loop starts — then a restart replays the journaled stream from disk
-// without re-syncing.
+// TestNodeCatchUpFromPeerStore: a node with an empty store bulk-syncs from
+// a peer restarted over its store, at startup over TCP, and restores the
+// full chain before its loop starts — then a restart replays the journaled
+// stream from disk without re-syncing.
 func TestNodeCatchUpFromPeerStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -119,7 +119,8 @@ func TestNodeCatchUpFromPeerStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build history on server 0's store by running a solo durable node.
+	// Build history on server 0's store by running a solo durable node, then
+	// restart it over that store: the peer that serves.
 	peerDir := t.TempDir()
 	chainLen := runDurableNode(t, peerDir, roster, signers[0])
 	if chainLen < 3 {
@@ -129,7 +130,8 @@ func TestNodeCatchUpFromPeerStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = peerStore.Close() }()
+	t.Cleanup(func() { _ = peerStore.Close() })
+	startedPeer(t, roster, signers[0], peerStore)
 
 	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: &transport.LateBound{}}
 	peerTr, err := tcpnet.Listen(tcpnet.Config{

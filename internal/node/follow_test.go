@@ -8,6 +8,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
+	"blockdag/internal/gossip"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
@@ -61,6 +62,59 @@ func extendChain(t *testing.T, st *store.Store, signer *crypto.Signer, parent *b
 	return parent
 }
 
+// journaledChain journals a chainLen-block chain of signer's into a fresh
+// store and reopens it, as a restarting peer finds its disk: the reopened
+// store, closed at cleanup, and the chain's tip.
+func journaledChain(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, chainLen int) (*store.Store, *block.Block) {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Roster: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tip := extendChain(t, st, signer, nil, chainLen)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = store.Open(dir, store.Options{Roster: roster}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	return st, tip
+}
+
+// startedPeer restores a node runtime for signer over st and starts it,
+// which registers it on st: a syncsvc.Server{Store: st} streams from its
+// DAG, as a deployed peer's does. It builds no block of its own.
+func startedPeer(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, st *store.Store) *node.Node {
+	t.Helper()
+	srv, err := core.NewServer(core.Config{
+		Roster: roster, Signer: signer, Protocol: brb.Protocol{},
+		Transport: simnet.New().Transport(signer.ID()), Clock: node.Clock(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := node.New(node.Config{Server: srv, Store: st, DisseminateEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nd.Stop)
+	return nd
+}
+
+// asGossip is blocks as gossip messages from a peer.
+func asGossip(from types.ServerID, blocks []*block.Block) []gossip.Message {
+	msgs := make([]gossip.Message, len(blocks))
+	for i, b := range blocks {
+		msgs[i] = gossip.Message{From: from, Payload: gossip.EncodeBlockMsg(b)}
+	}
+	return msgs
+}
+
 // TestNodeLiveFollower: a node with no gossip link to its peer at all
 // converges on the peer's history through the follower alone — poll at
 // FollowEvery on the server's clock and not before, delta pull,
@@ -75,16 +129,14 @@ func TestNodeLiveFollower(t *testing.T) {
 	net := simnet.New()
 	goroutines := runtime.NumGoroutine()
 
-	// The peer: a store with history, served statically on the sync
-	// channel (nothing gossips toward the follower — the lag never heals
-	// by itself).
-	peerStore, err := store.Open(t.TempDir(), store.Options{Roster: roster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = peerStore.Close() }()
+	// The peer: a runtime restored from a store with history, serving the
+	// sync channel from its DAG (nothing gossips toward the follower — the
+	// lag never heals by itself). Stepped, it is registered on its store by
+	// its owner, the test.
 	const chainLen, extra = 4, 5
-	tip := extendChain(t, peerStore, signers[0], nil, chainLen)
+	peerStore, tip := journaledChain(t, roster, signers[0], chainLen)
+	peer := steppedNode(t, net, roster, signers[0], core.Config{}, node.Config{Store: peerStore})
+	peerStore.SetRuntime(peer)
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: peerStore, Clock: net.Now})
 
 	myStore, err := store.Open(t.TempDir(), store.Options{Roster: roster})
@@ -112,7 +164,7 @@ func TestNodeLiveFollower(t *testing.T) {
 	}
 
 	// The peer's history grows; only the sync channel can tell.
-	extendChain(t, peerStore, signers[0], tip, extra)
+	peer.DeliverBurst(asGossip(1, sealChain(t, signers[0], tip, extra)))
 	net.RunFor(every)
 	nd.FollowIfDue()
 	net.Run()
@@ -176,12 +228,8 @@ func TestNodeFollowerStopDropsLateCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := simnet.New()
-	peerStore, err := store.Open(t.TempDir(), store.Options{Roster: roster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = peerStore.Close() }()
-	extendChain(t, peerStore, signers[0], nil, 3)
+	peerStore, _ := journaledChain(t, roster, signers[0], 3)
+	peerStore.SetRuntime(steppedNode(t, net, roster, signers[0], core.Config{}, node.Config{Store: peerStore}))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: peerStore, Clock: net.Now})
 	nd := steppedNode(t, net, roster, signers[1], core.Config{}, node.Config{FollowEvery: time.Second})
 
@@ -213,13 +261,9 @@ func TestNodeLiveFollowerStarted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peerStore, err := store.Open(t.TempDir(), store.Options{Roster: roster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = peerStore.Close() }()
 	const chainLen, extra = 4, 5
-	tip := extendChain(t, peerStore, signers[0], nil, chainLen)
+	peerStore, tip := journaledChain(t, roster, signers[0], chainLen)
+	peer := startedPeer(t, roster, signers[0], peerStore)
 	listen := func(self types.ServerID, handlers map[transport.Channel]transport.Handler) *tcpnet.Transport {
 		tr, err := tcpnet.Listen(tcpnet.Config{
 			Self: self, ListenAddr: "127.0.0.1:0",
@@ -261,7 +305,9 @@ func TestNodeLiveFollowerStarted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Stop()
-	extendChain(t, peerStore, signers[0], tip, extra)
+	for _, msg := range asGossip(1, sealChain(t, signers[0], tip, extra)) {
+		peer.Deliver(msg.From, msg.Payload)
+	}
 	waitFor(t, 15*time.Second, "the follower to pull the appended suffix", func() bool {
 		return nd.FollowReport().Blocks >= extra
 	})

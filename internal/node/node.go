@@ -30,7 +30,8 @@
 // an own block it did not build wherever it comes from, so the first block
 // after New is k+1. Should the stream show own blocks and break off before
 // they are in the DAG, the node builds nothing until they are (Disseminate):
-// no self-equivocation.
+// no self-equivocation. The serving half is Stream: the rows a peer lacks,
+// read in bounded turns, so a k-block lag costs k block reads.
 //
 // The goroutine shell (Start/Stop) is the part that waits: it owns the
 // loop goroutine, the ingestion channel, the full-block wake Submit leaves
@@ -204,8 +205,9 @@ type FollowReport struct {
 	Deltas int
 	// Blocks is the number of blocks absorbed via those pulls.
 	Blocks int
-	// Throttled counts polls refused by a peer's admission policy —
-	// the cue (already acted on) to rotate to the next peer.
+	// Throttled counts polls a peer refused — by its admission policy, or
+	// because it was not serving yet — the cue (already acted on) to rotate
+	// to the next peer.
 	Throttled int
 	// Errors counts polls that failed any other way.
 	Errors int
@@ -462,8 +464,8 @@ func (n *Node) AccountabilityReport() AccountabilityReport {
 // Watermarks returns this node's own watermark vector, its DAG's chain heads
 // (syncsvc.Vector) — the live source deployments hand to
 // syncsvc.Server.Watermarks, so answering a poll that has nothing coming
-// costs a few atomic loads instead of a store scan. Safe for concurrent use;
-// transports call it from connection goroutines.
+// costs a few atomic loads and no turn of the node (Stream). Safe for
+// concurrent use; transports call it from connection goroutines.
 func (n *Node) Watermarks() []syncsvc.Watermark { return syncsvc.Vector(n.cfg.Server.DAG()) }
 
 // StoreDiskSize reports the durable store's current on-disk size in
@@ -496,6 +498,9 @@ func (n *Node) Start() error {
 	n.cancel = cancel
 	n.wg.Add(1)
 	go n.loop(ctx)
+	if st := n.cfg.Store; st != nil {
+		st.SetRuntime(n) // the loop owns the DAG now: Stream reads in its turns
+	}
 	return nil
 }
 
@@ -507,9 +512,13 @@ func (n *Node) Start() error {
 // request thus completes against a live server and gets a real response,
 // not a connection reset. A node that was never started has no loop to
 // await: Stop then only makes it inert (late completions are dropped).
+// Either way it first leaves its store: no sync server serves from it after.
 // Idempotent.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
+		if st := n.cfg.Store; st != nil {
+			st.SetRuntime(nil)
+		}
 		n.broker.Close()
 		n.mu.Lock()
 		hooks := append([]func(){}, n.stopHooks...)
@@ -673,11 +682,11 @@ func (n *Node) drainBurst(first gossip.Message) []gossip.Message {
 	return batch
 }
 
-// post hands an async completion (a settled delta pull) to the server's
-// owner as a turn of its own, or drops it if the
-// node has stopped since the call went out. A stepped node's transport
-// calls back on its owner's goroutine, so the turn runs right there; a
-// started node's loop is the owner, and receives it on posted.
+// post hands an async completion (a settled delta pull) or a served
+// stream's read (Stream) to the server's owner as a turn of its own, or
+// drops it if the node has stopped since. A stepped node's transport calls
+// back on its owner's goroutine, so the turn runs right there; a started
+// node's loop is the owner, and receives it on posted.
 func (n *Node) post(turn func()) {
 	select {
 	case <-n.done:

@@ -14,17 +14,12 @@ import (
 	"blockdag/internal/store"
 )
 
-// journalPayloadChain journals count blocks on four staggered chains, each
-// citing its parent and the block before it and carrying two requests of
-// size bytes (two labels: two instances, the rest discarded), into dir.
-func journalPayloadChain(t *testing.T, h *dagtest.Harness, dir string, count, size int) {
-	t.Helper()
-	st, err := store.Open(dir, store.Options{Roster: h.Roster, Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
+// payloadChain seals count blocks on four staggered chains, each citing its
+// parent and the block before it and carrying two requests of size bytes
+// (two labels: two instances, the rest discarded).
+func payloadChain(h *dagtest.Harness, count, size int) []*block.Block {
 	data := make([]byte, size)
-	var last block.Ref
+	blocks := make([]*block.Block, 0, count)
 	parents := make([]*block.Ref, 4)
 	for i := 0; i < count; i++ {
 		var preds []block.Ref
@@ -32,15 +27,28 @@ func journalPayloadChain(t *testing.T, h *dagtest.Harness, dir string, count, si
 			preds = append(preds, *p)
 		}
 		if i > 0 {
-			preds = append(preds, last)
+			preds = append(preds, blocks[i-1].Ref())
 		}
 		b := h.Seal(i%4, uint64(i/4), preds,
 			block.Request{Label: "restart/a", Data: data}, block.Request{Label: "restart/b", Data: data})
+		blocks = append(blocks, b)
+		ref := b.Ref()
+		parents[i%4] = &ref
+	}
+	return blocks
+}
+
+// journalPayloadChain journals blocks into a fresh store in dir.
+func journalPayloadChain(t *testing.T, h *dagtest.Harness, dir string, blocks []*block.Block) {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{Roster: h.Roster, Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
 		if err := st.Append(b); err != nil {
 			t.Fatal(err)
 		}
-		ref := b.Ref()
-		last, parents[i%4] = ref, &ref
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -58,7 +66,7 @@ func TestRestartRetainsRowsNotBytes(t *testing.T) {
 	retained := func(size int) float64 {
 		h := dagtest.NewHarness(4)
 		dir := t.TempDir()
-		journalPayloadChain(t, h, dir, count, size)
+		journalPayloadChain(t, h, dir, payloadChain(h, count, size))
 		before := dagtest.LiveHeap()
 		st, err := store.Open(dir, store.Options{Roster: h.Roster, Sync: store.SyncNever})
 		if err != nil {

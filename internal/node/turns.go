@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/gossip"
@@ -150,7 +151,7 @@ func (n *Node) FollowPoll() {
 			rep.Blocks += absorbed
 			switch {
 			case err == nil:
-			case errors.Is(err, syncsvc.ErrThrottled):
+			case errors.Is(err, syncsvc.ErrThrottled), errors.Is(err, syncsvc.ErrNotServing):
 				rep.Throttled++
 			default:
 				rep.Errors++
@@ -249,7 +250,7 @@ func (n *Node) absorb(peer types.ServerID, pull *syncsvc.Pull) (absorbed int, er
 // refusal by admission control, a block that fails its signature check,
 // or anything else no correct server sends (ErrBadStream). A stream that
 // merely stopped — link death, timeout — costs nothing: the peer may be
-// as much a victim as we are.
+// as much a victim as we are. Nor does a peer not serving yet.
 func (n *Node) charge(peer types.ServerID, err error) {
 	scores := n.cfg.Server.Scores()
 	switch {
@@ -285,6 +286,58 @@ func (n *Node) startupCatchUp() {
 		if n.catchUp.Err == nil {
 			return
 		}
+	}
+}
+
+// Stream is catch-up's serving half (syncsvc.Source): a first turn picks the
+// rows the horizon lacks, up to the heads as they stand (dag.DAG.RowsBeyond),
+// each later one reads about chunk bytes of them (dag.DAG.ReadRow; a pruned
+// row is left out), and send gets them between turns, on the caller's
+// goroutine: the owner never waits on a socket, a delivery on one chunk.
+func (n *Node) Stream(next map[types.ServerID]uint64, chunk int, send func([]*block.Block) error) error {
+	d := n.cfg.Server.DAG()
+	var rows []int32
+	err := n.inTurn(func() error { rows = d.RowsBeyond(next); return nil })
+	for err == nil && len(rows) > 0 {
+		var batch []*block.Block
+		err = n.inTurn(func() (err error) {
+			batch, rows, err = readChunk(d, rows, chunk)
+			return err
+		})
+		if err == nil && len(batch) > 0 {
+			err = send(batch)
+		}
+	}
+	return err
+}
+
+// readChunk reads rows off the front until chunk bytes are read, and returns
+// them with the rows left.
+func readChunk(d *dag.DAG, rows []int32, chunk int) ([]*block.Block, []int32, error) {
+	var batch []*block.Block
+	for size := 0; len(rows) > 0 && size < chunk; rows = rows[1:] {
+		b, err := d.ReadRow(int(rows[0]))
+		switch {
+		case errors.Is(err, dag.ErrPruned):
+			continue
+		case err != nil:
+			return nil, rows, err
+		}
+		batch, size = append(batch, b), size+len(b.Encode())
+	}
+	return batch, rows, nil
+}
+
+// inTurn runs fn as a turn of the owner (post) and returns its error, or
+// syncsvc.ErrNotServing if the node stops first.
+func (n *Node) inTurn(fn func() error) error {
+	ran := make(chan error, 1)
+	n.post(func() { ran <- fn() })
+	select {
+	case err := <-ran:
+		return err
+	case <-n.done:
+		return syncsvc.ErrNotServing
 	}
 }
 

@@ -131,6 +131,9 @@
 // reference: the store keeps no reference of what it appends or reads, so
 // a record means the same whatever lies beside it.
 //
+// This is the one way a block leaves the disk while a node runs: a catch-up
+// server's node reads what it sends this way too, and only Open scans.
+//
 // A row still in the open group-commit batch is answered from the batch,
 // and one whose write failed from memory: the DAG may have released it on
 // the strength of the append (the server stops releasing at the journal's

@@ -175,8 +175,8 @@ func TestScanWALNamesOneWay(t *testing.T) {
 	}
 }
 
-// FuzzScanWAL: the WAL record scanner Open and ScanDir read every journal
-// through — whatever a failing disk or a foreign writer left in the file —
+// FuzzScanWAL: the WAL record scanner Open reads every journal through —
+// whatever a failing disk or a foreign writer left in the file —
 // never panics, never allocates out of proportion to its input, never
 // claims more good bytes than it was given, and hands back only blocks
 // whose records re-frame to exactly the bytes it called good: the blocks
@@ -199,7 +199,7 @@ func FuzzScanWAL(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < headerSize {
-			return // Open and ScanDir never scan a segment without its header
+			return // Open never scans a segment without its header
 		}
 		if data[len(segMagic)] != kindWAL {
 			return // checkHeader refuses it before any scan

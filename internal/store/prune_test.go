@@ -95,13 +95,12 @@ func TestPruneToRoundTrip(t *testing.T) {
 		t.Fatalf("restored DAG horizon %v, want 5", rd.BaseHorizon())
 	}
 
-	// ScanDir (the bulk-serving path) sees exactly the retained blocks.
-	scanned, err := store.ScanDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scanned) != 5 {
-		t.Fatalf("ScanDir returned %d blocks, want 5", len(scanned))
+	// A read-only open, what the offline tools read with, sees exactly the
+	// retained blocks.
+	ro := openStore(t, dir, roster, store.Options{ReadOnly: true})
+	defer ro.Close()
+	if got := len(ro.Blocks()); got != 5 {
+		t.Fatalf("a read-only open returned %d blocks, want 5", got)
 	}
 }
 

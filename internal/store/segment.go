@@ -253,46 +253,3 @@ func newestSnapshot(segs []segFile) (stale, live []segFile) {
 	}
 	return segs[:start], segs[start:]
 }
-
-// ScanDir reads the blocks currently on disk in dir without opening the
-// store: the newest snapshot first, then the WAL segments in index order,
-// duplicates dropped — file order, which is a topological order (WAL
-// order is insertion order, a snapshot is written in DAG order), exactly
-// what Open returns. This is the serving side of bulk catch-up (package
-// syncsvc): decode-only and CRC-checked, signatures are NOT verified — the
-// receiving client validates every block in its live DAG, as a restarting
-// node validates Open's. Every returned block carries the canonical frame
-// the reader rebuilt once from its record (scanWAL) as its cached
-// encoding, so serving a stream from these blocks encodes nothing again.
-//
-// ScanDir may run concurrently with a live writer on the same directory:
-// a partial record at the tail of a segment (an append in progress, or a
-// torn tail a future open will repair) simply ends that segment's
-// contribution, and a file deleted mid-scan (a concurrent Checkpoint)
-// returns an error — the caller reports a transient failure and the
-// client retries.
-func ScanDir(dir string) ([]*block.Block, error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	var blocks []*block.Block
-	seen := make(map[block.Ref]struct{})
-	_, live := newestSnapshot(segs)
-	for _, sf := range live {
-		if sf.size < int64(headerSize) {
-			continue // segment creation in progress (or torn header)
-		}
-		seg, err := readSegment(sf)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range seg.blocks { // the first record of a block is the one Open keeps too
-			if _, dup := seen[b.Ref()]; !dup {
-				seen[b.Ref()] = struct{}{}
-				blocks = append(blocks, b)
-			}
-		}
-	}
-	return blocks, nil
-}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"blockdag/internal/block"
@@ -194,6 +195,10 @@ type Store struct {
 	// segment may end in a partial record that later appends must not
 	// bury); every subsequent Append refuses with this error.
 	failed error
+
+	// rt is the one field any goroutine may read (Runtime).
+	rtMu sync.Mutex
+	rt   any
 }
 
 // Open creates or recovers the store in dir. It reads segments in index
@@ -341,6 +346,12 @@ func (s *Store) recover() error {
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
+
+// SetRuntime registers the runtime that journals to the store (nil: none)
+// and Runtime returns it, from any goroutine: the store never calls it, a
+// sync server reaches its node through it (syncsvc.Server.Store).
+func (s *Store) SetRuntime(rt any) { s.rtMu.Lock(); s.rt = rt; s.rtMu.Unlock() }
+func (s *Store) Runtime() any      { s.rtMu.Lock(); defer s.rtMu.Unlock(); return s.rt }
 
 // Report returns what Open found and repaired.
 func (s *Store) Report() OpenReport { return s.report }

@@ -45,9 +45,7 @@ func BenchmarkCatchUp(b *testing.B) {
 	roster, blocks := buildChain(b, backlog)
 
 	b.Run("bulk", func(b *testing.B) {
-		dir := b.TempDir()
-		st := storeWith(b, dir, roster, blocks)
-		defer func() { _ = st.Close() }()
+		st := restoredPeer(b, roster, blocks)
 		var virtual time.Duration
 		var msgs int64
 		b.ReportAllocs()

@@ -33,6 +33,18 @@ func held(t testing.TB, roster *crypto.Roster, blocks []*block.Block) []syncsvc.
 	return syncsvc.Held(holding(t, roster, blocks))
 }
 
+// counted is a fixed block list as a block source that counts the streams
+// it is asked for: a node's serve turns, one or more a stream.
+type counted struct {
+	fixed
+	streams atomic.Int32
+}
+
+func (c *counted) Stream(next map[types.ServerID]uint64, chunk int, send func([]*block.Block) error) error {
+	c.streams.Add(1)
+	return c.fixed.Stream(next, chunk, send)
+}
+
 // frameCounter is a pull that counts the frames the transport hands it.
 type frameCounter struct {
 	*syncsvc.Pull
@@ -45,28 +57,25 @@ func (c *frameCounter) OnFrame(frame []byte) {
 }
 
 // TestDeltaEarlyAnswer: a request whose horizon covers the server's live
-// vector is answered by exactly one frame, done(0), and the block source is
-// never read — over simnet and over real sockets. Without a live vector
-// (none wired, or a runtime not up yet) the same request is served by scan
-// and still streams nothing.
+// vector is answered by exactly one frame, done(0), and the node is never
+// asked for a turn — over simnet and over real sockets. Without a live
+// vector (none wired, or a runtime not up yet) the same request goes to the
+// block source and still streams nothing.
 func TestDeltaEarlyAnswer(t *testing.T) {
 	roster, blocks := buildChain(t, 25)
 	live := held(t, roster, blocks)
 	for name, tc := range map[string]struct {
 		watermarks func() []syncsvc.Watermark
-		scans      int32
+		turns      int32
 	}{
 		"live":     {func() []syncsvc.Watermark { return live }, 0},
 		"unwired":  {nil, 1},
 		"not-up":   {func() []syncsvc.Watermark { return nil }, 1},
 		"holds-no": {func() []syncsvc.Watermark { return []syncsvc.Watermark{} }, 0},
 	} {
-		var scans atomic.Int32
+		src := &counted{fixed: blocks}
 		srv := func() *syncsvc.Server {
-			return &syncsvc.Server{
-				Source:     func() ([]*block.Block, error) { scans.Add(1); return blocks, nil },
-				Watermarks: tc.watermarks,
-			}
+			return &syncsvc.Server{Rows: src, Watermarks: tc.watermarks}
 		}
 		check := func(via string, pull *frameCounter) {
 			t.Helper()
@@ -77,8 +86,8 @@ func TestDeltaEarlyAnswer(t *testing.T) {
 			if f := pull.frames.Load(); f != 1 {
 				t.Fatalf("%s over %s: answered in %d frames, want the one done frame", name, via, f)
 			}
-			if n := scans.Swap(0); n != tc.scans {
-				t.Fatalf("%s over %s: block source read %d times, want %d", name, via, n, tc.scans)
+			if n := src.streams.Swap(0); n != tc.turns {
+				t.Fatalf("%s over %s: block source asked %d times, want %d", name, via, n, tc.turns)
 			}
 		}
 
@@ -126,7 +135,7 @@ func TestDeltaForkedBuilder(t *testing.T) {
 	ask := func(live []syncsvc.Watermark, have ...syncsvc.Watermark) int {
 		net := simnet.New()
 		net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
-			Source:     func() ([]*block.Block, error) { return blocks, nil },
+			Rows:       fixed(blocks),
 			Watermarks: func() []syncsvc.Watermark { return live },
 		})
 		got, err := runPull(t, net, syncsvc.NewPull(roster, have, 0, nil))

@@ -4,12 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"blockdag/internal/block"
+	"blockdag/internal/peerscore"
 	"blockdag/internal/syncsvc"
+	"blockdag/internal/tcpnet"
 	"blockdag/internal/transport"
+	"blockdag/internal/types"
 )
 
 // recStream is a transport.ServerStream fake recording the terminal
@@ -48,20 +52,24 @@ func (s *recStream) closeErr() error {
 	return s.err
 }
 
+// gate is a block source that, asked for a stream, says so on entered and
+// serves nothing once release closes: a node busy reading.
+type gate struct{ entered, release chan struct{} }
+
+func (g gate) Stream(map[types.ServerID]uint64, int, func([]*block.Block) error) error {
+	g.entered <- struct{}{}
+	<-g.release
+	return nil
+}
+
 // TestServerInFlightCap: a peer holding two streams open (the cap)
-// has further requests refused with ErrThrottled — before the store is
-// scanned — while another peer is admitted; the refusal is counted.
+// has further requests refused with ErrThrottled — before any row is
+// read — while another peer is admitted; the refusal is counted.
 func TestServerInFlightCap(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	var scans sync.WaitGroup
-	srv := &syncsvc.Server{
-		Source: func() ([]*block.Block, error) {
-			entered <- struct{}{}
-			<-release
-			return nil, nil
-		},
-	}
+	srv := &syncsvc.Server{Rows: gate{entered, release}}
 	req := syncsvc.EncodeRequest(nil)
 
 	inFlight := []*recStream{newRecStream(), newRecStream()}
@@ -72,8 +80,8 @@ func TestServerInFlightCap(t *testing.T) {
 			srv.ServeCall(1, req, st)
 		}(st)
 	}
-	// Both streams hold their slots (blocked in Source, which runs
-	// strictly after admission) before the overflow request arrives.
+	// Both streams hold their slots (blocked in the source, asked strictly
+	// after admission) before the overflow request arrives.
 	for i := 0; i < 2; i++ {
 		select {
 		case <-entered:
@@ -112,10 +120,10 @@ func TestServerInFlightCap(t *testing.T) {
 func TestServerTokenBucket(t *testing.T) {
 	now := time.Duration(0)
 	srv := &syncsvc.Server{
-		Source: func() ([]*block.Block, error) { return nil, nil },
-		Every:  time.Second,
-		Burst:  2,
-		Clock:  func() time.Duration { return now },
+		Rows:  fixed(nil),
+		Every: time.Second,
+		Burst: 2,
+		Clock: func() time.Duration { return now },
 	}
 	req := syncsvc.EncodeRequest(nil)
 	serve := func() error {
@@ -166,10 +174,10 @@ func TestServerTokenBucket(t *testing.T) {
 func TestThrottledStreamKeepsClientClean(t *testing.T) {
 	roster, blocks := buildChain(t, 5)
 	srv := &syncsvc.Server{
-		Source: func() ([]*block.Block, error) { return blocks, nil },
-		Every:  time.Hour,
-		Burst:  1,
-		Clock:  func() time.Duration { return 0 },
+		Rows:  fixed(blocks),
+		Every: time.Hour,
+		Burst: 1,
+		Clock: func() time.Duration { return 0 },
 	}
 	run := func() ([]*block.Block, error) {
 		pull := syncsvc.NewPull(roster, nil, 0, nil)
@@ -201,6 +209,72 @@ func TestThrottledSentinelSurvivesTransport(t *testing.T) {
 	pull.OnDone(fmt.Errorf("transport: remote error: %v", syncsvc.ErrThrottled))
 	if _, err := pull.Result(); !errors.Is(err, syncsvc.ErrThrottled) {
 		t.Fatalf("throttle sentinel lost across transport: %v", err)
+	}
+}
+
+// TestServerWithoutRuntimeRefuses: a server over a store no runtime is
+// registered on — its node not started yet, or stopped — refuses a delta
+// the early answer cannot settle with ErrNotServing: nothing read, the
+// refusal counted as "starting", nobody charged, and the sentinel intact
+// across real sockets, where the requester moves on to its next peer. The
+// early answer still needs no runtime.
+func TestServerWithoutRuntimeRefuses(t *testing.T) {
+	roster, blocks := buildChain(t, 5)
+	st := storeWith(t, t.TempDir(), roster, blocks)
+	defer func() { _ = st.Close() }()
+	scores := peerscore.New(peerscore.Options{})
+	var live atomic.Pointer[[]syncsvc.Watermark] // none yet: nil
+	srv := &syncsvc.Server{Store: st, Scores: scores, Watermarks: func() []syncsvc.Watermark {
+		if wms := live.Load(); wms != nil {
+			return *wms
+		}
+		return nil
+	}}
+
+	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
+	server, err := tcpnet.Listen(tcpnet.Config{
+		Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: ep,
+		Handlers: map[transport.Channel]transport.Handler{transport.ChanSync: srv},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = server.Close() }()
+	client, err := tcpnet.Listen(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: ep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = client.Close() }()
+	if err := client.Connect(0, server.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	pull := func(have []syncsvc.Watermark) ([]*block.Block, error) {
+		p := syncsvc.NewPull(roster, have, 0, nil)
+		client.Call(0, transport.ChanSync, p.Request(), p)
+		if !p.Wait(5 * time.Second) {
+			t.Fatal("stream did not finish over tcpnet")
+		}
+		return p.Result()
+	}
+
+	got, err := pull(nil)
+	if !errors.Is(err, syncsvc.ErrNotServing) || len(got) != 0 {
+		t.Fatalf("pull from a server with no runtime: %d blocks, err %v", len(got), err)
+	}
+	if d := srv.Counts().Get(syncsvc.DropStarting); d != 1 {
+		t.Fatalf("starting drops = %d, want 1", d)
+	}
+	if s := scores.Score(1); s != 0 {
+		t.Fatalf("a refused requester scored %.1f", s)
+	}
+	// A requester the live vector is not ahead of is answered all the same.
+	vector := held(t, roster, blocks)
+	live.Store(&vector)
+	if got, err := pull(vector); err != nil || len(got) != 0 {
+		t.Fatalf("early answer without a runtime: %d blocks, err %v", len(got), err)
+	}
+	if d := srv.Counts().Get(syncsvc.DropStarting); d != 1 {
+		t.Fatalf("starting drops = %d after an early answer, want still 1", d)
 	}
 }
 

@@ -340,8 +340,7 @@ func TestHeldStartsAtTheBase(t *testing.T) {
 // DAG — the one that will hold them — accepts.
 func TestPullAboveBase(t *testing.T) {
 	roster, blocks := buildChain(t, 10)
-	st := storeWith(t, t.TempDir(), roster, blocks)
-	defer func() { _ = st.Close() }()
+	st := restoredPeer(t, roster, blocks)
 
 	net := simnet.New(simnet.WithSeed(4))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})

@@ -9,18 +9,19 @@
 // live follower, a simulated recovery — makes is the delta (bulk pull).
 // The client states what it already holds as a per-builder horizon —
 // NextSeq per builder, meaning "I hold every block by this builder below
-// NextSeq" — and the server streams every block on disk the horizon does
-// not cover, snapshot first, then WAL order, chunked into batches under
+// NextSeq" — and the server streams, from its node's DAG (Source), every
+// row the horizon does not cover, in row order, chunked into batches under
 // wire.MaxFrame, closed by a done summary carrying the total count. A
 // node always asks with its own current horizon (package node), so only
-// the missing suffix crosses the wire.
+// the missing suffix crosses the wire, and only it is read: a k-block lag
+// costs k block reads.
 //
 // The early answer: a server with a live vector of its own
 // (Server.Watermarks; a node's is its DAG's chain heads, Vector)
 // first compares the two by Lag, and when the requester lacks nothing it
-// closes the stream with done(0) before touching its disk. That is the
-// live follower's periodic poll (node.Config.FollowEvery): one call, and
-// a stream only when there is something to stream.
+// closes the stream with done(0) before its node is asked for anything.
+// That is the live follower's periodic poll (node.Config.FollowEvery): one
+// call, and a stream only when there is something to stream.
 //
 // Watermarks can express exactly the honest shape — the DAG's parent
 // rule forces every builder's held blocks into a prefix-closed chain —
@@ -52,7 +53,9 @@
 // stream that just stops (link death) is an error too, but nobody's
 // fault. Requesters are untrusted too: every call passes the admission
 // policy (per-peer in-flight cap, optional token bucket) and is refused
-// with ErrThrottled before a byte of it is decoded or any disk is touched.
+// with ErrThrottled before a byte of it is decoded or any row is read; an
+// admitted one costs the rows it is sent, so understating a horizon buys no
+// scan. A node not up yet refuses with ErrNotServing, charging nobody.
 package syncsvc
 
 import (
@@ -164,31 +167,21 @@ func DecodeRequest(data []byte) ([]Watermark, error) {
 }
 
 // EncodeBatchFrame renders one stream frame carrying a batch of blocks —
-// exposed for alternative servers and for tests that hand-craft streams
+// what the server sends, exposed for tests that hand-craft streams
 // (including hostile ones). Each b.Encode() is the block's cached
-// canonical frame (encode-once invariant): blocks loaded from the store
-// carry the frame the store's reader rebuilt from their records, so
+// canonical frame (encode-once invariant): a block read back from the
+// journal carries the frame the store's reader rebuilt from its record, so
 // nothing is re-serialized here.
 func EncodeBatchFrame(blocks []*block.Block) []byte {
-	encs := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		encs[i] = b.Encode()
-	}
-	return encodeBatchFromEncodings(encs)
-}
-
-// encodeBatchFromEncodings frames pre-encoded blocks, letting the server
-// pay each block's serialization exactly once.
-func encodeBatchFromEncodings(encs [][]byte) []byte {
 	size := 16
-	for _, e := range encs {
-		size += len(e) + 4
+	for _, b := range blocks {
+		size += len(b.Encode()) + 4
 	}
 	w := wire.NewWriter(size)
 	w.Byte(frameBlocks)
-	w.Uvarint(uint64(len(encs)))
-	for _, e := range encs {
-		w.VarBytes(e)
+	w.Uvarint(uint64(len(blocks)))
+	for _, b := range blocks {
+		w.VarBytes(b.Encode())
 	}
 	return w.Bytes()
 }
@@ -203,7 +196,7 @@ func EncodeDoneFrame(total uint64) []byte {
 
 // maxInFlightPerPeer caps concurrently served streams per requesting peer:
 // one resume after a genuinely broken stream plus headroom, but nowhere near
-// enough connections to pin a goroutine and a full-store scan per socket a
+// enough connections to pin a goroutine and a stream's reads per socket a
 // byzantine peer opens. No deployment has set another value.
 const maxInFlightPerPeer = 2
 
@@ -213,44 +206,53 @@ const maxInFlightPerPeer = 2
 // switch peers — the block data itself is unaffected.
 var ErrThrottled = errors.New("syncsvc: request throttled")
 
-// Families declares what a Server counts (Server.Counts): the requests the
-// admission policy refused, per cause — the peer already had
-// maxInFlightPerPeer streams being served, or its token bucket was empty.
+// ErrNotServing reports that the server had no node to stream from, not up
+// yet or stopped: nobody's fault, and the client asks its next peer.
+var ErrNotServing = errors.New("syncsvc: not serving yet")
+
+// Families declares what a Server counts (Server.Counts): the requests it
+// refused, per cause — the peer already had maxInFlightPerPeer streams being
+// served, its token bucket was empty, or no node was up to stream from.
 var Families metrics.Table
 
 var (
 	DropInFlight = Families.Counter("", "syncsvc_drops_total", "Sync-channel requests refused by admission control.", "cause", "inflight")
 	DropRate     = Families.With(DropInFlight, "", "rate")
+	DropStarting = Families.With(DropInFlight, "", "starting")
 )
+
+// Source is what a Server streams a delta from: the node owning the DAG
+// (node.Node), or a fixed list in tests. Stream hands send, in row order and
+// in batches of about chunk bytes, every block the horizon next does not
+// cover — a builder next leaves out whole — on the transport's goroutine.
+type Source interface {
+	Stream(next map[types.ServerID]uint64, chunk int, send func([]*block.Block) error) error
+}
 
 // Server serves the sync channel's calls — delta (catch-up) streams and
 // the snapshot tier — on transport.ChanSync. It is safe for concurrent use
-// (tcpnet invokes handlers on per-connection goroutines): serving reads
-// segment files from disk (or the Watermarks live source), never the
-// owning Store's mutable state.
+// (tcpnet invokes handlers on per-connection goroutines): the node reads
+// a delta from its DAG (Source), never the server.
 //
-// Serving one delta request the live vector cannot answer costs a full
-// store scan plus its encoding — work a byzantine peer could demand in a
-// loop by understating what it holds. Admission control bounds that: a
-// per-peer in-flight cap (always on) and an optional per-peer token bucket
-// (Every/Burst) refuse excess requests with ErrThrottled before any disk
-// is touched; refusals are tallied per cause in Counts.
+// Serving one delta request costs the rows it sends and a turn of the node
+// per chunk; a requester that lacks nothing costs neither (Watermarks).
+// Admission control bounds how often a peer may ask: a per-peer in-flight
+// cap (always on) and an optional per-peer token bucket (Every/Burst)
+// refuse excess requests with ErrThrottled before any row is read;
+// refusals are tallied per cause in Counts.
 type Server struct {
-	// Store is the durable store to stream (its directory is re-scanned
-	// per request, so the stream reflects the disk at request time).
+	// Store is the store the serving node journals to: its runtime registers
+	// there while it runs (store.Store.SetRuntime) and streams each delta;
+	// without it, a delta the early answer does not settle is refused.
 	Store *store.Store
-	// Source overrides the block source when non-nil — tests and
-	// memory-backed deployments. Called once per request.
-	Source func() ([]*block.Block, error)
-	// Watermarks, if non-nil, is the server's own live vector (package
-	// node wires its DAG's chain heads, Vector): a delta
-	// request whose horizon it does not exceed (Lag) is answered done(0)
-	// without touching the block source. When the field is nil, or the
-	// function returns a nil slice (meaning "no live source yet", as a
-	// late-bound runtime does during startup — distinct from an empty,
-	// non-nil vector), every request is served by scan. The function must
-	// be safe for concurrent use when the transport serves handlers
-	// concurrently (tcpnet does).
+	// Rows, if non-nil, is the source itself: a storeless simulator slot's
+	// node, or a test's list.
+	Rows Source
+	// Watermarks, if non-nil, is the server's own live vector (a node's
+	// chain heads, Vector): a delta request whose horizon it does not exceed
+	// (Lag) is answered done(0) without asking the source. A nil field or
+	// slice — no runtime yet, unlike an empty vector — sends every request
+	// to the source. Called on the transport's goroutines.
 	Watermarks func() []Watermark
 	// ChunkBytes is the target batch frame size (default
 	// DefaultChunkBytes, capped under wire.MaxFrame).
@@ -376,13 +378,13 @@ func (s *Server) burst() int {
 
 // ServeCall implements transport.Handler: admit the request, then
 // dispatch on its kind. A delta request is compared with the live vector
-// first: a requester that lacks nothing costs no disk read and gets the
-// empty stream, done(0); otherwise every block on disk its horizon does not
-// cover is streamed, closed by a done summary.
+// first: a requester that lacks nothing costs no read and no turn of the
+// node, and gets the empty stream, done(0); otherwise the node streams every
+// row its horizon does not cover, closed by a done summary.
 func (s *Server) ServeCall(from types.ServerID, req []byte, st transport.ServerStream) {
 	if !s.admit(from) {
-		// Refused before any disk read or decode: admission is the
-		// cheap gate in front of the expensive full-store scan.
+		// Refused before any decode or read: admission is the cheap gate
+		// in front of the rows a stream reads.
 		s.Scores.Penalize(from, peerscore.Throttled)
 		st.Close(ErrThrottled)
 		return
@@ -406,82 +408,45 @@ func (s *Server) ServeCall(from types.ServerID, req []byte, st transport.ServerS
 		next[wm.Builder] = wm.NextSeq
 	}
 	// The early answer: a requester the live vector is not ahead of has
-	// nothing coming — the stream below is empty, and no disk is read.
+	// nothing coming — the stream is empty, and the node is not asked.
 	var live []Watermark
 	if s.Watermarks != nil {
 		live = s.Watermarks()
 	}
-	var blocks []*block.Block
+	var total uint64
 	if live == nil || Lag(next, live) > 0 {
-		if blocks, err = s.load(); err != nil {
-			st.Close(fmt.Errorf("syncsvc: load store: %w", err))
+		src := s.Rows
+		if src == nil && s.Store != nil {
+			src, _ = s.Store.Runtime().(Source)
+		}
+		if src == nil {
+			s.drops.Add(DropStarting, 1)
+			st.Close(ErrNotServing)
 			return
 		}
-	}
-	// Compared, and now the forked builders' entries go: no prefix of a
-	// chain the requester holds two of is skipped.
-	for _, wm := range have {
-		if wm.Forked {
-			delete(next, wm.Builder)
-		}
-	}
-	chunk := s.ChunkBytes
-	if chunk <= 0 {
-		chunk = DefaultChunkBytes
-	}
-	if chunk > wire.MaxFrame/2 {
-		chunk = wire.MaxFrame / 2
-	}
-
-	var (
-		// Each entry is the block's cached canonical frame — for
-		// store-loaded blocks the one the store's reader rebuilt from the
-		// record (encode-once invariant), so the serve path encodes
-		// nothing again.
-		batch      [][]byte
-		batchBytes int
-		total      uint64
-	)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := st.Send(encodeBatchFromEncodings(batch))
-		batch, batchBytes = batch[:0], 0
-		return err
-	}
-	for _, b := range blocks {
-		if b.Seq < next[b.Builder] {
-			continue // the client already holds the chain prefix
-		}
-		enc := b.Encode()
-		batch = append(batch, enc)
-		batchBytes += len(enc)
-		total++
-		if batchBytes >= chunk {
-			if err := flush(); err != nil {
-				return // stream lost; nothing left to tell anyone
+		// Compared, and now the forked builders' entries go: no prefix of a
+		// chain the requester holds two of is skipped.
+		for _, wm := range have {
+			if wm.Forked {
+				delete(next, wm.Builder)
 			}
 		}
-	}
-	if err := flush(); err != nil {
-		return
+		chunk := s.ChunkBytes
+		if chunk <= 0 {
+			chunk = DefaultChunkBytes
+		}
+		if err := src.Stream(next, min(chunk, wire.MaxFrame/2), func(blocks []*block.Block) error {
+			total += uint64(len(blocks))
+			return st.Send(EncodeBatchFrame(blocks))
+		}); err != nil {
+			st.Close(fmt.Errorf("syncsvc: serve rows: %w", err)) // a lost stream drops it
+			return
+		}
 	}
 	if err := st.Send(EncodeDoneFrame(total)); err != nil {
 		return
 	}
 	st.Close(nil)
-}
-
-// load fetches the blocks to serve.
-func (s *Server) load() ([]*block.Block, error) {
-	if s.Source != nil {
-		return s.Source()
-	}
-	if s.Store == nil {
-		return nil, errors.New("syncsvc: server has no Store or Source")
-	}
-	return store.ScanDir(s.Store.Dir())
 }
 
 // ErrBadStream reports that the serving peer sent something no correct
@@ -564,14 +529,17 @@ func (s *settled) Wait(timeout time.Duration) bool {
 
 // normalizeRemoteErr re-sentinels errors that crossed a transport as
 // text: tcpnet conveys a handler's Close error to the caller as a string
-// frame, so errors.Is(err, ErrThrottled) — the signal to back off and
-// try another peer — must survive the round trip.
+// frame, so errors.Is(err, ErrThrottled) and errors.Is(err, ErrNotServing)
+// — the signals to try another peer, charging nobody — must survive the
+// round trip.
 func normalizeRemoteErr(err error) error {
-	if err == nil || errors.Is(err, ErrThrottled) {
-		return err
-	}
-	if strings.Contains(err.Error(), ErrThrottled.Error()) {
-		return fmt.Errorf("%w (remote)", ErrThrottled)
+	for _, sentinel := range []error{ErrThrottled, ErrNotServing} {
+		switch {
+		case err == nil || errors.Is(err, sentinel):
+			return err
+		case strings.Contains(err.Error(), sentinel.Error()):
+			return fmt.Errorf("%w (remote)", sentinel)
+		}
 	}
 	return err
 }

@@ -2,13 +2,17 @@ package syncsvc_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"blockdag/internal/block"
+	"blockdag/internal/core"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/dagtest"
+	"blockdag/internal/node"
+	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
 	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
@@ -59,6 +63,56 @@ func storeWith(t testing.TB, dir string, roster *crypto.Roster, blocks []*block.
 	return st
 }
 
+// restoredPeer journals blocks into a store under a fresh directory and
+// restores a node runtime over it, registered on the store as a stepped
+// node's owner registers it: a syncsvc.Server{Store: st} streams from the
+// node's DAG.
+func restoredPeer(t testing.TB, roster *crypto.Roster, blocks []*block.Block) *store.Store {
+	t.Helper()
+	dir := t.TempDir()
+	if err := storeWith(t, dir, roster, blocks).Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{Roster: roster, Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, signers, err := crypto.LocalRoster(roster.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := core.NewServer(core.Config{
+		Roster: roster, Signer: signers[1], Protocol: brb.Protocol{},
+		Transport: simnet.New().Transport(1), Clock: node.Clock(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := node.New(node.Config{Server: srv, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetRuntime(nd)
+	t.Cleanup(func() {
+		nd.Stop()
+		_ = st.Close()
+	})
+	return st
+}
+
+// fixed is a block list as a sync server's block source (syncsvc.Source,
+// the one a node implements): what a test's server, honest or hostile,
+// streams — every block whose seq the horizon does not cover, in list
+// order, in one batch.
+type fixed []*block.Block
+
+func (f fixed) Stream(next map[types.ServerID]uint64, _ int, send func([]*block.Block) error) error {
+	if lacked := slices.DeleteFunc(slices.Clone(f), func(b *block.Block) bool { return b.Seq < next[b.Builder] }); len(lacked) > 0 {
+		return send(lacked)
+	}
+	return nil
+}
+
 // runPull issues one delta pull from client 1 against whatever handler
 // server 0 runs and drives the simulator until the stream settles.
 func runPull(t testing.TB, net *simnet.Network, pull *syncsvc.Pull) ([]*block.Block, error) {
@@ -73,18 +127,16 @@ func runPull(t testing.TB, net *simnet.Network, pull *syncsvc.Pull) ([]*block.Bl
 // serving returns a simulator on which server 0 streams blocks.
 func serving(seed int64, blocks []*block.Block) *simnet.Network {
 	net := simnet.New(simnet.WithSeed(seed))
-	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
-		Source: func() ([]*block.Block, error) { return blocks, nil },
-	})
+	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Rows: fixed(blocks)})
 	return net
 }
 
-// TestPullOverSimnet: a fresh client pulls a served store in bulk and
-// ends with the full chain, signature-checked, in an order a DAG accepts.
+// TestPullOverSimnet: a fresh client pulls a restored peer's DAG in bulk
+// and ends with the full chain, signature-checked, in an order a DAG
+// accepts.
 func TestPullOverSimnet(t *testing.T) {
 	roster, blocks := buildChain(t, 300)
-	st := storeWith(t, t.TempDir(), roster, blocks)
-	defer func() { _ = st.Close() }()
+	st := restoredPeer(t, roster, blocks)
 
 	net := simnet.New(simnet.WithSeed(4))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st, ChunkBytes: 4 << 10})
@@ -117,8 +169,7 @@ func TestPullOverSimnet(t *testing.T) {
 // them.
 func TestPullSkipsHeldPrefix(t *testing.T) {
 	roster, blocks := buildChain(t, 100)
-	st := storeWith(t, t.TempDir(), roster, blocks)
-	defer func() { _ = st.Close() }()
+	st := restoredPeer(t, roster, blocks)
 
 	net := simnet.New(simnet.WithSeed(4))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})

@@ -15,7 +15,7 @@
 //     arrives; ordering, duplication, and timing are unconstrained.
 //   - ChanSync carries the state-transfer service (package syncsvc):
 //     request/response streams with explicit failure, used by a recovering
-//     replica to pull a peer's store in bulk, and by running nodes'
+//     replica to pull what it lacks of a peer's DAG in bulk, and by running nodes'
 //     live-follower loops to state what they hold and pull missing
 //     suffixes — instead of re-fetching the DAG one FWD round trip at a
 //     time.
