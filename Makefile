@@ -55,8 +55,8 @@ race:
 # the store's replay included: it is the same absorb with the disk as the
 # peer, the assembly's snapshot rejoin: every tier over one listener, and
 # its accountability run (an equivocator banned over TCP and across a
-# Restart), the checkpoint tests (TestNodeAutomaticCheckpointing was the
-# timing flake PR 23 fixed) and the store's read-back of released blocks
+# Restart), the checkpoint tests (the store's, and the node's that its
+# Tick never checkpoints) and the store's read-back of released blocks
 # (the location column a checkpoint rewrites under the DAG's feet) and the
 # serving side of a pull (a started node's reads in its loop's turns, while
 # that loop inserts) — ten times under the race detector, so a test

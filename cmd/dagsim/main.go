@@ -53,7 +53,6 @@ func run() error {
 		keysDir   = flag.String("keys", "", "directory holding every member's s<i>.key (with -roster)")
 		dump      = flag.String("dump", "", "write server 0's DAG to this file")
 		storeDir  = flag.String("store-dir", "", "journal every server's blocks to a durable store under this directory (inspect with dagstore)")
-		ckptSegs  = flag.Int("checkpoint-segments", 0, "with -store-dir: checkpoint a server's store after a round leaves it with at least N WAL segments (0 disables)")
 		follow    = flag.Duration("follow", 0, "run the live-follower loop on every server: pull from a rotating peer this often (simulated time) — one delta call on the sync channel, answered by the missing suffix or by nothing (0 disables)")
 		mpoolCap  = flag.Int("mempool-cap", 0, "capacity of every server's ingestion mempool: dedup, validation, backpressure (0 = the pool's default)")
 		loadRound = flag.Int("load-per-round", 0, "submit this many synthetic client requests per server before every round (deterministic labels load/s<i>/<seq>)")
@@ -99,10 +98,9 @@ func run() error {
 		MaxBatch:    *batch,
 		StoreDir:    *storeDir,
 
-		CheckpointEverySegments: *ckptSegs,
-		FollowEvery:             *follow,
-		MempoolCapacity:         *mpoolCap,
-		LoadPerRound:            *loadRound,
+		FollowEvery:     *follow,
+		MempoolCapacity: *mpoolCap,
+		LoadPerRound:    *loadRound,
 	})
 	if err != nil {
 		return err

@@ -6,7 +6,7 @@
 //
 //	dagstore inspect -dir path/to/s0 -n 4    # layout, chains, health
 //	dagstore verify  -dir path/to/s0 -n 4    # strict read-only check
-//	dagstore compact -dir path/to/s0 -n 4    # checkpoint + drop history
+//	dagstore compact -dir path/to/s0 -n 4    # rewrite as one snapshot segment
 //
 // inspect and verify open the store read-only: they never repair,
 // truncate, or delete anything. store.Open only reads (framing and
@@ -15,7 +15,9 @@
 // node does in its live one. verify exits non-zero if the store is
 // corrupt, holds equivocating blocks, or carries a torn tail or stale
 // segments (conditions inspect merely reports). compact rewrites the
-// store as a single snapshot segment, bounding it to O(live DAG) bytes.
+// store as a single snapshot segment: duplicate records, torn bytes and
+// stale segments go, and the WAL's record framing with them — a few per
+// cent of an unpruned store, whose every block stays.
 //
 // The roster the blocks are validated against comes from -roster (a
 // dagroster-generated roster file — the production path) or, for stores

@@ -57,8 +57,6 @@ func run() error {
 	cfg := &opts.node
 	flag.DurationVar(&opts.timeout, "timeout", 10*time.Second, "how long to wait for all broadcasts to deliver")
 	flag.StringVar(&cfg.StoreDir, "store-dir", "", "journal blocks under this directory, restore on startup, bulk-sync what is missing from the peers and keep following them")
-	flag.IntVar(&cfg.CheckpointEverySegments, "checkpoint-segments", 4, "with -store-dir: checkpoint the store every N WAL segments (0 disables)")
-	flag.Int64Var(&cfg.CheckpointEveryBytes, "checkpoint-bytes", 0, "with -store-dir: checkpoint the store when it grows N bytes (0 disables)")
 	flag.IntVar(&cfg.MempoolCapacity, "mempool", 0, "ingestion mempool capacity: requests deduplicate, validate, and hit backpressure before block inclusion (0 = the pool's default)")
 	flag.BoolVar(&opts.state, "state", false, "with -store-dir: maintain a Merkle state commitment over delivered broadcasts; seal, sign, journal, and serve it on the snapshot tier")
 	flag.Uint64Var(&cfg.PruneKeepSeqs, "prune-keep", 0, "with -state: prune journaled history this many seqs below each chain tip after every seal (0 keeps full history)")

@@ -51,9 +51,7 @@ func TestClusterCatchUpAfterDiskLoss(t *testing.T) {
 		Protocol:         brb.Protocol{},
 		Seed:             33,
 		StoreDir:         dir,
-		StoreSegmentSize: 2048, // rotation + compaction in play
-
-		CheckpointEverySegments: 3, // keep a fresh snapshot to stream
+		StoreSegmentSize: 2048, // rotation in play
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,65 +285,6 @@ func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 	ok, err = c.RunUntil(30, func() bool { return allDelivered(c, "post") && c.Converged() })
 	if err != nil || !ok {
 		t.Fatalf("post-recovery: ok=%v err=%v", ok, err)
-	}
-	if err := c.Health(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestClusterAutomaticCheckpointing: the per-round checkpoint policy
-// keeps every durable server's WAL bounded, so catch-up streams start
-// from a snapshot instead of a long segment chain.
-func TestClusterAutomaticCheckpointing(t *testing.T) {
-	dir := t.TempDir()
-	const limit = 2
-	c, err := cluster.New(cluster.Options{
-		N:                4,
-		Protocol:         brb.Protocol{},
-		Seed:             5,
-		StoreDir:         dir,
-		StoreSegmentSize: 512, // tiny segments: rotation every few blocks
-
-		CheckpointEverySegments: limit,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		c.Request(i%4, types.Label(fmt.Sprintf("l/%d", i)), []byte("v"))
-	}
-	if err := c.RunRounds(25); err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range c.CorrectServers() {
-		// The policy runs post-round, so a server can be mid-window; it
-		// must never exceed the threshold plus the current round's
-		// growth by a wide margin.
-		if got := c.Stores[i].WALSegments(); got > limit+2 {
-			t.Fatalf("server %d has %d WAL segments; checkpoint policy idle", i, got)
-		}
-	}
-	// At least one store actually checkpointed (has a snapshot): reopen
-	// offline and check.
-	snapshots := 0
-	for _, i := range c.CorrectServers() {
-		if err := c.Stores[i].Sync(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, i := range c.CorrectServers() {
-		entries, err := os.ReadDir(filepath.Join(dir, fmt.Sprintf("s%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".snap") {
-				snapshots++
-			}
-		}
-	}
-	if snapshots == 0 {
-		t.Fatal("no snapshot written by the automatic checkpoint policy")
 	}
 	if err := c.Health(); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@
 // more: it never starts a node's goroutine; it steps the node's turns
 // (Tick, Disseminate, FollowIfDue, DeliverBurst) from simnet events on
 // the virtual clock, so a run is a deterministic function of its seed.
-// Follow polls, catch-up pulls, checkpoint policy, store recovery, evidence
+// Follow polls, catch-up pulls, the seal/prune cycle, store recovery, evidence
 // replay and gateway wiring are the node's own code, the same a deployed
 // node runs.
 //
@@ -125,12 +125,6 @@ type Options struct {
 	// (0 = store default). Tests use small segments to exercise
 	// rotation and compaction.
 	StoreSegmentSize int64
-	// CheckpointEverySegments, with StoreDir set, is every slot's
-	// node.Config.CheckpointEverySegments: a server whose WAL has at least
-	// this many segments snapshots and compacts its store on its next
-	// Tick, so catch-up servers have a fresh snapshot to stream.
-	// 0 disables.
-	CheckpointEverySegments int
 }
 
 // Cluster is a running simulation.
@@ -257,7 +251,7 @@ func New(opts Options) (*Cluster, error) {
 // transport and clock, handed to deploy.Build, the step a deployed node's
 // Boot runs. There node.New installs the persistence sinks, replays st
 // (pruned-history base, evidence sidecar, blocks) and sets up the
-// follower, checkpoint policy and indication broker. stored is the
+// follower and indication broker. stored is the
 // storeless recovery's log: blocks the caller held, restored once the
 // runtime's observers are in place. Accountability state and the mempool
 // are volatile — fresh per build, as after a real restart; bans come back
@@ -285,9 +279,8 @@ func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, 
 		return fmt.Errorf("cluster: server %d: %w", slot, err)
 	}
 	nd, err := deploy.Build(cfg, node.Config{
-		Store:                   st,
-		CheckpointEverySegments: c.opts.CheckpointEverySegments,
-		FollowEvery:             c.opts.FollowEvery,
+		Store:       st,
+		FollowEvery: c.opts.FollowEvery,
 	})
 	if err != nil {
 		return fail(err)

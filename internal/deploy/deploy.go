@@ -57,7 +57,6 @@ const (
 	catchUpTimeout       = 5 * time.Second
 	snapshotTimeout      = 10 * time.Second
 	sealEvery            = 500 * time.Millisecond
-	stateChunkBytes      = 32 << 10
 )
 
 // Config declares one node.
@@ -74,16 +73,13 @@ type Config struct {
 	OnIndication func(label types.Label, value []byte)
 
 	// StoreDir, if non-empty, makes the node durable: blocks are journaled
-	// there under the Fsync policy and replayed at Boot, the store
-	// checkpoints per the two thresholds (node.Config), and the sync server
+	// there under the Fsync policy and replayed at Boot, and the sync server
 	// reaches the runtime through it. A durable node catches up: Boot
 	// pulls what the store lacks from the peers before the node starts, and
 	// the node keeps pulling from a rotating peer while it runs
 	// (node.Config.CatchUp, FollowEvery).
-	StoreDir                string
-	Fsync                   store.SyncPolicy
-	CheckpointEverySegments int
-	CheckpointEveryBytes    int64
+	StoreDir string
+	Fsync    store.SyncPolicy
 	// MempoolCapacity is the capacity of the ingestion pool in front of
 	// block production (0 = the pool's default, mempool.DefaultCapacity).
 	MempoolCapacity int
@@ -245,11 +241,9 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		Scores:       a.scores,
 	}
 	ncfg := node.Config{
-		Identity:                id,
-		DisseminateEvery:        disseminateEvery,
-		Store:                   a.Store,
-		CheckpointEverySegments: cfg.CheckpointEverySegments,
-		CheckpointEveryBytes:    cfg.CheckpointEveryBytes,
+		Identity:         id,
+		DisseminateEvery: disseminateEvery,
+		Store:            a.Store,
 	}
 	if a.Store != nil && len(peers) > 0 {
 		ncfg.CatchUp = &syncsvc.FetchConfig{Transport: a.Transport, Peers: peers, Timeout: catchUpTimeout}
@@ -260,7 +254,6 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 			Machine:       cfg.State,
 			Signer:        id.Signer,
 			SealEvery:     sealEvery,
-			ChunkBytes:    stateChunkBytes,
 			PruneKeepSeqs: cfg.PruneKeepSeqs,
 		}
 	}

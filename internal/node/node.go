@@ -6,7 +6,7 @@
 // gssp.disseminate()"; requests need no turn, the mempool it drains is
 // safe for concurrent use — Submit), DisseminateIfFull (the same, early,
 // when the mempool holds a full block), Tick (FWD retries, interval fsync,
-// state seal, checkpoint policy) and FollowIfDue (the live follower).
+// state seal and prune) and FollowIfDue (the live follower).
 // Turns read time from the server's clock only (core.Server.Now) and
 // never wait; what cannot finish inside one — a settled delta pull —
 // comes home through one internal hook, post, as a turn of its own. Whoever calls the turns owns the server: one caller
@@ -45,17 +45,17 @@
 // New wires the operational services around the server, the same for
 // both shells: durable persistence with the own-block externalization
 // barrier and the evidence sidecar (Config.Store), startup bulk catch-up
-// (Config.CatchUp), the checkpoint policy, the live follower
-// (Config.FollowEvery) and the indication broker, whose replay index is a
-// gateway's to claim: a node nobody awaits on keeps no copy of what it
-// indicated. Follower and checkpoint compose without coordination —
-// absorbed blocks are journaled through the same sink as gossiped ones, so
-// they count toward the same thresholds and appear in the snapshots served
-// to catch-up clients. What the node holds is its DAG's to say: the
-// watermark vector (Watermarks), the horizon a pull states and the own
-// chain's position (RecoveryReport.OwnHeld) are the DAG's chain heads
-// (dag.DAG.Head), which any goroutine may read, so they cannot drift from
-// the DAG across checkpoints, restarts and pulls.
+// (Config.CatchUp), the live follower (Config.FollowEvery), the state
+// seal/prune cycle (Config.State) and the indication broker, whose replay
+// index is a gateway's to claim: a node nobody awaits on keeps no copy of
+// what it indicated. A running node rewrites its store only to cut history
+// (store.Store.PruneTo, below a sealed state): the block DAG is append-only,
+// and a snapshot that keeps every block saves only the record framing.
+// What the node holds is its DAG's to say: the watermark vector
+// (Watermarks), the horizon a pull states and the own chain's position
+// (RecoveryReport.OwnHeld) are the DAG's chain heads (dag.DAG.Head), which
+// any goroutine may read, so they cannot drift from the DAG across prunes,
+// restarts and pulls.
 package node
 
 import (
@@ -127,19 +127,14 @@ type Config struct {
 	// period: the next poll rotates on, and a peer that served garbage
 	// loses standing in that rotation (core.Config.Scores). 0 disables.
 	FollowEvery time.Duration
-	// CheckpointEverySegments, with Store set, makes Tick call
-	// Store.Checkpoint whenever the WAL has accumulated that many
-	// segments since the last snapshot — bounding disk, recovery time,
-	// and the stream a catch-up server sends, and keeping a fresh
-	// snapshot available for peers that sync from this node. 0 disables
-	// segment-triggered checkpoints.
+	// CheckpointEverySegments is ignored.
+	//
+	// Deprecated: a running node never rewrites its store; only a cut does
+	// (StateSyncConfig.PruneKeepSeqs), since a snapshot that keeps every block
+	// saves only the record framing. The field exists only because the
+	// frozen bench/cluster.go assigns it, and goes when bench/ drops that
+	// line.
 	CheckpointEverySegments int
-	// CheckpointEveryBytes additionally triggers a checkpoint when the
-	// store has grown this many bytes past its last compacted size (its
-	// startup size initially) — growth past the compaction floor, not
-	// absolute size: a DAG whose snapshot alone exceeds the threshold
-	// must not re-snapshot on every tick. 0 disables the size trigger.
-	CheckpointEveryBytes int64
 	// State, if non-nil, wires a Merkle-committed state machine into the
 	// runtime: periodic sealed commitments journaled through the store's
 	// checkpoint path, a served snapshot for joining peers
@@ -284,10 +279,6 @@ type Node struct {
 	// from them as they arrive, and until then Disseminate builds nothing.
 	// Written by the owner only; atomic for RecoveryReport's readers.
 	ownSeen atomic.Uint64
-	// ckptFloor is the store's on-disk size after the last checkpoint
-	// (or at startup): the baseline CheckpointEveryBytes growth is
-	// measured from. Owner only.
-	ckptFloor int64
 
 	// via is whom and how the node pulls (startup catch-up and follower
 	// alike). lastFollow is when the last poll was issued, followInFlight
@@ -401,13 +392,6 @@ func New(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("node: restore from store: %w", err)
 		}
 		n.recovery = RecoveryReport{Store: st.Report(), Took: time.Since(began)}
-		if cfg.CheckpointEveryBytes > 0 {
-			floor, err := st.DiskSize()
-			if err != nil {
-				return nil, fmt.Errorf("node: %w", err)
-			}
-			n.ckptFloor = floor
-		}
 	}
 	if cfg.CatchUp != nil {
 		n.startupCatchUp()
@@ -619,7 +603,7 @@ func (n *Node) recordErr(err error) {
 func (n *Node) Server() *core.Server { return n.cfg.Server }
 
 // tickEvery is the housekeeping period of a started node: FWD retries, the
-// store's interval fsync, the seal and checkpoint policies (Tick).
+// store's interval fsync, the seal/prune cycle (Tick).
 const tickEvery = 100 * time.Millisecond
 
 // loop is the goroutine shell: it waits — on the channels, the full-block

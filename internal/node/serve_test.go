@@ -48,6 +48,17 @@ func (c *streamCounter) Stream(next map[types.ServerID]uint64, chunk int, send f
 	return c.Node.Stream(next, chunk, send)
 }
 
+// chunked is a node as a sync server's block source, read in chunks of its
+// own size, whatever the server asks: small chunks make a serve of many turns.
+type chunked struct {
+	*node.Node
+	bytes int
+}
+
+func (c chunked) Stream(next map[types.ServerID]uint64, _ int, send func([]*block.Block) error) error {
+	return c.Node.Stream(next, c.bytes, send)
+}
+
 // discard is a server stream that counts what it is sent and keeps none of it.
 type discard struct{ frames, bytes int }
 
@@ -66,15 +77,25 @@ func (s pullStream) Close(err error)         { s.OnDone(err) }
 // at most 10 are read back from the journal, and the serve allocates in
 // proportion to what it sends, not to the history (a scan of the store
 // decodes all 16 384). A requester that lacks nothing costs no read and no
-// turn of the node.
+// turn of the node. The rows are read back from WAL segments, and — the store
+// checkpointed before serving, as a cut or an offline compact leaves it —
+// from a snapshot segment.
 func TestServeReadsWhatItSends(t *testing.T) {
 	if raceEnabled {
 		t.Skip("counts reads and allocations; under the race detector its 16 384 signatures only take long")
 	}
-	const count, lag = 16384, 10
+	const count = 16384
 	h := dagtest.NewHarness(4)
 	dir := t.TempDir()
 	journalPayloadChain(t, h, dir, payloadChain(h, count, 16))
+	t.Run("wal", func(t *testing.T) { serveReadsWhatItSends(t, h, dir, count, false) })
+	t.Run("snapshot", func(t *testing.T) { serveReadsWhatItSends(t, h, dir, count, true) })
+}
+
+// serveReadsWhatItSends is TestServeReadsWhatItSends over the count blocks
+// journaled in dir, the store checkpointed first if checkpoint is set.
+func serveReadsWhatItSends(t *testing.T, h *dagtest.Harness, dir string, count int, checkpoint bool) {
+	const lag = 10
 	st, err := store.Open(dir, store.Options{Roster: h.Roster, Sync: store.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +114,13 @@ func TestServeReadsWhatItSends(t *testing.T) {
 	}
 	defer nd.Stop()
 	d := srv.DAG()
-	if held := dagCount(d, "dag_blocks_held"); d.Len() != count || held > count/100 {
+	if held := dagCount(d, "dag_blocks_held"); d.Len() != count || held > int64(count/100) {
 		t.Fatalf("restored %d rows, %d held, want %d rows and the bytes released", d.Len(), held, count)
+	}
+	if checkpoint {
+		if _, err := st.Checkpoint(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	counter := &streamCounter{Node: nd}
 	st.SetRuntime(counter) // the test steps the node: its owner registers it
@@ -129,8 +155,8 @@ func TestServeReadsWhatItSends(t *testing.T) {
 		}
 	}
 	read := journalReads(d) - reads
-	if read > lag {
-		t.Fatalf("serving %d blocks read %d back from the journal", lag, read)
+	if read == 0 || read > lag {
+		t.Fatalf("serving %d blocks read %d back from the journal, want 1 to %d", lag, read, lag)
 	}
 
 	// What a serve allocates, its frames sent and dropped: a fixed part and a
@@ -182,7 +208,7 @@ func TestServeWhileTheLoopInserts(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = st.Close() })
 	peer := startedPeer(t, h.Roster, h.Signers[0], st)
-	peerTr := tcpPeer(t, 0, &syncsvc.Server{Store: st, Watermarks: peer.Watermarks, ChunkBytes: 2 << 10})
+	peerTr := tcpPeer(t, 0, &syncsvc.Server{Rows: chunked{peer, 2 << 10}, Watermarks: peer.Watermarks})
 
 	tr := tcpPeer(t, 1, nil)
 	if err := tr.Connect(0, peerTr.Addr()); err != nil {

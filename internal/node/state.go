@@ -36,8 +36,6 @@ type StateSyncConfig struct {
 	// SealEvery is the seal cadence (default 2s). Each seal exports the
 	// tree — O(state) — so this trades snapshot freshness for CPU.
 	SealEvery time.Duration
-	// ChunkBytes sizes export chunks (default state.DefaultChunkBytes).
-	ChunkBytes int
 	// PruneKeepSeqs > 0 enables history pruning after each seal: every
 	// builder's journaled chain is cut PruneKeepSeqs below its current
 	// tip, bounding disk to O(state + recent DAG). The margin must cover
@@ -52,13 +50,6 @@ func (c *StateSyncConfig) sealEvery() time.Duration {
 		return 2 * time.Second
 	}
 	return c.SealEvery
-}
-
-func (c *StateSyncConfig) chunkBytes() int {
-	if c.ChunkBytes <= 0 {
-		return state.DefaultChunkBytes
-	}
-	return c.ChunkBytes
 }
 
 // restoreState rebuilds the machine from the store's journaled state
@@ -140,7 +131,7 @@ func (n *Node) maybeSealState() {
 	// Seal and export back-to-back on the loop goroutine: the tree
 	// cannot move between the two, so the chunks match the signed root.
 	commit := m.Seal()
-	chunks := state.Export(m.Tree(), sc.chunkBytes())
+	chunks := state.Export(m.Tree(), state.ChunkBytes)
 	n.lastSealedSlot = commit.Slot
 	n.cfg.Store.SetStateCheckpoint(&store.StateCheckpoint{
 		Slot:   commit.Slot,

@@ -92,15 +92,15 @@ func (n *Node) wakeFull() {
 }
 
 // Tick is the housekeeping turn: gossip's re-asks and, on a durable node,
-// the store's interval fsync, the state seal cycle and the checkpoint
-// policy — each paced on the server's clock, so calling Tick more often
-// only makes them more punctual.
+// the store's interval fsync and the state seal/prune cycle — each paced on
+// the server's clock, so calling Tick more often only makes them more
+// punctual. The store is rewritten only by a prune: a snapshot that keeps
+// every block would save only the record framing.
 func (n *Node) Tick() {
 	n.cfg.Server.Tick()
 	if n.cfg.Store != nil {
 		n.recordErr(n.cfg.Store.Tick())
 		n.maybeSealState()
-		n.maybeCheckpoint()
 	}
 }
 
@@ -339,31 +339,4 @@ func (n *Node) inTurn(fn func() error) error {
 	case <-n.done:
 		return syncsvc.ErrNotServing
 	}
-}
-
-// maybeCheckpoint runs the automatic checkpoint policy: snapshot and
-// compact the store once the WAL segment count, or the growth in on-disk
-// bytes since the last compaction, crosses its configured threshold. It
-// runs inside Tick, whose caller owns both the server's DAG and the
-// store, so the snapshot is taken at a consistent point between events.
-func (n *Node) maybeCheckpoint() {
-	st := n.cfg.Store
-	trigger := n.cfg.CheckpointEverySegments > 0 &&
-		st.WALSegments() >= n.cfg.CheckpointEverySegments
-	if !trigger && n.cfg.CheckpointEveryBytes > 0 {
-		size, err := st.DiskSize()
-		if err != nil {
-			n.recordErr(err)
-			return
-		}
-		trigger = size >= n.ckptFloor+n.cfg.CheckpointEveryBytes
-	}
-	if !trigger {
-		return
-	}
-	stats, err := st.Checkpoint(n.cfg.Server.DAG())
-	if err == nil {
-		n.ckptFloor = stats.BytesAfter
-	}
-	n.recordErr(err)
 }

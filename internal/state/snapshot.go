@@ -20,9 +20,12 @@ var ErrBadChunk = errors.New("state: bad snapshot chunk")
 // certified root is for a different state). Nothing is applied.
 var ErrRootMismatch = errors.New("state: snapshot root mismatch")
 
-// DefaultChunkBytes is the soft chunk-size target for Export when the
-// caller passes 0.
-const DefaultChunkBytes = 64 << 10
+// ChunkBytes is the soft chunk size a node seals its state into, and
+// Export's target when the caller passes 0. A chunk is one frame of the sync
+// channel's snapshot stream and the point a broken stream resumes from, so
+// this bounds what a retry sends again while keeping a state of megabytes
+// to tens of frames.
+const ChunkBytes = 32 << 10
 
 // maxChunkEntries bounds the per-chunk entry count a decoder will
 // allocate for.
@@ -31,12 +34,12 @@ const maxChunkEntries = 1 << 20
 // Export renders the tree as an ordered list of chunks, each a
 // self-describing wire frame: chunk index, entry count, then (key,
 // value) pairs in key-hash order. Chunks close once they exceed
-// chunkBytes (0 = DefaultChunkBytes), so every chunk except the last
+// chunkBytes (0 = ChunkBytes), so every chunk except the last
 // is at least that large. An empty tree exports a single empty chunk,
 // keeping "stream finished" distinct from "nothing sent".
 func Export(t *Tree, chunkBytes int) [][]byte {
 	if chunkBytes <= 0 {
-		chunkBytes = DefaultChunkBytes
+		chunkBytes = ChunkBytes
 	}
 	var (
 		chunks  [][]byte

@@ -82,17 +82,24 @@
 // scan.
 //
 // WAL segments rotate when they exceed Options.SegmentSize, so deleting
-// history (compaction) is cheap file removal, never rewriting.
+// the segments a snapshot supersedes is cheap file removal.
 //
 // # Snapshot segments and compaction
 //
-// Checkpoint(dag) writes the live DAG into a single snapshot segment and
-// then deletes every strictly older segment, bounding disk usage to
-// O(live DAG) instead of O(append history): duplicate records, torn
-// bytes, and records for blocks no longer in the caller's DAG are all
-// dropped. Snapshots are written whole (temp file, fsync, atomic rename),
-// so they need no per-record tear tolerance; a single CRC32 trailer
-// covers the segment body.
+// Checkpoint(dag) writes the DAG's blocks above the prune horizon into a
+// single snapshot segment and then deletes every strictly older segment:
+// duplicate records, torn bytes, and records for blocks no longer in the
+// caller's DAG are all dropped. A snapshot segment is written for three
+// things only: the cut (PruneTo, whose blocks below the horizon leave for
+// a sealed, certified state and a base table), the install (InstallSnapshot,
+// a snapshot-joined node's empty store), and the offline compact
+// (cmd/dagstore). The block DAG is append-only, so a snapshot of an
+// unpruned store keeps every block and saves only the record framing — a
+// few per cent, since a WAL record already cites by back-reference
+// (cluster.TestJournalCitesByBackReference logs it) — and a running node
+// never writes one on its own. Snapshots are written whole
+// (temp file, fsync, atomic rename), so they need no per-record tear
+// tolerance; a single CRC32 trailer covers the segment body.
 //
 // There is one snapshot format. It opens with the prune horizon, the
 // pruned-history base table and the state checkpoint — all empty on a

@@ -166,10 +166,6 @@ type Store struct {
 	// failed write ends the segment (flushPending).
 	win     window
 	nextIdx uint64
-	// walSegs counts the WAL segments on disk newer than the last
-	// snapshot — the quantity automatic checkpoint scheduling thresholds
-	// on (node.Config.CheckpointEverySegments).
-	walSegs int
 
 	// Group-commit state (BeginBatch / FlushBatch). Append holds the block
 	// in batch, counted into blocks; FlushBatch frames the records into rec
@@ -315,7 +311,6 @@ func (s *Store) recover() error {
 			s.report.SnapshotIndex = sf.index
 			continue
 		}
-		s.walSegs++
 		if seg.torn {
 			s.report.TornBytes += sf.size - seg.goodLen
 			if !s.opts.ReadOnly {
@@ -401,15 +396,9 @@ func (s *Store) SetStateCheckpoint(sc *StateCheckpoint) { s.stateCkpt = sc }
 // appended, or what the last Checkpoint retained: the journaled frontier.
 func (s *Store) Len() int { return s.blocks }
 
-// WALSegments returns the number of WAL segments written since the last
-// snapshot (live segment included). Automatic checkpoint scheduling
-// triggers on it: each segment is up to Options.SegmentSize bytes of
-// journal a recovering peer would have to replay, so bounding the count
-// keeps both recovery time and the bulk catch-up stream short.
-func (s *Store) WALSegments() int { return s.walSegs }
-
-// DiskSize returns the total size in bytes of all segment files — the
-// quantity Checkpoint compaction bounds to O(live DAG).
+// DiskSize returns the total size in bytes of all segment files. Only a
+// cut (PruneTo) shrinks it by more than the record framing: the store
+// holds every block above its horizon.
 func (s *Store) DiskSize() (int64, error) {
 	segs, err := listSegments(s.dir)
 	if err != nil {
@@ -424,7 +413,7 @@ func (s *Store) DiskSize() (int64, error) {
 
 // Append journals one block, whatever the store holds: telling a journaled
 // block from a new one is the caller's (PersistSink does; a record written
-// twice costs its bytes until Open or a Checkpoint drops it). Durability
+// twice costs its bytes until a Checkpoint drops it — Open skips it). Durability
 // follows the configured fsync policy; use Sync to force the strongest point.
 //
 // Between BeginBatch and FlushBatch, Append only adds the block to the
@@ -717,7 +706,6 @@ func (s *Store) newSegment() error {
 	s.segs = append(s.segs, &segMeta{index: s.nextIdx, kind: kindWAL})
 	s.win.reset()
 	s.nextIdx++
-	s.walSegs++
 	s.dirDirty = true
 	return nil
 }
@@ -751,11 +739,14 @@ type CompactStats struct {
 	Blocks int
 }
 
-// Checkpoint writes d's blocks as a snapshot segment and deletes every
-// strictly older segment, bounding the store to O(live DAG) bytes: WAL
-// framing overhead, duplicate records, torn garbage and blocks absent from d
-// are all dropped, and every predecessor is named by a snapshot-internal
-// index, never by its 32-byte hash. The blocks are read one at a time —
+// Checkpoint writes d's blocks above the horizon as a snapshot segment and
+// deletes every strictly older segment. It is what a cut (PruneTo) and the
+// offline compact (dagstore compact) write; a running node never calls it
+// on its own. WAL framing, duplicate records, torn garbage and blocks absent
+// from d are dropped, and every predecessor is named by a snapshot-internal
+// index, never by its 32-byte hash — but a WAL record already cites by
+// back-reference, so an unpruned store shrinks by the framing only (a few
+// per cent). The blocks are read one at a time —
 // released ones back through d from this store, before its old segments go
 // — and streamed to the file, so a checkpoint holds one block's bytes at a
 // time, not the history's.
@@ -898,7 +889,6 @@ func (s *Store) publishSnapshot(snap *segMeta, write func(*snapshotWriter) error
 		}
 		removed++
 	}
-	s.walSegs = 0
 	return removed, nil
 }
 

@@ -110,9 +110,10 @@ const (
 	maxBatch = 1 << 20
 )
 
-// DefaultChunkBytes is the target size of one streamed batch frame —
-// comfortably under wire.MaxFrame while amortizing per-frame overhead.
-const DefaultChunkBytes = 512 << 10
+// ChunkBytes is the target size of one streamed batch frame, the rows a
+// serving node reads in one turn (Source) — comfortably under wire.MaxFrame
+// while amortizing per-frame overhead.
+const ChunkBytes = 512 << 10
 
 // DefaultMaxBlocks bounds how many blocks a client accepts from one pull
 // before aborting (a hostile server must not stream forever).
@@ -254,9 +255,6 @@ type Server struct {
 	// slice — no runtime yet, unlike an empty vector — sends every request
 	// to the source. Called on the transport's goroutines.
 	Watermarks func() []Watermark
-	// ChunkBytes is the target batch frame size (default
-	// DefaultChunkBytes, capped under wire.MaxFrame).
-	ChunkBytes int
 	// Every enables the per-peer token bucket: a peer accrues one
 	// request token per Every elapsed, holding at most Burst. 0 disables
 	// rate limiting (the in-flight cap still applies).
@@ -431,11 +429,7 @@ func (s *Server) ServeCall(from types.ServerID, req []byte, st transport.ServerS
 				delete(next, wm.Builder)
 			}
 		}
-		chunk := s.ChunkBytes
-		if chunk <= 0 {
-			chunk = DefaultChunkBytes
-		}
-		if err := src.Stream(next, min(chunk, wire.MaxFrame/2), func(blocks []*block.Block) error {
+		if err := src.Stream(next, ChunkBytes, func(blocks []*block.Block) error {
 			total += uint64(len(blocks))
 			return st.Send(EncodeBatchFrame(blocks))
 		}); err != nil {

@@ -124,6 +124,17 @@ func runPull(t testing.TB, net *simnet.Network, pull *syncsvc.Pull) ([]*block.Bl
 	return pull.Result()
 }
 
+// chunked is a source read in chunks of its own size, whatever the server
+// asks: small chunks make a stream of several frames.
+type chunked struct {
+	syncsvc.Source
+	bytes int
+}
+
+func (c chunked) Stream(next map[types.ServerID]uint64, _ int, send func([]*block.Block) error) error {
+	return c.Source.Stream(next, c.bytes, send)
+}
+
 // serving returns a simulator on which server 0 streams blocks.
 func serving(seed int64, blocks []*block.Block) *simnet.Network {
 	net := simnet.New(simnet.WithSeed(seed))
@@ -139,7 +150,7 @@ func TestPullOverSimnet(t *testing.T) {
 	st := restoredPeer(t, roster, blocks)
 
 	net := simnet.New(simnet.WithSeed(4))
-	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st, ChunkBytes: 4 << 10})
+	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Rows: chunked{st.Runtime().(syncsvc.Source), 4 << 10}})
 
 	got, err := runPull(t, net, syncsvc.NewPull(roster, nil, 0, nil))
 	if err != nil {
