@@ -28,8 +28,8 @@ FUZZTIME ?= 3s
 # frame, the wire reader and stream framing, the sync channel's delta
 # request and stream — its watermark answer has had no decoder, so no
 # target, since PR 30 — and the gateway's submit body, which any client
-# writes) and the two a failing disk can (store WAL records, snapshot
-# segments). `go test`
+# writes) and the two a failing disk can (store WAL records, the store's
+# head). `go test`
 # without -fuzz only replays the seed corpus; this also proves the targets
 # still mutate, and a crasher it finds lands in the package's
 # testdata/fuzz to be checked in as a regression seed. -fuzz takes one
@@ -55,16 +55,16 @@ race:
 # the store's replay included: it is the same absorb with the disk as the
 # peer, the assembly's snapshot rejoin: every tier over one listener, and
 # its accountability run (an equivocator banned over TCP and across a
-# Restart), the checkpoint tests (the store's, and the node's that its
+# Restart), the cut tests (the store's PruneTo, and the node's that its
 # Tick never checkpoints) and the store's read-back of released blocks
-# (the location column a checkpoint rewrites under the DAG's feet) and the
+# (the location column a cut marks under the DAG's feet) and the
 # serving side of a pull (a started node's reads in its loop's turns, while
 # that loop inserts) — ten times under the race detector, so a test
 # that fails one run in five (as TestAuthWrongKeyRejected did until PR 12)
 # is caught in the PR that introduces it rather than blocking unrelated
 # work later. The -run filter keeps it to a few minutes.
 flake-smoke:
-	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|RowBack|Serve' \
+	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|Prune|RowBack|Serve' \
 		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy
 
 .PHONY: experiments-smoke
@@ -200,8 +200,10 @@ gateway-smoke:
 # history pruning, one server's store is wiped, and the restarted server
 # rejoins from a roster-certified state snapshot plus a short validated
 # delta — without replaying the pruned history, which no longer exists
-# anywhere. dagstore verify then re-proves the rejoined store offline:
-# the journaled chunks must rebuild the committed root.
+# anywhere. dagstore verify first re-proves the store the first run cut in
+# place (PruneTo, under -prune-keep 4) — it must reopen, validate and hold
+# a horizon — and then the rejoined store offline: the journaled chunks
+# must rebuild the committed root.
 snapshot-smoke:
 	@set -e; \
 	d=$$(mktemp -d); \
@@ -221,6 +223,10 @@ snapshot-smoke:
 		-store-dir $$d/s0 -state -prune-keep 4 -timeout 30s -linger 3s > $$d/s0-first.log; \
 	root=$$(sed -n 's/.*sealed slot [0-9]* root \([0-9a-f]*\).*/\1/p' $$d/s0-first.log); \
 	[ -n "$$root" ] || { echo "snapshot-smoke FAILED: first run sealed nothing" >&2; cat $$d/s0-first.log >&2; exit 1; }; \
+	$$d/dagstore verify -dir $$d/s0 -roster $$d/deploy/roster.txt > $$d/verify-cut.log \
+		|| { echo "snapshot-smoke FAILED: dagstore verify rejected the store the first run cut" >&2; cat $$d/verify-cut.log >&2; exit 1; }; \
+	grep -q "pruned   horizon" $$d/verify-cut.log \
+		|| { echo "snapshot-smoke FAILED: the first run's store holds no pruned horizon" >&2; cat $$d/verify-cut.log >&2; exit 1; }; \
 	rm -rf $$d/s0; \
 	$$d/tcp -roster $$d/deploy/roster.txt -key $$d/deploy/s0.key \
 		-store-dir $$d/s0 -state -prune-keep 4 -snapshot-join -timeout 30s > $$d/s0-rejoin.log; \

@@ -6,18 +6,17 @@
 //
 //	dagstore inspect -dir path/to/s0 -n 4    # layout, chains, health
 //	dagstore verify  -dir path/to/s0 -n 4    # strict read-only check
-//	dagstore compact -dir path/to/s0 -n 4    # rewrite as one snapshot segment
 //
-// inspect and verify open the store read-only: they never repair,
-// truncate, or delete anything. store.Open only reads (framing and
-// checksums); every command then validates the blocks itself, signatures
-// included, by inserting them into a DAG of its own — what a restarting
-// node does in its live one. verify exits non-zero if the store is
-// corrupt, holds equivocating blocks, or carries a torn tail or stale
-// segments (conditions inspect merely reports). compact rewrites the
-// store as a single snapshot segment: duplicate records, torn bytes and
-// stale segments go, and the WAL's record framing with them — a few per
-// cent of an unpruned store, whose every block stays.
+// Both open the store read-only: they never repair, truncate, or delete
+// anything. store.Open only reads (framing and checksums); each command
+// then validates the blocks itself, signatures included, by inserting them
+// into a DAG of its own — what a restarting node does in its live one.
+// verify exits non-zero if the store is corrupt, holds equivocating blocks
+// or duplicate records, or carries a torn tail or stale segments
+// (conditions inspect merely reports). Nothing here rewrites a store: the
+// next read-write open — the node's, when it starts — cuts a torn tail off
+// and deletes the segments a crashed cut left, and a duplicate record
+// leaves when a cut deletes its segment.
 //
 // The roster the blocks are validated against comes from -roster (a
 // dagroster-generated roster file — the production path) or, for stores
@@ -47,7 +46,7 @@ func main() {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: dagstore <inspect|verify|compact> -dir DIR [-roster FILE | -n N]")
+	return fmt.Errorf("usage: dagstore <inspect|verify> -dir DIR [-roster FILE | -n N]")
 }
 
 func run(args []string) error {
@@ -76,8 +75,6 @@ func run(args []string) error {
 		return inspect(*dir, r, false)
 	case "verify":
 		return inspect(*dir, r, true)
-	case "compact":
-		return compact(*dir, r)
 	default:
 		return usage()
 	}
@@ -134,18 +131,18 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 	fmt.Printf("store    %s\n", dir)
 	fmt.Printf("disk     %d bytes in %d segments", size, rep.Segments)
 	if rep.HasSnapshot {
-		fmt.Printf(" (snapshot at index %d)", rep.SnapshotIndex)
+		fmt.Printf(" and a head")
 	}
 	fmt.Println()
 	fmt.Printf("blocks   %d distinct, all signatures and references revalidated\n", rep.Blocks)
 	if rep.Duplicates > 0 {
-		fmt.Printf("         %d duplicate records (removable by compact)\n", rep.Duplicates)
+		fmt.Printf("         %d duplicate records (leave when a cut deletes their segment)\n", rep.Duplicates)
 	}
 	if rep.TornBytes > 0 {
 		fmt.Printf("         torn tail: %d bytes (repaired on next read-write open)\n", rep.TornBytes)
 	}
 	if rep.StaleSegments > 0 {
-		fmt.Printf("         %d stale pre-checkpoint segments (swept on next read-write open)\n", rep.StaleSegments)
+		fmt.Printf("         %d stale files a crashed cut left (swept on next read-write open)\n", rep.StaleSegments)
 	}
 
 	// Pruned stores: report the horizon, base table, and journaled state
@@ -210,28 +207,5 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 		}
 		fmt.Println("verify   OK")
 	}
-	return nil
-}
-
-// compact checkpoints the store onto its own recovered DAG, dropping all
-// history segments.
-func compact(dir string, roster *crypto.Roster) error {
-	st, err := store.Open(dir, store.Options{Roster: roster})
-	if err != nil {
-		return err
-	}
-	defer func() { _ = st.Close() }()
-	// A pruned store's checkpoint re-journals the base table; the sticky
-	// horizon keeps pruned history pruned.
-	d, err := rebuild(st, roster)
-	if err != nil {
-		return err
-	}
-	stats, err := st.Checkpoint(d)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("compacted %s: %d blocks, %d -> %d bytes (removed %d segments)\n",
-		dir, stats.Blocks, stats.BytesBefore, stats.BytesAfter, stats.SegmentsRemoved)
 	return nil
 }

@@ -123,7 +123,7 @@ type Options struct {
 	StoreDir string
 	// StoreSegmentSize overrides the WAL rotation threshold
 	// (0 = store default). Tests use small segments to exercise
-	// rotation and compaction.
+	// rotation and a replay across segments.
 	StoreSegmentSize int64
 }
 

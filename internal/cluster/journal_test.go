@@ -9,7 +9,6 @@ import (
 
 	"blockdag/internal/cluster"
 	"blockdag/internal/protocols/brb"
-	"blockdag/internal/store"
 )
 
 // citations reads one kind-4 WAL record's predecessor names, in the layout
@@ -38,11 +37,7 @@ func citations(payload []byte) (preds, literals int) {
 // every predecessor by its distance back into the segment, never by its
 // 32-byte ref — the property store's back-reference window is sized for,
 // at n = 4 and n = 16. It logs what a block costs on disk beside what the
-// same records cost as raw frames, and beside what it costs once each store
-// is checkpointed over its server's DAG: a snapshot that keeps every block
-// saves only the record framing (a few per cent), which is why a running
-// node never writes one on its own. All three are exact, the run being
-// seeded.
+// same records cost as raw frames; both are exact, the run being seeded.
 func TestJournalCitesByBackReference(t *testing.T) {
 	for _, n := range []int{4, 16} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -57,8 +52,7 @@ func TestJournalCitesByBackReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.Close()
-			var records, preds, cited, diskBytes, frameBytes, snapBlocks int
-			var snapBytes int64
+			var records, preds, cited, diskBytes, frameBytes int
 			for slot, st := range c.Stores {
 				for b := range c.Servers[slot].DAG().All() {
 					frameBytes += 8 + b.EncodedSize()
@@ -92,26 +86,9 @@ func TestJournalCitesByBackReference(t *testing.T) {
 						off += 8 + size
 					}
 				}
-				re, err := store.Open(st.Dir(), store.Options{Roster: c.Roster})
-				if err != nil {
-					t.Fatal(err)
-				}
-				stats, err := re.Checkpoint(c.Servers[slot].DAG())
-				if cerr := re.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.BytesAfter > stats.BytesBefore {
-					t.Errorf("s%d: a checkpoint grew the store %d → %d B", slot, stats.BytesBefore, stats.BytesAfter)
-				}
-				snapBytes += stats.BytesAfter
-				snapBlocks += stats.Blocks
 			}
-			t.Logf("n=%d: %d records citing %d predecessors, %d by back-reference; %.1f B a block on disk, %.1f B as raw frames, %.1f B checkpointed (%.1f %% of the WAL)",
-				n, records, preds, cited, float64(diskBytes)/float64(records), float64(frameBytes)/float64(records),
-				float64(snapBytes)/float64(snapBlocks), 100*float64(snapBytes)/float64(diskBytes))
+			t.Logf("n=%d: %d records citing %d predecessors, %d by back-reference; %.1f B a block on disk, %.1f B as raw frames",
+				n, records, preds, cited, float64(diskBytes)/float64(records), float64(frameBytes)/float64(records))
 		})
 	}
 }

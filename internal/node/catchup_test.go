@@ -22,9 +22,9 @@ import (
 // TestNodeTickNeverCheckpoints: a running node never rewrites its store on
 // its own. The block DAG is append-only and a WAL record cites by
 // back-reference, so a snapshot that keeps every block would save only the
-// record framing; a store is rewritten only to cut history (PruneTo). The
-// deprecated CheckpointEverySegments, set as the frozen benchmark harness
-// sets it, changes nothing.
+// record framing; only a cut (PruneTo) changes a store beyond its appends.
+// The deprecated CheckpointEverySegments, set as the frozen benchmark
+// harness sets it, changes nothing.
 func TestNodeTickNeverCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	roster, signers, err := crypto.LocalRoster(1)

@@ -48,9 +48,9 @@
 // (Config.CatchUp), the live follower (Config.FollowEvery), the state
 // seal/prune cycle (Config.State) and the indication broker, whose replay
 // index is a gateway's to claim: a node nobody awaits on keeps no copy of
-// what it indicated. A running node rewrites its store only to cut history
-// (store.Store.PruneTo, below a sealed state): the block DAG is append-only,
-// and a snapshot that keeps every block saves only the record framing.
+// what it indicated. A running node never rewrites its store: the block DAG
+// is append-only, and a cut below a sealed state (store.Store.PruneTo)
+// writes only the store's head and deletes the segments below the horizon.
 // What the node holds is its DAG's to say: the watermark vector
 // (Watermarks), the horizon a pull states and the own chain's position
 // (RecoveryReport.OwnHeld) are the DAG's chain heads (dag.DAG.Head), which
@@ -129,11 +129,10 @@ type Config struct {
 	FollowEvery time.Duration
 	// CheckpointEverySegments is ignored.
 	//
-	// Deprecated: a running node never rewrites its store; only a cut does
-	// (StateSyncConfig.PruneKeepSeqs), since a snapshot that keeps every block
-	// saves only the record framing. The field exists only because the
-	// frozen bench/cluster.go assigns it, and goes when bench/ drops that
-	// line.
+	// Deprecated: a running node never rewrites its store; a cut
+	// (StateSyncConfig.PruneKeepSeqs) writes only the store's head and
+	// deletes segments. The field exists only because the frozen
+	// bench/cluster.go assigns it, and goes when bench/ drops that line.
 	CheckpointEverySegments int
 	// State, if non-nil, wires a Merkle-committed state machine into the
 	// runtime: periodic sealed commitments journaled through the store's

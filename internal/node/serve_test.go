@@ -2,6 +2,8 @@ package node_test
 
 import (
 	"cmp"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -78,8 +80,8 @@ func (s pullStream) Close(err error)         { s.OnDone(err) }
 // proportion to what it sends, not to the history (a scan of the store
 // decodes all 16 384). A requester that lacks nothing costs no read and no
 // turn of the node. The rows are read back from WAL segments, and — the store
-// checkpointed before serving, as a cut or an offline compact leaves it —
-// from a snapshot segment.
+// cut before serving — a requester that also lacks rows below the horizon is
+// sent the rows above it alone, read back from the WAL segments the cut left.
 func TestServeReadsWhatItSends(t *testing.T) {
 	if raceEnabled {
 		t.Skip("counts reads and allocations; under the race detector its 16 384 signatures only take long")
@@ -89,13 +91,15 @@ func TestServeReadsWhatItSends(t *testing.T) {
 	dir := t.TempDir()
 	journalPayloadChain(t, h, dir, payloadChain(h, count, 16))
 	t.Run("wal", func(t *testing.T) { serveReadsWhatItSends(t, h, dir, count, false) })
-	t.Run("snapshot", func(t *testing.T) { serveReadsWhatItSends(t, h, dir, count, true) })
+	t.Run("prune", func(t *testing.T) { serveReadsWhatItSends(t, h, dir, count, true) })
 }
 
 // serveReadsWhatItSends is TestServeReadsWhatItSends over the count blocks
-// journaled in dir, the store checkpointed first if checkpoint is set.
-func serveReadsWhatItSends(t *testing.T, h *dagtest.Harness, dir string, count int, checkpoint bool) {
-	const lag = 10
+// journaled in dir. If prune is set, the store is cut first just below the
+// rows the requester lacks, and the requester lacks the 2 rows of each chain
+// under the cut as well.
+func serveReadsWhatItSends(t *testing.T, h *dagtest.Harness, dir string, count int, prune bool) {
+	const lag, under = 10, 2
 	st, err := store.Open(dir, store.Options{Roster: h.Roster, Sync: store.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -117,11 +121,6 @@ func serveReadsWhatItSends(t *testing.T, h *dagtest.Harness, dir string, count i
 	if held := dagCount(d, "dag_blocks_held"); d.Len() != count || held > int64(count/100) {
 		t.Fatalf("restored %d rows, %d held, want %d rows and the bytes released", d.Len(), held, count)
 	}
-	if checkpoint {
-		if _, err := st.Checkpoint(d); err != nil {
-			t.Fatal(err)
-		}
-	}
 	counter := &streamCounter{Node: nd}
 	st.SetRuntime(counter) // the test steps the node: its owner registers it
 	server := &syncsvc.Server{Store: st, Watermarks: nd.Watermarks}
@@ -138,7 +137,25 @@ func serveReadsWhatItSends(t *testing.T, h *dagtest.Harness, dir string, count i
 	}
 	var behind []syncsvc.Watermark
 	for id, seq := range next {
+		if prune {
+			seq -= under
+		}
 		behind = append(behind, syncsvc.Watermark{Builder: id, NextSeq: seq})
+	}
+	if prune {
+		st.SetStateCheckpoint(&store.StateCheckpoint{Slot: 1})
+		if err := st.PruneTo(d, next); err != nil {
+			t.Fatal(err)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if f.Name() != "head" && filepath.Ext(f.Name()) != ".wal" {
+				t.Fatalf("the cut left %s: every row must be read back from a WAL segment", f.Name())
+			}
+		}
 	}
 	slices.SortFunc(behind, func(a, b syncsvc.Watermark) int { return cmp.Compare(a.Builder, b.Builder) })
 
@@ -154,9 +171,14 @@ func serveReadsWhatItSends(t *testing.T, h *dagtest.Harness, dir string, count i
 			t.Fatalf("block %d of the stream is %v, want row %d's %v", i, b.Ref(), d.Len()-lag+i, want)
 		}
 	}
+	// A row under the cut costs the store's answer that it is pruned.
+	lacks := lag
+	if prune {
+		lacks += under * len(next)
+	}
 	read := journalReads(d) - reads
-	if read == 0 || read > lag {
-		t.Fatalf("serving %d blocks read %d back from the journal, want 1 to %d", lag, read, lag)
+	if read == 0 || read > int64(lacks) {
+		t.Fatalf("serving %d blocks read %d back from the journal, want 1 to %d", lag, read, lacks)
 	}
 
 	// What a serve allocates, its frames sent and dropped: a fixed part and a
@@ -171,8 +193,8 @@ func serveReadsWhatItSends(t *testing.T, h *dagtest.Harness, dir string, count i
 	runtime.ReadMemStats(&after)
 	bytes := int((after.TotalAlloc - before.TotalAlloc) / (runs + 1)) // AllocsPerRun warms up once
 	t.Logf("%d of %d rows sent, %d read back: %.0f allocs and %d B a serve, %d B on the wire", lag, count, read, allocs, bytes, once.bytes)
-	if maxAllocs, maxBytes := 50+8*lag, 8<<10+4*once.bytes; allocs > float64(maxAllocs) || bytes > maxBytes {
-		t.Fatalf("a %d-block serve allocates %.0f times and %d B, want O(sent): ≤ %d and ≤ %d B", lag, allocs, bytes, maxAllocs, maxBytes)
+	if maxAllocs, maxBytes := 50+8*lacks, 8<<10+4*once.bytes; allocs > float64(maxAllocs) || bytes > maxBytes {
+		t.Fatalf("a %d-block serve allocates %.0f times and %d B, want O(rows lacked): ≤ %d and ≤ %d B", lag, allocs, bytes, maxAllocs, maxBytes)
 	}
 
 	// Up to date: the early answer, on the calling goroutine.

@@ -174,7 +174,7 @@ func (n *Node) maybePruneState() bool {
 	if len(horizon) == 0 {
 		return false // nothing new to cut
 	}
-	_, err := n.cfg.Store.PruneTo(n.cfg.Server.DAG(), horizon)
+	err := n.cfg.Store.PruneTo(n.cfg.Server.DAG(), horizon)
 	n.recordErr(err)
 	return err == nil
 }

@@ -94,8 +94,8 @@ func (n *Node) wakeFull() {
 // Tick is the housekeeping turn: gossip's re-asks and, on a durable node,
 // the store's interval fsync and the state seal/prune cycle — each paced on
 // the server's clock, so calling Tick more often only makes them more
-// punctual. The store is rewritten only by a prune: a snapshot that keeps
-// every block would save only the record framing.
+// punctual. The store is never rewritten: a prune writes its head and
+// deletes the segments below the horizon.
 func (n *Node) Tick() {
 	n.cfg.Server.Tick()
 	if n.cfg.Store != nil {

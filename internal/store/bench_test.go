@@ -1,10 +1,8 @@
 package store_test
 
 import (
-	"fmt"
 	"testing"
 
-	"blockdag/internal/dag"
 	"blockdag/internal/store"
 )
 
@@ -105,107 +103,41 @@ func BenchmarkStoreAppendBatch(b *testing.B) {
 }
 
 // BenchmarkStoreRecover measures Open throughput — how fast a crashed
-// server gets its DAG back — for a WAL-only store and for a compacted
-// (snapshot) store of the same logical content.
+// server gets its DAG back — over a WAL of 2 048 blocks.
 func BenchmarkStoreRecover(b *testing.B) {
 	const blocksN = 2048
 	roster, blocks := chain(b, blocksN)
-	for _, compacted := range []bool{false, true} {
-		name := "wal"
-		if compacted {
-			name = "snapshot"
+	dir := b.TempDir()
+	st, err := store.Open(dir, store.Options{Roster: roster, Sync: store.SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, blk := range blocks {
+		if err := st.Append(blk); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			dir := b.TempDir()
-			st, err := store.Open(dir, store.Options{Roster: roster, Sync: store.SyncNever})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, blk := range blocks {
-				if err := st.Append(blk); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if compacted {
-				d := dag.New(roster)
-				for _, blk := range blocks {
-					if err := d.Insert(blk); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := st.Checkpoint(d); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := st.Close(); err != nil {
-				b.Fatal(err)
-			}
-			size, err := func() (int64, error) {
-				probe, err := store.Open(dir, store.Options{Roster: roster})
-				if err != nil {
-					return 0, err
-				}
-				defer func() { _ = probe.Close() }()
-				return probe.DiskSize()
-			}()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.SetBytes(size)
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				st, err := store.Open(dir, store.Options{Roster: roster})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := len(st.Blocks()); got != blocksN {
-					b.Fatalf("recovered %d blocks, want %d", got, blocksN)
-				}
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(blocksN), "blocks/op")
-		})
 	}
-}
-
-// BenchmarkStoreCheckpoint measures snapshot write + compaction cost as a
-// function of live-DAG size.
-func BenchmarkStoreCheckpoint(b *testing.B) {
-	for _, blocksN := range []int{512, 4096} {
-		b.Run(fmt.Sprintf("blocks=%d", blocksN), func(b *testing.B) {
-			roster, blocks := chain(b, blocksN)
-			d := dag.New(roster)
-			for _, blk := range blocks {
-				if err := d.Insert(blk); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				b.StopTimer()
-				st, err := store.Open(b.TempDir(), store.Options{Roster: roster, Sync: store.SyncNever})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, blk := range blocks {
-					if err := st.Append(blk); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				if _, err := st.Checkpoint(d); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
+	size, err := st.DiskSize()
+	if err != nil {
+		b.Fatal(err)
 	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(size)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		st, err := store.Open(dir, store.Options{Roster: roster})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := len(st.Blocks()); got != blocksN {
+			b.Fatalf("recovered %d blocks, want %d", got, blocksN)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(blocksN), "blocks/op")
 }

@@ -11,19 +11,15 @@ import (
 	"blockdag/internal/wire"
 )
 
-// putBlock lays b out the way both of the store's block formats do —
-// builder, uvarint seq, the predecessors, the requests, the signature —
-// writing each predecessor with pred, which is all a snapshot (an index
-// into its table) and a WAL record (a back-reference or a literal) differ
-// in.
-func putBlock(w *wire.Writer, b *block.Block, pred func(*wire.Writer, block.Ref) error) error {
+// putBlock lays b out as a WAL record's payload — builder, uvarint seq,
+// the predecessors, each named against win (putPred), the requests, the
+// signature.
+func putBlock(w *wire.Writer, b *block.Block, win *window) {
 	w.Uint16(uint16(b.Builder))
 	w.Uvarint(b.Seq)
 	w.Uvarint(uint64(len(b.Preds)))
 	for _, p := range b.Preds {
-		if err := pred(w, p); err != nil {
-			return err
-		}
+		win.putPred(w, p)
 	}
 	w.Uvarint(uint64(len(b.Requests)))
 	for _, rq := range b.Requests {
@@ -31,7 +27,6 @@ func putBlock(w *wire.Writer, b *block.Block, pred func(*wire.Writer, block.Ref)
 		w.VarBytes(rq.Data)
 	}
 	w.VarBytes(b.Sig)
-	return nil
 }
 
 // getBlock inverts putBlock, reading each predecessor with pred, and
@@ -113,13 +108,12 @@ func (w *window) find(ref block.Ref) int {
 
 // putPred names a predecessor the one way it can be: as the distance k ≥ 1
 // to its latest record in the window, or as k = 0 and the 32-byte ref.
-func (w *window) putPred(out *wire.Writer, ref block.Ref) error {
+func (w *window) putPred(out *wire.Writer, ref block.Ref) {
 	k := w.find(ref)
 	out.Uvarint(uint64(k))
 	if k == 0 {
 		out.Bytes32(ref)
 	}
-	return nil
 }
 
 // errNotCanonical reports a WAL record that names a predecessor another
@@ -157,7 +151,7 @@ func putRecord(w *wire.Writer, b *block.Block, win *window) {
 	start := w.Len()
 	w.Uint32(0) // length and checksum, filled in below
 	w.Uint32(0)
-	_ = putBlock(w, b, win.putPred) // putPred never fails
+	putBlock(w, b, win)
 	rec := w.Bytes()[start:]
 	payload := rec[recHeaderSize:]
 	binary.BigEndian.PutUint32(rec, uint32(len(payload)))

@@ -1,14 +1,14 @@
 // Package store is the durable block store: an append-only, segmented
-// write-ahead log (WAL) of blocks plus checkpoint/compaction, giving a
-// server the persisted DAG that core.Server.Restore replays after a crash
-// (the paper's Section 7 crash-recovery discussion made operational).
+// write-ahead log (WAL) of blocks plus the cut that deletes history below
+// a sealed state, giving a server the persisted DAG that
+// core.Server.Restore replays after a crash (the paper's Section 7
+// crash-recovery discussion made operational).
 //
 // The store keeps bytes, not validity. Open answers for framing and
-// checksums — it reads the files in order, truncates a torn tail, sweeps a
-// crashed checkpoint's leftovers, drops duplicate records — and returns
-// the blocks in file order, which is a topological order: WAL order is
-// insertion order, and a snapshot is written in DAG order. It builds no
-// DAG and checks no signature. Definition 3.3 is checked once, in the live
+// checksums — it reads the files in order, truncates a torn tail, finishes
+// a crashed cut, drops duplicate records — and returns the blocks in file
+// order, which is a topological order: WAL order is insertion order. It
+// builds no DAG and checks no signature. Definition 3.3 is checked once, in the live
 // DAG, when core.Server.Restore absorbs the blocks the way a pulled stream
 // is absorbed: the disk is one more untrusted peer. Offline tools that
 // want validity insert the blocks into a DAG of their own (cmd/dagstore).
@@ -28,21 +28,20 @@
 //
 // # On-disk layout
 //
-// A store is a directory of segment files named by a monotonically
-// increasing hexadecimal index:
+// A store is a directory of WAL segment files named by a monotonically
+// increasing hexadecimal index, and at most one head:
 //
-//	0000000000000001.wal    live WAL segment(s), record-framed
-//	0000000000000007.snap   checkpoint snapshot (at most one survives)
-//	0000000000000008.wal    WAL tail written after the checkpoint
+//	0000000000000004.wal    oldest segment a cut left: it straddles the horizon
+//	0000000000000005.wal    WAL segments, record-framed
+//	0000000000000006.wal    the live segment
+//	head                    horizon, base table, state checkpoint (a cut's or an install's)
+//	evidence.log            equivocation proofs (evidence.go)
 //
 // Every segment starts with a 9-byte header: the 8-byte magic "BDSTOR1\n"
-// and a kind byte, 4 for a WAL segment and 3 for a snapshot; any other kind
-// fails Open as ErrCorrupt (kind 1, the raw-frame WAL written before kind 4,
-// among them). Segments sort by index; recovery reads the
-// highest-index snapshot (if any) followed by all WAL segments with a
-// higher index. Stale segments left behind by a checkpoint that crashed
-// between rename and cleanup are deleted on Open (read-only opens report
-// them but leave them in place).
+// and the kind byte 4; any other kind fails Open as ErrCorrupt (kind 1, the
+// raw-frame WAL, kind 2 and kind 3, the snapshot segments, among them), and
+// so does any file named like a snapshot segment (*.snap). Open reads the
+// head, if there is one, and then every segment in index order.
 //
 // # WAL segments
 //
@@ -50,7 +49,7 @@
 //
 //	[length uint32 BE][crc32(IEEE) of payload uint32 BE][payload]
 //
-// where the payload lays one block out as a snapshot does:
+// where the payload lays one block out:
 //
 //	builder uint16 BE, seq uvarint,
 //	predecessor count uvarint, per predecessor: k uvarint [ref 32 bytes if k = 0],
@@ -69,8 +68,8 @@
 // segment reads alone, and the writer frames a record only once it knows
 // which segment the record lands in: a rotation in the middle of a batch
 // cannot leave a reference into the previous file. Readers rebuild each
-// block's canonical frame from the fields, as they do a snapshot's, so
-// ref(B) is re-derived and the signature verifies end to end.
+// block's canonical frame from the fields, so ref(B) is re-derived and the
+// signature verifies end to end.
 //
 // The per-record CRC exists because WAL tails are written incrementally and
 // a power cut can tear the last record: Open scans forward and, when the
@@ -82,44 +81,44 @@
 // scan.
 //
 // WAL segments rotate when they exceed Options.SegmentSize, so deleting
-// the segments a snapshot supersedes is cheap file removal.
+// the segments a cut leaves below its horizon is cheap file removal.
 //
-// # Snapshot segments and compaction
+// # The head and the cut
 //
-// Checkpoint(dag) writes the DAG's blocks above the prune horizon into a
-// single snapshot segment and then deletes every strictly older segment:
-// duplicate records, torn bytes, and records for blocks no longer in the
-// caller's DAG are all dropped. A snapshot segment is written for three
-// things only: the cut (PruneTo, whose blocks below the horizon leave for
-// a sealed, certified state and a base table), the install (InstallSnapshot,
-// a snapshot-joined node's empty store), and the offline compact
-// (cmd/dagstore). The block DAG is append-only, so a snapshot of an
-// unpruned store keeps every block and saves only the record framing — a
-// few per cent, since a WAL record already cites by back-reference
-// (cluster.TestJournalCitesByBackReference logs it) — and a running node
-// never writes one on its own. Snapshots are written whole
-// (temp file, fsync, atomic rename), so they need no per-record tear
-// tolerance; a single CRC32 trailer covers the segment body.
+// The block DAG is append-only: every block a server inserted stays in the
+// joint DAG, so the store holds every block it journals, and only sealed,
+// certified state can stand in for history. That is the cut, PruneTo: it
+// raises the sticky per-builder horizon, computes from the DAG's rows the
+// base table — every block below the horizon a retained block cites, and
+// each builder's block just below it — publishes the head, marks the rows
+// below the horizon pruned, and deletes every WAL segment but the live one
+// that holds no record at or above the horizon. The head is the horizon,
+// the base table and the state checkpoint, laid out behind the magic
+// "BDHEAD1\n" and covered by one CRC32 trailer; it is written whole (temp
+// file, fsync, rename, directory fsync), so it needs no tear tolerance.
+// InstallSnapshot writes the same head into a snapshot-joined node's empty
+// store. A cut writes nothing else: the blocks above the horizon are
+// already on disk, and each segment reads without any other, so the
+// cut's I/O is the head's whatever the retained window holds.
 //
-// There is one snapshot format. It opens with the prune horizon, the
-// pruned-history base table and the state checkpoint — all empty on a
-// store that never pruned and journals no state — and then lays out the
-// retained blocks.
+// Nothing a retained block cites is lost: its predecessors are retained
+// too, or stand in the base table. Nothing above the horizon is lost: a
+// segment is deleted only when every record in it lies below, so a segment
+// straddling the horizon stays whole, and Open skips its records below the
+// horizon — such a record is not a row. Disk is therefore O(state +
+// retained window + the straddling segments): one per cut while the
+// builders run in step, so that every record past some point of the WAL
+// lies above the horizon and every one before it below; a lagging
+// builder's chain keeps each segment that holds one of its retained
+// records. SegmentSize is not tuned for this.
 //
-// The store has one block codec (putBlock, getBlock) with two ways to name
-// a predecessor: a WAL record names it by distance back into its segment
-// or by ref, a snapshot by a uvarint index into its base ∪ block table
-// (base entries first, then the blocks in the topological order they are
-// laid out in; typically 1–2 bytes). Decoding re-derives the canonical
-// block encoding, and with it ref(B), so signatures still verify end to
-// end; compaction never weakens the Definition 3.3 validation the replay
-// performs.
-//
-// A checkpoint streams: it reads the DAG's blocks one at a time — those
-// the DAG has released back from this store, before the old segments go —
-// and writes each to the snapshot file as it comes, so it holds one block's
-// bytes at a time, not the history's. Which rows it keeps and which pruned
-// rows become base entries it decides from the DAG's rows alone.
+// The crash argument: the head is durable before any segment is deleted.
+// A crash before the rename leaves the old head (and a temp file Open
+// sweeps); a crash between the rename and the deletions leaves extra
+// segments, and Open skips their records below the horizon. A read-write
+// Open deletes each non-final segment that holds no record at or above
+// the horizon — it counts them as StaleSegments, finishing the cut — and
+// a read-only Open only reports them.
 //
 // # Reading a block back
 //
@@ -128,15 +127,14 @@
 // the window, the store the history. The row gives the predecessors: the
 // DAG keeps a row's edges for good and hands Block their references. The
 // record gives the rest: the store keeps a location column — one word a
-// row, the segment and the record's offset, written when the record is,
-// rebuilt by Open for what it reads and by Checkpoint for what it rewrites
-// — and reads the record back with the codec Open reads with, each name it
-// gives a predecessor (a back-reference, a literal ref, a snapshot's table
-// index) consumed and standing for the row's. A record naming another
-// number of predecessors is an error, and a row PruneTo cut is
-// dag.ErrPruned. The DAG checks that the block rebuilds the row's
-// reference: the store keeps no reference of what it appends or reads, so
-// a record means the same whatever lies beside it.
+// row, the segment and the record's offset, written when the record is and
+// rebuilt by Open for what it reads — and reads the record back with the
+// codec Open reads with, each name it gives a predecessor (a
+// back-reference or a literal ref) consumed and standing for the row's. A
+// record naming another number of predecessors is an error, and a row
+// below the horizon of a cut is dag.ErrPruned. The DAG checks that the
+// block rebuilds the row's reference: the store keeps no reference of what
+// it appends or reads, so a record means the same whatever lies beside it.
 //
 // This is the one way a block leaves the disk while a node runs: a catch-up
 // server's node reads what it sends this way too, and only Open scans.

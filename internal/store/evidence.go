@@ -16,7 +16,7 @@ import (
 // the block log cannot be relied on to reconstruct a ban — the proof
 // itself is the durable artifact. The sidecar's filename is foreign to
 // parseSegName, which keeps it invisible to segment listing and therefore
-// safe from Checkpoint compaction and stale-segment sweeps.
+// safe from a cut's deletions and stale-segment sweeps.
 const (
 	evidenceFile  = "evidence.log"
 	evidenceMagic = "BDEVID1\n"

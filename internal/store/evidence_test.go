@@ -205,8 +205,8 @@ func TestEvidenceForeignRoster(t *testing.T) {
 	}
 }
 
-// TestEvidenceCheckpointImmune: the sidecar must survive WAL compaction —
-// its filename is foreign to the segment namespace.
+// TestEvidenceCheckpointImmune: the sidecar must survive a cut that
+// deletes WAL segments — its filename is foreign to the segment namespace.
 func TestEvidenceCheckpointImmune(t *testing.T) {
 	roster, blocks := chain(t, 6)
 	// chain() derives LocalRoster(1) deterministically, so re-deriving
@@ -234,7 +234,8 @@ func TestEvidenceCheckpointImmune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Checkpoint(d); err != nil {
+	s.SetStateCheckpoint(&store.StateCheckpoint{Slot: 1})
+	if err := s.PruneTo(d, map[types.ServerID]uint64{0: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -246,6 +247,6 @@ func TestEvidenceCheckpointImmune(t *testing.T) {
 	}
 	defer re.Close()
 	if len(re.Evidence()) != 1 || !re.HasEvidence(0) {
-		t.Fatal("checkpoint compaction ate the evidence sidecar")
+		t.Fatal("a cut ate the evidence sidecar")
 	}
 }

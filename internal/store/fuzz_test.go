@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -11,7 +10,6 @@ import (
 	"testing"
 
 	"blockdag/internal/block"
-	"blockdag/internal/dag"
 	"blockdag/internal/dagtest"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
@@ -19,9 +17,9 @@ import (
 
 // realSegments writes three all-to-all rounds of a 3-server DAG (requests
 // included) through a store and returns the bytes of its WAL segment, and
-// of the snapshot segment a pruning checkpoint then made of it — horizon,
-// base table, state checkpoint and index-encoded predecessors all present.
-func realSegments(f *testing.F) (wal, snap []byte) {
+// the heads a cut of it and an install write — horizon, base table and
+// state checkpoint all present.
+func realSegments(f *testing.F) (wal, cut, installed []byte) {
 	f.Helper()
 	h := dagtest.NewHarness(3)
 	for r := 0; r < 3; r++ {
@@ -37,7 +35,7 @@ func realSegments(f *testing.F) (wal, snap []byte) {
 			f.Fatal(err)
 		}
 	}
-	read := func(pattern string) []byte {
+	read := func(dir, pattern string) []byte {
 		files, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil || len(files) != 1 {
 			f.Fatalf("%s: %d files (err %v), want 1", pattern, len(files), err)
@@ -51,43 +49,28 @@ func realSegments(f *testing.F) (wal, snap []byte) {
 	if err := st.Sync(); err != nil {
 		f.Fatal(err)
 	}
-	wal = read("*" + extWAL)
-	st.SetStateCheckpoint(&StateCheckpoint{Slot: 2, Root: [32]byte{7}, Chunks: [][]byte{{1, 2, 3}, {4}}})
-	if _, err := st.PruneTo(h.DAG, map[types.ServerID]uint64{0: 1, 1: 2}); err != nil {
+	wal = read(dir, "*"+extWAL)
+	sc := &StateCheckpoint{Slot: 2, Root: [32]byte{7}, Chunks: [][]byte{{1, 2, 3}, {4}}}
+	st.SetStateCheckpoint(sc)
+	if err := st.PruneTo(h.DAG, map[types.ServerID]uint64{0: 1, 1: 2}); err != nil {
 		f.Fatal(err)
 	}
-	snap = read("*" + extSnap)
+	cut = read(dir, headFile)
+	base := st.Base()
 	if err := st.Close(); err != nil {
 		f.Fatal(err)
 	}
-	return wal, snap
-}
 
-// encodeSnapshot lays blocks out as a whole snapshot segment, naming each
-// predecessor by its index into base ∪ blocks.
-func encodeSnapshot(blocks []*block.Block, base []dag.Base, horizon map[types.ServerID]uint64, st *StateCheckpoint) ([]byte, error) {
-	var out bytes.Buffer
-	sw := newSnapshotWriter(&out)
-	sw.head(horizon, base, st, len(blocks))
-	pos := make(map[block.Ref]int, len(base)+len(blocks))
-	for i, e := range base {
-		pos[e.Ref] = i
+	dir = f.TempDir()
+	st, err = Open(dir, Options{Roster: h.Roster, Sync: SyncNever})
+	if err != nil {
+		f.Fatal(err)
 	}
-	for i, b := range blocks {
-		if _, err := sw.put(b, func(w *wire.Writer, p block.Ref) error {
-			j, ok := pos[p]
-			if !ok {
-				return fmt.Errorf("block %v references %v outside the snapshot", b.Ref(), p)
-			}
-			w.Uvarint(uint64(j))
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		pos[b.Ref()] = len(base) + i
+	defer st.Close()
+	if err := st.InstallSnapshot(map[types.ServerID]uint64{0: 1, 1: 2, 2: 1}, base, sc); err != nil {
+		f.Fatal(err)
 	}
-	err := sw.end()
-	return out.Bytes(), err
+	return wal, cut, read(dir, headFile)
 }
 
 // allocated returns the bytes fn allocated, collected or not.
@@ -100,8 +83,8 @@ func allocated(fn func()) uint64 {
 }
 
 // allocBound is what a decoder may allocate for an input of n bytes: a
-// constant factor of n (a snapshot's one-byte predecessor index decodes to
-// a 32-byte reference, held in the block and again in its rebuilt frame)
+// constant factor of n (a record's one-byte back-reference decodes to a
+// 32-byte reference, held in the block and again in its rebuilt frame)
 // plus slack for what the runtime and the fuzz worker allocate meanwhile.
 // A length prefix believed before the bytes behind it are seen — the
 // failure this guards against — allocates by the prefix, not by n.
@@ -184,7 +167,7 @@ func TestScanWALNamesOneWay(t *testing.T) {
 // scanner refuses a literal the window could have named and a distance past
 // the ref's latest record.
 func FuzzScanWAL(f *testing.F) {
-	wal, _ := realSegments(f)
+	wal, _, _ := realSegments(f)
 	f.Add(wal)
 	f.Add(wal[:len(wal)-7])     // torn tail
 	f.Add(wal[:headerSize+5])   // torn framing
@@ -226,48 +209,36 @@ func FuzzScanWAL(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSnapshot: the snapshot segment decoder never panics and never
-// allocates out of proportion to its input — every count in the format is
-// a length prefix an attacker or a bad sector picks — and a segment it
-// accepts holds blocks whose predecessors all resolve within the segment:
-// its base table, or a block decoded before.
+// FuzzDecodeSnapshot: the head decoder — what a cut and a snapshot
+// install write, and Open reads first — never panics and never allocates
+// out of proportion to its input — every count in the format is a length
+// prefix an attacker or a bad sector picks — and a head it accepts is one
+// the writer wrote: it re-encodes to the very bytes.
 func FuzzDecodeSnapshot(f *testing.F) {
-	_, snap := realSegments(f)
-	f.Add(snap)
-	f.Add(snap[:len(snap)/2])
-	empty, err := encodeSnapshot(nil, nil, nil, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty)
+	_, cut, installed := realSegments(f)
+	f.Add(cut)
+	f.Add(installed)
+	f.Add(cut[:len(cut)/2])
+	f.Add((&head{}).encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The trailer CRC would stop the fuzzer at the door: fix it up, so
-		// mutations reach the table and block decoders behind it.
-		if len(data) >= headerSize+4 {
+		// mutations reach the table decoders behind it.
+		if len(data) >= len(headMagic)+4 {
 			data = bytes.Clone(data)
-			body := data[headerSize : len(data)-4]
+			body := data[len(headMagic) : len(data)-4]
 			binary.BigEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
 		}
-		var sv *snapshot
+		var h *head
 		var err error
-		if got, limit := allocated(func() { sv, err = decodeSnapshot(data, "fuzz") }), allocBound(len(data)); got > limit {
-			t.Fatalf("decodeSnapshot allocated %d bytes for a %d-byte segment (bound %d)", got, len(data), limit)
+		if got, limit := allocated(func() { h, err = decodeHead(data, "fuzz") }), allocBound(len(data)); got > limit {
+			t.Fatalf("decodeHead allocated %d bytes for a %d-byte head (bound %d)", got, len(data), limit)
 		}
 		if err != nil {
 			return
 		}
-		known := make(map[block.Ref]bool, len(sv.base)+len(sv.blocks))
-		for _, e := range sv.base {
-			known[e.Ref] = true
-		}
-		for _, b := range sv.blocks {
-			for _, p := range b.Preds {
-				if !known[p] {
-					t.Fatalf("accepted snapshot: block %v cites %v, which is neither in its base nor before it", b.Ref(), p)
-				}
-			}
-			known[b.Ref()] = true
+		if !bytes.Equal(h.encode(), data) {
+			t.Fatalf("an accepted head of %d bytes re-encodes to other bytes", len(data))
 		}
 	})
 }

@@ -1,0 +1,171 @@
+package store
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
+
+	"blockdag/internal/dag"
+	"blockdag/internal/types"
+	"blockdag/internal/wire"
+)
+
+// StateCheckpoint is the application-state commitment a store journals
+// alongside its blocks: the sealed (slot, root) pair plus the snapshot
+// chunks that rebuild the committed tree (state.Export order). Journaling
+// the chunks keeps a pruned store self-contained — recovery rebuilds the
+// state machine from them, and dagstore verify re-derives the root —
+// without the store ever interpreting their contents.
+type StateCheckpoint struct {
+	Slot   uint64
+	Root   [32]byte
+	Chunks [][]byte
+}
+
+// The head file: what stands in for the history below the horizon. Its
+// name is foreign to parseSegName, so segment listing never sees it; a
+// cut replaces it through headFile + ".tmp", which Open sweeps.
+const (
+	headFile  = "head"
+	headMagic = "BDHEAD1\n"
+)
+
+// head is the decoded head file: the sticky per-builder prune horizon, the
+// base table of stand-ins the first blocks above it hang off, and the
+// state checkpoint that replaces the blocks below it.
+type head struct {
+	horizon map[types.ServerID]uint64
+	base    []dag.Base
+	state   *StateCheckpoint
+}
+
+// maxHorizonEntries bounds the horizon and base tables a decoder will
+// allocate for (the roster is uint16-indexed; base adds referenced
+// pruned refs on top).
+const (
+	maxHorizonEntries = 1 << 16
+	maxBaseEntries    = 1 << 20
+	maxStateChunks    = 1 << 20
+)
+
+// encode lays the head out: the magic, the horizon table, the base table,
+// the optional state checkpoint, and a CRC32 trailer over everything after
+// the magic.
+func (h *head) encode() []byte {
+	var w wire.Writer
+	for i := range len(headMagic) {
+		w.Byte(headMagic[i])
+	}
+	ids := slices.Sorted(maps.Keys(h.horizon))
+	w.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
+		w.Uint16(uint16(id))
+		w.Uvarint(h.horizon[id])
+	}
+	w.Uvarint(uint64(len(h.base)))
+	for _, e := range h.base {
+		w.Uint16(uint16(e.Builder))
+		w.Uvarint(e.Seq)
+		w.Bytes32(e.Ref)
+	}
+	w.Bool(h.state != nil)
+	if st := h.state; st != nil {
+		w.Uvarint(st.Slot)
+		w.Bytes32(st.Root)
+		w.Uvarint(uint64(len(st.Chunks)))
+		for _, c := range st.Chunks {
+			w.VarBytes(c)
+		}
+	}
+	w.Uint32(crc32.ChecksumIEEE(w.Bytes()[len(headMagic):]))
+	return w.Bytes()
+}
+
+// decodeHead inverts head.encode, and takes nothing encode would not
+// write: the horizon table in builder order, each builder once.
+func decodeHead(data []byte, path string) (*head, error) {
+	if len(data) < len(headMagic)+4 || string(data[:len(headMagic)]) != headMagic {
+		return nil, fmt.Errorf("%w: %s: bad head", ErrCorrupt, path)
+	}
+	body, trailer := data[len(headMagic):len(data)-4], data[len(data)-4:]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
+		return nil, fmt.Errorf("%w: %s: head checksum mismatch", ErrCorrupt, path)
+	}
+	r := wire.NewReader(body)
+	h := &head{}
+	var prev types.ServerID
+	nHorizon := r.Count(maxHorizonEntries)
+	if nHorizon > 0 {
+		h.horizon = make(map[types.ServerID]uint64, nHorizon)
+	}
+	for i := range nHorizon {
+		id := types.ServerID(r.Uint16())
+		if i > 0 && id <= prev {
+			return nil, fmt.Errorf("%w: %s: horizon table out of builder order", ErrCorrupt, path)
+		}
+		h.horizon[id], prev = r.Uvarint(), id
+	}
+	nBase := r.Count(maxBaseEntries)
+	h.base = make([]dag.Base, 0, nBase)
+	for range nBase {
+		h.base = append(h.base, dag.Base{Builder: types.ServerID(r.Uint16()), Seq: r.Uvarint(), Ref: r.Bytes32()})
+	}
+	if r.Bool() {
+		st := &StateCheckpoint{Slot: r.Uvarint(), Root: r.Bytes32()}
+		nChunks := r.Count(maxStateChunks)
+		st.Chunks = make([][]byte, 0, nChunks)
+		for range nChunks {
+			st.Chunks = append(st.Chunks, r.VarBytes())
+		}
+		h.state = st
+	}
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+	}
+	return h, nil
+}
+
+// readHead reads dir's head file, nil if it has none.
+func readHead(dir string) (*head, error) {
+	path := filepath.Join(dir, headFile)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: read head: %w", err)
+	}
+	return decodeHead(data, path)
+}
+
+// writeHead makes h dir's head: written to a temp file, fsynced, renamed
+// over the old head, and the directory fsynced, so a crash leaves the old
+// head or the new one and never a torn one.
+func writeHead(dir string, h *head) error {
+	path := filepath.Join(dir, headFile)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: create head: %w", err)
+	}
+	_, err = f.Write(h.encode())
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("store: write head: %w", err)
+	}
+	return syncDir(dir)
+}

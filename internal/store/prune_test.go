@@ -35,20 +35,16 @@ func TestPruneToRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := st.PruneTo(d, map[types.ServerID]uint64{0: 5}); err == nil {
+	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 5}); err == nil {
 		t.Fatal("PruneTo without a state checkpoint succeeded")
 	}
 	sc := testStateCkpt(42)
 	st.SetStateCheckpoint(sc)
-	stats, err := st.PruneTo(d, map[types.ServerID]uint64{0: 5})
-	if err != nil {
+	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Blocks != 5 {
-		t.Fatalf("retained %d blocks, want 5", stats.Blocks)
-	}
-	if stats.BytesAfter >= stats.BytesBefore {
-		t.Fatalf("prune did not shrink the store: %d -> %d", stats.BytesBefore, stats.BytesAfter)
+	if st.Len() != 5 {
+		t.Fatalf("retained %d blocks, want 5", st.Len())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -104,9 +100,10 @@ func TestPruneToRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointHorizonSticky verifies an ordinary checkpoint cannot
-// resurrect pruned history: after PruneTo, checkpointing a DAG that
-// still holds the full history in memory keeps the store pruned.
+// TestCheckpointHorizonSticky verifies a cut cannot resurrect pruned
+// history: after PruneTo, a second cut asking for a lower horizon — from a
+// DAG that still holds the full history in memory — keeps the store
+// pruned at the first.
 func TestCheckpointHorizonSticky(t *testing.T) {
 	roster, blocks := chain(t, 12)
 	dir := t.TempDir()
@@ -120,11 +117,11 @@ func TestCheckpointHorizonSticky(t *testing.T) {
 		}
 	}
 	st.SetStateCheckpoint(testStateCkpt(7))
-	if _, err := st.PruneTo(d, map[types.ServerID]uint64{0: 5}); err != nil {
+	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 5}); err != nil {
 		t.Fatal(err)
 	}
 
-	// More live traffic, then a plain checkpoint from the full-history DAG.
+	// More live traffic, then a lower cut from the full-history DAG.
 	for _, b := range blocks[10:] {
 		if err := d.Insert(b); err != nil {
 			t.Fatal(err)
@@ -133,7 +130,7 @@ func TestCheckpointHorizonSticky(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Checkpoint(d); err != nil {
+	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -147,17 +144,17 @@ func TestCheckpointHorizonSticky(t *testing.T) {
 	}
 	for _, b := range re.Blocks() {
 		if b.Seq < 5 {
-			t.Fatalf("checkpoint resurrected pruned block seq %d", b.Seq)
+			t.Fatalf("a lower cut resurrected pruned block seq %d", b.Seq)
 		}
 	}
 	if h := re.Horizon(); h[0] != 5 {
-		t.Fatalf("horizon %v after plain checkpoint, want sticky 5", h)
+		t.Fatalf("horizon %v after a lower cut, want sticky 5", h)
 	}
 }
 
 // TestPruneCrashBeforePublish models a crash after PruneTo wrote its
-// temp snapshot but before the rename: the old segments still rule, the
-// full history recovers, and the orphan is swept.
+// temp head but before the rename: the old horizon — none — still rules,
+// the full history recovers, and the orphan is swept.
 func TestPruneCrashBeforePublish(t *testing.T) {
 	roster, blocks := chain(t, 8)
 	dir := t.TempDir()
@@ -167,9 +164,9 @@ func TestPruneCrashBeforePublish(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The crashed prune's unpublished snapshot: contents are irrelevant,
+	// The crashed prune's unpublished head: contents are irrelevant,
 	// recovery must remove it without reading it.
-	tmp := filepath.Join(dir, "0000000000000002.snap.tmp")
+	tmp := filepath.Join(dir, "head.tmp")
 	if err := os.WriteFile(tmp, []byte("torn mid-write"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -190,24 +187,19 @@ func TestPruneCrashBeforePublish(t *testing.T) {
 	}
 }
 
-// TestPruneCrashBeforeCleanup models a crash after the snapshot rename
-// but before the old segments were deleted: the new horizon rules, and
-// recovery finishes the interrupted cleanup.
+// TestPruneCrashBeforeCleanup models a crash after the head was published
+// but before the segments below the horizon were deleted: the new horizon
+// rules, and their records below it are no rows. A read-only open reports
+// the leftovers and leaves them in place; a read-write open finishes the
+// interrupted cut, deleting and counting them.
 func TestPruneCrashBeforeCleanup(t *testing.T) {
 	roster, blocks := chain(t, 8)
 	dir := t.TempDir()
 
-	st := openStore(t, dir, roster, store.Options{})
+	st := openStore(t, dir, roster, store.Options{SegmentSize: 256})
 	appendAll(t, st, blocks)
-	// Capture the pre-prune WAL segment so the crash can be staged.
-	wals, err := filepath.Glob(filepath.Join(dir, "*.wal"))
-	if err != nil || len(wals) != 1 {
-		t.Fatalf("want exactly one WAL segment, got %v (%v)", wals, err)
-	}
-	walBytes, err := os.ReadFile(wals[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Capture the pre-prune segments so the crash can be staged.
+	before := readDirBytes(t, dir)
 
 	d := dag.New(roster)
 	for _, b := range blocks {
@@ -216,39 +208,118 @@ func TestPruneCrashBeforeCleanup(t *testing.T) {
 		}
 	}
 	st.SetStateCheckpoint(testStateCkpt(3))
-	if _, err := st.PruneTo(d, map[types.ServerID]uint64{0: 4}); err != nil {
+	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Resurrect the deleted pre-prune segment: disk now looks exactly
-	// like a crash between the rename and the cleanup.
-	if err := os.WriteFile(wals[0], walBytes, 0o644); err != nil {
+	// Resurrect the deleted segments: disk now looks exactly like a crash
+	// between publishing the head and the cleanup.
+	after := readDirBytes(t, dir)
+	var leftovers []string
+	for name, data := range before {
+		if _, kept := after[name]; !kept {
+			leftovers = append(leftovers, name)
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(leftovers) == 0 {
+		t.Fatal("the cut deleted no segment: nothing to leave behind")
+	}
+	opened := func(opts store.Options) *store.Store {
+		t.Helper()
+		re := openStore(t, dir, roster, opts)
+		if got := len(re.Blocks()); got != 4 {
+			t.Fatalf("recovered %d blocks, want 4 (new horizon rules)", got)
+		}
+		if h := re.Horizon(); h[0] != 4 {
+			t.Fatalf("horizon %v, want 4", h)
+		}
+		if got := re.Report().StaleSegments; got != len(leftovers) {
+			t.Fatalf("StaleSegments = %d, want the %d segments the cut left", got, len(leftovers))
+		}
+		return re
+	}
+
+	ro := opened(store.Options{ReadOnly: true})
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range leftovers {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("a read-only open touched leftover %s: %v", name, err)
+		}
+	}
+	re := opened(store.Options{})
+	defer re.Close()
+	for _, name := range leftovers {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("leftover segment %s not removed", name)
+		}
+	}
+}
+
+// TestCheckpointCrashCleanup: the oldest segment a cut to a state
+// checkpoint failed to delete before crashing is swept on the next Open,
+// alone, and the rows at or above the horizon recover in full.
+func TestCheckpointCrashCleanup(t *testing.T) {
+	roster, blocks := chain(t, 8)
+	dir := t.TempDir()
+	st := openStore(t, dir, roster, store.Options{SegmentSize: 256})
+	appendAll(t, st, blocks)
+	before := readDirBytes(t, dir)
+
+	d := dag.New(roster)
+	for _, b := range blocks {
+		if err := d.Insert(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.SetStateCheckpoint(testStateCkpt(3))
+	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	re := openStore(t, dir, roster, store.Options{})
-	defer re.Close()
-	if got := len(re.Blocks()); got != 4 {
-		t.Fatalf("recovered %d blocks, want 4 (new horizon rules)", got)
+	// Re-create the oldest pre-cut segment, as if the crash hit between
+	// publishing the head and deleting it.
+	after := readDirBytes(t, dir)
+	stale := ""
+	for name := range before {
+		if _, kept := after[name]; !kept && (stale == "" || name < stale) {
+			stale = name
+		}
 	}
-	if h := re.Horizon(); h[0] != 4 {
-		t.Fatalf("horizon %v, want 4", h)
+	if stale == "" {
+		t.Fatal("the cut deleted no segment: nothing to leave behind")
 	}
-	if re.Report().StaleSegments == 0 {
-		t.Fatal("leftover pre-prune segment not reported stale")
+	path := filepath.Join(dir, stale)
+	if err := os.WriteFile(path, before[stale], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(wals[0]); !os.IsNotExist(err) {
-		t.Fatal("leftover pre-prune segment not removed")
+	st2 := openStore(t, dir, roster, store.Options{})
+	defer func() { _ = st2.Close() }()
+	if !sameRefs(st2.Blocks(), blocks[4:]) {
+		t.Fatalf("recovered %d blocks, want %d", len(st2.Blocks()), len(blocks[4:]))
+	}
+	if got := st2.Report().StaleSegments; got != 1 {
+		t.Fatalf("StaleSegments = %d, want 1", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("stale segment not removed")
 	}
 }
 
 // TestInstallSnapshotLifecycle exercises the snapshot-apply install
 // path on the open store a wiped node already serves from: it persists a
-// verified snapshot, keeps journaling live blocks above the horizon into
-// the same store — in a fresh WAL segment after the snapshot — and a
-// reopen recovers both. A store with history of its own refuses.
+// verified snapshot as the store's head, keeps journaling live blocks
+// above the horizon into the same store's WAL, and a reopen recovers
+// both. A store with history of its own refuses.
 func TestInstallSnapshotLifecycle(t *testing.T) {
 	roster, blocks := chain(t, 9)
 	dir := t.TempDir()
@@ -279,10 +350,10 @@ func TestInstallSnapshotLifecycle(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	files := readDirBytes(t, dir)
 	wals, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
-	snaps, _ := filepath.Glob(filepath.Join(dir, "*.snap"))
-	if len(wals) != 1 || len(snaps) != 1 || filepath.Base(wals[0]) <= filepath.Base(snaps[0]) {
-		t.Fatalf("after install + appends: snapshots %v, WAL %v, want one of each, the WAL newer", snaps, wals)
+	if _, ok := files["head"]; len(files) != 2 || len(wals) != 1 || !ok {
+		t.Fatalf("after install + appends: %d files, WAL %v, want the head and one WAL segment", len(files), wals)
 	}
 
 	// What dagstore verify demands: a read-only open that found nothing to
@@ -316,15 +387,15 @@ func TestInstallSnapshotLifecycle(t *testing.T) {
 }
 
 // TestInstallSnapshotCrashMidApply models a crash during snapshot apply:
-// only the temp file exists. Reopening finds no store state at all (the
+// only the head's temp file exists. Reopening finds no store state at all (the
 // old horizon — here, nothing) rather than a torn half-install, and a
 // retried install succeeds.
 func TestInstallSnapshotCrashMidApply(t *testing.T) {
 	roster, blocks := chain(t, 6)
 	dir := t.TempDir()
 
-	tmp := filepath.Join(dir, "0000000000000001.snap.tmp")
-	if err := os.WriteFile(tmp, []byte("half-written snapshot"), 0o644); err != nil {
+	tmp := filepath.Join(dir, "head.tmp")
+	if err := os.WriteFile(tmp, []byte("half-written head"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st := openStore(t, dir, roster, store.Options{})
@@ -350,8 +421,9 @@ func TestInstallSnapshotCrashMidApply(t *testing.T) {
 	}
 }
 
-// TestCorruptPrunedSnapshotRejected flips one byte of a v2 snapshot and
-// verifies recovery refuses the store instead of serving damaged state.
+// TestCorruptPrunedSnapshotRejected flips one byte of a pruned store's
+// head and verifies recovery refuses the store instead of serving damaged
+// state.
 func TestCorruptPrunedSnapshotRejected(t *testing.T) {
 	roster, blocks := chain(t, 8)
 	dir := t.TempDir()
@@ -365,28 +437,80 @@ func TestCorruptPrunedSnapshotRejected(t *testing.T) {
 		}
 	}
 	st.SetStateCheckpoint(testStateCkpt(1))
-	if _, err := st.PruneTo(d, map[types.ServerID]uint64{0: 4}); err != nil {
+	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("want one snapshot, got %v (%v)", snaps, err)
-	}
-	data, err := os.ReadFile(snaps[0])
+	path := filepath.Join(dir, "head")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Open(dir, store.Options{Roster: roster}); err == nil {
 		t.Fatal("corrupt pruned snapshot recovered")
 	} else if !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestPruneWritesNoBlock: a cut writes its head and nothing else. Two
+// stores of one chain, cut at the same horizon under the same state
+// checkpoint, retain 64 rows and 16 384: what the cut adds to each
+// directory is the head alone, the same bytes in both, and every WAL
+// segment that survives the cut is byte for byte what it was before.
+func TestPruneWritesNoBlock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts bytes; under the race detector its 16 484 signatures only take long")
+	}
+	const below = 100
+	roster, blocks := chain(t, below+16384)
+	horizon := map[types.ServerID]uint64{0: below}
+	var heads [][]byte
+	for _, retained := range []int{64, 16384} {
+		dir := t.TempDir()
+		st := openStore(t, dir, roster, store.Options{Sync: store.SyncNever, SegmentSize: 4 << 10})
+		d := dag.New(roster)
+		for _, b := range blocks[:below+retained] {
+			if err := d.Insert(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appendAll(t, st, d.Blocks())
+		before := readDirBytes(t, dir)
+		st.SetStateCheckpoint(testStateCkpt(9))
+		if err := st.PruneTo(d, horizon); err != nil {
+			t.Fatal(err)
+		}
+		after := readDirBytes(t, dir)
+		var added []string
+		for name, data := range after {
+			old, ok := before[name]
+			switch {
+			case !ok:
+				added = append(added, name)
+			case !bytes.Equal(old, data):
+				t.Fatalf("%d retained: the cut rewrote %s", retained, name)
+			}
+		}
+		if len(added) != 1 || added[0] != "head" {
+			t.Fatalf("%d retained: the cut added %v, want the head alone", retained, added)
+		}
+		if len(after) > len(before) {
+			t.Fatalf("%d retained: the cut deleted no segment below the horizon", retained)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		heads = append(heads, after["head"])
+	}
+	if !bytes.Equal(heads[0], heads[1]) {
+		t.Fatalf("the cut wrote %d B at 64 retained rows and %d B at 16 384, want the same head", len(heads[0]), len(heads[1]))
 	}
 }

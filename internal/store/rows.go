@@ -9,12 +9,14 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/dag"
+	"blockdag/internal/types"
 	"blockdag/internal/wire"
 )
 
 // loc is one cell of the location column: where a row's record lies, as the
 // segment (an index into Store.segs, plus one) and the record's offset in
-// the file, in one word. 0 is no record; pruned, a record PruneTo deleted.
+// the file, in one word. 0 is no record; pruned, a row under the prune
+// horizon (PruneTo).
 type loc uint64
 
 const (
@@ -28,13 +30,32 @@ func locOf(seg int, off int64) loc { return loc(uint64(seg+1)<<locShift | uint64
 func (l loc) seg() int             { return int(l>>locShift) - 1 }
 func (l loc) off() int64           { return int64(uint64(l) & offMask) }
 
-// segMeta is what reading a record back needs of its segment: the file, its
-// kind, and a snapshot's size. A record names nothing the reader resolves:
-// the row's predecessors come with the request (Block).
+// segMeta is what the store keeps of a WAL segment: its file, and per
+// builder one past the highest seq among its records — every record it
+// holds, rows or not — which says whether a cut may delete it. A record
+// names nothing the reader resolves: the row's predecessors come with the
+// request (Block).
 type segMeta struct {
 	index uint64
-	kind  byte
-	size  int64 // a snapshot's, in bytes: its blocks are not framed
+	top   map[types.ServerID]uint64
+}
+
+// note counts b's record into m.
+func (m *segMeta) note(b *block.Block) {
+	if m.top == nil {
+		m.top = make(map[types.ServerID]uint64)
+	}
+	m.top[b.Builder] = max(m.top[b.Builder], b.Seq+1)
+}
+
+// above reports whether m holds a record at or above horizon.
+func (m *segMeta) above(horizon map[types.ServerID]uint64) bool {
+	for id, top := range m.top {
+		if top > horizon[id] {
+			return true
+		}
+	}
+	return false
 }
 
 // Block returns the block of row — the row-th block the sink was handed,
@@ -78,39 +99,25 @@ func (s *Store) readBlock(m *segMeta, off int64, preds []block.Ref) (*block.Bloc
 	if err != nil {
 		return nil, err
 	}
-	if m.kind != kindSnap {
-		payload, err := readRecord(f, off)
-		if err != nil {
-			return nil, err
-		}
-		r := wire.NewReader(payload)
-		b, err := getRow(r, false, preds)
-		if err == nil {
-			err = r.Close()
-		}
-		return b, err
+	payload, err := readRecord(f, off)
+	if err != nil {
+		return nil, err
 	}
-	// A snapshot's block is not framed: read on until it decodes.
-	for n := int64(4 << 10); ; n *= 2 {
-		buf := make([]byte, min(n, m.size-off))
-		if _, err := f.ReadAt(buf, off); err != nil {
-			return nil, err
-		}
-		b, err := getRow(wire.NewReader(buf), true, preds)
-		if err == nil || off+n >= m.size {
-			return b, err
-		}
+	r := wire.NewReader(payload)
+	b, err := getRow(r, preds)
+	if err == nil {
+		err = r.Close()
 	}
+	return b, err
 }
 
-// getRow reads a block laid out by putBlock over preds: it consumes the name
-// of each predecessor — a snapshot's table index, or a WAL record's distance
-// back, followed by the 32-byte ref when that is 0 — and takes preds[i] for
-// it.
-func getRow(r *wire.Reader, snap bool, preds []block.Ref) (*block.Block, error) {
+// getRow reads a record's block over preds: it consumes the name of each
+// predecessor — a distance back, followed by the 32-byte ref when that is
+// 0 — and takes preds[i] for it.
+func getRow(r *wire.Reader, preds []block.Ref) (*block.Block, error) {
 	i := 0
 	b, err := getBlock(r, func(r *wire.Reader) (block.Ref, error) {
-		if k := r.Uvarint(); k == 0 && !snap {
+		if k := r.Uvarint(); k == 0 {
 			r.Bytes32()
 		}
 		if i == len(preds) {
@@ -150,7 +157,7 @@ func readRecord(f *os.File, off int64) ([]byte, error) {
 func (s *Store) reader(m *segMeta) (*os.File, error) {
 	if s.rd == nil || s.rdIndex != m.index {
 		s.closeReader()
-		f, err := os.Open(filepath.Join(s.dir, segName(m.index, m.kind == kindSnap)))
+		f, err := os.Open(filepath.Join(s.dir, segName(m.index)))
 		if err != nil {
 			return nil, err
 		}

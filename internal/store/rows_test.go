@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -38,9 +39,11 @@ func readsBack(t *testing.T, when string, st *Store, want []*block.Block) {
 // TestBlockReadsEveryRowBack: Store.Block, handed a row's predecessors,
 // answers for every row the sink numbered with the very frame that was
 // appended — while it sits in the group-commit batch, from a kind-4 WAL
-// segment (and after a reopen), from a snapshot after a Checkpoint, from a
-// WAL segment behind it — and answers a row PruneTo cut with dag.ErrPruned.
-// Whether a record rebuilds the row's reference is the DAG's check (dag's
+// segment, after a reopen and from the segment appended to after it — and
+// answers a row PruneTo cut with dag.ErrPruned. A horizon that falls
+// inside a sealed segment keeps that segment whole, and a reopen of the
+// cut store reads the rows at or above the horizon alone. Whether a record
+// rebuilds the row's reference is the DAG's check (dag's
 // TestReadBackIsChecked).
 func TestBlockReadsEveryRowBack(t *testing.T) {
 	h := dagtest.NewHarness(3)
@@ -82,10 +85,6 @@ func TestBlockReadsEveryRowBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	readsBack(t, "after a reopen", st, blocks)
-	if _, err := st.Checkpoint(h.DAG); err != nil {
-		t.Fatal(err)
-	}
-	readsBack(t, "from a snapshot", st, blocks)
 	more := h.Round(nil)
 	for _, b := range more {
 		if err := st.Append(b); err != nil {
@@ -93,12 +92,27 @@ func TestBlockReadsEveryRowBack(t *testing.T) {
 		}
 	}
 	blocks = append(blocks, more...)
-	readsBack(t, "behind a snapshot", st, blocks)
+	readsBack(t, "appended after a reopen", st, blocks)
 
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before := segmentFiles(t, dir)
 	st.SetStateCheckpoint(&StateCheckpoint{Slot: 1})
 	horizon := map[types.ServerID]uint64{0: 3, 1: 2}
-	if _, err := st.PruneTo(h.DAG, horizon); err != nil {
+	if err := st.PruneTo(h.DAG, horizon); err != nil {
 		t.Fatal(err)
+	}
+	// Builder 2 keeps all its blocks, so every segment holds one at or
+	// above the horizon and the first holds blocks below it too.
+	after := segmentFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("the cut left %d of %d segments, want every one", len(after), len(before))
+	}
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Fatalf("the cut rewrote segment %s", name)
+		}
 	}
 	var kept, cut []*block.Block
 	for _, b := range blocks {
@@ -117,8 +131,29 @@ func TestBlockReadsEveryRowBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.Len() != len(kept) {
+		t.Fatalf("a pruned store reopened holds %d rows, want the %d at or above the horizon", st.Len(), len(kept))
+	}
 	readsBack(t, "a pruned store reopened", st, kept)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// segmentFiles returns dir's WAL segments as name → contents.
+func segmentFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	wals, err := filepath.Glob(filepath.Join(dir, "*"+extWAL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(wals))
+	for _, wal := range wals {
+		data, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(wal)] = data
+	}
+	return out
 }

@@ -1,13 +1,14 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -20,71 +21,50 @@ const (
 	segMagic   = "BDSTOR1\n"
 	headerSize = len(segMagic) + 1 // magic + kind byte
 
-	// kindSnap is the snapshot segment: prune horizon, pruned-history
-	// base table, state commitment and its snapshot chunks (all possibly
-	// empty), then the retained blocks. Kind 1 was a WAL segment of raw
-	// frames and kind 2 a blocks-only snapshot; neither is written nor
-	// read any more, and both numbers stay retired.
-	kindSnap byte = 3
-	// kindWAL is the WAL segment: each record lays its block out as a
-	// snapshot does (putBlock), a predecessor named by its distance back
-	// into the segment (window) or, failing that, by its ref.
+	// kindWAL is the WAL segment: each record lays its block out with
+	// putBlock, a predecessor named by its distance back into the segment
+	// (window) or, failing that, by its ref. Kind 1 was a WAL segment of
+	// raw frames, kind 2 a blocks-only snapshot and kind 3 a snapshot of
+	// the horizon, base, state and retained blocks; none is written nor
+	// read any more, and the numbers stay retired.
 	kindWAL byte = 4
 
 	// recHeaderSize frames one WAL record: length + CRC32.
 	recHeaderSize = 4 + 4
 
-	extWAL  = ".wal"
+	extWAL = ".wal"
+	// extSnap named a snapshot segment. Open refuses a directory holding
+	// one: nothing writes the format any more, so nothing reads it.
 	extSnap = ".snap"
 )
 
 // ErrCorrupt reports damage Open cannot attribute to a torn tail write: a
-// bad magic or kind byte, a failed CRC in the middle of a segment, or a
-// snapshot whose trailer checksum does not match.
+// bad magic or kind byte, a failed CRC in the middle of a segment, a head
+// whose trailer checksum does not match, or a retired snapshot segment.
 var ErrCorrupt = errors.New("store: corrupt segment")
 
-// segFile is one segment discovered on disk.
+// segFile is one WAL segment discovered on disk.
 type segFile struct {
 	index uint64
-	snap  bool
 	path  string
 	size  int64
 }
 
-// segName renders the file name for a segment index.
-func segName(index uint64, snap bool) string {
-	ext := extWAL
-	if snap {
-		ext = extSnap
-	}
-	return fmt.Sprintf("%016x%s", index, ext)
-}
+// segName renders the file name for a WAL segment index.
+func segName(index uint64) string { return fmt.Sprintf("%016x%s", index, extWAL) }
 
 // parseSegName inverts segName; ok is false for foreign files.
-func parseSegName(name string) (index uint64, snap bool, ok bool) {
-	ext := filepath.Ext(name)
-	switch ext {
-	case extWAL:
-		snap = false
-	case extSnap:
-		snap = true
-	default:
-		return 0, false, false
-	}
-	base := strings.TrimSuffix(name, ext)
-	if len(base) != 16 {
-		return 0, false, false
+func parseSegName(name string) (index uint64, ok bool) {
+	base, found := strings.CutSuffix(name, extWAL)
+	if !found || len(base) != 16 {
+		return 0, false
 	}
 	index, err := strconv.ParseUint(base, 16, 64)
-	if err != nil {
-		return 0, false, false
-	}
-	return index, snap, true
+	return index, err == nil
 }
 
-// listSegments scans dir for segment files, sorted by index (snapshots
-// before a WAL segment of the same index, which cannot happen in a
-// healthy store but keeps the order total).
+// listSegments scans dir for WAL segment files, sorted by index. A
+// snapshot segment fails it as ErrCorrupt.
 func listSegments(dir string) ([]segFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -92,30 +72,20 @@ func listSegments(dir string) ([]segFile, error) {
 	}
 	var segs []segFile
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
+		if filepath.Ext(e.Name()) == extSnap {
+			return nil, fmt.Errorf("%w: %s: a snapshot segment, a retired format", ErrCorrupt, e.Name())
 		}
-		index, snap, ok := parseSegName(e.Name())
-		if !ok {
+		index, ok := parseSegName(e.Name())
+		if !ok || e.IsDir() {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			return nil, fmt.Errorf("store: stat segment %s: %w", e.Name(), err)
 		}
-		segs = append(segs, segFile{
-			index: index,
-			snap:  snap,
-			path:  filepath.Join(dir, e.Name()),
-			size:  info.Size(),
-		})
+		segs = append(segs, segFile{index: index, path: filepath.Join(dir, e.Name()), size: info.Size()})
 	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].index != segs[j].index {
-			return segs[i].index < segs[j].index
-		}
-		return segs[i].snap && !segs[j].snap
-	})
+	slices.SortFunc(segs, func(a, b segFile) int { return cmp.Compare(a.index, b.index) })
 	return segs, nil
 }
 
@@ -126,16 +96,15 @@ func segHeader(kind byte) []byte {
 	return append(h, kind)
 }
 
-// checkHeader validates a segment's header and returns its kind.
-func checkHeader(data []byte, path string) (byte, error) {
+// checkHeader validates a WAL segment's header.
+func checkHeader(data []byte, path string) error {
 	if len(data) < headerSize || string(data[:len(segMagic)]) != segMagic {
-		return 0, fmt.Errorf("%w: %s: bad header", ErrCorrupt, path)
+		return fmt.Errorf("%w: %s: bad header", ErrCorrupt, path)
 	}
-	kind := data[len(segMagic)]
-	if kind != kindWAL && kind != kindSnap {
-		return 0, fmt.Errorf("%w: %s: unknown kind %d", ErrCorrupt, path, kind)
+	if kind := data[len(segMagic)]; kind != kindWAL {
+		return fmt.Errorf("%w: %s: unknown kind %d", ErrCorrupt, path, kind)
 	}
-	return kind, nil
+	return nil
 }
 
 // appendRecord frames one payload as a record: the evidence sidecar's (WAL
@@ -148,11 +117,8 @@ func appendRecord(dst []byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// segment is the decoded content of one segment file.
+// segment is the decoded content of one WAL segment file.
 type segment struct {
-	kind byte
-	// snap is the snapshot's tables (horizon, base, state); nil for a WAL.
-	snap *snapshot
 	// blocks are the segment's blocks in file order, and offs where each
 	// one's record starts in the file.
 	blocks []*block.Block
@@ -189,10 +155,9 @@ func nextRecord(data []byte, off int) (payload []byte, next int, ok bool) {
 //
 // Every block gets a frame of its own, rebuilt from the record's fields with
 // predecessors resolved against the segment's window (getRecord) — one
-// encode per block read, as a snapshot's blocks have always cost — so none
-// pins the segment's read buffer.
+// encode per block read — so none pins the segment's read buffer.
 func scanWAL(data []byte) segment {
-	seg := segment{kind: kindWAL, goodLen: int64(headerSize)}
+	seg := segment{goodLen: int64(headerSize)}
 	var win window
 	for off := headerSize; off < len(data); {
 		payload, next, ok := nextRecord(data, off)
@@ -216,40 +181,15 @@ func scanWAL(data []byte) segment {
 	return seg
 }
 
-// readSegment reads one segment file and decodes it by kind: a snapshot
-// whole (its trailer checksum covers it), a WAL up to the first record
-// that is not. Framing and checksums only — no block is validated here.
+// readSegment reads one WAL segment file up to the first record that is
+// not whole. Framing and checksums only — no block is validated here.
 func readSegment(sf segFile) (segment, error) {
 	data, err := os.ReadFile(sf.path)
 	if err != nil {
 		return segment{}, fmt.Errorf("store: read segment: %w", err)
 	}
-	kind, err := checkHeader(data, sf.path)
-	if err != nil {
+	if err := checkHeader(data, sf.path); err != nil {
 		return segment{}, err
 	}
-	if (kind == kindSnap) != sf.snap {
-		return segment{}, fmt.Errorf("%w: %s: kind/extension mismatch", ErrCorrupt, sf.path)
-	}
-	if kind != kindSnap {
-		return scanWAL(data), nil
-	}
-	sv, err := decodeSnapshot(data, sf.path)
-	if err != nil {
-		return segment{}, err
-	}
-	return segment{kind: kind, snap: sv, blocks: sv.blocks, offs: sv.offs, goodLen: int64(len(data))}, nil
-}
-
-// newestSnapshot splits a sorted segment listing at its newest snapshot:
-// recovery reads live (the snapshot, if any, and the WAL segments after
-// it); stale is what a checkpoint that crashed mid-cleanup left behind.
-func newestSnapshot(segs []segFile) (stale, live []segFile) {
-	start := 0
-	for i, sf := range segs {
-		if sf.snap {
-			start = i
-		}
-	}
-	return segs[:start], segs[start:]
+	return scanWAL(data), nil
 }

@@ -1,12 +1,14 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -85,32 +87,33 @@ type Options struct {
 	// node runtime injects its clock; nil defaults to wall time.
 	Clock func() time.Duration
 	// ReadOnly opens the store for offline inspection: recovery reports
-	// torn tails and stale segments without repairing them, and Append
-	// and Checkpoint are refused. The dagstore CLI uses this for
+	// torn tails and stale segments without repairing them, and Append,
+	// PruneTo and InstallSnapshot are refused. The dagstore CLI uses this for
 	// inspect/verify so examining a store never changes it.
 	ReadOnly bool
 }
 
 // OpenReport describes what Open found and repaired.
 type OpenReport struct {
-	// Segments is the number of segment files read (snapshot included).
+	// Segments is the number of WAL segment files read.
 	Segments int
-	// SnapshotIndex is the index of the snapshot recovered from, if
-	// HasSnapshot.
-	SnapshotIndex uint64
-	HasSnapshot   bool
-	// Blocks is the number of distinct blocks read.
+	// HasSnapshot reports a head: the store was cut (PruneTo) or
+	// installed from a snapshot (InstallSnapshot).
+	HasSnapshot bool
+	// Blocks is the number of distinct blocks read at or above the
+	// horizon.
 	Blocks int
 	// Duplicates counts WAL records dropped because an identical block
-	// was already recovered (e.g. re-journaled around a checkpoint).
+	// was already recovered (journaled again by a replay that diverged
+	// from what Open read).
 	Duplicates int
 	// TornBytes is the size of the torn tail truncated from the final
 	// WAL segment, 0 if the log ended cleanly.
 	TornBytes int64
-	// StaleSegments counts files a crashed checkpoint left behind:
-	// segments made unreachable before cleanup finished, and orphaned
-	// snapshot temp files. Read-write opens delete them; ReadOnly opens
-	// only report them.
+	// StaleSegments counts files a crashed cut left behind: non-final WAL
+	// segments holding no record at or above the horizon, and an orphaned
+	// head temp file. Read-write opens delete them; ReadOnly opens only
+	// report them.
 	StaleSegments int
 }
 
@@ -132,7 +135,8 @@ type Store struct {
 
 	// The location column (Block): where the record of each row — the DAG's
 	// numbering, as the sink counts it — lies, one word a row; segs is the
-	// segments it points into, the live WAL segment's at liveSlot. stray
+	// segments it points into (nil for one a cut deleted), the live WAL
+	// segment's at liveSlot. stray
 	// holds, by row, the blocks a failed write left on no disk, and rd is
 	// the file Block read last, kept open for the next.
 	locs     []loc
@@ -142,12 +146,11 @@ type Store struct {
 	rd       *os.File
 	rdIndex  uint64
 
-	// Pruned-history state, journaled in snapshot segments. horizon is
-	// the sticky per-builder prune floor: once PruneTo raises it, every
-	// later Checkpoint retains only blocks at seq >= horizon[builder], so
-	// an ordinary checkpoint can never resurrect pruned history. base is
-	// the stand-in table under the horizon (dag.Base), stateCkpt the
-	// latest journaled state commitment.
+	// Pruned-history state, journaled in the head. horizon is the sticky
+	// per-builder prune floor: a cut only raises it, and Open reads no
+	// record below it, so nothing brings pruned history back. base is the
+	// stand-in table under the horizon (dag.Base), stateCkpt the latest
+	// state commitment.
 	horizon   map[types.ServerID]uint64
 	base      []dag.Base
 	stateCkpt *StateCheckpoint
@@ -158,9 +161,8 @@ type Store struct {
 	evHave   map[types.ServerID]struct{}
 	evFile   *os.File
 
-	cur      *os.File
-	curIndex uint64
-	curSize  int64
+	cur     *os.File
+	curSize int64
 	// win names the live segment's latest records, the ones a record
 	// written next can cite by distance: only records on disk, since a
 	// failed write ends the segment (flushPending).
@@ -197,10 +199,11 @@ type Store struct {
 	rt   any
 }
 
-// Open creates or recovers the store in dir. It reads segments in index
-// order — the newest snapshot first, then the WAL tail — truncates a torn
-// final record instead of failing, sweeps what a crashed checkpoint left
-// behind, drops duplicate records, and leaves the store ready to Append.
+// Open creates or recovers the store in dir. It reads the head, if there
+// is one, then every WAL segment in index order, skipping the records
+// below the horizon; it truncates a torn final record instead of failing,
+// finishes a cut that crashed (deleting the segments it left), drops
+// duplicate records, and leaves the store ready to Append.
 // That is framing and checksums only: Open builds no DAG and checks no
 // signature. The blocks it read are available from Blocks in file order,
 // and Definition 3.3 is checked once, where every other block's is — in
@@ -235,43 +238,36 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // recover reads the directory, repairs it, and rebuilds in-memory state.
 func (s *Store) recover() error {
-	// A checkpoint that crashed between writing its temp file and the
-	// rename leaves an orphan no segment listing will ever see; sweep
-	// them so crashed checkpoints cannot accumulate unbounded disk.
-	// ReadOnly opens still count them (dagstore verify must flag a store
-	// a read-write open would repair) but leave the files in place.
+	// A cut that crashed between writing its temp head and the rename
+	// leaves an orphan no reader will ever see; sweep it. ReadOnly opens
+	// still count it (dagstore verify must flag a store a read-write open
+	// would repair) but leave the file in place.
 	tmps, err := filepath.Glob(filepath.Join(s.dir, "*.tmp"))
 	if err != nil {
 		return fmt.Errorf("store: list temp files: %w", err)
 	}
 	for _, tmp := range tmps {
-		if !s.opts.ReadOnly {
-			if err := os.Remove(tmp); err != nil {
-				return fmt.Errorf("store: remove orphaned temp file: %w", err)
-			}
+		if err := s.sweep(tmp); err != nil {
+			return err
 		}
-		s.report.StaleSegments++
+	}
+	h, err := readHead(s.dir)
+	if err != nil {
+		return err
+	}
+	if h != nil {
+		s.horizon, s.base, s.stateCkpt = h.horizon, h.base, h.state
+		s.report.HasSnapshot = true
 	}
 	segs, err := listSegments(s.dir)
 	if err != nil {
 		return err
 	}
-	// Recovery starts at the newest snapshot; anything older is
-	// unreachable garbage from a checkpoint that crashed mid-cleanup.
-	stale, segs := newestSnapshot(segs)
-	for _, sf := range stale {
-		if !s.opts.ReadOnly {
-			if err := os.Remove(sf.path); err != nil {
-				return fmt.Errorf("store: remove stale segment: %w", err)
-			}
-		}
-		s.report.StaleSegments++
-	}
 
 	// A power cut during segment creation can tear even the header; for
-	// the final WAL segment that is a torn tail (drop the file), anywhere
-	// else it is corruption, surfaced by readSegment below.
-	if n := len(segs); n > 0 && !segs[n-1].snap && segs[n-1].size < int64(headerSize) {
+	// the final segment that is a torn tail (drop the file), anywhere else
+	// it is corruption, surfaced by readSegment below.
+	if n := len(segs); n > 0 && segs[n-1].size < int64(headerSize) {
 		last := segs[n-1]
 		if !s.opts.ReadOnly {
 			if err := os.Remove(last.path); err != nil {
@@ -291,11 +287,28 @@ func (s *Store) recover() error {
 		}
 		s.report.Segments++
 		s.nextIdx = max(s.nextIdx, sf.index+1)
-		if seg.torn && i != len(segs)-1 {
+		final := i == len(segs)-1
+		if seg.torn && !final {
 			return fmt.Errorf("%w: %s: bad record before final segment", ErrCorrupt, sf.path)
 		}
-		// Every block read is a row, in file order, at its first record.
+		m := &segMeta{index: sf.index}
+		for _, b := range seg.blocks {
+			m.note(b)
+		}
+		// A non-final segment wholly below the horizon is one a cut that
+		// crashed did not get to delete.
+		if h != nil && !final && !m.above(s.horizon) {
+			if err := s.sweep(sf.path); err != nil {
+				return err
+			}
+			continue
+		}
+		// Every block read at or above the horizon is a row, in file order,
+		// at its first record; a record below the horizon is not a row.
 		for j, b := range seg.blocks {
+			if b.Seq < s.horizon[b.Builder] {
+				continue
+			}
 			if _, dup := seen[b.Ref()]; dup {
 				s.report.Duplicates++
 				continue
@@ -304,13 +317,7 @@ func (s *Store) recover() error {
 			s.opened = append(s.opened, b)
 			s.locs = append(s.locs, locOf(len(s.segs), seg.offs[j]))
 		}
-		s.segs = append(s.segs, &segMeta{index: sf.index, kind: seg.kind, size: sf.size})
-		if seg.snap != nil {
-			s.horizon, s.base, s.stateCkpt = seg.snap.horizon, seg.snap.base, seg.snap.state
-			s.report.HasSnapshot = true
-			s.report.SnapshotIndex = sf.index
-			continue
-		}
+		s.segs = append(s.segs, m)
 		if seg.torn {
 			s.report.TornBytes += sf.size - seg.goodLen
 			if !s.opts.ReadOnly {
@@ -321,12 +328,12 @@ func (s *Store) recover() error {
 		}
 		// Resume the final WAL segment if it has room, with its window as the
 		// scan left it; else start fresh.
-		if i == len(segs)-1 && !s.opts.ReadOnly && seg.goodLen < s.opts.SegmentSize {
+		if final && !s.opts.ReadOnly && seg.goodLen < s.opts.SegmentSize {
 			f, err := os.OpenFile(sf.path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return fmt.Errorf("store: reopen segment: %w", err)
 			}
-			s.cur, s.curIndex, s.curSize = f, sf.index, seg.goodLen
+			s.cur, s.curSize = f, seg.goodLen
 			s.liveSlot = len(s.segs) - 1
 			for _, b := range seg.blocks[max(0, len(seg.blocks)-walWindow):] {
 				s.win.push(b.Ref())
@@ -336,6 +343,19 @@ func (s *Store) recover() error {
 	s.blocks = len(s.opened)
 	s.report.Blocks = s.blocks
 	s.lastSync = s.opts.Clock()
+	return nil
+}
+
+// sweep counts a file a crashed cut left behind and, unless the store is
+// read-only, deletes it.
+func (s *Store) sweep(path string) error {
+	s.report.StaleSegments++
+	if s.opts.ReadOnly {
+		return nil
+	}
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("store: remove stale file: %w", err)
+	}
 	return nil
 }
 
@@ -351,17 +371,17 @@ func (s *Store) Runtime() any      { s.rtMu.Lock(); defer s.rtMu.Unlock(); retur
 // Report returns what Open found and repaired.
 func (s *Store) Report() OpenReport { return s.report }
 
-// Blocks returns the blocks Open read, unvalidated, in file order — a
-// topological order when a correct server wrote the files (WAL order is
-// insertion order; a snapshot is written in DAG order) — for
+// Blocks returns the blocks Open read at or above the horizon,
+// unvalidated, in file order — a topological order over the base when a
+// correct server wrote the files (WAL order is insertion order) — for
 // core.Server.Restore. The slice is shared; treat it as read-only. A
 // writable store lets go of it once a sink has been handed all of it back
 // (Restore's replay), so the blocks are the DAG's to keep or release, and
 // returns nil from then on; a read-only store keeps it.
 func (s *Store) Blocks() []*block.Block { return s.opened }
 
-// Base returns the pruned-history base table recovered from the newest
-// snapshot, ordered by (builder, seq); nil for an unpruned store. A
+// Base returns the pruned-history base table recovered from the head,
+// ordered by (builder, seq); nil for an unpruned store. A
 // server restoring from a pruned store must SeedBase these into its DAG
 // before replaying Blocks.
 func (s *Store) Base() []dag.Base { return append([]dag.Base(nil), s.base...) }
@@ -373,11 +393,7 @@ func (s *Store) Horizon() map[types.ServerID]uint64 {
 	if len(s.horizon) == 0 {
 		return nil
 	}
-	out := make(map[types.ServerID]uint64, len(s.horizon))
-	for id, h := range s.horizon {
-		out[id] = h
-	}
-	return out
+	return maps.Clone(s.horizon)
 }
 
 // StateCheckpoint returns the journaled state commitment and its
@@ -387,18 +403,18 @@ func (s *Store) Horizon() map[types.ServerID]uint64 {
 func (s *Store) StateCheckpoint() *StateCheckpoint { return s.stateCkpt }
 
 // SetStateCheckpoint records the latest sealed state commitment. It
-// becomes durable at the next Checkpoint or PruneTo rather than
+// becomes durable with the head the next PruneTo writes rather than
 // immediately: until then the same state is reproducible by replaying
 // the journal, so nothing is lost in a crash.
 func (s *Store) SetStateCheckpoint(sc *StateCheckpoint) { s.stateCkpt = sc }
 
 // Len returns the number of blocks the store holds — recovered plus
-// appended, or what the last Checkpoint retained: the journaled frontier.
+// appended, or what the last cut retained: the journaled frontier.
 func (s *Store) Len() int { return s.blocks }
 
-// DiskSize returns the total size in bytes of all segment files. Only a
-// cut (PruneTo) shrinks it by more than the record framing: the store
-// holds every block above its horizon.
+// DiskSize returns the total size in bytes of the WAL segments and the
+// head. Only a cut (PruneTo) shrinks it, by the segments it deletes: the
+// store holds every block above its horizon.
 func (s *Store) DiskSize() (int64, error) {
 	segs, err := listSegments(s.dir)
 	if err != nil {
@@ -408,12 +424,15 @@ func (s *Store) DiskSize() (int64, error) {
 	for _, sf := range segs {
 		total += sf.size
 	}
+	if info, err := os.Stat(filepath.Join(s.dir, headFile)); err == nil {
+		total += info.Size()
+	}
 	return total, nil
 }
 
 // Append journals one block, whatever the store holds: telling a journaled
 // block from a new one is the caller's (PersistSink does; a record written
-// twice costs its bytes until a Checkpoint drops it — Open skips it). Durability
+// twice costs its bytes until a cut deletes its segment — Open skips it). Durability
 // follows the configured fsync policy; use Sync to force the strongest point.
 //
 // Between BeginBatch and FlushBatch, Append only adds the block to the
@@ -473,8 +492,8 @@ func (s *Store) syncByPolicy() error {
 //
 // Buffered records are invisible to crash recovery until flushed, so a
 // batch must be short-lived: the node runtime brackets exactly one
-// ingest burst. Sync, Checkpoint and Close all drain the buffer first,
-// so a batch left open cannot lose records on a clean shutdown.
+// ingest burst. Sync and Close drain the buffer first, so a batch left
+// open cannot lose records on a clean shutdown.
 func (s *Store) BeginBatch() {
 	s.batching = true
 }
@@ -549,6 +568,7 @@ func (s *Store) flushPending() error {
 		}
 		for _, p := range batch[run:i] {
 			s.locs[p.row] = locOf(s.liveSlot, s.curSize+int64(p.off))
+			s.segs[s.liveSlot].note(p.b)
 		}
 		s.curSize += int64(s.rec.Len())
 		s.dirty = true
@@ -607,7 +627,7 @@ func (s *Store) endFailedSegment(err error) {
 // Open found is a block Open read, coming back through the replay of Blocks,
 // and is skipped — if it is that block: a DAG built from anything else
 // journals it again, a duplicate record and nothing lost. Every later row is
-// new, whatever a failed write or a pruning Checkpoint did to Len.
+// new, whatever a failed write or a cut did to Len.
 //
 // Use this, not a bare Append, whenever the store backs a live server;
 // node.Config.Store and package cluster wire it automatically.
@@ -687,7 +707,7 @@ func (s *Store) Tick() error {
 // at EOF, so a truncation of the live segment composes with later appends
 // without gaps.
 func (s *Store) newSegment() error {
-	path := filepath.Join(s.dir, segName(s.nextIdx, false))
+	path := filepath.Join(s.dir, segName(s.nextIdx))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: create segment: %w", err)
@@ -700,10 +720,9 @@ func (s *Store) newSegment() error {
 		return fmt.Errorf("store: write segment header: %w", err)
 	}
 	s.cur = f
-	s.curIndex = s.nextIdx
 	s.curSize = int64(headerSize)
 	s.liveSlot = len(s.segs)
-	s.segs = append(s.segs, &segMeta{index: s.nextIdx, kind: kindWAL})
+	s.segs = append(s.segs, &segMeta{index: s.nextIdx})
 	s.win.reset()
 	s.nextIdx++
 	s.dirDirty = true
@@ -726,170 +745,6 @@ func (s *Store) rotate() error {
 	}
 	s.cur, s.dirty, s.curSize = nil, false, 0
 	return nil
-}
-
-// CompactStats reports the effect of one Checkpoint.
-type CompactStats struct {
-	// BytesBefore and BytesAfter are total segment bytes on disk around
-	// the checkpoint.
-	BytesBefore, BytesAfter int64
-	// SegmentsRemoved counts deleted segment files.
-	SegmentsRemoved int
-	// Blocks is the number of blocks in the snapshot.
-	Blocks int
-}
-
-// Checkpoint writes d's blocks above the horizon as a snapshot segment and
-// deletes every strictly older segment. It is what a cut (PruneTo) and the
-// offline compact (dagstore compact) write; a running node never calls it
-// on its own. WAL framing, duplicate records, torn garbage and blocks absent
-// from d are dropped, and every predecessor is named by a snapshot-internal
-// index, never by its 32-byte hash — but a WAL record already cites by
-// back-reference, so an unpruned store shrinks by the framing only (a few
-// per cent). The blocks are read one at a time —
-// released ones back through d from this store, before its old segments go
-// — and streamed to the file, so a checkpoint holds one block's bytes at a
-// time, not the history's.
-//
-// The snapshot becomes durable (written to a temp file, fsynced, renamed)
-// before any old segment is deleted, so a crash at any point leaves a
-// recoverable store: either the old segments still rule, or the snapshot
-// does and Open sweeps the leftovers. After Checkpoint the store holds
-// exactly d's blocks, row for row; callers pass the server's live DAG (or a
-// verified copy of it).
-func (s *Store) Checkpoint(d *dag.DAG) (CompactStats, error) {
-	if s.closed {
-		return CompactStats{}, errors.New("store: checkpoint after Close")
-	}
-	if s.opts.ReadOnly {
-		return CompactStats{}, errors.New("store: checkpoint on read-only store")
-	}
-	var stats CompactStats
-	before, err := s.DiskSize()
-	if err != nil {
-		return stats, err
-	}
-	stats.BytesBefore = before
-
-	// The horizon is sticky: filter d at write time, so a checkpoint
-	// from a DAG that still holds full history in memory (prune while
-	// running) cannot resurrect segments PruneTo already deleted. An
-	// unpruned store's horizon is empty and retains everything.
-	c, err := pruneSet(d, s.horizon)
-	if err != nil {
-		return stats, err
-	}
-	pos := make(map[block.Ref]int, len(c.base))
-	for i, e := range c.base {
-		pos[e.Ref] = i
-	}
-	snap := &segMeta{kind: kindSnap}
-	locs := make([]loc, d.Len())
-	rank := make([]int32, d.Len()) // a kept row's place among the snapshot's blocks, -1 for none
-	written := int32(0)
-	stats.SegmentsRemoved, err = s.publishSnapshot(snap, func(sw *snapshotWriter) error {
-		sw.head(s.horizon, c.base, s.stateCkpt, c.retained)
-		for i := range locs {
-			if !c.kept(i) {
-				locs[i], rank[i] = pruned, -1
-				continue
-			}
-			b, err := d.ReadRow(c.stand + i)
-			if err != nil {
-				return err
-			}
-			off, err := sw.put(b, func(w *wire.Writer, p block.Ref) error {
-				j, ok := pos[p]
-				if v, in := d.Index(p); !ok && in && v >= c.stand && rank[v-c.stand] >= 0 {
-					j, ok = len(c.base)+int(rank[v-c.stand]), true
-				}
-				if !ok {
-					return fmt.Errorf("store: snapshot block %v references %v outside the snapshot and base", b.Ref(), p)
-				}
-				w.Uvarint(uint64(j))
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			locs[i], rank[i] = locOf(0, off), written
-			written++
-		}
-		return nil
-	})
-	if err != nil {
-		return stats, err
-	}
-	s.segs, s.locs, s.stray = []*segMeta{snap}, locs, nil
-	s.blocks, s.base = c.retained, c.base
-	after, err := s.DiskSize()
-	if err != nil {
-		return stats, err
-	}
-	stats.BytesAfter = after
-	stats.Blocks = c.retained
-	return stats, nil
-}
-
-// publishSnapshot makes the snapshot segment write lays out the store's
-// newest — snap its entry — and deletes every older segment, reporting how
-// many. It first drains any open group-commit buffer and seals the live WAL
-// segment, so the snapshot index is strictly newer than every record written
-// so far. The segment goes to a temp file, fsynced, and its rename is the
-// commit point; Open finishes the sweep if a crash interrupts it.
-func (s *Store) publishSnapshot(snap *segMeta, write func(*snapshotWriter) error) (int, error) {
-	if err := s.flushPending(); err != nil {
-		return 0, err
-	}
-	if err := s.rotate(); err != nil {
-		return 0, err
-	}
-	snap.index = s.nextIdx
-	s.nextIdx++
-	path := filepath.Join(s.dir, segName(snap.index, true))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("store: create %s: %w", filepath.Base(tmp), err)
-	}
-	out := bufio.NewWriterSize(f, 64<<10)
-	sw := newSnapshotWriter(out)
-	err = write(sw)
-	for _, step := range []func() error{sw.end, out.Flush, f.Sync} {
-		if err == nil {
-			err = step()
-		}
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return 0, fmt.Errorf("store: write snapshot: %w", err)
-	}
-	snap.size = sw.n
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, fmt.Errorf("store: publish snapshot: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return 0, err
-	}
-	s.closeReader() // its segment is about to go
-	segs, err := listSegments(s.dir)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, sf := range segs {
-		if sf.index >= snap.index {
-			continue
-		}
-		if err := os.Remove(sf.path); err != nil {
-			return removed, fmt.Errorf("store: remove compacted segment: %w", err)
-		}
-		removed++
-	}
-	return removed, nil
 }
 
 // cut is d's rows split at a prune horizon: the blocks kept (seq >=
@@ -966,84 +821,87 @@ func pruneSet(d *dag.DAG, horizon map[types.ServerID]uint64) (*cut, error) {
 			baseSet[e.Ref] = e
 		}
 	}
-	c.base = make([]dag.Base, 0, len(baseSet))
-	for _, e := range baseSet {
-		c.base = append(c.base, e)
-	}
-	sort.Slice(c.base, func(i, j int) bool {
-		a, b := c.base[i], c.base[j]
-		if a.Builder != b.Builder {
-			return a.Builder < b.Builder
-		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		return bytesLess(a.Ref, b.Ref)
+	// By (builder, seq), the ref a deterministic tie-break for equivocating
+	// duplicates at one slot.
+	c.base = slices.SortedFunc(maps.Values(baseSet), func(a, b dag.Base) int {
+		return cmp.Or(cmp.Compare(a.Builder, b.Builder), cmp.Compare(a.Seq, b.Seq), bytes.Compare(a.Ref[:], b.Ref[:]))
 	})
 	return c, nil
 }
 
-// bytesLess orders two refs lexicographically, a deterministic
-// tie-break for equivocating duplicates at one (builder, seq) slot.
-func bytesLess(a, b block.Ref) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// PruneTo raises the store's sticky prune horizon (per-builder maximum
-// with the current one) and checkpoints d under it, deleting every
-// segment below: disk drops to O(state + recent DAG). It refuses to run
-// without a state checkpoint (SetStateCheckpoint) — a pruned store
-// could not otherwise rebuild its application state, since the blocks
-// that produced it are gone.
+// PruneTo cuts the store at a horizon: it raises the sticky prune horizon
+// (per-builder maximum with the current one), computes the base table from
+// d's rows (pruneSet; no block is read), publishes the head — horizon,
+// base and state checkpoint, the store's one rewrite — marks the rows
+// below the horizon pruned, and deletes every WAL segment but the live one
+// that holds no record at or above the horizon. A segment straddling the
+// horizon stays whole, and a cut's I/O is the head's, whatever the window
+// holds (the package documentation, "The head and the cut", has the disk
+// bound). d is the DAG whose rows the store journals (the sink's
+// numbering). PruneTo refuses to run without a state checkpoint
+// (SetStateCheckpoint): a pruned store could not otherwise rebuild its
+// application state, since the blocks that produced it are gone.
 //
-// Crash safety is inherited from Checkpoint: the snapshot rename is the
-// single commit point, so a crash at any moment recovers to either the
-// old horizon (old segments still rule) or the new one (the snapshot
-// rules and Open sweeps the leftovers) — never a torn middle. Callers
-// must only prune below quiescent points of the protocol (committed
-// state the roster has sealed); the store cannot check that.
-func (s *Store) PruneTo(d *dag.DAG, horizon map[types.ServerID]uint64) (CompactStats, error) {
-	if s.closed {
-		return CompactStats{}, errors.New("store: prune after Close")
-	}
-	if s.opts.ReadOnly {
-		return CompactStats{}, errors.New("store: prune on read-only store")
-	}
-	if s.stateCkpt == nil {
-		return CompactStats{}, errors.New("store: PruneTo without a state checkpoint")
+// The head is durable before any segment is deleted, so a crash leaves
+// either the old head (nothing changed) or the new one with segments the
+// cut did not get to delete — Open skips their records below the horizon
+// and deletes them. Callers must only prune below quiescent points of the
+// protocol (committed state the roster has sealed); the store cannot
+// check that.
+func (s *Store) PruneTo(d *dag.DAG, horizon map[types.ServerID]uint64) error {
+	switch {
+	case s.closed:
+		return errors.New("store: prune after Close")
+	case s.opts.ReadOnly:
+		return errors.New("store: prune on read-only store")
+	case s.stateCkpt == nil:
+		return errors.New("store: PruneTo without a state checkpoint")
 	}
 	merged := make(map[types.ServerID]uint64, len(s.horizon)+len(horizon))
-	for id, h := range s.horizon {
-		merged[id] = h
-	}
+	maps.Copy(merged, s.horizon)
 	for id, h := range horizon {
-		if h > merged[id] {
-			merged[id] = h
+		merged[id] = max(merged[id], h)
+	}
+	c, err := pruneSet(d, merged)
+	if err != nil {
+		return err
+	}
+	// The open batch's rows go to disk first, so the rows marked below are
+	// the ones on it.
+	if err := s.flushPending(); err != nil {
+		return err
+	}
+	if err := writeHead(s.dir, &head{horizon: merged, base: c.base, state: s.stateCkpt}); err != nil {
+		return err
+	}
+	s.horizon, s.base = merged, c.base
+	for i := range min(d.Len(), len(s.locs)) {
+		if !c.kept(i) {
+			s.locs[i] = pruned
 		}
 	}
-	old := s.horizon
-	s.horizon = merged
-	stats, err := s.Checkpoint(d)
-	if err != nil {
-		s.horizon = old
-		return stats, err
+	s.blocks = c.retained
+	s.closeReader() // its segment may be about to go
+	for k, m := range s.segs {
+		if m == nil || k == s.liveSlot && s.cur != nil || m.above(merged) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.dir, segName(m.index))); err != nil {
+			return fmt.Errorf("store: remove pruned segment: %w", err)
+		}
+		s.segs[k] = nil // every row it held is pruned
 	}
-	return stats, nil
+	return nil
 }
 
 // InstallSnapshot makes an empty open store a pruned one holding no
-// blocks: just the horizon, the base table the first live blocks will hang
-// off, and the certified state checkpoint — the install step of snapshot
-// catch-up, after which the delta journals into this same store, in a WAL
-// segment behind the snapshot. A store that already holds a block or a
-// base is refused: its history is its own. The snapshot is published the
-// way a checkpoint is, so a crash mid-install leaves either an empty store
-// or a complete one.
+// blocks: it writes the head — the horizon, the base table the first live
+// blocks will hang off, and the certified state checkpoint — the install
+// step of snapshot catch-up, after which the delta journals into this same
+// store's WAL. A store that already holds a block or a base is refused:
+// its history is its own. The head is published the way a cut publishes
+// it, so a crash mid-install leaves either an empty store or a complete
+// one.
 func (s *Store) InstallSnapshot(horizon map[types.ServerID]uint64, base []dag.Base, sc *StateCheckpoint) error {
 	switch {
 	case s.closed:
@@ -1055,14 +913,9 @@ func (s *Store) InstallSnapshot(horizon map[types.ServerID]uint64, base []dag.Ba
 	case s.blocks > 0 || len(s.base) > 0:
 		return fmt.Errorf("store: InstallSnapshot into non-empty store %s", s.dir)
 	}
-	snap := &segMeta{kind: kindSnap}
-	if _, err := s.publishSnapshot(snap, func(sw *snapshotWriter) error {
-		sw.head(horizon, base, sc, 0)
-		return nil
-	}); err != nil {
+	if err := writeHead(s.dir, &head{horizon: horizon, base: base, state: sc}); err != nil {
 		return err
 	}
-	s.segs = []*segMeta{snap}
 	s.horizon, s.base, s.stateCkpt = horizon, base, sc
 	return nil
 }

@@ -46,37 +46,6 @@ func chain(t testing.TB, n int) (*crypto.Roster, []*block.Block) {
 	return roster, blocks
 }
 
-// crossDAG builds a two-builder DAG whose blocks cross-reference each
-// other, exercising the snapshot's pred-index encoding on more than
-// parent edges. Returns the DAG's blocks in a topological order.
-func crossDAG(t testing.TB, rounds int) (*crypto.Roster, []*block.Block) {
-	t.Helper()
-	roster, signers, err := crypto.LocalRoster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blocks []*block.Block
-	tips := make([]*block.Block, 2)
-	for k := 0; k < rounds; k++ {
-		for i := 0; i < 2; i++ {
-			var preds []block.Ref
-			if tips[i] != nil {
-				preds = append(preds, tips[i].Ref())
-			}
-			if other := tips[1-i]; other != nil && k > 0 {
-				preds = append(preds, other.Ref())
-			}
-			b := block.New(types.ServerID(i), uint64(k), preds, nil)
-			if err := b.Seal(signers[i]); err != nil {
-				t.Fatal(err)
-			}
-			blocks = append(blocks, b)
-			tips[i] = b
-		}
-	}
-	return roster, blocks
-}
-
 func openStore(t testing.TB, dir string, roster *crypto.Roster, opts store.Options) *store.Store {
 	t.Helper()
 	opts.Roster = roster
@@ -386,223 +355,90 @@ func TestCorruptEarlySegmentFails(t *testing.T) {
 	}
 }
 
-// TestRetiredSegmentKindsAreCorrupt: the blocks-only snapshot format
-// (kind 2) and the WAL of raw frames (kind 1) are gone from reader and
-// writer alike. A plain store's checkpoint is written as the one snapshot
-// kind, and a kind-2 or kind-1 segment on disk fails Open as corruption,
-// naming the kind.
+// TestRetiredSegmentKindsAreCorrupt: the WAL of raw frames (kind 1) and
+// the snapshot segments (kinds 2 and 3, the .snap files) are gone from
+// reader and writer alike. A segment of a retired kind fails Open as
+// corruption, naming the kind, and so does a .snap file, whatever it holds.
 func TestRetiredSegmentKindsAreCorrupt(t *testing.T) {
 	roster, blocks := chain(t, 8)
-	retired := func(dir string, kind int) {
+	open := func(name string, data []byte) error {
 		t.Helper()
-		_, err := store.Open(dir, store.Options{Roster: roster})
-		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("kind %d", kind)) {
-			t.Fatalf("Open on a kind-%d segment: err = %v, want ErrCorrupt naming kind %d", kind, err, kind)
-		}
-	}
-	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{})
-	appendAll(t, st, blocks)
-	d := dag.New(roster)
-	for _, b := range blocks {
-		if err := d.Insert(b); err != nil {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		_, err := store.Open(dir, store.Options{Roster: roster})
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("Open on %s: err = %v, want ErrCorrupt", name, err)
+		}
+		return err
 	}
-	if _, err := st.Checkpoint(d); err != nil {
-		t.Fatal(err)
+	retired := func(kind byte, body []byte) {
+		t.Helper()
+		data := append([]byte("BDSTOR1\n"), kind)
+		err := open("0000000000000001.wal", append(data, body...))
+		if !strings.Contains(err.Error(), fmt.Sprintf("kind %d", kind)) {
+			t.Fatalf("Open on a kind-%d segment: err = %v, want it named", kind, err)
+		}
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("snapshots on disk: %v (err %v), want one", snaps, err)
-	}
-	data, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	const kindAt = len("BDSTOR1\n")
-	if data[kindAt] != 3 {
-		t.Fatalf("plain checkpoint written as kind %d, want 3", data[kindAt])
-	}
-	data[kindAt] = 2
-	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	retired(dir, 2)
 
-	// The same blocks as a kind-1 segment: each record's payload the frame.
-	frames := []byte("BDSTOR1\n\x01")
+	// The blocks as a kind-1 segment: each record's payload the frame.
+	var frames, snap []byte
 	for _, b := range blocks {
 		frames = binary.BigEndian.AppendUint32(frames, uint32(b.EncodedSize()))
 		frames = binary.BigEndian.AppendUint32(frames, crc32.ChecksumIEEE(b.Encode()))
 		frames = append(frames, b.Encode()...)
 	}
-	dir = t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "0000000000000001.wal"), frames, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	retired(dir, 1)
-}
-
-func TestCheckpointCompaction(t *testing.T) {
-	roster, blocks := crossDAG(t, 30)
-	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{SegmentSize: 1024})
-	appendAll(t, st, blocks)
-
-	d := dag.New(roster)
+	retired(1, frames)
+	// A snapshot of the blocks: no horizon, base or state, the block
+	// count, the blocks, and a CRC32 trailer over all of it.
+	snap = append(snap, 0, 0, 0, byte(len(blocks)))
 	for _, b := range blocks {
-		if err := d.Insert(b); err != nil {
-			t.Fatal(err)
-		}
+		snap = append(snap, b.Encode()...)
 	}
-	stats, err := st.Checkpoint(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.BytesAfter >= stats.BytesBefore {
-		t.Fatalf("compaction did not shrink the store: %d -> %d", stats.BytesBefore, stats.BytesAfter)
-	}
-	if stats.Blocks != len(blocks) {
-		t.Fatalf("snapshot holds %d blocks, want %d", stats.Blocks, len(blocks))
-	}
-	if stats.SegmentsRemoved == 0 {
-		t.Fatal("compaction removed no segments")
-	}
-
-	// The store stays appendable after a checkpoint.
-	_, signers, err := crypto.LocalRoster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := blocks[len(blocks)-1]
-	more := block.New(last.Builder, last.Seq+1, []block.Ref{last.Ref()}, nil)
-	if err := more.Seal(signers[int(last.Builder)]); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(more); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Post-compaction recovery: snapshot + WAL tail.
-	st2 := openStore(t, dir, roster, store.Options{})
-	defer func() { _ = st2.Close() }()
-	if !sameRefs(st2.Blocks(), append(append([]*block.Block(nil), blocks...), more)) {
-		t.Fatalf("post-compaction recovery mismatch: %d blocks", len(st2.Blocks()))
-	}
-	rep := st2.Report()
-	if !rep.HasSnapshot {
-		t.Fatalf("report misses snapshot: %+v", rep)
-	}
+	snap = binary.BigEndian.AppendUint32(snap, crc32.ChecksumIEEE(snap))
+	retired(2, snap)
+	retired(3, snap)
+	open("0000000000000001.snap", append([]byte("BDSTOR1\n\x03"), snap...))
 }
 
-// TestCheckpointKeepsEveryFrame: a snapshot stores fields, not frames, and
-// a restored block is re-encoded from them. Only the canonical encoding
-// decodes (wire.ErrNonMinimal), so that is the frame the block was
-// journaled with: every reference, and with it every descendant's
-// predecessor index and signature, survives the round trip.
-func TestCheckpointKeepsEveryFrame(t *testing.T) {
-	roster, blocks := chain(t, 40)
-	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{SegmentSize: 1024})
-	appendAll(t, st, blocks)
-	d := dag.New(roster)
-	for _, b := range blocks {
-		if err := d.Insert(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := st.Checkpoint(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := openStore(t, dir, roster, store.Options{})
-	defer func() { _ = st2.Close() }()
-	restored := st2.Blocks()
-	if !st2.Report().HasSnapshot || len(restored) != len(blocks) {
-		t.Fatalf("restored %d blocks of %d from %+v", len(restored), len(blocks), st2.Report())
-	}
-	for i, b := range restored {
-		if b.Ref() != blocks[i].Ref() || !bytes.Equal(b.Encode(), blocks[i].Encode()) || !b.VerifySignature(roster) {
-			t.Fatalf("block %d: %v restored as %v", i, blocks[i].Ref(), b.Ref())
-		}
-	}
-}
-
-// TestCheckpointPrunes: checkpointing a DAG that is an ancestry-closed
-// subset of the journaled history drops the rest — disk is O(live DAG),
-// not O(history).
+// TestCheckpointPrunes: a cut drops the history below its horizon —
+// disk is O(retained window), not O(history): every segment wholly below
+// the horizon goes, and a reopen reads the retained blocks alone.
 func TestCheckpointPrunes(t *testing.T) {
 	roster, blocks := chain(t, 20)
 	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{})
+	st := openStore(t, dir, roster, store.Options{SegmentSize: 256})
 	appendAll(t, st, blocks)
 
-	live := dag.New(roster)
-	for _, b := range blocks[:5] {
-		if err := live.Insert(b); err != nil {
+	d := dag.New(roster)
+	for _, b := range blocks {
+		if err := d.Insert(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Checkpoint(live); err != nil {
+	before, err := st.DiskSize()
+	if err != nil {
 		t.Fatal(err)
+	}
+	st.SetStateCheckpoint(&store.StateCheckpoint{Slot: 1})
+	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 15}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := st.DiskSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after >= before/2 {
+		t.Fatalf("a cut retaining 5 of 20 blocks left %d of %d bytes", after, before)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st2 := openStore(t, dir, roster, store.Options{})
 	defer func() { _ = st2.Close() }()
-	if !sameRefs(st2.Blocks(), blocks[:5]) {
+	if !sameRefs(st2.Blocks(), blocks[15:]) {
 		t.Fatalf("pruned store recovered %d blocks, want 5", len(st2.Blocks()))
-	}
-}
-
-// TestCheckpointCrashCleanup: segments a checkpoint failed to delete
-// before crashing are swept on the next Open.
-func TestCheckpointCrashCleanup(t *testing.T) {
-	roster, blocks := chain(t, 8)
-	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{SegmentSize: 256})
-	appendAll(t, st, blocks)
-	if _, err := st.Checkpoint(func() *dag.DAG {
-		d := dag.New(roster)
-		for _, b := range blocks {
-			if err := d.Insert(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return d
-	}()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-create a stale pre-checkpoint segment, as if the crash hit
-	// between snapshot rename and cleanup.
-	stale := filepath.Join(dir, "0000000000000001.wal")
-	if err := os.WriteFile(stale, []byte("BDSTOR1\n\x01garbage-that-would-corrupt"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2 := openStore(t, dir, roster, store.Options{})
-	defer func() { _ = st2.Close() }()
-	if !sameRefs(st2.Blocks(), blocks) {
-		t.Fatalf("recovered %d blocks, want %d", len(st2.Blocks()), len(blocks))
-	}
-	if st2.Report().StaleSegments != 1 {
-		t.Fatalf("StaleSegments = %d, want 1", st2.Report().StaleSegments)
-	}
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("stale segment not removed")
 	}
 }
 
@@ -680,9 +516,9 @@ func TestReopenResumesTheLiveSegment(t *testing.T) {
 	}
 }
 
-// TestOrphanedSnapshotTmpSwept: a checkpoint that crashed before its
-// rename leaves a .tmp orphan; a read-write Open removes it, a read-only
-// Open leaves it alone.
+// TestOrphanedSnapshotTmpSwept: a cut or an install that crashed before
+// its head's rename leaves a .tmp orphan; a read-write Open removes it, a
+// read-only Open leaves it alone.
 func TestOrphanedSnapshotTmpSwept(t *testing.T) {
 	roster, blocks := chain(t, 3)
 	dir := t.TempDir()
@@ -691,8 +527,8 @@ func TestOrphanedSnapshotTmpSwept(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	orphan := filepath.Join(dir, "0000000000000002.snap.tmp")
-	if err := os.WriteFile(orphan, []byte("half-written snapshot"), 0o644); err != nil {
+	orphan := filepath.Join(dir, "head.tmp")
+	if err := os.WriteFile(orphan, []byte("half-written head"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -722,8 +558,9 @@ func TestOrphanedSnapshotTmpSwept(t *testing.T) {
 	}
 }
 
-// TestSnapshotEquivocation: snapshots round-trip DAGs containing
-// equivocating blocks (two blocks, same builder and seq).
+// TestSnapshotEquivocation: a cut keeps both forks of an equivocation
+// above its horizon (two blocks, same builder and seq), and a reopen reads
+// both back.
 func TestSnapshotEquivocation(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(1)
 	if err != nil {
@@ -743,14 +580,18 @@ func TestSnapshotEquivocation(t *testing.T) {
 	}
 
 	d := dag.New(roster)
+	dir := t.TempDir()
+	st := openStore(t, dir, roster, store.Options{})
 	for _, b := range []*block.Block{g, b1, b2} {
 		if err := d.Insert(b); err != nil {
 			t.Fatal(err)
 		}
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{})
-	if _, err := st.Checkpoint(d); err != nil {
+	st.SetStateCheckpoint(&store.StateCheckpoint{Slot: 1})
+	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -758,8 +599,8 @@ func TestSnapshotEquivocation(t *testing.T) {
 	}
 	st2 := openStore(t, dir, roster, store.Options{})
 	defer func() { _ = st2.Close() }()
-	if len(st2.Blocks()) != 3 {
-		t.Fatalf("recovered %d blocks, want 3", len(st2.Blocks()))
+	if !sameRefs(st2.Blocks(), []*block.Block{b1, b2}) {
+		t.Fatalf("recovered %d blocks, want both forks", len(st2.Blocks()))
 	}
 }
 

@@ -11,7 +11,7 @@
 // WriteDAG/ReadDAG are one-shot dumps for visualization tooling (dagviz
 // reads them). For crash-safe, incremental persistence — journaling
 // blocks as they are inserted, with segment rotation, torn-tail
-// recovery, and checkpoint/compaction — use package store instead.
+// recovery, and pruning — use package store instead.
 package trace
 
 import (
