@@ -22,14 +22,15 @@ bench-smoke:
 FUZZTIME ?= 3s
 
 .PHONY: fuzz-smoke
-# fuzz-smoke runs every fuzz target for a few seconds — 16 of them: each
+# fuzz-smoke runs every fuzz target for a few seconds — 17 of them: each
 # decoder a byzantine or unauthenticated peer can reach (blocks, gossip
 # messages, evidence, state proofs and snapshot chunks, the snapshot meta
 # frame, the wire reader and stream framing, the sync channel's delta
 # request and stream — its watermark answer has had no decoder, so no
 # target, since PR 30 — and the gateway's submit body, which any client
-# writes) and the two a failing disk can (store WAL records, the store's
-# head). `go test`
+# writes), the two a failing disk can (store WAL records, the store's
+# head), and the graph's rows against their map-per-property reference
+# (graph.FuzzRows: inserts, refusals, forks, seeded roots, clones). `go test`
 # without -fuzz only replays the seed corpus; this also proves the targets
 # still mutate, and a crasher it finds lands in the package's
 # testdata/fuzz to be checked in as a regression seed. -fuzz takes one
@@ -271,10 +272,11 @@ chaos-smoke:
 # twenty PRs. And it keeps "a metric is declared once" true: the name of
 # every family deploy's TestFamilies lists occurs in non-test Go exactly
 # once, on a row of a metrics.Table (Families.Counter / Families.Gauge).
-# And "one ref -> number map per node" (docs/ARCHITECTURE.md, "What a block
-# costs a node"): no struct field in non-test Go is a map keyed by block.Ref,
-# gossip's three in-flight sets excepted — they hold what is pending, not the
-# run. The map the rule protects, graph.index, is generic and does not match.
+# And "one ref -> number index per node" (docs/ARCHITECTURE.md, "What a
+# block costs a node"): no struct field in non-test Go is a map keyed by
+# block.Ref, gossip's three in-flight sets excepted — they hold what is
+# pending, not the run. The index the rule protects, graph's table of row
+# numbers, is no map at all.
 # CI runs it on every push.
 docs-check:
 	@missing=0; \

@@ -13,15 +13,17 @@ import (
 )
 
 // retainedPerBlockBound is what a server may keep per block beyond the block
-// and its frame, through every layer that sees each block: the DAG's index
-// entry and row (≈ 257 B, pinned alone by dag.TestRetainedPerBlock), the
-// interpreter's slot (8 B: a block every chain has read keeps no state),
-// gossip's tips (nothing a block), the journal (nothing: a count). 284 B
-// measured; 386 B while every block kept its interpreter state and its
-// graph row its successors; 598 B while interpret and store each kept a
+// and its frame, through every layer that sees each block: the DAG's row, its
+// columns' share and its index slot (≈ 125 B, pinned alone by
+// dag.TestRetainedPerBlock), the interpreter's slot (8 B: a block every
+// chain has read keeps no state), gossip's tips (nothing a block), the
+// journal (nothing: a count). 152 B measured, 155 B over a store with the
+// bytes released; 284 B while the graph's index was a map and its rows
+// owned their slices; 386 B while every block kept its interpreter state and
+// its graph row its successors; 598 B while interpret and store each kept a
 // ref-keyed map of their own beside the DAG's, where a second one would show
 // first now.
-const retainedPerBlockBound = 320
+const retainedPerBlockBound = 190
 
 // TestRetainedPerBlock is dag.TestRetainedPerBlock one level up: 4 096 empty
 // blocks on four staggered chains (each cites its parent and the block built

@@ -26,18 +26,21 @@
 // # A block is one row
 //
 // The graph numbers every vertex once, by insertion order, and keeps the
-// only ref-keyed map there is (ref → number). This package holds no second
-// index: the block of vertex i is a slot of one slice, a pruned-history
-// stand-in is a seeded vertex with no block (the first rows of a seeded
-// DAG), and "which block holds (builder, seq)" is the graph's slot column.
-// A node therefore pays one map entry per block across both layers, and a
-// prefix of the rows is all a horizon cut would have to drop.
+// only index by ref there is: a table of row numbers that compares a probe
+// against the ref in the row, so a ref is held once. A row is a fixed-size
+// struct and its edges and summary are its parts of two flat columns, so a
+// block costs no allocation of its own in either layer. This package holds
+// no second index: the block of vertex i is a slot of one slice, a
+// pruned-history stand-in is a seeded vertex with no block (the first rows
+// of a seeded DAG), and "which block holds (builder, seq)" is the graph's
+// slot column. A prefix of the rows and of the columns is all a horizon cut
+// would have to drop.
 //
 // # Rows are never removed; bytes leave RAM
 //
-// A row — vertex, index entry, chain position, summary — stays for good.
-// A block's bytes (its frame, request table and labels) leave once every
-// chain has read it (Release, at the frontier package interpret computes)
+// A row — vertex, index slot, chain position, edges, summary — stays for
+// good. A block's bytes (its frame, request table and labels) leave once
+// every chain has read it (Release, at the frontier package interpret computes)
 // and the journal (SetJournal) answers for them: every reader below — Get,
 // BlockAt, All, Blocks, ByBuilder, EquivocationBlocks, ReadRow — goes
 // through one accessor that reads a released block back from the journal,
@@ -434,7 +437,7 @@ func (d *DAG) Base() []Base {
 
 // Index returns the number of ref's row (stand-ins first, then the blocks in
 // insertion order) and Summary that row's causal summary (graph.Summary),
-// read-only. This is the node's one ref → number map: what sits above the
+// read-only. This is the node's one ref → number index: what sits above the
 // DAG keeps a column over the number (interpret) or a count (store).
 // PredsAt, RefAt and Pos are the rest of a row, read-only: its
 // predecessors' rows, its reference and its chain position.

@@ -30,12 +30,15 @@ func staggeredBlocks(count int) (*dagtest.Harness, []*block.Block) {
 }
 
 // retainedPerBlockBound is what a DAG may keep per inserted block beyond the
-// block itself: one ref → number map entry, one graph row, a short
-// predecessor list, a four-entry summary vector, a slot cell and a slot of
-// the block slice, slice and map slack included: 257 B measured (279 B while
-// a row also kept its successors). A second ref-keyed map with an entry per
-// block costs ≈ 100 B and breaks it.
-const retainedPerBlockBound = 290
+// block itself: one graph row (key, chain position and two column offsets:
+// 56 B), one slot of the index's table (4 B at most 3/4 full), two
+// predecessor numbers and a four-entry summary vector in the columns (8 +
+// 32 B), a slot cell and a slot of the block slice, slice slack included:
+// 125 B measured (257 B while the index was a ref → number map and a row
+// owned its predecessor and summary slices, 279 B while a row also kept its
+// successors). A ref-keyed map with an entry per block costs ≈ 80–100 B and
+// breaks it.
+const retainedPerBlockBound = 160
 
 // TestRetainedPerBlock pins the index a node pays per block in the DAG
 // layers (graph + dag), blocks excluded: they are built before the first

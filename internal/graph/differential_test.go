@@ -352,6 +352,15 @@ func requireSame(t *testing.T, g *DAG[int], r *refDAG, chains int) {
 		if want, has := r.index[v]; ok != has || ok && (at != want || g.At(at) != v) || g.Contains(v) != has {
 			t.Fatalf("Index(%d) = %d, %v; reference %d, %v", v, at, ok, want, has)
 		}
+		if ok {
+			var preds []int
+			for _, p := range g.PredsAt(at) {
+				preds = append(preds, g.At(int(p)))
+			}
+			if !refSameSet(preds, r.preds[v]) {
+				t.Fatalf("PredsAt(%d) of vertex %d = %v, reference %v", at, v, preds, r.preds[v])
+			}
+		}
 		if !slices.Equal(g.Preds(v), r.preds[v]) { // tip membership: the tips above
 			t.Fatalf("vertex %d: preds %v, reference %v", v, g.Preds(v), r.preds[v])
 		}

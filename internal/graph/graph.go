@@ -40,23 +40,31 @@
 // # Row layout
 //
 // A vertex is numbered once, by its position in insertion order — the
-// number At takes and Index returns — and that number is the only key:
-// one map takes a vertex key to its number, and everything the graph knows
-// about the vertex (key, predecessor list, chain position, summary vector,
-// whether anything cites it) is one row of one slice, its predecessors held
-// as the numbers of other rows. Edges are kept at their head only: a vertex
-// is a tip until something first cites it, which one bit records, and no
-// query walks forwards. The tip set and each chain's slot column are short
-// lists of numbers. A predecessor always has a smaller number than its
-// successor, so the rows are a topological order and any prefix of them is a
-// ⩽-smaller graph.
+// number At takes and Index returns — and that number is the only key.
+// Everything the graph knows about a vertex is one row of columns: the row
+// struct holds its key, chain position and whether anything cites it, and
+// two end offsets into flat columns shared by all rows, one of predecessor
+// numbers and one of summary entries, where the row's part starts at the
+// previous row's end. No row owns a slice or an allocation of its own.
+//
+// The index from key to number is an open-addressing table of row numbers,
+// not a map: a lookup hashes the key, probes the table and compares against
+// the key column, so each key is held once, in its row. The hash is keyed by
+// a seed drawn per graph, so a builder cannot grind keys into one probe run;
+// nothing iterates the table, so no answer depends on the seed.
+//
+// Edges are kept at their head only: a vertex is a tip until something
+// first cites it, which one bit records, and no query walks forwards. The
+// tip set and each chain's slot column are short lists of numbers. A
+// predecessor always has a smaller number than its successor, so the rows
+// are a topological order and any prefix of them is a ⩽-smaller graph.
 package graph
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
+	"hash/maphash"
 	"slices"
 )
 
@@ -76,26 +84,34 @@ var (
 const smallLen = 16
 
 // vertex is one row: everything the graph holds about the vertex with
-// this number.
+// this number, its edges and summary as end offsets into the columns.
 type vertex[K comparable] struct {
-	key   K
-	preds []int32 // direct predecessors (u with u ⇀ v), insert order
-	// summary[c] holds 1 + the highest chain-c seq in the vertex's
-	// ancestry-or-self, 0 for none, so the zero value of a short vector
-	// means "no such ancestor"; nil when all-zero.
-	summary []uint64
-	seq     uint64
-	chain   int32 // -1: not annotated
-	cited   bool  // some vertex has it as a predecessor: not a tip
+	key K
+	seq uint64
+	// The row's predecessors end at predEnd in DAG.preds and its summary at
+	// sumEnd in DAG.sums, each starting where the previous row's ends (a
+	// column stays below 1<<32 entries). Summary entry c holds 1 + the
+	// highest chain-c seq in the vertex's ancestry-or-self, 0 for none, so
+	// the zero value of a short vector means "no such ancestor"; empty when
+	// all-zero.
+	predEnd, sumEnd uint32
+	chain           int32 // -1: not annotated
+	cited           bool  // some vertex has it as a predecessor: not a tip
 }
 
 // DAG is a directed acyclic graph over comparable vertex keys. The zero
 // value is not ready to use; construct with New. A DAG is not safe for
 // concurrent mutation.
 type DAG[K comparable] struct {
-	index map[K]int32 // vertex -> its number, the position of its row
 	rows  []vertex[K] // insertion order; a topological order by construction
+	preds []int32     // every row's direct predecessors (u with u ⇀ v), insert order
+	sums  []uint64    // every row's summary vector
 	tips  []int32     // vertices nothing cites, ascending
+
+	// table is the index: open addressing with linear probing, a power of
+	// two long and at most 3/4 full, each slot a row number + 1, 0 empty.
+	table []int32
+	seed  maphash.Seed
 
 	chains []column // by chain identifier
 	dups   []int32  // vertices inserted into a taken slot: the forks
@@ -111,7 +127,7 @@ type column struct {
 
 // New returns an empty DAG.
 func New[K comparable]() *DAG[K] {
-	return &DAG[K]{index: make(map[K]int32)}
+	return &DAG[K]{seed: maphash.MakeSeed()}
 }
 
 // Len returns the number of vertices.
@@ -119,15 +135,54 @@ func (g *DAG[K]) Len() int { return len(g.rows) }
 
 // Contains reports whether v is a vertex of g.
 func (g *DAG[K]) Contains(v K) bool {
-	_, ok := g.index[v]
+	_, ok := g.find(v)
 	return ok
 }
 
 // Index returns v's number: its position in insertion order, the i with
 // At(i) == v.
 func (g *DAG[K]) Index(v K) (int, bool) {
-	i, ok := g.index[v]
+	i, ok := g.find(v)
 	return int(i), ok
+}
+
+// find looks v up in the index: its number, if it is a vertex.
+func (g *DAG[K]) find(v K) (int32, bool) {
+	if len(g.table) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(g.table) - 1)
+	for i := maphash.Comparable(g.seed, v) & mask; ; i = (i + 1) & mask {
+		switch n := g.table[i] - 1; {
+		case n < 0:
+			return 0, false
+		case g.rows[n].key == v:
+			return n, true
+		}
+	}
+}
+
+// place files the newest row n in the index, growing the table first if
+// the row would fill it past 3/4.
+func (g *DAG[K]) place(n int32) {
+	if 4*len(g.rows) > 3*len(g.table) {
+		g.table = make([]int32, max(8, 2*len(g.table)))
+		for m := range g.rows {
+			g.slotFor(int32(m))
+		}
+		return
+	}
+	g.slotFor(n)
+}
+
+// slotFor writes row n into the first empty slot of its probe run.
+func (g *DAG[K]) slotFor(n int32) {
+	mask := uint64(len(g.table) - 1)
+	i := maphash.Comparable(g.seed, g.rows[n].key) & mask
+	for g.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	g.table[i] = n + 1
 }
 
 // Insert adds vertex v with edges from each vertex in preds to v,
@@ -172,18 +227,24 @@ func (g *DAG[K]) InsertSeeded(v K, chain int, seq uint64, below []uint64) error 
 }
 
 func (g *DAG[K]) insert(v K, predKeys []K, chain int, seq uint64, below []uint64, seeded bool) error {
-	preds, absent := g.resolve(predKeys)
-	if at, exists := g.index[v]; exists {
-		if absent < 0 && sameSet(g.rows[at].preds, preds) {
+	// The predecessors are resolved onto the end of their column, where
+	// they stay only if v becomes a row.
+	from := len(g.preds)
+	absent := g.resolve(predKeys)
+	preds := g.preds[from:]
+	if at, exists := g.find(v); exists {
+		same := absent < 0 && sameSet(g.predsOf(at), preds)
+		g.preds = g.preds[:from]
+		if same {
 			return nil
 		}
 		return fmt.Errorf("%w: %v", ErrEdgeMismatch, v)
 	}
 	if absent >= 0 {
+		g.preds = g.preds[:from]
 		return fmt.Errorf("%w: %v", ErrMissingPred, predKeys[absent])
 	}
 	n := int32(len(g.rows))
-	g.index[v] = n
 	// Every predecessor stops being a tip; v starts as one.
 	for _, p := range preds {
 		if !g.rows[p].cited {
@@ -193,63 +254,66 @@ func (g *DAG[K]) insert(v K, predKeys []K, chain int, seq uint64, below []uint64
 		}
 	}
 	g.tips = append(g.tips, n)
-	g.rows = append(g.rows, vertex[K]{key: v, preds: preds, seq: seq, chain: int32(chain)})
-	g.rows[n].summary = g.summarize(n, below, seeded)
+	g.rows = append(g.rows, vertex[K]{key: v, seq: seq, chain: int32(chain), predEnd: uint32(len(g.preds))})
+	g.summarize(n, below, seeded)
+	g.place(n)
 	return nil
 }
 
-// resolve turns an edge set into vertex numbers, duplicates collapsed and
-// order kept. absent is the position of the first key that is not a
-// vertex, -1 when all are.
-func (g *DAG[K]) resolve(keys []K) (nums []int32, absent int) {
-	if len(keys) == 0 {
-		return nil, -1
-	}
-	nums = make([]int32, 0, len(keys))
+// resolve appends the numbers of an edge set to the predecessor column,
+// duplicates collapsed and order kept. absent is the position of the first
+// key that is not a vertex, -1 when all are.
+func (g *DAG[K]) resolve(keys []K) (absent int) {
+	from := len(g.preds)
 	var seen map[int32]struct{}
 	if len(keys) > smallLen {
 		seen = make(map[int32]struct{}, len(keys))
 	}
 	for i, k := range keys {
-		n, ok := g.index[k]
+		n, ok := g.find(k)
 		if !ok {
-			return nil, i
+			return i
 		}
 		if seen != nil {
 			if _, dup := seen[n]; dup {
 				continue
 			}
 			seen[n] = struct{}{}
-		} else if slices.Contains(nums, n) {
+		} else if slices.Contains(g.preds[from:], n) {
 			continue
 		}
-		nums = append(nums, n)
+		g.preds = append(g.preds, n)
 	}
-	return nums, -1
+	return -1
 }
 
 // summarize computes the causal summary of the newest vertex n from its
-// predecessors' (a seeded root's: from below) and files its chain
-// annotation in the slot column, flagging chains that stop being
-// well-formed (duplicate slot or broken connectivity).
-func (g *DAG[K]) summarize(n int32, below []uint64, seeded bool) []uint64 {
+// predecessors' (a seeded root's: from below), appends it to the summary
+// column, and files n's chain annotation in the slot column, flagging
+// chains that stop being well-formed (duplicate slot or broken
+// connectivity).
+func (g *DAG[K]) summarize(n int32, below []uint64, seeded bool) {
 	v := &g.rows[n]
+	preds := g.predsOf(n)
 	width := max(int(v.chain)+1, len(below))
-	for _, p := range v.preds {
-		width = max(width, len(g.rows[p].summary))
+	for _, p := range preds {
+		width = max(width, len(g.summaryOf(p)))
 	}
+	from := len(g.sums)
+	g.sums = slices.Grow(g.sums, width)[:from+width]
+	v.sumEnd = uint32(len(g.sums))
 	if width == 0 {
-		return nil // no annotations anywhere in the ancestry
+		return // no annotations anywhere in the ancestry
 	}
-	vec := make([]uint64, width)
-	copy(vec, below)
-	for _, p := range v.preds {
-		for c, w := range g.rows[p].summary {
+	vec := g.sums[from:]
+	clear(vec[copy(vec, below):])
+	for _, p := range preds {
+		for c, w := range g.summaryOf(p) {
 			vec[c] = max(vec[c], w)
 		}
 	}
 	if v.chain < 0 {
-		return vec
+		return
 	}
 	if int(v.chain) >= len(g.chains) {
 		g.chains = append(g.chains, make([]column, int(v.chain)+1-len(g.chains))...)
@@ -271,7 +335,30 @@ func (g *DAG[K]) summarize(n int32, below []uint64, seeded bool) []uint64 {
 		col.forked = true
 	}
 	vec[v.chain] = max(vec[v.chain], v.seq+1)
-	return vec
+}
+
+// predsOf and summaryOf are row n's parts of the two columns, capped at
+// their end so an append cannot write into the next row; nil when empty.
+func (g *DAG[K]) predsOf(n int32) []int32 {
+	var from uint32
+	if n > 0 {
+		from = g.rows[n-1].predEnd
+	}
+	if to := g.rows[n].predEnd; to > from {
+		return g.preds[from:to:to]
+	}
+	return nil
+}
+
+func (g *DAG[K]) summaryOf(n int32) []uint64 {
+	var from uint32
+	if n > 0 {
+		from = g.rows[n-1].sumEnd
+	}
+	if to := g.rows[n].sumEnd; to > from {
+		return g.sums[from:to:to]
+	}
+	return nil
 }
 
 // slot finds seq in chain's slot column: its position — where it is, or
@@ -330,11 +417,11 @@ func (g *DAG[K]) ChainForked(chain int) bool {
 
 // Summary returns the causal summary of vertex number i, read-only: entry c
 // is 1 + the highest chain-c seq in its ancestry-or-self, 0 or none for none.
-func (g *DAG[K]) Summary(i int) []uint64 { return g.rows[i].summary }
+func (g *DAG[K]) Summary(i int) []uint64 { return g.summaryOf(int32(i)) }
 
 // PredsAt returns the numbers of vertex i's direct predecessors, read-only,
 // and Pos its chain annotation (chain -1: none).
-func (g *DAG[K]) PredsAt(i int) []int32 { return g.rows[i].preds }
+func (g *DAG[K]) PredsAt(i int) []int32 { return g.predsOf(int32(i)) }
 func (g *DAG[K]) Pos(i int) (chain int, seq uint64) {
 	return int(g.rows[i].chain), g.rows[i].seq
 }
@@ -383,8 +470,8 @@ func (g *DAG[K]) keys(nums []int32) []K {
 // Preds returns the direct predecessors of v (vertices u with u ⇀ v) in
 // insertion order. The result is a copy.
 func (g *DAG[K]) Preds(v K) []K {
-	if n, ok := g.index[v]; ok {
-		return g.keys(g.rows[n].preds)
+	if n, ok := g.find(v); ok {
+		return g.keys(g.predsOf(n))
 	}
 	return nil
 }
@@ -422,13 +509,13 @@ func (g *DAG[K]) NumTips() int { return len(g.tips) }
 // allocation-free. Vertices of flagged (equivocating) chains and
 // unannotated vertices fall back to a backwards BFS from v.
 func (g *DAG[K]) Reaches(u, v K) bool {
-	from, okU := g.index[u]
-	to, okV := g.index[v]
+	from, okU := g.find(u)
+	to, okV := g.find(v)
 	if !okU || !okV || from == to {
 		return false
 	}
 	if src := &g.rows[from]; src.chain >= 0 && !g.ChainForked(int(src.chain)) {
-		vec := g.rows[to].summary
+		vec := g.summaryOf(to)
 		return int(src.chain) < len(vec) && vec[src.chain] > src.seq
 	}
 	return g.reachesBFS(from, to)
@@ -447,7 +534,7 @@ func (g *DAG[K]) reachesBFS(from, to int32) bool {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range g.rows[cur].preds {
+		for _, p := range g.predsOf(cur) {
 			if p == from {
 				return true
 			}
@@ -473,7 +560,7 @@ func (g *DAG[K]) ReachesReflexive(u, v K) bool {
 // Ancestry returns every vertex reachable backwards from v, including v
 // itself (the causal past of v), in unspecified order.
 func (g *DAG[K]) Ancestry(v K) []K {
-	n, ok := g.index[v]
+	n, ok := g.find(v)
 	if !ok {
 		return nil
 	}
@@ -484,7 +571,7 @@ func (g *DAG[K]) Ancestry(v K) []K {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range g.rows[cur].preds {
+		for _, p := range g.predsOf(cur) {
 			if seen[p] {
 				continue
 			}
@@ -500,8 +587,8 @@ func (g *DAG[K]) Ancestry(v K) []K {
 // as h's numbers.
 func (g *DAG[K]) predsIn(n int32, h *DAG[K]) []int32 {
 	var out []int32
-	for _, p := range g.rows[n].preds {
-		if m, ok := h.index[g.rows[p].key]; ok {
+	for _, p := range g.predsOf(n) {
+		if m, ok := h.find(g.rows[p].key); ok {
 			out = append(out, m)
 		}
 	}
@@ -513,11 +600,11 @@ func (g *DAG[K]) predsIn(n int32, h *DAG[K]) []int32 {
 // edges between vertices already in g.
 func (g *DAG[K]) Leq(h *DAG[K]) bool {
 	for n := range g.rows {
-		m, ok := h.index[g.rows[n].key]
+		m, ok := h.find(g.rows[n].key)
 		// E_g ⊆ E_h restricted to V_g is equivalent to comparing
 		// predecessor sets filtered to V_g, because all edges point
 		// into their endpoint vertex.
-		if !ok || !sameSet(g.rows[n].preds, h.predsIn(m, g)) {
+		if !ok || !sameSet(g.predsOf(int32(n)), h.predsIn(m, g)) {
 			return false
 		}
 	}
@@ -534,34 +621,37 @@ func (g *DAG[K]) Union(h *DAG[K]) (*DAG[K], error) {
 	merged := New[K]()
 	// g's rows, then h's that g lacks; a shared vertex must have all of
 	// its h-edges in g and as many in g as in h.
-	var pending []*vertex[K]
+	type row struct {
+		src *DAG[K]
+		n   int32
+	}
+	var pending []row
 	for n := range g.rows {
-		pending = append(pending, &g.rows[n])
+		pending = append(pending, row{g, int32(n)})
 	}
 	for m := range h.rows {
-		v := &h.rows[m]
-		n, shared := g.index[v.key]
+		n, shared := g.find(h.rows[m].key)
 		if !shared {
-			pending = append(pending, v)
-		} else if in := h.predsIn(int32(m), g); len(in) != len(v.preds) || !sameSet(g.rows[n].preds, in) {
-			return nil, fmt.Errorf("%w: %v", ErrEdgeMismatch, v.key)
+			pending = append(pending, row{h, int32(m)})
+		} else if in := h.predsIn(int32(m), g); len(in) != len(h.predsOf(int32(m))) || !sameSet(g.predsOf(n), in) {
+			return nil, fmt.Errorf("%w: %v", ErrEdgeMismatch, h.rows[m].key)
 		}
 	}
 	// Kahn-style repeated passes: insert any vertex whose predecessors
 	// are all present. Both inputs are acyclic, so this terminates.
 	for len(pending) > 0 {
-		var next []*vertex[K]
-		for _, v := range pending {
-			src, pos := h, v
-			if g.Contains(v.key) {
-				src = g
-				if m, shared := h.index[v.key]; shared && v.chain < 0 {
+		var next []row
+		for _, r := range pending {
+			v := &r.src.rows[r.n]
+			pos := v
+			if r.src == g && v.chain < 0 {
+				if m, shared := h.find(v.key); shared {
 					pos = &h.rows[m] // annotated in h only
 				}
 			}
-			preds := src.keys(v.preds)
+			preds := r.src.keys(r.src.predsOf(r.n))
 			if slices.ContainsFunc(preds, func(p K) bool { return !merged.Contains(p) }) {
-				next = append(next, v)
+				next = append(next, r)
 			} else if err := merged.InsertChained(v.key, preds, int(pos.chain), pos.seq); err != nil {
 				return nil, err
 			}
@@ -576,13 +666,15 @@ func (g *DAG[K]) Union(h *DAG[K]) (*DAG[K], error) {
 	return merged, nil
 }
 
-// Clone returns a deep copy of g, chain annotations included: the rows are
-// copied as they are, so the copy answers every query as g does (a seeded
-// root stays one).
+// Clone returns a deep copy of g, chain annotations included: the rows,
+// columns and index are copied as they are, so the copy answers every
+// query as g does (a seeded root stays one). Nothing is shared: a row's
+// parts of the columns never change once written, but the spare capacity
+// behind them is where each side's next rows go.
 func (g *DAG[K]) Clone() *DAG[K] {
-	// A row's preds and summary never change once written and stay shared.
 	cp := &DAG[K]{
-		index: maps.Clone(g.index), rows: slices.Clone(g.rows), tips: slices.Clone(g.tips),
+		rows: slices.Clone(g.rows), preds: slices.Clone(g.preds), sums: slices.Clone(g.sums),
+		tips: slices.Clone(g.tips), table: slices.Clone(g.table), seed: g.seed,
 		chains: slices.Clone(g.chains), dups: slices.Clone(g.dups),
 	}
 	for c := range cp.chains {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -337,17 +338,48 @@ func TestUnionInterleavedOrders(t *testing.T) {
 	}
 }
 
+// TestCloneIndependent: a clone is the same graph and then its own. Cloned
+// just below and just above each of the index's first growths (its table
+// holds 6, 12, 24 and 48 rows before it doubles), the original and the
+// clone take turns at vertices the other does not get — a new slot, a fork
+// into a taken one, a seeded root on a chain of its own — and each must
+// still answer as its own reference does.
 func TestCloneIndependent(t *testing.T) {
-	g := buildLinear(t, 3)
-	cp := g.Clone()
-	if err := g.Insert(3, []int{2}); err != nil {
-		t.Fatal(err)
-	}
-	if cp.Contains(3) {
-		t.Fatal("clone shares state with original")
-	}
-	if !cp.Leq(g) {
-		t.Fatal("clone not ⩽ extended original")
+	const chains = 3
+	for _, size := range []int{6, 7, 12, 13, 24, 25, 48, 49} {
+		t.Run(fmt.Sprint("size=", size), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(size)))
+			specs := randomSpecs(rng, chains, size)
+			g, r := build(t, specs)
+			cp, rcp := g.Clone(), r.clone()
+			requireSame(t, cp, rcp, chains+2)
+			sides := []struct {
+				g *DAG[int]
+				r *refDAG
+			}{{g, r}, {cp, rcp}}
+			for i := 0; i < 12; i++ {
+				side := sides[i%2]
+				s := spec{v: 1000*(1+i%2) + i, chain: rng.Intn(chains)}
+				switch old := specs[rng.Intn(len(specs))]; i / 2 % 3 {
+				case 0: // a new slot, citing a few old vertices
+					s.seq = uint64(100 + i)
+					for j := 0; j < 1+rng.Intn(4); j++ {
+						s.preds = append(s.preds, specs[rng.Intn(len(specs))].v)
+					}
+				case 1: // a fork: old's slot, or a new one where old has none
+					if old.chain >= 0 {
+						s.chain, s.seq = old.chain, old.seq
+					}
+					s.preds = []int{old.v}
+				case 2: // a seeded root on a chain of its own side's
+					s.chain, s.seq, s.seeded = chains+i%2, uint64(rng.Intn(8)), true
+					s.below = []uint64{uint64(rng.Intn(4)), 0, uint64(rng.Intn(4))}
+				}
+				insertBoth(t, side.g, side.r, s)
+			}
+			requireSame(t, g, r, chains+2)
+			requireSame(t, cp, rcp, chains+2)
+		})
 	}
 }
 
