@@ -22,15 +22,17 @@ bench-smoke:
 FUZZTIME ?= 3s
 
 .PHONY: fuzz-smoke
-# fuzz-smoke runs every fuzz target for a few seconds — 17 of them: each
+# fuzz-smoke runs every fuzz target for a few seconds — 18 of them: each
 # decoder a byzantine or unauthenticated peer can reach (blocks, gossip
 # messages, evidence, state proofs and snapshot chunks, the snapshot meta
 # frame, the wire reader and stream framing, the sync channel's delta
 # request and stream — its watermark answer has had no decoder, so no
 # target, since PR 30 — and the gateway's submit body, which any client
 # writes), the two a failing disk can (store WAL records, the store's
-# head), and the graph's rows against their map-per-property reference
-# (graph.FuzzRows: inserts, refusals, forks, seeded roots, clones). `go test`
+# head), the graph's rows against their map-per-property reference
+# (graph.FuzzRows: inserts, refusals, forks, seeded roots, clones), and the
+# key set against a map + slice one (keyset.FuzzSet: adds, repeats, lookups,
+# oldest-first pops across compactions, a follower column). `go test`
 # without -fuzz only replays the seed corpus; this also proves the targets
 # still mutate, and a crasher it finds lands in the package's
 # testdata/fuzz to be checked in as a regression seed. -fuzz takes one
@@ -312,7 +314,7 @@ docs-check:
 	done
 	@indexes=$$(grep -rnE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*(, [A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+map\[block\.Ref\]' --include='*.go' --exclude='*_test.go' \
 			--exclude-dir=bench --exclude-dir=.bench_build . \
-		| grep -vE '^\./internal/gossip/gossip\.go:[0-9]+:[[:space:]]+(pending|waiters|invalid)[[:space:]]' || true); \
+		| grep -vE '^\./internal/gossip/gossip\.go:[0-9]+:[[:space:]]+(pending|waiters)[[:space:]]' || true); \
 	[ -z "$$indexes" ] || { echo "docs-check FAILED: a struct field keyed by block.Ref; number the block once (dag.Index) and keep a column or a count:" >&2; echo "$$indexes" >&2; exit 1; }
 	go vet ./...
 	go build ./...
@@ -359,7 +361,7 @@ KNOBS = core.Config gossip.Config node.Config node.StateSyncConfig store.Options
 
 # KNOBS_MAX is the ceiling on fields no non-test code assigns. It only
 # falls: a PR that turns a knob into a constant lowers it to the new count.
-KNOBS_MAX = 13
+KNOBS_MAX = 12
 
 .PHONY: knobs
 # knobs lists the options nobody sets: for every exported field of a

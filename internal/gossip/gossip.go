@@ -52,6 +52,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/evidence"
+	"blockdag/internal/keyset"
 	"blockdag/internal/metrics"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/transport"
@@ -227,10 +228,8 @@ type Gossip struct {
 	arrivals [][]block.Ref
 	// invalid remembers references of blocks that failed validation;
 	// anything referencing them can never become valid (Def. 3.3(iii)).
-	// Bounded by invalidCacheSize: invalidFIFO holds the same references,
-	// oldest first, the order they are forgotten in.
-	invalid     map[block.Ref]struct{}
-	invalidFIFO []block.Ref
+	// Bounded by invalidCacheSize, forgotten oldest first.
+	invalid keyset.Set
 
 	// convicted holds one transferable proof per equivocator this server
 	// has detected or been shown (Evidence).
@@ -275,7 +274,6 @@ func New(cfg Config) (*Gossip, error) {
 		held:      make([]int, cfg.Roster.N()),
 		awaiting:  make([]int, cfg.Roster.N()),
 		arrivals:  make([][]block.Ref, cfg.Roster.N()),
-		invalid:   make(map[block.Ref]struct{}),
 		convicted: evidence.NewPool(),
 	}
 	// Subscribe to the DAG's fork detection: the moment a slot is observed
@@ -365,8 +363,7 @@ func (g *Gossip) HandleMessages(msgs []Message) {
 			continue
 		}
 		ref := b.Ref()
-		_, bad := g.invalid[ref]
-		if bad || g.cfg.DAG.Contains(ref) || g.pending[ref] != nil ||
+		if g.isInvalid(ref) || g.cfg.DAG.Contains(ref) || g.pending[ref] != nil ||
 			!g.cfg.Roster.Contains(b.Builder) || g.cfg.Scores.Banned(b.Builder) ||
 			slices.ContainsFunc(candidates, func(c *block.Block) bool { return c.Ref() == ref }) {
 			continue // pass 2 counts it a duplicate, rejects it, drops it, or verifies it inline
@@ -412,7 +409,7 @@ func (g *Gossip) handleBlock(from types.ServerID, b *block.Block, verdicts map[b
 	if e != nil {
 		g.heldBy(e, from)
 	}
-	if _, bad := g.invalid[ref]; bad || e != nil || g.cfg.DAG.Contains(ref) {
+	if g.isInvalid(ref) || e != nil || g.cfg.DAG.Contains(ref) {
 		g.cfg.Metrics.Add(metrics.BlocksDuplicate, 1)
 		return
 	}
@@ -527,7 +524,7 @@ func (g *Gossip) tryInsert(b *block.Block) bool {
 	ref := b.Ref()
 	if len(g.cfg.DAG.MissingPreds(b)) > 0 {
 		for _, p := range b.Preds {
-			if _, bad := g.invalid[p]; bad {
+			if g.isInvalid(p) {
 				// A predecessor can never validate, so neither can this
 				// block (Definition 3.3(iii)).
 				g.cfg.Metrics.Add(metrics.BlocksRejected, 1)
@@ -642,17 +639,13 @@ func (g *Gossip) unbuffer(ref block.Ref) {
 // rememberInvalid adds ref to the bounded invalid cache, evicting the
 // oldest remembered reference when the cap is exceeded.
 func (g *Gossip) rememberInvalid(ref block.Ref) {
-	if _, dup := g.invalid[ref]; dup {
-		return
-	}
-	g.invalid[ref] = struct{}{}
-	// Sliced off the front, grown at the back: when append runs out of room
-	// it copies what is left, so the backing array stays bounded too.
-	if g.invalidFIFO = append(g.invalidFIFO, ref); len(g.invalidFIFO) > invalidCacheSize {
-		delete(g.invalid, g.invalidFIFO[0])
-		g.invalidFIFO = g.invalidFIFO[1:]
+	if _, added := g.invalid.Add(string(ref[:])); added && g.invalid.Len() > invalidCacheSize {
+		g.invalid.Pop()
 	}
 }
+
+// isInvalid reports whether ref is in the invalid cache.
+func (g *Gossip) isInvalid(ref block.Ref) bool { return g.invalid.Has(string(ref[:])) }
 
 // InsertVerified inserts a block that arrived outside the gossip
 // exchange with its builder and signature already checked by the caller —

@@ -84,7 +84,7 @@ func TestMarkInvalidPurgesWaiters(t *testing.T) {
 		t.Fatalf("missing = %d after poisoning, want 0 (FWD retries for unwanted refs)", got)
 	}
 	for _, ref := range []block.Ref{bad.Ref(), x1.Ref(), x2.Ref()} {
-		if _, ok := n0.g.invalid[ref]; !ok {
+		if !n0.g.isInvalid(ref) {
 			t.Fatalf("ref %v not remembered invalid", ref)
 		}
 	}
@@ -346,8 +346,8 @@ func TestFwdAskedOncePerTick(t *testing.T) {
 }
 
 // TestInvalidCacheBounded: under a flood of garbage blocks the invalid
-// set stays within invalidCacheSize, evicting oldest-first, and the FIFO's
-// backing array stays bounded with it. The first few references arrive as
+// set stays within invalidCacheSize, evicting oldest-first, and the key
+// arena behind it stays bounded with it. The first few references arrive as
 // corrupt blocks on the wire; the rest of the flood (three times the cap, so
 // the dead prefix must be dropped at least once) is fed to rememberInvalid
 // directly, which spares twelve thousand signatures.
@@ -377,31 +377,30 @@ func TestInvalidCacheBounded(t *testing.T) {
 		g.HandleMessage(1, corruptSig(b))
 		refs = append(refs, b.Ref())
 	}
-	if len(g.invalid) != len(refs) {
-		t.Fatalf("invalid cache = %d entries after %d corrupt blocks", len(g.invalid), len(refs))
+	if g.invalid.Len() != len(refs) {
+		t.Fatalf("invalid cache = %d entries after %d corrupt blocks", g.invalid.Len(), len(refs))
 	}
-	maxFIFO := 0
+	maxArena := 0
 	for i := 0; i < 3*invalidCacheSize; i++ {
 		var ref block.Ref
 		binary.BigEndian.PutUint64(ref[:], uint64(i)+1)
 		g.rememberInvalid(ref)
 		refs = append(refs, ref)
-		maxFIFO = max(maxFIFO, cap(g.invalidFIFO))
+		maxArena = max(maxArena, g.invalid.Bytes())
 	}
-	if got := len(g.invalid); got != invalidCacheSize {
+	if got := g.invalid.Len(); got != invalidCacheSize {
 		t.Fatalf("invalid cache = %d entries, cap %d", got, invalidCacheSize)
 	}
 	// Exactly the newest invalidCacheSize entries survive.
 	for i, ref := range refs {
-		_, ok := g.invalid[ref]
+		ok := g.isInvalid(ref)
 		if want := i >= len(refs)-invalidCacheSize; ok != want {
 			t.Fatalf("ref %d of %d: cached = %v, want %v", i, len(refs), ok, want)
 		}
 	}
-	if len(g.invalidFIFO) != len(g.invalid) {
-		t.Fatalf("FIFO bookkeeping diverged: %d queued, %d cached", len(g.invalidFIFO), len(g.invalid))
-	}
-	if maxFIFO > 3*invalidCacheSize {
-		t.Fatalf("FIFO backing array grew to %d for a cache of %d", maxFIFO, invalidCacheSize)
+	// Each reference is its length byte and 32 bytes; the evicted ones stay
+	// until they are as many as the live.
+	if maxArena > 2*invalidCacheSize*33 {
+		t.Fatalf("key arena grew to %d B for a cache of %d", maxArena, invalidCacheSize)
 	}
 }

@@ -58,6 +58,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/graph"
+	"blockdag/internal/keyset"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocol"
 	"blockdag/internal/types"
@@ -165,9 +166,31 @@ func (st *blockState) isGone() bool { return st == gone[0] || st == gone[1] }
 // entries its tip's table has held since the table was made (shrunk).
 type chain struct {
 	tip    *blockState
-	held   []*blockState
+	held   []*blockState // from head on; release pops at head
+	head   int
 	forked bool
 	peak   int
+}
+
+// maxHeldKeep is the most entries a chain's queue keeps its array for once
+// release has drained it below a quarter of that: a chain back from silence
+// must not leave the backlog's array behind the few blocks left, and one
+// that follows the load keeps its array, so appending to it allocates
+// nothing.
+const maxHeldKeep = 64
+
+// compact moves the held blocks down to the front of the queue's array, or
+// into one of their size past maxHeldKeep.
+func (ch *chain) compact() {
+	live := ch.held[ch.head:]
+	if cap(ch.held) > max(maxHeldKeep, 4*len(live)) {
+		ch.held = slices.Clone(live)
+	} else {
+		n := copy(ch.held, live)
+		clear(ch.held[n:])
+		ch.held = ch.held[:n]
+	}
+	ch.head = 0
 }
 
 // anc returns the ancestry watermark of st's block, nil for no block; read,
@@ -202,9 +225,9 @@ type Interpreter struct {
 	lag      []atomic.Int64 // unread as of the last block interpreted, for ChainUnread
 	stats    Stats
 
-	done     map[types.Label]int      // chains that finished a label not every chain has
-	donePeak int                      // the most entries done has held since it was made (shrunk)
-	retired  map[types.Label]struct{} // labels every chain has finished
+	done     map[types.Label]int // chains that finished a label not every chain has
+	donePeak int                 // the most entries done has held since it was made (shrunk)
+	retired  keyset.Set          // labels every chain has finished; never evicts
 
 	// asked is the replay the last inspection query made, for row askedAt:
 	// queries about one block share it, the next AddBlock drops it.
@@ -229,7 +252,7 @@ func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Opti
 	it := &Interpreter{
 		proto: proto, n: n, f: f, onInd: onInd,
 		chains: make([]chain, n), unread: make([]int, n), frontier: make([]uint64, n), lag: make([]atomic.Int64, n),
-		done: make(map[types.Label]int), retired: make(map[types.Label]struct{}),
+		done: make(map[types.Label]int),
 	}
 	for _, opt := range opts {
 		opt(it)
@@ -358,6 +381,7 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 	case it.spine == nil && !ch.forked:
 		// From now on the builder keeps its states: only out-buffers wait.
 		ch.forked = true
+		ch.compact()
 		ch.held = slices.DeleteFunc(ch.held, func(s *blockState) bool { return len(s.out) == 0 })
 	}
 
@@ -476,9 +500,9 @@ func (it *Interpreter) release() {
 				it.unread[c] += int(max(top, read) - read)
 			}
 		}
-		for ; len(own.held) > 0 && own.held[0].seq < frontier; own.held = own.held[1:] {
-			st, marker := own.held[0], gone[0]
-			own.held[0] = nil
+		for ; own.head < len(own.held) && own.held[own.head].seq < frontier; own.head++ {
+			st, marker := own.held[own.head], gone[0]
+			own.held[own.head] = nil
 			if len(st.out) > 0 {
 				it.stats.OutMessages -= len(st.out)
 				it.stats.HoldingBlocks--
@@ -488,10 +512,8 @@ func (it *Interpreter) release() {
 				it.states[st.num] = marker
 			}
 		}
-		if cap(own.held) > max(minShrink, 4*len(own.held)) {
-			// The queue is popped at the front: what a silent chain let pile
-			// up would stay allocated behind the few blocks left.
-			own.held = slices.Clone(own.held)
+		if own.head >= len(own.held)-own.head {
+			own.compact() // the popped prefix is at least the rest
 		}
 		it.frontier[x] = frontier
 	}
@@ -640,7 +662,7 @@ func (it *Interpreter) advance(st *blockState, b *block.Block, sources []*blockS
 		}
 		proc, started := st.pis[label]
 		if !started && primary {
-			_, started = it.retired[label]
+			started = it.retired.Has(string(label))
 		}
 		if !started {
 			// No ancestor ran this instance: created lazily on first request
@@ -725,7 +747,7 @@ func (it *Interpreter) retire(label types.Label) {
 	}
 	delete(it.done, label)
 	it.done = shrunk(it.done, &it.donePeak)
-	it.retired[label] = struct{}{}
+	it.retired.Add(string(label))
 	for c := range it.chains {
 		ch := &it.chains[c]
 		delete(ch.tip.pis, label)

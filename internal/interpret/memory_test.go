@@ -25,7 +25,7 @@ import (
 // recount walks the interpreter's states for what Stats keeps a running
 // count of, and for the number of instance tables.
 func (it *Interpreter) recount() (stats Stats, tables int) {
-	stats.RetiredLabels = len(it.retired)
+	stats.RetiredLabels = it.retired.Len()
 	for _, st := range it.states {
 		if st == nil {
 			continue
@@ -383,16 +383,17 @@ func TestStatesAreAWindow(t *testing.T) {
 
 // TestRetainedPerDeliveredLabel: what a delivered label leaves behind in
 // the interpreter of one node (over the node's DAG, as core builds it), once
-// every chain has read the last READY, is one entry of the retired set and —
-// this DAG carrying one label per block — the block's slot of the state
-// slice: no state, no out-record, no tombstone, no payload, so the same at
-// 64 KiB as at 32 B. Measured on the live heap over 256 labels. (Before
-// buffers followed the frontier it was 1012 B a label at 32 B and 2.26·|v| at
-// 64 KiB; while the interpreter kept an index and a watermark of its own per
-// block, 302 B; while every block kept its state, the chain link, 168 B. The
-// rest is the retired set at an unlucky size: sixteen such waves leave 67 B a
-// label.)
-const retainedPerLabelBound = 120 // measured: 92 B over one wave, 67 B a wave over sixteen
+// every chain has read the last READY, is one entry of the retired set — the
+// label's bytes and their length in the key arena, an offset and a slot of
+// the table — and, this DAG carrying one label per block, the block's slot
+// of the state slice: no state, no out-record, no tombstone, no payload, so
+// the same at 64 KiB as at 32 B. Measured on the live heap over 256 labels:
+// 55 B over one wave, 43 B a label over sixteen. (While the retired set was a
+// map of labels, 80 B and 66 B; before buffers followed the frontier, 1012 B
+// a label at 32 B and 2.26·|v| at 64 KiB; while the interpreter kept an index
+// and a watermark of its own per block, 302 B; while every block kept its
+// state, the chain link, 168 B.)
+const retainedPerLabelBound = 66
 
 func TestRetainedPerDeliveredLabel(t *testing.T) {
 	const n, labels = 4, 256
@@ -621,6 +622,31 @@ func TestBacklogKeepsNoPeak(t *testing.T) {
 	t.Logf("after the backlog drained the interpreter holds %d B; fed the same labels with no chain silent, %d B", silent, steady)
 	if float64(silent) > 1.1*float64(steady) {
 		t.Fatalf("the interpreter keeps %d B after the backlog drained, %d B without the outage: the outage's peak stayed", silent, steady)
+	}
+}
+
+// TestHeldQueueKeepsItsArray: release pops a chain's queue by an index and
+// compacts it in place once the popped prefix is at least the rest, so the
+// queue's array follows the blocks not yet read by every chain, not the
+// run: after 4 096 staggered blocks no chain's array is past maxHeldKeep
+// entries, and the popped prefix is shorter than the rest.
+func TestHeldQueueKeepsItsArray(t *testing.T) {
+	d := quietStaggered(4096)
+	it := New(brb.Protocol{}, 4, 1, nil, Over(d))
+	for i := 0; i < d.Len(); i++ {
+		b, err := d.ReadRow(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := it.AddBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		for x, ch := range it.chains {
+			if cap(ch.held) > maxHeldKeep || ch.head > 0 && ch.head >= len(ch.held)-ch.head {
+				t.Fatalf("after %d blocks chain %d's queue: %d popped, %d held, an array of %d",
+					i+1, x, ch.head, len(ch.held)-ch.head, cap(ch.held))
+			}
+		}
 	}
 }
 

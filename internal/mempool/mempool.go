@@ -31,8 +31,11 @@ import (
 	"sync"
 
 	"blockdag/internal/block"
+	"blockdag/internal/crypto"
+	"blockdag/internal/keyset"
 	"blockdag/internal/metrics"
 	"blockdag/internal/types"
+	"blockdag/internal/wire"
 )
 
 // Submission errors. Gateways map them to client-visible backpressure
@@ -57,10 +60,12 @@ type Pool struct {
 	// once) and keeps the queue duplicate-free even after the seen cache
 	// evicted an entry that is still buffered.
 	queued map[[32]byte]struct{}
-	// seen is the bounded recently-seen cache: keys stay remembered
+	// seen is the recently-seen cache: the keys of the last 2 × Capacity
+	// admitted requests, evicted oldest first — insertion order, so every
+	// run and replay takes the same dedup decisions. Keys stay remembered
 	// after their request drained, so client retries of an embedded
 	// request are dropped until the window rolls over.
-	seen  *seenCache
+	seen  keyset.Set
 	stats Stats
 }
 
@@ -95,8 +100,18 @@ func New(opts Options) *Pool {
 	return &Pool{
 		opts:   opts,
 		queued: make(map[[32]byte]struct{}),
-		seen:   newSeenCache(opts.DedupWindow),
 	}
+}
+
+// requestKey is the dedup identity of a request: the hash of its
+// length-framed (label, data) pair. Length framing keeps the identity
+// unambiguous — ("ab", "c") and ("a", "bc") hash differently — and
+// hashing keeps the cache's memory independent of request size.
+func requestKey(label types.Label, data []byte) [32]byte {
+	w := wire.NewWriter(len(label) + len(data) + 8)
+	w.String(string(label))
+	w.VarBytes(data)
+	return crypto.Hash(w.Bytes())
 }
 
 // Submit validates and admits one client request. It returns nil when the
@@ -122,7 +137,7 @@ func (p *Pool) submit(rq block.Request) error {
 		p.stats.Duplicates++
 		return fmt.Errorf("%w: %s (queued)", ErrDuplicate, rq.Label)
 	}
-	if p.seen.contains(k) {
+	if p.seen.Has(string(k[:])) {
 		p.stats.Duplicates++
 		return fmt.Errorf("%w: %s", ErrDuplicate, rq.Label)
 	}
@@ -130,7 +145,9 @@ func (p *Pool) submit(rq block.Request) error {
 		p.stats.Overflow++
 		return fmt.Errorf("%w: %d requests", ErrFull, p.depth())
 	}
-	p.seen.add(k)
+	if p.seen.Add(string(k[:])); p.seen.Len() > 2*p.opts.Capacity {
+		p.seen.Pop()
+	}
 	p.queued[k] = struct{}{}
 	p.push(block.Request{Label: rq.Label, Data: append([]byte(nil), rq.Data...)})
 	p.stats.Accepted++

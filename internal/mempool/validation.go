@@ -23,10 +23,6 @@ var (
 const (
 	// DefaultCapacity is the default hard bound on queued requests.
 	DefaultCapacity = 1 << 16
-	// DefaultDedupWindow is the default recently-seen cache size: twice
-	// the capacity, so a full queue's worth of drained requests stays
-	// remembered alongside a full queue of fresh ones.
-	DefaultDedupWindow = 1 << 17
 	// DefaultMaxRequestBytes is the default per-request data limit.
 	DefaultMaxRequestBytes = 64 << 10
 	// DefaultMaxLabelBytes is the default per-request label limit.
@@ -37,13 +33,10 @@ const (
 type Options struct {
 	// Capacity is the hard bound on queued requests; submissions beyond
 	// it fail with ErrFull. Requeued requests are exempt (see Requeue).
+	// The recently-seen cache remembers twice as many keys, so a full
+	// queue's worth of drained requests stays remembered alongside a full
+	// queue of fresh ones.
 	Capacity int
-	// DedupWindow is the size of the recently-seen cache. It should
-	// exceed Capacity, or requests still queued could have their dedup
-	// entry evicted while fresh duplicates arrive. (The pool stays
-	// correct regardless — the queued set catches those — but the window
-	// then no longer covers drained requests.)
-	DedupWindow int
 	// MaxRequestBytes bounds a single request's data payload.
 	MaxRequestBytes int
 	// MaxLabelBytes bounds a single request's label.
@@ -61,9 +54,6 @@ const drainBytes = block.MaxProducerPayloadBytes
 func (o *Options) applyDefaults() {
 	if o.Capacity <= 0 {
 		o.Capacity = DefaultCapacity
-	}
-	if o.DedupWindow <= 0 {
-		o.DedupWindow = 2 * o.Capacity
 	}
 	if o.MaxRequestBytes <= 0 {
 		o.MaxRequestBytes = DefaultMaxRequestBytes

@@ -97,3 +97,40 @@ func TestUnclaimedBrokerKeepsNothing(t *testing.T) {
 		}
 	})
 }
+
+// retainedPerIndexedLabelBound is what the await index may keep per label
+// beyond the label's and the value's bytes: the label's length byte and
+// offset, its slot of the table and its entry of the value column (the
+// value's slice header and seq), with the slack of grown arrays. Measured:
+// 54 B; 132 B while the index was a map of indications beside a FIFO slice
+// of the labels.
+const retainedPerIndexedLabelBound = 65
+
+// TestRetainedPerIndexedLabel: 4 096 labels of 32 B, each with a 32-B
+// value, published into a claimed index — its full label count — cost the
+// index at most retainedPerIndexedLabelBound bytes a label beyond the label
+// and the value themselves.
+func TestRetainedPerIndexedLabel(t *testing.T) {
+	const count, size = node.DefaultRecentLabels, 32
+	labels := make([]types.Label, count)
+	for i := range labels {
+		labels[i] = types.Label(fmt.Sprintf("%032d", i))
+	}
+	value := make([]byte, size)
+	before := dagtest.LiveHeap()
+	b := node.NewIndicationBroker(0)
+	for _, l := range labels {
+		b.Publish(l, value)
+	}
+	retained := float64(dagtest.LiveHeap()) - float64(before)
+	runtime.KeepAlive(labels)
+	runtime.KeepAlive(value)
+	if _, ok := b.Lookup(labels[0]); !ok {
+		t.Fatal("the oldest label was evicted within the label count")
+	}
+	beyond := retained/count - 2*size
+	t.Logf("%.1f B retained per indexed label beyond its %d-B label and %d-B value", beyond, size, size)
+	if beyond > retainedPerIndexedLabelBound {
+		t.Fatalf("the await index keeps %.1f B a label beyond label and value, want at most %d", beyond, retainedPerIndexedLabelBound)
+	}
+}

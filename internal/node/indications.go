@@ -3,6 +3,7 @@ package node
 import (
 	"sync"
 
+	"blockdag/internal/keyset"
 	"blockdag/internal/types"
 )
 
@@ -21,6 +22,11 @@ type Indication struct {
 // to a gateway's /v1/await of a label that was interpreted before the
 // client asked). Oldest labels are evicted first.
 const DefaultRecentLabels = 4096
+
+// recentBytes bounds the replay index by bytes too: the oldest labels are
+// evicted while their labels and values hold more than this, so 4 096
+// large values cannot hold 4 096 times one.
+const recentBytes = 1 << 20
 
 // IndicationBroker fans one server's indication stream out to any number
 // of concurrent observers — the subscription seam a client gateway needs
@@ -53,13 +59,21 @@ type IndicationBroker struct {
 	nextSeq uint64
 	closed  bool
 
+	// The replay index: the labels in order of first publication, and by
+	// entry each one's latest value and seq.
 	index      indexState
-	recent     map[types.Label]Indication
-	order      []types.Label // FIFO eviction order over recent's keys
+	labels     keyset.Set
+	latest     keyset.Column[indexed]
 	maxLabel   int
-	indexBytes int64 // label and value bytes in recent
+	indexBytes int64 // label and value bytes the index holds
 
 	subs map[*IndicationSub]struct{}
+}
+
+// indexed is what the replay index keeps of a label's latest indication.
+type indexed struct {
+	value []byte
+	seq   uint64
 }
 
 // indexState is where a broker's replay index stands.
@@ -74,7 +88,8 @@ const (
 
 // NewIndicationBroker builds a broker whose replay index keeps the most
 // recent indication for up to maxLabels distinct labels (0 uses
-// DefaultRecentLabels), claimed from the start. Wire Publish as (or into)
+// DefaultRecentLabels) and recentBytes of labels and values, claimed from
+// the start. Wire Publish as (or into)
 // the server's OnIndication callback — node.New does this, with a broker
 // of its own in the replay state, via core.Server.AddIndicationObserver.
 func NewIndicationBroker(maxLabels int) *IndicationBroker {
@@ -83,7 +98,6 @@ func NewIndicationBroker(maxLabels int) *IndicationBroker {
 	}
 	return &IndicationBroker{
 		index:    indexClaimed,
-		recent:   make(map[types.Label]Indication),
 		maxLabel: maxLabels,
 		subs:     make(map[*IndicationSub]struct{}),
 	}
@@ -135,7 +149,7 @@ func (b *IndicationBroker) Publish(label types.Label, value []byte) {
 	b.nextSeq++
 	if b.index == indexWindow {
 		b.index = indexOff
-		b.recent, b.order, b.indexBytes = nil, nil, 0
+		b.labels, b.latest, b.indexBytes = keyset.Set{}, keyset.Column[indexed]{}, 0
 	}
 	if b.index == indexOff && len(b.subs) == 0 {
 		return
@@ -153,27 +167,25 @@ func (b *IndicationBroker) Publish(label types.Label, value []byte) {
 	}
 }
 
-// remember indexes ind as its label's most recent indication, evicting the
-// oldest label past maxLabel.
+// remember indexes ind as its label's most recent indication, in place if
+// the label is indexed, then evicts the oldest labels while the index holds
+// more than maxLabel labels or recentBytes.
 func (b *IndicationBroker) remember(ind Indication) {
-	if b.recent == nil {
-		b.recent = make(map[types.Label]Indication)
-	}
-	if old, seen := b.recent[ind.Label]; seen {
-		b.indexBytes -= int64(len(old.Value))
-	} else {
-		if len(b.order) >= b.maxLabel {
-			evicted := b.order[0]
-			b.indexBytes -= int64(len(evicted) + len(b.recent[evicted].Value))
-			delete(b.recent, evicted)
-			b.order[0] = "" // the dead prefix must not pin the evicted label
-			b.order = b.order[1:]
-		}
-		b.order = append(b.order, ind.Label)
+	if e, added := b.labels.Add(string(ind.Label)); added {
+		b.latest.Push(indexed{ind.Value, ind.Seq})
 		b.indexBytes += int64(len(ind.Label))
+	} else {
+		at := b.latest.At(e)
+		b.indexBytes -= int64(len(at.value))
+		*at = indexed{ind.Value, ind.Seq}
 	}
 	b.indexBytes += int64(len(ind.Value))
-	b.recent[ind.Label] = ind
+	for b.labels.Len() > b.maxLabel || b.indexBytes > recentBytes {
+		e := b.labels.Oldest()
+		b.indexBytes -= int64(len(b.labels.Key(e)) + len(b.latest.At(e).value))
+		b.labels.Pop()
+		b.latest.Pop()
+	}
 }
 
 // Lookup returns the most recent indication published for label, if the
@@ -181,8 +193,12 @@ func (b *IndicationBroker) remember(ind Indication) {
 func (b *IndicationBroker) Lookup(label types.Label) (Indication, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ind, ok := b.recent[label]
-	return ind, ok
+	e, ok := b.labels.Index(string(label))
+	if !ok {
+		return Indication{}, false
+	}
+	at := b.latest.At(e)
+	return Indication{Label: label, Value: at.value, Seq: at.seq}, true
 }
 
 // Subscribe registers a new observer with the given channel buffer

@@ -19,15 +19,10 @@ func TestBrokerLookupAndEviction(t *testing.T) {
 	if ind, ok := b.Lookup("b"); !ok || string(ind.Value) != "2" {
 		t.Fatalf("b evicted by re-publish of a: %v, %v", ind, ok)
 	}
-	// A third distinct label evicts the oldest (a), and the slot left
-	// behind in the eviction queue lets go of the label.
-	order := b.order
+	// A third distinct label evicts the oldest (a).
 	b.Publish("c", []byte("3"))
 	if _, ok := b.Lookup("a"); ok {
 		t.Fatal("a survived eviction at maxLabels=2")
-	}
-	if order[0] != "" {
-		t.Fatalf("evicted label %q still held by the eviction queue", order[0])
 	}
 	for _, want := range []struct {
 		label types.Label
@@ -36,6 +31,36 @@ func TestBrokerLookupAndEviction(t *testing.T) {
 		if ind, ok := b.Lookup(want.label); !ok || string(ind.Value) != want.value {
 			t.Fatalf("Lookup(%s) = %v, %v", want.label, ind, ok)
 		}
+	}
+	// An evicted label's bytes are not held: once the evicted labels are
+	// as many as the live ones, the key arena keeps only c and d.
+	b.Publish("d", []byte("4"))
+	if got := b.labels.Bytes(); got != len("\x01c\x01d") {
+		t.Fatalf("the index's key arena holds %d B for two one-byte labels", got)
+	}
+}
+
+// TestBrokerIndexBoundedByBytes: 16 KiB values fill the index's byte
+// budget long before its label count; it ends within recentBytes, holding
+// exactly the newest labels that fit — eviction is oldest first.
+func TestBrokerIndexBoundedByBytes(t *testing.T) {
+	b := NewIndicationBroker(0)
+	value := make([]byte, 16<<10)
+	const count = 256
+	for i := 0; i < count; i++ {
+		b.Publish(types.Label(fmt.Sprintf("big/%03d", i)), value)
+		if got := b.IndexBytes(); got > recentBytes {
+			t.Fatalf("after %d indications of 16 KiB the index holds %d B, want at most %d", i+1, got, recentBytes)
+		}
+	}
+	fit := recentBytes / (len("big/000") + len(value))
+	for i := 0; i < count; i++ {
+		if _, ok := b.Lookup(types.Label(fmt.Sprintf("big/%03d", i))); ok != (i >= count-fit) {
+			t.Fatalf("label %d of %d indexed: %v; want the newest %d", i, count, ok, fit)
+		}
+	}
+	if got, want := b.IndexBytes(), int64(fit*(len("big/000")+len(value))); got != want {
+		t.Fatalf("IndexBytes = %d, want %d", got, want)
 	}
 }
 
