@@ -361,7 +361,7 @@ KNOBS = core.Config gossip.Config node.Config node.StateSyncConfig store.Options
 
 # KNOBS_MAX is the ceiling on fields no non-test code assigns. It only
 # falls: a PR that turns a knob into a constant lowers it to the new count.
-KNOBS_MAX = 12
+KNOBS_MAX = 11
 
 .PHONY: knobs
 # knobs lists the options nobody sets: for every exported field of a

@@ -52,8 +52,7 @@ func run() error {
 		rosterF   = flag.String("roster", "", "roster file: simulate a deployment's real identities (requires -keys)")
 		keysDir   = flag.String("keys", "", "directory holding every member's s<i>.key (with -roster)")
 		dump      = flag.String("dump", "", "write server 0's DAG to this file")
-		storeDir  = flag.String("store-dir", "", "journal every server's blocks to a durable store under this directory (inspect with dagstore)")
-		follow    = flag.Duration("follow", 0, "run the live-follower loop on every server: pull from a rotating peer this often (simulated time) — one delta call on the sync channel, answered by the missing suffix or by nothing (0 disables)")
+		storeDir  = flag.String("store-dir", "", "journal every server's blocks to a durable store under this directory (inspect with dagstore); a durable server also serves the sync channel and runs the live follower, which pulls from a rotating peer when gossip shows lag")
 		mpoolCap  = flag.Int("mempool-cap", 0, "capacity of every server's ingestion mempool: dedup, validation, backpressure (0 = the pool's default)")
 		loadRound = flag.Int("load-per-round", 0, "submit this many synthetic client requests per server before every round (deterministic labels load/s<i>/<seq>)")
 		batch     = flag.Int("max-batch", 0, "max requests per block (0 = instances+1)")
@@ -98,7 +97,6 @@ func run() error {
 		MaxBatch:    *batch,
 		StoreDir:    *storeDir,
 
-		FollowEvery:     *follow,
 		MempoolCapacity: *mpoolCap,
 		LoadPerRound:    *loadRound,
 	})
@@ -204,7 +202,7 @@ func run() error {
 	}
 	fmt.Printf("mempool                %d submitted / %d accepted / %d drained into blocks (%d dup, %d invalid, %d overflow)\n",
 		magg.submitted, magg.accepted, magg.drained, magg.dups, magg.invalid, magg.overflow)
-	if *follow > 0 {
+	if *storeDir != "" {
 		var fagg node.FollowReport
 		for _, i := range c.CorrectServers() {
 			fs := c.FollowStats(i)

@@ -11,31 +11,32 @@ import (
 	"blockdag/internal/types"
 )
 
-// BenchmarkLiveFollow compares how a running follower that lagged behind
-// a live cluster reconverges once its partition heals:
+// BenchmarkLiveFollow compares how a running slot that lagged behind a
+// live cluster reconverges once its partition heals, with the next rounds
+// running:
 //
-//   - follow: the live-follower loop — one validated delta stream on the
-//     sync channel (request, one batch, done)
-//   - fwd: the gossip layer's per-block FWD path, one sequential round
-//     trip per missing ancestor
+//   - fwd: a storeless cluster, gossip's per-block FWD path alone — one
+//     sequential round trip per missing ancestor
+//   - pull: a durable cluster, FWD plus the live follower, which pulls one
+//     validated delta stream on the sync channel when gossip shows lag
+//     (a re-ask, or inbound silence)
 //
 // Reported metrics: virtual-ms is simulated time from heal to full
 // coverage of the backlog (what a real laggard would wait), net-msgs the
 // messages that crossed the simulated network in that window, and
-// backlog the blocks the follower was missing. The follow path costs a
-// handful of frames and round trips; FWD walks the ancestry one round
-// trip at a time.
+// backlog the blocks the laggard was missing.
 func BenchmarkLiveFollow(b *testing.B) {
 	const lagRounds = 30
 
 	// lagged builds a cluster whose slot 3 missed lagRounds of progress
 	// behind a (just-healed) partition.
-	lagged := func(b *testing.B, followEvery time.Duration) *cluster.Cluster {
+	lagged := func(b *testing.B, durable bool) *cluster.Cluster {
 		b.Helper()
-		c, err := cluster.New(cluster.Options{
-			N: 4, Protocol: brb.Protocol{}, Seed: 11,
-			FollowEvery: followEvery,
-		})
+		opts := cluster.Options{N: 4, Protocol: brb.Protocol{}, Seed: 11}
+		if durable {
+			opts.StoreDir = b.TempDir()
+		}
+		c, err := cluster.New(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,58 +66,38 @@ func BenchmarkLiveFollow(b *testing.B) {
 		return true
 	}
 
-	b.Run("follow", func(b *testing.B) {
-		var virtual time.Duration
-		var msgs int64
-		var backlog int
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c := lagged(b, 50*time.Millisecond)
-			b.StartTimer()
-			target := c.Servers[0].DAG().Refs()
-			backlog = c.Servers[0].DAG().Len() - c.Servers[3].DAG().Len()
-			s0, t0 := c.Net.Stats(), c.Net.Now()
-			c.FollowOnce(3)
-			c.Net.Run()
-			if !covered(c, target) {
-				b.Fatal("follow pull did not cover the backlog")
+	for _, arm := range []struct {
+		name    string
+		durable bool
+	}{{"fwd", false}, {"pull", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			var virtual time.Duration
+			var msgs int64
+			var backlog int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := lagged(b, arm.durable)
+				b.StartTimer()
+				target := c.Servers[0].DAG().Refs()
+				backlog = c.Servers[0].DAG().Len() - c.Servers[3].DAG().Len()
+				s0, t0 := c.Net.Stats(), c.Net.Now()
+				// The laggard discovers the gap from the next blocks it
+				// receives: FWD walks it back one round trip at a time, and
+				// on a durable slot the first re-ask pulls the rest. The
+				// rounds run on their own clock, interleaved with the walk.
+				c.ScheduleRounds(40)
+				if !c.Net.RunUntil(func() bool { return covered(c, target) }) {
+					b.Fatal("recovery incomplete")
+				}
+				s1 := c.Net.Stats()
+				virtual = c.Net.Now() - t0
+				msgs = (s1.Sends - s0.Sends) + (s1.Calls - s0.Calls) + (s1.CallFrames - s0.CallFrames)
 			}
-			s1 := c.Net.Stats()
-			virtual = c.Net.Now() - t0
-			msgs = (s1.Sends - s0.Sends) + (s1.Calls - s0.Calls) + (s1.CallFrames - s0.CallFrames)
-		}
-		b.ReportMetric(float64(virtual.Milliseconds()), "virtual-ms")
-		b.ReportMetric(float64(msgs), "net-msgs")
-		b.ReportMetric(float64(backlog), "backlog")
-	})
-
-	b.Run("fwd", func(b *testing.B) {
-		var virtual time.Duration
-		var msgs int64
-		var backlog int
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c := lagged(b, 0)
-			b.StartTimer()
-			target := c.Servers[0].DAG().Refs()
-			backlog = c.Servers[0].DAG().Len() - c.Servers[3].DAG().Len()
-			s0, t0 := c.Net.Stats(), c.Net.Now()
-			// The laggard discovers the gap from the next blocks it
-			// receives and walks it back one FWD round trip at a time.
-			ok, err := c.RunUntil(40, func() bool { return covered(c, target) })
-			if err != nil || !ok {
-				b.Fatalf("fwd recovery incomplete: ok=%v err=%v", ok, err)
-			}
-			s1 := c.Net.Stats()
-			virtual = c.Net.Now() - t0
-			msgs = (s1.Sends - s0.Sends) + (s1.Calls - s0.Calls) + (s1.CallFrames - s0.CallFrames)
-		}
-		b.ReportMetric(float64(virtual.Milliseconds()), "virtual-ms")
-		b.ReportMetric(float64(msgs), "net-msgs")
-		b.ReportMetric(float64(backlog), "backlog")
-	})
+			b.ReportMetric(float64(virtual.Milliseconds()), "virtual-ms")
+			b.ReportMetric(float64(msgs), "net-msgs")
+			b.ReportMetric(float64(backlog), "backlog")
+		})
+	}
 }

@@ -6,8 +6,8 @@
 //
 // The cluster is the simulator's shell around that runtime, and nothing
 // more: it never starts a node's goroutine; it steps the node's turns
-// (Tick, Disseminate, FollowIfDue, DeliverBurst) from simnet events on
-// the virtual clock, so a run is a deterministic function of its seed.
+// (Tick, Disseminate, DisseminateIfFull, DeliverBurst) from simnet events
+// on the virtual clock, so a run is a deterministic function of its seed.
 // Follow polls, catch-up pulls, the seal/prune cycle, store recovery, evidence
 // replay and gateway wiring are the node's own code, the same a deployed
 // node runs.
@@ -67,15 +67,6 @@ type Options struct {
 	// and deployment can never diverge. Must have N members when set.
 	Fixture *roster.Fixture
 
-	// FollowEvery enables the live follower on every correct slot
-	// (node.Config.FollowEvery, paced on the simulated clock): polls,
-	// streams, and absorptions all ride the simulator's event loop, so
-	// runs stay deterministic. With FollowEvery set, every correct slot
-	// also serves the sync channel from its DAG, durable or not, so
-	// non-durable clusters can follow too.
-	// 0 disables.
-	FollowEvery time.Duration
-
 	// Seed fixes the simulation (default 1).
 	Seed int64
 	// Latency and Jitter configure the link delay model (defaults
@@ -119,7 +110,11 @@ type Options struct {
 	// before dissemination, exactly as in production, and servers with
 	// pre-existing store contents restore from them on construction.
 	// Stores otherwise run with SyncNever (the simulation models power
-	// cuts by truncation, not by fsync) and the simulated clock.
+	// cuts by truncation, not by fsync) and the simulated clock. A durable
+	// slot also serves the sync channel and runs the live follower, which
+	// pulls when gossip shows lag (node.Node.Tick): polls, streams and
+	// absorptions all ride the simulator's event loop, so runs stay
+	// deterministic.
 	StoreDir string
 	// StoreSegmentSize overrides the WAL rotation threshold
 	// (0 = store default). Tests use small segments to exercise
@@ -278,10 +273,7 @@ func (c *Cluster) buildSlot(slot int, proto protocol.Protocol, st *store.Store, 
 		}
 		return fmt.Errorf("cluster: server %d: %w", slot, err)
 	}
-	nd, err := deploy.Build(cfg, node.Config{
-		Store:       st,
-		FollowEvery: c.opts.FollowEvery,
-	})
+	nd, err := deploy.Build(cfg, node.Config{Store: st})
 	if err != nil {
 		return fail(err)
 	}
@@ -340,27 +332,22 @@ func (e inline) Deliver(from types.ServerID, payload []byte) {
 }
 
 // register attaches one slot's consumers to the network: the runtime on
-// the gossip channel and — when the slot is durable, or the cluster runs
-// the live follower — a catch-up server on the sync channel, so any peer
-// can bulk-sync or follow from this slot. A request that lacks nothing is
-// answered from the node's chain heads; any other streams from the node's
-// DAG in the node's turns, inline on the event loop. The catch-up server
-// runs under the syncsvc default in-flight cap.
+// the gossip channel and — when the slot is durable — a catch-up server on
+// the sync channel, so any peer can bulk-sync or follow from this slot. A
+// request that lacks nothing is answered from the node's chain heads; any
+// other streams from the node's DAG in the node's turns, inline on the event
+// loop. The catch-up server runs under the syncsvc default in-flight cap.
 func (c *Cluster) register(slot int, nd *node.Node, st *store.Store) {
 	id := types.ServerID(slot)
 	c.Net.Register(id, transport.ChanGossip, inline{nd})
-	if st == nil && c.opts.FollowEvery <= 0 {
+	if st == nil {
 		return
 	}
 	// Built here, not by deploy: simnet takes a handler once the node
 	// exists — nothing to late-bind.
-	sync := &syncsvc.Server{Store: st, Scores: nd.Server().Scores(), Watermarks: nd.Watermarks}
-	if st == nil {
-		sync.Rows = nd
-	} else {
-		st.SetRuntime(nd) // as Start would: the event loop owns the stepped node
-	}
-	c.Net.RegisterHandler(id, transport.ChanSync, sync)
+	st.SetRuntime(nd) // as Start would: the event loop owns the stepped node
+	c.Net.RegisterHandler(id, transport.ChanSync,
+		&syncsvc.Server{Store: st, Scores: nd.Server().Scores(), Watermarks: nd.Watermarks})
 }
 
 // openStore opens the durable block store for one slot if Options.StoreDir
@@ -420,11 +407,20 @@ func (c *Cluster) injectLoad(slot int) {
 	}
 }
 
-// RunRounds schedules `rounds` dissemination rounds — every correct slot
-// takes its housekeeping, block, full-block and follow turns once per
-// round, staggered to break symmetry — then runs the network to
-// quiescence.
+// RunRounds schedules `rounds` dissemination rounds (ScheduleRounds), then
+// runs the network to quiescence.
 func (c *Cluster) RunRounds(rounds int) error {
+	c.ScheduleRounds(rounds)
+	c.Net.Run()
+	return c.Health()
+}
+
+// ScheduleRounds schedules `rounds` dissemination rounds, one interval
+// apart, without running them: every correct slot takes its housekeeping
+// (the follower's included), block and full-block turns once per round,
+// staggered to break symmetry. A caller that runs the network itself can
+// stop it mid-way (simnet.Network.RunUntil), the moment a condition holds.
+func (c *Cluster) ScheduleRounds(rounds int) {
 	for r := 0; r < rounds; r++ {
 		at := time.Duration(r) * c.interval
 		for i, nd := range c.Nodes {
@@ -437,12 +433,9 @@ func (c *Cluster) RunRounds(rounds int) error {
 				nd.Tick()
 				nd.Disseminate()
 				nd.DisseminateIfFull()
-				nd.FollowIfDue()
 			})
 		}
 	}
-	c.Net.Run()
-	return c.Health()
 }
 
 // RunUntil runs dissemination rounds until cond holds or maxRounds pass,
@@ -469,11 +462,10 @@ func (c *Cluster) FollowStats(slot int) node.FollowReport {
 }
 
 // FollowOnce schedules one immediate follow poll at the given slot,
-// regardless of how recently the periodic policy polled (FollowEvery
-// must be enabled; an outstanding poll still wins). Tests and benchmarks
-// use it to converge a healed follower at a quiet moment — with nothing
-// else scheduled, running the network to quiescence isolates exactly the
-// follow path's traffic.
+// whatever gossip's evidence says (the slot must be durable; an outstanding
+// poll still wins). Tests use it to converge a healed follower at a quiet
+// moment — with nothing else scheduled, running the network to quiescence
+// isolates exactly the follow path's traffic.
 func (c *Cluster) FollowOnce(slot int) {
 	if nd := c.Nodes[slot]; nd != nil {
 		c.Net.After(0, nd.FollowPoll)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
@@ -32,10 +31,10 @@ func partitionSlot(c *cluster.Cluster, slot int) {
 // running cluster cleanly.
 func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
 	c, err := cluster.New(cluster.Options{
-		N:           4,
-		Protocol:    brb.Protocol{},
-		Seed:        21,
-		FollowEvery: 100 * time.Millisecond,
+		N:        4,
+		Protocol: brb.Protocol{},
+		Seed:     21,
+		StoreDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +101,8 @@ func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
 		}
 	}
 
-	// Phase 4: the healed follower participates in new work; the
-	// periodic policy keeps running without harm.
+	// Phase 4: the healed follower participates in new work, and keeps
+	// following without harm.
 	c.Request(3, "post", []byte("back"))
 	ok, err = c.RunUntil(30, func() bool { return allDelivered(c, "post") && c.Converged() })
 	if err != nil || !ok {
@@ -119,10 +118,10 @@ func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
 func TestClusterLiveFollowerDeterministic(t *testing.T) {
 	run := func() (node.FollowReport, int64, int64) {
 		c, err := cluster.New(cluster.Options{
-			N:           4,
-			Protocol:    brb.Protocol{},
-			Seed:        8,
-			FollowEvery: 60 * time.Millisecond,
+			N:        4,
+			Protocol: brb.Protocol{},
+			Seed:     8,
+			StoreDir: t.TempDir(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -153,10 +152,10 @@ func TestClusterLiveFollowerDeterministic(t *testing.T) {
 // honest peer and the follower still converges.
 func TestClusterFollowerThrottledRotates(t *testing.T) {
 	c, err := cluster.New(cluster.Options{
-		N:           4,
-		Protocol:    brb.Protocol{},
-		Seed:        17,
-		FollowEvery: 100 * time.Millisecond,
+		N:        4,
+		Protocol: brb.Protocol{},
+		Seed:     17,
+		StoreDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,10 +213,10 @@ func TestClusterFollowerThrottledRotates(t *testing.T) {
 // state stays intact and it converges through the honest peers.
 func TestClusterFollowerLyingPeer(t *testing.T) {
 	c, err := cluster.New(cluster.Options{
-		N:           4,
-		Protocol:    brb.Protocol{},
-		Seed:        29,
-		FollowEvery: 100 * time.Millisecond,
+		N:        4,
+		Protocol: brb.Protocol{},
+		Seed:     29,
+		StoreDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +272,7 @@ func TestClusterFollowerLyingPeer(t *testing.T) {
 		t.Fatalf("lying peers poisoned the follower: %v", err)
 	}
 
-	// The periodic policy keeps rotating; the cluster stays live and
+	// The follower keeps rotating; the cluster stays live and
 	// convergent through the honest peers.
 	c.Request(3, "post", []byte("after"))
 	ok, err = c.RunUntil(30, func() bool { return allDelivered(c, "post") && c.Converged() })
@@ -295,11 +294,11 @@ func TestClusterFollowerLyingPeer(t *testing.T) {
 func TestClusterFollowerHoldingAForkIsNotRestreamed(t *testing.T) {
 	const equivocator = 2
 	c, err := cluster.New(cluster.Options{
-		N:           4,
-		Protocol:    brb.Protocol{},
-		Byzantine:   []int{equivocator},
-		Seed:        5,
-		FollowEvery: 100 * time.Millisecond,
+		N:         4,
+		Protocol:  brb.Protocol{},
+		Byzantine: []int{equivocator},
+		Seed:      5,
+		StoreDir:  t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,11 +346,10 @@ func TestClusterFollowerHoldingAForkIsNotRestreamed(t *testing.T) {
 func TestClusterFollowerAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	c, err := cluster.New(cluster.Options{
-		N:           4,
-		Protocol:    brb.Protocol{},
-		Seed:        41,
-		StoreDir:    dir,
-		FollowEvery: 100 * time.Millisecond,
+		N:        4,
+		Protocol: brb.Protocol{},
+		Seed:     41,
+		StoreDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)

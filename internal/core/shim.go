@@ -264,8 +264,13 @@ func (s *Server) Disseminate() error {
 	return err
 }
 
-// Tick re-asks for what buffered blocks still miss, on Config.Clock.
-func (s *Server) Tick() { s.gsp.Tick() }
+// Tick re-asks for what buffered blocks still miss, on Config.Clock, and
+// reports whether there was any (gossip.Gossip.Tick): evidence of lag.
+func (s *Server) Tick() (reasked bool) { return s.gsp.Tick() }
+
+// Heard returns when a peer's block last arrived, on Config.Clock (zero
+// before the first).
+func (s *Server) Heard() time.Duration { return s.gsp.Heard() }
 
 // onInsert chains every inserted block into the interpreter: building the
 // DAG and interpreting it stay logically decoupled (the dotted line in the

@@ -29,6 +29,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/gateway"
+	"blockdag/internal/gossip"
 	"blockdag/internal/interpret"
 	"blockdag/internal/mempool"
 	"blockdag/internal/metrics"
@@ -47,13 +48,12 @@ import (
 // What every deployment so far has run with; none has needed another value.
 const (
 	disseminateEvery = 20 * time.Millisecond
-	// A durable node's live follower period (node.Config.FollowEvery).
-	followEvery = 200 * time.Millisecond
 	// The sync server's per-peer token bucket, on top of its in-flight
 	// cap: a byzantine peer cannot make the node read and stream the rows
-	// it names back to back. One request a follow period: an honest
-	// follower is never refused.
-	syncEvery, syncBurst = followEvery, 8
+	// it names back to back. One request a re-ask: an honest follower pulls
+	// at most once a gossip.ResendAfter (node.Node.Tick), so it is never
+	// refused.
+	syncEvery, syncBurst = gossip.ResendAfter, 8
 	catchUpTimeout       = 5 * time.Second
 	snapshotTimeout      = 10 * time.Second
 	sealEvery            = 500 * time.Millisecond
@@ -76,8 +76,8 @@ type Config struct {
 	// there under the Fsync policy and replayed at Boot, and the sync server
 	// reaches the runtime through it. A durable node catches up: Boot
 	// pulls what the store lacks from the peers before the node starts, and
-	// the node keeps pulling from a rotating peer while it runs
-	// (node.Config.CatchUp, FollowEvery).
+	// while it runs the node pulls from a rotating peer whenever gossip
+	// shows it lagging (node.Config.CatchUp, node.Node.Tick).
 	StoreDir string
 	Fsync    store.SyncPolicy
 	// MempoolCapacity is the capacity of the ingestion pool in front of
@@ -247,7 +247,6 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 	}
 	if a.Store != nil && len(peers) > 0 {
 		ncfg.CatchUp = &syncsvc.FetchConfig{Transport: a.Transport, Peers: peers, Timeout: catchUpTimeout}
-		ncfg.FollowEvery = followEvery
 	}
 	if cfg.State != nil {
 		ncfg.State = &node.StateSyncConfig{

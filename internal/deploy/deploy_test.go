@@ -478,6 +478,60 @@ func TestFollowerConvergesALaggardOneCallPerPoll(t *testing.T) {
 	}
 }
 
+// TestHealthyNodeNeverPulls: the follower pulls on evidence of lag, and a
+// healthy cluster shows none — every node's blocks arrive every few
+// milliseconds and FWD fills a gap at once. Four durable nodes run for 3 s
+// with traffic; after boot's catch-up no node opens a sync call, and no
+// follower polls.
+func TestHealthyNodeNeverPulls(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test with real sockets")
+	}
+	const n = 4
+	fx, err := roster.Dev(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([]*member, n)
+	for i := range members {
+		members[i] = listen(t, fx, i, Config{StoreDir: filepath.Join(t.TempDir(), fmt.Sprintf("s%d", i))})
+	}
+	for _, m := range members {
+		if err := m.Boot(addrs(members)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	booted := make([]int64, n)
+	for i, m := range members {
+		booted[i] = m.Transport.Counts().Get(tcpnet.CallsOpened)
+	}
+	for wave := 0; wave < 30; wave++ {
+		label := types.Label(fmt.Sprintf("healthy/%d", wave))
+		members[wave%n].Node.Request(label, []byte("v"))
+		time.Sleep(100 * time.Millisecond)
+	}
+	waitFor(t, 10*time.Second, "every node to deliver the last wave", func() bool {
+		for _, m := range members {
+			if !m.has("healthy/29") {
+				return false
+			}
+		}
+		return true
+	})
+	for i, m := range members {
+		m.Node.Stop()
+		if opened := m.Transport.Counts().Get(tcpnet.CallsOpened); opened != booted[i] {
+			t.Errorf("s%d opened %d sync calls after boot", i, opened-booted[i])
+		}
+		if rep := m.Node.FollowReport(); rep.Polls != 0 {
+			t.Errorf("s%d follower polled on a healthy cluster: %+v", i, rep)
+		}
+		if err := m.Node.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // doneSink is a transport.CallSink that keeps how its call ended.
 type doneSink chan error
 

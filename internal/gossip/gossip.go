@@ -235,6 +235,10 @@ type Gossip struct {
 	// has detected or been shown (Evidence).
 	convicted *evidence.Pool
 
+	// heard is when a peer's block last arrived, on Clock (zero before the
+	// first): the node's follower reads a long silence as lag (Heard).
+	heard time.Duration
+
 	// Current block B under construction (lines 2, 14–18): the tips, the
 	// blocks inserted since the parent that no later inserted block reaches.
 	// Its sequence number and parent are the DAG's own chain head
@@ -384,6 +388,7 @@ func (g *Gossip) HandleMessages(msgs []Message) {
 	for i, m := range msgs {
 		switch in[i].kind {
 		case kindBlock:
+			g.heard = g.cfg.Clock()
 			g.handleBlock(m.From, in[i].blk, verdicts)
 		case kindFwd:
 			g.handleFwd(m.From, in[i].ref)
@@ -813,8 +818,9 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 // Tick re-runs ask for every block that has sat in the buffer for
 // ResendAfter since it last asked (the Δ_B' timer the paper assumes), in
 // reference order, not in the map's: a seeded run must send the same
-// sequence every time.
-func (g *Gossip) Tick() {
+// sequence every time. It reports whether it asked again for anything: FWD
+// did not fill a block's gap within ResendAfter, which is evidence of lag.
+func (g *Gossip) Tick() (reasked bool) {
 	now := g.cfg.Clock()
 	var due []block.Ref
 	for ref, e := range g.pending {
@@ -827,7 +833,12 @@ func (g *Gossip) Tick() {
 	for _, ref := range due {
 		g.ask(g.pending[ref], asked)
 	}
+	return len(due) > 0
 }
+
+// Heard returns when a peer's block last arrived, on Clock: the zero time
+// before the first.
+func (g *Gossip) Heard() time.Duration { return g.heard }
 
 // send transmits one gossip payload. All of Algorithm 1's traffic rides
 // transport.ChanGossip, whose fire-and-forget Send carries exactly the

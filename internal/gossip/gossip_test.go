@@ -154,7 +154,7 @@ func (c *cluster) disseminateRounds(rounds int, interval time.Duration) {
 		at := time.Duration(i) * interval / 2
 		for _, n := range c.nodes {
 			node := n
-			c.net.After(at, node.g.Tick)
+			c.net.After(at, func() { node.g.Tick() })
 		}
 	}
 	c.net.Run()

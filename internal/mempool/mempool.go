@@ -96,7 +96,9 @@ type Stats struct {
 
 // New builds a pool; zero-value options select the documented defaults.
 func New(opts Options) *Pool {
-	opts.applyDefaults()
+	if opts.Capacity <= 0 {
+		opts.Capacity = DefaultCapacity
+	}
 	return &Pool{
 		opts:   opts,
 		queued: make(map[[32]byte]struct{}),
@@ -128,7 +130,7 @@ func (p *Pool) Submit(label types.Label, data []byte) error {
 // at the boundary; callers may reuse their buffers.
 func (p *Pool) submit(rq block.Request) error {
 	p.stats.Submitted++
-	if err := p.opts.validate(rq); err != nil {
+	if err := validate(rq); err != nil {
 		p.stats.Invalid++
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -164,23 +165,24 @@ func TestBackpressure(t *testing.T) {
 }
 
 // TestValidation: the built-in size and label checks reject before
-// admission.
+// admission, one byte over each limit; a request at both limits is admitted.
 func TestValidation(t *testing.T) {
-	p := New(Options{MaxRequestBytes: 8, MaxLabelBytes: 4})
+	p := New(Options{})
+	atLimit := types.Label(strings.Repeat("l", maxLabelBytes))
 	cases := []struct {
 		label types.Label
 		data  []byte
 		want  error
 	}{
 		{"", []byte("x"), ErrEmptyLabel},
-		{"toolong", []byte("x"), ErrTooLarge},
-		{"ok", []byte("123456789"), ErrTooLarge},
-		{"ok", []byte("fine"), nil},
+		{atLimit + "l", []byte("x"), ErrTooLarge},
+		{"ok", make([]byte, maxRequestBytes+1), ErrTooLarge},
+		{atLimit, make([]byte, maxRequestBytes), nil},
 	}
 	for _, tc := range cases {
 		err := p.Submit(tc.label, tc.data)
 		if !errors.Is(err, tc.want) {
-			t.Errorf("Submit(%q, %q) = %v, want %v", tc.label, tc.data, err, tc.want)
+			t.Errorf("Submit(%d-byte label, %d bytes) = %v, want %v", len(tc.label), len(tc.data), err, tc.want)
 		}
 	}
 	if s := p.Stats(); s.Invalid != 3 || s.Accepted != 1 {
@@ -192,29 +194,26 @@ func TestValidation(t *testing.T) {
 // the drain budget, but always yields at least one request — and a block
 // built from any drain survives the decode-side payload check of every
 // correct peer (block.MaxPayloadBytes): a builder that sealed a bigger one
-// would be partitioned for good. The last three cases run at the default
-// budget, block.MaxProducerPayloadBytes — the one every server's pool
-// drains against.
+// would be partitioned for good. A request at the data limit, 64 KiB under a
+// label of up to 5 bytes, fills 62 of the 63 a drain budget of 4 MiB less
+// 64 KiB would hold without labels.
 func TestDrainByteBudget(t *testing.T) {
-	// big lifts the per-request limit to the drain budget (applyDefaults
-	// clamps it there), so requests near the budget are admitted.
-	big := Options{MaxRequestBytes: block.MaxPayloadBytes}
+	const perDrain = 62
 	for _, tc := range []struct {
 		name   string
-		opts   Options
 		sizes  []int // data bytes per submitted request; labels are "r/<i>"
 		drains []int // requests each successive Next(256) must return
 	}{
-		// Three requests of ~1/2 budget each: any two fit, three do not.
-		{"half-budget requests", big, slices.Repeat([]int{block.MaxProducerPayloadBytes/2 - 64}, 3), []int{2, 1}},
-		// The largest request the pool admits — the budget less the room
-		// reserved for a maximal label — is still embeddable.
-		{"one request at the limit", big, []int{block.MaxProducerPayloadBytes - DefaultMaxLabelBytes}, []int{1}},
+		// Three runs of 31 requests, each under half the budget: any two
+		// fit, three do not.
+		{"half-budget requests", slices.Repeat([]int{maxRequestBytes}, 3*perDrain/2), []int{perDrain, perDrain / 2}},
+		// The largest request the pool admits is embeddable.
+		{"one request at the limit", []int{maxRequestBytes}, []int{1}},
 		// 8 MiB queued, twice the decode budget.
-		{"maximal drain", big, slices.Repeat([]int{1 << 20}, 8), []int{3, 3, 2}},
+		{"maximal drain", slices.Repeat([]int{maxRequestBytes}, 128), []int{perDrain, perDrain, 128 - 2*perDrain}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := New(tc.opts)
+			p := New(Options{})
 			for i, size := range tc.sizes {
 				if err := p.Submit(types.Label(fmt.Sprintf("r/%d", i)), make([]byte, size)); err != nil {
 					t.Fatalf("submit %d: %v", i, err)
@@ -241,11 +240,11 @@ func TestDrainByteBudget(t *testing.T) {
 			}
 		})
 	}
-	// One byte more might not fit a drain beside its label: it is refused
-	// at Submit, so the queue head always fits and Next's at-least-one
-	// guarantee cannot blow the budget.
-	p := New(big)
-	if err := p.Submit("r/0", make([]byte, block.MaxProducerPayloadBytes-DefaultMaxLabelBytes+1)); !errors.Is(err, ErrTooLarge) {
+	// One byte more is refused at Submit, so the queue head always fits a
+	// drain beside its label and Next's at-least-one guarantee cannot blow
+	// the budget.
+	p := New(Options{})
+	if err := p.Submit("r/0", make([]byte, maxRequestBytes+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Submit(over the limit) = %v, want ErrTooLarge", err)
 	}
 	if p.Len() != 0 {
@@ -436,38 +435,28 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestOptionsClampedToDecodeBudget is the regression for misconfigured
-// deployments: the per-request limits must never exceed the drain budget,
-// which sits under the network-wide decode budget, or Next would feed Disseminate a block
-// every correct peer discards (block.ErrPayloadTooLarge) — permanently
-// partitioning the builder.
+// TestOptionsClampedToDecodeBudget is the regression for oversized
+// requests: a request over the decode budget — in its data, its label or
+// both — is refused at Submit (the limits fit the drain budget by a
+// compile-time check), or Next would feed Disseminate a block every correct
+// peer discards (block.ErrPayloadTooLarge), permanently partitioning the
+// builder.
 func TestOptionsClampedToDecodeBudget(t *testing.T) {
 	cases := []struct {
-		name string
-		opts Options
+		name  string
+		label types.Label
+		data  int
 	}{
-		{"defaults", Options{}},
-		{"request over budget", Options{MaxRequestBytes: block.MaxPayloadBytes + 1}},
-		{"label over budget", Options{MaxLabelBytes: 2 * block.MaxPayloadBytes}},
-		{"both over budget", Options{
-			MaxRequestBytes: 2 * block.MaxPayloadBytes,
-			MaxLabelBytes:   block.MaxPayloadBytes,
-		}},
+		{"defaults", "l", block.MaxPayloadBytes},
+		{"request over budget", "l", block.MaxPayloadBytes + 1},
+		{"label over budget", types.Label(strings.Repeat("l", 2*block.MaxPayloadBytes)), 0},
+		{"both over budget", types.Label(strings.Repeat("l", block.MaxPayloadBytes)), 2 * block.MaxPayloadBytes},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := tc.opts
-			o.applyDefaults()
-			if max := o.MaxLabelBytes + o.MaxRequestBytes; max > drainBytes {
-				t.Errorf("MaxLabelBytes+MaxRequestBytes = %d, exceeds the drain budget %d — "+
-					"a single admitted request cannot fit a drain", max, drainBytes)
-			}
-			// The pool built from these options must reject any request
-			// it could not embed in a decodable block.
-			p := New(tc.opts)
-			over := make([]byte, block.MaxPayloadBytes)
-			if err := p.Submit("l", over); !errors.Is(err, ErrTooLarge) {
-				t.Errorf("Submit(decode-budget-sized request) = %v, want ErrTooLarge", err)
+			p := New(Options{})
+			if err := p.Submit(tc.label, make([]byte, tc.data)); !errors.Is(err, ErrTooLarge) {
+				t.Errorf("Submit(%d-byte label, %d bytes) = %v, want ErrTooLarge", len(tc.label), tc.data, err)
 			}
 		})
 	}

@@ -19,17 +19,17 @@ var (
 	ErrEmptyLabel = errors.New("mempool: empty request label")
 )
 
-// Default limits; see Options for what each bounds.
+// DefaultCapacity is Options.Capacity's default.
+const DefaultCapacity = 1 << 16
+
+// The per-request limits: a request's data and its label. No deployment has
+// needed other values.
 const (
-	// DefaultCapacity is the default hard bound on queued requests.
-	DefaultCapacity = 1 << 16
-	// DefaultMaxRequestBytes is the default per-request data limit.
-	DefaultMaxRequestBytes = 64 << 10
-	// DefaultMaxLabelBytes is the default per-request label limit.
-	DefaultMaxLabelBytes = 256
+	maxRequestBytes = 64 << 10
+	maxLabelBytes   = 256
 )
 
-// Options configures a Pool. The zero value selects the defaults above.
+// Options configures a Pool. The zero value selects the defaults.
 type Options struct {
 	// Capacity is the hard bound on queued requests; submissions beyond
 	// it fail with ErrFull. Requeued requests are exempt (see Requeue).
@@ -37,10 +37,6 @@ type Options struct {
 	// queue's worth of drained requests stays remembered alongside a full
 	// queue of fresh ones.
 	Capacity int
-	// MaxRequestBytes bounds a single request's data payload.
-	MaxRequestBytes int
-	// MaxLabelBytes bounds a single request's label.
-	MaxLabelBytes int
 }
 
 // drainBytes bounds the cumulative payload (label + data) of one Next drain:
@@ -50,38 +46,21 @@ type Options struct {
 // partitioned.
 const drainBytes = block.MaxProducerPayloadBytes
 
-// applyDefaults fills zero-valued fields in place.
-func (o *Options) applyDefaults() {
-	if o.Capacity <= 0 {
-		o.Capacity = DefaultCapacity
-	}
-	if o.MaxRequestBytes <= 0 {
-		o.MaxRequestBytes = DefaultMaxRequestBytes
-	}
-	if o.MaxLabelBytes <= 0 {
-		o.MaxLabelBytes = DefaultMaxLabelBytes
-	}
-	// A single admitted request must fit in one drain, or Next could
-	// never emit it without blowing the budget. The per-request limits
-	// are clamped down to the drain budget.
-	if o.MaxLabelBytes > drainBytes/2 {
-		o.MaxLabelBytes = drainBytes / 2
-	}
-	if o.MaxLabelBytes+o.MaxRequestBytes > drainBytes {
-		o.MaxRequestBytes = drainBytes - o.MaxLabelBytes
-	}
-}
+// A request at both limits fits one drain, or Next could never emit it
+// without blowing the budget: the constant conversion fails to compile if it
+// does not.
+const _ = uint(drainBytes - maxLabelBytes - maxRequestBytes)
 
 // validate applies the built-in structural checks.
-func (o *Options) validate(rq block.Request) error {
+func validate(rq block.Request) error {
 	if len(rq.Label) == 0 {
 		return ErrEmptyLabel
 	}
-	if len(rq.Label) > o.MaxLabelBytes {
-		return fmt.Errorf("%w: label of %d bytes exceeds %d", ErrTooLarge, len(rq.Label), o.MaxLabelBytes)
+	if len(rq.Label) > maxLabelBytes {
+		return fmt.Errorf("%w: label of %d bytes exceeds %d", ErrTooLarge, len(rq.Label), maxLabelBytes)
 	}
-	if len(rq.Data) > o.MaxRequestBytes {
-		return fmt.Errorf("%w: %s carries %d bytes, limit %d", ErrTooLarge, rq.Label, len(rq.Data), o.MaxRequestBytes)
+	if len(rq.Data) > maxRequestBytes {
+		return fmt.Errorf("%w: %s carries %d bytes, limit %d", ErrTooLarge, rq.Label, len(rq.Data), maxRequestBytes)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
 	"blockdag/internal/gossip"
+	"blockdag/internal/metrics"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
@@ -60,6 +61,18 @@ func extendChain(t *testing.T, st *store.Store, signer *crypto.Signer, parent *b
 		t.Fatal(err)
 	}
 	return parent
+}
+
+// emptyStore opens a fresh store, closed at cleanup: a node with a store
+// follows.
+func emptyStore(t *testing.T, roster *crypto.Roster) *store.Store {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), store.Options{Roster: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	return st
 }
 
 // journaledChain journals a chainLen-block chain of signer's into a fresh
@@ -116,11 +129,12 @@ func asGossip(from types.ServerID, blocks []*block.Block) []gossip.Message {
 }
 
 // TestNodeLiveFollower: a node with no gossip link to its peer at all
-// converges on the peer's history through the follower alone — poll at
-// FollowEvery on the server's clock and not before, delta pull,
-// absorption into the live server — with every pulled block journaled
-// and the node's own watermark vector advancing. The runtime is stepped
-// on the simulator's clock: no goroutine, no sleep, no retry deadline.
+// converges on the peer's history through the follower alone — a poll once
+// no peer's block has arrived for ResendAfter plus a block period on the
+// server's clock and not before, delta pull, absorption into the live
+// server — with every pulled block journaled and the node's own watermark
+// vector advancing. The runtime is stepped on the simulator's clock: no
+// goroutine, no sleep, no retry deadline.
 func TestNodeLiveFollower(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(2)
 	if err != nil {
@@ -144,17 +158,20 @@ func TestNodeLiveFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = myStore.Close() }()
-	const every = 200 * time.Millisecond
-	nd := steppedNode(t, net, roster, signers[1], core.Config{}, node.Config{Store: myStore, FollowEvery: every})
+	nd := steppedNode(t, net, roster, signers[1], core.Config{}, node.Config{Store: myStore})
 
-	// Not due one tick short of the period; due at it.
-	net.RunFor(every - time.Millisecond)
-	if wait := nd.FollowIfDue(); wait != time.Millisecond || nd.FollowReport().Polls != 0 {
-		t.Fatalf("before the period: wait %v, report %+v", wait, nd.FollowReport())
+	// Nothing arrives: no pull one millisecond short of ResendAfter plus a
+	// block period (the default 50 ms) of silence; one at it.
+	quiet := gossip.ResendAfter + 50*time.Millisecond
+	net.RunFor(quiet - time.Millisecond)
+	nd.Tick()
+	if rep := nd.FollowReport(); rep.Polls != 0 {
+		t.Fatalf("before the silence rule: %+v", rep)
 	}
 	net.RunFor(time.Millisecond)
-	if wait := nd.FollowIfDue(); wait != every {
-		t.Fatalf("at the period: wait %v, want %v", wait, every)
+	nd.Tick()
+	if rep := nd.FollowReport(); rep.Polls != 1 || rep.State != node.FollowPulling {
+		t.Fatalf("at the silence rule: %+v", rep)
 	}
 	// A second turn while the first poll is in flight stacks nothing.
 	nd.FollowPoll()
@@ -165,8 +182,8 @@ func TestNodeLiveFollower(t *testing.T) {
 
 	// The peer's history grows; only the sync channel can tell.
 	peer.DeliverBurst(asGossip(1, sealChain(t, signers[0], tip, extra)))
-	net.RunFor(every)
-	nd.FollowIfDue()
+	net.RunFor(gossip.ResendAfter)
+	nd.Tick()
 	net.Run()
 	// In sync now: a forced poll costs a query and pulls nothing.
 	nd.FollowPoll()
@@ -231,7 +248,7 @@ func TestNodeFollowerStopDropsLateCompletion(t *testing.T) {
 	peerStore, _ := journaledChain(t, roster, signers[0], 3)
 	peerStore.SetRuntime(steppedNode(t, net, roster, signers[0], core.Config{}, node.Config{Store: peerStore}))
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: peerStore, Clock: net.Now})
-	nd := steppedNode(t, net, roster, signers[1], core.Config{}, node.Config{FollowEvery: time.Second})
+	nd := steppedNode(t, net, roster, signers[1], core.Config{}, node.Config{Store: emptyStore(t, roster)})
 
 	// The poll goes out, the node stops (the simulator's crash), and the
 	// answer arrives at a dead runtime: nothing may touch the server.
@@ -250,9 +267,10 @@ func TestNodeFollowerStopDropsLateCompletion(t *testing.T) {
 }
 
 // TestNodeLiveFollowerStarted covers the other shell: on a started node
-// the follow timer fires on the loop goroutine and completions come home
-// through its channel, over real TCP — startup catch-up first, then the
-// follower pulls what the peer appended afterwards.
+// the follower pulls in the loop goroutine's Tick — here on inbound
+// silence, the peer gossiping nothing — and completions come home through
+// its channel, over real TCP: startup catch-up first, then the follower
+// pulls what the peer appended afterwards.
 func TestNodeLiveFollowerStarted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -290,10 +308,10 @@ func TestNodeLiveFollowerStarted(t *testing.T) {
 	}
 	nd, err := node.New(node.Config{
 		Server: srv,
+		Store:  emptyStore(t, roster),
 		CatchUp: &syncsvc.FetchConfig{
 			Transport: myTr, Roster: roster, Peers: []types.ServerID{0}, Timeout: 10 * time.Second,
 		},
-		FollowEvery: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,5 +335,133 @@ func TestNodeLiveFollowerStarted(t *testing.T) {
 	}
 	if got := len(srv.DAG().ByBuilder(0)); got != chainLen+extra {
 		t.Fatalf("follower holds %d of the peer's blocks, want %d", got, chainLen+extra)
+	}
+}
+
+// stalling is a sync peer that holds every call open for hold and then
+// answers that the caller lacks nothing, remembering when each call came
+// and how many were ever open at once.
+type stalling struct {
+	net      *simnet.Network
+	hold     time.Duration
+	calls    []time.Duration
+	open     int
+	mostOpen int
+}
+
+func (s *stalling) ServeCall(_ types.ServerID, _ []byte, st transport.ServerStream) {
+	s.calls = append(s.calls, s.net.Now())
+	s.open++
+	s.mostOpen = max(s.mostOpen, s.open)
+	s.net.After(s.hold, func() {
+		s.open--
+		_ = st.Send(syncsvc.EncodeDoneFrame(0))
+		st.Close(nil)
+	})
+}
+
+// TestStalledBlockPullsAtMostOncePerResend: the follower pulls on gossip's
+// evidence of lag and at no other time. A stepped durable node ticks every
+// 10 ms on the simulator's clock while builder 2's chain arrives a block
+// every 50 ms: no pull. Then a block of builder 0's arrives whose parent
+// nobody serves — FWD goes unanswered and the sync peers, which hold every
+// call open longer than ResendAfter, answer that the node lacks nothing.
+// The first pull goes out at the block's first re-ask; after that never
+// two in flight, and never two less than ResendAfter apart. The parent
+// then arrives, builder 2 falls silent and the peers answer at once:
+// inbound silence is the evidence now, and ResendAfter alone spaces the
+// pulls.
+func TestStalledBlockPullsAtMostOncePerResend(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New()
+	sync := &stalling{net: net, hold: gossip.ResendAfter + 50*time.Millisecond}
+	net.RegisterHandler(0, transport.ChanSync, sync)
+	net.RegisterHandler(2, transport.ChanSync, sync)
+	counts := &metrics.Metrics{}
+	nd := steppedNode(t, net, roster, signers[1], core.Config{Metrics: counts}, node.Config{Store: emptyStore(t, roster)})
+	fwds := func() int64 { return counts.Get(metrics.FwdRequestsSent) }
+
+	const tick = 10 * time.Millisecond
+	live := sealChain(t, signers[2], nil, 200)
+	var polls []time.Duration // when each pull went out
+	step := func(feed bool) {
+		if feed && net.Now()%(5*tick) == 0 {
+			nd.DeliverBurst(asGossip(2, live[:1]))
+			live = live[1:]
+		}
+		before := nd.FollowReport().Polls
+		nd.Tick()
+		if nd.FollowReport().Polls > before {
+			polls = append(polls, net.Now())
+		}
+		net.RunFor(tick)
+	}
+	bounded := func(phase string, from int) {
+		t.Helper()
+		for i := from + 1; i < len(polls); i++ {
+			if gap := polls[i] - polls[i-1]; gap < gossip.ResendAfter {
+				t.Fatalf("%s: pulls at %v and %v, %v apart: more than one a ResendAfter", phase, polls[i-1], polls[i], gap)
+			}
+		}
+		if sync.mostOpen > 1 {
+			t.Fatalf("%s: %d pulls in flight at once", phase, sync.mostOpen)
+		}
+	}
+
+	// Healthy: blocks arrive, none waits.
+	for range 100 {
+		step(true)
+	}
+	if len(polls) != 0 || fwds() != 0 {
+		t.Fatalf("a healthy node pulled %d times and sent %d FWD requests", len(polls), fwds())
+	}
+
+	// Stalled: the first pull is the first re-ask's.
+	stalled := sealChain(t, signers[0], nil, 2)
+	nd.DeliverBurst(asGossip(0, stalled[1:]))
+	if fwds() != 1 {
+		t.Fatalf("the buffered block sent %d FWD requests, want 1", fwds())
+	}
+	for i := 0; len(polls) == 0; i++ {
+		if i == 100 {
+			t.Fatal("a block stalled for 1 s pulled nothing")
+		}
+		asked := fwds()
+		step(true)
+		if reasked := fwds() > asked; reasked != (len(polls) == 1) {
+			t.Fatalf("at %v: re-asked %v, pulled %d times", net.Now(), reasked, len(polls))
+		}
+	}
+	for range 200 {
+		step(true)
+	}
+	if len(polls) < 3 {
+		t.Fatalf("a block stalled for 2 s pulled %d times", len(polls))
+	}
+	bounded("stalled", 0)
+
+	// Silent: the gap fills, nothing arrives any more.
+	heard := net.Now()
+	nd.DeliverBurst(asGossip(0, stalled[:1]))
+	if n := counts.Get(metrics.PendingBlocks); n != 0 {
+		t.Fatalf("%d blocks still buffered", n)
+	}
+	silentFrom := len(polls)
+	sync.hold = time.Millisecond // only ResendAfter spaces the pulls now
+	for range 200 {
+		step(false)
+	}
+	if len(polls)-silentFrom < 8 {
+		t.Fatalf("2 s of silence pulled %d times", len(polls)-silentFrom)
+	}
+	if first := polls[silentFrom]; first < heard+gossip.ResendAfter+50*time.Millisecond {
+		t.Fatalf("silence pulled at %v, the last block arrived at %v", first, heard)
+	}
+	bounded("silent", silentFrom-1)
+	if got := len(sync.calls); got != len(polls) {
+		t.Fatalf("the peers saw %d calls for %d pulls", got, len(polls))
 	}
 }

@@ -5,8 +5,9 @@
 // DeliverBurst, Disseminate (Algorithm 3's "repeatedly
 // gssp.disseminate()"; requests need no turn, the mempool it drains is
 // safe for concurrent use — Submit), DisseminateIfFull (the same, early,
-// when the mempool holds a full block), Tick (FWD retries, interval fsync,
-// state seal and prune) and FollowIfDue (the live follower).
+// when the mempool holds a full block) and Tick (FWD retries, interval
+// fsync, state seal and prune, and the live follower's pull on evidence of
+// lag).
 // Turns read time from the server's clock only (core.Server.Now) and
 // never wait; what cannot finish inside one — a settled delta pull —
 // comes home through one internal hook, post, as a turn of its own. Whoever calls the turns owns the server: one caller
@@ -35,7 +36,7 @@
 //
 // The goroutine shell (Start/Stop) is the part that waits: it owns the
 // loop goroutine, the ingestion channel, the full-block wake Submit leaves
-// and the timers, runs a turn per event, and makes post a send to that
+// and the two tickers, runs a turn per event, and makes post a send to that
 // loop. The other shell is the simulator (package cluster): it never calls
 // Start, steps the same turns — DisseminateIfFull included, every round —
 // from simnet events on its virtual clock, and post runs inline, the
@@ -45,7 +46,7 @@
 // New wires the operational services around the server, the same for
 // both shells: durable persistence with the own-block externalization
 // barrier and the evidence sidecar (Config.Store), startup bulk catch-up
-// (Config.CatchUp), the live follower (Config.FollowEvery), the state
+// (Config.CatchUp), the live follower (every node with a store), the state
 // seal/prune cycle (Config.State) and the indication broker, whose replay
 // index is a gateway's to claim: a node nobody awaits on keeps no copy of
 // what it indicated. A running node never rewrites its store: the block DAG
@@ -98,7 +99,10 @@ type Config struct {
 	// gossip broadcasts them), replays the store's blocks through
 	// core.Server.Restore (validating them in the live DAG and resuming
 	// the pre-crash chain; RecoveryReport), and Tick drives interval fsync
-	// alongside the FWD timer. The store must be freshly opened
+	// and the live follower alongside the FWD timer: the PullFrom startup
+	// catch-up runs, from the next of CatchUp's peers in rotation — without
+	// CatchUp, every other roster member over the server's own transport.
+	// The store must be freshly opened
 	// (store.Open) and the server freshly built; the caller keeps
 	// ownership and closes the store after Stop. On a clean shutdown a
 	// started node's Stop leaves the WAL fully synced.
@@ -115,17 +119,12 @@ type Config struct {
 	// Catch-up failure is not fatal — the genuine prefix is kept and FWD
 	// fills the remainder; CatchUpReport records what happened.
 	CatchUp *syncsvc.FetchConfig
-	// FollowEvery enables the live-follower loop: every FollowEvery the
-	// node runs the same PullFrom startup catch-up runs against the next of
-	// CatchUp's peers in rotation (transport.ChanSync); a peer that holds
-	// nothing new answers from its counters with an empty stream. A node
-	// that falls behind — long GC pause, flapping link, asymmetric
-	// partition — thus reconverges in one streamed round trip; beneath it gossip keeps asking the senders
-	// of each buffered block for what that block still misses. Without
-	// CatchUp the follower polls every other roster member over the
-	// server's own transport. A throttled or failing peer costs one poll
-	// period: the next poll rotates on, and a peer that served garbage
-	// loses standing in that rotation (core.Config.Scores). 0 disables.
+	// FollowEvery is ignored.
+	//
+	// Deprecated: the follower pulls on evidence of lag, not on a period
+	// (Tick); every node with a Store follows. The field exists only
+	// because the frozen bench/cluster.go assigns it, and goes when bench/
+	// drops that line.
 	FollowEvery time.Duration
 	// CheckpointEverySegments is ignored.
 	//
@@ -183,8 +182,8 @@ const (
 
 // FollowReport is the live follower's state and its counters so far.
 type FollowReport struct {
-	// State is FollowIdle or FollowPulling; empty when the follower is
-	// off.
+	// State is FollowIdle or FollowPulling; empty on a node without a
+	// store, which does not follow.
 	State string
 	// Peer is the peer being pulled from (meaningful unless State is
 	// FollowIdle).
@@ -282,11 +281,13 @@ type Node struct {
 	// via is whom and how the node pulls (startup catch-up and follower
 	// alike). lastFollow is when the last poll was issued, followInFlight
 	// tracks the outstanding poll (at most one), followPeer is the rotation
-	// cursor over the peers. Owner only.
+	// cursor over the peers. quietFrom is where inbound silence counts from
+	// until a peer's block arrives: the end of New, and Start. Owner only.
 	via            syncsvc.FetchConfig
 	lastFollow     time.Duration
 	followInFlight bool
 	followPeer     int
+	quietFrom      time.Duration
 }
 
 // New validates the config and prepares a node. With Config.Store set,
@@ -346,7 +347,7 @@ func New(cfg Config) (*Node, error) {
 	if n.via.Timeout <= 0 {
 		n.via.Timeout = 30 * time.Second
 	}
-	if cfg.FollowEvery > 0 {
+	if cfg.Store != nil {
 		n.follow.State = FollowIdle
 	}
 	// The broker observes before the replay below runs, so indications of
@@ -395,10 +396,11 @@ func New(cfg Config) (*Node, error) {
 	if cfg.CatchUp != nil {
 		n.startupCatchUp()
 	}
-	// The follow and seal periods count from here, not from the clock's
-	// origin: a long catch-up above must not make the first turn overdue.
+	// Pulls, silence and the seal period count from here, not from the
+	// clock's origin: a long catch-up above must not make the first turn
+	// overdue.
 	n.lastFollow = srv.Now()
-	n.lastSeal = n.lastFollow
+	n.lastSeal, n.quietFrom = n.lastFollow, n.lastFollow
 	n.broker.endReplay()
 	return n, nil
 }
@@ -422,7 +424,7 @@ func (n *Node) ownHeld() uint64 {
 }
 
 // FollowReport returns the live follower's counters so far (zero value
-// when Config.FollowEvery was 0). Safe for concurrent use.
+// without Config.Store). Safe for concurrent use.
 func (n *Node) FollowReport() FollowReport {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -477,6 +479,7 @@ func (n *Node) Start() error {
 	}
 	n.started = true
 	n.looping = true
+	n.quietFrom = n.cfg.Server.Now() // a peer's block is due from now on, not from New
 	ctx, cancel := context.WithCancel(context.Background())
 	n.cancel = cancel
 	n.wg.Add(1)
@@ -602,11 +605,11 @@ func (n *Node) recordErr(err error) {
 func (n *Node) Server() *core.Server { return n.cfg.Server }
 
 // tickEvery is the housekeeping period of a started node: FWD retries, the
-// store's interval fsync, the seal/prune cycle (Tick).
+// store's interval fsync, the seal/prune cycle, the follower (Tick).
 const tickEvery = 100 * time.Millisecond
 
 // loop is the goroutine shell: it waits — on the channels, the full-block
-// wake, the two tickers, the follow timer — and runs one turn per event. An
+// wake, the two tickers — and runs one turn per event. An
 // early seal leaves the block ticker alone: it keeps its period and phase.
 func (n *Node) loop(ctx context.Context) {
 	defer n.wg.Done()
@@ -619,8 +622,6 @@ func (n *Node) loop(ctx context.Context) {
 	defer disseminate.Stop()
 	tick := time.NewTicker(tickEvery)
 	defer tick.Stop()
-	follow := time.NewTimer(n.FollowIfDue())
-	defer follow.Stop()
 
 	for {
 		select {
@@ -634,8 +635,6 @@ func (n *Node) loop(ctx context.Context) {
 			n.DisseminateIfFull()
 		case <-tick.C:
 			n.Tick()
-		case <-follow.C:
-			follow.Reset(n.FollowIfDue())
 		case turn := <-n.posted:
 			turn()
 		}

@@ -181,7 +181,7 @@ func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
 	scores.Penalize(0, peerscore.BadSignature)
 	scores.Penalize(0, peerscore.MalformedFrame)
 	nd := steppedNode(t, net, roster, signers[2], core.Config{Scores: scores},
-		node.Config{Store: st, FollowEvery: time.Second})
+		node.Config{Store: st})
 	if rep := nd.FollowReport(); rep.State != node.FollowIdle {
 		t.Fatalf("configured follower reports state %q before its first poll", rep.State)
 	}
@@ -755,7 +755,7 @@ func TestCatchUpTierIndependence(t *testing.T) {
 	byLabel, onInd = recorder()
 	net := simnet.New()
 	net.RegisterHandler(0, transport.ChanSync, serve(set))
-	nd = steppedNode(t, net, roster, signer, core.Config{OnIndication: onInd}, node.Config{FollowEvery: time.Second})
+	nd = steppedNode(t, net, roster, signer, core.Config{OnIndication: onInd}, node.Config{Store: emptyStore(t, roster)})
 	gossiped(nd, set[:len(set)/2])
 	nd.FollowPoll()
 	net.Run()

@@ -330,7 +330,7 @@ func TestCatchUpSkipsAPeerNotServing(t *testing.T) {
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: idle, Clock: net.Now})
 	net.RegisterHandler(1, transport.ChanSync, serve(chain))
 	scores := peerscore.New(peerscore.Options{Clock: net.Now})
-	follower := steppedNode(t, net, roster, signers[2], core.Config{Scores: scores}, node.Config{FollowEvery: time.Second})
+	follower := steppedNode(t, net, roster, signers[2], core.Config{Scores: scores}, node.Config{Store: emptyStore(t, roster)})
 	for poll := 0; poll < 2; poll++ {
 		follower.FollowPoll()
 		net.Run()

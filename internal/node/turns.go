@@ -3,7 +3,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"blockdag/internal/block"
@@ -92,43 +91,42 @@ func (n *Node) wakeFull() {
 }
 
 // Tick is the housekeeping turn: gossip's re-asks and, on a durable node,
-// the store's interval fsync and the state seal/prune cycle — each paced on
-// the server's clock, so calling Tick more often only makes them more
-// punctual. The store is never rewritten: a prune writes its head and
-// deletes the segments below the horizon.
+// the store's interval fsync, the state seal/prune cycle and the follower —
+// each paced on the server's clock, so calling Tick more often only makes
+// them more punctual. The store is never rewritten: a prune writes its head
+// and deletes the segments below the horizon.
+//
+// The follower pulls on gossip's evidence of lag, never on a clock: a
+// buffered block got re-asked (FWD did not fill its gap within
+// gossip.ResendAfter), or no peer's block has arrived for ResendAfter plus
+// one block period — inbound silence (an asymmetric partition, a long
+// pause), which FWD cannot see: nothing arrives to cite what is missing.
+// Either way at most one pull a ResendAfter goes out (FollowPoll), the rate
+// gossip re-asks at, and it reconverges the node in one streamed round
+// trip. A healthy node, whose blocks arrive and whose gaps FWD fills at
+// once, opens no sync call at all.
 func (n *Node) Tick() {
-	n.cfg.Server.Tick()
-	if n.cfg.Store != nil {
-		n.recordErr(n.cfg.Store.Tick())
-		n.maybeSealState()
+	reasked := n.cfg.Server.Tick()
+	if n.cfg.Store == nil {
+		return
+	}
+	n.recordErr(n.cfg.Store.Tick())
+	n.maybeSealState()
+	now := n.cfg.Server.Now()
+	silent := now-max(n.quietFrom, n.cfg.Server.Heard()) >= gossip.ResendAfter+n.cfg.DisseminateEvery
+	if (reasked || silent) && now-n.lastFollow >= gossip.ResendAfter {
+		n.FollowPoll()
 	}
 }
 
-// FollowIfDue is the follower's turn: once FollowEvery has passed since
-// the last poll went out, pull from the next peer (FollowPoll). It returns how
-// long until a poll can next be due — what the goroutine shell sleeps; a
-// stepped owner simply calls it every round. Never, with the follower
-// off.
-func (n *Node) FollowIfDue() time.Duration {
-	every := n.cfg.FollowEvery
-	if every <= 0 {
-		return math.MaxInt64
-	}
-	if wait := n.lastFollow + every - n.cfg.Server.Now(); wait > 0 {
-		return wait
-	}
-	n.FollowPoll()
-	return every
-}
-
-// FollowPoll pulls from the next peer in rotation, whatever the period
+// FollowPoll pulls from the next peer in rotation, whatever the evidence
 // says — unless a poll is still in flight: at most one is, so a slow peer
-// stretches the period instead of stacking requests. A peer that holds
-// nothing new answers with an empty stream, from its counters; a throttled
-// or failed peer costs nothing beyond the poll period — the next poll
-// rotates to the next peer.
+// stretches the gap between pulls instead of stacking requests. A peer that
+// holds nothing new answers with an empty stream, from its counters; a
+// throttled or failed peer costs nothing beyond the poll — the next one
+// rotates to the next peer. A node without a store does not follow.
 func (n *Node) FollowPoll() {
-	if n.followInFlight || n.cfg.FollowEvery <= 0 {
+	if n.followInFlight || n.cfg.Store == nil {
 		return
 	}
 	// Score-weighted rotation: the poll prefers peers outside quarantine

@@ -20,8 +20,8 @@
 // (Server.Watermarks; a node's is its DAG's chain heads, Vector)
 // first compares the two by Lag, and when the requester lacks nothing it
 // closes the stream with done(0) before its node is asked for anything.
-// That is the live follower's periodic poll (node.Config.FollowEvery): one
-// call, and a stream only when there is something to stream.
+// That is the live follower's poll (node.Node.Tick, when gossip shows lag):
+// one call, and a stream only when there is something to stream.
 //
 // Watermarks can express exactly the honest shape — the DAG's parent
 // rule forces every builder's held blocks into a prefix-closed chain —
@@ -246,8 +246,8 @@ type Server struct {
 	// there while it runs (store.Store.SetRuntime) and streams each delta;
 	// without it, a delta the early answer does not settle is refused.
 	Store *store.Store
-	// Rows, if non-nil, is the source itself: a storeless simulator slot's
-	// node, or a test's list.
+	// Rows, if non-nil, is the source itself: a test's list, or a node
+	// served without a store.
 	Rows Source
 	// Watermarks, if non-nil, is the server's own live vector (a node's
 	// chain heads, Vector): a delta request whose horizon it does not exceed
