@@ -91,6 +91,27 @@ experiments-smoke:
 		|| { echo "experiments-smoke FAILED" >&2; cat $$d/tables.txt >&2; exit 1; }; \
 	echo "experiments-smoke OK: $$want experiments, every table has rows"
 
+.PHONY: examples-smoke
+# examples-smoke runs the README's worked examples on the simulator —
+# quickstart, payments, equivocation, offline and consensus — each a
+# program that checks its own claim (a delivery; settled, agreeing ledgers;
+# an equivocator banned everywhere; an offline replay reproducing every
+# delivery; one committed log, which internal/smr keeps) and exits non-zero
+# when it does not hold. Seeded, about a second each, run in a scratch
+# directory (quickstart writes its DOT file to the working directory).
+# examples/tcp has its own targets: restart-smoke, roster-demo,
+# gateway-smoke and snapshot-smoke.
+examples-smoke:
+	@set -e; \
+	d=$$(mktemp -d); \
+	trap 'rm -rf $$d' EXIT; \
+	for e in quickstart payments equivocation offline consensus; do \
+		go build -o $$d/$$e ./examples/$$e; \
+		(cd $$d && ./$$e > $$e.log 2>&1) \
+			|| { echo "examples-smoke FAILED: examples/$$e exited non-zero" >&2; cat $$d/$$e.log >&2; exit 1; }; \
+	done; \
+	echo "examples-smoke OK: five worked examples ran and passed their own checks"
+
 .PHONY: restart-smoke
 # restart-smoke is the README's restart walkthrough as a target: the
 # 4-server TCP example runs twice over one -store-dir. The second run must
@@ -266,8 +287,8 @@ chaos-smoke:
 # node is assembled in internal/deploy" true: non-test Go outside that
 # package (and outside bench/, frozen until the next benchmark PR) may not
 # bind a tcpnet listener, late-bind an endpoint or construct a sync server
-# — the simulator's, which serves a storeless slot from its DAG on the
-# virtual clock, excepted. And it fails when non-test Go or a document
+# — the simulator's, which serves a durable slot's node on the simulated
+# network, excepted. And it fails when non-test Go or a document
 # (ROADMAP.md and CHANGES.md, which are history, and the retrieved ISSUE,
 # SNIPPETS and PAPERS files excepted) cites a top-level ALLCAPS.md that is
 # not in the tree, as four packages cited EXPERIMENTS.md and DESIGN.md for
@@ -354,37 +375,29 @@ cpu-profile:
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./...
 
-# KNOBS are the tree's configuration structs, as package.Type.
-KNOBS = core.Config gossip.Config node.Config node.StateSyncConfig store.Options \
-	tcpnet.Config syncsvc.Server mempool.Options peerscore.Options gateway.Config \
-	deploy.Config cluster.Options
-
-# KNOBS_MAX is the ceiling on fields no non-test code assigns. It only
-# falls: a PR that turns a knob into a constant lowers it to the new count.
-KNOBS_MAX = 11
+# KNOBS_MAX is the ceiling on configuration fields no non-test code sets.
+# It only falls: a PR that turns a knob into a constant lowers it to the new
+# count. The fields it counts today, each set by the test that needs it:
+#   cluster.Options.GatewayPerSlot    internal/cluster's TestGatewayPerSlot (the
+#                                     gateway over simulated slots)
+#   cluster.Options.StoreSegmentSize  internal/cluster's TestClusterRestartFromStore
+#                                     and TestClusterCatchUpAfterDiskLoss (a replay
+#                                     across rotated segments)
+KNOBS_MAX = 2
 
 .PHONY: knobs
-# knobs lists the options nobody sets: for every exported field of a
-# configuration struct it counts the `Field:` / `.Field = ` assignments
-# (and `&cfg.Field` flag bindings) in Go that names the struct (or shares
-# its package) outside the declaring file — non-test code (bench/ included) and tests apart — and prints the
-# fields non-test code never assigns: one value in use, so a constant
-# (ROADMAP aim 2), and the next subtraction's input. A name two structs
-# share is counted for both, so the list errs towards "set". It fails
-# when more than KNOBS_MAX are unset: a new knob nobody sets needs a
-# setter, or the ceiling a reason to rise.
+# knobs lists the options nobody sets. deploy's TestKnobs (behind the knobs
+# build tag, so go test ./... does not pay for it) type-checks every package
+# of the tree and of bench/, tests included, and counts for each exported
+# field of a configuration struct the composite literals that name it, the
+# assignments to it and the places its address is taken (flag.*Var) outside
+# the declaring file — non-test code and tests apart. It prints the fields
+# non-test code never sets: one value in use, so a constant (ROADMAP aim 2),
+# and the next subtraction's input. It fails when more than KNOBS_MAX are
+# unset: a new knob nobody sets needs a setter, or the ceiling a reason to
+# rise.
 knobs:
-	@for t in $(KNOBS); do \
-		pkg=$${t%.*}; typ=$${t#*.}; \
-		decl=$$(grep -lE "^type $$typ struct" internal/$$pkg/*.go); \
-		users=$$(grep -rlE --include='*.go' --exclude-dir=.bench_build "\b$$pkg\.$$typ\b|^package $$pkg(_test)?$$" . | grep -vx "./$$decl"); \
-		for f in $$(go doc ./internal/$$pkg $$typ | sed -n '/^type /,/^}/p' | grep -oE '^	[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)*' | tr -d '	,'); do \
-			grep -cE "\b$$f:|&[A-Za-z_.]+\.$$f\b|\.$$f(, [A-Za-z_.]+)* = " $$users /dev/null | awk -F: -v k="$$t.$$f" \
-				'{ if ($$1 ~ /_test\.go$$/) t += $$2; else n += $$2 } END { print k, n + 0, t + 0 }'; \
-		done; \
-	done | awk -v max=$(KNOBS_MAX) '{ fields++ } $$2 == 0 { unset++; printf "%-44s set by no code, by %d test line(s)\n", $$1, $$3 } \
-		END { printf "%d of %d configuration fields are assigned by no non-test code (ceiling %d)\n", unset, fields, max; \
-			if (unset > max) { print "knobs: above the ceiling KNOBS_MAX" > "/dev/stderr"; exit 1 } }'
+	KNOBS_MAX=$(KNOBS_MAX) go test -tags knobs -count=1 -run '^TestKnobs$$' -v ./internal/deploy
 
 .PHONY: loc
 # loc prints non-test Go lines per package outside bench/, smallest

@@ -59,7 +59,7 @@ func run() error {
 	flag.StringVar(&cfg.StoreDir, "store-dir", "", "journal blocks under this directory, restore on startup, bulk-sync what is missing from the peers and keep following them")
 	flag.IntVar(&cfg.MempoolCapacity, "mempool", 0, "ingestion mempool capacity: requests deduplicate, validate, and hit backpressure before block inclusion (0 = the pool's default)")
 	flag.BoolVar(&opts.state, "state", false, "with -store-dir: maintain a Merkle state commitment over delivered broadcasts; seal, sign, journal, and serve it on the snapshot tier")
-	flag.Uint64Var(&cfg.PruneKeepSeqs, "prune-keep", 0, "with -state: prune journaled history this many seqs below each chain tip after every seal (0 keeps full history)")
+	flag.Uint64Var(&cfg.PruneKeepSeqs, "prune-keep", 0, "with -state: prune journaled history this many seqs below each chain tip after every seal (0 keeps full history); a restart over a cut through a still-running instance loses that instance (ROADMAP item 4(a))")
 	flag.BoolVar(&cfg.SnapshotJoin, "snapshot-join", false, "with -roster and -state: a server whose store is empty installs a roster-certified snapshot from its peers (the third catch-up tier)")
 	flag.StringVar(&cfg.GatewayAddr, "gateway", "", "serve the client gateway (HTTP API + /metrics) on this address; all-in-one mode binds it to s0")
 	flag.StringVar(&cfg.GatewayToken, "gateway-token", "", "with -gateway: require this bearer token on the client API (/metrics stays open)")

@@ -11,6 +11,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
+	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/store"
@@ -25,6 +26,23 @@ type fixed []*block.Block
 
 func (f fixed) Stream(_ map[types.ServerID]uint64, _ int, send func([]*block.Block) error) error {
 	return send(f)
+}
+
+// onStore is a store with src registered as its runtime: the one way a
+// sync server reaches the rows it streams.
+func onStore(t testing.TB, src syncsvc.Source) *store.Store {
+	t.Helper()
+	r, _, err := crypto.LocalRoster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{Roster: r, Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	st.SetRuntime(src)
+	return st
 }
 
 // deliveredValue returns the first value delivered for a label at one
@@ -245,7 +263,7 @@ func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tampered[mid] = forged
-	c.Net.RegisterHandler(3, transport.ChanSync, &syncsvc.Server{Rows: fixed(tampered)})
+	c.Net.RegisterHandler(3, transport.ChanSync, &syncsvc.Server{Store: onStore(t, fixed(tampered))})
 
 	err = c.RecoverServerViaSync(2, brb.Protocol{}, 3)
 	if err == nil {

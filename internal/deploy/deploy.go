@@ -56,7 +56,6 @@ const (
 	syncEvery, syncBurst = gossip.ResendAfter, 8
 	catchUpTimeout       = 5 * time.Second
 	snapshotTimeout      = 10 * time.Second
-	sealEvery            = 500 * time.Millisecond
 )
 
 // Config declares one node.
@@ -87,9 +86,11 @@ type Config struct {
 	// State, if non-nil, is the Merkle-committed machine the caller feeds
 	// from OnIndication: the runtime seals, signs, journals and serves it
 	// (node.StateSyncConfig; needs StoreDir). PruneKeepSeqs > 0 prunes
-	// journaled history that far below each chain's tip after every seal.
-	// SnapshotJoin makes a node whose store holds nothing install a
-	// roster-certified snapshot from its peers at Boot.
+	// journaled history that far below each chain's tip after every seal;
+	// a node restarted over a cut that passes through a protocol instance
+	// still running loses that instance (node.StateSyncConfig.PruneKeepSeqs,
+	// ROADMAP item 4(a)). SnapshotJoin makes a node whose store holds
+	// nothing install a roster-certified snapshot from its peers at Boot.
 	State         *state.Machine
 	PruneKeepSeqs uint64
 	SnapshotJoin  bool
@@ -116,8 +117,9 @@ type Assembly struct {
 	cfg Config
 	// clock and scores are the node's one clock and one peer scorer: made
 	// by Listen, because the transport's ban gates and the sync server's
-	// throttle signal exist before the core server does, and handed to all
-	// three so a conviction in gossip closes the sockets too.
+	// throttle signal and token bucket exist before the core server does,
+	// and handed to all three so a conviction in gossip closes the sockets
+	// too.
 	clock   func() time.Duration
 	scores  *peerscore.Scorer
 	syncSrv *syncsvc.Server
@@ -166,7 +168,7 @@ func Listen(cfg Config) (*Assembly, error) {
 		// The runtime is the store's while it runs (node.Node.Start); without
 		// it there is no live vector, no snapshot and no pull served.
 		a.syncSrv = &syncsvc.Server{
-			Store: st, Every: syncEvery, Burst: syncBurst, Scores: a.scores,
+			Store: st, Every: syncEvery, Burst: syncBurst, Clock: a.clock, Scores: a.scores,
 			Watermarks: func() []syncsvc.Watermark {
 				if nd, _ := st.Runtime().(*node.Node); nd != nil {
 					return nd.Watermarks()
@@ -249,12 +251,7 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		ncfg.CatchUp = &syncsvc.FetchConfig{Transport: a.Transport, Peers: peers, Timeout: catchUpTimeout}
 	}
 	if cfg.State != nil {
-		ncfg.State = &node.StateSyncConfig{
-			Machine:       cfg.State,
-			Signer:        id.Signer,
-			SealEvery:     sealEvery,
-			PruneKeepSeqs: cfg.PruneKeepSeqs,
-		}
+		ncfg.State = &node.StateSyncConfig{Machine: cfg.State, PruneKeepSeqs: cfg.PruneKeepSeqs}
 	}
 	if a.Node, err = Build(ccfg, ncfg); err != nil {
 		return err

@@ -43,7 +43,15 @@ func TestGoldenExposition(t *testing.T) {
 	for id := range metrics.Families {
 		m.Add(metrics.ID(id), int64(id+1))
 	}
-	tr, err := tcpnet.Listen(tcpnet.Config{ListenAddr: "127.0.0.1:0",
+	fx, err := roster.Dev(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := fx.Identity(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tcpnet.Listen(tcpnet.Config{ListenAddr: "127.0.0.1:0", Auth: id.Auth(),
 		Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}})
 	if err != nil {
 		t.Fatal(err)

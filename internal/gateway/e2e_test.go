@@ -2,7 +2,6 @@ package gateway_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -188,48 +187,6 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 	}
 	if !strings.Contains(scrape, `interpret_chain_unread_blocks{builder="3"}`) {
 		t.Fatalf("no per-builder unread gauge:\n%s", scrape)
-	}
-}
-
-// TestGatewayRateLimitIsolation: one client hammering into its 429 must
-// not perturb another client's consensus path.
-func TestGatewayRateLimitIsolation(t *testing.T) {
-	c := newGWCluster(t, 4, gateway.Config{
-		Tokens:    []string{"greedy", "polite"},
-		RateEvery: time.Hour, // nothing accrues during the test
-		RateBurst: 2,
-	})
-	greedy := map[string]string{"Authorization": "Bearer greedy"}
-	polite := map[string]string{"Authorization": "Bearer polite"}
-
-	// The greedy client burns its burst and hits the wall.
-	limited := false
-	for i := 0; i < 5; i++ {
-		resp := postJSON(t, c.base+"/v1/submit",
-			fmt.Sprintf(`{"label":"greedy/%d","data":"spam"}`, i), greedy)
-		drainClose(t, resp)
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("429 missing Retry-After")
-			}
-			limited = true
-			break
-		}
-	}
-	if !limited {
-		t.Fatal("greedy client was never rate limited")
-	}
-
-	// The polite client still submits, and consensus still delivers.
-	resp := postJSON(t, c.base+"/v1/submit", `{"label":"polite/1","data":"ok"}`, polite)
-	body := drainClose(t, resp)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("polite submit = %d %s", resp.StatusCode, body)
-	}
-	resp = get(t, c.base+"/v1/await/polite/1?timeout=10s", polite)
-	body = drainClose(t, resp)
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "ok") {
-		t.Fatalf("polite await = %d %s", resp.StatusCode, body)
 	}
 }
 

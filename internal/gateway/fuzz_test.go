@@ -16,16 +16,12 @@ import (
 	"blockdag/internal/types"
 )
 
-// fuzzBodyBytes is the body cap FuzzSubmit runs the gateway under: small,
-// so the fuzzer crosses it.
-const fuzzBodyBytes = 256
-
 // FuzzSubmit drives POST /v1/submit, the one endpoint whose body any
 // client writes, through httptest with a stub admission whose verdict the
 // label picks: "full" is mempool.ErrFull, "dup" ErrDuplicate, "big"
 // ErrTooLarge, "bad" a validation error, anything else accepted. Whatever
 // the body: the only 5xx is 503, and only for ErrFull; a body past
-// MaxBodyBytes is 413 and never reaches admission; a 202 means a non-empty
+// maxBodyBytes is 413 and never reaches admission; a 202 means a non-empty
 // label and a data_b64 that decodes (or none), admitted with those bytes.
 func FuzzSubmit(f *testing.F) {
 	for _, body := range []string{
@@ -37,8 +33,8 @@ func FuzzSubmit(f *testing.F) {
 		`{"label":"bad","data":"v"}`,
 		`{"label":"","data":"v"}`,
 		`{"label":"k","data_b64":"not base64!"}`,
-		`{"label":"k","data":"` + strings.Repeat("x", fuzzBodyBytes) + `"}`,
-		`{"label":"k","data":"v"}` + strings.Repeat(" ", fuzzBodyBytes),
+		`{"label":"k","data":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
+		`{"label":"k","data":"v"}` + strings.Repeat(" ", maxBodyBytes),
 		`{"label":"k"} trailing`,
 		`[1,2,3]`,
 		``,
@@ -61,8 +57,7 @@ func FuzzSubmit(f *testing.F) {
 	broker := node.NewIndicationBroker(0)
 	defer broker.Close()
 	g, err := Serve(ln, Config{
-		Indications:  broker,
-		MaxBodyBytes: fuzzBodyBytes,
+		Indications: broker,
 		Submit: func(label types.Label, data []byte) error {
 			admitted.label, admitted.data = label, data
 			admitted.calls++
@@ -82,8 +77,8 @@ func FuzzSubmit(f *testing.F) {
 		if code >= 500 && (code != http.StatusServiceUnavailable || admitted.calls != 1 || verdicts[admitted.label] != mempool.ErrFull) {
 			t.Fatalf("%d for %q (admission called %d times, label %q)", code, body, admitted.calls, admitted.label)
 		}
-		if len(body) > fuzzBodyBytes && (code != http.StatusRequestEntityTooLarge || admitted.calls != 0) {
-			t.Fatalf("%d-byte body past the %d-byte cap answered %d, admission called %d times", len(body), fuzzBodyBytes, code, admitted.calls)
+		if len(body) > maxBodyBytes && (code != http.StatusRequestEntityTooLarge || admitted.calls != 0) {
+			t.Fatalf("%d-byte body past the %d-byte cap answered %d, admission called %d times", len(body), maxBodyBytes, code, admitted.calls)
 		}
 		if code != http.StatusAccepted {
 			return

@@ -29,9 +29,9 @@
 //	GET  /metrics            Prometheus text format (the Registry fold)
 //
 // Every client-plane route runs behind the middleware chain — in-flight
-// concurrency cap with explicit shedding, bearer-token auth,
-// per-client token-bucket rate limits, request logging — while /metrics
-// skips auth (scrape convention) but not the in-flight cap.
+// concurrency cap with explicit shedding, bearer-token auth, response
+// counting — while /metrics skips auth (scrape convention) but not the
+// in-flight cap.
 //
 // Shutdown is graceful by design: binding a Config.Node registers a drain
 // hook, so node.Stop first closes the indication broker (every await and
@@ -81,23 +81,6 @@ type Config struct {
 
 	// Tokens lists accepted bearer tokens. Empty, the gateway is open.
 	Tokens []string
-
-	// RateEvery enables the per-client token bucket: one request token
-	// accrues per RateEvery, holding at most RateBurst (default 4).
-	// 0 disables rate limiting.
-	RateEvery time.Duration
-	RateBurst int
-
-	// MaxInFlight bounds concurrently served requests; excess is shed
-	// with 503 before auth. Default 256.
-	MaxInFlight int
-	// MaxBodyBytes bounds request bodies, enforced before any decoding
-	// or mempool admission. Default 1 MiB.
-	MaxBodyBytes int64
-
-	// Clock is the rate limiter's time base (injectable for tests);
-	// default wall-clock monotonic.
-	Clock func() time.Duration
 }
 
 const (
@@ -105,6 +88,14 @@ const (
 	maxAwait = 30 * time.Second
 	// drainTimeout bounds the graceful drain on Close / node stop.
 	drainTimeout = 5 * time.Second
+	// maxInFlight bounds concurrently served requests; the excess is shed
+	// with 503 before authentication. Each held request is a goroutine
+	// and a connection, and an await holds one up to maxAwait.
+	maxInFlight = 256
+	// maxBodyBytes bounds a request body, enforced before any decoding or
+	// mempool admission: a submit is one label and one payload, which the
+	// mempool caps far below this.
+	maxBodyBytes = 1 << 20
 )
 
 // Gateway is a running front door.
@@ -114,7 +105,6 @@ type Gateway struct {
 	status   func() Status
 	srv      *http.Server
 	ln       net.Listener
-	limiter  *rateLimiter
 	inflight chan struct{}
 
 	// Self-observability: the gateway is a subsystem of the plane it
@@ -134,7 +124,6 @@ var (
 	responses4xx = Families.With(responses2xx, "responses_4xx", "4xx")
 	responses5xx = Families.With(responses2xx, "responses_5xx", "5xx")
 	authFailures = Families.Counter("auth_failures", "gateway_auth_failures_total", "Requests refused by authentication.")
-	rateLimited  = Families.Counter("rate_limited", "gateway_rate_limited_total", "Requests refused by the per-client rate limit.")
 	shed         = Families.Counter("shed", "gateway_shed_total", "Requests shed at the in-flight concurrency cap.")
 	indexBytes   = Families.Gauge("await_index_bytes", "gateway_await_index_bytes", "Label and value bytes the await replay index holds.")
 )
@@ -172,16 +161,6 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 	}
 	// The replay index is await's: a node keeps it only for a gateway.
 	cfg.Indications.ClaimIndex()
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 256
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.Clock == nil {
-		start := time.Now()
-		cfg.Clock = func() time.Duration { return time.Since(start) }
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
@@ -189,8 +168,7 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:      cfg,
 		ln:       ln,
-		limiter:  newRateLimiter(cfg.RateEvery, cfg.RateBurst, cfg.Clock),
-		inflight: make(chan struct{}, cfg.MaxInFlight),
+		inflight: make(chan struct{}, maxInFlight),
 	}
 	cfg.Registry.Register(Families.Collector(&g.counts))
 
@@ -273,7 +251,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The body cap runs before any decoding, so an oversized payload is
 	// rejected here — it never reaches mempool admission — however early a
 	// JSON value inside it ends: the body is one value, nothing behind it.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	var req submitRequest
 	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 		writeError(w, http.StatusRequestEntityTooLarge,

@@ -135,16 +135,16 @@ func TestSubmitErrorMapping(t *testing.T) {
 // the body cap fires before decoding, so an oversized payload never
 // reaches mempool admission.
 func TestOversizedBodyRejectedBeforeAdmission(t *testing.T) {
+	const maxBodyBytes = 1 << 20
 	pool := mempool.New(mempool.Options{Capacity: 16})
-	_, base, _ := start(t, gateway.Config{
-		Submit:       pool.Submit,
-		MaxBodyBytes: 256,
-	})
-	big := fmt.Sprintf(`{"label":"k","data":%q}`, strings.Repeat("x", 1024))
+	_, base, _ := start(t, gateway.Config{Submit: pool.Submit})
+	// One byte past the cap, as a JSON value that would decode.
+	head := `{"label":"k","data":"`
+	big := head + strings.Repeat("x", maxBodyBytes+1-len(head)-2) + `"}`
 	resp := postJSON(t, base+"/v1/submit", big, nil)
 	body := drainClose(t, resp)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body = %d (%s), want 413", resp.StatusCode, body)
+		t.Fatalf("%d-byte body = %d (%s), want 413", len(big), resp.StatusCode, body)
 	}
 	if s := pool.Stats(); s.Submitted != 0 {
 		t.Fatalf("oversized body reached mempool admission: %+v", s)
@@ -291,87 +291,70 @@ func TestBearerTokenAuth(t *testing.T) {
 	}
 }
 
-func TestRateLimit(t *testing.T) {
-	clock := time.Duration(0)
-	var mu sync.Mutex
-	_, base, _ := start(t, gateway.Config{
-		Tokens:    []string{"tok"},
-		RateEvery: time.Second,
-		RateBurst: 2,
-		Clock: func() time.Duration {
-			mu.Lock()
-			defer mu.Unlock()
-			return clock
-		},
-	})
-	auth := map[string]string{"Authorization": "Bearer tok"}
-	for i := 0; i < 2; i++ {
-		resp := get(t, base+"/v1/status", auth)
-		drainClose(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d = %d within burst", i, resp.StatusCode)
-		}
-	}
-	resp := get(t, base+"/v1/status", auth)
-	drainClose(t, resp)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-burst = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
-		t.Fatalf("429 Retry-After = %q, want a positive delay", ra)
-	}
-	// A token accrues after RateEvery on the injected clock.
-	mu.Lock()
-	clock += 1100 * time.Millisecond
-	mu.Unlock()
-	resp = get(t, base+"/v1/status", auth)
-	drainClose(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-accrual = %d, want 200", resp.StatusCode)
-	}
-}
-
+// TestInFlightShedding: the gateway serves 256 requests at once. With 256
+// long-polls held, the 257th request — an await or a scrape — is shed with
+// 503 and Retry-After before authentication, and once the polls are
+// answered the gateway serves again.
 func TestInFlightShedding(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	_, base, _ := start(t, gateway.Config{
-		MaxInFlight: 1,
-		Submit: func(types.Label, []byte) error {
-			close(started)
-			<-release
-			return nil
-		},
-	})
-	first := make(chan string, 1)
-	go func() {
-		req, _ := http.NewRequest(http.MethodPost, base+"/v1/submit",
-			strings.NewReader(`{"label":"slow","data":"v"}`))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			first <- err.Error()
-			return
+	const maxInFlight = 256
+	_, base, broker := start(t, gateway.Config{Tokens: []string{"tok"}})
+	// A connection the client dialled and then found no use for is one the
+	// gateway's drain would wait on: close them before it (cleanups run
+	// last in, first out).
+	t.Cleanup(http.DefaultClient.CloseIdleConnections)
+	auth := map[string]string{"Authorization": "Bearer tok"}
+	held := make(chan string, maxInFlight)
+	for i := 0; i < maxInFlight; i++ {
+		go func() {
+			req, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/await/hold/%d?timeout=30s", base, i), nil)
+			req.Header.Set("Authorization", "Bearer tok")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				held <- err.Error()
+				return
+			}
+			b, _ := io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			held <- fmt.Sprintf("%d %s", resp.StatusCode, b)
+		}()
+	}
+	// Only the polls hold slots, and one scrape at a time takes the next:
+	// a shed scrape means all 256 are in.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp := get(t, base+"/metrics", nil)
+		drainClose(t, resp)
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			break
 		}
-		b, _ := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-		first <- fmt.Sprintf("%d %s", resp.StatusCode, b)
-	}()
-	<-started // the slow request holds the only in-flight slot
-
-	resp := get(t, base+"/v1/status", nil)
-	body := drainClose(t, resp)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("at-capacity request = %d %s, want 503", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
+		if time.Now().After(deadline) {
+			t.Fatal("the long-polls never filled the gateway")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
-	close(release)
-	if got := <-first; !strings.HasPrefix(got, "202") {
-		t.Fatalf("slow request after release = %s, want 202", got)
+	// The 257th await is shed, before its (missing) token is checked.
+	for _, hdr := range []map[string]string{auth, nil} {
+		resp := get(t, base+"/v1/await/hold/extra?timeout=30s", hdr)
+		body := drainClose(t, resp)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("await number %d = %d %s, want 503", maxInFlight+1, resp.StatusCode, body)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("shed response missing Retry-After")
+		}
 	}
-	// The slot freed: the next request is served again.
-	resp = get(t, base+"/v1/status", nil)
+
+	for i := 0; i < maxInFlight; i++ {
+		broker.Publish(types.Label(fmt.Sprintf("hold/%d", i)), []byte("v"))
+	}
+	for i := 0; i < maxInFlight; i++ {
+		if got := <-held; !strings.HasPrefix(got, "200") {
+			t.Fatalf("held await after its publication = %s, want 200", got)
+		}
+	}
+	// The slots freed: the next request is served again.
+	resp := get(t, base+"/v1/status", auth)
 	drainClose(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release request = %d, want 200", resp.StatusCode)

@@ -131,7 +131,7 @@ func TestNodeCatchUpFromPeerStore(t *testing.T) {
 
 	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: &transport.LateBound{}}
 	peerTr, err := tcpnet.Listen(tcpnet.Config{
-		Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: ep,
+		Self: 0, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 0), Endpoints: ep,
 		Handlers: map[transport.Channel]transport.Handler{
 			transport.ChanSync: &syncsvc.Server{Store: peerStore},
 		},
@@ -141,7 +141,7 @@ func TestNodeCatchUpFromPeerStore(t *testing.T) {
 	}
 	defer func() { _ = peerTr.Close() }()
 	myTr, err := tcpnet.Listen(tcpnet.Config{
-		Self: 1, ListenAddr: "127.0.0.1:0",
+		Self: 1, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 1),
 		Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: &transport.LateBound{}},
 	})
 	if err != nil {

@@ -284,7 +284,7 @@ func TestNodeLiveFollowerStarted(t *testing.T) {
 	peer := startedPeer(t, roster, signers[0], peerStore)
 	listen := func(self types.ServerID, handlers map[transport.Channel]transport.Handler) *tcpnet.Transport {
 		tr, err := tcpnet.Listen(tcpnet.Config{
-			Self: self, ListenAddr: "127.0.0.1:0",
+			Self: self, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, self),
 			Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: &transport.LateBound{}},
 			Handlers:  handlers,
 		})

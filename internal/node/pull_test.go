@@ -23,6 +23,7 @@ import (
 	"blockdag/internal/node"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/protocols/brb"
+	"blockdag/internal/roster"
 	"blockdag/internal/simnet"
 	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
@@ -60,8 +61,25 @@ type served struct {
 	ignore bool // stream everything whatever the requester says it holds
 }
 
-func serve(blocks []*block.Block) *served {
-	return &served{srv: syncsvc.Server{Rows: fixed(blocks)}}
+func serve(t testing.TB, blocks []*block.Block) *served {
+	return &served{srv: syncsvc.Server{Store: onStore(t, fixed(blocks))}}
+}
+
+// onStore is a store with src registered as its runtime: the one way a
+// sync server reaches the rows it streams.
+func onStore(t testing.TB, src syncsvc.Source) *store.Store {
+	t.Helper()
+	r, _, err := crypto.LocalRoster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{Roster: r, Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	st.SetRuntime(src)
+	return st
 }
 
 // fixed is a block list as a sync server's block source (syncsvc.Source,
@@ -167,8 +185,8 @@ func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
 	chain := sealChain(t, signers[0], nil, 50)
 	tampered := append([]*block.Block(nil), chain...)
 	tampered[30] = dagtest.Forge(chain[30])
-	net.RegisterHandler(0, transport.ChanSync, serve(tampered))
-	net.RegisterHandler(1, transport.ChanSync, serve(chain))
+	net.RegisterHandler(0, transport.ChanSync, serve(t, tampered))
+	net.RegisterHandler(1, transport.ChanSync, serve(t, chain))
 
 	st, err := store.Open(t.TempDir(), store.Options{Roster: roster})
 	if err != nil {
@@ -248,7 +266,7 @@ func TestPullFromTruncatedStreamResumes(t *testing.T) {
 	net := simnet.New()
 	chain := sealChain(t, signers[0], nil, 50)
 	net.RegisterHandler(0, transport.ChanSync, truncating(chain[:20]))
-	full := serve(chain)
+	full := serve(t, chain)
 	net.RegisterHandler(1, transport.ChanSync, full)
 
 	st, err := store.Open(t.TempDir(), store.Options{Roster: roster})
@@ -308,7 +326,7 @@ func TestPullFromIllOrderedStream(t *testing.T) {
 		"swapped": {[]*block.Block{chain[0], chain[1], chain[3], chain[2], chain[4]}, 2},
 	} {
 		net := simnet.New()
-		net.RegisterHandler(0, transport.ChanSync, serve(tc.stream))
+		net.RegisterHandler(0, transport.ChanSync, serve(t, tc.stream))
 		st, err := store.Open(t.TempDir(), store.Options{Roster: roster})
 		if err != nil {
 			t.Fatal(err)
@@ -347,7 +365,7 @@ func TestOwnBlocksSeenNotHeldSilenceTheNode(t *testing.T) {
 	}
 	old := sealChain(t, signers[1], nil, 6)
 	net := simnet.New()
-	net.RegisterHandler(0, transport.ChanSync, serve(old[3:])) // 0..2 pruned at the peer
+	net.RegisterHandler(0, transport.ChanSync, serve(t, old[3:])) // 0..2 pruned at the peer
 	nd := steppedNode(t, net, roster, signers[1], core.Config{}, node.Config{})
 	d := nd.Server().DAG()
 
@@ -384,7 +402,7 @@ func TestPullFromAboveBase(t *testing.T) {
 	}
 	net := simnet.New()
 	chain := sealChain(t, signers[0], nil, 10)
-	peer := serve(chain)
+	peer := serve(t, chain)
 	net.RegisterHandler(0, transport.ChanSync, peer)
 
 	srv, err := core.NewServer(core.Config{
@@ -465,12 +483,23 @@ func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
 	}
 }
 
+// tcpAuth is server self's authenticator over the dev keys, which every
+// crypto.LocalRoster of these tests holds a prefix of.
+func tcpAuth(t *testing.T, self types.ServerID) transport.Authenticator {
+	t.Helper()
+	r, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return roster.NewAuth(r, signers[self])
+}
+
 // tcpPeer listens on loopback as server self, serving handler on the sync
 // channel (nil: none).
 func tcpPeer(t *testing.T, self types.ServerID, handler transport.Handler) *tcpnet.Transport {
 	t.Helper()
 	cfg := tcpnet.Config{
-		Self: self, ListenAddr: "127.0.0.1:0",
+		Self: self, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, self),
 		Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: &transport.LateBound{}},
 	}
 	if handler != nil {
@@ -533,7 +562,7 @@ func TestCatchUpOverTCPResumesAfterMidStreamDeath(t *testing.T) {
 	}
 	chain := sealChain(t, signers[0], nil, 200)
 	dying := tcpPeer(t, 0, truncating(chain[:120]))
-	full := serve(chain)
+	full := serve(t, chain)
 	healthy := tcpPeer(t, 1, full)
 
 	nd, st := startupNode(t, roster, signers[2], nil, dying, healthy)
@@ -604,7 +633,7 @@ func TestCatchUpAfterDiskLossResumesOwnChain(t *testing.T) {
 	unreferenced := sealChain(t, signers[0], peerTip, 3)
 	held = append(held, unreferenced...)
 
-	nd, st := startupNode(t, roster, signers[1], nil, tcpPeer(t, 0, serve(held)))
+	nd, st := startupNode(t, roster, signers[1], nil, tcpPeer(t, 0, serve(t, held)))
 	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Blocks != len(held) {
 		t.Fatalf("catch-up report = %+v, want %d blocks", rep, len(held))
 	}
@@ -744,7 +773,7 @@ func TestCatchUpTierIndependence(t *testing.T) {
 
 	// Startup pull into an empty store, over a real socket.
 	byLabel, onInd = recorder()
-	nd, _ = startupNode(t, roster, signer, onInd, tcpPeer(t, 0, serve(set)))
+	nd, _ = startupNode(t, roster, signer, onInd, tcpPeer(t, 0, serve(t, set)))
 	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Blocks != len(set) {
 		t.Fatalf("startup pull: %+v, want %d blocks", rep, len(set))
 	}
@@ -754,7 +783,7 @@ func TestCatchUpTierIndependence(t *testing.T) {
 	// tell what the slot is missing.
 	byLabel, onInd = recorder()
 	net := simnet.New()
-	net.RegisterHandler(0, transport.ChanSync, serve(set))
+	net.RegisterHandler(0, transport.ChanSync, serve(t, set))
 	nd = steppedNode(t, net, roster, signer, core.Config{OnIndication: onInd}, node.Config{Store: emptyStore(t, roster)})
 	gossiped(nd, set[:len(set)/2])
 	nd.FollowPoll()

@@ -230,7 +230,7 @@ func TestServeWhileTheLoopInserts(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = st.Close() })
 	peer := startedPeer(t, h.Roster, h.Signers[0], st)
-	peerTr := tcpPeer(t, 0, &syncsvc.Server{Rows: chunked{peer, 2 << 10}, Watermarks: peer.Watermarks})
+	peerTr := tcpPeer(t, 0, &syncsvc.Server{Store: onStore(t, chunked{peer, 2 << 10}), Watermarks: peer.Watermarks})
 
 	tr := tcpPeer(t, 1, nil)
 	if err := tr.Connect(0, peerTr.Addr()); err != nil {
@@ -315,7 +315,7 @@ func TestCatchUpSkipsAPeerNotServing(t *testing.T) {
 	defer func() { _ = idle.Close() }()
 	booting := &syncsvc.Server{Store: idle}
 
-	nd, _ := startupNode(t, roster, signers[2], nil, tcpPeer(t, 0, booting), tcpPeer(t, 1, serve(chain)))
+	nd, _ := startupNode(t, roster, signers[2], nil, tcpPeer(t, 0, booting), tcpPeer(t, 1, serve(t, chain)))
 	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Peer != 1 || rep.Blocks != len(chain) {
 		t.Fatalf("catch-up report = %+v, want %d blocks from peer 1", rep, len(chain))
 	}
@@ -328,7 +328,7 @@ func TestCatchUpSkipsAPeerNotServing(t *testing.T) {
 
 	net := simnet.New()
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: idle, Clock: net.Now})
-	net.RegisterHandler(1, transport.ChanSync, serve(chain))
+	net.RegisterHandler(1, transport.ChanSync, serve(t, chain))
 	scores := peerscore.New(peerscore.Options{Clock: net.Now})
 	follower := steppedNode(t, net, roster, signers[2], core.Config{Scores: scores}, node.Config{Store: emptyStore(t, roster)})
 	for poll := 0; poll < 2; poll++ {

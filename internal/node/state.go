@@ -14,42 +14,40 @@ import (
 	"fmt"
 	"time"
 
-	"blockdag/internal/crypto"
 	"blockdag/internal/state"
 	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/types"
 )
 
+// SealEvery is the seal cadence, on the server's clock. Each seal exports
+// the tree — O(state) — so it trades snapshot freshness for CPU; every
+// deployment has run at this value.
+const SealEvery = 500 * time.Millisecond
+
 // StateSyncConfig wires a replicated state machine into the runtime's
 // seal/serve/prune cycle. Requires Config.Store: the sealed commitment
-// rides the store's checkpoint journal.
+// rides the store's checkpoint journal. Commits are signed with the
+// server's signer (core.Server.Signer); peers assemble f+1 of them into
+// the certificate that authorizes a snapshot join.
 type StateSyncConfig struct {
 	// Machine is the caller-owned interpreted state. The caller routes
 	// committed commands into Machine.Apply from its indication callback
 	// (loop goroutine); the runtime seals, serves, and restores it.
 	// Required.
 	Machine *state.Machine
-	// Signer signs sealed commits; peers assemble f+1 of these into the
-	// certificate that authorizes a snapshot join. Required.
-	Signer *crypto.Signer
-	// SealEvery is the seal cadence (default 2s). Each seal exports the
-	// tree — O(state) — so this trades snapshot freshness for CPU.
-	SealEvery time.Duration
 	// PruneKeepSeqs > 0 enables history pruning after each seal: every
 	// builder's journaled chain is cut PruneKeepSeqs below its current
-	// tip, bounding disk to O(state + recent DAG). The margin must cover
-	// the deepest protocol instance still in flight — blocks a running
-	// instance may yet need must stay above the horizon (see
-	// store.PruneTo). 0 keeps full history.
+	// tip, bounding disk to O(state + recent DAG). 0 keeps full history.
+	//
+	// The margin is meant to cover the deepest protocol instance still in
+	// flight (see store.PruneTo), and no margin does yet: a node that
+	// restarts over a cut passing through an instance that is still
+	// running loses that instance — its blocks below the horizon are gone,
+	// and the replay cannot finish it. ROADMAP item 4(a) tracks the fix;
+	// until it lands, run with pruning only where losing a live instance
+	// on restart is acceptable.
 	PruneKeepSeqs uint64
-}
-
-func (c *StateSyncConfig) sealEvery() time.Duration {
-	if c.SealEvery <= 0 {
-		return 2 * time.Second
-	}
-	return c.SealEvery
 }
 
 // restoreState rebuilds the machine from the store's journaled state
@@ -75,7 +73,7 @@ func (n *Node) restoreState(sc *StateSyncConfig, st *store.Store) error {
 		return fmt.Errorf("node: restore state checkpoint: %w", err)
 	}
 	n.lastSealedSlot = commit.Slot
-	n.serve(state.SignCommit(commit, sc.Signer), ckpt.Chunks)
+	n.serve(state.SignCommit(commit, n.cfg.Server.Signer()), ckpt.Chunks)
 	return nil
 }
 
@@ -110,7 +108,7 @@ func (n *Node) maybeSealState() {
 		return
 	}
 	now := n.cfg.Server.Now()
-	if now-n.lastSeal < sc.sealEvery() {
+	if now-n.lastSeal < SealEvery {
 		return
 	}
 	n.lastSeal = now
@@ -140,7 +138,7 @@ func (n *Node) maybeSealState() {
 	})
 	n.maybePruneState()
 	// Publish after the prune so the served base/horizon reflect it.
-	n.serve(state.SignCommit(commit, sc.Signer), chunks)
+	n.serve(state.SignCommit(commit, n.cfg.Server.Signer()), chunks)
 }
 
 // maybePruneState cuts journaled history PruneKeepSeqs below every
@@ -187,8 +185,6 @@ func validateState(cfg *Config) error {
 	switch {
 	case cfg.State.Machine == nil:
 		return errors.New("node: StateSyncConfig needs a Machine")
-	case cfg.State.Signer == nil:
-		return errors.New("node: StateSyncConfig needs a Signer")
 	case cfg.Store == nil:
 		return errors.New("node: StateSyncConfig needs Config.Store (commitments journal through the store checkpoint path)")
 	}

@@ -25,10 +25,11 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestSealPruneCadence steps a durable single-server node on a virtual
-// clock: the seal cycle fires when SealEvery has elapsed on the server's
-// clock and not a tick before, seals only a frontier that moved, and an
-// idle state still has its growing chain pruned — with the served
-// base/horizon following the cut under the unchanged commit.
+// clock: the seal cycle fires when node.SealEvery has elapsed on the
+// server's clock and not a tick before, seals only a frontier that moved,
+// signs what it serves with the server's own key, and an idle state still
+// has its growing chain pruned — with the served base/horizon following the
+// cut under the unchanged commit.
 func TestSealPruneCadence(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(1)
 	if err != nil {
@@ -39,7 +40,7 @@ func TestSealPruneCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = st.Close() }()
-	const sealEvery, keep = time.Second, 2
+	const sealEvery, keep = node.SealEvery, 2
 	net := simnet.New()
 	machine := state.NewMachine(0)
 	nd := steppedNode(t, net, roster, signers[0], core.Config{
@@ -47,9 +48,7 @@ func TestSealPruneCadence(t *testing.T) {
 			machine.Tree().Put([]byte(label), value)
 			machine.SealAt(uint64(machine.Tree().Len()))
 		},
-	}, node.Config{Store: st, State: &node.StateSyncConfig{
-		Machine: machine, Signer: signers[0], SealEvery: sealEvery, PruneKeepSeqs: keep,
-	}})
+	}, node.Config{Store: st, State: &node.StateSyncConfig{Machine: machine, PruneKeepSeqs: keep}})
 	grow := func(blocks int) {
 		for i := 0; i < blocks; i++ {
 			nd.Disseminate()
@@ -72,6 +71,9 @@ func TestSealPruneCadence(t *testing.T) {
 	first := nd.ServedSnapshot()
 	if first == nil || first.Signed.Commit.Slot != 1 {
 		t.Fatalf("at SealEvery: served %+v, want the slot-1 commit", first)
+	}
+	if err := first.Signed.Verify(roster); err != nil || first.Signed.Server != signers[0].ID() {
+		t.Fatalf("served commit signed by s%d: %v, want the server's own signature", first.Signed.Server, err)
 	}
 	cut := horizon()
 	if cut == 0 || first.Horizon[0] != cut {

@@ -9,12 +9,24 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/roster"
 	"blockdag/internal/simnet"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/tcpnet"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
 )
+
+// tcpAuth is server self's authenticator over the dev keys, which every
+// crypto.LocalRoster of these tests holds a prefix of.
+func tcpAuth(t testing.TB, self types.ServerID) transport.Authenticator {
+	t.Helper()
+	r, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return roster.NewAuth(r, signers[self])
+}
 
 // holding inserts blocks into a fresh DAG over roster: a node holding them.
 func holding(t testing.TB, roster *crypto.Roster, blocks []*block.Block) *dag.DAG {
@@ -75,7 +87,7 @@ func TestDeltaEarlyAnswer(t *testing.T) {
 	} {
 		src := &counted{fixed: blocks}
 		srv := func() *syncsvc.Server {
-			return &syncsvc.Server{Rows: src, Watermarks: tc.watermarks}
+			return &syncsvc.Server{Store: onStore(t, src), Watermarks: tc.watermarks}
 		}
 		check := func(via string, pull *frameCounter) {
 			t.Helper()
@@ -102,13 +114,13 @@ func TestDeltaEarlyAnswer(t *testing.T) {
 
 		ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
 		server, err := tcpnet.Listen(tcpnet.Config{
-			Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: ep,
+			Self: 0, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 0), Endpoints: ep,
 			Handlers: map[transport.Channel]transport.Handler{transport.ChanSync: srv()},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		client, err := tcpnet.Listen(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: ep})
+		client, err := tcpnet.Listen(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 1), Endpoints: ep})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +147,7 @@ func TestDeltaForkedBuilder(t *testing.T) {
 	ask := func(live []syncsvc.Watermark, have ...syncsvc.Watermark) int {
 		net := simnet.New()
 		net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
-			Rows:       fixed(blocks),
+			Store:      onStore(t, fixed(blocks)),
 			Watermarks: func() []syncsvc.Watermark { return live },
 		})
 		got, err := runPull(t, net, syncsvc.NewPull(roster, have, 0, nil))

@@ -69,7 +69,7 @@ func TestServerInFlightCap(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	var scans sync.WaitGroup
-	srv := &syncsvc.Server{Rows: gate{entered, release}}
+	srv := &syncsvc.Server{Store: onStore(t, gate{entered, release})}
 	req := syncsvc.EncodeRequest(nil)
 
 	inFlight := []*recStream{newRecStream(), newRecStream()}
@@ -120,7 +120,7 @@ func TestServerInFlightCap(t *testing.T) {
 func TestServerTokenBucket(t *testing.T) {
 	now := time.Duration(0)
 	srv := &syncsvc.Server{
-		Rows:  fixed(nil),
+		Store: onStore(t, fixed(nil)),
 		Every: time.Second,
 		Burst: 2,
 		Clock: func() time.Duration { return now },
@@ -174,7 +174,7 @@ func TestServerTokenBucket(t *testing.T) {
 func TestThrottledStreamKeepsClientClean(t *testing.T) {
 	roster, blocks := buildChain(t, 5)
 	srv := &syncsvc.Server{
-		Rows:  fixed(blocks),
+		Store: onStore(t, fixed(blocks)),
 		Every: time.Hour,
 		Burst: 1,
 		Clock: func() time.Duration { return 0 },
@@ -233,14 +233,14 @@ func TestServerWithoutRuntimeRefuses(t *testing.T) {
 
 	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
 	server, err := tcpnet.Listen(tcpnet.Config{
-		Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: ep,
+		Self: 0, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 0), Endpoints: ep,
 		Handlers: map[transport.Channel]transport.Handler{transport.ChanSync: srv},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = server.Close() }()
-	client, err := tcpnet.Listen(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: ep})
+	client, err := tcpnet.Listen(tcpnet.Config{Self: 1, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 1), Endpoints: ep})
 	if err != nil {
 		t.Fatal(err)
 	}

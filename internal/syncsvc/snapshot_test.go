@@ -372,7 +372,7 @@ func snapTCPPeer(t *testing.T, self types.ServerID, ss *syncsvc.ServedSnapshot) 
 	t.Helper()
 	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
 	tr, err := tcpnet.Listen(tcpnet.Config{
-		Self: self, ListenAddr: "127.0.0.1:0", Endpoints: ep,
+		Self: self, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, self), Endpoints: ep,
 		Handlers: map[transport.Channel]transport.Handler{
 			transport.ChanSync: &syncsvc.Server{Snapshot: func() *syncsvc.ServedSnapshot { return ss }},
 		},
@@ -417,7 +417,7 @@ func TestFetchSnapshotOverTCP(t *testing.T) {
 	t2 := snapTCPPeer(t, 2, honest2)
 
 	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
-	client, err := tcpnet.Listen(tcpnet.Config{Self: 3, ListenAddr: "127.0.0.1:0", Endpoints: ep})
+	client, err := tcpnet.Listen(tcpnet.Config{Self: 3, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 3), Endpoints: ep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestFetchSnapshotNoQuorum(t *testing.T) {
 	t0 := snapTCPPeer(t, 0, only)
 
 	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
-	client, err := tcpnet.Listen(tcpnet.Config{Self: 3, ListenAddr: "127.0.0.1:0", Endpoints: ep})
+	client, err := tcpnet.Listen(tcpnet.Config{Self: 3, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 3), Endpoints: ep})
 	if err != nil {
 		t.Fatal(err)
 	}

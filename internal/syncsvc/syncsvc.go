@@ -222,8 +222,8 @@ var (
 	DropStarting = Families.With(DropInFlight, "", "starting")
 )
 
-// Source is what a Server streams a delta from: the node owning the DAG
-// (node.Node), or a fixed list in tests. Stream hands send, in row order and
+// Source is what a Server streams a delta from: the runtime registered on
+// its store (node.Node; a test's fixed list). Stream hands send, in row order and
 // in batches of about chunk bytes, every block the horizon next does not
 // cover — a builder next leaves out whole — on the transport's goroutine.
 type Source interface {
@@ -243,12 +243,10 @@ type Source interface {
 // refusals are tallied per cause in Counts.
 type Server struct {
 	// Store is the store the serving node journals to: its runtime registers
-	// there while it runs (store.Store.SetRuntime) and streams each delta;
-	// without it, a delta the early answer does not settle is refused.
+	// there while it runs (store.Store.SetRuntime) and, as the Source,
+	// streams each delta; without it, a delta the early answer does not
+	// settle is refused.
 	Store *store.Store
-	// Rows, if non-nil, is the source itself: a test's list, or a node
-	// served without a store.
-	Rows Source
 	// Watermarks, if non-nil, is the server's own live vector (a node's
 	// chain heads, Vector): a delta request whose horizon it does not exceed
 	// (Lag) is answered done(0) without asking the source. A nil field or
@@ -413,8 +411,8 @@ func (s *Server) ServeCall(from types.ServerID, req []byte, st transport.ServerS
 	}
 	var total uint64
 	if live == nil || Lag(next, live) > 0 {
-		src := s.Rows
-		if src == nil && s.Store != nil {
+		var src Source
+		if s.Store != nil {
 			src, _ = s.Store.Runtime().(Source)
 		}
 		if src == nil {

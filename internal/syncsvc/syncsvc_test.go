@@ -135,10 +135,27 @@ func (c chunked) Stream(next map[types.ServerID]uint64, _ int, send func([]*bloc
 	return c.Source.Stream(next, c.bytes, send)
 }
 
+// onStore is a store with src registered as its runtime: the one way a
+// sync server reaches the rows it streams.
+func onStore(t testing.TB, src syncsvc.Source) *store.Store {
+	t.Helper()
+	r, _, err := crypto.LocalRoster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{Roster: r, Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	st.SetRuntime(src)
+	return st
+}
+
 // serving returns a simulator on which server 0 streams blocks.
-func serving(seed int64, blocks []*block.Block) *simnet.Network {
+func serving(t testing.TB, seed int64, blocks []*block.Block) *simnet.Network {
 	net := simnet.New(simnet.WithSeed(seed))
-	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Rows: fixed(blocks)})
+	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: onStore(t, fixed(blocks))})
 	return net
 }
 
@@ -150,7 +167,7 @@ func TestPullOverSimnet(t *testing.T) {
 	st := restoredPeer(t, roster, blocks)
 
 	net := simnet.New(simnet.WithSeed(4))
-	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Rows: chunked{st.Runtime().(syncsvc.Source), 4 << 10}})
+	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: onStore(t, chunked{st.Runtime().(syncsvc.Source), 4 << 10})})
 
 	got, err := runPull(t, net, syncsvc.NewPull(roster, nil, 0, nil))
 	if err != nil {
@@ -208,7 +225,7 @@ func TestPullRejectsTamperedBlock(t *testing.T) {
 	tampered := append([]*block.Block(nil), blocks...)
 	tampered[30] = dagtest.Forge(blocks[30])
 
-	got, perr := runPull(t, serving(9, tampered), syncsvc.NewPull(roster, nil, 0, nil))
+	got, perr := runPull(t, serving(t, 9, tampered), syncsvc.NewPull(roster, nil, 0, nil))
 	if !errors.Is(perr, dag.ErrBadSignature) || !strings.Contains(perr.Error(), "rejected") {
 		t.Fatalf("err = %v, want a signature rejection", perr)
 	}
@@ -237,7 +254,7 @@ func TestPullRejectsOutsider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, perr := runPull(t, serving(9, []*block.Block{outsider}), syncsvc.NewPull(solo, nil, 0, nil))
+	got, perr := runPull(t, serving(t, 9, []*block.Block{outsider}), syncsvc.NewPull(solo, nil, 0, nil))
 	if !errors.Is(perr, dag.ErrBuilderUnknown) || len(got) != 0 {
 		t.Fatalf("outsider stream: %d blocks, err %v", len(got), perr)
 	}
@@ -247,7 +264,7 @@ func TestPullRejectsOutsider(t *testing.T) {
 // it — the pull never holds more than maxBlocks — and flagged.
 func TestPullStreamLimit(t *testing.T) {
 	roster, blocks := buildChain(t, 50)
-	got, perr := runPull(t, serving(9, blocks), syncsvc.NewPull(roster, nil, 20, nil))
+	got, perr := runPull(t, serving(t, 9, blocks), syncsvc.NewPull(roster, nil, 20, nil))
 	if !errors.Is(perr, syncsvc.ErrBadStream) {
 		t.Fatalf("err = %v, want ErrBadStream for an over-long stream", perr)
 	}

@@ -128,11 +128,10 @@ func TestAuthWrongKeyRejected(t *testing.T) {
 	tb := listenAuthed(t, fx, 1, sb)
 
 	evil, err := Listen(Config{
-		Self:        0,
-		ListenAddr:  "127.0.0.1:0",
-		Endpoints:   gossipEndpoints(&sink{}),
-		DialBackoff: 5 * time.Millisecond,
-		Auth:        newEvilAuth(t, fx, 0),
+		Self:       0,
+		ListenAddr: "127.0.0.1:0",
+		Endpoints:  gossipEndpoints(&sink{}),
+		Auth:       newEvilAuth(t, fx, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,11 +165,10 @@ func TestAuthNonRosterRejected(t *testing.T) {
 	tb := listenAuthed(t, fx, 1, sb)
 
 	outside, err := Listen(Config{
-		Self:        7, // not in the 2-member roster
-		ListenAddr:  "127.0.0.1:0",
-		Endpoints:   gossipEndpoints(&sink{}),
-		DialBackoff: 5 * time.Millisecond,
-		Auth:        newEvilAuth(t, fx, 7),
+		Self:       7, // not in the 2-member roster
+		ListenAddr: "127.0.0.1:0",
+		Endpoints:  gossipEndpoints(&sink{}),
+		Auth:       newEvilAuth(t, fx, 7),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,38 +184,65 @@ func TestAuthNonRosterRejected(t *testing.T) {
 	}
 }
 
-// TestAuthUnauthenticatedPeerRejected: a peer running without Auth
-// cannot talk to an authenticated listener — half-authenticated links
-// are refused, not silently served.
+// TestAuthUnauthenticatedPeerRejected: a peer that does not authenticate
+// cannot talk to a listener — whether its hello carries no nonce to
+// challenge (what a transport without Auth sent before version 4) or it
+// answers the challenge with a payload instead of a proof. Nothing it
+// sends reaches an endpoint, and a call is told ErrAuthFailed.
 func TestAuthUnauthenticatedPeerRejected(t *testing.T) {
 	fx := authFixture(t, 2)
 	sb := &sink{}
 	tb := listenAuthed(t, fx, 1, sb)
+	// dial writes a hello claiming server 0 — with a nonce, or without —
+	// and, if the listener challenges, a gossip payload where the proof
+	// belongs. It returns the listener's last frame: nil once it hung up.
+	dial := func(kind byte, nonce []byte) []byte {
+		conn, err := net.Dial("tcp", tb.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = conn.Close() }()
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		hello := wire.NewWriter(16 + transport.NonceSize)
+		hello.Uint16(transport.Version)
+		hello.Uint16(0)
+		hello.Byte(kind)
+		if kind == kindCall {
+			hello.Byte(byte(transport.ChanSync))
+		}
+		if nonce != nil {
+			hello.VarBytes(nonce)
+		}
+		if err := wire.WriteFrame(conn, hello.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		var last []byte
+		for {
+			frame, err := wire.ReadFrame(conn)
+			if err != nil {
+				return last
+			}
+			last = frame
+			if frame[0] == tagAuthChallenge {
+				_ = wire.WriteFrame(conn, append([]byte{byte(transport.ChanGossip)}, "unproven"...))
+			}
+		}
+	}
 
-	plain, err := Listen(Config{
-		Self:        0,
-		ListenAddr:  "127.0.0.1:0",
-		Endpoints:   gossipEndpoints(&sink{}),
-		DialBackoff: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if last := dial(kindStream, nil); last != nil {
+		t.Fatalf("a hello without a nonce was answered %q", last)
 	}
-	defer func() { _ = plain.Close() }()
-	if err := plain.Connect(1, tb.Addr()); err != nil {
-		t.Fatal(err)
+	waitFor(t, 5*time.Second, func() bool { return tb.Counts().Get(Rejections) == 1 })
+	if last := dial(kindStream, make([]byte, transport.NonceSize)); last == nil || last[0] != tagAuthChallenge {
+		t.Fatalf("a stream hello was answered %q, want the challenge and a hang-up", last)
 	}
-	plain.Send(1, transport.ChanGossip, []byte("unproven"))
-	waitFor(t, 5*time.Second, func() bool { return tb.Counts().Get(AuthRejections) >= 1 })
+	waitFor(t, 5*time.Second, func() bool { return tb.Counts().Get(AuthRejections) == 1 })
+	last := dial(kindCall, make([]byte, transport.NonceSize))
+	if len(last) == 0 || last[0] != tagError || !errors.Is(decodeCallError(last[1:]), transport.ErrAuthFailed) {
+		t.Fatalf("an unproven call's last frame = %q, want ErrAuthFailed", last)
+	}
 	if sb.count() != 0 {
 		t.Fatalf("unauthenticated payload delivered: %d", sb.count())
-	}
-
-	cs := newCallSink()
-	plain.Call(1, transport.ChanSync, []byte("req"), cs)
-	res := cs.wait(t, 5*time.Second)
-	if res.err == nil {
-		t.Fatal("unauthenticated call succeeded")
 	}
 }
 
@@ -241,11 +266,10 @@ func TestAuthImpostorListenerRejected(t *testing.T) {
 	defer func() { _ = imposter.Close() }()
 
 	honest, err := Listen(Config{
-		Self:        0,
-		ListenAddr:  "127.0.0.1:0",
-		Endpoints:   gossipEndpoints(&sink{}),
-		DialBackoff: 5 * time.Millisecond,
-		Auth:        fixtureAuth(t, fx, 0),
+		Self:       0,
+		ListenAddr: "127.0.0.1:0",
+		Endpoints:  gossipEndpoints(&sink{}),
+		Auth:       fixtureAuth(t, fx, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +319,6 @@ func TestAuthStaleNonceRejected(t *testing.T) {
 		hello.Uint16(transport.Version)
 		hello.Uint16(0)
 		hello.Byte(kindStream)
-		hello.Byte(1)
 		hello.VarBytes(myNonce)
 		if err := wire.WriteFrame(conn, hello.Bytes()); err != nil {
 			t.Fatal(err)
@@ -367,12 +390,11 @@ func TestAuthVersionMismatchBeforeAuth(t *testing.T) {
 	tb := listenAuthed(t, fx, 1, &sink{})
 
 	future, err := Listen(Config{
-		Self:        0,
-		ListenAddr:  "127.0.0.1:0",
-		Endpoints:   gossipEndpoints(&sink{}),
-		DialBackoff: 5 * time.Millisecond,
-		Auth:        fixtureAuth(t, fx, 0),
-		version:     transport.Version + 1,
+		Self:       0,
+		ListenAddr: "127.0.0.1:0",
+		Endpoints:  gossipEndpoints(&sink{}),
+		Auth:       fixtureAuth(t, fx, 0),
+		version:    transport.Version + 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +436,7 @@ func TestAuthSelfMismatchRefused(t *testing.T) {
 
 // TestAuthOversizedHelloRefusedOnHeader: before a connection has proven
 // anything, four bytes must not buy wire.MaxFrame of this process's
-// memory for HandshakeTimeout. A raw connection that sends only a frame
+// memory for the handshake timeout. A raw connection that sends only a frame
 // header announcing MaxFrame is refused on that header — no payload
 // awaited, no deadline needed (the listener's is far away) — counted, and
 // closed.
@@ -422,9 +444,8 @@ func TestAuthOversizedHelloRefusedOnHeader(t *testing.T) {
 	fx := authFixture(t, 2)
 	tb, err := Listen(Config{
 		Self: 1, ListenAddr: "127.0.0.1:0",
-		Endpoints:        gossipEndpoints(&sink{}),
-		Auth:             fixtureAuth(t, fx, 1),
-		HandshakeTimeout: time.Minute,
+		Endpoints: gossipEndpoints(&sink{}),
+		Auth:      fixtureAuth(t, fx, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -466,9 +487,8 @@ func TestAuthOversizedHelloRefusedOnHeader(t *testing.T) {
 	}()
 	ta, err := Listen(Config{
 		Self: 0, ListenAddr: "127.0.0.1:0",
-		Endpoints:        gossipEndpoints(&sink{}),
-		Auth:             fixtureAuth(t, fx, 0),
-		HandshakeTimeout: time.Minute,
+		Endpoints: gossipEndpoints(&sink{}),
+		Auth:      fixtureAuth(t, fx, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,12 +515,11 @@ func TestAuthForgedHelloChargesNobody(t *testing.T) {
 	const framed = 2
 	scores := peerscore.New(peerscore.Options{})
 	victim, err := Listen(Config{
-		Self:        0,
-		ListenAddr:  "127.0.0.1:0",
-		Endpoints:   gossipEndpoints(&sink{}),
-		DialBackoff: 5 * time.Millisecond,
-		Auth:        fixtureAuth(t, fx, 0),
-		Scores:      scores,
+		Self:       0,
+		ListenAddr: "127.0.0.1:0",
+		Endpoints:  gossipEndpoints(&sink{}),
+		Auth:       fixtureAuth(t, fx, 0),
+		Scores:     scores,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -528,7 +547,6 @@ func TestAuthForgedHelloChargesNobody(t *testing.T) {
 		hello.Uint16(transport.Version)
 		hello.Uint16(framed)
 		hello.Byte(kindStream)
-		hello.Byte(1)
 		hello.VarBytes(make([]byte, transport.NonceSize))
 		if err := wire.WriteFrame(conn, hello.Bytes()); err != nil {
 			t.Fatal(err)
@@ -606,12 +624,11 @@ func TestAuthUnansweredHandshakeChargesNobody(t *testing.T) {
 			}()
 			scores := peerscore.New(peerscore.Options{})
 			dialer, err := Listen(Config{
-				Self:        0,
-				ListenAddr:  "127.0.0.1:0",
-				Endpoints:   gossipEndpoints(&sink{}),
-				DialBackoff: 5 * time.Millisecond,
-				Auth:        fixtureAuth(t, fx, 0),
-				Scores:      scores,
+				Self:       0,
+				ListenAddr: "127.0.0.1:0",
+				Endpoints:  gossipEndpoints(&sink{}),
+				Auth:       fixtureAuth(t, fx, 0),
+				Scores:     scores,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -73,7 +73,6 @@ func FuzzHandshake(f *testing.F) {
 		if kind == kindCall {
 			hello.Byte(byte(transport.ChanSync))
 		}
-		hello.Byte(1)
 		hello.VarBytes(make([]byte, transport.NonceSize))
 		proof := wire.NewWriter(80)
 		proof.Byte(tagAuthProof)

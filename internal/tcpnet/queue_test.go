@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -54,9 +55,9 @@ func freeAddr(t *testing.T) string {
 // sender returns a transport with one peer, 1, at addr.
 func sender(t *testing.T, addr string, cfg Config) (*Transport, *peer) {
 	t.Helper()
-	cfg.ListenAddr, cfg.DialBackoff = "127.0.0.1:0", 2*time.Millisecond
+	cfg.ListenAddr = "127.0.0.1:0"
 	cfg.Endpoints = gossipEndpoints(&sink{})
-	tr, err := Listen(cfg)
+	tr, err := Listen(withAuth(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestBacklogFollowsThePeer(t *testing.T) {
 	}
 
 	got := make(arrivals, 4*backlog)
-	back, err := Listen(Config{Self: 1, ListenAddr: addr, Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: got}})
+	back, err := Listen(withAuth(t, Config{Self: 1, ListenAddr: addr, Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: got}}))
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
@@ -159,23 +160,23 @@ func TestBacklogFollowsThePeer(t *testing.T) {
 	}
 }
 
-// TestSendBlocksAtQueueSize: QueueSize is a bound on the backlog. Send
+// TestSendBlocksAtQueueSize: queueSize is a bound on the backlog. Send
 // returns while there is room, blocks when there is none, and is released by
 // a drain — the peer comes up — or, on a second transport, by Close.
 func TestSendBlocksAtQueueSize(t *testing.T) {
-	const bound = 4
+	frame := func(i int) []byte { return binary.BigEndian.AppendUint16(nil, uint16(i)) }
 	overflow := func(tr *Transport) chan struct{} {
-		for i := 0; i < bound; i++ {
-			tr.Send(1, transport.ChanGossip, []byte{byte(i)})
+		for i := 0; i < queueSize; i++ {
+			tr.Send(1, transport.ChanGossip, frame(i))
 		}
 		returned := make(chan struct{})
 		go func() {
-			tr.Send(1, transport.ChanGossip, []byte{bound})
+			tr.Send(1, transport.ChanGossip, frame(queueSize))
 			close(returned)
 		}()
 		select {
 		case <-returned:
-			t.Fatalf("Send number %d returned with the queue at its bound", bound+1)
+			t.Fatalf("Send number %d returned with the queue at its bound", queueSize+1)
 		case <-time.After(50 * time.Millisecond): // it can only fail to fail
 		}
 		return returned
@@ -190,25 +191,25 @@ func TestSendBlocksAtQueueSize(t *testing.T) {
 	}
 
 	addr := freeAddr(t)
-	tr, p := sender(t, addr, Config{QueueSize: bound})
+	tr, p := sender(t, addr, Config{})
 	returned := overflow(tr)
-	if length, _ := p.size(); length != bound {
-		t.Fatalf("queue holds %d frames, bound %d", length, bound)
+	if length, _ := p.size(); length != queueSize {
+		t.Fatalf("queue holds %d frames, bound %d", length, queueSize)
 	}
-	got := make(arrivals, 4*bound)
-	back, err := Listen(Config{Self: 1, ListenAddr: addr, Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: got}})
+	got := make(arrivals, 4*queueSize)
+	back, err := Listen(withAuth(t, Config{Self: 1, ListenAddr: addr, Endpoints: map[transport.Channel]transport.Endpoint{transport.ChanGossip: got}}))
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
 	defer back.Close()
 	await(returned, "the peer drained the queue")
-	for want := 0; want <= bound; {
-		if first := got.next(t)[0]; int(first) == want {
+	for want := 0; want <= queueSize; {
+		if got.next(t) == string(frame(want)) {
 			want++
 		}
 	}
 
-	closing, _ := sender(t, freeAddr(t), Config{QueueSize: bound})
+	closing, _ := sender(t, freeAddr(t), Config{})
 	returned = overflow(closing)
 	if err := closing.Close(); err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestBanReleasesBacklog(t *testing.T) {
 
 // TestStreamBytesUnchanged: queueing (channel, payload) and framing on the
 // way out puts on the wire, byte for byte, what copying the channel byte in
-// front of the payload and framing that did: after the identification frame,
+// front of the payload and framing that did: after the handshake,
 // one wire.WriteFrame of channel ‖ payload per Send — also for an empty
 // payload, a run that left in one write, and frames queued behind a write in
 // flight: the first payload is larger than the socket buffers of both ends,
@@ -269,10 +270,12 @@ func TestStreamBytesUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(patience))
-	if _, err := wire.ReadFrame(conn); err != nil {
-		t.Fatalf("identification frame: %v", err)
+	// The handshake, answered as server 1 would answer it.
+	listener := &Transport{cfg: withAuth(t, Config{Self: 1, version: transport.Version})}
+	if _, _, _, ok := listener.admit(conn); !ok {
+		t.Fatal("handshake refused")
 	}
+	_ = conn.SetDeadline(time.Now().Add(patience))
 	got := make([]byte, want.Len())
 	if _, err := io.ReadFull(conn, got[:1<<20]); err != nil {
 		t.Fatal(err)

@@ -11,30 +11,25 @@
 //
 // Wire format: after connecting, a peer sends one identification frame
 // carrying the transport protocol version, its ServerID, the connection
-// kind (stream or call, the latter with its channel), and — when
-// authentication is configured — a fresh challenge nonce. A version
-// mismatch rejects the connection at the handshake — nothing after the
-// identification frame is ever parsed across versions. Stream connections
-// then carry length-prefixed frames (package wire), each prefixed with
-// its channel byte; call connections carry one request frame, then
-// response frames tagged data/end/error. All frames respect
+// kind (stream or call, the latter with its channel) and a fresh challenge
+// nonce. A version mismatch rejects the connection at the handshake —
+// nothing after the identification frame is ever parsed across versions.
+// Stream connections then carry length-prefixed frames (package wire),
+// each prefixed with its channel byte; call connections carry one request
+// frame, then response frames tagged data/end/error. All frames respect
 // wire.MaxFrame, so bulk payloads are chunked by the caller (package
 // syncsvc streams block batches well under the limit).
 //
-// With Config.Auth set, the identification frame opens a mutual
-// challenge–response: the listener answers with its own identity, a fresh
-// nonce, and a signature over the dialer's nonce (bound to the protocol
-// version, connection kind, channel, and both identities via
+// Every connection is authenticated (Config.Auth, which package roster
+// provides): the identification frame opens a mutual challenge–response.
+// The listener answers with its own identity, a fresh nonce, and a
+// signature over the dialer's nonce (bound to the protocol version,
+// connection kind, channel, and both identities via
 // transport.AuthContext); the dialer verifies it against the roster entry
 // for the peer it dialed, then returns its own proof over the listener's
 // nonce. Only after both proofs verify does any payload byte get parsed:
 // an unproven, misattributed, or non-roster connection is refused at the
-// handshake and counted in Rejections/AuthRejections. Without Auth the
-// transport trusts the claimed ServerID — acceptable for tests and
-// closed networks because authenticity of every block is still
-// established by its signature at the gossip layer, but a production
-// deployment should always run authenticated (package roster provides
-// the Authenticator).
+// handshake and counted in Rejections/AuthRejections.
 package tcpnet
 
 import (
@@ -80,9 +75,32 @@ const (
 // kilobyte, not wire.MaxFrame.
 const maxHandshakeFrame = 1 << 10
 
+// The transport's fixed limits.
+const (
+	// dialBackoff is the first wait after a failed dial or handshake; it
+	// doubles up to maxBackoff, so a peer that is down costs a dial every
+	// two seconds, and one that restarts is reached within a few tens of
+	// milliseconds.
+	dialBackoff = 50 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+	// queueSize bounds each peer's outbound queue, in frames; sends beyond
+	// it block, applying backpressure. A bound, not an allocation: a
+	// queue's memory is its backlog's, released as it drains.
+	queueSize = 4096
+	// callTimeout bounds a call's dial+handshake and each subsequent frame
+	// read and write: a peer that stops mid-stream surfaces
+	// transport.ErrStreamLost instead of wedging either end.
+	callTimeout = 10 * time.Second
+	// handshakeTimeout bounds the identification/authentication exchange
+	// on every connection, inbound and outbound: a peer that connects and
+	// stalls mid-handshake cannot pin a goroutine and its descriptor until
+	// shutdown.
+	handshakeTimeout = 10 * time.Second
+)
+
 // Config parameterizes a TCP transport.
 type Config struct {
-	// Self is this server's identity. Required.
+	// Self is this server's identity. Required; Auth.Self() must equal it.
 	Self types.ServerID
 	// ListenAddr is the local address to accept peers on (e.g.
 	// "127.0.0.1:7001"). Required.
@@ -93,29 +111,13 @@ type Config struct {
 	// Handlers serves inbound calls by channel. Optional. Handlers run
 	// on per-connection goroutines; see transport.Handler.
 	Handlers map[transport.Channel]transport.Handler
-	// DialBackoff is the initial reconnect backoff (default 50ms,
-	// doubling to a 2s cap).
-	DialBackoff time.Duration
-	// QueueSize bounds each peer's outbound queue, in frames (default
-	// 4096); sends beyond it block, applying backpressure. A bound, not an
-	// allocation: a queue's memory is its backlog's, released as it drains.
-	QueueSize int
-	// CallTimeout bounds a call's dial+handshake and each subsequent
-	// frame read (default 10s): a peer that stops mid-stream surfaces
-	// transport.ErrStreamLost instead of wedging the caller.
-	CallTimeout time.Duration
-	// Auth, if non-nil, requires every connection (inbound and outbound)
-	// to complete the mutual challenge–response handshake: each side
-	// proves possession of the private key behind its claimed ServerID
-	// by signing the peer's fresh nonce, bound to the protocol version
-	// and channel. Unproven, misattributed, and non-roster peers are
-	// refused before any payload is parsed. Auth.Self() must equal Self.
+	// Auth runs every connection's (inbound and outbound) mutual
+	// challenge–response handshake: each side proves possession of the
+	// private key behind its claimed ServerID by signing the peer's fresh
+	// nonce, bound to the protocol version and channel. Unproven,
+	// misattributed, and non-roster peers are refused before any payload
+	// is parsed. Required.
 	Auth transport.Authenticator
-	// HandshakeTimeout bounds the identification/authentication exchange
-	// on every connection, inbound and outbound (default 10s): a peer
-	// that connects and stalls mid-handshake cannot pin a goroutine and
-	// its descriptor until shutdown.
-	HandshakeTimeout time.Duration
 	// Scores, if non-nil, is consulted on every connection and payload:
 	// traffic to and from a banned peer is refused (sends dropped, calls
 	// fail with transport.ErrUnreachable, inbound connections closed
@@ -183,7 +185,7 @@ type peer struct {
 
 	mu     sync.Mutex
 	frames []frame       // the backlog, oldest first
-	slots  chan struct{} // a token a queued frame, Config.QueueSize at most (of size zero: no buffer)
+	slots  chan struct{} // a token a queued frame, queueSize at most (of size zero: no buffer)
 	ready  chan struct{} // capacity 1: a frame was queued
 }
 
@@ -224,19 +226,10 @@ func Listen(cfg Config) (*Transport, error) {
 			return nil, fmt.Errorf("tcpnet: invalid handler channel %v", ch)
 		}
 	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = 50 * time.Millisecond
-	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 4096
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
-	}
-	if cfg.Auth != nil && cfg.Auth.Self() != cfg.Self {
+	switch {
+	case cfg.Auth == nil:
+		return nil, errors.New("tcpnet: config needs an Auth")
+	case cfg.Auth.Self() != cfg.Self:
 		return nil, fmt.Errorf("tcpnet: authenticator proves %v, config is %v", cfg.Auth.Self(), cfg.Self)
 	}
 	if cfg.version == 0 {
@@ -267,7 +260,7 @@ func (t *Transport) Connect(id types.ServerID, addr string) error {
 	if _, dup := t.peers[id]; dup {
 		return fmt.Errorf("tcpnet: peer %v already connected", id)
 	}
-	p := &peer{id: id, addr: addr, slots: make(chan struct{}, t.cfg.QueueSize), ready: make(chan struct{}, 1)}
+	p := &peer{id: id, addr: addr, slots: make(chan struct{}, queueSize), ready: make(chan struct{}, 1)}
 	t.peers[id] = p
 	t.wg.Add(1)
 	go t.runSender(p)
@@ -285,7 +278,7 @@ func (t *Transport) Counts() *metrics.Metrics { return &t.counts }
 
 // Send implements transport.Transport: enqueue the payload, as it is, for
 // the peer's sender goroutine, which frames it (length, channel byte) on the
-// way out; it blocks while that queue is at Config.QueueSize. Unknown
+// way out; it blocks while that queue is at queueSize. Unknown
 // destinations are dropped (they cannot be correct servers: the peer table
 // covers the roster), as is a payload that fits no frame.
 func (t *Transport) Send(to types.ServerID, ch transport.Channel, payload []byte) {
@@ -349,7 +342,7 @@ func (t *Transport) Call(to types.ServerID, ch transport.Channel, req []byte, si
 func (t *Transport) runCall(ctx context.Context, cancel context.CancelFunc, to types.ServerID, addr string, ch transport.Channel, req []byte, sink transport.CallSink) {
 	defer t.wg.Done()
 	defer cancel()
-	d := net.Dialer{Timeout: t.cfg.CallTimeout}
+	d := net.Dialer{Timeout: callTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		sink.OnDone(fmt.Errorf("%w: %v", transport.ErrUnreachable, err))
@@ -372,7 +365,7 @@ func (t *Transport) runCall(ctx context.Context, cancel context.CancelFunc, to t
 		}
 		return
 	}
-	deadline := func() { _ = conn.SetDeadline(time.Now().Add(t.cfg.CallTimeout)) }
+	deadline := func() { _ = conn.SetDeadline(time.Now().Add(callTimeout)) }
 	deadline()
 	if err := wire.WriteFrame(conn, req); err != nil {
 		// The dialer's proof is checked after handshake returns here: a
@@ -509,26 +502,21 @@ func newNonce() ([]byte, error) {
 }
 
 // handshake runs the dialer side of connection setup: write the
-// identification frame and — with authentication configured — complete
-// the mutual challenge–response before any payload crosses the
-// connection. peer is the identity this transport dialed; the listener
-// must prove exactly that identity or the connection is abandoned. The
-// whole exchange runs under HandshakeTimeout; the deadline is cleared on
-// success.
+// identification frame and complete the mutual challenge–response before
+// any payload crosses the connection. peer is the identity this transport
+// dialed; the listener must prove exactly that identity or the connection
+// is abandoned. The whole exchange runs under handshakeTimeout; the
+// deadline is cleared on success.
 //
 // Errors wrapping transport.ErrAuthFailed, ErrVersionMismatch, or
 // ErrNoHandler carry the listener's explicit refusal (call connections
 // only — stream listeners refuse by closing); anything else is a
 // transport-level failure the caller treats like an unreachable peer.
 func (t *Transport) handshake(conn net.Conn, peer types.ServerID, kind byte, ch transport.Channel) error {
-	_ = conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
-	authed := t.cfg.Auth != nil
-	var nonce []byte
-	if authed {
-		var err error
-		if nonce, err = newNonce(); err != nil {
-			return err
-		}
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	nonce, err := newNonce()
+	if err != nil {
+		return err
 	}
 	hello := wire.NewWriter(8 + transport.NonceSize)
 	hello.Uint16(t.cfg.version)
@@ -537,24 +525,15 @@ func (t *Transport) handshake(conn net.Conn, peer types.ServerID, kind byte, ch 
 	if kind == kindCall {
 		hello.Byte(byte(ch))
 	}
-	if authed {
-		hello.Byte(1)
-		hello.VarBytes(nonce)
-	} else {
-		hello.Byte(0)
-	}
+	hello.VarBytes(nonce)
 	if err := wire.WriteFrame(conn, hello.Bytes()); err != nil {
 		return fmt.Errorf("identification: %w", err)
-	}
-	if !authed {
-		_ = conn.SetDeadline(time.Time{})
-		return nil
 	}
 
 	frame, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
 	if err != nil {
 		// The listener closed without answering: it refused us (version
-		// mismatch, failed proof, or no auth configured) or died.
+		// mismatch or failed proof) or died.
 		return fmt.Errorf("%w: no challenge answer: %v", transport.ErrAuthFailed, err)
 	}
 	if len(frame) > 0 && frame[0] == tagError {
@@ -593,20 +572,8 @@ func (t *Transport) handshake(conn net.Conn, peer types.ServerID, kind byte, ch 
 
 // serveHandshake runs the listener side of authentication after the
 // identification frame: issue a challenge carrying our own proof over the
-// dialer's nonce, then demand a verifying proof over ours. A nil error
-// with Auth unset means the connection proceeds unauthenticated (and the
-// dialer must not have requested authentication — a half-authenticated
-// link would desynchronize framing).
-func (t *Transport) serveHandshake(conn net.Conn, from types.ServerID, kind byte, ch transport.Channel, authFlag byte, dialerNonce []byte) error {
-	if t.cfg.Auth == nil {
-		if authFlag != 0 {
-			return errors.New("tcpnet: peer requires authentication, none configured")
-		}
-		return nil
-	}
-	if authFlag != 1 {
-		return fmt.Errorf("tcpnet: peer %v did not authenticate", from)
-	}
+// dialer's nonce, then demand a verifying proof over ours.
+func (t *Transport) serveHandshake(conn net.Conn, from types.ServerID, kind byte, ch transport.Channel, dialerNonce []byte) error {
 	if len(dialerNonce) != transport.NonceSize {
 		return fmt.Errorf("tcpnet: peer %v sent a %d-byte nonce", from, len(dialerNonce))
 	}
@@ -643,30 +610,44 @@ func (t *Transport) serveHandshake(conn net.Conn, from types.ServerID, kind byte
 	return nil
 }
 
-// runReader consumes one inbound connection: the identification frame
-// (version, peer, kind, authentication flag and nonce), the
-// challenge–response when authentication is on, then — depending on the
-// kind — a stream of channel-tagged payloads or a single call. No
-// payload byte is parsed before the handshake completes.
+// runReader consumes one inbound connection: the handshake (admit), then —
+// depending on the kind — a stream of channel-tagged payloads or a single
+// call.
 func (t *Transport) runReader(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() { _ = conn.Close() }()
+	from, kind, ch, ok := t.admit(conn)
+	if !ok {
+		return
+	}
+	switch kind {
+	case kindStream:
+		t.serveStream(conn, from)
+	case kindCall:
+		t.serveCall(conn, from, ch)
+	}
+}
 
+// admit runs the listener side of connection setup: the identification
+// frame (version, peer, kind, nonce), the challenge–response, and the ban
+// gate. No payload byte is parsed before it reports ok; a refusal is
+// counted, and a call connection is told why.
+func (t *Transport) admit(conn net.Conn) (from types.ServerID, kind byte, ch transport.Channel, ok bool) {
 	// The whole handshake runs under a deadline: a peer that connects
 	// and stalls cannot pin this goroutine until shutdown.
-	_ = conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	hello, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
 	if err != nil {
 		if errors.Is(err, wire.ErrTooLarge) {
 			t.counts.Add(Rejections, 1)
 		}
-		return
+		return 0, 0, 0, false
 	}
 	r := wire.NewReader(hello)
 	version := r.Uint16()
 	if r.Err() != nil {
 		t.counts.Add(Rejections, 1)
-		return
+		return 0, 0, 0, false
 	}
 	if version != t.cfg.version {
 		// Incompatible peer: refuse at the handshake, before any
@@ -686,24 +667,19 @@ func (t *Transport) runReader(conn net.Conn) {
 		if r.Byte() == kindCall && r.Err() == nil {
 			t.writeCallError(conn, transport.ErrVersionMismatch)
 		}
-		return
+		return 0, 0, 0, false
 	}
-	from := types.ServerID(r.Uint16())
-	kind := r.Byte()
-	var callCh transport.Channel
+	from = types.ServerID(r.Uint16())
+	kind = r.Byte()
 	if kind == kindCall {
-		callCh = transport.Channel(r.Byte())
+		ch = transport.Channel(r.Byte())
 	}
-	authFlag := r.Byte()
-	var dialerNonce []byte
-	if authFlag == 1 {
-		dialerNonce = r.VarBytes()
-	}
-	if r.Close() != nil || authFlag > 1 || (kind != kindStream && kind != kindCall) {
+	dialerNonce := r.VarBytes()
+	if r.Close() != nil || (kind != kindStream && kind != kindCall) {
 		t.counts.Add(Rejections, 1)
-		return
+		return 0, 0, 0, false
 	}
-	if err := t.serveHandshake(conn, from, kind, callCh, authFlag, dialerNonce); err != nil {
+	if err := t.serveHandshake(conn, from, kind, ch, dialerNonce); err != nil {
 		// Counted, and nobody is charged: from is whatever the hello
 		// claimed, and a score a stranger can raise against a member of its
 		// choosing would let it steer every follower away from that member.
@@ -714,7 +690,7 @@ func (t *Transport) runReader(conn net.Conn) {
 			// it fails fast instead of timing out.
 			t.writeCallError(conn, transport.ErrAuthFailed)
 		}
-		return
+		return 0, 0, 0, false
 	}
 	if t.cfg.Scores.Banned(from) {
 		// The peer proved who it is — and who it is is banned. Refuse
@@ -724,15 +700,10 @@ func (t *Transport) runReader(conn net.Conn) {
 		if kind == kindCall {
 			t.writeCallError(conn, transport.ErrUnreachable)
 		}
-		return
+		return 0, 0, 0, false
 	}
 	_ = conn.SetDeadline(time.Time{})
-	switch kind {
-	case kindStream:
-		t.serveStream(conn, from)
-	case kindCall:
-		t.serveCall(conn, from, callCh)
-	}
+	return from, kind, ch, true
 }
 
 // serveStream demultiplexes channel-tagged payload frames to the
@@ -764,12 +735,12 @@ func (t *Transport) serveStream(conn net.Conn, from types.ServerID) {
 }
 
 // serveCall reads the request frame and runs the channel's handler over
-// the connection. CallTimeout bounds the request read and every response
+// the connection. callTimeout bounds the request read and every response
 // write, so a client that connects and stalls (or stops reading while
 // the stream backs up) cannot pin the handler goroutine and its file
 // descriptor until transport shutdown.
 func (t *Transport) serveCall(conn net.Conn, from types.ServerID, ch transport.Channel) {
-	_ = conn.SetReadDeadline(time.Now().Add(t.cfg.CallTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(callTimeout))
 	req, err := wire.ReadFrame(conn)
 	if err != nil {
 		return
@@ -780,7 +751,7 @@ func (t *Transport) serveCall(conn net.Conn, from types.ServerID, ch transport.C
 		return
 	}
 	t.counts.Add(CallsServed, 1)
-	st := &connStream{conn: conn, ctx: t.ctx, writeTimeout: t.cfg.CallTimeout}
+	st := &connStream{conn: conn, ctx: t.ctx}
 	h.ServeCall(from, req, st)
 	// A handler that returns without closing leaves the caller waiting.
 	// Close with an error on its behalf — never a clean end: only the
@@ -796,11 +767,10 @@ func (t *Transport) writeCallError(conn net.Conn, err error) {
 
 // connStream implements transport.ServerStream over one call connection.
 type connStream struct {
-	conn         net.Conn
-	ctx          context.Context
-	writeTimeout time.Duration
-	closed       bool
-	failed       bool
+	conn   net.Conn
+	ctx    context.Context
+	closed bool
+	failed bool
 }
 
 var _ transport.ServerStream = (*connStream)(nil)
@@ -822,9 +792,7 @@ func (s *connStream) Send(frame []byte) error {
 	if len(frame) >= wire.MaxFrame {
 		return fmt.Errorf("%w: stream frame of %d bytes", wire.ErrTooLarge, len(frame))
 	}
-	if s.writeTimeout > 0 {
-		_ = s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	}
+	_ = s.conn.SetWriteDeadline(time.Now().Add(callTimeout))
 	if _, err := s.conn.Write(wire.AppendTagged(nil, tagData, frame)); err != nil {
 		s.failed = true
 		return fmt.Errorf("%w: %v", transport.ErrStreamLost, err)
@@ -861,8 +829,7 @@ func (t *Transport) runSender(p *peer) {
 			_ = conn.Close()
 		}
 	}()
-	backoff := t.cfg.DialBackoff
-	const maxBackoff = 2 * time.Second
+	backoff := dialBackoff
 	wait := func() bool {
 		select {
 		case <-t.ctx.Done():
@@ -907,8 +874,8 @@ func (t *Transport) runSender(p *peer) {
 				}
 				continue
 			}
-			// Identify ourselves (and mutually authenticate when
-			// configured) on the fresh connection. A failed handshake
+			// Identify ourselves and mutually authenticate on the fresh
+			// connection. A failed handshake
 			// backs off like a failed dial: a listener that refuses us
 			// — or an impostor that cannot prove it is p.id — must not
 			// be hammered in a tight reconnect loop.
@@ -921,7 +888,7 @@ func (t *Transport) runSender(p *peer) {
 				continue
 			}
 			conn = c
-			backoff = t.cfg.DialBackoff
+			backoff = dialBackoff
 		}
 		var out []byte // the backlog framed, a megabyte or a frame at a time
 		sent := 0

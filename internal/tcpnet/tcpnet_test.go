@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"blockdag/internal/roster"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
@@ -53,6 +54,28 @@ func gossipEndpoints(s *sink) map[transport.Channel]transport.Endpoint {
 	return map[transport.Channel]transport.Endpoint{transport.ChanGossip: s}
 }
 
+// devFixture is the roster every test transport authenticates against.
+var devFixture = sync.OnceValues(func() (*roster.Fixture, error) { return roster.Dev(4) })
+
+// withAuth gives cfg the dev fixture's authenticator for cfg.Self, unless
+// it has one: every transport authenticates.
+func withAuth(t testing.TB, cfg Config) Config {
+	t.Helper()
+	if cfg.Auth != nil {
+		return cfg
+	}
+	fx, err := devFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := fx.Identity(int(cfg.Self))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Auth = id.Auth()
+	return cfg
+}
+
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -67,12 +90,12 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 
 func TestSendReceive(t *testing.T) {
 	sa, sb := &sink{}, &sink{}
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(sa)})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(sa)}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ta.Close() }()
-	tb, err := Listen(Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(sb)})
+	tb, err := Listen(withAuth(t, Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(sb)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +126,19 @@ func TestSendReceive(t *testing.T) {
 // their respective endpoints; a channel with no endpoint drops silently.
 func TestChannelDemux(t *testing.T) {
 	gossip, syncEp := &sink{}, &sink{}
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ta.Close() }()
-	tb, err := Listen(Config{
+	tb, err := Listen(withAuth(t, Config{
 		Self:       1,
 		ListenAddr: "127.0.0.1:0",
 		Endpoints: map[transport.Channel]transport.Endpoint{
 			transport.ChanGossip: gossip,
 			transport.ChanSync:   syncEp,
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,31 +162,22 @@ func TestChannelDemux(t *testing.T) {
 // delivered once the peer comes up (Assumption 1 with a late receiver).
 func TestRetransmitAcrossReconnect(t *testing.T) {
 	sa := &sink{}
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(sa), DialBackoff: 5 * time.Millisecond})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(sa)}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ta.Close() }()
 
-	// Reserve an address by listening and closing, then point the
-	// sender at it while nothing is there.
-	probe, err := Listen(Config{Self: 9, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := probe.Addr()
-	if err := probe.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+	// Point the sender at an address while nothing is there.
+	addr := freeAddr(t)
 	if err := ta.Connect(1, addr); err != nil {
 		t.Fatal(err)
 	}
 	ta.Send(1, transport.ChanGossip, []byte("early"))
-	time.Sleep(20 * time.Millisecond) // let a few dials fail
+	time.Sleep(100 * time.Millisecond) // let a few dials fail
 
 	sb := &sink{}
-	tb, err := Listen(Config{Self: 1, ListenAddr: addr, Endpoints: gossipEndpoints(sb)})
+	tb, err := Listen(withAuth(t, Config{Self: 1, ListenAddr: addr, Endpoints: gossipEndpoints(sb)}))
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
@@ -177,12 +191,12 @@ func TestRetransmitAcrossReconnect(t *testing.T) {
 
 func TestLargeFrames(t *testing.T) {
 	sb := &sink{}
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ta.Close() }()
-	tb, err := Listen(Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(sb)})
+	tb, err := Listen(withAuth(t, Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(sb)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +214,12 @@ func TestLargeFrames(t *testing.T) {
 
 func TestOrderingPerPeer(t *testing.T) {
 	sb := &sink{}
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ta.Close() }()
-	tb, err := Listen(Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(sb)})
+	tb, err := Listen(withAuth(t, Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(sb)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +242,7 @@ func TestOrderingPerPeer(t *testing.T) {
 }
 
 func TestCloseIsIdempotentAndClean(t *testing.T) {
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +258,7 @@ func TestCloseIsIdempotentAndClean(t *testing.T) {
 }
 
 func TestConnectTwiceRejected(t *testing.T) {
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,15 +271,25 @@ func TestConnectTwiceRejected(t *testing.T) {
 	}
 }
 
+// TestListenRequiresAuth: there is no unauthenticated transport — a
+// config without an Authenticator is refused at Listen.
+func TestListenRequiresAuth(t *testing.T) {
+	tr, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	if err == nil {
+		_ = tr.Close()
+		t.Fatal("Listen accepted a config without Auth")
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
-	if _, err := Listen(Config{Self: 0, Endpoints: gossipEndpoints(&sink{})}); err == nil {
+	if _, err := Listen(withAuth(t, Config{Self: 0, Endpoints: gossipEndpoints(&sink{})})); err == nil {
 		t.Fatal("missing ListenAddr accepted")
 	}
-	if _, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0"}); err == nil {
+	if _, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0"})); err == nil {
 		t.Fatal("missing Endpoints/Handlers accepted")
 	}
-	if _, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0",
-		Endpoints: map[transport.Channel]transport.Endpoint{transport.Channel(9): &sink{}}}); err == nil {
+	if _, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0",
+		Endpoints: map[transport.Channel]transport.Endpoint{transport.Channel(9): &sink{}}})); err == nil {
 		t.Fatal("invalid channel accepted")
 	}
 }
@@ -276,23 +300,22 @@ func TestConfigValidation(t *testing.T) {
 // transport.ErrVersionMismatch rather than silence.
 func TestVersionMismatchRejected(t *testing.T) {
 	sb := &sink{}
-	tb, err := Listen(Config{
+	tb, err := Listen(withAuth(t, Config{
 		Self: 1, ListenAddr: "127.0.0.1:0",
 		Endpoints: gossipEndpoints(sb),
 		Handlers:  map[transport.Channel]transport.Handler{transport.ChanSync: echoHandler{}},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = tb.Close() }()
 
 	// Old (or future) binary: same code, different advertised version.
-	ta, err := Listen(Config{
+	ta, err := Listen(withAuth(t, Config{
 		Self: 0, ListenAddr: "127.0.0.1:0",
-		Endpoints:   gossipEndpoints(&sink{}),
-		DialBackoff: 5 * time.Millisecond,
-		version:     transport.Version + 1,
-	})
+		Endpoints: gossipEndpoints(&sink{}),
+		version:   transport.Version + 1,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,6 +354,33 @@ func TestVersionMismatchRejected(t *testing.T) {
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := wire.ReadFrame(conn); err == nil {
 		t.Fatal("rejected connection produced a frame")
+	}
+
+	// A version-3 binary — whose hello carried an authentication flag
+	// before its nonce — is told the version is wrong on a call
+	// connection, not dropped as malformed.
+	call, err := net.Dial("tcp", tb.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = call.Close() }()
+	v3 := wire.NewWriter(8 + transport.NonceSize)
+	v3.Uint16(3)
+	v3.Uint16(0)
+	v3.Byte(kindCall)
+	v3.Byte(byte(transport.ChanSync))
+	v3.Byte(1)
+	v3.VarBytes(make([]byte, transport.NonceSize))
+	if err := wire.WriteFrame(call, v3.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	_ = call.SetReadDeadline(time.Now().Add(2 * time.Second))
+	frame, err := wire.ReadFrame(call)
+	if err != nil || len(frame) == 0 || frame[0] != tagError {
+		t.Fatalf("version-3 call hello answered %q, %v; want an error frame", frame, err)
+	}
+	if err := decodeCallError(frame[1:]); !errors.Is(err, transport.ErrVersionMismatch) {
+		t.Fatalf("version-3 call hello refused with %v, want ErrVersionMismatch", err)
 	}
 }
 
@@ -389,16 +439,16 @@ func (c *callSink) wait(t *testing.T, timeout time.Duration) callResult {
 // TestCallRoundTrip: request/response streaming over a dedicated
 // connection, frames in order, clean termination.
 func TestCallRoundTrip(t *testing.T) {
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ta.Close() }()
-	tb, err := Listen(Config{
+	tb, err := Listen(withAuth(t, Config{
 		Self: 1, ListenAddr: "127.0.0.1:0",
 		Endpoints: gossipEndpoints(&sink{}),
 		Handlers:  map[transport.Channel]transport.Handler{transport.ChanSync: echoHandler{}},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,12 +477,12 @@ func TestCallRoundTrip(t *testing.T) {
 // TestCallNoHandler: calling a channel the peer does not serve fails
 // explicitly with ErrNoHandler.
 func TestCallNoHandler(t *testing.T) {
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ta.Close() }()
-	tb, err := Listen(Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	tb, err := Listen(withAuth(t, Config{Self: 1, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +499,7 @@ func TestCallNoHandler(t *testing.T) {
 
 // TestCallUnknownPeer: calling a peer never Connect-ed fails immediately.
 func TestCallUnknownPeer(t *testing.T) {
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,22 +534,21 @@ func (h *stallHandler) ServeCall(from types.ServerID, req []byte, st transport.S
 // against the restarted peer completes — the reconnect discipline the
 // sync service builds its resume-or-fallback logic on.
 func TestCallMidStreamDeathThenRetry(t *testing.T) {
-	ta, err := Listen(Config{
+	ta, err := Listen(withAuth(t, Config{
 		Self: 0, ListenAddr: "127.0.0.1:0",
-		Endpoints:   gossipEndpoints(&sink{}),
-		CallTimeout: 2 * time.Second,
-	})
+		Endpoints: gossipEndpoints(&sink{}),
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ta.Close() }()
 
 	h := &stallHandler{frames: 2, stalled: make(chan struct{}), release: make(chan struct{})}
-	tb, err := Listen(Config{
+	tb, err := Listen(withAuth(t, Config{
 		Self: 1, ListenAddr: "127.0.0.1:0",
 		Endpoints: gossipEndpoints(&sink{}),
 		Handlers:  map[transport.Channel]transport.Handler{transport.ChanSync: h},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,11 +578,11 @@ func TestCallMidStreamDeathThenRetry(t *testing.T) {
 	}
 
 	// The peer restarts on the same address; a retried call completes.
-	tb2, err := Listen(Config{
+	tb2, err := Listen(withAuth(t, Config{
 		Self: 1, ListenAddr: addr,
 		Endpoints: gossipEndpoints(&sink{}),
 		Handlers:  map[transport.Channel]transport.Handler{transport.ChanSync: echoHandler{}},
-	})
+	}))
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
@@ -554,11 +603,11 @@ func TestCallMidStreamDeathThenRetry(t *testing.T) {
 // connection without wedging the transport.
 func TestCallCancel(t *testing.T) {
 	h := &stallHandler{frames: 1, stalled: make(chan struct{}), release: make(chan struct{})}
-	tb, err := Listen(Config{
+	tb, err := Listen(withAuth(t, Config{
 		Self: 1, ListenAddr: "127.0.0.1:0",
 		Endpoints: gossipEndpoints(&sink{}),
 		Handlers:  map[transport.Channel]transport.Handler{transport.ChanSync: h},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +615,7 @@ func TestCallCancel(t *testing.T) {
 	// LIFO: release the stalled handler before tb.Close waits on its
 	// goroutine.
 	defer close(h.release)
-	ta, err := Listen(Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})})
+	ta, err := Listen(withAuth(t, Config{Self: 0, ListenAddr: "127.0.0.1:0", Endpoints: gossipEndpoints(&sink{})}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,16 +65,15 @@
 // signatures from block signatures) prevents a proof minted for one
 // purpose from authenticating another. Version negotiation runs before
 // authentication: an incompatible peer is told ErrVersionMismatch, never
-// ErrAuthFailed, so operators fix the right problem. Half-authenticated
-// links — one side configured, the other not — are refused outright.
+// ErrAuthFailed, so operators fix the right problem.
 //
-// Both implementations enforce the same seam: tcpnet runs the exchange
-// as handshake frames on every connection; simnet runs it through the
-// registered Authenticators at link establishment (cached per server
-// generation, so a restarted server re-proves itself), which lets
-// cluster tests drive byzantine identity scenarios deterministically.
-// Failures surface as ErrAuthFailed on calls, silent drops plus
-// rejection counters on fire-and-forget sends.
+// Both implementations enforce the same seam: tcpnet runs the exchange as
+// handshake frames on every connection (and will not listen without an
+// Authenticator); simnet runs it through the registered Authenticators at
+// link establishment (cached per server generation, so a restarted server
+// re-proves itself), which lets cluster tests drive byzantine identity
+// scenarios deterministically. Failures surface as ErrAuthFailed on calls,
+// silent drops plus rejection counters on fire-and-forget sends.
 //
 // The handshake authenticates connection establishment only: subsequent
 // frames carry no session MAC and no encryption, so an on-path attacker

@@ -15,8 +15,9 @@ import (
 // channel layout can never be misparsed as protocol traffic.
 //
 // Version 2 extended the identification frame with the authentication
-// flag and handshake nonce (see Authenticator); version 1 binaries are
-// refused at the handshake.
+// flag and handshake nonce (see Authenticator); version 4 dropped the
+// flag, since every connection authenticates, and refuses a version 3
+// binary, which could still open an unauthenticated link.
 //
 // Version 3 changed no byte of any frame. It changed what a block's
 // references mean: a reference includes its ancestry, so builders cite
@@ -26,7 +27,7 @@ import (
 // them and then interpret the same DAG differently — the one divergence the
 // handshake can still prevent, so it is refused there like any other
 // mismatch.
-const Version uint16 = 3
+const Version uint16 = 4
 
 // Channel identifies one logical stream of payloads multiplexed over a
 // single peer link.
