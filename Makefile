@@ -287,8 +287,8 @@ chaos-smoke:
 # node is assembled in internal/deploy" true: non-test Go outside that
 # package (and outside bench/, frozen until the next benchmark PR) may not
 # bind a tcpnet listener, late-bind an endpoint or construct a sync server
-# — the simulator's, which serves a durable slot's node on the simulated
-# network, excepted. And it fails when non-test Go or a document
+# — the simulator's slots are deploy's assemblies too. And it fails when
+# non-test Go or a document
 # (ROADMAP.md and CHANGES.md, which are history, and the retrieved ISSUE,
 # SNIPPETS and PAPERS files excepted) cites a top-level ALLCAPS.md that is
 # not in the tree, as four packages cited EXPERIMENTS.md and DESIGN.md for
@@ -317,8 +317,7 @@ docs-check:
 		[ -d "$$m" ] || { echo "docs name $$m, which does not exist" >&2; missing=1; }; \
 	done; \
 	[ $$missing -eq 0 ] || { echo "docs-check FAILED: package map out of sync" >&2; exit 1; }
-	@wired=$$( { grep -rnE 'tcpnet\.Listen\(|transport\.LateBound' --include='*.go' internal cmd examples; \
-			grep -rn 'syncsvc\.Server{' --include='*.go' internal cmd examples | grep -v '^internal/cluster/'; } \
+	@wired=$$(grep -rnE 'tcpnet\.Listen\(|transport\.LateBound|syncsvc\.Server\{' --include='*.go' internal cmd examples \
 		| grep -v '_test\.go:' | grep -v '^internal/deploy/' || true); \
 	[ -z "$$wired" ] || { echo "docs-check FAILED: a node is assembled by hand outside internal/deploy:" >&2; echo "$$wired" >&2; exit 1; }
 	@gone=$$(grep -rnoP '(?<![/\w.-])[A-Z][A-Z0-9_]+\.md\b' --include='*.go' --include='*.md' \
@@ -377,13 +376,11 @@ bench:
 
 # KNOBS_MAX is the ceiling on configuration fields no non-test code sets.
 # It only falls: a PR that turns a knob into a constant lowers it to the new
-# count. The fields it counts today, each set by the test that needs it:
-#   cluster.Options.GatewayPerSlot    internal/cluster's TestGatewayPerSlot (the
-#                                     gateway over simulated slots)
-#   cluster.Options.StoreSegmentSize  internal/cluster's TestClusterRestartFromStore
-#                                     and TestClusterCatchUpAfterDiskLoss (a replay
-#                                     across rotated segments)
-KNOBS_MAX = 2
+# count. The field it counts today, set by the tests that need it:
+#   store.Options.SegmentSize  internal/store's rotation and replay tests and
+#                              internal/node's TestNodeTickNeverCheckpoints
+#                              (several segments from a few blocks)
+KNOBS_MAX = 1
 
 .PHONY: knobs
 # knobs lists the options nobody sets. deploy's TestKnobs (behind the knobs

@@ -84,18 +84,16 @@ func run() error {
 	if *batch == 0 {
 		*batch = *instances + 1
 	}
-	var sigs crypto.Counters
 	c, err := cluster.New(cluster.Options{
-		N:           *n,
-		Fixture:     fixture,
-		Protocol:    proto,
-		Seed:        *seed,
-		Latency:     *latency,
-		Jitter:      *jitter,
-		Drop:        *drop,
-		SigCounters: &sigs,
-		MaxBatch:    *batch,
-		StoreDir:    *storeDir,
+		N:        *n,
+		Fixture:  fixture,
+		Protocol: proto,
+		Seed:     *seed,
+		Latency:  *latency,
+		Jitter:   *jitter,
+		Drop:     *drop,
+		MaxBatch: *batch,
+		StoreDir: *storeDir,
 
 		MempoolCapacity: *mpoolCap,
 		LoadPerRound:    *loadRound,
@@ -177,7 +175,7 @@ func run() error {
 	fmt.Printf("messages materialized  %d (never sent: compression %0.1f msgs per wire send)\n",
 		agg.sim, safeDiv(agg.sim, agg.wireMsgs))
 	fmt.Printf("signatures             %d signed / %d verified (vs %d messages had each been signed)\n",
-		sigs.Get(crypto.Signed), sigs.Get(crypto.Verified), agg.sim)
+		c.Sigs.Get(crypto.Signed), c.Sigs.Get(crypto.Verified), agg.sim)
 	fmt.Printf("indications            %d across all servers\n", agg.inds)
 	if stats := c.Net.Stats(); stats.Dropped > 0 {
 		fmt.Printf("network drops          %d (recovered via FWD)\n", stats.Dropped)
@@ -192,7 +190,7 @@ func run() error {
 		submitted, accepted, dups, invalid, overflow, drained int64
 	}
 	for _, i := range c.CorrectServers() {
-		ms := c.MempoolStats(i)
+		ms := c.Servers[i].Mempool().Stats()
 		magg.submitted += ms.Submitted
 		magg.accepted += ms.Accepted
 		magg.dups += ms.Duplicates
@@ -205,7 +203,7 @@ func run() error {
 	if *storeDir != "" {
 		var fagg node.FollowReport
 		for _, i := range c.CorrectServers() {
-			fs := c.FollowStats(i)
+			fs := c.Nodes[i].FollowReport()
 			fagg.Polls += fs.Polls
 			fagg.Deltas += fs.Deltas
 			fagg.Blocks += fs.Blocks

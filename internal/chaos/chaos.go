@@ -1,8 +1,8 @@
 // Package chaos is a declarative, seeded scenario harness over the
 // cluster simulator: it composes the fault primitives the rest of the
 // repo exposes piecemeal — partitions (simnet.SetPartition), message
-// loss (SetDrop), crash/recover storms (cluster.Crash,
-// RecoverServerFromStore), and byzantine equivocation at the f boundary
+// loss (SetDrop), crash/recover storms (cluster.Crash, Restart), and
+// byzantine equivocation at the f boundary
 // (cluster.Seal + selective Send) — into named scenarios with built-in
 // invariant checks:
 //
@@ -471,7 +471,7 @@ func (r *runner) recoverAll() error {
 	}
 	sort.Ints(slots)
 	for _, slot := range slots {
-		if err := r.c.RecoverServerFromStore(slot, r.cfg.Protocol); err != nil {
+		if err := r.c.Restart(slot); err != nil {
 			return fmt.Errorf("chaos: recover s%d: %w", slot, err)
 		}
 		delete(r.crashed, slot)
@@ -655,7 +655,7 @@ func (r *runner) checkBanSurvival() error {
 	victim := correct[0]
 	r.logf("ban-survival: crash/restart s%d", victim)
 	r.c.Crash(victim)
-	if err := r.c.RecoverServerFromStore(victim, r.cfg.Protocol); err != nil {
+	if err := r.c.Restart(victim); err != nil {
 		return fmt.Errorf("chaos: ban-survival recover s%d: %w", victim, err)
 	}
 	res.BanSurvival = true

@@ -45,6 +45,22 @@ func onStore(t testing.TB, src syncsvc.Source) *store.Store {
 	return st
 }
 
+// pullFrom takes slot's pull from peer (node.Node.PullFrom) as a stepped
+// turn and runs the network until the stream has settled: what a deployed
+// node's startup catch-up and live follower run, deterministically. It
+// returns the pull's error: a stream the slot rejected.
+func pullFrom(c *cluster.Cluster, slot, peer int) error {
+	settled := false
+	var pullErr error
+	abandon := c.Nodes[slot].PullFrom(types.ServerID(peer), func(_ int, err error) {
+		settled, pullErr = true, err
+	})
+	if !c.Net.RunUntil(func() bool { return settled }) {
+		abandon()
+	}
+	return pullErr
+}
+
 // deliveredValue returns the first value delivered for a label at one
 // server, nil if none.
 func deliveredValue(c *cluster.Cluster, server int, label types.Label) []byte {
@@ -64,12 +80,12 @@ func deliveredValue(c *cluster.Cluster, server int, label types.Label) []byte {
 // a time.
 func TestClusterCatchUpAfterDiskLoss(t *testing.T) {
 	dir := t.TempDir()
+	// A replay across rotated WAL segments is store.TestSegmentRotation's.
 	c, err := cluster.New(cluster.Options{
-		N:                4,
-		Protocol:         brb.Protocol{},
-		Seed:             33,
-		StoreDir:         dir,
-		StoreSegmentSize: 2048, // rotation in play
+		N:        4,
+		Protocol: brb.Protocol{},
+		Seed:     33,
+		StoreDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +129,10 @@ func TestClusterCatchUpAfterDiskLoss(t *testing.T) {
 
 	// Phase 3: restart via bulk sync from server 0's store.
 	sendsBefore := c.Net.Stats().Sends
-	if err := c.RecoverServerViaSync(2, brb.Protocol{}, 0); err != nil {
+	if err := c.Restart(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := pullFrom(c, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	stats := c.Net.Stats()
@@ -188,7 +207,7 @@ func TestClusterCatchUpDeterministic(t *testing.T) {
 		dir := t.TempDir()
 		c, err := cluster.New(cluster.Options{
 			N: 4, Protocol: brb.Protocol{}, Seed: 7,
-			StoreDir: dir, StoreSegmentSize: 1024,
+			StoreDir: dir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -204,7 +223,10 @@ func TestClusterCatchUpDeterministic(t *testing.T) {
 		if err := c.RunRounds(5); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.RecoverServerViaSync(3, brb.Protocol{}, 1); err != nil {
+		if err := c.Restart(3); err != nil {
+			t.Fatal(err)
+		}
+		if err := pullFrom(c, 3, 1); err != nil {
 			t.Fatal(err)
 		}
 		s := c.Net.Stats()
@@ -265,7 +287,10 @@ func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 	tampered[mid] = forged
 	c.Net.RegisterHandler(3, transport.ChanSync, &syncsvc.Server{Store: onStore(t, fixed(tampered))})
 
-	err = c.RecoverServerViaSync(2, brb.Protocol{}, 3)
+	if err := c.Restart(2); err != nil {
+		t.Fatal(err)
+	}
+	err = pullFrom(c, 2, 3)
 	if err == nil {
 		t.Fatal("tampered stream reported a clean recovery")
 	}
@@ -296,7 +321,7 @@ func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 	}
 
 	// An honest peer completes the same recovery.
-	if err := c.RecoverServerViaSync(2, brb.Protocol{}, 0); err != nil {
+	if err := pullFrom(c, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.Request(2, "post", []byte("back"))

@@ -8,6 +8,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
+	"blockdag/internal/types"
 )
 
 func TestOptionsValidation(t *testing.T) {
@@ -96,11 +97,11 @@ func TestSealAndSend(t *testing.T) {
 }
 
 func TestSigCountersWired(t *testing.T) {
-	var sigs crypto.Counters
-	c, err := New(Options{N: 2, Protocol: brb.Protocol{}, SigCounters: &sigs})
+	c, err := New(Options{N: 2, Protocol: brb.Protocol{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sigs := &c.Sigs
 	if err := c.RunRounds(1); err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,22 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	if calls > 10 {
 		t.Fatalf("RunUntil kept running: %d checks", calls)
 	}
+}
+
+// pullFrom takes slot's pull from peer (node.Node.PullFrom) as a stepped
+// turn and runs the network until the stream has settled: what a deployed
+// node's startup catch-up and live follower run, deterministically. It
+// returns the pull's error: a stream the slot rejected.
+func pullFrom(c *Cluster, slot, peer int) error {
+	settled := false
+	var pullErr error
+	abandon := c.Nodes[slot].PullFrom(types.ServerID(peer), func(_ int, err error) {
+		settled, pullErr = true, err
+	})
+	if !c.Net.RunUntil(func() bool { return settled }) {
+		abandon()
+	}
+	return pullErr
 }
 
 // TestEverySlotIsASteppedNode: every correct slot is a node.Node built by
@@ -163,19 +180,22 @@ func TestEverySlotIsASteppedNode(t *testing.T) {
 	if c.Nodes[1] != nil || c.Servers[1] != nil {
 		t.Fatal("crashed slot still has a runtime")
 	}
-	if err := c.RecoverServerFromStore(1, brb.Protocol{}); err != nil {
+	if err := c.Restart(1); err != nil {
 		t.Fatal(err)
 	}
 	c.Crash(2)
-	if err := c.RecoverServerViaSync(2, brb.Protocol{}, 0); err != nil {
+	if err := c.Restart(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := pullFrom(c, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	live()
-	c.FollowOnce(0) // a healthy run shows no lag, so nothing else pulls
+	c.Net.After(0, c.Nodes[0].FollowPoll) // a healthy run shows no lag, so nothing else pulls
 	if err := c.RunRounds(8); err != nil {
 		t.Fatal(err)
 	}
-	if polls := c.FollowStats(0).Polls; polls == 0 {
+	if polls := c.Nodes[0].FollowReport().Polls; polls == 0 {
 		t.Fatal("the run never took a follow turn")
 	}
 	if after := runtime.NumGoroutine(); after > before {

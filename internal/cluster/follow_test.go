@@ -27,7 +27,7 @@ func partitionSlot(c *cluster.Cluster, slot int) {
 // live-follower loop: server 3 is partitioned while the others make
 // progress, the partition heals, and the follower converges to the same
 // interpretation through one delta pull with ZERO FWD traffic
-// — the deterministic isolation FollowOnce provides — then rejoins the
+// — the deterministic isolation a lone poll provides — then rejoins the
 // running cluster cleanly.
 func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
 	c, err := cluster.New(cluster.Options{
@@ -66,12 +66,12 @@ func TestClusterLiveFollowerPartitionHeal(t *testing.T) {
 	// would be the follower's own.
 	c.Net.SetPartition(nil)
 	fwdBefore := c.Metrics[3].Get(metrics.FwdRequestsSent)
-	c.FollowOnce(3)
+	c.Net.After(0, c.Nodes[3].FollowPoll)
 	c.Net.Run()
 	if fwd := c.Metrics[3].Get(metrics.FwdRequestsSent) - fwdBefore; fwd != 0 {
 		t.Fatalf("follow convergence cost %d FWD requests, want 0", fwd)
 	}
-	stats := c.FollowStats(3)
+	stats := c.Nodes[3].FollowReport()
 	if stats.Deltas == 0 || stats.Blocks < lag {
 		t.Fatalf("follow stats %+v; want a delta pull covering the %d-block lag", stats, lag)
 	}
@@ -136,7 +136,7 @@ func TestClusterLiveFollowerDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := c.Net.Stats()
-		rep := c.FollowStats(2)
+		rep := c.Nodes[2].FollowReport()
 		rep.LastErr = nil // an error value, not a count: compared by identity
 		return rep, s.Calls, s.CallBytes
 	}
@@ -187,10 +187,10 @@ func TestClusterFollowerThrottledRotates(t *testing.T) {
 	c.Net.SetPartition(nil)
 	// Three forced polls walk the rotation 0 → 1 → 2.
 	for i := 0; i < 3; i++ {
-		c.FollowOnce(3)
+		c.Net.After(0, c.Nodes[3].FollowPoll)
 		c.Net.Run()
 	}
-	stats := c.FollowStats(3)
+	stats := c.Nodes[3].FollowReport()
 	if stats.Throttled < 2 {
 		t.Fatalf("follow stats %+v; want both throttling peers counted", stats)
 	}
@@ -254,10 +254,10 @@ func TestClusterFollowerLyingPeer(t *testing.T) {
 	// Three forced polls cover the full rotation, so one of them hits
 	// each liar; honest peer 2 is in sync (an empty stream, no effect).
 	for i := 0; i < 3; i++ {
-		c.FollowOnce(3)
+		c.Net.After(0, c.Nodes[3].FollowPoll)
 		c.Net.Run()
 	}
-	stats := c.FollowStats(3)
+	stats := c.Nodes[3].FollowReport()
 	if stats.Polls != 3 || stats.Errors != 1 || stats.Deltas != 1 || stats.Blocks != 0 {
 		t.Fatalf("follow stats %+v; want three polls, of which the tampered stream failed and nothing was absorbed", stats)
 	}
@@ -331,9 +331,9 @@ func TestClusterFollowerHoldingAForkIsNotRestreamed(t *testing.T) {
 	}
 
 	for i := 1; i <= 3; i++ {
-		c.FollowOnce(3)
+		c.Net.After(0, c.Nodes[3].FollowPoll)
 		c.Net.Run()
-		if rep := c.FollowStats(3); rep.Polls != i || rep.BehindBy != 0 || rep.Deltas != 0 || rep.Errors != 0 {
+		if rep := c.Nodes[3].FollowReport(); rep.Polls != i || rep.BehindBy != 0 || rep.Deltas != 0 || rep.Errors != 0 {
 			t.Fatalf("poll %d re-streamed a chain the follower holds: %+v", i, rep)
 		}
 	}
@@ -368,14 +368,14 @@ func TestClusterFollowerAfterRestart(t *testing.T) {
 	}
 
 	// Restart from the stale store, then let the follower catch up.
-	if err := c.RecoverServerFromStore(2, brb.Protocol{}); err != nil {
+	if err := c.Restart(2); err != nil {
 		t.Fatal(err)
 	}
 	lag := c.Servers[0].DAG().Len() - c.Servers[2].DAG().Len()
 	if lag == 0 {
 		t.Fatal("restart already caught up; nothing to follow")
 	}
-	c.FollowOnce(2)
+	c.Net.After(0, c.Nodes[2].FollowPoll)
 	c.Net.Run()
 	if a, b := c.Servers[2].DAG().Len(), c.Servers[0].DAG().Len(); a != b {
 		t.Fatalf("recovered follower has %d blocks, peer has %d", a, b)

@@ -1,4 +1,4 @@
-package cluster_test
+package cluster
 
 import (
 	"fmt"
@@ -8,9 +8,26 @@ import (
 	"strings"
 	"testing"
 
-	"blockdag/internal/cluster"
+	"blockdag/internal/deploy"
 	"blockdag/internal/protocols/brb"
 )
+
+// withGateways gives every slot a client gateway on an ephemeral loopback
+// port (deploy.Config.GatewayAddr), so deterministic tests drive the real
+// HTTP front door against simulated consensus: its HTTP goroutines reach
+// the slot only through the pool, the broker and the counters.
+func withGateways(opts Options) Options {
+	opts.slot = func(_ int, cfg *deploy.Config) { cfg.GatewayAddr = "127.0.0.1:0" }
+	return opts
+}
+
+// gatewayAddr is one slot's gateway address, "" when the slot is down.
+func gatewayAddr(c *Cluster, slot int) string {
+	if a := c.slots[slot]; a != nil {
+		return a.Gateway.Addr()
+	}
+	return ""
+}
 
 // freshRecovery is the recovery report of a slot whose store was empty.
 var freshRecovery = regexp.MustCompile(`"recovery":\{"blocks":0,"replay_ms":[0-9.e-]+,"torn_bytes":0,"duplicates":0,"own_chain":\{"held":0,"seen":0\}\}`)
@@ -19,19 +36,18 @@ var freshRecovery = regexp.MustCompile(`"recovery":\{"blocks":0,"replay_ms":[0-9
 // consensus: submit through slot 0's gateway, run rounds until every slot
 // delivers, then await and scrape through the same gateway.
 func TestGatewayPerSlot(t *testing.T) {
-	c, err := cluster.New(cluster.Options{
+	c, err := New(withGateways(Options{
 		N:               4,
 		Protocol:        brb.Protocol{},
 		MempoolCapacity: 64,
-		GatewayPerSlot:  true,
 		StoreDir:        t.TempDir(),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	base := "http://" + c.GatewayAddr(0)
+	base := "http://" + gatewayAddr(c, 0)
 	// A configured follower reports its state from the start, not only
 	// once it has polled.
 	resp, err := http.Get(base + "/v1/status")
@@ -84,7 +100,7 @@ func TestGatewayPerSlot(t *testing.T) {
 	// Every slot's gateway can await the label — the brokers observed the
 	// event-loop deliveries.
 	for _, s := range c.CorrectServers() {
-		resp, err := http.Get("http://" + c.GatewayAddr(s) + "/v1/await/http/req?timeout=2s")
+		resp, err := http.Get("http://" + gatewayAddr(c, s) + "/v1/await/http/req?timeout=2s")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,12 +144,12 @@ func TestGatewayPerSlot(t *testing.T) {
 // (clients see the terminal signal, not a hang); recovery opens a fresh
 // one whose broker replays pre-crash indications.
 func TestGatewayPerSlotCrashRecovery(t *testing.T) {
-	c, err := cluster.New(cluster.Options{
+	c, err := New(withGateways(Options{
 		N:               4,
 		Protocol:        brb.Protocol{},
 		MempoolCapacity: 64,
-		GatewayPerSlot:  true,
-	})
+		StoreDir:        t.TempDir(),
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,20 +170,19 @@ func TestGatewayPerSlotCrashRecovery(t *testing.T) {
 		t.Fatalf("pre-crash delivery: ok=%v err=%v", ok, err)
 	}
 
-	oldAddr := c.GatewayAddr(1)
-	blocks := c.Servers[1].DAG().Blocks()
+	oldAddr := gatewayAddr(c, 1)
 	c.Crash(1)
-	if c.GatewayAddr(1) != "" {
+	if gatewayAddr(c, 1) != "" {
 		t.Fatal("crashed slot still advertises a gateway")
 	}
 	if _, err := http.Get("http://" + oldAddr + "/v1/status"); err == nil {
 		t.Fatal("crashed slot's gateway still serving")
 	}
 
-	if err := c.RecoverServer(1, brb.Protocol{}, blocks); err != nil {
+	if err := c.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	newAddr := c.GatewayAddr(1)
+	newAddr := gatewayAddr(c, 1)
 	if newAddr == "" {
 		t.Fatal("recovered slot has no gateway")
 	}

@@ -70,7 +70,10 @@ func TestReferencesPerBlock(t *testing.T) {
 	c.Crash(3)
 	run(20)
 	before := c.Servers[0].DAG().Len()
-	if err := c.RecoverServerViaSync(3, brb.Protocol{}, 0); err != nil {
+	if err := c.Restart(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := pullFrom(c, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	missed := c.Servers[3].DAG().Len() - len(c.Servers[3].DAG().ByBuilder(3))

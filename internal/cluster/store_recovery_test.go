@@ -38,12 +38,12 @@ func allDelivered(c *cluster.Cluster, label types.Label) bool {
 // the cluster.
 func TestClusterRestartFromStore(t *testing.T) {
 	dir := t.TempDir()
+	// A replay across rotated WAL segments is store.TestSegmentRotation's.
 	c, err := cluster.New(cluster.Options{
-		N:                4,
-		Protocol:         brb.Protocol{},
-		Seed:             21,
-		StoreDir:         dir,
-		StoreSegmentSize: 2048, // force rotation: the replay reads across segments
+		N:        4,
+		Protocol: brb.Protocol{},
+		Seed:     21,
+		StoreDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,15 +128,9 @@ func TestClusterRestartFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 3: restart s3 from its store. The storeless
-	// recovery path is refused on a durable cluster — it would journal
-	// nothing and set up a future self-equivocation.
-	if err := c.RecoverServer(3, brb.Protocol{}, s3dag.Blocks()); err == nil {
-		t.Fatal("RecoverServer without a store accepted on a durable cluster")
-	}
-	// Restore replays the pre-crash delivery: at-least-once across the
-	// crash.
-	if err := c.RecoverServerFromStore(3, brb.Protocol{}); err != nil {
+	// Phase 3: restart s3 from its store. Restore replays the pre-crash
+	// delivery: at-least-once across the crash.
+	if err := c.Restart(3); err != nil {
 		t.Fatal(err)
 	}
 	if got := deliveries(c, 3, "before"); got < 2 {
@@ -224,7 +218,7 @@ func TestStoreSurvivesDoubleRestart(t *testing.T) {
 			t.Fatalf("round %d: ok=%v err=%v", round, ok, err)
 		}
 		c.Crash(2)
-		if err := c.RecoverServerFromStore(2, brb.Protocol{}); err != nil {
+		if err := c.Restart(2); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}

@@ -2,11 +2,14 @@ package core_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
 	"blockdag/internal/protocols/brb"
+	"blockdag/internal/store"
 	"blockdag/internal/types"
 )
 
@@ -15,7 +18,7 @@ import (
 // resumes its own chain without equivocating, catches up on broadcasts it
 // missed, and replays (at-least-once) the deliveries it had already made.
 func TestCrashRecovery(t *testing.T) {
-	c, err := cluster.New(cluster.Options{N: 4, Protocol: brb.Protocol{}, Seed: 17})
+	c, err := cluster.New(cluster.Options{N: 4, Protocol: brb.Protocol{}, Seed: 17, StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +30,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("phase 1: ok=%v err=%v", ok, err)
 	}
 
-	// Persist s3's state (as its on-disk log) and crash it.
-	stored := c.Servers[3].DAG().Blocks()
+	// Crash s3; its store holds its state.
 	preCrashChain := c.Servers[3].DAG().ByBuilder(3)
 	c.Crash(3)
 
@@ -50,8 +52,8 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal("crashed server delivered")
 	}
 
-	// Phase 3: recover s3 from its persisted blocks.
-	if err := c.RecoverServer(3, brb.Protocol{}, stored); err != nil {
+	// Phase 3: restart s3 over its store.
+	if err := c.Restart(3); err != nil {
 		t.Fatal(err)
 	}
 	// Replay re-indicated the pre-crash delivery (at-least-once).
@@ -123,7 +125,7 @@ func TestRecoverFromEmptyLog(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("survivors: ok=%v err=%v", ok, err)
 	}
-	if err := c.RecoverServer(3, brb.Protocol{}, nil); err != nil {
+	if err := c.Restart(3); err != nil {
 		t.Fatal(err)
 	}
 	ok, err = c.RunUntil(30, func() bool { return len(deliveredAt(c, 3, "x")) == 1 })
@@ -135,7 +137,8 @@ func TestRecoverFromEmptyLog(t *testing.T) {
 // TestRestoreRejectsCorruptLog: restoring from tampered blocks fails
 // loudly instead of building on bad state.
 func TestRestoreRejectsCorruptLog(t *testing.T) {
-	c, err := cluster.New(cluster.Options{N: 4, Protocol: brb.Protocol{}, Seed: 29})
+	dir := t.TempDir()
+	c, err := cluster.New(cluster.Options{N: 4, Protocol: brb.Protocol{}, Seed: 29, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +155,24 @@ func TestRestoreRejectsCorruptLog(t *testing.T) {
 	}
 	tampered := append([]*block.Block{bad}, stored[1:]...)
 	c.Crash(3)
-	if err := c.RecoverServer(3, brb.Protocol{}, tampered); err == nil {
+	// s3's store now holds the tampered log.
+	s3 := filepath.Join(dir, "s3")
+	if err := os.RemoveAll(s3); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(s3, store.Options{Roster: c.Roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range tampered {
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart(3); err == nil {
 		t.Fatal("recovery from a tampered log succeeded")
 	}
 }

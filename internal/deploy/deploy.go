@@ -1,21 +1,24 @@
-// Package deploy assembles a deployed node — the one place that orders
-// store, sync service, transport, core server, runtime and gateway.
+// Package deploy assembles a node — the one place that orders store, sync
+// service, transport, core server, runtime and gateway, for a deployed node
+// and for every slot of the simulator alike.
 //
 //	Listen   clock + scorer → store.Open → syncsvc.Server → late-bound
-//	         gossip endpoint → tcpnet.Listen
-//	Boot     mesh → snapshot join → Build (core.NewServer → node.New, with
-//	         a store: replay, catch-up, follower) → bind gossip → registry
-//	         → gateway → Start (the runtime registers on its store, and
-//	         pulls are served from its DAG)
+//	         gossip endpoint → the network's listener
+//	Boot     mesh → snapshot join → core.NewServer → node.New (with a
+//	         store: replay, catch-up, follower) → registry → gateway →
+//	         the network's start (the runtime registers on its store, and
+//	         pulls are served from its DAG) → bind gossip
 //	Close    the reverse: gateway (by the runtime's stop hook), runtime,
 //	         transport, store
 //
 // Two phases, because a cluster comes up in two: every member must be
 // listening, and answering sync calls — if only with a refusal — before any
 // member's startup catch-up dials it. docs/ARCHITECTURE.md ("The assembly")
-// gives the reason for each edge. Build is the step that does not care what carries
-// the bytes or tells the time; the simulator (package cluster) calls it
-// too, with simnet's transport and virtual clock.
+// gives the reason for each edge. What carries the bytes and tells the time
+// are ListenOn's two seams: Listen is TCP (tcpnet.Listen, the node started
+// on its own goroutine) on the wall clock (node.Clock); the simulator
+// (package cluster) passes simnet and its virtual clock, and steps the
+// node itself.
 package deploy
 
 import (
@@ -47,7 +50,7 @@ import (
 
 // What every deployment so far has run with; none has needed another value.
 const (
-	disseminateEvery = 20 * time.Millisecond
+	disseminateEvery = 20 * time.Millisecond // Config.DisseminateEvery's default
 	// The sync server's per-peer token bucket, on top of its in-flight
 	// cap: a byzantine peer cannot make the node read and stream the rows
 	// it names back to back. One request a re-ask: an honest follower pulls
@@ -70,6 +73,11 @@ type Config struct {
 	Protocol protocol.Protocol
 	// OnIndication receives P's indications on the loop goroutine.
 	OnIndication func(label types.Label, value []byte)
+	// DisseminateEvery is the block period (default 20 ms): the tick that
+	// builds a block whatever the mempool holds (node.Config). MaxBatch caps
+	// the requests one block carries (0 = gossip's default).
+	DisseminateEvery time.Duration
+	MaxBatch         int
 
 	// StoreDir, if non-empty, makes the node durable: blocks are journaled
 	// there under the Fsync policy and replayed at Boot, and the sync server
@@ -101,12 +109,46 @@ type Config struct {
 	GatewayToken string
 }
 
+// Network binds a member to what carries its bytes: the listener with
+// cfg's endpoints, handlers, authenticator and scorer in place. Listen's is
+// TCP.
+type Network func(cfg tcpnet.Config) (Link, error)
+
+// Link is one member's place on a Network.
+type Link interface {
+	transport.Transport
+	// Connect tells the link a peer's dial address.
+	Connect(peer types.ServerID, addr string) error
+	// Addr is the bound listen address.
+	Addr() string
+	// Counts are the link's counters (nil: none).
+	Counts() *metrics.Metrics
+	// Start runs the booted node whose start is start: on a socket, start
+	// (node.Start: the node's own goroutine); on a network whose owner
+	// steps the node, nothing.
+	Start(start func() error) error
+	Close() error
+}
+
+// tcp is Listen's network: a tcpnet listener, whose start is node.Start.
+func tcp(cfg tcpnet.Config) (Link, error) {
+	tr, err := tcpnet.Listen(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return tcpLink{tr}, nil
+}
+
+type tcpLink struct{ *tcpnet.Transport }
+
+func (tcpLink) Start(start func() error) error { return start() }
+
 // Assembly is one node being brought up, running, or closed. The exported
 // fields are for reading: each is nil until the phase that sets it.
 type Assembly struct {
 	// Set by Listen; Store only with Config.StoreDir.
 	Store     *store.Store
-	Transport *tcpnet.Transport
+	Transport Link
 	// Set by Boot; Joined only if a snapshot join ran, Gateway only with
 	// Config.GatewayAddr.
 	Joined   *syncsvc.FetchedSnapshot
@@ -129,11 +171,16 @@ type Assembly struct {
 	closeErr  error
 }
 
-// Listen opens the store, if one is configured, and binds the listener with
-// the sync handler and the gossip endpoint in place: the node is reachable
-// and runs nothing yet, so the handler refuses pulls (syncsvc.ErrNotServing)
-// until Boot has started the runtime.
-func Listen(cfg Config) (*Assembly, error) {
+// Listen is ListenOn over TCP, on the wall clock.
+func Listen(cfg Config) (*Assembly, error) { return ListenOn(tcp, node.Clock(), cfg) }
+
+// ListenOn opens the store, if one is configured, and binds the member on
+// net with the sync handler and the gossip endpoint in place: the node is
+// reachable and runs nothing yet, so the handler refuses pulls
+// (syncsvc.ErrNotServing) until Boot has started the runtime. clock is the
+// node's one clock: its server's, its scorer's, its store's and its sync
+// server's.
+func ListenOn(net Network, clock func() time.Duration, cfg Config) (*Assembly, error) {
 	id := cfg.Identity
 	switch {
 	case id == nil:
@@ -144,7 +191,10 @@ func Listen(cfg Config) (*Assembly, error) {
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = id.File.Addr(id.ID())
 	}
-	a := &Assembly{cfg: cfg, clock: node.Clock()}
+	if cfg.DisseminateEvery <= 0 {
+		cfg.DisseminateEvery = disseminateEvery
+	}
+	a := &Assembly{cfg: cfg, clock: clock}
 	a.scores = peerscore.New(peerscore.Options{Clock: a.clock})
 	tcfg := tcpnet.Config{
 		Self:       id.ID(),
@@ -154,7 +204,7 @@ func Listen(cfg Config) (*Assembly, error) {
 		Scores:     a.scores,
 	}
 	if cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir, store.Options{Roster: id.Roster, Sync: cfg.Fsync})
+		st, err := store.Open(cfg.StoreDir, store.Options{Roster: id.Roster, Sync: cfg.Fsync, Clock: clock})
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +234,7 @@ func Listen(cfg Config) (*Assembly, error) {
 		}
 		tcfg.Handlers = map[transport.Channel]transport.Handler{transport.ChanSync: a.syncSrv}
 	}
-	tr, err := tcpnet.Listen(tcfg)
+	tr, err := net(tcfg)
 	if err != nil {
 		_ = a.Close()
 		return nil, err
@@ -198,9 +248,9 @@ func (a *Assembly) Addr() string { return a.Transport.Addr() }
 
 // Boot connects the mesh — addrOf gives every other roster member's dial
 // address — joins by snapshot if configured and the store holds nothing,
-// builds the runtime, opens the gateway and starts the runtime. Call it
-// once, when every member has Listened. A Boot that fails has closed the
-// assembly.
+// builds the runtime, opens the gateway, starts the runtime as the network
+// starts it and binds it to the gossip endpoint. Call it once, when every
+// member has Listened. A Boot that fails has closed the assembly.
 func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 	defer func() {
 		if err != nil {
@@ -238,13 +288,14 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		Transport:    a.Transport,
 		Clock:        a.clock,
 		Metrics:      &metrics.Metrics{},
+		MaxBatch:     cfg.MaxBatch,
 		OnIndication: cfg.OnIndication,
 		Mempool:      mempool.New(mempool.Options{Capacity: cfg.MempoolCapacity}),
 		Scores:       a.scores,
 	}
 	ncfg := node.Config{
 		Identity:         id,
-		DisseminateEvery: disseminateEvery,
+		DisseminateEvery: cfg.DisseminateEvery,
 		Store:            a.Store,
 	}
 	if a.Store != nil && len(peers) > 0 {
@@ -253,10 +304,16 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 	if cfg.State != nil {
 		ncfg.State = &node.StateSyncConfig{Machine: cfg.State, PruneKeepSeqs: cfg.PruneKeepSeqs}
 	}
-	if a.Node, err = Build(ccfg, ncfg); err != nil {
+	// node.New does the ordered part: sinks before replay, replay before
+	// catch-up.
+	srv, err := core.NewServer(ccfg)
+	if err != nil {
 		return err
 	}
-	a.gossip.Bind(a.Node)
+	ncfg.Server = srv
+	if a.Node, err = node.New(ncfg); err != nil {
+		return err
+	}
 
 	// The gateway opens before the loop publishes anything: it claims the
 	// broker's replay index while that still holds what the store replayed.
@@ -270,20 +327,17 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 			return fmt.Errorf("deploy: s%d gateway: %w", id.ID(), err)
 		}
 	}
-	return a.Node.Start()
-}
-
-// Build makes the runtime both shells run: a core server per ccfg — whose
-// Transport and Clock are the shell's — and the node around it per ncfg
-// (Server is filled in here). node.New does the ordered part: sinks before
-// replay, replay before catch-up.
-func Build(ccfg core.Config, ncfg node.Config) (*node.Node, error) {
-	srv, err := core.NewServer(ccfg)
-	if err != nil {
-		return nil, err
+	if err := a.Transport.Start(a.Node.Start); err != nil {
+		return err
 	}
-	ncfg.Server = srv
-	return node.New(ncfg)
+	// The runtime is the store's once it runs: node.Start registered it, a
+	// stepped node is registered here. Gossip reaches the node after that:
+	// a started node's deliveries queue for its loop from the first.
+	if a.Store != nil {
+		a.Store.SetRuntime(a.Node)
+	}
+	a.gossip.Bind(a.Node)
+	return nil
 }
 
 // Tables lists every declaration table of the tree, by the package that

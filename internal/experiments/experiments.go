@@ -91,14 +91,13 @@ func Registry() []struct {
 
 // broadcastWorkload runs `broadcasts` BRB instances on a DAG cluster of n
 // servers until every correct server delivered every instance, returning
-// the cluster for inspection.
-func broadcastWorkload(n, broadcasts int, counters *crypto.Counters) (*cluster.Cluster, error) {
+// the cluster for inspection (its signature operations: Cluster.Sigs).
+func broadcastWorkload(n, broadcasts int) (*cluster.Cluster, error) {
 	c, err := cluster.New(cluster.Options{
-		N:           n,
-		Protocol:    brb.Protocol{},
-		Seed:        42,
-		MaxBatch:    broadcasts + 1,
-		SigCounters: counters,
+		N:        n,
+		Protocol: brb.Protocol{},
+		Seed:     42,
+		MaxBatch: broadcasts + 1,
 	})
 	if err != nil {
 		return nil, err
@@ -176,7 +175,7 @@ func E9MessageCompression() (*Table, error) {
 		},
 	}
 	for _, n := range []int{4, 7, 10, 13} {
-		dagC, err := broadcastWorkload(n, broadcasts, nil)
+		dagC, err := broadcastWorkload(n, broadcasts)
 		if err != nil {
 			return nil, err
 		}
@@ -229,10 +228,11 @@ func E10SignatureBatching() (*Table, error) {
 		},
 	}
 	for _, n := range []int{4, 7, 10, 13} {
-		var dagSigs crypto.Counters
-		if _, err := broadcastWorkload(n, broadcasts, &dagSigs); err != nil {
+		dagC, err := broadcastWorkload(n, broadcasts)
+		if err != nil {
 			return nil, err
 		}
+		dagSigs := &dagC.Sigs
 		var dirSigs crypto.Counters
 		if _, _, err := directWorkload(n, broadcasts, &dirSigs); err != nil {
 			return nil, err
@@ -266,7 +266,7 @@ func E11ParallelInstances() (*Table, error) {
 		},
 	}
 	for _, instances := range []int{1, 4, 16, 64, 256} {
-		c, err := broadcastWorkload(4, instances, nil)
+		c, err := broadcastWorkload(4, instances)
 		if err != nil {
 			return nil, err
 		}

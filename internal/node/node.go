@@ -39,8 +39,8 @@
 // and the two tickers, runs a turn per event, and makes post a send to that
 // loop. The other shell is the simulator (package cluster): it never calls
 // Start, steps the same turns — DisseminateIfFull included, every round —
-// from simnet events on its virtual clock, and post runs inline, the
-// transport's callback being on the event loop already. A Node that is
+// from simnet events on its virtual clock, and Deliver and post run inline,
+// the transport's callback being on the event loop already. A Node that is
 // never started starts no goroutine.
 //
 // New wires the operational services around the server, the same for
@@ -228,9 +228,12 @@ type Node struct {
 	// buffer fills, which is the desired backpressure.
 	in chan gossip.Message
 	// posted carries async completions to the loop of a started node
-	// (looping); see post.
+	// (looping); see post. stepMu keeps a delivery turn run by Deliver on a
+	// node not yet started from overlapping another, or the loop: Start takes
+	// it to set looping.
 	posted  chan func()
-	looping bool
+	looping atomic.Bool
+	stepMu  sync.Mutex
 	// full is the full-block wake: Submit, having admitted a request into a
 	// mempool that now holds a full block, leaves a token here for the loop
 	// (DisseminateIfFull). One slot, never waited on: a flood coalesces into
@@ -472,13 +475,15 @@ func (n *Node) StoreDiskSize() (int64, bool) {
 // the caller must not step turns itself any more. It is an error to start
 // twice, or after Stop.
 func (n *Node) Start() error {
+	n.stepMu.Lock()
+	defer n.stepMu.Unlock()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.started {
 		return errors.New("node: already started or stopped")
 	}
 	n.started = true
-	n.looping = true
+	n.looping.Store(true)
 	n.quietFrom = n.cfg.Server.Now() // a peer's block is due from now on, not from New
 	ctx, cancel := context.WithCancel(context.Background())
 	n.cancel = cancel
@@ -545,14 +550,36 @@ func (n *Node) OnStop(hook func()) {
 // (IndicationBroker.ClaimIndex), as a gateway does.
 func (n *Node) Indications() *IndicationBroker { return n.broker }
 
-// Deliver implements transport.Endpoint: queue a network payload for the
-// loop. The payload is the node's from here on — a block's becomes that
-// block's frame. Deliveries after Stop are discarded.
+// Deliver implements transport.Endpoint: on a started node it queues a
+// network payload for the loop; on a node its owner steps it is the
+// delivery turn (DeliverBurst), run right here, as post runs a completion.
+// The payload is the node's from here on — a block's becomes that block's
+// frame. Deliveries after Stop are discarded.
 func (n *Node) Deliver(from types.ServerID, payload []byte) {
+	msg := gossip.Message{From: from, Payload: payload}
+	if !n.looping.Load() && n.deliverStepped(msg) {
+		return
+	}
 	select {
-	case n.in <- gossip.Message{From: from, Payload: payload}:
+	case n.in <- msg:
 	case <-n.done:
 	}
+}
+
+// deliverStepped runs msg's delivery turn — or drops msg after Stop — unless
+// Start has handed the node to its loop, and reports whether it did.
+func (n *Node) deliverStepped(msg gossip.Message) bool {
+	n.stepMu.Lock()
+	defer n.stepMu.Unlock()
+	if n.looping.Load() {
+		return false
+	}
+	select {
+	case <-n.done:
+	default:
+		n.DeliverBurst([]gossip.Message{msg})
+	}
+	return true
 }
 
 // Submit admits a user request (shim interface request(ℓ, r)) to the
@@ -675,7 +702,7 @@ func (n *Node) post(turn func()) {
 		return
 	default:
 	}
-	if !n.looping {
+	if !n.looping.Load() {
 		turn()
 		return
 	}

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"blockdag/internal/block"
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
 	"blockdag/internal/deploy"
+	"blockdag/internal/gossip"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/roster"
@@ -179,6 +181,31 @@ func TestNodeLifecycle(t *testing.T) {
 	nd.Deliver(0, []byte("late"))
 	if err := nd.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
+	}
+}
+
+// TestSteppedDeliverIsTheDeliveryTurn: on a node its owner steps, Deliver
+// runs the delivery turn inline, so more deliveries than the loop's
+// ingestion buffer holds (256) neither block nor wait for a Start that never
+// comes, and each one's block is in the DAG when Deliver returns.
+func TestSteppedDeliverIsTheDeliveryTurn(t *testing.T) {
+	const blocks = 300
+	members, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := steppedNode(t, simnet.New(), members, signers[0], core.Config{}, node.Config{})
+	var parent []block.Ref
+	for seq := uint64(0); seq < blocks; seq++ {
+		b := block.New(1, seq, parent, nil)
+		if err := b.Seal(signers[1]); err != nil {
+			t.Fatal(err)
+		}
+		nd.Deliver(1, gossip.EncodeBlockMsg(b))
+		if !nd.Server().DAG().Contains(b.Ref()) {
+			t.Fatalf("block %d not inserted when its Deliver returned", seq)
+		}
+		parent = []block.Ref{b.Ref()}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"blockdag/internal/tcpnet"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
 )
@@ -186,5 +187,41 @@ func TestCallDeterminism(t *testing.T) {
 	f2, e2 := run()
 	if len(f1) != len(f2) || (e1 == nil) != (e2 == nil) {
 		t.Fatalf("runs diverge: %v/%v vs %v/%v", f1, e1, f2, e2)
+	}
+}
+
+// TestListenedLinkCallsOnlyOnceStarted: a Listen'd server's handlers serve
+// its peers at once, while its own calls fail there and then, with no
+// event and no draw from the link model, until its Link is started — a
+// booting node that waited on one would wait on the goroutine that steps
+// the network — and go out after Start; Close deregisters it.
+func TestListenedLinkCallsOnlyOnceStarted(t *testing.T) {
+	n := New(WithSeed(3))
+	h := &scriptHandler{frames: [][]byte{[]byte("a")}}
+	server := n.Listen(tcpnet.Config{Self: 1, Handlers: map[transport.Channel]transport.Handler{transport.ChanSync: h}})
+	client := n.Listen(tcpnet.Config{Self: 0})
+
+	early := &collector{}
+	client.Call(1, transport.ChanSync, []byte("boot"), early)
+	if !early.done || !errors.Is(early.err, ErrNotStarted) || n.Stats().Calls != 0 || n.Step() {
+		t.Fatalf("a call before Start: done=%v err=%v, %d calls opened", early.done, early.err, n.Stats().Calls)
+	}
+	if err := client.Start(func() error { t.Fatal("a stepped link started the node"); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	c := &collector{}
+	client.Call(1, transport.ChanSync, []byte("run"), c)
+	n.Run()
+	if !c.done || c.err != nil || len(c.frames) != 1 || h.lastReq != "run" {
+		t.Fatalf("after Start: done=%v err=%v frames=%v", c.done, c.err, c.frames)
+	}
+	if err := server.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gone := &collector{}
+	client.Call(1, transport.ChanSync, []byte("again"), gone)
+	n.Run()
+	if !errors.Is(gone.err, transport.ErrUnreachable) {
+		t.Fatalf("a call to a closed link's server: err=%v, want ErrUnreachable", gone.err)
 	}
 }

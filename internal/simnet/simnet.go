@@ -23,7 +23,9 @@ import (
 	"math/rand"
 	"time"
 
+	"blockdag/internal/metrics"
 	"blockdag/internal/peerscore"
+	"blockdag/internal/tcpnet"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
 )
@@ -274,14 +276,16 @@ func (n *Network) nonce() []byte {
 	return nonce
 }
 
-// Deregister detaches all of a server's endpoints and handlers — the
-// crash model. Future deliveries to it are dropped. Call streams the
-// server was serving but had not yet closed are aborted: the client
-// observes ErrStreamLost after a link delay (frames already in flight
-// still arrive first). Re-registering later models a restarted server.
+// Deregister detaches all of a server's endpoints, handlers and its
+// scorer — the crash model. Future deliveries to it are dropped. Call
+// streams the server was serving but had not yet closed are aborted: the
+// client observes ErrStreamLost after a link delay (frames already in
+// flight still arrive first). Re-registering later models a restarted
+// server.
 func (n *Network) Deregister(id types.ServerID) {
 	n.gens[id]++
 	delete(n.nodes, id)
+	delete(n.scorers, id)
 	kept := n.streams[:0]
 	for _, st := range n.streams {
 		if st.done || st.canceled {
@@ -340,6 +344,67 @@ func (n *Network) Stats() Stats { return n.stats }
 // Transport returns the transport handle for a registered server.
 func (n *Network) Transport(id types.ServerID) transport.Transport {
 	return &handle{net: n, id: id}
+}
+
+// Listen binds one server the way a deployed node is bound to its
+// listener (deploy.Network): cfg's endpoints, call handlers, authenticator
+// and scorer, registered for cfg.Self. The Link it returns is the server's
+// transport, whose node the network's owner steps.
+func (n *Network) Listen(cfg tcpnet.Config) *Link {
+	for ch, ep := range cfg.Endpoints {
+		n.Register(cfg.Self, ch, ep)
+	}
+	for ch, h := range cfg.Handlers {
+		n.RegisterHandler(cfg.Self, ch, h)
+	}
+	n.RegisterAuth(cfg.Self, cfg.Auth)
+	n.RegisterScorer(cfg.Self, cfg.Scores)
+	return &Link{handle: handle{net: n, id: cfg.Self}}
+}
+
+// ErrNotStarted is what a call from a Link gets before Start: the caller
+// would wait for it on the goroutine that steps the network.
+var ErrNotStarted = errors.New("simnet: no call before the server starts: nothing steps the network while it waits")
+
+// Link is a listened server's transport as a deploy.Link: no address to
+// dial, no counters of its own, Close the crash model (Deregister). A
+// deployed node's boot waits on its calls — startup catch-up, a snapshot
+// join — which nothing would answer here, so until Start a call fails at
+// once with ErrNotStarted, and the node comes up on what its store holds.
+type Link struct {
+	handle
+	started bool
+}
+
+// Call implements transport.Transport.
+func (l *Link) Call(to types.ServerID, ch transport.Channel, req []byte, sink transport.CallSink) func() {
+	if !l.started {
+		sink.OnDone(ErrNotStarted)
+		return func() {}
+	}
+	return l.handle.Call(to, ch, req, sink)
+}
+
+// Connect does nothing: the network routes by server id.
+func (*Link) Connect(types.ServerID, string) error { return nil }
+
+// Addr is empty: there is nothing to dial.
+func (*Link) Addr() string { return "" }
+
+// Counts is nil: Stats counts the whole network.
+func (*Link) Counts() *metrics.Metrics { return nil }
+
+// Start lets calls through and leaves the node unstarted: the network's
+// owner steps its turns.
+func (l *Link) Start(func() error) error {
+	l.started = true
+	return nil
+}
+
+// Close deregisters the server.
+func (l *Link) Close() error {
+	l.net.Deregister(l.id)
+	return nil
 }
 
 // handle implements transport.Transport for one server.
