@@ -376,11 +376,8 @@ bench:
 
 # KNOBS_MAX is the ceiling on configuration fields no non-test code sets.
 # It only falls: a PR that turns a knob into a constant lowers it to the new
-# count. The field it counts today, set by the tests that need it:
-#   store.Options.SegmentSize  internal/store's rotation and replay tests and
-#                              internal/node's TestNodeTickNeverCheckpoints
-#                              (several segments from a few blocks)
-KNOBS_MAX = 1
+# count. No field is counted today.
+KNOBS_MAX = 0
 
 .PHONY: knobs
 # knobs lists the options nobody sets. deploy's TestKnobs (behind the knobs

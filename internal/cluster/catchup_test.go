@@ -45,22 +45,6 @@ func onStore(t testing.TB, src syncsvc.Source) *store.Store {
 	return st
 }
 
-// pullFrom takes slot's pull from peer (node.Node.PullFrom) as a stepped
-// turn and runs the network until the stream has settled: what a deployed
-// node's startup catch-up and live follower run, deterministically. It
-// returns the pull's error: a stream the slot rejected.
-func pullFrom(c *cluster.Cluster, slot, peer int) error {
-	settled := false
-	var pullErr error
-	abandon := c.Nodes[slot].PullFrom(types.ServerID(peer), func(_ int, err error) {
-		settled, pullErr = true, err
-	})
-	if !c.Net.RunUntil(func() bool { return settled }) {
-		abandon()
-	}
-	return pullErr
-}
-
 // deliveredValue returns the first value delivered for a label at one
 // server, nil if none.
 func deliveredValue(c *cluster.Cluster, server int, label types.Label) []byte {
@@ -132,7 +116,7 @@ func TestClusterCatchUpAfterDiskLoss(t *testing.T) {
 	if err := c.Restart(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := pullFrom(c, 2, 0); err != nil {
+	if err := cluster.PullFrom(c, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	stats := c.Net.Stats()
@@ -226,7 +210,7 @@ func TestClusterCatchUpDeterministic(t *testing.T) {
 		if err := c.Restart(3); err != nil {
 			t.Fatal(err)
 		}
-		if err := pullFrom(c, 3, 1); err != nil {
+		if err := cluster.PullFrom(c, 3, 1); err != nil {
 			t.Fatal(err)
 		}
 		s := c.Net.Stats()
@@ -290,7 +274,7 @@ func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 	if err := c.Restart(2); err != nil {
 		t.Fatal(err)
 	}
-	err = pullFrom(c, 2, 3)
+	err = cluster.PullFrom(c, 2, 3)
 	if err == nil {
 		t.Fatal("tampered stream reported a clean recovery")
 	}
@@ -321,7 +305,7 @@ func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 	}
 
 	// An honest peer completes the same recovery.
-	if err := pullFrom(c, 2, 0); err != nil {
+	if err := cluster.PullFrom(c, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.Request(2, "post", []byte("back"))

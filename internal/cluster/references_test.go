@@ -73,7 +73,7 @@ func TestReferencesPerBlock(t *testing.T) {
 	if err := c.Restart(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := pullFrom(c, 3, 0); err != nil {
+	if err := cluster.PullFrom(c, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	missed := c.Servers[3].DAG().Len() - len(c.Servers[3].DAG().ByBuilder(3))

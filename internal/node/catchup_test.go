@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,10 +34,9 @@ func TestNodeTickNeverCheckpoints(t *testing.T) {
 	}
 	var ticks time.Duration
 	st, err := store.Open(dir, store.Options{
-		Roster:      roster,
-		Sync:        store.SyncInterval,
-		Clock:       func() time.Duration { ticks += time.Second; return ticks }, // every fsync due
-		SegmentSize: 512,                                                         // rotate every couple of blocks
+		Roster: roster,
+		Sync:   store.SyncInterval,
+		Clock:  func() time.Duration { ticks += time.Second; return ticks }, // every fsync due
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +66,16 @@ func TestNodeTickNeverCheckpoints(t *testing.T) {
 	}
 	// Step the turns a started node's loop would run — sixty blocks, the
 	// housekeeping tick after every sixteenth — so that what is left behind
-	// depends on no timer.
-	const blocks, tickEvery = 60, 16
+	// depends on no timer. Each block carries four 48 KiB requests, so the
+	// chain (11 MiB) spreads over more than one 8 MiB WAL segment.
+	const blocks, tickEvery, perBlock = 60, 16, 4
+	data := make([]byte, 48<<10)
 	for i := 1; i <= blocks; i++ {
+		for j := 0; j < perBlock; j++ {
+			if err := nd.Submit(types.Label(fmt.Sprintf("big/%d/%d", i, j)), data); err != nil {
+				t.Fatal(err)
+			}
+		}
 		nd.Disseminate()
 		if i%tickEvery == 0 {
 			nd.Tick()

@@ -54,7 +54,8 @@ func appendBatch(st *store.Store, blocks []*block.Block) error {
 func TestAppendBatchByteIdenticalToSequential(t *testing.T) {
 	roster, blocks := chain(t, 200)
 	// Small segments so the batch spans multiple rotation boundaries.
-	opts := store.Options{SegmentSize: 2048, Sync: store.SyncNever}
+	store.SetSegmentSize(t, 2048)
+	opts := store.Options{Sync: store.SyncNever}
 
 	seqDir, batchDir := t.TempDir(), t.TempDir()
 	seq := openStore(t, seqDir, roster, opts)
@@ -202,7 +203,8 @@ func TestBatchBuffersUntilFlush(t *testing.T) {
 func TestAppendBatchOversizedRecord(t *testing.T) {
 	roster, blocks := chain(t, 3)
 	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{SegmentSize: 16})
+	store.SetSegmentSize(t, 16)
+	st := openStore(t, dir, roster, store.Options{})
 	if err := appendBatch(st, blocks); err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@
 // Open resumes a final segment with room, its window rebuilt from the
 // scan.
 //
-// WAL segments rotate when they exceed Options.SegmentSize, so deleting
+// WAL segments rotate when they exceed 8 MiB, so deleting
 // the segments a cut leaves below its horizon is cheap file removal.
 //
 // # The head and the cut
@@ -110,7 +110,7 @@
 // builders run in step, so that every record past some point of the WAL
 // lies above the horizon and every one before it below; a lagging
 // builder's chain keeps each segment that holds one of its retained
-// records. SegmentSize is not tuned for this.
+// records. The segment size is not tuned for this.
 //
 // The crash argument: the head is durable before any segment is deleted.
 // A crash before the rename leaves the old head (and a temp file Open

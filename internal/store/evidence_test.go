@@ -216,7 +216,8 @@ func TestEvidenceCheckpointImmune(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	s, err := store.Open(dir, store.Options{Roster: roster, SegmentSize: 128})
+	store.SetSegmentSize(t, 128)
+	s, err := store.Open(dir, store.Options{Roster: roster})
 	if err != nil {
 		t.Fatal(err)
 	}

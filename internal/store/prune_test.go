@@ -196,7 +196,8 @@ func TestPruneCrashBeforeCleanup(t *testing.T) {
 	roster, blocks := chain(t, 8)
 	dir := t.TempDir()
 
-	st := openStore(t, dir, roster, store.Options{SegmentSize: 256})
+	store.SetSegmentSize(t, 256)
+	st := openStore(t, dir, roster, store.Options{})
 	appendAll(t, st, blocks)
 	// Capture the pre-prune segments so the crash can be staged.
 	before := readDirBytes(t, dir)
@@ -268,7 +269,8 @@ func TestPruneCrashBeforeCleanup(t *testing.T) {
 func TestCheckpointCrashCleanup(t *testing.T) {
 	roster, blocks := chain(t, 8)
 	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{SegmentSize: 256})
+	store.SetSegmentSize(t, 256)
+	st := openStore(t, dir, roster, store.Options{})
 	appendAll(t, st, blocks)
 	before := readDirBytes(t, dir)
 
@@ -473,9 +475,10 @@ func TestPruneWritesNoBlock(t *testing.T) {
 	roster, blocks := chain(t, below+16384)
 	horizon := map[types.ServerID]uint64{0: below}
 	var heads [][]byte
+	store.SetSegmentSize(t, 4<<10)
 	for _, retained := range []int{64, 16384} {
 		dir := t.TempDir()
-		st := openStore(t, dir, roster, store.Options{Sync: store.SyncNever, SegmentSize: 4 << 10})
+		st := openStore(t, dir, roster, store.Options{Sync: store.SyncNever})
 		d := dag.New(roster)
 		for _, b := range blocks[:below+retained] {
 			if err := d.Insert(b); err != nil {

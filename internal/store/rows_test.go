@@ -52,7 +52,8 @@ func TestBlockReadsEveryRowBack(t *testing.T) {
 	}
 	blocks := h.DAG.Blocks()
 	dir := t.TempDir()
-	st, err := Open(dir, Options{Roster: h.Roster, Sync: SyncNever, SegmentSize: 1 << 10})
+	SetSegmentSize(t, 1<<10)
+	st, err := Open(dir, Options{Roster: h.Roster, Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestBlockReadsEveryRowBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err = Open(dir, Options{Roster: h.Roster, Sync: SyncNever, SegmentSize: 1 << 10})
+	st, err = Open(dir, Options{Roster: h.Roster, Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}

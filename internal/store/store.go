@@ -61,8 +61,11 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// DefaultSegmentSize is Options.SegmentSize's default: 8 MiB per WAL segment.
-const DefaultSegmentSize = 8 << 20
+// segmentSize is the rotation threshold for WAL segments in bytes: 8 MiB.
+// Records are never split: a segment may exceed it by up to one record. No
+// deployment has needed another value; a variable only so that the
+// package's tests can rotate after a few blocks (export_test.go).
+var segmentSize int64 = 8 << 20
 
 // syncEvery bounds the fsync lag under SyncInterval. It only decides how
 // many received blocks a power cut can take with it — own blocks are synced
@@ -77,10 +80,6 @@ type Options struct {
 	// longer verifies must not resurrect a ban. Required. Blocks are not
 	// checked against it — Open reads, the live DAG validates (see Open).
 	Roster *crypto.Roster
-	// SegmentSize is the rotation threshold for WAL segments in bytes
-	// (default DefaultSegmentSize). Records are never split: a segment
-	// may exceed the threshold by up to one record.
-	SegmentSize int64
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
 	// Clock supplies the current time for SyncInterval bookkeeping. The
@@ -212,9 +211,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.Roster == nil {
 		return nil, errors.New("store: options need a Roster")
 	}
-	if opts.SegmentSize <= 0 {
-		opts.SegmentSize = DefaultSegmentSize
-	}
 	if opts.Clock == nil {
 		start := time.Now()
 		opts.Clock = func() time.Duration { return time.Since(start) }
@@ -328,7 +324,7 @@ func (s *Store) recover() error {
 		}
 		// Resume the final WAL segment if it has room, with its window as the
 		// scan left it; else start fresh.
-		if final && !s.opts.ReadOnly && seg.goodLen < s.opts.SegmentSize {
+		if final && !s.opts.ReadOnly && seg.goodLen < segmentSize {
 			f, err := os.OpenFile(sf.path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return fmt.Errorf("store: reopen segment: %w", err)
@@ -547,7 +543,7 @@ func (s *Store) flushPending() error {
 			mark := s.rec.Len()
 			used := s.curSize + int64(mark)
 			putRecord(&s.rec, batch[i].b, &s.win)
-			if used+int64(s.rec.Len()-mark) > s.opts.SegmentSize && used > int64(headerSize) {
+			if used+int64(s.rec.Len()-mark) > segmentSize && used > int64(headerSize) {
 				s.rec.Truncate(mark)
 				break
 			}

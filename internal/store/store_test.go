@@ -176,7 +176,8 @@ func TestSinkSkipsTheReplay(t *testing.T) {
 func TestSegmentRotation(t *testing.T) {
 	roster, blocks := chain(t, 40)
 	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{SegmentSize: 512})
+	store.SetSegmentSize(t, 512)
+	st := openStore(t, dir, roster, store.Options{})
 	appendAll(t, st, blocks)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -190,7 +191,7 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatalf("expected rotation to produce several segments, got %d", len(entries))
 	}
 
-	st2 := openStore(t, dir, roster, store.Options{SegmentSize: 512})
+	st2 := openStore(t, dir, roster, store.Options{})
 	defer func() { _ = st2.Close() }()
 	if !sameRefs(st2.Blocks(), blocks) {
 		t.Fatalf("rotation round trip lost blocks: got %d want %d", len(st2.Blocks()), len(blocks))
@@ -329,7 +330,8 @@ func TestOpenTornTail(t *testing.T) {
 func TestCorruptEarlySegmentFails(t *testing.T) {
 	roster, blocks := chain(t, 40)
 	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{SegmentSize: 512})
+	store.SetSegmentSize(t, 512)
+	st := openStore(t, dir, roster, store.Options{})
 	appendAll(t, st, blocks)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -408,7 +410,8 @@ func TestRetiredSegmentKindsAreCorrupt(t *testing.T) {
 func TestCheckpointPrunes(t *testing.T) {
 	roster, blocks := chain(t, 20)
 	dir := t.TempDir()
-	st := openStore(t, dir, roster, store.Options{SegmentSize: 256})
+	store.SetSegmentSize(t, 256)
+	st := openStore(t, dir, roster, store.Options{})
 	appendAll(t, st, blocks)
 
 	d := dag.New(roster)
