@@ -225,9 +225,9 @@ gateway-smoke:
 # rejoins from a roster-certified state snapshot plus a short validated
 # delta — without replaying the pruned history, which no longer exists
 # anywhere. dagstore verify first re-proves the store the first run cut in
-# place (PruneTo, under -prune-keep 4) — it must reopen, validate and hold
-# a horizon — and then the rejoined store offline: the journaled chunks
-# must rebuild the committed root.
+# place (PruneTo, at the interpreter's cut, which -state turns on) — it
+# must reopen, validate and hold a horizon — and then the rejoined store
+# offline: the journaled chunks must rebuild the committed root.
 snapshot-smoke:
 	@set -e; \
 	d=$$(mktemp -d); \
@@ -240,11 +240,11 @@ snapshot-smoke:
 	trap 'kill $$pids 2>/dev/null || true; rm -rf $$d' EXIT; \
 	for i in 1 2 3; do \
 		$$d/tcp -roster $$d/deploy/roster.txt -key $$d/deploy/s$$i.key \
-			-store-dir $$d/s$$i -state -prune-keep 4 -timeout 30s -linger 40s & \
+			-store-dir $$d/s$$i -state -timeout 30s -linger 40s & \
 		pids="$$pids $$!"; \
 	done; \
 	$$d/tcp -roster $$d/deploy/roster.txt -key $$d/deploy/s0.key \
-		-store-dir $$d/s0 -state -prune-keep 4 -timeout 30s -linger 3s > $$d/s0-first.log; \
+		-store-dir $$d/s0 -state -timeout 30s -linger 3s > $$d/s0-first.log; \
 	root=$$(sed -n 's/.*sealed slot [0-9]* root \([0-9a-f]*\).*/\1/p' $$d/s0-first.log); \
 	[ -n "$$root" ] || { echo "snapshot-smoke FAILED: first run sealed nothing" >&2; cat $$d/s0-first.log >&2; exit 1; }; \
 	$$d/dagstore verify -dir $$d/s0 -roster $$d/deploy/roster.txt > $$d/verify-cut.log \
@@ -253,7 +253,7 @@ snapshot-smoke:
 		|| { echo "snapshot-smoke FAILED: the first run's store holds no pruned horizon" >&2; cat $$d/verify-cut.log >&2; exit 1; }; \
 	rm -rf $$d/s0; \
 	$$d/tcp -roster $$d/deploy/roster.txt -key $$d/deploy/s0.key \
-		-store-dir $$d/s0 -state -prune-keep 4 -snapshot-join -timeout 30s > $$d/s0-rejoin.log; \
+		-store-dir $$d/s0 -state -snapshot-join -timeout 30s > $$d/s0-rejoin.log; \
 	grep -q "snapshot join: installed certified state" $$d/s0-rejoin.log \
 		|| { echo "snapshot-smoke FAILED: wiped node did not join via the snapshot tier" >&2; cat $$d/s0-rejoin.log >&2; exit 1; }; \
 	grep -q "root $$root" $$d/s0-rejoin.log \

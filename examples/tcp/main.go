@@ -58,8 +58,7 @@ func run() error {
 	flag.DurationVar(&opts.timeout, "timeout", 10*time.Second, "how long to wait for all broadcasts to deliver")
 	flag.StringVar(&cfg.StoreDir, "store-dir", "", "journal blocks under this directory, restore on startup, bulk-sync what is missing from the peers and keep following them")
 	flag.IntVar(&cfg.MempoolCapacity, "mempool", 0, "ingestion mempool capacity: requests deduplicate, validate, and hit backpressure before block inclusion (0 = the pool's default)")
-	flag.BoolVar(&opts.state, "state", false, "with -store-dir: maintain a Merkle state commitment over delivered broadcasts; seal, sign, journal, and serve it on the snapshot tier")
-	flag.Uint64Var(&cfg.PruneKeepSeqs, "prune-keep", 0, "with -state: prune journaled history this many seqs below each chain tip after every seal (0 keeps full history); a restart over a cut through a still-running instance loses that instance (ROADMAP item 4(a))")
+	flag.BoolVar(&opts.state, "state", false, "with -store-dir: maintain a Merkle state commitment over delivered broadcasts; seal, sign, journal, and serve it on the snapshot tier, and prune journaled history behind it")
 	flag.BoolVar(&cfg.SnapshotJoin, "snapshot-join", false, "with -roster and -state: a server whose store is empty installs a roster-certified snapshot from its peers (the third catch-up tier)")
 	flag.StringVar(&cfg.GatewayAddr, "gateway", "", "serve the client gateway (HTTP API + /metrics) on this address; all-in-one mode binds it to s0")
 	flag.StringVar(&cfg.GatewayToken, "gateway-token", "", "with -gateway: require this bearer token on the client API (/metrics stays open)")
@@ -75,8 +74,8 @@ func run() error {
 		return fmt.Errorf("-gateway-token needs -gateway")
 	case opts.state && cfg.StoreDir == "":
 		return fmt.Errorf("-state needs -store-dir (the sealed commitment journals through the store)")
-	case (cfg.PruneKeepSeqs > 0 || cfg.SnapshotJoin) && !opts.state:
-		return fmt.Errorf("-prune-keep and -snapshot-join need -state")
+	case cfg.SnapshotJoin && !opts.state:
+		return fmt.Errorf("-snapshot-join needs -state")
 	case cfg.SnapshotJoin && *rosterPath == "":
 		return fmt.Errorf("-snapshot-join needs -roster (a wiped node joins a running cluster)")
 	case (*rosterPath == "") != (*keyPath == ""):

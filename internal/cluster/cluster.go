@@ -107,8 +107,8 @@ type Options struct {
 	StoreDir string
 
 	// slot, if set, edits slot i's configuration before each Listen — at
-	// New and at every Restart: a test gives a slot a gateway, State or
-	// PruneKeepSeqs here.
+	// New and at every Restart: a test gives a slot a gateway or State
+	// here.
 	slot func(i int, cfg *deploy.Config)
 }
 

@@ -92,16 +92,14 @@ type Config struct {
 	MempoolCapacity int
 
 	// State, if non-nil, is the Merkle-committed machine the caller feeds
-	// from OnIndication: the runtime seals, signs, journals and serves it
-	// (node.StateSyncConfig; needs StoreDir). PruneKeepSeqs > 0 prunes
-	// journaled history that far below each chain's tip after every seal;
-	// a node restarted over a cut that passes through a protocol instance
-	// still running loses that instance (node.StateSyncConfig.PruneKeepSeqs,
-	// ROADMAP item 4(a)). SnapshotJoin makes a node whose store holds
-	// nothing install a roster-certified snapshot from its peers at Boot.
-	State         *state.Machine
-	PruneKeepSeqs uint64
-	SnapshotJoin  bool
+	// from OnIndication: the runtime seals, signs, journals and serves it,
+	// and prunes journaled history at the interpreter's cut, behind which
+	// no instance was live (node.Config.State; needs StoreDir). Pruning is
+	// on exactly when State is. SnapshotJoin makes a node whose store
+	// holds nothing install a roster-certified snapshot from its peers at
+	// Boot.
+	State        *state.Machine
+	SnapshotJoin bool
 
 	// GatewayAddr, if non-empty, serves the client gateway there;
 	// GatewayToken puts its API behind that bearer token.
@@ -185,8 +183,8 @@ func ListenOn(net Network, clock func() time.Duration, cfg Config) (*Assembly, e
 	switch {
 	case id == nil:
 		return nil, errors.New("deploy: config needs an Identity")
-	case cfg.State == nil && (cfg.PruneKeepSeqs > 0 || cfg.SnapshotJoin):
-		return nil, errors.New("deploy: PruneKeepSeqs and SnapshotJoin need State")
+	case cfg.State == nil && cfg.SnapshotJoin:
+		return nil, errors.New("deploy: SnapshotJoin needs State")
 	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = id.File.Addr(id.ID())
@@ -297,12 +295,10 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		Identity:         id,
 		DisseminateEvery: cfg.DisseminateEvery,
 		Store:            a.Store,
+		State:            cfg.State,
 	}
 	if a.Store != nil && len(peers) > 0 {
 		ncfg.CatchUp = &syncsvc.FetchConfig{Transport: a.Transport, Peers: peers, Timeout: catchUpTimeout}
-	}
-	if cfg.State != nil {
-		ncfg.State = &node.StateSyncConfig{Machine: cfg.State, PruneKeepSeqs: cfg.PruneKeepSeqs}
 	}
 	// node.New does the ordered part: sinks before replay, replay before
 	// catch-up.

@@ -129,7 +129,7 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("s%d", i))
 	}
 	durable := func(i int) Config {
-		return Config{StoreDir: dirs[i], State: state.NewMachine(0), PruneKeepSeqs: 4}
+		return Config{StoreDir: dirs[i], State: state.NewMachine(0)}
 	}
 	members := make([]*member, n)
 	for i := range members {

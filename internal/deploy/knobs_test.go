@@ -21,9 +21,9 @@ import (
 // knobs are the tree's configuration structs, as package.Type under
 // internal/.
 var knobs = []string{
-	"core.Config", "gossip.Config", "node.Config", "node.StateSyncConfig", "store.Options",
-	"tcpnet.Config", "syncsvc.Server", "mempool.Options", "peerscore.Options", "gateway.Config",
-	"deploy.Config", "cluster.Options",
+	"core.Config", "gossip.Config", "node.Config", "store.Options", "tcpnet.Config",
+	"syncsvc.Server", "mempool.Options", "peerscore.Options", "gateway.Config", "deploy.Config",
+	"cluster.Options",
 }
 
 // TestKnobs lists the configuration fields no non-test code sets (ROADMAP

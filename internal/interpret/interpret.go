@@ -224,6 +224,9 @@ type Interpreter struct {
 	frontier []uint64       // by builder: its blocks below it every chain has read (release)
 	lag      []atomic.Int64 // unread as of the last block interpreted, for ChainUnread
 	stats    Stats
+	// quiet is the pending quiet point (nil: none) and cut the last one
+	// the frontier passed: chain-tip positions, by builder (Cut).
+	quiet, cut []uint64
 
 	done     map[types.Label]int // chains that finished a label not every chain has
 	donePeak int                 // the most entries done has held since it was made (shrunk)
@@ -251,8 +254,8 @@ type Interpreter struct {
 func New(proto protocol.Protocol, n, f int, onInd func(Indication), opts ...Option) *Interpreter {
 	it := &Interpreter{
 		proto: proto, n: n, f: f, onInd: onInd,
-		chains: make([]chain, n), unread: make([]int, n), frontier: make([]uint64, n), lag: make([]atomic.Int64, n),
-		done: make(map[types.Label]int),
+		chains: make([]chain, n), unread: make([]int, n), frontier: make([]uint64, n), cut: make([]uint64, n),
+		lag: make([]atomic.Int64, n), done: make(map[types.Label]int),
 	}
 	for _, opt := range opts {
 		opt(it)
@@ -298,9 +301,10 @@ func (it *Interpreter) put(st *blockState) {
 // predecessor, carrying no messages and no instances — the effects of pruned
 // blocks live in the restored application state — and the DAG's watermark for
 // it is the whole prune horizon, so message collection never reaches below
-// the prune line. Instances whose delivery straddles the horizon start fresh
-// at the first live chain block (safe by the deployment contract: prune only
-// behind quiescent points). Run it before any AddBlock.
+// the prune line. An instance whose delivery straddled the horizon would
+// start fresh at the first live chain block; none does at a horizon that
+// is an interpreter's cut (Cut), the quiet point a node prunes at. Run it
+// before any AddBlock.
 func (it *Interpreter) SeedBase(entries []dag.Base) error {
 	if len(it.states) > 0 {
 		return errors.New("interpret: SeedBase on a non-empty interpreter")
@@ -485,7 +489,8 @@ func CollectChainUnread(read func() []int64) metrics.Collector {
 // extends no tip — a fork — can find a source released. A builder that forked
 // keeps its states, so a branch extended below the frontier takes its
 // parent's table over rather than replaying per block. The same pass counts
-// what each chain has not read.
+// what each chain has not read, and, in a live interpreter, moves the cut
+// (Cut).
 func (it *Interpreter) release() {
 	it.asked = nil
 	clear(it.unread)
@@ -517,12 +522,41 @@ func (it *Interpreter) release() {
 		}
 		it.frontier[x] = frontier
 	}
+	if it.spine != nil {
+		return
+	}
+	if it.quiet != nil && dominated(it.quiet, it.frontier) {
+		it.cut, it.quiet = it.quiet, nil
+	}
+	if s := it.stats; it.quiet == nil && s.LiveInstances == 0 && s.Tombstones == 0 && s.OutMessages == 0 {
+		it.quiet = make([]uint64, it.n)
+		for x, ch := range it.chains {
+			if ch.tip != nil {
+				it.quiet[x] = ch.tip.seq + 1
+			}
+		}
+	}
 }
 
 // Frontier returns, by builder, the sequence number below which every chain
 // has read that builder's blocks, as of the last AddBlock: what the DAG may
 // release (dag.DAG.Release). Read-only; it only rises.
 func (it *Interpreter) Frontier() []uint64 { return it.frontier }
+
+// Cut returns, by builder, the sequence number below which the node may
+// prune that builder's blocks (store.PruneTo), as of the last AddBlock: the
+// chain-tip positions (seq + 1) at a quiet point — a release that left no
+// instance live, no tombstone and no out-buffer unread — once the frontier
+// has passed them on every chain. Every chain-tip table was empty there but
+// for the retired set, so stand-ins at the cut (SeedBase) feed every block
+// above it what it was fed here, and every builder holds the blocks below
+// it. One quiet point is pending at a time; the cut only rises, and under
+// load that overlaps without a pause it does not move. Read-only.
+//
+// The retired set is not carried across a cut: on a node restarted over
+// one, a late request for a label retired below it starts a fresh instance
+// (ROADMAP item 4(b)).
+func (it *Interpreter) Cut() []uint64 { return it.cut }
 
 // replay is the one miss path: it interprets the blocks up to row num afresh,
 // in row order (a topological order), in a scratch interpreter over the same

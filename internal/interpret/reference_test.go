@@ -328,13 +328,19 @@ func oracleDAG(t *testing.T, seed int64) *dag.DAG {
 // heights, some below their builder's horizon by far — and holding the
 // retained blocks, with the base table it was seeded with.
 func prunedCopy(t *testing.T, d *dag.DAG, rng *rand.Rand) (*dag.DAG, []dag.Base) {
-	h := dagtest.NewHarness(4) // for its roster: every harness of a size has the same
-	horizon := make(map[types.ServerID]uint64)
+	horizon := make([]uint64, 4)
 	for x := types.ServerID(0); x < 4; x++ {
 		if chain := d.ByBuilder(x); len(chain) > 2 {
 			horizon[x] = uint64(rng.Intn(len(chain) / 2))
 		}
 	}
+	return cutCopy(t, d, horizon)
+}
+
+// cutCopy cuts d, of four builders, at horizon, by builder, as prunedCopy
+// describes.
+func cutCopy(t *testing.T, d *dag.DAG, horizon []uint64) (*dag.DAG, []dag.Base) {
+	h := dagtest.NewHarness(4) // for its roster: every harness of a size has the same
 	base := make(map[block.Ref]dag.Base)
 	var retained []*block.Block
 	for b := range d.All() {

@@ -71,6 +71,7 @@ import (
 	"blockdag/internal/gossip"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/roster"
+	"blockdag/internal/state"
 	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/types"
@@ -128,18 +129,20 @@ type Config struct {
 	FollowEvery time.Duration
 	// CheckpointEverySegments is ignored.
 	//
-	// Deprecated: a running node never rewrites its store; a cut
-	// (StateSyncConfig.PruneKeepSeqs) writes only the store's head and
-	// deletes segments. The field exists only because the frozen
-	// bench/cluster.go assigns it, and goes when bench/ drops that line.
+	// Deprecated: a running node never rewrites its store; a cut (State)
+	// writes only the store's head and deletes segments. The field exists
+	// only because the frozen bench/cluster.go assigns it, and goes when
+	// bench/ drops that line.
 	CheckpointEverySegments int
-	// State, if non-nil, wires a Merkle-committed state machine into the
-	// runtime: periodic sealed commitments journaled through the store's
-	// checkpoint path, a served snapshot for joining peers
-	// (ServedSnapshot → syncsvc.Server.Snapshot), startup restore from
-	// the journaled checkpoint, and optional history pruning. Requires
-	// Store. See StateSyncConfig.
-	State *StateSyncConfig
+	// State, if non-nil, is the caller-owned replicated state machine the
+	// runtime seals, serves and restores, and prunes history behind
+	// (state.go): the caller routes committed commands into State.Apply
+	// from its indication callback (loop goroutine). Sealed commitments
+	// journal through the store's checkpoint path, so it requires Store;
+	// they are signed with the server's signer, and a served snapshot
+	// (ServedSnapshot → syncsvc.Server.Snapshot) carries them to joining
+	// peers. History pruning is on exactly when State is.
+	State *state.Machine
 }
 
 // CatchUpReport records what startup catch-up did.
@@ -308,8 +311,8 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Server == nil {
 		return nil, errors.New("node: config needs a Server")
 	}
-	if err := validateState(&cfg); err != nil {
-		return nil, err
+	if cfg.State != nil && cfg.Store == nil {
+		return nil, errors.New("node: State needs a Store (commitments journal through the store checkpoint path)")
 	}
 	if cfg.Identity != nil && cfg.Identity.ID() != cfg.Server.ID() {
 		return nil, fmt.Errorf("node: identity is server %d, core server is %d", cfg.Identity.ID(), cfg.Server.ID())

@@ -1,16 +1,16 @@
 // State-commitment wiring: the runtime side of internal/state. A node
-// configured with StateSyncConfig periodically seals its replicated
-// state machine into a Merkle commitment, signs it, journals it through
-// the store's checkpoint path, serves it to joining peers over the sync
-// channel's snapshot tier, and (optionally) prunes journaled history the
-// sealed state has made redundant. On startup the same wiring rebuilds
-// the machine from the journaled checkpoint — which, for a wiped node, is
-// the roster-certified snapshot package deploy fetched from its peers and
-// installed into the empty store just before.
+// configured with a State machine periodically seals it into a Merkle
+// commitment, signs it, journals it through the store's checkpoint path,
+// serves it to joining peers over the sync channel's snapshot tier, and
+// prunes journaled history at the interpreter's cut
+// (interpret.Interpreter.Cut): pruning is on exactly when State is. On
+// startup the same wiring rebuilds the machine from the journaled
+// checkpoint — which, for a wiped node, is the roster-certified snapshot
+// package deploy fetched from its peers and installed into the empty
+// store just before.
 package node
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -25,31 +25,6 @@ import (
 // deployment has run at this value.
 const SealEvery = 500 * time.Millisecond
 
-// StateSyncConfig wires a replicated state machine into the runtime's
-// seal/serve/prune cycle. Requires Config.Store: the sealed commitment
-// rides the store's checkpoint journal. Commits are signed with the
-// server's signer (core.Server.Signer); peers assemble f+1 of them into
-// the certificate that authorizes a snapshot join.
-type StateSyncConfig struct {
-	// Machine is the caller-owned interpreted state. The caller routes
-	// committed commands into Machine.Apply from its indication callback
-	// (loop goroutine); the runtime seals, serves, and restores it.
-	// Required.
-	Machine *state.Machine
-	// PruneKeepSeqs > 0 enables history pruning after each seal: every
-	// builder's journaled chain is cut PruneKeepSeqs below its current
-	// tip, bounding disk to O(state + recent DAG). 0 keeps full history.
-	//
-	// The margin is meant to cover the deepest protocol instance still in
-	// flight (see store.PruneTo), and no margin does yet: a node that
-	// restarts over a cut passing through an instance that is still
-	// running loses that instance — its blocks below the horizon are gone,
-	// and the replay cannot finish it. ROADMAP item 4(a) tracks the fix;
-	// until it lands, run with pruning only where losing a live instance
-	// on restart is acceptable.
-	PruneKeepSeqs uint64
-}
-
 // restoreState rebuilds the machine from the store's journaled state
 // checkpoint: import the chunks (every chunk verified, the whole content
 // hashed against the journaled root — a corrupted checkpoint fails loudly
@@ -59,7 +34,7 @@ type StateSyncConfig struct {
 // again. A store without a checkpoint leaves the machine empty: full
 // history is present and the indication replay rebuilds state from
 // slot 0.
-func (n *Node) restoreState(sc *StateSyncConfig, st *store.Store) error {
+func (n *Node) restoreState(m *state.Machine, st *store.Store) error {
 	ckpt := st.StateCheckpoint()
 	if ckpt == nil {
 		return nil
@@ -69,7 +44,7 @@ func (n *Node) restoreState(sc *StateSyncConfig, st *store.Store) error {
 		return fmt.Errorf("node: restore state checkpoint: %w", err)
 	}
 	commit := state.Commit{Slot: ckpt.Slot, Root: ckpt.Root}
-	if err := sc.Machine.Install(tree, commit); err != nil {
+	if err := m.Install(tree, commit); err != nil {
 		return fmt.Errorf("node: restore state checkpoint: %w", err)
 	}
 	n.lastSealedSlot = commit.Slot
@@ -100,11 +75,11 @@ func (n *Node) serve(signed state.SignedCommit, chunks [][]byte) {
 // cadence has elapsed on the server's clock and the machine's applied
 // frontier moved since the last seal, pin a commit at the current tree,
 // export and sign it, hand it to the store as the next durable
-// checkpoint, publish it on the snapshot tier, and — with pruning
-// enabled — cut journaled history PruneKeepSeqs below the tips.
+// checkpoint, publish it on the snapshot tier, and cut journaled history
+// at the interpreter's cut.
 func (n *Node) maybeSealState() {
-	sc := n.cfg.State
-	if sc == nil {
+	m := n.cfg.State
+	if m == nil {
 		return
 	}
 	now := n.cfg.Server.Now()
@@ -112,7 +87,6 @@ func (n *Node) maybeSealState() {
 		return
 	}
 	n.lastSeal = now
-	m := sc.Machine
 	if m.NextSlot() == 0 || m.NextSlot() == n.lastSealedSlot {
 		// Nothing applied since the last seal — but the chains keep
 		// growing under an idle state, so keep cutting history, and keep
@@ -141,16 +115,14 @@ func (n *Node) maybeSealState() {
 	n.serve(state.SignCommit(commit, n.cfg.Server.Signer()), chunks)
 }
 
-// maybePruneState cuts journaled history PruneKeepSeqs below every
-// builder's tip, keyed off the DAG's O(#builders) chain heads.
-// Reports whether the store's horizon actually advanced. Prune failure
-// is recorded, not fatal: the store stays valid at its old horizon
-// (PruneTo is crash-atomic) and the next seal retries.
+// maybePruneState cuts journaled history at the interpreter's cut
+// (interpret.Interpreter.Cut), a quiet point every chain has read past:
+// no instance was live across it, every builder holds the blocks below
+// it, and the checkpoint sealed on this turn covers every indication
+// below it. Reports whether the store's horizon actually advanced. Prune
+// failure is recorded, not fatal: the store stays valid at its old
+// horizon (PruneTo is crash-atomic) and the next seal retries.
 func (n *Node) maybePruneState() bool {
-	sc := n.cfg.State
-	if sc.PruneKeepSeqs == 0 {
-		return false
-	}
 	if n.cfg.Store.StateCheckpoint() == nil {
 		// No sealed state journaled yet — a pruned store must always
 		// carry the checkpoint that stands in for the cut history, and
@@ -160,12 +132,8 @@ func (n *Node) maybePruneState() bool {
 	}
 	current := n.cfg.Store.Horizon()
 	horizon := make(map[types.ServerID]uint64)
-	for id, head := range n.cfg.Server.DAG().Heads() {
-		builder := types.ServerID(id)
-		if head.Next <= sc.PruneKeepSeqs {
-			continue
-		}
-		if h := head.Next - sc.PruneKeepSeqs; h > current[builder] {
+	for id, h := range n.cfg.Server.Interpreter().Cut() {
+		if builder := types.ServerID(id); h > current[builder] {
 			horizon[builder] = h
 		}
 	}
@@ -175,18 +143,4 @@ func (n *Node) maybePruneState() bool {
 	err := n.cfg.Store.PruneTo(n.cfg.Server.DAG(), horizon)
 	n.recordErr(err)
 	return err == nil
-}
-
-// validateState cross-checks the state wiring at New time.
-func validateState(cfg *Config) error {
-	if cfg.State == nil {
-		return nil
-	}
-	switch {
-	case cfg.State.Machine == nil:
-		return errors.New("node: StateSyncConfig needs a Machine")
-	case cfg.Store == nil:
-		return errors.New("node: StateSyncConfig needs Config.Store (commitments journal through the store checkpoint path)")
-	}
-	return nil
 }

@@ -40,7 +40,7 @@ func TestSealPruneCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = st.Close() }()
-	const sealEvery, keep = node.SealEvery, 2
+	const sealEvery = node.SealEvery
 	net := simnet.New()
 	machine := state.NewMachine(0)
 	nd := steppedNode(t, net, roster, signers[0], core.Config{
@@ -48,7 +48,7 @@ func TestSealPruneCadence(t *testing.T) {
 			machine.Tree().Put([]byte(label), value)
 			machine.SealAt(uint64(machine.Tree().Len()))
 		},
-	}, node.Config{Store: st, State: &node.StateSyncConfig{Machine: machine, PruneKeepSeqs: keep}})
+	}, node.Config{Store: st, State: machine})
 	grow := func(blocks int) {
 		for i := 0; i < blocks; i++ {
 			nd.Disseminate()

@@ -843,7 +843,8 @@ func pruneSet(d *dag.DAG, horizon map[types.ServerID]uint64) (*cut, error) {
 // cut did not get to delete — Open skips their records below the horizon
 // and deletes them. Callers must only prune below quiescent points of the
 // protocol (committed state the roster has sealed); the store cannot
-// check that.
+// check that, and the node prunes only at its interpreter's cut
+// (interpret.Interpreter.Cut), which is one.
 func (s *Store) PruneTo(d *dag.DAG, horizon map[types.ServerID]uint64) error {
 	switch {
 	case s.closed:
