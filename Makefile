@@ -60,12 +60,14 @@ race:
 # its accountability run (an equivocator banned over TCP and across a
 # Restart), the cut tests (the store's PruneTo, and the node's that its
 # Tick never checkpoints) and the store's read-back of released blocks
-# (the location column a cut marks under the DAG's feet) and the
+# (the location column a cut marks under the DAG's feet), the
 # serving side of a pull (a started node's reads in its loop's turns, while
-# that loop inserts) — ten times under the race detector, so a test
-# that fails one run in five (as TestAuthWrongKeyRejected did until PR 12)
-# is caught in the PR that introduces it rather than blocking unrelated
-# work later. The -run filter keeps it to a few minutes.
+# that loop inserts) and of the snapshot tier (meta and chunk calls reading
+# the store's head while the loop seals and cuts) — ten times under the
+# race detector, so a test that fails one run in five (as
+# TestAuthWrongKeyRejected did until PR 12) is caught in the PR that
+# introduces it rather than blocking unrelated work later. The -run filter
+# keeps it to a few minutes.
 flake-smoke:
 	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|Prune|RowBack|Serve' \
 		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy

@@ -99,7 +99,7 @@ func loadRoster(path string, n int) (*crypto.Roster, error) {
 // the store's pruned-history base.
 func rebuild(st *store.Store, roster *crypto.Roster) (*dag.DAG, error) {
 	d := dag.New(roster)
-	if err := d.SeedBase(st.Base()); err != nil {
+	if err := d.SeedBase(st.Head().Base); err != nil {
 		return nil, fmt.Errorf("seed base: %w", err)
 	}
 	for _, b := range st.Blocks() {
@@ -148,7 +148,8 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 	// Pruned stores: report the horizon, base table, and journaled state
 	// commitment, and prove the commitment's chunks actually rebuild the
 	// claimed root — the check a joiner's snapshot install relies on.
-	if horizon := st.Horizon(); len(horizon) > 0 {
+	head := st.Head()
+	if horizon := head.Horizon; len(horizon) > 0 {
 		ids := make([]int, 0, len(horizon))
 		for id := range horizon {
 			ids = append(ids, int(id))
@@ -158,9 +159,9 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 		for _, id := range ids {
 			fmt.Printf(" s%d<%d", id, horizon[types.ServerID(id)])
 		}
-		fmt.Printf(" (%d base stand-ins)\n", len(st.Base()))
+		fmt.Printf(" (%d base stand-ins)\n", len(head.Base))
 	}
-	if ckpt := st.StateCheckpoint(); ckpt != nil {
+	if ckpt := head.State; ckpt != nil {
 		fmt.Printf("state    commit at slot %d, root %x, %d chunks\n",
 			ckpt.Slot, ckpt.Root[:8], len(ckpt.Chunks))
 		if _, rebuildErr := state.Import(ckpt.Root, ckpt.Chunks); rebuildErr != nil {

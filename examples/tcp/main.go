@@ -112,7 +112,7 @@ func listen(file *roster.File, key roster.Key, addr string, opts runOpts) (*serv
 	cfg := opts.node
 	cfg.Identity, cfg.ListenAddr, cfg.Protocol = identity, addr, brb.Protocol{}
 	if opts.state {
-		s.machine = state.NewMachine(0)
+		s.machine = state.NewMachine()
 		cfg.State = s.machine
 	}
 	cfg.OnIndication = func(label types.Label, value []byte) {
@@ -125,7 +125,7 @@ func listen(file *roster.File, key roster.Key, addr string, opts runOpts) (*serv
 			// servers deliver the same (label, value) set, so at quiescence
 			// all seal the same (slot, root) — certifiable by joiners.
 			s.machine.Tree().Put([]byte(label), value)
-			s.machine.SealAt(uint64(s.machine.Tree().Len()))
+			s.machine.AdvanceTo(uint64(s.machine.Tree().Len()))
 		}
 	}
 	if s.Assembly, err = deploy.Listen(cfg); err != nil {
@@ -147,17 +147,17 @@ func (s *server) boot(addrOf func(types.ServerID) string) error {
 	}
 	if j := s.Joined; j != nil {
 		fmt.Printf("s%d snapshot join: installed certified state at slot %d root %x from s%d (%d chunks, %d base stand-ins)\n",
-			s.id, j.Commit.Slot, j.Commit.Root[:8], j.Anchor, len(j.Chunks), len(j.Base))
+			s.id, j.Head.State.Slot, j.Head.State.Root[:8], j.Anchor, len(j.Head.State.Chunks), len(j.Head.Base))
 	}
 	if rep := s.Node.CatchUpReport(); rep.Ran && (rep.Blocks > 0 || rep.Err != nil) {
 		fmt.Printf("s%d catch-up: %d blocks in bulk (err: %v)\n", s.id, rep.Blocks, rep.Err)
 	}
-	if served := s.Node.ServedSnapshot(); served != nil {
+	if h := s.sealed(); h != nil {
 		// Broadcasts settled in the restored (or snapshot-installed) state
 		// count as delivered: their history may be pruned away, so no
 		// indication will ever replay them. The machine is the loop's by
-		// now; the snapshot it was restored from is being served.
-		tree, err := state.Import(served.Signed.Commit.Root, served.Chunks)
+		// now; the head it was restored from is being served.
+		tree, err := state.Import(h.State.Root, h.State.Chunks)
 		if err != nil {
 			return err
 		}
@@ -173,6 +173,15 @@ func (s *server) boot(addrOf func(types.ServerID) string) error {
 		fmt.Printf("s%d gateway on http://%s (/metrics open)\n", s.id, s.Gateway.Addr())
 	}
 	return nil
+}
+
+// sealed is the store's head — the snapshot the node serves — once it holds
+// a state checkpoint; nil without -state or before the first seal.
+func (s *server) sealed() *store.Head {
+	if s.machine == nil || s.Store.Head().State == nil {
+		return nil
+	}
+	return s.Store.Head()
 }
 
 func (s *server) deliveredCount() int {
@@ -205,14 +214,13 @@ func (s *server) report() {
 	ms := s.Node.Server().Mempool().Stats()
 	fmt.Printf("s%d mempool: %d submitted, %d accepted, %d drained into blocks (%d dup, %d invalid, %d overflow)\n",
 		s.id, ms.Submitted, ms.Accepted, ms.Drained, ms.Duplicates, ms.Invalid, ms.Overflow)
-	if served := s.Node.ServedSnapshot(); served != nil {
+	if h := s.sealed(); h != nil {
 		var maxSeq uint64
-		for _, h := range served.Horizon {
-			maxSeq = max(maxSeq, h)
+		for _, seq := range h.Horizon {
+			maxSeq = max(maxSeq, seq)
 		}
-		c := served.Signed.Commit
 		fmt.Printf("s%d state: sealed slot %d root %x (%d chunks; pruned below seq %d on %d chains)\n",
-			s.id, c.Slot, c.Root[:8], len(served.Chunks), maxSeq, len(served.Base))
+			s.id, h.State.Slot, h.State.Root[:8], len(h.State.Chunks), maxSeq, len(h.Base))
 	}
 }
 

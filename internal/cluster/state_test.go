@@ -26,13 +26,13 @@ import (
 // process.
 func stateful(opts Options, machines []*state.Machine) Options {
 	opts.slot = func(i int, cfg *deploy.Config) {
-		m := state.NewMachine(0)
+		m := state.NewMachine()
 		machines[i] = m
 		record := cfg.OnIndication
 		cfg.OnIndication = func(label types.Label, value []byte) {
 			record(label, value)
 			m.Tree().Put([]byte(label), value)
-			m.SealAt(uint64(m.Tree().Len()))
+			m.AdvanceTo(uint64(m.Tree().Len()))
 		}
 		cfg.State = m
 	}
@@ -93,7 +93,7 @@ func sealPruneRestart(t *testing.T) string {
 		c.Net.After(at, func() { c.Request(r%n, types.Label(fmt.Sprintf("k/%d", r)), []byte{byte(r)}) })
 		for i := 0; i < n; i++ {
 			c.Net.After(at+time.Duration(i)*time.Millisecond, func() {
-				if ck := c.Stores[i].StateCheckpoint(); ck != nil && ck != checkpoints[i] {
+				if ck := c.Stores[i].Head().State; ck != nil && ck != checkpoints[i] {
 					sealed[i], checkpoints[i] = append(sealed[i], c.Net.Now()), ck
 				}
 			})
@@ -125,11 +125,11 @@ func sealPruneRestart(t *testing.T) string {
 	if ok, err := c.RunUntil(20, delivered); err != nil || !ok {
 		t.Fatalf("requests not all delivered: ok=%v err=%v", ok, err)
 	}
-	before := c.Stores[0].Horizon()
+	before := c.Stores[0].Head().Horizon
 	if err := c.RunRounds(11); err != nil { // a seal period and more
 		t.Fatal(err)
 	}
-	after := c.Stores[0].Horizon()
+	after := c.Stores[0].Head().Horizon
 	for id := range n {
 		if b := types.ServerID(id); after[b] <= before[b] {
 			t.Fatalf("idle slot 0's horizon went %v → %v: no cut of chain %d", before, after, id)
@@ -161,9 +161,13 @@ func sealPruneRestart(t *testing.T) string {
 	}
 
 	roots, blocks, inds := sha256.New(), sha256.New(), sha256.New()
-	first := c.Nodes[0].ServedSnapshot().Signed.Commit
+	commitOf := func(i int) state.Commit {
+		ck := c.Stores[i].Head().State
+		return state.Commit{Slot: ck.Slot, Root: ck.Root}
+	}
+	first := commitOf(0)
 	for _, i := range c.CorrectServers() {
-		commit := c.Nodes[i].ServedSnapshot().Signed.Commit
+		commit := commitOf(i)
 		if commit != first {
 			t.Fatalf("slot %d sealed slot %d root %x, slot 0 slot %d root %x", i, commit.Slot, commit.Root[:4], first.Slot, first.Root[:4])
 		}
@@ -213,7 +217,7 @@ func liveAcrossACut(t *testing.T, seed int64, cutFirst bool) (s0, s1, s2 bool) {
 	c.Request(0, "pre", []byte("v0"))
 	if cutFirst {
 		cutAll := func() bool {
-			h := c.Stores[1].Horizon()
+			h := c.Stores[1].Head().Horizon
 			for id := range types.ServerID(4) {
 				if h[id] == 0 {
 					return false
@@ -222,13 +226,13 @@ func liveAcrossACut(t *testing.T, seed int64, cutFirst bool) (s0, s1, s2 bool) {
 			return true
 		}
 		if ok, err := c.RunUntil(60, cutAll); err != nil || !ok {
-			t.Fatalf("seed %d: s1 did not cut every chain: horizon %v, err %v", seed, c.Stores[1].Horizon(), err)
+			t.Fatalf("seed %d: s1 did not cut every chain: horizon %v, err %v", seed, c.Stores[1].Head().Horizon, err)
 		}
 		partition()
 	} else if err := c.RunRounds(12); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stores[1].StateCheckpoint() == nil {
+	if c.Stores[1].Head().State == nil {
 		t.Fatalf("seed %d: s1 never sealed", seed)
 	}
 	c.Crash(2)
@@ -250,7 +254,7 @@ func liveAcrossACut(t *testing.T, seed int64, cutFirst bool) (s0, s1, s2 bool) {
 			}
 		}
 	}
-	if h := c.Stores[1].Horizon()[0]; !deliveredAt(c, 1, "live") && h > carrier {
+	if h := c.Stores[1].Head().Horizon[0]; !deliveredAt(c, 1, "live") && h > carrier {
 		t.Fatalf("seed %d: s1 cut chain 0 at %d, past the live instance's block %d", seed, h, carrier)
 	}
 	if err := c.Restart(1); err != nil {
@@ -326,7 +330,7 @@ func cutLag(t *testing.T, every, rounds int, hold bool) (heads, horizon []uint64
 	if err := c.Health(); err != nil {
 		t.Fatal(err)
 	}
-	cut := c.Stores[0].Horizon()
+	cut := c.Stores[0].Head().Horizon
 	for id, head := range c.Servers[0].DAG().Heads() {
 		heads, horizon = append(heads, head.Next), append(horizon, cut[types.ServerID(id)])
 	}

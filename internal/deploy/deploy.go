@@ -92,12 +92,12 @@ type Config struct {
 	MempoolCapacity int
 
 	// State, if non-nil, is the Merkle-committed machine the caller feeds
-	// from OnIndication: the runtime seals, signs, journals and serves it,
-	// and prunes journaled history at the interpreter's cut, behind which
-	// no instance was live (node.Config.State; needs StoreDir). Pruning is
-	// on exactly when State is. SnapshotJoin makes a node whose store
-	// holds nothing install a roster-certified snapshot from its peers at
-	// Boot.
+	// from OnIndication: the runtime seals it into the store's head, and
+	// prunes journaled history at the interpreter's cut, behind which no
+	// instance was live (node.Config.State; needs StoreDir); the sync server
+	// serves that head, signed with the identity's key. Pruning is on
+	// exactly when State is. SnapshotJoin makes a node whose store holds
+	// nothing install a roster-certified snapshot from its peers at Boot.
 	State        *state.Machine
 	SnapshotJoin bool
 
@@ -214,18 +214,13 @@ func ListenOn(net Network, clock func() time.Duration, cfg Config) (*Assembly, e
 			a.scores.Ban(p.Equivocator())
 		}
 		// The runtime is the store's while it runs (node.Node.Start); without
-		// it there is no live vector, no snapshot and no pull served.
+		// it there is no live vector, no snapshot and no pull served. The
+		// snapshot is the store's head, signed with the node's key.
 		a.syncSrv = &syncsvc.Server{
-			Store: st, Every: syncEvery, Burst: syncBurst, Clock: a.clock, Scores: a.scores,
+			Store: st, Every: syncEvery, Burst: syncBurst, Clock: a.clock, Scores: a.scores, Signer: id.Signer,
 			Watermarks: func() []syncsvc.Watermark {
 				if nd, _ := st.Runtime().(*node.Node); nd != nil {
 					return nd.Watermarks()
-				}
-				return nil
-			},
-			Snapshot: func() *syncsvc.ServedSnapshot {
-				if nd, _ := st.Runtime().(*node.Node); nd != nil {
-					return nd.ServedSnapshot()
 				}
 				return nil
 			},
@@ -270,7 +265,7 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		}
 		peers = append(peers, peer)
 	}
-	if cfg.SnapshotJoin && a.Store != nil && a.Store.Len() == 0 && len(a.Store.Base()) == 0 {
+	if cfg.SnapshotJoin && a.Store != nil && a.Store.Len() == 0 && len(a.Store.Head().Base) == 0 {
 		if err := a.snapshotJoin(peers); err != nil {
 			return fmt.Errorf("deploy: s%d snapshot join: %w", id.ID(), err)
 		}
@@ -374,7 +369,8 @@ func Registry(srv *core.Server, transport, sync, sigs *metrics.Metrics) *metrics
 
 // snapshotJoin is the wiped-node path of the snapshot tier: fetch a
 // roster-certified state snapshot from the peers, every chunk verified
-// against the certified root, and install it for node.New to restore from.
+// against the certified root, and install it as the store's head for
+// node.New to restore from — the head the node then serves in turn.
 func (a *Assembly) snapshotJoin(peers []types.ServerID) error {
 	fetched, err := syncsvc.FetchSnapshot(syncsvc.FetchConfig{
 		Transport: a.Transport,
@@ -386,11 +382,7 @@ func (a *Assembly) snapshotJoin(peers []types.ServerID) error {
 		return err
 	}
 	a.Joined = fetched
-	return a.Store.InstallSnapshot(fetched.Horizon, fetched.Base, &store.StateCheckpoint{
-		Slot:   fetched.Commit.Slot,
-		Root:   fetched.Commit.Root,
-		Chunks: fetched.Chunks,
-	})
+	return a.Store.InstallSnapshot(fetched.Head)
 }
 
 // anchorFirst moves anchor to the head of peers, the rest keeping their

@@ -59,7 +59,7 @@ func listen(t *testing.T, fx *roster.Fixture, i int, cfg Config) *member {
 		m.mu.Unlock()
 		if machine != nil {
 			machine.Tree().Put([]byte(label), value)
-			machine.SealAt(uint64(machine.Tree().Len()))
+			machine.AdvanceTo(uint64(machine.Tree().Len()))
 		}
 	}
 	if m.Assembly, err = Listen(cfg); err != nil {
@@ -67,6 +67,15 @@ func listen(t *testing.T, fx *roster.Fixture, i int, cfg Config) *member {
 	}
 	t.Cleanup(func() { _ = m.Close() })
 	return m
+}
+
+// sealed is the (slot, root) of the member's store's head — the snapshot it
+// serves — the zero commit before its first seal.
+func (m *member) sealed() state.Commit {
+	if ck := m.Store.Head().State; ck != nil {
+		return state.Commit{Slot: ck.Slot, Root: ck.Root}
+	}
+	return state.Commit{}
 }
 
 func (m *member) has(label types.Label) bool {
@@ -129,7 +138,7 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("s%d", i))
 	}
 	durable := func(i int) Config {
-		return Config{StoreDir: dirs[i], State: state.NewMachine(0)}
+		return Config{StoreDir: dirs[i], State: state.NewMachine()}
 	}
 	members := make([]*member, n)
 	for i := range members {
@@ -161,14 +170,13 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 	// pruned history below it before the wiped node tries to join.
 	waitFor(t, 20*time.Second, "peers sealed and pruned", func() bool {
 		for _, m := range members[1:] {
-			served := m.Node.ServedSnapshot()
-			if served == nil || served.Signed.Commit.Slot != n || len(served.Horizon) == 0 {
+			if m.sealed().Slot != n || len(m.Store.Head().Horizon) == 0 {
 				return false
 			}
 		}
 		return true
 	})
-	want := members[1].Node.ServedSnapshot().Signed.Commit
+	want := members[1].sealed()
 
 	// Kill node 0 and wipe its store: its history below the survivors'
 	// horizons now exists nowhere. The replacement rebinds the same address
@@ -197,8 +205,8 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 	if joined == nil {
 		t.Fatal("no snapshot join on an empty store")
 	}
-	if joined.Commit != want {
-		t.Fatalf("joined commit (%d, %x), want (%d, %x)", joined.Commit.Slot, joined.Commit.Root[:8], want.Slot, want.Root[:8])
+	if got := joined.Head.State; got.Slot != want.Slot || got.Root != want.Root {
+		t.Fatalf("joined commit (%d, %x), want (%d, %x)", got.Slot, got.Root[:8], want.Slot, want.Root[:8])
 	}
 	verifier, err := fx.File.Roster()
 	if err != nil {
@@ -209,20 +217,19 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 	}
 	// The open store took the install: certified checkpoint, base
 	// stand-ins, a horizon.
-	if ckpt := rn.Store.StateCheckpoint(); ckpt == nil || ckpt.Root != want.Root {
+	head := rn.Store.Head()
+	if ckpt := head.State; ckpt == nil || ckpt.Root != want.Root {
 		t.Fatalf("installed store checkpoint = %+v, want root %x", ckpt, want.Root[:8])
 	}
-	horizon := rn.Store.Horizon()
-	if len(rn.Store.Base()) == 0 || len(horizon) == 0 {
-		t.Fatalf("installed store has %d base stand-ins, horizon %v", len(rn.Store.Base()), horizon)
+	if len(head.Base) == 0 || len(head.Horizon) == 0 {
+		t.Fatalf("installed store has %d base stand-ins, horizon %v", len(head.Base), head.Horizon)
 	}
 	// The runtime restored the machine from it (and serves it on), without
 	// any indication: the history that produced it is gone.
-	restored := rn.Node.ServedSnapshot()
-	if restored == nil || restored.Signed.Commit != want {
-		t.Fatalf("rejoined node serves %+v, want the installed commit", restored)
+	if got := rn.sealed(); got != want {
+		t.Fatalf("rejoined node serves %+v, want the installed commit", got)
 	}
-	tree, err := state.Import(want.Root, restored.Chunks)
+	tree, err := state.Import(want.Root, head.State.Chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +261,7 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 	})
 	waitFor(t, 20*time.Second, "roots converge after rejoin", func() bool {
 		for _, m := range members {
-			served := m.Node.ServedSnapshot()
-			if served == nil || served.Signed.Commit.Slot != n+1 ||
-				served.Signed.Commit.Root != members[0].Node.ServedSnapshot().Signed.Commit.Root {
+			if got := m.sealed(); got.Slot != n+1 || got != members[0].sealed() {
 				return false
 			}
 		}
@@ -284,8 +289,8 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 		t.Fatal("rejoined store journaled no block")
 	}
 	for _, b := range blocks {
-		if b.Seq < horizon[b.Builder] {
-			t.Fatalf("rejoined store holds pruned history: s%d seq %d < horizon %d", b.Builder, b.Seq, horizon[b.Builder])
+		if b.Seq < head.Horizon[b.Builder] {
+			t.Fatalf("rejoined store holds pruned history: s%d seq %d < horizon %d", b.Builder, b.Seq, head.Horizon[b.Builder])
 		}
 	}
 }

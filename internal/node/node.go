@@ -135,13 +135,12 @@ type Config struct {
 	// bench/ drops that line.
 	CheckpointEverySegments int
 	// State, if non-nil, is the caller-owned replicated state machine the
-	// runtime seals, serves and restores, and prunes history behind
-	// (state.go): the caller routes committed commands into State.Apply
-	// from its indication callback (loop goroutine). Sealed commitments
-	// journal through the store's checkpoint path, so it requires Store;
-	// they are signed with the server's signer, and a served snapshot
-	// (ServedSnapshot → syncsvc.Server.Snapshot) carries them to joining
-	// peers. History pruning is on exactly when State is.
+	// runtime seals and restores, and prunes history behind (state.go): the
+	// caller routes committed commands into State.Apply from its indication
+	// callback (loop goroutine). A sealed commitment becomes the checkpoint
+	// of the store's head, so it requires Store; the sync server serves
+	// that head to joining peers, signed with the node's key
+	// (syncsvc.Server.Signer). History pruning is on exactly when State is.
 	State *state.Machine
 }
 
@@ -267,9 +266,6 @@ type Node struct {
 	// first publication after New.
 	broker *IndicationBroker
 
-	// served is the current sealed snapshot offered on the sync
-	// channel's snapshot tier (immutable value, swapped under mu).
-	served *syncsvc.ServedSnapshot
 	// lastSeal/lastSealedSlot pace the seal cycle. Owner only.
 	lastSeal       time.Duration
 	lastSealedSlot uint64
@@ -368,7 +364,7 @@ func New(cfg Config) (*Node, error) {
 		// seed the server with it before any block is replayed, so chains
 		// — the own one too — resume above the horizon without their
 		// pruned prefixes.
-		if base := st.Base(); len(base) > 0 {
+		if base := st.Head().Base; len(base) > 0 {
 			if err := srv.SeedBase(base); err != nil {
 				return nil, fmt.Errorf("node: seed pruned-history base: %w", err)
 			}

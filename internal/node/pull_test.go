@@ -453,7 +453,7 @@ func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = st.Close() }()
-	if err := st.InstallSnapshot(map[types.ServerID]uint64{1: 5}, base, ckpt); err != nil {
+	if err := st.InstallSnapshot(&store.Head{Horizon: map[types.ServerID]uint64{1: 5}, Base: base, State: ckpt}); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := core.NewServer(core.Config{

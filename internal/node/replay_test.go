@@ -267,7 +267,7 @@ func TestReplayEqualsLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.InstallSnapshot(map[types.ServerID]uint64{0: 5}, base, ckpt); err != nil {
+		if err := st.InstallSnapshot(&store.Head{Horizon: map[types.ServerID]uint64{0: 5}, Base: base, State: ckpt}); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {

@@ -67,8 +67,9 @@ type discard struct{ frames, bytes int }
 func (d *discard) Send(frame []byte) error { d.frames++; d.bytes += len(frame); return nil }
 func (d *discard) Close(error)             {}
 
-// pullStream feeds a server stream straight into a client pull.
-type pullStream struct{ *syncsvc.Pull }
+// pullStream feeds a server stream straight into a client call's sink: a
+// pull, or a snapshot-meta query.
+type pullStream struct{ transport.CallSink }
 
 func (s pullStream) Send(frame []byte) error { s.OnFrame(frame); return nil }
 func (s pullStream) Close(err error)         { s.OnDone(err) }

@@ -53,9 +53,10 @@ func DecodeCommand(cmd []byte) (op byte, key, value []byte, err error) {
 }
 
 // Machine interprets the committed command stream into a Merkle-
-// committed KV store and seals signed-off points for snapshots. It is
-// driven from the owning node's single indication goroutine and is not
-// safe for concurrent use.
+// committed KV store. It keeps no seal of its own: the runtime pins a
+// Commit and records it in its store's head (package node). It is driven
+// from the owning node's single indication goroutine and is not safe for
+// concurrent use.
 //
 // Apply is idempotent over slots: a slot below the applied frontier is
 // ignored, which absorbs the at-least-once indication delivery the
@@ -63,17 +64,10 @@ func DecodeCommand(cmd []byte) (op byte, key, value []byte, err error) {
 type Machine struct {
 	tree *Tree
 	next uint64 // number of contiguously applied slots
-
-	commitEvery uint64
-	sealed      *Commit
 }
 
-// NewMachine returns an empty machine. commitEvery > 0 auto-seals a
-// commit after every commitEvery applied slots; 0 leaves sealing to
-// explicit Seal calls.
-func NewMachine(commitEvery uint64) *Machine {
-	return &Machine{tree: NewTree(), commitEvery: commitEvery}
-}
+// NewMachine returns an empty machine.
+func NewMachine() *Machine { return &Machine{tree: NewTree()} }
 
 // Apply consumes the committed command for a slot. Slots must arrive
 // in order (smr's in-order commit guarantees this); a replayed slot
@@ -91,7 +85,6 @@ func (m *Machine) Apply(slot uint64, cmd []byte) (bool, error) {
 		// Deterministic rejection: advance the frontier so every
 		// replica skips the same slot.
 		m.next++
-		m.maybeAutoSeal()
 		return false, err
 	}
 	switch op {
@@ -101,43 +94,16 @@ func (m *Machine) Apply(slot uint64, cmd []byte) (bool, error) {
 		m.tree.Delete(key)
 	}
 	m.next++
-	m.maybeAutoSeal()
 	return true, nil
 }
 
-func (m *Machine) maybeAutoSeal() {
-	if m.commitEvery > 0 && m.next%m.commitEvery == 0 {
-		m.Seal()
-	}
-}
+// Commit pins the current root at the current slot frontier.
+func (m *Machine) Commit() Commit { return Commit{Slot: m.next, Root: m.tree.Root()} }
 
-// Seal pins the current root at the current slot frontier and records
-// it as the latest sealed commit.
-func (m *Machine) Seal() Commit {
-	c := Commit{Slot: m.next, Root: m.tree.Root()}
-	m.sealed = &c
-	return c
-}
-
-// SealAt is Seal with an explicit slot, for applications that do not
-// run over smr slots (label-keyed BRB apps pick their own convergence
-// points). The given slot also becomes the machine's frontier.
-func (m *Machine) SealAt(slot uint64) Commit {
-	if slot > m.next {
-		m.next = slot
-	}
-	c := Commit{Slot: m.next, Root: m.tree.Root()}
-	m.sealed = &c
-	return c
-}
-
-// Latest returns the most recently sealed commit, if any.
-func (m *Machine) Latest() (Commit, bool) {
-	if m.sealed == nil {
-		return Commit{}, false
-	}
-	return *m.sealed, true
-}
+// AdvanceTo raises the frontier to slot, for applications that do not run
+// over smr slots (label-keyed BRB apps pick their own convergence points);
+// a slot at or below it changes nothing.
+func (m *Machine) AdvanceTo(slot uint64) { m.next = max(m.next, slot) }
 
 // Install replaces the machine's contents with a verified snapshot
 // tree and resumes at the commit's slot. The tree must already have
@@ -149,7 +115,6 @@ func (m *Machine) Install(tree *Tree, c Commit) error {
 	}
 	m.tree = tree
 	m.next = c.Slot
-	m.sealed = &c
 	return nil
 }
 

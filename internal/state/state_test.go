@@ -280,7 +280,7 @@ func TestReplicasConvergeOnRandomCommands(t *testing.T) {
 		cmds[nCmds-1] = EncodeSet([]byte("sentinel-key"), []byte("sentinel-value"))
 		roots := make([][32]byte, replicas)
 		for r := 0; r < replicas; r++ {
-			m := NewMachine(0)
+			m := NewMachine()
 			for slot, cmd := range cmds {
 				if _, err := m.Apply(uint64(slot), cmd); err != nil {
 					t.Fatalf("seed %d replica %d slot %d: %v", seed, r, slot, err)
@@ -302,7 +302,7 @@ func TestReplicasConvergeOnRandomCommands(t *testing.T) {
 		flipped := append([]byte(nil), cmds[victim]...)
 		pos := rng.Intn(len(flipped))
 		flipped[pos] ^= 0xFF
-		m := NewMachine(0)
+		m := NewMachine()
 		for slot, cmd := range cmds {
 			if slot == victim {
 				cmd = flipped
@@ -316,7 +316,7 @@ func TestReplicasConvergeOnRandomCommands(t *testing.T) {
 }
 
 func TestMachineReplayAndGaps(t *testing.T) {
-	m := NewMachine(0)
+	m := NewMachine()
 	if _, err := m.Apply(0, EncodeSet([]byte("a"), []byte("1"))); err != nil {
 		t.Fatal(err)
 	}
@@ -337,14 +337,15 @@ func TestMachineReplayAndGaps(t *testing.T) {
 	}
 }
 
-func TestMachineAutoSeal(t *testing.T) {
-	m := NewMachine(4)
-	for slot := uint64(0); slot < 10; slot++ {
-		m.Apply(slot, EncodeSet([]byte{byte(slot)}, []byte("v"))) //nolint:errcheck
-	}
-	c, ok := m.Latest()
-	if !ok || c.Slot != 8 {
-		t.Fatalf("Latest = %+v,%v; want sealed at slot 8", c, ok)
+// TestMachineCommitAndAdvanceTo: Commit pins the root at the frontier and
+// records nothing; AdvanceTo only raises the frontier.
+func TestMachineCommitAndAdvanceTo(t *testing.T) {
+	m := NewMachine()
+	m.Tree().Put([]byte("k"), []byte("v"))
+	m.AdvanceTo(3)
+	m.AdvanceTo(2)
+	if c := m.Commit(); c != (Commit{Slot: 3, Root: m.Root()}) || m.NextSlot() != 3 {
+		t.Fatalf("Commit = %+v at frontier %d, want slot 3 and the tree's root", c, m.NextSlot())
 	}
 }
 
@@ -353,10 +354,10 @@ func TestMachineInstallRejectsMismatch(t *testing.T) {
 	tr.Put([]byte("k"), []byte("v"))
 	var wrong [32]byte
 	wrong[5] = 1
-	if err := NewMachine(0).Install(tr, Commit{Slot: 3, Root: wrong}); !errors.Is(err, ErrRootMismatch) {
+	if err := NewMachine().Install(tr, Commit{Slot: 3, Root: wrong}); !errors.Is(err, ErrRootMismatch) {
 		t.Fatalf("Install with wrong root: %v", err)
 	}
-	if err := NewMachine(0).Install(tr, Commit{Slot: 3, Root: tr.Root()}); err != nil {
+	if err := NewMachine().Install(tr, Commit{Slot: 3, Root: tr.Root()}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -97,9 +97,10 @@
 // "BDHEAD1\n" and covered by one CRC32 trailer; it is written whole (temp
 // file, fsync, rename, directory fsync), so it needs no tear tolerance.
 // InstallSnapshot writes the same head into a snapshot-joined node's empty
-// store. A cut writes nothing else: the blocks above the horizon are
-// already on disk, and each segment reads without any other, so the
-// cut's I/O is the head's whatever the retained window holds.
+// store; in memory it is one immutable Head, swapped whole (Head). A cut
+// writes nothing else: the blocks above the horizon are already on disk,
+// and each segment reads without any other, so the cut's I/O is the
+// head's whatever the retained window holds.
 //
 // Nothing a retained block cites is lost: its predecessors are retained
 // too, or stand in the base table. Nothing above the horizon is lost: a

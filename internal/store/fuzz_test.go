@@ -56,7 +56,7 @@ func realSegments(f *testing.F) (wal, cut, installed []byte) {
 		f.Fatal(err)
 	}
 	cut = read(dir, headFile)
-	base := st.Base()
+	base := st.Head().Base
 	if err := st.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func realSegments(f *testing.F) (wal, cut, installed []byte) {
 		f.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.InstallSnapshot(map[types.ServerID]uint64{0: 1, 1: 2, 2: 1}, base, sc); err != nil {
+	if err := st.InstallSnapshot(&Head{Horizon: map[types.ServerID]uint64{0: 1, 1: 2, 2: 1}, Base: base, State: sc}); err != nil {
 		f.Fatal(err)
 	}
 	return wal, cut, read(dir, headFile)
@@ -219,7 +219,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(cut)
 	f.Add(installed)
 	f.Add(cut[:len(cut)/2])
-	f.Add((&head{}).encode())
+	f.Add((&Head{}).encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The trailer CRC would stop the fuzzer at the door: fix it up, so
@@ -229,7 +229,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			body := data[len(headMagic) : len(data)-4]
 			binary.BigEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
 		}
-		var h *head
+		var h *Head
 		var err error
 		if got, limit := allocated(func() { h, err = decodeHead(data, "fuzz") }), allocBound(len(data)); got > limit {
 			t.Fatalf("decodeHead allocated %d bytes for a %d-byte head (bound %d)", got, len(data), limit)

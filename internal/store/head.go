@@ -35,13 +35,18 @@ const (
 	headMagic = "BDHEAD1\n"
 )
 
-// head is the decoded head file: the sticky per-builder prune horizon, the
-// base table of stand-ins the first blocks above it hang off, and the
-// state checkpoint that replaces the blocks below it.
-type head struct {
-	horizon map[types.ServerID]uint64
-	base    []dag.Base
-	state   *StateCheckpoint
+// Head is the decoded head file, and the one description of a snapshot: the
+// sticky per-builder prune horizon (the first retained seq of each builder,
+// nil if nothing was cut), the base table of stand-ins the first blocks above
+// it hang off, ordered by (builder, seq), and the state checkpoint that
+// replaces the blocks below it (nil if none was set). A node serves its
+// store's Head to joiners (syncsvc.Server), and a joiner installs the one it
+// fetched (InstallSnapshot). A Head is immutable once published: the store
+// swaps in a new one instead of changing it.
+type Head struct {
+	Horizon map[types.ServerID]uint64
+	Base    []dag.Base
+	State   *StateCheckpoint
 }
 
 // maxHorizonEntries bounds the horizon and base tables a decoder will
@@ -56,25 +61,25 @@ const (
 // encode lays the head out: the magic, the horizon table, the base table,
 // the optional state checkpoint, and a CRC32 trailer over everything after
 // the magic.
-func (h *head) encode() []byte {
+func (h *Head) encode() []byte {
 	var w wire.Writer
 	for i := range len(headMagic) {
 		w.Byte(headMagic[i])
 	}
-	ids := slices.Sorted(maps.Keys(h.horizon))
+	ids := slices.Sorted(maps.Keys(h.Horizon))
 	w.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
 		w.Uint16(uint16(id))
-		w.Uvarint(h.horizon[id])
+		w.Uvarint(h.Horizon[id])
 	}
-	w.Uvarint(uint64(len(h.base)))
-	for _, e := range h.base {
+	w.Uvarint(uint64(len(h.Base)))
+	for _, e := range h.Base {
 		w.Uint16(uint16(e.Builder))
 		w.Uvarint(e.Seq)
 		w.Bytes32(e.Ref)
 	}
-	w.Bool(h.state != nil)
-	if st := h.state; st != nil {
+	w.Bool(h.State != nil)
+	if st := h.State; st != nil {
 		w.Uvarint(st.Slot)
 		w.Bytes32(st.Root)
 		w.Uvarint(uint64(len(st.Chunks)))
@@ -86,9 +91,9 @@ func (h *head) encode() []byte {
 	return w.Bytes()
 }
 
-// decodeHead inverts head.encode, and takes nothing encode would not
+// decodeHead inverts Head.encode, and takes nothing encode would not
 // write: the horizon table in builder order, each builder once.
-func decodeHead(data []byte, path string) (*head, error) {
+func decodeHead(data []byte, path string) (*Head, error) {
 	if len(data) < len(headMagic)+4 || string(data[:len(headMagic)]) != headMagic {
 		return nil, fmt.Errorf("%w: %s: bad head", ErrCorrupt, path)
 	}
@@ -97,23 +102,23 @@ func decodeHead(data []byte, path string) (*head, error) {
 		return nil, fmt.Errorf("%w: %s: head checksum mismatch", ErrCorrupt, path)
 	}
 	r := wire.NewReader(body)
-	h := &head{}
+	h := &Head{}
 	var prev types.ServerID
 	nHorizon := r.Count(maxHorizonEntries)
 	if nHorizon > 0 {
-		h.horizon = make(map[types.ServerID]uint64, nHorizon)
+		h.Horizon = make(map[types.ServerID]uint64, nHorizon)
 	}
 	for i := range nHorizon {
 		id := types.ServerID(r.Uint16())
 		if i > 0 && id <= prev {
 			return nil, fmt.Errorf("%w: %s: horizon table out of builder order", ErrCorrupt, path)
 		}
-		h.horizon[id], prev = r.Uvarint(), id
+		h.Horizon[id], prev = r.Uvarint(), id
 	}
 	nBase := r.Count(maxBaseEntries)
-	h.base = make([]dag.Base, 0, nBase)
+	h.Base = make([]dag.Base, 0, nBase)
 	for range nBase {
-		h.base = append(h.base, dag.Base{Builder: types.ServerID(r.Uint16()), Seq: r.Uvarint(), Ref: r.Bytes32()})
+		h.Base = append(h.Base, dag.Base{Builder: types.ServerID(r.Uint16()), Seq: r.Uvarint(), Ref: r.Bytes32()})
 	}
 	if r.Bool() {
 		st := &StateCheckpoint{Slot: r.Uvarint(), Root: r.Bytes32()}
@@ -122,7 +127,7 @@ func decodeHead(data []byte, path string) (*head, error) {
 		for range nChunks {
 			st.Chunks = append(st.Chunks, r.VarBytes())
 		}
-		h.state = st
+		h.State = st
 	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
@@ -131,7 +136,7 @@ func decodeHead(data []byte, path string) (*head, error) {
 }
 
 // readHead reads dir's head file, nil if it has none.
-func readHead(dir string) (*head, error) {
+func readHead(dir string) (*Head, error) {
 	path := filepath.Join(dir, headFile)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -146,7 +151,7 @@ func readHead(dir string) (*head, error) {
 // writeHead makes h dir's head: written to a temp file, fsynced, renamed
 // over the old head, and the directory fsynced, so a crash leaves the old
 // head or the new one and never a torn one.
-func writeHead(dir string, h *head) error {
+func writeHead(dir string, h *Head) error {
 	path := filepath.Join(dir, headFile)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -60,14 +60,14 @@ func TestPruneToRoundTrip(t *testing.T) {
 			t.Fatalf("recovered pruned block seq %d", b.Seq)
 		}
 	}
-	base := re.Base()
+	base := re.Head().Base
 	if len(base) != 1 || base[0].Builder != 0 || base[0].Seq != 4 || base[0].Ref != blocks[4].Ref() {
 		t.Fatalf("recovered base %+v, want frontier at seq 4", base)
 	}
-	if h := re.Horizon(); h[0] != 5 {
+	if h := re.Head().Horizon; h[0] != 5 {
 		t.Fatalf("recovered horizon %v, want 5", h)
 	}
-	got := re.StateCheckpoint()
+	got := re.Head().State
 	if got == nil || got.Slot != sc.Slot || got.Root != sc.Root || len(got.Chunks) != len(sc.Chunks) {
 		t.Fatalf("state checkpoint did not round-trip: %+v", got)
 	}
@@ -79,7 +79,7 @@ func TestPruneToRoundTrip(t *testing.T) {
 
 	// The recovered store restores into a base-seeded DAG.
 	rd := dag.New(roster)
-	if err := rd.SeedBase(re.Base()); err != nil {
+	if err := rd.SeedBase(re.Head().Base); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range re.Blocks() {
@@ -147,7 +147,7 @@ func TestCheckpointHorizonSticky(t *testing.T) {
 			t.Fatalf("a lower cut resurrected pruned block seq %d", b.Seq)
 		}
 	}
-	if h := re.Horizon(); h[0] != 5 {
+	if h := re.Head().Horizon; h[0] != 5 {
 		t.Fatalf("horizon %v after a lower cut, want sticky 5", h)
 	}
 }
@@ -176,8 +176,8 @@ func TestPruneCrashBeforePublish(t *testing.T) {
 	if got := len(re.Blocks()); got != len(blocks) {
 		t.Fatalf("recovered %d blocks, want the full %d (old horizon rules)", got, len(blocks))
 	}
-	if re.Horizon() != nil {
-		t.Fatalf("horizon %v after aborted prune, want none", re.Horizon())
+	if h := re.Head().Horizon; h != nil {
+		t.Fatalf("horizon %v after aborted prune, want none", h)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatal("orphaned prune temp file not swept")
@@ -236,7 +236,7 @@ func TestPruneCrashBeforeCleanup(t *testing.T) {
 		if got := len(re.Blocks()); got != 4 {
 			t.Fatalf("recovered %d blocks, want 4 (new horizon rules)", got)
 		}
-		if h := re.Horizon(); h[0] != 4 {
+		if h := re.Head().Horizon; h[0] != 4 {
 			t.Fatalf("horizon %v, want 4", h)
 		}
 		if got := re.Report().StaleSegments; got != len(leftovers) {
@@ -327,23 +327,19 @@ func TestInstallSnapshotLifecycle(t *testing.T) {
 	dir := t.TempDir()
 
 	base := []dag.Base{{Builder: 0, Seq: 4, Ref: blocks[4].Ref()}}
-	horizon := map[types.ServerID]uint64{0: 5}
-	sc := testStateCkpt(99)
+	head := &store.Head{Horizon: map[types.ServerID]uint64{0: 5}, Base: base, State: testStateCkpt(99)}
 	st := openStore(t, dir, roster, store.Options{})
-	if err := st.InstallSnapshot(horizon, base, nil); err == nil {
+	if err := st.InstallSnapshot(&store.Head{Horizon: head.Horizon, Base: base}); err == nil {
 		t.Fatal("InstallSnapshot without a state checkpoint succeeded")
 	}
-	if err := st.InstallSnapshot(horizon, base, sc); err != nil {
+	if err := st.InstallSnapshot(head); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.InstallSnapshot(horizon, base, sc); err == nil {
+	if err := st.InstallSnapshot(head); err == nil {
 		t.Fatal("InstallSnapshot into a store that holds a base succeeded")
 	}
-	if h := st.Horizon(); h[0] != 5 {
-		t.Fatalf("installed horizon %v, want 5", h)
-	}
-	if got := st.StateCheckpoint(); got == nil || got.Slot != 99 {
-		t.Fatalf("installed state checkpoint %+v", got)
+	if got := st.Head(); got.Horizon[0] != 5 || got.State == nil || got.State.Slot != 99 {
+		t.Fatalf("installed head %+v, want horizon 5 and the slot-99 checkpoint", got)
 	}
 
 	// Delta follow: live blocks above the horizon journal into the store
@@ -366,11 +362,11 @@ func TestInstallSnapshotLifecycle(t *testing.T) {
 	if rep.Blocks != 4 || rep.TornBytes != 0 || rep.StaleSegments != 0 || rep.Duplicates != 0 || !rep.HasSnapshot {
 		t.Fatalf("reopened installed store: %+v", rep)
 	}
-	if h := re.Horizon(); h[0] != 5 || re.StateCheckpoint() == nil || re.StateCheckpoint().Slot != 99 {
-		t.Fatalf("reopened installed store: horizon %v, checkpoint %+v", h, re.StateCheckpoint())
+	if h := re.Head(); h.Horizon[0] != 5 || h.State == nil || h.State.Slot != 99 {
+		t.Fatalf("reopened installed store: horizon %v, checkpoint %+v", h.Horizon, h.State)
 	}
 	d := dag.New(roster)
-	if err := d.SeedBase(re.Base()); err != nil {
+	if err := d.SeedBase(re.Head().Base); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range re.Blocks() {
@@ -383,7 +379,7 @@ func TestInstallSnapshotLifecycle(t *testing.T) {
 	held := openStore(t, t.TempDir(), roster, store.Options{})
 	defer held.Close()
 	appendAll(t, held, blocks[:1])
-	if err := held.InstallSnapshot(horizon, base, sc); err == nil {
+	if err := held.InstallSnapshot(head); err == nil {
 		t.Fatal("InstallSnapshot into a store that holds a block succeeded")
 	}
 }
@@ -404,13 +400,13 @@ func TestInstallSnapshotCrashMidApply(t *testing.T) {
 	if got := len(st.Blocks()); got != 0 {
 		t.Fatalf("torn install recovered %d blocks", got)
 	}
-	if st.Horizon() != nil || st.StateCheckpoint() != nil {
+	if h := st.Head(); h.Horizon != nil || h.State != nil {
 		t.Fatal("torn install leaked horizon or state")
 	}
 
 	// Retry the install on the store that swept the orphan.
 	base := []dag.Base{{Builder: 0, Seq: 2, Ref: blocks[2].Ref()}}
-	if err := st.InstallSnapshot(map[types.ServerID]uint64{0: 3}, base, testStateCkpt(5)); err != nil {
+	if err := st.InstallSnapshot(&store.Head{Horizon: map[types.ServerID]uint64{0: 3}, Base: base, State: testStateCkpt(5)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -418,7 +414,7 @@ func TestInstallSnapshotCrashMidApply(t *testing.T) {
 	}
 	re := openStore(t, dir, roster, store.Options{})
 	defer re.Close()
-	if h := re.Horizon(); h[0] != 3 {
+	if h := re.Head().Horizon; h[0] != 3 {
 		t.Fatalf("retried install horizon %v, want 3", h)
 	}
 }

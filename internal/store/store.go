@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"blockdag/internal/block"
@@ -118,7 +119,8 @@ type OpenReport struct {
 
 // Store is a durable block store rooted at one directory. Like the rest
 // of the deterministic stack it is not safe for concurrent use; the node
-// runtime (or the simulator's event loop) serializes access.
+// runtime (or the simulator's event loop) serializes access. Head and
+// Runtime are the exceptions: any goroutine may call them.
 type Store struct {
 	dir  string
 	opts Options
@@ -145,14 +147,11 @@ type Store struct {
 	rd       *os.File
 	rdIndex  uint64
 
-	// Pruned-history state, journaled in the head. horizon is the sticky
-	// per-builder prune floor: a cut only raises it, and Open reads no
-	// record below it, so nothing brings pruned history back. base is the
-	// stand-in table under the horizon (dag.Base), stateCkpt the latest
-	// state commitment.
-	horizon   map[types.ServerID]uint64
-	base      []dag.Base
-	stateCkpt *StateCheckpoint
+	// head is the pruned-history state, journaled in the head file, and
+	// published whole: its horizon is the sticky per-builder prune floor — a
+	// cut only raises it, and Open reads no record below it, so nothing
+	// brings pruned history back.
+	head atomic.Pointer[Head]
 
 	// Evidence sidecar state (see evidence.go): recovered + appended
 	// equivocation proofs, one per equivocator, and the append handle.
@@ -193,7 +192,7 @@ type Store struct {
 	// bury); every subsequent Append refuses with this error.
 	failed error
 
-	// rt is the one field any goroutine may read (Runtime).
+	// rt is, beside head, the one field any goroutine may read (Runtime).
 	rtMu sync.Mutex
 	rt   any
 }
@@ -251,10 +250,11 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
-	if h != nil {
-		s.horizon, s.base, s.stateCkpt = h.horizon, h.base, h.state
-		s.report.HasSnapshot = true
+	s.report.HasSnapshot = h != nil
+	if h == nil {
+		h = &Head{}
 	}
+	s.head.Store(h)
 	segs, err := listSegments(s.dir)
 	if err != nil {
 		return err
@@ -293,7 +293,7 @@ func (s *Store) recover() error {
 		}
 		// A non-final segment wholly below the horizon is one a cut that
 		// crashed did not get to delete.
-		if h != nil && !final && !m.above(s.horizon) {
+		if s.report.HasSnapshot && !final && !m.above(h.Horizon) {
 			if err := s.sweep(sf.path); err != nil {
 				return err
 			}
@@ -302,7 +302,7 @@ func (s *Store) recover() error {
 		// Every block read at or above the horizon is a row, in file order,
 		// at its first record; a record below the horizon is not a row.
 		for j, b := range seg.blocks {
-			if b.Seq < s.horizon[b.Builder] {
+			if b.Seq < h.Horizon[b.Builder] {
 				continue
 			}
 			if _, dup := seen[b.Ref()]; dup {
@@ -376,33 +376,23 @@ func (s *Store) Report() OpenReport { return s.report }
 // returns nil from then on; a read-only store keeps it.
 func (s *Store) Blocks() []*block.Block { return s.opened }
 
-// Base returns the pruned-history base table recovered from the head,
-// ordered by (builder, seq); nil for an unpruned store. A
-// server restoring from a pruned store must SeedBase these into its DAG
-// before replaying Blocks.
-func (s *Store) Base() []dag.Base { return append([]dag.Base(nil), s.base...) }
+// Head returns the store's head as Open read it or SetStateCheckpoint,
+// PruneTo or InstallSnapshot last set it — never nil; a store never cut
+// holds an empty one — from any goroutine. A server restoring from a
+// pruned store must SeedBase its Base into its DAG before replaying
+// Blocks, and its State is then the only way to rebuild the application
+// state: the blocks that produced it are gone.
+func (s *Store) Head() *Head { return s.head.Load() }
 
-// Horizon returns the sticky per-builder prune horizon — the first
-// retained sequence number per builder — or nil when no history has been
-// pruned.
-func (s *Store) Horizon() map[types.ServerID]uint64 {
-	if len(s.horizon) == 0 {
-		return nil
-	}
-	return maps.Clone(s.horizon)
+// SetStateCheckpoint makes sc the head's state commitment. It becomes
+// durable with the head the next PruneTo writes rather than immediately:
+// until then the same state is reproducible by replaying the journal, so
+// nothing is lost in a crash.
+func (s *Store) SetStateCheckpoint(sc *StateCheckpoint) {
+	h := *s.head.Load()
+	h.State = sc
+	s.head.Store(&h)
 }
-
-// StateCheckpoint returns the journaled state commitment and its
-// snapshot chunks, nil if none was ever set. After recovering a pruned
-// store this is the only way to rebuild the application state — the
-// blocks that produced it are gone.
-func (s *Store) StateCheckpoint() *StateCheckpoint { return s.stateCkpt }
-
-// SetStateCheckpoint records the latest sealed state commitment. It
-// becomes durable with the head the next PruneTo writes rather than
-// immediately: until then the same state is reproducible by replaying
-// the journal, so nothing is lost in a crash.
-func (s *Store) SetStateCheckpoint(sc *StateCheckpoint) { s.stateCkpt = sc }
 
 // Len returns the number of blocks the store holds — recovered plus
 // appended, or what the last cut retained: the journaled frontier.
@@ -846,16 +836,17 @@ func pruneSet(d *dag.DAG, horizon map[types.ServerID]uint64) (*cut, error) {
 // check that, and the node prunes only at its interpreter's cut
 // (interpret.Interpreter.Cut), which is one.
 func (s *Store) PruneTo(d *dag.DAG, horizon map[types.ServerID]uint64) error {
+	cur := s.head.Load()
 	switch {
 	case s.closed:
 		return errors.New("store: prune after Close")
 	case s.opts.ReadOnly:
 		return errors.New("store: prune on read-only store")
-	case s.stateCkpt == nil:
+	case cur.State == nil:
 		return errors.New("store: PruneTo without a state checkpoint")
 	}
-	merged := make(map[types.ServerID]uint64, len(s.horizon)+len(horizon))
-	maps.Copy(merged, s.horizon)
+	merged := make(map[types.ServerID]uint64, len(cur.Horizon)+len(horizon))
+	maps.Copy(merged, cur.Horizon)
 	for id, h := range horizon {
 		merged[id] = max(merged[id], h)
 	}
@@ -868,10 +859,11 @@ func (s *Store) PruneTo(d *dag.DAG, horizon map[types.ServerID]uint64) error {
 	if err := s.flushPending(); err != nil {
 		return err
 	}
-	if err := writeHead(s.dir, &head{horizon: merged, base: c.base, state: s.stateCkpt}); err != nil {
+	next := &Head{Horizon: merged, Base: c.base, State: cur.State}
+	if err := writeHead(s.dir, next); err != nil {
 		return err
 	}
-	s.horizon, s.base = merged, c.base
+	s.head.Store(next)
 	for i := range min(d.Len(), len(s.locs)) {
 		if !c.kept(i) {
 			s.locs[i] = pruned
@@ -892,28 +884,28 @@ func (s *Store) PruneTo(d *dag.DAG, horizon map[types.ServerID]uint64) error {
 }
 
 // InstallSnapshot makes an empty open store a pruned one holding no
-// blocks: it writes the head — the horizon, the base table the first live
+// blocks: h becomes its head — the horizon, the base table the first live
 // blocks will hang off, and the certified state checkpoint — the install
 // step of snapshot catch-up, after which the delta journals into this same
-// store's WAL. A store that already holds a block or a base is refused:
-// its history is its own. The head is published the way a cut publishes
-// it, so a crash mid-install leaves either an empty store or a complete
-// one.
-func (s *Store) InstallSnapshot(horizon map[types.ServerID]uint64, base []dag.Base, sc *StateCheckpoint) error {
+// store's WAL. h is the store's from then on. A store that already holds a
+// block or a base is refused: its history is its own. The head is written
+// the way a cut writes it, so a crash mid-install leaves either an empty
+// store or a complete one.
+func (s *Store) InstallSnapshot(h *Head) error {
 	switch {
 	case s.closed:
 		return errors.New("store: install snapshot after Close")
 	case s.opts.ReadOnly:
 		return errors.New("store: install snapshot on read-only store")
-	case sc == nil:
+	case h.State == nil:
 		return errors.New("store: InstallSnapshot needs a state checkpoint")
-	case s.blocks > 0 || len(s.base) > 0:
+	case s.blocks > 0 || len(s.head.Load().Base) > 0:
 		return fmt.Errorf("store: InstallSnapshot into non-empty store %s", s.dir)
 	}
-	if err := writeHead(s.dir, &head{horizon: horizon, base: base, state: sc}); err != nil {
+	if err := writeHead(s.dir, h); err != nil {
 		return err
 	}
-	s.horizon, s.base, s.stateCkpt = horizon, base, sc
+	s.head.Store(h)
 	return nil
 }
 

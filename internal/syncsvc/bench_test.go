@@ -13,6 +13,7 @@ import (
 	"blockdag/internal/mempool"
 	"blockdag/internal/simnet"
 	"blockdag/internal/state"
+	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
@@ -179,9 +180,9 @@ func BenchmarkSnapshotSync(b *testing.B) {
 		tr.Put(key, []byte{byte(i), byte(i >> 8), byte(i >> 16), 0x42})
 	}
 	root := tr.Root()
-	ss := &syncsvc.ServedSnapshot{
-		Signed: state.SignCommit(state.Commit{Slot: 1000, Root: root}, signers[0]),
-		Chunks: state.Export(tr, 32<<10),
+	st := onStore(b, fixed(nil))
+	if err := st.InstallSnapshot(&store.Head{State: &store.StateCheckpoint{Slot: 1000, Root: root, Chunks: state.Export(tr, 32<<10)}}); err != nil {
+		b.Fatal(err)
 	}
 	var virtual time.Duration
 	var msgs int64
@@ -189,9 +190,7 @@ func BenchmarkSnapshotSync(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net := simnet.New(simnet.WithSeed(1))
-		net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
-			Snapshot: func() *syncsvc.ServedSnapshot { return ss },
-		})
+		net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st, Signer: signers[0]})
 		q := syncsvc.NewSnapMetaQuery()
 		net.Transport(1).Call(0, transport.ChanSync, syncsvc.EncodeSnapMetaRequest(), q)
 		if !net.RunUntil(q.Done) {

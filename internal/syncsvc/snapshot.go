@@ -9,6 +9,12 @@
 // switch to the bulk-delta and live-follow tiers for everything above
 // the horizon.
 //
+// What a peer serves is its store's head (store.Head): the horizon, base
+// table and state checkpoint its store last set or journaled, read whole
+// on every call, and what the joiner installs is the same kind of head. A
+// cut publishes its head in one step, so a served horizon is never older
+// than the store's.
+//
 // Trust: the certificate covers exactly (slot, root) — the state
 // content. The base table and horizon that ride along are a single
 // peer's local claim and are NOT certified; a lying peer can at worst
@@ -30,24 +36,16 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/state"
+	"blockdag/internal/store"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
 )
 
-// ServedSnapshot is what a server offers the snapshot tier: its own
-// signed commit over the sealed state, the chunk stream that rebuilds
-// it, and the DAG position (base, horizon) a joiner needs to resume
-// above the pruned history. Chunks must be the state.Export encoding of
-// the committed tree; Base and Horizon describe this server's store.
-type ServedSnapshot struct {
-	Signed  state.SignedCommit
-	Chunks  [][]byte
-	Base    []dag.Base
-	Horizon map[types.ServerID]uint64
-}
-
-// SnapMeta is the decoded answer to a snapshot-meta query.
+// SnapMeta is the answer to a snapshot-meta query: the server's own signed
+// commit over its head's checkpoint, the checkpoint's chunk count, and the
+// DAG position (base, horizon) a joiner needs to resume above the pruned
+// history.
 type SnapMeta struct {
 	// Has reports whether the peer had a sealed snapshot at all; the
 	// remaining fields are meaningful only when true.
@@ -65,24 +63,25 @@ const maxSnapChunks = 1 << 20
 // EncodeSnapMetaRequest renders a snapshot-meta query.
 func EncodeSnapMetaRequest() []byte { return []byte{reqSnapMeta} }
 
-// EncodeSnapMetaFrame renders the answer to a snapshot-meta query. A
-// nil snapshot encodes "no sealed snapshot yet".
-func EncodeSnapMetaFrame(ss *ServedSnapshot) []byte {
+// EncodeSnapMetaFrame renders the answer to a snapshot-meta query; a meta
+// without Has encodes "no sealed snapshot yet". The horizon table goes in
+// builder order.
+func EncodeSnapMetaFrame(m *SnapMeta) []byte {
 	w := wire.NewWriter(64)
 	w.Byte(frameSnapMeta)
-	w.Bool(ss != nil)
-	if ss == nil {
+	w.Bool(m.Has)
+	if !m.Has {
 		return w.Bytes()
 	}
-	w.VarBytes(ss.Signed.Encode())
-	w.Uvarint(uint64(len(ss.Chunks)))
-	w.Uvarint(uint64(len(ss.Horizon)))
-	for _, id := range sortedIDs(ss.Horizon) {
+	w.VarBytes(m.Signed.Encode())
+	w.Uvarint(m.NumChunks)
+	w.Uvarint(uint64(len(m.Horizon)))
+	for _, id := range slices.Sorted(maps.Keys(m.Horizon)) {
 		w.Uint16(uint16(id))
-		w.Uvarint(ss.Horizon[id])
+		w.Uvarint(m.Horizon[id])
 	}
-	w.Uvarint(uint64(len(ss.Base)))
-	for _, e := range ss.Base {
+	w.Uvarint(uint64(len(m.Base)))
+	for _, e := range m.Base {
 		w.Uint16(uint16(e.Builder))
 		w.Uvarint(e.Seq)
 		w.Bytes32(e.Ref)
@@ -90,13 +89,9 @@ func EncodeSnapMetaFrame(ss *ServedSnapshot) []byte {
 	return w.Bytes()
 }
 
-// sortedIDs returns the map's keys in ascending order, for a canonical
-// encoding.
-func sortedIDs(m map[types.ServerID]uint64) []types.ServerID {
-	return slices.Sorted(maps.Keys(m))
-}
-
-// DecodeSnapMetaFrame inverts EncodeSnapMetaFrame.
+// DecodeSnapMetaFrame inverts EncodeSnapMetaFrame, and takes nothing the
+// encoder would not write: the horizon table in builder order, each builder
+// once.
 func DecodeSnapMetaFrame(frame []byte) (*SnapMeta, error) {
 	r := wire.NewReader(frame)
 	if k := r.Byte(); r.Err() == nil && k != frameSnapMeta {
@@ -119,9 +114,13 @@ func DecodeSnapMetaFrame(frame []byte) (*SnapMeta, error) {
 	if nHorizon > 0 {
 		m.Horizon = make(map[types.ServerID]uint64, nHorizon)
 	}
+	var prev types.ServerID
 	for i := 0; i < nHorizon; i++ {
 		id := types.ServerID(r.Uint16())
-		m.Horizon[id] = r.Uvarint()
+		if i > 0 && id <= prev && r.Err() == nil {
+			return nil, errors.New("syncsvc: bad snapshot meta: horizon table out of builder order")
+		}
+		m.Horizon[id], prev = r.Uvarint(), id
 	}
 	nBase := r.Count(maxWatermarks)
 	m.Base = make([]dag.Base, 0, nBase)
@@ -177,13 +176,28 @@ func EncodeSnapChunkFrame(chunk []byte) []byte {
 	return w.Bytes()
 }
 
-// serveSnapMeta answers one snapshot-meta query.
-func (s *Server) serveSnapMeta(st transport.ServerStream) {
-	var snap *ServedSnapshot
-	if s.Snapshot != nil {
-		snap = s.Snapshot()
+// served returns the head the server offers the snapshot tier: its store's,
+// while a runtime is registered there (a node that has not started, or has
+// stopped, serves none) and the head holds a state checkpoint; else nil.
+func (s *Server) served() *store.Head {
+	if s.Signer == nil || s.Store == nil || s.Store.Runtime() == nil {
+		return nil
 	}
-	if err := st.Send(EncodeSnapMetaFrame(snap)); err != nil {
+	if h := s.Store.Head(); h.State != nil {
+		return h
+	}
+	return nil
+}
+
+// serveSnapMeta answers one snapshot-meta query: the served head, its
+// checkpoint's (slot, root) signed by the server's own key.
+func (s *Server) serveSnapMeta(st transport.ServerStream) {
+	m := &SnapMeta{}
+	if h := s.served(); h != nil {
+		commit := state.Commit{Slot: h.State.Slot, Root: h.State.Root}
+		m = &SnapMeta{Has: true, Signed: state.SignCommit(commit, s.Signer), NumChunks: uint64(len(h.State.Chunks)), Base: h.Base, Horizon: h.Horizon}
+	}
+	if err := st.Send(EncodeSnapMetaFrame(m)); err != nil {
 		return // stream lost; nothing left to tell anyone
 	}
 	st.Close(nil)
@@ -199,24 +213,22 @@ func (s *Server) serveSnapChunks(req []byte, st transport.ServerStream) {
 		st.Close(err)
 		return
 	}
-	var snap *ServedSnapshot
-	if s.Snapshot != nil {
-		snap = s.Snapshot()
-	}
-	if snap == nil {
+	h := s.served()
+	if h == nil {
 		st.Close(errors.New("syncsvc: no snapshot to serve"))
 		return
 	}
-	if snap.Signed.Commit.Root != root {
+	if h.State.Root != root {
 		st.Close(errors.New("syncsvc: snapshot changed, re-query meta"))
 		return
 	}
-	if first > uint64(len(snap.Chunks)) {
-		st.Close(fmt.Errorf("syncsvc: resume point %d beyond %d chunks", first, len(snap.Chunks)))
+	chunks := h.State.Chunks
+	if first > uint64(len(chunks)) {
+		st.Close(fmt.Errorf("syncsvc: resume point %d beyond %d chunks", first, len(chunks)))
 		return
 	}
 	var total uint64
-	for _, c := range snap.Chunks[first:] {
+	for _, c := range chunks[first:] {
 		if err := st.Send(EncodeSnapChunkFrame(c)); err != nil {
 			return
 		}
@@ -371,26 +383,20 @@ func (p *SnapChunkPull) Result() ([][]byte, error) {
 const chunkAttemptsPerPeer = 2
 
 // FetchedSnapshot is a verified, certified snapshot ready to install:
-// store.InstallSnapshot journals Horizon/Base/Chunks, the DAG seeds
-// from Base, and the state machine installs Tree at Commit.
+// store.InstallSnapshot makes Head the store's, from which node.New seeds
+// the DAG and restores the state machine.
 type FetchedSnapshot struct {
-	// Commit is the certified (slot, root) pair.
-	Commit state.Commit
+	// Head is what to install: the certified (slot, root) with its verified
+	// chunk stream, in order, as the state checkpoint, over the anchor
+	// peer's base and horizon — uncertified, see the file comment for why
+	// that is safe.
+	Head *store.Head
 	// Cert is the certificate: f+1 SignedCommits from distinct valid
-	// signers over Commit (state.CertifiedBy holds).
+	// signers over Head.State's (slot, root) (state.CertifiedBy holds).
 	Cert []state.SignedCommit
-	// Tree is the verified state content — its root equals Commit.Root.
-	Tree *state.Tree
-	// Chunks is the verified chunk stream in order, ready to journal as
-	// the store's state checkpoint.
-	Chunks [][]byte
-	// Base and Horizon are the anchor peer's pruned-history position —
-	// uncertified, see the file comment for why that is safe.
-	Base    []dag.Base
-	Horizon map[types.ServerID]uint64
 	// Anchor is the peer that served the chunk stream; delta follow-up
 	// should try it first, since it provably holds everything above the
-	// returned Horizon.
+	// returned horizon.
 	Anchor types.ServerID
 }
 
@@ -398,7 +404,9 @@ type FetchedSnapshot struct {
 // snapshot meta, find the newest (slot, root) certified by f+1 distinct
 // signers, then stream and verify the chunks from the certified peers
 // (resuming within a peer, restarting the builder across peers). A nil
-// error guarantees Tree's root equals the certified Commit.Root.
+// error guarantees the chunks rebuild the certified root. A peer's meta
+// counts only if the peer signed it itself: a server that relays another's
+// signed commit is ignored, as a forged one is.
 func FetchSnapshot(cfg FetchConfig) (*FetchedSnapshot, error) {
 	switch {
 	case cfg.Transport == nil:
@@ -425,8 +433,8 @@ func FetchSnapshot(cfg FetchConfig) (*FetchedSnapshot, error) {
 		if err != nil || m == nil || !m.Has {
 			continue
 		}
-		if m.Signed.Verify(cfg.Roster) != nil {
-			continue // forged or out-of-roster commit: ignore the peer
+		if m.Signed.Server != peer || m.Signed.Verify(cfg.Roster) != nil {
+			continue // forged, out-of-roster or relayed commit: ignore the peer
 		}
 		metas[peer] = m
 	}
@@ -440,7 +448,6 @@ func FetchSnapshot(cfg FetchConfig) (*FetchedSnapshot, error) {
 		meta := metas[peer]
 		builder := state.NewBuilder(commit.Root)
 		var chunks [][]byte
-		ok := true
 		for a := 0; a < chunkAttemptsPerPeer && uint64(builder.NextChunk()) < meta.NumChunks; a++ {
 			pull := NewSnapChunkPull(builder)
 			cancel := cfg.Transport.Call(peer, transport.ChanSync, pull.Request(commit.Root), pull)
@@ -454,13 +461,9 @@ func FetchSnapshot(cfg FetchConfig) (*FetchedSnapshot, error) {
 			}
 		}
 		if uint64(builder.NextChunk()) < meta.NumChunks {
-			ok = false
-		}
-		if !ok {
 			continue // broken peer; a fresh builder against the next one
 		}
-		tree, ferr := builder.Finish()
-		if ferr != nil {
+		if _, ferr := builder.Finish(); ferr != nil {
 			// All chunks verified structurally but the content does not
 			// hash to the certified root — the peer served a consistent
 			// lie. Nothing was installed; try the next certified peer.
@@ -468,13 +471,13 @@ func FetchSnapshot(cfg FetchConfig) (*FetchedSnapshot, error) {
 			continue
 		}
 		return &FetchedSnapshot{
-			Commit:  commit,
-			Cert:    certFor(metas, group, commit),
-			Tree:    tree,
-			Chunks:  chunks,
-			Base:    meta.Base,
-			Horizon: meta.Horizon,
-			Anchor:  peer,
+			Head: &store.Head{
+				Horizon: meta.Horizon,
+				Base:    meta.Base,
+				State:   &store.StateCheckpoint{Slot: commit.Slot, Root: commit.Root, Chunks: chunks},
+			},
+			Cert:   certFor(metas, group, commit),
+			Anchor: peer,
 		}, nil
 	}
 	if lastErr == nil {

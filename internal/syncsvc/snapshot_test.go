@@ -1,6 +1,9 @@
 package syncsvc_test
 
 import (
+	"bytes"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,10 +13,12 @@ import (
 	"blockdag/internal/dag"
 	"blockdag/internal/simnet"
 	"blockdag/internal/state"
+	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/tcpnet"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
+	"blockdag/internal/wire"
 )
 
 // snapFixture is a sealed state snapshot as a serving peer would hold
@@ -40,13 +45,21 @@ func buildSnapFixture(t testing.TB, n int, slot uint64) *snapFixture {
 	}
 }
 
-// served builds the ServedSnapshot peer id would offer for the fixture.
-func (f *snapFixture) served(t testing.TB, signer *crypto.Signer) *syncsvc.ServedSnapshot {
+// head is the store head a peer holding the fixture serves: its commit
+// over chunks (the fixture's own, or a lie), no base or horizon.
+func (f *snapFixture) head(chunks [][]byte) *store.Head {
+	return &store.Head{State: &store.StateCheckpoint{Slot: f.commit.Slot, Root: f.commit.Root, Chunks: chunks}}
+}
+
+// snapServer is a sync server serving h signed by signer: h installed into
+// a store on which a runtime is registered.
+func snapServer(t testing.TB, signer *crypto.Signer, h *store.Head) *syncsvc.Server {
 	t.Helper()
-	return &syncsvc.ServedSnapshot{
-		Signed: state.SignCommit(f.commit, signer),
-		Chunks: f.chunks,
+	st := onStore(t, fixed(nil))
+	if err := st.InstallSnapshot(h); err != nil {
+		t.Fatal(err)
 	}
+	return &syncsvc.Server{Store: st, Signer: signer}
 }
 
 // TestSnapMetaFrameRoundTrip: the meta frame survives encode/decode with
@@ -57,9 +70,11 @@ func TestSnapMetaFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	fix := buildSnapFixture(t, 40, 77)
-	ss := fix.served(t, signers[2])
-	ss.Horizon = map[types.ServerID]uint64{0: 5, 2: 9}
-	ss.Base = []dag.Base{{Builder: 0, Seq: 4, Ref: block.Ref{1, 2, 3}}}
+	ss := &syncsvc.SnapMeta{
+		Has: true, Signed: state.SignCommit(fix.commit, signers[2]), NumChunks: uint64(len(fix.chunks)),
+		Horizon: map[types.ServerID]uint64{0: 5, 2: 9},
+		Base:    []dag.Base{{Builder: 0, Seq: 4, Ref: block.Ref{1, 2, 3}}},
+	}
 
 	m, err := syncsvc.DecodeSnapMetaFrame(syncsvc.EncodeSnapMetaFrame(ss))
 	if err != nil {
@@ -81,7 +96,7 @@ func TestSnapMetaFrameRoundTrip(t *testing.T) {
 		t.Fatalf("base = %v", m.Base)
 	}
 
-	empty, err := syncsvc.DecodeSnapMetaFrame(syncsvc.EncodeSnapMetaFrame(nil))
+	empty, err := syncsvc.DecodeSnapMetaFrame(syncsvc.EncodeSnapMetaFrame(&syncsvc.SnapMeta{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +114,9 @@ func TestSnapshotStreamOverSimnet(t *testing.T) {
 		t.Fatal(err)
 	}
 	fix := buildSnapFixture(t, 120, 50)
-	ss := fix.served(t, signers[0])
 
 	net := simnet.New(simnet.WithSeed(4))
-	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
-		Snapshot: func() *syncsvc.ServedSnapshot { return ss },
-	})
+	net.RegisterHandler(0, transport.ChanSync, snapServer(t, signers[0], fix.head(fix.chunks)))
 
 	q := syncsvc.NewSnapMetaQuery()
 	net.Transport(1).Call(0, transport.ChanSync, syncsvc.EncodeSnapMetaRequest(), q)
@@ -157,19 +169,12 @@ func TestSnapshotStreamRejectsReorderedChunk(t *testing.T) {
 	if len(fix.chunks) < 3 {
 		t.Fatalf("fixture too small: %d chunks", len(fix.chunks))
 	}
-	honest := fix.served(t, signers[0])
-
-	reordered := fix.served(t, signers[1])
-	reordered.Chunks = append([][]byte(nil), fix.chunks...)
-	reordered.Chunks[1], reordered.Chunks[2] = reordered.Chunks[2], reordered.Chunks[1]
+	reordered := slices.Clone(fix.chunks)
+	reordered[1], reordered[2] = reordered[2], reordered[1]
 
 	net := simnet.New(simnet.WithSeed(7))
-	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
-		Snapshot: func() *syncsvc.ServedSnapshot { return reordered },
-	})
-	net.RegisterHandler(1, transport.ChanSync, &syncsvc.Server{
-		Snapshot: func() *syncsvc.ServedSnapshot { return honest },
-	})
+	net.RegisterHandler(0, transport.ChanSync, snapServer(t, signers[1], fix.head(reordered)))
+	net.RegisterHandler(1, transport.ChanSync, snapServer(t, signers[0], fix.head(fix.chunks)))
 
 	builder := state.NewBuilder(fix.commit.Root)
 	pull := syncsvc.NewSnapChunkPull(builder)
@@ -220,18 +225,15 @@ func TestSnapshotStreamRejectsTamperedChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	fix := buildSnapFixture(t, 120, 50)
-	tampered := fix.served(t, signers[0])
-	tampered.Chunks = append([][]byte(nil), fix.chunks...)
+	tampered := slices.Clone(fix.chunks)
 	// Flip the chunk-index varint of chunk 1 so it claims to be a
 	// different position in the stream.
 	c := append([]byte(nil), fix.chunks[1]...)
 	c[0] ^= 0x07
-	tampered.Chunks[1] = c
+	tampered[1] = c
 
 	net := simnet.New(simnet.WithSeed(7))
-	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
-		Snapshot: func() *syncsvc.ServedSnapshot { return tampered },
-	})
+	net.RegisterHandler(0, transport.ChanSync, snapServer(t, signers[0], fix.head(tampered)))
 	builder := state.NewBuilder(fix.commit.Root)
 	pull := syncsvc.NewSnapChunkPull(builder)
 	net.Transport(2).Call(0, transport.ChanSync, pull.Request(fix.commit.Root), pull)
@@ -291,12 +293,9 @@ func TestServeSnapChunksWrongRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	fix := buildSnapFixture(t, 40, 50)
-	ss := fix.served(t, signers[0])
 
 	net := simnet.New(simnet.WithSeed(3))
-	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{
-		Snapshot: func() *syncsvc.ServedSnapshot { return ss },
-	})
+	net.RegisterHandler(0, transport.ChanSync, snapServer(t, signers[0], fix.head(fix.chunks)))
 	var stale [32]byte
 	stale[0] = 0xFF
 	builder := state.NewBuilder(stale)
@@ -366,16 +365,13 @@ func TestPullAboveBase(t *testing.T) {
 	}
 }
 
-// snapTCPPeer spins up one TCP listener serving a ServedSnapshot on the
-// sync channel.
-func snapTCPPeer(t *testing.T, self types.ServerID, ss *syncsvc.ServedSnapshot) *tcpnet.Transport {
+// snapTCPPeer spins up one TCP listener with srv on the sync channel.
+func snapTCPPeer(t *testing.T, self types.ServerID, srv *syncsvc.Server) *tcpnet.Transport {
 	t.Helper()
 	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
 	tr, err := tcpnet.Listen(tcpnet.Config{
 		Self: self, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, self), Endpoints: ep,
-		Handlers: map[transport.Channel]transport.Handler{
-			transport.ChanSync: &syncsvc.Server{Snapshot: func() *syncsvc.ServedSnapshot { return ss }},
-		},
+		Handlers: map[transport.Channel]transport.Handler{transport.ChanSync: srv},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -403,18 +399,13 @@ func TestFetchSnapshotOverTCP(t *testing.T) {
 	// tree: every chunk is structurally valid, the content is a lie.
 	lie := buildSnapFixture(t, 120, 50)
 	lie.tree.Put([]byte("account/evil"), []byte{0xEE})
-	lying := &syncsvc.ServedSnapshot{
-		Signed: state.SignCommit(fix.commit, signers[0]),
-		Chunks: state.Export(lie.tree, 256),
-	}
-	honest1 := fix.served(t, signers[1])
+	honest1 := fix.head(fix.chunks)
 	honest1.Horizon = map[types.ServerID]uint64{0: 5}
 	honest1.Base = []dag.Base{{Builder: 0, Seq: 4, Ref: block.Ref{9}}}
-	honest2 := fix.served(t, signers[2])
 
-	t0 := snapTCPPeer(t, 0, lying)
-	t1 := snapTCPPeer(t, 1, honest1)
-	t2 := snapTCPPeer(t, 2, honest2)
+	t0 := snapTCPPeer(t, 0, snapServer(t, signers[0], fix.head(state.Export(lie.tree, 256))))
+	t1 := snapTCPPeer(t, 1, snapServer(t, signers[1], honest1))
+	t2 := snapTCPPeer(t, 2, snapServer(t, signers[2], fix.head(fix.chunks)))
 
 	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
 	client, err := tcpnet.Listen(tcpnet.Config{Self: 3, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 3), Endpoints: ep})
@@ -437,13 +428,16 @@ func TestFetchSnapshotOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot fetch failed despite two honest certified peers: %v", err)
 	}
-	if got.Commit != fix.commit {
-		t.Fatalf("certified commit = %+v, want %+v", got.Commit, fix.commit)
+	if ck := got.Head.State; ck.Slot != fix.commit.Slot || ck.Root != fix.commit.Root {
+		t.Fatalf("certified commit = (%d, %x), want %+v", ck.Slot, ck.Root, fix.commit)
 	}
-	if got.Tree.Root() != fix.commit.Root {
-		t.Fatal("installed tree root differs from the certified root")
+	// The verified chunks are re-journalable: they rebuild the source tree
+	// (what store.InstallSnapshot and node.New rely on).
+	tree, err := state.Import(fix.commit.Root, got.Head.State.Chunks)
+	if err != nil {
+		t.Fatalf("returned chunks do not rebuild the certified root: %v", err)
 	}
-	if !got.Tree.Equal(fix.tree) {
+	if !tree.Equal(fix.tree) {
 		t.Fatal("installed tree content differs from the source")
 	}
 	if len(got.Cert) < roster.F()+1 {
@@ -457,19 +451,8 @@ func TestFetchSnapshotOverTCP(t *testing.T) {
 	if got.Anchor == 0 {
 		t.Fatal("anchor is the lying peer")
 	}
-	if got.Anchor == 1 && (len(got.Base) != 1 || got.Horizon[0] != 5) {
-		t.Fatalf("anchor 1's base/horizon not carried: base=%v horizon=%v", got.Base, got.Horizon)
-	}
-	// The verified chunks are re-journalable: a fresh builder over them
-	// reproduces the same root (what store.InstallSnapshot relies on).
-	rb := state.NewBuilder(got.Commit.Root)
-	for _, c := range got.Chunks {
-		if err := rb.Add(c); err != nil {
-			t.Fatalf("returned chunk rejected on rebuild: %v", err)
-		}
-	}
-	if _, err := rb.Finish(); err != nil {
-		t.Fatalf("returned chunks do not rebuild the certified root: %v", err)
+	if got.Anchor == 1 && (len(got.Head.Base) != 1 || got.Head.Horizon[0] != 5) {
+		t.Fatalf("anchor 1's base/horizon not carried: base=%v horizon=%v", got.Head.Base, got.Head.Horizon)
 	}
 }
 
@@ -485,8 +468,7 @@ func TestFetchSnapshotNoQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 	fix := buildSnapFixture(t, 40, 50)
-	only := fix.served(t, signers[0])
-	t0 := snapTCPPeer(t, 0, only)
+	t0 := snapTCPPeer(t, 0, snapServer(t, signers[0], fix.head(fix.chunks)))
 
 	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
 	client, err := tcpnet.Listen(tcpnet.Config{Self: 3, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 3), Endpoints: ep})
@@ -516,31 +498,182 @@ func TestFetchSnapshotNoQuorum(t *testing.T) {
 // accept a frame that re-encodes differently — byzantine peers control
 // these bytes entirely.
 func FuzzDecodeSnapMetaFrame(f *testing.F) {
-	roster, signers, err := crypto.LocalRoster(4)
+	_, signers, err := crypto.LocalRoster(4)
 	if err != nil {
 		f.Fatal(err)
 	}
-	_ = roster
 	fix := buildSnapFixture(f, 30, 9)
-	ss := fix.served(f, signers[1])
-	ss.Horizon = map[types.ServerID]uint64{0: 3}
-	ss.Base = []dag.Base{{Builder: 0, Seq: 2, Ref: block.Ref{4}}}
-	f.Add(syncsvc.EncodeSnapMetaFrame(ss))
-	f.Add(syncsvc.EncodeSnapMetaFrame(nil))
+	f.Add(syncsvc.EncodeSnapMetaFrame(&syncsvc.SnapMeta{
+		Has: true, Signed: state.SignCommit(fix.commit, signers[1]), NumChunks: uint64(len(fix.chunks)),
+		Horizon: map[types.ServerID]uint64{0: 3},
+		Base:    []dag.Base{{Builder: 0, Seq: 2, Ref: block.Ref{4}}},
+	}))
+	f.Add(syncsvc.EncodeSnapMetaFrame(&syncsvc.SnapMeta{}))
 	f.Add([]byte{})
 	f.Add([]byte{0x04, 0x01})
 	f.Add([]byte{0x04, 0x01, 0x00})
+	f.Add(unorderedMeta(state.SignCommit(fix.commit, signers[1])))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := syncsvc.DecodeSnapMetaFrame(data)
 		if err != nil {
 			return
 		}
-		if !m.Has {
-			return
-		}
 		if m.NumChunks > 1<<20 {
 			t.Fatalf("decoder accepted %d chunks", m.NumChunks)
 		}
+		if !bytes.Equal(syncsvc.EncodeSnapMetaFrame(m), data) {
+			t.Fatalf("an accepted meta of %d bytes re-encodes to other bytes", len(data))
+		}
 	})
+}
+
+// unorderedMeta is a meta frame as EncodeSnapMetaFrame lays one out, but
+// with the horizon table (s2: 9, s0: 5, s2: 1): out of builder order, s2
+// twice. A lenient decoder reads it as {s0: 5, s2: 1}, which re-encodes to
+// other bytes.
+func unorderedMeta(signed state.SignedCommit) []byte {
+	w := wire.NewWriter(128)
+	w.Byte(0x04) // frameSnapMeta
+	w.Bool(true)
+	w.VarBytes(signed.Encode())
+	w.Uvarint(1) // chunks
+	w.Uvarint(3)
+	for _, e := range [][2]uint64{{2, 9}, {0, 5}, {2, 1}} {
+		w.Uint16(uint16(e[0]))
+		w.Uvarint(e[1])
+	}
+	w.Uvarint(0) // base
+	return w.Bytes()
+}
+
+// TestDecodeSnapMetaFrameTakesOnlyTheEncoding: a horizon table out of
+// builder order, or naming a builder twice, is refused — the decoder takes
+// only what the encoder writes, as the store's head decoder does.
+func TestDecodeSnapMetaFrameTakesOnlyTheEncoding(t *testing.T) {
+	_, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed := state.SignCommit(buildSnapFixture(t, 10, 3).commit, signers[0])
+	if m, err := syncsvc.DecodeSnapMetaFrame(unorderedMeta(signed)); err == nil {
+		t.Fatalf("unordered horizon table accepted as %v", m.Horizon)
+	}
+}
+
+// TestServeSnapshotOnlyWhileARuntimeIsRegistered: the sync server serves
+// its store's head, and only while a runtime is registered there. A store
+// holding a head but no runtime — a node not started, or stopped — answers
+// "no snapshot" and refuses chunk calls; with a runtime registered the meta
+// is that head, its commit signed by the server's Signer, and the chunk
+// stream rebuilds it.
+func TestServeSnapshotOnlyWhileARuntimeIsRegistered(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix := buildSnapFixture(t, 60, 12)
+	head := fix.head(fix.chunks)
+	head.Horizon = map[types.ServerID]uint64{1: 7}
+	head.Base = []dag.Base{{Builder: 1, Seq: 6, Ref: block.Ref{6}}}
+	srv := snapServer(t, signers[2], head)
+	net := simnet.New(simnet.WithSeed(5))
+	net.RegisterHandler(0, transport.ChanSync, srv)
+	meta := func() *syncsvc.SnapMeta {
+		q := syncsvc.NewSnapMetaQuery()
+		net.Transport(1).Call(0, transport.ChanSync, syncsvc.EncodeSnapMetaRequest(), q)
+		if !net.RunUntil(q.Done) {
+			t.Fatal("meta query did not finish")
+		}
+		m, err := q.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	chunks := func() error {
+		pull := syncsvc.NewSnapChunkPull(state.NewBuilder(fix.commit.Root))
+		net.Transport(1).Call(0, transport.ChanSync, pull.Request(fix.commit.Root), pull)
+		if !net.RunUntil(pull.Done) {
+			t.Fatal("chunk stream did not finish")
+		}
+		_, err := pull.Result()
+		return err
+	}
+
+	rt := srv.Store.Runtime()
+	srv.Store.SetRuntime(nil)
+	if m := meta(); m.Has {
+		t.Fatalf("no runtime registered, yet served %+v", m)
+	}
+	if err := chunks(); err == nil || !strings.Contains(err.Error(), "no snapshot") {
+		t.Fatalf("chunk call with no runtime registered: err %v, want no snapshot", err)
+	}
+
+	srv.Store.SetRuntime(rt)
+	m := meta()
+	if !m.Has || m.Signed.Commit != fix.commit || m.NumChunks != uint64(len(fix.chunks)) {
+		t.Fatalf("served %+v, want the head's commit %+v over %d chunks", m, fix.commit, len(fix.chunks))
+	}
+	if err := m.Signed.Verify(roster); err != nil || m.Signed.Server != signers[2].ID() {
+		t.Fatalf("commit signed as s%d (%v), want the Signer's s%d", m.Signed.Server, err, signers[2].ID())
+	}
+	if !maps.Equal(m.Horizon, head.Horizon) || !slices.Equal(m.Base, head.Base) {
+		t.Fatalf("served horizon %v base %v, want the head's %v %v", m.Horizon, m.Base, head.Horizon, head.Base)
+	}
+	if err := chunks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFetchSnapshotIgnoresARelayedCommit: a peer that serves another's
+// signed commit as its own does not count toward the certificate. s0 signs
+// the true commit but serves a consistent lie, s1 relays s0's signature
+// over honest chunks, s2 is honest: the certificate is s0's and s2's, its
+// signers distinct, and the chunks come from s2 — never from s1, which
+// signed nothing.
+func TestFetchSnapshotIgnoresARelayedCommit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test with real sockets")
+	}
+	roster, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix := buildSnapFixture(t, 60, 50)
+	lie := buildSnapFixture(t, 60, 50)
+	lie.tree.Put([]byte("account/evil"), []byte{0xEE})
+	peers := map[types.ServerID]*tcpnet.Transport{
+		0: snapTCPPeer(t, 0, snapServer(t, signers[0], fix.head(state.Export(lie.tree, 256)))),
+		1: snapTCPPeer(t, 1, snapServer(t, signers[0], fix.head(fix.chunks))),
+		2: snapTCPPeer(t, 2, snapServer(t, signers[2], fix.head(fix.chunks))),
+	}
+	ep := map[transport.Channel]transport.Endpoint{transport.ChanGossip: nopEndpoint{}}
+	client, err := tcpnet.Listen(tcpnet.Config{Self: 3, ListenAddr: "127.0.0.1:0", Auth: tcpAuth(t, 3), Endpoints: ep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = client.Close() }()
+	for id, tr := range peers {
+		if err := client.Connect(id, tr.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, err := syncsvc.FetchSnapshot(syncsvc.FetchConfig{
+		Transport: client, Roster: roster, Peers: []types.ServerID{0, 1, 2}, Timeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var signedBy []types.ServerID
+	for _, sc := range got.Cert {
+		signedBy = append(signedBy, sc.Server)
+	}
+	if !slices.Equal(signedBy, []types.ServerID{0, 2}) {
+		t.Fatalf("certificate signed by %v, want s0 and s2 once each", signedBy)
+	}
+	if got.Anchor != 2 {
+		t.Fatalf("anchor s%d, want s2: s0 lied and s1 relayed", got.Anchor)
+	}
 }

@@ -264,15 +264,12 @@ type Server struct {
 	// Clock supplies the bucket's time base (default: wall clock from
 	// first use). Simulations inject their virtual clock.
 	Clock func() time.Duration
-	// Snapshot, if non-nil, serves the snapshot tier: the server's
-	// sealed state snapshot (own signed commit, chunk stream, base and
-	// horizon). Called once per snapshot request and must be safe for
-	// concurrent use when the transport serves handlers concurrently;
-	// the returned value must be immutable once handed out (the node
-	// runtime swaps in a fresh ServedSnapshot per seal). nil — or a nil
-	// return — answers meta queries with "no snapshot" and fails chunk
-	// requests.
-	Snapshot func() *ServedSnapshot
+	// Signer, if non-nil, serves the snapshot tier: the head of Store
+	// (store.Store.Head), while a runtime is registered there, with its
+	// checkpoint's (slot, root) signed by Signer (see snapshot.go). nil — or
+	// a head without a checkpoint — answers meta queries with "no snapshot"
+	// and fails chunk requests.
+	Signer *crypto.Signer
 	// Scores, if non-nil, receives a peerscore.Throttled signal each time
 	// the admission policy refuses a request — sustained hammering of the
 	// sync service erodes the peer's standing in follower peer selection.
