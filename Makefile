@@ -101,7 +101,10 @@ experiments-smoke:
 # delivery; one committed log, which internal/smr keeps) and exits non-zero
 # when it does not hold. Seeded, about a second each, run in a scratch
 # directory (quickstart writes its DOT file to the working directory).
-# examples/tcp has its own targets: restart-smoke, roster-demo,
+# Then dagsim's workload mode journals a run to stores, and dagviz renders
+# s0's store twice: as ASCII, which must name all four builders, and as
+# DOT annotated with one BRB instance's buffers, which must carry in:/out:
+# lines. examples/tcp has its own targets: restart-smoke, roster-demo,
 # gateway-smoke and snapshot-smoke.
 examples-smoke:
 	@set -e; \
@@ -112,7 +115,21 @@ examples-smoke:
 		(cd $$d && ./$$e > $$e.log 2>&1) \
 			|| { echo "examples-smoke FAILED: examples/$$e exited non-zero" >&2; cat $$d/$$e.log >&2; exit 1; }; \
 	done; \
-	echo "examples-smoke OK: five worked examples ran and passed their own checks"
+	go build -o $$d/dagsim ./cmd/dagsim; \
+	go build -o $$d/dagviz ./cmd/dagviz; \
+	$$d/dagsim -n 4 -instances 4 -store-dir $$d/run > $$d/dagsim.log \
+		|| { echo "examples-smoke FAILED: dagsim -store-dir exited non-zero" >&2; cat $$d/dagsim.log >&2; exit 1; }; \
+	$$d/dagviz -store $$d/run/s0 -format ascii > $$d/dag.txt \
+		|| { echo "examples-smoke FAILED: dagviz -format ascii exited non-zero" >&2; exit 1; }; \
+	for i in 0 1 2 3; do \
+		grep -q " s$$i/k" $$d/dag.txt \
+			|| { echo "examples-smoke FAILED: dagviz's ASCII names no block of s$$i" >&2; cat $$d/dag.txt >&2; exit 1; }; \
+	done; \
+	$$d/dagviz -store $$d/run/s0 -format dot -protocol brb -label inst/0 > $$d/dag.dot \
+		|| { echo "examples-smoke FAILED: dagviz -protocol brb -label inst/0 exited non-zero" >&2; exit 1; }; \
+	grep -q 'in: ' $$d/dag.dot && grep -q 'out: ' $$d/dag.dot \
+		|| { echo "examples-smoke FAILED: dagviz's DOT carries no in:/out: buffer annotations" >&2; cat $$d/dag.dot >&2; exit 1; }; \
+	echo "examples-smoke OK: five worked examples ran and passed their own checks; dagviz rendered dagsim's store"
 
 .PHONY: restart-smoke
 # restart-smoke is the README's restart walkthrough as a target: the
@@ -229,13 +246,16 @@ gateway-smoke:
 # anywhere. dagstore verify first re-proves the store the first run cut in
 # place (PruneTo, at the interpreter's cut, which -state turns on) — it
 # must reopen, validate and hold a horizon — and then the rejoined store
-# offline: the journaled chunks must rebuild the committed root.
+# offline: the journaled chunks must rebuild the committed root. Between
+# the two, dagviz renders the cut store annotated with the greeting's
+# buffers, interpreting it from its pruned-history base.
 snapshot-smoke:
 	@set -e; \
 	d=$$(mktemp -d); \
 	port=$$((10000 + $$$$ % 40000)); \
 	go build -o $$d/dagroster ./cmd/dagroster; \
 	go build -o $$d/dagstore ./cmd/dagstore; \
+	go build -o $$d/dagviz ./cmd/dagviz; \
 	go build -o $$d/tcp ./examples/tcp; \
 	$$d/dagroster init -n 4 -dir $$d/deploy -addr-base 127.0.0.1:$$port; \
 	pids=""; \
@@ -253,6 +273,8 @@ snapshot-smoke:
 		|| { echo "snapshot-smoke FAILED: dagstore verify rejected the store the first run cut" >&2; cat $$d/verify-cut.log >&2; exit 1; }; \
 	grep -q "pruned   horizon" $$d/verify-cut.log \
 		|| { echo "snapshot-smoke FAILED: the first run's store holds no pruned horizon" >&2; cat $$d/verify-cut.log >&2; exit 1; }; \
+	$$d/dagviz -store $$d/s0 -roster $$d/deploy/roster.txt -protocol brb -label greet/s0 > $$d/cut.dot \
+		|| { echo "snapshot-smoke FAILED: dagviz could not render the store the first run cut" >&2; exit 1; }; \
 	rm -rf $$d/s0; \
 	$$d/tcp -roster $$d/deploy/roster.txt -key $$d/deploy/s0.key \
 		-store-dir $$d/s0 -state -snapshot-join -timeout 30s > $$d/s0-rejoin.log; \

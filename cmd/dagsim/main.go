@@ -7,7 +7,7 @@
 //
 //	dagsim -n 4 -protocol brb -instances 8 -rounds 20
 //	dagsim -n 7 -protocol pbft -instances 16 -drop 0.2 -seed 3
-//	dagsim -n 4 -instances 4 -dump dag.bin   # then: dagviz -in dag.bin
+//	dagsim -n 4 -instances 4 -store-dir run   # then: dagviz -store run/s0
 //	dagsim -chaos partition-equivocators -seed 7   # seeded fault scenario
 package main
 
@@ -28,7 +28,6 @@ import (
 	"blockdag/internal/protocols/courier"
 	"blockdag/internal/protocols/pbft"
 	"blockdag/internal/roster"
-	"blockdag/internal/trace"
 	"blockdag/internal/types"
 )
 
@@ -51,7 +50,6 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "simulation seed (runs are reproducible)")
 		rosterF   = flag.String("roster", "", "roster file: simulate a deployment's real identities (requires -keys)")
 		keysDir   = flag.String("keys", "", "directory holding every member's s<i>.key (with -roster)")
-		dump      = flag.String("dump", "", "write server 0's DAG to this file")
 		storeDir  = flag.String("store-dir", "", "journal every server's blocks to a durable store under this directory (inspect with dagstore); a durable server also serves the sync channel and runs the live follower, which pulls from a rotating peer when gossip shows lag")
 		mpoolCap  = flag.Int("mempool-cap", 0, "capacity of every server's ingestion mempool: dedup, validation, backpressure (0 = the pool's default)")
 		loadRound = flag.Int("load-per-round", 0, "submit this many synthetic client requests per server before every round (deterministic labels load/s<i>/<seq>)")
@@ -237,22 +235,6 @@ func run() error {
 		}
 		fmt.Printf("\ndurable stores         %d blocks, %d bytes under %s (dagstore inspect %s -dir %s/s0)\n",
 			blocks, total, *storeDir, hint, *storeDir)
-	}
-
-	if *dump != "" {
-		f, err := os.Create(*dump)
-		if err != nil {
-			return err
-		}
-		d := c.Servers[c.CorrectServers()[0]].DAG()
-		if err := trace.WriteDAG(f, d); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %d blocks to %s (render with dagviz)\n", d.Len(), *dump)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
-// Command dagviz renders a persisted block DAG (written with
-// trace.WriteDAG, e.g. by cmd/dagsim -dump) as Graphviz DOT or compact
-// ASCII.
+// Command dagviz renders a block DAG read back from a durable store (one
+// server's store directory, written by dagsim -store-dir, examples/tcp
+// -store-dir or any node wired with node.Config.Store) as Graphviz DOT or
+// compact ASCII. It opens the store read-only and revalidates every block,
+// standing on the store's pruned-history base when a cut left one.
 //
 // With -protocol and -label it additionally annotates every block with the
 // message buffers Ms[in/out, ℓ] that interpretation materializes —
@@ -8,9 +10,9 @@
 //
 // Usage:
 //
-//	dagviz -in dag.bin -n 4 -format dot > dag.dot
-//	dagviz -in dag.bin -n 4 -format dot -protocol brb -label ℓ1 > fig4.dot
-//	dagviz -in dag.bin -n 4 -format ascii
+//	dagviz -store run/s0 -n 4 -format dot > dag.dot
+//	dagviz -store run/s0 -n 4 -format dot -protocol brb -label inst/0 > fig4.dot
+//	dagviz -store run/s0 -n 4 -format ascii
 package main
 
 import (
@@ -19,11 +21,13 @@ import (
 	"os"
 
 	"blockdag/internal/crypto"
+	"blockdag/internal/dag"
 	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/courier"
 	"blockdag/internal/protocols/pbft"
 	"blockdag/internal/roster"
+	"blockdag/internal/store"
 	"blockdag/internal/trace"
 	"blockdag/internal/types"
 )
@@ -37,16 +41,19 @@ func main() {
 
 func run() error {
 	var (
-		in        = flag.String("in", "", "path to a DAG dump (trace.WriteDAG format)")
+		dir       = flag.String("store", "", "store directory to render (one server's store, e.g. run/s0)")
 		n         = flag.Int("n", 4, "dev-fixture roster size the DAG was built with")
 		rosterF   = flag.String("roster", "", "roster file the DAG was built under (overrides -n)")
 		format    = flag.String("format", "dot", "output format: dot | ascii")
 		protoName = flag.String("protocol", "", "annotate buffers for this protocol: brb | pbft | courier")
-		label     = flag.String("label", "", "instance label to annotate (requires -protocol)")
+		label     = flag.String("label", "", "instance label to annotate (with -protocol)")
 	)
 	flag.Parse()
-	if *in == "" {
-		return fmt.Errorf("-in is required")
+	if *dir == "" {
+		return fmt.Errorf("-store is required")
+	}
+	if (*protoName == "") != (*label == "") {
+		return fmt.Errorf("-protocol and -label go together")
 	}
 
 	var r *crypto.Roster
@@ -64,18 +71,23 @@ func run() error {
 			return err
 		}
 	}
-	f, err := os.Open(*in)
+	st, err := store.Open(*dir, store.Options{Roster: r, ReadOnly: true})
 	if err != nil {
 		return err
 	}
-	defer func() { _ = f.Close() }()
-	d, err := trace.ReadDAG(f, r)
-	if err != nil {
-		return err
+	defer func() { _ = st.Close() }()
+	d := dag.New(r)
+	if err := d.SeedBase(st.Head().Base); err != nil {
+		return fmt.Errorf("seed base: %w", err)
+	}
+	for _, b := range st.Blocks() {
+		if err := d.Insert(b); err != nil {
+			return fmt.Errorf("block %v failed validation: %w", b.Ref(), err)
+		}
 	}
 
 	var annotate trace.Annotator
-	if *protoName != "" && *label != "" {
+	if *protoName != "" {
 		proto, err := protocolByName(*protoName)
 		if err != nil {
 			return err

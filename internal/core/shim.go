@@ -185,12 +185,10 @@ func (s *Server) ID() types.ServerID { return s.self }
 // cannot disagree about what time it is.
 func (s *Server) Now() time.Duration { return s.cfg.Clock() }
 
-// Roster, Transport and Signer expose the server's wiring to the runtime,
-// whose live follower polls the same peers over the same links and whose
-// sealed state commits are signed by the key that signs its blocks.
+// Roster and Transport expose the server's wiring to the runtime, whose
+// live follower polls the same peers over the same links.
 func (s *Server) Roster() *crypto.Roster         { return s.cfg.Roster }
 func (s *Server) Transport() transport.Transport { return s.cfg.Transport }
-func (s *Server) Signer() *crypto.Signer         { return s.cfg.Signer }
 
 // Request implements Algorithm 3 lines 6–7: buffer (ℓ, r) for inclusion in
 // the next block. The request's journey: rqsts → block (Algorithm 1

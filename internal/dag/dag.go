@@ -536,16 +536,13 @@ func (d *DAG) MissingPreds(b *block.Block) []block.Ref {
 	return missing
 }
 
-// Validate implements valid(s, B) of Definition 3.3 for a block whose
-// predecessors are already in the DAG: (i) the signature verifies, (ii)
-// the block is genesis or has exactly one parent, and (iii) all
-// predecessors are valid — discharged by induction, since only validated
-// blocks are ever inserted (Lemma A.5). If predecessors are missing it
-// returns ErrMissingPreds; the caller buffers the block and fetches them.
-func (d *DAG) Validate(b *block.Block) error {
-	return d.validate(b, true)
-}
-
+// validate implements valid(s, B) of Definition 3.3 for a block whose
+// predecessors are already in the DAG: (i) the signature verifies (when
+// checkSig), (ii) the block is genesis or has exactly one parent, and (iii)
+// all predecessors are valid — discharged by induction, since only
+// validated blocks are ever inserted (Lemma A.5). If predecessors are
+// missing it returns ErrMissingPreds; the caller buffers the block and
+// fetches them.
 func (d *DAG) validate(b *block.Block, checkSig bool) error {
 	if !d.roster.Contains(b.Builder) {
 		return fmt.Errorf("%w: %v", ErrBuilderUnknown, b.Builder)

@@ -287,9 +287,6 @@ func New(cfg Config) (*Gossip, error) {
 	return g, nil
 }
 
-// Self returns this server's identity.
-func (g *Gossip) Self() types.ServerID { return g.self }
-
 // Evidence exposes the pool of equivocation proofs. Treat as read-only.
 func (g *Gossip) Evidence() *evidence.Pool { return g.convicted }
 

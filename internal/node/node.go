@@ -136,8 +136,9 @@ type Config struct {
 	CheckpointEverySegments int
 	// State, if non-nil, is the caller-owned replicated state machine the
 	// runtime seals and restores, and prunes history behind (state.go): the
-	// caller routes committed commands into State.Apply from its indication
-	// callback (loop goroutine). A sealed commitment becomes the checkpoint
+	// caller writes deliveries into State.Tree and raises the frontier with
+	// State.AdvanceTo from its indication callback (loop goroutine), as
+	// examples/tcp does. A sealed commitment becomes the checkpoint
 	// of the store's head, so it requires Store; the sync server serves
 	// that head to joining peers, signed with the node's key
 	// (syncsvc.Server.Signer). History pruning is on exactly when State is.

@@ -134,33 +134,6 @@ func (l *Log) CommittedPrefix() [][]byte {
 // entries).
 func (l *Log) CommitIndex() uint64 { return l.next }
 
-// ResumeAt fast-forwards the commit frontier to slot without invoking
-// onCommit for anything below it. A replica restored from a certified
-// state snapshot uses this: slots below the snapshot are already folded
-// into the installed state, and the consensus instances that decided
-// them live below the prune horizon — replaying them is both impossible
-// and unnecessary. Decisions for slots below the frontier that still
-// arrive (stragglers from live peers) are recorded but never re-applied.
-// Rewinding is refused: the frontier only moves forward.
-func (l *Log) ResumeAt(slot uint64) {
-	if slot <= l.next {
-		return
-	}
-	l.next = slot
-	// A decision for the resumed slot may have landed before ResumeAt;
-	// drain the frontier so it is not stranded.
-	for {
-		cmd, ok := l.decided[l.next]
-		if !ok {
-			break
-		}
-		if l.onCommit != nil {
-			l.onCommit(l.next, cmd)
-		}
-		l.next++
-	}
-}
-
 // String summarizes the log state for diagnostics.
 func (l *Log) String() string {
 	return fmt.Sprintf("smr.Log(%s: committed=%d decided=%d)", l.name, l.next, len(l.decided))

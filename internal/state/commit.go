@@ -18,10 +18,9 @@ const commitDomain = "blockdag/state-commit/v1"
 // signature verification.
 var ErrBadCommit = errors.New("state: bad commit")
 
-// Commit pins a state root at a log position: "after applying the
-// first Slot committed commands, the state tree commits to Root". Slot
-// is a count, so a machine restored from a commit resumes at exactly
-// Commit.Slot.
+// Commit pins a state root at a slot: "at frontier Slot (Machine.AdvanceTo),
+// the state tree commits to Root". A machine restored from a commit
+// resumes at exactly Commit.Slot.
 type Commit struct {
 	Slot uint64
 	Root [32]byte

@@ -250,92 +250,7 @@ func TestProofCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// --- Machine & property test -----------------------------------------
-
-// TestReplicasConvergeOnRandomCommands is the headline property test:
-// random command sequences applied in committed order on N replicas
-// always yield byte-identical roots, and a single flipped byte in one
-// replica's stream is detected as a root mismatch. This mirrors the
-// index-vs-oracle style of the graph tests: the "oracle" here is
-// replica 0.
-func TestReplicasConvergeOnRandomCommands(t *testing.T) {
-	const replicas = 4
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		nCmds := 50 + rng.Intn(200)
-		cmds := make([][]byte, nCmds)
-		for i := range cmds {
-			key := []byte(fmt.Sprintf("key-%d", rng.Intn(40)))
-			switch rng.Intn(3) {
-			case 0, 1:
-				val := make([]byte, rng.Intn(64))
-				rng.Read(val)
-				cmds[i] = EncodeSet(key, val)
-			case 2:
-				cmds[i] = EncodeDelete(key)
-			}
-		}
-		// The last command sets a unique, never-overwritten key so a
-		// flip there is guaranteed to change the final state.
-		cmds[nCmds-1] = EncodeSet([]byte("sentinel-key"), []byte("sentinel-value"))
-		roots := make([][32]byte, replicas)
-		for r := 0; r < replicas; r++ {
-			m := NewMachine()
-			for slot, cmd := range cmds {
-				if _, err := m.Apply(uint64(slot), cmd); err != nil {
-					t.Fatalf("seed %d replica %d slot %d: %v", seed, r, slot, err)
-				}
-			}
-			roots[r] = m.Root()
-		}
-		for r := 1; r < replicas; r++ {
-			if roots[r] != roots[0] {
-				t.Fatalf("seed %d: replica %d root diverged", seed, r)
-			}
-		}
-
-		// Flip one byte of the sentinel command on one replica:
-		// divergence must surface as a root mismatch. Whether the flip
-		// changes the stored value or makes the command undecodable
-		// (skipping the slot), the final state differs.
-		victim := nCmds - 1
-		flipped := append([]byte(nil), cmds[victim]...)
-		pos := rng.Intn(len(flipped))
-		flipped[pos] ^= 0xFF
-		m := NewMachine()
-		for slot, cmd := range cmds {
-			if slot == victim {
-				cmd = flipped
-			}
-			m.Apply(uint64(slot), cmd) //nolint:errcheck // rejection is a legal divergence mode
-		}
-		if m.Root() == roots[0] {
-			t.Fatalf("seed %d: flipped byte %d of cmd %d not detected by root", seed, pos, victim)
-		}
-	}
-}
-
-func TestMachineReplayAndGaps(t *testing.T) {
-	m := NewMachine()
-	if _, err := m.Apply(0, EncodeSet([]byte("a"), []byte("1"))); err != nil {
-		t.Fatal(err)
-	}
-	rootAfter0 := m.Root()
-	// Replay of an applied slot is absorbed.
-	if mutated, err := m.Apply(0, EncodeSet([]byte("a"), []byte("OTHER"))); err != nil || mutated {
-		t.Fatalf("replay: mutated=%v err=%v", mutated, err)
-	}
-	if m.Root() != rootAfter0 {
-		t.Fatal("replayed slot mutated state")
-	}
-	// A gap is an error and does not advance.
-	if _, err := m.Apply(5, EncodeSet([]byte("b"), []byte("2"))); err == nil {
-		t.Fatal("gap accepted")
-	}
-	if m.NextSlot() != 1 {
-		t.Fatalf("NextSlot = %d, want 1", m.NextSlot())
-	}
-}
+// --- Machine ----------------------------------------------------------
 
 // TestMachineCommitAndAdvanceTo: Commit pins the root at the frontier and
 // records nothing; AdvanceTo only raises the frontier.
@@ -344,7 +259,7 @@ func TestMachineCommitAndAdvanceTo(t *testing.T) {
 	m.Tree().Put([]byte("k"), []byte("v"))
 	m.AdvanceTo(3)
 	m.AdvanceTo(2)
-	if c := m.Commit(); c != (Commit{Slot: 3, Root: m.Root()}) || m.NextSlot() != 3 {
+	if c := m.Commit(); c != (Commit{Slot: 3, Root: m.Tree().Root()}) || m.NextSlot() != 3 {
 		t.Fatalf("Commit = %+v at frontier %d, want slot 3 and the tree's root", c, m.NextSlot())
 	}
 }

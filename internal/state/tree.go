@@ -1,11 +1,12 @@
 // Package state adds the commitment layer the shim itself does not
-// provide: the protocol stack delivers a totally-ordered command stream
-// (package smr), but nothing commits to the *state* that stream produces.
-// This package interprets commands into a key/value store wrapped in a
-// canonical sparse Merkle trie, so that
+// provide: the protocol stack delivers indications, but nothing commits to
+// the *state* an application builds from them. An application writes what
+// it delivers into a key/value store wrapped in a canonical sparse Merkle
+// trie (Machine.Tree), so that
 //
-//   - every replica that applied the same committed prefix holds the
-//     byte-identical 32-byte root (the property tests pin this),
+//   - every replica that wrote the same key/value set holds the
+//     byte-identical 32-byte root (TestRootIsContentDeterministic pins
+//     this),
 //   - a single key's value is provable against that root with a compact
 //     audit proof (Prove/Verify), and
 //   - a joining node can fetch the whole state as chunks and verify them

@@ -1,32 +1,24 @@
-// Package trace renders and persists block DAGs.
+// Package trace renders block DAGs.
 //
 // It regenerates the paper's figures from live data: DOT output draws one
 // horizontal lane per server with blocks ordered by sequence number
 // (Figures 2–4), optionally annotated with the message buffers Ms[in/out]
-// that interpretation materialized at each block (Figure 4). It also
-// provides a length-prefixed dump format so a DAG can be written to disk
-// and re-interpreted offline — the decoupling of building and
-// interpretation the paper emphasizes.
-//
-// WriteDAG/ReadDAG are one-shot dumps for visualization tooling (dagviz
-// reads them). For crash-safe, incremental persistence — journaling
-// blocks as they are inserted, with segment rotation, torn-tail
-// recovery, and pruning — use package store instead.
+// that interpretation materialized at each block (Figure 4). A DAG read
+// back from a store (package store, as dagviz does) renders and
+// interprets the same — the decoupling of building and interpretation
+// the paper emphasizes.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
 	"blockdag/internal/block"
-	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/interpret"
 	"blockdag/internal/protocol"
 	"blockdag/internal/types"
-	"blockdag/internal/wire"
 )
 
 // Annotator supplies per-block annotation lines for DOT rendering; the
@@ -43,13 +35,19 @@ type Buffers struct {
 // any. It asks for a block's buffers right after interpreting it, while the
 // interpreter still holds everything the block read and wrote, so the pass
 // is linear; an interpreter that has moved on — a running server's — answers
-// the same for any block, but by replaying history for each. A block that
-// cannot be read back is the error.
+// the same for any block, but by replaying history for each. A DAG seeded
+// with a pruned-history base (a cut store's) is interpreted from that base,
+// as a restarted node interprets it. A block that cannot be read back is
+// the error.
 func InterpretBuffers(d *dag.DAG, proto protocol.Protocol, n, f int, label types.Label) (map[block.Ref]Buffers, error) {
 	it := interpret.New(proto, n, f, nil, interpret.Over(d))
+	base := d.Base()
+	if err := it.SeedBase(base); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
 	buffers := make(map[block.Ref]Buffers)
-	for i, base := 0, len(d.Base()); i < d.Len(); i++ {
-		b, err := d.ReadRow(base + i)
+	for i := 0; i < d.Len(); i++ {
+		b, err := d.ReadRow(len(base) + i)
 		if err != nil {
 			return nil, fmt.Errorf("trace: %w", err)
 		}
@@ -176,37 +174,4 @@ func ASCII(d *dag.DAG) string {
 		}
 	}
 	return sb.String()
-}
-
-// WriteDAG persists all blocks of the DAG in insertion order as
-// length-prefixed frames.
-func WriteDAG(w io.Writer, d *dag.DAG) error {
-	for b := range d.All() {
-		if err := wire.WriteFrame(w, b.Encode()); err != nil {
-			return fmt.Errorf("trace: write block %v: %w", b.Ref(), err)
-		}
-	}
-	return nil
-}
-
-// ReadDAG loads a dump written by WriteDAG, revalidating every block
-// against the roster (Definition 3.3 holds again after the round trip).
-func ReadDAG(r io.Reader, roster *crypto.Roster) (*dag.DAG, error) {
-	d := dag.New(roster)
-	for {
-		frame, err := wire.ReadFrame(r)
-		if err == io.EOF {
-			return d, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: read dump: %w", err)
-		}
-		b, err := block.Decode(frame) // ReadFrame copied it out of the dump: the block's own
-		if err != nil {
-			return nil, fmt.Errorf("trace: decode block: %w", err)
-		}
-		if err := d.Insert(b); err != nil {
-			return nil, fmt.Errorf("trace: insert block %v: %w", b.Ref(), err)
-		}
-	}
 }

@@ -1,8 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -127,6 +127,43 @@ func TestInterpretBuffersFailsOnAnUnreadableRow(t *testing.T) {
 	}
 }
 
+// TestInterpretBuffersOverASeededDAG: a DAG standing on a pruned-history
+// base — what dagviz reads back from a cut store — is interpreted from its
+// stand-ins. The first live blocks cite them, and the buffers match those
+// of the whole DAG, whose first round carried no request.
+func TestInterpretBuffersOverASeededDAG(t *testing.T) {
+	h := dagtest.NewHarness(4)
+	first := h.Round(nil)
+	h.Round(map[int][]block.Request{0: {{Label: "ℓ1", Data: []byte("42")}}})
+	for r := 0; r < 3; r++ {
+		h.Round(nil)
+	}
+	var base []dag.Base
+	for _, b := range first {
+		base = append(base, dag.Base{Builder: b.Builder, Seq: b.Seq, Ref: b.Ref()})
+	}
+	d := dag.New(h.Roster)
+	if err := d.SeedBase(base); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range h.DAG.Blocks()[len(first):] {
+		if err := d.Insert(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seeded, err := InterpretBuffers(d, brb.Protocol{}, 4, 1, "ℓ1")
+	if err != nil {
+		t.Fatalf("interpreting the seeded DAG: %v", err)
+	}
+	whole, err := InterpretBuffers(h.DAG, brb.Protocol{}, 4, 1, "ℓ1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seeded) == 0 || !reflect.DeepEqual(seeded, whole) {
+		t.Fatalf("seeded DAG has buffers at %d blocks, the whole DAG at %d; want the same buffers", len(seeded), len(whole))
+	}
+}
+
 func TestASCII(t *testing.T) {
 	h, _ := figure4Harness(t)
 	out := ASCII(h.DAG)
@@ -149,55 +186,5 @@ func TestASCIIShowsEquivocation(t *testing.T) {
 	out := ASCII(h.DAG)
 	if !strings.Contains(out, "EQUIVOCATION s0 at k1") {
 		t.Fatalf("equivocation not rendered:\n%s", out)
-	}
-}
-
-func TestDumpRoundTrip(t *testing.T) {
-	h, buffers := figure4Harness(t)
-	var buf bytes.Buffer
-	if err := WriteDAG(&buf, h.DAG); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadDAG(&buf, h.Roster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != h.DAG.Len() {
-		t.Fatalf("loaded %d blocks, want %d", loaded.Len(), h.DAG.Len())
-	}
-	if !h.DAG.Leq(loaded) || !loaded.Leq(h.DAG) {
-		t.Fatal("round-tripped DAG differs")
-	}
-	// The reloaded DAG interprets identically.
-	reloaded, err := InterpretBuffers(loaded, brb.Protocol{}, 4, 1, "ℓ1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if DOT(loaded, BufferAnnotator(reloaded)) != DOT(h.DAG, BufferAnnotator(buffers)) {
-		t.Fatal("round-tripped DAG materializes different buffers")
-	}
-}
-
-func TestReadDAGRejectsCorruption(t *testing.T) {
-	h, _ := figure4Harness(t)
-	var buf bytes.Buffer
-	if err := WriteDAG(&buf, h.DAG); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(data)-3] ^= 0xff // corrupt inside the last block
-	if _, err := ReadDAG(bytes.NewReader(data), h.Roster); err == nil {
-		t.Fatal("corrupted dump accepted")
-	}
-}
-
-func TestReadDAGEmpty(t *testing.T) {
-	h := dagtest.NewHarness(1)
-	d, err := ReadDAG(bytes.NewReader(nil), h.Roster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 0 {
-		t.Fatal("empty dump produced blocks")
 	}
 }
