@@ -22,15 +22,15 @@ bench-smoke:
 FUZZTIME ?= 3s
 
 .PHONY: fuzz-smoke
-# fuzz-smoke runs every fuzz target for a few seconds — 18 of them: each
+# fuzz-smoke runs every fuzz target for a few seconds — 17 of them: each
 # decoder a byzantine or unauthenticated peer can reach (blocks, gossip
-# messages, evidence, state proofs and snapshot chunks, the snapshot meta
+# messages, evidence, snapshot chunks, the snapshot meta
 # frame, the wire reader and stream framing, the sync channel's delta
 # request and stream — its watermark answer has had no decoder, so no
 # target, since PR 30 — and the gateway's submit body, which any client
 # writes), the two a failing disk can (store WAL records, the store's
 # head), the graph's rows against their map-per-property reference
-# (graph.FuzzRows: inserts, refusals, forks, seeded roots, clones), and the
+# (graph.FuzzRows: inserts, refusals, forks, seeded roots), and the
 # key set against a map + slice one (keyset.FuzzSet: adds, repeats, lookups,
 # oldest-first pops across compactions, a follower column). `go test`
 # without -fuzz only replays the seed corpus; this also proves the targets
@@ -398,21 +398,28 @@ cpu-profile:
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./...
 
-# KNOBS_MAX is the ceiling on configuration fields no non-test code sets.
-# It only falls: a PR that turns a knob into a constant lowers it to the new
-# count. No field is counted today.
+# KNOBS_MAX is the ceiling on configuration fields no non-test code sets,
+# and on exported names under internal/ no non-test code uses — each count
+# apart. It only falls: a PR that turns a knob into a constant lowers it to
+# the new count. No field and no name is counted today.
 KNOBS_MAX = 0
 
 .PHONY: knobs
-# knobs lists the options nobody sets. deploy's TestKnobs (behind the knobs
-# build tag, so go test ./... does not pay for it) type-checks every package
-# of the tree and of bench/, tests included, and counts for each exported
-# field of a configuration struct the composite literals that name it, the
-# assignments to it and the places its address is taken (flag.*Var) outside
-# the declaring file — non-test code and tests apart. It prints the fields
-# non-test code never sets: one value in use, so a constant (ROADMAP aim 2),
-# and the next subtraction's input. It fails when more than KNOBS_MAX are
-# unset: a new knob nobody sets needs a setter, or the ceiling a reason to
+# knobs lists the options nobody sets and the names nobody calls. deploy's
+# TestKnobs (behind the knobs build tag, so go test ./... does not pay for
+# it) type-checks every package of the tree and of bench/, tests included.
+# It counts for each exported field of a configuration struct the
+# composite literals that name it, the assignments to it and the places
+# its address is taken (flag.*Var) outside the declaring file — non-test
+# code and tests apart — and prints the fields non-test code never sets:
+# one value in use, so a constant (ROADMAP aim 2). It also prints every
+# exported func, method, type, var and const declared in a non-test file
+# under internal/ that no non-test file of either module uses: a godoc
+# Example counts as a caller; a method an interface the scan loads declares
+# (same name and signature) and every name of a package only tests import
+# (dagtest) are exempt. Both lists are the next subtraction's input. It
+# fails when either count is above KNOBS_MAX: a new knob nobody sets needs
+# a setter, a new name nobody calls a caller, or the ceiling a reason to
 # rise.
 knobs:
 	KNOBS_MAX=$(KNOBS_MAX) go test -tags knobs -count=1 -run '^TestKnobs$$' -v ./internal/deploy

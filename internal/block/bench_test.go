@@ -76,19 +76,6 @@ func BenchmarkEncodeOnce(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendEncode measures composing a sealed block's cached frame
-// into a caller buffer — the gossip/evidence/sync envelope path.
-func BenchmarkAppendEncode(b *testing.B) {
-	_, _, blk := benchFixture(b)
-	dst := make([]byte, 0, blk.EncodedSize())
-	b.SetBytes(int64(blk.EncodedSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = blk.AppendEncode(dst[:0])
-	}
-}
-
 func BenchmarkDecode(b *testing.B) {
 	_, _, blk := benchFixture(b)
 	enc := blk.Encode()

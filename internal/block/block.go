@@ -25,7 +25,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"unsafe"
 
@@ -137,14 +136,6 @@ func (b *Block) open(sigLen int) (w *wire.Writer, body []byte) {
 	return w, w.Bytes()[w.Len()-n : w.Len() : w.Len()]
 }
 
-// SigningBytes returns the canonical encoding of (n, k, preds, rs) — the
-// preimage of ref(B) — serialized from the fields. The signature is
-// deliberately excluded.
-func (b *Block) SigningBytes() []byte {
-	_, body := b.open(0)
-	return body
-}
-
 // Seal computes ref(B) and signs it with the builder's signer, completing
 // the block per Definition 3.1: σ = sign(n, ref(B)).
 //
@@ -180,9 +171,6 @@ func (b *Block) VerifySignature(roster *crypto.Roster) bool {
 	return roster.Verify(b.Builder, b.ref[:], b.Sig)
 }
 
-// HasPred reports whether ref appears in b.Preds.
-func (b *Block) HasPred(ref Ref) bool { return slices.Contains(b.Preds, ref) }
-
 // Encode returns the canonical wire encoding of the sealed block,
 // including the signature.
 //
@@ -190,7 +178,7 @@ func (b *Block) HasPred(ref Ref) bool { return slices.Contains(b.Preds, ref) }
 // written exactly once (by Seal, or by whoever filled the buffer Decode was
 // handed) and Encode returns it with zero allocation. The returned bytes
 // ARE the block and are shared with every other consumer of the encoding:
-// read-only; AppendEncode hands out a copy. An unsealed block serializes
+// read-only: copy them before writing. An unsealed block serializes
 // freshly on every call, since its fields may still change.
 func (b *Block) Encode() []byte {
 	if b.enc != nil {
@@ -205,10 +193,6 @@ func (b *Block) Encode() []byte {
 // frames (gossip envelopes, evidence proofs, sync batches).
 func (b *Block) EncodedSize() int { return len(b.Encode()) }
 
-// AppendEncode appends the canonical wire encoding to dst and returns the
-// extended slice: a copy, freely mutable by the caller.
-func (b *Block) AppendEncode(dst []byte) []byte { return append(dst, b.Encode()...) }
-
 // ErrMalformed reports a block that failed structural decoding.
 var ErrMalformed = errors.New("block: malformed encoding")
 
@@ -221,7 +205,8 @@ var ErrMalformed = errors.New("block: malformed encoding")
 // allocations whatever its request count (the block, its request table, one
 // string holding every label). Hand in a buffer nobody writes again and no
 // other block is decoded from (package doc). Only the canonical encoding
-// decodes (wire.ErrNonMinimal), so Hash(SigningBytes()) is Ref().
+// decodes (wire.ErrNonMinimal), so the hash of the body re-encoded from the
+// fields is Ref().
 func Decode(data []byte) (*Block, error) {
 	b := new(Block)
 	body, err := b.view(data, MaxPayloadBytes)
@@ -285,13 +270,6 @@ func refsView(raw []byte) []Ref {
 		return nil
 	}
 	return unsafe.Slice((*Ref)(raw), len(raw)/crypto.HashSize)
-}
-
-// ParentOf reports whether candidate is the parent of b: same builder and
-// sequence number exactly one less (Definition 3.1). The caller ensures
-// candidate is actually referenced in b.Preds.
-func (b *Block) ParentOf(candidate *Block) bool {
-	return candidate.Builder == b.Builder && !b.IsGenesis() && candidate.Seq == b.Seq-1
 }
 
 // VerifyBatch checks Definition 3.3(i) — builder membership and signature

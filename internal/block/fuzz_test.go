@@ -63,7 +63,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("decoded block's Encode is not the decoded input")
 		}
 		fieldsAreTheFrame(t, b)
-		if Ref(crypto.Hash(b.SigningBytes())) != b.Ref() {
+		if Ref(crypto.Hash(signingBytes(b))) != b.Ref() {
 			t.Fatal("accepted block's reference is not the hash of its fields' encoding")
 		}
 		re, err := Decode(b.Encode())

@@ -1,6 +1,7 @@
 package block_test
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -47,7 +48,7 @@ func TestRetainedPerDecodedBlock(t *testing.T) {
 			if err := b.Seal(signers[0]); err != nil {
 				t.Fatal(err)
 			}
-			frames[i] = b.AppendEncode(nil)
+			frames[i] = bytes.Clone(b.Encode())
 		}
 		decoded := make([]*block.Block, blocks)
 		before := dagtest.LiveHeap()

@@ -88,7 +88,9 @@ func BenchmarkLiveFollow(b *testing.B) {
 				// on a durable slot the first re-ask pulls the rest. The
 				// rounds run on their own clock, interleaved with the walk.
 				c.ScheduleRounds(40)
-				if !c.Net.RunUntil(func() bool { return covered(c, target) }) {
+				for !covered(c, target) && c.Net.Step() {
+				}
+				if !covered(c, target) {
 					b.Fatal("recovery incomplete")
 				}
 				s1 := c.Net.Stats()

@@ -290,7 +290,7 @@ func TestClusterCatchUpRejectsMaliciousServer(t *testing.T) {
 	if d.Len() != mid || st.Len() != mid {
 		t.Fatalf("kept %d blocks in the DAG and %d on disk, want the %d before the forgery", d.Len(), st.Len(), mid)
 	}
-	ro, err := store.Open(st.Dir(), store.Options{Roster: c.Roster, ReadOnly: true})
+	ro, err := store.Open(filepath.Join(dir, "s2"), store.Options{Roster: c.Roster, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,28 +251,9 @@ func (c *Cluster) stop(slot int) error {
 	return a.Close()
 }
 
-// Close ends the simulation: every live slot's assembly closes — its
-// gateway drains, its broker wakes its subscribers with the terminal
-// signal, its store is synced and closed. What the slots hold stays
-// readable.
-func (c *Cluster) Close() {
-	for _, a := range c.slots {
-		if a != nil {
-			_ = a.Close()
-		}
-	}
-}
-
 // Request submits a user request at the given correct server.
 func (c *Cluster) Request(server int, label types.Label, data []byte) {
 	c.Servers[server].Request(label, data)
-}
-
-// Submit is the backpressure-aware form of Request: it returns the
-// mempool's admission verdict (mempool.ErrFull, mempool.ErrDuplicate, a
-// validation error).
-func (c *Cluster) Submit(server int, label types.Label, data []byte) error {
-	return c.Servers[server].Submit(label, data)
 }
 
 // injectLoad submits one round's synthetic client requests at a slot:
@@ -301,8 +282,8 @@ func (c *Cluster) RunRounds(rounds int) error {
 // ScheduleRounds schedules `rounds` dissemination rounds, one interval
 // apart, without running them: every correct slot takes its housekeeping
 // (the follower's included), block and full-block turns once per round,
-// staggered to break symmetry. A caller that runs the network itself can
-// stop it mid-way (simnet.Network.RunUntil), the moment a condition holds.
+// staggered to break symmetry. A caller that steps the network itself
+// (simnet.Network.Step) can stop it mid-way, the moment a condition holds.
 func (c *Cluster) ScheduleRounds(rounds int) {
 	for r := 0; r < rounds; r++ {
 		at := time.Duration(r) * c.opts.Interval

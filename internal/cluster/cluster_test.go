@@ -141,7 +141,9 @@ func pullFrom(c *Cluster, slot, peer int) error {
 	abandon := c.Nodes[slot].PullFrom(types.ServerID(peer), func(_ int, err error) {
 		settled, pullErr = true, err
 	})
-	if !c.Net.RunUntil(func() bool { return settled }) {
+	for !settled && c.Net.Step() {
+	}
+	if !settled {
 		abandon()
 	}
 	return pullErr

@@ -7,6 +7,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/metrics"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
@@ -261,9 +262,9 @@ func TestClusterFollowerLyingPeer(t *testing.T) {
 	if stats.Polls != 3 || stats.Errors != 1 || stats.Deltas != 1 || stats.Blocks != 0 {
 		t.Fatalf("follow stats %+v; want three polls, of which the tampered stream failed and nothing was absorbed", stats)
 	}
-	if c.Servers[3].Scores().Score(0) == 0 || c.Servers[3].Scores().Score(1) != 0 {
+	if dagtest.Score(c.Servers[3].Scores(), 0) == 0 || dagtest.Score(c.Servers[3].Scores(), 1) != 0 {
 		t.Fatalf("scores: forger %.1f, short server %.1f; want only the forger charged",
-			c.Servers[3].Scores().Score(0), c.Servers[3].Scores().Score(1))
+			dagtest.Score(c.Servers[3].Scores(), 0), dagtest.Score(c.Servers[3].Scores(), 1))
 	}
 	if got := c.Servers[3].DAG().Len(); got != before {
 		t.Fatalf("lying peers changed the follower's DAG: %d -> %d blocks", before, got)

@@ -45,7 +45,7 @@ func TestGatewayPerSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer stopAll(c)
 
 	base := "http://" + gatewayAddr(c, 0)
 	// A configured follower reports its state from the start, not only
@@ -153,9 +153,9 @@ func TestGatewayPerSlotCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer stopAll(c)
 
-	if err := c.Submit(1, "pre/crash", []byte("survives")); err != nil {
+	if err := c.Servers[1].Submit("pre/crash", []byte("survives")); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := c.RunUntil(50, func() bool {
@@ -196,5 +196,13 @@ func TestGatewayPerSlotCrashRecovery(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "survives") {
 		t.Fatalf("post-recovery await = %d %s", resp.StatusCode, body)
+	}
+}
+
+// stopAll closes every live slot's assembly: its gateway drains, its store
+// is synced and closed.
+func stopAll(c *Cluster) {
+	for i := range c.slots {
+		_ = c.stop(i)
 	}
 }

@@ -51,7 +51,6 @@ func TestJournalCitesByBackReference(t *testing.T) {
 			if err := c.RunRounds(30); err != nil {
 				t.Fatal(err)
 			}
-			c.Close()
 			var records, preds, cited, diskBytes, frameBytes int
 			for slot, st := range c.Stores {
 				for b := range c.Servers[slot].DAG().All() {
@@ -60,7 +59,7 @@ func TestJournalCitesByBackReference(t *testing.T) {
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}
-				wals, err := filepath.Glob(filepath.Join(st.Dir(), "*.wal"))
+				wals, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("s%d", slot), "*.wal"))
 				if err != nil || len(wals) == 0 {
 					t.Fatalf("s%d: WAL segments %v (err %v)", slot, wals, err)
 				}

@@ -38,7 +38,7 @@ func forkAfterRelease(t *testing.T, storeDir string) (inds []string, reads int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer crashAll(c)
 	var chain []*block.Block
 	build := func(seq uint64, preds []block.Ref, reqs ...block.Request) *block.Block {
 		b, err := c.Seal(equivocator, seq, preds, reqs...)
@@ -54,7 +54,7 @@ func forkAfterRelease(t *testing.T, storeDir string) (inds []string, reads int64
 		if seq > 0 {
 			preds = append(preds, chain[seq-1].Ref())
 		}
-		for _, tip := range c.Servers[0].DAG().Tips() {
+		for _, tip := range tips(c.Servers[0].DAG()) {
 			if !slices.Contains(preds, tip) {
 				preds = append(preds, tip)
 			}
@@ -99,4 +99,29 @@ func TestForkReplaysThroughTheJournal(t *testing.T) {
 		t.Fatalf("over stores the slots indicated\n%v\nover the volatile journal\n%v", durable, volatile)
 	}
 	t.Logf("%d indications, %d blocks read back from the stores", len(durable), reads)
+}
+
+// tips is the blocks of d no block of d cites, in insertion order.
+func tips(d *dag.DAG) []block.Ref {
+	cited := map[block.Ref]bool{}
+	for b := range d.All() {
+		for _, p := range b.Preds {
+			cited[p] = true
+		}
+	}
+	var out []block.Ref
+	for b := range d.All() {
+		if !cited[b.Ref()] {
+			out = append(out, b.Ref())
+		}
+	}
+	return out
+}
+
+// crashAll crashes every live slot: the test is over, and what its stores
+// hold is not read again.
+func crashAll(c *cluster.Cluster) {
+	for i := range c.Nodes {
+		c.Crash(i)
+	}
 }

@@ -80,7 +80,7 @@ func sealPruneRestart(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer stopAll(c)
 
 	// A request every round keeps each machine's frontier moving, so a
 	// slot's checkpoint changes at each of its seals: right after its Tick,
@@ -208,7 +208,7 @@ func liveAcrossACut(t *testing.T, seed int64, cutFirst bool) (s0, s1, s2 bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer stopAll(c)
 	partition := func() { c.Net.SetPartition(func(from, to types.ServerID) bool { return from == 3 || to == 3 }) }
 	if !cutFirst {
 		partition()
@@ -316,7 +316,7 @@ func cutLag(t *testing.T, every, rounds int, hold bool) (heads, horizon []uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer stopAll(c)
 	if hold {
 		c.Request(0, "held", []byte("h"))
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -135,7 +136,7 @@ func TestRestoreStopsAtFirstRefusal(t *testing.T) {
 		preds = []block.Ref{b.Ref()}
 	}
 	// Tamper with the second block only: the first replays fine.
-	enc := good[1].AppendEncode(nil) // a copy: Encode's bytes are the good block
+	enc := bytes.Clone(good[1].Encode()) // a copy: Encode's bytes are the good block
 	enc[len(enc)-1] ^= 0xff
 	bad, err := block.Decode(enc)
 	if err != nil {

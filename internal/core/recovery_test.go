@@ -84,7 +84,7 @@ func TestCrashRecovery(t *testing.T) {
 	// The recovered chain continues the old one: no equivocation by s3
 	// in anyone's DAG, and s3's chain extends the pre-crash tip.
 	for _, i := range c.CorrectServers() {
-		if eqs := c.Servers[i].DAG().Equivocators(); len(eqs) != 0 {
+		if eqs := c.Servers[i].DAG().Equivocations(); len(eqs) != 0 {
 			t.Fatalf("server %d sees equivocators %v after recovery", i, eqs)
 		}
 	}
@@ -147,7 +147,7 @@ func TestRestoreRejectsCorruptLog(t *testing.T) {
 	}
 	stored := c.Servers[3].DAG().Blocks()
 	// Tamper: re-decode one block and corrupt its signature.
-	enc := stored[0].AppendEncode(nil) // a copy: Encode's bytes are the stored block
+	enc := bytes.Clone(stored[0].Encode()) // a copy: Encode's bytes are the stored block
 	enc[len(enc)-1] ^= 0xff
 	bad, err := block.Decode(enc)
 	if err != nil {

@@ -63,7 +63,7 @@ func TestFwdServesAReleasedBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first := h.DAG.BlockAt(1) // builder 1's genesis, carrying the request
+	first := h.DAG.Blocks()[1] // builder 1's genesis, carrying the request
 	for range 4 {
 		for _, b := range h.Round(nil) {
 			if err := srv.AbsorbVerified(b); err != nil {

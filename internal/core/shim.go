@@ -466,7 +466,7 @@ func (s *Server) AbsorbVerified(b *block.Block) error {
 // it causes becomes user-visible, and, for own blocks, durably before gossip
 // broadcasts them: the write-ahead discipline that keeps a post-crash
 // restart from self-equivocating. The sink is handed every block once, in the
-// DAG's order from its first (call k is dag.BlockAt(k)): all a journal needs
+// DAG's order from its first (call k is the DAG's block k): all a journal needs
 // to tell the blocks it holds, back through Restore, from new ones. Block(k,
 // preds) reads that block back (dag.Journal): the DAG releases a block every
 // chain has read and the journal answers for its bytes from then on, handed

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/gossip"
 	"blockdag/internal/mempool"
+	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/pbft"
 	"blockdag/internal/simnet"
@@ -131,7 +134,7 @@ func TestTheorem51BRBProperties(t *testing.T) {
 
 	// The equivocation is visible in every correct server's DAG.
 	for _, i := range c.CorrectServers() {
-		eqv := c.Servers[i].DAG().Equivocators()
+		eqv := dagtest.Equivocators(c.Servers[i].DAG())
 		if len(eqv) != 1 || eqv[0] != 3 {
 			t.Fatalf("server %d detected equivocators %v, want [s3]", i, eqv)
 		}
@@ -349,13 +352,16 @@ func TestLemma42AcrossServers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := c.Servers[0]
-	for _, b := range base.DAG().Blocks() {
+	same := func(a, b []protocol.Message) bool {
+		return slices.EqualFunc(a, b, func(x, y protocol.Message) bool { return protocol.Compare(x, y) == 0 })
+	}
+	base := c.Servers[0].Interpreter()
+	for _, b := range c.Servers[0].DAG().Blocks() {
 		for _, label := range []types.Label{"a", "b"} {
-			d0, ok0 := base.Interpreter().StateDigest(b.Ref(), label)
 			for _, i := range []int{1, 2, 3} {
-				di, oki := c.Servers[i].Interpreter().StateDigest(b.Ref(), label)
-				if ok0 != oki || !bytes.Equal(d0, di) {
+				it := c.Servers[i].Interpreter()
+				if !same(base.InMessages(b.Ref(), label), it.InMessages(b.Ref(), label)) ||
+					!same(base.OutMessages(b.Ref(), label), it.OutMessages(b.Ref(), label)) {
 					t.Fatalf("Lemma 4.2 violated: block %v label %s differs between s0 and s%d", b.Ref(), label, i)
 				}
 			}

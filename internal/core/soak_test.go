@@ -7,6 +7,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/types"
 )
@@ -102,7 +103,7 @@ func TestSoakTheorem51AtScale(t *testing.T) {
 	}
 	// The equivocator is exposed in every correct DAG.
 	for _, i := range c.CorrectServers() {
-		eqv := c.Servers[i].DAG().Equivocators()
+		eqv := dagtest.Equivocators(c.Servers[i].DAG())
 		if len(eqv) != 1 || eqv[0] != 5 {
 			t.Fatalf("server %d detected equivocators %v, want [s5]", i, eqv)
 		}

@@ -5,14 +5,10 @@
 // blocks per second per core however cheap everything else gets. Ed25519
 // verification is embarrassingly parallel — every (key, msg, sig) triple
 // is independent — so a worker pool over GOMAXPROCS cores turns the bound
-// into cores × serial throughput. An algebraic batch-verification backend
-// (half the scalar multiplications of n single verifies) can additionally
-// be plugged in via SetBatchVerifier; the standard library has none, so
-// the default is the worker pool alone.
+// into cores × serial throughput.
 package crypto
 
 import (
-	"crypto/ed25519"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -30,30 +26,6 @@ type BatchItem struct {
 	Sig []byte
 }
 
-// BatchVerifier is the seam for an algebraic ed25519 batch-verification
-// backend (e.g. a circl- or dalek-style implementation): given parallel
-// slices of keys, messages, and signatures, it reports per-item validity.
-// Implementations must be safe for concurrent use and must fall back to
-// per-item verification when the aggregate check fails, so a single bad
-// signature cannot poison the verdict of the honest items around it.
-type BatchVerifier func(keys []ed25519.PublicKey, msgs, sigs [][]byte) []bool
-
-// batchBackend holds the installed BatchVerifier, nil for none. Atomic so
-// SetBatchVerifier is safe against concurrent VerifyBatch calls.
-var batchBackend atomic.Pointer[BatchVerifier]
-
-// SetBatchVerifier installs an algebraic batch-verification backend used
-// by Roster.VerifyBatch instead of the worker pool. Pass nil to restore
-// the default. The container ships no such backend; this is the gate a
-// deployment with one flips, not a dependency.
-func SetBatchVerifier(fn BatchVerifier) {
-	if fn == nil {
-		batchBackend.Store(nil)
-		return
-	}
-	batchBackend.Store(&fn)
-}
-
 // batchSerialThreshold is the batch size below which the goroutine
 // handoff costs more than it saves; such batches verify inline.
 const batchSerialThreshold = 4
@@ -68,10 +40,6 @@ func (r *Roster) VerifyBatch(items []BatchItem, workers int) []bool {
 		return nil
 	}
 	ok := make([]bool, len(items))
-	if fn := batchBackend.Load(); fn != nil {
-		r.verifyBatchBackend(*fn, items, ok)
-		return ok
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -105,34 +73,4 @@ func (r *Roster) VerifyBatch(items []BatchItem, workers int) []bool {
 	}
 	wg.Wait()
 	return ok
-}
-
-// verifyBatchBackend routes a batch through the installed algebraic
-// backend. Items whose ID is not a roster member fail up front and are
-// excluded from the backend's slices.
-func (r *Roster) verifyBatchBackend(fn BatchVerifier, items []BatchItem, ok []bool) {
-	keys := make([]ed25519.PublicKey, 0, len(items))
-	msgs := make([][]byte, 0, len(items))
-	sigs := make([][]byte, 0, len(items))
-	idx := make([]int, 0, len(items))
-	for i, it := range items {
-		key, member := r.PublicKey(it.ID)
-		if !member {
-			continue
-		}
-		r.counters.Add(Verified, 1)
-		keys = append(keys, key)
-		msgs = append(msgs, it.Msg)
-		sigs = append(sigs, it.Sig)
-		idx = append(idx, i)
-	}
-	if len(idx) == 0 {
-		return
-	}
-	for j, valid := range fn(keys, msgs, sigs) {
-		if j >= len(idx) {
-			break
-		}
-		ok[idx[j]] = valid
-	}
 }

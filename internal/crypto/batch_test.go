@@ -1,11 +1,6 @@
 package crypto
 
-import (
-	"crypto/ed25519"
-	"testing"
-
-	"blockdag/internal/types"
-)
+import "testing"
 
 // batchFixture builds n items signed by round-robin roster members, then
 // corrupts the signatures at the given indices.
@@ -54,37 +49,5 @@ func TestVerifyBatchVerdicts(t *testing.T) {
 	}
 	if got := roster.VerifyBatch(nil, 0); got != nil {
 		t.Fatalf("empty batch returned %v, want nil", got)
-	}
-}
-
-// TestVerifyBatchBackend: an installed algebraic backend takes over the
-// whole batch, with non-members excluded from its inputs but failed in
-// the output.
-func TestVerifyBatchBackend(t *testing.T) {
-	roster, signers, err := LocalRoster(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { SetBatchVerifier(nil) })
-	var sawKeys int
-	SetBatchVerifier(func(keys []ed25519.PublicKey, msgs, sigs [][]byte) []bool {
-		sawKeys = len(keys)
-		out := make([]bool, len(keys))
-		for i := range out {
-			out[i] = ed25519.Verify(keys[i], msgs[i], sigs[i])
-		}
-		return out
-	})
-	items := batchFixture(t, roster, signers, 6, 4)
-	items[2].ID = types.ServerID(77)
-	got := roster.VerifyBatch(items, 0)
-	if sawKeys != 5 {
-		t.Fatalf("backend saw %d items, want 5 (non-member excluded)", sawKeys)
-	}
-	want := []bool{true, true, false, true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("backend verdicts %v, want %v", got, want)
-		}
 	}
 }

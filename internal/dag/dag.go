@@ -16,12 +16,11 @@
 // from the parent vector and a predecessor-vector join, with no traversal.
 // The parent rule (Definition 3.3(ii)) is exactly the chain-connectivity
 // invariant the index needs: an honest builder's blocks form a path, so
-// Reaches, HappenedBefore, and Concurrent are O(1), allocation-free
-// watermark compares. Builders with an observed equivocation (two blocks
-// in one (builder, seq) slot, Figure 3) are flagged in the index; only
-// queries starting from a flagged builder's block fall back to the
-// backwards BFS, so byzantine forks cost their own queries — not everyone
-// else's.
+// Reaches is an O(1), allocation-free watermark compare. Builders with an
+// observed equivocation (two blocks in one (builder, seq) slot, Figure 3)
+// are flagged in the index; only queries starting from a flagged builder's
+// block fall back to the backwards BFS, so byzantine forks cost their own
+// queries — not everyone else's.
 //
 // # A block is one row
 //
@@ -42,7 +41,7 @@
 // good. A block's bytes (its frame, request table and labels) leave once
 // every chain has read it (Release, at the frontier package interpret computes)
 // and the journal (SetJournal) answers for them: every reader below — Get,
-// BlockAt, All, Blocks, ByBuilder, EquivocationBlocks, ReadRow — goes
+// All, Blocks, ByBuilder, EquivocationBlocks, ReadRow — goes
 // through one accessor that reads a released block back from the journal,
 // handing it the row's predecessors: the row answers for a block's edges,
 // the journal for the rest of its bytes, and the accessor checks that the
@@ -347,7 +346,7 @@ func (d *DAG) read(i int) (*block.Block, error) {
 
 // ReadRow returns the block of row v (stand-ins first, as Index numbers
 // them), or why it cannot be had. The readers that return no error (Get,
-// BlockAt, All, …) treat a block that cannot be read back as absent.
+// All, …) treat a block that cannot be read back as absent.
 func (d *DAG) ReadRow(v int) (*block.Block, error) {
 	if v < len(d.base) {
 		return nil, fmt.Errorf("dag: row %d is a pruned-history stand-in", v)
@@ -448,14 +447,6 @@ func (d *DAG) RefAt(i int) block.Ref           { return d.g.At(i) }
 func (d *DAG) Pos(i int) (types.ServerID, uint64) {
 	chain, seq := d.g.Pos(i)
 	return types.ServerID(chain), seq
-}
-
-// BaseRef resolves a reference to its base entry, if it is one.
-func (d *DAG) BaseRef(ref block.Ref) (Base, bool) {
-	if i, ok := d.g.Index(ref); ok && i < len(d.base) {
-		return d.base[i], true
-	}
-	return Base{}, false
 }
 
 // BaseHorizon returns, per builder with pruned history, the first
@@ -661,43 +652,16 @@ func (d *DAG) All() iter.Seq[*block.Block] {
 	}
 }
 
-// BlockAt returns the i-th inserted block, nil if it cannot be read back.
-func (d *DAG) BlockAt(i int) *block.Block {
-	b, _ := d.read(i)
-	return b
-}
-
 // Refs returns all block references in insertion order.
 func (d *DAG) Refs() []block.Ref { return d.g.Order() }
-
-// Tips returns the blocks no other block references yet, in insertion
-// order. The tip set is maintained incrementally by the graph; this call
-// only copies it.
-func (d *DAG) Tips() []block.Ref { return d.g.Tips() }
 
 // Reaches reports B ⇀+ B' on the underlying graph: O(1) via the causal
 // summary when from's builder has not equivocated, a backwards BFS
 // otherwise (see the package doc).
 func (d *DAG) Reaches(from, to block.Ref) bool { return d.g.Reaches(from, to) }
 
-// ReachesReflexive reports B ⇀* B' (zero or more steps).
-func (d *DAG) ReachesReflexive(from, to block.Ref) bool { return d.g.ReachesReflexive(from, to) }
-
 // Ancestry returns the causal past of the given block, itself included.
 func (d *DAG) Ancestry(ref block.Ref) []block.Ref { return d.g.Ancestry(ref) }
-
-// HappenedBefore reports the Lamport happened-before relation the block
-// DAG encodes (paper Section 1): a → b iff a is reachable from... iff b's
-// reference chain reaches back to a (a ⇀+ b). O(1) for non-equivocating
-// builders, like Reaches.
-func (d *DAG) HappenedBefore(a, b block.Ref) bool { return d.g.Reaches(a, b) }
-
-// Concurrent reports that neither block causally precedes the other —
-// the parallelism a DAG admits and a chain forbids. O(1) for
-// non-equivocating builders, like Reaches.
-func (d *DAG) Concurrent(a, b block.Ref) bool {
-	return a != b && !d.g.Reaches(a, b) && !d.g.Reaches(b, a)
-}
 
 // ByBuilder returns the blocks built by the given server ordered by
 // sequence number (then by insertion for equivocating duplicates): a walk
@@ -737,57 +701,7 @@ func (d *DAG) EquivocationBlocks(e Equivocation) (*block.Block, *block.Block, bo
 	return b1, b2, true
 }
 
-// Equivocators returns the distinct servers with at least one equivocation
-// proof, in ascending ID order.
-func (d *DAG) Equivocators() []types.ServerID {
-	var out []types.ServerID
-	for _, e := range d.equivocations {
-		out = append(out, e.Builder)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
 // Leq reports whether d ⩽ other as graphs (paper Section 2). For block
 // DAGs built from the same blocks this coincides with subset, because a
 // block's edges are determined by its content.
 func (d *DAG) Leq(other *DAG) bool { return d.g.Leq(other.g) }
-
-// Merge inserts every block of other into d in topological order,
-// producing a joint block DAG G' ⩾ G_d ∪ G_other (Lemma A.7). Blocks of
-// other are revalidated against d's roster on the way in.
-func (d *DAG) Merge(other *DAG) error {
-	for i := range other.order {
-		b, err := other.read(i)
-		if err != nil {
-			return fmt.Errorf("dag: merge: %w", err)
-		}
-		if err := d.Insert(b); err != nil {
-			return fmt.Errorf("dag: merge block %v: %w", b.Ref(), err)
-		}
-	}
-	return nil
-}
-
-// Clone returns an independent copy of the DAG sharing the immutable
-// blocks, the released ones read back and held by the copy. Callbacks and
-// the journal are not copied; a seeded base is.
-func (d *DAG) Clone() *DAG {
-	cp := New(d.roster)
-	if err := cp.SeedBase(d.base); err != nil {
-		panic(fmt.Sprintf("dag: clone seed: %v", err))
-	}
-	for i := range d.order {
-		b, err := d.read(i)
-		if err == nil {
-			err = cp.Insert(b)
-		}
-		if err != nil {
-			// Re-inserting a valid DAG in topological order cannot
-			// fail; a failure means d's invariants were broken, or its
-			// journal lost a block it answered for.
-			panic(fmt.Sprintf("dag: clone: %v", err))
-		}
-	}
-	return cp
-}

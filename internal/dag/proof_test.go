@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -14,8 +15,8 @@ func TestEquivocationProofRoundTrip(t *testing.T) {
 	roster, signers := fixture(t, 2)
 	d := New(roster)
 	mustInsert(t, d, sealed(t, signers[0], 0, nil, nil))
-	forkA := sealed(t, signers[0], 1, []block.Ref{d.BlockAt(0).Ref()}, nil)
-	forkB := sealed(t, signers[0], 1, []block.Ref{d.BlockAt(0).Ref()},
+	forkA := sealed(t, signers[0], 1, []block.Ref{d.Blocks()[0].Ref()}, nil)
+	forkB := sealed(t, signers[0], 1, []block.Ref{d.Blocks()[0].Ref()},
 		[]block.Request{{Label: "x", Data: []byte("other")}})
 	mustInsert(t, d, forkA, forkB)
 
@@ -67,7 +68,7 @@ func TestEquivocationProofRejectsForgeries(t *testing.T) {
 	}
 
 	// Tampered signature invalidates the proof.
-	bad, err := block.Decode(g0b.AppendEncode(nil)) // a copy: bad.Sig is a view of what it decodes
+	bad, err := block.Decode(bytes.Clone(g0b.Encode())) // a copy: bad.Sig is a view of what it decodes
 	if err != nil {
 		t.Fatal(err)
 	}

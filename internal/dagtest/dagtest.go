@@ -2,16 +2,19 @@
 // tests and benchmarks use it to build exact scenarios (the paper's
 // Figures 2–4, equivocation forks, adversarial structures) without running
 // gossip. It wraps a roster, per-server signers, chain bookkeeping, and a
-// target DAG.
+// target DAG. Beside the harness it holds the readings tests share and no
+// node needs (LiveHeap, Equivocators, Score); only tests import it.
 package dagtest
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/peerscore"
 	"blockdag/internal/types"
 )
 
@@ -180,4 +183,26 @@ func LiveHeap() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return m.HeapAlloc
+}
+
+// Equivocators returns the distinct servers d holds an equivocation proof
+// of, in ascending ID order.
+func Equivocators(d *dag.DAG) []types.ServerID {
+	var out []types.ServerID
+	for _, e := range d.Equivocations() {
+		out = append(out, e.Builder)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// Score returns peer id's decayed score in s, as Snapshot reports it: 0
+// for a peer without one.
+func Score(s *peerscore.Scorer, id types.ServerID) float64 {
+	for _, st := range s.Snapshot() {
+		if st.Peer == id {
+			return st.Score
+		}
+	}
+	return 0
 }

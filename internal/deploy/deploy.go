@@ -30,7 +30,6 @@ import (
 
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
-	"blockdag/internal/dag"
 	"blockdag/internal/gateway"
 	"blockdag/internal/gossip"
 	"blockdag/internal/interpret"
@@ -329,23 +328,6 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 	}
 	a.gossip.Bind(a.Node)
 	return nil
-}
-
-// Tables lists every declaration table of the tree, by the package that
-// counts its families: the scrape of a deployed node is these.
-var Tables = []struct {
-	Owner string
-	metrics.Table
-}{
-	{"gossip, interpret, core, node", metrics.Families},
-	{"dag", dag.Families},
-	{"interpret", interpret.Families},
-	{"mempool", mempool.Families},
-	{"peerscore", peerscore.Families},
-	{"tcpnet", tcpnet.Families},
-	{"syncsvc", syncsvc.Families},
-	{"crypto", crypto.Families},
-	{"gateway", gateway.Families},
 }
 
 // Registry is the one place a node's scrape is put together: the server's

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -234,8 +235,8 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if got, ok := tree.Get([]byte(label(i))); !ok || string(got) != string(value(i)) {
-			t.Fatalf("restored state missing %s (got %q)", label(i), got)
+		if present, vh, err := tree.Prove([]byte(label(i))).Verify(want.Root, []byte(label(i))); err != nil || !present || vh != sha256.Sum256(value(i)) {
+			t.Fatalf("restored state missing %s (present %v, err %v)", label(i), present, err)
 		}
 	}
 	// The delta came anchor-first: the anchor served the snapshot's meta,
@@ -684,7 +685,7 @@ func TestEquivocatorIsBannedOverTCPAndAcrossRestart(t *testing.T) {
 	if err := rn.Boot(addrOf); err != nil {
 		t.Fatal(err)
 	}
-	if !rn.Node.Server().Scores().Banned(byz) || len(rn.Node.Server().Evidence().Equivocators()) != 1 {
+	if !rn.Node.Server().Scores().Banned(byz) || rn.Node.Server().Evidence().Len() != 1 {
 		t.Fatal("the ban did not survive the restart")
 	}
 	// Boot opens the gateway before the node starts, so it claims the replay

@@ -67,9 +67,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// ID returns this server's identity.
-func (s *Server) ID() types.ServerID { return s.self }
-
 // Request injects a user request for the given instance and transmits the
 // triggered messages.
 func (s *Server) Request(label types.Label, data []byte) {

@@ -9,6 +9,7 @@ import (
 
 	"blockdag/internal/cluster"
 	"blockdag/internal/direct"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/pbft"
@@ -150,14 +151,14 @@ func runShim(t *testing.T, proto protocol.Protocol, n int, schedule []request, s
 	// now, only the retired set.
 	collapsed := func() bool {
 		for s := 0; s < n; s++ {
-			if st := c.Servers[s].Interpreter().Stats(); st.LiveInstances != 0 || st.Tombstones != 0 || st.RetiredLabels != len(labels) {
+			if m := c.Servers[s].Metrics(); m.Get(metrics.InstancesLive) != 0 || m.Get(metrics.InstancesRetired) != 0 || m.Get(metrics.LabelsRetired) != int64(len(labels)) {
 				return false
 			}
 		}
 		return true
 	}
 	if ok, err := c.RunUntil(100, collapsed); err != nil || !ok {
-		t.Fatalf("tombstones did not collapse at every server (err: %v): s0 holds %+v", err, c.Servers[0].Interpreter().Stats())
+		t.Fatalf("tombstones did not collapse at every server (err: %v): s0 holds %v", err, c.Servers[0].Metrics())
 	}
 	for _, rq := range schedule {
 		if rq.at >= longAfter {

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
@@ -47,9 +46,6 @@ func New(b1, b2 *block.Block) *Proof {
 
 // Equivocator returns the builder the proof convicts.
 func (p *Proof) Equivocator() types.ServerID { return p.First.Builder }
-
-// Seq returns the forked sequence number.
-func (p *Proof) Seq() uint64 { return p.First.Seq }
 
 // Verify checks the proof against a roster: both blocks validly signed
 // by the same roster member, same sequence number, different contents.
@@ -138,24 +134,3 @@ func (p *Pool) Get(id types.ServerID) (*Proof, bool) {
 
 // Len returns the number of convicted equivocators.
 func (p *Pool) Len() int { return len(p.byBuilder) }
-
-// Proofs returns the retained proofs in ascending equivocator order —
-// a deterministic order for persistence, relay, and tests.
-func (p *Pool) Proofs() []*Proof {
-	out := make([]*Proof, 0, len(p.byBuilder))
-	for _, pr := range p.byBuilder {
-		out = append(out, pr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Equivocator() < out[j].Equivocator() })
-	return out
-}
-
-// Equivocators returns the convicted servers in ascending ID order.
-func (p *Pool) Equivocators() []types.ServerID {
-	out := make([]types.ServerID, 0, len(p.byBuilder))
-	for id := range p.byBuilder {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

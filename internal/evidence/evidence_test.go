@@ -27,8 +27,8 @@ func TestProofRoundTrip(t *testing.T) {
 	if err := p.Verify(h.Roster); err != nil {
 		t.Fatalf("genuine fork rejected: %v", err)
 	}
-	if p.Equivocator() != 1 || p.Seq() != 0 {
-		t.Fatalf("wrong conviction: builder=%v seq=%d", p.Equivocator(), p.Seq())
+	if p.Equivocator() != 1 || p.First.Seq != 0 {
+		t.Fatalf("wrong conviction: builder=%v seq=%d", p.Equivocator(), p.First.Seq)
 	}
 	dec, err := evidence.Decode(p.Encode())
 	if err != nil {
@@ -165,13 +165,5 @@ func TestPool(t *testing.T) {
 	got, ok := pool.Get(1)
 	if !ok || !bytes.Equal(got.Encode(), first.Encode()) {
 		t.Fatal("Get(1) did not return the first-retained proof")
-	}
-	ids := pool.Equivocators()
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Fatalf("Equivocators() = %v", ids)
-	}
-	proofs := pool.Proofs()
-	if len(proofs) != 2 || proofs[0].Equivocator() != 1 || proofs[1].Equivocator() != 2 {
-		t.Fatal("Proofs() not in ascending equivocator order")
 	}
 }

@@ -51,7 +51,7 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(re.Encode(), enc) {
 			t.Fatal("canonical encoding not a fixed point")
 		}
-		if re.Equivocator() != p.Equivocator() || re.Seq() != p.Seq() {
+		if re.Equivocator() != p.Equivocator() || re.First.Seq != p.First.Seq {
 			t.Fatal("round trip changed the conviction")
 		}
 	})

@@ -8,11 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"blockdag/internal/dag"
 	"blockdag/internal/deploy"
 	"blockdag/internal/gateway"
+	"blockdag/internal/interpret"
+	"blockdag/internal/mempool"
+	"blockdag/internal/metrics"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/roster"
+	"blockdag/internal/syncsvc"
+	"blockdag/internal/tcpnet"
 	"blockdag/internal/types"
 )
 
@@ -161,10 +167,10 @@ func TestGatewayEndToEndOverTCP(t *testing.T) {
 	// gateway's own, with its declared type — but for the scorer's, which
 	// has a sample per peer with a record and no peer has one here, and the
 	// signature counters, which the dev fixture's identities do not install.
-	for _, tab := range deploy.Tables {
-		for _, f := range tab.Table {
-			if tab.Owner != "peerscore" && tab.Owner != "crypto" && !strings.Contains(scrape, "# TYPE "+f.Name+" "+string(f.Kind)+"\n"+f.Name) {
-				t.Fatalf("scrape missing %s's %s %s:\n%s", tab.Owner, f.Kind, f.Name, scrape)
+	for _, tab := range []metrics.Table{metrics.Families, dag.Families, interpret.Families, mempool.Families, tcpnet.Families, syncsvc.Families, gateway.Families} {
+		for _, f := range tab {
+			if !strings.Contains(scrape, "# TYPE "+f.Name+" "+string(f.Kind)+"\n"+f.Name) {
+				t.Fatalf("scrape missing %s %s:\n%s", f.Kind, f.Name, scrape)
 			}
 		}
 	}

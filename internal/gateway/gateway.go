@@ -24,7 +24,10 @@
 //	                         413 (too large), 400 (invalid)
 //	GET  /v1/await/{label}   long-poll one label's indication
 //	                         (?timeout=10s, capped at 30s)
-//	GET  /v1/indications     chunked NDJSON stream of indications
+//	GET  /v1/indications     chunked NDJSON stream of indications, each
+//	                         {"label", "data", "data_b64", "seq"} as
+//	                         /v1/await answers; "data" only for a value
+//	                         that is valid UTF-8
 //	GET  /v1/status          node status: health, watermarks, reports
 //	GET  /metrics            Prometheus text format (the Registry fold)
 //
@@ -51,6 +54,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"blockdag/internal/mempool"
 	"blockdag/internal/metrics"
@@ -230,21 +234,27 @@ type submitRequest struct {
 	DataB64 string `json:"data_b64"`
 }
 
-// indicationResponse is the await/stream wire shape.
+// indicationResponse is the await/stream wire shape. DataB64 carries the
+// value's exact bytes; Data carries them as text, and only when they are
+// valid UTF-8: encoding/json would replace any other byte with U+FFFD.
 type indicationResponse struct {
-	Label   string `json:"label"`
-	Data    string `json:"data"`
-	DataB64 string `json:"data_b64"`
-	Seq     uint64 `json:"seq"`
+	Label   string  `json:"label"`
+	Data    *string `json:"data,omitempty"`
+	DataB64 string  `json:"data_b64"`
+	Seq     uint64  `json:"seq"`
 }
 
 func toResponse(ind node.Indication) indicationResponse {
-	return indicationResponse{
+	resp := indicationResponse{
 		Label:   string(ind.Label),
-		Data:    string(ind.Value),
 		DataB64: base64.StdEncoding.EncodeToString(ind.Value),
 		Seq:     ind.Seq,
 	}
+	if utf8.Valid(ind.Value) {
+		text := string(ind.Value)
+		resp.Data = &text
+	}
+	return resp
 }
 
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -3,15 +3,18 @@ package gateway_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"blockdag/internal/gateway"
 	"blockdag/internal/mempool"
@@ -250,6 +253,60 @@ func TestIndicationsStream(t *testing.T) {
 	}
 	if ind.Label != "want/1" || ind.Data != "one" {
 		t.Fatalf("first line = %+v", ind)
+	}
+}
+
+// TestBinaryIndicationExactInDataB64: a value that is not UTF-8 comes back
+// exact in data_b64 and without data, through /v1/await and
+// /v1/indications alike; a text value keeps both fields.
+func TestBinaryIndicationExactInDataB64(t *testing.T) {
+	_, base, broker := start(t, gateway.Config{})
+	bin := make([]byte, 256)
+	rand.New(rand.NewSource(1)).Read(bin)
+	if utf8.Valid(bin) {
+		t.Fatal("fixture: the random value is valid UTF-8")
+	}
+	values := map[string][]byte{"bin": bin, "text": []byte("plain text")}
+	check := func(where string, line []byte) {
+		t.Helper()
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(line, &fields); err != nil {
+			t.Fatalf("%s: %v in %s", where, err, line)
+		}
+		var label, b64 string
+		if err := errors.Join(json.Unmarshal(fields["label"], &label), json.Unmarshal(fields["data_b64"], &b64)); err != nil {
+			t.Fatalf("%s: %v in %s", where, err, line)
+		}
+		want := values[label]
+		if got, err := base64.StdEncoding.DecodeString(b64); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s %s: data_b64 decodes to %x (%v), want %x", where, label, got, err, want)
+		}
+		var data string
+		if raw, has := fields["data"]; utf8.Valid(want) != has {
+			t.Fatalf("%s %s: data present %v for a value that is UTF-8 %v", where, label, has, utf8.Valid(want))
+		} else if has && (json.Unmarshal(raw, &data) != nil || data != string(want)) {
+			t.Fatalf("%s %s: data = %s, want %q", where, label, raw, want)
+		}
+	}
+
+	stream := get(t, base+"/v1/indications", nil)
+	defer stream.Body.Close()
+	broker.Publish("bin", bin)
+	broker.Publish("text", values["text"])
+	for _, label := range []string{"bin", "text"} {
+		resp := get(t, base+"/v1/await/"+label, nil)
+		if body := drainClose(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("await %s = %d %s", label, resp.StatusCode, body)
+		} else {
+			check("await", []byte(body))
+		}
+	}
+	sc := bufio.NewScanner(stream.Body)
+	for range 2 {
+		if !sc.Scan() {
+			t.Fatalf("stream ended early: %v", sc.Err())
+		}
+		check("stream", sc.Bytes())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/evidence"
 	"blockdag/internal/metrics"
 	"blockdag/internal/peerscore"
@@ -167,7 +168,7 @@ func TestBadEvidencePenalized(t *testing.T) {
 	if acc[0].pool.Len() != 0 || acc[0].scores.Banned(2) {
 		t.Fatal("frame-up convicted an honest builder")
 	}
-	if acc[0].scores.Score(1) == 0 {
+	if dagtest.Score(acc[0].scores, 1) == 0 {
 		t.Fatal("frame-up sender not penalized")
 	}
 	if got := acc[0].m.Get(metrics.EvidenceReceived); got != 0 {
@@ -236,7 +237,7 @@ func TestNilScorerBansNothing(t *testing.T) {
 	if !n0.g.Evidence().Has(2) {
 		t.Fatal("the fork was not exported as a proof")
 	}
-	if got := n0.d.Equivocators(); len(got) != 1 || got[0] != 2 {
+	if got := dagtest.Equivocators(n0.d); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("Equivocators = %v", got)
 	}
 }

@@ -387,7 +387,7 @@ func TestSilentEchoDoesNotKeepTheAsks(t *testing.T) {
 	}
 	for i := 0; i < 3 && !c.nodes[2].d.Contains(chain[1].Ref()); i++ {
 		c.nodes[2].g.HandleMessage(3, EncodeBlockMsg(chain[1]))
-		c.net.RunFor(ResendAfter)
+		runFor(c.net, ResendAfter)
 		c.nodes[2].g.Tick()
 		c.net.Run()
 	}
@@ -416,7 +416,7 @@ func TestBannedEchoIsNotAsked(t *testing.T) {
 	g.HandleMessage(1, EncodeBlockMsg(chain[1]))
 	g.HandleMessage(3, EncodeBlockMsg(chain[1]))
 	for i := 0; i < 4; i++ {
-		net.RunFor(ResendAfter)
+		runFor(net, ResendAfter)
 		g.Tick()
 	}
 	if got := m.Get(metrics.FwdRequestsSent); got != 5 || log.fwds[1] != 5 {
@@ -442,7 +442,7 @@ func TestWithheldChainRecoveredFromACitingSender(t *testing.T) {
 	}
 	c.net.Run()
 	for i := 0; i < 2; i++ {
-		c.net.RunFor(ResendAfter)
+		runFor(c.net, ResendAfter)
 		c.nodes[1].g.Tick()
 		c.net.Run()
 	}
@@ -477,10 +477,14 @@ func TestBadSignatureRejected(t *testing.T) {
 func TestForgedBuilderRejected(t *testing.T) {
 	c := newCluster(t, 2)
 	forged := block.New(0, 0, nil, nil)
-	// Seal with the wrong signer by hand: copy what Seal does.
-	enc := forged.SigningBytes()
-	sum := crypto.Hash(enc)
-	forged.Sig = c.signers[1].Sign(sum[:])
+	// Seal with the wrong signer by hand: the unsigned frame decodes to
+	// the block's reference, which server 1 signs.
+	unsigned, err := block.Decode(forged.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := unsigned.Ref()
+	forged.Sig = c.signers[1].Sign(ref[:])
 	redecoded, err := block.Decode(forged.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -535,7 +539,7 @@ func TestInvalidParentPoisonsDescendants(t *testing.T) {
 	if len(n0.g.pending) != 0 {
 		t.Fatalf("pending buffer leaks %d blocks", len(n0.g.pending))
 	}
-	if got := n0.d.Equivocators(); len(got) != 1 || got[0] != 3 {
+	if got := dagtest.Equivocators(n0.d); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("Equivocators = %v", got)
 	}
 }
@@ -723,7 +727,7 @@ func TestTickRetriesInReferenceOrder(t *testing.T) {
 		log.sends = nil // the first asks follow arrival order
 		g.Tick()        // nothing is due yet
 		for i := 0; i < ticks; i++ {
-			net.RunFor(ResendAfter)
+			runFor(net, ResendAfter)
 			g.Tick()
 			g.Tick() // just asked: not due again
 		}
@@ -763,7 +767,7 @@ func TestFwdNoFanOut(t *testing.T) {
 	}
 	g.HandleMessage(3, EncodeBlockMsg(b))
 	for i := 0; i < ticks; i++ {
-		net.RunFor(ResendAfter)
+		runFor(net, ResendAfter)
 		g.Tick()
 	}
 	got := log.fwds
@@ -899,5 +903,14 @@ func TestQueueGaugesFollowTheBuffers(t *testing.T) {
 	n0.g.HandleMessage(1, EncodeBlockMsg(forged))
 	if got := gauges(); got != [3]int64{1, 0, 0} {
 		t.Fatalf("after its forged predecessor: tips/pending/missing = %v", got)
+	}
+}
+
+// runFor steps net until virtual time d from now: a marker event at the
+// horizon stops the run, after every event already due by then.
+func runFor(net *simnet.Network, d time.Duration) {
+	done := false
+	net.After(d, func() { done = true })
+	for !done && net.Step() {
 	}
 }

@@ -89,10 +89,10 @@ func TestRecoverContinuesChain(t *testing.T) {
 	if next.Preds[0] != own1.Ref() {
 		t.Fatal("recovered block does not parent the old tip")
 	}
-	if !next.HasPred(g2.Ref()) {
+	if !slices.Contains(next.Preds, g2.Ref()) {
 		t.Fatal("recovered block misses the unreferenced block g2")
 	}
-	if next.HasPred(g1.Ref()) || next.HasPred(g0.Ref()) {
+	if slices.Contains(next.Preds, g1.Ref()) || slices.Contains(next.Preds, g0.Ref()) {
 		t.Fatal("recovered block re-references already-referenced blocks")
 	}
 }
@@ -113,7 +113,7 @@ func TestRecoverFreshServer(t *testing.T) {
 	if next.Seq != 0 {
 		t.Fatalf("fresh recovery built seq %d, want genesis", next.Seq)
 	}
-	if !next.HasPred(g1.Ref()) {
+	if !slices.Contains(next.Preds, g1.Ref()) {
 		t.Fatal("fresh recovery misses existing block")
 	}
 }
@@ -140,10 +140,10 @@ func TestRecoverReferencesTipsOnly(t *testing.T) {
 	if next.Preds[0] != g0.Ref() {
 		t.Fatal("recovery does not parent the own tip")
 	}
-	if !next.HasPred(b12.Ref()) {
+	if !slices.Contains(next.Preds, b12.Ref()) {
 		t.Fatal("recovery misses the chain tip")
 	}
-	if next.HasPred(b10.Ref()) || next.HasPred(b11.Ref()) {
+	if slices.Contains(next.Preds, b10.Ref()) || slices.Contains(next.Preds, b11.Ref()) {
 		t.Fatal("recovery references covered ancestors")
 	}
 	if len(next.Preds) != 2 {
@@ -176,7 +176,7 @@ func TestDisseminationReferencesTips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !own.HasPred(b11.Ref()) || own.HasPred(b10.Ref()) {
+	if !slices.Contains(own.Preds, b11.Ref()) || slices.Contains(own.Preds, b10.Ref()) {
 		t.Fatalf("block preds = %v, want only the tip", own.Preds)
 	}
 	// The next own block references only its parent (tips cleared).

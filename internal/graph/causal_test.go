@@ -115,11 +115,6 @@ func TestCausalIndexMatchesOracle(t *testing.T) {
 					t.Fatalf("seed %d: Reaches(%d, %d) = %v, oracle %v (forked=%v)",
 						seed, u, v, got, want, g.ChainForked(0))
 				}
-				wantR := want || (u == v)
-				if got := g.ReachesReflexive(u, v); got != wantR {
-					t.Fatalf("seed %d: ReachesReflexive(%d, %d) = %v, oracle %v",
-						seed, u, v, got, wantR)
-				}
 			}
 		}
 	}
@@ -164,42 +159,6 @@ func TestCausalIndexForkFlag(t *testing.T) {
 	}
 }
 
-// TestIncrementalTips checks the maintained tip set against a full scan
-// on random DAGs.
-func TestIncrementalTips(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		g, rawPreds, _ := randomChainedDAG(rng, 3, 50, 0.1)
-		// Oracle: vertices that appear in no predecessor list... i.e.
-		// with no successors.
-		hasSucc := make(map[int]bool)
-		for _, preds := range rawPreds {
-			for _, p := range preds {
-				hasSucc[p] = true
-			}
-		}
-		var want []int
-		for i := 0; i < g.Len(); i++ {
-			v := g.At(i)
-			if !hasSucc[v] {
-				want = append(want, v)
-			}
-		}
-		got := g.Tips()
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: tips = %v, want %v", seed, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: tips = %v, want %v", seed, got, want)
-			}
-		}
-		if g.NumTips() != len(want) {
-			t.Fatalf("seed %d: NumTips = %d, want %d", seed, g.NumTips(), len(want))
-		}
-	}
-}
-
 // TestSummary checks the summary accessor on a small shape.
 func TestSummary(t *testing.T) {
 	g := New[string]()
@@ -222,20 +181,12 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-// TestCloneAndUnionPreserveIndex checks that Clone and Union carry the
-// annotations: O(1) answers on the copies stay correct.
-func TestCloneAndUnionPreserveIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g, rawPreds, _ := randomChainedDAG(rng, 3, 40, 0.1)
-	cp := g.Clone()
-	for u := 0; u < g.Len(); u++ {
-		for v := 0; v < g.Len(); v++ {
-			if cp.Reaches(u, v) != oracleReaches(rawPreds, u, v) {
-				t.Fatalf("clone Reaches(%d, %d) diverges", u, v)
-			}
-		}
-	}
-	un, err := g.Union(cp)
+// TestUnionPreservesIndex checks that Union carries the annotations: O(1)
+// answers on the union stay correct.
+func TestUnionPreservesIndex(t *testing.T) {
+	g, rawPreds, _ := randomChainedDAG(rand.New(rand.NewSource(7)), 3, 40, 0.1)
+	h, _, _ := randomChainedDAG(rand.New(rand.NewSource(7)), 3, 40, 0.1)
+	un, err := g.Union(h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,10 @@
 package graph
 
 import (
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 )
-
-// clone is a deep copy of the reference, as Clone is of a graph.
-func (r *refDAG) clone() *refDAG {
-	cp := &refDAG{
-		index: maps.Clone(r.index), order: slices.Clone(r.order), preds: maps.Clone(r.preds),
-		succs: maps.Clone(r.succs), chains: maps.Clone(r.chains), summary: maps.Clone(r.summary),
-		slots: maps.Clone(r.slots), forked: maps.Clone(r.forked),
-	}
-	for v, s := range cp.succs {
-		cp.succs[v] = slices.Clone(s) // the one list the reference appends to
-	}
-	return cp
-}
 
 // TestViewsAreCapped: PredsAt and Summary are views into columns every row
 // shares, so an append to one must copy rather than write into the next
@@ -73,14 +59,12 @@ func TestLookupAllocs(t *testing.T) {
 }
 
 // FuzzRows is the row layout's differential target. The bytes are a
-// program over a few graphs at once — an insert into a new slot, a
-// duplicate insert, an edge mismatch, a missing predecessor, a seeded root,
-// a fork into a taken slot, and Clone, which adds a graph — run on the rows
-// and on the map-per-property reference alike. After each step the graph
-// stepped must give the reference's verdict and answers (Index, PredsAt as
-// a set, Summary, Tips, Reaches, ChainForked and the rest requireSame
-// asks), and at the end every graph must: no clone wrote into another's
-// columns.
+// program — an insert into a new slot, a duplicate insert, an edge
+// mismatch, a missing predecessor, a seeded root, a fork into a taken slot
+// — run on the rows and on the map-per-property reference alike. After
+// each step the graph must give the reference's verdict and answers
+// (Index, PredsAt as a set, Summary, Reaches, ChainForked and the rest
+// requireSame asks).
 func FuzzRows(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 2, 6, 0, 0, 1, 1, 0, 0, 0, 2, 1, 5, 0, 0, 5, 1, 0, 3, 0, 0, 4, 1, 2, 3, 1, 1, 2, 0, 0, 0, 2, 0, 1, 1, 2, 0})
 	f.Add([]byte{4, 0, 0, 5, 0, 4, 0, 1, 2, 1, 3, 0, 0, 1, 0, 0, 0, 1, 6, 0, 0, 1, 1, 5, 1, 0, 0, 0, 3, 1, 0, 2, 1, 1, 0})
@@ -91,12 +75,8 @@ func FuzzRows(f *testing.F) {
 		f.Add(prog)
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		const chains, maxSteps, maxGraphs = 3, 64, 4
-		type pair struct {
-			g *DAG[int]
-			r *refDAG
-		}
-		graphs := []pair{{New[int](), newRef()}}
+		const chains, maxSteps = 3, 64
+		g, r := New[int](), newRef()
 		next := func() int {
 			if len(prog) == 0 {
 				return 0
@@ -107,12 +87,12 @@ func FuzzRows(f *testing.F) {
 		}
 		fresh := 0 // the next vertex key, never used by any graph
 		for step := 0; step < maxSteps && len(prog) > 0; step++ {
-			op, p := next()%7, graphs[next()%len(graphs)]
-			order := p.r.order
+			op := next() % 6
+			order := r.order
 			pick := func() int { return order[next()%len(order)] }
 			var annotated []int
 			for _, v := range order {
-				if _, ok := p.r.chains[v]; ok {
+				if _, ok := r.chains[v]; ok {
 					annotated = append(annotated, v)
 				}
 			}
@@ -122,25 +102,25 @@ func FuzzRows(f *testing.F) {
 				s.chain = next()%(chains+1) - 1
 				top := -1
 				for _, v := range annotated {
-					if pos := p.r.chains[v]; pos.chain == s.chain && (top < 0 || pos.seq >= p.r.chains[top].seq) {
+					if pos := r.chains[v]; pos.chain == s.chain && (top < 0 || pos.seq >= r.chains[top].seq) {
 						top = v
 					}
 				}
 				if top >= 0 {
-					s.seq, s.preds = p.r.chains[top].seq+1, []int{top}
+					s.seq, s.preds = r.chains[top].seq+1, []int{top}
 				}
 				for extra := next() % 3; extra > 0 && len(order) > 0; extra-- {
 					s.preds = append(s.preds, pick())
 				}
 			case op == 1 && len(order) > 0: // the same vertex again, its edges listed twice
 				s.v = pick()
-				s.preds = append(slices.Clone(p.r.preds[s.v]), p.r.preds[s.v]...)
-				if pos, ok := p.r.chains[s.v]; ok {
+				s.preds = append(slices.Clone(r.preds[s.v]), r.preds[s.v]...)
+				if pos, ok := r.chains[s.v]; ok {
 					s.chain, s.seq = pos.chain, pos.seq
 				}
 			case op == 2 && len(order) > 0: // the same vertex with an edge more or one fewer
 				s.v = pick()
-				if preds := p.r.preds[s.v]; len(preds) > 0 && next()%2 == 0 {
+				if preds := r.preds[s.v]; len(preds) > 0 && next()%2 == 0 {
 					s.preds = slices.Clone(preds[1:])
 				} else {
 					s.preds = append(slices.Clone(preds), pick())
@@ -160,23 +140,15 @@ func FuzzRows(f *testing.F) {
 				}
 			case op == 5 && len(annotated) > 0: // a second vertex in a taken slot, citing what the first does
 				u := annotated[next()%len(annotated)]
-				s.chain, s.seq, s.preds = p.r.chains[u].chain, p.r.chains[u].seq, slices.Clone(p.r.preds[u])
-			case op == 6 && len(graphs) < maxGraphs:
-				p = pair{p.g.Clone(), p.r.clone()}
-				graphs = append(graphs, p)
-				requireSame(t, p.g, p.r, chains)
-				continue
+				s.chain, s.seq, s.preds = r.chains[u].chain, r.chains[u].seq, slices.Clone(r.preds[u])
 			default:
 				continue
 			}
 			if s.v == fresh {
 				fresh++
 			}
-			insertBoth(t, p.g, p.r, s)
-			requireSame(t, p.g, p.r, chains)
-		}
-		for _, p := range graphs {
-			requireSame(t, p.g, p.r, chains)
+			insertBoth(t, g, r, s)
+			requireSame(t, g, r, chains)
 		}
 	})
 }

@@ -17,7 +17,6 @@ type refDAG struct {
 	index   map[int]int
 	order   []int
 	preds   map[int][]int
-	succs   map[int][]int
 	chains  map[int]chainPos
 	summary map[int][]uint64
 	slots   map[chainPos]int
@@ -26,7 +25,7 @@ type refDAG struct {
 
 func newRef() *refDAG {
 	return &refDAG{
-		index: map[int]int{}, preds: map[int][]int{}, succs: map[int][]int{},
+		index: map[int]int{}, preds: map[int][]int{},
 		chains: map[int]chainPos{}, summary: map[int][]uint64{}, slots: map[chainPos]int{}, forked: map[int]bool{},
 	}
 }
@@ -70,7 +69,6 @@ func (r *refDAG) insert(v int, preds []int, annotated, seeded bool, chain int, s
 		width = max(width, chain+1)
 	}
 	for _, p := range uniq {
-		r.succs[p] = append(r.succs[p], v)
 		width = max(width, len(r.summary[p]))
 	}
 	if width == 0 {
@@ -98,17 +96,6 @@ func (r *refDAG) insert(v int, preds []int, annotated, seeded bool, chain int, s
 	}
 	r.summary[v] = vec
 	return nil
-}
-
-// tips is a full scan: the vertices nothing points away from, in order.
-func (r *refDAG) tips() []int {
-	var out []int
-	for _, v := range r.order {
-		if len(r.succs[v]) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func (r *refDAG) ancestry(v int) map[int]bool {
@@ -313,8 +300,6 @@ func insertBoth(t *testing.T, g *DAG[int], r *refDAG, s spec) {
 	switch {
 	case s.seeded:
 		got = g.InsertSeeded(s.v, s.chain, s.seq, s.below)
-	case s.chain < 0 && s.v%2 == 0:
-		got = g.Insert(s.v, s.preds)
 	default:
 		got = g.InsertChained(s.v, s.preds, s.chain, s.seq)
 	}
@@ -329,11 +314,16 @@ func build(t *testing.T, specs []spec) (*DAG[int], *refDAG) {
 	g, r := New[int](), newRef()
 	for _, s := range specs {
 		insertBoth(t, g, r, s)
-		if got, want := g.Tips(), r.tips(); !slices.Equal(got, want) {
-			t.Fatalf("after %d: tips %v, reference %v", s.v, got, want)
-		}
 	}
 	return g, r
+}
+
+// predKeys is v's predecessors in insertion order, as keys.
+func predKeys[K comparable](g *DAG[K], v K) []K {
+	if n, ok := g.find(v); ok {
+		return g.keys(g.predsOf(n))
+	}
+	return nil
 }
 
 // requireSame compares every query the package exports between the row
@@ -342,9 +332,6 @@ func requireSame(t *testing.T, g *DAG[int], r *refDAG, chains int) {
 	t.Helper()
 	if !slices.Equal(g.Order(), r.order) || g.Len() != len(r.order) {
 		t.Fatalf("order %v, reference %v", g.Order(), r.order)
-	}
-	if !slices.Equal(g.Tips(), r.tips()) || g.NumTips() != len(r.tips()) {
-		t.Fatalf("tips %v, reference %v", g.Tips(), r.tips())
 	}
 	probes := append(slices.Clone(r.order), -7) // and one key that is no vertex
 	for _, v := range probes {
@@ -361,8 +348,8 @@ func requireSame(t *testing.T, g *DAG[int], r *refDAG, chains int) {
 				t.Fatalf("PredsAt(%d) of vertex %d = %v, reference %v", at, v, preds, r.preds[v])
 			}
 		}
-		if !slices.Equal(g.Preds(v), r.preds[v]) { // tip membership: the tips above
-			t.Fatalf("vertex %d: preds %v, reference %v", v, g.Preds(v), r.preds[v])
+		if got := predKeys(g, v); !slices.Equal(got, r.preds[v]) {
+			t.Fatalf("vertex %d: preds %v, reference %v", v, got, r.preds[v])
 		}
 		if ok && !slices.Equal(g.Summary(at), r.summary[v]) {
 			t.Fatalf("Summary(%d) of vertex %d = %v, reference %v", at, v, g.Summary(at), r.summary[v])
@@ -374,10 +361,6 @@ func requireSame(t *testing.T, g *DAG[int], r *refDAG, chains int) {
 		for _, u := range probes {
 			if got, want := g.Reaches(u, v), r.reaches(u, v); got != want {
 				t.Fatalf("Reaches(%d, %d) = %v, reference %v", u, v, got, want)
-			}
-			_, has := r.index[u]
-			if got, want := g.ReachesReflexive(u, v), r.reaches(u, v) || u == v && has; got != want {
-				t.Fatalf("ReachesReflexive(%d, %d) = %v, reference %v", u, v, got, want)
 			}
 		}
 	}
@@ -406,8 +389,8 @@ func requireSame(t *testing.T, g *DAG[int], r *refDAG, chains int) {
 // with forks, connectivity violations, seeded roots and unannotated
 // vertices, inserted in random topological orders with duplicate,
 // mismatching and dangling inserts mixed in, must answer every exported
-// query exactly as the map-per-property reference does — Clone, Union and
-// Leq included.
+// query exactly as the map-per-property reference does — Union and Leq
+// included.
 func TestRowsMatchMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
@@ -419,9 +402,6 @@ func TestRowsMatchMapReference(t *testing.T) {
 			g, r := New[int](), newRef()
 			for i, s := range order {
 				insertBoth(t, g, r, s)
-				if got, want := g.Tips(), r.tips(); !slices.Equal(got, want) {
-					t.Fatalf("after %d: tips %v, reference %v", s.v, got, want)
-				}
 				// Now and then: the same vertex again (a no-op whatever the
 				// order and repetition of its edge list), with another edge
 				// set (refused), and a vertex citing one that is not there
@@ -439,27 +419,6 @@ func TestRowsMatchMapReference(t *testing.T) {
 					insertBoth(t, g, r, spec{v: 1000 + i, preds: []int{again.v, 2000 + i}, chain: again.chain, seq: again.seq})
 				}
 			}
-			requireSame(t, g, r, chains)
-
-			// A clone is the same graph and then its own: each side gets
-			// vertices the other does not (citing a handful of old ones and
-			// taking new slots, so old tips get cited and slot columns grow
-			// on both) and neither sees the other's.
-			cp := g.Clone()
-			_, rcp := build(t, order)
-			requireSame(t, cp, rcp, chains)
-			for i := 0; i < 10; i++ {
-				extra := spec{v: 3000 + i, chain: rng.Intn(chains), seq: uint64(100 + i/2)}
-				for j := 0; j < 4; j++ {
-					extra.preds = append(extra.preds, order[rng.Intn(len(order))].v)
-				}
-				if i%2 == 0 {
-					insertBoth(t, cp, rcp, extra)
-				} else {
-					insertBoth(t, g, r, extra)
-				}
-			}
-			requireSame(t, cp, rcp, chains)
 			requireSame(t, g, r, chains)
 
 			// Three more graphs: prefixes of two other topological orders

@@ -42,10 +42,10 @@
 // A vertex is numbered once, by its position in insertion order — the
 // number At takes and Index returns — and that number is the only key.
 // Everything the graph knows about a vertex is one row of columns: the row
-// struct holds its key, chain position and whether anything cites it, and
-// two end offsets into flat columns shared by all rows, one of predecessor
-// numbers and one of summary entries, where the row's part starts at the
-// previous row's end. No row owns a slice or an allocation of its own.
+// struct holds its key and chain position, and two end offsets into flat
+// columns shared by all rows, one of predecessor numbers and one of summary
+// entries, where the row's part starts at the previous row's end. No row
+// owns a slice or an allocation of its own.
 //
 // The index from key to number is an open-addressing table of row numbers,
 // not a map: a lookup hashes the key, probes the table and compares against
@@ -53,11 +53,10 @@
 // a seed drawn per graph, so a builder cannot grind keys into one probe run;
 // nothing iterates the table, so no answer depends on the seed.
 //
-// Edges are kept at their head only: a vertex is a tip until something
-// first cites it, which one bit records, and no query walks forwards. The
-// tip set and each chain's slot column are short lists of numbers. A
-// predecessor always has a smaller number than its successor, so the rows
-// are a topological order and any prefix of them is a ⩽-smaller graph.
+// Edges are kept at their head only: no query walks forwards. Each chain's
+// slot column is a short list of numbers. A predecessor always has a
+// smaller number than its successor, so the rows are a topological order
+// and any prefix of them is a ⩽-smaller graph.
 package graph
 
 import (
@@ -96,7 +95,6 @@ type vertex[K comparable] struct {
 	// all-zero.
 	predEnd, sumEnd uint32
 	chain           int32 // -1: not annotated
-	cited           bool  // some vertex has it as a predecessor: not a tip
 }
 
 // DAG is a directed acyclic graph over comparable vertex keys. The zero
@@ -106,7 +104,6 @@ type DAG[K comparable] struct {
 	rows  []vertex[K] // insertion order; a topological order by construction
 	preds []int32     // every row's direct predecessors (u with u ⇀ v), insert order
 	sums  []uint64    // every row's summary vector
-	tips  []int32     // vertices nothing cites, ascending
 
 	// table is the index: open addressing with linear probing, a power of
 	// two long and at most 3/4 full, each slot a row number + 1, 0 empty.
@@ -185,7 +182,7 @@ func (g *DAG[K]) slotFor(n int32) {
 	g.table[i] = n + 1
 }
 
-// Insert adds vertex v with edges from each vertex in preds to v,
+// InsertChained adds vertex v with edges from each vertex in preds to v,
 // implementing insert(G, v, E) of Definition 2.1. Duplicate entries in
 // preds are collapsed to a single edge (E is a set).
 //
@@ -194,17 +191,13 @@ func (g *DAG[K]) slotFor(n int32) {
 // If any predecessor is absent it returns ErrMissingPred and leaves g
 // unchanged. Because edges only ever point at the new vertex, g remains
 // acyclic (Lemma 2.2(3)).
-func (g *DAG[K]) Insert(v K, preds []K) error {
-	return g.insert(v, preds, -1, 0, nil, false)
-}
-
-// InsertChained is Insert for a vertex annotated with a chain position:
-// vertex v is element seq of chain chain (for block DAGs: builder and
-// sequence number). The annotation feeds the causal summary index; see the
-// package doc for the chain-connectivity invariant the caller guarantees
-// and the equivocation fallback. Chain identifiers must be small,
-// non-negative integers (they index the watermark vectors); a negative
-// chain inserts the vertex unannotated.
+//
+// The vertex is annotated with a chain position: v is element seq of chain
+// chain (for block DAGs: builder and sequence number). The annotation feeds
+// the causal summary index; see the package doc for the chain-connectivity
+// invariant the caller guarantees and the equivocation fallback. Chain
+// identifiers must be small, non-negative integers (they index the
+// watermark vectors); a negative chain inserts the vertex unannotated.
 func (g *DAG[K]) InsertChained(v K, preds []K, chain int, seq uint64) error {
 	return g.insert(v, preds, max(chain, -1), seq, nil, false)
 }
@@ -245,15 +238,6 @@ func (g *DAG[K]) insert(v K, predKeys []K, chain int, seq uint64, below []uint64
 		return fmt.Errorf("%w: %v", ErrMissingPred, predKeys[absent])
 	}
 	n := int32(len(g.rows))
-	// Every predecessor stops being a tip; v starts as one.
-	for _, p := range preds {
-		if !g.rows[p].cited {
-			g.rows[p].cited = true
-			at, _ := slices.BinarySearch(g.tips, p)
-			g.tips = slices.Delete(g.tips, at, at+1)
-		}
-	}
-	g.tips = append(g.tips, n)
 	g.rows = append(g.rows, vertex[K]{key: v, seq: seq, chain: int32(chain), predEnd: uint32(len(g.preds))})
 	g.summarize(n, below, seeded)
 	g.place(n)
@@ -454,28 +438,6 @@ func sameSet(a, b []int32) bool {
 	return true
 }
 
-// keys returns the keys of the numbered vertices, in the order given; nil
-// for none. The result is fresh.
-func (g *DAG[K]) keys(nums []int32) []K {
-	if len(nums) == 0 {
-		return nil
-	}
-	out := make([]K, len(nums))
-	for i, n := range nums {
-		out[i] = g.rows[n].key
-	}
-	return out
-}
-
-// Preds returns the direct predecessors of v (vertices u with u ⇀ v) in
-// insertion order. The result is a copy.
-func (g *DAG[K]) Preds(v K) []K {
-	if n, ok := g.find(v); ok {
-		return g.keys(g.predsOf(n))
-	}
-	return nil
-}
-
 // Order returns all vertices in insertion order, which is a valid
 // topological order (every vertex follows all of its predecessors). The
 // result is a copy.
@@ -493,13 +455,6 @@ func (g *DAG[K]) Order() []K {
 // At returns the i-th inserted vertex (no-copy indexed access; pair with
 // Len to iterate without materializing Order).
 func (g *DAG[K]) At(i int) K { return g.rows[i].key }
-
-// Tips returns the vertices no vertex cites, in insertion order. The tip
-// set is maintained incrementally at insert; this call only copies it.
-func (g *DAG[K]) Tips() []K { return g.keys(g.tips) }
-
-// NumTips returns the number of tips without copying.
-func (g *DAG[K]) NumTips() int { return len(g.tips) }
 
 // Reaches reports whether v is reachable from u in one or more steps,
 // written u ⇀+ v in the paper.
@@ -546,15 +501,6 @@ func (g *DAG[K]) reachesBFS(from, to int32) bool {
 		}
 	}
 	return false
-}
-
-// ReachesReflexive reports u ⇀* v: v is reachable from u in zero or more
-// steps.
-func (g *DAG[K]) ReachesReflexive(u, v K) bool {
-	if u == v {
-		return g.Contains(u)
-	}
-	return g.Reaches(u, v)
 }
 
 // Ancestry returns every vertex reachable backwards from v, including v
@@ -609,76 +555,4 @@ func (g *DAG[K]) Leq(h *DAG[K]) bool {
 		}
 	}
 	return true
-}
-
-// Union returns a new DAG containing the union of vertices and edges of g
-// and h (paper Section 3, joint block DAG G_s ∪ G_s'). Union requires the
-// two graphs to agree on the predecessor set of every shared vertex — true
-// for block DAGs, where a block's edge set is determined by its content —
-// and returns ErrEdgeMismatch otherwise. Chain annotations are carried
-// over (g's takes precedence on shared vertices).
-func (g *DAG[K]) Union(h *DAG[K]) (*DAG[K], error) {
-	merged := New[K]()
-	// g's rows, then h's that g lacks; a shared vertex must have all of
-	// its h-edges in g and as many in g as in h.
-	type row struct {
-		src *DAG[K]
-		n   int32
-	}
-	var pending []row
-	for n := range g.rows {
-		pending = append(pending, row{g, int32(n)})
-	}
-	for m := range h.rows {
-		n, shared := g.find(h.rows[m].key)
-		if !shared {
-			pending = append(pending, row{h, int32(m)})
-		} else if in := h.predsIn(int32(m), g); len(in) != len(h.predsOf(int32(m))) || !sameSet(g.predsOf(n), in) {
-			return nil, fmt.Errorf("%w: %v", ErrEdgeMismatch, h.rows[m].key)
-		}
-	}
-	// Kahn-style repeated passes: insert any vertex whose predecessors
-	// are all present. Both inputs are acyclic, so this terminates.
-	for len(pending) > 0 {
-		var next []row
-		for _, r := range pending {
-			v := &r.src.rows[r.n]
-			pos := v
-			if r.src == g && v.chain < 0 {
-				if m, shared := h.find(v.key); shared {
-					pos = &h.rows[m] // annotated in h only
-				}
-			}
-			preds := r.src.keys(r.src.predsOf(r.n))
-			if slices.ContainsFunc(preds, func(p K) bool { return !merged.Contains(p) }) {
-				next = append(next, r)
-			} else if err := merged.InsertChained(v.key, preds, int(pos.chain), pos.seq); err != nil {
-				return nil, err
-			}
-		}
-		if len(next) == len(pending) {
-			// Unreachable for acyclic inputs; report rather than
-			// spin forever if an invariant was broken upstream.
-			return nil, errors.New("graph: union did not converge; inputs not acyclic?")
-		}
-		pending = next
-	}
-	return merged, nil
-}
-
-// Clone returns a deep copy of g, chain annotations included: the rows,
-// columns and index are copied as they are, so the copy answers every
-// query as g does (a seeded root stays one). Nothing is shared: a row's
-// parts of the columns never change once written, but the spare capacity
-// behind them is where each side's next rows go.
-func (g *DAG[K]) Clone() *DAG[K] {
-	cp := &DAG[K]{
-		rows: slices.Clone(g.rows), preds: slices.Clone(g.preds), sums: slices.Clone(g.sums),
-		tips: slices.Clone(g.tips), table: slices.Clone(g.table), seed: g.seed,
-		chains: slices.Clone(g.chains), dups: slices.Clone(g.dups),
-	}
-	for c := range cp.chains {
-		cp.chains[c].slots = slices.Clone(cp.chains[c].slots)
-	}
-	return cp
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,7 +18,7 @@ func buildLinear(t *testing.T, n int) *DAG[int] {
 		if i > 0 {
 			preds = []int{i - 1}
 		}
-		if err := g.Insert(i, preds); err != nil {
+		if err := g.InsertChained(i, preds, -1, 0); err != nil {
 			t.Fatalf("Insert(%d): %v", i, err)
 		}
 	}
@@ -26,20 +27,17 @@ func buildLinear(t *testing.T, n int) *DAG[int] {
 
 func TestInsertBasics(t *testing.T) {
 	g := New[string]()
-	if err := g.Insert("a", nil); err != nil {
+	if err := g.InsertChained("a", nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Insert("b", []string{"a"}); err != nil {
+	if err := g.InsertChained("b", []string{"a"}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !g.Contains("a") || !g.Contains("b") || g.Contains("c") {
 		t.Fatal("Contains wrong")
 	}
-	if got := g.Preds("b"); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("Preds(b) = %v", got)
-	}
-	if got := g.Tips(); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("Tips() = %v, want b alone: a is cited", got)
+	if got := predKeys(g, "b"); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("preds of b = %v", got)
 	}
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d", g.Len())
@@ -51,18 +49,15 @@ func TestInsertBasics(t *testing.T) {
 func TestInsertIdempotent(t *testing.T) {
 	g := buildLinear(t, 3)
 	before := g.Order()
-	if err := g.Insert(1, []int{0}); err != nil {
+	if err := g.InsertChained(1, []int{0}, -1, 0); err != nil {
 		t.Fatalf("re-insert: %v", err)
 	}
 	after := g.Order()
 	if len(before) != len(after) {
 		t.Fatalf("idempotent insert changed vertex count: %v -> %v", before, after)
 	}
-	if got := g.Preds(1); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("idempotent insert changed edges: Preds(1) = %v", got)
-	}
-	if got := g.Tips(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("idempotent insert changed the tips: %v", got)
+	if got := predKeys(g, 1); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("idempotent insert changed edges: preds of 1 = %v", got)
 	}
 }
 
@@ -70,7 +65,7 @@ func TestInsertIdempotent(t *testing.T) {
 // edges is rejected — blocks are immutable, so this indicates corruption.
 func TestInsertEdgeMismatch(t *testing.T) {
 	g := buildLinear(t, 3)
-	if err := g.Insert(1, []int{0, 2}); !errors.Is(err, ErrEdgeMismatch) {
+	if err := g.InsertChained(1, []int{0, 2}, -1, 0); !errors.Is(err, ErrEdgeMismatch) {
 		t.Fatalf("Insert with different edges = %v, want ErrEdgeMismatch", err)
 	}
 }
@@ -79,7 +74,7 @@ func TestInsertEdgeMismatch(t *testing.T) {
 // only come from vertices already in the graph.
 func TestInsertMissingPred(t *testing.T) {
 	g := New[int]()
-	if err := g.Insert(1, []int{0}); !errors.Is(err, ErrMissingPred) {
+	if err := g.InsertChained(1, []int{0}, -1, 0); !errors.Is(err, ErrMissingPred) {
 		t.Fatalf("Insert with missing pred = %v, want ErrMissingPred", err)
 	}
 	if g.Contains(1) {
@@ -90,8 +85,8 @@ func TestInsertMissingPred(t *testing.T) {
 // TestInsertExtends checks Lemma 2.2(2): G ⩽ insert(G, v, E) for fresh v.
 func TestInsertExtends(t *testing.T) {
 	g := buildLinear(t, 4)
-	snapshot := g.Clone()
-	if err := g.Insert(4, []int{3, 1}); err != nil {
+	snapshot := buildLinear(t, 4)
+	if err := g.InsertChained(4, []int{3, 1}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !snapshot.Leq(g) {
@@ -116,7 +111,7 @@ func TestAcyclicByConstruction(t *testing.T) {
 					preds = append(preds, p)
 				}
 			}
-			if err := g.Insert(v, preds); err != nil {
+			if err := g.InsertChained(v, preds, -1, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -130,17 +125,14 @@ func TestAcyclicByConstruction(t *testing.T) {
 
 func TestDedupPreds(t *testing.T) {
 	g := New[int]()
-	if err := g.Insert(0, nil); err != nil {
+	if err := g.InsertChained(0, nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Insert(1, []int{0, 0, 0}); err != nil {
+	if err := g.InsertChained(1, []int{0, 0, 0}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Preds(1); len(got) != 1 {
+	if got := predKeys(g, 1); len(got) != 1 {
 		t.Fatalf("duplicate preds not collapsed: %v", got)
-	}
-	if got := g.Tips(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("tips after a thrice-cited vertex: %v, want 1 alone", got)
 	}
 }
 
@@ -151,7 +143,7 @@ func TestReaches(t *testing.T) {
 		v     int
 		preds []int
 	}{{0, nil}, {1, []int{0}}, {2, []int{0}}, {3, []int{1, 2}}, {4, nil}} {
-		if err := g.Insert(step.v, step.preds); err != nil {
+		if err := g.InsertChained(step.v, step.preds, -1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,15 +160,6 @@ func TestReaches(t *testing.T) {
 			t.Errorf("Reaches(%d,%d) = %v, want %v", tc.u, tc.v, got, tc.want)
 		}
 	}
-	if !g.ReachesReflexive(3, 3) {
-		t.Error("ReachesReflexive(3,3) = false")
-	}
-	if !g.ReachesReflexive(0, 3) {
-		t.Error("ReachesReflexive(0,3) = false")
-	}
-	if g.ReachesReflexive(5, 5) {
-		t.Error("ReachesReflexive on absent vertex = true")
-	}
 }
 
 func TestAncestry(t *testing.T) {
@@ -185,7 +168,7 @@ func TestAncestry(t *testing.T) {
 		v     int
 		preds []int
 	}{{0, nil}, {1, []int{0}}, {2, []int{0}}, {3, []int{1, 2}}} {
-		if err := g.Insert(step.v, step.preds); err != nil {
+		if err := g.InsertChained(step.v, step.preds, -1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,22 +184,6 @@ func TestAncestry(t *testing.T) {
 	}
 }
 
-func TestTips(t *testing.T) {
-	g := New[int]()
-	for _, step := range []struct {
-		v     int
-		preds []int
-	}{{0, nil}, {1, []int{0}}, {2, []int{0}}} {
-		if err := g.Insert(step.v, step.preds); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tips := g.Tips()
-	if len(tips) != 2 || tips[0] != 1 || tips[1] != 2 {
-		t.Fatalf("Tips = %v, want [1 2]", tips)
-	}
-}
-
 func TestOrderIsTopological(t *testing.T) {
 	g := buildLinear(t, 10)
 	order := g.Order()
@@ -225,7 +192,7 @@ func TestOrderIsTopological(t *testing.T) {
 		pos[v] = i
 	}
 	for _, v := range order {
-		for _, p := range g.Preds(v) {
+		for _, p := range predKeys(g, v) {
 			if pos[p] >= pos[v] {
 				t.Fatalf("order not topological: %d before %d", v, p)
 			}
@@ -239,18 +206,18 @@ func TestOrderIsTopological(t *testing.T) {
 func TestLeqEdgeEquality(t *testing.T) {
 	// g: two disconnected vertices 1, 2.
 	g := New[int]()
-	if err := g.Insert(1, nil); err != nil {
+	if err := g.InsertChained(1, nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Insert(2, nil); err != nil {
+	if err := g.InsertChained(2, nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	// h: same vertices but with edge 1 ⇀ 2.
 	h := New[int]()
-	if err := h.Insert(1, nil); err != nil {
+	if err := h.InsertChained(1, nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Insert(2, []int{1}); err != nil {
+	if err := h.InsertChained(2, []int{1}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if g.Leq(h) {
@@ -261,20 +228,89 @@ func TestLeqEdgeEquality(t *testing.T) {
 	}
 }
 
+// Union returns a new DAG containing the union of vertices and edges of g
+// and h (paper Section 3, joint block DAG G_s ∪ G_s'): the tests' reference
+// for the joint DAG. Union requires the
+// two graphs to agree on the predecessor set of every shared vertex — true
+// for block DAGs, where a block's edge set is determined by its content —
+// and returns ErrEdgeMismatch otherwise. Chain annotations are carried
+// over (g's takes precedence on shared vertices).
+func (g *DAG[K]) Union(h *DAG[K]) (*DAG[K], error) {
+	merged := New[K]()
+	// g's rows, then h's that g lacks; a shared vertex must have all of
+	// its h-edges in g and as many in g as in h.
+	type row struct {
+		src *DAG[K]
+		n   int32
+	}
+	var pending []row
+	for n := range g.rows {
+		pending = append(pending, row{g, int32(n)})
+	}
+	for m := range h.rows {
+		n, shared := g.find(h.rows[m].key)
+		if !shared {
+			pending = append(pending, row{h, int32(m)})
+		} else if in := h.predsIn(int32(m), g); len(in) != len(h.predsOf(int32(m))) || !sameSet(g.predsOf(n), in) {
+			return nil, fmt.Errorf("%w: %v", ErrEdgeMismatch, h.rows[m].key)
+		}
+	}
+	// Kahn-style repeated passes: insert any vertex whose predecessors
+	// are all present. Both inputs are acyclic, so this terminates.
+	for len(pending) > 0 {
+		var next []row
+		for _, r := range pending {
+			v := &r.src.rows[r.n]
+			pos := v
+			if r.src == g && v.chain < 0 {
+				if m, shared := h.find(v.key); shared {
+					pos = &h.rows[m] // annotated in h only
+				}
+			}
+			preds := r.src.keys(r.src.predsOf(r.n))
+			if slices.ContainsFunc(preds, func(p K) bool { return !merged.Contains(p) }) {
+				next = append(next, r)
+			} else if err := merged.InsertChained(v.key, preds, int(pos.chain), pos.seq); err != nil {
+				return nil, err
+			}
+		}
+		if len(next) == len(pending) {
+			// Unreachable for acyclic inputs; report rather than
+			// spin forever if an invariant was broken upstream.
+			return nil, errors.New("graph: union did not converge; inputs not acyclic?")
+		}
+		pending = next
+	}
+	return merged, nil
+}
+
+// keys returns the keys of the numbered vertices, in the order given; nil
+// for none. The result is fresh.
+func (g *DAG[K]) keys(nums []int32) []K {
+	if len(nums) == 0 {
+		return nil
+	}
+	out := make([]K, len(nums))
+	for i, n := range nums {
+		out[i] = g.rows[n].key
+	}
+	return out
+}
+
 func TestUnion(t *testing.T) {
 	// g: 0 ⇀ 1; h: 0 ⇀ 2. Union: both.
 	g := New[int]()
-	if err := g.Insert(0, nil); err != nil {
+	if err := g.InsertChained(0, nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Insert(1, []int{0}); err != nil {
+	if err := g.InsertChained(1, []int{0}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	h := New[int]()
-	if err := h.Insert(0, nil); err != nil {
+	if err := h.InsertChained(0, nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Insert(2, []int{0}); err != nil {
+	if err := h.InsertChained(2, []int{0}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	u, err := g.Union(h)
@@ -291,14 +327,14 @@ func TestUnion(t *testing.T) {
 
 func TestUnionEdgeDisagreementRejected(t *testing.T) {
 	g := New[int]()
-	if err := g.Insert(0, nil); err != nil {
+	if err := g.InsertChained(0, nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Insert(1, []int{0}); err != nil {
+	if err := g.InsertChained(1, []int{0}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	h := New[int]()
-	if err := h.Insert(1, nil); err != nil { // same vertex, different preds
+	if err := h.InsertChained(1, nil, -1, 0); err != nil { // same vertex, different preds
 		t.Fatal(err)
 	}
 	if _, err := g.Union(h); !errors.Is(err, ErrEdgeMismatch) {
@@ -310,23 +346,23 @@ func TestUnionInterleavedOrders(t *testing.T) {
 	// Vertices must be insertable even when neither input's order alone
 	// is a valid order for the union (diamond split across inputs).
 	g := New[int]()
-	if err := g.Insert(0, nil); err != nil {
+	if err := g.InsertChained(0, nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Insert(1, []int{0}); err != nil {
+	if err := g.InsertChained(1, []int{0}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Insert(3, []int{1}); err != nil {
+	if err := g.InsertChained(3, []int{1}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	h := New[int]()
-	if err := h.Insert(0, nil); err != nil {
+	if err := h.InsertChained(0, nil, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Insert(2, []int{0}); err != nil {
+	if err := h.InsertChained(2, []int{0}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Insert(4, []int{2}); err != nil {
+	if err := h.InsertChained(4, []int{2}, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	u, err := g.Union(h)
@@ -338,51 +374,6 @@ func TestUnionInterleavedOrders(t *testing.T) {
 	}
 }
 
-// TestCloneIndependent: a clone is the same graph and then its own. Cloned
-// just below and just above each of the index's first growths (its table
-// holds 6, 12, 24 and 48 rows before it doubles), the original and the
-// clone take turns at vertices the other does not get — a new slot, a fork
-// into a taken one, a seeded root on a chain of its own — and each must
-// still answer as its own reference does.
-func TestCloneIndependent(t *testing.T) {
-	const chains = 3
-	for _, size := range []int{6, 7, 12, 13, 24, 25, 48, 49} {
-		t.Run(fmt.Sprint("size=", size), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(size)))
-			specs := randomSpecs(rng, chains, size)
-			g, r := build(t, specs)
-			cp, rcp := g.Clone(), r.clone()
-			requireSame(t, cp, rcp, chains+2)
-			sides := []struct {
-				g *DAG[int]
-				r *refDAG
-			}{{g, r}, {cp, rcp}}
-			for i := 0; i < 12; i++ {
-				side := sides[i%2]
-				s := spec{v: 1000*(1+i%2) + i, chain: rng.Intn(chains)}
-				switch old := specs[rng.Intn(len(specs))]; i / 2 % 3 {
-				case 0: // a new slot, citing a few old vertices
-					s.seq = uint64(100 + i)
-					for j := 0; j < 1+rng.Intn(4); j++ {
-						s.preds = append(s.preds, specs[rng.Intn(len(specs))].v)
-					}
-				case 1: // a fork: old's slot, or a new one where old has none
-					if old.chain >= 0 {
-						s.chain, s.seq = old.chain, old.seq
-					}
-					s.preds = []int{old.v}
-				case 2: // a seeded root on a chain of its own side's
-					s.chain, s.seq, s.seeded = chains+i%2, uint64(rng.Intn(8)), true
-					s.below = []uint64{uint64(rng.Intn(4)), 0, uint64(rng.Intn(4))}
-				}
-				insertBoth(t, side.g, side.r, s)
-			}
-			requireSame(t, g, r, chains+2)
-			requireSame(t, cp, rcp, chains+2)
-		})
-	}
-}
-
 // TestLeqQuick property: any prefix of an insertion sequence is ⩽ the
 // final graph.
 func TestLeqQuick(t *testing.T) {
@@ -390,24 +381,22 @@ func TestLeqQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(20)
 		cut := rng.Intn(n)
-		full := New[int]()
-		var prefix *DAG[int]
+		full, prefix := New[int](), New[int]()
 		for v := 0; v < n; v++ {
-			if v == cut {
-				prefix = full.Clone()
-			}
 			var preds []int
 			for p := 0; p < v; p++ {
 				if rng.Intn(2) == 0 {
 					preds = append(preds, p)
 				}
 			}
-			if err := full.Insert(v, preds); err != nil {
+			if err := full.InsertChained(v, preds, -1, 0); err != nil {
 				return false
 			}
-		}
-		if prefix == nil {
-			prefix = full.Clone()
+			if v < cut {
+				if err := prefix.InsertChained(v, preds, -1, 0); err != nil {
+					return false
+				}
+			}
 		}
 		return prefix.Leq(full)
 	}

@@ -45,10 +45,7 @@ func TestReferenceDeliversAncestry(t *testing.T) {
 		if ind.Server != 1 {
 			continue
 		}
-		_, data, err := courier.DecodeIndication(ind.Value)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, data := courierIndication(t, ind.Value)
 		got = append(got, string(data))
 	}
 	if len(got) != 3 {
@@ -300,10 +297,7 @@ func TestNewBlockBehindSkippedFork(t *testing.T) {
 		}
 		var got []string
 		for _, ind := range *inds {
-			_, data, err := courier.DecodeIndication(ind.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, data := courierIndication(t, ind.Value)
 			if ind.Server == 1 && ind.Label == "m" && ind.Block != c2.Ref() {
 				t.Fatalf("trial %d: d0 read at %v, want at the block that brought it in, %v", trial, ind.Block, c2.Ref())
 			}
@@ -361,7 +355,7 @@ func TestCorrectBlocksReadOnceUnderForks(t *testing.T) {
 						t.Fatalf("seed %d: %v is below %v and s%d never read it", seed, x.Ref(), c.Ref(), reader)
 					}
 					if readAt[x.Ref()] == c.Ref() && !slices.ContainsFunc(c.Preds, func(p block.Ref) bool {
-						return !skipped[p] && d.ReachesReflexive(x.Ref(), p)
+						return !skipped[p] && (x.Ref() == p || d.Reaches(x.Ref(), p))
 					}) {
 						behindFork++
 					}

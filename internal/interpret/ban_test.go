@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"blockdag/internal/dagtest"
 	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/types"
@@ -28,13 +29,13 @@ func TestBanPreservesPaperSemantics(t *testing.T) {
 
 	// The conviction moment: interpret the full contentious DAG and
 	// remember the equivocator's blocks.
-	prefix := h.DAG.Clone()
+	prefix := snapshot(t, h)
 	preBan := New(brb.Protocol{}, 4, 1, nil)
 	if err := preBan.InterpretDAG(prefix); err != nil {
 		t.Fatal(err)
 	}
 	banned := h.DAG.ByBuilder(3)
-	if eqs := h.DAG.Equivocators(); len(eqs) != 1 || eqs[0] != 3 {
+	if eqs := dagtest.Equivocators(h.DAG); len(eqs) != 1 || eqs[0] != 3 {
 		t.Fatalf("Equivocators = %v, want [3]", eqs)
 	}
 

@@ -239,7 +239,7 @@ func TestPayloadsImmutable(t *testing.T) {
 		var segment []byte
 		for b := range d.All() {
 			seal(b.Encode())
-			segment = b.AppendEncode(segment)
+			segment = append(segment, b.Encode()...)
 			for _, rq := range b.Requests {
 				requests[&rq.Data[0]] = sealed{bytes: rq.Data, sum: crypto.Hash(rq.Data)}
 			}

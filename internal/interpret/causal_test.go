@@ -9,6 +9,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/dag"
 	"blockdag/internal/dagtest"
+	"blockdag/internal/protocol"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/types"
 )
@@ -93,7 +94,7 @@ func agreeOn(t *testing.T, d *dag.DAG, labels []types.Label, a, b *Interpreter, 
 					ctx, ref, label, len(m1), len(m2))
 			}
 			for i := range m1 {
-				if m1[i].Key() != m2[i].Key() {
+				if protocol.Compare(m1[i], m2[i]) != 0 {
 					t.Fatalf("%s: out-buffer of %v / %s differs at %d",
 						ctx, ref, label, i)
 				}
@@ -118,7 +119,7 @@ func TestOrderIndependenceUnderForks(t *testing.T) {
 		if err := reference.InterpretDAG(d); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(d.Equivocators()) == 0 {
+		if len(d.Equivocations()) == 0 {
 			t.Fatalf("seed %d: generator produced no equivocation", seed)
 		}
 		for trial := 0; trial < 3; trial++ {
@@ -153,8 +154,8 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 	if err := fresh.InterpretDAG(d); err != nil {
 		t.Fatal(err)
 	}
-	if online.Blocks() != fresh.Blocks() {
-		t.Fatalf("interpreted %d vs %d blocks", online.Blocks(), fresh.Blocks())
+	if got, want := countInterpreted(online, d.Blocks()), countInterpreted(fresh, d.Blocks()); got != want || got != d.Len() {
+		t.Fatalf("interpreted %d vs %d of %d blocks", got, want, d.Len())
 	}
 	agreeOn(t, d, labels, online, fresh, "incremental-vs-fresh")
 }

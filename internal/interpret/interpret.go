@@ -218,7 +218,6 @@ type Interpreter struct {
 	rows     Rows           // numbers, watermarks and blocks of the DAG interpreted
 	own      *ownRows       // rows, if none was given (Over)
 	states   []*blockState  // by row; nil: not interpreted; gone: released
-	blocks   int            // blocks interpreted: stand-ins not counted
 	chains   []chain        // by builder
 	unread   []int          // by builder: blocks of other chains its chain has not read
 	frontier []uint64       // by builder: its blocks below it every chain has read (release)
@@ -324,9 +323,8 @@ func (it *Interpreter) SeedBase(entries []dag.Base) error {
 }
 
 // Interpreted reports I[B]: whether the block was already interpreted (or
-// stands in for one that was); Blocks, how many were, stand-ins not counted.
+// stands in for one that was).
 func (it *Interpreter) Interpreted(ref block.Ref) bool { return it.state(ref) != nil }
-func (it *Interpreter) Blocks() int                    { return it.blocks }
 
 // Stats counts what the interpreter holds beyond a slot per block. All
 // but RetiredLabels follow the load while every chain advances, not the
@@ -338,9 +336,6 @@ type Stats struct {
 	OutMessages   int // records in the out-buffers held, a broadcast being one
 	HoldingBlocks int // blocks holding an out-buffer some chain has not read
 }
-
-// Stats returns the current counts.
-func (it *Interpreter) Stats() Stats { return it.stats }
 
 // AddBlock interprets block b (Algorithm 2 lines 4–12). Every predecessor
 // must have been interpreted already; by Lemma 4.2 every topological order
@@ -432,7 +427,6 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 		it.stats.HoldingBlocks++
 		it.metrics.Add(metrics.MsgsMaterialized, int64(protocol.Count(st.out, it.n)))
 	}
-	it.blocks++
 	it.metrics.Add(metrics.BlocksInterpreted, 1)
 	it.publish()
 	return nil
@@ -945,14 +939,4 @@ func (it *Interpreter) InMessages(ref block.Ref, label types.Label) []protocol.M
 		return inMessages(nil, st.builder, sources, &label)
 	}
 	return nil
-}
-
-// StateDigest returns the deterministic digest of B.PIs[ℓ] — the state of
-// the simulated instance ℓ of B's builder after interpreting B — or false if
-// the block is uninterpreted, no ancestor ran the instance, or it was Done.
-func (it *Interpreter) StateDigest(ref block.Ref, label types.Label) ([]byte, bool) {
-	if _, st := it.at(ref, true); st != nil && st.pis[label] != nil {
-		return st.pis[label].StateDigest(), true
-	}
-	return nil, false
 }

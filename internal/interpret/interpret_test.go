@@ -16,6 +16,7 @@ import (
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/protocols/courier"
 	"blockdag/internal/types"
+	"blockdag/internal/wire"
 )
 
 // newHolding returns an interpreter that follows no chain tip, as every
@@ -188,7 +189,7 @@ func TestMessagesNeverLeaveInterpreter(t *testing.T) {
 	// their four tombstones became one retired label, and of the ECHO and
 	// READY records only the READYs of round 2 are left — the last block
 	// of round 3 read them, and the next block releases them.
-	st := it.Stats()
+	st := it.stats
 	if st != (Stats{RetiredLabels: 1, OutMessages: 4, HoldingBlocks: 4}) ||
 		snap.Get(metrics.InstancesLive) != 0 || snap.Get(metrics.InstancesRetired) != 0 || snap.Get(metrics.LabelsRetired) != 1 ||
 		snap.Get(metrics.OutMessagesHeld) != 4 || snap.Get(metrics.BlocksHolding) != 4 {
@@ -223,7 +224,7 @@ func TestInterpreterGauges(t *testing.T) {
 		if err := errors.Join(it.AddBlock(b), plain.AddBlock(b)); err != nil {
 			t.Fatal(err)
 		}
-		st := it.Stats()
+		st := it.stats
 		got := Stats{
 			LiveInstances: int(m.Get(metrics.InstancesLive)), Tombstones: int(m.Get(metrics.InstancesRetired)),
 			RetiredLabels: int(m.Get(metrics.LabelsRetired)), OutMessages: int(m.Get(metrics.OutMessagesHeld)),
@@ -360,7 +361,7 @@ func TestPrefixExtension(t *testing.T) {
 	h := dagtest.NewHarness(4)
 	h.Round(map[int][]block.Request{0: {{Label: "x", Data: []byte("v")}}})
 	h.Round(nil)
-	prefix := h.DAG.Clone()
+	prefix := snapshot(t, h)
 	h.Round(nil)
 	h.Round(nil)
 
@@ -420,9 +421,9 @@ func TestInterpretDAGFailsOnAnUnreadableRow(t *testing.T) {
 	}
 	d.Release(slices.Repeat([]uint64{1 << 20}, n))
 	it := New(brb.Protocol{}, n, 1, nil, Over(d))
-	if err := it.InterpretDAG(d); !errors.Is(err, errUnreadable) || it.Blocks() != fail {
+	if err := it.InterpretDAG(d); !errors.Is(err, errUnreadable) || countInterpreted(it, blocks) != fail {
 		t.Fatalf("InterpretDAG returned %v with %d of %d blocks interpreted, want the journal's error after %d",
-			err, it.Blocks(), len(blocks), fail)
+			err, countInterpreted(it, blocks), len(blocks), fail)
 	}
 }
 
@@ -456,10 +457,7 @@ func TestLinkReliableDelivery(t *testing.T) {
 		if ind.Server != 2 {
 			continue
 		}
-		from, data, err := courier.DecodeIndication(ind.Value)
-		if err != nil {
-			t.Fatal(err)
-		}
+		from, data := courierIndication(t, ind.Value)
 		if from == 1 && bytes.Equal(data, []byte("hello")) {
 			hits++
 		}
@@ -500,10 +498,7 @@ func TestLinkAuthenticity(t *testing.T) {
 		if ind.Server != 0 {
 			continue
 		}
-		from, _, err := courier.DecodeIndication(ind.Value)
-		if err != nil {
-			t.Fatal(err)
-		}
+		from, _ := courierIndication(t, ind.Value)
 		if from != 3 {
 			t.Fatalf("message attributed to %v, want the true sender s3", from)
 		}
@@ -698,4 +693,49 @@ func TestGenesisWithPredsInterprets(t *testing.T) {
 	if len(*inds) != 1 || (*inds)[0].Server != 1 {
 		t.Fatalf("indications = %v, want delivery at s1's genesis", *inds)
 	}
+}
+
+// snapshot returns a DAG holding the blocks h's DAG holds now.
+func snapshot(t *testing.T, h *dagtest.Harness) *dag.DAG {
+	t.Helper()
+	d := dag.New(h.Roster)
+	for _, b := range h.DAG.Blocks() {
+		if err := d.Insert(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
+// StateDigest returns the deterministic digest of B.PIs[ℓ] — the state of
+// the simulated instance ℓ of B's builder after interpreting B — or false if
+// the block is uninterpreted, no ancestor ran the instance, or it was Done:
+// what the tests compare when they hold two interpretations to Lemma 4.2.
+func (it *Interpreter) StateDigest(ref block.Ref, label types.Label) ([]byte, bool) {
+	if _, st := it.at(ref, true); st != nil && st.pis[label] != nil {
+		return st.pis[label].StateDigest(), true
+	}
+	return nil, false
+}
+
+// countInterpreted counts the blocks of blocks it has interpreted.
+func countInterpreted(it *Interpreter, blocks []*block.Block) int {
+	n := 0
+	for _, b := range blocks {
+		if it.Interpreted(b.Ref()) {
+			n++
+		}
+	}
+	return n
+}
+
+// courierIndication parses a courier indication: the sender and the payload.
+func courierIndication(t *testing.T, ind []byte) (types.ServerID, []byte) {
+	t.Helper()
+	r := wire.NewReader(ind)
+	from, data := types.ServerID(r.Uint16()), r.VarBytes()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return from, data
 }

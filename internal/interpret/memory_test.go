@@ -175,8 +175,8 @@ func TestForkAfterAdvance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if held, tables := it.recount(); held != it.Stats() {
-				t.Fatalf("%s: holds %+v in %d tables, stats %+v", tc.name, held, tables, it.Stats())
+			if held, tables := it.recount(); held != it.stats {
+				t.Fatalf("%s: holds %+v in %d tables, stats %+v", tc.name, held, tables, it.stats)
 			}
 			return sortedIndications(*inds), cold
 		}
@@ -258,9 +258,9 @@ func TestInstancesHeldPerChainNotPerBlock(t *testing.T) {
 			// Every chain delivered in round 3 and dropped the instance.
 			want = Stats{RetiredLabels: k}
 		}
-		if held != want || tables != n || it.Stats() != want {
+		if held != want || tables != n || it.stats != want {
 			t.Fatalf("after %d rounds: holds %+v in %d tables, stats %+v; want %+v in %d tables",
-				rounds, held, tables, it.Stats(), want, n)
+				rounds, held, tables, it.stats, want, n)
 		}
 	}
 }
@@ -366,8 +366,8 @@ func TestStatesAreAWindow(t *testing.T) {
 		if err := own.InterpretDAG(d); err != nil {
 			t.Fatal(err)
 		}
-		if it.Blocks() != count || own.Blocks() != count {
-			t.Fatalf("%d and %d blocks interpreted, want %d", it.Blocks(), own.Blocks(), count)
+		if got, ownGot := countInterpreted(it, d.Blocks()), countInterpreted(own, d.Blocks()); got != count || ownGot != count {
+			t.Fatalf("%d and %d blocks interpreted, want %d", got, ownGot, count)
 		}
 		if held, ownHeld := it.heldStates(), own.heldStates(); held != ownHeld || held > 2*n {
 			t.Fatalf("%d blocks: %d states held over the DAG, %d with rows of its own; want the same, at most %d",
@@ -411,8 +411,8 @@ func TestRetainedPerDeliveredLabel(t *testing.T) {
 		if delivered != n*labels {
 			t.Fatalf("|v| = %d: %d deliveries, want %d", size, delivered, n*labels)
 		}
-		if want := (Stats{RetiredLabels: labels}); it.Stats() != want {
-			t.Fatalf("|v| = %d: stats %+v, want %+v", size, it.Stats(), want)
+		if want := (Stats{RetiredLabels: labels}); it.stats != want {
+			t.Fatalf("|v| = %d: stats %+v, want %+v", size, it.stats, want)
 		}
 		perLabel := int(retained) / labels
 		t.Logf("|v| = %d: %d B retained per delivered label", size, perLabel)
@@ -442,10 +442,10 @@ func TestHeldFollowsTheLoadNotTheRun(t *testing.T) {
 			if err := it.AddBlock(b); err != nil {
 				t.Fatal(err)
 			}
-			peak = max(peak, it.Stats().OutMessages)
+			peak = max(peak, it.stats.OutMessages)
 		}
-		if want := (Stats{RetiredLabels: (w + 1) * labels}); it.Stats() != want {
-			t.Fatalf("after wave %d: stats %+v, want %+v", w, it.Stats(), want)
+		if want := (Stats{RetiredLabels: (w + 1) * labels}); it.stats != want {
+			t.Fatalf("after wave %d: stats %+v, want %+v", w, it.stats, want)
 		}
 		heap[w] = dagtest.LiveHeap() - before
 	}
@@ -500,7 +500,7 @@ func TestSilentChainHoldsEverything(t *testing.T) {
 	}
 	// Nothing was released and no label retired: the silent chain gates both.
 	held, _ := reference.recount()
-	if got := it.Stats(); got != held || got.RetiredLabels != 0 || got.Tombstones != (n-1)*labels {
+	if got := it.stats; got != held || got.RetiredLabels != 0 || got.Tombstones != (n-1)*labels {
 		t.Fatalf("with one chain silent: stats %+v, an interpreter that releases nothing holds %+v", got, held)
 	}
 	if unread := it.unread[3]; unread < h.DAG.Len()-2*n {
@@ -532,7 +532,7 @@ func TestSilentChainHoldsEverything(t *testing.T) {
 		all = append(all, types.Label(fmt.Sprintf("quiet/%d", i)))
 	}
 	agreeOn(t, h.DAG, all, reference, it, "after the silent chain returned")
-	if got := it.Stats(); got.RetiredLabels != labels || got.Tombstones != 0 || got.OutMessages > 2*n {
+	if got := it.stats; got.RetiredLabels != labels || got.Tombstones != 0 || got.OutMessages > 2*n {
 		t.Fatalf("after the silent chain returned: stats %+v, want the backlog drained", got)
 	}
 }
@@ -611,7 +611,7 @@ func TestBacklogKeepsNoPeak(t *testing.T) {
 		if err := it.InterpretDAG(d); err != nil {
 			t.Fatal(err)
 		}
-		if got := it.Stats(); got.RetiredLabels != labels || got.LiveInstances != 0 || got.Tombstones != 0 || len(it.done) != 0 {
+		if got := it.stats; got.RetiredLabels != labels || got.LiveInstances != 0 || got.Tombstones != 0 || len(it.done) != 0 {
 			t.Fatalf("silent %v: stats %+v, %d labels counted done; want every label retired", silent, got, len(it.done))
 		}
 		retained := dagtest.LiveHeap() - before

@@ -60,10 +60,6 @@ func (s *Set) Len() int { return s.base + len(s.offs) - s.head }
 // evicts; with none live, the number the next Add takes.
 func (s *Set) Oldest() int { return s.head }
 
-// Bytes returns the bytes the arena holds: the live keys with their
-// lengths and the evicted ones the next compaction drops.
-func (s *Set) Bytes() int { return len(s.arena) }
-
 // Key returns entry e's key, a view of the arena valid until the next Add
 // or Pop. e must be live.
 func (s *Set) Key(e int) []byte {

@@ -58,8 +58,8 @@ func (r *reference) check(t *testing.T, s *Set, col *Column[int]) {
 	for _, k := range r.keys[s.base:] {
 		held += len(binary.AppendUvarint(nil, uint64(len(k)))) + len(k)
 	}
-	if s.Bytes() != held {
-		t.Fatalf("arena holds %d B, its entries %d B", s.Bytes(), held)
+	if len(s.arena) != held {
+		t.Fatalf("arena holds %d B, its entries %d B", len(s.arena), held)
 	}
 }
 
@@ -161,8 +161,8 @@ func TestWindowHoldsTwiceItsKeys(t *testing.T) {
 				t.Fatalf("popped entry %d still holds its value", e)
 			}
 		}
-		if s.Bytes() > 2*window*33 || len(s.table) > 4096 || len(col.vals) > 2*window {
-			t.Fatalf("after %d keys: %d B of arena, %d slots, %d column values", i+1, s.Bytes(), len(s.table), len(col.vals))
+		if len(s.arena) > 2*window*33 || len(s.table) > 4096 || len(col.vals) > 2*window {
+			t.Fatalf("after %d keys: %d B of arena, %d slots, %d column values", i+1, len(s.arena), len(s.table), len(col.vals))
 		}
 	}
 }

@@ -153,7 +153,8 @@ func TestNodeLiveFollower(t *testing.T) {
 	peerStore.SetRuntime(peer)
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: peerStore, Clock: net.Now})
 
-	myStore, err := store.Open(t.TempDir(), store.Options{Roster: roster})
+	myDir := t.TempDir()
+	myStore, err := store.Open(myDir, store.Options{Roster: roster})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +164,12 @@ func TestNodeLiveFollower(t *testing.T) {
 	// Nothing arrives: no pull one millisecond short of ResendAfter plus a
 	// block period (the default 50 ms) of silence; one at it.
 	quiet := gossip.ResendAfter + 50*time.Millisecond
-	net.RunFor(quiet - time.Millisecond)
+	runFor(net, quiet-time.Millisecond)
 	nd.Tick()
 	if rep := nd.FollowReport(); rep.Polls != 0 {
 		t.Fatalf("before the silence rule: %+v", rep)
 	}
-	net.RunFor(time.Millisecond)
+	runFor(net, time.Millisecond)
 	nd.Tick()
 	if rep := nd.FollowReport(); rep.Polls != 1 || rep.State != node.FollowPulling {
 		t.Fatalf("at the silence rule: %+v", rep)
@@ -182,7 +183,7 @@ func TestNodeLiveFollower(t *testing.T) {
 
 	// The peer's history grows; only the sync channel can tell.
 	peer.DeliverBurst(asGossip(1, sealChain(t, signers[0], tip, extra)))
-	net.RunFor(gossip.ResendAfter)
+	runFor(net, gossip.ResendAfter)
 	nd.Tick()
 	net.Run()
 	// In sync now: a forced poll costs a query and pulls nothing.
@@ -221,7 +222,7 @@ func TestNodeLiveFollower(t *testing.T) {
 	if err := myStore.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := store.Open(myStore.Dir(), store.Options{Roster: roster})
+	reopened, err := store.Open(myDir, store.Options{Roster: roster})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestStalledBlockPullsAtMostOncePerResend(t *testing.T) {
 		if nd.FollowReport().Polls > before {
 			polls = append(polls, net.Now())
 		}
-		net.RunFor(tick)
+		runFor(net, tick)
 	}
 	bounded := func(phase string, from int) {
 		t.Helper()
@@ -463,5 +464,14 @@ func TestStalledBlockPullsAtMostOncePerResend(t *testing.T) {
 	bounded("silent", silentFrom-1)
 	if got := len(sync.calls); got != len(polls) {
 		t.Fatalf("the peers saw %d calls for %d pulls", got, len(polls))
+	}
+}
+
+// runFor steps net until virtual time d from now: a marker event at the
+// horizon stops the run, after every event already due by then.
+func runFor(net *simnet.Network, d time.Duration) {
+	done := false
+	net.After(d, func() { done = true })
+	for !done && net.Step() {
 	}
 }

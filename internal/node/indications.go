@@ -162,7 +162,6 @@ func (b *IndicationBroker) Publish(label types.Label, value []byte) {
 		select {
 		case s.ch <- ind:
 		default:
-			s.dropped++
 		}
 	}
 }
@@ -243,22 +242,11 @@ func (b *IndicationBroker) Close() {
 type IndicationSub struct {
 	b  *IndicationBroker
 	ch chan Indication
-
-	// dropped is guarded by the broker's mutex.
-	dropped int64
 }
 
 // C is the subscription's delivery channel. It is closed when the broker
 // closes (node shutdown) or when the subscription itself is closed.
 func (s *IndicationSub) C() <-chan Indication { return s.ch }
-
-// Dropped reports how many indications overflowed this subscription's
-// buffer so far — the gap detector for streaming clients.
-func (s *IndicationSub) Dropped() int64 {
-	s.b.mu.Lock()
-	defer s.b.mu.Unlock()
-	return s.dropped
-}
 
 // Close deregisters the subscription and closes its channel. Idempotent,
 // and safe concurrently with the broker's own Close.

@@ -113,7 +113,7 @@ func TestExplicitRuleJournalReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	own = d.ByBuilder(1)
-	if next := own[len(own)-1]; !next.ParentOf(tip) || len(d.Equivocations()) != 0 {
+	if next := own[len(own)-1]; !extends(next, tip) || len(d.Equivocations()) != 0 {
 		t.Fatalf("block after replay is seq %d on a chain whose tip was seq %d", next.Seq, tip.Seq)
 	}
 }

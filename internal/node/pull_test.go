@@ -143,14 +143,14 @@ func pullNow(t *testing.T, net *simnet.Network, nd *node.Node, peer types.Server
 	return absorbed, perr
 }
 
-// journaled reopens a store directory and returns what a restart would
-// replay.
-func journaled(t *testing.T, st *store.Store, roster *crypto.Roster) []*block.Block {
+// journaled closes st, reopens its directory dir and returns what a restart
+// would replay.
+func journaled(t *testing.T, st *store.Store, dir string, roster *crypto.Roster) []*block.Block {
 	t.Helper()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := store.Open(st.Dir(), store.Options{Roster: roster})
+	reopened, err := store.Open(dir, store.Options{Roster: roster})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,8 @@ func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
 	net.RegisterHandler(0, transport.ChanSync, serve(t, tampered))
 	net.RegisterHandler(1, transport.ChanSync, serve(t, chain))
 
-	st, err := store.Open(t.TempDir(), store.Options{Roster: roster})
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Roster: roster})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +222,11 @@ func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
 		t.Fatalf("DAG holds %d blocks (forged slot present: %v), want the 30-block honest prefix",
 			d.Len(), d.Contains(chain[30].Ref()))
 	}
-	if journaled := onDisk(t, st.Dir(), roster); st.Len() != 30 || len(journaled) != 30 || journaled[29].Ref() != chain[29].Ref() {
+	if journaled := onDisk(t, dir, roster); st.Len() != 30 || len(journaled) != 30 || journaled[29].Ref() != chain[29].Ref() {
 		t.Fatalf("store holds %d blocks, %d on disk, want the 30-block honest prefix", st.Len(), len(journaled))
 	}
-	if !scores.Quarantined(0) || scores.Score(1) != 0 {
-		t.Fatalf("scores after the forgery: liar %.1f, honest %.1f", scores.Score(0), scores.Score(1))
+	if dagtest.Score(scores, 0) == 0 || dagtest.Score(scores, 1) != 0 {
+		t.Fatalf("scores after the forgery: liar %.1f, honest %.1f", dagtest.Score(scores, 0), dagtest.Score(scores, 1))
 	}
 	for cursor := 0; cursor < 4; cursor++ {
 		if peer, ok := scores.Pick([]types.ServerID{0, 1}, cursor); !ok || peer != 1 {
@@ -243,7 +244,7 @@ func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd.Stop()
-	replay := journaled(t, st, roster)
+	replay := journaled(t, st, dir, roster)
 	if len(replay) != 50 {
 		t.Fatalf("journal replays %d blocks, want 50", len(replay))
 	}
@@ -281,8 +282,8 @@ func TestPullFromTruncatedStreamResumes(t *testing.T) {
 	if perr == nil || absorbed != 20 {
 		t.Fatalf("truncated stream: absorbed %d, err %v", absorbed, perr)
 	}
-	if errors.Is(perr, syncsvc.ErrBadStream) || scores.Score(0) != 0 {
-		t.Fatalf("truncation blamed on the peer: err %v, score %.1f", perr, scores.Score(0))
+	if errors.Is(perr, syncsvc.ErrBadStream) || dagtest.Score(scores, 0) != 0 {
+		t.Fatalf("truncation blamed on the peer: err %v, score %.1f", perr, dagtest.Score(scores, 0))
 	}
 	if nd.Server().DAG().Len() != 20 || st.Len() != 20 {
 		t.Fatalf("prefix not kept: DAG %d, store %d", nd.Server().DAG().Len(), st.Len())
@@ -342,7 +343,7 @@ func TestPullFromIllOrderedStream(t *testing.T) {
 		if nd.Server().DAG().Len() != tc.kept || st.Len() != tc.kept {
 			t.Fatalf("%s: DAG %d, store %d, want %d", name, nd.Server().DAG().Len(), st.Len(), tc.kept)
 		}
-		if scores.Score(0) == 0 {
+		if dagtest.Score(scores, 0) == 0 {
 			t.Fatalf("%s: ill-ordered stream cost the peer nothing", name)
 		}
 		if err := nd.Err(); err != nil {
@@ -387,7 +388,7 @@ func TestOwnBlocksSeenNotHeldSilenceTheNode(t *testing.T) {
 	}
 	nd.Disseminate()
 	own := d.ByBuilder(1)
-	if next := own[len(own)-1]; len(own) != len(old)+1 || !next.ParentOf(old[5]) || len(d.Equivocations()) != 0 || nd.Err() != nil {
+	if next := own[len(own)-1]; len(own) != len(old)+1 || !extends(next, old[5]) || len(d.Equivocations()) != 0 || nd.Err() != nil {
 		t.Fatalf("after the old chain came back: %d own blocks, tip seq %d, equivocations %d, err %v",
 			len(own), next.Seq, len(d.Equivocations()), nd.Err())
 	}
@@ -478,7 +479,7 @@ func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
 		t.Fatalf("own chain held %d after the first block, want 6", held)
 	}
 	own := srv.DAG().ByBuilder(1)
-	if len(own) != 1 || own[0].Seq != 5 || !own[0].HasPred(pruned[4].Ref()) || len(srv.DAG().Equivocations()) != 0 {
+	if len(own) != 1 || own[0].Seq != 5 || !slices.Contains(own[0].Preds, pruned[4].Ref()) || len(srv.DAG().Equivocations()) != 0 {
 		t.Fatalf("first block on an installed snapshot: %d own blocks, first seq %d, want seq 5 on the base stand-in", len(own), own[0].Seq)
 	}
 }
@@ -487,11 +488,15 @@ func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
 // crypto.LocalRoster of these tests holds a prefix of.
 func tcpAuth(t *testing.T, self types.ServerID) transport.Authenticator {
 	t.Helper()
-	r, signers, err := crypto.LocalRoster(4)
+	fx, err := roster.Dev(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return roster.NewAuth(r, signers[self])
+	id, err := fx.Identity(int(self))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id.Auth()
 }
 
 // tcpPeer listens on loopback as server self, serving handler on the sync
@@ -515,7 +520,7 @@ func tcpPeer(t *testing.T, self types.ServerID, handler transport.Handler) *tcpn
 
 // startupNode runs node.New for signer over a fresh store with startup
 // catch-up against the given TCP peers (tried in the order given).
-func startupNode(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, onInd func(types.Label, []byte), peers ...*tcpnet.Transport) (*node.Node, *store.Store) {
+func startupNode(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, onInd func(types.Label, []byte), peers ...*tcpnet.Transport) (nd *node.Node, st *store.Store, dir string) {
 	t.Helper()
 	tr := tcpPeer(t, signer.ID(), nil)
 	var ids []types.ServerID
@@ -525,7 +530,8 @@ func startupNode(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, onI
 		}
 		ids = append(ids, p.Self())
 	}
-	st, err := store.Open(t.TempDir(), store.Options{Roster: roster})
+	dir = t.TempDir()
+	st, err := store.Open(dir, store.Options{Roster: roster})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +542,7 @@ func startupNode(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, onI
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, err := node.New(node.Config{
+	nd, err = node.New(node.Config{
 		Server: srv, Store: st,
 		CatchUp: &syncsvc.FetchConfig{Transport: tr, Peers: ids, Timeout: 10 * time.Second},
 	})
@@ -544,7 +550,7 @@ func startupNode(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, onI
 		t.Fatal(err)
 	}
 	t.Cleanup(nd.Stop)
-	return nd, st
+	return nd, st, dir
 }
 
 // TestCatchUpOverTCPResumesAfterMidStreamDeath: startup catch-up survives
@@ -565,7 +571,7 @@ func TestCatchUpOverTCPResumesAfterMidStreamDeath(t *testing.T) {
 	full := serve(t, chain)
 	healthy := tcpPeer(t, 1, full)
 
-	nd, st := startupNode(t, roster, signers[2], nil, dying, healthy)
+	nd, st, dir := startupNode(t, roster, signers[2], nil, dying, healthy)
 	rep := nd.CatchUpReport()
 	if !rep.Ran || rep.Err != nil || rep.Blocks != 200 || rep.Peer != 1 {
 		t.Fatalf("catch-up report = %+v, want 200 blocks finished by peer 1", rep)
@@ -577,12 +583,12 @@ func TestCatchUpOverTCPResumesAfterMidStreamDeath(t *testing.T) {
 		t.Fatalf("DAG holds %d blocks, want 200", got)
 	}
 	nd.Stop()
-	if got := len(journaled(t, st, roster)); got != 200 {
+	if got := len(journaled(t, st, dir, roster)); got != 200 {
 		t.Fatalf("journal replays %d blocks, want 200", got)
 	}
 
 	// Only the dying peer to ask: both attempts fail, the prefix stays.
-	nd, st = startupNode(t, roster, signers[2], nil, dying)
+	nd, st, dir = startupNode(t, roster, signers[2], nil, dying)
 	rep = nd.CatchUpReport()
 	if !rep.Ran || rep.Err == nil || rep.Blocks != 120 {
 		t.Fatalf("catch-up report = %+v, want a failure that kept 120 blocks", rep)
@@ -591,7 +597,7 @@ func TestCatchUpOverTCPResumesAfterMidStreamDeath(t *testing.T) {
 		t.Fatalf("unexpected unreachable: %v", rep.Err)
 	}
 	nd.Stop()
-	if got := len(journaled(t, st, roster)); got != 120 {
+	if got := len(journaled(t, st, dir, roster)); got != 120 {
 		t.Fatalf("journal replays %d blocks, want the 120-block prefix", got)
 	}
 }
@@ -633,7 +639,7 @@ func TestCatchUpAfterDiskLossResumesOwnChain(t *testing.T) {
 	unreferenced := sealChain(t, signers[0], peerTip, 3)
 	held = append(held, unreferenced...)
 
-	nd, st := startupNode(t, roster, signers[1], nil, tcpPeer(t, 0, serve(t, held)))
+	nd, st, dir := startupNode(t, roster, signers[1], nil, tcpPeer(t, 0, serve(t, held)))
 	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Blocks != len(held) {
 		t.Fatalf("catch-up report = %+v, want %d blocks", rep, len(held))
 	}
@@ -658,7 +664,7 @@ func TestCatchUpAfterDiskLossResumesOwnChain(t *testing.T) {
 	if first == nil || len(nd.Server().DAG().Equivocations()) != 0 {
 		t.Fatalf("first block after New is not seq %d, or the node forked its own chain", k+1)
 	}
-	if !first.ParentOf(ownTip) || seen[ownTip.Ref()] != 1 {
+	if !extends(first, ownTip) || seen[ownTip.Ref()] != 1 {
 		t.Fatal("first block after New does not continue the re-learned chain")
 	}
 	for ref, n := range seen {
@@ -666,11 +672,11 @@ func TestCatchUpAfterDiskLossResumesOwnChain(t *testing.T) {
 			t.Fatalf("block %v referenced %d times across the own chain", ref, n)
 		}
 	}
-	if tail := unreferenced[len(unreferenced)-1]; len(first.Preds) != 2 || !first.HasPred(tail.Ref()) {
+	if tail := unreferenced[len(unreferenced)-1]; len(first.Preds) != 2 || !slices.Contains(first.Preds, tail.Ref()) {
 		t.Fatalf("first new block cites %d blocks, want its parent and the tip of the unreferenced peer blocks", len(first.Preds))
 	}
 	nd.Stop()
-	if got := len(journaled(t, st, roster)); got != len(held)+1 {
+	if got := len(journaled(t, st, dir, roster)); got != len(held)+1 {
 		t.Fatalf("journal replays %d blocks, want the stream plus the new block (%d)", got, len(held)+1)
 	}
 }
@@ -773,7 +779,7 @@ func TestCatchUpTierIndependence(t *testing.T) {
 
 	// Startup pull into an empty store, over a real socket.
 	byLabel, onInd = recorder()
-	nd, _ = startupNode(t, roster, signer, onInd, tcpPeer(t, 0, serve(t, set)))
+	nd, _, _ = startupNode(t, roster, signer, onInd, tcpPeer(t, 0, serve(t, set)))
 	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Blocks != len(set) {
 		t.Fatalf("startup pull: %+v, want %d blocks", rep, len(set))
 	}

@@ -316,11 +316,11 @@ func TestCatchUpSkipsAPeerNotServing(t *testing.T) {
 	defer func() { _ = idle.Close() }()
 	booting := &syncsvc.Server{Store: idle}
 
-	nd, _ := startupNode(t, roster, signers[2], nil, tcpPeer(t, 0, booting), tcpPeer(t, 1, serve(t, chain)))
+	nd, _, _ := startupNode(t, roster, signers[2], nil, tcpPeer(t, 0, booting), tcpPeer(t, 1, serve(t, chain)))
 	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Peer != 1 || rep.Blocks != len(chain) {
 		t.Fatalf("catch-up report = %+v, want %d blocks from peer 1", rep, len(chain))
 	}
-	if s := nd.Server().Scores().Score(0); s != 0 {
+	if s := dagtest.Score(nd.Server().Scores(), 0); s != 0 {
 		t.Fatalf("the peer not serving yet scored %.1f", s)
 	}
 	if d := booting.Counts().Get(syncsvc.DropStarting); d != 1 {
@@ -339,7 +339,7 @@ func TestCatchUpSkipsAPeerNotServing(t *testing.T) {
 	if rep := follower.FollowReport(); rep.Polls != 2 || rep.Throttled != 1 || rep.Errors != 0 || rep.Blocks != len(chain) || rep.LastErr != nil {
 		t.Fatalf("follow report %+v, want a refusal, then the chain from the next peer", rep)
 	}
-	if s := scores.Score(0); s != 0 {
+	if s := dagtest.Score(scores, 0); s != 0 {
 		t.Fatalf("the follower charged the peer not serving yet %.1f", s)
 	}
 }

@@ -78,12 +78,12 @@ func TestSealPruneCadence(t *testing.T) {
 	if machine.NextSlot() != 1 {
 		t.Fatalf("setup: machine at slot %d, want the one delivery applied", machine.NextSlot())
 	}
-	net.RunFor(sealEvery - time.Millisecond)
+	runFor(net, sealEvery-time.Millisecond)
 	nd.Tick()
 	if meta().Has || st.Head().State != nil {
 		t.Fatal("sealed before SealEvery elapsed")
 	}
-	net.RunFor(time.Millisecond)
+	runFor(net, time.Millisecond)
 	nd.Tick()
 	first := meta()
 	if !first.Has || first.Signed.Commit.Slot != 1 {
@@ -100,12 +100,12 @@ func TestSealPruneCadence(t *testing.T) {
 	// Idle state, growing chain: nothing to seal, still something to cut —
 	// but only once the cadence comes round again.
 	grow(5)
-	net.RunFor(sealEvery - time.Millisecond)
+	runFor(net, sealEvery-time.Millisecond)
 	nd.Tick()
 	if horizon() != cut {
 		t.Fatal("pruned between cadences")
 	}
-	net.RunFor(time.Millisecond)
+	runFor(net, time.Millisecond)
 	nd.Tick()
 	idle := meta()
 	if horizon() != cut+5 || idle.Horizon[0] != cut+5 {

@@ -189,40 +189,6 @@ func (s *Scorer) Banned(id types.ServerID) bool {
 	return ps != nil && ps.banned
 }
 
-// Score returns the peer's decayed score.
-func (s *Scorer) Score(id types.ServerID) float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps := s.peers[id]
-	if ps == nil {
-		return 0
-	}
-	s.decay(ps, s.opts.Clock())
-	return ps.score
-}
-
-// Quarantined reports whether the peer is banned or its decayed score
-// has crossed the quarantine threshold.
-func (s *Scorer) Quarantined(id types.ServerID) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps := s.peers[id]
-	if ps == nil {
-		return false
-	}
-	if ps.banned {
-		return true
-	}
-	s.decay(ps, s.opts.Clock())
-	return ps.score >= quarantineAt
-}
-
 // BannedPeers returns the banned peers in ascending ID order.
 func (s *Scorer) BannedPeers() []types.ServerID {
 	if s == nil {

@@ -17,26 +17,43 @@ func newTest(c *clock) *Scorer {
 	return New(Options{Clock: c.fn()})
 }
 
+// scoreOf is id's decayed score, as Snapshot reports it: 0 for a peer
+// without one.
+func scoreOf(s *Scorer, id types.ServerID) float64 {
+	for _, st := range s.Snapshot() {
+		if st.Peer == id {
+			return st.Score
+		}
+	}
+	return 0
+}
+
+// quarantined reports whether Pick passes id over for a clean peer.
+func quarantined(s *Scorer, id types.ServerID) bool {
+	peer, _ := s.Pick([]types.ServerID{id, 99}, 0)
+	return peer == 99
+}
+
 func TestDecay(t *testing.T) {
 	c := &clock{}
 	s := newTest(c)
 	s.Penalize(1, BadSignature) // +10
 	s.Penalize(1, BadSignature) // +10 → 20
-	if got := s.Score(1); math.Abs(got-20) > 1e-9 {
+	if got := scoreOf(s, 1); math.Abs(got-20) > 1e-9 {
 		t.Fatalf("score = %v, want 20", got)
 	}
-	if !s.Quarantined(1) {
+	if !quarantined(s, 1) {
 		t.Fatal("peer at threshold not quarantined")
 	}
 	c.now = halfLife
-	if got := s.Score(1); math.Abs(got-10) > 1e-9 {
+	if got := scoreOf(s, 1); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("after one half-life score = %v, want 10", got)
 	}
-	if s.Quarantined(1) {
+	if quarantined(s, 1) {
 		t.Fatal("decayed peer still quarantined")
 	}
 	c.now = 10 * halfLife
-	if got := s.Score(1); got > 0.05 {
+	if got := scoreOf(s, 1); got > 0.05 {
 		t.Fatalf("after ten half-lives score = %v, want ≈0", got)
 	}
 }
@@ -51,7 +68,7 @@ func TestBanIsTerminal(t *testing.T) {
 		t.Fatal("second Ban reported as new")
 	}
 	c.now = time.Hour // decay never touches a ban
-	if !s.Banned(2) || !s.Quarantined(2) {
+	if !s.Banned(2) || !quarantined(s, 2) {
 		t.Fatal("ban decayed away")
 	}
 	if got := s.BannedPeers(); len(got) != 1 || got[0] != 2 {
@@ -123,10 +140,10 @@ func TestSnapshot(t *testing.T) {
 func TestNilScorer(t *testing.T) {
 	var s *Scorer
 	s.Penalize(1, BadSignature)
-	if s.Ban(1) || s.Banned(1) || s.Quarantined(1) {
+	if s.Ban(1) || s.Banned(1) {
 		t.Fatal("nil scorer convicted someone")
 	}
-	if s.Score(1) != 0 || s.BannedPeers() != nil || s.Snapshot() != nil {
+	if s.BannedPeers() != nil || s.Snapshot() != nil {
 		t.Fatal("nil scorer reported state")
 	}
 	peers := []types.ServerID{4, 5}

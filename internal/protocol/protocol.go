@@ -32,7 +32,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"strings"
 
 	"blockdag/internal/types"
@@ -134,15 +133,6 @@ func compareUvarint(x, y uint64) int {
 	ny := binary.PutUvarint(by[:], y)
 	return bytes.Compare(bx[:nx], by[:ny])
 }
-
-// Sort orders messages by <M in place: the order in which the interpreter
-// feeds each instance its in-buffer (Algorithm 2 line 10), so that every
-// server executes exactly the same steps.
-func Sort(msgs []Message) { slices.SortFunc(msgs, Compare) }
-
-// Key returns a map key identifying the message's full content: two
-// messages have equal keys exactly when Compare reports 0.
-func (m Message) Key() string { return string(m.Encode()) }
 
 // Config parameterizes one process instance of P: which server it
 // simulates, for which instance label, and the system size. Quorum sizes

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -60,7 +61,7 @@ func TestCompareIsTotalOrder(t *testing.T) {
 			if ab != -ba {
 				t.Fatalf("antisymmetry violated for %v, %v", a, b)
 			}
-			if ab == 0 && a.Key() != b.Key() {
+			if ab == 0 && !bytes.Equal(a.Encode(), b.Encode()) {
 				t.Fatalf("distinct messages compare equal: %v, %v", a, b)
 			}
 			for _, c := range msgs {
@@ -146,14 +147,14 @@ func TestSortIsDeterministic(t *testing.T) {
 		{Label: "x", Sender: 1, Receiver: 1, Payload: []byte("m3")},
 	}
 	want := append([]Message(nil), base...)
-	Sort(want)
+	slices.SortFunc(want, Compare)
 	// Try all 24 permutations via Heap's algorithm (small n).
 	perm := append([]Message(nil), base...)
 	var rec func(k int)
 	rec = func(k int) {
 		if k == 1 {
 			got := append([]Message(nil), perm...)
-			Sort(got)
+			slices.SortFunc(got, Compare)
 			for i := range got {
 				if Compare(got[i], want[i]) != 0 {
 					t.Fatalf("sort order depends on input permutation")
@@ -220,14 +221,14 @@ func TestQuorum(t *testing.T) {
 	}
 }
 
-// TestMessageKeyCollisionFree: distinct messages (by any field) must have
-// distinct keys, since the interpreter's in-buffer set dedupes by Key.
-func TestMessageKeyCollisionFree(t *testing.T) {
+// TestMessageEncodingCollisionFree: distinct messages (by any field) must
+// have distinct encodings.
+func TestMessageEncodingCollisionFree(t *testing.T) {
 	f := func(l1, l2 string, s1, s2, r1, r2 uint16, p1, p2 []byte) bool {
 		a := Message{Label: types.Label(l1), Sender: types.ServerID(s1), Receiver: types.ServerID(r1), Payload: p1}
 		b := Message{Label: types.Label(l2), Sender: types.ServerID(s2), Receiver: types.ServerID(r2), Payload: p2}
 		same := l1 == l2 && s1 == s2 && r1 == r2 && bytes.Equal(p1, p2)
-		return (a.Key() == b.Key()) == same
+		return bytes.Equal(a.Encode(), b.Encode()) == same
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

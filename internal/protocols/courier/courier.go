@@ -12,8 +12,6 @@
 package courier
 
 import (
-	"fmt"
-
 	"blockdag/internal/protocol"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
@@ -39,18 +37,6 @@ func EncodeRequest(to types.ServerID, data []byte) []byte {
 	w.Uint16(uint16(to))
 	w.VarBytes(data)
 	return w.Bytes()
-}
-
-// DecodeIndication parses a courier indication into the original sender
-// and payload.
-func DecodeIndication(ind []byte) (from types.ServerID, data []byte, err error) {
-	r := wire.NewReader(ind)
-	from = types.ServerID(r.Uint16())
-	data = r.VarBytes()
-	if err := r.Close(); err != nil {
-		return 0, nil, fmt.Errorf("courier: decode indication: %w", err)
-	}
-	return from, data, nil
 }
 
 type process struct {

@@ -6,6 +6,7 @@ import (
 
 	"blockdag/internal/protocol"
 	"blockdag/internal/types"
+	"blockdag/internal/wire"
 )
 
 func cfg(self int) protocol.Config {
@@ -31,8 +32,9 @@ func TestReceiveIndicatesSenderAndPayload(t *testing.T) {
 	if len(inds) != 1 {
 		t.Fatalf("indications = %d, want 1", len(inds))
 	}
-	from, data, err := DecodeIndication(inds[0])
-	if err != nil {
+	r := wire.NewReader(inds[0])
+	from, data := types.ServerID(r.Uint16()), r.VarBytes()
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if from != 1 || !bytes.Equal(data, []byte("hi")) {

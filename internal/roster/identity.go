@@ -89,14 +89,6 @@ type Auth struct {
 
 var _ transport.Authenticator = (*Auth)(nil)
 
-// NewAuth builds an authenticator from an existing roster and signer —
-// for callers that already hold both (tests, simulations). Production
-// code goes through File.Identity, which cross-checks the key against the
-// roster first.
-func NewAuth(r *crypto.Roster, s *crypto.Signer) *Auth {
-	return &Auth{roster: r, signer: s}
-}
-
 // Self implements transport.Authenticator.
 func (a *Auth) Self() types.ServerID { return a.signer.ID() }
 

@@ -181,16 +181,6 @@ func (f *File) Members() []Member {
 	return out
 }
 
-// Find returns the identity holding the given public key.
-func (f *File) Find(pub ed25519.PublicKey) (types.ServerID, bool) {
-	for i, m := range f.members {
-		if m.PublicKey.Equal(pub) {
-			return types.ServerID(i), true
-		}
-	}
-	return types.NilServer, false
-}
-
 // body renders the canonical file bytes up to (not including) the check
 // line.
 func (f *File) body() []byte {

@@ -245,18 +245,3 @@ func TestFixtureSigners(t *testing.T) {
 		t.Fatalf("auths = %d, self = %v", len(auths), auths[2].Self())
 	}
 }
-
-func TestFindByPublicKey(t *testing.T) {
-	fx := devFile(t, 3)
-	id, ok := fx.File.Find(fx.Keys[1].Pair.Public)
-	if !ok || id != 1 {
-		t.Fatalf("Find = %v, %v", id, ok)
-	}
-	other, err := Generate(1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fx.File.Find(other.Keys[0].Pair.Public); ok {
-		t.Fatal("Find matched a foreign key")
-	}
-}

@@ -34,19 +34,23 @@ func (s *doneSink) finished() bool   { return s.done }
 // key — the simulator twin of tcpnet's evil dialer.
 func wrongKeyAuth(t *testing.T, fx *roster.Fixture, claim types.ServerID) transport.Authenticator {
 	t.Helper()
-	r, err := fx.File.Roster()
-	if err != nil {
-		t.Fatal(err)
-	}
 	pair, err := crypto.GenerateKeyPair(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	signer, err := crypto.NewSigner(claim, pair, nil)
+	// The impostor's own roster is the real one but for its entry, which
+	// holds the key it proves with: it verifies every peer as they do.
+	members := fx.File.Members()
+	members[claim].PublicKey = pair.Public
+	f, err := roster.New(members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return roster.NewAuth(r, signer)
+	id, err := f.Identity(roster.Key{ID: claim, Pair: pair}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id.Auth()
 }
 
 // TestAuthSeam: the simulated network enforces the same Authenticator
@@ -90,7 +94,8 @@ func TestAuthSeam(t *testing.T) {
 	}
 	call := &doneSink{}
 	net.Transport(2).Call(1, transport.ChanSync, []byte("req"), call)
-	net.RunUntil(call.finished)
+	for !call.finished() && net.Step() {
+	}
 	if !errors.Is(call.err, transport.ErrAuthFailed) {
 		t.Fatalf("call error = %v, want ErrAuthFailed", call.err)
 	}

@@ -638,33 +638,10 @@ func (n *Network) Step() bool {
 
 // Run executes events until the queue is empty (quiescence). Protocols
 // that schedule unconditional periodic timers never quiesce; bound those
-// runs with RunFor.
+// runs with Step.
 func (n *Network) Run() {
 	for n.Step() {
 	}
-}
-
-// RunFor executes events until virtual time exceeds d from now or the
-// queue empties. Events scheduled beyond the horizon stay queued.
-func (n *Network) RunFor(d time.Duration) {
-	deadline := n.now + d
-	for n.events.Len() > 0 && n.events[0].at <= deadline {
-		n.Step()
-	}
-	if n.now < deadline {
-		n.now = deadline
-	}
-}
-
-// RunUntil executes events until cond returns true or the queue empties.
-// It reports whether cond was met.
-func (n *Network) RunUntil(cond func() bool) bool {
-	for !cond() {
-		if !n.Step() {
-			return cond()
-		}
-	}
-	return true
 }
 
 // event is one scheduled callback; seq breaks ties deterministically.

@@ -127,40 +127,6 @@ func TestAfterTimerOrdering(t *testing.T) {
 	}
 }
 
-func TestRunForHorizon(t *testing.T) {
-	n := New(WithSeed(1))
-	var fired []int
-	n.After(10*time.Millisecond, func() { fired = append(fired, 1) })
-	n.After(100*time.Millisecond, func() { fired = append(fired, 2) })
-	n.RunFor(50 * time.Millisecond)
-	if len(fired) != 1 {
-		t.Fatalf("fired = %v, want only the first timer", fired)
-	}
-	if n.Now() != 50*time.Millisecond {
-		t.Fatalf("Now = %v, want horizon", n.Now())
-	}
-	n.RunFor(100 * time.Millisecond)
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v after extended run", fired)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	n := New(WithSeed(1))
-	count := 0
-	for i := 0; i < 10; i++ {
-		n.After(time.Duration(i)*time.Millisecond, func() { count++ })
-	}
-	ok := n.RunUntil(func() bool { return count >= 5 })
-	if !ok || count != 5 {
-		t.Fatalf("RunUntil stopped at count=%d ok=%v", count, ok)
-	}
-	n.Run()
-	if count != 10 {
-		t.Fatalf("count = %d after Run", count)
-	}
-}
-
 func TestSendCopiesPayload(t *testing.T) {
 	n := New(WithSeed(1), WithLatency(time.Millisecond, 0))
 	r := &recorder{net: n}

@@ -111,25 +111,6 @@ func (l *Log) parse(label types.Label) (uint64, bool) {
 	return slot, true
 }
 
-// DecidedAt returns the decided command for a slot, if any. A decided
-// slot may still be uncommitted while earlier slots are open.
-func (l *Log) DecidedAt(slot uint64) ([]byte, bool) {
-	cmd, ok := l.decided[slot]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), cmd...), true
-}
-
-// CommittedPrefix returns the contiguous committed commands from slot 0.
-func (l *Log) CommittedPrefix() [][]byte {
-	out := make([][]byte, 0, l.next)
-	for s := uint64(0); s < l.next; s++ {
-		out = append(out, append([]byte(nil), l.decided[s]...))
-	}
-	return out
-}
-
 // CommitIndex returns the lowest uncommitted slot (= number of committed
 // entries).
 func (l *Log) CommitIndex() uint64 { return l.next }

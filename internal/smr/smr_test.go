@@ -102,7 +102,7 @@ func TestGapHoldsBackCommit(t *testing.T) {
 	// Propose slot 1 only; slot 0 stays open.
 	r.logs[r.logs[0].Leader(1)].Propose(1, []byte("late"))
 	r.runUntil(t, 30, func() bool {
-		_, ok := r.logs[0].DecidedAt(1)
+		_, ok := r.logs[0].decided[1]
 		return ok
 	})
 	if r.logs[0].CommitIndex() != 0 {
@@ -111,8 +111,7 @@ func TestGapHoldsBackCommit(t *testing.T) {
 	// Now fill slot 0: both commit, in order.
 	r.logs[r.logs[0].Leader(0)].Propose(0, []byte("early"))
 	r.runUntil(t, 30, func() bool { return r.logs[0].CommitIndex() >= 2 })
-	got := r.logs[0].CommittedPrefix()
-	if len(got) != 2 || !bytes.Equal(got[0], []byte("early")) || !bytes.Equal(got[1], []byte("late")) {
+	if got := r.logs[0].decided; !bytes.Equal(got[0], []byte("early")) || !bytes.Equal(got[1], []byte("late")) {
 		t.Fatalf("committed prefix = %q", got)
 	}
 }
@@ -136,20 +135,6 @@ func TestLeaderMatchesPBFT(t *testing.T) {
 		if log.Leader(s) != pbft.Leader(log.Label(s), 4) {
 			t.Fatalf("leader mismatch at slot %d", s)
 		}
-	}
-}
-
-func TestDecidedAtCopies(t *testing.T) {
-	log := New("log", 4, nopSubmitter{}, nil)
-	log.HandleIndication("log/0", []byte("abc"))
-	got, ok := log.DecidedAt(0)
-	if !ok {
-		t.Fatal("slot 0 missing")
-	}
-	got[0] = 'X'
-	again, _ := log.DecidedAt(0)
-	if !bytes.Equal(again, []byte("abc")) {
-		t.Fatal("DecidedAt aliases internal state")
 	}
 }
 

@@ -2,54 +2,8 @@ package state
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 )
-
-// FuzzDecodeProof hammers the untrusted proof path: DecodeProof must
-// never panic, anything it accepts must re-encode canonically, and
-// Verify on an accepted proof must never report membership against a
-// root the proof does not authenticate to.
-func FuzzDecodeProof(f *testing.F) {
-	// Seed with real proofs: membership, non-membership via empty
-	// child, non-membership via prefix-sharing leaf, empty tree.
-	tr := NewTree()
-	for i := 0; i < 32; i++ {
-		tr.Put([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i)))
-	}
-	root := tr.Root()
-	f.Add(tr.Prove([]byte("k7")).Encode())
-	f.Add(tr.Prove([]byte("definitely-absent")).Encode())
-	f.Add(NewTree().Prove([]byte("x")).Encode())
-	f.Add([]byte{})
-	f.Add([]byte{0x01, 0x02, 0x03})
-
-	key := []byte("k7")
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeProof(data)
-		if err != nil {
-			return
-		}
-		// Canonical codec: accepted input re-encodes to itself.
-		if !bytes.Equal(p.Encode(), data) {
-			t.Fatal("accepted proof does not re-encode canonically")
-		}
-		present, vh, err := p.Verify(root, key)
-		if err != nil {
-			return // does not authenticate — the only safe failure mode
-		}
-		// Soundness: anything that verifies against the real root for
-		// k7 must state the true value hash (the trie has exactly one
-		// leaf for k7 under this root).
-		if !present {
-			t.Fatal("proof verified non-membership of a present key")
-		}
-		truth := tr.Prove(key)
-		if vh != truth.LeafValueHash {
-			t.Fatal("proof verified a wrong value hash against the true root")
-		}
-	})
-}
 
 // FuzzSnapshotChunk hammers the snapshot wire codec: Builder.Add must
 // never panic and never partially apply — a rejected chunk leaves the

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-
-	"blockdag/internal/wire"
 )
 
 // ErrBadProof reports a structurally invalid audit proof: one whose
@@ -124,41 +122,4 @@ func (p *Proof) VerifyValue(root [32]byte, key, value []byte) error {
 		return fmt.Errorf("%w: value mismatch", ErrBadProof)
 	}
 	return nil
-}
-
-// Encode renders the proof in the canonical wire form.
-func (p *Proof) Encode() []byte {
-	w := wire.NewWriter(64 + 32*len(p.Branches))
-	w.Bytes32(p.KeyHash)
-	w.Bool(p.HasLeaf)
-	if p.HasLeaf {
-		w.Bytes32(p.LeafKeyHash)
-		w.Bytes32(p.LeafValueHash)
-	}
-	w.Uvarint(uint64(len(p.Branches)))
-	for _, b := range p.Branches {
-		w.Bytes32(b)
-	}
-	return w.Bytes()
-}
-
-// DecodeProof inverts Encode, rejecting malformed, truncated, or
-// oversized paths.
-func DecodeProof(data []byte) (*Proof, error) {
-	r := wire.NewReader(data)
-	p := &Proof{KeyHash: r.Bytes32()}
-	p.HasLeaf = r.Bool()
-	if p.HasLeaf {
-		p.LeafKeyHash = r.Bytes32()
-		p.LeafValueHash = r.Bytes32()
-	}
-	n := r.Count(maxDepth)
-	p.Branches = make([][32]byte, 0, n)
-	for i := 0; i < n; i++ {
-		p.Branches = append(p.Branches, r.Bytes32())
-	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadProof, err)
-	}
-	return p, nil
 }

@@ -20,66 +20,24 @@ func TestEmptyTreeRootIsZero(t *testing.T) {
 	}
 }
 
-func TestPutGetDelete(t *testing.T) {
-	tr := NewTree()
-	tr.Put([]byte("a"), []byte("1"))
-	tr.Put([]byte("b"), []byte("2"))
-	tr.Put([]byte("a"), []byte("3")) // overwrite
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tr.Len())
-	}
-	if v, ok := tr.Get([]byte("a")); !ok || string(v) != "3" {
-		t.Fatalf("Get(a) = %q,%v", v, ok)
-	}
-	if _, ok := tr.Get([]byte("zzz")); ok {
-		t.Fatal("Get of absent key reported present")
-	}
-	if !tr.Delete([]byte("a")) {
-		t.Fatal("Delete(a) reported absent")
-	}
-	if tr.Delete([]byte("a")) {
-		t.Fatal("second Delete(a) reported present")
-	}
-	if _, ok := tr.Get([]byte("a")); ok {
-		t.Fatal("deleted key still present")
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len after delete = %d, want 1", tr.Len())
-	}
-}
-
 // TestRootIsContentDeterministic is the canonicality pin: the root is a
-// function of the final key/value set, never of insertion order or of
-// keys that passed through and were deleted.
+// function of the final key/value set, never of insertion order.
 func TestRootIsContentDeterministic(t *testing.T) {
 	keys := make([][]byte, 64)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%03d", i))
 	}
-	build := func(perm []int, withChurn bool) [32]byte {
+	build := func(perm []int) [32]byte {
 		tr := NewTree()
-		if withChurn {
-			// Insert and remove transient keys to stress collapse.
-			for i := 0; i < 32; i++ {
-				tr.Put([]byte(fmt.Sprintf("transient-%d", i)), []byte("x"))
-			}
-		}
 		for _, i := range perm {
 			tr.Put(keys[i], []byte(fmt.Sprintf("val-%03d", i)))
 		}
-		if withChurn {
-			for i := 0; i < 32; i++ {
-				if !tr.Delete([]byte(fmt.Sprintf("transient-%d", i))) {
-					t.Fatal("transient key vanished")
-				}
-			}
-		}
 		return tr.Root()
 	}
-	base := build(rand.New(rand.NewSource(1)).Perm(64), false)
+	base := build(rand.New(rand.NewSource(1)).Perm(64))
 	for seed := int64(2); seed < 8; seed++ {
 		perm := rand.New(rand.NewSource(seed)).Perm(64)
-		if got := build(perm, seed%2 == 0); got != base {
+		if got := build(perm); got != base {
 			t.Fatalf("seed %d: root %x != %x — structure depends on history", seed, got, base)
 		}
 	}
@@ -100,22 +58,8 @@ func TestRootChangesOnEveryMutation(t *testing.T) {
 	if seen[tr.Root()] {
 		t.Fatal("root unchanged after value overwrite")
 	}
-}
-
-func TestCloneIsolation(t *testing.T) {
-	tr := NewTree()
-	tr.Put([]byte("k"), []byte("v"))
-	cp := tr.Clone()
-	tr.Put([]byte("k2"), []byte("v2"))
-	if cp.Len() != 1 {
-		t.Fatal("clone observed later mutation")
-	}
-	if tr.Equal(cp) {
-		t.Fatal("diverged trees compare equal")
-	}
-	cp.Put([]byte("k2"), []byte("v2"))
-	if !tr.Equal(cp) {
-		t.Fatal("identical contents compare unequal")
+	if tr.Len() != 20 {
+		t.Fatalf("Len after an overwrite = %d, want 20", tr.Len())
 	}
 }
 
@@ -208,44 +152,22 @@ func TestProofRejectsTampering(t *testing.T) {
 	}
 	root := tr.Root()
 	p := tr.Prove([]byte("k7"))
-	enc := p.Encode()
-	for bit := 0; bit < len(enc)*8; bit += 7 {
-		mut := append([]byte(nil), enc...)
-		mut[bit/8] ^= 1 << (bit % 8)
-		dp, err := DecodeProof(mut)
-		if err != nil {
-			continue // malformed: rejected at decode, fine
-		}
-		present, vh, err := dp.Verify(root, []byte("k7"))
-		if err != nil {
-			continue // authenticates against nothing, fine
-		}
-		// A verifying mutation must not change the claim.
-		if !present || vh != sha256.Sum256([]byte("v")) {
-			t.Fatalf("bit %d: tampered proof verified with altered claim", bit)
-		}
+	hashes := []*[32]byte{&p.KeyHash, &p.LeafKeyHash, &p.LeafValueHash}
+	for i := range p.Branches {
+		hashes = append(hashes, &p.Branches[i])
 	}
-}
-
-func TestProofCodecRoundTrip(t *testing.T) {
-	tr := NewTree()
-	for i := 0; i < 10; i++ {
-		tr.Put([]byte{byte(i)}, []byte{byte(i * 2)})
-	}
-	root := tr.Root()
-	for _, key := range [][]byte{{3}, []byte("absent")} {
-		p := tr.Prove(key)
-		dp, err := DecodeProof(p.Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dp.Encode(), p.Encode()) {
-			t.Fatal("proof codec not canonical")
-		}
-		wantPresent, _, _ := p.Verify(root, key)
-		gotPresent, _, err := dp.Verify(root, key)
-		if err != nil || gotPresent != wantPresent {
-			t.Fatalf("decoded proof verdict changed: %v %v", gotPresent, err)
+	for i, h := range hashes {
+		for bit := 0; bit < 256; bit += 7 {
+			h[bit/8] ^= 1 << (bit % 8)
+			present, vh, err := p.Verify(root, []byte("k7"))
+			h[bit/8] ^= 1 << (bit % 8)
+			if err != nil {
+				continue // authenticates against nothing, fine
+			}
+			// A verifying mutation must not change the claim.
+			if !present || vh != sha256.Sum256([]byte("v")) {
+				t.Fatalf("hash %d bit %d: tampered proof verified with altered claim", i, bit)
+			}
 		}
 	}
 }
@@ -301,7 +223,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !got.Equal(tr) || got.Len() != tr.Len() {
+		if got.Root() != tr.Root() || got.Len() != tr.Len() {
 			t.Fatalf("n=%d: rebuilt tree differs", n)
 		}
 	}

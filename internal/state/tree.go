@@ -23,7 +23,6 @@
 package state
 
 import (
-	"bytes"
 	"crypto/sha256"
 )
 
@@ -130,26 +129,6 @@ func rehash(nd *node) [32]byte {
 	return nd.hash
 }
 
-// Get returns the value stored under key, or (nil, false).
-func (t *Tree) Get(key []byte) ([]byte, bool) {
-	kh := sha256.Sum256(key)
-	nd := t.root
-	for depth := 0; nd != nil; depth++ {
-		if nd.leaf {
-			if nd.keyHash == kh {
-				return nd.value, true
-			}
-			return nil, false
-		}
-		if bitAt(kh, depth) == 0 {
-			nd = nd.left
-		} else {
-			nd = nd.right
-		}
-	}
-	return nil, false
-}
-
 // Put stores value under key, replacing any previous value. The value
 // is copied; callers may reuse their buffer.
 func (t *Tree) Put(key, value []byte) {
@@ -216,55 +195,6 @@ func split(a, b *node, depth int) *node {
 	return nd
 }
 
-// Delete removes key, reporting whether it was present. The trie is
-// re-collapsed so the resulting structure is identical to one built
-// without the key.
-func (t *Tree) Delete(key []byte) bool {
-	kh := sha256.Sum256(key)
-	root, removed := remove(t.root, kh, 0)
-	if removed {
-		t.root = root
-		t.n--
-	}
-	return removed
-}
-
-// remove deletes the leaf for kh from the subtree at nd, collapsing
-// single-leaf inner chains on the way back up.
-func remove(nd *node, kh [32]byte, depth int) (*node, bool) {
-	if nd == nil {
-		return nil, false
-	}
-	if nd.leaf {
-		if nd.keyHash == kh {
-			return nil, true
-		}
-		return nd, false
-	}
-	var removed bool
-	if bitAt(kh, depth) == 0 {
-		nd.left, removed = remove(nd.left, kh, depth+1)
-	} else {
-		nd.right, removed = remove(nd.right, kh, depth+1)
-	}
-	if !removed {
-		return nd, false
-	}
-	// Collapse: an inner node whose only child is a leaf is replaced by
-	// that leaf, keeping every leaf at its minimal distinguishing depth.
-	if nd.left == nil && nd.right != nil && nd.right.leaf {
-		return nd.right, true
-	}
-	if nd.right == nil && nd.left != nil && nd.left.leaf {
-		return nd.left, true
-	}
-	if nd.left == nil && nd.right == nil {
-		return nil, true
-	}
-	nd.dirty = true
-	return nd, true
-}
-
 // Entry is one key/value pair as exported by Walk and the snapshot
 // chunker.
 type Entry struct {
@@ -289,27 +219,4 @@ func walk(nd *node, fn func(e Entry)) {
 	}
 	walk(nd.left, fn)
 	walk(nd.right, fn)
-}
-
-// Clone returns a deep structural copy sharing key/value byte slices
-// (which are never mutated in place).
-func (t *Tree) Clone() *Tree {
-	return &Tree{root: cloneNode(t.root), n: t.n}
-}
-
-func cloneNode(nd *node) *node {
-	if nd == nil {
-		return nil
-	}
-	cp := *nd
-	cp.left = cloneNode(nd.left)
-	cp.right = cloneNode(nd.right)
-	return &cp
-}
-
-// Equal reports whether two trees commit to the same root. It forces
-// both roots, so it is also a cheap way to compare contents.
-func (t *Tree) Equal(o *Tree) bool {
-	a, b := t.Root(), o.Root()
-	return bytes.Equal(a[:], b[:])
 }

@@ -87,13 +87,6 @@ func (s *Store) loadEvidence() error {
 // survives a crash/restart.
 func (s *Store) Evidence() []*evidence.Proof { return s.evidence }
 
-// HasEvidence reports whether the store holds a proof against the given
-// server.
-func (s *Store) HasEvidence(id types.ServerID) bool {
-	_, ok := s.evHave[id]
-	return ok
-}
-
 // AppendEvidence journals one equivocation proof, one per equivocator
 // (appending a second proof against an already-convicted builder is a
 // no-op). Unlike block appends, evidence is always forced durable before

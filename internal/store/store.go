@@ -355,9 +355,6 @@ func (s *Store) sweep(path string) error {
 	return nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SetRuntime registers the runtime that journals to the store (nil: none)
 // and Runtime returns it, from any goroutine: the store never calls it, a
 // sync server reaches its node through it (syncsvc.Server.Store).

@@ -56,7 +56,7 @@ func BenchmarkCatchUp(b *testing.B) {
 			net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st})
 			pull := syncsvc.NewPull(roster, nil, 0, nil)
 			net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
-			if !net.RunUntil(pull.Done) {
+			if !runUntil(net, pull.Done) {
 				b.Fatal("stream did not finish")
 			}
 			got, err := pull.Result()
@@ -193,7 +193,7 @@ func BenchmarkSnapshotSync(b *testing.B) {
 		net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: st, Signer: signers[0]})
 		q := syncsvc.NewSnapMetaQuery()
 		net.Transport(1).Call(0, transport.ChanSync, syncsvc.EncodeSnapMetaRequest(), q)
-		if !net.RunUntil(q.Done) {
+		if !runUntil(net, q.Done) {
 			b.Fatal("meta query did not finish")
 		}
 		meta, err := q.Result()
@@ -203,7 +203,7 @@ func BenchmarkSnapshotSync(b *testing.B) {
 		builder := state.NewBuilder(meta.Signed.Commit.Root)
 		pull := syncsvc.NewSnapChunkPull(builder)
 		net.Transport(1).Call(0, transport.ChanSync, pull.Request(meta.Signed.Commit.Root), pull)
-		if !net.RunUntil(pull.Done) {
+		if !runUntil(net, pull.Done) {
 			b.Fatal("chunk stream did not finish")
 		}
 		if _, err := pull.Result(); err != nil {

@@ -21,11 +21,15 @@ import (
 // crypto.LocalRoster of these tests holds a prefix of.
 func tcpAuth(t testing.TB, self types.ServerID) transport.Authenticator {
 	t.Helper()
-	r, signers, err := crypto.LocalRoster(4)
+	fx, err := roster.Dev(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return roster.NewAuth(r, signers[self])
+	id, err := fx.Identity(int(self))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id.Auth()
 }
 
 // holding inserts blocks into a fresh DAG over roster: a node holding them.
@@ -107,7 +111,7 @@ func TestDeltaEarlyAnswer(t *testing.T) {
 		net.RegisterHandler(0, transport.ChanSync, srv())
 		pull := &frameCounter{Pull: syncsvc.NewPull(roster, live, 0, nil)}
 		net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
-		if !net.RunUntil(pull.Done) {
+		if !runUntil(net, pull.Done) {
 			t.Fatal("stream did not finish")
 		}
 		check("simnet", pull)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"blockdag/internal/block"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/tcpnet"
@@ -264,7 +265,7 @@ func TestServerWithoutRuntimeRefuses(t *testing.T) {
 	if d := srv.Counts().Get(syncsvc.DropStarting); d != 1 {
 		t.Fatalf("starting drops = %d, want 1", d)
 	}
-	if s := scores.Score(1); s != 0 {
+	if s := dagtest.Score(scores, 1); s != 0 {
 		t.Fatalf("a refused requester scored %.1f", s)
 	}
 	// A requester the live vector is not ahead of is answered all the same.

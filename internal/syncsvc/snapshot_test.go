@@ -120,7 +120,7 @@ func TestSnapshotStreamOverSimnet(t *testing.T) {
 
 	q := syncsvc.NewSnapMetaQuery()
 	net.Transport(1).Call(0, transport.ChanSync, syncsvc.EncodeSnapMetaRequest(), q)
-	if !net.RunUntil(q.Done) {
+	if !runUntil(net, q.Done) {
 		t.Fatal("meta query did not finish")
 	}
 	meta, err := q.Result()
@@ -134,7 +134,7 @@ func TestSnapshotStreamOverSimnet(t *testing.T) {
 	builder := state.NewBuilder(meta.Signed.Commit.Root)
 	pull := syncsvc.NewSnapChunkPull(builder)
 	net.Transport(1).Call(0, transport.ChanSync, pull.Request(meta.Signed.Commit.Root), pull)
-	if !net.RunUntil(pull.Done) {
+	if !runUntil(net, pull.Done) {
 		t.Fatal("chunk stream did not finish")
 	}
 	accepted, err := pull.Result()
@@ -151,7 +151,7 @@ func TestSnapshotStreamOverSimnet(t *testing.T) {
 	if tree.Root() != fix.commit.Root {
 		t.Fatal("rebuilt tree root differs from the certified root")
 	}
-	if !tree.Equal(fix.tree) {
+	if tree.Root() != fix.tree.Root() {
 		t.Fatal("rebuilt tree content differs from the source")
 	}
 }
@@ -179,7 +179,7 @@ func TestSnapshotStreamRejectsReorderedChunk(t *testing.T) {
 	builder := state.NewBuilder(fix.commit.Root)
 	pull := syncsvc.NewSnapChunkPull(builder)
 	net.Transport(2).Call(0, transport.ChanSync, pull.Request(fix.commit.Root), pull)
-	net.RunUntil(pull.Done)
+	runUntil(net, pull.Done)
 	if _, perr := pull.Result(); perr == nil {
 		t.Fatal("reordered chunk stream accepted")
 	} else if !strings.Contains(perr.Error(), "rejected") {
@@ -196,7 +196,7 @@ func TestSnapshotStreamRejectsReorderedChunk(t *testing.T) {
 	// whole content against the certified root.
 	resume := syncsvc.NewSnapChunkPull(builder)
 	net.Transport(2).Call(1, transport.ChanSync, resume.Request(fix.commit.Root), resume)
-	if !net.RunUntil(resume.Done) {
+	if !runUntil(net, resume.Done) {
 		t.Fatal("resume stream did not finish")
 	}
 	tail, rerr := resume.Result()
@@ -237,7 +237,7 @@ func TestSnapshotStreamRejectsTamperedChunk(t *testing.T) {
 	builder := state.NewBuilder(fix.commit.Root)
 	pull := syncsvc.NewSnapChunkPull(builder)
 	net.Transport(2).Call(0, transport.ChanSync, pull.Request(fix.commit.Root), pull)
-	net.RunUntil(pull.Done)
+	runUntil(net, pull.Done)
 	if _, perr := pull.Result(); perr == nil {
 		t.Fatal("tampered chunk stream accepted")
 	}
@@ -276,7 +276,7 @@ func TestSnapshotStreamTruncatedFlagged(t *testing.T) {
 	builder := state.NewBuilder(fix.commit.Root)
 	pull := syncsvc.NewSnapChunkPull(builder)
 	net.Transport(1).Call(0, transport.ChanSync, pull.Request(fix.commit.Root), pull)
-	net.RunUntil(pull.Done)
+	runUntil(net, pull.Done)
 	if _, perr := pull.Result(); perr == nil {
 		t.Fatal("truncated chunk stream not flagged")
 	}
@@ -301,7 +301,7 @@ func TestServeSnapChunksWrongRoot(t *testing.T) {
 	builder := state.NewBuilder(stale)
 	pull := syncsvc.NewSnapChunkPull(builder)
 	net.Transport(1).Call(0, transport.ChanSync, pull.Request(stale), pull)
-	net.RunUntil(pull.Done)
+	runUntil(net, pull.Done)
 	_, perr := pull.Result()
 	if perr == nil {
 		t.Fatal("stale-root chunk request served")
@@ -437,7 +437,7 @@ func TestFetchSnapshotOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("returned chunks do not rebuild the certified root: %v", err)
 	}
-	if !tree.Equal(fix.tree) {
+	if tree.Root() != fix.tree.Root() {
 		t.Fatal("installed tree content differs from the source")
 	}
 	if len(got.Cert) < roster.F()+1 {
@@ -582,7 +582,7 @@ func TestServeSnapshotOnlyWhileARuntimeIsRegistered(t *testing.T) {
 	meta := func() *syncsvc.SnapMeta {
 		q := syncsvc.NewSnapMetaQuery()
 		net.Transport(1).Call(0, transport.ChanSync, syncsvc.EncodeSnapMetaRequest(), q)
-		if !net.RunUntil(q.Done) {
+		if !runUntil(net, q.Done) {
 			t.Fatal("meta query did not finish")
 		}
 		m, err := q.Result()
@@ -594,7 +594,7 @@ func TestServeSnapshotOnlyWhileARuntimeIsRegistered(t *testing.T) {
 	chunks := func() error {
 		pull := syncsvc.NewSnapChunkPull(state.NewBuilder(fix.commit.Root))
 		net.Transport(1).Call(0, transport.ChanSync, pull.Request(fix.commit.Root), pull)
-		if !net.RunUntil(pull.Done) {
+		if !runUntil(net, pull.Done) {
 			t.Fatal("chunk stream did not finish")
 		}
 		_, err := pull.Result()

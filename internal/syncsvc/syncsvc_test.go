@@ -118,7 +118,7 @@ func (f fixed) Stream(next map[types.ServerID]uint64, _ int, send func([]*block.
 func runPull(t testing.TB, net *simnet.Network, pull *syncsvc.Pull) ([]*block.Block, error) {
 	t.Helper()
 	net.Transport(1).Call(0, transport.ChanSync, pull.Request(), pull)
-	if !net.RunUntil(pull.Done) {
+	if !runUntil(net, pull.Done) {
 		t.Fatal("stream did not finish")
 	}
 	return pull.Result()
@@ -351,3 +351,14 @@ func mustRoster(t *testing.T) *crypto.Roster {
 type nopEndpoint struct{}
 
 func (nopEndpoint) Deliver(types.ServerID, []byte) {}
+
+// runUntil steps net until cond holds or nothing is left to run, reporting
+// whether cond holds.
+func runUntil(net *simnet.Network, cond func() bool) bool {
+	for !cond() {
+		if !net.Step() {
+			return cond()
+		}
+	}
+	return true
+}

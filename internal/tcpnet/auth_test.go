@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"blockdag/internal/crypto"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/roster"
 	"blockdag/internal/transport"
@@ -566,7 +567,7 @@ func TestAuthForgedHelloChargesNobody(t *testing.T) {
 		forge()
 	}
 	waitFor(t, 5*time.Second, func() bool { return victim.Counts().Get(AuthRejections) == 100 })
-	if got := scores.Score(framed); got != 0 {
+	if got := dagtest.Score(scores, framed); got != 0 {
 		t.Fatalf("100 forged hellos claiming s%d raised its score to %v", framed, got)
 	}
 	if got := rotation(); !slices.Equal(got, clean) {
@@ -589,7 +590,7 @@ func TestAuthForgedHelloChargesNobody(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim.Send(framed, transport.ChanGossip, []byte("secret"))
-	waitFor(t, 5*time.Second, func() bool { return victim.Counts().Get(AuthFailures) >= 1 && scores.Score(framed) > 0 })
+	waitFor(t, 5*time.Second, func() bool { return victim.Counts().Get(AuthFailures) >= 1 && dagtest.Score(scores, framed) > 0 })
 }
 
 // TestAuthUnansweredHandshakeChargesNobody: an outbound handshake fails as
@@ -644,7 +645,7 @@ func TestAuthUnansweredHandshakeChargesNobody(t *testing.T) {
 			}
 			dialer.Send(1, transport.ChanGossip, []byte("hello"))
 			waitFor(t, 5*time.Second, func() bool { return dialer.Counts().Get(AuthFailures) >= 3 })
-			if got := scores.Score(1); got != 0 {
+			if got := dagtest.Score(scores, 1); got != 0 {
 				t.Fatalf("a listener that %s raised s1's score to %v", name, got)
 			}
 		})

