@@ -209,7 +209,7 @@ func TestClusterFollowerThrottledRotates(t *testing.T) {
 
 // TestClusterFollowerLyingPeer: with no watermark answer to inflate, what
 // is left of a sync peer's lie is the stream itself — tampered, or short.
-// A forged block costs the liar the poll and its standing, a stream that
+// A forged block costs the liar the poll and a signal, a stream that
 // claims to be complete and is not costs the follower nothing it held; its
 // state stays intact and it converges through the honest peers.
 func TestClusterFollowerLyingPeer(t *testing.T) {
@@ -262,9 +262,9 @@ func TestClusterFollowerLyingPeer(t *testing.T) {
 	if stats.Polls != 3 || stats.Errors != 1 || stats.Deltas != 1 || stats.Blocks != 0 {
 		t.Fatalf("follow stats %+v; want three polls, of which the tampered stream failed and nothing was absorbed", stats)
 	}
-	if dagtest.Score(c.Servers[3].Scores(), 0) == 0 || dagtest.Score(c.Servers[3].Scores(), 1) != 0 {
-		t.Fatalf("scores: forger %.1f, short server %.1f; want only the forger charged",
-			dagtest.Score(c.Servers[3].Scores(), 0), dagtest.Score(c.Servers[3].Scores(), 1))
+	if dagtest.Signals(c.Servers[3].Scores(), 0) == 0 || dagtest.Signals(c.Servers[3].Scores(), 1) != 0 {
+		t.Fatalf("signals: forger %d, short server %d; want only the forger charged",
+			dagtest.Signals(c.Servers[3].Scores(), 0), dagtest.Signals(c.Servers[3].Scores(), 1))
 	}
 	if got := c.Servers[3].DAG().Len(); got != before {
 		t.Fatalf("lying peers changed the follower's DAG: %d -> %d blocks", before, got)
@@ -283,6 +283,72 @@ func TestClusterFollowerLyingPeer(t *testing.T) {
 	if err := c.Health(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFollowerRotatesPastAForger bounds what a forging sync peer costs a
+// follower that rotates round-robin. Slot 3 hears no gossip, so it follows
+// by pulls alone, and peer 0 answers every pull with a forged block for 400
+// rounds under load. The forger gets no more than its share of the polls,
+// the follower's mean lag behind honest peer 2 stays within 30 blocks, and
+// once the partition heals slot 3 converges.
+func TestFollowerRotatesPastAForger(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		polls, forged, meanLag := followPastAForger(t, seed)
+		t.Logf("seed %d: %d polls, %d to the forger, mean lag %.1f blocks", seed, polls, forged, meanLag)
+		if forged > (polls+2)/3+1 {
+			t.Errorf("seed %d: the forger got %d of %d polls", seed, forged, polls)
+		}
+		if meanLag > 30 {
+			t.Errorf("seed %d: mean lag %.1f blocks, want ≤ 30", seed, meanLag)
+		}
+	}
+}
+
+func followPastAForger(t *testing.T, seed int64) (polls, forged int, meanLag float64) {
+	const rounds = 400
+	c, err := cluster.New(cluster.Options{
+		N:            4,
+		Protocol:     brb.Protocol{},
+		Seed:         seed,
+		StoreDir:     t.TempDir(),
+		LoadPerRound: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunRounds(5); err != nil {
+		t.Fatal(err)
+	}
+	// The forgery is TestClusterFollowerLyingPeer's: an honest block's
+	// fields pushed past every horizon, under a signature that cannot verify.
+	honest := c.Servers[1].DAG().Blocks()
+	h := honest[len(honest)/2]
+	forgery := block.New(h.Builder, 1<<20, h.Preds, h.Requests)
+	forgery.Sig = append([]byte(nil), h.Sig...)
+	c.Net.RegisterHandler(0, transport.ChanSync, handlerFunc(func(from types.ServerID, req []byte, st transport.ServerStream) {
+		forged++
+		_ = st.Send(syncsvc.EncodeBatchFrame([]*block.Block{forgery}))
+		_ = st.Send(syncsvc.EncodeDoneFrame(1))
+		st.Close(nil)
+	}))
+
+	c.Net.SetPartition(func(from, to types.ServerID) bool { return to == 3 })
+	before := c.Nodes[3].FollowReport().Polls
+	lag := 0
+	for r := 0; r < rounds; r++ {
+		if err := c.RunRounds(1); err != nil {
+			t.Fatal(err)
+		}
+		lag += c.Servers[2].DAG().Len() - c.Servers[3].DAG().Len()
+	}
+	polls = c.Nodes[3].FollowReport().Polls - before
+
+	c.Net.SetPartition(nil)
+	ok, err := c.RunUntil(60, c.Converged)
+	if err != nil || !ok {
+		t.Fatalf("seed %d: after the heal ok=%v err=%v", seed, ok, err)
+	}
+	return polls, forged, float64(lag) / rounds
 }
 
 // TestClusterFollowerHoldingAForkIsNotRestreamed keeps the one-call poll's

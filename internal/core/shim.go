@@ -69,11 +69,11 @@ type Config struct {
 	// (mempool.Options{}). The pool is volatile: queued requests do not
 	// survive a restart.
 	Mempool *mempool.Pool
-	// Scores carries per-peer misbehaviour scores and the terminal ban
+	// Scores carries per-peer misbehaviour signals and the terminal ban
 	// state equivocation proofs feed. A deployment shares one scorer
 	// between the server, its transport and its sync service, so every
 	// layer sees the same verdicts (package deploy does); nil means a
-	// scorer of the server's own, on Clock.
+	// scorer of the server's own.
 	Scores *peerscore.Scorer
 
 	// Metrics, optional.
@@ -139,7 +139,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.Mempool = mempool.New(mempool.Options{})
 	}
 	if cfg.Scores == nil {
-		cfg.Scores = peerscore.New(peerscore.Options{Clock: cfg.Clock})
+		cfg.Scores = peerscore.New()
 	}
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = gossip.DefaultMaxBatch

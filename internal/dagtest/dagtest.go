@@ -3,7 +3,7 @@
 // Figures 2–4, equivocation forks, adversarial structures) without running
 // gossip. It wraps a roster, per-server signers, chain bookkeeping, and a
 // target DAG. Beside the harness it holds the readings tests share and no
-// node needs (LiveHeap, Equivocators, Score); only tests import it.
+// node needs (LiveHeap, Equivocators, Signals); only tests import it.
 package dagtest
 
 import (
@@ -196,13 +196,16 @@ func Equivocators(d *dag.DAG) []types.ServerID {
 	return slices.Compact(out)
 }
 
-// Score returns peer id's decayed score in s, as Snapshot reports it: 0
-// for a peer without one.
-func Score(s *peerscore.Scorer, id types.ServerID) float64 {
+// Signals returns the number of signals s has counted against peer id, of
+// every kind, as Snapshot reports them: 0 for a peer without one.
+func Signals(s *peerscore.Scorer, id types.ServerID) int64 {
+	var total int64
 	for _, st := range s.Snapshot() {
 		if st.Peer == id {
-			return st.Score
+			for _, n := range st.Signals {
+				total += n
+			}
 		}
 	}
-	return 0
+	return total
 }

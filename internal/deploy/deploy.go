@@ -192,7 +192,7 @@ func ListenOn(net Network, clock func() time.Duration, cfg Config) (*Assembly, e
 		cfg.DisseminateEvery = disseminateEvery
 	}
 	a := &Assembly{cfg: cfg, clock: clock}
-	a.scores = peerscore.New(peerscore.Options{Clock: a.clock})
+	a.scores = peerscore.New()
 	tcfg := tcpnet.Config{
 		Self:       id.ID(),
 		ListenAddr: cfg.ListenAddr,

@@ -70,7 +70,7 @@ func TestGoldenExposition(t *testing.T) {
 	_ = pool.Submit("c", []byte("3")) // overflow
 	_ = pool.Submit("a", []byte("1")) // duplicate
 	pool.Next(1)
-	scores := peerscore.New(peerscore.Options{Clock: func() time.Duration { return 0 }})
+	scores := peerscore.New()
 	scores.Penalize(1, peerscore.BadSignature)
 	scores.Penalize(1, peerscore.BadSignature)
 	scores.Ban(2)

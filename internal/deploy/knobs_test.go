@@ -22,7 +22,7 @@ import (
 // internal/.
 var knobs = []string{
 	"core.Config", "gossip.Config", "node.Config", "store.Options", "tcpnet.Config",
-	"syncsvc.Server", "mempool.Options", "peerscore.Options", "gateway.Config", "deploy.Config",
+	"syncsvc.Server", "mempool.Options", "gateway.Config", "deploy.Config",
 	"cluster.Options",
 }
 

@@ -38,7 +38,7 @@ func newAccountableCluster(t *testing.T, n int) (*cluster, []*accountableNode) {
 		d := dag.New(roster)
 		m := &metrics.Metrics{}
 		src := &queueSource{}
-		scores := peerscore.New(peerscore.Options{Clock: net.Now})
+		scores := peerscore.New()
 		g := newGossip(t, Config{
 			Signer:     signers[i],
 			Roster:     roster,
@@ -154,7 +154,7 @@ func TestEvidenceRelayTerminates(t *testing.T) {
 }
 
 // TestBadEvidencePenalized: a well-formed frame whose proof convicts no
-// one (a frame-up attempt) is dropped with a score penalty and never
+// one (a frame-up attempt) is dropped with a signal against the sender and never
 // relayed or pooled.
 func TestBadEvidencePenalized(t *testing.T) {
 	c, acc := newAccountableCluster(t, 3)
@@ -168,7 +168,7 @@ func TestBadEvidencePenalized(t *testing.T) {
 	if acc[0].pool.Len() != 0 || acc[0].scores.Banned(2) {
 		t.Fatal("frame-up convicted an honest builder")
 	}
-	if dagtest.Score(acc[0].scores, 1) == 0 {
+	if dagtest.Signals(acc[0].scores, 1) == 0 {
 		t.Fatal("frame-up sender not penalized")
 	}
 	if got := acc[0].m.Get(metrics.EvidenceReceived); got != 0 {

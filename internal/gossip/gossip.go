@@ -415,7 +415,7 @@ func (g *Gossip) handleBlock(from types.ServerID, b *block.Block, verdicts map[b
 		g.cfg.Metrics.Add(metrics.BlocksDuplicate, 1)
 		return
 	}
-	// Quarantine a proven equivocator's output: fresh blocks built by a
+	// Refuse a proven equivocator's output: fresh blocks built by a
 	// banned server are refused before we even pay for a signature check —
 	// except one some buffered block already waits on: chains that cited
 	// the equivocator before its conviction must stay completable (Lemma

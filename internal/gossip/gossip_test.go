@@ -406,7 +406,7 @@ func TestBannedEchoIsNotAsked(t *testing.T) {
 	}
 	net := simnet.New()
 	log := &sendLog{Transport: net.Transport(0)}
-	scores, m := peerscore.New(peerscore.Options{Clock: net.Now}), &metrics.Metrics{}
+	scores, m := peerscore.New(), &metrics.Metrics{}
 	g := newGossip(t, Config{
 		Signer: signers[0], Roster: roster, DAG: dag.New(roster), Metrics: m,
 		Transport: log, Clock: net.Now, Scores: scores, OnEvidence: discardEvidence,

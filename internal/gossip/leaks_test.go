@@ -151,7 +151,7 @@ func TestBufferBoundedPerBuilder(t *testing.T) {
 	}
 	net := simnet.New()
 	log := &sendLog{Transport: net.Transport(0)}
-	scores := peerscore.New(peerscore.Options{Clock: net.Now})
+	scores := peerscore.New()
 	g := newGossip(t, Config{
 		Signer: signers[0], Roster: roster, DAG: dag.New(roster),
 		Transport: log, Clock: net.Now, Scores: scores, OnEvidence: discardEvidence,
@@ -216,7 +216,7 @@ func TestAwaitedReferencesBoundedPerBuilder(t *testing.T) {
 	}
 	net := simnet.New()
 	log := &sendLog{Transport: net.Transport(0)}
-	scores := peerscore.New(peerscore.Options{Clock: net.Now})
+	scores := peerscore.New()
 	m := &metrics.Metrics{}
 	g := newGossip(t, Config{
 		Signer: signers[0], Roster: roster, DAG: dag.New(roster),
@@ -269,7 +269,7 @@ func TestBufferBoundCountsTheBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := simnet.New()
-	scores := peerscore.New(peerscore.Options{Clock: net.Now})
+	scores := peerscore.New()
 	g := newGossip(t, Config{
 		Signer: signers[0], Roster: roster, DAG: dag.New(roster),
 		Transport: net.Transport(0), Clock: net.Now, Scores: scores, OnEvidence: discardEvidence,

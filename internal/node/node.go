@@ -435,8 +435,8 @@ func (n *Node) FollowReport() FollowReport {
 }
 
 // AccountabilityReport is the node's view of the accountability layer:
-// which peers it has banned on proven equivocation, and the decaying
-// misbehaviour score of every peer it has penalized.
+// which peers it has banned on proven equivocation, and the signals it has
+// counted against every peer it has penalized.
 type AccountabilityReport struct {
 	Banned []types.ServerID
 	Peers  []peerscore.PeerStat
@@ -445,8 +445,13 @@ type AccountabilityReport struct {
 // AccountabilityReport snapshots the server's peer scorer. Safe for
 // concurrent use.
 func (n *Node) AccountabilityReport() AccountabilityReport {
-	s := n.cfg.Server.Scores()
-	return AccountabilityReport{Banned: s.BannedPeers(), Peers: s.Snapshot()}
+	rep := AccountabilityReport{Peers: n.cfg.Server.Scores().Snapshot()}
+	for _, st := range rep.Peers {
+		if st.Banned {
+			rep.Banned = append(rep.Banned, st.Peer)
+		}
+	}
+	return rep
 }
 
 // Watermarks returns this node's own watermark vector, its DAG's chain heads

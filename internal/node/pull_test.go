@@ -170,13 +170,13 @@ func onDisk(t *testing.T, dir string, roster *crypto.Roster) []*block.Block {
 	return ro.Blocks()
 }
 
-// TestFollowTamperedStreamChargedAndSkipped: a sync peer streaming one
+// TestFollowTamperedStreamChargedAndRotatedPast: a sync peer streaming one
 // flipped signature is not believed and not forgiven. The honest prefix
 // is in the DAG and in the store, the forged block in neither, the error
-// names the rejection, the liar loses standing and the score-weighted
-// rotation skips it; the next peer completes the pull and the clean poll
-// clears the follower's last error.
-func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
+// names the rejection and the liar is charged a signal; the rotation moves
+// on to the next peer, which completes the pull, and the clean poll clears
+// the follower's last error.
+func TestFollowTamperedStreamChargedAndRotatedPast(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(3)
 	if err != nil {
 		t.Fatal(err)
@@ -193,12 +193,7 @@ func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The liar has a record already, under the quarantine threshold, so the
-	// forgery's one strike quarantines it: the point is the rotation, not
-	// the threshold.
-	scores := peerscore.New(peerscore.Options{Clock: net.Now})
-	scores.Penalize(0, peerscore.BadSignature)
-	scores.Penalize(0, peerscore.MalformedFrame)
+	scores := peerscore.New()
 	nd := steppedNode(t, net, roster, signers[2], core.Config{Scores: scores},
 		node.Config{Store: st})
 	if rep := nd.FollowReport(); rep.State != node.FollowIdle {
@@ -225,16 +220,11 @@ func TestFollowTamperedStreamChargedAndSkipped(t *testing.T) {
 	if journaled := onDisk(t, dir, roster); st.Len() != 30 || len(journaled) != 30 || journaled[29].Ref() != chain[29].Ref() {
 		t.Fatalf("store holds %d blocks, %d on disk, want the 30-block honest prefix", st.Len(), len(journaled))
 	}
-	if dagtest.Score(scores, 0) == 0 || dagtest.Score(scores, 1) != 0 {
-		t.Fatalf("scores after the forgery: liar %.1f, honest %.1f", dagtest.Score(scores, 0), dagtest.Score(scores, 1))
-	}
-	for cursor := 0; cursor < 4; cursor++ {
-		if peer, ok := scores.Pick([]types.ServerID{0, 1}, cursor); !ok || peer != 1 {
-			t.Fatalf("Pick(cursor %d) = %v, want the liar skipped", cursor, peer)
-		}
+	if dagtest.Signals(scores, 0) == 0 || dagtest.Signals(scores, 1) != 0 {
+		t.Fatalf("signals after the forgery: liar %d, honest %d", dagtest.Signals(scores, 0), dagtest.Signals(scores, 1))
 	}
 
-	nd.FollowPoll() // whatever the cursor, the rotation now lands on peer 1
+	nd.FollowPoll() // the rotation moves on to peer 1
 	net.Run()
 	rep = nd.FollowReport()
 	if rep.Blocks != 50 || rep.Errors != 1 || rep.LastErr != nil {
@@ -275,15 +265,15 @@ func TestPullFromTruncatedStreamResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = st.Close() }()
-	scores := peerscore.New(peerscore.Options{Clock: net.Now})
+	scores := peerscore.New()
 	nd := steppedNode(t, net, roster, signers[2], core.Config{Scores: scores}, node.Config{Store: st})
 
 	absorbed, perr := pullNow(t, net, nd, 0)
 	if perr == nil || absorbed != 20 {
 		t.Fatalf("truncated stream: absorbed %d, err %v", absorbed, perr)
 	}
-	if errors.Is(perr, syncsvc.ErrBadStream) || dagtest.Score(scores, 0) != 0 {
-		t.Fatalf("truncation blamed on the peer: err %v, score %.1f", perr, dagtest.Score(scores, 0))
+	if errors.Is(perr, syncsvc.ErrBadStream) || dagtest.Signals(scores, 0) != 0 {
+		t.Fatalf("truncation blamed on the peer: err %v, %d signals", perr, dagtest.Signals(scores, 0))
 	}
 	if nd.Server().DAG().Len() != 20 || st.Len() != 20 {
 		t.Fatalf("prefix not kept: DAG %d, store %d", nd.Server().DAG().Len(), st.Len())
@@ -332,7 +322,7 @@ func TestPullFromIllOrderedStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores := peerscore.New(peerscore.Options{Clock: net.Now})
+		scores := peerscore.New()
 		nd := steppedNode(t, net, roster, signers[1], core.Config{Scores: scores}, node.Config{Store: st})
 
 		absorbed, perr := pullNow(t, net, nd, 0)
@@ -343,7 +333,7 @@ func TestPullFromIllOrderedStream(t *testing.T) {
 		if nd.Server().DAG().Len() != tc.kept || st.Len() != tc.kept {
 			t.Fatalf("%s: DAG %d, store %d, want %d", name, nd.Server().DAG().Len(), st.Len(), tc.kept)
 		}
-		if dagtest.Score(scores, 0) == 0 {
+		if dagtest.Signals(scores, 0) == 0 {
 			t.Fatalf("%s: ill-ordered stream cost the peer nothing", name)
 		}
 		if err := nd.Err(); err != nil {

@@ -320,8 +320,8 @@ func TestCatchUpSkipsAPeerNotServing(t *testing.T) {
 	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Peer != 1 || rep.Blocks != len(chain) {
 		t.Fatalf("catch-up report = %+v, want %d blocks from peer 1", rep, len(chain))
 	}
-	if s := dagtest.Score(nd.Server().Scores(), 0); s != 0 {
-		t.Fatalf("the peer not serving yet scored %.1f", s)
+	if s := dagtest.Signals(nd.Server().Scores(), 0); s != 0 {
+		t.Fatalf("the peer not serving yet was charged %d signals", s)
 	}
 	if d := booting.Counts().Get(syncsvc.DropStarting); d != 1 {
 		t.Fatalf("starting drops = %d, want 1", d)
@@ -330,7 +330,7 @@ func TestCatchUpSkipsAPeerNotServing(t *testing.T) {
 	net := simnet.New()
 	net.RegisterHandler(0, transport.ChanSync, &syncsvc.Server{Store: idle, Clock: net.Now})
 	net.RegisterHandler(1, transport.ChanSync, serve(t, chain))
-	scores := peerscore.New(peerscore.Options{Clock: net.Now})
+	scores := peerscore.New()
 	follower := steppedNode(t, net, roster, signers[2], core.Config{Scores: scores}, node.Config{Store: emptyStore(t, roster)})
 	for poll := 0; poll < 2; poll++ {
 		follower.FollowPoll()
@@ -339,7 +339,7 @@ func TestCatchUpSkipsAPeerNotServing(t *testing.T) {
 	if rep := follower.FollowReport(); rep.Polls != 2 || rep.Throttled != 1 || rep.Errors != 0 || rep.Blocks != len(chain) || rep.LastErr != nil {
 		t.Fatalf("follow report %+v, want a refusal, then the chain from the next peer", rep)
 	}
-	if s := dagtest.Score(scores, 0); s != 0 {
-		t.Fatalf("the follower charged the peer not serving yet %.1f", s)
+	if s := dagtest.Signals(scores, 0); s != 0 {
+		t.Fatalf("the follower charged the peer not serving yet %d signals", s)
 	}
 }

@@ -121,7 +121,8 @@ func (n *Node) Tick() {
 
 // FollowPoll pulls from the next peer in rotation, whatever the evidence
 // says — unless a poll is still in flight: at most one is, so a slow peer
-// stretches the gap between pulls instead of stacking requests. A peer that
+// stretches the gap between pulls instead of stacking requests. The
+// rotation is round-robin over the peers and skips a banned one. A peer that
 // holds nothing new answers with an empty stream, from its counters; a
 // throttled or failed peer costs nothing beyond the poll — the next one
 // rotates to the next peer. A node without a store does not follow.
@@ -129,10 +130,7 @@ func (n *Node) FollowPoll() {
 	if n.followInFlight || n.cfg.Store == nil {
 		return
 	}
-	// Score-weighted rotation: the poll prefers peers outside quarantine
-	// and never targets a banned one; among equals it is round-robin.
-	peer, ok := n.cfg.Server.Scores().Pick(n.via.Peers, n.followPeer)
-	n.followPeer++
+	peer, ok := n.nextFollowPeer()
 	if !ok {
 		return // no peer, or every one is banned; gossip still asks blocks' senders
 	}
@@ -157,6 +155,18 @@ func (n *Node) FollowPoll() {
 			rep.State, rep.LastErr = FollowIdle, err
 		})
 	})
+}
+
+// nextFollowPeer advances the rotation cursor to the next peer not banned.
+func (n *Node) nextFollowPeer() (types.ServerID, bool) {
+	for range n.via.Peers {
+		peer := n.via.Peers[n.followPeer%len(n.via.Peers)]
+		n.followPeer++
+		if !n.cfg.Server.Scores().Banned(peer) {
+			return peer, true
+		}
+	}
+	return 0, false
 }
 
 // noteFollow applies one mutation to the follow counters under the lock
@@ -244,7 +254,7 @@ func (n *Node) absorb(peer types.ServerID, pull *syncsvc.Pull) (absorbed int, er
 	return absorbed, err
 }
 
-// charge maps a failed exchange with a sync peer onto the peer's score:
+// charge maps a failed exchange with a sync peer onto a signal against it:
 // refusal by admission control, a block that fails its signature check,
 // or anything else no correct server sends (ErrBadStream). A stream that
 // merely stopped — link death, timeout — costs nothing: the peer may be

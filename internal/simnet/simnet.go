@@ -202,19 +202,6 @@ func (n *Network) RegisterAuth(id types.ServerID, auth transport.Authenticator) 
 	}
 }
 
-// RegisterScorer installs a server's peer scorer. While registered, the
-// network refuses traffic on any link where one endpoint has banned the
-// other: sends are dropped (counted in Stats.BanDrops) and calls fail
-// with transport.ErrUnreachable, matching how the TCP transport tears
-// down and refuses connections with banned peers. Pass nil to remove.
-func (n *Network) RegisterScorer(id types.ServerID, s *peerscore.Scorer) {
-	if s == nil {
-		delete(n.scorers, id)
-		return
-	}
-	n.scorers[id] = s
-}
-
 // linkBanned reports whether either endpoint of the from→to link has
 // banned the other.
 func (n *Network) linkBanned(from, to types.ServerID) bool {
@@ -348,7 +335,11 @@ func (n *Network) Transport(id types.ServerID) transport.Transport {
 
 // Listen binds one server the way a deployed node is bound to its
 // listener (deploy.Network): cfg's endpoints, call handlers, authenticator
-// and scorer, registered for cfg.Self. The Link it returns is the server's
+// and scorer, registered for cfg.Self. While the scorer is registered, the
+// network refuses traffic on any link where one endpoint has banned the
+// other: sends are dropped (counted in Stats.BanDrops) and calls fail with
+// transport.ErrUnreachable, as the TCP transport tears down and refuses
+// connections with banned peers. The Link it returns is the server's
 // transport, whose node the network's owner steps.
 func (n *Network) Listen(cfg tcpnet.Config) *Link {
 	for ch, ep := range cfg.Endpoints {
@@ -358,7 +349,7 @@ func (n *Network) Listen(cfg tcpnet.Config) *Link {
 		n.RegisterHandler(cfg.Self, ch, h)
 	}
 	n.RegisterAuth(cfg.Self, cfg.Auth)
-	n.RegisterScorer(cfg.Self, cfg.Scores)
+	n.scorers[cfg.Self] = cfg.Scores
 	return &Link{handle: handle{net: n, id: cfg.Self}}
 }
 

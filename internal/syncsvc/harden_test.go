@@ -223,7 +223,7 @@ func TestServerWithoutRuntimeRefuses(t *testing.T) {
 	roster, blocks := buildChain(t, 5)
 	st := storeWith(t, t.TempDir(), roster, blocks)
 	defer func() { _ = st.Close() }()
-	scores := peerscore.New(peerscore.Options{})
+	scores := peerscore.New()
 	var live atomic.Pointer[[]syncsvc.Watermark] // none yet: nil
 	srv := &syncsvc.Server{Store: st, Scores: scores, Watermarks: func() []syncsvc.Watermark {
 		if wms := live.Load(); wms != nil {
@@ -265,8 +265,8 @@ func TestServerWithoutRuntimeRefuses(t *testing.T) {
 	if d := srv.Counts().Get(syncsvc.DropStarting); d != 1 {
 		t.Fatalf("starting drops = %d, want 1", d)
 	}
-	if s := dagtest.Score(scores, 1); s != 0 {
-		t.Fatalf("a refused requester scored %.1f", s)
+	if s := dagtest.Signals(scores, 1); s != 0 {
+		t.Fatalf("a refused requester was charged %d signals", s)
 	}
 	// A requester the live vector is not ahead of is answered all the same.
 	vector := held(t, roster, blocks)

@@ -271,10 +271,8 @@ type Server struct {
 	// and fails chunk requests.
 	Signer *crypto.Signer
 	// Scores, if non-nil, receives a peerscore.Throttled signal each time
-	// the admission policy refuses a request — sustained hammering of the
-	// sync service erodes the peer's standing in follower peer selection.
-	// A single refusal is weighted lightly: an honest node retrying after
-	// a broken stream must not quarantine itself.
+	// the admission policy refuses a request. It is counted, not acted on:
+	// an honest node retrying after a broken stream trips it too.
 	Scores *peerscore.Scorer
 
 	mu       sync.Mutex

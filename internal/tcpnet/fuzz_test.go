@@ -48,7 +48,7 @@ func FuzzHandshake(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	scores := peerscore.New(peerscore.Options{})
+	scores := peerscore.New()
 	delivered := &sink{}
 	tr, err := Listen(Config{
 		Self:       0,

@@ -222,7 +222,7 @@ func TestSendBlocksAtQueueSize(t *testing.T) {
 // the peer's standing.
 func TestBanReleasesBacklog(t *testing.T) {
 	const backlog = 100
-	scores := peerscore.New(peerscore.Options{})
+	scores := peerscore.New()
 	tr, p := sender(t, freeAddr(t), Config{Scores: scores})
 	for i := 0; i < backlog; i++ {
 		tr.Send(1, transport.ChanGossip, make([]byte, 300))

@@ -681,8 +681,8 @@ func (t *Transport) admit(conn net.Conn) (from types.ServerID, kind byte, ch tra
 	}
 	if err := t.serveHandshake(conn, from, kind, ch, dialerNonce); err != nil {
 		// Counted, and nobody is charged: from is whatever the hello
-		// claimed, and a score a stranger can raise against a member of its
-		// choosing would let it steer every follower away from that member.
+		// claimed, and a charge a stranger can lay against a member of its
+		// choosing would falsify that member's signal counter.
 		t.counts.Add(Rejections, 1)
 		t.counts.Add(AuthRejections, 1)
 		if kind == kindCall {
