@@ -63,13 +63,14 @@ race:
 # (the location column a cut marks under the DAG's feet), the
 # serving side of a pull (a started node's reads in its loop's turns, while
 # that loop inserts) and of the snapshot tier (meta and chunk calls reading
-# the store's head while the loop seals and cuts) — ten times under the
-# race detector, so a test that fails one run in five (as
+# the store's head while the loop seals and cuts) and a started node's
+# answer to a peer's full block (a delivery racing the loop's timers) —
+# ten times under the race detector, so a test that fails one run in five (as
 # TestAuthWrongKeyRejected did until PR 12) is caught in the PR that
 # introduces it rather than blocking unrelated work later. The -run filter
 # keeps it to a few minutes.
 flake-smoke:
-	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|Prune|RowBack|Serve' \
+	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|Prune|RowBack|Serve|StartedNodeAnswers' \
 		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy
 
 .PHONY: experiments-smoke

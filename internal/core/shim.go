@@ -247,9 +247,10 @@ func (s *Server) DeliverBatch(msgs []gossip.Message) {
 
 // Disseminate implements Algorithm 3 lines 10–11: seal and broadcast the
 // current block. The caller controls pacing — the paper leaves it to the
-// implementation. Package node builds on two triggers: its period's tick,
-// and payload pressure (a mempool holding a full block seals early,
-// node.DisseminateIfFull).
+// implementation. Package node builds on three triggers: its period's tick,
+// payload pressure (a mempool holding a full block seals early,
+// node.DisseminateIfFull), and a peer's full block, answered in the
+// delivery turn that inserts it (node.DeliverBurst).
 //
 // An unhealthy server refuses to disseminate: once a persist (or other
 // internal) error is latched, building further blocks that could not be

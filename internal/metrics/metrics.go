@@ -222,6 +222,7 @@ var (
 	Indications       = Families.Counter("Indications", "dag_indications_total", "Indications surfaced by interpretation.")
 	OwnBlockRefs      = Families.Counter("OwnBlockRefs", "dag_own_block_refs_total", "References cited by own blocks; divide by dag_blocks_built_total for references per block.")
 	BlocksSealedFull  = Families.Counter("BlocksSealedFull", "dag_blocks_sealed_full_total", "Own blocks sealed before their tick because the mempool held a full block.")
+	BlocksAnswered    = Families.Counter("BlocksAnswered", "dag_blocks_answered_total", "Own blocks sealed before their tick to answer a peer's full block.")
 
 	EquivocationsSeen   = Families.Counter("EquivocationsSeen", "dag_equivocations_seen_total", "Forked (builder, seq) slots detected locally.")
 	EvidenceReceived    = Families.Counter("EvidenceReceived", "dag_evidence_received_total", "Equivocation proofs accepted into the pool.")

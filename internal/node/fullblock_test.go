@@ -2,11 +2,14 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"blockdag/internal/block"
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
+	"blockdag/internal/gossip"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
@@ -17,6 +20,13 @@ import (
 // every block it builds is one the full-block trigger sealed. maxBatch is
 // core.Config.MaxBatch (0: the default).
 func fullTestNode(t *testing.T, maxBatch int) (*Node, *metrics.Metrics) {
+	nd, m, _ := fullTestNodeOn(t, maxBatch, Clock())
+	return nd, m
+}
+
+// fullTestNodeOn is fullTestNode on the given clock; it also returns the
+// roster's signers, to seal peers' blocks with.
+func fullTestNodeOn(t *testing.T, maxBatch int, clock func() time.Duration) (*Node, *metrics.Metrics, []*crypto.Signer) {
 	t.Helper()
 	members, signers, err := crypto.LocalRoster(4)
 	if err != nil {
@@ -25,7 +35,7 @@ func fullTestNode(t *testing.T, maxBatch int) (*Node, *metrics.Metrics) {
 	m := &metrics.Metrics{}
 	srv, err := core.NewServer(core.Config{
 		Roster: members, Signer: signers[0], Protocol: brb.Protocol{},
-		Transport: simnet.New().Transport(0), Clock: Clock(), Metrics: m, MaxBatch: maxBatch,
+		Transport: simnet.New().Transport(0), Clock: clock, Metrics: m, MaxBatch: maxBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,20 +45,20 @@ func fullTestNode(t *testing.T, maxBatch int) (*Node, *metrics.Metrics) {
 		t.Fatal(err)
 	}
 	t.Cleanup(nd.Stop)
-	return nd, m
+	return nd, m, signers
 }
 
-// sixteenth is a request of 240 B of payload, a block's fixed bytes at
-// n = 4: sixteen of them make a full block.
-func sixteenth(i int) (types.Label, []byte) {
-	label := types.Label(fmt.Sprintf("full/%04d", i))
+// sixteenth is the i-th request tagged tag, of 240 B of payload, a block's
+// fixed bytes at n = 4: sixteen of them make a full block.
+func sixteenth(tag string, i int) (types.Label, []byte) {
+	label := types.Label(fmt.Sprintf("%s/%04d", tag, i))
 	return label, make([]byte, blockFixedBytes(4)-len(label))
 }
 
 func submitSixteenths(t *testing.T, nd *Node, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
-		if err := nd.Submit(sixteenth(i)); err != nil {
+		if err := nd.Submit(sixteenth("full", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +158,7 @@ func TestFullBlockFloodCoalesces(t *testing.T) {
 	}
 	nd.Stop()
 	built, full := m.Get(metrics.BlocksBuilt), m.Get(metrics.BlocksSealedFull)
-	if bound := int64(pending / nd.fullBytes); built != full || full > bound {
+	if bound := int64(pending / (fullBlockRatio * blockFixedBytes(4))); built != full || full > bound {
 		t.Fatalf("%d blocks (%d sealed full) for %d B pending, want at most %d, all full", built, full, pending, bound)
 	}
 	if batches := int64((flood + nd.Server().MaxBatch() - 1) / nd.Server().MaxBatch()); full != batches {
@@ -182,5 +192,140 @@ func TestSubmitAllocsBelowAFullBlock(t *testing.T) {
 	}
 	if viaNode > viaServer {
 		t.Fatalf("Node.Submit allocates %.1f a request, the server's Submit %.1f", viaNode, viaServer)
+	}
+}
+
+// sixteenths is k requests tagged tag of 240 B of payload each.
+func sixteenths(tag string, k int) []block.Request {
+	reqs := make([]block.Request, k)
+	for i := range reqs {
+		label, data := sixteenth(tag, i)
+		reqs[i] = block.Request{Label: label, Data: data}
+	}
+	return reqs
+}
+
+// peerBlock seals signer's block after parent (genesis when nil) carrying
+// reqs, as a gossip message from its builder.
+func peerBlock(t *testing.T, signer *crypto.Signer, parent *block.Block, reqs []block.Request) (*block.Block, []gossip.Message) {
+	t.Helper()
+	b := block.New(signer.ID(), 0, nil, reqs)
+	if parent != nil {
+		b = block.New(signer.ID(), parent.Seq+1, []block.Ref{parent.Ref()}, reqs)
+	}
+	if err := b.Seal(signer); err != nil {
+		t.Fatal(err)
+	}
+	return b, []gossip.Message{{From: signer.ID(), Payload: gossip.EncodeBlockMsg(b)}}
+}
+
+// wantAnswers checks that m counted answered own blocks, and every block
+// built is one.
+func wantAnswers(t *testing.T, m *metrics.Metrics, answered int64, why string) {
+	t.Helper()
+	if built, got := m.Get(metrics.BlocksBuilt), m.Get(metrics.BlocksAnswered); built != answered || got != answered {
+		t.Fatalf("%s: built %d blocks (%d answered), want %d (%d)", why, built, got, answered, answered)
+	}
+}
+
+// citesHead reports whether nd's own chain head cites ref.
+func citesHead(nd *Node, ref block.Ref) bool {
+	d := nd.Server().DAG()
+	head, _ := d.HeadRef(nd.Server().ID())
+	own, _ := d.Get(head)
+	return own != nil && slices.Contains(own.Preds, ref)
+}
+
+// TestPeersFullBlockIsAnswered: a stepped node answers a peer's full block
+// with an own block in the delivery turn that inserts it, citing it — by
+// payload, and by MaxBatch requests. A second full block within the same
+// period is not answered; one after the period is.
+func TestPeersFullBlockIsAnswered(t *testing.T) {
+	var now time.Duration
+	nd, m, signers := fullTestNodeOn(t, 0, func() time.Duration { return now })
+	full1, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio))
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, "a peer's full block")
+	if !citesHead(nd, full1.Ref()) {
+		t.Fatal("the answer does not cite the full block")
+	}
+
+	now += time.Hour - 1
+	_, msgs = peerBlock(t, signers[2], nil, sixteenths("s2", fullBlockRatio))
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, "a second full block within the period")
+
+	now++
+	full3, msgs := peerBlock(t, signers[3], nil, sixteenths("s3", fullBlockRatio))
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 2, "a full block a period after the answer")
+	if !citesHead(nd, full3.Ref()) {
+		t.Fatal("the second answer does not cite its full block")
+	}
+
+	const batch = 8
+	nd, m, signers = fullTestNodeOn(t, batch, func() time.Duration { return 0 })
+	reqs := make([]block.Request, batch)
+	for i := range reqs {
+		reqs[i] = block.Request{Label: types.Label(fmt.Sprintf("count/%d", i)), Data: []byte{1}}
+	}
+	_, msgs = peerBlock(t, signers[1], nil, reqs[:batch-1])
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 0, "a peer's block one request short of MaxBatch")
+	_, msgs = peerBlock(t, signers[2], nil, reqs)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, "a peer's block of MaxBatch requests")
+}
+
+// TestOnlyInsertedPeersFullBlocksAreAnswered: an own full block, a peer's
+// block one request short of full and a peer's full block buffered for its
+// missing parent build nothing. The buffered block is answered in the burst
+// that delivers its parent and so inserts it.
+func TestOnlyInsertedPeersFullBlocksAreAnswered(t *testing.T) {
+	nd, m, signers := fullTestNodeOn(t, 0, func() time.Duration { return 0 })
+	own, msgs := peerBlock(t, signers[0], nil, sixteenths("s0", fullBlockRatio))
+	nd.DeliverBurst(msgs)
+	short, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio-1))
+	nd.DeliverBurst(msgs)
+	parent, _ := peerBlock(t, signers[2], nil, nil)
+	buffered, msgs := peerBlock(t, signers[2], parent, sixteenths("s2", fullBlockRatio))
+	nd.DeliverBurst(msgs)
+	d := nd.Server().DAG()
+	if !d.Contains(own.Ref()) || !d.Contains(short.Ref()) || d.Contains(buffered.Ref()) {
+		t.Fatal("want the own and the short block inserted, the orphan buffered")
+	}
+	wantAnswers(t, m, 0, "an own, a short and a buffered full block")
+
+	_, msgs = peerBlock(t, signers[2], nil, nil)
+	nd.DeliverBurst(msgs)
+	if !d.Contains(buffered.Ref()) {
+		t.Fatal("the parent did not insert the buffered block")
+	}
+	wantAnswers(t, m, 1, "the burst that inserted the buffered full block")
+}
+
+// TestStartedNodeAnswersAFullBlock: a started node's loop answers a peer's
+// full block as it delivers it — the tick is an hour away — while Submit
+// and the loop's timers run beside it.
+func TestStartedNodeAnswersAFullBlock(t *testing.T) {
+	nd, m, signers := fullTestNodeOn(t, 0, Clock())
+	if err := nd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	submitSixteenths(t, nd, 0, fullBlockRatio/2)
+	_, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio))
+	nd.Deliver(msgs[0].From, msgs[0].Payload)
+	for deadline := time.Now().Add(10 * time.Second); m.Get(metrics.BlocksAnswered) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no answer within 10s of a peer's full block")
+		}
+	}
+	nd.Stop()
+	wantAnswers(t, m, 1, "a started node")
+	if embedded := m.Get(metrics.RequestsEmbedded); embedded != fullBlockRatio/2 {
+		t.Fatalf("the answer embedded %d requests, want the %d pending", embedded, fullBlockRatio/2)
+	}
+	if err := nd.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,19 +7,23 @@
 // safe for concurrent use — Submit), DisseminateIfFull (the same, early,
 // when the mempool holds a full block) and Tick (FWD retries, interval
 // fsync, state seal and prune, and the live follower's pull on evidence of
-// lag).
+// lag). A delivery turn that inserts a peer's full block ends with an own
+// block too (answerFull).
 // Turns read time from the server's clock only (core.Server.Now) and
 // never wait; what cannot finish inside one — a settled delta pull —
 // comes home through one internal hook, post, as a turn of its own. Whoever calls the turns owns the server: one caller
 // at a time.
 //
-// A node builds a block for one of two reasons: its period's tick
-// (Config.DisseminateEvery), or a mempool holding a full block — pending
-// payload of fullBlockRatio times a block's fixed bytes, or MaxBatch
-// requests. The second trigger only fires under load, and every block it
-// adds pays for itself: it adds at most 1/16 to wire and disk. Its gain is
-// latency: a loaded builder embeds sooner and collects its quorums in
-// more, shorter own blocks.
+// A node builds a block for one of three reasons: its period's tick
+// (Config.DisseminateEvery); a mempool holding a full block — payload of
+// fullBlockRatio times a block's fixed bytes, or MaxBatch requests; or a
+// delivery that inserted another builder's full block, by the same measure,
+// answered at most once a period. The last two only fire under load. Every
+// block the second adds pays for itself: it adds at most 1/16 to wire and
+// disk. The third adds at most one block a period, however many peers send
+// full blocks. Their gain is latency: a loaded builder embeds sooner, and
+// its peers echo its requests and send their READYs at its cadence, not
+// their own tick's.
 //
 // Catch-up is one primitive, PullFrom — tell a peer what this node holds,
 // get what it lacks and absorb the stream into the live DAG inside one
@@ -90,8 +94,9 @@ type Config struct {
 	Identity *roster.Identity
 	// DisseminateEvery is the block production period (default 50ms): the
 	// tick that builds a block whatever the mempool holds. A mempool holding
-	// a full block seals one sooner (DisseminateIfFull), and the tick keeps
-	// its phase.
+	// a full block seals one sooner (DisseminateIfFull), a peer's full block
+	// is answered at once, at most once a period (DeliverBurst), and the tick
+	// keeps its phase.
 	DisseminateEvery time.Duration
 	// Store, if non-nil, makes the server durable: New installs it as the
 	// server's journal (core.Server.SetJournal: the evidence sidecar is
@@ -240,9 +245,10 @@ type Node struct {
 	// full is the full-block wake: Submit, having admitted a request into a
 	// mempool that now holds a full block, leaves a token here for the loop
 	// (DisseminateIfFull). One slot, never waited on: a flood coalesces into
-	// one token. fullBytes is the pending payload that makes a block full.
-	full      chan struct{}
-	fullBytes int
+	// one token. nextAnswer is the earliest a peer's full block is answered
+	// again (answerFull). Owner only.
+	full       chan struct{}
+	nextAnswer time.Duration
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -324,8 +330,6 @@ func New(cfg Config) (*Node, error) {
 		full:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 		broker: NewIndicationBroker(DefaultRecentLabels),
-
-		fullBytes: fullBlockRatio * blockFixedBytes(cfg.Server.Roster().N()),
 	}
 	n.broker.index = indexReplay // until endReplay, below
 	srv := cfg.Server

@@ -18,9 +18,12 @@ import (
 
 // DeliverBurst is the delivery turn: one burst of network payloads, its
 // signature checks amortized and its journal writes group-committed
-// (core.Server.DeliverBatch).
+// (core.Server.DeliverBatch). A burst that inserted a peer's full block is
+// answered in the same turn (answerFull).
 func (n *Node) DeliverBurst(batch []gossip.Message) {
+	from := n.cfg.Server.DAG().Len()
 	n.cfg.Server.DeliverBatch(batch)
+	n.answerFull(from)
 }
 
 // Disseminate is the block turn: seal and broadcast the current block.
@@ -45,11 +48,11 @@ func (n *Node) disseminate() bool {
 }
 
 // fullBlockRatio is how many times a block's fixed bytes (blockFixedBytes)
-// of pending payload make the mempool hold a full block, which the node seals
-// before its tick (DisseminateIfFull). Those early blocks are the only ones
-// the trigger adds, and each carries at least 16 times what it costs beyond
-// its payload: the trigger adds at most 1/16 to wire and disk, whatever the
-// load.
+// of payload make a block full (isFull). A node seals a full block its mempool
+// holds before its tick (DisseminateIfFull), and answers a peer's full block
+// at once (answerFull). An early block carries at least 16 times what it
+// costs beyond its payload, so the first rule adds at most 1/16 to wire and
+// disk, whatever the load; the second adds at most one block a period.
 const fullBlockRatio = 16
 
 // blockFixedBytes is what a block costs beyond its payload in a roster of n:
@@ -57,13 +60,20 @@ const fullBlockRatio = 16
 // n + 1 references — 240 B at n = 4, so a block is full at 3 840 B.
 func blockFixedBytes(n int) int { return crypto.SignatureSize + 16 + crypto.HashSize*(n+1) }
 
+// isFull is the one definition of a full block, pending in the mempool or
+// built by a peer: payload (labels and data) of fullBlockRatio times a
+// block's fixed bytes, or the server's MaxBatch requests.
+func (n *Node) isFull(payload, requests int) bool {
+	srv := n.cfg.Server
+	return payload >= fullBlockRatio*blockFixedBytes(srv.Roster().N()) || requests >= srv.MaxBatch()
+}
+
 // DisseminateIfFull is the full-block turn: if the mempool holds a full
-// block — fullBlockRatio times its fixed bytes of payload, or the server's
-// MaxBatch requests — seal it now through Disseminate, under the same
-// guards, instead of waiting for the tick. If the pool still holds one, it
-// wakes the loop again, so a backlog drains one block per loop iteration,
-// between deliveries. It reports whether it sealed. The goroutine shell runs
-// it when Submit wakes it; a stepped owner calls it every round.
+// block, seal it now through Disseminate, under the same guards, instead of
+// waiting for the tick. If the pool still holds one, it wakes the loop
+// again, so a backlog drains one block per loop iteration, between
+// deliveries. It reports whether it sealed. The goroutine shell runs it when
+// Submit wakes it; a stepped owner calls it every round.
 func (n *Node) DisseminateIfFull() bool {
 	if !n.poolFull() || !n.disseminate() {
 		return false
@@ -79,7 +89,49 @@ func (n *Node) DisseminateIfFull() bool {
 // concurrent use: Submit asks outside the turns.
 func (n *Node) poolFull() bool {
 	pool := n.cfg.Server.Mempool()
-	return pool.Bytes() >= n.fullBytes || pool.Len() >= n.cfg.Server.MaxBatch()
+	return n.isFull(pool.Bytes(), pool.Len())
+}
+
+// answerFull is the answer rule, the end of a delivery turn: if the DAG's
+// blocks from the from-th on — those the burst inserted — include another
+// builder's full block, seal an own block now through Disseminate, under its
+// guards, instead of waiting for the tick. Its references carry this node's
+// echo of the full block's requests, and later its READYs: the rounds every
+// request in it waits for. A node answers at most once a DisseminateEvery, timed between
+// answers on the server's clock, however many peers send full blocks: at
+// most one block a period more. A buffered block (missing predecessors)
+// counts only in the burst that inserts it; a pulled one never does.
+func (n *Node) answerFull(from int) {
+	now := n.cfg.Server.Now()
+	if now < n.nextAnswer || !n.insertedFull(from) || !n.disseminate() {
+		return
+	}
+	n.nextAnswer = now + n.cfg.DisseminateEvery
+	n.cfg.Server.Counts().Add(metrics.BlocksAnswered, 1)
+}
+
+// insertedFull reports whether the DAG's blocks from the from-th on include
+// a full block another builder built.
+func (n *Node) insertedFull(from int) bool {
+	d, self := n.cfg.Server.DAG(), n.cfg.Server.ID()
+	if d.Len() == from {
+		return false
+	}
+	base := len(d.Base())
+	for i := from; i < d.Len(); i++ {
+		b, err := d.ReadRow(base + i)
+		if err != nil || b.Builder == self {
+			continue
+		}
+		payload := 0
+		for _, rq := range b.Requests {
+			payload += len(rq.Label) + len(rq.Data)
+		}
+		if n.isFull(payload, len(b.Requests)) {
+			return true
+		}
+	}
+	return false
 }
 
 // wakeFull leaves the loop a full-block token, unless one is waiting.
