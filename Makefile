@@ -298,8 +298,21 @@ snapshot-smoke:
 # bans everywhere, bans survive an honest restart) and a crash/recover
 # storm (durability + convergence). Each exits non-zero on any invariant
 # violation, and the fixed seeds make a failure reproducible verbatim.
+# The partition's stores are then read with the operator's own tool:
+# dagstore inspect must list both equivocators (s5, s6) as banned in every
+# correct slot's head (s0-s4). Not verify: those stores hold the forks,
+# which verify rejects by design.
 chaos-smoke:
-	go run ./cmd/dagsim -chaos partition-equivocators -seed 7
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	go run ./cmd/dagsim -chaos partition-equivocators -seed 7 -store-dir "$$dir"; \
+	go build -o "$$dir/dagstore" ./cmd/dagstore; \
+	for i in 0 1 2 3 4; do \
+		out=$$("$$dir/dagstore" inspect -dir "$$dir/s$$i" -n 7); \
+		for eq in s5 s6; do \
+			echo "$$out" | grep -q "^banned   $$eq:" || { echo "chaos-smoke: s$$i's store holds no proof against $$eq"; exit 1; }; \
+		done; \
+	done; \
+	echo "chaos-smoke: the stores of s0-s4 hold the proofs against s5 and s6"
 	go run ./cmd/dagsim -chaos crash-storm -seed 3
 	@echo "chaos-smoke OK: both scenarios passed their invariants"
 

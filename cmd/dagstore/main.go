@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dagstore inspect -dir path/to/s0 -n 4    # layout, chains, health
+//	dagstore inspect -dir path/to/s0 -n 4    # layout, chains, convictions, health
 //	dagstore verify  -dir path/to/s0 -n 4    # strict read-only check
 //
 // Both open the store read-only: they never repair, truncate, or delete
@@ -129,8 +129,9 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 	}
 
 	fmt.Printf("store    %s\n", dir)
+	head := st.Head()
 	fmt.Printf("disk     %d bytes in %d segments", size, rep.Segments)
-	if rep.HasSnapshot {
+	if rep.HasSnapshot || len(head.Evidence) > 0 {
 		fmt.Printf(" and a head")
 	}
 	fmt.Println()
@@ -148,7 +149,6 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 	// Pruned stores: report the horizon, base table, and journaled state
 	// commitment, and prove the commitment's chunks actually rebuild the
 	// claimed root — the check a joiner's snapshot install relies on.
-	head := st.Head()
 	if horizon := head.Horizon; len(horizon) > 0 {
 		ids := make([]int, 0, len(horizon))
 		for id := range horizon {
@@ -172,6 +172,11 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 		} else {
 			fmt.Printf("         chunks verified: content rebuilds the committed root\n")
 		}
+	}
+
+	// The convictions the head holds, each proof verified by Open.
+	for _, p := range head.Evidence {
+		fmt.Printf("banned   s%d: forked seq %d\n", p.Equivocator(), p.First.Seq)
 	}
 
 	// Summarize chains and expose equivocations.

@@ -15,7 +15,7 @@
 //     each correct server holds the same canonical equivocation proof,
 //     has the equivocator in the terminal banned state, and (scenarios
 //     that ask for it) the ban survives an honest server's crash/restart
-//     by replay from the store's evidence sidecar.
+//     by replay from the proofs in the store's head.
 //
 // Every random choice — partition halves, crash victims, the simulated
 // network's latency jitter — derives from the run's single seed, so a
@@ -77,7 +77,7 @@ type Phase struct {
 	CrashRandom int
 	// Recover restarts every currently crashed server from its on-disk
 	// store — the full WAL-replay recovery path, bans re-seeded from the
-	// evidence sidecar.
+	// proofs in the store's head.
 	Recover bool
 
 	// Equivocate makes each listed byzantine slot fork its next sequence
@@ -109,7 +109,7 @@ type Scenario struct {
 	Phases []Phase
 	// CheckBanSurvival additionally crash/restarts one honest server at
 	// the very end and verifies every conviction survived the restart —
-	// the evidence-sidecar replay path.
+	// the replay of the proofs in the store's head.
 	CheckBanSurvival bool
 }
 
@@ -642,9 +642,9 @@ func (r *runner) checkAccountability() {
 }
 
 // checkBanSurvival crash/restarts the lowest correct slot and verifies
-// every conviction came back from the store's evidence sidecar — the
+// every conviction came back from the proofs in the store's head — the
 // proof blocks themselves may never have been insertable, so this is
-// the sidecar replay path, not WAL replay.
+// the proofs' replay path, not WAL replay.
 func (r *runner) checkBanSurvival() error {
 	res := r.result
 	res.BanSurvivalChecked = true

@@ -205,7 +205,7 @@ func New(opts Options) (*Cluster, error) {
 // every Restart: deploy.ListenOn over the simulator (simnet.Network.Listen)
 // on its virtual clock, then Boot — which replays the slot's store, if it
 // has one. Its mempool, evidence pool and scorer are fresh, as after a real
-// restart; bans come back from the store's evidence sidecar.
+// restart; bans come back from the proofs in the store's head.
 func (c *Cluster) up(slot int) error {
 	id := types.ServerID(slot)
 	identity, err := c.Fixture.File.Identity(c.Fixture.Keys[slot], &c.Sigs)
@@ -383,7 +383,7 @@ func (c *Cluster) Crash(slot int) {
 // new one is listened and booted over the same store directory — the full
 // production recovery path: the store is reopened (a torn tail truncated),
 // replayed into a fresh server's live DAG, and journaled on from there;
-// bans come back from its evidence sidecar. Replayed indications are
+// bans come back from the proofs in its head. Replayed indications are
 // appended to the slot's record, so callers observe at-least-once delivery
 // across the restart. A slot without a store comes back empty, a newcomer.
 func (c *Cluster) Restart(slot int) error {

@@ -206,7 +206,7 @@ func ListenOn(net Network, clock func() time.Duration, cfg Config) (*Assembly, e
 			return nil, err
 		}
 		a.Store = st
-		// The convictions the sidecar holds close the sockets from the first
+		// The convictions the head holds close the sockets from the first
 		// accepted connection on — through a snapshot join too — not from
 		// Boot, where the server replays the same proofs into its pool.
 		for _, p := range st.Evidence() {

@@ -20,8 +20,10 @@ type Status struct {
 	Healthy bool   `json:"healthy"`
 	Error   string `json:"error,omitempty"`
 
-	// Watermarks maps builder id to the next expected own-chain sequence
-	// number — this node's durable coverage vector (durable nodes only).
+	// Watermarks maps builder id to the next sequence number this node's
+	// DAG holds of the builder's chain (node.Node.Watermarks), forked
+	// builders left out. Every node reports them, durable or not; a builder
+	// with no block held is absent.
 	Watermarks map[types.ServerID]uint64 `json:"watermarks,omitempty"`
 
 	Recovery       RecoveryStatus       `json:"recovery"`

@@ -49,7 +49,7 @@
 //
 // New wires the operational services around the server, the same for
 // both shells: durable persistence with the own-block externalization
-// barrier and the evidence sidecar (Config.Store), startup bulk catch-up
+// barrier and the convictions in its head (Config.Store), startup bulk catch-up
 // (Config.CatchUp), the live follower (every node with a store), the state
 // seal/prune cycle (Config.State) and the indication broker, whose replay
 // index is a gateway's to claim: a node nobody awaits on keeps no copy of
@@ -99,7 +99,7 @@ type Config struct {
 	// keeps its phase.
 	DisseminateEvery time.Duration
 	// Store, if non-nil, makes the server durable: New installs it as the
-	// server's journal (core.Server.SetJournal: the evidence sidecar is
+	// server's journal (core.Server.SetJournal: the head's proofs are
 	// replayed, so a ban survives the restart, new convictions are
 	// journaled, and the persistence sink force-syncs own blocks before
 	// gossip broadcasts them), replays the store's blocks through
@@ -300,8 +300,8 @@ type Node struct {
 }
 
 // New validates the config and prepares a node. With Config.Store set,
-// New performs the recover-resume handshake: the evidence sidecar is
-// replayed (bans are in force before the first delivery), the store's
+// New performs the recover-resume handshake: the proofs in the store's
+// head are replayed (bans are in force before the first delivery), the store's
 // persistence sink is installed — before any block can be inserted — and
 // the store's log is absorbed into the live DAG, the follower's zeroth
 // pull with the disk as the peer, so the server continues its pre-crash
@@ -383,7 +383,7 @@ func New(cfg Config) (*Node, error) {
 		}
 		// The journal goes in ahead of the replay: no insertion bypasses
 		// it, and the store ignores a block it holds. Convictions come back
-		// with it: the sidecar's bans hold from the first delivery on, and
+		// with it: the head's bans hold from the first delivery on, and
 		// an equivocation the block replay re-detects is already pooled
 		// instead of being relayed afresh on every restart. Its sink is
 		// PersistSink, not a bare Append: own blocks must be durable before

@@ -28,20 +28,24 @@
 //
 // # On-disk layout
 //
-// A store is a directory of WAL segment files named by a monotonically
+// A store is two kinds of file: WAL segments named by a monotonically
 // increasing hexadecimal index, and at most one head:
 //
 //	0000000000000004.wal    oldest segment a cut left: it straddles the horizon
 //	0000000000000005.wal    WAL segments, record-framed
 //	0000000000000006.wal    the live segment
-//	head                    horizon, base table, state checkpoint (a cut's or an install's)
-//	evidence.log            equivocation proofs (evidence.go)
+//	head                    horizon, base table, state checkpoint, equivocation proofs
 //
 // Every segment starts with a 9-byte header: the 8-byte magic "BDSTOR1\n"
-// and the kind byte 4; any other kind fails Open as ErrCorrupt (kind 1, the
-// raw-frame WAL, kind 2 and kind 3, the snapshot segments, among them), and
-// so does any file named like a snapshot segment (*.snap). Open reads the
-// head, if there is one, and then every segment in index order.
+// and the kind byte 4. Open reads the head, if there is one, and then every
+// segment in index order.
+//
+// Retired formats fail Open as ErrCorrupt, each named: a segment of kind 1
+// (the raw-frame WAL), 2 or 3 (the snapshot segments), any file named like
+// a snapshot segment (*.snap), the evidence sidecar evidence.log (where the
+// proofs lived before the head held them), and a head behind the magic
+// "BDHEAD1\n" (the head before it held them). A store written before is
+// refused rather than opened without its history or its bans.
 //
 // # WAL segments
 //
@@ -93,14 +97,27 @@
 // each builder's block just below it — publishes the head, marks the rows
 // below the horizon pruned, and deletes every WAL segment but the live one
 // that holds no record at or above the horizon. The head is the horizon,
-// the base table and the state checkpoint, laid out behind the magic
-// "BDHEAD1\n" and covered by one CRC32 trailer; it is written whole (temp
-// file, fsync, rename, directory fsync), so it needs no tear tolerance.
-// InstallSnapshot writes the same head into a snapshot-joined node's empty
-// store; in memory it is one immutable Head, swapped whole (Head). A cut
-// writes nothing else: the blocks above the horizon are already on disk,
-// and each segment reads without any other, so the cut's I/O is the
-// head's whatever the retained window holds.
+// the base table, the state checkpoint and the proofs section, laid out
+// behind the magic "BDHEAD2\n" and covered by one CRC32 trailer; it is
+// written whole (temp file, fsync, rename, directory fsync), so it needs
+// no tear tolerance. InstallSnapshot writes the same head into a
+// snapshot-joined node's empty store; in memory it is one immutable Head,
+// swapped whole (Head). A cut writes nothing else: the blocks above the
+// horizon are already on disk, and each segment reads without any other,
+// so the cut's I/O is the head's whatever the retained window holds.
+//
+// The proofs section is a uvarint count and then each equivocation proof
+// (evidence.Proof.Encode, uvarint length-prefixed), one per equivocator in
+// equivocator order: the convictions. A proof's two blocks may never be
+// insertable into the local DAG, so the block log cannot rebuild a ban; the
+// proof is the durable artifact. AppendEvidence rewrites the head as it was
+// last made durable, plus the proof — a checkpoint SetStateCheckpoint holds
+// only in memory waits for the next cut — before it returns, whatever the
+// fsync policy: once per convicted builder. PruneTo and InstallSnapshot
+// carry the proofs into every head they write, and Open re-verifies them
+// against Options.Roster, dropping one that no longer verifies. A head
+// holding proofs and nothing else stands in for no history: it leaves
+// OpenReport.HasSnapshot false, and no syncsvc peer serves it.
 //
 // Nothing a retained block cites is lost: its predecessors are retained
 // too, or stand in the base table. Nothing above the horizon is lost: a

@@ -11,6 +11,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/dagtest"
+	"blockdag/internal/evidence"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
 )
@@ -18,13 +19,19 @@ import (
 // realSegments writes three all-to-all rounds of a 3-server DAG (requests
 // included) through a store and returns the bytes of its WAL segment, and
 // the heads a cut of it and an install write — horizon, base table and
-// state checkpoint all present.
-func realSegments(f *testing.F) (wal, cut, installed []byte) {
+// state checkpoint all present, the install's beside one proof — and
+// withProofs: the cut's head once one and once two proofs were appended,
+// and a head holding one proof and nothing else.
+func realSegments(f *testing.F) (wal, cut, installed []byte, withProofs [][]byte) {
 	f.Helper()
 	h := dagtest.NewHarness(3)
 	for r := 0; r < 3; r++ {
 		h.Round(map[int][]block.Request{r: {{Label: "fuzz/seed", Data: []byte{byte(r), 1, 2}}}})
 	}
+	fork := func(builder int) *evidence.Proof {
+		return evidence.New(h.Seal(builder, 7, nil, block.Request{Label: "a"}), h.Seal(builder, 7, nil, block.Request{Label: "b"}))
+	}
+	proofs := []*evidence.Proof{fork(2), fork(1)}
 	dir := f.TempDir()
 	st, err := Open(dir, Options{Roster: h.Roster, Sync: SyncNever})
 	if err != nil {
@@ -57,6 +64,12 @@ func realSegments(f *testing.F) (wal, cut, installed []byte) {
 	}
 	cut = read(dir, headFile)
 	base := st.Head().Base
+	for _, p := range proofs {
+		if err := st.AppendEvidence(p); err != nil {
+			f.Fatal(err)
+		}
+		withProofs = append(withProofs, read(dir, headFile))
+	}
 	if err := st.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -67,10 +80,14 @@ func realSegments(f *testing.F) (wal, cut, installed []byte) {
 		f.Fatal(err)
 	}
 	defer st.Close()
+	if err := st.AppendEvidence(proofs[0]); err != nil {
+		f.Fatal(err)
+	}
+	withProofs = append(withProofs, read(dir, headFile))
 	if err := st.InstallSnapshot(&Head{Horizon: map[types.ServerID]uint64{0: 1, 1: 2, 2: 1}, Base: base, State: sc}); err != nil {
 		f.Fatal(err)
 	}
-	return wal, cut, read(dir, headFile)
+	return wal, cut, read(dir, headFile), withProofs
 }
 
 // allocated returns the bytes fn allocated, collected or not.
@@ -100,7 +117,10 @@ func rec(seq []byte, preds ...[]byte) []byte {
 	for _, name := range preds {
 		p = append(p, name...)
 	}
-	return appendRecord(nil, append(p, 0, 0))
+	p = append(p, 0, 0)
+	framed := binary.BigEndian.AppendUint32(nil, uint32(len(p)))
+	framed = binary.BigEndian.AppendUint32(framed, crc32.ChecksumIEEE(p))
+	return append(framed, p...)
 }
 
 // literal and back are the two ways a kind-4 record names a predecessor.
@@ -167,7 +187,7 @@ func TestScanWALNamesOneWay(t *testing.T) {
 // scanner refuses a literal the window could have named and a distance past
 // the ref's latest record.
 func FuzzScanWAL(f *testing.F) {
-	wal, _, _ := realSegments(f)
+	wal, _, _, _ := realSegments(f)
 	f.Add(wal)
 	f.Add(wal[:len(wal)-7])     // torn tail
 	f.Add(wal[:headerSize+5])   // torn framing
@@ -209,17 +229,46 @@ func FuzzScanWAL(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSnapshot: the head decoder — what a cut and a snapshot
-// install write, and Open reads first — never panics and never allocates
-// out of proportion to its input — every count in the format is a length
-// prefix an attacker or a bad sector picks — and a head it accepts is one
-// the writer wrote: it re-encodes to the very bytes.
+// TestDecodeHeadProofsOncePerEquivocator: a head's proofs are in
+// equivocator order, each equivocator once — what AppendEvidence writes —
+// and the decoder refuses any other list: the bytes of one re-encode to
+// themselves, so FuzzDecodeSnapshot's check cannot tell.
+func TestDecodeHeadProofsOncePerEquivocator(t *testing.T) {
+	h := dagtest.NewHarness(3)
+	fork := func(builder int) *evidence.Proof {
+		return evidence.New(h.Seal(builder, 0, nil, block.Request{Label: "a"}), h.Seal(builder, 0, nil, block.Request{Label: "b"}))
+	}
+	p1, p2 := fork(1), fork(2)
+	for _, tc := range []struct {
+		name   string
+		proofs []*evidence.Proof
+		ok     bool
+	}{
+		{"in order", []*evidence.Proof{p1, p2}, true},
+		{"out of order", []*evidence.Proof{p2, p1}, false},
+		{"twice", []*evidence.Proof{p1, p1}, false},
+	} {
+		_, err := decodeHead((&Head{Evidence: tc.proofs}).encode(), "test")
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted: %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// FuzzDecodeSnapshot: the head decoder — what a cut, a snapshot install
+// and an evidence write write, and Open reads first — never panics and
+// never allocates out of proportion to its input — every count in the
+// format is a length prefix an attacker or a bad sector picks — and a head
+// it accepts is one the writer wrote: it re-encodes to the very bytes.
 func FuzzDecodeSnapshot(f *testing.F) {
-	_, cut, installed := realSegments(f)
+	_, cut, installed, withProofs := realSegments(f)
 	f.Add(cut)
 	f.Add(installed)
 	f.Add(cut[:len(cut)/2])
 	f.Add((&Head{}).encode())
+	for _, head := range withProofs {
+		f.Add(head)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The trailer CRC would stop the fuzzer at the door: fix it up, so

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +13,7 @@ import (
 	"slices"
 
 	"blockdag/internal/dag"
+	"blockdag/internal/evidence"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
 )
@@ -27,12 +30,14 @@ type StateCheckpoint struct {
 	Chunks [][]byte
 }
 
-// The head file: what stands in for the history below the horizon. Its
-// name is foreign to parseSegName, so segment listing never sees it; a
-// cut replaces it through headFile + ".tmp", which Open sweeps.
+// The head file: what stands in for the history below the horizon, and the
+// convictions. Its name is foreign to parseSegName, so segment listing never
+// sees it; every write replaces it through headFile + ".tmp", which Open
+// sweeps. retiredHeadMagic is the head before it held proofs.
 const (
-	headFile  = "head"
-	headMagic = "BDHEAD1\n"
+	headFile         = "head"
+	headMagic        = "BDHEAD2\n"
+	retiredHeadMagic = "BDHEAD1\n"
 )
 
 // Head is the decoded head file, and the one description of a snapshot: the
@@ -43,15 +48,25 @@ const (
 // store's Head to joiners (syncsvc.Server), and a joiner installs the one it
 // fetched (InstallSnapshot). A Head is immutable once published: the store
 // swaps in a new one instead of changing it.
+//
+// Evidence is the store's own, never served: the equivocation proofs it
+// journals (AppendEvidence), one per equivocator, in equivocator order. A
+// proof's two blocks may never be insertable into the local DAG, so the
+// block log cannot rebuild a ban: the proof itself is what lasts.
 type Head struct {
-	Horizon map[types.ServerID]uint64
-	Base    []dag.Base
-	State   *StateCheckpoint
+	Horizon  map[types.ServerID]uint64
+	Base     []dag.Base
+	State    *StateCheckpoint
+	Evidence []*evidence.Proof
 }
 
+// cut reports whether h stands in for history: a cut's or an install's, not
+// a head holding only proofs.
+func (h *Head) cut() bool { return len(h.Horizon) > 0 || len(h.Base) > 0 || h.State != nil }
+
 // maxHorizonEntries bounds the horizon and base tables a decoder will
-// allocate for (the roster is uint16-indexed; base adds referenced
-// pruned refs on top).
+// allocate for (the roster is uint16-indexed, which bounds the proofs too;
+// base adds referenced pruned refs on top).
 const (
 	maxHorizonEntries = 1 << 16
 	maxBaseEntries    = 1 << 20
@@ -59,8 +74,8 @@ const (
 )
 
 // encode lays the head out: the magic, the horizon table, the base table,
-// the optional state checkpoint, and a CRC32 trailer over everything after
-// the magic.
+// the optional state checkpoint, the proofs, and a CRC32 trailer over
+// everything after the magic.
 func (h *Head) encode() []byte {
 	var w wire.Writer
 	for i := range len(headMagic) {
@@ -87,13 +102,21 @@ func (h *Head) encode() []byte {
 			w.VarBytes(c)
 		}
 	}
+	w.Uvarint(uint64(len(h.Evidence)))
+	for _, p := range h.Evidence {
+		w.VarBytes(p.Encode())
+	}
 	w.Uint32(crc32.ChecksumIEEE(w.Bytes()[len(headMagic):]))
 	return w.Bytes()
 }
 
 // decodeHead inverts Head.encode, and takes nothing encode would not
-// write: the horizon table in builder order, each builder once.
+// write: the horizon table and the proofs in builder order, each builder
+// once, each proof in its canonical encoding.
 func decodeHead(data []byte, path string) (*Head, error) {
+	if bytes.HasPrefix(data, []byte(retiredHeadMagic)) {
+		return nil, fmt.Errorf("%w: %s: head magic %q, a retired format", ErrCorrupt, path, retiredHeadMagic)
+	}
 	if len(data) < len(headMagic)+4 || string(data[:len(headMagic)]) != headMagic {
 		return nil, fmt.Errorf("%w: %s: bad head", ErrCorrupt, path)
 	}
@@ -129,10 +152,57 @@ func decodeHead(data []byte, path string) (*Head, error) {
 		}
 		h.State = st
 	}
+	nProofs := r.Count(maxHorizonEntries)
+	for i := range nProofs {
+		raw := r.VarBytes()
+		p, err := evidence.Decode(raw)
+		if err != nil || !bytes.Equal(p.Encode(), raw) {
+			return nil, fmt.Errorf("%w: %s: bad proof %d", ErrCorrupt, path, i)
+		}
+		if i > 0 && p.Equivocator() <= h.Evidence[i-1].Equivocator() {
+			return nil, fmt.Errorf("%w: %s: proofs out of equivocator order", ErrCorrupt, path)
+		}
+		h.Evidence = append(h.Evidence, p)
+	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}
 	return h, nil
+}
+
+// Evidence returns the equivocation proofs the head holds — recovered by
+// Open, re-verified against Options.Roster, and appended since — one per
+// equivocator, in equivocator order. The slice is shared; treat it as
+// read-only. Recovery wiring replays these into the evidence pool and
+// scorer before any traffic flows, which is how a ban survives a
+// crash/restart.
+func (s *Store) Evidence() []*evidence.Proof { return s.head.Load().Evidence }
+
+// AppendEvidence journals one equivocation proof, one per equivocator
+// (appending a second proof against an already-convicted builder is a
+// no-op). Unlike block appends, evidence is durable before it returns,
+// whatever the fsync policy: it rewrites the head the way a cut does, so
+// the ban survives a crash. The head it writes is the one on disk plus the
+// proof: a checkpoint SetStateCheckpoint holds only in memory stays there
+// until the next cut.
+func (s *Store) AppendEvidence(p *evidence.Proof) error {
+	switch {
+	case s.closed:
+		return errors.New("store: append evidence after Close")
+	case s.opts.ReadOnly:
+		return errors.New("store: append evidence to read-only store")
+	}
+	cur := s.head.Load()
+	i, dup := slices.BinarySearchFunc(cur.Evidence, p.Equivocator(), func(q *evidence.Proof, id types.ServerID) int {
+		return cmp.Compare(q.Equivocator(), id)
+	})
+	if dup {
+		return nil
+	}
+	proofs := slices.Insert(slices.Clone(cur.Evidence), i, p)
+	disk, published := *s.durable, *cur
+	disk.Evidence, published.Evidence = proofs, proofs
+	return s.putHead(&disk, &published)
 }
 
 // readHead reads dir's head file, nil if it has none.

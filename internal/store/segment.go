@@ -34,13 +34,14 @@ const (
 
 	extWAL = ".wal"
 	// extSnap named a snapshot segment. Open refuses a directory holding
-	// one: nothing writes the format any more, so nothing reads it.
+	// one, or the evidence sidecar the proofs had before the head held
+	// them: nothing writes the formats any more, so nothing reads them.
 	extSnap = ".snap"
 )
 
 // ErrCorrupt reports damage Open cannot attribute to a torn tail write: a
 // bad magic or kind byte, a failed CRC in the middle of a segment, a head
-// whose trailer checksum does not match, or a retired snapshot segment.
+// whose trailer checksum does not match, or a file of a retired format.
 var ErrCorrupt = errors.New("store: corrupt segment")
 
 // segFile is one WAL segment discovered on disk.
@@ -64,7 +65,7 @@ func parseSegName(name string) (index uint64, ok bool) {
 }
 
 // listSegments scans dir for WAL segment files, sorted by index. A
-// snapshot segment fails it as ErrCorrupt.
+// snapshot segment or an evidence sidecar fails it as ErrCorrupt.
 func listSegments(dir string) ([]segFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -72,8 +73,11 @@ func listSegments(dir string) ([]segFile, error) {
 	}
 	var segs []segFile
 	for _, e := range entries {
-		if filepath.Ext(e.Name()) == extSnap {
+		switch {
+		case filepath.Ext(e.Name()) == extSnap:
 			return nil, fmt.Errorf("%w: %s: a snapshot segment, a retired format", ErrCorrupt, e.Name())
+		case e.Name() == "evidence.log":
+			return nil, fmt.Errorf("%w: %s: an evidence sidecar, a retired format", ErrCorrupt, e.Name())
 		}
 		index, ok := parseSegName(e.Name())
 		if !ok || e.IsDir() {
@@ -107,16 +111,6 @@ func checkHeader(data []byte, path string) error {
 	return nil
 }
 
-// appendRecord frames one payload as a record: the evidence sidecar's (WAL
-// records are framed in place, putRecord).
-func appendRecord(dst []byte, payload []byte) []byte {
-	var hdr [recHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
 // segment is the decoded content of one WAL segment file.
 type segment struct {
 	// blocks are the segment's blocks in file order, and offs where each
@@ -133,8 +127,7 @@ type segment struct {
 
 // nextRecord returns the payload of the length- and CRC-framed record at
 // data[off:] and the offset just past it; ok is false when the bytes there
-// are not a whole record with a matching checksum. The WAL and the
-// evidence sidecar share the framing.
+// are not a whole record with a matching checksum.
 func nextRecord(data []byte, off int) (payload []byte, next int, ok bool) {
 	if len(data)-off < recHeaderSize {
 		return nil, off, false

@@ -77,9 +77,12 @@ const syncEvery = 200 * time.Millisecond
 
 // Options configures Open.
 type Options struct {
-	// Roster verifies the evidence sidecar's proofs on load: one that no
-	// longer verifies must not resurrect a ban. Required. Blocks are not
-	// checked against it — Open reads, the live DAG validates (see Open).
+	// Roster verifies the head's proofs on load: one that no longer
+	// verifies must not resurrect a ban. Required. Open checks them, not
+	// core.Server.SetJournal, because the first reader of Evidence comes
+	// before any server exists: deploy.ListenOn bans the convicted at the
+	// socket from it. Blocks are not checked against it — Open reads, the
+	// live DAG validates (see Open).
 	Roster *crypto.Roster
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
@@ -97,8 +100,9 @@ type Options struct {
 type OpenReport struct {
 	// Segments is the number of WAL segment files read.
 	Segments int
-	// HasSnapshot reports a head: the store was cut (PruneTo) or
-	// installed from a snapshot (InstallSnapshot).
+	// HasSnapshot reports a head that stands in for history: the store
+	// was cut (PruneTo) or installed from a snapshot (InstallSnapshot). A
+	// head holding only proofs (AppendEvidence) is none.
 	HasSnapshot bool
 	// Blocks is the number of distinct blocks read at or above the
 	// horizon.
@@ -147,17 +151,13 @@ type Store struct {
 	rd       *os.File
 	rdIndex  uint64
 
-	// head is the pruned-history state, journaled in the head file, and
-	// published whole: its horizon is the sticky per-builder prune floor — a
-	// cut only raises it, and Open reads no record below it, so nothing
-	// brings pruned history back.
-	head atomic.Pointer[Head]
-
-	// Evidence sidecar state (see evidence.go): recovered + appended
-	// equivocation proofs, one per equivocator, and the append handle.
-	evidence []*evidence.Proof
-	evHave   map[types.ServerID]struct{}
-	evFile   *os.File
+	// head is the pruned-history state and the proofs, journaled in the head
+	// file, and published whole: its horizon is the sticky per-builder prune
+	// floor — a cut only raises it, and Open reads no record below it, so
+	// nothing brings pruned history back. durable is the head as the file
+	// holds it: head less a checkpoint SetStateCheckpoint set since.
+	head    atomic.Pointer[Head]
+	durable *Head
 
 	cur     *os.File
 	curSize int64
@@ -225,9 +225,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	if err := s.loadEvidence(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -250,11 +247,15 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
-	s.report.HasSnapshot = h != nil
 	if h == nil {
 		h = &Head{}
 	}
+	s.report.HasSnapshot = h.cut()
+	// A proof that no longer verifies (one written under another roster,
+	// say) must not resurrect a ban: drop it.
+	h.Evidence = slices.DeleteFunc(h.Evidence, func(p *evidence.Proof) bool { return p.Verify(s.opts.Roster) != nil })
 	s.head.Store(h)
+	s.durable = h
 	segs, err := listSegments(s.dir)
 	if err != nil {
 		return err
@@ -374,17 +375,18 @@ func (s *Store) Report() OpenReport { return s.report }
 func (s *Store) Blocks() []*block.Block { return s.opened }
 
 // Head returns the store's head as Open read it or SetStateCheckpoint,
-// PruneTo or InstallSnapshot last set it — never nil; a store never cut
-// holds an empty one — from any goroutine. A server restoring from a
+// PruneTo, InstallSnapshot or AppendEvidence last set it — never nil; a
+// store never cut holds an empty one — from any goroutine. A server restoring from a
 // pruned store must SeedBase its Base into its DAG before replaying
 // Blocks, and its State is then the only way to rebuild the application
 // state: the blocks that produced it are gone.
 func (s *Store) Head() *Head { return s.head.Load() }
 
 // SetStateCheckpoint makes sc the head's state commitment. It becomes
-// durable with the head the next PruneTo writes rather than immediately:
-// until then the same state is reproducible by replaying the journal, so
-// nothing is lost in a crash.
+// durable with the head the next PruneTo writes rather than immediately —
+// an AppendEvidence in between writes the checkpoint already on disk: until
+// then the same state is reproducible by replaying the journal, so nothing
+// is lost in a crash.
 func (s *Store) SetStateCheckpoint(sc *StateCheckpoint) {
 	h := *s.head.Load()
 	h.State = sc
@@ -396,8 +398,8 @@ func (s *Store) SetStateCheckpoint(sc *StateCheckpoint) {
 func (s *Store) Len() int { return s.blocks }
 
 // DiskSize returns the total size in bytes of the WAL segments and the
-// head. Only a cut (PruneTo) shrinks it, by the segments it deletes: the
-// store holds every block above its horizon.
+// head, proofs included. Only a cut (PruneTo) shrinks it, by the segments
+// it deletes: the store holds every block above its horizon.
 func (s *Store) DiskSize() (int64, error) {
 	segs, err := listSegments(s.dir)
 	if err != nil {
@@ -856,11 +858,10 @@ func (s *Store) PruneTo(d *dag.DAG, horizon map[types.ServerID]uint64) error {
 	if err := s.flushPending(); err != nil {
 		return err
 	}
-	next := &Head{Horizon: merged, Base: c.base, State: cur.State}
-	if err := writeHead(s.dir, next); err != nil {
+	next := &Head{Horizon: merged, Base: c.base, State: cur.State, Evidence: cur.Evidence}
+	if err := s.putHead(next, next); err != nil {
 		return err
 	}
-	s.head.Store(next)
 	for i := range min(d.Len(), len(s.locs)) {
 		if !c.kept(i) {
 			s.locs[i] = pruned
@@ -881,13 +882,13 @@ func (s *Store) PruneTo(d *dag.DAG, horizon map[types.ServerID]uint64) error {
 }
 
 // InstallSnapshot makes an empty open store a pruned one holding no
-// blocks: h becomes its head — the horizon, the base table the first live
-// blocks will hang off, and the certified state checkpoint — the install
-// step of snapshot catch-up, after which the delta journals into this same
-// store's WAL. h is the store's from then on. A store that already holds a
-// block or a base is refused: its history is its own. The head is written
-// the way a cut writes it, so a crash mid-install leaves either an empty
-// store or a complete one.
+// blocks: h's horizon, base table and certified state checkpoint become its
+// head, beside the proofs the store already holds (h's own are ignored) —
+// the install step of snapshot catch-up, after which the delta journals
+// into this same store's WAL. A store that already holds a block or a base
+// is refused: its history is its own. The head is written the way a cut
+// writes it, so a crash mid-install leaves either an empty store or a
+// complete one.
 func (s *Store) InstallSnapshot(h *Head) error {
 	switch {
 	case s.closed:
@@ -899,10 +900,19 @@ func (s *Store) InstallSnapshot(h *Head) error {
 	case s.blocks > 0 || len(s.head.Load().Base) > 0:
 		return fmt.Errorf("store: InstallSnapshot into non-empty store %s", s.dir)
 	}
-	if err := writeHead(s.dir, h); err != nil {
+	next := &Head{Horizon: h.Horizon, Base: h.Base, State: h.State, Evidence: s.head.Load().Evidence}
+	return s.putHead(next, next)
+}
+
+// putHead writes disk as the head file and then publishes published: the
+// same head, but for an evidence write, which leaves a checkpoint
+// SetStateCheckpoint set since the last cut published and unwritten.
+func (s *Store) putHead(disk, published *Head) error {
+	if err := writeHead(s.dir, disk); err != nil {
 		return err
 	}
-	s.head.Store(h)
+	s.durable = disk
+	s.head.Store(published)
 	return nil
 }
 
@@ -920,14 +930,6 @@ func (s *Store) Close() error {
 	s.batching = false
 	s.closed = true
 	s.closeReader()
-	if s.evFile != nil {
-		// AppendEvidence syncs after every record; only the descriptor
-		// needs releasing here.
-		if err := s.evFile.Close(); err != nil {
-			return fmt.Errorf("store: close evidence file: %w", err)
-		}
-		s.evFile = nil
-	}
 	return s.rotate()
 }
 
@@ -948,10 +950,6 @@ func (s *Store) Abandon() {
 		_ = s.cur.Close()
 		s.cur = nil
 		s.dirty = false
-	}
-	if s.evFile != nil {
-		_ = s.evFile.Close()
-		s.evFile = nil
 	}
 }
 

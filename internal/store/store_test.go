@@ -404,6 +404,37 @@ func TestRetiredSegmentKindsAreCorrupt(t *testing.T) {
 	open("0000000000000001.snap", append([]byte("BDSTOR1\n\x03"), snap...))
 }
 
+// TestRetiredEvidenceSidecarIsCorrupt: the proofs live in the head, and a
+// store still holding the evidence.log they had before fails Open, the file
+// named as a retired format, rather than open without its bans.
+func TestRetiredEvidenceSidecarIsCorrupt(t *testing.T) {
+	roster, _ := chain(t, 1)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "evidence.log"), []byte("BDEVID1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := store.Open(dir, store.Options{Roster: roster})
+	if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "evidence.log") || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("Open over an evidence sidecar: err = %v, want ErrCorrupt naming the retired file", err)
+	}
+}
+
+// TestRetiredHeadMagicIsCorrupt: a head of the format before proofs moved
+// in (magic BDHEAD1) fails Open by name, whatever follows the magic.
+func TestRetiredHeadMagicIsCorrupt(t *testing.T) {
+	roster, _ := chain(t, 1)
+	dir := t.TempDir()
+	body := []byte{0, 0, 0} // no horizon, no base, no state
+	head := binary.BigEndian.AppendUint32(append([]byte("BDHEAD1\n"), body...), crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(filepath.Join(dir, "head"), head, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := store.Open(dir, store.Options{Roster: roster})
+	if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "BDHEAD1") {
+		t.Fatalf("Open over a BDHEAD1 head: err = %v, want ErrCorrupt naming the retired format", err)
+	}
+}
+
 // TestCheckpointPrunes: a cut drops the history below its horizon —
 // disk is O(retained window), not O(history): every segment wholly below
 // the horizon goes, and a reopen reads the retained blocks alone.
