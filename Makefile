@@ -102,8 +102,8 @@ experiments-smoke:
 # delivery; one committed log, which internal/smr keeps) and exits non-zero
 # when it does not hold. Seeded, about a second each, run in a scratch
 # directory (quickstart writes its DOT file to the working directory).
-# Then dagsim's workload mode journals a run to stores, and dagviz renders
-# s0's store twice: as ASCII, which must name all four builders, and as
+# Then dagsim's workload mode journals a run to stores, and dagstore render
+# draws s0's store twice: as ASCII, which must name all four builders, and as
 # DOT annotated with one BRB instance's buffers, which must carry in:/out:
 # lines. examples/tcp has its own targets: restart-smoke, roster-demo,
 # gateway-smoke and snapshot-smoke.
@@ -117,20 +117,20 @@ examples-smoke:
 			|| { echo "examples-smoke FAILED: examples/$$e exited non-zero" >&2; cat $$d/$$e.log >&2; exit 1; }; \
 	done; \
 	go build -o $$d/dagsim ./cmd/dagsim; \
-	go build -o $$d/dagviz ./cmd/dagviz; \
+	go build -o $$d/dagstore ./cmd/dagstore; \
 	$$d/dagsim -n 4 -instances 4 -store-dir $$d/run > $$d/dagsim.log \
 		|| { echo "examples-smoke FAILED: dagsim -store-dir exited non-zero" >&2; cat $$d/dagsim.log >&2; exit 1; }; \
-	$$d/dagviz -store $$d/run/s0 -format ascii > $$d/dag.txt \
-		|| { echo "examples-smoke FAILED: dagviz -format ascii exited non-zero" >&2; exit 1; }; \
+	$$d/dagstore render -dir $$d/run/s0 -format ascii > $$d/dag.txt \
+		|| { echo "examples-smoke FAILED: dagstore render -format ascii exited non-zero" >&2; exit 1; }; \
 	for i in 0 1 2 3; do \
 		grep -q " s$$i/k" $$d/dag.txt \
-			|| { echo "examples-smoke FAILED: dagviz's ASCII names no block of s$$i" >&2; cat $$d/dag.txt >&2; exit 1; }; \
+			|| { echo "examples-smoke FAILED: dagstore render's ASCII names no block of s$$i" >&2; cat $$d/dag.txt >&2; exit 1; }; \
 	done; \
-	$$d/dagviz -store $$d/run/s0 -format dot -protocol brb -label inst/0 > $$d/dag.dot \
-		|| { echo "examples-smoke FAILED: dagviz -protocol brb -label inst/0 exited non-zero" >&2; exit 1; }; \
+	$$d/dagstore render -dir $$d/run/s0 -format dot -protocol brb -label inst/0 > $$d/dag.dot \
+		|| { echo "examples-smoke FAILED: dagstore render -protocol brb -label inst/0 exited non-zero" >&2; exit 1; }; \
 	grep -q 'in: ' $$d/dag.dot && grep -q 'out: ' $$d/dag.dot \
-		|| { echo "examples-smoke FAILED: dagviz's DOT carries no in:/out: buffer annotations" >&2; cat $$d/dag.dot >&2; exit 1; }; \
-	echo "examples-smoke OK: five worked examples ran and passed their own checks; dagviz rendered dagsim's store"
+		|| { echo "examples-smoke FAILED: dagstore render's DOT carries no in:/out: buffer annotations" >&2; cat $$d/dag.dot >&2; exit 1; }; \
+	echo "examples-smoke OK: five worked examples ran and passed their own checks; dagstore rendered dagsim's store"
 
 .PHONY: restart-smoke
 # restart-smoke is the README's restart walkthrough as a target: the
@@ -248,15 +248,14 @@ gateway-smoke:
 # place (PruneTo, at the interpreter's cut, which -state turns on) — it
 # must reopen, validate and hold a horizon — and then the rejoined store
 # offline: the journaled chunks must rebuild the committed root. Between
-# the two, dagviz renders the cut store annotated with the greeting's
-# buffers, interpreting it from its pruned-history base.
+# the two, dagstore render draws the cut store annotated with the
+# greeting's buffers, interpreting it from its pruned-history base.
 snapshot-smoke:
 	@set -e; \
 	d=$$(mktemp -d); \
 	port=$$((10000 + $$$$ % 40000)); \
 	go build -o $$d/dagroster ./cmd/dagroster; \
 	go build -o $$d/dagstore ./cmd/dagstore; \
-	go build -o $$d/dagviz ./cmd/dagviz; \
 	go build -o $$d/tcp ./examples/tcp; \
 	$$d/dagroster init -n 4 -dir $$d/deploy -addr-base 127.0.0.1:$$port; \
 	pids=""; \
@@ -274,8 +273,8 @@ snapshot-smoke:
 		|| { echo "snapshot-smoke FAILED: dagstore verify rejected the store the first run cut" >&2; cat $$d/verify-cut.log >&2; exit 1; }; \
 	grep -q "pruned   horizon" $$d/verify-cut.log \
 		|| { echo "snapshot-smoke FAILED: the first run's store holds no pruned horizon" >&2; cat $$d/verify-cut.log >&2; exit 1; }; \
-	$$d/dagviz -store $$d/s0 -roster $$d/deploy/roster.txt -protocol brb -label greet/s0 > $$d/cut.dot \
-		|| { echo "snapshot-smoke FAILED: dagviz could not render the store the first run cut" >&2; exit 1; }; \
+	$$d/dagstore render -dir $$d/s0 -roster $$d/deploy/roster.txt -protocol brb -label greet/s0 > $$d/cut.dot \
+		|| { echo "snapshot-smoke FAILED: dagstore render could not draw the store the first run cut" >&2; exit 1; }; \
 	rm -rf $$d/s0; \
 	$$d/tcp -roster $$d/deploy/roster.txt -key $$d/deploy/s0.key \
 		-store-dir $$d/s0 -state -snapshot-join -timeout 30s > $$d/s0-rejoin.log; \
@@ -300,8 +299,10 @@ snapshot-smoke:
 # violation, and the fixed seeds make a failure reproducible verbatim.
 # The partition's stores are then read with the operator's own tool:
 # dagstore inspect must list both equivocators (s5, s6) as banned in every
-# correct slot's head (s0-s4). Not verify: those stores hold the forks,
-# which verify rejects by design.
+# correct slot's head (s0-s4), and its rebuild of each store must detect a
+# forked slot of each (an EQUIVOCATION line: the fork detection a restart
+# relies on, end to end). Not verify: those stores hold the forks, which
+# verify rejects by design.
 chaos-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	go run ./cmd/dagsim -chaos partition-equivocators -seed 7 -store-dir "$$dir"; \
@@ -310,9 +311,10 @@ chaos-smoke:
 		out=$$("$$dir/dagstore" inspect -dir "$$dir/s$$i" -n 7); \
 		for eq in s5 s6; do \
 			echo "$$out" | grep -q "^banned   $$eq:" || { echo "chaos-smoke: s$$i's store holds no proof against $$eq"; exit 1; }; \
+			echo "$$out" | grep -q "^EQUIVOCATION $$eq " || { echo "chaos-smoke: rebuilding s$$i's store detected no fork of $$eq"; exit 1; }; \
 		done; \
 	done; \
-	echo "chaos-smoke: the stores of s0-s4 hold the proofs against s5 and s6"
+	echo "chaos-smoke: the stores of s0-s4 hold the proofs against s5 and s6, and rebuilding them detects both forks"
 	go run ./cmd/dagsim -chaos crash-storm -seed 3
 	@echo "chaos-smoke OK: both scenarios passed their invariants"
 

@@ -7,7 +7,7 @@
 //
 //	dagsim -n 4 -protocol brb -instances 8 -rounds 20
 //	dagsim -n 7 -protocol pbft -instances 16 -drop 0.2 -seed 3
-//	dagsim -n 4 -instances 4 -store-dir run   # then: dagviz -store run/s0
+//	dagsim -n 4 -instances 4 -store-dir run   # then: dagstore render -dir run/s0
 //	dagsim -chaos partition-equivocators -seed 7   # seeded fault scenario
 package main
 
@@ -24,7 +24,7 @@ import (
 	"blockdag/internal/metrics"
 	"blockdag/internal/node"
 	"blockdag/internal/protocol"
-	"blockdag/internal/protocols/brb"
+	"blockdag/internal/protocols"
 	"blockdag/internal/protocols/courier"
 	"blockdag/internal/protocols/pbft"
 	"blockdag/internal/roster"
@@ -59,7 +59,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	proto, err := protocolByName(*protoName)
+	proto, err := protocols.ByName(*protoName)
 	if err != nil {
 		return err
 	}
@@ -181,8 +181,8 @@ func run() error {
 	if !ok {
 		fmt.Println("\nWARNING: round budget exhausted before all instances delivered")
 	}
-	if eqs := c.Servers[c.CorrectServers()[0]].DAG().Equivocations(); len(eqs) > 0 {
-		fmt.Printf("equivocations          %d\n", len(eqs))
+	if proofs := c.Servers[c.CorrectServers()[0]].Scores().Proofs(); len(proofs) > 0 {
+		fmt.Printf("equivocators convicted %d\n", len(proofs))
 	}
 	var magg struct {
 		submitted, accepted, dups, invalid, overflow, drained int64
@@ -289,17 +289,4 @@ func safeDiv(a, b int64) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-func protocolByName(name string) (protocol.Protocol, error) {
-	switch name {
-	case "brb":
-		return brb.Protocol{}, nil
-	case "pbft":
-		return pbft.Protocol{}, nil
-	case "courier":
-		return courier.Protocol{}, nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", name)
-	}
 }

@@ -6,17 +6,27 @@
 //
 //	dagstore inspect -dir path/to/s0 -n 4    # layout, chains, convictions, health
 //	dagstore verify  -dir path/to/s0 -n 4    # strict read-only check
+//	dagstore render  -dir path/to/s0 -n 4 -format dot > dag.dot
+//	dagstore render  -dir path/to/s0 -n 4 -format dot -protocol brb -label inst/0 > fig4.dot
+//	dagstore render  -dir path/to/s0 -n 4 -format ascii
 //
-// Both open the store read-only: they never repair, truncate, or delete
-// anything. store.Open only reads (framing and checksums); each command
-// then validates the blocks itself, signatures included, by inserting them
-// into a DAG of its own — what a restarting node does in its live one.
+// Every command opens the store read-only: none repairs, truncates, or
+// deletes anything. store.Open only reads (framing and checksums); each
+// command then validates the blocks itself, signatures included, by
+// inserting them into a DAG of its own, standing on the store's
+// pruned-history base when a cut left one — what a restarting node does in
+// its live one — and collects the forked slots that rebuild observes.
 // verify exits non-zero if the store is corrupt, holds equivocating blocks
 // or duplicate records, or carries a torn tail or stale segments
 // (conditions inspect merely reports). Nothing here rewrites a store: the
 // next read-write open — the node's, when it starts — cuts a torn tail off
 // and deletes the segments a crashed cut left, and a duplicate record
 // leaves when a cut deletes its segment.
+//
+// render draws the rebuilt DAG as Graphviz DOT or compact ASCII. With
+// -protocol and -label it annotates every block with the message buffers
+// Ms[in/out, ℓ] that interpretation materializes — regenerating the paper's
+// Figure 4 for any instance in any DAG.
 //
 // The roster the blocks are validated against comes from -roster (a
 // dagroster-generated roster file — the production path) or, for stores
@@ -30,11 +40,14 @@ import (
 	"os"
 	"sort"
 
+	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/protocols"
 	"blockdag/internal/roster"
 	"blockdag/internal/state"
 	"blockdag/internal/store"
+	"blockdag/internal/trace"
 	"blockdag/internal/types"
 )
 
@@ -46,7 +59,8 @@ func main() {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: dagstore <inspect|verify> -dir DIR [-roster FILE | -n N]")
+	return fmt.Errorf("usage: dagstore <inspect|verify|render> -dir DIR [-roster FILE | -n N] " +
+		"[render: -format dot|ascii -protocol P -label L]")
 }
 
 func run(args []string) error {
@@ -54,30 +68,47 @@ func run(args []string) error {
 		return usage()
 	}
 	cmd, args := args[0], args[1:]
+	if cmd != "inspect" && cmd != "verify" && cmd != "render" {
+		return usage()
+	}
 
 	fs := flag.NewFlagSet("dagstore "+cmd, flag.ContinueOnError)
 	dir := fs.String("dir", "", "store directory (one server's store, e.g. runs/s0)")
 	n := fs.Int("n", 4, "dev-fixture roster size the store's blocks were signed under")
 	rosterF := fs.String("roster", "", "roster file the store's blocks were signed under (overrides -n)")
+	var format, protoName, label *string
+	if cmd == "render" {
+		format = fs.String("format", "dot", "output format: dot | ascii")
+		protoName = fs.String("protocol", "", "annotate buffers for this protocol: brb | pbft | courier")
+		label = fs.String("label", "", "instance label to annotate (with -protocol)")
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dir == "" {
 		return usage()
 	}
+	if cmd == "render" && (*protoName == "") != (*label == "") {
+		return fmt.Errorf("-protocol and -label go together")
+	}
 	r, err := loadRoster(*rosterF, *n)
 	if err != nil {
 		return err
 	}
-
-	switch cmd {
-	case "inspect":
-		return inspect(*dir, r, false)
-	case "verify":
-		return inspect(*dir, r, true)
-	default:
-		return usage()
+	st, err := store.Open(*dir, store.Options{Roster: r, ReadOnly: true})
+	if err != nil {
+		return err
 	}
+	defer func() { _ = st.Close() }()
+	d, forks, err := rebuild(st, r)
+	if err != nil {
+		return err
+	}
+
+	if cmd == "render" {
+		return render(d, forks, r, *format, *protoName, *label)
+	}
+	return inspect(*dir, st, d, forks, cmd == "verify")
 }
 
 // loadRoster resolves the validation roster: a roster file when given,
@@ -96,32 +127,56 @@ func loadRoster(path string, n int) (*crypto.Roster, error) {
 
 // rebuild validates the store's blocks (Definition 3.3, signatures
 // included) by inserting them, in file order, into a fresh DAG standing on
-// the store's pruned-history base.
-func rebuild(st *store.Store, roster *crypto.Roster) (*dag.DAG, error) {
+// the store's pruned-history base, and returns the forked slots the DAG
+// observed on the way, in the order it did: each the block that held the
+// slot first (nil when it was pruned below the base) and the one that
+// claimed it again.
+func rebuild(st *store.Store, roster *crypto.Roster) (*dag.DAG, [][2]*block.Block, error) {
 	d := dag.New(roster)
 	if err := d.SeedBase(st.Head().Base); err != nil {
-		return nil, fmt.Errorf("seed base: %w", err)
+		return nil, nil, fmt.Errorf("seed base: %w", err)
 	}
+	var forks [][2]*block.Block
+	d.SetOnEquivocation(func(first, second *block.Block) {
+		forks = append(forks, [2]*block.Block{first, second})
+	})
 	for _, b := range st.Blocks() {
 		if err := d.Insert(b); err != nil {
-			return nil, fmt.Errorf("block %v failed validation: %w", b.Ref(), err)
+			return nil, nil, fmt.Errorf("block %v failed validation: %w", b.Ref(), err)
 		}
 	}
-	return d, nil
+	return d, forks, nil
 }
 
-// inspect opens the store read-only and prints its health; in strict mode
-// every repairable or suspicious condition becomes an error.
-func inspect(dir string, roster *crypto.Roster, strict bool) error {
-	st, err := store.Open(dir, store.Options{Roster: roster, ReadOnly: true})
-	if err != nil {
-		return err
+// render prints the rebuilt DAG as DOT or ASCII; with a protocol and a
+// label, DOT annotates every block with that instance's message buffers.
+func render(d *dag.DAG, forks [][2]*block.Block, r *crypto.Roster, format, protoName, label string) error {
+	var annotate trace.Annotator
+	if protoName != "" {
+		proto, err := protocols.ByName(protoName)
+		if err != nil {
+			return err
+		}
+		buffers, err := trace.InterpretBuffers(d, proto, r.N(), r.F(), types.Label(label))
+		if err != nil {
+			return err
+		}
+		annotate = trace.BufferAnnotator(buffers)
 	}
-	defer func() { _ = st.Close() }()
-	d, err := rebuild(st, roster)
-	if err != nil {
-		return err
+	switch format {
+	case "dot":
+		fmt.Print(trace.DOT(d, annotate))
+	case "ascii":
+		fmt.Print(trace.ASCII(d, forks))
+	default:
+		return fmt.Errorf("unknown format %q", format)
 	}
+	return nil
+}
+
+// inspect prints the store's health; in strict mode every repairable or
+// suspicious condition becomes an error.
+func inspect(dir string, st *store.Store, d *dag.DAG, forks [][2]*block.Block, strict bool) error {
 	rep := st.Report()
 	size, err := st.DiskSize()
 	if err != nil {
@@ -194,10 +249,12 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 		fmt.Printf("chain    s%d: %d blocks, seq %d..%d\n",
 			id, len(chain), chain[0].Seq, chain[len(chain)-1].Seq)
 	}
-	eqs := d.Equivocations()
-	for _, e := range eqs {
-		fmt.Printf("EQUIVOCATION s%d at seq %d: %s vs %s\n",
-			e.Builder, e.Seq, e.Refs[0], e.Refs[1])
+	for _, f := range forks {
+		first := "pruned"
+		if f[0] != nil {
+			first = f[0].Ref().String()
+		}
+		fmt.Printf("EQUIVOCATION s%d at seq %d: %s vs %s\n", f[1].Builder, f[1].Seq, first, f[1].Ref())
 	}
 
 	if strict {
@@ -208,8 +265,8 @@ func inspect(dir string, roster *crypto.Roster, strict bool) error {
 			return fmt.Errorf("verify: %d stale segments", rep.StaleSegments)
 		case rep.Duplicates > 0:
 			return fmt.Errorf("verify: %d duplicate records", rep.Duplicates)
-		case len(eqs) > 0:
-			return fmt.Errorf("verify: %d equivocations", len(eqs))
+		case len(forks) > 0:
+			return fmt.Errorf("verify: %d equivocations", len(forks))
 		}
 		fmt.Println("verify   OK")
 	}

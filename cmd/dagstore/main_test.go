@@ -1,10 +1,16 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"blockdag/internal/block"
+	"blockdag/internal/dagtest"
+	"blockdag/internal/store"
 )
 
 // TestVerifyRefusesRetiredFormats: a store holding the evidence sidecar or
@@ -24,4 +30,62 @@ func TestVerifyRefusesRetiredFormats(t *testing.T) {
 			t.Fatalf("verify over a retired %s: err = %v, want it refused as a retired format", name, err)
 		}
 	}
+}
+
+// TestEveryCommandShowsTheForks: the fork collection of the rebuild reaches
+// every command — inspect and render print one EQUIVOCATION line per forked
+// slot, first block before second, and verify refuses the store for it.
+func TestEveryCommandShowsTheForks(t *testing.T) {
+	h := dagtest.NewHarness(4)
+	g := h.Seal(1, 0, nil)
+	a := h.Seal(1, 1, []block.Ref{g.Ref()}, block.Request{Label: "ℓ", Data: []byte("a")})
+	b := h.Seal(1, 1, []block.Ref{g.Ref()}, block.Request{Label: "ℓ", Data: []byte("b")})
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Roster: h.Roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range []*block.Block{g, a, b} {
+		if err := st.Append(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"inspect"}, fmt.Sprintf("EQUIVOCATION s1 at seq 1: %s vs %s\n", a.Ref(), b.Ref())},
+		{[]string{"render", "-format", "ascii"}, fmt.Sprintf("EQUIVOCATION s1 at k1: %s vs %s\n", a.Ref(), b.Ref())},
+	} {
+		out, err := stdout(t, func() error { return run(append(tc.args, "-dir", dir, "-n", "4")) })
+		if err != nil || !strings.Contains(out, tc.want) {
+			t.Fatalf("%v: err %v, output\n%s\nwant a line %q", tc.args, err, out, tc.want)
+		}
+	}
+	if _, err := stdout(t, func() error { return run([]string{"verify", "-dir", dir, "-n", "4"}) }); err == nil ||
+		!strings.Contains(err.Error(), "1 equivocations") {
+		t.Fatalf("verify over a forked store: err = %v, want the fork refused", err)
+	}
+}
+
+// stdout runs fn and returns what it printed to os.Stdout.
+func stdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	runErr := fn()
+	os.Stdout = saved
+	_ = w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
 }

@@ -100,11 +100,11 @@ func run() error {
 	}
 	fmt.Println("consistency holds: all correct servers delivered the same value")
 
-	fmt.Println("\nequivocation evidence recorded in every correct DAG:")
+	fmt.Println("\nequivocation proofs held by every correct server:")
 	for _, i := range c.CorrectServers() {
-		for _, e := range c.Servers[i].DAG().Equivocations() {
+		for _, p := range c.Servers[i].Scores().Proofs() {
 			fmt.Printf("  s%d holds proof: s%d built %s and %s at k=%d\n",
-				i, e.Builder, e.Refs[0], e.Refs[1], e.Seq)
+				i, p.Equivocator(), p.First.Ref(), p.Second.Ref(), p.First.Seq)
 		}
 	}
 
@@ -142,6 +142,10 @@ func run() error {
 	fmt.Printf("the parent rule alone refuses it too: %v\n", d.Insert(join))
 
 	fmt.Println("\ns0's DAG:")
-	fmt.Print(trace.ASCII(c.Servers[0].DAG()))
+	var forks [][2]*block.Block
+	for _, p := range c.Servers[0].Scores().Proofs() {
+		forks = append(forks, [2]*block.Block{p.First, p.Second})
+	}
+	fmt.Print(trace.ASCII(c.Servers[0].DAG(), forks))
 	return nil
 }

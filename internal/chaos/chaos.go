@@ -196,9 +196,8 @@ type Result struct {
 
 	Converged          bool // all correct DAGs identical after the heal
 	Agreement          bool // no two correct servers delivered different values per label
-	EvidenceEverywhere bool // every correct server holds a proof per equivocator
+	BannedEverywhere   bool // every correct scorer holds a proof per equivocator
 	SameProofBytes     bool // ... and the encodings are byte-identical cluster-wide
-	BannedEverywhere   bool // every correct scorer has every equivocator banned
 	BanSurvival        bool // bans intact after an honest crash/restart (when checked)
 	BanSurvivalChecked bool
 
@@ -224,8 +223,8 @@ func (r *Result) Summary() string {
 	fmt.Fprintf(&b, "chaos %s: seed=%d rounds=%d blocks=%s indications=%s", r.Scenario, r.Seed, r.Rounds, r.BlocksDigest, r.IndicationsDigest)
 	fmt.Fprintf(&b, "\n  converged=%v agreement=%v", r.Converged, r.Agreement)
 	if len(r.Equivocators) > 0 {
-		fmt.Fprintf(&b, "\n  equivocators=%v evidence-everywhere=%v same-proof=%v banned-everywhere=%v",
-			r.Equivocators, r.EvidenceEverywhere, r.SameProofBytes, r.BannedEverywhere)
+		fmt.Fprintf(&b, "\n  equivocators=%v same-proof=%v banned-everywhere=%v",
+			r.Equivocators, r.SameProofBytes, r.BannedEverywhere)
 	}
 	if r.BanSurvivalChecked {
 		fmt.Fprintf(&b, " ban-survived-restart=%v", r.BanSurvival)
@@ -549,14 +548,8 @@ func (r *runner) converge() error {
 			return false
 		}
 		for slot := range r.equivocated {
-			id := types.ServerID(slot)
-			if !r.c.BannedEverywhere(id) {
+			if !r.c.BannedEverywhere(types.ServerID(slot)) {
 				return false
-			}
-			for _, i := range r.c.CorrectServers() {
-				if !r.c.Servers[i].Evidence().Has(id) {
-					return false
-				}
 			}
 		}
 		return true
@@ -611,18 +604,17 @@ func (r *runner) checkAgreement() bool {
 }
 
 // checkAccountability verifies the evidence invariants for every driven
-// equivocator: a proof in every correct server's pool, all encodings
-// byte-identical (the canonical ordering makes the proof unique), and
-// the terminal ban installed at every correct scorer.
+// equivocator: a ban — a proof — in every correct server's scorer, all
+// encodings byte-identical (the canonical ordering makes the proof unique).
 func (r *runner) checkAccountability() {
 	res := r.result
-	res.EvidenceEverywhere, res.SameProofBytes, res.BannedEverywhere = true, true, true
+	res.SameProofBytes, res.BannedEverywhere = true, true
 	for _, id := range res.Equivocators {
 		var canonical []byte
 		for _, i := range r.c.CorrectServers() {
-			p, ok := r.c.Servers[i].Evidence().Get(id)
-			if !ok {
-				res.EvidenceEverywhere = false
+			p := r.c.Servers[i].Scores().Proof(id)
+			if p == nil {
+				res.BannedEverywhere = false
 				res.Violations = append(res.Violations, fmt.Sprintf("s%d holds no proof against s%d", i, id))
 				continue
 			}
@@ -633,10 +625,6 @@ func (r *runner) checkAccountability() {
 				res.SameProofBytes = false
 				res.Violations = append(res.Violations, fmt.Sprintf("s%d holds a different proof against s%d", i, id))
 			}
-		}
-		if !r.c.BannedEverywhere(id) {
-			res.BannedEverywhere = false
-			res.Violations = append(res.Violations, fmt.Sprintf("s%d is not banned on every correct server", id))
 		}
 	}
 }
@@ -664,11 +652,6 @@ func (r *runner) checkBanSurvival() error {
 			res.BanSurvival = false
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("ban of s%d did not survive s%d's restart", id, victim))
-		}
-		if !r.c.Servers[victim].Evidence().Has(id) {
-			res.BanSurvival = false
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("proof against s%d did not survive s%d's restart", id, victim))
 		}
 	}
 	return nil

@@ -25,8 +25,7 @@ func TestPartitionEquivocators(t *testing.T) {
 	if len(res.Equivocators) != 2 {
 		t.Fatalf("expected 2 equivocators, got %v", res.Equivocators)
 	}
-	if !res.Converged || !res.Agreement || !res.EvidenceEverywhere ||
-		!res.SameProofBytes || !res.BannedEverywhere {
+	if !res.Converged || !res.Agreement || !res.SameProofBytes || !res.BannedEverywhere {
 		t.Fatalf("verdict fields inconsistent with OK():\n%s", res.Summary())
 	}
 	if !res.BanSurvivalChecked || !res.BanSurvival {

@@ -13,6 +13,7 @@ import (
 	"blockdag/internal/cluster"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
@@ -161,7 +162,7 @@ func TestClusterCatchUpAfterDiskLoss(t *testing.T) {
 			}
 		}
 	}
-	if len(c.Servers[0].DAG().Equivocations()) != 0 {
+	if len(dagtest.Forked(c.Servers[0].DAG())) != 0 {
 		t.Fatal("the wiped slot forked its own chain")
 	}
 	for i := 0; i < pre; i++ {

@@ -126,9 +126,8 @@ type Cluster struct {
 	// started: the cluster steps it. Byzantine and crashed slots are nil.
 	Nodes []*node.Node
 	// Servers holds Nodes[i].Server() for every live correct slot (nil
-	// otherwise): the state machine most tests talk to. A slot's mempool,
-	// evidence pool and scorer are the server's (Mempool, Evidence,
-	// Scores).
+	// otherwise): the state machine most tests talk to. A slot's mempool
+	// and scorer — its convictions — are the server's (Mempool, Scores).
 	Servers []*core.Server
 	// Metrics holds each correct server's counters (nil for byzantine
 	// slots).
@@ -204,8 +203,8 @@ func New(opts Options) (*Cluster, error) {
 // up brings one correct slot up the way a process starts, at New and at
 // every Restart: deploy.ListenOn over the simulator (simnet.Network.Listen)
 // on its virtual clock, then Boot — which replays the slot's store, if it
-// has one. Its mempool, evidence pool and scorer are fresh, as after a real
-// restart; bans come back from the proofs in the store's head.
+// has one. Its mempool and scorer are fresh, as after a real restart; bans
+// come back from the proofs in the store's head.
 func (c *Cluster) up(slot int) error {
 	id := types.ServerID(slot)
 	identity, err := c.Fixture.File.Identity(c.Fixture.Keys[slot], &c.Sigs)
@@ -369,8 +368,8 @@ func (c *Cluster) Converged() bool {
 // in flight are dropped, its gateway closes and in-flight clients get the
 // broker's terminal signal — and it leaves the network, so future traffic
 // to it is dropped and any catch-up stream it was serving aborts with
-// transport.ErrStreamLost at the client. Mempool, evidence pool and scorer
-// die with it; Restart brings the slot back.
+// transport.ErrStreamLost at the client. Mempool and scorer die with it;
+// Restart brings the slot back.
 func (c *Cluster) Crash(slot int) {
 	if a := c.slots[slot]; a != nil && a.Store != nil {
 		a.Store.Abandon()
@@ -393,8 +392,8 @@ func (c *Cluster) Restart(slot int) error {
 	return c.up(slot)
 }
 
-// BannedEverywhere reports whether every correct server's scorer has the
-// given server in the terminal banned state.
+// BannedEverywhere reports whether every correct server's scorer holds a
+// proof against the given server.
 func (c *Cluster) BannedEverywhere(id types.ServerID) bool {
 	any := false
 	for i, srv := range c.Servers {

@@ -391,10 +391,10 @@ func TestClusterFollowerHoldingAForkIsNotRestreamed(t *testing.T) {
 	c.Send(equivocator, b, 3)
 	c.Net.Run()
 	c.Net.SetPartition(nil)
-	if len(c.Servers[3].DAG().Equivocations()) != 1 || len(c.Servers[0].DAG().Equivocations()) != 0 ||
-		!c.Servers[0].DAG().Contains(a.Ref()) || c.Servers[0].Evidence().Len() != 0 {
+	if len(dagtest.Forked(c.Servers[3].DAG())) != 1 || len(dagtest.Forked(c.Servers[0].DAG())) != 0 ||
+		!c.Servers[0].DAG().Contains(a.Ref()) || len(c.Servers[0].Scores().Proofs()) != 0 {
 		t.Fatalf("setup: slot 3 sees %d equivocations, slot 0 sees %d and holds %d proofs",
-			len(c.Servers[3].DAG().Equivocations()), len(c.Servers[0].DAG().Equivocations()), c.Servers[0].Evidence().Len())
+			len(dagtest.Forked(c.Servers[3].DAG())), len(dagtest.Forked(c.Servers[0].DAG())), len(c.Servers[0].Scores().Proofs()))
 	}
 
 	for i := 1; i <= 3; i++ {

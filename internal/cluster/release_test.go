@@ -8,6 +8,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/types"
@@ -72,8 +73,8 @@ func forkAfterRelease(t *testing.T, storeDir string) (inds []string, reads int64
 	}
 	for _, i := range c.CorrectServers() {
 		// The proof's first half was released: exporting it read it back.
-		if !c.Servers[i].DAG().Contains(chain[2].Ref()) || len(c.Servers[i].DAG().Equivocations()) != 1 ||
-			c.Servers[i].Evidence().Len() != 1 {
+		if !c.Servers[i].DAG().Contains(chain[2].Ref()) || len(dagtest.Forked(c.Servers[i].DAG())) != 1 ||
+			len(c.Servers[i].Scores().Proofs()) != 1 {
 			t.Fatalf("slot %d does not hold the fork and its proof", i)
 		}
 		for _, ind := range c.Indications(i) {

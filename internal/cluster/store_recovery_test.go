@@ -6,7 +6,12 @@ import (
 
 	"blockdag/internal/cluster"
 	"blockdag/internal/core"
+	"blockdag/internal/crypto"
+	"blockdag/internal/dagtest"
+	"blockdag/internal/metrics"
+	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
+	"blockdag/internal/simnet"
 	"blockdag/internal/store"
 	"blockdag/internal/types"
 )
@@ -154,7 +159,7 @@ func TestClusterRestartFromStore(t *testing.T) {
 	// No self-equivocation: the restarted server continued its chain, so
 	// no DAG anywhere holds two s3 blocks with one sequence number.
 	for _, i := range c.CorrectServers() {
-		if eqs := c.Servers[i].DAG().Equivocations(); len(eqs) != 0 {
+		if eqs := dagtest.Forked(c.Servers[i].DAG()); len(eqs) != 0 {
 			t.Fatalf("server %d observed equivocations after restart: %v", i, eqs)
 		}
 	}
@@ -227,8 +232,77 @@ func TestStoreSurvivesDoubleRestart(t *testing.T) {
 		t.Fatalf("no reconvergence after double restart: ok=%v err=%v", ok, err)
 	}
 	for _, i := range c.CorrectServers() {
-		if eqs := c.Servers[i].DAG().Equivocations(); len(eqs) != 0 {
+		if eqs := dagtest.Forked(c.Servers[i].DAG()); len(eqs) != 0 {
 			t.Fatalf("server %d observed equivocations: %v", i, eqs)
 		}
+	}
+}
+
+// TestRestoredConvictionCountsAlike: a proof the store's head holds comes
+// back at a restart as a ban, and the node counts it neither as received
+// evidence nor as a new ban — on the deploy path (a cluster slot restarted
+// over its store) and on a bare core + node over a store alike. The two
+// paths once disagreed: deploy convicted from the head before the server
+// replayed it, and the replay counted a received proof but no ban.
+func TestRestoredConvictionCountsAlike(t *testing.T) {
+	const byz = 3
+	proof := dagtest.Proof(byz)
+	counters := func(m *metrics.Metrics) [2]int64 {
+		return [2]int64{m.Get(metrics.EvidenceReceived), m.Get(metrics.PeersBanned)}
+	}
+
+	c, err := cluster.New(cluster.Options{N: 4, Protocol: brb.Protocol{}, StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Stores[0].AppendEvidence(proof); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	deployed := counters(c.Metrics[0])
+	if !c.Servers[0].Scores().Banned(byz) {
+		t.Fatal("the cluster slot did not restore the ban")
+	}
+
+	roster, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Roster: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendEvidence(proof); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = store.Open(dir, store.Options{Roster: roster}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Close() }()
+	m := &metrics.Metrics{}
+	net := simnet.New()
+	srv, err := core.NewServer(core.Config{
+		Roster: roster, Signer: signers[1], Protocol: brb.Protocol{},
+		Transport: net.Transport(1), Clock: net.Now, Metrics: m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := node.New(node.Config{Server: srv, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Stop()
+	if !srv.Scores().Banned(byz) {
+		t.Fatal("the bare node did not restore the ban")
+	}
+	if bare := counters(m); bare != deployed || bare != [2]int64{} {
+		t.Fatalf("(evidence received, peers banned) = %v on the deploy path, %v on a bare node; want 0, 0 on both", deployed, bare)
 	}
 }

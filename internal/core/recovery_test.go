@@ -8,6 +8,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/store"
 	"blockdag/internal/types"
@@ -84,7 +85,7 @@ func TestCrashRecovery(t *testing.T) {
 	// The recovered chain continues the old one: no equivocation by s3
 	// in anyone's DAG, and s3's chain extends the pre-crash tip.
 	for _, i := range c.CorrectServers() {
-		if eqs := c.Servers[i].DAG().Equivocations(); len(eqs) != 0 {
+		if eqs := dagtest.Forked(c.Servers[i].DAG()); len(eqs) != 0 {
 			t.Fatalf("server %d sees equivocators %v after recovery", i, eqs)
 		}
 	}

@@ -69,8 +69,8 @@ type Config struct {
 	// (mempool.Options{}). The pool is volatile: queued requests do not
 	// survive a restart.
 	Mempool *mempool.Pool
-	// Scores carries per-peer misbehaviour signals and the terminal ban
-	// state equivocation proofs feed. A deployment shares one scorer
+	// Scores carries per-peer misbehaviour signals and the server's
+	// convictions: the proof behind each ban. A deployment shares one scorer
 	// between the server, its transport and its sync service, so every
 	// layer sees the same verdicts (package deploy does); nil means a
 	// scorer of the server's own.
@@ -120,8 +120,8 @@ var _ transport.Endpoint = (*Server)(nil)
 
 // NewServer wires gossip and interpret around a shared DAG and request
 // buffer (Algorithm 3 lines 2–5). Every server has the same shape: a
-// mempool, a peer scorer and an evidence pool are always there (Mempool,
-// Scores, Evidence), defaulted when the config leaves them out.
+// mempool and a peer scorer, which holds its convictions, are always there
+// (Mempool, Scores), defaulted when the config leaves them out.
 func NewServer(cfg Config) (*Server, error) {
 	switch {
 	case cfg.Roster == nil:
@@ -326,11 +326,8 @@ func (s *Server) onEvidence(p *evidence.Proof) error {
 	return nil
 }
 
-// Evidence exposes the pool of equivocation proofs this server holds, one
-// per convicted builder. Treat as read-only.
-func (s *Server) Evidence() *evidence.Pool { return s.gsp.Evidence() }
-
-// Scores exposes the peer scorer: Config.Scores, or the server's own.
+// Scores exposes the peer scorer, which holds the server's convictions:
+// Config.Scores, or the server's own.
 func (s *Server) Scores() *peerscore.Scorer { return s.cfg.Scores }
 
 // onIndication filters interpretation indications down to this server's
@@ -509,10 +506,12 @@ func (*volatile) AppendEvidence(*evidence.Proof) error { return nil }
 // uses, since the node receives an already-built Server. It must be called
 // before any block is inserted, Restore's replay included, so no insertion
 // can slip past the journal; the store's sink skips the blocks replayed
-// from it. The proofs the journal already holds are replayed into pool and
-// scorer — ban, but no re-persist and no relay — so a ban survives a
-// crash/restart even when the proof's blocks never made it into the
-// replayable DAG, and holds from the first delivery on.
+// from it. The proofs the journal already holds are replayed into the
+// scorer — ban, but no re-persist, no relay and no count: a restored
+// conviction is neither a received proof nor a new ban — so a ban survives
+// a crash/restart even when the proof's blocks never made it into the
+// replayable DAG, and holds from the first delivery on. (A deployed node's
+// scorer holds them already: package deploy seeds it from the same head.)
 //
 // A persist error marks the server unhealthy (Health), withholds the
 // broadcast of the own block it failed on, and stops further dissemination
@@ -530,7 +529,7 @@ func (s *Server) SetJournal(j Journal) error {
 	s.useJournal(j)
 	s.journalSet = true
 	for _, p := range j.Evidence() {
-		s.gsp.Convict(p)
+		s.cfg.Scores.Convict(p)
 	}
 	return nil
 }

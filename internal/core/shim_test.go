@@ -134,7 +134,7 @@ func TestTheorem51BRBProperties(t *testing.T) {
 
 	// The equivocation is visible in every correct server's DAG.
 	for _, i := range c.CorrectServers() {
-		eqv := dagtest.Equivocators(c.Servers[i].DAG())
+		eqv := dagtest.Equivocators(c.Servers[i].Scores())
 		if len(eqv) != 1 || eqv[0] != 3 {
 			t.Fatalf("server %d detected equivocators %v, want [s3]", i, eqv)
 		}
@@ -399,8 +399,8 @@ func TestServerConfigValidation(t *testing.T) {
 
 // TestMinimalConfigIsTheWholeServer: there is one server shape. A config
 // with only the required fields yields a server with a mempool (a repeated
-// request is refused as a duplicate, not buffered twice), a scorer and an
-// evidence pool (a fork shown to it convicts and bans its builder).
+// request is refused as a duplicate, not buffered twice) and a scorer that
+// holds its convictions (a fork shown to it bans its builder on the proof).
 func TestMinimalConfigIsTheWholeServer(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(4)
 	if err != nil {
@@ -414,9 +414,8 @@ func TestMinimalConfigIsTheWholeServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Mempool() == nil || srv.Scores() == nil || srv.Evidence() == nil {
-		t.Fatalf("minimal server lacks a part: mempool %v, scorer %v, evidence pool %v",
-			srv.Mempool(), srv.Scores(), srv.Evidence())
+	if srv.Mempool() == nil || srv.Scores() == nil {
+		t.Fatalf("minimal server lacks a part: mempool %v, scorer %v", srv.Mempool(), srv.Scores())
 	}
 	if err := srv.Submit("ℓ", []byte("r")); err != nil {
 		t.Fatal(err)
@@ -434,8 +433,8 @@ func TestMinimalConfigIsTheWholeServer(t *testing.T) {
 		}
 		srv.Deliver(3, gossip.EncodeBlockMsg(fork))
 	}
-	if !srv.Evidence().Has(3) || !srv.Scores().Banned(3) {
-		t.Fatalf("fork by s3: proof held %v, banned %v; want both", srv.Evidence().Has(3), srv.Scores().Banned(3))
+	if p := srv.Scores().Proof(3); p == nil || p.Equivocator() != 3 {
+		t.Fatalf("fork by s3: proof held %v; want s3 banned on it", p)
 	}
 }
 

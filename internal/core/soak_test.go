@@ -103,7 +103,7 @@ func TestSoakTheorem51AtScale(t *testing.T) {
 	}
 	// The equivocator is exposed in every correct DAG.
 	for _, i := range c.CorrectServers() {
-		eqv := dagtest.Equivocators(c.Servers[i].DAG())
+		eqv := dagtest.Equivocators(c.Servers[i].Scores())
 		if len(eqv) != 1 || eqv[0] != 5 {
 			t.Fatalf("server %d detected equivocators %v, want [s5]", i, eqv)
 		}

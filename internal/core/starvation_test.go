@@ -54,7 +54,7 @@ func TestEvenEquivocationSplitStarvesQuorum(t *testing.T) {
 		if !d.Contains(forkA.Ref()) || !d.Contains(forkB.Ref()) {
 			t.Fatalf("server %d missing fork blocks", i)
 		}
-		if eqv := dagtest.Equivocators(d); len(eqv) != 1 || eqv[0] != 5 {
+		if eqv := dagtest.Equivocators(c.Servers[i].Scores()); len(eqv) != 1 || eqv[0] != 5 {
 			t.Fatalf("server %d equivocators = %v", i, eqv)
 		}
 	}

@@ -41,7 +41,7 @@
 // good. A block's bytes (its frame, request table and labels) leave once
 // every chain has read it (Release, at the frontier package interpret computes)
 // and the journal (SetJournal) answers for them: every reader below — Get,
-// All, Blocks, ByBuilder, EquivocationBlocks, ReadRow — goes
+// All, Blocks, ByBuilder, ReadRow, the equivocation callback — goes
 // through one accessor that reads a released block back from the journal,
 // handing it the row's predecessors: the row answers for a block's edges,
 // the journal for the rest of its bytes, and the accessor checks that the
@@ -90,39 +90,6 @@ var (
 	ErrBuilderUnknown = errors.New("dag: builder not in roster")
 )
 
-// Equivocation is proof that a builder produced two distinct blocks with
-// the same sequence number (Figure 3). Both blocks are individually valid;
-// the pair exposes the byzantine behaviour.
-type Equivocation struct {
-	Builder types.ServerID
-	Seq     uint64
-	Refs    [2]block.Ref
-}
-
-// ErrNotEquivocation reports a block pair that is not a valid equivocation
-// proof.
-var ErrNotEquivocation = errors.New("dag: not an equivocation proof")
-
-// VerifyEquivocationProof checks a transferable equivocation proof: two
-// validly signed blocks by the same builder with the same sequence number
-// but different references. Anyone holding the roster can verify it —
-// no DAG required — making byzantine builders accountable to third
-// parties (the PeerReview/Polygraph direction the paper points at in
-// Section 6).
-func VerifyEquivocationProof(roster *crypto.Roster, b1, b2 *block.Block) error {
-	switch {
-	case b1.Builder != b2.Builder:
-		return fmt.Errorf("%w: different builders", ErrNotEquivocation)
-	case b1.Seq != b2.Seq:
-		return fmt.Errorf("%w: different sequence numbers", ErrNotEquivocation)
-	case b1.Ref() == b2.Ref():
-		return fmt.Errorf("%w: identical blocks", ErrNotEquivocation)
-	case !b1.VerifySignature(roster) || !b2.VerifySignature(roster):
-		return fmt.Errorf("%w: signature invalid", ErrNotEquivocation)
-	}
-	return nil
-}
-
 // Journal answers for the bytes of the blocks a DAG has released: Block
 // returns the row-th inserted block (stand-ins not counted), read back, given
 // its predecessors' references — the edges its row keeps for good, so a
@@ -166,9 +133,8 @@ type DAG struct {
 	// that order. Empty on an unpruned DAG.
 	base []Base
 
-	proven         map[slot]struct{} // forked slots whose proof pair went out
-	equivocations  []Equivocation
-	onEquivocation func(Equivocation)
+	proven         map[slot]struct{} // forked slots the callback was told of
+	onEquivocation func(first, second *block.Block)
 }
 
 // Head is what a DAG holds of one builder's chain. Next is 1 + the highest
@@ -194,14 +160,6 @@ type Base struct {
 	Seq     uint64
 	Ref     block.Ref
 }
-
-// maxEquivocations caps the retained proof list. One proof per slot is
-// recorded at most (see insert), so the cap only binds against a
-// byzantine builder forking thousands of distinct slots; beyond it the
-// forks are still detected — chains stay flagged in the causal index
-// and the equivocation hook still fires — but no further proofs are
-// retained. One proof per builder is all a ban needs.
-const maxEquivocations = 1024
 
 type slot struct {
 	builder types.ServerID
@@ -375,12 +333,16 @@ func (d *DAG) RowsBeyond(next map[types.ServerID]uint64) []int32 {
 }
 
 // SetOnEquivocation installs a callback invoked when a (builder, seq)
-// slot is first observed forked — at most once per slot, with the
-// recorded proof pair. The accountability layer subscribes here to
-// export transferable evidence the moment the local DAG detects a fork,
+// slot is first observed forked — at most once per slot, with the block
+// that held the slot first and the one that claimed it again. first is
+// read back the way Get reads a block, and is nil when it cannot be: a
+// stand-in pruned below the base, or a journal that fails to read. The DAG
+// keeps no list of forks: the accountability layer subscribes here to
+// export a transferable proof the moment the local DAG detects a fork,
 // including during restore replay (callers must tolerate re-observing
-// proofs they already persisted).
-func (d *DAG) SetOnEquivocation(fn func(Equivocation)) { d.onEquivocation = fn }
+// proofs they already hold), and an offline reader collects the forks of a
+// rebuild here.
+func (d *DAG) SetOnEquivocation(fn func(first, second *block.Block)) { d.onEquivocation = fn }
 
 // SeedBase installs pruned-history stand-ins into an empty DAG,
 // restoring the context a snapshot-restored node needs to validate
@@ -607,23 +569,14 @@ func (d *DAG) insert(b *block.Block, checkSig bool) error {
 	d.counts.Set(blocksHeld, int64(d.held))
 	d.raise(b.Builder, b.Seq)
 
-	// Record one proof per forked slot — on the first duplicate only.
-	// A builder spraying k blocks into one slot used to append k-1
-	// redundant proofs; one pair convicts it just as hard, and the
-	// global cap bounds retention against many-slot forking.
+	// Tell of each forked slot once — on the first duplicate only: a
+	// builder spraying k blocks into one slot is convicted by one pair.
 	s := slot{builder: b.Builder, seq: b.Seq}
 	if _, done := d.proven[s]; forked && !done {
 		d.proven[s] = struct{}{}
-		e := Equivocation{
-			Builder: b.Builder,
-			Seq:     b.Seq,
-			Refs:    [2]block.Ref{d.g.At(first), b.Ref()},
-		}
-		if len(d.equivocations) < maxEquivocations {
-			d.equivocations = append(d.equivocations, e)
-		}
 		if d.onEquivocation != nil {
-			d.onEquivocation(e)
+			prev, _ := d.Get(d.g.At(first))
+			d.onEquivocation(prev, b)
 		}
 	}
 	return nil
@@ -681,24 +634,6 @@ func (d *DAG) ByBuilder(id types.ServerID) []*block.Block {
 		out = append(out, b)
 	}
 	return out
-}
-
-// Equivocations returns the equivocation proofs collected so far: one
-// per forked (builder, seq) slot, capped at maxEquivocations retained
-// in total.
-func (d *DAG) Equivocations() []Equivocation {
-	return append([]Equivocation(nil), d.equivocations...)
-}
-
-// EquivocationBlocks resolves a recorded equivocation to its block pair,
-// ready for export as a transferable proof.
-func (d *DAG) EquivocationBlocks(e Equivocation) (*block.Block, *block.Block, bool) {
-	b1, ok1 := d.Get(e.Refs[0])
-	b2, ok2 := d.Get(e.Refs[1])
-	if !ok1 || !ok2 {
-		return nil, nil, false
-	}
-	return b1, b2, true
 }
 
 // Leq reports whether d ⩽ other as graphs (paper Section 2). For block

@@ -64,7 +64,7 @@ func TestFigure2(t *testing.T) {
 	if !ok || got.Builder != b1.Builder || got.Seq != b1.Seq+1 {
 		t.Fatal("parent(B3) != B1")
 	}
-	if len(d.Equivocations()) != 0 {
+	if d.Head(0).Forked || d.Head(1).Forked {
 		t.Fatal("unexpected equivocation in Figure 2 DAG")
 	}
 }
@@ -76,6 +76,7 @@ func TestFigure2(t *testing.T) {
 func TestFigure3(t *testing.T) {
 	roster, signers := fixture(t, 2)
 	d := New(roster)
+	forks := watchForks(d)
 	b1 := sealed(t, signers[0], 0, nil, nil)
 	b2 := sealed(t, signers[1], 0, nil, nil)
 	b3 := sealed(t, signers[0], 1, []block.Ref{b1.Ref(), b2.Ref()}, nil)
@@ -85,12 +86,11 @@ func TestFigure3(t *testing.T) {
 	if b3.Ref() == b4.Ref() {
 		t.Fatal("equivocating blocks collide")
 	}
-	eqs := d.Equivocations()
-	if len(eqs) != 1 {
-		t.Fatalf("Equivocations = %v, want exactly one", eqs)
+	if len(*forks) != 1 || (*forks)[0] != [2]*block.Block{b3, b4} {
+		t.Fatalf("forks = %v, want exactly one: (B3, B4)", *forks)
 	}
-	if eqs[0].Builder != 0 || eqs[0].Seq != 1 {
-		t.Fatalf("equivocation attributed to %v seq %d", eqs[0].Builder, eqs[0].Seq)
+	if !d.Head(0).Forked || d.Head(1).Forked {
+		t.Fatal("equivocation attributed to the wrong chain")
 	}
 
 	// A ŝ1 block at seq 2 referencing both forks has two parents: invalid.
@@ -356,12 +356,12 @@ func TestByBuilder(t *testing.T) {
 func TestEquivocatingGenesis(t *testing.T) {
 	roster, signers := fixture(t, 2)
 	d := New(roster)
+	forks := watchForks(d)
 	ga := sealed(t, signers[0], 0, nil, nil)
 	gb := sealed(t, signers[0], 0, nil, []block.Request{{Label: "l", Data: []byte("other")}})
 	mustInsert(t, d, ga, gb)
-	eqs := d.Equivocations()
-	if len(eqs) != 1 || eqs[0].Seq != 0 {
-		t.Fatalf("Equivocations = %v", eqs)
+	if len(*forks) != 1 || (*forks)[0] != [2]*block.Block{ga, gb} {
+		t.Fatalf("forks = %v", *forks)
 	}
 }
 
@@ -398,6 +398,7 @@ func TestSeededRowsBehindTheAPI(t *testing.T) {
 	if err := d.SeedBase(append(base, base[0])); err != nil { // a repeated entry is dropped
 		t.Fatal(err)
 	}
+	forks := watchForks(d)
 	a5 := sealed(t, signers[0], 5, []block.Ref{p0.Ref(), p1.Ref()}, nil)
 	b3 := sealed(t, signers[1], 3, []block.Ref{p1.Ref(), a5.Ref()}, nil)
 	a6 := sealed(t, signers[0], 6, []block.Ref{a5.Ref(), b3.Ref()}, nil)
@@ -407,6 +408,9 @@ func TestSeededRowsBehindTheAPI(t *testing.T) {
 	a5x, a5y := fork("x"), fork("y")
 	live := []*block.Block{a5, b3, a6, a5x, a5y}
 	mustInsert(t, d, live...)
+	if len(*forks) != 1 || (*forks)[0] != [2]*block.Block{a5, a5x} {
+		t.Fatalf("forks = %v, want one: the slot's first two blocks", *forks)
+	}
 
 	check := func(d *DAG) {
 		t.Helper()
@@ -434,10 +438,6 @@ func TestSeededRowsBehindTheAPI(t *testing.T) {
 		}
 		if refs := d.Refs(); len(refs) != 7 || refs[0] != p1.Ref() || refs[2] != a5.Ref() {
 			t.Fatalf("Refs() = %v: stand-ins first, in seeding order", refs)
-		}
-		eqs := d.Equivocations()
-		if len(eqs) != 1 || eqs[0].Seq != 5 || eqs[0].Refs != [2]block.Ref{a5.Ref(), a5x.Ref()} {
-			t.Fatalf("Equivocations = %v, want one proof: the slot's first two blocks", eqs)
 		}
 		for id := types.ServerID(0); id < 2; id++ {
 			var want []*block.Block
@@ -481,6 +481,16 @@ func TestSeededRowsBehindTheAPI(t *testing.T) {
 	if err := d.Insert(sealed(t, signers[1], 4, []block.Ref{p1.Ref()}, nil)); !errors.Is(err, ErrParentRule) {
 		t.Fatalf("block two above its stand-in: %v", err)
 	}
+}
+
+// watchForks collects the forks d tells its equivocation callback of from
+// now on, each as (first, second).
+func watchForks(d *DAG) *[][2]*block.Block {
+	var forks [][2]*block.Block
+	d.SetOnEquivocation(func(first, second *block.Block) {
+		forks = append(forks, [2]*block.Block{first, second})
+	})
+	return &forks
 }
 
 func dagRefs(blocks []*block.Block) []block.Ref {

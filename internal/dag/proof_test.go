@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"blockdag/internal/block"
+	"blockdag/internal/evidence"
 )
 
 // TestEquivocationProofRoundTrip: a detected equivocation exports as a
@@ -14,21 +15,21 @@ import (
 func TestEquivocationProofRoundTrip(t *testing.T) {
 	roster, signers := fixture(t, 2)
 	d := New(roster)
+	forks := watchForks(d)
 	mustInsert(t, d, sealed(t, signers[0], 0, nil, nil))
 	forkA := sealed(t, signers[0], 1, []block.Ref{d.Blocks()[0].Ref()}, nil)
 	forkB := sealed(t, signers[0], 1, []block.Ref{d.Blocks()[0].Ref()},
 		[]block.Request{{Label: "x", Data: []byte("other")}})
 	mustInsert(t, d, forkA, forkB)
 
-	eqs := d.Equivocations()
-	if len(eqs) != 1 {
-		t.Fatalf("equivocations = %v", eqs)
+	if len(*forks) != 1 {
+		t.Fatalf("forks = %v", *forks)
 	}
-	b1, b2, ok := d.EquivocationBlocks(eqs[0])
-	if !ok {
-		t.Fatal("proof blocks missing from store")
+	b1, b2 := (*forks)[0][0], (*forks)[0][1]
+	if b1 == nil {
+		t.Fatal("the slot's first block was not read back")
 	}
-	if err := VerifyEquivocationProof(roster, b1, b2); err != nil {
+	if err := evidence.New(b1, b2).Verify(roster); err != nil {
 		t.Fatalf("fresh proof rejected: %v", err)
 	}
 
@@ -41,7 +42,7 @@ func TestEquivocationProofRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyEquivocationProof(roster, r1, r2); err != nil {
+	if err := evidence.New(r1, r2).Verify(roster); err != nil {
 		t.Fatalf("shipped proof rejected: %v", err)
 	}
 }
@@ -62,7 +63,7 @@ func TestEquivocationProofRejectsForgeries(t *testing.T) {
 		{"identical blocks", g0, g0},
 	}
 	for _, tc := range cases {
-		if err := VerifyEquivocationProof(roster, tc.b1, tc.b2); !errors.Is(err, ErrNotEquivocation) {
+		if err := evidence.New(tc.b1, tc.b2).Verify(roster); !errors.Is(err, evidence.ErrNotEquivocation) {
 			t.Errorf("%s: err = %v, want ErrNotEquivocation", tc.name, err)
 		}
 	}
@@ -73,7 +74,7 @@ func TestEquivocationProofRejectsForgeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad.Sig[0] ^= 0xff
-	if err := VerifyEquivocationProof(roster, g0, bad); !errors.Is(err, ErrNotEquivocation) {
+	if err := evidence.New(g0, bad).Verify(roster); !errors.Is(err, evidence.ErrNotEquivocation) {
 		t.Errorf("tampered proof accepted: %v", err)
 	}
 }

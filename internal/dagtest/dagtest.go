@@ -3,17 +3,18 @@
 // Figures 2–4, equivocation forks, adversarial structures) without running
 // gossip. It wraps a roster, per-server signers, chain bookkeeping, and a
 // target DAG. Beside the harness it holds the readings tests share and no
-// node needs (LiveHeap, Equivocators, Signals); only tests import it.
+// node needs (LiveHeap, Equivocators, Forked, Proof, Signals); only tests
+// import it.
 package dagtest
 
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/evidence"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/types"
 )
@@ -185,15 +186,36 @@ func LiveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// Equivocators returns the distinct servers d holds an equivocation proof
-// of, in ascending ID order.
-func Equivocators(d *dag.DAG) []types.ServerID {
+// Equivocators returns the servers s holds an equivocation proof against,
+// in ascending ID order.
+func Equivocators(s *peerscore.Scorer) []types.ServerID {
 	var out []types.ServerID
-	for _, e := range d.Equivocations() {
-		out = append(out, e.Builder)
+	for _, p := range s.Proofs() {
+		out = append(out, p.Equivocator())
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	return out
+}
+
+// Forked returns the builders whose chain d holds forked (dag.Head), in
+// ascending ID order: what a test reads where the DAG once listed its forks.
+func Forked(d *dag.DAG) []types.ServerID {
+	var out []types.ServerID
+	for id, h := range d.Heads() {
+		if h.Forked {
+			out = append(out, types.ServerID(id))
+		}
+	}
+	return out
+}
+
+// Proof returns a genuine equivocation proof against server id of the dev
+// fixture (crypto.LocalRoster): two genesis blocks it signed, differing in
+// one request. It verifies against any fixture roster that holds id.
+func Proof(id types.ServerID) *evidence.Proof {
+	h := NewHarness(int(id) + 1)
+	return evidence.New(
+		h.Seal(int(id), 0, nil, block.Request{Label: "fork", Data: []byte("a")}),
+		h.Seal(int(id), 0, nil, block.Request{Label: "fork", Data: []byte("b")}))
 }
 
 // Signals returns the number of signals s has counted against peer id, of

@@ -154,7 +154,8 @@ type Assembly struct {
 	Gateway  *gateway.Gateway
 
 	cfg Config
-	// clock and scores are the node's one clock and one peer scorer: made
+	// clock and scores are the node's one clock and one peer scorer — its
+	// one in-memory set of convictions, seeded from the store's head: made
 	// by Listen, because the transport's ban gates and the sync server's
 	// throttle signal and token bucket exist before the core server does,
 	// and handed to all three so a conviction in gossip closes the sockets
@@ -208,9 +209,9 @@ func ListenOn(net Network, clock func() time.Duration, cfg Config) (*Assembly, e
 		a.Store = st
 		// The convictions the head holds close the sockets from the first
 		// accepted connection on — through a snapshot join too — not from
-		// Boot, where the server replays the same proofs into its pool.
+		// Boot, where the server's replay of the same proofs finds them held.
 		for _, p := range st.Evidence() {
-			a.scores.Ban(p.Equivocator())
+			a.scores.Convict(p)
 		}
 		// The runtime is the store's while it runs (node.Node.Start); without
 		// it there is no live vector, no snapshot and no pull served. The

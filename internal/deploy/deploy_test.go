@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"blockdag/internal/block"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/gateway"
 	"blockdag/internal/gossip"
 	"blockdag/internal/protocols/brb"
@@ -551,7 +552,7 @@ func (d doneSink) OnDone(err error) { d <- err }
 // convicts and bans it — visible on /v1/status and /metrics; the banned
 // member, which still holds its key and still passes the handshake, is
 // refused after it; and a node restarted over its directory finds the proof
-// in the store's sidecar and holds the ban when Boot returns.
+// in the store's head and holds the ban when Boot returns.
 func TestEquivocatorIsBannedOverTCPAndAcrossRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -685,7 +686,7 @@ func TestEquivocatorIsBannedOverTCPAndAcrossRestart(t *testing.T) {
 	if err := rn.Boot(addrOf); err != nil {
 		t.Fatal(err)
 	}
-	if !rn.Node.Server().Scores().Banned(byz) || rn.Node.Server().Evidence().Len() != 1 {
+	if !rn.Node.Server().Scores().Banned(byz) || len(rn.Node.Server().Scores().Proofs()) != 1 {
 		t.Fatal("the ban did not survive the restart")
 	}
 	// Boot opens the gateway before the node starts, so it claims the replay
@@ -720,7 +721,7 @@ func TestOneScorerPerNode(t *testing.T) {
 		t.Fatalf("sync server scores into %p, core server into %p", m.syncSrv.Scores, scores)
 	}
 	// The transport keeps its config to itself: ask it by what it does.
-	scores.Ban(1)
+	scores.Convict(dagtest.Proof(1))
 	m.Transport.Send(1, transport.ChanGossip, []byte("x"))
 	if got := m.Transport.Counts().Get(tcpnet.BanRejections); got != 1 {
 		t.Fatalf("transport refused %d sends to a peer the core server's scorer bans, want 1", got)

@@ -13,6 +13,7 @@ import (
 
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/gateway"
 	"blockdag/internal/interpret"
 	"blockdag/internal/mempool"
@@ -73,7 +74,7 @@ func TestGoldenExposition(t *testing.T) {
 	scores := peerscore.New()
 	scores.Penalize(1, peerscore.BadSignature)
 	scores.Penalize(1, peerscore.BadSignature)
-	scores.Ban(2)
+	scores.Convict(dagtest.Proof(2))
 
 	reg := metrics.NewRegistry()
 	reg.Register(metrics.Families.Collector(m))

@@ -2,10 +2,9 @@
 // into transferable accountability: a Proof bundles the two signed
 // blocks a byzantine builder produced for one (builder, seq) slot, in a
 // canonical order, behind a wire codec any roster holder can verify
-// with dag.VerifyEquivocationProof — no DAG required. A Pool retains at
-// most one proof per equivocator, which both bounds memory and makes
-// gossip relay terminate: a proof is forwarded exactly once per node,
-// on the Add that first learns of the equivocator.
+// (Proof.Verify) — no DAG required. A node keeps the proofs it accepts in
+// one place: its peer scorer (package peerscore), one per equivocator, in
+// memory; its store's head on disk.
 package evidence
 
 import (
@@ -15,14 +14,17 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
-	"blockdag/internal/dag"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
 )
 
-// ErrMalformed reports an evidence frame that does not decode to two
-// blocks.
-var ErrMalformed = errors.New("evidence: malformed encoding")
+var (
+	// ErrMalformed reports an evidence frame that does not decode to two
+	// blocks.
+	ErrMalformed = errors.New("evidence: malformed encoding")
+	// ErrNotEquivocation reports a block pair that convicts no one.
+	ErrNotEquivocation = errors.New("evidence: not an equivocation proof")
+)
 
 // Proof is a transferable equivocation proof: two distinct, validly
 // signed blocks by one builder with one sequence number. The pair is
@@ -48,14 +50,26 @@ func New(b1, b2 *block.Block) *Proof {
 func (p *Proof) Equivocator() types.ServerID { return p.First.Builder }
 
 // Verify checks the proof against a roster: both blocks validly signed
-// by the same roster member, same sequence number, different contents.
-// It delegates to dag.VerifyEquivocationProof, so a proof accepted here
-// is exactly one the DAG itself would have flagged.
+// by the same roster member, same sequence number, different references —
+// exactly a pair the DAG would flag as a forked slot. Anyone holding the
+// roster can check it, which makes a byzantine builder accountable to
+// third parties (the PeerReview/Polygraph direction of the paper's
+// Section 6).
 func (p *Proof) Verify(roster *crypto.Roster) error {
-	if !roster.Contains(p.First.Builder) {
-		return fmt.Errorf("%w: builder %v not in roster", dag.ErrNotEquivocation, p.First.Builder)
+	b1, b2 := p.First, p.Second
+	switch {
+	case !roster.Contains(b1.Builder):
+		return fmt.Errorf("%w: builder %v not in roster", ErrNotEquivocation, b1.Builder)
+	case b1.Builder != b2.Builder:
+		return fmt.Errorf("%w: different builders", ErrNotEquivocation)
+	case b1.Seq != b2.Seq:
+		return fmt.Errorf("%w: different sequence numbers", ErrNotEquivocation)
+	case b1.Ref() == b2.Ref():
+		return fmt.Errorf("%w: identical blocks", ErrNotEquivocation)
+	case !b1.VerifySignature(roster) || !b2.VerifySignature(roster):
+		return fmt.Errorf("%w: signature invalid", ErrNotEquivocation)
 	}
-	return dag.VerifyEquivocationProof(roster, p.First, p.Second)
+	return nil
 }
 
 // Encode serializes the proof: two length-prefixed block encodings in
@@ -92,45 +106,3 @@ func Decode(data []byte) (*Proof, error) {
 	}
 	return New(b1, b2), nil
 }
-
-// Pool retains verified equivocation proofs, at most one per
-// equivocator. One proof is all a ban needs; keeping the first and
-// dropping the rest bounds the pool at O(roster) regardless of how many
-// forks a byzantine builder emits. Pool is not safe for concurrent use;
-// the owning state machine serializes access.
-type Pool struct {
-	byBuilder map[types.ServerID]*Proof
-}
-
-// NewPool returns an empty pool.
-func NewPool() *Pool {
-	return &Pool{byBuilder: make(map[types.ServerID]*Proof)}
-}
-
-// Add retains the proof if its equivocator has none yet, reporting
-// whether the proof was newly retained. A false return means the
-// equivocator was already convicted — the caller should neither re-ban
-// nor re-relay.
-func (p *Pool) Add(pr *Proof) bool {
-	id := pr.Equivocator()
-	if _, dup := p.byBuilder[id]; dup {
-		return false
-	}
-	p.byBuilder[id] = pr
-	return true
-}
-
-// Has reports whether the pool holds a proof against the given server.
-func (p *Pool) Has(id types.ServerID) bool {
-	_, ok := p.byBuilder[id]
-	return ok
-}
-
-// Get returns the retained proof against the given server, if any.
-func (p *Pool) Get(id types.ServerID) (*Proof, bool) {
-	pr, ok := p.byBuilder[id]
-	return pr, ok
-}
-
-// Len returns the number of convicted equivocators.
-func (p *Pool) Len() int { return len(p.byBuilder) }

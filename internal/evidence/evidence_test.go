@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"blockdag/internal/block"
-	"blockdag/internal/dag"
 	"blockdag/internal/dagtest"
 	"blockdag/internal/evidence"
 	"blockdag/internal/wire"
@@ -73,19 +72,19 @@ func TestVerifyAdversarial(t *testing.T) {
 	a, b := fork(h)
 
 	t.Run("same block twice", func(t *testing.T) {
-		if err := evidence.New(a, a).Verify(h.Roster); !errors.Is(err, dag.ErrNotEquivocation) {
+		if err := evidence.New(a, a).Verify(h.Roster); !errors.Is(err, evidence.ErrNotEquivocation) {
 			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("different slots", func(t *testing.T) {
 		next := h.Seal(1, 1, []block.Ref{a.Ref()}, block.Request{Label: "ℓ", Data: []byte("c")})
-		if err := evidence.New(a, next).Verify(h.Roster); !errors.Is(err, dag.ErrNotEquivocation) {
+		if err := evidence.New(a, next).Verify(h.Roster); !errors.Is(err, evidence.ErrNotEquivocation) {
 			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("different builders", func(t *testing.T) {
 		other := h.Seal(2, 0, nil, block.Request{Label: "ℓ", Data: []byte("a")})
-		if err := evidence.New(a, other).Verify(h.Roster); !errors.Is(err, dag.ErrNotEquivocation) {
+		if err := evidence.New(a, other).Verify(h.Roster); !errors.Is(err, evidence.ErrNotEquivocation) {
 			t.Fatalf("got %v", err)
 		}
 	})
@@ -136,34 +135,5 @@ func TestDecodeMalformed(t *testing.T) {
 		if _, err := evidence.Decode(data); !errors.Is(err, evidence.ErrMalformed) {
 			t.Errorf("%s: got %v, want ErrMalformed", name, err)
 		}
-	}
-}
-
-func TestPool(t *testing.T) {
-	h := dagtest.NewHarness(4)
-	a, b := fork(h)
-	// A second, distinct fork by the same builder.
-	c := h.Seal(1, 0, nil, block.Request{Label: "ℓ", Data: []byte("c")})
-	// And a fork by a different builder.
-	x := h.Seal(2, 0, nil, block.Request{Label: "ℓ", Data: []byte("x")})
-	y := h.Seal(2, 0, nil, block.Request{Label: "ℓ", Data: []byte("y")})
-
-	pool := evidence.NewPool()
-	first := evidence.New(a, b)
-	if !pool.Add(first) {
-		t.Fatal("first proof not retained")
-	}
-	if pool.Add(evidence.New(a, c)) {
-		t.Fatal("second proof against the same equivocator retained")
-	}
-	if !pool.Add(evidence.New(x, y)) {
-		t.Fatal("proof against a second equivocator not retained")
-	}
-	if pool.Len() != 2 || !pool.Has(1) || !pool.Has(2) || pool.Has(3) {
-		t.Fatalf("pool state wrong: len=%d", pool.Len())
-	}
-	got, ok := pool.Get(1)
-	if !ok || !bytes.Equal(got.Encode(), first.Encode()) {
-		t.Fatal("Get(1) did not return the first-retained proof")
 	}
 }

@@ -16,10 +16,10 @@ import (
 	"blockdag/internal/types"
 )
 
-// accountableNode is a testNode with the accountability layer wired.
+// accountableNode is a testNode with the accountability layer wired: its
+// scorer holds its convictions.
 type accountableNode struct {
 	*testNode
-	pool   *evidence.Pool
 	scores *peerscore.Scorer
 }
 
@@ -52,7 +52,7 @@ func newAccountableCluster(t *testing.T, n int) (*cluster, []*accountableNode) {
 		})
 		node := &testNode{g: g, d: d, m: m, src: src, metrics: m}
 		c.nodes = append(c.nodes, node)
-		acc = append(acc, &accountableNode{testNode: node, pool: g.Evidence(), scores: scores})
+		acc = append(acc, &accountableNode{testNode: node, scores: scores})
 		net.Register(types.ServerID(i), transport.ChanGossip, node)
 	}
 	return c, acc
@@ -92,15 +92,12 @@ func TestEvidenceFlow(t *testing.T) {
 	// skipped by relay — it already knows what it did.
 	want := evidence.New(forkA, forkB).Encode()
 	for i, n := range acc[:3] {
-		p, ok := n.pool.Get(3)
-		if !ok {
-			t.Fatalf("node %d holds no proof", i)
+		p := n.scores.Proof(3)
+		if p == nil || !n.scores.Banned(3) {
+			t.Fatalf("node %d holds no proof: the equivocator is not banned", i)
 		}
 		if !bytes.Equal(p.Encode(), want) {
 			t.Fatalf("node %d holds a non-canonical proof", i)
-		}
-		if !n.scores.Banned(3) {
-			t.Fatalf("node %d did not ban the equivocator", i)
 		}
 	}
 	snap0 := metrics.Families.Snapshot(acc[0].m)
@@ -132,7 +129,7 @@ func TestEvidenceFlow(t *testing.T) {
 }
 
 // TestEvidenceRelayTerminates: re-delivering the same proof is a no-op —
-// the pool dedup is what stops the relay flood.
+// the scorer's one proof per equivocator is what stops the relay flood.
 func TestEvidenceRelayTerminates(t *testing.T) {
 	c, acc := newAccountableCluster(t, 4)
 	forkA, forkB := forkPair(t, c, 2)
@@ -155,7 +152,7 @@ func TestEvidenceRelayTerminates(t *testing.T) {
 
 // TestBadEvidencePenalized: a well-formed frame whose proof convicts no
 // one (a frame-up attempt) is dropped with a signal against the sender and never
-// relayed or pooled.
+// relayed or kept.
 func TestBadEvidencePenalized(t *testing.T) {
 	c, acc := newAccountableCluster(t, 3)
 	honest := block.New(2, 0, nil, nil)
@@ -165,7 +162,7 @@ func TestBadEvidencePenalized(t *testing.T) {
 	frameUp := evidence.New(honest, honest) // same block twice: no conviction
 	c.nodes[0].g.HandleMessage(1, EncodeEvidenceMsg(frameUp))
 	c.net.Run()
-	if acc[0].pool.Len() != 0 || acc[0].scores.Banned(2) {
+	if acc[0].scores.Proofs() != nil || acc[0].scores.Banned(2) {
 		t.Fatal("frame-up convicted an honest builder")
 	}
 	if dagtest.Signals(acc[0].scores, 1) == 0 {
@@ -217,8 +214,8 @@ func TestBannedBuilderWantedBlockAdmitted(t *testing.T) {
 
 // TestNilScorerBansNothing: a gossip instance handed no scorer (newCluster;
 // peerscore's nil receiver) keeps the paper's permissive semantics — forks
-// are flagged and proven, nothing is banned, and the equivocator's blocks
-// keep flowing.
+// are flagged, nothing is banned (there is nowhere to keep a proof), and the
+// equivocator's blocks keep flowing.
 func TestNilScorerBansNothing(t *testing.T) {
 	c := newCluster(t, 3)
 	forkA, forkB := forkPair(t, c, 2)
@@ -234,10 +231,10 @@ func TestNilScorerBansNothing(t *testing.T) {
 	if !n0.d.Contains(forkA.Ref()) || !n0.d.Contains(forkB.Ref()) || !n0.d.Contains(next.Ref()) {
 		t.Fatal("scorerless node refused the equivocator's blocks")
 	}
-	if !n0.g.Evidence().Has(2) {
-		t.Fatal("the fork was not exported as a proof")
+	if got := n0.m.Get(metrics.EquivocationsSeen); got != 1 {
+		t.Fatalf("EquivocationsSeen = %d, want the fork detected once", got)
 	}
-	if got := dagtest.Equivocators(n0.d); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Equivocators = %v", got)
+	if got := dagtest.Forked(n0.d); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("forked chains = %v", got)
 	}
 }

@@ -137,17 +137,18 @@ type Config struct {
 	Metrics *metrics.Metrics
 
 	// Scores records misbehaviour signals (bad signature, malformed
-	// frame, bad evidence) against sending peers and carries the
-	// terminal ban state evidence convictions feed. Once a builder is
+	// frame, bad evidence) against sending peers and holds the node's
+	// convictions: the proof behind each ban. Once a builder is
 	// banned, gossip stops sending to it and refuses fresh blocks built
 	// by it — except blocks some buffered honest block already waits on,
 	// which are still admitted so honest chains referencing pre-ban
 	// blocks can complete (the ban must not break Lemma 3.7 for blocks
 	// already externalized). The shim always supplies one; a nil scorer
-	// (peerscore's methods are nil-receiver safe) records and bans nothing.
+	// (peerscore's methods are nil-receiver safe) records, keeps and bans
+	// nothing: a fork is still detected, but no proof is kept or relayed.
 	Scores *peerscore.Scorer
-	// OnEvidence observes every proof newly accepted into the evidence
-	// pool (locally detected or learned from a peer) — the persistence
+	// OnEvidence observes every proof that newly convicts a builder
+	// (locally detected or learned from a peer) — the persistence
 	// hook that makes bans survive restarts. Its error is latched by the
 	// shim as a health problem; the proof stays accepted and relayed
 	// either way. Required: any peer can send an evidence frame, and any
@@ -231,10 +232,6 @@ type Gossip struct {
 	// Bounded by invalidCacheSize, forgotten oldest first.
 	invalid keyset.Set
 
-	// convicted holds one transferable proof per equivocator this server
-	// has detected or been shown (Evidence).
-	convicted *evidence.Pool
-
 	// heard is when a peer's block last arrived, on Clock (zero before the
 	// first): the node's follower reads a long silence as lag (Heard).
 	heard time.Duration
@@ -271,14 +268,13 @@ func New(cfg Config) (*Gossip, error) {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
 	g := &Gossip{
-		cfg:       cfg,
-		self:      cfg.Signer.ID(),
-		pending:   make(map[block.Ref]*buffered),
-		waiters:   make(map[block.Ref][]block.Ref),
-		held:      make([]int, cfg.Roster.N()),
-		awaiting:  make([]int, cfg.Roster.N()),
-		arrivals:  make([][]block.Ref, cfg.Roster.N()),
-		convicted: evidence.NewPool(),
+		cfg:      cfg,
+		self:     cfg.Signer.ID(),
+		pending:  make(map[block.Ref]*buffered),
+		waiters:  make(map[block.Ref][]block.Ref),
+		held:     make([]int, cfg.Roster.N()),
+		awaiting: make([]int, cfg.Roster.N()),
+		arrivals: make([][]block.Ref, cfg.Roster.N()),
 	}
 	// Subscribe to the DAG's fork detection: the moment a slot is observed
 	// forked — live traffic, follower absorption, or restore replay alike —
@@ -286,9 +282,6 @@ func New(cfg Config) (*Gossip, error) {
 	cfg.DAG.SetOnEquivocation(g.onEquivocation)
 	return g, nil
 }
-
-// Evidence exposes the pool of equivocation proofs. Treat as read-only.
-func (g *Gossip) Evidence() *evidence.Pool { return g.convicted }
 
 // HandleMessage consumes one wire payload from the network — a block
 // (lines 4–5), a FWD request (lines 12–13) or evidence: HandleMessages of
@@ -690,18 +683,17 @@ func (g *Gossip) handleFwd(from types.ServerID, ref block.Ref) {
 
 // onEquivocation is the DAG's fork-detection callback (installed by New):
 // export the pair as a transferable proof and run the acceptance pipeline
-// — pool, ban, persist, relay.
-func (g *Gossip) onEquivocation(e dag.Equivocation) {
+// — convict, persist, relay.
+func (g *Gossip) onEquivocation(first, second *block.Block) {
 	g.cfg.Metrics.Add(metrics.EquivocationsSeen, 1)
-	b1, b2, ok := g.cfg.DAG.EquivocationBlocks(e)
-	if !ok {
+	if first == nil {
 		// The second block is the one just inserted, and the first, if the
 		// DAG released it, is read back from the journal; only one pruned
 		// below a horizon (or a journal that fails to read) is missing, and
 		// then the fork stays detected without a transferable proof.
 		return
 	}
-	g.acceptEvidence(evidence.New(b1, b2), g.self)
+	g.acceptEvidence(evidence.New(first, second), g.self)
 }
 
 // handleEvidence consumes a kindEvidence payload: decode, verify against
@@ -713,7 +705,7 @@ func (g *Gossip) handleEvidence(from types.ServerID, enc []byte) {
 		g.cfg.Scores.Penalize(from, peerscore.MalformedFrame)
 		return
 	}
-	if g.convicted.Has(p.Equivocator()) {
+	if g.cfg.Scores.Banned(p.Equivocator()) {
 		return // already convicted; skip the two signature verifications
 	}
 	if p.Verify(g.cfg.Roster) != nil {
@@ -723,31 +715,18 @@ func (g *Gossip) handleEvidence(from types.ServerID, enc []byte) {
 	g.acceptEvidence(p, from)
 }
 
-// Convict retains a verified proof and bans its equivocator, reporting
-// whether the conviction is new. It neither persists nor relays: it is the
-// whole of replaying a journaled proof at startup, and the first half of
-// acceptEvidence.
-func (g *Gossip) Convict(p *evidence.Proof) bool {
-	if !g.convicted.Add(p) {
-		return false
-	}
-	g.cfg.Metrics.Add(metrics.EvidenceReceived, 1)
-	if g.cfg.Scores.Ban(p.Equivocator()) {
-		g.cfg.Metrics.Add(metrics.PeersBanned, 1)
-	}
-	return true
-}
-
 // acceptEvidence runs the accountability pipeline for a verified proof:
-// retain it (one per equivocator — a duplicate conviction ends here,
-// which is what terminates the relay flood), ban the equivocator,
-// persist through OnEvidence, and relay once to every peer that might
-// not know — everyone but self, the peer it came from, the equivocator,
-// and the already-banned.
+// convict its equivocator on it (the scorer keeps one proof per
+// equivocator — a duplicate conviction ends here, which is what terminates
+// the relay flood), persist through OnEvidence, and relay once to every
+// peer that might not know — everyone but self, the peer it came from, the
+// equivocator, and the already-banned.
 func (g *Gossip) acceptEvidence(p *evidence.Proof, from types.ServerID) {
-	if !g.Convict(p) {
+	if !g.cfg.Scores.Convict(p) {
 		return
 	}
+	g.cfg.Metrics.Add(metrics.EvidenceReceived, 1)
+	g.cfg.Metrics.Add(metrics.PeersBanned, 1)
 	id := p.Equivocator()
 	// The hook's error is latched by the shim (a persist failure is a
 	// health problem, not a reason to drop a verified proof).

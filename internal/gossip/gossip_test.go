@@ -189,7 +189,7 @@ func TestConvergence(t *testing.T) {
 	if got := c.nodes[0].d.Len(); got != want {
 		t.Fatalf("joint DAG has %d blocks, want %d", got, want)
 	}
-	if eqs := c.nodes[0].d.Equivocations(); len(eqs) != 0 {
+	if eqs := dagtest.Forked(c.nodes[0].d); len(eqs) != 0 {
 		t.Fatalf("unexpected equivocations: %v", eqs)
 	}
 }
@@ -412,7 +412,7 @@ func TestBannedEchoIsNotAsked(t *testing.T) {
 		Transport: log, Clock: net.Now, Scores: scores, OnEvidence: discardEvidence,
 	})
 	chain := chainOf(t, signers[1], 2)
-	scores.Ban(3)
+	scores.Convict(dagtest.Proof(3))
 	g.HandleMessage(1, EncodeBlockMsg(chain[1]))
 	g.HandleMessage(3, EncodeBlockMsg(chain[1]))
 	for i := 0; i < 4; i++ {
@@ -539,8 +539,8 @@ func TestInvalidParentPoisonsDescendants(t *testing.T) {
 	if len(n0.g.pending) != 0 {
 		t.Fatalf("pending buffer leaks %d blocks", len(n0.g.pending))
 	}
-	if got := dagtest.Equivocators(n0.d); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Equivocators = %v", got)
+	if got := dagtest.Forked(n0.d); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("forked chains = %v", got)
 	}
 }
 

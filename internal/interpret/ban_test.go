@@ -35,8 +35,8 @@ func TestBanPreservesPaperSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	banned := h.DAG.ByBuilder(3)
-	if eqs := dagtest.Equivocators(h.DAG); len(eqs) != 1 || eqs[0] != 3 {
-		t.Fatalf("Equivocators = %v, want [3]", eqs)
+	if eqs := dagtest.Forked(h.DAG); len(eqs) != 1 || eqs[0] != 3 {
+		t.Fatalf("forked chains = %v, want [3]", eqs)
 	}
 
 	// Post-ban growth: only the honest servers build. The banned builder

@@ -119,7 +119,7 @@ func TestOrderIndependenceUnderForks(t *testing.T) {
 		if err := reference.InterpretDAG(d); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(d.Equivocations()) == 0 {
+		if len(dagtest.Forked(d)) == 0 {
 			t.Fatalf("seed %d: generator produced no equivocation", seed)
 		}
 		for trial := 0; trial < 3; trial++ {

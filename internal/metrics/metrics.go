@@ -225,9 +225,9 @@ var (
 	BlocksAnswered    = Families.Counter("BlocksAnswered", "dag_blocks_answered_total", "Own blocks sealed before their tick to answer a peer's full block.")
 
 	EquivocationsSeen   = Families.Counter("EquivocationsSeen", "dag_equivocations_seen_total", "Forked (builder, seq) slots detected locally.")
-	EvidenceReceived    = Families.Counter("EvidenceReceived", "dag_evidence_received_total", "Equivocation proofs accepted into the pool.")
+	EvidenceReceived    = Families.Counter("EvidenceReceived", "dag_evidence_received_total", "Equivocation proofs that convicted a peer in this run, detected or received; a proof the store restores at start is not counted.")
 	EvidenceRelayed     = Families.Counter("EvidenceRelayed", "dag_evidence_relayed_total", "Evidence messages forwarded to peers.")
-	PeersBanned         = Families.Counter("PeersBanned", "dag_peers_banned_total", "Peers put in the terminal banned state.")
+	PeersBanned         = Families.Counter("PeersBanned", "dag_peers_banned_total", "Peers banned in this run on a new proof; a ban the store's proofs restore at start is not counted.")
 	BannedBlocksDropped = Families.Counter("BannedBlocksDropped", "dag_banned_blocks_dropped_total", "Fresh blocks refused because their builder is banned.")
 
 	// What the interpreter holds now, beyond a watermark and a chain link

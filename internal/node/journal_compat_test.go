@@ -11,6 +11,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/interpret"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
@@ -113,7 +114,7 @@ func TestExplicitRuleJournalReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	own = d.ByBuilder(1)
-	if next := own[len(own)-1]; !extends(next, tip) || len(d.Equivocations()) != 0 {
+	if next := own[len(own)-1]; !extends(next, tip) || len(dagtest.Forked(d)) != 0 {
 		t.Fatalf("block after replay is seq %d on a chain whose tip was seq %d", next.Seq, tip.Seq)
 	}
 }

@@ -384,8 +384,8 @@ func New(cfg Config) (*Node, error) {
 		// The journal goes in ahead of the replay: no insertion bypasses
 		// it, and the store ignores a block it holds. Convictions come back
 		// with it: the head's bans hold from the first delivery on, and
-		// an equivocation the block replay re-detects is already pooled
-		// instead of being relayed afresh on every restart. Its sink is
+		// an equivocation the block replay re-detects is already held by
+		// the scorer instead of being relayed afresh on every restart. Its sink is
 		// PersistSink, not a bare Append: own blocks must be durable before
 		// gossip broadcasts them, or a power cut sets up a post-crash
 		// self-equivocation (see the store package docs). And DeliverBatch

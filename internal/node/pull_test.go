@@ -378,9 +378,9 @@ func TestOwnBlocksSeenNotHeldSilenceTheNode(t *testing.T) {
 	}
 	nd.Disseminate()
 	own := d.ByBuilder(1)
-	if next := own[len(own)-1]; len(own) != len(old)+1 || !extends(next, old[5]) || len(d.Equivocations()) != 0 || nd.Err() != nil {
+	if next := own[len(own)-1]; len(own) != len(old)+1 || !extends(next, old[5]) || len(dagtest.Forked(d)) != 0 || nd.Err() != nil {
 		t.Fatalf("after the old chain came back: %d own blocks, tip seq %d, equivocations %d, err %v",
-			len(own), next.Seq, len(d.Equivocations()), nd.Err())
+			len(own), next.Seq, len(dagtest.Forked(d)), nd.Err())
 	}
 }
 
@@ -469,7 +469,7 @@ func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
 		t.Fatalf("own chain held %d after the first block, want 6", held)
 	}
 	own := srv.DAG().ByBuilder(1)
-	if len(own) != 1 || own[0].Seq != 5 || !slices.Contains(own[0].Preds, pruned[4].Ref()) || len(srv.DAG().Equivocations()) != 0 {
+	if len(own) != 1 || own[0].Seq != 5 || !slices.Contains(own[0].Preds, pruned[4].Ref()) || len(dagtest.Forked(srv.DAG())) != 0 {
 		t.Fatalf("first block on an installed snapshot: %d own blocks, first seq %d, want seq 5 on the base stand-in", len(own), own[0].Seq)
 	}
 }
@@ -651,7 +651,7 @@ func TestCatchUpAfterDiskLossResumesOwnChain(t *testing.T) {
 			seen[p]++
 		}
 	}
-	if first == nil || len(nd.Server().DAG().Equivocations()) != 0 {
+	if first == nil || len(dagtest.Forked(nd.Server().DAG())) != 0 {
 		t.Fatalf("first block after New is not seq %d, or the node forked its own chain", k+1)
 	}
 	if !extends(first, ownTip) || seen[ownTip.Ref()] != 1 {

@@ -152,8 +152,8 @@ func TestNodeStoreRejectsPrewiredServer(t *testing.T) {
 // with a store accepts a gossiped equivocation
 // proof (the fork's blocks never enter its DAG, so no block replay could
 // re-derive it), stops, and a fresh node over the reopened store has the
-// equivocator pooled and banned before its first delivery — node.New
-// wires the evidence sidecar both ways, without the cluster harness.
+// equivocator banned on the same proof before its first delivery — node.New
+// wires the head's proofs both ways, without the cluster harness.
 func TestNodeBanSurvivesRestart(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(4)
 	if err != nil {
@@ -184,11 +184,11 @@ func TestNodeBanSurvivesRestart(t *testing.T) {
 		t.Fatal("banned before any evidence")
 	}
 	nd.DeliverBurst([]gossip.Message{{From: 1, Payload: gossip.EncodeEvidenceMsg(proof)}})
-	if !nd.Server().Scores().Banned(equivocator) || !nd.Server().Evidence().Has(equivocator) {
+	if !nd.Server().Scores().Banned(equivocator) {
 		t.Fatal("gossiped proof did not convict")
 	}
 	if got := nd.Server().DAG().Len(); got != 0 {
-		t.Fatalf("the fork entered the DAG (%d blocks); the test would not isolate the sidecar", got)
+		t.Fatalf("the fork entered the DAG (%d blocks); the test would not isolate the head's proofs", got)
 	}
 	nd.Stop()
 	if err := nd.Err(); err != nil {
@@ -203,7 +203,7 @@ func TestNodeBanSurvivesRestart(t *testing.T) {
 	if !nd.Server().Scores().Banned(equivocator) {
 		t.Fatal("ban did not survive the restart")
 	}
-	if p, ok := nd.Server().Evidence().Get(equivocator); !ok || !bytes.Equal(p.Encode(), proof.Encode()) {
+	if p := nd.Server().Scores().Proof(equivocator); p == nil || !bytes.Equal(p.Encode(), proof.Encode()) {
 		t.Fatal("proof did not survive the restart byte for byte")
 	}
 	if rep := nd.AccountabilityReport(); len(rep.Banned) != 1 || rep.Banned[0] != equivocator {

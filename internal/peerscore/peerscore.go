@@ -1,10 +1,15 @@
-// Package peerscore keeps what a node knows of its peers' misbehaviour: a
-// terminal ban set, for proven equivocation only (a transferable proof
-// convicts the peer beyond doubt), and a per-peer count of each other signal,
-// which no code acts on. It carries its own mutex: gossip and the node consult
-// it, and so do tcpnet's goroutines. A node shares one with its transport and
-// sync server (package deploy). A nil *Scorer records nothing and reports
-// every peer clean, for callers that stand a transport up alone (bench/).
+// Package peerscore keeps what a node knows of its peers' misbehaviour: the
+// proof behind each ban, and a per-peer count of each other signal, which no
+// code acts on. A peer is banned for good, and for proven equivocation only:
+// banned means the scorer holds a transferable proof against it (package
+// evidence), at most one a peer. The scorer is a node's one in-memory set of
+// convictions — gossip convicts, dedups and relays through it; the
+// transport, the sync server and the follower read it — and the store's
+// head is the durable copy, which seeds it at start (package deploy, which
+// shares one scorer between all of them). It carries its own mutex for
+// tcpnet's and the sync server's goroutines. A nil *Scorer records nothing
+// and reports every peer clean, for callers that stand a transport up alone
+// (bench/).
 package peerscore
 
 import (
@@ -12,6 +17,7 @@ import (
 	"strconv"
 	"sync"
 
+	"blockdag/internal/evidence"
 	"blockdag/internal/metrics"
 	"blockdag/internal/types"
 )
@@ -44,11 +50,11 @@ func (s Signal) String() string {
 }
 
 type peerState struct {
-	banned  bool
+	proof   *evidence.Proof // the ban: nil while the peer is clean
 	signals [len(signalNames)]int64
 }
 
-// Scorer tracks bans and signals per peer. Safe for concurrent use.
+// Scorer tracks convictions and signals per peer. Safe for concurrent use.
 type Scorer struct {
 	mu    sync.Mutex
 	peers map[types.ServerID]peerState
@@ -71,28 +77,54 @@ func (s *Scorer) Penalize(id types.ServerID, sig Signal) {
 	s.peers[id] = ps
 }
 
-// Ban marks the peer banned for good and reports whether it was news.
-func (s *Scorer) Ban(id types.ServerID) bool {
+// Convict bans p's equivocator on p, unless a proof against it is held
+// already, and reports whether the ban is new: the first proof is the one
+// kept, so every later one ends here — which is what makes gossip's relay of
+// a proof terminate. p must be verified (evidence.Proof.Verify).
+func (s *Scorer) Convict(p *evidence.Proof) bool {
 	if s == nil {
 		return false
 	}
+	id := p.Equivocator()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ps := s.peers[id]
-	newly := !ps.banned
-	ps.banned = true
+	if ps.proof != nil {
+		return false
+	}
+	ps.proof = p
 	s.peers[id] = ps
-	return newly
+	return true
 }
 
-// Banned reports whether the peer is banned.
-func (s *Scorer) Banned(id types.ServerID) bool {
+// Banned reports whether the scorer holds a proof against the peer.
+func (s *Scorer) Banned(id types.ServerID) bool { return s.Proof(id) != nil }
+
+// Proof returns the proof the peer is banned on, nil for a clean peer.
+func (s *Scorer) Proof(id types.ServerID) *evidence.Proof {
 	if s == nil {
-		return false
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.peers[id].banned
+	return s.peers[id].proof
+}
+
+// Proofs returns every proof held, in ascending equivocator order.
+func (s *Scorer) Proofs() []*evidence.Proof {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	var out []*evidence.Proof
+	for _, ps := range s.peers {
+		if ps.proof != nil {
+			out = append(out, ps.proof)
+		}
+	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Equivocator() < out[j].Equivocator() })
+	return out
 }
 
 // PeerStat is one peer's accountability snapshot.
@@ -111,7 +143,7 @@ func (s *Scorer) Snapshot() []PeerStat {
 	defer s.mu.Unlock()
 	out := make([]PeerStat, 0, len(s.peers))
 	for id, ps := range s.peers {
-		st := PeerStat{Peer: id, Banned: ps.banned}
+		st := PeerStat{Peer: id, Banned: ps.proof != nil}
 		for sig, n := range ps.signals {
 			if n > 0 {
 				if st.Signals == nil {
@@ -129,7 +161,7 @@ func (s *Scorer) Snapshot() []PeerStat {
 var (
 	// Families declares what Collect samples from Snapshot, per peer.
 	Families metrics.Table
-	banned   = Families.Gauge("", "peerscore_banned", "1 when the peer is terminally banned.")
+	banned   = Families.Gauge("", "peerscore_banned", "1 when the peer is banned: the scorer holds a proof it equivocated.")
 	signals  = Families.Counter("", "peerscore_signals_total", "Misbehaviour signals recorded per peer and kind.")
 )
 

@@ -173,9 +173,8 @@ func decodeHead(data []byte, path string) (*Head, error) {
 // Evidence returns the equivocation proofs the head holds — recovered by
 // Open, re-verified against Options.Roster, and appended since — one per
 // equivocator, in equivocator order. The slice is shared; treat it as
-// read-only. Recovery wiring replays these into the evidence pool and
-// scorer before any traffic flows, which is how a ban survives a
-// crash/restart.
+// read-only. Recovery wiring seeds the node's scorer with these before
+// any traffic flows, which is how a ban survives a crash/restart.
 func (s *Store) Evidence() []*evidence.Proof { return s.head.Load().Evidence }
 
 // AppendEvidence journals one equivocation proof, one per equivocator

@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"blockdag/internal/dagtest"
 	"blockdag/internal/peerscore"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
@@ -230,7 +231,7 @@ func TestBanReleasesBacklog(t *testing.T) {
 	if length, _ := p.size(); length != backlog {
 		t.Fatalf("queue holds %d frames, want %d", length, backlog)
 	}
-	scores.Ban(1)
+	scores.Convict(dagtest.Proof(1))
 	waitFor(t, patience, func() bool { return tr.Counts().Get(BanRejections) == backlog })
 	if length, capacity := p.size(); length != 0 || capacity != 0 {
 		t.Fatalf("after the ban the queue holds %d frames in room for %d", length, capacity)

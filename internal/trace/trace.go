@@ -4,7 +4,7 @@
 // horizontal lane per server with blocks ordered by sequence number
 // (Figures 2–4), optionally annotated with the message buffers Ms[in/out]
 // that interpretation materialized at each block (Figure 4). A DAG read
-// back from a store (package store, as dagviz does) renders and
+// back from a store (package store, as dagstore render does) renders and
 // interprets the same — the decoupling of building and interpretation
 // the paper emphasizes.
 package trace
@@ -150,8 +150,12 @@ func DOT(d *dag.DAG, annotate Annotator) string {
 }
 
 // ASCII renders a compact textual view: one line per block in insertion
-// order, with chain position, predecessor refs, and requests.
-func ASCII(d *dag.DAG) string {
+// order, with chain position, predecessor refs, and requests, then one
+// EQUIVOCATION line per fork in forks — each the (first, second) pair the
+// DAG handed its equivocation callback (dag.DAG.SetOnEquivocation), or a
+// proof's two blocks. A first block pruned below the DAG's base is nil and
+// shows as "pruned".
+func ASCII(d *dag.DAG, forks [][2]*block.Block) string {
 	var sb strings.Builder
 	i := 0
 	for b := range d.All() {
@@ -167,11 +171,12 @@ func ASCII(d *dag.DAG) string {
 		}
 		sb.WriteByte('\n')
 	}
-	if eqs := d.Equivocations(); len(eqs) > 0 {
-		for _, e := range eqs {
-			fmt.Fprintf(&sb, "EQUIVOCATION s%d at k%d: %s vs %s\n",
-				e.Builder, e.Seq, e.Refs[0], e.Refs[1])
+	for _, f := range forks {
+		first := "pruned"
+		if f[0] != nil {
+			first = f[0].Ref().String()
 		}
+		fmt.Fprintf(&sb, "EQUIVOCATION s%d at k%d: %s vs %s\n", f[1].Builder, f[1].Seq, first, f[1].Ref())
 	}
 	return sb.String()
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -128,8 +129,8 @@ func TestInterpretBuffersFailsOnAnUnreadableRow(t *testing.T) {
 }
 
 // TestInterpretBuffersOverASeededDAG: a DAG standing on a pruned-history
-// base — what dagviz reads back from a cut store — is interpreted from its
-// stand-ins. The first live blocks cite them, and the buffers match those
+// base — what dagstore render reads back from a cut store — is interpreted
+// from its stand-ins. The first live blocks cite them, and the buffers match those
 // of the whole DAG, whose first round carried no request.
 func TestInterpretBuffersOverASeededDAG(t *testing.T) {
 	h := dagtest.NewHarness(4)
@@ -166,7 +167,7 @@ func TestInterpretBuffersOverASeededDAG(t *testing.T) {
 
 func TestASCII(t *testing.T) {
 	h, _ := figure4Harness(t)
-	out := ASCII(h.DAG)
+	out := ASCII(h.DAG, nil)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 16 {
 		t.Fatalf("ASCII has %d lines, want 16", len(lines))
@@ -178,13 +179,17 @@ func TestASCII(t *testing.T) {
 
 func TestASCIIShowsEquivocation(t *testing.T) {
 	h := dagtest.NewHarness(2)
+	var forks [][2]*block.Block
+	h.DAG.SetOnEquivocation(func(first, second *block.Block) {
+		forks = append(forks, [2]*block.Block{first, second})
+	})
 	h.Genesis(0)
 	forkA := h.Seal(0, 1, []block.Ref{h.Tip(0)})
 	forkB := h.Seal(0, 1, []block.Ref{h.Tip(0)}, block.Request{Label: "x"})
 	h.Insert(forkA)
 	h.Insert(forkB)
-	out := ASCII(h.DAG)
-	if !strings.Contains(out, "EQUIVOCATION s0 at k1") {
+	out := ASCII(h.DAG, forks)
+	if want := fmt.Sprintf("EQUIVOCATION s0 at k1: %s vs %s\n", forkA.Ref(), forkB.Ref()); !strings.Contains(out, want) {
 		t.Fatalf("equivocation not rendered:\n%s", out)
 	}
 }
