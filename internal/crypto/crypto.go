@@ -51,8 +51,8 @@ type Counters = metrics.Metrics
 var Families metrics.Table
 
 var (
-	Signed   = Families.Counter("", "crypto_signed_total", "Ed25519 sign operations.")
-	Verified = Families.Counter("", "crypto_verified_total", "Ed25519 verify operations.")
+	Signed   = Families.Counter("crypto_signed_total", "Ed25519 sign operations.")
+	Verified = Families.Counter("crypto_verified_total", "Ed25519 verify operations.")
 )
 
 // KeyPair is an Ed25519 key pair.

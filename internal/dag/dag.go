@@ -232,9 +232,9 @@ func (d *DAG) SetJournal(j Journal) { d.journal = j }
 var Families metrics.Table
 
 var (
-	blocksHeld   = Families.Gauge("", "dag_blocks_held", "Blocks whose bytes the DAG holds; the journal answers for the others.")
-	journalReads = Families.Counter("", "journal_block_reads_total", "Released blocks read back from the journal.")
-	chainNext    = Families.Gauge("", "dag_chain_next_seq", "1 + the highest sequence number held of the builder's chain, stand-ins included: what this node's sync vector states, and, beside a peer's, which chain it lacks.")
+	blocksHeld   = Families.Gauge("dag_blocks_held", "Blocks whose bytes the DAG holds; the journal answers for the others.")
+	journalReads = Families.Counter("journal_block_reads_total", "Released blocks read back from the journal.")
+	chainNext    = Families.Gauge("dag_chain_next_seq", "1 + the highest sequence number held of the builder's chain, stand-ins included: what this node's sync vector states, and, beside a peer's, which chain it lacks.")
 )
 
 // Counts returns the DAG's counters, read over Families.

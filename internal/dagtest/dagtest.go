@@ -3,13 +3,15 @@
 // Figures 2–4, equivocation forks, adversarial structures) without running
 // gossip. It wraps a roster, per-server signers, chain bookkeeping, and a
 // target DAG. Beside the harness it holds the readings tests share and no
-// node needs (LiveHeap, Equivocators, Forked, Proof, Signals); only tests
-// import it.
+// node needs (LiveHeap, Equivocators, Forked, Proof, Signals, Sample); only
+// tests import it.
 package dagtest
 
 import (
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
@@ -230,4 +232,18 @@ func Signals(s *peerscore.Scorer, id types.ServerID) int64 {
 		}
 	}
 	return total
+}
+
+// Sample reads one sample of a /metrics scrape (the Prometheus text
+// exposition): sample is the line's name with its labels, as rendered —
+// `dag_tips` or `interpret_chain_unread_blocks{builder="3"}`. It reports
+// false when the scrape has no such line or its value does not parse.
+func Sample(scrape, sample string) (float64, bool) {
+	for _, line := range strings.Split(scrape, "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && name == sample {
+			v, err := strconv.ParseFloat(value, 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
 }

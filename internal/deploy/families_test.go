@@ -254,11 +254,12 @@ func keyPaths(prefix string, v any, out *[]string) {
 	}
 }
 
-// TestStatusKeys compares the key set of a live node's second /v1/status —
-// the one with a rate window — with testdata/status_keys.golden: as
-// committed by PR 25, PR 24's less the eight window.delta.<gauge> keys (a
-// level has no rate). accountability's children come and go with the peers' standing and
-// are left out.
+// TestStatusKeys compares the key set of a durable node's /v1/status with
+// testdata/status_keys.golden: health, watermarks, and the recovery,
+// catch-up and follower reports and the store's size — what no /metrics
+// family samples. A key that records how a race came out is left out:
+// catch_up.peer or catch_up.error (whether the first peer served yet),
+// follow.peer (a poll in flight) and follow.last_error.
 func TestStatusKeys(t *testing.T) {
 	const n = 4
 	fx, err := roster.Dev(n)
@@ -267,7 +268,7 @@ func TestStatusKeys(t *testing.T) {
 	}
 	members := make([]*member, n)
 	for i := range members {
-		cfg := Config{}
+		cfg := Config{StoreDir: t.TempDir()}
 		if i == 0 {
 			cfg.GatewayAddr = "127.0.0.1:0"
 		}
@@ -280,14 +281,15 @@ func TestStatusKeys(t *testing.T) {
 	}
 	members[0].Node.Request("k", []byte("v"))
 	waitFor(t, 20*time.Second, "delivery", func() bool { return members[0].has("k") })
-	members[0].get(t, "/v1/status")
 	var doc any
 	if err := json.Unmarshal([]byte(members[0].get(t, "/v1/status")), &doc); err != nil {
 		t.Fatal(err)
 	}
 	var keys []string
 	keyPaths("", doc, &keys)
-	keys = slices.DeleteFunc(keys, func(k string) bool { return strings.HasPrefix(k, "accountability.") })
+	keys = slices.DeleteFunc(keys, func(k string) bool {
+		return slices.Contains([]string{"catch_up.peer", "catch_up.error", "follow.peer", "follow.last_error"}, k)
+	})
 	slices.Sort(keys)
 	golden(t, "testdata/status_keys.golden", strings.Join(keys, "\n")+"\n")
 }

@@ -151,14 +151,16 @@ func runShim(t *testing.T, proto protocol.Protocol, n int, schedule []request, s
 	// now, only the retired set.
 	collapsed := func() bool {
 		for s := 0; s < n; s++ {
-			if m := c.Servers[s].Metrics(); m.Get(metrics.InstancesLive) != 0 || m.Get(metrics.InstancesRetired) != 0 || m.Get(metrics.LabelsRetired) != int64(len(labels)) {
+			if m := c.Servers[s].Counts(); m.Get(metrics.InstancesLive) != 0 || m.Get(metrics.InstancesRetired) != 0 || m.Get(metrics.LabelsRetired) != int64(len(labels)) {
 				return false
 			}
 		}
 		return true
 	}
 	if ok, err := c.RunUntil(100, collapsed); err != nil || !ok {
-		t.Fatalf("tombstones did not collapse at every server (err: %v): s0 holds %v", err, c.Servers[0].Metrics())
+		m := c.Servers[0].Counts()
+		t.Fatalf("tombstones did not collapse at every server (err: %v): s0 holds %d live, %d tombstones, %d retired",
+			err, m.Get(metrics.InstancesLive), m.Get(metrics.InstancesRetired), m.Get(metrics.LabelsRetired))
 	}
 	for _, rq := range schedule {
 		if rq.at >= longAfter {

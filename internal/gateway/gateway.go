@@ -28,7 +28,10 @@
 //	                         {"label", "data", "data_b64", "seq"} as
 //	                         /v1/await answers; "data" only for a value
 //	                         that is valid UTF-8
-//	GET  /v1/status          node status: health, watermarks, reports
+//	GET  /v1/status          node status: health, watermarks, the
+//	                         recovery, catch-up and follow reports, store
+//	                         size — what no /metrics family samples; served
+//	                         only for a Config.Node
 //	GET  /metrics            Prometheus text format (the Registry fold)
 //
 // Every client-plane route runs behind the middleware chain — in-flight
@@ -65,8 +68,8 @@ import (
 // Config parameterizes a gateway.
 type Config struct {
 	// Node, if non-nil, binds the gateway to a running node runtime:
-	// Submit and Indications default to the node's, /v1/status describes
-	// it, and the gateway registers a graceful-drain hook with
+	// Submit and Indications default to the node's, /v1/status is served
+	// and describes it, and the gateway registers a graceful-drain hook with
 	// node.Node.OnStop so a stopping node finishes in-flight requests
 	// before the loop dies.
 	Node *node.Node
@@ -104,9 +107,7 @@ const (
 
 // Gateway is a running front door.
 type Gateway struct {
-	cfg Config
-	// status builds the /v1/status document of Config.Node; nil without one.
-	status   func() Status
+	cfg      Config
 	srv      *http.Server
 	ln       net.Listener
 	inflight chan struct{}
@@ -118,18 +119,17 @@ type Gateway struct {
 	closed atomic.Bool
 }
 
-// Families declares the front door's own counters: its part of the scrape
-// and, by key, the "gateway" object of /v1/status.
+// Families declares the front door's own counters: its part of the scrape.
 var Families metrics.Table
 
 var (
-	inFlight     = Families.Gauge("in_flight", "gateway_in_flight", "Requests currently being served.")
-	responses2xx = Families.Counter("responses_2xx", "gateway_responses_total", "Responses served by status class.", "class", "2xx")
-	responses4xx = Families.With(responses2xx, "responses_4xx", "4xx")
-	responses5xx = Families.With(responses2xx, "responses_5xx", "5xx")
-	authFailures = Families.Counter("auth_failures", "gateway_auth_failures_total", "Requests refused by authentication.")
-	shed         = Families.Counter("shed", "gateway_shed_total", "Requests shed at the in-flight concurrency cap.")
-	indexBytes   = Families.Gauge("await_index_bytes", "gateway_await_index_bytes", "Label and value bytes the await replay index holds.")
+	inFlight     = Families.Gauge("gateway_in_flight", "Requests currently being served.")
+	responses2xx = Families.Counter("gateway_responses_total", "Responses served by status class.", "class", "2xx")
+	responses4xx = Families.With(responses2xx, "4xx")
+	responses5xx = Families.With(responses2xx, "5xx")
+	authFailures = Families.Counter("gateway_auth_failures_total", "Requests refused by authentication.")
+	shed         = Families.Counter("gateway_shed_total", "Requests shed at the in-flight concurrency cap.")
+	indexBytes   = Families.Gauge("gateway_await_index_bytes", "Label and value bytes the await replay index holds.")
 )
 
 // Listen binds addr and serves the gateway on it.
@@ -180,15 +180,16 @@ func Serve(ln net.Listener, cfg Config) (*Gateway, error) {
 	mux.HandleFunc("POST /v1/submit", g.wrap(true, g.handleSubmit))
 	mux.HandleFunc("GET /v1/await/{label...}", g.wrap(true, g.handleAwait))
 	mux.HandleFunc("GET /v1/indications", g.wrap(true, g.handleIndications))
-	mux.HandleFunc("GET /v1/status", g.wrap(true, g.handleStatus))
 	mux.HandleFunc("GET /metrics", g.wrap(false, g.handleMetrics))
+	if cfg.Node != nil {
+		mux.HandleFunc("GET /v1/status", g.wrap(true, g.handleStatus))
+	}
 
 	g.srv = &http.Server{Handler: mux}
 	// Serve returns ErrServerClosed once Close has run, or the listener's
 	// error, which clients meet as refused connections; nobody else awaits it.
 	go func() { _ = g.srv.Serve(ln) }()
 	if cfg.Node != nil {
-		g.status = nodeStatus(cfg.Node)
 		cfg.Node.OnStop(func() { _ = g.Close() })
 	}
 	return g, nil
@@ -412,14 +413,7 @@ func (g *Gateway) handleIndications(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
-	var st Status
-	if g.status != nil {
-		st = g.status()
-	}
-	g.counts.Set(indexBytes, g.cfg.Indications.IndexBytes())
-	self := Families.Snapshot(&g.counts)
-	st.Gateway = &self
-	writeJSON(w, st)
+	writeJSON(w, nodeStatus(g.cfg.Node))
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -16,6 +16,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"blockdag/internal/dagtest"
 	"blockdag/internal/gateway"
 	"blockdag/internal/mempool"
 	"blockdag/internal/node"
@@ -191,23 +192,29 @@ func TestAwaitLookupAndLongPoll(t *testing.T) {
 	}
 }
 
-// TestAwaitIndexBytesRendered: /metrics and /v1/status report the label and
-// value bytes the replay index holds as of the request.
+// TestAwaitIndexBytesRendered: /metrics reports the label and value bytes
+// the replay index holds as of the request.
 func TestAwaitIndexBytesRendered(t *testing.T) {
 	_, base, broker := start(t, gateway.Config{})
-	broker.Publish("ab", []byte("xyz"))
-	if body := drainClose(t, get(t, base+"/metrics", nil)); !strings.Contains(body, "\ngateway_await_index_bytes 5\n") {
-		t.Fatalf("/metrics lacks the index's 5 B:\n%s", body)
+	for _, tc := range []struct {
+		value string
+		want  float64
+	}{{"xyz", 5}, {"x", 3}} {
+		broker.Publish("ab", []byte(tc.value))
+		body := drainClose(t, get(t, base+"/metrics", nil))
+		if got, ok := dagtest.Sample(body, "gateway_await_index_bytes"); !ok || got != tc.want {
+			t.Fatalf("gateway_await_index_bytes = %v (present %v), want %v:\n%s", got, ok, tc.want, body)
+		}
 	}
-	broker.Publish("ab", []byte("x"))
-	var st struct {
-		Gateway map[string]int64 `json:"gateway"`
-	}
-	if err := json.Unmarshal([]byte(drainClose(t, get(t, base+"/v1/status", nil))), &st); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Gateway["await_index_bytes"]; got != 3 {
-		t.Fatalf("/v1/status gateway.await_index_bytes = %d, want 3", got)
+}
+
+// TestStatusNeedsANode: a gateway without a node has no status to tell and
+// serves no /v1/status.
+func TestStatusNeedsANode(t *testing.T) {
+	_, base, _ := start(t, gateway.Config{})
+	resp := get(t, base+"/v1/status", nil)
+	if body := drainClose(t, resp); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/v1/status of a node-less gateway = %d %s, want 404", resp.StatusCode, body)
 	}
 }
 
@@ -311,40 +318,33 @@ func TestBinaryIndicationExactInDataB64(t *testing.T) {
 }
 
 func TestBearerTokenAuth(t *testing.T) {
-	_, base, _ := start(t, gateway.Config{Tokens: []string{"s3cret"}})
+	_, base, broker := start(t, gateway.Config{Tokens: []string{"s3cret"}})
+	broker.Publish("k", []byte("v"))
+	const await = "/v1/await/k?timeout=1s"
 
-	resp := get(t, base+"/v1/status", nil)
+	resp := get(t, base+await, nil)
 	drainClose(t, resp)
 	if resp.StatusCode != http.StatusUnauthorized || resp.Header.Get("WWW-Authenticate") == "" {
 		t.Fatalf("no-auth = %d, want 401 with WWW-Authenticate", resp.StatusCode)
 	}
-	resp = get(t, base+"/v1/status", map[string]string{"Authorization": "Bearer wrong"})
+	resp = get(t, base+await, map[string]string{"Authorization": "Bearer wrong"})
 	drainClose(t, resp)
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("bad token = %d, want 401", resp.StatusCode)
 	}
-	resp = get(t, base+"/v1/status", map[string]string{"Authorization": "Bearer s3cret"})
-	body := drainClose(t, resp)
-	if resp.StatusCode != http.StatusOK {
+	resp = get(t, base+await, map[string]string{"Authorization": "Bearer s3cret"})
+	if body := drainClose(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("good token = %d %s", resp.StatusCode, body)
 	}
-	// The auth failures surface in the status self-report.
-	var st struct {
-		Gateway struct {
-			AuthFailures int64 `json:"auth_failures"`
-		} `json:"gateway"`
-	}
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Gateway.AuthFailures != 2 {
-		t.Fatalf("auth_failures = %d, want 2", st.Gateway.AuthFailures)
-	}
-	// /metrics stays scrapeable without credentials.
+	// /metrics stays scrapeable without credentials, and counts the two
+	// refusals.
 	resp = get(t, base+"/metrics", nil)
-	drainClose(t, resp)
+	scrape := drainClose(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unauthenticated /metrics = %d, want 200", resp.StatusCode)
+	}
+	if got, ok := dagtest.Sample(scrape, "gateway_auth_failures_total"); !ok || got != 2 {
+		t.Fatalf("gateway_auth_failures_total = %v (present %v), want 2", got, ok)
 	}
 }
 
@@ -411,7 +411,7 @@ func TestInFlightShedding(t *testing.T) {
 		}
 	}
 	// The slots freed: the next request is served again.
-	resp := get(t, base+"/v1/status", auth)
+	resp := get(t, base+"/v1/await/hold/0", auth)
 	drainClose(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release request = %d, want 200", resp.StatusCode)

@@ -1,20 +1,18 @@
 package gateway
 
 import (
-	"strings"
-	"sync"
 	"time"
 
-	"blockdag/internal/mempool"
-	"blockdag/internal/metrics"
 	"blockdag/internal/node"
-	"blockdag/internal/peerscore"
 	"blockdag/internal/types"
 )
 
-// Status is the /v1/status document. Every field is assembled from
-// concurrency-safe sources only (atomic counters, mutex-guarded reports),
-// so the endpoint never races the loop goroutine.
+// Status is the /v1/status document: what a scrape cannot say — health,
+// the reports of the node's start, catch-up and follower, and the store's
+// size. A number some /metrics family samples (a counter, the interpreter's
+// or the mempool's gauges, a ban) is read there and nowhere else. Every
+// field is assembled from concurrency-safe sources only (atomic heads,
+// mutex-guarded reports), so the endpoint never races the loop goroutine.
 type Status struct {
 	Server  int    `json:"server"`
 	Healthy bool   `json:"healthy"`
@@ -26,32 +24,12 @@ type Status struct {
 	// with no block held is absent.
 	Watermarks map[types.ServerID]uint64 `json:"watermarks,omitempty"`
 
-	Recovery       RecoveryStatus       `json:"recovery"`
-	CatchUp        *CatchUpStatus       `json:"catch_up,omitempty"`
-	Follow         *FollowStatus        `json:"follow,omitempty"`
-	Accountability AccountabilityStatus `json:"accountability"`
-	Mempool        mempool.Stats        `json:"mempool"`
-	// Interpret is what the interpreter holds now beyond a watermark per
-	// block: the interpret_* gauges of /metrics under their names less that
-	// prefix. All but labels_retired fall back when load does;
-	// chain_unread_blocks, by builder, says whose chain has not read how
-	// many blocks of the others, which is what keeps out-buffers held and
-	// names the replica that is behind.
-	Interpret map[string]any `json:"interpret"`
+	Recovery RecoveryStatus `json:"recovery"`
+	CatchUp  *CatchUpStatus `json:"catch_up,omitempty"`
+	Follow   *FollowStatus  `json:"follow,omitempty"`
 	// StoreBytes is the durable store's on-disk size (omitted without a
 	// store).
 	StoreBytes int64 `json:"store_bytes,omitempty"`
-
-	// Counters is the cumulative metrics snapshot, by status key; Window
-	// reports the delta since the previous /v1/status call
-	// (metrics.Snapshot.Delta), the poor operator's rate() for deployments
-	// without a scraper.
-	Counters *metrics.Snapshot `json:"counters,omitempty"`
-	Window   *RateWindow       `json:"window,omitempty"`
-
-	// Gateway carries the front door's own counters (Families, by key); the
-	// serving gateway fills it in.
-	Gateway *metrics.Snapshot `json:"gateway,omitempty"`
 }
 
 // RecoveryStatus mirrors node.RecoveryReport: what the last start
@@ -97,90 +75,50 @@ type FollowStatus struct {
 	LastError string          `json:"last_error,omitempty"`
 }
 
-// AccountabilityStatus mirrors node.AccountabilityReport.
-type AccountabilityStatus struct {
-	Banned []types.ServerID     `json:"banned,omitempty"`
-	Peers  []peerscore.PeerStat `json:"peers,omitempty"`
-}
-
-// RateWindow is the counter delta since the previous status call.
-type RateWindow struct {
-	Seconds float64          `json:"seconds"`
-	Delta   map[string]int64 `json:"delta"`
-}
-
-// nodeStatus builds the Status producer for a node runtime. The closure
-// keeps the previous metrics snapshot, so consecutive calls see the rate
-// window between them (metrics.Snapshot.Delta).
-func nodeStatus(nd *node.Node) func() Status {
-	var mu sync.Mutex
-	var prev metrics.Snapshot
-	var prevAt time.Time
-	return func() Status {
-		st := Status{Server: int(nd.Server().ID()), Healthy: true}
-		if err := nd.Err(); err != nil {
-			st.Healthy = false
-			st.Error = err.Error()
-		}
-		if wms := nd.Watermarks(); len(wms) > 0 {
-			st.Watermarks = make(map[types.ServerID]uint64, len(wms))
-			for _, wm := range wms {
-				st.Watermarks[wm.Builder] = wm.NextSeq
-			}
-		}
-		rec := nd.RecoveryReport()
-		st.Recovery = RecoveryStatus{
-			Blocks: rec.Store.Blocks, ReplayMs: float64(rec.Took) / float64(time.Millisecond),
-			TornBytes: rec.Store.TornBytes, Duplicates: rec.Store.Duplicates,
-			OwnChain: OwnChainStatus{Held: rec.OwnHeld, Seen: rec.OwnSeen},
-		}
-		if rep := nd.CatchUpReport(); rep.Ran {
-			cs := &CatchUpStatus{Ran: true, Blocks: rep.Blocks}
-			if rep.Err != nil {
-				cs.Error = rep.Err.Error()
-			} else {
-				cs.Peer = &rep.Peer
-			}
-			st.CatchUp = cs
-		}
-		if rep := nd.FollowReport(); rep.State != "" {
-			fs := &FollowStatus{
-				State: rep.State, BehindBy: rep.BehindBy,
-				Polls: rep.Polls, Deltas: rep.Deltas, Blocks: rep.Blocks,
-				Throttled: rep.Throttled, Errors: rep.Errors,
-			}
-			if rep.State != node.FollowIdle {
-				fs.Peer = &rep.Peer
-			}
-			if rep.LastErr != nil {
-				fs.LastError = rep.LastErr.Error()
-			}
-			st.Follow = fs
-		}
-		acc := nd.AccountabilityReport()
-		st.Accountability = AccountabilityStatus{Banned: acc.Banned, Peers: acc.Peers}
-		st.Mempool = nd.Server().Mempool().Stats()
-		if size, ok := nd.StoreDiskSize(); ok {
-			st.StoreBytes = size
-		}
-		snap := nd.Server().Metrics()
-		st.Counters = &snap
-		st.Interpret = map[string]any{"chain_unread_blocks": nd.Server().ChainUnread()}
-		for id, f := range metrics.Families {
-			if name, ok := strings.CutPrefix(f.Name, "interpret_"); ok {
-				st.Interpret[name] = snap.Get(metrics.ID(id))
-			}
-		}
-		mu.Lock()
-		now := time.Now()
-		if !prevAt.IsZero() {
-			st.Window = &RateWindow{
-				Seconds: now.Sub(prevAt).Seconds(),
-				Delta:   snap.Delta(prev),
-			}
-		}
-		prev, prevAt = snap, now
-		mu.Unlock()
-		return st
+// nodeStatus reads a node runtime's Status.
+func nodeStatus(nd *node.Node) Status {
+	st := Status{Server: int(nd.Server().ID()), Healthy: true}
+	if err := nd.Err(); err != nil {
+		st.Healthy = false
+		st.Error = err.Error()
 	}
+	if wms := nd.Watermarks(); len(wms) > 0 {
+		st.Watermarks = make(map[types.ServerID]uint64, len(wms))
+		for _, wm := range wms {
+			st.Watermarks[wm.Builder] = wm.NextSeq
+		}
+	}
+	rec := nd.RecoveryReport()
+	st.Recovery = RecoveryStatus{
+		Blocks: rec.Store.Blocks, ReplayMs: float64(rec.Took) / float64(time.Millisecond),
+		TornBytes: rec.Store.TornBytes, Duplicates: rec.Store.Duplicates,
+		OwnChain: OwnChainStatus{Held: rec.OwnHeld, Seen: rec.OwnSeen},
+	}
+	if rep := nd.CatchUpReport(); rep.Ran {
+		cs := &CatchUpStatus{Ran: true, Blocks: rep.Blocks}
+		if rep.Err != nil {
+			cs.Error = rep.Err.Error()
+		} else {
+			cs.Peer = &rep.Peer
+		}
+		st.CatchUp = cs
+	}
+	if rep := nd.FollowReport(); rep.State != "" {
+		fs := &FollowStatus{
+			State: rep.State, BehindBy: rep.BehindBy,
+			Polls: rep.Polls, Deltas: rep.Deltas, Blocks: rep.Blocks,
+			Throttled: rep.Throttled, Errors: rep.Errors,
+		}
+		if rep.State != node.FollowIdle {
+			fs.Peer = &rep.Peer
+		}
+		if rep.LastErr != nil {
+			fs.LastError = rep.LastErr.Error()
+		}
+		st.Follow = fs
+	}
+	if size, ok := nd.StoreDiskSize(); ok {
+		st.StoreBytes = size
+	}
+	return st
 }

@@ -725,7 +725,6 @@ func (g *Gossip) acceptEvidence(p *evidence.Proof, from types.ServerID) {
 	if !g.cfg.Scores.Convict(p) {
 		return
 	}
-	g.cfg.Metrics.Add(metrics.EvidenceReceived, 1)
 	g.cfg.Metrics.Add(metrics.PeersBanned, 1)
 	id := p.Equivocator()
 	// The hook's error is latched by the shim (a persist failure is a

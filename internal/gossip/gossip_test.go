@@ -867,7 +867,7 @@ func TestQueueGaugesFollowTheBuffers(t *testing.T) {
 		}
 	}
 	gauges := func() [3]int64 {
-		s := metrics.Families.Snapshot(n0.m)
+		s := n0.m
 		if s.Get(metrics.PendingBlocks) != int64(len(n0.g.pending)) || s.Get(metrics.MissingRefs) != int64(missingRefs(t, n0.g)) {
 			t.Fatalf("gauges %d/%d, buffers %d/%d", s.Get(metrics.PendingBlocks), s.Get(metrics.MissingRefs), len(n0.g.pending), missingRefs(t, n0.g))
 		}

@@ -196,9 +196,8 @@ func TestHandleMessagesMatchesSerial(t *testing.T) {
 	if refD.Len() != wantBlocks {
 		t.Fatalf("serial path inserted %d blocks, want %d", refD.Len(), wantBlocks)
 	}
-	refSnap := metrics.Families.Snapshot(refM)
-	if refSnap.Get(metrics.BlocksRejected) != 3 { // tampered sig + non-member + malformed
-		t.Fatalf("serial path rejected %d blocks, want 3", refSnap.Get(metrics.BlocksRejected))
+	if refM.Get(metrics.BlocksRejected) != 3 { // tampered sig + non-member + malformed
+		t.Fatalf("serial path rejected %d blocks, want 3", refM.Get(metrics.BlocksRejected))
 	}
 	for _, batch := range []int{len(msgs), 7, 2} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
@@ -206,12 +205,11 @@ func TestHandleMessagesMatchesSerial(t *testing.T) {
 			if d.Len() != refD.Len() || !d.Leq(refD) || !refD.Leq(d) {
 				t.Fatalf("batched DAG differs from serial: %d vs %d blocks", d.Len(), refD.Len())
 			}
-			snap := metrics.Families.Snapshot(m)
-			if snap.Get(metrics.BlocksRejected) != refSnap.Get(metrics.BlocksRejected) {
-				t.Fatalf("rejected %d, serial path rejected %d", snap.Get(metrics.BlocksRejected), refSnap.Get(metrics.BlocksRejected))
+			if m.Get(metrics.BlocksRejected) != refM.Get(metrics.BlocksRejected) {
+				t.Fatalf("rejected %d, serial path rejected %d", m.Get(metrics.BlocksRejected), refM.Get(metrics.BlocksRejected))
 			}
-			if snap.Get(metrics.BlocksReceived) != refSnap.Get(metrics.BlocksReceived) {
-				t.Fatalf("received %d, serial path received %d", snap.Get(metrics.BlocksReceived), refSnap.Get(metrics.BlocksReceived))
+			if m.Get(metrics.BlocksReceived) != refM.Get(metrics.BlocksReceived) {
+				t.Fatalf("received %d, serial path received %d", m.Get(metrics.BlocksReceived), refM.Get(metrics.BlocksReceived))
 			}
 		})
 	}

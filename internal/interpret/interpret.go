@@ -451,7 +451,7 @@ func (it *Interpreter) publish() {
 // sample per builder (CollectChainUnread).
 var Families metrics.Table
 
-var chainUnread = Families.Gauge("", "interpret_chain_unread_blocks", "Blocks of other chains this builder's chain, as known here, has not read: what holds out-buffers, and who is behind.")
+var chainUnread = Families.Gauge("interpret_chain_unread_blocks", "Blocks of other chains this builder's chain, as known here, has not read: what holds out-buffers, and who is behind.")
 
 // ChainUnread returns, per builder, how many blocks of the other chains that
 // builder's chain has not read, as far as this interpreter knows: the chain

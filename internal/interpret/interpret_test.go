@@ -175,14 +175,13 @@ func TestMessagesNeverLeaveInterpreter(t *testing.T) {
 	if err := it.InterpretDAG(h.DAG); err != nil {
 		t.Fatal(err)
 	}
-	snap := metrics.Families.Snapshot(m)
-	if snap.Get(metrics.MsgsMaterialized) == 0 {
+	if m.Get(metrics.MsgsMaterialized) == 0 {
 		t.Fatal("no messages materialized")
 	}
-	if snap.Get(metrics.BlocksInterpreted) != int64(h.DAG.Len()) {
-		t.Fatalf("interpreted %d blocks, DAG has %d", snap.Get(metrics.BlocksInterpreted), h.DAG.Len())
+	if m.Get(metrics.BlocksInterpreted) != int64(h.DAG.Len()) {
+		t.Fatalf("interpreted %d blocks, DAG has %d", m.Get(metrics.BlocksInterpreted), h.DAG.Len())
 	}
-	if snap.Get(metrics.WireMessages) != 0 || snap.Get(metrics.WireBytes) != 0 {
+	if m.Get(metrics.WireMessages) != 0 || m.Get(metrics.WireBytes) != 0 {
 		t.Fatal("interpretation touched the wire")
 	}
 	// What it holds on to is published as gauges: four chains delivered,
@@ -191,9 +190,11 @@ func TestMessagesNeverLeaveInterpreter(t *testing.T) {
 	// of round 3 read them, and the next block releases them.
 	st := it.stats
 	if st != (Stats{RetiredLabels: 1, OutMessages: 4, HoldingBlocks: 4}) ||
-		snap.Get(metrics.InstancesLive) != 0 || snap.Get(metrics.InstancesRetired) != 0 || snap.Get(metrics.LabelsRetired) != 1 ||
-		snap.Get(metrics.OutMessagesHeld) != 4 || snap.Get(metrics.BlocksHolding) != 4 {
-		t.Fatalf("stats %+v, gauges %+v", st, snap)
+		m.Get(metrics.InstancesLive) != 0 || m.Get(metrics.InstancesRetired) != 0 || m.Get(metrics.LabelsRetired) != 1 ||
+		m.Get(metrics.OutMessagesHeld) != 4 || m.Get(metrics.BlocksHolding) != 4 {
+		t.Fatalf("stats %+v, gauges live %d, tombstones %d, retired %d, held %d, holding %d", st,
+			m.Get(metrics.InstancesLive), m.Get(metrics.InstancesRetired), m.Get(metrics.LabelsRetired),
+			m.Get(metrics.OutMessagesHeld), m.Get(metrics.BlocksHolding))
 	}
 	// Counted with the release, as the last block (s3's of round 3) came in:
 	// the other chains, at round 3, had read all of s3's and not one

@@ -264,25 +264,26 @@ func (p *Pool) Stats() Stats {
 var Families metrics.Table
 
 var (
-	submitted  = Families.Counter("", "mempool_submitted_total", "Submission attempts, accepted or not.")
-	accepted   = Families.Counter("", "mempool_accepted_total", "Requests admitted to the queue.")
-	duplicates = Families.Counter("", "mempool_duplicates_total", "Submissions dropped as duplicates.")
-	invalid    = Families.Counter("", "mempool_invalid_total", "Submissions rejected by validation.")
-	overflow   = Families.Counter("", "mempool_overflow_total", "Submissions refused with ErrFull.")
-	drained    = Families.Counter("", "mempool_drained_total", "Requests handed to block production.")
-	requeued   = Families.Counter("", "mempool_requeued_total", "Requests returned after a withheld broadcast.")
-	depth      = Families.Gauge("", "mempool_depth", "Current queue length.")
-	peakDepth  = Families.Gauge("", "mempool_peak_depth", "Maximum queue length so far.")
+	submitted  = Families.Counter("mempool_submitted_total", "Submission attempts, accepted or not.")
+	accepted   = Families.Counter("mempool_accepted_total", "Requests admitted to the queue.")
+	duplicates = Families.Counter("mempool_duplicates_total", "Submissions dropped as duplicates.")
+	invalid    = Families.Counter("mempool_invalid_total", "Submissions rejected by validation.")
+	overflow   = Families.Counter("mempool_overflow_total", "Submissions refused with ErrFull.")
+	drained    = Families.Counter("mempool_drained_total", "Requests handed to block production.")
+	requeued   = Families.Counter("mempool_requeued_total", "Requests returned after a withheld broadcast.")
+	depth      = Families.Gauge("mempool_depth", "Current queue length.")
+	peakDepth  = Families.Gauge("mempool_peak_depth", "Maximum queue length so far.")
+	depthBytes = Families.Gauge("mempool_depth_bytes", "Label and data bytes of the queued requests.")
 )
 
 // Collect is the pool's metrics.Collector: the admission counters and the
-// depth gauges of one Stats.
+// depth gauges, in requests and in bytes, of one Stats.
 func (p *Pool) Collect(emit func(metrics.Metric)) {
 	s := p.Stats()
 	for id, v := range map[metrics.ID]int64{
 		submitted: s.Submitted, accepted: s.Accepted, duplicates: s.Duplicates, invalid: s.Invalid,
 		overflow: s.Overflow, drained: s.Drained, requeued: s.Requeued,
-		depth: int64(s.Depth), peakDepth: int64(s.PeakDepth),
+		depth: int64(s.Depth), peakDepth: int64(s.PeakDepth), depthBytes: int64(s.DepthBytes),
 	} {
 		emit(Families.Sample(id, float64(v)))
 	}

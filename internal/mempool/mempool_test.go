@@ -11,6 +11,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/dagtest"
+	"blockdag/internal/metrics"
 	"blockdag/internal/types"
 )
 
@@ -161,6 +162,38 @@ func TestBackpressure(t *testing.T) {
 	p.Next(4)
 	if err := p.Submit(l, d); err != nil {
 		t.Fatalf("submit after drain: %v", err)
+	}
+}
+
+// TestCollectSamplesDepthBytes: the scrape carries the queue's byte depth,
+// Stats' DepthBytes, as it rises with admissions and falls with drains.
+func TestCollectSamplesDepthBytes(t *testing.T) {
+	p := New(Options{Capacity: 8})
+	depthBytes := func() (float64, bool) {
+		var v float64
+		found := false
+		p.Collect(func(m metrics.Metric) {
+			if m.Name == "mempool_depth_bytes" {
+				v, found = m.Value, true
+			}
+		})
+		return v, found
+	}
+	for i := range 3 {
+		l, d := reqN(i)
+		if err := p.Submit(l, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, drain := range []int{0, 2, 1} {
+		p.Next(drain)
+		want := p.Stats().DepthBytes
+		if got, ok := depthBytes(); !ok || got != float64(want) {
+			t.Fatalf("mempool_depth_bytes = %v (sampled %v), Stats().DepthBytes = %d", got, ok, want)
+		}
+	}
+	if p.Stats().DepthBytes != 0 {
+		t.Fatalf("a drained pool holds %d bytes", p.Stats().DepthBytes)
 	}
 }
 

@@ -4,21 +4,21 @@
 // (message compression), how much interpretation work is done — and every
 // other subsystem's, declared and rendered the same way.
 //
-// A metric family is declared once, as one row of a Table: its key under
-// /v1/status, its Prometheus name, its help text, its kind. A Metrics is a
-// fixed array of atomics counted over a table; Snapshot, Delta, String, the
-// JSON under /v1/status and the /metrics exposition (Registry) are loops
+// A metric family is declared once, as one row of a Table: its Prometheus
+// name, its help text, its kind. A Metrics is a fixed array of atomics
+// counted over a table, and the /metrics exposition (Registry) is a loop
 // over the rows. To add a metric, add one row to the table of the package
 // that counts it —
 //
-//	ForksHealed = Families.Counter("ForksHealed", "dag_forks_healed_total", "Forks ….")
+//	ForksHealed = Families.Counter("dag_forks_healed_total", "Forks ….")
 //
 // — and call m.Add(metrics.ForksHealed, 1) where it happens. Nothing else
-// is written: the scrape, the status document, the rate window, the CLI
-// summary and the smoke targets' family lists read the table, and
-// `go test ./internal/deploy -update` regenerates what is checked in of it
-// (the golden scrape, the golden status keys, the family reference in
-// docs/ARCHITECTURE.md).
+// is written: the scrape, the CLI summary and the smoke targets' family
+// lists read the table, and `go test ./internal/deploy -update` regenerates
+// what is checked in of it (the golden scrape, the family reference in
+// docs/ARCHITECTURE.md). A number has this one rendering: /v1/status
+// carries only what no family samples, and a rate is two scrapes
+// subtracted.
 // A family whose samples are not a fixed set (a label per peer) is declared
 // the same way and sampled by its owner's own Collector (Table.Sample).
 //
@@ -27,12 +27,7 @@
 // nil *Metrics is valid and discards all counts.
 package metrics
 
-import (
-	"encoding/json"
-	"fmt"
-	"strings"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Kind is a family's Prometheus type.
 type Kind string
@@ -44,7 +39,6 @@ const (
 
 // Family is one row of a declaration table.
 type Family struct {
-	Key    string // name under /v1/status; "" keeps the row out of status documents
 	Name   string // Prometheus family name (snake_case, counters end in _total)
 	Kind   Kind
 	Help   string
@@ -64,20 +58,20 @@ const maxFamilies = 32
 
 // Counter declares a counter and returns its ID. label, if given, is one
 // fixed name, value pair.
-func (t *Table) Counter(key, name, help string, label ...string) ID {
-	return t.declare(Family{Key: key, Name: name, Kind: Counter, Help: help, Labels: pairs(label)})
+func (t *Table) Counter(name, help string, label ...string) ID {
+	return t.declare(Family{Name: name, Kind: Counter, Help: help, Labels: pairs(label)})
 }
 
 // Gauge declares a gauge and returns its ID.
-func (t *Table) Gauge(key, name, help string, label ...string) ID {
-	return t.declare(Family{Key: key, Name: name, Kind: Gauge, Help: help, Labels: pairs(label)})
+func (t *Table) Gauge(name, help string, label ...string) ID {
+	return t.declare(Family{Name: name, Kind: Gauge, Help: help, Labels: pairs(label)})
 }
 
 // With declares another row of id's family: the same name, kind and help,
 // its fixed label set to value.
-func (t *Table) With(id ID, key, value string) ID {
+func (t *Table) With(id ID, value string) ID {
 	f := (*t)[id]
-	f.Key, f.Labels = key, [][2]string{{f.Labels[0][0], value}}
+	f.Labels = [][2]string{{f.Labels[0][0], value}}
 	return t.declare(f)
 }
 
@@ -143,104 +137,45 @@ func (m *Metrics) Get(id ID) int64 {
 	return m.v[id].Load()
 }
 
-// Snapshot is a point-in-time copy of a Metrics, read over its table.
-type Snapshot struct {
-	table Table
-	vals  []int64
-}
-
-// Snapshot copies m's values (zeros for a nil m).
-func (t Table) Snapshot(m *Metrics) Snapshot {
-	s := Snapshot{table: t, vals: make([]int64, len(t))}
-	for id := range t {
-		s.vals[id] = m.Get(ID(id))
-	}
-	return s
-}
-
-// Get returns the value of row id (zero in the zero Snapshot).
-func (s Snapshot) Get(id ID) int64 {
-	if int(id) >= len(s.vals) {
-		return 0
-	}
-	return s.vals[id]
-}
-
-// String formats the counters compactly for CLI output.
-func (s Snapshot) String() string {
-	var parts []string
-	for id, f := range s.table {
-		if f.Kind == Counter {
-			parts = append(parts, fmt.Sprintf("%s=%d", f.Key, s.vals[id]))
-		}
-	}
-	return strings.Join(parts, " ")
-}
-
-// Delta returns, by status key, how far each counter moved from prev to s:
-// the activity between two snapshots of one Metrics ("blocks built since
-// the last status poll"). Gauges are levels, not totals, and have no delta.
-func (s Snapshot) Delta(prev Snapshot) map[string]int64 {
-	d := make(map[string]int64)
-	for id, f := range s.table {
-		if f.Kind == Counter && f.Key != "" {
-			d[f.Key] = s.vals[id] - prev.Get(ID(id))
-		}
-	}
-	return d
-}
-
-// MarshalJSON renders the keyed rows as one object, status key to value.
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	doc := make(map[string]int64, len(s.table))
-	for id, f := range s.table {
-		if f.Key != "" {
-			doc[f.Key] = s.vals[id]
-		}
-	}
-	return json.Marshal(doc)
-}
-
 // Families is the table a core server's Metrics (core.Config.Metrics) is
 // counted over: gossip, the interpreter, the accountability layer and the
 // node runtime that drives the server.
 var Families Table
 
 var (
-	BlocksBuilt       = Families.Counter("BlocksBuilt", "dag_blocks_built_total", "Blocks this server built and disseminated.")
-	BlocksReceived    = Families.Counter("BlocksReceived", "dag_blocks_received_total", "Blocks received from the network.")
-	BlocksInserted    = Families.Counter("BlocksInserted", "dag_blocks_inserted_total", "Blocks inserted into the local DAG.")
-	BlocksDuplicate   = Families.Counter("BlocksDuplicate", "dag_blocks_duplicate_total", "Received blocks already known.")
-	BlocksRejected    = Families.Counter("BlocksRejected", "dag_blocks_rejected_total", "Received blocks that failed validation.")
-	FwdRequestsSent   = Families.Counter("FwdRequestsSent", "dag_fwd_requests_sent_total", "FWD requests issued for missing predecessors.")
-	FwdRequestsServed = Families.Counter("FwdRequestsServed", "dag_fwd_requests_served_total", "FWD requests answered with a block.")
-	WireMessages      = Families.Counter("WireMessages", "dag_wire_messages_total", "Network sends (blocks plus FWD traffic).")
-	WireBytes         = Families.Counter("WireBytes", "dag_wire_bytes_total", "Payload bytes handed to the transport.")
-	RequestsEmbedded  = Families.Counter("RequestsEmbedded", "dag_requests_embedded_total", "(label, request) pairs written into own blocks.")
-	MsgsMaterialized  = Families.Counter("MsgsMaterialized", "dag_msgs_materialized_total", "Protocol messages simulated by interpretation, never sent.")
-	BlocksInterpreted = Families.Counter("BlocksInterpreted", "dag_blocks_interpreted_total", "Blocks processed by the interpreter.")
-	Indications       = Families.Counter("Indications", "dag_indications_total", "Indications surfaced by interpretation.")
-	OwnBlockRefs      = Families.Counter("OwnBlockRefs", "dag_own_block_refs_total", "References cited by own blocks; divide by dag_blocks_built_total for references per block.")
-	BlocksSealedFull  = Families.Counter("BlocksSealedFull", "dag_blocks_sealed_full_total", "Own blocks sealed before their tick because the mempool held a full block.")
-	BlocksAnswered    = Families.Counter("BlocksAnswered", "dag_blocks_answered_total", "Own blocks sealed before their tick to answer a peer's full block.")
+	BlocksBuilt       = Families.Counter("dag_blocks_built_total", "Blocks this server built and disseminated.")
+	BlocksReceived    = Families.Counter("dag_blocks_received_total", "Blocks received from the network.")
+	BlocksInserted    = Families.Counter("dag_blocks_inserted_total", "Blocks inserted into the local DAG.")
+	BlocksDuplicate   = Families.Counter("dag_blocks_duplicate_total", "Received blocks already known.")
+	BlocksRejected    = Families.Counter("dag_blocks_rejected_total", "Received blocks that failed validation.")
+	FwdRequestsSent   = Families.Counter("dag_fwd_requests_sent_total", "FWD requests issued for missing predecessors.")
+	FwdRequestsServed = Families.Counter("dag_fwd_requests_served_total", "FWD requests answered with a block.")
+	WireMessages      = Families.Counter("dag_wire_messages_total", "Network sends (blocks plus FWD traffic).")
+	WireBytes         = Families.Counter("dag_wire_bytes_total", "Payload bytes handed to the transport.")
+	RequestsEmbedded  = Families.Counter("dag_requests_embedded_total", "(label, request) pairs written into own blocks.")
+	MsgsMaterialized  = Families.Counter("dag_msgs_materialized_total", "Protocol messages simulated by interpretation, never sent.")
+	BlocksInterpreted = Families.Counter("dag_blocks_interpreted_total", "Blocks processed by the interpreter.")
+	Indications       = Families.Counter("dag_indications_total", "Indications surfaced by interpretation.")
+	OwnBlockRefs      = Families.Counter("dag_own_block_refs_total", "References cited by own blocks; divide by dag_blocks_built_total for references per block.")
+	BlocksSealedFull  = Families.Counter("dag_blocks_sealed_full_total", "Own blocks sealed before their tick because the mempool held a full block.")
+	BlocksAnswered    = Families.Counter("dag_blocks_answered_total", "Own blocks sealed before their tick to answer a peer's full block.")
 
-	EquivocationsSeen   = Families.Counter("EquivocationsSeen", "dag_equivocations_seen_total", "Forked (builder, seq) slots detected locally.")
-	EvidenceReceived    = Families.Counter("EvidenceReceived", "dag_evidence_received_total", "Equivocation proofs that convicted a peer in this run, detected or received; a proof the store restores at start is not counted.")
-	EvidenceRelayed     = Families.Counter("EvidenceRelayed", "dag_evidence_relayed_total", "Evidence messages forwarded to peers.")
-	PeersBanned         = Families.Counter("PeersBanned", "dag_peers_banned_total", "Peers banned in this run on a new proof; a ban the store's proofs restore at start is not counted.")
-	BannedBlocksDropped = Families.Counter("BannedBlocksDropped", "dag_banned_blocks_dropped_total", "Fresh blocks refused because their builder is banned.")
+	EquivocationsSeen   = Families.Counter("dag_equivocations_seen_total", "Forked (builder, seq) slots detected locally.")
+	EvidenceRelayed     = Families.Counter("dag_evidence_relayed_total", "Evidence messages forwarded to peers.")
+	PeersBanned         = Families.Counter("dag_peers_banned_total", "Peers banned in this run on a new proof, detected here or received; a ban the store's proofs restore at start is not counted.")
+	BannedBlocksDropped = Families.Counter("dag_banned_blocks_dropped_total", "Fresh blocks refused because their builder is banned.")
 
 	// What the interpreter holds now, beyond a watermark and a chain link
 	// per block.
-	InstancesLive    = Families.Gauge("InstancesLive", "interpret_instances_live", "Protocol instances still running, over all chain tips.")
-	InstancesRetired = Families.Gauge("InstancesRetired", "interpret_instances_retired", "Tombstones of instances Done on their chain; they go when every chain is Done.")
-	LabelsRetired    = Families.Gauge("LabelsRetired", "interpret_labels_retired", "Labels every chain has finished: the retired set.")
-	OutMessagesHeld  = Families.Gauge("OutMessagesHeld", "interpret_out_messages_held", "Message records in out-buffers some chain has not read yet.")
-	BlocksHolding    = Families.Gauge("BlocksHolding", "interpret_blocks_holding_buffers", "Blocks holding an out-buffer some chain has not read yet.")
+	InstancesLive    = Families.Gauge("interpret_instances_live", "Protocol instances still running, over all chain tips.")
+	InstancesRetired = Families.Gauge("interpret_instances_retired", "Tombstones of instances Done on their chain; they go when every chain is Done.")
+	LabelsRetired    = Families.Gauge("interpret_labels_retired", "Labels every chain has finished: the retired set.")
+	OutMessagesHeld  = Families.Gauge("interpret_out_messages_held", "Message records in out-buffers some chain has not read yet.")
+	BlocksHolding    = Families.Gauge("interpret_blocks_holding_buffers", "Blocks holding an out-buffer some chain has not read yet.")
 
 	// Gossip's view of the DAG: what its next own block would cite beyond
 	// its parent, and the two queues behind that.
-	Tips          = Families.Gauge("Tips", "dag_tips", "Uncited DAG tips: the references the next own block adds to its parent.")
-	PendingBlocks = Families.Gauge("PendingBlocks", "gossip_pending_blocks", "Received blocks buffered until their predecessors arrive.")
-	MissingRefs   = Families.Gauge("MissingRefs", "gossip_missing_refs", "References with a FWD request outstanding.")
+	Tips          = Families.Gauge("dag_tips", "Uncited DAG tips: the references the next own block adds to its parent.")
+	PendingBlocks = Families.Gauge("gossip_pending_blocks", "Received blocks buffered until their predecessors arrive.")
+	MissingRefs   = Families.Gauge("gossip_missing_refs", "References with a FWD request outstanding.")
 )

@@ -73,7 +73,6 @@ import (
 
 	"blockdag/internal/core"
 	"blockdag/internal/gossip"
-	"blockdag/internal/peerscore"
 	"blockdag/internal/roster"
 	"blockdag/internal/state"
 	"blockdag/internal/store"
@@ -105,13 +104,14 @@ type Config struct {
 	// gossip broadcasts them), replays the store's blocks through
 	// core.Server.Restore (validating them in the live DAG and resuming
 	// the pre-crash chain; RecoveryReport), and Tick drives interval fsync
-	// and the live follower alongside the FWD timer: the PullFrom startup
-	// catch-up runs, from the next of CatchUp's peers in rotation — without
-	// CatchUp, every other roster member over the server's own transport.
-	// The store must be freshly opened
-	// (store.Open) and the server freshly built; the caller keeps
-	// ownership and closes the store after Stop. On a clean shutdown a
-	// started node's Stop leaves the WAL fully synced.
+	// and the live follower alongside the FWD timer: when gossip shows lag,
+	// the follower pulls (PullFrom) from the next of CatchUp's peers in
+	// rotation — without CatchUp, every other roster member over the
+	// server's own transport — skipping a banned one. Startup catch-up
+	// runs only with CatchUp set, over its peers in order. The store must
+	// be freshly opened (store.Open) and the server freshly built; the
+	// caller keeps ownership and closes the store after Stop. On a clean
+	// shutdown a started node's Stop leaves the WAL fully synced.
 	Store *store.Store
 	// CatchUp, if non-nil, is whom the node pulls from (Transport, Peers;
 	// Roster defaults to the server's) and turns startup catch-up on: once
@@ -438,26 +438,6 @@ func (n *Node) FollowReport() FollowReport {
 	return n.follow
 }
 
-// AccountabilityReport is the node's view of the accountability layer:
-// which peers it has banned on proven equivocation, and the signals it has
-// counted against every peer it has penalized.
-type AccountabilityReport struct {
-	Banned []types.ServerID
-	Peers  []peerscore.PeerStat
-}
-
-// AccountabilityReport snapshots the server's peer scorer. Safe for
-// concurrent use.
-func (n *Node) AccountabilityReport() AccountabilityReport {
-	rep := AccountabilityReport{Peers: n.cfg.Server.Scores().Snapshot()}
-	for _, st := range rep.Peers {
-		if st.Banned {
-			rep.Banned = append(rep.Banned, st.Peer)
-		}
-	}
-	return rep
-}
-
 // Watermarks returns this node's own watermark vector, its DAG's chain heads
 // (syncsvc.Vector) — the live source deployments hand to
 // syncsvc.Server.Watermarks, so answering a poll that has nothing coming
@@ -636,7 +616,7 @@ func (n *Node) recordErr(err error) {
 }
 
 // Server exposes the underlying shim (read-only access such as DAG() and
-// Metrics() is safe only from the server's owner: after Stop, between
+// Interpreter() is safe only from the server's owner: after Stop, between
 // stepped turns, or from the indication callback).
 func (n *Node) Server() *core.Server { return n.cfg.Server }
 

@@ -80,7 +80,7 @@ func (r *replica) replayOf(t *testing.T, roster *crypto.Roster, signer *crypto.S
 func (r *replica) interpreterDigest(roster *crypto.Roster) string {
 	srv := r.nd.Server()
 	h := sha256.New()
-	m := srv.Metrics()
+	m := srv.Counts()
 	for _, g := range []metrics.ID{metrics.InstancesLive, metrics.InstancesRetired, metrics.LabelsRetired, metrics.OutMessagesHeld, metrics.BlocksHolding} {
 		fmt.Fprintf(h, "%d ", m.Get(g))
 	}
@@ -210,7 +210,7 @@ func TestReplayEqualsLive(t *testing.T) {
 		reversed := slices.Clone(set)
 		slices.Reverse(reversed)
 		live.gossiped(reversed)
-		if instances := live.nd.Server().Metrics().Get(metrics.InstancesLive); len(live.byLabel) < 6 || instances == 0 {
+		if instances := live.nd.Server().Counts().Get(metrics.InstancesLive); len(live.byLabel) < 6 || instances == 0 {
 			t.Fatalf("live node: %d labels indicated, %d live instances; want 6 and some", len(live.byLabel), instances)
 		}
 		next := live.replayOf(t, c.Roster, c.Signers[3]).requireSameAs(t, live, c.Roster)

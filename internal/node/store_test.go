@@ -2,12 +2,14 @@ package node_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"blockdag/internal/block"
 	"blockdag/internal/core"
 	"blockdag/internal/crypto"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/evidence"
 	"blockdag/internal/gossip"
 	"blockdag/internal/metrics"
@@ -15,6 +17,7 @@ import (
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
 	"blockdag/internal/store"
+	"blockdag/internal/types"
 )
 
 // startDurableNode builds a single-server node journaling to dir and runs
@@ -206,7 +209,7 @@ func TestNodeBanSurvivesRestart(t *testing.T) {
 	if p := nd.Server().Scores().Proof(equivocator); p == nil || !bytes.Equal(p.Encode(), proof.Encode()) {
 		t.Fatal("proof did not survive the restart byte for byte")
 	}
-	if rep := nd.AccountabilityReport(); len(rep.Banned) != 1 || rep.Banned[0] != equivocator {
-		t.Fatalf("accountability report %+v, want [%d] banned", rep, equivocator)
+	if banned := dagtest.Equivocators(nd.Server().Scores()); !slices.Equal(banned, []types.ServerID{equivocator}) {
+		t.Fatalf("banned %v, want [%d]", banned, equivocator)
 	}
 }

@@ -161,8 +161,8 @@ func (s *Scorer) Snapshot() []PeerStat {
 var (
 	// Families declares what Collect samples from Snapshot, per peer.
 	Families metrics.Table
-	banned   = Families.Gauge("", "peerscore_banned", "1 when the peer is banned: the scorer holds a proof it equivocated.")
-	signals  = Families.Counter("", "peerscore_signals_total", "Misbehaviour signals recorded per peer and kind.")
+	banned   = Families.Gauge("peerscore_banned", "1 when the peer is banned: the scorer holds a proof it equivocated.")
+	signals  = Families.Counter("peerscore_signals_total", "Misbehaviour signals recorded per peer and kind.")
 )
 
 // Collect is the scorer's metrics.Collector: every known peer's standing.

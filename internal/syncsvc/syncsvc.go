@@ -217,9 +217,9 @@ var ErrNotServing = errors.New("syncsvc: not serving yet")
 var Families metrics.Table
 
 var (
-	DropInFlight = Families.Counter("", "syncsvc_drops_total", "Sync-channel requests refused by admission control.", "cause", "inflight")
-	DropRate     = Families.With(DropInFlight, "", "rate")
-	DropStarting = Families.With(DropInFlight, "", "starting")
+	DropInFlight = Families.Counter("syncsvc_drops_total", "Sync-channel requests refused by admission control.", "cause", "inflight")
+	DropRate     = Families.With(DropInFlight, "rate")
+	DropStarting = Families.With(DropInFlight, "starting")
 )
 
 // Source is what a Server streams a delta from: the runtime registered on

@@ -156,21 +156,21 @@ var Families metrics.Table
 var (
 	// Inbound connections refused at the handshake: version mismatch,
 	// malformed identification frame, or failed authentication.
-	Rejections = Families.Counter("", "tcpnet_rejections_total", "Inbound connections rejected before payload parse (all causes).")
+	Rejections = Families.Counter("tcpnet_rejections_total", "Inbound connections rejected before payload parse (all causes).")
 	// The subset where the peer failed the challenge–response: an unproven
 	// claimed identity, a non-roster member, a stale or malformed proof, or
 	// no attempt at authentication at all.
-	AuthRejections = Families.Counter("", "tcpnet_auth_rejections_total", "Inbound connections rejected by the challenge-response handshake.")
+	AuthRejections = Families.Counter("tcpnet_auth_rejections_total", "Inbound connections rejected by the challenge-response handshake.")
 	// Outbound sends and calls toward a peer the configured scorer has
 	// banned, plus inbound connections identified as one.
-	BanRejections = Families.Counter("", "tcpnet_ban_rejections_total", "Connections refused because the proven peer is banned.")
+	BanRejections = Families.Counter("tcpnet_ban_rejections_total", "Connections refused because the proven peer is banned.")
 	// The dialer-side mirror of AuthRejections: the listener could not prove
 	// the identity we dialed (an impostor squatting on a member's address).
-	AuthFailures = Families.Counter("", "tcpnet_auth_failures_total", "Outbound handshakes that failed against a peer.")
+	AuthFailures = Families.Counter("tcpnet_auth_failures_total", "Outbound handshakes that failed against a peer.")
 	// Delta pulls (follower polls, bulk catch-up), snapshot calls — successful or not — and
 	// the inbound calls dispatched to a channel handler.
-	CallsOpened = Families.Counter("", "tcpnet_calls_opened_total", "Request/response calls opened to peers.")
-	CallsServed = Families.Counter("", "tcpnet_calls_served_total", "Request/response calls served for peers.")
+	CallsOpened = Families.Counter("tcpnet_calls_opened_total", "Request/response calls opened to peers.")
+	CallsServed = Families.Counter("tcpnet_calls_served_total", "Request/response calls served for peers.")
 )
 
 var _ transport.Transport = (*Transport)(nil)
