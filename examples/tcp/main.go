@@ -149,9 +149,6 @@ func (s *server) boot(addrOf func(types.ServerID) string) error {
 		fmt.Printf("s%d snapshot join: installed certified state at slot %d root %x from s%d (%d chunks, %d base stand-ins)\n",
 			s.id, j.Head.State.Slot, j.Head.State.Root[:8], j.Anchor, len(j.Head.State.Chunks), len(j.Head.Base))
 	}
-	if rep := s.Node.CatchUpReport(); rep.Ran && (rep.Blocks > 0 || rep.Err != nil) {
-		fmt.Printf("s%d catch-up: %d blocks in bulk (err: %v)\n", s.id, rep.Blocks, rep.Err)
-	}
 	if h := s.sealed(); h != nil {
 		// Broadcasts settled in the restored (or snapshot-installed) state
 		// count as delivered: their history may be pruned away, so no
@@ -208,8 +205,8 @@ func awaitDeliveries(servers []*server, want int, timeout time.Duration) bool {
 // follower's, with -state the state cycle's.
 func (s *server) report() {
 	if rep := s.Node.FollowReport(); rep.State != "" {
-		fmt.Printf("s%d follow: %d polls, %d deltas, %d blocks pulled, %d throttled (sync calls: %d out / %d served)\n",
-			s.id, rep.Polls, rep.Deltas, rep.Blocks, rep.Throttled, s.Transport.Counts().Get(tcpnet.CallsOpened), s.Transport.Counts().Get(tcpnet.CallsServed))
+		fmt.Printf("s%d follow: first poll %s (%d blocks), %d polls, %d deltas, %d blocks pulled, %d throttled (sync calls: %d out / %d served)\n",
+			s.id, rep.First.Outcome, rep.First.Blocks, rep.Polls, rep.Deltas, rep.Blocks, rep.Throttled, s.Transport.Counts().Get(tcpnet.CallsOpened), s.Transport.Counts().Get(tcpnet.CallsServed))
 	}
 	ms := s.Node.Server().Mempool().Stats()
 	fmt.Printf("s%d mempool: %d submitted, %d accepted, %d drained into blocks (%d dup, %d invalid, %d overflow)\n",
@@ -288,7 +285,7 @@ func runAllInOne(opts runOpts) error {
 		return err
 	}
 	// Every listener binds (on an ephemeral port) before any node boots: a
-	// booting node's catch-up finds every peer's sync handler up.
+	// booted node's first poll finds every peer's sync handler up.
 	servers := make([]*server, n)
 	for i := range servers {
 		o := opts

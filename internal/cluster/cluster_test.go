@@ -133,12 +133,12 @@ func TestRunUntilStopsEarly(t *testing.T) {
 
 // pullFrom takes slot's pull from peer (node.Node.PullFrom) as a stepped
 // turn and runs the network until the stream has settled: what a deployed
-// node's startup catch-up and live follower run, deterministically. It
+// node's follower runs, its first poll included, deterministically. It
 // returns the pull's error: a stream the slot rejected.
 func pullFrom(c *Cluster, slot, peer int) error {
 	settled := false
 	var pullErr error
-	abandon := c.Nodes[slot].PullFrom(types.ServerID(peer), func(_ int, err error) {
+	abandon := c.Nodes[slot].PullFrom(types.ServerID(peer), func(_ uint64, _ int, err error) {
 		settled, pullErr = true, err
 	})
 	for !settled && c.Net.Step() {

@@ -440,8 +440,8 @@ func (s *Server) Restore(blocks []*block.Block) error {
 // AbsorbVerified feeds the server one block obtained outside the gossip
 // exchange whose builder and signature the caller has already checked
 // against the roster — the sync channel's one way in (package node pulls a
-// peer's delta stream, syncsvc.Pull checks the signatures; startup
-// catch-up, live follower and simulated recovery alike). The block takes
+// peer's delta stream, syncsvc.Pull checks the signatures; the follower's
+// polls, its first one included, and simulated recovery alike). The block takes
 // the path a gossiped block takes once its signature verified: the DAG's
 // structural checks, the journal (SetJournal), a place among the next own
 // block's tips, interpretation, and the release of gossip-buffered blocks

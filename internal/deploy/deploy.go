@@ -5,15 +5,15 @@
 //	Listen   clock + scorer → store.Open → syncsvc.Server → late-bound
 //	         gossip endpoint → the network's listener
 //	Boot     mesh → snapshot join → core.NewServer → node.New (with a
-//	         store: replay, catch-up, follower) → registry → gateway →
-//	         the network's start (the runtime registers on its store, and
-//	         pulls are served from its DAG) → bind gossip
+//	         store: replay) → registry → gateway → the network's start (the
+//	         runtime registers on its store, serves pulls from its DAG, and
+//	         its loop begins with the first poll) → bind gossip
 //	Close    the reverse: gateway (by the runtime's stop hook), runtime,
 //	         transport, store
 //
 // Two phases, because a cluster comes up in two: every member must be
 // listening, and answering sync calls — if only with a refusal — before any
-// member's startup catch-up dials it. docs/ARCHITECTURE.md ("The assembly")
+// member's first poll dials it. docs/ARCHITECTURE.md ("The assembly")
 // gives the reason for each edge. What carries the bytes and tells the time
 // are ListenOn's two seams: Listen is TCP (tcpnet.Listen, the node started
 // on its own goroutine) on the wall clock (node.Clock); the simulator
@@ -56,7 +56,7 @@ const (
 	// at most once a gossip.ResendAfter (node.Node.Tick), so it is never
 	// refused.
 	syncEvery, syncBurst = gossip.ResendAfter, 8
-	catchUpTimeout       = 5 * time.Second
+	pollTimeout          = 5 * time.Second
 	snapshotTimeout      = 10 * time.Second
 )
 
@@ -80,9 +80,9 @@ type Config struct {
 
 	// StoreDir, if non-empty, makes the node durable: blocks are journaled
 	// there under the Fsync policy and replayed at Boot, and the sync server
-	// reaches the runtime through it. A durable node catches up: Boot
-	// pulls what the store lacks from the peers before the node starts, and
-	// while it runs the node pulls from a rotating peer whenever gossip
+	// reaches the runtime through it. A durable node catches up: its started
+	// loop's first poll pulls what the store lacks from a peer before it
+	// seals, and after that it pulls from a rotating peer whenever gossip
 	// shows it lagging (node.Config.CatchUp, node.Node.Tick).
 	StoreDir string
 	Fsync    store.SyncPolicy
@@ -293,10 +293,9 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		State:            cfg.State,
 	}
 	if a.Store != nil && len(peers) > 0 {
-		ncfg.CatchUp = &syncsvc.FetchConfig{Transport: a.Transport, Peers: peers, Timeout: catchUpTimeout}
+		ncfg.CatchUp = &syncsvc.FetchConfig{Transport: a.Transport, Peers: peers, Timeout: pollTimeout}
 	}
-	// node.New does the ordered part: sinks before replay, replay before
-	// catch-up.
+	// node.New does the ordered part: sinks before replay.
 	srv, err := core.NewServer(ccfg)
 	if err != nil {
 		return err
@@ -323,7 +322,8 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 	}
 	// The runtime is the store's once it runs: node.Start registered it, a
 	// stepped node is registered here. Gossip reaches the node after that:
-	// a started node's deliveries queue for its loop from the first.
+	// a started node's deliveries queue for its loop from the first, behind
+	// its first poll, so it inserts nothing before that poll goes out.
 	if a.Store != nil {
 		a.Store.SetRuntime(a.Node)
 	}

@@ -17,6 +17,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/dagtest"
 	"blockdag/internal/gossip"
+	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/roster"
 	"blockdag/internal/state"
@@ -97,6 +98,15 @@ func (m *member) get(t *testing.T, path string) string {
 		t.Fatalf("GET %s: status %d, err %v", path, resp.StatusCode, err)
 	}
 	return string(body)
+}
+
+// firstPoll waits for the member's first poll to settle and returns it.
+func (m *member) firstPoll(t *testing.T) node.FirstPoll {
+	t.Helper()
+	waitFor(t, 20*time.Second, "the first poll to settle", func() bool {
+		return m.Node.FollowReport().First.Outcome != node.FirstPending
+	})
+	return m.Node.FollowReport().First
 }
 
 // addrs is Boot's addrOf for a cluster in one process: member id's bound
@@ -239,8 +249,8 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 	}
 	// The delta came anchor-first: the anchor served the snapshot's meta,
 	// its chunk stream and a pull, all over the replacement's one transport.
-	if rep := rn.Node.CatchUpReport(); !rep.Ran {
-		t.Fatal("no startup catch-up after the join")
+	if first := rn.firstPoll(t); first.Outcome != node.FirstCaughtUp || first.Peer != joined.Anchor {
+		t.Fatalf("first poll after the join = %+v, want a clean stream from the anchor s%d", first, joined.Anchor)
 	}
 	if got := members[joined.Anchor].Transport.Counts().Get(tcpnet.CallsServed) - servedBefore[joined.Anchor]; got < 3 {
 		t.Fatalf("anchor s%d served %d calls since the wipe, want meta + chunks + pull", joined.Anchor, got)
@@ -290,6 +300,38 @@ func TestWipedNodeRejoinsBySnapshotOverItsOwnListener(t *testing.T) {
 	for _, b := range blocks {
 		if b.Seq < head.Horizon[b.Builder] {
 			t.Fatalf("rejoined store holds pruned history: s%d seq %d < horizon %d", b.Builder, b.Seq, head.Horizon[b.Builder])
+		}
+	}
+}
+
+// TestFreshClusterFirstPollsColdStartOrCatchUp: four durable members with
+// empty stores boot one after another, each once the one before has
+// settled its first poll. The first finds no peer serving yet: a cold
+// start, not a failure — a refusal by a peer that is not up is no error.
+// Each later one catches up from s0, the first peer it asks.
+func TestFreshClusterFirstPollsColdStartOrCatchUp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test with real sockets")
+	}
+	const n = 4
+	fx, err := roster.Dev(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([]*member, n)
+	for i := range members {
+		members[i] = listen(t, fx, i, Config{StoreDir: t.TempDir()})
+	}
+	for i, m := range members {
+		if err := m.Boot(addrs(members)); err != nil {
+			t.Fatal(err)
+		}
+		want := node.FirstCaughtUp
+		if i == 0 {
+			want = node.FirstColdStart
+		}
+		if first := m.firstPoll(t); first.Outcome != want || first.Peer != 0 || first.Err != nil {
+			t.Errorf("s%d first poll = %+v, want %s, no error", i, first, want)
 		}
 	}
 }
@@ -406,8 +448,8 @@ func TestInterpreterGaugesFollowTheLoad(t *testing.T) {
 // Member 3 restarts on an address nobody redials — an asymmetric partition:
 // it reaches its peers (its gossip, its sync calls), they do not reach it,
 // and only its follower brings it their blocks. It delivers what they
-// broadcast meanwhile, and its transport opened one call for startup
-// catch-up and one per poll — not two for a poll that found a lag.
+// broadcast meanwhile, and its transport opened one call per poll, the
+// first poll's included — not two for a poll that found a lag.
 func TestFollowerConvergesALaggardOneCallPerPoll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -436,8 +478,8 @@ func TestFollowerConvergesALaggardOneCallPerPoll(t *testing.T) {
 	if err := laggard.Boot(addrs(members)); err != nil {
 		t.Fatal(err)
 	}
-	if rep := laggard.Node.CatchUpReport(); !rep.Ran || rep.Err != nil || rep.Peer != 0 {
-		t.Fatalf("startup catch-up = %+v, want one clean stream from the first peer", rep)
+	if first := laggard.firstPoll(t); first.Outcome != node.FirstCaughtUp || first.Peer != 0 {
+		t.Fatalf("first poll = %+v, want one clean stream from the first peer", first)
 	}
 
 	// Two waves, the second submitted once the first is delivered: at
@@ -461,8 +503,8 @@ func TestFollowerConvergesALaggardOneCallPerPoll(t *testing.T) {
 	if rep.Deltas < 2 || rep.Blocks == 0 || rep.Errors != 0 || rep.Throttled != 0 {
 		t.Fatalf("follow report %+v, want pulls that carried blocks and none that failed", rep)
 	}
-	if opened := laggard.Transport.Counts().Get(tcpnet.CallsOpened); opened != int64(1+rep.Polls) {
-		t.Fatalf("%d sync calls opened for startup catch-up and %d polls (%d of which found a lag), want one each",
+	if opened := laggard.Transport.Counts().Get(tcpnet.CallsOpened); opened != int64(rep.Polls) {
+		t.Fatalf("%d sync calls opened for %d polls (%d of which found a lag), want one each",
 			opened, rep.Polls, rep.Deltas)
 	}
 	if err := laggard.Node.Err(); err != nil {
@@ -473,8 +515,8 @@ func TestFollowerConvergesALaggardOneCallPerPoll(t *testing.T) {
 // TestHealthyNodeNeverPulls: the follower pulls on evidence of lag, and a
 // healthy cluster shows none — every node's blocks arrive every few
 // milliseconds and FWD fills a gap at once. Four durable nodes run for 3 s
-// with traffic; after boot's catch-up no node opens a sync call, and no
-// follower polls.
+// with traffic; once its first poll has settled no node opens a sync call,
+// and no follower polls.
 func TestHealthyNodeNeverPulls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -493,9 +535,10 @@ func TestHealthyNodeNeverPulls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	booted := make([]int64, n)
+	booted, polled := make([]int64, n), make([]int, n)
 	for i, m := range members {
-		booted[i] = m.Transport.Counts().Get(tcpnet.CallsOpened)
+		m.firstPoll(t)
+		booted[i], polled[i] = m.Transport.Counts().Get(tcpnet.CallsOpened), m.Node.FollowReport().Polls
 	}
 	for wave := 0; wave < 30; wave++ {
 		label := types.Label(fmt.Sprintf("healthy/%d", wave))
@@ -513,9 +556,9 @@ func TestHealthyNodeNeverPulls(t *testing.T) {
 	for i, m := range members {
 		m.Node.Stop()
 		if opened := m.Transport.Counts().Get(tcpnet.CallsOpened); opened != booted[i] {
-			t.Errorf("s%d opened %d sync calls after boot", i, opened-booted[i])
+			t.Errorf("s%d opened %d sync calls after its first poll", i, opened-booted[i])
 		}
-		if rep := m.Node.FollowReport(); rep.Polls != 0 {
+		if rep := m.Node.FollowReport(); rep.Polls != polled[i] {
 			t.Errorf("s%d follower polled on a healthy cluster: %+v", i, rep)
 		}
 		if err := m.Node.Err(); err != nil {

@@ -255,11 +255,12 @@ func keyPaths(prefix string, v any, out *[]string) {
 }
 
 // TestStatusKeys compares the key set of a durable node's /v1/status with
-// testdata/status_keys.golden: health, watermarks, and the recovery,
-// catch-up and follower reports and the store's size — what no /metrics
-// family samples. A key that records how a race came out is left out:
-// catch_up.peer or catch_up.error (whether the first peer served yet),
-// follow.peer (a poll in flight) and follow.last_error.
+// testdata/status_keys.golden: health, watermarks, the recovery and
+// follower reports — the first poll's outcome among them — and the store's
+// size: what no /metrics family samples. Each member boots once the one
+// before has settled its first poll, so node 0's is a cold start. A key
+// that records how a race came out is left out: follow.peer (a poll in
+// flight) and follow.last_error.
 func TestStatusKeys(t *testing.T) {
 	const n = 4
 	fx, err := roster.Dev(n)
@@ -278,6 +279,10 @@ func TestStatusKeys(t *testing.T) {
 		if err := m.Boot(addrs(members)); err != nil {
 			t.Fatal(err)
 		}
+		m.firstPoll(t)
+	}
+	if first := members[0].Node.FollowReport().First; first.Outcome != node.FirstColdStart || first.Err != nil {
+		t.Fatalf("node 0's first poll = %+v, want a cold start", first)
 	}
 	members[0].Node.Request("k", []byte("v"))
 	waitFor(t, 20*time.Second, "delivery", func() bool { return members[0].has("k") })
@@ -288,7 +293,7 @@ func TestStatusKeys(t *testing.T) {
 	var keys []string
 	keyPaths("", doc, &keys)
 	keys = slices.DeleteFunc(keys, func(k string) bool {
-		return slices.Contains([]string{"catch_up.peer", "catch_up.error", "follow.peer", "follow.last_error"}, k)
+		return slices.Contains([]string{"follow.peer", "follow.last_error"}, k)
 	})
 	slices.Sort(keys)
 	golden(t, "testdata/status_keys.golden", strings.Join(keys, "\n")+"\n")

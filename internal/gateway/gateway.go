@@ -29,9 +29,9 @@
 //	                         /v1/await answers; "data" only for a value
 //	                         that is valid UTF-8
 //	GET  /v1/status          node status: health, watermarks, the
-//	                         recovery, catch-up and follow reports, store
-//	                         size — what no /metrics family samples; served
-//	                         only for a Config.Node
+//	                         recovery and follow reports (the first poll's
+//	                         outcome too), store size — what no /metrics
+//	                         family samples; served only for a Config.Node
 //	GET  /metrics            Prometheus text format (the Registry fold)
 //
 // Every client-plane route runs behind the middleware chain — in-flight

@@ -8,9 +8,9 @@ import (
 )
 
 // Status is the /v1/status document: what a scrape cannot say — health,
-// the reports of the node's start, catch-up and follower, and the store's
-// size. A number some /metrics family samples (a counter, the interpreter's
-// or the mempool's gauges, a ban) is read there and nowhere else. Every
+// the reports of the node's start and follower, and the store's size. A
+// number some /metrics family samples (a counter, the interpreter's or the
+// mempool's gauges, a ban) is read there and nowhere else. Every
 // field is assembled from concurrency-safe sources only (atomic heads,
 // mutex-guarded reports), so the endpoint never races the loop goroutine.
 type Status struct {
@@ -25,7 +25,6 @@ type Status struct {
 	Watermarks map[types.ServerID]uint64 `json:"watermarks,omitempty"`
 
 	Recovery RecoveryStatus `json:"recovery"`
-	CatchUp  *CatchUpStatus `json:"catch_up,omitempty"`
 	Follow   *FollowStatus  `json:"follow,omitempty"`
 	// StoreBytes is the durable store's on-disk size (omitted without a
 	// store).
@@ -52,17 +51,8 @@ type OwnChainStatus struct {
 	Seen uint64 `json:"seen"`
 }
 
-// CatchUpStatus mirrors node.CatchUpReport with a JSON-friendly error;
-// Peer is absent when no startup stream ended clean.
-type CatchUpStatus struct {
-	Ran    bool            `json:"ran"`
-	Blocks int             `json:"blocks"`
-	Peer   *types.ServerID `json:"peer,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
-// FollowStatus mirrors node.FollowReport with a JSON-friendly error;
-// Peer is absent when idle. Present whenever the follower is on.
+// FollowStatus mirrors node.FollowReport, errors as text; Peer is absent
+// when idle, First before Start. Present whenever the follower is on.
 type FollowStatus struct {
 	State     string          `json:"state"`
 	Peer      *types.ServerID `json:"peer,omitempty"`
@@ -73,15 +63,22 @@ type FollowStatus struct {
 	Throttled int             `json:"throttled"`
 	Errors    int             `json:"errors"`
 	LastError string          `json:"last_error,omitempty"`
+	First     *FirstStatus    `json:"first,omitempty"`
+}
+
+// FirstStatus mirrors node.FirstPoll: outcome is pending, caught_up (from
+// peer), cold_start (no peer was serving yet) or failed (error).
+type FirstStatus struct {
+	Outcome string          `json:"outcome"`
+	Blocks  int             `json:"blocks"`
+	Peer    *types.ServerID `json:"peer,omitempty"`
+	Error   string          `json:"error,omitempty"`
 }
 
 // nodeStatus reads a node runtime's Status.
 func nodeStatus(nd *node.Node) Status {
-	st := Status{Server: int(nd.Server().ID()), Healthy: true}
-	if err := nd.Err(); err != nil {
-		st.Healthy = false
-		st.Error = err.Error()
-	}
+	err := nd.Err()
+	st := Status{Server: int(nd.Server().ID()), Healthy: err == nil, Error: errText(err)}
 	if wms := nd.Watermarks(); len(wms) > 0 {
 		st.Watermarks = make(map[types.ServerID]uint64, len(wms))
 		for _, wm := range wms {
@@ -94,26 +91,20 @@ func nodeStatus(nd *node.Node) Status {
 		TornBytes: rec.Store.TornBytes, Duplicates: rec.Store.Duplicates,
 		OwnChain: OwnChainStatus{Held: rec.OwnHeld, Seen: rec.OwnSeen},
 	}
-	if rep := nd.CatchUpReport(); rep.Ran {
-		cs := &CatchUpStatus{Ran: true, Blocks: rep.Blocks}
-		if rep.Err != nil {
-			cs.Error = rep.Err.Error()
-		} else {
-			cs.Peer = &rep.Peer
-		}
-		st.CatchUp = cs
-	}
 	if rep := nd.FollowReport(); rep.State != "" {
 		fs := &FollowStatus{
 			State: rep.State, BehindBy: rep.BehindBy,
 			Polls: rep.Polls, Deltas: rep.Deltas, Blocks: rep.Blocks,
-			Throttled: rep.Throttled, Errors: rep.Errors,
+			Throttled: rep.Throttled, Errors: rep.Errors, LastError: errText(rep.LastErr),
 		}
 		if rep.State != node.FollowIdle {
 			fs.Peer = &rep.Peer
 		}
-		if rep.LastErr != nil {
-			fs.LastError = rep.LastErr.Error()
+		if f := rep.First; f.Outcome != "" {
+			fs.First = &FirstStatus{Outcome: f.Outcome, Blocks: f.Blocks, Error: errText(f.Err)}
+			if f.Outcome == node.FirstCaughtUp {
+				fs.First.Peer = &f.Peer
+			}
 		}
 		st.Follow = fs
 	}
@@ -121,4 +112,12 @@ func nodeStatus(nd *node.Node) Status {
 		st.StoreBytes = size
 	}
 	return st
+}
+
+// errText is err's message, empty for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

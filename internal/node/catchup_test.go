@@ -111,9 +111,9 @@ func TestNodeTickNeverCheckpoints(t *testing.T) {
 }
 
 // TestNodeCatchUpFromPeerStore: a node with an empty store bulk-syncs from
-// a peer restarted over its store, at startup over TCP, and restores the
-// full chain before its loop starts — then a restart replays the journaled
-// stream from disk without re-syncing.
+// a peer restarted over its store, in its loop's first poll over TCP, and
+// restores the full chain — then a restart replays the journaled stream
+// from disk without re-syncing.
 func TestNodeCatchUpFromPeerStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -175,8 +175,9 @@ func TestNodeCatchUpFromPeerStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd, err := node.New(node.Config{
-		Server: srv,
-		Store:  myStore,
+		Server:           srv,
+		Store:            myStore,
+		DisseminateEvery: time.Hour, // builds nothing of its own
 		CatchUp: &syncsvc.FetchConfig{
 			Transport: myTr,
 			Roster:    roster,
@@ -187,12 +188,16 @@ func TestNodeCatchUpFromPeerStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := nd.CatchUpReport()
-	if !rep.Ran || rep.Err != nil {
-		t.Fatalf("catch-up report = %+v", rep)
+	if err := nd.Start(); err != nil {
+		t.Fatal(err)
 	}
-	if rep.Blocks != chainLen {
-		t.Fatalf("caught up %d blocks, want %d", rep.Blocks, chainLen)
+	first := firstPoll(t, nd)
+	nd.Stop()
+	if first.Outcome != node.FirstCaughtUp || first.Err != nil || first.Peer != 0 {
+		t.Fatalf("first poll = %+v", first)
+	}
+	if first.Blocks != chainLen {
+		t.Fatalf("caught up %d blocks, want %d", first.Blocks, chainLen)
 	}
 	if got := srv.DAG().Len(); got != chainLen {
 		t.Fatalf("restored DAG has %d blocks, want %d", got, chainLen)

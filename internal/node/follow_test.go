@@ -96,6 +96,28 @@ func journaledChain(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, 
 	return st, tip
 }
 
+// callless is a transport that sends nowhere and fails every call at once,
+// as a socket does that nobody listens on: a started durable node's first
+// poll over it fails, and the node goes on.
+type callless types.ServerID
+
+func (c callless) Self() types.ServerID                         { return types.ServerID(c) }
+func (callless) Send(types.ServerID, transport.Channel, []byte) {}
+func (callless) Call(_ types.ServerID, _ transport.Channel, _ []byte, sink transport.CallSink) func() {
+	go sink.OnDone(transport.ErrUnreachable)
+	return func() {}
+}
+
+// firstPoll waits for a started durable node's first poll to settle and
+// returns its outcome.
+func firstPoll(t *testing.T, nd *node.Node) node.FirstPoll {
+	t.Helper()
+	waitFor(t, 20*time.Second, "the first poll to settle", func() bool {
+		return nd.FollowReport().First.Outcome != node.FirstPending
+	})
+	return nd.FollowReport().First
+}
+
 // startedPeer restores a node runtime for signer over st and starts it,
 // which registers it on st: a syncsvc.Server{Store: st} streams from its
 // DAG, as a deployed peer's does. It builds no block of its own.
@@ -103,7 +125,7 @@ func startedPeer(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, st 
 	t.Helper()
 	srv, err := core.NewServer(core.Config{
 		Roster: roster, Signer: signer, Protocol: brb.Protocol{},
-		Transport: simnet.New().Transport(signer.ID()), Clock: node.Clock(),
+		Transport: callless(signer.ID()), Clock: node.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,10 +290,10 @@ func TestNodeFollowerStopDropsLateCompletion(t *testing.T) {
 }
 
 // TestNodeLiveFollowerStarted covers the other shell: on a started node
-// the follower pulls in the loop goroutine's Tick — here on inbound
-// silence, the peer gossiping nothing — and completions come home through
-// its channel, over real TCP: startup catch-up first, then the follower
-// pulls what the peer appended afterwards.
+// the follower pulls in the loop goroutine — its first poll, then in Tick
+// on inbound silence, the peer gossiping nothing — and completions come
+// home through its channel, over real TCP: the first poll brings the
+// peer's chain, a later one what the peer appended afterwards.
 func TestNodeLiveFollowerStarted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -317,13 +339,13 @@ func TestNodeLiveFollowerStarted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Blocks != chainLen {
-		t.Fatalf("startup catch-up = %+v, want %d blocks", rep, chainLen)
-	}
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer nd.Stop()
+	if first := firstPoll(t, nd); first.Outcome != node.FirstCaughtUp || first.Blocks != chainLen {
+		t.Fatalf("first poll = %+v, want %d blocks", first, chainLen)
+	}
 	for _, msg := range asGossip(1, sealChain(t, signers[0], tip, extra)) {
 		peer.Deliver(msg.From, msg.Payload)
 	}

@@ -25,18 +25,20 @@
 // its peers echo its requests and send their READYs at its cadence, not
 // their own tick's.
 //
-// Catch-up is one primitive, PullFrom — tell a peer what this node holds,
-// get what it lacks and absorb the stream into the live DAG inside one
-// store group commit — with three triggers: New's startup
-// catch-up, the live follower, and the simulator's recovery. A pulled
-// block is validated where a gossiped one is (core.Server.AbsorbVerified)
-// and journaled by the same persistence sink. A node that lost its disk
-// re-learns its own blocks 0..k this way; gossip continues the chain from
-// an own block it did not build wherever it comes from, so the first block
-// after New is k+1. Should the stream show own blocks and break off before
-// they are in the DAG, the node builds nothing until they are (Disseminate):
-// no self-equivocation. The serving half is Stream: the rows a peer lacks,
-// read in bounded turns, so a k-block lag costs k block reads.
+// Catch-up is FWD and one pull, PullFrom — tell a peer what this node holds,
+// get what it lacks and absorb the stream into the live DAG inside one store
+// group commit — taken by the follower's polls and the simulator's recovery.
+// A pulled block is validated where a gossiped one is
+// (core.Server.AbsorbVerified) and journaled by the same sink. A node that
+// lost its disk re-learns its own blocks 0..k this way, and gossip continues
+// its chain from them: its next block is k+1. While a stream has shown own
+// blocks the DAG lacks, and on a started durable node until its first poll
+// has settled, it builds nothing (Disseminate). That wait is the one New's
+// blocking catch-up gave, so it keeps aim 3 ("a correct server never
+// equivocates — including across a crash") as that did: deployed, a node
+// inserts nothing before that poll goes out (deploy.Boot binds gossip after
+// Start), and seals nothing before it has settled. The serving half is Stream: the rows a peer lacks, read in bounded
+// turns, so a k-block lag costs k block reads.
 //
 // The goroutine shell (Start/Stop) is the part that waits: it owns the
 // loop goroutine, the ingestion channel, the full-block wake Submit leaves
@@ -49,8 +51,8 @@
 //
 // New wires the operational services around the server, the same for
 // both shells: durable persistence with the own-block externalization
-// barrier and the convictions in its head (Config.Store), startup bulk catch-up
-// (Config.CatchUp), the live follower (every node with a store), the state
+// barrier and the convictions in its head (Config.Store), the follower
+// (every node with a store; whom it pulls from: Config.CatchUp), the state
 // seal/prune cycle (Config.State) and the indication broker, whose replay
 // index is a gateway's to claim: a node nobody awaits on keeps no copy of
 // what it indicated. A running node never rewrites its store: the block DAG
@@ -101,43 +103,28 @@ type Config struct {
 	// server's journal (core.Server.SetJournal: the head's proofs are
 	// replayed, so a ban survives the restart, new convictions are
 	// journaled, and the persistence sink force-syncs own blocks before
-	// gossip broadcasts them), replays the store's blocks through
-	// core.Server.Restore (validating them in the live DAG and resuming
-	// the pre-crash chain; RecoveryReport), and Tick drives interval fsync
-	// and the live follower alongside the FWD timer: when gossip shows lag,
-	// the follower pulls (PullFrom) from the next of CatchUp's peers in
-	// rotation — without CatchUp, every other roster member over the
-	// server's own transport — skipping a banned one. Startup catch-up
-	// runs only with CatchUp set, over its peers in order. The store must
-	// be freshly opened (store.Open) and the server freshly built; the
-	// caller keeps ownership and closes the store after Stop. On a clean
-	// shutdown a started node's Stop leaves the WAL fully synced.
+	// gossip broadcasts them) and replays its blocks through
+	// core.Server.Restore (validating them in the live DAG and resuming the
+	// pre-crash chain; RecoveryReport). The node then follows (FollowPoll):
+	// a started one's loop begins with the first poll, and Tick drives
+	// interval fsync and a poll whenever gossip shows lag. The store must be
+	// freshly opened (store.Open) and the server freshly built; the caller
+	// keeps ownership and closes the store after Stop, which on a started
+	// node leaves the WAL fully synced.
 	Store *store.Store
-	// CatchUp, if non-nil, is whom the node pulls from (Transport, Peers;
-	// Roster defaults to the server's) and turns startup catch-up on: once
-	// the store is replayed and the journal is in place, New
-	// pulls from the peers in order (PullFrom) until one stream ends clean,
-	// each attempt bounded by Timeout. A node with an empty or stale store
-	// thus starts within one streamed round trip of the cluster instead of
-	// re-fetching the backlog one FWD request at a time, with every pulled
-	// block already journaled. A stream that dies or lies part-way costs
-	// nothing already absorbed: the next peer is asked only for the rest.
-	// Catch-up failure is not fatal — the genuine prefix is kept and FWD
-	// fills the remainder; CatchUpReport records what happened.
+	// CatchUp, if non-nil, is whom the follower pulls from, in rotation and
+	// skipping a banned peer: Transport and Peers (Roster defaults to the
+	// server's; without CatchUp, every other roster member over the server's
+	// transport), a poll out longer than Timeout (default 30s) abandoned
+	// (Tick). It turns nothing on: every node with a Store follows.
 	CatchUp *syncsvc.FetchConfig
-	// FollowEvery is ignored.
+	// FollowEvery and CheckpointEverySegments are ignored.
 	//
-	// Deprecated: the follower pulls on evidence of lag, not on a period
-	// (Tick); every node with a Store follows. The field exists only
-	// because the frozen bench/cluster.go assigns it, and goes when bench/
-	// drops that line.
-	FollowEvery time.Duration
-	// CheckpointEverySegments is ignored.
-	//
-	// Deprecated: a running node never rewrites its store; a cut (State)
-	// writes only the store's head and deletes segments. The field exists
-	// only because the frozen bench/cluster.go assigns it, and goes when
-	// bench/ drops that line.
+	// Deprecated: the follower pulls on evidence of lag (Tick), and a running
+	// node never rewrites its store: a cut (State) writes only the store's
+	// head and deletes segments. The fields exist only because the frozen
+	// bench/cluster.go assigns them, and go when bench/ drops those lines.
+	FollowEvery             time.Duration
 	CheckpointEverySegments int
 	// State, if non-nil, is the caller-owned replicated state machine the
 	// runtime seals and restores, and prunes history behind (state.go): the
@@ -148,21 +135,6 @@ type Config struct {
 	// that head to joining peers, signed with the node's key
 	// (syncsvc.Server.Signer). History pruning is on exactly when State is.
 	State *state.Machine
-}
-
-// CatchUpReport records what startup catch-up did.
-type CatchUpReport struct {
-	// Ran reports that catch-up was configured and attempted.
-	Ran bool
-	// Blocks is the number of blocks pulled in bulk and absorbed.
-	Blocks int
-	// Peer is the peer whose stream ended clean (meaningful when Err is
-	// nil).
-	Peer types.ServerID
-	// Err is the last attempt's error, nil once a stream ended clean. A
-	// non-nil Err still leaves the node fully functional: the remainder
-	// arrives via FWD.
-	Err error
 }
 
 // RecoveryReport records what New replayed from Config.Store, and where
@@ -188,34 +160,43 @@ const (
 	FollowPulling = "pulling" // a delta pull is out
 )
 
-// FollowReport is the live follower's state and its counters so far.
+// The first poll is in exactly one of these once a durable node started.
+const (
+	FirstPending   = "pending"    // asking peer after peer; nothing is sealed
+	FirstCaughtUp  = "caught_up"  // a stream ended clean (Peer)
+	FirstColdStart = "cold_start" // every peer asked was not serving yet
+	FirstFailed    = "failed"     // every peer asked, none ended clean (Err)
+)
+
+// FirstPoll is the first poll's outcome: a started durable node's loop asks
+// the peers in rotation, at once after each failure, until a stream ends
+// clean or every one has been asked. Blocks counts what it absorbed, Err is
+// its last failure other than a peer not serving yet (nil once caught up).
+type FirstPoll struct {
+	Outcome string // a First state; empty before Start, or without a store
+	Peer    types.ServerID
+	Blocks  int
+	Err     error
+}
+
+// FollowReport is the live follower's state and its counters so far; a
+// node without a store does not follow, and its State is empty.
 type FollowReport struct {
-	// State is FollowIdle or FollowPulling; empty on a node without a
-	// store, which does not follow.
-	State string
-	// Peer is the peer being pulled from (meaningful unless State is
-	// FollowIdle).
-	Peer types.ServerID
-	// BehindBy is how many blocks the last poll's stream carried: what
-	// that peer held beyond this node's horizon.
-	BehindBy uint64
-	// Polls is the number of pulls issued.
-	Polls int
-	// Deltas is the number of those that carried at least one block (the
-	// peer was ahead).
-	Deltas int
-	// Blocks is the number of blocks absorbed via those pulls.
-	Blocks int
+	State    string         // FollowIdle or FollowPulling
+	Peer     types.ServerID // the peer being pulled from, unless idle
+	BehindBy uint64         // blocks the last poll's stream carried: what that peer held beyond this node's horizon
+	Polls    int            // pulls issued, the first poll's included
+	Deltas   int            // of those, the ones that carried a block (the peer was ahead)
+	Blocks   int            // blocks absorbed via those pulls
 	// Throttled counts polls a peer refused — by its admission policy, or
 	// because it was not serving yet — the cue (already acted on) to rotate
-	// to the next peer.
-	Throttled int
-	// Errors counts polls that failed any other way.
-	Errors int
+	// to the next peer; Errors the polls that failed any other way, one
+	// abandoned after CatchUp.Timeout included.
+	Throttled, Errors int
 	// LastErr is the last poll's failure, nil when it ended clean
-	// (diagnostics; a follower riding a healthy cluster keeps working
-	// through it).
+	// (diagnostics: a follower riding a healthy cluster works through it).
 	LastErr error
+	First   FirstPoll
 }
 
 // Clock returns a monotonic clock suitable for core.Config.Clock on the
@@ -277,7 +258,6 @@ type Node struct {
 	lastSeal       time.Duration
 	lastSealedSlot uint64
 
-	catchUp  CatchUpReport
 	recovery RecoveryReport
 	// ownSeen is RecoveryReport's OwnSeen; OwnHeld is the DAG's own chain
 	// head (ownHeld). They differ only on a node that lost its disk, while
@@ -287,14 +267,15 @@ type Node struct {
 	// Written by the owner only; atomic for RecoveryReport's readers.
 	ownSeen atomic.Uint64
 
-	// via is whom and how the node pulls (startup catch-up and follower
-	// alike). lastFollow is when the last poll was issued, followInFlight
-	// tracks the outstanding poll (at most one), followPeer is the rotation
-	// cursor over the peers. quietFrom is where inbound silence counts from
-	// until a peer's block arrives: the end of New, and Start. Owner only.
+	// via is whom and how the node pulls. lastFollow is when the last poll
+	// was issued, followInFlight tracks the outstanding poll (at most one)
+	// and abandonPoll abandons it, followPeer is the rotation cursor over
+	// the peers. quietFrom is where inbound silence counts from until a
+	// peer's block arrives: the end of New, and Start. Owner only.
 	via            syncsvc.FetchConfig
 	lastFollow     time.Duration
 	followInFlight bool
+	abandonPoll    func()
 	followPeer     int
 	quietFrom      time.Duration
 }
@@ -306,10 +287,8 @@ type Node struct {
 // the store's log is absorbed into the live DAG, the follower's zeroth
 // pull with the disk as the peer, so the server continues its pre-crash
 // chain. A log the DAG refuses fails New and leaves the caller's server
-// holding the blocks before the refusal: build a fresh one to retry.
-// With Config.CatchUp additionally set, startup catch-up runs last — the
-// follower's first pull, taken before there is a loop — and New returns
-// with it settled.
+// holding the blocks before the refusal: build a fresh one to retry. New
+// makes no network call.
 func New(cfg Config) (*Node, error) {
 	if cfg.Server == nil {
 		return nil, errors.New("node: config needs a Server")
@@ -400,11 +379,8 @@ func New(cfg Config) (*Node, error) {
 		}
 		n.recovery = RecoveryReport{Store: st.Report(), Took: time.Since(began)}
 	}
-	if cfg.CatchUp != nil {
-		n.startupCatchUp()
-	}
 	// Pulls, silence and the seal period count from here, not from the
-	// clock's origin: a long catch-up above must not make the first turn
+	// clock's origin: a long replay above must not make the first turn
 	// overdue.
 	n.lastFollow = srv.Now()
 	n.lastSeal, n.quietFrom = n.lastFollow, n.lastFollow
@@ -412,9 +388,11 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// CatchUpReport returns what startup catch-up did (zero value when
-// Config.CatchUp was nil).
-func (n *Node) CatchUpReport() CatchUpReport { return n.catchUp }
+// CatchUpReport returns the first poll's outcome, FollowReport().First.
+//
+// Deprecated: read FollowReport. The method exists only because the frozen
+// bench/layers.go reads its Blocks, and goes when bench/ drops that line.
+func (n *Node) CatchUpReport() FirstPoll { return n.FollowReport().First }
 
 // RecoveryReport returns what New replayed from the store (zeros without
 // one) and the own chain's current position. Safe for concurrent use.
@@ -461,8 +439,9 @@ func (n *Node) StoreDiskSize() (int64, bool) {
 }
 
 // Start launches the loop goroutine, which from then on owns the server:
-// the caller must not step turns itself any more. It is an error to start
-// twice, or after Stop.
+// the caller must not step turns itself any more. On a durable node the
+// loop's first turn is the first poll (FollowReport.First). It is an error
+// to start twice, or after Stop.
 func (n *Node) Start() error {
 	n.stepMu.Lock()
 	defer n.stepMu.Unlock()
@@ -474,6 +453,9 @@ func (n *Node) Start() error {
 	n.started = true
 	n.looping.Store(true)
 	n.quietFrom = n.cfg.Server.Now() // a peer's block is due from now on, not from New
+	if n.cfg.Store != nil {
+		n.follow.First.Outcome, n.followPeer = FirstPending, 0 // the loop's first turn
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n.cancel = cancel
 	n.wg.Add(1)
@@ -639,6 +621,7 @@ func (n *Node) loop(ctx context.Context) {
 	tick := time.NewTicker(tickEvery)
 	defer tick.Stop()
 
+	n.FollowPoll() // the first poll, on a durable node (Start)
 	for {
 		select {
 		case <-ctx.Done():

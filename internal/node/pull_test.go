@@ -135,7 +135,7 @@ func pullNow(t *testing.T, net *simnet.Network, nd *node.Node, peer types.Server
 	t.Helper()
 	settled, absorbed := false, 0
 	var perr error
-	nd.PullFrom(peer, func(n int, err error) { settled, absorbed, perr = true, n, err })
+	nd.PullFrom(peer, func(_ uint64, n int, err error) { settled, absorbed, perr = true, n, err })
 	net.Run()
 	if !settled {
 		t.Fatal("pull never settled")
@@ -508,9 +508,10 @@ func tcpPeer(t *testing.T, self types.ServerID, handler transport.Handler) *tcpn
 	return tr
 }
 
-// startupNode runs node.New for signer over a fresh store with startup
-// catch-up against the given TCP peers (tried in the order given).
-func startupNode(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, onInd func(types.Label, []byte), peers ...*tcpnet.Transport) (nd *node.Node, st *store.Store, dir string) {
+// startupNode starts a node for signer over a fresh store, pulling from the
+// given TCP peers (asked in the order given, each poll bounded by timeout),
+// and returns once its first poll has settled. period is its block period.
+func startupNode(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, onInd func(types.Label, []byte), period, timeout time.Duration, peers ...*tcpnet.Transport) (nd *node.Node, st *store.Store, dir string) {
 	t.Helper()
 	tr := tcpPeer(t, signer.ID(), nil)
 	var ids []types.ServerID
@@ -533,21 +534,24 @@ func startupNode(t *testing.T, roster *crypto.Roster, signer *crypto.Signer, onI
 		t.Fatal(err)
 	}
 	nd, err = node.New(node.Config{
-		Server: srv, Store: st,
-		CatchUp: &syncsvc.FetchConfig{Transport: tr, Peers: ids, Timeout: 10 * time.Second},
+		Server: srv, Store: st, DisseminateEvery: period,
+		CatchUp: &syncsvc.FetchConfig{Transport: tr, Peers: ids, Timeout: timeout},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(nd.Stop)
+	if err := nd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	firstPoll(t, nd)
 	return nd, st, dir
 }
 
-// TestCatchUpOverTCPResumesAfterMidStreamDeath: startup catch-up survives
-// a serving peer dying mid-stream — the blocks that arrived are already in
+// TestCatchUpOverTCPResumesAfterMidStreamDeath: the first poll survives a
+// serving peer dying mid-stream — the blocks that arrived are already in
 // the live DAG, so the next peer is asked only for the rest — and, with
-// nobody healthy to ask, keeps the genuine prefix and reports the failure
-// without failing New.
+// nobody healthy to ask, keeps the genuine prefix and reports the failure.
 func TestCatchUpOverTCPResumesAfterMidStreamDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -561,27 +565,27 @@ func TestCatchUpOverTCPResumesAfterMidStreamDeath(t *testing.T) {
 	full := serve(t, chain)
 	healthy := tcpPeer(t, 1, full)
 
-	nd, st, dir := startupNode(t, roster, signers[2], nil, dying, healthy)
-	rep := nd.CatchUpReport()
-	if !rep.Ran || rep.Err != nil || rep.Blocks != 200 || rep.Peer != 1 {
-		t.Fatalf("catch-up report = %+v, want 200 blocks finished by peer 1", rep)
+	nd, st, dir := startupNode(t, roster, signers[2], nil, time.Hour, 10*time.Second, dying, healthy)
+	rep := nd.FollowReport().First
+	if rep.Outcome != node.FirstCaughtUp || rep.Err != nil || rep.Blocks != 200 || rep.Peer != 1 {
+		t.Fatalf("first poll = %+v, want 200 blocks finished by peer 1", rep)
 	}
 	if got := full.lastAsk(t)[0]; got != 120 {
 		t.Fatalf("healthy peer was asked from seq %d: a restart, not a resume from 120", got)
 	}
+	nd.Stop()
 	if got := nd.Server().DAG().Len(); got != 200 {
 		t.Fatalf("DAG holds %d blocks, want 200", got)
 	}
-	nd.Stop()
 	if got := len(journaled(t, st, dir, roster)); got != 200 {
 		t.Fatalf("journal replays %d blocks, want 200", got)
 	}
 
-	// Only the dying peer to ask: both attempts fail, the prefix stays.
-	nd, st, dir = startupNode(t, roster, signers[2], nil, dying)
-	rep = nd.CatchUpReport()
-	if !rep.Ran || rep.Err == nil || rep.Blocks != 120 {
-		t.Fatalf("catch-up report = %+v, want a failure that kept 120 blocks", rep)
+	// Only the dying peer to ask: the first poll fails, the prefix stays.
+	nd, st, dir = startupNode(t, roster, signers[2], nil, time.Hour, 10*time.Second, dying)
+	rep = nd.FollowReport().First
+	if rep.Outcome != node.FirstFailed || rep.Err == nil || rep.Blocks != 120 {
+		t.Fatalf("first poll = %+v, want a failure that kept 120 blocks", rep)
 	}
 	if errors.Is(rep.Err, transport.ErrUnreachable) {
 		t.Fatalf("unexpected unreachable: %v", rep.Err)
@@ -592,9 +596,21 @@ func TestCatchUpOverTCPResumesAfterMidStreamDeath(t *testing.T) {
 	}
 }
 
-// TestCatchUpAfterDiskLossResumesOwnChain: a node that lost its disk
-// re-learns its own blocks 0..k from a peer at startup, and the first
-// block it builds after New is k+1 on top of k — no sequence number a
+// delayed is a sync handler that answers every call after d.
+type delayed struct {
+	d time.Duration
+	h transport.Handler
+}
+
+func (s delayed) ServeCall(from types.ServerID, req []byte, st transport.ServerStream) {
+	time.Sleep(s.d)
+	s.h.ServeCall(from, req, st)
+}
+
+// TestCatchUpAfterDiskLossResumesOwnChain: a started node that lost its disk
+// builds nothing while its first poll is out — here five block periods,
+// the peer slow to answer — re-learns its own blocks 0..k from that peer,
+// and the first block it builds is k+1 on top of k — no sequence number a
 // peer has seen is reused — referencing every foreign block at most once
 // across the whole own chain (Lemma A.6), and the peer blocks it never got
 // to reference through their tip alone.
@@ -629,18 +645,19 @@ func TestCatchUpAfterDiskLossResumesOwnChain(t *testing.T) {
 	unreferenced := sealChain(t, signers[0], peerTip, 3)
 	held = append(held, unreferenced...)
 
-	nd, st, dir := startupNode(t, roster, signers[1], nil, tcpPeer(t, 0, serve(t, held)))
-	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Blocks != len(held) {
-		t.Fatalf("catch-up report = %+v, want %d blocks", rep, len(held))
+	const period = 20 * time.Millisecond
+	nd, st, dir := startupNode(t, roster, signers[1], nil, period, 10*time.Second, tcpPeer(t, 0, delayed{5 * period, serve(t, held)}))
+	if rep := nd.FollowReport().First; rep.Err != nil || rep.Blocks != len(held) {
+		t.Fatalf("first poll = %+v, want %d blocks", rep, len(held))
 	}
-	nd.Disseminate()
+	waitFor(t, 10*time.Second, "an own block after the first poll", func() bool {
+		return nd.RecoveryReport().OwnHeld > k+1
+	})
+	nd.Stop()
 	if err := nd.Err(); err != nil {
 		t.Fatal(err)
 	}
 	own := nd.Server().DAG().ByBuilder(1)
-	if len(own) != k+2 {
-		t.Fatalf("own chain has %d blocks after one dissemination, want %d", len(own), k+2)
-	}
 	seen := make(map[block.Ref]int)
 	var first *block.Block
 	for _, b := range own {
@@ -652,10 +669,10 @@ func TestCatchUpAfterDiskLossResumesOwnChain(t *testing.T) {
 		}
 	}
 	if first == nil || len(dagtest.Forked(nd.Server().DAG())) != 0 {
-		t.Fatalf("first block after New is not seq %d, or the node forked its own chain", k+1)
+		t.Fatalf("first block after the first poll is not seq %d, or the node forked its own chain", k+1)
 	}
 	if !extends(first, ownTip) || seen[ownTip.Ref()] != 1 {
-		t.Fatal("first block after New does not continue the re-learned chain")
+		t.Fatal("first block after the first poll does not continue the re-learned chain")
 	}
 	for ref, n := range seen {
 		if n > 1 {
@@ -665,10 +682,90 @@ func TestCatchUpAfterDiskLossResumesOwnChain(t *testing.T) {
 	if tail := unreferenced[len(unreferenced)-1]; len(first.Preds) != 2 || !slices.Contains(first.Preds, tail.Ref()) {
 		t.Fatalf("first new block cites %d blocks, want its parent and the tip of the unreferenced peer blocks", len(first.Preds))
 	}
-	nd.Stop()
-	if got := len(journaled(t, st, dir, roster)); got != len(held)+1 {
-		t.Fatalf("journal replays %d blocks, want the stream plus the new block (%d)", got, len(held)+1)
+	if got, want := len(journaled(t, st, dir, roster)), len(held)+len(own)-(k+1); got != want {
+		t.Fatalf("journal replays %d blocks, want the stream plus the %d new ones (%d)", got, len(own)-(k+1), want)
 	}
+}
+
+// trickling is a slow-but-alive sync peer: it keeps every call open with
+// an empty frame every few milliseconds, never ending the stream, until
+// the test ends or the caller hangs up.
+type trickling chan struct{}
+
+func (s trickling) ServeCall(_ types.ServerID, _ []byte, st transport.ServerStream) {
+	for {
+		select {
+		case <-s:
+			return
+		case <-time.After(20 * time.Millisecond):
+			if st.Send(syncsvc.EncodeBatchFrame(nil)) != nil {
+				return
+			}
+		}
+	}
+}
+
+// TestFirstPollAbandonsAStalledPeer: the first poll's peer keeps its stream
+// alive and never ends it; after CatchUp.Timeout Tick abandons it, counted
+// as a failed poll, the next peer serves, and the node builds.
+func TestFirstPollAbandonsAStalledPeer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test with real sockets")
+	}
+	roster, signers, err := crypto.LocalRoster(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stall := make(trickling)
+	slow := tcpPeer(t, 0, stall)
+	t.Cleanup(func() { close(stall) }) // before the listener closes
+	chain := sealChain(t, signers[1], nil, 5)
+	nd, _, _ := startupNode(t, roster, signers[2], nil, 20*time.Millisecond, 300*time.Millisecond, slow, tcpPeer(t, 1, serve(t, chain)))
+	if first := nd.FollowReport().First; first.Outcome != node.FirstCaughtUp || first.Peer != 1 || first.Blocks != len(chain) {
+		t.Fatalf("first poll = %+v, want %d blocks from peer 1", first, len(chain))
+	}
+	if rep := nd.FollowReport(); rep.Errors < 1 || rep.Polls < 2 {
+		t.Fatalf("follow report %+v, want the abandoned poll counted as an error", rep)
+	}
+	waitFor(t, 10*time.Second, "an own block", func() bool { return nd.RecoveryReport().OwnHeld > 0 })
+}
+
+// TestNewMakesNoCall: node.New over a transport whose every call fails the
+// test returns a node: the first poll is the started loop's.
+func TestNewMakesNoCall(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := noCall{callless(1), t}
+	srv, err := core.NewServer(core.Config{
+		Roster: roster, Signer: signers[1], Protocol: brb.Protocol{}, Transport: tr, Clock: node.Clock(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := node.New(node.Config{
+		Server: srv, Store: emptyStore(t, roster),
+		CatchUp: &syncsvc.FetchConfig{Transport: tr, Peers: []types.ServerID{0}, Timeout: time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Stop()
+	if first := nd.FollowReport().First; first.Outcome != "" {
+		t.Fatalf("first poll of a node never started = %+v", first)
+	}
+}
+
+// noCall is a callless transport whose every call fails the test.
+type noCall struct {
+	callless
+	t *testing.T
+}
+
+func (c noCall) Call(to types.ServerID, ch transport.Channel, req []byte, sink transport.CallSink) func() {
+	c.t.Errorf("a call to s%d", to)
+	return c.callless.Call(to, ch, req, sink)
 }
 
 // traceOf fingerprints what a server ended up with the way chaos digests
@@ -696,7 +793,7 @@ func traceOf(d *dag.DAG, byLabel map[types.Label][][]byte) string {
 }
 
 // TestCatchUpTierIndependence lifts Lemma 4.2 to whole nodes: a slot that
-// receives one and the same block set by gossip alone, by startup pull
+// receives one and the same block set by gossip alone, by the first poll
 // into an empty store, or half by gossip and — after a partition — half by
 // the live follower, indicates the same values in the same order per
 // label and ends on the same digest, which is also the live cluster's.
@@ -767,13 +864,14 @@ func TestCatchUpTierIndependence(t *testing.T) {
 	gossiped(nd, reversed)
 	check("gossip", nd, byLabel)
 
-	// Startup pull into an empty store, over a real socket.
+	// The first poll into an empty store, over a real socket.
 	byLabel, onInd = recorder()
-	nd, _, _ = startupNode(t, roster, signer, onInd, tcpPeer(t, 0, serve(t, set)))
-	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Blocks != len(set) {
-		t.Fatalf("startup pull: %+v, want %d blocks", rep, len(set))
+	nd, _, _ = startupNode(t, roster, signer, onInd, time.Hour, 10*time.Second, tcpPeer(t, 0, serve(t, set)))
+	if rep := nd.FollowReport().First; rep.Err != nil || rep.Blocks != len(set) {
+		t.Fatalf("first poll: %+v, want %d blocks", rep, len(set))
 	}
-	check("startup pull", nd, byLabel)
+	nd.Stop()
+	check("first poll", nd, byLabel)
 
 	// Half by gossip; then the links are gone and only the follower can
 	// tell what the slot is missing.

@@ -260,7 +260,7 @@ func TestServeWhileTheLoopInserts(t *testing.T) {
 	for i := 0; i < pulls; i++ {
 		before := peer.Watermarks()
 		done := make(chan error, 1)
-		requester.PullFrom(0, func(_ int, err error) { done <- err })
+		requester.PullFrom(0, func(_ uint64, _ int, err error) { done <- err })
 		select {
 		case err := <-done:
 			if err != nil {
@@ -284,7 +284,7 @@ func TestServeWhileTheLoopInserts(t *testing.T) {
 		return syncsvc.Lag(map[types.ServerID]uint64{}, peer.Watermarks()) == uint64(len(chain))
 	})
 	done := make(chan error, 1)
-	requester.PullFrom(0, func(_ int, err error) { done <- err })
+	requester.PullFrom(0, func(_ uint64, _ int, err error) { done <- err })
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +298,9 @@ func TestServeWhileTheLoopInserts(t *testing.T) {
 
 // TestCatchUpSkipsAPeerNotServing: a peer whose runtime is not up refuses
 // with syncsvc.ErrNotServing, and a requester moves on without charging it —
-// startup catch-up to the next peer in order, over real sockets, and the
-// follower at its next poll, counting the refusal with the throttled ones.
+// a started node's first poll at once to the next peer, over real sockets,
+// and a stepped follower at its next poll, counting the refusal with the
+// throttled ones.
 func TestCatchUpSkipsAPeerNotServing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -316,9 +317,9 @@ func TestCatchUpSkipsAPeerNotServing(t *testing.T) {
 	defer func() { _ = idle.Close() }()
 	booting := &syncsvc.Server{Store: idle}
 
-	nd, _, _ := startupNode(t, roster, signers[2], nil, tcpPeer(t, 0, booting), tcpPeer(t, 1, serve(t, chain)))
-	if rep := nd.CatchUpReport(); rep.Err != nil || rep.Peer != 1 || rep.Blocks != len(chain) {
-		t.Fatalf("catch-up report = %+v, want %d blocks from peer 1", rep, len(chain))
+	nd, _, _ := startupNode(t, roster, signers[2], nil, time.Hour, 10*time.Second, tcpPeer(t, 0, booting), tcpPeer(t, 1, serve(t, chain)))
+	if rep := nd.FollowReport().First; rep.Outcome != node.FirstCaughtUp || rep.Err != nil || rep.Peer != 1 || rep.Blocks != len(chain) {
+		t.Fatalf("first poll = %+v, want %d blocks from peer 1", rep, len(chain))
 	}
 	if s := dagtest.Signals(nd.Server().Scores(), 0); s != 0 {
 		t.Fatalf("the peer not serving yet was charged %d signals", s)

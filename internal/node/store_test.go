@@ -22,8 +22,8 @@ import (
 
 // startDurableNode builds a single-server node journaling to dir and runs
 // it until it has disseminated a few blocks. Returns the chain length at
-// shutdown. The simnet transport swallows sends (there are no peers);
-// only the runtime, the shim, and the store are under test.
+// shutdown. The transport swallows sends and fails calls (no peer
+// answers); only the runtime, the shim, and the store are under test.
 func runDurableNode(t *testing.T, dir string, roster *crypto.Roster, signer *crypto.Signer) int {
 	t.Helper()
 	var ticks time.Duration // every fsync due
@@ -38,7 +38,7 @@ func runDurableNode(t *testing.T, dir string, roster *crypto.Roster, signer *cry
 		Roster:    roster,
 		Signer:    signer,
 		Protocol:  brb.Protocol{},
-		Transport: simnet.New().Transport(signer.ID()),
+		Transport: callless(signer.ID()),
 		Clock:     node.Clock(),
 		Metrics:   m,
 	})

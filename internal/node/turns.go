@@ -3,7 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
-	"time"
+	"sync/atomic"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
@@ -34,12 +34,14 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 //
 // A node that has been shown own blocks it does not hold (absorb) builds
 // nothing until it does: it lost its disk, and a block built now would reuse
-// a sequence number its peers already hold.
+// a sequence number its peers already hold. Nor does a started durable node
+// before its first poll has settled (FollowReport.First): until then it
+// does not know what its peers were shown.
 func (n *Node) Disseminate() { n.disseminate() }
 
 // disseminate is Disseminate, reporting whether a block went out.
 func (n *Node) disseminate() bool {
-	if n.ownHeld() < n.ownSeen.Load() {
+	if n.ownHeld() < n.ownSeen.Load() || n.follow.First.Outcome == FirstPending {
 		return false
 	}
 	err := n.cfg.Server.Disseminate()
@@ -156,7 +158,8 @@ func (n *Node) wakeFull() {
 // Either way at most one pull a ResendAfter goes out (FollowPoll), the rate
 // gossip re-asks at, and it reconverges the node in one streamed round
 // trip. A healthy node, whose blocks arrive and whose gaps FWD fills at
-// once, opens no sync call at all.
+// once, opens no sync call at all. A poll out longer than CatchUp.Timeout
+// is abandoned with what it carried: no peer holds the follower up.
 func (n *Node) Tick() {
 	reasked := n.cfg.Server.Tick()
 	if n.cfg.Store == nil {
@@ -165,6 +168,9 @@ func (n *Node) Tick() {
 	n.recordErr(n.cfg.Store.Tick())
 	n.maybeSealState()
 	now := n.cfg.Server.Now()
+	if n.followInFlight && now-n.lastFollow >= n.via.Timeout {
+		n.abandonPoll()
+	}
 	silent := now-max(n.quietFrom, n.cfg.Server.Heard()) >= gossip.ResendAfter+n.cfg.DisseminateEvery
 	if (reasked || silent) && now-n.lastFollow >= gossip.ResendAfter {
 		n.FollowPoll()
@@ -177,20 +183,23 @@ func (n *Node) Tick() {
 // rotation is round-robin over the peers and skips a banned one. A peer that
 // holds nothing new answers with an empty stream, from its counters; a
 // throttled or failed peer costs nothing beyond the poll — the next one
-// rotates to the next peer. A node without a store does not follow.
+// rotates on, at once while the first poll is pending (Start). A node
+// without a store does not follow.
 func (n *Node) FollowPoll() {
 	if n.followInFlight || n.cfg.Store == nil {
 		return
 	}
 	peer, ok := n.nextFollowPeer()
-	if !ok {
-		return // no peer, or every one is banned; gossip still asks blocks' senders
+	if !ok { // no peer, or every one is banned; gossip still asks blocks' senders
+		n.noteFollow(func(r *FollowReport) { r.First.end() })
+		return
 	}
 	n.lastFollow = n.cfg.Server.Now()
 	n.followInFlight = true
 	n.noteFollow(func(r *FollowReport) { r.Polls++; r.State, r.Peer = FollowPulling, peer })
-	n.pull(peer, func(streamed uint64, absorbed int, err error) {
-		n.followInFlight = false
+	abandon := n.PullFrom(peer, func(streamed uint64, absorbed int, err error) {
+		n.followInFlight, n.abandonPoll = false, nil
+		next := false
 		n.noteFollow(func(rep *FollowReport) {
 			rep.BehindBy = streamed
 			if streamed > 0 {
@@ -205,8 +214,38 @@ func (n *Node) FollowPoll() {
 				rep.Errors++
 			}
 			rep.State, rep.LastErr = FollowIdle, err
+			if f := &rep.First; f.Outcome == FirstPending {
+				f.Blocks += absorbed
+				switch {
+				case err == nil:
+					f.Outcome, f.Peer, f.Err = FirstCaughtUp, peer, nil
+				case !errors.Is(err, syncsvc.ErrNotServing):
+					f.Err = err
+				}
+				if n.followPeer >= len(n.via.Peers) { // from 0 on (Start): every peer asked
+					f.end()
+				}
+				next = f.Outcome == FirstPending
+			}
 		})
+		if next {
+			n.FollowPoll()
+		}
 	})
+	if n.followInFlight {
+		n.abandonPoll = abandon
+	}
+}
+
+// end settles a pending first poll no stream ended clean for: a cold start
+// unless a peer failed otherwise than by not serving yet.
+func (f *FirstPoll) end() {
+	if f.Outcome == FirstPending {
+		f.Outcome = FirstColdStart
+		if f.Err != nil {
+			f.Outcome = FirstFailed
+		}
+	}
 }
 
 // nextFollowPeer advances the rotation cursor to the next peer not banned.
@@ -229,13 +268,13 @@ func (n *Node) noteFollow(fn func(*FollowReport)) {
 	fn(&n.follow)
 }
 
-// PullFrom is the one catch-up primitive behind all three triggers
-// (startup catch-up, the live follower, the simulator's recovery): tell
-// peer what this node holds, get every block it lacks and, when the
-// stream settles, absorb it as a turn of its own (post) and tell settled
-// how many blocks that added and what went wrong, if anything. The
-// returned function abandons a stream the caller has waited long enough
-// for: it settles at once with what has arrived.
+// PullFrom is the one catch-up primitive beside FWD, behind the follower's
+// polls and the simulator's recovery: tell peer what this node holds, get
+// every block it lacks and, when the stream settles, absorb it as a turn of
+// its own (post) and tell settled how many blocks the stream carried, how
+// many that added and what went wrong, if anything. The owner abandons a
+// stream it has waited long enough for with the returned function, which
+// settles it right there with what has arrived: a loop never posts to itself.
 //
 // The stream's blocks come signature-checked (syncsvc.Pull) and enter
 // the live DAG through core.Server.AbsorbVerified in stream order, inside
@@ -247,23 +286,26 @@ func (n *Node) noteFollow(fn func(*FollowReport)) {
 // not hold (disk loss) continue its chain as they are inserted, and hold
 // block building back while the stream has shown more of them than it
 // delivered.
-func (n *Node) PullFrom(peer types.ServerID, settled func(absorbed int, err error)) (abandon func()) {
-	return n.pull(peer, func(_ uint64, absorbed int, err error) { settled(absorbed, err) })
-}
-
-// pull is PullFrom, also telling settled how many blocks the stream carried.
-func (n *Node) pull(peer types.ServerID, settled func(streamed uint64, absorbed int, err error)) (abandon func()) {
+func (n *Node) PullFrom(peer types.ServerID, settled func(streamed uint64, absorbed int, err error)) (abandon func()) {
 	var pull *syncsvc.Pull
-	pull = syncsvc.NewPull(n.via.Roster, syncsvc.Held(n.cfg.Server.DAG()), 0, func() {
-		n.post(func() {
+	var abandoned, done atomic.Bool
+	turn := func() {
+		if done.CompareAndSwap(false, true) {
 			absorbed, err := n.absorb(peer, pull)
 			settled(pull.Streamed(), absorbed, err)
-		})
+		}
+	}
+	pull = syncsvc.NewPull(n.via.Roster, syncsvc.Held(n.cfg.Server.DAG()), 0, func() {
+		if !abandoned.Load() {
+			n.post(turn)
+		}
 	})
 	cancel := n.via.Transport.Call(peer, transport.ChanSync, pull.Request(), pull)
 	return func() {
+		abandoned.Store(true)
 		cancel()
 		pull.OnDone(errors.New("node: pull abandoned before the stream ended"))
+		turn()
 	}
 }
 
@@ -320,32 +362,6 @@ func (n *Node) charge(peer types.ServerID, err error) {
 		scores.Penalize(peer, peerscore.BadSignature)
 	case errors.Is(err, syncsvc.ErrBadStream):
 		scores.Penalize(peer, peerscore.MalformedFrame)
-	}
-}
-
-// startupCatchUp is New's pull: the peers in order until one stream ends
-// clean, each bounded by the configured timeout. There is no loop yet, so
-// post runs the absorb turn on whichever goroutine settles the stream —
-// the transport's, or this one abandoning it — while this one does nothing
-// but wait for exactly that.
-func (n *Node) startupCatchUp() {
-	n.catchUp.Ran = true
-	for _, peer := range n.via.Peers {
-		done := make(chan struct{})
-		abandon := n.PullFrom(peer, func(absorbed int, err error) {
-			n.catchUp.Blocks += absorbed
-			n.catchUp.Peer, n.catchUp.Err = peer, err
-			close(done)
-		})
-		select {
-		case <-done:
-		case <-time.After(n.via.Timeout):
-			abandon()
-			<-done
-		}
-		if n.catchUp.Err == nil {
-			return
-		}
 	}
 }
 

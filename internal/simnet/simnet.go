@@ -358,10 +358,10 @@ func (n *Network) Listen(cfg tcpnet.Config) *Link {
 var ErrNotStarted = errors.New("simnet: no call before the server starts: nothing steps the network while it waits")
 
 // Link is a listened server's transport as a deploy.Link: no address to
-// dial, no counters of its own, Close the crash model (Deregister). A
-// deployed node's boot waits on its calls — startup catch-up, a snapshot
-// join — which nothing would answer here, so until Start a call fails at
-// once with ErrNotStarted, and the node comes up on what its store holds.
+// dial, no counters of its own, Close the crash model (Deregister). Only a
+// snapshot join calls before Start, and waits on the call, which nothing
+// would answer here: until Start a call fails at once with ErrNotStarted,
+// and the node comes up on what its store holds.
 type Link struct {
 	handle
 	started bool

@@ -5,8 +5,8 @@
 // # The delta call
 //
 // The first byte of a request selects the call; the snapshot tier's two
-// are in snapshot.go, and the one every trigger — startup catch-up, the
-// live follower, a simulated recovery — makes is the delta (bulk pull).
+// are in snapshot.go; the one every trigger (the follower's polls, a
+// simulated recovery) makes is the delta (bulk pull).
 // The client states what it already holds as a per-builder horizon —
 // NextSeq per builder, meaning "I hold every block by this builder below
 // NextSeq" — and the server streams, from its node's DAG (Source), every
@@ -692,11 +692,11 @@ type FetchConfig struct {
 	// the node's server's roster). FetchSnapshot requires it: it validates
 	// commit signatures and sizes the certificate threshold (f+1 signers).
 	Roster *crypto.Roster
-	// Peers are the serving peers: startup catch-up tries them in order
-	// until one stream ends clean, the live follower rotates over them, and
-	// a snapshot certificate needs f+1 of them to answer with the same
+	// Peers are the serving peers: the follower rotates over them — its
+	// first poll from Peers[0] on, until one stream ends clean — and a
+	// snapshot certificate needs f+1 of them to answer with the same
 	// (slot, root). Required, at least one.
 	Peers []types.ServerID
-	// Timeout bounds one startup attempt, or one snapshot call (default 30s).
+	// Timeout bounds one poll, or one snapshot call (default 30s).
 	Timeout time.Duration
 }
