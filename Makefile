@@ -75,13 +75,36 @@ flake-smoke:
 	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|Prune|RowBack|Serve|StartedNodeAnswers|FirstPoll|ColdStart' \
 		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy
 
+# experiments-md prints EXPERIMENTS.md for the tables cmd/experiments wrote
+# to the file $(1): a header, then the tables verbatim in a code block.
+define experiments-md
+{ printf '%s\n' '# Experiments' '' \
+	"The paper's quantitative claims as tables (E5–E16): the output of" \
+	'`go run ./cmd/experiments`, seeded and deterministic. `make experiments`' \
+	'writes this file; `make experiments-smoke` fails when the output differs.' \
+	'' '```'; cat $(1); echo '```'; }
+endef
+
+.PHONY: experiments
+# experiments runs cmd/experiments and writes its tables to EXPERIMENTS.md,
+# which is checked in: a change that moves a message count shows in its diff.
+experiments:
+	@set -e; \
+	d=$$(mktemp -d); \
+	trap 'rm -rf $$d' EXIT; \
+	go build -o $$d/experiments ./cmd/experiments; \
+	$$d/experiments > $$d/tables.txt; \
+	$(call experiments-md,$$d/tables.txt) > EXPERIMENTS.md; \
+	echo "wrote EXPERIMENTS.md"
+
 .PHONY: experiments-smoke
 # experiments-smoke runs cmd/experiments — the paper's quantitative claims as
 # tables (E5–E16: compression, signature batching, instances for free,
 # reference overhead), seeded and deterministic, about 5 s — and fails on a
-# non-zero exit, on a table without a data row, or on fewer tables than
-# registered experiments. Nothing else runs the command, and a change to
-# gossip or to the interpreter that moves a message count moves a table.
+# non-zero exit, on a table without a data row, on fewer tables than
+# registered experiments, or on tables that differ from the checked-in
+# EXPERIMENTS.md (make experiments rewrites it): a change to gossip or to the
+# interpreter that moves a message count moves a table.
 experiments-smoke:
 	@set -e; \
 	d=$$(mktemp -d); \
@@ -94,7 +117,9 @@ experiments-smoke:
 		/^-+$$/ { tables++; if ((getline row) <= 0 || row ~ /^ *$$/ || row ~ /^ *note:/) { print "table " tables " has no data row" > "/dev/stderr"; bad = 1 } } \
 		END { if (tables != want) { print tables " tables for " want " experiments" > "/dev/stderr"; bad = 1 }; exit bad }' $$d/tables.txt \
 		|| { echo "experiments-smoke FAILED" >&2; cat $$d/tables.txt >&2; exit 1; }; \
-	echo "experiments-smoke OK: $$want experiments, every table has rows"
+	$(call experiments-md,$$d/tables.txt) | diff -u EXPERIMENTS.md - > $$d/diff.txt \
+		|| { echo "experiments-smoke FAILED: the tables differ from EXPERIMENTS.md (make experiments rewrites it):" >&2; cat $$d/diff.txt >&2; exit 1; }; \
+	echo "experiments-smoke OK: $$want experiments, every table has rows and matches EXPERIMENTS.md"
 
 .PHONY: examples-smoke
 # examples-smoke runs the README's worked examples on the simulator —

@@ -53,7 +53,6 @@ func run() error {
 		storeDir  = flag.String("store-dir", "", "journal every server's blocks to a durable store under this directory (inspect with dagstore); a durable server also serves the sync channel and runs the live follower, which pulls from a rotating peer when gossip shows lag")
 		mpoolCap  = flag.Int("mempool-cap", 0, "capacity of every server's ingestion mempool: dedup, validation, backpressure (0 = the pool's default)")
 		loadRound = flag.Int("load-per-round", 0, "submit this many synthetic client requests per server before every round (deterministic labels load/s<i>/<seq>)")
-		batch     = flag.Int("max-batch", 0, "max requests per block (0 = instances+1)")
 		chaosName = flag.String("chaos", "", "run a named chaos scenario instead of the workload simulation (see -chaos list); honors -seed, -protocol, -store-dir, -v")
 		verbose   = flag.Bool("v", false, "print per-server metrics")
 	)
@@ -79,9 +78,6 @@ func run() error {
 		}
 		*n = fixture.File.N()
 	}
-	if *batch == 0 {
-		*batch = *instances + 1
-	}
 	c, err := cluster.New(cluster.Options{
 		N:        *n,
 		Fixture:  fixture,
@@ -90,7 +86,6 @@ func run() error {
 		Latency:  *latency,
 		Jitter:   *jitter,
 		Drop:     *drop,
-		MaxBatch: *batch,
 		StoreDir: *storeDir,
 
 		MempoolCapacity: *mpoolCap,

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -29,6 +31,44 @@ func TestVerifyRefusesRetiredFormats(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "retired format") {
 			t.Fatalf("verify over a retired %s: err = %v, want it refused as a retired format", name, err)
 		}
+	}
+}
+
+// TestVerifyRefusesARecordThatDoesNotDecode: a store whose journal holds a
+// whole record of a block past block.Decode's bounds — what an older build
+// could have written — fails verify as corrupt, naming the segment, and
+// verify leaves the segment as it was.
+func TestVerifyRefusesARecordThatDoesNotDecode(t *testing.T) {
+	h := dagtest.NewHarness(4)
+	g := h.Seal(1, 0, nil)
+	wide := h.Seal(1, 1, []block.Ref{g.Ref()}, dagtest.Wide(block.MaxRequests+1)...)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Roster: h.Roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range []*block.Block{g, wide} {
+		if err := st.Append(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("%d segments (%v), want 1", len(segs), err)
+	}
+	before, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = stdout(t, func() error { return run([]string{"verify", "-dir", dir, "-n", "4"}) })
+	if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(segs[0])) {
+		t.Fatalf("verify over a record that does not decode: err = %v, want ErrCorrupt naming %s", err, filepath.Base(segs[0]))
+	}
+	if after, err := os.ReadFile(segs[0]); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("verify changed the segment (%d → %d bytes, %v)", len(before), len(after), err)
 	}
 }
 

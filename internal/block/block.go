@@ -22,9 +22,11 @@
 package block
 
 import (
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -47,33 +49,36 @@ type Request struct {
 	Data  []byte
 }
 
-// Structural limits enforced when decoding untrusted blocks. They bound
-// allocations, not protocol semantics; producers stay far below them.
+// What a block may carry. Decode refuses a block past any of these rules,
+// so a block that breaks one costs its receiver a count comparison and no
+// interpretation. A correct builder packs up to them and no further, so its
+// blocks decode on every correct server:
+//   - at most MaxRequests requests: gossip drains that many from the pool;
+//   - at most MaxPayloadBytes of request payload (label + data bytes): the
+//     pool's drain budget, which it also holds every single request under;
+//   - each predecessor once: its parent and the distinct tips of other
+//     builders (ErrRepeatedPred).
 const (
 	// MaxPreds bounds the predecessor list of a single block.
 	MaxPreds = 1 << 16
 	// MaxRequests bounds the request list of a single block.
-	MaxRequests = 1 << 16
+	MaxRequests = 256
 	// MaxPayloadBytes bounds the cumulative request payload of a single
 	// block: the sum of len(Label)+len(Data) over its rs field.
-	// MaxRequests bounds the element count but not the bytes, so without
-	// this budget a hostile peer could force multi-megabyte allocations
-	// per block before the signature is ever checked. Producers must stay
-	// under it or every correct peer discards their blocks; every request
-	// source drains against MaxProducerPayloadBytes, which keeps honest
-	// builders below it by construction.
 	MaxPayloadBytes = 4 << 20
-	// MaxProducerPayloadBytes is the producer-side drain budget: the most
-	// request payload a correct builder packs into one block. It leaves
-	// headroom under MaxPayloadBytes so a sealed block always decodes on
-	// every peer. The request source — mempool.Pool — caps its drains
-	// against it and refuses single requests that could never fit.
-	MaxProducerPayloadBytes = MaxPayloadBytes - (64 << 10)
 )
+
+// linearPreds is the predecessor count up to which Decode finds a repeated
+// predecessor by a linear scan, without allocating; a longer list is
+// sorted in a copy, so no list provokes a quadratic scan.
+const linearPreds = 16
 
 // ErrPayloadTooLarge reports a decoded block whose cumulative request
 // payload exceeds MaxPayloadBytes.
 var ErrPayloadTooLarge = errors.New("block: request payload exceeds budget")
+
+// ErrRepeatedPred reports a decoded block that cites one predecessor twice.
+var ErrRepeatedPred = errors.New("block: predecessor cited twice")
 
 // Block is one block of Definition 3.1. Blocks are immutable once sealed
 // (signed); all mutation happens through the Builder in package gossip
@@ -149,8 +154,8 @@ func (b *Block) Seal(signer *crypto.Signer) error {
 	w, body := b.open(crypto.SignatureSize)
 	ref := Ref(crypto.Hash(body))
 	w.VarBytes(signer.Sign(ref[:]))
-	// No payload budget: an over-budget block seals, and no peer decodes it.
-	if _, err := b.view(w.Bytes(), w.Len()); err != nil {
+	// No bounds: a block past them seals, and no peer decodes it.
+	if _, err := b.view(w.Bytes(), w.Len(), w.Len()); err != nil {
 		return fmt.Errorf("block: seal: %w", err)
 	}
 	b.ref = ref
@@ -196,9 +201,10 @@ func (b *Block) EncodedSize() int { return len(b.Encode()) }
 // ErrMalformed reports a block that failed structural decoding.
 var ErrMalformed = errors.New("block: malformed encoding")
 
-// Decode parses a block from its wire encoding, enforcing structural
-// limits against untrusted input, and computes its reference. It does not
-// verify the signature; callers validate via Definition 3.3 checks.
+// Decode parses a block from its wire encoding, enforcing what a block may
+// carry (MaxRequests, MaxPayloadBytes, each predecessor once) against
+// untrusted input, and computes its reference. It does not verify the
+// signature; callers validate via Definition 3.3 checks.
 //
 // Decode takes ownership of data: on success the slice is the block. Encode
 // returns it and the fields view it, so a decoded block costs at most three
@@ -209,17 +215,36 @@ var ErrMalformed = errors.New("block: malformed encoding")
 // fields is Ref().
 func Decode(data []byte) (*Block, error) {
 	b := new(Block)
-	body, err := b.view(data, MaxPayloadBytes)
+	body, err := b.view(data, MaxRequests, MaxPayloadBytes)
 	if err != nil {
 		return nil, err
+	}
+	if repeatedPred(b.Preds) {
+		return nil, fmt.Errorf("%w: block %d/%d", ErrRepeatedPred, b.Builder, b.Seq)
 	}
 	b.ref = Ref(crypto.Hash(body))
 	return b, nil
 }
 
-// view points b's fields into frame, refusing more than budget bytes of
-// request payload, and returns the body inside it. On error b is unchanged.
-func (b *Block) view(frame []byte, budget int) (body []byte, err error) {
+// repeatedPred reports whether preds names one reference twice.
+func repeatedPred(preds []Ref) bool {
+	if len(preds) > linearPreds {
+		sorted := slices.Clone(preds)
+		slices.SortFunc(sorted, func(a, b Ref) int { return bytes.Compare(a[:], b[:]) })
+		return len(slices.Compact(sorted)) < len(preds)
+	}
+	for i, p := range preds {
+		if slices.Contains(preds[:i], p) {
+			return true
+		}
+	}
+	return false
+}
+
+// view points b's fields into frame, refusing more than maxRequests
+// requests or budget bytes of request payload, and returns the body inside
+// it. On error b is unchanged.
+func (b *Block) view(frame []byte, maxRequests, budget int) (body []byte, err error) {
 	outer := wire.NewReader(frame)
 	body = outer.VarBytesView()
 	sig := outer.VarBytesView()
@@ -231,7 +256,7 @@ func (b *Block) view(frame []byte, budget int) (body []byte, err error) {
 	builder, seq := types.ServerID(r.Uint16()), r.Uint64()
 	preds := refsView(r.View(r.Count(MaxPreds) * crypto.HashSize))
 	var reqs []Request
-	if n := r.Count(MaxRequests); n > 0 {
+	if n := r.Count(maxRequests); n > 0 {
 		reqs = make([]Request, n)
 		again := *r // the labels are read twice: measured, then copied into one string
 		labelBytes, payload := 0, 0

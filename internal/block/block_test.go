@@ -157,6 +157,42 @@ func TestDecodeRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
+// TestDecodeBoundsTheRequestCount: a block of MaxRequests requests — what
+// a correct builder packs at most — decodes, and one request more does not.
+func TestDecodeBoundsTheRequestCount(t *testing.T) {
+	_, signers := fixture(t)
+	reqs := make([]Request, MaxRequests+1)
+	for i := range reqs {
+		reqs[i] = Request{Label: "l", Data: []byte{byte(i)}}
+	}
+	if _, err := Decode(sealed(t, signers[0], 0, nil, reqs[:MaxRequests]).Encode()); err != nil {
+		t.Fatalf("Decode of a block of MaxRequests requests: %v", err)
+	}
+	if _, err := Decode(sealed(t, signers[0], 0, nil, reqs).Encode()); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Decode of a block of MaxRequests+1 requests: err = %v, want ErrMalformed", err)
+	}
+}
+
+// TestDecodeRefusesARepeatedPred: a block that cites one predecessor twice
+// does not decode, on the linear scan (2 references) and on the sorted copy
+// (more than linearPreds); the same lists without the repeat do.
+func TestDecodeRefusesARepeatedPred(t *testing.T) {
+	_, signers := fixture(t)
+	for _, n := range []int{2, linearPreds + 4} {
+		preds := make([]Ref, n)
+		for i := range preds {
+			preds[i] = Ref{byte(i), 7}
+		}
+		if _, err := Decode(sealed(t, signers[0], 1, preds, nil).Encode()); err != nil {
+			t.Fatalf("%d distinct preds: %v", n, err)
+		}
+		preds[n-1] = preds[n/2-1]
+		if _, err := Decode(sealed(t, signers[0], 1, preds, nil).Encode()); !errors.Is(err, ErrRepeatedPred) {
+			t.Fatalf("%d preds, one cited twice: err = %v, want ErrRepeatedPred", n, err)
+		}
+	}
+}
+
 func TestDecodeRejectsTrailing(t *testing.T) {
 	_, signers := fixture(t)
 	b := sealed(t, signers[0], 0, nil, nil)

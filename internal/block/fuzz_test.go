@@ -36,6 +36,19 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(oversized.Encode())
+	// The two shapes no correct builder seals: one request past
+	// MaxRequests, and a predecessor cited twice.
+	wide := make([]Request, MaxRequests+1)
+	for i := range wide {
+		wide[i] = Request{Label: "w"}
+	}
+	repeated := New(0, 1, []Ref{g.Ref(), g.Ref()}, nil)
+	for _, b := range []*Block{New(0, 0, nil, wide), repeated} {
+		if err := b.Seal(signers[0]); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Encode())
+	}
 	// Builder 0, seq 0, a predecessor count of 0 padded to two bytes, no
 	// requests, no signature: refused, and in the corpus from the start.
 	f.Add(append(append([]byte{13}, make([]byte, 10)...), 0x80, 0x00, 0, 0))
@@ -45,14 +58,17 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Budget invariant: no accepted block's cumulative request
-		// payload may exceed the decode-side limit.
+		// Bounds invariant: no accepted block carries more than a correct
+		// builder packs.
 		payload := 0
 		for _, rq := range b.Requests {
 			payload += len(rq.Label) + len(rq.Data)
 		}
 		if payload > MaxPayloadBytes {
 			t.Fatalf("accepted block carries %d payload bytes, budget %d", payload, MaxPayloadBytes)
+		}
+		if len(b.Requests) > MaxRequests || repeatedPred(b.Preds) {
+			t.Fatalf("accepted block carries %d requests (bound %d) or a repeated predecessor", len(b.Requests), MaxRequests)
 		}
 		// Encode-once invariant: the accepted frame is the block — Encode
 		// returns it, the fields view it — and it is the one encoding of

@@ -6,29 +6,30 @@ import (
 	"testing"
 	"time"
 
+	"blockdag/internal/block"
 	"blockdag/internal/deploy"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/types"
 )
 
-// TestPeersAnswerAFullBuilder: builder 0 alone is loaded, above MaxBatch a
-// round, so every round it seals full blocks; its peers answer each round's
-// first one in the turn that delivers it, at most once an interval, instead
-// of at their own tick. The rounds an indication takes at builder 0 — its own
-// blocks between the one embedding a request and the one indicating it, as
-// dagbench's dag.rounds_to_indication counts them — are pinned. A load that
-// never fills a block answers nothing.
+// TestPeersAnswerAFullBuilder: builder 0 alone is loaded, twice
+// block.MaxRequests a round, so every round it seals two blocks full by
+// their request count; its peers answer each round's first one in the turn
+// that delivers it, at most once an interval, instead of at their own tick.
+// The rounds an indication takes at builder 0 — its own blocks between the
+// one embedding a request and the one indicating it, as dagbench's
+// dag.rounds_to_indication counts them — are pinned. A load that never
+// fills a block answers nothing.
 func TestPeersAnswerAFullBuilder(t *testing.T) {
 	const (
 		n        = 4
-		maxBatch = 4
 		rounds   = 40
 		interval = 200 * time.Millisecond
 	)
 	var c *Cluster
 	indicatedAt := make(map[types.Label]uint64) // builder 0's own blocks when it indicated the label
-	opts := Options{N: n, Protocol: brb.Protocol{}, Seed: 3, Interval: interval, MaxBatch: maxBatch}
+	opts := Options{N: n, Protocol: brb.Protocol{}, Seed: 3, Interval: interval}
 	opts.slot = func(i int, cfg *deploy.Config) {
 		if i != 0 {
 			return
@@ -46,7 +47,7 @@ func TestPeersAnswerAFullBuilder(t *testing.T) {
 	defer stopAll(c)
 	for r := 0; r < rounds; r++ {
 		c.Net.After(time.Duration(r)*interval, func() {
-			for k := range 2 * maxBatch {
+			for k := range 2 * block.MaxRequests {
 				c.Request(0, types.Label(fmt.Sprintf("full/%d/%d", r, k)), []byte{byte(k)})
 			}
 		})
@@ -63,7 +64,7 @@ func TestPeersAnswerAFullBuilder(t *testing.T) {
 			}
 		}
 	}
-	if want := (rounds - 2) * 2 * maxBatch; len(took) < want {
+	if want := (rounds - 2) * 2 * block.MaxRequests; len(took) < want {
 		t.Fatalf("builder 0 indicated %d of its requests, want all of the first %d rounds' %d", len(took), rounds-2, want)
 	}
 	slices.Sort(took)

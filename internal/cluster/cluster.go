@@ -80,8 +80,6 @@ type Options struct {
 	// spacing and every node's block period (deploy.Config.DisseminateEvery).
 	Interval time.Duration
 
-	// MaxBatch caps requests per block (0 = gossip default).
-	MaxBatch int
 	// MempoolCapacity is the capacity of every correct server's ingestion
 	// pool (deploy.Config.MempoolCapacity; 0 = the pool's default):
 	// submissions deduplicate, validate, and hit backpressure exactly as in
@@ -218,7 +216,6 @@ func (c *Cluster) up(slot int) error {
 			c.inds[slot] = append(c.inds[slot], Indication{Server: id, Label: label, Value: value})
 		},
 		DisseminateEvery: c.opts.Interval,
-		MaxBatch:         c.opts.MaxBatch,
 		MempoolCapacity:  c.opts.MempoolCapacity,
 		Fsync:            store.SyncNever,
 	}

@@ -78,8 +78,6 @@ type Config struct {
 
 	// Metrics, optional.
 	Metrics *metrics.Metrics
-	// MaxBatch bounds requests per block (0 = gossip default).
-	MaxBatch int
 	// CompressReferences is ignored.
 	//
 	// Deprecated: a reference always includes its ancestry (gossip cites
@@ -141,9 +139,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Scores == nil {
 		cfg.Scores = peerscore.New()
 	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = gossip.DefaultMaxBatch
-	}
 	s := &Server{self: cfg.Signer.ID(), cfg: cfg, dag: dag.New(cfg.Roster)}
 	s.useJournal(&volatile{})
 
@@ -168,7 +163,6 @@ func NewServer(cfg Config) (*Server, error) {
 		Metrics:    cfg.Metrics,
 		Scores:     cfg.Scores,
 		OnEvidence: s.onEvidence,
-		MaxBatch:   cfg.MaxBatch,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -214,9 +208,6 @@ func (s *Server) Submit(label types.Label, data []byte) error {
 // for concurrent use, so gateways may call Submit/Stats on it directly from
 // client goroutines.
 func (s *Server) Mempool() *mempool.Pool { return s.cfg.Mempool }
-
-// MaxBatch is the most requests one block carries (Config.MaxBatch).
-func (s *Server) MaxBatch() int { return s.cfg.MaxBatch }
 
 // Deliver implements transport.Endpoint by feeding gossip.
 func (s *Server) Deliver(from types.ServerID, payload []byte) {

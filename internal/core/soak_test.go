@@ -30,7 +30,6 @@ func TestSoakTheorem51AtScale(t *testing.T) {
 		Byzantine: []int{5, 6}, // 5 equivocates, 6 stays silent
 		Drop:      0.10,
 		Seed:      101,
-		MaxBatch:  instances + 4,
 	})
 	if err != nil {
 		t.Fatal(err)

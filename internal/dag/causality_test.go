@@ -3,6 +3,7 @@ package dag
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"blockdag/internal/block"
@@ -95,8 +96,11 @@ func TestCausalIndexUnderEquivocation(t *testing.T) {
 				if rng.Float64() >= 0.1 {
 					continue
 				}
+				if slices.Contains(preds, r) {
+					continue // each predecessor once: the parent is cited already
+				}
 				if rb, ok := d.Get(r); ok && rb.Builder == signers[bi].ID() &&
-					seq > 0 && rb.Seq == seq-1 && (len(preds) == 0 || r != preds[0]) {
+					seq > 0 && rb.Seq == seq-1 {
 					continue
 				}
 				preds = append(preds, r)

@@ -253,9 +253,7 @@ func (d *DAG) Collect(emit func(metrics.Metric)) {
 // Release lets go of the bytes of builder x's blocks below frontier[x] —
 // what every chain has read (interpret.Interpreter.Frontier) — for the
 // journal to answer for from then on; their rows stay. A forked slot's later
-// blocks stay held, and so does a block that cites one predecessor twice:
-// its row keeps each edge once, so the references read hands the journal
-// could not rebuild it. The caller releases only blocks its journal holds
+// blocks stay held. The caller releases only blocks its journal holds
 // (core stops at the journal's first error); without a journal nothing goes.
 func (d *DAG) Release(frontier []uint64) {
 	if d.journal == nil {
@@ -267,7 +265,7 @@ func (d *DAG) Release(frontier []uint64) {
 		}
 		for _, v := range d.g.Slots(x, d.below[x], f) {
 			i := int(v) - len(d.base)
-			if i < 0 || d.order[i] == nil || len(d.order[i].Preds) != len(d.g.PredsAt(int(v))) {
+			if i < 0 || d.order[i] == nil {
 				continue
 			}
 			d.order[i] = nil
@@ -445,43 +443,13 @@ func (d *DAG) Get(ref block.Ref) (*block.Block, bool) {
 	return b, err == nil
 }
 
-// smallPreds is the predecessor-list size below which dedup runs as an
-// allocation-free linear scan. Honest blocks stay below it (parent plus
-// tips: rarely more than roster size + 1 references; blocks journaled
-// before the tip rule, the recent-block count); oversized byzantine lists
-// keep the map-backed O(k) path so quadratic scans cannot be provoked.
-const smallPreds = 16
-
-// distinctPreds yields b's references in block order, each once.
-func distinctPreds(b *block.Block) iter.Seq[block.Ref] {
-	return func(yield func(block.Ref) bool) {
-		var seen map[block.Ref]struct{}
-		if len(b.Preds) > smallPreds {
-			seen = make(map[block.Ref]struct{}, len(b.Preds))
-		}
-		for i, p := range b.Preds {
-			if seen != nil {
-				if _, dup := seen[p]; dup {
-					continue
-				}
-				seen[p] = struct{}{}
-			} else if slices.Contains(b.Preds[:i], p) {
-				continue
-			}
-			if !yield(p) {
-				return
-			}
-		}
-	}
-}
-
 // MissingPreds returns the references in b.Preds not yet in the DAG, in
-// block order without duplicates. Gossip uses this to issue FWD requests.
+// block order. Gossip uses this to issue FWD requests.
 // It returns nil — without allocating — when nothing is missing, the hot
 // case on the insert path.
 func (d *DAG) MissingPreds(b *block.Block) []block.Ref {
 	var missing []block.Ref
-	for p := range distinctPreds(b) {
+	for _, p := range b.Preds {
 		if !d.Contains(p) {
 			missing = append(missing, p)
 		}
@@ -513,7 +481,7 @@ func (d *DAG) validate(b *block.Block, checkSig bool) error {
 // the same builder with sequence number Seq-1.
 func (d *DAG) checkParentRule(b *block.Block) error {
 	parents := 0
-	for p := range distinctPreds(b) {
+	for _, p := range b.Preds {
 		i, ok := d.g.Index(p)
 		if !ok {
 			return fmt.Errorf("%w: pred %v of block %v", ErrMissingPreds, p, b.Ref())
@@ -537,7 +505,9 @@ func (d *DAG) checkParentRule(b *block.Block) error {
 // Insert validates b and adds it to the DAG, implementing G.insert(B) of
 // Definition 3.4. Re-inserting a block already in G is a no-op
 // (Lemma A.2). On success the DAG is still a block DAG (Lemma A.3) and the
-// previous DAG is ⩽ the new one (Lemma 2.2(2)).
+// previous DAG is ⩽ the new one (Lemma 2.2(2)). b cites each predecessor
+// once: block.Decode refuses any other block, and a correct builder builds
+// none.
 func (d *DAG) Insert(b *block.Block) error {
 	return d.insert(b, true)
 }

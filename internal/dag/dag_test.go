@@ -164,10 +164,11 @@ func TestParentRule(t *testing.T) {
 		t.Fatalf("seq gap: Insert = %v, want ErrParentRule", err)
 	}
 
-	// Duplicate refs to the same parent are one edge, one parent: valid.
+	// A parent cited twice counts twice: two parents. (No such block gets
+	// this far from a peer: block.Decode refuses a repeated predecessor.)
 	dup := sealed(t, signers[0], 1, []block.Ref{g0.Ref(), g0.Ref()}, nil)
-	if err := d.Insert(dup); err != nil {
-		t.Fatalf("duplicated parent ref: %v", err)
+	if err := d.Insert(dup); !errors.Is(err, ErrParentRule) {
+		t.Fatalf("duplicated parent ref: Insert = %v, want ErrParentRule", err)
 	}
 }
 

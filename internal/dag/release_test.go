@@ -1,6 +1,8 @@
 package dag_test
 
 import (
+	"bytes"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -121,14 +123,22 @@ func TestReadBackIsChecked(t *testing.T) {
 	}
 }
 
-// TestReleaseKeepsARepeatedPred: a block that cites one predecessor twice
-// stays held — its row keeps the edge once, so the references a read back
-// is handed could not rebuild it.
-func TestReleaseKeepsARepeatedPred(t *testing.T) {
+// TestReleaseLetsGoOfEveryDecodedBlock: a block that cites a predecessor
+// twice never reaches a DAG — block.Decode refuses it — so Release holds no
+// block back for it: the same block citing each predecessor once decodes,
+// inserts, is released, and reads back through the journal.
+func TestReleaseLetsGoOfEveryDecodedBlock(t *testing.T) {
 	h := dagtest.NewHarness(2)
 	g0, g1 := h.Genesis(0), h.Genesis(1)
 	twice := h.Seal(0, 1, []block.Ref{g0.Ref(), g1.Ref(), g1.Ref()})
-	blocks := []*block.Block{g0, g1, twice}
+	if _, err := block.Decode(bytes.Clone(twice.Encode())); !errors.Is(err, block.ErrRepeatedPred) {
+		t.Fatalf("Decode of a block citing a predecessor twice: err = %v, want ErrRepeatedPred", err)
+	}
+	once, err := block.Decode(bytes.Clone(h.Seal(0, 1, []block.Ref{g0.Ref(), g1.Ref()}).Encode()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := []*block.Block{g0, g1, once}
 	d := dag.New(h.Roster)
 	d.SetJournal(&rowJournal{t: t, blocks: blocks})
 	for _, b := range blocks {
@@ -137,7 +147,7 @@ func TestReleaseKeepsARepeatedPred(t *testing.T) {
 		}
 	}
 	releaseAll(d, 2)
-	if got, _ := d.ReadRow(2); got != twice || journalReads(d) != 0 {
-		t.Fatalf("the block citing a predecessor twice was released (read back: %d)", journalReads(d))
+	if got, err := d.ReadRow(2); err != nil || got != once || journalReads(d) != 1 {
+		t.Fatalf("ReadRow(2) = %v, %v after %d reads; want the block read back once", got, err, journalReads(d))
 	}
 }

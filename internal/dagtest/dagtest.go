@@ -121,6 +121,17 @@ func Refs(blocks ...*block.Block) []block.Ref {
 	return out
 }
 
+// Wide is k requests of one byte each, labelled wide/0, wide/1, …: at
+// k = block.MaxRequests+1 a request list no correct builder packs, and
+// block.Decode refuses.
+func Wide(k int) []block.Request {
+	reqs := make([]block.Request, k)
+	for i := range reqs {
+		reqs[i] = block.Request{Label: types.Label("wide/" + strconv.Itoa(i)), Data: []byte{byte(i)}}
+	}
+	return reqs
+}
+
 // Forge returns b with the last byte of its signature flipped — what a
 // compromised server injecting into a stream looks like. The flip happens
 // in the wire frame (its last byte is the signature's last byte) and the

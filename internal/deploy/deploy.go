@@ -73,10 +73,8 @@ type Config struct {
 	// OnIndication receives P's indications on the loop goroutine.
 	OnIndication func(label types.Label, value []byte)
 	// DisseminateEvery is the block period (default 20 ms): the tick that
-	// builds a block whatever the mempool holds (node.Config). MaxBatch caps
-	// the requests one block carries (0 = gossip's default).
+	// builds a block whatever the mempool holds (node.Config).
 	DisseminateEvery time.Duration
-	MaxBatch         int
 
 	// StoreDir, if non-empty, makes the node durable: blocks are journaled
 	// there under the Fsync policy and replayed at Boot, and the sync server
@@ -281,7 +279,6 @@ func (a *Assembly) Boot(addrOf func(types.ServerID) string) (err error) {
 		Transport:    a.Transport,
 		Clock:        a.clock,
 		Metrics:      &metrics.Metrics{},
-		MaxBatch:     cfg.MaxBatch,
 		OnIndication: cfg.OnIndication,
 		Mempool:      mempool.New(mempool.Options{Capacity: cfg.MempoolCapacity}),
 		Scores:       a.scores,

@@ -6,6 +6,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/evidence"
 	"blockdag/internal/wire"
 )
@@ -19,17 +20,21 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	seal := func(data string) *block.Block {
-		b := block.New(1, 0, nil, []block.Request{{Label: "ℓ", Data: []byte(data)}})
+	seal := func(preds []block.Ref, reqs ...block.Request) *block.Block {
+		b := block.New(1, 0, preds, reqs)
 		if err := b.Seal(signers[1]); err != nil {
 			f.Fatal(err)
 		}
 		return b
 	}
-	a, b := seal("a"), seal("b")
+	a, b := seal(nil, block.Request{Label: "ℓ", Data: []byte("a")}), seal(nil, block.Request{Label: "ℓ", Data: []byte("b")})
 	valid := evidence.New(a, b).Encode()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
+	// Forks whose blocks Decode refuses: wider than block.MaxRequests, and
+	// citing a predecessor twice.
+	f.Add(evidence.New(a, seal(nil, dagtest.Wide(block.MaxRequests+1)...)).Encode())
+	f.Add(evidence.New(a, seal([]block.Ref{b.Ref(), b.Ref()})).Encode())
 	// Non-canonical pair order: Decode must accept and re-canonicalize.
 	w := wire.NewWriter(0)
 	w.VarBytes(b.Encode())

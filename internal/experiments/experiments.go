@@ -97,7 +97,6 @@ func broadcastWorkload(n, broadcasts int) (*cluster.Cluster, error) {
 		N:        n,
 		Protocol: brb.Protocol{},
 		Seed:     42,
-		MaxBatch: broadcasts + 1,
 	})
 	if err != nil {
 		return nil, err
@@ -355,7 +354,6 @@ func E14Throughput() (*Table, error) {
 			N:        n,
 			Protocol: courier.Protocol{},
 			Seed:     4,
-			MaxBatch: batch + 1,
 		})
 		if err != nil {
 			return nil, err
@@ -485,7 +483,6 @@ func E16ReferencesPerBlock() (*Table, error) {
 			N:        n,
 			Protocol: brb.Protocol{},
 			Seed:     16,
-			MaxBatch: broadcasts + 1,
 			Latency:  5 * time.Millisecond,
 			Jitter:   5 * time.Millisecond,
 		})

@@ -6,6 +6,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/evidence"
 	"blockdag/internal/simnet"
 )
@@ -28,6 +29,16 @@ func FuzzHandleMessage(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(EncodeBlockMsg(b))
+	// The two blocks no correct builder sends, which Decode refuses.
+	for _, bad := range []*block.Block{
+		block.New(1, 0, nil, dagtest.Wide(block.MaxRequests+1)),
+		block.New(1, 1, []block.Ref{b.Ref(), b.Ref()}, nil),
+	} {
+		if err := bad.Seal(signers[1]); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(EncodeBlockMsg(bad))
+	}
 	f.Add(EncodeFwdMsg(b.Ref()))
 	f.Add(EncodeEvidenceMsg(evidence.New(b, fork)))
 	f.Add([]byte{})

@@ -154,13 +154,7 @@ type Config struct {
 	// either way. Required: any peer can send an evidence frame, and any
 	// fork the DAG observes becomes a proof.
 	OnEvidence func(*evidence.Proof) error
-
-	// MaxBatch bounds requests per block; 0 means DefaultMaxBatch.
-	MaxBatch int
 }
-
-// DefaultMaxBatch is Config.MaxBatch's default.
-const DefaultMaxBatch = 256
 
 // invalidCacheSize bounds the remembered-invalid reference set, which would
 // otherwise grow without bound under a byzantine flood of garbage blocks.
@@ -263,9 +257,6 @@ func New(cfg Config) (*Gossip, error) {
 		return nil, errors.New("gossip: config needs a Clock")
 	case cfg.OnEvidence == nil:
 		return nil, errors.New("gossip: config needs an OnEvidence hook")
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = DefaultMaxBatch
 	}
 	g := &Gossip{
 		cfg:      cfg,
@@ -747,7 +738,7 @@ func (g *Gossip) acceptEvidence(p *evidence.Proof, from types.ServerID) {
 // safely persisted, an error: a block is not externalized before it is
 // durable, and this one stays local.
 func (g *Gossip) Disseminate() (*block.Block, error) {
-	reqs := g.cfg.Requests.Next(g.cfg.MaxBatch)
+	reqs := g.cfg.Requests.Next(block.MaxRequests)
 	// The own chain's head is the parent — a stand-in on a DAG seeded below
 	// a snapshot horizon — so a rejoined node never reuses a published
 	// sequence number (no self-equivocation).

@@ -244,9 +244,9 @@ func TestRequestsTravel(t *testing.T) {
 	}
 }
 
-// TestMaxBatchSplitsRequests: more requests than MaxBatch spill into the
-// following block.
-func TestMaxBatchSplitsRequests(t *testing.T) {
+// TestMaxRequestsSplitsRequests: more requests than block.MaxRequests spill
+// into the following block.
+func TestMaxRequestsSplitsRequests(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(1)
 	if err != nil {
 		t.Fatal(err)
@@ -254,12 +254,12 @@ func TestMaxBatchSplitsRequests(t *testing.T) {
 	net := simnet.New()
 	d := dag.New(roster)
 	src := &queueSource{}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < block.MaxRequests+1; i++ {
 		src.reqs = append(src.reqs, block.Request{Label: types.Label(fmt.Sprintf("l%d", i))})
 	}
 	g := newGossip(t, Config{
 		Signer: signers[0], Roster: roster, DAG: d, Requests: src,
-		Transport: net.Transport(0), Clock: net.Now, MaxBatch: 2,
+		Transport: net.Transport(0), Clock: net.Now,
 		OnEvidence: discardEvidence,
 	})
 	b1, err := g.Disseminate()
@@ -270,13 +270,8 @@ func TestMaxBatchSplitsRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b3, err := g.Disseminate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b1.Requests) != 2 || len(b2.Requests) != 2 || len(b3.Requests) != 1 {
-		t.Fatalf("batch sizes = %d,%d,%d want 2,2,1",
-			len(b1.Requests), len(b2.Requests), len(b3.Requests))
+	if len(b1.Requests) != block.MaxRequests || len(b2.Requests) != 1 {
+		t.Fatalf("batch sizes = %d,%d want %d,1", len(b1.Requests), len(b2.Requests), block.MaxRequests)
 	}
 }
 

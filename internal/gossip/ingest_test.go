@@ -39,7 +39,6 @@ func TestDisseminateWithholdRequeueNoDuplicates(t *testing.T) {
 		Clock:      net.Now,
 		OnEvidence: discardEvidence,
 		Metrics:    &metrics.Metrics{},
-		MaxBatch:   32,
 		OnInsert: func(*block.Block) error {
 			if persistFails > 0 {
 				persistFails--

@@ -110,11 +110,12 @@ func FuzzRows(f *testing.F) {
 					s.seq, s.preds = r.chains[top].seq+1, []int{top}
 				}
 				for extra := next() % 3; extra > 0 && len(order) > 0; extra-- {
-					s.preds = append(s.preds, pick())
+					s.preds = appendNew(s.preds, pick())
 				}
-			case op == 1 && len(order) > 0: // the same vertex again, its edges listed twice
+			case op == 1 && len(order) > 0: // the same vertex again, its edges in reverse order
 				s.v = pick()
-				s.preds = append(slices.Clone(r.preds[s.v]), r.preds[s.v]...)
+				s.preds = slices.Clone(r.preds[s.v])
+				slices.Reverse(s.preds)
 				if pos, ok := r.chains[s.v]; ok {
 					s.chain, s.seq = pos.chain, pos.seq
 				}
@@ -123,7 +124,7 @@ func FuzzRows(f *testing.F) {
 				if preds := r.preds[s.v]; len(preds) > 0 && next()%2 == 0 {
 					s.preds = slices.Clone(preds[1:])
 				} else {
-					s.preds = append(slices.Clone(preds), pick())
+					s.preds = appendNew(slices.Clone(preds), pick())
 				}
 			case op == 3: // a vertex citing one that is not there
 				s.preds = []int{-1 - fresh}

@@ -44,31 +44,25 @@ func refSameSet(a, b []int) bool {
 }
 
 func (r *refDAG) insert(v int, preds []int, annotated, seeded bool, chain int, seq uint64, below []uint64) error {
-	var uniq []int
-	for _, p := range preds {
-		if !slices.Contains(uniq, p) {
-			uniq = append(uniq, p)
-		}
-	}
 	if _, ok := r.index[v]; ok {
-		if refSameSet(r.preds[v], uniq) {
+		if refSameSet(r.preds[v], preds) {
 			return nil
 		}
 		return ErrEdgeMismatch
 	}
-	for _, p := range uniq {
+	for _, p := range preds {
 		if _, ok := r.index[p]; !ok {
 			return ErrMissingPred
 		}
 	}
 	r.index[v] = len(r.order)
 	r.order = append(r.order, v)
-	r.preds[v] = uniq
+	r.preds[v] = preds
 	width := len(below)
 	if annotated {
 		width = max(width, chain+1)
 	}
-	for _, p := range uniq {
+	for _, p := range preds {
 		width = max(width, len(r.summary[p]))
 	}
 	if width == 0 {
@@ -76,7 +70,7 @@ func (r *refDAG) insert(v int, preds []int, annotated, seeded bool, chain int, s
 	}
 	vec := make([]uint64, width)
 	copy(vec, below)
-	for _, p := range uniq {
+	for _, p := range preds {
 		for c, w := range r.summary[p] {
 			vec[c] = max(vec[c], w)
 		}
@@ -202,7 +196,7 @@ type spec struct {
 // DAG seeds them — then vertices that extend a branch, fork one (a second vertex in a
 // taken slot), skip a seq or leave the parent out (a connectivity
 // violation), or carry no annotation at all — each with random extra
-// predecessors, now and then listed twice.
+// predecessors, every predecessor once.
 func randomSpecs(rng *rand.Rand, chains, size int) []spec {
 	type tip struct {
 		v   int
@@ -252,11 +246,8 @@ func randomSpecs(rng *rand.Rand, chains, size int) []spec {
 		}
 		for cand := 0; cand < s.v; cand++ {
 			if rng.Float64() < 4.0/float64(size) {
-				s.preds = append(s.preds, cand)
+				s.preds = appendNew(s.preds, cand)
 			}
-		}
-		if len(s.preds) > 0 && rng.Intn(6) == 0 {
-			s.preds = append(s.preds, s.preds[rng.Intn(len(s.preds))])
 		}
 		rng.Shuffle(len(s.preds), func(i, j int) { s.preds[i], s.preds[j] = s.preds[j], s.preds[i] })
 		specs = append(specs, s)
@@ -292,10 +283,24 @@ func topoShuffle(rng *rand.Rand, specs []spec) []spec {
 	return out
 }
 
+// appendNew appends p to preds unless preds names it already: a spec cites
+// each predecessor once, as InsertChained requires of its caller.
+func appendNew(preds []int, p int) []int {
+	if slices.Contains(preds, p) {
+		return preds
+	}
+	return append(preds, p)
+}
+
 // insertBoth inserts s into the row graph and the reference and requires
 // the same verdict.
 func insertBoth(t *testing.T, g *DAG[int], r *refDAG, s spec) {
 	t.Helper()
+	for i, p := range s.preds {
+		if slices.Contains(s.preds[:i], p) {
+			t.Fatalf("spec %+v cites %d twice: InsertChained's caller names each predecessor once", s, p)
+		}
+	}
 	var got error
 	switch {
 	case s.seeded:
@@ -403,17 +408,18 @@ func TestRowsMatchMapReference(t *testing.T) {
 			for i, s := range order {
 				insertBoth(t, g, r, s)
 				// Now and then: the same vertex again (a no-op whatever the
-				// order and repetition of its edge list), with another edge
-				// set (refused), and a vertex citing one that is not there
-				// (refused, nothing changes).
+				// order of its edge list), with another edge set (refused),
+				// and a vertex citing one that is not there (refused,
+				// nothing changes).
 				again := order[rng.Intn(i+1)]
 				again.seeded, again.below = false, nil // InsertSeeded takes no edge list
 				switch rng.Intn(4) {
 				case 0:
-					again.preds = append(slices.Clone(again.preds), again.preds...)
+					again.preds = slices.Clone(again.preds)
+					slices.Reverse(again.preds)
 					insertBoth(t, g, r, again)
 				case 1:
-					again.preds = append(slices.Clone(again.preds), order[rng.Intn(i+1)].v)
+					again.preds = appendNew(slices.Clone(again.preds), order[rng.Intn(i+1)].v)
 					insertBoth(t, g, r, again)
 				case 2:
 					insertBoth(t, g, r, spec{v: 1000 + i, preds: []int{again.v, 2000 + i}, chain: again.chain, seq: again.seq})
@@ -430,7 +436,7 @@ func TestRowsMatchMapReference(t *testing.T) {
 			if len(edit.preds) > 0 && rng.Intn(2) == 0 {
 				edit.preds = edit.preds[1:]
 			} else if first := c[0].v; first != edit.v && !edit.seeded {
-				edit.preds = append(slices.Clone(edit.preds), first)
+				edit.preds = appendNew(slices.Clone(edit.preds), first)
 			}
 			if !strip.seeded {
 				strip.chain = -1

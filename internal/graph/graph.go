@@ -77,9 +77,9 @@ var (
 	ErrEdgeMismatch = errors.New("graph: vertex exists with different edges")
 )
 
-// smallLen is the list size below which dedup and set comparison use
-// allocation-free linear scans instead of map-backed sets. Block
-// predecessor lists are almost always below it (≤ roster size in practice).
+// smallLen is the list size below which set comparison uses an
+// allocation-free linear scan instead of sorted copies. Block predecessor
+// lists are almost always below it (≤ roster size in practice).
 const smallLen = 16
 
 // vertex is one row: everything the graph holds about the vertex with
@@ -183,8 +183,9 @@ func (g *DAG[K]) slotFor(n int32) {
 }
 
 // InsertChained adds vertex v with edges from each vertex in preds to v,
-// implementing insert(G, v, E) of Definition 2.1. Duplicate entries in
-// preds are collapsed to a single edge (E is a set).
+// implementing insert(G, v, E) of Definition 2.1. E is a set: preds names
+// each vertex at most once, which the caller guarantees (the block DAG's
+// blocks do: block.Decode refuses a repeated predecessor).
 //
 // Inserting an existing vertex with the same edge set is a no-op
 // (Lemma 2.2(1)); with a different edge set it returns ErrEdgeMismatch.
@@ -244,27 +245,14 @@ func (g *DAG[K]) insert(v K, predKeys []K, chain int, seq uint64, below []uint64
 	return nil
 }
 
-// resolve appends the numbers of an edge set to the predecessor column,
-// duplicates collapsed and order kept. absent is the position of the first
-// key that is not a vertex, -1 when all are.
+// resolve appends the numbers of an edge set to the predecessor column, in
+// order. absent is the position of the first key that is not a vertex, -1
+// when all are.
 func (g *DAG[K]) resolve(keys []K) (absent int) {
-	from := len(g.preds)
-	var seen map[int32]struct{}
-	if len(keys) > smallLen {
-		seen = make(map[int32]struct{}, len(keys))
-	}
 	for i, k := range keys {
 		n, ok := g.find(k)
 		if !ok {
 			return i
-		}
-		if seen != nil {
-			if _, dup := seen[n]; dup {
-				continue
-			}
-			seen[n] = struct{}{}
-		} else if slices.Contains(g.preds[from:], n) {
-			continue
 		}
 		g.preds = append(g.preds, n)
 	}

@@ -123,16 +123,32 @@ func TestAcyclicByConstruction(t *testing.T) {
 	}
 }
 
-func TestDedupPreds(t *testing.T) {
-	g := New[int]()
-	if err := g.InsertChained(0, nil, -1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.InsertChained(1, []int{0, 0, 0}, -1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := predKeys(g, 1); len(got) != 1 {
-		t.Fatalf("duplicate preds not collapsed: %v", got)
+// TestReinsertTakesEdgesAsASet: E is a set, so re-inserting a vertex with
+// its edges listed in another order is the no-op of Lemma 2.2(1), below
+// smallLen (the linear scan) and above it (sorted copies).
+func TestReinsertTakesEdgesAsASet(t *testing.T) {
+	for _, k := range []int{2, smallLen + 4} {
+		g := New[int]()
+		preds := make([]int, k)
+		for i := range preds {
+			if err := g.InsertChained(i, nil, -1, 0); err != nil {
+				t.Fatal(err)
+			}
+			preds[i] = i
+		}
+		if err := g.InsertChained(k, preds, -1, 0); err != nil {
+			t.Fatal(err)
+		}
+		slices.Reverse(preds)
+		if err := g.InsertChained(k, preds, -1, 0); err != nil {
+			t.Fatalf("%d edges in reverse order: %v", k, err)
+		}
+		if err := g.InsertChained(k, preds[1:], -1, 0); !errors.Is(err, ErrEdgeMismatch) {
+			t.Fatalf("%d edges less one: %v, want ErrEdgeMismatch", k, err)
+		}
+		if g.Len() != k+1 {
+			t.Fatalf("re-inserts changed the vertex count to %d", g.Len())
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"blockdag/internal/block"
@@ -47,8 +48,11 @@ func buildDeepForkedDAG(rng *rand.Rand, n, steps int) (*dag.DAG, []types.Label) 
 			}
 			// Never a second parent-slot block: the parent rule
 			// forbids referencing both branches of a fork there.
+			if slices.Contains(preds, r) {
+				continue // each predecessor once: the parent is cited already
+			}
 			if rb, ok := d.Get(r); ok && int(rb.Builder) == bi &&
-				seq > 0 && rb.Seq == seq-1 && (len(preds) == 0 || r != preds[0]) {
+				seq > 0 && rb.Seq == seq-1 {
 				continue
 			}
 			preds = append(preds, r)

@@ -20,9 +20,9 @@
 //     once, however often the failure repeats.
 //
 // Pool implements gossip.RequestSource, so gossip.Disseminate batches up
-// to MaxBatch pooled requests into every block. All methods are safe for
-// concurrent use: clients submit from any goroutine while the node's loop
-// goroutine drains.
+// to block.MaxRequests pooled requests into every block. All methods are
+// safe for concurrent use: clients submit from any goroutine while the
+// node's loop goroutine drains.
 package mempool
 
 import (
@@ -158,9 +158,9 @@ func (p *Pool) submit(rq block.Request) error {
 
 // Next implements gossip.RequestSource: remove and return up to max
 // queued requests in admission order, stopping early when the cumulative
-// payload (label + data bytes) would exceed the drain byte budget — so
-// the block built from the drain stays under block.MaxPayloadBytes and no
-// correct peer rejects it at decode time. At least one request is
+// payload (label + data bytes, payloadBytes) would exceed
+// block.MaxPayloadBytes — the bound every correct peer decodes against, so
+// a block built from the drain decodes everywhere. At least one request is
 // returned whenever the queue is non-empty (validation bounds every
 // single request under the budget).
 func (p *Pool) Next(max int) []block.Request {
@@ -170,7 +170,7 @@ func (p *Pool) Next(max int) []block.Request {
 	if len(live) == 0 || max <= 0 {
 		return nil
 	}
-	n, budget := 0, drainBytes
+	n, budget := 0, block.MaxPayloadBytes
 	for n < len(live) && n < max {
 		cost := payloadBytes(live[n])
 		if n > 0 && cost > budget {

@@ -224,21 +224,19 @@ func TestValidation(t *testing.T) {
 }
 
 // TestDrainByteBudget: Next stops before the cumulative payload exceeds
-// the drain budget, but always yields at least one request — and a block
-// built from any drain survives the decode-side payload check of every
-// correct peer (block.MaxPayloadBytes): a builder that sealed a bigger one
-// would be partitioned for good. A request at the data limit, 64 KiB under a
-// label of up to 5 bytes, fills 62 of the 63 a drain budget of 4 MiB less
-// 64 KiB would hold without labels.
+// block.MaxPayloadBytes, but always yields at least one request — and a
+// block built from any drain survives the same check at decode on every
+// correct peer: a builder that sealed a bigger one would be partitioned for
+// good. A request at the data limit, 64 KiB under a label of up to 5 bytes,
+// fills 63 of the 64 a budget of 4 MiB would hold without labels.
 func TestDrainByteBudget(t *testing.T) {
-	const perDrain = 62
+	const perDrain = 63
 	for _, tc := range []struct {
 		name   string
 		sizes  []int // data bytes per submitted request; labels are "r/<i>"
 		drains []int // requests each successive Next(256) must return
 	}{
-		// Three runs of 31 requests, each under half the budget: any two
-		// fit, three do not.
+		// A drain and a half: a full drain, then the half left.
 		{"half-budget requests", slices.Repeat([]int{maxRequestBytes}, 3*perDrain/2), []int{perDrain, perDrain / 2}},
 		// The largest request the pool admits is embeddable.
 		{"one request at the limit", []int{maxRequestBytes}, []int{1}},

@@ -39,17 +39,10 @@ type Options struct {
 	Capacity int
 }
 
-// drainBytes bounds the cumulative payload (label + data) of one Next drain:
-// the producer-side budget, which keeps every built block under the
-// network-wide decode budget — a block past it is discarded by every correct
-// peer, and since later own blocks chain to it, its builder would be
-// partitioned.
-const drainBytes = block.MaxProducerPayloadBytes
-
-// A request at both limits fits one drain, or Next could never emit it
-// without blowing the budget: the constant conversion fails to compile if it
-// does not.
-const _ = uint(drainBytes - maxLabelBytes - maxRequestBytes)
+// A request at both limits fits one block (block.MaxPayloadBytes), or Next
+// could never emit it: the constant conversion fails to compile if it does
+// not.
+const _ = uint(block.MaxPayloadBytes - maxLabelBytes - maxRequestBytes)
 
 // validate applies the built-in structural checks.
 func validate(rq block.Request) error {

@@ -17,16 +17,15 @@ import (
 )
 
 // fullTestNode is server 0 of a four-member roster, whose tick never fires:
-// every block it builds is one the full-block trigger sealed. maxBatch is
-// core.Config.MaxBatch (0: the default).
-func fullTestNode(t *testing.T, maxBatch int) (*Node, *metrics.Metrics) {
-	nd, m, _ := fullTestNodeOn(t, maxBatch, Clock())
+// every block it builds is one the full-block trigger sealed.
+func fullTestNode(t *testing.T) (*Node, *metrics.Metrics) {
+	nd, m, _ := fullTestNodeOn(t, Clock())
 	return nd, m
 }
 
 // fullTestNodeOn is fullTestNode on the given clock; it also returns the
 // roster's signers, to seal peers' blocks with.
-func fullTestNodeOn(t *testing.T, maxBatch int, clock func() time.Duration) (*Node, *metrics.Metrics, []*crypto.Signer) {
+func fullTestNodeOn(t *testing.T, clock func() time.Duration) (*Node, *metrics.Metrics, []*crypto.Signer) {
 	t.Helper()
 	members, signers, err := crypto.LocalRoster(4)
 	if err != nil {
@@ -35,7 +34,7 @@ func fullTestNodeOn(t *testing.T, maxBatch int, clock func() time.Duration) (*No
 	m := &metrics.Metrics{}
 	srv, err := core.NewServer(core.Config{
 		Roster: members, Signer: signers[0], Protocol: brb.Protocol{},
-		Transport: simnet.New().Transport(0), Clock: clock, Metrics: m, MaxBatch: maxBatch,
+		Transport: simnet.New().Transport(0), Clock: clock, Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,13 +75,13 @@ func wantOneFullBlock(t *testing.T, m *metrics.Metrics) {
 // TestFullBlockSealsBeforeTheTick: a stepped node whose pool holds one
 // request less than a full block seals nothing through the full-block turn;
 // with the request that fills it, it seals one own block carrying every
-// pending request. So does a pool holding MaxBatch requests, whatever their
-// bytes.
+// pending request. So does a pool holding block.MaxRequests requests of a
+// few bytes each, below a full block's payload.
 func TestFullBlockSealsBeforeTheTick(t *testing.T) {
 	if got := fullBlockRatio * blockFixedBytes(4); got != 3840 {
 		t.Fatalf("a block is full at %d B at n = 4, want 3840", got)
 	}
-	nd, m := fullTestNode(t, 0)
+	nd, m := fullTestNode(t)
 	submitSixteenths(t, nd, 0, fullBlockRatio-1)
 	if nd.DisseminateIfFull() || m.Get(metrics.BlocksBuilt) != 0 {
 		t.Fatalf("sealed with %d B pending, below a full block", nd.Server().Mempool().Bytes())
@@ -96,25 +95,24 @@ func TestFullBlockSealsBeforeTheTick(t *testing.T) {
 		t.Fatal("the turn sealed again from an empty pool")
 	}
 
-	const batch = 8
-	nd, m = fullTestNode(t, batch)
-	for i := range batch {
-		if err := nd.Submit(types.Label(fmt.Sprintf("count/%d", i)), []byte{1}); err != nil {
+	nd, m = fullTestNode(t)
+	for i, rq := range countFull() {
+		if err := nd.Submit(rq.Label, rq.Data); err != nil {
 			t.Fatal(err)
 		}
-		if sealed := nd.DisseminateIfFull(); sealed != (i == batch-1) {
-			t.Fatalf("with %d of MaxBatch %d requests pending, sealed = %v", i+1, batch, sealed)
+		if sealed := nd.DisseminateIfFull(); sealed != (i == block.MaxRequests-1) {
+			t.Fatalf("with %d of %d requests pending, sealed = %v", i+1, block.MaxRequests, sealed)
 		}
 	}
-	if embedded := m.Get(metrics.RequestsEmbedded); embedded != batch {
-		t.Fatalf("the count-full block embedded %d requests, want %d", embedded, batch)
+	if embedded := m.Get(metrics.RequestsEmbedded); embedded != block.MaxRequests {
+		t.Fatalf("the count-full block embedded %d requests, want %d", embedded, block.MaxRequests)
 	}
 }
 
 // TestStartedNodeSealsAFullBlock: on a started node the request that fills
 // the block wakes the loop, which seals it — the tick is an hour away.
 func TestStartedNodeSealsAFullBlock(t *testing.T) {
-	nd, m := fullTestNode(t, 0)
+	nd, m := fullTestNode(t)
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +132,11 @@ func TestStartedNodeSealsAFullBlock(t *testing.T) {
 // TestFullBlockFloodCoalesces: a flood submitted while the loop is busy in
 // another turn leaves one wake token, not one per request. Released, the
 // loop seals a block per iteration for as long as the pool holds a full one:
-// every request is embedded, in as few blocks as MaxBatch allows — far fewer
-// than the pending bytes over the threshold.
+// every request is embedded, in as few blocks as block.MaxRequests allows —
+// far fewer than the pending bytes over the threshold.
 func TestFullBlockFloodCoalesces(t *testing.T) {
 	const flood = 600
-	nd, m := fullTestNode(t, 0)
+	nd, m := fullTestNode(t)
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +159,8 @@ func TestFullBlockFloodCoalesces(t *testing.T) {
 	if bound := int64(pending / (fullBlockRatio * blockFixedBytes(4))); built != full || full > bound {
 		t.Fatalf("%d blocks (%d sealed full) for %d B pending, want at most %d, all full", built, full, pending, bound)
 	}
-	if batches := int64((flood + nd.Server().MaxBatch() - 1) / nd.Server().MaxBatch()); full != batches {
-		t.Fatalf("the flood went out in %d blocks, want %d of at most MaxBatch requests", full, batches)
+	if batches := int64((flood + block.MaxRequests - 1) / block.MaxRequests); full != batches {
+		t.Fatalf("the flood went out in %d blocks, want %d of at most MaxRequests requests", full, batches)
 	}
 }
 
@@ -184,8 +182,8 @@ func TestSubmitAllocsBelowAFullBlock(t *testing.T) {
 			next++
 		})
 	}
-	nd, _ := fullTestNode(t, 0)
-	twin, _ := fullTestNode(t, 0)
+	nd, _ := fullTestNode(t)
+	twin, _ := fullTestNode(t)
 	viaNode, viaServer := measure(nd.Submit), measure(twin.Server().Submit)
 	if nd.poolFull() {
 		t.Fatal("the pool filled: the measurement is not below the threshold")
@@ -193,6 +191,16 @@ func TestSubmitAllocsBelowAFullBlock(t *testing.T) {
 	if viaNode > viaServer {
 		t.Fatalf("Node.Submit allocates %.1f a request, the server's Submit %.1f", viaNode, viaServer)
 	}
+}
+
+// countFull is block.MaxRequests requests of a few bytes each: a block full
+// by its request count, its payload far below a full block's.
+func countFull() []block.Request {
+	reqs := make([]block.Request, block.MaxRequests)
+	for i := range reqs {
+		reqs[i] = block.Request{Label: types.Label(fmt.Sprintf("count/%d", i)), Data: []byte{1}}
+	}
+	return reqs
 }
 
 // sixteenths is k requests tagged tag of 240 B of payload each.
@@ -238,11 +246,11 @@ func citesHead(nd *Node, ref block.Ref) bool {
 
 // TestPeersFullBlockIsAnswered: a stepped node answers a peer's full block
 // with an own block in the delivery turn that inserts it, citing it — by
-// payload, and by MaxBatch requests. A second full block within the same
+// payload, and by block.MaxRequests requests. A second full block within the same
 // period is not answered; one after the period is.
 func TestPeersFullBlockIsAnswered(t *testing.T) {
 	var now time.Duration
-	nd, m, signers := fullTestNodeOn(t, 0, func() time.Duration { return now })
+	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
 	full1, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio))
 	nd.DeliverBurst(msgs)
 	wantAnswers(t, m, 1, "a peer's full block")
@@ -263,18 +271,14 @@ func TestPeersFullBlockIsAnswered(t *testing.T) {
 		t.Fatal("the second answer does not cite its full block")
 	}
 
-	const batch = 8
-	nd, m, signers = fullTestNodeOn(t, batch, func() time.Duration { return 0 })
-	reqs := make([]block.Request, batch)
-	for i := range reqs {
-		reqs[i] = block.Request{Label: types.Label(fmt.Sprintf("count/%d", i)), Data: []byte{1}}
-	}
-	_, msgs = peerBlock(t, signers[1], nil, reqs[:batch-1])
+	nd, m, signers = fullTestNodeOn(t, func() time.Duration { return 0 })
+	reqs := countFull()
+	_, msgs = peerBlock(t, signers[1], nil, reqs[:block.MaxRequests-1])
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 0, "a peer's block one request short of MaxBatch")
+	wantAnswers(t, m, 0, "a peer's block one request short of MaxRequests")
 	_, msgs = peerBlock(t, signers[2], nil, reqs)
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, "a peer's block of MaxBatch requests")
+	wantAnswers(t, m, 1, "a peer's block of MaxRequests requests")
 }
 
 // TestOnlyInsertedPeersFullBlocksAreAnswered: an own full block, a peer's
@@ -282,7 +286,7 @@ func TestPeersFullBlockIsAnswered(t *testing.T) {
 // missing parent build nothing. The buffered block is answered in the burst
 // that delivers its parent and so inserts it.
 func TestOnlyInsertedPeersFullBlocksAreAnswered(t *testing.T) {
-	nd, m, signers := fullTestNodeOn(t, 0, func() time.Duration { return 0 })
+	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return 0 })
 	own, msgs := peerBlock(t, signers[0], nil, sixteenths("s0", fullBlockRatio))
 	nd.DeliverBurst(msgs)
 	short, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio-1))
@@ -308,7 +312,7 @@ func TestOnlyInsertedPeersFullBlocksAreAnswered(t *testing.T) {
 // full block as it delivers it — the tick is an hour away — while Submit
 // and the loop's timers run beside it.
 func TestStartedNodeAnswersAFullBlock(t *testing.T) {
-	nd, m, signers := fullTestNodeOn(t, 0, Clock())
+	nd, m, signers := fullTestNodeOn(t, Clock())
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,9 @@
 //
 // A node builds a block for one of three reasons: its period's tick
 // (Config.DisseminateEvery); a mempool holding a full block — payload of
-// fullBlockRatio times a block's fixed bytes, or MaxBatch requests; or a
-// delivery that inserted another builder's full block, by the same measure,
-// answered at most once a period. The last two only fire under load. Every
+// fullBlockRatio times a block's fixed bytes, or block.MaxRequests
+// requests; or a delivery that inserted another builder's full block, by
+// the same measure, answered at most once a period. The last two only fire under load. Every
 // block the second adds pays for itself: it adds at most 1/16 to wire and
 // disk. The third adds at most one block a period, however many peers send
 // full blocks. Their gain is latency: a loaded builder embeds sooner, and

@@ -64,10 +64,9 @@ func blockFixedBytes(n int) int { return crypto.SignatureSize + 16 + crypto.Hash
 
 // isFull is the one definition of a full block, pending in the mempool or
 // built by a peer: payload (labels and data) of fullBlockRatio times a
-// block's fixed bytes, or the server's MaxBatch requests.
+// block's fixed bytes, or block.MaxRequests requests.
 func (n *Node) isFull(payload, requests int) bool {
-	srv := n.cfg.Server
-	return payload >= fullBlockRatio*blockFixedBytes(srv.Roster().N()) || requests >= srv.MaxBatch()
+	return payload >= fullBlockRatio*blockFixedBytes(n.cfg.Server.Roster().N()) || requests >= block.MaxRequests
 }
 
 // DisseminateIfFull is the full-block turn: if the mempool holds a full

@@ -77,12 +77,19 @@
 //
 // The per-record CRC exists because WAL tails are written incrementally and
 // a power cut can tear the last record: Open scans forward and, when the
-// final segment ends in a truncated or corrupt record, truncates the file
-// back to the last whole record instead of failing — the torn-tail
-// property tested exhaustively in TestOpenTornTail. A corrupt record in
-// any non-final position is not a torn write and surfaces as ErrCorrupt.
-// Open resumes a final segment with room, its window rebuilt from the
-// scan.
+// final segment ends in a record that is not whole (too short, or its
+// checksum does not match — a zero-filled tail reads as records of length 0
+// and checksum 0, and counts as one), truncates the file back to the last
+// whole record instead of failing — the torn-tail property tested
+// exhaustively in TestOpenTornTail. Such a record in any non-final position
+// is not a torn write and surfaces as ErrCorrupt. So does a whole record
+// that does not decode, in any segment: its checksum matched, so it was
+// written whole, and a block block.Decode refuses (a garbage record, or one
+// an older build journaled past today's bounds) is corruption; the error
+// names the segment, the record's offset and why, and Open leaves the file
+// as it was. Truncating it would drop the records after it too, own blocks
+// peers may hold among them. Open resumes a final segment with room, its
+// window rebuilt from the scan.
 //
 // WAL segments rotate when they exceed 8 MiB, so deleting
 // the segments a cut leaves below its horizon is cheap file removal.

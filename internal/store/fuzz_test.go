@@ -141,16 +141,29 @@ type handSegment struct {
 }
 
 // handSegments are the names a kind-4 record can give a predecessor, one
-// segment each: those putPred writes, and those it never would.
+// segment each: those putPred writes, and those it never would; and two
+// well-named records of blocks block.Decode refuses.
 func handSegments(t testing.TB) []handSegment {
 	g := scanWAL(walOf(rec([]byte{0})))
-	if g.torn {
+	if g.torn || g.bad != nil {
 		t.Fatal("a hand-laid genesis record does not scan")
 	}
 	g0 := g.blocks[0].Ref()
 	var full [][]byte // one record more than the window holds
 	for seq := byte(0); seq <= walWindow; seq++ {
 		full = append(full, rec([]byte{seq}))
+	}
+	// Whole records of the two blocks no correct builder builds, which
+	// block.Decode refuses: MaxRequests+1 requests, a predecessor cited twice.
+	h := dagtest.NewHarness(1)
+	var pastBounds [][]byte
+	for _, b := range []*block.Block{
+		h.Seal(0, 0, nil, dagtest.Wide(block.MaxRequests+1)...),
+		h.Seal(0, 1, []block.Ref{g0, g0}),
+	} {
+		var w wire.Writer
+		putRecord(&w, b, &window{})
+		pastBounds = append(pastBounds, w.Bytes())
 	}
 	return []handSegment{
 		{"a literal", walOf(rec([]byte{1}, literal(g0))), true},
@@ -163,17 +176,20 @@ func handSegments(t testing.TB) []handSegment {
 		{"past the latest of two records", walOf(rec([]byte{0}), rec([]byte{0}), rec([]byte{1}, back(2))), false},
 		{"the oldest the window holds", walOf(append(full, rec([]byte{100}, back(walWindow)))...), true},
 		{"k past the window", walOf(append(full, rec([]byte{100}, back(walWindow+1)))...), false},
+		{"MaxRequests+1 requests", walOf(pastBounds[0]), false},
+		{"a predecessor cited twice", walOf(pastBounds[1]), false},
 	}
 }
 
 // TestScanWALNamesOneWay: a kind-4 record names each predecessor the one way
 // the writer does — by its distance to the ref's latest record in the
 // window, or by the literal ref when the window holds none — and the scanner
-// refuses every other name as a bad record.
+// refuses every other name, and a block past block.Decode's bounds, as a bad
+// record, never as a tear.
 func TestScanWALNamesOneWay(t *testing.T) {
 	for _, hs := range handSegments(t) {
-		if seg := scanWAL(hs.data); seg.torn == hs.whole {
-			t.Errorf("%s: scanned %d records, torn %v; want the last one taken: %v", hs.name, len(seg.blocks), seg.torn, hs.whole)
+		if seg := scanWAL(hs.data); seg.torn || (seg.bad == nil) != hs.whole {
+			t.Errorf("%s: scanned %d records, torn %v, bad %v; want the last one taken: %v", hs.name, len(seg.blocks), seg.torn, seg.bad, hs.whole)
 		}
 	}
 }
@@ -211,8 +227,10 @@ func FuzzScanWAL(f *testing.F) {
 		if got, limit := allocated(func() { seg = scanWAL(data) }), allocBound(len(data)); got > limit {
 			t.Fatalf("scanWAL allocated %d bytes for a %d-byte segment (bound %d)", got, len(data), limit)
 		}
-		if seg.goodLen < int64(headerSize) || seg.goodLen > int64(len(data)) || seg.torn != (seg.goodLen < int64(len(data))) {
-			t.Fatalf("goodLen %d torn %v for a %d-byte segment", seg.goodLen, seg.torn, len(data))
+		stopped := seg.torn || seg.bad != nil
+		if seg.goodLen < int64(headerSize) || seg.goodLen > int64(len(data)) || stopped != (seg.goodLen < int64(len(data))) ||
+			seg.torn && seg.bad != nil {
+			t.Fatalf("goodLen %d torn %v bad %v for a %d-byte segment", seg.goodLen, seg.torn, seg.bad, len(data))
 		}
 		rebuilt := bytes.Clone(data[:headerSize])
 		var w wire.Writer

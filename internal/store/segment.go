@@ -120,9 +120,12 @@ type segment struct {
 	// goodLen is the byte offset (within the whole file) just past the
 	// last whole, checksummed record.
 	goodLen int64
-	// torn reports that bytes past goodLen exist but do not form a valid
+	// torn reports that bytes past goodLen exist but do not form a whole
 	// record — a torn tail write if this is the final WAL segment.
 	torn bool
+	// bad is why the whole, checksummed record at goodLen does not decode:
+	// corruption (or a buggy writer) in any segment, never a tear.
+	bad error
 }
 
 // nextRecord returns the payload of the length- and CRC-framed record at
@@ -142,9 +145,10 @@ func nextRecord(data []byte, off int) (payload []byte, next int, ok bool) {
 }
 
 // scanWAL decodes the records of a WAL segment (data includes the header,
-// already validated). Scanning stops at the first incomplete or corrupt
-// record; the caller decides whether that is a tolerable torn tail (final
-// segment) or corruption (any earlier segment).
+// already validated). Scanning stops at the first record that is not whole
+// (torn: the caller decides whether that is a tolerable torn tail, in the
+// final segment, or corruption, in any earlier one) or does not decode
+// (bad: corruption wherever it is).
 //
 // Every block gets a frame of its own, rebuilt from the record's fields with
 // predecessors resolved against the segment's window (getRecord) — one
@@ -160,10 +164,12 @@ func scanWAL(data []byte) segment {
 		}
 		b, err := getRecord(payload, &win)
 		if err != nil {
-			// The checksum matched, so these bytes were written
-			// whole: a malformed block is corruption (or a buggy
-			// writer), not a tear.
-			seg.torn = true
+			if len(payload) == 0 {
+				seg.torn = true // length 0 and CRC 0: what a zero-filled tail reads as
+			} else {
+				// The checksum matched, so these bytes were written whole.
+				seg.bad = fmt.Errorf("record at offset %d: %v", off, err)
+			}
 			break
 		}
 		seg.blocks = append(seg.blocks, b)
@@ -175,7 +181,9 @@ func scanWAL(data []byte) segment {
 }
 
 // readSegment reads one WAL segment file up to the first record that is
-// not whole. Framing and checksums only — no block is validated here.
+// not whole, and fails with ErrCorrupt on a whole record that does not
+// decode. Framing, checksums and block.Decode's bounds only — no block is
+// validated against a DAG here.
 func readSegment(sf segFile) (segment, error) {
 	data, err := os.ReadFile(sf.path)
 	if err != nil {
@@ -184,5 +192,9 @@ func readSegment(sf segFile) (segment, error) {
 	if err := checkHeader(data, sf.path); err != nil {
 		return segment{}, err
 	}
-	return scanWAL(data), nil
+	seg := scanWAL(data)
+	if seg.bad != nil {
+		return segment{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, sf.path, seg.bad)
+	}
+	return seg, nil
 }

@@ -286,7 +286,7 @@ func (s *Store) recover() error {
 		s.nextIdx = max(s.nextIdx, sf.index+1)
 		final := i == len(segs)-1
 		if seg.torn && !final {
-			return fmt.Errorf("%w: %s: bad record before final segment", ErrCorrupt, sf.path)
+			return fmt.Errorf("%w: %s: a record not whole before the final segment", ErrCorrupt, sf.path)
 		}
 		m := &segMeta{index: sf.index}
 		for _, b := range seg.blocks {

@@ -15,6 +15,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
+	"blockdag/internal/dagtest"
 	"blockdag/internal/store"
 	"blockdag/internal/types"
 )
@@ -354,6 +355,106 @@ func TestCorruptEarlySegmentFails(t *testing.T) {
 	}
 	if _, err := store.Open(dir, store.Options{Roster: roster}); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("Open on corrupt early segment: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOpenRefusesARecordThatDoesNotDecode: a whole, checksummed record
+// that does not decode is corruption, not a torn tail, even in the final
+// segment: Open fails with ErrCorrupt naming the segment, the record's
+// offset and why, and a read-write Open leaves the segment as it was. The
+// record is garbage, or a block past block.Decode's bounds (one an older
+// build could have journaled): more than MaxRequests requests, or a
+// predecessor cited twice. A zero-filled tail (length 0, CRC 0) is still a
+// tear.
+func TestOpenRefusesARecordThatDoesNotDecode(t *testing.T) {
+	roster, blocks := chain(t, 2)
+	_, signers, err := crypto.LocalRoster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// segmentWith journals blocks[0], then bad, then blocks[1]; it returns
+	// the segment's path and where bad starts.
+	segmentWith := func(bad *block.Block) (string, int64) {
+		dir := t.TempDir()
+		st := openStore(t, dir, roster, store.Options{})
+		appendAll(t, st, blocks[:1])
+		at, err := st.DiskSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, st, []*block.Block{bad, blocks[1]})
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("%d segments (%v), want 1", len(segs), err)
+		}
+		return segs[0], at
+	}
+	sealed := func(preds []block.Ref, reqs []block.Request) *block.Block {
+		b := block.New(0, 1, preds, reqs)
+		if err := b.Seal(signers[0]); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	g := blocks[0].Ref()
+
+	// The garbage record: three bytes under a matching checksum, spliced in
+	// where the middle record of a well-formed segment starts.
+	path, at := segmentWith(sealed([]block.Ref{g}, nil))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := []byte{1, 2, 3}
+	rec := binary.BigEndian.AppendUint32(nil, uint32(len(garbage)))
+	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(garbage))
+	spliced := append(append(append([]byte(nil), data[:at]...), append(rec, garbage...)...), data[at:]...)
+	if err := os.WriteFile(path, spliced, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	type corrupt struct {
+		name, path string
+		at         int64
+	}
+	cases := []corrupt{{"a garbage record", path, at}}
+	for name, bad := range map[string]*block.Block{
+		"MaxRequests+1 requests":    sealed([]block.Ref{g}, dagtest.Wide(block.MaxRequests+1)),
+		"a predecessor cited twice": sealed([]block.Ref{g, g}, nil),
+	} {
+		path, at := segmentWith(bad)
+		cases = append(cases, corrupt{name, path, at})
+	}
+	for _, c := range cases {
+		before, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = store.Open(filepath.Dir(c.path), store.Options{Roster: roster})
+		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(c.path)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("offset %d", c.at)) {
+			t.Fatalf("%s: Open = %v, want ErrCorrupt naming %s and offset %d", c.name, err, filepath.Base(c.path), c.at)
+		}
+		if after, err := os.ReadFile(c.path); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("%s: the refused Open changed the segment (%d → %d bytes, %v)", c.name, len(before), len(after), err)
+		}
+	}
+
+	// A zero-filled tail reads as records of length 0 and CRC 0: a tear.
+	path, _ = segmentWith(sealed([]block.Ref{g}, nil))
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, make([]byte, 16)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, filepath.Dir(path), roster, store.Options{})
+	defer st.Close()
+	if got, torn := len(st.Blocks()), st.Report().TornBytes; got != 3 || torn != 16 {
+		t.Fatalf("a zero-filled tail: %d blocks, %d torn bytes; want 3 and 16", got, torn)
 	}
 }
 
