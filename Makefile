@@ -122,27 +122,20 @@ experiments-smoke:
 	echo "experiments-smoke OK: $$want experiments, every table has rows and matches EXPERIMENTS.md"
 
 .PHONY: examples-smoke
-# examples-smoke runs the README's worked examples on the simulator —
-# quickstart, payments, equivocation, offline and consensus — each a
-# program that checks its own claim (a delivery; settled, agreeing ledgers;
-# an equivocator banned everywhere; an offline replay reproducing every
-# delivery; one committed log, which internal/smr keeps) and exits non-zero
-# when it does not hold. Seeded, about a second each, run in a scratch
-# directory (quickstart writes its DOT file to the working directory).
-# Then dagsim's workload mode journals a run to stores, and dagstore render
-# draws s0's store twice: as ASCII, which must name all four builders, and as
-# DOT annotated with one BRB instance's buffers, which must carry in:/out:
-# lines. examples/tcp has its own targets: restart-smoke, roster-demo,
-# gateway-smoke and snapshot-smoke.
+# examples-smoke draws a journaled run with the operator's tool: dagsim's
+# workload mode journals a run to stores, and dagstore render draws s0's
+# store twice: as ASCII, which must name all four builders, and as DOT
+# annotated with one BRB instance's buffers, which must carry in:/out:
+# lines. The README's worked examples (quickstart, payments, equivocation,
+# offline, consensus) are godoc Examples with checked output, run by go
+# test: Example_quickstart, Example_payments and Example_equivocation in
+# internal/cluster, Example_offline in internal/core, Example_consensus in
+# internal/smr. examples/tcp has its own targets: restart-smoke,
+# roster-demo, gateway-smoke and snapshot-smoke.
 examples-smoke:
 	@set -e; \
 	d=$$(mktemp -d); \
 	trap 'rm -rf $$d' EXIT; \
-	for e in quickstart payments equivocation offline consensus; do \
-		go build -o $$d/$$e ./examples/$$e; \
-		(cd $$d && ./$$e > $$e.log 2>&1) \
-			|| { echo "examples-smoke FAILED: examples/$$e exited non-zero" >&2; cat $$d/$$e.log >&2; exit 1; }; \
-	done; \
 	go build -o $$d/dagsim ./cmd/dagsim; \
 	go build -o $$d/dagstore ./cmd/dagstore; \
 	$$d/dagsim -n 4 -instances 4 -store-dir $$d/run > $$d/dagsim.log \
@@ -157,7 +150,7 @@ examples-smoke:
 		|| { echo "examples-smoke FAILED: dagstore render -protocol brb -label inst/0 exited non-zero" >&2; exit 1; }; \
 	grep -q 'in: ' $$d/dag.dot && grep -q 'out: ' $$d/dag.dot \
 		|| { echo "examples-smoke FAILED: dagstore render's DOT carries no in:/out: buffer annotations" >&2; cat $$d/dag.dot >&2; exit 1; }; \
-	echo "examples-smoke OK: five worked examples ran and passed their own checks; dagstore rendered dagsim's store"
+	echo "examples-smoke OK: dagstore rendered dagsim's store as ASCII and as annotated DOT"
 
 .PHONY: restart-smoke
 # restart-smoke is the README's restart walkthrough as a target: the
@@ -354,7 +347,10 @@ chaos-smoke:
 # node is assembled in internal/deploy" true: non-test Go outside that
 # package (and outside bench/, frozen until the next benchmark PR) may not
 # bind a tcpnet listener, late-bind an endpoint or construct a sync server
-# — the simulator's slots are deploy's assemblies too. And it fails when
+# — the simulator's slots are deploy's assemblies too. It keeps "tcpnet
+# proves who is at the far end of a link" true: non-test Go outside
+# internal/tcpnet may not build a handshake proof (transport.AuthContext),
+# so a second challenge-response cannot grow back. And it fails when
 # non-test Go or a document
 # (ROADMAP.md and CHANGES.md, which are history, and the retrieved ISSUE,
 # SNIPPETS and PAPERS files excepted) cites a top-level ALLCAPS.md that is
@@ -387,6 +383,9 @@ docs-check:
 	@wired=$$(grep -rnE 'tcpnet\.Listen\(|transport\.LateBound|syncsvc\.Server\{' --include='*.go' internal cmd examples \
 		| grep -v '_test\.go:' | grep -v '^internal/deploy/' || true); \
 	[ -z "$$wired" ] || { echo "docs-check FAILED: a node is assembled by hand outside internal/deploy:" >&2; echo "$$wired" >&2; exit 1; }
+	@handshakes=$$(grep -rn 'transport\.AuthContext(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
+		| grep -v '^\./internal/tcpnet/' || true); \
+	[ -z "$$handshakes" ] || { echo "docs-check FAILED: a link handshake outside internal/tcpnet (the simulator trusts its links):" >&2; echo "$$handshakes" >&2; exit 1; }
 	@gone=$$(grep -rnoP '(?<![/\w.-])[A-Z][A-Z0-9_]+\.md\b' --include='*.go' --include='*.md' \
 			--exclude='*_test.go' --exclude-dir=.bench_build . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE|SNIPPETS|PAPERS)\.md:' \
@@ -406,7 +405,7 @@ docs-check:
 	go vet ./...
 	go build ./...
 	go test -run Example ./...
-	@echo "docs-check OK: package map in sync; every metric family declared once; one ref-keyed index; examples vet and build"
+	@echo "docs-check OK: package map in sync; one handshake, tcpnet's; every metric family declared once; one ref-keyed index; examples vet and build"
 
 # WORKLOAD and SECONDS pick heap-profile's and cpu-profile's dagbench run.
 WORKLOAD ?= sparse

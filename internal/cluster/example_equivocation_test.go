@@ -1,4 +1,17 @@
-// Command equivocation demonstrates the paper's Figure 3 scenario at
+package cluster_test
+
+import (
+	"bytes"
+	"fmt"
+
+	"blockdag/internal/block"
+	"blockdag/internal/cluster"
+	"blockdag/internal/dag"
+	"blockdag/internal/protocols/brb"
+	"blockdag/internal/trace"
+)
+
+// Example_equivocation demonstrates the paper's Figure 3 scenario at
 // system scale: a byzantine server equivocates — builds two different
 // blocks with the same sequence number, showing conflicting broadcast
 // requests to different halves of the cluster.
@@ -14,30 +27,9 @@
 //  4. the proof convicts: every correct server bans s3, so what s3 sends
 //     next is refused by the ban, at the link — the last step's join block
 //     never gets as far as the parent rule that would refuse it too.
-package main
-
-import (
-	"bytes"
-	"fmt"
-	"os"
-
-	"blockdag/internal/block"
-	"blockdag/internal/cluster"
-	"blockdag/internal/dag"
-	"blockdag/internal/protocols/brb"
-	"blockdag/internal/trace"
-)
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "equivocation:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+func Example_equivocation() {
 	// Server 3 is byzantine: no correct server runs in its slot; this
-	// program drives it by hand.
+	// example drives it by hand.
 	c, err := cluster.New(cluster.Options{
 		N:         4,
 		Protocol:  brb.Protocol{},
@@ -45,7 +37,8 @@ func run() error {
 		Seed:      7,
 	})
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 
 	// The equivocation: two validly signed genesis blocks for slot
@@ -53,11 +46,13 @@ func run() error {
 	// instance ℓ.
 	forkA, err := c.Seal(3, 0, nil, block.Request{Label: "ℓ", Data: []byte("a")})
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	forkB, err := c.Seal(3, 0, nil, block.Request{Label: "ℓ", Data: []byte("b")})
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	fmt.Printf("byzantine s3 equivocates at k=0: %s (broadcast a) vs %s (broadcast b)\n",
 		forkA.Ref(), forkB.Ref())
@@ -76,10 +71,12 @@ func run() error {
 	}
 	ok, err := c.RunUntil(30, delivered)
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	if !ok {
-		return fmt.Errorf("no deliveries within 30 rounds")
+		fmt.Println("no deliveries within 30 rounds")
+		return
 	}
 
 	fmt.Println("\ndeliveries at correct servers:")
@@ -96,7 +93,8 @@ func run() error {
 		}
 	}
 	if !agree {
-		return fmt.Errorf("CONSISTENCY VIOLATED: correct servers delivered different values")
+		fmt.Println("CONSISTENCY VIOLATED: correct servers delivered different values")
+		return
 	}
 	fmt.Println("consistency holds: all correct servers delivered the same value")
 
@@ -110,7 +108,8 @@ func run() error {
 
 	// The proof convicts: every correct server has banned s3.
 	if !c.BannedEverywhere(3) {
-		return fmt.Errorf("s3 equivocated and is not banned everywhere")
+		fmt.Println("s3 equivocated and is not banned everywhere")
+		return
 	}
 	fmt.Println("\ns3 is banned at every correct server")
 
@@ -120,15 +119,18 @@ func run() error {
 	// correct server takes anything from s3 any more.
 	join, err := c.Seal(3, 1, []block.Ref{forkA.Ref(), forkB.Ref()})
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	c.Send(3, join, 0, 1, 2)
 	if err := c.RunRounds(3); err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	for _, i := range c.CorrectServers() {
 		if c.Servers[i].DAG().Contains(join.Ref()) {
-			return fmt.Errorf("join block was accepted; ban and parent rule both broken")
+			fmt.Println("join block was accepted; ban and parent rule both broken")
+			return
 		}
 	}
 	fmt.Println("join block referencing both forks was refused everywhere by the ban")
@@ -136,7 +138,8 @@ func run() error {
 	d := dag.New(c.Roster)
 	for _, b := range []*block.Block{forkA, forkB} {
 		if err := d.Insert(b); err != nil {
-			return err
+			fmt.Println(err)
+			return
 		}
 	}
 	fmt.Printf("the parent rule alone refuses it too: %v\n", d.Insert(join))
@@ -147,5 +150,50 @@ func run() error {
 		forks = append(forks, [2]*block.Block{p.First, p.Second})
 	}
 	fmt.Print(trace.ASCII(c.Servers[0].DAG(), forks))
-	return nil
+	// Output:
+	// byzantine s3 equivocates at k=0: 14a57353 (broadcast a) vs fa97f821 (broadcast b)
+	//
+	// deliveries at correct servers:
+	//   s0 delivered "a" on ℓ
+	//   s1 delivered "a" on ℓ
+	//   s2 delivered "a" on ℓ
+	// consistency holds: all correct servers delivered the same value
+	//
+	// equivocation proofs held by every correct server:
+	//   s0 holds proof: s3 built 14a57353 and fa97f821 at k=0
+	//   s1 holds proof: s3 built 14a57353 and fa97f821 at k=0
+	//   s2 holds proof: s3 built 14a57353 and fa97f821 at k=0
+	//
+	// s3 is banned at every correct server
+	// join block referencing both forks was refused everywhere by the ban
+	// the parent rule alone refuses it too: dag: block violates parent rule: block 777c39ec (builder s3, seq 1) has 2 parents, want 1
+	//
+	// s0's DAG:
+	//   0  15ec7bf0  s0/k0   preds=[]
+	//   1  14a57353  s3/k0   preds=[] rs=(ℓ,1B)
+	//   2  028e2518  s1/k0   preds=[]
+	//   3  456b915a  s2/k0   preds=[]
+	//   4  b03dc17a  s0/k1   preds=[15ec7bf0 14a57353 028e2518 456b915a]
+	//   5  9f0e042c  s1/k1   preds=[028e2518 15ec7bf0 14a57353 456b915a]
+	//   6  fa97f821  s3/k0   preds=[] rs=(ℓ,1B)
+	//   7  ecd57217  s2/k1   preds=[456b915a 15ec7bf0 fa97f821 028e2518]
+	//   8  7fd55592  s0/k2   preds=[b03dc17a 9f0e042c ecd57217]
+	//   9  3a23f09e  s1/k2   preds=[9f0e042c b03dc17a ecd57217]
+	//  10  97749c61  s2/k2   preds=[ecd57217 b03dc17a 9f0e042c]
+	//  11  140c63b5  s0/k3   preds=[7fd55592 3a23f09e 97749c61]
+	//  12  cf1b3f3a  s1/k3   preds=[3a23f09e 7fd55592 97749c61]
+	//  13  e53822e0  s2/k3   preds=[97749c61 3a23f09e 7fd55592]
+	//  14  f2087a8c  s0/k4   preds=[140c63b5 cf1b3f3a e53822e0]
+	//  15  6db06e0d  s2/k4   preds=[e53822e0 140c63b5 cf1b3f3a]
+	//  16  686c95b1  s1/k4   preds=[cf1b3f3a 140c63b5 e53822e0]
+	//  17  c979109c  s0/k5   preds=[f2087a8c 6db06e0d 686c95b1]
+	//  18  b866ec0f  s1/k5   preds=[686c95b1 f2087a8c 6db06e0d]
+	//  19  3de4e20f  s2/k5   preds=[6db06e0d f2087a8c 686c95b1]
+	//  20  c6422c1a  s0/k6   preds=[c979109c b866ec0f 3de4e20f]
+	//  21  f535c6c0  s1/k6   preds=[b866ec0f c979109c 3de4e20f]
+	//  22  c0f21dd8  s2/k6   preds=[3de4e20f c979109c b866ec0f]
+	//  23  c0bb8c3c  s0/k7   preds=[c6422c1a f535c6c0 c0f21dd8]
+	//  24  e7030fa8  s2/k7   preds=[c0f21dd8 c6422c1a f535c6c0]
+	//  25  29f930da  s1/k7   preds=[f535c6c0 c6422c1a c0f21dd8]
+	// EQUIVOCATION s3 at k0: 14a57353 vs fa97f821
 }

@@ -406,7 +406,7 @@ func (s *Server) SeedBase(base []dag.Base) error {
 // interpretation replays all indications of the stored DAG, so users see
 // pre-crash deliveries again. Indications are therefore at-least-once
 // across crashes, exactly-once only between them; applications
-// deduplicate by instance label (as examples/payments does).
+// deduplicate by instance label (as cluster's Example_payments does).
 func (s *Server) Restore(blocks []*block.Block) error {
 	if s.dag.Len() > 0 {
 		return errors.New("core: restore on a server that already has blocks")

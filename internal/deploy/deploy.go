@@ -105,8 +105,9 @@ type Config struct {
 }
 
 // Network binds a member to what carries its bytes: the listener with
-// cfg's endpoints, handlers, authenticator and scorer in place. Listen's is
-// TCP.
+// cfg's endpoints, handlers and scorer in place. Listen's is TCP, which
+// proves every connection with cfg's authenticator; the simulator's trusts
+// its links.
 type Network func(cfg tcpnet.Config) (Link, error)
 
 // Link is one member's place on a Network.

@@ -427,7 +427,6 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 		it.stats.HoldingBlocks++
 		it.metrics.Add(metrics.MsgsMaterialized, int64(protocol.Count(st.out, it.n)))
 	}
-	it.metrics.Add(metrics.BlocksInterpreted, 1)
 	it.publish()
 	return nil
 }

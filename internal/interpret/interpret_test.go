@@ -178,8 +178,10 @@ func TestMessagesNeverLeaveInterpreter(t *testing.T) {
 	if m.Get(metrics.MsgsMaterialized) == 0 {
 		t.Fatal("no messages materialized")
 	}
-	if m.Get(metrics.BlocksInterpreted) != int64(h.DAG.Len()) {
-		t.Fatalf("interpreted %d blocks, DAG has %d", m.Get(metrics.BlocksInterpreted), h.DAG.Len())
+	for _, ref := range h.DAG.Refs() {
+		if !it.Interpreted(ref) {
+			t.Fatalf("block %v of the DAG was not interpreted", ref)
+		}
 	}
 	if m.Get(metrics.WireMessages) != 0 || m.Get(metrics.WireBytes) != 0 {
 		t.Fatal("interpretation touched the wire")
@@ -589,13 +591,20 @@ func TestAddBlockIdempotent(t *testing.T) {
 	g := h.Genesis(0, block.Request{Label: "ℓ", Data: []byte("v")})
 	m := &metrics.Metrics{}
 	it := New(brb.Protocol{}, 2, 0, nil, WithMetrics(m))
+	var once int64
 	for i := 0; i < 3; i++ {
 		if err := it.AddBlock(g); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			once = m.Get(metrics.MsgsMaterialized)
+		}
 	}
-	if got := m.Get(metrics.BlocksInterpreted); got != 1 {
-		t.Fatalf("block interpreted %d times", got)
+	if !it.Interpreted(g.Ref()) {
+		t.Fatal("block not interpreted")
+	}
+	if got := m.Get(metrics.MsgsMaterialized); once == 0 || got != once {
+		t.Fatalf("materialized %d messages after three adds, %d after one: the block was interpreted again", got, once)
 	}
 }
 

@@ -145,7 +145,7 @@ var Families Table
 var (
 	BlocksBuilt       = Families.Counter("dag_blocks_built_total", "Blocks this server built and disseminated.")
 	BlocksReceived    = Families.Counter("dag_blocks_received_total", "Blocks received from the network.")
-	BlocksInserted    = Families.Counter("dag_blocks_inserted_total", "Blocks inserted into the local DAG.")
+	BlocksInserted    = Families.Counter("dag_blocks_inserted_total", "Blocks inserted into the local DAG; each is interpreted once.")
 	BlocksDuplicate   = Families.Counter("dag_blocks_duplicate_total", "Received blocks already known.")
 	BlocksRejected    = Families.Counter("dag_blocks_rejected_total", "Received blocks that failed validation.")
 	FwdRequestsSent   = Families.Counter("dag_fwd_requests_sent_total", "FWD requests issued for missing predecessors.")
@@ -154,7 +154,6 @@ var (
 	WireBytes         = Families.Counter("dag_wire_bytes_total", "Payload bytes handed to the transport.")
 	RequestsEmbedded  = Families.Counter("dag_requests_embedded_total", "(label, request) pairs written into own blocks.")
 	MsgsMaterialized  = Families.Counter("dag_msgs_materialized_total", "Protocol messages simulated by interpretation, never sent.")
-	BlocksInterpreted = Families.Counter("dag_blocks_interpreted_total", "Blocks processed by the interpreter.")
 	Indications       = Families.Counter("dag_indications_total", "Indications surfaced by interpretation.")
 	OwnBlockRefs      = Families.Counter("dag_own_block_refs_total", "References cited by own blocks; divide by dag_blocks_built_total for references per block.")
 	BlocksSealedFull  = Families.Counter("dag_blocks_sealed_full_total", "Own blocks sealed before their tick because the mempool held a full block.")

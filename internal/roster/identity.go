@@ -106,7 +106,9 @@ func (a *Auth) Member(id types.ServerID) bool { return a.roster.Contains(id) }
 // Fixture is a complete deployment in one value: the roster file plus
 // every member's key. Simulations, examples, and tests run from fixtures;
 // production deployments hold one Key per host and never assemble a
-// Fixture.
+// Fixture. A simulated slot's identity is File.Identity over its Key, which
+// refuses a key that does not match the slot's roster entry; its
+// authenticator goes unused, since the simulator trusts its links.
 type Fixture struct {
 	File *File
 	Keys []Key
@@ -225,25 +227,6 @@ func (fx *Fixture) Signers(counters *crypto.Counters) (*crypto.Roster, []*crypto
 		}
 	}
 	return r, signers, nil
-}
-
-// Auths builds every member's transport authenticator over one shared
-// uncounted roster — what a simulation registers on simnet so cluster
-// tests exercise the same Authenticator seam tcpnet drives in production.
-func (fx *Fixture) Auths() ([]transport.Authenticator, error) {
-	r, err := fx.File.Roster()
-	if err != nil {
-		return nil, err
-	}
-	auths := make([]transport.Authenticator, len(fx.Keys))
-	for i, k := range fx.Keys {
-		signer, err := crypto.NewSigner(k.ID, k.Pair, r)
-		if err != nil {
-			return nil, err
-		}
-		auths[i] = &Auth{roster: r, signer: signer}
-	}
-	return auths, nil
 }
 
 // Save writes the fixture to dir as dagroster init would: roster.txt plus

@@ -237,11 +237,4 @@ func TestFixtureSigners(t *testing.T) {
 	if !r.Verify(3, msg, signers[3].Sign(msg)) {
 		t.Fatal("fixture signer does not verify against fixture roster")
 	}
-	auths, err := fx.Auths()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(auths) != 4 || auths[2].Self() != 2 {
-		t.Fatalf("auths = %d, self = %v", len(auths), auths[2].Self())
-	}
 }

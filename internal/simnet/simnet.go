@@ -33,16 +33,10 @@ import (
 // Option configures a Network.
 type Option func(*Network)
 
-// authRngSalt decorrelates the handshake-nonce RNG from the link-model
-// RNG: authentication must not perturb the latency/jitter/drop sequence
-// a seed produces, so enabling the seam leaves every schedule untouched.
-const authRngSalt = 0x61757468 // "auth"
-
 // WithSeed fixes the RNG seed; runs with equal seeds are identical.
 func WithSeed(seed int64) Option {
 	return func(n *Network) {
 		n.rng = rand.New(rand.NewSource(seed))
-		n.authRng = rand.New(rand.NewSource(seed ^ authRngSalt))
 	}
 }
 
@@ -64,15 +58,14 @@ func WithDrop(p float64) Option {
 
 // Stats counts network activity.
 type Stats struct {
-	Sends       int64 // Send calls observed
-	Delivered   int64 // payloads delivered to endpoints
-	Dropped     int64 // payloads lost to WithDrop or partitions
-	Bytes       int64 // payload bytes accepted for transmission
-	Calls       int64 // Call streams opened
-	CallFrames  int64 // response frames delivered on call streams
-	CallBytes   int64 // request + response bytes on call streams
-	AuthRejects int64 // link establishments refused by the authenticator seam
-	BanDrops    int64 // payloads and calls refused because either side banned the other
+	Sends      int64 // Send calls observed
+	Delivered  int64 // payloads delivered to endpoints
+	Dropped    int64 // payloads lost to WithDrop or partitions
+	Bytes      int64 // payload bytes accepted for transmission
+	Calls      int64 // Call streams opened
+	CallFrames int64 // response frames delivered on call streams
+	CallBytes  int64 // request + response bytes on call streams
+	BanDrops   int64 // payloads and calls refused because either side banned the other
 }
 
 // registration holds one server's per-channel consumers.
@@ -84,11 +77,10 @@ type registration struct {
 // Network is the simulator. Not safe for concurrent use: the event loop
 // and all node logic run on the caller's goroutine.
 type Network struct {
-	now     time.Duration
-	seq     uint64
-	events  eventHeap
-	rng     *rand.Rand
-	authRng *rand.Rand // handshake nonces only; see authRngSalt
+	now    time.Duration
+	seq    uint64
+	events eventHeap
+	rng    *rand.Rand
 
 	latBase   time.Duration
 	latJitter time.Duration
@@ -99,30 +91,13 @@ type Network struct {
 	streams []*simStream              // open call streams, pruned lazily
 	blocked func(from, to types.ServerID) bool
 
-	// auths holds each server's transport.Authenticator; when any side
-	// of a link has one, link establishment runs the same mutual
-	// challenge–response the TCP transport does. authed caches verified
-	// ordered pairs per server generation — the simulator's analogue of
-	// a persistent authenticated connection.
-	auths  map[types.ServerID]transport.Authenticator
-	authed map[authPair]bool
-
 	// scorers holds each server's peer scorer; when either endpoint of a
 	// link has banned the other, traffic on that link is refused — the
 	// simulator's analogue of tcpnet dropping connections to and from
-	// banned peers. Unlike auth verdicts these are re-checked per payload:
-	// a ban can land mid-run.
+	// banned peers. They are checked per payload: a ban can land mid-run.
 	scorers map[types.ServerID]*peerscore.Scorer
 
 	stats Stats
-}
-
-// authPair keys the handshake cache: one ordered link between two server
-// incarnations. Deregister bumps a server's generation, so a restarted
-// server re-authenticates — exactly like a reconnect.
-type authPair struct {
-	from, to       types.ServerID
-	genFrom, genTo uint64
 }
 
 // New creates a network with default parameters: seed 1, latency
@@ -130,13 +105,10 @@ type authPair struct {
 func New(opts ...Option) *Network {
 	n := &Network{
 		rng:       rand.New(rand.NewSource(1)),
-		authRng:   rand.New(rand.NewSource(1 ^ authRngSalt)),
 		latBase:   10 * time.Millisecond,
 		latJitter: 5 * time.Millisecond,
 		nodes:     make(map[types.ServerID]*registration),
 		gens:      make(map[types.ServerID]uint64),
-		auths:     make(map[types.ServerID]transport.Authenticator),
-		authed:    make(map[authPair]bool),
 		scorers:   make(map[types.ServerID]*peerscore.Scorer),
 	}
 	for _, opt := range opts {
@@ -173,94 +145,10 @@ func (n *Network) RegisterHandler(id types.ServerID, ch transport.Channel, h tra
 	n.node(id).handlers[ch] = h
 }
 
-// RegisterAuth installs a server's transport.Authenticator. Once any
-// endpoint of a link holds one, payloads and calls on that link only
-// flow after a mutual challenge–response identical in structure to
-// tcpnet's: each side signs the other's fresh nonce via
-// transport.AuthContext and verifies the peer's proof against the
-// roster. Failures drop the traffic (counted in Stats.AuthRejects;
-// calls observe transport.ErrAuthFailed), so cluster tests exercise the
-// same Authenticator seam and rejection behaviour the TCP transport
-// enforces in production. Pass nil to remove a server's authenticator.
-func (n *Network) RegisterAuth(id types.ServerID, auth transport.Authenticator) {
-	if auth != nil && auth.Self() != id {
-		panic(fmt.Sprintf("simnet: authenticator proves %v, registered for %v", auth.Self(), id))
-	}
-	if auth == nil {
-		delete(n.auths, id)
-	} else {
-		n.auths[id] = auth
-	}
-	// Changing a server's authenticator invalidates its links' cached
-	// handshake verdicts — a link that failed half-configured must
-	// re-handshake once the missing authenticator arrives, and a
-	// removed one must not keep riding old successes.
-	for key := range n.authed {
-		if key.from == id || key.to == id {
-			delete(n.authed, key)
-		}
-	}
-}
-
 // linkBanned reports whether either endpoint of the from→to link has
 // banned the other.
 func (n *Network) linkBanned(from, to types.ServerID) bool {
 	return n.scorers[from].Banned(to) || n.scorers[to].Banned(from)
-}
-
-// authenticate reports whether the from→to link is (or can be)
-// authenticated, running the mutual handshake on first use per server
-// generation — the simulator's connection establishment. A link where
-// neither side holds an authenticator is trusted, as on a simnet without
-// the seam; a link where only one side holds one fails, mirroring
-// tcpnet's refusal of half-authenticated connections.
-func (n *Network) authenticate(from, to types.ServerID) bool {
-	authFrom, authTo := n.auths[from], n.auths[to]
-	if authFrom == nil && authTo == nil {
-		return true
-	}
-	key := authPair{from: from, to: to, genFrom: n.gens[from], genTo: n.gens[to]}
-	if ok, cached := n.authed[key]; cached {
-		return ok
-	}
-	ok := n.handshake(authFrom, authTo, from, to)
-	n.authed[key] = ok
-	if !ok {
-		n.stats.AuthRejects++
-	}
-	return ok
-}
-
-// handshake runs the mutual challenge–response through the seam: both
-// sides must hold an authenticator, prove possession of the private key
-// for their claimed identity over the peer's fresh nonce, and be roster
-// members in the peer's eyes.
-func (n *Network) handshake(dialer, listener transport.Authenticator, from, to types.ServerID) bool {
-	if dialer == nil || listener == nil {
-		return false
-	}
-	if !listener.Member(from) || !dialer.Member(to) {
-		return false
-	}
-	nonceFrom := n.nonce()
-	nonceTo := n.nonce()
-	// Listener proves first over the dialer's nonce, then the dialer
-	// answers over the listener's — tcpnet's frame order.
-	ctxListener := transport.AuthContext(transport.Version, 0, 0, nonceFrom, to, from)
-	if !dialer.Verify(to, ctxListener, listener.Prove(ctxListener)) {
-		return false
-	}
-	ctxDialer := transport.AuthContext(transport.Version, 0, 0, nonceTo, from, to)
-	return listener.Verify(from, ctxDialer, dialer.Prove(ctxDialer))
-}
-
-// nonce draws a fresh handshake challenge from the dedicated auth RNG —
-// deterministic under a fixed seed, unique within a run, and invisible
-// to the link model's random sequence.
-func (n *Network) nonce() []byte {
-	nonce := make([]byte, transport.NonceSize)
-	n.authRng.Read(nonce)
-	return nonce
 }
 
 // Deregister detaches all of a server's endpoints, handlers and its
@@ -334,8 +222,12 @@ func (n *Network) Transport(id types.ServerID) transport.Transport {
 }
 
 // Listen binds one server the way a deployed node is bound to its
-// listener (deploy.Network): cfg's endpoints, call handlers, authenticator
-// and scorer, registered for cfg.Self. While the scorer is registered, the
+// listener (deploy.Network): cfg's endpoints, call handlers and scorer,
+// registered for cfg.Self. It ignores cfg.Auth: every simulated link is
+// trusted, because the network fixes each handle's sender id, and a block's
+// author is proven by its signature (Definition 3.3(i)), not by the link.
+// Proving who is at the far end of a connection is tcpnet's, which does it
+// on every connection. While the scorer is registered, the
 // network refuses traffic on any link where one endpoint has banned the
 // other: sends are dropped (counted in Stats.BanDrops) and calls fail with
 // transport.ErrUnreachable, as the TCP transport tears down and refuses
@@ -348,7 +240,6 @@ func (n *Network) Listen(cfg tcpnet.Config) *Link {
 	for ch, h := range cfg.Handlers {
 		n.RegisterHandler(cfg.Self, ch, h)
 	}
-	n.RegisterAuth(cfg.Self, cfg.Auth)
 	n.scorers[cfg.Self] = cfg.Scores
 	return &Link{handle: handle{net: n, id: cfg.Self}}
 }
@@ -428,12 +319,6 @@ func (h *handle) Send(to types.ServerID, ch transport.Channel, payload []byte) {
 		n.stats.BanDrops++
 		return
 	}
-	if !n.authenticate(h.id, to) {
-		// The link never establishes: an unproven or non-roster sender's
-		// payloads are refused before any parse, exactly as on tcpnet.
-		n.stats.Dropped++
-		return
-	}
 	from := h.id
 	// Copy at the boundary, as a socket does: one frame goes to many peers
 	// and each receiver owns what it is delivered (transport.Endpoint) —
@@ -486,10 +371,6 @@ func (h *handle) Call(to types.ServerID, ch transport.Channel, req []byte, sink 
 		// the same explicit failure as a partitioned peer.
 		n.stats.BanDrops++
 		fail(transport.ErrUnreachable)
-	case !n.authenticate(h.id, to):
-		// Mirrors tcpnet: a call on an unauthenticatable link fails
-		// explicitly, before the request reaches any handler.
-		fail(transport.ErrAuthFailed)
 	default:
 		from := h.id
 		data := append([]byte(nil), req...)

@@ -67,13 +67,10 @@
 // authentication: an incompatible peer is told ErrVersionMismatch, never
 // ErrAuthFailed, so operators fix the right problem.
 //
-// Both implementations enforce the same seam: tcpnet runs the exchange as
-// handshake frames on every connection (and will not listen without an
-// Authenticator); simnet runs it through the registered Authenticators at
-// link establishment (cached per server generation, so a restarted server
-// re-proves itself), which lets cluster tests drive byzantine identity
-// scenarios deterministically. Failures surface as ErrAuthFailed on calls,
-// silent drops plus rejection counters on fire-and-forget sends.
+// Only tcpnet runs this exchange: as handshake frames on every connection,
+// with no cached verdict, and it will not listen without an Authenticator.
+// Failures surface as ErrAuthFailed on calls, and as silent drops plus
+// rejection counters on fire-and-forget sends.
 //
 // The handshake authenticates connection establishment only: subsequent
 // frames carry no session MAC and no encryption, so an on-path attacker
@@ -85,12 +82,12 @@
 // (TLS, WireGuard); the handshake then still pins which roster member is
 // at the far end.
 //
-// Without an Authenticator the transport trusts the claimed ServerID, as
-// the seed reproduction did: block signatures still gate everything that
-// enters the DAG, so a misattributed link wastes bandwidth rather than
-// corrupting state — but byzantine-behaviour attribution (equivocation
-// proofs naming a server) is only meaningful when connections prove
-// their origin, so production deployments should always configure one.
+// simnet trusts the claimed ServerID: it ignores the Authenticator, and
+// the simulator itself fixes each handle's sender id. The paper puts
+// authorship in the block, not the link (every block is signed, and
+// Assumption 1 asks only for reliable links between correct servers), so
+// a simulated byzantine server is one that signs bad blocks, never one
+// that forges a link identity.
 //
 // Two implementations ship with the repository: package simnet, a
 // deterministic discrete-event simulator used by tests, benchmarks and

@@ -99,9 +99,9 @@ const authDomain = "blockdag/transport-auth/1"
 // single-use.
 //
 // prover is the server producing the signature, verifier the server that
-// issued the nonce and will check it. Both transports (tcpnet, simnet)
-// and the handshake tests build the signed message through this one
-// function, so they can never drift apart.
+// issued the nonce and will check it. tcpnet and the handshake tests
+// build the signed message through this one function, so they can never
+// drift apart.
 func AuthContext(version uint16, kind byte, ch Channel, nonce []byte, prover, verifier types.ServerID) []byte {
 	w := wire.NewWriter(len(authDomain) + 16 + len(nonce))
 	w.String(authDomain)
