@@ -430,6 +430,19 @@ heap-profile:
 cpu-profile:
 	bash scripts/cpu-profile.sh $(WORKLOAD) $(SECONDS)
 
+# PARENT and PAIRS pick bench-pairs' comparison; WORKLOAD and SECONDS its runs.
+PAIRS ?= 10
+
+.PHONY: bench-pairs
+# bench-pairs is the ruler for a performance claim: PAIRS alternating pairs
+# of dagbench runs (bench/run.sh -workload WORKLOAD), this tree against
+# PARENT checked out with git worktree under .bench_build/pairs, and each
+# end-to-end metric's median, quartiles and pair wins. bench/ is not
+# touched.
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [WORKLOAD=sparse] [PAIRS=10] [SECONDS=20]" >&2; exit 2; }
+	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SECONDS)
+
 .PHONY: bench
 # bench runs the Go microbenchmarks with allocation counts, for a human
 # to read. Nothing gates on them: the ruler for a performance claim is

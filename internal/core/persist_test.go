@@ -12,6 +12,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/evidence"
+	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
@@ -113,6 +114,44 @@ func TestPersistFailureWithholdsBroadcast(t *testing.T) {
 	}
 	if tr.sends != sentWhileHealthy {
 		t.Fatal("unhealthy server sent to the network")
+	}
+}
+
+// TestWithheldBlockDrainsWithoutEmbedding: mempool_drained_total and
+// dag_requests_embedded_total count two events. A block the persistence sink
+// fails on drains its requests from the pool and embeds none: it never
+// leaves the server, and they are requeued. After one healthy block and one
+// withheld, each of one request, the pool has drained two and the server
+// embedded one.
+func TestWithheldBlockDrainsWithoutEmbedding(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, m := &flakyJournal{}, &metrics.Metrics{}
+	srv, err := core.NewServer(core.Config{
+		Roster: roster, Signer: signers[0], Protocol: brb.Protocol{},
+		Transport: &recordingTransport{self: 0}, Clock: func() time.Duration { return 0 }, Metrics: m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SetJournal(disk); err != nil {
+		t.Fatal(err)
+	}
+	srv.Request("sent", []byte("v"))
+	if err := srv.Disseminate(); err != nil {
+		t.Fatal(err)
+	}
+	disk.fail = errors.New("disk full")
+	srv.Request("withheld", []byte("w"))
+	if err := srv.Disseminate(); err == nil {
+		t.Fatal("a failing sink did not withhold the block")
+	}
+	pool := srv.Mempool().Stats()
+	embedded := m.Get(metrics.RequestsEmbedded)
+	if pool.Drained != 2 || pool.Requeued != 1 || embedded != 1 {
+		t.Fatalf("drained %d, requeued %d, embedded %d: want 2, 1 and 1", pool.Drained, pool.Requeued, embedded)
 	}
 }
 

@@ -51,7 +51,7 @@ type Counters = metrics.Metrics
 var Families metrics.Table
 
 var (
-	Signed   = Families.Counter("crypto_signed_total", "Ed25519 sign operations.")
+	Signed   = Families.Counter("crypto_signed_total", "Ed25519 sign operations: own blocks (dag_blocks_built_total) and the state commit of each snapshot meta served; transport handshakes are not counted.")
 	Verified = Families.Counter("crypto_verified_total", "Ed25519 verify operations.")
 )
 

@@ -285,3 +285,40 @@ func BenchmarkE12_DeepDAG(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkInboxByN is what one materialized message costs the interpreter
+// at n = 4, 10 and 31, ROADMAP item 20's ruler: one block of
+// block.MaxRequests BRB requests, then six all-to-all rounds, interpreted
+// from scratch (each instance is 2n² messages). It reports ns and
+// allocations a message.
+func BenchmarkInboxByN(b *testing.B) {
+	for _, n := range []int{4, 10, 31} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			h := dagtest.NewHarness(n)
+			h.Round(map[int][]block.Request{0: dagtest.Wide(block.MaxRequests)})
+			for range 6 {
+				h.Round(nil)
+			}
+			var msgs int64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := &metrics.Metrics{}
+				it := New(brb.Protocol{}, n, (n-1)/3, nil, WithMetrics(m))
+				if err := it.InterpretDAG(h.DAG); err != nil {
+					b.Fatal(err)
+				}
+				msgs = m.Get(metrics.MsgsMaterialized)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if want := int64(2 * n * n * block.MaxRequests); msgs != want {
+				b.Fatalf("%d messages materialized, want 2n² for each of %d instances: %d", msgs, block.MaxRequests, want)
+			}
+			per := float64(b.N) * float64(msgs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/msg")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/msg")
+		})
+	}
+}

@@ -269,7 +269,7 @@ var (
 	duplicates = Families.Counter("mempool_duplicates_total", "Submissions dropped as duplicates.")
 	invalid    = Families.Counter("mempool_invalid_total", "Submissions rejected by validation.")
 	overflow   = Families.Counter("mempool_overflow_total", "Submissions refused with ErrFull.")
-	drained    = Families.Counter("mempool_drained_total", "Requests handed to block production.")
+	drained    = Families.Counter("mempool_drained_total", "Requests handed to block production, those of a block withheld on a persist failure included: they are requeued, and dag_requests_embedded_total counts none of them.")
 	requeued   = Families.Counter("mempool_requeued_total", "Requests returned after a withheld broadcast.")
 	depth      = Families.Gauge("mempool_depth", "Current queue length.")
 	peakDepth  = Families.Gauge("mempool_peak_depth", "Maximum queue length so far.")

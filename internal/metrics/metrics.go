@@ -143,7 +143,7 @@ func (m *Metrics) Get(id ID) int64 {
 var Families Table
 
 var (
-	BlocksBuilt       = Families.Counter("dag_blocks_built_total", "Blocks this server built and disseminated.")
+	BlocksBuilt       = Families.Counter("dag_blocks_built_total", "Blocks this server built and signed, one withheld on a persist failure included; crypto_signed_total also counts the snapshot commits it serves.")
 	BlocksReceived    = Families.Counter("dag_blocks_received_total", "Blocks received from the network.")
 	BlocksInserted    = Families.Counter("dag_blocks_inserted_total", "Blocks inserted into the local DAG; each is interpreted once.")
 	BlocksDuplicate   = Families.Counter("dag_blocks_duplicate_total", "Received blocks already known.")
@@ -152,7 +152,7 @@ var (
 	FwdRequestsServed = Families.Counter("dag_fwd_requests_served_total", "FWD requests answered with a block.")
 	WireMessages      = Families.Counter("dag_wire_messages_total", "Network sends (blocks plus FWD traffic).")
 	WireBytes         = Families.Counter("dag_wire_bytes_total", "Payload bytes handed to the transport.")
-	RequestsEmbedded  = Families.Counter("dag_requests_embedded_total", "(label, request) pairs written into own blocks.")
+	RequestsEmbedded  = Families.Counter("dag_requests_embedded_total", "(label, request) pairs written into own blocks that went out; a block withheld on a persist failure embeds none, though mempool_drained_total counts its requests.")
 	MsgsMaterialized  = Families.Counter("dag_msgs_materialized_total", "Protocol messages simulated by interpretation, never sent.")
 	Indications       = Families.Counter("dag_indications_total", "Indications surfaced by interpretation.")
 	OwnBlockRefs      = Families.Counter("dag_own_block_refs_total", "References cited by own blocks; divide by dag_blocks_built_total for references per block.")

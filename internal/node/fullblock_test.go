@@ -246,9 +246,12 @@ func citesHead(nd *Node, ref block.Ref) bool {
 
 // TestPeersFullBlockIsAnswered: a stepped node answers a peer's full block
 // with an own block in the delivery turn that inserts it, citing it — by
-// payload, and by block.MaxRequests requests. A second full block within the same
-// period is not answered; one after the period is.
+// payload, and by block.MaxRequests requests. Answers are half a period
+// apart: a second full block within half a period of an answer is not
+// answered, one half a period after it is, and a third inside that half
+// period is not, so a node answers at most twice a period.
 func TestPeersFullBlockIsAnswered(t *testing.T) {
+	const half = time.Hour / 2 // fullTestNode's DisseminateEvery, halved
 	var now time.Duration
 	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
 	full1, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio))
@@ -258,18 +261,23 @@ func TestPeersFullBlockIsAnswered(t *testing.T) {
 		t.Fatal("the answer does not cite the full block")
 	}
 
-	now += time.Hour - 1
+	now += half - 1
 	_, msgs = peerBlock(t, signers[2], nil, sixteenths("s2", fullBlockRatio))
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, "a second full block within the period")
+	wantAnswers(t, m, 1, "a second full block within half a period")
 
 	now++
 	full3, msgs := peerBlock(t, signers[3], nil, sixteenths("s3", fullBlockRatio))
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 2, "a full block a period after the answer")
+	wantAnswers(t, m, 2, "a full block half a period after the answer")
 	if !citesHead(nd, full3.Ref()) {
 		t.Fatal("the second answer does not cite its full block")
 	}
+
+	now += half - 1
+	_, msgs = peerBlock(t, signers[1], full1, sixteenths("s1b", fullBlockRatio))
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 2, "a third full block within the period")
 
 	nd, m, signers = fullTestNodeOn(t, func() time.Duration { return 0 })
 	reqs := countFull()

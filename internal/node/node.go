@@ -18,11 +18,12 @@
 // (Config.DisseminateEvery); a mempool holding a full block — payload of
 // fullBlockRatio times a block's fixed bytes, or block.MaxRequests
 // requests; or a delivery that inserted another builder's full block, by
-// the same measure, answered at most once a period. The last two only fire under load. Every
-// block the second adds pays for itself: it adds at most 1/16 to wire and
-// disk. The third adds at most one block a period, however many peers send
-// full blocks. Their gain is latency: a loaded builder embeds sooner, and
-// its peers echo its requests and send their READYs at its cadence, not
+// the same measure, answered at most twice a period (half a period apart).
+// The last two only fire under load. Every block the second adds pays for
+// itself: it adds at most 1/16 to wire and disk. The third adds at most two
+// blocks a period, however many peers send full blocks. Their gain is
+// latency: a loaded builder embeds sooner, and its peers echo its requests
+// and send their READYs at its cadence, up to two full blocks a period, not
 // their own tick's.
 //
 // Catch-up is FWD and one pull, PullFrom — tell a peer what this node holds,
@@ -96,8 +97,8 @@ type Config struct {
 	// DisseminateEvery is the block production period (default 50ms): the
 	// tick that builds a block whatever the mempool holds. A mempool holding
 	// a full block seals one sooner (DisseminateIfFull), a peer's full block
-	// is answered at once, at most once a period (DeliverBurst), and the tick
-	// keeps its phase.
+	// is answered at once, at most once every half period (DeliverBurst), and the
+	// tick keeps its phase.
 	DisseminateEvery time.Duration
 	// Store, if non-nil, makes the server durable: New installs it as the
 	// server's journal (core.Server.SetJournal: the head's proofs are

@@ -54,7 +54,7 @@ func (n *Node) disseminate() bool {
 // holds before its tick (DisseminateIfFull), and answers a peer's full block
 // at once (answerFull). An early block carries at least 16 times what it
 // costs beyond its payload, so the first rule adds at most 1/16 to wire and
-// disk, whatever the load; the second adds at most one block a period.
+// disk, whatever the load; the second adds at most two blocks a period.
 const fullBlockRatio = 16
 
 // blockFixedBytes is what a block costs beyond its payload in a roster of n:
@@ -98,16 +98,20 @@ func (n *Node) poolFull() bool {
 // builder's full block, seal an own block now through Disseminate, under its
 // guards, instead of waiting for the tick. Its references carry this node's
 // echo of the full block's requests, and later its READYs: the rounds every
-// request in it waits for. A node answers at most once a DisseminateEvery, timed between
-// answers on the server's clock, however many peers send full blocks: at
-// most one block a period more. A buffered block (missing predecessors)
-// counts only in the burst that inserts it; a pulled one never does.
+// request in it waits for. Answers are spaced half a DisseminateEvery apart,
+// timed on the server's clock, however many peers send full blocks: every
+// full block of a builder that fills up to two a period is answered, and a
+// node builds at most two blocks a period more than its tick's. Each answer
+// costs every peer a signature check, so the spacing is what keeps a
+// Byzantine full-block sender from making a correct node build without
+// bound. A buffered block (missing predecessors) counts only in the burst
+// that inserts it; a pulled one never does.
 func (n *Node) answerFull(from int) {
 	now := n.cfg.Server.Now()
 	if now < n.nextAnswer || !n.insertedFull(from) || !n.disseminate() {
 		return
 	}
-	n.nextAnswer = now + n.cfg.DisseminateEvery
+	n.nextAnswer = now + n.cfg.DisseminateEvery/2
 	n.cfg.Server.Counts().Add(metrics.BlocksAnswered, 1)
 }
 

@@ -626,6 +626,35 @@ func TestServeSnapshotOnlyWhileARuntimeIsRegistered(t *testing.T) {
 	}
 }
 
+// TestServedSnapMetaSignsWithoutBuilding: crypto_signed_total and
+// dag_blocks_built_total count two events. Every snapshot meta a node serves
+// signs its head's commit afresh, with the key its blocks are signed with,
+// and builds no block: three metas served are three signatures. (A
+// transport handshake's proof is not counted: roster.TestAuthProvesAndVerifies.)
+func TestServedSnapMetaSignsWithoutBuilding(t *testing.T) {
+	var sigs crypto.Counters
+	_, signers, err := crypto.LocalRosterWithCounters(4, &sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix := buildSnapFixture(t, 8, 3)
+	net := simnet.New(simnet.WithSeed(5))
+	net.RegisterHandler(0, transport.ChanSync, snapServer(t, signers[0], fix.head(fix.chunks)))
+	for range 3 {
+		q := syncsvc.NewSnapMetaQuery()
+		net.Transport(1).Call(0, transport.ChanSync, syncsvc.EncodeSnapMetaRequest(), q)
+		if !runUntil(net, q.Done) {
+			t.Fatal("meta query did not finish")
+		}
+		if m, err := q.Result(); err != nil || !m.Has {
+			t.Fatalf("meta %+v, err %v: want the served head", m, err)
+		}
+	}
+	if got := sigs.Get(crypto.Signed); got != 3 {
+		t.Fatalf("three metas served signed %d times, want 3", got)
+	}
+}
+
 // TestFetchSnapshotIgnoresARelayedCommit: a peer that serves another's
 // signed commit as its own does not count toward the certificate. s0 signs
 // the true commit but serves a consistent lie, s1 relays s0's signature
