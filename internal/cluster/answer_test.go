@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"blockdag/internal/block"
-	"blockdag/internal/deploy"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/types"
@@ -16,40 +15,29 @@ import (
 // TestPeersAnswerAFullBuilder: builder 0 alone is loaded, twice
 // block.MaxRequests a round, so every round it seals two blocks full by
 // their request count, at its tick; its peers answer each round's first one
-// in the turn that delivers it, instead of at their own tick, and the
-// second, which arrives within half an interval of the first, not. The
-// rounds an indication takes at builder 0 — its own blocks between the one
-// embedding a request and the one indicating it, as dagbench's
-// dag.rounds_to_indication counts them — are pinned. A load that never
-// fills a block answers nothing.
+// in the turn that delivers it, instead of at their own tick, and builder 0,
+// under load, answers their answers. The virtual time from a round's
+// submission to builder 0's indication of each of its requests is pinned at
+// p50 and p95. A load that never fills a block answers nothing.
 func TestPeersAnswerAFullBuilder(t *testing.T) {
 	const (
 		n        = 4
 		rounds   = 40
 		interval = 200 * time.Millisecond
 	)
-	var c *Cluster
-	indicatedAt := make(map[types.Label]uint64) // builder 0's own blocks when it indicated the label
-	opts := Options{N: n, Protocol: brb.Protocol{}, Seed: 3, Interval: interval}
-	opts.slot = func(i int, cfg *deploy.Config) {
-		if i != 0 {
-			return
-		}
-		record := cfg.OnIndication
-		cfg.OnIndication = func(label types.Label, value []byte) {
-			record(label, value)
-			indicatedAt[label] = c.Servers[0].DAG().Head(0).Next
-		}
-	}
-	var err error
-	if c, err = New(opts); err != nil {
+	c, err := New(Options{N: n, Protocol: brb.Protocol{}, Seed: 3, Interval: interval})
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer stopAll(c)
+	submitted := make(map[types.Label]time.Duration)
 	for r := 0; r < rounds; r++ {
-		c.Net.After(time.Duration(r)*interval, func() {
+		at := time.Duration(r) * interval
+		c.Net.After(at, func() {
 			for k := range 2 * block.MaxRequests {
-				c.Request(0, types.Label(fmt.Sprintf("full/%d/%d", r, k)), []byte{byte(k)})
+				label := types.Label(fmt.Sprintf("full/%d/%d", r, k))
+				submitted[label] = at
+				c.Request(0, label, []byte{byte(k)})
 			}
 		})
 	}
@@ -57,34 +45,38 @@ func TestPeersAnswerAFullBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var took []int
-	for _, b := range c.Servers[0].DAG().ByBuilder(0) {
-		for _, rq := range b.Requests {
-			if at, ok := indicatedAt[rq.Label]; ok {
-				took = append(took, int(at-(b.Seq+1)))
-			}
-		}
+	var took []time.Duration
+	for _, ind := range c.Indications(0) {
+		took = append(took, ind.At-submitted[ind.Label])
 	}
 	if want := (rounds - 2) * 2 * block.MaxRequests; len(took) < want {
 		t.Fatalf("builder 0 indicated %d of its requests, want all of the first %d rounds' %d", len(took), rounds-2, want)
 	}
 	slices.Sort(took)
 	p50, p95 := took[len(took)/2], took[len(took)*95/100]
-	var answered []int64
+	var full, progress []int64
 	for _, m := range c.Metrics {
-		answered = append(answered, m.Get(metrics.BlocksAnswered))
+		full = append(full, m.Get(metrics.BlocksAnsweredFull))
+		progress = append(progress, m.Get(metrics.BlocksAnsweredProgress))
 	}
-	t.Logf("rounds to indication p50 %d p95 %d max %d; answered by slot %v; builder 0 built %d",
-		p50, p95, took[len(took)-1], answered, c.Metrics[0].Get(metrics.BlocksBuilt))
-	// Builder 0 seals two blocks a round, at its tick. Without the answer
-	// rule an indication takes 6 of them at p50 and p95: three rounds.
-	if most := took[len(took)-1]; p50 != 4 || p95 != 4 || most != 5 {
-		t.Fatalf("an indication took %d own blocks at p50, %d at p95, %d at most, want 4, 4 and 5", p50, p95, most)
+	t.Logf("submission to indication p50 %v p95 %v max %v; answered full %v, progress %v; builder 0 built %d",
+		p50, p95, took[len(took)-1], full, progress, c.Metrics[0].Get(metrics.BlocksBuilt))
+	// Builder 0 seals two blocks a round, at its tick, which the rounds'
+	// submissions precede. Without the answer rule an indication takes three
+	// rounds, 600 ms, at p50 and p95.
+	if p50 != 400*time.Millisecond || p95 != 400*time.Millisecond {
+		t.Fatalf("an indication took %v at p50, %v at p95, want 400ms and 400ms", p50, p95)
 	}
-	// Answers half an interval apart: every round's first full block is
-	// answered at every peer, its second not.
-	if answered[0] != 0 || slices.Min(answered[1:]) != rounds || slices.Max(answered) != rounds {
-		t.Fatalf("answered %v: want none by the loaded builder, %d, one a round, by each peer", answered, rounds)
+	// The longest wait was three rounds before builder 0 answered too.
+	if most := took[len(took)-1]; most != 400*time.Millisecond {
+		t.Fatalf("an indication took %v at most, want 400ms", most)
+	}
+	// Every round's first full block is answered at every peer, and a
+	// second one when the window allows; builder 0, under load, answers
+	// their answers once a round, a third block a round beside its two.
+	if !slices.Equal(full, []int64{0, 41, 41, 41}) || progress[0] != rounds || c.Metrics[0].Get(metrics.BlocksBuilt) != 3*rounds {
+		t.Fatalf("answered full %v, progress %v, builder 0 built %d: want full [0 41 41 41], builder 0 answering progress %d times of %d blocks",
+			full, progress, c.Metrics[0].Get(metrics.BlocksBuilt), rounds, 3*rounds)
 	}
 
 	c, err = New(Options{N: n, Protocol: brb.Protocol{}, Seed: 3, Interval: interval, LoadPerRound: 2})
@@ -96,7 +88,7 @@ func TestPeersAnswerAFullBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range c.Metrics {
-		if got := m.Get(metrics.BlocksAnswered); got != 0 {
+		if got := m.Get(metrics.BlocksAnsweredFull) + m.Get(metrics.BlocksAnsweredProgress); got != 0 {
 			t.Fatalf("slot %d answered %d blocks of a load that never fills one", i, got)
 		}
 	}
@@ -106,8 +98,9 @@ func TestPeersAnswerAFullBuilder(t *testing.T) {
 // every whole interval (its tick) and every half interval (a stepped
 // DisseminateIfFull), over links without jitter, so its full blocks reach
 // each peer exactly half an interval apart. Every peer answers every one of
-// them: answers half an interval apart keep up with a builder that fills two
+// them: two answers an interval keep up with a builder that fills two
 // blocks an interval, where answers an interval apart took one in two.
+// Builder 0, under load, answers its peers' answers to each of them.
 func TestPeersAnswerTwoFullBlocksAnInterval(t *testing.T) {
 	const (
 		n        = 4
@@ -147,13 +140,21 @@ func TestPeersAnswerTwoFullBlocksAnInterval(t *testing.T) {
 	if full != 2*rounds {
 		t.Fatalf("builder 0 sealed %d full blocks, want two a round, %d", full, 2*rounds)
 	}
+	var progress []int64
 	for i, m := range c.Metrics {
 		want := int64(full)
 		if i == 0 {
 			want = 0
 		}
-		if got := m.Get(metrics.BlocksAnswered); got != want {
+		if got := m.Get(metrics.BlocksAnsweredFull); got != want {
 			t.Fatalf("slot %d answered %d of builder 0's %d full blocks, want %d", i, got, full, want)
 		}
+		progress = append(progress, m.Get(metrics.BlocksAnsweredProgress))
+	}
+	// Builder 0 is under load throughout and answers its peers' answers
+	// to each of its full blocks, half an interval apart; the peers spend
+	// their window on the full blocks.
+	if !slices.Equal(progress, []int64{2 * rounds, 0, 0, 0}) {
+		t.Fatalf("answered progress %v, want [%d 0 0 0]", progress, 2*rounds)
 	}
 }

@@ -44,11 +44,13 @@ import (
 	"blockdag/internal/types"
 )
 
-// Indication is one indication observed at a correct server.
+// Indication is one indication observed at a correct server, at virtual
+// time At.
 type Indication struct {
 	Server types.ServerID
 	Label  types.Label
 	Value  []byte
+	At     time.Duration
 }
 
 // Options configures a cluster.
@@ -209,7 +211,7 @@ func (c *Cluster) up(slot int) error {
 		Identity: identity,
 		Protocol: c.opts.Protocol,
 		OnIndication: func(label types.Label, value []byte) {
-			c.inds[slot] = append(c.inds[slot], Indication{Server: id, Label: label, Value: value})
+			c.inds[slot] = append(c.inds[slot], Indication{Server: id, Label: label, Value: value, At: c.Net.Now()})
 		},
 		DisseminateEvery: c.opts.Interval,
 		MempoolCapacity:  c.opts.MempoolCapacity,

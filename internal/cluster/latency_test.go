@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"blockdag/internal/deploy"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/types"
@@ -100,24 +99,9 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64) scheduleRun {
 	t.Helper()
 	const n = 4
-	var c *Cluster
-	indicatedAt := make(map[types.Label]time.Duration)
-	opts := Options{N: n, Protocol: brb.Protocol{}, Seed: seed, Interval: wl.period,
-		Latency: 100 * time.Microsecond, Jitter: 50 * time.Microsecond}
-	opts.slot = func(i int, cfg *deploy.Config) {
-		if i != 0 {
-			return
-		}
-		record := cfg.OnIndication
-		cfg.OnIndication = func(label types.Label, value []byte) {
-			record(label, value)
-			if _, ok := indicatedAt[label]; !ok {
-				indicatedAt[label] = c.Net.Now()
-			}
-		}
-	}
-	var err error
-	if c, err = New(opts); err != nil {
+	c, err := New(Options{N: n, Protocol: brb.Protocol{}, Seed: seed, Interval: wl.period,
+		Latency: 100 * time.Microsecond, Jitter: 50 * time.Microsecond})
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer stopAll(c)
@@ -146,6 +130,10 @@ func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64) schedu
 		t.Fatal(err)
 	}
 
+	indicatedAt := make(map[types.Label]time.Duration)
+	for _, ind := range c.Indications(0) {
+		indicatedAt[ind.Label] = ind.At
+	}
 	var took []time.Duration
 	for _, a := range arrivals {
 		if a.due < scheduleWarmup {
@@ -177,9 +165,9 @@ func TestLatencyOnTheProductionSchedule(t *testing.T) {
 			"p50 250.8 ms p90 290.4 ms, 1000 blocks",
 		},
 		"dense": {
-			"p50 231.4 ms p90 302.1 ms, 1074 blocks",
-			"p50 235.9 ms p90 308.9 ms, 1043 blocks",
-			"p50 232.9 ms p90 301.2 ms, 1050 blocks",
+			"p50 185.8 ms p90 256.8 ms, 1389 blocks",
+			"p50 187.5 ms p90 257.8 ms, 1385 blocks",
+			"p50 193.9 ms p90 269.4 ms, 1376 blocks",
 		},
 		"sparse": {
 			"p50 246.1 ms p90 290.3 ms, 1000 blocks",

@@ -69,8 +69,8 @@ func TestUpdatesDoNotAllocate(t *testing.T) {
 }
 
 // TestEveryRowIsRendered walks the table, so a row added to it cannot be
-// missing from the scrape: every row is one sample, under its declared
-// type, holding its value.
+// missing from the scrape: every row is one sample, with its fixed labels,
+// under its family's declared type, holding its value.
 func TestEveryRowIsRendered(t *testing.T) {
 	m := &Metrics{}
 	for id := range Families {
@@ -83,8 +83,21 @@ func TestEveryRowIsRendered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, f := range Families {
-		if want := fmt.Sprintf("# TYPE %s %s\n%s %d\n", f.Name, f.Kind, f.Name, 100+10*id); !strings.Contains(scrape.String(), want) {
-			t.Errorf("scrape lacks %q", want)
+		var labels []string
+		for _, kv := range f.Labels {
+			labels = append(labels, fmt.Sprintf("%s=%q", kv[0], kv[1]))
+		}
+		sample := f.Name
+		if len(labels) > 0 {
+			sample += "{" + strings.Join(labels, ",") + "}"
+		}
+		for _, want := range []string{
+			fmt.Sprintf("# TYPE %s %s\n", f.Name, f.Kind),
+			fmt.Sprintf("\n%s %d\n", sample, 100+10*id),
+		} {
+			if !strings.Contains(scrape.String(), want) {
+				t.Errorf("scrape lacks %q", want)
+			}
 		}
 	}
 }
@@ -115,11 +128,14 @@ func TestTableDeclaration(t *testing.T) {
 }
 
 // TestFamilyNamesUnique: within the core table no Prometheus name is
-// declared twice (With rows aside, which it has none of).
+// declared twice, With rows aside: each follows a row of its family and
+// differs from it in its label's value only.
 func TestFamilyNamesUnique(t *testing.T) {
 	names := map[string]bool{}
-	for _, f := range Families {
-		if names[f.Name] || f.Name == "" || f.Help == "" {
+	for id, f := range Families {
+		with := id > 0 && Families[id-1].Name == f.Name && len(f.Labels) == 1 && len(Families[id-1].Labels) == 1 &&
+			f.Labels[0][0] == Families[id-1].Labels[0][0] && f.Labels[0][1] != Families[id-1].Labels[0][1]
+		if (names[f.Name] && !with) || f.Name == "" || f.Help == "" {
 			t.Fatalf("row %+v repeats a name, or lacks one or its help", f)
 		}
 		names[f.Name] = true

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -227,12 +228,15 @@ func peerBlock(t *testing.T, signer *crypto.Signer, parent *block.Block, reqs []
 	return b, []gossip.Message{{From: signer.ID(), Payload: gossip.EncodeBlockMsg(b)}}
 }
 
-// wantAnswers checks that m counted answered own blocks, and every block
-// built is one.
-func wantAnswers(t *testing.T, m *metrics.Metrics, answered int64, why string) {
+// wantAnswers checks that m counted full and progress answers, and that
+// every block built beyond the full seals is one.
+func wantAnswers(t *testing.T, m *metrics.Metrics, full, progress int64, why string) {
 	t.Helper()
-	if built, got := m.Get(metrics.BlocksBuilt), m.Get(metrics.BlocksAnswered); built != answered || got != answered {
-		t.Fatalf("%s: built %d blocks (%d answered), want %d (%d)", why, built, got, answered, answered)
+	built := m.Get(metrics.BlocksBuilt) - m.Get(metrics.BlocksSealedFull)
+	gotFull, gotProgress := m.Get(metrics.BlocksAnsweredFull), m.Get(metrics.BlocksAnsweredProgress)
+	if built != full+progress || gotFull != full || gotProgress != progress {
+		t.Fatalf("%s: built %d blocks beyond full seals (%d answered full, %d progress), want %d (%d, %d)",
+			why, built, gotFull, gotProgress, full+progress, full, progress)
 	}
 }
 
@@ -246,47 +250,49 @@ func citesHead(nd *Node, ref block.Ref) bool {
 
 // TestPeersFullBlockIsAnswered: a stepped node answers a peer's full block
 // with an own block in the delivery turn that inserts it, citing it — by
-// payload, and by block.MaxRequests requests. Answers are half a period
-// apart: a second full block within half a period of an answer is not
-// answered, one half a period after it is, and a third inside that half
-// period is not, so a node answers at most twice a period.
+// payload, and by block.MaxRequests requests. Two full blocks within half a
+// period are both answered; a third within the period is not, and one a
+// period after the first answer is: at most two answers in any period.
 func TestPeersFullBlockIsAnswered(t *testing.T) {
-	const half = time.Hour / 2 // fullTestNode's DisseminateEvery, halved
+	const period = time.Hour // fullTestNode's DisseminateEvery
 	var now time.Duration
 	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
 	full1, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio))
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, "a peer's full block")
+	wantAnswers(t, m, 1, 0, "a peer's full block")
 	if !citesHead(nd, full1.Ref()) {
 		t.Fatal("the answer does not cite the full block")
 	}
 
-	now += half - 1
-	_, msgs = peerBlock(t, signers[2], nil, sixteenths("s2", fullBlockRatio))
+	now = period/2 - 1
+	full2, msgs := peerBlock(t, signers[2], nil, sixteenths("s2", fullBlockRatio))
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, "a second full block within half a period")
-
-	now++
-	full3, msgs := peerBlock(t, signers[3], nil, sixteenths("s3", fullBlockRatio))
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 2, "a full block half a period after the answer")
-	if !citesHead(nd, full3.Ref()) {
+	wantAnswers(t, m, 2, 0, "a second full block within half a period")
+	if !citesHead(nd, full2.Ref()) {
 		t.Fatal("the second answer does not cite its full block")
 	}
 
-	now += half - 1
-	_, msgs = peerBlock(t, signers[1], full1, sixteenths("s1b", fullBlockRatio))
+	now = period - 1
+	_, msgs = peerBlock(t, signers[3], nil, sixteenths("s3", fullBlockRatio))
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 2, "a third full block within the period")
+	wantAnswers(t, m, 2, 0, "a third full block within the period")
+
+	now = period
+	full4, msgs := peerBlock(t, signers[1], full1, sixteenths("s1b", fullBlockRatio))
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 3, 0, "a full block a period after the first answer")
+	if !citesHead(nd, full4.Ref()) {
+		t.Fatal("the third answer does not cite its full block")
+	}
 
 	nd, m, signers = fullTestNodeOn(t, func() time.Duration { return 0 })
 	reqs := countFull()
 	_, msgs = peerBlock(t, signers[1], nil, reqs[:block.MaxRequests-1])
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 0, "a peer's block one request short of MaxRequests")
+	wantAnswers(t, m, 0, 0, "a peer's block one request short of MaxRequests")
 	_, msgs = peerBlock(t, signers[2], nil, reqs)
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, "a peer's block of MaxRequests requests")
+	wantAnswers(t, m, 1, 0, "a peer's block of MaxRequests requests")
 }
 
 // TestOnlyInsertedPeersFullBlocksAreAnswered: an own full block, a peer's
@@ -306,14 +312,161 @@ func TestOnlyInsertedPeersFullBlocksAreAnswered(t *testing.T) {
 	if !d.Contains(own.Ref()) || !d.Contains(short.Ref()) || d.Contains(buffered.Ref()) {
 		t.Fatal("want the own and the short block inserted, the orphan buffered")
 	}
-	wantAnswers(t, m, 0, "an own, a short and a buffered full block")
+	wantAnswers(t, m, 0, 0, "an own, a short and a buffered full block")
 
 	_, msgs = peerBlock(t, signers[2], nil, nil)
 	nd.DeliverBurst(msgs)
 	if !d.Contains(buffered.Ref()) {
 		t.Fatal("the parent did not insert the buffered block")
 	}
-	wantAnswers(t, m, 1, "the burst that inserted the buffered full block")
+	wantAnswers(t, m, 1, 0, "the burst that inserted the buffered full block")
+}
+
+// peerChains seals the peers' blocks, each after its builder's last one,
+// every request uniquely labeled.
+type peerChains struct {
+	t       *testing.T
+	signers []*crypto.Signer
+	last    map[int]*block.Block
+	tags    int
+}
+
+func newPeerChains(t *testing.T, signers []*crypto.Signer) *peerChains {
+	return &peerChains{t: t, signers: signers, last: make(map[int]*block.Block)}
+}
+
+// next is peer's next block as a gossip message, full or carrying one
+// request of a sixteenth of a full block.
+func (c *peerChains) next(peer int, full bool) (*block.Block, []gossip.Message) {
+	k := 1
+	if full {
+		k = fullBlockRatio
+	}
+	c.tags++
+	b, msgs := peerBlock(c.t, c.signers[peer], c.last[peer], sixteenths(fmt.Sprintf("p%d", c.tags), k))
+	c.last[peer] = b
+	return b, msgs
+}
+
+// TestLoadEndsAPeriodAfterTheLastFullBlock: for a period after a peer's full
+// block, or after sealing a full block of its own, a node answers any peer's
+// block (progress), citing it; from a period after that full block on it
+// answers none, though the window and the spacing would allow one.
+func TestLoadEndsAPeriodAfterTheLastFullBlock(t *testing.T) {
+	const period = time.Hour
+	var now time.Duration
+	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
+	peers := newPeerChains(t, signers)
+	_, msgs := peers.next(1, true)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, 0, "a peer's full block")
+
+	now = period - 1
+	small, msgs := peers.next(2, false)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, 1, "a peer's block within a period of a full one")
+	if !citesHead(nd, small.Ref()) {
+		t.Fatal("the progress answer does not cite the block it answers")
+	}
+	now = period + period/2
+	_, msgs = peers.next(3, false)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, 1, "a peer's block a period and a half after the full one")
+
+	now = 3 * period
+	submitSixteenths(t, nd, 0, fullBlockRatio)
+	if !nd.DisseminateIfFull() {
+		t.Fatal("the pool's full block was not sealed")
+	}
+	now = 4*period - 1
+	_, msgs = peers.next(2, false)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, 2, "a peer's block within a period of an own full block")
+	now = 4*period + period/2
+	_, msgs = peers.next(3, false)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, 2, "a peer's block a period and a half after an own full block")
+}
+
+// TestNoLoadNoAnswer: a node that has neither sealed nor inserted a full
+// block answers no peer block, whenever it arrives.
+func TestNoLoadNoAnswer(t *testing.T) {
+	var now time.Duration
+	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
+	peers := newPeerChains(t, signers)
+	for i := range 12 {
+		_, msgs := peers.next(1+i%3, false)
+		nd.DeliverBurst(msgs)
+		now += time.Hour / 5
+	}
+	wantAnswers(t, m, 0, 0, "peers' blocks short of full, with no load")
+}
+
+// TestAnswersAreTwoAPeriod: bursts at random times a few minutes of an
+// hour's period apart, each inserting a full block of peer 1 and some with
+// a block of peer 2 or 3 beside it. The node is under load throughout and
+// answers, but never more than twice in any period; and since every burst
+// brings a full block, it answers two a period exactly.
+func TestAnswersAreTwoAPeriod(t *testing.T) {
+	const (
+		period = time.Hour
+		bursts = 400
+	)
+	var now time.Duration
+	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
+	peers := newPeerChains(t, signers)
+	rng := rand.New(rand.NewSource(1))
+	var answers []time.Duration
+	for range bursts {
+		_, msgs := peers.next(1, true)
+		if rng.Intn(2) == 0 {
+			_, other := peers.next(2+rng.Intn(2), false)
+			msgs = append(other, msgs...)
+		}
+		built := m.Get(metrics.BlocksBuilt)
+		nd.DeliverBurst(msgs)
+		if m.Get(metrics.BlocksBuilt) > built {
+			answers = append(answers, now)
+		}
+		now += time.Duration(1+rng.Intn(8)) * time.Minute
+	}
+	for i := 2; i < len(answers); i++ {
+		if answers[i]-answers[i-2] < period {
+			t.Fatalf("answers at %v, %v and %v: three within a period", answers[i-2], answers[i-1], answers[i])
+		}
+	}
+	if periods := int(now / period); len(answers) < 2*periods {
+		t.Fatalf("%d answers over %d periods of full blocks, want two a period", len(answers), periods)
+	}
+	wantAnswers(t, m, int64(len(answers)), 0, "a full block in every burst")
+}
+
+// TestSpacingNeverHoldsBackAFullAnswer: a progress answer does not delay a
+// full-block answer within half a period, as it delays another progress
+// answer; the window then holds the next answer back.
+func TestSpacingNeverHoldsBackAFullAnswer(t *testing.T) {
+	var now time.Duration
+	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
+	peers := newPeerChains(t, signers)
+	submitSixteenths(t, nd, 0, fullBlockRatio)
+	if !nd.DisseminateIfFull() {
+		t.Fatal("the pool's full block was not sealed")
+	}
+	now++
+	_, msgs := peers.next(2, false)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 0, 1, "a peer's block under load")
+	now++
+	full, msgs := peers.next(1, true)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, 1, "a peer's full block right after a progress answer")
+	if !citesHead(nd, full.Ref()) {
+		t.Fatal("the answer does not cite the full block")
+	}
+	now++
+	_, msgs = peers.next(1, true)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, 1, "a third answer within the period")
 }
 
 // TestStartedNodeAnswersAFullBlock: a started node's loop answers a peer's
@@ -327,13 +480,13 @@ func TestStartedNodeAnswersAFullBlock(t *testing.T) {
 	submitSixteenths(t, nd, 0, fullBlockRatio/2)
 	_, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio))
 	nd.Deliver(msgs[0].From, msgs[0].Payload)
-	for deadline := time.Now().Add(10 * time.Second); m.Get(metrics.BlocksAnswered) == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); m.Get(metrics.BlocksAnsweredFull) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("no answer within 10s of a peer's full block")
 		}
 	}
 	nd.Stop()
-	wantAnswers(t, m, 1, "a started node")
+	wantAnswers(t, m, 1, 0, "a started node")
 	if embedded := m.Get(metrics.RequestsEmbedded); embedded != fullBlockRatio/2 {
 		t.Fatalf("the answer embedded %d requests, want the %d pending", embedded, fullBlockRatio/2)
 	}

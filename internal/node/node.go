@@ -227,10 +227,11 @@ type Node struct {
 	// full is the full-block wake: Submit, having admitted a request into a
 	// mempool that now holds a full block, leaves a token here for the loop
 	// (DisseminateIfFull). One slot, never waited on: a flood coalesces into
-	// one token. nextAnswer is the earliest a peer's full block is answered
-	// again (answerFull). Owner only.
+	// one token. answeredAt holds when the last two answers went out, older
+	// first, and loadUntil is when the node's load ends (answer). Owner only.
 	full       chan struct{}
-	nextAnswer time.Duration
+	answeredAt [2]time.Duration
+	loadUntil  time.Duration
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -385,6 +386,7 @@ func New(cfg Config) (*Node, error) {
 	// overdue.
 	n.lastFollow = srv.Now()
 	n.lastSeal, n.quietFrom = n.lastFollow, n.lastFollow
+	n.answeredAt = [2]time.Duration{n.lastFollow - cfg.DisseminateEvery, n.lastFollow - cfg.DisseminateEvery}
 	n.broker.endReplay()
 	return n, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"blockdag/internal/block"
 	"blockdag/internal/crypto"
@@ -18,12 +19,12 @@ import (
 
 // DeliverBurst is the delivery turn: one burst of network payloads, its
 // signature checks amortized and its journal writes group-committed
-// (core.Server.DeliverBatch). A burst that inserted a peer's full block is
-// answered in the same turn (answerFull).
+// (core.Server.DeliverBatch). A burst that inserted a peer's full block, or
+// under load any peer's block, may be answered in the same turn (answer).
 func (n *Node) DeliverBurst(batch []gossip.Message) {
 	from := n.cfg.Server.DAG().Len()
 	n.cfg.Server.DeliverBatch(batch)
-	n.answerFull(from)
+	n.answer(from)
 }
 
 // Disseminate is the block turn: seal and broadcast the current block.
@@ -39,22 +40,33 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 // does not know what its peers were shown.
 func (n *Node) Disseminate() { n.disseminate() }
 
-// disseminate is Disseminate, reporting whether a block went out.
+// disseminate is Disseminate, reporting whether a block went out. A full
+// block going out, whichever turn sealed it, puts the node under load for a
+// period (answer).
 func (n *Node) disseminate() bool {
 	if n.ownHeld() < n.ownSeen.Load() || n.follow.First.Outcome == FirstPending {
 		return false
 	}
+	d := n.cfg.Server.DAG()
+	row := len(d.Base()) + d.Len() // where the own block lands
 	err := n.cfg.Server.Disseminate()
 	n.recordErr(err)
-	return err == nil
+	if err != nil {
+		return false
+	}
+	if b, rerr := d.ReadRow(row); rerr == nil && n.blockFull(b) {
+		n.loadUntil = n.cfg.Server.Now() + n.cfg.DisseminateEvery
+	}
+	return true
 }
 
 // fullBlockRatio is how many times a block's fixed bytes (blockFixedBytes)
 // of payload make a block full (isFull). A node seals a full block its mempool
-// holds before its tick (DisseminateIfFull), and answers a peer's full block
-// at once (answerFull). An early block carries at least 16 times what it
-// costs beyond its payload, so the first rule adds at most 1/16 to wire and
-// disk, whatever the load; the second adds at most two blocks a period.
+// holds before its tick (DisseminateIfFull), answers a peer's full block at
+// once, and for a period after either answers its peers' progress too
+// (answer). An early block carries at least 16 times what it costs beyond
+// its payload, so the first rule adds at most 1/16 to wire and disk,
+// whatever the load; the answers add at most two blocks a period.
 const fullBlockRatio = 16
 
 // blockFixedBytes is what a block costs beyond its payload in a roster of n:
@@ -63,10 +75,19 @@ const fullBlockRatio = 16
 func blockFixedBytes(n int) int { return crypto.SignatureSize + 16 + crypto.HashSize*(n+1) }
 
 // isFull is the one definition of a full block, pending in the mempool or
-// built by a peer: payload (labels and data) of fullBlockRatio times a
-// block's fixed bytes, or block.MaxRequests requests.
+// built: payload (labels and data) of fullBlockRatio times a block's fixed
+// bytes, or block.MaxRequests requests.
 func (n *Node) isFull(payload, requests int) bool {
 	return payload >= fullBlockRatio*blockFixedBytes(n.cfg.Server.Roster().N()) || requests >= block.MaxRequests
+}
+
+// blockFull is isFull of a built block.
+func (n *Node) blockFull(b *block.Block) bool {
+	payload := 0
+	for _, rq := range b.Requests {
+		payload += len(rq.Label) + len(rq.Data)
+	}
+	return n.isFull(payload, len(b.Requests))
 }
 
 // DisseminateIfFull is the full-block turn: if the mempool holds a full
@@ -93,50 +114,69 @@ func (n *Node) poolFull() bool {
 	return n.isFull(pool.Bytes(), pool.Len())
 }
 
-// answerFull is the answer rule, the end of a delivery turn: if the DAG's
-// blocks from the from-th on — those the burst inserted — include another
-// builder's full block, seal an own block now through Disseminate, under its
-// guards, instead of waiting for the tick. Its references carry this node's
-// echo of the full block's requests, and later its READYs: the rounds every
-// request in it waits for. Answers are spaced half a DisseminateEvery apart,
-// timed on the server's clock, however many peers send full blocks: every
-// full block of a builder that fills up to two a period is answered, and a
-// node builds at most two blocks a period more than its tick's. Each answer
-// costs every peer a signature check, so the spacing is what keeps a
-// Byzantine full-block sender from making a correct node build without
-// bound. A buffered block (missing predecessors) counts only in the burst
-// that inserts it; a pulled one never does.
-func (n *Node) answerFull(from int) {
-	now := n.cfg.Server.Now()
-	if now < n.nextAnswer || !n.insertedFull(from) || !n.disseminate() {
+// answer is the answer rule, the end of a delivery turn: it seals an own
+// block now through Disseminate, under its guards, instead of waiting for
+// the tick, when the DAG's blocks from the from-th on — those the burst
+// inserted — include
+//
+//   - another builder's full block (reason full), or
+//   - while the node is under load, any block of another builder (reason
+//     progress).
+//
+// A node is under load for one DisseminateEvery after it sealed a full
+// block, whichever turn sealed it, or inserted a peer's. The answer's
+// references carry this node's echo of the requests it has seen and its
+// READYs: under load a builder answers its peers' echoes with its READYs,
+// and they answer back, at the loaded cadence instead of their ticks'.
+// Without a full block there is no load, and nothing is answered.
+//
+// The bound: a node sends at most two answers in any window of one
+// DisseminateEvery, timed on the server's clock, whatever its peers send —
+// so it builds at most its tick plus two answers a period. A progress answer
+// also waits half a period after the last answer; a full-block answer never
+// does, so progress never holds one back beyond the window. Each answer
+// costs every peer a signature check, so the window is what keeps a
+// Byzantine sender from making a correct node build without bound. A
+// buffered block (missing predecessors) counts only in the burst that
+// inserts it; a pulled one never does.
+func (n *Node) answer(from int) {
+	peer, full := n.inserted(from)
+	if !peer {
 		return
 	}
-	n.nextAnswer = now + n.cfg.DisseminateEvery/2
-	n.cfg.Server.Counts().Add(metrics.BlocksAnswered, 1)
+	now, period := n.cfg.Server.Now(), n.cfg.DisseminateEvery
+	if full {
+		n.loadUntil = now + period
+	}
+	reason := metrics.BlocksAnsweredFull
+	switch {
+	case now < n.answeredAt[0]+period: // two answers in the last period
+		return
+	case full:
+	case now < n.loadUntil && now >= n.answeredAt[1]+period/2:
+		reason = metrics.BlocksAnsweredProgress
+	default:
+		return
+	}
+	if n.disseminate() {
+		n.answeredAt = [2]time.Duration{n.answeredAt[1], now}
+		n.cfg.Server.Counts().Add(reason, 1)
+	}
 }
 
-// insertedFull reports whether the DAG's blocks from the from-th on include
-// a full block another builder built.
-func (n *Node) insertedFull(from int) bool {
+// inserted reports whether the DAG's blocks from the from-th on include a
+// block another builder built, and whether one of those is full.
+func (n *Node) inserted(from int) (peer, full bool) {
 	d, self := n.cfg.Server.DAG(), n.cfg.Server.ID()
-	if d.Len() == from {
-		return false
-	}
 	base := len(d.Base())
-	for i := from; i < d.Len(); i++ {
+	for i := from; i < d.Len() && !full; i++ {
 		b, err := d.ReadRow(base + i)
 		if err != nil || b.Builder == self {
 			continue
 		}
-		payload := 0
-		for _, rq := range b.Requests {
-			payload += len(rq.Label) + len(rq.Data)
-		}
-		if n.isFull(payload, len(b.Requests)) {
-			return true
-		}
+		peer, full = true, n.blockFull(b)
 	}
-	return false
+	return peer, full
 }
 
 // wakeFull leaves the loop a full-block token, unless one is waiting.
