@@ -107,10 +107,12 @@ func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64) schedu
 	defer stopAll(c)
 
 	end := scheduleWarmup + scheduleWindow + scheduleDrain
+	var ticks int64
 	for i, nd := range c.Nodes {
 		phase := time.Duration(i) * wl.period / n
 		for at := phase; at < end; at += wl.period {
 			c.Net.After(at, nd.Disseminate)
+			ticks++
 		}
 		for at := phase; at < end; at += scheduleHousekeeping {
 			c.Net.After(at, nd.Tick)
@@ -147,8 +149,13 @@ func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64) schedu
 	}
 	slices.Sort(took)
 	run := scheduleRun{p50: took[len(took)/2], p90: took[len(took)*9/10]}
+	early := int64(0) // blocks built for a reason other than the tick
 	for _, m := range c.Metrics {
 		run.blocks += m.Get(metrics.BlocksBuilt)
+		early += m.Get(metrics.BlocksSealedFull) + m.Get(metrics.BlocksAnsweredFull) + m.Get(metrics.BlocksAnsweredProgress)
+	}
+	if run.blocks-early != ticks {
+		t.Errorf("%s seed %d: %d blocks built, %d of them early, but %d ticks", wl.name, seed, run.blocks, early, ticks)
 	}
 	return run
 }
@@ -156,7 +163,8 @@ func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64) schedu
 // TestLatencyOnTheProductionSchedule pins the latency dagbench's steady,
 // dense and sparse workloads read on the virtual clock, seeds 1–3, and the
 // blocks the cluster built: a change to when a node builds its blocks moves
-// these figures, exactly, with no noise.
+// these figures, exactly, with no noise. Every block is the tick's, a full
+// seal or an answer, and the counters say which.
 func TestLatencyOnTheProductionSchedule(t *testing.T) {
 	want := map[string][]string{
 		"steady": {

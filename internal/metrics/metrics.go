@@ -157,9 +157,7 @@ var (
 	Indications       = Families.Counter("dag_indications_total", "Indications surfaced by interpretation.")
 	OwnBlockRefs      = Families.Counter("dag_own_block_refs_total", "References cited by own blocks; divide by dag_blocks_built_total for references per block.")
 	BlocksSealedFull  = Families.Counter("dag_blocks_sealed_full_total", "Own blocks sealed before their tick because the mempool held a full block.")
-	// Why an own block answered a delivery before its tick (node's answer
-	// rule): reason="full" a peer's full block, reason="progress" any peer's
-	// block while the node was under load.
+
 	BlocksAnsweredFull     = Families.Counter("dag_blocks_answered_total", "Own blocks sealed before their tick to answer a delivery, by reason: full answers a peer's full block, progress any peer's block while this server was under load (within a period of a full block, its own or a peer's).", "reason", "full")
 	BlocksAnsweredProgress = Families.With(BlocksAnsweredFull, "progress")
 

@@ -7,8 +7,8 @@
 // safe for concurrent use — Submit), DisseminateIfFull (the same, early,
 // when the mempool holds a full block) and Tick (FWD retries, interval
 // fsync, state seal and prune, and the live follower's pull on evidence of
-// lag). A delivery turn that inserts a peer's full block ends with an own
-// block too (answerFull).
+// lag). A delivery turn that inserts a peer's full block, or under load any
+// peer's block, ends with an own block too (answer).
 // Turns read time from the server's clock only (core.Server.Now) and
 // never wait; what cannot finish inside one — a settled delta pull —
 // comes home through one internal hook, post, as a turn of its own. Whoever calls the turns owns the server: one caller
@@ -17,14 +17,18 @@
 // A node builds a block for one of three reasons: its period's tick
 // (Config.DisseminateEvery); a mempool holding a full block — payload of
 // fullBlockRatio times a block's fixed bytes, or block.MaxRequests
-// requests; or a delivery that inserted another builder's full block, by
-// the same measure, answered at most twice a period (half a period apart).
-// The last two only fire under load. Every block the second adds pays for
-// itself: it adds at most 1/16 to wire and disk. The third adds at most two
-// blocks a period, however many peers send full blocks. Their gain is
-// latency: a loaded builder embeds sooner, and its peers echo its requests
-// and send their READYs at its cadence, up to two full blocks a period, not
-// their own tick's.
+// requests; or an answer to a delivery. A delivery is answered when it
+// inserted another builder's full block, by the same measure, or, while
+// the node is under load, any other builder's block. A node is under load
+// for one period after it sealed a full block, whichever turn sealed it, or
+// inserted a peer's. The last two reasons only fire under load. Every block
+// the second adds pays for itself: it adds at most 1/16 to wire and disk.
+// The third adds at most two blocks in any period, whatever the peers send;
+// full-block answers go first, and a progress answer also waits half a
+// period after the last answer. Their gain is latency: a loaded builder
+// embeds sooner, its peers echo its requests at its cadence, and the
+// builder and its peers answer each other's echoes with READYs and their
+// READYs with progress, not at their own ticks.
 //
 // Catch-up is FWD and one pull, PullFrom — tell a peer what this node holds,
 // get what it lacks and absorb the stream into the live DAG inside one store
@@ -96,9 +100,10 @@ type Config struct {
 	Identity *roster.Identity
 	// DisseminateEvery is the block production period (default 50ms): the
 	// tick that builds a block whatever the mempool holds. A mempool holding
-	// a full block seals one sooner (DisseminateIfFull), a peer's full block
-	// is answered at once, at most once every half period (DeliverBurst), and the
-	// tick keeps its phase.
+	// a full block seals one sooner (DisseminateIfFull); a peer's full block,
+	// and for one period after a full block any peer's block, is answered at
+	// once, at most twice in any period (DeliverBurst); and the tick keeps
+	// its phase.
 	DisseminateEvery time.Duration
 	// Store, if non-nil, makes the server durable: New installs it as the
 	// server's journal (core.Server.SetJournal: the head's proofs are
@@ -386,7 +391,9 @@ func New(cfg Config) (*Node, error) {
 	// overdue.
 	n.lastFollow = srv.Now()
 	n.lastSeal, n.quietFrom = n.lastFollow, n.lastFollow
-	n.answeredAt = [2]time.Duration{n.lastFollow - cfg.DisseminateEvery, n.lastFollow - cfg.DisseminateEvery}
+	// No answer yet: as if the last two went out a period ago.
+	ago := n.lastFollow - cfg.DisseminateEvery
+	n.answeredAt = [2]time.Duration{ago, ago}
 	n.broker.endReplay()
 	return n, nil
 }
