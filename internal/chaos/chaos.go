@@ -32,7 +32,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"blockdag/internal/block"
 	"blockdag/internal/cluster"
@@ -47,6 +46,9 @@ import (
 // sequence the same seed produces in a fault-free run.
 const chaosRngSalt = 0x63686173 // "chas"
 
+// convergeRounds bounds the final drive to convergence.
+const convergeRounds = 60
+
 // Phase is one step of a scenario. Fields compose: a single phase can
 // install a partition, crash servers, and drive equivocations, then run
 // its rounds with all of it in effect.
@@ -60,10 +62,6 @@ type Phase struct {
 	// to both sides, which is exactly how it shows each side a different
 	// fork without either side detecting the fork until the heal.
 	PartitionHalves bool
-	// Partition, when non-empty, installs an explicit grouping instead:
-	// links between slots in different groups are blocked; ungrouped
-	// slots (byzantine ones, typically) reach everyone.
-	Partition [][]int
 	// Heal removes any installed partition.
 	Heal bool
 
@@ -178,10 +176,6 @@ type Config struct {
 	StoreDir string
 	// Protocol is the embedded BFT protocol (default brb.Protocol{}).
 	Protocol protocol.Protocol
-	// Interval overrides the dissemination period (0 = cluster default).
-	Interval time.Duration
-	// ConvergeRounds bounds the final drive to convergence (default 60).
-	ConvergeRounds int
 	// Logf, when non-nil, receives phase-by-phase progress lines.
 	Logf func(format string, args ...any)
 }
@@ -272,15 +266,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.ConvergeRounds <= 0 {
-		cfg.ConvergeRounds = 60
-	}
 	c, err := cluster.New(cluster.Options{
 		N:            s.N,
 		Protocol:     cfg.Protocol,
 		Byzantine:    s.Byzantine,
 		Seed:         cfg.Seed,
-		Interval:     cfg.Interval,
 		StoreDir:     cfg.StoreDir,
 		LoadPerRound: s.LoadPerRound,
 	})
@@ -366,8 +356,6 @@ func (r *runner) phase(ph Phase) error {
 		r.setPartition(nil)
 	case ph.PartitionHalves:
 		r.setPartition(r.randomHalves())
-	case len(ph.Partition) > 0:
-		r.setPartition(ph.Partition)
 	}
 	r.c.Net.SetDrop(ph.Drop)
 	if ph.Recover {
@@ -554,7 +542,7 @@ func (r *runner) converge() error {
 		}
 		return true
 	}
-	for round := 0; round < r.cfg.ConvergeRounds && !settled(); round++ {
+	for round := 0; round < convergeRounds && !settled(); round++ {
 		r.result.Rounds++
 		if err := r.c.RunRounds(1); err != nil {
 			return fmt.Errorf("chaos: converge: %w", err)

@@ -274,10 +274,10 @@ func (c *Cluster) RunRounds(rounds int) error {
 }
 
 // ScheduleRounds schedules `rounds` dissemination rounds, one interval
-// apart, without running them: every correct slot takes its housekeeping
-// (the follower's included), block and full-block turns once per round,
-// staggered to break symmetry. A caller that steps the network itself
-// (simnet.Network.Step) can stop it mid-way, the moment a condition holds.
+// apart, without running them: every correct slot takes a started node's
+// period turn (Tick, then Disseminate) and its wake's stand-in
+// (DisseminateIfFull) once per round, staggered to break symmetry. A caller
+// stepping the network (simnet.Network.Step) can stop it when it likes.
 func (c *Cluster) ScheduleRounds(rounds int) {
 	for r := 0; r < rounds; r++ {
 		at := time.Duration(r) * c.opts.Interval

@@ -35,8 +35,6 @@ const (
 	// scheduleDrain keeps the turns running after the window, so the
 	// window's last requests are indicated.
 	scheduleDrain = 2 * time.Second
-	// scheduleHousekeeping is a started node's Tick period.
-	scheduleHousekeeping = 100 * time.Millisecond
 )
 
 // scheduleArrival is one open-loop request: due at an offset from the start.
@@ -91,9 +89,9 @@ func (r scheduleRun) String() string {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // runProductionSchedule runs wl at n = 4 on the schedule a started node keeps,
-// on the virtual clock: node i's block turn at i/n of a period, every node's
-// housekeeping every scheduleHousekeeping from the same phase, and node 0's
-// full-block turn after each submit, as the wake Submit leaves runs it.
+// on the virtual clock: node i's period turn, Tick then Disseminate, at i/n
+// of a period, and node 0's full-block turn after each submit, as the wake
+// Submit leaves runs it.
 // Links are 100 ± 50 µs. Every turn and arrival is scheduled up front, then
 // the network runs once.
 func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64) scheduleRun {
@@ -111,11 +109,11 @@ func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64) schedu
 	for i, nd := range c.Nodes {
 		phase := time.Duration(i) * wl.period / n
 		for at := phase; at < end; at += wl.period {
-			c.Net.After(at, nd.Disseminate)
+			c.Net.After(at, func() {
+				nd.Tick()
+				nd.Disseminate()
+			})
 			ticks++
-		}
-		for at := phase; at < end; at += scheduleHousekeeping {
-			c.Net.After(at, nd.Tick)
 		}
 	}
 	arrivals := scheduleArrivals(seed, wl.rate, wl.payload, scheduleWarmup, scheduleWindow)

@@ -12,6 +12,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/evidence"
+	"blockdag/internal/gossip"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/transport"
@@ -34,8 +35,9 @@ func (r *recordingTransport) Call(_ types.ServerID, _ transport.Channel, _ []byt
 	return func() {}
 }
 
-// flakyJournal is a core.Journal whose block sink fails on demand.
-type flakyJournal struct{ fail error }
+// flakyJournal is a core.Journal whose block sink, and evidence log, fail
+// on demand.
+type flakyJournal struct{ fail, evidence error }
 
 func (j *flakyJournal) PersistSink(types.ServerID) func(*block.Block) error {
 	return func(*block.Block) error { return j.fail }
@@ -43,10 +45,10 @@ func (j *flakyJournal) PersistSink(types.ServerID) func(*block.Block) error {
 func (*flakyJournal) Block(int, []block.Ref) (*block.Block, error) {
 	return nil, errors.New("the flaky journal reads nothing back")
 }
-func (*flakyJournal) BeginBatch()                          {}
-func (*flakyJournal) FlushBatch() error                    { return nil }
-func (*flakyJournal) Evidence() []*evidence.Proof          { return nil }
-func (*flakyJournal) AppendEvidence(*evidence.Proof) error { return nil }
+func (*flakyJournal) BeginBatch()                            {}
+func (*flakyJournal) FlushBatch() error                      { return nil }
+func (*flakyJournal) Evidence() []*evidence.Proof            { return nil }
+func (j *flakyJournal) AppendEvidence(*evidence.Proof) error { return j.evidence }
 
 // TestPersistFailureWithholdsBroadcast: once the persistence sink fails,
 // the own block it failed on must not reach the network — a non-durable
@@ -75,7 +77,7 @@ func TestPersistFailureWithholdsBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := srv.Disseminate(); err != nil {
+	if _, err := srv.Disseminate(); err != nil {
 		t.Fatal(err)
 	}
 	sentWhileHealthy := tr.sends
@@ -85,7 +87,7 @@ func TestPersistFailureWithholdsBroadcast(t *testing.T) {
 
 	disk.fail = diskFull
 	srv.Request("lost?", []byte("payload"))
-	if err := srv.Disseminate(); !errors.Is(err, diskFull) {
+	if _, err := srv.Disseminate(); !errors.Is(err, diskFull) {
 		t.Fatalf("disseminate over a failing sink returned %v, want the persist error", err)
 	}
 	if tr.sends != sentWhileHealthy {
@@ -108,12 +110,69 @@ func TestPersistFailureWithholdsBroadcast(t *testing.T) {
 	// Further dissemination refuses outright, even if the disk recovers:
 	// the operator must restart over a working store.
 	disk.fail = nil
-	err = srv.Disseminate()
+	_, err = srv.Disseminate()
 	if err == nil || !strings.Contains(err.Error(), "unhealthy") {
 		t.Fatalf("unhealthy server disseminated: %v", err)
 	}
 	if tr.sends != sentWhileHealthy {
 		t.Fatal("unhealthy server sent to the network")
+	}
+}
+
+// TestEvidenceJournalFailureKeepsTheProof: a proof the journal fails to
+// append is latched in Health and stays accepted — its equivocator banned,
+// the proof relayed — and the server goes on delivering and interpreting
+// the blocks that follow.
+func TestEvidenceJournalFailureKeepsTheProof(t *testing.T) {
+	roster, signers, err := crypto.LocalRoster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, m := &flakyJournal{evidence: errors.New("evidence log full")}, &metrics.Metrics{}
+	srv, err := core.NewServer(core.Config{
+		Roster: roster, Signer: signers[0], Protocol: brb.Protocol{},
+		Transport: &recordingTransport{self: 0}, Clock: func() time.Duration { return 0 }, Metrics: m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SetJournal(disk); err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(builder types.ServerID, preds []block.Ref, reqs ...block.Request) *block.Block {
+		t.Helper()
+		b := block.New(builder, 0, preds, reqs)
+		if err := b.Seal(signers[builder]); err != nil {
+			t.Fatal(err)
+		}
+		srv.DeliverBatch([]gossip.Message{{From: builder, Payload: gossip.EncodeBlockMsg(b)}})
+		return b
+	}
+	for _, data := range []string{"a", "b"} {
+		deliver(3, nil, block.Request{Label: "fork", Data: []byte(data)})
+	}
+	if err := srv.Health(); !errors.Is(err, disk.evidence) {
+		t.Fatalf("Health() = %v, want the evidence journal's error", err)
+	}
+	if !srv.Scores().Banned(3) {
+		t.Fatal("the fork's builder is not banned")
+	}
+	// Relayed to everyone but this server and the equivocator it came from.
+	if got := m.Get(metrics.EvidenceRelayed); got != 2 {
+		t.Fatalf("proof relayed %d times, want 2", got)
+	}
+	// s1 broadcasts and s2's block reads it: both are inserted and
+	// interpreted, and s1's broadcast materializes messages.
+	b1 := deliver(1, nil, block.Request{Label: "after", Data: []byte("v")})
+	b2 := deliver(2, []block.Ref{b1.Ref()})
+	for _, b := range []*block.Block{b1, b2} {
+		if !srv.DAG().Contains(b.Ref()) || !srv.Interpreter().Interpreted(b.Ref()) {
+			t.Fatalf("block of s%d after the failed append: inserted %v, interpreted %v",
+				b.Builder, srv.DAG().Contains(b.Ref()), srv.Interpreter().Interpreted(b.Ref()))
+		}
+	}
+	if m.Get(metrics.MsgsMaterialized) == 0 {
+		t.Fatal("no message materialized after the failed append")
 	}
 }
 
@@ -140,12 +199,12 @@ func TestWithheldBlockDrainsWithoutEmbedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Request("sent", []byte("v"))
-	if err := srv.Disseminate(); err != nil {
+	if _, err := srv.Disseminate(); err != nil {
 		t.Fatal(err)
 	}
 	disk.fail = errors.New("disk full")
 	srv.Request("withheld", []byte("w"))
-	if err := srv.Disseminate(); err == nil {
+	if _, err := srv.Disseminate(); err == nil {
 		t.Fatal("a failing sink did not withhold the block")
 	}
 	pool := srv.Mempool().Stats()

@@ -237,23 +237,23 @@ func (s *Server) DeliverBatch(msgs []gossip.Message) {
 }
 
 // Disseminate implements Algorithm 3 lines 10–11: seal and broadcast the
-// current block. The caller controls pacing — the paper leaves it to the
-// implementation. Package node builds on three triggers: its period's tick,
-// payload pressure (a mempool holding a full block seals early,
-// node.DisseminateIfFull), and an answer to a delivery turn that inserted a
-// peer's full block, or under load any peer's block (node.DeliverBurst).
+// current block, which it returns. The caller controls pacing — the paper
+// leaves it to the implementation. Package node builds on three triggers:
+// its period's tick, payload pressure (a mempool holding a full block seals
+// early, node.DisseminateIfFull), and an answer to a delivery turn that
+// inserted a peer's full block, or under load any peer's block
+// (node.DeliverBurst).
 //
 // An unhealthy server refuses to disseminate: once a persist (or other
 // internal) error is latched, building further blocks that could not be
 // journaled would leave the whole own chain suffix non-durable, so block
 // production stops until the operator restarts the server over a working
 // store. Delivering, interpreting, and serving FWD requests continue.
-func (s *Server) Disseminate() error {
+func (s *Server) Disseminate() (*block.Block, error) {
 	if s.firstErr != nil {
-		return fmt.Errorf("core: disseminate on unhealthy server: %w", s.firstErr)
+		return nil, fmt.Errorf("core: disseminate on unhealthy server: %w", s.firstErr)
 	}
-	_, err := s.gsp.Disseminate()
-	return err
+	return s.gsp.Disseminate()
 }
 
 // Tick re-asks for what buffered blocks still miss, on Config.Clock, and

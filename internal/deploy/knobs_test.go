@@ -23,7 +23,7 @@ import (
 var knobs = []string{
 	"core.Config", "gossip.Config", "node.Config", "store.Options", "tcpnet.Config",
 	"syncsvc.Server", "mempool.Options", "gateway.Config", "deploy.Config",
-	"cluster.Options",
+	"cluster.Options", "chaos.Config",
 }
 
 // TestKnobs lists the configuration fields no non-test code sets (ROADMAP

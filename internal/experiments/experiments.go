@@ -19,7 +19,6 @@ import (
 	"blockdag/internal/direct"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
-	"blockdag/internal/protocols/courier"
 	"blockdag/internal/simnet"
 	"blockdag/internal/transport"
 	"blockdag/internal/types"
@@ -84,7 +83,6 @@ func Registry() []struct {
 		{"E10", E10SignatureBatching},
 		{"E11", E11ParallelInstances},
 		{"E13", E13ReferenceOverhead},
-		{"E14", E14Throughput},
 		{"E16", E16ReferencesPerBlock},
 	}
 }
@@ -242,7 +240,7 @@ func E10SignatureBatching() (*Table, error) {
 			fmt.Sprintf("%d", dagSigs.Get(crypto.Verified)),
 			fmt.Sprintf("%d", dirSigs.Get(crypto.Signed)),
 			fmt.Sprintf("%d", dirSigs.Get(crypto.Verified)),
-			fmt.Sprintf("%.1fx", float64(dirSigs.Get(crypto.Verified))/float64(max64(dagSigs.Get(crypto.Verified), 1))),
+			fmt.Sprintf("%.1fx", float64(dirSigs.Get(crypto.Verified))/float64(max(dagSigs.Get(crypto.Verified), 1))),
 		})
 	}
 	return t, nil
@@ -332,74 +330,6 @@ func E13ReferenceOverhead() (*Table, error) {
 	return t, nil
 }
 
-// E14Throughput measures end-to-end delivered requests per simulated
-// second for a courier request stream, sweeping the per-block batch size —
-// the batching that underlies the "many 100,000s of tx/s" reports the
-// paper cites for Hashgraph and Blockmania.
-func E14Throughput() (*Table, error) {
-	const (
-		n        = 4
-		rounds   = 20
-		interval = 50 * time.Millisecond
-	)
-	t := &Table{
-		ID:      "E14",
-		Title:   "end-to-end throughput vs batch size (n=4, courier, 50ms rounds, 10±5ms links)",
-		Columns: []string{"batch/server/round", "requests delivered", "virtual time", "tx/s (virtual)"},
-		Notes: []string{
-			"throughput grows linearly with batch size: blocks amortize per-round cost",
-		},
-	}
-	for _, batch := range []int{16, 64, 256} {
-		c, err := cluster.New(cluster.Options{
-			N:        n,
-			Protocol: courier.Protocol{},
-			Seed:     4,
-			Interval: interval,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Every round's batches and turns go on the virtual clock up front,
-		// a round interval apart, and the network runs once: a round does
-		// not wait for the last one's blocks to settle, as a node's tick
-		// does not. Four tail rounds flush the requests still in flight;
-		// the time is the last delivery's.
-		seq := 0
-		for r := 0; r < rounds; r++ {
-			c.Net.After(time.Duration(r)*interval, func() {
-				for srv := 0; srv < n; srv++ {
-					for k := 0; k < batch; k++ {
-						label := types.Label(fmt.Sprintf("tx/%d/%d", srv, seq))
-						c.Request(srv, label, courier.EncodeRequest(types.ServerID((srv+1)%n), []byte(fmt.Sprintf("tx%d", seq))))
-						seq++
-					}
-				}
-			})
-		}
-		c.ScheduleRounds(rounds + 4)
-		c.Net.Run()
-		if err := c.Health(); err != nil {
-			return nil, err
-		}
-		var deliveredCount int
-		var elapsed time.Duration // the last delivery
-		for _, srv := range c.CorrectServers() {
-			for _, ind := range c.Indications(srv) {
-				deliveredCount++
-				elapsed = max(elapsed, ind.At)
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", batch),
-			fmt.Sprintf("%d", deliveredCount),
-			elapsed.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0f", float64(deliveredCount)/elapsed.Seconds()),
-		})
-	}
-	return t, nil
-}
-
 // E5GossipConvergence measures how many extra empty rounds the cluster
 // needs after a lossy content phase until every correct server holds every
 // content block — Lemma 3.7's joint DAG under increasing loss.
@@ -479,7 +409,10 @@ func E5GossipConvergence() (*Table, error) {
 // ancestry at each own block, which telescopes to the last own block's
 // ancestry divided by the chain's length.
 func E16ReferencesPerBlock() (*Table, error) {
-	const broadcasts = 8
+	const (
+		broadcasts = 8
+		period     = 20 * time.Millisecond // server 0's, and every server's without skew
+	)
 	t := &Table{
 		ID:      "E16",
 		Title:   "references per block vs n and rate skew (server i disseminates every 20·(1 + skew·i) ms)",
@@ -495,6 +428,7 @@ func E16ReferencesPerBlock() (*Table, error) {
 			Seed:     16,
 			Latency:  5 * time.Millisecond,
 			Jitter:   5 * time.Millisecond,
+			Interval: period,
 		})
 		if err != nil {
 			return 0, 0, 0, err
@@ -503,17 +437,15 @@ func E16ReferencesPerBlock() (*Table, error) {
 			c.Request(i%n, types.Label(fmt.Sprintf("bc/%d", i)), []byte("v"))
 		}
 		const horizon = 3 * time.Second
-		for i, srv := range c.Servers {
-			every := time.Duration(20*(1+skew*i)) * time.Millisecond
+		for i, nd := range c.Nodes {
+			every := time.Duration(1+skew*i) * period
 			var loop func()
 			loop = func() {
 				if c.Net.Now() >= horizon {
 					return
 				}
-				srv.Tick()
-				if err := srv.Disseminate(); err != nil {
-					return
-				}
+				nd.Tick()
+				nd.Disseminate()
 				c.Net.After(every, loop)
 			}
 			// Offset the starts, as deployed servers' timers are.
@@ -562,11 +494,4 @@ func E16ReferencesPerBlock() (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

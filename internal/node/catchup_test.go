@@ -64,11 +64,10 @@ func TestNodeTickNeverCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Step the turns a started node's loop would run — sixty blocks, the
-	// housekeeping tick after every sixteenth — so that what is left behind
-	// depends on no timer. Each block carries four 48 KiB requests, so the
+	// Step the block and housekeeping turns — sixty blocks, Tick after
+	// every sixteenth — so that what is left behind depends on no timer. Each block carries four 48 KiB requests, so the
 	// chain (11 MiB) spreads over more than one 8 MiB WAL segment.
-	const blocks, tickEvery, perBlock = 60, 16, 4
+	const blocks, blocksPerTick, perBlock = 60, 16, 4
 	data := make([]byte, 48<<10)
 	for i := 1; i <= blocks; i++ {
 		for j := 0; j < perBlock; j++ {
@@ -77,7 +76,7 @@ func TestNodeTickNeverCheckpoints(t *testing.T) {
 			}
 		}
 		nd.Disseminate()
-		if i%tickEvery == 0 {
+		if i%blocksPerTick == 0 {
 			nd.Tick()
 		}
 	}

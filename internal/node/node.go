@@ -47,11 +47,12 @@
 //
 // The goroutine shell (Start/Stop) is the part that waits: it owns the
 // loop goroutine, the ingestion channel, the full-block wake Submit leaves
-// and the two tickers, runs a turn per event, and makes post a send to that
-// loop. The other shell is the simulator (package cluster): it never calls
-// Start, steps the same turns — DisseminateIfFull included, every round —
-// from simnet events on its virtual clock, and Deliver and post run inline,
-// the transport's callback being on the event loop already. A Node that is
+// and one ticker, whose period turn is Tick then Disseminate; it runs a turn
+// per event and makes post a send to that loop. The other shell is the
+// simulator (package cluster): it never calls Start, steps the same period
+// turn from simnet events on its virtual clock — and DisseminateIfFull every
+// round, its stand-in for the wake — and Deliver and post run inline, the
+// transport's callback being on the event loop already. A Node that is
 // never started starts no goroutine.
 //
 // New wires the operational services around the server, the same for
@@ -99,7 +100,8 @@ type Config struct {
 	// failing every transport handshake.
 	Identity *roster.Identity
 	// DisseminateEvery is the block production period (default 50ms): the
-	// tick that builds a block whatever the mempool holds. A mempool holding
+	// tick that builds a block whatever the mempool holds, after the
+	// housekeeping turn (Tick) on a started node. A mempool holding
 	// a full block seals one sooner (DisseminateIfFull); a peer's full block,
 	// and for one period after a full block any peer's block, is answered at
 	// once, at most twice in any period (DeliverBurst); and the tick keeps
@@ -612,13 +614,11 @@ func (n *Node) recordErr(err error) {
 // stepped turns, or from the indication callback).
 func (n *Node) Server() *core.Server { return n.cfg.Server }
 
-// tickEvery is the housekeeping period of a started node: FWD retries, the
-// store's interval fsync, the seal/prune cycle, the follower (Tick).
-const tickEvery = 100 * time.Millisecond
-
 // loop is the goroutine shell: it waits — on the channels, the full-block
-// wake, the two tickers — and runs one turn per event. An
-// early seal leaves the block ticker alone: it keeps its period and phase.
+// wake, the ticker — and runs one turn per event. The ticker's is the
+// period turn, Tick then Disseminate, the order the simulator steps too
+// (cluster.ScheduleRounds). An early seal leaves the ticker alone: it keeps
+// its period and phase.
 func (n *Node) loop(ctx context.Context) {
 	defer n.wg.Done()
 	defer close(n.done)
@@ -626,10 +626,8 @@ func (n *Node) loop(ctx context.Context) {
 		// Clean shutdowns leave no unsynced tail, whatever the policy.
 		defer func() { n.recordErr(n.cfg.Store.Sync()) }()
 	}
-	disseminate := time.NewTicker(n.cfg.DisseminateEvery)
-	defer disseminate.Stop()
-	tick := time.NewTicker(tickEvery)
-	defer tick.Stop()
+	period := time.NewTicker(n.cfg.DisseminateEvery)
+	defer period.Stop()
 
 	n.FollowPoll() // the first poll, on a durable node (Start)
 	for {
@@ -638,12 +636,11 @@ func (n *Node) loop(ctx context.Context) {
 			return
 		case msg := <-n.in:
 			n.DeliverBurst(n.drainBurst(msg))
-		case <-disseminate.C:
+		case <-period.C:
+			n.Tick()
 			n.Disseminate()
 		case <-n.full:
 			n.DisseminateIfFull()
-		case <-tick.C:
-			n.Tick()
 		case turn := <-n.posted:
 			turn()
 		}
@@ -651,9 +648,9 @@ func (n *Node) loop(ctx context.Context) {
 }
 
 // ingestBurst bounds how many queued deliveries one loop iteration
-// drains into a single DeliverBurst. It caps the latency the timers (and
-// block timer) can accrue behind a network burst while still giving
-// the batch verifier enough signatures to amortize across cores.
+// drains into a single DeliverBurst. It caps the latency the period turn
+// can accrue behind a network burst while still giving the batch verifier
+// enough signatures to amortize across cores.
 const ingestBurst = 64
 
 // drainBurst gathers the first queued delivery plus everything else

@@ -12,6 +12,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/deploy"
 	"blockdag/internal/gossip"
+	"blockdag/internal/metrics"
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/roster"
@@ -181,6 +182,49 @@ func TestNodeLifecycle(t *testing.T) {
 	nd.Deliver(0, []byte("late"))
 	if err := nd.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
+	}
+}
+
+// TestStartedNodeReasksOnItsPeriod: a started node's housekeeping rides its
+// period turn. It holds a peer's block whose parent never arrives: the FWD
+// for the parent goes out as the block is buffered, and the re-ask
+// gossip.ResendAfter later comes from the Tick of a period turn — the test
+// never calls Tick itself.
+func TestStartedNodeReasksOnItsPeriod(t *testing.T) {
+	members, signers, err := crypto.LocalRoster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &metrics.Metrics{}
+	srv, err := core.NewServer(core.Config{
+		Roster: members, Signer: signers[0], Protocol: brb.Protocol{},
+		Transport: simnet.New().Transport(0), Clock: node.Clock(), Metrics: m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := node.New(node.Config{Server: srv, DisseminateEvery: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Stop()
+	parent := block.New(1, 0, nil, nil)
+	if err := parent.Seal(signers[1]); err != nil {
+		t.Fatal(err)
+	}
+	child := block.New(1, 1, []block.Ref{parent.Ref()}, nil)
+	if err := child.Seal(signers[1]); err != nil {
+		t.Fatal(err)
+	}
+	nd.Deliver(1, gossip.EncodeBlockMsg(child)) // the parent never comes
+	for deadline := time.Now().Add(10 * time.Second); m.Get(metrics.FwdRequestsSent) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d FWD requests within 10s of buffering a block whose parent is missing, want the ask and a re-ask",
+				m.Get(metrics.FwdRequestsSent))
+		}
 	}
 }
 

@@ -47,14 +47,12 @@ func (n *Node) disseminate() bool {
 	if n.ownHeld() < n.ownSeen.Load() || n.follow.First.Outcome == FirstPending {
 		return false
 	}
-	d := n.cfg.Server.DAG()
-	row := len(d.Base()) + d.Len() // where the own block lands
-	err := n.cfg.Server.Disseminate()
+	b, err := n.cfg.Server.Disseminate()
 	n.recordErr(err)
 	if err != nil {
 		return false
 	}
-	if b, rerr := d.ReadRow(row); rerr == nil && n.blockFull(b) {
+	if n.blockFull(b) {
 		n.loadUntil = n.cfg.Server.Now() + n.cfg.DisseminateEvery
 	}
 	return true
@@ -190,8 +188,9 @@ func (n *Node) wakeFull() {
 // Tick is the housekeeping turn: gossip's re-asks and, on a durable node,
 // the store's interval fsync, the state seal/prune cycle and the follower —
 // each paced on the server's clock, so calling Tick more often only makes
-// them more punctual. The store is never rewritten: a prune writes its head
-// and deletes the segments below the horizon.
+// them more punctual. A started node runs it every period, just before the
+// period's block (Disseminate). The store is never rewritten: a prune
+// writes its head and deletes the segments below the horizon.
 //
 // The follower pulls on gossip's evidence of lag, never on a clock: a
 // buffered block got re-asked (FWD did not fill its gap within
