@@ -14,11 +14,13 @@ import (
 
 // TestPeersAnswerAFullBuilder: builder 0 alone is loaded, twice
 // block.MaxRequests a round, so every round it seals two blocks full by
-// their request count, at its tick; its peers answer each round's first one
-// in the turn that delivers it, instead of at their own tick, and builder 0,
-// under load, answers their answers. The virtual time from a round's
-// submission to builder 0's indication of each of its requests is pinned at
-// p50 and p95. A load that never fills a block answers nothing.
+// their request count, at its tick. Its full blocks put every peer under
+// load, and builder 0 is under load throughout: each node answers a quorum —
+// blocks of two other builders since its own last block — in the turn that
+// delivers the block completing it, instead of at its own tick, at most
+// twice in any interval. The virtual time from a round's submission to
+// builder 0's indication of each of its requests is pinned at p50, p95 and
+// the maximum. A load that never fills a block answers nothing.
 func TestPeersAnswerAFullBuilder(t *testing.T) {
 	const (
 		n        = 4
@@ -54,29 +56,28 @@ func TestPeersAnswerAFullBuilder(t *testing.T) {
 	}
 	slices.Sort(took)
 	p50, p95 := took[len(took)/2], took[len(took)*95/100]
-	var full, progress []int64
+	var answered []int64
 	for _, m := range c.Metrics {
-		full = append(full, m.Get(metrics.BlocksAnsweredFull))
-		progress = append(progress, m.Get(metrics.BlocksAnsweredProgress))
+		answered = append(answered, m.Get(metrics.BlocksAnswered))
 	}
-	t.Logf("submission to indication p50 %v p95 %v max %v; answered full %v, progress %v; builder 0 built %d",
-		p50, p95, took[len(took)-1], full, progress, c.Metrics[0].Get(metrics.BlocksBuilt))
+	t.Logf("submission to indication p50 %v p95 %v max %v; answered %v; builder 0 built %d",
+		p50, p95, took[len(took)-1], answered, c.Metrics[0].Get(metrics.BlocksBuilt))
 	// Builder 0 seals two blocks a round, at its tick, which the rounds'
 	// submissions precede. Without the answer rule an indication takes three
-	// rounds, 600 ms, at p50 and p95.
-	if p50 != 400*time.Millisecond || p95 != 400*time.Millisecond {
-		t.Fatalf("an indication took %v at p50, %v at p95, want 400ms and 400ms", p50, p95)
+	// rounds, 600 ms, at p50 and p95; answering a peer's full block at once
+	// and its peers' progress half an interval after the last answer took
+	// two, 400 ms, at both.
+	if p50 != 200*time.Millisecond || p95 != 400*time.Millisecond {
+		t.Fatalf("an indication took %v at p50, %v at p95, want 200ms and 400ms", p50, p95)
 	}
-	// The longest wait was three rounds before builder 0 answered too.
 	if most := took[len(took)-1]; most != 400*time.Millisecond {
 		t.Fatalf("an indication took %v at most, want 400ms", most)
 	}
-	// Every round's first full block is answered at every peer, and a
-	// second one when the window allows; builder 0, under load, answers
-	// their answers once a round, a third block a round beside its two.
-	if !slices.Equal(full, []int64{0, 41, 41, 41}) || progress[0] != rounds || c.Metrics[0].Get(metrics.BlocksBuilt) != 3*rounds {
-		t.Fatalf("answered full %v, progress %v, builder 0 built %d: want full [0 41 41 41], builder 0 answering progress %d times of %d blocks",
-			full, progress, c.Metrics[0].Get(metrics.BlocksBuilt), rounds, 3*rounds)
+	// Every node answers 68 quorums over the 40 rounds, of the 80 the
+	// window allows; builder 0 builds its two full blocks a round beside.
+	if !slices.Equal(answered, []int64{68, 68, 68, 68}) || c.Metrics[0].Get(metrics.BlocksBuilt) != 2*rounds+68 {
+		t.Fatalf("answered %v, builder 0 built %d: want 68 answers at every node, builder 0 building %d blocks",
+			answered, c.Metrics[0].Get(metrics.BlocksBuilt), 2*rounds+68)
 	}
 
 	c, err = New(Options{N: n, Protocol: brb.Protocol{}, Seed: 3, Interval: interval, LoadPerRound: 2})
@@ -88,7 +89,7 @@ func TestPeersAnswerAFullBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range c.Metrics {
-		if got := m.Get(metrics.BlocksAnsweredFull) + m.Get(metrics.BlocksAnsweredProgress); got != 0 {
+		if got := m.Get(metrics.BlocksAnswered); got != 0 {
 			t.Fatalf("slot %d answered %d blocks of a load that never fills one", i, got)
 		}
 	}
@@ -97,10 +98,9 @@ func TestPeersAnswerAFullBuilder(t *testing.T) {
 // TestPeersAnswerTwoFullBlocksAnInterval: builder 0 seals a full block at
 // every whole interval (its tick) and every half interval (a stepped
 // DisseminateIfFull), over links without jitter, so its full blocks reach
-// each peer exactly half an interval apart. Every peer answers every one of
-// them: two answers an interval keep up with a builder that fills two
-// blocks an interval, where answers an interval apart took one in two.
-// Builder 0, under load, answers its peers' answers to each of them.
+// each peer exactly half an interval apart and keep every node under load.
+// Every node, builder 0 included, spends its whole window: two answers an
+// interval, each to a quorum its peers completed.
 func TestPeersAnswerTwoFullBlocksAnInterval(t *testing.T) {
 	const (
 		n        = 4
@@ -140,21 +140,11 @@ func TestPeersAnswerTwoFullBlocksAnInterval(t *testing.T) {
 	if full != 2*rounds {
 		t.Fatalf("builder 0 sealed %d full blocks, want two a round, %d", full, 2*rounds)
 	}
-	var progress []int64
-	for i, m := range c.Metrics {
-		want := int64(full)
-		if i == 0 {
-			want = 0
-		}
-		if got := m.Get(metrics.BlocksAnsweredFull); got != want {
-			t.Fatalf("slot %d answered %d of builder 0's %d full blocks, want %d", i, got, full, want)
-		}
-		progress = append(progress, m.Get(metrics.BlocksAnsweredProgress))
+	var answered []int64
+	for _, m := range c.Metrics {
+		answered = append(answered, m.Get(metrics.BlocksAnswered))
 	}
-	// Builder 0 is under load throughout and answers its peers' answers
-	// to each of its full blocks, half an interval apart; the peers spend
-	// their window on the full blocks.
-	if !slices.Equal(progress, []int64{2 * rounds, 0, 0, 0}) {
-		t.Fatalf("answered progress %v, want [%d 0 0 0]", progress, 2*rounds)
+	if want := []int64{2 * rounds, 2 * rounds, 2 * rounds, 2 * rounds}; !slices.Equal(answered, want) {
+		t.Fatalf("answered %v, want %v", answered, want)
 	}
 }

@@ -240,9 +240,8 @@ func (s *Server) DeliverBatch(msgs []gossip.Message) {
 // current block, which it returns. The caller controls pacing — the paper
 // leaves it to the implementation. Package node builds on three triggers:
 // its period's tick, payload pressure (a mempool holding a full block seals
-// early, node.DisseminateIfFull), and an answer to a delivery turn that
-// inserted a peer's full block, or under load any peer's block
-// (node.DeliverBurst).
+// early, node.DisseminateIfFull), and under load an answer to a delivery
+// turn that completed a quorum of peers' blocks (node.DeliverBurst).
 //
 // An unhealthy server refuses to disseminate: once a persist (or other
 // internal) error is latched, building further blocks that could not be

@@ -14,28 +14,31 @@ import (
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
+	"blockdag/internal/syncsvc"
+	"blockdag/internal/transport"
 	"blockdag/internal/types"
 )
 
 // fullTestNode is server 0 of a four-member roster, whose tick never fires:
 // every block it builds is one the full-block trigger sealed.
 func fullTestNode(t *testing.T) (*Node, *metrics.Metrics) {
-	nd, m, _ := fullTestNodeOn(t, Clock())
+	nd, m, _, _ := fullTestNodeOn(t, 4, Clock())
 	return nd, m
 }
 
-// fullTestNodeOn is fullTestNode on the given clock; it also returns the
-// roster's signers, to seal peers' blocks with.
-func fullTestNodeOn(t *testing.T, clock func() time.Duration) (*Node, *metrics.Metrics, []*crypto.Signer) {
+// fullTestNodeOn is fullTestNode in a roster of size members on the given
+// clock; it also returns the roster's signers, to seal peers' blocks with,
+// and the network its transport is on.
+func fullTestNodeOn(t *testing.T, size int, clock func() time.Duration) (*Node, *metrics.Metrics, []*crypto.Signer, *simnet.Network) {
 	t.Helper()
-	members, signers, err := crypto.LocalRoster(4)
+	members, signers, err := crypto.LocalRoster(size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &metrics.Metrics{}
+	m, net := &metrics.Metrics{}, simnet.New()
 	srv, err := core.NewServer(core.Config{
 		Roster: members, Signer: signers[0], Protocol: brb.Protocol{},
-		Transport: simnet.New().Transport(0), Clock: clock, Metrics: m,
+		Transport: net.Transport(0), Clock: clock, Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +48,7 @@ func fullTestNodeOn(t *testing.T, clock func() time.Duration) (*Node, *metrics.M
 		t.Fatal(err)
 	}
 	t.Cleanup(nd.Stop)
-	return nd, m, signers
+	return nd, m, signers, net
 }
 
 // sixteenth is the i-th request tagged tag, of 240 B of payload, a block's
@@ -228,98 +231,27 @@ func peerBlock(t *testing.T, signer *crypto.Signer, parent *block.Block, reqs []
 	return b, []gossip.Message{{From: signer.ID(), Payload: gossip.EncodeBlockMsg(b)}}
 }
 
-// wantAnswers checks that m counted full and progress answers, and that
-// every block built beyond the full seals is one.
-func wantAnswers(t *testing.T, m *metrics.Metrics, full, progress int64, why string) {
+// wantAnswers checks that m counted answers, and that every block built
+// beyond the full seals is one.
+func wantAnswers(t *testing.T, m *metrics.Metrics, answers int64, why string) {
 	t.Helper()
 	built := m.Get(metrics.BlocksBuilt) - m.Get(metrics.BlocksSealedFull)
-	gotFull, gotProgress := m.Get(metrics.BlocksAnsweredFull), m.Get(metrics.BlocksAnsweredProgress)
-	if built != full+progress || gotFull != full || gotProgress != progress {
-		t.Fatalf("%s: built %d blocks beyond full seals (%d answered full, %d progress), want %d (%d, %d)",
-			why, built, gotFull, gotProgress, full+progress, full, progress)
+	if got := m.Get(metrics.BlocksAnswered); built != answers || got != answers {
+		t.Fatalf("%s: built %d blocks beyond full seals (%d answered), want %d answers", why, built, got, answers)
 	}
 }
 
-// citesHead reports whether nd's own chain head cites ref.
-func citesHead(nd *Node, ref block.Ref) bool {
+// citesHead reports whether nd's own chain head cites every one of refs.
+func citesHead(nd *Node, refs ...block.Ref) bool {
 	d := nd.Server().DAG()
 	head, _ := d.HeadRef(nd.Server().ID())
 	own, _ := d.Get(head)
-	return own != nil && slices.Contains(own.Preds, ref)
-}
-
-// TestPeersFullBlockIsAnswered: a stepped node answers a peer's full block
-// with an own block in the delivery turn that inserts it, citing it — by
-// payload, and by block.MaxRequests requests. Two full blocks within half a
-// period are both answered; a third within the period is not, and one a
-// period after the first answer is: at most two answers in any period.
-func TestPeersFullBlockIsAnswered(t *testing.T) {
-	const period = time.Hour // fullTestNode's DisseminateEvery
-	var now time.Duration
-	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
-	full1, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio))
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, 0, "a peer's full block")
-	if !citesHead(nd, full1.Ref()) {
-		t.Fatal("the answer does not cite the full block")
+	for _, ref := range refs {
+		if own == nil || !slices.Contains(own.Preds, ref) {
+			return false
+		}
 	}
-
-	now = period/2 - 1
-	full2, msgs := peerBlock(t, signers[2], nil, sixteenths("s2", fullBlockRatio))
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 2, 0, "a second full block within half a period")
-	if !citesHead(nd, full2.Ref()) {
-		t.Fatal("the second answer does not cite its full block")
-	}
-
-	now = period - 1
-	_, msgs = peerBlock(t, signers[3], nil, sixteenths("s3", fullBlockRatio))
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 2, 0, "a third full block within the period")
-
-	now = period
-	full4, msgs := peerBlock(t, signers[1], full1, sixteenths("s1b", fullBlockRatio))
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 3, 0, "a full block a period after the first answer")
-	if !citesHead(nd, full4.Ref()) {
-		t.Fatal("the third answer does not cite its full block")
-	}
-
-	nd, m, signers = fullTestNodeOn(t, func() time.Duration { return 0 })
-	reqs := countFull()
-	_, msgs = peerBlock(t, signers[1], nil, reqs[:block.MaxRequests-1])
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 0, 0, "a peer's block one request short of MaxRequests")
-	_, msgs = peerBlock(t, signers[2], nil, reqs)
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, 0, "a peer's block of MaxRequests requests")
-}
-
-// TestOnlyInsertedPeersFullBlocksAreAnswered: an own full block, a peer's
-// block one request short of full and a peer's full block buffered for its
-// missing parent build nothing. The buffered block is answered in the burst
-// that delivers its parent and so inserts it.
-func TestOnlyInsertedPeersFullBlocksAreAnswered(t *testing.T) {
-	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return 0 })
-	own, msgs := peerBlock(t, signers[0], nil, sixteenths("s0", fullBlockRatio))
-	nd.DeliverBurst(msgs)
-	short, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio-1))
-	nd.DeliverBurst(msgs)
-	parent, _ := peerBlock(t, signers[2], nil, nil)
-	buffered, msgs := peerBlock(t, signers[2], parent, sixteenths("s2", fullBlockRatio))
-	nd.DeliverBurst(msgs)
-	d := nd.Server().DAG()
-	if !d.Contains(own.Ref()) || !d.Contains(short.Ref()) || d.Contains(buffered.Ref()) {
-		t.Fatal("want the own and the short block inserted, the orphan buffered")
-	}
-	wantAnswers(t, m, 0, 0, "an own, a short and a buffered full block")
-
-	_, msgs = peerBlock(t, signers[2], nil, nil)
-	nd.DeliverBurst(msgs)
-	if !d.Contains(buffered.Ref()) {
-		t.Fatal("the parent did not insert the buffered block")
-	}
-	wantAnswers(t, m, 1, 0, "the burst that inserted the buffered full block")
+	return true
 }
 
 // peerChains seals the peers' blocks, each after its builder's last one,
@@ -348,81 +280,291 @@ func (c *peerChains) next(peer int, full bool) (*block.Block, []gossip.Message) 
 	return b, msgs
 }
 
-// TestLoadEndsAPeriodAfterTheLastFullBlock: for a period after a peer's full
-// block, or after sealing a full block of its own, a node answers any peer's
-// block (progress), citing it; from a period after that full block on it
-// answers none, though the window and the spacing would allow one.
-func TestLoadEndsAPeriodAfterTheLastFullBlock(t *testing.T) {
-	const period = time.Hour
-	var now time.Duration
-	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
-	peers := newPeerChains(t, signers)
-	_, msgs := peers.next(1, true)
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, 0, "a peer's full block")
-
-	now = period - 1
-	small, msgs := peers.next(2, false)
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, 1, "a peer's block within a period of a full one")
-	if !citesHead(nd, small.Ref()) {
-		t.Fatal("the progress answer does not cite the block it answers")
+// burst is the next block of each of peers, the first full when full is
+// set, as one burst of gossip messages, and their references.
+func (c *peerChains) burst(full bool, peers ...int) ([]block.Ref, []gossip.Message) {
+	var refs []block.Ref
+	var msgs []gossip.Message
+	for i, peer := range peers {
+		b, m := c.next(peer, full && i == 0)
+		refs, msgs = append(refs, b.Ref()), append(msgs, m...)
 	}
-	now = period + period/2
-	_, msgs = peers.next(3, false)
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, 1, "a peer's block a period and a half after the full one")
+	return refs, msgs
+}
 
-	now = 3 * period
-	submitSixteenths(t, nd, 0, fullBlockRatio)
+// sealOwnFull fills nd's pool with a block full by block.MaxRequests
+// requests, whatever the roster's size, and seals it: the node is under
+// load for a period.
+func sealOwnFull(t *testing.T, nd *Node, tag string) {
+	t.Helper()
+	for _, rq := range countFull() {
+		if err := nd.Submit(types.Label(tag)+"/"+rq.Label, rq.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if !nd.DisseminateIfFull() {
 		t.Fatal("the pool's full block was not sealed")
 	}
+}
+
+// TestPeersFullBlockIsAnswered: a peer's full block puts a stepped node
+// under load, but one builder's block is short of the quorum, n − f − 1 = 2
+// other builders at n = 4, and is not answered. The burst that inserts a
+// second builder's block is, citing both; so is a burst that inserts a full
+// block and a second builder's block at once. A block full by
+// block.MaxRequests requests loads the node as one full by payload does;
+// one request short, it does not.
+func TestPeersFullBlockIsAnswered(t *testing.T) {
+	var now time.Duration
+	nd, m, signers, _ := fullTestNodeOn(t, 4, func() time.Duration { return now })
+	peers := newPeerChains(t, signers)
+	full, msgs := peers.burst(true, 1)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 0, "a peer's full block alone")
+	small, msgs := peers.burst(false, 2)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, "a second builder's block after a full one")
+	if !citesHead(nd, append(full, small...)...) {
+		t.Fatal("the answer does not cite the quorum's blocks")
+	}
+
+	now = time.Minute
+	both, msgs := peers.burst(true, 3, 1)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 2, "a full block and a second builder's block in one burst")
+	if !citesHead(nd, both...) {
+		t.Fatal("the second answer does not cite the quorum's blocks")
+	}
+
+	nd, m, signers, _ = fullTestNodeOn(t, 4, func() time.Duration { return 0 })
+	reqs := countFull()
+	_, msgs = peerBlock(t, signers[1], nil, reqs[:block.MaxRequests-1])
+	_, other := peerBlock(t, signers[2], nil, nil)
+	nd.DeliverBurst(append(msgs, other...))
+	wantAnswers(t, m, 0, "a quorum with a block one request short of MaxRequests")
+	_, msgs = peerBlock(t, signers[3], nil, reqs)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, "a quorum with a block of MaxRequests requests")
+}
+
+// TestAnswerWaitsForAQuorum: under load, a node answers once blocks of
+// n − f − 1 other builders were inserted since its own last block — a
+// quorum, n − f, counting itself — and not while one builder is missing,
+// however many blocks the others send: 2 of 3 peers at n = 4, 4 of 6 at
+// n = 7.
+func TestAnswerWaitsForAQuorum(t *testing.T) {
+	for _, size := range []int{4, 7} {
+		nd, m, signers, _ := fullTestNodeOn(t, size, func() time.Duration { return 0 })
+		sealOwnFull(t, nd, "own")
+		peers := newPeerChains(t, signers)
+		quorum := size - (size-1)/3 - 1
+		for peer := 1; peer < quorum; peer++ {
+			for range 2 {
+				_, msgs := peers.burst(false, peer)
+				nd.DeliverBurst(msgs)
+			}
+			wantAnswers(t, m, 0, fmt.Sprintf("n = %d: blocks of %d builders", size, peer))
+		}
+		last, msgs := peers.burst(false, quorum)
+		nd.DeliverBurst(msgs)
+		wantAnswers(t, m, 1, fmt.Sprintf("n = %d: blocks of %d builders", size, quorum))
+		if !citesHead(nd, last...) {
+			t.Fatalf("n = %d: the answer does not cite the block that completed the quorum", size)
+		}
+	}
+}
+
+// TestEveryOwnBlockResetsTheQuorum: the builders counted toward a quorum are
+// those whose blocks arrived since the node's own last block, whichever turn
+// sealed it — its tick, a full seal or an answer. A builder heard before
+// that block does not complete a quorum after it.
+func TestEveryOwnBlockResetsTheQuorum(t *testing.T) {
+	nd, m, signers, _ := fullTestNodeOn(t, 4, func() time.Duration { return 0 })
+	peers := newPeerChains(t, signers)
+	deliver := func(peer int) {
+		_, msgs := peers.burst(false, peer)
+		nd.DeliverBurst(msgs)
+	}
+	answered := func(want int64, why string) {
+		t.Helper()
+		if got := m.Get(metrics.BlocksAnswered); got != want {
+			t.Fatalf("%s: %d answers, want %d", why, got, want)
+		}
+	}
+	sealOwnFull(t, nd, "a")
+	deliver(1)
+	nd.Disseminate() // the tick
+	deliver(2)
+	answered(0, "builder 1 before the tick, builder 2 after it")
+	deliver(1)
+	answered(1, "builders 2 and 1 after the tick")
+	deliver(3)
+	answered(1, "builder 3 after the answer")
+	sealOwnFull(t, nd, "b")
+	deliver(1)
+	answered(1, "builder 3 before a full seal, builder 1 after it")
+	deliver(2)
+	answered(2, "builders 1 and 2 after the full seal")
+	if built := m.Get(metrics.BlocksBuilt); built != 5 {
+		t.Fatalf("built %d blocks, want 5: two full seals, a tick and two answers", built)
+	}
+}
+
+// TestOnlyInsertedPeersFullBlocksAreAnswered: an own full block delivered
+// back to the node, a peer's block one request short of full and a peer's
+// full block buffered for its missing parent answer nothing: the own block
+// neither loads the node nor counts toward the quorum, the short block
+// counts but does not load it, and the buffered block does neither. The
+// burst that delivers the buffered block's parent, and so inserts it, counts
+// its builder and loads the node: it is answered.
+func TestOnlyInsertedPeersFullBlocksAreAnswered(t *testing.T) {
+	nd, m, signers, _ := fullTestNodeOn(t, 4, func() time.Duration { return 0 })
+	own, msgs := peerBlock(t, signers[0], nil, sixteenths("s0", fullBlockRatio))
+	nd.DeliverBurst(msgs)
+	short, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio-1))
+	nd.DeliverBurst(msgs)
+	parent, _ := peerBlock(t, signers[2], nil, nil)
+	buffered, msgs := peerBlock(t, signers[2], parent, sixteenths("s2", fullBlockRatio))
+	nd.DeliverBurst(msgs)
+	d := nd.Server().DAG()
+	if !d.Contains(own.Ref()) || !d.Contains(short.Ref()) || d.Contains(buffered.Ref()) {
+		t.Fatal("want the own and the short block inserted, the orphan buffered")
+	}
+	wantAnswers(t, m, 0, "an own, a short and a buffered full block")
+
+	_, msgs = peerBlock(t, signers[2], nil, nil)
+	nd.DeliverBurst(msgs)
+	if !d.Contains(buffered.Ref()) {
+		t.Fatal("the parent did not insert the buffered block")
+	}
+	wantAnswers(t, m, 1, "the burst that inserted the buffered full block")
+	if !citesHead(nd, short.Ref(), buffered.Ref()) {
+		t.Fatal("the answer does not cite the quorum's blocks")
+	}
+}
+
+// streaming is a sync peer that streams a fixed block list, whatever it is
+// asked, and ends the stream clean.
+type streaming []*block.Block
+
+func (s streaming) ServeCall(_ types.ServerID, _ []byte, st transport.ServerStream) {
+	_ = st.Send(syncsvc.EncodeBatchFrame(s))
+	_ = st.Send(syncsvc.EncodeDoneFrame(uint64(len(s))))
+	st.Close(nil)
+}
+
+// pullAll pulls every one of blocks into nd from peer 1, to settlement.
+func pullAll(t *testing.T, nd *Node, net *simnet.Network, blocks ...*block.Block) {
+	t.Helper()
+	net.RegisterHandler(1, transport.ChanSync, streaming(blocks))
+	absorbed := -1
+	nd.PullFrom(1, func(_ uint64, n int, _ error) { absorbed = n })
+	net.Run()
+	if absorbed != len(blocks) {
+		t.Fatalf("the pull absorbed %d blocks, want %d", absorbed, len(blocks))
+	}
+}
+
+// TestPulledBlocksNeverCount: a block a pull absorbs is no delivery. Under
+// load, pulled blocks of two builders — a quorum with the block of a third
+// delivered after — are not counted toward the quorum; and a pulled full
+// block does not load a node, whose delivered quorum then goes unanswered.
+// Delivered, the same builders' next blocks are counted, and answered.
+func TestPulledBlocksNeverCount(t *testing.T) {
+	nd, m, signers, net := fullTestNodeOn(t, 4, func() time.Duration { return 0 })
+	peers := newPeerChains(t, signers)
+	sealOwnFull(t, nd, "own")
+	b1, _ := peers.next(1, false)
+	b2, _ := peers.next(2, false)
+	pullAll(t, nd, net, b1, b2)
+	_, msgs := peers.burst(false, 3)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 0, "builders 1 and 2 pulled, builder 3 delivered")
+	_, msgs = peers.burst(false, 1)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, "builders 3 and 1 delivered")
+
+	nd, m, signers, net = fullTestNodeOn(t, 4, func() time.Duration { return 0 })
+	peers = newPeerChains(t, signers)
+	full, _ := peers.next(1, true)
+	pullAll(t, nd, net, full)
+	_, msgs = peers.burst(false, 2, 3)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 0, "a pulled full block, a delivered quorum")
+	_, msgs = peers.burst(true, 1)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, "a delivered full block")
+}
+
+// TestLoadEndsAPeriodAfterTheLastFullBlock: for a period after a peer's full
+// block, or after sealing a full block of its own, a node answers a quorum
+// of any blocks, citing them; from a period after that full block on it
+// answers none, though the window would allow one.
+func TestLoadEndsAPeriodAfterTheLastFullBlock(t *testing.T) {
+	const period = time.Hour
+	var now time.Duration
+	nd, m, signers, _ := fullTestNodeOn(t, 4, func() time.Duration { return now })
+	peers := newPeerChains(t, signers)
+	_, msgs := peers.burst(true, 1, 2)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, "a peer's full block in a quorum")
+
+	now = period - 1
+	small, msgs := peers.burst(false, 2, 3)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 2, "a quorum within a period of a full block")
+	if !citesHead(nd, small...) {
+		t.Fatal("the answer does not cite the quorum it answers")
+	}
+	now = period + period/2
+	_, msgs = peers.burst(false, 3, 1)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 2, "a quorum a period and a half after the full block")
+
+	now = 3 * period
+	sealOwnFull(t, nd, "own")
 	now = 4*period - 1
-	_, msgs = peers.next(2, false)
+	_, msgs = peers.burst(false, 2, 3)
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, 2, "a peer's block within a period of an own full block")
+	wantAnswers(t, m, 3, "a quorum within a period of an own full block")
 	now = 4*period + period/2
-	_, msgs = peers.next(3, false)
+	_, msgs = peers.burst(false, 1, 2)
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, 2, "a peer's block a period and a half after an own full block")
+	wantAnswers(t, m, 3, "a quorum a period and a half after an own full block")
 }
 
 // TestNoLoadNoAnswer: a node that has neither sealed nor inserted a full
-// block answers no peer block, whenever it arrives.
+// block answers no quorum, whenever it completes.
 func TestNoLoadNoAnswer(t *testing.T) {
 	var now time.Duration
-	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
+	nd, m, signers, _ := fullTestNodeOn(t, 4, func() time.Duration { return now })
 	peers := newPeerChains(t, signers)
 	for i := range 12 {
 		_, msgs := peers.next(1+i%3, false)
 		nd.DeliverBurst(msgs)
 		now += time.Hour / 5
 	}
-	wantAnswers(t, m, 0, 0, "peers' blocks short of full, with no load")
+	wantAnswers(t, m, 0, "quorums of blocks short of full, with no load")
 }
 
 // TestAnswersAreTwoAPeriod: bursts at random times a few minutes of an
-// hour's period apart, each inserting a full block of peer 1 and some with
-// a block of peer 2 or 3 beside it. The node is under load throughout and
+// hour's period apart, each inserting a full block of a random peer and a
+// block of another beside it: a quorum, under load, every time. The node
 // answers, but never more than twice in any period; and since every burst
-// brings a full block, it answers two a period exactly.
+// could be answered, it answers two a period exactly.
 func TestAnswersAreTwoAPeriod(t *testing.T) {
 	const (
 		period = time.Hour
 		bursts = 400
 	)
 	var now time.Duration
-	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
+	nd, m, signers, _ := fullTestNodeOn(t, 4, func() time.Duration { return now })
 	peers := newPeerChains(t, signers)
 	rng := rand.New(rand.NewSource(1))
 	var answers []time.Duration
 	for range bursts {
-		_, msgs := peers.next(1, true)
-		if rng.Intn(2) == 0 {
-			_, other := peers.next(2+rng.Intn(2), false)
-			msgs = append(other, msgs...)
-		}
+		full := 1 + rng.Intn(3)
+		_, msgs := peers.burst(true, full, 1+(full+rng.Intn(2))%3)
 		built := m.Get(metrics.BlocksBuilt)
 		nd.DeliverBurst(msgs)
 		if m.Get(metrics.BlocksBuilt) > built {
@@ -436,57 +578,63 @@ func TestAnswersAreTwoAPeriod(t *testing.T) {
 		}
 	}
 	if periods := int(now / period); len(answers) < 2*periods {
-		t.Fatalf("%d answers over %d periods of full blocks, want two a period", len(answers), periods)
+		t.Fatalf("%d answers over %d periods of quorums, want two a period", len(answers), periods)
 	}
-	wantAnswers(t, m, int64(len(answers)), 0, "a full block in every burst")
+	wantAnswers(t, m, int64(len(answers)), "a quorum in every burst")
 }
 
-// TestSpacingNeverHoldsBackAFullAnswer: a progress answer does not delay a
-// full-block answer within half a period, as it delays another progress
-// answer; the window then holds the next answer back.
-func TestSpacingNeverHoldsBackAFullAnswer(t *testing.T) {
+// TestBackToBackQuorumsAreAnswered: only the window spaces answers. Under
+// load, a quorum completed right after an answer is answered too, and a
+// third within the period is not; a period after the first answer, the
+// quorum the window held back is answered by the burst that renews the load.
+func TestBackToBackQuorumsAreAnswered(t *testing.T) {
+	const period = time.Hour
 	var now time.Duration
-	nd, m, signers := fullTestNodeOn(t, func() time.Duration { return now })
+	nd, m, signers, _ := fullTestNodeOn(t, 4, func() time.Duration { return now })
 	peers := newPeerChains(t, signers)
-	submitSixteenths(t, nd, 0, fullBlockRatio)
-	if !nd.DisseminateIfFull() {
-		t.Fatal("the pool's full block was not sealed")
+	sealOwnFull(t, nd, "own")
+	now++
+	_, msgs := peers.burst(false, 1, 2)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 1, "a quorum under load")
+	now++
+	second, msgs := peers.burst(false, 2, 3)
+	nd.DeliverBurst(msgs)
+	wantAnswers(t, m, 2, "a quorum right after an answer")
+	if !citesHead(nd, second...) {
+		t.Fatal("the second answer does not cite its quorum")
 	}
 	now++
-	_, msgs := peers.next(2, false)
+	_, msgs = peers.burst(false, 3, 1)
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 0, 1, "a peer's block under load")
-	now++
-	full, msgs := peers.next(1, true)
+	wantAnswers(t, m, 2, "a third quorum within the period")
+	now = period + 1
+	_, msgs = peers.burst(true, 2)
 	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, 1, "a peer's full block right after a progress answer")
-	if !citesHead(nd, full.Ref()) {
-		t.Fatal("the answer does not cite the full block")
-	}
-	now++
-	_, msgs = peers.next(1, true)
-	nd.DeliverBurst(msgs)
-	wantAnswers(t, m, 1, 1, "a third answer within the period")
+	wantAnswers(t, m, 3, "a full block a period after the first answer")
 }
 
 // TestStartedNodeAnswersAFullBlock: a started node's loop answers a peer's
-// full block as it delivers it — the tick is an hour away — while Submit
-// and the loop's timers run beside it.
+// full block as it delivers it beside a second builder's block — the tick is
+// an hour away — while Submit and the loop's timers run beside it.
 func TestStartedNodeAnswersAFullBlock(t *testing.T) {
-	nd, m, signers := fullTestNodeOn(t, Clock())
+	nd, m, signers, _ := fullTestNodeOn(t, 4, Clock())
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	submitSixteenths(t, nd, 0, fullBlockRatio/2)
 	_, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio))
-	nd.Deliver(msgs[0].From, msgs[0].Payload)
-	for deadline := time.Now().Add(10 * time.Second); m.Get(metrics.BlocksAnsweredFull) == 0; time.Sleep(time.Millisecond) {
+	_, other := peerBlock(t, signers[2], nil, nil)
+	for _, msg := range append(msgs, other...) {
+		nd.Deliver(msg.From, msg.Payload)
+	}
+	for deadline := time.Now().Add(10 * time.Second); m.Get(metrics.BlocksAnswered) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("no answer within 10s of a peer's full block")
+			t.Fatal("no answer within 10s of a peer's full block and a second builder's block")
 		}
 	}
 	nd.Stop()
-	wantAnswers(t, m, 1, 0, "a started node")
+	wantAnswers(t, m, 1, "a started node")
 	if embedded := m.Get(metrics.RequestsEmbedded); embedded != fullBlockRatio/2 {
 		t.Fatalf("the answer embedded %d requests, want the %d pending", embedded, fullBlockRatio/2)
 	}

@@ -4,11 +4,12 @@
 // run one event to completion against the deterministic state machine:
 // DeliverBurst, Disseminate (Algorithm 3's "repeatedly
 // gssp.disseminate()"; requests need no turn, the mempool it drains is
-// safe for concurrent use — Submit), DisseminateIfFull (the same, early,
-// when the mempool holds a full block) and Tick (FWD retries, interval
-// fsync, state seal and prune, and the live follower's pull on evidence of
-// lag). A delivery turn that inserts a peer's full block, or under load any
-// peer's block, ends with an own block too (answer).
+// safe for concurrent use — Submit — and on a durable node the store's
+// interval fsync after the block), DisseminateIfFull (the same, early,
+// when the mempool holds a full block) and Tick (FWD retries, state seal
+// and prune, and the live follower's pull on evidence of lag). A delivery
+// turn under load that completes a quorum of peers' blocks ends with an own
+// block too (answer).
 // Turns read time from the server's clock only (core.Server.Now) and
 // never wait; what cannot finish inside one — a settled delta pull —
 // comes home through one internal hook, post, as a turn of its own. Whoever calls the turns owns the server: one caller
@@ -17,18 +18,18 @@
 // A node builds a block for one of three reasons: its period's tick
 // (Config.DisseminateEvery); a mempool holding a full block — payload of
 // fullBlockRatio times a block's fixed bytes, or block.MaxRequests
-// requests; or an answer to a delivery. A delivery is answered when it
-// inserted another builder's full block, by the same measure, or, while
-// the node is under load, any other builder's block. A node is under load
-// for one period after it sealed a full block, whichever turn sealed it, or
-// inserted a peer's. The last two reasons only fire under load. Every block
-// the second adds pays for itself: it adds at most 1/16 to wire and disk.
-// The third adds at most two blocks in any period, whatever the peers send;
-// full-block answers go first, and a progress answer also waits half a
-// period after the last answer. Their gain is latency: a loaded builder
-// embeds sooner, its peers echo its requests at its cadence, and the
-// builder and its peers answer each other's echoes with READYs and their
-// READYs with progress, not at their own ticks.
+// requests; or an answer to a delivery. A node is under load for one
+// period after it sealed a full block, whichever turn sealed it, or
+// inserted another builder's, by the same measure. Under load, a delivery
+// is answered once blocks of n − f − 1 other builders were inserted since
+// the node's own last block: a quorum, n − f, counting itself. The last two
+// reasons only fire under load. Every block the second adds pays for
+// itself: it adds at most 1/16 to wire and disk. The third adds at most two
+// blocks in any period, whatever the peers send. Their gain is latency: a
+// loaded builder embeds sooner, and each node answers a quorum's echoes
+// with its READYs and a quorum's READYs with its next block at the loaded
+// cadence, not at its own tick — a BRB phase needs 2f + 1 distinct echoes
+// or READYs, exactly what a quorum of blocks carries.
 //
 // Catch-up is FWD and one pull, PullFrom — tell a peer what this node holds,
 // get what it lacks and absorb the stream into the live DAG inside one store
@@ -102,10 +103,9 @@ type Config struct {
 	// DisseminateEvery is the block production period (default 50ms): the
 	// tick that builds a block whatever the mempool holds, after the
 	// housekeeping turn (Tick) on a started node. A mempool holding
-	// a full block seals one sooner (DisseminateIfFull); a peer's full block,
-	// and for one period after a full block any peer's block, is answered at
-	// once, at most twice in any period (DeliverBurst); and the tick keeps
-	// its phase.
+	// a full block seals one sooner (DisseminateIfFull); for one period
+	// after a full block, a quorum of peers' blocks is answered at once, at
+	// most twice in any period (DeliverBurst); and the tick keeps its phase.
 	DisseminateEvery time.Duration
 	// Store, if non-nil, makes the server durable: New installs it as the
 	// server's journal (core.Server.SetJournal: the head's proofs are
@@ -235,10 +235,13 @@ type Node struct {
 	// mempool that now holds a full block, leaves a token here for the loop
 	// (DisseminateIfFull). One slot, never waited on: a flood coalesces into
 	// one token. answeredAt holds when the last two answers went out, older
-	// first, and loadUntil is when the node's load ends (answer). Owner only.
+	// first, loadUntil is when the node's load ends, and heard is the set of
+	// other builders whose blocks a delivery inserted since the own last
+	// block, a bit a roster member (answer). Owner only.
 	full       chan struct{}
 	answeredAt [2]time.Duration
 	loadUntil  time.Duration
+	heard      []uint64
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -316,6 +319,7 @@ func New(cfg Config) (*Node, error) {
 		in:     make(chan gossip.Message, 256),
 		posted: make(chan func(), 4),
 		full:   make(chan struct{}, 1),
+		heard:  make([]uint64, (cfg.Server.Roster().N()+63)/64),
 		done:   make(chan struct{}),
 		broker: NewIndicationBroker(DefaultRecentLabels),
 	}

@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -19,15 +20,21 @@ import (
 
 // DeliverBurst is the delivery turn: one burst of network payloads, its
 // signature checks amortized and its journal writes group-committed
-// (core.Server.DeliverBatch). A burst that inserted a peer's full block, or
-// under load any peer's block, may be answered in the same turn (answer).
+// (core.Server.DeliverBatch). Under load, a burst that completes a quorum
+// of peers' blocks is answered in the same turn (answer).
 func (n *Node) DeliverBurst(batch []gossip.Message) {
 	from := n.cfg.Server.DAG().Len()
 	n.cfg.Server.DeliverBatch(batch)
 	n.answer(from)
 }
 
-// Disseminate is the block turn: seal and broadcast the current block.
+// Disseminate is the block turn: seal and broadcast the current block,
+// then, on a durable node, run the store's interval fsync. After the block
+// that fsync is a no-op whenever a block went out — an own block forces the
+// journal durable before gossip sends it — so a period costs one fsync, not
+// the received blocks' and then the own block's; it still syncs a turn that
+// seals none (the guards below, a withheld block).
+//
 // A failure means the block could not be persisted (broadcast withheld,
 // server unhealthy) or an internal invariant broke; it is recorded for
 // Err, and the other turns keep running: delivery, interpretation, and
@@ -38,11 +45,17 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 // a sequence number its peers already hold. Nor does a started durable node
 // before its first poll has settled (FollowReport.First): until then it
 // does not know what its peers were shown.
-func (n *Node) Disseminate() { n.disseminate() }
+func (n *Node) Disseminate() {
+	n.disseminate()
+	if n.cfg.Store != nil {
+		n.recordErr(n.cfg.Store.Tick())
+	}
+}
 
-// disseminate is Disseminate, reporting whether a block went out. A full
-// block going out, whichever turn sealed it, puts the node under load for a
-// period (answer).
+// disseminate is Disseminate without the fsync, reporting whether a block
+// went out. Whichever turn sealed it, a block going out starts the next
+// quorum afresh, and a full one puts the node under load for a period
+// (answer).
 func (n *Node) disseminate() bool {
 	if n.ownHeld() < n.ownSeen.Load() || n.follow.First.Outcome == FirstPending {
 		return false
@@ -52,6 +65,7 @@ func (n *Node) disseminate() bool {
 	if err != nil {
 		return false
 	}
+	clear(n.heard)
 	if n.blockFull(b) {
 		n.loadUntil = n.cfg.Server.Now() + n.cfg.DisseminateEvery
 	}
@@ -60,11 +74,11 @@ func (n *Node) disseminate() bool {
 
 // fullBlockRatio is how many times a block's fixed bytes (blockFixedBytes)
 // of payload make a block full (isFull). A node seals a full block its mempool
-// holds before its tick (DisseminateIfFull), answers a peer's full block at
-// once, and for a period after either answers its peers' progress too
-// (answer). An early block carries at least 16 times what it costs beyond
-// its payload, so the first rule adds at most 1/16 to wire and disk,
-// whatever the load; the answers add at most two blocks a period.
+// holds before its tick (DisseminateIfFull), and for a period after sealing
+// or inserting one answers a quorum of its peers' blocks (answer). An early
+// block carries at least 16 times what it costs beyond its payload, so the
+// first rule adds at most 1/16 to wire and disk, whatever the load; the
+// answers add at most two blocks a period.
 const fullBlockRatio = 16
 
 // blockFixedBytes is what a block costs beyond its payload in a roster of n:
@@ -112,69 +126,67 @@ func (n *Node) poolFull() bool {
 	return n.isFull(pool.Bytes(), pool.Len())
 }
 
-// answer is the answer rule, the end of a delivery turn: it seals an own
-// block now through Disseminate, under its guards, instead of waiting for
-// the tick, when the DAG's blocks from the from-th on — those the burst
-// inserted — include
-//
-//   - another builder's full block (reason full), or
-//   - while the node is under load, any block of another builder (reason
-//     progress).
+// answer is the answer rule, the end of a delivery turn: a node under load
+// seals an own block now through Disseminate, under its guards, instead of
+// waiting for the tick, once blocks of n − f − 1 other builders — a quorum,
+// n − f, counting itself — were inserted since its own last block, whichever
+// turn sealed that (heard). The blocks the burst inserted, the DAG's from the
+// from-th on, join that set first.
 //
 // A node is under load for one DisseminateEvery after it sealed a full
 // block, whichever turn sealed it, or inserted a peer's. The answer's
 // references carry this node's echo of the requests it has seen and its
-// READYs: under load a builder answers its peers' echoes with its READYs,
-// and they answer back, at the loaded cadence instead of their ticks'.
-// Without a full block there is no load, and nothing is answered.
+// READYs: a BRB phase needs 2f + 1 distinct echoes or READYs, so under load
+// a quorum's blocks are answered by the next phase's, at the loaded cadence
+// instead of the builders' ticks. Without a full block there is no load, and
+// nothing is answered.
 //
 // The bound: a node sends at most two answers in any window of one
 // DisseminateEvery, timed on the server's clock, whatever its peers send —
-// so it builds at most its tick plus two answers a period. A progress answer
-// also waits half a period after the last answer; a full-block answer never
-// does, so progress never holds one back beyond the window. Each answer
-// costs every peer a signature check, so the window is what keeps a
-// Byzantine sender from making a correct node build without bound. A
-// buffered block (missing predecessors) counts only in the burst that
-// inserts it; a pulled one never does.
+// so it builds at most its tick plus two answers a period. Each answer costs
+// every peer a signature check, so the window is what keeps a Byzantine
+// sender from making a correct node build without bound. A buffered block
+// (missing predecessors) counts only in the burst that inserts it; a pulled
+// one never does.
 func (n *Node) answer(from int) {
-	peer, full := n.inserted(from)
-	if !peer {
-		return
-	}
 	now, period := n.cfg.Server.Now(), n.cfg.DisseminateEvery
-	if full {
+	if n.inserted(from) {
 		n.loadUntil = now + period
 	}
-	reason := metrics.BlocksAnsweredFull
-	switch {
-	case now < n.answeredAt[0]+period: // two answers in the last period
-		return
-	case full:
-	case now < n.loadUntil && now >= n.answeredAt[1]+period/2:
-		reason = metrics.BlocksAnsweredProgress
-	default:
+	r := n.cfg.Server.Roster()
+	if now >= n.loadUntil || now < n.answeredAt[0]+period || n.heardFrom() < r.N()-r.F()-1 {
 		return
 	}
 	if n.disseminate() {
 		n.answeredAt = [2]time.Duration{n.answeredAt[1], now}
-		n.cfg.Server.Counts().Add(reason, 1)
+		n.cfg.Server.Counts().Add(metrics.BlocksAnswered, 1)
 	}
 }
 
-// inserted reports whether the DAG's blocks from the from-th on include a
-// block another builder built, and whether one of those is full.
-func (n *Node) inserted(from int) (peer, full bool) {
+// inserted adds the builders of the DAG's blocks from the from-th on, other
+// than this node, to heard, and reports whether one of those blocks is full.
+func (n *Node) inserted(from int) (full bool) {
 	d, self := n.cfg.Server.DAG(), n.cfg.Server.ID()
 	base := len(d.Base())
-	for i := from; i < d.Len() && !full; i++ {
+	for i := from; i < d.Len(); i++ {
 		b, err := d.ReadRow(base + i)
 		if err != nil || b.Builder == self {
 			continue
 		}
-		peer, full = true, n.blockFull(b)
+		n.heard[b.Builder/64] |= 1 << (b.Builder % 64)
+		full = full || n.blockFull(b)
 	}
-	return peer, full
+	return full
+}
+
+// heardFrom is how many other builders' blocks were inserted since the own
+// last block.
+func (n *Node) heardFrom() int {
+	count := 0
+	for _, w := range n.heard {
+		count += bits.OnesCount64(w)
+	}
+	return count
 }
 
 // wakeFull leaves the loop a full-block token, unless one is waiting.
@@ -186,11 +198,12 @@ func (n *Node) wakeFull() {
 }
 
 // Tick is the housekeeping turn: gossip's re-asks and, on a durable node,
-// the store's interval fsync, the state seal/prune cycle and the follower —
-// each paced on the server's clock, so calling Tick more often only makes
-// them more punctual. A started node runs it every period, just before the
-// period's block (Disseminate). The store is never rewritten: a prune
-// writes its head and deletes the segments below the horizon.
+// the state seal/prune cycle and the follower — each paced on the server's
+// clock, so calling Tick more often only makes them more punctual. A
+// started node runs it every period, just before the period's block
+// (Disseminate), which runs the store's interval fsync after it. The store
+// is never rewritten: a prune writes its head and deletes the segments
+// below the horizon.
 //
 // The follower pulls on gossip's evidence of lag, never on a clock: a
 // buffered block got re-asked (FWD did not fill its gap within
@@ -207,7 +220,6 @@ func (n *Node) Tick() {
 	if n.cfg.Store == nil {
 		return
 	}
-	n.recordErr(n.cfg.Store.Tick())
 	n.maybeSealState()
 	now := n.cfg.Server.Now()
 	if n.followInFlight && now-n.lastFollow >= n.via.Timeout {
