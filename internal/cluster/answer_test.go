@@ -64,9 +64,7 @@ func TestPeersAnswerAFullBuilder(t *testing.T) {
 		p50, p95, took[len(took)-1], answered, c.Metrics[0].Get(metrics.BlocksBuilt))
 	// Builder 0 seals two blocks a round, at its tick, which the rounds'
 	// submissions precede. Without the answer rule an indication takes three
-	// rounds, 600 ms, at p50 and p95; answering a peer's full block at once
-	// and its peers' progress half an interval after the last answer took
-	// two, 400 ms, at both.
+	// rounds, 600 ms, at p50 and p95.
 	if p50 != 200*time.Millisecond || p95 != 400*time.Millisecond {
 		t.Fatalf("an indication took %v at p50, %v at p95, want 200ms and 400ms", p50, p95)
 	}
