@@ -13,9 +13,8 @@ import (
 	"blockdag/internal/types"
 )
 
-// scheduleWorkload is one of dagbench's named workloads at n = 4: its
-// arrival rate, request payload and block period (the rows of
-// bench/workload.go, copied).
+// scheduleWorkload is one of dagbench's named workloads: its arrival rate,
+// request payload and block period (the rows of bench/workload.go, copied).
 type scheduleWorkload struct {
 	name    string
 	rate    float64 // requests a second, all at node 0
@@ -79,7 +78,7 @@ func scheduleArrivals(seed int64, rate float64, payload int, phases ...time.Dura
 // scheduleRun is what one run on the production schedule read.
 type scheduleRun struct {
 	p50, p90 time.Duration // due time to node 0's indication, over the window
-	blocks   int64         // blocks built by the four nodes
+	blocks   int64         // blocks built by the n nodes
 }
 
 func (r scheduleRun) String() string {
@@ -88,16 +87,15 @@ func (r scheduleRun) String() string {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// runProductionSchedule runs wl at n = 4 on the schedule a started node keeps,
-// on the virtual clock: node i's period turn, Tick then Disseminate, at i/n
-// of a period, and node 0's full-block turn after each submit, as the wake
-// Submit leaves runs it.
+// runProductionSchedule runs wl at n nodes on the schedule a started node
+// keeps, on the virtual clock: node i's period turn, Tick then Disseminate,
+// at i/n of a period, and node 0's full-block turn after each submit, as the
+// wake Submit leaves runs it.
 // Links are 100 ± 50 µs. Every turn and arrival is scheduled up front, then
-// the network runs once. crashAt, if positive, is when node n − 1 loses
-// power (Cluster.Crash); it takes no turn after that.
-func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64, crashAt time.Duration) scheduleRun {
+// the network runs once. fault, if not nil, is applied to the cluster
+// before that: a crash (crashLast) or a filter on the links (latePeer).
+func runProductionSchedule(t testing.TB, wl scheduleWorkload, n int, seed int64, fault func(*Cluster, scheduleWorkload)) scheduleRun {
 	t.Helper()
-	const n = 4
 	c, err := New(Options{N: n, Protocol: brb.Protocol{}, Seed: seed, Interval: wl.period,
 		Latency: 100 * time.Microsecond, Jitter: 50 * time.Microsecond})
 	if err != nil {
@@ -108,7 +106,7 @@ func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64, crashA
 	end := scheduleWarmup + scheduleWindow + scheduleDrain
 	var ticks int64
 	for i := range c.Nodes {
-		phase := time.Duration(i) * wl.period / n
+		phase := time.Duration(i) * wl.period / time.Duration(n)
 		for at := phase; at < end; at += wl.period {
 			c.Net.After(at, func() {
 				if nd := c.Nodes[i]; nd != nil {
@@ -119,8 +117,8 @@ func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64, crashA
 			})
 		}
 	}
-	if crashAt > 0 {
-		c.Net.After(crashAt, func() { c.Crash(n - 1) })
+	if fault != nil {
+		fault(c, wl)
 	}
 	arrivals := scheduleArrivals(seed, wl.rate, wl.payload, scheduleWarmup, scheduleWindow)
 	for _, a := range arrivals {
@@ -164,11 +162,44 @@ func runProductionSchedule(t *testing.T, wl scheduleWorkload, seed int64, crashA
 	return run
 }
 
+// crashLast crashes node n − 1 at 1 s (Cluster.Crash), before the window
+// opens: it takes no turn after that.
+func crashLast(c *Cluster, _ scheduleWorkload) {
+	c.Net.After(time.Second, func() { c.Crash(len(c.Nodes) - 1) })
+}
+
+// latePeer makes node n − 1 a live peer whose answers never arrive: its
+// sends pass only within 2 ms after its period turn, which is long enough
+// for its tick's block and the FWD replies its peers ask for it, and are
+// dropped at any other time.
+func latePeer(c *Cluster, wl scheduleWorkload) {
+	n := len(c.Nodes)
+	late, phase := types.ServerID(n-1), time.Duration(n-1)*wl.period/time.Duration(n)
+	c.Net.SetPartition(func(from, _ types.ServerID) bool {
+		since := c.Net.Now() - phase
+		return from == late && (since < 0 || since%wl.period >= 2*time.Millisecond)
+	})
+}
+
+// pinSchedule runs wl at n nodes for each seed from 1 on, under fault, and
+// checks each run against its row of want. what names the runs in the log.
+func pinSchedule(t *testing.T, wl scheduleWorkload, n int, fault func(*Cluster, scheduleWorkload), what string, want ...string) {
+	t.Helper()
+	for i, row := range want {
+		seed := int64(i + 1)
+		run := runProductionSchedule(t, wl, n, seed, fault)
+		t.Logf("%-6s seed %d%s: %v", wl.name, seed, what, run)
+		if got := run.String(); got != row {
+			t.Errorf("%s seed %d%s read %q, want %q", wl.name, seed, what, got, row)
+		}
+	}
+}
+
 // TestLatencyOnTheProductionSchedule pins the latency dagbench's steady,
-// dense and sparse workloads read on the virtual clock, seeds 1–3, and the
-// blocks the cluster built: a change to when a node builds its blocks moves
-// these figures, exactly, with no noise. Every block is the tick's, a full
-// seal or an answer, and the counters say which.
+// dense and sparse workloads read on the virtual clock at n = 4, seeds 1–3,
+// and the blocks the cluster built: a change to when a node builds its
+// blocks moves these figures, exactly, with no noise. Every block is the
+// tick's, a full seal or an answer, and the counters say which.
 func TestLatencyOnTheProductionSchedule(t *testing.T) {
 	want := map[string][]string{
 		"steady": {
@@ -177,9 +208,9 @@ func TestLatencyOnTheProductionSchedule(t *testing.T) {
 			"p50 250.8 ms p90 290.4 ms, 1000 blocks",
 		},
 		"dense": {
-			"p50 151.7 ms p90 214.0 ms, 1491 blocks",
-			"p50 150.9 ms p90 214.7 ms, 1492 blocks",
-			"p50 159.7 ms p90 223.9 ms, 1487 blocks",
+			"p50 127.7 ms p90 198.1 ms, 1709 blocks",
+			"p50 126.6 ms p90 197.7 ms, 1723 blocks",
+			"p50 127.4 ms p90 197.8 ms, 1714 blocks",
 		},
 		"sparse": {
 			"p50 246.1 ms p90 290.3 ms, 1000 blocks",
@@ -188,13 +219,7 @@ func TestLatencyOnTheProductionSchedule(t *testing.T) {
 		},
 	}
 	for _, wl := range scheduleWorkloads {
-		for seed := int64(1); seed <= 3; seed++ {
-			run := runProductionSchedule(t, wl, seed, 0)
-			t.Logf("%-6s seed %d: %v", wl.name, seed, run)
-			if got := run.String(); got != want[wl.name][seed-1] {
-				t.Errorf("%s seed %d read %q, want %q", wl.name, seed, got, want[wl.name][seed-1])
-			}
-		}
+		pinSchedule(t, wl, 4, nil, "", want[wl.name]...)
 	}
 }
 
@@ -204,17 +229,51 @@ func TestLatencyOnTheProductionSchedule(t *testing.T) {
 // still answers the blocks of its two live peers. A rule that waited for
 // every peer's block would answer nothing once node 3 is down.
 func TestLatencyWithACrashedPeer(t *testing.T) {
-	want := []string{
-		"p50 131.3 ms p90 221.6 ms, 1130 blocks",
-		"p50 140.3 ms p90 229.1 ms, 1125 blocks",
-		"p50 146.0 ms p90 233.4 ms, 1124 blocks",
-	}
+	pinSchedule(t, scheduleWorkloads[1], 4, crashLast, ", node 3 crashed at 1s",
+		"p50 125.9 ms p90 207.6 ms, 1369 blocks",
+		"p50 151.4 ms p90 216.1 ms, 1346 blocks",
+		"p50 126.0 ms p90 206.0 ms, 1368 blocks",
+	)
+}
+
+// TestLatencyWithALatePeer pins dagbench's dense workload on the production
+// schedule, seeds 1–3, with node 3 live but late (latePeer): its period
+// turn's block arrives, its answers never do. A loaded node answers a quorum
+// of the three others without it. A rule that waits for the last peer waits
+// on node 3 at every node at once, and no delivery arrives to end the wait:
+// such a rule has to read below these rows to replace the quorum rule.
+func TestLatencyWithALatePeer(t *testing.T) {
+	pinSchedule(t, scheduleWorkloads[1], 4, latePeer, ", node 3 late",
+		"p50 124.5 ms p90 199.0 ms, 1698 blocks",
+		"p50 128.1 ms p90 194.6 ms, 1701 blocks",
+		"p50 126.5 ms p90 198.1 ms, 1696 blocks",
+	)
+}
+
+// TestLatencyAtSevenNodes pins dagbench's dense workload on the production
+// schedule at n = 7, seed 1: a full block is the same payload at every n, so
+// the latency no longer grows with the roster as the fill wait did.
+func TestLatencyAtSevenNodes(t *testing.T) {
+	pinSchedule(t, scheduleWorkloads[1], 7, nil, ", n = 7",
+		"p50 135.5 ms p90 196.9 ms, 2774 blocks",
+	)
+}
+
+// BenchmarkLatencyInN reads dense on the production schedule at n = 10 and
+// n = 16, seed 1: the rows of ARCHITECTURE's "When a node builds a block",
+// too slow for tier 1 (≈ 5 s and ≈ 19 s). Run it once:
+//
+//	go test -run '^$' -bench LatencyInN -benchtime 1x -v ./internal/cluster
+func BenchmarkLatencyInN(b *testing.B) {
 	dense := scheduleWorkloads[1]
-	for seed := int64(1); seed <= 3; seed++ {
-		run := runProductionSchedule(t, dense, seed, time.Second)
-		t.Logf("%s seed %d, node 3 crashed at 1s: %v", dense.name, seed, run)
-		if got := run.String(); got != want[seed-1] {
-			t.Errorf("%s seed %d, node 3 crashed at 1s, read %q, want %q", dense.name, seed, got, want[seed-1])
-		}
+	for _, n := range []int{10, 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for range b.N {
+				run := runProductionSchedule(b, dense, n, 1, nil)
+				b.Logf("%s seed 1, n = %d: %v", dense.name, n, run)
+				b.ReportMetric(ms(run.p50), "p50-ms")
+				b.ReportMetric(ms(run.p90), "p90-ms")
+			}
+		})
 	}
 }

@@ -51,11 +51,14 @@ func fullTestNodeOn(t *testing.T, size int, clock func() time.Duration) (*Node, 
 	return nd, m, signers, net
 }
 
-// sixteenth is the i-th request tagged tag, of 240 B of payload, a block's
-// fixed bytes at n = 4: sixteen of them make a full block.
+// sixteenths is how many sixteenths of fullBlockBytes make a full block.
+const sixteenths = 16
+
+// sixteenth is the i-th request tagged tag, of a sixteenth of fullBlockBytes
+// of payload (128 B): sixteen of them make a full block, at every n.
 func sixteenth(tag string, i int) (types.Label, []byte) {
 	label := types.Label(fmt.Sprintf("%s/%04d", tag, i))
-	return label, make([]byte, blockFixedBytes(4)-len(label))
+	return label, make([]byte, fullBlockBytes/sixteenths-len(label))
 }
 
 func submitSixteenths(t *testing.T, nd *Node, from, to int) {
@@ -71,8 +74,8 @@ func submitSixteenths(t *testing.T, nd *Node, from, to int) {
 // full block's sixteen requests.
 func wantOneFullBlock(t *testing.T, m *metrics.Metrics) {
 	t.Helper()
-	if built, full, embedded := m.Get(metrics.BlocksBuilt), m.Get(metrics.BlocksSealedFull), m.Get(metrics.RequestsEmbedded); built != 1 || full != 1 || embedded != fullBlockRatio {
-		t.Fatalf("built %d blocks (%d sealed full) embedding %d requests, want 1 (1) embedding %d", built, full, embedded, fullBlockRatio)
+	if built, full, embedded := m.Get(metrics.BlocksBuilt), m.Get(metrics.BlocksSealedFull), m.Get(metrics.RequestsEmbedded); built != 1 || full != 1 || embedded != sixteenths {
+		t.Fatalf("built %d blocks (%d sealed full) embedding %d requests, want 1 (1) embedding %d", built, full, embedded, sixteenths)
 	}
 }
 
@@ -82,15 +85,15 @@ func wantOneFullBlock(t *testing.T, m *metrics.Metrics) {
 // pending request. So does a pool holding block.MaxRequests requests of a
 // few bytes each, below a full block's payload.
 func TestFullBlockSealsBeforeTheTick(t *testing.T) {
-	if got := fullBlockRatio * blockFixedBytes(4); got != 3840 {
-		t.Fatalf("a block is full at %d B at n = 4, want 3840", got)
+	if fullBlockBytes != 2048 {
+		t.Fatalf("a block is full at %d B, want 2048", fullBlockBytes)
 	}
 	nd, m := fullTestNode(t)
-	submitSixteenths(t, nd, 0, fullBlockRatio-1)
+	submitSixteenths(t, nd, 0, sixteenths-1)
 	if nd.DisseminateIfFull() || m.Get(metrics.BlocksBuilt) != 0 {
 		t.Fatalf("sealed with %d B pending, below a full block", nd.Server().Mempool().Bytes())
 	}
-	submitSixteenths(t, nd, fullBlockRatio-1, fullBlockRatio)
+	submitSixteenths(t, nd, sixteenths-1, sixteenths)
 	if !nd.DisseminateIfFull() {
 		t.Fatal("a full block was not sealed")
 	}
@@ -113,6 +116,29 @@ func TestFullBlockSealsBeforeTheTick(t *testing.T) {
 	}
 }
 
+// TestFullIsTheSameAtEveryN: a block is full at fullBlockBytes of payload
+// whatever the roster's size. At n = 4, 7 and 16 a pool one byte short of it
+// seals nothing; the one-byte request that fills it seals a block.
+func TestFullIsTheSameAtEveryN(t *testing.T) {
+	for _, size := range []int{4, 7, 16} {
+		nd, m, _, _ := fullTestNodeOn(t, size, Clock())
+		submitSixteenths(t, nd, 0, sixteenths-1)
+		label := types.Label("short")
+		if err := nd.Submit(label, make([]byte, fullBlockBytes/sixteenths-1-len(label))); err != nil {
+			t.Fatal(err)
+		}
+		if pending := nd.Server().Mempool().Bytes(); pending != fullBlockBytes-1 || nd.DisseminateIfFull() {
+			t.Fatalf("n = %d: %d B pending sealed a block, or is not one byte short of %d", size, pending, fullBlockBytes)
+		}
+		if err := nd.Submit("z", nil); err != nil {
+			t.Fatal(err)
+		}
+		if !nd.DisseminateIfFull() || m.Get(metrics.BlocksSealedFull) != 1 {
+			t.Fatalf("n = %d: %d B pending sealed no block", size, fullBlockBytes)
+		}
+	}
+}
+
 // TestStartedNodeSealsAFullBlock: on a started node the request that fills
 // the block wakes the loop, which seals it — the tick is an hour away.
 func TestStartedNodeSealsAFullBlock(t *testing.T) {
@@ -120,7 +146,7 @@ func TestStartedNodeSealsAFullBlock(t *testing.T) {
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	submitSixteenths(t, nd, 0, fullBlockRatio)
+	submitSixteenths(t, nd, 0, sixteenths)
 	for deadline := time.Now().Add(10 * time.Second); m.Get(metrics.BlocksBuilt) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("no block sealed within 10s of the pool holding a full block")
@@ -160,7 +186,7 @@ func TestFullBlockFloodCoalesces(t *testing.T) {
 	}
 	nd.Stop()
 	built, full := m.Get(metrics.BlocksBuilt), m.Get(metrics.BlocksSealedFull)
-	if bound := int64(pending / (fullBlockRatio * blockFixedBytes(4))); built != full || full > bound {
+	if bound := int64(pending / fullBlockBytes); built != full || full > bound {
 		t.Fatalf("%d blocks (%d sealed full) for %d B pending, want at most %d, all full", built, full, pending, bound)
 	}
 	if batches := int64((flood + block.MaxRequests - 1) / block.MaxRequests); full != batches {
@@ -197,18 +223,19 @@ func TestSubmitAllocsBelowAFullBlock(t *testing.T) {
 	}
 }
 
-// countFull is block.MaxRequests requests of a few bytes each: a block full
-// by its request count, its payload far below a full block's.
+// countFull is block.MaxRequests requests of four bytes each: a block full
+// by its request count, its payload half a full block's.
 func countFull() []block.Request {
 	reqs := make([]block.Request, block.MaxRequests)
 	for i := range reqs {
-		reqs[i] = block.Request{Label: types.Label(fmt.Sprintf("count/%d", i)), Data: []byte{1}}
+		reqs[i] = block.Request{Label: types.Label(fmt.Sprintf("c%02x", i)), Data: []byte{1}}
 	}
 	return reqs
 }
 
-// sixteenths is k requests tagged tag of 240 B of payload each.
-func sixteenths(tag string, k int) []block.Request {
+// sixteenthsOf is k requests tagged tag of a sixteenth of fullBlockBytes of
+// payload each.
+func sixteenthsOf(tag string, k int) []block.Request {
 	reqs := make([]block.Request, k)
 	for i := range reqs {
 		label, data := sixteenth(tag, i)
@@ -272,10 +299,10 @@ func newPeerChains(t *testing.T, signers []*crypto.Signer) *peerChains {
 func (c *peerChains) next(peer int, full bool) (*block.Block, []gossip.Message) {
 	k := 1
 	if full {
-		k = fullBlockRatio
+		k = sixteenths
 	}
 	c.tags++
-	b, msgs := peerBlock(c.t, c.signers[peer], c.last[peer], sixteenths(fmt.Sprintf("p%d", c.tags), k))
+	b, msgs := peerBlock(c.t, c.signers[peer], c.last[peer], sixteenthsOf(fmt.Sprintf("p%d", c.tags), k))
 	c.last[peer] = b
 	return b, msgs
 }
@@ -419,12 +446,12 @@ func TestEveryOwnBlockResetsTheQuorum(t *testing.T) {
 // its builder and loads the node: it is answered.
 func TestOnlyInsertedPeersFullBlocksAreAnswered(t *testing.T) {
 	nd, m, signers, _ := fullTestNodeOn(t, 4, func() time.Duration { return 0 })
-	own, msgs := peerBlock(t, signers[0], nil, sixteenths("s0", fullBlockRatio))
+	own, msgs := peerBlock(t, signers[0], nil, sixteenthsOf("s0", sixteenths))
 	nd.DeliverBurst(msgs)
-	short, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio-1))
+	short, msgs := peerBlock(t, signers[1], nil, sixteenthsOf("s1", sixteenths-1))
 	nd.DeliverBurst(msgs)
 	parent, _ := peerBlock(t, signers[2], nil, nil)
-	buffered, msgs := peerBlock(t, signers[2], parent, sixteenths("s2", fullBlockRatio))
+	buffered, msgs := peerBlock(t, signers[2], parent, sixteenthsOf("s2", sixteenths))
 	nd.DeliverBurst(msgs)
 	d := nd.Server().DAG()
 	if !d.Contains(own.Ref()) || !d.Contains(short.Ref()) || d.Contains(buffered.Ref()) {
@@ -622,8 +649,8 @@ func TestStartedNodeAnswersAFullBlock(t *testing.T) {
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	submitSixteenths(t, nd, 0, fullBlockRatio/2)
-	_, msgs := peerBlock(t, signers[1], nil, sixteenths("s1", fullBlockRatio))
+	submitSixteenths(t, nd, 0, sixteenths/2)
+	_, msgs := peerBlock(t, signers[1], nil, sixteenthsOf("s1", sixteenths))
 	_, other := peerBlock(t, signers[2], nil, nil)
 	for _, msg := range append(msgs, other...) {
 		nd.Deliver(msg.From, msg.Payload)
@@ -635,8 +662,8 @@ func TestStartedNodeAnswersAFullBlock(t *testing.T) {
 	}
 	nd.Stop()
 	wantAnswers(t, m, 1, "a started node")
-	if embedded := m.Get(metrics.RequestsEmbedded); embedded != fullBlockRatio/2 {
-		t.Fatalf("the answer embedded %d requests, want the %d pending", embedded, fullBlockRatio/2)
+	if embedded := m.Get(metrics.RequestsEmbedded); embedded != sixteenths/2 {
+		t.Fatalf("the answer embedded %d requests, want the %d pending", embedded, sixteenths/2)
 	}
 	if err := nd.Err(); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"blockdag/internal/block"
-	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/gossip"
 	"blockdag/internal/metrics"
@@ -72,25 +71,22 @@ func (n *Node) disseminate() bool {
 	return true
 }
 
-// fullBlockRatio is how many times a block's fixed bytes (blockFixedBytes)
-// of payload make a block full (isFull). A node seals a full block its mempool
+// fullBlockBytes is the payload (labels and data) that makes a block full
+// (isFull), whatever the roster's size. A node seals a full block its mempool
 // holds before its tick (DisseminateIfFull), and for a period after sealing
 // or inserting one answers a quorum of its peers' blocks (answer). An early
-// block carries at least 16 times what it costs beyond its payload, so the
-// first rule adds at most 1/16 to wire and disk, whatever the load; the
-// answers add at most two blocks a period.
-const fullBlockRatio = 16
-
-// blockFixedBytes is what a block costs beyond its payload in a roster of n:
-// the signature, the header (builder, sequence number, length prefixes) and
-// n + 1 references — 240 B at n = 4, so a block is full at 3 840 B.
-func blockFixedBytes(n int) int { return crypto.SignatureSize + 16 + crypto.HashSize*(n+1) }
+// block carries at least 2 KiB of payload against 80 + 32(n + 1) B of fixed
+// bytes (the signature, the header and n + 1 references), so the first rule
+// adds at most 11.7 % to wire and disk at n = 4, 21.1 % at n = 10 and 30.5 % at
+// n = 16, whatever the load; the answers add at most two blocks a period.
+// A threshold that grew with n would make a loaded builder's fill wait, and
+// so its latency, grow with the roster.
+const fullBlockBytes = 2 << 10
 
 // isFull is the one definition of a full block, pending in the mempool or
-// built: payload (labels and data) of fullBlockRatio times a block's fixed
-// bytes, or block.MaxRequests requests.
+// built: fullBlockBytes of payload, or block.MaxRequests requests.
 func (n *Node) isFull(payload, requests int) bool {
-	return payload >= fullBlockRatio*blockFixedBytes(n.cfg.Server.Roster().N()) || requests >= block.MaxRequests
+	return payload >= fullBlockBytes || requests >= block.MaxRequests
 }
 
 // blockFull is isFull of a built block.
