@@ -169,9 +169,9 @@ func crashLast(c *Cluster, _ scheduleWorkload) {
 }
 
 // latePeer makes node n − 1 a live peer whose answers never arrive: its
-// sends pass only within 2 ms after its period turn, which is long enough
-// for its tick's block and the FWD replies its peers ask for it, and are
-// dropped at any other time.
+// sends pass only within 2 ms after its period turn, long enough for its
+// tick's block and for the replies that fill in the dropped answers that
+// block cites, and are dropped at any other time.
 func latePeer(c *Cluster, wl scheduleWorkload) {
 	n := len(c.Nodes)
 	late, phase := types.ServerID(n-1), time.Duration(n-1)*wl.period/time.Duration(n)

@@ -72,19 +72,20 @@ func (n *Node) disseminate() bool {
 }
 
 // fullBlockBytes is the payload (labels and data) that makes a block full
-// (isFull), whatever the roster's size. A node seals a full block its mempool
-// holds before its tick (DisseminateIfFull), and for a period after sealing
-// or inserting one answers a quorum of its peers' blocks (answer). An early
-// block carries at least 2 KiB of payload against 80 + 32(n + 1) B of fixed
-// bytes (the signature, the header and n + 1 references), so the first rule
-// adds at most 11.7 % to wire and disk at n = 4, 21.1 % at n = 10 and 30.5 % at
-// n = 16, whatever the load; the answers add at most two blocks a period.
-// A threshold that grew with n would make a loaded builder's fill wait, and
-// so its latency, grow with the roster.
+// (isFull), whatever the roster's size. A node seals a full block its
+// mempool holds before its tick (DisseminateIfFull), and for a period after
+// sealing or inserting one answers a quorum of its peers' blocks (answer).
+// An early block carries at least 2 KiB of payload against 80 + 32(n + 1) B
+// of fixed bytes (the signature, the header and n + 1 references), so the
+// first rule adds at most 11.7 % to wire and disk at n = 4, 21.1 % at
+// n = 10 and 30.5 % at n = 16, whatever the load; the answers add at most
+// two blocks a period. A threshold that grew with n would make a loaded
+// builder's fill wait, and so its latency, grow with the roster.
 const fullBlockBytes = 2 << 10
 
 // isFull is the one definition of a full block, pending in the mempool or
-// built: fullBlockBytes of payload, or block.MaxRequests requests.
+// built: fullBlockBytes of payload, or block.MaxRequests requests, at every
+// roster size.
 func (n *Node) isFull(payload, requests int) bool {
 	return payload >= fullBlockBytes || requests >= block.MaxRequests
 }

@@ -7,7 +7,11 @@
 # falls on both sides alike. It prints, for each end-to-end metric of
 # BENCHMARK.json, each side's median and quartiles, the change in the
 # medians, and the pairs the change won (better in the metric's "better"
-# direction; a tie wins nothing), then each side's failed requests. The
+# direction; a tie wins nothing), then each side's failed requests. A row is
+# marked "noisy" when the parent's own spread, (q3 − q1) / median, exceeds
+# half the metric's "bound": the pairs cannot tell a change of the bound's
+# size from chance there. It is marked "beyond bound" when the change in the
+# medians is worse than the bound. The
 # change side is the working tree as it stands, uncommitted edits included.
 # Each run's JSON line stays in .bench_build/pairs/<side>-<pair>.json.
 # Nothing under bench/ is edited; the worktree is removed on exit.
@@ -58,13 +62,15 @@ for ((i = 1; i <= pairs; i++)); do
 	fi
 done
 
-# The end-to-end metrics and their directions, from BENCHMARK.json: one
-# "name better" line each.
+# The end-to-end metrics, their directions and bounds, from BENCHMARK.json:
+# one "name better bound" line each, printed where the metric's object ends.
 spec=$(awk '
 	/"end_to_end"/ { on = 1 }
 	/"per_layer"/ { on = 0 }
 	on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
-	on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }
+	on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+	on && /"bound"/ { gsub(/[",]/, "", $2); bound = $2 }
+	on && /}/ && name != "" { print name, better, bound + 0; name = ""; bound = 0 }
 ' "$root/BENCHMARK.json")
 
 # One "side pair metric value" line per run and metric, failed and
@@ -98,10 +104,10 @@ printf '%s\n--\n%s\n' "$spec" "$values" | awk -v pairs="$pairs" '
 		return n
 	}
 	/^--$/ { body = 1; next }
-	!body { order[++metrics] = $1; better[$1] = $2; next }
+	!body { order[++metrics] = $1; better[$1] = $2; bound[$1] = $3; next }
 	{ val[$1, $2, $3] = $4 + 0 }
 	END {
-		printf "%-22s %30s %30s %9s %6s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "Δ median", "wins"
+		printf "%-22s %30s %30s %9s %6s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "Δ median", "wins", "note"
 		for (k = 1; k <= metrics; k++) {
 			m = order[k]
 			np = sorted("parent", m, ps); nc = sorted("change", m, cs)
@@ -112,9 +118,17 @@ printf '%s\n--\n%s\n' "$spec" "$values" | awk -v pairs="$pairs" '
 				if ((better[m] == "lower" && b < a) || (better[m] == "higher" && b > a)) wins++
 			}
 			mp = q(ps, np, 0.5); mc = q(cs, nc, 0.5)
-			printf "%-22s %12.3f [%7.3f, %7.3f] %12.3f [%7.3f, %7.3f] %+8.1f%% %3d/%d\n", m,
+			# d is the change in the medians over the parent median; worse
+			# is d signed to be positive when the change goes against
+			# "better".
+			d = mp ? (mc - mp) / mp : 0
+			worse = better[m] == "higher" ? -d : d
+			note = ""
+			if (bound[m] && mp && (q(ps, np, 0.75) - q(ps, np, 0.25)) / mp > bound[m] / 2) note = "noisy"
+			if (bound[m] && worse > bound[m]) note = note (note ? ", " : "") "beyond bound"
+			printf "%-22s %12.3f [%7.3f, %7.3f] %12.3f [%7.3f, %7.3f] %+8.1f%% %3d/%d  %s\n", m,
 				mp, q(ps, np, 0.25), q(ps, np, 0.75), mc, q(cs, nc, 0.25), q(cs, nc, 0.75),
-				mp ? 100 * (mc - mp) / mp : 0, wins, pairs
+				100 * d, wins, pairs, note
 		}
 		split("parent change", names, " ")
 		for (k = 1; k <= 2; k++) {
