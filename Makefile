@@ -64,7 +64,8 @@ race:
 # serving side of a pull (a started node's reads in its loop's turns, while
 # that loop inserts) and of the snapshot tier (meta and chunk calls reading
 # the store's head while the loop seals and cuts), a started node's
-# answer to a peer's full block (a delivery racing the loop's timers) and
+# answer to a peer's full block (a delivery racing the loop's timers), its
+# seal of a request submitted while idle (Submit's wake over a real socket) and
 # its first poll (the loop's first turn racing peers that boot, a slow one
 # abandoned on Tick's clock) —
 # ten times under the race detector, so a test that fails one run in five (as
@@ -72,7 +73,7 @@ race:
 # introduces it rather than blocking unrelated work later. The -run filter
 # keeps it to a few minutes.
 flake-smoke:
-	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|Prune|RowBack|Serve|StartedNodeAnswers|FirstPoll|ColdStart' \
+	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|Prune|RowBack|Serve|StartedNodeAnswers|StartedNodeSealsAnIdle|FirstPoll|ColdStart' \
 		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy
 
 # experiments-md prints EXPERIMENTS.md for the tables cmd/experiments wrote

@@ -6,7 +6,7 @@
 //
 // The cluster is the simulator's shell around that assembly, and nothing
 // more: it never starts a node's goroutine; it steps the node's turns
-// (Tick, Disseminate, DisseminateIfFull, and Deliver from simnet's
+// (Tick, Disseminate, DisseminateEarly, and Deliver from simnet's
 // deliveries) from simnet events on the virtual clock, so a run is a
 // deterministic function of its seed. Follow polls, catch-up pulls, the
 // sync server, the seal/prune cycle, store recovery, evidence replay and
@@ -276,7 +276,7 @@ func (c *Cluster) RunRounds(rounds int) error {
 // ScheduleRounds schedules `rounds` dissemination rounds, one interval
 // apart, without running them: every correct slot takes a started node's
 // period turn (Tick, then Disseminate) and its wake's stand-in
-// (DisseminateIfFull) once per round, staggered to break symmetry. A caller
+// (DisseminateEarly) once per round, staggered to break symmetry. A caller
 // stepping the network (simnet.Network.Step) can stop it when it likes.
 func (c *Cluster) ScheduleRounds(rounds int) {
 	for r := 0; r < rounds; r++ {
@@ -290,7 +290,7 @@ func (c *Cluster) ScheduleRounds(rounds int) {
 				c.injectLoad(i)
 				nd.Tick()
 				nd.Disseminate()
-				nd.DisseminateIfFull()
+				nd.DisseminateEarly()
 			})
 		}
 	}

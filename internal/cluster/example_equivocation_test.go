@@ -172,28 +172,25 @@ func Example_equivocation() {
 	//   0  15ec7bf0  s0/k0   preds=[]
 	//   1  14a57353  s3/k0   preds=[] rs=(ℓ,1B)
 	//   2  028e2518  s1/k0   preds=[]
-	//   3  456b915a  s2/k0   preds=[]
-	//   4  b03dc17a  s0/k1   preds=[15ec7bf0 14a57353 028e2518 456b915a]
-	//   5  9f0e042c  s1/k1   preds=[028e2518 15ec7bf0 14a57353 456b915a]
-	//   6  fa97f821  s3/k0   preds=[] rs=(ℓ,1B)
-	//   7  ecd57217  s2/k1   preds=[456b915a 15ec7bf0 fa97f821 028e2518]
-	//   8  7fd55592  s0/k2   preds=[b03dc17a 9f0e042c ecd57217]
-	//   9  3a23f09e  s1/k2   preds=[9f0e042c b03dc17a ecd57217]
-	//  10  97749c61  s2/k2   preds=[ecd57217 b03dc17a 9f0e042c]
-	//  11  140c63b5  s0/k3   preds=[7fd55592 3a23f09e 97749c61]
-	//  12  cf1b3f3a  s1/k3   preds=[3a23f09e 7fd55592 97749c61]
-	//  13  e53822e0  s2/k3   preds=[97749c61 3a23f09e 7fd55592]
-	//  14  f2087a8c  s0/k4   preds=[140c63b5 cf1b3f3a e53822e0]
-	//  15  6db06e0d  s2/k4   preds=[e53822e0 140c63b5 cf1b3f3a]
-	//  16  686c95b1  s1/k4   preds=[cf1b3f3a 140c63b5 e53822e0]
-	//  17  c979109c  s0/k5   preds=[f2087a8c 6db06e0d 686c95b1]
-	//  18  b866ec0f  s1/k5   preds=[686c95b1 f2087a8c 6db06e0d]
-	//  19  3de4e20f  s2/k5   preds=[6db06e0d f2087a8c 686c95b1]
-	//  20  c6422c1a  s0/k6   preds=[c979109c b866ec0f 3de4e20f]
-	//  21  f535c6c0  s1/k6   preds=[b866ec0f c979109c 3de4e20f]
-	//  22  c0f21dd8  s2/k6   preds=[3de4e20f c979109c b866ec0f]
-	//  23  c0bb8c3c  s0/k7   preds=[c6422c1a f535c6c0 c0f21dd8]
-	//  24  e7030fa8  s2/k7   preds=[c0f21dd8 c6422c1a f535c6c0]
-	//  25  29f930da  s1/k7   preds=[f535c6c0 c6422c1a c0f21dd8]
+	//   3  f4602041  s0/k1   preds=[15ec7bf0 14a57353 028e2518]
+	//   4  456b915a  s2/k0   preds=[]
+	//   5  154683e7  s1/k1   preds=[028e2518 15ec7bf0 14a57353]
+	//   6  65e3bc63  s0/k2   preds=[f4602041 456b915a 154683e7]
+	//   7  0a48bee9  s1/k2   preds=[154683e7 456b915a f4602041]
+	//   8  fa97f821  s3/k0   preds=[] rs=(ℓ,1B)
+	//   9  46f15a4d  s2/k1   preds=[456b915a 15ec7bf0 fa97f821]
+	//  10  4f22f947  s2/k2   preds=[46f15a4d 65e3bc63 0a48bee9]
+	//  11  4a9d7b85  s0/k3   preds=[65e3bc63 4f22f947]
+	//  12  b670d2bf  s2/k3   preds=[4f22f947]
+	//  13  5bf3da2d  s1/k3   preds=[0a48bee9 4f22f947]
+	//  14  fa354414  s0/k4   preds=[4a9d7b85 b670d2bf 5bf3da2d]
+	//  15  4db797b6  s1/k4   preds=[5bf3da2d 4a9d7b85 b670d2bf]
+	//  16  43b733a3  s2/k4   preds=[b670d2bf 4a9d7b85 5bf3da2d]
+	//  17  309792b8  s0/k5   preds=[fa354414 4db797b6 43b733a3]
+	//  18  4d607e2b  s1/k5   preds=[4db797b6 fa354414 43b733a3]
+	//  19  003abf9a  s2/k5   preds=[43b733a3 fa354414 4db797b6]
+	//  20  41a294c4  s0/k6   preds=[309792b8 4d607e2b 003abf9a]
+	//  21  64d632d5  s1/k6   preds=[4d607e2b 309792b8 003abf9a]
+	//  22  234b2fc8  s2/k6   preds=[003abf9a 309792b8 4d607e2b]
 	// EQUIVOCATION s3 at k0: 14a57353 vs fa97f821
 }

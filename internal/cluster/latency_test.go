@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,65 +80,119 @@ func scheduleArrivals(seed int64, rate float64, payload int, phases ...time.Dura
 type scheduleRun struct {
 	p50, p90 time.Duration // due time to node 0's indication, over the window
 	blocks   int64         // blocks built by the n nodes
+	wire     float64       // gossip bytes (metrics.WireBytes) a request, over the window
 }
 
 func (r scheduleRun) String() string {
-	return fmt.Sprintf("p50 %.1f ms p90 %.1f ms, %d blocks", ms(r.p50), ms(r.p90), r.blocks)
+	return fmt.Sprintf("p50 %.1f ms p90 %.1f ms, %d blocks, %.0f wire B a request", ms(r.p50), ms(r.p90), r.blocks, r.wire)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// runProductionSchedule runs wl at n nodes on the schedule a started node
-// keeps, on the virtual clock: node i's period turn, Tick then Disseminate,
-// at i/n of a period, and node 0's full-block turn after each submit, as the
-// wake Submit leaves runs it.
-// Links are 100 ± 50 µs. Every turn and arrival is scheduled up front, then
-// the network runs once. fault, if not nil, is applied to the cluster
-// before that: a crash (crashLast) or a filter on the links (latePeer).
-func runProductionSchedule(t testing.TB, wl scheduleWorkload, n int, seed int64, fault func(*Cluster, scheduleWorkload)) scheduleRun {
+// scheduled is an n-node cluster on the schedule a started node keeps, on
+// the virtual clock: node i's period turn, Tick then Disseminate, at i/n of
+// a period until end, and node 0's early turn after each submit, as the wake
+// Submit leaves runs it. Links are 100 ± 50 µs. ticks counts the period
+// turns taken.
+type scheduled struct {
+	*Cluster
+	ticks int64
+}
+
+func newScheduled(t testing.TB, n int, seed int64, period, end time.Duration) *scheduled {
 	t.Helper()
-	c, err := New(Options{N: n, Protocol: brb.Protocol{}, Seed: seed, Interval: wl.period,
+	c, err := New(Options{N: n, Protocol: brb.Protocol{}, Seed: seed, Interval: period,
 		Latency: 100 * time.Microsecond, Jitter: 50 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopAll(c)
-
-	end := scheduleWarmup + scheduleWindow + scheduleDrain
-	var ticks int64
+	s := &scheduled{Cluster: c}
 	for i := range c.Nodes {
-		phase := time.Duration(i) * wl.period / time.Duration(n)
-		for at := phase; at < end; at += wl.period {
+		phase := time.Duration(i) * period / time.Duration(n)
+		for at := phase; at < end; at += period {
 			c.Net.After(at, func() {
 				if nd := c.Nodes[i]; nd != nil {
 					nd.Tick()
 					nd.Disseminate()
-					ticks++
+					s.ticks++
 				}
 			})
 		}
 	}
+	return s
+}
+
+// submit schedules a at node 0, and the early turn its wake runs.
+func (s *scheduled) submit(t testing.TB, a scheduleArrival) {
+	s.Net.After(a.due, func() {
+		if err := s.Nodes[0].Submit(a.label, a.value); err != nil {
+			t.Errorf("submit %s: %v", a.label, err)
+		}
+		s.Nodes[0].DisseminateEarly()
+	})
+}
+
+// run runs the network, then checks the cluster's health and that every
+// block built is a tick's, a full seal, an answer or an idle seal, as the
+// counters say. It returns the blocks built.
+func (s *scheduled) run(t testing.TB, what string) int64 {
+	t.Helper()
+	s.Net.Run()
+	if err := s.Health(); err != nil {
+		t.Fatal(err)
+	}
+	var built, early int64
+	for _, m := range s.Metrics {
+		built += m.Get(metrics.BlocksBuilt)
+		early += m.Get(metrics.BlocksSealedFull) + m.Get(metrics.BlocksAnswered) + m.Get(metrics.BlocksSealedIdle)
+	}
+	if built-early != s.ticks {
+		t.Errorf("%s: %d blocks built, %d of them early, but %d ticks", what, built, early, s.ticks)
+	}
+	return built
+}
+
+// wireBytes is the gossip bytes the cluster's nodes have sent so far.
+func (s *scheduled) wireBytes() int64 {
+	var sum int64
+	for _, m := range s.Metrics {
+		sum += m.Get(metrics.WireBytes)
+	}
+	return sum
+}
+
+// indicatedAt is when node 0 indicated each label.
+func (s *scheduled) indicatedAt() map[types.Label]time.Duration {
+	at := make(map[types.Label]time.Duration)
+	for _, ind := range s.Indications(0) {
+		at[ind.Label] = ind.At
+	}
+	return at
+}
+
+// runProductionSchedule runs wl at n nodes on the production schedule
+// (scheduled). Every turn and arrival is scheduled up front, then the network
+// runs once. fault, if not nil, is applied to the cluster before that: a
+// crash (crashLast) or a filter on the links (latePeer).
+func runProductionSchedule(t testing.TB, wl scheduleWorkload, n int, seed int64, fault func(*Cluster, scheduleWorkload)) scheduleRun {
+	t.Helper()
+	s := newScheduled(t, n, seed, wl.period, scheduleWarmup+scheduleWindow+scheduleDrain)
+	defer stopAll(s.Cluster)
 	if fault != nil {
-		fault(c, wl)
+		fault(s.Cluster, wl)
 	}
 	arrivals := scheduleArrivals(seed, wl.rate, wl.payload, scheduleWarmup, scheduleWindow)
 	for _, a := range arrivals {
-		c.Net.After(a.due, func() {
-			if err := c.Nodes[0].Submit(a.label, a.value); err != nil {
-				t.Errorf("submit %s: %v", a.label, err)
-			}
-			c.Nodes[0].DisseminateIfFull()
-		})
+		s.submit(t, a)
 	}
-	c.Net.Run()
-	if err := c.Health(); err != nil {
-		t.Fatal(err)
+	var wire [2]int64
+	for i, at := range []time.Duration{scheduleWarmup, scheduleWarmup + scheduleWindow} {
+		s.Net.After(at, func() { wire[i] = s.wireBytes() })
 	}
+	what := fmt.Sprintf("%s seed %d", wl.name, seed)
+	run := scheduleRun{blocks: s.run(t, what)}
 
-	indicatedAt := make(map[types.Label]time.Duration)
-	for _, ind := range c.Indications(0) {
-		indicatedAt[ind.Label] = ind.At
-	}
+	indicatedAt := s.indicatedAt()
 	var took []time.Duration
 	for _, a := range arrivals {
 		if a.due < scheduleWarmup {
@@ -145,20 +200,13 @@ func runProductionSchedule(t testing.TB, wl scheduleWorkload, n int, seed int64,
 		}
 		at, ok := indicatedAt[a.label]
 		if !ok {
-			t.Fatalf("%s seed %d: %s (due %v) was never indicated at node 0", wl.name, seed, a.label, a.due)
+			t.Fatalf("%s: %s (due %v) was never indicated at node 0", what, a.label, a.due)
 		}
 		took = append(took, at-a.due)
 	}
 	slices.Sort(took)
-	run := scheduleRun{p50: took[len(took)/2], p90: took[len(took)*9/10]}
-	early := int64(0) // blocks built for a reason other than the tick
-	for _, m := range c.Metrics {
-		run.blocks += m.Get(metrics.BlocksBuilt)
-		early += m.Get(metrics.BlocksSealedFull) + m.Get(metrics.BlocksAnswered)
-	}
-	if run.blocks-early != ticks {
-		t.Errorf("%s seed %d: %d blocks built, %d of them early, but %d ticks", wl.name, seed, run.blocks, early, ticks)
-	}
+	run.p50, run.p90 = took[len(took)/2], took[len(took)*9/10]
+	run.wire = float64(wire[1]-wire[0]) / float64(len(took))
 	return run
 }
 
@@ -199,23 +247,32 @@ func pinSchedule(t *testing.T, wl scheduleWorkload, n int, fault func(*Cluster, 
 // dense and sparse workloads read on the virtual clock at n = 4, seeds 1–3,
 // and the blocks the cluster built: a change to when a node builds its
 // blocks moves these figures, exactly, with no noise. Every block is the
-// tick's, a full seal or an answer, and the counters say which.
+// tick's, a full seal, an answer or an idle seal, and the counters say which.
+// The wire is every node's gossip bytes over the window's requests.
+//
+// The first request of the warm-up finds the cluster idle: node 0 seals it at
+// once and every node answers for a period. That adds 9 blocks on steady;
+// sparse's requests leave it idle now and then, 18–27 blocks (≤ 2.7 %). The
+// wake moves which turn later answers fall in, so dense's rows moved both
+// ways seed by seed: over seeds 1–10, the mean p50 went 126.7 → 125.7 ms
+// fault-free, 134.7 → 133.5 with node 3 crashed and 129.7 → 130.1 with it
+// late, the mean p90 198.5 → 198.1, 208.8 → 209.0 and 199.1 → 198.3.
 func TestLatencyOnTheProductionSchedule(t *testing.T) {
 	want := map[string][]string{
 		"steady": {
-			"p50 250.8 ms p90 290.6 ms, 1000 blocks",
-			"p50 249.7 ms p90 289.9 ms, 1000 blocks",
-			"p50 250.8 ms p90 290.4 ms, 1000 blocks",
+			"p50 250.8 ms p90 290.6 ms, 1009 blocks, 296 wire B a request",
+			"p50 249.7 ms p90 289.9 ms, 1009 blocks, 296 wire B a request",
+			"p50 250.8 ms p90 290.4 ms, 1009 blocks, 296 wire B a request",
 		},
 		"dense": {
-			"p50 127.7 ms p90 198.1 ms, 1709 blocks",
-			"p50 126.6 ms p90 197.7 ms, 1723 blocks",
-			"p50 127.4 ms p90 197.8 ms, 1714 blocks",
+			"p50 123.6 ms p90 196.0 ms, 1730 blocks, 1015 wire B a request",
+			"p50 125.3 ms p90 196.1 ms, 1720 blocks, 1014 wire B a request",
+			"p50 127.4 ms p90 197.8 ms, 1714 blocks, 1013 wire B a request",
 		},
 		"sparse": {
-			"p50 246.1 ms p90 290.3 ms, 1000 blocks",
-			"p50 252.4 ms p90 292.3 ms, 1000 blocks",
-			"p50 256.0 ms p90 291.4 ms, 1000 blocks",
+			"p50 246.1 ms p90 290.3 ms, 1018 blocks, 1881 wire B a request",
+			"p50 250.9 ms p90 292.3 ms, 1027 blocks, 1900 wire B a request",
+			"p50 256.0 ms p90 291.4 ms, 1026 blocks, 1899 wire B a request",
 		},
 	}
 	for _, wl := range scheduleWorkloads {
@@ -230,9 +287,9 @@ func TestLatencyOnTheProductionSchedule(t *testing.T) {
 // every peer's block would answer nothing once node 3 is down.
 func TestLatencyWithACrashedPeer(t *testing.T) {
 	pinSchedule(t, scheduleWorkloads[1], 4, crashLast, ", node 3 crashed at 1s",
-		"p50 125.9 ms p90 207.6 ms, 1369 blocks",
-		"p50 151.4 ms p90 216.1 ms, 1346 blocks",
-		"p50 126.0 ms p90 206.0 ms, 1368 blocks",
+		"p50 128.9 ms p90 208.9 ms, 1369 blocks, 956 wire B a request",
+		"p50 122.6 ms p90 205.6 ms, 1370 blocks, 957 wire B a request",
+		"p50 126.0 ms p90 206.0 ms, 1368 blocks, 956 wire B a request",
 	)
 }
 
@@ -244,9 +301,9 @@ func TestLatencyWithACrashedPeer(t *testing.T) {
 // such a rule has to read below these rows to replace the quorum rule.
 func TestLatencyWithALatePeer(t *testing.T) {
 	pinSchedule(t, scheduleWorkloads[1], 4, latePeer, ", node 3 late",
-		"p50 124.5 ms p90 199.0 ms, 1698 blocks",
-		"p50 128.1 ms p90 194.6 ms, 1701 blocks",
-		"p50 126.5 ms p90 198.1 ms, 1696 blocks",
+		"p50 120.3 ms p90 198.3 ms, 1710 blocks, 1032 wire B a request",
+		"p50 128.1 ms p90 194.6 ms, 1701 blocks, 1032 wire B a request",
+		"p50 128.7 ms p90 201.6 ms, 1688 blocks, 1029 wire B a request",
 	)
 }
 
@@ -255,8 +312,76 @@ func TestLatencyWithALatePeer(t *testing.T) {
 // the latency no longer grows with the roster as the fill wait did.
 func TestLatencyAtSevenNodes(t *testing.T) {
 	pinSchedule(t, scheduleWorkloads[1], 7, nil, ", n = 7",
-		"p50 135.5 ms p90 196.9 ms, 2774 blocks",
+		"p50 134.5 ms p90 195.7 ms, 2774 blocks, 2373 wire B a request",
 	)
+}
+
+// loneRequestPhases is how many submit phases the lone-request rows read:
+// one every eighth of a period after node 0's tick.
+const loneRequestPhases = 8
+
+// runLoneRequest submits one request at node 0 of an n-node cluster on the
+// production schedule at steady's period, 2 s in and phase after node 0's
+// tick, the cluster idle until then (its nodes tick empty blocks), and
+// returns how long node 0 took to indicate it. fault is as for
+// runProductionSchedule.
+func runLoneRequest(t testing.TB, n int, phase time.Duration, fault func(*Cluster, scheduleWorkload)) time.Duration {
+	t.Helper()
+	steady := scheduleWorkloads[0]
+	due := 2*time.Second + phase
+	s := newScheduled(t, n, 1, steady.period, due+scheduleDrain)
+	defer stopAll(s.Cluster)
+	if fault != nil {
+		fault(s.Cluster, steady)
+	}
+	s.submit(t, scheduleArrival{due: due, label: "lone", value: []byte("v")})
+	what := fmt.Sprintf("a lone request at phase %v", phase)
+	s.run(t, what)
+	at, ok := s.indicatedAt()["lone"]
+	if !ok {
+		t.Fatalf("%s was never indicated at node 0", what)
+	}
+	return at - due
+}
+
+// pinLoneRequest runs a lone request at each phase under fault, checks that
+// none takes more than a period, and pins the latencies and their median.
+func pinLoneRequest(t *testing.T, fault func(*Cluster, scheduleWorkload), what, want string) {
+	t.Helper()
+	period := scheduleWorkloads[0].period
+	var took []time.Duration
+	var row strings.Builder
+	for k := range loneRequestPhases {
+		phase := time.Duration(k) * period / loneRequestPhases
+		d := runLoneRequest(t, 4, phase, fault)
+		if d > period {
+			t.Errorf("a lone request%s at phase %v took %v, more than a period", what, phase, d)
+		}
+		took = append(took, d)
+		fmt.Fprintf(&row, "%.1f ", ms(d))
+	}
+	slices.Sort(took)
+	fmt.Fprintf(&row, "ms, median %.1f ms", ms((took[loneRequestPhases/2-1]+took[loneRequestPhases/2])/2))
+	t.Logf("lone request%s: %s", what, row.String())
+	if got := row.String(); got != want {
+		t.Errorf("a lone request%s read %q, want %q", what, got, want)
+	}
+}
+
+// TestLatencyOfALoneRequest pins one request on an idle 4-node cluster at
+// steady's 100 ms period, submitted at node 0 at eight phases of its period:
+// fault-free, with node 3 crashed at 1 s, and with node 3 late (latePeer).
+// Node 0, idle, seals the request at once, and each node it wakes answers a
+// quorum of its peers' blocks for a period, so BRB's phases run at network
+// speed, not at the ticks: every phase takes at most a period, where waiting
+// for the ticks took 2.25–3.
+func TestLatencyOfALoneRequest(t *testing.T) {
+	pinLoneRequest(t, nil, "",
+		"100.0 87.5 75.0 62.5 50.0 37.5 25.0 0.5 ms, median 56.2 ms")
+	pinLoneRequest(t, crashLast, ", node 3 crashed at 1s",
+		"0.8 0.7 75.0 0.7 50.0 0.7 0.7 0.7 ms, median 0.7 ms")
+	pinLoneRequest(t, latePeer, ", node 3 late",
+		"0.5 0.5 75.0 0.8 50.0 0.8 25.0 0.5 ms, median 0.8 ms")
 }
 
 // BenchmarkLatencyInN reads dense on the production schedule at n = 10 and
@@ -273,6 +398,7 @@ func BenchmarkLatencyInN(b *testing.B) {
 				b.Logf("%s seed 1, n = %d: %v", dense.name, n, run)
 				b.ReportMetric(ms(run.p50), "p50-ms")
 				b.ReportMetric(ms(run.p90), "p90-ms")
+				b.ReportMetric(run.wire, "wire-B/req")
 			}
 		})
 	}

@@ -238,10 +238,11 @@ func (s *Server) DeliverBatch(msgs []gossip.Message) {
 
 // Disseminate implements Algorithm 3 lines 10–11: seal and broadcast the
 // current block, which it returns. The caller controls pacing — the paper
-// leaves it to the implementation. Package node builds on three triggers:
+// leaves it to the implementation. Package node builds on four triggers:
 // its period's tick, payload pressure (a mempool holding a full block seals
-// early, node.DisseminateIfFull), and under load an answer to a delivery
-// turn that completed a quorum of peers' blocks (node.DeliverBurst).
+// early, node.DisseminateEarly), a request on an idle node (sealed at once,
+// the same turn), and under load an answer to a delivery turn that completed
+// a quorum of peers' blocks (node.DeliverBurst).
 //
 // An unhealthy server refuses to disseminate: once a persist (or other
 // internal) error is latched, building further blocks that could not be

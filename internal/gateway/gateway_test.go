@@ -360,32 +360,47 @@ func TestInFlightShedding(t *testing.T) {
 	// last in, first out).
 	t.Cleanup(http.DefaultClient.CloseIdleConnections)
 	auth := map[string]string{"Authorization": "Bearer tok"}
-	held := make(chan string, maxInFlight)
-	for i := 0; i < maxInFlight; i++ {
+	type returned struct {
+		poll int
+		got  string
+	}
+	held := make(chan returned, maxInFlight)
+	poll := func(i int) {
 		go func() {
 			req, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/await/hold/%d?timeout=30s", base, i), nil)
 			req.Header.Set("Authorization", "Bearer tok")
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
-				held <- err.Error()
+				held <- returned{i, err.Error()}
 				return
 			}
 			b, _ := io.ReadAll(resp.Body)
 			_ = resp.Body.Close()
-			held <- fmt.Sprintf("%d %s", resp.StatusCode, b)
+			held <- returned{i, fmt.Sprintf("%d %s", resp.StatusCode, b)}
 		}()
 	}
-	// Only the polls hold slots, and one scrape at a time takes the next:
-	// a shed scrape means all 256 are in.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	for i := 0; i < maxInFlight; i++ {
+		poll(i)
+	}
+	// Only the polls hold slots once they are in, and one scrape at a time
+	// takes the next: a shed scrape means all 256 are in. A poll that arrives
+	// while a scrape holds a slot is shed itself, and is sent again; a poll
+	// that returns any other way before its publication fails the test.
+	for resent := 0; ; {
+		select {
+		case r := <-held:
+			if !strings.HasPrefix(r.got, "503") {
+				t.Fatalf("poll %d returned before its publication (%d shed and sent again before it): %s", r.poll, resent, r.got)
+			}
+			resent++
+			poll(r.poll)
+			continue
+		default:
+		}
 		resp := get(t, base+"/metrics", nil)
 		drainClose(t, resp)
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the long-polls never filled the gateway")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -406,8 +421,8 @@ func TestInFlightShedding(t *testing.T) {
 		broker.Publish(types.Label(fmt.Sprintf("hold/%d", i)), []byte("v"))
 	}
 	for i := 0; i < maxInFlight; i++ {
-		if got := <-held; !strings.HasPrefix(got, "200") {
-			t.Fatalf("held await after its publication = %s, want 200", got)
+		if r := <-held; !strings.HasPrefix(r.got, "200") {
+			t.Fatalf("held await %d after its publication = %s, want 200", r.poll, r.got)
 		}
 	}
 	// The slots freed: the next request is served again.

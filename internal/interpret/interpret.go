@@ -521,7 +521,7 @@ func (it *Interpreter) release() {
 	if it.quiet != nil && dominated(it.quiet, it.frontier) {
 		it.cut, it.quiet = it.quiet, nil
 	}
-	if s := it.stats; it.quiet == nil && s.LiveInstances == 0 && s.Tombstones == 0 && s.OutMessages == 0 {
+	if it.quiet == nil && it.Quiet() {
 		it.quiet = make([]uint64, it.n)
 		for x, ch := range it.chains {
 			if ch.tip != nil {
@@ -529,6 +529,15 @@ func (it *Interpreter) release() {
 			}
 		}
 	}
+}
+
+// Quiet reports whether the interpreter is at a quiet point, as of the last
+// AddBlock: no instance live, no tombstone and no out-buffer unread. A node
+// quiet for a while is idle (package node); a quiet point is where the cut
+// may move (Cut).
+func (it *Interpreter) Quiet() bool {
+	s := it.stats
+	return s.LiveInstances == 0 && s.Tombstones == 0 && s.OutMessages == 0
 }
 
 // Frontier returns, by builder, the sequence number below which every chain

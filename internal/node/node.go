@@ -5,9 +5,10 @@
 // DeliverBurst, Disseminate (Algorithm 3's "repeatedly
 // gssp.disseminate()"; requests need no turn, the mempool it drains is
 // safe for concurrent use — Submit — and on a durable node the store's
-// interval fsync after the block), DisseminateIfFull (the same, early,
-// when the mempool holds a full block) and Tick (FWD retries, state seal
-// and prune, and the live follower's pull on evidence of lag). A delivery
+// interval fsync after the block), DisseminateEarly (the same, early,
+// when the mempool holds a full block or the node is idle) and Tick (FWD
+// retries, state seal and prune, and the live follower's pull on evidence of
+// lag). A delivery
 // turn under load that completes a quorum of peers' blocks ends with an own
 // block too (answer).
 // Turns read time from the server's clock only (core.Server.Now) and
@@ -15,22 +16,27 @@
 // comes home through one internal hook, post, as a turn of its own. Whoever calls the turns owns the server: one caller
 // at a time.
 //
-// A node builds a block for one of three reasons: its period's tick
+// A node builds a block for one of four reasons: its period's tick
 // (Config.DisseminateEvery); a mempool holding a full block — 2 KiB of
 // payload (fullBlockBytes) at every roster size, or block.MaxRequests
-// requests; or an answer to a delivery. A node is under load for one
-// period after it sealed a full block, whichever turn sealed it, or
-// inserted another builder's, by the same measure. Under load, a delivery
-// is answered once blocks of n − f − 1 other builders were inserted since
-// the node's own last block: a quorum, n − f, counting itself. The last two
-// reasons only fire under load. Every block the second adds carries at
-// least 2 KiB of payload against 80 + 32(n + 1) B of fixed bytes: it adds
-// at most 11.7 % to wire and disk at n = 4, 30.5 % at n = 16. The third
-// adds at most two blocks in any period, whatever the peers send. Their
-// gain is latency: a loaded builder embeds sooner, and each node answers a
-// quorum's echoes with its READYs and a quorum's READYs with its next block
-// at the loaded cadence, not at its own tick — a BRB phase needs 2f + 1
-// distinct echoes or READYs, exactly what a quorum of blocks carries.
+// requests; a request submitted while the node is idle — its interpreter
+// quiet (no live instance, tombstone or unread out-buffer) for two periods
+// (idlePeriods), or never busy since New; or an answer to a delivery. A node
+// is under load for one period after it sealed a full block, whichever turn
+// sealed it, or inserted another builder's, by the same measure; and after a
+// turn that ended its idleness — an idle seal, or a delivered block that
+// started an instance. Under load, a delivery is answered once blocks of
+// n − f − 1 other builders were inserted since the node's own last block: a
+// quorum, n − f, counting itself. Every block the second reason adds carries
+// at least 2 KiB of payload against 80 + 32(n + 1) B of fixed bytes: it adds
+// at most 11.7 % to wire and disk at n = 4, 30.5 % at n = 16. The third adds
+// at most one block in any two periods, the fourth at most two in any
+// period, whatever the peers send. Their gain is latency: a loaded builder
+// embeds sooner, a lone request does not wait for the requester's tick, and
+// each node answers a quorum's echoes with its READYs and a quorum's READYs
+// with its next block at the loaded cadence, not at its own tick — a BRB
+// phase needs 2f + 1 distinct echoes or READYs, exactly what a quorum of
+// blocks carries. An idle cluster builds only its ticks.
 //
 // Catch-up is FWD and one pull, PullFrom — tell a peer what this node holds,
 // get what it lacks and absorb the stream into the live DAG inside one store
@@ -48,11 +54,11 @@
 // turns, so a k-block lag costs k block reads.
 //
 // The goroutine shell (Start/Stop) is the part that waits: it owns the
-// loop goroutine, the ingestion channel, the full-block wake Submit leaves
+// loop goroutine, the ingestion channel, the wake Submit leaves
 // and one ticker, whose period turn is Tick then Disseminate; it runs a turn
 // per event and makes post a send to that loop. The other shell is the
 // simulator (package cluster): it never calls Start, steps the same period
-// turn from simnet events on its virtual clock — and DisseminateIfFull every
+// turn from simnet events on its virtual clock — and DisseminateEarly every
 // round, its stand-in for the wake — and Deliver and post run inline, the
 // transport's callback being on the event loop already. A Node that is
 // never started starts no goroutine.
@@ -104,9 +110,10 @@ type Config struct {
 	// DisseminateEvery is the block production period (default 50ms): the
 	// tick that builds a block whatever the mempool holds, after the
 	// housekeeping turn (Tick) on a started node. A mempool holding
-	// a full block seals one sooner (DisseminateIfFull); for one period
-	// after a full block, a quorum of peers' blocks is answered at once, at
-	// most twice in any period (DeliverBurst); and the tick keeps its phase.
+	// a full block seals one sooner, and so does a request on an idle node
+	// (DisseminateEarly); for one period after a full block or the end of
+	// idleness, a quorum of peers' blocks is answered at once, at most twice
+	// in any period (DeliverBurst); and the tick keeps its phase.
 	DisseminateEvery time.Duration
 	// Store, if non-nil, makes the server durable: New installs it as the
 	// server's journal (core.Server.SetJournal: the head's proofs are
@@ -232,17 +239,20 @@ type Node struct {
 	posted  chan func()
 	looping atomic.Bool
 	stepMu  sync.Mutex
-	// full is the full-block wake: Submit, having admitted a request into a
-	// mempool that now holds a full block, leaves a token here for the loop
-	// (DisseminateIfFull). One slot, never waited on: a flood coalesces into
-	// one token. answeredAt holds when the last two answers went out, older
-	// first, loadUntil is when the node's load ends, and heard is the set of
-	// other builders whose blocks a delivery inserted since the own last
-	// block, a bit a roster member (answer). Owner only.
-	full       chan struct{}
+	// wakes is the early turn's wake: Submit, having admitted a request,
+	// leaves a token here for the loop (DisseminateEarly), which alone knows
+	// whether the pool holds a full block or the node is idle. One slot, never
+	// waited on: a flood coalesces into one token. answeredAt holds when the
+	// last two answers went out, older first, loadUntil is when the node's
+	// load ends, and heard is the set of other builders whose blocks a
+	// delivery inserted since the own last block, a bit a roster member
+	// (answer). busyAt is when the interpreter was last seen busy, or the
+	// last idle seal (idle). Owner only.
+	wakes      chan struct{}
 	answeredAt [2]time.Duration
 	loadUntil  time.Duration
 	heard      []uint64
+	busyAt     time.Duration
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -319,7 +329,7 @@ func New(cfg Config) (*Node, error) {
 		cfg:    cfg,
 		in:     make(chan gossip.Message, 256),
 		posted: make(chan func(), 4),
-		full:   make(chan struct{}, 1),
+		wakes:  make(chan struct{}, 1),
 		heard:  make([]uint64, (cfg.Server.Roster().N()+63)/64),
 		done:   make(chan struct{}),
 		broker: NewIndicationBroker(DefaultRecentLabels),
@@ -401,6 +411,8 @@ func New(cfg Config) (*Node, error) {
 	// No answer yet: as if the last two went out a period ago.
 	ago := n.lastFollow - cfg.DisseminateEvery
 	n.answeredAt = [2]time.Duration{ago, ago}
+	// Never busy yet: idle from the start.
+	n.busyAt = n.lastFollow - idlePeriods*cfg.DisseminateEvery
 	n.broker.endReplay()
 	return n, nil
 }
@@ -574,15 +586,14 @@ func (n *Node) deliverStepped(msg gossip.Message) bool {
 // server's mempool, synchronously — the pool is safe for concurrent use, so
 // this needs no turn of the loop — and returns the admission verdict
 // (mempool.ErrFull, mempool.ErrDuplicate, a validation error, or nil), which
-// gateways surface to their clients. A request that leaves the pool holding
-// a full block wakes the loop to seal it before the tick (DisseminateIfFull).
+// gateways surface to their clients. An admitted request wakes the loop,
+// which seals it before the tick if the pool now holds a full block or the
+// node is idle (DisseminateEarly).
 func (n *Node) Submit(label types.Label, data []byte) error {
 	if err := n.cfg.Server.Submit(label, data); err != nil {
 		return err
 	}
-	if n.poolFull() {
-		n.wakeFull()
-	}
+	n.wake()
 	return nil
 }
 
@@ -644,8 +655,8 @@ func (n *Node) loop(ctx context.Context) {
 		case <-period.C:
 			n.Tick()
 			n.Disseminate()
-		case <-n.full:
-			n.DisseminateIfFull()
+		case <-n.wakes:
+			n.DisseminateEarly()
 		case turn := <-n.posted:
 			turn()
 		}
