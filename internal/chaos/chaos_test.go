@@ -31,20 +31,18 @@ func TestPartitionEquivocators(t *testing.T) {
 	if !res.BanSurvivalChecked || !res.BanSurvival {
 		t.Fatalf("ban survival not verified:\n%s", res.Summary())
 	}
-	checkTrace(t, res, 20, "8216f36471a49f397d556ef7d38b070a", "fcbd62402f5538f911639d007705d2ae")
+	checkTrace(t, res, 20, "ad2c2db329fe68350610d7330b2ddbe4", "fcbd62402f5538f911639d007705d2ae")
 }
 
 // checkTrace pins a seeded run's round count and its two digests. The round
 // counts are the ones recorded before PR 16, when the cluster package still
 // carried its own copy of the runtime. The indication digests have never
-// moved. The block digests were re-pinned three times, each time with the
+// moved. The block digests were re-pinned twice, each time with the
 // indication digests proven equal by this test: in PR 18, when blocks began
 // to cite their parent and the DAG's tips instead of every inserted block,
 // and in PR 28, when a missing predecessor began to be asked of the peer
 // that sent the citing block — it arrives at another moment, so it is a tip
-// of another own block; and when the first request began to wake an idle
-// cluster: each node answers a quorum for a period after, so the DAG holds
-// blocks the ticks alone did not build.
+// of another own block.
 // A moved indication digest, or a moved round count, is a change in what
 // some server decided — find the decision before re-pinning.
 func checkTrace(t *testing.T, res *Result, rounds int, blocks, indications string) {
@@ -72,7 +70,7 @@ func TestCrashStorm(t *testing.T) {
 	if !res.Converged || !res.Agreement {
 		t.Fatalf("verdict fields inconsistent with OK():\n%s", res.Summary())
 	}
-	checkTrace(t, res, 26, "9456ce5fb2a092205290f877426db482", "b7e805765e9b507003129a3936496522")
+	checkTrace(t, res, 26, "4b81852fdce7f8dea355f9851b6a5729", "b7e805765e9b507003129a3936496522")
 }
 
 // TestDeterminism runs the acceptance scenario twice with the same seed

@@ -20,8 +20,7 @@ import (
 // delivers the block completing it, instead of at its own tick, at most
 // twice in any interval. The virtual time from a round's submission to
 // builder 0's indication of each of its requests is pinned at p50, p95 and
-// the maximum. A load that never fills a block answers only the period its
-// first requests wake the idle cluster.
+// the maximum. A load that never fills a block answers nothing.
 func TestPeersAnswerAFullBuilder(t *testing.T) {
 	const (
 		n        = 4
@@ -84,17 +83,12 @@ func TestPeersAnswerAFullBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stopAll(c)
-	// The first round's requests wake the idle cluster: the ticks that seal
-	// them put every node under load for a period, which allows two answers.
-	// Past that period the load never fills a block, and nothing is answered.
-	for _, span := range []int{2, rounds - 2} {
-		if err := c.RunRounds(span); err != nil {
-			t.Fatal(err)
-		}
-		for i, m := range c.Metrics {
-			if got := m.Get(metrics.BlocksAnswered); got != 2 {
-				t.Fatalf("slot %d answered %d blocks of a load that never fills one, want the wake's two", i, got)
-			}
+	if err := c.RunRounds(rounds); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range c.Metrics {
+		if got := m.Get(metrics.BlocksAnswered); got != 0 {
+			t.Fatalf("slot %d answered %d blocks of a load that never fills one", i, got)
 		}
 	}
 }

@@ -148,7 +148,7 @@ func Example_payments() {
 	// all replicas commit the same Merkle root (BRB consistency + totality through the DAG)
 	// audit proof: alice=95 verifies against root 430ae1215f5493d1 (4 sibling hashes)
 	//
-	// 12 payments × BRB over 20 blocks: 60 wire sends (11373 bytes) carried 1536 simulated protocol messages
+	// 12 payments × BRB over 16 blocks: 48 wire sends (9645 bytes) carried 1536 simulated protocol messages
 	// per payment: 128.0 materialized messages, every one compressed away
 }
 

@@ -105,7 +105,7 @@ func Example_quickstart() {
 	//   s2 delivered "42" on instance ℓ1
 	//   s3 delivered "42" on instance ℓ1
 	//
-	// network: 60 block/FWD sends, 10080 bytes
+	// network: 42 block/FWD sends, 6297 bytes
 	// interpretation: 128 protocol messages materialized, 0 sent
 	//
 	// figure 4 — message buffers for ℓ1 at each block of s0's DAG:
@@ -114,16 +114,12 @@ func Example_quickstart() {
 	//     out: s0 -> s1  (4 bytes)
 	//     out: s0 -> s2  (4 bytes)
 	//     out: s0 -> s3  (4 bytes)
-	//   block s0/k1:
-	//     in : s0 -> s0  (4 bytes)
 	//   block s1/k1:
 	//     in : s0 -> s1  (4 bytes)
 	//     out: s1 -> s0  (4 bytes)
 	//     out: s1 -> s1  (4 bytes)
 	//     out: s1 -> s2  (4 bytes)
 	//     out: s1 -> s3  (4 bytes)
-	//   block s0/k2:
-	//     in : s1 -> s0  (4 bytes)
 	//   block s2/k1:
 	//     in : s0 -> s2  (4 bytes)
 	//     out: s2 -> s0  (4 bytes)
@@ -137,13 +133,35 @@ func Example_quickstart() {
 	//     out: s3 -> s2  (4 bytes)
 	//     out: s3 -> s3  (4 bytes)
 	//   block s3/k2:
+	//     in : s1 -> s3  (4 bytes)
+	//     in : s2 -> s3  (4 bytes)
 	//     in : s3 -> s3  (4 bytes)
+	//     out: s3 -> s0  (4 bytes)
+	//     out: s3 -> s1  (4 bytes)
+	//     out: s3 -> s2  (4 bytes)
+	//     out: s3 -> s3  (4 bytes)
+	//   block s2/k2:
+	//     in : s1 -> s2  (4 bytes)
+	//     in : s2 -> s2  (4 bytes)
+	//     out: s2 -> s0  (4 bytes)
+	//     out: s2 -> s1  (4 bytes)
+	//     out: s2 -> s2  (4 bytes)
+	//     out: s2 -> s3  (4 bytes)
 	//   block s1/k2:
 	//     in : s1 -> s1  (4 bytes)
-	//   block s2/k2:
-	//     in : s2 -> s2  (4 bytes)
-	//   block s0/k3:
+	//     in : s2 -> s1  (4 bytes)
+	//     in : s3 -> s1  (4 bytes)
+	//     out: s1 -> s0  (4 bytes)
+	//     out: s1 -> s1  (4 bytes)
+	//     out: s1 -> s2  (4 bytes)
+	//     out: s1 -> s3  (4 bytes)
+	//   block s0/k1:
+	//     in : s0 -> s0  (4 bytes)
+	//     in : s1 -> s0  (4 bytes)
+	//     in : s1 -> s0  (4 bytes)
 	//     in : s2 -> s0  (4 bytes)
+	//     in : s2 -> s0  (4 bytes)
+	//     in : s3 -> s0  (4 bytes)
 	//     in : s3 -> s0  (4 bytes)
 	//     out: s0 -> s0  (4 bytes)
 	//     out: s0 -> s1  (4 bytes)
@@ -151,45 +169,17 @@ func Example_quickstart() {
 	//     out: s0 -> s3  (4 bytes)
 	//   block s2/k3:
 	//     in : s1 -> s2  (4 bytes)
-	//     in : s3 -> s2  (4 bytes)
-	//     out: s2 -> s0  (4 bytes)
-	//     out: s2 -> s1  (4 bytes)
-	//     out: s2 -> s2  (4 bytes)
-	//     out: s2 -> s3  (4 bytes)
-	//   block s3/k3:
-	//     in : s1 -> s3  (4 bytes)
-	//     in : s2 -> s3  (4 bytes)
-	//     out: s3 -> s0  (4 bytes)
-	//     out: s3 -> s1  (4 bytes)
-	//     out: s3 -> s2  (4 bytes)
-	//     out: s3 -> s3  (4 bytes)
-	//   block s1/k3:
-	//     in : s2 -> s1  (4 bytes)
-	//     in : s3 -> s1  (4 bytes)
-	//     out: s1 -> s0  (4 bytes)
-	//     out: s1 -> s1  (4 bytes)
-	//     out: s1 -> s2  (4 bytes)
-	//     out: s1 -> s3  (4 bytes)
-	//   block s0/k4:
-	//     in : s0 -> s0  (4 bytes)
-	//     in : s1 -> s0  (4 bytes)
-	//     in : s2 -> s0  (4 bytes)
-	//     in : s3 -> s0  (4 bytes)
-	//   block s2/k4:
-	//     in : s0 -> s2  (4 bytes)
-	//     in : s1 -> s2  (4 bytes)
 	//     in : s2 -> s2  (4 bytes)
 	//     in : s3 -> s2  (4 bytes)
-	//   block s1/k4:
-	//     in : s0 -> s1  (4 bytes)
+	//     in : s3 -> s2  (4 bytes)
+	//   block s1/k3:
 	//     in : s1 -> s1  (4 bytes)
 	//     in : s2 -> s1  (4 bytes)
 	//     in : s3 -> s1  (4 bytes)
-	//   block s3/k4:
-	//     in : s0 -> s3  (4 bytes)
+	//   block s3/k3:
 	//     in : s1 -> s3  (4 bytes)
 	//     in : s2 -> s3  (4 bytes)
 	//     in : s3 -> s3  (4 bytes)
 	//
-	// annotated Figure 4 DAG as DOT: 90 lines, sha256 954a6d96613b3af2…
+	// annotated Figure 4 DAG as DOT: 60 lines, sha256 80a2d6e99701a20e…
 }

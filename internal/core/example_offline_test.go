@@ -152,17 +152,17 @@ func Example_offline() {
 	fmt.Println("\naudit passed: offline interpretation reproduces every online delivery")
 	// Output:
 	// online run complete; every server delivered x and y
-	// persisted s1's DAG: 20 blocks, 1642 bytes of WAL
-	// reloaded 20 blocks
+	// persisted s1's DAG: 16 blocks, 1302 bytes of WAL
+	// reloaded 16 blocks
 	//
 	// offline replay indications (all simulated servers):
 	//   s1 delivered "first" on x
-	//   s0 delivered "first" on x
-	//   s3 delivered "first" on x
-	//   s2 delivered "first" on x
 	//   s1 delivered "second" on y
+	//   s0 delivered "first" on x
 	//   s0 delivered "second" on y
+	//   s3 delivered "first" on x
 	//   s3 delivered "second" on y
+	//   s2 delivered "first" on x
 	//   s2 delivered "second" on y
 	//
 	// audit passed: offline interpretation reproduces every online delivery

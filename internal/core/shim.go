@@ -264,6 +264,10 @@ func (s *Server) Tick() (reasked bool) { return s.gsp.Tick() }
 // before the first).
 func (s *Server) Heard() time.Duration { return s.gsp.Heard() }
 
+// OwnSeen returns one above the highest sequence number of an own block a
+// peer sent (gossip.Gossip.OwnSeen).
+func (s *Server) OwnSeen() uint64 { return s.gsp.OwnSeen() }
+
 // onInsert chains every inserted block into the interpreter: building the
 // DAG and interpreting it stay logically decoupled (the dotted line in the
 // paper's Figure 1) but share the insertion feed, which is a topological

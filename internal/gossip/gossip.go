@@ -229,6 +229,9 @@ type Gossip struct {
 	// heard is when a peer's block last arrived, on Clock (zero before the
 	// first): the node's follower reads a long silence as lag (Heard).
 	heard time.Duration
+	// ownSeen is one above the highest sequence number among the validly
+	// signed own blocks a peer sent, held or buffered (OwnSeen).
+	ownSeen uint64
 
 	// Current block B under construction (lines 2, 14–18): the tips, the
 	// blocks inserted since the parent that no later inserted block reaches.
@@ -421,6 +424,9 @@ func (g *Gossip) handleBlock(from types.ServerID, b *block.Block, verdicts map[b
 		g.cfg.Scores.Penalize(from, peerscore.BadSignature)
 		g.markInvalid(ref)
 		return
+	}
+	if b.Builder == g.self {
+		g.ownSeen = max(g.ownSeen, b.Seq+1)
 	}
 	if g.tryInsert(b) {
 		return
@@ -805,6 +811,12 @@ func (g *Gossip) Tick() (reasked bool) {
 // Heard returns when a peer's block last arrived, on Clock: the zero time
 // before the first.
 func (g *Gossip) Heard() time.Duration { return g.heard }
+
+// OwnSeen returns one above the highest sequence number of an own block a
+// peer sent, validly signed, whether or not it could be inserted: a block
+// this server published before it lost its DAG, whose sequence number is
+// taken (zero if none came).
+func (g *Gossip) OwnSeen() uint64 { return g.ownSeen }
 
 // send transmits one gossip payload. All of Algorithm 1's traffic rides
 // transport.ChanGossip, whose fire-and-forget Send carries exactly the

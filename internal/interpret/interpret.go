@@ -521,7 +521,7 @@ func (it *Interpreter) release() {
 	if it.quiet != nil && dominated(it.quiet, it.frontier) {
 		it.cut, it.quiet = it.quiet, nil
 	}
-	if it.quiet == nil && it.Quiet() {
+	if s := it.stats; it.quiet == nil && s.LiveInstances == 0 && s.Tombstones == 0 && s.OutMessages == 0 {
 		it.quiet = make([]uint64, it.n)
 		for x, ch := range it.chains {
 			if ch.tip != nil {
@@ -531,14 +531,13 @@ func (it *Interpreter) release() {
 	}
 }
 
-// Quiet reports whether the interpreter is at a quiet point, as of the last
-// AddBlock: no instance live, no tombstone and no out-buffer unread. A node
-// quiet for a while is idle (package node); a quiet point is where the cut
-// may move (Cut).
-func (it *Interpreter) Quiet() bool {
-	s := it.stats
-	return s.LiveInstances == 0 && s.Tombstones == 0 && s.OutMessages == 0
-}
+// Running reports whether some chain tip runs an instance not yet done, as
+// of the last AddBlock. A chain that stops mid-instance keeps it running; one
+// that stopped before a request reaches it runs none of it, and what it has
+// not read of the others' finished instances (their tombstones and
+// out-buffers, which release holds for it) is not running. A node none of
+// whose chains has run anything for a while is idle (package node).
+func (it *Interpreter) Running() bool { return it.stats.LiveInstances > 0 }
 
 // Frontier returns, by builder, the sequence number below which every chain
 // has read that builder's blocks, as of the last AddBlock: what the DAG may

@@ -157,8 +157,8 @@ var (
 	Indications       = Families.Counter("dag_indications_total", "Indications surfaced by interpretation.")
 	OwnBlockRefs      = Families.Counter("dag_own_block_refs_total", "References cited by own blocks; divide by dag_blocks_built_total for references per block.")
 	BlocksSealedFull  = Families.Counter("dag_blocks_sealed_full_total", "Own blocks sealed before their tick because the mempool held a full block.")
-	BlocksSealedIdle  = Families.Counter("dag_blocks_sealed_idle_total", "Own blocks sealed before their tick because a request arrived at an idle node: its interpreter quiet for two periods, or never busy since start.")
-	BlocksAnswered    = Families.Counter("dag_blocks_answered_total", "Own blocks sealed before their tick to answer a delivery: under load (within a period of a full block, its own or a peer's), once blocks of n - f - 1 other builders were inserted since its last own block, at most two in any period.")
+	BlocksSealedIdle  = Families.Counter("dag_blocks_sealed_idle_total", "Own blocks sealed before their tick because a request arrived at an idle node: no protocol instance running on any chain for four periods, or none since start, and an own block built or restored.")
+	BlocksAnswered    = Families.Counter("dag_blocks_answered_total", "Own blocks sealed before their tick to answer a delivery: under load (within a period of a full block, its own or a peer's, or of the end of its idleness), once blocks of n - f - 1 other builders were inserted since its last own block, at most two in any period.")
 
 	EquivocationsSeen   = Families.Counter("dag_equivocations_seen_total", "Forked (builder, seq) slots detected locally.")
 	EvidenceRelayed     = Families.Counter("dag_evidence_relayed_total", "Evidence messages forwarded to peers.")

@@ -31,7 +31,7 @@ func (c *fsyncClock) read() time.Duration {
 	return *c.now
 }
 
-// TestOneFsyncAPeriod: a busy durable node stepped on the period turn, Tick then
+// TestOneFsyncAPeriod: a durable node stepped on the period turn, Tick then
 // Disseminate, every 200 ms — dense's period, and the store's interval —
 // with peers' blocks arriving mid-period, fsyncs once a period and in the
 // period turn: its own block forces the journal durable, and the store's
@@ -68,7 +68,6 @@ func TestOneFsyncAPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Stop()
-	busy(nd) // idle, the first delivery would wake it, and its answer sync mid-period
 	peers := newPeerChains(t, signers)
 	run := func(from, to int, why string) {
 		t.Helper()

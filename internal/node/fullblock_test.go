@@ -20,9 +20,8 @@ import (
 )
 
 // fullTestNode is server 0 of a four-member roster, whose tick never fires:
-// every block it builds is one an early seal or an answer sealed.
-// A node is idle from New until its interpreter is first busy (idle); a test
-// of the full-block trigger alone makes it busy first.
+// every block it builds is one an early seal or an answer sealed. Until it
+// has built one it does not know its own chain's tip, so it is not idle.
 func fullTestNode(t *testing.T) (*Node, *metrics.Metrics) {
 	nd, m, _, _ := fullTestNodeOn(t, 4, Clock())
 	return nd, m
@@ -53,12 +52,6 @@ func fullTestNodeOn(t *testing.T, size int, clock func() time.Duration) (*Node, 
 	return nd, m, signers, net
 }
 
-// busy makes nd not idle for idlePeriods periods from now, as a request it
-// handled a moment ago would: a request it is submitted then waits for a
-// full block or the tick, and a delivery does not wake it. Owner only, or
-// before Start.
-func busy(nd *Node) { nd.busyAt = nd.cfg.Server.Now() }
-
 // sixteenths is how many sixteenths of fullBlockBytes make a full block.
 const sixteenths = 16
 
@@ -87,8 +80,8 @@ func wantOneFullBlock(t *testing.T, m *metrics.Metrics) {
 	}
 }
 
-// TestFullBlockSealsBeforeTheTick: a stepped busy node whose pool holds one
-// request less than a full block seals nothing through the early turn;
+// TestFullBlockSealsBeforeTheTick: a stepped node whose pool holds one
+// request less than a full block seals nothing through the full-block turn;
 // with the request that fills it, it seals one own block carrying every
 // pending request. So does a pool holding block.MaxRequests requests of a
 // few bytes each, below a full block's payload.
@@ -97,7 +90,6 @@ func TestFullBlockSealsBeforeTheTick(t *testing.T) {
 		t.Fatalf("a block is full at %d B, want 2048", fullBlockBytes)
 	}
 	nd, m := fullTestNode(t)
-	busy(nd)
 	submitSixteenths(t, nd, 0, sixteenths-1)
 	if nd.DisseminateEarly() || m.Get(metrics.BlocksBuilt) != 0 {
 		t.Fatalf("sealed with %d B pending, below a full block", nd.Server().Mempool().Bytes())
@@ -112,7 +104,6 @@ func TestFullBlockSealsBeforeTheTick(t *testing.T) {
 	}
 
 	nd, m = fullTestNode(t)
-	busy(nd)
 	for i, rq := range countFull() {
 		if err := nd.Submit(rq.Label, rq.Data); err != nil {
 			t.Fatal(err)
@@ -127,13 +118,11 @@ func TestFullBlockSealsBeforeTheTick(t *testing.T) {
 }
 
 // TestFullIsTheSameAtEveryN: a block is full at fullBlockBytes of payload
-// whatever the roster's size. At n = 4, 7 and 16 a busy node's pool one byte
-// short of it seals nothing; the one-byte request that fills it seals a
-// block.
+// whatever the roster's size. At n = 4, 7 and 16 a pool one byte short of it
+// seals nothing; the one-byte request that fills it seals a block.
 func TestFullIsTheSameAtEveryN(t *testing.T) {
 	for _, size := range []int{4, 7, 16} {
 		nd, m, _, _ := fullTestNodeOn(t, size, Clock())
-		busy(nd)
 		submitSixteenths(t, nd, 0, sixteenths-1)
 		label := types.Label("short")
 		if err := nd.Submit(label, make([]byte, fullBlockBytes/sixteenths-1-len(label))); err != nil {
@@ -151,12 +140,10 @@ func TestFullIsTheSameAtEveryN(t *testing.T) {
 	}
 }
 
-// TestStartedNodeSealsAFullBlock: on a started busy node the request that
-// fills the block wakes the loop, which seals it — the tick is an hour away;
-// the requests before it wake the loop too, and it seals nothing for them.
+// TestStartedNodeSealsAFullBlock: on a started node the request that fills
+// the block wakes the loop, which seals it — the tick is an hour away.
 func TestStartedNodeSealsAFullBlock(t *testing.T) {
 	nd, m := fullTestNode(t)
-	busy(nd)
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +335,7 @@ func sealOwnFull(t *testing.T, nd *Node, tag string) {
 	}
 }
 
-// TestPeersFullBlockIsAnswered: a peer's full block puts a stepped busy node
+// TestPeersFullBlockIsAnswered: a peer's full block puts a stepped node
 // under load, but one builder's block is short of the quorum, n − f − 1 = 2
 // other builders at n = 4, and is not answered. The burst that inserts a
 // second builder's block is, citing both; so is a burst that inserts a full
@@ -358,7 +345,6 @@ func sealOwnFull(t *testing.T, nd *Node, tag string) {
 func TestPeersFullBlockIsAnswered(t *testing.T) {
 	var now time.Duration
 	nd, m, signers, _ := fullTestNodeOn(t, 4, func() time.Duration { return now })
-	busy(nd)
 	peers := newPeerChains(t, signers)
 	full, msgs := peers.burst(true, 1)
 	nd.DeliverBurst(msgs)
@@ -379,7 +365,6 @@ func TestPeersFullBlockIsAnswered(t *testing.T) {
 	}
 
 	nd, m, signers, _ = fullTestNodeOn(t, 4, func() time.Duration { return 0 })
-	busy(nd)
 	reqs := countFull()
 	_, msgs = peerBlock(t, signers[1], nil, reqs[:block.MaxRequests-1])
 	_, other := peerBlock(t, signers[2], nil, nil)
@@ -576,13 +561,11 @@ func TestLoadEndsAPeriodAfterTheLastFullBlock(t *testing.T) {
 	wantAnswers(t, m, 3, "a quorum a period and a half after an own full block")
 }
 
-// TestNoLoadNoAnswer: a busy node that has neither sealed nor inserted a
-// full block answers no quorum, whenever it completes. (Idle, the first
-// delivery would wake it: TestAPeersRequestWakesAnIdleNode.)
+// TestNoLoadNoAnswer: a node that has neither sealed nor inserted a full
+// block answers no quorum, whenever it completes.
 func TestNoLoadNoAnswer(t *testing.T) {
 	var now time.Duration
 	nd, m, signers, _ := fullTestNodeOn(t, 4, func() time.Duration { return now })
-	busy(nd)
 	peers := newPeerChains(t, signers)
 	for i := range 12 {
 		_, msgs := peers.next(1+i%3, false)
@@ -659,12 +642,11 @@ func TestBackToBackQuorumsAreAnswered(t *testing.T) {
 	wantAnswers(t, m, 3, "a full block a period after the first answer")
 }
 
-// TestStartedNodeAnswersAFullBlock: a started busy node's loop answers a
-// peer's full block as it delivers it beside a second builder's block — the
-// tick is an hour away — while Submit and the loop's timers run beside it.
+// TestStartedNodeAnswersAFullBlock: a started node's loop answers a peer's
+// full block as it delivers it beside a second builder's block — the tick is
+// an hour away — while Submit and the loop's timers run beside it.
 func TestStartedNodeAnswersAFullBlock(t *testing.T) {
 	nd, m, signers, _ := fullTestNodeOn(t, 4, Clock())
-	busy(nd)
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}

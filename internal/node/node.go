@@ -19,9 +19,10 @@
 // A node builds a block for one of four reasons: its period's tick
 // (Config.DisseminateEvery); a mempool holding a full block — 2 KiB of
 // payload (fullBlockBytes) at every roster size, or block.MaxRequests
-// requests; a request submitted while the node is idle — its interpreter
-// quiet (no live instance, tombstone or unread out-buffer) for two periods
-// (idlePeriods), or never busy since New; or an answer to a delivery. A node
+// requests; a request submitted while the node is idle — no instance has
+// run on any chain of its DAG for four periods (idlePeriods), or none since
+// New, and the node knows its own chain's tip, having built since New or
+// restored its own blocks from its store; or an answer to a delivery. A node
 // is under load for one period after it sealed a full block, whichever turn
 // sealed it, or inserted another builder's, by the same measure; and after a
 // turn that ended its idleness — an idle seal, or a delivered block that
@@ -30,7 +31,7 @@
 // quorum, n − f, counting itself. Every block the second reason adds carries
 // at least 2 KiB of payload against 80 + 32(n + 1) B of fixed bytes: it adds
 // at most 11.7 % to wire and disk at n = 4, 30.5 % at n = 16. The third adds
-// at most one block in any two periods, the fourth at most two in any
+// at most one block in any four periods, the fourth at most two in any
 // period, whatever the peers send. Their gain is latency: a loaded builder
 // embeds sooner, a lone request does not wait for the requester's tick, and
 // each node answers a quorum's echoes with its READYs and a quorum's READYs
@@ -163,8 +164,8 @@ type RecoveryReport struct {
 	Took  time.Duration
 	// OwnHeld is 1 + the highest own sequence number in the DAG, a
 	// pruned-history stand-in included (its own chain head), OwnSeen
-	// the same over the own blocks a peer's stream has shown this node,
-	// held or not. While OwnHeld < OwnSeen the node builds nothing
+	// the same over the own blocks a peer has shown this node, by a stream
+	// or by gossip, held or not. While OwnHeld < OwnSeen the node builds nothing
 	// (Disseminate): it lost its disk and its old blocks are on their way
 	// back.
 	OwnHeld, OwnSeen uint64
@@ -246,13 +247,16 @@ type Node struct {
 	// last two answers went out, older first, loadUntil is when the node's
 	// load ends, and heard is the set of other builders whose blocks a
 	// delivery inserted since the own last block, a bit a roster member
-	// (answer). busyAt is when the interpreter was last seen busy, or the
-	// last idle seal (idle). Owner only.
+	// (answer). busyAt is when a turn last found or left an instance
+	// running, or the last idle seal; knowsTip is whether the own chain's
+	// tip is one this node built since New, or one New restored from its
+	// store (idle). Owner only.
 	wakes      chan struct{}
 	answeredAt [2]time.Duration
 	loadUntil  time.Duration
 	heard      []uint64
 	busyAt     time.Duration
+	knowsTip   bool
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -411,8 +415,11 @@ func New(cfg Config) (*Node, error) {
 	// No answer yet: as if the last two went out a period ago.
 	ago := n.lastFollow - cfg.DisseminateEvery
 	n.answeredAt = [2]time.Duration{ago, ago}
-	// Never busy yet: idle from the start.
+	// Never busy yet: idle from the start, once the own chain's tip is known.
+	// A node that has not built cannot tell a new identity from one whose
+	// past is on its way back from its peers; its tick builds its first block.
 	n.busyAt = n.lastFollow - idlePeriods*cfg.DisseminateEvery
+	n.knowsTip = n.ownHeld() > 0
 	n.broker.endReplay()
 	return n, nil
 }

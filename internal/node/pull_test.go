@@ -837,12 +837,9 @@ func TestCatchUpTierIndependence(t *testing.T) {
 		byLabel := make(map[types.Label][][]byte)
 		return byLabel, func(l types.Label, v []byte) { byLabel[l] = append(byLabel[l], append([]byte(nil), v...)) }
 	}
-	// The server's delivery, not the node's turn: replaying its own past, the
-	// slot must build nothing, and an idle node's turn would answer the
-	// first request's quorum.
 	gossiped := func(nd *node.Node, blocks []*block.Block) {
 		for _, b := range blocks {
-			nd.Server().DeliverBatch([]gossip.Message{{From: 0, Payload: gossip.EncodeBlockMsg(b)}})
+			nd.DeliverBurst([]gossip.Message{{From: 0, Payload: gossip.EncodeBlockMsg(b)}})
 		}
 	}
 	check := func(tier string, nd *node.Node, byLabel map[types.Label][][]byte) {

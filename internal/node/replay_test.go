@@ -54,13 +54,10 @@ func durableNode(t *testing.T, dir string, roster *crypto.Roster, signer *crypto
 	return r
 }
 
-// gossiped delivers blocks to the node's server one gossip message at a
-// time. The blocks are a recorded run, the node's own past among them: it
-// must build nothing of its own until next, and an idle node's turn
-// (DeliverBurst) would answer the first request's quorum.
+// gossiped delivers blocks to the node one gossip message at a time.
 func (r *replica) gossiped(blocks []*block.Block) {
 	for _, b := range blocks {
-		r.nd.Server().DeliverBatch([]gossip.Message{{From: b.Builder, Payload: gossip.EncodeBlockMsg(b)}})
+		r.nd.DeliverBurst([]gossip.Message{{From: b.Builder, Payload: gossip.EncodeBlockMsg(b)}})
 	}
 }
 

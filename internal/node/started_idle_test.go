@@ -25,9 +25,9 @@ func (f frames) Deliver(_ types.ServerID, payload []byte) {
 }
 
 // TestStartedNodeSealsAnIdleRequest: a started node whose tick is an hour
-// away, idle since New, embeds a request submitted over its Submit at once:
-// Submit wakes the loop, the loop seals the request, and the block reaches a
-// peer over a real socket — well before the tick.
+// away, idle since New and past its first block, embeds a request submitted
+// over its Submit at once: Submit wakes the loop, the loop seals the request,
+// and the block reaches a peer over a real socket — well before the tick.
 func TestStartedNodeSealsAnIdleRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -62,6 +62,12 @@ func TestStartedNodeSealsAnIdleRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(nd.Stop)
+	nd.Disseminate() // its first block, as its first tick would: the node knows its tip
+	select {
+	case <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first block did not reach the peer within 10s")
+	}
 	if err := nd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +83,8 @@ func TestStartedNodeSealsAnIdleRequest(t *testing.T) {
 	took := time.Since(began)
 	nd.Stop()
 	t.Logf("submit to the block at the peer: %v", took)
-	if built, idle, embedded := m.Get(metrics.BlocksBuilt), m.Get(metrics.BlocksSealedIdle), m.Get(metrics.RequestsEmbedded); built != 1 || idle != 1 || embedded != 1 {
-		t.Fatalf("built %d blocks (%d sealed idle) embedding %d requests, want the one idle seal of the request", built, idle, embedded)
+	if built, idle, embedded := m.Get(metrics.BlocksBuilt), m.Get(metrics.BlocksSealedIdle), m.Get(metrics.RequestsEmbedded); built != 2 || idle != 1 || embedded != 1 {
+		t.Fatalf("built %d blocks (%d sealed idle) embedding %d requests, want the first and the idle seal of the request", built, idle, embedded)
 	}
 	if err := nd.Err(); err != nil {
 		t.Fatal(err)

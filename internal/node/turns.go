@@ -21,11 +21,15 @@ import (
 // signature checks amortized and its journal writes group-committed
 // (core.Server.DeliverBatch). Under load, a burst that completes a quorum
 // of peers' blocks is answered in the same turn (answer); a burst that ends
-// the node's idleness loads it.
+// the node's idleness loads it. An own block a peer sent, one this node
+// published before it lost its DAG, holds block building back until the
+// DAG holds the own chain up to it, as a pulled one does (absorb).
 func (n *Node) DeliverBurst(batch []gossip.Message) {
-	from, idle := n.cfg.Server.DAG().Len(), n.idle()
-	n.cfg.Server.DeliverBatch(batch)
-	n.answer(from, idle && !n.idle())
+	srv := n.cfg.Server
+	from := srv.DAG().Len()
+	woke := n.interpreting(func() { srv.DeliverBatch(batch) })
+	n.ownSeen.Store(max(n.ownSeen.Load(), srv.OwnSeen()))
+	n.answer(from, woke)
 }
 
 // Disseminate is the block turn: seal and broadcast the current block,
@@ -60,14 +64,16 @@ func (n *Node) disseminate() bool {
 	if n.ownHeld() < n.ownSeen.Load() || n.follow.First.Outcome == FirstPending {
 		return false
 	}
-	idle := n.idle()
-	b, err := n.cfg.Server.Disseminate()
+	var b *block.Block
+	var err error
+	woke := n.interpreting(func() { b, err = n.cfg.Server.Disseminate() })
 	n.recordErr(err)
 	if err != nil {
 		return false
 	}
+	n.knowsTip = true
 	clear(n.heard)
-	if n.blockFull(b) || idle && !n.idle() {
+	if n.blockFull(b) || woke {
 		n.loadUntil = n.cfg.Server.Now() + n.cfg.DisseminateEvery
 	}
 	return true
@@ -85,16 +91,17 @@ func (n *Node) disseminate() bool {
 // builder's fill wait, and so its latency, grow with the roster.
 const fullBlockBytes = 2 << 10
 
-// idlePeriods is how many periods a node's interpreter must have been quiet
-// for the node to be idle (idle). An idle node seals a submitted request at
-// once (DisseminateEarly) instead of at its tick, and a turn that ends its
+// idlePeriods is how many periods no instance may have run on any chain for
+// the node to be idle (idle). An idle node seals a submitted request at once
+// (DisseminateEarly) instead of at its tick, and a turn that ends its
 // idleness puts it under load for a period, so the answers carry the
-// request's phases at network speed. Each wake costs about a block a node
-// per BRB phase, so the threshold sets how often a light load pays it: at
-// one period dagbench's sparse load (10 requests a second) read as idle
-// often enough to build 6–8 % more blocks on the virtual ruler, at two about
-// 2 %.
-const idlePeriods = 2
+// request's phases at network speed. Each wake costs about nine blocks at
+// n = 4 — the seal and two answers a node — so the threshold sets how often
+// a light load pays it: dagbench's sparse load (Poisson, 10 requests a
+// second) read wire +1.1 % (seed 1) and +4.5 % (seed 7) at two periods,
+// +2.3 % at three (seed 7), and no wake inside its window at four, where
+// only a lull of most of a second wakes the cluster (seed 3: +1.2 %).
+const idlePeriods = 4
 
 // isFull is the one definition of a full block, pending in the mempool or
 // built: fullBlockBytes of payload, or block.MaxRequests requests, at every
@@ -117,7 +124,7 @@ func (n *Node) blockFull(b *block.Block) bool {
 // Disseminate, under the same guards, instead of waiting for the tick. If the
 // pool still holds a full block, it wakes the loop again, so a backlog drains
 // one block per loop iteration, between deliveries. An idle seal counts as
-// the end of a quiet stretch, whatever the request starts, so a node seals
+// the end of an idle stretch, whatever the request starts, so a node seals
 // at most one in any idlePeriods periods. It reports whether it sealed. The
 // goroutine shell runs it when Submit wakes it; a stepped owner calls it
 // every round.
@@ -159,7 +166,7 @@ func (n *Node) poolFull() bool {
 //
 // A node is under load for one DisseminateEvery after it sealed a full
 // block, whichever turn sealed it, or inserted a peer's; and after a turn
-// that found it idle and left its interpreter busy (woke): its own block, or
+// that found it idle and left an instance running (woke): its own block, or
 // a delivered one, started an instance — a pulled one never counts, and
 // neither does a request that starts nothing, such as a replay of a finished
 // label. The answer's references carry this node's echo of the requests it
@@ -207,17 +214,28 @@ func (n *Node) inserted(from int) (full bool) {
 	return full
 }
 
-// idle reports whether the node is idle: its interpreter quiet
-// (interpret.Interpreter.Quiet) and last seen busy idlePeriods periods ago
-// or more — never, since New, counts as long ago. A call that finds it busy
-// notes the time, so every turn that interprets calls it first: the quiet
-// stretch then counts from the turn that ended it.
+// idle reports whether the node is idle: no instance runs on any chain
+// tip (interpret.Interpreter.Running), none has since busyAt, idlePeriods
+// periods ago or more — never, since New, counts as long ago — and the node
+// knows its own chain's tip (knowsTip).
 func (n *Node) idle() bool {
-	now := n.cfg.Server.Now()
-	if !n.cfg.Server.Interpreter().Quiet() {
-		n.busyAt = now
+	return n.knowsTip && !n.cfg.Server.Interpreter().Running() &&
+		n.cfg.Server.Now()-n.busyAt >= idlePeriods*n.cfg.DisseminateEvery
+}
+
+// interpreting runs turn, a delivery or an own block, and keeps the idle
+// clock: a turn that finds an instance running, or leaves one, sets busyAt
+// to now. It reports whether the turn woke the node: found it idle and left
+// an instance running. A pull (absorb) never wakes a node, and its turn
+// leaves the clock to the next one.
+func (n *Node) interpreting(turn func()) (woke bool) {
+	it := n.cfg.Server.Interpreter()
+	idle, running := n.idle(), it.Running()
+	turn()
+	if running = running || it.Running(); running {
+		n.busyAt = n.cfg.Server.Now()
 	}
-	return now-n.busyAt >= idlePeriods*n.cfg.DisseminateEvery
+	return idle && running
 }
 
 // heardFrom is how many other builders' blocks were inserted since the own
@@ -408,7 +426,6 @@ func (n *Node) PullFrom(peer types.ServerID, settled func(streamed uint64, absor
 func (n *Node) absorb(peer types.ServerID, pull *syncsvc.Pull) (absorbed int, err error) {
 	blocks, err := pull.Result()
 	srv, st := n.cfg.Server, n.cfg.Store
-	n.idle() // notes a busy interpreter: a pull never wakes the node
 	if st != nil {
 		st.BeginBatch()
 	}

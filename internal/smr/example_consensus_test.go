@@ -112,5 +112,5 @@ func Example_consensus() {
 	//   s3: [slot 0 = "cmd-0" slot 1 = "cmd-1" slot 2 = "cmd-2" slot 3 = "cmd-3" slot 4 = "cmd-4" slot 5 = "cmd-5"]
 	//
 	// agreement: every replica committed the identical log, in order
-	// 6 slots of three-phase PBFT: 864 simulated protocol messages, 60 wire sends (blocks + FWD only)
+	// 6 slots of three-phase PBFT: 864 simulated protocol messages, 54 wire sends (blocks + FWD only)
 }
