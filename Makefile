@@ -22,7 +22,7 @@ bench-smoke:
 FUZZTIME ?= 3s
 
 .PHONY: fuzz-smoke
-# fuzz-smoke runs every fuzz target for a few seconds — 17 of them: each
+# fuzz-smoke runs every fuzz target for a few seconds — 18 of them: each
 # decoder a byzantine or unauthenticated peer can reach (blocks, gossip
 # messages, evidence, snapshot chunks, the snapshot meta
 # frame, the wire reader and stream framing, the sync channel's delta
@@ -32,7 +32,9 @@ FUZZTIME ?= 3s
 # head), the graph's rows against their map-per-property reference
 # (graph.FuzzRows: inserts, refusals, forks, seeded roots), and the
 # key set against a map + slice one (keyset.FuzzSet: adds, repeats, lookups,
-# oldest-first pops across compactions, a follower column). `go test`
+# oldest-first pops across compactions, a follower column), and the node's
+# build schedule against a model of its bound (node.FuzzSchedule: any
+# sequence of deliveries, ticks, early turns and seals). `go test`
 # without -fuzz only replays the seed corpus; this also proves the targets
 # still mutate, and a crasher it finds lands in the package's
 # testdata/fuzz to be checked in as a regression seed. -fuzz takes one

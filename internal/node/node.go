@@ -5,39 +5,15 @@
 // DeliverBurst, Disseminate (Algorithm 3's "repeatedly
 // gssp.disseminate()"; requests need no turn, the mempool it drains is
 // safe for concurrent use — Submit — and on a durable node the store's
-// interval fsync after the block), DisseminateEarly (the same, early,
-// when the mempool holds a full block or the node is idle) and Tick (FWD
-// retries, state seal and prune, and the live follower's pull on evidence of
-// lag). A delivery
-// turn under load that completes a quorum of peers' blocks ends with an own
-// block too (answer).
+// interval fsync after the block), DisseminateEarly (the same, early) and
+// Tick (FWD retries, state seal and prune, and the live follower's pull on
+// evidence of lag). When a node builds — its tick, a full block, an idle
+// node's request, an answer to a delivery — is the schedule's to say
+// (schedule.go): the turns feed it events and seal when it gives a reason.
 // Turns read time from the server's clock only (core.Server.Now) and
 // never wait; what cannot finish inside one — a settled delta pull —
-// comes home through one internal hook, post, as a turn of its own. Whoever calls the turns owns the server: one caller
-// at a time.
-//
-// A node builds a block for one of four reasons: its period's tick
-// (Config.DisseminateEvery); a mempool holding a full block — 2 KiB of
-// payload (fullBlockBytes) at every roster size, or block.MaxRequests
-// requests; a request submitted while the node is idle — no instance has
-// run on any chain of its DAG for four periods (idlePeriods), or none since
-// New, and the node knows its own chain's tip, having built since New or
-// restored its own blocks from its store; or an answer to a delivery. A node
-// is under load for one period after it sealed a full block, whichever turn
-// sealed it, or inserted another builder's, by the same measure; and after a
-// turn that ended its idleness — an idle seal, or a delivered block that
-// started an instance. Under load, a delivery is answered once blocks of
-// n − f − 1 other builders were inserted since the node's own last block: a
-// quorum, n − f, counting itself. Every block the second reason adds carries
-// at least 2 KiB of payload against 80 + 32(n + 1) B of fixed bytes: it adds
-// at most 11.7 % to wire and disk at n = 4, 30.5 % at n = 16. The third adds
-// at most one block in any four periods, the fourth at most two in any
-// period, whatever the peers send. Their gain is latency: a loaded builder
-// embeds sooner, a lone request does not wait for the requester's tick, and
-// each node answers a quorum's echoes with its READYs and a quorum's READYs
-// with its next block at the loaded cadence, not at its own tick — a BRB
-// phase needs 2f + 1 distinct echoes or READYs, exactly what a quorum of
-// blocks carries. An idle cluster builds only its ticks.
+// comes home through one internal hook, post, as a turn of its own.
+// Whoever calls the turns owns the server: one caller at a time.
 //
 // Catch-up is FWD and one pull, PullFrom — tell a peer what this node holds,
 // get what it lacks and absorb the stream into the live DAG inside one store
@@ -110,11 +86,8 @@ type Config struct {
 	Identity *roster.Identity
 	// DisseminateEvery is the block production period (default 50ms): the
 	// tick that builds a block whatever the mempool holds, after the
-	// housekeeping turn (Tick) on a started node. A mempool holding
-	// a full block seals one sooner, and so does a request on an idle node
-	// (DisseminateEarly); for one period after a full block or the end of
-	// idleness, a quorum of peers' blocks is answered at once, at most twice
-	// in any period (DeliverBurst); and the tick keeps its phase.
+	// housekeeping turn (Tick) on a started node. The schedule (schedule.go)
+	// times its early blocks in these periods; the tick keeps its phase.
 	DisseminateEvery time.Duration
 	// Store, if non-nil, makes the server durable: New installs it as the
 	// server's journal (core.Server.SetJournal: the head's proofs are
@@ -242,21 +215,10 @@ type Node struct {
 	stepMu  sync.Mutex
 	// wakes is the early turn's wake: Submit, having admitted a request,
 	// leaves a token here for the loop (DisseminateEarly), which alone knows
-	// whether the pool holds a full block or the node is idle. One slot, never
-	// waited on: a flood coalesces into one token. answeredAt holds when the
-	// last two answers went out, older first, loadUntil is when the node's
-	// load ends, and heard is the set of other builders whose blocks a
-	// delivery inserted since the own last block, a bit a roster member
-	// (answer). busyAt is when a turn last found or left an instance
-	// running, or the last idle seal; knowsTip is whether the own chain's
-	// tip is one this node built since New, or one New restored from its
-	// store (idle). Owner only.
-	wakes      chan struct{}
-	answeredAt [2]time.Duration
-	loadUntil  time.Duration
-	heard      []uint64
-	busyAt     time.Duration
-	knowsTip   bool
+	// whether the schedule seals it early. One slot, never waited on: a flood
+	// coalesces into one token. sched is when the node builds. Owner only.
+	wakes chan struct{}
+	sched schedule
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -334,7 +296,6 @@ func New(cfg Config) (*Node, error) {
 		in:     make(chan gossip.Message, 256),
 		posted: make(chan func(), 4),
 		wakes:  make(chan struct{}, 1),
-		heard:  make([]uint64, (cfg.Server.Roster().N()+63)/64),
 		done:   make(chan struct{}),
 		broker: NewIndicationBroker(DefaultRecentLabels),
 	}
@@ -412,14 +373,8 @@ func New(cfg Config) (*Node, error) {
 	// overdue.
 	n.lastFollow = srv.Now()
 	n.lastSeal, n.quietFrom = n.lastFollow, n.lastFollow
-	// No answer yet: as if the last two went out a period ago.
-	ago := n.lastFollow - cfg.DisseminateEvery
-	n.answeredAt = [2]time.Duration{ago, ago}
-	// Never busy yet: idle from the start, once the own chain's tip is known.
-	// A node that has not built cannot tell a new identity from one whose
-	// past is on its way back from its peers; its tick builds its first block.
-	n.busyAt = n.lastFollow - idlePeriods*cfg.DisseminateEvery
-	n.knowsTip = n.ownHeld() > 0
+	r := srv.Roster()
+	n.sched = newSchedule(r.N(), r.F(), cfg.DisseminateEvery, n.lastFollow, n.ownHeld() > 0)
 	n.broker.endReplay()
 	return n, nil
 }
@@ -468,10 +423,7 @@ func (n *Node) StoreDiskSize() (int64, bool) {
 		return 0, false
 	}
 	size, err := n.cfg.Store.DiskSize()
-	if err != nil {
-		return 0, false
-	}
-	return size, true
+	return size, err == nil
 }
 
 // Start launches the loop goroutine, which from then on owns the server:
@@ -594,8 +546,8 @@ func (n *Node) deliverStepped(msg gossip.Message) bool {
 // this needs no turn of the loop — and returns the admission verdict
 // (mempool.ErrFull, mempool.ErrDuplicate, a validation error, or nil), which
 // gateways surface to their clients. An admitted request wakes the loop,
-// which seals it before the tick if the pool now holds a full block or the
-// node is idle (DisseminateEarly).
+// whose early turn (DisseminateEarly) seals it before the tick if the
+// schedule says so.
 func (n *Node) Submit(label types.Label, data []byte) error {
 	if err := n.cfg.Server.Submit(label, data); err != nil {
 		return err

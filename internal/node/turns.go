@@ -3,9 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
-	"time"
 
 	"blockdag/internal/block"
 	"blockdag/internal/dag"
@@ -19,17 +17,24 @@ import (
 
 // DeliverBurst is the delivery turn: one burst of network payloads, its
 // signature checks amortized and its journal writes group-committed
-// (core.Server.DeliverBatch). Under load, a burst that completes a quorum
-// of peers' blocks is answered in the same turn (answer); a burst that ends
-// the node's idleness loads it. An own block a peer sent, one this node
-// published before it lost its DAG, holds block building back until the
-// DAG holds the own chain up to it, as a pulled one does (absorb).
+// (core.Server.DeliverBatch), ended by an answer if the schedule calls for
+// one. An own block a peer sent, one this node published before it lost its
+// DAG, holds block building back until the DAG holds the own chain up to
+// it, as a pulled one does (absorb).
 func (n *Node) DeliverBurst(batch []gossip.Message) {
 	srv := n.cfg.Server
 	from := srv.DAG().Len()
 	woke := n.interpreting(func() { srv.DeliverBatch(batch) })
 	n.ownSeen.Store(max(n.ownSeen.Load(), srv.OwnSeen()))
-	n.answer(from, woke)
+	now, d := srv.Now(), srv.DAG()
+	for i, base := from, len(d.Base()); i < d.Len(); i++ {
+		if b, err := d.ReadRow(base + i); err == nil && b.Builder != srv.ID() {
+			n.sched.inserted(now, b.Builder, blockFull(b))
+		}
+	}
+	if n.sched.delivered(now, woke) == sealAnswer {
+		n.disseminate(sealAnswer)
+	}
 }
 
 // Disseminate is the block turn: seal and broadcast the current block,
@@ -50,17 +55,22 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 // before its first poll has settled (FollowReport.First): until then it
 // does not know what its peers were shown.
 func (n *Node) Disseminate() {
-	n.disseminate()
+	n.disseminate(sealTick)
 	if n.cfg.Store != nil {
 		n.recordErr(n.cfg.Store.Tick())
 	}
 }
 
-// disseminate is Disseminate without the fsync, reporting whether a block
-// went out. Whichever turn sealed it, a block going out starts the next
-// quorum afresh, and a full one, or one that ends the node's idleness, puts
-// the node under load for a period (answer).
-func (n *Node) disseminate() bool {
+// sealCounts is the counter of each early reason's blocks.
+var sealCounts = [...]metrics.ID{
+	sealFull:   metrics.BlocksSealedFull,
+	sealIdle:   metrics.BlocksSealedIdle,
+	sealAnswer: metrics.BlocksAnswered,
+}
+
+// disseminate is Disseminate without the fsync, sealing for why: it reports
+// whether a block went out, tells the schedule, and counts an early one.
+func (n *Node) disseminate(why reason) bool {
 	if n.ownHeld() < n.ownSeen.Load() || n.follow.First.Outcome == FirstPending {
 		return false
 	}
@@ -71,81 +81,27 @@ func (n *Node) disseminate() bool {
 	if err != nil {
 		return false
 	}
-	n.knowsTip = true
-	clear(n.heard)
-	if n.blockFull(b) || woke {
-		n.loadUntil = n.cfg.Server.Now() + n.cfg.DisseminateEvery
+	n.sched.sealed(n.cfg.Server.Now(), why, blockFull(b), woke)
+	if why != sealTick {
+		n.cfg.Server.Counts().Add(sealCounts[why], 1)
 	}
 	return true
 }
 
-// fullBlockBytes is the payload (labels and data) that makes a block full
-// (isFull), whatever the roster's size. A node seals a full block its
-// mempool holds before its tick (DisseminateEarly), and for a period after
-// sealing or inserting one answers a quorum of its peers' blocks (answer).
-// An early block carries at least 2 KiB of payload against 80 + 32(n + 1) B
-// of fixed bytes (the signature, the header and n + 1 references), so the
-// first rule adds at most 11.7 % to wire and disk at n = 4, 21.1 % at
-// n = 10 and 30.5 % at n = 16, whatever the load; the answers add at most
-// two blocks a period. A threshold that grew with n would make a loaded
-// builder's fill wait, and so its latency, grow with the roster.
-const fullBlockBytes = 2 << 10
-
-// idlePeriods is how many periods no instance may have run on any chain for
-// the node to be idle (idle). An idle node seals a submitted request at once
-// (DisseminateEarly) instead of at its tick, and a turn that ends its
-// idleness puts it under load for a period, so the answers carry the
-// request's phases at network speed. Each wake costs about nine blocks at
-// n = 4 — the seal and two answers a node — so the threshold sets how often
-// a light load pays it: dagbench's sparse load (Poisson, 10 requests a
-// second) read wire +1.1 % (seed 1) and +4.5 % (seed 7) at two periods,
-// +2.3 % at three (seed 7), and no wake inside its window at four, where
-// only a lull of most of a second wakes the cluster (seed 3: +1.2 %).
-const idlePeriods = 4
-
-// isFull is the one definition of a full block, pending in the mempool or
-// built: fullBlockBytes of payload, or block.MaxRequests requests, at every
-// roster size.
-func (n *Node) isFull(payload, requests int) bool {
-	return payload >= fullBlockBytes || requests >= block.MaxRequests
-}
-
-// blockFull is isFull of a built block.
-func (n *Node) blockFull(b *block.Block) bool {
-	payload := 0
-	for _, rq := range b.Requests {
-		payload += len(rq.Label) + len(rq.Data)
-	}
-	return n.isFull(payload, len(b.Requests))
-}
-
-// DisseminateEarly is the early turn: if the mempool holds a full block, or
-// the node is idle (idle) and the pool holds a request, seal it now through
-// Disseminate, under the same guards, instead of waiting for the tick. If the
-// pool still holds a full block, it wakes the loop again, so a backlog drains
-// one block per loop iteration, between deliveries. An idle seal counts as
-// the end of an idle stretch, whatever the request starts, so a node seals
-// at most one in any idlePeriods periods. It reports whether it sealed. The
-// goroutine shell runs it when Submit wakes it; a stepped owner calls it
-// every round.
+// DisseminateEarly is the early turn: seal now through Disseminate, under
+// the same guards, if the schedule gives a reason not to wait for the tick
+// (a full block or an idle node). If the pool still holds a full block, it
+// wakes the loop again, so a backlog drains one block per loop iteration,
+// between deliveries. It reports whether it sealed. The goroutine shell
+// runs it when Submit wakes it; a stepped owner calls it every round.
 func (n *Node) DisseminateEarly() bool {
-	switch {
-	case n.poolFull():
-		if !n.disseminate() {
-			return false
-		}
-		n.cfg.Server.Counts().Add(metrics.BlocksSealedFull, 1)
-		if n.poolFull() {
-			n.wake()
-		}
-	case n.cfg.Server.Mempool().Len() > 0 && n.idle():
-		if !n.disseminate() {
-			return false
-		}
-		n.busyAt = n.cfg.Server.Now()
-		n.cfg.Server.Counts().Add(metrics.BlocksSealedIdle, 1)
-	default:
+	srv := n.cfg.Server
+	why := n.sched.early(srv.Now(), n.poolFull(), srv.Mempool().Len() > 0, srv.Interpreter().Running())
+	if why == sealTick || !n.disseminate(why) {
 		return false
+	}
+	if why == sealFull && n.poolFull() {
+		n.wake()
 	}
 	return true
 }
@@ -154,98 +110,18 @@ func (n *Node) DisseminateEarly() bool {
 // concurrent use: Submit asks outside the turns.
 func (n *Node) poolFull() bool {
 	pool := n.cfg.Server.Mempool()
-	return n.isFull(pool.Bytes(), pool.Len())
+	return isFull(pool.Bytes(), pool.Len())
 }
 
-// answer is the answer rule, the end of a delivery turn: a node under load
-// seals an own block now through Disseminate, under its guards, instead of
-// waiting for the tick, once blocks of n − f − 1 other builders — a quorum,
-// n − f, counting itself — were inserted since its own last block, whichever
-// turn sealed that (heard). The blocks the burst inserted, the DAG's from the
-// from-th on, join that set first.
-//
-// A node is under load for one DisseminateEvery after it sealed a full
-// block, whichever turn sealed it, or inserted a peer's; and after a turn
-// that found it idle and left an instance running (woke): its own block, or
-// a delivered one, started an instance — a pulled one never counts, and
-// neither does a request that starts nothing, such as a replay of a finished
-// label. The answer's references carry this node's echo of the requests it
-// has seen and its READYs: a BRB phase needs 2f + 1 distinct echoes or
-// READYs, so under load a quorum's blocks are answered by the next phase's,
-// at the loaded cadence instead of the builders' ticks. Without a full block
-// or a wake there is no load, and nothing is answered.
-//
-// The bound: a node sends at most two answers in any window of one
-// DisseminateEvery, timed on the server's clock, whatever its peers send —
-// so it builds at most its tick plus two answers a period, and an idle seal
-// in any idlePeriods periods (DisseminateEarly). Each answer costs
-// every peer a signature check, so the window is what keeps a Byzantine
-// sender from making a correct node build without bound. A buffered block
-// (missing predecessors) counts only in the burst that inserts it; a pulled
-// one never does.
-func (n *Node) answer(from int, woke bool) {
-	now, period := n.cfg.Server.Now(), n.cfg.DisseminateEvery
-	if n.inserted(from) || woke {
-		n.loadUntil = now + period
-	}
-	r := n.cfg.Server.Roster()
-	if now >= n.loadUntil || now < n.answeredAt[0]+period || n.heardFrom() < r.N()-r.F()-1 {
-		return
-	}
-	if n.disseminate() {
-		n.answeredAt = [2]time.Duration{n.answeredAt[1], now}
-		n.cfg.Server.Counts().Add(metrics.BlocksAnswered, 1)
-	}
-}
-
-// inserted adds the builders of the DAG's blocks from the from-th on, other
-// than this node, to heard, and reports whether one of those blocks is full.
-func (n *Node) inserted(from int) (full bool) {
-	d, self := n.cfg.Server.DAG(), n.cfg.Server.ID()
-	base := len(d.Base())
-	for i := from; i < d.Len(); i++ {
-		b, err := d.ReadRow(base + i)
-		if err != nil || b.Builder == self {
-			continue
-		}
-		n.heard[b.Builder/64] |= 1 << (b.Builder % 64)
-		full = full || n.blockFull(b)
-	}
-	return full
-}
-
-// idle reports whether the node is idle: no instance runs on any chain
-// tip (interpret.Interpreter.Running), none has since busyAt, idlePeriods
-// periods ago or more — never, since New, counts as long ago — and the node
-// knows its own chain's tip (knowsTip).
-func (n *Node) idle() bool {
-	return n.knowsTip && !n.cfg.Server.Interpreter().Running() &&
-		n.cfg.Server.Now()-n.busyAt >= idlePeriods*n.cfg.DisseminateEvery
-}
-
-// interpreting runs turn, a delivery or an own block, and keeps the idle
-// clock: a turn that finds an instance running, or leaves one, sets busyAt
-// to now. It reports whether the turn woke the node: found it idle and left
-// an instance running. A pull (absorb) never wakes a node, and its turn
-// leaves the clock to the next one.
+// interpreting runs turn, a delivery or an own block, and tells the
+// schedule whether an instance ran before and after it (schedule.ran),
+// reporting whether the turn woke the node. A pull (absorb) is no such
+// turn: it never wakes a node, and leaves the idle clock to the next one.
 func (n *Node) interpreting(turn func()) (woke bool) {
-	it := n.cfg.Server.Interpreter()
-	idle, running := n.idle(), it.Running()
+	srv := n.cfg.Server
+	start, before := srv.Now(), srv.Interpreter().Running()
 	turn()
-	if running = running || it.Running(); running {
-		n.busyAt = n.cfg.Server.Now()
-	}
-	return idle && running
-}
-
-// heardFrom is how many other builders' blocks were inserted since the own
-// last block.
-func (n *Node) heardFrom() int {
-	count := 0
-	for _, w := range n.heard {
-		count += bits.OnesCount64(w)
-	}
-	return count
+	return n.sched.ran(start, srv.Now(), before, srv.Interpreter().Running())
 }
 
 // wake leaves the loop a wake token, unless one is waiting.
