@@ -423,7 +423,10 @@ func (n *Node) StoreDiskSize() (int64, bool) {
 		return 0, false
 	}
 	size, err := n.cfg.Store.DiskSize()
-	return size, err == nil
+	if err != nil {
+		return 0, false
+	}
+	return size, true
 }
 
 // Start launches the loop goroutine, which from then on owns the server:

@@ -105,9 +105,14 @@ const idlePeriods = 4
 // built at now: no answer yet, as if the last two went out a period ago,
 // and never busy, so idle as soon as it knows its own chain's tip.
 func newSchedule(n, f int, period, now time.Duration, knowsTip bool) schedule {
-	return schedule{period: period, quorum: n - f - 1, knowsTip: knowsTip,
+	return schedule{
+		period:     period,
+		quorum:     n - f - 1,
 		answeredAt: [2]time.Duration{now - period, now - period},
-		busyAt:     now - idlePeriods*period, heard: make(map[types.ServerID]struct{}, n)}
+		heard:      make(map[types.ServerID]struct{}, n),
+		busyAt:     now - idlePeriods*period,
+		knowsTip:   knowsTip,
+	}
 }
 
 // ran is a turn that delivered or built, begun at start with an instance
