@@ -160,19 +160,20 @@ func (s *schedule) early(now time.Duration, full, pending, running bool) reason 
 	return sealTick
 }
 
-// sealed is an own block sealed at now for why, full or not, by a turn that
-// woke the node or not.
-func (s *schedule) sealed(now time.Duration, why reason, full, woke bool) {
+// sealed is an own block sealed for why, full or not, by a turn begun at
+// start and ended at end that woke the node or not. An answer counts in its
+// window from start, when it was decided.
+func (s *schedule) sealed(start, end time.Duration, why reason, full, woke bool) {
 	s.knowsTip = true
 	clear(s.heard)
 	if full || woke {
-		s.loadUntil = now + s.period
+		s.loadUntil = end + s.period
 	}
 	switch why {
 	case sealAnswer:
-		s.answeredAt = [2]time.Duration{s.answeredAt[1], now}
+		s.answeredAt = [2]time.Duration{s.answeredAt[1], start}
 	case sealIdle:
-		s.busyAt = now
+		s.busyAt = end
 	}
 }
 

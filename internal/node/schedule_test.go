@@ -49,10 +49,11 @@ func FuzzSchedule(f *testing.F) {
 	// Three quorums at once, each answered: only two may be.
 	f.Add([]byte{n4 | hKnowsTip,
 		opDeliver | dFull, 0b11, 0, opDeliver, 0b11, 0, opDeliver, 0b11, 0})
-	// Two quorums a period apart and a third in between.
+	// Answers at 0 and 68.75 ms, a third exactly a period after the first,
+	// and a fourth refused.
 	f.Add([]byte{n4,
 		opDeliver | dFull, 0b11, sLong, opWait, 20, opDeliver | dFull, 0b11, 0,
-		opWait, 12, opDeliver | dFull, 0b11, 0, opDeliver, 0b111, 0})
+		opWait, 10, opDeliver | dFull, 0b11, 0, opDeliver, 0b111, 0})
 	// Two idle seals whose requests start nothing, back to back and then
 	// four periods apart, less a 32nd and on the dot.
 	f.Add([]byte{n4 | hKnowsTip,
@@ -104,8 +105,8 @@ func FuzzSchedule(f *testing.F) {
 			if b&sFails != 0 {
 				return
 			}
-			s.sealed(now, why, b&sFull != 0, woke)
-			m.sealed(now, why, b&sFull != 0 || b&sAfter != 0)
+			s.sealed(start, now, why, b&sFull != 0, woke)
+			m.sealed(start, now, why, b&sFull != 0 || b&sAfter != 0)
 		}
 		for len(data) > 0 {
 			op := next()
@@ -153,8 +154,8 @@ type scheduleModel struct {
 	heard    map[types.ServerID]bool // other builders heard since the own last block
 	loadedAt time.Duration           // the last load event; valid once loaded
 	loaded   bool
-	answers  []time.Duration // when answers went out
-	idles    []time.Duration // when idle seals went out
+	answers  []time.Duration // when answers were sealed
+	idles    []time.Duration // when idle seals were sealed
 }
 
 func (m *scheduleModel) delivered(now time.Duration, peers []types.ServerID, loads bool) {
@@ -187,24 +188,25 @@ func (m *scheduleModel) early(why reason, full, pending, running bool) {
 	}
 }
 
-// sealed is an own block that went out at now, and checks the windows.
-func (m *scheduleModel) sealed(now time.Duration, why reason, loads bool) {
+// sealed is an own block sealed by a turn from start to end, and checks
+// the windows on the times the seals were decided.
+func (m *scheduleModel) sealed(start, end time.Duration, why reason, loads bool) {
 	m.t.Helper()
 	m.knowsTip = true
 	clear(m.heard)
 	if loads {
-		m.loadedAt, m.loaded = now, true
+		m.loadedAt, m.loaded = end, true
 	}
 	switch why {
 	case sealAnswer:
-		m.answers = append(m.answers, now)
-		if k := len(m.answers); k >= 3 && now-m.answers[k-3] < m.period {
+		m.answers = append(m.answers, start)
+		if k := len(m.answers); k >= 3 && start-m.answers[k-3] < m.period {
 			m.t.Fatalf("three answers within a period: %v", m.answers[k-3:])
 		}
 	case sealIdle:
-		m.idles = append(m.idles, now)
-		if k := len(m.idles); k >= 2 && now-m.idles[k-2] < idlePeriods*m.period {
-			m.t.Fatalf("idle seals at %v and %v: within %d periods", m.idles[k-2], now, idlePeriods)
+		m.idles = append(m.idles, start)
+		if k := len(m.idles); k >= 2 && start-m.idles[k-2] < idlePeriods*m.period {
+			m.t.Fatalf("idle seals at %v and %v: within %d periods", m.idles[k-2], start, idlePeriods)
 		}
 	}
 }

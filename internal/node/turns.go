@@ -74,16 +74,18 @@ func (n *Node) disseminate(why reason) bool {
 	if n.ownHeld() < n.ownSeen.Load() || n.follow.First.Outcome == FirstPending {
 		return false
 	}
+	srv := n.cfg.Server
 	var b *block.Block
 	var err error
-	woke := n.interpreting(func() { b, err = n.cfg.Server.Disseminate() })
+	start := srv.Now()
+	woke := n.interpreting(func() { b, err = srv.Disseminate() })
 	n.recordErr(err)
 	if err != nil {
 		return false
 	}
-	n.sched.sealed(n.cfg.Server.Now(), why, blockFull(b), woke)
+	n.sched.sealed(start, srv.Now(), why, blockFull(b), woke)
 	if why != sealTick {
-		n.cfg.Server.Counts().Add(sealCounts[why], 1)
+		srv.Counts().Add(sealCounts[why], 1)
 	}
 	return true
 }
