@@ -67,15 +67,16 @@ race:
 # that loop inserts) and of the snapshot tier (meta and chunk calls reading
 # the store's head while the loop seals and cuts), a started node's
 # answer to a peer's full block (a delivery racing the loop's timers), its
-# seal of a request submitted while idle (Submit's wake over a real socket) and
-# its first poll (the loop's first turn racing peers that boot, a slow one
+# seal of a request submitted while idle (Submit's wake over a real socket),
+# an idle cluster that stops building (the quiet it waits for racing the
+# ticker), and its first poll (the loop's first turn racing peers that boot, a slow one
 # abandoned on Tick's clock) —
 # ten times under the race detector, so a test that fails one run in five (as
 # TestAuthWrongKeyRejected did until PR 12) is caught in the PR that
 # introduces it rather than blocking unrelated work later. The -run filter
 # keeps it to a few minutes.
 flake-smoke:
-	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|Prune|RowBack|Serve|StartedNodeAnswers|StartedNodeSealsAnIdle|FirstPoll|ColdStart' \
+	go test -race -count=10 -run 'CatchUp|Follow|Fetch|Pull|Auth|Restore|Replay|Restart|Reopen|Torn|Rejoin|Release|Checkpoint|Prune|RowBack|Serve|StartedNodeAnswers|StartedNodeSealsAnIdle|AnIdleClusterStops|FirstPoll|ColdStart' \
 		./internal/node ./internal/syncsvc ./internal/tcpnet ./internal/core ./internal/store ./internal/deploy
 
 # experiments-md prints EXPERIMENTS.md for the tables cmd/experiments wrote

@@ -20,22 +20,38 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestRunRoundsBuildsBlocks: an idle cluster's nodes build their first
+// blocks and then nothing, and a request has every node build until its
+// instance is done everywhere.
 func TestRunRoundsBuildsBlocks(t *testing.T) {
 	c, err := New(Options{N: 3, Protocol: brb.Protocol{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	lens := func(want int) {
+		t.Helper()
+		for _, i := range c.CorrectServers() {
+			if got := c.Servers[i].DAG().Len(); got != want {
+				t.Fatalf("server %d DAG has %d blocks, want %d", i, got, want)
+			}
+		}
+		if !c.Converged() {
+			t.Fatal("quiescent cluster not converged")
+		}
+	}
 	if err := c.RunRounds(4); err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range c.CorrectServers() {
-		if got := c.Servers[i].DAG().Len(); got != 12 {
-			t.Fatalf("server %d DAG has %d blocks, want 12", i, got)
-		}
+	lens(3)
+	c.Request(0, "x", []byte("v"))
+	if err := c.RunRounds(8); err != nil {
+		t.Fatal(err)
 	}
-	if !c.Converged() {
-		t.Fatal("quiescent cluster not converged")
+	lens(11)
+	if err := c.RunRounds(8); err != nil {
+		t.Fatal(err)
 	}
+	lens(11)
 }
 
 func TestByzantineSlotsAreNil(t *testing.T) {
@@ -53,9 +69,10 @@ func TestByzantineSlotsAreNil(t *testing.T) {
 	if err := c.RunRounds(2); err != nil {
 		t.Fatal(err)
 	}
-	// Only the two correct servers built blocks.
-	if got := c.Servers[0].DAG().Len(); got != 4 {
-		t.Fatalf("DAG has %d blocks, want 4", got)
+	// Only the two correct servers built blocks: their first, and, idle,
+	// nothing after.
+	if got := c.Servers[0].DAG().Len(); got != 2 {
+		t.Fatalf("DAG has %d blocks, want 2", got)
 	}
 }
 
@@ -115,6 +132,7 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Request(0, "x", []byte("v")) // an idle cluster builds nothing
 	calls := 0
 	ok, err := c.RunUntil(50, func() bool {
 		calls++

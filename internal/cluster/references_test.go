@@ -1,11 +1,13 @@
 package cluster_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"blockdag/internal/cluster"
 	"blockdag/internal/protocols/brb"
+	"blockdag/internal/types"
 )
 
 // TestReferencesPerBlock guards what "a reference includes its ancestry"
@@ -15,7 +17,8 @@ import (
 // is a chain its newest block reaches: a block cites its parent and about
 // one tip, where citing every inserted block would make it n. And a server
 // that comes back after missing k ≫ n blocks cites the tips of the backlog
-// it pulled, at most one per server, not the backlog.
+// it pulled, at most one per server, not the backlog. A request each period
+// keeps every server building: an idle one builds nothing.
 func TestReferencesPerBlock(t *testing.T) {
 	const (
 		n      = 4
@@ -29,7 +32,9 @@ func TestReferencesPerBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// run disseminates every live server each period, server i at i/n of
-	// it, for the given number of periods.
+	// it, for the given number of periods, and submits a request at server 0
+	// each period, so that every period turn has a reason to build.
+	requests := 0
 	run := func(periods int) {
 		t.Helper()
 		start := c.Net.Now()
@@ -39,6 +44,10 @@ func TestReferencesPerBlock(t *testing.T) {
 			}
 			for p := 0; p < periods; p++ {
 				c.Net.After(time.Duration(p)*period+time.Duration(i)*period/n, func() {
+					if i == 0 {
+						c.Request(0, types.Label(fmt.Sprintf("ℓ/%d", requests)), []byte("v"))
+						requests++
+					}
 					nd.Tick()
 					nd.Disseminate()
 				})
@@ -53,7 +62,6 @@ func TestReferencesPerBlock(t *testing.T) {
 		}
 	}
 
-	c.Request(0, "ℓ", []byte("v"))
 	run(25)
 	refs, blocks := 0, 0
 	for b := range c.Servers[0].DAG().All() {

@@ -73,7 +73,7 @@ type Config struct {
 	// OnIndication receives P's indications on the loop goroutine.
 	OnIndication func(label types.Label, value []byte)
 	// DisseminateEvery is the block period (default 20 ms): the tick that
-	// builds a block whatever the mempool holds (node.Config).
+	// builds a block when the node has a reason to (node.Config).
 	DisseminateEvery time.Duration
 
 	// StoreDir, if non-empty, makes the node durable: blocks are journaled

@@ -415,7 +415,9 @@ func TestInterpreterGaugesFollowTheLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	broadcast("meanwhile", n, members[:3])
-	waitFor(t, 20*time.Second, "the stopped member's lag to show", func() bool { return gauge(unread3) > 10*n })
+	// The live nodes build while the wave runs, not after: the lag grows by
+	// what the wave cost, past the round's worth a running chain shows.
+	waitFor(t, 20*time.Second, "the stopped member's lag to show", func() bool { return gauge(unread3) > 3*n })
 	heldFor3 := gauge(held)
 	if heldFor3 < 2*n {
 		t.Fatalf("%s = %d with a member stopped and %d broadcasts it has not read", held, heldFor3, n)
@@ -449,7 +451,9 @@ func TestInterpreterGaugesFollowTheLoad(t *testing.T) {
 // it reaches its peers (its gossip, its sync calls), they do not reach it,
 // and only its follower brings it their blocks. It delivers what they
 // broadcast meanwhile, and its transport opened one call per poll, the
-// first poll's included — not two for a poll that found a lag.
+// first poll's included — not two for a poll that found a lag. Each wave
+// gives the laggard a request of its own too: silence counts only while a
+// node has a reason to build, and nothing its peers send reaches it.
 func TestFollowerConvergesALaggardOneCallPerPoll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -489,6 +493,7 @@ func TestFollowerConvergesALaggardOneCallPerPoll(t *testing.T) {
 		for i := 0; i < n; i++ {
 			members[i%3].Node.Request(label(i), []byte("unheard by gossip"))
 		}
+		laggard.Node.Request(types.Label(fmt.Sprintf("own/%d", wave)), []byte("its reason"))
 		waitFor(t, 30*time.Second, "the laggard to deliver what only its follower can bring it", func() bool {
 			for i := 0; i < n; i++ {
 				if !laggard.has(label(i)) {
@@ -515,8 +520,10 @@ func TestFollowerConvergesALaggardOneCallPerPoll(t *testing.T) {
 // TestHealthyNodeNeverPulls: the follower pulls on evidence of lag, and a
 // healthy cluster shows none — every node's blocks arrive every few
 // milliseconds and FWD fills a gap at once. Four durable nodes run for 3 s
-// with traffic; once its first poll has settled no node opens a sync call,
-// and no follower polls.
+// with traffic, then 1 s idle — no node builds, so no block arrives, and
+// silence counts only while a node has a reason to build — then one more
+// request; once its first poll has settled no node opens a sync call, and
+// no follower polls.
 func TestHealthyNodeNeverPulls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test with real sockets")
@@ -545,14 +552,20 @@ func TestHealthyNodeNeverPulls(t *testing.T) {
 		members[wave%n].Node.Request(label, []byte("v"))
 		time.Sleep(100 * time.Millisecond)
 	}
-	waitFor(t, 10*time.Second, "every node to deliver the last wave", func() bool {
-		for _, m := range members {
-			if !m.has("healthy/29") {
-				return false
+	delivered := func(label types.Label) func() bool {
+		return func() bool {
+			for _, m := range members {
+				if !m.has(label) {
+					return false
+				}
 			}
+			return true
 		}
-		return true
-	})
+	}
+	waitFor(t, 10*time.Second, "every node to deliver the last wave", delivered("healthy/29"))
+	time.Sleep(time.Second) // idle: many times gossip.ResendAfter plus a period
+	members[0].Node.Request("healthy/after-idle", []byte("v"))
+	waitFor(t, 10*time.Second, "every node to deliver the request after the idle phase", delivered("healthy/after-idle"))
 	for i, m := range members {
 		m.Node.Stop()
 		if opened := m.Transport.Counts().Get(tcpnet.CallsOpened); opened != booted[i] {

@@ -132,7 +132,9 @@ func broadcastWorkload(n, broadcasts int) (*cluster.Cluster, error) {
 }
 
 // directWorkload runs the identical broadcast workload on the
-// direct-messaging baseline.
+// direct-messaging baseline. It steps the network event by event until every
+// server delivered every broadcast, as broadcastWorkload does, so both sides
+// count what delivery cost.
 func directWorkload(n, broadcasts int, counters *crypto.Counters) (*direct.Cluster, *simnet.Network, error) {
 	net := simnet.New(simnet.WithSeed(42))
 	c, err := direct.NewCluster(brb.Protocol{}, n,
@@ -143,16 +145,24 @@ func directWorkload(n, broadcasts int, counters *crypto.Counters) (*direct.Clust
 	if err != nil {
 		return nil, nil, err
 	}
-	for i := 0; i < broadcasts; i++ {
-		c.Servers[i%n].Request(types.Label(fmt.Sprintf("bc/%d", i)), []byte(fmt.Sprintf("value-%d", i)))
+	labels := make([]types.Label, broadcasts)
+	for i := range labels {
+		labels[i] = types.Label(fmt.Sprintf("bc/%d", i))
+		c.Servers[i%n].Request(labels[i], []byte(fmt.Sprintf("value-%d", i)))
 	}
-	net.Run()
-	for i := 0; i < broadcasts; i++ {
-		label := types.Label(fmt.Sprintf("bc/%d", i))
+	done := func() bool {
 		for srv := 0; srv < n; srv++ {
-			if len(c.Delivered(srv, label)) != 1 {
-				return nil, nil, fmt.Errorf("experiments: direct baseline failed to deliver %s at s%d", label, srv)
+			for _, label := range labels {
+				if len(c.Delivered(srv, label)) != 1 {
+					return false
+				}
 			}
+		}
+		return true
+	}
+	for !done() {
+		if !net.Step() {
+			return nil, nil, fmt.Errorf("experiments: direct baseline failed to deliver %d broadcasts on n=%d", broadcasts, n)
 		}
 	}
 	return c, net, nil
@@ -226,7 +236,7 @@ func E10SignatureBatching() (*Table, error) {
 		},
 		Notes: []string{
 			"dag: one signature per block, one verification per block per receiver, until the event that completes delivery",
-			"direct: one signature per remote message, one verification per receipt, run to quiescence (READYs that arrive after delivery count too)",
+			"direct: one signature per remote message, one verification per receipt, until the event that completes delivery",
 		},
 	}
 	for _, n := range []int{4, 7, 10, 13} {
@@ -294,19 +304,20 @@ func E11ParallelInstances() (*Table, error) {
 // in lock-step rounds every other server's latest block is a tip, so every
 // block references all of them — an O(n²) per-round reference overhead
 // (with a small constant: one hash each). It is the tip rule's worst case;
-// E16 has the cases where blocks chain up.
+// E16 has the cases where blocks chain up. Every server is submitted one
+// request a round, its reason to build: an idle server builds nothing.
 func E13ReferenceOverhead() (*Table, error) {
 	const rounds = 6
 	t := &Table{
 		ID:      "E13",
-		Title:   "O(n²) reference overhead (Section 7), empty blocks",
+		Title:   "O(n²) reference overhead (Section 7), one request a server a round",
 		Columns: []string{"n", "refs/block", "bytes/block", "ref bytes/round (n blocks)"},
 		Notes: []string{
 			"refs/block ≤ n: parent + the DAG's tips, one per other server unless a round's blocks already reach each other",
 		},
 	}
 	for _, n := range []int{4, 7, 10, 13, 16} {
-		c, err := cluster.New(cluster.Options{N: n, Protocol: brb.Protocol{}, Seed: 9})
+		c, err := cluster.New(cluster.Options{N: n, Protocol: brb.Protocol{}, Seed: 9, LoadPerRound: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -335,9 +346,12 @@ func E13ReferenceOverhead() (*Table, error) {
 	return t, nil
 }
 
-// E5GossipConvergence measures how many extra empty rounds the cluster
-// needs after a lossy content phase until every correct server holds every
-// content block — Lemma 3.7's joint DAG under increasing loss.
+// E5GossipConvergence measures how many extra rounds the cluster needs
+// after a lossy content phase until every correct server holds every
+// content block — Lemma 3.7's joint DAG under increasing loss. A request at
+// every server starts the content phase, and one a round at server 0 keeps
+// the recovery rounds building: an idle cluster builds nothing to cite what
+// was lost.
 func E5GossipConvergence() (*Table, error) {
 	const (
 		n             = 4
@@ -348,7 +362,7 @@ func E5GossipConvergence() (*Table, error) {
 		Title:   "gossip convergence to the joint DAG (Lemma 3.7) under loss (n=4)",
 		Columns: []string{"drop", "extra rounds to joint DAG", "fwd requests", "virtual time"},
 		Notes: []string{
-			"content blocks: 5 rounds; recovery needs continued dissemination + FWD pulls",
+			"content blocks: 5 rounds; recovery needs continued dissemination (a request a round) + FWD pulls",
 		},
 	}
 	for _, drop := range []float64{0, 0.1, 0.3, 0.5} {
@@ -358,12 +372,15 @@ func E5GossipConvergence() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		for _, i := range c.CorrectServers() {
+			c.Request(i, types.Label(fmt.Sprintf("content/%d", i)), []byte("v"))
+		}
 		if err := c.RunRounds(contentRounds); err != nil {
 			return nil, err
 		}
 		// Heal the network (losses stay confined to the content phase)
-		// and keep disseminating empty blocks until the joint DAG
-		// contains all content blocks everywhere.
+		// and keep disseminating until the joint DAG contains all content
+		// blocks everywhere.
 		c.Net.SetDrop(0)
 		haveAllContent := func() bool {
 			for _, i := range c.CorrectServers() {
@@ -383,6 +400,7 @@ func E5GossipConvergence() (*Table, error) {
 			if extra > 50 {
 				return nil, fmt.Errorf("experiments: no convergence after 50 extra rounds at drop %.1f", drop)
 			}
+			c.Request(0, types.Label(fmt.Sprintf("recover/%d", extra)), []byte("v"))
 			if err := c.RunRounds(1); err != nil {
 				return nil, err
 			}

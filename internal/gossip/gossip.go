@@ -232,6 +232,10 @@ type Gossip struct {
 	// ownSeen is one above the highest sequence number among the validly
 	// signed own blocks a peer sent, held or buffered (OwnSeen).
 	ownSeen uint64
+	// sentAt is when Disseminate last sent an own block, and resentAt, by
+	// peer, when repair last sent it the own chain's head again.
+	sentAt   time.Duration
+	resentAt []time.Duration
 
 	// Current block B under construction (lines 2, 14–18): the tips, the
 	// blocks inserted since the parent that no later inserted block reaches.
@@ -269,6 +273,7 @@ func New(cfg Config) (*Gossip, error) {
 		held:     make([]int, cfg.Roster.N()),
 		awaiting: make([]int, cfg.Roster.N()),
 		arrivals: make([][]block.Ref, cfg.Roster.N()),
+		resentAt: make([]time.Duration, cfg.Roster.N()),
 	}
 	// Subscribe to the DAG's fork detection: the moment a slot is observed
 	// forked — live traffic, follower absorption, or restore replay alike —
@@ -562,6 +567,9 @@ func (g *Gossip) noteInserted(b *block.Block) error {
 			g.curTips = append(g.curTips, ref)
 		}
 	}
+	if b.Builder != g.self {
+		g.repair(b)
+	}
 	hookErr := g.cfg.OnInsert(b)
 	for _, wref := range g.settle(ref) {
 		if e := g.pending[wref]; e != nil {
@@ -569,6 +577,25 @@ func (g *Gossip) noteInserted(b *block.Block) error {
 		}
 	}
 	return hookErr
+}
+
+// repair sends the own chain's head again to the builder of b, a peer's
+// block just inserted, if b does not reach the head though it went out
+// ResendAfter ago: that peer lacks it, the send was lost, and FWD cannot
+// tell, for while this server builds nothing no block of it arrives to
+// cite the head. The peer asks for whatever else it lacks below the head
+// (FWD). At most once a ResendAfter a peer: a peer's blocks cannot make
+// this server send without limit.
+func (g *Gossip) repair(b *block.Block) {
+	now := g.cfg.Clock()
+	head, ok := g.cfg.DAG.HeadRef(g.self)
+	if !ok || now-g.sentAt < ResendAfter || now-g.resentAt[b.Builder] < ResendAfter || g.cfg.DAG.Reaches(head, b.Ref()) {
+		return
+	}
+	if own, ok := g.cfg.DAG.Get(head); ok { // not a pruned-history stand-in
+		g.resentAt[b.Builder] = now
+		g.send(b.Builder, EncodeBlockMsg(own))
+	}
 }
 
 // ownHead reports whether ref is the top of the own chain in the DAG: the
@@ -778,6 +805,7 @@ func (g *Gossip) Disseminate() (*block.Block, error) {
 		return nil, fmt.Errorf("gossip: block %v withheld, not safely persisted: %w", b.Ref(), hookErr)
 	}
 	g.cfg.Metrics.Add(metrics.RequestsEmbedded, int64(len(reqs)))
+	g.sentAt = g.cfg.Clock()
 	enc := EncodeBlockMsg(b)
 	for _, id := range g.cfg.Roster.IDs() {
 		if id != g.self {

@@ -224,8 +224,11 @@ type Interpreter struct {
 	lag      []atomic.Int64 // unread as of the last block interpreted, for ChainUnread
 	stats    Stats
 	// quiet is the pending quiet point (nil: none) and cut the last one
-	// the frontier passed: chain-tip positions, by builder (Cut).
+	// the frontier passed: chain-tip positions, by builder (Cut). busy is
+	// whether a block since the last quiet point was pended carried a
+	// request, held an out-buffer or left an instance or a tombstone.
 	quiet, cut []uint64
+	busy       bool
 
 	done     map[types.Label]int // chains that finished a label not every chain has
 	donePeak int                 // the most entries done has held since it was made (shrunk)
@@ -427,6 +430,9 @@ func (it *Interpreter) AddBlock(b *block.Block) error {
 		it.stats.HoldingBlocks++
 		it.metrics.Add(metrics.MsgsMaterialized, int64(protocol.Count(st.out, it.n)))
 	}
+	if s := it.stats; len(b.Requests) > 0 || len(st.out) > 0 || s.LiveInstances+s.Tombstones > 0 {
+		it.busy = true
+	}
 	it.publish()
 	return nil
 }
@@ -483,7 +489,9 @@ func CollectChainUnread(read func() []int64) metrics.Collector {
 // keeps its states, so a branch extended below the frontier takes its
 // parent's table over rather than replaying per block. The same pass counts
 // what each chain has not read, and, in a live interpreter, moves the cut
-// (Cut).
+// (Cut): one quiet point a busy spell, so a cluster that has fallen quiet
+// is not asked for a block after block to pass a quiet point after quiet
+// point.
 func (it *Interpreter) release() {
 	it.asked = nil
 	clear(it.unread)
@@ -521,8 +529,8 @@ func (it *Interpreter) release() {
 	if it.quiet != nil && dominated(it.quiet, it.frontier) {
 		it.cut, it.quiet = it.quiet, nil
 	}
-	if s := it.stats; it.quiet == nil && s.LiveInstances == 0 && s.Tombstones == 0 && s.OutMessages == 0 {
-		it.quiet = make([]uint64, it.n)
+	if s := it.stats; it.quiet == nil && it.busy && s.LiveInstances == 0 && s.Tombstones == 0 && s.OutMessages == 0 {
+		it.quiet, it.busy = make([]uint64, it.n), false
 		for x, ch := range it.chains {
 			if ch.tip != nil {
 				it.quiet[x] = ch.tip.seq + 1
@@ -539,6 +547,54 @@ func (it *Interpreter) release() {
 // whose chains has run anything for a while is idle (package node).
 func (it *Interpreter) Running() bool { return it.stats.LiveInstances > 0 }
 
+// Settle runs the release the next block would start with (AddBlock), and
+// publishes the gauges: the frontier, the states and out-buffers it passes,
+// the quiet point and the cut, as of the last block. A live node that may
+// see no further block settles after each turn, so what every chain has read
+// goes, and its cut passes a quiet point, without waiting for one.
+func (it *Interpreter) Settle() {
+	it.release()
+	it.publish()
+}
+
+// Unread reports whether a block chain c has not read holds an out-buffer,
+// as of the last AddBlock: another builder's block c's tip does not reach,
+// or c's tip itself, whose out-buffer only c's next block reads (release).
+// c's next block has messages to take in, or at least a buffer to let go.
+func (it *Interpreter) Unread(c types.ServerID) bool {
+	for x := range it.chains {
+		ch, read := &it.chains[x], it.read(int(c), x)
+		if x == int(c) && read > 0 {
+			read-- // the tip
+		}
+		for i := len(ch.held) - 1; i >= ch.head; i-- {
+			st := ch.held[i]
+			if st.seq >= read && len(st.out) > 0 {
+				return true
+			}
+			if st.seq < read && !ch.forked {
+				break // held in chain order: c read everything below
+			}
+		}
+	}
+	return false
+}
+
+// Passed reports whether chain c has built past the pending quiet point: its
+// tip read every other chain up to it and stands above its own position
+// there, so that point waits on c no more. True with none pending.
+func (it *Interpreter) Passed(c types.ServerID) bool {
+	for x, q := range it.quiet {
+		if x == int(c) {
+			q++
+		}
+		if it.read(int(c), x) < q {
+			return false
+		}
+	}
+	return true
+}
+
 // Frontier returns, by builder, the sequence number below which every chain
 // has read that builder's blocks, as of the last AddBlock: what the DAG may
 // release (dag.DAG.Release). Read-only; it only rises.
@@ -546,8 +602,9 @@ func (it *Interpreter) Frontier() []uint64 { return it.frontier }
 
 // Cut returns, by builder, the sequence number below which the node may
 // prune that builder's blocks (store.PruneTo), as of the last AddBlock: the
-// chain-tip positions (seq + 1) at a quiet point — a release that left no
-// instance live, no tombstone and no out-buffer unread — once the frontier
+// chain-tip positions (seq + 1) at a quiet point — the first release of a
+// busy spell's end that left no instance live, no tombstone and no
+// out-buffer unread — once the frontier
 // has passed them on every chain. Every chain-tip table was empty there but
 // for the retired set, so stand-ins at the cut (SeedBase) feed every block
 // above it what it was fed here, and every builder holds the blocks below

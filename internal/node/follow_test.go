@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -291,7 +292,8 @@ func TestNodeFollowerStopDropsLateCompletion(t *testing.T) {
 
 // TestNodeLiveFollowerStarted covers the other shell: on a started node
 // the follower pulls in the loop goroutine — its first poll, then in Tick
-// on inbound silence, the peer gossiping nothing — and completions come
+// on inbound silence while a request waits, the peer gossiping nothing — and
+// completions come
 // home through its channel, over real TCP: the first poll brings the
 // peer's chain, a later one what the peer appended afterwards.
 func TestNodeLiveFollowerStarted(t *testing.T) {
@@ -349,7 +351,14 @@ func TestNodeLiveFollowerStarted(t *testing.T) {
 	for _, msg := range asGossip(1, sealChain(t, signers[0], tip, extra)) {
 		peer.Deliver(msg.From, msg.Payload)
 	}
+	// Silence counts only while the node has a reason to build: a request
+	// each wait gives it one.
+	requests := 0
 	waitFor(t, 15*time.Second, "the follower to pull the appended suffix", func() bool {
+		requests++
+		if err := nd.Submit(types.Label(fmt.Sprintf("ℓ/%d", requests)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
 		return nd.FollowReport().Blocks >= extra
 	})
 	nd.Stop()

@@ -10,6 +10,8 @@
 // evidence of lag). When a node builds — its tick, a full block, an idle
 // node's request, an answer to a delivery — is the schedule's to say
 // (schedule.go): the turns feed it events and seal when it gives a reason.
+// A tick seals only when the node has something to build for, so an idle
+// cluster builds nothing: no heartbeat block, no verify, no journal row.
 // Turns read time from the server's clock only (core.Server.Now) and
 // never wait; what cannot finish inside one — a settled delta pull —
 // comes home through one internal hook, post, as a turn of its own.
@@ -85,9 +87,11 @@ type Config struct {
 	// failing every transport handshake.
 	Identity *roster.Identity
 	// DisseminateEvery is the block production period (default 50ms): the
-	// tick that builds a block whatever the mempool holds, after the
-	// housekeeping turn (Tick) on a started node. The schedule (schedule.go)
-	// times its early blocks in these periods; the tick keeps its phase.
+	// tick, after the housekeeping turn (Tick) on a started node, that builds
+	// a block when the node has a reason to (schedule.go: a request, an
+	// instance, an out-buffer its chain has not read, no block yet, or a
+	// quiet point to pass) and nothing otherwise. The schedule times its
+	// early blocks in these periods; the tick keeps its phase.
 	DisseminateEvery time.Duration
 	// Store, if non-nil, makes the server durable: New installs it as the
 	// server's journal (core.Server.SetJournal: the head's proofs are
@@ -260,7 +264,8 @@ type Node struct {
 	// was issued, followInFlight tracks the outstanding poll (at most one)
 	// and abandonPoll abandons it, followPeer is the rotation cursor over
 	// the peers. quietFrom is where inbound silence counts from until a
-	// peer's block arrives: the end of New, and Start. Owner only.
+	// peer's block arrives: the end of New, Start, and the last Tick that
+	// found no reason to build. Owner only.
 	via            syncsvc.FetchConfig
 	lastFollow     time.Duration
 	followInFlight bool
@@ -366,6 +371,7 @@ func New(cfg Config) (*Node, error) {
 		if err := srv.Restore(st.Blocks()); err != nil {
 			return nil, fmt.Errorf("node: restore from store: %w", err)
 		}
+		srv.Interpreter().Settle() // as every turn ends (interpreting)
 		n.recovery = RecoveryReport{Store: st.Report(), Took: time.Since(began)}
 	}
 	// Pulls, silence and the seal period count from here, not from the

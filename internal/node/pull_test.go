@@ -461,6 +461,7 @@ func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
 	if wms, held := nd.Watermarks(), nd.RecoveryReport().OwnHeld; len(wms) != 1 || wms[0] != (syncsvc.Watermark{Builder: 1, NextSeq: 5}) || held != 5 {
 		t.Fatalf("on the installed snapshot: vector %v, own chain held %d, want builder 1 at 5", wms, held)
 	}
+	nd.Request("ℓ", []byte("v")) // the tick's reason: the node knows its tip
 	nd.Disseminate()
 	if err := nd.Err(); err != nil {
 		t.Fatal(err)

@@ -104,10 +104,15 @@ func (r *replica) interpreterDigest(roster *crypto.Roster) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// next builds the node's next own block and returns it.
+// next builds the node's next own block and returns it: it submits a
+// request named after the DAG's size, the period turn's reason to build, so
+// a replica and the live node it replays seal the same block.
 func (r *replica) next(t *testing.T) *block.Block {
 	t.Helper()
 	before := r.nd.Server().DAG().Len()
+	if err := r.nd.Submit(types.Label(fmt.Sprintf("next/%d", before)), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
 	r.nd.Disseminate()
 	if err := r.nd.Err(); err != nil {
 		t.Fatal(err)

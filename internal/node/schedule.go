@@ -10,28 +10,39 @@ import (
 // schedule is when a node builds a block: the build rule and all the state
 // it keeps, with no server, clock, interpreter, DAG or channel inside. The
 // node's turns feed it events, each stamped with the time the turn read on
-// the server's clock (ran, inserted, delivered, early, sealed), and seal
-// when it answers a reason. The paper leaves the schedule open — Algorithm
-// 3 disseminates "repeatedly", and Theorem 5.1 holds for any schedule — so
-// the rule moves latency and cost, never what a block means.
+// the server's clock (ran, inserted, delivered, early, sealed), and the facts
+// they read of the node (tick, early), and seal when it answers a reason. The
+// paper leaves the schedule open — Algorithm 3 disseminates "repeatedly", and
+// Theorem 5.1 holds for any schedule — so the rule moves latency and cost,
+// never what a block means.
 //
 // A node builds for one of four reasons:
-//   - sealTick: its period's tick (Config.DisseminateEvery), whatever the
-//     mempool holds, an empty block included: gossip's heartbeat.
+//   - sealTick: its period's tick (Config.DisseminateEvery), when the node
+//     has something to build for (tick): a request pending; an instance
+//     running on a chain of its DAG (interpret.Interpreter.Running); a
+//     block holding an out-buffer its own chain has not read, its own last
+//     block's included (Interpreter.Unread); no block built since New
+//     (built), a restarted node's first included, which shows its peers
+//     where it stands; or, on a node that prunes (Config.State), a quiet point
+//     its own chain has not passed (Interpreter.Passed), so the cut can
+//     reach it. Without one the tick seals nothing: an idle cluster builds
+//     nothing, and every tick skipped falls after every instance the node
+//     simulates is done.
 //   - sealFull: the mempool holds a full block (isFull).
 //   - sealIdle: a request is pending on an idle node. A node is idle when no
-//     instance has run on any chain of its DAG (interpret.Interpreter.Running)
-//     for idlePeriods periods, or none since New, and it knows its own
-//     chain's tip: it built a block since New, or New restored own blocks
-//     from its store. A node that has built nothing cannot tell a new
-//     identity from one whose past is on its way back from its peers, so its
-//     first block waits for its tick.
+//     instance has run on any chain of its DAG for idlePeriods periods, or
+//     none since New, and it knows its own chain's tip: it built a block
+//     since New, or New restored own blocks from its store. A node that has
+//     built nothing cannot tell a new identity from one whose past is on its
+//     way back from its peers, so its first block waits for its tick.
 //   - sealAnswer: a delivery, while the node is under load, once blocks of
 //     n − f − 1 other builders were inserted since its own last block,
 //     whichever reason sealed that: a quorum, n − f, counting itself. A BRB
 //     phase needs 2f + 1 distinct echoes or READYs, exactly what a quorum's
 //     blocks carry, so under load each phase is answered at network speed
-//     instead of at the builders' ticks.
+//     instead of at the builders' ticks. An idle node's own last block is
+//     old, so the blocks that ended the last spell count: a request that
+//     wakes it is answered at once.
 //
 // A node is under load for one period after it sealed a full block or a
 // delivery inserted a peer's, and after a turn that woke it: found it idle
@@ -41,11 +52,11 @@ import (
 // counts (absorb feeds no event), and neither does a request that starts
 // nothing, such as a replay of a label every chain has finished.
 //
-// The bound, on the server's clock and whatever peers send: at most two
-// answers in any window of one period (answeredAt), and at most one idle
-// seal in any idlePeriods periods, for an idle seal restarts the idle clock
-// whatever its request starts. So beside its full seals a node builds at
-// most its tick, two answers a period and one idle seal in idlePeriods
+// The bound, on the server's clock and whatever peers send: at most one tick
+// a period, two answers in any window of one period (answeredAt), and one
+// idle seal in any idlePeriods periods, for an idle seal restarts the idle
+// clock whatever its request starts. So beside its full seals a node builds
+// at most its tick, two answers a period and one idle seal in idlePeriods
 // periods. Every block costs each peer a signature check, and the bound is
 // what keeps a Byzantine sender from making a correct node build without
 // limit. FuzzSchedule checks it on any sequence of events.
@@ -55,12 +66,12 @@ import (
 // does not, one of them correct. Only ticks, full seals and idle seals can
 // follow one another with no new peer block, and as the code stands nothing
 // in the DAG bounds that run. Ticks come one a period and idle seals one in
-// idlePeriods periods for as long as the peers are silent. Full seals come
-// back to back, one block per loop iteration (DisseminateEarly), for as long
-// as the pool holds a full block: a full pool of mempool.DefaultCapacity
-// requests drains in 256 blocks of block.MaxRequests, and a client that
-// keeps the pool full keeps them coming. The run is bounded by the pool and
-// its clients, not by time.
+// idlePeriods periods for as long as a reason holds. Full seals come back to
+// back, one block per loop iteration (DisseminateEarly), for as long as the
+// pool holds a full block: a full pool of mempool.DefaultCapacity requests
+// drains in 256 blocks of block.MaxRequests, and a client that keeps the
+// pool full keeps them coming. The run is bounded by the pool and its
+// clients, not by time.
 type schedule struct {
 	period time.Duration
 	quorum int // n − f − 1: the other builders an answer waits for
@@ -69,12 +80,14 @@ type schedule struct {
 	// loadUntil is when the load ends; heard is the set of other builders
 	// whose blocks a delivery inserted since the own last block; busyAt is
 	// when a turn last found or left an instance running, or the last idle
-	// seal; knowsTip is whether the node knows its own chain's tip.
+	// seal; knowsTip is whether the node knows its own chain's tip, and
+	// built whether it sealed a block since New.
 	answeredAt [2]time.Duration
 	loadUntil  time.Duration
 	heard      map[types.ServerID]struct{}
 	busyAt     time.Duration
 	knowsTip   bool
+	built      bool
 }
 
 // reason is why an own block is sealed.
@@ -147,6 +160,16 @@ func (s *schedule) delivered(now time.Duration, woke bool) reason {
 	return sealTick
 }
 
+// tick is the period turn: whether its tick seals, given whether the
+// mempool holds a request (pending), an instance runs (running), a block
+// holds an out-buffer the own chain has not read (unread) and, on a
+// node that prunes, the own chain has not passed the pending quiet point
+// (quiet). With none of them, once it has built since New, it has no
+// reason.
+func (s *schedule) tick(pending, running, unread, quiet bool) bool {
+	return pending || running || unread || quiet || !s.built
+}
+
 // early is the early turn at now: whether the mempool holds a full block
 // (full) or a request (pending), and whether an instance runs. It answers
 // sealFull, sealIdle or sealTick.
@@ -164,7 +187,7 @@ func (s *schedule) early(now time.Duration, full, pending, running bool) reason 
 // start and ended at end that woke the node or not. An answer counts in its
 // window from start, when it was decided.
 func (s *schedule) sealed(start, end time.Duration, why reason, full, woke bool) {
-	s.knowsTip = true
+	s.knowsTip, s.built = true, true
 	clear(s.heard)
 	if full || woke {
 		s.loadUntil = end + s.period

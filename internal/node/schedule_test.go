@@ -13,7 +13,7 @@ import (
 const (
 	opWait    = 0 // next byte: the clock moves that many 32nds of a period
 	opDeliver = 1 // next byte: the builders 1–8 whose blocks the delivery inserted
-	opTick    = 2 // the period's tick seals
+	opTick    = 2 // the period's tick: it seals if the schedule finds a reason
 	opEarly   = 3 // the early turn asks the schedule
 
 	// opDeliver's flags: an instance ran before and after the turn; the
@@ -22,8 +22,12 @@ const (
 	// opEarly's flags: the pool holds a full block, a request; an instance
 	// runs.
 	ePoolFull, ePending, eRunning = 1 << 2, 1 << 3, 1 << 4
+	// opTick's flags, its reasons: a request pending; an instance running; a
+	// peer's out-buffer the own chain has not read; a quiet point it has not
+	// passed, on a node that prunes.
+	tPending, tRunning, tUnread, tQuiet = 1 << 2, 1 << 3, 1 << 4, 1 << 5
 
-	// A seal reads one more byte: the guards refuse it (ownSeen, the first
+	// A seal, and a tick whether or not it seals, reads one more byte: the guards refuse it (ownSeen, the first
 	// poll); the server's Disseminate fails after the turn ran; the block is
 	// full; an instance ran before and after its turn; bits 5–7, how many
 	// 64ths of a period the turn took.
@@ -43,7 +47,11 @@ var fuzzN = [4]int{1, 4, 7, 16}
 // seals at least idlePeriods periods apart; an answer only under load and
 // only once n − f − 1 other builders were heard since the own last block; a
 // full seal only when the pool is full; an idle seal only with a request
-// pending and no instance running, on a node that knows its tip.
+// pending and no instance running, on a node that knows its tip; a tick
+// that seals exactly when it has a reason, or the node has not built since
+// New. The ticks come at most one a period from the node's ticker, not from
+// the schedule, so the bound stands: a tick, two answers a period and one
+// idle seal in idlePeriods periods.
 func FuzzSchedule(f *testing.F) {
 	const n4 = 1 // fuzzN[1]
 	// Three quorums at once, each answered: only two may be.
@@ -71,6 +79,14 @@ func FuzzSchedule(f *testing.F) {
 	f.Add([]byte{0 | hKnowsTip,
 		opEarly | ePoolFull, sFull, opEarly | ePoolFull | ePending, sRefused,
 		opDeliver, 0, 0, opEarly | ePending, sFails | sAfter, opDeliver | dAfter, 0, 0})
+	// A restarted node's first tick, then a request's spell, each tick with
+	// a reason, then an idle spell of five periods whose ticks have none and
+	// seal nothing, ended by a request the idle node seals at once.
+	f.Add([]byte{n4 | hKnowsTip,
+		opTick, 0, opWait, 32, opTick | tPending, sAfter, opWait, 32, opTick | tRunning, sBefore | sAfter, opWait, 32,
+		opTick | tUnread, sBefore, opWait, 32, opTick | tQuiet, 0,
+		opWait, 32, opTick, 0, opWait, 32, opTick, 0, opWait, 32, opTick, 0, opWait, 32, opTick, 0,
+		opWait, 32, opTick, 0, opEarly | ePending, sAfter})
 	// Sixteen members, and a long mixed run.
 	f.Add(append([]byte{3 | hKnowsTip}, bytes.Repeat([]byte{
 		opDeliver | dFull, 0xff, sLong, opWait, 9, opEarly | ePending, sAfter,
@@ -129,7 +145,13 @@ func FuzzSchedule(f *testing.F) {
 					seal(sealAnswer)
 				}
 			case opTick:
-				seal(sealTick)
+				if s.tick(op&tPending != 0, op&tRunning != 0, op&tUnread != 0, op&tQuiet != 0) {
+					m.tick(true, op&(tPending|tRunning|tUnread|tQuiet) != 0)
+					seal(sealTick)
+				} else {
+					m.tick(false, op&(tPending|tRunning|tUnread|tQuiet) != 0)
+					next() // the seal's byte, unread
+				}
 			case opEarly:
 				full, pending, running := op&ePoolFull != 0, op&(ePoolFull|ePending) != 0, op&eRunning != 0
 				why := s.early(now, full, pending, running)
@@ -151,6 +173,7 @@ type scheduleModel struct {
 	n        int
 	period   time.Duration
 	knowsTip bool
+	built    bool                    // a block sealed since New
 	heard    map[types.ServerID]bool // other builders heard since the own last block
 	loadedAt time.Duration           // the last load event; valid once loaded
 	loaded   bool
@@ -188,11 +211,20 @@ func (m *scheduleModel) early(why reason, full, pending, running bool) {
 	}
 }
 
+// tick checks a tick that sealed or not (seals), with a reason or not: it
+// seals exactly when it has one, or the node has not built since New.
+func (m *scheduleModel) tick(seals, reason bool) {
+	m.t.Helper()
+	if want := reason || !m.built; seals != want {
+		m.t.Fatalf("a tick sealed %v with a reason %v, a block built since New %v", seals, reason, m.built)
+	}
+}
+
 // sealed is an own block sealed by a turn from start to end, and checks
 // the windows on the times the seals were decided.
 func (m *scheduleModel) sealed(start, end time.Duration, why reason, loads bool) {
 	m.t.Helper()
-	m.knowsTip = true
+	m.knowsTip, m.built = true, true
 	clear(m.heard)
 	if loads {
 		m.loadedAt, m.loaded = end, true

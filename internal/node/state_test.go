@@ -32,9 +32,9 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // TestSealPruneCadence steps a durable single-server node on a virtual
 // clock: the seal cycle fires when node.SealEvery has elapsed on the
 // server's clock and not a tick before, seals only a frontier that moved,
-// is served signed with the server's own key, and an idle state still has
-// its growing chain pruned — with the served horizon following the cut under
-// the unchanged commit. What is served is read as a joiner reads it: from
+// is served signed with the server's own key, and a state that does not
+// move still has its growing chain pruned — replays of a finished label grow
+// it — with the served horizon following the cut under the unchanged commit. What is served is read as a joiner reads it: from
 // the sync server's meta frame.
 func TestSealPruneCadence(t *testing.T) {
 	roster, signers, err := crypto.LocalRoster(1)
@@ -66,8 +66,16 @@ func TestSealPruneCadence(t *testing.T) {
 		}
 		return m
 	}
+	// grow disseminates blocks times. Each turn carries a replay of ℓ, the
+	// turn's reason to build: the label is finished, so the state does not
+	// move under the growing chain.
+	replays := 0
 	grow := func(blocks int) {
 		for i := 0; i < blocks; i++ {
+			if machine.NextSlot() > 0 {
+				replays++
+				nd.Server().Request("ℓ", []byte(fmt.Sprintf("again/%d", replays)))
+			}
 			nd.Disseminate()
 		}
 	}

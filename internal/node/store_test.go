@@ -2,6 +2,7 @@ package node_test
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -57,11 +58,15 @@ func runDurableNode(t *testing.T, dir string, roster *crypto.Roster, signer *cry
 		t.Fatal(err)
 	}
 	// Metrics counters are atomic, so polling them does not race with
-	// the loop goroutine.
+	// the loop goroutine. A request each poll is the node's reason to
+	// build: an idle node builds nothing.
 	deadline := time.Now().Add(10 * time.Second)
-	for m.Get(metrics.BlocksBuilt) < 3 {
+	for k := 0; m.Get(metrics.BlocksBuilt) < 3; k++ {
 		if time.Now().After(deadline) {
 			t.Fatal("node disseminated no blocks")
+		}
+		if err := nd.Submit(types.Label(fmt.Sprintf("run/%d/%d", prior, k)), []byte("v")); err != nil {
+			t.Fatal(err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

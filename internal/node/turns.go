@@ -37,12 +37,13 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 	}
 }
 
-// Disseminate is the block turn: seal and broadcast the current block,
-// then, on a durable node, run the store's interval fsync. After the block
-// that fsync is a no-op whenever a block went out — an own block forces the
-// journal durable before gossip sends it — so a period costs one fsync, not
-// the received blocks' and then the own block's; it still syncs a turn that
-// seals none (the guards below, a withheld block).
+// Disseminate is the block turn: seal and broadcast the current block if the
+// schedule finds a reason (schedule.tick), then, on a durable node, run the
+// store's interval fsync. After the block that fsync is a no-op whenever a
+// block went out — an own block forces the journal durable before gossip
+// sends it — so a period costs one fsync, not the received blocks' and then
+// the own block's; it still syncs a turn that seals none (no reason, the
+// guards below, a withheld block).
 //
 // A failure means the block could not be persisted (broadcast withheld,
 // server unhealthy) or an internal invariant broke; it is recorded for
@@ -55,7 +56,9 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 // before its first poll has settled (FollowReport.First): until then it
 // does not know what its peers were shown.
 func (n *Node) Disseminate() {
-	n.disseminate(sealTick)
+	if n.reason() {
+		n.disseminate(sealTick)
+	}
 	if n.cfg.Store != nil {
 		n.recordErr(n.cfg.Store.Tick())
 	}
@@ -108,6 +111,15 @@ func (n *Node) DisseminateEarly() bool {
 	return true
 }
 
+// reason reports whether the period turn has a reason to seal its tick: the
+// facts schedule.tick weighs, read of the mempool and the interpreter.
+func (n *Node) reason() bool {
+	srv := n.cfg.Server
+	it, id := srv.Interpreter(), srv.ID()
+	prunes := n.cfg.State != nil // the one reader of Interpreter.Cut (maybePruneState)
+	return n.sched.tick(srv.Mempool().Len() > 0, it.Running(), it.Unread(id), prunes && !it.Passed(id))
+}
+
 // poolFull reports whether the mempool holds a full block. Safe for
 // concurrent use: Submit asks outside the turns.
 func (n *Node) poolFull() bool {
@@ -119,11 +131,17 @@ func (n *Node) poolFull() bool {
 // schedule whether an instance ran before and after it (schedule.ran),
 // reporting whether the turn woke the node. A pull (absorb) is no such
 // turn: it never wakes a node, and leaves the idle clock to the next one.
+// The turn ends with the release its next block would start with
+// (interpret.Interpreter.Settle): what every chain has read goes, and the
+// quiet point and the cut stand, as of its last block, which may be the last
+// for a while.
 func (n *Node) interpreting(turn func()) (woke bool) {
 	srv := n.cfg.Server
-	start, before := srv.Now(), srv.Interpreter().Running()
+	it := srv.Interpreter()
+	start, before := srv.Now(), it.Running()
 	turn()
-	return n.sched.ran(start, srv.Now(), before, srv.Interpreter().Running())
+	it.Settle()
+	return n.sched.ran(start, srv.Now(), before, it.Running())
 }
 
 // wake leaves the loop a wake token, unless one is waiting.
@@ -145,8 +163,10 @@ func (n *Node) wake() {
 // The follower pulls on gossip's evidence of lag, never on a clock: a
 // buffered block got re-asked (FWD did not fill its gap within
 // gossip.ResendAfter), or no peer's block has arrived for ResendAfter plus
-// one block period — inbound silence (an asymmetric partition, a long
-// pause), which FWD cannot see: nothing arrives to cite what is missing.
+// one block period while the node had a reason to build — inbound silence
+// (an asymmetric partition, a long pause), which FWD cannot see: nothing
+// arrives to cite what is missing. An idle cluster is silent by design, so
+// silence counts only from the last turn that found no reason.
 // Either way at most one pull a ResendAfter goes out (FollowPoll), the rate
 // gossip re-asks at, and it reconverges the node in one streamed round
 // trip. A healthy node, whose blocks arrive and whose gaps FWD fills at
@@ -159,6 +179,9 @@ func (n *Node) Tick() {
 	}
 	n.maybeSealState()
 	now := n.cfg.Server.Now()
+	if !n.reason() {
+		n.quietFrom = now
+	}
 	if n.followInFlight && now-n.lastFollow >= n.via.Timeout {
 		n.abandonPoll()
 	}
