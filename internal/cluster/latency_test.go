@@ -393,9 +393,9 @@ func pinLoneRequest(t *testing.T, fault func(*Cluster, scheduleWorkload), first 
 // at the ticks: every phase takes at most a period, where waiting for the
 // ticks took 2.25–3. An idle node's peers tick no empty block that clears
 // what it heard, so the blocks that ended the last spell count toward its
-// quorum and no phase waits for a tick. After a first request the last
-// spell's blocks are fewer at the node that built last: its answer waits
-// for a peer's, one link more.
+// quorum and no phase waits for a tick. The last row's 0.2 ms over the
+// others moves with the seeded link jitter, which every send draws, one to
+// the crashed node 3 included.
 func TestLatencyOfALoneRequest(t *testing.T) {
 	pinLoneRequest(t, nil, false, "",
 		"0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5 ms, median 0.5 ms")
@@ -404,7 +404,7 @@ func TestLatencyOfALoneRequest(t *testing.T) {
 	pinLoneRequest(t, latePeer, false, ", node 3 late",
 		"0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5 ms, median 0.5 ms")
 	pinLoneRequest(t, crashLast, true, ", node 3 crashed at 1s, after a first request at 1.2s",
-		"0.8 0.8 0.8 0.8 0.8 0.8 0.8 0.8 ms, median 0.8 ms")
+		"0.7 0.7 0.7 0.7 0.7 0.7 0.7 0.7 ms, median 0.7 ms")
 }
 
 // BenchmarkLatencyInN reads dense on the production schedule at n = 10 and

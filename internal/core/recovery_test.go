@@ -107,9 +107,7 @@ func TestCrashRecovery(t *testing.T) {
 }
 
 // TestRecoverFromEmptyLog: a server that crashed before disseminating
-// anything restarts cleanly as a newcomer. The survivors, idle, build
-// nothing it could fetch the history behind: the next request's blocks
-// carry it.
+// anything restarts cleanly as a newcomer.
 func TestRecoverFromEmptyLog(t *testing.T) {
 	c, err := cluster.New(cluster.Options{N: 4, Protocol: brb.Protocol{}, Seed: 23})
 	if err != nil {
@@ -131,7 +129,6 @@ func TestRecoverFromEmptyLog(t *testing.T) {
 	if err := c.Restart(3); err != nil {
 		t.Fatal(err)
 	}
-	c.Request(0, "y", []byte("v"))
 	ok, err = c.RunUntil(30, func() bool { return len(deliveredAt(c, 3, "x")) == 1 })
 	if err != nil || !ok {
 		t.Fatalf("newcomer catch-up: ok=%v err=%v", ok, err)

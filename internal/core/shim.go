@@ -256,6 +256,10 @@ func (s *Server) Disseminate() (*block.Block, error) {
 // reports whether there was any (gossip.Gossip.Tick): evidence of lag.
 func (s *Server) Tick() (reasked bool) { return s.gsp.Tick() }
 
+// Announce sends the own chain's head to peer to again
+// (gossip.Gossip.Announce).
+func (s *Server) Announce(to types.ServerID) { s.gsp.Announce(to) }
+
 // Heard returns when a peer's block last arrived, on Config.Clock (zero
 // before the first).
 func (s *Server) Heard() time.Duration { return s.gsp.Heard() }

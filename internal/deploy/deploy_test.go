@@ -409,18 +409,24 @@ func TestInterpreterGaugesFollowTheLoad(t *testing.T) {
 	}
 
 	// Node 3 stops: its chain falls behind, and what is broadcast meanwhile
-	// is held for it.
+	// is held for it. The live nodes build while a wave runs, not after, so
+	// waves go out until the lag passes 10n, well clear of the round's
+	// worth a running chain shows.
 	addr3 := members[3].Addr()
 	if err := members[3].Close(); err != nil {
 		t.Fatal(err)
 	}
-	broadcast("meanwhile", n, members[:3])
-	// The live nodes build while the wave runs, not after: the lag grows by
-	// what the wave cost, past the round's worth a running chain shows.
-	waitFor(t, 20*time.Second, "the stopped member's lag to show", func() bool { return gauge(unread3) > 3*n })
+	waves := 0
+	for ; gauge(unread3) <= 10*n; waves++ {
+		if waves == 10 {
+			t.Fatalf("%s = %d after %d waves of %d broadcasts with the member stopped", unread3, gauge(unread3), waves, n)
+		}
+		broadcast(fmt.Sprintf("meanwhile%d", waves), n, members[:3])
+	}
+	t.Logf("%s = %d after %d waves of %d broadcasts", unread3, gauge(unread3), waves, n)
 	heldFor3 := gauge(held)
 	if heldFor3 < 2*n {
-		t.Fatalf("%s = %d with a member stopped and %d broadcasts it has not read", held, heldFor3, n)
+		t.Fatalf("%s = %d with a member stopped and %d broadcasts it has not read", held, heldFor3, waves*n)
 	}
 	// One lag sample per builder, the running ones' a round's worth.
 	for b := range n - 1 {
@@ -436,7 +442,7 @@ func TestInterpreterGaugesFollowTheLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 20*time.Second, "the lag and the held buffers to go", func() bool {
-		return gauge(unread3) <= 3*n && gauge(held) == 0 && gauge("interpret_labels_retired") == burst+n
+		return gauge(unread3) <= 3*n && gauge(held) == 0 && gauge("interpret_labels_retired") == burst+waves*n
 	})
 	for i, m := range members {
 		if err := m.Node.Err(); err != nil {

@@ -592,9 +592,20 @@ func (g *Gossip) repair(b *block.Block) {
 	if !ok || now-g.sentAt < ResendAfter || now-g.resentAt[b.Builder] < ResendAfter || g.cfg.DAG.Reaches(head, b.Ref()) {
 		return
 	}
-	if own, ok := g.cfg.DAG.Get(head); ok { // not a pruned-history stand-in
-		g.resentAt[b.Builder] = now
-		g.send(b.Builder, EncodeBlockMsg(own))
+	g.resentAt[b.Builder] = now
+	g.Announce(b.Builder)
+}
+
+// Announce sends the own chain's head to peer to again, if there is one: a
+// peer that lacks it asks for whatever else it lacks below it (FWD). The
+// caller says when: repair, for a peer that builds without the head, and
+// package node, for a peer whose chain has not read an own out-buffer while
+// this server builds nothing for it to cite.
+func (g *Gossip) Announce(to types.ServerID) {
+	if head, ok := g.cfg.DAG.HeadRef(g.self); ok {
+		if own, ok := g.cfg.DAG.Get(head); ok { // not a pruned-history stand-in
+			g.send(to, EncodeBlockMsg(own))
+		}
 	}
 }
 

@@ -563,18 +563,27 @@ func (it *Interpreter) Settle() {
 // c's next block has messages to take in, or at least a buffer to let go.
 func (it *Interpreter) Unread(c types.ServerID) bool {
 	for x := range it.chains {
-		ch, read := &it.chains[x], it.read(int(c), x)
-		if x == int(c) && read > 0 {
-			read-- // the tip
+		if it.UnreadOf(c, types.ServerID(x)) {
+			return true
 		}
-		for i := len(ch.held) - 1; i >= ch.head; i-- {
-			st := ch.held[i]
-			if st.seq >= read && len(st.out) > 0 {
-				return true
-			}
-			if st.seq < read && !ch.forked {
-				break // held in chain order: c read everything below
-			}
+	}
+	return false
+}
+
+// UnreadOf reports whether a block of builder x that chain c has not read
+// holds an out-buffer, as Unread counts it: with x = c, c's tip included.
+func (it *Interpreter) UnreadOf(c, x types.ServerID) bool {
+	ch, read := &it.chains[x], it.read(int(c), int(x))
+	if x == c && read > 0 {
+		read-- // the tip
+	}
+	for i := len(ch.held) - 1; i >= ch.head; i-- {
+		st := ch.held[i]
+		if st.seq >= read && len(st.out) > 0 {
+			return true
+		}
+		if st.seq < read && !ch.forked {
+			break // held in chain order: c read everything below
 		}
 	}
 	return false

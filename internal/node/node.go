@@ -11,7 +11,9 @@
 // node's request, an answer to a delivery — is the schedule's to say
 // (schedule.go): the turns feed it events and seal when it gives a reason.
 // A tick seals only when the node has something to build for, so an idle
-// cluster builds nothing: no heartbeat block, no verify, no journal row.
+// cluster builds nothing: no heartbeat block, no verify, no journal row. A
+// turn that seals nothing sends its head, now and then, to a peer that has
+// not read an own out-buffer (announce).
 // Turns read time from the server's clock only (core.Server.Now) and
 // never wait; what cannot finish inside one — a settled delta pull —
 // comes home through one internal hook, post, as a turn of its own.
@@ -272,6 +274,11 @@ type Node struct {
 	abandonPoll    func()
 	followPeer     int
 	quietFrom      time.Duration
+
+	// owed is, by peer, for how many period turns in a row the node built
+	// nothing while that peer's chain had not read an own out-buffer
+	// (announce). Owner only.
+	owed []int
 }
 
 // New validates the config and prepares a node. With Config.Store set,
@@ -371,7 +378,6 @@ func New(cfg Config) (*Node, error) {
 		if err := srv.Restore(st.Blocks()); err != nil {
 			return nil, fmt.Errorf("node: restore from store: %w", err)
 		}
-		srv.Interpreter().Settle() // as every turn ends (interpreting)
 		n.recovery = RecoveryReport{Store: st.Report(), Took: time.Since(began)}
 	}
 	// Pulls, silence and the seal period count from here, not from the
@@ -381,6 +387,7 @@ func New(cfg Config) (*Node, error) {
 	n.lastSeal, n.quietFrom = n.lastFollow, n.lastFollow
 	r := srv.Roster()
 	n.sched = newSchedule(r.N(), r.F(), cfg.DisseminateEvery, n.lastFollow, n.ownHeld() > 0)
+	n.owed = make([]int, r.N())
 	n.broker.endReplay()
 	return n, nil
 }

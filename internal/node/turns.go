@@ -38,7 +38,8 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 }
 
 // Disseminate is the block turn: seal and broadcast the current block if the
-// schedule finds a reason (schedule.tick), then, on a durable node, run the
+// schedule finds a reason (schedule.tick), or else announce the own head to
+// a peer that has not read an own out-buffer, then, on a durable node, run the
 // store's interval fsync. After the block that fsync is a no-op whenever a
 // block went out — an own block forces the journal durable before gossip
 // sends it — so a period costs one fsync, not the received blocks' and then
@@ -56,8 +57,8 @@ func (n *Node) DeliverBurst(batch []gossip.Message) {
 // before its first poll has settled (FollowReport.First): until then it
 // does not know what its peers were shown.
 func (n *Node) Disseminate() {
-	if n.reason() {
-		n.disseminate(sealTick)
+	if !n.reason() || !n.disseminate(sealTick) {
+		n.announce()
 	}
 	if n.cfg.Store != nil {
 		n.recordErr(n.cfg.Store.Tick())
@@ -87,6 +88,7 @@ func (n *Node) disseminate(why reason) bool {
 		return false
 	}
 	n.sched.sealed(start, srv.Now(), why, blockFull(b), woke)
+	clear(n.owed)
 	if why != sealTick {
 		srv.Counts().Add(sealCounts[why], 1)
 	}
@@ -111,6 +113,38 @@ func (n *Node) DisseminateEarly() bool {
 	return true
 }
 
+// announce is the period turn that seals nothing. An idle cluster sends a
+// peer nothing, so a peer that missed an own out-buffer — healed from a
+// partition, or whose copy of an own block was lost — would wait for the
+// next request to hear of it. The own chain's head goes to each peer whose
+// chain, as this node knows it, has not read an own out-buffer, once that
+// has held for idlePeriods period turns without an own block, again at
+// twice and four times … that, and then every announceEvery: one message
+// and no block, where a tick's block went to every peer every period. The
+// peer fetches what it lacks below the head (FWD), and what it then has not
+// read gives it a reason to build (Interpreter.Unread).
+func (n *Node) announce() {
+	srv := n.cfg.Server
+	it, self := srv.Interpreter(), srv.ID()
+	for p := range n.owed {
+		peer := types.ServerID(p)
+		if peer == self || !it.UnreadOf(peer, self) {
+			n.owed[p] = 0
+			continue
+		}
+		n.owed[p]++
+		if k := n.owed[p]; k >= idlePeriods && (k&(k-1) == 0 || k%announceEvery == 0) {
+			srv.Announce(peer)
+		}
+	}
+}
+
+// announceEvery is the most period turns between two announcements to a
+// peer that stays behind (announce), a power of two: a peer down for good
+// costs one message in it, and a peer healed after a long partition waits
+// at most that long to be shown what it missed.
+const announceEvery = 16 * idlePeriods
+
 // reason reports whether the period turn has a reason to seal its tick: the
 // facts schedule.tick weighs, read of the mempool and the interpreter.
 func (n *Node) reason() bool {
@@ -131,17 +165,11 @@ func (n *Node) poolFull() bool {
 // schedule whether an instance ran before and after it (schedule.ran),
 // reporting whether the turn woke the node. A pull (absorb) is no such
 // turn: it never wakes a node, and leaves the idle clock to the next one.
-// The turn ends with the release its next block would start with
-// (interpret.Interpreter.Settle): what every chain has read goes, and the
-// quiet point and the cut stand, as of its last block, which may be the last
-// for a while.
 func (n *Node) interpreting(turn func()) (woke bool) {
 	srv := n.cfg.Server
-	it := srv.Interpreter()
-	start, before := srv.Now(), it.Running()
+	start, before := srv.Now(), srv.Interpreter().Running()
 	turn()
-	it.Settle()
-	return n.sched.ran(start, srv.Now(), before, it.Running())
+	return n.sched.ran(start, srv.Now(), before, srv.Interpreter().Running())
 }
 
 // wake leaves the loop a wake token, unless one is waiting.
@@ -152,13 +180,19 @@ func (n *Node) wake() {
 	}
 }
 
-// Tick is the housekeeping turn: gossip's re-asks and, on a durable node,
-// the state seal/prune cycle and the follower — each paced on the server's
-// clock, so calling Tick more often only makes them more punctual. A
-// started node runs it every period, just before the period's block
-// (Disseminate), which runs the store's interval fsync after it. The store
-// is never rewritten: a prune writes its head and deletes the segments
-// below the horizon.
+// Tick is the housekeeping turn: the interpreter's release, gossip's
+// re-asks and, on a durable node, the state seal/prune cycle and the
+// follower — each paced on the server's clock, so calling Tick more often
+// only makes them more punctual. A started node runs it every period, just
+// before the period's block (Disseminate), which runs the store's interval
+// fsync after it. The store is never rewritten: a prune writes its head and
+// deletes the segments below the horizon.
+//
+// The release is the one the next block would start with
+// (interpret.Interpreter.Settle): what every chain has read goes, and the
+// quiet point and the cut stand as of the last block, which may be the last
+// for a while. Under load the next block repeats it; once a period is what
+// an idle node needs.
 //
 // The follower pulls on gossip's evidence of lag, never on a clock: a
 // buffered block got re-asked (FWD did not fill its gap within
@@ -173,6 +207,7 @@ func (n *Node) wake() {
 // once, opens no sync call at all. A poll out longer than CatchUp.Timeout
 // is abandoned with what it carried: no peer holds the follower up.
 func (n *Node) Tick() {
+	n.cfg.Server.Interpreter().Settle()
 	reasked := n.cfg.Server.Tick()
 	if n.cfg.Store == nil {
 		return
