@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"blockdag/internal/dag"
 	"blockdag/internal/metrics"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/state"
@@ -81,6 +82,49 @@ func TestAnIdleClusterBuildsNothing(t *testing.T) {
 			}
 		}
 		stopAll(c)
+	}
+}
+
+// TestAnIdleDAGHoldsOnlyItsFrontier: once a durable cluster has delivered a
+// label and fallen idle, every node's DAG holds the bytes of the blocks at
+// or above its interpreter's frontier and of no block below it. The last
+// blocks every chain reads arrive before the idle spell, and the release
+// that passes them runs with no new block: a node settles once a period
+// (core.Server.Settle), and its DAG lets go of what that release passed.
+func TestAnIdleDAGHoldsOnlyItsFrontier(t *testing.T) {
+	const n = 4
+	c, err := New(Options{N: n, Protocol: brb.Protocol{}, Seed: 5, StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopAll(c)
+	c.Request(0, "ℓ", []byte("v"))
+	ok, err := c.RunUntil(50, func() bool {
+		for i := range n {
+			if !slices.ContainsFunc(c.Indications(i), func(ind Indication) bool { return ind.Label == "ℓ" }) {
+				return false
+			}
+		}
+		return true
+	})
+	if err != nil || !ok {
+		t.Fatalf("ℓ not indicated at every node (err %v)", err)
+	}
+	if err := c.RunRounds(100); err != nil {
+		t.Fatal(err)
+	}
+	held := slices.IndexFunc(dag.Families, func(f metrics.Family) bool { return f.Name == "dag_blocks_held" })
+	for i := range n {
+		d, frontier := c.Servers[i].DAG(), c.Servers[i].Interpreter().Frontier()
+		above := 0
+		for v := len(d.Base()); v < len(d.Base())+d.Len(); v++ {
+			if builder, seq := d.Pos(v); seq >= frontier[builder] {
+				above++
+			}
+		}
+		if got := d.Counts().Get(metrics.ID(held)); got != int64(above) {
+			t.Errorf("s%d: the DAG holds %d of %d blocks, %d of them at or above the frontier %v", i, got, d.Len(), above, frontier)
+		}
 	}
 }
 

@@ -163,7 +163,7 @@ func sealPruneRestart(t *testing.T) string {
 	roots, blocks, inds := sha256.New(), sha256.New(), sha256.New()
 	commitOf := func(i int) state.Commit {
 		ck := c.Stores[i].Head().State
-		return state.Commit{Slot: ck.Slot, Root: ck.Root}
+		return ck.Commit
 	}
 	first := commitOf(0)
 	for _, i := range c.CorrectServers() {

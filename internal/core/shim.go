@@ -298,12 +298,25 @@ func (s *Server) onInsert(b *block.Block) error {
 		// an invariant was broken, not a runtime condition.
 		s.firstErr = fmt.Errorf("core: interpret block %v: %w", b.Ref(), err)
 	}
+	s.release()
+	return perr
+}
+
+// Settle runs the release the next block would start with
+// (interpret.Interpreter.Settle) and lets the DAG go of what it passed: a
+// node that may see no further block settles once a period, so what every
+// chain has read leaves RAM without waiting for one.
+func (s *Server) Settle() {
+	s.interp.Settle()
+	s.release()
+}
+
+// release lets the DAG go of the bytes of what every chain has read — for
+// as long as the journal has taken every block so far.
+func (s *Server) release() {
 	if s.firstErr == nil {
-		// What every chain has read leaves RAM — for as long as the
-		// journal has taken every block so far.
 		s.dag.Release(s.interp.Frontier())
 	}
-	return perr
 }
 
 // onEvidence is gossip's evidence-persistence hook: journal the proof and

@@ -73,7 +73,7 @@ func listen(t *testing.T, fx *roster.Fixture, i int, cfg Config) *member {
 // serves — the zero commit before its first seal.
 func (m *member) sealed() state.Commit {
 	if ck := m.Store.Head().State; ck != nil {
-		return state.Commit{Slot: ck.Slot, Root: ck.Root}
+		return ck.Commit
 	}
 	return state.Commit{}
 }

@@ -55,7 +55,6 @@ import (
 	"sync/atomic"
 
 	"blockdag/internal/block"
-	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/graph"
 	"blockdag/internal/keyset"
@@ -772,11 +771,6 @@ func (it *Interpreter) advance(st *blockState, b *block.Block, sources []*blockS
 			st.pis[label] = proc
 			it.stats.LiveInstances++
 		}
-		// A deterministic per-(block, label) seed: Section 7's de-randomization.
-		if ea, ok := proc.(protocol.EntropyAware); ok {
-			ea.SetEntropy(crypto.Hash(ref[:], []byte(label)))
-		}
-
 		// A nil proc is a tombstone: inputs after Done are discarded.
 		mark, fed := len(emitted), in
 		for ; len(reqs) > 0 && reqs[0].Label == label; reqs = reqs[1:] {

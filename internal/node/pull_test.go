@@ -25,6 +25,7 @@ import (
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/roster"
 	"blockdag/internal/simnet"
+	"blockdag/internal/state"
 	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/tcpnet"
@@ -438,7 +439,7 @@ func TestSnapshotInstalledStoreAnchorsOwnChain(t *testing.T) {
 	pruned := sealChain(t, signers[1], nil, 5)
 	dir := t.TempDir()
 	base := []dag.Base{{Builder: 1, Seq: 4, Ref: pruned[4].Ref()}}
-	ckpt := &store.StateCheckpoint{Slot: 1, Root: [32]byte{1}, Chunks: [][]byte{{0xAA}}}
+	ckpt := &store.StateCheckpoint{Commit: state.Commit{Slot: 1, Root: [32]byte{1}}, Chunks: [][]byte{{0xAA}}}
 	st, err := store.Open(dir, store.Options{Roster: roster})
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ import (
 	"blockdag/internal/node"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
+	"blockdag/internal/state"
 	"blockdag/internal/store"
 	"blockdag/internal/types"
 )
@@ -272,7 +273,7 @@ func TestReplayEqualsLive(t *testing.T) {
 		pruned := sealChain(t, signers[0], nil, 5)
 		dir := t.TempDir()
 		base := []dag.Base{{Builder: 0, Seq: 4, Ref: pruned[4].Ref()}}
-		ckpt := &store.StateCheckpoint{Slot: 1, Root: [32]byte{1}, Chunks: [][]byte{{0xAA}}}
+		ckpt := &store.StateCheckpoint{Commit: state.Commit{Slot: 1, Root: [32]byte{1}}, Chunks: [][]byte{{0xAA}}}
 		st, err := store.Open(dir, store.Options{Roster: roster})
 		if err != nil {
 			t.Fatal(err)

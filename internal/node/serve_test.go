@@ -19,6 +19,7 @@ import (
 	"blockdag/internal/peerscore"
 	"blockdag/internal/protocols/brb"
 	"blockdag/internal/simnet"
+	"blockdag/internal/state"
 	"blockdag/internal/store"
 	"blockdag/internal/syncsvc"
 	"blockdag/internal/transport"
@@ -144,7 +145,7 @@ func serveReadsWhatItSends(t *testing.T, h *dagtest.Harness, dir string, count i
 		behind = append(behind, syncsvc.Watermark{Builder: id, NextSeq: seq})
 	}
 	if prune {
-		st.SetStateCheckpoint(&store.StateCheckpoint{Slot: 1})
+		st.SetStateCheckpoint(&store.StateCheckpoint{Commit: state.Commit{Slot: 1}})
 		if err := st.PruneTo(d, next); err != nil {
 			t.Fatal(err)
 		}

@@ -39,11 +39,10 @@ func (n *Node) restoreState(m *state.Machine, st *store.Store) error {
 	if err != nil {
 		return fmt.Errorf("node: restore state checkpoint: %w", err)
 	}
-	commit := state.Commit{Slot: ckpt.Slot, Root: ckpt.Root}
-	if err := m.Install(tree, commit); err != nil {
+	if err := m.Install(tree, ckpt.Commit); err != nil {
 		return fmt.Errorf("node: restore state checkpoint: %w", err)
 	}
-	n.lastSealedSlot = commit.Slot
+	n.lastSealedSlot = ckpt.Slot
 	return nil
 }
 
@@ -68,11 +67,7 @@ func (n *Node) maybeSealState() {
 		// cannot move between the two, so the chunks match the root.
 		commit := m.Commit()
 		n.lastSealedSlot = commit.Slot
-		n.cfg.Store.SetStateCheckpoint(&store.StateCheckpoint{
-			Slot:   commit.Slot,
-			Root:   commit.Root,
-			Chunks: state.Export(m.Tree(), state.ChunkBytes),
-		})
+		n.cfg.Store.SetStateCheckpoint(&store.StateCheckpoint{Commit: commit, Chunks: state.Export(m.Tree(), state.ChunkBytes)})
 	}
 	n.maybePruneState()
 }

@@ -88,21 +88,21 @@ func TestSealPruneCadence(t *testing.T) {
 	}
 	runFor(net, sealEvery-time.Millisecond)
 	nd.Tick()
-	if meta().Has || st.Head().State != nil {
+	if meta().Head != nil || st.Head().State != nil {
 		t.Fatal("sealed before SealEvery elapsed")
 	}
 	runFor(net, time.Millisecond)
 	nd.Tick()
 	first := meta()
-	if !first.Has || first.Signed.Commit.Slot != 1 {
+	if first.Head == nil || first.Signed.Commit.Slot != 1 {
 		t.Fatalf("at SealEvery: served %+v, want the slot-1 commit", first)
 	}
 	if err := first.Signed.Verify(roster); err != nil || first.Signed.Server != signers[0].ID() {
 		t.Fatalf("served commit signed by s%d: %v, want the server's own signature", first.Signed.Server, err)
 	}
 	cut := horizon()
-	if cut == 0 || first.Horizon[0] != cut {
-		t.Fatalf("seal did not prune: store horizon %d, served %v", cut, first.Horizon)
+	if cut == 0 || first.Head.Horizon[0] != cut {
+		t.Fatalf("seal did not prune: store horizon %d, served %v", cut, first.Head.Horizon)
 	}
 
 	// Idle state, growing chain: nothing to seal, still something to cut —
@@ -116,8 +116,8 @@ func TestSealPruneCadence(t *testing.T) {
 	runFor(net, time.Millisecond)
 	nd.Tick()
 	idle := meta()
-	if horizon() != cut+5 || idle.Horizon[0] != cut+5 {
-		t.Fatalf("idle state was not pruned: store horizon %d, served %v, want %d", horizon(), idle.Horizon, cut+5)
+	if horizon() != cut+5 || idle.Head.Horizon[0] != cut+5 {
+		t.Fatalf("idle state was not pruned: store horizon %d, served %v, want %d", horizon(), idle.Head.Horizon, cut+5)
 	}
 	if idle.Signed.Commit != first.Signed.Commit {
 		t.Fatalf("idle state re-sealed: %+v → %+v", first.Signed.Commit, idle.Signed.Commit)
@@ -211,14 +211,14 @@ func TestServeSnapshotWhileTheLoopCuts(t *testing.T) {
 					t.Errorf("meta call: %v", err)
 					return
 				}
-				if !m.Has {
+				if m.Head == nil {
 					continue // nothing sealed yet
 				}
 				if err := m.Signed.Verify(roster); err != nil || m.Signed.Server != signers[0].ID() {
 					t.Errorf("meta signed by s%d: %v", m.Signed.Server, err)
 					return
 				}
-				h := m.Horizon[0]
+				h := m.Head.Horizon[0]
 				if h < last {
 					t.Errorf("served horizon went down: %d, then %d", last, h)
 					return

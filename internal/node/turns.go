@@ -189,10 +189,10 @@ func (n *Node) wake() {
 // deletes the segments below the horizon.
 //
 // The release is the one the next block would start with
-// (interpret.Interpreter.Settle): what every chain has read goes, and the
-// quiet point and the cut stand as of the last block, which may be the last
-// for a while. Under load the next block repeats it; once a period is what
-// an idle node needs.
+// (core.Server.Settle): what every chain has read goes, from the
+// interpreter and from the DAG's RAM, and the quiet point and the cut stand
+// as of the last block, which may be the last for a while. Under load the
+// next block repeats it; once a period is what an idle node needs.
 //
 // The follower pulls on gossip's evidence of lag, never on a clock: a
 // buffered block got re-asked (FWD did not fill its gap within
@@ -207,7 +207,7 @@ func (n *Node) wake() {
 // once, opens no sync call at all. A poll out longer than CatchUp.Timeout
 // is abandoned with what it carried: no peer holds the follower up.
 func (n *Node) Tick() {
-	n.cfg.Server.Interpreter().Settle()
+	n.cfg.Server.Settle()
 	reasked := n.cfg.Server.Tick()
 	if n.cfg.Store == nil {
 		return

@@ -188,29 +188,6 @@ type Process interface {
 	StateDigest() []byte
 }
 
-// EntropyAware is an optional extension interface for protocols whose
-// original specification uses server-local randomness (random peer
-// sampling, randomized backoff, ...). The paper's Section 7 sketches the
-// de-randomization: a server's "coin flips" must come from data recorded
-// in its blocks so that every interpreter reproduces them.
-//
-// The interpreter implements exactly that: before advancing an instance
-// at a block, it calls SetEntropy with a seed derived deterministically
-// from the block's reference and the instance label. The seed is
-// unpredictable before the block exists (it depends on the block's hash)
-// yet identical for every server interpreting the DAG, so Lemma 4.2
-// (interpretation independence) is preserved.
-//
-// Entropy derived this way is at the builder's discretion — a byzantine
-// builder can grind block contents to bias its own coin. That is the
-// paper's first randomness class; unbiasable shared coins need an
-// embedded coin protocol and are out of scope here as they are there.
-type EntropyAware interface {
-	// SetEntropy installs the deterministic seed for the steps driven
-	// by the current block. Called before Request/Receive batches.
-	SetEntropy(seed [32]byte)
-}
-
 // Protocol is the factory for process instances: the P the user passes to
 // shim(P).
 type Protocol interface {

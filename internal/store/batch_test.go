@@ -8,6 +8,7 @@ import (
 
 	"blockdag/internal/block"
 	"blockdag/internal/dag"
+	"blockdag/internal/state"
 	"blockdag/internal/store"
 	"blockdag/internal/types"
 )
@@ -233,7 +234,7 @@ func TestCheckpointDrainsOpenBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st.SetStateCheckpoint(&store.StateCheckpoint{Slot: 1})
+	st.SetStateCheckpoint(&store.StateCheckpoint{Commit: state.Commit{Slot: 1}})
 	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 4}); err != nil {
 		t.Fatal(err)
 	}

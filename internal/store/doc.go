@@ -109,9 +109,13 @@
 // written whole (temp file, fsync, rename, directory fsync), so it needs
 // no tear tolerance. InstallSnapshot writes the same head into a
 // snapshot-joined node's empty store; in memory it is one immutable Head,
-// swapped whole (Head). A cut writes nothing else: the blocks above the
-// horizon are already on disk, and each segment reads without any other,
-// so the cut's I/O is the head's whatever the retained window holds.
+// swapped whole (Head). The horizon and base tables, the head's position,
+// have one writer and one reader (Head.WritePosition, ReadPosition), which
+// the sync channel's snapshot-meta frame uses too: a served position is
+// the bytes the server's head file holds. A cut writes nothing else: the
+// blocks above the horizon are already on disk, and each segment reads
+// without any other, so the cut's I/O is the head's whatever the retained
+// window holds.
 //
 // The proofs section is a uvarint count and then each equivocation proof
 // (evidence.Proof.Encode, uvarint length-prefixed), one per equivocator in

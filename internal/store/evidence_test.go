@@ -12,6 +12,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/evidence"
+	"blockdag/internal/state"
 	"blockdag/internal/store"
 	"blockdag/internal/types"
 )
@@ -161,7 +162,7 @@ func TestEvidenceCheckpointImmune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.SetStateCheckpoint(&store.StateCheckpoint{Slot: 1})
+	s.SetStateCheckpoint(&store.StateCheckpoint{Commit: state.Commit{Slot: 1}})
 	if err := s.PruneTo(d, map[types.ServerID]uint64{0: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestEvidenceSurvivesInstall(t *testing.T) {
 	if err := s.InstallSnapshot(&store.Head{
 		Horizon: map[types.ServerID]uint64{0: 1},
 		Base:    []dag.Base{{Builder: 0, Seq: 0, Ref: blocks[0].Ref()}},
-		State:   &store.StateCheckpoint{Slot: 1},
+		State:   &store.StateCheckpoint{Commit: state.Commit{Slot: 1}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +281,11 @@ func TestEvidenceKeepsTheDurableCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.SetStateCheckpoint(&store.StateCheckpoint{Slot: 1})
+	s.SetStateCheckpoint(&store.StateCheckpoint{Commit: state.Commit{Slot: 1}})
 	if err := s.PruneTo(d, map[types.ServerID]uint64{0: 2}); err != nil {
 		t.Fatal(err)
 	}
-	s.SetStateCheckpoint(&store.StateCheckpoint{Slot: 2})
+	s.SetStateCheckpoint(&store.StateCheckpoint{Commit: state.Commit{Slot: 2}})
 	if err := s.AppendEvidence(forkProof(t, roster, signers, 0, "x")); err != nil {
 		t.Fatal(err)
 	}

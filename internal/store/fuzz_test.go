@@ -12,6 +12,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/dagtest"
 	"blockdag/internal/evidence"
+	"blockdag/internal/state"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
 )
@@ -57,7 +58,7 @@ func realSegments(f *testing.F) (wal, cut, installed []byte, withProofs [][]byte
 		f.Fatal(err)
 	}
 	wal = read(dir, "*"+extWAL)
-	sc := &StateCheckpoint{Slot: 2, Root: [32]byte{7}, Chunks: [][]byte{{1, 2, 3}, {4}}}
+	sc := &StateCheckpoint{Commit: state.Commit{Slot: 2, Root: [32]byte{7}}, Chunks: [][]byte{{1, 2, 3}, {4}}}
 	st.SetStateCheckpoint(sc)
 	if err := st.PruneTo(h.DAG, map[types.ServerID]uint64{0: 1, 1: 2}); err != nil {
 		f.Fatal(err)

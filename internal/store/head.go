@@ -14,19 +14,19 @@ import (
 
 	"blockdag/internal/dag"
 	"blockdag/internal/evidence"
+	"blockdag/internal/state"
 	"blockdag/internal/types"
 	"blockdag/internal/wire"
 )
 
 // StateCheckpoint is the application-state commitment a store journals
-// alongside its blocks: the sealed (slot, root) pair plus the snapshot
-// chunks that rebuild the committed tree (state.Export order). Journaling
-// the chunks keeps a pruned store self-contained — recovery rebuilds the
-// state machine from them, and dagstore verify re-derives the root —
-// without the store ever interpreting their contents.
+// alongside its blocks: the sealed commit, a (slot, root) pair, plus the
+// snapshot chunks that rebuild the committed tree (state.Export order).
+// Journaling the chunks keeps a pruned store self-contained — recovery
+// rebuilds the state machine from them, and dagstore verify re-derives the
+// root — without the store ever interpreting their contents.
 type StateCheckpoint struct {
-	Slot   uint64
-	Root   [32]byte
+	state.Commit
 	Chunks [][]byte
 }
 
@@ -46,8 +46,10 @@ const (
 // it hang off, ordered by (builder, seq), and the state checkpoint that
 // replaces the blocks below it (nil if none was set). A node serves its
 // store's Head to joiners (syncsvc.Server), and a joiner installs the one it
-// fetched (InstallSnapshot). A Head is immutable once published: the store
-// swaps in a new one instead of changing it.
+// fetched (InstallSnapshot); the snapshot-meta frame between them carries
+// the position in the head file's own layout (WritePosition, ReadPosition).
+// A Head is immutable once published: the store swaps in a new one instead
+// of changing it.
 //
 // Evidence is the store's own, never served: the equivocation proofs it
 // journals (AppendEvidence), one per equivocator, in equivocator order. A
@@ -73,14 +75,10 @@ const (
 	maxStateChunks    = 1 << 20
 )
 
-// encode lays the head out: the magic, the horizon table, the base table,
-// the optional state checkpoint, the proofs, and a CRC32 trailer over
-// everything after the magic.
-func (h *Head) encode() []byte {
-	var w wire.Writer
-	for i := range len(headMagic) {
-		w.Byte(headMagic[i])
-	}
+// WritePosition lays out h's position in the DAG: the horizon table in
+// builder order, then the base table. It is the head file's layout and the
+// snapshot-meta frame's (syncsvc) alike.
+func (h *Head) WritePosition(w *wire.Writer) {
 	ids := slices.Sorted(maps.Keys(h.Horizon))
 	w.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
@@ -93,6 +91,44 @@ func (h *Head) encode() []byte {
 		w.Uvarint(e.Seq)
 		w.Bytes32(e.Ref)
 	}
+}
+
+// ReadPosition inverts WritePosition into a head holding only the
+// position, and takes nothing it would not write: a horizon table out of
+// builder order, or naming a builder twice, is an error. A short table, or
+// one longer than the bounds, is r's error, which the caller's Close
+// reports.
+func ReadPosition(r *wire.Reader) (*Head, error) {
+	h := &Head{}
+	var prev types.ServerID
+	nHorizon := r.Count(maxHorizonEntries)
+	if nHorizon > 0 {
+		h.Horizon = make(map[types.ServerID]uint64, nHorizon)
+	}
+	for i := range nHorizon {
+		id := types.ServerID(r.Uint16())
+		if i > 0 && id <= prev && r.Err() == nil {
+			return nil, errors.New("horizon table out of builder order")
+		}
+		h.Horizon[id], prev = r.Uvarint(), id
+	}
+	nBase := r.Count(maxBaseEntries)
+	h.Base = make([]dag.Base, 0, nBase)
+	for range nBase {
+		h.Base = append(h.Base, dag.Base{Builder: types.ServerID(r.Uint16()), Seq: r.Uvarint(), Ref: r.Bytes32()})
+	}
+	return h, nil
+}
+
+// encode lays the head out: the magic, the position (WritePosition), the
+// optional state checkpoint, the proofs, and a CRC32 trailer over
+// everything after the magic.
+func (h *Head) encode() []byte {
+	var w wire.Writer
+	for i := range len(headMagic) {
+		w.Byte(headMagic[i])
+	}
+	h.WritePosition(&w)
 	w.Bool(h.State != nil)
 	if st := h.State; st != nil {
 		w.Uvarint(st.Slot)
@@ -111,8 +147,8 @@ func (h *Head) encode() []byte {
 }
 
 // decodeHead inverts Head.encode, and takes nothing encode would not
-// write: the horizon table and the proofs in builder order, each builder
-// once, each proof in its canonical encoding.
+// write: the horizon table (ReadPosition) and the proofs in builder order,
+// each builder once, each proof in its canonical encoding.
 func decodeHead(data []byte, path string) (*Head, error) {
 	if bytes.HasPrefix(data, []byte(retiredHeadMagic)) {
 		return nil, fmt.Errorf("%w: %s: head magic %q, a retired format", ErrCorrupt, path, retiredHeadMagic)
@@ -125,26 +161,12 @@ func decodeHead(data []byte, path string) (*Head, error) {
 		return nil, fmt.Errorf("%w: %s: head checksum mismatch", ErrCorrupt, path)
 	}
 	r := wire.NewReader(body)
-	h := &Head{}
-	var prev types.ServerID
-	nHorizon := r.Count(maxHorizonEntries)
-	if nHorizon > 0 {
-		h.Horizon = make(map[types.ServerID]uint64, nHorizon)
-	}
-	for i := range nHorizon {
-		id := types.ServerID(r.Uint16())
-		if i > 0 && id <= prev {
-			return nil, fmt.Errorf("%w: %s: horizon table out of builder order", ErrCorrupt, path)
-		}
-		h.Horizon[id], prev = r.Uvarint(), id
-	}
-	nBase := r.Count(maxBaseEntries)
-	h.Base = make([]dag.Base, 0, nBase)
-	for range nBase {
-		h.Base = append(h.Base, dag.Base{Builder: types.ServerID(r.Uint16()), Seq: r.Uvarint(), Ref: r.Bytes32()})
+	h, err := ReadPosition(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}
 	if r.Bool() {
-		st := &StateCheckpoint{Slot: r.Uvarint(), Root: r.Bytes32()}
+		st := &StateCheckpoint{Commit: state.Commit{Slot: r.Uvarint(), Root: r.Bytes32()}}
 		nChunks := r.Count(maxStateChunks)
 		st.Chunks = make([][]byte, 0, nChunks)
 		for range nChunks {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"blockdag/internal/dag"
+	"blockdag/internal/state"
 	"blockdag/internal/store"
 	"blockdag/internal/types"
 )
@@ -16,8 +17,7 @@ import (
 // interprets the chunk bytes.
 func testStateCkpt(slot uint64) *store.StateCheckpoint {
 	return &store.StateCheckpoint{
-		Slot:   slot,
-		Root:   [32]byte{1, 2, 3, byte(slot)},
+		Commit: state.Commit{Slot: slot, Root: [32]byte{1, 2, 3, byte(slot)}},
 		Chunks: [][]byte{{0xAA, 0xBB}, {0xCC}},
 	}
 }

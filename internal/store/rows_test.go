@@ -10,6 +10,7 @@ import (
 	"blockdag/internal/block"
 	"blockdag/internal/dag"
 	"blockdag/internal/dagtest"
+	"blockdag/internal/state"
 	"blockdag/internal/types"
 )
 
@@ -99,7 +100,7 @@ func TestBlockReadsEveryRowBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := segmentFiles(t, dir)
-	st.SetStateCheckpoint(&StateCheckpoint{Slot: 1})
+	st.SetStateCheckpoint(&StateCheckpoint{Commit: state.Commit{Slot: 1}})
 	horizon := map[types.ServerID]uint64{0: 3, 1: 2}
 	if err := st.PruneTo(h.DAG, horizon); err != nil {
 		t.Fatal(err)

@@ -773,13 +773,14 @@ func pruneSet(d *dag.DAG, horizon map[types.ServerID]uint64) (*cut, error) {
 			frontier[e.Builder] = true
 		}
 	}
+	seeded := d.BaseHorizon()
 	for _, e := range d.Base() {
 		h := horizon[e.Builder]
 		if e.Seq >= h {
 			// A previously seeded stand-in above the current horizon: keep
 			// it, retained blocks may hang off it.
 			baseSet[e.Ref] = e
-			if e.Seq == d.BaseHorizon()[e.Builder]-1 {
+			if e.Seq == seeded[e.Builder]-1 {
 				frontier[e.Builder] = true
 			}
 			continue

@@ -16,6 +16,7 @@ import (
 	"blockdag/internal/crypto"
 	"blockdag/internal/dag"
 	"blockdag/internal/dagtest"
+	"blockdag/internal/state"
 	"blockdag/internal/store"
 	"blockdag/internal/types"
 )
@@ -556,7 +557,7 @@ func TestCheckpointPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetStateCheckpoint(&store.StateCheckpoint{Slot: 1})
+	st.SetStateCheckpoint(&store.StateCheckpoint{Commit: state.Commit{Slot: 1}})
 	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 15}); err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +726,7 @@ func TestSnapshotEquivocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st.SetStateCheckpoint(&store.StateCheckpoint{Slot: 1})
+	st.SetStateCheckpoint(&store.StateCheckpoint{Commit: state.Commit{Slot: 1}})
 	if err := st.PruneTo(d, map[types.ServerID]uint64{0: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func BenchmarkSnapshotSync(b *testing.B) {
 	}
 	root := tr.Root()
 	st := onStore(b, fixed(nil))
-	if err := st.InstallSnapshot(&store.Head{State: &store.StateCheckpoint{Slot: 1000, Root: root, Chunks: state.Export(tr, 32<<10)}}); err != nil {
+	if err := st.InstallSnapshot(&store.Head{State: &store.StateCheckpoint{Commit: state.Commit{Slot: 1000, Root: root}, Chunks: state.Export(tr, 32<<10)}}); err != nil {
 		b.Fatal(err)
 	}
 	var virtual time.Duration

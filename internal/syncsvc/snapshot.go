@@ -11,9 +11,12 @@
 //
 // What a peer serves is its store's head (store.Head): the horizon, base
 // table and state checkpoint its store last set or journaled, read whole
-// on every call, and what the joiner installs is the same kind of head. A
-// cut publishes its head in one step, so a served horizon is never older
-// than the store's.
+// on every call, and what the joiner installs is the head it decoded from
+// the meta frame, with the verified checkpoint set on it. The frame lays
+// the head's position out as the head file does (store.Head.WritePosition)
+// and is read back by the same decoder (store.ReadPosition). A cut
+// publishes its head in one step, so a served horizon is never older than
+// the store's.
 //
 // Trust: the certificate covers exactly (slot, root) — the state
 // content. The base table and horizon that ride along are a single
@@ -34,7 +37,6 @@ import (
 	"time"
 
 	"blockdag/internal/crypto"
-	"blockdag/internal/dag"
 	"blockdag/internal/state"
 	"blockdag/internal/store"
 	"blockdag/internal/transport"
@@ -44,16 +46,15 @@ import (
 
 // SnapMeta is the answer to a snapshot-meta query: the server's own signed
 // commit over its head's checkpoint, the checkpoint's chunk count, and the
-// DAG position (base, horizon) a joiner needs to resume above the pruned
-// history.
+// head itself, whose position (base, horizon) a joiner needs to resume
+// above the pruned history.
 type SnapMeta struct {
-	// Has reports whether the peer had a sealed snapshot at all; the
-	// remaining fields are meaningful only when true.
-	Has       bool
 	Signed    state.SignedCommit
 	NumChunks uint64
-	Base      []dag.Base
-	Horizon   map[types.ServerID]uint64
+	// Head is the served head, nil if the peer has no sealed snapshot. Only
+	// its position goes on the wire (store.Head.WritePosition): a decoded
+	// meta's head holds no state checkpoint and no proofs.
+	Head *store.Head
 }
 
 // maxSnapChunks bounds the chunk count a client will accept for one
@@ -64,72 +65,38 @@ const maxSnapChunks = 1 << 20
 func EncodeSnapMetaRequest() []byte { return []byte{reqSnapMeta} }
 
 // EncodeSnapMetaFrame renders the answer to a snapshot-meta query; a meta
-// without Has encodes "no sealed snapshot yet". The horizon table goes in
-// builder order.
+// without a head encodes "no sealed snapshot yet". The head's position is
+// laid out as the head file lays it out.
 func EncodeSnapMetaFrame(m *SnapMeta) []byte {
 	w := wire.NewWriter(64)
 	w.Byte(frameSnapMeta)
-	w.Bool(m.Has)
-	if !m.Has {
+	w.Bool(m.Head != nil)
+	if m.Head == nil {
 		return w.Bytes()
 	}
 	w.VarBytes(m.Signed.Encode())
 	w.Uvarint(m.NumChunks)
-	w.Uvarint(uint64(len(m.Horizon)))
-	for _, id := range slices.Sorted(maps.Keys(m.Horizon)) {
-		w.Uint16(uint16(id))
-		w.Uvarint(m.Horizon[id])
-	}
-	w.Uvarint(uint64(len(m.Base)))
-	for _, e := range m.Base {
-		w.Uint16(uint16(e.Builder))
-		w.Uvarint(e.Seq)
-		w.Bytes32(e.Ref)
-	}
+	m.Head.WritePosition(w)
 	return w.Bytes()
 }
 
 // DecodeSnapMetaFrame inverts EncodeSnapMetaFrame, and takes nothing the
-// encoder would not write: the horizon table in builder order, each builder
-// once.
+// encoder would not write (store.ReadPosition).
 func DecodeSnapMetaFrame(frame []byte) (*SnapMeta, error) {
 	r := wire.NewReader(frame)
 	if k := r.Byte(); r.Err() == nil && k != frameSnapMeta {
 		return nil, fmt.Errorf("syncsvc: unexpected frame kind %d, want snapshot meta", k)
 	}
-	m := &SnapMeta{Has: r.Bool()}
-	if !m.Has {
-		if err := r.Close(); err != nil {
+	m := &SnapMeta{}
+	if r.Bool() {
+		sc, err := state.DecodeSignedCommit(r.VarBytes())
+		if r.Err() == nil && err != nil {
 			return nil, fmt.Errorf("syncsvc: bad snapshot meta: %w", err)
 		}
-		return m, nil
-	}
-	sc, err := state.DecodeSignedCommit(r.VarBytes())
-	if r.Err() == nil && err != nil {
-		return nil, fmt.Errorf("syncsvc: bad snapshot meta: %w", err)
-	}
-	m.Signed = sc
-	m.NumChunks = r.Uvarint()
-	nHorizon := r.Count(maxWatermarks)
-	if nHorizon > 0 {
-		m.Horizon = make(map[types.ServerID]uint64, nHorizon)
-	}
-	var prev types.ServerID
-	for i := 0; i < nHorizon; i++ {
-		id := types.ServerID(r.Uint16())
-		if i > 0 && id <= prev && r.Err() == nil {
-			return nil, errors.New("syncsvc: bad snapshot meta: horizon table out of builder order")
+		m.Signed, m.NumChunks = sc, r.Uvarint()
+		if m.Head, err = store.ReadPosition(r); err != nil {
+			return nil, fmt.Errorf("syncsvc: bad snapshot meta: %w", err)
 		}
-		m.Horizon[id], prev = r.Uvarint(), id
-	}
-	nBase := r.Count(maxWatermarks)
-	m.Base = make([]dag.Base, 0, nBase)
-	for i := 0; i < nBase; i++ {
-		m.Base = append(m.Base, dag.Base{
-			Builder: types.ServerID(r.Uint16()),
-			Seq:     r.Uvarint(),
-			Ref:     r.Bytes32(),
-		})
 	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("syncsvc: bad snapshot meta: %w", err)
@@ -194,8 +161,7 @@ func (s *Server) served() *store.Head {
 func (s *Server) serveSnapMeta(st transport.ServerStream) {
 	m := &SnapMeta{}
 	if h := s.served(); h != nil {
-		commit := state.Commit{Slot: h.State.Slot, Root: h.State.Root}
-		m = &SnapMeta{Has: true, Signed: state.SignCommit(commit, s.Signer), NumChunks: uint64(len(h.State.Chunks)), Base: h.Base, Horizon: h.Horizon}
+		m = &SnapMeta{Signed: state.SignCommit(h.State.Commit, s.Signer), NumChunks: uint64(len(h.State.Chunks)), Head: h}
 	}
 	if err := st.Send(EncodeSnapMetaFrame(m)); err != nil {
 		return // stream lost; nothing left to tell anyone
@@ -430,7 +396,7 @@ func FetchSnapshot(cfg FetchConfig) (*FetchedSnapshot, error) {
 			continue
 		}
 		m, err := q.Result()
-		if err != nil || m == nil || !m.Has {
+		if err != nil || m == nil || m.Head == nil {
 			continue
 		}
 		if m.Signed.Server != peer || m.Signed.Verify(cfg.Roster) != nil {
@@ -470,15 +436,8 @@ func FetchSnapshot(cfg FetchConfig) (*FetchedSnapshot, error) {
 			lastErr = fmt.Errorf("syncsvc: peer %v: %w", peer, ferr)
 			continue
 		}
-		return &FetchedSnapshot{
-			Head: &store.Head{
-				Horizon: meta.Horizon,
-				Base:    meta.Base,
-				State:   &store.StateCheckpoint{Slot: commit.Slot, Root: commit.Root, Chunks: chunks},
-			},
-			Cert:   certFor(metas, group, commit),
-			Anchor: peer,
-		}, nil
+		meta.Head.State = &store.StateCheckpoint{Commit: commit, Chunks: chunks}
+		return &FetchedSnapshot{Head: meta.Head, Cert: certFor(metas, group, commit), Anchor: peer}, nil
 	}
 	if lastErr == nil {
 		lastErr = errors.New("syncsvc: no certified peer completed a snapshot stream")
@@ -490,13 +449,9 @@ func FetchSnapshot(cfg FetchConfig) (*FetchedSnapshot, error) {
 // distinct valid signers among the collected metas, returning the
 // serving peers ordered deterministically (ascending ID).
 func certifiedGroup(metas map[types.ServerID]*SnapMeta, roster *crypto.Roster) (state.Commit, []types.ServerID, error) {
-	type groupKey struct {
-		slot uint64
-		root [32]byte
-	}
-	groups := make(map[groupKey]map[types.ServerID]*SnapMeta)
+	groups := make(map[state.Commit]map[types.ServerID]*SnapMeta)
 	for peer, m := range metas {
-		k := groupKey{slot: m.Signed.Commit.Slot, root: m.Signed.Commit.Root}
+		k := m.Signed.Commit
 		if groups[k] == nil {
 			groups[k] = make(map[types.ServerID]*SnapMeta)
 		}
@@ -515,10 +470,8 @@ func certifiedGroup(metas map[types.ServerID]*SnapMeta, roster *crypto.Roster) (
 		if !state.CertifiedBy(scs, roster) {
 			continue
 		}
-		if !found || k.slot > best.Slot {
-			best = state.Commit{Slot: k.slot, Root: k.root}
-			bestPeer = slices.Sorted(maps.Keys(g))
-			found = true
+		if !found || k.Slot > best.Slot {
+			best, bestPeer, found = k, slices.Sorted(maps.Keys(g)), true
 		}
 	}
 	if !found {
@@ -531,7 +484,7 @@ func certifiedGroup(metas map[types.ServerID]*SnapMeta, roster *crypto.Roster) (
 func certFor(metas map[types.ServerID]*SnapMeta, group []types.ServerID, c state.Commit) []state.SignedCommit {
 	out := make([]state.SignedCommit, 0, len(group))
 	for _, p := range group {
-		if m := metas[p]; m != nil && m.Signed.Commit.Slot == c.Slot && m.Signed.Commit.Root == c.Root {
+		if m := metas[p]; m != nil && m.Signed.Commit == c {
 			out = append(out, m.Signed)
 		}
 	}

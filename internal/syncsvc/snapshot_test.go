@@ -48,7 +48,7 @@ func buildSnapFixture(t testing.TB, n int, slot uint64) *snapFixture {
 // head is the store head a peer holding the fixture serves: its commit
 // over chunks (the fixture's own, or a lie), no base or horizon.
 func (f *snapFixture) head(chunks [][]byte) *store.Head {
-	return &store.Head{State: &store.StateCheckpoint{Slot: f.commit.Slot, Root: f.commit.Root, Chunks: chunks}}
+	return &store.Head{State: &store.StateCheckpoint{Commit: f.commit, Chunks: chunks}}
 }
 
 // snapServer is a sync server serving h signed by signer: h installed into
@@ -71,16 +71,18 @@ func TestSnapMetaFrameRoundTrip(t *testing.T) {
 	}
 	fix := buildSnapFixture(t, 40, 77)
 	ss := &syncsvc.SnapMeta{
-		Has: true, Signed: state.SignCommit(fix.commit, signers[2]), NumChunks: uint64(len(fix.chunks)),
-		Horizon: map[types.ServerID]uint64{0: 5, 2: 9},
-		Base:    []dag.Base{{Builder: 0, Seq: 4, Ref: block.Ref{1, 2, 3}}},
+		Signed: state.SignCommit(fix.commit, signers[2]), NumChunks: uint64(len(fix.chunks)),
+		Head: &store.Head{
+			Horizon: map[types.ServerID]uint64{0: 5, 2: 9},
+			Base:    []dag.Base{{Builder: 0, Seq: 4, Ref: block.Ref{1, 2, 3}}},
+		},
 	}
 
 	m, err := syncsvc.DecodeSnapMetaFrame(syncsvc.EncodeSnapMetaFrame(ss))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Has || m.NumChunks != uint64(len(fix.chunks)) {
+	if m.Head == nil || m.NumChunks != uint64(len(fix.chunks)) {
 		t.Fatalf("meta = %+v", m)
 	}
 	if m.Signed.Commit != fix.commit {
@@ -89,18 +91,18 @@ func TestSnapMetaFrameRoundTrip(t *testing.T) {
 	if err := m.Signed.Verify(roster); err != nil {
 		t.Fatalf("signature did not survive the round trip: %v", err)
 	}
-	if len(m.Horizon) != 2 || m.Horizon[0] != 5 || m.Horizon[2] != 9 {
-		t.Fatalf("horizon = %v", m.Horizon)
+	if len(m.Head.Horizon) != 2 || m.Head.Horizon[0] != 5 || m.Head.Horizon[2] != 9 {
+		t.Fatalf("horizon = %v", m.Head.Horizon)
 	}
-	if len(m.Base) != 1 || m.Base[0] != ss.Base[0] {
-		t.Fatalf("base = %v", m.Base)
+	if len(m.Head.Base) != 1 || m.Head.Base[0] != ss.Head.Base[0] {
+		t.Fatalf("base = %v", m.Head.Base)
 	}
 
 	empty, err := syncsvc.DecodeSnapMetaFrame(syncsvc.EncodeSnapMetaFrame(&syncsvc.SnapMeta{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.Has {
+	if empty.Head != nil {
 		t.Fatal("nil snapshot decoded as present")
 	}
 }
@@ -127,7 +129,7 @@ func TestSnapshotStreamOverSimnet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !meta.Has || meta.NumChunks != uint64(len(fix.chunks)) {
+	if meta.Head == nil || meta.NumChunks != uint64(len(fix.chunks)) {
 		t.Fatalf("meta = %+v", meta)
 	}
 
@@ -504,9 +506,11 @@ func FuzzDecodeSnapMetaFrame(f *testing.F) {
 	}
 	fix := buildSnapFixture(f, 30, 9)
 	f.Add(syncsvc.EncodeSnapMetaFrame(&syncsvc.SnapMeta{
-		Has: true, Signed: state.SignCommit(fix.commit, signers[1]), NumChunks: uint64(len(fix.chunks)),
-		Horizon: map[types.ServerID]uint64{0: 3},
-		Base:    []dag.Base{{Builder: 0, Seq: 2, Ref: block.Ref{4}}},
+		Signed: state.SignCommit(fix.commit, signers[1]), NumChunks: uint64(len(fix.chunks)),
+		Head: &store.Head{
+			Horizon: map[types.ServerID]uint64{0: 3},
+			Base:    []dag.Base{{Builder: 0, Seq: 2, Ref: block.Ref{4}}},
+		},
 	}))
 	f.Add(syncsvc.EncodeSnapMetaFrame(&syncsvc.SnapMeta{}))
 	f.Add([]byte{})
@@ -557,7 +561,7 @@ func TestDecodeSnapMetaFrameTakesOnlyTheEncoding(t *testing.T) {
 	}
 	signed := state.SignCommit(buildSnapFixture(t, 10, 3).commit, signers[0])
 	if m, err := syncsvc.DecodeSnapMetaFrame(unorderedMeta(signed)); err == nil {
-		t.Fatalf("unordered horizon table accepted as %v", m.Horizon)
+		t.Fatalf("unordered horizon table accepted as %v", m.Head.Horizon)
 	}
 }
 
@@ -603,7 +607,7 @@ func TestServeSnapshotOnlyWhileARuntimeIsRegistered(t *testing.T) {
 
 	rt := srv.Store.Runtime()
 	srv.Store.SetRuntime(nil)
-	if m := meta(); m.Has {
+	if m := meta(); m.Head != nil {
 		t.Fatalf("no runtime registered, yet served %+v", m)
 	}
 	if err := chunks(); err == nil || !strings.Contains(err.Error(), "no snapshot") {
@@ -612,14 +616,14 @@ func TestServeSnapshotOnlyWhileARuntimeIsRegistered(t *testing.T) {
 
 	srv.Store.SetRuntime(rt)
 	m := meta()
-	if !m.Has || m.Signed.Commit != fix.commit || m.NumChunks != uint64(len(fix.chunks)) {
+	if m.Head == nil || m.Signed.Commit != fix.commit || m.NumChunks != uint64(len(fix.chunks)) {
 		t.Fatalf("served %+v, want the head's commit %+v over %d chunks", m, fix.commit, len(fix.chunks))
 	}
 	if err := m.Signed.Verify(roster); err != nil || m.Signed.Server != signers[2].ID() {
 		t.Fatalf("commit signed as s%d (%v), want the Signer's s%d", m.Signed.Server, err, signers[2].ID())
 	}
-	if !maps.Equal(m.Horizon, head.Horizon) || !slices.Equal(m.Base, head.Base) {
-		t.Fatalf("served horizon %v base %v, want the head's %v %v", m.Horizon, m.Base, head.Horizon, head.Base)
+	if !maps.Equal(m.Head.Horizon, head.Horizon) || !slices.Equal(m.Head.Base, head.Base) {
+		t.Fatalf("served horizon %v base %v, want the head's %v %v", m.Head.Horizon, m.Head.Base, head.Horizon, head.Base)
 	}
 	if err := chunks(); err != nil {
 		t.Fatal(err)
@@ -646,7 +650,7 @@ func TestServedSnapMetaSignsWithoutBuilding(t *testing.T) {
 		if !runUntil(net, q.Done) {
 			t.Fatal("meta query did not finish")
 		}
-		if m, err := q.Result(); err != nil || !m.Has {
+		if m, err := q.Result(); err != nil || m.Head == nil {
 			t.Fatalf("meta %+v, err %v: want the served head", m, err)
 		}
 	}
